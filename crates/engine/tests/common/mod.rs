@@ -1,0 +1,443 @@
+//! The one harness the engine's integration suites share: the fig. 7 /
+//! fig. 8 bindings and populations, the randomized-script generator,
+//! and the per-instance fingerprint every equivalence suite (and the
+//! golden files) compares.
+
+#![allow(dead_code)]
+
+use std::collections::BTreeMap;
+
+use flowscript_core::samples;
+use flowscript_engine::coordinator::EngineConfig;
+use flowscript_engine::{CbState, InstanceStatus, ObjectVal, TaskBehavior, WorkflowSystem};
+use flowscript_sim::net::LinkConfig;
+use flowscript_sim::SimDuration;
+
+pub fn text(class: &str, value: &str) -> ObjectVal {
+    ObjectVal::text(class, value)
+}
+
+/// A fully deterministic link: equivalence runs must not depend on the
+/// shared RNG (jitter draws), only on the topology.
+pub fn det_link() -> LinkConfig {
+    LinkConfig {
+        base_latency: SimDuration::from_micros(200),
+        jitter: SimDuration::ZERO,
+        drop_prob: 0.0,
+    }
+}
+
+/// The default pipeline with tight watchdogs and the dispatch trace on.
+pub fn det_config() -> EngineConfig {
+    EngineConfig {
+        dispatch_timeout: SimDuration::from_millis(400),
+        retry_backoff: SimDuration::from_millis(20),
+        record_dispatches: true,
+        ..EngineConfig::default()
+    }
+}
+
+// ---------------------------------------------------------------------
+// Fig. 7 order processing and fig. 8 business trip.
+// ---------------------------------------------------------------------
+
+/// Fig. 7 bindings: pure functions of the invocation (per-instance
+/// behaviour must not leak across instances through shared state), with
+/// enough simulated work (~100ms per order) that a mid-run crash, drain
+/// or rebalance catches instances with tasks genuinely executing.
+pub fn bind_order(sys: &WorkflowSystem) {
+    sys.bind_fn("refPaymentAuthorisation", |_| {
+        TaskBehavior::outcome("authorised")
+            .with_work(SimDuration::from_millis(30))
+            .with_object("paymentInfo", ObjectVal::text("PaymentInfo", "p"))
+    });
+    sys.bind_fn("refCheckStock", |_| {
+        TaskBehavior::outcome("stockAvailable")
+            .with_work(SimDuration::from_millis(45))
+            .with_object("stockInfo", ObjectVal::text("StockInfo", "s"))
+    });
+    sys.bind_fn("refDispatch", |_| {
+        TaskBehavior::outcome("dispatchCompleted")
+            .with_work(SimDuration::from_millis(25))
+            .with_object("dispatchNote", ObjectVal::text("DispatchNote", "n"))
+    });
+    sys.bind_fn("refDispatchAlt", |_| {
+        TaskBehavior::outcome("dispatchCompleted")
+            .with_work(SimDuration::from_millis(25))
+            .with_object("dispatchNote", ObjectVal::text("DispatchNote", "alt-note"))
+    });
+    sys.bind_fn("refPaymentCapture", |_| TaskBehavior::outcome("done"));
+}
+
+/// Fig. 8 bindings, all pure functions of the invocation. The
+/// instance's `user` input text is threaded through the dataflow chain
+/// (tripData → flightList → plane); a `retry` marker in it makes the
+/// hotel fail in incarnation 0, driving the Fig. 8
+/// compensate-and-repeat loop exactly once per instance.
+pub fn bind_trip(sys: &WorkflowSystem) {
+    sys.bind_fn("refDataAcquisition", |ctx| {
+        TaskBehavior::outcome("acquired").with_object(
+            "tripData",
+            ObjectVal::text("TripData", ctx.input_text("user")),
+        )
+    });
+    sys.bind_fn("refAirlineQueryA", |_| {
+        TaskBehavior::outcome("notFound").with_work(SimDuration::from_millis(5))
+    });
+    sys.bind_fn("refAirlineQueryB", |ctx| {
+        TaskBehavior::outcome("found")
+            .with_work(SimDuration::from_millis(12))
+            .with_object(
+                "flightList",
+                ObjectVal::text("FlightList", ctx.input_text("tripData")),
+            )
+    });
+    sys.bind_fn("refAirlineQueryC", |ctx| {
+        TaskBehavior::outcome("found")
+            .with_work(SimDuration::from_millis(30))
+            .with_object(
+                "flightList",
+                ObjectVal::text("FlightList", ctx.input_text("tripData")),
+            )
+    });
+    sys.bind_fn("refFlightReservation", |ctx| {
+        TaskBehavior::outcome("reserved")
+            .with_object(
+                "plane",
+                ObjectVal::text("Plane", ctx.input_text("flightList")),
+            )
+            .with_object("cost", ObjectVal::text("Cost", "c"))
+    });
+    sys.bind_fn("refHotelReservation", |ctx| {
+        let wants_retry = ctx.input_text("plane").contains("retry");
+        if wants_retry && ctx.incarnation == 0 {
+            TaskBehavior::outcome("failed")
+        } else {
+            TaskBehavior::outcome("hotelBooked").with_object("hotel", ObjectVal::text("Hotel", "h"))
+        }
+    });
+    sys.bind_fn("refFlightCancellation", |_| {
+        TaskBehavior::outcome("cancelled")
+    });
+    sys.bind_fn("refPrintTickets", |_| {
+        TaskBehavior::outcome("printed").with_object("tickets", ObjectVal::text("Tickets", "tk"))
+    });
+}
+
+/// A 3-executor system on the deterministic link with fig. 7 registered
+/// and bound.
+pub fn build_orders(coordinators: usize, config: EngineConfig) -> WorkflowSystem {
+    let mut sys = WorkflowSystem::builder()
+        .executors(3)
+        .coordinators(coordinators)
+        .seed(7)
+        .link(det_link())
+        .config(config)
+        .build();
+    sys.register_script(
+        "order",
+        samples::ORDER_PROCESSING,
+        "processOrderApplication",
+    )
+    .unwrap();
+    bind_order(&sys);
+    sys
+}
+
+/// [`build_orders`] plus fig. 8.
+pub fn build(coordinators: usize, config: EngineConfig) -> WorkflowSystem {
+    let mut sys = build_orders(coordinators, config);
+    sys.register_script("trip", samples::BUSINESS_TRIP, "tripReservation")
+        .unwrap();
+    bind_trip(&sys);
+    sys
+}
+
+/// The mixed fig. 7 / fig. 8 population, including one fig. 8 instance
+/// that takes the compensate-and-repeat loop. Names are varied so
+/// rendezvous hashing spreads them across shards.
+pub fn population() -> Vec<String> {
+    let mut all: Vec<String> = (0..8).map(|i| format!("order-{i}")).collect();
+    all.extend((0..3).map(|i| format!("trip-{i}")));
+    all.push("trip-retry-x".to_string());
+    all
+}
+
+/// 24 fig. 7 orders (the hand-off suites' population).
+pub fn order_population() -> Vec<String> {
+    (0..24).map(|i| format!("order-{i}")).collect()
+}
+
+/// Starts every `order-…` name as a fig. 7 order and every other name
+/// as a fig. 8 trip, each with its own name as the input text.
+pub fn start_population(sys: &mut WorkflowSystem, names: &[String]) {
+    for name in names {
+        if name.starts_with("order-") {
+            sys.start(name, "order", "main", [("order", text("Order", name))])
+        } else {
+            sys.start(name, "trip", "main", [("user", text("User", name))])
+        }
+        .unwrap();
+    }
+}
+
+// ---------------------------------------------------------------------
+// Small scripts.
+// ---------------------------------------------------------------------
+
+/// One leaf (`refWork`) under a root.
+pub const ONE_TASK: &str = r#"
+class Data;
+taskclass Work {
+    inputs { input main { in of class Data } };
+    outputs { outcome done { } }
+}
+taskclass Root {
+    inputs { input main { seed of class Data } };
+    outputs { outcome done { } }
+}
+compoundtask root of taskclass Root {
+    task w of taskclass Work {
+        implementation { "code" is "refWork" };
+        inputs { input main { inputobject in from { seed of task root if input main } } }
+    };
+    outputs { outcome done { notification from { task w if output done } } }
+}
+"#;
+
+/// A join of one fast and one slow producer: the window between their
+/// completions is where fault injection can corrupt the fast fact.
+pub const JOIN: &str = r#"
+class Data;
+taskclass Work {
+    inputs { input main { in of class Data } };
+    outputs { outcome done { out of class Data } }
+}
+taskclass Join {
+    inputs { input main { left of class Data; right of class Data } };
+    outputs { outcome done { } }
+}
+taskclass Root {
+    inputs { input main { seed of class Data } };
+    outputs { outcome done { } }
+}
+compoundtask root of taskclass Root {
+    task fast of taskclass Work {
+        implementation { "code" is "refFast" };
+        inputs { input main { inputobject in from { seed of task root if input main } } }
+    };
+    task slow of taskclass Work {
+        implementation { "code" is "refSlow" };
+        inputs { input main { inputobject in from { seed of task root if input main } } }
+    };
+    task join of taskclass Join {
+        implementation { "code" is "refJoin" };
+        inputs { input main {
+            inputobject left from { out of task fast if output done };
+            inputobject right from { out of task slow if output done }
+        } }
+    };
+    outputs { outcome done { notification from { task join if output done } } }
+}
+"#;
+
+// ---------------------------------------------------------------------
+// Fingerprints.
+// ---------------------------------------------------------------------
+
+/// Everything observable about one finished instance: terminal status
+/// (outcome objects included), the ordered `(path, attempt)` dispatch
+/// trace, and every task's final state.
+pub type Fingerprint = (
+    InstanceStatus,
+    Vec<(String, u32)>,
+    BTreeMap<String, CbState>,
+);
+
+pub fn fingerprint(sys: &WorkflowSystem, instance: &str) -> Fingerprint {
+    let status = sys.status(instance).expect("instance known");
+    assert!(status.is_terminal(), "{instance} not terminal: {status:?}");
+    let trace = sys
+        .dispatch_trace_of(instance)
+        .into_iter()
+        .map(|d| (d.path, d.attempt))
+        .collect();
+    (status, trace, sys.task_states(instance))
+}
+
+pub fn fingerprints(sys: &WorkflowSystem, names: &[String]) -> BTreeMap<String, Fingerprint> {
+    names
+        .iter()
+        .map(|name| (name.clone(), fingerprint(sys, name)))
+        .collect()
+}
+
+/// [`fingerprint`] without the dispatch trace, for suites that change
+/// the fleet mid-run: placement legitimately differs once membership
+/// does — attempts still count, via the task states.
+pub fn settled(
+    sys: &WorkflowSystem,
+    instance: &str,
+) -> (InstanceStatus, BTreeMap<String, CbState>) {
+    let (status, _trace, states) = fingerprint(sys, instance);
+    (status, states)
+}
+
+// ---------------------------------------------------------------------
+// Randomized scripts.
+// ---------------------------------------------------------------------
+
+/// Per-stage behaviour parameters, derived from the case seed.
+#[derive(Debug, Clone, Copy)]
+pub struct StageParams {
+    /// Leaf repeat outcomes taken before completing.
+    pub repeats: u32,
+    /// Use an unconditioned source (compiles to `AnyOf` alternatives).
+    pub any_of: bool,
+    /// Complete with the `alt` outcome instead of `done`.
+    pub alt: bool,
+    /// Abort instead of completing (downstream falls back to the root
+    /// seed source; the final notification can leave the run stuck —
+    /// both arms of a comparison must agree on that too).
+    pub abort: bool,
+}
+
+pub fn stage_params(seed: u64, i: usize) -> StageParams {
+    let bits = seed >> ((i * 6) % 58);
+    StageParams {
+        repeats: (bits & 0b11) as u32 % 3,
+        any_of: bits & 0b100 != 0,
+        alt: bits & 0b1000 != 0,
+        abort: bits & 0b11_0000 == 0b11_0000, // 1-in-4 per stage
+    }
+}
+
+/// A chain of `n` stages plus a nested compound, all feeding the root's
+/// `done` notification. Per-stage, the upstream source is either
+/// conditioned (`if output done`) or unconditioned — the latter
+/// compiles to `AnyOf` alternatives over every Stage outcome carrying
+/// `out` (`done` and `alt`).
+pub fn generated_script(n: usize, seed: u64) -> String {
+    let mut source = String::from(
+        r#"class Data;
+taskclass Stage {
+    inputs { input main { in of class Data } };
+    outputs {
+        outcome done { out of class Data };
+        outcome alt { out of class Data };
+        abort outcome failed { };
+        repeat outcome again { p of class Data }
+    }
+}
+taskclass Inner {
+    inputs { input main { in of class Data } };
+    outputs { outcome done { out of class Data } }
+}
+taskclass Root {
+    inputs { input main { seed of class Data } };
+    outputs { outcome done { } }
+}
+compoundtask root of taskclass Root {
+"#,
+    );
+    for i in 0..n {
+        let from = if i == 0 {
+            "inputobject in from { seed of task root if input main }".to_string()
+        } else if stage_params(seed, i).any_of {
+            format!(
+                "inputobject in from {{ out of task t{prev}; seed of task root if input main }}",
+                prev = i - 1
+            )
+        } else {
+            format!(
+                "inputobject in from {{ out of task t{prev} if output done; seed of task root if input main }}",
+                prev = i - 1
+            )
+        };
+        source.push_str(&format!(
+            "    task t{i} of taskclass Stage {{\n        implementation {{ \"code\" is \"ref{i}\" }};\n        inputs {{ input main {{ {from} }} }}\n    }};\n"
+        ));
+    }
+    source.push_str(&format!(
+        r#"    compoundtask comp of taskclass Inner {{
+        inputs {{ input main {{ inputobject in from {{ seed of task root if input main }} }} }};
+        task inner of taskclass Inner {{
+            implementation {{ "code" is "refInner" }};
+            inputs {{ input main {{ inputobject in from {{ in of task comp if input main }} }} }}
+        }};
+        outputs {{
+            outcome done {{ outputobject out from {{ out of task inner if output done }} }}
+        }}
+    }};
+    outputs {{ outcome done {{ notification from {{ task t{last} if output done }}; notification from {{ task comp if output done }} }} }}
+}}
+"#,
+        last = n - 1
+    ));
+    source
+}
+
+/// Binds every stage as a **pure** function of the invocation: repeat
+/// loops key on `ctx.attempt`, everything else on the case parameters.
+pub fn bind_stages(sys: &WorkflowSystem, n: usize, seed: u64) {
+    for i in 0..n {
+        let params = stage_params(seed, i);
+        sys.bind_fn(&format!("ref{i}"), move |ctx| {
+            if ctx.attempt < params.repeats {
+                TaskBehavior::outcome("again")
+                    .with_object("p", ObjectVal::text("Data", ctx.attempt.to_string()))
+                    .with_redo_after(SimDuration::from_millis(20))
+            } else if params.abort {
+                TaskBehavior::outcome("failed")
+            } else if params.alt {
+                TaskBehavior::outcome("alt").with_object("out", ObjectVal::text("Data", "alt"))
+            } else {
+                TaskBehavior::outcome("done").with_object("out", ObjectVal::text("Data", "done"))
+            }
+        });
+    }
+    sys.bind_fn("refInner", |ctx| {
+        TaskBehavior::outcome("done")
+            .with_object("out", ObjectVal::text("Data", ctx.input_text("in")))
+    });
+}
+
+/// The randomized suites' base config: the default pipeline with tight
+/// watchdogs and the dispatch trace on.
+pub fn generated_config() -> EngineConfig {
+    EngineConfig {
+        dispatch_timeout: SimDuration::from_millis(500),
+        retry_backoff: SimDuration::from_millis(10),
+        record_dispatches: true,
+        ..EngineConfig::default()
+    }
+}
+
+/// Runs `names` as instances of one generated script on `coordinators`
+/// shards (identical virtual worlds — variation comes from `seed`) and
+/// fingerprints every instance.
+pub fn run_generated(
+    coordinators: usize,
+    config: EngineConfig,
+    n: usize,
+    seed: u64,
+    script: &str,
+    names: &[String],
+) -> BTreeMap<String, Fingerprint> {
+    let mut sys = WorkflowSystem::builder()
+        .executors(3)
+        .coordinators(coordinators)
+        .seed(42)
+        .link(det_link())
+        .config(config)
+        .build();
+    sys.register_script("g", script, "root")
+        .expect("generated script compiles");
+    bind_stages(&sys, n, seed);
+    for name in names {
+        sys.start(name, "g", "main", [("seed", text("Data", "s"))])
+            .expect("instance starts");
+    }
+    sys.run();
+    fingerprints(&sys, names)
+}

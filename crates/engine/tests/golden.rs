@@ -1,0 +1,111 @@
+//! Golden fingerprints: the fig. 7 + fig. 8 population on the default
+//! pipeline, one line per instance, frozen under `tests/golden/`.
+//!
+//! The equivalence suites compare two arms of the *same* build, so they
+//! cannot see both arms drifting together from one commit to the next.
+//! These files can: any change to an outcome, a dispatch order, an
+//! attempt count or a task state shows up as a one-line text diff. There
+//! is deliberately no regenerate switch — on a mismatch the test writes
+//! what it saw under `target/golden-actual/` and prints the `cp` that
+//! would accept it, so accepting a behaviour change is a reviewed edit.
+
+mod common;
+
+use std::path::Path;
+
+use common::{build, fingerprint, population, start_population, Fingerprint};
+use flowscript_engine::coordinator::EngineConfig;
+use flowscript_engine::InstanceStatus;
+
+fn render(name: &str, (status, trace, states): &Fingerprint) -> String {
+    let status = match status {
+        InstanceStatus::Completed(outcome) => {
+            let objects: Vec<String> = outcome
+                .objects
+                .iter()
+                .map(|(name, object)| format!("{name}={object}@{}", object.produced_by))
+                .collect();
+            format!(
+                "Completed {} ({:?}) {{{}}}",
+                outcome.name,
+                outcome.kind,
+                objects.join(", ")
+            )
+        }
+        other => format!("{other:?}"),
+    };
+    let trace: Vec<String> = trace
+        .iter()
+        .map(|(path, attempt)| format!("{path}#{attempt}"))
+        .collect();
+    let states: Vec<String> = states
+        .iter()
+        .map(|(path, state)| format!("{path}={state:?}"))
+        .collect();
+    format!(
+        "{name} | {status} | dispatched: {} | states: {}\n",
+        trace.join(" "),
+        states.join(" ")
+    )
+}
+
+fn run(coordinators: usize) -> String {
+    // The default config; the trace switch only records, it decides
+    // nothing.
+    let config = EngineConfig {
+        record_dispatches: true,
+        ..EngineConfig::default()
+    };
+    let mut sys = build(coordinators, config);
+    let population = population();
+    start_population(&mut sys, &population);
+    sys.run();
+    population
+        .iter()
+        .map(|name| render(name, &fingerprint(&sys, name)))
+        .collect()
+}
+
+fn check(file: &str, actual: &str) {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file);
+    let expected = std::fs::read_to_string(&golden).unwrap_or_default();
+    if expected == actual {
+        return;
+    }
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/golden-actual");
+    std::fs::create_dir_all(&dir).expect("target/golden-actual creatable");
+    let seen = dir.canonicalize().expect("just created").join(file);
+    std::fs::write(&seen, actual).expect("actual fingerprints written");
+    let mut diff = String::new();
+    let (mut want, mut got) = (expected.lines(), actual.lines());
+    loop {
+        match (want.next(), got.next()) {
+            (None, None) => break,
+            (w, g) if w == g => {}
+            (w, g) => {
+                for (sign, line) in [('-', w), ('+', g)] {
+                    if let Some(line) = line {
+                        diff.push_str(&format!("{sign} {line}\n"));
+                    }
+                }
+            }
+        }
+    }
+    panic!(
+        "{file} differs from the golden fingerprints:\n{diff}\nto accept the new behaviour:\n  cp {} {}\n",
+        seen.display(),
+        golden.display()
+    );
+}
+
+#[test]
+fn paper_population_matches_golden_on_one_shard() {
+    check("paper_1_shard.txt", &run(1));
+}
+
+#[test]
+fn paper_population_matches_golden_on_four_shards() {
+    check("paper_4_shards.txt", &run(4));
+}
