@@ -6,8 +6,6 @@
 //! paper's applications and parameterised generators (chains, fans,
 //! nesting depths, redundant-source counts, random scripts).
 
-pub mod report;
-
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -15,11 +13,8 @@ use flowscript_core::builder;
 use flowscript_core::fmt::format_script;
 use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
-use flowscript_engine::{
-    CommitBatch, EngineError, InvokeCtx, ObjectVal, ObserveLevel, SchedPolicy, TaskBehavior,
-    WorkflowSystem,
-};
-use flowscript_sim::{SimDuration, SimTime};
+use flowscript_engine::{InvokeCtx, ObjectVal, TaskBehavior, WorkflowSystem};
+use flowscript_sim::SimDuration;
 
 /// A workflow system with benchmarking defaults (trace off).
 pub fn bench_system(seed: u64, executors: usize) -> WorkflowSystem {
@@ -197,385 +192,6 @@ pub fn run_trip(sys: &mut WorkflowSystem, instance: &str) {
 }
 
 // ---------------------------------------------------------------------
-// Sharded-coordinator waves (the 10k-concurrent-instances workload).
-// ---------------------------------------------------------------------
-
-/// A sharded system bound to the Fig. 1 diamond with long virtual work
-/// per task, so a whole wave of instances is in flight simultaneously
-/// (the multi-instance scalability workload; see the `plan_dispatch`
-/// bench's `sharded` variant).
-pub fn sharded_diamond_system(seed: u64, coordinators: usize, executors: usize) -> WorkflowSystem {
-    observed_diamond_system(seed, coordinators, executors, ObserveLevel::Off)
-}
-
-/// [`sharded_diamond_system`] with an explicit observability level (the
-/// `obs_overhead` bench variant times the same wave at every level).
-pub fn observed_diamond_system(
-    seed: u64,
-    coordinators: usize,
-    executors: usize,
-    observe: ObserveLevel,
-) -> WorkflowSystem {
-    let config = EngineConfig {
-        // Tasks deliberately take 30 virtual seconds; keep watchdogs out
-        // of the way (nothing fails in this workload).
-        dispatch_timeout: SimDuration::from_secs(300),
-        observe,
-        ..EngineConfig::default()
-    };
-    diamond_wave_system(seed, coordinators, executors, config, None)
-}
-
-/// [`sharded_diamond_system`] with explicit group-commit batching knobs
-/// (the `batched` bench variant compares the batched pipeline against
-/// the [`CommitBatch::disabled`] one-frame-per-commit baseline arm).
-pub fn batched_diamond_system(
-    seed: u64,
-    coordinators: usize,
-    executors: usize,
-    batch: CommitBatch,
-) -> WorkflowSystem {
-    let config = EngineConfig {
-        dispatch_timeout: SimDuration::from_secs(300),
-        commit_batch: batch,
-        ..EngineConfig::default()
-    };
-    diamond_wave_system(seed, coordinators, executors, config, None)
-}
-
-/// [`durable_diamond_system`] with the adaptive commit window enabled:
-/// the shard tracks an EWMA of report inter-arrival gaps and narrows
-/// the batch window to `min_window` when reports are sparse (commit
-/// latency), re-widening to the configured maximum under bursts (sync
-/// amortization). The `batched` bench variant runs this as a
-/// no-regression arm against the static-window pipeline.
-pub fn adaptive_durable_diamond_system(
-    seed: u64,
-    coordinators: usize,
-    executors: usize,
-    batch: CommitBatch,
-    min_window: SimDuration,
-    wal_dir: &std::path::Path,
-) -> WorkflowSystem {
-    let config = EngineConfig {
-        dispatch_timeout: SimDuration::from_secs(300),
-        commit_batch: batch,
-        adaptive_min_window: Some(min_window),
-        ..EngineConfig::default()
-    };
-    diamond_wave_system(seed, coordinators, executors, config, Some(wal_dir))
-}
-
-/// [`batched_diamond_system`] on a durable file-backed WAL: every shard
-/// logs to a fresh `shard{i}.wal` under `wal_dir`, and every log frame
-/// is an `fdatasync`ed file write. This is the configuration where group
-/// commit earns its keep — the per-frame sync cost is real, so folding a
-/// whole drain's worth of commits into one frame amortizes it (the
-/// `batched` bench variant runs both arms on this storage class).
-pub fn durable_diamond_system(
-    seed: u64,
-    coordinators: usize,
-    executors: usize,
-    batch: CommitBatch,
-    wal_dir: &std::path::Path,
-) -> WorkflowSystem {
-    let config = EngineConfig {
-        dispatch_timeout: SimDuration::from_secs(300),
-        commit_batch: batch,
-        ..EngineConfig::default()
-    };
-    diamond_wave_system(seed, coordinators, executors, config, Some(wal_dir))
-}
-
-fn diamond_wave_system(
-    seed: u64,
-    coordinators: usize,
-    executors: usize,
-    config: EngineConfig,
-    wal_dir: Option<&std::path::Path>,
-) -> WorkflowSystem {
-    let mut builder = WorkflowSystem::builder()
-        .executors(executors)
-        .coordinators(coordinators)
-        .seed(seed)
-        .config(config)
-        .trace(false);
-    if let Some(dir) = wal_dir {
-        builder = builder.wal_dir(dir);
-    }
-    let sys = builder.build();
-    let mut sys = sys;
-    sys.register_script("diamond", samples::FIG1_DIAMOND, "diamond")
-        .expect("sample valid");
-    for code in ["refT1", "refT2", "refT3", "refT4"] {
-        sys.bind_fn(code, |_| {
-            TaskBehavior::outcome("done")
-                .with_work(SimDuration::from_secs(30))
-                .with_object("out", ObjectVal::text("Data", "d"))
-        });
-    }
-    sys
-}
-
-/// Starts `count` diamond instances (`wave-0` … `wave-{count-1}`)
-/// without running the world — the live-rebalance bench needs the wave
-/// *in flight* when the fleet grows, not finished.
-pub fn start_instance_wave(sys: &mut WorkflowSystem, count: usize) {
-    for i in 0..count {
-        sys.start(
-            &format!("wave-{i}"),
-            "diamond",
-            "main",
-            [("seed", text("Data", "s"))],
-        )
-        .expect("wave instance starts");
-    }
-}
-
-/// How many instances of a started wave reached an outcome.
-pub fn completed_wave(sys: &WorkflowSystem, count: usize) -> usize {
-    (0..count)
-        .filter(|i| sys.outcome(&format!("wave-{i}")).is_some())
-        .count()
-}
-
-/// Starts `count` diamond instances, runs the world to quiescence and
-/// returns how many completed. The 30s virtual work per task dwarfs the
-/// start window, so the whole wave is concurrently in flight.
-pub fn run_instance_wave(sys: &mut WorkflowSystem, count: usize) -> usize {
-    start_instance_wave(sys, count);
-    sys.run();
-    completed_wave(sys, count)
-}
-
-// ---------------------------------------------------------------------
-// Skewed-duration scheduling waves (the `scheduled` bench variant).
-// ---------------------------------------------------------------------
-
-/// Width of the skewed fan (one long worker, the rest short).
-pub const SKEW_WIDTH: usize = 6;
-
-/// Source of a fan of [`SKEW_WIDTH`] independent workers per instance.
-pub fn skewed_fan_source() -> String {
-    let mut source = String::from(
-        r#"
-class Data;
-taskclass Work {
-    inputs { input main { in of class Data } };
-    outputs { outcome done { } }
-}
-taskclass Root {
-    inputs { input main { seed of class Data } };
-    outputs { outcome done { } }
-}
-compoundtask root of taskclass Root {
-"#,
-    );
-    for i in 0..SKEW_WIDTH {
-        source.push_str(&format!(
-            r#"    task w{i} of taskclass Work {{
-        implementation {{ "code" is "refW{i}" }};
-        inputs {{ input main {{ inputobject in from {{ seed of task root if input main }} }} }}
-    }};
-"#
-        ));
-    }
-    source.push_str("    outputs { outcome done {\n");
-    for i in 0..SKEW_WIDTH {
-        let sep = if i + 1 < SKEW_WIDTH { ";" } else { "" };
-        source.push_str(&format!(
-            "        notification from {{ task w{i} if output done }}{sep}\n"
-        ));
-    }
-    source.push_str("    } }\n}\n");
-    source
-}
-
-/// A system for the scheduling comparison: `executors` **serial**
-/// executor nodes (one task at a time, so load shows up as virtual
-/// latency), dispatch under `policy`, and the skewed fan bound —
-/// worker 0 takes 400ms of virtual work, the rest 50ms.
-pub fn skewed_fan_system(seed: u64, executors: usize, policy: SchedPolicy) -> WorkflowSystem {
-    let config = EngineConfig {
-        scheduler: policy,
-        // Serial queues stretch latency; watchdogs stay out of the way.
-        dispatch_timeout: SimDuration::from_secs(3600),
-        ..EngineConfig::default()
-    };
-    let mut sys = WorkflowSystem::builder()
-        .executors(executors)
-        .serial_executors(true)
-        .seed(seed)
-        .config(config)
-        .trace(false)
-        .build();
-    sys.register_script("skew", &skewed_fan_source(), "root")
-        .expect("skew source valid");
-    for i in 0..SKEW_WIDTH {
-        let work = if i == 0 {
-            SimDuration::from_millis(400)
-        } else {
-            SimDuration::from_millis(50)
-        };
-        sys.bind_fn(&format!("refW{i}"), move |_| {
-            TaskBehavior::outcome("done").with_work(work)
-        });
-    }
-    sys
-}
-
-/// Starts `count` skewed fans, runs to quiescence, asserts they all
-/// complete and returns the **virtual makespan** — the deterministic
-/// measure the scheduling comparison is made on.
-pub fn run_skew_wave(sys: &mut WorkflowSystem, count: usize) -> SimDuration {
-    for i in 0..count {
-        sys.start(
-            &format!("wave-{i}"),
-            "skew",
-            "main",
-            [("seed", text("Data", "s"))],
-        )
-        .expect("wave instance starts");
-    }
-    sys.run();
-    for i in 0..count {
-        assert!(
-            sys.outcome(&format!("wave-{i}")).is_some(),
-            "skew wave instance {i} must complete"
-        );
-    }
-    sys.now().since(SimTime::ZERO)
-}
-
-// ---------------------------------------------------------------------
-// Lying-hint feedback waves (the `adaptive` bench variant).
-// ---------------------------------------------------------------------
-
-/// Source of the probe→liar chain behind the observed-duration
-/// comparison. Both tasks share one implementation code (`refShared`,
-/// 400ms of real work); the probe declares its duration honestly, the
-/// downstream liar declares 1ms. Under declared hints alone, the
-/// liar's watchdog (`base + 1ms`) can never fit the real execution, so
-/// every attempt times out, relocates and retries until the attempt
-/// budget strands the instance; with observed-duration feedback the
-/// probe's completion teaches the per-code cost model the real 400ms
-/// before the liar ever dispatches.
-pub fn lying_chain_source() -> String {
-    String::from(
-        r#"
-class Data;
-taskclass Work {
-    inputs { input main { in of class Data } };
-    outputs { outcome done { out of class Data } }
-}
-taskclass Root {
-    inputs { input main { seed of class Data } };
-    outputs { outcome done { } }
-}
-compoundtask root of taskclass Root {
-    task probe of taskclass Work {
-        implementation { "code" is "refShared"; "duration_ms" is "400" };
-        inputs { input main { inputobject in from { seed of task root if input main } } }
-    };
-    task liar of taskclass Work {
-        implementation { "code" is "refShared"; "duration_ms" is "1" };
-        inputs { input main { inputobject in from { out of task probe if output done } } }
-    };
-    outputs { outcome done { notification from { task liar if output done } } }
-}
-"#,
-    )
-}
-
-/// A system for the adaptive-scheduling comparison: 2 serial executors,
-/// the probe→liar chain bound, a base watchdog (200ms) the liar's
-/// declared 1ms can never stretch over its real 400ms execution.
-/// `cost_feedback` toggles the observed-duration EWMA;
-/// `max_inflight` adds the per-shard admission cap (queue depth 0, so
-/// excess starts get a typed `Busy` to retry with backoff).
-pub fn feedback_chain_system(
-    seed: u64,
-    cost_feedback: bool,
-    max_inflight: Option<usize>,
-) -> WorkflowSystem {
-    let config = EngineConfig {
-        scheduler: SchedPolicy::LeastLoaded,
-        dispatch_timeout: SimDuration::from_millis(200),
-        retry_backoff: SimDuration::from_millis(50),
-        max_retries: 3,
-        cost_feedback,
-        max_inflight_instances: max_inflight,
-        admission_queue_limit: 0,
-        ..EngineConfig::default()
-    };
-    let mut sys = WorkflowSystem::builder()
-        .executors(2)
-        .serial_executors(true)
-        .seed(seed)
-        .config(config)
-        .trace(false)
-        .build();
-    sys.register_script("lying", &lying_chain_source(), "root")
-        .expect("lying chain source valid");
-    sys.bind_fn("refShared", |_| {
-        TaskBehavior::outcome("done")
-            .with_work(SimDuration::from_millis(400))
-            .with_object("out", ObjectVal::text("Data", "d"))
-    });
-    sys
-}
-
-/// Starts `count` probe→liar chains, runs to quiescence and returns
-/// `(virtual makespan, completed instances)`. Every instance must at
-/// least reach a terminal verdict: the declared-hints arm strands its
-/// liars stuck after the retry budget, so `completed` may be below
-/// `count` there — that gap *is* the cost of wrong hints.
-pub fn run_lying_wave(sys: &mut WorkflowSystem, count: usize) -> (SimDuration, usize) {
-    for i in 0..count {
-        sys.start(
-            &format!("wave-{i}"),
-            "lying",
-            "main",
-            [("seed", text("Data", "s"))],
-        )
-        .expect("wave instance starts");
-    }
-    sys.run();
-    let mut completed = 0;
-    for i in 0..count {
-        let name = format!("wave-{i}");
-        let status = sys.status(&name).expect("instance known");
-        assert!(status.is_terminal(), "{name} not terminal: {status:?}");
-        if sys.outcome(&name).is_some() {
-            completed += 1;
-        }
-    }
-    (sys.now().since(SimTime::ZERO), completed)
-}
-
-/// Starts `count` chains against a shard admission cap, retrying typed
-/// `Busy` rejections with virtual-time backoff (the client half of the
-/// backpressure contract). Returns how many rejections were retried;
-/// the caller still runs the world to quiescence.
-pub fn start_admitted_wave(sys: &mut WorkflowSystem, count: usize, backoff: SimDuration) -> u64 {
-    let mut rejections = 0u64;
-    for i in 0..count {
-        let name = format!("wave-{i}");
-        loop {
-            match sys.start(&name, "lying", "main", [("seed", text("Data", "s"))]) {
-                Ok(()) => break,
-                Err(EngineError::Busy { .. }) => {
-                    rejections += 1;
-                    sys.run_for(backoff);
-                }
-                Err(err) => panic!("{name} failed to start: {err}"),
-            }
-        }
-    }
-    rejections
-}
-
-// ---------------------------------------------------------------------
 // Generated topologies.
 // ---------------------------------------------------------------------
 
@@ -742,119 +358,6 @@ pub fn bind_alternatives(sys: &WorkflowSystem, k: usize, winner_delay: SimDurati
     sys.bind_fn("refConsumer", |_: &InvokeCtx| TaskBehavior::outcome("done"));
 }
 
-// ---------------------------------------------------------------------
-// Fact-read workloads (the `fact_reads` bench variant).
-// ---------------------------------------------------------------------
-
-/// A `width`-way fan of workers whose `done` outputs each carry
-/// `objects` objects, joined by one wide consumer taking a single
-/// object from every worker. Every readiness probe of the join touches
-/// exactly one object of a fat fact — the workload where whole-record
-/// decoding pays for all the bytes it does not need.
-pub fn fat_fan_source(width: usize, objects: usize) -> String {
-    let decl: Vec<String> = (0..objects)
-        .map(|j| format!("o{j} of class Data"))
-        .collect();
-    let join_sig: Vec<String> = (0..width).map(|i| format!("x{i} of class Data")).collect();
-    let mut source = format!(
-        r#"
-class Data;
-taskclass Work {{
-    inputs {{ input main {{ in of class Data }} }};
-    outputs {{ outcome done {{ {decl} }} }}
-}}
-taskclass Join {{
-    inputs {{ input main {{ {join_sig} }} }};
-    outputs {{ outcome done {{ }} }}
-}}
-taskclass Root {{
-    inputs {{ input main {{ seed of class Data }} }};
-    outputs {{ outcome done {{ }} }}
-}}
-compoundtask root of taskclass Root {{
-"#,
-        decl = decl.join("; "),
-        join_sig = join_sig.join("; "),
-    );
-    for i in 0..width {
-        source.push_str(&format!(
-            r#"    task w{i} of taskclass Work {{
-        implementation {{ "code" is "refW{i}" }};
-        inputs {{ input main {{ inputobject in from {{ seed of task root if input main }} }} }}
-    }};
-"#
-        ));
-    }
-    source.push_str(
-        r#"    task join of taskclass Join {
-        implementation { "code" is "refJoin" };
-        inputs { input main {
-"#,
-    );
-    for i in 0..width {
-        let sep = if i + 1 < width { ";" } else { "" };
-        source.push_str(&format!(
-            "            inputobject x{i} from {{ o{obj} of task w{i} if output done }}{sep}\n",
-            obj = i % objects
-        ));
-    }
-    source.push_str(
-        r#"        } }
-    };
-    outputs { outcome done { notification from { task join if output done } } }
-}
-"#,
-    );
-    source
-}
-
-/// The mid-loop readiness shape of a high-degree repeat loop: task `t`
-/// is still looping (its `done` fact absent, its fat `again` fact
-/// rewritten once per iteration), and consumer `c`'s slot falls back
-/// from `t`'s missing outcome to the root's fat input binding (which
-/// carries `objects` objects). Every loop iteration re-evaluates `c`:
-/// one miss probe plus one object fetched out of a fat record.
-pub fn repeat_probe_source(objects: usize) -> String {
-    let root_sig: Vec<String> = (0..objects)
-        .map(|j| format!("s{j} of class Data"))
-        .collect();
-    format!(
-        r#"
-class Data;
-taskclass Stage {{
-    inputs {{ input main {{ in of class Data }} }};
-    outputs {{
-        outcome done {{ o0 of class Data }};
-        repeat outcome again {{ o0 of class Data }}
-    }}
-}}
-taskclass Consumer {{
-    inputs {{ input main {{ x of class Data }} }};
-    outputs {{ outcome done {{ }} }}
-}}
-taskclass Root {{
-    inputs {{ input main {{ {root_sig} }} }};
-    outputs {{ outcome done {{ }} }}
-}}
-compoundtask root of taskclass Root {{
-    task t of taskclass Stage {{
-        implementation {{ "code" is "refT" }};
-        inputs {{ input main {{ inputobject in from {{ s0 of task root if input main }} }} }}
-    }};
-    task c of taskclass Consumer {{
-        implementation {{ "code" is "refC" }};
-        inputs {{ input main {{ inputobject x from {{
-            o0 of task t if output done;
-            s1 of task root if input main
-        }} }} }}
-    }};
-    outputs {{ outcome done {{ notification from {{ task c if output done }} }} }}
-}}
-"#,
-        root_sig = root_sig.join("; "),
-    )
-}
-
 /// Generates a valid script with `n` chained tasks (each also falling
 /// back to the root input) for parser/sema/compile throughput
 /// measurements.
@@ -914,62 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_wave_completes_on_every_shard() {
-        let mut sys = sharded_diamond_system(9, 2, 3);
-        assert_eq!(run_instance_wave(&mut sys, 40), 40);
-        let all = sys.stats();
-        assert_eq!(all.dispatches, 4 * 40);
-        // Both shards actually worked.
-        for shard in 0..sys.shard_count() {
-            assert!(sys.shard_stats(shard).dispatches > 0, "shard {shard} idle");
-        }
-    }
-
-    #[test]
-    fn skewed_fan_completes_and_least_loaded_wins() {
-        let mut hash = skewed_fan_system(5, 4, SchedPolicy::PathHash);
-        let hash_makespan = run_skew_wave(&mut hash, 16);
-        let mut scheduled = skewed_fan_system(5, 4, SchedPolicy::LeastLoaded);
-        let sched_makespan = run_skew_wave(&mut scheduled, 16);
-        assert!(
-            sched_makespan < hash_makespan,
-            "least-loaded {sched_makespan:?} vs hash {hash_makespan:?}"
-        );
-    }
-
-    #[test]
-    fn lying_chain_feedback_restores_completion() {
-        // Declared hints alone: the liar's watchdog can never fit the
-        // real execution, so the retry budget strands it.
-        let mut declared = feedback_chain_system(3, false, None);
-        let (declared_makespan, declared_done) = run_lying_wave(&mut declared, 4);
-        assert!(declared_done < 4, "a lying hint must strand instances");
-        assert!(declared.stats().retries > 0);
-        // Observed durations: the probe teaches the cost model before
-        // the liar dispatches; everything completes, zero retries.
-        let mut ewma = feedback_chain_system(3, true, None);
-        let (ewma_makespan, ewma_done) = run_lying_wave(&mut ewma, 4);
-        assert_eq!(ewma_done, 4);
-        assert_eq!(ewma.stats().retries, 0);
-        assert!(
-            ewma_makespan < declared_makespan,
-            "feedback {ewma_makespan:?} vs declared {declared_makespan:?}"
-        );
-    }
-
-    #[test]
-    fn admission_cap_backpressures_and_loses_nothing() {
-        let mut sys = feedback_chain_system(4, true, Some(2));
-        let rejections = start_admitted_wave(&mut sys, 6, SimDuration::from_millis(100));
-        sys.run();
-        assert!(rejections > 0, "a 3x-overload wave must see Busy");
-        assert_eq!(sys.stats().busy_rejections, rejections);
-        for i in 0..6 {
-            assert!(sys.outcome(&format!("wave-{i}")).is_some(), "wave-{i} lost");
-        }
-    }
-
-    #[test]
     fn nested_source_compiles_at_depths() {
         for depth in [1, 2, 5] {
             let source = nested_source(depth);
@@ -1016,19 +463,6 @@ mod tests {
             sys.run();
             assert!(sys.outcome("a1").is_some(), "k={k}: {:?}", sys.status("a1"));
         }
-    }
-
-    #[test]
-    fn fact_read_workloads_compile() {
-        for (width, objects) in [(2, 2), (16, 8), (32, 16)] {
-            let source = fat_fan_source(width, objects);
-            let schema = flowscript_core::schema::compile_source(&source, "root")
-                .unwrap_or_else(|d| panic!("w{width}x{objects}: {d}"));
-            assert_eq!(schema.leaf_count(), width + 1);
-        }
-        let source = repeat_probe_source(8);
-        let schema = flowscript_core::schema::compile_source(&source, "root").unwrap();
-        assert_eq!(schema.leaf_count(), 2);
     }
 
     #[test]

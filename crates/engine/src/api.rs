@@ -28,8 +28,8 @@ use flowscript_sim::{net::LinkConfig, FaultPlan, NodeId, SimDuration, SimTime, W
 use flowscript_tx::{SharedFileStorage, StableStore, TxManager};
 
 use crate::coordinator::{
-    package_stored_instance, CommitBatch, CoordHandle, CoordStats, Coordinator, EngineConfig,
-    InstanceStatus, Outcome,
+    package_stored_instance, CoordHandle, CoordStats, Coordinator, EngineConfig, InstanceStatus,
+    Outcome,
 };
 use crate::error::EngineError;
 use crate::executor;
@@ -111,7 +111,7 @@ impl SystemBuilder {
 
     /// Gives every executor **serial capacity**: one task at a time,
     /// later arrivals queueing in virtual time. Off by default (the
-    /// legacy infinitely-parallel nodes); the `scheduled` bench runs
+    /// legacy infinitely-parallel nodes); `tests/scheduling.rs` runs
     /// with it on so executor load shows up as latency. Shorthand for a
     /// uniform [`SystemBuilder::executor_capacity`] of 1.
     pub fn serial_executors(mut self, serial: bool) -> Self {
@@ -218,15 +218,6 @@ impl SystemBuilder {
     /// [`EngineConfig::observe`] on the current config).
     pub fn observe(mut self, level: ObserveLevel) -> Self {
         self.config.observe = level;
-        self
-    }
-
-    /// Group-commit batching knobs (shorthand for setting
-    /// [`EngineConfig::commit_batch`] on the current config). Pass
-    /// [`CommitBatch::disabled`] for the one-commit-per-report
-    /// baseline arm.
-    pub fn commit_batch(mut self, batch: CommitBatch) -> Self {
-        self.config.commit_batch = batch;
         self
     }
 
@@ -360,7 +351,8 @@ impl SystemBuilder {
 const DRAIN_BATCH: usize = 64;
 
 /// Where an armed chaos kill ([`WorkflowSystem::arm_chaos_kill`]) fires
-/// inside a planned drain or a crash-driven adoption.
+/// inside a hand-off round (planned drain or rebalance) or a
+/// crash-driven adoption.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KillPoint {
     /// Before the round's `HandOffBegin` intents are logged: the round
@@ -383,7 +375,7 @@ pub enum KillPoint {
     MidClaim,
 }
 
-/// An armed one-shot kill, consumed by the next drain or adoption.
+/// An armed one-shot kill, consumed by the next hand-off or adoption.
 #[derive(Debug, Clone, Copy)]
 struct ChaosKill {
     point: KillPoint,
@@ -488,7 +480,7 @@ pub struct WorkflowSystem {
     /// metrics keep aggregating.
     retired: Vec<(NodeId, CoordHandle)>,
     /// A one-shot chaos kill armed by [`WorkflowSystem::arm_chaos_kill`],
-    /// consumed by the next drain or adoption.
+    /// consumed by the next hand-off or adoption.
     chaos: Option<ChaosKill>,
 }
 
@@ -1139,68 +1131,100 @@ impl WorkflowSystem {
     /// executor replies for moved instances keep landing on the old
     /// owner and are relayed — no report is lost or applied twice.
     ///
-    /// Moves run sequentially by design: a destination's instance-id
-    /// allocation reads committed state, so concurrent prepares into
-    /// one shard would collide.
-    ///
     /// # Errors
     ///
-    /// A map naming a coordinator this system does not run, or a
-    /// storage failure mid-move. A destination that fails to prepare
-    /// aborts that move durably; the instance stays where it was.
+    /// A map naming a coordinator this system does not run (checked
+    /// before anything moves), or a storage failure mid-move. A
+    /// destination that fails to prepare aborts that move durably; the
+    /// instance stays where it was.
     pub fn rebalance(&mut self, new_map: ShardMap) -> Result<RebalanceReport, EngineError> {
-        // Work out every move up front, against residency (not the old
-        // map): a crash-recovered shard may hold instances the old map
-        // would misattribute.
-        let mut moves: Vec<(usize, String, NodeId)> = Vec::new();
-        for (idx, coord) in self.coords.iter().enumerate() {
-            for instance in coord.instance_names() {
-                let owner = new_map.node_of(&instance);
-                if owner != self.coord_nodes[idx] {
-                    moves.push((idx, instance, owner));
-                }
-            }
-        }
-        let mut pause_ns = Vec::with_capacity(moves.len());
-        for (src_idx, instance, dest_node) in moves {
-            let dest_idx = self
-                .coord_nodes
-                .iter()
-                .position(|&n| n == dest_node)
-                .ok_or_else(|| {
-                    EngineError::Tx(format!(
-                        "shard map assigns `{instance}` to {dest_node}, which runs no coordinator"
-                    ))
-                })?;
-            let src = self.coords[src_idx].clone();
-            let dest = self.coords[dest_idx].clone();
-            let clock = std::time::Instant::now();
-            let package = src.handoff_collect(&mut self.world, &instance, dest_node)?;
-            let tx = package.tx;
-            match dest.handoff_prepare(&package) {
-                Ok(()) => {
-                    src.handoff_commit(&mut self.world, &instance, tx, dest_node)?;
-                    dest.handoff_apply(&mut self.world, tx, true)?;
-                }
-                Err(err) => {
-                    src.handoff_abort(&instance, tx, dest_node)?;
-                    return Err(err);
-                }
-            }
-            let ns = clock.elapsed().as_nanos() as u64;
-            src.note_handoff_pause(ns);
-            pause_ns.push(ns);
-        }
+        let (moved, pause_ns) = self.move_residents(
+            &new_map,
+            0..self.coords.len(),
+            1,
+            CoordHandle::note_handoff_pause,
+        )?;
         // The flip: everyone adopts the new map at its bumped epoch.
         for coord in &self.coords {
             coord.set_shard_map(new_map.clone());
         }
         self.shard = new_map;
         Ok(RebalanceReport {
-            moved: pause_ns.len(),
+            moved,
             pause_ns,
             epoch: self.shard.epoch(),
         })
+    }
+
+    /// The one hand-off driver: moves every instance resident on a
+    /// `sources` shard that `new_map` assigns elsewhere — decided
+    /// against residency, not the old map, since a crash-recovered
+    /// shard may hold instances the old map would misattribute. Moves
+    /// are grouped by (source, destination) and go `limit` instances
+    /// per 2PC round (collect → prepare → commit → adopt); each round's
+    /// wall-clock pause goes to the source through `note_pause`.
+    /// Returns `(instances moved, pause per round)`.
+    ///
+    /// The whole plan is resolved before the first `HandOffBegin`, so a
+    /// map naming a node that runs no coordinator moves nothing. Rounds
+    /// run sequentially by design: a destination's instance-id
+    /// allocation reads committed state, so concurrent prepares into
+    /// one shard would collide.
+    fn move_residents(
+        &mut self,
+        new_map: &ShardMap,
+        sources: impl Iterator<Item = usize>,
+        limit: usize,
+        note_pause: fn(&CoordHandle, u64),
+    ) -> Result<(usize, Vec<u64>), EngineError> {
+        let mut plan: BTreeMap<(usize, usize), Vec<String>> = BTreeMap::new();
+        for src_idx in sources {
+            for instance in self.coords[src_idx].instance_names() {
+                let owner = new_map.node_of(&instance);
+                if owner == self.coord_nodes[src_idx] {
+                    continue;
+                }
+                let dest_idx = self
+                    .coord_nodes
+                    .iter()
+                    .position(|&n| n == owner)
+                    .ok_or_else(|| {
+                        EngineError::Tx(format!(
+                            "shard map assigns `{instance}` to {owner}, which runs no coordinator"
+                        ))
+                    })?;
+                plan.entry((src_idx, dest_idx)).or_default().push(instance);
+            }
+        }
+        let mut moved = 0usize;
+        let mut pause_ns = Vec::new();
+        for ((src_idx, dest_idx), instances) in plan {
+            let (src, src_node) = (self.coords[src_idx].clone(), self.coord_nodes[src_idx]);
+            let (dest, dest_node) = (self.coords[dest_idx].clone(), self.coord_nodes[dest_idx]);
+            for chunk in instances.chunks(limit) {
+                let round = pause_ns.len();
+                self.chaos_strike(KillPoint::BeforeBegin, round, src_node)?;
+                let clock = std::time::Instant::now();
+                let packages = src.handoff_collect(&mut self.world, chunk, dest_node)?;
+                self.chaos_strike(KillPoint::AfterBegin, round, src_node)?;
+                let tx = packages[0].tx;
+                if let Err(err) = dest.handoff_prepare(&packages) {
+                    for instance in chunk {
+                        src.handoff_abort(instance, tx, dest_node)?;
+                    }
+                    return Err(err);
+                }
+                self.chaos_strike(KillPoint::AfterPrepare, round, src_node)?;
+                src.handoff_commit(&mut self.world, chunk, tx, dest_node)?;
+                self.chaos_strike(KillPoint::AfterDecision, round, src_node)?;
+                dest.handoff_apply(&mut self.world, tx, true)?;
+                let ns = clock.elapsed().as_nanos() as u64;
+                note_pause(&src, ns);
+                pause_ns.push(ns);
+                moved += chunk.len();
+            }
+        }
+        Ok((moved, pause_ns))
     }
 
     /// Resolves a coordinator by node name to `(index, node)`.
@@ -1234,8 +1258,8 @@ impl WorkflowSystem {
         Ok(())
     }
 
-    /// Arms a one-shot kill inside the next drain or adoption: the
-    /// victim node crashes at `point` in batch round `round` (for
+    /// Arms a one-shot kill inside the next drain, rebalance or
+    /// adoption: the victim node crashes at `point` in round `round` (for
     /// [`KillPoint::MidClaim`], after `round` instances were claimed)
     /// and the driving call returns an error mid-protocol — exactly
     /// the strand a real crash would leave. The chaos tests then
@@ -1288,64 +1312,20 @@ impl WorkflowSystem {
         let mut new_map = self.shard.clone();
         new_map.remove_node(node);
         let src = self.coords[idx].clone();
-        let names = src.instance_names();
         src.record_system_event(
             self.world.now().as_nanos(),
             name,
             ObsEventKind::DrainBegin {
-                remaining: names.len() as u64,
+                remaining: src.instance_names().len() as u64,
             },
         );
-        // Group the departing population by destination under the new
-        // map, then move each group in bounded batches — one 2PC round
-        // per batch.
-        let mut by_dest: BTreeMap<usize, Vec<String>> = BTreeMap::new();
-        for instance in names {
-            let owner = new_map.node_of(&instance);
-            let dest_idx = self
-                .coord_nodes
-                .iter()
-                .position(|&n| n == owner)
-                .ok_or_else(|| {
-                    EngineError::Tx(format!(
-                        "shard map assigns `{instance}` to {owner}, which runs no coordinator"
-                    ))
-                })?;
-            by_dest.entry(dest_idx).or_default().push(instance);
-        }
-        let mut moved = 0usize;
-        let mut rounds = 0usize;
-        let mut pause_ns = Vec::new();
-        for (dest_idx, instances) in by_dest {
-            let dest = self.coords[dest_idx].clone();
-            let dest_node = self.coord_nodes[dest_idx];
-            for chunk in instances.chunks(DRAIN_BATCH) {
-                self.chaos_strike(KillPoint::BeforeBegin, rounds, node)?;
-                let clock = std::time::Instant::now();
-                let packages = src.handoff_collect_batch(&mut self.world, chunk, dest_node)?;
-                self.chaos_strike(KillPoint::AfterBegin, rounds, node)?;
-                let tx = packages[0].tx;
-                match dest.handoff_prepare_batch(&packages) {
-                    Ok(()) => {
-                        self.chaos_strike(KillPoint::AfterPrepare, rounds, node)?;
-                        src.handoff_commit_batch(&mut self.world, chunk, tx, dest_node)?;
-                        self.chaos_strike(KillPoint::AfterDecision, rounds, node)?;
-                        dest.handoff_apply(&mut self.world, tx, true)?;
-                    }
-                    Err(err) => {
-                        for instance in chunk {
-                            src.handoff_abort(instance, tx, dest_node)?;
-                        }
-                        return Err(err);
-                    }
-                }
-                let ns = clock.elapsed().as_nanos() as u64;
-                src.note_drain_pause(ns);
-                pause_ns.push(ns);
-                moved += chunk.len();
-                rounds += 1;
-            }
-        }
+        let (moved, pause_ns) = self.move_residents(
+            &new_map,
+            std::iter::once(idx),
+            DRAIN_BATCH,
+            CoordHandle::note_drain_pause,
+        )?;
+        let rounds = pause_ns.len();
         src.record_system_event(
             self.world.now().as_nanos(),
             name,

@@ -75,9 +75,9 @@ pub struct EngineConfig {
     /// Write a checkpoint and compact the log every this many commits.
     pub checkpoint_every: Option<u64>,
     /// Re-evaluate the whole scope tree after every commit instead of
-    /// the reverse-edge worklist. This is the full-scan oracle the
-    /// worklist is property-tested against (identical dispatch traces);
-    /// production runs leave it off.
+    /// the reverse-edge worklist. This is the full-scan oracle
+    /// `tests/proptest_worklist.rs` holds the worklist to (identical
+    /// dispatch traces); production runs leave it off.
     pub full_rescan: bool,
     /// Record every dispatch decision in an in-memory trace
     /// ([`CoordHandle::dispatch_trace`]). Unbounded — for equivalence
@@ -85,14 +85,15 @@ pub struct EngineConfig {
     pub record_dispatches: bool,
     /// How dispatch picks executors. The default honors the
     /// implementation clause's `location`/`priority` hints and tracks
-    /// per-executor load; [`SchedPolicy::PathHash`] is the legacy
-    /// baseline kept for the `scheduled` bench comparison.
+    /// per-executor load; [`SchedPolicy::PathHash`] and
+    /// [`SchedPolicy::InFlightCount`] are the baselines
+    /// `tests/scheduling.rs` compares it against.
     pub scheduler: SchedPolicy,
     /// Store dependency facts as one encoded record per fact instead of
-    /// per-object sub-keys. This is the pre-split baseline the
-    /// per-object layout is property-tested against (identical
-    /// per-instance outcomes and dispatch traces) and the `fact_reads`
-    /// bench baseline; production runs leave it off.
+    /// per-object sub-keys. This is the pre-split oracle
+    /// `tests/fact_equivalence.rs` holds the per-object layout to
+    /// (identical per-instance outcomes and dispatch traces);
+    /// production runs leave it off.
     pub whole_record_facts: bool,
     /// How much the engine observes itself. `Off` (the default) keeps
     /// only the always-on counters behind the public stats getters;
@@ -109,15 +110,9 @@ pub struct EngineConfig {
     pub recorder_capacity: usize,
     /// Group-commit batching of executor reports (see [`CommitBatch`]).
     /// Defaults on; [`CommitBatch::disabled`] reproduces the
-    /// one-transaction-per-event pipeline as the baseline arm.
+    /// one-transaction-per-event pipeline, the oracle
+    /// `tests/batching.rs` holds the batched one to.
     pub commit_batch: CommitBatch,
-    /// Feed observed completion times back into scheduling: the
-    /// per-shard [`CostModel`] EWMA overrides absent-or-wrong declared
-    /// `duration_ms` in load accounting and (never below the declared
-    /// floor) in watchdog deadline math. Defaults on; the static-hints
-    /// baseline (`false`) is the comparison arm of the `adaptive`
-    /// bench variant.
-    pub cost_feedback: bool,
     /// Per-shard admission cap: at most this many live (non-terminal)
     /// instances at once. Excess `StartInstance` RPCs park in a
     /// bounded admission queue and admit as instances terminate;
@@ -153,7 +148,6 @@ impl Default for EngineConfig {
             observe: ObserveLevel::Off,
             recorder_capacity: 4096,
             commit_batch: CommitBatch::default(),
-            cost_feedback: true,
             max_inflight_instances: None,
             admission_queue_limit: 64,
             adaptive_min_window: None,
@@ -1422,9 +1416,7 @@ impl Coordinator {
             let elapsed = now_ns - dispatched.sent_ns;
             // Only genuine completions reach here: watchdogs and sweeps
             // release with now_ns = 0 and never teach the model.
-            if self.config.cost_feedback {
-                self.costs.observe(&dispatched.code, elapsed);
-            }
+            self.costs.observe(&dispatched.code, elapsed);
             if self.config.observe.metrics() {
                 self.metrics.dispatch_latency_ns.record(elapsed);
             }
@@ -2421,24 +2413,28 @@ impl CoordHandle {
     }
 
     // -----------------------------------------------------------------
-    // Live hand-off (rebalancing).
+    // Live hand-off (rebalancing and planned drains).
     //
-    // One instance moves in four steps, a 2PC with the source as
-    // coordinator:
+    // A slice of instances bound for one destination moves in four
+    // steps under ONE moving transaction, a 2PC with the source as
+    // coordinator (a rebalance moves slices of one, a drain slices of
+    // up to a batch):
     //
-    //   1. `handoff_collect` (source): WAL `HandOffBegin` intent, then
-    //      gather the instance's entire committed keyspace into a
+    //   1. `handoff_collect` (source): WAL `HandOffBegin` intents, then
+    //      gather each instance's entire committed keyspace into a
     //      [`HandoffPackage`].
-    //   2. `handoff_prepare` (destination): re-key the package under a
-    //      freshly allocated instance id and stage it as a prepared
-    //      remote transaction (durable yes-vote, write locks held).
-    //   3. `handoff_commit` (source): WAL `HandOffEnd` — the durable
-    //      decision — then atomically delete the instance's keyspace
-    //      and drop its volatile runtime. From here the source only
-    //      relays (executor replies to in-flight tasks are forwarded
-    //      to the new owner by the ordinary misdirection path).
+    //   2. `handoff_prepare` (destination): re-key the packages under a
+    //      freshly allocated contiguous instance-id range and stage
+    //      them as one prepared remote transaction (one durable
+    //      yes-vote, write locks held).
+    //   3. `handoff_commit` (source): WAL `HandOffEnd` per instance —
+    //      the durable decision — plus the keyspace deletes, flushed as
+    //      one atomic frame; the volatile runtimes are dropped. From
+    //      here the source only relays (executor replies to in-flight
+    //      tasks are forwarded to the new owner by the ordinary
+    //      misdirection path).
     //   4. `handoff_apply` (destination): resolve the prepared stage
-    //      and adopt the materialized instance — watchdogs re-armed
+    //      and adopt the materialized instances — watchdogs re-armed
     //      for executing tasks *without* attempt bumps, so a relayed
     //      reply applies exactly as if the instance had never moved.
     //
@@ -2447,47 +2443,22 @@ impl CoordHandle {
     // verdicts, and chases in-doubt stages with `HandoffQuery`.
     // -----------------------------------------------------------------
 
-    /// Step 1 (source): logs the move intent and packages the
-    /// instance's committed keyspace. The batch window is flushed
-    /// first so the package reflects every report that has arrived.
-    ///
-    /// # Errors
-    ///
-    /// Unknown instance, or storage failure logging the intent.
-    pub fn handoff_collect(
-        &self,
-        world: &mut World,
-        instance: &str,
-        dest: NodeId,
-    ) -> Result<HandoffPackage, EngineError> {
-        // The package must be the whole committed truth: absorb the
-        // batch window first so no report is stranded in memory.
-        self.flush_pending(world);
-        let mut coordinator = self.inner.borrow_mut();
-        if !coordinator.instances.contains_key(instance) {
-            return Err(EngineError::UnknownInstance(instance.to_string()));
-        }
-        let tx = coordinator
-            .mgr
-            .handoff_begin(instance, dest.index() as u32)?;
-        coordinator.package_instance(instance, tx)
-    }
-
-    /// Step 1 for a whole batch bound for one destination (planned
-    /// drains): ONE moving transaction covers every instance — the
-    /// destination stages them as one prepared transaction and the
-    /// decision applies to the batch atomically, so a drain pays one
-    /// 2PC round per batch instead of one per instance.
+    /// Step 1 (source): logs the move intents under one moving
+    /// transaction and packages each instance's committed keyspace.
+    /// The batch window is flushed first so the packages reflect every
+    /// report that has arrived.
     ///
     /// # Errors
     ///
     /// Unknown instance, or storage failure logging the intents.
-    pub fn handoff_collect_batch(
+    pub fn handoff_collect(
         &self,
         world: &mut World,
         instances: &[String],
         dest: NodeId,
     ) -> Result<Vec<HandoffPackage>, EngineError> {
+        // The packages must be the whole committed truth: absorb the
+        // batch window first so no report is stranded in memory.
         self.flush_pending(world);
         let mut coordinator = self.inner.borrow_mut();
         for instance in instances {
@@ -2497,42 +2468,32 @@ impl CoordHandle {
         }
         let tx = coordinator
             .mgr
-            .handoff_begin_batch(instances, dest.index() as u32)?;
+            .handoff_begin(instances, dest.index() as u32)?;
         instances
             .iter()
             .map(|instance| coordinator.package_instance(instance, tx))
             .collect()
     }
 
-    /// Step 2 (destination): re-keys the package under a freshly
-    /// allocated local instance id and stages it as a prepared remote
-    /// transaction — the durable yes-vote. Nothing is visible until
-    /// the source's decision arrives ([`Self::handoff_apply`] or a
-    /// replayed verdict).
+    /// Step 2 (destination): re-keys the packages under freshly
+    /// allocated local instance ids and stages them as one prepared
+    /// remote transaction — the durable yes-vote. The committed id
+    /// sequence is read once and a contiguous range `base..base + N`
+    /// allocated up front, so the slice costs a single prepare frame
+    /// however many instances it carries. Nothing is visible until the
+    /// source's decision arrives ([`Self::handoff_apply`] or a replayed
+    /// verdict).
     ///
     /// Moves into one destination must run sequentially: the id
     /// allocation reads *committed* state, so a second prepare before
-    /// the first resolves would draw the same id.
+    /// the first resolves would draw the same ids.
     ///
     /// # Errors
     ///
     /// Lock conflict on a staged key, undecodable metadata, or storage
-    /// failure persisting the vote.
-    pub fn handoff_prepare(&self, package: &HandoffPackage) -> Result<(), EngineError> {
-        self.handoff_prepare_batch(std::slice::from_ref(package))
-    }
-
-    /// Step 2 for a whole batch staged under ONE moving transaction:
-    /// the committed id sequence is read once and a contiguous id
-    /// range `base..base + N` allocated up front, so the batch costs a
-    /// single durable prepare (one yes-vote frame) however many
-    /// instances it carries.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::handoff_prepare`]; all packages must share one
-    /// moving transaction.
-    pub fn handoff_prepare_batch(&self, packages: &[HandoffPackage]) -> Result<(), EngineError> {
+    /// failure persisting the vote. All packages must share one moving
+    /// transaction.
+    pub fn handoff_prepare(&self, packages: &[HandoffPackage]) -> Result<(), EngineError> {
         let Some(first) = packages.first() else {
             return Ok(());
         };
@@ -2580,44 +2541,23 @@ impl CoordHandle {
         Ok(())
     }
 
-    /// Step 3 (source): durably decides the move committed, then
-    /// atomically deletes the instance's keyspace and drops its
-    /// volatile runtime (watchdogs disarmed, outstanding dispatch load
-    /// released — the executor replies those dispatches still owe will
-    /// arrive here and be relayed to the new owner by the ordinary
-    /// misdirection path).
+    /// Step 3 (source): durably decides the move committed, atomically
+    /// deletes each instance's keyspace and drops its volatile runtime
+    /// (watchdogs disarmed, outstanding dispatch load released — the
+    /// executor replies those dispatches still owe will arrive here
+    /// and be relayed to the new owner by the ordinary misdirection
+    /// path). The per-instance decision frames and keyspace purges run
+    /// inside a WAL commit group, flushing as a single atomic frame: a
+    /// crash can never leave half the slice committed and the other
+    /// half presumed aborted — which matters, because the destination
+    /// resolves its one staged transaction all-or-nothing.
     ///
     /// # Errors
     ///
-    /// Storage failure. The decision record lands before the delete,
-    /// so a failure here leaves a committed move whose purge crash
-    /// recovery finishes.
+    /// Storage failure. Each decision record precedes its delete, so a
+    /// failure here leaves a committed move whose purge crash recovery
+    /// finishes.
     pub fn handoff_commit(
-        &self,
-        world: &mut World,
-        instance: &str,
-        tx: TxId,
-        dest: NodeId,
-    ) -> Result<(), EngineError> {
-        self.handoff_commit_inner(world, instance, tx, dest)?;
-        // Freed executor load and a freed admission slot: parked
-        // dispatches of other instances may now place, and a queued
-        // start may now admit.
-        self.pump(world);
-        Ok(())
-    }
-
-    /// Step 3 for a whole batch decided under ONE moving transaction.
-    /// The per-instance decision frames and keyspace purges run inside
-    /// a WAL commit group, flushing as a single atomic `GroupCommit`
-    /// frame: a crash can never leave half the batch committed and the
-    /// other half presumed aborted — which matters, because the
-    /// destination resolves its one staged transaction all-or-nothing.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::handoff_commit`].
-    pub fn handoff_commit_batch(
         &self,
         world: &mut World,
         instances: &[String],
@@ -2638,7 +2578,9 @@ impl CoordHandle {
                 result = Err(EngineError::Tx("hand-off batch flush failed".to_string()));
             }
         }
-        // The whole batch's freed load and admission slots at once.
+        // Freed executor load and freed admission slots: parked
+        // dispatches of other instances may now place, and queued
+        // starts may now admit.
         self.pump(world);
         result
     }
@@ -2914,21 +2856,17 @@ impl CoordHandle {
                         // the (bindings-resolved) code, so a relay
                         // delayed past a lying short hint still lands
                         // before the adopted watchdog fires.
-                        let timeout = if coordinator.config.cost_feedback {
-                            let script_code = plan.code(task).unwrap_or("").to_string();
-                            let code = rt
-                                .bindings
-                                .get(&script_code)
-                                .cloned()
-                                .unwrap_or(script_code);
-                            coordinator.costs.watchdog_timeout(
-                                &code,
-                                &hints,
-                                coordinator.config.dispatch_timeout,
-                            )
-                        } else {
-                            hints.watchdog_timeout(coordinator.config.dispatch_timeout)
-                        };
+                        let script_code = plan.code(task).unwrap_or("").to_string();
+                        let code = rt
+                            .bindings
+                            .get(&script_code)
+                            .cloned()
+                            .unwrap_or(script_code);
+                        let timeout = coordinator.costs.watchdog_timeout(
+                            &code,
+                            &hints,
+                            coordinator.config.dispatch_timeout,
+                        );
                         (cb.path.clone(), cb.incarnation, cb.attempt, timeout)
                     })
                 })
@@ -3920,19 +3858,14 @@ impl CoordHandle {
                         coordinator.metrics.sched_pick_load.record(placement.load);
                     }
                     // Watchdog: base timeout extended by the declared
-                    // duration — or, with cost feedback on, by the
-                    // observed estimate when that is *longer* (a lying
-                    // short hint must not time out healthy work) —
-                    // capped by the declared deadline.
-                    let timeout = if coordinator.config.cost_feedback {
-                        coordinator.costs.watchdog_timeout(
-                            &code,
-                            &hints,
-                            coordinator.config.dispatch_timeout,
-                        )
-                    } else {
-                        hints.watchdog_timeout(coordinator.config.dispatch_timeout)
-                    };
+                    // duration — or by the observed estimate when that
+                    // is *longer* (a lying short hint must not time out
+                    // healthy work) — capped by the declared deadline.
+                    let timeout = coordinator.costs.watchdog_timeout(
+                        &code,
+                        &hints,
+                        coordinator.config.dispatch_timeout,
+                    );
                     let msg = EngineMsg::Start(StartTask {
                         instance: instance.to_string(),
                         path: path.to_string(),
@@ -3967,11 +3900,7 @@ impl CoordHandle {
                     // when the cost model has one, else the declared
                     // remaining-work cost — releasing any stale entry a
                     // defensive re-dispatch might have left behind.
-                    let cost = if coordinator.config.cost_feedback {
-                        coordinator.costs.load_cost(&code, &hints)
-                    } else {
-                        hints.load_cost()
-                    };
+                    let cost = coordinator.costs.load_cost(&code, &hints);
                     let _ = coordinator.release_dispatch(instance, path, 0);
                     coordinator.sched.note_dispatch(placement.node, cost);
                     if let Some(rt) = coordinator.instances.get_mut(instance) {

@@ -19,8 +19,8 @@
 //! is rejected as an execution error instead of silently running in
 //! the wrong place). A profile can also declare a **capacity**: `k`
 //! concurrent task slots, later arrivals queueing behind the earliest
-//! free slot in virtual time (`k = 1` is the serial model the
-//! `scheduled` bench variant runs on; `0` keeps the legacy
+//! free slot in virtual time (`k = 1` is the serial model
+//! `tests/scheduling.rs` runs on; `0` keeps the legacy
 //! infinitely-parallel node). The same capacity is registered with
 //! every coordinator's scheduler, which parks dispatches instead of
 //! queueing them here once all eligible executors are saturated.
@@ -61,7 +61,7 @@ pub struct ExecutorProfile {
     /// watchdog firing while the task is still queued) keeps its slot
     /// and the retry queues *behind* it. Bounded fleets should pair
     /// with watchdog timeouts generous relative to the expected queue
-    /// depth (as the `scheduled` bench and tests do) — though with
+    /// depth (as `tests/scheduling.rs` does) — though with
     /// capacity-aware scheduling the coordinator parks excess
     /// dispatches instead of queueing them here, so in practice at
     /// most `capacity` tasks occupy the node at once.

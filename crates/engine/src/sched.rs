@@ -32,9 +32,8 @@
 //! Each coordinator shard owns a scheduler over the *shared* executor
 //! fleet: load views are per shard, so no cross-shard coordination sits
 //! on the dispatch hot path. The legacy path-hash policy survives as
-//! [`SchedPolicy::PathHash`] — the baseline the `plan_dispatch`
-//! `scheduled` bench variant (and the regression tests) compare
-//! against.
+//! [`SchedPolicy::PathHash`] — the baseline `tests/scheduling.rs`
+//! compares against.
 
 use std::collections::BTreeMap;
 
@@ -81,22 +80,6 @@ impl ImplHints {
                 .get("deadline_ms")
                 .and_then(|v| v.parse().ok()),
         }
-    }
-
-    /// The watchdog timeout for one dispatch: the engine's base
-    /// timeout, extended by the declared `duration_ms` (the task *said*
-    /// it needs that long), the whole thing capped by `deadline_ms`
-    /// when declared — a deadline bounds how long the task may take, it
-    /// never extends the watchdog.
-    pub fn watchdog_timeout(&self, base: SimDuration) -> SimDuration {
-        let mut timeout = base;
-        if let Some(extra) = self.duration_ms {
-            timeout = timeout + SimDuration::from_millis(extra);
-        }
-        if let Some(cap) = self.deadline_ms {
-            timeout = timeout.min(SimDuration::from_millis(cap));
-        }
-        timeout
     }
 
     /// The load the scheduler charges one dispatch of this task at: a
@@ -179,13 +162,13 @@ impl CostModel {
         }
     }
 
-    /// The watchdog timeout for one dispatch of `code`: like
-    /// [`ImplHints::watchdog_timeout`], but the duration term is
-    /// `max(declared duration_ms, 2 × observed estimate)` — an observed
-    /// duration may *extend* the declared floor (a lying short hint
-    /// must not time out healthy work; the 2× headroom absorbs normal
-    /// variance), never shrink it, and the declared `deadline_ms` cap
-    /// still binds last.
+    /// The watchdog timeout for one dispatch of `code`: the engine's
+    /// base timeout extended by `max(declared duration_ms, 2 × observed
+    /// estimate)` — an observed duration may *extend* the declared
+    /// floor (a lying short hint must not time out healthy work; the 2×
+    /// headroom absorbs normal variance), never shrink it — the whole
+    /// thing capped by `deadline_ms` when declared: a deadline bounds
+    /// how long the task may take, it never extends the watchdog.
     pub fn watchdog_timeout(
         &self,
         code: &str,
@@ -225,9 +208,9 @@ pub enum SchedPolicy {
     /// baseline for the skewed-duration tests).
     InFlightCount,
     /// The legacy baseline: stable hash of the task path plus the
-    /// attempt, ignoring hints and load (kept for the `scheduled`
-    /// bench comparison and as a regression oracle). Ignores declared
-    /// capacities too — the baseline predates them.
+    /// attempt, ignoring hints and load (kept as the regression
+    /// oracle of `tests/scheduling.rs`). Ignores declared capacities
+    /// too — the baseline predates them.
     PathHash,
 }
 
@@ -557,25 +540,28 @@ mod tests {
     #[test]
     fn deadline_caps_the_watchdog_instead_of_extending_it() {
         let base = SimDuration::from_millis(1000);
+        let unobserved = CostModel::new();
+        let timeout =
+            |pairs: &[(&str, &str)]| unobserved.watchdog_timeout("refX", &hints(pairs), base);
         // duration extends…
         assert_eq!(
-            hints(&[("duration_ms", "500")]).watchdog_timeout(base),
+            timeout(&[("duration_ms", "500")]),
             SimDuration::from_millis(1500)
         );
         // …deadline caps…
         assert_eq!(
-            hints(&[("deadline_ms", "700")]).watchdog_timeout(base),
+            timeout(&[("deadline_ms", "700")]),
             SimDuration::from_millis(700)
         );
         // …and with both set the deadline bounds the extended timeout
         // (the old code summed all three: 1000 + 500 + 1200).
         assert_eq!(
-            hints(&[("duration_ms", "500"), ("deadline_ms", "1200")]).watchdog_timeout(base),
+            timeout(&[("duration_ms", "500"), ("deadline_ms", "1200")]),
             SimDuration::from_millis(1200)
         );
         // A generous deadline leaves the extension alone.
         assert_eq!(
-            hints(&[("duration_ms", "500"), ("deadline_ms", "60000")]).watchdog_timeout(base),
+            timeout(&[("duration_ms", "500"), ("deadline_ms", "60000")]),
             SimDuration::from_millis(1500)
         );
     }

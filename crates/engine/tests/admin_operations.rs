@@ -2,13 +2,12 @@
 //! aborts of waiting tasks (Fig. 3 wait-state abort) and versioned
 //! instantiation from the repository.
 
+mod common;
+
+use common::text;
 use flowscript_core::samples;
 use flowscript_engine::{CbState, EngineError, ObjectVal, TaskBehavior, WorkflowSystem};
 use flowscript_sim::SimDuration;
-
-fn text(class: &str, value: &str) -> ObjectVal {
-    ObjectVal::text(class, value)
-}
 
 #[test]
 fn forced_abort_of_waiting_dispatch_cancels_order() {

@@ -8,42 +8,19 @@
 //! fig. 8 workloads across shard counts and by a randomized-capacity
 //! proptest arm.
 
+mod common;
+
 use std::collections::BTreeMap;
 
+use common::{build, det_config, fingerprints, start_population, text, Fingerprint, ONE_TASK};
 use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{
-    CbState, CommitBatch, EngineError, InstanceStatus, ObjectVal, ObsEventKind, ObserveLevel,
-    SchedPolicy, TaskBehavior, WorkflowSystem,
+    CbState, CommitBatch, EngineError, InstanceStatus, ObsEventKind, ObserveLevel, SchedPolicy,
+    TaskBehavior, WorkflowSystem,
 };
-use flowscript_sim::net::LinkConfig;
 use flowscript_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
-
-fn text(class: &str, value: &str) -> ObjectVal {
-    ObjectVal::text(class, value)
-}
-
-/// One leaf behind the root outcome — the smallest script that keeps an
-/// instance alive exactly as long as its task runs.
-const ONE_TASK: &str = r#"
-class Data;
-taskclass Work {
-    inputs { input main { in of class Data } };
-    outputs { outcome done { } }
-}
-taskclass Root {
-    inputs { input main { seed of class Data } };
-    outputs { outcome done { } }
-}
-compoundtask root of taskclass Root {
-    task w of taskclass Work {
-        implementation { "code" is "refWork" };
-        inputs { input main { inputobject in from { seed of task root if input main } } }
-    };
-    outputs { outcome done { notification from { task w if output done } } }
-}
-"#;
 
 /// A `width`-way fan joined by an AND of notifications: the outcome is
 /// independent of completion order, so any capacity-induced
@@ -252,6 +229,22 @@ fn full_admission_queue_returns_typed_busy() {
         .unwrap();
     sys.run();
     assert!(sys.outcome("b").is_some());
+    // A client that retries `Busy` with backoff under sustained
+    // overload loses nothing, and every rejection is counted once.
+    let mut rejections = 1;
+    for name in ["c", "d", "e"] {
+        while let Err(err) = sys.start(name, "one", "main", [("seed", text("Data", "s"))]) {
+            assert!(matches!(err, EngineError::Busy { .. }), "got {err:?}");
+            rejections += 1;
+            sys.run_for(SimDuration::from_millis(100));
+        }
+    }
+    sys.run();
+    assert!(rejections > 1, "an overloaded cap must push back");
+    assert_eq!(sys.stats().busy_rejections, rejections);
+    for name in ["c", "d", "e"] {
+        assert!(sys.outcome(name).is_some(), "{name} lost");
+    }
 }
 
 #[test]
@@ -349,13 +342,12 @@ compoundtask root of taskclass Root {
 }
 "#;
 
-fn lying_chain_system(cost_feedback: bool) -> WorkflowSystem {
+fn lying_chain_system() -> WorkflowSystem {
     let config = EngineConfig {
         scheduler: SchedPolicy::LeastLoaded,
         dispatch_timeout: SimDuration::from_millis(200),
         retry_backoff: SimDuration::from_millis(50),
         max_retries: 3,
-        cost_feedback,
         record_dispatches: true,
         ..EngineConfig::default()
     };
@@ -375,37 +367,8 @@ fn lying_chain_system(cost_feedback: bool) -> WorkflowSystem {
 }
 
 #[test]
-fn declared_hints_alone_strand_the_lying_task() {
-    let mut sys = lying_chain_system(false);
-    sys.start("l1", "lying", "main", [("seed", text("Data", "s"))])
-        .unwrap();
-    sys.run();
-    // The liar's watchdog (base 200ms + declared 1ms) can never cover
-    // its real 400ms execution: every attempt times out and relocates
-    // until the budget is spent and the instance goes stuck.
-    assert!(
-        matches!(sys.status("l1").unwrap(), InstanceStatus::Stuck { .. }),
-        "{:?}",
-        sys.status("l1")
-    );
-    assert_eq!(sys.stats().retries, 3, "the whole retry budget burns");
-    let liar_dispatches: Vec<_> = sys
-        .dispatch_trace_of("l1")
-        .into_iter()
-        .filter(|d| d.path == "root/liar")
-        .collect();
-    assert_eq!(liar_dispatches.len(), 4, "initial attempt + 3 retries");
-    let executors: std::collections::BTreeSet<_> =
-        liar_dispatches.iter().map(|d| d.executor).collect();
-    assert!(
-        executors.len() > 1,
-        "timed-out attempts must relocate across executors"
-    );
-}
-
-#[test]
 fn observed_durations_override_the_lying_watchdog() {
-    let mut sys = lying_chain_system(true);
+    let mut sys = lying_chain_system();
     sys.start("l1", "lying", "main", [("seed", text("Data", "s"))])
         .unwrap();
     sys.run();
@@ -423,139 +386,21 @@ fn observed_durations_override_the_lying_watchdog() {
 // Equivalence: capacities and feedback are placement, not semantics.
 // ---------------------------------------------------------------------
 
-type Fingerprint = (
-    InstanceStatus,
-    Vec<(String, u32)>,
-    BTreeMap<String, CbState>,
-);
-
-fn fingerprint(sys: &WorkflowSystem, instance: &str) -> Fingerprint {
-    let status = sys.status(instance).expect("instance known");
-    assert!(status.is_terminal(), "{instance} not terminal: {status:?}");
-    let trace = sys
-        .dispatch_trace_of(instance)
-        .into_iter()
-        .map(|d| (d.path, d.attempt))
-        .collect();
-    (status, trace, sys.task_states(instance))
-}
-
-/// Fig. 7 + fig. 8 population under `coordinators` shards with the
-/// observed-duration feedback toggled; executors stay unbounded so the
-/// only degree of freedom feedback can move is *placement*.
-fn run_paper_population(coordinators: usize, cost_feedback: bool) -> BTreeMap<String, Fingerprint> {
-    let config = EngineConfig {
-        dispatch_timeout: SimDuration::from_millis(400),
-        retry_backoff: SimDuration::from_millis(20),
-        record_dispatches: true,
-        cost_feedback,
-        ..EngineConfig::default()
-    };
-    let mut sys = WorkflowSystem::builder()
-        .executors(3)
-        .coordinators(coordinators)
-        .seed(7)
-        .link(LinkConfig {
-            base_latency: SimDuration::from_micros(200),
-            jitter: SimDuration::ZERO,
-            drop_prob: 0.0,
-        })
-        .config(config)
-        .build();
-    sys.register_script(
-        "order",
-        samples::ORDER_PROCESSING,
-        "processOrderApplication",
-    )
-    .unwrap();
-    sys.register_script("trip", samples::BUSINESS_TRIP, "tripReservation")
-        .unwrap();
-    sys.bind_fn("refPaymentAuthorisation", |_| {
-        TaskBehavior::outcome("authorised")
-            .with_work(SimDuration::from_millis(30))
-            .with_object("paymentInfo", text("PaymentInfo", "p"))
-    });
-    sys.bind_fn("refCheckStock", |_| {
-        TaskBehavior::outcome("stockAvailable")
-            .with_work(SimDuration::from_millis(45))
-            .with_object("stockInfo", text("StockInfo", "s"))
-    });
-    sys.bind_fn("refDispatch", |_| {
-        TaskBehavior::outcome("dispatchCompleted")
-            .with_work(SimDuration::from_millis(25))
-            .with_object("dispatchNote", text("DispatchNote", "n"))
-    });
-    sys.bind_fn("refPaymentCapture", |_| TaskBehavior::outcome("done"));
-    sys.bind_fn("refDataAcquisition", |ctx| {
-        TaskBehavior::outcome("acquired")
-            .with_object("tripData", text("TripData", &ctx.input_text("user")))
-    });
-    sys.bind_fn("refAirlineQueryA", |_| {
-        TaskBehavior::outcome("notFound").with_work(SimDuration::from_millis(5))
-    });
-    sys.bind_fn("refAirlineQueryB", |ctx| {
-        TaskBehavior::outcome("found")
-            .with_work(SimDuration::from_millis(12))
-            .with_object(
-                "flightList",
-                text("FlightList", &ctx.input_text("tripData")),
-            )
-    });
-    sys.bind_fn("refAirlineQueryC", |ctx| {
-        TaskBehavior::outcome("found")
-            .with_work(SimDuration::from_millis(30))
-            .with_object(
-                "flightList",
-                text("FlightList", &ctx.input_text("tripData")),
-            )
-    });
-    sys.bind_fn("refFlightReservation", |ctx| {
-        TaskBehavior::outcome("reserved")
-            .with_object("plane", text("Plane", &ctx.input_text("flightList")))
-            .with_object("cost", text("Cost", "c"))
-    });
-    sys.bind_fn("refHotelReservation", |_| {
-        TaskBehavior::outcome("hotelBooked").with_object("hotel", text("Hotel", "h"))
-    });
-    sys.bind_fn("refFlightCancellation", |_| {
-        TaskBehavior::outcome("cancelled")
-    });
-    sys.bind_fn("refPrintTickets", |_| {
-        TaskBehavior::outcome("printed").with_object("tickets", text("Tickets", "tk"))
-    });
-    let mut names = Vec::new();
-    for i in 0..6 {
-        let name = format!("order-{i}");
-        sys.start(&name, "order", "main", [("order", text("Order", &name))])
-            .unwrap();
-        names.push(name);
-    }
-    for i in 0..3 {
-        let name = format!("trip-{i}");
-        sys.start(&name, "trip", "main", [("user", text("User", &name))])
-            .unwrap();
-        names.push(name);
-    }
+/// Fig. 7 + fig. 8 population under `coordinators` shards; executors
+/// stay unbounded so the only degree of freedom the observed-duration
+/// feedback can move is *placement*.
+fn run_paper_population(coordinators: usize) -> BTreeMap<String, Fingerprint> {
+    let mut sys = build(coordinators, det_config());
+    let mut names: Vec<String> = (0..6).map(|i| format!("order-{i}")).collect();
+    names.extend((0..3).map(|i| format!("trip-{i}")));
+    start_population(&mut sys, &names);
     sys.run();
-    names
-        .into_iter()
-        .map(|name| {
-            let print = fingerprint(&sys, &name);
-            (name, print)
-        })
-        .collect()
+    fingerprints(&sys, &names)
 }
 
 #[test]
 fn feedback_preserves_paper_fingerprints_across_shards() {
-    let baseline = run_paper_population(1, false);
-    for (coordinators, cost_feedback) in [(1, true), (4, false), (4, true)] {
-        assert_eq!(
-            baseline,
-            run_paper_population(coordinators, cost_feedback),
-            "shards {coordinators}, feedback {cost_feedback}"
-        );
-    }
+    assert_eq!(run_paper_population(1), run_paper_population(4), "shards 4");
 }
 
 /// The AND-join fan under explicit executor capacities: outcome, task
@@ -595,13 +440,7 @@ fn run_fan_population(capacities: Option<Vec<u32>>, wave: usize) -> BTreeMap<Str
     }
     sys.run();
     assert_eq!(sys.stats().dropped_dispatches, 0);
-    names
-        .into_iter()
-        .map(|name| {
-            let print = fingerprint(&sys, &name);
-            (name, print)
-        })
-        .collect()
+    fingerprints(&sys, &names)
 }
 
 #[test]

@@ -11,27 +11,21 @@
 //! window **as a unit** — no partial batch ever visible — while
 //! committed group frames replay fully.
 
+mod common;
+
 use std::collections::BTreeMap;
 
+use common::{
+    bind_order, build, det_link, fingerprints, generated_config, generated_script, population,
+    run_generated, start_population, text, Fingerprint,
+};
 use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{
-    CbState, CommitBatch, InstanceStatus, ObjectVal, ObsEventKind, ObserveLevel, TaskBehavior,
-    WorkflowSystem,
+    CbState, CommitBatch, InstanceStatus, ObsEventKind, ObserveLevel, WorkflowSystem,
 };
-use flowscript_sim::net::LinkConfig;
 use flowscript_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
-
-/// A fully deterministic link: batched-vs-unbatched comparisons must
-/// not depend on shared-RNG jitter draws, only on the pipeline.
-fn det_link() -> LinkConfig {
-    LinkConfig {
-        base_latency: SimDuration::from_micros(200),
-        jitter: SimDuration::ZERO,
-        drop_prob: 0.0,
-    }
-}
 
 fn arm_config(batch: CommitBatch) -> EngineConfig {
     EngineConfig {
@@ -44,158 +38,12 @@ fn arm_config(batch: CommitBatch) -> EngineConfig {
     }
 }
 
-fn text(class: &str, value: &str) -> ObjectVal {
-    ObjectVal::text(class, value)
-}
-
-/// Fig. 7 bindings (pure functions of the invocation).
-fn bind_order(sys: &WorkflowSystem) {
-    sys.bind_fn("refPaymentAuthorisation", |_| {
-        TaskBehavior::outcome("authorised")
-            .with_work(SimDuration::from_millis(30))
-            .with_object("paymentInfo", ObjectVal::text("PaymentInfo", "p"))
-    });
-    sys.bind_fn("refCheckStock", |_| {
-        TaskBehavior::outcome("stockAvailable")
-            .with_work(SimDuration::from_millis(45))
-            .with_object("stockInfo", ObjectVal::text("StockInfo", "s"))
-    });
-    sys.bind_fn("refDispatch", |_| {
-        TaskBehavior::outcome("dispatchCompleted")
-            .with_work(SimDuration::from_millis(25))
-            .with_object("dispatchNote", ObjectVal::text("DispatchNote", "n"))
-    });
-    sys.bind_fn("refPaymentCapture", |_| TaskBehavior::outcome("done"));
-}
-
-/// Fig. 8 bindings; a `retry` marker in the instance's `user` input
-/// makes the hotel fail in incarnation 0, driving the Fig. 8
-/// compensate-and-repeat loop exactly once for that instance.
-fn bind_trip(sys: &WorkflowSystem) {
-    sys.bind_fn("refDataAcquisition", |ctx| {
-        TaskBehavior::outcome("acquired").with_object(
-            "tripData",
-            ObjectVal::text("TripData", ctx.input_text("user")),
-        )
-    });
-    sys.bind_fn("refAirlineQueryA", |_| {
-        TaskBehavior::outcome("notFound").with_work(SimDuration::from_millis(5))
-    });
-    sys.bind_fn("refAirlineQueryB", |ctx| {
-        TaskBehavior::outcome("found")
-            .with_work(SimDuration::from_millis(12))
-            .with_object(
-                "flightList",
-                ObjectVal::text("FlightList", ctx.input_text("tripData")),
-            )
-    });
-    sys.bind_fn("refAirlineQueryC", |ctx| {
-        TaskBehavior::outcome("found")
-            .with_work(SimDuration::from_millis(30))
-            .with_object(
-                "flightList",
-                ObjectVal::text("FlightList", ctx.input_text("tripData")),
-            )
-    });
-    sys.bind_fn("refFlightReservation", |ctx| {
-        TaskBehavior::outcome("reserved")
-            .with_object(
-                "plane",
-                ObjectVal::text("Plane", ctx.input_text("flightList")),
-            )
-            .with_object("cost", ObjectVal::text("Cost", "c"))
-    });
-    sys.bind_fn("refHotelReservation", |ctx| {
-        let wants_retry = ctx.input_text("plane").contains("retry");
-        if wants_retry && ctx.incarnation == 0 {
-            TaskBehavior::outcome("failed")
-        } else {
-            TaskBehavior::outcome("hotelBooked").with_object("hotel", ObjectVal::text("Hotel", "h"))
-        }
-    });
-    sys.bind_fn("refFlightCancellation", |_| {
-        TaskBehavior::outcome("cancelled")
-    });
-    sys.bind_fn("refPrintTickets", |_| {
-        TaskBehavior::outcome("printed").with_object("tickets", ObjectVal::text("Tickets", "tk"))
-    });
-}
-
-fn build(coordinators: usize, config: EngineConfig) -> WorkflowSystem {
-    let mut sys = WorkflowSystem::builder()
-        .executors(3)
-        .coordinators(coordinators)
-        .seed(7)
-        .link(det_link())
-        .config(config)
-        .build();
-    sys.register_script(
-        "order",
-        samples::ORDER_PROCESSING,
-        "processOrderApplication",
-    )
-    .unwrap();
-    sys.register_script("trip", samples::BUSINESS_TRIP, "tripReservation")
-        .unwrap();
-    bind_order(&sys);
-    bind_trip(&sys);
-    sys
-}
-
-/// `(name, script)` for a mixed fig. 7 / fig. 8 population, including
-/// one fig. 8 instance that takes the compensate-and-repeat loop.
-fn population() -> Vec<(String, &'static str)> {
-    let mut all = Vec::new();
-    for i in 0..8 {
-        all.push((format!("order-{i}"), "order"));
-    }
-    for i in 0..3 {
-        all.push((format!("trip-{i}"), "trip"));
-    }
-    all.push(("trip-retry-x".to_string(), "trip"));
-    all
-}
-
-fn start_population(sys: &mut WorkflowSystem) {
-    for (name, script) in population() {
-        match script {
-            "order" => sys
-                .start(&name, "order", "main", [("order", text("Order", &name))])
-                .unwrap(),
-            _ => sys
-                .start(&name, "trip", "main", [("user", text("User", &name))])
-                .unwrap(),
-        }
-    }
-}
-
-/// Per-instance fingerprint: encoded terminal status bytes, the ordered
-/// dispatch trace, and every task state.
-type Fingerprint = (Vec<u8>, Vec<(String, u32)>, BTreeMap<String, CbState>);
-
-fn fingerprint(sys: &WorkflowSystem, instance: &str) -> Fingerprint {
-    let status = sys.status(instance).expect("instance known");
-    assert!(status.is_terminal(), "{instance} not terminal: {status:?}");
-    let status_bytes = flowscript_codec::to_bytes(&status);
-    let trace = sys
-        .dispatch_trace_of(instance)
-        .into_iter()
-        .map(|d| (d.path, d.attempt))
-        .collect();
-    (status_bytes, trace, sys.task_states(instance))
-}
-
 fn run_arm(coordinators: usize, batch: CommitBatch) -> BTreeMap<String, Fingerprint> {
     let mut sys = build(coordinators, arm_config(batch));
-    start_population(&mut sys);
+    let population = population();
+    start_population(&mut sys, &population);
     sys.run();
-    population()
-        .into_iter()
-        .map(|(name, _)| {
-            let print = fingerprint(&sys, &name);
-            (name, print)
-        })
-        .collect()
+    fingerprints(&sys, &population)
 }
 
 #[test]
@@ -204,9 +52,9 @@ fn batched_matches_unbatched_on_fig7_fig8_across_shards() {
         let unbatched = run_arm(coordinators, CommitBatch::disabled());
         let batched = run_arm(coordinators, CommitBatch::default());
         // Sanity: the baseline actually ran everything.
-        for (name, (status_bytes, trace, _)) in &unbatched {
+        for (name, (status, trace, _)) in &unbatched {
             assert!(!trace.is_empty(), "{name} never dispatched");
-            assert!(!status_bytes.is_empty());
+            assert!(status.is_terminal());
         }
         assert_eq!(
             unbatched, batched,
@@ -218,7 +66,7 @@ fn batched_matches_unbatched_on_fig7_fig8_across_shards() {
 #[test]
 fn batch_metrics_flow_through_registry_and_exports() {
     let mut sys = build(1, arm_config(CommitBatch::default()));
-    start_population(&mut sys);
+    start_population(&mut sys, &population());
     sys.run();
     let snapshot = sys.metrics_snapshot();
     assert!(
@@ -249,7 +97,7 @@ fn batch_metrics_flow_through_registry_and_exports() {
 #[test]
 fn unbatched_arm_writes_no_group_frames() {
     let mut sys = build(1, arm_config(CommitBatch::disabled()));
-    start_population(&mut sys);
+    start_population(&mut sys, &population());
     sys.run();
     let snapshot = sys.metrics_snapshot();
     assert_eq!(
@@ -273,11 +121,11 @@ fn commit_trace_events_carry_batch_ids() {
         let mut config = arm_config(batch);
         config.observe = ObserveLevel::Trace;
         let mut sys = build(1, config);
-        start_population(&mut sys);
+        start_population(&mut sys, &population());
         sys.run();
         population()
             .into_iter()
-            .flat_map(|(name, _)| sys.trace(&name))
+            .flat_map(|name| sys.trace(&name))
             .filter_map(|event| match event.kind {
                 ObsEventKind::Commit { batch, .. } => Some(batch),
                 _ => None,
@@ -429,158 +277,11 @@ fn durable_file_wal_survives_crash_and_replays_group_frames() {
 // Randomized equivalence: batched vs unbatched on generated scripts.
 // ---------------------------------------------------------------------
 
-/// Per-stage behaviour parameters, derived from the case seed.
-#[derive(Debug, Clone, Copy)]
-struct StageParams {
-    repeats: u32,
-    any_of: bool,
-    alt: bool,
-    abort: bool,
-}
-
-fn stage_params(seed: u64, i: usize) -> StageParams {
-    let bits = seed >> ((i * 6) % 58);
-    StageParams {
-        repeats: (bits & 0b11) as u32 % 3,
-        any_of: bits & 0b100 != 0,
-        alt: bits & 0b1000 != 0,
-        abort: bits & 0b11_0000 == 0b11_0000,
-    }
-}
-
-/// A chain of `n` stages plus a nested compound, all feeding the root's
-/// `done` notification (the worklist-equivalence proptest's shape).
-fn generated_script(n: usize, seed: u64) -> String {
-    let mut source = String::from(
-        r#"class Data;
-taskclass Stage {
-    inputs { input main { in of class Data } };
-    outputs {
-        outcome done { out of class Data };
-        outcome alt { out of class Data };
-        abort outcome failed { };
-        repeat outcome again { p of class Data }
-    }
-}
-taskclass Inner {
-    inputs { input main { in of class Data } };
-    outputs { outcome done { out of class Data } }
-}
-taskclass Root {
-    inputs { input main { seed of class Data } };
-    outputs { outcome done { } }
-}
-compoundtask root of taskclass Root {
-"#,
-    );
-    for i in 0..n {
-        let from = if i == 0 {
-            "inputobject in from { seed of task root if input main }".to_string()
-        } else if stage_params(seed, i).any_of {
-            format!(
-                "inputobject in from {{ out of task t{prev}; seed of task root if input main }}",
-                prev = i - 1
-            )
-        } else {
-            format!(
-                "inputobject in from {{ out of task t{prev} if output done; seed of task root if input main }}",
-                prev = i - 1
-            )
-        };
-        source.push_str(&format!(
-            "    task t{i} of taskclass Stage {{\n        implementation {{ \"code\" is \"ref{i}\" }};\n        inputs {{ input main {{ {from} }} }}\n    }};\n"
-        ));
-    }
-    source.push_str(&format!(
-        r#"    compoundtask comp of taskclass Inner {{
-        inputs {{ input main {{ inputobject in from {{ seed of task root if input main }} }} }};
-        task inner of taskclass Inner {{
-            implementation {{ "code" is "refInner" }};
-            inputs {{ input main {{ inputobject in from {{ in of task comp if input main }} }} }}
-        }};
-        outputs {{
-            outcome done {{ outputobject out from {{ out of task inner if output done }} }}
-        }}
-    }};
-    outputs {{ outcome done {{ notification from {{ task t{last} if output done }}; notification from {{ task comp if output done }} }} }}
-}}
-"#,
-        last = n - 1
-    ));
-    source
-}
-
-fn bind_stages(sys: &WorkflowSystem, n: usize, seed: u64) {
-    for i in 0..n {
-        let params = stage_params(seed, i);
-        sys.bind_fn(&format!("ref{i}"), move |ctx| {
-            if ctx.attempt < params.repeats {
-                TaskBehavior::outcome("again")
-                    .with_object("p", ObjectVal::text("Data", ctx.attempt.to_string()))
-                    .with_redo_after(SimDuration::from_millis(20))
-            } else if params.abort {
-                TaskBehavior::outcome("failed")
-            } else if params.alt {
-                TaskBehavior::outcome("alt").with_object("out", ObjectVal::text("Data", "alt"))
-            } else {
-                TaskBehavior::outcome("done").with_object("out", ObjectVal::text("Data", "done"))
-            }
-        });
-    }
-    sys.bind_fn("refInner", |ctx| {
-        TaskBehavior::outcome("done")
-            .with_object("out", ObjectVal::text("Data", ctx.input_text("in")))
-    });
-}
-
-type GenFingerprint = (
-    InstanceStatus,
-    Vec<(String, u32)>,
-    BTreeMap<String, CbState>,
-);
-
-fn run_generated(
-    coordinators: usize,
-    n: usize,
-    seed: u64,
-    script: &str,
-    names: &[String],
-    batch: CommitBatch,
-) -> BTreeMap<String, GenFingerprint> {
-    let config = EngineConfig {
-        dispatch_timeout: SimDuration::from_millis(500),
-        retry_backoff: SimDuration::from_millis(10),
-        record_dispatches: true,
+fn generated_arm(batch: CommitBatch) -> EngineConfig {
+    EngineConfig {
         commit_batch: batch,
-        ..Default::default()
-    };
-    let mut sys = WorkflowSystem::builder()
-        .executors(3)
-        .coordinators(coordinators)
-        .seed(42)
-        .link(det_link())
-        .config(config)
-        .build();
-    sys.register_script("g", script, "root")
-        .expect("generated script compiles");
-    bind_stages(&sys, n, seed);
-    for name in names {
-        sys.start(name, "g", "main", [("seed", ObjectVal::text("Data", "s"))])
-            .expect("instance starts");
+        ..generated_config()
     }
-    sys.run();
-    names
-        .iter()
-        .map(|name| {
-            let status = sys.status(name).expect("instance known");
-            let trace = sys
-                .dispatch_trace_of(name)
-                .into_iter()
-                .map(|d| (d.path, d.attempt))
-                .collect();
-            (name.clone(), (status, trace, sys.task_states(name)))
-        })
-        .collect()
 }
 
 proptest! {
@@ -599,8 +300,10 @@ proptest! {
             .enumerate()
             .map(|(i, salt)| format!("wf{i}-{salt:016x}"))
             .collect();
-        let unbatched = run_generated(k, n, seed, &script, &names, CommitBatch::disabled());
-        let batched = run_generated(k, n, seed, &script, &names, CommitBatch::default());
+        let unbatched =
+            run_generated(k, generated_arm(CommitBatch::disabled()), n, seed, &script, &names);
+        let batched =
+            run_generated(k, generated_arm(CommitBatch::default()), n, seed, &script, &names);
         prop_assert_eq!(&unbatched, &batched, "k={} n={} seed={}", k, n, seed);
         for (name, (status, trace, _)) in &unbatched {
             prop_assert!(status.is_terminal(), "{}: {:?}", name, status);

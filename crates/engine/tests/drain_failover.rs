@@ -8,121 +8,43 @@
 //! every instance on its new owner with zero lost outcomes — even when
 //! the chaos harness kills the shard at any point inside the protocol.
 
+mod common;
+
 use std::collections::BTreeMap;
 
-use flowscript_core::samples;
+use common::{
+    build_orders, det_link, order_population as population, settled, start_population, text,
+    ONE_TASK,
+};
 use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{
-    CbState, InstanceStatus, KillPoint, ObjectVal, ObsEventKind, ObserveLevel, TaskBehavior,
-    WorkflowSystem,
+    InstanceStatus, KillPoint, ObsEventKind, ObserveLevel, TaskBehavior, WorkflowSystem,
 };
-use flowscript_sim::net::LinkConfig;
 use flowscript_sim::{SimDuration, SimTime};
 use flowscript_tx::{TxError, TxManager};
 
-/// A fully deterministic link, so baseline and drained runs consume the
-/// shared RNG identically.
-fn det_link() -> LinkConfig {
-    LinkConfig {
-        base_latency: SimDuration::from_micros(200),
-        jitter: SimDuration::ZERO,
-        drop_prob: 0.0,
-    }
-}
-
 fn det_config() -> EngineConfig {
     EngineConfig {
-        dispatch_timeout: SimDuration::from_millis(400),
-        retry_backoff: SimDuration::from_millis(20),
         max_retries: 8,
-        record_dispatches: true,
         observe: ObserveLevel::Trace,
-        ..EngineConfig::default()
+        ..common::det_config()
     }
-}
-
-fn text(class: &str, value: &str) -> ObjectVal {
-    ObjectVal::text(class, value)
-}
-
-/// Fig. 7 bindings: pure functions of the invocation, with enough
-/// simulated work (~100ms per order) that a mid-run drain catches
-/// instances with tasks genuinely executing.
-fn bind_order(sys: &WorkflowSystem) {
-    sys.bind_fn("refPaymentAuthorisation", |_| {
-        TaskBehavior::outcome("authorised")
-            .with_work(SimDuration::from_millis(30))
-            .with_object("paymentInfo", ObjectVal::text("PaymentInfo", "p"))
-    });
-    sys.bind_fn("refCheckStock", |_| {
-        TaskBehavior::outcome("stockAvailable")
-            .with_work(SimDuration::from_millis(45))
-            .with_object("stockInfo", ObjectVal::text("StockInfo", "s"))
-    });
-    sys.bind_fn("refDispatch", |_| {
-        TaskBehavior::outcome("dispatchCompleted")
-            .with_work(SimDuration::from_millis(25))
-            .with_object("dispatchNote", ObjectVal::text("DispatchNote", "n"))
-    });
-    sys.bind_fn("refPaymentCapture", |_| TaskBehavior::outcome("done"));
 }
 
 fn build(coordinators: usize) -> WorkflowSystem {
-    let mut sys = WorkflowSystem::builder()
-        .executors(3)
-        .coordinators(coordinators)
-        .seed(7)
-        .link(det_link())
-        .config(det_config())
-        .build();
-    sys.register_script(
-        "order",
-        samples::ORDER_PROCESSING,
-        "processOrderApplication",
-    )
-    .unwrap();
-    bind_order(&sys);
-    sys
-}
-
-fn population() -> Vec<String> {
-    (0..24).map(|i| format!("order-{i}")).collect()
-}
-
-fn start_population(sys: &mut WorkflowSystem) {
-    for name in population() {
-        sys.start(&name, "order", "main", [("order", text("Order", &name))])
-            .unwrap();
-    }
-}
-
-/// Full per-instance fingerprint: the encoded terminal status (outcome
-/// objects included) and every task's final state, attempts included.
-/// Planned drains relay in-flight replies, so nothing — not even an
-/// attempt count — may change.
-type Fingerprint = (Vec<u8>, BTreeMap<String, CbState>);
-
-fn fingerprint(sys: &WorkflowSystem, instance: &str) -> Fingerprint {
-    let status = sys.status(instance).expect("instance known");
-    assert!(status.is_terminal(), "{instance} not terminal: {status:?}");
-    (
-        flowscript_codec::to_bytes(&status),
-        sys.task_states(instance),
-    )
+    build_orders(coordinators, det_config())
 }
 
 /// Outcome-only fingerprint for the crash arms: a kill mid-protocol
 /// legitimately costs watchdog retries (attempt bumps), but outcomes
 /// are pure functions of the invocation and must match exactly.
-fn outcome_print(sys: &WorkflowSystem, instance: &str) -> Vec<u8> {
-    let status = sys.status(instance).expect("instance known");
-    assert!(status.is_terminal(), "{instance} not terminal: {status:?}");
-    flowscript_codec::to_bytes(&status)
+fn outcome_print(sys: &WorkflowSystem, instance: &str) -> InstanceStatus {
+    settled(sys, instance).0
 }
 
 fn baseline<F: Fn(&WorkflowSystem, &str) -> T, T>(print: F) -> BTreeMap<String, T> {
     let mut sys = build(3);
-    start_population(&mut sys);
+    start_population(&mut sys, &population());
     sys.run();
     population()
         .into_iter()
@@ -139,11 +61,11 @@ fn baseline<F: Fn(&WorkflowSystem, &str) -> T, T>(print: F) -> BTreeMap<String, 
 
 #[test]
 fn planned_drain_preserves_every_outcome() {
-    let expected = baseline(fingerprint);
+    let expected = baseline(settled);
 
     // Live run: drain a shard mid-flight (~20ms into ~100ms orders).
     let mut sys = build(3);
-    start_population(&mut sys);
+    start_population(&mut sys, &population());
     sys.run_until(SimTime::from_nanos(20_000_000));
     let departing = sys.coord_handle(1);
     let drained_count = departing.instance_names().len();
@@ -178,7 +100,7 @@ fn planned_drain_preserves_every_outcome() {
     // never-drained run: the retired relay forwarded every late reply.
     for name in population() {
         assert_eq!(
-            fingerprint(&sys, &name),
+            settled(&sys, &name),
             expected[&name],
             "{name} diverged from the no-drain run"
         );
@@ -236,7 +158,7 @@ fn drain_killed_at_any_point_converges_on_rerun() {
         KillPoint::AfterDecision,
     ] {
         let mut sys = build(3);
-        start_population(&mut sys);
+        start_population(&mut sys, &population());
         sys.run_until(SimTime::from_nanos(20_000_000));
         let victim = sys.coord_handle(1).node();
 
@@ -289,7 +211,7 @@ fn dead_shard_adoption_loses_no_outcomes() {
     let expected = baseline(outcome_print);
 
     let mut sys = build(3);
-    start_population(&mut sys);
+    start_population(&mut sys, &population());
     sys.run_until(SimTime::from_nanos(20_000_000));
     let dead = sys.coord_handle(1);
     let dead_population = dead.instance_names().len();
@@ -352,7 +274,7 @@ fn fenced_zombie_cannot_commit_after_storage_is_claimed() {
     let expected = baseline(outcome_print);
 
     let mut sys = build(3);
-    start_population(&mut sys);
+    start_population(&mut sys, &population());
     sys.run_until(SimTime::from_nanos(20_000_000));
     let zombie = sys.coord_handle(0);
     let zombie_node = zombie.node();
@@ -398,7 +320,7 @@ fn adoption_killed_mid_claim_converges_on_rerun() {
     let expected = baseline(outcome_print);
 
     let mut sys = build(3);
-    start_population(&mut sys);
+    start_population(&mut sys, &population());
     sys.run_until(SimTime::from_nanos(20_000_000));
     let dead = sys.coord_handle(1);
     let dead_population = dead.instance_names().len();
@@ -434,26 +356,6 @@ fn adoption_killed_mid_claim_converges_on_rerun() {
 // ---------------------------------------------------------------------
 // Admission occupancy follows hand-offs.
 // ---------------------------------------------------------------------
-
-/// One long-running leaf, so occupancy is easy to stage.
-const ONE_TASK: &str = r#"
-class Data;
-taskclass Work {
-    inputs { input main { in of class Data } };
-    outputs { outcome done { } }
-}
-taskclass Root {
-    inputs { input main { seed of class Data } };
-    outputs { outcome done { } }
-}
-compoundtask root of taskclass Root {
-    task w of taskclass Work {
-        implementation { "code" is "refWork" };
-        inputs { input main { inputobject in from { seed of task root if input main } } }
-    };
-    outputs { outcome done { notification from { task w if output done } } }
-}
-"#;
 
 /// Draining into a shard near its admission cap must *queue* later
 /// starts, not overrun the cap: adopted instances occupy admission

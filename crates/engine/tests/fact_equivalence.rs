@@ -9,30 +9,24 @@
 //! must produce **byte-identical per-instance outcomes, dispatch
 //! traces and task states**.
 
+mod common;
+
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use common::{det_link, fingerprints, generated_config, generated_script, run_generated, text};
 use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{
     CbState, InstanceStatus, ObjectVal, Reconfig, TaskBehavior, WorkflowSystem,
 };
-use flowscript_sim::net::LinkConfig;
 use flowscript_sim::SimDuration;
 use proptest::prelude::*;
 
-fn text(class: &str, value: &str) -> ObjectVal {
-    ObjectVal::text(class, value)
-}
-
 fn config(whole_record: bool) -> EngineConfig {
     EngineConfig {
-        dispatch_timeout: SimDuration::from_millis(500),
-        retry_backoff: SimDuration::from_millis(10),
-        record_dispatches: true,
         whole_record_facts: whole_record,
-        ..EngineConfig::default()
+        ..generated_config()
     }
 }
 
@@ -41,36 +35,9 @@ fn builder(whole_record: bool, shards: usize, seed: u64) -> WorkflowSystem {
         .executors(3)
         .coordinators(shards)
         .seed(seed)
-        .link(LinkConfig {
-            base_latency: SimDuration::from_micros(200),
-            jitter: SimDuration::ZERO,
-            drop_prob: 0.0,
-        })
+        .link(det_link())
         .config(config(whole_record))
         .build()
-}
-
-/// Everything observable about one instance: terminal status, ordered
-/// `(path, attempt)` dispatch trace, final task states.
-type Fingerprint = (
-    InstanceStatus,
-    Vec<(String, u32)>,
-    BTreeMap<String, CbState>,
-);
-
-fn fingerprints(sys: &WorkflowSystem, names: &[String]) -> BTreeMap<String, Fingerprint> {
-    names
-        .iter()
-        .map(|name| {
-            let status = sys.status(name).expect("instance known");
-            let trace = sys
-                .dispatch_trace_of(name)
-                .into_iter()
-                .map(|d| (d.path, d.attempt))
-                .collect();
-            (name.clone(), (status, trace, sys.task_states(name)))
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -302,127 +269,6 @@ fn midrun_reconfiguration_matches_whole_record_baseline() {
 // nested compound).
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy)]
-struct StageParams {
-    repeats: u32,
-    any_of: bool,
-    alt: bool,
-    abort: bool,
-}
-
-fn stage_params(seed: u64, i: usize) -> StageParams {
-    let bits = seed >> ((i * 6) % 58);
-    StageParams {
-        repeats: (bits & 0b11) as u32 % 3,
-        any_of: bits & 0b100 != 0,
-        alt: bits & 0b1000 != 0,
-        abort: bits & 0b11_0000 == 0b11_0000,
-    }
-}
-
-fn generated_script(n: usize, seed: u64) -> String {
-    let mut source = String::from(
-        r#"class Data;
-taskclass Stage {
-    inputs { input main { in of class Data } };
-    outputs {
-        outcome done { out of class Data };
-        outcome alt { out of class Data };
-        abort outcome failed { };
-        repeat outcome again { p of class Data }
-    }
-}
-taskclass Inner {
-    inputs { input main { in of class Data } };
-    outputs { outcome done { out of class Data } }
-}
-taskclass Root {
-    inputs { input main { seed of class Data } };
-    outputs { outcome done { } }
-}
-compoundtask root of taskclass Root {
-"#,
-    );
-    for i in 0..n {
-        let from = if i == 0 {
-            "inputobject in from { seed of task root if input main }".to_string()
-        } else if stage_params(seed, i).any_of {
-            format!(
-                "inputobject in from {{ out of task t{prev}; seed of task root if input main }}",
-                prev = i - 1
-            )
-        } else {
-            format!(
-                "inputobject in from {{ out of task t{prev} if output done; seed of task root if input main }}",
-                prev = i - 1
-            )
-        };
-        source.push_str(&format!(
-            "    task t{i} of taskclass Stage {{\n        implementation {{ \"code\" is \"ref{i}\" }};\n        inputs {{ input main {{ {from} }} }}\n    }};\n"
-        ));
-    }
-    source.push_str(&format!(
-        r#"    compoundtask comp of taskclass Inner {{
-        inputs {{ input main {{ inputobject in from {{ seed of task root if input main }} }} }};
-        task inner of taskclass Inner {{
-            implementation {{ "code" is "refInner" }};
-            inputs {{ input main {{ inputobject in from {{ in of task comp if input main }} }} }}
-        }};
-        outputs {{
-            outcome done {{ outputobject out from {{ out of task inner if output done }} }}
-        }}
-    }};
-    outputs {{ outcome done {{ notification from {{ task t{last} if output done }}; notification from {{ task comp if output done }} }} }}
-}}
-"#,
-        last = n - 1
-    ));
-    source
-}
-
-fn bind_stages(sys: &WorkflowSystem, n: usize, seed: u64) {
-    for i in 0..n {
-        let params = stage_params(seed, i);
-        sys.bind_fn(&format!("ref{i}"), move |ctx| {
-            if ctx.attempt < params.repeats {
-                TaskBehavior::outcome("again")
-                    .with_object("p", ObjectVal::text("Data", ctx.attempt.to_string()))
-                    .with_redo_after(SimDuration::from_millis(20))
-            } else if params.abort {
-                TaskBehavior::outcome("failed")
-            } else if params.alt {
-                TaskBehavior::outcome("alt").with_object("out", ObjectVal::text("Data", "alt"))
-            } else {
-                TaskBehavior::outcome("done").with_object("out", ObjectVal::text("Data", "done"))
-            }
-        });
-    }
-    sys.bind_fn("refInner", |ctx| {
-        TaskBehavior::outcome("done")
-            .with_object("out", ObjectVal::text("Data", ctx.input_text("in")))
-    });
-}
-
-fn run_generated(
-    whole_record: bool,
-    shards: usize,
-    n: usize,
-    seed: u64,
-    script: &str,
-    names: &[String],
-) -> BTreeMap<String, Fingerprint> {
-    let mut sys = builder(whole_record, shards, 42);
-    sys.register_script("g", script, "root")
-        .expect("generated script compiles");
-    bind_stages(&sys, n, seed);
-    for name in names {
-        sys.start(name, "g", "main", [("seed", ObjectVal::text("Data", "s"))])
-            .expect("instance starts");
-    }
-    sys.run();
-    fingerprints(&sys, names)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -439,8 +285,8 @@ proptest! {
             .enumerate()
             .map(|(i, salt)| format!("wf{i}-{salt:016x}"))
             .collect();
-        let baseline = run_generated(true, shards, n, seed, &script, &names);
-        let per_object = run_generated(false, shards, n, seed, &script, &names);
+        let baseline = run_generated(shards, config(true), n, seed, &script, &names);
+        let per_object = run_generated(shards, config(false), n, seed, &script, &names);
         prop_assert_eq!(&per_object, &baseline, "shards={} n={} seed={}", shards, n, seed);
         for (name, (status, trace, _)) in &per_object {
             prop_assert!(status.is_terminal(), "{}: {:?}", name, status);

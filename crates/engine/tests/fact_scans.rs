@@ -11,14 +11,13 @@
 //! [`TxManager::prefix_scan_count`]: flowscript_tx::TxManager::prefix_scan_count
 //! [`TxManager::fact_range_scan_count`]: flowscript_tx::TxManager::fact_range_scan_count
 
+mod common;
+
+use common::{text, JOIN};
 use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
-use flowscript_engine::{InstanceStatus, ObjectVal, TaskBehavior, WorkflowSystem};
+use flowscript_engine::{InstanceStatus, TaskBehavior, WorkflowSystem};
 use flowscript_sim::SimDuration;
-
-fn text(class: &str, value: &str) -> ObjectVal {
-    ObjectVal::text(class, value)
-}
 
 fn order_sys(seed: u64) -> WorkflowSystem {
     let mut sys = WorkflowSystem::builder().executors(2).seed(seed).build();
@@ -78,42 +77,6 @@ fn per_object_probes_never_scan() {
         "per-object probes must be point reads, never fact range scans"
     );
 }
-
-/// A join of one fast and one slow producer: the window between their
-/// completions is where fault injection can corrupt the fast fact.
-const JOIN: &str = r#"
-class Data;
-taskclass Work {
-    inputs { input main { in of class Data } };
-    outputs { outcome done { out of class Data } }
-}
-taskclass Join {
-    inputs { input main { left of class Data; right of class Data } };
-    outputs { outcome done { } }
-}
-taskclass Root {
-    inputs { input main { seed of class Data } };
-    outputs { outcome done { } }
-}
-compoundtask root of taskclass Root {
-    task fast of taskclass Work {
-        implementation { "code" is "refFast" };
-        inputs { input main { inputobject in from { seed of task root if input main } } }
-    };
-    task slow of taskclass Work {
-        implementation { "code" is "refSlow" };
-        inputs { input main { inputobject in from { seed of task root if input main } } }
-    };
-    task join of taskclass Join {
-        implementation { "code" is "refJoin" };
-        inputs { input main {
-            inputobject left from { out of task fast if output done };
-            inputobject right from { out of task slow if output done }
-        } }
-    };
-    outputs { outcome done { notification from { task join if output done } } }
-}
-"#;
 
 fn poisoned_run(whole_record_facts: bool) -> InstanceStatus {
     let config = EngineConfig {

@@ -4,14 +4,13 @@
 //! finite number of times; the coordinator recovers all state from its
 //! write-ahead log.
 
+mod common;
+
+use common::text;
 use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{CbState, InstanceStatus, ObjectVal, TaskBehavior, WorkflowSystem};
 use flowscript_sim::{FaultAction, FaultPlan, SimDuration, SimTime};
-
-fn text(class: &str, value: &str) -> ObjectVal {
-    ObjectVal::text(class, value)
-}
 
 /// Binds a chain-of-N workload built by the core builder.
 fn chain_system(n: usize, seed: u64, config: EngineConfig) -> WorkflowSystem {

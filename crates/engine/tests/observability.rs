@@ -7,120 +7,21 @@
 //! instances, and exactly-once stats accounting for forwarded
 //! one-way messages.
 
-use flowscript_core::samples;
+mod common;
+
+use common::{build, det_link, text, JOIN};
 use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{
     CbState, InstanceStatus, ObjectVal, ObsEvent, ObsEventKind, ObserveLevel, TaskBehavior,
     WorkflowSystem,
 };
-use flowscript_sim::net::LinkConfig;
 use flowscript_sim::{FaultPlan, SimDuration, SimTime};
-
-fn det_link() -> LinkConfig {
-    LinkConfig {
-        base_latency: SimDuration::from_micros(200),
-        jitter: SimDuration::ZERO,
-        drop_prob: 0.0,
-    }
-}
 
 fn det_config() -> EngineConfig {
     EngineConfig {
-        dispatch_timeout: SimDuration::from_millis(400),
-        retry_backoff: SimDuration::from_millis(20),
-        record_dispatches: true,
         observe: ObserveLevel::Trace,
-        ..EngineConfig::default()
+        ..common::det_config()
     }
-}
-
-fn text(class: &str, value: &str) -> ObjectVal {
-    ObjectVal::text(class, value)
-}
-
-fn bind_order(sys: &WorkflowSystem) {
-    sys.bind_fn("refPaymentAuthorisation", |_| {
-        TaskBehavior::outcome("authorised")
-            .with_work(SimDuration::from_millis(30))
-            .with_object("paymentInfo", ObjectVal::text("PaymentInfo", "p"))
-    });
-    sys.bind_fn("refCheckStock", |_| {
-        TaskBehavior::outcome("stockAvailable")
-            .with_work(SimDuration::from_millis(45))
-            .with_object("stockInfo", ObjectVal::text("StockInfo", "s"))
-    });
-    sys.bind_fn("refDispatch", |_| {
-        TaskBehavior::outcome("dispatchCompleted")
-            .with_work(SimDuration::from_millis(25))
-            .with_object("dispatchNote", ObjectVal::text("DispatchNote", "n"))
-    });
-    sys.bind_fn("refPaymentCapture", |_| TaskBehavior::outcome("done"));
-}
-
-fn bind_trip(sys: &WorkflowSystem) {
-    sys.bind_fn("refDataAcquisition", |ctx| {
-        TaskBehavior::outcome("acquired").with_object(
-            "tripData",
-            ObjectVal::text("TripData", ctx.input_text("user")),
-        )
-    });
-    sys.bind_fn("refAirlineQueryA", |_| {
-        TaskBehavior::outcome("notFound").with_work(SimDuration::from_millis(5))
-    });
-    sys.bind_fn("refAirlineQueryB", |ctx| {
-        TaskBehavior::outcome("found")
-            .with_work(SimDuration::from_millis(12))
-            .with_object(
-                "flightList",
-                ObjectVal::text("FlightList", ctx.input_text("tripData")),
-            )
-    });
-    sys.bind_fn("refAirlineQueryC", |ctx| {
-        TaskBehavior::outcome("found")
-            .with_work(SimDuration::from_millis(30))
-            .with_object(
-                "flightList",
-                ObjectVal::text("FlightList", ctx.input_text("tripData")),
-            )
-    });
-    sys.bind_fn("refFlightReservation", |ctx| {
-        TaskBehavior::outcome("reserved")
-            .with_object(
-                "plane",
-                ObjectVal::text("Plane", ctx.input_text("flightList")),
-            )
-            .with_object("cost", ObjectVal::text("Cost", "c"))
-    });
-    sys.bind_fn("refHotelReservation", |_| {
-        TaskBehavior::outcome("hotelBooked").with_object("hotel", ObjectVal::text("Hotel", "h"))
-    });
-    sys.bind_fn("refFlightCancellation", |_| {
-        TaskBehavior::outcome("cancelled")
-    });
-    sys.bind_fn("refPrintTickets", |_| {
-        TaskBehavior::outcome("printed").with_object("tickets", ObjectVal::text("Tickets", "tk"))
-    });
-}
-
-fn build(coordinators: usize, config: EngineConfig) -> WorkflowSystem {
-    let mut sys = WorkflowSystem::builder()
-        .executors(3)
-        .coordinators(coordinators)
-        .seed(7)
-        .link(det_link())
-        .config(config)
-        .build();
-    sys.register_script(
-        "order",
-        samples::ORDER_PROCESSING,
-        "processOrderApplication",
-    )
-    .unwrap();
-    sys.register_script("trip", samples::BUSINESS_TRIP, "tripReservation")
-        .unwrap();
-    bind_order(&sys);
-    bind_trip(&sys);
-    sys
 }
 
 /// A trace is a *complete lifecycle*: it opens with the instance start,
@@ -361,44 +262,6 @@ fn chaos_trace_pairs_every_retry_with_its_cause() {
         "traced retries and the metrics registry must agree"
     );
 }
-
-/// A join of one fast and one slow producer — the window between their
-/// completions is where a fact can be corrupted, parking the instance
-/// with `Stuck{fact storage fault}` when the join's readiness probe
-/// hits the poisoned record.
-const JOIN: &str = r#"
-class Data;
-taskclass Work {
-    inputs { input main { in of class Data } };
-    outputs { outcome done { out of class Data } }
-}
-taskclass Join {
-    inputs { input main { left of class Data; right of class Data } };
-    outputs { outcome done { } }
-}
-taskclass Root {
-    inputs { input main { seed of class Data } };
-    outputs { outcome done { } }
-}
-compoundtask root of taskclass Root {
-    task fast of taskclass Work {
-        implementation { "code" is "refFast" };
-        inputs { input main { inputobject in from { seed of task root if input main } } }
-    };
-    task slow of taskclass Work {
-        implementation { "code" is "refSlow" };
-        inputs { input main { inputobject in from { seed of task root if input main } } }
-    };
-    task join of taskclass Join {
-        implementation { "code" is "refJoin" };
-        inputs { input main {
-            inputobject left from { out of task fast if output done };
-            inputobject right from { out of task slow if output done }
-        } }
-    };
-    outputs { outcome done { notification from { task join if output done } } }
-}
-"#;
 
 fn join_system(config: EngineConfig, slow_work: SimDuration) -> WorkflowSystem {
     let mut sys = WorkflowSystem::builder()

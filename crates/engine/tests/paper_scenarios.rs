@@ -2,16 +2,15 @@
 //! (§5.1 network management, §5.2 order processing, §5.3 business trip)
 //! plus the Fig. 1 dependency diamond and the Fig. 2 input-set semantics.
 
+mod common;
+
+use common::text;
 use std::cell::Cell;
 use std::rc::Rc;
 
 use flowscript_core::samples;
 use flowscript_engine::{CbState, InstanceStatus, ObjectVal, TaskBehavior, WorkflowSystem};
 use flowscript_sim::SimDuration;
-
-fn text(class: &str, value: &str) -> ObjectVal {
-    ObjectVal::text(class, value)
-}
 
 // ---------------------------------------------------------------------
 // Fig. 1: the four-task diamond.
@@ -299,6 +298,8 @@ fn fig6_service_impact_failure_path() {
 // §5.2 / Fig. 7: order processing.
 // ---------------------------------------------------------------------
 
+// File-local: the §5.2 scenarios steer the authorisation and stock
+// outcomes, which `common::bind_order` fixes to the happy path.
 fn bind_order(sys: &WorkflowSystem, authorised: bool, in_stock: bool) {
     if authorised {
         sys.bind_fn("refPaymentAuthorisation", |ctx| {
@@ -418,6 +419,8 @@ fn fig7_order_cancelled_on_payment_refusal() {
 
 /// Binds the trip implementations. The hotel fails `hotel_failures`
 /// times before succeeding; airline A never finds a flight, B and C do.
+/// (File-local: `common::bind_trip` fails the hotel at most once, keyed
+/// on the instance's input text.)
 fn bind_trip(sys: &WorkflowSystem, hotel_failures: u32) {
     sys.bind_fn("refDataAcquisition", |ctx| {
         TaskBehavior::outcome("acquired").with_object(

@@ -8,14 +8,13 @@
 //! a blob survives exactly as long as some instance (resident or
 //! merely persisted) references it.
 
+mod common;
+
+use common::text;
 use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
-use flowscript_engine::{ObjectVal, Reconfig, TaskBehavior, WorkflowSystem};
+use flowscript_engine::{Reconfig, TaskBehavior, WorkflowSystem};
 use flowscript_sim::SimDuration;
-
-fn text(class: &str, value: &str) -> ObjectVal {
-    ObjectVal::text(class, value)
-}
 
 fn diamond_sys(checkpoint_every: u64) -> WorkflowSystem {
     let config = EngineConfig {

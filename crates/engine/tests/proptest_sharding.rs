@@ -13,177 +13,10 @@
 //! leak between instances and break placement-independence; the link
 //! is jitter-free so behaviour cannot depend on shared-RNG draw order.
 
-use std::collections::BTreeMap;
+mod common;
 
-use flowscript_engine::coordinator::EngineConfig;
-use flowscript_engine::{CbState, InstanceStatus, ObjectVal, TaskBehavior, WorkflowSystem};
-use flowscript_sim::net::LinkConfig;
-use flowscript_sim::SimDuration;
+use common::{generated_config, generated_script, run_generated};
 use proptest::prelude::*;
-
-/// Per-stage behaviour parameters, derived from the case seed.
-#[derive(Debug, Clone, Copy)]
-struct StageParams {
-    /// Leaf repeat outcomes taken before completing (attempt-keyed).
-    repeats: u32,
-    /// Use an unconditioned source (compiles to `AnyOf` alternatives).
-    any_of: bool,
-    /// Complete with the `alt` outcome instead of `done`.
-    alt: bool,
-    /// Abort instead of completing (can leave the run stuck — all
-    /// shard counts must agree on that too).
-    abort: bool,
-}
-
-fn stage_params(seed: u64, i: usize) -> StageParams {
-    let bits = seed >> ((i * 6) % 58);
-    StageParams {
-        repeats: (bits & 0b11) as u32 % 3,
-        any_of: bits & 0b100 != 0,
-        alt: bits & 0b1000 != 0,
-        abort: bits & 0b11_0000 == 0b11_0000, // 1-in-4 per stage
-    }
-}
-
-/// A chain of `n` stages plus a nested compound, all feeding the root's
-/// `done` notification (the same shape the worklist equivalence
-/// proptest uses).
-fn generated_script(n: usize, seed: u64) -> String {
-    let mut source = String::from(
-        r#"class Data;
-taskclass Stage {
-    inputs { input main { in of class Data } };
-    outputs {
-        outcome done { out of class Data };
-        outcome alt { out of class Data };
-        abort outcome failed { };
-        repeat outcome again { p of class Data }
-    }
-}
-taskclass Inner {
-    inputs { input main { in of class Data } };
-    outputs { outcome done { out of class Data } }
-}
-taskclass Root {
-    inputs { input main { seed of class Data } };
-    outputs { outcome done { } }
-}
-compoundtask root of taskclass Root {
-"#,
-    );
-    for i in 0..n {
-        let from = if i == 0 {
-            "inputobject in from { seed of task root if input main }".to_string()
-        } else if stage_params(seed, i).any_of {
-            format!(
-                "inputobject in from {{ out of task t{prev}; seed of task root if input main }}",
-                prev = i - 1
-            )
-        } else {
-            format!(
-                "inputobject in from {{ out of task t{prev} if output done; seed of task root if input main }}",
-                prev = i - 1
-            )
-        };
-        source.push_str(&format!(
-            "    task t{i} of taskclass Stage {{\n        implementation {{ \"code\" is \"ref{i}\" }};\n        inputs {{ input main {{ {from} }} }}\n    }};\n"
-        ));
-    }
-    source.push_str(&format!(
-        r#"    compoundtask comp of taskclass Inner {{
-        inputs {{ input main {{ inputobject in from {{ seed of task root if input main }} }} }};
-        task inner of taskclass Inner {{
-            implementation {{ "code" is "refInner" }};
-            inputs {{ input main {{ inputobject in from {{ in of task comp if input main }} }} }}
-        }};
-        outputs {{
-            outcome done {{ outputobject out from {{ out of task inner if output done }} }}
-        }}
-    }};
-    outputs {{ outcome done {{ notification from {{ task t{last} if output done }}; notification from {{ task comp if output done }} }} }}
-}}
-"#,
-        last = n - 1
-    ));
-    source
-}
-
-/// Binds every stage as a **pure** function of the invocation: repeat
-/// loops key on `ctx.attempt`, everything else on the case parameters.
-fn bind_stages(sys: &WorkflowSystem, n: usize, seed: u64) {
-    for i in 0..n {
-        let params = stage_params(seed, i);
-        sys.bind_fn(&format!("ref{i}"), move |ctx| {
-            if ctx.attempt < params.repeats {
-                TaskBehavior::outcome("again")
-                    .with_object("p", ObjectVal::text("Data", ctx.attempt.to_string()))
-                    .with_redo_after(SimDuration::from_millis(20))
-            } else if params.abort {
-                TaskBehavior::outcome("failed")
-            } else if params.alt {
-                TaskBehavior::outcome("alt").with_object("out", ObjectVal::text("Data", "alt"))
-            } else {
-                TaskBehavior::outcome("done").with_object("out", ObjectVal::text("Data", "done"))
-            }
-        });
-    }
-    sys.bind_fn("refInner", |ctx| {
-        TaskBehavior::outcome("done")
-            .with_object("out", ObjectVal::text("Data", ctx.input_text("in")))
-    });
-}
-
-type Fingerprint = (
-    InstanceStatus,
-    Vec<(String, u32)>,
-    BTreeMap<String, CbState>,
-);
-
-fn run_population(
-    coordinators: usize,
-    n: usize,
-    seed: u64,
-    script: &str,
-    names: &[String],
-) -> BTreeMap<String, Fingerprint> {
-    let config = EngineConfig {
-        dispatch_timeout: SimDuration::from_millis(500),
-        retry_backoff: SimDuration::from_millis(10),
-        record_dispatches: true,
-        ..Default::default()
-    };
-    let mut sys = WorkflowSystem::builder()
-        .executors(3)
-        .coordinators(coordinators)
-        .seed(42) // identical virtual worlds; variation comes from `seed`
-        .link(LinkConfig {
-            base_latency: SimDuration::from_micros(200),
-            jitter: SimDuration::ZERO,
-            drop_prob: 0.0,
-        })
-        .config(config)
-        .build();
-    sys.register_script("g", script, "root")
-        .expect("generated script compiles");
-    bind_stages(&sys, n, seed);
-    for name in names {
-        sys.start(name, "g", "main", [("seed", ObjectVal::text("Data", "s"))])
-            .expect("instance starts");
-    }
-    sys.run();
-    names
-        .iter()
-        .map(|name| {
-            let status = sys.status(name).expect("instance known");
-            let trace = sys
-                .dispatch_trace_of(name)
-                .into_iter()
-                .map(|d| (d.path, d.attempt))
-                .collect();
-            (name.clone(), (status, trace, sys.task_states(name)))
-        })
-        .collect()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
@@ -203,8 +36,8 @@ proptest! {
             .enumerate()
             .map(|(i, salt)| format!("wf{i}-{salt:016x}"))
             .collect();
-        let single = run_population(1, n, seed, &script, &names);
-        let sharded = run_population(k, n, seed, &script, &names);
+        let single = run_generated(1, generated_config(), n, seed, &script, &names);
+        let sharded = run_generated(k, generated_config(), n, seed, &script, &names);
         prop_assert_eq!(&single, &sharded, "k={} n={} seed={}", k, n, seed);
         // Every instance reached a terminal verdict in both worlds and
         // actually dispatched something.

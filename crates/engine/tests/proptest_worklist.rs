@@ -15,113 +15,19 @@
 //! (In debug builds every drain additionally asserts the quiescence
 //! oracle: no startable task or satisfied output left behind.)
 
+mod common;
+
 use std::cell::Cell;
 use std::rc::Rc;
 
+use common::{generated_script, stage_params, StageParams};
 use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{ObjectVal, Reconfig, TaskBehavior, WorkflowSystem};
 use flowscript_sim::SimDuration;
 use proptest::prelude::*;
 
-/// Per-stage behavior parameters, derived from the case seed.
-#[derive(Debug, Clone, Copy)]
-struct StageParams {
-    /// Leaf repeat outcomes taken before completing.
-    repeats: u32,
-    /// Use an unconditioned source (compiles to `AnyOf` alternatives).
-    any_of: bool,
-    /// Complete with the `alt` outcome instead of `done`.
-    alt: bool,
-    /// Abort instead of completing (downstream falls back to the root
-    /// seed source; the final notification can leave the run stuck —
-    /// both modes must agree on that too).
-    abort: bool,
-}
-
-fn stage_params(seed: u64, i: usize) -> StageParams {
-    let bits = seed >> (i * 6);
-    StageParams {
-        repeats: (bits & 0b11) as u32 % 3,
-        any_of: bits & 0b100 != 0,
-        alt: bits & 0b1000 != 0,
-        abort: bits & 0b11_0000 == 0b11_0000, // 1-in-4 per stage
-    }
-}
-
-/// A chain of `n` stages plus a nested compound with a repeat-on-abort
-/// loop, all feeding the root's `done` notification. Per-stage, the
-/// upstream source is either conditioned (`if output done`) or
-/// unconditioned — the latter compiles to `AnyOf` alternatives over
-/// every Stage outcome carrying `out` (`done` and `alt`).
-fn generated_script(n: usize, seed: u64) -> String {
-    let mut source = String::from(
-        r#"class Data;
-taskclass Stage {
-    inputs { input main { in of class Data } };
-    outputs {
-        outcome done { out of class Data };
-        outcome alt { out of class Data };
-        abort outcome failed { };
-        repeat outcome again { p of class Data }
-    }
-}
-taskclass Loop {
-    inputs { input main { in of class Data } };
-    outputs {
-        outcome done { out of class Data };
-        repeat outcome retry { in of class Data }
-    }
-}
-taskclass Root {
-    inputs { input main { seed of class Data } };
-    outputs { outcome done { } }
-}
-compoundtask root of taskclass Root {
-"#,
-    );
-    for i in 0..n {
-        let from = if i == 0 {
-            "inputobject in from { seed of task root if input main }".to_string()
-        } else if stage_params(seed, i).any_of {
-            format!(
-                "inputobject in from {{ out of task t{prev}; seed of task root if input main }}",
-                prev = i - 1
-            )
-        } else {
-            format!(
-                "inputobject in from {{ out of task t{prev} if output done; seed of task root if input main }}",
-                prev = i - 1
-            )
-        };
-        source.push_str(&format!(
-            "    task t{i} of taskclass Stage {{\n        implementation {{ \"code\" is \"ref{i}\" }};\n        inputs {{ input main {{ {from} }} }}\n    }};\n"
-        ));
-    }
-    // The nested compound: its inner stage aborting makes the compound
-    // take its repeat outcome (Fig. 8), resetting the subtree.
-    source.push_str(&format!(
-        r#"    compoundtask comp of taskclass Loop {{
-        inputs {{ input main {{ inputobject in from {{ seed of task root if input main }} }} }};
-        task inner of taskclass Stage {{
-            implementation {{ "code" is "refInner" }};
-            inputs {{ input main {{ inputobject in from {{ in of task comp if input main }} }} }}
-        }};
-        outputs {{
-            outcome done {{ outputobject out from {{ out of task inner if output done }} }};
-            repeat outcome retry {{
-                outputobject in from {{ in of task comp if input main }};
-                notification from {{ task inner if output failed }}
-            }}
-        }}
-    }};
-    outputs {{ outcome done {{ notification from {{ task t{last} if output done }}; notification from {{ task comp if output done }} }} }}
-}}
-"#,
-        last = n - 1
-    ));
-    source
-}
-
+// File-local binding: repeat loops count calls per binding (one instance
+// per world) where `common::bind_stages` keys on `ctx.attempt`.
 fn bind_stage(sys: &WorkflowSystem, code: &str, params: StageParams) {
     let calls = Rc::new(Cell::new(0u32));
     sys.bind_fn(code, move |_| {

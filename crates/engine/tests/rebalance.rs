@@ -8,122 +8,34 @@
 //! a buggy flip would leave behind — must not ping-pong a message
 //! forever: the hop cap drops it and counts the loop.
 
+mod common;
+
 use std::collections::BTreeMap;
 
-use flowscript_core::samples;
-use flowscript_engine::coordinator::EngineConfig;
-use flowscript_engine::{
-    CbState, InstanceStatus, ObjectVal, ShardMap, TaskBehavior, WorkflowSystem, MAX_FORWARD_HOPS,
+use common::{
+    build_orders, det_config, det_link, order_population as population, settled, start_population,
+    text,
 };
-use flowscript_sim::net::LinkConfig;
-use flowscript_sim::{SimDuration, SimTime};
-
-/// A fully deterministic link, so the no-rebalance baseline and the
-/// rebalanced run consume the shared RNG identically.
-fn det_link() -> LinkConfig {
-    LinkConfig {
-        base_latency: SimDuration::from_micros(200),
-        jitter: SimDuration::ZERO,
-        drop_prob: 0.0,
-    }
-}
-
-fn det_config() -> EngineConfig {
-    EngineConfig {
-        dispatch_timeout: SimDuration::from_millis(400),
-        retry_backoff: SimDuration::from_millis(20),
-        record_dispatches: true,
-        ..EngineConfig::default()
-    }
-}
-
-fn text(class: &str, value: &str) -> ObjectVal {
-    ObjectVal::text(class, value)
-}
-
-/// Fig. 7 bindings: pure functions of the invocation, with enough
-/// simulated work (~100ms per order) that a mid-run rebalance catches
-/// instances with tasks genuinely executing.
-fn bind_order(sys: &WorkflowSystem) {
-    sys.bind_fn("refPaymentAuthorisation", |_| {
-        TaskBehavior::outcome("authorised")
-            .with_work(SimDuration::from_millis(30))
-            .with_object("paymentInfo", ObjectVal::text("PaymentInfo", "p"))
-    });
-    sys.bind_fn("refCheckStock", |_| {
-        TaskBehavior::outcome("stockAvailable")
-            .with_work(SimDuration::from_millis(45))
-            .with_object("stockInfo", ObjectVal::text("StockInfo", "s"))
-    });
-    sys.bind_fn("refDispatch", |_| {
-        TaskBehavior::outcome("dispatchCompleted")
-            .with_work(SimDuration::from_millis(25))
-            .with_object("dispatchNote", ObjectVal::text("DispatchNote", "n"))
-    });
-    sys.bind_fn("refDispatchAlt", |_| {
-        TaskBehavior::outcome("dispatchCompleted")
-            .with_work(SimDuration::from_millis(25))
-            .with_object("dispatchNote", ObjectVal::text("DispatchNote", "alt-note"))
-    });
-    sys.bind_fn("refPaymentCapture", |_| TaskBehavior::outcome("done"));
-}
+use flowscript_engine::{
+    CbState, InstanceStatus, ObjectVal, ShardMap, WorkflowSystem, MAX_FORWARD_HOPS,
+};
+use flowscript_sim::SimTime;
 
 fn build(coordinators: usize) -> WorkflowSystem {
-    let mut sys = WorkflowSystem::builder()
-        .executors(3)
-        .coordinators(coordinators)
-        .seed(7)
-        .link(det_link())
-        .config(det_config())
-        .build();
-    sys.register_script(
-        "order",
-        samples::ORDER_PROCESSING,
-        "processOrderApplication",
-    )
-    .unwrap();
-    bind_order(&sys);
-    sys
-}
-
-fn population() -> Vec<String> {
-    (0..24).map(|i| format!("order-{i}")).collect()
-}
-
-fn start_population(sys: &mut WorkflowSystem) {
-    for name in population() {
-        sys.start(&name, "order", "main", [("order", text("Order", &name))])
-            .unwrap();
-    }
-}
-
-/// Per-instance fingerprint: the encoded terminal status (outcome
-/// objects included) and every task's final state. Dispatch placement
-/// legitimately differs once a third shard exists, so the trace is
-/// deliberately *not* part of it — attempts still are, via the task
-/// states.
-type Fingerprint = (Vec<u8>, BTreeMap<String, CbState>);
-
-fn fingerprint(sys: &WorkflowSystem, instance: &str) -> Fingerprint {
-    let status = sys.status(instance).expect("instance known");
-    assert!(status.is_terminal(), "{instance} not terminal: {status:?}");
-    (
-        flowscript_codec::to_bytes(&status),
-        sys.task_states(instance),
-    )
+    build_orders(coordinators, det_config())
 }
 
 #[test]
 fn live_rebalance_preserves_every_outcome() {
     // Baseline: the same population, never rebalanced.
-    let baseline: BTreeMap<String, Fingerprint> = {
+    let baseline: BTreeMap<String, _> = {
         let mut sys = build(2);
-        start_population(&mut sys);
+        start_population(&mut sys, &population());
         sys.run();
         population()
             .into_iter()
             .map(|name| {
-                let print = fingerprint(&sys, &name);
+                let print = settled(&sys, &name);
                 (name, print)
             })
             .collect()
@@ -131,7 +43,7 @@ fn live_rebalance_preserves_every_outcome() {
 
     // Live run: grow the fleet mid-flight (~20ms into ~100ms orders).
     let mut sys = build(2);
-    start_population(&mut sys);
+    start_population(&mut sys, &population());
     sys.run_until(SimTime::from_nanos(20_000_000));
     let live_before = population()
         .iter()
@@ -156,7 +68,7 @@ fn live_rebalance_preserves_every_outcome() {
     // No outcome lost, duplicated or altered by the moves.
     for name in population() {
         assert_eq!(
-            fingerprint(&sys, &name),
+            settled(&sys, &name),
             baseline[&name],
             "{name} diverged from the no-rebalance run"
         );
@@ -169,7 +81,7 @@ fn live_rebalance_preserves_every_outcome() {
 #[test]
 fn added_shard_serves_new_instances() {
     let mut sys = build(2);
-    start_population(&mut sys);
+    start_population(&mut sys, &population());
     sys.run_until(SimTime::from_nanos(20_000_000));
     sys.add_coordinator("coordinator2").expect("rebalance");
 
@@ -194,13 +106,58 @@ fn added_shard_serves_new_instances() {
     }
 }
 
+/// A map naming a node that runs no coordinator must be refused before
+/// the first `HandOffBegin`: a rebalance that fails halfway would strand
+/// the fleet half-moved on the old map.
+#[test]
+fn map_naming_a_non_coordinator_moves_nothing() {
+    let mut sys = build(2);
+    start_population(&mut sys, &population());
+    sys.run_until(SimTime::from_nanos(20_000_000));
+    let resident = |sys: &WorkflowSystem| -> Vec<Vec<String>> {
+        (0..2)
+            .map(|shard| sys.coord_handle(shard).instance_names())
+            .collect()
+    };
+    let before = resident(&sys);
+
+    // Reversed positions swap instances between the two real shards
+    // (valid moves, and the first ones in move order); the "shard"
+    // between them is an executor node.
+    let nodes = sys.coordinator_nodes().to_vec();
+    let bad = ShardMap::new(vec![nodes[1], sys.executor_nodes()[0], nodes[0]]);
+    let bogus = population()
+        .iter()
+        .filter(|name| bad.shard_of(name) == 1)
+        .count();
+    assert!(
+        bogus > 0 && bogus < population().len(),
+        "the map must mix valid moves with invalid ones ({bogus} invalid)"
+    );
+
+    let err = sys.rebalance(bad).expect_err("a bad map must be refused");
+    assert!(err.to_string().contains("runs no coordinator"), "{err}");
+    assert_eq!(sys.stats().handoffs, 0, "nothing may move on a bad map");
+    assert_eq!(resident(&sys), before, "every instance stays where it was");
+    assert_eq!(sys.shard_map().epoch(), 1, "the old map stays in force");
+
+    sys.run();
+    for name in population() {
+        let status = sys.status(&name).unwrap();
+        assert!(
+            matches!(status, InstanceStatus::Completed(_)),
+            "{name}: {status:?}"
+        );
+    }
+}
+
 /// Crash the *source* after it logged the hand-off intent but before
 /// the decision: recovery must presume abort, keep the instance, and
 /// finish it locally.
 #[test]
 fn source_crash_before_decision_presumes_abort() {
     let mut sys = build(2);
-    start_population(&mut sys);
+    start_population(&mut sys, &population());
     sys.run_until(SimTime::from_nanos(20_000_000));
 
     let name = population()
@@ -215,10 +172,10 @@ fn source_crash_before_decision_presumes_abort() {
 
     // Step 1 of 4 only: the durable intent exists, nothing was staged
     // at the destination, no decision was logged.
-    let package = src
-        .handoff_collect(sys.world_mut(), &name, dest_node)
+    let packages = src
+        .handoff_collect(sys.world_mut(), std::slice::from_ref(&name), dest_node)
         .expect("collect");
-    assert!(!package.is_empty());
+    assert!(!packages[0].is_empty());
 
     sys.crash_now(src_node);
     sys.restart_now(src_node);
@@ -259,7 +216,7 @@ fn source_crash_before_decision_presumes_abort() {
 #[test]
 fn destination_crash_after_commit_converges_to_destination() {
     let mut sys = build(2);
-    start_population(&mut sys);
+    start_population(&mut sys, &population());
     sys.run_until(SimTime::from_nanos(20_000_000));
 
     let name = population()
@@ -272,12 +229,13 @@ fn destination_crash_after_commit_converges_to_destination() {
     let src = sys.coord_handle(src_shard);
     let dest = sys.coord_handle(dest_shard);
 
-    let package = src
-        .handoff_collect(sys.world_mut(), &name, dest_node)
+    let moving = std::slice::from_ref(&name);
+    let packages = src
+        .handoff_collect(sys.world_mut(), moving, dest_node)
         .expect("collect");
-    let tx = package.tx;
-    dest.handoff_prepare(&package).expect("prepare");
-    src.handoff_commit(sys.world_mut(), &name, tx, dest_node)
+    let tx = packages[0].tx;
+    dest.handoff_prepare(&packages).expect("prepare");
+    src.handoff_commit(sys.world_mut(), moving, tx, dest_node)
         .expect("commit");
     // The decision is durable at the source; the destination crashes
     // without ever applying it.

@@ -2,15 +2,14 @@
 //! remove tasks and dependencies atomically, rebind implementations
 //! (online upgrade), and rescue stuck instances.
 
+mod common;
+
+use common::text;
 use flowscript_core::samples;
 use flowscript_engine::{
     CbState, InstanceStatus, ObjectVal, Reconfig, TaskBehavior, WorkflowSystem,
 };
 use flowscript_sim::SimDuration;
-
-fn text(class: &str, value: &str) -> ObjectVal {
-    ObjectVal::text(class, value)
-}
 
 fn diamond_system(seed: u64) -> WorkflowSystem {
     let mut sys = WorkflowSystem::builder().executors(2).seed(seed).build();

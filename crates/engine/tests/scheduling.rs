@@ -3,16 +3,15 @@
 //! least-loaded-vs-hash comparison (the paper's service-relocation
 //! story, §3/§4).
 
+mod common;
+
+use common::text;
 use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{
     CbState, InstanceStatus, ObjectVal, SchedPolicy, TaskBehavior, WorkflowSystem,
 };
 use flowscript_sim::{NodeId, SimDuration, SimTime};
-
-fn text(class: &str, value: &str) -> ObjectVal {
-    ObjectVal::text(class, value)
-}
 
 /// Fig. 7 order processing with the `dispatch` task pinned to
 /// `location`, exactly as a script author would write it.
@@ -23,6 +22,8 @@ fn pinned_order_source(location: &str) -> String {
     )
 }
 
+// File-local: only `dispatch` takes virtual time here (40ms);
+// `common::bind_order` gives every task work.
 fn bind_order(sys: &WorkflowSystem) {
     sys.bind_fn("refPaymentAuthorisation", |_| {
         TaskBehavior::outcome("authorised").with_object("paymentInfo", text("PaymentInfo", "p"))

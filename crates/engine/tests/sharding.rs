@@ -8,206 +8,36 @@
 //! into completion; reconfiguration must work on non-zero shards; and
 //! misdirected requests must be forwarded to the owner.
 
+mod common;
+
 use std::collections::BTreeMap;
 
+use common::{
+    bind_order, bind_trip, build, det_config, det_link, fingerprint, fingerprints, population,
+    start_population, text, Fingerprint,
+};
 use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
-use flowscript_engine::{
-    CbState, InstanceStatus, ObjectVal, Reconfig, TaskBehavior, WorkflowSystem,
-};
-use flowscript_sim::net::LinkConfig;
+use flowscript_engine::{InstanceStatus, ObjectVal, Reconfig, TaskBehavior, WorkflowSystem};
 use flowscript_sim::{FaultAction, FaultPlan, SimDuration, SimTime};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// A fully deterministic link: cross-shard runs must not depend on the
-/// shared RNG (jitter draws), only on the topology.
-fn det_link() -> LinkConfig {
-    LinkConfig {
-        base_latency: SimDuration::from_micros(200),
-        jitter: SimDuration::ZERO,
-        drop_prob: 0.0,
-    }
-}
-
-fn det_config() -> EngineConfig {
-    EngineConfig {
-        dispatch_timeout: SimDuration::from_millis(400),
-        retry_backoff: SimDuration::from_millis(20),
-        record_dispatches: true,
-        ..EngineConfig::default()
-    }
-}
-
-fn text(class: &str, value: &str) -> ObjectVal {
-    ObjectVal::text(class, value)
-}
-
-/// Fig. 7 bindings (pure functions of the invocation — per-instance
-/// behaviour must not leak across instances through shared state).
-fn bind_order(sys: &WorkflowSystem) {
-    sys.bind_fn("refPaymentAuthorisation", |_| {
-        TaskBehavior::outcome("authorised")
-            .with_work(SimDuration::from_millis(30))
-            .with_object("paymentInfo", ObjectVal::text("PaymentInfo", "p"))
-    });
-    sys.bind_fn("refCheckStock", |_| {
-        TaskBehavior::outcome("stockAvailable")
-            .with_work(SimDuration::from_millis(45))
-            .with_object("stockInfo", ObjectVal::text("StockInfo", "s"))
-    });
-    sys.bind_fn("refDispatch", |_| {
-        TaskBehavior::outcome("dispatchCompleted")
-            .with_work(SimDuration::from_millis(25))
-            .with_object("dispatchNote", ObjectVal::text("DispatchNote", "n"))
-    });
-    sys.bind_fn("refDispatchAlt", |_| {
-        TaskBehavior::outcome("dispatchCompleted")
-            .with_work(SimDuration::from_millis(25))
-            .with_object("dispatchNote", ObjectVal::text("DispatchNote", "alt-note"))
-    });
-    sys.bind_fn("refPaymentCapture", |_| TaskBehavior::outcome("done"));
-}
-
-/// Fig. 8 bindings, all pure functions of the invocation (per-instance
-/// behaviour must not leak across instances through shared state). The
-/// instance's `user` input text is threaded through the dataflow chain
-/// (tripData → flightList → plane); a `retry` marker in it makes the
-/// hotel fail in incarnation 0, driving the Fig. 8
-/// compensate-and-repeat loop exactly once per instance.
-fn bind_trip(sys: &WorkflowSystem) {
-    sys.bind_fn("refDataAcquisition", |ctx| {
-        TaskBehavior::outcome("acquired").with_object(
-            "tripData",
-            ObjectVal::text("TripData", ctx.input_text("user")),
-        )
-    });
-    sys.bind_fn("refAirlineQueryA", |_| {
-        TaskBehavior::outcome("notFound").with_work(SimDuration::from_millis(5))
-    });
-    sys.bind_fn("refAirlineQueryB", |ctx| {
-        TaskBehavior::outcome("found")
-            .with_work(SimDuration::from_millis(12))
-            .with_object(
-                "flightList",
-                ObjectVal::text("FlightList", ctx.input_text("tripData")),
-            )
-    });
-    sys.bind_fn("refAirlineQueryC", |ctx| {
-        TaskBehavior::outcome("found")
-            .with_work(SimDuration::from_millis(30))
-            .with_object(
-                "flightList",
-                ObjectVal::text("FlightList", ctx.input_text("tripData")),
-            )
-    });
-    sys.bind_fn("refFlightReservation", |ctx| {
-        TaskBehavior::outcome("reserved")
-            .with_object(
-                "plane",
-                ObjectVal::text("Plane", ctx.input_text("flightList")),
-            )
-            .with_object("cost", ObjectVal::text("Cost", "c"))
-    });
-    sys.bind_fn("refHotelReservation", |ctx| {
-        let wants_retry = ctx.input_text("plane").contains("retry");
-        if wants_retry && ctx.incarnation == 0 {
-            TaskBehavior::outcome("failed")
-        } else {
-            TaskBehavior::outcome("hotelBooked").with_object("hotel", ObjectVal::text("Hotel", "h"))
-        }
-    });
-    sys.bind_fn("refFlightCancellation", |_| {
-        TaskBehavior::outcome("cancelled")
-    });
-    sys.bind_fn("refPrintTickets", |_| {
-        TaskBehavior::outcome("printed").with_object("tickets", ObjectVal::text("Tickets", "tk"))
-    });
-}
-
-fn build(coordinators: usize) -> WorkflowSystem {
-    let mut sys = WorkflowSystem::builder()
-        .executors(3)
-        .coordinators(coordinators)
-        .seed(7)
-        .link(det_link())
-        .config(det_config())
-        .build();
-    sys.register_script(
-        "order",
-        samples::ORDER_PROCESSING,
-        "processOrderApplication",
-    )
-    .unwrap();
-    sys.register_script("trip", samples::BUSINESS_TRIP, "tripReservation")
-        .unwrap();
-    bind_order(&sys);
-    bind_trip(&sys);
-    sys
-}
-
-/// `(name, script)` for a mixed fig. 7 / fig. 8 population. Names are
-/// varied so rendezvous hashing spreads them across shards.
-fn population() -> Vec<(String, &'static str)> {
-    let mut all = Vec::new();
-    for i in 0..8 {
-        all.push((format!("order-{i}"), "order"));
-    }
-    for i in 0..4 {
-        all.push((format!("trip-{i}"), "trip"));
-    }
-    all
-}
-
-fn start_population(sys: &mut WorkflowSystem) {
-    for (name, script) in population() {
-        match script {
-            "order" => sys
-                .start(&name, "order", "main", [("order", text("Order", &name))])
-                .unwrap(),
-            _ => sys
-                .start(&name, "trip", "main", [("user", text("User", &name))])
-                .unwrap(),
-        }
-    }
-}
-
-/// Per-instance fingerprint: encoded outcome bytes (or terminal status
-/// bytes), the ordered dispatch trace, and every task state.
-type Fingerprint = (Vec<u8>, Vec<(String, u32)>, BTreeMap<String, CbState>);
-
-fn fingerprint(sys: &WorkflowSystem, instance: &str) -> Fingerprint {
-    let status = sys.status(instance).expect("instance known");
-    assert!(status.is_terminal(), "{instance} not terminal: {status:?}");
-    let status_bytes = flowscript_codec::to_bytes(&status);
-    let trace = sys
-        .dispatch_trace_of(instance)
-        .into_iter()
-        .map(|d| (d.path, d.attempt))
-        .collect();
-    (status_bytes, trace, sys.task_states(instance))
-}
-
 fn run_clean(coordinators: usize) -> BTreeMap<String, Fingerprint> {
-    let mut sys = build(coordinators);
-    start_population(&mut sys);
+    let mut sys = build(coordinators, det_config());
+    let population = population();
+    start_population(&mut sys, &population);
     sys.run();
-    population()
-        .into_iter()
-        .map(|(name, _)| {
-            let print = fingerprint(&sys, &name);
-            (name, print)
-        })
-        .collect()
+    fingerprints(&sys, &population)
 }
 
 #[test]
 fn clean_matrix_is_byte_identical_to_single_coordinator() {
     let baseline = run_clean(1);
     // Sanity: the baseline actually completed everything.
-    for (name, (status_bytes, trace, _)) in &baseline {
+    for (name, (status, trace, _)) in &baseline {
         assert!(!trace.is_empty(), "{name} never dispatched");
-        assert!(!status_bytes.is_empty());
+        assert!(status.is_terminal());
     }
     for k in SHARD_COUNTS.into_iter().skip(1) {
         let sharded = run_clean(k);
@@ -217,9 +47,9 @@ fn clean_matrix_is_byte_identical_to_single_coordinator() {
 
 #[test]
 fn population_actually_spreads_across_shards() {
-    let sys = build(8);
+    let sys = build(8, det_config());
     let mut owners: BTreeMap<usize, usize> = BTreeMap::new();
-    for (name, _) in population() {
+    for name in population() {
         *owners.entry(sys.shard_of(&name)).or_default() += 1;
     }
     assert!(
@@ -233,7 +63,7 @@ fn fig8_repeat_loop_is_identical_across_shard_counts() {
     // One trip whose hotel fails the first time (the Fig. 8
     // compensate-and-repeat loop), compared per shard count.
     let run = |coordinators: usize| -> Fingerprint {
-        let mut sys = build(coordinators);
+        let mut sys = build(coordinators, det_config());
         sys.start(
             "trip-retry-x",
             "trip",
@@ -259,8 +89,8 @@ fn fig8_repeat_loop_is_identical_across_shard_counts() {
 fn one_shard_crash_recovers_locally_without_disturbing_others() {
     let unfaulted = run_clean(4);
 
-    let mut sys = build(4);
-    start_population(&mut sys);
+    let mut sys = build(4, det_config());
+    start_population(&mut sys, &population());
     let victim_name = "order-0";
     let victim_shard = sys.shard_of(victim_name);
     let victim_node = sys.coordinator_node_for(victim_name);
@@ -277,7 +107,7 @@ fn one_shard_crash_recovers_locally_without_disturbing_others() {
 
     // Every instance still reaches its verdict; the victim's instances
     // complete through recovery.
-    for (name, _) in population() {
+    for name in population() {
         let status = sys.status(&name).unwrap();
         assert!(
             matches!(status, InstanceStatus::Completed(_)),
@@ -288,7 +118,7 @@ fn one_shard_crash_recovers_locally_without_disturbing_others() {
     // recovered exactly its own instances.
     let own: usize = population()
         .iter()
-        .filter(|(name, _)| sys.shard_of(name) == victim_shard)
+        .filter(|name| sys.shard_of(name) == victim_shard)
         .count();
     for shard in 0..sys.shard_count() {
         let recovered = sys.shard_stats(shard).recovered_instances;
@@ -300,7 +130,7 @@ fn one_shard_crash_recovers_locally_without_disturbing_others() {
     }
     // Instances on *other* shards are byte-identical to the unfaulted
     // run — their shards never saw the crash.
-    for (name, _) in population() {
+    for name in population() {
         if sys.shard_of(&name) != victim_shard {
             assert_eq!(
                 fingerprint(&sys, &name),
@@ -318,24 +148,8 @@ fn partition_isolating_one_shard_heals_and_completes() {
 
     let mut config = det_config();
     config.max_retries = 8;
-    let mut sys = WorkflowSystem::builder()
-        .executors(3)
-        .coordinators(4)
-        .seed(7)
-        .link(det_link())
-        .config(config)
-        .build();
-    sys.register_script(
-        "order",
-        samples::ORDER_PROCESSING,
-        "processOrderApplication",
-    )
-    .unwrap();
-    sys.register_script("trip", samples::BUSINESS_TRIP, "tripReservation")
-        .unwrap();
-    bind_order(&sys);
-    bind_trip(&sys);
-    start_population(&mut sys);
+    let mut sys = build(4, config);
+    start_population(&mut sys, &population());
 
     let victim_name = "order-1";
     let victim_shard = sys.shard_of(victim_name);
@@ -350,7 +164,7 @@ fn partition_isolating_one_shard_heals_and_completes() {
         .apply(sys.world_mut());
     sys.run();
 
-    for (name, _) in population() {
+    for name in population() {
         let status = sys.status(&name).unwrap();
         assert!(
             matches!(status, InstanceStatus::Completed(_)),
@@ -371,7 +185,7 @@ fn partition_isolating_one_shard_heals_and_completes() {
 
 #[test]
 fn reconfiguration_lands_on_nonzero_shards() {
-    let mut sys = build(4);
+    let mut sys = build(4, det_config());
     // Find an order instance owned by a non-zero shard.
     let (name, shard) = (0..32)
         .map(|i| format!("reconf-{i}"))
@@ -413,7 +227,7 @@ fn reconfiguration_lands_on_nonzero_shards() {
 
 #[test]
 fn misdirected_requests_are_forwarded_to_the_owner() {
-    let mut sys = build(4);
+    let mut sys = build(4, det_config());
     // Find an instance owned by a shard other than 0, then start it
     // *via shard 0*: the request must be forwarded, acknowledged, and
     // executed by the owner.
@@ -453,8 +267,8 @@ fn whole_sharded_system_restarts_over_surviving_disks() {
     // same per-shard storages: every shard resumes its own instances.
     let storages;
     {
-        let mut sys = build(4);
-        start_population(&mut sys);
+        let mut sys = build(4, det_config());
+        start_population(&mut sys, &population());
         storages = sys.shard_storages();
         sys.run_until(SimTime::from_nanos(40_000_000));
         // The system dies here (dropped), volatile state lost.
@@ -478,7 +292,7 @@ fn whole_sharded_system_restarts_over_surviving_disks() {
     bind_order(&sys2);
     bind_trip(&sys2);
     sys2.run();
-    for (name, _) in population() {
+    for name in population() {
         let status = sys2.status(&name).unwrap();
         assert!(
             matches!(status, InstanceStatus::Completed(_)),

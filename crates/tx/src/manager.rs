@@ -1139,31 +1139,16 @@ impl<S: Storage> TxManager<S> {
     // Instance hand-off frames (live shard rebalancing).
     // ------------------------------------------------------------------
 
-    /// Source-side hand-off intent: mints the moving transaction and
-    /// durably logs that `instance` is being 2PC'd to shard `dest`.
+    /// Source-side hand-off intent: mints ONE moving transaction and
+    /// durably logs a begin frame per instance, all being 2PC'd to
+    /// shard `dest` — one prepare/decision pair covers the whole slice.
     /// A begin with no later [`TxManager::handoff_end`] is presumed
     /// aborted by recovery.
     ///
     /// # Errors
     ///
     /// Storage errors on log append.
-    pub fn handoff_begin(&mut self, instance: &str, dest: u32) -> Result<TxId, TxError> {
-        self.handoff_begin_batch(std::slice::from_ref(&instance.to_string()), dest)
-    }
-
-    /// [`TxManager::handoff_begin`] for a whole batch: mints ONE moving
-    /// transaction and logs a begin frame per instance, all bound for
-    /// shard `dest`. Planned drains use this to amortize the 2PC round
-    /// — one prepare/decision pair covers every instance in the batch.
-    ///
-    /// # Errors
-    ///
-    /// Storage errors on log append.
-    pub fn handoff_begin_batch(
-        &mut self,
-        instances: &[String],
-        dest: u32,
-    ) -> Result<TxId, TxError> {
+    pub fn handoff_begin(&mut self, instances: &[String], dest: u32) -> Result<TxId, TxError> {
         let tx = self.mint();
         self.metrics.two_pc_rounds.inc();
         for instance in instances {
@@ -1688,7 +1673,7 @@ mod tests {
         let moving;
         {
             let mut mgr = TxManager::open(0, stable.clone()).unwrap();
-            moving = mgr.handoff_begin("wf-7", 2).unwrap();
+            moving = mgr.handoff_begin(&["wf-7".to_string()], 2).unwrap();
             // Crash with the intent durable but no decision.
         }
         {
@@ -1708,7 +1693,7 @@ mod tests {
         let moving;
         {
             let mut mgr = TxManager::open(0, stable.clone()).unwrap();
-            moving = mgr.handoff_begin("wf-7", 2).unwrap();
+            moving = mgr.handoff_begin(&["wf-7".to_string()], 2).unwrap();
             mgr.handoff_end(moving, "wf-7", 2, true).unwrap();
             assert!(mgr.open_handoffs().is_empty());
         }
@@ -1728,7 +1713,7 @@ mod tests {
         let moving;
         {
             let mut mgr = TxManager::open(0, stable.clone()).unwrap();
-            moving = mgr.handoff_begin("wf-9", 1).unwrap();
+            moving = mgr.handoff_begin(&["wf-9".to_string()], 1).unwrap();
             mgr.handoff_end(moving, "wf-9", 1, false).unwrap();
         }
         let mgr = TxManager::open(0, stable).unwrap();
@@ -1743,7 +1728,7 @@ mod tests {
         {
             let mut mgr = TxManager::open(0, stable.clone()).unwrap();
             let names: Vec<String> = vec!["wf-1".into(), "wf-2".into(), "wf-3".into()];
-            moving = mgr.handoff_begin_batch(&names, 2).unwrap();
+            moving = mgr.handoff_begin(&names, 2).unwrap();
             assert_eq!(mgr.open_handoffs().len(), 3);
             mgr.handoff_end(moving, "wf-2", 2, true).unwrap();
         }

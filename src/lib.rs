@@ -17,9 +17,11 @@
 //! | [`flowscript_tx`] | Arjuna-style transactions: atomic actions, 2PL, write-ahead log, recovery, 2PC |
 //! | [`flowscript_sim`] | deterministic discrete-event simulation: nodes, faulty network, RPC, virtual time |
 //! | [`flowscript_codec`] | binary encoding, framing, checksums |
+//! | [`flowscript_obs`] | flight recorder and metrics registry |
 //!
-//! (`flowscript-bench`, the seventh workspace crate, holds the
-//! per-figure benchmark workloads.)
+//! (`flowscript-bench`, the eighth workspace crate, holds the
+//! per-figure benchmark workloads; the perf ledger is the stand-alone
+//! `ledger/` package.)
 //!
 //! # Quick start
 //!
