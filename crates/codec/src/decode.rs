@@ -27,11 +27,39 @@ pub trait Decode: Sized {
     ///
     /// Any [`CodecError`] raised by malformed or truncated input.
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError>;
+
+    /// Reads `len` values back to back (the length prefix is already
+    /// consumed): the element loop behind every sequence decoding, and
+    /// the inverse of [`crate::Encode::encode_slice`]. Overrides must
+    /// keep the guarantee below: a corrupt `len` fails with a typed
+    /// error before anything near `len` elements is allocated.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Decode::decode`].
+    fn decode_vec(len: usize, r: &mut ByteReader<'_>) -> Result<Vec<Self>, CodecError> {
+        // Guard the pre-allocation: a corrupt length must not OOM us even
+        // when it passes the global bound, so cap by what could possibly
+        // fit in the remaining input (each element needs >= 1 byte, except
+        // zero-sized ones which we just collect without reservation).
+        let cap = len.min(r.remaining().max(1));
+        let mut out = Vec::with_capacity(cap);
+        for _ in 0..len {
+            out.push(Self::decode(r)?);
+        }
+        Ok(out)
+    }
 }
 
 impl Decode for u8 {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         r.get_u8()
+    }
+
+    fn decode_vec(len: usize, r: &mut ByteReader<'_>) -> Result<Vec<Self>, CodecError> {
+        // `get_bytes` checks `len` against the remaining input before
+        // the copy allocates.
+        Ok(r.get_bytes(len)?.to_vec())
     }
 }
 
@@ -150,16 +178,7 @@ impl<T: Decode, E: Decode> Decode for Result<T, E> {
 impl<T: Decode> Decode for Vec<T> {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let len = r.get_len()?;
-        // Guard the pre-allocation: a corrupt length must not OOM us even
-        // when it passes the global bound, so cap by what could possibly
-        // fit in the remaining input (each element needs >= 1 byte, except
-        // zero-sized ones which we just collect without reservation).
-        let cap = len.min(r.remaining().max(1));
-        let mut out = Vec::with_capacity(cap);
-        for _ in 0..len {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
+        T::decode_vec(len, r)
     }
 }
 

@@ -29,11 +29,28 @@ use crate::writer::ByteWriter;
 pub trait Encode {
     /// Appends this value's encoding to `w`.
     fn encode(&self, w: &mut ByteWriter);
+
+    /// Appends the encodings of `items` back to back (no length prefix):
+    /// the element loop behind every sequence encoding. Types whose
+    /// encoding is their memory layout override it with one bulk copy;
+    /// the bytes produced must equal the element-wise loop's.
+    fn encode_slice(items: &[Self], w: &mut ByteWriter)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(w);
+        }
+    }
 }
 
 impl Encode for u8 {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u8(*self);
+    }
+
+    fn encode_slice(items: &[Self], w: &mut ByteWriter) {
+        w.put_bytes(items);
     }
 }
 
@@ -164,9 +181,7 @@ impl<T: Encode, E: Encode> Encode for Result<T, E> {
 impl<T: Encode> Encode for [T] {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_len(self.len());
-        for item in self {
-            item.encode(w);
-        }
+        T::encode_slice(self, w);
     }
 }
 

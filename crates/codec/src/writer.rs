@@ -14,7 +14,7 @@
 /// ```
 #[derive(Debug, Default)]
 pub struct ByteWriter {
-    buf: Vec<u8>,
+    pub(crate) buf: Vec<u8>,
 }
 
 impl ByteWriter {
@@ -38,6 +38,11 @@ impl ByteWriter {
     /// Whether nothing has been written yet.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+
+    /// Empties the writer, keeping its allocation for reuse.
+    pub fn clear(&mut self) {
+        self.buf.clear();
     }
 
     /// Consumes the writer, returning the accumulated bytes.

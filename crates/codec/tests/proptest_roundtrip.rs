@@ -3,7 +3,9 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use flowscript_codec::{from_bytes, to_bytes, FrameReader, FrameWriter};
+use flowscript_codec::{
+    from_bytes, to_bytes, ByteWriter, CodecError, Encode, FrameReader, FrameWriter,
+};
 use proptest::prelude::*;
 
 fn roundtrip<T>(value: &T) -> T
@@ -38,6 +40,48 @@ proptest! {
     #[test]
     fn option_nested_roundtrip(v: Option<Option<Vec<u8>>>) {
         prop_assert_eq!(roundtrip(&v), v);
+    }
+
+    #[test]
+    fn bulk_byte_path_is_wire_identical_to_the_element_loop(v: Vec<u8>) {
+        let mut manual = ByteWriter::new();
+        manual.put_len(v.len());
+        for byte in &v {
+            byte.encode(&mut manual);
+        }
+        prop_assert_eq!(to_bytes(&v), manual.into_vec());
+        prop_assert_eq!(roundtrip(&v), v);
+    }
+
+    #[test]
+    fn optional_bytes_roundtrip(v: Option<Vec<u8>>, keyed: Vec<(String, Option<Vec<u8>>)>) {
+        prop_assert_eq!(roundtrip(&v), v);
+        prop_assert_eq!(roundtrip(&keyed), keyed);
+    }
+
+    #[test]
+    fn corrupt_bulk_length_is_a_typed_error(
+        claimed in prop_oneof![0u64..64, 0u64..(1u64 << 40)],
+        tail: Vec<u8>,
+    ) {
+        // A length prefix that promises more bytes than follow must fail
+        // with the typed error (checked before the copy allocates) and a
+        // length within the input must decode.
+        let mut w = ByteWriter::new();
+        w.put_var_u64(claimed);
+        w.put_bytes(&tail);
+        match from_bytes::<Vec<u8>>(w.as_slice()) {
+            Ok(bytes) => prop_assert_eq!(bytes.len() as u64, claimed),
+            Err(CodecError::UnexpectedEof { needed, available }) => {
+                prop_assert_eq!(needed as u64, claimed);
+                prop_assert_eq!(available, tail.len());
+            }
+            Err(CodecError::LengthOverflow { length, .. }) => prop_assert_eq!(length, claimed),
+            Err(CodecError::TrailingBytes { remaining }) => {
+                prop_assert_eq!(remaining as u64, tail.len() as u64 - claimed);
+            }
+            Err(other) => prop_assert!(false, "unexpected error {other:?}"),
+        }
     }
 
     #[test]

@@ -857,6 +857,18 @@ impl WorkflowSystem {
         self.coords[shard].persisted_plan_fingerprints()
     }
 
+    /// Fingerprints of the validated plans one shard holds decoded in
+    /// memory, ascending — test hook for the plan-cache suites (see
+    /// [`CoordHandle::cached_plan_fingerprints`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of range.
+    #[doc(hidden)]
+    pub fn cached_plans(&self, shard: usize) -> Vec<u64> {
+        self.coords[shard].cached_plan_fingerprints()
+    }
+
     /// Corrupts one published output fact in place (fault injection for
     /// the corrupt-record tests).
     #[doc(hidden)]
@@ -1614,6 +1626,53 @@ mod tests {
             .start("i3", "q", "alt", [("seed", text("Message", "x"))])
             .unwrap_err();
         assert!(err.to_string().contains("no input set"), "{err}");
+    }
+
+    #[test]
+    fn corrupted_served_plan_falls_back_to_local_lowering_uncached() {
+        use crate::msg::EngineMsg;
+
+        let mut sys = WorkflowSystem::builder().seed(8).build();
+        sys.register_script("q", samples::QUICKSTART, "pipeline")
+            .unwrap();
+        sys.bind_fn("refProduce", |_| {
+            TaskBehavior::outcome("produced")
+                .with_object("message", ObjectVal::text("Message", "m"))
+        });
+        sys.bind_fn("refConsume", |_| {
+            TaskBehavior::outcome("consumed").with_object("result", ObjectVal::text("Message", "r"))
+        });
+        // A repository that serves the right source beside a plan whose
+        // stored fingerprint no longer matches its content.
+        let repo = sys.repo.clone();
+        sys.world
+            .set_handler(sys.repo_node, move |world, envelope| {
+                let Ok(EngineMsg::RepoGet { name, version }) =
+                    flowscript_codec::from_bytes::<EngineMsg>(&envelope.payload)
+                else {
+                    return;
+                };
+                let reply = repo.with(|repository| {
+                    let stored = repository.get(&name, version).expect("registered above");
+                    let mut plan = flowscript_codec::to_bytes(stored.plan.as_ref());
+                    *plan.last_mut().expect("plans are not empty") ^= 0xFF;
+                    EngineMsg::RepoReply {
+                        result: Ok(1),
+                        source: stored.source.clone(),
+                        root: stored.root.clone(),
+                        plan,
+                    }
+                });
+                world.rpc_reply(envelope, flowscript_codec::to_bytes(&reply));
+            });
+        sys.start("i1", "q", "main", [("seed", text("Message", "x"))])
+            .unwrap();
+        sys.run();
+        // The instance ran off a locally lowered plan (persisted under
+        // its true fingerprint), and the bad bytes were never cached.
+        assert_eq!(sys.outcome("i1").expect("completed").name, "done");
+        assert_eq!(sys.persisted_plans(0).len(), 1);
+        assert!(sys.cached_plans(0).is_empty());
     }
 
     #[test]

@@ -45,7 +45,7 @@ use flowscript_tx::{FactKey, ObjectUid, StableStore, StoreKey, TxId, TxManager};
 
 use crate::error::EngineError;
 use crate::facts::{self, StoreFacts};
-use crate::keys::{cb_uid, InstanceKeys};
+use crate::keys::{cb_uid, meta_uid, InstanceKeys};
 use crate::msg::{EngineMsg, MarkMsg, StartTask, TaskDone, TaskResult};
 use crate::reconfig::{self, Reconfig};
 use crate::sched::{CostModel, ExecutorSlot, ExecutorSpec, ImplHints, SchedPolicy, Scheduler};
@@ -701,15 +701,56 @@ struct InstanceRt {
     /// recovery and reconfiguration). Stuck detection reads this
     /// instead of enumerating the store.
     nonterminal: usize,
+    /// Mirror of the committed meta's `status.is_terminal()`, refreshed
+    /// right after every commit that writes the status (see
+    /// [`Coordinator::note_status`]). The drain tests it once per
+    /// worklist step; reading it from the store would decode the whole
+    /// meta — script source included — for that one bit.
+    terminal: bool,
+}
+
+/// Validated plans by their encoding. Decoding a plan and checking it
+/// (`is_well_formed` + `verify_fingerprint`) is a pure function of the
+/// bytes, so each distinct encoding — the repository's reply for a
+/// script version, a `sys/plan/…` blob — pays it once per coordinator,
+/// and every instance of that plan shares one `Rc<Plan>`. Bytes that
+/// fail to decode or validate are never entered. Evicted with the
+/// blobs, in [`Coordinator::gc_plans`].
+#[derive(Default)]
+struct PlanCache {
+    plans: BTreeMap<Vec<u8>, Rc<Plan>>,
+}
+
+impl PlanCache {
+    fn validated(&mut self, bytes: &[u8]) -> Option<Rc<Plan>> {
+        if let Some(plan) = self.plans.get(bytes) {
+            return Some(plan.clone());
+        }
+        let plan = flowscript_codec::from_bytes::<Plan>(bytes)
+            .ok()
+            .filter(|plan| plan.is_well_formed() && plan.verify_fingerprint())?;
+        let plan = Rc::new(plan);
+        self.plans.insert(bytes.to_vec(), plan.clone());
+        Some(plan)
+    }
+
+    /// Drops every plan whose fingerprint is not in `live`.
+    fn retain_live(&mut self, live: &BTreeSet<u64>) {
+        self.plans
+            .retain(|_, plan| live.contains(&plan.fingerprint));
+    }
+
+    /// The held plans' fingerprints, ascending.
+    fn fingerprints(&self) -> Vec<u64> {
+        let mut held: Vec<u64> = self.plans.values().map(|plan| plan.fingerprint).collect();
+        held.sort_unstable();
+        held
+    }
 }
 
 // ---------------------------------------------------------------------
 // Object uid layout (cold paths; facts use dense `FactKey`s).
 // ---------------------------------------------------------------------
-
-fn meta_uid(instance: &str) -> ObjectUid {
-    ObjectUid::new(format!("inst/{instance}/meta"))
-}
 
 fn reconfig_uid(instance: &str, n: u32) -> ObjectUid {
     ObjectUid::new(format!("inst/{instance}/reconfig/{n:08}"))
@@ -869,6 +910,7 @@ pub struct Coordinator {
     mgr: TxManager<StableStore>,
     storage: StableStore,
     instances: BTreeMap<String, InstanceRt>,
+    plan_cache: PlanCache,
     commits: u64,
     /// `commits` as of the last checkpoint — the once-per-drain
     /// threshold check works off the delta (see
@@ -981,6 +1023,7 @@ impl Coordinator {
             storage,
             moved: BTreeMap::new(),
             instances: BTreeMap::new(),
+            plan_cache: PlanCache::default(),
             commits: 0,
             commits_at_checkpoint: 0,
             pending: Vec::new(),
@@ -1220,6 +1263,7 @@ impl Coordinator {
                 live.insert(meta.plan_fingerprint);
             }
         }
+        self.plan_cache.retain_live(&live);
         let stale: Vec<ObjectUid> = self
             .mgr
             .uids_with_prefix("sys/plan/")
@@ -1253,7 +1297,19 @@ impl Coordinator {
     }
 
     fn read_meta(&self, instance: &str) -> Option<InstanceMeta> {
-        self.mgr.read_committed(&meta_uid(instance)).ok().flatten()
+        let read = |uid: &ObjectUid| self.mgr.read_committed(uid).ok().flatten();
+        match self.instances.get(instance) {
+            Some(rt) => read(rt.keys.meta()),
+            None => read(&meta_uid(instance)),
+        }
+    }
+
+    /// Refreshes the volatile mirror of the status a commit just wrote
+    /// to `instance`'s meta.
+    fn note_status(&mut self, instance: &str, status: &InstanceStatus) {
+        if let Some(rt) = self.instances.get_mut(instance) {
+            rt.terminal = status.is_terminal();
+        }
     }
 
     /// Materializes an instance's volatile runtime from committed
@@ -1263,16 +1319,11 @@ impl Coordinator {
     /// Pure state load — arms no timers and dispatches nothing. Shared
     /// by crash recovery and hand-off adoption.
     fn load_instance(&mut self, name: &str, meta: &InstanceMeta) -> Option<InstanceRt> {
-        let cached: Option<Plan> = self
+        let cached: Option<Rc<Plan>> = self
             .mgr
-            .read_committed::<Plan>(&plan_uid(meta.plan_fingerprint))
-            .ok()
-            .flatten()
-            .filter(|plan| {
-                plan.fingerprint == meta.plan_fingerprint
-                    && plan.is_well_formed()
-                    && plan.verify_fingerprint()
-            });
+            .read_committed_bytes(&StoreKey::Uid(plan_uid(meta.plan_fingerprint)))
+            .and_then(|bytes| self.plan_cache.validated(bytes))
+            .filter(|plan| plan.fingerprint == meta.plan_fingerprint);
         let (plan, schema) = match cached {
             Some(plan) => (plan, None),
             None => {
@@ -1284,7 +1335,7 @@ impl Coordinator {
                         let _ = reconfig::apply(&mut schema, &op);
                     }
                 }
-                (Plan::lower(&schema), Some(Rc::new(schema)))
+                (Rc::new(Plan::lower(&schema)), Some(Rc::new(schema)))
             }
         };
         let mut bindings = BTreeMap::new();
@@ -1300,7 +1351,7 @@ impl Coordinator {
         let keys = InstanceKeys::build(&plan, name, meta.instance_id);
         let nonterminal = count_nonterminal(&self.mgr, &plan, &keys);
         Some(InstanceRt {
-            plan: Rc::new(plan),
+            plan,
             keys: Rc::new(keys),
             schema,
             bindings,
@@ -1309,6 +1360,7 @@ impl Coordinator {
             dispatched_to: BTreeMap::new(),
             retry_from: BTreeMap::new(),
             nonterminal,
+            terminal: meta.status.is_terminal(),
         })
     }
 
@@ -1602,6 +1654,16 @@ impl CoordHandle {
             .collect()
     }
 
+    /// Fingerprints of the validated plans this shard holds decoded
+    /// (served by the repository or read back from `sys/plan/…`
+    /// blobs), ascending — the in-memory twin of
+    /// [`CoordHandle::persisted_plan_fingerprints`]; test hook for the
+    /// plan-cache suites.
+    #[doc(hidden)]
+    pub fn cached_plan_fingerprints(&self) -> Vec<u64> {
+        self.inner.borrow().plan_cache.fingerprints()
+    }
+
     /// Overwrites every stored sub-key of one published output fact
     /// with undecodable bytes — fault injection for the corrupt-record
     /// tests (a probe must surface the fault, not read "absent").
@@ -1724,12 +1786,13 @@ impl CoordHandle {
             if let Some(mut meta) = coordinator.read_meta(instance) {
                 if matches!(meta.status, InstanceStatus::Stuck { .. }) {
                     meta.status = InstanceStatus::Running;
-                    coordinator.mgr.write(&action, &meta_uid(instance), &meta)?;
+                    coordinator.mgr.write(&action, keys.meta(), &meta)?;
                     revived = true;
                 }
             }
             coordinator.commit(action)?;
             if revived {
+                coordinator.note_status(instance, &InstanceStatus::Running);
                 // Back from Stuck: the instance counts against the
                 // admission cap again.
                 coordinator.live_instances += 1;
@@ -3045,9 +3108,8 @@ impl CoordHandle {
                             // must fall back to local lowering, not
                             // panic mid-evaluate).
                             let served = (!plan.is_empty())
-                                .then(|| flowscript_codec::from_bytes::<Plan>(&plan).ok())
-                                .flatten()
-                                .filter(|plan| plan.is_well_formed() && plan.verify_fingerprint());
+                                .then(|| handle.inner.borrow_mut().plan_cache.validated(&plan))
+                                .flatten();
                             handle
                                 .start_instance_full(
                                     world,
@@ -3119,7 +3181,7 @@ impl CoordHandle {
         root: &str,
         set: &str,
         inputs: BTreeMap<String, ObjectVal>,
-        served_plan: Option<Plan>,
+        served_plan: Option<Rc<Plan>>,
         version: Option<u32>,
     ) -> Result<(), EngineError> {
         // Compile-once, execute-many: a validated served plan skips the
@@ -3129,7 +3191,7 @@ impl CoordHandle {
             Some(plan) => (plan, None),
             None => {
                 let schema = schema::compile_source(source, root)?;
-                let plan = Plan::lower(&schema);
+                let plan = Rc::new(Plan::lower(&schema));
                 (plan, Some(Rc::new(schema)))
             }
         };
@@ -3192,13 +3254,13 @@ impl CoordHandle {
         coordinator
             .mgr
             .write(&action, &instance_seq_uid(), &(instance_id + 1))?;
-        coordinator.mgr.write(&action, &meta_uid(instance), &meta)?;
+        coordinator.mgr.write(&action, keys.meta(), &meta)?;
         // Persist the compiled plan once per fingerprint so crash
         // recovery decodes it instead of recompiling from source.
         if !coordinator.mgr.exists(&plan_uid(plan.fingerprint)) {
             coordinator
                 .mgr
-                .write(&action, &plan_uid(plan.fingerprint), &plan)?;
+                .write(&action, &plan_uid(plan.fingerprint), plan.as_ref())?;
         }
         // Root control block starts Active with the supplied inputs bound.
         let mut root_cb = TaskCb::new(root_path.clone());
@@ -3231,7 +3293,7 @@ impl CoordHandle {
             instance.to_string(),
             InstanceRt {
                 schema,
-                plan: Rc::new(plan),
+                plan,
                 keys: Rc::new(keys),
                 bindings: BTreeMap::new(),
                 watchdogs: BTreeMap::new(),
@@ -3240,6 +3302,7 @@ impl CoordHandle {
                 retry_from: BTreeMap::new(),
                 // Root Active + every descendant Waiting.
                 nonterminal: task_count,
+                terminal: false,
             },
         );
         // The admission cap counts live (Running) instances; this one
@@ -3409,11 +3472,24 @@ impl CoordHandle {
     ) {
         let mut steps: u64 = 0;
         loop {
-            let Some(meta) = self.inner.borrow().read_meta(instance) else {
-                return;
-            };
-            if meta.status.is_terminal() {
-                return;
+            {
+                let coordinator = self.inner.borrow();
+                let Some(rt) = coordinator.instances.get(instance) else {
+                    return;
+                };
+                // Checked only where the meta decodes: a missing or
+                // corrupt one is a storage fault, not a mirror drift.
+                #[cfg(debug_assertions)]
+                if let Some(meta) = coordinator.read_meta(instance) {
+                    assert_eq!(
+                        rt.terminal,
+                        meta.status.is_terminal(),
+                        "status mirror of `{instance}` drifted from its committed meta"
+                    );
+                }
+                if rt.terminal {
+                    return;
+                }
             }
             if let Some(task) = worklist.pop_start() {
                 steps += 1;
@@ -3484,7 +3560,7 @@ impl CoordHandle {
             Err(fault) => {
                 // A corrupt fact record must not read as "fact absent"
                 // and silently mis-evaluate readiness.
-                self.fail_instance_storage(world, instance, &fault);
+                self.fail_instance_storage(world, instance, keys, &fault);
                 return;
             }
             Ok(activation) => activation,
@@ -3507,7 +3583,13 @@ impl CoordHandle {
     /// treating the fact as absent the drain parks the instance with
     /// the diagnosable reason (a reconfiguration or administrative
     /// repair can revive it).
-    fn fail_instance_storage(&self, world: &World, instance: &str, fault: &str) {
+    fn fail_instance_storage(
+        &self,
+        world: &World,
+        instance: &str,
+        keys: &InstanceKeys,
+        fault: &str,
+    ) {
         let mut coordinator = self.inner.borrow_mut();
         let Some(mut meta) = coordinator.read_meta(instance) else {
             return;
@@ -3520,12 +3602,10 @@ impl CoordHandle {
             reason: reason.clone(),
         };
         let action = coordinator.mgr.begin();
-        let ok = coordinator
-            .mgr
-            .write(&action, &meta_uid(instance), &meta)
-            .is_ok();
+        let ok = coordinator.mgr.write(&action, keys.meta(), &meta).is_ok();
         if ok {
             if coordinator.commit(action).is_ok() {
+                coordinator.note_status(instance, &meta.status);
                 // A stuck instance stops counting against the
                 // admission cap (a revival re-counts it).
                 coordinator.live_instances = coordinator.live_instances.saturating_sub(1);
@@ -3653,7 +3733,7 @@ impl CoordHandle {
         };
         let satisfied = match satisfied {
             Err(fault) => {
-                self.fail_instance_storage(world, instance, &fault);
+                self.fail_instance_storage(world, instance, keys, &fault);
                 return;
             }
             Ok(satisfied) => satisfied,
@@ -4634,6 +4714,7 @@ impl CoordHandle {
                     Err(_) => ok = false,
                 }
             }
+            let mut root_status = None;
             if ok && is_root {
                 if let Some(mut meta) = coordinator.read_meta(instance) {
                     meta.status = InstanceStatus::Completed(Outcome {
@@ -4641,15 +4722,16 @@ impl CoordHandle {
                         kind,
                         objects: facts::bound_map(plan, &mapped),
                     });
-                    ok = coordinator
-                        .mgr
-                        .write(&action, &meta_uid(instance), &meta)
-                        .is_ok();
+                    ok = coordinator.mgr.write(&action, keys.meta(), &meta).is_ok();
+                    root_status = Some(meta.status);
                 }
             }
             if ok {
                 if coordinator.commit(action).is_ok() {
                     coordinator.note_terminals(instance, terminal_delta);
+                    if let Some(status) = &root_status {
+                        coordinator.note_status(instance, status);
+                    }
                     if is_root {
                         // The instance just completed: its admission
                         // slot frees for a queued start.
@@ -4943,16 +5025,10 @@ impl CoordHandle {
     /// the diagnostic reason.
     fn stuck_check(&self, world: &mut World, instance: &str) {
         let mut coordinator = self.inner.borrow_mut();
-        let Some(meta) = coordinator.read_meta(instance) else {
-            return;
-        };
-        if meta.status.is_terminal() {
-            return;
-        }
         let Some(rt) = coordinator.instances.get(instance) else {
             return;
         };
-        if !rt.in_flight.is_empty() {
+        if rt.terminal || !rt.in_flight.is_empty() {
             return;
         }
         let plan = rt.plan.clone();
@@ -5004,17 +5080,17 @@ impl CoordHandle {
             failed.join(", "),
             waiting.join(", ")
         );
-        let mut meta = meta;
+        let Some(mut meta) = coordinator.read_meta(instance) else {
+            return;
+        };
         meta.status = InstanceStatus::Stuck {
             reason: reason.clone(),
         };
         let action = coordinator.mgr.begin();
-        let ok = coordinator
-            .mgr
-            .write(&action, &meta_uid(instance), &meta)
-            .is_ok();
+        let ok = coordinator.mgr.write(&action, keys.meta(), &meta).is_ok();
         if ok {
             if coordinator.commit(action).is_ok() {
+                coordinator.note_status(instance, &meta.status);
                 // A stuck instance stops counting against the
                 // admission cap (a revival re-counts it).
                 coordinator.live_instances = coordinator.live_instances.saturating_sub(1);
@@ -5112,7 +5188,7 @@ impl CoordHandle {
             coordinator
                 .mgr
                 .write(&action, &reconfig_uid(instance, n), &op)?;
-            coordinator.mgr.write(&action, &meta_uid(instance), &meta)?;
+            coordinator.mgr.write(&action, new_keys.meta(), &meta)?;
             if !coordinator.mgr.exists(&plan_uid(new_plan.fingerprint)) {
                 coordinator
                     .mgr
@@ -5151,6 +5227,7 @@ impl CoordHandle {
                     .write(&action, &bind_uid(instance, code), to)?;
             }
             coordinator.commit(action)?;
+            coordinator.note_status(instance, &meta.status);
             if revived {
                 // Back from Stuck: the instance counts against the
                 // admission cap again.
@@ -5286,6 +5363,9 @@ impl CoordHandle {
             };
             coordinator.mgr = mgr;
             coordinator.instances.clear();
+            // Decoded plans died with the process; the loads below
+            // re-validate each persisted blob once.
+            coordinator.plan_cache = PlanCache::default();
             if coordinator.mgr.fenced().is_some() {
                 // Another shard claimed this storage while the node was
                 // down (crash-driven adoption): every instance now
@@ -5619,6 +5699,29 @@ mod tests {
             flowscript_codec::from_bytes::<InstanceMeta>(&bytes).unwrap(),
             meta
         );
+    }
+
+    #[test]
+    fn plan_cache_validates_once_and_never_holds_bad_bytes() {
+        let schema =
+            schema::compile_source(flowscript_core::samples::FIG1_DIAMOND, "diamond").unwrap();
+        let bytes = flowscript_codec::to_bytes(&Plan::lower(&schema));
+        let mut cache = PlanCache::default();
+        // Every instance of one encoding shares one decoded plan.
+        let first = cache.validated(&bytes).expect("a lowered plan validates");
+        let again = cache
+            .validated(&bytes)
+            .expect("and is served from the cache");
+        assert!(Rc::ptr_eq(&first, &again));
+        assert_eq!(cache.fingerprints(), [first.fingerprint]);
+        // Undecodable, truncated and tampered encodings all miss — and
+        // leave no entry behind to be served later.
+        let mut tampered = bytes.clone();
+        *tampered.last_mut().unwrap() ^= 0xFF; // the stored fingerprint
+        for bad in [&[0xFF; 3][..], &bytes[..bytes.len() / 2], &tampered] {
+            assert!(cache.validated(bad).is_none());
+        }
+        assert_eq!(cache.fingerprints(), [first.fingerprint]);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! A live instance resolves every hot-path storage access through an
 //! [`InstanceKeys`] table built **once** at instance start (and rebuilt
-//! on reconfiguration, when the plan itself changes): control-block
-//! uids are formatted exactly once per task, and every plan dependency
+//! on reconfiguration, when the plan itself changes): the metadata and
+//! control-block uids are formatted exactly once, and every plan dependency
 //! source gets its probed fact's dense [`FactKey`]s precomputed — both
 //! the fact's *presence* sub-key (`obj = 0`, existence answers
 //! "fired?") and the *data* sub-key of the one object the source takes
@@ -14,6 +14,12 @@
 
 use flowscript_plan::{Plan, PlanCond, Probe, TaskId};
 use flowscript_tx::{FactKey, ObjectUid};
+
+/// Formats an instance's metadata uid (used once at table build, and
+/// by paths that run before or without a resident instance).
+pub(crate) fn meta_uid(instance: &str) -> ObjectUid {
+    ObjectUid::new(format!("inst/{instance}/meta"))
+}
 
 /// Formats a control-block uid (used once per task at table build, and
 /// by cold administrative paths).
@@ -39,6 +45,8 @@ pub struct ProbeKeys {
 pub struct InstanceKeys {
     /// The instance's dense numeric id (the fact key namespace).
     pub instance_id: u32,
+    /// The instance's metadata uid.
+    meta: ObjectUid,
     /// Per task id: its control-block uid.
     cb: Vec<ObjectUid>,
     /// Per plan source index: the probed fact's keys (`None` when the
@@ -97,10 +105,16 @@ impl InstanceKeys {
         }
         Self {
             instance_id,
+            meta: meta_uid(instance),
             cb,
             source,
             any,
         }
+    }
+
+    /// The instance's metadata uid.
+    pub fn meta(&self) -> &ObjectUid {
+        &self.meta
     }
 
     /// The control-block uid of a task.

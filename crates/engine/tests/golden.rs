@@ -8,6 +8,12 @@
 //! is deliberately no regenerate switch — on a mismatch the test writes
 //! what it saw under `target/golden-actual/` and prints the `cp` that
 //! would accept it, so accepting a behaviour change is a reviewed edit.
+//!
+//! Beside each fingerprint file sits a `.wal.txt`: the length and an
+//! FNV-1a hash of every shard's durable log after the same run. The
+//! fingerprints pin behaviour; these pin the bytes — record encoding,
+//! framing, checksums and commit grouping — so "no format change" is a
+//! checked claim.
 
 mod common;
 
@@ -16,6 +22,7 @@ use std::path::Path;
 use common::{build, fingerprint, population, start_population, Fingerprint};
 use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::InstanceStatus;
+use flowscript_tx::Storage;
 
 fn render(name: &str, (status, trace, states): &Fingerprint) -> String {
     let status = match status {
@@ -49,7 +56,14 @@ fn render(name: &str, (status, trace, states): &Fingerprint) -> String {
     )
 }
 
-fn run(coordinators: usize) -> String {
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Fingerprints of every instance, then the digest of every shard's log.
+fn run(coordinators: usize) -> (String, String) {
     // The default config; the trace switch only records, it decides
     // nothing.
     let config = EngineConfig {
@@ -60,10 +74,24 @@ fn run(coordinators: usize) -> String {
     let population = population();
     start_population(&mut sys, &population);
     sys.run();
-    population
+    let fingerprints = population
         .iter()
         .map(|name| render(name, &fingerprint(&sys, name)))
-        .collect()
+        .collect();
+    let wal = sys
+        .shard_storages()
+        .iter()
+        .enumerate()
+        .map(|(shard, storage)| {
+            let bytes = storage.read_all().expect("in-memory log reads");
+            format!(
+                "shard {shard} | {} bytes | fnv1a64 {:016x}\n",
+                bytes.len(),
+                fnv1a64(&bytes)
+            )
+        })
+        .collect();
+    (fingerprints, wal)
 }
 
 fn check(file: &str, actual: &str) {
@@ -102,10 +130,14 @@ fn check(file: &str, actual: &str) {
 
 #[test]
 fn paper_population_matches_golden_on_one_shard() {
-    check("paper_1_shard.txt", &run(1));
+    let (fingerprints, wal) = run(1);
+    check("paper_1_shard.txt", &fingerprints);
+    check("paper_1_shard.wal.txt", &wal);
 }
 
 #[test]
 fn paper_population_matches_golden_on_four_shards() {
-    check("paper_4_shards.txt", &run(4));
+    let (fingerprints, wal) = run(4);
+    check("paper_4_shards.txt", &fingerprints);
+    check("paper_4_shards.wal.txt", &wal);
 }

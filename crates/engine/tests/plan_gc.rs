@@ -62,6 +62,8 @@ fn checkpoint_reclaims_unreferenced_plan_blobs() {
     assert!(sys.outcome("d1").is_some());
     let original = sys.persisted_plans(0);
     assert_eq!(original.len(), 1, "one fingerprint persisted: {original:?}");
+    // The repository's plan was validated once and is held decoded.
+    assert_eq!(sys.cached_plans(0), original);
 
     // Reconfiguring re-lowers the plan under a new fingerprint…
     sys.reconfigure(
@@ -77,6 +79,9 @@ fn checkpoint_reclaims_unreferenced_plan_blobs() {
     let after = sys.persisted_plans(0);
     assert_eq!(after.len(), 1, "old blob must be reclaimed: {after:?}");
     assert_ne!(after[0], original[0], "the survivor is the new plan");
+    // The reclaimed fingerprint left the decoded-plan cache with its
+    // blob (the re-lowered plan never came from bytes, so none is held).
+    assert!(sys.cached_plans(0).is_empty());
 
     // The GC'd store still recovers: the instance's current plan blob
     // is intact, so a restarted shard decodes it (no front-end rerun).
@@ -86,6 +91,7 @@ fn checkpoint_reclaims_unreferenced_plan_blobs() {
     sys.run();
     assert!(sys.outcome("d1").is_some(), "recovery after GC");
     assert_eq!(sys.stats().recovered_instances, 1);
+    assert_eq!(sys.cached_plans(0), after, "recovery decoded the blob");
 }
 
 #[test]

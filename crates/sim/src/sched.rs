@@ -1,5 +1,5 @@
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 
 use crate::event::EventId;
 use crate::time::SimTime;
@@ -8,26 +8,19 @@ use crate::world::World;
 /// A pending simulation event: a closure to run at a virtual instant.
 pub(crate) type EventFn = Box<dyn FnOnce(&mut World)>;
 
-struct Entry {
-    at: SimTime,
-    /// Monotonic tie-breaker: two events at the same instant run in the
-    /// order they were scheduled. This is the root of determinism.
-    seq: u64,
-    id: EventId,
-    run: EventFn,
-}
-
-/// Heap key ordering: earliest time first, then scheduling order.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct Key(SimTime, u64);
-
 /// The event queue: a time-ordered heap of closures with stable ordering
-/// and tombstone-based cancellation.
+/// and cancellation.
+///
+/// An event's id doubles as its scheduling sequence number — the
+/// monotonic tie-breaker that makes two events at the same instant run
+/// in the order they were scheduled, the root of determinism. The heap
+/// holds `(time, id)` keys, earliest time first, then scheduling order;
+/// `entries` holds the pending events' closures. Cancelling removes
+/// the table entry, and a heap key without one is skipped (and dropped)
+/// whenever it surfaces at the top.
 pub(crate) struct Scheduler {
-    heap: BinaryHeap<Reverse<(Key, u64)>>,
-    entries: std::collections::HashMap<u64, Entry>,
-    cancelled: HashSet<EventId>,
-    next_seq: u64,
+    heap: BinaryHeap<Reverse<(SimTime, u64)>>,
+    entries: HashMap<u64, EventFn>,
     next_event: u64,
     now: SimTime,
 }
@@ -36,9 +29,7 @@ impl Scheduler {
     pub(crate) fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
-            entries: std::collections::HashMap::new(),
-            cancelled: HashSet::new(),
-            next_seq: 0,
+            entries: HashMap::new(),
             next_event: 0,
             now: SimTime::ZERO,
         }
@@ -53,46 +44,37 @@ impl Scheduler {
     /// queued for the current instant).
     pub(crate) fn schedule_at(&mut self, at: SimTime, run: EventFn) -> EventId {
         let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let id = EventId(self.next_event);
+        let id = self.next_event;
         self.next_event += 1;
-        self.heap.push(Reverse((Key(at, seq), seq)));
-        self.entries.insert(seq, Entry { at, seq, id, run });
-        id
+        self.heap.push(Reverse((at, id)));
+        self.entries.insert(id, run);
+        EventId(id)
     }
 
+    /// Cancels a pending event; a no-op for one that already ran or was
+    /// already cancelled.
     pub(crate) fn cancel(&mut self, id: EventId) {
-        self.cancelled.insert(id);
+        self.entries.remove(&id.0);
     }
 
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.entries
-            .values()
-            .all(|e| self.cancelled.contains(&e.id))
+        self.entries.is_empty()
     }
 
     pub(crate) fn pending(&self) -> usize {
-        self.entries
-            .values()
-            .filter(|e| !self.cancelled.contains(&e.id))
-            .count()
+        self.entries.len()
     }
 
     /// Pops the next runnable event, advancing the clock to its time.
     pub(crate) fn pop(&mut self) -> Option<(SimTime, EventId, EventFn)> {
-        while let Some(Reverse((_, seq))) = self.heap.pop() {
-            let entry = self
-                .entries
-                .remove(&seq)
-                .expect("heap entry without table entry");
-            if self.cancelled.remove(&entry.id) {
-                continue;
-            }
-            debug_assert!(entry.at >= self.now, "clock went backwards");
-            self.now = entry.at;
-            return Some((entry.at, entry.id, entry.run));
+        while let Some(Reverse((at, id))) = self.heap.pop() {
+            let Some(run) = self.entries.remove(&id) else {
+                continue; // cancelled
+            };
+            debug_assert!(at >= self.now, "clock went backwards");
+            self.now = at;
+            return Some((at, EventId(id), run));
         }
         None
     }
@@ -108,14 +90,16 @@ impl Scheduler {
         self.now = self.now.max(at);
     }
 
-    /// Time of the next runnable event, if any.
-    pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        self.entries
-            .values()
-            .filter(|e| !self.cancelled.contains(&e.id))
-            .map(|e| (e.at, e.seq))
-            .min()
-            .map(|(at, _)| at)
+    /// Time of the next runnable event, if any: the heap top, once the
+    /// keys of cancelled events above it are dropped.
+    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
+        while let Some(&Reverse((at, id))) = self.heap.peek() {
+            if self.entries.contains_key(&id) {
+                return Some(at);
+            }
+            self.heap.pop();
+        }
+        None
     }
 }
 
@@ -174,6 +158,71 @@ mod tests {
         s.schedule_at(SimTime::from_nanos(9), noop());
         s.cancel(early);
         assert_eq!(s.peek_time(), Some(SimTime::from_nanos(9)));
+    }
+
+    #[test]
+    fn cancel_after_fire_and_cancel_twice_leave_nothing_behind() {
+        let mut s = Scheduler::new();
+        let fired = s.schedule_at(SimTime::from_nanos(1), noop());
+        let dropped = s.schedule_at(SimTime::from_nanos(2), noop());
+        let _ = s.pop().unwrap();
+        s.cancel(fired);
+        s.cancel(dropped);
+        s.cancel(dropped);
+        assert_eq!(s.pending(), 0);
+        assert!(s.is_empty());
+        assert_eq!(s.peek_time(), None);
+        // A later event is not mistaken for the cancelled ones.
+        let next = s.schedule_at(SimTime::from_nanos(3), noop());
+        assert_eq!(s.peek_time(), Some(SimTime::from_nanos(3)));
+        assert_eq!(s.pop().map(|(_, id, _)| id), Some(next));
+    }
+
+    proptest::proptest! {
+        /// The heap-top peek and remove-on-cancel against the obvious
+        /// model: a list of pending `(time, id)` pairs, scanned for its
+        /// minimum. Cancels pick among every id ever issued, so events
+        /// that already fired or were already cancelled get cancelled
+        /// (again) too.
+        #[test]
+        fn agrees_with_a_min_scan_model(
+            ops in proptest::collection::vec((0u8..4, 0u64..40, 0usize..64), 0..200),
+        ) {
+            let mut s = Scheduler::new();
+            let mut pending: Vec<(SimTime, EventId)> = Vec::new();
+            let mut issued: Vec<EventId> = Vec::new();
+            let mut now = SimTime::ZERO;
+            for (op, at, pick) in ops {
+                match op {
+                    0 | 1 => {
+                        let at = SimTime::from_nanos(at);
+                        let id = s.schedule_at(at, noop());
+                        pending.push((at.max(now), id));
+                        issued.push(id);
+                    }
+                    2 if !issued.is_empty() => {
+                        let id = issued[pick % issued.len()];
+                        s.cancel(id);
+                        pending.retain(|(_, other)| *other != id);
+                    }
+                    2 => {}
+                    _ => {
+                        // Ids are minted in scheduling order, so the
+                        // pair minimum is "earliest, then FIFO".
+                        let expected = pending.iter().copied().min();
+                        assert_eq!(s.pop().map(|(at, id, _)| (at, id)), expected);
+                        if let Some((at, id)) = expected {
+                            pending.retain(|(_, other)| *other != id);
+                            now = at;
+                        }
+                    }
+                }
+                assert_eq!(s.peek_time(), pending.iter().map(|(at, _)| *at).min());
+                assert_eq!(s.pending(), pending.len());
+                assert_eq!(s.is_empty(), pending.is_empty());
+                assert_eq!(s.now(), now);
+            }
+        }
     }
 
     #[test]

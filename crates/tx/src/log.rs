@@ -95,6 +95,9 @@ pub enum LogRecord {
     },
 }
 
+/// Wire discriminant of [`LogRecord::GroupCommit`].
+const GROUP_COMMIT_TAG: u8 = 4;
+
 impl Encode for LogRecord {
     fn encode(&self, w: &mut ByteWriter) {
         match self {
@@ -123,7 +126,7 @@ impl Encode for LogRecord {
                 w.put_bool(*committed);
             }
             LogRecord::GroupCommit { records } => {
-                w.put_u8(4);
+                w.put_u8(GROUP_COMMIT_TAG);
                 records.encode(w);
             }
             LogRecord::HandOffBegin { tx, instance, dest } => {
@@ -172,7 +175,7 @@ impl Decode for LogRecord {
                 tx: TxId::decode(r)?,
                 committed: r.get_bool()?,
             }),
-            4 => Ok(LogRecord::GroupCommit {
+            GROUP_COMMIT_TAG => Ok(LogRecord::GroupCommit {
                 records: Vec::decode(r)?,
             }),
             5 => Ok(LogRecord::HandOffBegin {
@@ -198,11 +201,46 @@ impl Decode for LogRecord {
     }
 }
 
+/// Records encoded ahead of their append: the members of an open
+/// commit group, held as the bytes the log will carry so the flush
+/// copies them once instead of re-encoding owned records.
+#[derive(Debug, Default)]
+pub(crate) struct RecordBuffer {
+    bytes: ByteWriter,
+    records: usize,
+}
+
+impl RecordBuffer {
+    /// Encodes `record` behind the records already buffered.
+    pub(crate) fn push(&mut self, record: &LogRecord) {
+        record.encode(&mut self.bytes);
+        self.records += 1;
+    }
+
+    /// Number of buffered records.
+    pub(crate) fn len(&self) -> usize {
+        self.records
+    }
+
+    /// Whether no record is buffered.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.records == 0
+    }
+
+    /// Drops the buffered records, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.bytes.clear();
+        self.records = 0;
+    }
+}
+
 /// The write-ahead log over some [`Storage`].
 #[derive(Debug)]
 pub struct Wal<S> {
     storage: S,
     records_appended: u64,
+    /// The frame under construction, reused across appends.
+    frame: ByteWriter,
 }
 
 impl<S: Storage> Wal<S> {
@@ -212,6 +250,7 @@ impl<S: Storage> Wal<S> {
         Self {
             storage,
             records_appended: 0,
+            frame: ByteWriter::new(),
         }
     }
 
@@ -221,9 +260,35 @@ impl<S: Storage> Wal<S> {
     ///
     /// Propagates storage failures.
     pub fn append(&mut self, record: &LogRecord) -> Result<(), TxError> {
-        let payload = flowscript_codec::to_bytes(record);
-        let framed = frame::encode_frame(&payload)?;
-        self.storage.append(&framed)?;
+        self.append_frame(|w| record.encode(w))
+    }
+
+    /// Appends `buffer`'s records durably as one frame: a lone record
+    /// bare, two or more as the [`LogRecord::GroupCommit`] holding them
+    /// in order. Nothing is appended for an empty buffer.
+    ///
+    /// # Errors
+    ///
+    /// Propagates storage failures.
+    pub(crate) fn append_buffered(&mut self, buffer: &RecordBuffer) -> Result<(), TxError> {
+        let members = buffer.bytes.as_slice();
+        match buffer.records {
+            0 => Ok(()),
+            1 => self.append_frame(|w| w.put_bytes(members)),
+            n => self.append_frame(|w| {
+                w.put_u8(GROUP_COMMIT_TAG);
+                w.put_len(n);
+                w.put_bytes(members);
+            }),
+        }
+    }
+
+    /// Frames the payload `fill` encodes — in place, in the reused frame
+    /// buffer — and hands the storage that one slice.
+    fn append_frame(&mut self, fill: impl FnOnce(&mut ByteWriter)) -> Result<(), TxError> {
+        self.frame.clear();
+        frame::encode_frame_with(&mut self.frame, fill)?;
+        self.storage.append(self.frame.as_slice())?;
         self.records_appended += 1;
         Ok(())
     }
@@ -459,12 +524,43 @@ mod tests {
                 epoch: 9,
             },
         ];
-        for record in records {
-            let bytes = flowscript_codec::to_bytes(&record);
+        for record in &records {
+            let bytes = flowscript_codec::to_bytes(record);
             assert_eq!(
-                flowscript_codec::from_bytes::<LogRecord>(&bytes).unwrap(),
+                &flowscript_codec::from_bytes::<LogRecord>(&bytes).unwrap(),
                 record
             );
+            // The frame `append` builds in place is the frame the
+            // copying encoder makes of the same payload.
+            let mut wal = Wal::new(MemStorage::new());
+            wal.append(record).unwrap();
+            assert_eq!(
+                wal.into_storage().read_all().unwrap(),
+                frame::encode_frame(&bytes).unwrap()
+            );
+        }
+        // A flush of pre-encoded members carries the bytes of the owned
+        // group record (bare when the group is one record).
+        for members in 0..=records.len() {
+            let members = &records[..members];
+            let mut buffer = RecordBuffer::default();
+            for record in members {
+                buffer.push(record);
+            }
+            assert_eq!(buffer.len(), members.len());
+            let mut wal = Wal::new(MemStorage::new());
+            wal.append_buffered(&buffer).unwrap();
+            let expected = match members {
+                [] => Vec::new(),
+                [lone] => frame::encode_frame(&flowscript_codec::to_bytes(lone)).unwrap(),
+                _ => frame::encode_frame(&flowscript_codec::to_bytes(&LogRecord::GroupCommit {
+                    records: members.to_vec(),
+                }))
+                .unwrap(),
+            };
+            assert_eq!(wal.into_storage().read_all().unwrap(), expected);
+            buffer.clear();
+            assert!(buffer.is_empty());
         }
     }
 }

@@ -1,3 +1,4 @@
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
@@ -8,7 +9,7 @@ use crate::error::TxError;
 use crate::id::{Handle, ObjectUid, TxId};
 use crate::key::{FactKey, StoreKey};
 use crate::lock::{Acquired, LockManager, LockMode};
-use crate::log::{LogRecord, Wal};
+use crate::log::{LogRecord, RecordBuffer, Wal};
 use crate::storage::{SharedStorage, Storage};
 
 /// A live atomic action (transaction).
@@ -39,30 +40,31 @@ impl AtomicAction {
     }
 }
 
+/// An action's staged after-images in first-write order (the order of
+/// the commit record); `None` marks a deletion. `index` maps each
+/// staged key to its slot in `writes`, so last-write-wins staging and
+/// lookup hash the key once however many keys an action stages (a
+/// start stages one control block per plan task, a purge or an
+/// adoption a whole instance).
 #[derive(Debug, Default)]
 struct Workspace {
-    /// Staged after-images; `None` marks a deletion.
-    writes: HashMap<StoreKey, Option<Vec<u8>>>,
-    /// First-write order, for deterministic log records.
-    order: Vec<StoreKey>,
+    writes: Vec<(StoreKey, Option<Vec<u8>>)>,
+    index: HashMap<StoreKey, usize>,
 }
 
 impl Workspace {
     fn stage(&mut self, key: StoreKey, value: Option<Vec<u8>>) {
-        if !self.writes.contains_key(&key) {
-            self.order.push(key.clone());
+        match self.index.entry(key) {
+            Entry::Occupied(slot) => self.writes[*slot.get()].1 = value,
+            Entry::Vacant(slot) => {
+                self.writes.push((slot.key().clone(), value));
+                slot.insert(self.writes.len() - 1);
+            }
         }
-        self.writes.insert(key, value);
     }
 
-    fn into_ordered(mut self) -> Vec<(StoreKey, Option<Vec<u8>>)> {
-        self.order
-            .drain(..)
-            .map(|key| {
-                let value = self.writes.remove(&key).expect("ordered key staged");
-                (key, value)
-            })
-            .collect()
+    fn staged(&self, key: &StoreKey) -> Option<&Option<Vec<u8>>> {
+        self.index.get(key).map(|&slot| &self.writes[slot].1)
     }
 }
 
@@ -173,8 +175,9 @@ pub struct TxManager<S = SharedStorage> {
     /// Open [`TxManager::begin_group`] nesting depth; while positive,
     /// top-level commit records buffer instead of hitting the WAL.
     group_depth: usize,
-    /// Commit records awaiting the group flush, in commit order.
-    group_buffer: Vec<LogRecord>,
+    /// Commit records awaiting the group flush, in commit order, already
+    /// encoded.
+    group_buffer: RecordBuffer,
     /// A durable [`LogRecord::Fence`] by *another* node: `(claimant,
     /// epoch)`. Set at replay, or detected mid-run by the tail probe in
     /// [`TxManager::append_record`] (the storage is shared, so a
@@ -245,7 +248,7 @@ impl<S: Storage> TxManager<S> {
                 }
                 LogRecord::Commit { tx, writes } => {
                     max_seq = max_seq.max(tx.seq());
-                    apply_writes(&mut store, &writes);
+                    apply_writes(&mut store, writes);
                 }
                 LogRecord::Prepare {
                     tx,
@@ -265,7 +268,7 @@ impl<S: Storage> TxManager<S> {
                     max_seq = max_seq.max(tx.seq());
                     if let Some(p) = prepared.remove(&tx) {
                         if committed {
-                            apply_writes(&mut store, &p.writes);
+                            apply_writes(&mut store, p.writes);
                         }
                     } else {
                         // A resolve without a local prepare is a
@@ -326,7 +329,7 @@ impl<S: Storage> TxManager<S> {
             replayed_handoff_ends,
             next_seq: max_seq + 1,
             group_depth: 0,
-            group_buffer: Vec::new(),
+            group_buffer: RecordBuffer::default(),
             fence,
             wal_len,
             metrics: TxMetrics::register(registry),
@@ -470,7 +473,7 @@ impl<S: Storage> TxManager<S> {
                 .active
                 .get(&txid)
                 .expect("ancestor chain of active action");
-            if let Some(staged) = entry.workspace.writes.get(key) {
+            if let Some(staged) = entry.workspace.staged(key) {
                 return Ok(staged.clone());
             }
             cursor = entry.parent;
@@ -624,7 +627,7 @@ impl<S: Storage> TxManager<S> {
                     self.metrics.aborts.inc();
                     return Err(TxError::ParentTerminated(parent_id));
                 };
-                for (key, value) in entry.workspace.into_ordered() {
+                for (key, value) in entry.workspace.writes {
                     parent.workspace.stage(key, value);
                 }
                 parent.children.retain(|c| *c != action.id);
@@ -633,23 +636,28 @@ impl<S: Storage> TxManager<S> {
                 Ok(())
             }
             None => {
-                let writes = entry.workspace.into_ordered();
+                let writes = entry.workspace.writes;
                 if self.observe.metrics() {
                     self.metrics
                         .wal_frames_per_commit
                         .record(writes.len() as u64);
                 }
                 if !writes.is_empty() {
+                    // The record borrows nothing and is encoded exactly
+                    // once; the after-images then move into the store.
                     let record = LogRecord::Commit {
                         tx: action.id,
-                        writes: writes.clone(),
+                        writes,
                     };
                     if self.group_depth > 0 {
-                        self.group_buffer.push(record);
+                        self.group_buffer.push(&record);
                     } else {
                         self.append_record(&record)?;
                     }
-                    apply_writes(&mut self.store, &writes);
+                    let LogRecord::Commit { writes, .. } = record else {
+                        unreachable!("built as a commit above");
+                    };
+                    apply_writes(&mut self.store, writes);
                 }
                 self.locks.release_all(action.id);
                 self.metrics.commits.inc();
@@ -703,18 +711,18 @@ impl<S: Storage> TxManager<S> {
     }
 
     fn flush_group(&mut self) -> Result<(), TxError> {
-        match self.group_buffer.len() {
-            0 => Ok(()),
-            1 => {
-                let record = self.group_buffer.pop().expect("length checked");
-                self.append_record(&record)
-            }
-            _ => {
-                let records = std::mem::take(&mut self.group_buffer);
-                self.metrics.group_commits.inc();
-                self.append_record(&LogRecord::GroupCommit { records })
-            }
+        if self.group_buffer.is_empty() {
+            return Ok(());
         }
+        if self.group_buffer.len() > 1 {
+            self.metrics.group_commits.inc();
+        }
+        // Flushed or refused (fenced), the window's records are spent.
+        let mut group = std::mem::take(&mut self.group_buffer);
+        let flushed = self.append_frame(|wal| wal.append_buffered(&group));
+        group.clear();
+        self.group_buffer = group;
+        flushed
     }
 
     /// Routes a hand-off frame through the open commit group when one
@@ -724,7 +732,7 @@ impl<S: Storage> TxManager<S> {
     fn append_or_buffer(&mut self, record: LogRecord) -> Result<(), TxError> {
         if self.group_depth > 0 {
             self.check_fence()?;
-            self.group_buffer.push(record);
+            self.group_buffer.push(&record);
             Ok(())
         } else {
             self.append_record(&record)
@@ -732,17 +740,25 @@ impl<S: Storage> TxManager<S> {
     }
 
     fn append_record(&mut self, record: &LogRecord) -> Result<(), TxError> {
+        self.append_frame(|wal| wal.append(record))
+    }
+
+    /// One frame onto the log, behind the fence check every append
+    /// makes first.
+    fn append_frame(
+        &mut self,
+        append: impl FnOnce(&mut Wal<S>) -> Result<(), TxError>,
+    ) -> Result<(), TxError> {
+        // Past the fence check `wal_len` is the log's length.
         self.check_fence()?;
+        append(&mut self.wal)?;
+        let len = self.wal.size_bytes();
         if self.observe.metrics() {
-            let before = self.wal.size_bytes();
-            self.wal.append(record)?;
             self.metrics
                 .wal_bytes_per_frame
-                .record(self.wal.size_bytes().saturating_sub(before));
-        } else {
-            self.wal.append(record)?;
+                .record(len.saturating_sub(self.wal_len));
         }
-        self.wal_len = self.wal.size_bytes();
+        self.wal_len = len;
         Ok(())
     }
 
@@ -1062,11 +1078,15 @@ impl<S: Storage> TxManager<S> {
                 });
             }
         }
-        self.append_record(&LogRecord::Prepare {
+        let record = LogRecord::Prepare {
             tx,
             coordinator,
-            writes: writes.clone(),
-        })?;
+            writes,
+        };
+        self.append_record(&record)?;
+        let LogRecord::Prepare { writes, .. } = record else {
+            unreachable!("built as a prepare above");
+        };
         self.prepared.insert(
             tx,
             PreparedTx {
@@ -1090,7 +1110,7 @@ impl<S: Storage> TxManager<S> {
         self.metrics.two_pc_rounds.inc();
         self.append_record(&LogRecord::Resolve { tx, committed })?;
         if committed {
-            apply_writes(&mut self.store, &prepared.writes);
+            apply_writes(&mut self.store, prepared.writes);
             self.metrics.commits.inc();
         } else {
             self.metrics.aborts.inc();
@@ -1220,14 +1240,15 @@ impl<S: Storage> TxManager<S> {
     }
 }
 
-fn apply_writes(store: &mut BTreeMap<StoreKey, Vec<u8>>, writes: &[(StoreKey, Option<Vec<u8>>)]) {
+/// Moves committed after-images into the store.
+fn apply_writes(store: &mut BTreeMap<StoreKey, Vec<u8>>, writes: Vec<(StoreKey, Option<Vec<u8>>)>) {
     for (key, value) in writes {
         match value {
             Some(bytes) => {
-                store.insert(key.clone(), bytes.clone());
+                store.insert(key, bytes);
             }
             None => {
-                store.remove(key);
+                store.remove(&key);
             }
         }
     }
@@ -1353,6 +1374,62 @@ mod tests {
         );
         // The child action is now unknown.
         assert!(matches!(mgr.commit(child), Err(TxError::UnknownAction(_))));
+    }
+
+    /// A start stages one control block per plan task and a purge a
+    /// whole instance, so staging must stay last-write-wins in
+    /// first-write order however many keys one action touches — here
+    /// 4 000, half of them inherited from a nested child.
+    #[test]
+    fn large_action_commits_first_write_order_last_write_wins() {
+        const N: usize = 4_000;
+        let stable = SharedStorage::new();
+        let mut mgr = TxManager::open(0, stable.clone()).unwrap();
+        let keys: Vec<StoreKey> = (0..N).map(|i| key(&format!("i/7/t/{i:05}"))).collect();
+        let mut model: Vec<(StoreKey, Option<Vec<u8>>)> = Vec::new();
+        let stage = |model: &mut Vec<(StoreKey, Option<Vec<u8>>)>, i: usize, v| match model
+            .iter_mut()
+            .find(|(k, _)| *k == keys[i])
+        {
+            Some((_, slot)) => *slot = v,
+            None => model.push((keys[i].clone(), v)),
+        };
+        let parent = mgr.begin();
+        for i in (0..N).step_by(2) {
+            mgr.write_key_raw(&parent, &keys[i], vec![1]).unwrap();
+            stage(&mut model, i, Some(vec![1]));
+        }
+        // The child may only touch keys its parent has not locked; its
+        // writes merge behind the parent's in *its* first-write order.
+        let child = mgr.begin_nested(&parent).unwrap();
+        for i in (1..N).step_by(2).rev() {
+            mgr.write_key_raw(&child, &keys[i], vec![2]).unwrap();
+            stage(&mut model, i, Some(vec![2]));
+        }
+        assert_eq!(mgr.read_key_raw(&child, &keys[3]).unwrap(), Some(vec![2]));
+        mgr.commit(child).unwrap();
+        // Rewrites and deletions keep each key's first slot.
+        for i in (0..N).step_by(3) {
+            let value = (i % 7 != 0).then(|| vec![3, i as u8]);
+            match &value {
+                Some(bytes) => mgr.write_key_raw(&parent, &keys[i], bytes.clone()).unwrap(),
+                None => mgr.delete_key(&parent, &keys[i]).unwrap(),
+            }
+            stage(&mut model, i, value);
+        }
+        assert_eq!(
+            mgr.read_key_raw(&parent, &keys[3]).unwrap(),
+            Some(vec![3, 3])
+        );
+        assert_eq!(mgr.read_key_raw(&parent, &keys[5]).unwrap(), Some(vec![2]));
+        assert_eq!(mgr.read_key_raw(&parent, &keys[21]).unwrap(), None);
+        mgr.commit(parent).unwrap();
+        let records = Wal::new(stable).scan().unwrap();
+        let [LogRecord::Commit { writes, .. }] = records.as_slice() else {
+            panic!("one commit record, got {records:?}");
+        };
+        assert_eq!(writes.len(), N);
+        assert_eq!(*writes, model);
     }
 
     #[test]

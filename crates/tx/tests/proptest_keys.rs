@@ -18,8 +18,34 @@ fn fact_key(instance: u32, task: u32, kind_bit: bool, item: u32, obj: u32) -> Fa
     base.with_obj(obj)
 }
 
+/// Uid and fact keys alike, as a commit record's write set mixes them.
+fn store_key() -> impl Strategy<Value = StoreKey> {
+    prop_oneof![
+        "[a-z/]{0,24}".prop_map(|name| StoreKey::from(ObjectUid::new(name))),
+        (0u32..1000, 0u32..1000, 0u32..1000).prop_map(|(instance, task, item)| StoreKey::from(
+            FactKey::output(instance, task, item)
+        )),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn after_images_roundtrip_codec(
+        writes in proptest::collection::vec(
+            (store_key(), proptest::option::of(any::<Vec<u8>>())),
+            0..8,
+        ),
+    ) {
+        // A commit record's write set: the byte payloads take the bulk
+        // codec path, the keys and options the element-wise one.
+        let bytes = flowscript_codec::to_bytes(&writes);
+        prop_assert_eq!(
+            flowscript_codec::from_bytes::<Vec<(StoreKey, Option<Vec<u8>>)>>(&bytes).unwrap(),
+            writes
+        );
+    }
 
     #[test]
     fn fact_keys_roundtrip_codec(
