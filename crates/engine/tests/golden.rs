@@ -14,14 +14,26 @@
 //! fingerprints pin behaviour; these pin the bytes — record encoding,
 //! framing, checksums and commit grouping — so "no format change" is a
 //! checked claim.
+//!
+//! The reference arm — `CommitBatch::disabled()`, every report committed
+//! with its cascade before the next is looked at — is frozen the same
+//! way: the paper population under it must render the *same* fingerprint
+//! files (the logs legitimately differ: no group frames), and eight fixed
+//! cases of `batching.rs`'s randomized equivalence are pinned in
+//! `generated_unbatched.txt`. The equivalence suites compare the two arms
+//! of one build; these compare the reference arm with what it rendered
+//! when it was recorded.
 
 mod common;
 
 use std::path::Path;
 
-use common::{build, fingerprint, population, start_population, Fingerprint};
+use common::{
+    build, fingerprint, generated_config, generated_script, population, run_generated,
+    start_population, Fingerprint,
+};
 use flowscript_engine::coordinator::EngineConfig;
-use flowscript_engine::InstanceStatus;
+use flowscript_engine::{CommitBatch, InstanceStatus};
 use flowscript_tx::Storage;
 
 fn render(name: &str, (status, trace, states): &Fingerprint) -> String {
@@ -63,11 +75,12 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Fingerprints of every instance, then the digest of every shard's log.
-fn run(coordinators: usize) -> (String, String) {
+fn run(coordinators: usize, commit_batch: CommitBatch) -> (String, String) {
     // The default config; the trace switch only records, it decides
     // nothing.
     let config = EngineConfig {
         record_dispatches: true,
+        commit_batch,
         ..EngineConfig::default()
     };
     let mut sys = build(coordinators, config);
@@ -130,14 +143,61 @@ fn check(file: &str, actual: &str) {
 
 #[test]
 fn paper_population_matches_golden_on_one_shard() {
-    let (fingerprints, wal) = run(1);
+    let (fingerprints, wal) = run(1, CommitBatch::default());
     check("paper_1_shard.txt", &fingerprints);
     check("paper_1_shard.wal.txt", &wal);
 }
 
 #[test]
 fn paper_population_matches_golden_on_four_shards() {
-    let (fingerprints, wal) = run(4);
+    let (fingerprints, wal) = run(4, CommitBatch::default());
     check("paper_4_shards.txt", &fingerprints);
     check("paper_4_shards.wal.txt", &wal);
+}
+
+#[test]
+fn reference_arm_renders_the_same_paper_goldens() {
+    for (coordinators, file) in [(1, "paper_1_shard.txt"), (4, "paper_4_shards.txt")] {
+        let (fingerprints, _wal) = run(coordinators, CommitBatch::disabled());
+        check(file, &fingerprints);
+    }
+}
+
+/// `(k shards, n stages, script seed, instance-name salts)`: eight fixed
+/// draws from the ranges of
+/// `batching.rs::batched_matches_unbatched_on_generated_scripts` (the
+/// proptest shim has no shrinking and no persisted corpus). Between them
+/// the seeds take every `stage_params` arm: leaf repeats, unconditioned
+/// (`AnyOf`) sources, `alt` outcomes and aborting stages.
+const GENERATED_CASES: [(usize, usize, u64, &[u64]); 8] = [
+    (1, 1, 0x0000_0000_0000_0000, &[1, 2]),
+    (1, 3, 0x9e37_79b9_7f4a_7c15, &[3, 5, 8]),
+    (2, 2, 0x0123_4567_89ab_cdef, &[13, 21, 34, 55]),
+    (2, 3, 0xffff_ffff_ffff_ffff, &[89, 144]),
+    (3, 1, 0xdead_beef_cafe_f00d, &[233, 377, 610, 987, 1597]),
+    (3, 3, 0x0000_0000_0003_0c31, &[2584, 4181, 6765]),
+    (4, 2, 0x5555_5555_5555_5555, &[10946, 17711]),
+    (4, 3, 0xa5a5_a5a5_5a5a_5a5a, &[28657, 46368, 75025, 121393]),
+];
+
+#[test]
+fn reference_arm_matches_golden_on_generated_scripts() {
+    let mut rendered = String::new();
+    for (k, n, seed, salts) in GENERATED_CASES {
+        let script = generated_script(n, seed);
+        let names: Vec<String> = salts
+            .iter()
+            .enumerate()
+            .map(|(i, salt)| format!("wf{i}-{salt:016x}"))
+            .collect();
+        let config = EngineConfig {
+            commit_batch: CommitBatch::disabled(),
+            ..generated_config()
+        };
+        rendered.push_str(&format!("# k={k} n={n} seed={seed:#018x}\n"));
+        for (name, fingerprint) in run_generated(k, config, n, seed, &script, &names) {
+            rendered.push_str(&render(&name, &fingerprint));
+        }
+    }
+    check("generated_unbatched.txt", &rendered);
 }
