@@ -28,8 +28,8 @@ use flowscript_sim::{net::LinkConfig, FaultPlan, NodeId, SimDuration, SimTime, W
 use flowscript_tx::{SharedFileStorage, StableStore, TxManager};
 
 use crate::coordinator::{
-    package_stored_instance, CoordHandle, CoordStats, Coordinator, EngineConfig, InstanceStatus,
-    Outcome,
+    package_instance, stored_instances, CoordHandle, CoordStats, Coordinator, EngineConfig,
+    InstanceStatus, Outcome,
 };
 use crate::error::EngineError;
 use crate::executor;
@@ -645,7 +645,7 @@ impl WorkflowSystem {
     ///
     /// Unknown script, duplicate instance, bad inputs, or unreachable
     /// services.
-    pub fn start_with<I, K>(
+    pub fn start<I, K>(
         &mut self,
         instance: &str,
         script: &str,
@@ -661,33 +661,14 @@ impl WorkflowSystem {
         self.rpc_start(target, &msg)
     }
 
-    /// [`WorkflowSystem::start_with`] for the common `main` input set.
-    ///
-    /// # Errors
-    ///
-    /// As for [`WorkflowSystem::start_with`].
-    pub fn start<I, K>(
-        &mut self,
-        instance: &str,
-        script: &str,
-        set: &str,
-        inputs: I,
-    ) -> Result<(), EngineError>
-    where
-        I: IntoIterator<Item = (K, ObjectVal)>,
-        K: Into<String>,
-    {
-        self.start_with(instance, script, set, inputs)
-    }
-
-    /// [`WorkflowSystem::start_with`], deliberately routed through the
+    /// [`WorkflowSystem::start`], deliberately routed through the
     /// coordinator at shard index `via` — which may not be the owner.
     /// A misdirected request is forwarded to the owning shard
     /// (forwarding tests; real clients route via the shard map).
     ///
     /// # Errors
     ///
-    /// As for [`WorkflowSystem::start_with`].
+    /// As for [`WorkflowSystem::start`].
     pub fn start_via_shard<I, K>(
         &mut self,
         via: usize,
@@ -1033,7 +1014,7 @@ impl WorkflowSystem {
     ///
     /// # Errors
     ///
-    /// As for [`WorkflowSystem::start_with`], plus unknown versions.
+    /// As for [`WorkflowSystem::start`], plus unknown versions.
     pub fn start_version<I, K>(
         &mut self,
         instance: &str,
@@ -1394,14 +1375,8 @@ impl WorkflowSystem {
         // again — the claimed copies are the truth.
         let mut mgr = TxManager::open(claimant_node.index() as u32, self.storages[idx].clone())?;
         mgr.write_fence(epoch)?;
-        let metas = mgr.uids_matching("inst/", "/meta");
         let mut adopted = 0usize;
-        for uid in metas {
-            let instance = uid
-                .as_str()
-                .trim_start_matches("inst/")
-                .trim_end_matches("/meta")
-                .to_string();
+        for (instance, _meta) in stored_instances(&mgr) {
             let owner = new_map.node_of(&instance);
             let dest_idx = self
                 .coord_nodes
@@ -1413,8 +1388,7 @@ impl WorkflowSystem {
                     ))
                 })?;
             let tx = mgr.mint_dist_tx();
-            let Some(package) = package_stored_instance(&mgr, &instance, tx, node.index() as u32)
-            else {
+            let Some(package) = package_instance(&mgr, &instance, tx, node.index() as u32) else {
                 continue;
             };
             self.chaos_strike(KillPoint::MidClaim, adopted, node)?;
@@ -1429,7 +1403,7 @@ impl WorkflowSystem {
         // skipped: its storage is fenced now.
         for (coord_idx, coord) in self.coords.clone().into_iter().enumerate() {
             if coord_idx != idx {
-                coord.adopt_claimed(&mut self.world, node.index() as u32, epoch);
+                coord.adopt_orphans(&mut self.world, Some((node.index() as u32, epoch)));
             }
         }
         self.retire_coordinator(idx, &new_map);

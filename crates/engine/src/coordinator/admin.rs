@@ -1,0 +1,401 @@
+//! Operator actions on a running instance: dynamic reconfiguration
+//! (paper §2/§3: transactional structure changes), the wait-state
+//! abort, and fact repair (with its fault-injection twin).
+
+use std::collections::BTreeMap;
+use std::rc::Rc;
+
+use flowscript_core::ast::OutputKind;
+use flowscript_core::schema;
+use flowscript_obs::ObsEventKind;
+use flowscript_plan::Plan;
+use flowscript_sim::World;
+use flowscript_tx::StoreKey;
+
+use super::meta::{bind_uid, plan_uid, reconfig_uid};
+use super::{CoordHandle, InstanceStatus};
+use crate::error::EngineError;
+use crate::facts;
+use crate::keys::{cb_uid, InstanceKeys};
+use crate::reconfig::{self, Reconfig};
+use crate::state::{CbState, TaskCb};
+use crate::value::ObjectVal;
+
+impl CoordHandle {
+    /// Overwrites every stored sub-key of one published output fact
+    /// with undecodable bytes — fault injection for the corrupt-record
+    /// tests (a probe must surface the fault, not read "absent").
+    #[doc(hidden)]
+    pub fn poison_fact(&self, instance: &str, path: &str, output: &str) -> bool {
+        let mut coordinator = self.inner.borrow_mut();
+        let Some(rt) = coordinator.instances.get(instance) else {
+            return false;
+        };
+        let (plan, keys) = (rt.plan.clone(), rt.keys.clone());
+        let Some(task) = plan.task_by_path(path) else {
+            return false;
+        };
+        let Some(base) = keys.out_key(&plan, task, output) else {
+            return false;
+        };
+        let mut targets = coordinator.mgr.fact_keys_in_range(base, base.fact_last());
+        if targets.is_empty() {
+            targets.push(base);
+        }
+        let action = coordinator.mgr.begin();
+        for key in targets {
+            if coordinator
+                .mgr
+                .write_key_raw(&action, &StoreKey::Fact(key), vec![0xFF, 0xFF, 0xFF])
+                .is_err()
+            {
+                coordinator.mgr.abort(action);
+                return false;
+            }
+        }
+        coordinator.mgr.commit(action).is_ok()
+    }
+
+    /// Administrative fact repair: atomically replaces whatever is
+    /// stored for `output` of `path` (including undecodable bytes a
+    /// storage fault left behind) with `objects`, revives the instance
+    /// if it was parked `Stuck`, and re-enters evaluation through the
+    /// full scan — the repaired fact has no commit to seed from, so
+    /// this mirrors reconfiguration re-entry.
+    ///
+    /// When `output` is a terminal outcome (`completion`/`abort`) and
+    /// the task has not yet terminated, the task is **force-completed**
+    /// with it, exactly as if the executor had replied — the escape
+    /// hatch for a task whose real reply was lost to the fault.
+    ///
+    /// # Errors
+    ///
+    /// Unknown instance/task, an undeclared output name, or a failed
+    /// commit. Validation failures leave the instance untouched.
+    pub fn repair_fact(
+        &self,
+        world: &mut World,
+        instance: &str,
+        path: &str,
+        output: &str,
+        objects: BTreeMap<String, ObjectVal>,
+    ) -> Result<(), EngineError> {
+        // Repair reads current state: absorb the batch window first.
+        self.flush_pending(world);
+        {
+            let mut coordinator = self.inner.borrow_mut();
+            let Some(rt) = coordinator.instances.get(instance) else {
+                return Err(EngineError::UnknownInstance(instance.to_string()));
+            };
+            let (plan, keys) = (rt.plan.clone(), rt.keys.clone());
+            let Some(task_id) = plan.task_by_path(path) else {
+                return Err(EngineError::UnknownTask(path.to_string()));
+            };
+            let class = plan.class_of(plan.task(task_id));
+            let kind = plan
+                .class_output(class, output)
+                .map(|decl| decl.kind)
+                .ok_or_else(|| {
+                    EngineError::BadInputs(format!("task `{path}` declares no output `{output}`"))
+                })?;
+            let Some(out_key) = keys.out_key(&plan, task_id, output) else {
+                return Err(EngineError::UnknownTask(path.to_string()));
+            };
+            let Some(mut cb) = coordinator.read_cb_id(&keys, task_id) else {
+                return Err(EngineError::UnknownTask(path.to_string()));
+            };
+            let force = matches!(kind, OutputKind::Outcome | OutputKind::AbortOutcome)
+                && !cb.state.is_terminal();
+            let stamped: BTreeMap<String, ObjectVal> = objects
+                .into_iter()
+                .map(|(k, v)| (k, v.produced_by(path.to_string())))
+                .collect();
+            let whole = coordinator.config.whole_record_facts;
+            let action = coordinator.mgr.begin();
+            // Drop the stored sub-keys first: a corrupt record may use a
+            // different layout than the rewrite below.
+            for fact in coordinator
+                .mgr
+                .fact_keys_in_range(out_key, out_key.fact_last())
+            {
+                coordinator.mgr.delete_key(&action, &StoreKey::Fact(fact))?;
+            }
+            facts::write_fact_map(
+                &mut coordinator.mgr,
+                &action,
+                &plan,
+                out_key,
+                &stamped,
+                whole,
+            )?;
+            if force {
+                cb.transition(if kind == OutputKind::Outcome {
+                    CbState::Done {
+                        outcome: output.to_string(),
+                    }
+                } else {
+                    CbState::Aborted {
+                        outcome: output.to_string(),
+                    }
+                });
+                coordinator.mgr.write(&action, keys.cb(task_id), &cb)?;
+            }
+            let mut revived = false;
+            if let Some(mut meta) = coordinator.read_meta(instance) {
+                if matches!(meta.status, InstanceStatus::Stuck { .. }) {
+                    meta.status = InstanceStatus::Running;
+                    coordinator.mgr.write(&action, keys.meta(), &meta)?;
+                    revived = true;
+                }
+            }
+            coordinator.commit(action)?;
+            if revived {
+                coordinator.note_status(instance, &InstanceStatus::Running);
+                // Back from Stuck: the instance counts against the
+                // admission cap again.
+                coordinator.admission.instance_live();
+            }
+            if force {
+                coordinator.note_terminals(instance, 1);
+            }
+            let what = if force {
+                format!("forced `{output}` of `{path}`")
+            } else {
+                format!("republished `{output}` of `{path}`")
+            };
+            coordinator.record_event(
+                world.now().as_nanos(),
+                instance,
+                Some(path),
+                cb.attempt,
+                ObsEventKind::Repair { what },
+            );
+        }
+        self.evaluate(world, instance);
+        self.pump(world);
+        Ok(())
+    }
+
+    /// Applies a reconfiguration to a running instance atomically.
+    ///
+    /// The plan is re-lowered from the mutated schema, the instance's
+    /// persisted facts are **remapped** onto the new plan's dense ids
+    /// (task ids shift when tasks are added or removed; facts whose
+    /// task or declaration vanished are deleted), and the interned key
+    /// table is rebuilt — all in the same atomic action as the op
+    /// itself.
+    ///
+    /// # Errors
+    ///
+    /// Validation failures leave the instance untouched.
+    pub fn reconfigure(
+        &self,
+        world: &mut World,
+        instance: &str,
+        op: Reconfig,
+    ) -> Result<(), EngineError> {
+        // Reconfiguration rebuilds the plan and rebinding state from
+        // committed truth: absorb the batch window first.
+        self.flush_pending(world);
+        {
+            let mut coordinator = self.inner.borrow_mut();
+            let Some(mut meta) = coordinator.read_meta(instance) else {
+                return Err(EngineError::UnknownInstance(instance.to_string()));
+            };
+            // A reconfiguration can rescue a stuck instance (e.g. by adding
+            // an alternative source), so revive it for re-evaluation.
+            let revived = matches!(meta.status, InstanceStatus::Stuck { .. });
+            if revived {
+                meta.status = InstanceStatus::Running;
+            }
+            if !coordinator.instances.contains_key(instance) {
+                return Err(EngineError::UnknownInstance(instance.to_string()));
+            }
+            // Materialize the schema on demand: an instance started
+            // from a served plan never compiled one. Replay any
+            // previously persisted reconfigurations so it is current.
+            let current = match coordinator
+                .instances
+                .get(instance)
+                .and_then(|rt| rt.schema.clone())
+            {
+                Some(schema) => schema,
+                None => {
+                    let mut schema = schema::compile_source(&meta.source, &meta.root)?;
+                    for op_uid in coordinator
+                        .mgr
+                        .uids_with_prefix(&format!("inst/{instance}/reconfig/"))
+                    {
+                        if let Ok(Some(past)) = coordinator.mgr.read_committed::<Reconfig>(&op_uid)
+                        {
+                            let _ = reconfig::apply(&mut schema, &past);
+                        }
+                    }
+                    Rc::new(schema)
+                }
+            };
+            let mut schema = (*current).clone();
+            let effects = reconfig::apply(&mut schema, &op)?;
+            let (old_plan, old_keys) = {
+                let rt = coordinator.instances.get(instance).expect("checked above");
+                (rt.plan.clone(), rt.keys.clone())
+            };
+            // Compile-once per structural change: the mutated schema is
+            // re-lowered and swapped in atomically with the fact remap.
+            let new_plan = Plan::lower(&schema);
+            let new_keys = InstanceKeys::build(&new_plan, instance, meta.instance_id);
+
+            // Persist the op and its engine-side effects in one action.
+            let action = coordinator.mgr.begin();
+            let n = meta.reconfig_count;
+            meta.reconfig_count += 1;
+            meta.plan_fingerprint = new_plan.fingerprint;
+            coordinator
+                .mgr
+                .write(&action, &reconfig_uid(instance, n), &op)?;
+            coordinator.mgr.write(&action, new_keys.meta(), &meta)?;
+            if !coordinator.mgr.exists(&plan_uid(new_plan.fingerprint)) {
+                coordinator
+                    .mgr
+                    .write(&action, &plan_uid(new_plan.fingerprint), &new_plan)?;
+            }
+            // Move every persisted fact onto the new plan's id space.
+            let whole = coordinator.config.whole_record_facts;
+            facts::remap_instance_facts(
+                &mut coordinator.mgr,
+                &action,
+                &old_plan,
+                &old_keys,
+                &new_plan,
+                meta.instance_id,
+                whole,
+            )?;
+            for path in &effects.new_tasks {
+                // New tasks join the current incarnation of their scope.
+                let scope_path = path.rsplit_once('/').map(|(s, _)| s).unwrap_or("");
+                let scope_inc = coordinator
+                    .read_cb(instance, scope_path)
+                    .map(|cb| cb.scope_inc)
+                    .unwrap_or(0);
+                let mut cb = TaskCb::new(path.clone());
+                cb.incarnation = scope_inc;
+                coordinator
+                    .mgr
+                    .write(&action, &cb_uid(instance, path), &cb)?;
+            }
+            for path in &effects.removed_tasks {
+                coordinator.mgr.delete(&action, &cb_uid(instance, path))?;
+            }
+            if let Reconfig::Rebind { code, to } = &op {
+                coordinator
+                    .mgr
+                    .write(&action, &bind_uid(instance, code), to)?;
+            }
+            coordinator.commit(action)?;
+            coordinator.note_status(instance, &meta.status);
+            if revived {
+                // Back from Stuck: the instance counts against the
+                // admission cap again.
+                coordinator.admission.instance_live();
+            }
+            coordinator.metrics.reconfigs.inc();
+            let rt = coordinator
+                .instances
+                .get_mut(instance)
+                .expect("checked above");
+            rt.plan = Rc::new(new_plan);
+            rt.keys = Rc::new(new_keys);
+            rt.schema = Some(Rc::new(schema));
+            if let Reconfig::Rebind { code, to } = &op {
+                rt.bindings.insert(code.clone(), to.clone());
+            }
+            // The plan (and possibly the task set) changed: recount the
+            // non-terminal blocks instead of patching deltas.
+            coordinator.recount_nonterminal(instance);
+            // The old fingerprint may now be orphaned — reclaim it
+            // right away rather than waiting for the next checkpoint
+            // (an idle instance would strand it forever).
+            coordinator.gc_plans()?;
+        }
+        // The plan changed under the instance: reconfiguration re-enters
+        // through the full scan (new tasks and new edges have no commit
+        // to seed from).
+        self.evaluate(world, instance);
+        self.pump(world);
+        Ok(())
+    }
+
+    /// Administrative abort of a *waiting* task (Fig. 3 permits
+    /// wait-state aborts for timer expiry or a user forcing an abort).
+    /// The named outcome must be a declared abort outcome of the task's
+    /// class; it is published like any other abort so dependents (e.g. a
+    /// compound's cancellation notification) observe it.
+    ///
+    /// # Errors
+    ///
+    /// Unknown instance/task, a non-waiting task, or an outcome that is
+    /// not a declared abort outcome.
+    pub fn abort_waiting_task(
+        &self,
+        world: &mut World,
+        instance: &str,
+        path: &str,
+        outcome: &str,
+    ) -> Result<(), EngineError> {
+        // The operator decision is against current state: absorb the
+        // batch window first.
+        self.flush_pending(world);
+        let task_id = {
+            let mut coordinator = self.inner.borrow_mut();
+            let Some(rt) = coordinator.instances.get(instance) else {
+                return Err(EngineError::UnknownInstance(instance.to_string()));
+            };
+            let (plan, keys) = (rt.plan.clone(), rt.keys.clone());
+            let Some(task_id) = plan.task_by_path(path) else {
+                return Err(EngineError::UnknownTask(path.to_string()));
+            };
+            let class = plan.class_of(plan.task(task_id));
+            let declared_abort = plan
+                .class_output(class, outcome)
+                .is_some_and(|o| o.kind == OutputKind::AbortOutcome);
+            if !declared_abort {
+                return Err(EngineError::ReconfigRejected(format!(
+                    "`{outcome}` is not an abort outcome of `{}`",
+                    plan.str(class.name)
+                )));
+            }
+            let out_key = keys
+                .out_key(&plan, task_id, outcome)
+                .ok_or_else(|| EngineError::UnknownTask(path.to_string()))?;
+            let Some(mut cb) = coordinator.read_cb_id(&keys, task_id) else {
+                return Err(EngineError::UnknownTask(path.to_string()));
+            };
+            if cb.state != CbState::Waiting {
+                return Err(EngineError::ReconfigRejected(format!(
+                    "task `{path}` is not waiting (state {:?})",
+                    cb.state
+                )));
+            }
+            cb.transition(CbState::Aborted {
+                outcome: outcome.to_string(),
+            });
+            let whole = coordinator.config.whole_record_facts;
+            let action = coordinator.mgr.begin();
+            coordinator.mgr.write(&action, keys.cb(task_id), &cb)?;
+            facts::write_fact_map(
+                &mut coordinator.mgr,
+                &action,
+                &plan,
+                out_key,
+                &BTreeMap::new(),
+                whole,
+            )?;
+            coordinator.commit(action)?;
+            coordinator.note_terminals(instance, 1);
+            task_id
+        };
+        self.evaluate_from(world, instance, &[task_id]);
+        self.pump(world);
+        Ok(())
+    }
+}

@@ -1,0 +1,158 @@
+//! The engine's policy knobs.
+
+use flowscript_obs::ObserveLevel;
+use flowscript_sim::SimDuration;
+
+use crate::sched::SchedPolicy;
+
+/// Tunable engine policy.
+#[derive(Debug, Clone)]
+pub struct EngineConfig {
+    /// Maximum automatic retries of a system-level failure (§3:
+    /// "automatic (finite number of) retries").
+    pub max_retries: u32,
+    /// Base backoff before the first retry (doubles per retry).
+    pub retry_backoff: SimDuration,
+    /// Watchdog timeout for a dispatched task (plus any `duration_ms` /
+    /// `deadline_ms` hints from the implementation clause).
+    pub dispatch_timeout: SimDuration,
+    /// Maximum times a task or compound may take a repeat outcome.
+    pub max_repeats: u32,
+    /// Write a checkpoint and compact the log every this many commits.
+    pub checkpoint_every: Option<u64>,
+    /// Re-evaluate the whole scope tree after every commit instead of
+    /// the reverse-edge worklist. This is the full-scan oracle
+    /// `tests/proptest_worklist.rs` holds the worklist to (identical
+    /// dispatch traces); production runs leave it off.
+    pub full_rescan: bool,
+    /// Record every dispatch decision in an in-memory trace
+    /// ([`super::CoordHandle::dispatch_trace`]). Unbounded — for equivalence
+    /// tests and diagnostics only; production runs leave it off.
+    pub record_dispatches: bool,
+    /// How dispatch picks executors. The default honors the
+    /// implementation clause's `location`/`priority` hints and tracks
+    /// per-executor load; [`SchedPolicy::PathHash`] and
+    /// [`SchedPolicy::InFlightCount`] are the baselines
+    /// `tests/scheduling.rs` compares it against.
+    pub scheduler: SchedPolicy,
+    /// Store dependency facts as one encoded record per fact instead of
+    /// per-object sub-keys. This is the pre-split oracle
+    /// `tests/fact_equivalence.rs` holds the per-object layout to
+    /// (identical per-instance outcomes and dispatch traces);
+    /// production runs leave it off.
+    pub whole_record_facts: bool,
+    /// How much the engine observes itself. `Off` (the default) keeps
+    /// only the always-on counters behind the public stats getters;
+    /// `Metrics` adds the optional histograms (commit-drain length,
+    /// dispatch latency, WAL frames per commit, scheduler pick load);
+    /// `Trace` adds the per-shard flight recorder of lifecycle events
+    /// queryable via [`crate::WorkflowSystem::trace`]. Every hook point
+    /// is a branch on this enum, so `Off` costs one compare.
+    pub observe: ObserveLevel,
+    /// Flight-recorder capacity: the bounded ring keeps at most this
+    /// many lifecycle events per shard, evicting oldest-first (the
+    /// newest events of every instance survive). Only read when
+    /// [`EngineConfig::observe`] is [`ObserveLevel::Trace`].
+    pub recorder_capacity: usize,
+    /// The commit window executor reports gather in (see
+    /// [`CommitBatch`]). [`CommitBatch::disabled`] is the window of
+    /// one — every report commits, with its cascade, before the next is
+    /// looked at — the reference `tests/batching.rs` holds wider windows
+    /// to.
+    pub commit_batch: CommitBatch,
+    /// Per-shard admission cap: at most this many live (non-terminal)
+    /// instances at once. Excess `StartInstance` RPCs park in a
+    /// bounded admission queue and admit as instances terminate;
+    /// `None` (the default) keeps the legacy unbounded behaviour.
+    /// Direct in-process starts ([`super::CoordHandle::start_instance`])
+    /// bypass admission — the cap governs the RPC surface.
+    pub max_inflight_instances: Option<usize>,
+    /// Admission-queue bound: once [`EngineConfig::max_inflight_instances`]
+    /// is reached *and* this many starts are already queued, further
+    /// `StartInstance` RPCs are turned away with a typed
+    /// [`crate::EngineError::Busy`] the client retries with backoff.
+    pub admission_queue_limit: usize,
+    /// Auto-tune the group-commit window between this floor and
+    /// [`CommitBatch::max_window`] from the observed report arrival
+    /// rate: bursts hold the full window (sync amortization), light
+    /// load narrows it to this floor (commit latency). `None` (the
+    /// default) keeps the static window.
+    pub adaptive_min_window: Option<SimDuration>,
+}
+
+impl Default for EngineConfig {
+    fn default() -> Self {
+        Self {
+            max_retries: 3,
+            retry_backoff: SimDuration::from_millis(50),
+            dispatch_timeout: SimDuration::from_secs(30),
+            max_repeats: 32,
+            checkpoint_every: None,
+            full_rescan: false,
+            record_dispatches: false,
+            scheduler: SchedPolicy::default(),
+            whole_record_facts: false,
+            observe: ObserveLevel::Off,
+            recorder_capacity: 4096,
+            commit_batch: CommitBatch::default(),
+            max_inflight_instances: None,
+            admission_queue_limit: 64,
+            adaptive_min_window: None,
+        }
+    }
+}
+
+/// The size of the commit window.
+///
+/// Executor `Done`/`Mark` reports (including ones forwarded from relay
+/// shards) gather in a per-shard window and commit as **one** atomic
+/// action: one lock pass over the union of touched keys, one WAL frame
+/// ([`flowscript_tx::LogRecord::GroupCommit`]), one readiness
+/// re-evaluation seeded from every completed task's consumers. There is
+/// one pipeline whatever the size: the window is placement, not
+/// semantics — each report applies exactly the transition it would have
+/// alone, and the equivalence suite (`engine/tests/batching.rs`) holds
+/// per-instance outcomes identical to the window of one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CommitBatch {
+    /// Flush when this many reports are pending. `1` is the window of
+    /// one: every report flushes on arrival and no timer is ever armed.
+    pub max_events: usize,
+    /// Flush at most this long (virtual time) after the first buffered
+    /// report.
+    pub max_window: SimDuration,
+}
+
+impl CommitBatch {
+    /// The window of one: every report commits on arrival, through the
+    /// same pipeline as any wider window.
+    pub fn disabled() -> Self {
+        Self {
+            max_events: 1,
+            max_window: SimDuration::ZERO,
+        }
+    }
+}
+
+impl Default for CommitBatch {
+    fn default() -> Self {
+        Self {
+            max_events: 64,
+            max_window: SimDuration::from_millis(1),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn config_defaults_are_sane() {
+        let config = EngineConfig::default();
+        assert!(config.max_retries >= 1);
+        assert!(config.max_repeats > 1);
+        assert!(config.dispatch_timeout > config.retry_backoff);
+        assert!(!config.full_rescan, "production default is event-driven");
+    }
+}

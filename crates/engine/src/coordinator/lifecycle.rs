@@ -1,0 +1,348 @@
+//! Instance lifecycle: starting an instance, materialising its volatile
+//! runtime from committed state (crash recovery and adoption share the
+//! loader), and the monitoring reads.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
+
+use flowscript_core::schema;
+use flowscript_obs::ObsEventKind;
+use flowscript_plan::{Plan, TaskId};
+use flowscript_sim::World;
+use flowscript_tx::{StableStore, StoreKey, TxManager};
+
+use super::meta::{instance_seq_uid, plan_uid};
+use super::{CoordHandle, Coordinator, InstanceMeta, InstanceRt, InstanceStatus};
+use crate::error::EngineError;
+use crate::facts;
+use crate::keys::InstanceKeys;
+use crate::reconfig::{self, Reconfig};
+use crate::state::{CbState, TaskCb};
+use crate::value::ObjectVal;
+
+impl Coordinator {
+    /// Materializes an instance's volatile runtime from committed
+    /// state: the persisted fingerprinted plan when valid (recompiling
+    /// the source and replaying persisted reconfigurations as the
+    /// fallback), rebindings, interned keys and the non-terminal count.
+    /// Pure state load — arms no timers and dispatches nothing. Shared
+    /// by crash recovery and hand-off adoption.
+    pub(super) fn load_instance(&mut self, name: &str, meta: &InstanceMeta) -> Option<InstanceRt> {
+        let cached: Option<Rc<Plan>> = self
+            .mgr
+            .read_committed_bytes(&StoreKey::Uid(plan_uid(meta.plan_fingerprint)))
+            .and_then(|bytes| self.plan_cache.validated(bytes))
+            .filter(|plan| plan.fingerprint == meta.plan_fingerprint);
+        let (plan, schema) = match cached {
+            Some(plan) => (plan, None),
+            None => {
+                // Fallback: recompile and replay persisted
+                // reconfigurations in order.
+                let mut schema = schema::compile_source(&meta.source, &meta.root).ok()?;
+                for op_uid in self.mgr.uids_with_prefix(&format!("inst/{name}/reconfig/")) {
+                    if let Ok(Some(op)) = self.mgr.read_committed::<Reconfig>(&op_uid) {
+                        let _ = reconfig::apply(&mut schema, &op);
+                    }
+                }
+                (Rc::new(Plan::lower(&schema)), Some(Rc::new(schema)))
+            }
+        };
+        let mut bindings = BTreeMap::new();
+        for bind in self.mgr.uids_with_prefix(&format!("inst/{name}/bind/")) {
+            if let Ok(Some(to)) = self.mgr.read_committed::<String>(&bind) {
+                let code = bind
+                    .as_str()
+                    .trim_start_matches(&format!("inst/{name}/bind/"))
+                    .to_string();
+                bindings.insert(code, to);
+            }
+        }
+        let keys = InstanceKeys::build(&plan, name, meta.instance_id);
+        let nonterminal = count_nonterminal(&self.mgr, &plan, &keys);
+        Some(InstanceRt {
+            plan,
+            keys: Rc::new(keys),
+            schema,
+            bindings,
+            watchdogs: BTreeMap::new(),
+            in_flight: BTreeSet::new(),
+            dispatched_to: BTreeMap::new(),
+            retry_from: BTreeMap::new(),
+            nonterminal,
+            terminal: meta.status.is_terminal(),
+        })
+    }
+
+    /// Recounts an instance's non-terminal control blocks from the
+    /// committed store — point reads over the plan's dense ids, used
+    /// only where the plan itself changed (recovery, reconfiguration).
+    pub(super) fn recount_nonterminal(&mut self, instance: &str) {
+        let Some(rt) = self.instances.get(instance) else {
+            return;
+        };
+        let (plan, keys) = (rt.plan.clone(), rt.keys.clone());
+        let count = count_nonterminal(&self.mgr, &plan, &keys);
+        if let Some(rt) = self.instances.get_mut(instance) {
+            rt.nonterminal = count;
+        }
+    }
+}
+
+impl CoordHandle {
+    /// Compiles and launches an instance (also used directly by tests).
+    ///
+    /// # Errors
+    ///
+    /// Invalid script, bad inputs or storage failure.
+    #[allow(clippy::too_many_arguments)]
+    pub fn start_instance(
+        &self,
+        world: &mut World,
+        instance: &str,
+        script_name: &str,
+        source: &str,
+        root: &str,
+        set: &str,
+        inputs: BTreeMap<String, ObjectVal>,
+    ) -> Result<(), EngineError> {
+        self.start_instance_full(
+            world,
+            instance,
+            script_name,
+            source,
+            root,
+            set,
+            inputs,
+            None,
+            None,
+        )
+    }
+
+    /// [`CoordHandle::start_instance`], optionally reusing a plan the
+    /// repository already compiled for this script version.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn start_instance_full(
+        &self,
+        world: &mut World,
+        instance: &str,
+        script_name: &str,
+        source: &str,
+        root: &str,
+        set: &str,
+        inputs: BTreeMap<String, ObjectVal>,
+        served_plan: Option<Rc<Plan>>,
+        version: Option<u32>,
+    ) -> Result<(), EngineError> {
+        // Compile-once, execute-many: a validated served plan skips the
+        // whole front end here. The hierarchical schema is materialized
+        // lazily (only reconfiguration needs it).
+        let (plan, schema) = match served_plan {
+            Some(plan) => (plan, None),
+            None => {
+                let schema = schema::compile_source(source, root)?;
+                let plan = Rc::new(Plan::lower(&schema));
+                (plan, Some(Rc::new(schema)))
+            }
+        };
+        // Validate the chosen input set against the root task class.
+        let root_class = plan
+            .classes
+            .get(plan.root().class as usize)
+            .ok_or_else(|| EngineError::InvalidScript("root class missing".into()))?;
+        let set_info = plan.class_set(root_class, set).ok_or_else(|| {
+            EngineError::BadInputs(format!(
+                "taskclass `{}` has no input set `{set}`",
+                plan.str(root_class.name)
+            ))
+        })?;
+        for object in &plan.class_objects[set_info.objects.as_range()] {
+            let (name, class) = (plan.str(object.name), plan.str(object.class));
+            match inputs.get(name) {
+                None => {
+                    return Err(EngineError::BadInputs(format!(
+                        "missing input object `{name}`"
+                    )))
+                }
+                Some(value) if value.class != class => {
+                    return Err(EngineError::BadInputs(format!(
+                        "input `{name}` has class `{}`, expected `{class}`",
+                        value.class
+                    )))
+                }
+                Some(_) => {}
+            }
+        }
+        let root_path = plan.str(plan.root().path).to_string();
+
+        let mut coordinator = self.inner.borrow_mut();
+        if coordinator.instances.contains_key(instance) {
+            return Err(EngineError::DuplicateInstance(instance.to_string()));
+        }
+        // Allocate the dense instance id from the persistent sequence.
+        let instance_id: u32 = coordinator
+            .mgr
+            .read_committed(&instance_seq_uid())?
+            .unwrap_or(0);
+        let keys = InstanceKeys::build(&plan, instance, instance_id);
+        let root_in = keys
+            .in_key(&plan, 0, set)
+            .ok_or_else(|| EngineError::BadInputs(format!("unmapped input set `{set}`")))?;
+        let meta = InstanceMeta {
+            script: script_name.to_string(),
+            source: source.to_string(),
+            root: root.to_string(),
+            set: set.to_string(),
+            inputs: inputs.clone(),
+            status: InstanceStatus::Running,
+            reconfig_count: 0,
+            instance_id,
+            version,
+            plan_fingerprint: plan.fingerprint,
+        };
+        let action = coordinator.mgr.begin();
+        coordinator
+            .mgr
+            .write(&action, &instance_seq_uid(), &(instance_id + 1))?;
+        coordinator.mgr.write(&action, keys.meta(), &meta)?;
+        // Persist the compiled plan once per fingerprint so crash
+        // recovery decodes it instead of recompiling from source.
+        if !coordinator.mgr.exists(&plan_uid(plan.fingerprint)) {
+            coordinator
+                .mgr
+                .write(&action, &plan_uid(plan.fingerprint), plan.as_ref())?;
+        }
+        // Root control block starts Active with the supplied inputs bound.
+        let mut root_cb = TaskCb::new(root_path.clone());
+        root_cb.transition(CbState::Active {
+            set: set.to_string(),
+        });
+        coordinator.mgr.write(&action, keys.cb(0), &root_cb)?;
+        // The root's input binding goes through the fact layout like
+        // every other fact, so root-input fallbacks probe per object.
+        let whole = coordinator.config.whole_record_facts;
+        facts::write_fact_map(
+            &mut coordinator.mgr,
+            &action,
+            &plan,
+            root_in,
+            &inputs,
+            whole,
+        )?;
+        // Every descendant starts Waiting — the plan's DFS order makes
+        // this one flat scan instead of a scope-tree recursion.
+        for (id, task) in plan.tasks.iter().enumerate().skip(1) {
+            let path = plan.str(task.path);
+            coordinator
+                .mgr
+                .write(&action, keys.cb(id as TaskId), &TaskCb::new(path))?;
+        }
+        coordinator.commit(action)?;
+        let task_count = plan.tasks.len();
+        coordinator.instances.insert(
+            instance.to_string(),
+            InstanceRt {
+                schema,
+                plan,
+                keys: Rc::new(keys),
+                bindings: BTreeMap::new(),
+                watchdogs: BTreeMap::new(),
+                in_flight: BTreeSet::new(),
+                dispatched_to: BTreeMap::new(),
+                retry_from: BTreeMap::new(),
+                // Root Active + every descendant Waiting.
+                nonterminal: task_count,
+                terminal: false,
+            },
+        );
+        coordinator.admission.instance_live();
+        coordinator.record_event(
+            world.now().as_nanos(),
+            instance,
+            Some(&root_path),
+            0,
+            ObsEventKind::InstanceStart,
+        );
+        drop(coordinator);
+        self.evaluate(world, instance);
+        Ok(())
+    }
+
+    /// Instance status (monitoring API).
+    pub fn status(&self, instance: &str) -> Result<InstanceStatus, EngineError> {
+        self.inner
+            .borrow()
+            .read_meta(instance)
+            .map(|meta| meta.status)
+            .ok_or_else(|| EngineError::UnknownInstance(instance.to_string()))
+    }
+
+    /// All task states of an instance, keyed by path. Live instances
+    /// resolve through the plan's interned uid table (point reads); the
+    /// uid prefix scan survives only for instances not resident in
+    /// memory (e.g. monitoring a crashed-but-unrecovered store).
+    pub fn task_states(&self, instance: &str) -> BTreeMap<String, CbState> {
+        let coordinator = self.inner.borrow();
+        if let Some(rt) = coordinator.instances.get(instance) {
+            return (0..rt.plan.tasks.len() as TaskId)
+                .filter_map(|id| {
+                    let cb = coordinator.read_cb_id(&rt.keys, id)?;
+                    Some((cb.path.clone(), cb.state))
+                })
+                .collect();
+        }
+        let prefix = format!("inst/{instance}/cb/");
+        coordinator
+            .mgr
+            .uids_with_prefix(&prefix)
+            .into_iter()
+            .filter_map(|uid| {
+                let cb: TaskCb = coordinator.mgr.read_committed(&uid).ok().flatten()?;
+                Some((cb.path.clone(), cb.state))
+            })
+            .collect()
+    }
+
+    /// A published output fact (monitoring; e.g. root marks).
+    pub fn output_fact(
+        &self,
+        instance: &str,
+        path: &str,
+        output: &str,
+    ) -> Option<BTreeMap<String, ObjectVal>> {
+        let coordinator = self.inner.borrow();
+        let rt = coordinator.instances.get(instance)?;
+        let task = rt.plan.task_by_path(path)?;
+        let key = rt.keys.out_key(&rt.plan, task, output)?;
+        facts::read_fact_map(
+            &coordinator.mgr,
+            &rt.plan,
+            key,
+            coordinator.config.whole_record_facts,
+        )
+        .ok()
+        .flatten()
+    }
+
+    /// Names of instances known to the coordinator.
+    pub fn instance_names(&self) -> Vec<String> {
+        self.inner.borrow().instances.keys().cloned().collect()
+    }
+}
+
+/// Counts an instance's non-terminal control blocks in committed state
+/// (point reads over the plan's dense ids — no store scan). Seeds and
+/// cross-checks the incrementally maintained `InstanceRt::nonterminal`.
+pub(super) fn count_nonterminal(
+    mgr: &TxManager<StableStore>,
+    plan: &Plan,
+    keys: &InstanceKeys,
+) -> usize {
+    (0..plan.tasks.len() as TaskId)
+        .filter(|&id| {
+            mgr.read_committed::<TaskCb>(keys.cb(id))
+                .ok()
+                .flatten()
+                .is_some_and(|cb| !cb.state.is_terminal())
+        })
+        .count()
+}

@@ -1,0 +1,568 @@
+//! The Workflow Execution Service.
+//!
+//! The coordinator owns every workflow instance's persistent state: task
+//! control blocks ([`crate::state::TaskCb`]) and dependency *facts*, all
+//! stored as objects in a [`TxManager`] so that each state transition is
+//! an atomic action and a coordinator crash loses nothing committed
+//! (paper §3, system-level fault tolerance). It is one loop — apply a
+//! task's report to its control block in an atomic action, publish the
+//! output, re-evaluate the dependents — plus what keeps that loop fed
+//! and alive: dispatch with watchdogs and bounded retries, admission,
+//! shard membership and crash recovery.
+//!
+//! Re-evaluation is **event-driven**: each committed fact seeds a
+//! [`Worklist`](flowscript_plan::Worklist) from the plan's reverse
+//! dependency edges, so per-commit work scales with the fan-out of the
+//! changed task, not the instance size. The full scan survives only for
+//! instance start, crash recovery and reconfiguration (where the plan
+//! itself changes), and — in debug builds — as a quiescence oracle
+//! asserted after every drain. All fact storage runs on dense
+//! per-object sub-keys interned per instance (the
+//! [`crate::keys::InstanceKeys`] table over the [`crate::facts`]
+//! layout): a readiness probe is one point read of exactly the bytes it
+//! needs, and no commit or probe on the dispatch hot path decodes a
+//! whole record or formats a string.
+//!
+//! # Inside the coordinator
+//!
+//! This module holds the shared state ([`Coordinator`], reached through
+//! the cloneable [`CoordHandle`]), the message entry point and the
+//! helpers every concern uses (`commit`, `commit_cb`, `record_event`,
+//! the control-block/meta reads, `pump`). Each child module owns one
+//! concern; state listed as *owned* is a private struct or private
+//! fields nobody else can touch, and the named entry points are the
+//! only way in from a sibling:
+//!
+//! | module | concern | owns | entry points |
+//! |---|---|---|---|
+//! | `config` | the policy knobs | [`EngineConfig`], [`CommitBatch`] | — |
+//! | `meta` | what an instance persists besides blocks and facts | [`InstanceStatus`], [`Outcome`], `InstanceMeta`, the uid layout | — |
+//! | `stats` | counters and histograms | [`CoordStats`], `CoordMetrics`, [`DispatchRecord`] | — |
+//! | `window` | the commit pipeline's front half: buffer reports, apply a window of them in one atomic action | `BatchWindow` (pending reports, timer flag, batch ids, arrival EWMA) | `enqueue_event`, `flush_pending`, `commit_event`, `BatchWindow::{holds_done, reset}` |
+//! | `evaluate` | the back half: worklist drain, input-set satisfaction, task activation | — | `evaluate`, `evaluate_from` |
+//! | `scopes` | compound-task outputs: marks, termination with cancellation, the fig. 8 repeat | — | `emit_scope_mark`, `terminate_scope`, `repeat_scope` |
+//! | `quiescence` | stuck detection and the debug full-scan oracle | — | `stuck_check`, `assert_quiescent`, `fail_instance_storage` |
+//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, retries, the slow-path report handler | `parked`, `park_seq`, per-instance `dispatched_to`/`watchdogs`/`retry_from` | `dispatch`, `redispatch`, `arm_watchdog`, `on_task_done`, `fail_task`, `clear_watch`, `drain_parked`, `sweep_subtree`, `unpark_instance` |
+//! | `admission` | the per-shard instance cap on the start RPC | `Admission` (queue, live count, starts in flight) | `admit_or_queue`, `admit_from_queue`, `Admission::{instance_live, instance_settled, reset}` |
+//! | `lifecycle` | instance start, runtime materialisation from committed state, the monitoring reads | — | `start_instance`, `load_instance`, `recount_nonterminal`, `count_nonterminal` |
+//! | `plans` | compiled plans, decoded once and persisted once per fingerprint | `PlanCache` | `PlanCache::validated`, `gc_plans` |
+//! | `membership` | shard routing, relays, live hand-off, crash-driven adoption | `Membership` (shard map, relay table), [`HandoffPackage`] | `misdirected`, `forward_oneway`, `forward_start`, the `handoff_*` steps, `claim_adopt`, `adopt_orphans`, `repair_handoffs`, `Membership::epoch` |
+//! | `recovery` | restart: reopen the log, reset volatile state, reload and re-dispatch | — | `recover`, `stored_instances` |
+//! | `admin` | operator actions: reconfiguration, wait-state abort, fact repair | — | `reconfigure`, `abort_waiting_task`, `repair_fact` |
+
+mod admin;
+mod admission;
+mod config;
+mod dispatch;
+mod evaluate;
+mod lifecycle;
+mod membership;
+mod meta;
+mod plans;
+mod quiescence;
+mod recovery;
+mod scopes;
+mod stats;
+mod window;
+
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
+
+use flowscript_core::schema::Schema;
+use flowscript_obs::{FlightRecorder, ObsEventKind, Registry};
+use flowscript_plan::{Plan, TaskId};
+use flowscript_sim::{Envelope, EventId, NodeId, World};
+use flowscript_tx::{ObjectUid, StableStore, TxId, TxManager};
+
+use crate::error::EngineError;
+use crate::keys::{cb_uid, meta_uid, InstanceKeys};
+use crate::msg::EngineMsg;
+use crate::sched::{CostModel, ExecutorSlot, ExecutorSpec, Scheduler};
+use crate::shard::ShardMap;
+use crate::state::TaskCb;
+
+pub use config::{CommitBatch, EngineConfig};
+pub use membership::{HandoffPackage, MAX_FORWARD_HOPS};
+pub use meta::{InstanceStatus, Outcome};
+pub use stats::{CoordStats, DispatchRecord};
+
+pub(crate) use membership::package_instance;
+pub(crate) use recovery::stored_instances;
+
+use admission::{Admission, AdmissionTicket};
+use dispatch::{DispatchedTask, ParkedDispatch};
+use membership::Membership;
+use meta::InstanceMeta;
+use plans::PlanCache;
+use stats::CoordMetrics;
+use window::{BatchWindow, PendingEvent};
+
+/// Volatile per-instance runtime state (rebuilt on recovery).
+struct InstanceRt {
+    /// The hierarchical schema — the input to dynamic reconfiguration.
+    /// `None` until first needed: instances started from a
+    /// repository-served plan (or recovered from a persisted plan) skip
+    /// the front end entirely, and the schema is recompiled from the
+    /// persisted source on demand.
+    schema: Option<Rc<Schema>>,
+    /// The compiled execution plan all hot paths run off (served by the
+    /// repository's plan cache, or lowered locally; re-lowered after
+    /// each reconfiguration).
+    plan: Rc<Plan>,
+    /// Interned storage keys: control-block uids formatted once, fact
+    /// keys precomputed per plan source (rebuilt with the plan).
+    keys: Rc<InstanceKeys>,
+    bindings: BTreeMap<String, String>,
+    watchdogs: BTreeMap<String, EventId>,
+    /// Paths with an outstanding dispatch, scheduled retry or pending
+    /// repeat re-execution.
+    in_flight: BTreeSet<String>,
+    /// The executor each outstanding dispatch was sent to, keyed by
+    /// dense plan task id (the last map on the dispatch hot path was
+    /// string-keyed until PR 9). Entry inserted when the dispatch
+    /// counts, removed exactly when the scheduler load is released.
+    dispatched_to: BTreeMap<TaskId, DispatchedTask>,
+    /// The node the most recent *failed* attempt of a path ran on;
+    /// consumed by the next dispatch so the retry relocates whenever
+    /// an eligible alternative exists.
+    retry_from: BTreeMap<String, NodeId>,
+    /// Control blocks not yet in a terminal state, maintained
+    /// incrementally at every transition commit (recounted only on
+    /// recovery and reconfiguration). Stuck detection reads this
+    /// instead of enumerating the store.
+    nonterminal: usize,
+    /// Mirror of the committed meta's `status.is_terminal()`, refreshed
+    /// right after every commit that writes the status (see
+    /// [`Coordinator::note_status`]). The drain tests it once per
+    /// worklist step; reading it from the store would decode the whole
+    /// meta — script source included — for that one bit.
+    terminal: bool,
+}
+
+/// The execution service state. Use through [`CoordHandle`].
+pub struct Coordinator {
+    node: NodeId,
+    repo: NodeId,
+    /// Load-aware executor selection over the shared fleet (each shard
+    /// keeps its own load view; no cross-shard coordination on the
+    /// dispatch hot path).
+    sched: Scheduler,
+    /// Observed-duration feedback: per-code EWMA of real completion
+    /// times, sampled at every genuine `TaskDone` release. Volatile by
+    /// design (an estimate, not state) — recovery restarts it empty
+    /// and the declared hints carry placement until it re-converges.
+    costs: CostModel,
+    /// Dispatches parked because every eligible executor sat at its
+    /// declared capacity, ordered by `(priority desc, arrival)`.
+    /// Drained whenever a release frees a slot. Volatile: each parked
+    /// path's control block committed `Executing` before the park, so
+    /// recovery re-dispatches it.
+    parked: BTreeMap<(std::cmp::Reverse<i64>, u64), ParkedDispatch>,
+    /// Arrival tie-break for `parked` keys.
+    park_seq: u64,
+    /// The admission cap's queue and occupancy counts.
+    admission: Admission,
+    /// The shard map and the relay table of handed-off instances.
+    membership: Membership,
+    config: EngineConfig,
+    mgr: TxManager<StableStore>,
+    storage: StableStore,
+    instances: BTreeMap<String, InstanceRt>,
+    plan_cache: PlanCache,
+    commits: u64,
+    /// `commits` as of the last checkpoint — the once-per-drain
+    /// threshold check works off the delta (see
+    /// [`Coordinator::maybe_checkpoint`]).
+    commits_at_checkpoint: u64,
+    /// The open commit window: buffered executor reports, the flush
+    /// timer flag, batch ids and the arrival EWMA.
+    window: BatchWindow,
+    /// Ordered dispatch decisions (equivalence tests, diagnostics).
+    dispatch_log: Vec<DispatchRecord>,
+    /// This shard's metric registry: `coord.*`, `sched.*`, `tx.*` and
+    /// `wal.*` live here. Shared with the [`TxManager`], surviving
+    /// crash-recovery reopens.
+    registry: Registry,
+    /// Counter/histogram handles into `registry`.
+    metrics: CoordMetrics,
+    /// The shard's flight recorder. Intentionally NOT reset by
+    /// [`Coordinator::recover`]: it models an external telemetry sink,
+    /// so a trace spans crashes of the coordinator it describes.
+    recorder: FlightRecorder,
+}
+
+/// A cloneable handle to the coordinator, used by node handlers, timers
+/// and the [`crate::WorkflowSystem`] facade.
+#[derive(Clone)]
+pub struct CoordHandle {
+    inner: Rc<RefCell<Coordinator>>,
+}
+
+impl Coordinator {
+    /// Opens the coordinator over durable `storage` (recovering any
+    /// previous state).
+    ///
+    /// # Errors
+    ///
+    /// Corrupt storage.
+    pub fn open(
+        node: NodeId,
+        repo: NodeId,
+        executors: Vec<NodeId>,
+        config: EngineConfig,
+        storage: impl Into<StableStore>,
+    ) -> Result<Self, EngineError> {
+        Self::open_sharded(
+            node,
+            repo,
+            executors.into_iter().map(ExecutorSpec::unbounded).collect(),
+            config,
+            storage,
+            ShardMap::new(vec![node]),
+        )
+    }
+
+    /// [`Coordinator::open`] for one shard of a multi-coordinator
+    /// system: `shard` names every coordinator node (this one
+    /// included), and this coordinator serves only the instances the
+    /// map assigns to `node`, forwarding the rest. Each executor comes
+    /// with its optional `location` label — the scheduler's hard
+    /// placement constraint — and its declared capacity.
+    ///
+    /// # Errors
+    ///
+    /// Corrupt storage.
+    pub fn open_sharded(
+        node: NodeId,
+        repo: NodeId,
+        executors: Vec<ExecutorSpec>,
+        config: EngineConfig,
+        storage: impl Into<StableStore>,
+        shard: ShardMap,
+    ) -> Result<Self, EngineError> {
+        let storage = storage.into();
+        debug_assert!(
+            shard.nodes().contains(&node),
+            "shard map must include the node"
+        );
+        let registry = Registry::new();
+        let metrics = CoordMetrics::register(&registry);
+        let recorder = FlightRecorder::new(node.index() as u32, config.recorder_capacity);
+        let mgr = TxManager::open_with_metrics(
+            node.index() as u32,
+            storage.clone(),
+            &registry,
+            config.observe,
+        )?;
+        let sched = Scheduler::new(executors, config.scheduler);
+        Ok(Self {
+            node,
+            repo,
+            sched,
+            costs: CostModel::new(),
+            parked: BTreeMap::new(),
+            park_seq: 0,
+            admission: Admission::default(),
+            membership: Membership::new(shard),
+            config,
+            mgr,
+            storage,
+            instances: BTreeMap::new(),
+            plan_cache: PlanCache::default(),
+            commits: 0,
+            commits_at_checkpoint: 0,
+            window: BatchWindow::default(),
+            dispatch_log: Vec::new(),
+            registry,
+            metrics,
+            recorder,
+        })
+    }
+
+    /// Appends a lifecycle event to the flight recorder (no-op below
+    /// [`ObserveLevel::Trace`]).
+    fn record_event(
+        &self,
+        at_ns: u64,
+        instance: &str,
+        task: Option<&str>,
+        attempt: u32,
+        kind: ObsEventKind,
+    ) {
+        if self.config.observe.trace() {
+            self.recorder.record(at_ns, instance, task, attempt, kind);
+        }
+    }
+
+    fn commit(&mut self, action: flowscript_tx::AtomicAction) -> Result<(), EngineError> {
+        self.mgr.commit(action)?;
+        self.commits += 1;
+        Ok(())
+    }
+
+    /// Writes one control block in an atomic action of its own and
+    /// reports whether it committed — callers move their counters and
+    /// trace events only on `true`.
+    fn commit_cb(&mut self, uid: &ObjectUid, cb: &TaskCb) -> bool {
+        let action = self.mgr.begin();
+        if self.mgr.write(&action, uid, cb).is_err() {
+            self.mgr.abort(action);
+            return false;
+        }
+        self.commit(action).is_ok()
+    }
+
+    /// Checkpoints when the threshold of commits has accumulated since
+    /// the last one. Evaluated once per drain (and after each batch
+    /// flush) rather than per commit, so a group commit can never stall
+    /// mid-batch on a `rewrite_with_checkpoint` — and never while a
+    /// commit group is open.
+    fn maybe_checkpoint(&mut self) -> Result<(), EngineError> {
+        let Some(every) = self.config.checkpoint_every else {
+            return Ok(());
+        };
+        if self.mgr.in_group() || self.commits - self.commits_at_checkpoint < every {
+            return Ok(());
+        }
+        self.commits_at_checkpoint = self.commits;
+        self.gc_plans()?;
+        self.mgr.checkpoint()?;
+        Ok(())
+    }
+
+    fn read_cb(&self, instance: &str, path: &str) -> Option<TaskCb> {
+        self.mgr
+            .read_committed(&cb_uid(instance, path))
+            .ok()
+            .flatten()
+    }
+
+    /// Hot-path control-block read through the interned uid table.
+    fn read_cb_id(&self, keys: &InstanceKeys, task: TaskId) -> Option<TaskCb> {
+        self.mgr.read_committed(keys.cb(task)).ok().flatten()
+    }
+
+    fn read_meta(&self, instance: &str) -> Option<InstanceMeta> {
+        let read = |uid: &ObjectUid| self.mgr.read_committed(uid).ok().flatten();
+        match self.instances.get(instance) {
+            Some(rt) => read(rt.keys.meta()),
+            None => read(&meta_uid(instance)),
+        }
+    }
+
+    /// Refreshes the volatile mirror of the status a commit just wrote
+    /// to `instance`'s meta.
+    fn note_status(&mut self, instance: &str, status: &InstanceStatus) {
+        if let Some(rt) = self.instances.get_mut(instance) {
+            rt.terminal = status.is_terminal();
+        }
+    }
+
+    /// Records `n` control blocks entering a terminal state (stuck
+    /// detection stays O(1) by never recounting).
+    fn note_terminals(&mut self, instance: &str, n: usize) {
+        if let Some(rt) = self.instances.get_mut(instance) {
+            rt.nonterminal = rt.nonterminal.saturating_sub(n);
+        }
+    }
+
+    /// Records `n` control blocks leaving a terminal state (scope
+    /// resets revive terminated constituents).
+    fn note_revived(&mut self, instance: &str, n: usize) {
+        if let Some(rt) = self.instances.get_mut(instance) {
+            rt.nonterminal += n;
+        }
+    }
+}
+
+impl CoordHandle {
+    /// Wraps a coordinator.
+    pub fn new(coordinator: Coordinator) -> Self {
+        Self {
+            inner: Rc::new(RefCell::new(coordinator)),
+        }
+    }
+
+    /// Installs the message handler on the coordinator's node.
+    pub fn install(&self, world: &mut World) {
+        let node = self.inner.borrow().node;
+        let handle = self.clone();
+        world.set_handler(node, move |world, envelope| {
+            handle.handle_message(world, envelope);
+        });
+        let handle = self.clone();
+        world.set_restart_hook(node, move |world, _| {
+            handle.recover(world);
+        });
+    }
+
+    /// Engine counters, materialized from the `coord.*` registry
+    /// entries.
+    pub fn stats(&self) -> CoordStats {
+        self.inner.borrow().metrics.stats()
+    }
+
+    /// This shard's metric registry (counters, gauges, histograms for
+    /// the coordinator, scheduler, transaction manager and WAL).
+    pub fn registry(&self) -> Registry {
+        self.inner.borrow().registry.clone()
+    }
+
+    /// This shard's flight recorder. Empty unless
+    /// [`EngineConfig::observe`] is [`ObserveLevel::Trace`].
+    pub fn recorder(&self) -> FlightRecorder {
+        self.inner.borrow().recorder.clone()
+    }
+
+    /// Ordered dispatch decisions since the coordinator opened (the
+    /// worklist/full-scan equivalence tests compare these verbatim).
+    /// Empty unless [`EngineConfig::record_dispatches`] is set.
+    pub fn dispatch_trace(&self) -> Vec<DispatchRecord> {
+        self.inner.borrow().dispatch_log.clone()
+    }
+
+    /// Current log size in bytes (ablation measurements).
+    pub fn log_size(&self) -> u64 {
+        self.inner.borrow().mgr.log_size()
+    }
+
+    /// Uid prefix scans this coordinator's store has served (the
+    /// stuck-diagnostics regression guard: zero during normal runs).
+    pub fn store_prefix_scans(&self) -> u64 {
+        self.inner.borrow().mgr.prefix_scan_count()
+    }
+
+    /// Fact range scans this coordinator's store has served (the
+    /// per-object regression guard: readiness probes are point reads,
+    /// so a clean run performs none — only repeats, cancellations,
+    /// recovery and reconfiguration legitimately scan).
+    pub fn store_fact_range_scans(&self) -> u64 {
+        self.inner.borrow().mgr.fact_range_scan_count()
+    }
+
+    /// The node this coordinator runs on.
+    pub fn node(&self) -> NodeId {
+        self.inner.borrow().node
+    }
+
+    /// This shard's current view of the executor fleet: per-executor
+    /// location label and in-flight dispatch count (monitoring; the
+    /// scheduling tests assert the counts drain to zero).
+    pub fn executor_loads(&self) -> Vec<ExecutorSlot> {
+        self.inner.borrow().sched.snapshot()
+    }
+
+    fn handle_message(&self, world: &mut World, envelope: &Envelope) {
+        // A fenced shard is a zombie: its storage was claimed by
+        // another node and its instances run there now. Probe the
+        // claim *before* touching any state, so a zombie that never
+        // crashed (a false-positive failure detection) is muzzled at
+        // the door rather than discovering the fence mid-commit with
+        // half-mutated volatile state. Dropped requests time out at
+        // the sender, exactly like a down node.
+        if self.inner.borrow_mut().mgr.probe_fence().is_some() {
+            return;
+        }
+        let Ok(msg) = flowscript_codec::from_bytes::<EngineMsg>(&envelope.payload) else {
+            return; // corrupt message: drop, sender will time out / retry
+        };
+        // A relay unwraps before it re-wraps, so an honest message nests
+        // at most one `Forwarded` deep: unwrap that one layer, without
+        // recursion, and drop anything still wrapped as a routing loop
+        // (however deep the nest, this frame is all it costs).
+        let (msg, hops) = match msg {
+            EngineMsg::Forwarded { hops, inner, .. } => {
+                match flowscript_codec::from_bytes::<EngineMsg>(&inner) {
+                    Ok(EngineMsg::Forwarded { .. }) => {
+                        self.inner.borrow().metrics.forward_loops.inc();
+                        return;
+                    }
+                    Ok(inner) => (inner, hops),
+                    Err(_) => return,
+                }
+            }
+            msg => (msg, 0),
+        };
+        self.deliver(world, envelope, msg, hops);
+    }
+
+    /// Handles one unwrapped engine message that has been relayed
+    /// `hops` times already (0 for a direct send).
+    fn deliver(&self, world: &mut World, envelope: &Envelope, msg: EngineMsg, hops: u32) {
+        match msg {
+            EngineMsg::Done(done) => match self.misdirected(&done.instance) {
+                Some(owner) => {
+                    let instance = done.instance.clone();
+                    self.forward_oneway(world, owner, &instance, EngineMsg::Done(done), hops);
+                }
+                None => self.enqueue_event(world, PendingEvent::Done(done)),
+            },
+            EngineMsg::Mark(mark) => match self.misdirected(&mark.instance) {
+                Some(owner) => {
+                    let instance = mark.instance.clone();
+                    self.forward_oneway(world, owner, &instance, EngineMsg::Mark(mark), hops);
+                }
+                None => self.enqueue_event(world, PendingEvent::Mark(mark)),
+            },
+            EngineMsg::StartInstance {
+                instance,
+                script,
+                version,
+                set,
+                inputs,
+                epoch,
+            } => {
+                let Some(token) = envelope.reply_token() else {
+                    return;
+                };
+                if let Some(owner) = self.misdirected(&instance) {
+                    let relay = EngineMsg::StartInstance {
+                        instance: instance.clone(),
+                        script,
+                        version,
+                        set,
+                        inputs,
+                        epoch,
+                    };
+                    self.forward_start(world, owner, &instance, token, relay, hops);
+                    return;
+                }
+                let ticket = AdmissionTicket {
+                    instance,
+                    script,
+                    version,
+                    set,
+                    inputs,
+                    token,
+                    enqueued_ns: world.now().as_nanos(),
+                };
+                self.admit_or_queue(world, ticket);
+            }
+            EngineMsg::HandoffQuery { tx_node, tx_seq } => {
+                self.on_handoff_query(world, envelope.src, TxId::new(tx_node, tx_seq));
+            }
+            EngineMsg::HandoffVerdict {
+                tx_node,
+                tx_seq,
+                committed,
+            } => {
+                // The source's durable decision for a stage this shard
+                // prepared.
+                let _ = self.handoff_apply(world, TxId::new(tx_node, tx_seq), committed);
+            }
+            _ => {}
+        }
+    }
+
+    /// The release pump: runs after any event that can free executor
+    /// capacity or admission headroom — completed/failed/timed-out
+    /// tasks, terminal instances, hand-offs, recovery — first draining
+    /// the capacity-parked ready queue, then admitting queued starts.
+    /// Never called from inside a drain (dispatch cascades would
+    /// re-enter); the outer event handlers call it exactly once.
+    fn pump(&self, world: &mut World) {
+        self.drain_parked(world);
+        self.admit_from_queue(world);
+    }
+}

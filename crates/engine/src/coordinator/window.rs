@@ -1,0 +1,497 @@
+//! The commit window — the one place an executor report is applied.
+//!
+//! `Done`/`Mark` reports buffer in [`BatchWindow`] until the count or
+//! the timer trigger fires, then `flush_events` applies the whole
+//! window in one atomic action (`stage_event` validates each report
+//! against its control block and stages transition + fact), publishes
+//! the effects and re-evaluates the dependents inside one WAL group.
+//! [`CommitBatch::disabled`](super::CommitBatch::disabled) is this same
+//! path with a window of one.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
+
+use flowscript_core::ast::OutputKind;
+use flowscript_obs::ObsEventKind;
+use flowscript_plan::{Plan, TaskId};
+use flowscript_sim::{SimDuration, World};
+use flowscript_tx::{AtomicAction, StoreKey};
+
+use super::{CoordHandle, Coordinator, EngineConfig};
+use crate::facts;
+use crate::keys::InstanceKeys;
+use crate::msg::{MarkMsg, TaskDone, TaskResult};
+use crate::state::{CbState, TaskCb};
+use crate::value::ObjectVal;
+
+/// An executor report buffered in the commit window.
+#[derive(Debug)]
+pub(super) enum PendingEvent {
+    /// A `TaskDone` report (completion, error or repeat).
+    Done(TaskDone),
+    /// A mid-task mark emission.
+    Mark(MarkMsg),
+}
+
+impl PendingEvent {
+    /// `(instance, path, incarnation, attempt)` of the reporting task.
+    fn address(&self) -> (&String, &String, u32, u32) {
+        match self {
+            PendingEvent::Done(msg) => (&msg.instance, &msg.path, msg.incarnation, msg.attempt),
+            PendingEvent::Mark(msg) => (&msg.instance, &msg.path, msg.incarnation, msg.attempt),
+        }
+    }
+}
+
+/// The post-commit bookkeeping owed for one report staged into a
+/// flush: trace event, terminal accounting, watchdog clearance and the
+/// readiness seed.
+struct StagedEffect {
+    instance: String,
+    path: String,
+    attempt: u32,
+    task_id: TaskId,
+    /// Trace-event payload (``done `x```, ``aborted `x```, ``mark `x```).
+    what: String,
+    is_mark: bool,
+}
+
+/// What staging one buffered report into the window's shared action
+/// concluded.
+enum Staging {
+    /// The transition and its facts are staged in the action.
+    Staged(StagedEffect),
+    /// The report is stale or a duplicate: dropped on the floor.
+    Consumed,
+    /// Valid but not a plain transition (error retries, repeats,
+    /// undeclared outputs): `on_task_done` handles it after the window
+    /// commits.
+    Slow,
+    /// A storage fault: abort the shared action; each report of the
+    /// window then retries alone.
+    Error,
+}
+
+/// What the window asks of its owner after buffering a report.
+#[derive(Debug, PartialEq, Eq)]
+enum Next {
+    /// The count trigger fired: flush now.
+    Flush,
+    /// First report of a window: arm the one-shot flush timer.
+    Arm(SimDuration),
+    /// A timer is already outstanding.
+    Wait,
+}
+
+/// The open commit window of one shard. Volatile by design: a crash
+/// loses the open window as a unit, exactly as if the messages were
+/// still in the network.
+pub(super) struct BatchWindow {
+    /// Buffered reports, in arrival order.
+    pending: Vec<PendingEvent>,
+    /// Whether a flush timer is outstanding.
+    armed: bool,
+    /// Next batch id (per-shard; trace events carry it so coalesced
+    /// completions are visible in `WorkflowSystem::trace`).
+    batch_seq: u64,
+    /// The batch id commits currently run under, if a flush is active.
+    current_batch: Option<u64>,
+    /// Report inter-arrival EWMA in virtual nanoseconds (adaptive
+    /// window tuning; `u64::MAX` until the second report).
+    arrival_gap_ns: u64,
+    /// Virtual time of the last buffered report.
+    last_report_ns: u64,
+}
+
+impl Default for BatchWindow {
+    fn default() -> Self {
+        Self {
+            pending: Vec::new(),
+            armed: false,
+            batch_seq: 0,
+            current_batch: None,
+            arrival_gap_ns: u64::MAX,
+            last_report_ns: 0,
+        }
+    }
+}
+
+impl BatchWindow {
+    /// Buffers one report arriving at `now_ns`. The first report of a
+    /// window arms a one-shot timer so a lone report still commits
+    /// within the window; reaching `max_events` flushes at once.
+    fn push(&mut self, event: PendingEvent, now_ns: u64, config: &EngineConfig) -> Next {
+        // Fold the arrival into the inter-arrival EWMA (same 1/4 gain
+        // as the cost model). The very first report only seeds the
+        // clock — a gap measured from time zero is noise.
+        if config.adaptive_min_window.is_some() {
+            if self.last_report_ns != 0 {
+                let gap = now_ns.saturating_sub(self.last_report_ns);
+                self.arrival_gap_ns = if self.arrival_gap_ns == u64::MAX {
+                    gap
+                } else {
+                    ((u128::from(self.arrival_gap_ns) * 3 + u128::from(gap)) / 4) as u64
+                };
+            }
+            self.last_report_ns = now_ns;
+        }
+        self.pending.push(event);
+        if self.pending.len() >= config.commit_batch.max_events {
+            Next::Flush
+        } else if self.armed {
+            Next::Wait
+        } else {
+            self.armed = true;
+            Next::Arm(self.effective_window(config))
+        }
+    }
+
+    /// The window to arm right now. Static configs return
+    /// `max_window` unchanged; with `adaptive_min_window` set, a
+    /// bursty report stream (mean gap ≤ ¼ of the full window) holds the
+    /// full window to amortize the flush, while light load narrows to
+    /// the floor so a lone report commits sooner.
+    fn effective_window(&self, config: &EngineConfig) -> SimDuration {
+        let max = config.commit_batch.max_window;
+        let Some(min) = config.adaptive_min_window else {
+            return max;
+        };
+        if self.arrival_gap_ns <= max.as_nanos() / 4 {
+            max
+        } else {
+            min.min(max)
+        }
+    }
+
+    /// The flush timer fired: whether anything is left to flush (the
+    /// stale timer of a window the count trigger already flushed finds
+    /// an empty buffer).
+    fn timer_fired(&mut self) -> bool {
+        self.armed = false;
+        !self.pending.is_empty()
+    }
+
+    /// Whether the completion of exactly this dispatch is buffered —
+    /// its transition just hasn't committed yet, and the watchdog must
+    /// not turn a report-in-flight into a spurious retry.
+    pub(super) fn holds_done(
+        &self,
+        instance: &str,
+        path: &str,
+        incarnation: u32,
+        attempt: u32,
+    ) -> bool {
+        self.pending.iter().any(|event| match event {
+            PendingEvent::Done(msg) => {
+                msg.instance == instance
+                    && msg.path == path
+                    && msg.incarnation == incarnation
+                    && msg.attempt == attempt
+            }
+            PendingEvent::Mark(_) => false,
+        })
+    }
+
+    /// The window died with the process: unflushed reports are lost as
+    /// a unit (executors re-report via watchdog retries), no flush is
+    /// active and the arrival clock restarts. Batch ids keep counting —
+    /// the flight recorder they stamp spans the crash.
+    pub(super) fn reset(&mut self) {
+        *self = Self {
+            batch_seq: self.batch_seq,
+            ..Self::default()
+        };
+    }
+}
+
+impl Coordinator {
+    /// A `Commit` trace event stamped with the active batch id, so
+    /// traces show which completions coalesced into one flush.
+    pub(super) fn commit_event(&self, what: String) -> ObsEventKind {
+        ObsEventKind::Commit {
+            what,
+            batch: self.window.current_batch,
+        }
+    }
+
+    /// Validates one buffered report against its control block and
+    /// stages transition + fact into the window's shared `action`. The
+    /// block is read *through the action*, so a transition staged by an
+    /// earlier report of the same window is visible — duplicates and
+    /// stale attempts are consumed exactly as they would be had the
+    /// earlier report committed first.
+    fn stage_event(
+        &mut self,
+        action: &AtomicAction,
+        event: &PendingEvent,
+        plan: &Plan,
+        keys: &InstanceKeys,
+        task_id: TaskId,
+    ) -> Staging {
+        let (instance, path, incarnation, attempt) = event.address();
+        let mut cb = match self.mgr.read::<TaskCb>(action, keys.cb(task_id)) {
+            Ok(Some(cb)) => cb,
+            Ok(None) => return Staging::Consumed,
+            Err(_) => return Staging::Error,
+        };
+        if !matches!(cb.state, CbState::Executing { .. })
+            || cb.incarnation != incarnation
+            || cb.attempt != attempt
+        {
+            return Staging::Consumed;
+        }
+        let class = plan.class_of(plan.task(task_id));
+        let (name, objects, what) = match event {
+            PendingEvent::Done(msg) => {
+                let TaskResult::Output { name, objects, .. } = &msg.result else {
+                    return Staging::Slow; // error retry: per-report bookkeeping
+                };
+                let outcome = name.clone();
+                let (state, verb) = match plan.class_output(class, name).map(|o| o.kind) {
+                    Some(OutputKind::Outcome) => (CbState::Done { outcome }, "done"),
+                    Some(OutputKind::AbortOutcome) => (CbState::Aborted { outcome }, "aborted"),
+                    // Undeclared outputs, mark-as-completion and repeats
+                    // take their failure/retry paths post-commit.
+                    _ => return Staging::Slow,
+                };
+                cb.transition(state);
+                (name, objects, format!("{verb} `{name}`"))
+            }
+            PendingEvent::Mark(msg) => {
+                let declared = plan
+                    .class_output(class, &msg.mark)
+                    .is_some_and(|output| output.kind == OutputKind::Mark);
+                if !declared || cb.mark_emitted(&msg.mark) {
+                    return Staging::Consumed;
+                }
+                cb.marks_emitted.push(msg.mark.clone());
+                (&msg.mark, &msg.objects, format!("mark `{}`", msg.mark))
+            }
+        };
+        let Some(out_key) = keys.out_key(plan, task_id, name) else {
+            return Staging::Consumed;
+        };
+        let stamped: BTreeMap<String, ObjectVal> = objects
+            .iter()
+            .map(|(k, v)| (k.clone(), v.clone().produced_by(path.clone())))
+            .collect();
+        let whole = self.config.whole_record_facts;
+        let write = self.mgr.write(action, keys.cb(task_id), &cb).and_then(|_| {
+            facts::write_fact_map(&mut self.mgr, action, plan, out_key, &stamped, whole)
+        });
+        match write {
+            Ok(()) => Staging::Staged(StagedEffect {
+                instance: instance.clone(),
+                path: path.clone(),
+                attempt,
+                task_id,
+                what,
+                is_mark: matches!(event, PendingEvent::Mark(_)),
+            }),
+            Err(_) => Staging::Error,
+        }
+    }
+}
+
+impl CoordHandle {
+    /// Buffers an executor report into the open window, flushing when
+    /// the count trigger fires and arming the flush timer on the first
+    /// report of a window.
+    pub(super) fn enqueue_event(&self, world: &mut World, event: PendingEvent) {
+        let (next, node) = {
+            let mut coordinator = self.inner.borrow_mut();
+            let coordinator = &mut *coordinator;
+            let next = coordinator
+                .window
+                .push(event, world.now().as_nanos(), &coordinator.config);
+            (next, coordinator.node)
+        };
+        match next {
+            Next::Flush => self.flush_pending(world),
+            Next::Arm(window) => {
+                let handle = self.clone();
+                world.schedule_node_after(node, window, move |world| {
+                    handle.on_batch_window(world);
+                });
+            }
+            Next::Wait => {}
+        }
+    }
+
+    /// The flush timer elapsed: flush whatever accumulated.
+    fn on_batch_window(&self, world: &mut World) {
+        {
+            let mut coordinator = self.inner.borrow_mut();
+            // A fenced coordinator is a zombie: another node claimed its
+            // storage. Buffered reports die with it — the claimant's
+            // copies are the truth now (same muzzle as
+            // `handle_message`, for the timer entry points).
+            if coordinator.mgr.probe_fence().is_some() {
+                return;
+            }
+            if !coordinator.window.timer_fired() {
+                return;
+            }
+        }
+        self.flush_pending(world);
+    }
+
+    /// Commits the open window immediately, if it holds any reports.
+    /// Admin entry points (reconfiguration, operator abort, fact
+    /// repair) and hand-off collection call this first so their reads
+    /// and cascades see every report that already arrived.
+    pub(super) fn flush_pending(&self, world: &mut World) {
+        let events = std::mem::take(&mut self.inner.borrow_mut().window.pending);
+        if !events.is_empty() {
+            self.flush_events(world, events);
+        }
+    }
+
+    /// Commits `events` as one window: a single atomic action over the
+    /// union of touched control blocks (locks taken in deterministic
+    /// [`StoreKey`] order), a single WAL group frame covering the
+    /// reports *and* the readiness cascade they trigger, and one
+    /// consumer-seeded re-evaluation per touched instance. Reports the
+    /// shared action cannot absorb (error retries, repeats, undeclared
+    /// outputs) run through `on_task_done` after it commits — still
+    /// inside the WAL group, serialized as if they had arrived just
+    /// after it.
+    fn flush_events(&self, world: &mut World, events: Vec<PendingEvent>) {
+        {
+            let mut coordinator = self.inner.borrow_mut();
+            let id = coordinator.window.batch_seq;
+            coordinator.window.batch_seq += 1;
+            coordinator.window.current_batch = Some(id);
+            if coordinator.config.observe.metrics() {
+                coordinator.metrics.batch_size.record(events.len() as u64);
+            }
+            coordinator.mgr.begin_group();
+        }
+
+        // Per-event plan context, and the key union for the lock
+        // pre-pass.
+        type EventCtx = Option<(Rc<Plan>, Rc<InstanceKeys>, TaskId)>;
+        let mut contexts: Vec<EventCtx> = Vec::with_capacity(events.len());
+        let mut cb_keys: BTreeSet<StoreKey> = BTreeSet::new();
+        for event in &events {
+            let (instance, path, ..) = event.address();
+            let ctx = self.instance_ctx(instance).and_then(|(plan, keys)| {
+                let task = plan.task_by_path(path)?;
+                Some((plan, keys, task))
+            });
+            if let Some((_, keys, task)) = &ctx {
+                cb_keys.insert(StoreKey::from(keys.cb(*task)));
+            }
+            contexts.push(ctx);
+        }
+
+        let mut staged: Vec<StagedEffect> = Vec::new();
+        let mut slow: BTreeSet<usize> = BTreeSet::new();
+        let committed = {
+            let mut coordinator = self.inner.borrow_mut();
+            let action = coordinator.mgr.begin();
+            // One ordered pass acquires every control-block lock before
+            // any transition stages.
+            let mut ok = cb_keys
+                .iter()
+                .all(|key| coordinator.mgr.read_key_raw(&action, key).is_ok());
+            if ok {
+                for (idx, (event, ctx)) in events.iter().zip(&contexts).enumerate() {
+                    let Some((plan, keys, task)) = ctx else {
+                        continue; // unknown instance or path: dropped, as ever
+                    };
+                    match coordinator.stage_event(&action, event, plan, keys, *task) {
+                        Staging::Staged(effect) => staged.push(effect),
+                        Staging::Consumed => {}
+                        Staging::Slow => {
+                            slow.insert(idx);
+                        }
+                        Staging::Error => {
+                            ok = false;
+                            break;
+                        }
+                    }
+                }
+            }
+            if ok {
+                coordinator.commit(action).is_ok()
+            } else {
+                coordinator.mgr.abort(action);
+                false
+            }
+        };
+
+        let retry = if committed {
+            let now_ns = world.now().as_nanos();
+            let mut touched: Vec<(String, Vec<TaskId>)> = Vec::new();
+            {
+                let mut coordinator = self.inner.borrow_mut();
+                for effect in &staged {
+                    if effect.is_mark {
+                        coordinator.metrics.marks.inc();
+                    } else {
+                        coordinator.note_terminals(&effect.instance, 1);
+                    }
+                    let kind = coordinator.commit_event(effect.what.clone());
+                    coordinator.record_event(
+                        now_ns,
+                        &effect.instance,
+                        Some(&effect.path),
+                        effect.attempt,
+                        kind,
+                    );
+                    match touched
+                        .iter_mut()
+                        .find(|(name, _)| name == &effect.instance)
+                    {
+                        Some((_, tasks)) => tasks.push(effect.task_id),
+                        None => touched.push((effect.instance.clone(), vec![effect.task_id])),
+                    }
+                }
+            }
+            // Completed dispatches release their watchdogs and load
+            // *before* the cascade dispatches anything new.
+            for effect in &staged {
+                if !effect.is_mark {
+                    let _ = self.clear_watch(world, &effect.instance, &effect.path);
+                }
+            }
+            // One readiness pass per touched instance, seeded from the
+            // union of its completions (first-touch arrival order).
+            for (instance, tasks) in &touched {
+                self.evaluate_from(world, instance, tasks);
+            }
+            // The leftovers run inside the same WAL group, as if they
+            // had arrived right after the window.
+            for (idx, event) in events.into_iter().enumerate() {
+                if let (true, PendingEvent::Done(msg)) = (slow.contains(&idx), event) {
+                    self.on_task_done(world, msg);
+                }
+            }
+            Vec::new()
+        } else {
+            events
+        };
+
+        {
+            let mut coordinator = self.inner.borrow_mut();
+            let _ = coordinator.mgr.end_group();
+            coordinator.window.current_batch = None;
+        }
+        // The shared action rolled back, so committed state is
+        // untouched: each report retries as a window of its own. A
+        // window of one that still aborts drops its report — to the
+        // executor's watchdog it is a message lost in the network.
+        if retry.len() > 1 {
+            for event in retry {
+                self.flush_events(world, vec![event]);
+            }
+            return;
+        }
+        let _ = self.inner.borrow_mut().maybe_checkpoint();
+        // A flushed window both frees executor slots (completions) and
+        // settles instances — revisit parked dispatches and the
+        // admission queue.
+        self.pump(world);
+    }
+}

@@ -281,7 +281,7 @@ fn run_nested_script(
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
         nested
-            .start_with("nested-run", "nested", &start.set, inputs)
+            .start("nested-run", "nested", &start.set, inputs)
             .map_err(|e| format!("nested start failed: {e}"))?;
         nested.run();
         let elapsed = nested.now().since(flowscript_sim::SimTime::ZERO);

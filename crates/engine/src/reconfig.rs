@@ -10,11 +10,11 @@
 //! atomic action.
 
 use flowscript_codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
+use flowscript_core::parse_task_decl;
 use flowscript_core::schema::{
     compile_task_fragment, CompiledCond, CompiledNotification, CompiledScope, CompiledSource,
     Schema, TaskBody,
 };
-use flowscript_core::{ast::OutputKind, parse_task_decl};
 
 use crate::error::EngineError;
 
@@ -529,12 +529,6 @@ fn collect_paths(task: &flowscript_core::schema::CompiledTask, path: &str, out: 
             collect_paths(child, &format!("{path}/{}", child.name), out);
         }
     }
-}
-
-/// Marker: which output kinds may source reconfigured dependencies.
-#[allow(dead_code)]
-fn sourceable(kind: OutputKind) -> bool {
-    kind != OutputKind::RepeatOutcome
 }
 
 #[cfg(test)]

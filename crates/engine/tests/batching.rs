@@ -13,7 +13,7 @@
 
 mod common;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use common::{
     bind_order, build, det_link, fingerprints, generated_config, generated_script, population,
@@ -95,59 +95,67 @@ fn batch_metrics_flow_through_registry_and_exports() {
 }
 
 #[test]
-fn unbatched_arm_writes_no_group_frames() {
+fn reference_arm_flushes_every_report_alone() {
     let mut sys = build(1, arm_config(CommitBatch::disabled()));
     start_population(&mut sys, &population());
     sys.run();
     let snapshot = sys.metrics_snapshot();
+    let batch_size = snapshot
+        .histogram("coord.batch_size")
+        .expect("the window of one flushes through the same pipeline");
     assert_eq!(
-        snapshot.counter("tx.group_commits"),
-        0,
-        "the baseline arm must reproduce one-frame-per-commit exactly"
+        (batch_size.max, batch_size.sum),
+        (1, batch_size.count),
+        "every window of the reference arm holds exactly one report"
     );
-    assert_eq!(
-        snapshot
-            .histogram("coord.batch_size")
-            .map(|h| h.count)
-            .unwrap_or(0),
-        0,
-        "no batch ever forms with batching off"
+    // One flush per report: every dispatch was answered, and each
+    // answer flushed alone (marks only add to the count).
+    assert!(
+        batch_size.count >= sys.stats().dispatches,
+        "{} flushes for {} dispatches",
+        batch_size.count,
+        sys.stats().dispatches
     );
 }
 
 #[test]
 fn commit_trace_events_carry_batch_ids() {
-    let run = |batch: CommitBatch| -> Vec<Option<u64>> {
+    // The instances whose commits each batch id stamped. A flush stamps
+    // the reports it applies and the cascade they trigger.
+    let run = |batch: CommitBatch| -> BTreeMap<u64, BTreeSet<String>> {
         let mut config = arm_config(batch);
         config.observe = ObserveLevel::Trace;
         let mut sys = build(1, config);
         start_population(&mut sys, &population());
         sys.run();
-        population()
-            .into_iter()
-            .flat_map(|name| sys.trace(&name))
-            .filter_map(|event| match event.kind {
-                ObsEventKind::Commit { batch, .. } => Some(batch),
-                _ => None,
-            })
-            .collect()
+        let mut stamped: BTreeMap<u64, BTreeSet<String>> = BTreeMap::new();
+        for event in population().iter().flat_map(|name| sys.trace(name)) {
+            if let ObsEventKind::Commit {
+                batch: Some(id), ..
+            } = event.kind
+            {
+                stamped.entry(id).or_default().insert(event.instance);
+            }
+        }
+        stamped
     };
     let batched = run(CommitBatch::default());
-    assert!(!batched.is_empty(), "commits must be traced");
     assert!(
-        batched.iter().any(|batch| batch.is_some()),
-        "batched commits must be stamped with their flush's id"
+        !batched.is_empty(),
+        "commits must be stamped with their flush's id"
     );
-    let stamped: Vec<u64> = batched.into_iter().flatten().collect();
     assert!(
-        stamped.windows(2).any(|w| w[0] == w[1]),
-        "some batch id must cover more than one commit (coalescing visible in traces)"
+        batched.values().any(|instances| instances.len() > 1),
+        "some batch id must cover reports of more than one instance (coalescing visible in traces)"
     );
-    let unbatched = run(CommitBatch::disabled());
-    assert!(!unbatched.is_empty(), "commits must be traced");
+    let reference = run(CommitBatch::disabled());
     assert!(
-        unbatched.iter().all(|batch| batch.is_none()),
-        "the baseline arm has no batches to stamp"
+        !reference.is_empty(),
+        "the window of one stamps its commits like any other"
+    );
+    assert!(
+        reference.values().all(|instances| instances.len() == 1),
+        "a window of one holds one report, so its id never spans instances"
     );
 }
 
