@@ -6,12 +6,12 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use flowscript_core::ast::OutputKind;
-use flowscript_core::schema;
 use flowscript_obs::ObsEventKind;
 use flowscript_plan::Plan;
 use flowscript_sim::World;
 use flowscript_tx::StoreKey;
 
+use super::lifecycle::count_nonterminal;
 use super::meta::{bind_uid, plan_uid, reconfig_uid};
 use super::{CoordHandle, InstanceStatus};
 use crate::error::EngineError;
@@ -214,27 +214,14 @@ impl CoordHandle {
             // Materialize the schema on demand: an instance started
             // from a served plan never compiled one. Replay any
             // previously persisted reconfigurations so it is current.
-            let current = match coordinator
+            let mut schema = match coordinator
                 .instances
                 .get(instance)
                 .and_then(|rt| rt.schema.clone())
             {
-                Some(schema) => schema,
-                None => {
-                    let mut schema = schema::compile_source(&meta.source, &meta.root)?;
-                    for op_uid in coordinator
-                        .mgr
-                        .uids_with_prefix(&format!("inst/{instance}/reconfig/"))
-                    {
-                        if let Ok(Some(past)) = coordinator.mgr.read_committed::<Reconfig>(&op_uid)
-                        {
-                            let _ = reconfig::apply(&mut schema, &past);
-                        }
-                    }
-                    Rc::new(schema)
-                }
+                Some(schema) => (*schema).clone(),
+                None => coordinator.rebuild_schema(instance, &meta)?,
             };
-            let mut schema = (*current).clone();
             let effects = reconfig::apply(&mut schema, &op)?;
             let (old_plan, old_keys) = {
                 let rt = coordinator.instances.get(instance).expect("checked above");
@@ -299,6 +286,9 @@ impl CoordHandle {
                 coordinator.admission.instance_live();
             }
             coordinator.metrics.reconfigs.inc();
+            // The plan (and possibly the task set) changed: recount the
+            // non-terminal blocks instead of patching deltas.
+            let nonterminal = count_nonterminal(&coordinator.mgr, &new_plan, &new_keys);
             let rt = coordinator
                 .instances
                 .get_mut(instance)
@@ -306,12 +296,10 @@ impl CoordHandle {
             rt.plan = Rc::new(new_plan);
             rt.keys = Rc::new(new_keys);
             rt.schema = Some(Rc::new(schema));
+            rt.nonterminal = nonterminal;
             if let Reconfig::Rebind { code, to } = &op {
                 rt.bindings.insert(code.clone(), to.clone());
             }
-            // The plan (and possibly the task set) changed: recount the
-            // non-terminal blocks instead of patching deltas.
-            coordinator.recount_nonterminal(instance);
             // The old fingerprint may now be orphaned — reclaim it
             // right away rather than waiting for the next checkpoint
             // (an idle instance would strand it forever).

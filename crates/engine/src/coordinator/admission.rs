@@ -53,13 +53,6 @@ impl Admission {
         self.live = self.live.saturating_sub(1);
     }
 
-    /// The queue and the counts died with the process: queued starts
-    /// are the client's to retry — their reply tokens are gone — and
-    /// recovery recounts occupancy from the persisted metas.
-    pub(super) fn reset(&mut self) {
-        *self = Self::default();
-    }
-
     fn occupancy(&self) -> usize {
         self.live + self.starting
     }
@@ -156,31 +149,22 @@ impl CoordHandle {
     /// Runs one admitted start: fetches the script from the repository,
     /// then compiles and launches, and answers the client either way.
     fn on_start_instance(&self, world: &mut World, ticket: AdmissionTicket) {
-        let AdmissionTicket {
-            instance,
-            script,
-            version,
-            set,
-            inputs,
-            token,
-            ..
-        } = ticket;
         let (node, repo) = {
             let coordinator = self.inner.borrow();
             (coordinator.node, coordinator.repo)
         };
-        if self.inner.borrow().instances.contains_key(&instance)
-            || self.inner.borrow().read_meta(&instance).is_some()
+        if self.inner.borrow().instances.contains_key(&ticket.instance)
+            || self.inner.borrow().read_meta(&ticket.instance).is_some()
         {
             let reply = EngineMsg::Ack {
-                result: Err(format!("instance `{instance}` already exists")),
+                result: Err(format!("instance `{}` already exists", ticket.instance)),
             };
-            world.rpc_reply_to(token, flowscript_codec::to_bytes(&reply));
+            world.rpc_reply_to(ticket.token, flowscript_codec::to_bytes(&reply));
             return;
         }
         let get = EngineMsg::RepoGet {
-            name: script.clone(),
-            version,
+            name: ticket.script.clone(),
+            version: ticket.version,
         };
         // The start occupies an admission slot for the whole repository
         // round-trip — otherwise a burst of starts all admitted before
@@ -218,12 +202,12 @@ impl CoordHandle {
                             handle
                                 .start_instance_full(
                                     world,
-                                    &instance,
-                                    &script,
+                                    &ticket.instance,
+                                    &ticket.script,
                                     &source,
                                     &root,
-                                    &set,
-                                    inputs.clone(),
+                                    &ticket.set,
+                                    ticket.inputs,
                                     served,
                                     Some(stored_version),
                                 )
@@ -236,7 +220,7 @@ impl CoordHandle {
                     },
                 };
                 let reply = EngineMsg::Ack { result };
-                world.rpc_reply_to(token, flowscript_codec::to_bytes(&reply));
+                world.rpc_reply_to(ticket.token, flowscript_codec::to_bytes(&reply));
                 // A failed start frees its reserved slot; a successful
                 // one may still have room under the cap. Either way the
                 // queue head gets another look.

@@ -15,7 +15,7 @@ use crate::facts;
 use crate::keys::cb_uid;
 use crate::msg::{EngineMsg, StartTask, TaskDone, TaskResult};
 use crate::sched::ImplHints;
-use crate::state::CbState;
+use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
 
 /// Scheduler accounting for one outstanding dispatch: where it went,
@@ -132,6 +132,19 @@ impl Coordinator {
         stale
     }
 
+    /// The committed control blocks of `instance` sitting in
+    /// `Executing`, by task id: what a restart re-dispatches and an
+    /// adoption re-arms watchdogs for.
+    pub(super) fn executing(&self, instance: &str) -> Vec<(TaskId, TaskCb)> {
+        let Some(rt) = self.instances.get(instance) else {
+            return Vec::new();
+        };
+        (0..rt.plan.tasks.len() as TaskId)
+            .filter_map(|id| Some((id, self.read_cb_id(&rt.keys, id)?)))
+            .filter(|(_, cb)| matches!(cb.state, CbState::Executing { .. }))
+            .collect()
+    }
+
     /// Drops every parked dispatch of `instance` (instance hand-off or
     /// purge — the new owner re-dispatches from its own committed
     /// control blocks).
@@ -231,30 +244,19 @@ impl CoordHandle {
             };
             let plan = rt.plan.clone();
             let keys = rt.keys.clone();
-            let (task_id, cb) = match plan.task_by_path(path) {
-                Some(task_id) => match coordinator.read_cb_id(&keys, task_id) {
-                    Some(cb) => (task_id, cb),
-                    None => {
-                        // Only a mid-flight reconfiguration can drop the
-                        // control block of a scheduled dispatch.
-                        coordinator.metrics.dropped_dispatches.inc();
-                        debug_assert!(
-                            coordinator.metrics.reconfigs.get() > 0,
-                            "dispatch dropped `{path}` of `{instance}`: control block \
-                             missing without any reconfiguration"
-                        );
-                        return;
-                    }
-                },
-                None => {
-                    coordinator.metrics.dropped_dispatches.inc();
-                    debug_assert!(
-                        coordinator.metrics.reconfigs.get() > 0,
-                        "dispatch dropped `{path}` of `{instance}`: task missing from \
-                         the plan without any reconfiguration"
-                    );
-                    return;
-                }
+            let found = plan
+                .task_by_path(path)
+                .and_then(|id| Some((id, coordinator.read_cb_id(&keys, id)?)));
+            let Some((task_id, cb)) = found else {
+                // Only a mid-flight reconfiguration can drop the task or
+                // the control block of a scheduled dispatch.
+                coordinator.metrics.dropped_dispatches.inc();
+                debug_assert!(
+                    coordinator.metrics.reconfigs.get() > 0,
+                    "dispatch dropped `{path}` of `{instance}`: task or control block \
+                     missing without any reconfiguration"
+                );
+                return;
             };
             let task = plan.task(task_id);
             let CbState::Executing { set } = cb.state.clone() else {

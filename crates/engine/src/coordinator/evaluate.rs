@@ -1,19 +1,28 @@
 //! Evaluation — the back half of the commit pipeline: each committed
 //! fact seeds a worklist from the plan's reverse edges, and the drain
 //! re-tests input-set satisfaction, activates what became startable and
-//! re-checks scope outputs until the instance is quiescent.
+//! re-checks compound scopes' outputs (a mark, a terminal outcome
+//! cancelling whatever is still live below, or the scope-level repeat
+//! of fig. 8) until the instance is quiescent — then checks it is not
+//! stuck (and, in debug builds, that a full scan agrees nothing was
+//! missed).
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use flowscript_core::ast::OutputKind;
+use flowscript_obs::ObsEventKind;
 use flowscript_plan::{eval as plan_eval, Plan, StrId, TaskId, Worklist};
 use flowscript_sim::World;
+use flowscript_tx::{AtomicAction, StableStore, StoreKey, TxManager};
 
-use super::CoordHandle;
+#[cfg(debug_assertions)]
+use super::lifecycle::count_nonterminal;
+use super::{CoordHandle, Coordinator, InstanceStatus, Outcome};
+use crate::error::EngineError;
 use crate::facts::{self, StoreFacts};
 use crate::keys::InstanceKeys;
-use crate::state::CbState;
+use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
 
 impl CoordHandle {
@@ -170,7 +179,7 @@ impl CoordHandle {
                     );
                     let satisfied = plan_eval::eval_task_inputs(plan, task_id, &facts);
                     match facts.take_fault() {
-                        Some(fault) => Err(fault),
+                        Some(fault) => Err(format!("fact storage fault: {fault}")),
                         None => Ok(satisfied),
                     }
                 }
@@ -179,9 +188,9 @@ impl CoordHandle {
         };
         let activation = match activation {
             Err(fault) => {
-                // A corrupt fact record must not read as "fact absent"
-                // and silently mis-evaluate readiness.
-                self.fail_instance_storage(world, instance, keys, &fault);
+                self.inner
+                    .borrow_mut()
+                    .park_stuck(world.now().as_nanos(), instance, keys, fault);
                 return;
             }
             Ok(activation) => activation,
@@ -304,13 +313,15 @@ impl CoordHandle {
             );
             let satisfied = plan_eval::eval_scope_outputs(plan, scope_id, &facts);
             match facts.take_fault() {
-                Some(fault) => Err(fault),
+                Some(fault) => Err(format!("fact storage fault: {fault}")),
                 None => Ok(satisfied),
             }
         };
         let satisfied = match satisfied {
             Err(fault) => {
-                self.fail_instance_storage(world, instance, keys, &fault);
+                self.inner
+                    .borrow_mut()
+                    .park_stuck(world.now().as_nanos(), instance, keys, fault);
                 return;
             }
             Ok(satisfied) => satisfied,
@@ -355,4 +366,559 @@ impl CoordHandle {
             }
         }
     }
+
+    #[allow(clippy::too_many_arguments)]
+    fn emit_scope_mark(
+        &self,
+        now_ns: u64,
+        instance: &str,
+        plan: &Plan,
+        keys: &InstanceKeys,
+        scope_id: TaskId,
+        out_idx: usize,
+        mapped: &[(StrId, ObjectVal)],
+    ) -> Result<(), EngineError> {
+        let output = &plan.outputs[out_idx];
+        let mark = plan.str(output.name);
+        let scope_path = plan.str(plan.task(scope_id).path);
+        let out_key = keys
+            .out_key(plan, scope_id, mark)
+            .ok_or_else(|| EngineError::UnknownTask(scope_path.to_string()))?;
+        let mut coordinator = self.inner.borrow_mut();
+        let Some(mut cb) = coordinator.read_cb_id(keys, scope_id) else {
+            return Err(EngineError::UnknownTask(scope_path.to_string()));
+        };
+        cb.marks_emitted.push(mark.to_string());
+        let whole = coordinator.config.whole_record_facts;
+        let action = coordinator.mgr.begin();
+        coordinator.mgr.write(&action, keys.cb(scope_id), &cb)?;
+        facts::write_fact_bound(
+            &mut coordinator.mgr,
+            &action,
+            plan,
+            out_key,
+            output.slots,
+            mapped,
+            whole,
+        )?;
+        coordinator.commit(action)?;
+        // Count the mark only now that it committed.
+        coordinator.metrics.marks.inc();
+        coordinator.record_event(
+            now_ns,
+            instance,
+            Some(scope_path),
+            cb.attempt,
+            coordinator.commit_event(format!("mark `{mark}`")),
+        );
+        Ok(())
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn terminate_scope(
+        &self,
+        world: &mut World,
+        instance: &str,
+        plan: &Plan,
+        keys: &InstanceKeys,
+        scope_id: TaskId,
+        out_idx: usize,
+        kind: OutputKind,
+        mapped: Vec<(StrId, ObjectVal)>,
+    ) {
+        let output = &plan.outputs[out_idx];
+        let outcome_name = plan.str(output.name);
+        let scope_path = plan.str(plan.task(scope_id).path);
+        let is_root = !scope_path.contains('/');
+        let Some(out_key) = keys.out_key(plan, scope_id, outcome_name) else {
+            return;
+        };
+        {
+            let mut coordinator = self.inner.borrow_mut();
+            let Some(mut cb) = coordinator.read_cb_id(keys, scope_id) else {
+                return;
+            };
+            cb.transition(if kind == OutputKind::Outcome {
+                CbState::Done {
+                    outcome: outcome_name.to_string(),
+                }
+            } else {
+                CbState::Aborted {
+                    outcome: outcome_name.to_string(),
+                }
+            });
+            let whole = coordinator.config.whole_record_facts;
+            let action = coordinator.mgr.begin();
+            let mut ok = coordinator
+                .mgr
+                .write(&action, keys.cb(scope_id), &cb)
+                .is_ok()
+                && facts::write_fact_bound(
+                    &mut coordinator.mgr,
+                    &action,
+                    plan,
+                    out_key,
+                    output.slots,
+                    &mapped,
+                    whole,
+                )
+                .is_ok();
+            // Cancel every non-terminal descendant (one flat subtree
+            // scan — DFS pre-order keeps descendants contiguous).
+            let mut terminal_delta = 1; // the scope itself
+            if ok {
+                match cancel_descendants(&mut coordinator.mgr, &action, keys, plan, scope_id) {
+                    Ok(cancelled) => terminal_delta += cancelled,
+                    Err(_) => ok = false,
+                }
+            }
+            let mut root_status = None;
+            if ok && is_root {
+                if let Some(mut meta) = coordinator.read_meta(instance) {
+                    meta.status = InstanceStatus::Completed(Outcome {
+                        name: outcome_name.to_string(),
+                        kind,
+                        objects: facts::bound_map(plan, &mapped),
+                    });
+                    ok = coordinator.mgr.write(&action, keys.meta(), &meta).is_ok();
+                    root_status = Some(meta.status);
+                }
+            }
+            if ok {
+                if coordinator.commit(action).is_ok() {
+                    coordinator.note_terminals(instance, terminal_delta);
+                    if let Some(status) = &root_status {
+                        coordinator.note_status(instance, status);
+                    }
+                    if is_root {
+                        // The instance just completed: its admission
+                        // slot frees for a queued start.
+                        coordinator.admission.instance_settled();
+                    }
+                    let verb = if kind == OutputKind::Outcome {
+                        "done"
+                    } else {
+                        "aborted"
+                    };
+                    let event = if is_root {
+                        ObsEventKind::Terminal {
+                            outcome: format!("{verb} `{outcome_name}`"),
+                        }
+                    } else {
+                        coordinator.commit_event(format!("{verb} `{outcome_name}`"))
+                    };
+                    coordinator.record_event(
+                        world.now().as_nanos(),
+                        instance,
+                        Some(scope_path),
+                        0,
+                        event,
+                    );
+                }
+            } else {
+                coordinator.mgr.abort(action);
+            }
+        }
+        // Drop volatile tracking for the whole subtree.
+        let watchdogs = self.inner.borrow_mut().sweep_subtree(instance, scope_path);
+        for (_, id) in watchdogs {
+            world.cancel(id);
+        }
+    }
+
+    /// Scope-level repeat (Fig. 8): publish the repeat fact, reset the
+    /// subtree and let the compound rebind its inputs.
+    #[allow(clippy::too_many_arguments)]
+    fn repeat_scope(
+        &self,
+        world: &mut World,
+        instance: &str,
+        plan: &Plan,
+        keys: &InstanceKeys,
+        scope_id: TaskId,
+        out_idx: usize,
+        mapped: Vec<(StrId, ObjectVal)>,
+        worklist: &mut Worklist,
+    ) {
+        let output = &plan.outputs[out_idx];
+        let outcome_name = plan.str(output.name);
+        let scope_path = plan.str(plan.task(scope_id).path);
+        let is_root = !scope_path.contains('/');
+        let Some(out_key) = keys.out_key(plan, scope_id, outcome_name) else {
+            return;
+        };
+        let over_limit = {
+            let mut coordinator = self.inner.borrow_mut();
+            let Some(mut cb) = coordinator.read_cb_id(keys, scope_id) else {
+                return;
+            };
+            cb.repeats += 1;
+            if cb.repeats > coordinator.config.max_repeats {
+                cb.transition(CbState::Failed {
+                    reason: format!("compound repeat limit exceeded via `{outcome_name}`"),
+                });
+                // The repeat counts only on commit success.
+                if coordinator.commit_cb(keys.cb(scope_id), &cb) {
+                    coordinator.metrics.repeats.inc();
+                    coordinator.record_event(
+                        world.now().as_nanos(),
+                        instance,
+                        Some(scope_path),
+                        cb.attempt,
+                        coordinator.commit_event(format!("repeat `{outcome_name}`")),
+                    );
+                    coordinator.note_terminals(instance, 1);
+                }
+                true
+            } else {
+                // Reset: bump this scope's incarnation, clear own input
+                // facts and all descendant state, publish the repeat fact.
+                cb.scope_inc += 1;
+                let new_inc = cb.scope_inc;
+                let meta = coordinator.read_meta(instance);
+                let whole = coordinator.config.whole_record_facts;
+                let action = coordinator.mgr.begin();
+                let mut ok = facts::write_fact_bound(
+                    &mut coordinator.mgr,
+                    &action,
+                    plan,
+                    out_key,
+                    output.slots,
+                    &mapped,
+                    whole,
+                )
+                .is_ok();
+                // The compound goes back to Waiting to rebind (the root,
+                // which has no bindings, reactivates with its original
+                // inputs).
+                if is_root {
+                    if let Some(meta) = &meta {
+                        cb.state = CbState::Active {
+                            set: meta.set.clone(),
+                        };
+                        if let Some(in_key) = keys.in_key(plan, scope_id, &meta.set) {
+                            ok = ok
+                                && facts::write_fact_map(
+                                    &mut coordinator.mgr,
+                                    &action,
+                                    plan,
+                                    in_key,
+                                    &meta.inputs,
+                                    whole,
+                                )
+                                .is_ok();
+                        } else {
+                            ok = false;
+                        }
+                    }
+                } else {
+                    cb.state = CbState::Waiting;
+                    // Clear own input-binding facts so the new incarnation
+                    // rebinds afresh — one range scan over the dense keys.
+                    let (lo, hi) = keys.input_fact_range(scope_id);
+                    for fact in coordinator.mgr.fact_keys_in_range(lo, hi) {
+                        ok = ok
+                            && coordinator
+                                .mgr
+                                .delete_key(&action, &StoreKey::Fact(fact))
+                                .is_ok();
+                    }
+                }
+                ok = ok
+                    && coordinator
+                        .mgr
+                        .write(&action, keys.cb(scope_id), &cb)
+                        .is_ok();
+                if ok {
+                    // All descendant facts die with the incarnation: the
+                    // whole DFS-contiguous subtree is one key range.
+                    if let Some((lo, hi)) = keys.subtree_fact_range(plan, scope_id) {
+                        for fact in coordinator.mgr.fact_keys_in_range(lo, hi) {
+                            ok = ok
+                                && coordinator
+                                    .mgr
+                                    .delete_key(&action, &StoreKey::Fact(fact))
+                                    .is_ok();
+                        }
+                    }
+                }
+                let mut revived = 0;
+                if ok {
+                    match reset_descendants(
+                        &mut coordinator.mgr,
+                        &action,
+                        keys,
+                        plan,
+                        scope_id,
+                        new_inc,
+                    ) {
+                        Ok(n) => revived = n,
+                        Err(_) => ok = false,
+                    }
+                }
+                if ok {
+                    if coordinator.commit(action).is_ok() {
+                        coordinator.metrics.repeats.inc();
+                        coordinator.record_event(
+                            world.now().as_nanos(),
+                            instance,
+                            Some(scope_path),
+                            cb.attempt,
+                            coordinator.commit_event(format!("repeat `{outcome_name}`")),
+                        );
+                        coordinator.note_revived(instance, revived);
+                    }
+                } else {
+                    coordinator.mgr.abort(action);
+                }
+                false
+            }
+        };
+        // Cancel volatile subtree tracking either way.
+        let watchdogs = self.inner.borrow_mut().sweep_subtree(instance, scope_path);
+        for (_, id) in watchdogs {
+            world.cancel(id);
+        }
+        // Seed the re-entry: the repeat fact is a fresh commit; a reset
+        // non-root compound rebinds through the start agenda; a reset
+        // root reactivates directly, enabling its constituents.
+        worklist.seed_commit(plan, scope_id);
+        if over_limit {
+            return;
+        }
+        if is_root {
+            worklist.seed_children(plan, scope_id);
+        } else {
+            worklist.push_task(plan, scope_id);
+        }
+    }
+
+    /// The full-scan oracle (debug builds): after a worklist drain, no
+    /// startable task and no satisfied unprocessed scope output may
+    /// remain — if one does, the reverse-edge seeding missed it.
+    #[cfg(debug_assertions)]
+    fn assert_quiescent(&self, instance: &str, plan: &Plan, keys: &InstanceKeys) {
+        let coordinator = self.inner.borrow();
+        // The incremental non-terminal count must agree with a fresh
+        // recount (this is the bookkeeping stuck detection trusts).
+        if let Some(rt) = coordinator.instances.get(instance) {
+            debug_assert_eq!(
+                rt.nonterminal,
+                count_nonterminal(&coordinator.mgr, plan, keys),
+                "incremental non-terminal count of `{instance}` drifted"
+            );
+        }
+        let facts = StoreFacts::new(
+            &coordinator.mgr,
+            keys,
+            coordinator.config.whole_record_facts,
+        );
+        for id in 1..plan.tasks.len() as TaskId {
+            let task = plan.task(id);
+            let Some(parent) = task.parent else {
+                continue;
+            };
+            let (Some(parent_cb), Some(cb)) = (
+                coordinator.read_cb_id(keys, parent),
+                coordinator.read_cb_id(keys, id),
+            ) else {
+                continue;
+            };
+            if matches!(parent_cb.state, CbState::Active { .. })
+                && cb.state == CbState::Waiting
+                && cb.incarnation == parent_cb.scope_inc
+            {
+                debug_assert!(
+                    plan_eval::eval_task_inputs(plan, id, &facts).is_none(),
+                    "worklist missed a startable task `{}` of instance `{instance}`",
+                    plan.str(task.path)
+                );
+            }
+        }
+        for id in 0..plan.tasks.len() as TaskId {
+            if !plan.task(id).is_scope {
+                continue;
+            }
+            let Some(cb) = coordinator.read_cb_id(keys, id) else {
+                continue;
+            };
+            if !matches!(cb.state, CbState::Active { .. }) {
+                continue;
+            }
+            for (out_idx, _) in plan_eval::eval_scope_outputs(plan, id, &facts) {
+                let output = &plan.outputs[out_idx];
+                let name = plan.str(output.name);
+                let missed = match output.kind {
+                    OutputKind::Mark => !cb.mark_emitted(name),
+                    _ => true,
+                };
+                debug_assert!(
+                    !missed,
+                    "worklist missed a satisfied output `{name}` of scope `{}` in `{instance}`",
+                    plan.str(plan.task(id).path)
+                );
+            }
+        }
+    }
+
+    /// Stuck detection. O(1) on every drain: a running instance with
+    /// work in flight (or, in principle, no live control blocks) can
+    /// never be stuck, and both tests read volatile counters the drain
+    /// maintains incrementally — no control-block enumeration, no store
+    /// scan. Only the one-time transition *to* Stuck reads control
+    /// blocks (point reads through the interned uid table) to compose
+    /// the diagnostic reason.
+    fn stuck_check(&self, world: &mut World, instance: &str) {
+        let mut coordinator = self.inner.borrow_mut();
+        let Some(rt) = coordinator.instances.get(instance) else {
+            return;
+        };
+        if rt.terminal || !rt.in_flight.is_empty() {
+            return;
+        }
+        let plan = rt.plan.clone();
+        let keys = rt.keys.clone();
+        let nonterminal = rt.nonterminal;
+        // Quiescent but not terminated: stuck. Summarise why — one walk
+        // over the plan's dense task ids (point reads; this runs once
+        // per stuck instance, never on the commit path), using the
+        // plan's satisfaction masks to say how close each waiting task
+        // got.
+        let mut failed = Vec::new();
+        let mut waiting = Vec::new();
+        for id in 0..plan.tasks.len() as TaskId {
+            let Some(cb) = coordinator.read_cb_id(&keys, id) else {
+                continue;
+            };
+            match &cb.state {
+                CbState::Failed { reason } => {
+                    failed.push(format!("{} ({reason})", cb.path));
+                }
+                CbState::Waiting => {
+                    let facts = StoreFacts::new(
+                        &coordinator.mgr,
+                        &keys,
+                        coordinator.config.whole_record_facts,
+                    );
+                    let task = plan.task(id);
+                    let pending = plan.sets[task.sets.as_range()]
+                        .iter()
+                        .map(|set| {
+                            let met = plan_eval::met_requirements(&plan, set, &facts);
+                            format!("{} {met}/{}", plan.str(set.name), set.requirement_count())
+                        })
+                        .collect::<Vec<_>>()
+                        .join(", ");
+                    if pending.is_empty() {
+                        waiting.push(cb.path.clone());
+                    } else {
+                        waiting.push(format!("{} (deps met: {pending})", cb.path));
+                    }
+                }
+                _ => {}
+            }
+        }
+        let reason = format!(
+            "no runnable task and the root cannot terminate ({nonterminal} of {} tasks \
+             non-terminal); failed: [{}]; waiting: [{}]",
+            plan.tasks.len(),
+            failed.join(", "),
+            waiting.join(", ")
+        );
+        coordinator.park_stuck(world.now().as_nanos(), instance, &keys, reason);
+    }
+}
+
+impl Coordinator {
+    /// Parks a running instance `Stuck` with the diagnosable `reason`
+    /// (a reconfiguration or administrative repair can revive it). The
+    /// drain ends here when nothing can run and the root cannot
+    /// terminate — and when a fact probe hit a storage/decode fault: a
+    /// corrupt record must not read as "fact absent" and silently
+    /// mis-evaluate readiness.
+    fn park_stuck(&mut self, now_ns: u64, instance: &str, keys: &InstanceKeys, reason: String) {
+        let Some(mut meta) = self.read_meta(instance) else {
+            return;
+        };
+        if meta.status.is_terminal() {
+            return;
+        }
+        meta.status = InstanceStatus::Stuck {
+            reason: reason.clone(),
+        };
+        let action = self.mgr.begin();
+        if self.mgr.write(&action, keys.meta(), &meta).is_err() {
+            self.mgr.abort(action);
+            return;
+        }
+        if self.commit(action).is_ok() {
+            self.note_status(instance, &meta.status);
+            // A stuck instance stops counting against the admission
+            // cap (a revival re-counts it).
+            self.admission.instance_settled();
+            self.record_event(now_ns, instance, None, 0, ObsEventKind::Stuck { reason });
+        }
+    }
+}
+
+/// Cancels every non-terminal descendant of a scope: one linear scan of
+/// the plan's contiguous subtree range, through the interned cb uids.
+/// Returns how many blocks it cancelled.
+fn cancel_descendants(
+    mgr: &mut TxManager<StableStore>,
+    action: &AtomicAction,
+    keys: &InstanceKeys,
+    plan: &Plan,
+    scope_id: TaskId,
+) -> Result<usize, EngineError> {
+    let mut cancelled = 0;
+    for task_id in plan.subtree(scope_id) {
+        let uid = keys.cb(task_id);
+        if let Some(mut cb) = mgr.read::<TaskCb>(action, uid)? {
+            if !cb.state.is_terminal() {
+                cb.transition(CbState::Cancelled);
+                mgr.write(action, uid, &cb)?;
+                cancelled += 1;
+            }
+        }
+    }
+    Ok(cancelled)
+}
+
+/// Resets a scope's subtree for a new incarnation, bumping each nested
+/// compound's own scope incarnation so its children rebind
+/// consistently. (The subtree's facts were already range-deleted by the
+/// caller.) Returns how many previously *terminal* blocks the reset
+/// revived to `Waiting`.
+fn reset_descendants(
+    mgr: &mut TxManager<StableStore>,
+    action: &AtomicAction,
+    keys: &InstanceKeys,
+    plan: &Plan,
+    scope_id: TaskId,
+    incarnation: u32,
+) -> Result<usize, EngineError> {
+    let mut revived = 0;
+    for &child in plan.children(scope_id) {
+        let task = plan.task(child);
+        let uid = keys.cb(child);
+        let mut inner_inc = 0;
+        if let Some(mut cb) = mgr.read::<TaskCb>(action, uid)? {
+            if cb.state.is_terminal() {
+                revived += 1;
+            }
+            cb.reset_for_incarnation(incarnation);
+            if task.is_scope {
+                // A nested compound's own scope advances too, so its
+                // children rebind consistently.
+                cb.scope_inc += 1;
+                inner_inc = cb.scope_inc;
+            }
+            mgr.write(action, uid, &cb)?;
+        }
+        if task.is_scope {
+            revived += reset_descendants(mgr, action, keys, plan, child, inner_inc)?;
+        }
+    }
+    Ok(revived)
 }

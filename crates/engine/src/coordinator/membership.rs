@@ -6,7 +6,6 @@
 use std::collections::BTreeMap;
 
 use flowscript_obs::ObsEventKind;
-use flowscript_plan::TaskId;
 use flowscript_sim::{NodeId, ReplyToken, SimDuration, World};
 use flowscript_tx::{FactKey, StableStore, StoreKey, TxId, TxManager};
 
@@ -17,7 +16,6 @@ use crate::keys::meta_uid;
 use crate::msg::EngineMsg;
 use crate::sched::ImplHints;
 use crate::shard::ShardMap;
-use crate::state::CbState;
 
 /// Maximum relays a misdirected message may take before the relay
 /// drops it as a routing loop (see [`CoordStats::forward_loops`]).
@@ -745,39 +743,35 @@ impl CoordHandle {
     /// `TaskDone`; it fires only if the reply (or its relay) is truly
     /// lost, turning the move into an ordinary bounded retry.
     fn arm_adopted_watchdogs(&self, world: &mut World, instance: &str) {
-        let executing = {
+        let executing: Vec<(String, u32, u32, SimDuration)> = {
             let coordinator = self.inner.borrow();
             let Some(rt) = coordinator.instances.get(instance) else {
                 return;
             };
-            let (plan, keys) = (rt.plan.clone(), rt.keys.clone());
-            let executing: Vec<(String, u32, u32, SimDuration)> = (0..plan.tasks.len() as TaskId)
-                .filter_map(|id| {
-                    let cb = coordinator.read_cb_id(&keys, id)?;
-                    matches!(cb.state, CbState::Executing { .. }).then(|| {
-                        let task = plan.task(id);
-                        let hints = ImplHints::from_map(&plan.implementation_map(task));
-                        // Same timeout math as a fresh dispatch —
-                        // including the observed-duration extension for
-                        // the (bindings-resolved) code, so a relay
-                        // delayed past a lying short hint still lands
-                        // before the adopted watchdog fires.
-                        let script_code = plan.code(task).unwrap_or("").to_string();
-                        let code = rt
-                            .bindings
-                            .get(&script_code)
-                            .cloned()
-                            .unwrap_or(script_code);
-                        let timeout = coordinator.costs.watchdog_timeout(
-                            &code,
-                            &hints,
-                            coordinator.config.dispatch_timeout,
-                        );
-                        (cb.path.clone(), cb.incarnation, cb.attempt, timeout)
-                    })
-                })
-                .collect();
+            let executing = coordinator.executing(instance).into_iter();
             executing
+                .map(|(id, cb)| {
+                    let task = rt.plan.task(id);
+                    let hints = ImplHints::from_map(&rt.plan.implementation_map(task));
+                    // Same timeout math as a fresh dispatch — including
+                    // the observed-duration extension for the
+                    // (bindings-resolved) code, so a relay delayed past
+                    // a lying short hint still lands before the adopted
+                    // watchdog fires.
+                    let script_code = rt.plan.code(task).unwrap_or("").to_string();
+                    let code = rt
+                        .bindings
+                        .get(&script_code)
+                        .cloned()
+                        .unwrap_or(script_code);
+                    let timeout = coordinator.costs.watchdog_timeout(
+                        &code,
+                        &hints,
+                        coordinator.config.dispatch_timeout,
+                    );
+                    (cb.path, cb.incarnation, cb.attempt, timeout)
+                })
+                .collect()
         };
         for (path, incarnation, attempt, timeout) in executing {
             self.arm_watchdog(world, instance, &path, incarnation, attempt, timeout);
@@ -864,5 +858,144 @@ impl CoordHandle {
         self.inner
             .borrow_mut()
             .record_event(now_ns, label, None, 0, kind);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
+
+    use flowscript_tx::{ObjectUid, SharedStorage};
+
+    use super::*;
+    use crate::coordinator::EngineConfig;
+    use crate::msg::MarkMsg;
+
+    fn package(entries: Vec<(StoreKey, Vec<u8>)>) -> HandoffPackage {
+        HandoffPackage {
+            tx: TxId::new(0, 1),
+            instance: "i".to_string(),
+            src_node: 0,
+            src_instance_id: 3,
+            entries,
+        }
+    }
+
+    #[test]
+    fn rekeyed_moves_facts_and_meta_onto_the_new_id_and_nothing_else() {
+        let meta = InstanceMeta {
+            script: "s".into(),
+            source: "class C;".into(),
+            root: "root".into(),
+            set: "main".into(),
+            inputs: BTreeMap::new(),
+            status: InstanceStatus::Running,
+            reconfig_count: 1,
+            instance_id: 3,
+            version: None,
+            plan_fingerprint: 9,
+        };
+        let meta_key = StoreKey::Uid(meta_uid("i"));
+        // A control block that merely ends in `/meta`, and the shared plan.
+        let cb = (
+            StoreKey::Uid(ObjectUid::new("inst/i/cb/root/meta")),
+            vec![1],
+        );
+        let plan = (StoreKey::Uid(plan_uid(9)), vec![2]);
+        let fact = FactKey::output(3, 2, 1);
+        let rekeyed = package(vec![
+            (meta_key.clone(), flowscript_codec::to_bytes(&meta)),
+            cb.clone(),
+            plan.clone(),
+            (StoreKey::Fact(fact), vec![3]),
+        ])
+        .rekeyed(7)
+        .expect("a decodable meta re-keys");
+        let moved_meta = InstanceMeta {
+            instance_id: 7,
+            ..meta
+        };
+        let moved_fact = FactKey {
+            instance: 7,
+            ..fact
+        };
+        assert_eq!(
+            rekeyed,
+            [
+                (meta_key.clone(), flowscript_codec::to_bytes(&moved_meta)),
+                cb,
+                plan,
+                (StoreKey::Fact(moved_fact), vec![3]),
+            ]
+        );
+        // A corrupt meta is a typed error, never a panic.
+        let corrupt = package(vec![(meta_key, vec![0xFF; 3])]);
+        assert!(matches!(corrupt.rekeyed(7), Err(EngineError::Tx(_))));
+    }
+
+    #[test]
+    fn at_the_hop_cap_neither_forwarder_sends_and_each_counts_one_loop() {
+        let mut world = World::new(1);
+        let [client, here, owner] = ["client", "here", "owner"].map(|name| world.add_node(name));
+        let map = ShardMap::new(vec![here, owner]);
+        let instance = (0..)
+            .map(|i| format!("x{i}"))
+            .find(|name| map.node_of(name) == owner)
+            .expect("some name the map gives the other shard");
+        let storage = SharedStorage::new();
+        let config = EngineConfig::default();
+        let coord = Coordinator::open_sharded(here, client, Vec::new(), config, storage, map)
+            .map(CoordHandle::new)
+            .expect("empty storage opens");
+        coord.install(&mut world);
+        let reached_owner = Rc::new(Cell::new(0));
+        let seen = reached_owner.clone();
+        world.set_handler(owner, move |_, _| seen.set(seen.get() + 1));
+        // Both arrive having burned every hop already.
+        let capped = |inner: EngineMsg| {
+            flowscript_codec::to_bytes(&EngineMsg::Forwarded {
+                epoch: 0,
+                hops: MAX_FORWARD_HOPS,
+                inner: flowscript_codec::to_bytes(&inner),
+            })
+        };
+        let mark = EngineMsg::Mark(MarkMsg {
+            instance: instance.clone(),
+            path: "t".into(),
+            incarnation: 0,
+            attempt: 0,
+            mark: "m".into(),
+            objects: BTreeMap::new(),
+            epoch: 0,
+        });
+        let start = EngineMsg::StartInstance {
+            instance,
+            script: "s".into(),
+            version: None,
+            set: "main".into(),
+            inputs: BTreeMap::new(),
+            epoch: 0,
+        };
+        // One-way: dropped.
+        world.send(client, here, capped(mark));
+        world.run();
+        assert_eq!(coord.stats().forward_loops, 1);
+        // RPC: the caller hears why instead of hanging.
+        let reply = Rc::new(RefCell::new(None));
+        let slot = reply.clone();
+        let timeout = SimDuration::from_secs(1);
+        world.rpc_call(client, here, capped(start), timeout, move |_, result| {
+            *slot.borrow_mut() = result.ok();
+        });
+        world.run();
+        let reply = reply.borrow_mut().take().expect("a reply, not a timeout");
+        assert!(matches!(
+            flowscript_codec::from_bytes::<EngineMsg>(&reply),
+            Ok(EngineMsg::Ack { result: Err(_) })
+        ));
+        let stats = coord.stats();
+        assert_eq!((stats.forward_loops, stats.forwarded), (2, 0));
+        assert_eq!(reached_owner.get(), 0, "nothing may be relayed at the cap");
     }
 }

@@ -29,26 +29,20 @@
 //! the cloneable [`CoordHandle`]), the message entry point and the
 //! helpers every concern uses (`commit`, `commit_cb`, `record_event`,
 //! the control-block/meta reads, `pump`). Each child module owns one
-//! concern; state listed as *owned* is a private struct or private
-//! fields nobody else can touch, and the named entry points are the
-//! only way in from a sibling:
+//! concern; what it *owns* is private to it, and the entry points named
+//! are the only way in from a sibling:
 //!
 //! | module | concern | owns | entry points |
 //! |---|---|---|---|
-//! | `config` | the policy knobs | [`EngineConfig`], [`CommitBatch`] | — |
-//! | `meta` | what an instance persists besides blocks and facts | [`InstanceStatus`], [`Outcome`], `InstanceMeta`, the uid layout | — |
-//! | `stats` | counters and histograms | [`CoordStats`], `CoordMetrics`, [`DispatchRecord`] | — |
-//! | `window` | the commit pipeline's front half: buffer reports, apply a window of them in one atomic action | `BatchWindow` (pending reports, timer flag, batch ids, arrival EWMA) | `enqueue_event`, `flush_pending`, `commit_event`, `BatchWindow::{holds_done, reset}` |
-//! | `evaluate` | the back half: worklist drain, input-set satisfaction, task activation | — | `evaluate`, `evaluate_from` |
-//! | `scopes` | compound-task outputs: marks, termination with cancellation, the fig. 8 repeat | — | `emit_scope_mark`, `terminate_scope`, `repeat_scope` |
-//! | `quiescence` | stuck detection and the debug full-scan oracle | — | `stuck_check`, `assert_quiescent`, `fail_instance_storage` |
-//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, retries, the slow-path report handler | `parked`, `park_seq`, per-instance `dispatched_to`/`watchdogs`/`retry_from` | `dispatch`, `redispatch`, `arm_watchdog`, `on_task_done`, `fail_task`, `clear_watch`, `drain_parked`, `sweep_subtree`, `unpark_instance` |
-//! | `admission` | the per-shard instance cap on the start RPC | `Admission` (queue, live count, starts in flight) | `admit_or_queue`, `admit_from_queue`, `Admission::{instance_live, instance_settled, reset}` |
-//! | `lifecycle` | instance start, runtime materialisation from committed state, the monitoring reads | — | `start_instance`, `load_instance`, `recount_nonterminal`, `count_nonterminal` |
-//! | `plans` | compiled plans, decoded once and persisted once per fingerprint | `PlanCache` | `PlanCache::validated`, `gc_plans` |
-//! | `membership` | shard routing, relays, live hand-off, crash-driven adoption | `Membership` (shard map, relay table), [`HandoffPackage`] | `misdirected`, `forward_oneway`, `forward_start`, the `handoff_*` steps, `claim_adopt`, `adopt_orphans`, `repair_handoffs`, `Membership::epoch` |
-//! | `recovery` | restart: reopen the log, reset volatile state, reload and re-dispatch | — | `recover`, `stored_instances` |
-//! | `admin` | operator actions: reconfiguration, wait-state abort, fact repair | — | `reconfigure`, `abort_waiting_task`, `repair_fact` |
+//! | `config`, `meta`, `stats` | the types: policy knobs; status, outcome, `InstanceMeta`, uid layout; counters | — | — |
+//! | `window` | the one place a report is applied: buffer `Done`/`Mark` reports, commit a window of them in one atomic action | `BatchWindow` | `enqueue_event`, `flush_pending`, `commit_event` |
+//! | `evaluate` | the worklist drain: input-set satisfaction, activation, compound-scope outputs (marks, termination, the fig. 8 repeat), stuck detection, the debug full-scan oracle | — | `evaluate`, `evaluate_from` |
+//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, bounded retries, the slow-path report handler | — | `dispatch`, `redispatch`, `arm_watchdog`, `on_task_done`, `fail_task`, `clear_watch`, `drain_parked`, `sweep_subtree`, `executing` |
+//! | `admission` | the per-shard instance cap on the start RPC | `Admission` | `admit_or_queue`, `admit_from_queue`, `Admission::{instance_live, instance_settled}` |
+//! | `lifecycle` | instance start, materialising a runtime from committed state, the monitoring reads; compiled plans, decoded once and persisted once per fingerprint | `PlanCache` | `start_instance_full`, `load_instance`, `rebuild_schema`, `count_nonterminal`, `PlanCache::validated`, `gc_plans` |
+//! | `membership` | shard routing, relays, live hand-off, crash-driven adoption | `Membership`, [`HandoffPackage`] | `misdirected`, `forward_oneway`, `forward_start`, the `handoff_*` steps, `claim_adopt`, `adopt_orphans`, `repair_handoffs`, `package_instance` |
+//! | `recovery` | restart: reopen the log, reset volatile state, reload, re-dispatch | — | `recover`, `stored_instances` |
+//! | `admin` | operator actions on a running instance | — | `reconfigure`, `abort_waiting_task`, `repair_fact` |
 
 mod admin;
 mod admission;
@@ -58,10 +52,7 @@ mod evaluate;
 mod lifecycle;
 mod membership;
 mod meta;
-mod plans;
-mod quiescence;
 mod recovery;
-mod scopes;
 mod stats;
 mod window;
 
@@ -92,9 +83,9 @@ pub(crate) use recovery::stored_instances;
 
 use admission::{Admission, AdmissionTicket};
 use dispatch::{DispatchedTask, ParkedDispatch};
+use lifecycle::PlanCache;
 use membership::Membership;
 use meta::InstanceMeta;
-use plans::PlanCache;
 use stats::CoordMetrics;
 use window::{BatchWindow, PendingEvent};
 

@@ -3,13 +3,12 @@
 //! whatever was executing.
 
 use flowscript_obs::ObsEventKind;
-use flowscript_plan::TaskId;
 use flowscript_sim::World;
 use flowscript_tx::{StableStore, TxManager};
 
-use super::{CoordHandle, Coordinator, InstanceMeta, InstanceStatus, PlanCache};
+use super::{Admission, CoordHandle, Coordinator, InstanceMeta, InstanceStatus, PlanCache};
 use crate::keys::cb_uid;
-use crate::state::CbState;
+use crate::state::TaskCb;
 
 /// Every instance stored in `mgr`, by name, with its committed meta —
 /// the one enumeration recovery, orphan adoption, plan GC and dead-shard
@@ -35,7 +34,9 @@ impl Coordinator {
     /// the open commit window, the scheduler's in-flight view
     /// (re-dispatches rebuild it), the parked ready queue (parked paths
     /// committed `Executing` and re-dispatch — re-parking if still
-    /// saturated) and the admission queue and counts.
+    /// saturated) and the admission queue and counts (queued starts are
+    /// the client's to retry — their reply tokens are gone — and the
+    /// reload recounts occupancy from the persisted metas).
     fn reset_volatile(&mut self) {
         self.instances.clear();
         self.plan_cache = PlanCache::default();
@@ -43,7 +44,7 @@ impl Coordinator {
         self.sched.reset_loads();
         self.parked.clear();
         self.park_seq = 0;
-        self.admission.reset();
+        self.admission = Admission::default();
     }
 }
 
@@ -118,21 +119,8 @@ impl CoordHandle {
         // Re-dispatch whatever was executing (at-least-once execution,
         // exactly-once outcome application via attempt matching).
         for instance in &instances {
-            let executing: Vec<(String, u32)> = {
-                let coordinator = self.inner.borrow();
-                let Some(rt) = coordinator.instances.get(instance) else {
-                    continue;
-                };
-                let (plan, keys) = (rt.plan.clone(), rt.keys.clone());
-                (0..plan.tasks.len() as TaskId)
-                    .filter_map(|id| {
-                        let cb = coordinator.read_cb_id(&keys, id)?;
-                        matches!(cb.state, CbState::Executing { .. })
-                            .then(|| (cb.path.clone(), cb.attempt))
-                    })
-                    .collect()
-            };
-            for (path, attempt) in executing {
+            let executing = self.inner.borrow().executing(instance);
+            for (_, TaskCb { path, attempt, .. }) in executing {
                 // Bump the attempt so a late pre-crash reply is ignored.
                 let bumped = {
                     let mut coordinator = self.inner.borrow_mut();

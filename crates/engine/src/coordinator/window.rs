@@ -86,6 +86,7 @@ enum Next {
 /// The open commit window of one shard. Volatile by design: a crash
 /// loses the open window as a unit, exactly as if the messages were
 /// still in the network.
+#[derive(Default)]
 pub(super) struct BatchWindow {
     /// Buffered reports, in arrival order.
     pending: Vec<PendingEvent>,
@@ -97,23 +98,10 @@ pub(super) struct BatchWindow {
     /// The batch id commits currently run under, if a flush is active.
     current_batch: Option<u64>,
     /// Report inter-arrival EWMA in virtual nanoseconds (adaptive
-    /// window tuning; `u64::MAX` until the second report).
-    arrival_gap_ns: u64,
+    /// window tuning; `None` until the second report).
+    arrival_gap_ns: Option<u64>,
     /// Virtual time of the last buffered report.
     last_report_ns: u64,
-}
-
-impl Default for BatchWindow {
-    fn default() -> Self {
-        Self {
-            pending: Vec::new(),
-            armed: false,
-            batch_seq: 0,
-            current_batch: None,
-            arrival_gap_ns: u64::MAX,
-            last_report_ns: 0,
-        }
-    }
 }
 
 impl BatchWindow {
@@ -127,11 +115,10 @@ impl BatchWindow {
         if config.adaptive_min_window.is_some() {
             if self.last_report_ns != 0 {
                 let gap = now_ns.saturating_sub(self.last_report_ns);
-                self.arrival_gap_ns = if self.arrival_gap_ns == u64::MAX {
-                    gap
-                } else {
-                    ((u128::from(self.arrival_gap_ns) * 3 + u128::from(gap)) / 4) as u64
-                };
+                self.arrival_gap_ns = Some(match self.arrival_gap_ns {
+                    None => gap,
+                    Some(mean) => ((u128::from(mean) * 3 + u128::from(gap)) / 4) as u64,
+                });
             }
             self.last_report_ns = now_ns;
         }
@@ -156,7 +143,10 @@ impl BatchWindow {
         let Some(min) = config.adaptive_min_window else {
             return max;
         };
-        if self.arrival_gap_ns <= max.as_nanos() / 4 {
+        if self
+            .arrival_gap_ns
+            .is_some_and(|gap| gap <= max.as_nanos() / 4)
+        {
             max
         } else {
             min.min(max)
@@ -493,5 +483,60 @@ impl CoordHandle {
         // settles instances — revisit parked dispatches and the
         // admission queue.
         self.pump(world);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::coordinator::CommitBatch;
+
+    fn report() -> PendingEvent {
+        PendingEvent::Mark(MarkMsg {
+            instance: "i".into(),
+            path: "t".into(),
+            incarnation: 0,
+            attempt: 0,
+            mark: "m".into(),
+            objects: BTreeMap::new(),
+            epoch: 0,
+        })
+    }
+
+    fn config(commit_batch: CommitBatch) -> EngineConfig {
+        EngineConfig {
+            commit_batch,
+            ..EngineConfig::default()
+        }
+    }
+
+    #[test]
+    fn count_trigger_flushes_and_leaves_the_stale_timer_a_no_op() {
+        let max_window = SimDuration::from_millis(1);
+        let config = config(CommitBatch {
+            max_events: 3,
+            max_window,
+        });
+        let mut window = BatchWindow::default();
+        assert_eq!(window.push(report(), 10, &config), Next::Arm(max_window));
+        assert_eq!(window.push(report(), 20, &config), Next::Wait);
+        assert_eq!(window.push(report(), 30, &config), Next::Flush);
+        assert_eq!(std::mem::take(&mut window.pending).len(), 3);
+        // The timer armed by the first report fires on the empty buffer.
+        assert!(!window.timer_fired());
+        // A window the timer does find reports in flushes, once.
+        assert_eq!(window.push(report(), 40, &config), Next::Arm(max_window));
+        assert!(window.timer_fired());
+    }
+
+    #[test]
+    fn a_window_of_one_flushes_on_arrival_and_never_arms_a_timer() {
+        let config = config(CommitBatch::disabled());
+        let mut window = BatchWindow::default();
+        for now_ns in [10, 20, 30] {
+            assert_eq!(window.push(report(), now_ns, &config), Next::Flush);
+            assert!(!window.armed);
+            window.pending.clear();
+        }
     }
 }

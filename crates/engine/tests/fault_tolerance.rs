@@ -339,3 +339,62 @@ fn determinism_under_faults() {
     }
     assert_eq!(run(99), run(99), "same seed, same fault plan ⇒ same trace");
 }
+
+/// [`common::ONE_TASK`] with its one leaf literally named `meta`, so
+/// the leaf's control-block uid (`inst/{instance}/cb/root/meta`) ends
+/// the way an instance's meta uid does.
+const TASK_NAMED_META: &str = r#"
+class Data;
+taskclass Work {
+    inputs { input main { in of class Data } };
+    outputs { outcome done { } }
+}
+taskclass Root {
+    inputs { input main { seed of class Data } };
+    outputs { outcome done { } }
+}
+compoundtask root of taskclass Root {
+    task meta of taskclass Work {
+        implementation { "code" is "refWork" };
+        inputs { input main { inputobject in from { seed of task root if input main } } }
+    };
+    outputs { outcome done { notification from { task meta if output done } } }
+}
+"#;
+
+#[test]
+fn recovery_keeps_instance_names_that_look_like_storage_keys() {
+    // An instance's stored name is what lies between ONE `inst/` and
+    // ONE `/meta` of its meta uid. A name that itself starts or ends
+    // that way must come back from a crash whole — reloading `inst/a`
+    // as `a` would read the wrong keys and lose the instance — and a
+    // control block that merely ends in `/meta` is not an instance.
+    let mut sys = WorkflowSystem::builder()
+        .executors(2)
+        .seed(21)
+        .config(snappy_config())
+        .build();
+    sys.register_script("one", TASK_NAMED_META, "root").unwrap();
+    sys.bind_fn("refWork", |_| {
+        TaskBehavior::outcome("done").with_work(SimDuration::from_millis(100))
+    });
+    let names = ["inst/a", "b/meta", "plain"];
+    for name in names {
+        sys.start(name, "one", "main", [("seed", text("Data", "s"))])
+            .unwrap();
+    }
+    // Crash with every leaf mid-execution.
+    sys.run_until(SimTime::from_nanos(30_000_000));
+    let coordinator = sys.coordinator_node();
+    sys.crash_now(coordinator);
+    sys.restart_now(coordinator);
+    sys.run();
+    assert_eq!(sys.stats().recovered_instances, names.len() as u64);
+    for name in names {
+        assert!(
+            matches!(sys.status(name), Ok(InstanceStatus::Completed(_))),
+            "`{name}` lost across the crash: {:?}",
+            sys.status(name)
+        );
+    }
+}

@@ -16,6 +16,7 @@ use common::{
     build_orders, det_config, det_link, order_population as population, settled, start_population,
     text,
 };
+use flowscript_codec::ByteWriter;
 use flowscript_engine::{
     CbState, InstanceStatus, ObjectVal, ShardMap, WorkflowSystem, MAX_FORWARD_HOPS,
 };
@@ -295,6 +296,49 @@ fn skewed_maps_trip_the_forward_loop_guard() {
         stats.forwarded <= MAX_FORWARD_HOPS as u64,
         "hops must stay under the cap: {stats:?}"
     );
+}
+
+#[test]
+fn nested_forwarded_wrappers_are_dropped_without_recursion() {
+    let mut sys = build(1);
+    // A relay unwraps before it re-wraps, so no honest message nests
+    // `Forwarded` inside `Forwarded`. This one does, tens of thousands
+    // deep and still under half a megabyte: one stack frame per layer
+    // would take the coordinator down. The wire form of
+    // `EngineMsg::Forwarded { epoch, hops, inner }` is
+    // `[8, epoch, hops, len, inner…]`; built back to front, so each
+    // layer only appends its (reversed) header.
+    let mut message = Vec::new();
+    for _ in 0..30_000 {
+        let mut header = ByteWriter::new();
+        header.put_u8(8);
+        header.put_u64(0);
+        header.put_u32(0);
+        header.put_len(message.len());
+        message.extend(header.into_vec().into_iter().rev());
+    }
+    message.reverse();
+    let (client, coordinator) = (sys.executor_nodes()[0], sys.coordinator_node());
+    sys.world_mut().send(client, coordinator, message);
+    sys.run();
+    assert_eq!(
+        sys.stats().forward_loops,
+        1,
+        "the nest is a routing loop by construction: dropped and counted once"
+    );
+    // The shard is unharmed.
+    sys.start(
+        "after",
+        "order",
+        "main",
+        [("order", text("Order", "after"))],
+    )
+    .unwrap();
+    sys.run();
+    assert!(matches!(
+        sys.status("after"),
+        Ok(InstanceStatus::Completed(_))
+    ));
 }
 
 /// A task whose implementation clause binds an *empty* code string
