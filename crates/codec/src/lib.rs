@@ -6,7 +6,7 @@
 //! stable, self-contained binary representation. This crate provides:
 //!
 //! - [`ByteWriter`] / [`ByteReader`]: primitive-level little-endian and
-//!   varint encoding over [`bytes`] buffers,
+//!   varint encoding over byte buffers,
 //! - [`Encode`] / [`Decode`]: structured value (de)serialisation traits with
 //!   implementations for common standard-library types,
 //! - [`crc32`]: a table-driven CRC-32 (ISO-HDLC polynomial),

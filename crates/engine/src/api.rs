@@ -1283,7 +1283,7 @@ impl WorkflowSystem {
     /// service **live**: the departing shard's entire resident
     /// population moves to the surviving shards *before* the node
     /// leaves the map — [`WorkflowSystem::rebalance`] in reverse,
-    /// upgraded to move up to [`DRAIN_BATCH`] instances per 2PC round
+    /// upgraded to move up to `DRAIN_BATCH` (64) instances per 2PC round
     /// (one intent batch, one prepared stage with a contiguous
     /// destination id range, one atomic decision frame). The drained
     /// node is then retired: it stays installed as a relay for late

@@ -18,7 +18,7 @@ use crate::sched::ImplHints;
 use crate::shard::ShardMap;
 
 /// Maximum relays a misdirected message may take before the relay
-/// drops it as a routing loop (see [`CoordStats::forward_loops`]).
+/// drops it as a routing loop (see [`super::CoordStats::forward_loops`]).
 /// One hop resolves any transient single-rebalance disagreement; four
 /// leaves slack for stacked membership changes.
 pub const MAX_FORWARD_HOPS: u32 = 4;
@@ -748,8 +748,9 @@ impl CoordHandle {
             let Some(rt) = coordinator.instances.get(instance) else {
                 return;
             };
-            let executing = coordinator.executing(instance).into_iter();
+            let executing = coordinator.executing(instance);
             executing
+                .into_iter()
                 .map(|(id, cb)| {
                     let task = rt.plan.task(id);
                     let hints = ImplHints::from_map(&rt.plan.implementation_map(task));

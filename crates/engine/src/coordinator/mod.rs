@@ -401,7 +401,7 @@ impl CoordHandle {
     }
 
     /// This shard's flight recorder. Empty unless
-    /// [`EngineConfig::observe`] is [`ObserveLevel::Trace`].
+    /// [`EngineConfig::observe`] is [`flowscript_obs::ObserveLevel::Trace`].
     pub fn recorder(&self) -> FlightRecorder {
         self.inner.borrow().recorder.clone()
     }

@@ -35,7 +35,7 @@ pub(super) enum PendingEvent {
 
 impl PendingEvent {
     /// `(instance, path, incarnation, attempt)` of the reporting task.
-    fn address(&self) -> (&String, &String, u32, u32) {
+    fn address(&self) -> (&str, &str, u32, u32) {
         match self {
             PendingEvent::Done(msg) => (&msg.instance, &msg.path, msg.incarnation, msg.attempt),
             PendingEvent::Mark(msg) => (&msg.instance, &msg.path, msg.incarnation, msg.attempt),
@@ -263,7 +263,7 @@ impl Coordinator {
         };
         let stamped: BTreeMap<String, ObjectVal> = objects
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone().produced_by(path.clone())))
+            .map(|(k, v)| (k.clone(), v.clone().produced_by(path.to_string())))
             .collect();
         let whole = self.config.whole_record_facts;
         let write = self.mgr.write(action, keys.cb(task_id), &cb).and_then(|_| {
@@ -271,8 +271,8 @@ impl Coordinator {
         });
         match write {
             Ok(()) => Staging::Staged(StagedEffect {
-                instance: instance.clone(),
-                path: path.clone(),
+                instance: instance.to_string(),
+                path: path.to_string(),
                 attempt,
                 task_id,
                 what,
@@ -454,8 +454,9 @@ impl CoordHandle {
             // The leftovers run inside the same WAL group, as if they
             // had arrived right after the window.
             for (idx, event) in events.into_iter().enumerate() {
-                if let (true, PendingEvent::Done(msg)) = (slow.contains(&idx), event) {
-                    self.on_task_done(world, msg);
+                match event {
+                    PendingEvent::Done(msg) if slow.contains(&idx) => self.on_task_done(world, msg),
+                    _ => {}
                 }
             }
             Vec::new()

@@ -1,15 +1,15 @@
-//! Group-commit batching must be **behaviour-preserving and
-//! observable**: for the fig. 7 (order processing) and fig. 8 (business
-//! trip) workloads across shard counts, per-instance outcomes, dispatch
-//! traces and task states must be byte-identical between the batched
-//! (default) and unbatched (`CommitBatch::disabled`, today's
-//! one-frame-per-commit) arms; randomized scripts must agree too; the
-//! batch metrics (`coord.batch_size`, `wal.bytes_per_frame`,
-//! `tx.group_commits`) must flow through the registry and exports;
-//! `Commit` trace events must carry the batch id; and a coordinator
-//! crash in the middle of an open batch window must lose the unflushed
-//! window **as a unit** — no partial batch ever visible — while
-//! committed group frames replay fully.
+//! The commit window must be **behaviour-preserving and observable**:
+//! for the fig. 7 (order processing) and fig. 8 (business trip)
+//! workloads across shard counts, per-instance outcomes, dispatch
+//! traces and task states must be byte-identical between the default
+//! window and the reference arm (`CommitBatch::disabled`, the window of
+//! one: every report commits, with its cascade, before the next is
+//! looked at); randomized scripts must agree too; the batch metrics
+//! (`coord.batch_size`, `wal.bytes_per_frame`, `tx.group_commits`) must
+//! flow through the registry and exports; `Commit` trace events must
+//! carry the batch id; and a coordinator crash in the middle of an open
+//! window must lose the unflushed window **as a unit** — no partial
+//! batch ever visible — while committed group frames replay fully.
 
 mod common;
 

@@ -49,7 +49,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: SizeRange,

@@ -4,7 +4,7 @@
 //! The build container has no crate-registry access, so this local path
 //! dependency provides the pieces the test-suite relies on:
 //!
-//! - the [`proptest!`] macro with both `arg: Type` (via [`Arbitrary`])
+//! - the [`proptest!`] macro with both `arg: Type` (via [`arbitrary::Arbitrary`])
 //!   and `arg in strategy` bindings, plus `#![proptest_config(..)]`,
 //! - [`prop_assert!`] / [`prop_assert_eq!`] / [`prop_assert_ne!`],
 //! - strategies: integer/float ranges, regex-subset string patterns,
