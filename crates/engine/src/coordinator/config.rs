@@ -119,7 +119,7 @@ pub struct CommitBatch {
     /// one: every report flushes on arrival and no timer is ever armed.
     pub max_events: usize,
     /// Flush at most this long (virtual time) after the first buffered
-    /// report.
+    /// report. Zero is the window of one too, whatever `max_events` says.
     pub max_window: SimDuration,
 }
 

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 
 use flowscript_core::ast::OutputKind;
 use flowscript_obs::ObsEventKind;
-use flowscript_plan::TaskId;
+use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::{EventId, NodeId, SimDuration, World};
 use flowscript_tx::FactKey;
 
@@ -52,6 +52,16 @@ pub(super) struct ParkedDispatch {
 }
 
 impl Coordinator {
+    /// A committed fact's objects, in whichever layout the config writes.
+    pub(super) fn read_fact(
+        &self,
+        plan: &Plan,
+        key: FactKey,
+    ) -> Option<BTreeMap<String, ObjectVal>> {
+        let whole = self.config.whole_record_facts;
+        facts::read_fact_map(&self.mgr, plan, key, whole).ok()?
+    }
+
     /// Ends the load accounting of an outstanding dispatch: removes the
     /// path's `dispatched_to` entry and releases the cost it was
     /// charged at. Idempotent (the entry gates the release); returns
@@ -602,16 +612,7 @@ impl CoordHandle {
                 return;
             };
             keys.in_key(&plan, task_id, set)
-                .and_then(|key| {
-                    facts::read_fact_map(
-                        &coordinator.mgr,
-                        &plan,
-                        key,
-                        coordinator.config.whole_record_facts,
-                    )
-                    .ok()
-                    .flatten()
-                })
+                .and_then(|key| coordinator.read_fact(&plan, key))
                 .unwrap_or_default()
         };
         {
@@ -759,14 +760,9 @@ impl CoordHandle {
             if cb.attempt != attempt {
                 return;
             }
-            let whole = coordinator.config.whole_record_facts;
             let inputs = keys
                 .in_key(&plan, task_id, set)
-                .and_then(|key| {
-                    facts::read_fact_map(&coordinator.mgr, &plan, key, whole)
-                        .ok()
-                        .flatten()
-                })
+                .and_then(|key| coordinator.read_fact(&plan, key))
                 .unwrap_or_default();
             // Repeat objects (if the task had repeated) are re-readable
             // from its repeat-outcome facts.
@@ -778,11 +774,7 @@ impl CoordHandle {
             {
                 if output.kind == OutputKind::RepeatOutcome {
                     let key = FactKey::output(keys.instance_id, task_id, ordinal as u32);
-                    if let Ok(Some(objects)) =
-                        facts::read_fact_map(&coordinator.mgr, &plan, key, whole)
-                    {
-                        repeat_objects.extend(objects);
-                    }
+                    repeat_objects.extend(coordinator.read_fact(&plan, key).unwrap_or_default());
                 }
             }
             Some((inputs, repeat_objects))

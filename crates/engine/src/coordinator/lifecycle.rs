@@ -313,14 +313,7 @@ impl CoordHandle {
         let rt = coordinator.instances.get(instance)?;
         let task = rt.plan.task_by_path(path)?;
         let key = rt.keys.out_key(&rt.plan, task, output)?;
-        facts::read_fact_map(
-            &coordinator.mgr,
-            &rt.plan,
-            key,
-            coordinator.config.whole_record_facts,
-        )
-        .ok()
-        .flatten()
+        coordinator.read_fact(&rt.plan, key)
     }
 
     /// Names of instances known to the coordinator.

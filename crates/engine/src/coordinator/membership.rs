@@ -10,7 +10,7 @@ use flowscript_sim::{NodeId, ReplyToken, SimDuration, World};
 use flowscript_tx::{FactKey, StableStore, StoreKey, TxId, TxManager};
 
 use super::meta::{instance_seq_uid, plan_uid};
-use super::{stored_instances, CoordHandle, Coordinator, InstanceMeta, InstanceStatus};
+use super::{stored_instance_names, CoordHandle, Coordinator, InstanceMeta, InstanceStatus};
 use crate::error::EngineError;
 use crate::keys::meta_uid;
 use crate::msg::EngineMsg;
@@ -177,14 +177,15 @@ impl Coordinator {
     /// action: the whole `inst/{name}/` uid prefix plus the dense fact
     /// range of the meta's instance id. The storage half of the source
     /// side of a committed hand-off (the shared compiled-plan blob
-    /// stays; plan GC collects it once no local meta pins it).
-    fn purge_instance(&mut self, instance: &str) -> Result<(), EngineError> {
+    /// stays; plan GC collects it once no local meta pins it). Returns
+    /// the meta it deleted, if there was one.
+    fn purge_instance(&mut self, instance: &str) -> Result<Option<InstanceMeta>, EngineError> {
         let meta: Option<InstanceMeta> = self.mgr.read_committed(&meta_uid(instance))?;
         let action = self.mgr.begin();
         for uid in self.mgr.uids_with_prefix(&format!("inst/{instance}/")) {
             self.mgr.delete(&action, &uid)?;
         }
-        if let Some(meta) = meta {
+        if let Some(meta) = &meta {
             let lo = FactKey::instance_first(meta.instance_id);
             let hi = FactKey::instance_last(meta.instance_id);
             for fact in self.mgr.fact_keys_in_range(lo, hi) {
@@ -192,7 +193,7 @@ impl Coordinator {
             }
         }
         self.commit(action)?;
-        Ok(())
+        Ok(meta)
     }
 
     /// Hand-off crash repair, run by recovery before any instance
@@ -538,13 +539,8 @@ impl CoordHandle {
             coordinator
                 .mgr
                 .handoff_end(tx, instance, dest.index() as u32, true)?;
-            let was_running = coordinator
-                .mgr
-                .read_committed::<InstanceMeta>(&meta_uid(instance))
-                .ok()
-                .flatten()
-                .is_some_and(|meta| meta.status == InstanceStatus::Running);
-            coordinator.purge_instance(instance)?;
+            let purged = coordinator.purge_instance(instance)?;
+            let was_running = purged.is_some_and(|meta| meta.status == InstanceStatus::Running);
             // Dual delivery: until the rebalance flips this node's map,
             // executor replies for the moved instance still land here —
             // the relay table routes them to the new owner.
@@ -694,10 +690,15 @@ impl CoordHandle {
         let adopted: Vec<(String, bool)> = {
             let mut coordinator = self.inner.borrow_mut();
             let mut adopted = Vec::new();
-            for (name, meta) in stored_instances(&coordinator.mgr) {
-                if coordinator.instances.contains_key(&name) {
+            // Residents are skipped by name, undecoded: a hand-off sweeps
+            // once per chunk, and a sweep must cost only its orphans.
+            let orphans: Vec<String> = stored_instance_names(&coordinator.mgr)
+                .filter(|name| !coordinator.instances.contains_key(name))
+                .collect();
+            for name in orphans {
+                let Some(meta) = coordinator.read_meta(&name) else {
                     continue;
-                }
+                };
                 let Some(rt) = coordinator.load_instance(&name, &meta) else {
                     continue;
                 };

@@ -37,11 +37,11 @@
 //! | `config`, `meta`, `stats` | the types: policy knobs; status, outcome, `InstanceMeta`, uid layout; counters | — | — |
 //! | `window` | the one place a report is applied: buffer `Done`/`Mark` reports, commit a window of them in one atomic action | `BatchWindow` | `enqueue_event`, `flush_pending`, `commit_event` |
 //! | `evaluate` | the worklist drain: input-set satisfaction, activation, compound-scope outputs (marks, termination, the fig. 8 repeat), stuck detection, the debug full-scan oracle | — | `evaluate`, `evaluate_from` |
-//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, bounded retries, the slow-path report handler | — | `dispatch`, `redispatch`, `arm_watchdog`, `on_task_done`, `fail_task`, `clear_watch`, `drain_parked`, `sweep_subtree`, `executing` |
+//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, bounded retries, the slow-path report handler | — | `dispatch`, `redispatch`, `arm_watchdog`, `on_task_done`, `fail_task`, `clear_watch`, `drain_parked`, `sweep_subtree`, `executing`, `read_fact` |
 //! | `admission` | the per-shard instance cap on the start RPC | `Admission` | `admit_or_queue`, `admit_from_queue`, `Admission::{instance_live, instance_settled}` |
 //! | `lifecycle` | instance start, materialising a runtime from committed state, the monitoring reads; compiled plans, decoded once and persisted once per fingerprint | `PlanCache` | `start_instance_full`, `load_instance`, `rebuild_schema`, `count_nonterminal`, `PlanCache::validated`, `gc_plans` |
 //! | `membership` | shard routing, relays, live hand-off, crash-driven adoption | `Membership`, [`HandoffPackage`] | `misdirected`, `forward_oneway`, `forward_start`, the `handoff_*` steps, `claim_adopt`, `adopt_orphans`, `repair_handoffs`, `package_instance` |
-//! | `recovery` | restart: reopen the log, reset volatile state, reload, re-dispatch | — | `recover`, `stored_instances` |
+//! | `recovery` | restart: reopen the log, reset volatile state, reload, re-dispatch | — | `recover`, `stored_instances`, `stored_instance_names` |
 //! | `admin` | operator actions on a running instance | — | `reconfigure`, `abort_waiting_task`, `repair_fact` |
 
 mod admin;
@@ -79,7 +79,7 @@ pub use meta::{InstanceStatus, Outcome};
 pub use stats::{CoordStats, DispatchRecord};
 
 pub(crate) use membership::package_instance;
-pub(crate) use recovery::stored_instances;
+pub(crate) use recovery::{stored_instance_names, stored_instances};
 
 use admission::{Admission, AdmissionTicket};
 use dispatch::{DispatchedTask, ParkedDispatch};

@@ -7,23 +7,32 @@ use flowscript_sim::World;
 use flowscript_tx::{StableStore, TxManager};
 
 use super::{Admission, CoordHandle, Coordinator, InstanceMeta, InstanceStatus, PlanCache};
-use crate::keys::cb_uid;
+use crate::keys::{cb_uid, meta_uid};
 use crate::state::TaskCb;
 
-/// Every instance stored in `mgr`, by name, with its committed meta —
-/// the one enumeration recovery, orphan adoption, plan GC and dead-shard
-/// claims share. An instance is an `inst/{name}/meta` object that
-/// decodes as a meta: a control block whose task happens to be called
-/// `meta` matches the uid pattern too and is skipped here. The name is
-/// what lies between one `inst/` and one `/meta` — stripped once, so a
-/// name that itself starts with `inst/` or ends in `/meta` survives.
-pub(crate) fn stored_instances(mgr: &TxManager<StableStore>) -> Vec<(String, InstanceMeta)> {
+/// The name of every `inst/{name}/meta` object in `mgr` — the one
+/// enumeration recovery, orphan adoption, plan GC and dead-shard claims
+/// share. The name is what lies between one `inst/` and one `/meta` —
+/// stripped once, so a name that itself starts with `inst/` or ends in
+/// `/meta` survives. Nothing is decoded: a control block whose task
+/// happens to be called `meta` matches too, and only reading the object
+/// as a meta tells the two apart.
+pub(crate) fn stored_instance_names(mgr: &TxManager<StableStore>) -> impl Iterator<Item = String> {
     mgr.uids_matching("inst/", "/meta")
         .into_iter()
         .filter_map(|uid| {
             let name = uid.as_str().strip_prefix("inst/")?.strip_suffix("/meta")?;
-            let meta = mgr.read_committed::<InstanceMeta>(&uid).ok()??;
-            Some((name.to_string(), meta))
+            Some(name.to_string())
+        })
+}
+
+/// Every instance stored in `mgr`, by name, with its committed meta:
+/// [`stored_instance_names`] minus whatever does not decode as one.
+pub(crate) fn stored_instances(mgr: &TxManager<StableStore>) -> Vec<(String, InstanceMeta)> {
+    stored_instance_names(mgr)
+        .filter_map(|name| {
+            let meta = mgr.read_committed(&meta_uid(&name)).ok()??;
+            Some((name, meta))
         })
         .collect()
 }
@@ -63,14 +72,13 @@ impl CoordHandle {
             let (node, storage) = (coordinator.node, coordinator.storage.clone());
             // Reopen the store against the same registry: metric
             // history (like the flight recorder's) spans the crash.
-            let mgr = match TxManager::open_with_metrics(
+            let Ok(mgr) = TxManager::open_with_metrics(
                 node.index() as u32,
                 storage,
                 &coordinator.registry,
                 coordinator.config.observe,
-            ) {
-                Ok(mgr) => mgr,
-                Err(_) => return,
+            ) else {
+                return;
             };
             coordinator.mgr = mgr;
             coordinator.reset_volatile();

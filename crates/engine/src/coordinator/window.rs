@@ -1,7 +1,7 @@
 //! The commit window — the one place an executor report is applied.
 //!
 //! `Done`/`Mark` reports buffer in [`BatchWindow`] until the count or
-//! the timer trigger fires, then `flush_events` applies the whole
+//! the timer trigger fires, then `commit_window` applies the whole
 //! window in one atomic action (`stage_event` validates each report
 //! against its control block and stages transition + fact), publishes
 //! the effects and re-evaluates the dependents inside one WAL group.
@@ -107,7 +107,8 @@ pub(super) struct BatchWindow {
 impl BatchWindow {
     /// Buffers one report arriving at `now_ns`. The first report of a
     /// window arms a one-shot timer so a lone report still commits
-    /// within the window; reaching `max_events` flushes at once.
+    /// within the window; reaching `max_events` flushes at once, and so
+    /// does a zero `max_window` — no time to wait is a window of one.
     fn push(&mut self, event: PendingEvent, now_ns: u64, config: &EngineConfig) -> Next {
         // Fold the arrival into the inter-arrival EWMA (same 1/4 gain
         // as the cost model). The very first report only seeds the
@@ -123,7 +124,8 @@ impl BatchWindow {
             self.last_report_ns = now_ns;
         }
         self.pending.push(event);
-        if self.pending.len() >= config.commit_batch.max_events {
+        let batch = config.commit_batch;
+        if self.pending.len() >= batch.max_events || batch.max_window == SimDuration::ZERO {
             Next::Flush
         } else if self.armed {
             Next::Wait
@@ -332,9 +334,23 @@ impl CoordHandle {
     /// and cascades see every report that already arrived.
     pub(super) fn flush_pending(&self, world: &mut World) {
         let events = std::mem::take(&mut self.inner.borrow_mut().window.pending);
-        if !events.is_empty() {
-            self.flush_events(world, events);
+        if events.is_empty() {
+            return;
         }
+        // A rolled-back shared action leaves committed state untouched:
+        // each report retries as a window of its own. A window of one
+        // that still aborts drops its report — to the executor's
+        // watchdog it is a message lost in the network.
+        let rolled_back = self.commit_window(world, events);
+        if rolled_back.len() > 1 {
+            for event in rolled_back {
+                self.commit_window(world, vec![event]);
+            }
+        }
+        let _ = self.inner.borrow_mut().maybe_checkpoint();
+        // A flushed window frees executor slots and settles instances:
+        // revisit parked dispatches and the admission queue.
+        self.pump(world);
     }
 
     /// Commits `events` as one window: a single atomic action over the
@@ -345,19 +361,10 @@ impl CoordHandle {
     /// shared action cannot absorb (error retries, repeats, undeclared
     /// outputs) run through `on_task_done` after it commits — still
     /// inside the WAL group, serialized as if they had arrived just
-    /// after it.
-    fn flush_events(&self, world: &mut World, events: Vec<PendingEvent>) {
-        {
-            let mut coordinator = self.inner.borrow_mut();
-            let id = coordinator.window.batch_seq;
-            coordinator.window.batch_seq += 1;
-            coordinator.window.current_batch = Some(id);
-            if coordinator.config.observe.metrics() {
-                coordinator.metrics.batch_size.record(events.len() as u64);
-            }
-            coordinator.mgr.begin_group();
-        }
-
+    /// after it. Hands the reports back if the action rolled back; the
+    /// batch id and the `coord.batch_size` sample are spent only on a
+    /// commit, so the histogram's sum is the reports applied.
+    fn commit_window(&self, world: &mut World, events: Vec<PendingEvent>) -> Vec<PendingEvent> {
         // Per-event plan context, and the key union for the lock
         // pre-pass.
         type EventCtx = Option<(Rc<Plan>, Rc<InstanceKeys>, TaskId)>;
@@ -379,6 +386,8 @@ impl CoordHandle {
         let mut slow: BTreeSet<usize> = BTreeSet::new();
         let committed = {
             let mut coordinator = self.inner.borrow_mut();
+            coordinator.window.current_batch = Some(coordinator.window.batch_seq);
+            coordinator.mgr.begin_group();
             let action = coordinator.mgr.begin();
             // One ordered pass acquires every control-block lock before
             // any transition stages.
@@ -411,11 +420,15 @@ impl CoordHandle {
             }
         };
 
-        let retry = if committed {
+        let rolled_back = if committed {
             let now_ns = world.now().as_nanos();
             let mut touched: Vec<(String, Vec<TaskId>)> = Vec::new();
             {
                 let mut coordinator = self.inner.borrow_mut();
+                coordinator.window.batch_seq += 1;
+                if coordinator.config.observe.metrics() {
+                    coordinator.metrics.batch_size.record(events.len() as u64);
+                }
                 for effect in &staged {
                     if effect.is_mark {
                         coordinator.metrics.marks.inc();
@@ -464,26 +477,10 @@ impl CoordHandle {
             events
         };
 
-        {
-            let mut coordinator = self.inner.borrow_mut();
-            let _ = coordinator.mgr.end_group();
-            coordinator.window.current_batch = None;
-        }
-        // The shared action rolled back, so committed state is
-        // untouched: each report retries as a window of its own. A
-        // window of one that still aborts drops its report — to the
-        // executor's watchdog it is a message lost in the network.
-        if retry.len() > 1 {
-            for event in retry {
-                self.flush_events(world, vec![event]);
-            }
-            return;
-        }
-        let _ = self.inner.borrow_mut().maybe_checkpoint();
-        // A flushed window both frees executor slots (completions) and
-        // settles instances — revisit parked dispatches and the
-        // admission queue.
-        self.pump(world);
+        let mut coordinator = self.inner.borrow_mut();
+        let _ = coordinator.mgr.end_group();
+        coordinator.window.current_batch = None;
+        rolled_back
     }
 }
 
@@ -532,12 +529,15 @@ mod tests {
 
     #[test]
     fn a_window_of_one_flushes_on_arrival_and_never_arms_a_timer() {
-        let config = config(CommitBatch::disabled());
-        let mut window = BatchWindow::default();
-        for now_ns in [10, 20, 30] {
-            assert_eq!(window.push(report(), now_ns, &config), Next::Flush);
-            assert!(!window.armed);
-            window.pending.clear();
+        let mut zero_window = CommitBatch::disabled();
+        zero_window.max_events = 8;
+        for config in [config(CommitBatch::disabled()), config(zero_window)] {
+            let mut window = BatchWindow::default();
+            for now_ns in [10, 20, 30] {
+                assert_eq!(window.push(report(), now_ns, &config), Next::Flush);
+                assert!(!window.armed);
+                window.pending.clear();
+            }
         }
     }
 }
