@@ -5,11 +5,15 @@
 
 #![allow(dead_code)]
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
-use flowscript_engine::{CbState, InstanceStatus, ObjectVal, TaskBehavior, WorkflowSystem};
+use flowscript_engine::{
+    CbState, InstanceStatus, ObjectVal, Reconfig, TaskBehavior, WorkflowSystem,
+};
 use flowscript_sim::net::LinkConfig;
 use flowscript_sim::SimDuration;
 
@@ -440,4 +444,100 @@ pub fn run_generated(
     }
     sys.run();
     fingerprints(&sys, names)
+}
+
+// ---------------------------------------------------------------------
+// One generated instance with an optional mid-run reconfiguration (the
+// worklist suites).
+// ---------------------------------------------------------------------
+
+/// Binds one stage whose repeat loop counts calls per binding (one
+/// instance per world) where [`bind_stages`] keys on `ctx.attempt`.
+fn bind_counting_stage(sys: &WorkflowSystem, code: &str, params: StageParams) {
+    let calls = Rc::new(Cell::new(0u32));
+    sys.bind_fn(code, move |_| {
+        let call = calls.get();
+        calls.set(call + 1);
+        if call < params.repeats {
+            TaskBehavior::outcome("again")
+                .with_object("p", ObjectVal::text("Data", call.to_string()))
+                .with_redo_after(SimDuration::from_millis(20))
+        } else if params.abort {
+            TaskBehavior::outcome("failed")
+        } else if params.alt {
+            TaskBehavior::outcome("alt").with_object("out", ObjectVal::text("Data", "alt"))
+        } else {
+            TaskBehavior::outcome("done").with_object("out", ObjectVal::text("Data", "done"))
+        }
+    });
+}
+
+/// The reconfiguration a worklist case applies 30 ms into the run.
+fn reconfig_op(choice: usize, n: usize) -> Option<Reconfig> {
+    match choice {
+        1 => Some(Reconfig::Rebind {
+            code: "ref0".into(),
+            to: "refExtra".into(),
+        }),
+        2 => Some(Reconfig::AddTask {
+            scope_path: "root".into(),
+            task_source: concat!(
+                "task extra of taskclass Stage {\n",
+                "    implementation { \"code\" is \"refExtra\" };\n",
+                "    inputs { input main { inputobject in from { seed of task root if input main } } }\n",
+                "}"
+            )
+            .into(),
+        }),
+        // Removing t0 shifts every later dense task id — the fact-key
+        // remap must carry the committed facts across.
+        3 if n >= 2 => Some(Reconfig::RemoveTask {
+            task_path: "root/t0".into(),
+        }),
+        _ => None,
+    }
+}
+
+/// Runs instance `i1` of `generated_script(n, seed)` on one shard to
+/// quiescence, applying `reconfig_op(reconfig, n)` mid-run. Bit 40 of
+/// `seed` makes the nested compound's constituent fail its first call.
+pub fn run_worklist_case(
+    n: usize,
+    seed: u64,
+    reconfig: usize,
+    config: EngineConfig,
+) -> WorkflowSystem {
+    let mut sys = WorkflowSystem::builder()
+        .executors(3)
+        .seed(42) // identical virtual worlds; variation comes from `seed`
+        .config(config)
+        .build();
+    sys.register_script("g", &generated_script(n, seed), "root")
+        .expect("generated script compiles");
+    for i in 0..n {
+        bind_counting_stage(&sys, &format!("ref{i}"), stage_params(seed, i));
+    }
+    let inner_aborts = (seed >> 40) & 0b1;
+    let inner_calls = Rc::new(Cell::new(0u64));
+    sys.bind_fn("refInner", move |_| {
+        let call = inner_calls.get();
+        inner_calls.set(call + 1);
+        if call < inner_aborts {
+            TaskBehavior::outcome("failed")
+        } else {
+            TaskBehavior::outcome("done").with_object("out", ObjectVal::text("Data", "inner"))
+        }
+    });
+    sys.bind_fn("refExtra", |_| {
+        TaskBehavior::outcome("done").with_object("out", ObjectVal::text("Data", "extra"))
+    });
+    sys.start("i1", "g", "main", [("seed", text("Data", "s"))])
+        .expect("instance starts");
+    if let Some(op) = reconfig_op(reconfig, n) {
+        sys.run_for(SimDuration::from_millis(30));
+        // A removal can be validly rejected depending on progress.
+        let _ = sys.reconfigure("i1", op);
+    }
+    sys.run();
+    sys
 }

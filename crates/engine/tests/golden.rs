@@ -23,17 +23,31 @@
 //! `generated_unbatched.txt`. The equivalence suites compare the two arms
 //! of one build; these compare the reference arm with what it rendered
 //! when it was recorded.
+//!
+//! Two more reference arms are frozen here before they are retired: the
+//! whole-record fact layout (`whole_record_facts`) and the per-commit
+//! full scan (`full_rescan`). Under each, the paper population renders
+//! the same fingerprint files; `reference_fact_layout.txt` (eight fixed
+//! cases of `fact_equivalence.rs`'s proptest plus its crash-recovery and
+//! mid-run `AddTask` scenarios) and `reference_full_scan.txt` (eight
+//! fixed cases of `proptest_worklist.rs`, all four reconfiguration
+//! choices) were rendered by those arms, and the default pipeline must
+//! render the same bytes.
 
 mod common;
 
 use std::path::Path;
 
 use common::{
-    build, fingerprint, generated_config, generated_script, population, run_generated,
-    start_population, Fingerprint,
+    build, build_orders, det_config, det_link, fingerprint, generated_config, generated_script,
+    population, run_generated, run_worklist_case, start_population, text, Fingerprint,
 };
+use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
-use flowscript_engine::{CommitBatch, InstanceStatus};
+use flowscript_engine::{
+    CommitBatch, InstanceStatus, ObjectVal, ObserveLevel, Reconfig, TaskBehavior, WorkflowSystem,
+};
+use flowscript_sim::SimDuration;
 use flowscript_tx::Storage;
 
 fn render(name: &str, (status, trace, states): &Fingerprint) -> String {
@@ -74,15 +88,17 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Fingerprints of every instance, then the digest of every shard's log.
-fn run(coordinators: usize, commit_batch: CommitBatch) -> (String, String) {
-    // The default config; the trace switch only records, it decides
-    // nothing.
-    let config = EngineConfig {
+/// The default config; the trace switch only records, it decides
+/// nothing.
+fn paper_config() -> EngineConfig {
+    EngineConfig {
         record_dispatches: true,
-        commit_batch,
         ..EngineConfig::default()
-    };
+    }
+}
+
+/// Fingerprints of every instance, then the digest of every shard's log.
+fn run(coordinators: usize, config: EngineConfig) -> (String, String) {
     let mut sys = build(coordinators, config);
     let population = population();
     start_population(&mut sys, &population);
@@ -141,25 +157,51 @@ fn check(file: &str, actual: &str) {
     );
 }
 
+/// Observation writes nothing: the same fingerprints and the same log
+/// bytes with the flight recorder and every histogram on.
+fn paper_population_matches(coordinators: usize, fingerprint_file: &str, wal_file: &str) {
+    for observe in [ObserveLevel::Off, ObserveLevel::Trace] {
+        let config = EngineConfig {
+            observe,
+            ..paper_config()
+        };
+        let (fingerprints, wal) = run(coordinators, config);
+        check(fingerprint_file, &fingerprints);
+        check(wal_file, &wal);
+    }
+}
+
 #[test]
 fn paper_population_matches_golden_on_one_shard() {
-    let (fingerprints, wal) = run(1, CommitBatch::default());
-    check("paper_1_shard.txt", &fingerprints);
-    check("paper_1_shard.wal.txt", &wal);
+    paper_population_matches(1, "paper_1_shard.txt", "paper_1_shard.wal.txt");
 }
 
 #[test]
 fn paper_population_matches_golden_on_four_shards() {
-    let (fingerprints, wal) = run(4, CommitBatch::default());
-    check("paper_4_shards.txt", &fingerprints);
-    check("paper_4_shards.wal.txt", &wal);
+    paper_population_matches(4, "paper_4_shards.txt", "paper_4_shards.wal.txt");
 }
 
 #[test]
-fn reference_arm_renders_the_same_paper_goldens() {
-    for (coordinators, file) in [(1, "paper_1_shard.txt"), (4, "paper_4_shards.txt")] {
-        let (fingerprints, _wal) = run(coordinators, CommitBatch::disabled());
-        check(file, &fingerprints);
+fn reference_arms_render_the_same_paper_goldens() {
+    let arms = [
+        EngineConfig {
+            commit_batch: CommitBatch::disabled(),
+            ..paper_config()
+        },
+        EngineConfig {
+            whole_record_facts: true,
+            ..paper_config()
+        },
+        EngineConfig {
+            full_rescan: true,
+            ..paper_config()
+        },
+    ];
+    for config in arms {
+        for (coordinators, file) in [(1, "paper_1_shard.txt"), (4, "paper_4_shards.txt")] {
+            let (fingerprints, _wal) = run(coordinators, config.clone());
+            check(file, &fingerprints);
+        }
     }
 }
 
@@ -180,24 +222,177 @@ const GENERATED_CASES: [(usize, usize, u64, &[u64]); 8] = [
     (4, 3, 0xa5a5_a5a5_5a5a_5a5a, &[28657, 46368, 75025, 121393]),
 ];
 
-#[test]
-fn reference_arm_matches_golden_on_generated_scripts() {
+fn render_generated(cases: [(usize, usize, u64, &[u64]); 8], config: &EngineConfig) -> String {
     let mut rendered = String::new();
-    for (k, n, seed, salts) in GENERATED_CASES {
+    for (k, n, seed, salts) in cases {
         let script = generated_script(n, seed);
         let names: Vec<String> = salts
             .iter()
             .enumerate()
             .map(|(i, salt)| format!("wf{i}-{salt:016x}"))
             .collect();
-        let config = EngineConfig {
-            commit_batch: CommitBatch::disabled(),
-            ..generated_config()
-        };
         rendered.push_str(&format!("# k={k} n={n} seed={seed:#018x}\n"));
-        for (name, fingerprint) in run_generated(k, config, n, seed, &script, &names) {
+        for (name, fingerprint) in run_generated(k, config.clone(), n, seed, &script, &names) {
             rendered.push_str(&render(&name, &fingerprint));
         }
     }
-    check("generated_unbatched.txt", &rendered);
+    rendered
+}
+
+#[test]
+fn reference_arm_matches_golden_on_generated_scripts() {
+    let config = EngineConfig {
+        commit_batch: CommitBatch::disabled(),
+        ..generated_config()
+    };
+    check(
+        "generated_unbatched.txt",
+        &render_generated(GENERATED_CASES, &config),
+    );
+}
+
+/// `(shards, n stages, script seed, instance-name salts)`: eight fixed
+/// draws from the ranges of
+/// `fact_equivalence.rs::per_object_storage_matches_whole_record_baseline`.
+const FACT_LAYOUT_CASES: [(usize, usize, u64, &[u64]); 8] = [
+    (1, 1, 0x0001, &[7, 11]),
+    (1, 2, 0x0188, &[19, 23, 29]),
+    (1, 3, 0x0c00, &[31, 37, 41, 43]),
+    (1, 3, 0x530a, &[47, 53]),
+    (4, 1, 0x0032, &[59, 61, 67]),
+    (4, 2, 0x0c40, &[71, 73, 79, 83]),
+    (4, 3, 0x0206, &[89, 97]),
+    (4, 3, 0xe141, &[101, 103, 107, 109]),
+];
+
+/// Four shards, eight fig. 7 orders; the shard owning `order-0` crashes
+/// with work in flight, the others keep committing, and it recovers
+/// from its own log.
+fn render_crash_recovery(config: &EngineConfig) -> String {
+    let mut sys = build_orders(4, config.clone());
+    let names: Vec<String> = (0..8).map(|i| format!("order-{i}")).collect();
+    start_population(&mut sys, &names);
+    let victim = sys.coordinator_node_for("order-0");
+    sys.run_for(SimDuration::from_millis(45));
+    sys.crash_now(victim);
+    sys.run_for(SimDuration::from_millis(100));
+    sys.restart_now(victim);
+    sys.run();
+    assert!(sys.stats().recovered_instances > 0, "recovery must run");
+    names
+        .iter()
+        .map(|name| render(name, &fingerprint(&sys, name)))
+        .collect()
+}
+
+/// The paper's §2 scenario: `t5` joins a running fig. 1 diamond. The
+/// reconfiguration remaps every persisted fact onto the re-lowered
+/// plan's ids.
+fn render_midrun_add_task(config: &EngineConfig) -> String {
+    let mut sys = WorkflowSystem::builder()
+        .executors(3)
+        .seed(61)
+        .link(det_link())
+        .config(config.clone())
+        .build();
+    sys.register_script("diamond", samples::FIG1_DIAMOND, "diamond")
+        .unwrap();
+    for code in ["refT1", "refT2", "refT3", "refT4"] {
+        sys.bind_fn(code, |ctx| {
+            let out = ObjectVal::text("Data", format!("{}:{}", ctx.path, ctx.attempt));
+            TaskBehavior::outcome("done")
+                .with_work(SimDuration::from_millis(10))
+                .with_object("out", out)
+        });
+    }
+    sys.bind_fn("refT5", |ctx| {
+        let joined = format!("t5({},{})", ctx.input_text("left"), ctx.input_text("right"));
+        TaskBehavior::outcome("done").with_object("out", ObjectVal::text("Data", joined))
+    });
+    sys.start("d1", "diamond", "main", [("seed", text("Data", "s"))])
+        .unwrap();
+    sys.run_for(SimDuration::from_millis(15));
+    let task_source = r#"
+        task t5 of taskclass Join {
+            implementation { "code" is "refT5" };
+            inputs { input main {
+                inputobject left from { out of task t2 if output done };
+                inputobject right from { out of task t4 if output done }
+            } }
+        }"#;
+    sys.reconfigure(
+        "d1",
+        Reconfig::AddTask {
+            scope_path: "diamond".into(),
+            task_source: task_source.into(),
+        },
+    )
+    .unwrap();
+    sys.run();
+    assert_eq!(sys.stats().reconfigs, 1);
+    render("d1", &fingerprint(&sys, "d1"))
+}
+
+#[test]
+fn fact_layout_matches_golden() {
+    // Rendered by the whole-record arm; the per-object layout must
+    // render the same bytes.
+    for whole_record_facts in [true, false] {
+        let generated = EngineConfig {
+            whole_record_facts,
+            ..generated_config()
+        };
+        let scenario = EngineConfig {
+            whole_record_facts,
+            ..det_config()
+        };
+        let rendered = format!(
+            "{}# one-shard crash and recovery\n{}# mid-run AddTask\n{}",
+            render_generated(FACT_LAYOUT_CASES, &generated),
+            render_crash_recovery(&scenario),
+            render_midrun_add_task(&scenario),
+        );
+        check("reference_fact_layout.txt", &rendered);
+    }
+}
+
+/// `(n stages, script seed, reconfiguration)`: eight fixed draws from
+/// the ranges of `proptest_worklist.rs::worklist_matches_full_rescan`
+/// — each reconfiguration choice (0 none, 1 `Rebind`, 2 `AddTask`,
+/// 3 `RemoveTask`) twice, half the seeds with bit 40 set (the nested
+/// compound's constituent fails once).
+const FULL_SCAN_CASES: [(usize, u64, usize); 8] = [
+    (1, 0x000_0000_0000, 0),
+    (3, 0x000_0000_530a, 0),
+    (1, 0x000_0000_0002, 1),
+    (3, 0x100_0000_0188, 1),
+    (2, 0x000_0000_0081, 2),
+    (3, 0x000_0000_0c00, 2),
+    (2, 0x000_0000_0c40, 3),
+    (3, 0x100_0000_e141, 3),
+];
+
+#[test]
+fn full_scan_matches_golden() {
+    // Rendered by the per-commit full scan; the reverse-edge worklist
+    // must render the same bytes.
+    for full_rescan in [true, false] {
+        let mut rendered = String::new();
+        for (n, seed, reconfig) in FULL_SCAN_CASES {
+            let config = EngineConfig {
+                max_repeats: 6,
+                full_rescan,
+                ..generated_config()
+            };
+            let sys = run_worklist_case(n, seed, reconfig, config);
+            let stats = sys.stats();
+            rendered.push_str(&format!(
+                "# n={n} seed={seed:#014x} reconfig={reconfig} dispatches={} repeats={}\n{}",
+                stats.dispatches,
+                stats.repeats,
+                render("i1", &fingerprint(&sys, "i1")),
+            ));
+        }
+        check("reference_full_scan.txt", &rendered);
+    }
 }
