@@ -28,8 +28,8 @@ use flowscript_sim::{net::LinkConfig, FaultPlan, NodeId, SimDuration, SimTime, W
 use flowscript_tx::{SharedFileStorage, StableStore, TxManager};
 
 use crate::coordinator::{
-    package_instance, stored_instances, CoordHandle, CoordStats, Coordinator, EngineConfig,
-    InstanceStatus, Outcome,
+    package_instance, stored_instances, CoordHandle, CoordStats, Coordinator, DispatchRecord,
+    EngineConfig, InstanceStatus, Outcome,
 };
 use crate::error::EngineError;
 use crate::executor;
@@ -65,6 +65,9 @@ pub struct SystemBuilder {
     shard_storages: Option<Vec<StableStore>>,
     wal_dir: Option<std::path::PathBuf>,
     trace_enabled: bool,
+    /// Set by [`SystemBuilder::observe`]; kept beside `config` so it
+    /// holds whichever of the two is called last.
+    observe: Option<ObserveLevel>,
 }
 
 impl Default for SystemBuilder {
@@ -83,6 +86,7 @@ impl Default for SystemBuilder {
             shard_storages: None,
             wal_dir: None,
             trace_enabled: true,
+            observe: None,
         }
     }
 }
@@ -214,15 +218,19 @@ impl SystemBuilder {
         self
     }
 
-    /// Observability level (shorthand for setting
-    /// [`EngineConfig::observe`] on the current config).
+    /// Observability level: overrides [`EngineConfig::observe`] of
+    /// whatever config the system is built with, in either call order
+    /// with [`SystemBuilder::config`].
     pub fn observe(mut self, level: ObserveLevel) -> Self {
-        self.config.observe = level;
+        self.observe = Some(level);
         self
     }
 
     /// Builds the system: creates nodes, installs services.
-    pub fn build(self) -> WorkflowSystem {
+    pub fn build(mut self) -> WorkflowSystem {
+        if let Some(level) = self.observe {
+            self.config.observe = level;
+        }
         let mut world = World::new(self.seed);
         world.trace_mut().set_enabled(self.trace_enabled);
         world.net_mut().set_default_link(self.link);
@@ -787,19 +795,21 @@ impl WorkflowSystem {
     /// Ordered dispatch decisions, concatenated shard by shard (within
     /// one shard — and hence within one instance — records keep their
     /// order of occurrence; the equivalence tests compare per-instance
-    /// subsequences across shard counts).
-    pub fn dispatch_trace(&self) -> Vec<crate::coordinator::DispatchRecord> {
+    /// subsequences across shard counts). A projection of the flight
+    /// recorders: empty below [`ObserveLevel::Trace`].
+    pub fn dispatch_trace(&self) -> Vec<DispatchRecord> {
         self.all_coords()
             .flat_map(|coord| coord.dispatch_trace())
             .collect()
     }
 
-    /// One instance's dispatch decisions, in order of occurrence.
-    pub fn dispatch_trace_of(&self, instance: &str) -> Vec<crate::coordinator::DispatchRecord> {
-        self.coord_for(instance)
-            .dispatch_trace()
+    /// One instance's dispatch decisions on its owning shard, in order
+    /// of occurrence.
+    pub fn dispatch_trace_of(&self, instance: &str) -> Vec<DispatchRecord> {
+        let events = self.coord_for(instance).recorder().events_for(instance);
+        events
             .into_iter()
-            .filter(|record| record.instance == instance)
+            .filter_map(DispatchRecord::from_event)
             .collect()
     }
 
@@ -850,11 +860,12 @@ impl WorkflowSystem {
         self.coords[shard].cached_plan_fingerprints()
     }
 
-    /// Corrupts one published output fact in place (fault injection for
-    /// the corrupt-record tests).
+    /// Corrupts one fact of `path` in place — the output, else the
+    /// input set, called `name` (fault injection for the corrupt-record
+    /// tests).
     #[doc(hidden)]
-    pub fn poison_fact(&self, instance: &str, path: &str, output: &str) -> bool {
-        self.coord_for(instance).poison_fact(instance, path, output)
+    pub fn poison_fact(&self, instance: &str, path: &str, name: &str) -> bool {
+        self.coord_for(instance).poison_fact(instance, path, name)
     }
 
     /// Sends a forged `Mark` message for `instance` *via* shard `via`
@@ -1491,6 +1502,21 @@ mod tests {
 
     fn text(class: &str, value: &str) -> ObjectVal {
         ObjectVal::text(class, value)
+    }
+
+    #[test]
+    fn observe_overrides_the_config_in_either_call_order() {
+        let metrics = || EngineConfig {
+            observe: ObserveLevel::Metrics,
+            ..EngineConfig::default()
+        };
+        let builder = WorkflowSystem::builder;
+        let before = builder().observe(ObserveLevel::Trace).config(metrics());
+        let after = builder().config(metrics()).observe(ObserveLevel::Trace);
+        assert_eq!(before.build().config.observe, ObserveLevel::Trace);
+        assert_eq!(after.build().config.observe, ObserveLevel::Trace);
+        let untouched = builder().config(metrics()).build();
+        assert_eq!(untouched.config.observe, ObserveLevel::Metrics);
     }
 
     #[test]

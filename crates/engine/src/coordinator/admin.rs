@@ -22,11 +22,12 @@ use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
 
 impl CoordHandle {
-    /// Overwrites every stored sub-key of one published output fact
-    /// with undecodable bytes — fault injection for the corrupt-record
-    /// tests (a probe must surface the fault, not read "absent").
+    /// Overwrites every stored sub-key of one fact of `path` — the
+    /// output called `name`, else the input set called `name` — with
+    /// undecodable bytes: fault injection for the corrupt-record tests
+    /// (a read must surface the fault, not "absent").
     #[doc(hidden)]
-    pub fn poison_fact(&self, instance: &str, path: &str, output: &str) -> bool {
+    pub fn poison_fact(&self, instance: &str, path: &str, name: &str) -> bool {
         let mut coordinator = self.inner.borrow_mut();
         let Some(rt) = coordinator.instances.get(instance) else {
             return false;
@@ -35,7 +36,10 @@ impl CoordHandle {
         let Some(task) = plan.task_by_path(path) else {
             return false;
         };
-        let Some(base) = keys.out_key(&plan, task, output) else {
+        let base = keys
+            .out_key(&plan, task, name)
+            .or_else(|| keys.in_key(&plan, task, name));
+        let Some(base) = base else {
             return false;
         };
         let mut targets = coordinator.mgr.fact_keys_in_range(base, base.fact_last());
@@ -110,7 +114,6 @@ impl CoordHandle {
                 .into_iter()
                 .map(|(k, v)| (k, v.produced_by(path.to_string())))
                 .collect();
-            let whole = coordinator.config.whole_record_facts;
             let action = coordinator.mgr.begin();
             // Drop the stored sub-keys first: a corrupt record may use a
             // different layout than the rewrite below.
@@ -120,14 +123,7 @@ impl CoordHandle {
             {
                 coordinator.mgr.delete_key(&action, &StoreKey::Fact(fact))?;
             }
-            facts::write_fact_map(
-                &mut coordinator.mgr,
-                &action,
-                &plan,
-                out_key,
-                &stamped,
-                whole,
-            )?;
+            facts::write_fact_map(&mut coordinator.mgr, &action, &plan, out_key, &stamped)?;
             if force {
                 cb.transition(if kind == OutputKind::Outcome {
                     CbState::Done {
@@ -247,7 +243,6 @@ impl CoordHandle {
                     .write(&action, &plan_uid(new_plan.fingerprint), &new_plan)?;
             }
             // Move every persisted fact onto the new plan's id space.
-            let whole = coordinator.config.whole_record_facts;
             facts::remap_instance_facts(
                 &mut coordinator.mgr,
                 &action,
@@ -255,7 +250,6 @@ impl CoordHandle {
                 &old_keys,
                 &new_plan,
                 meta.instance_id,
-                whole,
             )?;
             for path in &effects.new_tasks {
                 // New tasks join the current incarnation of their scope.
@@ -367,7 +361,6 @@ impl CoordHandle {
             cb.transition(CbState::Aborted {
                 outcome: outcome.to_string(),
             });
-            let whole = coordinator.config.whole_record_facts;
             let action = coordinator.mgr.begin();
             coordinator.mgr.write(&action, keys.cb(task_id), &cb)?;
             facts::write_fact_map(
@@ -376,7 +369,6 @@ impl CoordHandle {
                 &plan,
                 out_key,
                 &BTreeMap::new(),
-                whole,
             )?;
             coordinator.commit(action)?;
             coordinator.note_terminals(instance, 1);

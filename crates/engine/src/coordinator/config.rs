@@ -1,4 +1,5 @@
-//! The engine's policy knobs.
+//! The engine's policy knobs: what an operator would turn, nothing that
+//! selects an implementation.
 
 use flowscript_obs::ObserveLevel;
 use flowscript_sim::SimDuration;
@@ -20,34 +21,20 @@ pub struct EngineConfig {
     pub max_repeats: u32,
     /// Write a checkpoint and compact the log every this many commits.
     pub checkpoint_every: Option<u64>,
-    /// Re-evaluate the whole scope tree after every commit instead of
-    /// the reverse-edge worklist. This is the full-scan oracle
-    /// `tests/proptest_worklist.rs` holds the worklist to (identical
-    /// dispatch traces); production runs leave it off.
-    pub full_rescan: bool,
-    /// Record every dispatch decision in an in-memory trace
-    /// ([`super::CoordHandle::dispatch_trace`]). Unbounded — for equivalence
-    /// tests and diagnostics only; production runs leave it off.
-    pub record_dispatches: bool,
     /// How dispatch picks executors. The default honors the
     /// implementation clause's `location`/`priority` hints and tracks
     /// per-executor load; [`SchedPolicy::PathHash`] and
     /// [`SchedPolicy::InFlightCount`] are the baselines
     /// `tests/scheduling.rs` compares it against.
     pub scheduler: SchedPolicy,
-    /// Store dependency facts as one encoded record per fact instead of
-    /// per-object sub-keys. This is the pre-split oracle
-    /// `tests/fact_equivalence.rs` holds the per-object layout to
-    /// (identical per-instance outcomes and dispatch traces);
-    /// production runs leave it off.
-    pub whole_record_facts: bool,
     /// How much the engine observes itself. `Off` (the default) keeps
     /// only the always-on counters behind the public stats getters;
     /// `Metrics` adds the optional histograms (commit-drain length,
     /// dispatch latency, WAL frames per commit, scheduler pick load);
     /// `Trace` adds the per-shard flight recorder of lifecycle events
-    /// queryable via [`crate::WorkflowSystem::trace`]. Every hook point
-    /// is a branch on this enum, so `Off` costs one compare.
+    /// queryable via [`crate::WorkflowSystem::trace`] (and, projected to
+    /// its dispatches, [`crate::WorkflowSystem::dispatch_trace`]). Every
+    /// hook point is a branch on this enum, so `Off` costs one compare.
     pub observe: ObserveLevel,
     /// Flight-recorder capacity: the bounded ring keeps at most this
     /// many lifecycle events per shard, evicting oldest-first (the
@@ -72,12 +59,6 @@ pub struct EngineConfig {
     /// `StartInstance` RPCs are turned away with a typed
     /// [`crate::EngineError::Busy`] the client retries with backoff.
     pub admission_queue_limit: usize,
-    /// Auto-tune the group-commit window between this floor and
-    /// [`CommitBatch::max_window`] from the observed report arrival
-    /// rate: bursts hold the full window (sync amortization), light
-    /// load narrows it to this floor (commit latency). `None` (the
-    /// default) keeps the static window.
-    pub adaptive_min_window: Option<SimDuration>,
 }
 
 impl Default for EngineConfig {
@@ -88,16 +69,12 @@ impl Default for EngineConfig {
             dispatch_timeout: SimDuration::from_secs(30),
             max_repeats: 32,
             checkpoint_every: None,
-            full_rescan: false,
-            record_dispatches: false,
             scheduler: SchedPolicy::default(),
-            whole_record_facts: false,
             observe: ObserveLevel::Off,
             recorder_capacity: 4096,
             commit_batch: CommitBatch::default(),
             max_inflight_instances: None,
             admission_queue_limit: 64,
-            adaptive_min_window: None,
         }
     }
 }
@@ -121,6 +98,11 @@ pub struct CommitBatch {
     /// Flush at most this long (virtual time) after the first buffered
     /// report. Zero is the window of one too, whatever `max_events` says.
     pub max_window: SimDuration,
+    /// Auto-tune the window between this floor and `max_window` from
+    /// the observed report arrival rate: bursts hold the full window
+    /// (sync amortization), light load narrows it to this floor (commit
+    /// latency). `None` (the default) keeps the static window.
+    pub min_window: Option<SimDuration>,
 }
 
 impl CommitBatch {
@@ -130,6 +112,7 @@ impl CommitBatch {
         Self {
             max_events: 1,
             max_window: SimDuration::ZERO,
+            min_window: None,
         }
     }
 }
@@ -139,6 +122,7 @@ impl Default for CommitBatch {
         Self {
             max_events: 64,
             max_window: SimDuration::from_millis(1),
+            min_window: None,
         }
     }
 }
@@ -149,10 +133,35 @@ mod tests {
 
     #[test]
     fn config_defaults_are_sane() {
-        let config = EngineConfig::default();
-        assert!(config.max_retries >= 1);
-        assert!(config.max_repeats > 1);
-        assert!(config.dispatch_timeout > config.retry_backoff);
-        assert!(!config.full_rescan, "production default is event-driven");
+        // Destructured without `..` on purpose: a new field fails to
+        // compile here, next to the rule for admitting one — two callers
+        // that are neither tests nor examples need different values of
+        // it. A field that selects between implementations of the same
+        // behaviour never qualifies: freeze the old one's verdict as a
+        // golden (`tests/golden.rs`) and delete it.
+        let EngineConfig {
+            max_retries,
+            retry_backoff,
+            dispatch_timeout,
+            max_repeats,
+            checkpoint_every: _,
+            scheduler: _,
+            observe,
+            recorder_capacity: _,
+            commit_batch,
+            max_inflight_instances: _,
+            admission_queue_limit: _,
+        } = EngineConfig::default();
+        let CommitBatch {
+            max_events,
+            max_window,
+            min_window,
+        } = commit_batch;
+        assert!(max_retries >= 1);
+        assert!(max_repeats > 1);
+        assert!(dispatch_timeout > retry_backoff);
+        assert_eq!(observe, ObserveLevel::Off, "observation is opt-in");
+        assert!(max_events > 1 && max_window > SimDuration::ZERO);
+        assert!(min_window.is_none(), "the static window is the default");
     }
 }

@@ -8,11 +8,11 @@ use flowscript_core::ast::OutputKind;
 use flowscript_obs::ObsEventKind;
 use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::{EventId, NodeId, SimDuration, World};
-use flowscript_tx::FactKey;
+use flowscript_tx::{FactKey, TxError};
 
-use super::{CoordHandle, Coordinator, DispatchRecord};
+use super::{CoordHandle, Coordinator};
 use crate::facts;
-use crate::keys::cb_uid;
+use crate::keys::{cb_uid, InstanceKeys};
 use crate::msg::{EngineMsg, StartTask, TaskDone, TaskResult};
 use crate::sched::ImplHints;
 use crate::state::{CbState, TaskCb};
@@ -52,14 +52,43 @@ pub(super) struct ParkedDispatch {
 }
 
 impl Coordinator {
-    /// A committed fact's objects, in whichever layout the config writes.
-    pub(super) fn read_fact(
+    /// The objects of a committed fact a re-dispatch ships (none when
+    /// the fact is absent); `Err` when the stored bytes do not decode —
+    /// a fault, which must not read as "fact absent".
+    fn read_fact(
         &self,
         plan: &Plan,
-        key: FactKey,
-    ) -> Option<BTreeMap<String, ObjectVal>> {
-        let whole = self.config.whole_record_facts;
-        facts::read_fact_map(&self.mgr, plan, key, whole).ok()?
+        key: Option<FactKey>,
+    ) -> Result<BTreeMap<String, ObjectVal>, TxError> {
+        match key {
+            Some(key) => Ok(facts::read_fact_map(&self.mgr, plan, key)?.unwrap_or_default()),
+            None => Ok(BTreeMap::new()),
+        }
+    }
+
+    /// What a re-dispatch ships: the bound inputs, and the objects of
+    /// every repeat outcome the task took (re-readable from its
+    /// repeat-outcome facts).
+    fn redispatch_objects(
+        &self,
+        plan: &Plan,
+        keys: &InstanceKeys,
+        task_id: TaskId,
+        set: &str,
+    ) -> Result<[BTreeMap<String, ObjectVal>; 2], TxError> {
+        let inputs = self.read_fact(plan, keys.in_key(plan, task_id, set))?;
+        let mut repeat_objects = BTreeMap::new();
+        let class = plan.class_of(plan.task(task_id));
+        for (ordinal, output) in plan.class_outputs[class.outputs.as_range()]
+            .iter()
+            .enumerate()
+        {
+            if output.kind == OutputKind::RepeatOutcome {
+                let key = FactKey::output(keys.instance_id, task_id, ordinal as u32);
+                repeat_objects.extend(self.read_fact(plan, Some(key))?);
+            }
+        }
+        Ok([inputs, repeat_objects])
     }
 
     /// Ends the load accounting of an outstanding dispatch: removes the
@@ -388,14 +417,6 @@ impl CoordHandle {
                             executor: placement.node.index() as u32,
                         },
                     );
-                    if coordinator.config.record_dispatches {
-                        coordinator.dispatch_log.push(DispatchRecord {
-                            instance: instance.to_string(),
-                            path: path.to_string(),
-                            attempt,
-                            executor: placement.node,
-                        });
-                    }
                     // Count the load now — at the observed estimate
                     // when the cost model has one, else the declared
                     // remaining-work cost — releasing any stale entry a
@@ -554,7 +575,6 @@ impl CoordHandle {
             };
             cb.repeats += 1;
             let over = cb.repeats > coordinator.config.max_repeats;
-            let whole = coordinator.config.whole_record_facts;
             let action = coordinator.mgr.begin();
             if over {
                 cb.transition(CbState::Failed {
@@ -567,14 +587,7 @@ impl CoordHandle {
                 .mgr
                 .write(&action, keys.cb(task_id), &cb)
                 .and_then(|_| {
-                    facts::write_fact_map(
-                        &mut coordinator.mgr,
-                        &action,
-                        &plan,
-                        out_key,
-                        objects,
-                        whole,
-                    )
+                    facts::write_fact_map(&mut coordinator.mgr, &action, &plan, out_key, objects)
                 });
             if write.is_ok() {
                 // Counters move only on commit success: an aborted
@@ -611,9 +624,11 @@ impl CoordHandle {
             let CbState::Executing { set } = &cb.state else {
                 return;
             };
-            keys.in_key(&plan, task_id, set)
-                .and_then(|key| coordinator.read_fact(&plan, key))
-                .unwrap_or_default()
+            coordinator.read_fact(&plan, keys.in_key(&plan, task_id, set))
+        };
+        let inputs = match inputs {
+            Ok(inputs) => inputs,
+            Err(fault) => return self.park_fact_fault(world, &msg.instance, &keys, fault),
         };
         {
             let mut coordinator = self.inner.borrow_mut();
@@ -742,12 +757,11 @@ impl CoordHandle {
 
     /// Re-dispatches from persisted facts (also the recovery path).
     pub(super) fn redispatch(&self, world: &mut World, instance: &str, path: &str, attempt: u32) {
+        let Some((plan, keys)) = self.instance_ctx(instance) else {
+            return;
+        };
         let gathered = {
             let coordinator = self.inner.borrow();
-            let Some(rt) = coordinator.instances.get(instance) else {
-                return;
-            };
-            let (plan, keys) = (rt.plan.clone(), rt.keys.clone());
             let Some(task_id) = plan.task_by_path(path) else {
                 return;
             };
@@ -760,28 +774,26 @@ impl CoordHandle {
             if cb.attempt != attempt {
                 return;
             }
-            let inputs = keys
-                .in_key(&plan, task_id, set)
-                .and_then(|key| coordinator.read_fact(&plan, key))
-                .unwrap_or_default();
-            // Repeat objects (if the task had repeated) are re-readable
-            // from its repeat-outcome facts.
-            let mut repeat_objects = BTreeMap::new();
-            let class = plan.class_of(plan.task(task_id));
-            for (ordinal, output) in plan.class_outputs[class.outputs.as_range()]
-                .iter()
-                .enumerate()
-            {
-                if output.kind == OutputKind::RepeatOutcome {
-                    let key = FactKey::output(keys.instance_id, task_id, ordinal as u32);
-                    repeat_objects.extend(coordinator.read_fact(&plan, key).unwrap_or_default());
-                }
-            }
-            Some((inputs, repeat_objects))
+            coordinator.redispatch_objects(&plan, &keys, task_id, set)
         };
-        if let Some((inputs, repeat_objects)) = gathered {
-            self.dispatch(world, instance, path, attempt, inputs, repeat_objects);
+        match gathered {
+            Ok([inputs, repeat_objects]) => {
+                self.dispatch(world, instance, path, attempt, inputs, repeat_objects);
+            }
+            Err(fault) => self.park_fact_fault(world, instance, &keys, fault),
         }
+    }
+
+    /// A fact a re-dispatch must ship does not decode: running the task
+    /// on empty inputs would be a silent misread, so the instance parks
+    /// with the same diagnosable reason a faulted readiness probe gives.
+    fn park_fact_fault(&self, world: &World, instance: &str, keys: &InstanceKeys, fault: TxError) {
+        self.inner.borrow_mut().park_stuck(
+            world.now().as_nanos(),
+            instance,
+            keys,
+            format!("fact storage fault: {fault}"),
+        );
     }
 
     /// Marks a task permanently failed (retries exhausted).

@@ -47,21 +47,14 @@ impl CoordHandle {
 
     /// Event-driven re-evaluation: seeds only the consumers of the
     /// tasks whose facts just committed (reverse dependency +
-    /// notification edges) and drains. With
-    /// [`EngineConfig::full_rescan`](super::EngineConfig::full_rescan) set, falls back to the full-scan
-    /// oracle — the equivalence tests assert both produce identical
-    /// dispatch traces.
+    /// notification edges) and drains.
     pub fn evaluate_from(&self, world: &mut World, instance: &str, changed: &[TaskId]) {
         let Some((plan, keys)) = self.instance_ctx(instance) else {
             return;
         };
         let mut worklist = Worklist::new();
-        if self.inner.borrow().config.full_rescan {
-            worklist.seed_all(&plan);
-        } else {
-            for &task in changed {
-                worklist.seed_commit(&plan, task);
-            }
+        for &task in changed {
+            worklist.seed_commit(&plan, task);
         }
         self.drain(world, instance, &plan, &keys, worklist);
     }
@@ -172,11 +165,7 @@ impl CoordHandle {
                         && cb.state == CbState::Waiting
                         && cb.incarnation == parent_cb.scope_inc =>
                 {
-                    let facts = StoreFacts::new(
-                        &coordinator.mgr,
-                        keys,
-                        coordinator.config.whole_record_facts,
-                    );
+                    let facts = StoreFacts::new(&coordinator.mgr, keys);
                     let satisfied = plan_eval::eval_task_inputs(plan, task_id, &facts);
                     match facts.take_fault() {
                         Some(fault) => Err(format!("fact storage fault: {fault}")),
@@ -252,7 +241,6 @@ impl CoordHandle {
                 }
             };
             cb.transition(next);
-            let whole = coordinator.config.whole_record_facts;
             let action = coordinator.mgr.begin();
             let write = coordinator
                 .mgr
@@ -265,7 +253,6 @@ impl CoordHandle {
                         in_key,
                         slots,
                         &bound,
-                        whole,
                     )
                 });
             if write.is_err() {
@@ -306,11 +293,7 @@ impl CoordHandle {
         // output (or repeat) — both in declaration order.
         let satisfied = {
             let coordinator = self.inner.borrow();
-            let facts = StoreFacts::new(
-                &coordinator.mgr,
-                keys,
-                coordinator.config.whole_record_facts,
-            );
+            let facts = StoreFacts::new(&coordinator.mgr, keys);
             let satisfied = plan_eval::eval_scope_outputs(plan, scope_id, &facts);
             match facts.take_fault() {
                 Some(fault) => Err(format!("fact storage fault: {fault}")),
@@ -389,7 +372,6 @@ impl CoordHandle {
             return Err(EngineError::UnknownTask(scope_path.to_string()));
         };
         cb.marks_emitted.push(mark.to_string());
-        let whole = coordinator.config.whole_record_facts;
         let action = coordinator.mgr.begin();
         coordinator.mgr.write(&action, keys.cb(scope_id), &cb)?;
         facts::write_fact_bound(
@@ -399,7 +381,6 @@ impl CoordHandle {
             out_key,
             output.slots,
             mapped,
-            whole,
         )?;
         coordinator.commit(action)?;
         // Count the mark only now that it committed.
@@ -447,7 +428,6 @@ impl CoordHandle {
                     outcome: outcome_name.to_string(),
                 }
             });
-            let whole = coordinator.config.whole_record_facts;
             let action = coordinator.mgr.begin();
             let mut ok = coordinator
                 .mgr
@@ -460,7 +440,6 @@ impl CoordHandle {
                     out_key,
                     output.slots,
                     &mapped,
-                    whole,
                 )
                 .is_ok();
             // Cancel every non-terminal descendant (one flat subtree
@@ -576,7 +555,6 @@ impl CoordHandle {
                 cb.scope_inc += 1;
                 let new_inc = cb.scope_inc;
                 let meta = coordinator.read_meta(instance);
-                let whole = coordinator.config.whole_record_facts;
                 let action = coordinator.mgr.begin();
                 let mut ok = facts::write_fact_bound(
                     &mut coordinator.mgr,
@@ -585,7 +563,6 @@ impl CoordHandle {
                     out_key,
                     output.slots,
                     &mapped,
-                    whole,
                 )
                 .is_ok();
                 // The compound goes back to Waiting to rebind (the root,
@@ -604,7 +581,6 @@ impl CoordHandle {
                                     plan,
                                     in_key,
                                     &meta.inputs,
-                                    whole,
                                 )
                                 .is_ok();
                         } else {
@@ -708,11 +684,7 @@ impl CoordHandle {
                 "incremental non-terminal count of `{instance}` drifted"
             );
         }
-        let facts = StoreFacts::new(
-            &coordinator.mgr,
-            keys,
-            coordinator.config.whole_record_facts,
-        );
+        let facts = StoreFacts::new(&coordinator.mgr, keys);
         for id in 1..plan.tasks.len() as TaskId {
             let task = plan.task(id);
             let Some(parent) = task.parent else {
@@ -795,11 +767,7 @@ impl CoordHandle {
                     failed.push(format!("{} ({reason})", cb.path));
                 }
                 CbState::Waiting => {
-                    let facts = StoreFacts::new(
-                        &coordinator.mgr,
-                        &keys,
-                        coordinator.config.whole_record_facts,
-                    );
+                    let facts = StoreFacts::new(&coordinator.mgr, &keys);
                     let task = plan.task(id);
                     let pending = plan.sets[task.sets.as_range()]
                         .iter()
@@ -836,7 +804,13 @@ impl Coordinator {
     /// terminate — and when a fact probe hit a storage/decode fault: a
     /// corrupt record must not read as "fact absent" and silently
     /// mis-evaluate readiness.
-    fn park_stuck(&mut self, now_ns: u64, instance: &str, keys: &InstanceKeys, reason: String) {
+    pub(super) fn park_stuck(
+        &mut self,
+        now_ns: u64,
+        instance: &str,
+        keys: &InstanceKeys,
+        reason: String,
+    ) {
         let Some(mut meta) = self.read_meta(instance) else {
             return;
         };

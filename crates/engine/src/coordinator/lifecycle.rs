@@ -219,15 +219,7 @@ impl CoordHandle {
         coordinator.mgr.write(&action, keys.cb(0), &root_cb)?;
         // The root's input binding goes through the fact layout like
         // every other fact, so root-input fallbacks probe per object.
-        let whole = coordinator.config.whole_record_facts;
-        facts::write_fact_map(
-            &mut coordinator.mgr,
-            &action,
-            &plan,
-            root_in,
-            &inputs,
-            whole,
-        )?;
+        facts::write_fact_map(&mut coordinator.mgr, &action, &plan, root_in, &inputs)?;
         // Every descendant starts Waiting — the plan's DFS order makes
         // this one flat scan instead of a scope-tree recursion.
         for (id, task) in plan.tasks.iter().enumerate().skip(1) {
@@ -313,7 +305,9 @@ impl CoordHandle {
         let rt = coordinator.instances.get(instance)?;
         let task = rt.plan.task_by_path(path)?;
         let key = rt.keys.out_key(&rt.plan, task, output)?;
-        coordinator.read_fact(&rt.plan, key)
+        facts::read_fact_map(&coordinator.mgr, &rt.plan, key)
+            .ok()
+            .flatten()
     }
 
     /// Names of instances known to the coordinator.

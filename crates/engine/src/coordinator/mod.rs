@@ -34,10 +34,10 @@
 //!
 //! | module | concern | owns | entry points |
 //! |---|---|---|---|
-//! | `config`, `meta`, `stats` | the types: policy knobs; status, outcome, `InstanceMeta`, uid layout; counters | — | — |
+//! | `config`, `meta`, `stats` | the types: operator knobs; status, outcome, `InstanceMeta`, uid layout; counters and the dispatch record | — | — |
 //! | `window` | the one place a report is applied: buffer `Done`/`Mark` reports, commit a window of them in one atomic action | `BatchWindow` | `enqueue_event`, `flush_pending`, `commit_event` |
-//! | `evaluate` | the worklist drain: input-set satisfaction, activation, compound-scope outputs (marks, termination, the fig. 8 repeat), stuck detection, the debug full-scan oracle | — | `evaluate`, `evaluate_from` |
-//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, bounded retries, the slow-path report handler | — | `dispatch`, `redispatch`, `arm_watchdog`, `on_task_done`, `fail_task`, `clear_watch`, `drain_parked`, `sweep_subtree`, `executing`, `read_fact` |
+//! | `evaluate` | the worklist drain: input-set satisfaction, activation, compound-scope outputs (marks, termination, the fig. 8 repeat), stuck detection, the debug full-scan oracle | — | `evaluate`, `evaluate_from`, `park_stuck` |
+//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, bounded retries, the slow-path report handler | — | `dispatch`, `redispatch`, `arm_watchdog`, `on_task_done`, `fail_task`, `clear_watch`, `drain_parked`, `sweep_subtree`, `executing` |
 //! | `admission` | the per-shard instance cap on the start RPC | `Admission` | `admit_or_queue`, `admit_from_queue`, `Admission::{instance_live, instance_settled}` |
 //! | `lifecycle` | instance start, materialising a runtime from committed state, the monitoring reads; compiled plans, decoded once and persisted once per fingerprint | `PlanCache` | `start_instance_full`, `load_instance`, `rebuild_schema`, `count_nonterminal`, `PlanCache::validated`, `gc_plans` |
 //! | `membership` | shard routing, relays, live hand-off, crash-driven adoption | `Membership`, [`HandoffPackage`] | `misdirected`, `forward_oneway`, `forward_start`, the `handoff_*` steps, `claim_adopt`, `adopt_orphans`, `repair_handoffs`, `package_instance` |
@@ -169,8 +169,6 @@ pub struct Coordinator {
     /// The open commit window: buffered executor reports, the flush
     /// timer flag, batch ids and the arrival EWMA.
     window: BatchWindow,
-    /// Ordered dispatch decisions (equivalence tests, diagnostics).
-    dispatch_log: Vec<DispatchRecord>,
     /// This shard's metric registry: `coord.*`, `sched.*`, `tx.*` and
     /// `wal.*` live here. Shared with the [`TxManager`], surviving
     /// crash-recovery reopens.
@@ -264,7 +262,6 @@ impl Coordinator {
             commits: 0,
             commits_at_checkpoint: 0,
             window: BatchWindow::default(),
-            dispatch_log: Vec::new(),
             registry,
             metrics,
             recorder,
@@ -406,11 +403,17 @@ impl CoordHandle {
         self.inner.borrow().recorder.clone()
     }
 
-    /// Ordered dispatch decisions since the coordinator opened (the
-    /// worklist/full-scan equivalence tests compare these verbatim).
-    /// Empty unless [`EngineConfig::record_dispatches`] is set.
+    /// Ordered dispatch decisions: the recorder's `Dispatch` events,
+    /// oldest first. Like the recorder, empty below
+    /// [`flowscript_obs::ObserveLevel::Trace`] and bounded by
+    /// [`EngineConfig::recorder_capacity`] (a suite that compares traces
+    /// checks [`FlightRecorder::dropped`] is zero).
     pub fn dispatch_trace(&self) -> Vec<DispatchRecord> {
-        self.inner.borrow().dispatch_log.clone()
+        let events = self.inner.borrow().recorder.events();
+        events
+            .into_iter()
+            .filter_map(DispatchRecord::from_event)
+            .collect()
     }
 
     /// Current log size in bytes (ablation measurements).

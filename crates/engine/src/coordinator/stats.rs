@@ -1,7 +1,8 @@
 //! The coordinator's counters and histograms: the public [`CoordStats`]
-//! view, the registry handles behind it, and the dispatch trace record.
+//! view, the registry handles behind it, and the dispatch record the
+//! flight recorder's `Dispatch` events project to.
 
-use flowscript_obs::{Counter, Gauge, Histogram, Registry};
+use flowscript_obs::{Counter, Gauge, Histogram, ObsEvent, ObsEventKind, Registry};
 use flowscript_sim::NodeId;
 
 /// Engine counters (diagnostics and benchmarks).
@@ -27,10 +28,10 @@ pub struct CoordStats {
     pub reconfigs: u64,
     /// Instances recovered after a coordinator restart.
     pub recovered_instances: u64,
-    /// Worklist entries processed (readiness/output re-checks). The
-    /// event-driven pipeline keeps this proportional to dependency
-    /// fan-out; the full-scan oracle makes it proportional to instance
-    /// size.
+    /// Worklist entries processed (readiness/output re-checks):
+    /// proportional to the dependency fan-out of what committed, except
+    /// at start, recovery and reconfiguration re-entry, which seed every
+    /// task.
     pub evaluations: u64,
     /// Misdirected requests this coordinator forwarded to the owning
     /// shard (clients that route via the shard map never cause one).
@@ -206,8 +207,10 @@ impl CoordMetrics {
     }
 }
 
-/// One dispatch decision, in order of occurrence (used by the
-/// worklist/full-scan equivalence tests and as a diagnostic trace).
+/// One dispatch decision, in order of occurrence: a flight-recorder
+/// `Dispatch` event as [`super::CoordHandle::dispatch_trace`] projects
+/// it (the equivalence suites and the golden fingerprints compare
+/// these).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DispatchRecord {
     /// Instance name.
@@ -216,9 +219,25 @@ pub struct DispatchRecord {
     pub path: String,
     /// Attempt number.
     pub attempt: u32,
-    /// The executor node the dispatch was sent to. (The shard/worklist
+    /// The executor node the dispatch was sent to. (The shard
     /// equivalence tests project this away: per-shard load views make
     /// the *placement* legitimately differ across shard counts while
     /// the `(path, attempt)` sequence stays identical.)
     pub executor: NodeId,
+}
+
+impl DispatchRecord {
+    /// The record a flight-recorder event projects to, if it is a
+    /// `Dispatch`.
+    pub(crate) fn from_event(event: ObsEvent) -> Option<Self> {
+        let ObsEventKind::Dispatch { executor } = event.kind else {
+            return None;
+        };
+        Some(Self {
+            instance: event.instance,
+            path: event.task?,
+            attempt: event.attempt,
+            executor: NodeId::from_index(executor as usize),
+        })
+    }
 }

@@ -17,7 +17,7 @@ use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::{SimDuration, World};
 use flowscript_tx::{AtomicAction, StoreKey};
 
-use super::{CoordHandle, Coordinator, EngineConfig};
+use super::{CommitBatch, CoordHandle, Coordinator};
 use crate::facts;
 use crate::keys::InstanceKeys;
 use crate::msg::{MarkMsg, TaskDone, TaskResult};
@@ -109,11 +109,11 @@ impl BatchWindow {
     /// window arms a one-shot timer so a lone report still commits
     /// within the window; reaching `max_events` flushes at once, and so
     /// does a zero `max_window` — no time to wait is a window of one.
-    fn push(&mut self, event: PendingEvent, now_ns: u64, config: &EngineConfig) -> Next {
+    fn push(&mut self, event: PendingEvent, now_ns: u64, batch: &CommitBatch) -> Next {
         // Fold the arrival into the inter-arrival EWMA (same 1/4 gain
         // as the cost model). The very first report only seeds the
         // clock — a gap measured from time zero is noise.
-        if config.adaptive_min_window.is_some() {
+        if batch.min_window.is_some() {
             if self.last_report_ns != 0 {
                 let gap = now_ns.saturating_sub(self.last_report_ns);
                 self.arrival_gap_ns = Some(match self.arrival_gap_ns {
@@ -124,25 +124,24 @@ impl BatchWindow {
             self.last_report_ns = now_ns;
         }
         self.pending.push(event);
-        let batch = config.commit_batch;
         if self.pending.len() >= batch.max_events || batch.max_window == SimDuration::ZERO {
             Next::Flush
         } else if self.armed {
             Next::Wait
         } else {
             self.armed = true;
-            Next::Arm(self.effective_window(config))
+            Next::Arm(self.effective_window(batch))
         }
     }
 
     /// The window to arm right now. Static configs return
-    /// `max_window` unchanged; with `adaptive_min_window` set, a
+    /// `max_window` unchanged; with `min_window` set, a
     /// bursty report stream (mean gap ≤ ¼ of the full window) holds the
     /// full window to amortize the flush, while light load narrows to
     /// the floor so a lone report commits sooner.
-    fn effective_window(&self, config: &EngineConfig) -> SimDuration {
-        let max = config.commit_batch.max_window;
-        let Some(min) = config.adaptive_min_window else {
+    fn effective_window(&self, batch: &CommitBatch) -> SimDuration {
+        let max = batch.max_window;
+        let Some(min) = batch.min_window else {
             return max;
         };
         if self
@@ -267,10 +266,10 @@ impl Coordinator {
             .iter()
             .map(|(k, v)| (k.clone(), v.clone().produced_by(path.to_string())))
             .collect();
-        let whole = self.config.whole_record_facts;
-        let write = self.mgr.write(action, keys.cb(task_id), &cb).and_then(|_| {
-            facts::write_fact_map(&mut self.mgr, action, plan, out_key, &stamped, whole)
-        });
+        let write = self
+            .mgr
+            .write(action, keys.cb(task_id), &cb)
+            .and_then(|_| facts::write_fact_map(&mut self.mgr, action, plan, out_key, &stamped));
         match write {
             Ok(()) => Staging::Staged(StagedEffect {
                 instance: instance.to_string(),
@@ -293,9 +292,11 @@ impl CoordHandle {
         let (next, node) = {
             let mut coordinator = self.inner.borrow_mut();
             let coordinator = &mut *coordinator;
-            let next = coordinator
-                .window
-                .push(event, world.now().as_nanos(), &coordinator.config);
+            let next = coordinator.window.push(
+                event,
+                world.now().as_nanos(),
+                &coordinator.config.commit_batch,
+            );
             (next, coordinator.node)
         };
         match next {
@@ -487,7 +488,6 @@ impl CoordHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coordinator::CommitBatch;
 
     fn report() -> PendingEvent {
         PendingEvent::Mark(MarkMsg {
@@ -501,20 +501,14 @@ mod tests {
         })
     }
 
-    fn config(commit_batch: CommitBatch) -> EngineConfig {
-        EngineConfig {
-            commit_batch,
-            ..EngineConfig::default()
-        }
-    }
-
     #[test]
     fn count_trigger_flushes_and_leaves_the_stale_timer_a_no_op() {
         let max_window = SimDuration::from_millis(1);
-        let config = config(CommitBatch {
+        let config = CommitBatch {
             max_events: 3,
             max_window,
-        });
+            min_window: None,
+        };
         let mut window = BatchWindow::default();
         assert_eq!(window.push(report(), 10, &config), Next::Arm(max_window));
         assert_eq!(window.push(report(), 20, &config), Next::Wait);
@@ -531,7 +525,7 @@ mod tests {
     fn a_window_of_one_flushes_on_arrival_and_never_arms_a_timer() {
         let mut zero_window = CommitBatch::disabled();
         zero_window.max_events = 8;
-        for config in [config(CommitBatch::disabled()), config(zero_window)] {
+        for config in [CommitBatch::disabled(), zero_window] {
             let mut window = BatchWindow::default();
             for now_ns in [10, 20, 30] {
                 assert_eq!(window.push(report(), now_ns, &config), Next::Flush);

@@ -19,14 +19,6 @@
 //! re-dispatch, monitoring, reconfiguration remapping) reconstruct the
 //! map with one contiguous range scan. Subtree cancel/reset ranges
 //! widen transparently: object sub-keys sort inside their fact.
-//!
-//! The pre-split layout survives as the **whole-record baseline**
-//! (`whole_record = true`, [`EngineConfig::whole_record_facts`]): one
-//! record at `obj = 0`, decoded per probe. The equivalence proptest
-//! drives both layouts through identical workloads and asserts
-//! byte-identical per-instance outcomes and dispatch traces.
-//!
-//! [`EngineConfig::whole_record_facts`]: crate::coordinator::EngineConfig::whole_record_facts
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -51,17 +43,15 @@ use crate::value::ObjectVal;
 pub struct StoreFacts<'a, S: Storage = SharedStorage> {
     mgr: &'a TxManager<S>,
     keys: &'a InstanceKeys,
-    whole_record: bool,
     fault: RefCell<Option<String>>,
 }
 
 impl<'a, S: Storage> StoreFacts<'a, S> {
     /// A fact view over `mgr` resolving probes through `keys`.
-    pub fn new(mgr: &'a TxManager<S>, keys: &'a InstanceKeys, whole_record: bool) -> Self {
+    pub fn new(mgr: &'a TxManager<S>, keys: &'a InstanceKeys) -> Self {
         Self {
             mgr,
             keys,
-            whole_record,
             fault: RefCell::new(None),
         }
     }
@@ -92,13 +82,7 @@ impl<S: Storage> plan_eval::PlanFacts for StoreFacts<'_, S> {
 
     fn fact_object(&self, probe: Probe<'_>, object: &str) -> Option<ObjectVal> {
         let keys = self.keys.probe_keys(&probe)?;
-        if self.whole_record {
-            // Baseline layout: decode the whole record, extract one.
-            let mut fact: BTreeMap<String, ObjectVal> =
-                self.checked(self.mgr.read_committed_key(&StoreKey::Fact(keys.presence)))?;
-            return fact.remove(object);
-        }
-        // Per-object layout: the probed object's bytes, nothing else.
+        // The probed object's bytes, nothing else.
         if let Some(data) = keys.data {
             if let Some(value) = self.checked(
                 self.mgr
@@ -124,7 +108,7 @@ impl<S: Storage> plan_eval::PlanFacts for StoreFacts<'_, S> {
 }
 
 /// Interns a plan-eval binding list into an owned, name-keyed map (the
-/// executor wire format and the whole-record baseline layout).
+/// executor wire format).
 pub fn bound_map(plan: &Plan, bound: &[(StrId, ObjectVal)]) -> BTreeMap<String, ObjectVal> {
     bound
         .iter()
@@ -135,11 +119,10 @@ pub fn bound_map(plan: &Plan, bound: &[(StrId, ObjectVal)]) -> BTreeMap<String, 
 /// Writes one fact from a name-keyed object map (outputs and marks
 /// arriving from the wire, reconstructed records during remapping).
 ///
-/// Per-object layout: each declared object goes under its dense
-/// sub-key (stale declared sub-keys from a previous publication are
-/// cleared so rewrites never resurrect old objects), undeclared names
-/// land in the presence record's extras map. Whole-record layout: the
-/// map is encoded verbatim at `obj = 0`.
+/// Each declared object goes under its dense sub-key (stale declared
+/// sub-keys from a previous publication are cleared so rewrites never
+/// resurrect old objects), undeclared names land in the presence
+/// record's extras map.
 ///
 /// # Errors
 ///
@@ -150,12 +133,8 @@ pub fn write_fact_map<S: Storage>(
     plan: &Plan,
     base: FactKey,
     objects: &BTreeMap<String, ObjectVal>,
-    whole_record: bool,
 ) -> Result<(), TxError> {
     debug_assert_eq!(base.obj, 0, "facts are addressed by their presence key");
-    if whole_record {
-        return mgr.write_key(action, &StoreKey::Fact(base), objects);
-    }
     let decl = plan
         .fact_decl_objects(base.task, base.kind == FactKind::Input, base.item)
         .unwrap_or(Range32::EMPTY);
@@ -184,9 +163,9 @@ pub fn write_fact_map<S: Storage>(
 
 /// Writes one fact straight from the evaluator's slot-aligned binding
 /// list — the commit hot path. Each bound object's sub-key ordinal was
-/// interned at plan lowering ([`PlanSlot::obj_ordinal`]), so the
-/// per-object layout touches no strings at all; only names with no
-/// declared ordinal (rare) are materialized into the presence extras.
+/// interned at plan lowering ([`PlanSlot::obj_ordinal`]), so the write
+/// touches no strings at all; only names with no declared ordinal
+/// (rare) are materialized into the presence extras.
 ///
 /// `slots` is the bound input set's (or output mapping's) slot range:
 /// the evaluator produces exactly one bound value per slot, in slot
@@ -204,7 +183,6 @@ pub fn write_fact_bound<S: Storage>(
     base: FactKey,
     slots: Range32,
     bound: &[(StrId, ObjectVal)],
-    whole_record: bool,
 ) -> Result<(), TxError> {
     debug_assert_eq!(base.obj, 0, "facts are addressed by their presence key");
     debug_assert_eq!(
@@ -212,9 +190,6 @@ pub fn write_fact_bound<S: Storage>(
         slots.len(),
         "the evaluator binds one value per slot"
     );
-    if whole_record {
-        return mgr.write_key(action, &StoreKey::Fact(base), &bound_map(plan, bound));
-    }
     let decl = plan
         .fact_decl_objects(base.task, base.kind == FactKind::Input, base.item)
         .unwrap_or(Range32::EMPTY);
@@ -249,9 +224,9 @@ pub fn write_fact_bound<S: Storage>(
 }
 
 /// Reads one fact back as a name-keyed map (whole-fact consumers:
-/// recovery re-dispatch, monitoring, remapping). Per-object layout:
-/// one contiguous range scan over the fact's sub-keys, naming each by
-/// its declared ordinal; the presence record contributes the extras.
+/// recovery re-dispatch, monitoring, remapping): one contiguous range
+/// scan over the fact's sub-keys, naming each by its declared ordinal;
+/// the presence record contributes the extras.
 ///
 /// # Errors
 ///
@@ -260,12 +235,8 @@ pub fn read_fact_map<S: Storage>(
     mgr: &TxManager<S>,
     plan: &Plan,
     base: FactKey,
-    whole_record: bool,
 ) -> Result<Option<BTreeMap<String, ObjectVal>>, TxError> {
     debug_assert_eq!(base.obj, 0, "facts are addressed by their presence key");
-    if whole_record {
-        return mgr.read_committed_key(&StoreKey::Fact(base));
-    }
     let Some(mut map) =
         mgr.read_committed_key::<BTreeMap<String, ObjectVal>>(&StoreKey::Fact(base))?
     else {
@@ -357,7 +328,6 @@ pub fn remap_instance_facts<S: Storage>(
     old_keys: &InstanceKeys,
     new_plan: &Plan,
     instance_id: u32,
-    whole_record: bool,
 ) -> Result<(), TxError> {
     let (lo, hi) = old_keys.instance_fact_range();
     // Group sub-keys per fact; key order keeps a fact's range adjacent.
@@ -375,7 +345,7 @@ pub fn remap_instance_facts<S: Storage>(
         if target == Some(base) && decl_names_match(old_plan, new_plan, base) {
             continue; // identity: every sub-key already lives at its address
         }
-        let record = read_fact_map(mgr, old_plan, base, whole_record)?;
+        let record = read_fact_map(mgr, old_plan, base)?;
         moves.push((members, target.zip(record)));
     }
     for (members, _) in &moves {
@@ -385,7 +355,7 @@ pub fn remap_instance_facts<S: Storage>(
     }
     for (_, target) in moves {
         if let Some((new_base, record)) = target {
-            write_fact_map(mgr, action, new_plan, new_base, &record, whole_record)?;
+            write_fact_map(mgr, action, new_plan, new_base, &record)?;
         }
     }
     Ok(())
@@ -415,15 +385,14 @@ mod tests {
         plan: &Plan,
         base: FactKey,
         objects: &BTreeMap<String, ObjectVal>,
-        whole: bool,
     ) {
         let action = mgr.begin();
-        write_fact_map(mgr, &action, plan, base, objects, whole).unwrap();
+        write_fact_map(mgr, &action, plan, base, objects).unwrap();
         mgr.commit(action).unwrap();
     }
 
     #[test]
-    fn both_layouts_roundtrip_records() {
+    fn records_roundtrip_with_undeclared_extras() {
         let plan = order_plan();
         let keys = InstanceKeys::build(&plan, "i", 0);
         let check = plan
@@ -433,12 +402,10 @@ mod tests {
         let mut objects = BTreeMap::new();
         objects.insert("stockInfo".to_string(), obj("s"));
         objects.insert("extraneous".to_string(), obj("x")); // undeclared
-        for whole in [false, true] {
-            let mut mgr = TxManager::in_memory();
-            write_output(&mut mgr, &plan, base, &objects, whole);
-            let read = read_fact_map(&mgr, &plan, base, whole).unwrap().unwrap();
-            assert_eq!(read, objects, "whole={whole}");
-        }
+        let mut mgr = TxManager::in_memory();
+        write_output(&mut mgr, &plan, base, &objects);
+        let read = read_fact_map(&mgr, &plan, base).unwrap().unwrap();
+        assert_eq!(read, objects);
     }
 
     #[test]
@@ -452,15 +419,15 @@ mod tests {
         let mut mgr = TxManager::in_memory();
         let mut objects = BTreeMap::new();
         objects.insert("stockInfo".to_string(), obj("v1"));
-        write_output(&mut mgr, &plan, base, &objects, false);
+        write_output(&mut mgr, &plan, base, &objects);
         // The declared object lives under its own sub-key…
         assert!(mgr.exists_key(&StoreKey::Fact(base.object(0))));
         // …and a rewrite without it clears the stale sub-key.
-        write_output(&mut mgr, &plan, base, &BTreeMap::new(), false);
+        write_output(&mut mgr, &plan, base, &BTreeMap::new());
         assert!(!mgr.exists_key(&StoreKey::Fact(base.object(0))));
         assert!(mgr.exists_key(&StoreKey::Fact(base)), "fact still fired");
         assert_eq!(
-            read_fact_map(&mgr, &plan, base, false).unwrap().unwrap(),
+            read_fact_map(&mgr, &plan, base).unwrap().unwrap(),
             BTreeMap::new()
         );
     }
@@ -476,9 +443,9 @@ mod tests {
         let mut mgr = TxManager::in_memory();
         let mut objects = BTreeMap::new();
         objects.insert("stockInfo".to_string(), obj("s"));
-        write_output(&mut mgr, &plan, base, &objects, false);
+        write_output(&mut mgr, &plan, base, &objects);
         // Probe through the evaluator's view.
-        let facts = StoreFacts::new(&mgr, &keys, false);
+        let facts = StoreFacts::new(&mgr, &keys);
         let probe = plan
             .sources
             .iter()
@@ -513,40 +480,38 @@ mod tests {
             .task_by_path("processOrderApplication/checkStock")
             .unwrap();
         let base = keys.out_key(&plan, check, "stockAvailable").unwrap();
-        for whole in [false, true] {
-            let mut mgr = TxManager::in_memory();
-            let action = mgr.begin();
-            // Garbage bytes at both the presence and data sub-keys.
-            mgr.write_key_raw(&action, &StoreKey::Fact(base), vec![0xFF, 0xFF, 0xFF])
-                .unwrap();
-            mgr.write_key_raw(
-                &action,
-                &StoreKey::Fact(base.object(0)),
-                vec![0xFF, 0xFF, 0xFF],
-            )
+        let mut mgr = TxManager::in_memory();
+        let action = mgr.begin();
+        // Garbage bytes at both the presence and data sub-keys.
+        mgr.write_key_raw(&action, &StoreKey::Fact(base), vec![0xFF, 0xFF, 0xFF])
             .unwrap();
-            mgr.commit(action).unwrap();
-            let facts = StoreFacts::new(&mgr, &keys, whole);
-            let probe = plan
-                .sources
-                .iter()
-                .enumerate()
-                .find(|(_, s)| {
-                    s.producer == Some(check) && s.object.map(|o| plan.str(o)) == Some("stockInfo")
-                })
-                .map(|(idx, s)| Probe {
-                    source: idx as u32,
-                    candidate: None,
-                    producer: plan.str(s.producer_path),
-                    name: "stockAvailable",
-                    is_input: false,
-                })
-                .unwrap();
-            assert_eq!(facts.fact_object(probe, "stockInfo"), None);
-            let fault = facts.take_fault();
-            assert!(fault.is_some(), "whole={whole}: fault must surface");
-            assert!(facts.take_fault().is_none(), "fault latch clears");
-        }
+        mgr.write_key_raw(
+            &action,
+            &StoreKey::Fact(base.object(0)),
+            vec![0xFF, 0xFF, 0xFF],
+        )
+        .unwrap();
+        mgr.commit(action).unwrap();
+        let facts = StoreFacts::new(&mgr, &keys);
+        let probe = plan
+            .sources
+            .iter()
+            .enumerate()
+            .find(|(_, s)| {
+                s.producer == Some(check) && s.object.map(|o| plan.str(o)) == Some("stockInfo")
+            })
+            .map(|(idx, s)| Probe {
+                source: idx as u32,
+                candidate: None,
+                producer: plan.str(s.producer_path),
+                name: "stockAvailable",
+                is_input: false,
+            })
+            .unwrap();
+        assert_eq!(facts.fact_object(probe, "stockInfo"), None);
+        let fault = facts.take_fault();
+        assert!(fault.is_some(), "fault must surface");
+        assert!(facts.take_fault().is_none(), "fault latch clears");
     }
 
     #[test]
@@ -561,14 +526,14 @@ mod tests {
         let mut mgr = TxManager::in_memory();
         let mut objects = BTreeMap::new();
         objects.insert("stockInfo".to_string(), obj("s"));
-        write_output(&mut mgr, &plan_a, base, &objects, false);
+        write_output(&mut mgr, &plan_a, base, &objects);
         let count = mgr.object_count();
         let action = mgr.begin();
-        remap_instance_facts(&mut mgr, &action, &plan_a, &keys, &plan_b, 5, false).unwrap();
+        remap_instance_facts(&mut mgr, &action, &plan_a, &keys, &plan_b, 5).unwrap();
         mgr.commit(action).unwrap();
         assert_eq!(mgr.object_count(), count, "identity remap moves nothing");
         assert_eq!(
-            read_fact_map(&mgr, &plan_b, base, false).unwrap().unwrap(),
+            read_fact_map(&mgr, &plan_b, base).unwrap().unwrap(),
             objects
         );
     }

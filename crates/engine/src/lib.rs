@@ -74,7 +74,6 @@
 
 pub mod api;
 pub mod coordinator;
-pub mod deps;
 mod error;
 pub mod executor;
 pub mod facts;

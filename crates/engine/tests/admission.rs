@@ -105,7 +105,7 @@ compoundtask root of taskclass Root {
 "#;
     let config = EngineConfig {
         scheduler: SchedPolicy::LeastLoaded,
-        record_dispatches: true,
+        observe: ObserveLevel::Trace,
         ..EngineConfig::default()
     };
     let mut sys = WorkflowSystem::builder()
@@ -348,7 +348,7 @@ fn lying_chain_system() -> WorkflowSystem {
         dispatch_timeout: SimDuration::from_millis(200),
         retry_backoff: SimDuration::from_millis(50),
         max_retries: 3,
-        record_dispatches: true,
+        observe: ObserveLevel::Trace,
         ..EngineConfig::default()
     };
     let mut sys = WorkflowSystem::builder()
@@ -412,7 +412,7 @@ fn run_fan_population(capacities: Option<Vec<u32>>, wave: usize) -> BTreeMap<Str
     let config = EngineConfig {
         scheduler: SchedPolicy::LeastLoaded,
         dispatch_timeout: SimDuration::from_secs(3600),
-        record_dispatches: true,
+        observe: ObserveLevel::Trace,
         ..EngineConfig::default()
     };
     let mut builder = WorkflowSystem::builder()
@@ -488,8 +488,8 @@ fn adaptive_commit_window_is_no_worse_than_static() {
             commit_batch: CommitBatch {
                 max_events: 64,
                 max_window: SimDuration::from_millis(5),
+                min_window: adaptive,
             },
-            adaptive_min_window: adaptive,
             ..EngineConfig::default()
         };
         let mut sys = WorkflowSystem::builder()

@@ -31,8 +31,7 @@ fn arm_config(batch: CommitBatch) -> EngineConfig {
     EngineConfig {
         dispatch_timeout: SimDuration::from_millis(400),
         retry_backoff: SimDuration::from_millis(20),
-        record_dispatches: true,
-        observe: ObserveLevel::Metrics,
+        observe: ObserveLevel::Trace,
         commit_batch: batch,
         ..EngineConfig::default()
     }
@@ -166,6 +165,7 @@ fn crash_mid_window_loses_the_batch_as_a_unit_and_recovers() {
     let window = CommitBatch {
         max_events: 10_000,
         max_window: SimDuration::from_secs(5),
+        min_window: None,
     };
     let mut sys = build(1, arm_config(window));
     sys.start(

@@ -13,10 +13,13 @@
 
 mod common;
 
-use common::{text, JOIN};
+use std::cell::Cell;
+use std::rc::Rc;
+
+use common::{generated_script, text, JOIN, ONE_TASK};
 use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
-use flowscript_engine::{InstanceStatus, TaskBehavior, WorkflowSystem};
+use flowscript_engine::{CbState, InstanceStatus, TaskBehavior, WorkflowSystem};
 use flowscript_sim::SimDuration;
 
 fn order_sys(seed: u64) -> WorkflowSystem {
@@ -78,16 +81,14 @@ fn per_object_probes_never_scan() {
     );
 }
 
-fn poisoned_run(whole_record_facts: bool) -> InstanceStatus {
-    let config = EngineConfig {
-        whole_record_facts,
-        ..EngineConfig::default()
-    };
-    let mut sys = WorkflowSystem::builder()
-        .executors(2)
-        .seed(7)
-        .config(config)
-        .build();
+#[test]
+fn corrupt_fact_fails_the_instance_diagnosably() {
+    // The slow producer's commit re-evaluates the join, whose probe
+    // hits the poisoned record: the drain must park the instance with
+    // the storage fault — the old behaviour read the corrupt fact as
+    // "absent" and left the instance waiting forever with no
+    // explanation.
+    let mut sys = WorkflowSystem::builder().executors(2).seed(7).build();
     sys.register_script("join", JOIN, "root").unwrap();
     sys.bind_fn("refFast", |_| {
         TaskBehavior::outcome("done")
@@ -107,25 +108,85 @@ fn poisoned_run(whole_record_facts: bool) -> InstanceStatus {
     sys.run_for(SimDuration::from_millis(50));
     assert!(sys.poison_fact("i", "root/fast", "done"), "poison lands");
     sys.run();
-    sys.status("i").unwrap()
+    assert_storage_fault_stop(&sys, "i");
+}
+
+/// Asserts `instance` stopped with the diagnosable storage-fault reason.
+fn assert_storage_fault_stop(sys: &WorkflowSystem, instance: &str) {
+    match sys.status(instance).unwrap() {
+        InstanceStatus::Stuck { reason } => assert!(
+            reason.contains("fact storage fault"),
+            "undiagnosable reason: {reason}"
+        ),
+        other => panic!("expected a storage-fault stop, got {other:?}"),
+    }
 }
 
 #[test]
-fn corrupt_fact_fails_the_instance_diagnosably() {
-    // In both layouts the slow producer's commit re-evaluates the join,
-    // whose probe hits the poisoned record: the drain must park the
-    // instance with the storage fault — the old behaviour read the
-    // corrupt fact as "absent" and left the instance waiting forever
-    // with no explanation.
-    for whole in [false, true] {
-        match poisoned_run(whole) {
-            InstanceStatus::Stuck { reason } => {
-                assert!(
-                    reason.contains("fact storage fault"),
-                    "whole={whole}: undiagnosable reason: {reason}"
-                );
-            }
-            other => panic!("whole={whole}: expected a storage-fault stop, got {other:?}"),
+fn corrupt_bound_input_stops_the_recovery_redispatch() {
+    // Recovery re-dispatches an `Executing` task from its bound-input
+    // fact. A corrupt one used to read as "absent" and the task re-ran
+    // on empty inputs; it must park the instance instead.
+    let mut sys = WorkflowSystem::builder().executors(2).seed(3).build();
+    sys.register_script("one", ONE_TASK, "root").unwrap();
+    let starved = Rc::new(Cell::new(false));
+    let saw = starved.clone();
+    sys.bind_fn("refWork", move |ctx| {
+        saw.set(saw.get() || ctx.inputs.is_empty());
+        TaskBehavior::outcome("done").with_work(SimDuration::from_millis(200))
+    });
+    sys.start("i", "one", "main", [("seed", text("Data", "s"))])
+        .unwrap();
+    sys.run_for(SimDuration::from_millis(50));
+    assert!(matches!(
+        sys.task_states("i")["root/w"],
+        CbState::Executing { .. }
+    ));
+    assert!(sys.poison_fact("i", "root/w", "main"), "poison lands");
+    let coordinator = sys.coordinator_node();
+    sys.crash_now(coordinator);
+    sys.restart_now(coordinator);
+    sys.run();
+    assert_storage_fault_stop(&sys, "i");
+    assert!(!starved.get(), "the task ran on empty inputs");
+}
+
+#[test]
+fn corrupt_repeat_fact_stops_the_watchdog_retry() {
+    // A watchdog retry re-reads the objects of the repeat outcome the
+    // task took from its `again` fact. Attempt 0 repeats, attempt 1
+    // hangs past the watchdog, and the fact is corrupted in between.
+    let config = EngineConfig {
+        dispatch_timeout: SimDuration::from_millis(400),
+        ..EngineConfig::default()
+    };
+    let mut sys = WorkflowSystem::builder()
+        .executors(2)
+        .seed(5)
+        .config(config)
+        .build();
+    sys.register_script("g", &generated_script(1, 0), "root")
+        .unwrap();
+    let starved = Rc::new(Cell::new(false));
+    let saw = starved.clone();
+    sys.bind_fn("ref0", move |ctx| match ctx.attempt {
+        0 => TaskBehavior::outcome("again").with_object("p", text("Data", "first")),
+        attempt => {
+            saw.set(saw.get() || ctx.repeat_objects.is_empty());
+            let hang = if attempt == 1 { 10_000 } else { 1 };
+            TaskBehavior::outcome("done").with_work(SimDuration::from_millis(hang))
         }
-    }
+    });
+    sys.bind_fn("refInner", |_| {
+        TaskBehavior::outcome("done").with_object("out", text("Data", "inner"))
+    });
+    sys.start("i", "g", "main", [("seed", text("Data", "s"))])
+        .unwrap();
+    sys.run_for(SimDuration::from_millis(100));
+    assert_eq!(sys.stats().repeats, 1, "attempt 0 took the repeat");
+    assert!(sys.poison_fact("i", "root/t0", "again"), "poison lands");
+    sys.run();
+    assert_eq!(sys.stats().retries, 1, "the watchdog retried attempt 1");
+    assert_storage_fault_stop(&sys, "i");
+    assert!(!starved.get(), "the task ran without its repeat objects");
 }

@@ -24,28 +24,31 @@
 //! of one build; these compare the reference arm with what it rendered
 //! when it was recorded.
 //!
-//! Two more reference arms are frozen here before they are retired: the
+//! Two reference arms are retired and survive only as what they
+//! rendered at `cbd4a79`, the last commit that had them: the
 //! whole-record fact layout (`whole_record_facts`) and the per-commit
-//! full scan (`full_rescan`). Under each, the paper population renders
-//! the same fingerprint files; `reference_fact_layout.txt` (eight fixed
-//! cases of `fact_equivalence.rs`'s proptest plus its crash-recovery and
-//! mid-run `AddTask` scenarios) and `reference_full_scan.txt` (eight
-//! fixed cases of `proptest_worklist.rs`, all four reconfiguration
-//! choices) were rendered by those arms, and the default pipeline must
-//! render the same bytes.
+//! full scan (`full_rescan`). There, under each, the paper population
+//! rendered the fingerprint files above byte for byte;
+//! `reference_fact_layout.txt` (eight fixed cases of the layout
+//! equivalence proptest, its one-shard crash with recovery and its
+//! mid-run `AddTask`) was rendered by the whole-record arm, and
+//! `reference_full_scan.txt` (eight fixed cases of
+//! `proptest_worklist.rs`, every reconfiguration choice) by the full
+//! scan. The one pipeline left must keep rendering the same bytes.
 
 mod common;
 
 use std::path::Path;
 
 use common::{
-    build, build_orders, det_config, det_link, fingerprint, generated_config, generated_script,
-    population, run_generated, run_worklist_case, start_population, text, Fingerprint,
+    add_t5, build, build_orders, det_config, det_link, fingerprint, generated_config,
+    generated_script, population, run_generated, run_worklist_case, start_population, text,
+    Fingerprint,
 };
 use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{
-    CommitBatch, InstanceStatus, ObjectVal, ObserveLevel, Reconfig, TaskBehavior, WorkflowSystem,
+    CommitBatch, InstanceStatus, ObjectVal, ObserveLevel, TaskBehavior, WorkflowSystem,
 };
 use flowscript_sim::SimDuration;
 use flowscript_tx::Storage;
@@ -88,11 +91,11 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// The default config; the trace switch only records, it decides
-/// nothing.
+/// The default config; the flight recorder the dispatch trace is read
+/// off only records, it decides nothing.
 fn paper_config() -> EngineConfig {
     EngineConfig {
-        record_dispatches: true,
+        observe: ObserveLevel::Trace,
         ..EngineConfig::default()
     }
 }
@@ -157,18 +160,15 @@ fn check(file: &str, actual: &str) {
     );
 }
 
-/// Observation writes nothing: the same fingerprints and the same log
-/// bytes with the flight recorder and every histogram on.
+/// Observation writes nothing: the log bytes are the same with the
+/// flight recorder and every histogram off (the production default,
+/// which leaves no dispatch trace to fingerprint) and on.
 fn paper_population_matches(coordinators: usize, fingerprint_file: &str, wal_file: &str) {
-    for observe in [ObserveLevel::Off, ObserveLevel::Trace] {
-        let config = EngineConfig {
-            observe,
-            ..paper_config()
-        };
-        let (fingerprints, wal) = run(coordinators, config);
-        check(fingerprint_file, &fingerprints);
-        check(wal_file, &wal);
-    }
+    let (_, wal) = run(coordinators, EngineConfig::default());
+    check(wal_file, &wal);
+    let (fingerprints, wal) = run(coordinators, paper_config());
+    check(fingerprint_file, &fingerprints);
+    check(wal_file, &wal);
 }
 
 #[test]
@@ -182,26 +182,14 @@ fn paper_population_matches_golden_on_four_shards() {
 }
 
 #[test]
-fn reference_arms_render_the_same_paper_goldens() {
-    let arms = [
-        EngineConfig {
-            commit_batch: CommitBatch::disabled(),
-            ..paper_config()
-        },
-        EngineConfig {
-            whole_record_facts: true,
-            ..paper_config()
-        },
-        EngineConfig {
-            full_rescan: true,
-            ..paper_config()
-        },
-    ];
-    for config in arms {
-        for (coordinators, file) in [(1, "paper_1_shard.txt"), (4, "paper_4_shards.txt")] {
-            let (fingerprints, _wal) = run(coordinators, config.clone());
-            check(file, &fingerprints);
-        }
+fn reference_arm_renders_the_same_paper_goldens() {
+    let config = EngineConfig {
+        commit_batch: CommitBatch::disabled(),
+        ..paper_config()
+    };
+    for (coordinators, file) in [(1, "paper_1_shard.txt"), (4, "paper_4_shards.txt")] {
+        let (fingerprints, _wal) = run(coordinators, config.clone());
+        check(file, &fingerprints);
     }
 }
 
@@ -252,8 +240,8 @@ fn reference_arm_matches_golden_on_generated_scripts() {
 }
 
 /// `(shards, n stages, script seed, instance-name salts)`: eight fixed
-/// draws from the ranges of
-/// `fact_equivalence.rs::per_object_storage_matches_whole_record_baseline`.
+/// draws from the ranges of the retired layout-equivalence proptest
+/// (1 or 4 shards, 1–3 stages, 2–4 instances).
 const FACT_LAYOUT_CASES: [(usize, usize, u64, &[u64]); 8] = [
     (1, 1, 0x0001, &[7, 11]),
     (1, 2, 0x0188, &[19, 23, 29]),
@@ -268,8 +256,8 @@ const FACT_LAYOUT_CASES: [(usize, usize, u64, &[u64]); 8] = [
 /// Four shards, eight fig. 7 orders; the shard owning `order-0` crashes
 /// with work in flight, the others keep committing, and it recovers
 /// from its own log.
-fn render_crash_recovery(config: &EngineConfig) -> String {
-    let mut sys = build_orders(4, config.clone());
+fn render_crash_recovery(config: EngineConfig) -> String {
+    let mut sys = build_orders(4, config);
     let names: Vec<String> = (0..8).map(|i| format!("order-{i}")).collect();
     start_population(&mut sys, &names);
     let victim = sys.coordinator_node_for("order-0");
@@ -288,12 +276,12 @@ fn render_crash_recovery(config: &EngineConfig) -> String {
 /// The paper's §2 scenario: `t5` joins a running fig. 1 diamond. The
 /// reconfiguration remaps every persisted fact onto the re-lowered
 /// plan's ids.
-fn render_midrun_add_task(config: &EngineConfig) -> String {
+fn render_midrun_add_task(config: EngineConfig) -> String {
     let mut sys = WorkflowSystem::builder()
         .executors(3)
         .seed(61)
         .link(det_link())
-        .config(config.clone())
+        .config(config)
         .build();
     sys.register_script("diamond", samples::FIG1_DIAMOND, "diamond")
         .unwrap();
@@ -312,22 +300,7 @@ fn render_midrun_add_task(config: &EngineConfig) -> String {
     sys.start("d1", "diamond", "main", [("seed", text("Data", "s"))])
         .unwrap();
     sys.run_for(SimDuration::from_millis(15));
-    let task_source = r#"
-        task t5 of taskclass Join {
-            implementation { "code" is "refT5" };
-            inputs { input main {
-                inputobject left from { out of task t2 if output done };
-                inputobject right from { out of task t4 if output done }
-            } }
-        }"#;
-    sys.reconfigure(
-        "d1",
-        Reconfig::AddTask {
-            scope_path: "diamond".into(),
-            task_source: task_source.into(),
-        },
-    )
-    .unwrap();
+    sys.reconfigure("d1", add_t5()).unwrap();
     sys.run();
     assert_eq!(sys.stats().reconfigs, 1);
     render("d1", &fingerprint(&sys, "d1"))
@@ -335,29 +308,17 @@ fn render_midrun_add_task(config: &EngineConfig) -> String {
 
 #[test]
 fn fact_layout_matches_golden() {
-    // Rendered by the whole-record arm; the per-object layout must
-    // render the same bytes.
-    for whole_record_facts in [true, false] {
-        let generated = EngineConfig {
-            whole_record_facts,
-            ..generated_config()
-        };
-        let scenario = EngineConfig {
-            whole_record_facts,
-            ..det_config()
-        };
-        let rendered = format!(
-            "{}# one-shard crash and recovery\n{}# mid-run AddTask\n{}",
-            render_generated(FACT_LAYOUT_CASES, &generated),
-            render_crash_recovery(&scenario),
-            render_midrun_add_task(&scenario),
-        );
-        check("reference_fact_layout.txt", &rendered);
-    }
+    let rendered = format!(
+        "{}# one-shard crash and recovery\n{}# mid-run AddTask\n{}",
+        render_generated(FACT_LAYOUT_CASES, &generated_config()),
+        render_crash_recovery(det_config()),
+        render_midrun_add_task(det_config()),
+    );
+    check("reference_fact_layout.txt", &rendered);
 }
 
 /// `(n stages, script seed, reconfiguration)`: eight fixed draws from
-/// the ranges of `proptest_worklist.rs::worklist_matches_full_rescan`
+/// the ranges of `proptest_worklist.rs::worklist_drains_to_quiescence`
 /// — each reconfiguration choice (0 none, 1 `Rebind`, 2 `AddTask`,
 /// 3 `RemoveTask`) twice, half the seeds with bit 40 set (the nested
 /// compound's constituent fails once).
@@ -374,25 +335,20 @@ const FULL_SCAN_CASES: [(usize, u64, usize); 8] = [
 
 #[test]
 fn full_scan_matches_golden() {
-    // Rendered by the per-commit full scan; the reverse-edge worklist
-    // must render the same bytes.
-    for full_rescan in [true, false] {
-        let mut rendered = String::new();
-        for (n, seed, reconfig) in FULL_SCAN_CASES {
-            let config = EngineConfig {
-                max_repeats: 6,
-                full_rescan,
-                ..generated_config()
-            };
-            let sys = run_worklist_case(n, seed, reconfig, config);
-            let stats = sys.stats();
-            rendered.push_str(&format!(
-                "# n={n} seed={seed:#014x} reconfig={reconfig} dispatches={} repeats={}\n{}",
-                stats.dispatches,
-                stats.repeats,
-                render("i1", &fingerprint(&sys, "i1")),
-            ));
-        }
-        check("reference_full_scan.txt", &rendered);
+    let mut rendered = String::new();
+    for (n, seed, reconfig) in FULL_SCAN_CASES {
+        let config = EngineConfig {
+            max_repeats: 6,
+            ..generated_config()
+        };
+        let sys = run_worklist_case(n, seed, reconfig, config);
+        let stats = sys.stats();
+        rendered.push_str(&format!(
+            "# n={n} seed={seed:#014x} reconfig={reconfig} dispatches={} repeats={}\n{}",
+            stats.dispatches,
+            stats.repeats,
+            render("i1", &fingerprint(&sys, "i1")),
+        ));
     }
+    check("reference_full_scan.txt", &rendered);
 }

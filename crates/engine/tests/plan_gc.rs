@@ -10,10 +10,10 @@
 
 mod common;
 
-use common::text;
+use common::{add_t5, text};
 use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
-use flowscript_engine::{Reconfig, TaskBehavior, WorkflowSystem};
+use flowscript_engine::{TaskBehavior, WorkflowSystem};
 use flowscript_sim::SimDuration;
 
 fn diamond_sys(checkpoint_every: u64) -> WorkflowSystem {
@@ -41,18 +41,6 @@ fn diamond_sys(checkpoint_every: u64) -> WorkflowSystem {
     sys
 }
 
-const ADD_T5: &str = r#"
-    task t5 of taskclass Join {
-        implementation { "code" is "refT5" };
-        inputs {
-            input main {
-                inputobject left from { out of task t2 if output done };
-                inputobject right from { out of task t4 if output done }
-            }
-        }
-    }
-"#;
-
 #[test]
 fn checkpoint_reclaims_unreferenced_plan_blobs() {
     let mut sys = diamond_sys(1); // checkpoint (and GC) after every commit
@@ -66,14 +54,7 @@ fn checkpoint_reclaims_unreferenced_plan_blobs() {
     assert_eq!(sys.cached_plans(0), original);
 
     // Reconfiguring re-lowers the plan under a new fingerprint…
-    sys.reconfigure(
-        "d1",
-        Reconfig::AddTask {
-            scope_path: "diamond".into(),
-            task_source: ADD_T5.into(),
-        },
-    )
-    .unwrap();
+    sys.reconfigure("d1", add_t5()).unwrap();
     sys.run();
     // …and the next checkpoints drop the stranded original blob.
     let after = sys.persisted_plans(0);
@@ -108,14 +89,7 @@ fn shared_fingerprints_are_pinned_by_any_referencing_instance() {
 
     // Reconfiguring d1 must NOT reclaim the original blob while d2
     // still references it.
-    sys.reconfigure(
-        "d1",
-        Reconfig::AddTask {
-            scope_path: "diamond".into(),
-            task_source: ADD_T5.into(),
-        },
-    )
-    .unwrap();
+    sys.reconfigure("d1", add_t5()).unwrap();
     sys.run();
     let plans = sys.persisted_plans(0);
     assert_eq!(
@@ -127,14 +101,7 @@ fn shared_fingerprints_are_pinned_by_any_referencing_instance() {
 
     // Reconfiguring d2 identically moves both instances to the new
     // fingerprint — now the original blob is garbage.
-    sys.reconfigure(
-        "d2",
-        Reconfig::AddTask {
-            scope_path: "diamond".into(),
-            task_source: ADD_T5.into(),
-        },
-    )
-    .unwrap();
+    sys.reconfigure("d2", add_t5()).unwrap();
     sys.run();
     let plans = sys.persisted_plans(0);
     assert_eq!(

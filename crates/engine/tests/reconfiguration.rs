@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::text;
+use common::{add_t5, text};
 use flowscript_core::samples;
 use flowscript_engine::{
     CbState, InstanceStatus, ObjectVal, Reconfig, TaskBehavior, WorkflowSystem,
@@ -68,25 +68,7 @@ fn paper_section2_add_t5_to_running_instance() {
         .unwrap();
     // Let t1 (and possibly t2/t3) finish, then reconfigure mid-flight.
     sys.run_for(SimDuration::from_millis(15));
-    sys.reconfigure(
-        "d1",
-        Reconfig::AddTask {
-            scope_path: "diamond".into(),
-            task_source: r#"
-                task t5 of taskclass Join {
-                    implementation { "code" is "refT5" };
-                    inputs {
-                        input main {
-                            inputobject left from { out of task t2 if output done };
-                            inputobject right from { out of task t4 if output done }
-                        }
-                    }
-                }
-            "#
-            .into(),
-        },
-    )
-    .unwrap();
+    sys.reconfigure("d1", add_t5()).unwrap();
     sys.run();
     // The instance still completes (t5 feeds nothing, it just runs).
     assert!(sys.outcome("d1").is_some());
@@ -115,25 +97,7 @@ fn added_task_sees_already_produced_outputs() {
         .unwrap();
     sys.run(); // the whole diamond completes
     assert!(sys.outcome("d1").is_some());
-    sys.reconfigure(
-        "d1",
-        Reconfig::AddTask {
-            scope_path: "diamond".into(),
-            task_source: r#"
-                task t5 of taskclass Join {
-                    implementation { "code" is "refT5" };
-                    inputs {
-                        input main {
-                            inputobject left from { out of task t2 if output done };
-                            inputobject right from { out of task t4 if output done }
-                        }
-                    }
-                }
-            "#
-            .into(),
-        },
-    )
-    .unwrap();
+    sys.reconfigure("d1", add_t5()).unwrap();
     sys.run();
     // Root already terminated, so evaluation of t5 depends on the scope
     // being Done — it stays Waiting/Cancelled. Assert it did not corrupt

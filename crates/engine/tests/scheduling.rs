@@ -9,7 +9,7 @@ use common::text;
 use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{
-    CbState, InstanceStatus, ObjectVal, SchedPolicy, TaskBehavior, WorkflowSystem,
+    CbState, InstanceStatus, ObjectVal, ObserveLevel, SchedPolicy, TaskBehavior, WorkflowSystem,
 };
 use flowscript_sim::{NodeId, SimDuration, SimTime};
 
@@ -41,7 +41,7 @@ fn bind_order(sys: &WorkflowSystem) {
 
 fn record_config() -> EngineConfig {
     EngineConfig {
-        record_dispatches: true,
+        observe: ObserveLevel::Trace,
         ..EngineConfig::default()
     }
 }
@@ -156,7 +156,7 @@ fn pinned_executor_crash_retries_in_place_and_recovers() {
         dispatch_timeout: SimDuration::from_millis(300),
         retry_backoff: SimDuration::from_millis(50),
         max_retries: 5,
-        record_dispatches: true,
+        observe: ObserveLevel::Trace,
         ..EngineConfig::default()
     };
     let mut sys = WorkflowSystem::builder()
@@ -210,7 +210,7 @@ fn flaky_first_attempt(executors: usize, seed: u64) -> WorkflowSystem {
     let config = EngineConfig {
         dispatch_timeout: SimDuration::from_millis(200),
         retry_backoff: SimDuration::from_millis(20),
-        record_dispatches: true,
+        observe: ObserveLevel::Trace,
         ..EngineConfig::default()
     };
     let mut builder = WorkflowSystem::builder().seed(seed).config(config);
@@ -649,7 +649,7 @@ fn executor_guard_rejects_mispinned_tasks_under_the_hash_baseline() {
     let config = EngineConfig {
         scheduler: SchedPolicy::PathHash,
         retry_backoff: SimDuration::from_millis(10),
-        record_dispatches: true,
+        observe: ObserveLevel::Trace,
         ..EngineConfig::default()
     };
     let mut sys = WorkflowSystem::builder()

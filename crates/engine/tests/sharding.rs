@@ -311,7 +311,6 @@ fn ten_k_concurrent_instances_smoke() {
     let config = EngineConfig {
         // Nothing fails here; keep the watchdogs far away.
         dispatch_timeout: SimDuration::from_secs(120),
-        record_dispatches: false,
         ..EngineConfig::default()
     };
     let mut sys = WorkflowSystem::builder()

@@ -1,7 +1,7 @@
 //! Plan-based dependency evaluation and the worklist evaluator.
 //!
-//! Semantics are identical to `flowscript_engine::deps` (property-tested
-//! against it): an input set is satisfied when every object slot has an
+//! Semantics are identical to the schema interpreter kept beside the
+//! proptest that holds this module to it (`tests/deps/`): an input set is satisfied when every object slot has an
 //! available source and every notification has fired; alternatives are
 //! tried in declaration order; the first-declared satisfied input set
 //! wins; compound outputs are evaluated in declaration order and an
@@ -49,12 +49,11 @@ pub struct Probe<'p> {
 
 /// Read access to published facts.
 ///
-/// Mirrors the engine's `FactView`, but asks for one object at a time:
-/// an implementation *may* fetch just the requested entry. (The
-/// engine's tx-backed view still decodes the whole fact record and
-/// extracts one entry — teaching the store partial reads is a ROADMAP
-/// item; the plan's win here is that probes arrive pre-resolved, so
-/// the store can go straight to a dense key.)
+/// Mirrors the reference interpreter's `FactView`, but asks for one
+/// object at a time, and probes arrive pre-resolved: the engine's
+/// tx-backed view (`StoreFacts`) stores facts per object and answers
+/// each probe with a point read of exactly that object's bytes under a
+/// precomputed dense key.
 pub trait PlanFacts {
     /// The object value type (the engine's `ObjectVal`).
     type Value;
@@ -94,10 +93,10 @@ pub fn resolve_slot<F: PlanFacts>(plan: &Plan, slot: &PlanSlot, facts: &F) -> Op
             PlanCond::Output(output) => {
                 facts.fact_object(source_probe(plan, src_idx, *output, false), object)
             }
-            // Reference semantics (deps::resolve_object_source): the
-            // first *fired* candidate is committed to, even when that
-            // fact does not carry the object — later candidates must
-            // not be consulted.
+            // Reference semantics (`resolve_object_source` in
+            // `tests/deps/`): the first *fired* candidate is committed
+            // to, even when that fact does not carry the object — later
+            // candidates must not be consulted.
             PlanCond::AnyOf(candidates) => candidates
                 .iter()
                 .map(|cand_idx| Probe {

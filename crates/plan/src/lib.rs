@@ -30,9 +30,9 @@
 //!   repository can serve compiled plans to coordinators.
 //!
 //! [`eval`] evaluates input-set satisfaction and compound output
-//! mappings off the plan with semantics identical to
-//! `flowscript_engine::deps` (property-tested for equivalence in
-//! `tests/`).
+//! mappings off the plan with semantics identical to the schema
+//! interpreter in `tests/deps/` (property-tested for equivalence by
+//! `tests/proptest_equivalence.rs`).
 //!
 //! # Examples
 //!

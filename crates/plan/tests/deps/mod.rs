@@ -1,5 +1,8 @@
-//! Dependency evaluation: input-set satisfaction and compound output
-//! mapping, as pure functions over a view of published facts.
+//! The reference semantics the plan evaluator is held to
+//! (`proptest_equivalence.rs`): dependency evaluation straight off the
+//! schema, as pure functions over a view of published facts. Generic
+//! over the object value type — the interpreter only moves and clones
+//! values.
 //!
 //! Facts are the events the paper's execution service records in
 //! persistent atomic objects:
@@ -24,27 +27,28 @@ use flowscript_core::schema::{
     CompiledCond, CompiledInputSet, CompiledOutput, CompiledScope, CompiledSource, CompiledTask,
 };
 
-use crate::value::ObjectVal;
-
 /// Read access to published facts.
-pub trait FactView {
+pub trait FactView<V> {
     /// Objects of an output fact, if produced.
-    fn output_fact(&self, path: &str, output: &str) -> Option<BTreeMap<String, ObjectVal>>;
+    fn output_fact(&self, path: &str, output: &str) -> Option<BTreeMap<String, V>>;
     /// Objects of an input-binding fact, if bound.
-    fn input_fact(&self, path: &str, set: &str) -> Option<BTreeMap<String, ObjectVal>>;
+    fn input_fact(&self, path: &str, set: &str) -> Option<BTreeMap<String, V>>;
 }
 
 /// An in-memory fact view for tests and for staged evaluation.
-#[derive(Debug, Default, Clone)]
-pub struct MemFacts {
-    outputs: BTreeMap<(String, String), BTreeMap<String, ObjectVal>>,
-    inputs: BTreeMap<(String, String), BTreeMap<String, ObjectVal>>,
+#[derive(Debug, Clone)]
+pub struct MemFacts<V> {
+    outputs: BTreeMap<(String, String), BTreeMap<String, V>>,
+    inputs: BTreeMap<(String, String), BTreeMap<String, V>>,
 }
 
-impl MemFacts {
+impl<V> MemFacts<V> {
     /// An empty fact set.
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            outputs: BTreeMap::new(),
+            inputs: BTreeMap::new(),
+        }
     }
 
     /// Records an output fact.
@@ -52,7 +56,7 @@ impl MemFacts {
         &mut self,
         path: impl Into<String>,
         output: impl Into<String>,
-        objects: BTreeMap<String, ObjectVal>,
+        objects: BTreeMap<String, V>,
     ) {
         self.outputs.insert((path.into(), output.into()), objects);
     }
@@ -62,20 +66,20 @@ impl MemFacts {
         &mut self,
         path: impl Into<String>,
         set: impl Into<String>,
-        objects: BTreeMap<String, ObjectVal>,
+        objects: BTreeMap<String, V>,
     ) {
         self.inputs.insert((path.into(), set.into()), objects);
     }
 }
 
-impl FactView for MemFacts {
-    fn output_fact(&self, path: &str, output: &str) -> Option<BTreeMap<String, ObjectVal>> {
+impl<V: Clone> FactView<V> for MemFacts<V> {
+    fn output_fact(&self, path: &str, output: &str) -> Option<BTreeMap<String, V>> {
         self.outputs
             .get(&(path.to_string(), output.to_string()))
             .cloned()
     }
 
-    fn input_fact(&self, path: &str, set: &str) -> Option<BTreeMap<String, ObjectVal>> {
+    fn input_fact(&self, path: &str, set: &str) -> Option<BTreeMap<String, V>> {
         self.inputs
             .get(&(path.to_string(), set.to_string()))
             .cloned()
@@ -93,11 +97,11 @@ pub fn producer_path(scope_path: &str, source: &CompiledSource) -> String {
 }
 
 /// Resolves one object source: `Some(value)` when available now.
-pub fn resolve_object_source(
+pub fn resolve_object_source<V: Clone>(
     scope_path: &str,
     source: &CompiledSource,
-    facts: &dyn FactView,
-) -> Option<ObjectVal> {
+    facts: &dyn FactView<V>,
+) -> Option<V> {
     let producer = producer_path(scope_path, source);
     let object = source.object.as_deref()?;
     let fact = match &source.cond {
@@ -111,7 +115,11 @@ pub fn resolve_object_source(
 }
 
 /// Resolves one notification source: has it fired?
-pub fn notification_fired(scope_path: &str, source: &CompiledSource, facts: &dyn FactView) -> bool {
+pub fn notification_fired<V>(
+    scope_path: &str,
+    source: &CompiledSource,
+    facts: &dyn FactView<V>,
+) -> bool {
     let producer = producer_path(scope_path, source);
     match &source.cond {
         CompiledCond::Input(set) => facts.input_fact(&producer, set).is_some(),
@@ -123,11 +131,11 @@ pub fn notification_fired(scope_path: &str, source: &CompiledSource, facts: &dyn
 }
 
 /// Tries to satisfy one input set; `Some(bound objects)` on success.
-pub fn eval_input_set(
+pub fn eval_input_set<V: Clone>(
     scope_path: &str,
     set: &CompiledInputSet,
-    facts: &dyn FactView,
-) -> Option<BTreeMap<String, ObjectVal>> {
+    facts: &dyn FactView<V>,
+) -> Option<BTreeMap<String, V>> {
     let mut bound = BTreeMap::new();
     for slot in &set.objects {
         let value = slot
@@ -151,11 +159,11 @@ pub fn eval_input_set(
 /// The first satisfied input set of a task, in declaration order
 /// ("chosen deterministically", §2). Returns the set name and bound
 /// objects.
-pub fn eval_task_inputs(
+pub fn eval_task_inputs<V: Clone>(
     scope_path: &str,
     task: &CompiledTask,
-    facts: &dyn FactView,
-) -> Option<(String, BTreeMap<String, ObjectVal>)> {
+    facts: &dyn FactView<V>,
+) -> Option<(String, BTreeMap<String, V>)> {
     for set in &task.input_sets {
         if let Some(bound) = eval_input_set(scope_path, set, facts) {
             return Some((set.name.clone(), bound));
@@ -166,11 +174,11 @@ pub fn eval_task_inputs(
 
 /// Evaluates one compound output mapping. An output with no elements can
 /// never be produced.
-pub fn eval_output(
+pub fn eval_output<V: Clone>(
     scope_path: &str,
     output: &CompiledOutput,
-    facts: &dyn FactView,
-) -> Option<BTreeMap<String, ObjectVal>> {
+    facts: &dyn FactView<V>,
+) -> Option<BTreeMap<String, V>> {
     if output.objects.is_empty() && output.notifications.is_empty() {
         return None;
     }
@@ -195,11 +203,11 @@ pub fn eval_output(
 }
 
 /// All currently satisfied outputs of a scope, in declaration order.
-pub fn eval_scope_outputs<'a>(
+pub fn eval_scope_outputs<'a, V: Clone>(
     scope_path: &str,
     scope: &'a CompiledScope,
-    facts: &dyn FactView,
-) -> Vec<(&'a CompiledOutput, BTreeMap<String, ObjectVal>)> {
+    facts: &dyn FactView<V>,
+) -> Vec<(&'a CompiledOutput, BTreeMap<String, V>)> {
     scope
         .outputs
         .iter()
@@ -212,6 +220,7 @@ pub fn eval_scope_outputs<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MemFacts, ObjectVal};
     use flowscript_core::samples;
     use flowscript_core::schema::{compile_source, Schema, TaskBody};
 

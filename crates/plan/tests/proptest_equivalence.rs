@@ -3,23 +3,48 @@
 //! The plan is only allowed to be a *faster* encoding of the schema,
 //! never a different semantics. For randomly chosen scripts (the
 //! paper's samples plus generated chains with alternative sources) and
-//! randomly driven executions, the schema interpreter
-//! (`flowscript_engine::deps`) and the plan evaluator
+//! randomly driven executions, the schema interpreter (`deps`, beside
+//! this file — the reference semantics, kept with the test that holds
+//! the implementation to it) and the plan evaluator
 //! (`flowscript_plan::eval`) must agree at every step on:
 //!
 //! - which input set every task binds and with which objects,
 //! - which scope outputs are satisfied and what they map,
 //! - the final quiescent fact state (identical instance outcome).
 
+mod deps;
+
 use std::collections::BTreeMap;
 
+use deps::FactView;
 use flowscript_core::ast::OutputKind;
 use flowscript_core::samples;
 use flowscript_core::schema::{compile_source, CompiledScope, CompiledTask, Schema, TaskBody};
-use flowscript_engine::deps::{self, FactView, MemFacts};
-use flowscript_engine::ObjectVal;
 use flowscript_plan::{eval as plan_eval, Plan, PlanFacts, Probe};
 use proptest::prelude::*;
+
+/// The value type both evaluators run over here: they only move and
+/// clone values, so a class and a text payload tell them apart.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ObjectVal {
+    class: String,
+    text: String,
+}
+
+impl ObjectVal {
+    pub fn text(class: impl Into<String>, text: impl Into<String>) -> Self {
+        Self {
+            class: class.into(),
+            text: text.into(),
+        }
+    }
+
+    pub fn as_text(&self) -> String {
+        self.text.clone()
+    }
+}
+
+type MemFacts = deps::MemFacts<ObjectVal>;
 
 struct PlanMemFacts<'a>(&'a MemFacts);
 
