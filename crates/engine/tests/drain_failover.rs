@@ -71,8 +71,16 @@ fn planned_drain_preserves_every_outcome() {
     let drained_count = departing.instance_names().len();
     assert!(drained_count > 0, "the drain must have work to move");
 
+    let rounds_before = sys.metrics_snapshot().counter("tx.two_pc_rounds");
     let report = sys.remove_coordinator("coordinator1").expect("drain");
     assert_eq!(report.moved, drained_count, "the whole population moves");
+    // Per round: one intent batch, one prepare, one resolve — plus a
+    // decision frame per instance.
+    assert_eq!(
+        sys.metrics_snapshot().counter("tx.two_pc_rounds") - rounds_before,
+        (3 * report.rounds + report.moved) as u64,
+        "the protocol's durable steps per round must not move"
+    );
     assert!(
         report.rounds < report.moved,
         "batching must amortize: {} rounds for {} instances",

@@ -52,9 +52,18 @@ fn live_rebalance_preserves_every_outcome() {
         .count();
     assert!(live_before > 0, "rebalance must catch running instances");
 
+    let rounds_before = sys.metrics_snapshot().counter("tx.two_pc_rounds");
     let report = sys.add_coordinator("coordinator2").expect("rebalance");
     assert!(report.moved > 0, "the new shard must take over instances");
     assert_eq!(report.moved, report.pause_ns.len());
+    // A rebalance moves one instance per round, and a round logs one
+    // intent batch, one prepare, one resolve — plus a decision frame
+    // per instance.
+    assert_eq!(
+        sys.metrics_snapshot().counter("tx.two_pc_rounds") - rounds_before,
+        (3 * report.pause_ns.len() + report.moved) as u64,
+        "the protocol's durable steps per round must not move"
+    );
     assert_eq!(report.epoch, 2, "one membership change after epoch 1");
     assert_eq!(sys.shard_map().epoch(), 2);
     assert_eq!(sys.shard_count(), 3);
