@@ -25,11 +25,11 @@ use std::rc::Rc;
 
 use flowscript_obs::{ObsEvent, ObsEventKind, ObserveLevel, Registry, Snapshot};
 use flowscript_sim::{net::LinkConfig, FaultPlan, NodeId, SimDuration, SimTime, World};
-use flowscript_tx::{SharedFileStorage, StableStore, TxManager};
+use flowscript_tx::{SharedFileStorage, StableStore};
 
 use crate::coordinator::{
-    package_instance, stored_instances, CoordHandle, CoordStats, Coordinator, DispatchRecord,
-    EngineConfig, InstanceStatus, Outcome,
+    CoordHandle, CoordStats, Coordinator, DispatchRecord, EngineConfig, FailoverReport,
+    InstanceStatus, MoveReport, Outcome, TicketRef, DRAIN_BATCH, FLEET_DEADLINE,
 };
 use crate::error::EngineError;
 use crate::executor;
@@ -282,14 +282,8 @@ impl SystemBuilder {
                     provided[i].clone()
                 } else if i == 0 && self.storage.is_some() {
                     self.storage.clone().expect("checked above")
-                } else if let Some(dir) = &self.wal_dir {
-                    std::fs::create_dir_all(dir).expect("wal dir creatable");
-                    let path = dir.join(format!("shard{i}.wal"));
-                    StableStore::File(
-                        SharedFileStorage::create(&path).expect("wal file opens fresh"),
-                    )
                 } else {
-                    StableStore::default()
+                    fresh_storage(self.wal_dir.as_deref(), i).expect("wal file opens fresh")
                 }
             })
             .collect();
@@ -347,116 +341,24 @@ impl SystemBuilder {
             config: self.config,
             wal_dir: self.wal_dir,
             retired: Vec::new(),
-            chaos: None,
         }
     }
 }
 
-/// How many instances one drain round moves under a single 2PC: the
-/// batch is unavailable for the whole round, so the batch size bounds
-/// the per-instance pause while still amortizing prepare/decision
-/// traffic across many instances.
-const DRAIN_BATCH: usize = 64;
-
-/// Where an armed chaos kill ([`WorkflowSystem::arm_chaos_kill`]) fires
-/// inside a hand-off round (planned drain or rebalance) or a
-/// crash-driven adoption.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KillPoint {
-    /// Before the round's `HandOffBegin` intents are logged: the round
-    /// never started, nothing to repair.
-    BeforeBegin,
-    /// After the batch's intents are durable, before the destination
-    /// prepares — recovery presumes the whole batch aborted.
-    AfterBegin,
-    /// After the destination's durable yes-vote, before the source's
-    /// decision — the destination chases the in-doubt stage and learns
-    /// "abort" from the restarted source.
-    AfterPrepare,
-    /// After the source's durable decision (instances purged), before
-    /// the destination applies it — the restarted source re-announces
-    /// the verdict and the destination adopts.
-    AfterDecision,
-    /// Mid-claim during crash-driven adoption: the driver dies after
-    /// claiming some of the dead shard's instances. Re-running
-    /// [`WorkflowSystem::adopt_dead_shard`] is idempotent.
-    MidClaim,
-}
-
-/// An armed one-shot kill, consumed by the next hand-off or adoption.
-#[derive(Debug, Clone, Copy)]
-struct ChaosKill {
-    point: KillPoint,
-    /// For hand-off points: the 0-based batch round to strike in. For
-    /// [`KillPoint::MidClaim`]: how many instances to claim before
-    /// dying.
-    round: usize,
-}
-
-/// What one planned drain ([`WorkflowSystem::remove_coordinator`]) did.
-#[derive(Debug, Clone, Default)]
-pub struct DrainReport {
-    /// Instances moved off the departing shard.
-    pub moved: usize,
-    /// Batched 2PC rounds the drain took — many instances share one
-    /// round, so `rounds` is far below `moved` for a loaded shard.
-    pub rounds: usize,
-    /// Wall-clock nanoseconds per round (the per-instance pause bound:
-    /// a batch is unavailable for exactly its round). Also recorded in
-    /// the departing shard's `coord.drain_pause_ns` histogram.
-    pub pause_ns: Vec<u64>,
-    /// The membership epoch after the final map flip.
-    pub epoch: u64,
-}
-
-impl DrainReport {
-    /// The longest single round — the worst per-instance pause, in
-    /// nanoseconds.
-    pub fn max_pause_ns(&self) -> u64 {
-        self.pause_ns.iter().copied().max().unwrap_or(0)
-    }
-}
-
-/// What one crash-driven failover ([`WorkflowSystem::adopt_dead_shard`])
-/// did.
-#[derive(Debug, Clone, Default)]
-pub struct FailoverReport {
-    /// Instances claimed from the dead shard's storage and adopted by
-    /// survivors (instances already claimed by an earlier, interrupted
-    /// attempt are re-swept but not re-counted).
-    pub adopted: usize,
-    /// The membership epoch stamped into the fence and the new map.
-    pub epoch: u64,
-    /// Node index of the surviving shard that wrote the fence.
-    pub claimant: u32,
-}
-
-/// What one live rebalance ([`WorkflowSystem::rebalance`] /
-/// [`WorkflowSystem::add_coordinator`]) did: how many instances moved,
-/// how long each was unavailable, and the shard-map epoch the system
-/// converged on.
-#[derive(Debug, Clone, Default)]
-pub struct RebalanceReport {
-    /// Instances handed off (each one batched 2PC move).
-    pub moved: usize,
-    /// Wall-clock nanoseconds each moved instance was unavailable
-    /// (collect → adopt), in move order. Also recorded in the source
-    /// shard's `coord.handoff_pause_ns` histogram.
-    pub pause_ns: Vec<u64>,
-    /// The membership epoch after the final map flip.
-    pub epoch: u64,
-}
-
-impl RebalanceReport {
-    /// The longest single-instance pause, in nanoseconds.
-    pub fn max_pause_ns(&self) -> u64 {
-        self.pause_ns.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Total wall-clock nanoseconds spent moving instances.
-    pub fn total_pause_ns(&self) -> u64 {
-        self.pause_ns.iter().sum()
-    }
+/// Fresh stable storage for shard `idx`: a synced log file
+/// `shard{idx}.wal` under `wal_dir` when one is configured (created
+/// fresh, truncating leftovers), in-memory otherwise.
+fn fresh_storage(
+    wal_dir: Option<&std::path::Path>,
+    idx: usize,
+) -> Result<StableStore, EngineError> {
+    let Some(dir) = wal_dir else {
+        return Ok(StableStore::default());
+    };
+    std::fs::create_dir_all(dir).map_err(|e| EngineError::Tx(format!("wal dir: {e}")))?;
+    let file = SharedFileStorage::create(dir.join(format!("shard{idx}.wal")))
+        .map_err(|e| EngineError::Tx(format!("wal file: {e}")))?;
+    Ok(StableStore::File(file))
 }
 
 /// A complete simulated workflow management system (Fig. 4).
@@ -487,9 +389,6 @@ pub struct WorkflowSystem {
     /// through them to the adopter), and their counters, traces and
     /// metrics keep aggregating.
     retired: Vec<(NodeId, CoordHandle)>,
-    /// A one-shot chaos kill armed by [`WorkflowSystem::arm_chaos_kill`],
-    /// consumed by the next hand-off or adoption.
-    chaos: Option<ChaosKill>,
 }
 
 impl WorkflowSystem {
@@ -1088,25 +987,29 @@ impl WorkflowSystem {
     /// storage, installed with the epoch-bumped shard map, and every
     /// instance the new map assigns to it is moved in by
     /// [`WorkflowSystem::rebalance`] — running instances included.
-    /// Returns the rebalance report (per-instance pause times).
+    ///
+    /// Resumable: if the moves fail midway (a source or the new node
+    /// crashed), the node stays installed outside the map, and calling
+    /// this again with the same name resumes the same join — same node,
+    /// same storage, same successor map.
     ///
     /// # Errors
     ///
-    /// Storage failures opening the new shard or moving an instance.
-    pub fn add_coordinator(&mut self, name: &str) -> Result<RebalanceReport, EngineError> {
-        let node = self.world.add_node(name);
-        let idx = self.coords.len();
-        let storage = if let Some(dir) = &self.wal_dir {
-            std::fs::create_dir_all(dir).map_err(|e| EngineError::Tx(format!("wal dir: {e}")))?;
-            let path = dir.join(format!("shard{idx}.wal"));
-            StableStore::File(
-                SharedFileStorage::create(&path)
-                    .map_err(|e| EngineError::Tx(format!("wal file: {e}")))?,
-            )
-        } else {
-            StableStore::default()
-        };
+    /// `name` is already a member, storage failures opening the new
+    /// shard, or a move that did not complete.
+    pub fn add_coordinator(&mut self, name: &str) -> Result<MoveReport, EngineError> {
         let mut new_map = self.shard.clone();
+        if let Ok((_, node)) = self.coord_by_name(name) {
+            if self.shard.nodes().contains(&node) {
+                return Err(EngineError::Tx(format!(
+                    "coordinator `{name}` is already a member"
+                )));
+            }
+            new_map.add_node(node);
+            return self.rebalance(new_map);
+        }
+        let storage = fresh_storage(self.wal_dir.as_deref(), self.coords.len())?;
+        let node = self.world.add_node(name);
         new_map.add_node(node);
         // The new shard starts life on the bumped epoch; the surviving
         // shards keep the old map until the moves commit (dual-delivery
@@ -1127,108 +1030,99 @@ impl WorkflowSystem {
         self.rebalance(new_map)
     }
 
-    /// Moves the system to `new_map` live: every resident instance
-    /// whose owner changes is handed off to its new shard as one
-    /// batched 2PC (collect → prepare → commit → adopt), one instance
-    /// at a time; only after every move commits does each coordinator
-    /// (and the client router) flip to the new map. During the window,
-    /// executor replies for moved instances keep landing on the old
-    /// owner and are relayed — no report is lost or applied twice.
+    /// Moves the system to `new_map` live: every shard in turn hands
+    /// off the residents the map assigns elsewhere, one instance per
+    /// two-phase-commit round (see [`crate::coordinator`]'s membership
+    /// protocol — the shards run it themselves, over messages, while
+    /// everything else keeps executing); only after every move commits
+    /// does each coordinator (and the client router) flip to the new
+    /// map. During the window, executor replies for moved instances
+    /// keep landing on the old owner and are relayed — no report is
+    /// lost or applied twice.
     ///
     /// # Errors
     ///
-    /// A map naming a coordinator this system does not run (checked
-    /// before anything moves), or a storage failure mid-move. A
-    /// destination that fails to prepare aborts that move durably; the
-    /// instance stays where it was.
-    pub fn rebalance(&mut self, new_map: ShardMap) -> Result<RebalanceReport, EngineError> {
-        let (moved, pause_ns) = self.move_residents(
-            &new_map,
-            0..self.coords.len(),
-            1,
-            CoordHandle::note_handoff_pause,
-        )?;
+    /// A map naming a node that runs no coordinator, or whose epoch is
+    /// not newer than the system's (both checked before anything
+    /// moves); a source that is down or stops answering; a round whose
+    /// destination votes no or cannot be reached — that round aborts
+    /// durably and its instances stay where they were. Moves that
+    /// committed before the failure stay committed (their old owners
+    /// relay); running the call again moves the rest.
+    pub fn rebalance(&mut self, new_map: ShardMap) -> Result<MoveReport, EngineError> {
+        if let Some(stranger) = new_map
+            .nodes()
+            .iter()
+            .find(|node| !self.coord_nodes.contains(node))
+        {
+            return Err(EngineError::Tx(format!(
+                "shard map names {stranger}, which runs no coordinator"
+            )));
+        }
+        if new_map.epoch() <= self.shard.epoch() {
+            return Err(EngineError::Tx(format!(
+                "shard map epoch {} is not newer than the system's {}",
+                new_map.epoch(),
+                self.shard.epoch()
+            )));
+        }
+        let report = self.hand_off(&new_map, 0..self.coords.len(), 1)?;
         // The flip: everyone adopts the new map at its bumped epoch.
         for coord in &self.coords {
             coord.set_shard_map(new_map.clone());
         }
         self.shard = new_map;
-        Ok(RebalanceReport {
-            moved,
-            pause_ns,
-            epoch: self.shard.epoch(),
-        })
+        Ok(report)
     }
 
-    /// The one hand-off driver: moves every instance resident on a
-    /// `sources` shard that `new_map` assigns elsewhere — decided
-    /// against residency, not the old map, since a crash-recovered
-    /// shard may hold instances the old map would misattribute. Moves
-    /// are grouped by (source, destination) and go `limit` instances
-    /// per 2PC round (collect → prepare → commit → adopt); each round's
-    /// wall-clock pause goes to the source through `note_pause`.
-    /// Returns `(instances moved, pause per round)`.
-    ///
-    /// The whole plan is resolved before the first `HandOffBegin`, so a
-    /// map naming a node that runs no coordinator moves nothing. Rounds
-    /// run sequentially by design: a destination's instance-id
-    /// allocation reads committed state, so concurrent prepares into
-    /// one shard would collide.
-    fn move_residents(
+    /// Hands each of the `sources` shards, in turn, the trigger to move
+    /// out what `new_map` takes from it, `limit` instances a round, and
+    /// collects the reports. One source at a time: prepares into one
+    /// destination must not overlap (its id allocation reads committed
+    /// state; the staged lock on the sequence would veto the second).
+    fn hand_off(
         &mut self,
         new_map: &ShardMap,
         sources: impl Iterator<Item = usize>,
         limit: usize,
-        note_pause: fn(&CoordHandle, u64),
-    ) -> Result<(usize, Vec<u64>), EngineError> {
-        let mut plan: BTreeMap<(usize, usize), Vec<String>> = BTreeMap::new();
-        for src_idx in sources {
-            for instance in self.coords[src_idx].instance_names() {
-                let owner = new_map.node_of(&instance);
-                if owner == self.coord_nodes[src_idx] {
-                    continue;
-                }
-                let dest_idx = self
-                    .coord_nodes
-                    .iter()
-                    .position(|&n| n == owner)
-                    .ok_or_else(|| {
-                        EngineError::Tx(format!(
-                            "shard map assigns `{instance}` to {owner}, which runs no coordinator"
-                        ))
-                    })?;
-                plan.entry((src_idx, dest_idx)).or_default().push(instance);
+    ) -> Result<MoveReport, EngineError> {
+        let mut total = MoveReport {
+            epoch: new_map.epoch(),
+            ..MoveReport::default()
+        };
+        for idx in sources {
+            let source = self.coords[idx].clone();
+            let ticket = source.begin_move(&mut self.world, new_map, limit)?;
+            total.absorb(self.await_report(source.node(), &ticket)?);
+        }
+        Ok(total)
+    }
+
+    /// Steps the world until `node` has filed the report of the fleet
+    /// operation it was just handed, giving up — and saying so on the
+    /// ticket — once [`FLEET_DEADLINE`] of virtual time passes without
+    /// it completing a round or a claim.
+    fn await_report<T>(&mut self, node: NodeId, ticket: &TicketRef<T>) -> Result<T, EngineError> {
+        let mut seen = 0;
+        let mut deadline = self.world.now() + FLEET_DEADLINE;
+        loop {
+            let mut filed = ticket.borrow_mut();
+            if let Some(report) = filed.outcome.take() {
+                return report;
+            }
+            if filed.progress != seen {
+                seen = filed.progress;
+                deadline = self.world.now() + FLEET_DEADLINE;
+            }
+            drop(filed);
+            if !self.world.step_until(deadline) {
+                ticket.borrow_mut().cancelled = true;
+                return Err(EngineError::Tx(format!(
+                    "coordinator {node} reported no progress for {} ms",
+                    FLEET_DEADLINE.as_millis()
+                )));
             }
         }
-        let mut moved = 0usize;
-        let mut pause_ns = Vec::new();
-        for ((src_idx, dest_idx), instances) in plan {
-            let (src, src_node) = (self.coords[src_idx].clone(), self.coord_nodes[src_idx]);
-            let (dest, dest_node) = (self.coords[dest_idx].clone(), self.coord_nodes[dest_idx]);
-            for chunk in instances.chunks(limit) {
-                let round = pause_ns.len();
-                self.chaos_strike(KillPoint::BeforeBegin, round, src_node)?;
-                let clock = std::time::Instant::now();
-                let packages = src.handoff_collect(&mut self.world, chunk, dest_node)?;
-                self.chaos_strike(KillPoint::AfterBegin, round, src_node)?;
-                let tx = packages[0].tx;
-                if let Err(err) = dest.handoff_prepare(&packages) {
-                    for instance in chunk {
-                        src.handoff_abort(instance, tx, dest_node)?;
-                    }
-                    return Err(err);
-                }
-                self.chaos_strike(KillPoint::AfterPrepare, round, src_node)?;
-                src.handoff_commit(&mut self.world, chunk, tx, dest_node)?;
-                self.chaos_strike(KillPoint::AfterDecision, round, src_node)?;
-                dest.handoff_apply(&mut self.world, tx, true)?;
-                let ns = clock.elapsed().as_nanos() as u64;
-                note_pause(&src, ns);
-                pause_ns.push(ns);
-                moved += chunk.len();
-            }
-        }
-        Ok((moved, pause_ns))
     }
 
     /// Resolves a coordinator by node name to `(index, node)`.
@@ -1240,37 +1134,18 @@ impl WorkflowSystem {
             .ok_or_else(|| EngineError::Tx(format!("no coordinator named `{name}`")))
     }
 
-    /// Fires the armed chaos kill if `point` in round `round` is its
-    /// strike point: crashes `victim` and surfaces the kill as an
-    /// error so the driver stops exactly where a real crash would have
-    /// stopped it.
-    fn chaos_strike(
-        &mut self,
-        point: KillPoint,
-        round: usize,
-        victim: NodeId,
-    ) -> Result<(), EngineError> {
-        if let Some(kill) = self.chaos {
-            if kill.point == point && kill.round == round {
-                self.chaos = None;
-                self.world.crash(victim);
-                return Err(EngineError::Tx(format!(
-                    "chaos: killed node at {point:?} (round {round})"
-                )));
-            }
+    /// [`Self::coord_by_name`] plus the map without that coordinator —
+    /// the pre-flight drains and failovers share.
+    fn departure(&self, name: &str, what: &str) -> Result<(usize, ShardMap), EngineError> {
+        let (idx, node) = self.coord_by_name(name)?;
+        if self.coords.len() == 1 {
+            return Err(EngineError::Tx(format!(
+                "cannot {what} the last coordinator"
+            )));
         }
-        Ok(())
-    }
-
-    /// Arms a one-shot kill inside the next drain, rebalance or
-    /// adoption: the victim node crashes at `point` in round `round` (for
-    /// [`KillPoint::MidClaim`], after `round` instances were claimed)
-    /// and the driving call returns an error mid-protocol — exactly
-    /// the strand a real crash would leave. The chaos tests then
-    /// restart/re-run and assert convergence with zero lost outcomes.
-    #[doc(hidden)]
-    pub fn arm_chaos_kill(&mut self, point: KillPoint, round: usize) {
-        self.chaos = Some(ChaosKill { point, round });
+        let mut new_map = self.shard.clone();
+        new_map.remove_node(node);
+        Ok((idx, new_map))
     }
 
     /// Retires shard `idx` from the fleet: survivors (and the client
@@ -1278,7 +1153,7 @@ impl WorkflowSystem {
     /// installed as a pure relay on the same map — its relay table
     /// re-pointed off departed nodes — so late executor reports for
     /// its former instances forward straight to the adopter.
-    fn retire_coordinator(&mut self, idx: usize, new_map: &ShardMap) {
+    fn retire_coordinator(&mut self, idx: usize, new_map: ShardMap) {
         let node = self.coord_nodes.remove(idx);
         let coord = self.coords.remove(idx);
         self.storages.remove(idx);
@@ -1286,78 +1161,53 @@ impl WorkflowSystem {
         for survivor in &self.coords {
             survivor.set_shard_map(new_map.clone());
         }
-        self.shard = new_map.clone();
+        self.shard = new_map;
         self.retired.push((node, coord));
     }
 
     /// Drains and removes coordinator `name` from the execution
     /// service **live**: the departing shard's entire resident
     /// population moves to the surviving shards *before* the node
-    /// leaves the map — [`WorkflowSystem::rebalance`] in reverse,
-    /// upgraded to move up to `DRAIN_BATCH` (64) instances per 2PC round
-    /// (one intent batch, one prepared stage with a contiguous
-    /// destination id range, one atomic decision frame). The drained
-    /// node is then retired: it stays installed as a relay for late
-    /// executor reports but owns nothing and serves nothing.
+    /// leaves the map — [`WorkflowSystem::rebalance`] in reverse, with
+    /// rounds of up to 64 instances (one intent batch, one prepared
+    /// stage with a contiguous destination id range, one atomic
+    /// decision frame). The drained node is then retired: it
+    /// stays installed as a relay for late executor reports but owns
+    /// nothing and serves nothing.
     ///
     /// # Errors
     ///
-    /// Unknown name, draining the last shard, a storage failure
-    /// mid-move (a destination that fails to prepare aborts its whole
-    /// batch durably; the instances stay where they were), or an armed
-    /// chaos kill striking mid-drain.
-    pub fn remove_coordinator(&mut self, name: &str) -> Result<DrainReport, EngineError> {
-        let (idx, node) = self.coord_by_name(name)?;
-        if self.coords.len() == 1 {
-            return Err(EngineError::Tx(
-                "cannot drain the last coordinator".to_string(),
-            ));
-        }
-        let mut new_map = self.shard.clone();
-        new_map.remove_node(node);
+    /// Unknown name, draining the last shard, or a move that did not
+    /// complete (as for [`WorkflowSystem::rebalance`]: what moved stays
+    /// moved, the shard is not retired, and a re-run drains the rest).
+    pub fn remove_coordinator(&mut self, name: &str) -> Result<MoveReport, EngineError> {
+        let (idx, new_map) = self.departure(name, "drain")?;
         let src = self.coords[idx].clone();
-        src.record_system_event(
-            self.world.now().as_nanos(),
-            name,
-            ObsEventKind::DrainBegin {
-                remaining: src.instance_names().len() as u64,
-            },
-        );
-        let (moved, pause_ns) = self.move_residents(
-            &new_map,
-            std::iter::once(idx),
-            DRAIN_BATCH,
-            CoordHandle::note_drain_pause,
-        )?;
-        let rounds = pause_ns.len();
-        src.record_system_event(
-            self.world.now().as_nanos(),
-            name,
-            ObsEventKind::DrainEnd {
-                moved: moved as u64,
-                rounds: rounds as u64,
-            },
-        );
-        self.retire_coordinator(idx, &new_map);
-        Ok(DrainReport {
-            moved,
-            rounds,
-            pause_ns,
-            epoch: self.shard.epoch(),
-        })
+        let remaining = src.instance_names().len() as u64;
+        let begin = ObsEventKind::DrainBegin { remaining };
+        src.record_system_event(self.world.now().as_nanos(), name, begin);
+        let report = self.hand_off(&new_map, std::iter::once(idx), DRAIN_BATCH)?;
+        let end = ObsEventKind::DrainEnd {
+            moved: report.moved as u64,
+            rounds: report.rounds as u64,
+        };
+        src.record_system_event(self.world.now().as_nanos(), name, end);
+        self.retire_coordinator(idx, new_map);
+        Ok(report)
     }
 
     /// Adopts a dead shard's instances **without waiting for the node
     /// to come back**: the failover half of the elastic fleet. The
-    /// first surviving shard durably fences the dead shard's log
+    /// operator mounts the dead shard's surviving storage on the first
+    /// survivor that is up; that claimant durably fences the log
     /// (epoch-stamped claim — a zombie waking mid-adoption fails its
-    /// next append instead of double-driving instances), then every
-    /// committed instance is read out of the surviving storage,
-    /// re-keyed and committed on its new owner per the epoch-bumped
-    /// map, and adopted through the same orphan-adoption path a
-    /// committed hand-off lands on. Idempotent end to end: a driver
-    /// that died mid-claim (see [`KillPoint::MidClaim`]) just runs it
-    /// again — already-claimed instances are skipped.
+    /// next append instead of double-driving instances), reads every
+    /// committed instance out of it and sends each to its new owner per
+    /// the epoch-bumped map, where it is re-keyed, committed and
+    /// adopted through the same path a committed hand-off lands on.
+    /// Idempotent end to end: after a claimant that died mid-claim, or
+    /// a destination that could not be reached, just run it again —
+    /// already-claimed instances are skipped.
     ///
     /// Deliberately does NOT require the node to be down: adopting a
     /// *live* shard is the false-positive failure-detection scenario,
@@ -1365,64 +1215,26 @@ impl WorkflowSystem {
     ///
     /// # Errors
     ///
-    /// Unknown name, adopting the last shard, a foreign fence (another
-    /// claimant got there first), storage failures, or an armed chaos
-    /// kill striking mid-claim.
+    /// Unknown name, adopting the last shard, no survivor up to claim
+    /// (nothing is fenced then), a foreign fence (another claimant got
+    /// there first), storage failures, or a survivor that never
+    /// acknowledged its share.
     pub fn adopt_dead_shard(&mut self, name: &str) -> Result<FailoverReport, EngineError> {
-        let (idx, node) = self.coord_by_name(name)?;
-        if self.coords.len() == 1 {
-            return Err(EngineError::Tx(
-                "cannot fail over the last coordinator".to_string(),
-            ));
-        }
-        let mut new_map = self.shard.clone();
-        new_map.remove_node(node);
-        let epoch = new_map.epoch();
-        let claimant_idx = if idx == 0 { 1 } else { 0 };
-        let claimant_node = self.coord_nodes[claimant_idx];
-        // The fenced claim: reopen the dead shard's surviving storage
-        // under the claimant's identity and stamp the fence. From this
-        // append on, the dead shard's own manager can never commit
-        // again — the claimed copies are the truth.
-        let mut mgr = TxManager::open(claimant_node.index() as u32, self.storages[idx].clone())?;
-        mgr.write_fence(epoch)?;
-        let mut adopted = 0usize;
-        for (instance, _meta) in stored_instances(&mgr) {
-            let owner = new_map.node_of(&instance);
-            let dest_idx = self
-                .coord_nodes
-                .iter()
-                .position(|&n| n == owner)
-                .ok_or_else(|| {
-                    EngineError::Tx(format!(
-                        "shard map assigns `{instance}` to {owner}, which runs no coordinator"
-                    ))
-                })?;
-            let tx = mgr.mint_dist_tx();
-            let Some(package) = package_instance(&mgr, &instance, tx, node.index() as u32) else {
-                continue;
-            };
-            self.chaos_strike(KillPoint::MidClaim, adopted, node)?;
-            let dest = self.coords[dest_idx].clone();
-            if dest.claim_adopt(&mut self.world, &package, epoch)? {
-                adopted += 1;
-            }
-        }
-        // Adoption sweep on every survivor — a no-op on shards with no
-        // claims, and on a re-run it also catches instances a dying
-        // earlier attempt claimed but never swept. The dead shard is
-        // skipped: its storage is fenced now.
-        for (coord_idx, coord) in self.coords.clone().into_iter().enumerate() {
-            if coord_idx != idx {
-                coord.adopt_orphans(&mut self.world, Some((node.index() as u32, epoch)));
-            }
-        }
-        self.retire_coordinator(idx, &new_map);
-        Ok(FailoverReport {
-            adopted,
-            epoch,
-            claimant: claimant_node.index() as u32,
-        })
+        let (idx, new_map) = self.departure(name, "fail over")?;
+        let dead = self.coord_nodes[idx];
+        let claimant = self
+            .coords
+            .iter()
+            .find(|coord| coord.node() != dead && self.world.is_up(coord.node()))
+            .cloned()
+            .ok_or_else(|| {
+                EngineError::Tx(format!("no surviving coordinator is up to claim `{name}`"))
+            })?;
+        let storage = self.storages[idx].clone();
+        let ticket = claimant.begin_adoption(&mut self.world, storage, dead, &new_map)?;
+        let report = self.await_report(claimant.node(), &ticket)?;
+        self.retire_coordinator(idx, new_map);
+        Ok(report)
     }
 
     /// Overrides one coordinator's shard map *without* moving anything —
@@ -1438,10 +1250,8 @@ impl WorkflowSystem {
         self.coords[shard].set_shard_map(map);
     }
 
-    /// Direct handle on one coordinator shard — test hook for driving
-    /// the hand-off protocol step by step (crash-between-steps
-    /// scenarios the synchronous [`WorkflowSystem::rebalance`] driver
-    /// can never produce).
+    /// Direct handle on one coordinator shard — test hook for reading
+    /// one shard's residency, recorder and counters.
     ///
     /// # Panics
     ///

@@ -18,7 +18,7 @@ use super::meta::{instance_seq_uid, plan_uid, plan_uid_fingerprint};
 use super::{stored_instances, CoordHandle, Coordinator, InstanceMeta, InstanceRt, InstanceStatus};
 use crate::error::EngineError;
 use crate::facts;
-use crate::keys::InstanceKeys;
+use crate::keys::{meta_uid, InstanceKeys};
 use crate::reconfig::{self, Reconfig};
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
@@ -175,7 +175,12 @@ impl CoordHandle {
         let root_path = plan.str(plan.root().path).to_string();
 
         let mut coordinator = self.inner.borrow_mut();
-        if coordinator.instances.contains_key(instance) {
+        // The store is the truth, not residency: an instance a hand-off
+        // round holds frozen is committed here without being resident,
+        // and a second start must not write over it.
+        if coordinator.instances.contains_key(instance)
+            || coordinator.mgr.exists(&meta_uid(instance))
+        {
             return Err(EngineError::DuplicateInstance(instance.to_string()));
         }
         // Allocate the dense instance id from the persistent sequence.

@@ -1,15 +1,68 @@
 //! Shard membership: who owns an instance, relaying what lands on the
-//! wrong shard, moving live instances between shards (the four-step
-//! hand-off below) and adopting a dead shard's instances out of its
-//! claimed storage.
+//! wrong shard, and the two ways instances change shards. Both are run
+//! by the nodes themselves, over [`EngineMsg`]s: the façade
+//! ([`crate::WorkflowSystem`]) hands ONE node the trigger
+//! ([`CoordHandle::begin_move`], [`CoordHandle::begin_adoption`]),
+//! steps the world until that node's report is ready, then pushes the
+//! map flip.
+//!
+//! **Live hand-off** (rebalance, planned drain) is one protocol: the
+//! presumed-abort two-phase commit of [`flowscript_tx::dist`], hosted
+//! in [`Membership`]. The source shard is the 2PC coordinator, the
+//! destination its one participant, and the commit/abort decision is
+//! taken nowhere else. A rebalance moves rounds of one instance, a
+//! drain rounds of up to [`DRAIN_BATCH`]; per round:
+//!
+//! 1. *source*: flush the commit window, package the slice, log its
+//!    `HandOffBegin` intents, **freeze** it, send `Prepare` (the
+//!    entries as the source keyed them);
+//! 2. *destination*: re-key under a fresh contiguous id range,
+//!    `prepare_remote` — the durable vote — and send `Vote`;
+//! 3. *source*: all yes → `PersistDecision`: the `HandOffEnd` frames
+//!    and the keyspace purge in one group frame, durable before any
+//!    `Decision` leaves; a no, or no vote within
+//!    [`RETRANSMIT_INTERVAL`] → a durable abort, and the slice thaws
+//!    where it was. Either way send `Decision`, again every interval
+//!    until acknowledged;
+//! 4. *destination*: `resolve_remote`, adopt on commit, send `Ack`;
+//! 5. *source*: `Done` — record the pause, relay what was held, start
+//!    the next round.
+//!
+//! **The freeze rule.** From collect until the destination's ack (or
+//! the abort decision) the slice belongs to neither shard's evaluator:
+//! its runtimes are dropped at collect (watchdogs disarmed, executor
+//! load and admission slots released — none of its timers can commit),
+//! and every `Done`/`Mark` that arrives for it is held with the round —
+//! relayed to the destination after the ack, re-enqueued here after an
+//! abort, never applied to a packaged instance and never dropped. An
+//! aborted slice re-materialises through the same
+//! [`CoordHandle::adopt_orphans`] a destination lands a commit on.
+//!
+//! Crash repair ([`Coordinator::repair_handoffs`]) speaks the same
+//! messages: a restarted source re-announces every replayed decision
+//! as `Decision` (an intent with no decision is presumed aborted), a
+//! restarted destination chases each in-doubt stage with
+//! `QueryOutcome`.
+//!
+//! **Crash-driven adoption.** The claimant fences the dead shard's
+//! storage, packages every instance in it and sends each new owner its
+//! share as [`EngineMsg::Claim`] RPCs, again every
+//! [`RETRANSMIT_INTERVAL`] until acknowledged. No 2PC — the source is
+//! dead and the fence already decided; a claim is one local atomic
+//! commit, and an instance already present is skipped, so a re-run is
+//! idempotent.
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 
 use flowscript_obs::ObsEventKind;
-use flowscript_sim::{NodeId, ReplyToken, SimDuration, World};
+use flowscript_sim::{EventId, NodeId, ReplyToken, RpcError, SimDuration, World};
+use flowscript_tx::dist::{self, AfterImages, CoordAction, DistMsg};
 use flowscript_tx::{FactKey, StableStore, StoreKey, TxId, TxManager};
 
 use super::meta::{instance_seq_uid, plan_uid};
+use super::window::PendingEvent;
 use super::{stored_instance_names, CoordHandle, Coordinator, InstanceMeta, InstanceStatus};
 use crate::error::EngineError;
 use crate::keys::meta_uid;
@@ -23,27 +76,160 @@ use crate::shard::ShardMap;
 /// leaves slack for stacked membership changes.
 pub const MAX_FORWARD_HOPS: u32 = 4;
 
-/// Who owns what, as this coordinator sees it.
+/// How many instances one drain round moves under a single 2PC (and
+/// one adoption claim carries): the slice is frozen for the whole
+/// round, so its size bounds the per-instance pause while still
+/// amortizing prepare/decision traffic across many instances.
+pub(crate) const DRAIN_BATCH: usize = 64;
+
+/// How long a node lets a fleet message go unanswered before acting on
+/// the silence: a vote still missing aborts its round, an unacked
+/// decision or claim is sent again. Comfortably above a round trip on
+/// any link the simulator models, far below a dispatch watchdog.
+const RETRANSMIT_INTERVAL: SimDuration = SimDuration::from_millis(5);
+
+/// How long the façade waits on a node without seeing it complete a
+/// round or a claim before it gives the call up (the operator's RPC
+/// timeout): many retransmit intervals, so a lossy link is ridden out
+/// and only a dead or cut-off peer runs into it.
+pub(crate) const FLEET_DEADLINE: SimDuration = SimDuration::from_millis(100);
+
+/// What one live move did — a rebalance
+/// ([`crate::WorkflowSystem::rebalance`],
+/// [`crate::WorkflowSystem::add_coordinator`]) or a planned drain
+/// ([`crate::WorkflowSystem::remove_coordinator`]), which is a
+/// rebalance with a bigger round.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MoveReport {
+    /// Instances handed off.
+    pub moved: usize,
+    /// 2PC rounds that took: `moved` for a rebalance, far fewer for a
+    /// drain, where up to 64 instances share one.
+    pub rounds: usize,
+    /// Virtual nanoseconds each round's instances were unavailable
+    /// (collect → the destination's ack), in round order. Also in the
+    /// source shards' `coord.handoff_pause_ns` histogram. Exact per
+    /// seed: the simulator's clock is the only one the engine reads.
+    pub pause_ns: Vec<u64>,
+    /// The membership epoch of the map the move converged on.
+    pub epoch: u64,
+}
+
+impl MoveReport {
+    /// The longest single round — the worst per-instance pause, in
+    /// virtual nanoseconds.
+    pub fn max_pause_ns(&self) -> u64 {
+        self.pause_ns.iter().copied().max().unwrap_or(0)
+    }
+
+    /// Folds another source's report into this one.
+    pub(crate) fn absorb(&mut self, other: MoveReport) {
+        self.moved += other.moved;
+        self.rounds += other.rounds;
+        self.pause_ns.extend(other.pause_ns);
+    }
+}
+
+/// What one crash-driven failover
+/// ([`crate::WorkflowSystem::adopt_dead_shard`]) did.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FailoverReport {
+    /// Instances found in the dead shard's storage, every one now
+    /// committed on a survivor (counted whether this run or an earlier,
+    /// interrupted one landed it).
+    pub adopted: usize,
+    /// The membership epoch stamped into the fence and the new map.
+    pub epoch: u64,
+    /// Node index of the surviving shard that wrote the fence.
+    pub claimant: u32,
+}
+
+/// One hand-off round this node coordinates: a slice of its residents
+/// bound for one destination under one distributed transaction.
+struct Round {
+    dest: NodeId,
+    instances: Vec<String>,
+    /// Virtual time of the collect — the pause runs from here.
+    started_ns: u64,
+    /// Whether the slice is still frozen (see the module docs). Cleared
+    /// by an abort decision; a committed round stays frozen until its
+    /// ack removes it.
+    frozen: bool,
+    /// Reports that arrived for the frozen slice, with their hop counts.
+    held: Vec<(PendingEvent, u32)>,
+    /// The pending [`RETRANSMIT_INTERVAL`] timer.
+    timer: EventId,
+}
+
+/// The façade's end of a fleet operation it handed a node — the reply
+/// channel of the operator's RPC; shared memory here, because the
+/// operator trigger is not a wire message.
+#[derive(Default)]
+pub(crate) struct Ticket<T> {
+    /// The node's report, once it has one.
+    pub(crate) outcome: Option<Result<T, EngineError>>,
+    /// Rounds or claims acknowledged so far: the sign of life the
+    /// façade's deadline restarts on.
+    pub(crate) progress: u64,
+    /// Set by the façade when it gives the call up. The node then stops
+    /// re-sending for this operation, so no fleet timer outlives the
+    /// call that started it by more than a tick; rounds already decided
+    /// but unacknowledged stay on the books for the next job, a recovery
+    /// re-announcement or the destination's own query to finish.
+    pub(crate) cancelled: bool,
+}
+
+pub(crate) type TicketRef<T> = Rc<RefCell<Ticket<T>>>;
+
+/// The move the façade handed this node: the rounds still to run, the
+/// one in flight and the tally so far.
+struct MoveJob {
+    queue: VecDeque<(NodeId, Vec<String>)>,
+    current: Option<TxId>,
+    report: MoveReport,
+    ticket: TicketRef<MoveReport>,
+}
+
+/// The adoption a claimant runs: what each claim RPC's continuation —
+/// the only thing that advances it — needs to count itself off.
+struct Adoption {
+    claims: u64,
+    report: FailoverReport,
+    ticket: TicketRef<FailoverReport>,
+}
+
+/// Who owns what, as this coordinator sees it — and the fleet
+/// protocols it is currently running.
 pub(super) struct Membership {
     /// Instance ownership across all coordinator nodes of the system
     /// (shared verbatim by every shard; requests for instances this
     /// node does not own are forwarded to the owner).
     shard: ShardMap,
     /// Where instances this node handed off went — the dual-delivery
-    /// relay table for the window between a move's commit and the
+    /// relay table for the window between a move's ack and the
     /// rebalance's final map flip, when this node's `shard` map still
     /// claims ownership. Volatile, but rebuilt on recovery from
     /// replayed `HandOffEnd` frames; cleared by the flip
     /// ([`CoordHandle::set_shard_map`]), after which the map itself
     /// routes to the new owner.
     moved: BTreeMap<String, NodeId>,
+    /// The 2PC coordinator of every round this node sources.
+    dist: dist::Coordinator,
+    /// Rounds begun and not yet acknowledged, by moving transaction:
+    /// the running job's current one, plus any a cancelled job left
+    /// undelivered (the next job settles those first).
+    rounds: BTreeMap<TxId, Round>,
+    job: Option<MoveJob>,
 }
 
 impl Membership {
-    pub(super) fn new(shard: ShardMap) -> Self {
+    pub(super) fn new(node: NodeId, shard: ShardMap) -> Self {
         Self {
             shard,
             moved: BTreeMap::new(),
+            dist: dist::Coordinator::new(node.index() as u32),
+            rounds: BTreeMap::new(),
+            job: None,
         }
     }
 
@@ -53,123 +239,135 @@ impl Membership {
         self.shard.epoch()
     }
 
+    /// The protocols died with the process: rounds in flight are
+    /// repaired from the log ([`Coordinator::repair_handoffs`]), an
+    /// interrupted job or adoption is the operator's to run again.
+    pub(super) fn reset_protocols(&mut self) {
+        self.dist = dist::Coordinator::new(self.dist.node());
+        self.rounds.clear();
+        self.job = None;
+    }
+
     /// A fenced zombie relays nothing: its relay table dies with its
     /// claim on the storage.
     pub(super) fn forget_moves(&mut self) {
         self.moved.clear();
     }
-}
 
-/// Everything one instance move ships from source to destination
-/// shard: the moving transaction's identity and the raw committed
-/// bytes of the instance's whole keyspace — metadata, control blocks,
-/// rebindings, reconfiguration records, the pinned compiled plan and
-/// every dependency fact (one contiguous range scan). Produced by
-/// [`CoordHandle::handoff_collect`] on the source, consumed by
-/// [`CoordHandle::handoff_prepare`] on the destination; fact keys
-/// still carry the source shard's dense instance id (the destination
-/// re-keys them under its own allocator while staging).
-#[derive(Debug, Clone)]
-pub struct HandoffPackage {
-    /// The move's distributed transaction (2PC, source-coordinated).
-    pub tx: TxId,
-    /// The instance being moved.
-    pub instance: String,
-    /// Source coordinator node index — the 2PC coordinator a restarted
-    /// destination queries to terminate an in-doubt stage.
-    src_node: u32,
-    /// The instance's dense fact-key id on the source shard.
-    src_instance_id: u32,
-    /// Raw committed entries, keyed as the source stored them.
-    entries: Vec<(StoreKey, Vec<u8>)>,
-}
-
-impl HandoffPackage {
-    /// Number of committed entries the package carries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
+    /// The job the façade is still waiting on, if there is one: a
+    /// cancelled job is dropped on sight.
+    fn live_job(&mut self) -> Option<&mut MoveJob> {
+        self.job.take_if(|job| job.ticket.borrow().cancelled);
+        self.job.as_mut()
     }
 
-    /// Whether the package carries no entries (it never does for a
-    /// real instance — the meta object alone is one entry).
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The package's entries as the destination stores them: every fact
-    /// key re-keyed onto `new_id` (the dense id is shard-local; the
-    /// instance keeps its name), the meta's `instance_id` rewritten to
-    /// match, everything else verbatim.
-    ///
-    /// # Errors
-    ///
-    /// An undecodable meta entry.
-    fn rekeyed(&self, new_id: u32) -> Result<Vec<(StoreKey, Vec<u8>)>, EngineError> {
-        let meta_key = StoreKey::Uid(meta_uid(&self.instance));
-        self.entries
-            .iter()
-            .map(|(key, bytes)| match key {
-                StoreKey::Fact(fact) => {
-                    debug_assert_eq!(fact.instance, self.src_instance_id);
-                    let fact = FactKey {
-                        instance: new_id,
-                        ..*fact
-                    };
-                    Ok((StoreKey::Fact(fact), bytes.clone()))
-                }
-                key if *key == meta_key => {
-                    let mut meta: InstanceMeta = flowscript_codec::from_bytes(bytes)
-                        .map_err(|e| EngineError::Tx(format!("hand-off meta corrupt: {e}")))?;
-                    meta.instance_id = new_id;
-                    Ok((key.clone(), flowscript_codec::to_bytes(&meta)))
-                }
-                key => Ok((key.clone(), bytes.clone())),
-            })
-            .collect()
+    /// The round that holds `instance` frozen, if one does.
+    fn freezing(&self, instance: &str) -> Option<TxId> {
+        let holds = |round: &Round| round.frozen && round.instances.iter().any(|n| n == instance);
+        let (tx, _) = self.rounds.iter().find(|(_, round)| holds(round))?;
+        Some(*tx)
     }
 }
 
-/// Packages `instance`'s entire committed keyspace out of `mgr` for a
-/// move under transaction `tx` — the collect half shared by planned
-/// hand-offs (the source's own store) and crash-driven adoption (a dead
-/// shard's reopened storage). Everything derives from the committed
-/// meta: the `inst/{name}/` uid prefix, the plan pinned under the
-/// meta's fingerprint, and the dense fact range of the meta's instance
-/// id — one contiguous range scan. `src_node` is the shard the bytes
-/// come from. Returns `None` for a missing or undecodable meta.
-pub(crate) fn package_instance(
+/// Packages `instance`'s entire committed keyspace out of `mgr` — the
+/// collect half shared by planned hand-offs (the source's own store)
+/// and crash-driven adoption (a dead shard's reopened storage).
+/// Everything derives from the committed meta: the `inst/{name}/` uid
+/// prefix, the plan pinned under the meta's fingerprint, and the dense
+/// fact range of the meta's instance id — one contiguous range scan.
+/// The meta comes FIRST: it is the entry that tells [`rekeyed`] a new
+/// instance's run begins, what it is called and which dense id its
+/// fact keys carry. Returns `None` for a missing or undecodable meta.
+pub(super) fn package_instance(
     mgr: &TxManager<StableStore>,
     instance: &str,
-    tx: TxId,
-    src_node: u32,
-) -> Option<HandoffPackage> {
+) -> Option<AfterImages> {
+    let meta_key = StoreKey::Uid(meta_uid(instance));
     let meta: InstanceMeta = mgr.read_committed(&meta_uid(instance)).ok()??;
-    let mut entries: Vec<(StoreKey, Vec<u8>)> = Vec::new();
-    for uid in mgr.uids_with_prefix(&format!("inst/{instance}/")) {
-        let key = StoreKey::Uid(uid);
-        if let Some(bytes) = mgr.read_committed_bytes(&key).map(<[u8]>::to_vec) {
-            entries.push((key, bytes));
+    let uids = mgr.uids_with_prefix(&format!("inst/{instance}/"));
+    let facts = mgr.fact_keys_in_range(
+        FactKey::instance_first(meta.instance_id),
+        FactKey::instance_last(meta.instance_id),
+    );
+    let keys = std::iter::once(meta_key.clone())
+        .chain(
+            uids.into_iter()
+                .map(StoreKey::Uid)
+                .filter(|key| *key != meta_key),
+        )
+        .chain([StoreKey::Uid(plan_uid(meta.plan_fingerprint))])
+        .chain(facts.into_iter().map(StoreKey::Fact));
+    let images = keys.filter_map(|key| {
+        let bytes = mgr.read_committed_bytes(&key)?.to_vec();
+        Some((key, Some(bytes)))
+    });
+    Some(images.collect())
+}
+
+/// Packaged entries ([`package_instance`] runs, back to back) as the
+/// receiving shard stores them: each instance, in order of appearance,
+/// takes the next dense id from `base` — every fact key re-keyed onto
+/// it (the dense id is shard-local; the instance keeps its name), the
+/// meta's `instance_id` rewritten to match, everything else verbatim.
+/// An instance `skip` names is left out whole. Returns the instances
+/// kept, in id order, beside their entries.
+///
+/// # Errors
+///
+/// Entries that do not parse as such runs: a fact key outside its
+/// run's id, a run that does not open with a decodable meta.
+fn rekeyed(
+    images: AfterImages,
+    base: u32,
+    skip: impl Fn(&str) -> bool,
+) -> Result<(Vec<String>, AfterImages), EngineError> {
+    let malformed = |what: &str| EngineError::Tx(format!("hand-off package malformed: {what}"));
+    let mut names: Vec<String> = Vec::new();
+    let mut out = AfterImages::with_capacity(images.len());
+    // The open run: its uid prefix, the dense id its fact keys carry,
+    // and the id they move onto (`None`: the instance is skipped).
+    let mut run: Option<(String, u32, Option<u32>)> = None;
+    for (key, bytes) in images {
+        let uid = match &key {
+            StoreKey::Fact(fact) => {
+                let Some((_, src_id, new_id)) = &run else {
+                    return Err(malformed("a fact before any meta"));
+                };
+                if fact.instance != *src_id {
+                    return Err(malformed("a fact outside its instance's id"));
+                }
+                if let Some(instance) = *new_id {
+                    out.push((StoreKey::Fact(FactKey { instance, ..*fact }), bytes));
+                }
+                continue;
+            }
+            StoreKey::Uid(uid) => uid.as_str(),
+        };
+        let in_run = run
+            .as_ref()
+            .is_some_and(|(prefix, ..)| uid.starts_with(prefix));
+        if !in_run && uid.starts_with("inst/") {
+            let name = uid
+                .strip_prefix("inst/")
+                .and_then(|rest| rest.strip_suffix("/meta"))
+                .ok_or_else(|| malformed("a run that does not open with its meta"))?;
+            let mut meta: InstanceMeta = bytes
+                .as_deref()
+                .and_then(|bytes| flowscript_codec::from_bytes(bytes).ok())
+                .ok_or_else(|| malformed("a meta that does not decode"))?;
+            let new_id = (!skip(name)).then(|| base + names.len() as u32);
+            run = Some((format!("inst/{name}/"), meta.instance_id, new_id));
+            if let Some(new_id) = new_id {
+                names.push(name.to_string());
+                meta.instance_id = new_id;
+                out.push((key, Some(flowscript_codec::to_bytes(&meta))));
+            }
+        } else if matches!(run, Some((.., Some(_)))) {
+            // One of the run's own objects, or the plan blob it pins.
+            out.push((key, bytes));
         }
     }
-    let plan_key = StoreKey::Uid(plan_uid(meta.plan_fingerprint));
-    if let Some(bytes) = mgr.read_committed_bytes(&plan_key).map(<[u8]>::to_vec) {
-        entries.push((plan_key, bytes));
-    }
-    let lo = FactKey::instance_first(meta.instance_id);
-    let hi = FactKey::instance_last(meta.instance_id);
-    for fact in mgr.fact_keys_in_range(lo, hi) {
-        let key = StoreKey::Fact(fact);
-        if let Some(bytes) = mgr.read_committed_bytes(&key).map(<[u8]>::to_vec) {
-            entries.push((key, bytes));
-        }
-    }
-    Some(HandoffPackage {
-        tx,
-        instance: instance.to_string(),
-        src_node,
-        src_instance_id: meta.instance_id,
-        entries,
-    })
+    Ok((names, out))
 }
 
 impl Coordinator {
@@ -177,9 +375,8 @@ impl Coordinator {
     /// action: the whole `inst/{name}/` uid prefix plus the dense fact
     /// range of the meta's instance id. The storage half of the source
     /// side of a committed hand-off (the shared compiled-plan blob
-    /// stays; plan GC collects it once no local meta pins it). Returns
-    /// the meta it deleted, if there was one.
-    fn purge_instance(&mut self, instance: &str) -> Result<Option<InstanceMeta>, EngineError> {
+    /// stays; plan GC collects it once no local meta pins it).
+    fn purge_instance(&mut self, instance: &str) -> Result<(), EngineError> {
         let meta: Option<InstanceMeta> = self.mgr.read_committed(&meta_uid(instance))?;
         let action = self.mgr.begin();
         for uid in self.mgr.uids_with_prefix(&format!("inst/{instance}/")) {
@@ -192,8 +389,26 @@ impl Coordinator {
                 self.mgr.delete_key(&action, &StoreKey::Fact(fact))?;
             }
         }
-        self.commit(action)?;
-        Ok(meta)
+        self.commit(action)
+    }
+
+    /// Drops `instance`'s volatile runtime — the freeze: outstanding
+    /// dispatch load and the admission slot are released, parked
+    /// dispatches forgotten (whoever owns the instance next re-arms
+    /// from its committed control blocks). Returns the watchdogs to
+    /// cancel.
+    fn drop_runtime(&mut self, instance: &str) -> Vec<EventId> {
+        self.unpark_instance(instance);
+        let Some(rt) = self.instances.remove(instance) else {
+            return Vec::new();
+        };
+        for dispatched in rt.dispatched_to.values() {
+            self.sched.note_release(dispatched.node, dispatched.cost);
+        }
+        if !rt.terminal {
+            self.admission.instance_settled();
+        }
+        rt.watchdogs.into_values().collect()
     }
 
     /// Hand-off crash repair, run by recovery before any instance
@@ -211,11 +426,11 @@ impl Coordinator {
     /// idempotent, so duplicates are harmless — and every stage this
     /// node prepared but never heard a decision for is chased with a
     /// query to its coordinator.
-    pub(super) fn repair_handoffs(&mut self) -> Vec<(NodeId, EngineMsg)> {
+    pub(super) fn repair_handoffs(&mut self) -> Vec<(NodeId, DistMsg)> {
         let mut traffic = Vec::new();
-        for (tx, instance, dest, committed) in self.mgr.replayed_handoff_ends().to_vec() {
+        for (tx, instance, dest, commit) in self.mgr.replayed_handoff_ends().to_vec() {
             let dest_node = NodeId::from_index(dest as usize);
-            if committed {
+            if commit {
                 if self.mgr.exists(&meta_uid(&instance)) {
                     let _ = self.purge_instance(&instance);
                 }
@@ -223,29 +438,19 @@ impl Coordinator {
                 // arrive here.
                 self.membership.moved.insert(instance, dest_node);
             }
-            traffic.push((dest_node, verdict(tx, committed)));
+            traffic.push((dest_node, DistMsg::Decision { tx, commit }));
         }
         for (tx, instance, dest) in self.mgr.open_handoffs() {
             let _ = self.mgr.handoff_end(tx, &instance, dest, false);
-            traffic.push((NodeId::from_index(dest as usize), verdict(tx, false)));
+            let abort = DistMsg::Decision { tx, commit: false };
+            traffic.push((NodeId::from_index(dest as usize), abort));
         }
+        let from = self.node.index() as u32;
         for (tx, coordinator_node) in self.mgr.in_doubt() {
-            let query = EngineMsg::HandoffQuery {
-                tx_node: tx.node(),
-                tx_seq: tx.seq(),
-            };
+            let query = DistMsg::QueryOutcome { tx, from };
             traffic.push((NodeId::from_index(coordinator_node as usize), query));
         }
         traffic
-    }
-}
-
-/// The source's decision on moving transaction `tx`, as a message.
-fn verdict(tx: TxId, committed: bool) -> EngineMsg {
-    EngineMsg::HandoffVerdict {
-        tx_node: tx.node(),
-        tx_seq: tx.seq(),
-        committed,
     }
 }
 
@@ -272,6 +477,28 @@ impl CoordHandle {
         // rebalance's map flip hasn't happened yet (the dual-delivery
         // window): relay to where it went.
         coordinator.membership.moved.get(instance).copied()
+    }
+
+    /// Routes one executor report: held with its round while the
+    /// instance is frozen, relayed when another shard owns it, buffered
+    /// into the commit window when it is ours.
+    pub(super) fn route_report(&self, world: &mut World, report: PendingEvent, hops: u32) {
+        {
+            let mut coordinator = self.inner.borrow_mut();
+            let membership = &mut coordinator.membership;
+            let frozen_in = membership.freezing(report.address().0);
+            if let Some(round) = frozen_in.and_then(|tx| membership.rounds.get_mut(&tx)) {
+                round.held.push((report, hops));
+                return;
+            }
+        }
+        match self.misdirected(report.address().0) {
+            Some(owner) => {
+                let instance = report.address().0.to_string();
+                self.forward_oneway(world, owner, &instance, report.into(), hops);
+            }
+            None => self.enqueue_event(world, report),
+        }
     }
 
     /// Wraps a misdirected message for its relay to `owner`: an
@@ -317,7 +544,7 @@ impl CoordHandle {
 
     /// Relays a misdirected one-way message (`Done`/`Mark`) to the
     /// owning shard; at the hop cap it is dropped.
-    pub(super) fn forward_oneway(
+    fn forward_oneway(
         &self,
         world: &mut World,
         owner: NodeId,
@@ -370,313 +597,603 @@ impl CoordHandle {
         );
     }
 
+    fn send_dist(&self, world: &mut World, to: NodeId, msg: DistMsg) {
+        let bytes = flowscript_codec::to_bytes(&EngineMsg::Dist(msg));
+        world.send(self.node(), to, bytes);
+    }
+
+    /// Fails if this node is down: a trigger handed to a crashed
+    /// process reaches nobody.
+    fn ensure_up(&self, world: &World) -> Result<NodeId, EngineError> {
+        let node = self.node();
+        if world.is_up(node) {
+            Ok(node)
+        } else {
+            Err(EngineError::Tx(format!("coordinator {node} is down")))
+        }
+    }
+
     // -----------------------------------------------------------------
-    // Live hand-off (rebalancing and planned drains).
-    //
-    // A slice of instances bound for one destination moves in four
-    // steps under ONE moving transaction, a 2PC with the source as
-    // coordinator (a rebalance moves slices of one, a drain slices of
-    // up to a batch):
-    //
-    //   1. `handoff_collect` (source): WAL `HandOffBegin` intents, then
-    //      gather each instance's entire committed keyspace into a
-    //      [`HandoffPackage`].
-    //   2. `handoff_prepare` (destination): re-key the packages under a
-    //      freshly allocated contiguous instance-id range and stage
-    //      them as one prepared remote transaction (one durable
-    //      yes-vote, write locks held).
-    //   3. `handoff_commit` (source): WAL `HandOffEnd` per instance —
-    //      the durable decision — plus the keyspace deletes, flushed as
-    //      one atomic frame; the volatile runtimes are dropped. From
-    //      here the source only relays (executor replies to in-flight
-    //      tasks are forwarded to the new owner by the ordinary
-    //      misdirection path).
-    //   4. `handoff_apply` (destination): resolve the prepared stage
-    //      and adopt the materialized instances — watchdogs re-armed
-    //      for executing tasks *without* attempt bumps, so a relayed
-    //      reply applies exactly as if the instance had never moved.
-    //
-    // Crash repair: see `Coordinator::repair_handoffs`.
+    // Live hand-off, source side: the 2PC coordinator's host.
     // -----------------------------------------------------------------
 
-    /// Step 1 (source): logs the move intents under one moving
-    /// transaction and packages each instance's committed keyspace.
-    /// The batch window is flushed first so the packages reflect every
-    /// report that has arrived.
+    /// The façade's trigger for a rebalance or drain: moves every
+    /// instance resident here that `map` assigns elsewhere — decided
+    /// against residency, not the old map, since a crash-recovered
+    /// shard may hold instances the old map would misattribute — in
+    /// rounds of up to `limit` per destination, one round at a time.
+    /// The returned ticket's report is ready once the last round is
+    /// acknowledged, or as soon as one aborts. Rounds an
+    /// earlier, cancelled job left undelivered are settled first: their
+    /// decisions go out again now, and the first new round waits for
+    /// their acks (the destination's staged locks would veto it).
     ///
     /// # Errors
     ///
-    /// Unknown instance, or storage failure logging the intents.
-    pub fn handoff_collect(
+    /// This node is down.
+    pub(crate) fn begin_move(
         &self,
         world: &mut World,
-        instances: &[String],
-        dest: NodeId,
-    ) -> Result<Vec<HandoffPackage>, EngineError> {
-        // The packages must be the whole committed truth: absorb the
-        // batch window first so no report is stranded in memory.
-        self.flush_pending(world);
-        let mut coordinator = self.inner.borrow_mut();
-        for instance in instances {
-            if !coordinator.instances.contains_key(instance.as_str()) {
-                return Err(EngineError::UnknownInstance(instance.clone()));
-            }
-        }
-        let tx = coordinator
-            .mgr
-            .handoff_begin(instances, dest.index() as u32)?;
-        let node = coordinator.node.index() as u32;
-        instances
-            .iter()
-            .map(|instance| {
-                package_instance(&coordinator.mgr, instance, tx, node)
-                    .ok_or_else(|| EngineError::UnknownInstance(instance.clone()))
-            })
-            .collect()
-    }
-
-    /// Step 2 (destination): re-keys the packages under freshly
-    /// allocated local instance ids and stages them as one prepared
-    /// remote transaction — the durable yes-vote. The committed id
-    /// sequence is read once and a contiguous range `base..base + N`
-    /// allocated up front, so the slice costs a single prepare frame
-    /// however many instances it carries. Nothing is visible until the
-    /// source's decision arrives ([`Self::handoff_apply`] or a replayed
-    /// verdict).
-    ///
-    /// Moves into one destination must run sequentially: the id
-    /// allocation reads *committed* state, so a second prepare before
-    /// the first resolves would draw the same ids.
-    ///
-    /// # Errors
-    ///
-    /// Lock conflict on a staged key, undecodable metadata, or storage
-    /// failure persisting the vote. All packages must share one moving
-    /// transaction.
-    pub fn handoff_prepare(&self, packages: &[HandoffPackage]) -> Result<(), EngineError> {
-        let Some(first) = packages.first() else {
-            return Ok(());
-        };
-        let mut coordinator = self.inner.borrow_mut();
-        // Allocate the destination's next id range and re-key each
-        // package at its offset.
-        let base: u32 = coordinator
-            .mgr
-            .read_committed(&instance_seq_uid())?
-            .unwrap_or(0);
-        let total: usize = packages.iter().map(HandoffPackage::len).sum();
-        let mut writes: Vec<(StoreKey, Option<Vec<u8>>)> = Vec::with_capacity(total + 1);
-        writes.push((
-            StoreKey::Uid(instance_seq_uid()),
-            Some(flowscript_codec::to_bytes(&(base + packages.len() as u32))),
-        ));
-        for (offset, package) in packages.iter().enumerate() {
-            debug_assert_eq!(package.tx, first.tx, "batch spans one moving tx");
-            let rekeyed = package.rekeyed(base + offset as u32)?;
-            writes.extend(rekeyed.into_iter().map(|(key, bytes)| (key, Some(bytes))));
-        }
-        coordinator
-            .mgr
-            .prepare_remote(first.tx, first.src_node, writes)?;
-        Ok(())
-    }
-
-    /// Step 3 (source): durably decides the move committed, atomically
-    /// deletes each instance's keyspace and drops its volatile runtime
-    /// (watchdogs disarmed, outstanding dispatch load released — the
-    /// executor replies those dispatches still owe will arrive here
-    /// and be relayed to the new owner by the ordinary misdirection
-    /// path). The per-instance decision frames and keyspace purges run
-    /// inside a WAL commit group, flushing as a single atomic frame: a
-    /// crash can never leave half the slice committed and the other
-    /// half presumed aborted — which matters, because the destination
-    /// resolves its one staged transaction all-or-nothing.
-    ///
-    /// # Errors
-    ///
-    /// Storage failure. Each decision record precedes its delete, so a
-    /// failure here leaves a committed move whose purge crash recovery
-    /// finishes.
-    pub fn handoff_commit(
-        &self,
-        world: &mut World,
-        instances: &[String],
-        tx: TxId,
-        dest: NodeId,
-    ) -> Result<(), EngineError> {
-        self.inner.borrow_mut().mgr.begin_group();
-        let mut result = Ok(());
-        for instance in instances {
-            result = self.handoff_commit_inner(world, instance, tx, dest);
-            if result.is_err() {
-                break;
-            }
-        }
-        {
+        map: &ShardMap,
+        limit: usize,
+    ) -> Result<TicketRef<MoveReport>, EngineError> {
+        let node = self.ensure_up(world)?;
+        let ticket = TicketRef::default();
+        let unsettled: Vec<TxId> = {
             let mut coordinator = self.inner.borrow_mut();
-            if coordinator.mgr.end_group().is_err() && result.is_ok() {
-                result = Err(EngineError::Tx("hand-off batch flush failed".to_string()));
-            }
-        }
-        // Freed executor load and freed admission slots: parked
-        // dispatches of other instances may now place, and queued
-        // starts may now admit.
-        self.pump(world);
-        result
-    }
-
-    fn handoff_commit_inner(
-        &self,
-        world: &mut World,
-        instance: &str,
-        tx: TxId,
-        dest: NodeId,
-    ) -> Result<(), EngineError> {
-        let watchdogs = {
-            let mut coordinator = self.inner.borrow_mut();
-            // The durable decision record: from here the move is
-            // committed, crash or no crash.
-            coordinator
-                .mgr
-                .handoff_end(tx, instance, dest.index() as u32, true)?;
-            let purged = coordinator.purge_instance(instance)?;
-            let was_running = purged.is_some_and(|meta| meta.status == InstanceStatus::Running);
-            // Dual delivery: until the rebalance flips this node's map,
-            // executor replies for the moved instance still land here —
-            // the relay table routes them to the new owner.
-            coordinator
-                .membership
-                .moved
-                .insert(instance.to_string(), dest);
-            let mut stale = Vec::new();
-            if let Some(rt) = coordinator.instances.remove(instance) {
-                stale.extend(rt.watchdogs.into_values());
-                for dispatched in rt.dispatched_to.values() {
-                    coordinator
-                        .sched
-                        .note_release(dispatched.node, dispatched.cost);
+            let mut by_dest: BTreeMap<NodeId, Vec<String>> = BTreeMap::new();
+            for instance in coordinator.instances.keys() {
+                let owner = map.node_of(instance);
+                if owner != node {
+                    by_dest.entry(owner).or_default().push(instance.clone());
                 }
             }
-            // The moved instance's parked dispatches must never run
-            // here — the new owner re-dispatches from its own committed
-            // control blocks. Its admission slot frees up too.
-            coordinator.unpark_instance(instance);
-            if was_running {
-                coordinator.admission.instance_settled();
+            let queue = by_dest
+                .iter()
+                .flat_map(|(&dest, names)| names.chunks(limit).map(move |c| (dest, c.to_vec())))
+                .collect();
+            let report = MoveReport {
+                epoch: map.epoch(),
+                ..MoveReport::default()
+            };
+            let membership = &mut coordinator.membership;
+            membership.job = Some(MoveJob {
+                queue,
+                current: None,
+                report,
+                ticket: ticket.clone(),
+            });
+            membership.rounds.keys().copied().collect()
+        };
+        for tx in unsettled {
+            self.on_round_timer(world, tx);
+        }
+        self.advance(world);
+        Ok(ticket)
+    }
+
+    /// Ends the running job with `outcome` for the façade to collect.
+    fn finish_job(&self, outcome: Result<(), EngineError>) {
+        if let Some(job) = self.inner.borrow_mut().membership.job.take() {
+            job.ticket.borrow_mut().outcome = Some(outcome.map(|()| job.report));
+        }
+    }
+
+    /// Starts the job's next round once nothing is in flight, or
+    /// finishes the job when none is left.
+    fn advance(&self, world: &mut World) {
+        let next = {
+            let mut coordinator = self.inner.borrow_mut();
+            let membership = &mut coordinator.membership;
+            let idle = membership.rounds.is_empty();
+            match membership.live_job() {
+                Some(job) if idle => job.queue.pop_front(),
+                _ => return,
             }
-            coordinator.metrics.handoffs.inc();
-            let epoch = coordinator.membership.epoch();
-            coordinator.record_event(
-                world.now().as_nanos(),
-                instance,
-                None,
-                0,
-                ObsEventKind::HandOff {
-                    to: dest.index() as u32,
-                    epoch,
-                },
-            );
-            stale
+        };
+        let outcome = match next {
+            Some((dest, instances)) => match self.start_round(world, dest, instances) {
+                Ok(()) => return,
+                Err(err) => Err(err),
+            },
+            None => Ok(()),
+        };
+        self.finish_job(outcome);
+    }
+
+    /// Collect: flushes the commit window (the packages must be the
+    /// whole committed truth — no report may be stranded in memory),
+    /// packages the slice, logs its `HandOffBegin` intents under one
+    /// moving transaction, freezes it and sends the `Prepare`.
+    fn start_round(
+        &self,
+        world: &mut World,
+        dest: NodeId,
+        instances: Vec<String>,
+    ) -> Result<(), EngineError> {
+        self.flush_pending(world);
+        let (tx, actions, watchdogs) = {
+            let mut coordinator = self.inner.borrow_mut();
+            let coordinator = &mut *coordinator;
+            let mut images = AfterImages::new();
+            for instance in &instances {
+                let package = package_instance(&coordinator.mgr, instance)
+                    .filter(|_| coordinator.instances.contains_key(instance.as_str()))
+                    .ok_or_else(|| EngineError::UnknownInstance(instance.clone()))?;
+                images.extend(package);
+            }
+            let dest = dest.index() as u32;
+            let tx = coordinator.mgr.handoff_begin(&instances, dest)?;
+            let watchdogs: Vec<EventId> = instances
+                .iter()
+                .flat_map(|instance| coordinator.drop_runtime(instance))
+                .collect();
+            let actions = coordinator.membership.dist.begin(tx, vec![(dest, images)]);
+            (tx, actions, watchdogs)
         };
         for id in watchdogs {
             world.cancel(id);
         }
-        Ok(())
-    }
-
-    /// Aborts a move whose destination could not prepare (step 3's
-    /// other branch): durably records the abort so the intent is not
-    /// replayed as in-doubt. The instance never stopped being served
-    /// here.
-    ///
-    /// # Errors
-    ///
-    /// Storage failure persisting the abort record.
-    pub fn handoff_abort(&self, instance: &str, tx: TxId, dest: NodeId) -> Result<(), EngineError> {
-        let mut coordinator = self.inner.borrow_mut();
-        coordinator
-            .mgr
-            .handoff_end(tx, instance, dest.index() as u32, false)?;
-        Ok(())
-    }
-
-    /// Step 4 (destination): applies the source's decision to the
-    /// prepared stage — commit makes the re-keyed keyspace visible and
-    /// adopts the instance, abort discards the stage and releases its
-    /// locks. Idempotent: resolving an unknown transaction is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// Storage failure persisting the resolution.
-    pub fn handoff_apply(
-        &self,
-        world: &mut World,
-        tx: TxId,
-        committed: bool,
-    ) -> Result<(), EngineError> {
-        self.inner.borrow_mut().mgr.resolve_remote(tx, committed)?;
-        if committed {
-            self.adopt_orphans(world, None);
-        }
-        Ok(())
-    }
-
-    /// Destination half of crash-driven adoption: commits a dead
-    /// shard's packaged instance locally under a freshly allocated id.
-    /// No 2PC — the source is dead and its storage fenced behind the
-    /// claimant, so the claim is ONE local atomic commit. Idempotent:
-    /// an instance already present (resident or committed) is skipped
-    /// with `Ok(false)`, which is what lets a driver that crashed
-    /// mid-claim simply run the whole adoption again.
-    ///
-    /// The caller adopts the landed orphans afterwards via
-    /// `adopt_orphans` (one sweep per destination).
-    ///
-    /// # Errors
-    ///
-    /// Undecodable claimed metadata, or storage failure on the commit.
-    pub fn claim_adopt(
-        &self,
-        world: &mut World,
-        package: &HandoffPackage,
-        epoch: u64,
-    ) -> Result<bool, EngineError> {
-        let mut coordinator = self.inner.borrow_mut();
-        if coordinator.instances.contains_key(&package.instance)
-            || coordinator.mgr.exists(&meta_uid(&package.instance))
+        let round = Round {
+            dest,
+            instances,
+            started_ns: world.now().as_nanos(),
+            frozen: true,
+            held: Vec::new(),
+            timer: self.arm_round_timer(world, tx),
+        };
         {
-            return Ok(false);
+            let mut coordinator = self.inner.borrow_mut();
+            let membership = &mut coordinator.membership;
+            membership.rounds.insert(tx, round);
+            if let Some(job) = &mut membership.job {
+                job.current = Some(tx);
+            }
         }
-        let new_id: u32 = coordinator
+        self.perform(world, actions);
+        // Freed executor load and freed admission slots: parked
+        // dispatches of other instances may now place, and queued
+        // starts may now admit.
+        self.pump(world);
+        Ok(())
+    }
+
+    fn arm_round_timer(&self, world: &mut World, tx: TxId) -> EventId {
+        let handle = self.clone();
+        world.schedule_node_after(self.node(), RETRANSMIT_INTERVAL, move |world| {
+            handle.on_round_timer(world, tx);
+        })
+    }
+
+    /// Round `tx` has waited an interval: `dist` aborts it if the vote
+    /// is still missing, sends the decision again if the ack is.
+    fn on_round_timer(&self, world: &mut World, tx: TxId) {
+        let actions = {
+            let mut coordinator = self.inner.borrow_mut();
+            // Same muzzle as the window timer: a fenced zombie acts on
+            // nothing.
+            if coordinator.mgr.probe_fence().is_some() {
+                return;
+            }
+            // Nobody waiting: the round rests until the next job.
+            if coordinator.membership.live_job().is_none() {
+                return;
+            }
+            let Some(stale) = coordinator.membership.rounds.get(&tx).map(|r| r.timer) else {
+                return;
+            };
+            world.cancel(stale);
+            coordinator.membership.dist.on_timeout(tx)
+        };
+        let timer = self.arm_round_timer(world, tx);
+        if let Some(round) = self.inner.borrow_mut().membership.rounds.get_mut(&tx) {
+            round.timer = timer;
+        }
+        self.perform(world, actions);
+    }
+
+    /// Carries out what `dist` decided, in order — the ONE place its
+    /// actions meet the log and the network.
+    fn perform(&self, world: &mut World, actions: Vec<CoordAction>) {
+        for action in actions {
+            match action {
+                CoordAction::Send { to, msg } => {
+                    // Aborts are presumed, not persisted, so `dist`
+                    // announces one only through its first `Decision`.
+                    if let DistMsg::Decision { tx, commit: false } = msg {
+                        self.abort_round(world, tx);
+                    }
+                    self.send_dist(world, NodeId::from_index(to as usize), msg);
+                }
+                CoordAction::PersistDecision { tx, .. } => {
+                    if let Err(err) = self.commit_round(world, tx) {
+                        // Not durable, so it must not be announced: the
+                        // round is abandoned frozen (a restart presumes
+                        // it aborted) and the job reports why.
+                        let round = self.inner.borrow_mut().membership.rounds.remove(&tx);
+                        if let Some(round) = round {
+                            world.cancel(round.timer);
+                        }
+                        self.finish_job(Err(err));
+                        return;
+                    }
+                }
+                CoordAction::Done { tx, committed } => self.finish_round(world, tx, committed),
+            }
+        }
+    }
+
+    /// The commit decision, made durable: a `HandOffEnd` frame per
+    /// instance — from here the move is committed, crash or no crash —
+    /// and its keyspace purge, inside one WAL commit group so they
+    /// flush as a single atomic frame. A crash can never leave half the
+    /// slice committed and the other half presumed aborted — which
+    /// matters, because the destination resolves its one staged
+    /// transaction all-or-nothing. This is also the record
+    /// `TxManager::coordinator_decision` answers a `QueryOutcome` from.
+    fn commit_round(&self, world: &World, tx: TxId) -> Result<(), EngineError> {
+        let mut coordinator = self.inner.borrow_mut();
+        let coordinator = &mut *coordinator;
+        let Some(round) = coordinator.membership.rounds.get(&tx) else {
+            return Err(EngineError::Tx(format!("no round for {tx}")));
+        };
+        let (dest, instances) = (round.dest.index() as u32, round.instances.clone());
+        let epoch = coordinator.membership.epoch();
+        coordinator.mgr.begin_group();
+        let mut result = Ok(());
+        for instance in &instances {
+            result = coordinator
+                .mgr
+                .handoff_end(tx, instance, dest, true)
+                .map_err(EngineError::from)
+                .and_then(|()| coordinator.purge_instance(instance));
+            if result.is_err() {
+                break;
+            }
+            coordinator.metrics.handoffs.inc();
+            let kind = ObsEventKind::HandOff { to: dest, epoch };
+            coordinator.record_event(world.now().as_nanos(), instance, None, 0, kind);
+        }
+        if coordinator.mgr.end_group().is_err() && result.is_ok() {
+            result = Err(EngineError::Tx("hand-off batch flush failed".to_string()));
+        }
+        result
+    }
+
+    /// The abort decision (a no-vote, or none in time): durably records
+    /// it so the intents are not replayed as in-doubt, then thaws the
+    /// slice where it is — runtimes re-materialised from the untouched
+    /// committed state, held reports re-enqueued in arrival order.
+    /// Runs once per round; a re-sent abort finds it thawed.
+    fn abort_round(&self, world: &mut World, tx: TxId) {
+        let held = {
+            let mut coordinator = self.inner.borrow_mut();
+            let coordinator = &mut *coordinator;
+            let Some(round) = coordinator.membership.rounds.get_mut(&tx) else {
+                return;
+            };
+            if !std::mem::take(&mut round.frozen) {
+                return;
+            }
+            let dest = round.dest.index() as u32;
+            for instance in &round.instances {
+                let _ = coordinator.mgr.handoff_end(tx, instance, dest, false);
+            }
+            std::mem::take(&mut round.held)
+        };
+        self.adopt_orphans(world, None);
+        for (report, _) in held {
+            self.enqueue_event(world, report);
+        }
+    }
+
+    /// `Done`: the destination acknowledged the decision. A committed
+    /// round records its pause, opens the relay for its instances and
+    /// forwards what was held; either way the job moves on — to the
+    /// next round, or to its report if this round aborted.
+    fn finish_round(&self, world: &mut World, tx: TxId, committed: bool) {
+        let (round, ours) = {
+            let mut coordinator = self.inner.borrow_mut();
+            let coordinator = &mut *coordinator;
+            let membership = &mut coordinator.membership;
+            let Some(round) = membership.rounds.remove(&tx) else {
+                return;
+            };
+            let mut job = membership
+                .job
+                .as_mut()
+                .filter(|job| job.current == Some(tx));
+            if let Some(job) = &mut job {
+                job.current = None;
+                job.ticket.borrow_mut().progress += 1;
+            }
+            if committed {
+                let pause_ns = world.now().as_nanos() - round.started_ns;
+                coordinator.metrics.handoff_pause_ns.record(pause_ns);
+                if let Some(job) = &mut job {
+                    job.report.moved += round.instances.len();
+                    job.report.rounds += 1;
+                    job.report.pause_ns.push(pause_ns);
+                }
+                for instance in &round.instances {
+                    membership.moved.insert(instance.clone(), round.dest);
+                }
+            }
+            (round, job.is_some())
+        };
+        world.cancel(round.timer);
+        for (report, hops) in round.held {
+            let instance = report.address().0.to_string();
+            self.forward_oneway(world, round.dest, &instance, report.into(), hops);
+        }
+        if ours && !committed {
+            self.finish_job(Err(EngineError::Tx(format!(
+                "hand-off of {} instance(s) to {} aborted: the destination voted no \
+                 or did not answer; they stay where they were",
+                round.instances.len(),
+                round.dest
+            ))));
+        } else {
+            self.advance(world);
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // Live hand-off: every `Dist` message, either role.
+    // -----------------------------------------------------------------
+
+    /// Handles one 2PC message. As participant (destination):
+    /// `Prepare` → stage and vote, `Decision` → resolve, adopt, ack —
+    /// idempotent, so a re-sent or re-announced decision is acked
+    /// again. As coordinator (source): votes, acks and queries go
+    /// through `dist`, queries answered from the durable decision
+    /// record (presumed abort: none means abort).
+    pub(super) fn on_dist(&self, world: &mut World, msg: DistMsg) {
+        let from = self.node().index() as u32;
+        let actions = match msg {
+            DistMsg::Prepare {
+                tx,
+                coordinator,
+                writes,
+            } => {
+                let yes = self.stage_prepare(tx, coordinator, writes).is_ok();
+                let vote = DistMsg::Vote { tx, from, yes };
+                return self.send_dist(world, NodeId::from_index(coordinator as usize), vote);
+            }
+            DistMsg::Decision { tx, commit } => {
+                if self
+                    .inner
+                    .borrow_mut()
+                    .mgr
+                    .resolve_remote(tx, commit)
+                    .is_err()
+                {
+                    return; // unacked: the source sends it again
+                }
+                if commit {
+                    self.adopt_orphans(world, None);
+                }
+                let source = NodeId::from_index(tx.node() as usize);
+                return self.send_dist(world, source, DistMsg::Ack { tx, from });
+            }
+            DistMsg::Vote { tx, from, yes } => {
+                let mut coordinator = self.inner.borrow_mut();
+                coordinator.membership.dist.on_vote(tx, from, yes)
+            }
+            DistMsg::Ack { tx, from } => self.inner.borrow_mut().membership.dist.on_ack(tx, from),
+            DistMsg::QueryOutcome { tx, from } => {
+                let coordinator = self.inner.borrow();
+                let persisted = coordinator.mgr.coordinator_decision(tx);
+                coordinator.membership.dist.on_query(tx, from, persisted)
+            }
+        };
+        self.perform(world, actions);
+    }
+
+    /// `Prepare` at the destination: re-keys the slice under freshly
+    /// allocated local instance ids and stages it as one prepared
+    /// remote transaction — the durable yes-vote. The committed id
+    /// sequence is read once and a contiguous range `base..base + N`
+    /// allocated up front, so the slice costs a single prepare frame
+    /// however many instances it carries. Nothing is visible until the
+    /// source's decision arrives. The staged write lock on the id
+    /// sequence is what keeps a second prepare — which would draw the
+    /// same ids — voting no until this one resolves.
+    ///
+    /// # Errors
+    ///
+    /// Lock conflict on a staged key, a malformed package, or storage
+    /// failure persisting the vote: each is a no-vote.
+    fn stage_prepare(
+        &self,
+        tx: TxId,
+        coordinator_node: u32,
+        images: AfterImages,
+    ) -> Result<(), EngineError> {
+        let mut coordinator = self.inner.borrow_mut();
+        let base: u32 = coordinator
             .mgr
             .read_committed(&instance_seq_uid())?
             .unwrap_or(0);
-        let rekeyed = package.rekeyed(new_id)?;
-        let action = coordinator.mgr.begin();
+        let (names, rekeyed) = rekeyed(images, base, |_| false)?;
+        let next_id = flowscript_codec::to_bytes(&(base + names.len() as u32));
+        let mut writes = vec![(StoreKey::Uid(instance_seq_uid()), Some(next_id))];
+        writes.extend(rekeyed);
         coordinator
             .mgr
-            .write(&action, &instance_seq_uid(), &(new_id + 1))?;
-        for (key, bytes) in rekeyed {
-            coordinator.mgr.write_key_raw(&action, &key, bytes)?;
+            .prepare_remote(tx, coordinator_node, writes)?;
+        Ok(())
+    }
+
+    // -----------------------------------------------------------------
+    // Crash-driven adoption.
+    // -----------------------------------------------------------------
+
+    /// The façade's trigger for a failover, on the claimant: reopens
+    /// the dead shard's surviving storage under this node's identity
+    /// and stamps the fence — from that append on the dead shard's own
+    /// manager can never commit again, the claimed copies are the
+    /// truth — then packages every instance in it and sends each owner
+    /// under `map` its share, [`DRAIN_BATCH`] instances a claim. The
+    /// returned ticket's report is ready once every claim is
+    /// acknowledged.
+    ///
+    /// # Errors
+    ///
+    /// This node is down, the storage does not replay, or it carries a
+    /// foreign fence (another claimant got there first).
+    pub(crate) fn begin_adoption(
+        &self,
+        world: &mut World,
+        dead_storage: StableStore,
+        dead: NodeId,
+        map: &ShardMap,
+    ) -> Result<TicketRef<FailoverReport>, EngineError> {
+        let node = self.ensure_up(world)?;
+        let (dead, epoch) = (dead.index() as u32, map.epoch());
+        let mut mgr = TxManager::open(node.index() as u32, dead_storage)?;
+        mgr.write_fence(epoch)?;
+        let mut shares: BTreeMap<NodeId, Vec<AfterImages>> = BTreeMap::new();
+        for instance in stored_instance_names(&mgr) {
+            if let Some(package) = package_instance(&mgr, &instance) {
+                let owner = map.node_of(&instance);
+                shares.entry(owner).or_default().push(package);
+            }
         }
-        coordinator.commit(action)?;
-        coordinator.record_event(
-            world.now().as_nanos(),
-            &package.instance,
-            None,
-            0,
-            ObsEventKind::Claim {
-                from: package.src_node,
-                epoch,
-            },
-        );
-        Ok(true)
+        let claims: Vec<(NodeId, Rc<Vec<u8>>)> = shares
+            .iter()
+            .flat_map(|(&dest, packages)| {
+                packages.chunks(DRAIN_BATCH).map(move |chunk| {
+                    let writes = chunk.concat();
+                    let claim = EngineMsg::Claim {
+                        dead,
+                        epoch,
+                        writes,
+                    };
+                    (dest, Rc::new(flowscript_codec::to_bytes(&claim)))
+                })
+            })
+            .collect();
+        let report = FailoverReport {
+            adopted: shares.values().map(Vec::len).sum(),
+            epoch,
+            claimant: node.index() as u32,
+        };
+        let ticket = TicketRef::default();
+        if claims.is_empty() {
+            ticket.borrow_mut().outcome = Some(Ok(report.clone()));
+        }
+        let adoption = Rc::new(Adoption {
+            claims: claims.len() as u64,
+            report,
+            ticket: ticket.clone(),
+        });
+        for (dest, claim) in claims {
+            self.send_claim(world, &adoption, dest, claim);
+        }
+        Ok(ticket)
+    }
+
+    /// Sends one claim as an RPC and keeps sending it, an interval
+    /// apart, until its `Ack` arrives: `Ok` counts it off — the last
+    /// one files the report — an error files that instead.
+    fn send_claim(
+        &self,
+        world: &mut World,
+        adoption: &Rc<Adoption>,
+        dest: NodeId,
+        claim: Rc<Vec<u8>>,
+    ) {
+        let (handle, adoption) = (self.clone(), adoption.clone());
+        let payload = claim.to_vec();
+        let on_reply = move |world: &mut World, reply: Result<Vec<u8>, RpcError>| {
+            let ack = reply
+                .ok()
+                .and_then(|bytes| flowscript_codec::from_bytes::<EngineMsg>(&bytes).ok());
+            let mut filed = adoption.ticket.borrow_mut();
+            match ack {
+                _ if filed.cancelled || filed.outcome.is_some() => {}
+                Some(EngineMsg::Ack { result: Ok(()) }) => {
+                    filed.progress += 1;
+                    if filed.progress == adoption.claims {
+                        filed.outcome = Some(Ok(adoption.report.clone()));
+                    }
+                }
+                Some(EngineMsg::Ack { result: Err(why) }) => {
+                    filed.outcome = Some(Err(EngineError::Tx(format!("claim refused: {why}"))));
+                }
+                // Lost, late or garbled: again.
+                _ => {
+                    drop(filed);
+                    handle.send_claim(world, &adoption, dest, claim);
+                }
+            }
+        };
+        world.rpc_call(self.node(), dest, payload, RETRANSMIT_INTERVAL, on_reply);
+    }
+
+    /// A claim arriving at its destination: commits the dead shard's
+    /// packaged instances locally under freshly allocated ids — ONE
+    /// atomic commit, no 2PC, the source is dead and its storage fenced
+    /// behind the claimant — and adopts them. Idempotent: an instance
+    /// already present (resident or committed) is skipped, which is
+    /// what lets a claimant that crashed mid-claim, or whose ack was
+    /// lost, simply send everything again.
+    ///
+    /// # Errors
+    ///
+    /// A malformed package, or storage failure on the commit.
+    pub(super) fn on_claim(
+        &self,
+        world: &mut World,
+        dead: u32,
+        epoch: u64,
+        images: AfterImages,
+    ) -> Result<(), EngineError> {
+        {
+            let mut coordinator = self.inner.borrow_mut();
+            let coordinator = &mut *coordinator;
+            let base: u32 = coordinator
+                .mgr
+                .read_committed(&instance_seq_uid())?
+                .unwrap_or(0);
+            let (names, writes) = rekeyed(images, base, |name| {
+                coordinator.instances.contains_key(name) || coordinator.mgr.exists(&meta_uid(name))
+            })?;
+            if names.is_empty() {
+                return Ok(());
+            }
+            let action = coordinator.mgr.begin();
+            let next_id = base + names.len() as u32;
+            let mut staged = coordinator
+                .mgr
+                .write(&action, &instance_seq_uid(), &next_id);
+            // (A package carries no tombstones; one that does has
+            // nothing to delete here.)
+            for (key, bytes) in writes {
+                if let Some(bytes) = bytes {
+                    staged =
+                        staged.and_then(|()| coordinator.mgr.write_key_raw(&action, &key, bytes));
+                }
+            }
+            if let Err(err) = staged {
+                coordinator.mgr.abort(action);
+                return Err(err.into());
+            }
+            coordinator.commit(action)?;
+            for name in &names {
+                let kind = ObsEventKind::Claim { from: dead, epoch };
+                coordinator.record_event(world.now().as_nanos(), name, None, 0, kind);
+            }
+        }
+        self.adopt_orphans(world, Some((dead, epoch)));
+        Ok(())
     }
 
     /// Adopts every instance whose committed state sits in this
     /// shard's store without a resident runtime — the landing half of
-    /// a hand-off (and of a replayed verdict after a destination
-    /// crash). Unlike crash recovery this bumps no attempts and
+    /// a hand-off (a committed one on the destination, an aborted one
+    /// back on the source) and of a claim. Unlike crash recovery this bumps no attempts and
     /// re-dispatches nothing: the old owner relays in-flight executor
     /// replies, so the execution history stays byte-identical to an
     /// unmoved run. Watchdogs are re-armed as the safety net for a
@@ -692,8 +1209,11 @@ impl CoordHandle {
             let mut adopted = Vec::new();
             // Residents are skipped by name, undecoded: a hand-off sweeps
             // once per chunk, and a sweep must cost only its orphans.
+            // So is a slice one of this node's own rounds holds frozen:
+            // it is in the store, and not to be woken by a sweep.
             let orphans: Vec<String> = stored_instance_names(&coordinator.mgr)
                 .filter(|name| !coordinator.instances.contains_key(name))
+                .filter(|name| coordinator.membership.freezing(name).is_none())
                 .collect();
             for name in orphans {
                 let Some(meta) = coordinator.read_meta(&name) else {
@@ -780,25 +1300,6 @@ impl CoordHandle {
         }
     }
 
-    /// A restarted destination asking what happened to an in-doubt
-    /// move (source side). The decision record is durable before any
-    /// destination learns of a commit, so an unknown transaction means
-    /// abort — presumed abort.
-    pub(super) fn on_handoff_query(&self, world: &mut World, from: NodeId, tx: TxId) {
-        let (node, committed) = {
-            let coordinator = self.inner.borrow();
-            (
-                coordinator.node,
-                coordinator.mgr.coordinator_decision(tx).unwrap_or(false),
-            )
-        };
-        world.send(
-            node,
-            from,
-            flowscript_codec::to_bytes(&verdict(tx, committed)),
-        );
-    }
-
     /// The shard map's current epoch on this coordinator.
     pub fn shard_epoch(&self) -> u64 {
         self.inner.borrow().membership.epoch()
@@ -837,22 +1338,6 @@ impl CoordHandle {
         membership.shard = map;
     }
 
-    /// Records one committed move's instance-unavailability window in
-    /// the `coord.handoff_pause_ns` histogram (measured wall-clock by
-    /// the rebalance driver, on the source shard).
-    pub fn note_handoff_pause(&self, ns: u64) {
-        self.inner.borrow().metrics.handoff_pause_ns.record(ns);
-    }
-
-    /// Records one drain round's instance-unavailability window in the
-    /// `coord.drain_pause_ns` histogram (measured wall-clock by the
-    /// drain driver, on the departing shard — the whole batch is
-    /// unavailable for the round, so the round IS the per-instance
-    /// pause bound).
-    pub fn note_drain_pause(&self, ns: u64) {
-        self.inner.borrow().metrics.drain_pause_ns.record(ns);
-    }
-
     /// Records a fleet-level trace event (drain begin/end) against
     /// this shard, labeled with the shard's node name rather than an
     /// instance.
@@ -874,19 +1359,8 @@ mod tests {
     use crate::coordinator::EngineConfig;
     use crate::msg::MarkMsg;
 
-    fn package(entries: Vec<(StoreKey, Vec<u8>)>) -> HandoffPackage {
-        HandoffPackage {
-            tx: TxId::new(0, 1),
-            instance: "i".to_string(),
-            src_node: 0,
-            src_instance_id: 3,
-            entries,
-        }
-    }
-
-    #[test]
-    fn rekeyed_moves_facts_and_meta_onto_the_new_id_and_nothing_else() {
-        let meta = InstanceMeta {
+    fn meta(instance_id: u32) -> InstanceMeta {
+        InstanceMeta {
             script: "s".into(),
             source: "class C;".into(),
             root: "root".into(),
@@ -894,46 +1368,53 @@ mod tests {
             inputs: BTreeMap::new(),
             status: InstanceStatus::Running,
             reconfig_count: 1,
-            instance_id: 3,
+            instance_id,
             version: None,
             plan_fingerprint: 9,
-        };
-        let meta_key = StoreKey::Uid(meta_uid("i"));
-        // A control block that merely ends in `/meta`, and the shared plan.
-        let cb = (
-            StoreKey::Uid(ObjectUid::new("inst/i/cb/root/meta")),
-            vec![1],
-        );
-        let plan = (StoreKey::Uid(plan_uid(9)), vec![2]);
-        let fact = FactKey::output(3, 2, 1);
-        let rekeyed = package(vec![
-            (meta_key.clone(), flowscript_codec::to_bytes(&meta)),
-            cb.clone(),
-            plan.clone(),
-            (StoreKey::Fact(fact), vec![3]),
-        ])
-        .rekeyed(7)
-        .expect("a decodable meta re-keys");
-        let moved_meta = InstanceMeta {
-            instance_id: 7,
-            ..meta
-        };
-        let moved_fact = FactKey {
-            instance: 7,
-            ..fact
-        };
-        assert_eq!(
-            rekeyed,
-            [
-                (meta_key.clone(), flowscript_codec::to_bytes(&moved_meta)),
-                cb,
-                plan,
-                (StoreKey::Fact(moved_fact), vec![3]),
-            ]
-        );
-        // A corrupt meta is a typed error, never a panic.
-        let corrupt = package(vec![(meta_key, vec![0xFF; 3])]);
-        assert!(matches!(corrupt.rekeyed(7), Err(EngineError::Tx(_))));
+        }
+    }
+
+    /// One instance's run as `package_instance` lays it out: the meta,
+    /// a control block that merely ends in `/meta`, the shared plan,
+    /// one fact.
+    fn run(name: &str, id: u32) -> AfterImages {
+        let cb = ObjectUid::new(format!("inst/{name}/cb/root/meta"));
+        vec![
+            (
+                StoreKey::Uid(meta_uid(name)),
+                Some(flowscript_codec::to_bytes(&meta(id))),
+            ),
+            (StoreKey::Uid(cb), Some(vec![1])),
+            (StoreKey::Uid(plan_uid(9)), Some(vec![2])),
+            (StoreKey::Fact(FactKey::output(id, 2, 1)), Some(vec![3])),
+        ]
+    }
+
+    #[test]
+    fn rekeyed_moves_facts_and_meta_onto_the_new_ids_and_nothing_else() {
+        // Two runs back to back, both on the source's ids 3 and 4, land
+        // on 7 and 8: facts and metas move, the rest is verbatim.
+        let images = [run("i", 3), run("j", 4)].concat();
+        let (names, entries) = rekeyed(images.clone(), 7, |_| false).expect("well-formed runs");
+        assert_eq!(names, ["i", "j"]);
+        assert_eq!(entries, [run("i", 7), run("j", 8)].concat());
+        // A skipped instance is left out whole, and takes no id.
+        let (names, entries) = rekeyed(images, 7, |name| name == "i").expect("well-formed runs");
+        assert_eq!((names, entries), (vec!["j".to_string()], run("j", 7)));
+        // Hostile bytes are a typed error, never a panic: a corrupt
+        // meta, a fact before any run, a fact on somebody else's id, a
+        // run that opens with something other than its meta.
+        let corrupt = vec![(StoreKey::Uid(meta_uid("i")), Some(vec![0xFF; 3]))];
+        let stray = vec![run("i", 3).remove(3)];
+        let mut foreign = run("i", 3);
+        foreign.push((StoreKey::Fact(FactKey::output(4, 0, 0)), Some(vec![])));
+        let headless = run("i", 3).split_off(1);
+        for bad in [corrupt, stray, foreign, headless] {
+            assert!(matches!(
+                rekeyed(bad, 7, |_| false),
+                Err(EngineError::Tx(why)) if why.contains("malformed")
+            ));
+        }
     }
 
     #[test]

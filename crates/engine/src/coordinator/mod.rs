@@ -40,8 +40,8 @@
 //! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, bounded retries, the slow-path report handler | — | `dispatch`, `redispatch`, `arm_watchdog`, `on_task_done`, `fail_task`, `clear_watch`, `drain_parked`, `sweep_subtree`, `executing` |
 //! | `admission` | the per-shard instance cap on the start RPC | `Admission` | `admit_or_queue`, `admit_from_queue`, `Admission::{instance_live, instance_settled}` |
 //! | `lifecycle` | instance start, materialising a runtime from committed state, the monitoring reads; compiled plans, decoded once and persisted once per fingerprint | `PlanCache` | `start_instance_full`, `load_instance`, `rebuild_schema`, `count_nonterminal`, `PlanCache::validated`, `gc_plans` |
-//! | `membership` | shard routing, relays, live hand-off, crash-driven adoption | `Membership`, [`HandoffPackage`] | `misdirected`, `forward_oneway`, `forward_start`, the `handoff_*` steps, `claim_adopt`, `adopt_orphans`, `repair_handoffs`, `package_instance` |
-//! | `recovery` | restart: reopen the log, reset volatile state, reload, re-dispatch | — | `recover`, `stored_instances`, `stored_instance_names` |
+//! | `membership` | shard routing and relays; the fleet protocols the nodes run among themselves — live hand-off (the one `tx::dist` 2PC, this module its host) and crash-driven adoption | `Membership`, [`MoveReport`], [`FailoverReport`] | `route_report`, `misdirected`, `forward_start`; from the façade `begin_move`, `begin_adoption` (each answers with a `Ticket`); from the wire `on_dist`, `on_claim`; `adopt_orphans`, `repair_handoffs` |
+//! | `recovery` | restart: reopen the log, reset volatile state (fleet protocols included), repair hand-offs, reload, re-dispatch | — | `recover`, `stored_instances`, `stored_instance_names` |
 //! | `admin` | operator actions on a running instance | — | `reconfigure`, `abort_waiting_task`, `repair_fact` |
 
 mod admin;
@@ -64,7 +64,7 @@ use flowscript_core::schema::Schema;
 use flowscript_obs::{FlightRecorder, ObsEventKind, Registry};
 use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::{Envelope, EventId, NodeId, World};
-use flowscript_tx::{ObjectUid, StableStore, TxId, TxManager};
+use flowscript_tx::{ObjectUid, StableStore, TxManager};
 
 use crate::error::EngineError;
 use crate::keys::{cb_uid, meta_uid, InstanceKeys};
@@ -74,12 +74,13 @@ use crate::shard::ShardMap;
 use crate::state::TaskCb;
 
 pub use config::{CommitBatch, EngineConfig};
-pub use membership::{HandoffPackage, MAX_FORWARD_HOPS};
+pub use membership::{FailoverReport, MoveReport, MAX_FORWARD_HOPS};
+
+pub(crate) use membership::{TicketRef, DRAIN_BATCH, FLEET_DEADLINE};
 pub use meta::{InstanceStatus, Outcome};
 pub use stats::{CoordStats, DispatchRecord};
 
-pub(crate) use membership::package_instance;
-pub(crate) use recovery::{stored_instance_names, stored_instances};
+use recovery::{stored_instance_names, stored_instances};
 
 use admission::{Admission, AdmissionTicket};
 use dispatch::{DispatchedTask, ParkedDispatch};
@@ -253,7 +254,7 @@ impl Coordinator {
             parked: BTreeMap::new(),
             park_seq: 0,
             admission: Admission::default(),
-            membership: Membership::new(shard),
+            membership: Membership::new(node, shard),
             config,
             mgr,
             storage,
@@ -485,20 +486,8 @@ impl CoordHandle {
     /// `hops` times already (0 for a direct send).
     fn deliver(&self, world: &mut World, envelope: &Envelope, msg: EngineMsg, hops: u32) {
         match msg {
-            EngineMsg::Done(done) => match self.misdirected(&done.instance) {
-                Some(owner) => {
-                    let instance = done.instance.clone();
-                    self.forward_oneway(world, owner, &instance, EngineMsg::Done(done), hops);
-                }
-                None => self.enqueue_event(world, PendingEvent::Done(done)),
-            },
-            EngineMsg::Mark(mark) => match self.misdirected(&mark.instance) {
-                Some(owner) => {
-                    let instance = mark.instance.clone();
-                    self.forward_oneway(world, owner, &instance, EngineMsg::Mark(mark), hops);
-                }
-                None => self.enqueue_event(world, PendingEvent::Mark(mark)),
-            },
+            EngineMsg::Done(done) => self.route_report(world, PendingEvent::Done(done), hops),
+            EngineMsg::Mark(mark) => self.route_report(world, PendingEvent::Mark(mark), hops),
             EngineMsg::StartInstance {
                 instance,
                 script,
@@ -533,17 +522,20 @@ impl CoordHandle {
                 };
                 self.admit_or_queue(world, ticket);
             }
-            EngineMsg::HandoffQuery { tx_node, tx_seq } => {
-                self.on_handoff_query(world, envelope.src, TxId::new(tx_node, tx_seq));
-            }
-            EngineMsg::HandoffVerdict {
-                tx_node,
-                tx_seq,
-                committed,
+            EngineMsg::Dist(msg) => self.on_dist(world, msg),
+            EngineMsg::Claim {
+                dead,
+                epoch,
+                writes,
             } => {
-                // The source's durable decision for a stage this shard
-                // prepared.
-                let _ = self.handoff_apply(world, TxId::new(tx_node, tx_seq), committed);
+                let Some(token) = envelope.reply_token() else {
+                    return;
+                };
+                let result = self.on_claim(world, dead, epoch, writes);
+                let reply = EngineMsg::Ack {
+                    result: result.map_err(|err| err.to_string()),
+                };
+                world.rpc_reply_to(token, flowscript_codec::to_bytes(&reply));
             }
             _ => {}
         }

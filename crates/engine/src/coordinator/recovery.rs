@@ -8,6 +8,7 @@ use flowscript_tx::{StableStore, TxManager};
 
 use super::{Admission, CoordHandle, Coordinator, InstanceMeta, InstanceStatus, PlanCache};
 use crate::keys::{cb_uid, meta_uid};
+use crate::msg::EngineMsg;
 use crate::state::TaskCb;
 
 /// The name of every `inst/{name}/meta` object in `mgr` — the one
@@ -17,7 +18,7 @@ use crate::state::TaskCb;
 /// `/meta` survives. Nothing is decoded: a control block whose task
 /// happens to be called `meta` matches too, and only reading the object
 /// as a meta tells the two apart.
-pub(crate) fn stored_instance_names(mgr: &TxManager<StableStore>) -> impl Iterator<Item = String> {
+pub(super) fn stored_instance_names(mgr: &TxManager<StableStore>) -> impl Iterator<Item = String> {
     mgr.uids_matching("inst/", "/meta")
         .into_iter()
         .filter_map(|uid| {
@@ -28,7 +29,7 @@ pub(crate) fn stored_instance_names(mgr: &TxManager<StableStore>) -> impl Iterat
 
 /// Every instance stored in `mgr`, by name, with its committed meta:
 /// [`stored_instance_names`] minus whatever does not decode as one.
-pub(crate) fn stored_instances(mgr: &TxManager<StableStore>) -> Vec<(String, InstanceMeta)> {
+pub(super) fn stored_instances(mgr: &TxManager<StableStore>) -> Vec<(String, InstanceMeta)> {
     stored_instance_names(mgr)
         .filter_map(|name| {
             let meta = mgr.read_committed(&meta_uid(&name)).ok()??;
@@ -54,6 +55,7 @@ impl Coordinator {
         self.parked.clear();
         self.park_seq = 0;
         self.admission = Admission::default();
+        self.membership.reset_protocols();
     }
 }
 
@@ -121,7 +123,7 @@ impl CoordHandle {
             (node, running, handoff_traffic)
         };
         for (to, msg) in handoff_traffic {
-            world.send(node, to, flowscript_codec::to_bytes(&msg));
+            world.send(node, to, flowscript_codec::to_bytes(&EngineMsg::Dist(msg)));
         }
 
         // Re-dispatch whatever was executing (at-least-once execution,

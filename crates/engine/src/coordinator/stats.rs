@@ -131,15 +131,12 @@ pub(super) struct CoordMetrics {
     /// The chosen executor's load at each placement decision
     /// (`sched.pick_load`).
     pub(super) sched_pick_load: Histogram,
-    /// Wall-clock nanoseconds one instance was unavailable during a
-    /// hand-off move (`coord.handoff_pause_ns`; recorded on the source
-    /// shard per committed move).
+    /// Virtual nanoseconds the instances of one committed hand-off
+    /// round were unavailable, collect to the destination's ack
+    /// (`coord.handoff_pause_ns`; recorded by the source shard, once
+    /// per round — a rebalance moves rounds of one, a drain rounds of
+    /// up to a batch).
     pub(super) handoff_pause_ns: Histogram,
-    /// Wall-clock nanoseconds one instance was unavailable during a
-    /// planned drain round (`coord.drain_pause_ns`; every instance in
-    /// a batched round shares the round's pause, recorded on the
-    /// draining shard).
-    pub(super) drain_pause_ns: Histogram,
     /// Virtual nanoseconds a `StartInstance` waited in the admission
     /// queue before being admitted (`sched.admission_wait_ns`).
     pub(super) admission_wait_ns: Histogram,
@@ -175,7 +172,6 @@ impl CoordMetrics {
             dispatch_latency_ns: registry.histogram("coord.dispatch_latency_ns"),
             sched_pick_load: registry.histogram("sched.pick_load"),
             handoff_pause_ns: registry.histogram("coord.handoff_pause_ns"),
-            drain_pause_ns: registry.histogram("coord.drain_pause_ns"),
             admission_wait_ns: registry.histogram("sched.admission_wait_ns"),
             queue_wait_ns: registry.histogram("sched.queue_wait_ns"),
             ready_queue_depth: registry.gauge("sched.ready_queue_depth"),

@@ -20,7 +20,7 @@ use flowscript_tx::{AtomicAction, StoreKey};
 use super::{CommitBatch, CoordHandle, Coordinator};
 use crate::facts;
 use crate::keys::InstanceKeys;
-use crate::msg::{MarkMsg, TaskDone, TaskResult};
+use crate::msg::{EngineMsg, MarkMsg, TaskDone, TaskResult};
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
 
@@ -35,10 +35,20 @@ pub(super) enum PendingEvent {
 
 impl PendingEvent {
     /// `(instance, path, incarnation, attempt)` of the reporting task.
-    fn address(&self) -> (&str, &str, u32, u32) {
+    pub(super) fn address(&self) -> (&str, &str, u32, u32) {
         match self {
             PendingEvent::Done(msg) => (&msg.instance, &msg.path, msg.incarnation, msg.attempt),
             PendingEvent::Mark(msg) => (&msg.instance, &msg.path, msg.incarnation, msg.attempt),
+        }
+    }
+}
+
+/// Back onto the wire: a report this shard relays instead of applying.
+impl From<PendingEvent> for EngineMsg {
+    fn from(event: PendingEvent) -> Self {
+        match event {
+            PendingEvent::Done(msg) => EngineMsg::Done(msg),
+            PendingEvent::Mark(msg) => EngineMsg::Mark(msg),
         }
     }
 }

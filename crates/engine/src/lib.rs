@@ -33,12 +33,16 @@
 //!   across multiple execution-service nodes by rendezvous hash of the
 //!   instance name, each shard owning its facts, WAL and worklists,
 //!   with misdirected requests forwarded and per-shard crash recovery,
-//! - **live rebalancing**: epoch-versioned shard maps with hop-capped
-//!   forwarding, and [`WorkflowSystem::add_coordinator`] /
-//!   [`WorkflowSystem::rebalance`] moving running instances between
-//!   shards as batched two-phase hand-offs — dual delivery of executor
-//!   reports during the window, WAL-framed intent/decision records for
-//!   crash repair,
+//! - an **elastic fleet**: epoch-versioned shard maps with hop-capped
+//!   forwarding; [`WorkflowSystem::add_coordinator`] /
+//!   [`WorkflowSystem::rebalance`] / [`WorkflowSystem::remove_coordinator`]
+//!   move running instances between shards as rounds of ONE two-phase
+//!   commit — `flowscript_tx::dist`, hosted by the shards and spoken
+//!   over the simulated network, so a crash, partition or lossy link
+//!   from a fault plan reaches every step — and
+//!   [`WorkflowSystem::adopt_dead_shard`] claims a dead shard's
+//!   instances out of its fenced storage; pauses are virtual time
+//!   ([`MoveReport`]),
 //! - a high-level facade, [`WorkflowSystem`], that wires all services
 //!   onto `flowscript-sim` nodes (the paper's Fig. 4 topology).
 //!
@@ -87,12 +91,10 @@ pub mod shard;
 pub mod state;
 mod value;
 
-pub use api::{
-    DrainReport, FailoverReport, KillPoint, RebalanceReport, SystemBuilder, WorkflowSystem,
-};
+pub use api::{SystemBuilder, WorkflowSystem};
 pub use coordinator::{
-    CommitBatch, CoordStats, DispatchRecord, EngineConfig, HandoffPackage, InstanceStatus, Outcome,
-    MAX_FORWARD_HOPS,
+    CommitBatch, CoordStats, DispatchRecord, EngineConfig, FailoverReport, InstanceStatus,
+    MoveReport, Outcome, MAX_FORWARD_HOPS,
 };
 pub use error::EngineError;
 pub use facts::StoreFacts;

@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 
 use flowscript_codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
 use flowscript_sim::SimDuration;
+use flowscript_tx::dist::{AfterImages, DistMsg};
 
 use crate::value::ObjectVal;
 
@@ -183,23 +184,25 @@ pub enum EngineMsg {
         /// Admission-queue depth at rejection time (a backoff hint).
         queue_depth: u32,
     },
-    /// Restarted hand-off destination → source: what happened to this
-    /// in-doubt move? (2PC termination protocol for hand-offs.)
-    HandoffQuery {
-        /// Moving transaction id, node part.
-        tx_node: u32,
-        /// Moving transaction id, sequence part.
-        tx_seq: u64,
-    },
-    /// Hand-off source → destination: the durable decision for a move
-    /// (pushed on source recovery, or answering a [`HandoffQuery`]).
-    HandoffVerdict {
-        /// Moving transaction id, node part.
-        tx_node: u32,
-        /// Moving transaction id, sequence part.
-        tx_seq: u64,
-        /// `true` = the destination owns the instance.
-        committed: bool,
+    /// Coordinator ↔ coordinator: one message of a live hand-off's
+    /// two-phase commit ([`flowscript_tx::dist`]) — the source shard is
+    /// the 2PC coordinator, the destination its participant. `Prepare`
+    /// carries the moving instances' committed entries as the source
+    /// keyed them; `QueryOutcome` and a re-announced `Decision` are the
+    /// termination traffic after a crash on either side.
+    Dist(DistMsg),
+    /// Claimant → surviving coordinator (an RPC, answered with
+    /// [`EngineMsg::Ack`]): commit these instances, read out of a dead
+    /// shard's fenced storage, as your own. No 2PC — the fence already
+    /// decided.
+    Claim {
+        /// Node index of the dead shard the entries came from.
+        dead: u32,
+        /// The membership epoch stamped into the fence.
+        epoch: u64,
+        /// The instances' committed entries, as the dead shard keyed
+        /// them (same layout as a hand-off `Prepare`).
+        writes: AfterImages,
     },
 }
 
@@ -391,20 +394,19 @@ impl Encode for EngineMsg {
                 w.put_u32(*hops);
                 w.put_len_prefixed(inner);
             }
-            EngineMsg::HandoffQuery { tx_node, tx_seq } => {
+            EngineMsg::Dist(msg) => {
                 w.put_u8(9);
-                w.put_u32(*tx_node);
-                w.put_u64(*tx_seq);
+                msg.encode(w);
             }
-            EngineMsg::HandoffVerdict {
-                tx_node,
-                tx_seq,
-                committed,
+            EngineMsg::Claim {
+                dead,
+                epoch,
+                writes,
             } => {
                 w.put_u8(10);
-                w.put_u32(*tx_node);
-                w.put_u64(*tx_seq);
-                w.put_bool(*committed);
+                w.put_u32(*dead);
+                w.put_u64(*epoch);
+                writes.encode(w);
             }
             EngineMsg::Busy { queue_depth } => {
                 w.put_u8(11);
@@ -451,14 +453,11 @@ impl Decode for EngineMsg {
                 hops: r.get_u32()?,
                 inner: r.get_len_prefixed()?.to_vec(),
             },
-            9 => EngineMsg::HandoffQuery {
-                tx_node: r.get_u32()?,
-                tx_seq: r.get_u64()?,
-            },
-            10 => EngineMsg::HandoffVerdict {
-                tx_node: r.get_u32()?,
-                tx_seq: r.get_u64()?,
-                committed: r.get_bool()?,
+            9 => EngineMsg::Dist(DistMsg::decode(r)?),
+            10 => EngineMsg::Claim {
+                dead: r.get_u32()?,
+                epoch: r.get_u64()?,
+                writes: Vec::decode(r)?,
             },
             11 => EngineMsg::Busy {
                 queue_depth: r.get_u32()?,
@@ -476,6 +475,7 @@ impl Decode for EngineMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowscript_tx::{ObjectUid, StoreKey, TxId};
 
     #[test]
     fn all_messages_roundtrip() {
@@ -556,14 +556,14 @@ mod tests {
                 hops: 2,
                 inner: vec![7, 0, 1],
             },
-            EngineMsg::HandoffQuery {
-                tx_node: 1,
-                tx_seq: 42,
-            },
-            EngineMsg::HandoffVerdict {
-                tx_node: 1,
-                tx_seq: 42,
-                committed: true,
+            EngineMsg::Dist(DistMsg::Decision {
+                tx: TxId::new(1, 42),
+                commit: true,
+            }),
+            EngineMsg::Claim {
+                dead: 3,
+                epoch: 2,
+                writes: vec![(StoreKey::Uid(ObjectUid::new("inst/i1/meta")), Some(vec![9]))],
             },
             EngineMsg::Busy { queue_depth: 17 },
         ];

@@ -5,8 +5,10 @@
 //! and leave per-instance results byte-identical to a run that never
 //! drained. Crash-driven adoption (`adopt_dead_shard`) must fence the
 //! dead shard's storage so a zombie can never commit again, then land
-//! every instance on its new owner with zero lost outcomes — even when
-//! the chaos harness kills the shard at any point inside the protocol.
+//! every instance on its new owner with zero lost outcomes. Both run as
+//! messages between the shards, across virtual time — so the faults
+//! come from the simulator: a crash of either end at every instant of
+//! the protocol, a partition between them, a lossy link.
 
 mod common;
 
@@ -18,9 +20,10 @@ use common::{
 };
 use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{
-    InstanceStatus, KillPoint, ObsEventKind, ObserveLevel, TaskBehavior, WorkflowSystem,
+    InstanceStatus, MoveReport, ObsEventKind, ObserveLevel, TaskBehavior, WorkflowSystem,
 };
-use flowscript_sim::{SimDuration, SimTime};
+use flowscript_sim::net::LinkConfig;
+use flowscript_sim::{FaultAction, FaultPlan, SimDuration, SimTime};
 use flowscript_tx::{TxError, TxManager};
 
 fn det_config() -> EngineConfig {
@@ -40,6 +43,43 @@ fn build(coordinators: usize) -> WorkflowSystem {
 /// are pure functions of the invocation and must match exactly.
 fn outcome_print(sys: &WorkflowSystem, instance: &str) -> InstanceStatus {
     settled(sys, instance).0
+}
+
+/// Three shards with the population ~20ms into its ~100ms orders: a
+/// drain or a kill now catches tasks genuinely executing.
+fn mid_flight() -> WorkflowSystem {
+    let mut sys = build(3);
+    start_population(&mut sys, &population());
+    sys.run_until(SimTime::from_nanos(20_000_000));
+    sys
+}
+
+/// Every instance must end with the outcome the undisturbed run gave
+/// it, and no relay may have looped. `repro` names the failing case.
+fn assert_no_outcome_lost(
+    sys: &WorkflowSystem,
+    expected: &BTreeMap<String, InstanceStatus>,
+    repro: &str,
+) {
+    for name in population() {
+        assert_eq!(
+            outcome_print(sys, &name),
+            expected[&name],
+            "{repro}: {name} lost or changed its outcome"
+        );
+    }
+    assert_eq!(
+        sys.stats().forward_loops,
+        0,
+        "{repro}: relays must not loop"
+    );
+}
+
+/// The 100 µs grid (half a `det_link` hop) over `span`, as offsets.
+fn every_100us(span: SimDuration) -> impl Iterator<Item = SimDuration> {
+    (0..span.as_nanos())
+        .step_by(100_000)
+        .map(SimDuration::from_nanos)
 }
 
 fn baseline<F: Fn(&WorkflowSystem, &str) -> T, T>(print: F) -> BTreeMap<String, T> {
@@ -64,9 +104,7 @@ fn planned_drain_preserves_every_outcome() {
     let expected = baseline(settled);
 
     // Live run: drain a shard mid-flight (~20ms into ~100ms orders).
-    let mut sys = build(3);
-    start_population(&mut sys, &population());
-    sys.run_until(SimTime::from_nanos(20_000_000));
+    let mut sys = mid_flight();
     let departing = sys.coord_handle(1);
     let drained_count = departing.instance_names().len();
     assert!(drained_count > 0, "the drain must have work to move");
@@ -138,7 +176,7 @@ fn planned_drain_preserves_every_outcome() {
     );
     let snapshot = sys.metrics_snapshot();
     let pauses = snapshot
-        .histogram("coord.drain_pause_ns")
+        .histogram("coord.handoff_pause_ns")
         .expect("histogram");
     assert_eq!(pauses.count, report.rounds as u64);
 }
@@ -152,62 +190,165 @@ fn drain_refuses_the_last_coordinator() {
     assert!(err.to_string().contains("nonesuch"), "{err}");
 }
 
-/// Kill the draining shard at every point inside a batch round: the
-/// call errors mid-protocol, the restarted node recovers (presumed
-/// abort before the decision, committed verdict re-announcement after
-/// it), and a re-run drains what is left. Zero lost outcomes.
+/// Crash either end at every instant of the drain: run it once clean
+/// to learn its virtual span, then for every 100 µs step across it and
+/// each victim — the draining source, each destination — schedule the
+/// crash, drain (it errs or completes), restart the victim and drain
+/// what is left. Presumed abort before the decision, the re-announced
+/// or queried verdict after it: zero lost outcomes from every cell.
 #[test]
 fn drain_killed_at_any_point_converges_on_rerun() {
     let expected = baseline(outcome_print);
-    for point in [
-        KillPoint::BeforeBegin,
-        KillPoint::AfterBegin,
-        KillPoint::AfterPrepare,
-        KillPoint::AfterDecision,
-    ] {
-        let mut sys = build(3);
-        start_population(&mut sys, &population());
-        sys.run_until(SimTime::from_nanos(20_000_000));
-        let victim = sys.coord_handle(1).node();
+    let span = {
+        let mut sys = mid_flight();
+        let began = sys.now();
+        sys.remove_coordinator("coordinator1").expect("clean drain");
+        sys.now().since(began)
+    };
+    assert!(span > SimDuration::ZERO, "a drain takes virtual time");
+    for (victim_shard, role) in [(1, "source"), (0, "destination"), (2, "destination")] {
+        for offset in every_100us(span) {
+            let repro = format!("victim=shard{victim_shard} ({role}) t=+{offset}");
+            let mut sys = mid_flight();
+            let victim = sys.coordinator_nodes()[victim_shard];
+            let at = sys.now() + offset;
+            sys.apply_faults(&FaultPlan::new().at(at, FaultAction::Crash(victim)));
 
-        sys.arm_chaos_kill(point, 0);
-        let err = sys
-            .remove_coordinator("coordinator1")
-            .expect_err("the armed kill must abort the drain");
-        assert!(err.to_string().contains("chaos"), "{point:?}: {err}");
-        assert_eq!(
-            sys.shard_count(),
-            3,
-            "{point:?}: a failed drain must not retire the shard"
-        );
-
-        // The operator brings the node back and retries the drain.
-        sys.restart_now(victim);
-        sys.run_for(SimDuration::from_millis(100));
-        let report = sys
-            .remove_coordinator("coordinator1")
-            .unwrap_or_else(|e| panic!("{point:?}: re-drain failed: {e}"));
-        assert_eq!(sys.shard_count(), 2);
-        // After the decision the first attempt's batch already moved:
-        // the re-run only carries the remainder.
-        if point == KillPoint::AfterDecision {
-            assert!(report.moved < expected.len(), "{point:?}");
-        }
-        sys.run();
-
-        for name in population() {
+            let first = sys.remove_coordinator("coordinator1");
+            // The operator brings the node back and retries the drain.
+            sys.restart_now(victim);
+            if first.is_err() {
+                assert_eq!(
+                    sys.shard_count(),
+                    3,
+                    "{repro}: a failed drain retires nothing"
+                );
+                sys.remove_coordinator("coordinator1")
+                    .unwrap_or_else(|e| panic!("{repro}: re-drain failed: {e}"));
+            }
+            assert_eq!(sys.shard_count(), 2, "{repro}");
+            sys.run();
+            assert_no_outcome_lost(&sys, &expected, &repro);
             assert_eq!(
-                outcome_print(&sys, &name),
-                expected[&name],
-                "{point:?}: {name} lost or changed its outcome"
+                sys.stats().handoffs,
+                10,
+                "{repro}: each instance moves once"
             );
         }
-        assert_eq!(
-            sys.stats().forward_loops,
-            0,
-            "{point:?}: relays must not loop"
+    }
+}
+
+/// Cut the source off from both destinations while the first round is
+/// voting: the vote never arrives, the round aborts, the instances
+/// thaw where they were and keep running. Heal, drain again: converges.
+#[test]
+fn partition_during_voting_aborts_the_round_and_heals() {
+    let expected = baseline(outcome_print);
+    let mut sys = mid_flight();
+    let nodes = sys.coordinator_nodes().to_vec();
+    let source = sys.coord_handle(1);
+    let residents = source.instance_names();
+    let live = |sys: &WorkflowSystem| {
+        let running = |name: &&String| !sys.status(name).unwrap().is_terminal();
+        residents.iter().filter(running).count()
+    };
+    let live_before = live(&sys);
+
+    // The `Prepare` is already on the wire; the vote is sent into the
+    // partition.
+    let at = sys.now() + SimDuration::from_micros(100);
+    let cut = FaultAction::Partition(vec![nodes[1]], vec![nodes[0], nodes[2]]);
+    sys.apply_faults(&FaultPlan::new().at(at, cut));
+    let err = sys
+        .remove_coordinator("coordinator1")
+        .expect_err("no vote, no move");
+    assert!(err.to_string().contains("no progress"), "{err}");
+    assert_eq!(sys.shard_count(), 3, "a failed drain retires nothing");
+    assert_eq!(sys.stats().handoffs, 0, "the round aborted");
+    assert_eq!(
+        source.instance_names(),
+        residents,
+        "the slice thawed in place"
+    );
+    // Cut off from its peers, the shard kept serving what it has all
+    // the while the call waited.
+    assert!(
+        live_before > 0 && live(&sys) < live_before,
+        "thawed instances must keep finishing"
+    );
+
+    sys.world_mut().heal_all();
+    let report = sys
+        .remove_coordinator("coordinator1")
+        .expect("healed drain");
+    assert_eq!(report.moved, residents.len());
+    assert_eq!(sys.shard_count(), 2);
+    sys.run();
+    assert_no_outcome_lost(&sys, &expected, "partition during voting");
+}
+
+/// Three messages in ten lost on every link between the source and its
+/// destinations, in both directions: a lost `Prepare` or vote aborts
+/// the round (the operator drains again), a lost decision or ack is
+/// re-sent — and late reports relayed over the same links fall back on
+/// the watchdogs. Converges, zero lost outcomes.
+#[test]
+fn drain_over_lossy_links_converges() {
+    let expected = baseline(outcome_print);
+    let mut sys = mid_flight();
+    let nodes = sys.coordinator_nodes().to_vec();
+    let lossy = LinkConfig {
+        drop_prob: 0.3,
+        ..det_link()
+    };
+    for peer in [nodes[0], nodes[2]] {
+        sys.world_mut().net_mut().set_link(nodes[1], peer, lossy);
+        sys.world_mut().net_mut().set_link(peer, nodes[1], lossy);
+    }
+    let mut moved = 0;
+    let drained = (0..20).any(|_| match sys.remove_coordinator("coordinator1") {
+        Ok(report) => {
+            moved += report.moved;
+            true
+        }
+        Err(_) => false,
+    });
+    assert!(drained, "twenty attempts must get ten instances across");
+    assert_eq!(sys.shard_count(), 2);
+    assert_eq!(sys.stats().handoffs, 10, "each instance moves once");
+    assert!(moved <= 10, "earlier attempts keep what they moved");
+    sys.run();
+    assert_no_outcome_lost(&sys, &expected, "drop_prob 0.3");
+}
+
+/// The pause is virtual time, read off the simulator's clock by the
+/// source itself: the call advances that clock, two runs on one seed
+/// report the same numbers, and on the deterministic link a round is
+/// its four hops — prepare, vote, decision, ack.
+#[test]
+fn pauses_are_virtual_time_and_exact_per_seed() {
+    let drain = || -> (MoveReport, SimDuration) {
+        let mut sys = mid_flight();
+        let began = sys.now();
+        let report = sys.remove_coordinator("coordinator1").expect("drain");
+        (report, sys.now().since(began))
+    };
+    let (report, took) = drain();
+    assert_eq!(drain(), (report.clone(), took), "same seed, same report");
+    assert!(took > SimDuration::ZERO, "the drain must take virtual time");
+    assert_eq!(
+        took.as_nanos(),
+        report.pause_ns.iter().sum::<u64>(),
+        "rounds run back to back, and nothing else pauses"
+    );
+    let hop = det_link().base_latency.as_nanos();
+    for (round, &pause) in report.pause_ns.iter().enumerate() {
+        assert!(
+            (3 * hop..=5 * hop).contains(&pause),
+            "round {round}: {pause} ns is not four {hop} ns hops"
         );
     }
+    assert_eq!(report.max_pause_ns(), 4 * hop);
 }
 
 // ---------------------------------------------------------------------
@@ -218,9 +359,7 @@ fn drain_killed_at_any_point_converges_on_rerun() {
 fn dead_shard_adoption_loses_no_outcomes() {
     let expected = baseline(outcome_print);
 
-    let mut sys = build(3);
-    start_population(&mut sys, &population());
-    sys.run_until(SimTime::from_nanos(20_000_000));
+    let mut sys = mid_flight();
     let dead = sys.coord_handle(1);
     let dead_population = dead.instance_names().len();
     assert!(dead_population > 0);
@@ -234,13 +373,7 @@ fn dead_shard_adoption_loses_no_outcomes() {
     assert_eq!(sys.shard_count(), 2);
 
     sys.run();
-    for name in population() {
-        assert_eq!(
-            outcome_print(&sys, &name),
-            expected[&name],
-            "{name} lost or changed its outcome in the failover"
-        );
-    }
+    assert_no_outcome_lost(&sys, &expected, "clean failover");
     assert_eq!(sys.stats().adoptions, dead_population as u64);
     assert_eq!(
         sys.metrics_snapshot().counter("coord.adoptions"),
@@ -320,45 +453,101 @@ fn fenced_zombie_cannot_commit_after_storage_is_claimed() {
     );
 }
 
-/// Kill the driver mid-claim: some instances are claimed, the fence is
-/// written, nothing was retired. The re-run is idempotent — it skips
-/// what was claimed, claims the rest, and sweeps everything home.
+/// Crash the claimant at every instant of the adoption: the fence is
+/// written, some claims landed, some died with their sender. Restart
+/// it and run the adoption again — it skips what was claimed, claims
+/// the rest, and every instance is adopted exactly once.
 #[test]
 fn adoption_killed_mid_claim_converges_on_rerun() {
     let expected = baseline(outcome_print);
+    let adopt = |sys: &mut WorkflowSystem| {
+        let dead = sys.coord_handle(1);
+        sys.crash_now(dead.node());
+        let began = sys.now();
+        let result = sys.adopt_dead_shard("coordinator1");
+        (result, sys.now().since(began), dead.instance_names().len())
+    };
+    let (clean, span, dead_population) = adopt(&mut mid_flight());
+    let clean = clean.expect("clean failover");
+    assert!(dead_population >= 2 && span > SimDuration::ZERO);
 
-    let mut sys = build(3);
-    start_population(&mut sys, &population());
-    sys.run_until(SimTime::from_nanos(20_000_000));
-    let dead = sys.coord_handle(1);
-    let dead_population = dead.instance_names().len();
-    assert!(dead_population >= 2, "need at least two claims to split");
+    for offset in every_100us(span) {
+        let repro = format!("victim=claimant t=+{offset}");
+        let mut sys = mid_flight();
+        let claimant = sys.coordinator_nodes()[0];
+        assert_eq!(claimant.index() as u32, clean.claimant, "{repro}");
+        let at = sys.now() + offset;
+        sys.apply_faults(&FaultPlan::new().at(at, FaultAction::Crash(claimant)));
 
-    sys.crash_now(dead.node());
-    sys.arm_chaos_kill(KillPoint::MidClaim, 1);
+        let (first, ..) = adopt(&mut sys);
+        sys.restart_now(claimant);
+        if first.is_err() {
+            assert_eq!(
+                sys.shard_count(),
+                3,
+                "{repro}: no retirement on a failed run"
+            );
+            let report = sys
+                .adopt_dead_shard("coordinator1")
+                .unwrap_or_else(|e| panic!("{repro}: re-run failed: {e}"));
+            assert_eq!(report.adopted, dead_population, "{repro}");
+        }
+        assert_eq!(sys.shard_count(), 2, "{repro}");
+        sys.run();
+        assert_no_outcome_lost(&sys, &expected, &repro);
+        // Adopted once each: by a claim, never twice, and an instance
+        // the crashed claimant had already landed on itself came back
+        // through its ordinary recovery.
+        for name in population() {
+            let adoptions = sys
+                .trace(&name)
+                .iter()
+                .filter(|e| matches!(e.kind, ObsEventKind::Adopted { .. }))
+                .count();
+            assert!(adoptions <= 1, "{repro}: {name} adopted {adoptions} times");
+        }
+        assert_eq!(sys.stats().adoptions, dead_population as u64, "{repro}");
+    }
+}
+
+/// The claimant must be a survivor that is *up*: with shards 0 and 1
+/// both down, shard 2 writes the fence — and shard 0's share waits, the
+/// claim re-sent every interval, until shard 0 is back. With every
+/// survivor down there is nobody to claim: the call errs before
+/// anything is fenced.
+#[test]
+fn claimant_is_the_first_survivor_that_is_up() {
+    let expected = baseline(outcome_print);
+    let mut sys = mid_flight();
+    let nodes = sys.coordinator_nodes().to_vec();
+    let dead_storage = sys.shard_storages()[1].clone();
+    sys.crash_now(nodes[0]);
+    sys.crash_now(nodes[1]);
+
+    sys.crash_now(nodes[2]);
     let err = sys
         .adopt_dead_shard("coordinator1")
-        .expect_err("the armed kill must abort the adoption");
-    assert!(err.to_string().contains("chaos"), "{err}");
-    assert_eq!(sys.shard_count(), 3, "no retirement on a failed run");
-
-    let report = sys.adopt_dead_shard("coordinator1").expect("re-run");
-    assert_eq!(
-        report.adopted,
-        dead_population - 1,
-        "the re-run must skip the already-claimed instance"
+        .expect_err("nobody is up to claim");
+    assert!(
+        err.to_string().contains("no surviving coordinator"),
+        "{err}"
     );
-    assert_eq!(sys.shard_count(), 2);
+    let replayed = TxManager::open(nodes[1].index() as u32, dead_storage).expect("replay");
+    assert_eq!(replayed.fenced(), None, "nothing may be fenced");
+    sys.restart_now(nodes[2]);
 
+    let back = sys.now() + SimDuration::from_millis(12);
+    sys.apply_faults(&FaultPlan::new().at(back, FaultAction::Restart(nodes[0])));
+    let report = sys.adopt_dead_shard("coordinator1").expect("failover");
+    assert_eq!(
+        report.claimant,
+        nodes[2].index() as u32,
+        "a crashed node cannot have written the fence"
+    );
+    assert!(sys.now() >= back, "shard 0's share waited for shard 0");
+    assert_eq!(sys.shard_count(), 2);
     sys.run();
-    for name in population() {
-        assert_eq!(
-            outcome_print(&sys, &name),
-            expected[&name],
-            "{name} lost or changed its outcome across the interrupted failover"
-        );
-    }
-    assert_eq!(sys.stats().adoptions, dead_population as u64);
+    assert_no_outcome_lost(&sys, &expected, "two shards down");
 }
 
 // ---------------------------------------------------------------------

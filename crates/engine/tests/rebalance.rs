@@ -2,9 +2,10 @@
 //! running instances to the new owner as 2PC hand-offs without losing
 //! or duplicating a single outcome — per-instance results must be
 //! byte-identical to a run that never rebalanced. A crash on either
-//! side of a half-finished hand-off must recover to exactly one
-//! converged owner (presumed abort before the decision, destination
-//! adoption after it). And deliberately skewed shard maps — the state
+//! side of a half-finished hand-off — scheduled through the simulator's
+//! fault plan, never by calling a protocol step — must recover to
+//! exactly one converged owner (presumed abort before the decision,
+//! destination adoption after it). And deliberately skewed shard maps — the state
 //! a buggy flip would leave behind — must not ping-pong a message
 //! forever: the hop cap drops it and counts the loop.
 
@@ -20,7 +21,7 @@ use flowscript_codec::ByteWriter;
 use flowscript_engine::{
     CbState, InstanceStatus, ObjectVal, ShardMap, WorkflowSystem, MAX_FORWARD_HOPS,
 };
-use flowscript_sim::SimTime;
+use flowscript_sim::{FaultAction, FaultPlan, SimDuration, SimTime};
 
 fn build(coordinators: usize) -> WorkflowSystem {
     build_orders(coordinators, det_config())
@@ -161,117 +162,194 @@ fn map_naming_a_non_coordinator_moves_nothing() {
     }
 }
 
-/// Crash the *source* after it logged the hand-off intent but before
-/// the decision: recovery must presume abort, keep the instance, and
-/// finish it locally.
+/// A map that is not newer than the one in force must be refused in
+/// the same pre-flight: epochs only ever run forwards.
 #[test]
-fn source_crash_before_decision_presumes_abort() {
+fn map_with_a_stale_epoch_moves_nothing() {
     let mut sys = build(2);
     start_population(&mut sys, &population());
     sys.run_until(SimTime::from_nanos(20_000_000));
+    sys.add_coordinator("coordinator2").expect("rebalance");
+    assert_eq!(sys.shard_map().epoch(), 2);
+    let resident = |sys: &WorkflowSystem| -> Vec<Vec<String>> {
+        (0..3)
+            .map(|shard| sys.coord_handle(shard).instance_names())
+            .collect()
+    };
+    let (before, handoffs) = (resident(&sys), sys.stats().handoffs);
 
-    let name = population()
-        .into_iter()
-        .find(|name| !sys.status(name).unwrap().is_terminal())
-        .expect("a running instance");
-    let src_shard = sys.shard_of(&name);
-    let src_node = sys.coordinator_node_for(&name);
-    let dest_shard = 1 - src_shard;
-    let dest_node = sys.coordinator_nodes()[dest_shard];
-    let src = sys.coord_handle(src_shard);
+    // Same three nodes, built from scratch: epoch 1 again.
+    let stale = ShardMap::new(sys.coordinator_nodes().to_vec());
+    let err = sys
+        .rebalance(stale)
+        .expect_err("a stale map must be refused");
+    assert!(err.to_string().contains("not newer"), "{err}");
+    assert_eq!(
+        sys.shard_map().epoch(),
+        2,
+        "the epoch must not run backwards"
+    );
+    for shard in 0..3 {
+        assert_eq!(sys.coord_handle(shard).shard_epoch(), 2, "shard {shard}");
+    }
+    assert_eq!(sys.stats().handoffs, handoffs, "nothing may move");
+    assert_eq!(resident(&sys), before, "every instance stays where it was");
+}
 
-    // Step 1 of 4 only: the durable intent exists, nothing was staged
-    // at the destination, no decision was logged.
-    let packages = src
-        .handoff_collect(sys.world_mut(), std::slice::from_ref(&name), dest_node)
-        .expect("collect");
-    assert!(!packages[0].is_empty());
+/// A join interrupted by a crashed source must be resumable under the
+/// same name: one `coordinator2`, one successor map, every instance
+/// reachable and finished exactly as if nothing had moved.
+#[test]
+fn interrupted_join_resumes_under_the_same_name() {
+    let baseline: BTreeMap<String, InstanceStatus> = {
+        let mut sys = build(2);
+        start_population(&mut sys, &population());
+        sys.run();
+        population()
+            .into_iter()
+            .map(|name| {
+                let status = sys.status(&name).unwrap();
+                (name, status)
+            })
+            .collect()
+    };
 
-    sys.crash_now(src_node);
+    let mut sys = build(2);
+    start_population(&mut sys, &population());
+    sys.run_until(SimTime::from_nanos(20_000_000));
+    // The second source dies while the first is still handing off.
+    let victim = sys.coordinator_nodes()[1];
+    let at = sys.now() + SimDuration::from_micros(100);
+    sys.apply_faults(&FaultPlan::new().at(at, FaultAction::Crash(victim)));
+    sys.add_coordinator("coordinator2")
+        .expect_err("a source is down: the join cannot complete");
+    assert_eq!(sys.shard_map().epoch(), 1, "no flip on a failed join");
+
+    sys.restart_now(victim);
+    let report = sys.add_coordinator("coordinator2").expect("resumed join");
+    assert_eq!(report.epoch, 2, "the same successor map, not a third one");
+    assert_eq!(sys.shard_count(), 3, "one coordinator2, not two");
+    assert_eq!(sys.shard_map().shard_count(), 3);
+    sys.add_coordinator("coordinator2")
+        .expect_err("a member cannot join again");
+
+    sys.run();
+    for name in population() {
+        assert_eq!(
+            sys.status(&name).expect("every instance answers status()"),
+            baseline[&name],
+            "{name} lost or changed its outcome across the interrupted join"
+        );
+    }
+    assert_eq!(sys.stats().forward_loops, 0);
+}
+
+// ---------------------------------------------------------------------
+// The source-crash and destination-crash cells of the fault sweep (the
+// whole sweep runs over a drain, in `drain_failover.rs`), with the
+// assertions a single move allows: who ends up owning the instance.
+// ---------------------------------------------------------------------
+
+/// Two shards mid-flight, and a successor map that swaps their
+/// positions — so each hands the other some of its residents, shard 0
+/// first, one instance per round.
+fn swapping_rebalance() -> (WorkflowSystem, ShardMap) {
+    let mut sys = build(2);
+    start_population(&mut sys, &population());
+    sys.run_until(SimTime::from_nanos(20_000_000));
+    let mut swapped = sys.shard_map().clone();
+    let first = sys.coordinator_nodes()[0];
+    swapped.remove_node(first);
+    swapped.add_node(first);
+    (sys, swapped)
+}
+
+/// Crash the *source* after it logged the hand-off intent but before
+/// the decision (its `Prepare` is still on the wire): recovery must
+/// presume abort, keep the instance, and finish it locally.
+#[test]
+fn source_crash_before_decision_presumes_abort() {
+    let (mut sys, swapped) = swapping_rebalance();
+    let src_node = sys.coordinator_nodes()[0];
+    let before = sys.coord_handle(0).instance_names();
+    let logged =
+        |sys: &WorkflowSystem| sys.shard_registry(0).snapshot().counter("tx.two_pc_rounds");
+    let logged_before = logged(&sys);
+
+    let at = sys.now() + SimDuration::from_micros(100);
+    sys.apply_faults(&FaultPlan::new().at(at, FaultAction::Crash(src_node)));
+    sys.rebalance(swapped)
+        .expect_err("the source died mid-round");
     sys.restart_now(src_node);
     sys.run();
 
-    // Presumed abort: the instance never left, and recovery finished it.
-    let src = sys.coord_handle(src_shard);
-    assert!(
-        src.instance_names().contains(&name),
-        "instance must stay resident at the source"
-    );
-    assert!(
-        !sys.coord_handle(dest_shard)
-            .instance_names()
-            .contains(&name),
-        "the aborted move must not leak the instance to the destination"
-    );
-    assert_eq!(
-        sys.shard_stats(src_shard).handoffs,
-        0,
-        "no commit, no count"
-    );
-    let status = sys.status(&name).unwrap();
-    assert!(
-        matches!(status, InstanceStatus::Completed(_)),
-        "{name}: {status:?}"
-    );
-    // And the whole population still converged.
-    for other in population() {
-        assert!(sys.status(&other).unwrap().is_terminal(), "{other}");
+    // The durable intent existed, and recovery closed it with an abort.
+    assert_eq!(logged(&sys) - logged_before, 2, "one intent, one abort");
+    // Presumed abort: nothing left the source, nothing leaked to the
+    // destination, and recovery finished every instance.
+    assert_eq!(sys.coord_handle(0).instance_names(), before);
+    for name in &before {
+        assert!(
+            !sys.coord_handle(1).instance_names().contains(name),
+            "the aborted move must not leak {name} to the destination"
+        );
+    }
+    assert_eq!(sys.shard_stats(0).handoffs, 0, "no commit, no count");
+    for name in population() {
+        let status = sys.status(&name).unwrap();
+        assert!(
+            matches!(status, InstanceStatus::Completed(_)),
+            "{name}: {status:?}"
+        );
     }
 }
 
-/// Crash the *destination* between its prepare and hearing the commit:
-/// its restart finds the in-doubt stage, asks the source (the 2PC
-/// coordinator), learns `committed`, and adopts the instance — which
+/// Crash the *destination* between its yes-vote and hearing the
+/// commit: its restart finds the in-doubt stage, asks the source (the
+/// 2PC coordinator), learns `commit`, and adopts the instance — which
 /// then finishes on its new owner, fed by relayed executor reports.
 #[test]
 fn destination_crash_after_commit_converges_to_destination() {
-    let mut sys = build(2);
-    start_population(&mut sys, &population());
-    sys.run_until(SimTime::from_nanos(20_000_000));
+    let (mut sys, swapped) = swapping_rebalance();
+    let dest_node = sys.coordinator_nodes()[1];
+    let before = sys.coord_handle(1).instance_names();
 
-    let name = population()
-        .into_iter()
-        .find(|name| !sys.status(name).unwrap().is_terminal())
-        .expect("a running instance");
-    let src_shard = sys.shard_of(&name);
-    let dest_shard = 1 - src_shard;
-    let dest_node = sys.coordinator_nodes()[dest_shard];
-    let src = sys.coord_handle(src_shard);
-    let dest = sys.coord_handle(dest_shard);
-
-    let moving = std::slice::from_ref(&name);
-    let packages = src
-        .handoff_collect(sys.world_mut(), moving, dest_node)
-        .expect("collect");
-    let tx = packages[0].tx;
-    dest.handoff_prepare(&packages).expect("prepare");
-    src.handoff_commit(sys.world_mut(), moving, tx, dest_node)
-        .expect("commit");
-    // The decision is durable at the source; the destination crashes
+    // The `Prepare` lands one hop in (200 µs); the decision would land
+    // at three.
+    let at = sys.now() + SimDuration::from_micros(300);
+    sys.apply_faults(&FaultPlan::new().at(at, FaultAction::Crash(dest_node)));
+    sys.rebalance(swapped)
+        .expect_err("the destination died before acknowledging");
+    // The decision is durable at the source; the destination crashed
     // without ever applying it.
-    sys.crash_now(dest_node);
+    assert_eq!(sys.shard_stats(0).handoffs, 1);
     sys.restart_now(dest_node);
     sys.run();
 
     // The restarted destination chased its in-doubt stage, heard
-    // `committed`, and adopted.
-    let dest = sys.coord_handle(dest_shard);
+    // `commit`, and adopted.
+    let dest = sys.coord_handle(1);
+    let arrived: Vec<String> = dest
+        .instance_names()
+        .into_iter()
+        .filter(|name| !before.contains(name))
+        .collect();
+    let [name] = &arrived[..] else {
+        panic!("exactly the one committed move must land: {arrived:?}");
+    };
     assert!(
-        dest.instance_names().contains(&name),
-        "destination must adopt the committed move"
-    );
-    assert!(
-        !sys.coord_handle(src_shard).instance_names().contains(&name),
+        !sys.coord_handle(0).instance_names().contains(name),
         "the source must have purged the moved instance"
     );
-    assert_eq!(sys.shard_stats(src_shard).handoffs, 1);
-    // The client map was never flipped (this test drives the protocol
-    // by hand), so ask the new owner directly.
-    let status = dest.status(&name).unwrap();
+    assert_eq!(sys.shard_stats(0).handoffs, 1);
+    // The map was never flipped (the rebalance failed), so ask the new
+    // owner directly.
+    let status = dest.status(name).unwrap();
     assert!(
         matches!(status, InstanceStatus::Completed(_)),
         "{name}: {status:?}"
     );
+    assert_eq!(sys.stats().forward_loops, 0);
 }
 
 /// Two coordinators with *disagreeing* maps — each believing the other

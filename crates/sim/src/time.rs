@@ -53,7 +53,7 @@ impl SimDuration {
     }
 
     /// Creates a duration from milliseconds.
-    pub fn from_millis(millis: u64) -> Self {
+    pub const fn from_millis(millis: u64) -> Self {
         SimDuration(millis.saturating_mul(1_000_000))
     }
 

@@ -468,15 +468,21 @@ impl World {
     /// the virtual time instead of spinning at the last event's
     /// timestamp.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(next) = self.sched.peek_time() {
-            if next > deadline {
-                break;
-            }
-            if !self.step() {
-                break;
+        while self.step_until(deadline) {}
+    }
+
+    /// Runs the next event if it is due by `deadline` and returns
+    /// `true`; with nothing due, advances the clock to `deadline` and
+    /// returns `false`. The single step of [`World::run_until`], for
+    /// callers that wait on a condition of their own between events.
+    pub fn step_until(&mut self, deadline: SimTime) -> bool {
+        match self.sched.peek_time() {
+            Some(next) if next <= deadline => self.step(),
+            _ => {
+                self.sched.advance_to(deadline);
+                false
             }
         }
-        self.sched.advance_to(deadline);
     }
 
     /// Number of pending (uncancelled) events.

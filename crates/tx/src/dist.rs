@@ -6,8 +6,15 @@
 //! provides the coordinator as a *pure state machine*: callers feed it
 //! votes/acks/timeouts and it emits [`CoordAction`]s (messages to send,
 //! decisions to persist). Keeping I/O outside makes the protocol unit-
-//! testable in isolation and reusable over any transport (the engine drives
-//! it over the simulated network).
+//! testable in isolation and reusable over any transport.
+//!
+//! The engine hosts it in `flowscript-engine`'s `coordinator::membership`:
+//! a live instance hand-off (rebalance, planned drain) is a transaction of
+//! this protocol, the source shard holding the [`Coordinator`], the
+//! destination its one participant, [`DistMsg`] travelling inside the
+//! engine's own message type over the simulated network, and a constant-
+//! interval node timer driving [`Coordinator::on_timeout`]. The workspace's
+//! `tests/two_phase_commit.rs` models the same host in miniature.
 //!
 //! Protocol summary (presumed abort):
 //!
