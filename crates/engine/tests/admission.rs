@@ -12,54 +12,18 @@ mod common;
 
 use std::collections::BTreeMap;
 
-use common::{build, det_config, fingerprints, start_population, text, Fingerprint, ONE_TASK};
+use common::{
+    build, det_config, fan_join_source, fingerprints, run_fan, start_population, text, Fingerprint,
+    ONE_TASK,
+};
 use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{
-    CbState, CommitBatch, EngineError, InstanceStatus, ObsEventKind, ObserveLevel, SchedPolicy,
-    TaskBehavior, WorkflowSystem,
+    CbState, CommitBatch, EngineError, InstanceStatus, ObsEventKind, ObserveLevel, TaskBehavior,
+    WorkflowSystem,
 };
 use flowscript_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
-
-/// A `width`-way fan joined by an AND of notifications: the outcome is
-/// independent of completion order, so any capacity-induced
-/// serialization is observationally silent — exactly the property the
-/// equivalence tests assert.
-fn fan_join_source(width: usize) -> String {
-    let mut source = String::from(
-        r#"
-class Data;
-taskclass Work {
-    inputs { input main { in of class Data } };
-    outputs { outcome done { } }
-}
-taskclass Root {
-    inputs { input main { seed of class Data } };
-    outputs { outcome done { } }
-}
-compoundtask root of taskclass Root {
-"#,
-    );
-    for i in 0..width {
-        source.push_str(&format!(
-            r#"    task w{i} of taskclass Work {{
-        implementation {{ "code" is "refW{i}" }};
-        inputs {{ input main {{ inputobject in from {{ seed of task root if input main }} }} }}
-    }};
-"#
-        ));
-    }
-    source.push_str("    outputs { outcome done {\n");
-    for i in 0..width {
-        let sep = if i + 1 < width { ";" } else { "" };
-        source.push_str(&format!(
-            "        notification from {{ task w{i} if output done }}{sep}\n"
-        ));
-    }
-    source.push_str("    } }\n}\n");
-    source
-}
 
 // ---------------------------------------------------------------------
 // Capacity parking: the per-shard ready queue.
@@ -104,7 +68,6 @@ compoundtask root of taskclass Root {
 }
 "#;
     let config = EngineConfig {
-        scheduler: SchedPolicy::LeastLoaded,
         observe: ObserveLevel::Trace,
         ..EngineConfig::default()
     };
@@ -290,7 +253,7 @@ fn crash_with_parked_dispatches_recovers_the_whole_fan() {
         .seed(13)
         .config(config)
         .build();
-    sys.register_script("fan", &fan_join_source(6), "root")
+    sys.register_script("fan", &fan_join_source(6, |_| None), "root")
         .unwrap();
     for i in 0..6 {
         sys.bind_fn(&format!("refW{i}"), |_| {
@@ -344,7 +307,6 @@ compoundtask root of taskclass Root {
 
 fn lying_chain_system() -> WorkflowSystem {
     let config = EngineConfig {
-        scheduler: SchedPolicy::LeastLoaded,
         dispatch_timeout: SimDuration::from_millis(200),
         retry_backoff: SimDuration::from_millis(50),
         max_retries: 3,
@@ -408,37 +370,7 @@ fn feedback_preserves_paper_fingerprints_across_shards() {
 /// unbounded-fleet baseline no matter how hard capacities serialize
 /// the fan.
 fn run_fan_population(capacities: Option<Vec<u32>>, wave: usize) -> BTreeMap<String, Fingerprint> {
-    let width = 6;
-    let config = EngineConfig {
-        scheduler: SchedPolicy::LeastLoaded,
-        dispatch_timeout: SimDuration::from_secs(3600),
-        observe: ObserveLevel::Trace,
-        ..EngineConfig::default()
-    };
-    let mut builder = WorkflowSystem::builder()
-        .executors(2)
-        .seed(9)
-        .config(config);
-    if let Some(caps) = capacities {
-        builder = builder.executors_weighted(caps);
-    }
-    let mut sys = builder.build();
-    sys.register_script("fan", &fan_join_source(width), "root")
-        .unwrap();
-    for i in 0..width {
-        let work = SimDuration::from_millis(40 + 30 * i as u64);
-        sys.bind_fn(&format!("refW{i}"), move |_| {
-            TaskBehavior::outcome("done").with_work(work)
-        });
-    }
-    let mut names = Vec::new();
-    for i in 0..wave {
-        let name = format!("fan-{i}");
-        sys.start(&name, "fan", "main", [("seed", text("Data", "s"))])
-            .unwrap();
-        names.push(name);
-    }
-    sys.run();
+    let (sys, names) = run_fan(capacities, wave);
     assert_eq!(sys.stats().dropped_dispatches, 0);
     fingerprints(&sys, &names)
 }

@@ -243,6 +243,85 @@ compoundtask root of taskclass Root {
 }
 "#;
 
+/// A `width`-way fan of leaves `w{i}` (code `refW{i}`, declaring
+/// `duration_ms(i)` when it gives one) joined by an AND of
+/// notifications: the outcome is independent of completion order, so
+/// any capacity-induced serialization is observationally silent, and
+/// load imbalance shows up directly as virtual makespan.
+pub fn fan_join_source(width: usize, duration_ms: impl Fn(usize) -> Option<u64>) -> String {
+    let mut source = String::from(
+        r#"
+class Data;
+taskclass Work {
+    inputs { input main { in of class Data } };
+    outputs { outcome done { } }
+}
+taskclass Root {
+    inputs { input main { seed of class Data } };
+    outputs { outcome done { } }
+}
+compoundtask root of taskclass Root {
+"#,
+    );
+    for i in 0..width {
+        let hint = duration_ms(i)
+            .map(|ms| format!(r#"; "duration_ms" is "{ms}""#))
+            .unwrap_or_default();
+        source.push_str(&format!(
+            r#"    task w{i} of taskclass Work {{
+        implementation {{ "code" is "refW{i}"{hint} }};
+        inputs {{ input main {{ inputobject in from {{ seed of task root if input main }} }} }}
+    }};
+"#
+        ));
+    }
+    source.push_str("    outputs { outcome done {\n");
+    for i in 0..width {
+        let sep = if i + 1 < width { ";" } else { "" };
+        source.push_str(&format!(
+            "        notification from {{ task w{i} if output done }}{sep}\n"
+        ));
+    }
+    source.push_str("    } }\n}\n");
+    source
+}
+
+/// Runs `wave` instances `fan-{i}` of a 6-way fan (leaf `i` works
+/// 40 + 30·i ms) to quiescence on two unbounded executors — or, with
+/// `capacities`, on one executor per entry offering that many slots
+/// (0 = unbounded).
+pub fn run_fan(capacities: Option<Vec<u32>>, wave: usize) -> (WorkflowSystem, Vec<String>) {
+    let width = 6;
+    let config = EngineConfig {
+        dispatch_timeout: SimDuration::from_secs(3600),
+        observe: ObserveLevel::Trace,
+        ..EngineConfig::default()
+    };
+    let mut builder = WorkflowSystem::builder()
+        .executors(2)
+        .seed(9)
+        .config(config);
+    if let Some(caps) = capacities {
+        builder = builder.executors_weighted(caps);
+    }
+    let mut sys = builder.build();
+    sys.register_script("fan", &fan_join_source(width, |_| None), "root")
+        .unwrap();
+    for i in 0..width {
+        let work = SimDuration::from_millis(40 + 30 * i as u64);
+        sys.bind_fn(&format!("refW{i}"), move |_| {
+            TaskBehavior::outcome("done").with_work(work)
+        });
+    }
+    let names: Vec<String> = (0..wave).map(|i| format!("fan-{i}")).collect();
+    for name in &names {
+        sys.start(name, "fan", "main", [("seed", text("Data", "s"))])
+            .unwrap();
+    }
+    sys.run();
+    (sys, names)
+}
+
 /// The paper's §2 reconfiguration: `t5` joins the fig. 1 diamond, fed
 /// by `t2` and `t4`.
 pub fn add_t5() -> Reconfig {

@@ -24,6 +24,12 @@
 //! of one build; these compare the reference arm with what it rendered
 //! when it was recorded.
 //!
+//! `placement.txt` pins what the fingerprints leave out — *where* and
+//! *when*: one line per recorder `Dispatch` / `Parked` / `Admitted` /
+//! `Retry` event (virtual time, instance, `path#attempt`, executor) for
+//! the paper population, a capacity-limited fan (park and drain order)
+//! and an executor crash with its retry relocations.
+//!
 //! Two reference arms are retired and survive only as what they
 //! rendered at `cbd4a79`, the last commit that had them: the
 //! whole-record fact layout (`whole_record_facts`) and the per-commit
@@ -42,13 +48,14 @@ use std::path::Path;
 
 use common::{
     add_t5, build, build_orders, det_config, det_link, fingerprint, generated_config,
-    generated_script, population, run_generated, run_worklist_case, start_population, text,
-    Fingerprint,
+    generated_script, population, run_fan, run_generated, run_worklist_case, start_population,
+    text, Fingerprint,
 };
 use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{
-    CommitBatch, InstanceStatus, ObjectVal, ObserveLevel, TaskBehavior, WorkflowSystem,
+    CommitBatch, InstanceStatus, ObjectVal, ObsEventKind, ObserveLevel, TaskBehavior,
+    WorkflowSystem,
 };
 use flowscript_sim::SimDuration;
 use flowscript_tx::Storage;
@@ -100,12 +107,18 @@ fn paper_config() -> EngineConfig {
     }
 }
 
+/// The paper population run to quiescence on `coordinators` shards.
+fn run_population(coordinators: usize, config: EngineConfig) -> WorkflowSystem {
+    let mut sys = build(coordinators, config);
+    start_population(&mut sys, &population());
+    sys.run();
+    sys
+}
+
 /// Fingerprints of every instance, then the digest of every shard's log.
 fn run(coordinators: usize, config: EngineConfig) -> (String, String) {
-    let mut sys = build(coordinators, config);
+    let sys = run_population(coordinators, config);
     let population = population();
-    start_population(&mut sys, &population);
-    sys.run();
     let fingerprints = population
         .iter()
         .map(|name| render(name, &fingerprint(&sys, name)))
@@ -351,4 +364,67 @@ fn full_scan_matches_golden() {
         ));
     }
     check("reference_full_scan.txt", &rendered);
+}
+
+/// Every placement decision of a finished run, in virtual-time order
+/// (ties: shard, then the recorder's own sequence).
+fn render_placement(sys: &WorkflowSystem) -> String {
+    let mut events: Vec<_> = (0..sys.shard_count())
+        .flat_map(|shard| {
+            let recorder = sys.coord_handle(shard).recorder();
+            assert_eq!(recorder.dropped(), 0, "shard {shard}'s recorder evicted");
+            recorder.events()
+        })
+        .collect();
+    events.sort_by_key(|event| (event.at_ns, event.shard, event.seq));
+    let mut rendered = String::new();
+    for event in events {
+        let what = match &event.kind {
+            ObsEventKind::Dispatch { executor } => format!("executor {executor}"),
+            ObsEventKind::Parked { queue_depth } => format!("parked, depth {queue_depth}"),
+            ObsEventKind::Admitted { wait_ns } => format!("admitted after {wait_ns} ns"),
+            ObsEventKind::Retry { reason } => format!("retry: {reason}"),
+            _ => continue,
+        };
+        rendered.push_str(&format!(
+            "{:>12} ns | {} | {}#{} | {what}\n",
+            event.at_ns,
+            event.instance,
+            event.task.as_deref().unwrap_or("-"),
+            event.attempt,
+        ));
+    }
+    rendered
+}
+
+/// Four fig. 7 orders on one shard; the first executor crashes 10 ms
+/// in, for good: every dispatch it held times out and relocates.
+fn run_executor_crash() -> WorkflowSystem {
+    let mut sys = build_orders(1, det_config());
+    let names: Vec<String> = (0..4).map(|i| format!("order-{i}")).collect();
+    start_population(&mut sys, &names);
+    sys.run_for(SimDuration::from_millis(10));
+    let victim = sys.executor_nodes()[0];
+    sys.crash_now(victim);
+    sys.run();
+    assert!(sys.stats().retries > 0, "the crash must cost a retry");
+    for name in &names {
+        assert!(sys.outcome(name).is_some(), "{name} lost");
+    }
+    sys
+}
+
+#[test]
+fn placement_matches_golden() {
+    let (fan, _) = run_fan(Some(vec![1, 2]), 4);
+    let rendered = format!(
+        "# paper population, 1 shard\n{}# paper population, 4 shards\n{}\
+         # 4 fans of 6 on executor capacities [1, 2]\n{}\
+         # 4 orders, executor 0 crashes at 10 ms\n{}",
+        render_placement(&run_population(1, paper_config())),
+        render_placement(&run_population(4, paper_config())),
+        render_placement(&fan),
+        render_placement(&run_executor_crash()),
+    );
+    check("placement.txt", &rendered);
 }

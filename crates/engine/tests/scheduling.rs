@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::text;
+use common::{fan_join_source, text};
 use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{
@@ -412,51 +412,28 @@ compoundtask root of taskclass Root {
 }
 
 // ---------------------------------------------------------------------
-// Least-loaded vs the hash baseline (deterministic, virtual time).
+// The scheduler vs its retiring baselines (deterministic, virtual time).
 // ---------------------------------------------------------------------
 
-/// A fan of `width` workers per instance with heavily skewed work
-/// durations, on serial-capacity executors: load imbalance shows up
-/// directly as virtual makespan.
-fn skew_source(width: usize) -> String {
-    let mut source = String::from(
-        r#"
-class Data;
-taskclass Work {
-    inputs { input main { in of class Data } };
-    outputs { outcome done { } }
-}
-taskclass Root {
-    inputs { input main { seed of class Data } };
-    outputs { outcome done { } }
-}
-compoundtask root of taskclass Root {
-"#,
-    );
-    for i in 0..width {
-        source.push_str(&format!(
-            r#"    task w{i} of taskclass Work {{
-        implementation {{ "code" is "refW{i}" }};
-        inputs {{ input main {{ inputobject in from {{ seed of task root if input main }} }} }}
-    }};
-"#
-        ));
-    }
-    source.push_str("    outputs { outcome done {\n");
-    for i in 0..width {
-        let sep = if i + 1 < width { ";" } else { "" };
-        source.push_str(&format!(
-            "        notification from {{ task w{i} if output done }}{sep}\n"
-        ));
-    }
-    source.push_str("    } }\n}\n");
-    source
-}
+/// What `SchedPolicy::PathHash` renders on `skew_makespan(_, 4, 51, false, 12)`.
+const PATH_HASH_SKEW_NS: u64 = 5_402_830_819;
+/// What `SchedPolicy::InFlightCount` renders on
+/// `skew_makespan(_, 2, 52, true, 8)`.
+const COUNT_BASED_HINTED_SKEW_NS: u64 = 2_637_117_372;
 
-/// Runs `instances` skewed fans on 4 serial executors under `policy`
-/// and returns the virtual makespan.
-fn skew_makespan(policy: SchedPolicy, instances: usize) -> SimDuration {
+/// Runs `instances` 6-way fans with heavily skewed work (`w0` 400 ms,
+/// the rest 50 ms — declared as `duration_ms` when `hinted`) on
+/// `executors` serial executors under `policy` and returns the virtual
+/// makespan: load imbalance shows up directly in it.
+fn skew_makespan(
+    policy: SchedPolicy,
+    executors: usize,
+    seed: u64,
+    hinted: bool,
+    instances: usize,
+) -> SimDuration {
     let width = 6;
+    let work_ms = |i: usize| if i == 0 { 400 } else { 50 };
     let config = EngineConfig {
         scheduler: policy,
         // Serial queues stretch latencies; keep watchdogs out of it.
@@ -464,128 +441,16 @@ fn skew_makespan(policy: SchedPolicy, instances: usize) -> SimDuration {
         ..EngineConfig::default()
     };
     let mut sys = WorkflowSystem::builder()
-        .executors(4)
+        .executors(executors)
         .serial_executors(true)
-        .seed(51)
+        .seed(seed)
         .config(config)
         .trace(false)
         .build();
-    sys.register_script("skew", &skew_source(width), "root")
-        .unwrap();
+    let source = fan_join_source(width, |i| hinted.then(|| work_ms(i)));
+    sys.register_script("skew", &source, "root").unwrap();
     for i in 0..width {
-        let work = if i == 0 {
-            SimDuration::from_millis(400)
-        } else {
-            SimDuration::from_millis(50)
-        };
-        sys.bind_fn(&format!("refW{i}"), move |_| {
-            TaskBehavior::outcome("done").with_work(work)
-        });
-    }
-    for i in 0..instances {
-        sys.start(
-            &format!("wave-{i}"),
-            "skew",
-            "main",
-            [("seed", text("Data", "d"))],
-        )
-        .unwrap();
-    }
-    sys.run();
-    for i in 0..instances {
-        assert_eq!(
-            sys.outcome(&format!("wave-{i}")).expect("completes").name,
-            "done",
-            "{policy:?}"
-        );
-    }
-    // Every load counter has drained.
-    for shard in 0..sys.shard_count() {
-        assert!(
-            sys.executor_loads(shard).iter().all(|s| s.in_flight == 0),
-            "{policy:?}: load counters must drain"
-        );
-    }
-    assert_eq!(sys.stats().dropped_dispatches, 0);
-    sys.now().since(SimTime::ZERO)
-}
-
-#[test]
-fn least_loaded_beats_the_hash_baseline_under_skewed_durations() {
-    let hash = skew_makespan(SchedPolicy::PathHash, 12);
-    let scheduled = skew_makespan(SchedPolicy::LeastLoaded, 12);
-    assert!(
-        scheduled < hash,
-        "least-loaded ({scheduled:?}) must beat path-hash ({hash:?}) on skewed durations"
-    );
-}
-
-// ---------------------------------------------------------------------
-// Remaining-work vs count-based least-loaded (declared durations).
-// ---------------------------------------------------------------------
-
-/// The skewed fan with the durations *declared* in the implementation
-/// clause — the remaining-work scheduler's input signal.
-fn hinted_skew_source(width: usize) -> String {
-    let mut source = String::from(
-        r#"
-class Data;
-taskclass Work {
-    inputs { input main { in of class Data } };
-    outputs { outcome done { } }
-}
-taskclass Root {
-    inputs { input main { seed of class Data } };
-    outputs { outcome done { } }
-}
-compoundtask root of taskclass Root {
-"#,
-    );
-    for i in 0..width {
-        let duration = if i == 0 { 400 } else { 50 };
-        source.push_str(&format!(
-            r#"    task w{i} of taskclass Work {{
-        implementation {{ "code" is "refW{i}"; "duration_ms" is "{duration}" }};
-        inputs {{ input main {{ inputobject in from {{ seed of task root if input main }} }} }}
-    }};
-"#
-        ));
-    }
-    source.push_str("    outputs { outcome done {\n");
-    for i in 0..width {
-        let sep = if i + 1 < width { ";" } else { "" };
-        source.push_str(&format!(
-            "        notification from {{ task w{i} if output done }}{sep}\n"
-        ));
-    }
-    source.push_str("    } }\n}\n");
-    source
-}
-
-/// Runs `instances` duration-hinted skewed fans on 2 serial executors
-/// under `policy` and returns the virtual makespan.
-fn hinted_skew_makespan(policy: SchedPolicy, instances: usize) -> SimDuration {
-    let width = 6;
-    let config = EngineConfig {
-        scheduler: policy,
-        dispatch_timeout: SimDuration::from_secs(3600),
-        ..EngineConfig::default()
-    };
-    let mut sys = WorkflowSystem::builder()
-        .executors(2)
-        .serial_executors(true)
-        .seed(52)
-        .config(config)
-        .trace(false)
-        .build();
-    sys.register_script("skew", &hinted_skew_source(width), "root")
-        .unwrap();
-    for i in 0..width {
-        let work = if i == 0 {
-            SimDuration::from_millis(400)
-        } else {
-            SimDuration::from_millis(50)
-        };
+        let work = SimDuration::from_millis(work_ms(i));
         sys.bind_fn(&format!("refW{i}"), move |_| {
             TaskBehavior::outcome("done").with_work(work)
         });
@@ -615,7 +480,19 @@ fn hinted_skew_makespan(policy: SchedPolicy, instances: usize) -> SimDuration {
             "{policy:?}: load and remaining-work counters must drain"
         );
     }
+    assert_eq!(sys.stats().dropped_dispatches, 0);
     sys.now().since(SimTime::ZERO)
+}
+
+#[test]
+fn least_loaded_beats_the_hash_baseline_under_skewed_durations() {
+    let hash = skew_makespan(SchedPolicy::PathHash, 4, 51, false, 12);
+    assert_eq!(hash.as_nanos(), PATH_HASH_SKEW_NS);
+    let scheduled = skew_makespan(SchedPolicy::LeastLoaded, 4, 51, false, 12);
+    assert!(
+        scheduled < hash,
+        "least-loaded ({scheduled:?}) must beat path-hash ({hash:?}) on skewed durations"
+    );
 }
 
 #[test]
@@ -627,8 +504,9 @@ fn remaining_work_never_loses_to_count_based_least_loaded_on_skewed_durations() 
     // coordinator parks instead of overcommitting, so both policies
     // converge on the greedy earliest-free-slot schedule — the weighted
     // projection can no longer *lose*, which is what this guards now.
-    let count = hinted_skew_makespan(SchedPolicy::InFlightCount, 8);
-    let weighted = hinted_skew_makespan(SchedPolicy::LeastLoaded, 8);
+    let count = skew_makespan(SchedPolicy::InFlightCount, 2, 52, true, 8);
+    assert_eq!(count.as_nanos(), COUNT_BASED_HINTED_SKEW_NS);
+    let weighted = skew_makespan(SchedPolicy::LeastLoaded, 2, 52, true, 8);
     assert!(
         weighted <= count,
         "remaining-work ({weighted:?}) must never lose to count-based ({count:?}) \
