@@ -1261,6 +1261,16 @@ impl WorkflowSystem {
         self.coords[shard].clone()
     }
 
+    /// The shards serving right now: node up, storage not claimed by
+    /// another node (what a test may hold to its volatile invariants).
+    #[doc(hidden)]
+    pub fn serving_shards(&self) -> Vec<usize> {
+        let serving = |coord: &CoordHandle| self.world.is_up(coord.node()) && !coord.is_fenced();
+        (0..self.coords.len())
+            .filter(|&shard| serving(&self.coords[shard]))
+            .collect()
+    }
+
     /// Schedules a fault plan.
     pub fn apply_faults(&mut self, plan: &FaultPlan) {
         plan.apply(&mut self.world);

@@ -86,7 +86,7 @@ impl CoordHandle {
     ) -> Result<(), EngineError> {
         // Repair reads current state: absorb the batch window first.
         self.flush_pending(world);
-        {
+        let forced = {
             let mut coordinator = self.inner.borrow_mut();
             let Some(rt) = coordinator.instances.get(instance) else {
                 return Err(EngineError::UnknownInstance(instance.to_string()));
@@ -166,6 +166,11 @@ impl CoordHandle {
                 cb.attempt,
                 ObsEventKind::Repair { what },
             );
+            force.then_some(task_id)
+        };
+        if let Some(task_id) = forced {
+            // Whatever the task had on the wire will never be applied.
+            self.discard_flights(world, instance, std::iter::once(task_id));
         }
         self.evaluate(world, instance);
         self.pump(world);
@@ -193,7 +198,7 @@ impl CoordHandle {
         // Reconfiguration rebuilds the plan and rebinding state from
         // committed truth: absorb the batch window first.
         self.flush_pending(world);
-        {
+        let old_plan = {
             let mut coordinator = self.inner.borrow_mut();
             let Some(mut meta) = coordinator.read_meta(instance) else {
                 return Err(EngineError::UnknownInstance(instance.to_string()));
@@ -254,10 +259,10 @@ impl CoordHandle {
             for path in &effects.new_tasks {
                 // New tasks join the current incarnation of their scope.
                 let scope_path = path.rsplit_once('/').map(|(s, _)| s).unwrap_or("");
-                let scope_inc = coordinator
-                    .read_cb(instance, scope_path)
-                    .map(|cb| cb.scope_inc)
-                    .unwrap_or(0);
+                let scope_inc = old_plan
+                    .task_by_path(scope_path)
+                    .and_then(|scope| coordinator.read_cb_id(&old_keys, scope))
+                    .map_or(0, |cb| cb.scope_inc);
                 let mut cb = TaskCb::new(path.clone());
                 cb.incarnation = scope_inc;
                 coordinator
@@ -294,11 +299,14 @@ impl CoordHandle {
             if let Reconfig::Rebind { code, to } = &op {
                 rt.bindings.insert(code.clone(), to.clone());
             }
-            // The old fingerprint may now be orphaned — reclaim it
-            // right away rather than waiting for the next checkpoint
-            // (an idle instance would strand it forever).
-            coordinator.gc_plans()?;
-        }
+            old_plan
+        };
+        // Task ids shifted under dispatch's books.
+        self.rekey_flights(world, instance, &old_plan);
+        // The old fingerprint may now be orphaned — reclaim it right
+        // away rather than waiting for the next checkpoint (an idle
+        // instance would strand it forever).
+        self.inner.borrow_mut().gc_plans()?;
         // The plan changed under the instance: reconfiguration re-enters
         // through the full scan (new tasks and new edges have no commit
         // to seed from).

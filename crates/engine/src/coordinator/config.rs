@@ -4,8 +4,6 @@
 use flowscript_obs::ObserveLevel;
 use flowscript_sim::SimDuration;
 
-use crate::sched::SchedPolicy;
-
 /// Tunable engine policy.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -21,12 +19,6 @@ pub struct EngineConfig {
     pub max_repeats: u32,
     /// Write a checkpoint and compact the log every this many commits.
     pub checkpoint_every: Option<u64>,
-    /// How dispatch picks executors. The default honors the
-    /// implementation clause's `location`/`priority` hints and tracks
-    /// per-executor load; [`SchedPolicy::PathHash`] and
-    /// [`SchedPolicy::InFlightCount`] are the baselines
-    /// `tests/scheduling.rs` compares it against.
-    pub scheduler: SchedPolicy,
     /// How much the engine observes itself. `Off` (the default) keeps
     /// only the always-on counters behind the public stats getters;
     /// `Metrics` adds the optional histograms (commit-drain length,
@@ -69,7 +61,6 @@ impl Default for EngineConfig {
             dispatch_timeout: SimDuration::from_secs(30),
             max_repeats: 32,
             checkpoint_every: None,
-            scheduler: SchedPolicy::default(),
             observe: ObserveLevel::Off,
             recorder_capacity: 4096,
             commit_batch: CommitBatch::default(),
@@ -98,11 +89,6 @@ pub struct CommitBatch {
     /// Flush at most this long (virtual time) after the first buffered
     /// report. Zero is the window of one too, whatever `max_events` says.
     pub max_window: SimDuration,
-    /// Auto-tune the window between this floor and `max_window` from
-    /// the observed report arrival rate: bursts hold the full window
-    /// (sync amortization), light load narrows it to this floor (commit
-    /// latency). `None` (the default) keeps the static window.
-    pub min_window: Option<SimDuration>,
 }
 
 impl CommitBatch {
@@ -112,7 +98,6 @@ impl CommitBatch {
         Self {
             max_events: 1,
             max_window: SimDuration::ZERO,
-            min_window: None,
         }
     }
 }
@@ -122,7 +107,6 @@ impl Default for CommitBatch {
         Self {
             max_events: 64,
             max_window: SimDuration::from_millis(1),
-            min_window: None,
         }
     }
 }
@@ -145,7 +129,6 @@ mod tests {
             dispatch_timeout,
             max_repeats,
             checkpoint_every: _,
-            scheduler: _,
             observe,
             recorder_capacity: _,
             commit_batch,
@@ -155,13 +138,11 @@ mod tests {
         let CommitBatch {
             max_events,
             max_window,
-            min_window,
         } = commit_batch;
         assert!(max_retries >= 1);
         assert!(max_repeats > 1);
         assert!(dispatch_timeout > retry_backoff);
         assert_eq!(observe, ObserveLevel::Off, "observation is opt-in");
         assert!(max_events > 1 && max_window > SimDuration::ZERO);
-        assert!(min_window.is_none(), "the static window is the default");
     }
 }

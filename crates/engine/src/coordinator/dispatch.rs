@@ -1,8 +1,20 @@
 //! Dispatch and executor replies: placement on the executor fleet, the
 //! capacity-parked ready queue, watchdogs, bounded retries, and the
 //! slow-path handler for reports the commit window cannot absorb.
+//!
+//! All of its volatile state lives in two places, both private to this
+//! module: the shard's [`Dispatcher`] (executor loads, observed costs,
+//! the parked ready queue) and, per instance, one [`Flights`] container
+//! holding a record for every task with outstanding work. Inside the
+//! coordinator a task is its dense [`TaskId`]; a path is resolved
+//! against the instance's *current* plan exactly where a wire message
+//! or a timer enters (timers capture the path — it is the name that
+//! survives a re-lowering), and a reconfiguration re-keys the records
+//! ([`CoordHandle::rekey_flights`]).
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use flowscript_core::ast::OutputKind;
 use flowscript_obs::ObsEventKind;
@@ -10,37 +22,70 @@ use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::{EventId, NodeId, SimDuration, World};
 use flowscript_tx::{FactKey, TxError};
 
-use super::{CoordHandle, Coordinator};
+use super::{CoordHandle, Coordinator, InstanceRt};
 use crate::facts;
-use crate::keys::{cb_uid, InstanceKeys};
+use crate::keys::InstanceKeys;
 use crate::msg::{EngineMsg, StartTask, TaskDone, TaskResult};
-use crate::sched::ImplHints;
+use crate::sched::{CostModel, ExecutorSlot, ExecutorSpec, ImplHints, SchedPolicy, Scheduler};
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
 
-/// Scheduler accounting for one outstanding dispatch: where it went,
+/// Scheduler accounting for the attempt on the wire: where it went,
 /// the load cost it was charged at (the unit of remaining-work
 /// accounting), the virtual send time (dispatch-latency metric and
 /// cost-model sample base) and the implementation code that ran (the
 /// [`CostModel`] EWMA key).
-#[derive(Debug, Clone)]
-pub(super) struct DispatchedTask {
-    pub(super) node: NodeId,
-    pub(super) cost: u64,
+#[derive(Debug)]
+struct Charge {
+    node: NodeId,
+    cost: u64,
     sent_ns: u64,
     code: String,
 }
 
+/// One task's outstanding work. A present record *is* "outstanding":
+/// an attempt on the wire, a dispatch parked behind saturated
+/// executors, a retry waiting out its backoff or a repeat its delay —
+/// stuck detection and the drain oracle read presence, nothing else.
+/// Every field is optional, so a watchdog that fired (its load released,
+/// the retry pending) and a watchdog armed over a load charged on
+/// another shard's books (an adopted instance) are states of the one
+/// record.
+#[derive(Debug, Default)]
+struct Flight {
+    /// The armed watchdog of the attempt on the wire.
+    watchdog: Option<EventId>,
+    /// The load that attempt is charged at; taken exactly when the
+    /// scheduler load is released.
+    charge: Option<Charge>,
+    /// The node the most recent *failed* attempt ran on; consumed by
+    /// the next dispatch so the retry relocates whenever an eligible
+    /// alternative exists (service relocation, §3).
+    avoid: Option<NodeId>,
+}
+
+/// The flight records of one instance, keyed by the dense task id of
+/// its current plan.
+#[derive(Debug, Default)]
+pub(super) struct Flights(BTreeMap<TaskId, Flight>);
+
+impl Flights {
+    /// No task of the instance has outstanding work (what stuck
+    /// detection asks).
+    pub(super) fn is_idle(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
 /// One dispatch parked in the per-shard ready queue because every
-/// eligible executor sat at its declared capacity. The path stays in
-/// `InstanceRt::in_flight` while parked (stuck detection and crash
-/// recovery treat it as outstanding work); the queue itself is
-/// volatile — the control block committed `Executing` *before* the
-/// park, so recovery re-dispatches (and possibly re-parks) it.
-#[derive(Debug, Clone)]
-pub(super) struct ParkedDispatch {
+/// eligible executor sat at its declared capacity. Its task keeps a
+/// flight record while parked; the queue itself is volatile — the
+/// control block committed `Executing` *before* the park, so recovery
+/// re-dispatches (and possibly re-parks) it.
+#[derive(Debug)]
+struct ParkedDispatch {
     instance: String,
-    path: String,
+    task: TaskId,
     attempt: u32,
     inputs: BTreeMap<String, ObjectVal>,
     repeat_objects: BTreeMap<String, ObjectVal>,
@@ -51,7 +96,165 @@ pub(super) struct ParkedDispatch {
     parked_ns: u64,
 }
 
+/// The shard-wide half of dispatch state. Volatile by design: recovery
+/// resets it and the re-dispatches rebuild it.
+pub(super) struct Dispatcher {
+    /// Load-aware executor selection over the shared fleet (each shard
+    /// keeps its own load view; no cross-shard coordination on the
+    /// dispatch hot path).
+    sched: Scheduler,
+    /// Observed-duration feedback: per-code EWMA of real completion
+    /// times, sampled at every genuine `TaskDone` release. An estimate,
+    /// not state: where it is empty the declared hints carry placement.
+    costs: CostModel,
+    /// Dispatches parked because every eligible executor sat at its
+    /// declared capacity, ordered by `(priority desc, arrival)`.
+    /// Drained whenever a release frees a slot.
+    parked: BTreeMap<(Reverse<i64>, u64), ParkedDispatch>,
+    /// Arrival tie-break for `parked` keys.
+    park_seq: u64,
+}
+
+impl Dispatcher {
+    pub(super) fn new(executors: Vec<ExecutorSpec>) -> Self {
+        Self {
+            sched: Scheduler::new(executors, SchedPolicy::default()),
+            costs: CostModel::new(),
+            parked: BTreeMap::new(),
+            park_seq: 0,
+        }
+    }
+
+    /// The in-flight view and the ready queue died with the process:
+    /// re-dispatches rebuild the loads, and parked tasks committed
+    /// `Executing`, so they re-dispatch too — re-parking if the fleet is
+    /// still saturated. The cost estimates are kept: nothing depends on
+    /// them, and the declared hints would only carry placement until
+    /// they re-converged.
+    pub(super) fn reset(&mut self) {
+        self.sched.reset_loads();
+        self.parked.clear();
+        self.park_seq = 0;
+    }
+
+    /// Releases the load `flight` is charged at, if any. Idempotent:
+    /// the charge is taken, so a second release finds none.
+    fn release(&mut self, flight: &mut Flight) -> Option<Charge> {
+        let charge = flight.charge.take()?;
+        self.sched.note_release(charge.node, charge.cost);
+        Some(charge)
+    }
+
+    /// Ends a record that did not complete: releases its load and
+    /// returns the watchdog to cancel.
+    fn discard(&mut self, mut flight: Flight) -> Option<EventId> {
+        self.release(&mut flight);
+        flight.watchdog
+    }
+
+    /// Drops the records of `tasks` — none of them completed — with
+    /// their load, and any dispatch of theirs still parked (a cancelled
+    /// task's parked dispatch must never run). Returns the watchdogs to
+    /// cancel.
+    fn discard_tasks(
+        &mut self,
+        instance: &str,
+        flights: &mut Flights,
+        tasks: impl Iterator<Item = TaskId>,
+    ) -> Vec<EventId> {
+        let dropped: BTreeMap<TaskId, Flight> = tasks
+            .filter_map(|task| Some((task, flights.0.remove(&task)?)))
+            .collect();
+        if !dropped.is_empty() {
+            // A parked dispatch always has its record.
+            self.parked.retain(|_, entry| {
+                entry.instance != instance || !dropped.contains_key(&entry.task)
+            });
+        }
+        let dropped = dropped.into_values();
+        dropped.filter_map(|flight| self.discard(flight)).collect()
+    }
+
+    /// Moves every record and parked dispatch of `instance` from its
+    /// task id under the old plan to `new_id(old)`; what belonged to a
+    /// task the new plan no longer has is released — load freed, parked
+    /// entry dropped, the watchdog returned for cancelling.
+    fn rekey(
+        &mut self,
+        instance: &str,
+        flights: &mut Flights,
+        new_id: impl Fn(TaskId) -> Option<TaskId>,
+    ) -> Vec<EventId> {
+        let mut watchdogs = Vec::new();
+        for (old, flight) in std::mem::take(&mut flights.0) {
+            match new_id(old) {
+                Some(new) => {
+                    flights.0.insert(new, flight);
+                }
+                None => watchdogs.extend(self.discard(flight)),
+            }
+        }
+        self.parked.retain(|_, entry| {
+            if entry.instance != instance {
+                return true;
+            }
+            let new = new_id(entry.task);
+            entry.task = new.unwrap_or(entry.task);
+            new.is_some()
+        });
+        watchdogs
+    }
+
+    /// Releases every record of an instance leaving this shard
+    /// (hand-off, purge) and forgets its parked dispatches — whoever
+    /// owns it next re-arms from its committed control blocks. Returns
+    /// the watchdogs to cancel.
+    pub(super) fn release_all(&mut self, instance: &str, mut flights: Flights) -> Vec<EventId> {
+        let tasks: Vec<TaskId> = flights.0.keys().copied().collect();
+        self.discard_tasks(instance, &mut flights, tasks.into_iter())
+    }
+}
+
+/// What one dispatch of a task ships and how long it may take.
+struct Shipment {
+    /// The implementation code after run-time rebinding.
+    code: String,
+    implementation: BTreeMap<String, String>,
+    hints: ImplHints,
+    /// Watchdog: base timeout extended by the declared duration — or by
+    /// the observed estimate when that is *longer* (a lying short hint
+    /// must not time out healthy work) — capped by the declared
+    /// deadline.
+    timeout: SimDuration,
+}
+
 impl Coordinator {
+    /// The code binding → hints → watchdog timeout derivation, shared
+    /// by a fresh dispatch and the re-arming of an adopted instance.
+    /// Run-time binding: a per-instance rebinding overrides the
+    /// script's name.
+    fn shipment(&self, rt: &InstanceRt, task: TaskId) -> Shipment {
+        let task = rt.plan.task(task);
+        let script_code = rt.plan.code(task).unwrap_or("");
+        let code = rt
+            .bindings
+            .get(script_code)
+            .map_or(script_code, String::as_str)
+            .to_string();
+        let implementation = rt.plan.implementation_map(task);
+        let hints = ImplHints::from_map(&implementation);
+        let timeout =
+            self.dispatcher
+                .costs
+                .watchdog_timeout(&code, &hints, self.config.dispatch_timeout);
+        Shipment {
+            code,
+            implementation,
+            hints,
+            timeout,
+        }
+    }
+
     /// The objects of a committed fact a re-dispatch ships (none when
     /// the fact is absent); `Err` when the stored bytes do not decode —
     /// a fault, which must not read as "fact absent".
@@ -91,84 +294,34 @@ impl Coordinator {
         Ok([inputs, repeat_objects])
     }
 
-    /// Ends the load accounting of an outstanding dispatch: removes the
-    /// path's `dispatched_to` entry and releases the cost it was
-    /// charged at. Idempotent (the entry gates the release); returns
-    /// the executor the dispatch ran on, if one was counted.
-    ///
-    /// `now_ns` is the completion time for the `coord.dispatch_latency_ns`
-    /// histogram and the cost model's EWMA sample; pass 0 on
-    /// non-completion paths (timeouts, failures, subtree sweeps) so
-    /// they skew neither the latency distribution nor the duration
-    /// estimates.
-    fn release_dispatch(&mut self, instance: &str, path: &str, now_ns: u64) -> Option<NodeId> {
-        let dispatched = self.instances.get_mut(instance).and_then(|rt| {
-            let id = rt.plan.task_by_path(path)?;
-            rt.dispatched_to.remove(&id)
-        })?;
-        self.sched.note_release(dispatched.node, dispatched.cost);
-        if now_ns > 0 && now_ns >= dispatched.sent_ns {
-            let elapsed = now_ns - dispatched.sent_ns;
-            // Only genuine completions reach here: watchdogs and sweeps
-            // release with now_ns = 0 and never teach the model.
-            self.costs.observe(&dispatched.code, elapsed);
+    /// The record of `task`, created if it has none: the task has
+    /// outstanding work from here on.
+    fn flight_mut(&mut self, instance: &str, task: TaskId) -> Option<&mut Flight> {
+        let rt = self.instances.get_mut(instance)?;
+        Some(rt.flights.0.entry(task).or_default())
+    }
+
+    /// Ends the load accounting of `task`'s attempt on the wire and
+    /// returns the executor it ran on, if one was counted (idempotent —
+    /// the charge gates the release). `completed_at_ns` is `Some` only
+    /// for a genuine executor report: its elapsed time feeds the
+    /// `coord.dispatch_latency_ns` histogram and the cost model.
+    /// Timeouts, failures and sweeps pass `None` and teach neither.
+    fn release_dispatch(
+        &mut self,
+        instance: &str,
+        task: TaskId,
+        completed_at_ns: Option<u64>,
+    ) -> Option<NodeId> {
+        let flight = self.instances.get_mut(instance)?.flights.0.get_mut(&task)?;
+        let charge = self.dispatcher.release(flight)?;
+        if let Some(elapsed) = completed_at_ns.and_then(|now| now.checked_sub(charge.sent_ns)) {
+            self.dispatcher.costs.observe(&charge.code, elapsed);
             if self.config.observe.metrics() {
                 self.metrics.dispatch_latency_ns.record(elapsed);
             }
         }
-        Some(dispatched.node)
-    }
-
-    /// Drops every piece of volatile tracking under `scope_path` —
-    /// armed watchdogs, in-flight markers, retry origins and the
-    /// dispatch load accounting — when the subtree is cancelled or
-    /// reset. Returns the disarmed watchdog events for the caller to
-    /// cancel outside the borrow.
-    pub(super) fn sweep_subtree(
-        &mut self,
-        instance: &str,
-        scope_path: &str,
-    ) -> Vec<(String, EventId)> {
-        let prefix = format!("{scope_path}/");
-        let stale: Vec<(String, EventId)> = self
-            .instances
-            .get_mut(instance)
-            .map(|rt| {
-                let stale: Vec<(String, EventId)> = rt
-                    .watchdogs
-                    .iter()
-                    .filter(|(path, _)| path.starts_with(&prefix))
-                    .map(|(path, id)| (path.clone(), *id))
-                    .collect();
-                for (path, _) in &stale {
-                    rt.watchdogs.remove(path);
-                }
-                rt.in_flight.retain(|path| !path.starts_with(&prefix));
-                rt.retry_from.retain(|path, _| !path.starts_with(&prefix));
-                stale
-            })
-            .unwrap_or_default();
-        // Release every outstanding dispatch under the subtree (a
-        // fired watchdog can outlive its load entry and vice versa, so
-        // sweep the accounting map itself).
-        let dispatched: Vec<String> = self
-            .instances
-            .get(instance)
-            .map(|rt| {
-                rt.dispatched_to
-                    .keys()
-                    .map(|&id| rt.plan.str(rt.plan.task(id).path).to_string())
-                    .filter(|path| path.starts_with(&prefix))
-                    .collect()
-            })
-            .unwrap_or_default();
-        for path in dispatched {
-            let _ = self.release_dispatch(instance, &path, 0);
-        }
-        // A cancelled subtree's parked dispatches must never run.
-        self.parked
-            .retain(|_, entry| entry.instance != instance || !entry.path.starts_with(&prefix));
-        stale
+        Some(charge.node)
     }
 
     /// The committed control blocks of `instance` sitting in
@@ -184,15 +337,142 @@ impl Coordinator {
             .collect()
     }
 
-    /// Drops every parked dispatch of `instance` (instance hand-off or
-    /// purge — the new owner re-dispatches from its own committed
-    /// control blocks).
-    pub(super) fn unpark_instance(&mut self, instance: &str) {
-        self.parked.retain(|_, entry| entry.instance != instance);
+    /// The books balance (debug-build oracle, asserted after every
+    /// drain): each flight record of `instance` belongs to a task of
+    /// its current plan whose committed control block is `Executing`,
+    /// and each of its parked dispatches has its record.
+    #[cfg(debug_assertions)]
+    pub(super) fn assert_flights_consistent(&self, instance: &str) {
+        let Some(rt) = self.instances.get(instance) else {
+            return;
+        };
+        for &task in rt.flights.0.keys() {
+            let known = rt.plan.tasks.get(task as usize);
+            let cb = known.and_then(|_| self.read_cb_id(&rt.keys, task));
+            assert!(
+                matches!(&cb, Some(cb) if matches!(cb.state, CbState::Executing { .. })),
+                "flight record {task} of `{instance}` has no `Executing` task in its \
+                 {}-task plan: {cb:?}",
+                rt.plan.tasks.len()
+            );
+        }
+        for entry in self.dispatcher.parked.values() {
+            assert!(
+                entry.instance != instance || rt.flights.0.contains_key(&entry.task),
+                "parked dispatch {} of `{instance}` has no flight record",
+                entry.task
+            );
+        }
     }
 }
 
 impl CoordHandle {
+    /// This shard's current view of the executor fleet: per-executor
+    /// location label and in-flight dispatch count (monitoring; the
+    /// scheduling tests assert the counts drain to zero).
+    pub fn executor_loads(&self) -> Vec<ExecutorSlot> {
+        self.inner.borrow().dispatcher.sched.snapshot()
+    }
+
+    /// Dispatches parked in this shard's ready queue behind saturated
+    /// executors (monitoring).
+    pub fn ready_queue_len(&self) -> usize {
+        self.inner.borrow().dispatcher.parked.len()
+    }
+
+    /// The cost model's smoothed duration estimate for `code`, in
+    /// milliseconds.
+    #[doc(hidden)]
+    pub fn cost_estimate_ms(&self, code: &str) -> Option<u64> {
+        self.inner.borrow().dispatcher.costs.estimate_ms(code)
+    }
+
+    /// Runs `edit` over the shard's dispatcher and `instance`'s flight
+    /// records, then cancels the watchdogs it hands back (outside the
+    /// borrow: cancelling needs the world).
+    fn edit_books(
+        &self,
+        world: &mut World,
+        instance: &str,
+        edit: impl FnOnce(&mut Dispatcher, &mut InstanceRt) -> Vec<EventId>,
+    ) {
+        let watchdogs = {
+            let coordinator = &mut *self.inner.borrow_mut();
+            let Some(rt) = coordinator.instances.get_mut(instance) else {
+                return;
+            };
+            edit(&mut coordinator.dispatcher, rt)
+        };
+        for id in watchdogs {
+            world.cancel(id);
+        }
+    }
+
+    /// Drops the flight records of `tasks` of `instance`, none of which
+    /// completed — a subtree cancelled or reset (`plan.subtree(scope)`),
+    /// a task that failed, one whose outcome an operator forced — with
+    /// their watchdogs, load and parked dispatches.
+    pub(super) fn discard_flights(
+        &self,
+        world: &mut World,
+        instance: &str,
+        tasks: impl Iterator<Item = TaskId>,
+    ) {
+        self.edit_books(world, instance, |dispatcher, rt| {
+            dispatcher.discard_tasks(instance, &mut rt.flights, tasks)
+        });
+    }
+
+    /// A reconfiguration re-lowered `instance`'s plan and shifted its
+    /// dense task ids: dispatch's books move old id → path → new id,
+    /// and a removed task's entries are released with it.
+    pub(super) fn rekey_flights(&self, world: &mut World, instance: &str, old_plan: &Plan) {
+        self.edit_books(world, instance, |dispatcher, rt| {
+            let new_plan = rt.plan.clone();
+            let new_id = |old: TaskId| new_plan.task_by_path(old_plan.str(old_plan.task(old).path));
+            dispatcher.rekey(instance, &mut rt.flights, new_id)
+        });
+    }
+
+    /// Arms fresh watchdogs for every task an adopted instance has in
+    /// the `Executing` state, giving each its flight record. The normal
+    /// case is the watchdog being disarmed by the old owner's relayed
+    /// `TaskDone`; it fires only if the reply (or its relay) is truly
+    /// lost, turning the move into an ordinary bounded retry. The
+    /// timeout is a fresh dispatch's — observed-duration extension for
+    /// the rebound code included — so a relay delayed past a lying
+    /// short hint still lands before the adopted watchdog fires.
+    pub(super) fn rearm_adopted(&self, world: &mut World, instance: &str) {
+        let executing: Vec<(TaskId, TaskCb, SimDuration)> = {
+            let coordinator = self.inner.borrow();
+            let Some(rt) = coordinator.instances.get(instance) else {
+                return;
+            };
+            let executing = coordinator.executing(instance);
+            executing
+                .into_iter()
+                .map(|(id, cb)| (id, cb, coordinator.shipment(rt, id).timeout))
+                .collect()
+        };
+        for (task, cb, timeout) in executing {
+            self.arm_watchdog(world, instance, task, cb.incarnation, cb.attempt, timeout);
+        }
+    }
+
+    /// Where a wire message or a timer enters: its task, named by path,
+    /// resolved against the instance's current plan — with the plan,
+    /// the key table and the committed control block.
+    fn enter(
+        &self,
+        instance: &str,
+        path: &str,
+    ) -> Option<(Rc<Plan>, Rc<InstanceKeys>, TaskId, TaskCb)> {
+        let (plan, keys) = self.instance_ctx(instance)?;
+        let task = plan.task_by_path(path)?;
+        let cb = self.inner.borrow().read_cb_id(&keys, task)?;
+        Some((plan, keys, task, cb))
+    }
+
     /// Re-dispatches parked work, highest `(priority, arrival)` first,
     /// as long as some entry's eligible executors have free capacity.
     /// Per-entry eligibility keeps a pinned entry whose location is
@@ -201,41 +481,38 @@ impl CoordHandle {
         loop {
             let entry = {
                 let mut coordinator = self.inner.borrow_mut();
-                let key = coordinator
+                let dispatcher = &mut coordinator.dispatcher;
+                let key = dispatcher
                     .parked
                     .iter()
-                    .find(|(_, entry)| !coordinator.sched.all_saturated(&entry.hints))
+                    .find(|(_, entry)| !dispatcher.sched.all_saturated(&entry.hints))
                     .map(|(key, _)| *key);
                 let Some(key) = key else {
                     return;
                 };
-                let entry = coordinator.parked.remove(&key).expect("key just found");
-                let now_ns = world.now().as_nanos();
+                let entry = dispatcher.parked.remove(&key).expect("key just found");
+                let depth = dispatcher.parked.len();
+                let Some(rt) = coordinator.instances.get(&entry.instance) else {
+                    continue; // unreachable: a departing instance unparks
+                };
+                let wait_ns = world.now().as_nanos().saturating_sub(entry.parked_ns);
                 if coordinator.config.observe.metrics() {
-                    coordinator
-                        .metrics
-                        .queue_wait_ns
-                        .record(now_ns.saturating_sub(entry.parked_ns));
-                    coordinator
-                        .metrics
-                        .ready_queue_depth
-                        .set(coordinator.parked.len() as i64);
+                    coordinator.metrics.queue_wait_ns.record(wait_ns);
+                    coordinator.metrics.ready_queue_depth.set(depth as i64);
                 }
                 coordinator.record_event(
-                    now_ns,
+                    world.now().as_nanos(),
                     &entry.instance,
-                    Some(&entry.path),
+                    Some(rt.plan.str(rt.plan.task(entry.task).path)),
                     entry.attempt,
-                    ObsEventKind::Admitted {
-                        wait_ns: now_ns.saturating_sub(entry.parked_ns),
-                    },
+                    ObsEventKind::Admitted { wait_ns },
                 );
                 entry
             };
             self.dispatch(
                 world,
                 &entry.instance,
-                &entry.path,
+                entry.task,
                 entry.attempt,
                 entry.inputs,
                 entry.repeat_objects,
@@ -253,7 +530,7 @@ impl CoordHandle {
         &self,
         world: &mut World,
         instance: &str,
-        path: &str,
+        task_id: TaskId,
         attempt: u32,
         inputs: BTreeMap<String, ObjectVal>,
         repeat_objects: BTreeMap<String, ObjectVal>,
@@ -262,232 +539,164 @@ impl CoordHandle {
         if self.inner.borrow_mut().mgr.probe_fence().is_some() {
             return;
         }
-        enum Prepared {
-            Send {
-                node: NodeId,
-                executor: NodeId,
-                bytes: Vec<u8>,
-                timeout: SimDuration,
-                incarnation: u32,
-            },
-            /// The task cannot run anywhere (unsatisfiable location).
-            Unplaceable(String),
-        }
         // Gather everything under one borrow, then interact with the
-        // world outside it.
+        // world outside it. `Err`: the task cannot run anywhere — no
+        // retry can fix that, so it fails at once with the reason.
         let now_ns = world.now().as_nanos();
-        let prepared = {
-            let mut coordinator = self.inner.borrow_mut();
+        let prepared = 'prepared: {
+            let coordinator = &mut *self.inner.borrow_mut();
             let Some(rt) = coordinator.instances.get(instance) else {
                 return;
             };
-            let plan = rt.plan.clone();
-            let keys = rt.keys.clone();
-            let found = plan
-                .task_by_path(path)
-                .and_then(|id| Some((id, coordinator.read_cb_id(&keys, id)?)));
-            let Some((task_id, cb)) = found else {
-                // Only a mid-flight reconfiguration can drop the task or
-                // the control block of a scheduled dispatch.
+            let Some(cb) = coordinator.read_cb_id(&rt.keys, task_id) else {
+                // Only a mid-flight reconfiguration can drop the
+                // control block of a scheduled dispatch.
                 coordinator.metrics.dropped_dispatches.inc();
                 debug_assert!(
                     coordinator.metrics.reconfigs.get() > 0,
-                    "dispatch dropped `{path}` of `{instance}`: task or control block \
+                    "dispatch dropped task {task_id} of `{instance}`: control block \
                      missing without any reconfiguration"
                 );
                 return;
             };
-            let task = plan.task(task_id);
-            let CbState::Executing { set } = cb.state.clone() else {
+            let CbState::Executing { set } = cb.state else {
                 return; // stale (cancelled/terminated meanwhile): not a drop
             };
-            // Run-time binding: per-instance rebinding overrides the
-            // script's name. A leaf with no implementation clause has
-            // no code to ship — shipping an empty name would bounce off
-            // every executor as an unbound implementation and burn the
-            // retry budget on an error no retry can fix.
-            let script_code = match plan.code(task) {
-                Some(code) if !code.is_empty() => code.to_string(),
-                _ => {
-                    drop(coordinator);
-                    self.fail_task(
-                        world,
-                        instance,
-                        path,
-                        &format!("missing implementation code for `{path}`"),
-                    );
-                    return;
-                }
-            };
-            let rt = coordinator.instances.get(instance).expect("checked above");
-            let code = rt
-                .bindings
-                .get(&script_code)
-                .cloned()
-                .unwrap_or(script_code);
-            let implementation = plan.implementation_map(task);
-            let hints = ImplHints::from_map(&implementation);
+            let plan = rt.plan.clone();
+            let task = plan.task(task_id);
+            let path = plan.str(task.path);
+            if plan.code(task).is_none_or(str::is_empty) {
+                // A leaf with no implementation clause has no code to
+                // ship — shipping an empty name would bounce off every
+                // executor as an unbound implementation and burn the
+                // retry budget on an error no retry can fix.
+                break 'prepared Err(format!("missing implementation code for `{path}`"));
+            }
+            let shipment = coordinator.shipment(rt, task_id);
+            let hints = shipment.hints;
+            let dispatcher = &mut coordinator.dispatcher;
+            let rt = coordinator.instances.get_mut(instance).expect("checked");
+            // The task has outstanding work from here on.
+            let flight = rt.flights.0.entry(task_id).or_default();
             // Capacity gate: when every eligible executor is at its
-            // declared capacity, park instead of piling on. The path
-            // stays in `in_flight` (it IS outstanding work — stuck
-            // detection and crash recovery must see it) and the
+            // declared capacity, park instead of piling on. The
             // committed `Executing` control block makes the park
             // crash-safe: recovery re-dispatches, and re-parks if the
-            // fleet is still full. `retry_from` is left in place for
-            // the eventual real dispatch.
-            if coordinator.sched.all_saturated(&hints) {
-                let seq = coordinator.park_seq;
-                coordinator.park_seq += 1;
-                coordinator.record_event(
-                    now_ns,
-                    instance,
-                    Some(path),
+            // fleet is still full. The node to avoid stays on the record
+            // for the eventual real dispatch.
+            if dispatcher.sched.all_saturated(&hints) {
+                let seq = dispatcher.park_seq;
+                dispatcher.park_seq += 1;
+                let parked = ParkedDispatch {
+                    instance: instance.to_string(),
+                    task: task_id,
                     attempt,
-                    ObsEventKind::Parked {
-                        queue_depth: coordinator.parked.len() as u64 + 1,
-                    },
-                );
-                coordinator.parked.insert(
-                    (std::cmp::Reverse(hints.priority), seq),
-                    ParkedDispatch {
-                        instance: instance.to_string(),
-                        path: path.to_string(),
-                        attempt,
-                        inputs,
-                        repeat_objects,
-                        hints,
-                        parked_ns: now_ns,
-                    },
-                );
+                    inputs,
+                    repeat_objects,
+                    hints,
+                    parked_ns: now_ns,
+                };
+                dispatcher
+                    .parked
+                    .insert((Reverse(parked.hints.priority), seq), parked);
+                let depth = dispatcher.parked.len();
+                let kind = ObsEventKind::Parked {
+                    queue_depth: depth as u64,
+                };
+                coordinator.record_event(now_ns, instance, Some(path), attempt, kind);
                 if coordinator.config.observe.metrics() {
-                    coordinator
-                        .metrics
-                        .ready_queue_depth
-                        .set(coordinator.parked.len() as i64);
-                }
-                if let Some(rt) = coordinator.instances.get_mut(instance) {
-                    rt.in_flight.insert(path.to_string());
+                    coordinator.metrics.ready_queue_depth.set(depth as i64);
                 }
                 return;
             }
-            // A failed attempt recorded the node it died on; consume it
-            // so the retry relocates whenever an alternative exists
-            // (service relocation, §3).
-            let avoid = coordinator
-                .instances
-                .get_mut(instance)
-                .and_then(|rt| rt.retry_from.remove(path));
-            match coordinator.sched.pick(path, attempt, &hints, avoid) {
-                Err(err) => Prepared::Unplaceable(err.to_string()),
-                Ok(placement) => {
-                    if placement.no_alternative {
-                        coordinator.metrics.no_alternative_retries.inc();
-                    }
-                    if coordinator.config.observe.metrics() {
-                        coordinator.metrics.sched_pick_load.record(placement.load);
-                    }
-                    // Watchdog: base timeout extended by the declared
-                    // duration — or by the observed estimate when that
-                    // is *longer* (a lying short hint must not time out
-                    // healthy work) — capped by the declared deadline.
-                    let timeout = coordinator.costs.watchdog_timeout(
-                        &code,
-                        &hints,
-                        coordinator.config.dispatch_timeout,
-                    );
-                    let msg = EngineMsg::Start(StartTask {
-                        instance: instance.to_string(),
-                        path: path.to_string(),
-                        incarnation: cb.incarnation,
-                        attempt,
-                        code: code.clone(),
-                        implementation,
-                        set,
-                        inputs,
-                        repeat_objects,
-                        epoch: coordinator.membership.epoch(),
-                    });
-                    coordinator.metrics.dispatches.inc();
-                    coordinator.record_event(
-                        now_ns,
-                        instance,
-                        Some(path),
-                        attempt,
-                        ObsEventKind::Dispatch {
-                            executor: placement.node.index() as u32,
-                        },
-                    );
-                    // Count the load now — at the observed estimate
-                    // when the cost model has one, else the declared
-                    // remaining-work cost — releasing any stale entry a
-                    // defensive re-dispatch might have left behind.
-                    let cost = coordinator.costs.load_cost(&code, &hints);
-                    let _ = coordinator.release_dispatch(instance, path, 0);
-                    coordinator.sched.note_dispatch(placement.node, cost);
-                    if let Some(rt) = coordinator.instances.get_mut(instance) {
-                        rt.dispatched_to.insert(
-                            task_id,
-                            DispatchedTask {
-                                node: placement.node,
-                                cost,
-                                sent_ns: now_ns,
-                                code,
-                            },
-                        );
-                    }
-                    Prepared::Send {
-                        node: coordinator.node,
-                        executor: placement.node,
-                        bytes: flowscript_codec::to_bytes(&msg),
-                        timeout,
-                        incarnation: cb.incarnation,
-                    }
-                }
+            let avoid = flight.avoid.take();
+            let placement = match dispatcher.sched.pick(path, attempt, &hints, avoid) {
+                Ok(placement) => placement,
+                Err(err) => break 'prepared Err(err.to_string()),
+            };
+            // Count the load now — at the observed estimate when the
+            // cost model has one, else the declared remaining-work cost
+            // — releasing any stale charge a defensive re-dispatch
+            // might have left behind.
+            let cost = dispatcher.costs.load_cost(&shipment.code, &hints);
+            dispatcher.release(flight);
+            dispatcher.sched.note_dispatch(placement.node, cost);
+            flight.charge = Some(Charge {
+                node: placement.node,
+                cost,
+                sent_ns: now_ns,
+                code: shipment.code.clone(),
+            });
+            if placement.no_alternative {
+                coordinator.metrics.no_alternative_retries.inc();
             }
+            if coordinator.config.observe.metrics() {
+                coordinator.metrics.sched_pick_load.record(placement.load);
+            }
+            coordinator.metrics.dispatches.inc();
+            let kind = ObsEventKind::Dispatch {
+                executor: placement.node.index() as u32,
+            };
+            coordinator.record_event(now_ns, instance, Some(path), attempt, kind);
+            let msg = EngineMsg::Start(StartTask {
+                instance: instance.to_string(),
+                path: path.to_string(),
+                incarnation: cb.incarnation,
+                attempt,
+                code: shipment.code,
+                implementation: shipment.implementation,
+                set,
+                inputs,
+                repeat_objects,
+                epoch: coordinator.membership.epoch(),
+            });
+            let bytes = flowscript_codec::to_bytes(&msg);
+            Ok((
+                coordinator.node,
+                placement.node,
+                bytes,
+                cb.incarnation,
+                shipment.timeout,
+            ))
         };
         match prepared {
-            Prepared::Unplaceable(reason) => {
-                // No amount of retrying places an unsatisfiable pin:
-                // fail the task immediately with the diagnosable reason.
-                self.fail_task(world, instance, path, &reason);
-            }
-            Prepared::Send {
-                node,
-                executor,
-                bytes,
-                timeout,
-                incarnation,
-            } => {
-                self.arm_watchdog(world, instance, path, incarnation, attempt, timeout);
+            Err(reason) => self.fail_task(world, instance, task_id, &reason),
+            Ok((node, executor, bytes, incarnation, timeout)) => {
+                self.arm_watchdog(world, instance, task_id, incarnation, attempt, timeout);
                 world.send(node, executor, bytes);
             }
         }
     }
 
-    /// Arms the watchdog of one outstanding dispatch and marks the path
-    /// in flight, cancelling any watchdog it replaces.
-    pub(super) fn arm_watchdog(
+    /// Arms the watchdog of one attempt on `task`'s flight record,
+    /// cancelling any watchdog it replaces.
+    fn arm_watchdog(
         &self,
         world: &mut World,
         instance: &str,
-        path: &str,
+        task: TaskId,
         incarnation: u32,
         attempt: u32,
         timeout: SimDuration,
     ) {
-        let node = self.inner.borrow().node;
-        let handle = self.clone();
-        let (instance_owned, path_owned) = (instance.to_string(), path.to_string());
-        let watchdog = world.schedule_node_after(node, timeout, move |world| {
-            handle.on_watchdog(world, &instance_owned, &path_owned, incarnation, attempt);
-        });
-        let stale = {
-            let mut coordinator = self.inner.borrow_mut();
-            coordinator.instances.get_mut(instance).and_then(|rt| {
-                rt.in_flight.insert(path.to_string());
-                rt.watchdogs.insert(path.to_string(), watchdog)
-            })
+        let (node, path) = {
+            let coordinator = self.inner.borrow();
+            let Some(rt) = coordinator.instances.get(instance) else {
+                return;
+            };
+            let path = rt.plan.str(rt.plan.task(task).path).to_string();
+            (coordinator.node, path)
         };
+        let handle = self.clone();
+        let instance_owned = instance.to_string();
+        let watchdog = world.schedule_node_after(node, timeout, move |world| {
+            handle.on_watchdog(world, &instance_owned, &path, incarnation, attempt);
+        });
+        let stale = self
+            .inner
+            .borrow_mut()
+            .flight_mut(instance, task)
+            .and_then(|flight| flight.watchdog.replace(watchdog));
         if let Some(stale) = stale {
             world.cancel(stale);
         }
@@ -500,33 +709,16 @@ impl CoordHandle {
     /// after the window's action committed, so the block is re-validated:
     /// an earlier slow report of the same window may have moved it.
     pub(super) fn on_task_done(&self, world: &mut World, msg: TaskDone) {
-        let Some((plan, keys)) = self.instance_ctx(&msg.instance) else {
+        let Some((plan, _, task_id, cb)) = self.enter(&msg.instance, &msg.path) else {
             return;
         };
-        let Some(task_id) = plan.task_by_path(&msg.path) else {
-            return;
-        };
-        let Some(cb) = self.inner.borrow().read_cb_id(&keys, task_id) else {
-            return;
-        };
-        if !matches!(cb.state, CbState::Executing { .. })
-            || cb.incarnation != msg.incarnation
-            || cb.attempt != msg.attempt
-        {
+        if !cb.awaits(msg.incarnation, msg.attempt) {
             return; // stale attempt or previous scope incarnation
         }
-        let released = self.clear_watch(world, &msg.instance, &msg.path);
+        let released = self.clear_watch(world, &msg.instance, task_id);
         match &msg.result {
             TaskResult::ExecError { reason } => {
-                // Remember the node the attempt died on so the retry
-                // relocates whenever an alternative is eligible.
-                if let Some(node) = released {
-                    let mut coordinator = self.inner.borrow_mut();
-                    if let Some(rt) = coordinator.instances.get_mut(&msg.instance) {
-                        rt.retry_from.insert(msg.path.clone(), node);
-                    }
-                }
-                self.retry_or_fail(world, &msg.instance, &msg.path, reason);
+                self.retry_or_fail(world, &msg.instance, task_id, released, reason);
             }
             TaskResult::Output {
                 name, redo_after, ..
@@ -544,7 +736,7 @@ impl CoordHandle {
                         return;
                     }
                 };
-                self.fail_task(world, &msg.instance, &msg.path, &reason);
+                self.fail_task(world, &msg.instance, task_id, &reason);
             }
         }
     }
@@ -568,11 +760,16 @@ impl CoordHandle {
         let Some(out_key) = keys.out_key(&plan, task_id, name) else {
             return;
         };
-        let over_limit = {
+        let (over_limit, inputs) = {
             let mut coordinator = self.inner.borrow_mut();
             let Some(mut cb) = coordinator.read_cb_id(&keys, task_id) else {
                 return;
             };
+            let CbState::Executing { set } = &cb.state else {
+                return;
+            };
+            // What the re-execution ships, beside the repeat objects.
+            let inputs = coordinator.read_fact(&plan, keys.in_key(&plan, task_id, set));
             cb.repeats += 1;
             let over = cb.repeats > coordinator.config.max_repeats;
             let action = coordinator.mgr.begin();
@@ -608,34 +805,19 @@ impl CoordHandle {
             } else {
                 coordinator.mgr.abort(action);
             }
-            over
+            (over, inputs)
         };
         if over_limit {
-            self.remove_in_flight(&msg.instance, &msg.path);
             self.evaluate_from(world, &msg.instance, &[task_id]);
             return;
         }
         // Re-dispatch with the repeat objects after the requested delay.
-        let inputs = {
-            let coordinator = self.inner.borrow();
-            let Some(cb) = coordinator.read_cb_id(&keys, task_id) else {
-                return;
-            };
-            let CbState::Executing { set } = &cb.state else {
-                return;
-            };
-            coordinator.read_fact(&plan, keys.in_key(&plan, task_id, set))
-        };
         let inputs = match inputs {
             Ok(inputs) => inputs,
             Err(fault) => return self.park_fact_fault(world, &msg.instance, &keys, fault),
         };
-        {
-            let mut coordinator = self.inner.borrow_mut();
-            if let Some(rt) = coordinator.instances.get_mut(&msg.instance) {
-                rt.in_flight.insert(msg.path.clone());
-            }
-        }
+        // The pending re-execution is outstanding work.
+        self.inner.borrow_mut().flight_mut(&msg.instance, task_id);
         let handle = self.clone();
         let node = self.inner.borrow().node;
         let instance = msg.instance.clone();
@@ -643,7 +825,17 @@ impl CoordHandle {
         let attempt = msg.attempt + 1;
         let repeat_objects = objects.clone();
         world.schedule_node_after(node, redo_after, move |world| {
-            handle.dispatch(world, &instance, &path, attempt, inputs, repeat_objects);
+            let Some((plan, _)) = handle.instance_ctx(&instance) else {
+                return;
+            };
+            match plan.task_by_path(&path) {
+                Some(task) => {
+                    handle.dispatch(world, &instance, task, attempt, inputs, repeat_objects);
+                }
+                // Only a mid-flight reconfiguration takes the task away
+                // from a scheduled dispatch.
+                None => handle.inner.borrow().metrics.dropped_dispatches.inc(),
+            }
         });
         // The repeat fact is committed now — consumers drawing on it
         // (e.g. `AnyOf` alternatives) re-check immediately.
@@ -673,112 +865,105 @@ impl CoordHandle {
         {
             return;
         }
-        let Some(cb) = self.inner.borrow().read_cb(instance, path) else {
+        let Some((_, _, task_id, cb)) = self.enter(instance, path) else {
             return;
         };
-        if !matches!(cb.state, CbState::Executing { .. })
-            || cb.incarnation != incarnation
-            || cb.attempt != attempt
-        {
+        if !cb.awaits(incarnation, attempt) {
             return;
         }
         // The executor is presumed lost: stop counting the dispatch
-        // against it and remember the node so the retry relocates.
-        {
-            let mut coordinator = self.inner.borrow_mut();
-            if let Some(node) = coordinator.release_dispatch(instance, path, 0) {
-                if let Some(rt) = coordinator.instances.get_mut(instance) {
-                    rt.retry_from.insert(path.to_string(), node);
-                }
-            }
-        }
-        self.retry_or_fail(world, instance, path, "dispatch timed out");
+        // against it.
+        let lost = self
+            .inner
+            .borrow_mut()
+            .release_dispatch(instance, task_id, None);
+        self.retry_or_fail(world, instance, task_id, lost, "dispatch timed out");
         // The timed-out dispatch released its executor load (and a
         // failed task may have terminated its instance): revisit the
         // ready and admission queues.
         self.pump(world);
     }
 
-    /// Bounded automatic retry of a system-level failure.
-    fn retry_or_fail(&self, world: &mut World, instance: &str, path: &str, reason: &str) {
-        let decision = {
+    /// Bounded automatic retry of a system-level failure. `died_on` is
+    /// the node the failed attempt ran on, remembered so the retry
+    /// relocates whenever an alternative is eligible.
+    fn retry_or_fail(
+        &self,
+        world: &mut World,
+        instance: &str,
+        task_id: TaskId,
+        died_on: Option<NodeId>,
+        reason: &str,
+    ) {
+        let Some((_, keys)) = self.instance_ctx(instance) else {
+            return;
+        };
+        let retry = {
             let mut coordinator = self.inner.borrow_mut();
-            let Some(mut cb) = coordinator.read_cb(instance, path) else {
+            let Some(mut cb) = coordinator.read_cb_id(&keys, task_id) else {
                 return;
             };
-            if cb.attempt < coordinator.config.max_retries {
+            let retry = cb.attempt < coordinator.config.max_retries && {
                 cb.attempt += 1;
+                coordinator.commit_cb(keys.cb(task_id), &cb)
+            };
+            if retry {
+                // The retry counts only once its bumped attempt
+                // committed; waiting out the backoff is outstanding
+                // work.
+                coordinator.metrics.retries.inc();
+                coordinator.record_event(
+                    world.now().as_nanos(),
+                    instance,
+                    Some(&cb.path),
+                    cb.attempt,
+                    ObsEventKind::Retry {
+                        reason: reason.to_string(),
+                    },
+                );
+                if let Some(flight) = coordinator.flight_mut(instance, task_id) {
+                    flight.avoid = died_on.or(flight.avoid);
+                }
+            }
+            retry.then(|| {
                 let backoff = coordinator
                     .config
                     .retry_backoff
                     .saturating_mul(1 << (cb.attempt.min(16) - 1));
-                if coordinator.commit_cb(&cb_uid(instance, path), &cb) {
-                    // The retry counts only once its bumped attempt
-                    // committed.
-                    coordinator.metrics.retries.inc();
-                    coordinator.record_event(
-                        world.now().as_nanos(),
-                        instance,
-                        Some(path),
-                        cb.attempt,
-                        ObsEventKind::Retry {
-                            reason: reason.to_string(),
-                        },
-                    );
-                    Some((cb.attempt, backoff))
-                } else {
-                    None
-                }
-            } else {
-                None
-            }
+                (cb, backoff, coordinator.node)
+            })
         };
-        match decision {
-            Some((attempt, backoff)) => {
-                {
-                    let mut coordinator = self.inner.borrow_mut();
-                    if let Some(rt) = coordinator.instances.get_mut(instance) {
-                        rt.in_flight.insert(path.to_string());
-                    }
-                }
+        match retry {
+            Some((cb, backoff, node)) => {
                 let handle = self.clone();
-                let node = self.inner.borrow().node;
-                let instance_owned = instance.to_string();
-                let path_owned = path.to_string();
+                let instance = instance.to_string();
                 world.schedule_node_after(node, backoff, move |world| {
-                    handle.redispatch(world, &instance_owned, &path_owned, attempt);
+                    handle.redispatch(world, &instance, &cb.path, cb.attempt);
                 });
             }
-            None => {
-                self.fail_task(world, instance, path, reason);
-            }
+            None => self.fail_task(world, instance, task_id, reason),
         }
     }
 
-    /// Re-dispatches from persisted facts (also the recovery path).
+    /// Re-dispatches from persisted facts (the retry timer and the
+    /// recovery path — both name the task by path).
     pub(super) fn redispatch(&self, world: &mut World, instance: &str, path: &str, attempt: u32) {
-        let Some((plan, keys)) = self.instance_ctx(instance) else {
+        let Some((plan, keys, task_id, cb)) = self.enter(instance, path) else {
             return;
         };
-        let gathered = {
-            let coordinator = self.inner.borrow();
-            let Some(task_id) = plan.task_by_path(path) else {
-                return;
-            };
-            let Some(cb) = coordinator.read_cb_id(&keys, task_id) else {
-                return;
-            };
-            let CbState::Executing { set } = &cb.state else {
-                return;
-            };
-            if cb.attempt != attempt {
-                return;
-            }
-            coordinator.redispatch_objects(&plan, &keys, task_id, set)
+        let CbState::Executing { set } = &cb.state else {
+            return;
         };
+        if cb.attempt != attempt {
+            return;
+        }
+        let gathered = self
+            .inner
+            .borrow()
+            .redispatch_objects(&plan, &keys, task_id, set);
         match gathered {
             Ok([inputs, repeat_objects]) => {
-                self.dispatch(world, instance, path, attempt, inputs, repeat_objects);
+                self.dispatch(world, instance, task_id, attempt, inputs, repeat_objects);
             }
             Err(fault) => self.park_fact_fault(world, instance, &keys, fault),
         }
@@ -796,16 +981,16 @@ impl CoordHandle {
         );
     }
 
-    /// Marks a task permanently failed (retries exhausted).
-    pub(super) fn fail_task(&self, world: &mut World, instance: &str, path: &str, reason: &str) {
+    /// Marks a task permanently failed (retries exhausted, or nothing a
+    /// retry could fix) and ends whatever was outstanding for it.
+    fn fail_task(&self, world: &mut World, instance: &str, task_id: TaskId, reason: &str) {
+        self.discard_flights(world, instance, std::iter::once(task_id));
+        let Some((_, keys)) = self.instance_ctx(instance) else {
+            return;
+        };
         {
             let mut coordinator = self.inner.borrow_mut();
-            // End any outstanding load accounting for the path.
-            let _ = coordinator.release_dispatch(instance, path, 0);
-            if let Some(rt) = coordinator.instances.get_mut(instance) {
-                rt.retry_from.remove(path);
-            }
-            let Some(mut cb) = coordinator.read_cb(instance, path) else {
+            let Some(mut cb) = coordinator.read_cb_id(&keys, task_id) else {
                 return;
             };
             if cb.state.is_terminal() {
@@ -815,53 +1000,159 @@ impl CoordHandle {
                 reason: reason.to_string(),
             });
             // The failure counts only once its transition committed.
-            if coordinator.commit_cb(&cb_uid(instance, path), &cb) {
+            if coordinator.commit_cb(keys.cb(task_id), &cb) {
                 coordinator.metrics.failures.inc();
                 coordinator.record_event(
                     world.now().as_nanos(),
                     instance,
-                    Some(path),
+                    Some(&cb.path),
                     cb.attempt,
                     coordinator.commit_event(format!("failed: {reason}")),
                 );
                 coordinator.note_terminals(instance, 1);
             }
         }
-        self.remove_in_flight(instance, path);
         // A failure publishes no facts: nothing new can become
         // satisfied, but the instance may now be stuck (the drain's
         // debug oracle re-verifies quiescence).
         self.evaluate_from(world, instance, &[]);
     }
 
-    /// Disarms a dispatch's watchdog and releases its load accounting;
-    /// returns the executor the dispatch ran on, if one was counted.
+    /// An executor report for `task` was applied: its work is no longer
+    /// outstanding. Drops the flight record, disarming the watchdog and
+    /// releasing the load as a genuine completion; returns the executor
+    /// the dispatch ran on, if one was counted.
     pub(super) fn clear_watch(
         &self,
         world: &mut World,
         instance: &str,
-        path: &str,
+        task: TaskId,
     ) -> Option<NodeId> {
         let (watchdog, released) = {
             let mut coordinator = self.inner.borrow_mut();
-            let watchdog = coordinator
-                .instances
-                .get_mut(instance)
-                .and_then(|rt| rt.watchdogs.remove(path));
-            let released = coordinator.release_dispatch(instance, path, world.now().as_nanos());
-            (watchdog, released)
+            let now_ns = world.now().as_nanos();
+            let released = coordinator.release_dispatch(instance, task, Some(now_ns));
+            let rt = coordinator.instances.get_mut(instance)?;
+            let flight = rt.flights.0.remove(&task);
+            (flight.and_then(|flight| flight.watchdog), released)
         };
         if let Some(id) = watchdog {
             world.cancel(id);
         }
-        self.remove_in_flight(instance, path);
         released
     }
+}
 
-    fn remove_in_flight(&self, instance: &str, path: &str) {
-        let mut coordinator = self.inner.borrow_mut();
-        if let Some(rt) = coordinator.instances.get_mut(instance) {
-            rt.in_flight.remove(path);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `n` unbounded executors, and a dispatch charged `task` units
+    /// under code `ref{task}` for each of `tasks`, spread round-robin.
+    fn booked(n: usize, tasks: &[TaskId]) -> (Dispatcher, Flights) {
+        let mut world = World::new(0);
+        let nodes: Vec<NodeId> = (0..n).map(|i| world.add_node(format!("e{i}"))).collect();
+        let specs = nodes.iter().copied().map(ExecutorSpec::unbounded).collect();
+        let (mut dispatcher, mut flights) = (Dispatcher::new(specs), Flights::default());
+        for &task in tasks {
+            let (node, cost) = (nodes[task as usize % n], u64::from(task));
+            dispatcher.sched.note_dispatch(node, cost);
+            let flight = flights.0.entry(task).or_default();
+            flight.charge = Some(Charge {
+                node,
+                cost,
+                sent_ns: 0,
+                code: format!("ref{task}"),
+            });
         }
+        (dispatcher, flights)
+    }
+
+    fn park(dispatcher: &mut Dispatcher, flights: &mut Flights, instance: &str, task: TaskId) {
+        flights.0.entry(task).or_default();
+        let parked = ParkedDispatch {
+            instance: instance.to_string(),
+            task,
+            attempt: 0,
+            inputs: BTreeMap::new(),
+            repeat_objects: BTreeMap::new(),
+            hints: ImplHints::default(),
+            parked_ns: 0,
+        };
+        dispatcher.parked.insert((Reverse(0), task.into()), parked);
+    }
+
+    fn loads(dispatcher: &Dispatcher) -> Vec<(u32, u64)> {
+        let slots = dispatcher.sched.snapshot();
+        slots.iter().map(|s| (s.in_flight, s.remaining)).collect()
+    }
+
+    /// `(task, code it is charged under)` of every record.
+    fn codes(flights: &Flights) -> Vec<(TaskId, &str)> {
+        fn code(flight: &Flight) -> &str {
+            flight.charge.as_ref().map_or("-", |c| c.code.as_str())
+        }
+        flights.0.iter().map(|(id, f)| (*id, code(f))).collect()
+    }
+
+    fn parked(dispatcher: &Dispatcher) -> Vec<(&str, TaskId)> {
+        let entries = dispatcher.parked.values();
+        entries.map(|e| (e.instance.as_str(), e.task)).collect()
+    }
+
+    #[test]
+    fn release_is_idempotent() {
+        let (mut dispatcher, mut flights) = booked(1, &[7]);
+        let flight = flights.0.get_mut(&7).unwrap();
+        assert_eq!(loads(&dispatcher), [(1, 7)]);
+        assert_eq!(dispatcher.release(flight).map(|c| c.cost), Some(7));
+        assert_eq!(loads(&dispatcher), [(0, 0)]);
+        // The record outlives its load (a fired watchdog waiting out
+        // the retry backoff): releasing again finds nothing to release.
+        assert!(dispatcher.release(flight).is_none());
+        assert_eq!(loads(&dispatcher), [(0, 0)]);
+    }
+
+    #[test]
+    fn rekey_keeps_moves_and_releases_the_removed() {
+        // Old plan: root 0, a 1, b 2, c 3, d 4, e 5; b and c executing
+        // on node 0/1, a executing, d and e parked (e for another
+        // instance too). The operation removes `b` and `d`.
+        let (mut dispatcher, mut flights) = booked(2, &[1, 2, 3]);
+        let mut other = Flights::default();
+        park(&mut dispatcher, &mut flights, "i", 4);
+        park(&mut dispatcher, &mut flights, "i", 5);
+        park(&mut dispatcher, &mut other, "j", 2);
+        assert_eq!(loads(&dispatcher), [(1, 2), (2, 4)]);
+        let new_id = |old: TaskId| match old {
+            0 | 1 => Some(old),
+            2 | 4 => None,
+            3 => Some(2),
+            _ => Some(3),
+        };
+        assert!(dispatcher.rekey("i", &mut flights, new_id).is_empty());
+        // Kept (a), moved (c under c's own code, e), removed (b, d).
+        assert_eq!(codes(&flights), [(1, "ref1"), (2, "ref3"), (3, "-")]);
+        assert_eq!(parked(&dispatcher), [("j", 2), ("i", 3)]);
+        assert_eq!(loads(&dispatcher), [(0, 0), (2, 4)], "exactly b's load");
+    }
+
+    #[test]
+    fn discarding_a_subtree_releases_exactly_its_range() {
+        // Tasks 2..5 are the swept scope's descendants; 1 and 5 are not.
+        let (mut dispatcher, mut flights) = booked(1, &[1, 2, 3, 5]);
+        park(&mut dispatcher, &mut flights, "i", 4);
+        park(&mut dispatcher, &mut flights, "i", 6);
+        park(&mut dispatcher, &mut Flights::default(), "j", 4);
+        dispatcher.discard_tasks("i", &mut flights, 2..5);
+        assert_eq!(codes(&flights), [(1, "ref1"), (5, "ref5"), (6, "-")]);
+        assert_eq!(parked(&dispatcher), [("j", 4), ("i", 6)]);
+        assert_eq!(loads(&dispatcher), [(2, 6)]);
+        // Again is a no-op; the rest goes when the instance leaves.
+        assert!(dispatcher.discard_tasks("i", &mut flights, 2..5).is_empty());
+        assert!(!flights.is_idle());
+        dispatcher.release_all("i", flights);
+        assert_eq!(parked(&dispatcher), [("j", 4)]);
+        assert_eq!(loads(&dispatcher), [(0, 0)]);
     }
 }

@@ -135,7 +135,10 @@ impl CoordHandle {
             }
         }
         #[cfg(debug_assertions)]
-        self.assert_quiescent(instance, plan, keys);
+        {
+            self.assert_quiescent(instance, plan, keys);
+            self.inner.borrow().assert_flights_consistent(instance);
+        }
         self.stuck_check(world, instance);
     }
 
@@ -214,7 +217,6 @@ impl CoordHandle {
         bound: Vec<(StrId, ObjectVal)>,
     ) -> bool {
         let task = plan.task(task_id);
-        let path = plan.str(task.path);
         let set = plan.str(set_id);
         let Some(in_key) = keys.in_key(plan, task_id, set) else {
             return false;
@@ -265,7 +267,7 @@ impl CoordHandle {
         }
         if !task.is_scope {
             let stamped = facts::bound_map(plan, &bound);
-            self.dispatch(world, instance, path, 0, stamped, BTreeMap::new());
+            self.dispatch(world, instance, task_id, 0, stamped, BTreeMap::new());
         }
         true
     }
@@ -499,10 +501,7 @@ impl CoordHandle {
             }
         }
         // Drop volatile tracking for the whole subtree.
-        let watchdogs = self.inner.borrow_mut().sweep_subtree(instance, scope_path);
-        for (_, id) in watchdogs {
-            world.cancel(id);
-        }
+        self.discard_flights(world, instance, plan.subtree(scope_id));
     }
 
     /// Scope-level repeat (Fig. 8): publish the repeat fact, reset the
@@ -651,10 +650,7 @@ impl CoordHandle {
             }
         };
         // Cancel volatile subtree tracking either way.
-        let watchdogs = self.inner.borrow_mut().sweep_subtree(instance, scope_path);
-        for (_, id) in watchdogs {
-            world.cancel(id);
-        }
+        self.discard_flights(world, instance, plan.subtree(scope_id));
         // Seed the re-entry: the repeat fact is a fresh commit; a reset
         // non-root compound rebinds through the start agenda; a reset
         // root reactivates directly, enabling its constituents.
@@ -745,7 +741,7 @@ impl CoordHandle {
         let Some(rt) = coordinator.instances.get(instance) else {
             return;
         };
-        if rt.terminal || !rt.in_flight.is_empty() {
+        if rt.terminal || !rt.flights.is_idle() {
             return;
         }
         let plan = rt.plan.clone();

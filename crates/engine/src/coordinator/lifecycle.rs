@@ -15,7 +15,9 @@ use flowscript_sim::World;
 use flowscript_tx::{ObjectUid, StableStore, StoreKey, TxManager};
 
 use super::meta::{instance_seq_uid, plan_uid, plan_uid_fingerprint};
-use super::{stored_instances, CoordHandle, Coordinator, InstanceMeta, InstanceRt, InstanceStatus};
+use super::{
+    stored_instances, CoordHandle, Coordinator, Flights, InstanceMeta, InstanceRt, InstanceStatus,
+};
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::{meta_uid, InstanceKeys};
@@ -60,10 +62,7 @@ impl Coordinator {
             keys: Rc::new(keys),
             schema,
             bindings,
-            watchdogs: BTreeMap::new(),
-            in_flight: BTreeSet::new(),
-            dispatched_to: BTreeMap::new(),
-            retry_from: BTreeMap::new(),
+            flights: Flights::default(),
             nonterminal,
             terminal: meta.status.is_terminal(),
         })
@@ -242,10 +241,7 @@ impl CoordHandle {
                 plan,
                 keys: Rc::new(keys),
                 bindings: BTreeMap::new(),
-                watchdogs: BTreeMap::new(),
-                in_flight: BTreeSet::new(),
-                dispatched_to: BTreeMap::new(),
-                retry_from: BTreeMap::new(),
+                flights: Flights::default(),
                 // Root Active + every descendant Waiting.
                 nonterminal: task_count,
                 terminal: false,

@@ -67,7 +67,6 @@ use super::{stored_instance_names, CoordHandle, Coordinator, InstanceMeta, Insta
 use crate::error::EngineError;
 use crate::keys::meta_uid;
 use crate::msg::EngineMsg;
-use crate::sched::ImplHints;
 use crate::shard::ShardMap;
 
 /// Maximum relays a misdirected message may take before the relay
@@ -398,17 +397,13 @@ impl Coordinator {
     /// from its committed control blocks). Returns the watchdogs to
     /// cancel.
     fn drop_runtime(&mut self, instance: &str) -> Vec<EventId> {
-        self.unpark_instance(instance);
         let Some(rt) = self.instances.remove(instance) else {
             return Vec::new();
         };
-        for dispatched in rt.dispatched_to.values() {
-            self.sched.note_release(dispatched.node, dispatched.cost);
-        }
         if !rt.terminal {
             self.admission.instance_settled();
         }
-        rt.watchdogs.into_values().collect()
+        self.dispatcher.release_all(instance, rt.flights)
     }
 
     /// Hand-off crash repair, run by recovery before any instance
@@ -1247,7 +1242,7 @@ impl CoordHandle {
             adopted
         };
         for (name, running) in adopted {
-            self.arm_adopted_watchdogs(world, &name);
+            self.rearm_adopted(world, &name);
             if running {
                 // Full re-evaluation: an adopted instance has no
                 // commit to seed from. Executing tasks are not
@@ -1255,48 +1250,6 @@ impl CoordHandle {
                 // control-block state.
                 self.evaluate(world, &name);
             }
-        }
-    }
-
-    /// Arms fresh watchdogs for every task an adopted instance has in
-    /// the `Executing` state, marking them in flight. The normal case
-    /// is the watchdog being disarmed by the old owner's relayed
-    /// `TaskDone`; it fires only if the reply (or its relay) is truly
-    /// lost, turning the move into an ordinary bounded retry.
-    fn arm_adopted_watchdogs(&self, world: &mut World, instance: &str) {
-        let executing: Vec<(String, u32, u32, SimDuration)> = {
-            let coordinator = self.inner.borrow();
-            let Some(rt) = coordinator.instances.get(instance) else {
-                return;
-            };
-            let executing = coordinator.executing(instance);
-            executing
-                .into_iter()
-                .map(|(id, cb)| {
-                    let task = rt.plan.task(id);
-                    let hints = ImplHints::from_map(&rt.plan.implementation_map(task));
-                    // Same timeout math as a fresh dispatch — including
-                    // the observed-duration extension for the
-                    // (bindings-resolved) code, so a relay delayed past
-                    // a lying short hint still lands before the adopted
-                    // watchdog fires.
-                    let script_code = rt.plan.code(task).unwrap_or("").to_string();
-                    let code = rt
-                        .bindings
-                        .get(&script_code)
-                        .cloned()
-                        .unwrap_or(script_code);
-                    let timeout = coordinator.costs.watchdog_timeout(
-                        &code,
-                        &hints,
-                        coordinator.config.dispatch_timeout,
-                    );
-                    (cb.path, cb.incarnation, cb.attempt, timeout)
-                })
-                .collect()
-        };
-        for (path, incarnation, attempt, timeout) in executing {
-            self.arm_watchdog(world, instance, &path, incarnation, attempt, timeout);
         }
     }
 

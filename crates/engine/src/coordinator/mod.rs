@@ -37,7 +37,7 @@
 //! | `config`, `meta`, `stats` | the types: operator knobs; status, outcome, `InstanceMeta`, uid layout; counters and the dispatch record | — | — |
 //! | `window` | the one place a report is applied: buffer `Done`/`Mark` reports, commit a window of them in one atomic action | `BatchWindow` | `enqueue_event`, `flush_pending`, `commit_event` |
 //! | `evaluate` | the worklist drain: input-set satisfaction, activation, compound-scope outputs (marks, termination, the fig. 8 repeat), stuck detection, the debug full-scan oracle | — | `evaluate`, `evaluate_from`, `park_stuck` |
-//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, bounded retries, the slow-path report handler | — | `dispatch`, `redispatch`, `arm_watchdog`, `on_task_done`, `fail_task`, `clear_watch`, `drain_parked`, `sweep_subtree`, `executing` |
+//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, bounded retries, the slow-path report handler | `Dispatcher` (scheduler loads, cost model, ready queue), `Flights` (per instance: one record per task with outstanding work) | `dispatch`, `redispatch`, `on_task_done`, `clear_watch`, `drain_parked`, `discard_flights` (subtree sweep, forced outcome), `executing`; `Flights::is_idle` (stuck detection), `rekey_flights` (reconfiguration), `rearm_adopted` (adoption), `Dispatcher::{release_all, reset}` (hand-off, recovery), `executor_loads` |
 //! | `admission` | the per-shard instance cap on the start RPC | `Admission` | `admit_or_queue`, `admit_from_queue`, `Admission::{instance_live, instance_settled}` |
 //! | `lifecycle` | instance start, materialising a runtime from committed state, the monitoring reads; compiled plans, decoded once and persisted once per fingerprint | `PlanCache` | `start_instance_full`, `load_instance`, `rebuild_schema`, `count_nonterminal`, `PlanCache::validated`, `gc_plans` |
 //! | `membership` | shard routing and relays; the fleet protocols the nodes run among themselves — live hand-off (the one `tx::dist` 2PC, this module its host) and crash-driven adoption | `Membership`, [`MoveReport`], [`FailoverReport`] | `route_report`, `misdirected`, `forward_start`; from the façade `begin_move`, `begin_adoption` (each answers with a `Ticket`); from the wire `on_dist`, `on_claim`; `adopt_orphans`, `repair_handoffs` |
@@ -57,19 +57,19 @@ mod stats;
 mod window;
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use flowscript_core::schema::Schema;
 use flowscript_obs::{FlightRecorder, ObsEventKind, Registry};
 use flowscript_plan::{Plan, TaskId};
-use flowscript_sim::{Envelope, EventId, NodeId, World};
+use flowscript_sim::{Envelope, NodeId, World};
 use flowscript_tx::{ObjectUid, StableStore, TxManager};
 
 use crate::error::EngineError;
-use crate::keys::{cb_uid, meta_uid, InstanceKeys};
+use crate::keys::{meta_uid, InstanceKeys};
 use crate::msg::EngineMsg;
-use crate::sched::{CostModel, ExecutorSlot, ExecutorSpec, Scheduler};
+use crate::sched::ExecutorSpec;
 use crate::shard::ShardMap;
 use crate::state::TaskCb;
 
@@ -83,7 +83,7 @@ pub use stats::{CoordStats, DispatchRecord};
 use recovery::{stored_instance_names, stored_instances};
 
 use admission::{Admission, AdmissionTicket};
-use dispatch::{DispatchedTask, ParkedDispatch};
+use dispatch::{Dispatcher, Flights};
 use lifecycle::PlanCache;
 use membership::Membership;
 use meta::InstanceMeta;
@@ -106,19 +106,9 @@ struct InstanceRt {
     /// keys precomputed per plan source (rebuilt with the plan).
     keys: Rc<InstanceKeys>,
     bindings: BTreeMap<String, String>,
-    watchdogs: BTreeMap<String, EventId>,
-    /// Paths with an outstanding dispatch, scheduled retry or pending
-    /// repeat re-execution.
-    in_flight: BTreeSet<String>,
-    /// The executor each outstanding dispatch was sent to, keyed by
-    /// dense plan task id (the last map on the dispatch hot path was
-    /// string-keyed until PR 9). Entry inserted when the dispatch
-    /// counts, removed exactly when the scheduler load is released.
-    dispatched_to: BTreeMap<TaskId, DispatchedTask>,
-    /// The node the most recent *failed* attempt of a path ran on;
-    /// consumed by the next dispatch so the retry relocates whenever
-    /// an eligible alternative exists.
-    retry_from: BTreeMap<String, NodeId>,
+    /// One record per task with outstanding work (`dispatch`'s, keyed
+    /// by the plan's dense task ids and re-keyed with the plan).
+    flights: Flights,
     /// Control blocks not yet in a terminal state, maintained
     /// incrementally at every transition commit (recounted only on
     /// recovery and reconfiguration). Stuck detection reads this
@@ -136,23 +126,9 @@ struct InstanceRt {
 pub struct Coordinator {
     node: NodeId,
     repo: NodeId,
-    /// Load-aware executor selection over the shared fleet (each shard
-    /// keeps its own load view; no cross-shard coordination on the
-    /// dispatch hot path).
-    sched: Scheduler,
-    /// Observed-duration feedback: per-code EWMA of real completion
-    /// times, sampled at every genuine `TaskDone` release. Volatile by
-    /// design (an estimate, not state) — recovery restarts it empty
-    /// and the declared hints carry placement until it re-converges.
-    costs: CostModel,
-    /// Dispatches parked because every eligible executor sat at its
-    /// declared capacity, ordered by `(priority desc, arrival)`.
-    /// Drained whenever a release frees a slot. Volatile: each parked
-    /// path's control block committed `Executing` before the park, so
-    /// recovery re-dispatches it.
-    parked: BTreeMap<(std::cmp::Reverse<i64>, u64), ParkedDispatch>,
-    /// Arrival tie-break for `parked` keys.
-    park_seq: u64,
+    /// Executor loads, observed costs and the capacity-parked ready
+    /// queue.
+    dispatcher: Dispatcher,
     /// The admission cap's queue and occupancy counts.
     admission: Admission,
     /// The shard map and the relay table of handed-off instances.
@@ -168,7 +144,7 @@ pub struct Coordinator {
     /// [`Coordinator::maybe_checkpoint`]).
     commits_at_checkpoint: u64,
     /// The open commit window: buffered executor reports, the flush
-    /// timer flag, batch ids and the arrival EWMA.
+    /// timer flag and batch ids.
     window: BatchWindow,
     /// This shard's metric registry: `coord.*`, `sched.*`, `tx.*` and
     /// `wal.*` live here. Shared with the [`TxManager`], surviving
@@ -245,14 +221,10 @@ impl Coordinator {
             &registry,
             config.observe,
         )?;
-        let sched = Scheduler::new(executors, config.scheduler);
         Ok(Self {
             node,
             repo,
-            sched,
-            costs: CostModel::new(),
-            parked: BTreeMap::new(),
-            park_seq: 0,
+            dispatcher: Dispatcher::new(executors),
             admission: Admission::default(),
             membership: Membership::new(node, shard),
             config,
@@ -320,14 +292,7 @@ impl Coordinator {
         Ok(())
     }
 
-    fn read_cb(&self, instance: &str, path: &str) -> Option<TaskCb> {
-        self.mgr
-            .read_committed(&cb_uid(instance, path))
-            .ok()
-            .flatten()
-    }
-
-    /// Hot-path control-block read through the interned uid table.
+    /// Control-block read through the interned uid table.
     fn read_cb_id(&self, keys: &InstanceKeys, task: TaskId) -> Option<TaskCb> {
         self.mgr.read_committed(keys.cb(task)).ok().flatten()
     }
@@ -441,11 +406,10 @@ impl CoordHandle {
         self.inner.borrow().node
     }
 
-    /// This shard's current view of the executor fleet: per-executor
-    /// location label and in-flight dispatch count (monitoring; the
-    /// scheduling tests assert the counts drain to zero).
-    pub fn executor_loads(&self) -> Vec<ExecutorSlot> {
-        self.inner.borrow().sched.snapshot()
+    /// Whether another node has claimed this shard's storage (probes
+    /// the log tail, so a zombie that has not noticed yet says yes).
+    pub(crate) fn is_fenced(&self) -> bool {
+        self.inner.borrow_mut().mgr.probe_fence().is_some()
     }
 
     fn handle_message(&self, world: &mut World, envelope: &Envelope) {

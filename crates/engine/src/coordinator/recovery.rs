@@ -7,9 +7,8 @@ use flowscript_sim::World;
 use flowscript_tx::{StableStore, TxManager};
 
 use super::{Admission, CoordHandle, Coordinator, InstanceMeta, InstanceStatus, PlanCache};
-use crate::keys::{cb_uid, meta_uid};
+use crate::keys::meta_uid;
 use crate::msg::EngineMsg;
-use crate::state::TaskCb;
 
 /// The name of every `inst/{name}/meta` object in `mgr` — the one
 /// enumeration recovery, orphan adoption, plan GC and dead-shard claims
@@ -41,19 +40,16 @@ pub(super) fn stored_instances(mgr: &TxManager<StableStore>) -> Vec<(String, Ins
 impl Coordinator {
     /// Everything volatile died with the process: resident runtimes and
     /// decoded plans (the loads re-validate each persisted blob once),
-    /// the open commit window, the scheduler's in-flight view
-    /// (re-dispatches rebuild it), the parked ready queue (parked paths
-    /// committed `Executing` and re-dispatch — re-parking if still
-    /// saturated) and the admission queue and counts (queued starts are
+    /// the open commit window, dispatch's in-flight view and ready queue
+    /// (re-dispatches rebuild both) and the admission queue and counts
+    /// (queued starts are
     /// the client's to retry — their reply tokens are gone — and the
     /// reload recounts occupancy from the persisted metas).
     fn reset_volatile(&mut self) {
         self.instances.clear();
         self.plan_cache = PlanCache::default();
         self.window.reset();
-        self.sched.reset_loads();
-        self.parked.clear();
-        self.park_seq = 0;
+        self.dispatcher.reset();
         self.admission = Admission::default();
         self.membership.reset_protocols();
     }
@@ -129,21 +125,24 @@ impl CoordHandle {
         // Re-dispatch whatever was executing (at-least-once execution,
         // exactly-once outcome application via attempt matching).
         for instance in &instances {
+            let Some((_, keys)) = self.instance_ctx(instance) else {
+                continue;
+            };
             let executing = self.inner.borrow().executing(instance);
-            for (_, TaskCb { path, attempt, .. }) in executing {
-                // Bump the attempt so a late pre-crash reply is ignored.
+            for (task, _) in executing {
+                // Bump the attempt so a late pre-crash reply is ignored
+                // (re-read: an earlier re-dispatch of this loop may have
+                // failed its task and cancelled this one).
                 let bumped = {
                     let mut coordinator = self.inner.borrow_mut();
-                    let Some(mut cb) = coordinator.read_cb(instance, &path) else {
+                    let Some(mut cb) = coordinator.read_cb_id(&keys, task) else {
                         continue;
                     };
-                    cb.attempt = attempt + 1;
-                    coordinator
-                        .commit_cb(&cb_uid(instance, &path), &cb)
-                        .then_some(cb.attempt)
+                    cb.attempt += 1;
+                    coordinator.commit_cb(keys.cb(task), &cb).then_some(cb)
                 };
-                if let Some(new_attempt) = bumped {
-                    self.redispatch(world, instance, &path, new_attempt);
+                if let Some(cb) = bumped {
+                    self.redispatch(world, instance, &cb.path, cb.attempt);
                 }
             }
             self.evaluate(world, instance);

@@ -107,32 +107,14 @@ pub(super) struct BatchWindow {
     batch_seq: u64,
     /// The batch id commits currently run under, if a flush is active.
     current_batch: Option<u64>,
-    /// Report inter-arrival EWMA in virtual nanoseconds (adaptive
-    /// window tuning; `None` until the second report).
-    arrival_gap_ns: Option<u64>,
-    /// Virtual time of the last buffered report.
-    last_report_ns: u64,
 }
 
 impl BatchWindow {
-    /// Buffers one report arriving at `now_ns`. The first report of a
-    /// window arms a one-shot timer so a lone report still commits
-    /// within the window; reaching `max_events` flushes at once, and so
-    /// does a zero `max_window` — no time to wait is a window of one.
-    fn push(&mut self, event: PendingEvent, now_ns: u64, batch: &CommitBatch) -> Next {
-        // Fold the arrival into the inter-arrival EWMA (same 1/4 gain
-        // as the cost model). The very first report only seeds the
-        // clock — a gap measured from time zero is noise.
-        if batch.min_window.is_some() {
-            if self.last_report_ns != 0 {
-                let gap = now_ns.saturating_sub(self.last_report_ns);
-                self.arrival_gap_ns = Some(match self.arrival_gap_ns {
-                    None => gap,
-                    Some(mean) => ((u128::from(mean) * 3 + u128::from(gap)) / 4) as u64,
-                });
-            }
-            self.last_report_ns = now_ns;
-        }
+    /// Buffers one report. The first report of a window arms a
+    /// one-shot timer so a lone report still commits within the window;
+    /// reaching `max_events` flushes at once, and so does a zero
+    /// `max_window` — no time to wait is a window of one.
+    fn push(&mut self, event: PendingEvent, batch: &CommitBatch) -> Next {
         self.pending.push(event);
         if self.pending.len() >= batch.max_events || batch.max_window == SimDuration::ZERO {
             Next::Flush
@@ -140,27 +122,7 @@ impl BatchWindow {
             Next::Wait
         } else {
             self.armed = true;
-            Next::Arm(self.effective_window(batch))
-        }
-    }
-
-    /// The window to arm right now. Static configs return
-    /// `max_window` unchanged; with `min_window` set, a
-    /// bursty report stream (mean gap ≤ ¼ of the full window) holds the
-    /// full window to amortize the flush, while light load narrows to
-    /// the floor so a lone report commits sooner.
-    fn effective_window(&self, batch: &CommitBatch) -> SimDuration {
-        let max = batch.max_window;
-        let Some(min) = batch.min_window else {
-            return max;
-        };
-        if self
-            .arrival_gap_ns
-            .is_some_and(|gap| gap <= max.as_nanos() / 4)
-        {
-            max
-        } else {
-            min.min(max)
+            Next::Arm(batch.max_window)
         }
     }
 
@@ -194,8 +156,8 @@ impl BatchWindow {
     }
 
     /// The window died with the process: unflushed reports are lost as
-    /// a unit (executors re-report via watchdog retries), no flush is
-    /// active and the arrival clock restarts. Batch ids keep counting —
+    /// a unit (executors re-report via watchdog retries) and no flush
+    /// is active. Batch ids keep counting —
     /// the flight recorder they stamp spans the crash.
     pub(super) fn reset(&mut self) {
         *self = Self {
@@ -235,10 +197,7 @@ impl Coordinator {
             Ok(None) => return Staging::Consumed,
             Err(_) => return Staging::Error,
         };
-        if !matches!(cb.state, CbState::Executing { .. })
-            || cb.incarnation != incarnation
-            || cb.attempt != attempt
-        {
+        if !cb.awaits(incarnation, attempt) {
             return Staging::Consumed;
         }
         let class = plan.class_of(plan.task(task_id));
@@ -302,11 +261,9 @@ impl CoordHandle {
         let (next, node) = {
             let mut coordinator = self.inner.borrow_mut();
             let coordinator = &mut *coordinator;
-            let next = coordinator.window.push(
-                event,
-                world.now().as_nanos(),
-                &coordinator.config.commit_batch,
-            );
+            let next = coordinator
+                .window
+                .push(event, &coordinator.config.commit_batch);
             (next, coordinator.node)
         };
         match next {
@@ -467,7 +424,7 @@ impl CoordHandle {
             // *before* the cascade dispatches anything new.
             for effect in &staged {
                 if !effect.is_mark {
-                    let _ = self.clear_watch(world, &effect.instance, &effect.path);
+                    let _ = self.clear_watch(world, &effect.instance, effect.task_id);
                 }
             }
             // One readiness pass per touched instance, seeded from the
@@ -517,17 +474,16 @@ mod tests {
         let config = CommitBatch {
             max_events: 3,
             max_window,
-            min_window: None,
         };
         let mut window = BatchWindow::default();
-        assert_eq!(window.push(report(), 10, &config), Next::Arm(max_window));
-        assert_eq!(window.push(report(), 20, &config), Next::Wait);
-        assert_eq!(window.push(report(), 30, &config), Next::Flush);
+        assert_eq!(window.push(report(), &config), Next::Arm(max_window));
+        assert_eq!(window.push(report(), &config), Next::Wait);
+        assert_eq!(window.push(report(), &config), Next::Flush);
         assert_eq!(std::mem::take(&mut window.pending).len(), 3);
         // The timer armed by the first report fires on the empty buffer.
         assert!(!window.timer_fired());
         // A window the timer does find reports in flushes, once.
-        assert_eq!(window.push(report(), 40, &config), Next::Arm(max_window));
+        assert_eq!(window.push(report(), &config), Next::Arm(max_window));
         assert!(window.timer_fired());
     }
 
@@ -537,8 +493,8 @@ mod tests {
         zero_window.max_events = 8;
         for config in [CommitBatch::disabled(), zero_window] {
             let mut window = BatchWindow::default();
-            for now_ns in [10, 20, 30] {
-                assert_eq!(window.push(report(), now_ns, &config), Next::Flush);
+            for _ in 0..3 {
+                assert_eq!(window.push(report(), &config), Next::Flush);
                 assert!(!window.armed);
                 window.pending.clear();
             }

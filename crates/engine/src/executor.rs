@@ -305,24 +305,68 @@ fn run_nested_script(
 mod tests {
     use super::*;
 
-    #[test]
-    fn nesting_counter_restores_after_guard() {
-        NESTING.with(|n| n.set(MAX_SCRIPT_NESTING));
-        let start = StartTask {
+    fn start(implementation: &[(&str, &str)]) -> StartTask {
+        StartTask {
             instance: "i".into(),
             path: "p".into(),
             incarnation: 0,
             attempt: 0,
             code: "c".into(),
-            implementation: Default::default(),
+            implementation: implementation
+                .iter()
+                .map(|(k, v)| ((*k).to_string(), (*v).to_string()))
+                .collect(),
             set: "main".into(),
             inputs: Default::default(),
             repeat_objects: Default::default(),
             epoch: 1,
-        };
+        }
+    }
+
+    #[test]
+    fn nesting_counter_restores_after_guard() {
+        NESTING.with(|n| n.set(MAX_SCRIPT_NESTING));
         let registry = ImplRegistry::new();
-        let err = run_nested_script(&registry, "class C;", "root", &start).unwrap_err();
+        let err = run_nested_script(&registry, "class C;", "root", &start(&[])).unwrap_err();
         assert!(err.contains("nesting"), "{err}");
         NESTING.with(|n| n.set(0));
+    }
+
+    #[test]
+    fn location_guard_rejects_a_mispinned_start() {
+        // The scheduler never mispins; the guard is for the day it does.
+        let mut world = World::new(1);
+        let coordinator = world.add_node("coordinator");
+        let executor = world.add_node("warehouse0");
+        let registry = ImplRegistry::new();
+        registry.bind_fn("c", |_| TaskBehavior::outcome("done"));
+        let profile = ExecutorProfile {
+            location: Some("warehouse".into()),
+            ..ExecutorProfile::default()
+        };
+        install_with(&mut world, executor, registry, profile);
+        let replies = Rc::new(RefCell::new(Vec::new()));
+        let sink = replies.clone();
+        world.set_handler(coordinator, move |_, envelope| {
+            let Ok(EngineMsg::Done(done)) = flowscript_codec::from_bytes(&envelope.payload) else {
+                panic!("the executor answers a start with a report");
+            };
+            sink.borrow_mut().push(done.result);
+        });
+        for location in ["warehouse", "paris"] {
+            let msg = EngineMsg::Start(start(&[("location", location)]));
+            world.send(coordinator, executor, flowscript_codec::to_bytes(&msg));
+            world.run();
+        }
+        let replies = replies.borrow();
+        assert!(
+            matches!(&replies[0], TaskResult::Output { name, .. } if name == "done"),
+            "a start pinned here runs: {replies:?}"
+        );
+        assert!(
+            matches!(&replies[1], TaskResult::ExecError { reason }
+                if reason.contains("pinned to location `paris`") && reason.contains("`warehouse`")),
+            "a start pinned elsewhere fails loudly: {replies:?}"
+        );
     }
 }

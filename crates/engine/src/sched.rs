@@ -31,9 +31,9 @@
 //!
 //! Each coordinator shard owns a scheduler over the *shared* executor
 //! fleet: load views are per shard, so no cross-shard coordination sits
-//! on the dispatch hot path. The legacy path-hash policy survives as
-//! [`SchedPolicy::PathHash`] — the baseline `tests/scheduling.rs`
-//! compares against.
+//! on the dispatch hot path. There is one policy; the verdicts of the
+//! two retired baselines (a path hash, count-based least-loaded) are
+//! frozen as constants in `tests/scheduling.rs`.
 
 use std::collections::BTreeMap;
 
@@ -191,27 +191,23 @@ impl CostModel {
     }
 }
 
-/// How dispatch picks an executor.
+/// How dispatch picks an executor: location hard constraint, avoid the
+/// failed node on retry, least **remaining work** among the eligible
+/// remainder — each in-flight dispatch weighs `1 + duration_ms`
+/// ([`ImplHints::load_cost`], overridden by the observed [`CostModel`]
+/// estimate once one exists), so durations shape placement and hintless
+/// fleets degenerate to in-flight counting.
+///
+/// Vestige: there is one policy, so this type, the `policy` parameter
+/// of [`Scheduler::new`] and the unread `path` / `attempt` parameters of
+/// [`Scheduler::pick`] exist only because the perf ledger's frozen
+/// `sched.pick_ns` probe calls those signatures. ROADMAP item 2(c), the
+/// PR that may edit the probe, deletes all three.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedPolicy {
-    /// Load-aware: location hard constraint, avoid the failed node on
-    /// retry, least **remaining work** among the eligible remainder —
-    /// each in-flight dispatch weighs `1 + duration_ms`
-    /// ([`ImplHints::load_cost`], overridden by the observed
-    /// [`CostModel`] estimate once one exists), so durations shape
-    /// placement and hintless fleets degenerate to in-flight counting.
+    /// The one policy.
     #[default]
     LeastLoaded,
-    /// Count-based least-loaded: like [`SchedPolicy::LeastLoaded`] but
-    /// every dispatch weighs one unit regardless of declared duration
-    /// (the pre-remaining-work behaviour, kept as the comparison
-    /// baseline for the skewed-duration tests).
-    InFlightCount,
-    /// The legacy baseline: stable hash of the task path plus the
-    /// attempt, ignoring hints and load (kept as the regression
-    /// oracle of `tests/scheduling.rs`). Ignores declared capacities
-    /// too — the baseline predates them.
-    PathHash,
 }
 
 /// One executor as registered with the system: where it runs, its
@@ -291,9 +287,9 @@ pub struct Placement {
     /// avoid (a retry with no eligible alternative — e.g. a single
     /// executor, or a location pin matching exactly the failed node).
     pub no_alternative: bool,
-    /// The chosen executor's load (in the active policy's metric) at
-    /// decision time, *before* this dispatch is charged — what the
-    /// `sched.pick_load` histogram samples.
+    /// The chosen executor's remaining-work load at decision time,
+    /// *before* this dispatch is charged — what the `sched.pick_load`
+    /// histogram samples.
     pub load: u64,
 }
 
@@ -301,15 +297,15 @@ pub struct Placement {
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     slots: Vec<ExecutorSlot>,
-    policy: SchedPolicy,
 }
 
 impl Scheduler {
     /// Builds a scheduler over the executor fleet. `specs` order is the
     /// deterministic tie-break order. An empty-string location label
     /// normalizes to `None`: such an executor is label-free, not
-    /// registered at a location named `""`.
-    pub fn new(specs: Vec<ExecutorSpec>, policy: SchedPolicy) -> Self {
+    /// registered at a location named `""`. (`_policy`: see
+    /// [`SchedPolicy`].)
+    pub fn new(specs: Vec<ExecutorSpec>, _policy: SchedPolicy) -> Self {
         Self {
             slots: specs
                 .into_iter()
@@ -321,18 +317,7 @@ impl Scheduler {
                     remaining: 0,
                 })
                 .collect(),
-            policy,
         }
-    }
-
-    /// The legacy stable path hash (FNV-free multiplicative hash kept
-    /// byte-compatible with the pre-scheduler dispatch).
-    fn path_hash(path: &str) -> u64 {
-        let mut hash = 0u64;
-        for byte in path.bytes() {
-            hash = hash.wrapping_mul(31).wrapping_add(u64::from(byte));
-        }
-        hash
     }
 
     /// True when at least one executor is eligible for `hints` and
@@ -340,13 +325,8 @@ impl Scheduler {
     /// caller should park the dispatch in its ready queue until a
     /// release frees a slot, instead of piling work onto a full node.
     /// An unsatisfiable pin returns `false`: that is a placement
-    /// *error* ([`SchedError::NoExecutorAt`]), not congestion. The
-    /// [`SchedPolicy::PathHash`] baseline predates capacities and
-    /// never reports saturation.
+    /// *error* ([`SchedError::NoExecutorAt`]), not congestion.
     pub fn all_saturated(&self, hints: &ImplHints) -> bool {
-        if self.policy == SchedPolicy::PathHash {
-            return false;
-        }
         let mut any_eligible = false;
         for slot in &self.slots {
             let eligible = match &hints.location {
@@ -370,7 +350,8 @@ impl Scheduler {
     /// Unsaturated executors are preferred over saturated ones, and
     /// relocation is preferred within each tier — but an unsaturated
     /// avoided node beats a saturated alternative: capacity is a
-    /// declared bound, relocation only a preference.
+    /// declared bound, relocation only a preference. (`_path`,
+    /// `_attempt`: see [`SchedPolicy`].)
     ///
     /// # Errors
     ///
@@ -380,24 +361,12 @@ impl Scheduler {
     /// burning retries.
     pub fn pick(
         &self,
-        path: &str,
-        attempt: u32,
+        _path: &str,
+        _attempt: u32,
         hints: &ImplHints,
         avoid: Option<NodeId>,
     ) -> Result<Placement, SchedError> {
         assert!(!self.slots.is_empty(), "a system always has an executor");
-        if self.policy == SchedPolicy::PathHash {
-            // Baseline: hash of the path plus the attempt over the
-            // whole fleet, hints and load ignored.
-            let index = (Self::path_hash(path).wrapping_add(u64::from(attempt))
-                % self.slots.len() as u64) as usize;
-            let node = self.slots[index].node;
-            return Ok(Placement {
-                node,
-                no_alternative: avoid == Some(node) && self.slots.len() == 1,
-                load: self.slots[index].remaining,
-            });
-        }
         let eligible = |slot: &&ExecutorSlot| match &hints.location {
             Some(location) => slot.location.as_deref() == Some(location.as_str()),
             None => true,
@@ -409,21 +378,15 @@ impl Scheduler {
                 return Err(SchedError::NoExecutorAt(location.clone()));
             }
         }
-        // Least-loaded among the eligible; ties break by slot order
-        // (deterministic runs). The default metric is the
-        // remaining-work estimate; the `InFlightCount` baseline weighs
-        // every dispatch equally.
-        let load = |slot: &ExecutorSlot| match self.policy {
-            SchedPolicy::InFlightCount => u64::from(slot.in_flight),
-            _ => slot.remaining,
-        };
+        // Least remaining work among the eligible; ties break by slot
+        // order (deterministic runs).
         let best = |skip_avoided: bool, skip_saturated: bool| {
             self.slots
                 .iter()
                 .filter(eligible)
                 .filter(|slot| !skip_avoided || avoid != Some(slot.node))
                 .filter(|slot| !skip_saturated || !slot.saturated())
-                .min_by_key(|slot| load(slot))
+                .min_by_key(|slot| slot.remaining)
         };
         // Tier order: unsaturated beats saturated, then relocation
         // beats landing back on the avoided node.
@@ -437,7 +400,7 @@ impl Scheduler {
                     // means no alternative was eligible in any better
                     // tier.
                     no_alternative: avoid == Some(slot.node),
-                    load: load(slot),
+                    load: slot.remaining,
                 });
             }
         }
@@ -657,13 +620,6 @@ mod tests {
         sched.note_dispatch(ids[1], short.load_cost());
         sched.note_dispatch(ids[1], short.load_cost());
         assert_eq!(sched.pick("p", 0, &short, None).unwrap().node, ids[1]);
-        // The count-based baseline picks the node with fewer dispatches
-        // regardless of their declared durations.
-        let mut count = Scheduler::new(unbounded(&ids), SchedPolicy::InFlightCount);
-        count.note_dispatch(ids[0], long.load_cost());
-        count.note_dispatch(ids[1], short.load_cost());
-        count.note_dispatch(ids[1], short.load_cost());
-        assert_eq!(count.pick("p", 0, &short, None).unwrap().node, ids[0]);
         // Releases restore the estimate exactly.
         sched.note_release(ids[0], long.load_cost());
         assert_eq!(sched.load_of(ids[0]), 0);
@@ -827,27 +783,6 @@ mod tests {
             .unwrap();
         assert_eq!(placed.node, ids[0]);
         assert!(placed.no_alternative);
-    }
-
-    #[test]
-    fn path_hash_policy_reproduces_the_legacy_choice() {
-        let ids = nodes(4);
-        let sched = Scheduler::new(unbounded(&ids), SchedPolicy::PathHash);
-        let path = "root/task";
-        let mut hash = 0u64;
-        for byte in path.bytes() {
-            hash = hash.wrapping_mul(31).wrapping_add(u64::from(byte));
-        }
-        for attempt in 0..6 {
-            let expected = ids[(hash.wrapping_add(u64::from(attempt)) % 4) as usize];
-            assert_eq!(
-                sched
-                    .pick(path, attempt, &ImplHints::default(), None)
-                    .unwrap()
-                    .node,
-                expected
-            );
-        }
     }
 
     #[test]

@@ -219,6 +219,17 @@ impl TaskCb {
         self.marks_emitted.clear();
     }
 
+    /// Whether the block is waiting for the report of exactly this
+    /// dispatch: still `Executing`, in the same scope incarnation, on
+    /// the same attempt. Anything else is a stale report (or a stale
+    /// watchdog) and must be dropped — this is what makes at-least-once
+    /// execution apply each outcome exactly once.
+    pub fn awaits(&self, incarnation: u32, attempt: u32) -> bool {
+        matches!(self.state, CbState::Executing { .. })
+            && self.incarnation == incarnation
+            && self.attempt == attempt
+    }
+
     /// Whether this mark was already emitted in this incarnation.
     pub fn mark_emitted(&self, mark: &str) -> bool {
         self.marks_emitted.iter().any(|m| m == mark)

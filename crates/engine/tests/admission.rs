@@ -16,11 +16,9 @@ use common::{
     build, det_config, fan_join_source, fingerprints, run_fan, start_population, text, Fingerprint,
     ONE_TASK,
 };
-use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{
-    CbState, CommitBatch, EngineError, InstanceStatus, ObsEventKind, ObserveLevel, TaskBehavior,
-    WorkflowSystem,
+    CbState, EngineError, InstanceStatus, ObsEventKind, ObserveLevel, TaskBehavior, WorkflowSystem,
 };
 use flowscript_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -406,64 +404,4 @@ proptest! {
             prop_assert!(!trace.is_empty(), "{} never dispatched", name);
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Adaptive commit windows: auto-tuning must not change behaviour and
-// must not finish later than the static window.
-// ---------------------------------------------------------------------
-
-#[test]
-fn adaptive_commit_window_is_no_worse_than_static() {
-    let run = |adaptive: Option<SimDuration>| {
-        let config = EngineConfig {
-            commit_batch: CommitBatch {
-                max_events: 64,
-                max_window: SimDuration::from_millis(5),
-                min_window: adaptive,
-            },
-            ..EngineConfig::default()
-        };
-        let mut sys = WorkflowSystem::builder()
-            .executors(3)
-            .seed(17)
-            .config(config)
-            .build();
-        sys.register_script("diamond", samples::FIG1_DIAMOND, "diamond")
-            .unwrap();
-        for code in ["refT1", "refT2", "refT3", "refT4"] {
-            sys.bind_fn(code, |_| {
-                TaskBehavior::outcome("done")
-                    .with_work(SimDuration::from_millis(30))
-                    .with_object("out", text("Data", "d"))
-            });
-        }
-        let mut outcomes = Vec::new();
-        for i in 0..8 {
-            sys.start(
-                &format!("d{i}"),
-                "diamond",
-                "main",
-                [("seed", text("Data", "s"))],
-            )
-            .unwrap();
-        }
-        sys.run();
-        for i in 0..8 {
-            let name = format!("d{i}");
-            outcomes.push((
-                sys.outcome(&name).expect("diamond completes").name,
-                sys.task_states(&name),
-            ));
-        }
-        (outcomes, sys.now().since(SimTime::ZERO))
-    };
-    let (static_outcomes, static_makespan) = run(None);
-    let (adaptive_outcomes, adaptive_makespan) = run(Some(SimDuration::from_millis(1)));
-    assert_eq!(static_outcomes, adaptive_outcomes, "same behaviour");
-    assert!(
-        adaptive_makespan <= static_makespan,
-        "narrowing the window under sparse arrivals must not finish later: \
-         adaptive {adaptive_makespan:?} vs static {static_makespan:?}"
-    );
 }

@@ -165,7 +165,6 @@ fn crash_mid_window_loses_the_batch_as_a_unit_and_recovers() {
     let window = CommitBatch {
         max_events: 10_000,
         max_window: SimDuration::from_secs(5),
-        min_window: None,
     };
     let mut sys = build(1, arm_config(window));
     sys.start(

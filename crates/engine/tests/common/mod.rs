@@ -352,9 +352,29 @@ pub type Fingerprint = (
     BTreeMap<String, CbState>,
 );
 
+/// The books balance: a shard that is serving (up, unfenced) and whose
+/// every resident instance is terminal holds no executor load and no
+/// parked dispatch. Every suite runs this through [`fingerprint`].
+pub fn assert_books_balance(sys: &WorkflowSystem) {
+    for shard in sys.serving_shards() {
+        let coord = sys.coord_handle(shard);
+        let terminal = |name: &String| coord.status(name).is_ok_and(|status| status.is_terminal());
+        if !coord.instance_names().iter().all(terminal) {
+            continue;
+        }
+        let loads = coord.executor_loads();
+        assert!(
+            loads.iter().all(|s| s.in_flight == 0 && s.remaining == 0),
+            "shard {shard}: every instance is terminal, load is still charged: {loads:?}"
+        );
+        assert_eq!(coord.ready_queue_len(), 0, "shard {shard}: ready queue");
+    }
+}
+
 pub fn fingerprint(sys: &WorkflowSystem, instance: &str) -> Fingerprint {
     let status = sys.status(instance).expect("instance known");
     assert!(status.is_terminal(), "{instance} not terminal: {status:?}");
+    assert_books_balance(sys);
     // The dispatch trace is read off the flight recorders: a ring that
     // evicted would truncate it and let a comparison pass vacuously.
     for shard in 0..sys.shard_count() {
@@ -614,5 +634,6 @@ pub fn run_worklist_case(
         let _ = sys.reconfigure("i1", op);
     }
     sys.run();
+    assert_books_balance(&sys);
     sys
 }

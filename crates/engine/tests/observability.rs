@@ -373,6 +373,10 @@ fn repair_fact_can_force_a_hung_tasks_outcome() {
     );
     sys.repair_fact("r2", "root/slow", "done", [("out", text("Data", "forced"))])
         .unwrap();
+    // The hung dispatch is written off with the outcome it never
+    // delivered: only the join the repair unblocked is charged now.
+    let charged: u32 = sys.executor_loads(0).iter().map(|s| s.in_flight).sum();
+    assert_eq!(charged, 1, "{:?}", sys.executor_loads(0));
     sys.run();
     assert!(
         matches!(sys.status("r2").unwrap(), InstanceStatus::Completed(_)),

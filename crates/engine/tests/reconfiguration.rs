@@ -9,7 +9,7 @@ use flowscript_core::samples;
 use flowscript_engine::{
     CbState, InstanceStatus, ObjectVal, Reconfig, TaskBehavior, WorkflowSystem,
 };
-use flowscript_sim::SimDuration;
+use flowscript_sim::{SimDuration, SimTime};
 
 fn diamond_system(seed: u64) -> WorkflowSystem {
     let mut sys = WorkflowSystem::builder().executors(2).seed(seed).build();
@@ -289,4 +289,122 @@ fn reconfiguration_survives_coordinator_crash() {
         "t5: {:?}",
         states.get("diamond/t5")
     );
+}
+
+/// Three leaves under a root that is `done` on `c`; `c` draws on the
+/// root's seed, or on `b`'s output when `c_from_b`. Leaf `x` runs code
+/// `refX`.
+fn three_leaves(c_from_b: bool) -> String {
+    let leaf = |name: &str, from: &str| {
+        format!(
+            r#"    task {name} of taskclass Work {{
+        implementation {{ "code" is "ref{}" }};
+        inputs {{ input main {{ inputobject in from {{ {from} }} }} }}
+    }};
+"#,
+            name.to_uppercase()
+        )
+    };
+    let seed = "seed of task root if input main";
+    let c_source = if c_from_b {
+        "out of task b if output done"
+    } else {
+        seed
+    };
+    format!(
+        r#"
+class Data;
+taskclass Work {{
+    inputs {{ input main {{ in of class Data }} }};
+    outputs {{ outcome done {{ out of class Data }} }}
+}}
+taskclass Root {{
+    inputs {{ input main {{ seed of class Data }} }};
+    outputs {{ outcome done {{ }} }}
+}}
+compoundtask root of taskclass Root {{
+{}{}{}    outputs {{ outcome done {{ notification from {{ task c if output done }} }} }}
+}}
+"#,
+        leaf("a", seed),
+        leaf("b", seed),
+        leaf("c", c_source),
+    )
+}
+
+/// Two executors, `three_leaves(c_from_b)` registered, each leaf bound
+/// to `work_ms` of work.
+fn three_leaves_system(c_from_b: bool, work_ms: [u64; 3]) -> WorkflowSystem {
+    let mut sys = WorkflowSystem::builder().executors(2).seed(67).build();
+    sys.register_script("three", &three_leaves(c_from_b), "root")
+        .unwrap();
+    for (code, ms) in ["refA", "refB", "refC"].into_iter().zip(work_ms) {
+        sys.bind_fn(code, move |_| {
+            TaskBehavior::outcome("done")
+                .with_work(SimDuration::from_millis(ms))
+                .with_object("out", text("Data", "d"))
+        });
+    }
+    sys.start("i1", "three", "main", [("seed", text("Data", "s"))])
+        .unwrap();
+    sys
+}
+
+fn remove_a() -> Reconfig {
+    Reconfig::RemoveTask {
+        task_path: "root/a".into(),
+    }
+}
+
+#[test]
+fn removing_a_task_under_in_flight_siblings_keeps_the_books() {
+    // `a`, `b` and `c` are all executing when `a` is removed: every
+    // later dense task id shifts down by one under the dispatch books.
+    let mut sys = three_leaves_system(false, [50, 50, 50]);
+    sys.run_for(SimDuration::from_millis(10));
+    sys.reconfigure("i1", remove_a()).unwrap();
+    sys.run();
+    assert_eq!(sys.outcome("i1").expect("completes").name, "done");
+    assert!(
+        sys.executor_loads(0)
+            .iter()
+            .all(|slot| slot.in_flight == 0 && slot.remaining == 0),
+        "every charge must be released exactly once: {:?}",
+        sys.executor_loads(0)
+    );
+    // The removed task's watchdog was cancelled with it: had it been
+    // left armed, the run would have idled until it fired (30 s) into
+    // a deleted control block.
+    assert!(
+        sys.now() < SimTime::from_nanos(1_000_000_000),
+        "a watchdog outlived its task: the run ended at {}",
+        sys.now()
+    );
+    assert_eq!(sys.stats().retries, 0);
+}
+
+#[test]
+fn cost_samples_follow_the_task_across_an_id_shift() {
+    // `a` and `b` execute, `c` waits on `b`; removing `a` shifts `b`
+    // and `c` down but leaves every stale id in range — nothing panics,
+    // the books just describe the wrong tasks unless they are re-keyed.
+    let mut sys = three_leaves_system(true, [500, 50, 20]);
+    sys.run_for(SimDuration::from_millis(10));
+    sys.reconfigure("i1", remove_a()).unwrap();
+    sys.run();
+    assert_eq!(sys.outcome("i1").expect("completes").name, "done");
+    let coord = sys.coord_handle(0);
+    assert_eq!(
+        coord.cost_estimate_ms("refA"),
+        None,
+        "`a` never reported: nothing ran under its code"
+    );
+    let b = coord.cost_estimate_ms("refB").expect("`b` completed");
+    let c = coord.cost_estimate_ms("refC").expect("`c` completed");
+    assert!((50..60).contains(&b), "refB sampled at {b} ms");
+    assert!((20..30).contains(&c), "refC sampled at {c} ms");
+    assert!(sys
+        .executor_loads(0)
+        .iter()
+        .all(|slot| slot.in_flight == 0 && slot.remaining == 0));
 }

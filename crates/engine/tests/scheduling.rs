@@ -1,7 +1,8 @@
 //! Load-aware executor scheduling: location constraints, priority
 //! ordering, retry relocation, watchdog hint semantics and the
-//! least-loaded-vs-hash comparison (the paper's service-relocation
-//! story, §3/§4).
+//! comparison with the retired baselines' frozen verdicts (the paper's
+//! service-relocation story, §3/§4). The executor-side location guard
+//! is tested where it lives (`executor.rs`).
 
 mod common;
 
@@ -9,7 +10,7 @@ use common::{fan_join_source, text};
 use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{
-    CbState, InstanceStatus, ObjectVal, ObserveLevel, SchedPolicy, TaskBehavior, WorkflowSystem,
+    CbState, InstanceStatus, ObjectVal, ObserveLevel, TaskBehavior, WorkflowSystem,
 };
 use flowscript_sim::{NodeId, SimDuration, SimTime};
 
@@ -412,30 +413,26 @@ compoundtask root of taskclass Root {
 }
 
 // ---------------------------------------------------------------------
-// The scheduler vs its retiring baselines (deterministic, virtual time).
+// The scheduler vs its retired baselines (deterministic, virtual time).
 // ---------------------------------------------------------------------
 
-/// What `SchedPolicy::PathHash` renders on `skew_makespan(_, 4, 51, false, 12)`.
+/// What the retired path-hash baseline (hash of the task path plus the
+/// attempt, hints and load ignored) rendered on
+/// `skew_makespan(4, 51, false, 12)` at the last commit that had it.
 const PATH_HASH_SKEW_NS: u64 = 5_402_830_819;
-/// What `SchedPolicy::InFlightCount` renders on
-/// `skew_makespan(_, 2, 52, true, 8)`.
+/// What retired count-based least-loaded (every dispatch weighs one
+/// unit, whatever duration it declares) rendered on
+/// `skew_makespan(2, 52, true, 8)` at the last commit that had it.
 const COUNT_BASED_HINTED_SKEW_NS: u64 = 2_637_117_372;
 
 /// Runs `instances` 6-way fans with heavily skewed work (`w0` 400 ms,
 /// the rest 50 ms — declared as `duration_ms` when `hinted`) on
-/// `executors` serial executors under `policy` and returns the virtual
-/// makespan: load imbalance shows up directly in it.
-fn skew_makespan(
-    policy: SchedPolicy,
-    executors: usize,
-    seed: u64,
-    hinted: bool,
-    instances: usize,
-) -> SimDuration {
+/// `executors` serial executors and returns the virtual makespan: load
+/// imbalance shows up directly in it.
+fn skew_makespan(executors: usize, seed: u64, hinted: bool, instances: usize) -> SimDuration {
     let width = 6;
     let work_ms = |i: usize| if i == 0 { 400 } else { 50 };
     let config = EngineConfig {
-        scheduler: policy,
         // Serial queues stretch latencies; keep watchdogs out of it.
         dispatch_timeout: SimDuration::from_secs(3600),
         ..EngineConfig::default()
@@ -468,8 +465,7 @@ fn skew_makespan(
     for i in 0..instances {
         assert_eq!(
             sys.outcome(&format!("wave-{i}")).expect("completes").name,
-            "done",
-            "{policy:?}"
+            "done"
         );
     }
     for shard in 0..sys.shard_count() {
@@ -477,7 +473,7 @@ fn skew_makespan(
             sys.executor_loads(shard)
                 .iter()
                 .all(|s| s.in_flight == 0 && s.remaining == 0),
-            "{policy:?}: load and remaining-work counters must drain"
+            "load and remaining-work counters must drain"
         );
     }
     assert_eq!(sys.stats().dropped_dispatches, 0);
@@ -486,91 +482,25 @@ fn skew_makespan(
 
 #[test]
 fn least_loaded_beats_the_hash_baseline_under_skewed_durations() {
-    let hash = skew_makespan(SchedPolicy::PathHash, 4, 51, false, 12);
-    assert_eq!(hash.as_nanos(), PATH_HASH_SKEW_NS);
-    let scheduled = skew_makespan(SchedPolicy::LeastLoaded, 4, 51, false, 12);
+    let scheduled = skew_makespan(4, 51, false, 12).as_nanos();
     assert!(
-        scheduled < hash,
-        "least-loaded ({scheduled:?}) must beat path-hash ({hash:?}) on skewed durations"
+        scheduled < PATH_HASH_SKEW_NS,
+        "least-loaded ({scheduled} ns) must beat the path hash on skewed durations"
     );
 }
 
 #[test]
 fn remaining_work_never_loses_to_count_based_least_loaded_on_skewed_durations() {
-    // Both policies see the same declared durations; only the weighted
-    // one uses them. Before capacity-aware parking, counting dispatches
-    // alike piled 400ms work next to 50ms work and serial executors
-    // paid for it in virtual makespan. With declared capacities the
-    // coordinator parks instead of overcommitting, so both policies
-    // converge on the greedy earliest-free-slot schedule — the weighted
-    // projection can no longer *lose*, which is what this guards now.
-    let count = skew_makespan(SchedPolicy::InFlightCount, 2, 52, true, 8);
-    assert_eq!(count.as_nanos(), COUNT_BASED_HINTED_SKEW_NS);
-    let weighted = skew_makespan(SchedPolicy::LeastLoaded, 2, 52, true, 8);
+    // Both policies saw the same declared durations; only the weighted
+    // one uses them. With declared capacities the coordinator parks
+    // instead of overcommitting, so both converged on the greedy
+    // earliest-free-slot schedule — the weighted projection cannot
+    // *lose*, which is what this guards.
+    let weighted = skew_makespan(2, 52, true, 8).as_nanos();
     assert!(
-        weighted <= count,
-        "remaining-work ({weighted:?}) must never lose to count-based ({count:?}) \
-         on skewed durations"
+        weighted <= COUNT_BASED_HINTED_SKEW_NS,
+        "remaining-work ({weighted} ns) must never lose to count-based on skewed durations"
     );
-}
-
-// ---------------------------------------------------------------------
-// Executor-side location guard.
-// ---------------------------------------------------------------------
-
-#[test]
-fn executor_guard_rejects_mispinned_tasks_under_the_hash_baseline() {
-    // The hash baseline ignores hints, so a pinned task can land on
-    // the wrong node; the executor's install-time label turns that
-    // into a loud ExecError (and the hash retry walk eventually finds
-    // the right node) instead of silently running out of place.
-    let config = EngineConfig {
-        scheduler: SchedPolicy::PathHash,
-        retry_backoff: SimDuration::from_millis(10),
-        observe: ObserveLevel::Trace,
-        ..EngineConfig::default()
-    };
-    let mut sys = WorkflowSystem::builder()
-        .executors(1)
-        .executor_at("warehouse0", "warehouse")
-        .seed(61)
-        .config(config)
-        .build();
-    let warehouse = *sys.executor_nodes().last().unwrap();
-    sys.register_script(
-        "order",
-        &pinned_order_source("warehouse"),
-        "processOrderApplication",
-    )
-    .unwrap();
-    bind_order(&sys);
-    sys.start("o1", "order", "main", [("order", text("Order", "o"))])
-        .unwrap();
-    sys.run();
-    // Which node attempt 0 hashed to is fixed by the path bytes;
-    // recompute it so the assertion is exact either way.
-    let path = "processOrderApplication/dispatch";
-    let hash = path
-        .bytes()
-        .fold(0u64, |h, b| h.wrapping_mul(31).wrapping_add(u64::from(b)));
-    let first = sys.executor_nodes()[(hash % 2) as usize];
-    if first == warehouse {
-        // Lucky hash: lands correctly first try.
-        assert_eq!(sys.outcome("o1").expect("completes").name, "orderCompleted");
-    } else {
-        // Mispinned: the guard rejected it and the attempt walk moved
-        // to the warehouse node on retry.
-        assert!(sys.stats().retries >= 1, "{:?}", sys.stats());
-        assert_eq!(sys.outcome("o1").expect("completes").name, "orderCompleted");
-        let pinned: Vec<(u32, NodeId)> = sys
-            .dispatch_trace()
-            .iter()
-            .filter(|r| r.path == path)
-            .map(|r| (r.attempt, r.executor))
-            .collect();
-        assert_eq!(pinned[0].1, first);
-        assert_eq!(pinned[1].1, warehouse);
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -160,8 +160,10 @@ pub struct TxManager<S = SharedStorage> {
     active: HashMap<TxId, ActiveTx>,
     prepared: HashMap<TxId, PreparedTx>,
     /// Commit decisions this node made as a 2PC coordinator (presumed
-    /// abort: only commits are remembered durably).
-    coordinator_commits: HashMap<TxId, bool>,
+    /// abort: only commits are remembered durably). Ordered: a
+    /// checkpoint writes them out, and its bytes must not depend on a
+    /// hasher's iteration order.
+    coordinator_commits: BTreeMap<TxId, bool>,
     /// Instance hand-offs this node initiated whose outcome is not yet
     /// durable: `HandOffBegin` logged, no matching `HandOffEnd`. Keyed
     /// by the moving transaction; one transaction may batch several
@@ -228,7 +230,7 @@ impl<S: Storage> TxManager<S> {
         let records = wal.scan()?;
         let mut store = BTreeMap::new();
         let mut prepared: HashMap<TxId, PreparedTx> = HashMap::new();
-        let mut coordinator_commits = HashMap::new();
+        let mut coordinator_commits = BTreeMap::new();
         let mut open_handoffs: HashMap<TxId, Vec<(String, u32)>> = HashMap::new();
         let mut replayed_handoff_ends: Vec<(TxId, String, u32, bool)> = Vec::new();
         let mut fence: Option<(u32, u64)> = None;
@@ -1490,6 +1492,27 @@ mod tests {
         mgr.checkpoint().unwrap();
         assert!(mgr.log_size() < before / 10);
         assert_eq!(mgr.read_committed::<u32>(&uid("hot")).unwrap(), Some(99));
+    }
+
+    #[test]
+    fn checkpoints_are_deterministic() {
+        // Every rebalance or drain leaves coordinator decisions behind;
+        // two managers fed the same operations must compact to the same
+        // bytes, or a WAL digest is not "exact per seed".
+        let checkpointed = || {
+            let stable = SharedStorage::new();
+            let mut mgr = TxManager::open(0, stable.clone()).unwrap();
+            for _ in 0..8 {
+                let tx = mgr.mint_dist_tx();
+                mgr.log_coordinator_decision(tx, true).unwrap();
+            }
+            mgr.checkpoint().unwrap();
+            stable.read_all().unwrap()
+        };
+        let first = checkpointed();
+        for _ in 0..8 {
+            assert_eq!(first, checkpointed());
+        }
     }
 
     #[test]
