@@ -209,9 +209,10 @@ impl Dispatcher {
     /// (hand-off, purge) and forgets its parked dispatches — whoever
     /// owns it next re-arms from its committed control blocks. Returns
     /// the watchdogs to cancel.
-    pub(super) fn release_all(&mut self, instance: &str, mut flights: Flights) -> Vec<EventId> {
-        let tasks: Vec<TaskId> = flights.0.keys().copied().collect();
-        self.discard_tasks(instance, &mut flights, tasks.into_iter())
+    pub(super) fn release_all(&mut self, instance: &str, flights: Flights) -> Vec<EventId> {
+        self.parked.retain(|_, entry| entry.instance != instance);
+        let records = flights.0.into_values();
+        records.filter_map(|flight| self.discard(flight)).collect()
     }
 }
 
@@ -575,7 +576,7 @@ impl CoordHandle {
             let shipment = coordinator.shipment(rt, task_id);
             let hints = shipment.hints;
             let dispatcher = &mut coordinator.dispatcher;
-            let rt = coordinator.instances.get_mut(instance).expect("checked");
+            let rt = coordinator.instances.get_mut(instance).expect("resident");
             // The task has outstanding work from here on.
             let flight = rt.flights.0.entry(task_id).or_default();
             // Capacity gate: when every eligible executor is at its

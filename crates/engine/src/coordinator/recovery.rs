@@ -42,9 +42,9 @@ impl Coordinator {
     /// decoded plans (the loads re-validate each persisted blob once),
     /// the open commit window, dispatch's in-flight view and ready queue
     /// (re-dispatches rebuild both) and the admission queue and counts
-    /// (queued starts are
-    /// the client's to retry — their reply tokens are gone — and the
-    /// reload recounts occupancy from the persisted metas).
+    /// (queued starts are the client's to retry — their reply tokens
+    /// are gone — and the reload recounts occupancy from the persisted
+    /// metas).
     fn reset_volatile(&mut self) {
         self.instances.clear();
         self.plan_cache = PlanCache::default();
