@@ -12,14 +12,31 @@ use flowscript_sim::World;
 use flowscript_tx::StoreKey;
 
 use super::lifecycle::count_nonterminal;
-use super::meta::{bind_uid, plan_uid, reconfig_uid};
-use super::{CoordHandle, InstanceStatus};
+use super::{CoordHandle, Coordinator, InstanceStatus};
 use crate::error::EngineError;
 use crate::facts;
-use crate::keys::{cb_uid, InstanceKeys};
+use crate::keys::{bind_uid, cb_uid, plan_uid, reconfig_uid, source_uid, status_uid, InstanceKeys};
 use crate::reconfig::{self, Reconfig};
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
+
+impl Coordinator {
+    /// Overwrites `keys` with undecodable bytes, in one commit.
+    fn poison(&mut self, keys: impl IntoIterator<Item = StoreKey>) -> bool {
+        let action = self.mgr.begin();
+        for key in keys {
+            if self
+                .mgr
+                .write_key_raw(&action, &key, vec![0xFF, 0xFF, 0xFF])
+                .is_err()
+            {
+                self.mgr.abort(action);
+                return false;
+            }
+        }
+        self.mgr.commit(action).is_ok()
+    }
+}
 
 impl CoordHandle {
     /// Overwrites every stored sub-key of one fact of `path` — the
@@ -46,18 +63,33 @@ impl CoordHandle {
         if targets.is_empty() {
             targets.push(base);
         }
-        let action = coordinator.mgr.begin();
-        for key in targets {
-            if coordinator
-                .mgr
-                .write_key_raw(&action, &StoreKey::Fact(key), vec![0xFF, 0xFF, 0xFF])
-                .is_err()
-            {
-                coordinator.mgr.abort(action);
-                return false;
-            }
+        coordinator.poison(targets.into_iter().map(StoreKey::Fact))
+    }
+
+    /// [`CoordHandle::poison_fact`] for one of the three records an
+    /// instance keeps besides its facts: `which` names its `status`
+    /// record, or the `plan` or `source` blob it pins. Works on a
+    /// crashed coordinator too (the bytes land in its log, as a fault
+    /// that struck while it was down would).
+    #[doc(hidden)]
+    pub fn poison_record(&self, instance: &str, which: &str) -> bool {
+        let mut coordinator = self.inner.borrow_mut();
+        let uid = match which {
+            "status" => Some(status_uid(instance)),
+            "plan" => coordinator
+                .read_status(instance)
+                .map(|record| plan_uid(record.plan_fingerprint))
+                .ok(),
+            "source" => coordinator
+                .read_header(instance)
+                .map(|header| source_uid(header.source_hash))
+                .ok(),
+            _ => None,
+        };
+        match uid.filter(|uid| coordinator.mgr.exists(uid)) {
+            Some(uid) => coordinator.poison([StoreKey::Uid(uid)]),
+            None => false,
         }
-        coordinator.mgr.commit(action).is_ok()
     }
 
     /// Administrative fact repair: atomically replaces whatever is
@@ -137,10 +169,10 @@ impl CoordHandle {
                 coordinator.mgr.write(&action, keys.cb(task_id), &cb)?;
             }
             let mut revived = false;
-            if let Some(mut meta) = coordinator.read_meta(instance) {
-                if matches!(meta.status, InstanceStatus::Stuck { .. }) {
-                    meta.status = InstanceStatus::Running;
-                    coordinator.mgr.write(&action, keys.meta(), &meta)?;
+            if let Ok(mut record) = coordinator.read_status(instance) {
+                if matches!(record.status, InstanceStatus::Stuck { .. }) {
+                    record.status = InstanceStatus::Running;
+                    coordinator.mgr.write(&action, keys.status(), &record)?;
                     revived = true;
                 }
             }
@@ -200,48 +232,43 @@ impl CoordHandle {
         self.flush_pending(world);
         let old_plan = {
             let mut coordinator = self.inner.borrow_mut();
-            let Some(mut meta) = coordinator.read_meta(instance) else {
+            let Some(rt) = coordinator.instances.get(instance) else {
                 return Err(EngineError::UnknownInstance(instance.to_string()));
             };
+            let (old_plan, old_keys) = (rt.plan.clone(), rt.keys.clone());
+            let resident_schema = rt.schema.clone();
+            let mut record = coordinator.read_status(instance)?;
             // A reconfiguration can rescue a stuck instance (e.g. by adding
             // an alternative source), so revive it for re-evaluation.
-            let revived = matches!(meta.status, InstanceStatus::Stuck { .. });
+            let revived = matches!(record.status, InstanceStatus::Stuck { .. });
             if revived {
-                meta.status = InstanceStatus::Running;
-            }
-            if !coordinator.instances.contains_key(instance) {
-                return Err(EngineError::UnknownInstance(instance.to_string()));
+                record.status = InstanceStatus::Running;
             }
             // Materialize the schema on demand: an instance started
             // from a served plan never compiled one. Replay any
             // previously persisted reconfigurations so it is current.
-            let mut schema = match coordinator
-                .instances
-                .get(instance)
-                .and_then(|rt| rt.schema.clone())
-            {
+            let mut schema = match resident_schema {
                 Some(schema) => (*schema).clone(),
-                None => coordinator.rebuild_schema(instance, &meta)?,
+                None => {
+                    let header = coordinator.read_header(instance)?;
+                    coordinator.rebuild_schema(instance, &header)?
+                }
             };
             let effects = reconfig::apply(&mut schema, &op)?;
-            let (old_plan, old_keys) = {
-                let rt = coordinator.instances.get(instance).expect("checked above");
-                (rt.plan.clone(), rt.keys.clone())
-            };
             // Compile-once per structural change: the mutated schema is
             // re-lowered and swapped in atomically with the fact remap.
             let new_plan = Plan::lower(&schema);
-            let new_keys = InstanceKeys::build(&new_plan, instance, meta.instance_id);
+            let new_keys = InstanceKeys::build(&new_plan, instance, old_keys.instance_id);
 
             // Persist the op and its engine-side effects in one action.
             let action = coordinator.mgr.begin();
-            let n = meta.reconfig_count;
-            meta.reconfig_count += 1;
-            meta.plan_fingerprint = new_plan.fingerprint;
+            let n = record.reconfig_count;
+            record.reconfig_count += 1;
+            record.plan_fingerprint = new_plan.fingerprint;
             coordinator
                 .mgr
                 .write(&action, &reconfig_uid(instance, n), &op)?;
-            coordinator.mgr.write(&action, new_keys.meta(), &meta)?;
+            coordinator.mgr.write(&action, new_keys.status(), &record)?;
             if !coordinator.mgr.exists(&plan_uid(new_plan.fingerprint)) {
                 coordinator
                     .mgr
@@ -254,7 +281,7 @@ impl CoordHandle {
                 &old_plan,
                 &old_keys,
                 &new_plan,
-                meta.instance_id,
+                old_keys.instance_id,
             )?;
             for path in &effects.new_tasks {
                 // New tasks join the current incarnation of their scope.
@@ -278,7 +305,7 @@ impl CoordHandle {
                     .write(&action, &bind_uid(instance, code), to)?;
             }
             coordinator.commit(action)?;
-            coordinator.note_status(instance, &meta.status);
+            coordinator.note_status(instance, &record.status);
             if revived {
                 // Back from Stuck: the instance counts against the
                 // admission cap again.

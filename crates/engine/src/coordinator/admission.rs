@@ -153,9 +153,7 @@ impl CoordHandle {
             let coordinator = self.inner.borrow();
             (coordinator.node, coordinator.repo)
         };
-        if self.inner.borrow().instances.contains_key(&ticket.instance)
-            || self.inner.borrow().read_meta(&ticket.instance).is_some()
-        {
+        if self.inner.borrow().holds(&ticket.instance) {
             let reply = EngineMsg::Ack {
                 result: Err(format!("instance `{}` already exists", ticket.instance)),
             };

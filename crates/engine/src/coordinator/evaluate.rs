@@ -100,14 +100,14 @@ impl CoordHandle {
                 let Some(rt) = coordinator.instances.get(instance) else {
                     return;
                 };
-                // Checked only where the meta decodes: a missing or
+                // Checked only where the record decodes: a missing or
                 // corrupt one is a storage fault, not a mirror drift.
                 #[cfg(debug_assertions)]
-                if let Some(meta) = coordinator.read_meta(instance) {
+                if let Ok(record) = coordinator.read_status(instance) {
                     assert_eq!(
                         rt.terminal,
-                        meta.status.is_terminal(),
-                        "status mirror of `{instance}` drifted from its committed meta"
+                        record.status.is_terminal(),
+                        "status mirror of `{instance}` drifted from its committed record"
                     );
                 }
                 if rt.terminal {
@@ -455,14 +455,17 @@ impl CoordHandle {
             }
             let mut root_status = None;
             if ok && is_root {
-                if let Some(mut meta) = coordinator.read_meta(instance) {
-                    meta.status = InstanceStatus::Completed(Outcome {
+                if let Ok(mut record) = coordinator.read_status(instance) {
+                    record.status = InstanceStatus::Completed(Outcome {
                         name: outcome_name.to_string(),
                         kind,
                         objects: facts::bound_map(plan, &mapped),
                     });
-                    ok = coordinator.mgr.write(&action, keys.meta(), &meta).is_ok();
-                    root_status = Some(meta.status);
+                    ok = coordinator
+                        .mgr
+                        .write(&action, keys.status(), &record)
+                        .is_ok();
+                    root_status = Some(record.status);
                 }
             }
             if ok {
@@ -553,7 +556,11 @@ impl CoordHandle {
                 // facts and all descendant state, publish the repeat fact.
                 cb.scope_inc += 1;
                 let new_inc = cb.scope_inc;
-                let meta = coordinator.read_meta(instance);
+                // The root, which has no bindings, reactivates with the
+                // input set and inputs it was started with.
+                let started_as = is_root
+                    .then(|| coordinator.read_header(instance).ok())
+                    .flatten();
                 let action = coordinator.mgr.begin();
                 let mut ok = facts::write_fact_bound(
                     &mut coordinator.mgr,
@@ -564,22 +571,20 @@ impl CoordHandle {
                     &mapped,
                 )
                 .is_ok();
-                // The compound goes back to Waiting to rebind (the root,
-                // which has no bindings, reactivates with its original
-                // inputs).
+                // The compound goes back to Waiting to rebind.
                 if is_root {
-                    if let Some(meta) = &meta {
+                    if let Some(header) = &started_as {
                         cb.state = CbState::Active {
-                            set: meta.set.clone(),
+                            set: header.set.clone(),
                         };
-                        if let Some(in_key) = keys.in_key(plan, scope_id, &meta.set) {
+                        if let Some(in_key) = keys.in_key(plan, scope_id, &header.set) {
                             ok = ok
                                 && facts::write_fact_map(
                                     &mut coordinator.mgr,
                                     &action,
                                     plan,
                                     in_key,
-                                    &meta.inputs,
+                                    &header.inputs,
                                 )
                                 .is_ok();
                         } else {
@@ -807,22 +812,22 @@ impl Coordinator {
         keys: &InstanceKeys,
         reason: String,
     ) {
-        let Some(mut meta) = self.read_meta(instance) else {
+        let Ok(mut record) = self.read_status(instance) else {
             return;
         };
-        if meta.status.is_terminal() {
+        if record.status.is_terminal() {
             return;
         }
-        meta.status = InstanceStatus::Stuck {
+        record.status = InstanceStatus::Stuck {
             reason: reason.clone(),
         };
         let action = self.mgr.begin();
-        if self.mgr.write(&action, keys.meta(), &meta).is_err() {
+        if self.mgr.write(&action, keys.status(), &record).is_err() {
             self.mgr.abort(action);
             return;
         }
         if self.commit(action).is_ok() {
-            self.note_status(instance, &meta.status);
+            self.note_status(instance, &record.status);
             // A stuck instance stops counting against the admission
             // cap (a revival re-counts it).
             self.admission.instance_settled();

@@ -2,8 +2,9 @@
 //! runtime from committed state (crash recovery and adoption share the
 //! loader), the monitoring reads — and the compiled plans instances run
 //! off: decoded and validated once per distinct encoding ([`PlanCache`]),
-//! persisted once per fingerprint (`sys/plan/…`), collected when no
-//! instance references them.
+//! persisted once per fingerprint (`sys/plan/…`) beside the canonical
+//! source they were compiled from (`sys/src/…`, once per content hash),
+//! both collected when no instance references them.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -12,15 +13,16 @@ use flowscript_core::schema::{self, Schema};
 use flowscript_obs::ObsEventKind;
 use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::World;
-use flowscript_tx::{ObjectUid, StableStore, StoreKey, TxManager};
+use flowscript_tx::{StableStore, StoreKey, TxManager};
 
-use super::meta::{instance_seq_uid, plan_uid, plan_uid_fingerprint};
+use super::meta::source_hash;
 use super::{
-    stored_instances, CoordHandle, Coordinator, Flights, InstanceMeta, InstanceRt, InstanceStatus,
+    stored_instances, CoordHandle, Coordinator, Flights, InstanceHeader, InstanceRt,
+    InstanceStatus, StatusRecord,
 };
 use crate::error::EngineError;
 use crate::facts;
-use crate::keys::{meta_uid, InstanceKeys};
+use crate::keys::{self, instance_seq_uid, plan_uid, source_uid, InstanceKeys};
 use crate::reconfig::{self, Reconfig};
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
@@ -32,30 +34,32 @@ impl Coordinator {
     /// fallback), rebindings, interned keys and the non-terminal count.
     /// Pure state load — arms no timers and dispatches nothing. Shared
     /// by crash recovery and hand-off adoption.
-    pub(super) fn load_instance(&mut self, name: &str, meta: &InstanceMeta) -> Option<InstanceRt> {
+    pub(super) fn load_instance(
+        &mut self,
+        name: &str,
+        header: &InstanceHeader,
+        record: &StatusRecord,
+    ) -> Option<InstanceRt> {
         let cached: Option<Rc<Plan>> = self
             .mgr
-            .read_committed_bytes(&StoreKey::Uid(plan_uid(meta.plan_fingerprint)))
+            .read_committed_bytes(&StoreKey::Uid(plan_uid(record.plan_fingerprint)))
             .and_then(|bytes| self.plan_cache.validated(bytes))
-            .filter(|plan| plan.fingerprint == meta.plan_fingerprint);
+            .filter(|plan| plan.fingerprint == record.plan_fingerprint);
         let (plan, schema) = match cached {
             Some(plan) => (plan, None),
             None => {
-                let schema = self.rebuild_schema(name, meta).ok()?;
+                let schema = self.rebuild_schema(name, header).ok()?;
                 (Rc::new(Plan::lower(&schema)), Some(Rc::new(schema)))
             }
         };
         let mut bindings = BTreeMap::new();
-        for bind in self.mgr.uids_with_prefix(&format!("inst/{name}/bind/")) {
+        let bind_prefix = keys::bind_prefix(name);
+        for bind in self.mgr.uids_with_prefix(&bind_prefix) {
             if let Ok(Some(to)) = self.mgr.read_committed::<String>(&bind) {
-                let code = bind
-                    .as_str()
-                    .trim_start_matches(&format!("inst/{name}/bind/"))
-                    .to_string();
-                bindings.insert(code, to);
+                bindings.insert(bind.as_str()[bind_prefix.len()..].to_string(), to);
             }
         }
-        let keys = InstanceKeys::build(&plan, name, meta.instance_id);
+        let keys = InstanceKeys::build(&plan, name, header.instance_id);
         let nonterminal = count_nonterminal(&self.mgr, &plan, &keys);
         Some(InstanceRt {
             plan,
@@ -64,21 +68,36 @@ impl Coordinator {
             bindings,
             flights: Flights::default(),
             nonterminal,
-            terminal: meta.status.is_terminal(),
+            terminal: record.status.is_terminal(),
         })
     }
 
-    /// The instance's hierarchical schema as of now: its source
+    /// The instance's hierarchical schema as of now: its pinned source
     /// recompiled and every persisted reconfiguration replayed in
     /// order. Instances run off their plan; only reconfiguration, and a
-    /// load that finds no valid persisted plan, need this.
+    /// load that finds no valid persisted plan, need this — the only
+    /// readers of the source.
+    ///
+    /// # Errors
+    ///
+    /// The source blob is missing or is not the text the header's hash
+    /// names, or no longer compiles.
     pub(super) fn rebuild_schema(
         &self,
         name: &str,
-        meta: &InstanceMeta,
+        header: &InstanceHeader,
     ) -> Result<Schema, EngineError> {
-        let mut schema = schema::compile_source(&meta.source, &meta.root)?;
-        for op_uid in self.mgr.uids_with_prefix(&format!("inst/{name}/reconfig/")) {
+        let key = StoreKey::Uid(source_uid(header.source_hash));
+        let source = self
+            .mgr
+            .read_committed_bytes(&key)
+            .and_then(|bytes| std::str::from_utf8(bytes).ok())
+            .filter(|text| source_hash(text) == header.source_hash)
+            .ok_or_else(|| {
+                EngineError::Tx(format!("`{key}` does not hold the source of `{name}`"))
+            })?;
+        let mut schema = schema::compile_source(source, &header.root)?;
+        for op_uid in self.mgr.uids_with_prefix(&keys::reconfig_prefix(name)) {
             if let Ok(Some(op)) = self.mgr.read_committed::<Reconfig>(&op_uid) {
                 let _ = reconfig::apply(&mut schema, &op);
             }
@@ -172,42 +191,57 @@ impl CoordHandle {
             }
         }
         let root_path = plan.str(plan.root().path).to_string();
+        let hash = source_hash(source);
+        let source_key = StoreKey::Uid(source_uid(hash));
 
         let mut coordinator = self.inner.borrow_mut();
-        // The store is the truth, not residency: an instance a hand-off
-        // round holds frozen is committed here without being resident,
-        // and a second start must not write over it.
-        if coordinator.instances.contains_key(instance)
-            || coordinator.mgr.exists(&meta_uid(instance))
-        {
+        // A second start must not write over the first.
+        if coordinator.holds(instance) {
             return Err(EngineError::DuplicateInstance(instance.to_string()));
         }
-        // Allocate the dense instance id from the persistent sequence.
-        let instance_id: u32 = coordinator
+        // The source is pinned once per shard, under its hash: text
+        // already there is shared only if it is this text.
+        let pinned = coordinator
             .mgr
-            .read_committed(&instance_seq_uid())?
-            .unwrap_or(0);
+            .read_committed_bytes(&source_key)
+            .map(|stored| stored == source.as_bytes());
+        if pinned == Some(false) {
+            return Err(EngineError::Tx(format!(
+                "`{source_key}` holds a different source than script `{script_name}`"
+            )));
+        }
+        // Allocate the dense instance id from the persistent sequence.
+        let seq_uid = instance_seq_uid();
+        let instance_id: u32 = coordinator.mgr.read_committed(&seq_uid)?.unwrap_or(0);
         let keys = InstanceKeys::build(&plan, instance, instance_id);
         let root_in = keys
             .in_key(&plan, 0, set)
             .ok_or_else(|| EngineError::BadInputs(format!("unmapped input set `{set}`")))?;
-        let meta = InstanceMeta {
+        let header = InstanceHeader {
             script: script_name.to_string(),
-            source: source.to_string(),
+            source_hash: hash,
             root: root.to_string(),
             set: set.to_string(),
-            inputs: inputs.clone(),
-            status: InstanceStatus::Running,
-            reconfig_count: 0,
+            inputs,
             instance_id,
             version,
+        };
+        let record = StatusRecord {
+            status: InstanceStatus::Running,
+            reconfig_count: 0,
             plan_fingerprint: plan.fingerprint,
         };
         let action = coordinator.mgr.begin();
         coordinator
             .mgr
-            .write(&action, &instance_seq_uid(), &(instance_id + 1))?;
-        coordinator.mgr.write(&action, keys.meta(), &meta)?;
+            .write(&action, &seq_uid, &(instance_id + 1))?;
+        coordinator.mgr.write(&action, keys.meta(), &header)?;
+        coordinator.mgr.write(&action, keys.status(), &record)?;
+        if pinned.is_none() {
+            coordinator
+                .mgr
+                .write_key_raw(&action, &source_key, source.as_bytes().to_vec())?;
+        }
         // Persist the compiled plan once per fingerprint so crash
         // recovery decodes it instead of recompiling from source.
         if !coordinator.mgr.exists(&plan_uid(plan.fingerprint)) {
@@ -223,7 +257,13 @@ impl CoordHandle {
         coordinator.mgr.write(&action, keys.cb(0), &root_cb)?;
         // The root's input binding goes through the fact layout like
         // every other fact, so root-input fallbacks probe per object.
-        facts::write_fact_map(&mut coordinator.mgr, &action, &plan, root_in, &inputs)?;
+        facts::write_fact_map(
+            &mut coordinator.mgr,
+            &action,
+            &plan,
+            root_in,
+            &header.inputs,
+        )?;
         // Every descendant starts Waiting — the plan's DFS order makes
         // this one flat scan instead of a scope-tree recursion.
         for (id, task) in plan.tasks.iter().enumerate().skip(1) {
@@ -261,12 +301,14 @@ impl CoordHandle {
     }
 
     /// Instance status (monitoring API).
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::UnknownInstance`]; a storage error if the stored
+    /// status record does not decode.
     pub fn status(&self, instance: &str) -> Result<InstanceStatus, EngineError> {
-        self.inner
-            .borrow()
-            .read_meta(instance)
-            .map(|meta| meta.status)
-            .ok_or_else(|| EngineError::UnknownInstance(instance.to_string()))
+        let record = self.inner.borrow().read_status(instance)?;
+        Ok(record.status)
     }
 
     /// All task states of an instance, keyed by path. Live instances
@@ -283,10 +325,9 @@ impl CoordHandle {
                 })
                 .collect();
         }
-        let prefix = format!("inst/{instance}/cb/");
         coordinator
             .mgr
-            .uids_with_prefix(&prefix)
+            .uids_with_prefix(&keys::cb_prefix(instance))
             .into_iter()
             .filter_map(|uid| {
                 let cb: TaskCb = coordinator.mgr.read_committed(&uid).ok().flatten()?;
@@ -375,31 +416,35 @@ impl PlanCache {
 }
 
 impl Coordinator {
-    /// Drops persisted plan blobs (`sys/plan/…`) no instance references
-    /// any more. Plans persist once per fingerprint; every
-    /// reconfiguration re-fingerprints, so without this a reconfigured
-    /// instance strands its old blobs forever. Runs at checkpoint time
-    /// (cold path): the reference set is every resident instance's
-    /// current plan plus every persisted meta's fingerprint — covering
-    /// instances the shard has not (re)loaded.
+    /// Drops the persisted plan blobs (`sys/plan/…`) and pinned sources
+    /// (`sys/src/…`) no instance references any more. Both persist once
+    /// per content; every reconfiguration re-fingerprints, so without
+    /// this a reconfigured instance strands its old plan blobs forever,
+    /// and a script's source outlives its last instance. Runs at
+    /// checkpoint time (cold path): one pass over the stored instances
+    /// — covering those the shard has not (re)loaded — feeds both
+    /// reference sets, plus every resident instance's current plan.
     pub(super) fn gc_plans(&mut self) -> Result<(), EngineError> {
-        let mut live: BTreeSet<u64> = self
+        let mut live_plans: BTreeSet<u64> = self
             .instances
             .values()
             .map(|rt| rt.plan.fingerprint)
             .collect();
-        live.extend(
-            stored_instances(&self.mgr)
-                .iter()
-                .map(|(_, meta)| meta.plan_fingerprint),
-        );
-        self.plan_cache.retain_live(&live);
-        let stale: Vec<ObjectUid> = self
-            .mgr
-            .uids_with_prefix("sys/plan/")
-            .into_iter()
-            .filter(|uid| plan_uid_fingerprint(uid).is_none_or(|fp| !live.contains(&fp)))
-            .collect();
+        let mut live_sources = BTreeSet::new();
+        for (_, header, record) in stored_instances(&self.mgr) {
+            live_plans.insert(record.plan_fingerprint);
+            live_sources.insert(header.source_hash);
+        }
+        self.plan_cache.retain_live(&live_plans);
+        let mut stale = Vec::new();
+        for (prefix, live) in [
+            (keys::PLAN_PREFIX, &live_plans),
+            (keys::SOURCE_PREFIX, &live_sources),
+        ] {
+            let mut blobs = self.mgr.uids_with_prefix(prefix);
+            blobs.retain(|uid| keys::blob_id(uid, prefix).is_none_or(|id| !live.contains(&id)));
+            stale.append(&mut blobs);
+        }
         if stale.is_empty() {
             return Ok(());
         }
@@ -416,17 +461,26 @@ impl Coordinator {
 }
 
 impl CoordHandle {
+    /// The ids of the blobs this shard's store holds under `prefix`.
+    /// Performs a uid prefix scan: admin/monitoring only.
+    fn persisted_blobs(&self, prefix: &str) -> Vec<u64> {
+        let blobs = self.inner.borrow().mgr.uids_with_prefix(prefix);
+        let ids = blobs.iter().filter_map(|uid| keys::blob_id(uid, prefix));
+        ids.collect()
+    }
+
     /// Fingerprints of the compiled-plan blobs persisted in this
     /// shard's store (`sys/plan/…`) — the plan-GC observability hook.
-    /// Performs a uid prefix scan: admin/monitoring only.
     pub fn persisted_plan_fingerprints(&self) -> Vec<u64> {
-        self.inner
-            .borrow()
-            .mgr
-            .uids_with_prefix("sys/plan/")
-            .into_iter()
-            .filter_map(|uid| plan_uid_fingerprint(&uid))
-            .collect()
+        self.persisted_blobs(keys::PLAN_PREFIX)
+    }
+
+    /// Hashes of the canonical sources pinned in this shard's store
+    /// (`sys/src/…`) — the twin of
+    /// [`CoordHandle::persisted_plan_fingerprints`]; test hook.
+    #[doc(hidden)]
+    pub fn persisted_source_hashes(&self) -> Vec<u64> {
+        self.persisted_blobs(keys::SOURCE_PREFIX)
     }
 
     /// Fingerprints of the validated plans this shard holds decoded

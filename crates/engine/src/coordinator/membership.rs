@@ -61,11 +61,12 @@ use flowscript_sim::{EventId, NodeId, ReplyToken, RpcError, SimDuration, World};
 use flowscript_tx::dist::{self, AfterImages, CoordAction, DistMsg};
 use flowscript_tx::{FactKey, StableStore, StoreKey, TxId, TxManager};
 
-use super::meta::{instance_seq_uid, plan_uid};
 use super::window::PendingEvent;
-use super::{stored_instance_names, CoordHandle, Coordinator, InstanceMeta, InstanceStatus};
+use super::{
+    stored_instance_names, CoordHandle, Coordinator, InstanceHeader, InstanceStatus, StatusRecord,
+};
 use crate::error::EngineError;
-use crate::keys::meta_uid;
+use crate::keys::{self, instance_seq_uid, meta_uid, plan_uid, source_uid, status_uid};
 use crate::msg::EngineMsg;
 use crate::shard::ShardMap;
 
@@ -271,30 +272,36 @@ impl Membership {
 /// Packages `instance`'s entire committed keyspace out of `mgr` — the
 /// collect half shared by planned hand-offs (the source's own store)
 /// and crash-driven adoption (a dead shard's reopened storage).
-/// Everything derives from the committed meta: the `inst/{name}/` uid
-/// prefix, the plan pinned under the meta's fingerprint, and the dense
-/// fact range of the meta's instance id — one contiguous range scan.
-/// The meta comes FIRST: it is the entry that tells [`rekeyed`] a new
-/// instance's run begins, what it is called and which dense id its
-/// fact keys carry. Returns `None` for a missing or undecodable meta.
+/// Everything derives from the committed header and status record: the
+/// instance's uid prefix, the two blobs it pins — the plan under the
+/// record's fingerprint, the canonical source under the header's hash —
+/// and the dense fact range of the header's instance id, one contiguous
+/// range scan. The header comes FIRST: it is the entry that tells
+/// [`rekeyed`] a new instance's run begins, what it is called and which
+/// dense id its fact keys carry. Returns `None` for a missing or
+/// undecodable header or status record.
 pub(super) fn package_instance(
     mgr: &TxManager<StableStore>,
     instance: &str,
 ) -> Option<AfterImages> {
-    let meta_key = StoreKey::Uid(meta_uid(instance));
-    let meta: InstanceMeta = mgr.read_committed(&meta_uid(instance)).ok()??;
-    let uids = mgr.uids_with_prefix(&format!("inst/{instance}/"));
+    let header_key = StoreKey::Uid(meta_uid(instance));
+    let header: InstanceHeader = mgr.read_committed(&meta_uid(instance)).ok()??;
+    let record: StatusRecord = mgr.read_committed(&status_uid(instance)).ok()??;
+    let uids = mgr.uids_with_prefix(&keys::instance_prefix(instance));
     let facts = mgr.fact_keys_in_range(
-        FactKey::instance_first(meta.instance_id),
-        FactKey::instance_last(meta.instance_id),
+        FactKey::instance_first(header.instance_id),
+        FactKey::instance_last(header.instance_id),
     );
-    let keys = std::iter::once(meta_key.clone())
+    let keys = std::iter::once(header_key.clone())
         .chain(
             uids.into_iter()
                 .map(StoreKey::Uid)
-                .filter(|key| *key != meta_key),
+                .filter(|key| *key != header_key),
         )
-        .chain([StoreKey::Uid(plan_uid(meta.plan_fingerprint))])
+        .chain([
+            StoreKey::Uid(plan_uid(record.plan_fingerprint)),
+            StoreKey::Uid(source_uid(header.source_hash)),
+        ])
         .chain(facts.into_iter().map(StoreKey::Fact));
     let images = keys.filter_map(|key| {
         let bytes = mgr.read_committed_bytes(&key)?.to_vec();
@@ -307,14 +314,14 @@ pub(super) fn package_instance(
 /// receiving shard stores them: each instance, in order of appearance,
 /// takes the next dense id from `base` — every fact key re-keyed onto
 /// it (the dense id is shard-local; the instance keeps its name), the
-/// meta's `instance_id` rewritten to match, everything else verbatim.
+/// header's `instance_id` rewritten to match, everything else verbatim.
 /// An instance `skip` names is left out whole. Returns the instances
 /// kept, in id order, beside their entries.
 ///
 /// # Errors
 ///
 /// Entries that do not parse as such runs: a fact key outside its
-/// run's id, a run that does not open with a decodable meta.
+/// run's id, a run that does not open with a decodable header.
 fn rekeyed(
     images: AfterImages,
     base: u32,
@@ -330,7 +337,7 @@ fn rekeyed(
         let uid = match &key {
             StoreKey::Fact(fact) => {
                 let Some((_, src_id, new_id)) = &run else {
-                    return Err(malformed("a fact before any meta"));
+                    return Err(malformed("a fact before any header"));
                 };
                 if fact.instance != *src_id {
                     return Err(malformed("a fact outside its instance's id"));
@@ -345,24 +352,22 @@ fn rekeyed(
         let in_run = run
             .as_ref()
             .is_some_and(|(prefix, ..)| uid.starts_with(prefix));
-        if !in_run && uid.starts_with("inst/") {
-            let name = uid
-                .strip_prefix("inst/")
-                .and_then(|rest| rest.strip_suffix("/meta"))
-                .ok_or_else(|| malformed("a run that does not open with its meta"))?;
-            let mut meta: InstanceMeta = bytes
+        if !in_run && uid.starts_with(keys::INSTANCE_ROOT) {
+            let name = keys::header_instance(uid)
+                .ok_or_else(|| malformed("a run that does not open with its header"))?;
+            let mut header: InstanceHeader = bytes
                 .as_deref()
                 .and_then(|bytes| flowscript_codec::from_bytes(bytes).ok())
-                .ok_or_else(|| malformed("a meta that does not decode"))?;
-            let new_id = (!skip(name)).then(|| base + names.len() as u32);
-            run = Some((format!("inst/{name}/"), meta.instance_id, new_id));
+                .ok_or_else(|| malformed("a header that does not decode"))?;
+            let new_id = (!skip(&name)).then(|| base + names.len() as u32);
+            run = Some((keys::instance_prefix(&name), header.instance_id, new_id));
             if let Some(new_id) = new_id {
-                names.push(name.to_string());
-                meta.instance_id = new_id;
-                out.push((key, Some(flowscript_codec::to_bytes(&meta))));
+                names.push(name);
+                header.instance_id = new_id;
+                out.push((key, Some(flowscript_codec::to_bytes(&header))));
             }
         } else if matches!(run, Some((.., Some(_)))) {
-            // One of the run's own objects, or the plan blob it pins.
+            // One of the run's own objects, or a blob it pins.
             out.push((key, bytes));
         }
     }
@@ -371,19 +376,19 @@ fn rekeyed(
 
 impl Coordinator {
     /// Deletes every committed object of `instance` in one atomic
-    /// action: the whole `inst/{name}/` uid prefix plus the dense fact
-    /// range of the meta's instance id. The storage half of the source
-    /// side of a committed hand-off (the shared compiled-plan blob
-    /// stays; plan GC collects it once no local meta pins it).
+    /// action: its whole uid prefix plus the dense fact range of the
+    /// header's instance id. The storage half of the source side of a
+    /// committed hand-off (the shared plan and source blobs stay; blob
+    /// GC collects them once no local instance pins them).
     fn purge_instance(&mut self, instance: &str) -> Result<(), EngineError> {
-        let meta: Option<InstanceMeta> = self.mgr.read_committed(&meta_uid(instance))?;
+        let header: Option<InstanceHeader> = self.mgr.read_committed(&meta_uid(instance))?;
         let action = self.mgr.begin();
-        for uid in self.mgr.uids_with_prefix(&format!("inst/{instance}/")) {
+        for uid in self.mgr.uids_with_prefix(&keys::instance_prefix(instance)) {
             self.mgr.delete(&action, &uid)?;
         }
-        if let Some(meta) = &meta {
-            let lo = FactKey::instance_first(meta.instance_id);
-            let hi = FactKey::instance_last(meta.instance_id);
+        if let Some(header) = &header {
+            let lo = FactKey::instance_first(header.instance_id);
+            let hi = FactKey::instance_last(header.instance_id);
             for fact in self.mgr.fact_keys_in_range(lo, hi) {
                 self.mgr.delete_key(&action, &StoreKey::Fact(fact))?;
             }
@@ -1152,9 +1157,7 @@ impl CoordHandle {
                 .mgr
                 .read_committed(&instance_seq_uid())?
                 .unwrap_or(0);
-            let (names, writes) = rekeyed(images, base, |name| {
-                coordinator.instances.contains_key(name) || coordinator.mgr.exists(&meta_uid(name))
-            })?;
+            let (names, writes) = rekeyed(images, base, |name| coordinator.holds(name))?;
             if names.is_empty() {
                 return Ok(());
             }
@@ -1211,14 +1214,18 @@ impl CoordHandle {
                 .filter(|name| coordinator.membership.freezing(name).is_none())
                 .collect();
             for name in orphans {
-                let Some(meta) = coordinator.read_meta(&name) else {
+                let (Ok(header), Ok(record)) = (
+                    coordinator.read_header(&name),
+                    coordinator.read_status(&name),
+                ) else {
                     continue;
                 };
-                let Some(rt) = coordinator.load_instance(&name, &meta) else {
+                let Some(rt) = coordinator.load_instance(&name, &header, &record) else {
                     continue;
                 };
                 coordinator.instances.insert(name.clone(), rt);
-                if meta.status == InstanceStatus::Running {
+                let running = record.status == InstanceStatus::Running;
+                if running {
                     // An adopted live instance occupies an admission
                     // slot on its new shard.
                     coordinator.admission.instance_live();
@@ -1237,7 +1244,7 @@ impl CoordHandle {
                     },
                 };
                 coordinator.record_event(world.now().as_nanos(), &name, None, 0, kind);
-                adopted.push((name, meta.status == InstanceStatus::Running));
+                adopted.push((name, running));
             }
             adopted
         };
@@ -1306,59 +1313,61 @@ mod tests {
     use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
-    use flowscript_tx::{ObjectUid, SharedStorage};
+    use flowscript_tx::SharedStorage;
 
     use super::*;
     use crate::coordinator::EngineConfig;
     use crate::msg::MarkMsg;
 
-    fn meta(instance_id: u32) -> InstanceMeta {
-        InstanceMeta {
+    fn header(instance_id: u32) -> InstanceHeader {
+        InstanceHeader {
             script: "s".into(),
-            source: "class C;".into(),
+            source_hash: 5,
             root: "root".into(),
             set: "main".into(),
             inputs: BTreeMap::new(),
-            status: InstanceStatus::Running,
-            reconfig_count: 1,
             instance_id,
             version: None,
-            plan_fingerprint: 9,
         }
     }
 
-    /// One instance's run as `package_instance` lays it out: the meta,
-    /// a control block that merely ends in `/meta`, the shared plan,
-    /// one fact.
+    /// One instance's run as `package_instance` lays it out: the
+    /// header, the status record, a control block that merely ends in
+    /// `/meta`, the shared plan and source, one fact.
     fn run(name: &str, id: u32) -> AfterImages {
-        let cb = ObjectUid::new(format!("inst/{name}/cb/root/meta"));
         vec![
             (
                 StoreKey::Uid(meta_uid(name)),
-                Some(flowscript_codec::to_bytes(&meta(id))),
+                Some(flowscript_codec::to_bytes(&header(id))),
             ),
-            (StoreKey::Uid(cb), Some(vec![1])),
+            (StoreKey::Uid(status_uid(name)), Some(vec![0])),
+            (
+                StoreKey::Uid(keys::cb_uid(name, "root/meta")),
+                Some(vec![1]),
+            ),
             (StoreKey::Uid(plan_uid(9)), Some(vec![2])),
+            (StoreKey::Uid(source_uid(5)), Some(vec![4])),
             (StoreKey::Fact(FactKey::output(id, 2, 1)), Some(vec![3])),
         ]
     }
 
     #[test]
-    fn rekeyed_moves_facts_and_meta_onto_the_new_ids_and_nothing_else() {
+    fn rekeyed_moves_facts_and_header_onto_the_new_ids_and_nothing_else() {
         // Two runs back to back, both on the source's ids 3 and 4, land
-        // on 7 and 8: facts and metas move, the rest is verbatim.
-        let images = [run("i", 3), run("j", 4)].concat();
+        // on 7 and 8: facts and headers move, the rest is verbatim. The
+        // second's name extends the first's by a `/`: its run is its own.
+        let images = [run("i", 3), run("i/j", 4)].concat();
         let (names, entries) = rekeyed(images.clone(), 7, |_| false).expect("well-formed runs");
-        assert_eq!(names, ["i", "j"]);
-        assert_eq!(entries, [run("i", 7), run("j", 8)].concat());
+        assert_eq!(names, ["i", "i/j"]);
+        assert_eq!(entries, [run("i", 7), run("i/j", 8)].concat());
         // A skipped instance is left out whole, and takes no id.
         let (names, entries) = rekeyed(images, 7, |name| name == "i").expect("well-formed runs");
-        assert_eq!((names, entries), (vec!["j".to_string()], run("j", 7)));
+        assert_eq!((names, entries), (vec!["i/j".to_string()], run("i/j", 7)));
         // Hostile bytes are a typed error, never a panic: a corrupt
-        // meta, a fact before any run, a fact on somebody else's id, a
-        // run that opens with something other than its meta.
+        // header, a fact before any run, a fact on somebody else's id,
+        // a run that opens with something other than its header.
         let corrupt = vec![(StoreKey::Uid(meta_uid("i")), Some(vec![0xFF; 3]))];
-        let stray = vec![run("i", 3).remove(3)];
+        let stray = vec![run("i", 3).remove(5)];
         let mut foreign = run("i", 3);
         foreign.push((StoreKey::Fact(FactKey::output(4, 0, 0)), Some(vec![])));
         let headless = run("i", 3).split_off(1);

@@ -1,12 +1,13 @@
-//! What an instance persists besides control blocks and facts: its
-//! status and outcome, the `InstanceMeta` record, and the string-keyed
-//! object uid layout around them.
+//! What an instance persists besides control blocks and facts, as
+//! three records: the write-once [`InstanceHeader`], the small mutable
+//! [`StatusRecord`], and — once per shard, shared by content — the
+//! script's canonical source under its [`source_hash`]. Their field
+//! order lives here; their uids in [`crate::keys`].
 
 use std::collections::BTreeMap;
 
 use flowscript_codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
 use flowscript_core::ast::OutputKind;
-use flowscript_tx::ObjectUid;
 
 use crate::value::ObjectVal;
 
@@ -119,87 +120,110 @@ impl Decode for InstanceStatus {
     }
 }
 
-/// Persistent per-instance metadata.
+/// The first byte of every stored [`InstanceHeader`] and
+/// [`StatusRecord`]: bytes written under any other layout — the
+/// pre-split record opened with its script name's length — fail to
+/// decode instead of reading as a record with garbage fields.
+const HEADER_TAG: u8 = 0xA1;
+const STATUS_TAG: u8 = 0xA2;
+
+fn expect_tag(r: &mut ByteReader<'_>, tag: u8, ty: &'static str) -> Result<(), CodecError> {
+    match r.get_u8()? {
+        found if found == tag => Ok(()),
+        other => Err(CodecError::InvalidDiscriminant {
+            ty,
+            value: u64::from(other),
+        }),
+    }
+}
+
+/// `inst/<name>/meta` — what an instance was started as. Immutable for
+/// the life of an owner: written by instance start, rewritten only by
+/// hand-off re-keying (a new owner allots a new `instance_id`).
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct InstanceMeta {
+pub(crate) struct InstanceHeader {
     pub(super) script: String,
-    pub(super) source: String,
+    /// [`source_hash`] of the script's canonical source, pinned once
+    /// per shard under `sys/src/<hash>`. Only reconfiguration, and a
+    /// load that finds no valid plan blob, read the text.
+    pub(super) source_hash: u64,
     pub(super) root: String,
     pub(super) set: String,
     pub(super) inputs: BTreeMap<String, ObjectVal>,
-    pub(super) status: InstanceStatus,
-    pub(super) reconfig_count: u32,
     /// The dense numeric id all of this instance's fact keys carry.
     pub(super) instance_id: u32,
     /// The repository version the instance was started from (its "repo
     /// pointer", together with `script`), when started via RPC.
     pub(super) version: Option<u32>,
+}
+
+impl Encode for InstanceHeader {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_u8(HEADER_TAG);
+        w.put_str(&self.script);
+        w.put_u64(self.source_hash);
+        w.put_str(&self.root);
+        w.put_str(&self.set);
+        self.inputs.encode(w);
+        w.put_u32(self.instance_id);
+        self.version.encode(w);
+    }
+}
+
+impl Decode for InstanceHeader {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        expect_tag(r, HEADER_TAG, "InstanceHeader")?;
+        Ok(InstanceHeader {
+            script: r.get_str()?.to_owned(),
+            source_hash: r.get_u64()?,
+            root: r.get_str()?.to_owned(),
+            set: r.get_str()?.to_owned(),
+            inputs: BTreeMap::decode(r)?,
+            instance_id: r.get_u32()?,
+            version: Option::decode(r)?,
+        })
+    }
+}
+
+/// `inst/<name>/status` — where an instance stands: everything about it
+/// that changes after start, rewritten in the same atomic action as
+/// whatever changed it.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct StatusRecord {
+    pub(super) status: InstanceStatus,
+    pub(super) reconfig_count: u32,
     /// Fingerprint of the instance's current compiled plan. Crash
     /// recovery fetches the plan persisted under this fingerprint and
     /// skips the front end entirely.
     pub(super) plan_fingerprint: u64,
 }
 
-impl Encode for InstanceMeta {
+impl Encode for StatusRecord {
     fn encode(&self, w: &mut ByteWriter) {
-        w.put_str(&self.script);
-        w.put_str(&self.source);
-        w.put_str(&self.root);
-        w.put_str(&self.set);
-        self.inputs.encode(w);
+        w.put_u8(STATUS_TAG);
         self.status.encode(w);
         w.put_u32(self.reconfig_count);
-        w.put_u32(self.instance_id);
-        self.version.encode(w);
         w.put_u64(self.plan_fingerprint);
     }
 }
 
-impl Decode for InstanceMeta {
+impl Decode for StatusRecord {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(InstanceMeta {
-            script: r.get_str()?.to_owned(),
-            source: r.get_str()?.to_owned(),
-            root: r.get_str()?.to_owned(),
-            set: r.get_str()?.to_owned(),
-            inputs: BTreeMap::decode(r)?,
+        expect_tag(r, STATUS_TAG, "StatusRecord")?;
+        Ok(StatusRecord {
             status: InstanceStatus::decode(r)?,
             reconfig_count: r.get_u32()?,
-            instance_id: r.get_u32()?,
-            version: Option::decode(r)?,
             plan_fingerprint: r.get_u64()?,
         })
     }
 }
 
-// ---------------------------------------------------------------------
-// Object uid layout (cold paths; facts use dense `FactKey`s).
-// ---------------------------------------------------------------------
-
-pub(super) fn reconfig_uid(instance: &str, n: u32) -> ObjectUid {
-    ObjectUid::new(format!("inst/{instance}/reconfig/{n:08}"))
-}
-
-pub(super) fn bind_uid(instance: &str, code: &str) -> ObjectUid {
-    ObjectUid::new(format!("inst/{instance}/bind/{code}"))
-}
-
-/// Compiled plans persist once per fingerprint, shared by every
-/// instance running that plan; recovery decodes instead of recompiling.
-pub(super) fn plan_uid(fingerprint: u64) -> ObjectUid {
-    ObjectUid::new(format!("sys/plan/{fingerprint:016x}"))
-}
-
-/// Inverse of [`plan_uid`]: the fingerprint a persisted-plan uid names.
-pub(super) fn plan_uid_fingerprint(uid: &ObjectUid) -> Option<u64> {
-    uid.as_str()
-        .strip_prefix("sys/plan/")
-        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-}
-
-/// The persistent instance-id allocator.
-pub(super) fn instance_seq_uid() -> ObjectUid {
-    ObjectUid::new("sys/instance_seq")
+/// The content hash a canonical source is pinned under: its length over
+/// its CRC-32 (slice-by-8 — a start hashes kilobytes of script text).
+/// Nothing rests on it being collision-free: a start that finds
+/// different text under its hash is refused, and every read re-checks.
+pub(super) fn source_hash(source: &str) -> u64 {
+    (source.len() as u64) << 32 | u64::from(flowscript_codec::crc32(source.as_bytes()))
 }
 
 #[cfg(test)]
@@ -229,24 +253,77 @@ mod tests {
         }
     }
 
-    #[test]
-    fn meta_codec_roundtrip() {
-        let meta = InstanceMeta {
+    fn header() -> InstanceHeader {
+        InstanceHeader {
             script: "order".into(),
-            source: "class C;".into(),
+            source_hash: source_hash("class C;"),
             root: "root".into(),
             set: "main".into(),
             inputs: BTreeMap::from([("seed".to_string(), ObjectVal::text("C", "s"))]),
-            status: InstanceStatus::Running,
-            reconfig_count: 2,
             instance_id: 7,
             version: Some(3),
+        }
+    }
+
+    #[test]
+    fn header_and_status_record_codec_roundtrip() {
+        let header = header();
+        let bytes = flowscript_codec::to_bytes(&header);
+        assert_eq!(
+            flowscript_codec::from_bytes::<InstanceHeader>(&bytes).unwrap(),
+            header
+        );
+        let running = StatusRecord {
+            status: InstanceStatus::Running,
+            reconfig_count: 2,
             plan_fingerprint: 0xDEAD_BEEF,
         };
-        let bytes = flowscript_codec::to_bytes(&meta);
+        let stuck = StatusRecord {
+            status: InstanceStatus::Stuck {
+                reason: "nothing to run".into(),
+            },
+            ..running.clone()
+        };
+        for record in [running, stuck] {
+            let bytes = flowscript_codec::to_bytes(&record);
+            assert_eq!(
+                flowscript_codec::from_bytes::<StatusRecord>(&bytes).unwrap(),
+                record
+            );
+            // Neither record reads as the other.
+            assert!(flowscript_codec::from_bytes::<InstanceHeader>(&bytes).is_err());
+        }
+        assert!(flowscript_codec::from_bytes::<StatusRecord>(&bytes).is_err());
+    }
+
+    /// What the layout before the split stored under `inst/<name>/meta`
+    /// for the header above, `Running`, two reconfigurations (rendered
+    /// by the last commit that wrote it): script, the source text
+    /// `class C;` itself, root, set, inputs, status, reconfig_count,
+    /// instance_id, version, plan_fingerprint.
+    const PRE_SPLIT_RECORD: &[u8] = b"\x05order\x08class C;\x04root\x04main\
+        \x01\x04seed\x01C\x01s\x00\
+        \x00\x02\0\0\0\x07\0\0\0\x01\x03\0\0\0\xEF\xBE\xAD\xDE\0\0\0\0";
+
+    #[test]
+    fn the_pre_split_record_decodes_as_neither() {
+        assert_eq!(PRE_SPLIT_RECORD.len(), 58);
+        // It opened with its script name's length, which is no tag.
+        let not_tagged = |ty| CodecError::InvalidDiscriminant { ty, value: 5 };
         assert_eq!(
-            flowscript_codec::from_bytes::<InstanceMeta>(&bytes).unwrap(),
-            meta
+            flowscript_codec::from_bytes::<InstanceHeader>(PRE_SPLIT_RECORD),
+            Err(not_tagged("InstanceHeader"))
         );
+        assert_eq!(
+            flowscript_codec::from_bytes::<StatusRecord>(PRE_SPLIT_RECORD),
+            Err(not_tagged("StatusRecord"))
+        );
+    }
+
+    #[test]
+    fn source_hash_tells_texts_apart_by_length_and_content() {
+        assert_eq!(source_hash("class C;") >> 32, 8);
+        assert_ne!(source_hash("class C;"), source_hash("class D;"));
+        assert_ne!(source_hash("class C;"), source_hash("class C; "));
     }
 }

@@ -28,18 +28,18 @@
 //! This module holds the shared state ([`Coordinator`], reached through
 //! the cloneable [`CoordHandle`]), the message entry point and the
 //! helpers every concern uses (`commit`, `commit_cb`, `record_event`,
-//! the control-block/meta reads, `pump`). Each child module owns one
+//! the control-block/header/status reads, `pump`). Each child module owns one
 //! concern; what it *owns* is private to it, and the entry points named
 //! are the only way in from a sibling:
 //!
 //! | module | concern | owns | entry points |
 //! |---|---|---|---|
-//! | `config`, `meta`, `stats` | the types: operator knobs; status, outcome, `InstanceMeta`, uid layout; counters and the dispatch record | — | — |
+//! | `config`, `meta`, `stats` | the types: operator knobs; status and outcome, the write-once `InstanceHeader`, the `StatusRecord`, the pinned source's hash (their uids: [`crate::keys`]); counters and the dispatch record | — | — |
 //! | `window` | the one place a report is applied: buffer `Done`/`Mark` reports, commit a window of them in one atomic action | `BatchWindow` | `enqueue_event`, `flush_pending`, `commit_event` |
 //! | `evaluate` | the worklist drain: input-set satisfaction, activation, compound-scope outputs (marks, termination, the fig. 8 repeat), stuck detection, the debug full-scan oracle | — | `evaluate`, `evaluate_from`, `park_stuck` |
 //! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, bounded retries, the slow-path report handler | `Dispatcher` (scheduler loads, cost model, ready queue), `Flights` (per instance: one record per task with outstanding work) | `dispatch`, `redispatch`, `on_task_done`, `clear_watch`, `drain_parked`, `discard_flights` (subtree sweep, forced outcome), `executing`; `Flights::is_idle` (stuck detection), `rekey_flights` (reconfiguration), `rearm_adopted` (adoption), `Dispatcher::{release_all, reset}` (hand-off, recovery), `executor_loads` |
 //! | `admission` | the per-shard instance cap on the start RPC | `Admission` | `admit_or_queue`, `admit_from_queue`, `Admission::{instance_live, instance_settled}` |
-//! | `lifecycle` | instance start, materialising a runtime from committed state, the monitoring reads; compiled plans, decoded once and persisted once per fingerprint | `PlanCache` | `start_instance_full`, `load_instance`, `rebuild_schema`, `count_nonterminal`, `PlanCache::validated`, `gc_plans` |
+//! | `lifecycle` | instance start (the one writer of a header, and of the two per-shard blobs beside it: the compiled plan per fingerprint, the canonical source per hash), materialising a runtime from committed state, the monitoring reads; blob collection | `PlanCache` | `start_instance_full`, `load_instance`, `rebuild_schema` (the one reader of the source), `count_nonterminal`, `PlanCache::validated`, `gc_plans` |
 //! | `membership` | shard routing and relays; the fleet protocols the nodes run among themselves — live hand-off (the one `tx::dist` 2PC, this module its host) and crash-driven adoption | `Membership`, [`MoveReport`], [`FailoverReport`] | `route_report`, `misdirected`, `forward_start`; from the façade `begin_move`, `begin_adoption` (each answers with a `Ticket`); from the wire `on_dist`, `on_claim`; `adopt_orphans`, `repair_handoffs` |
 //! | `recovery` | restart: reopen the log, reset volatile state (fleet protocols included), repair hand-offs, reload, re-dispatch | — | `recover`, `stored_instances`, `stored_instance_names` |
 //! | `admin` | operator actions on a running instance | — | `reconfigure`, `abort_waiting_task`, `repair_fact` |
@@ -67,7 +67,7 @@ use flowscript_sim::{Envelope, NodeId, World};
 use flowscript_tx::{ObjectUid, StableStore, TxManager};
 
 use crate::error::EngineError;
-use crate::keys::{meta_uid, InstanceKeys};
+use crate::keys::{meta_uid, status_uid, InstanceKeys};
 use crate::msg::EngineMsg;
 use crate::sched::ExecutorSpec;
 use crate::shard::ShardMap;
@@ -86,7 +86,7 @@ use admission::{Admission, AdmissionTicket};
 use dispatch::{Dispatcher, Flights};
 use lifecycle::PlanCache;
 use membership::Membership;
-use meta::InstanceMeta;
+use meta::{InstanceHeader, StatusRecord};
 use stats::CoordMetrics;
 use window::{BatchWindow, PendingEvent};
 
@@ -114,11 +114,10 @@ struct InstanceRt {
     /// recovery and reconfiguration). Stuck detection reads this
     /// instead of enumerating the store.
     nonterminal: usize,
-    /// Mirror of the committed meta's `status.is_terminal()`, refreshed
-    /// right after every commit that writes the status (see
+    /// Mirror of the committed status record's `status.is_terminal()`,
+    /// refreshed right after every commit that writes it (see
     /// [`Coordinator::note_status`]). The drain tests it once per
-    /// worklist step; reading it from the store would decode the whole
-    /// meta — script source included — for that one bit.
+    /// worklist step.
     terminal: bool,
 }
 
@@ -297,16 +296,42 @@ impl Coordinator {
         self.mgr.read_committed(keys.cb(task)).ok().flatten()
     }
 
-    fn read_meta(&self, instance: &str) -> Option<InstanceMeta> {
-        let read = |uid: &ObjectUid| self.mgr.read_committed(uid).ok().flatten();
-        match self.instances.get(instance) {
-            Some(rt) => read(rt.keys.meta()),
-            None => read(&meta_uid(instance)),
-        }
+    /// Whether `instance` exists on this shard. The store is the truth,
+    /// not residency: an instance a hand-off round holds frozen is
+    /// committed here without being resident.
+    fn holds(&self, instance: &str) -> bool {
+        self.instances.contains_key(instance) || self.mgr.exists(&meta_uid(instance))
+    }
+
+    /// The committed header of `instance`.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::UnknownInstance`] if there is none, a storage
+    /// error if what is stored does not decode as one.
+    fn read_header(&self, instance: &str) -> Result<InstanceHeader, EngineError> {
+        let stored = match self.instances.get(instance) {
+            Some(rt) => self.mgr.read_committed(rt.keys.meta()),
+            None => self.mgr.read_committed(&meta_uid(instance)),
+        };
+        stored?.ok_or_else(|| EngineError::UnknownInstance(instance.to_string()))
+    }
+
+    /// The committed status record of `instance`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Coordinator::read_header`].
+    fn read_status(&self, instance: &str) -> Result<StatusRecord, EngineError> {
+        let stored = match self.instances.get(instance) {
+            Some(rt) => self.mgr.read_committed(rt.keys.status()),
+            None => self.mgr.read_committed(&status_uid(instance)),
+        };
+        stored?.ok_or_else(|| EngineError::UnknownInstance(instance.to_string()))
     }
 
     /// Refreshes the volatile mirror of the status a commit just wrote
-    /// to `instance`'s meta.
+    /// to `instance`'s status record.
     fn note_status(&mut self, instance: &str, status: &InstanceStatus) {
         if let Some(rt) = self.instances.get_mut(instance) {
             rt.terminal = status.is_terminal();

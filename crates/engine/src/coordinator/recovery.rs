@@ -6,33 +6,33 @@ use flowscript_obs::ObsEventKind;
 use flowscript_sim::World;
 use flowscript_tx::{StableStore, TxManager};
 
-use super::{Admission, CoordHandle, Coordinator, InstanceMeta, InstanceStatus, PlanCache};
-use crate::keys::meta_uid;
+use super::{
+    Admission, CoordHandle, Coordinator, InstanceHeader, InstanceStatus, PlanCache, StatusRecord,
+};
+use crate::keys::{self, meta_uid, status_uid};
 use crate::msg::EngineMsg;
 
-/// The name of every `inst/{name}/meta` object in `mgr` — the one
-/// enumeration recovery, orphan adoption, plan GC and dead-shard claims
-/// share. The name is what lies between one `inst/` and one `/meta` —
-/// stripped once, so a name that itself starts with `inst/` or ends in
-/// `/meta` survives. Nothing is decoded: a control block whose task
-/// happens to be called `meta` matches too, and only reading the object
-/// as a meta tells the two apart.
+/// The name of every instance with a header in `mgr` — the one
+/// enumeration recovery, orphan adoption, blob GC and dead-shard claims
+/// share. Nothing is decoded: the uid alone says whether it is a header
+/// and whose (see [`keys::header_instance`]).
 pub(super) fn stored_instance_names(mgr: &TxManager<StableStore>) -> impl Iterator<Item = String> {
-    mgr.uids_matching("inst/", "/meta")
+    mgr.uids_matching(keys::INSTANCE_ROOT, keys::HEADER_SUFFIX)
         .into_iter()
-        .filter_map(|uid| {
-            let name = uid.as_str().strip_prefix("inst/")?.strip_suffix("/meta")?;
-            Some(name.to_string())
-        })
+        .filter_map(|uid| keys::header_instance(uid.as_str()))
 }
 
-/// Every instance stored in `mgr`, by name, with its committed meta:
-/// [`stored_instance_names`] minus whatever does not decode as one.
-pub(super) fn stored_instances(mgr: &TxManager<StableStore>) -> Vec<(String, InstanceMeta)> {
+/// Every instance stored in `mgr`, by name, with its committed header
+/// and status record: [`stored_instance_names`] minus whatever does not
+/// decode as both.
+pub(super) fn stored_instances(
+    mgr: &TxManager<StableStore>,
+) -> Vec<(String, InstanceHeader, StatusRecord)> {
     stored_instance_names(mgr)
         .filter_map(|name| {
-            let meta = mgr.read_committed(&meta_uid(&name)).ok()??;
-            Some((name, meta))
+            let header = mgr.read_committed(&meta_uid(&name)).ok()??;
+            let record = mgr.read_committed(&status_uid(&name)).ok()??;
+            Some((name, header, record))
         })
         .collect()
 }
@@ -44,7 +44,7 @@ impl Coordinator {
     /// (re-dispatches rebuild both) and the admission queue and counts
     /// (queued starts are the client's to retry — their reply tokens
     /// are gone — and the reload recounts occupancy from the persisted
-    /// metas).
+    /// status records).
     fn reset_volatile(&mut self) {
         self.instances.clear();
         self.plan_cache = PlanCache::default();
@@ -94,11 +94,11 @@ impl CoordHandle {
             // away must be purged before the loop below could load it.
             let handoff_traffic = coordinator.repair_handoffs();
             let mut running = Vec::new();
-            for (name, meta) in stored_instances(&coordinator.mgr) {
+            for (name, header, record) in stored_instances(&coordinator.mgr) {
                 // Fast path inside: decode the persisted plan
                 // (validated like any other untrusted plan) and skip
                 // the front end.
-                let Some(rt) = coordinator.load_instance(&name, &meta) else {
+                let Some(rt) = coordinator.load_instance(&name, &header, &record) else {
                     continue;
                 };
                 coordinator.instances.insert(name.clone(), rt);
@@ -111,7 +111,7 @@ impl CoordHandle {
                     0,
                     ObsEventKind::Recovery { epoch },
                 );
-                if meta.status == InstanceStatus::Running {
+                if record.status == InstanceStatus::Running {
                     coordinator.admission.instance_live();
                     running.push(name);
                 }

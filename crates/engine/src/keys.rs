@@ -1,30 +1,155 @@
-//! Per-instance interned storage keys.
+//! Storage keys: the string uid layout, and per-instance interned keys.
+//!
+//! **The uid layout lives here and nowhere else.** An instance's
+//! objects sit under `inst/<name>/…` — `meta` (the write-once header),
+//! `status` (the small mutable record), `cb/<task path>`,
+//! `bind/<code>`, `reconfig/<n>` — with the name **escaped** where it
+//! enters the uid (`%` → `%25`, `/` → `%2F`), so the name is exactly one
+//! path segment: no instance's prefix is a prefix of another's, and no
+//! control block can be mistaken for a header. Shard-wide objects sit
+//! under `sys/…`: the instance-id sequence, and the two blobs instances
+//! share by content — `sys/plan/<fingerprint>` and `sys/src/<hash>`.
 //!
 //! A live instance resolves every hot-path storage access through an
 //! [`InstanceKeys`] table built **once** at instance start (and rebuilt
-//! on reconfiguration, when the plan itself changes): the metadata and
-//! control-block uids are formatted exactly once, and every plan dependency
-//! source gets its probed fact's dense [`FactKey`]s precomputed — both
-//! the fact's *presence* sub-key (`obj = 0`, existence answers
-//! "fired?") and the *data* sub-key of the one object the source takes
-//! (`obj = ordinal + 1`, holding exactly that object's bytes) — so a
-//! readiness probe is a single point read with zero record decode, and
-//! an output commit, a subtree cancel/reset or a stuck diagnostic never
-//! formats a string.
+//! on reconfiguration, when the plan itself changes): the header,
+//! status and control-block uids are formatted exactly once, and every
+//! plan dependency source gets its probed fact's dense [`FactKey`]s
+//! precomputed — both the fact's *presence* sub-key (`obj = 0`,
+//! existence answers "fired?") and the *data* sub-key of the one object
+//! the source takes (`obj = ordinal + 1`, holding exactly that object's
+//! bytes) — so a readiness probe is a single point read with zero
+//! record decode, and an output commit, a subtree cancel/reset or a
+//! stuck diagnostic never formats a string.
+
+use std::borrow::Cow;
 
 use flowscript_plan::{Plan, PlanCond, Probe, TaskId};
 use flowscript_tx::{FactKey, ObjectUid};
 
-/// Formats an instance's metadata uid (used once at table build, and
-/// by paths that run before or without a resident instance).
+/// Every per-instance uid starts with this.
+pub(crate) const INSTANCE_ROOT: &str = "inst/";
+/// What a header uid ends with (`uids_matching(INSTANCE_ROOT,
+/// HEADER_SUFFIX)` enumerates the stored instances' headers, plus any
+/// control block whose task is called `meta` —
+/// [`header_instance`] tells them apart).
+pub(crate) const HEADER_SUFFIX: &str = "/meta";
+/// The prefix of every persisted plan blob.
+pub(crate) const PLAN_PREFIX: &str = "sys/plan/";
+/// The prefix of every pinned canonical source.
+pub(crate) const SOURCE_PREFIX: &str = "sys/src/";
+
+/// An instance name as it appears in a uid: one path segment.
+fn escape(name: &str) -> Cow<'_, str> {
+    if !name.contains(['%', '/']) {
+        return Cow::Borrowed(name);
+    }
+    Cow::Owned(name.replace('%', "%25").replace('/', "%2F"))
+}
+
+/// Inverse of [`escape`]; `None` for a segment `escape` cannot have
+/// produced.
+fn unescape(segment: &str) -> Option<String> {
+    let mut name = String::with_capacity(segment.len());
+    let mut rest = segment;
+    while let Some(at) = rest.find(['%', '/']) {
+        name.push_str(&rest[..at]);
+        name.push(match rest.get(at..at + 3)? {
+            "%25" => '%',
+            "%2F" => '/',
+            _ => return None,
+        });
+        rest = &rest[at + 3..];
+    }
+    name.push_str(rest);
+    Some(name)
+}
+
+/// The prefix every uid of `instance` — and of no other instance —
+/// starts with.
+pub(crate) fn instance_prefix(instance: &str) -> String {
+    format!("{INSTANCE_ROOT}{}/", escape(instance))
+}
+
+fn under(prefix: &str, rest: &str) -> ObjectUid {
+    ObjectUid::new([prefix, rest].concat())
+}
+
+/// The uid of an instance's write-once header (used once at table
+/// build, and by paths that run before or without a resident instance).
 pub(crate) fn meta_uid(instance: &str) -> ObjectUid {
-    ObjectUid::new(format!("inst/{instance}/meta"))
+    under(&instance_prefix(instance), "meta")
+}
+
+/// The instance a header uid names — the inverse of [`meta_uid`];
+/// `None` for every other uid.
+pub(crate) fn header_instance(uid: &str) -> Option<String> {
+    let segment = uid
+        .strip_prefix(INSTANCE_ROOT)?
+        .strip_suffix(HEADER_SUFFIX)?;
+    unescape(segment)
+}
+
+/// The uid of an instance's status record.
+pub(crate) fn status_uid(instance: &str) -> ObjectUid {
+    under(&instance_prefix(instance), "status")
+}
+
+/// The prefix of an instance's control-block uids.
+pub(crate) fn cb_prefix(instance: &str) -> String {
+    instance_prefix(instance) + "cb/"
 }
 
 /// Formats a control-block uid (used once per task at table build, and
 /// by cold administrative paths).
 pub(crate) fn cb_uid(instance: &str, path: &str) -> ObjectUid {
-    ObjectUid::new(format!("inst/{instance}/cb/{path}"))
+    under(&cb_prefix(instance), path)
+}
+
+/// The prefix of an instance's rebinding uids; what follows it in a uid
+/// is the rebound code name.
+pub(crate) fn bind_prefix(instance: &str) -> String {
+    instance_prefix(instance) + "bind/"
+}
+
+/// The uid holding what `code` is rebound to in `instance`.
+pub(crate) fn bind_uid(instance: &str, code: &str) -> ObjectUid {
+    under(&bind_prefix(instance), code)
+}
+
+/// The prefix of an instance's persisted reconfiguration ops; a scan of
+/// it yields them in application order.
+pub(crate) fn reconfig_prefix(instance: &str) -> String {
+    instance_prefix(instance) + "reconfig/"
+}
+
+/// The uid of `instance`'s `n`-th persisted reconfiguration op.
+pub(crate) fn reconfig_uid(instance: &str, n: u32) -> ObjectUid {
+    under(&reconfig_prefix(instance), &format!("{n:08}"))
+}
+
+/// Compiled plans persist once per fingerprint, shared by every
+/// instance running that plan; recovery decodes instead of recompiling.
+pub(crate) fn plan_uid(fingerprint: u64) -> ObjectUid {
+    ObjectUid::new(format!("{PLAN_PREFIX}{fingerprint:016x}"))
+}
+
+/// A script's canonical source persists once per content hash, shared
+/// by every instance started from that text.
+pub(crate) fn source_uid(hash: u64) -> ObjectUid {
+    ObjectUid::new(format!("{SOURCE_PREFIX}{hash:016x}"))
+}
+
+/// Inverse of [`plan_uid`] and [`source_uid`]: the fingerprint or hash
+/// a blob uid under `prefix` ([`PLAN_PREFIX`], [`SOURCE_PREFIX`]) names.
+pub(crate) fn blob_id(uid: &ObjectUid, prefix: &str) -> Option<u64> {
+    let hex = uid.as_str().strip_prefix(prefix)?;
+    u64::from_str_radix(hex, 16).ok()
+}
+
+/// The persistent instance-id allocator.
+pub(crate) fn instance_seq_uid() -> ObjectUid {
+    ObjectUid::new("sys/instance_seq")
 }
 
 /// The two dense keys one dependency probe resolves to.
@@ -45,8 +170,10 @@ pub struct ProbeKeys {
 pub struct InstanceKeys {
     /// The instance's dense numeric id (the fact key namespace).
     pub instance_id: u32,
-    /// The instance's metadata uid.
+    /// The instance's header uid.
     meta: ObjectUid,
+    /// The instance's status-record uid.
+    status: ObjectUid,
     /// Per task id: its control-block uid.
     cb: Vec<ObjectUid>,
     /// Per plan source index: the probed fact's keys (`None` when the
@@ -60,10 +187,11 @@ pub struct InstanceKeys {
 impl InstanceKeys {
     /// Builds the table for `plan` (one pass over the source pool).
     pub fn build(plan: &Plan, instance: &str, instance_id: u32) -> Self {
+        let cbs = cb_prefix(instance);
         let cb = plan
             .tasks
             .iter()
-            .map(|task| cb_uid(instance, plan.str(task.path)))
+            .map(|task| under(&cbs, plan.str(task.path)))
             .collect();
         let mut source = vec![None; plan.sources.len()];
         let mut any = vec![None; plan.any_pool.len()];
@@ -106,15 +234,21 @@ impl InstanceKeys {
         Self {
             instance_id,
             meta: meta_uid(instance),
+            status: status_uid(instance),
             cb,
             source,
             any,
         }
     }
 
-    /// The instance's metadata uid.
+    /// The instance's header uid.
     pub fn meta(&self) -> &ObjectUid {
         &self.meta
+    }
+
+    /// The instance's status-record uid.
+    pub fn status(&self) -> &ObjectUid {
+        &self.status
     }
 
     /// The control-block uid of a task.
@@ -194,6 +328,59 @@ mod tests {
         )
         .unwrap();
         Plan::lower(&schema)
+    }
+
+    #[test]
+    fn no_instance_owns_a_uid_under_anothers_prefix() {
+        let names = ["a", "a/b", "a/cb/x", "inst/a", "b/meta", "50%", "a%2Fb"];
+        let uids_of = |name: &str| {
+            [
+                meta_uid(name),
+                status_uid(name),
+                cb_uid(name, "root"),
+                cb_uid(name, "x/meta"),
+                bind_uid(name, "refCode"),
+                reconfig_uid(name, 3),
+            ]
+        };
+        for name in names {
+            assert_eq!(unescape(&escape(name)).as_deref(), Some(name));
+            assert_eq!(
+                header_instance(meta_uid(name).as_str()).as_deref(),
+                Some(name)
+            );
+            for uid in uids_of(name) {
+                for other in names {
+                    assert_eq!(
+                        uid.as_str().starts_with(&instance_prefix(other)),
+                        other == name,
+                        "`{uid}` of `{name}` against the prefix of `{other}`"
+                    );
+                }
+            }
+            // Only the header reads as one, whatever the task is called.
+            for uid in &uids_of(name)[1..] {
+                assert_eq!(header_instance(uid.as_str()), None, "`{uid}`");
+            }
+        }
+        // Segments `escape` never produces name nobody.
+        for segment in ["a%", "a%2", "a%2f", "a%41", "a/b"] {
+            assert_eq!(unescape(segment), None, "`{segment}`");
+        }
+        // Names without `%` or `/` appear verbatim: the layout every
+        // golden log was rendered under.
+        assert_eq!(meta_uid("order-1").as_str(), "inst/order-1/meta");
+        assert_eq!(
+            cb_uid("order-1", "root/t").as_str(),
+            "inst/order-1/cb/root/t"
+        );
+        assert_eq!(reconfig_uid("i", 3).as_str(), "inst/i/reconfig/00000003");
+        assert_eq!(blob_id(&plan_uid(0xAB), PLAN_PREFIX), Some(0xAB));
+        assert_eq!(
+            blob_id(&source_uid(u64::MAX), SOURCE_PREFIX),
+            Some(u64::MAX)
+        );
+        assert_eq!(blob_id(&plan_uid(1), SOURCE_PREFIX), None);
     }
 
     #[test]

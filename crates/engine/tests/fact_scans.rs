@@ -8,6 +8,12 @@
 //! storage fault — never silently read as "fact absent" and
 //! mis-evaluate readiness.
 //!
+//!
+//! And the log has a **byte budget**: what an instance writes besides
+//! its control blocks and facts is a small header and a smaller status
+//! record — the script's source is logged once per shard, never per
+//! instance, never per status change.
+//!
 //! [`TxManager::prefix_scan_count`]: flowscript_tx::TxManager::prefix_scan_count
 //! [`TxManager::fact_range_scan_count`]: flowscript_tx::TxManager::fact_range_scan_count
 
@@ -21,6 +27,7 @@ use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{CbState, InstanceStatus, TaskBehavior, WorkflowSystem};
 use flowscript_sim::SimDuration;
+use flowscript_tx::{LogRecord, StoreKey, Wal};
 
 fn order_sys(seed: u64) -> WorkflowSystem {
     let mut sys = WorkflowSystem::builder().executors(2).seed(seed).build();
@@ -189,4 +196,77 @@ fn corrupt_repeat_fact_stops_the_watchdog_retry() {
     assert_eq!(sys.stats().retries, 1, "the watchdog retried attempt 1");
     assert_storage_fault_stop(&sys, "i");
     assert!(!starved.get(), "the task ran without its repeat objects");
+}
+
+/// Every write in `records`, group frames flattened, as `(key, value)`
+/// (`None`: a delete).
+fn logged_writes(records: &[LogRecord]) -> Vec<(&StoreKey, Option<&[u8]>)> {
+    let mut writes = Vec::new();
+    for record in records {
+        match record {
+            LogRecord::Commit { writes: w, .. } | LogRecord::Prepare { writes: w, .. } => {
+                writes.extend(w.iter().map(|(key, value)| (key, value.as_deref())));
+            }
+            LogRecord::GroupCommit { records } => writes.extend(logged_writes(records)),
+            _ => {}
+        }
+    }
+    writes
+}
+
+#[test]
+fn a_diamond_logs_its_source_once_per_shard_and_stays_in_budget() {
+    let instances = 50;
+    let mut sys = WorkflowSystem::builder().executors(2).seed(1).build();
+    sys.register_script("diamond", samples::FIG1_DIAMOND, "diamond")
+        .unwrap();
+    for code in ["refT1", "refT2", "refT3", "refT4"] {
+        sys.bind_fn(code, |_| {
+            TaskBehavior::outcome("done").with_object("out", text("Data", "d"))
+        });
+    }
+    for i in 0..instances {
+        sys.start(
+            &format!("d{i}"),
+            "diamond",
+            "main",
+            [("seed", text("Data", "s"))],
+        )
+        .unwrap();
+    }
+    sys.run();
+    for i in 0..instances {
+        assert!(sys.outcome(&format!("d{i}")).is_some(), "d{i} completes");
+    }
+
+    let records = Wal::new(sys.storage()).scan().expect("the log decodes");
+    let writes = logged_writes(&records);
+    // What instances run off is the repository's canonical form.
+    let canonical = sys
+        .repository()
+        .with(|repo| repo.get("diamond", None).unwrap().source.clone());
+    let source = canonical.as_bytes();
+    let carrying_source = writes
+        .iter()
+        .filter_map(|(_, value)| *value)
+        .filter(|value| value.windows(source.len()).any(|window| window == source))
+        .count();
+    assert_eq!(carrying_source, 1, "the source is logged once per shard");
+    let mut per_instance_writes = 0;
+    for (key, value) in &writes {
+        let (StoreKey::Uid(uid), Some(value)) = (key, value) else {
+            continue;
+        };
+        if uid.as_str().starts_with("inst/") {
+            per_instance_writes += 1;
+            assert!(value.len() < 256, "`{uid}` logged {} B", value.len());
+        }
+    }
+    // Header, two status records and 14 control-block writes each.
+    assert!(per_instance_writes >= instances * 17);
+    let per_instance = sys.log_size() / instances as u64;
+    assert!(
+        per_instance < 2_000,
+        "{per_instance} B of log per diamond, budget 2 000"
+    );
 }

@@ -342,7 +342,7 @@ fn determinism_under_faults() {
 
 /// [`common::ONE_TASK`] with its one leaf literally named `meta`, so
 /// the leaf's control-block uid (`inst/{instance}/cb/root/meta`) ends
-/// the way an instance's meta uid does.
+/// the way an instance's header uid does.
 const TASK_NAMED_META: &str = r#"
 class Data;
 taskclass Work {
@@ -364,11 +364,13 @@ compoundtask root of taskclass Root {
 
 #[test]
 fn recovery_keeps_instance_names_that_look_like_storage_keys() {
-    // An instance's stored name is what lies between ONE `inst/` and
-    // ONE `/meta` of its meta uid. A name that itself starts or ends
-    // that way must come back from a crash whole — reloading `inst/a`
-    // as `a` would read the wrong keys and lose the instance — and a
-    // control block that merely ends in `/meta` is not an instance.
+    // An instance's name is one escaped segment of its uids, between
+    // `inst/` and the `/meta` of its header. A name that itself starts
+    // or ends that way must come back from a crash whole — reloading
+    // `inst/a` as `a` would read the wrong keys and lose the instance —
+    // a control block that merely ends in `/meta` is not an instance,
+    // and `plain/cb/root`'s header is not `plain`'s control block for
+    // `root/meta` (spelled raw, the two were one uid).
     let mut sys = WorkflowSystem::builder()
         .executors(2)
         .seed(21)
@@ -378,7 +380,7 @@ fn recovery_keeps_instance_names_that_look_like_storage_keys() {
     sys.bind_fn("refWork", |_| {
         TaskBehavior::outcome("done").with_work(SimDuration::from_millis(100))
     });
-    let names = ["inst/a", "b/meta", "plain"];
+    let names = ["inst/a", "b/meta", "plain", "plain/cb/root"];
     for name in names {
         sys.start(name, "one", "main", [("seed", text("Data", "s"))])
             .unwrap();
@@ -396,5 +398,38 @@ fn recovery_keeps_instance_names_that_look_like_storage_keys() {
             "`{name}` lost across the crash: {:?}",
             sys.status(name)
         );
+    }
+}
+
+#[test]
+fn undecodable_status_record_fails_its_instance_alone() {
+    // A status record that does not decode must not load as anything —
+    // least of all as a stale `Running` — must not take recovery down,
+    // and must say what is wrong when asked.
+    let mut sys = chain_system(4, 12, snappy_config());
+    for name in ["c1", "c2", "c3"] {
+        sys.start(name, "chain", "main", [("seed", text("Data", "s"))])
+            .unwrap();
+    }
+    sys.run_until(SimTime::from_nanos(30_000_000));
+    let coordinator = sys.coordinator_node();
+    sys.crash_now(coordinator);
+    assert!(sys.coord_handle(0).poison_record("c2", "status"));
+    sys.restart_now(coordinator);
+    sys.run();
+    assert_eq!(sys.stats().recovered_instances, 2, "the siblings recover");
+    assert_eq!(sys.coord_handle(0).instance_names(), ["c1", "c3"]);
+    for name in ["c1", "c3"] {
+        assert!(
+            sys.outcome(name).is_some(),
+            "{name}: {:?}",
+            sys.status(name)
+        );
+    }
+    match sys.status("c2") {
+        Err(flowscript_engine::EngineError::Tx(why)) => {
+            assert!(why.contains("corrupt"), "undiagnosable: {why}")
+        }
+        other => panic!("a poisoned status record read as {other:?}"),
     }
 }

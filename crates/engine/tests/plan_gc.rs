@@ -6,23 +6,26 @@
 //! reclamation a reconfigured instance strands its old blobs forever.
 //! The coordinator refcounts blobs by fingerprint at checkpoint time —
 //! a blob survives exactly as long as some instance (resident or
-//! merely persisted) references it.
+//! merely persisted) references it. The canonical source a plan was
+//! compiled from is pinned beside it (`sys/src/…`, once per content
+//! hash) and collected by the same walk.
 
 mod common;
 
-use common::{add_t5, text};
+use common::{add_t5, text, ONE_TASK};
 use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{TaskBehavior, WorkflowSystem};
-use flowscript_sim::SimDuration;
+use flowscript_sim::{NodeId, SimDuration};
 
-fn diamond_sys(checkpoint_every: u64) -> WorkflowSystem {
+fn diamond_fleet(coordinators: usize, checkpoint_every: u64) -> WorkflowSystem {
     let config = EngineConfig {
         checkpoint_every: Some(checkpoint_every),
         ..EngineConfig::default()
     };
     let mut sys = WorkflowSystem::builder()
         .executors(2)
+        .coordinators(coordinators)
         .seed(9)
         .config(config)
         .build();
@@ -43,7 +46,7 @@ fn diamond_sys(checkpoint_every: u64) -> WorkflowSystem {
 
 #[test]
 fn checkpoint_reclaims_unreferenced_plan_blobs() {
-    let mut sys = diamond_sys(1); // checkpoint (and GC) after every commit
+    let mut sys = diamond_fleet(1, 1); // checkpoint (and GC) after every commit
     sys.start("d1", "diamond", "main", [("seed", text("Data", "s"))])
         .unwrap();
     sys.run();
@@ -77,7 +80,7 @@ fn checkpoint_reclaims_unreferenced_plan_blobs() {
 
 #[test]
 fn shared_fingerprints_are_pinned_by_any_referencing_instance() {
-    let mut sys = diamond_sys(1);
+    let mut sys = diamond_fleet(1, 1);
     // Two instances of the same script share one plan blob.
     sys.start("d1", "diamond", "main", [("seed", text("Data", "s"))])
         .unwrap();
@@ -86,6 +89,10 @@ fn shared_fingerprints_are_pinned_by_any_referencing_instance() {
     sys.run();
     assert_eq!(sys.persisted_plans(0).len(), 1);
     let original = sys.persisted_plans(0)[0];
+    // And one copy of the text both were compiled from — which no
+    // reconfiguration below re-pins or strands.
+    let source = sys.coord_handle(0).persisted_source_hashes();
+    assert_eq!(source.len(), 1, "one script, one pinned source");
 
     // Reconfiguring d1 must NOT reclaim the original blob while d2
     // still references it.
@@ -110,4 +117,63 @@ fn shared_fingerprints_are_pinned_by_any_referencing_instance() {
         "shared blob reclaimed once orphaned: {plans:?}"
     );
     assert!(!plans.contains(&original));
+    assert_eq!(sys.coord_handle(0).persisted_source_hashes(), source);
+}
+
+#[test]
+fn blobs_are_collected_once_their_instances_have_moved_away() {
+    // A shard every instance has been handed off keeps pinning nothing:
+    // its next checkpoint drops the plan and the source they ran off.
+    let mut sys = diamond_fleet(2, 1);
+    sys.register_script("one", ONE_TASK, "root").unwrap();
+    sys.bind_fn("refWork", |_| TaskBehavior::outcome("done"));
+    let joined = {
+        let mut map = sys.shard_map().clone();
+        map.add_node(NodeId::from_index(usize::MAX));
+        map
+    };
+    // Diamonds that live on shard 0 until the joining shard wins them.
+    let movers: Vec<String> = (0..)
+        .map(|i| format!("d{i}"))
+        .filter(|name| sys.shard_of(name) == 0 && joined.shard_of(name) == 2)
+        .take(2)
+        .collect();
+    for name in &movers {
+        sys.start(name, "diamond", "main", [("seed", text("Data", "s"))])
+            .unwrap();
+    }
+    sys.run_for(SimDuration::from_millis(5));
+    let emptied = sys.coord_handle(0);
+    let (plans, sources) = (sys.persisted_plans(0), emptied.persisted_source_hashes());
+    assert_eq!((plans.len(), sources.len()), (1, 1));
+
+    let report = sys.add_coordinator("coordinator2").expect("rebalance");
+    assert_eq!(report.moved, movers.len());
+    assert!(emptied.instance_names().is_empty(), "shard 0 is drained");
+    // The blobs went along, and nothing has collected the originals yet.
+    assert_eq!(sys.persisted_plans(2), plans);
+    assert_eq!(sys.coord_handle(2).persisted_source_hashes(), sources);
+    assert_eq!(sys.persisted_plans(0), plans);
+
+    // Shard 0's next checkpoint comes with its next instance — of a
+    // different script, which is then all that is pinned there.
+    let stayer = (0..)
+        .map(|i| format!("w{i}"))
+        .find(|name| sys.shard_of(name) == 0)
+        .unwrap();
+    sys.start(&stayer, "one", "main", [("seed", text("Data", "s"))])
+        .unwrap();
+    sys.run();
+    for name in movers.iter().chain([&stayer]) {
+        assert!(
+            sys.outcome(name).is_some(),
+            "{name}: {:?}",
+            sys.status(name)
+        );
+    }
+    let (left_plans, left_sources) = (sys.persisted_plans(0), emptied.persisted_source_hashes());
+    assert_eq!((left_plans.len(), left_sources.len()), (1, 1));
+    assert_ne!(left_plans, plans, "the diamond's plan is collected");
+    assert_ne!(left_sources, sources, "and so is its source");
+    assert_eq!(sys.coord_handle(2).persisted_source_hashes(), sources);
 }

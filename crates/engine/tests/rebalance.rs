@@ -19,7 +19,7 @@ use common::{
 };
 use flowscript_codec::ByteWriter;
 use flowscript_engine::{
-    CbState, InstanceStatus, ObjectVal, ShardMap, WorkflowSystem, MAX_FORWARD_HOPS,
+    CbState, InstanceStatus, ObjectVal, Reconfig, ShardMap, WorkflowSystem, MAX_FORWARD_HOPS,
 };
 use flowscript_sim::{FaultAction, FaultPlan, SimDuration, SimTime};
 
@@ -115,6 +115,86 @@ fn added_shard_serves_new_instances() {
             "{name}: {status:?}"
         );
     }
+}
+
+/// An instance whose name extends another's by a `/` is its own
+/// instance: the joining shard wins both, each moves in a round of its
+/// own with exactly its own keyspace, and both finish as if nothing had
+/// moved. (Packaging `order-p128` by the raw prefix `inst/order-p128/`
+/// used to sweep `order-p128/kid` along, fail the kid's round with
+/// `UnknownInstance` and lose both.)
+#[test]
+fn an_instance_named_under_anothers_prefix_moves_alone() {
+    let names = ["order-p128".to_string(), "order-p128/kid".to_string()];
+    let baseline: Vec<_> = {
+        let mut sys = build(2);
+        start_population(&mut sys, &names);
+        sys.run();
+        names.iter().map(|name| settled(&sys, name)).collect()
+    };
+
+    let mut sys = build(2);
+    start_population(&mut sys, &names);
+    for name in &names {
+        assert_eq!(sys.shard_of(name), 0, "{name} starts on shard 0");
+    }
+    sys.run_until(SimTime::from_nanos(20_000_000));
+    let report = sys.add_coordinator("coordinator2").expect("rebalance");
+    assert_eq!((report.moved, report.rounds), (2, 2));
+    for name in &names {
+        assert_eq!(sys.shard_of(name), 2, "{name} is won by the joiner");
+    }
+    assert_eq!(sys.coord_handle(2).instance_names(), names);
+    sys.run();
+    for (name, unmoved) in names.iter().zip(&baseline) {
+        assert_eq!(&settled(&sys, name), unmoved, "{name} diverged");
+    }
+}
+
+/// The canonical source travels with a moved instance: the joining
+/// shard never started anything, so the only way it can recompile the
+/// order's script — which reconfiguring an instance that runs off a
+/// decoded plan blob must — is out of the package.
+#[test]
+fn moved_instance_is_reconfigured_on_a_shard_that_never_ran_its_script() {
+    let name = "order-p128".to_string();
+    let mut sys = build(2);
+    start_population(&mut sys, std::slice::from_ref(&name));
+    sys.run_until(SimTime::from_nanos(20_000_000));
+    let report = sys.add_coordinator("coordinator2").expect("rebalance");
+    assert_eq!((report.moved, sys.shard_of(&name)), (1, 2));
+    let joiner = sys.coord_handle(2);
+    assert_eq!(
+        joiner.persisted_source_hashes(),
+        sys.coord_handle(0).persisted_source_hashes(),
+        "the joiner pins the text the source shard pinned"
+    );
+    assert_eq!(joiner.persisted_source_hashes().len(), 1);
+
+    let audit = Reconfig::AddTask {
+        scope_path: "processOrderApplication".into(),
+        task_source: r#"
+            task audit of taskclass CheckStock {
+                implementation { "code" is "refCheckStock" };
+                inputs { input main { inputobject order from {
+                    order of task processOrderApplication if input main
+                } } }
+            }"#
+        .into(),
+    };
+    sys.reconfigure(&name, audit)
+        .expect("the joiner recompiles");
+    sys.run();
+    assert_eq!(
+        sys.outcome(&name).expect("completes").name,
+        "orderCompleted"
+    );
+    assert_eq!(
+        sys.task_states(&name)["processOrderApplication/audit"],
+        CbState::Done {
+            outcome: "stockAvailable".into()
+        }
+    );
 }
 
 /// A map naming a node that runs no coordinator must be refused before

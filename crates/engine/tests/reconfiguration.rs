@@ -291,6 +291,91 @@ fn reconfiguration_survives_coordinator_crash() {
     );
 }
 
+/// The diamond with the paper's `t5` added 15 ms in; at 25 ms the
+/// coordinator crashes and restarts, with `poisoned` (a record
+/// `poison_record` names) overwritten while it is down.
+fn reconfigured_then_crashed(poisoned: Option<&str>) -> WorkflowSystem {
+    let mut sys = diamond_system(67);
+    sys.bind_fn("refT5", |_| {
+        TaskBehavior::outcome("done").with_object("out", text("Data", "t5"))
+    });
+    sys.start("d1", "diamond", "main", [("seed", text("Data", "s"))])
+        .unwrap();
+    sys.run_for(SimDuration::from_millis(15));
+    sys.reconfigure("d1", add_t5()).unwrap();
+    sys.run_for(SimDuration::from_millis(10));
+    assert_eq!(sys.status("d1"), Ok(InstanceStatus::Running));
+    let coordinator = sys.coordinator_node();
+    sys.crash_now(coordinator);
+    if let Some(which) = poisoned {
+        assert!(sys.coord_handle(0).poison_record("d1", which), "{which}");
+    }
+    sys.restart_now(coordinator);
+    sys
+}
+
+#[test]
+fn recovery_without_a_plan_blob_recompiles_the_pinned_source() {
+    // The load fallback: no valid blob under the status record's
+    // fingerprint, so the plan is the pinned source recompiled with the
+    // persisted `t5` replayed — and the run ends as if the blob had
+    // been there.
+    let mut decoded = reconfigured_then_crashed(None);
+    decoded.run();
+    assert_eq!(decoded.cached_plans(0).len(), 1, "decoded from its blob");
+
+    let mut recompiled = reconfigured_then_crashed(Some("plan"));
+    recompiled.run();
+    assert_eq!(recompiled.stats().recovered_instances, 1);
+    assert!(
+        recompiled.cached_plans(0).is_empty(),
+        "garbage must not validate: the plan was recompiled"
+    );
+    assert!(
+        recompiled.task_states("d1").contains_key("diamond/t5"),
+        "the persisted op was replayed"
+    );
+    assert_eq!(recompiled.status("d1"), decoded.status("d1"));
+    assert!(recompiled.outcome("d1").is_some());
+    assert_eq!(recompiled.task_states("d1"), decoded.task_states("d1"));
+}
+
+#[test]
+fn poisoned_source_stops_reconfiguration_and_nothing_else() {
+    // Nothing on the run path reads the source: the instance recovers
+    // off its plan blob. Reconfiguring it needs the text, and garbage
+    // under the header's hash is a typed refusal that changes nothing.
+    let mut sys = reconfigured_then_crashed(Some("source"));
+    assert_eq!(sys.stats().recovered_instances, 1);
+    let plans = sys.persisted_plans(0);
+    let states = sys.task_states("d1");
+    let rebind = Reconfig::Rebind {
+        code: "refT4".into(),
+        to: "refT5".into(),
+    };
+    match sys.reconfigure("d1", rebind) {
+        Err(flowscript_engine::EngineError::Tx(why)) => {
+            assert!(why.contains("does not hold the source"), "{why}")
+        }
+        other => panic!("reconfigured off a poisoned source: {other:?}"),
+    }
+    assert_eq!(sys.stats().reconfigs, 1, "only the one before the crash");
+    assert_eq!(sys.persisted_plans(0), plans);
+    assert_eq!(sys.task_states("d1"), states);
+    // Nor does a new instance of the script share what sits under its
+    // hash: the text there is not its text.
+    let refused = sys
+        .start("d2", "diamond", "main", [("seed", text("Data", "s"))])
+        .expect_err("started off a poisoned source");
+    assert!(
+        refused.to_string().contains("holds a different source"),
+        "{refused}"
+    );
+    assert!(sys.status("d2").is_err());
+    sys.run();
+    assert!(sys.outcome("d1").is_some(), "{:?}", sys.status("d1"));
+}
+
 /// Three leaves under a root that is `done` on `c`; `c` draws on the
 /// root's seed, or on `b`'s output when `c_from_b`. Leaf `x` runs code
 /// `refX`.
