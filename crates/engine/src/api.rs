@@ -1046,7 +1046,7 @@ impl WorkflowSystem {
     /// not newer than the system's (both checked before anything
     /// moves); a source that is down or stops answering; a round whose
     /// destination votes no or cannot be reached — that round aborts
-    /// durably and its instances stay where they were. Moves that
+    /// and its instances stay where they were. Moves that
     /// committed before the failure stay committed (their old owners
     /// relay); running the call again moves the rest.
     pub fn rebalance(&mut self, new_map: ShardMap) -> Result<MoveReport, EngineError> {
@@ -1169,7 +1169,7 @@ impl WorkflowSystem {
     /// service **live**: the departing shard's entire resident
     /// population moves to the surviving shards *before* the node
     /// leaves the map — [`WorkflowSystem::rebalance`] in reverse, with
-    /// rounds of up to 64 instances (one intent batch, one prepared
+    /// rounds of up to 64 instances (one move record, one prepared
     /// stage with a contiguous destination id range, one atomic
     /// decision frame). The drained node is then retired: it
     /// stays installed as a relay for late executor reports but owns

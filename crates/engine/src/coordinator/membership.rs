@@ -13,20 +13,22 @@
 //! taken nowhere else. A rebalance moves rounds of one instance, a
 //! drain rounds of up to [`DRAIN_BATCH`]; per round:
 //!
-//! 1. *source*: flush the commit window, package the slice, log its
-//!    `HandOffBegin` intents, **freeze** it, send `Prepare` (the
-//!    entries as the source keyed them);
+//! 1. *source*: flush the commit window, package the slice, commit its
+//!    *move record* — `sys/move/<tx>` → [`MoveRecord`], one ordinary
+//!    atomic action under a freshly minted transaction id — **freeze**
+//!    the slice, send `Prepare` (the entries as the source keyed them);
 //! 2. *destination*: re-key under a fresh contiguous id range,
 //!    `prepare_remote` — the durable vote — and send `Vote`;
-//! 3. *source*: all yes → `PersistDecision`: the `HandOffEnd` frames
-//!    and the keyspace purge in one group frame, durable before any
-//!    `Decision` leaves; a no, or no vote within
-//!    [`RETRANSMIT_INTERVAL`] → a durable abort, and the slice thaws
-//!    where it was. Either way send `Decision`, again every interval
-//!    until acknowledged;
+//! 3. *source*: all yes → `PersistDecision`: the substrate's own
+//!    *decision* record (`log_coordinator_decision`) and the keyspace
+//!    purge in one group frame, durable before any `Decision` leaves; a
+//!    no, or no vote within [`RETRANSMIT_INTERVAL`] → abort, presumed,
+//!    not logged, and the slice thaws where it was. Either way send
+//!    `Decision`, again every interval until acknowledged;
 //! 4. *destination*: `resolve_remote`, adopt on commit, send `Ack`;
-//! 5. *source*: `Done` — record the pause, relay what was held, start
-//!    the next round.
+//! 5. *source*: `Done` — record the pause, relay what was held (an
+//!    aborted round deletes its move record here), start the next
+//!    round.
 //!
 //! **The freeze rule.** From collect until the destination's ack (or
 //! the abort decision) the slice belongs to neither shard's evaluator:
@@ -39,8 +41,9 @@
 //! [`CoordHandle::adopt_orphans`] a destination lands a commit on.
 //!
 //! Crash repair ([`Coordinator::repair_handoffs`]) speaks the same
-//! messages: a restarted source re-announces every replayed decision
-//! as `Decision` (an intent with no decision is presumed aborted), a
+//! messages: a restarted source announces every stored move record as
+//! `Decision` — commit where the decision record says so, abort
+//! (presumed) for every other, whose record it deletes — and a
 //! restarted destination chases each in-doubt stage with
 //! `QueryOutcome`.
 //!
@@ -56,17 +59,18 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
+use flowscript_codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
 use flowscript_obs::ObsEventKind;
 use flowscript_sim::{EventId, NodeId, ReplyToken, RpcError, SimDuration, World};
 use flowscript_tx::dist::{self, AfterImages, CoordAction, DistMsg};
-use flowscript_tx::{FactKey, StableStore, StoreKey, TxId, TxManager};
+use flowscript_tx::{FactKey, ObjectUid, StableStore, StoreKey, TxId, TxManager};
 
 use super::window::PendingEvent;
 use super::{
     stored_instance_names, CoordHandle, Coordinator, InstanceHeader, InstanceStatus, StatusRecord,
 };
 use crate::error::EngineError;
-use crate::keys::{self, instance_seq_uid, meta_uid, plan_uid, source_uid, status_uid};
+use crate::keys::{self, instance_seq_uid, meta_uid, move_uid, plan_uid, source_uid, status_uid};
 use crate::msg::EngineMsg;
 use crate::shard::ShardMap;
 
@@ -144,6 +148,34 @@ pub struct FailoverReport {
     pub claimant: u32,
 }
 
+/// `sys/move/<tx>` — what hand-off round `tx` moves and where to:
+/// written before its `Prepare` leaves, kept by a committed round until
+/// the map flip, deleted by an aborted one. Whether the round committed
+/// is not in here: that is the transaction substrate's decision record.
+#[derive(Debug, PartialEq, Eq)]
+struct MoveRecord {
+    /// Destination shard (coordinator node index).
+    dest: u32,
+    /// The moving instances' names.
+    instances: Vec<String>,
+}
+
+impl Encode for MoveRecord {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_u32(self.dest);
+        self.instances.encode(w);
+    }
+}
+
+impl Decode for MoveRecord {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(MoveRecord {
+            dest: r.get_u32()?,
+            instances: Vec::decode(r)?,
+        })
+    }
+}
+
 /// One hand-off round this node coordinates: a slice of its residents
 /// bound for one destination under one distributed transaction.
 struct Round {
@@ -208,10 +240,10 @@ pub(super) struct Membership {
     /// Where instances this node handed off went — the dual-delivery
     /// relay table for the window between a move's ack and the
     /// rebalance's final map flip, when this node's `shard` map still
-    /// claims ownership. Volatile, but rebuilt on recovery from
-    /// replayed `HandOffEnd` frames; cleared by the flip
-    /// ([`CoordHandle::set_shard_map`]), after which the map itself
-    /// routes to the new owner.
+    /// claims ownership. Volatile, but rebuilt on recovery from the
+    /// stored move records of committed rounds; cleared, with them, by
+    /// the flip ([`CoordHandle::set_shard_map`]), after which the map
+    /// itself routes to the new owner.
     moved: BTreeMap<String, NodeId>,
     /// The 2PC coordinator of every round this node sources.
     dist: dist::Coordinator,
@@ -411,40 +443,59 @@ impl Coordinator {
         self.dispatcher.release_all(instance, rt.flights)
     }
 
+    /// Deletes move records — one aborted round's, or every round's at
+    /// the map flip — in one atomic action.
+    fn drop_move_records(&mut self, uids: &[ObjectUid]) -> Result<(), EngineError> {
+        if uids.is_empty() {
+            return Ok(());
+        }
+        let action = self.mgr.begin();
+        for uid in uids {
+            if let Err(err) = self.mgr.delete(&action, uid) {
+                self.mgr.abort(action);
+                return Err(err.into());
+            }
+        }
+        self.commit(action)
+    }
+
     /// Hand-off crash repair, run by recovery before any instance
-    /// loads. A crash can strand a move at any point:
-    ///  * a replayed *committed* decision whose keyspace purge did not
-    ///    land means the destination owns the instance — purge now and
-    ///    rebuild its relay entry;
-    ///  * an intent with no decision is presumed aborted: append the
-    ///    durable abort so the destination releases its staged locks.
+    /// loads: one scan of the stored move records. A round whose commit
+    /// decision is on record purged its slice in that decision's frame
+    /// — the destination owns the instances, so their relay entries are
+    /// rebuilt (executor replies may still arrive here). Any other
+    /// round never decided, or aborted: presumed aborted, its record
+    /// deleted; its slice is in the store, untouched, and loads with
+    /// everything else.
     ///
     /// Returns the 2PC termination traffic to send once the instances
-    /// are back: every durable decision this restart replayed (plus the
-    /// presumed aborts just appended) is re-announced — the destination
-    /// may have crashed before hearing it the first time; resolution is
-    /// idempotent, so duplicates are harmless — and every stage this
-    /// node prepared but never heard a decision for is chased with a
-    /// query to its coordinator.
+    /// are back: every stored round's verdict is announced — the
+    /// destination may have crashed before hearing it the first time;
+    /// resolution is idempotent, so duplicates are harmless — and every
+    /// stage this node prepared but never heard a decision for is
+    /// chased with a query to its coordinator.
     pub(super) fn repair_handoffs(&mut self) -> Vec<(NodeId, DistMsg)> {
         let mut traffic = Vec::new();
-        for (tx, instance, dest, commit) in self.mgr.replayed_handoff_ends().to_vec() {
-            let dest_node = NodeId::from_index(dest as usize);
+        let mut aborted = Vec::new();
+        for uid in self.mgr.uids_with_prefix(keys::MOVE_PREFIX) {
+            let (Some(tx), Ok(Some(record))) = (
+                keys::move_tx(&uid),
+                self.mgr.read_committed::<MoveRecord>(&uid),
+            ) else {
+                continue;
+            };
+            let dest = NodeId::from_index(record.dest as usize);
+            let commit = self.mgr.coordinator_decision(tx) == Some(true);
             if commit {
-                if self.mgr.exists(&meta_uid(&instance)) {
-                    let _ = self.purge_instance(&instance);
+                for instance in record.instances {
+                    self.membership.moved.insert(instance, dest);
                 }
-                // Executor replies for the moved instance may still
-                // arrive here.
-                self.membership.moved.insert(instance, dest_node);
+            } else {
+                aborted.push(uid);
             }
-            traffic.push((dest_node, DistMsg::Decision { tx, commit }));
+            traffic.push((dest, DistMsg::Decision { tx, commit }));
         }
-        for (tx, instance, dest) in self.mgr.open_handoffs() {
-            let _ = self.mgr.handoff_end(tx, &instance, dest, false);
-            let abort = DistMsg::Decision { tx, commit: false };
-            traffic.push((NodeId::from_index(dest as usize), abort));
-        }
+        let _ = self.drop_move_records(&aborted);
         let from = self.node.index() as u32;
         for (tx, coordinator_node) in self.mgr.in_doubt() {
             let query = DistMsg::QueryOutcome { tx, from };
@@ -703,8 +754,8 @@ impl CoordHandle {
 
     /// Collect: flushes the commit window (the packages must be the
     /// whole committed truth — no report may be stranded in memory),
-    /// packages the slice, logs its `HandOffBegin` intents under one
-    /// moving transaction, freezes it and sends the `Prepare`.
+    /// packages the slice, commits its move record under a freshly
+    /// minted transaction id, freezes it and sends the `Prepare`.
     fn start_round(
         &self,
         world: &mut World,
@@ -723,7 +774,12 @@ impl CoordHandle {
                 images.extend(package);
             }
             let dest = dest.index() as u32;
-            let tx = coordinator.mgr.handoff_begin(&instances, dest)?;
+            let tx = coordinator.mgr.mint_dist_tx();
+            let record = MoveRecord {
+                dest,
+                instances: instances.clone(),
+            };
+            coordinator.commit_object(&move_uid(tx), &record)?;
             let watchdogs: Vec<EventId> = instances
                 .iter()
                 .flat_map(|instance| coordinator.drop_runtime(instance))
@@ -823,14 +879,14 @@ impl CoordHandle {
         }
     }
 
-    /// The commit decision, made durable: a `HandOffEnd` frame per
-    /// instance — from here the move is committed, crash or no crash —
-    /// and its keyspace purge, inside one WAL commit group so they
-    /// flush as a single atomic frame. A crash can never leave half the
-    /// slice committed and the other half presumed aborted — which
-    /// matters, because the destination resolves its one staged
-    /// transaction all-or-nothing. This is also the record
-    /// `TxManager::coordinator_decision` answers a `QueryOutcome` from.
+    /// The commit decision, made durable: the substrate's decision
+    /// record — from here the move is committed, crash or no crash, and
+    /// it is what `TxManager::coordinator_decision` answers a
+    /// `QueryOutcome` from — and the slice's keyspace purge, inside one
+    /// WAL commit group so they flush as a single atomic frame. A crash
+    /// can never leave the round decided and part of its slice still
+    /// here — which matters, because the destination resolves its one
+    /// staged transaction all-or-nothing.
     fn commit_round(&self, world: &World, tx: TxId) -> Result<(), EngineError> {
         let mut coordinator = self.inner.borrow_mut();
         let coordinator = &mut *coordinator;
@@ -840,44 +896,36 @@ impl CoordHandle {
         let (dest, instances) = (round.dest.index() as u32, round.instances.clone());
         let epoch = coordinator.membership.epoch();
         coordinator.mgr.begin_group();
-        let mut result = Ok(());
+        let decided = coordinator.mgr.log_coordinator_decision(tx, true);
+        let staged = decided.map_err(EngineError::from).and_then(|()| {
+            let purge = |instance: &String| coordinator.purge_instance(instance);
+            instances.iter().try_for_each(purge)
+        });
+        // The group closes whatever happened inside it.
+        let flushed = coordinator.mgr.end_group().map_err(EngineError::from);
+        staged.and(flushed)?;
         for instance in &instances {
-            result = coordinator
-                .mgr
-                .handoff_end(tx, instance, dest, true)
-                .map_err(EngineError::from)
-                .and_then(|()| coordinator.purge_instance(instance));
-            if result.is_err() {
-                break;
-            }
             coordinator.metrics.handoffs.inc();
             let kind = ObsEventKind::HandOff { to: dest, epoch };
             coordinator.record_event(world.now().as_nanos(), instance, None, 0, kind);
         }
-        if coordinator.mgr.end_group().is_err() && result.is_ok() {
-            result = Err(EngineError::Tx("hand-off batch flush failed".to_string()));
-        }
-        result
+        Ok(())
     }
 
-    /// The abort decision (a no-vote, or none in time): durably records
-    /// it so the intents are not replayed as in-doubt, then thaws the
-    /// slice where it is — runtimes re-materialised from the untouched
-    /// committed state, held reports re-enqueued in arrival order.
-    /// Runs once per round; a re-sent abort finds it thawed.
+    /// The abort decision (a no-vote, or none in time): nothing to log —
+    /// no decision record is the abort — so the slice just thaws where
+    /// it is: runtimes re-materialised from the untouched committed
+    /// state, held reports re-enqueued in arrival order. The move
+    /// record goes with the destination's ack (or a restart's presumed
+    /// abort). Runs once per round; a re-sent abort finds it thawed.
     fn abort_round(&self, world: &mut World, tx: TxId) {
         let held = {
             let mut coordinator = self.inner.borrow_mut();
-            let coordinator = &mut *coordinator;
             let Some(round) = coordinator.membership.rounds.get_mut(&tx) else {
                 return;
             };
             if !std::mem::take(&mut round.frozen) {
                 return;
-            }
-            let dest = round.dest.index() as u32;
-            for instance in &round.instances {
-                let _ = coordinator.mgr.handoff_end(tx, instance, dest, false);
             }
             std::mem::take(&mut round.held)
         };
@@ -889,7 +937,8 @@ impl CoordHandle {
 
     /// `Done`: the destination acknowledged the decision. A committed
     /// round records its pause, opens the relay for its instances and
-    /// forwards what was held; either way the job moves on — to the
+    /// forwards what was held; an aborted one deletes its move record —
+    /// nobody is left to tell. Either way the job moves on — to the
     /// next round, or to its report if this round aborted.
     fn finish_round(&self, world: &mut World, tx: TxId, committed: bool) {
         let (round, ours) = {
@@ -919,7 +968,11 @@ impl CoordHandle {
                     membership.moved.insert(instance.clone(), round.dest);
                 }
             }
-            (round, job.is_some())
+            let ours = job.is_some();
+            if !committed {
+                let _ = coordinator.drop_move_records(&[move_uid(tx)]);
+            }
+            (round, ours)
         };
         world.cancel(round.timer);
         for (report, hops) in round.held {
@@ -1272,17 +1325,21 @@ impl CoordHandle {
         let mut coordinator = self.inner.borrow_mut();
         coordinator.membership.shard = map;
         // The new map is authoritative: relay tombstones from the
-        // moves that led to this flip are now redundant.
+        // moves that led to this flip are now redundant, and so are the
+        // move records a restart would rebuild them from.
         coordinator.membership.moved.clear();
+        let settled = coordinator.mgr.uids_with_prefix(keys::MOVE_PREFIX);
+        let _ = coordinator.drop_move_records(&settled);
     }
 
     /// [`Self::set_shard_map`] for a coordinator that stays behind as a
     /// pure relay (a drained shard retired from the map, or any node
     /// whose relay table may reference departed peers). Instead of
-    /// clearing the relay table, every entry pointing at a node the new
-    /// map no longer carries is re-pointed at the new map's owner — so
-    /// a late executor report forwards straight to the adopter instead
-    /// of bouncing off a dead address and burning `forward_loops` hops.
+    /// clearing the relay table (and the move records behind it), every
+    /// entry pointing at a node the new map no longer carries is
+    /// re-pointed at the new map's owner — so a late executor report
+    /// forwards straight to the adopter instead of bouncing off a dead
+    /// address and burning `forward_loops` hops.
     pub fn set_shard_map_relay(&self, map: ShardMap) {
         let mut coordinator = self.inner.borrow_mut();
         let membership = &mut coordinator.membership;
@@ -1349,6 +1406,20 @@ mod tests {
             (StoreKey::Uid(source_uid(5)), Some(vec![4])),
             (StoreKey::Fact(FactKey::output(id, 2, 1)), Some(vec![3])),
         ]
+    }
+
+    #[test]
+    fn move_record_codec_roundtrip() {
+        let record = MoveRecord {
+            dest: 2,
+            instances: vec!["order-3".into(), "order-p128/kid".into()],
+        };
+        let bytes = flowscript_codec::to_bytes(&record);
+        assert_eq!(
+            flowscript_codec::from_bytes::<MoveRecord>(&bytes).unwrap(),
+            record
+        );
+        assert!(flowscript_codec::from_bytes::<MoveRecord>(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]

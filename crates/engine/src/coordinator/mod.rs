@@ -60,6 +60,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use flowscript_codec::Encode;
 use flowscript_core::schema::Schema;
 use flowscript_obs::{FlightRecorder, ObsEventKind, Registry};
 use flowscript_plan::{Plan, TaskId};
@@ -261,16 +262,21 @@ impl Coordinator {
         Ok(())
     }
 
+    /// Writes one object in an atomic action of its own.
+    fn commit_object<T: Encode>(&mut self, uid: &ObjectUid, value: &T) -> Result<(), EngineError> {
+        let action = self.mgr.begin();
+        if let Err(err) = self.mgr.write(&action, uid, value) {
+            self.mgr.abort(action);
+            return Err(err.into());
+        }
+        self.commit(action)
+    }
+
     /// Writes one control block in an atomic action of its own and
     /// reports whether it committed — callers move their counters and
     /// trace events only on `true`.
     fn commit_cb(&mut self, uid: &ObjectUid, cb: &TaskCb) -> bool {
-        let action = self.mgr.begin();
-        if self.mgr.write(&action, uid, cb).is_err() {
-            self.mgr.abort(action);
-            return false;
-        }
-        self.commit(action).is_ok()
+        self.commit_object(uid, cb).is_ok()
     }
 
     /// Checkpoints when the threshold of commits has accumulated since

@@ -90,8 +90,8 @@ impl CoordHandle {
                 coordinator.membership.forget_moves();
                 return;
             }
-            // Hand-off repair first: an instance a committed move took
-            // away must be purged before the loop below could load it.
+            // Hand-off repair: the relay table comes back from the
+            // stored move records, undecided rounds are presumed aborted.
             let handoff_traffic = coordinator.repair_handoffs();
             let mut running = Vec::new();
             for (name, header, record) in stored_instances(&coordinator.mgr) {

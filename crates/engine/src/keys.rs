@@ -7,8 +7,10 @@
 //! enters the uid (`%` → `%25`, `/` → `%2F`), so the name is exactly one
 //! path segment: no instance's prefix is a prefix of another's, and no
 //! control block can be mistaken for a header. Shard-wide objects sit
-//! under `sys/…`: the instance-id sequence, and the two blobs instances
-//! share by content — `sys/plan/<fingerprint>` and `sys/src/<hash>`.
+//! under `sys/…`: the instance-id sequence, the two blobs instances
+//! share by content — `sys/plan/<fingerprint>` and `sys/src/<hash>` —
+//! and `sys/move/<tx>`, the record of a hand-off round this shard
+//! coordinates (see [`crate::coordinator`]'s membership protocol).
 //!
 //! A live instance resolves every hot-path storage access through an
 //! [`InstanceKeys`] table built **once** at instance start (and rebuilt
@@ -25,7 +27,7 @@
 use std::borrow::Cow;
 
 use flowscript_plan::{Plan, PlanCond, Probe, TaskId};
-use flowscript_tx::{FactKey, ObjectUid};
+use flowscript_tx::{FactKey, ObjectUid, TxId};
 
 /// Every per-instance uid starts with this.
 pub(crate) const INSTANCE_ROOT: &str = "inst/";
@@ -38,6 +40,9 @@ pub(crate) const HEADER_SUFFIX: &str = "/meta";
 pub(crate) const PLAN_PREFIX: &str = "sys/plan/";
 /// The prefix of every pinned canonical source.
 pub(crate) const SOURCE_PREFIX: &str = "sys/src/";
+/// The prefix of every hand-off round's move record; a scan of it
+/// yields one source's rounds oldest first.
+pub(crate) const MOVE_PREFIX: &str = "sys/move/";
 
 /// An instance name as it appears in a uid: one path segment.
 fn escape(name: &str) -> Cow<'_, str> {
@@ -145,6 +150,19 @@ pub(crate) fn source_uid(hash: u64) -> ObjectUid {
 pub(crate) fn blob_id(uid: &ObjectUid, prefix: &str) -> Option<u64> {
     let hex = uid.as_str().strip_prefix(prefix)?;
     u64::from_str_radix(hex, 16).ok()
+}
+
+/// The record of the hand-off round running under distributed
+/// transaction `tx`.
+pub(crate) fn move_uid(tx: TxId) -> ObjectUid {
+    ObjectUid::new(format!("{MOVE_PREFIX}{:08x}.{:016x}", tx.node(), tx.seq()))
+}
+
+/// Inverse of [`move_uid`]: the transaction a move-record uid names.
+pub(crate) fn move_tx(uid: &ObjectUid) -> Option<TxId> {
+    let (node, seq) = uid.as_str().strip_prefix(MOVE_PREFIX)?.split_once('.')?;
+    let node = u32::from_str_radix(node, 16).ok()?;
+    Some(TxId::new(node, u64::from_str_radix(seq, 16).ok()?))
 }
 
 /// The persistent instance-id allocator.
@@ -381,6 +399,14 @@ mod tests {
             Some(u64::MAX)
         );
         assert_eq!(blob_id(&plan_uid(1), SOURCE_PREFIX), None);
+        let round = TxId::new(3, 0x1_0000_0002);
+        assert_eq!(
+            move_uid(round).as_str(),
+            "sys/move/00000003.0000000100000002"
+        );
+        assert_eq!(move_tx(&move_uid(round)), Some(round));
+        assert_eq!(move_tx(&plan_uid(1)), None);
+        assert_eq!(move_tx(&ObjectUid::new("sys/move/3")), None);
     }
 
     #[test]

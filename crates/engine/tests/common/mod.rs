@@ -14,6 +14,7 @@ use flowscript_engine::{
 };
 use flowscript_sim::net::LinkConfig;
 use flowscript_sim::SimDuration;
+use flowscript_tx::{LogRecord, StableStore, Wal};
 
 pub fn text(class: &str, value: &str) -> ObjectVal {
     ObjectVal::text(class, value)
@@ -405,6 +406,58 @@ pub fn settled(
 ) -> (InstanceStatus, BTreeMap<String, CbState>) {
     let (status, _trace, states) = fingerprint(sys, instance);
     (status, states)
+}
+
+// ---------------------------------------------------------------------
+// What a hand-off round leaves in a shard's log.
+// ---------------------------------------------------------------------
+
+/// Where a source keeps its rounds' move records.
+const MOVE_PREFIX: &str = "sys/move/";
+
+/// A frame's records: itself, or a group frame's members.
+fn members(frame: &LogRecord) -> Vec<&LogRecord> {
+    match frame {
+        LogRecord::GroupCommit { records } => records.iter().flat_map(members).collect(),
+        record => vec![record],
+    }
+}
+
+/// The move records a commit touches: `(uid, true)` for a write,
+/// `(uid, false)` for a delete.
+fn move_record_writes(record: &LogRecord) -> Vec<(String, bool)> {
+    let LogRecord::Commit { writes, .. } = record else {
+        return Vec::new();
+    };
+    let touched = writes
+        .iter()
+        .map(|(key, value)| (key.to_string(), value.is_some()));
+    touched
+        .filter(|(uid, _)| uid.starts_with(MOVE_PREFIX))
+        .collect()
+}
+
+/// The frames of a shard's log the hand-off protocol put there: a frame
+/// holding a 2PC record (`Prepare`, `Resolve`) or a commit that touches
+/// a move record. Every other frame is the instances' own work, which
+/// keeps landing while a round runs.
+pub fn handoff_frames(storage: &StableStore) -> Vec<LogRecord> {
+    let of_the_protocol = |record: &LogRecord| {
+        matches!(
+            record,
+            LogRecord::Prepare { .. } | LogRecord::Resolve { .. }
+        ) || !move_record_writes(record).is_empty()
+    };
+    let mut frames = Wal::new(storage.clone()).scan().expect("log scans");
+    frames.retain(|frame| members(frame).into_iter().any(of_the_protocol));
+    frames
+}
+
+/// Every write and delete of a move record in a shard's log, in order.
+pub fn move_record_history(storage: &StableStore) -> Vec<(String, bool)> {
+    let frames = handoff_frames(storage);
+    let records = frames.iter().flat_map(members);
+    records.flat_map(move_record_writes).collect()
 }
 
 // ---------------------------------------------------------------------

@@ -15,8 +15,8 @@ mod common;
 use std::collections::BTreeMap;
 
 use common::{
-    build_orders, det_link, order_population as population, settled, start_population, text,
-    ONE_TASK,
+    build_orders, det_link, handoff_frames, order_population as population, settled,
+    start_population, text, ONE_TASK,
 };
 use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{
@@ -24,7 +24,7 @@ use flowscript_engine::{
 };
 use flowscript_sim::net::LinkConfig;
 use flowscript_sim::{FaultAction, FaultPlan, SimDuration, SimTime};
-use flowscript_tx::{TxError, TxManager};
+use flowscript_tx::{LogRecord, TxError, TxManager};
 
 fn det_config() -> EngineConfig {
     EngineConfig {
@@ -48,7 +48,11 @@ fn outcome_print(sys: &WorkflowSystem, instance: &str) -> InstanceStatus {
 /// Three shards with the population ~20ms into its ~100ms orders: a
 /// drain or a kill now catches tasks genuinely executing.
 fn mid_flight() -> WorkflowSystem {
-    let mut sys = build(3);
+    mid_flight_with(det_config())
+}
+
+fn mid_flight_with(config: EngineConfig) -> WorkflowSystem {
+    let mut sys = build_orders(3, config);
     start_population(&mut sys, &population());
     sys.run_until(SimTime::from_nanos(20_000_000));
     sys
@@ -110,14 +114,41 @@ fn planned_drain_preserves_every_outcome() {
     assert!(drained_count > 0, "the drain must have work to move");
 
     let rounds_before = sys.metrics_snapshot().counter("tx.two_pc_rounds");
+    let storages = sys.shard_storages();
     let report = sys.remove_coordinator("coordinator1").expect("drain");
     assert_eq!(report.moved, drained_count, "the whole population moves");
-    // Per round: one intent batch, one prepare, one resolve — plus a
-    // decision frame per instance.
+    // Per round: one decision, one prepare, one resolve.
     assert_eq!(
         sys.metrics_snapshot().counter("tx.two_pc_rounds") - rounds_before,
-        (3 * report.rounds + report.moved) as u64,
+        (3 * report.rounds) as u64,
         "the protocol's durable steps per round must not move"
+    );
+    // And — all the protocol ever logged here — four frames, however
+    // many instances it carries: the move record's commit and the
+    // decision with the purges at the source, the prepare and the
+    // resolve at the destination.
+    let frames: Vec<usize> = storages.iter().map(|s| handoff_frames(s).len()).collect();
+    assert_eq!(
+        (frames[1], frames[0] + frames[2]),
+        (2 * report.rounds, 2 * report.rounds),
+        "{frames:?}"
+    );
+    // Each round's decision opens a group frame; the frame's other
+    // members are the purges of its slice, one per instance.
+    let purges = |frame: LogRecord| match frame {
+        LogRecord::GroupCommit { records } => match records.as_slice() {
+            [LogRecord::Resolve { committed, .. }, purges @ ..] if *committed => Some(purges.len()),
+            _ => None,
+        },
+        _ => None,
+    };
+    let purged: Vec<usize> = handoff_frames(&storages[1])
+        .into_iter()
+        .filter_map(purges)
+        .collect();
+    assert_eq!(
+        (purged.len(), purged.iter().sum::<usize>()),
+        (report.rounds, report.moved)
     );
     assert!(
         report.rounds < report.moved,
@@ -253,6 +284,7 @@ fn partition_during_voting_aborts_the_round_and_heals() {
         residents.iter().filter(running).count()
     };
     let live_before = live(&sys);
+    let source_log = sys.shard_storages()[1].clone();
 
     // The `Prepare` is already on the wire; the vote is sent into the
     // partition.
@@ -283,8 +315,51 @@ fn partition_during_voting_aborts_the_round_and_heals() {
         .expect("healed drain");
     assert_eq!(report.moved, residents.len());
     assert_eq!(sys.shard_count(), 2);
+    // The aborted round cost the source two frames, its move record's
+    // commit and — once the healed destination acknowledged the abort —
+    // its deletion, however many instances it had frozen; each
+    // committed round two more.
+    assert_eq!(handoff_frames(&source_log).len(), 2 * (1 + report.rounds));
     sys.run();
     assert_no_outcome_lost(&sys, &expected, "partition during voting");
+}
+
+/// Cut the source off just before the first round's vote lands: the
+/// round commits — decision and purge durable — and its `Decision` is
+/// sent into the partition. The source then compacts its log (its other
+/// residents keep committing), the partition heals and the source
+/// restarts: the restart must still know the round, re-announce the
+/// commit and relay for the four instances it moved — whether or not a
+/// checkpoint rewrote the log in between.
+#[test]
+fn a_checkpoint_between_decision_and_ack_loses_nothing() {
+    let expected = baseline(outcome_print);
+    for checkpoint_every in [None, Some(1)] {
+        let repro = format!("checkpoint_every={checkpoint_every:?}");
+        let mut sys = mid_flight_with(EngineConfig {
+            checkpoint_every,
+            ..det_config()
+        });
+        let nodes = sys.coordinator_nodes().to_vec();
+        let at = sys.now() + SimDuration::from_micros(300);
+        let cut = FaultAction::Partition(vec![nodes[1]], vec![nodes[0], nodes[2]]);
+        sys.apply_faults(&FaultPlan::new().at(at, cut));
+        let err = sys
+            .remove_coordinator("coordinator1")
+            .expect_err("no ack, no drain");
+        assert!(err.to_string().contains("no progress"), "{repro}: {err}");
+        assert_eq!(sys.stats().handoffs, 4, "{repro}: the round committed");
+
+        sys.run_for(SimDuration::from_millis(30));
+        sys.world_mut().heal_all();
+        sys.crash_now(nodes[1]);
+        sys.restart_now(nodes[1]);
+        sys.run();
+        sys.remove_coordinator("coordinator1")
+            .unwrap_or_else(|e| panic!("{repro}: re-drain failed: {e}"));
+        sys.run();
+        assert_no_outcome_lost(&sys, &expected, &repro);
+    }
 }
 
 /// Three messages in ten lost on every link between the source and its

@@ -1,6 +1,7 @@
 //! End-to-end reproductions of the paper's three example applications
 //! (§5.1 network management, §5.2 order processing, §5.3 business trip)
-//! plus the Fig. 1 dependency diamond and the Fig. 2 input-set semantics.
+//! plus the Fig. 1 dependency diamond, the Fig. 2 input-set and
+//! alternative-source semantics and Fig. 5's nested compounds.
 
 mod common;
 
@@ -9,7 +10,9 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use flowscript_core::samples;
-use flowscript_engine::{CbState, InstanceStatus, ObjectVal, TaskBehavior, WorkflowSystem};
+use flowscript_engine::{
+    CbState, InstanceStatus, InvokeCtx, ObjectVal, TaskBehavior, WorkflowSystem,
+};
 use flowscript_sim::SimDuration;
 
 // ---------------------------------------------------------------------
@@ -183,6 +186,136 @@ fn fig2_declared_set_order_wins_when_both_ready() {
         .unwrap();
     sys.run();
     assert_eq!(sys.outcome("t1").unwrap().name, "viaData");
+}
+
+/// A consumer whose one input object has `k` alternative sources
+/// (redundant data sources, §3), each a producer fed the root's seed.
+fn alternatives_source(k: usize) -> String {
+    let producers: String = (0..k)
+        .map(|i| {
+            format!(
+                r#"    task p{i} of taskclass Stage {{
+        implementation {{ "code" is "refP{i}" }};
+        inputs {{ input main {{ inputobject in from {{ in of task root if input main }} }} }}
+    }};
+"#
+            )
+        })
+        .collect();
+    let sources: Vec<String> = (0..k)
+        .map(|i| format!("out of task p{i} if output done"))
+        .collect();
+    format!(
+        r#"
+class Data;
+taskclass Stage {{
+    inputs {{ input main {{ in of class Data }} }};
+    outputs {{ outcome done {{ out of class Data }}; outcome failed {{ }} }}
+}}
+compoundtask root of taskclass Stage {{
+{producers}    task consumer of taskclass Stage {{
+        implementation {{ "code" is "refEcho" }};
+        inputs {{ input main {{ inputobject in from {{ {} }} }} }}
+    }};
+    outputs {{ outcome done {{ outputobject out from {{ out of task consumer if output done }} }} }}
+}}
+"#,
+        sources.join("; ")
+    )
+}
+
+fn echo(ctx: &InvokeCtx) -> TaskBehavior {
+    TaskBehavior::outcome("done").with_object("out", text("Data", &ctx.input_text("in")))
+}
+
+#[test]
+fn fig2_the_one_alternative_source_that_succeeds_feeds_the_consumer() {
+    for k in [1usize, 2, 4, 8] {
+        let mut sys = WorkflowSystem::builder().executors(3).seed(20).build();
+        sys.register_script("alts", &alternatives_source(k), "root")
+            .unwrap();
+        // Every producer but the last fails; the last takes its time.
+        for i in 0..k {
+            sys.bind_fn(&format!("refP{i}"), move |_| match i + 1 == k {
+                false => TaskBehavior::outcome("failed"),
+                true => TaskBehavior::outcome("done")
+                    .with_work(SimDuration::from_millis(5))
+                    .with_object("out", text("Data", &format!("from-p{i}"))),
+            });
+        }
+        sys.bind_fn("refEcho", echo);
+        sys.start("a1", "alts", "main", [("in", text("Data", "s"))])
+            .unwrap();
+        sys.run();
+        let outcome = sys.outcome("a1").expect("one good source is enough");
+        let winner = format!("from-p{}", k - 1);
+        assert_eq!(outcome.objects["out"].as_text(), winner, "k={k}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Fig. 5: compound tasks nest.
+// ---------------------------------------------------------------------
+
+/// One leaf under `depth` compound scopes (fig. 5 generalised): the
+/// root's input reaches it, and its output the root's outcome, through
+/// every level.
+fn nested_source(depth: usize) -> String {
+    let scope = |level: usize| match level {
+        0 => "root".to_string(),
+        n => format!("level{n}"),
+    };
+    let wired = |kind: &str, name: &str, parent: &str, body: &str| {
+        format!(
+            r#"{kind} {name} of taskclass Stage {{
+    inputs {{ input main {{ inputobject in from {{ in of task {parent} if input main }} }} }};
+    {body}
+}};
+outputs {{ outcome done {{ outputobject out from {{ out of task {name} if output done }} }} }}"#
+        )
+    };
+    let code = r#"implementation { "code" is "refEcho" }"#;
+    let mut body = wired("task", "leaf", &scope(depth - 1), code);
+    for level in (1..depth).rev() {
+        body = wired("compoundtask", &scope(level), &scope(level - 1), &body);
+    }
+    format!(
+        r#"
+class Data;
+taskclass Stage {{
+    inputs {{ input main {{ in of class Data }} }};
+    outputs {{ outcome done {{ out of class Data }} }}
+}}
+compoundtask root of taskclass Stage {{
+{body}
+}}
+"#
+    )
+}
+
+#[test]
+fn fig5_a_leaf_runs_under_any_depth_of_compound_scopes() {
+    for depth in [1usize, 2, 4, 8] {
+        let source = nested_source(depth);
+        let schema = flowscript_core::schema::compile_source(&source, "root")
+            .unwrap_or_else(|d| panic!("depth {depth}: {d}\n{source}"));
+        assert_eq!(schema.leaf_count(), 1, "depth {depth}");
+
+        let mut sys = WorkflowSystem::builder().executors(2).seed(30).build();
+        sys.register_script("nested", &source, "root").unwrap();
+        sys.bind_fn("refEcho", echo);
+        sys.start("n1", "nested", "main", [("in", text("Data", "x"))])
+            .unwrap();
+        sys.run();
+        let outcome = sys.outcome("n1").expect("the leaf's outcome surfaces");
+        assert_eq!(outcome.objects["out"].as_text(), "x", "depth {depth}");
+        let levels: String = (1..depth).map(|l| format!("level{l}/")).collect();
+        let leaf = &sys.task_states("n1")[&format!("root/{levels}leaf")];
+        assert!(
+            matches!(leaf, CbState::Done { .. }),
+            "depth {depth}: {leaf:?}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -14,8 +14,8 @@ mod common;
 use std::collections::BTreeMap;
 
 use common::{
-    build_orders, det_config, det_link, order_population as population, settled, start_population,
-    text,
+    build_orders, det_config, det_link, handoff_frames, move_record_history,
+    order_population as population, settled, start_population, text,
 };
 use flowscript_codec::ByteWriter;
 use flowscript_engine::{
@@ -58,13 +58,34 @@ fn live_rebalance_preserves_every_outcome() {
     assert!(report.moved > 0, "the new shard must take over instances");
     assert_eq!(report.moved, report.pause_ns.len());
     // A rebalance moves one instance per round, and a round logs one
-    // intent batch, one prepare, one resolve — plus a decision frame
-    // per instance.
+    // decision, one prepare, one resolve.
     assert_eq!(
         sys.metrics_snapshot().counter("tx.two_pc_rounds") - rounds_before,
-        (3 * report.pause_ns.len() + report.moved) as u64,
+        (3 * report.rounds) as u64,
         "the protocol's durable steps per round must not move"
     );
+    // Which is all the protocol ever logged here: two frames per round
+    // at the joiner — prepare, resolve — and two at its source, the
+    // move record's commit and the decision with the purge. The flip
+    // then deletes a source's records in one more.
+    let storages = sys.shard_storages();
+    let frames: Vec<usize> = storages.iter().map(|s| handoff_frames(s).len()).collect();
+    let sources = (0..2).filter(|&shard| sys.shard_stats(shard).handoffs > 0);
+    assert_eq!(
+        (frames[2], frames[0] + frames[1]),
+        (2 * report.rounds, 2 * report.rounds + sources.count()),
+        "{frames:?}"
+    );
+    for (shard, storage) in storages.iter().enumerate() {
+        let history = move_record_history(storage);
+        let (written, deleted): (Vec<_>, Vec<_>) = history.iter().partition(|(_, write)| *write);
+        assert_eq!(written.len(), sys.shard_stats(shard).handoffs as usize);
+        assert_eq!(
+            written.iter().map(|(uid, _)| uid).collect::<Vec<_>>(),
+            deleted.iter().map(|(uid, _)| uid).collect::<Vec<_>>(),
+            "shard {shard}: the flip leaves no move record behind"
+        );
+    }
     assert_eq!(report.epoch, 2, "one membership change after epoch 1");
     assert_eq!(sys.shard_map().epoch(), 2);
     assert_eq!(sys.shard_count(), 3);
@@ -198,7 +219,7 @@ fn moved_instance_is_reconfigured_on_a_shard_that_never_ran_its_script() {
 }
 
 /// A map naming a node that runs no coordinator must be refused before
-/// the first `HandOffBegin`: a rebalance that fails halfway would strand
+/// the first round begins: a rebalance that fails halfway would strand
 /// the fleet half-moved on the old map.
 #[test]
 fn map_naming_a_non_coordinator_moves_nothing() {
@@ -352,9 +373,7 @@ fn source_crash_before_decision_presumes_abort() {
     let (mut sys, swapped) = swapping_rebalance();
     let src_node = sys.coordinator_nodes()[0];
     let before = sys.coord_handle(0).instance_names();
-    let logged =
-        |sys: &WorkflowSystem| sys.shard_registry(0).snapshot().counter("tx.two_pc_rounds");
-    let logged_before = logged(&sys);
+    let source_log = sys.shard_storages()[0].clone();
 
     let at = sys.now() + SimDuration::from_micros(100);
     sys.apply_faults(&FaultPlan::new().at(at, FaultAction::Crash(src_node)));
@@ -363,8 +382,15 @@ fn source_crash_before_decision_presumes_abort() {
     sys.restart_now(src_node);
     sys.run();
 
-    // The durable intent existed, and recovery closed it with an abort.
-    assert_eq!(logged(&sys) - logged_before, 2, "one intent, one abort");
+    // The round's move record was durable, and recovery — finding no
+    // decision for it — deleted it: its write and its delete are all
+    // the round left in the source's log, and no record is left over.
+    let history = move_record_history(&source_log);
+    let [(written, true), (deleted, false)] = history.as_slice() else {
+        panic!("one write, one delete: {history:?}");
+    };
+    assert_eq!(written, deleted);
+    assert_eq!(handoff_frames(&source_log).len(), 2);
     // Presumed abort: nothing left the source, nothing leaked to the
     // destination, and recovery finished every instance.
     assert_eq!(sys.coord_handle(0).instance_names(), before);

@@ -262,29 +262,6 @@ impl Coordinator {
             .collect()
     }
 
-    /// Amortized 2PC: runs several member transactions' writes as **one**
-    /// protocol round under the umbrella transaction `group_tx`. Each
-    /// member's per-participant writes are merged per participant (in
-    /// member order, so later members' after-images supersede earlier
-    /// ones on replay), then the whole batch pays a single
-    /// prepare/vote/decision/ack round per participant shard — and the
-    /// participant's merged prepare is one WAL frame. Under presumed
-    /// abort `group_tx` stands for the entire batch: the batch commits
-    /// or aborts as a unit.
-    pub fn begin_batch(
-        &mut self,
-        group_tx: TxId,
-        members: Vec<(TxId, Vec<ParticipantWrites>)>,
-    ) -> Vec<CoordAction> {
-        let mut merged: BTreeMap<u32, AfterImages> = BTreeMap::new();
-        for (_member, shares) in members {
-            for (participant, writes) in shares {
-                merged.entry(participant).or_default().extend(writes);
-            }
-        }
-        self.begin(group_tx, merged.into_iter().collect())
-    }
-
     /// Handles a participant vote.
     pub fn on_vote(&mut self, tx: TxId, from: u32, yes: bool) -> Vec<CoordAction> {
         let Some(state) = self.live.get_mut(&tx) else {
@@ -550,101 +527,6 @@ mod tests {
         assert!(c.on_vote(tx(), 1, true).is_empty());
         // Ack for unknown tx: ignored.
         assert!(c.on_ack(TxId::new(5, 5), 1).is_empty());
-    }
-
-    #[test]
-    fn batch_coalesces_to_one_round_per_participant() {
-        let mut c = Coordinator::new(0);
-        let group = TxId::new(0, 100);
-        // Three member transactions over the same two participants.
-        let members: Vec<(TxId, Vec<ParticipantWrites>)> = (0..3u64)
-            .map(|m| {
-                (
-                    TxId::new(0, m),
-                    vec![
-                        (1, vec![(uid(&format!("m{m}p1")), Some(vec![m as u8]))]),
-                        (2, vec![(uid(&format!("m{m}p2")), Some(vec![m as u8]))]),
-                    ],
-                )
-            })
-            .collect();
-        let actions = c.begin_batch(group, members);
-        // Exactly one prepare per participant, writes concatenated in
-        // member order.
-        let s = sends(&actions);
-        assert_eq!(s.len(), 2);
-        for (to, msg) in s {
-            let DistMsg::Prepare { tx, writes, .. } = msg else {
-                panic!("expected prepare, got {msg:?}");
-            };
-            assert_eq!(*tx, group);
-            let expected: Vec<StoreKey> = (0..3u64).map(|m| uid(&format!("m{m}p{to}"))).collect();
-            let got: Vec<StoreKey> = writes.iter().map(|(k, _)| k.clone()).collect();
-            assert_eq!(got, expected);
-        }
-        // One decision round for the whole batch.
-        assert!(c.on_vote(group, 1, true).is_empty());
-        let decided = c.on_vote(group, 2, true);
-        assert_eq!(sends(&decided).len(), 2);
-        c.on_ack(group, 1);
-        let done = c.on_ack(group, 2);
-        assert_eq!(
-            done,
-            vec![CoordAction::Done {
-                tx: group,
-                committed: true
-            }]
-        );
-    }
-
-    #[test]
-    fn empty_batch_commits_immediately() {
-        let mut c = Coordinator::new(0);
-        let group = TxId::new(0, 100);
-        let actions = c.begin_batch(group, vec![]);
-        assert!(actions.contains(&CoordAction::Done {
-            tx: group,
-            committed: true
-        }));
-    }
-
-    #[test]
-    fn batched_prepare_is_one_wal_frame_at_participant() {
-        use crate::manager::TxManager;
-        let mut c = Coordinator::new(9);
-        let group = TxId::new(9, 100);
-        let members: Vec<(TxId, Vec<ParticipantWrites>)> = (0..4u64)
-            .map(|m| {
-                (
-                    TxId::new(9, m),
-                    vec![(1, vec![(uid(&format!("k{m}")), Some(vec![m as u8]))])],
-                )
-            })
-            .collect();
-        let actions = c.begin_batch(group, members);
-        let mut mgr = TxManager::in_memory();
-        let frames_before = mgr.wal_frames_appended();
-        for (_, msg) in sends(&actions) {
-            let DistMsg::Prepare {
-                tx,
-                coordinator,
-                writes,
-            } = msg
-            else {
-                panic!("expected prepare");
-            };
-            mgr.prepare_remote(*tx, *coordinator, writes.clone())
-                .unwrap();
-        }
-        assert_eq!(
-            mgr.wal_frames_appended(),
-            frames_before + 1,
-            "four member transactions prepare in one frame"
-        );
-        mgr.resolve_remote(group, true).unwrap();
-        for m in 0..4u64 {
-            assert!(mgr.exists_key(&uid(&format!("k{m}"))));
-        }
     }
 
     #[test]

@@ -26,13 +26,6 @@ pub enum TxError {
     Corrupt(flowscript_codec::CodecError),
     /// Underlying storage failed (file-backed logs only).
     Storage(String),
-    /// A distributed transaction could not reach a commit decision.
-    DistAborted {
-        /// The distributed transaction.
-        tx: TxId,
-        /// Human-readable reason (vote no, timeout…).
-        reason: String,
-    },
     /// Another node claimed this storage (a durable
     /// [`crate::LogRecord::Fence`] by a different claimant): this
     /// manager may never append again. Terminal by design — the fenced
@@ -61,9 +54,6 @@ impl fmt::Display for TxError {
             TxError::ParentTerminated(tx) => write!(f, "parent action {tx} already terminated"),
             TxError::Corrupt(err) => write!(f, "corrupt transactional state: {err}"),
             TxError::Storage(msg) => write!(f, "storage failure: {msg}"),
-            TxError::DistAborted { tx, reason } => {
-                write!(f, "distributed transaction {tx} aborted: {reason}")
-            }
             TxError::Fenced { claimant, epoch } => write!(
                 f,
                 "storage fenced: claimed by node {claimant} at epoch {epoch}"

@@ -1,5 +1,4 @@
 use std::fmt;
-use std::marker::PhantomData;
 
 use flowscript_codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
 
@@ -87,11 +86,6 @@ impl ObjectUid {
     pub fn as_str(&self) -> &str {
         &self.0
     }
-
-    /// Creates a child uid by appending `/segment`.
-    pub fn child(&self, segment: &str) -> ObjectUid {
-        ObjectUid(format!("{}/{}", self.0, segment))
-    }
 }
 
 impl fmt::Display for ObjectUid {
@@ -118,71 +112,6 @@ impl Decode for ObjectUid {
     }
 }
 
-/// A typed handle to a persistent object: an [`ObjectUid`] that remembers
-/// what type it stores, so reads and writes cannot mix types up.
-///
-/// ```
-/// use flowscript_tx::{Handle, TxManager};
-///
-/// # fn main() -> Result<(), flowscript_tx::TxError> {
-/// let mut mgr = TxManager::in_memory();
-/// let counter: Handle<u64> = Handle::new("counter");
-/// let a = mgr.begin();
-/// mgr.write_handle(&a, &counter, &7)?;
-/// assert_eq!(mgr.read_handle(&a, &counter)?, Some(7));
-/// mgr.commit(a)?;
-/// # Ok(())
-/// # }
-/// ```
-pub struct Handle<T> {
-    uid: ObjectUid,
-    _marker: PhantomData<fn() -> T>,
-}
-
-impl<T> Handle<T> {
-    /// Creates a typed handle over the named object.
-    pub fn new(name: impl Into<String>) -> Self {
-        Self {
-            uid: ObjectUid::new(name),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Wraps an existing uid.
-    pub fn from_uid(uid: ObjectUid) -> Self {
-        Self {
-            uid,
-            _marker: PhantomData,
-        }
-    }
-
-    /// The underlying uid.
-    pub fn uid(&self) -> &ObjectUid {
-        &self.uid
-    }
-}
-
-impl<T> Clone for Handle<T> {
-    fn clone(&self) -> Self {
-        Self {
-            uid: self.uid.clone(),
-            _marker: PhantomData,
-        }
-    }
-}
-
-impl<T> fmt::Debug for Handle<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Handle({})", self.uid)
-    }
-}
-
-impl<T> fmt::Display for Handle<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(&self.uid, f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,12 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn uid_children_compose_paths() {
-        let root = ObjectUid::new("instance/1");
-        assert_eq!(root.child("task/t2").as_str(), "instance/1/task/t2");
-    }
-
-    #[test]
     fn ids_roundtrip_codec() {
         let tx = TxId::new(3, 99);
         let bytes = flowscript_codec::to_bytes(&tx);
@@ -216,14 +139,5 @@ mod tests {
             flowscript_codec::from_bytes::<ObjectUid>(&bytes).unwrap(),
             uid
         );
-    }
-
-    #[test]
-    fn handle_display_and_clone() {
-        let h: Handle<u32> = Handle::new("x/y");
-        let h2 = h.clone();
-        assert_eq!(h2.uid().as_str(), "x/y");
-        assert_eq!(format!("{h:?}"), "Handle(x/y)");
-        assert_eq!(h.to_string(), "x/y");
     }
 }

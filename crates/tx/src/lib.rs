@@ -47,7 +47,7 @@ mod manager;
 pub mod storage;
 
 pub use error::TxError;
-pub use id::{Handle, ObjectUid, TxId};
+pub use id::{ObjectUid, TxId};
 pub use key::{FactKey, FactKind, StoreKey};
 pub use lock::{Conflict, LockMode};
 pub use log::{LogRecord, Wal};

@@ -52,34 +52,6 @@ pub enum LogRecord {
         /// The grouped records, in commit order.
         records: Vec<LogRecord>,
     },
-    /// The source side of an instance hand-off declared its intent: the
-    /// instance's keyspace is about to be 2PC'd to `dest`. A `Begin`
-    /// with no matching [`LogRecord::HandOffEnd`] after a crash means
-    /// the outcome is unknown — recovery presumes abort and tells the
-    /// destination.
-    HandOffBegin {
-        /// The distributed transaction moving the instance.
-        tx: TxId,
-        /// The moving instance's name.
-        instance: String,
-        /// Destination shard (coordinator node index).
-        dest: u32,
-    },
-    /// The source side's hand-off decision (this is the 2PC
-    /// coordinator's decision record: `committed` here is what the
-    /// destination learns if it has to ask after a crash). On commit,
-    /// the source's deletion of the moved keyspace follows as one
-    /// ordinary `Commit`.
-    HandOffEnd {
-        /// The distributed transaction moving the instance.
-        tx: TxId,
-        /// The moving instance's name.
-        instance: String,
-        /// Destination shard (coordinator node index).
-        dest: u32,
-        /// `true` = the destination owns the instance now.
-        committed: bool,
-    },
     /// Another node claimed this storage (crash-driven failover): the
     /// claimant is about to adopt every instance recorded here. From
     /// this record on, any manager whose node is *not* the claimant is
@@ -129,24 +101,6 @@ impl Encode for LogRecord {
                 w.put_u8(GROUP_COMMIT_TAG);
                 records.encode(w);
             }
-            LogRecord::HandOffBegin { tx, instance, dest } => {
-                w.put_u8(5);
-                tx.encode(w);
-                instance.encode(w);
-                w.put_u32(*dest);
-            }
-            LogRecord::HandOffEnd {
-                tx,
-                instance,
-                dest,
-                committed,
-            } => {
-                w.put_u8(6);
-                tx.encode(w);
-                instance.encode(w);
-                w.put_u32(*dest);
-                w.put_bool(*committed);
-            }
             LogRecord::Fence { claimant, epoch } => {
                 w.put_u8(7);
                 w.put_u32(*claimant);
@@ -177,17 +131,6 @@ impl Decode for LogRecord {
             }),
             GROUP_COMMIT_TAG => Ok(LogRecord::GroupCommit {
                 records: Vec::decode(r)?,
-            }),
-            5 => Ok(LogRecord::HandOffBegin {
-                tx: TxId::decode(r)?,
-                instance: String::decode(r)?,
-                dest: r.get_u32()?,
-            }),
-            6 => Ok(LogRecord::HandOffEnd {
-                tx: TxId::decode(r)?,
-                instance: String::decode(r)?,
-                dest: r.get_u32()?,
-                committed: r.get_bool()?,
             }),
             7 => Ok(LogRecord::Fence {
                 claimant: r.get_u32()?,
@@ -301,14 +244,7 @@ impl<S: Storage> Wal<S> {
     /// [`TxError::Corrupt`] on checksum/decode failure mid-log,
     /// [`TxError::Storage`] on I/O failure.
     pub fn scan(&self) -> Result<Vec<LogRecord>, TxError> {
-        let bytes = self.storage.read_all()?;
-        let mut reader = FrameReader::new(&bytes);
-        let (frames, _torn) = reader.read_all_tolerant()?;
-        let mut records = Vec::with_capacity(frames.len());
-        for payload in frames {
-            records.push(flowscript_codec::from_bytes::<LogRecord>(payload)?);
-        }
-        Ok(records)
+        self.scan_from(0)
     }
 
     /// Reads every decodable record appended at or after byte `offset`
@@ -334,9 +270,12 @@ impl<S: Storage> Wal<S> {
         Ok(records)
     }
 
-    /// Replaces the entire log with a checkpoint of `states` (log
-    /// compaction). The write happens before the truncation so that a
-    /// crash between the two leaves a prefix that still replays correctly.
+    /// Replaces the entire log with a checkpoint of `states` followed by
+    /// the `pending` records (log compaction): the new tail is appended
+    /// behind the old log, read back, and then written over a log
+    /// truncated to zero. **Not crash-atomic**: a crash after the
+    /// truncation and before the final append loses the log. The fix
+    /// needs a crash-point injector to prove it (ROADMAP item 3(b)).
     ///
     /// # Errors
     ///
@@ -508,17 +447,6 @@ mod tests {
                     },
                 ],
             },
-            LogRecord::HandOffBegin {
-                tx: TxId::new(2, 8),
-                instance: "wf-moving".into(),
-                dest: 3,
-            },
-            LogRecord::HandOffEnd {
-                tx: TxId::new(2, 8),
-                instance: "wf-moving".into(),
-                dest: 3,
-                committed: true,
-            },
             LogRecord::Fence {
                 claimant: 4,
                 epoch: 9,
@@ -538,6 +466,13 @@ mod tests {
                 wal.into_storage().read_all().unwrap(),
                 frame::encode_frame(&bytes).unwrap()
             );
+        }
+        // Tags 5 and 6 are retired: refused typed, never misread.
+        for tag in [5u8, 6] {
+            assert!(matches!(
+                flowscript_codec::from_bytes::<LogRecord>(&[tag]),
+                Err(CodecError::InvalidDiscriminant { .. })
+            ));
         }
         // A flush of pre-encoded members carries the bytes of the owned
         // group record (bare when the group is one record).

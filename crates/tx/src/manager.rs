@@ -6,7 +6,7 @@ use flowscript_codec::{Decode, Encode};
 use flowscript_obs::{Counter, Histogram, ObserveLevel, Registry};
 
 use crate::error::TxError;
-use crate::id::{Handle, ObjectUid, TxId};
+use crate::id::{ObjectUid, TxId};
 use crate::key::{FactKey, StoreKey};
 use crate::lock::{Acquired, LockManager, LockMode};
 use crate::log::{LogRecord, RecordBuffer, Wal};
@@ -20,23 +20,12 @@ use crate::storage::{SharedStorage, Storage};
 #[derive(Debug)]
 pub struct AtomicAction {
     id: TxId,
-    parent: Option<TxId>,
 }
 
 impl AtomicAction {
     /// This action's transaction id.
     pub fn id(&self) -> TxId {
         self.id
-    }
-
-    /// The enclosing action's id, when nested.
-    pub fn parent(&self) -> Option<TxId> {
-        self.parent
-    }
-
-    /// Whether this is a top-level action.
-    pub fn is_top_level(&self) -> bool {
-        self.parent.is_none()
     }
 }
 
@@ -164,15 +153,6 @@ pub struct TxManager<S = SharedStorage> {
     /// checkpoint writes them out, and its bytes must not depend on a
     /// hasher's iteration order.
     coordinator_commits: BTreeMap<TxId, bool>,
-    /// Instance hand-offs this node initiated whose outcome is not yet
-    /// durable: `HandOffBegin` logged, no matching `HandOffEnd`. Keyed
-    /// by the moving transaction; one transaction may batch several
-    /// instances bound for the same destination (planned drains), so
-    /// the value is every (instance, dest shard) still undecided.
-    open_handoffs: HashMap<TxId, Vec<(String, u32)>>,
-    /// Hand-off decisions seen during log replay (crash recovery needs
-    /// to re-announce committed moves and purge leftover state).
-    replayed_handoff_ends: Vec<(TxId, String, u32, bool)>,
     next_seq: u64,
     /// Open [`TxManager::begin_group`] nesting depth; while positive,
     /// top-level commit records buffer instead of hitting the WAL.
@@ -231,8 +211,6 @@ impl<S: Storage> TxManager<S> {
         let mut store = BTreeMap::new();
         let mut prepared: HashMap<TxId, PreparedTx> = HashMap::new();
         let mut coordinator_commits = BTreeMap::new();
-        let mut open_handoffs: HashMap<TxId, Vec<(String, u32)>> = HashMap::new();
-        let mut replayed_handoff_ends: Vec<(TxId, String, u32, bool)> = Vec::new();
         let mut fence: Option<(u32, u64)> = None;
         let mut max_seq = 0u64;
         // Worklist so `GroupCommit` frames flatten to their member
@@ -278,28 +256,6 @@ impl<S: Storage> TxManager<S> {
                         coordinator_commits.insert(tx, committed);
                     }
                 }
-                LogRecord::HandOffBegin { tx, instance, dest } => {
-                    max_seq = max_seq.max(tx.seq());
-                    open_handoffs.entry(tx).or_default().push((instance, dest));
-                }
-                LogRecord::HandOffEnd {
-                    tx,
-                    instance,
-                    dest,
-                    committed,
-                } => {
-                    max_seq = max_seq.max(tx.seq());
-                    if let Some(batch) = open_handoffs.get_mut(&tx) {
-                        batch.retain(|(name, _)| *name != instance);
-                        if batch.is_empty() {
-                            open_handoffs.remove(&tx);
-                        }
-                    }
-                    // The end frame doubles as the 2PC coordinator
-                    // decision for the move.
-                    coordinator_commits.insert(tx, committed);
-                    replayed_handoff_ends.push((tx, instance, dest, committed));
-                }
                 LogRecord::Fence { claimant, epoch } => {
                     // A claimant reopening storage it fenced itself must
                     // not be fenced out by its own claim.
@@ -327,8 +283,6 @@ impl<S: Storage> TxManager<S> {
             active: HashMap::new(),
             prepared,
             coordinator_commits,
-            open_handoffs,
-            replayed_handoff_ends,
             next_seq: max_seq + 1,
             group_depth: 0,
             group_buffer: RecordBuffer::default(),
@@ -361,7 +315,7 @@ impl<S: Storage> TxManager<S> {
                 workspace: Workspace::default(),
             },
         );
-        AtomicAction { id, parent: None }
+        AtomicAction { id }
     }
 
     /// Begins an action nested inside `parent`. Its effects become
@@ -388,10 +342,7 @@ impl<S: Storage> TxManager<S> {
             .expect("checked above")
             .children
             .push(id);
-        Ok(AtomicAction {
-            id,
-            parent: Some(parent.id),
-        })
+        Ok(AtomicAction { id })
     }
 
     fn acquire(&mut self, tx: TxId, key: &StoreKey, mode: LockMode) -> Result<(), TxError> {
@@ -446,19 +397,6 @@ impl<S: Storage> TxManager<S> {
     /// # Errors
     ///
     /// As for [`TxManager::read`], minus decode failures.
-    pub fn read_raw(
-        &mut self,
-        action: &AtomicAction,
-        uid: &ObjectUid,
-    ) -> Result<Option<Vec<u8>>, TxError> {
-        self.read_key_raw(action, &StoreKey::from(uid))
-    }
-
-    /// [`TxManager::read_raw`] for any [`StoreKey`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`TxManager::read_raw`].
     pub fn read_key_raw(
         &mut self,
         action: &AtomicAction,
@@ -518,20 +456,6 @@ impl<S: Storage> TxManager<S> {
     /// # Errors
     ///
     /// As for [`TxManager::write`].
-    pub fn write_raw(
-        &mut self,
-        action: &AtomicAction,
-        uid: &ObjectUid,
-        bytes: Vec<u8>,
-    ) -> Result<(), TxError> {
-        self.write_key_raw(action, &StoreKey::from(uid), bytes)
-    }
-
-    /// [`TxManager::write_raw`] for any [`StoreKey`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`TxManager::write_raw`].
     pub fn write_key_raw(
         &mut self,
         action: &AtomicAction,
@@ -577,33 +501,6 @@ impl<S: Storage> TxManager<S> {
         Ok(())
     }
 
-    /// Typed read through a [`Handle`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`TxManager::read`].
-    pub fn read_handle<T: Decode>(
-        &mut self,
-        action: &AtomicAction,
-        handle: &Handle<T>,
-    ) -> Result<Option<T>, TxError> {
-        self.read(action, handle.uid())
-    }
-
-    /// Typed write through a [`Handle`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`TxManager::write`].
-    pub fn write_handle<T: Encode>(
-        &mut self,
-        action: &AtomicAction,
-        handle: &Handle<T>,
-        value: &T,
-    ) -> Result<(), TxError> {
-        self.write(action, handle.uid(), value)
-    }
-
     /// Commits an action.
     ///
     /// Top-level: the staged writes are logged durably, applied to the
@@ -614,7 +511,8 @@ impl<S: Storage> TxManager<S> {
     ///
     /// [`TxError::UnknownAction`] if already terminated;
     /// [`TxError::ParentTerminated`] if a nested action outlived its
-    /// parent; storage errors on log append.
+    /// parent; storage errors on log append — the action is then
+    /// aborted: nothing applied, its locks released.
     pub fn commit(&mut self, action: AtomicAction) -> Result<(), TxError> {
         self.abort_open_children(action.id);
         let entry = self
@@ -653,8 +551,13 @@ impl<S: Storage> TxManager<S> {
                     };
                     if self.group_depth > 0 {
                         self.group_buffer.push(&record);
-                    } else {
-                        self.append_record(&record)?;
+                    } else if let Err(err) = self.append_record(&record) {
+                        // The action is consumed — nobody can abort it
+                        // any more — so a commit that did not reach the
+                        // log ends here as an abort.
+                        self.locks.release_all(action.id);
+                        self.metrics.aborts.inc();
+                        return Err(err);
                     }
                     let LogRecord::Commit { writes, .. } = record else {
                         unreachable!("built as a commit above");
@@ -727,10 +630,10 @@ impl<S: Storage> TxManager<S> {
         flushed
     }
 
-    /// Routes a hand-off frame through the open commit group when one
-    /// is active — a drain batching N decisions under one group flushes
-    /// them as a single atomic `GroupCommit` frame (no crash can leave
-    /// half the batch decided) — and appends directly otherwise.
+    /// Routes a record that is not a commit through the open commit
+    /// group when one is active — it then flushes in that group's single
+    /// frame, in call order, atomically with the commits around it — and
+    /// appends it directly otherwise.
     fn append_or_buffer(&mut self, record: LogRecord) -> Result<(), TxError> {
         if self.group_depth > 0 {
             self.check_fence()?;
@@ -940,9 +843,10 @@ impl<S: Storage> TxManager<S> {
         // A fenced manager must not compact: the rewrite would erase the
         // claimant's Fence record and un-fence the zombie.
         self.check_fence()?;
-        // Buffered group records are already applied to the store, so
-        // the snapshot below subsumes them — drop the buffer rather
-        // than flushing records the checkpoint would obsolete.
+        // Buffered group records are already applied — commits to the
+        // store, decisions to `coordinator_commits` — so what is written
+        // below subsumes them: drop the buffer rather than flushing
+        // records the checkpoint would obsolete.
         self.group_buffer.clear();
         // The store is ordered, so the snapshot is deterministic as-is.
         let states: Vec<(StoreKey, Vec<u8>)> = self
@@ -970,26 +874,6 @@ impl<S: Storage> TxManager<S> {
                 committed: *committed,
             });
         }
-        // Undecided hand-offs must survive compaction too: their
-        // begin frames are what recovery presumes abort from.
-        let mut open_moves: Vec<LogRecord> = self
-            .open_handoffs
-            .iter()
-            .flat_map(|(tx, batch)| {
-                batch
-                    .iter()
-                    .map(|(instance, dest)| LogRecord::HandOffBegin {
-                        tx: *tx,
-                        instance: instance.clone(),
-                        dest: *dest,
-                    })
-            })
-            .collect();
-        open_moves.sort_by_key(|r| match r {
-            LogRecord::HandOffBegin { tx, instance, .. } => (*tx, instance.clone()),
-            _ => unreachable!("only begins collected"),
-        });
-        pending.extend(open_moves);
         self.wal.rewrite_with_checkpoint(states, pending)?;
         self.wal_len = self.wal.size_bytes();
         Ok(())
@@ -1058,8 +942,9 @@ impl<S: Storage> TxManager<S> {
     ///
     /// # Errors
     ///
-    /// [`TxError::Lock`] if any lock is unavailable (the caller votes
-    /// "no"); storage errors on log append.
+    /// [`TxError::Lock`] if any lock is unavailable, storage errors on
+    /// log append: either way nothing is prepared, no lock is kept, and
+    /// the caller votes "no".
     pub fn prepare_remote(
         &mut self,
         tx: TxId,
@@ -1085,7 +970,12 @@ impl<S: Storage> TxManager<S> {
             coordinator,
             writes,
         };
-        self.append_record(&record)?;
+        if let Err(err) = self.append_record(&record) {
+            // Not durable, not prepared: the vote is no, and the locks
+            // must not outlive it.
+            self.locks.release_all(tx);
+            return Err(err);
+        }
         let LogRecord::Prepare { writes, .. } = record else {
             unreachable!("built as a prepare above");
         };
@@ -1104,13 +994,17 @@ impl<S: Storage> TxManager<S> {
     ///
     /// # Errors
     ///
-    /// Storage errors on log append.
+    /// Storage errors on log append; the transaction then stays
+    /// prepared (in doubt, locks held).
     pub fn resolve_remote(&mut self, tx: TxId, committed: bool) -> Result<(), TxError> {
-        let Some(prepared) = self.prepared.remove(&tx) else {
+        if !self.prepared.contains_key(&tx) {
             return Ok(());
-        };
+        }
         self.metrics.two_pc_rounds.inc();
+        // Append first: a resolve that did not reach the log leaves the
+        // transaction prepared, for the decision's next delivery.
         self.append_record(&LogRecord::Resolve { tx, committed })?;
+        let prepared = self.prepared.remove(&tx).expect("checked above");
         if committed {
             apply_writes(&mut self.store, prepared.writes);
             self.metrics.commits.inc();
@@ -1135,14 +1029,17 @@ impl<S: Storage> TxManager<S> {
 
     /// Coordinator-side durable decision record (presumed abort: commits
     /// *must* be logged before any participant learns of them; aborts may
-    /// be logged for bookkeeping but are also implied by absence).
+    /// be logged for bookkeeping but are also implied by absence). Inside
+    /// an open commit group the record joins the group: it is durable
+    /// when the group flushes, in the same frame as the commits logged
+    /// around it.
     ///
     /// # Errors
     ///
     /// Storage errors on log append.
     pub fn log_coordinator_decision(&mut self, tx: TxId, committed: bool) -> Result<(), TxError> {
         self.metrics.two_pc_rounds.inc();
-        self.append_record(&LogRecord::Resolve { tx, committed })?;
+        self.append_or_buffer(LogRecord::Resolve { tx, committed })?;
         self.coordinator_commits.insert(tx, committed);
         Ok(())
     }
@@ -1155,90 +1052,6 @@ impl<S: Storage> TxManager<S> {
     /// Mints a fresh id for a distributed transaction coordinated here.
     pub fn mint_dist_tx(&mut self) -> TxId {
         self.mint()
-    }
-
-    // ------------------------------------------------------------------
-    // Instance hand-off frames (live shard rebalancing).
-    // ------------------------------------------------------------------
-
-    /// Source-side hand-off intent: mints ONE moving transaction and
-    /// durably logs a begin frame per instance, all being 2PC'd to
-    /// shard `dest` — one prepare/decision pair covers the whole slice.
-    /// A begin with no later [`TxManager::handoff_end`] is presumed
-    /// aborted by recovery.
-    ///
-    /// # Errors
-    ///
-    /// Storage errors on log append.
-    pub fn handoff_begin(&mut self, instances: &[String], dest: u32) -> Result<TxId, TxError> {
-        let tx = self.mint();
-        self.metrics.two_pc_rounds.inc();
-        for instance in instances {
-            self.append_or_buffer(LogRecord::HandOffBegin {
-                tx,
-                instance: instance.clone(),
-                dest,
-            })?;
-            self.open_handoffs
-                .entry(tx)
-                .or_default()
-                .push((instance.clone(), dest));
-        }
-        Ok(tx)
-    }
-
-    /// Source-side hand-off decision. This is the move's 2PC
-    /// coordinator decision record: once durable, a crashed destination
-    /// can learn the verdict via [`TxManager::coordinator_decision`].
-    ///
-    /// # Errors
-    ///
-    /// Storage errors on log append.
-    pub fn handoff_end(
-        &mut self,
-        tx: TxId,
-        instance: &str,
-        dest: u32,
-        committed: bool,
-    ) -> Result<(), TxError> {
-        self.metrics.two_pc_rounds.inc();
-        self.append_or_buffer(LogRecord::HandOffEnd {
-            tx,
-            instance: instance.to_string(),
-            dest,
-            committed,
-        })?;
-        if let Some(batch) = self.open_handoffs.get_mut(&tx) {
-            batch.retain(|(name, _)| name != instance);
-            if batch.is_empty() {
-                self.open_handoffs.remove(&tx);
-            }
-        }
-        self.coordinator_commits.insert(tx, committed);
-        Ok(())
-    }
-
-    /// Hand-offs begun here with no durable decision yet, sorted by
-    /// transaction (crash recovery presumes these aborted).
-    pub fn open_handoffs(&self) -> Vec<(TxId, String, u32)> {
-        let mut out: Vec<(TxId, String, u32)> = self
-            .open_handoffs
-            .iter()
-            .flat_map(|(tx, batch)| {
-                batch
-                    .iter()
-                    .map(|(instance, dest)| (*tx, instance.clone(), *dest))
-            })
-            .collect();
-        out.sort();
-        out
-    }
-
-    /// Hand-off decisions replayed from the log at open time, in log
-    /// order. Recovery uses these to purge committed-away instances
-    /// and re-announce verdicts the destination may have missed.
-    pub fn replayed_handoff_ends(&self) -> &[(TxId, String, u32, bool)] {
-        &self.replayed_handoff_ends
     }
 }
 
@@ -1258,8 +1071,12 @@ fn apply_writes(store: &mut BTreeMap<StoreKey, Vec<u8>>, writes: Vec<(StoreKey, 
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+    use std::rc::Rc;
+
     use super::*;
     use crate::lock::Conflict;
+    use crate::storage::MemStorage;
 
     fn uid(s: &str) -> ObjectUid {
         ObjectUid::new(s)
@@ -1754,99 +1571,148 @@ mod tests {
     #[test]
     fn checkpoint_subsumes_open_group_buffer() {
         let stable = SharedStorage::new();
+        let dist_tx;
         {
             let mut mgr = TxManager::open(0, stable.clone()).unwrap();
+            dist_tx = mgr.mint_dist_tx();
             mgr.begin_group();
             let a = mgr.begin();
             mgr.write(&a, &uid("x"), &7u8).unwrap();
             mgr.commit(a).unwrap();
+            mgr.log_coordinator_decision(dist_tx, true).unwrap();
             mgr.checkpoint().unwrap();
             mgr.end_group().unwrap();
         }
         let mgr = TxManager::open(0, stable).unwrap();
         assert_eq!(mgr.read_committed::<u8>(&uid("x")).unwrap(), Some(7));
+        assert_eq!(mgr.coordinator_decision(dist_tx), Some(true));
     }
 
     #[test]
-    fn open_handoff_survives_recovery_and_checkpoint() {
+    fn decision_in_an_open_group_flushes_in_the_groups_frame() {
         let stable = SharedStorage::new();
-        let moving;
-        {
+        let mut mgr = TxManager::open(0, stable.clone()).unwrap();
+        let dist_tx = mgr.mint_dist_tx();
+        mgr.begin_group();
+        let a = mgr.begin();
+        mgr.write(&a, &uid("x"), &1u8).unwrap();
+        mgr.commit(a).unwrap();
+        mgr.log_coordinator_decision(dist_tx, true).unwrap();
+        let b = mgr.begin();
+        mgr.delete(&b, &uid("x")).unwrap();
+        mgr.commit(b).unwrap();
+        assert_eq!(mgr.wal_frames_appended(), 0, "buffered with the group");
+        mgr.end_group().unwrap();
+        // One frame, its members in call order.
+        let frames = Wal::new(stable.clone()).scan().unwrap();
+        let [LogRecord::GroupCommit { records }] = frames.as_slice() else {
+            panic!("one group frame, got {frames:?}");
+        };
+        assert!(matches!(
+            records.as_slice(),
+            [LogRecord::Commit { .. }, LogRecord::Resolve { tx, committed: true }, LogRecord::Commit { .. }]
+                if *tx == dist_tx
+        ));
+        // It replays as a decision, and a checkpoint carries it over.
+        for _ in 0..2 {
             let mut mgr = TxManager::open(0, stable.clone()).unwrap();
-            moving = mgr.handoff_begin(&["wf-7".to_string()], 2).unwrap();
-            // Crash with the intent durable but no decision.
-        }
-        {
-            let mut mgr = TxManager::open(0, stable.clone()).unwrap();
-            assert_eq!(mgr.open_handoffs(), vec![(moving, "wf-7".to_string(), 2)]);
-            // Compaction must not forget the undecided move.
+            assert_eq!(mgr.coordinator_decision(dist_tx), Some(true));
+            assert!(!mgr.exists(&uid("x")));
             mgr.checkpoint().unwrap();
         }
-        let mgr = TxManager::open(0, stable).unwrap();
-        assert_eq!(mgr.open_handoffs(), vec![(moving, "wf-7".to_string(), 2)]);
-        assert!(mgr.replayed_handoff_ends().is_empty());
+    }
+
+    /// A [`MemStorage`] whose appends fail while `fail` is set: ROADMAP
+    /// 3(b)'s fault-injecting disk in miniature.
+    #[derive(Debug, Default)]
+    struct FlakyStorage {
+        inner: MemStorage,
+        fail: Rc<Cell<bool>>,
+    }
+
+    impl Storage for FlakyStorage {
+        fn append(&mut self, bytes: &[u8]) -> Result<(), TxError> {
+            if self.fail.get() {
+                return Err(TxError::Storage("injected append failure".into()));
+            }
+            self.inner.append(bytes)
+        }
+
+        fn read_all(&self) -> Result<Vec<u8>, TxError> {
+            self.inner.read_all()
+        }
+
+        fn truncate(&mut self, len: u64) -> Result<(), TxError> {
+            self.inner.truncate(len)
+        }
+
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+    }
+
+    fn flaky() -> (TxManager<FlakyStorage>, Rc<Cell<bool>>) {
+        let storage = FlakyStorage::default();
+        let fail = storage.fail.clone();
+        (TxManager::open(0, storage).unwrap(), fail)
     }
 
     #[test]
-    fn handoff_end_is_the_durable_decision() {
-        let stable = SharedStorage::new();
-        let moving;
-        {
-            let mut mgr = TxManager::open(0, stable.clone()).unwrap();
-            moving = mgr.handoff_begin(&["wf-7".to_string()], 2).unwrap();
-            mgr.handoff_end(moving, "wf-7", 2, true).unwrap();
-            assert!(mgr.open_handoffs().is_empty());
-        }
-        let mgr = TxManager::open(0, stable).unwrap();
-        assert!(mgr.open_handoffs().is_empty());
-        assert_eq!(
-            mgr.replayed_handoff_ends(),
-            &[(moving, "wf-7".to_string(), 2, true)]
-        );
-        // The destination can learn the verdict after a crash.
-        assert_eq!(mgr.coordinator_decision(moving), Some(true));
+    fn failed_commit_append_aborts_the_action_and_frees_its_locks() {
+        let (mut mgr, fail) = flaky();
+        let a = mgr.begin();
+        mgr.write(&a, &uid("x"), &1u8).unwrap();
+        fail.set(true);
+        assert!(matches!(mgr.commit(a), Err(TxError::Storage(_))));
+        fail.set(false);
+        // Nothing applied — and the action is consumed, so nobody could
+        // release its locks after the fact: the next writer must get in.
+        assert_eq!(mgr.read_committed::<u8>(&uid("x")).unwrap(), None);
+        let b = mgr.begin();
+        mgr.write(&b, &uid("x"), &2u8).unwrap();
+        mgr.commit(b).unwrap();
+        assert_eq!(mgr.read_committed::<u8>(&uid("x")).unwrap(), Some(2));
+        assert_eq!(mgr.stats(), (1, 1), "the failed commit counts as an abort");
     }
 
     #[test]
-    fn aborted_handoff_answers_queries_with_abort() {
-        let stable = SharedStorage::new();
-        let moving;
-        {
-            let mut mgr = TxManager::open(0, stable.clone()).unwrap();
-            moving = mgr.handoff_begin(&["wf-9".to_string()], 1).unwrap();
-            mgr.handoff_end(moving, "wf-9", 1, false).unwrap();
-        }
-        let mgr = TxManager::open(0, stable).unwrap();
-        assert_eq!(mgr.coordinator_decision(moving), Some(false));
-        assert!(mgr.open_handoffs().is_empty());
+    fn failed_prepare_append_keeps_no_locks() {
+        let (mut mgr, fail) = flaky();
+        let writes = || vec![(key("x"), Some(vec![1]))];
+        fail.set(true);
+        assert!(matches!(
+            mgr.prepare_remote(TxId::new(9, 1), 9, writes()),
+            Err(TxError::Storage(_))
+        ));
+        fail.set(false);
+        assert!(mgr.in_doubt().is_empty(), "not durable, not prepared");
+        // The key is free for a local writer and for the next prepare.
+        let a = mgr.begin();
+        mgr.write(&a, &uid("x"), &2u8).unwrap();
+        mgr.commit(a).unwrap();
+        mgr.prepare_remote(TxId::new(9, 2), 9, writes()).unwrap();
+        assert_eq!(mgr.in_doubt(), vec![(TxId::new(9, 2), 9)]);
     }
 
     #[test]
-    fn batched_handoff_shares_one_tx_and_ends_per_instance() {
-        let stable = SharedStorage::new();
-        let moving;
-        {
-            let mut mgr = TxManager::open(0, stable.clone()).unwrap();
-            let names: Vec<String> = vec!["wf-1".into(), "wf-2".into(), "wf-3".into()];
-            moving = mgr.handoff_begin(&names, 2).unwrap();
-            assert_eq!(mgr.open_handoffs().len(), 3);
-            mgr.handoff_end(moving, "wf-2", 2, true).unwrap();
-        }
-        // Recovery sees the two undecided members of the batch, not the
-        // decided one.
-        let mut mgr = TxManager::open(0, stable.clone()).unwrap();
-        assert_eq!(
-            mgr.open_handoffs(),
-            vec![
-                (moving, "wf-1".to_string(), 2),
-                (moving, "wf-3".to_string(), 2)
-            ]
-        );
-        // And compaction keeps them.
-        mgr.checkpoint().unwrap();
-        drop(mgr);
-        let mgr = TxManager::open(0, stable).unwrap();
-        assert_eq!(mgr.open_handoffs().len(), 2);
+    fn failed_resolve_append_leaves_the_transaction_prepared() {
+        let (mut mgr, fail) = flaky();
+        let dist_tx = TxId::new(9, 1);
+        mgr.prepare_remote(dist_tx, 9, vec![(key("x"), Some(vec![1]))])
+            .unwrap();
+        fail.set(true);
+        assert!(matches!(
+            mgr.resolve_remote(dist_tx, true),
+            Err(TxError::Storage(_))
+        ));
+        fail.set(false);
+        // Still in doubt, still locked, nothing applied: the decision's
+        // next delivery is not mistaken for a duplicate.
+        assert_eq!(mgr.in_doubt(), vec![(dist_tx, 9)]);
+        assert!(!mgr.exists(&uid("x")));
+        mgr.resolve_remote(dist_tx, true).unwrap();
+        assert!(mgr.exists(&uid("x")));
+        assert!(mgr.in_doubt().is_empty());
     }
 
     #[test]

@@ -94,11 +94,6 @@ impl SharedStorage {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Bytes currently stored (diagnostics).
-    pub fn snapshot(&self) -> Vec<u8> {
-        self.inner.borrow().bytes.clone()
-    }
 }
 
 impl Storage for SharedStorage {
@@ -328,7 +323,7 @@ mod tests {
             // machine "crashes": its clone is dropped here.
         }
         assert_eq!(stable.read_all().unwrap(), b"durable");
-        assert_eq!(stable.snapshot(), b"durable");
+        assert_eq!(stable.read_all().unwrap(), b"durable");
     }
 
     #[test]

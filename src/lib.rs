@@ -19,9 +19,8 @@
 //! | [`flowscript_codec`] | binary encoding, framing, checksums |
 //! | [`flowscript_obs`] | flight recorder and metrics registry |
 //!
-//! (`flowscript-bench`, the eighth workspace crate, holds the
-//! per-figure benchmark workloads; the perf ledger is the stand-alone
-//! `ledger/` package.)
+//! (The perf ledger — the one performance instrument — is the
+//! stand-alone `ledger/` package.)
 //!
 //! # Quick start
 //!
