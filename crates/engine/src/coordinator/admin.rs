@@ -7,15 +7,14 @@ use std::rc::Rc;
 
 use flowscript_core::ast::OutputKind;
 use flowscript_obs::ObsEventKind;
-use flowscript_plan::Plan;
+use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::World;
 use flowscript_tx::StoreKey;
 
-use super::lifecycle::count_nonterminal;
-use super::{CoordHandle, Coordinator, InstanceStatus};
+use super::{write_cb, CoordHandle, Coordinator, InstanceStatus};
 use crate::error::EngineError;
 use crate::facts;
-use crate::keys::{bind_uid, cb_uid, plan_uid, reconfig_uid, source_uid, status_uid, InstanceKeys};
+use crate::keys::{bind_uid, plan_uid, reconfig_uid, source_uid, status_uid, InstanceKeys};
 use crate::reconfig::{self, Reconfig};
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
@@ -146,16 +145,6 @@ impl CoordHandle {
                 .into_iter()
                 .map(|(k, v)| (k, v.produced_by(path.to_string())))
                 .collect();
-            let action = coordinator.mgr.begin();
-            // Drop the stored sub-keys first: a corrupt record may use a
-            // different layout than the rewrite below.
-            for fact in coordinator
-                .mgr
-                .fact_keys_in_range(out_key, out_key.fact_last())
-            {
-                coordinator.mgr.delete_key(&action, &StoreKey::Fact(fact))?;
-            }
-            facts::write_fact_map(&mut coordinator.mgr, &action, &plan, out_key, &stamped)?;
             if force {
                 cb.transition(if kind == OutputKind::Outcome {
                     CbState::Done {
@@ -166,18 +155,31 @@ impl CoordHandle {
                         outcome: output.to_string(),
                     }
                 });
-                coordinator.mgr.write(&action, keys.cb(task_id), &cb)?;
             }
-            let mut revived = false;
-            if let Ok(mut record) = coordinator.read_status(instance) {
-                if matches!(record.status, InstanceStatus::Stuck { .. }) {
+            let revival = coordinator
+                .read_status(instance)
+                .ok()
+                .filter(|record| matches!(record.status, InstanceStatus::Stuck { .. }))
+                .map(|mut record| {
                     record.status = InstanceStatus::Running;
-                    coordinator.mgr.write(&action, keys.status(), &record)?;
-                    revived = true;
+                    record
+                });
+            coordinator.atomically(|mgr, action| {
+                // Drop the stored sub-keys first: a corrupt record may use
+                // a different layout than the rewrite below.
+                for fact in mgr.fact_keys_in_range(out_key, out_key.fact_last()) {
+                    mgr.delete_key(action, &StoreKey::Fact(fact))?;
                 }
-            }
-            coordinator.commit(action)?;
-            if revived {
+                facts::write_fact_map(mgr, action, &plan, out_key, &stamped)?;
+                if force {
+                    write_cb(mgr, action, &keys, task_id, &cb)?;
+                }
+                if let Some(record) = &revival {
+                    mgr.write(action, keys.status(), record)?;
+                }
+                Ok(())
+            })?;
+            if revival.is_some() {
                 coordinator.note_status(instance, &InstanceStatus::Running);
                 // Back from Stuck: the instance counts against the
                 // admission cap again.
@@ -212,11 +214,11 @@ impl CoordHandle {
     /// Applies a reconfiguration to a running instance atomically.
     ///
     /// The plan is re-lowered from the mutated schema, the instance's
-    /// persisted facts are **remapped** onto the new plan's dense ids
-    /// (task ids shift when tasks are added or removed; facts whose
-    /// task or declaration vanished are deleted), and the interned key
-    /// table is rebuilt — all in the same atomic action as the op
-    /// itself.
+    /// persisted facts and control blocks are **remapped** onto the new
+    /// plan's dense ids (task ids shift when tasks are added or removed;
+    /// what belonged to a vanished task or declaration is deleted), and
+    /// the interned key table is rebuilt — all in the same atomic action
+    /// as the op itself.
     ///
     /// # Errors
     ///
@@ -260,51 +262,50 @@ impl CoordHandle {
             let new_plan = Plan::lower(&schema);
             let new_keys = InstanceKeys::build(&new_plan, instance, old_keys.instance_id);
 
-            // Persist the op and its engine-side effects in one action.
-            let action = coordinator.mgr.begin();
             let n = record.reconfig_count;
             record.reconfig_count += 1;
             record.plan_fingerprint = new_plan.fingerprint;
-            coordinator
-                .mgr
-                .write(&action, &reconfig_uid(instance, n), &op)?;
-            coordinator.mgr.write(&action, new_keys.status(), &record)?;
-            if !coordinator.mgr.exists(&plan_uid(new_plan.fingerprint)) {
-                coordinator
-                    .mgr
-                    .write(&action, &plan_uid(new_plan.fingerprint), &new_plan)?;
-            }
-            // Move every persisted fact onto the new plan's id space.
-            facts::remap_instance_facts(
-                &mut coordinator.mgr,
-                &action,
-                &old_plan,
-                &old_keys,
-                &new_plan,
-                old_keys.instance_id,
-            )?;
-            for path in &effects.new_tasks {
-                // New tasks join the current incarnation of their scope.
-                let scope_path = path.rsplit_once('/').map(|(s, _)| s).unwrap_or("");
-                let scope_inc = old_plan
-                    .task_by_path(scope_path)
-                    .and_then(|scope| coordinator.read_cb_id(&old_keys, scope))
-                    .map_or(0, |cb| cb.scope_inc);
-                let mut cb = TaskCb::new(path.clone());
-                cb.incarnation = scope_inc;
-                coordinator
-                    .mgr
-                    .write(&action, &cb_uid(instance, path), &cb)?;
-            }
-            for path in &effects.removed_tasks {
-                coordinator.mgr.delete(&action, &cb_uid(instance, path))?;
-            }
-            if let Reconfig::Rebind { code, to } = &op {
-                coordinator
-                    .mgr
-                    .write(&action, &bind_uid(instance, code), to)?;
-            }
-            coordinator.commit(action)?;
+            // New tasks join the current incarnation of their scope.
+            let new_blocks: Vec<(TaskId, TaskCb)> = effects
+                .new_tasks
+                .iter()
+                .filter_map(|path| {
+                    let scope_path = path.rsplit_once('/').map(|(s, _)| s).unwrap_or("");
+                    let scope_inc = old_plan
+                        .task_by_path(scope_path)
+                        .and_then(|scope| coordinator.read_cb_id(&old_keys, scope))
+                        .map_or(0, |cb| cb.scope_inc);
+                    let mut cb = TaskCb::waiting();
+                    cb.incarnation = scope_inc;
+                    Some((new_plan.task_by_path(path)?, cb))
+                })
+                .collect();
+            // Persist the op and its engine-side effects in one action.
+            coordinator.atomically(|mgr, action| {
+                mgr.write(action, &reconfig_uid(instance, n), &op)?;
+                mgr.write(action, new_keys.status(), &record)?;
+                if !mgr.exists(&plan_uid(new_plan.fingerprint)) {
+                    mgr.write(action, &plan_uid(new_plan.fingerprint), &new_plan)?;
+                }
+                // Move every persisted fact and control block onto the
+                // new plan's id space; a removed task's die here.
+                facts::remap_instance_facts(
+                    mgr,
+                    action,
+                    &old_plan,
+                    &old_keys,
+                    &new_plan,
+                    old_keys.instance_id,
+                )?;
+                // After the remap: a new task may take an id it vacated.
+                for (task, cb) in &new_blocks {
+                    write_cb(mgr, action, &new_keys, *task, cb)?;
+                }
+                if let Reconfig::Rebind { code, to } = &op {
+                    mgr.write(action, &bind_uid(instance, code), to)?;
+                }
+                Ok(())
+            })?;
             coordinator.note_status(instance, &record.status);
             if revived {
                 // Back from Stuck: the instance counts against the
@@ -314,7 +315,7 @@ impl CoordHandle {
             coordinator.metrics.reconfigs.inc();
             // The plan (and possibly the task set) changed: recount the
             // non-terminal blocks instead of patching deltas.
-            let nonterminal = count_nonterminal(&coordinator.mgr, &new_plan, &new_keys);
+            let nonterminal = coordinator.count_nonterminal(&new_plan, &new_keys);
             let rt = coordinator
                 .instances
                 .get_mut(instance)
@@ -396,16 +397,11 @@ impl CoordHandle {
             cb.transition(CbState::Aborted {
                 outcome: outcome.to_string(),
             });
-            let action = coordinator.mgr.begin();
-            coordinator.mgr.write(&action, keys.cb(task_id), &cb)?;
-            facts::write_fact_map(
-                &mut coordinator.mgr,
-                &action,
-                &plan,
-                out_key,
-                &BTreeMap::new(),
-            )?;
-            coordinator.commit(action)?;
+            coordinator.atomically(|mgr, action| {
+                write_cb(mgr, action, &keys, task_id, &cb)?;
+                facts::write_fact_map(mgr, action, &plan, out_key, &BTreeMap::new())?;
+                Ok(())
+            })?;
             coordinator.note_terminals(instance, 1);
             task_id
         };

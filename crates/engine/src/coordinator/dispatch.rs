@@ -22,7 +22,7 @@ use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::{EventId, NodeId, SimDuration, World};
 use flowscript_tx::{FactKey, TxError};
 
-use super::{CoordHandle, Coordinator, InstanceRt};
+use super::{write_cb, CoordHandle, Coordinator, InstanceRt};
 use crate::facts;
 use crate::keys::InstanceKeys;
 use crate::msg::{EngineMsg, StartTask, TaskDone, TaskResult};
@@ -773,7 +773,6 @@ impl CoordHandle {
             let inputs = coordinator.read_fact(&plan, keys.in_key(&plan, task_id, set));
             cb.repeats += 1;
             let over = cb.repeats > coordinator.config.max_repeats;
-            let action = coordinator.mgr.begin();
             if over {
                 cb.transition(CbState::Failed {
                     reason: format!("repeat limit exceeded via `{name}`"),
@@ -781,30 +780,25 @@ impl CoordHandle {
             } else {
                 cb.attempt += 1;
             }
-            let write = coordinator
-                .mgr
-                .write(&action, keys.cb(task_id), &cb)
-                .and_then(|_| {
-                    facts::write_fact_map(&mut coordinator.mgr, &action, &plan, out_key, objects)
-                });
-            if write.is_ok() {
-                // Counters move only on commit success: an aborted
-                // action must not register as a repeat.
-                if coordinator.commit(action).is_ok() {
-                    coordinator.metrics.repeats.inc();
-                    coordinator.record_event(
-                        world.now().as_nanos(),
-                        &msg.instance,
-                        Some(&msg.path),
-                        msg.attempt,
-                        coordinator.commit_event(format!("repeat `{name}`")),
-                    );
-                    if over {
-                        coordinator.note_terminals(&msg.instance, 1);
-                    }
+            let staged = coordinator.atomically(|mgr, action| {
+                write_cb(mgr, action, &keys, task_id, &cb)?;
+                facts::write_fact_map(mgr, action, &plan, out_key, objects)?;
+                Ok(())
+            });
+            // Counters move only on commit success: an aborted action
+            // must not register as a repeat.
+            if staged.is_ok() {
+                coordinator.metrics.repeats.inc();
+                coordinator.record_event(
+                    world.now().as_nanos(),
+                    &msg.instance,
+                    Some(&msg.path),
+                    msg.attempt,
+                    coordinator.commit_event(format!("repeat `{name}`")),
+                );
+                if over {
+                    coordinator.note_terminals(&msg.instance, 1);
                 }
-            } else {
-                coordinator.mgr.abort(action);
             }
             (over, inputs)
         };
@@ -896,9 +890,10 @@ impl CoordHandle {
         died_on: Option<NodeId>,
         reason: &str,
     ) {
-        let Some((_, keys)) = self.instance_ctx(instance) else {
+        let Some((plan, keys)) = self.instance_ctx(instance) else {
             return;
         };
+        let path = plan.str(plan.task(task_id).path);
         let retry = {
             let mut coordinator = self.inner.borrow_mut();
             let Some(mut cb) = coordinator.read_cb_id(&keys, task_id) else {
@@ -916,7 +911,7 @@ impl CoordHandle {
                 coordinator.record_event(
                     world.now().as_nanos(),
                     instance,
-                    Some(&cb.path),
+                    Some(path),
                     cb.attempt,
                     ObsEventKind::Retry {
                         reason: reason.to_string(),
@@ -931,15 +926,15 @@ impl CoordHandle {
                     .config
                     .retry_backoff
                     .saturating_mul(1 << (cb.attempt.min(16) - 1));
-                (cb, backoff, coordinator.node)
+                (cb.attempt, backoff, coordinator.node)
             })
         };
         match retry {
-            Some((cb, backoff, node)) => {
+            Some((attempt, backoff, node)) => {
                 let handle = self.clone();
-                let instance = instance.to_string();
+                let (instance, path) = (instance.to_string(), path.to_string());
                 world.schedule_node_after(node, backoff, move |world| {
-                    handle.redispatch(world, &instance, &cb.path, cb.attempt);
+                    handle.redispatch(world, &instance, &path, attempt);
                 });
             }
             None => self.fail_task(world, instance, task_id, reason),
@@ -986,7 +981,7 @@ impl CoordHandle {
     /// retry could fix) and ends whatever was outstanding for it.
     fn fail_task(&self, world: &mut World, instance: &str, task_id: TaskId, reason: &str) {
         self.discard_flights(world, instance, std::iter::once(task_id));
-        let Some((_, keys)) = self.instance_ctx(instance) else {
+        let Some((plan, keys)) = self.instance_ctx(instance) else {
             return;
         };
         {
@@ -1006,7 +1001,7 @@ impl CoordHandle {
                 coordinator.record_event(
                     world.now().as_nanos(),
                     instance,
-                    Some(&cb.path),
+                    Some(plan.str(plan.task(task_id).path)),
                     cb.attempt,
                     coordinator.commit_event(format!("failed: {reason}")),
                 );

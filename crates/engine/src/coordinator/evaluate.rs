@@ -14,11 +14,9 @@ use flowscript_core::ast::OutputKind;
 use flowscript_obs::ObsEventKind;
 use flowscript_plan::{eval as plan_eval, Plan, StrId, TaskId, Worklist};
 use flowscript_sim::World;
-use flowscript_tx::{AtomicAction, StableStore, StoreKey, TxManager};
+use flowscript_tx::{AtomicAction, FactKind, StableStore, StoreKey, TxManager};
 
-#[cfg(debug_assertions)]
-use super::lifecycle::count_nonterminal;
-use super::{CoordHandle, Coordinator, InstanceStatus, Outcome};
+use super::{write_cb, CoordHandle, Coordinator, InstanceStatus, Outcome};
 use crate::error::EngineError;
 use crate::facts::{self, StoreFacts};
 use crate::keys::InstanceKeys;
@@ -243,25 +241,12 @@ impl CoordHandle {
                 }
             };
             cb.transition(next);
-            let action = coordinator.mgr.begin();
-            let write = coordinator
-                .mgr
-                .write(&action, keys.cb(task_id), &cb)
-                .and_then(|_| {
-                    facts::write_fact_bound(
-                        &mut coordinator.mgr,
-                        &action,
-                        plan,
-                        in_key,
-                        slots,
-                        &bound,
-                    )
-                });
-            if write.is_err() {
-                coordinator.mgr.abort(action);
-                return false;
-            }
-            if coordinator.commit(action).is_err() {
+            let staged = coordinator.atomically(|mgr, action| {
+                write_cb(mgr, action, keys, task_id, &cb)?;
+                facts::write_fact_bound(mgr, action, plan, in_key, slots, &bound)?;
+                Ok(())
+            });
+            if staged.is_err() {
                 return false;
             }
         }
@@ -374,17 +359,11 @@ impl CoordHandle {
             return Err(EngineError::UnknownTask(scope_path.to_string()));
         };
         cb.marks_emitted.push(mark.to_string());
-        let action = coordinator.mgr.begin();
-        coordinator.mgr.write(&action, keys.cb(scope_id), &cb)?;
-        facts::write_fact_bound(
-            &mut coordinator.mgr,
-            &action,
-            plan,
-            out_key,
-            output.slots,
-            mapped,
-        )?;
-        coordinator.commit(action)?;
+        coordinator.atomically(|mgr, action| {
+            write_cb(mgr, action, keys, scope_id, &cb)?;
+            facts::write_fact_bound(mgr, action, plan, out_key, output.slots, mapped)?;
+            Ok(())
+        })?;
         // Count the mark only now that it committed.
         coordinator.metrics.marks.inc();
         coordinator.record_event(
@@ -412,7 +391,7 @@ impl CoordHandle {
         let output = &plan.outputs[out_idx];
         let outcome_name = plan.str(output.name);
         let scope_path = plan.str(plan.task(scope_id).path);
-        let is_root = !scope_path.contains('/');
+        let is_root = plan.task(scope_id).parent.is_none();
         let Some(out_key) = keys.out_key(plan, scope_id, outcome_name) else {
             return;
         };
@@ -430,77 +409,58 @@ impl CoordHandle {
                     outcome: outcome_name.to_string(),
                 }
             });
-            let action = coordinator.mgr.begin();
-            let mut ok = coordinator
-                .mgr
-                .write(&action, keys.cb(scope_id), &cb)
-                .is_ok()
-                && facts::write_fact_bound(
-                    &mut coordinator.mgr,
-                    &action,
-                    plan,
-                    out_key,
-                    output.slots,
-                    &mapped,
-                )
-                .is_ok();
-            // Cancel every non-terminal descendant (one flat subtree
-            // scan — DFS pre-order keeps descendants contiguous).
-            let mut terminal_delta = 1; // the scope itself
-            if ok {
-                match cancel_descendants(&mut coordinator.mgr, &action, keys, plan, scope_id) {
-                    Ok(cancelled) => terminal_delta += cancelled,
-                    Err(_) => ok = false,
-                }
-            }
-            let mut root_status = None;
-            if ok && is_root {
-                if let Ok(mut record) = coordinator.read_status(instance) {
+            // The root's outcome is the instance's.
+            let root_record = is_root
+                .then(|| coordinator.read_status(instance).ok())
+                .flatten()
+                .map(|mut record| {
                     record.status = InstanceStatus::Completed(Outcome {
                         name: outcome_name.to_string(),
                         kind,
                         objects: facts::bound_map(plan, &mapped),
                     });
-                    ok = coordinator
-                        .mgr
-                        .write(&action, keys.status(), &record)
-                        .is_ok();
-                    root_status = Some(record.status);
+                    record
+                });
+            let staged = coordinator.atomically(|mgr, action| {
+                write_cb(mgr, action, keys, scope_id, &cb)?;
+                facts::write_fact_bound(mgr, action, plan, out_key, output.slots, &mapped)?;
+                // Cancel every non-terminal descendant (one flat subtree
+                // scan — DFS pre-order keeps descendants contiguous).
+                let cancelled = cancel_descendants(mgr, action, keys, plan, scope_id)?;
+                if let Some(record) = &root_record {
+                    mgr.write(action, keys.status(), record)?;
                 }
-            }
-            if ok {
-                if coordinator.commit(action).is_ok() {
-                    coordinator.note_terminals(instance, terminal_delta);
-                    if let Some(status) = &root_status {
-                        coordinator.note_status(instance, status);
-                    }
-                    if is_root {
-                        // The instance just completed: its admission
-                        // slot frees for a queued start.
-                        coordinator.admission.instance_settled();
-                    }
-                    let verb = if kind == OutputKind::Outcome {
-                        "done"
-                    } else {
-                        "aborted"
-                    };
-                    let event = if is_root {
-                        ObsEventKind::Terminal {
-                            outcome: format!("{verb} `{outcome_name}`"),
-                        }
-                    } else {
-                        coordinator.commit_event(format!("{verb} `{outcome_name}`"))
-                    };
-                    coordinator.record_event(
-                        world.now().as_nanos(),
-                        instance,
-                        Some(scope_path),
-                        0,
-                        event,
-                    );
+                Ok(cancelled)
+            });
+            if let Ok(cancelled) = staged {
+                coordinator.note_terminals(instance, 1 + cancelled); // and the scope itself
+                if let Some(record) = &root_record {
+                    coordinator.note_status(instance, &record.status);
                 }
-            } else {
-                coordinator.mgr.abort(action);
+                if is_root {
+                    // The instance just completed: its admission slot
+                    // frees for a queued start.
+                    coordinator.admission.instance_settled();
+                }
+                let verb = if kind == OutputKind::Outcome {
+                    "done"
+                } else {
+                    "aborted"
+                };
+                let event = if is_root {
+                    ObsEventKind::Terminal {
+                        outcome: format!("{verb} `{outcome_name}`"),
+                    }
+                } else {
+                    coordinator.commit_event(format!("{verb} `{outcome_name}`"))
+                };
+                coordinator.record_event(
+                    world.now().as_nanos(),
+                    instance,
+                    Some(scope_path),
+                    0,
+                    event,
+                );
             }
         }
         // Drop volatile tracking for the whole subtree.
@@ -524,7 +484,7 @@ impl CoordHandle {
         let output = &plan.outputs[out_idx];
         let outcome_name = plan.str(output.name);
         let scope_path = plan.str(plan.task(scope_id).path);
-        let is_root = !scope_path.contains('/');
+        let is_root = plan.task(scope_id).parent.is_none();
         let Some(out_key) = keys.out_key(plan, scope_id, outcome_name) else {
             return;
         };
@@ -561,95 +521,52 @@ impl CoordHandle {
                 let started_as = is_root
                     .then(|| coordinator.read_header(instance).ok())
                     .flatten();
-                let action = coordinator.mgr.begin();
-                let mut ok = facts::write_fact_bound(
-                    &mut coordinator.mgr,
-                    &action,
-                    plan,
-                    out_key,
-                    output.slots,
-                    &mapped,
-                )
-                .is_ok();
-                // The compound goes back to Waiting to rebind.
-                if is_root {
-                    if let Some(header) = &started_as {
-                        cb.state = CbState::Active {
-                            set: header.set.clone(),
-                        };
-                        if let Some(in_key) = keys.in_key(plan, scope_id, &header.set) {
-                            ok = ok
-                                && facts::write_fact_map(
-                                    &mut coordinator.mgr,
-                                    &action,
-                                    plan,
-                                    in_key,
-                                    &header.inputs,
-                                )
-                                .is_ok();
-                        } else {
-                            ok = false;
+                let staged = coordinator.atomically(|mgr, action| {
+                    facts::write_fact_bound(mgr, action, plan, out_key, output.slots, &mapped)?;
+                    if is_root {
+                        if let Some(header) = &started_as {
+                            cb.state = CbState::Active {
+                                set: header.set.clone(),
+                            };
+                            let in_key = keys
+                                .in_key(plan, scope_id, &header.set)
+                                .ok_or_else(|| EngineError::UnknownTask(scope_path.to_string()))?;
+                            facts::write_fact_map(mgr, action, plan, in_key, &header.inputs)?;
+                        }
+                    } else {
+                        // The compound goes back to Waiting to rebind:
+                        // clear its own input-binding facts — one range
+                        // scan over the dense keys.
+                        cb.state = CbState::Waiting;
+                        let (lo, hi) = keys.input_fact_range(scope_id);
+                        for fact in mgr.fact_keys_in_range(lo, hi) {
+                            mgr.delete_key(action, &StoreKey::Fact(fact))?;
                         }
                     }
-                } else {
-                    cb.state = CbState::Waiting;
-                    // Clear own input-binding facts so the new incarnation
-                    // rebinds afresh — one range scan over the dense keys.
-                    let (lo, hi) = keys.input_fact_range(scope_id);
-                    for fact in coordinator.mgr.fact_keys_in_range(lo, hi) {
-                        ok = ok
-                            && coordinator
-                                .mgr
-                                .delete_key(&action, &StoreKey::Fact(fact))
-                                .is_ok();
-                    }
-                }
-                ok = ok
-                    && coordinator
-                        .mgr
-                        .write(&action, keys.cb(scope_id), &cb)
-                        .is_ok();
-                if ok {
+                    write_cb(mgr, action, keys, scope_id, &cb)?;
                     // All descendant facts die with the incarnation: the
-                    // whole DFS-contiguous subtree is one key range.
+                    // whole DFS-contiguous subtree is one key range. The
+                    // blocks in it stay — `reset_descendants` rewrites
+                    // each for the new incarnation.
                     if let Some((lo, hi)) = keys.subtree_fact_range(plan, scope_id) {
-                        for fact in coordinator.mgr.fact_keys_in_range(lo, hi) {
-                            ok = ok
-                                && coordinator
-                                    .mgr
-                                    .delete_key(&action, &StoreKey::Fact(fact))
-                                    .is_ok();
+                        for fact in mgr.fact_keys_in_range(lo, hi) {
+                            if fact.kind != FactKind::Control {
+                                mgr.delete_key(action, &StoreKey::Fact(fact))?;
+                            }
                         }
                     }
-                }
-                let mut revived = 0;
-                if ok {
-                    match reset_descendants(
-                        &mut coordinator.mgr,
-                        &action,
-                        keys,
-                        plan,
-                        scope_id,
-                        new_inc,
-                    ) {
-                        Ok(n) => revived = n,
-                        Err(_) => ok = false,
-                    }
-                }
-                if ok {
-                    if coordinator.commit(action).is_ok() {
-                        coordinator.metrics.repeats.inc();
-                        coordinator.record_event(
-                            world.now().as_nanos(),
-                            instance,
-                            Some(scope_path),
-                            cb.attempt,
-                            coordinator.commit_event(format!("repeat `{outcome_name}`")),
-                        );
-                        coordinator.note_revived(instance, revived);
-                    }
-                } else {
-                    coordinator.mgr.abort(action);
+                    reset_descendants(mgr, action, keys, plan, scope_id, new_inc)
+                });
+                if let Ok(revived) = staged {
+                    coordinator.metrics.repeats.inc();
+                    coordinator.record_event(
+                        world.now().as_nanos(),
+                        instance,
+                        Some(scope_path),
+                        cb.attempt,
+                        coordinator.commit_event(format!("repeat `{outcome_name}`")),
+                    );
+                    coordinator.note_revived(instance, revived);
                 }
                 false
             }
@@ -681,7 +598,7 @@ impl CoordHandle {
         if let Some(rt) = coordinator.instances.get(instance) {
             debug_assert_eq!(
                 rt.nonterminal,
-                count_nonterminal(&coordinator.mgr, plan, keys),
+                coordinator.count_nonterminal(plan, keys),
                 "incremental non-terminal count of `{instance}` drifted"
             );
         }
@@ -739,8 +656,7 @@ impl CoordHandle {
     /// never be stuck, and both tests read volatile counters the drain
     /// maintains incrementally — no control-block enumeration, no store
     /// scan. Only the one-time transition *to* Stuck reads control
-    /// blocks (point reads through the interned uid table) to compose
-    /// the diagnostic reason.
+    /// blocks (dense-key point reads) to compose the diagnostic reason.
     fn stuck_check(&self, world: &mut World, instance: &str) {
         let mut coordinator = self.inner.borrow_mut();
         let Some(rt) = coordinator.instances.get(instance) else {
@@ -763,9 +679,10 @@ impl CoordHandle {
             let Some(cb) = coordinator.read_cb_id(&keys, id) else {
                 continue;
             };
+            let path = plan.str(plan.task(id).path);
             match &cb.state {
                 CbState::Failed { reason } => {
-                    failed.push(format!("{} ({reason})", cb.path));
+                    failed.push(format!("{path} ({reason})"));
                 }
                 CbState::Waiting => {
                     let facts = StoreFacts::new(&coordinator.mgr, &keys);
@@ -779,9 +696,9 @@ impl CoordHandle {
                         .collect::<Vec<_>>()
                         .join(", ");
                     if pending.is_empty() {
-                        waiting.push(cb.path.clone());
+                        waiting.push(path.to_string());
                     } else {
-                        waiting.push(format!("{} (deps met: {pending})", cb.path));
+                        waiting.push(format!("{path} (deps met: {pending})"));
                     }
                 }
                 _ => {}
@@ -837,8 +754,8 @@ impl Coordinator {
 }
 
 /// Cancels every non-terminal descendant of a scope: one linear scan of
-/// the plan's contiguous subtree range, through the interned cb uids.
-/// Returns how many blocks it cancelled.
+/// the plan's contiguous subtree range. Returns how many blocks it
+/// cancelled.
 fn cancel_descendants(
     mgr: &mut TxManager<StableStore>,
     action: &AtomicAction,
@@ -848,11 +765,11 @@ fn cancel_descendants(
 ) -> Result<usize, EngineError> {
     let mut cancelled = 0;
     for task_id in plan.subtree(scope_id) {
-        let uid = keys.cb(task_id);
-        if let Some(mut cb) = mgr.read::<TaskCb>(action, uid)? {
+        let key = StoreKey::Fact(keys.cb(task_id));
+        if let Some(mut cb) = mgr.read_key::<TaskCb>(action, &key)? {
             if !cb.state.is_terminal() {
                 cb.transition(CbState::Cancelled);
-                mgr.write(action, uid, &cb)?;
+                mgr.write_key(action, &key, &cb)?;
                 cancelled += 1;
             }
         }
@@ -876,9 +793,9 @@ fn reset_descendants(
     let mut revived = 0;
     for &child in plan.children(scope_id) {
         let task = plan.task(child);
-        let uid = keys.cb(child);
+        let key = StoreKey::Fact(keys.cb(child));
         let mut inner_inc = 0;
-        if let Some(mut cb) = mgr.read::<TaskCb>(action, uid)? {
+        if let Some(mut cb) = mgr.read_key::<TaskCb>(action, &key)? {
             if cb.state.is_terminal() {
                 revived += 1;
             }
@@ -889,7 +806,7 @@ fn reset_descendants(
                 cb.scope_inc += 1;
                 inner_inc = cb.scope_inc;
             }
-            mgr.write(action, uid, &cb)?;
+            mgr.write_key(action, &key, &cb)?;
         }
         if task.is_scope {
             revived += reset_descendants(mgr, action, keys, plan, child, inner_inc)?;

@@ -13,7 +13,7 @@ use flowscript_core::schema::{self, Schema};
 use flowscript_obs::ObsEventKind;
 use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::World;
-use flowscript_tx::{StableStore, StoreKey, TxManager};
+use flowscript_tx::{FactKey, StoreKey};
 
 use super::meta::source_hash;
 use super::{
@@ -40,18 +40,7 @@ impl Coordinator {
         header: &InstanceHeader,
         record: &StatusRecord,
     ) -> Option<InstanceRt> {
-        let cached: Option<Rc<Plan>> = self
-            .mgr
-            .read_committed_bytes(&StoreKey::Uid(plan_uid(record.plan_fingerprint)))
-            .and_then(|bytes| self.plan_cache.validated(bytes))
-            .filter(|plan| plan.fingerprint == record.plan_fingerprint);
-        let (plan, schema) = match cached {
-            Some(plan) => (plan, None),
-            None => {
-                let schema = self.rebuild_schema(name, header).ok()?;
-                (Rc::new(Plan::lower(&schema)), Some(Rc::new(schema)))
-            }
-        };
+        let (plan, schema) = self.committed_plan(name, header, record)?;
         let mut bindings = BTreeMap::new();
         let bind_prefix = keys::bind_prefix(name);
         for bind in self.mgr.uids_with_prefix(&bind_prefix) {
@@ -60,7 +49,7 @@ impl Coordinator {
             }
         }
         let keys = InstanceKeys::build(&plan, name, header.instance_id);
-        let nonterminal = count_nonterminal(&self.mgr, &plan, &keys);
+        let nonterminal = self.count_nonterminal(&plan, &keys);
         Some(InstanceRt {
             plan,
             keys: Rc::new(keys),
@@ -70,6 +59,29 @@ impl Coordinator {
             nonterminal,
             terminal: record.status.is_terminal(),
         })
+    }
+
+    /// The plan a stored instance runs off: the persisted blob its
+    /// status record names when that validates, else its source
+    /// recompiled and re-lowered (the schema then comes along).
+    fn committed_plan(
+        &mut self,
+        name: &str,
+        header: &InstanceHeader,
+        record: &StatusRecord,
+    ) -> Option<(Rc<Plan>, Option<Rc<Schema>>)> {
+        let cached: Option<Rc<Plan>> = self
+            .mgr
+            .read_committed_bytes(&StoreKey::Uid(plan_uid(record.plan_fingerprint)))
+            .and_then(|bytes| self.plan_cache.validated(bytes))
+            .filter(|plan| plan.fingerprint == record.plan_fingerprint);
+        match cached {
+            Some(plan) => Some((plan, None)),
+            None => {
+                let schema = self.rebuild_schema(name, header).ok()?;
+                Some((Rc::new(Plan::lower(&schema)), Some(Rc::new(schema))))
+            }
+        }
     }
 
     /// The instance's hierarchical schema as of now: its pinned source
@@ -231,48 +243,44 @@ impl CoordHandle {
             reconfig_count: 0,
             plan_fingerprint: plan.fingerprint,
         };
-        let action = coordinator.mgr.begin();
-        coordinator
-            .mgr
-            .write(&action, &seq_uid, &(instance_id + 1))?;
-        coordinator.mgr.write(&action, keys.meta(), &header)?;
-        coordinator.mgr.write(&action, keys.status(), &record)?;
-        if pinned.is_none() {
-            coordinator
-                .mgr
-                .write_key_raw(&action, &source_key, source.as_bytes().to_vec())?;
-        }
-        // Persist the compiled plan once per fingerprint so crash
-        // recovery decodes it instead of recompiling from source.
-        if !coordinator.mgr.exists(&plan_uid(plan.fingerprint)) {
-            coordinator
-                .mgr
-                .write(&action, &plan_uid(plan.fingerprint), plan.as_ref())?;
-        }
-        // Root control block starts Active with the supplied inputs bound.
-        let mut root_cb = TaskCb::new(root_path.clone());
-        root_cb.transition(CbState::Active {
-            set: set.to_string(),
+        // One frame per start: the group opens before the first write
+        // and closes after the first drain, so the records below and the
+        // first activations share one log append.
+        coordinator.mgr.begin_group();
+        let staged = coordinator.atomically(|mgr, action| {
+            mgr.write(action, &seq_uid, &(instance_id + 1))?;
+            mgr.write(action, keys.meta(), &header)?;
+            mgr.write(action, keys.status(), &record)?;
+            if pinned.is_none() {
+                mgr.write_key_raw(action, &source_key, source.as_bytes().to_vec())?;
+            }
+            // Persist the compiled plan once per fingerprint so crash
+            // recovery decodes it instead of recompiling from source.
+            if !mgr.exists(&plan_uid(plan.fingerprint)) {
+                mgr.write(action, &plan_uid(plan.fingerprint), plan.as_ref())?;
+            }
+            // Root control block starts Active with the supplied inputs
+            // bound.
+            let mut root_cb = TaskCb::waiting();
+            root_cb.transition(CbState::Active {
+                set: set.to_string(),
+            });
+            mgr.write_key(action, &StoreKey::Fact(keys.cb(0)), &root_cb)?;
+            // The root's input binding goes through the fact layout like
+            // every other fact, so root-input fallbacks probe per object.
+            facts::write_fact_map(mgr, action, &plan, root_in, &header.inputs)?;
+            // Every descendant starts Waiting — the plan's DFS order
+            // makes this one flat scan instead of a scope-tree recursion.
+            let waiting = TaskCb::waiting();
+            for id in 1..plan.tasks.len() as TaskId {
+                mgr.write_key(action, &StoreKey::Fact(keys.cb(id)), &waiting)?;
+            }
+            Ok(())
         });
-        coordinator.mgr.write(&action, keys.cb(0), &root_cb)?;
-        // The root's input binding goes through the fact layout like
-        // every other fact, so root-input fallbacks probe per object.
-        facts::write_fact_map(
-            &mut coordinator.mgr,
-            &action,
-            &plan,
-            root_in,
-            &header.inputs,
-        )?;
-        // Every descendant starts Waiting — the plan's DFS order makes
-        // this one flat scan instead of a scope-tree recursion.
-        for (id, task) in plan.tasks.iter().enumerate().skip(1) {
-            let path = plan.str(task.path);
-            coordinator
-                .mgr
-                .write(&action, keys.cb(id as TaskId), &TaskCb::new(path))?;
+        if let Err(err) = staged {
+            let _ = coordinator.mgr.end_group();
+            return Err(err);
         }
-        coordinator.commit(action)?;
         let task_count = plan.tasks.len();
         coordinator.instances.insert(
             instance.to_string(),
@@ -297,6 +305,12 @@ impl CoordHandle {
         );
         drop(coordinator);
         self.evaluate(world, instance);
+        // The caller acknowledges the start on `Ok`: a frame that did
+        // not reach the log must not read as one.
+        let mut coordinator = self.inner.borrow_mut();
+        coordinator.mgr.end_group()?;
+        // The drain's own check ran inside the group, where it holds off.
+        let _ = coordinator.maybe_checkpoint();
         Ok(())
     }
 
@@ -311,27 +325,38 @@ impl CoordHandle {
         Ok(record.status)
     }
 
-    /// All task states of an instance, keyed by path. Live instances
-    /// resolve through the plan's interned uid table (point reads); the
-    /// uid prefix scan survives only for instances not resident in
-    /// memory (e.g. monitoring a crashed-but-unrecovered store).
+    /// All task states of an instance, keyed by path.
     pub fn task_states(&self, instance: &str) -> BTreeMap<String, CbState> {
-        let coordinator = self.inner.borrow();
-        if let Some(rt) = coordinator.instances.get(instance) {
-            return (0..rt.plan.tasks.len() as TaskId)
-                .filter_map(|id| {
-                    let cb = coordinator.read_cb_id(&rt.keys, id)?;
-                    Some((cb.path.clone(), cb.state))
-                })
-                .collect();
-        }
-        coordinator
-            .mgr
-            .uids_with_prefix(&keys::cb_prefix(instance))
-            .into_iter()
-            .filter_map(|uid| {
-                let cb: TaskCb = coordinator.mgr.read_committed(&uid).ok().flatten()?;
-                Some((cb.path.clone(), cb.state))
+        let blocks = self.task_blocks(instance).into_iter();
+        blocks.map(|(path, cb)| (path, cb.state)).collect()
+    }
+
+    /// Every committed control block of an instance, keyed by path:
+    /// point reads over the plan's dense task ids. An instance not
+    /// resident in memory (e.g. monitoring a crashed-but-unrecovered
+    /// store) resolves through its stored header's id and the plan its
+    /// status record names. Test hook beyond the states.
+    #[doc(hidden)]
+    pub fn task_blocks(&self, instance: &str) -> BTreeMap<String, TaskCb> {
+        let mut coordinator = self.inner.borrow_mut();
+        let resident = coordinator
+            .instances
+            .get(instance)
+            .map(|rt| (rt.plan.clone(), rt.keys.instance_id));
+        let stored = |coordinator: &mut Coordinator| {
+            let header = coordinator.read_header(instance).ok()?;
+            let record = coordinator.read_status(instance).ok()?;
+            let (plan, _) = coordinator.committed_plan(instance, &header, &record)?;
+            Some((plan, header.instance_id))
+        };
+        let Some((plan, instance_id)) = resident.or_else(|| stored(&mut coordinator)) else {
+            return BTreeMap::new();
+        };
+        (0..plan.tasks.len() as TaskId)
+            .filter_map(|id| {
+                let key = StoreKey::Fact(FactKey::control(instance_id, id));
+                let cb = coordinator.mgr.read_committed_key(&key).ok().flatten()?;
+                Some((plan.str(plan.task(id).path).to_string(), cb))
             })
             .collect()
     }
@@ -358,22 +383,17 @@ impl CoordHandle {
     }
 }
 
-/// Counts an instance's non-terminal control blocks in committed state
-/// (point reads over the plan's dense ids — no store scan). Seeds and
-/// cross-checks the incrementally maintained `InstanceRt::nonterminal`.
-pub(super) fn count_nonterminal(
-    mgr: &TxManager<StableStore>,
-    plan: &Plan,
-    keys: &InstanceKeys,
-) -> usize {
-    (0..plan.tasks.len() as TaskId)
-        .filter(|&id| {
-            mgr.read_committed::<TaskCb>(keys.cb(id))
-                .ok()
-                .flatten()
-                .is_some_and(|cb| !cb.state.is_terminal())
-        })
-        .count()
+impl Coordinator {
+    /// Counts an instance's non-terminal control blocks in committed
+    /// state (point reads over the plan's dense ids — no store scan).
+    /// Seeds and cross-checks the incrementally maintained
+    /// `InstanceRt::nonterminal`.
+    pub(super) fn count_nonterminal(&self, plan: &Plan, keys: &InstanceKeys) -> usize {
+        (0..plan.tasks.len() as TaskId)
+            .filter_map(|id| self.read_cb_id(keys, id))
+            .filter(|cb| !cb.state.is_terminal())
+            .count()
+    }
 }
 
 /// Validated plans by their encoding. Decoding a plan and checking it
@@ -448,13 +468,17 @@ impl Coordinator {
         if stale.is_empty() {
             return Ok(());
         }
-        let action = self.mgr.begin();
-        for uid in &stale {
-            self.mgr.delete(&action, uid)?;
-        }
         // Straight to the manager: the checkpoint that follows compacts
-        // this commit away, and routing through `Self::commit` would
+        // this commit away, and routing through `Self::atomically` would
         // re-trigger the checkpoint counter.
+        let action = self.mgr.begin();
+        if let Err(err) = stale
+            .iter()
+            .try_for_each(|uid| self.mgr.delete(&action, uid))
+        {
+            self.mgr.abort(action);
+            return Err(err.into());
+        }
         self.mgr.commit(action)?;
         Ok(())
     }
@@ -496,7 +520,51 @@ impl CoordHandle {
 
 #[cfg(test)]
 mod tests {
+    use flowscript_core::samples::FIG1_DIAMOND;
+    use flowscript_tx::SharedStorage;
+
     use super::*;
+    use crate::coordinator::EngineConfig;
+
+    #[test]
+    fn a_start_that_fails_mid_staging_keeps_no_lock() {
+        let mut world = World::new(1);
+        let [client, here, executor] = ["client", "here", "exec"].map(|n| world.add_node(n));
+        let config = EngineConfig::default();
+        let coord = Coordinator::open(here, client, vec![executor], config, SharedStorage::new())
+            .map(CoordHandle::new)
+            .expect("empty storage opens");
+        let start = |world: &mut World, name: &str| {
+            let seed = ObjectVal::text("Data", "s");
+            let inputs = BTreeMap::from([("seed".to_string(), seed)]);
+            coord.start_instance(
+                world,
+                name,
+                "diamond",
+                FIG1_DIAMOND,
+                "diamond",
+                "main",
+                inputs,
+            )
+        };
+        // Another open action holds the write lock on `x`'s header: the
+        // start of `x` dies on it, after it took the id sequence's.
+        let blocker = {
+            let mut coordinator = coord.inner.borrow_mut();
+            let action = coordinator.mgr.begin();
+            let written = coordinator.mgr.write(&action, &keys::meta_uid("x"), &0u8);
+            written.expect("nothing else is open");
+            action
+        };
+        assert!(matches!(start(&mut world, "x"), Err(EngineError::Tx(_))));
+        assert!(!coord.inner.borrow().mgr.in_group(), "the start's group");
+        // Abandoned with its locks, that action would fail every later
+        // start on this shard until a restart.
+        start(&mut world, "y").expect("the failed start released the id sequence");
+        coord.inner.borrow_mut().mgr.abort(blocker);
+        start(&mut world, "x").expect("and left nothing of `x` behind");
+        assert_eq!(coord.instance_names(), ["x", "y"]);
+    }
 
     #[test]
     fn plan_cache_validates_once_and_never_holds_bad_bytes() {

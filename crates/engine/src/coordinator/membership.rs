@@ -307,8 +307,8 @@ impl Membership {
 /// Everything derives from the committed header and status record: the
 /// instance's uid prefix, the two blobs it pins — the plan under the
 /// record's fingerprint, the canonical source under the header's hash —
-/// and the dense fact range of the header's instance id, one contiguous
-/// range scan. The header comes FIRST: it is the entry that tells
+/// and the dense range of the header's instance id, every task's facts
+/// and control block in one contiguous range scan. The header comes FIRST: it is the entry that tells
 /// [`rekeyed`] a new instance's run begins, what it is called and which
 /// dense id its fact keys carry. Returns `None` for a missing or
 /// undecodable header or status record.
@@ -344,8 +344,9 @@ pub(super) fn package_instance(
 
 /// Packaged entries ([`package_instance`] runs, back to back) as the
 /// receiving shard stores them: each instance, in order of appearance,
-/// takes the next dense id from `base` — every fact key re-keyed onto
-/// it (the dense id is shard-local; the instance keeps its name), the
+/// takes the next dense id from `base` — every dense key, fact or
+/// control block, re-keyed onto it (the dense id is shard-local; the
+/// instance keeps its name), the
 /// header's `instance_id` rewritten to match, everything else verbatim.
 /// An instance `skip` names is left out whole. Returns the instances
 /// kept, in id order, beside their entries.
@@ -408,24 +409,26 @@ fn rekeyed(
 
 impl Coordinator {
     /// Deletes every committed object of `instance` in one atomic
-    /// action: its whole uid prefix plus the dense fact range of the
-    /// header's instance id. The storage half of the source side of a
-    /// committed hand-off (the shared plan and source blobs stay; blob
-    /// GC collects them once no local instance pins them).
+    /// action: its whole uid prefix plus the dense range — facts and
+    /// control blocks — of the header's instance id. The storage half
+    /// of the source side of a committed hand-off (the shared plan and
+    /// source blobs stay; blob GC collects them once no local instance
+    /// pins them).
     fn purge_instance(&mut self, instance: &str) -> Result<(), EngineError> {
         let header: Option<InstanceHeader> = self.mgr.read_committed(&meta_uid(instance))?;
-        let action = self.mgr.begin();
-        for uid in self.mgr.uids_with_prefix(&keys::instance_prefix(instance)) {
-            self.mgr.delete(&action, &uid)?;
-        }
-        if let Some(header) = &header {
-            let lo = FactKey::instance_first(header.instance_id);
-            let hi = FactKey::instance_last(header.instance_id);
-            for fact in self.mgr.fact_keys_in_range(lo, hi) {
-                self.mgr.delete_key(&action, &StoreKey::Fact(fact))?;
+        self.atomically(|mgr, action| {
+            for uid in mgr.uids_with_prefix(&keys::instance_prefix(instance)) {
+                mgr.delete(action, &uid)?;
             }
-        }
-        self.commit(action)
+            if let Some(header) = &header {
+                let lo = FactKey::instance_first(header.instance_id);
+                let hi = FactKey::instance_last(header.instance_id);
+                for key in mgr.fact_keys_in_range(lo, hi) {
+                    mgr.delete_key(action, &StoreKey::Fact(key))?;
+                }
+            }
+            Ok(())
+        })
     }
 
     /// Drops `instance`'s volatile runtime — the freeze: outstanding
@@ -779,7 +782,7 @@ impl CoordHandle {
                 dest,
                 instances: instances.clone(),
             };
-            coordinator.commit_object(&move_uid(tx), &record)?;
+            coordinator.commit_object(&StoreKey::Uid(move_uid(tx)), &record)?;
             let watchdogs: Vec<EventId> = instances
                 .iter()
                 .flat_map(|instance| coordinator.drop_runtime(instance))
@@ -1389,8 +1392,8 @@ mod tests {
     }
 
     /// One instance's run as `package_instance` lays it out: the
-    /// header, the status record, a control block that merely ends in
-    /// `/meta`, the shared plan and source, one fact.
+    /// header, the status record, the shared plan and source, one fact
+    /// and one control block.
     fn run(name: &str, id: u32) -> AfterImages {
         vec![
             (
@@ -1398,13 +1401,10 @@ mod tests {
                 Some(flowscript_codec::to_bytes(&header(id))),
             ),
             (StoreKey::Uid(status_uid(name)), Some(vec![0])),
-            (
-                StoreKey::Uid(keys::cb_uid(name, "root/meta")),
-                Some(vec![1]),
-            ),
             (StoreKey::Uid(plan_uid(9)), Some(vec![2])),
             (StoreKey::Uid(source_uid(5)), Some(vec![4])),
             (StoreKey::Fact(FactKey::output(id, 2, 1)), Some(vec![3])),
+            (StoreKey::Fact(FactKey::control(id, 2)), Some(vec![1])),
         ]
     }
 
@@ -1438,7 +1438,7 @@ mod tests {
         // header, a fact before any run, a fact on somebody else's id,
         // a run that opens with something other than its header.
         let corrupt = vec![(StoreKey::Uid(meta_uid("i")), Some(vec![0xFF; 3]))];
-        let stray = vec![run("i", 3).remove(5)];
+        let stray = vec![run("i", 3).remove(4)];
         let mut foreign = run("i", 3);
         foreign.push((StoreKey::Fact(FactKey::output(4, 0, 0)), Some(vec![])));
         let headless = run("i", 3).split_off(1);

@@ -27,8 +27,8 @@
 //!
 //! This module holds the shared state ([`Coordinator`], reached through
 //! the cloneable [`CoordHandle`]), the message entry point and the
-//! helpers every concern uses (`commit`, `commit_cb`, `record_event`,
-//! the control-block/header/status reads, `pump`). Each child module owns one
+//! helpers every concern uses (`atomically`, `commit`, `commit_cb`,
+//! `record_event`, the control-block/header/status reads, `pump`). Each child module owns one
 //! concern; what it *owns* is private to it, and the entry points named
 //! are the only way in from a sibling:
 //!
@@ -65,7 +65,7 @@ use flowscript_core::schema::Schema;
 use flowscript_obs::{FlightRecorder, ObsEventKind, Registry};
 use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::{Envelope, NodeId, World};
-use flowscript_tx::{ObjectUid, StableStore, TxManager};
+use flowscript_tx::{AtomicAction, FactKey, StableStore, StoreKey, TxError, TxManager};
 
 use crate::error::EngineError;
 use crate::keys::{meta_uid, status_uid, InstanceKeys};
@@ -103,8 +103,8 @@ struct InstanceRt {
     /// repository's plan cache, or lowered locally; re-lowered after
     /// each reconfiguration).
     plan: Rc<Plan>,
-    /// Interned storage keys: control-block uids formatted once, fact
-    /// keys precomputed per plan source (rebuilt with the plan).
+    /// Interned storage keys: header and status uids formatted once,
+    /// fact keys precomputed per plan source (rebuilt with the plan).
     keys: Rc<InstanceKeys>,
     bindings: BTreeMap<String, String>,
     /// One record per task with outstanding work (`dispatch`'s, keyed
@@ -256,27 +256,40 @@ impl Coordinator {
         }
     }
 
-    fn commit(&mut self, action: flowscript_tx::AtomicAction) -> Result<(), EngineError> {
+    fn commit(&mut self, action: AtomicAction) -> Result<(), EngineError> {
         self.mgr.commit(action)?;
         self.commits += 1;
         Ok(())
     }
 
-    /// Writes one object in an atomic action of its own.
-    fn commit_object<T: Encode>(&mut self, uid: &ObjectUid, value: &T) -> Result<(), EngineError> {
+    /// Runs `stage` inside an atomic action of its own: committed when
+    /// it returns `Ok`, aborted when it returns `Err`. An action has no
+    /// `Drop` — one abandoned by an early return keeps its locks until
+    /// the next restart — so staging that can fail goes through here.
+    fn atomically<T>(
+        &mut self,
+        stage: impl FnOnce(&mut TxManager<StableStore>, &AtomicAction) -> Result<T, EngineError>,
+    ) -> Result<T, EngineError> {
         let action = self.mgr.begin();
-        if let Err(err) = self.mgr.write(&action, uid, value) {
-            self.mgr.abort(action);
-            return Err(err.into());
+        match stage(&mut self.mgr, &action) {
+            Ok(value) => self.commit(action).map(|()| value),
+            Err(err) => {
+                self.mgr.abort(action);
+                Err(err)
+            }
         }
-        self.commit(action)
+    }
+
+    /// Writes one object in an atomic action of its own.
+    fn commit_object<T: Encode>(&mut self, key: &StoreKey, value: &T) -> Result<(), EngineError> {
+        self.atomically(|mgr, action| Ok(mgr.write_key(action, key, value)?))
     }
 
     /// Writes one control block in an atomic action of its own and
     /// reports whether it committed — callers move their counters and
     /// trace events only on `true`.
-    fn commit_cb(&mut self, uid: &ObjectUid, cb: &TaskCb) -> bool {
-        self.commit_object(uid, cb).is_ok()
+    fn commit_cb(&mut self, key: FactKey, cb: &TaskCb) -> bool {
+        self.commit_object(&StoreKey::Fact(key), cb).is_ok()
     }
 
     /// Checkpoints when the threshold of commits has accumulated since
@@ -297,9 +310,10 @@ impl Coordinator {
         Ok(())
     }
 
-    /// Control-block read through the interned uid table.
+    /// The committed control block of `task`: one dense-key point read.
     fn read_cb_id(&self, keys: &InstanceKeys, task: TaskId) -> Option<TaskCb> {
-        self.mgr.read_committed(keys.cb(task)).ok().flatten()
+        let key = StoreKey::Fact(keys.cb(task));
+        self.mgr.read_committed_key(&key).ok().flatten()
     }
 
     /// Whether `instance` exists on this shard. The store is the truth,
@@ -359,6 +373,17 @@ impl Coordinator {
             rt.nonterminal += n;
         }
     }
+}
+
+/// Stages `cb` as `task`'s control block in `action`.
+fn write_cb(
+    mgr: &mut TxManager<StableStore>,
+    action: &AtomicAction,
+    keys: &InstanceKeys,
+    task: TaskId,
+    cb: &TaskCb,
+) -> Result<(), TxError> {
+    mgr.write_key(action, &StoreKey::Fact(keys.cb(task)), cb)
 }
 
 impl CoordHandle {

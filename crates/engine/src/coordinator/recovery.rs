@@ -125,7 +125,7 @@ impl CoordHandle {
         // Re-dispatch whatever was executing (at-least-once execution,
         // exactly-once outcome application via attempt matching).
         for instance in &instances {
-            let Some((_, keys)) = self.instance_ctx(instance) else {
+            let Some((plan, keys)) = self.instance_ctx(instance) else {
                 continue;
             };
             let executing = self.inner.borrow().executing(instance);
@@ -142,7 +142,8 @@ impl CoordHandle {
                     coordinator.commit_cb(keys.cb(task), &cb).then_some(cb)
                 };
                 if let Some(cb) = bumped {
-                    self.redispatch(world, instance, &cb.path, cb.attempt);
+                    let path = plan.str(plan.task(task).path);
+                    self.redispatch(world, instance, path, cb.attempt);
                 }
             }
             self.evaluate(world, instance);

@@ -192,7 +192,8 @@ impl Coordinator {
         task_id: TaskId,
     ) -> Staging {
         let (instance, path, incarnation, attempt) = event.address();
-        let mut cb = match self.mgr.read::<TaskCb>(action, keys.cb(task_id)) {
+        let cb_key = StoreKey::Fact(keys.cb(task_id));
+        let mut cb = match self.mgr.read_key::<TaskCb>(action, &cb_key) {
             Ok(Some(cb)) => cb,
             Ok(None) => return Staging::Consumed,
             Err(_) => return Staging::Error,
@@ -237,7 +238,7 @@ impl Coordinator {
             .collect();
         let write = self
             .mgr
-            .write(action, keys.cb(task_id), &cb)
+            .write_key(action, &cb_key, &cb)
             .and_then(|_| facts::write_fact_map(&mut self.mgr, action, plan, out_key, &stamped));
         match write {
             Ok(()) => Staging::Staged(StagedEffect {
@@ -345,7 +346,7 @@ impl CoordHandle {
                 Some((plan, keys, task))
             });
             if let Some((_, keys, task)) = &ctx {
-                cb_keys.insert(StoreKey::from(keys.cb(*task)));
+                cb_keys.insert(StoreKey::Fact(keys.cb(*task)));
             }
             contexts.push(ctx);
         }

@@ -19,6 +19,10 @@
 //! re-dispatch, monitoring, reconfiguration remapping) reconstruct the
 //! map with one contiguous range scan. Subtree cancel/reset ranges
 //! widen transparently: object sub-keys sort inside their fact.
+//!
+//! A task's control block shares the facts' dense key space (one key,
+//! after the task's facts), so the instance-wide walks here — the
+//! reconfiguration remap — carry it along.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -259,8 +263,9 @@ pub fn read_fact_map<S: Storage>(
 }
 
 /// Resolves one fact's identity (producer path, fact kind, set/output
-/// name) under a replacement plan and re-keys its presence key. `None`
-/// when the task or its declaration no longer exists.
+/// name) — or one control block's (its task's path) — under a
+/// replacement plan and re-keys its presence key. `None` when the task
+/// or its declaration no longer exists.
 fn remap_fact_base(
     old_plan: &Plan,
     new_plan: &Plan,
@@ -285,6 +290,7 @@ fn remap_fact_base(
             let item = new_plan.class_output_ordinal(new_class, name)?;
             Some(FactKey::output(instance_id, new_task, item))
         }
+        FactKind::Control => Some(FactKey::control(instance_id, new_task)),
     }
 }
 
@@ -305,15 +311,22 @@ fn decl_names_match(old_plan: &Plan, new_plan: &Plan, base: FactKey) -> bool {
             .all(|(a, b)| old_plan.str(a.name) == new_plan.str(b.name))
 }
 
-/// One staged fact move: the sub-keys to vacate, and (unless the fact
-/// dies with its declaration) the new presence key with the
-/// reconstructed record to rewrite under it.
-type FactMove = (Vec<FactKey>, Option<(FactKey, BTreeMap<String, ObjectVal>)>);
+/// What a staged move carries to its new key: a fact's reconstructed
+/// record, or a control block's bytes verbatim.
+enum Moved {
+    Fact(BTreeMap<String, ObjectVal>),
+    Block(Vec<u8>),
+}
 
-/// Moves every persisted fact of an instance from the old plan's dense
-/// id space onto the new plan's (reconfiguration shifts task ids,
-/// set/output ordinals *and* object ordinals; facts whose task or
-/// declaration vanished are deleted; objects whose declared slot
+/// One staged move: the keys to vacate, and (unless the object dies with
+/// its task or declaration) the new base key with what to write there.
+type KeyMove = (Vec<FactKey>, Option<(FactKey, Moved)>);
+
+/// Moves every persisted fact and control block of an instance from the
+/// old plan's dense id space onto the new plan's (reconfiguration shifts
+/// task ids, set/output ordinals *and* object ordinals; a block follows
+/// its task, by path; facts whose task or declaration vanished and
+/// blocks whose task did are deleted; objects whose declared slot
 /// vanished demote to the presence extras). Deletes are staged before
 /// writes so a key vacated by one move can be reoccupied by another
 /// within the same action.
@@ -330,7 +343,8 @@ pub fn remap_instance_facts<S: Storage>(
     instance_id: u32,
 ) -> Result<(), TxError> {
     let (lo, hi) = old_keys.instance_fact_range();
-    // Group sub-keys per fact; key order keeps a fact's range adjacent.
+    // Group sub-keys per fact; key order keeps a fact's range adjacent
+    // (a control block is a group of one).
     let mut groups: Vec<(FactKey, Vec<FactKey>)> = Vec::new();
     for key in mgr.fact_keys_in_range(lo, hi) {
         let base = key.with_obj(0);
@@ -339,14 +353,21 @@ pub fn remap_instance_facts<S: Storage>(
             _ => groups.push((base, vec![key])),
         }
     }
-    let mut moves: Vec<FactMove> = Vec::new();
+    let mut moves: Vec<KeyMove> = Vec::new();
     for (base, members) in groups {
         let target = remap_fact_base(old_plan, new_plan, base, instance_id);
-        if target == Some(base) && decl_names_match(old_plan, new_plan, base) {
+        // A block has no sub-keys to misplace.
+        let is_block = base.kind == FactKind::Control;
+        if target == Some(base) && (is_block || decl_names_match(old_plan, new_plan, base)) {
             continue; // identity: every sub-key already lives at its address
         }
-        let record = read_fact_map(mgr, old_plan, base)?;
-        moves.push((members, target.zip(record)));
+        let moved = if is_block {
+            let bytes = mgr.read_committed_bytes(&StoreKey::Fact(base));
+            bytes.map(|bytes| Moved::Block(bytes.to_vec()))
+        } else {
+            read_fact_map(mgr, old_plan, base)?.map(Moved::Fact)
+        };
+        moves.push((members, target.zip(moved)));
     }
     for (members, _) in &moves {
         for key in members {
@@ -354,8 +375,14 @@ pub fn remap_instance_facts<S: Storage>(
         }
     }
     for (_, target) in moves {
-        if let Some((new_base, record)) = target {
-            write_fact_map(mgr, action, new_plan, new_base, &record)?;
+        match target {
+            Some((base, Moved::Fact(record))) => {
+                write_fact_map(mgr, action, new_plan, base, &record)?;
+            }
+            Some((base, Moved::Block(bytes))) => {
+                mgr.write_key_raw(action, &StoreKey::Fact(base), bytes)?;
+            }
+            None => {}
         }
     }
     Ok(())

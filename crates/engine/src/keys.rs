@@ -1,28 +1,37 @@
 //! Storage keys: the string uid layout, and per-instance interned keys.
 //!
-//! **The uid layout lives here and nowhere else.** An instance's
-//! objects sit under `inst/<name>/…` — `meta` (the write-once header),
-//! `status` (the small mutable record), `cb/<task path>`,
+//! **The uid layout lives here and nowhere else.** What an instance
+//! keeps under a *name* sits under `inst/<name>/…` — `meta` (the
+//! write-once header), `status` (the small mutable record),
 //! `bind/<code>`, `reconfig/<n>` — with the name **escaped** where it
 //! enters the uid (`%` → `%25`, `/` → `%2F`), so the name is exactly one
-//! path segment: no instance's prefix is a prefix of another's, and no
-//! control block can be mistaken for a header. Shard-wide objects sit
-//! under `sys/…`: the instance-id sequence, the two blobs instances
-//! share by content — `sys/plan/<fingerprint>` and `sys/src/<hash>` —
-//! and `sys/move/<tx>`, the record of a hand-off round this shard
-//! coordinates (see [`crate::coordinator`]'s membership protocol).
+//! path segment: no instance's prefix is a prefix of another's.
+//! Shard-wide objects sit under `sys/…`: the instance-id sequence, the
+//! two blobs instances share by content — `sys/plan/<fingerprint>` and
+//! `sys/src/<hash>` — and `sys/move/<tx>`, the record of a hand-off
+//! round this shard coordinates (see [`crate::coordinator`]'s
+//! membership protocol).
+//!
+//! Everything an instance keeps **per task** is dense-keyed by
+//! `(instance id, task id)` — the header assigns the first, the plan the
+//! second: the task's input-binding and output facts and, after them,
+//! its control block ([`FactKey::control`]). One contiguous range holds
+//! a task, a subtree (plans number tasks in DFS pre-order) or the whole
+//! instance, so hand-off packages, re-keys and purges blocks with the
+//! facts, and no per-task object's key is ever formatted, hashed as a
+//! string or compared bytewise.
 //!
 //! A live instance resolves every hot-path storage access through an
 //! [`InstanceKeys`] table built **once** at instance start (and rebuilt
-//! on reconfiguration, when the plan itself changes): the header,
-//! status and control-block uids are formatted exactly once, and every
-//! plan dependency source gets its probed fact's dense [`FactKey`]s
-//! precomputed — both the fact's *presence* sub-key (`obj = 0`,
-//! existence answers "fired?") and the *data* sub-key of the one object
-//! the source takes (`obj = ordinal + 1`, holding exactly that object's
-//! bytes) — so a readiness probe is a single point read with zero
-//! record decode, and an output commit, a subtree cancel/reset or a
-//! stuck diagnostic never formats a string.
+//! on reconfiguration, when the plan itself changes): the header and
+//! status uids are formatted exactly once, and every plan dependency
+//! source gets its probed fact's dense [`FactKey`]s precomputed — both
+//! the fact's *presence* sub-key (`obj = 0`, existence answers
+//! "fired?") and the *data* sub-key of the one object the source takes
+//! (`obj = ordinal + 1`, holding exactly that object's bytes) — so a
+//! readiness probe is a single point read with zero record decode, and
+//! an output commit, a subtree cancel/reset or a stuck diagnostic never
+//! formats a string.
 
 use std::borrow::Cow;
 
@@ -32,9 +41,9 @@ use flowscript_tx::{FactKey, ObjectUid, TxId};
 /// Every per-instance uid starts with this.
 pub(crate) const INSTANCE_ROOT: &str = "inst/";
 /// What a header uid ends with (`uids_matching(INSTANCE_ROOT,
-/// HEADER_SUFFIX)` enumerates the stored instances' headers, plus any
-/// control block whose task is called `meta` —
-/// [`header_instance`] tells them apart).
+/// HEADER_SUFFIX)` enumerates the stored instances' headers;
+/// [`header_instance`] names each, and nobody for a rebinding of a code
+/// called `meta`).
 pub(crate) const HEADER_SUFFIX: &str = "/meta";
 /// The prefix of every persisted plan blob.
 pub(crate) const PLAN_PREFIX: &str = "sys/plan/";
@@ -98,17 +107,6 @@ pub(crate) fn header_instance(uid: &str) -> Option<String> {
 /// The uid of an instance's status record.
 pub(crate) fn status_uid(instance: &str) -> ObjectUid {
     under(&instance_prefix(instance), "status")
-}
-
-/// The prefix of an instance's control-block uids.
-pub(crate) fn cb_prefix(instance: &str) -> String {
-    instance_prefix(instance) + "cb/"
-}
-
-/// Formats a control-block uid (used once per task at table build, and
-/// by cold administrative paths).
-pub(crate) fn cb_uid(instance: &str, path: &str) -> ObjectUid {
-    under(&cb_prefix(instance), path)
 }
 
 /// The prefix of an instance's rebinding uids; what follows it in a uid
@@ -186,14 +184,13 @@ pub struct ProbeKeys {
 
 /// The interned key table of one live instance.
 pub struct InstanceKeys {
-    /// The instance's dense numeric id (the fact key namespace).
+    /// The instance's dense numeric id (the namespace of its fact and
+    /// control-block keys).
     pub instance_id: u32,
     /// The instance's header uid.
     meta: ObjectUid,
     /// The instance's status-record uid.
     status: ObjectUid,
-    /// Per task id: its control-block uid.
-    cb: Vec<ObjectUid>,
     /// Per plan source index: the probed fact's keys (`None` when the
     /// producer no longer exists or the named set/output is
     /// undeclared — a probe that can never fire).
@@ -205,12 +202,6 @@ pub struct InstanceKeys {
 impl InstanceKeys {
     /// Builds the table for `plan` (one pass over the source pool).
     pub fn build(plan: &Plan, instance: &str, instance_id: u32) -> Self {
-        let cbs = cb_prefix(instance);
-        let cb = plan
-            .tasks
-            .iter()
-            .map(|task| under(&cbs, plan.str(task.path)))
-            .collect();
         let mut source = vec![None; plan.sources.len()];
         let mut any = vec![None; plan.any_pool.len()];
         for (idx, src) in plan.sources.iter().enumerate() {
@@ -253,7 +244,6 @@ impl InstanceKeys {
             instance_id,
             meta: meta_uid(instance),
             status: status_uid(instance),
-            cb,
             source,
             any,
         }
@@ -269,9 +259,9 @@ impl InstanceKeys {
         &self.status
     }
 
-    /// The control-block uid of a task.
-    pub fn cb(&self, task: TaskId) -> &ObjectUid {
-        &self.cb[task as usize]
+    /// The key of a task's control block.
+    pub fn cb(&self, task: TaskId) -> FactKey {
+        FactKey::control(self.instance_id, task)
     }
 
     /// Resolves an evaluation probe to its interned fact keys — pure
@@ -310,9 +300,10 @@ impl InstanceKeys {
         )
     }
 
-    /// The inclusive key range holding every fact of every *strict*
-    /// descendant of `scope` — one contiguous range, because plans
-    /// number tasks in DFS pre-order. `None` for childless scopes.
+    /// The inclusive key range holding every fact — and, interleaved
+    /// task by task, every control block — of every *strict* descendant
+    /// of `scope`: one contiguous range, because plans number tasks in
+    /// DFS pre-order. `None` for childless scopes.
     pub fn subtree_fact_range(&self, plan: &Plan, scope: TaskId) -> Option<(FactKey, FactKey)> {
         let end = plan.task(scope).subtree_end;
         if end <= scope + 1 {
@@ -324,7 +315,8 @@ impl InstanceKeys {
         ))
     }
 
-    /// The inclusive key range holding every fact of the instance.
+    /// The inclusive key range holding every fact and control block of
+    /// the instance.
     pub fn instance_fact_range(&self) -> (FactKey, FactKey) {
         (
             FactKey::instance_first(self.instance_id),
@@ -350,14 +342,13 @@ mod tests {
 
     #[test]
     fn no_instance_owns_a_uid_under_anothers_prefix() {
-        let names = ["a", "a/b", "a/cb/x", "inst/a", "b/meta", "50%", "a%2Fb"];
+        let names = ["a", "a/b", "a/bind/x", "inst/a", "b/meta", "50%", "a%2Fb"];
         let uids_of = |name: &str| {
             [
                 meta_uid(name),
                 status_uid(name),
-                cb_uid(name, "root"),
-                cb_uid(name, "x/meta"),
                 bind_uid(name, "refCode"),
+                bind_uid(name, "meta"),
                 reconfig_uid(name, 3),
             ]
         };
@@ -376,7 +367,7 @@ mod tests {
                     );
                 }
             }
-            // Only the header reads as one, whatever the task is called.
+            // Only the header reads as one, whatever a code is called.
             for uid in &uids_of(name)[1..] {
                 assert_eq!(header_instance(uid.as_str()), None, "`{uid}`");
             }
@@ -388,10 +379,7 @@ mod tests {
         // Names without `%` or `/` appear verbatim: the layout every
         // golden log was rendered under.
         assert_eq!(meta_uid("order-1").as_str(), "inst/order-1/meta");
-        assert_eq!(
-            cb_uid("order-1", "root/t").as_str(),
-            "inst/order-1/cb/root/t"
-        );
+        assert_eq!(status_uid("order-1").as_str(), "inst/order-1/status");
         assert_eq!(reconfig_uid("i", 3).as_str(), "inst/i/reconfig/00000003");
         assert_eq!(blob_id(&plan_uid(0xAB), PLAN_PREFIX), Some(0xAB));
         assert_eq!(
@@ -487,5 +475,15 @@ mod tests {
         assert!(ilo <= lo && hi <= ihi);
         let (nlo, nhi) = keys.input_fact_range(scope);
         assert!(ilo <= nlo && nhi <= ihi);
+        // Blocks ride in the ranges that span their task — the subtree's
+        // holds its members' and not the scope's own — and a scope's
+        // input-binding range stops short of its block.
+        let inside = |key: FactKey, (lo, hi): (FactKey, FactKey)| lo <= key && key <= hi;
+        assert!(inside(keys.cb(scope + 1), (lo, hi)));
+        assert!(inside(keys.cb(plan.task(scope).subtree_end - 1), (lo, hi)));
+        assert!(!inside(keys.cb(scope), (lo, hi)));
+        assert!(!inside(keys.cb(scope), (nlo, nhi)));
+        assert!(inside(keys.cb(0), (ilo, ihi)));
+        assert_eq!(keys.cb(scope), FactKey::control(1, scope));
     }
 }

@@ -192,13 +192,13 @@ impl Decode for Reconfig {
 }
 
 /// Control-block changes the engine must persist alongside the schema
-/// mutation.
+/// mutation. (A removed task needs none: its block and facts are keyed
+/// by its task id, and die when the remap onto the new plan finds no
+/// task to move them to.)
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ReconfigEffects {
     /// Full paths of tasks added (need fresh control blocks).
     pub new_tasks: Vec<String>,
-    /// Full paths of tasks removed (control blocks and facts deleted).
-    pub removed_tasks: Vec<String>,
 }
 
 /// Validates and applies one reconfiguration to a schema.
@@ -304,8 +304,7 @@ pub fn apply(schema: &mut Schema, op: &Reconfig) -> Result<ReconfigEffects, Engi
                     dependents.join(", ")
                 )));
             }
-            let removed = scope.tasks.remove(index);
-            collect_paths(&removed, task_path, &mut effects.removed_tasks);
+            scope.tasks.remove(index);
             // Drop any remaining references to the removed task from
             // sibling alternatives (they had others, by the check above).
             let scope = scope_mut(schema, &scope_path)?;
@@ -522,15 +521,6 @@ fn validate_source(
     Ok(())
 }
 
-fn collect_paths(task: &flowscript_core::schema::CompiledTask, path: &str, out: &mut Vec<String>) {
-    out.push(path.to_string());
-    if let TaskBody::Scope(inner) = &task.body {
-        for child in &inner.tasks {
-            collect_paths(child, &format!("{path}/{}", child.name), out);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -684,7 +674,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(effects.removed_tasks, vec!["diamond/t3".to_string()]);
+        assert!(effects.new_tasks.is_empty());
         assert!(schema.root.task("t3").is_none());
         // t4.right kept only the t2 alternative.
         let t4 = schema.root.task("t4").unwrap();

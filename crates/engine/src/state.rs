@@ -126,11 +126,12 @@ impl Decode for CbState {
     }
 }
 
-/// The persistent control block of one task instance.
+/// The persistent control block of one task instance. It does not name
+/// its task: it is stored under the task's dense key
+/// ([`InstanceKeys::cb`](crate::keys::InstanceKeys::cb)), and the plan
+/// that assigned the id names the path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskCb {
-    /// Slash-joined instance path (e.g. `order/dispatch`).
-    pub path: String,
     /// Lifecycle state.
     pub state: CbState,
     /// Which incarnation of the *parent* scope this task belongs to
@@ -150,9 +151,8 @@ pub struct TaskCb {
 
 impl TaskCb {
     /// A fresh control block in `Waiting`.
-    pub fn new(path: impl Into<String>) -> Self {
+    pub fn waiting() -> Self {
         Self {
-            path: path.into(),
             state: CbState::Waiting,
             incarnation: 0,
             scope_inc: 0,
@@ -203,8 +203,7 @@ impl TaskCb {
     pub fn transition(&mut self, to: CbState) {
         assert!(
             Self::transition_allowed(&self.state, &to),
-            "illegal task transition for {}: {:?} -> {:?}",
-            self.path,
+            "illegal task transition: {:?} -> {:?}",
             self.state,
             to
         );
@@ -236,28 +235,30 @@ impl TaskCb {
     }
 }
 
+/// The four counters are almost always zero and never large: varints.
 impl Encode for TaskCb {
     fn encode(&self, w: &mut ByteWriter) {
-        w.put_str(&self.path);
         self.state.encode(w);
-        w.put_u32(self.incarnation);
-        w.put_u32(self.scope_inc);
-        w.put_u32(self.attempt);
+        w.put_var_u64(u64::from(self.incarnation));
+        w.put_var_u64(u64::from(self.scope_inc));
+        w.put_var_u64(u64::from(self.attempt));
         self.marks_emitted.encode(w);
-        w.put_u32(self.repeats);
+        w.put_var_u64(u64::from(self.repeats));
     }
 }
 
 impl Decode for TaskCb {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let counter = |r: &mut ByteReader<'_>| {
+            u32::try_from(r.get_var_u64()?).map_err(|_| CodecError::VarintOverflow)
+        };
         Ok(TaskCb {
-            path: r.get_str()?.to_owned(),
             state: CbState::decode(r)?,
-            incarnation: r.get_u32()?,
-            scope_inc: r.get_u32()?,
-            attempt: r.get_u32()?,
+            incarnation: counter(r)?,
+            scope_inc: counter(r)?,
+            attempt: counter(r)?,
             marks_emitted: Vec::decode(r)?,
-            repeats: r.get_u32()?,
+            repeats: counter(r)?,
         })
     }
 }
@@ -352,7 +353,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "illegal task transition")]
     fn transition_panics_on_illegal_move() {
-        let mut cb = TaskCb::new("x");
+        let mut cb = TaskCb::waiting();
         cb.transition(CbState::Done {
             outcome: "nope".into(),
         });
@@ -360,7 +361,7 @@ mod tests {
 
     #[test]
     fn reset_clears_marks_and_attempts() {
-        let mut cb = TaskCb::new("a/b");
+        let mut cb = TaskCb::waiting();
         cb.transition(CbState::Executing { set: "main".into() });
         cb.attempt = 3;
         cb.marks_emitted.push("toPay".into());
@@ -377,16 +378,22 @@ mod tests {
     fn cb_codec_roundtrip_all_states() {
         for state in all_states() {
             let cb = TaskCb {
-                path: "root/task".into(),
                 state,
                 incarnation: 2,
-                scope_inc: 3,
-                attempt: 5,
+                scope_inc: u32::MAX,
+                attempt: 300,
                 marks_emitted: vec!["m1".into()],
                 repeats: 7,
             };
             let bytes = flowscript_codec::to_bytes(&cb);
             assert_eq!(flowscript_codec::from_bytes::<TaskCb>(&bytes).unwrap(), cb);
         }
+        // The block every task starts as is six bytes; a counter past
+        // `u32` is a typed error, not a truncation.
+        let fresh = flowscript_codec::to_bytes(&TaskCb::waiting());
+        assert_eq!(fresh, [0, 0, 0, 0, 0, 0]);
+        let mut wide = fresh.clone();
+        wide.splice(1..2, [0xFF, 0xFF, 0xFF, 0xFF, 0x10]);
+        assert!(flowscript_codec::from_bytes::<TaskCb>(&wide).is_err());
     }
 }

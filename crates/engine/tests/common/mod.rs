@@ -14,7 +14,7 @@ use flowscript_engine::{
 };
 use flowscript_sim::net::LinkConfig;
 use flowscript_sim::SimDuration;
-use flowscript_tx::{LogRecord, StableStore, Wal};
+use flowscript_tx::{LogRecord, StableStore, StoreKey, Wal};
 
 pub fn text(class: &str, value: &str) -> ObjectVal {
     ObjectVal::text(class, value)
@@ -409,8 +409,24 @@ pub fn settled(
 }
 
 // ---------------------------------------------------------------------
-// What a hand-off round leaves in a shard's log.
+// What a run, and a hand-off round, leave in a shard's log.
 // ---------------------------------------------------------------------
+
+/// Every frame of a shard's log, oldest first.
+pub fn log_frames(storage: &StableStore) -> Vec<LogRecord> {
+    Wal::new(storage.clone()).scan().expect("log scans")
+}
+
+/// Every after-image the commits and prepares of a frame carry, group
+/// members flattened, in log order, as `(key, value)` (`None`: a
+/// delete).
+pub fn frame_writes(frame: &LogRecord) -> Vec<(&StoreKey, Option<&[u8]>)> {
+    let images = members(frame).into_iter().flat_map(|record| match record {
+        LogRecord::Commit { writes, .. } | LogRecord::Prepare { writes, .. } => writes.as_slice(),
+        _ => &[],
+    });
+    images.map(|(key, value)| (key, value.as_deref())).collect()
+}
 
 /// Where a source keeps its rounds' move records.
 const MOVE_PREFIX: &str = "sys/move/";
@@ -448,7 +464,7 @@ pub fn handoff_frames(storage: &StableStore) -> Vec<LogRecord> {
             LogRecord::Prepare { .. } | LogRecord::Resolve { .. }
         ) || !move_record_writes(record).is_empty()
     };
-    let mut frames = Wal::new(storage.clone()).scan().expect("log scans");
+    let mut frames = log_frames(storage);
     frames.retain(|frame| members(frame).into_iter().any(of_the_protocol));
     frames
 }

@@ -22,12 +22,12 @@ mod common;
 use std::cell::Cell;
 use std::rc::Rc;
 
-use common::{generated_script, text, JOIN, ONE_TASK};
+use common::{det_link, frame_writes, generated_script, log_frames, text, JOIN, ONE_TASK};
 use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
-use flowscript_engine::{CbState, InstanceStatus, TaskBehavior, WorkflowSystem};
+use flowscript_engine::{CbState, CommitBatch, InstanceStatus, TaskBehavior, WorkflowSystem};
 use flowscript_sim::SimDuration;
-use flowscript_tx::{LogRecord, StoreKey, Wal};
+use flowscript_tx::{FactKind, StoreKey};
 
 fn order_sys(seed: u64) -> WorkflowSystem {
     let mut sys = WorkflowSystem::builder().executors(2).seed(seed).build();
@@ -198,26 +198,8 @@ fn corrupt_repeat_fact_stops_the_watchdog_retry() {
     assert!(!starved.get(), "the task ran without its repeat objects");
 }
 
-/// Every write in `records`, group frames flattened, as `(key, value)`
-/// (`None`: a delete).
-fn logged_writes(records: &[LogRecord]) -> Vec<(&StoreKey, Option<&[u8]>)> {
-    let mut writes = Vec::new();
-    for record in records {
-        match record {
-            LogRecord::Commit { writes: w, .. } | LogRecord::Prepare { writes: w, .. } => {
-                writes.extend(w.iter().map(|(key, value)| (key, value.as_deref())));
-            }
-            LogRecord::GroupCommit { records } => writes.extend(logged_writes(records)),
-            _ => {}
-        }
-    }
-    writes
-}
-
-#[test]
-fn a_diamond_logs_its_source_once_per_shard_and_stays_in_budget() {
-    let instances = 50;
-    let mut sys = WorkflowSystem::builder().executors(2).seed(1).build();
+/// Fig. 1's diamond registered, every task bound to a quick `done`.
+fn bind_diamond(sys: &mut WorkflowSystem) {
     sys.register_script("diamond", samples::FIG1_DIAMOND, "diamond")
         .unwrap();
     for code in ["refT1", "refT2", "refT3", "refT4"] {
@@ -225,6 +207,13 @@ fn a_diamond_logs_its_source_once_per_shard_and_stays_in_budget() {
             TaskBehavior::outcome("done").with_object("out", text("Data", "d"))
         });
     }
+}
+
+#[test]
+fn a_diamond_logs_its_source_once_per_shard_and_stays_in_budget() {
+    let instances = 50;
+    let mut sys = WorkflowSystem::builder().executors(2).seed(1).build();
+    bind_diamond(&mut sys);
     for i in 0..instances {
         sys.start(
             &format!("d{i}"),
@@ -239,8 +228,8 @@ fn a_diamond_logs_its_source_once_per_shard_and_stays_in_budget() {
         assert!(sys.outcome(&format!("d{i}")).is_some(), "d{i} completes");
     }
 
-    let records = Wal::new(sys.storage()).scan().expect("the log decodes");
-    let writes = logged_writes(&records);
+    let frames = log_frames(&sys.storage());
+    let writes: Vec<_> = frames.iter().flat_map(frame_writes).collect();
     // What instances run off is the repository's canonical form.
     let canonical = sys
         .repository()
@@ -252,21 +241,75 @@ fn a_diamond_logs_its_source_once_per_shard_and_stays_in_budget() {
         .filter(|value| value.windows(source.len()).any(|window| window == source))
         .count();
     assert_eq!(carrying_source, 1, "the source is logged once per shard");
-    let mut per_instance_writes = 0;
+    let (mut named_writes, mut block_writes) = (0, 0);
     for (key, value) in &writes {
-        let (StoreKey::Uid(uid), Some(value)) = (key, value) else {
-            continue;
-        };
-        if uid.as_str().starts_with("inst/") {
-            per_instance_writes += 1;
-            assert!(value.len() < 256, "`{uid}` logged {} B", value.len());
+        match (key, value) {
+            (StoreKey::Uid(uid), Some(value)) if uid.as_str().starts_with("inst/") => {
+                named_writes += 1;
+                assert!(value.len() < 256, "`{uid}` logged {} B", value.len());
+            }
+            (StoreKey::Fact(key), Some(value)) if key.kind == FactKind::Control => {
+                block_writes += 1;
+                assert!(value.len() < 16, "`{key}` logged {} B", value.len());
+            }
+            _ => {}
         }
     }
-    // Header, two status records and 14 control-block writes each.
-    assert!(per_instance_writes >= instances * 17);
+    // Under its name an instance logs its header and two status
+    // records; its 14 control-block writes go under dense keys.
+    assert_eq!(named_writes, instances * 3);
+    assert_eq!(block_writes, instances * 14);
     let per_instance = sys.log_size() / instances as u64;
     assert!(
-        per_instance < 2_000,
-        "{per_instance} B of log per diamond, budget 2 000"
+        per_instance < 1_200,
+        "{per_instance} B of log per diamond, budget 1 200"
     );
+}
+
+#[test]
+fn a_diamond_starts_in_one_frame() {
+    // The start's records and the first drain's activations share one
+    // log append; with a window of one each of the four reports then
+    // commits, cascade included, in a frame of its own.
+    let config = EngineConfig {
+        commit_batch: CommitBatch::disabled(),
+        ..EngineConfig::default()
+    };
+    let mut sys = WorkflowSystem::builder()
+        .executors(2)
+        .seed(1)
+        .link(det_link())
+        .config(config)
+        .build();
+    bind_diamond(&mut sys);
+    sys.start("d", "diamond", "main", [("seed", text("Data", "s"))])
+        .unwrap();
+    let frames = log_frames(&sys.storage());
+    assert_eq!(frames.len(), 1, "the start is durable when it returns");
+    sys.run();
+    assert!(sys.outcome("d").is_some());
+    let frames = log_frames(&sys.storage());
+    assert_eq!(frames.len(), 5, "one start and four reports");
+
+    let first = frame_writes(&frames[0]);
+    let named = |suffix: &str| {
+        let ends = |key: &StoreKey| key.as_uid().is_some_and(|uid| uid.as_str() == suffix);
+        first.iter().filter(|(key, _)| ends(key)).count()
+    };
+    assert_eq!(named("inst/d/meta"), 1);
+    assert_eq!(named("inst/d/status"), 1);
+    // Five fresh blocks — the instance is this shard's first, id 0 —
+    // then t1's again, `Executing`, beside the input set it bound.
+    let blocks: Vec<u32> = first
+        .iter()
+        .filter_map(|(key, _)| key.as_fact())
+        .filter(|key| key.kind == FactKind::Control)
+        .map(|key| key.task)
+        .collect();
+    assert_eq!(blocks, [0, 1, 2, 3, 4, 1]);
+    let bound_t1 = |key: &StoreKey| {
+        key.as_fact()
+            .is_some_and(|key| key.task == 1 && key.kind == FactKind::Input)
+    };
+    assert!(first.iter().any(|(key, _)| bound_t1(key)));
 }

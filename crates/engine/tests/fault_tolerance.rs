@@ -340,47 +340,24 @@ fn determinism_under_faults() {
     assert_eq!(run(99), run(99), "same seed, same fault plan ⇒ same trace");
 }
 
-/// [`common::ONE_TASK`] with its one leaf literally named `meta`, so
-/// the leaf's control-block uid (`inst/{instance}/cb/root/meta`) ends
-/// the way an instance's header uid does.
-const TASK_NAMED_META: &str = r#"
-class Data;
-taskclass Work {
-    inputs { input main { in of class Data } };
-    outputs { outcome done { } }
-}
-taskclass Root {
-    inputs { input main { seed of class Data } };
-    outputs { outcome done { } }
-}
-compoundtask root of taskclass Root {
-    task meta of taskclass Work {
-        implementation { "code" is "refWork" };
-        inputs { input main { inputobject in from { seed of task root if input main } } }
-    };
-    outputs { outcome done { notification from { task meta if output done } } }
-}
-"#;
-
 #[test]
 fn recovery_keeps_instance_names_that_look_like_storage_keys() {
     // An instance's name is one escaped segment of its uids, between
     // `inst/` and the `/meta` of its header. A name that itself starts
     // or ends that way must come back from a crash whole — reloading
     // `inst/a` as `a` would read the wrong keys and lose the instance —
-    // a control block that merely ends in `/meta` is not an instance,
-    // and `plain/cb/root`'s header is not `plain`'s control block for
-    // `root/meta` (spelled raw, the two were one uid).
+    // and `plain/kid` is nothing of `plain`'s.
     let mut sys = WorkflowSystem::builder()
         .executors(2)
         .seed(21)
         .config(snappy_config())
         .build();
-    sys.register_script("one", TASK_NAMED_META, "root").unwrap();
+    sys.register_script("one", common::ONE_TASK, "root")
+        .unwrap();
     sys.bind_fn("refWork", |_| {
         TaskBehavior::outcome("done").with_work(SimDuration::from_millis(100))
     });
-    let names = ["inst/a", "b/meta", "plain", "plain/cb/root"];
+    let names = ["inst/a", "b/meta", "plain", "plain/kid"];
     for name in names {
         sys.start(name, "one", "main", [("seed", text("Data", "s"))])
             .unwrap();

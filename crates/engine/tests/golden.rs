@@ -47,9 +47,9 @@ mod common;
 use std::path::Path;
 
 use common::{
-    add_t5, build, build_orders, det_config, det_link, fingerprint, generated_config,
-    generated_script, population, run_fan, run_generated, run_worklist_case, start_population,
-    text, Fingerprint,
+    add_t5, build, build_orders, det_config, det_link, fingerprint, frame_writes, generated_config,
+    generated_script, log_frames, population, run_fan, run_generated, run_worklist_case,
+    start_population, text, Fingerprint,
 };
 use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
@@ -118,6 +118,25 @@ fn run_population(coordinators: usize, config: EngineConfig) -> WorkflowSystem {
 /// Fingerprints of every instance, then the digest of every shard's log.
 fn run(coordinators: usize, config: EngineConfig) -> (String, String) {
     let sys = run_population(coordinators, config);
+    // Nothing an instance keeps per task is named by a string: what
+    // these logs hold under `inst/` is `inst/<name>/meta` and
+    // `inst/<name>/status` (nothing here rebinds or reconfigures).
+    for storage in sys.shard_storages() {
+        for frame in &log_frames(&storage) {
+            for (key, _) in frame_writes(frame) {
+                let Some(rest) = key
+                    .as_uid()
+                    .and_then(|uid| uid.as_str().strip_prefix("inst/"))
+                else {
+                    continue;
+                };
+                assert!(
+                    matches!(rest.split_once('/'), Some((_, "meta" | "status"))),
+                    "`{key}` names a task"
+                );
+            }
+        }
+    }
     let population = population();
     let fingerprints = population
         .iter()

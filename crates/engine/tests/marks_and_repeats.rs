@@ -1,9 +1,18 @@
 //! Leaf-level marks (early release during execution, Fig. 3) and
 //! leaf-level repeat outcomes — the non-compound halves of the output
-//! model, complementing the compound cases in `paper_scenarios.rs`.
+//! model, complementing the compound cases in `paper_scenarios.rs` —
+//! and what a compound repeat leaves in the log.
 
+mod common;
+
+use std::collections::BTreeSet;
+
+use flowscript_core::samples;
+use flowscript_core::schema::compile_source;
 use flowscript_engine::{CbState, ObjectVal, TaskBehavior, WorkflowSystem};
+use flowscript_plan::Plan;
 use flowscript_sim::{SimDuration, SimTime};
+use flowscript_tx::FactKind;
 
 const MARK_SCRIPT: &str = r#"
 class Data;
@@ -223,4 +232,63 @@ fn leaf_repeat_limit_enforced() {
         }
         other => panic!("expected repeat-limit stuck, got {other:?}"),
     }
+}
+
+#[test]
+fn compound_repeat_deletes_the_subtrees_facts_and_resets_its_blocks() {
+    // Fig. 8: the hotel fails in the first incarnation, the flight is
+    // cancelled and `businessReservation` takes its `retry`.
+    let mut sys = common::build(1, common::det_config());
+    sys.start(
+        "trip-retry",
+        "trip",
+        "main",
+        [("user", common::text("User", "retry"))],
+    )
+    .unwrap();
+    sys.run();
+    assert_eq!(sys.outcome("trip-retry").expect("converges").name, "booked");
+    assert_eq!(sys.stats().repeats, 1);
+
+    let schema = compile_source(samples::BUSINESS_TRIP, "tripReservation").unwrap();
+    let plan = Plan::lower(&schema);
+    let scope = plan
+        .task_by_path("tripReservation/businessReservation")
+        .unwrap();
+    let subtree: BTreeSet<u32> = plan.subtree(scope).collect();
+
+    let frames = common::log_frames(&sys.storage());
+    let dense = |frame| {
+        let writes = common::frame_writes(frame).into_iter();
+        writes.filter_map(|(key, value)| Some((key.as_fact()?, value.is_some())))
+    };
+    // The one commit that deletes anything dense is the repeat's: what
+    // it deletes are facts of the subtree (and the scope's own input
+    // binding), and it rewrites every block of the subtree.
+    let mut deleted_facts = 0;
+    let mut reset = BTreeSet::new();
+    for frame in &frames {
+        let images: Vec<_> = dense(frame).collect();
+        if images.iter().all(|(_, written)| *written) {
+            continue;
+        }
+        for (key, written) in images {
+            match (key.kind, written) {
+                (FactKind::Control, true) => {
+                    reset.insert(key.task);
+                }
+                (FactKind::Control, false) => panic!("`{key}` was deleted, not reset"),
+                (_, false) => {
+                    assert!(subtree.contains(&key.task) || key.task == scope, "`{key}`");
+                    deleted_facts += 1;
+                }
+                (_, true) => {}
+            }
+        }
+    }
+    assert!(deleted_facts > 0, "the first incarnation's facts stayed");
+    assert!(
+        reset.is_superset(&subtree),
+        "{reset:?} misses some of {subtree:?}"
+    );
 }

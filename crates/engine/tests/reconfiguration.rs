@@ -493,3 +493,139 @@ fn cost_samples_follow_the_task_across_an_id_shift() {
         .iter()
         .all(|slot| slot.in_flight == 0 && slot.remaining == 0));
 }
+
+/// Two compounds and a leaf under the root: `g` (one slow leaf `a`),
+/// then `k`, whose leaf `x` drives every counter a control block has —
+/// `k` repeats once on `x`'s `retry`, and in the second incarnation `x`
+/// takes a leaf repeat, then emits its mark and keeps executing — then
+/// `c`, waiting on `k`. Nothing draws on `g`, so it can go.
+const COUNTERS: &str = r#"
+class Data;
+taskclass Work {
+    inputs { input main { in of class Data } };
+    outputs {
+        outcome done { };
+        outcome retry { };
+        repeat outcome redo { };
+        mark half { }
+    }
+}
+taskclass Loop {
+    inputs { input main { seed of class Data } };
+    outputs { outcome done { }; repeat outcome again { } }
+}
+taskclass Root {
+    inputs { input main { seed of class Data } };
+    outputs { outcome done { } }
+}
+compoundtask root of taskclass Root {
+    compoundtask g of taskclass Loop {
+        inputs { input main { inputobject seed from { seed of task root if input main } } };
+        task a of taskclass Work {
+            implementation { "code" is "refSlow" };
+            inputs { input main { inputobject in from { seed of task g if input main } } }
+        };
+        outputs { outcome done { notification from { task a if output done } } }
+    };
+    compoundtask k of taskclass Loop {
+        inputs { input main { inputobject seed from { seed of task root if input main } } };
+        task x of taskclass Work {
+            implementation { "code" is "refX" };
+            inputs { input main { inputobject in from { seed of task k if input main } } }
+        };
+        outputs {
+            outcome done { notification from { task x if output done } };
+            repeat outcome again { notification from { task x if output retry } }
+        }
+    };
+    task c of taskclass Work {
+        implementation { "code" is "refQuick" };
+        inputs { input main {
+            inputobject in from { seed of task root if input main };
+            notification from { task k if output done }
+        } }
+    };
+    outputs { outcome done { notification from { task c if output done } } }
+}
+"#;
+
+#[test]
+fn control_blocks_follow_their_tasks_across_id_shifts_and_a_crash() {
+    let mut sys = WorkflowSystem::builder().executors(2).seed(68).build();
+    sys.register_script("counters", COUNTERS, "root").unwrap();
+    let slow = SimDuration::from_millis(500);
+    sys.bind_fn("refSlow", move |_| {
+        TaskBehavior::outcome("done").with_work(slow)
+    });
+    sys.bind_fn("refQuick", |_| TaskBehavior::outcome("done"));
+    sys.bind_fn("refX", move |ctx| match (ctx.incarnation, ctx.attempt) {
+        (0, _) => TaskBehavior::outcome("retry"),
+        (_, 0) => TaskBehavior::outcome("redo").with_redo_after(SimDuration::from_millis(1)),
+        _ => TaskBehavior::outcome("done").with_work(slow).with_mark(
+            SimDuration::from_millis(5),
+            "half",
+            [],
+        ),
+    });
+    sys.start("i1", "counters", "main", [("seed", text("Data", "s"))])
+        .unwrap();
+    sys.run_for(SimDuration::from_millis(30));
+
+    let blocks = |sys: &WorkflowSystem| sys.coord_handle(0).task_blocks("i1");
+    let before = blocks(&sys);
+    let x = &before["root/k/x"];
+    assert!(matches!(x.state, CbState::Executing { .. }), "{x:?}");
+    assert_eq!(
+        (x.incarnation, x.attempt, &x.marks_emitted[..], x.repeats),
+        (1, 1, &["half".to_string()][..], 1)
+    );
+    let k = &before["root/k"];
+    assert_eq!((k.scope_inc, k.repeats), (1, 1));
+    assert!(matches!(
+        before["root/g/a"].state,
+        CbState::Executing { .. }
+    ));
+    assert_eq!(before["root/c"].state, CbState::Waiting);
+
+    // A task added to `g` takes the id after `a`: `k`, `x` and `c` shift
+    // up by one, each with its block.
+    let add = Reconfig::AddTask {
+        scope_path: "root/g".into(),
+        task_source: r#"
+            task a2 of taskclass Work {
+                implementation { "code" is "refQuick" };
+                inputs { input main { inputobject in from { seed of task g if input main } } }
+            }"#
+        .into(),
+    };
+    sys.reconfigure("i1", add).unwrap();
+    let mut grown = blocks(&sys);
+    let added = grown.remove("root/g/a2").expect("the new task has a block");
+    assert!(
+        matches!(added.state, CbState::Executing { .. }),
+        "{added:?}"
+    );
+    assert_eq!(grown, before);
+
+    // `g` goes, with `a` mid-execution: three ids vanish ahead of `k`.
+    let remove = Reconfig::RemoveTask {
+        task_path: "root/g".into(),
+    };
+    sys.reconfigure("i1", remove).unwrap();
+    let mut survivors = before;
+    survivors.retain(|path, _| !path.starts_with("root/g"));
+    assert_eq!(survivors.len(), 4);
+    assert_eq!(blocks(&sys), survivors);
+
+    // The log replays to the same blocks; what recovery then does to
+    // them is its own: the executing leaf's attempt is bumped so a late
+    // pre-crash report is ignored.
+    let coordinator = sys.coordinator_node();
+    sys.crash_now(coordinator);
+    sys.restart_now(coordinator);
+    survivors.get_mut("root/k/x").expect("kept above").attempt += 1;
+    assert_eq!(blocks(&sys), survivors);
+    sys.run();
+    assert_eq!(sys.outcome("i1").expect("completes").name, "done");
+    assert_eq!(sys.stats().marks, 1, "the mark fired once");
+}

@@ -3,8 +3,8 @@
 //! `stuck_check` used to enumerate every control block by uid prefix
 //! after every worklist drain; it now reads an incrementally maintained
 //! non-terminal count plus the volatile in-flight set, and even the
-//! one-time stuck *report* resolves through the plan's interned uid
-//! table. These tests count actual store prefix scans to pin that down:
+//! one-time stuck *report* resolves through dense-key point reads.
+//! These tests count actual store prefix scans to pin that down:
 //! a run — completed, stuck, repeating or monitored — must not scan.
 
 use flowscript_core::samples;

@@ -1,18 +1,21 @@
 //! Structured storage keys.
 //!
 //! The engine's dependency *facts* (published outputs and bound input
-//! sets) are by far the hottest objects in the store: every readiness
-//! probe reads one. Naming them with path strings forces a `format!`
-//! per probe and a string compare per lookup. [`FactKey`] replaces that
-//! with a dense, `Copy`, fixed-size key — instance id × task id × fact
-//! kind × item ordinal — so a probe is integer comparison and a whole
-//! subtree of facts is one contiguous key range.
+//! sets) and its task *control blocks* are by far the hottest objects
+//! in the store: every readiness probe reads a fact, every transition
+//! reads and writes a block. Naming them with path strings forces a
+//! `format!` per probe and a string hash and compare per lookup.
+//! [`FactKey`] replaces that with a dense, `Copy`, fixed-size key —
+//! instance id × task id × kind × item ordinal — so an access is integer
+//! comparison, and everything a task, a subtree or an instance owns is
+//! one contiguous key range.
 //!
 //! [`StoreKey`] unifies the two key families the store accepts: the
-//! self-describing string [`ObjectUid`]s (metadata, control blocks,
-//! reconfiguration records — anything enumerated by prefix on cold
-//! paths) and the dense [`FactKey`]s of the commit hot path. Storage,
-//! locking and the write-ahead log are all keyed by `StoreKey`.
+//! self-describing string [`ObjectUid`]s (instance headers and status
+//! records, reconfiguration records, shared blobs — anything enumerated
+//! by prefix on cold paths) and the dense [`FactKey`]s of the commit hot
+//! path. Storage, locking and the write-ahead log are all keyed by
+//! `StoreKey`.
 
 use std::fmt;
 
@@ -20,16 +23,22 @@ use flowscript_codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
 
 use crate::id::ObjectUid;
 
-/// Which fact family a [`FactKey`] addresses.
+/// Which of a task's dense-keyed objects a [`FactKey`] addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FactKind {
     /// A bound input set (the consumer-side binding record).
     Input,
     /// A published output (outcome, abort outcome, repeat or mark).
     Output,
+    /// The task's control block — not a fact: one per task (`item` and
+    /// `obj` are 0), ordered after the task's facts, so every range that
+    /// spans a task spans its block while
+    /// [`FactKey::fact_last`]-bounded ranges never reach it.
+    Control,
 }
 
-/// Dense key of one dependency-fact **sub-object**.
+/// Dense key of one dependency-fact **sub-object**, or of one task's
+/// control block ([`FactKey::control`]).
 ///
 /// `task` is the producing task's plan id and `item` the ordinal of the
 /// set or output within the task's class declaration — both assigned by
@@ -41,15 +50,16 @@ pub enum FactKind {
 /// probe reads exactly the bytes of the one object it needs.
 ///
 /// Ordering is `(instance, task, kind, item, obj)`: all sub-objects of
-/// a fact are contiguous, as are all facts of a task, of an instance,
-/// and (because plans number tasks in DFS pre-order) of a subtree.
+/// a fact are contiguous, as are all facts of a task — followed by its
+/// control block — of an instance, and (because plans number tasks in
+/// DFS pre-order) of a subtree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FactKey {
     /// The owning instance's numeric id.
     pub instance: u32,
     /// The producing task's plan id.
     pub task: u32,
-    /// Input-binding or published-output fact.
+    /// Input-binding fact, published-output fact, or control block.
     pub kind: FactKind,
     /// Ordinal of the input set / output within the task's class.
     pub item: u32,
@@ -81,6 +91,17 @@ impl FactKey {
         }
     }
 
+    /// The key of `task`'s control block.
+    pub fn control(instance: u32, task: u32) -> Self {
+        Self {
+            instance,
+            task,
+            kind: FactKind::Control,
+            item: 0,
+            obj: 0,
+        }
+    }
+
     /// This fact's sub-key for sub-object ordinal `obj`.
     pub fn with_obj(mut self, obj: u32) -> Self {
         self.obj = obj;
@@ -98,22 +119,27 @@ impl FactKey {
         self.with_obj(u32::MAX)
     }
 
-    /// The smallest key a fact of `task` can have (range scans).
+    /// The smallest key an object of `task` can have (range scans).
     pub fn task_first(instance: u32, task: u32) -> Self {
         Self::input(instance, task, 0)
     }
 
-    /// The largest key a fact of `task` can have (range scans).
+    /// The largest key an object of `task` can have (range scans): past
+    /// its facts *and* its control block.
     pub fn task_last(instance: u32, task: u32) -> Self {
-        Self::output(instance, task, u32::MAX).fact_last()
+        Self {
+            item: u32::MAX,
+            ..Self::control(instance, task)
+        }
+        .fact_last()
     }
 
-    /// The smallest key any fact of `instance` can have.
+    /// The smallest key any object of `instance` can have.
     pub fn instance_first(instance: u32) -> Self {
         Self::task_first(instance, 0)
     }
 
-    /// The largest key any fact of `instance` can have.
+    /// The largest key any object of `instance` can have.
     pub fn instance_last(instance: u32) -> Self {
         Self::task_last(instance, u32::MAX)
     }
@@ -124,6 +150,7 @@ impl fmt::Display for FactKey {
         let kind = match self.kind {
             FactKind::Input => "in",
             FactKind::Output => "out",
+            FactKind::Control => "ctl",
         };
         write!(
             f,
@@ -140,6 +167,7 @@ impl Encode for FactKey {
         w.put_u8(match self.kind {
             FactKind::Input => 0,
             FactKind::Output => 1,
+            FactKind::Control => 2,
         });
         w.put_var_u64(u64::from(self.item));
         w.put_var_u64(u64::from(self.obj));
@@ -153,6 +181,7 @@ impl Decode for FactKey {
         let kind = match r.get_u8()? {
             0 => FactKind::Input,
             1 => FactKind::Output,
+            2 => FactKind::Control,
             other => {
                 return Err(CodecError::InvalidDiscriminant {
                     ty: "FactKind",
@@ -175,14 +204,15 @@ impl Decode for FactKey {
 /// A key into the persistent object store: either a self-describing
 /// string uid or a dense fact key.
 ///
-/// String uids order before fact keys, so prefix enumeration of uids and
-/// range scans over facts each stay within their own region of the
-/// store's key space.
+/// String uids order before dense keys, so prefix enumeration of uids
+/// and range scans over facts and control blocks each stay within their
+/// own region of the store's key space.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StoreKey {
-    /// A path-like string key (metadata, control blocks, admin records).
+    /// A path-like string key (instance records, admin records, blobs).
     Uid(ObjectUid),
-    /// A dense fact key (the commit hot path).
+    /// A dense key: a fact sub-object or a control block (the commit
+    /// hot path).
     Fact(FactKey),
 }
 
@@ -279,6 +309,39 @@ mod tests {
     }
 
     #[test]
+    fn control_key_lies_in_every_range_that_spans_its_task_and_in_no_fact_range() {
+        let block = FactKey::control(1, 2);
+        let inside = |lo: FactKey, hi: FactKey| lo <= block && block <= hi;
+        assert!(inside(FactKey::task_first(1, 2), FactKey::task_last(1, 2)));
+        assert!(inside(FactKey::task_first(1, 1), FactKey::task_last(1, 3)));
+        assert!(inside(
+            FactKey::instance_first(1),
+            FactKey::instance_last(1)
+        ));
+        // After the task's last possible fact, before the next task's
+        // first; neighbouring tasks' and instances' ranges exclude it.
+        assert!(FactKey::output(1, 2, u32::MAX).fact_last() < block);
+        assert!(block < FactKey::task_first(1, 3));
+        assert!(!inside(FactKey::task_first(1, 1), FactKey::task_last(1, 1)));
+        assert!(!inside(
+            FactKey::instance_first(2),
+            FactKey::instance_last(2)
+        ));
+        // What a compound repeat clears of its own — its input bindings,
+        // first item to last — stops short of it, as does any one fact.
+        assert!(!inside(
+            FactKey::input(1, 2, 0),
+            FactKey::input(1, 2, u32::MAX).fact_last()
+        ));
+        assert!(!inside(
+            FactKey::output(1, 2, 0),
+            FactKey::output(1, 2, 0).fact_last()
+        ));
+        assert_eq!(FactKey::task_last(1, 2).kind, FactKind::Control);
+        assert_eq!(block.to_string(), "fact/1/2/ctl/0/0");
+    }
+
+    #[test]
     fn object_sub_keys_stay_inside_their_fact() {
         let base = FactKey::output(1, 2, 3);
         let first = base.object(0);
@@ -306,7 +369,14 @@ mod tests {
             StoreKey::from(FactKey::input(7, 3, 1)),
             StoreKey::from(FactKey::input(7, 3, 1).object(4)),
             StoreKey::from(FactKey::output(u32::MAX, u32::MAX, u32::MAX).fact_last()),
+            StoreKey::from(FactKey::control(7, 3)),
+            StoreKey::from(FactKey::task_last(u32::MAX, u32::MAX)),
         ];
+        // A block's key is short: tag, instance, task, kind, item, obj.
+        assert_eq!(
+            flowscript_codec::to_bytes(&StoreKey::from(FactKey::control(7, 3))).len(),
+            6
+        );
         for key in keys {
             let bytes = flowscript_codec::to_bytes(&key);
             assert_eq!(

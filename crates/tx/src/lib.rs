@@ -19,18 +19,18 @@
 //! # Examples
 //!
 //! ```
-//! use flowscript_tx::{ObjectUid, TxManager};
+//! use flowscript_tx::{ObjectUid, StoreKey, TxManager};
 //!
 //! # fn main() -> Result<(), flowscript_tx::TxError> {
 //! let mut mgr = TxManager::in_memory();
-//! let uid = ObjectUid::new("account/a");
+//! let key = StoreKey::from(ObjectUid::new("account/a"));
 //!
 //! let a = mgr.begin();
-//! mgr.write(&a, &uid, &100u64)?;
+//! mgr.write_key(&a, &key, &100u64)?;
 //! mgr.commit(a)?;
 //!
 //! let b = mgr.begin();
-//! let balance: u64 = mgr.read(&b, &uid)?.unwrap();
+//! let balance: u64 = mgr.read_key(&b, &key)?.unwrap();
 //! assert_eq!(balance, 100);
 //! mgr.abort(b);
 //! # Ok(())

@@ -7,7 +7,7 @@ use flowscript_obs::{Counter, Histogram, ObserveLevel, Registry};
 
 use crate::error::TxError;
 use crate::id::{ObjectUid, TxId};
-use crate::key::{FactKey, StoreKey};
+use crate::key::{FactKey, FactKind, StoreKey};
 use crate::lock::{Acquired, LockManager, LockMode};
 use crate::log::{LogRecord, RecordBuffer, Wal};
 use crate::storage::{SharedStorage, Storage};
@@ -138,8 +138,8 @@ impl TxMetrics {
 ///
 /// Objects are addressed by [`StoreKey`]: string [`ObjectUid`]s for the
 /// self-describing metadata, dense [`FactKey`]s for the dependency facts
-/// of the commit hot path. The store is ordered by key, so uid prefixes
-/// and fact ranges are both real range scans.
+/// and control blocks of the commit hot path. The store is ordered by
+/// key, so uid prefixes and dense ranges are both real range scans.
 #[derive(Debug)]
 pub struct TxManager<S = SharedStorage> {
     node: u32,
@@ -367,19 +367,6 @@ impl<S: Storage> TxManager<S> {
     /// [`TxError::Lock`] on conflict, [`TxError::UnknownAction`] for a
     /// terminated action, [`TxError::Corrupt`] if stored bytes fail to
     /// decode as `T`.
-    pub fn read<T: Decode>(
-        &mut self,
-        action: &AtomicAction,
-        uid: &ObjectUid,
-    ) -> Result<Option<T>, TxError> {
-        self.read_key(action, &StoreKey::from(uid))
-    }
-
-    /// [`TxManager::read`] for any [`StoreKey`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`TxManager::read`].
     pub fn read_key<T: Decode>(
         &mut self,
         action: &AtomicAction,
@@ -392,11 +379,12 @@ impl<S: Storage> TxManager<S> {
         }
     }
 
-    /// Reads raw object bytes within an action (see [`TxManager::read`]).
+    /// Reads raw object bytes within an action (see
+    /// [`TxManager::read_key`]).
     ///
     /// # Errors
     ///
-    /// As for [`TxManager::read`], minus decode failures.
+    /// As for [`TxManager::read_key`], minus decode failures.
     pub fn read_key_raw(
         &mut self,
         action: &AtomicAction,
@@ -763,7 +751,7 @@ impl<S: Storage> TxManager<S> {
     ///
     /// As for [`TxManager::read_committed`].
     pub fn read_committed_key<T: Decode>(&self, key: &StoreKey) -> Result<Option<T>, TxError> {
-        if matches!(key, StoreKey::Fact(_)) {
+        if is_fact(key) {
             self.metrics.fact_point_reads.inc();
         }
         match self.store.get(key) {
@@ -784,7 +772,7 @@ impl<S: Storage> TxManager<S> {
 
     /// Whether an object exists in committed state, for any key.
     pub fn exists_key(&self, key: &StoreKey) -> bool {
-        if matches!(key, StoreKey::Fact(_)) {
+        if is_fact(key) {
             self.metrics.fact_point_reads.inc();
         }
         self.store.contains_key(key)
@@ -798,8 +786,8 @@ impl<S: Storage> TxManager<S> {
 
     /// [`TxManager::uids_with_prefix`] keeping only uids that also end
     /// with `suffix` — the filter runs before any clone, so enumerating
-    /// the few `inst/…/meta` objects among many control blocks does not
-    /// materialize the rest.
+    /// the `inst/…/meta` objects does not materialize the records stored
+    /// beside them.
     pub fn uids_matching(&self, prefix: &str, suffix: &str) -> Vec<ObjectUid> {
         self.metrics.prefix_scans.inc();
         let start = StoreKey::Uid(ObjectUid::new(prefix));
@@ -1055,6 +1043,12 @@ impl<S: Storage> TxManager<S> {
     }
 }
 
+/// Whether `key` addresses a dependency fact — what `tx.fact_point_reads`
+/// counts; a control block shares the dense key space but is not one.
+fn is_fact(key: &StoreKey) -> bool {
+    matches!(key, StoreKey::Fact(key) if key.kind != FactKind::Control)
+}
+
 /// Moves committed after-images into the store.
 fn apply_writes(store: &mut BTreeMap<StoreKey, Vec<u8>>, writes: Vec<(StoreKey, Option<Vec<u8>>)>) {
     for (key, value) in writes {
@@ -1094,7 +1088,7 @@ mod tests {
         mgr.commit(a).unwrap();
         assert_eq!(mgr.read_committed::<u32>(&uid("x")).unwrap(), Some(41));
         let b = mgr.begin();
-        assert_eq!(mgr.read::<u32>(&b, &uid("x")).unwrap(), Some(41));
+        assert_eq!(mgr.read_key::<u32>(&b, &key("x")).unwrap(), Some(41));
         mgr.abort(b);
     }
 
@@ -1114,9 +1108,9 @@ mod tests {
         let mut mgr = TxManager::in_memory();
         let a = mgr.begin();
         mgr.write(&a, &uid("x"), &7i64).unwrap();
-        assert_eq!(mgr.read::<i64>(&a, &uid("x")).unwrap(), Some(7));
+        assert_eq!(mgr.read_key::<i64>(&a, &key("x")).unwrap(), Some(7));
         mgr.delete(&a, &uid("x")).unwrap();
-        assert_eq!(mgr.read::<i64>(&a, &uid("x")).unwrap(), None);
+        assert_eq!(mgr.read_key::<i64>(&a, &key("x")).unwrap(), None);
         mgr.commit(a).unwrap();
     }
 
@@ -1161,7 +1155,7 @@ mod tests {
         mgr.commit(child).unwrap();
         // Not yet durable: only staged in the parent.
         assert_eq!(mgr.read_committed::<u8>(&uid("x")).unwrap(), None);
-        assert_eq!(mgr.read::<u8>(&parent, &uid("x")).unwrap(), Some(5));
+        assert_eq!(mgr.read_key::<u8>(&parent, &key("x")).unwrap(), Some(5));
         mgr.commit(parent).unwrap();
         assert_eq!(mgr.read_committed::<u8>(&uid("x")).unwrap(), Some(5));
     }
@@ -1340,7 +1334,7 @@ mod tests {
         mgr.commit(a).unwrap();
         let size = mgr.log_size();
         let b = mgr.begin();
-        let _ = mgr.read::<u8>(&b, &uid("x")).unwrap();
+        let _ = mgr.read_key::<u8>(&b, &key("x")).unwrap();
         mgr.commit(b).unwrap();
         assert_eq!(mgr.log_size(), size);
     }
@@ -1436,7 +1430,7 @@ mod tests {
         assert_eq!(mgr.read_committed::<u8>(&uid("x")).unwrap(), None);
         let a = mgr.begin();
         assert!(matches!(
-            mgr.read::<u8>(&a, &uid("x")),
+            mgr.read_key::<u8>(&a, &key("x")),
             Err(TxError::Lock { .. })
         ));
         mgr.abort(a);

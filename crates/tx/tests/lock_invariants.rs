@@ -56,7 +56,7 @@ proptest! {
                 Step::Read(t, o) => {
                     let slot = t as usize;
                     if let Some(Some(action)) = actions.get(slot) {
-                        match mgr.read::<u64>(action, &uid(o)) {
+                        match mgr.read_key::<u64>(action, &uid(o).into()) {
                             Ok(_) => {
                                 // Invariant 2: no *other* writer may hold o.
                                 if let Some(&w) = writers.get(&o) {

@@ -59,9 +59,10 @@ proptest! {
         let bytes = flowscript_codec::to_bytes(&key);
         prop_assert_eq!(flowscript_codec::from_bytes::<FactKey>(&bytes).unwrap(), key);
 
-        let store = StoreKey::from(key);
-        let bytes = flowscript_codec::to_bytes(&store);
-        prop_assert_eq!(flowscript_codec::from_bytes::<StoreKey>(&bytes).unwrap(), store);
+        for store in [StoreKey::from(key), StoreKey::from(FactKey::control(instance, task))] {
+            let bytes = flowscript_codec::to_bytes(&store);
+            prop_assert_eq!(flowscript_codec::from_bytes::<StoreKey>(&bytes).unwrap(), store);
+        }
     }
 
     #[test]
@@ -97,6 +98,12 @@ proptest! {
         // Within the instance range.
         prop_assert!(FactKey::instance_first(instance) <= key);
         prop_assert!(key <= FactKey::instance_last(instance));
+        // The task's control block sorts past the task's every fact,
+        // still inside the task's range.
+        let block = FactKey::control(instance, task);
+        prop_assert!(base.fact_last() < block);
+        prop_assert!(block <= FactKey::task_last(instance, task));
+        prop_assert!(block < FactKey::task_first(instance, task + 1));
         // Other instances' ranges exclude it.
         prop_assert!(key < FactKey::instance_first(instance + 1));
         // Inputs sort before outputs of the same (instance, task, item).
