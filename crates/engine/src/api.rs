@@ -25,7 +25,7 @@ use std::rc::Rc;
 
 use flowscript_obs::{ObsEvent, ObsEventKind, ObserveLevel, Registry, Snapshot};
 use flowscript_sim::{net::LinkConfig, FaultPlan, NodeId, SimDuration, SimTime, World};
-use flowscript_tx::{SharedFileStorage, StableStore};
+use flowscript_tx::{SharedFileStorage, SharedStorage, StableStore};
 
 use crate::coordinator::{
     CoordHandle, CoordStats, Coordinator, DispatchRecord, EngineConfig, FailoverReport,
@@ -353,12 +353,12 @@ fn fresh_storage(
     idx: usize,
 ) -> Result<StableStore, EngineError> {
     let Some(dir) = wal_dir else {
-        return Ok(StableStore::default());
+        return Ok(SharedStorage::new().into());
     };
     std::fs::create_dir_all(dir).map_err(|e| EngineError::Tx(format!("wal dir: {e}")))?;
     let file = SharedFileStorage::create(dir.join(format!("shard{idx}.wal")))
         .map_err(|e| EngineError::Tx(format!("wal file: {e}")))?;
-    Ok(StableStore::File(file))
+    Ok(file.into())
 }
 
 /// A complete simulated workflow management system (Fig. 4).

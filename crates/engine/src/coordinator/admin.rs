@@ -22,18 +22,13 @@ use crate::value::ObjectVal;
 impl Coordinator {
     /// Overwrites `keys` with undecodable bytes, in one commit.
     fn poison(&mut self, keys: impl IntoIterator<Item = StoreKey>) -> bool {
-        let action = self.mgr.begin();
-        for key in keys {
-            if self
-                .mgr
-                .write_key_raw(&action, &key, vec![0xFF, 0xFF, 0xFF])
-                .is_err()
-            {
-                self.mgr.abort(action);
-                return false;
+        let staged = self.atomically(|mgr, action| {
+            for key in keys {
+                mgr.write_key_raw(action, &key, vec![0xFF, 0xFF, 0xFF])?;
             }
-        }
-        self.mgr.commit(action).is_ok()
+            Ok(())
+        });
+        staged.is_ok()
     }
 }
 
@@ -73,7 +68,7 @@ impl CoordHandle {
     #[doc(hidden)]
     pub fn poison_record(&self, instance: &str, which: &str) -> bool {
         let mut coordinator = self.inner.borrow_mut();
-        let uid = match which {
+        let key = match which {
             "status" => Some(status_uid(instance)),
             "plan" => coordinator
                 .read_status(instance)
@@ -85,8 +80,8 @@ impl CoordHandle {
                 .ok(),
             _ => None,
         };
-        match uid.filter(|uid| coordinator.mgr.exists(uid)) {
-            Some(uid) => coordinator.poison([StoreKey::Uid(uid)]),
+        match key.filter(|key| coordinator.mgr.exists_key(key)) {
+            Some(key) => coordinator.poison([key]),
             None => false,
         }
     }
@@ -175,7 +170,7 @@ impl CoordHandle {
                     write_cb(mgr, action, &keys, task_id, &cb)?;
                 }
                 if let Some(record) = &revival {
-                    mgr.write(action, keys.status(), record)?;
+                    mgr.write_key(action, keys.status(), record)?;
                 }
                 Ok(())
             })?;
@@ -282,10 +277,11 @@ impl CoordHandle {
                 .collect();
             // Persist the op and its engine-side effects in one action.
             coordinator.atomically(|mgr, action| {
-                mgr.write(action, &reconfig_uid(instance, n), &op)?;
-                mgr.write(action, new_keys.status(), &record)?;
-                if !mgr.exists(&plan_uid(new_plan.fingerprint)) {
-                    mgr.write(action, &plan_uid(new_plan.fingerprint), &new_plan)?;
+                mgr.write_key(action, &reconfig_uid(instance, n), &op)?;
+                mgr.write_key(action, new_keys.status(), &record)?;
+                let plan_key = plan_uid(new_plan.fingerprint);
+                if !mgr.exists_key(&plan_key) {
+                    mgr.write_key(action, &plan_key, &new_plan)?;
                 }
                 // Move every persisted fact and control block onto the
                 // new plan's id space; a removed task's die here.
@@ -302,7 +298,7 @@ impl CoordHandle {
                     write_cb(mgr, action, &new_keys, *task, cb)?;
                 }
                 if let Reconfig::Rebind { code, to } = &op {
-                    mgr.write(action, &bind_uid(instance, code), to)?;
+                    mgr.write_key(action, &bind_uid(instance, code), to)?;
                 }
                 Ok(())
             })?;

@@ -428,7 +428,7 @@ impl CoordHandle {
                 // scan — DFS pre-order keeps descendants contiguous).
                 let cancelled = cancel_descendants(mgr, action, keys, plan, scope_id)?;
                 if let Some(record) = &root_record {
-                    mgr.write(action, keys.status(), record)?;
+                    mgr.write_key(action, keys.status(), record)?;
                 }
                 Ok(cancelled)
             });
@@ -738,12 +738,7 @@ impl Coordinator {
         record.status = InstanceStatus::Stuck {
             reason: reason.clone(),
         };
-        let action = self.mgr.begin();
-        if self.mgr.write(&action, keys.status(), &record).is_err() {
-            self.mgr.abort(action);
-            return;
-        }
-        if self.commit(action).is_ok() {
+        if self.commit_object(keys.status(), &record).is_ok() {
             self.note_status(instance, &record.status);
             // A stuck instance stops counting against the admission
             // cap (a revival re-counts it).

@@ -44,8 +44,9 @@ impl Coordinator {
         let mut bindings = BTreeMap::new();
         let bind_prefix = keys::bind_prefix(name);
         for bind in self.mgr.uids_with_prefix(&bind_prefix) {
-            if let Ok(Some(to)) = self.mgr.read_committed::<String>(&bind) {
-                bindings.insert(bind.as_str()[bind_prefix.len()..].to_string(), to);
+            let code = bind.as_str()[bind_prefix.len()..].to_string();
+            if let Ok(Some(to)) = self.mgr.read_committed_key(&StoreKey::Uid(bind)) {
+                bindings.insert(code, to);
             }
         }
         let keys = InstanceKeys::build(&plan, name, header.instance_id);
@@ -72,7 +73,7 @@ impl Coordinator {
     ) -> Option<(Rc<Plan>, Option<Rc<Schema>>)> {
         let cached: Option<Rc<Plan>> = self
             .mgr
-            .read_committed_bytes(&StoreKey::Uid(plan_uid(record.plan_fingerprint)))
+            .read_committed_bytes(&plan_uid(record.plan_fingerprint))
             .and_then(|bytes| self.plan_cache.validated(bytes))
             .filter(|plan| plan.fingerprint == record.plan_fingerprint);
         match cached {
@@ -99,7 +100,7 @@ impl Coordinator {
         name: &str,
         header: &InstanceHeader,
     ) -> Result<Schema, EngineError> {
-        let key = StoreKey::Uid(source_uid(header.source_hash));
+        let key = source_uid(header.source_hash);
         let source = self
             .mgr
             .read_committed_bytes(&key)
@@ -110,7 +111,10 @@ impl Coordinator {
             })?;
         let mut schema = schema::compile_source(source, &header.root)?;
         for op_uid in self.mgr.uids_with_prefix(&keys::reconfig_prefix(name)) {
-            if let Ok(Some(op)) = self.mgr.read_committed::<Reconfig>(&op_uid) {
+            if let Ok(Some(op)) = self
+                .mgr
+                .read_committed_key::<Reconfig>(&StoreKey::Uid(op_uid))
+            {
                 let _ = reconfig::apply(&mut schema, &op);
             }
         }
@@ -204,7 +208,7 @@ impl CoordHandle {
         }
         let root_path = plan.str(plan.root().path).to_string();
         let hash = source_hash(source);
-        let source_key = StoreKey::Uid(source_uid(hash));
+        let source_key = source_uid(hash);
 
         let mut coordinator = self.inner.borrow_mut();
         // A second start must not write over the first.
@@ -224,7 +228,7 @@ impl CoordHandle {
         }
         // Allocate the dense instance id from the persistent sequence.
         let seq_uid = instance_seq_uid();
-        let instance_id: u32 = coordinator.mgr.read_committed(&seq_uid)?.unwrap_or(0);
+        let instance_id: u32 = coordinator.mgr.read_committed_key(&seq_uid)?.unwrap_or(0);
         let keys = InstanceKeys::build(&plan, instance, instance_id);
         let root_in = keys
             .in_key(&plan, 0, set)
@@ -248,16 +252,17 @@ impl CoordHandle {
         // first activations share one log append.
         coordinator.mgr.begin_group();
         let staged = coordinator.atomically(|mgr, action| {
-            mgr.write(action, &seq_uid, &(instance_id + 1))?;
-            mgr.write(action, keys.meta(), &header)?;
-            mgr.write(action, keys.status(), &record)?;
+            mgr.write_key(action, &seq_uid, &(instance_id + 1))?;
+            mgr.write_key(action, keys.meta(), &header)?;
+            mgr.write_key(action, keys.status(), &record)?;
             if pinned.is_none() {
                 mgr.write_key_raw(action, &source_key, source.as_bytes().to_vec())?;
             }
             // Persist the compiled plan once per fingerprint so crash
             // recovery decodes it instead of recompiling from source.
-            if !mgr.exists(&plan_uid(plan.fingerprint)) {
-                mgr.write(action, &plan_uid(plan.fingerprint), plan.as_ref())?;
+            let plan_key = plan_uid(plan.fingerprint);
+            if !mgr.exists_key(&plan_key) {
+                mgr.write_key(action, &plan_key, plan.as_ref())?;
             }
             // Root control block starts Active with the supplied inputs
             // bound.
@@ -463,7 +468,7 @@ impl Coordinator {
         ] {
             let mut blobs = self.mgr.uids_with_prefix(prefix);
             blobs.retain(|uid| keys::blob_id(uid, prefix).is_none_or(|id| !live.contains(&id)));
-            stale.append(&mut blobs);
+            stale.extend(blobs.into_iter().map(StoreKey::Uid));
         }
         if stale.is_empty() {
             return Ok(());
@@ -474,7 +479,7 @@ impl Coordinator {
         let action = self.mgr.begin();
         if let Err(err) = stale
             .iter()
-            .try_for_each(|uid| self.mgr.delete(&action, uid))
+            .try_for_each(|key| self.mgr.delete_key(&action, key))
         {
             self.mgr.abort(action);
             return Err(err.into());
@@ -521,49 +526,84 @@ impl CoordHandle {
 #[cfg(test)]
 mod tests {
     use flowscript_core::samples::FIG1_DIAMOND;
-    use flowscript_tx::SharedStorage;
+    use flowscript_tx::storage::FlakyStorage;
+    use flowscript_tx::{Shared, SharedStorage, StableStore};
 
     use super::*;
     use crate::coordinator::EngineConfig;
 
-    #[test]
-    fn a_start_that_fails_mid_staging_keeps_no_lock() {
+    /// One shard over `storage`, its executor never run.
+    fn shard(storage: impl Into<StableStore>) -> (World, CoordHandle) {
         let mut world = World::new(1);
         let [client, here, executor] = ["client", "here", "exec"].map(|n| world.add_node(n));
         let config = EngineConfig::default();
-        let coord = Coordinator::open(here, client, vec![executor], config, SharedStorage::new())
+        let coord = Coordinator::open(here, client, vec![executor], config, storage)
             .map(CoordHandle::new)
             .expect("empty storage opens");
-        let start = |world: &mut World, name: &str| {
-            let seed = ObjectVal::text("Data", "s");
-            let inputs = BTreeMap::from([("seed".to_string(), seed)]);
-            coord.start_instance(
-                world,
-                name,
-                "diamond",
-                FIG1_DIAMOND,
-                "diamond",
-                "main",
-                inputs,
-            )
-        };
+        (world, coord)
+    }
+
+    fn start(coord: &CoordHandle, world: &mut World, name: &str) -> Result<(), EngineError> {
+        let seed = ObjectVal::text("Data", "s");
+        let inputs = BTreeMap::from([("seed".to_string(), seed)]);
+        coord.start_instance(
+            world,
+            name,
+            "diamond",
+            FIG1_DIAMOND,
+            "diamond",
+            "main",
+            inputs,
+        )
+    }
+
+    #[test]
+    fn a_start_that_fails_mid_staging_keeps_no_lock() {
+        let (mut world, coord) = shard(SharedStorage::new());
         // Another open action holds the write lock on `x`'s header: the
         // start of `x` dies on it, after it took the id sequence's.
         let blocker = {
             let mut coordinator = coord.inner.borrow_mut();
             let action = coordinator.mgr.begin();
-            let written = coordinator.mgr.write(&action, &keys::meta_uid("x"), &0u8);
+            let written = coordinator
+                .mgr
+                .write_key(&action, &keys::meta_uid("x"), &0u8);
             written.expect("nothing else is open");
             action
         };
-        assert!(matches!(start(&mut world, "x"), Err(EngineError::Tx(_))));
+        assert!(matches!(
+            start(&coord, &mut world, "x"),
+            Err(EngineError::Tx(_))
+        ));
         assert!(!coord.inner.borrow().mgr.in_group(), "the start's group");
         // Abandoned with its locks, that action would fail every later
         // start on this shard until a restart.
-        start(&mut world, "y").expect("the failed start released the id sequence");
+        start(&coord, &mut world, "y").expect("the failed start released the id sequence");
         coord.inner.borrow_mut().mgr.abort(blocker);
-        start(&mut world, "x").expect("and left nothing of `x` behind");
+        start(&coord, &mut world, "x").expect("and left nothing of `x` behind");
         assert_eq!(coord.instance_names(), ["x", "y"]);
+    }
+
+    /// The `Ack` never precedes a durable frame: a start whose one frame
+    /// fails to append reports the storage error, closes its group, and
+    /// the shard serves the next start once the disk heals. Not pinned
+    /// here: `x` itself — the in-memory store is ahead of the log after
+    /// the failed flush (ROADMAP 2(iii), unfixed), so `x` runs on until
+    /// a restart forgets it.
+    #[test]
+    fn a_start_whose_frame_fails_to_append_is_not_acknowledged() {
+        let storage = FlakyStorage::default();
+        let fail = storage.fail.clone();
+        let (mut world, coord) = shard(Shared::from(storage));
+        fail.set(true);
+        let refused = start(&coord, &mut world, "x");
+        assert!(
+            matches!(&refused, Err(EngineError::Tx(why)) if why.contains("injected append failure")),
+            "{refused:?}"
+        );
+        assert!(!coord.inner.borrow().mgr.in_group(), "the start's group");
+        fail.set(false);
+        start(&coord, &mut world, "y").expect("the healed disk takes the next start");
     }
 
     #[test]

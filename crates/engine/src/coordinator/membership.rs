@@ -63,7 +63,7 @@ use flowscript_codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
 use flowscript_obs::ObsEventKind;
 use flowscript_sim::{EventId, NodeId, ReplyToken, RpcError, SimDuration, World};
 use flowscript_tx::dist::{self, AfterImages, CoordAction, DistMsg};
-use flowscript_tx::{FactKey, ObjectUid, StableStore, StoreKey, TxId, TxManager};
+use flowscript_tx::{FactKey, StableStore, StoreKey, TxId, TxManager};
 
 use super::window::PendingEvent;
 use super::{
@@ -316,9 +316,9 @@ pub(super) fn package_instance(
     mgr: &TxManager<StableStore>,
     instance: &str,
 ) -> Option<AfterImages> {
-    let header_key = StoreKey::Uid(meta_uid(instance));
-    let header: InstanceHeader = mgr.read_committed(&meta_uid(instance)).ok()??;
-    let record: StatusRecord = mgr.read_committed(&status_uid(instance)).ok()??;
+    let header_key = meta_uid(instance);
+    let header: InstanceHeader = mgr.read_committed_key(&header_key).ok()??;
+    let record: StatusRecord = mgr.read_committed_key(&status_uid(instance)).ok()??;
     let uids = mgr.uids_with_prefix(&keys::instance_prefix(instance));
     let facts = mgr.fact_keys_in_range(
         FactKey::instance_first(header.instance_id),
@@ -331,8 +331,8 @@ pub(super) fn package_instance(
                 .filter(|key| *key != header_key),
         )
         .chain([
-            StoreKey::Uid(plan_uid(record.plan_fingerprint)),
-            StoreKey::Uid(source_uid(header.source_hash)),
+            plan_uid(record.plan_fingerprint),
+            source_uid(header.source_hash),
         ])
         .chain(facts.into_iter().map(StoreKey::Fact));
     let images = keys.filter_map(|key| {
@@ -415,10 +415,10 @@ impl Coordinator {
     /// source blobs stay; blob GC collects them once no local instance
     /// pins them).
     fn purge_instance(&mut self, instance: &str) -> Result<(), EngineError> {
-        let header: Option<InstanceHeader> = self.mgr.read_committed(&meta_uid(instance))?;
+        let header: Option<InstanceHeader> = self.mgr.read_committed_key(&meta_uid(instance))?;
         self.atomically(|mgr, action| {
             for uid in mgr.uids_with_prefix(&keys::instance_prefix(instance)) {
-                mgr.delete(action, &uid)?;
+                mgr.delete_key(action, &StoreKey::Uid(uid))?;
             }
             if let Some(header) = &header {
                 let lo = FactKey::instance_first(header.instance_id);
@@ -448,18 +448,16 @@ impl Coordinator {
 
     /// Deletes move records — one aborted round's, or every round's at
     /// the map flip — in one atomic action.
-    fn drop_move_records(&mut self, uids: &[ObjectUid]) -> Result<(), EngineError> {
-        if uids.is_empty() {
+    fn drop_move_records(&mut self, records: &[StoreKey]) -> Result<(), EngineError> {
+        if records.is_empty() {
             return Ok(());
         }
-        let action = self.mgr.begin();
-        for uid in uids {
-            if let Err(err) = self.mgr.delete(&action, uid) {
-                self.mgr.abort(action);
-                return Err(err.into());
+        self.atomically(|mgr, action| {
+            for key in records {
+                mgr.delete_key(action, key)?;
             }
-        }
-        self.commit(action)
+            Ok(())
+        })
     }
 
     /// Hand-off crash repair, run by recovery before any instance
@@ -481,10 +479,11 @@ impl Coordinator {
         let mut traffic = Vec::new();
         let mut aborted = Vec::new();
         for uid in self.mgr.uids_with_prefix(keys::MOVE_PREFIX) {
-            let (Some(tx), Ok(Some(record))) = (
-                keys::move_tx(&uid),
-                self.mgr.read_committed::<MoveRecord>(&uid),
-            ) else {
+            let tx = keys::move_tx(&uid);
+            let key = StoreKey::Uid(uid);
+            let (Some(tx), Ok(Some(record))) =
+                (tx, self.mgr.read_committed_key::<MoveRecord>(&key))
+            else {
                 continue;
             };
             let dest = NodeId::from_index(record.dest as usize);
@@ -494,7 +493,7 @@ impl Coordinator {
                     self.membership.moved.insert(instance, dest);
                 }
             } else {
-                aborted.push(uid);
+                aborted.push(key);
             }
             traffic.push((dest, DistMsg::Decision { tx, commit }));
         }
@@ -782,7 +781,7 @@ impl CoordHandle {
                 dest,
                 instances: instances.clone(),
             };
-            coordinator.commit_object(&StoreKey::Uid(move_uid(tx)), &record)?;
+            coordinator.commit_object(&move_uid(tx), &record)?;
             let watchdogs: Vec<EventId> = instances
                 .iter()
                 .flat_map(|instance| coordinator.drop_runtime(instance))
@@ -1069,11 +1068,11 @@ impl CoordHandle {
         let mut coordinator = self.inner.borrow_mut();
         let base: u32 = coordinator
             .mgr
-            .read_committed(&instance_seq_uid())?
+            .read_committed_key(&instance_seq_uid())?
             .unwrap_or(0);
         let (names, rekeyed) = rekeyed(images, base, |_| false)?;
         let next_id = flowscript_codec::to_bytes(&(base + names.len() as u32));
-        let mut writes = vec![(StoreKey::Uid(instance_seq_uid()), Some(next_id))];
+        let mut writes = vec![(instance_seq_uid(), Some(next_id))];
         writes.extend(rekeyed);
         coordinator
             .mgr
@@ -1211,30 +1210,24 @@ impl CoordHandle {
             let coordinator = &mut *coordinator;
             let base: u32 = coordinator
                 .mgr
-                .read_committed(&instance_seq_uid())?
+                .read_committed_key(&instance_seq_uid())?
                 .unwrap_or(0);
             let (names, writes) = rekeyed(images, base, |name| coordinator.holds(name))?;
             if names.is_empty() {
                 return Ok(());
             }
-            let action = coordinator.mgr.begin();
             let next_id = base + names.len() as u32;
-            let mut staged = coordinator
-                .mgr
-                .write(&action, &instance_seq_uid(), &next_id);
-            // (A package carries no tombstones; one that does has
-            // nothing to delete here.)
-            for (key, bytes) in writes {
-                if let Some(bytes) = bytes {
-                    staged =
-                        staged.and_then(|()| coordinator.mgr.write_key_raw(&action, &key, bytes));
+            coordinator.atomically(|mgr, action| {
+                mgr.write_key(action, &instance_seq_uid(), &next_id)?;
+                // (A package carries no tombstones; one that does has
+                // nothing to delete here.)
+                for (key, bytes) in writes {
+                    if let Some(bytes) = bytes {
+                        mgr.write_key_raw(action, &key, bytes)?;
+                    }
                 }
-            }
-            if let Err(err) = staged {
-                coordinator.mgr.abort(action);
-                return Err(err.into());
-            }
-            coordinator.commit(action)?;
+                Ok(())
+            })?;
             for name in &names {
                 let kind = ObsEventKind::Claim { from: dead, epoch };
                 coordinator.record_event(world.now().as_nanos(), name, None, 0, kind);
@@ -1332,6 +1325,7 @@ impl CoordHandle {
         // move records a restart would rebuild them from.
         coordinator.membership.moved.clear();
         let settled = coordinator.mgr.uids_with_prefix(keys::MOVE_PREFIX);
+        let settled: Vec<StoreKey> = settled.into_iter().map(StoreKey::Uid).collect();
         let _ = coordinator.drop_move_records(&settled);
     }
 
@@ -1397,12 +1391,12 @@ mod tests {
     fn run(name: &str, id: u32) -> AfterImages {
         vec![
             (
-                StoreKey::Uid(meta_uid(name)),
+                meta_uid(name),
                 Some(flowscript_codec::to_bytes(&header(id))),
             ),
-            (StoreKey::Uid(status_uid(name)), Some(vec![0])),
-            (StoreKey::Uid(plan_uid(9)), Some(vec![2])),
-            (StoreKey::Uid(source_uid(5)), Some(vec![4])),
+            (status_uid(name), Some(vec![0])),
+            (plan_uid(9), Some(vec![2])),
+            (source_uid(5), Some(vec![4])),
             (StoreKey::Fact(FactKey::output(id, 2, 1)), Some(vec![3])),
             (StoreKey::Fact(FactKey::control(id, 2)), Some(vec![1])),
         ]
@@ -1437,7 +1431,7 @@ mod tests {
         // Hostile bytes are a typed error, never a panic: a corrupt
         // header, a fact before any run, a fact on somebody else's id,
         // a run that opens with something other than its header.
-        let corrupt = vec![(StoreKey::Uid(meta_uid("i")), Some(vec![0xFF; 3]))];
+        let corrupt = vec![(meta_uid("i"), Some(vec![0xFF; 3]))];
         let stray = vec![run("i", 3).remove(4)];
         let mut foreign = run("i", 3);
         foreign.push((StoreKey::Fact(FactKey::output(4, 0, 0)), Some(vec![])));

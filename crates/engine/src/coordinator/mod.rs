@@ -265,7 +265,11 @@ impl Coordinator {
     /// Runs `stage` inside an atomic action of its own: committed when
     /// it returns `Ok`, aborted when it returns `Err`. An action has no
     /// `Drop` — one abandoned by an early return keeps its locks until
-    /// the next restart — so staging that can fail goes through here.
+    /// the next restart — so staging that can fail goes through here:
+    /// the one way the engine runs an action. Two places drive the
+    /// manager's `begin` / `abort` themselves: `commit_window` (it owns a
+    /// lock pre-pass) and `gc_plans` (it must not tick the checkpoint
+    /// counter).
     fn atomically<T>(
         &mut self,
         stage: impl FnOnce(&mut TxManager<StableStore>, &AtomicAction) -> Result<T, EngineError>,
@@ -320,7 +324,7 @@ impl Coordinator {
     /// not residency: an instance a hand-off round holds frozen is
     /// committed here without being resident.
     fn holds(&self, instance: &str) -> bool {
-        self.instances.contains_key(instance) || self.mgr.exists(&meta_uid(instance))
+        self.instances.contains_key(instance) || self.mgr.exists_key(&meta_uid(instance))
     }
 
     /// The committed header of `instance`.
@@ -331,8 +335,8 @@ impl Coordinator {
     /// error if what is stored does not decode as one.
     fn read_header(&self, instance: &str) -> Result<InstanceHeader, EngineError> {
         let stored = match self.instances.get(instance) {
-            Some(rt) => self.mgr.read_committed(rt.keys.meta()),
-            None => self.mgr.read_committed(&meta_uid(instance)),
+            Some(rt) => self.mgr.read_committed_key(rt.keys.meta()),
+            None => self.mgr.read_committed_key(&meta_uid(instance)),
         };
         stored?.ok_or_else(|| EngineError::UnknownInstance(instance.to_string()))
     }
@@ -344,8 +348,8 @@ impl Coordinator {
     /// As for [`Coordinator::read_header`].
     fn read_status(&self, instance: &str) -> Result<StatusRecord, EngineError> {
         let stored = match self.instances.get(instance) {
-            Some(rt) => self.mgr.read_committed(rt.keys.status()),
-            None => self.mgr.read_committed(&status_uid(instance)),
+            Some(rt) => self.mgr.read_committed_key(rt.keys.status()),
+            None => self.mgr.read_committed_key(&status_uid(instance)),
         };
         stored?.ok_or_else(|| EngineError::UnknownInstance(instance.to_string()))
     }

@@ -30,8 +30,8 @@ pub(super) fn stored_instances(
 ) -> Vec<(String, InstanceHeader, StatusRecord)> {
     stored_instance_names(mgr)
         .filter_map(|name| {
-            let header = mgr.read_committed(&meta_uid(&name)).ok()??;
-            let record = mgr.read_committed(&status_uid(&name)).ok()??;
+            let header = mgr.read_committed_key(&meta_uid(&name)).ok()??;
+            let record = mgr.read_committed_key(&status_uid(&name)).ok()??;
             Some((name, header, record))
         })
         .collect()

@@ -1,6 +1,8 @@
 //! Storage keys: the string uid layout, and per-instance interned keys.
 //!
-//! **The uid layout lives here and nowhere else.** What an instance
+//! **The uid layout lives here and nowhere else**: every uid is spelled
+//! here, and leaves here as a [`StoreKey`] — the one key type the store
+//! takes — so no caller converts one. What an instance
 //! keeps under a *name* sits under `inst/<name>/…` — `meta` (the
 //! write-once header), `status` (the small mutable record),
 //! `bind/<code>`, `reconfig/<n>` — with the name **escaped** where it
@@ -24,7 +26,7 @@
 //! A live instance resolves every hot-path storage access through an
 //! [`InstanceKeys`] table built **once** at instance start (and rebuilt
 //! on reconfiguration, when the plan itself changes): the header and
-//! status uids are formatted exactly once, and every plan dependency
+//! status keys are formatted exactly once, and every plan dependency
 //! source gets its probed fact's dense [`FactKey`]s precomputed — both
 //! the fact's *presence* sub-key (`obj = 0`, existence answers
 //! "fired?") and the *data* sub-key of the one object the source takes
@@ -36,7 +38,7 @@
 use std::borrow::Cow;
 
 use flowscript_plan::{Plan, PlanCond, Probe, TaskId};
-use flowscript_tx::{FactKey, ObjectUid, TxId};
+use flowscript_tx::{FactKey, ObjectUid, StoreKey, TxId};
 
 /// Every per-instance uid starts with this.
 pub(crate) const INSTANCE_ROOT: &str = "inst/";
@@ -85,14 +87,14 @@ pub(crate) fn instance_prefix(instance: &str) -> String {
     format!("{INSTANCE_ROOT}{}/", escape(instance))
 }
 
-fn under(prefix: &str, rest: &str) -> ObjectUid {
-    ObjectUid::new([prefix, rest].concat())
+fn key(uid: String) -> StoreKey {
+    StoreKey::Uid(ObjectUid::new(uid))
 }
 
-/// The uid of an instance's write-once header (used once at table
+/// The key of an instance's write-once header (used once at table
 /// build, and by paths that run before or without a resident instance).
-pub(crate) fn meta_uid(instance: &str) -> ObjectUid {
-    under(&instance_prefix(instance), "meta")
+pub(crate) fn meta_uid(instance: &str) -> StoreKey {
+    key(instance_prefix(instance) + "meta")
 }
 
 /// The instance a header uid names — the inverse of [`meta_uid`];
@@ -104,9 +106,9 @@ pub(crate) fn header_instance(uid: &str) -> Option<String> {
     unescape(segment)
 }
 
-/// The uid of an instance's status record.
-pub(crate) fn status_uid(instance: &str) -> ObjectUid {
-    under(&instance_prefix(instance), "status")
+/// The key of an instance's status record.
+pub(crate) fn status_uid(instance: &str) -> StoreKey {
+    key(instance_prefix(instance) + "status")
 }
 
 /// The prefix of an instance's rebinding uids; what follows it in a uid
@@ -115,9 +117,9 @@ pub(crate) fn bind_prefix(instance: &str) -> String {
     instance_prefix(instance) + "bind/"
 }
 
-/// The uid holding what `code` is rebound to in `instance`.
-pub(crate) fn bind_uid(instance: &str, code: &str) -> ObjectUid {
-    under(&bind_prefix(instance), code)
+/// The key holding what `code` is rebound to in `instance`.
+pub(crate) fn bind_uid(instance: &str, code: &str) -> StoreKey {
+    key(bind_prefix(instance) + code)
 }
 
 /// The prefix of an instance's persisted reconfiguration ops; a scan of
@@ -126,21 +128,21 @@ pub(crate) fn reconfig_prefix(instance: &str) -> String {
     instance_prefix(instance) + "reconfig/"
 }
 
-/// The uid of `instance`'s `n`-th persisted reconfiguration op.
-pub(crate) fn reconfig_uid(instance: &str, n: u32) -> ObjectUid {
-    under(&reconfig_prefix(instance), &format!("{n:08}"))
+/// The key of `instance`'s `n`-th persisted reconfiguration op.
+pub(crate) fn reconfig_uid(instance: &str, n: u32) -> StoreKey {
+    key(format!("{}{n:08}", reconfig_prefix(instance)))
 }
 
 /// Compiled plans persist once per fingerprint, shared by every
 /// instance running that plan; recovery decodes instead of recompiling.
-pub(crate) fn plan_uid(fingerprint: u64) -> ObjectUid {
-    ObjectUid::new(format!("{PLAN_PREFIX}{fingerprint:016x}"))
+pub(crate) fn plan_uid(fingerprint: u64) -> StoreKey {
+    key(format!("{PLAN_PREFIX}{fingerprint:016x}"))
 }
 
 /// A script's canonical source persists once per content hash, shared
 /// by every instance started from that text.
-pub(crate) fn source_uid(hash: u64) -> ObjectUid {
-    ObjectUid::new(format!("{SOURCE_PREFIX}{hash:016x}"))
+pub(crate) fn source_uid(hash: u64) -> StoreKey {
+    key(format!("{SOURCE_PREFIX}{hash:016x}"))
 }
 
 /// Inverse of [`plan_uid`] and [`source_uid`]: the fingerprint or hash
@@ -152,8 +154,8 @@ pub(crate) fn blob_id(uid: &ObjectUid, prefix: &str) -> Option<u64> {
 
 /// The record of the hand-off round running under distributed
 /// transaction `tx`.
-pub(crate) fn move_uid(tx: TxId) -> ObjectUid {
-    ObjectUid::new(format!("{MOVE_PREFIX}{:08x}.{:016x}", tx.node(), tx.seq()))
+pub(crate) fn move_uid(tx: TxId) -> StoreKey {
+    key(format!("{MOVE_PREFIX}{:08x}.{:016x}", tx.node(), tx.seq()))
 }
 
 /// Inverse of [`move_uid`]: the transaction a move-record uid names.
@@ -164,8 +166,8 @@ pub(crate) fn move_tx(uid: &ObjectUid) -> Option<TxId> {
 }
 
 /// The persistent instance-id allocator.
-pub(crate) fn instance_seq_uid() -> ObjectUid {
-    ObjectUid::new("sys/instance_seq")
+pub(crate) fn instance_seq_uid() -> StoreKey {
+    key("sys/instance_seq".into())
 }
 
 /// The two dense keys one dependency probe resolves to.
@@ -187,10 +189,10 @@ pub struct InstanceKeys {
     /// The instance's dense numeric id (the namespace of its fact and
     /// control-block keys).
     pub instance_id: u32,
-    /// The instance's header uid.
-    meta: ObjectUid,
-    /// The instance's status-record uid.
-    status: ObjectUid,
+    /// The instance's header key.
+    meta: StoreKey,
+    /// The instance's status-record key.
+    status: StoreKey,
     /// Per plan source index: the probed fact's keys (`None` when the
     /// producer no longer exists or the named set/output is
     /// undeclared — a probe that can never fire).
@@ -249,13 +251,13 @@ impl InstanceKeys {
         }
     }
 
-    /// The instance's header uid.
-    pub fn meta(&self) -> &ObjectUid {
+    /// The instance's header key.
+    pub fn meta(&self) -> &StoreKey {
         &self.meta
     }
 
-    /// The instance's status-record uid.
-    pub fn status(&self) -> &ObjectUid {
+    /// The instance's status-record key.
+    pub fn status(&self) -> &StoreKey {
         &self.status
     }
 
@@ -331,6 +333,10 @@ mod tests {
     use flowscript_core::schema::compile_source;
     use flowscript_tx::FactKind;
 
+    fn uid(key: &StoreKey) -> &ObjectUid {
+        key.as_uid().expect("a string key")
+    }
+
     fn order_plan() -> Plan {
         let schema = compile_source(
             flowscript_core::samples::ORDER_PROCESSING,
@@ -355,21 +361,21 @@ mod tests {
         for name in names {
             assert_eq!(unescape(&escape(name)).as_deref(), Some(name));
             assert_eq!(
-                header_instance(meta_uid(name).as_str()).as_deref(),
+                header_instance(uid(&meta_uid(name)).as_str()).as_deref(),
                 Some(name)
             );
-            for uid in uids_of(name) {
+            for key in uids_of(name) {
                 for other in names {
                     assert_eq!(
-                        uid.as_str().starts_with(&instance_prefix(other)),
+                        uid(&key).as_str().starts_with(&instance_prefix(other)),
                         other == name,
-                        "`{uid}` of `{name}` against the prefix of `{other}`"
+                        "`{key}` of `{name}` against the prefix of `{other}`"
                     );
                 }
             }
             // Only the header reads as one, whatever a code is called.
-            for uid in &uids_of(name)[1..] {
-                assert_eq!(header_instance(uid.as_str()), None, "`{uid}`");
+            for key in &uids_of(name)[1..] {
+                assert_eq!(header_instance(uid(key).as_str()), None, "`{key}`");
             }
         }
         // Segments `escape` never produces name nobody.
@@ -378,22 +384,25 @@ mod tests {
         }
         // Names without `%` or `/` appear verbatim: the layout every
         // golden log was rendered under.
-        assert_eq!(meta_uid("order-1").as_str(), "inst/order-1/meta");
-        assert_eq!(status_uid("order-1").as_str(), "inst/order-1/status");
-        assert_eq!(reconfig_uid("i", 3).as_str(), "inst/i/reconfig/00000003");
-        assert_eq!(blob_id(&plan_uid(0xAB), PLAN_PREFIX), Some(0xAB));
+        assert_eq!(uid(&meta_uid("order-1")).as_str(), "inst/order-1/meta");
+        assert_eq!(uid(&status_uid("order-1")).as_str(), "inst/order-1/status");
         assert_eq!(
-            blob_id(&source_uid(u64::MAX), SOURCE_PREFIX),
+            uid(&reconfig_uid("i", 3)).as_str(),
+            "inst/i/reconfig/00000003"
+        );
+        assert_eq!(blob_id(uid(&plan_uid(0xAB)), PLAN_PREFIX), Some(0xAB));
+        assert_eq!(
+            blob_id(uid(&source_uid(u64::MAX)), SOURCE_PREFIX),
             Some(u64::MAX)
         );
-        assert_eq!(blob_id(&plan_uid(1), SOURCE_PREFIX), None);
+        assert_eq!(blob_id(uid(&plan_uid(1)), SOURCE_PREFIX), None);
         let round = TxId::new(3, 0x1_0000_0002);
         assert_eq!(
-            move_uid(round).as_str(),
+            uid(&move_uid(round)).as_str(),
             "sys/move/00000003.0000000100000002"
         );
-        assert_eq!(move_tx(&move_uid(round)), Some(round));
-        assert_eq!(move_tx(&plan_uid(1)), None);
+        assert_eq!(move_tx(uid(&move_uid(round))), Some(round));
+        assert_eq!(move_tx(uid(&plan_uid(1))), None);
         assert_eq!(move_tx(&ObjectUid::new("sys/move/3")), None);
     }
 

@@ -101,7 +101,7 @@ pub use facts::StoreFacts;
 pub use flowscript_obs::{
     FlightRecorder, ObsEvent, ObsEventKind, ObserveLevel, Registry, Snapshot,
 };
-pub use flowscript_tx::{SharedFileStorage, SharedStorage, StableStore};
+pub use flowscript_tx::{Shared, SharedFileStorage, SharedStorage, StableStore, Storage};
 pub use impl_registry::{
     Completion, ImplRegistry, InvokeCtx, MarkEmission, TaskBehavior, TaskImpl,
 };

@@ -201,7 +201,7 @@ impl CostModel {
 /// Vestige: there is one policy, so this type, the `policy` parameter
 /// of [`Scheduler::new`] and the unread `path` / `attempt` parameters of
 /// [`Scheduler::pick`] exist only because the perf ledger's frozen
-/// `sched.pick_ns` probe calls those signatures. ROADMAP item 2(c), the
+/// `sched.pick_ns` probe calls those signatures. ROADMAP item 1(c), the
 /// PR that may edit the probe, deletes all three.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedPolicy {

@@ -20,8 +20,6 @@ pub enum TxError {
     },
     /// The action id is unknown (already committed/aborted, or foreign).
     UnknownAction(TxId),
-    /// A nested action's parent has already terminated.
-    ParentTerminated(TxId),
     /// The log or a stored object failed to decode.
     Corrupt(flowscript_codec::CodecError),
     /// Underlying storage failed (file-backed logs only).
@@ -51,7 +49,6 @@ impl fmt::Display for TxError {
                 "lock conflict on {key}: held by {holder}, verdict {conflict:?}"
             ),
             TxError::UnknownAction(tx) => write!(f, "unknown or terminated action {tx}"),
-            TxError::ParentTerminated(tx) => write!(f, "parent action {tx} already terminated"),
             TxError::Corrupt(err) => write!(f, "corrupt transactional state: {err}"),
             TxError::Storage(msg) => write!(f, "storage failure: {msg}"),
             TxError::Fenced { claimant, epoch } => write!(

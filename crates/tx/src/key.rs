@@ -249,12 +249,6 @@ impl From<ObjectUid> for StoreKey {
     }
 }
 
-impl From<&ObjectUid> for StoreKey {
-    fn from(uid: &ObjectUid) -> Self {
-        StoreKey::Uid(uid.clone())
-    }
-}
-
 impl From<FactKey> for StoreKey {
     fn from(key: FactKey) -> Self {
         StoreKey::Fact(key)

@@ -7,11 +7,15 @@
 //! crate rebuilds that substrate:
 //!
 //! - [`TxManager`]: atomic actions over a persistent object store —
-//!   begin / read / write / delete / commit / abort, with nesting,
+//!   begin / read / write / delete / commit / abort, every object
+//!   addressed by one key type, [`StoreKey`]. Actions are flat: the
+//!   paper's substrate nests them, but lock inheritance was never
+//!   implemented here and nothing used a nested action,
 //! - [`lock`]: strict two-phase locking with wait-die deadlock avoidance,
 //! - [`log`]: a redo-only write-ahead log with checksummed frames,
 //! - [`storage`]: durable byte storage (in-memory for simulation — it
-//!   survives simulated node crashes — or file-backed),
+//!   survives simulated node crashes — or file-backed), shared through
+//!   one cell type and erased to one handle, [`StableStore`],
 //! - recovery: replaying the log rebuilds the committed store exactly,
 //! - [`dist`]: presumed-abort two-phase commit for coordination state
 //!   sharded across nodes.
@@ -53,5 +57,5 @@ pub use lock::{Conflict, LockMode};
 pub use log::{LogRecord, Wal};
 pub use manager::{AtomicAction, TxManager};
 pub use storage::{
-    FileStorage, MemStorage, SharedFileStorage, SharedStorage, StableStore, Storage,
+    FileStorage, MemStorage, Shared, SharedFileStorage, SharedStorage, StableStore, Storage,
 };

@@ -1,9 +1,9 @@
 //! Strict two-phase locking with wait-die deadlock avoidance.
 //!
 //! The lock manager grants read (shared) and write (exclusive) locks on
-//! [`StoreKey`]s to transactions. Locks are held until the *top-level*
-//! action commits or aborts (strict 2PL), which together with redo-only
-//! logging gives serialisable, recoverable histories.
+//! [`StoreKey`]s to transactions. Locks are held until the action commits
+//! or aborts (strict 2PL), which together with redo-only logging gives
+//! serialisable, recoverable histories.
 //!
 //! Deadlock is avoided rather than detected: on conflict, an older
 //! requester is told to [`Conflict::Wait`] (retry later) while a younger
@@ -139,18 +139,6 @@ impl LockManager {
         });
     }
 
-    /// Transfers all locks held by `from` to `to` (nested-action commit:
-    /// the child's locks are inherited by the parent, per Arjuna).
-    pub fn transfer(&mut self, from: TxId, to: TxId) {
-        for state in self.locks.values_mut() {
-            let held_by_from = state.holders.contains(&from);
-            if held_by_from {
-                state.holders.retain(|h| *h != from && *h != to);
-                state.holders.push(to);
-            }
-        }
-    }
-
     /// Whether `tx` holds a lock on `key` in a mode at least `mode`.
     pub fn holds(&self, tx: TxId, key: &StoreKey, mode: LockMode) -> bool {
         match self.locks.get(key) {
@@ -259,35 +247,6 @@ mod tests {
         lm.release_all(t1);
         assert_eq!(lm.locked_objects(), 0);
         assert!(!lm.holds(t1, &uid("a"), LockMode::Read));
-    }
-
-    #[test]
-    fn transfer_moves_child_locks_to_parent() {
-        let mut lm = LockManager::new();
-        let parent = TxId::new(0, 1);
-        let child = TxId::new(0, 2);
-        lm.acquire(child, &uid("o"), LockMode::Write);
-        lm.transfer(child, parent);
-        assert!(lm.holds(parent, &uid("o"), LockMode::Write));
-        assert!(!lm.holds(child, &uid("o"), LockMode::Write));
-        // Parent keeps exclusivity against others.
-        let other = TxId::new(0, 3);
-        assert!(matches!(
-            lm.acquire(other, &uid("o"), LockMode::Write),
-            Acquired::Conflicted { .. }
-        ));
-    }
-
-    #[test]
-    fn transfer_when_parent_already_holds_keeps_single_entry() {
-        let mut lm = LockManager::new();
-        let parent = TxId::new(0, 1);
-        let child = TxId::new(0, 2);
-        lm.acquire(parent, &uid("o"), LockMode::Read);
-        lm.acquire(child, &uid("o"), LockMode::Read);
-        lm.transfer(child, parent);
-        lm.release_all(parent);
-        assert_eq!(lm.locked_objects(), 0, "no residual holder entries");
     }
 
     #[test]

@@ -275,7 +275,7 @@ impl<S: Storage> Wal<S> {
     /// behind the old log, read back, and then written over a log
     /// truncated to zero. **Not crash-atomic**: a crash after the
     /// truncation and before the final append loses the log. The fix
-    /// needs a crash-point injector to prove it (ROADMAP item 3(b)).
+    /// needs a crash-point injector to prove it (ROADMAP item 2).
     ///
     /// # Errors
     ///
@@ -306,11 +306,6 @@ impl<S: Storage> Wal<S> {
     /// Current log size in bytes.
     pub fn size_bytes(&self) -> u64 {
         self.storage.len()
-    }
-
-    /// Consumes the WAL, returning the underlying storage.
-    pub fn into_storage(self) -> S {
-        self.storage
     }
 }
 
@@ -350,7 +345,7 @@ mod tests {
         let mut wal = Wal::new(MemStorage::new());
         wal.append(&sample_commit(1)).unwrap();
         wal.append(&sample_commit(2)).unwrap();
-        let mut storage = wal.into_storage();
+        let mut storage = wal.storage;
         let len = storage.len();
         storage.truncate(len - 3).unwrap();
         let wal = Wal::new(storage);
@@ -363,7 +358,7 @@ mod tests {
         let mut wal = Wal::new(MemStorage::new());
         wal.append(&sample_commit(1)).unwrap();
         wal.append(&sample_commit(2)).unwrap();
-        let storage = wal.into_storage();
+        let storage = wal.storage;
         let mut bytes = storage.read_all().unwrap();
         // Flip a payload byte inside the first frame (offset past header).
         bytes[20] ^= 0xFF;
@@ -412,7 +407,7 @@ mod tests {
             records: vec![sample_commit(2), sample_commit(3), sample_commit(4)],
         })
         .unwrap();
-        let mut storage = wal.into_storage();
+        let mut storage = wal.storage;
         let len = storage.len();
         // Tear off the frame tail: the whole group vanishes as a unit,
         // never a prefix of its member records.
@@ -463,7 +458,7 @@ mod tests {
             let mut wal = Wal::new(MemStorage::new());
             wal.append(record).unwrap();
             assert_eq!(
-                wal.into_storage().read_all().unwrap(),
+                wal.storage.read_all().unwrap(),
                 frame::encode_frame(&bytes).unwrap()
             );
         }
@@ -493,7 +488,7 @@ mod tests {
                 }))
                 .unwrap(),
             };
-            assert_eq!(wal.into_storage().read_all().unwrap(), expected);
+            assert_eq!(wal.storage.read_all().unwrap(), expected);
             buffer.clear();
             assert!(buffer.is_empty());
         }

@@ -58,13 +58,6 @@ impl Workspace {
 }
 
 #[derive(Debug)]
-struct ActiveTx {
-    parent: Option<TxId>,
-    children: Vec<TxId>,
-    workspace: Workspace,
-}
-
-#[derive(Debug)]
 struct PreparedTx {
     coordinator: u32,
     writes: Vec<(StoreKey, Option<Vec<u8>>)>,
@@ -78,9 +71,11 @@ struct PreparedTx {
 /// over these handles.
 #[derive(Debug, Clone)]
 struct TxMetrics {
-    /// Top-level and nested commits (`tx.commits`).
+    /// Committed actions, local and resolved-commit 2PC ones
+    /// (`tx.commits`).
     commits: Counter,
-    /// Aborts, explicit or cascading (`tx.aborts`).
+    /// Aborted actions: explicit, a commit whose append failed, and
+    /// resolved-abort 2PC ones (`tx.aborts`).
     aborts: Counter,
     /// Uid prefix scans served (`tx.prefix_scans`). Scans are
     /// O(matches) range walks, fine for recovery and cold admin paths —
@@ -103,7 +98,7 @@ struct TxMetrics {
     /// Groups of ≥2 commits flushed as one `GroupCommit` frame
     /// (`tx.group_commits`).
     group_commits: Counter,
-    /// Write frames per top-level commit record
+    /// Write frames per commit record
     /// (`wal.frames_per_commit`); only fed when observing metrics.
     wal_frames_per_commit: Histogram,
     /// Bytes per appended WAL frame (`wal.bytes_per_frame`); only fed
@@ -146,7 +141,7 @@ pub struct TxManager<S = SharedStorage> {
     wal: Wal<S>,
     store: BTreeMap<StoreKey, Vec<u8>>,
     locks: LockManager,
-    active: HashMap<TxId, ActiveTx>,
+    active: HashMap<TxId, Workspace>,
     prepared: HashMap<TxId, PreparedTx>,
     /// Commit decisions this node made as a 2PC coordinator (presumed
     /// abort: only commits are remembered durably). Ordered: a
@@ -155,7 +150,7 @@ pub struct TxManager<S = SharedStorage> {
     coordinator_commits: BTreeMap<TxId, bool>,
     next_seq: u64,
     /// Open [`TxManager::begin_group`] nesting depth; while positive,
-    /// top-level commit records buffer instead of hitting the WAL.
+    /// commit records buffer instead of hitting the WAL.
     group_depth: usize,
     /// Commit records awaiting the group flush, in commit order, already
     /// encoded.
@@ -304,45 +299,12 @@ impl<S: Storage> TxManager<S> {
         id
     }
 
-    /// Begins a top-level atomic action.
+    /// Begins an atomic action. Actions are flat: each commits or aborts
+    /// on its own.
     pub fn begin(&mut self) -> AtomicAction {
         let id = self.mint();
-        self.active.insert(
-            id,
-            ActiveTx {
-                parent: None,
-                children: Vec::new(),
-                workspace: Workspace::default(),
-            },
-        );
+        self.active.insert(id, Workspace::default());
         AtomicAction { id }
-    }
-
-    /// Begins an action nested inside `parent`. Its effects become
-    /// permanent only when every enclosing action commits.
-    ///
-    /// # Errors
-    ///
-    /// [`TxError::UnknownAction`] if the parent has already terminated.
-    pub fn begin_nested(&mut self, parent: &AtomicAction) -> Result<AtomicAction, TxError> {
-        if !self.active.contains_key(&parent.id) {
-            return Err(TxError::UnknownAction(parent.id));
-        }
-        let id = self.mint();
-        self.active.insert(
-            id,
-            ActiveTx {
-                parent: Some(parent.id),
-                children: Vec::new(),
-                workspace: Workspace::default(),
-            },
-        );
-        self.active
-            .get_mut(&parent.id)
-            .expect("checked above")
-            .children
-            .push(id);
-        Ok(AtomicAction { id })
     }
 
     fn acquire(&mut self, tx: TxId, key: &StoreKey, mode: LockMode) -> Result<(), TxError> {
@@ -394,42 +356,20 @@ impl<S: Storage> TxManager<S> {
             return Err(TxError::UnknownAction(action.id));
         }
         self.acquire(action.id, key, LockMode::Read)?;
-        // Nearest staged version wins: this action, then ancestors.
-        let mut cursor = Some(action.id);
-        while let Some(txid) = cursor {
-            let entry = self
-                .active
-                .get(&txid)
-                .expect("ancestor chain of active action");
-            if let Some(staged) = entry.workspace.staged(key) {
-                return Ok(staged.clone());
-            }
-            cursor = entry.parent;
+        // The action's own staged version wins over the store's.
+        match self.active[&action.id].staged(key) {
+            Some(staged) => Ok(staged.clone()),
+            None => Ok(self.store.get(key).cloned()),
         }
-        Ok(self.store.get(key).cloned())
     }
 
     /// Writes an object within an action, acquiring a write lock. The
-    /// value is staged and reaches the store only on top-level commit.
+    /// value is staged and reaches the store only on commit.
     ///
     /// # Errors
     ///
     /// [`TxError::Lock`] on conflict, [`TxError::UnknownAction`] for a
     /// terminated action.
-    pub fn write<T: Encode + ?Sized>(
-        &mut self,
-        action: &AtomicAction,
-        uid: &ObjectUid,
-        value: &T,
-    ) -> Result<(), TxError> {
-        self.write_key(action, &StoreKey::from(uid), value)
-    }
-
-    /// [`TxManager::write`] for any [`StoreKey`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`TxManager::write`].
     pub fn write_key<T: Encode + ?Sized>(
         &mut self,
         action: &AtomicAction,
@@ -439,16 +379,35 @@ impl<S: Storage> TxManager<S> {
         self.write_key_raw(action, key, flowscript_codec::to_bytes(value))
     }
 
-    /// Writes raw object bytes within an action (see [`TxManager::write`]).
+    /// Writes raw object bytes within an action (see
+    /// [`TxManager::write_key`]).
     ///
     /// # Errors
     ///
-    /// As for [`TxManager::write`].
+    /// As for [`TxManager::write_key`].
     pub fn write_key_raw(
         &mut self,
         action: &AtomicAction,
         key: &StoreKey,
         bytes: Vec<u8>,
+    ) -> Result<(), TxError> {
+        self.stage(action, key, Some(bytes))
+    }
+
+    /// Deletes an object within an action.
+    ///
+    /// # Errors
+    ///
+    /// As for [`TxManager::write_key`].
+    pub fn delete_key(&mut self, action: &AtomicAction, key: &StoreKey) -> Result<(), TxError> {
+        self.stage(action, key, None)
+    }
+
+    fn stage(
+        &mut self,
+        action: &AtomicAction,
+        key: &StoreKey,
+        value: Option<Vec<u8>>,
     ) -> Result<(), TxError> {
         if !self.active.contains_key(&action.id) {
             return Err(TxError::UnknownAction(action.id));
@@ -457,112 +416,64 @@ impl<S: Storage> TxManager<S> {
         self.active
             .get_mut(&action.id)
             .expect("checked above")
-            .workspace
-            .stage(key.clone(), Some(bytes));
+            .stage(key.clone(), value);
         Ok(())
     }
 
-    /// Deletes an object within an action.
+    /// Commits an action: the staged writes are logged durably (or join
+    /// the open commit group), applied to the store, and all its locks
+    /// released.
     ///
     /// # Errors
     ///
-    /// As for [`TxManager::write`].
-    pub fn delete(&mut self, action: &AtomicAction, uid: &ObjectUid) -> Result<(), TxError> {
-        self.delete_key(action, &StoreKey::from(uid))
-    }
-
-    /// [`TxManager::delete`] for any [`StoreKey`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`TxManager::delete`].
-    pub fn delete_key(&mut self, action: &AtomicAction, key: &StoreKey) -> Result<(), TxError> {
-        if !self.active.contains_key(&action.id) {
-            return Err(TxError::UnknownAction(action.id));
-        }
-        self.acquire(action.id, key, LockMode::Write)?;
-        self.active
-            .get_mut(&action.id)
-            .expect("checked above")
-            .workspace
-            .stage(key.clone(), None);
-        Ok(())
-    }
-
-    /// Commits an action.
-    ///
-    /// Top-level: the staged writes are logged durably, applied to the
-    /// store, and all locks released. Nested: the writes and locks are
-    /// inherited by the parent. Any still-open children are aborted first.
-    ///
-    /// # Errors
-    ///
-    /// [`TxError::UnknownAction`] if already terminated;
-    /// [`TxError::ParentTerminated`] if a nested action outlived its
-    /// parent; storage errors on log append — the action is then
-    /// aborted: nothing applied, its locks released.
+    /// [`TxError::UnknownAction`] if already terminated; storage errors
+    /// on log append — the action is then aborted: nothing applied, its
+    /// locks released.
     pub fn commit(&mut self, action: AtomicAction) -> Result<(), TxError> {
-        self.abort_open_children(action.id);
-        let entry = self
+        let writes = self
             .active
             .remove(&action.id)
-            .ok_or(TxError::UnknownAction(action.id))?;
-        match entry.parent {
-            Some(parent_id) => {
-                let Some(parent) = self.active.get_mut(&parent_id) else {
-                    // Parent vanished: abandon the child's effects.
-                    self.locks.release_all(action.id);
-                    self.metrics.aborts.inc();
-                    return Err(TxError::ParentTerminated(parent_id));
-                };
-                for (key, value) in entry.workspace.writes {
-                    parent.workspace.stage(key, value);
-                }
-                parent.children.retain(|c| *c != action.id);
-                self.locks.transfer(action.id, parent_id);
-                self.metrics.commits.inc();
-                Ok(())
-            }
-            None => {
-                let writes = entry.workspace.writes;
-                if self.observe.metrics() {
-                    self.metrics
-                        .wal_frames_per_commit
-                        .record(writes.len() as u64);
-                }
-                if !writes.is_empty() {
-                    // The record borrows nothing and is encoded exactly
-                    // once; the after-images then move into the store.
-                    let record = LogRecord::Commit {
-                        tx: action.id,
-                        writes,
-                    };
-                    if self.group_depth > 0 {
-                        self.group_buffer.push(&record);
-                    } else if let Err(err) = self.append_record(&record) {
-                        // The action is consumed — nobody can abort it
-                        // any more — so a commit that did not reach the
-                        // log ends here as an abort.
-                        self.locks.release_all(action.id);
-                        self.metrics.aborts.inc();
-                        return Err(err);
-                    }
-                    let LogRecord::Commit { writes, .. } = record else {
-                        unreachable!("built as a commit above");
-                    };
-                    apply_writes(&mut self.store, writes);
-                }
-                self.locks.release_all(action.id);
-                self.metrics.commits.inc();
-                Ok(())
-            }
+            .ok_or(TxError::UnknownAction(action.id))?
+            .writes;
+        if self.observe.metrics() {
+            self.metrics
+                .wal_frames_per_commit
+                .record(writes.len() as u64);
         }
+        if !writes.is_empty() {
+            // The record borrows nothing and is encoded exactly once;
+            // the after-images then move into the store.
+            let record = LogRecord::Commit {
+                tx: action.id,
+                writes,
+            };
+            if self.group_depth > 0 {
+                self.group_buffer.push(&record);
+            } else if let Err(err) = self.append_record(&record) {
+                // The action is consumed — nobody can abort it any more
+                // — so a commit that did not reach the log ends here as
+                // an abort.
+                self.locks.release_all(action.id);
+                self.metrics.aborts.inc();
+                return Err(err);
+            }
+            let LogRecord::Commit { writes, .. } = record else {
+                unreachable!("built as a commit above");
+            };
+            apply_writes(&mut self.store, writes);
+        }
+        self.locks.release_all(action.id);
+        self.metrics.commits.inc();
+        Ok(())
     }
 
-    /// Aborts an action, discarding its staged writes (and those of any
-    /// open children). Idempotent for already-terminated ids.
+    /// Aborts an action, discarding its staged writes. Idempotent for
+    /// already-terminated ids.
     pub fn abort(&mut self, action: AtomicAction) {
-        self.abort_by_id(action.id);
+        if self.active.remove(&action.id).is_some() {
+            self.locks.release_all(action.id);
+            self.metrics.aborts.inc();
+        }
     }
 
     // ------------------------------------------------------------------
@@ -570,7 +481,7 @@ impl<S: Storage> TxManager<S> {
     // ------------------------------------------------------------------
 
     /// Opens a commit group: until the matching [`TxManager::end_group`],
-    /// top-level commits apply to the store and release their locks as
+    /// commits apply to the store and release their locks as
     /// usual but their log records buffer in memory instead of each
     /// paying a WAL frame. Nests — only the outermost `end_group`
     /// flushes. A crash before the flush loses the whole open group as
@@ -712,44 +623,12 @@ impl<S: Storage> TxManager<S> {
         })
     }
 
-    fn abort_by_id(&mut self, id: TxId) {
-        self.abort_open_children(id);
-        if let Some(entry) = self.active.remove(&id) {
-            if let Some(parent_id) = entry.parent {
-                if let Some(parent) = self.active.get_mut(&parent_id) {
-                    parent.children.retain(|c| *c != id);
-                }
-            }
-            self.locks.release_all(id);
-            self.metrics.aborts.inc();
-        }
-    }
-
-    fn abort_open_children(&mut self, id: TxId) {
-        let children = match self.active.get(&id) {
-            Some(entry) => entry.children.clone(),
-            None => return,
-        };
-        for child in children {
-            self.abort_by_id(child);
-        }
-    }
-
     /// Reads the committed state of an object outside any transaction
     /// (dirty reads impossible: uncommitted data never reaches the store).
     ///
     /// # Errors
     ///
     /// [`TxError::Corrupt`] if the stored bytes fail to decode as `T`.
-    pub fn read_committed<T: Decode>(&self, uid: &ObjectUid) -> Result<Option<T>, TxError> {
-        self.read_committed_key(&StoreKey::from(uid))
-    }
-
-    /// [`TxManager::read_committed`] for any [`StoreKey`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`TxManager::read_committed`].
     pub fn read_committed_key<T: Decode>(&self, key: &StoreKey) -> Result<Option<T>, TxError> {
         if is_fact(key) {
             self.metrics.fact_point_reads.inc();
@@ -766,11 +645,6 @@ impl<S: Storage> TxManager<S> {
     }
 
     /// Whether an object exists in committed state.
-    pub fn exists(&self, uid: &ObjectUid) -> bool {
-        self.store.contains_key(&StoreKey::from(uid))
-    }
-
-    /// Whether an object exists in committed state, for any key.
     pub fn exists_key(&self, key: &StoreKey) -> bool {
         if is_fact(key) {
             self.metrics.fact_point_reads.inc();
@@ -1070,7 +944,7 @@ mod tests {
 
     use super::*;
     use crate::lock::Conflict;
-    use crate::storage::MemStorage;
+    use crate::storage::FlakyStorage;
 
     fn uid(s: &str) -> ObjectUid {
         ObjectUid::new(s)
@@ -1084,9 +958,9 @@ mod tests {
     fn committed_write_is_visible_later() {
         let mut mgr = TxManager::in_memory();
         let a = mgr.begin();
-        mgr.write(&a, &uid("x"), &41u32).unwrap();
+        mgr.write_key(&a, &key("x"), &41u32).unwrap();
         mgr.commit(a).unwrap();
-        assert_eq!(mgr.read_committed::<u32>(&uid("x")).unwrap(), Some(41));
+        assert_eq!(mgr.read_committed_key::<u32>(&key("x")).unwrap(), Some(41));
         let b = mgr.begin();
         assert_eq!(mgr.read_key::<u32>(&b, &key("x")).unwrap(), Some(41));
         mgr.abort(b);
@@ -1096,10 +970,10 @@ mod tests {
     fn aborted_write_leaves_no_trace() {
         let mut mgr = TxManager::in_memory();
         let a = mgr.begin();
-        mgr.write(&a, &uid("x"), &1u8).unwrap();
+        mgr.write_key(&a, &key("x"), &1u8).unwrap();
         mgr.abort(a);
-        assert_eq!(mgr.read_committed::<u8>(&uid("x")).unwrap(), None);
-        assert!(!mgr.exists(&uid("x")));
+        assert_eq!(mgr.read_committed_key::<u8>(&key("x")).unwrap(), None);
+        assert!(!mgr.exists_key(&key("x")));
         assert_eq!(mgr.stats(), (0, 1));
     }
 
@@ -1107,9 +981,9 @@ mod tests {
     fn own_writes_read_back_before_commit() {
         let mut mgr = TxManager::in_memory();
         let a = mgr.begin();
-        mgr.write(&a, &uid("x"), &7i64).unwrap();
+        mgr.write_key(&a, &key("x"), &7i64).unwrap();
         assert_eq!(mgr.read_key::<i64>(&a, &key("x")).unwrap(), Some(7));
-        mgr.delete(&a, &uid("x")).unwrap();
+        mgr.delete_key(&a, &key("x")).unwrap();
         assert_eq!(mgr.read_key::<i64>(&a, &key("x")).unwrap(), None);
         mgr.commit(a).unwrap();
     }
@@ -1119,26 +993,26 @@ mod tests {
         let mut mgr = TxManager::in_memory();
         let older = mgr.begin();
         let younger = mgr.begin();
-        mgr.write(&younger, &uid("x"), &1u8).unwrap();
+        mgr.write_key(&younger, &key("x"), &1u8).unwrap();
         // Older requester is told to wait.
-        match mgr.write(&older, &uid("x"), &2u8) {
+        match mgr.write_key(&older, &key("x"), &2u8) {
             Err(TxError::Lock { conflict, .. }) => assert_eq!(conflict, Conflict::Wait),
             other => panic!("expected lock conflict, got {other:?}"),
         }
         mgr.abort(younger);
         // Now the lock is free.
-        mgr.write(&older, &uid("x"), &2u8).unwrap();
+        mgr.write_key(&older, &key("x"), &2u8).unwrap();
         mgr.commit(older).unwrap();
-        assert_eq!(mgr.read_committed::<u8>(&uid("x")).unwrap(), Some(2));
+        assert_eq!(mgr.read_committed_key::<u8>(&key("x")).unwrap(), Some(2));
     }
 
     #[test]
     fn younger_conflicting_writer_dies() {
         let mut mgr = TxManager::in_memory();
         let older = mgr.begin();
-        mgr.write(&older, &uid("x"), &1u8).unwrap();
+        mgr.write_key(&older, &key("x"), &1u8).unwrap();
         let younger = mgr.begin();
-        match mgr.write(&younger, &uid("x"), &2u8) {
+        match mgr.write_key(&younger, &key("x"), &2u8) {
             Err(TxError::Lock { conflict, .. }) => assert_eq!(conflict, Conflict::Die),
             other => panic!("expected lock conflict, got {other:?}"),
         }
@@ -1146,53 +1020,10 @@ mod tests {
         mgr.commit(older).unwrap();
     }
 
-    #[test]
-    fn nested_commit_folds_into_parent() {
-        let mut mgr = TxManager::in_memory();
-        let parent = mgr.begin();
-        let child = mgr.begin_nested(&parent).unwrap();
-        mgr.write(&child, &uid("x"), &5u8).unwrap();
-        mgr.commit(child).unwrap();
-        // Not yet durable: only staged in the parent.
-        assert_eq!(mgr.read_committed::<u8>(&uid("x")).unwrap(), None);
-        assert_eq!(mgr.read_key::<u8>(&parent, &key("x")).unwrap(), Some(5));
-        mgr.commit(parent).unwrap();
-        assert_eq!(mgr.read_committed::<u8>(&uid("x")).unwrap(), Some(5));
-    }
-
-    #[test]
-    fn nested_abort_spares_parent() {
-        let mut mgr = TxManager::in_memory();
-        let parent = mgr.begin();
-        mgr.write(&parent, &uid("keep"), &1u8).unwrap();
-        let child = mgr.begin_nested(&parent).unwrap();
-        mgr.write(&child, &uid("discard"), &2u8).unwrap();
-        mgr.abort(child);
-        mgr.commit(parent).unwrap();
-        assert_eq!(mgr.read_committed::<u8>(&uid("keep")).unwrap(), Some(1));
-        assert_eq!(mgr.read_committed::<u8>(&uid("discard")).unwrap(), None);
-    }
-
-    #[test]
-    fn parent_commit_aborts_open_children() {
-        let mut mgr = TxManager::in_memory();
-        let parent = mgr.begin();
-        let child = mgr.begin_nested(&parent).unwrap();
-        mgr.write(&child, &uid("x"), &9u8).unwrap();
-        mgr.commit(parent).unwrap();
-        assert_eq!(
-            mgr.read_committed::<u8>(&uid("x")).unwrap(),
-            None,
-            "open child must be aborted by parent commit"
-        );
-        // The child action is now unknown.
-        assert!(matches!(mgr.commit(child), Err(TxError::UnknownAction(_))));
-    }
-
     /// A start stages one control block per plan task and a purge a
     /// whole instance, so staging must stay last-write-wins in
     /// first-write order however many keys one action touches — here
-    /// 4 000, half of them inherited from a nested child.
+    /// 4 000.
     #[test]
     fn large_action_commits_first_write_order_last_write_wins() {
         const N: usize = 4_000;
@@ -1207,36 +1038,28 @@ mod tests {
             Some((_, slot)) => *slot = v,
             None => model.push((keys[i].clone(), v)),
         };
-        let parent = mgr.begin();
-        for i in (0..N).step_by(2) {
-            mgr.write_key_raw(&parent, &keys[i], vec![1]).unwrap();
-            stage(&mut model, i, Some(vec![1]));
+        let action = mgr.begin();
+        for i in (0..N).step_by(2).chain((1..N).step_by(2).rev()) {
+            let value = vec![1 + (i % 2) as u8];
+            mgr.write_key_raw(&action, &keys[i], value.clone()).unwrap();
+            stage(&mut model, i, Some(value));
         }
-        // The child may only touch keys its parent has not locked; its
-        // writes merge behind the parent's in *its* first-write order.
-        let child = mgr.begin_nested(&parent).unwrap();
-        for i in (1..N).step_by(2).rev() {
-            mgr.write_key_raw(&child, &keys[i], vec![2]).unwrap();
-            stage(&mut model, i, Some(vec![2]));
-        }
-        assert_eq!(mgr.read_key_raw(&child, &keys[3]).unwrap(), Some(vec![2]));
-        mgr.commit(child).unwrap();
         // Rewrites and deletions keep each key's first slot.
         for i in (0..N).step_by(3) {
             let value = (i % 7 != 0).then(|| vec![3, i as u8]);
             match &value {
-                Some(bytes) => mgr.write_key_raw(&parent, &keys[i], bytes.clone()).unwrap(),
-                None => mgr.delete_key(&parent, &keys[i]).unwrap(),
+                Some(bytes) => mgr.write_key_raw(&action, &keys[i], bytes.clone()).unwrap(),
+                None => mgr.delete_key(&action, &keys[i]).unwrap(),
             }
             stage(&mut model, i, value);
         }
         assert_eq!(
-            mgr.read_key_raw(&parent, &keys[3]).unwrap(),
+            mgr.read_key_raw(&action, &keys[3]).unwrap(),
             Some(vec![3, 3])
         );
-        assert_eq!(mgr.read_key_raw(&parent, &keys[5]).unwrap(), Some(vec![2]));
-        assert_eq!(mgr.read_key_raw(&parent, &keys[21]).unwrap(), None);
-        mgr.commit(parent).unwrap();
+        assert_eq!(mgr.read_key_raw(&action, &keys[5]).unwrap(), Some(vec![2]));
+        assert_eq!(mgr.read_key_raw(&action, &keys[21]).unwrap(), None);
+        mgr.commit(action).unwrap();
         let records = Wal::new(stable).scan().unwrap();
         let [LogRecord::Commit { writes, .. }] = records.as_slice() else {
             panic!("one commit record, got {records:?}");
@@ -1251,23 +1074,24 @@ mod tests {
         {
             let mut mgr = TxManager::open(0, stable.clone()).unwrap();
             let a = mgr.begin();
-            mgr.write(&a, &uid("x"), &String::from("durable")).unwrap();
-            mgr.write(&a, &uid("y"), &2u8).unwrap();
+            mgr.write_key(&a, &key("x"), &String::from("durable"))
+                .unwrap();
+            mgr.write_key(&a, &key("y"), &2u8).unwrap();
             mgr.commit(a).unwrap();
             let b = mgr.begin();
-            mgr.delete(&b, &uid("y")).unwrap();
+            mgr.delete_key(&b, &key("y")).unwrap();
             mgr.commit(b).unwrap();
             let c = mgr.begin();
-            mgr.write(&c, &uid("z"), &3u8).unwrap();
+            mgr.write_key(&c, &key("z"), &3u8).unwrap();
             // c is never committed: crash here.
         }
         let mgr = TxManager::open(0, stable).unwrap();
         assert_eq!(
-            mgr.read_committed::<String>(&uid("x")).unwrap(),
+            mgr.read_committed_key::<String>(&key("x")).unwrap(),
             Some("durable".to_string())
         );
-        assert_eq!(mgr.read_committed::<u8>(&uid("y")).unwrap(), None);
-        assert_eq!(mgr.read_committed::<u8>(&uid("z")).unwrap(), None);
+        assert_eq!(mgr.read_committed_key::<u8>(&key("y")).unwrap(), None);
+        assert_eq!(mgr.read_committed_key::<u8>(&key("z")).unwrap(), None);
     }
 
     #[test]
@@ -1277,18 +1101,21 @@ mod tests {
             let mut mgr = TxManager::open(0, stable.clone()).unwrap();
             for i in 0..10u8 {
                 let a = mgr.begin();
-                mgr.write(&a, &uid(&format!("o{i}")), &i).unwrap();
+                mgr.write_key(&a, &key(&format!("o{i}")), &i).unwrap();
                 mgr.commit(a).unwrap();
             }
             mgr.checkpoint().unwrap();
             let a = mgr.begin();
-            mgr.write(&a, &uid("post"), &99u8).unwrap();
+            mgr.write_key(&a, &key("post"), &99u8).unwrap();
             mgr.commit(a).unwrap();
         }
         let mgr = TxManager::open(0, stable).unwrap();
         assert_eq!(mgr.object_count(), 11);
-        assert_eq!(mgr.read_committed::<u8>(&uid("o7")).unwrap(), Some(7));
-        assert_eq!(mgr.read_committed::<u8>(&uid("post")).unwrap(), Some(99));
+        assert_eq!(mgr.read_committed_key::<u8>(&key("o7")).unwrap(), Some(7));
+        assert_eq!(
+            mgr.read_committed_key::<u8>(&key("post")).unwrap(),
+            Some(99)
+        );
     }
 
     #[test]
@@ -1296,13 +1123,16 @@ mod tests {
         let mut mgr = TxManager::in_memory();
         for i in 0..100u32 {
             let a = mgr.begin();
-            mgr.write(&a, &uid("hot"), &i).unwrap();
+            mgr.write_key(&a, &key("hot"), &i).unwrap();
             mgr.commit(a).unwrap();
         }
         let before = mgr.log_size();
         mgr.checkpoint().unwrap();
         assert!(mgr.log_size() < before / 10);
-        assert_eq!(mgr.read_committed::<u32>(&uid("hot")).unwrap(), Some(99));
+        assert_eq!(
+            mgr.read_committed_key::<u32>(&key("hot")).unwrap(),
+            Some(99)
+        );
     }
 
     #[test]
@@ -1330,7 +1160,7 @@ mod tests {
     fn read_only_commit_appends_nothing() {
         let mut mgr = TxManager::in_memory();
         let a = mgr.begin();
-        mgr.write(&a, &uid("x"), &1u8).unwrap();
+        mgr.write_key(&a, &key("x"), &1u8).unwrap();
         mgr.commit(a).unwrap();
         let size = mgr.log_size();
         let b = mgr.begin();
@@ -1343,9 +1173,9 @@ mod tests {
     fn prefix_enumeration_sorted() {
         let mut mgr = TxManager::in_memory();
         let a = mgr.begin();
-        mgr.write(&a, &uid("inst/1/b"), &1u8).unwrap();
-        mgr.write(&a, &uid("inst/1/a"), &1u8).unwrap();
-        mgr.write(&a, &uid("inst/2/a"), &1u8).unwrap();
+        mgr.write_key(&a, &key("inst/1/b"), &1u8).unwrap();
+        mgr.write_key(&a, &key("inst/1/a"), &1u8).unwrap();
+        mgr.write_key(&a, &key("inst/2/a"), &1u8).unwrap();
         // Fact keys never leak into uid prefix scans.
         mgr.write_key(&a, &StoreKey::Fact(FactKey::output(1, 0, 0)), &1u8)
             .unwrap();
@@ -1359,12 +1189,12 @@ mod tests {
         let mut mgr = TxManager::in_memory();
         assert_eq!(mgr.prefix_scan_count(), 0);
         let a = mgr.begin();
-        mgr.write(&a, &uid("inst/1/a"), &1u8).unwrap();
+        mgr.write_key(&a, &key("inst/1/a"), &1u8).unwrap();
         mgr.write_key(&a, &StoreKey::Fact(FactKey::output(1, 0, 0)), &1u8)
             .unwrap();
         mgr.commit(a).unwrap();
         // Point reads and dense-key range scans are not prefix scans.
-        let _ = mgr.read_committed::<u8>(&uid("inst/1/a")).unwrap();
+        let _ = mgr.read_committed_key::<u8>(&key("inst/1/a")).unwrap();
         let _ = mgr.fact_keys_in_range(FactKey::instance_first(1), FactKey::instance_last(1));
         assert_eq!(mgr.prefix_scan_count(), 0);
         let _ = mgr.uids_with_prefix("inst/");
@@ -1427,7 +1257,7 @@ mod tests {
         let mut mgr = TxManager::open(0, stable.clone()).unwrap();
         assert_eq!(mgr.in_doubt(), vec![(dist_tx, 9)]);
         // The staged write is invisible and the object locked.
-        assert_eq!(mgr.read_committed::<u8>(&uid("x")).unwrap(), None);
+        assert_eq!(mgr.read_committed_key::<u8>(&key("x")).unwrap(), None);
         let a = mgr.begin();
         assert!(matches!(
             mgr.read_key::<u8>(&a, &key("x")),
@@ -1436,11 +1266,11 @@ mod tests {
         mgr.abort(a);
         // Resolution commits it.
         mgr.resolve_remote(dist_tx, true).unwrap();
-        assert!(mgr.exists(&uid("x")));
+        assert!(mgr.exists_key(&key("x")));
         assert!(mgr.in_doubt().is_empty());
         // And is durable.
         let mgr2 = TxManager::open(0, stable).unwrap();
-        assert!(mgr2.exists(&uid("x")));
+        assert!(mgr2.exists_key(&key("x")));
     }
 
     #[test]
@@ -1451,10 +1281,10 @@ mod tests {
             .unwrap();
         mgr.resolve_remote(dist_tx, false).unwrap();
         mgr.resolve_remote(dist_tx, false).unwrap();
-        assert!(!mgr.exists(&uid("x")));
+        assert!(!mgr.exists_key(&key("x")));
         // Lock released after abort resolution.
         let a = mgr.begin();
-        assert!(mgr.write(&a, &uid("x"), &2u8).is_ok());
+        assert!(mgr.write_key(&a, &key("x"), &2u8).is_ok());
         mgr.abort(a);
     }
 
@@ -1480,11 +1310,12 @@ mod tests {
             mgr.begin_group();
             for i in 0..5u8 {
                 let a = mgr.begin();
-                mgr.write(&a, &uid(&format!("g{i}")), &i).unwrap();
+                mgr.write_key(&a, &key(&format!("g{i}")), &i).unwrap();
                 mgr.commit(a).unwrap();
                 // Applied and unlocked immediately, durable later.
                 assert_eq!(
-                    mgr.read_committed::<u8>(&uid(&format!("g{i}"))).unwrap(),
+                    mgr.read_committed_key::<u8>(&key(&format!("g{i}")))
+                        .unwrap(),
                     Some(i)
                 );
             }
@@ -1497,7 +1328,8 @@ mod tests {
         let mgr = TxManager::open(0, stable).unwrap();
         for i in 0..5u8 {
             assert_eq!(
-                mgr.read_committed::<u8>(&uid(&format!("g{i}"))).unwrap(),
+                mgr.read_committed_key::<u8>(&key(&format!("g{i}")))
+                    .unwrap(),
                 Some(i)
             );
         }
@@ -1508,7 +1340,7 @@ mod tests {
         let mut mgr = TxManager::in_memory();
         mgr.begin_group();
         let a = mgr.begin();
-        mgr.write(&a, &uid("x"), &1u8).unwrap();
+        mgr.write_key(&a, &key("x"), &1u8).unwrap();
         mgr.commit(a).unwrap();
         mgr.end_group().unwrap();
         assert_eq!(mgr.group_commit_count(), 0, "one record needs no group");
@@ -1521,13 +1353,13 @@ mod tests {
         mgr.begin_group();
         mgr.begin_group();
         let a = mgr.begin();
-        mgr.write(&a, &uid("x"), &1u8).unwrap();
+        mgr.write_key(&a, &key("x"), &1u8).unwrap();
         mgr.commit(a).unwrap();
         mgr.end_group().unwrap();
         assert!(mgr.in_group());
         assert_eq!(mgr.wal_frames_appended(), 0, "inner end does not flush");
         let b = mgr.begin();
-        mgr.write(&b, &uid("y"), &2u8).unwrap();
+        mgr.write_key(&b, &key("y"), &2u8).unwrap();
         mgr.commit(b).unwrap();
         mgr.end_group().unwrap();
         assert!(!mgr.in_group());
@@ -1541,21 +1373,25 @@ mod tests {
         {
             let mut mgr = TxManager::open(0, stable.clone()).unwrap();
             let a = mgr.begin();
-            mgr.write(&a, &uid("before"), &1u8).unwrap();
+            mgr.write_key(&a, &key("before"), &1u8).unwrap();
             mgr.commit(a).unwrap();
             mgr.begin_group();
             for i in 0..3u8 {
                 let a = mgr.begin();
-                mgr.write(&a, &uid(&format!("w{i}")), &i).unwrap();
+                mgr.write_key(&a, &key(&format!("w{i}")), &i).unwrap();
                 mgr.commit(a).unwrap();
             }
             // Crash before end_group: the whole window vanishes.
         }
         let mgr = TxManager::open(0, stable).unwrap();
-        assert_eq!(mgr.read_committed::<u8>(&uid("before")).unwrap(), Some(1));
+        assert_eq!(
+            mgr.read_committed_key::<u8>(&key("before")).unwrap(),
+            Some(1)
+        );
         for i in 0..3u8 {
             assert_eq!(
-                mgr.read_committed::<u8>(&uid(&format!("w{i}"))).unwrap(),
+                mgr.read_committed_key::<u8>(&key(&format!("w{i}")))
+                    .unwrap(),
                 None,
                 "no partial batch may survive"
             );
@@ -1571,14 +1407,14 @@ mod tests {
             dist_tx = mgr.mint_dist_tx();
             mgr.begin_group();
             let a = mgr.begin();
-            mgr.write(&a, &uid("x"), &7u8).unwrap();
+            mgr.write_key(&a, &key("x"), &7u8).unwrap();
             mgr.commit(a).unwrap();
             mgr.log_coordinator_decision(dist_tx, true).unwrap();
             mgr.checkpoint().unwrap();
             mgr.end_group().unwrap();
         }
         let mgr = TxManager::open(0, stable).unwrap();
-        assert_eq!(mgr.read_committed::<u8>(&uid("x")).unwrap(), Some(7));
+        assert_eq!(mgr.read_committed_key::<u8>(&key("x")).unwrap(), Some(7));
         assert_eq!(mgr.coordinator_decision(dist_tx), Some(true));
     }
 
@@ -1589,11 +1425,11 @@ mod tests {
         let dist_tx = mgr.mint_dist_tx();
         mgr.begin_group();
         let a = mgr.begin();
-        mgr.write(&a, &uid("x"), &1u8).unwrap();
+        mgr.write_key(&a, &key("x"), &1u8).unwrap();
         mgr.commit(a).unwrap();
         mgr.log_coordinator_decision(dist_tx, true).unwrap();
         let b = mgr.begin();
-        mgr.delete(&b, &uid("x")).unwrap();
+        mgr.delete_key(&b, &key("x")).unwrap();
         mgr.commit(b).unwrap();
         assert_eq!(mgr.wal_frames_appended(), 0, "buffered with the group");
         mgr.end_group().unwrap();
@@ -1611,37 +1447,8 @@ mod tests {
         for _ in 0..2 {
             let mut mgr = TxManager::open(0, stable.clone()).unwrap();
             assert_eq!(mgr.coordinator_decision(dist_tx), Some(true));
-            assert!(!mgr.exists(&uid("x")));
+            assert!(!mgr.exists_key(&key("x")));
             mgr.checkpoint().unwrap();
-        }
-    }
-
-    /// A [`MemStorage`] whose appends fail while `fail` is set: ROADMAP
-    /// 3(b)'s fault-injecting disk in miniature.
-    #[derive(Debug, Default)]
-    struct FlakyStorage {
-        inner: MemStorage,
-        fail: Rc<Cell<bool>>,
-    }
-
-    impl Storage for FlakyStorage {
-        fn append(&mut self, bytes: &[u8]) -> Result<(), TxError> {
-            if self.fail.get() {
-                return Err(TxError::Storage("injected append failure".into()));
-            }
-            self.inner.append(bytes)
-        }
-
-        fn read_all(&self) -> Result<Vec<u8>, TxError> {
-            self.inner.read_all()
-        }
-
-        fn truncate(&mut self, len: u64) -> Result<(), TxError> {
-            self.inner.truncate(len)
-        }
-
-        fn len(&self) -> u64 {
-            self.inner.len()
         }
     }
 
@@ -1655,17 +1462,17 @@ mod tests {
     fn failed_commit_append_aborts_the_action_and_frees_its_locks() {
         let (mut mgr, fail) = flaky();
         let a = mgr.begin();
-        mgr.write(&a, &uid("x"), &1u8).unwrap();
+        mgr.write_key(&a, &key("x"), &1u8).unwrap();
         fail.set(true);
         assert!(matches!(mgr.commit(a), Err(TxError::Storage(_))));
         fail.set(false);
         // Nothing applied — and the action is consumed, so nobody could
         // release its locks after the fact: the next writer must get in.
-        assert_eq!(mgr.read_committed::<u8>(&uid("x")).unwrap(), None);
+        assert_eq!(mgr.read_committed_key::<u8>(&key("x")).unwrap(), None);
         let b = mgr.begin();
-        mgr.write(&b, &uid("x"), &2u8).unwrap();
+        mgr.write_key(&b, &key("x"), &2u8).unwrap();
         mgr.commit(b).unwrap();
-        assert_eq!(mgr.read_committed::<u8>(&uid("x")).unwrap(), Some(2));
+        assert_eq!(mgr.read_committed_key::<u8>(&key("x")).unwrap(), Some(2));
         assert_eq!(mgr.stats(), (1, 1), "the failed commit counts as an abort");
     }
 
@@ -1682,7 +1489,7 @@ mod tests {
         assert!(mgr.in_doubt().is_empty(), "not durable, not prepared");
         // The key is free for a local writer and for the next prepare.
         let a = mgr.begin();
-        mgr.write(&a, &uid("x"), &2u8).unwrap();
+        mgr.write_key(&a, &key("x"), &2u8).unwrap();
         mgr.commit(a).unwrap();
         mgr.prepare_remote(TxId::new(9, 2), 9, writes()).unwrap();
         assert_eq!(mgr.in_doubt(), vec![(TxId::new(9, 2), 9)]);
@@ -1703,9 +1510,9 @@ mod tests {
         // Still in doubt, still locked, nothing applied: the decision's
         // next delivery is not mistaken for a duplicate.
         assert_eq!(mgr.in_doubt(), vec![(dist_tx, 9)]);
-        assert!(!mgr.exists(&uid("x")));
+        assert!(!mgr.exists_key(&key("x")));
         mgr.resolve_remote(dist_tx, true).unwrap();
-        assert!(mgr.exists(&uid("x")));
+        assert!(mgr.exists_key(&key("x")));
         assert!(mgr.in_doubt().is_empty());
     }
 
@@ -1714,14 +1521,14 @@ mod tests {
         let stable = SharedStorage::new();
         let mut zombie = TxManager::open(0, stable.clone()).unwrap();
         let a = zombie.begin();
-        zombie.write(&a, &uid("x"), &1u8).unwrap();
+        zombie.write_key(&a, &key("x"), &1u8).unwrap();
         zombie.commit(a).unwrap();
         // Another node claims the storage behind the zombie's back.
         let mut claimant = TxManager::open(2, stable).unwrap();
         claimant.write_fence(9).unwrap();
         // The zombie's next durable act trips over the fence.
         let b = zombie.begin();
-        zombie.write(&b, &uid("x"), &2u8).unwrap();
+        zombie.write_key(&b, &key("x"), &2u8).unwrap();
         assert_eq!(
             zombie.commit(b),
             Err(TxError::Fenced {
@@ -1746,13 +1553,13 @@ mod tests {
         assert_eq!(owner.fenced(), Some((2, 4)));
         assert_eq!(owner.probe_fence(), Some((2, 4)));
         let a = owner.begin();
-        owner.write(&a, &uid("x"), &1u8).unwrap();
+        owner.write_key(&a, &key("x"), &1u8).unwrap();
         assert!(matches!(owner.commit(a), Err(TxError::Fenced { .. })));
         // The claimant reopening its own claim is not fenced by it.
         let mut again = TxManager::open(2, stable).unwrap();
         assert_eq!(again.fenced(), None);
         let b = again.begin();
-        again.write(&b, &uid("y"), &2u8).unwrap();
+        again.write_key(&b, &key("y"), &2u8).unwrap();
         again.commit(b).unwrap();
     }
 
@@ -1779,7 +1586,7 @@ mod tests {
             let mut mgr = TxManager::open(0, stable.clone()).unwrap();
             let a = mgr.begin();
             first = a.id();
-            mgr.write(&a, &uid("x"), &1u8).unwrap();
+            mgr.write_key(&a, &key("x"), &1u8).unwrap();
             mgr.commit(a).unwrap();
         }
         let mut mgr = TxManager::open(0, stable).unwrap();

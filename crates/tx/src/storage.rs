@@ -1,13 +1,16 @@
 //! Durable byte storage behind the write-ahead log.
 //!
 //! In simulation, durable state must survive *simulated node crashes* while
-//! living in the test process: [`MemStorage`] is shared via
-//! [`SharedStorage`] (an `Rc` cell), so a "crashed" node's `TxManager` can
-//! be dropped and a fresh one recovered from the same bytes — exactly the
-//! paper's model of stable storage surviving processor crashes.
-//! [`FileStorage`] provides real on-disk durability for non-simulated use.
+//! living in the test process: a [`Storage`] is shared via [`Shared`] (an
+//! `Rc` cell), so a "crashed" node's `TxManager` can be dropped and a
+//! fresh one recovered from the same bytes — exactly the paper's model of
+//! stable storage surviving processor crashes. [`MemStorage`] is the
+//! simulated disk, [`FileStorage`] provides real on-disk durability, and
+//! [`StableStore`] is either — or any other [`Storage`], a test double
+//! included — behind one handle.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -81,39 +84,6 @@ impl Storage for MemStorage {
     }
 }
 
-/// A reference-counted storage cell, cloneable across the "disk" boundary:
-/// the simulated machine holds one clone, the simulated stable store the
-/// other. Dropping the machine's clone (crash) does not lose the bytes.
-#[derive(Debug, Clone, Default)]
-pub struct SharedStorage {
-    inner: Rc<RefCell<MemStorage>>,
-}
-
-impl SharedStorage {
-    /// Creates empty shared storage.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Storage for SharedStorage {
-    fn append(&mut self, bytes: &[u8]) -> Result<(), TxError> {
-        self.inner.borrow_mut().append(bytes)
-    }
-
-    fn read_all(&self) -> Result<Vec<u8>, TxError> {
-        self.inner.borrow().read_all()
-    }
-
-    fn truncate(&mut self, len: u64) -> Result<(), TxError> {
-        self.inner.borrow_mut().truncate(len)
-    }
-
-    fn len(&self) -> u64 {
-        self.inner.borrow().len()
-    }
-}
-
 /// File-backed storage, syncing on every append.
 #[derive(Debug)]
 pub struct FileStorage {
@@ -184,14 +154,67 @@ impl Storage for FileStorage {
     }
 }
 
-/// A [`FileStorage`] behind an `Rc` cell, cloneable across the "disk"
-/// boundary exactly like [`SharedStorage`]: the simulated machine and
-/// the simulated stable store hold clones of the same open log file, so
-/// a crashed node's `TxManager` can be dropped and a fresh one
-/// recovered over the surviving file.
-#[derive(Debug, Clone)]
-pub struct SharedFileStorage {
-    inner: Rc<RefCell<FileStorage>>,
+/// A storage cell shared across the "disk" boundary: the simulated
+/// machine holds one clone, the simulated stable store the other, and
+/// dropping the machine's clone (a crash) does not lose the bytes — a
+/// fresh `TxManager` recovers from what the surviving clone holds.
+pub struct Shared<S: ?Sized> {
+    inner: Rc<RefCell<S>>,
+}
+
+/// Simulated stable memory: crash survival without touching a disk.
+pub type SharedStorage = Shared<MemStorage>;
+
+/// One open, synced log file shared the same way: every WAL frame append
+/// is a `write` + `fdatasync`, the cost that group commit amortizes.
+pub type SharedFileStorage = Shared<FileStorage>;
+
+/// The stable store a coordinator journals to: any shared storage, its
+/// type erased. Built `From` a [`SharedStorage`], a
+/// [`SharedFileStorage`], or a `Shared::from` of any other [`Storage`].
+pub type StableStore = Shared<dyn Storage>;
+
+impl<S: ?Sized> Clone for Shared<S> {
+    fn clone(&self) -> Self {
+        Self {
+            inner: Rc::clone(&self.inner),
+        }
+    }
+}
+
+impl<S: ?Sized> fmt::Debug for Shared<S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Shared").finish_non_exhaustive()
+    }
+}
+
+impl<S: Storage> From<S> for Shared<S> {
+    fn from(storage: S) -> Self {
+        Self {
+            inner: Rc::new(RefCell::new(storage)),
+        }
+    }
+}
+
+impl<S: Storage + 'static> From<Shared<S>> for StableStore {
+    fn from(storage: Shared<S>) -> Self {
+        Self {
+            inner: storage.inner,
+        }
+    }
+}
+
+impl<S: Storage + Default> Default for Shared<S> {
+    fn default() -> Self {
+        Self::from(S::default())
+    }
+}
+
+impl SharedStorage {
+    /// Creates empty shared storage.
+    pub fn new() -> Self {
+        Self::default()
+    }
 }
 
 impl SharedFileStorage {
@@ -202,9 +225,7 @@ impl SharedFileStorage {
     ///
     /// [`TxError::Storage`] if the file cannot be opened.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, TxError> {
-        Ok(Self {
-            inner: Rc::new(RefCell::new(FileStorage::open(path)?)),
-        })
+        FileStorage::open(path).map(Self::from)
     }
 
     /// Opens the log file at `path` truncated to empty — a fresh log
@@ -214,13 +235,13 @@ impl SharedFileStorage {
     ///
     /// [`TxError::Storage`] if the file cannot be opened or truncated.
     pub fn create(path: impl AsRef<Path>) -> Result<Self, TxError> {
-        let store = Self::open(path)?;
-        store.inner.borrow_mut().truncate(0)?;
+        let mut store = Self::open(path)?;
+        store.truncate(0)?;
         Ok(store)
     }
 }
 
-impl Storage for SharedFileStorage {
+impl<S: Storage + ?Sized> Storage for Shared<S> {
     fn append(&mut self, bytes: &[u8]) -> Result<(), TxError> {
         self.inner.borrow_mut().append(bytes)
     }
@@ -238,63 +259,35 @@ impl Storage for SharedFileStorage {
     }
 }
 
-/// The stable store a coordinator journals to: simulated memory (the
-/// default — crash survival without touching the real disk) or a real
-/// synced file (every WAL frame append is a `write` + `fdatasync`, the
-/// cost that group commit amortizes).
-#[derive(Debug, Clone)]
-pub enum StableStore {
-    /// Simulated stable memory ([`SharedStorage`]).
-    Mem(SharedStorage),
-    /// A synced on-disk log file ([`SharedFileStorage`]).
-    File(SharedFileStorage),
+/// A [`MemStorage`] whose appends fail while `fail` is set: the one
+/// failure a test double injects so far (tearing and crash points are
+/// ROADMAP item 2's).
+#[doc(hidden)]
+#[derive(Debug, Default)]
+pub struct FlakyStorage {
+    inner: MemStorage,
+    /// The switch: keep a clone, set it, and appends fail.
+    pub fail: Rc<Cell<bool>>,
 }
 
-impl Default for StableStore {
-    fn default() -> Self {
-        Self::Mem(SharedStorage::default())
-    }
-}
-
-impl From<SharedStorage> for StableStore {
-    fn from(storage: SharedStorage) -> Self {
-        Self::Mem(storage)
-    }
-}
-
-impl From<SharedFileStorage> for StableStore {
-    fn from(storage: SharedFileStorage) -> Self {
-        Self::File(storage)
-    }
-}
-
-impl Storage for StableStore {
+impl Storage for FlakyStorage {
     fn append(&mut self, bytes: &[u8]) -> Result<(), TxError> {
-        match self {
-            Self::Mem(s) => s.append(bytes),
-            Self::File(s) => s.append(bytes),
+        if self.fail.get() {
+            return Err(TxError::Storage("injected append failure".into()));
         }
+        self.inner.append(bytes)
     }
 
     fn read_all(&self) -> Result<Vec<u8>, TxError> {
-        match self {
-            Self::Mem(s) => s.read_all(),
-            Self::File(s) => s.read_all(),
-        }
+        self.inner.read_all()
     }
 
     fn truncate(&mut self, len: u64) -> Result<(), TxError> {
-        match self {
-            Self::Mem(s) => s.truncate(len),
-            Self::File(s) => s.truncate(len),
-        }
+        self.inner.truncate(len)
     }
 
     fn len(&self) -> u64 {
-        match self {
-            Self::Mem(s) => s.len(),
-            Self::File(s) => s.len(),
-        }
+        self.inner.len()
     }
 }
 
@@ -312,18 +305,6 @@ mod tests {
         s.truncate(5).unwrap();
         assert_eq!(s.read_all().unwrap(), b"hello");
         assert_eq!(s.len(), 5);
-    }
-
-    #[test]
-    fn shared_storage_survives_clone_drop() {
-        let stable = SharedStorage::new();
-        {
-            let mut machine_view = stable.clone();
-            machine_view.append(b"durable").unwrap();
-            // machine "crashes": its clone is dropped here.
-        }
-        assert_eq!(stable.read_all().unwrap(), b"durable");
-        assert_eq!(stable.read_all().unwrap(), b"durable");
     }
 
     #[test]
@@ -347,46 +328,39 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// The shared-disk contract, once, through the handle a coordinator
+    /// holds — over memory, a synced file and the failing double.
     #[test]
-    fn shared_file_storage_survives_clone_drop_and_reopen() {
-        let dir = std::env::temp_dir().join(format!("fs-tx-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal-shared.log");
-        let stable = SharedFileStorage::create(&path).unwrap();
-        {
-            let mut machine_view = stable.clone();
-            machine_view.append(b"durable").unwrap();
-            // machine "crashes": its clone is dropped here.
-        }
-        assert_eq!(stable.read_all().unwrap(), b"durable");
-        // A whole-process restart: reopen from the path, non-truncating.
-        let reopened = SharedFileStorage::open(&path).unwrap();
-        assert_eq!(reopened.read_all().unwrap(), b"durable");
-        // `create` starts a fresh log over the same file.
-        let fresh = SharedFileStorage::create(&path).unwrap();
-        assert!(fresh.is_empty());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn stable_store_variants_roundtrip() {
+    fn stable_store_roundtrips_over_every_storage() {
         let dir = std::env::temp_dir().join(format!("fs-tx-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("wal-stable.log");
-        let mut stores = [
-            StableStore::default(),
-            StableStore::from(SharedFileStorage::create(&path).unwrap()),
+        let stores: [(&str, StableStore); 3] = [
+            ("memory", SharedStorage::new().into()),
+            ("file", SharedFileStorage::create(&path).unwrap().into()),
+            ("double", Shared::from(FlakyStorage::default()).into()),
         ];
-        for store in &mut stores {
-            assert!(store.is_empty());
-            store.append(b"frame-1").unwrap();
-            store.append(b"frame-2").unwrap();
-            assert_eq!(store.read_all().unwrap(), b"frame-1frame-2");
+        for (name, stable) in stores {
+            assert!(stable.is_empty(), "{name}");
+            {
+                let mut machine_view = stable.clone();
+                machine_view.append(b"frame-1").unwrap();
+                machine_view.append(b"frame-2").unwrap();
+                // machine "crashes": its clone is dropped here.
+            }
+            assert_eq!(stable.read_all().unwrap(), b"frame-1frame-2", "{name}");
+            let mut store = stable.clone();
             store.truncate(7).unwrap();
-            assert_eq!(store.read_all().unwrap(), b"frame-1");
-            // Clones view the same bytes (the shared-disk contract).
-            assert_eq!(store.clone().read_all().unwrap(), b"frame-1");
+            assert_eq!(store.len(), 7, "{name}");
+            // Clones view the same bytes.
+            assert_eq!(stable.read_all().unwrap(), b"frame-1", "{name}");
         }
+        // A whole-process restart: reopen from the path, non-truncating.
+        let reopened = SharedFileStorage::open(&path).unwrap();
+        assert_eq!(reopened.read_all().unwrap(), b"frame-1");
+        // `create` starts a fresh log over the same file.
+        let fresh = SharedFileStorage::create(&path).unwrap();
+        assert!(fresh.is_empty());
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use flowscript_tx::{Conflict, ObjectUid, TxError, TxManager};
+use flowscript_tx::{Conflict, ObjectUid, StoreKey, TxError, TxManager};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -30,8 +30,8 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
-fn uid(o: u8) -> ObjectUid {
-    ObjectUid::new(format!("obj/{o}"))
+fn key(o: u8) -> StoreKey {
+    StoreKey::Uid(ObjectUid::new(format!("obj/{o}")))
 }
 
 proptest! {
@@ -56,7 +56,7 @@ proptest! {
                 Step::Read(t, o) => {
                     let slot = t as usize;
                     if let Some(Some(action)) = actions.get(slot) {
-                        match mgr.read_key::<u64>(action, &uid(o).into()) {
+                        match mgr.read_key::<u64>(action, &key(o)) {
                             Ok(_) => {
                                 // Invariant 2: no *other* writer may hold o.
                                 if let Some(&w) = writers.get(&o) {
@@ -82,7 +82,7 @@ proptest! {
                     let slot = t as usize;
                     if let Some(Some(action)) = actions.get(slot) {
                         write_count += 1;
-                        match mgr.write(action, &uid(o), &write_count) {
+                        match mgr.write_key(action, &key(o), &write_count) {
                             Ok(()) => {
                                 // Invariant 1: no other writer.
                                 if let Some(&w) = writers.get(&o) {
@@ -136,7 +136,7 @@ proptest! {
             }
         }
         for o in 0..4u8 {
-            let _ = mgr.read_committed::<u64>(&uid(o)).unwrap();
+            let _ = mgr.read_committed_key::<u64>(&key(o)).unwrap();
         }
     }
 }

@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use flowscript_tx::{ObjectUid, SharedStorage, TxManager};
+use flowscript_tx::{ObjectUid, SharedStorage, StoreKey, TxManager};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -31,8 +31,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn uid(k: u8) -> ObjectUid {
-    ObjectUid::new(format!("obj/{k}"))
+fn key(k: u8) -> StoreKey {
+    StoreKey::Uid(ObjectUid::new(format!("obj/{k}")))
 }
 
 proptest! {
@@ -50,12 +50,12 @@ proptest! {
             match op {
                 Op::Write(k, v) => {
                     let a = action.get_or_insert_with(|| mgr.begin());
-                    mgr.write(a, &uid(k), &v).unwrap();
+                    mgr.write_key(a, &key(k), &v).unwrap();
                     staged.insert(k, Some(v));
                 }
                 Op::Delete(k) => {
                     let a = action.get_or_insert_with(|| mgr.begin());
-                    mgr.delete(a, &uid(k)).unwrap();
+                    mgr.delete_key(a, &key(k)).unwrap();
                     staged.insert(k, None);
                 }
                 Op::Commit => {
@@ -93,7 +93,7 @@ proptest! {
 
             // Committed state must equal the model at every step.
             for k in 0..12u8 {
-                let stored: Option<u16> = mgr.read_committed(&uid(k)).unwrap();
+                let stored: Option<u16> = mgr.read_committed_key(&key(k)).unwrap();
                 prop_assert_eq!(stored, model.get(&k).copied(), "key {}", k);
             }
         }
@@ -102,38 +102,8 @@ proptest! {
         drop(mgr);
         let recovered = TxManager::open(0, stable).unwrap();
         for k in 0..12u8 {
-            let stored: Option<u16> = recovered.read_committed(&uid(k)).unwrap();
+            let stored: Option<u16> = recovered.read_committed_key(&key(k)).unwrap();
             prop_assert_eq!(stored, model.get(&k).copied(), "post-recovery key {}", k);
         }
-    }
-
-    #[test]
-    fn nested_actions_isolate(depth in 1usize..6, values in proptest::collection::vec(any::<u32>(), 6)) {
-        let mut mgr = TxManager::in_memory();
-        let top = mgr.begin();
-        mgr.write(&top, &uid(0), &values[0]).unwrap();
-
-        // Build a nesting chain, each level writing its own object.
-        let mut chain = vec![top];
-        for level in 1..=depth {
-            let parent = chain.last().unwrap();
-            let child = mgr.begin_nested(parent).unwrap();
-            mgr.write(&child, &uid(level as u8), &values[level % values.len()]).unwrap();
-            chain.push(child);
-        }
-
-        // Abort the innermost, commit the rest outward.
-        let innermost = chain.pop().unwrap();
-        mgr.abort(innermost);
-        while let Some(a) = chain.pop() {
-            mgr.commit(a).unwrap();
-        }
-
-        // Everything except the innermost level must be durable.
-        prop_assert_eq!(mgr.read_committed::<u32>(&uid(0)).unwrap(), Some(values[0]));
-        for level in 1..depth {
-            prop_assert!(mgr.read_committed::<u32>(&uid(level as u8)).unwrap().is_some());
-        }
-        prop_assert_eq!(mgr.read_committed::<u32>(&uid(depth as u8)).unwrap(), None);
     }
 }

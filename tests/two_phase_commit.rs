@@ -28,11 +28,7 @@ struct Harness {
 
 type Shared<T> = Rc<RefCell<T>>;
 
-fn uid(s: &str) -> ObjectUid {
-    ObjectUid::new(s)
-}
-
-/// The same name as a 2PC write-set key.
+/// A store key, as 2PC write sets and the managers address objects.
 fn key(s: &str) -> StoreKey {
     StoreKey::Uid(ObjectUid::new(s))
 }
@@ -185,7 +181,7 @@ fn two_participants_commit_atomically() {
         participants[0]
             .borrow()
             .mgr
-            .read_committed::<u8>(&uid("a"))
+            .read_committed_key::<u8>(&key("a"))
             .unwrap(),
         Some(1)
     );
@@ -193,7 +189,7 @@ fn two_participants_commit_atomically() {
         participants[1]
             .borrow()
             .mgr
-            .read_committed::<u8>(&uid("b"))
+            .read_committed_key::<u8>(&key("b"))
             .unwrap(),
         Some(2)
     );
@@ -210,7 +206,7 @@ fn conflicting_participant_vetoes_whole_transaction() {
     let blocker = {
         let mut participant = participants[1].borrow_mut();
         let action = participant.mgr.begin();
-        participant.mgr.write(&action, &uid("b"), &9u8).unwrap();
+        participant.mgr.write_key(&action, &key("b"), &9u8).unwrap();
         action
     };
 
@@ -229,7 +225,7 @@ fn conflicting_participant_vetoes_whole_transaction() {
         participants[0]
             .borrow()
             .mgr
-            .read_committed::<u8>(&uid("a"))
+            .read_committed_key::<u8>(&key("a"))
             .unwrap(),
         None
     );
@@ -237,7 +233,7 @@ fn conflicting_participant_vetoes_whole_transaction() {
         participants[1]
             .borrow()
             .mgr
-            .read_committed::<u8>(&uid("b"))
+            .read_committed_key::<u8>(&key("b"))
             .unwrap(),
         None
     );
@@ -291,7 +287,7 @@ fn prepared_participant_crash_recovers_in_doubt_and_queries() {
         participants[1]
             .borrow()
             .mgr
-            .read_committed::<u8>(&uid("b"))
+            .read_committed_key::<u8>(&key("b"))
             .unwrap(),
         Some(2),
         "in-doubt participant must learn the commit"
@@ -341,7 +337,7 @@ fn coordinator_timeout_aborts_unresponsive_vote() {
     // nothing in doubt, lock released.
     let p0 = &participants[0];
     assert_eq!(
-        p0.borrow().mgr.read_committed::<u8>(&uid("a")).unwrap(),
+        p0.borrow().mgr.read_committed_key::<u8>(&key("a")).unwrap(),
         None
     );
     assert!(p0.borrow().mgr.in_doubt().is_empty());
