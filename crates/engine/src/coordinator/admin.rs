@@ -114,9 +114,10 @@ impl CoordHandle {
         self.flush_pending(world);
         let forced = {
             let mut coordinator = self.inner.borrow_mut();
-            let Some(rt) = coordinator.instances.get(instance) else {
+            let Some(rt) = coordinator.instances.get_mut(instance) else {
                 return Err(EngineError::UnknownInstance(instance.to_string()));
             };
+            rt.planted = true; // this may publish below a scope yet to activate
             let (plan, keys) = (rt.plan.clone(), rt.keys.clone());
             let Some(task_id) = plan.task_by_path(path) else {
                 return Err(EngineError::UnknownTask(path.to_string()));
@@ -361,9 +362,10 @@ impl CoordHandle {
         self.flush_pending(world);
         let task_id = {
             let mut coordinator = self.inner.borrow_mut();
-            let Some(rt) = coordinator.instances.get(instance) else {
+            let Some(rt) = coordinator.instances.get_mut(instance) else {
                 return Err(EngineError::UnknownInstance(instance.to_string()));
             };
+            rt.planted = true; // this may publish below a scope yet to activate
             let (plan, keys) = (rt.plan.clone(), rt.keys.clone());
             let Some(task_id) = plan.task_by_path(path) else {
                 return Err(EngineError::UnknownTask(path.to_string()));

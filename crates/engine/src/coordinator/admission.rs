@@ -53,7 +53,7 @@ impl Admission {
         self.live = self.live.saturating_sub(1);
     }
 
-    fn occupancy(&self) -> usize {
+    pub(super) fn occupancy(&self) -> usize {
         self.live + self.starting
     }
 }

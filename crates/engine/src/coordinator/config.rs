@@ -17,7 +17,9 @@ pub struct EngineConfig {
     pub dispatch_timeout: SimDuration,
     /// Maximum times a task or compound may take a repeat outcome.
     pub max_repeats: u32,
-    /// Write a checkpoint and compact the log every this many commits.
+    /// Write a checkpoint and compact the log every this many committed
+    /// actions. A step — a start, a commit window with its whole
+    /// cascade — is one, whatever it activates or terminates.
     pub checkpoint_every: Option<u64>,
     /// How much the engine observes itself. `Off` (the default) keeps
     /// only the always-on counters behind the public stats getters;

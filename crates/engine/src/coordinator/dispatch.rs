@@ -22,6 +22,7 @@ use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::{EventId, NodeId, SimDuration, World};
 use flowscript_tx::{FactKey, TxError};
 
+use super::step::Launch;
 use super::{write_cb, CoordHandle, Coordinator, InstanceRt};
 use crate::facts;
 use crate::keys::InstanceKeys;
@@ -70,10 +71,10 @@ struct Flight {
 pub(super) struct Flights(BTreeMap<TaskId, Flight>);
 
 impl Flights {
-    /// No task of the instance has outstanding work (what stuck
-    /// detection asks).
-    pub(super) fn is_idle(&self) -> bool {
-        self.0.is_empty()
+    /// The tasks with outstanding work, bar `ended`.
+    pub(super) fn outstanding(&self, ended: &[TaskId]) -> Vec<TaskId> {
+        let tasks = self.0.keys().copied();
+        tasks.filter(|task| !ended.contains(task)).collect()
     }
 }
 
@@ -521,12 +522,8 @@ impl CoordHandle {
         }
     }
 
-    /// Sends a `StartTask` to an executor and arms the watchdog. The
-    /// executor is chosen by the load-aware scheduler: `location` pins
-    /// are hard constraints (an unsatisfiable pin fails the task with
-    /// the diagnosable reason), a retry avoids the node the previous
-    /// attempt failed on whenever an alternative is eligible, and the
-    /// remainder goes least-loaded.
+    /// Ships an attempt under its task's committed binding (a retry, a
+    /// repeat, a recovery, a parked dispatch); unplaceable, it fails.
     pub(super) fn dispatch(
         &self,
         world: &mut World,
@@ -536,16 +533,8 @@ impl CoordHandle {
         inputs: BTreeMap<String, ObjectVal>,
         repeat_objects: BTreeMap<String, ObjectVal>,
     ) {
-        // Fenced = zombie: nothing dispatches off claimed storage.
-        if self.inner.borrow_mut().mgr.probe_fence().is_some() {
-            return;
-        }
-        // Gather everything under one borrow, then interact with the
-        // world outside it. `Err`: the task cannot run anywhere — no
-        // retry can fix that, so it fails at once with the reason.
-        let now_ns = world.now().as_nanos();
-        let prepared = 'prepared: {
-            let coordinator = &mut *self.inner.borrow_mut();
+        let launch = {
+            let coordinator = self.inner.borrow();
             let Some(rt) = coordinator.instances.get(instance) else {
                 return;
             };
@@ -563,6 +552,42 @@ impl CoordHandle {
             let CbState::Executing { set } = cb.state else {
                 return; // stale (cancelled/terminated meanwhile): not a drop
             };
+            (cb.incarnation, set, inputs)
+        };
+        if let Err(reason) = self.ship(world, instance, task_id, launch, attempt, repeat_objects) {
+            self.fail_task(world, instance, task_id, &reason);
+        }
+    }
+
+    /// Sends a `StartTask` to an executor and arms the watchdog. The
+    /// executor is chosen by the load-aware scheduler: `location` pins
+    /// are hard constraints, a retry avoids the node the previous
+    /// attempt failed on whenever an alternative is eligible, and the
+    /// remainder goes least-loaded. `Err`: the task can run nowhere (an
+    /// unsatisfiable pin, no code to ship) — no retry can fix that, so
+    /// the caller fails it with this diagnosable reason.
+    pub(super) fn ship(
+        &self,
+        world: &mut World,
+        instance: &str,
+        task_id: TaskId,
+        launch: Launch,
+        attempt: u32,
+        repeat_objects: BTreeMap<String, ObjectVal>,
+    ) -> Result<(), String> {
+        // Fenced = zombie: nothing dispatches off claimed storage.
+        if self.inner.borrow_mut().mgr.probe_fence().is_some() {
+            return Ok(());
+        }
+        // Gather everything under one borrow, then interact with the
+        // world outside it.
+        let now_ns = world.now().as_nanos();
+        let (incarnation, set, inputs) = launch;
+        let (node, executor, bytes, timeout) = {
+            let coordinator = &mut *self.inner.borrow_mut();
+            let Some(rt) = coordinator.instances.get(instance) else {
+                return Ok(());
+            };
             let plan = rt.plan.clone();
             let task = plan.task(task_id);
             let path = plan.str(task.path);
@@ -571,7 +596,7 @@ impl CoordHandle {
                 // ship — shipping an empty name would bounce off every
                 // executor as an unbound implementation and burn the
                 // retry budget on an error no retry can fix.
-                break 'prepared Err(format!("missing implementation code for `{path}`"));
+                return Err(format!("missing implementation code for `{path}`"));
             }
             let shipment = coordinator.shipment(rt, task_id);
             let hints = shipment.hints;
@@ -608,13 +633,13 @@ impl CoordHandle {
                 if coordinator.config.observe.metrics() {
                     coordinator.metrics.ready_queue_depth.set(depth as i64);
                 }
-                return;
+                return Ok(());
             }
             let avoid = flight.avoid.take();
-            let placement = match dispatcher.sched.pick(path, attempt, &hints, avoid) {
-                Ok(placement) => placement,
-                Err(err) => break 'prepared Err(err.to_string()),
-            };
+            let placement = dispatcher
+                .sched
+                .pick(path, attempt, &hints, avoid)
+                .map_err(|err| err.to_string())?;
             // Count the load now — at the observed estimate when the
             // cost model has one, else the declared remaining-work cost
             // — releasing any stale charge a defensive re-dispatch
@@ -642,7 +667,7 @@ impl CoordHandle {
             let msg = EngineMsg::Start(StartTask {
                 instance: instance.to_string(),
                 path: path.to_string(),
-                incarnation: cb.incarnation,
+                incarnation,
                 attempt,
                 code: shipment.code,
                 implementation: shipment.implementation,
@@ -652,21 +677,11 @@ impl CoordHandle {
                 epoch: coordinator.membership.epoch(),
             });
             let bytes = flowscript_codec::to_bytes(&msg);
-            Ok((
-                coordinator.node,
-                placement.node,
-                bytes,
-                cb.incarnation,
-                shipment.timeout,
-            ))
+            (coordinator.node, placement.node, bytes, shipment.timeout)
         };
-        match prepared {
-            Err(reason) => self.fail_task(world, instance, task_id, &reason),
-            Ok((node, executor, bytes, incarnation, timeout)) => {
-                self.arm_watchdog(world, instance, task_id, incarnation, attempt, timeout);
-                world.send(node, executor, bytes);
-            }
-        }
+        self.arm_watchdog(world, instance, task_id, incarnation, attempt, timeout);
+        world.send(node, executor, bytes);
+        Ok(())
     }
 
     /// Arms the watchdog of one attempt on `task`'s flight record,
@@ -968,18 +983,26 @@ impl CoordHandle {
     /// A fact a re-dispatch must ship does not decode: running the task
     /// on empty inputs would be a silent misread, so the instance parks
     /// with the same diagnosable reason a faulted readiness probe gives.
-    fn park_fact_fault(&self, world: &World, instance: &str, keys: &InstanceKeys, fault: TxError) {
-        self.inner.borrow_mut().park_stuck(
-            world.now().as_nanos(),
-            instance,
-            keys,
-            format!("fact storage fault: {fault}"),
-        );
+    fn park_fact_fault(
+        &self,
+        world: &mut World,
+        instance: &str,
+        keys: &InstanceKeys,
+        err: TxError,
+    ) {
+        let reason = format!("fact storage fault: {err}");
+        let parked = self.inner.borrow_mut().run_step(|coordinator, step| {
+            coordinator.park_stuck(step, &instance.into(), keys, reason)
+        });
+        // Nothing to do about a park that cannot be written.
+        if let Ok(((), effects)) = parked {
+            self.publish(world, effects);
+        }
     }
 
     /// Marks a task permanently failed (retries exhausted, or nothing a
     /// retry could fix) and ends whatever was outstanding for it.
-    fn fail_task(&self, world: &mut World, instance: &str, task_id: TaskId, reason: &str) {
+    pub(super) fn fail_task(&self, world: &mut World, instance: &str, task_id: TaskId, why: &str) {
         self.discard_flights(world, instance, std::iter::once(task_id));
         let Some((plan, keys)) = self.instance_ctx(instance) else {
             return;
@@ -993,7 +1016,7 @@ impl CoordHandle {
                 return;
             }
             cb.transition(CbState::Failed {
-                reason: reason.to_string(),
+                reason: why.to_string(),
             });
             // The failure counts only once its transition committed.
             if coordinator.commit_cb(keys.cb(task_id), &cb) {
@@ -1003,7 +1026,7 @@ impl CoordHandle {
                     instance,
                     Some(plan.str(plan.task(task_id).path)),
                     cb.attempt,
-                    coordinator.commit_event(format!("failed: {reason}")),
+                    coordinator.commit_event(format!("failed: {why}")),
                 );
                 coordinator.note_terminals(instance, 1);
             }
@@ -1146,7 +1169,7 @@ mod tests {
         assert_eq!(loads(&dispatcher), [(2, 6)]);
         // Again is a no-op; the rest goes when the instance leaves.
         assert!(dispatcher.discard_tasks("i", &mut flights, 2..5).is_empty());
-        assert!(!flights.is_idle());
+        assert!(!flights.0.is_empty());
         dispatcher.release_all("i", flights);
         assert_eq!(parked(&dispatcher), [("j", 4)]);
         assert_eq!(loads(&dispatcher), [(0, 0)]);

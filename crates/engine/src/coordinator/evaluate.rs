@@ -1,27 +1,60 @@
-//! Evaluation — the back half of the commit pipeline: each committed
-//! fact seeds a worklist from the plan's reverse edges, and the drain
-//! re-tests input-set satisfaction, activates what became startable and
+//! Evaluation — the cascade of a step: each fact the step stages seeds
+//! a worklist from the plan's reverse edges, and the drain re-tests
+//! input-set satisfaction, activates what became startable and
 //! re-checks compound scopes' outputs (a mark, a terminal outcome
 //! cancelling whatever is still live below, or the scope-level repeat
 //! of fig. 8) until the instance is quiescent — then checks it is not
-//! stuck (and, in debug builds, that a full scan agrees nothing was
-//! missed).
+//! stuck. All of it *stages*: writes go into the step's action, reads
+//! back through it, and what must happen outside the store is left as
+//! the step's effects (a debug-build full scan checks the outcome).
 
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use flowscript_core::ast::OutputKind;
 use flowscript_obs::ObsEventKind;
 use flowscript_plan::{eval as plan_eval, Plan, StrId, TaskId, Worklist};
 use flowscript_sim::World;
-use flowscript_tx::{AtomicAction, FactKind, StableStore, StoreKey, TxManager};
+use flowscript_tx::{AtomicAction, StableStore, StoreKey, TxManager};
 
-use super::{write_cb, CoordHandle, Coordinator, InstanceStatus, Outcome};
+use super::step::{Effect, Step};
+use super::{
+    write_cb, CoordHandle, Coordinator, InstanceHeader, InstanceStatus, Outcome, StatusRecord,
+};
 use crate::error::EngineError;
 use crate::facts::{self, StoreFacts};
 use crate::keys::InstanceKeys;
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
+
+/// One instance's drain inside a step.
+struct Drain<'a> {
+    step: &'a mut Step,
+    name: Rc<str>,
+    plan: &'a Plan,
+    keys: &'a InstanceKeys,
+    worklist: Worklist,
+    /// The status record is not `Running`, as committed or as this step
+    /// left it: nothing more is evaluated.
+    terminal: bool,
+    /// The tasks with outstanding work once the step so far publishes:
+    /// flight records, less the flights it ends, plus the leaves it ships.
+    flying: Vec<TaskId>,
+    /// `InstanceRt::planted`.
+    planted: bool,
+}
+
+impl Drain<'_> {
+    fn push(&mut self, effect: Effect) {
+        self.step.push(&self.name, effect);
+    }
+
+    /// Stages the end of every flight below `scope`, cancelled or reset.
+    fn discard_below(&mut self, scope: TaskId) {
+        let below = self.plan.subtree(scope);
+        self.flying.retain(|task| !below.contains(task));
+        self.push(Effect::Discard(below));
+    }
+}
 
 impl CoordHandle {
     /// The instance's plan and interned key table.
@@ -31,230 +64,198 @@ impl CoordHandle {
         Some((rt.plan.clone(), rt.keys.clone()))
     }
 
-    /// Full re-evaluation: seeds every task and drains. Survives for
-    /// instance start, crash recovery and reconfiguration re-entry —
-    /// the commit paths use [`CoordHandle::evaluate_from`].
+    /// Full re-evaluation — every task seeded — for crash recovery,
+    /// adoption, reconfiguration and repair re-entry: commits use
+    /// [`CoordHandle::evaluate_from`], a start seeds as a root activation.
     pub fn evaluate(&self, world: &mut World, instance: &str) {
-        let Some((plan, keys)) = self.instance_ctx(instance) else {
-            return;
-        };
-        let mut worklist = Worklist::new();
-        worklist.seed_all(&plan);
-        self.drain(world, instance, &plan, &keys, worklist);
+        self.reevaluate(world, instance, None);
     }
 
     /// Event-driven re-evaluation: seeds only the consumers of the
     /// tasks whose facts just committed (reverse dependency +
     /// notification edges) and drains.
     pub fn evaluate_from(&self, world: &mut World, instance: &str, changed: &[TaskId]) {
+        self.reevaluate(world, instance, Some(changed));
+    }
+
+    /// The drain of `instance` — from the consumers of `changed`, else
+    /// from every task — as a step of its own, inside one WAL group: a
+    /// task its publishing fails (no executor can take it) shares the
+    /// frame, and a step nested in another's group folds into that.
+    fn reevaluate(&self, world: &mut World, instance: &str, changed: Option<&[TaskId]>) {
         let Some((plan, keys)) = self.instance_ctx(instance) else {
             return;
         };
         let mut worklist = Worklist::new();
-        for &task in changed {
-            worklist.seed_commit(&plan, task);
+        match changed {
+            Some(tasks) => tasks.iter().for_each(|&id| worklist.seed_commit(&plan, id)),
+            None => worklist.seed_all(&plan),
         }
-        self.drain(world, instance, &plan, &keys, worklist);
-    }
-
-    /// Pops the worklist to quiescence: all startability re-checks
-    /// first (highest declared priority, ties by ascending id —
-    /// declaration order), then scope outputs
-    /// deepest-first. Each progress step commits one atomic action and
-    /// seeds the consumers of whatever it published.
-    fn drain(
-        &self,
-        world: &mut World,
-        instance: &str,
-        plan: &Rc<Plan>,
-        keys: &Rc<InstanceKeys>,
-        worklist: Worklist,
-    ) {
-        // The whole drain commits as one WAL group: every action the
-        // cascade below commits buffers into a single frame flushed at
-        // the outermost `end_group` (nested drains — e.g. a fail_task
-        // inside a scope cascade — fold into the enclosing group via
-        // the depth counter).
+        let nested = self.inner.borrow().mgr.in_group();
         self.inner.borrow_mut().mgr.begin_group();
-        self.drain_inner(world, instance, plan, keys, worklist);
-        // Flush failures surface on the next commit's storage ops; the
-        // drain itself has no error channel.
+        let staged = self.inner.borrow_mut().run_step(|coordinator, step| {
+            coordinator.stage_drain(step, &instance.into(), &plan, &keys, worklist, &[])
+        });
+        // No error channel: a drain that cannot stage rolls back whole.
+        if let Ok(((), effects)) = staged {
+            self.publish(world, effects);
+        }
         let _ = self.inner.borrow_mut().mgr.end_group();
         let _ = self.inner.borrow_mut().maybe_checkpoint();
+        if !nested {
+            self.assert_settled(instance);
+        }
     }
 
-    fn drain_inner(
-        &self,
-        world: &mut World,
-        instance: &str,
-        plan: &Rc<Plan>,
-        keys: &Rc<InstanceKeys>,
-        mut worklist: Worklist,
-    ) {
-        let mut steps: u64 = 0;
-        loop {
-            {
-                let coordinator = self.inner.borrow();
-                let Some(rt) = coordinator.instances.get(instance) else {
-                    return;
-                };
-                // Checked only where the record decodes: a missing or
-                // corrupt one is a storage fault, not a mirror drift.
-                #[cfg(debug_assertions)]
-                if let Ok(record) = coordinator.read_status(instance) {
-                    assert_eq!(
-                        rt.terminal,
-                        record.status.is_terminal(),
-                        "status mirror of `{instance}` drifted from its committed record"
-                    );
-                }
-                if rt.terminal {
-                    return;
-                }
-            }
-            if let Some(task) = worklist.pop_start() {
-                steps += 1;
-                self.inner.borrow().metrics.evaluations.inc();
-                self.try_start(world, instance, plan, keys, task, &mut worklist);
-                continue;
-            }
-            if let Some(scope) = worklist.pop_output(plan) {
-                steps += 1;
-                self.inner.borrow().metrics.evaluations.inc();
-                self.check_scope_outputs(world, instance, plan, keys, scope, &mut worklist);
-                continue;
-            }
-            break;
-        }
-        {
-            let coordinator = self.inner.borrow();
-            if coordinator.config.observe.metrics() {
-                coordinator.metrics.commit_drain_len.record(steps);
-            }
-        }
+    /// The debug-build oracles over what an outermost step published
+    /// for `instance`: the status mirror matches the record, and while it
+    /// runs a full scan finds nothing missed and dispatch's books balance.
+    pub(super) fn assert_settled(&self, instance: &str) {
         #[cfg(debug_assertions)]
         {
-            self.assert_quiescent(instance, plan, keys);
-            self.inner.borrow().assert_flights_consistent(instance);
+            let coordinator = self.inner.borrow();
+            let Some(rt) = coordinator.instances.get(instance) else {
+                return;
+            };
+            // Checked only where the record decodes: a missing or
+            // corrupt one is a storage fault, not a mirror drift.
+            if let Ok(record) = coordinator.read_status(instance) {
+                let terminal = record.status.is_terminal();
+                assert_eq!(rt.terminal, terminal, "status mirror of `{instance}`");
+            }
+            if !rt.terminal {
+                coordinator.assert_quiescent(instance);
+                coordinator.assert_flights_consistent(instance);
+            }
         }
-        self.stuck_check(world, instance);
+        let _ = instance;
     }
+}
 
-    /// Re-tests one task's input sets and starts it when satisfied
-    /// (dispatch for leaves, activation + compound-boundary seeding for
-    /// scopes).
-    fn try_start(
-        &self,
-        world: &mut World,
-        instance: &str,
+impl Coordinator {
+    /// Stages the drain of `instance` into `step`: pops the worklist to
+    /// quiescence — all startability re-checks first (highest declared
+    /// priority, ties by ascending id: declaration order), then scope
+    /// outputs deepest-first — each progress seeding the consumers of
+    /// what it staged, then the stuck check. `ended`: the tasks whose
+    /// flights `step` already ends (the reports it applied). `Err`: the
+    /// action refused a write, the step must abort.
+    pub(super) fn stage_drain(
+        &mut self,
+        step: &mut Step,
+        instance: &Rc<str>,
         plan: &Plan,
         keys: &InstanceKeys,
-        task_id: TaskId,
-        worklist: &mut Worklist,
-    ) {
+        worklist: Worklist,
+        ended: &[TaskId],
+    ) -> Result<(), EngineError> {
+        // A start's instance is not resident yet: running, nothing flying.
+        let resident = self.instances.get(&**instance);
+        let mut drain = Drain {
+            step,
+            name: instance.clone(),
+            plan,
+            keys,
+            worklist,
+            terminal: resident.is_some_and(|rt| rt.terminal),
+            flying: resident.map_or_else(Vec::new, |rt| rt.flights.outstanding(ended)),
+            planted: resident.is_some_and(|rt| rt.planted),
+        };
+        let mut evaluations: u64 = 0;
+        while !drain.terminal {
+            if let Some(task) = drain.worklist.pop_start() {
+                self.try_start(&mut drain, task)?;
+            } else if let Some(scope) = drain.worklist.pop_output(plan) {
+                self.check_scope_outputs(&mut drain, scope)?;
+            } else {
+                break;
+            }
+            evaluations += 1;
+        }
+        drain.push(Effect::Drained(evaluations, !drain.terminal));
+        self.stuck_check(&mut drain)
+    }
+
+    /// Runs `eval` over the facts `step` reads; `None` when a probe hit
+    /// a storage fault — the instance is then parked with it.
+    fn probe<T>(
+        &mut self,
+        drain: &mut Drain<'_>,
+        eval: impl FnOnce(&StoreFacts<'_, StableStore>) -> T,
+    ) -> Result<Option<T>, EngineError> {
+        let facts = StoreFacts::new(&self.mgr, drain.step.staged(), drain.keys);
+        let value = eval(&facts);
+        match facts.take_fault() {
+            None => Ok(Some(value)),
+            Some(fault) => {
+                drain.terminal = true;
+                let reason = format!("fact storage fault: {fault}");
+                self.park_stuck(drain.step, &drain.name, drain.keys, reason)?;
+                Ok(None)
+            }
+        }
+    }
+
+    /// Re-tests one task's input sets and binds the first satisfied one:
+    /// a leaf goes `Executing`, dispatched once the step committed; a
+    /// compound goes `Active` and enables its constituents. The binding
+    /// arrives slot-aligned from the evaluator, so the fact write needs
+    /// no name-keyed map — only a leaf dispatch materializes one (the
+    /// executor wire format).
+    fn try_start(&mut self, drain: &mut Drain<'_>, task_id: TaskId) -> Result<(), EngineError> {
+        let (plan, keys) = (drain.plan, drain.keys);
         let task = plan.task(task_id);
         let Some(parent) = task.parent else {
-            return; // the root never rebinds through the start agenda
+            return Ok(()); // the root never rebinds through the start agenda
         };
-        let activation = {
-            let coordinator = self.inner.borrow();
-            let parent_cb = coordinator.read_cb_id(keys, parent);
-            let cb = coordinator.read_cb_id(keys, task_id);
-            match (parent_cb, cb) {
-                (Some(parent_cb), Some(cb))
-                    if matches!(parent_cb.state, CbState::Active { .. })
-                        && cb.state == CbState::Waiting
-                        && cb.incarnation == parent_cb.scope_inc =>
-                {
-                    let facts = StoreFacts::new(&coordinator.mgr, keys);
-                    let satisfied = plan_eval::eval_task_inputs(plan, task_id, &facts);
-                    match facts.take_fault() {
-                        Some(fault) => Err(format!("fact storage fault: {fault}")),
-                        None => Ok(satisfied),
-                    }
-                }
-                _ => Ok(None),
-            }
+        let (Some(parent_cb), Some(mut cb)) = (
+            self.staged_cb(drain.step, keys, parent),
+            self.staged_cb(drain.step, keys, task_id),
+        ) else {
+            return Ok(());
         };
-        let activation = match activation {
-            Err(fault) => {
-                self.inner
-                    .borrow_mut()
-                    .park_stuck(world.now().as_nanos(), instance, keys, fault);
-                return;
-            }
-            Ok(activation) => activation,
-        };
-        if let Some((set, bound)) = activation {
-            if self.activate_task(world, instance, plan, keys, task_id, set, bound) {
-                // The binding itself is a committed fact: consumers of
-                // this task's input sets re-check, and a fresh compound
-                // enables its constituents (the compound boundary).
-                worklist.seed_commit(plan, task_id);
-                if task.is_scope {
-                    worklist.seed_children(plan, task_id);
-                }
-            }
+        if !matches!(parent_cb.state, CbState::Active { .. })
+            || cb.state != CbState::Waiting
+            || cb.incarnation != parent_cb.scope_inc
+        {
+            return Ok(());
         }
-    }
-
-    /// Binds a satisfied input set and starts the task (dispatch for
-    /// leaves, activation for compounds). Returns whether progress was
-    /// made. The binding arrives slot-aligned from the evaluator, so
-    /// the per-object fact write needs no name-keyed map — only a leaf
-    /// dispatch materializes one (the executor wire format).
-    #[allow(clippy::too_many_arguments)]
-    fn activate_task(
-        &self,
-        world: &mut World,
-        instance: &str,
-        plan: &Plan,
-        keys: &InstanceKeys,
-        task_id: TaskId,
-        set_id: StrId,
-        bound: Vec<(StrId, ObjectVal)>,
-    ) -> bool {
-        let task = plan.task(task_id);
-        let set = plan.str(set_id);
-        let Some(in_key) = keys.in_key(plan, task_id, set) else {
-            return false;
+        let satisfied = self.probe(drain, |facts| {
+            plan_eval::eval_task_inputs(plan, task_id, facts)
+        })?;
+        let Some((set_id, bound)) = satisfied.flatten() else {
+            return Ok(());
         };
-        let Some(slots) = plan.sets[task.sets.as_range()]
+        let set = plan.str(set_id);
+        let slots = plan.sets[task.sets.as_range()]
             .iter()
             .find(|s| s.name == set_id)
-            .map(|s| s.slots)
-        else {
-            return false;
+            .map(|s| s.slots);
+        let (Some(in_key), Some(slots)) = (keys.in_key(plan, task_id, set), slots) else {
+            return Ok(());
         };
-        {
-            let mut coordinator = self.inner.borrow_mut();
-            let Some(mut cb) = coordinator.read_cb_id(keys, task_id) else {
-                return false;
-            };
-            let next = if task.is_scope {
-                CbState::Active {
-                    set: set.to_string(),
-                }
-            } else {
-                CbState::Executing {
-                    set: set.to_string(),
-                }
-            };
-            cb.transition(next);
-            let staged = coordinator.atomically(|mgr, action| {
-                write_cb(mgr, action, keys, task_id, &cb)?;
-                facts::write_fact_bound(mgr, action, plan, in_key, slots, &bound)?;
-                Ok(())
-            });
-            if staged.is_err() {
-                return false;
-            }
+        cb.transition(match task.is_scope {
+            true => CbState::Active { set: set.into() },
+            false => CbState::Executing { set: set.into() },
+        });
+        let action = drain.step.action(&mut self.mgr);
+        write_cb(&mut self.mgr, action, keys, task_id, &cb)?;
+        facts::write_fact_bound(&mut self.mgr, action, plan, in_key, slots, &bound)?;
+        // The binding itself is a fact: consumers of this task's input
+        // sets re-check, and a fresh compound enables its constituents.
+        drain.worklist.seed_commit(plan, task_id);
+        if task.is_scope && drain.planted {
+            // The subtree may not be empty: every constituent is looked at.
+            let enabled = plan.children(task_id).iter().chain([&task_id]);
+            enabled.for_each(|&task| drain.worklist.push_task(plan, task));
+        } else if task.is_scope {
+            drain.worklist.seed_children(plan, task_id);
+        } else {
+            let launch = (cb.incarnation, set.into(), facts::bound_map(plan, &bound));
+            drain.flying.push(task_id);
+            drain.push(Effect::Dispatch(task_id, launch));
         }
-        if !task.is_scope {
-            let stamped = facts::bound_map(plan, &bound);
-            self.dispatch(world, instance, task_id, 0, stamped, BTreeMap::new());
-        }
-        true
+        Ok(())
     }
 
     /// Re-tests one Active scope's output mappings: at most one
@@ -262,435 +263,248 @@ impl CoordHandle {
     /// the scope re-queues itself if more may fire — starts seeded by
     /// the step run first, preserving the fixpoint precedence.
     fn check_scope_outputs(
-        &self,
-        world: &mut World,
-        instance: &str,
-        plan: &Plan,
-        keys: &InstanceKeys,
+        &mut self,
+        drain: &mut Drain<'_>,
         scope_id: TaskId,
-        worklist: &mut Worklist,
-    ) {
-        let Some(scope_cb) = self.inner.borrow().read_cb_id(keys, scope_id) else {
-            return;
+    ) -> Result<(), EngineError> {
+        let plan = drain.plan;
+        let Some(scope_cb) = self.staged_cb(drain.step, drain.keys, scope_id) else {
+            return Ok(());
         };
         if !matches!(scope_cb.state, CbState::Active { .. }) {
-            return;
+            return Ok(());
         }
         // Marks first (non-terminal), then the first satisfied terminal
         // output (or repeat) — both in declaration order.
-        let satisfied = {
-            let coordinator = self.inner.borrow();
-            let facts = StoreFacts::new(&coordinator.mgr, keys);
-            let satisfied = plan_eval::eval_scope_outputs(plan, scope_id, &facts);
-            match facts.take_fault() {
-                Some(fault) => Err(format!("fact storage fault: {fault}")),
-                None => Ok(satisfied),
-            }
-        };
-        let satisfied = match satisfied {
-            Err(fault) => {
-                self.inner
-                    .borrow_mut()
-                    .park_stuck(world.now().as_nanos(), instance, keys, fault);
-                return;
-            }
-            Ok(satisfied) => satisfied,
-        };
-        for (out_idx, mapped) in &satisfied {
+        let satisfied = self.probe(drain, |facts| {
+            plan_eval::eval_scope_outputs(plan, scope_id, facts)
+        })?;
+        let satisfied = satisfied.unwrap_or_default();
+        let fresh_mark = satisfied.iter().position(|(out_idx, _)| {
             let output = &plan.outputs[*out_idx];
-            if output.kind == OutputKind::Mark
-                && !scope_cb.mark_emitted(plan.str(output.name))
-                && self
-                    .emit_scope_mark(
-                        world.now().as_nanos(),
-                        instance,
-                        plan,
-                        keys,
-                        scope_id,
-                        *out_idx,
-                        mapped,
-                    )
-                    .is_ok()
-            {
-                worklist.seed_commit(plan, scope_id);
-                worklist.push_task(plan, scope_id); // more outputs may fire
-                return;
-            }
+            output.kind == OutputKind::Mark && !scope_cb.mark_emitted(plan.str(output.name))
+        });
+        if let Some(at) = fresh_mark {
+            let (out_idx, mapped) = &satisfied[at];
+            self.emit_scope_mark(drain, scope_id, scope_cb, *out_idx, mapped)?;
+            drain.worklist.seed_commit(plan, scope_id);
+            drain.worklist.push_task(plan, scope_id); // more outputs may fire
+            return Ok(());
         }
-        for (out_idx, mapped) in satisfied {
-            match plan.outputs[out_idx].kind {
-                OutputKind::Mark => {}
-                OutputKind::RepeatOutcome => {
-                    self.repeat_scope(
-                        world, instance, plan, keys, scope_id, out_idx, mapped, worklist,
-                    );
-                    return;
-                }
-                kind @ (OutputKind::Outcome | OutputKind::AbortOutcome) => {
-                    self.terminate_scope(
-                        world, instance, plan, keys, scope_id, out_idx, kind, mapped,
-                    );
-                    worklist.seed_commit(plan, scope_id);
-                    return;
-                }
+        let terminal = satisfied
+            .into_iter()
+            .find(|(out_idx, _)| plan.outputs[*out_idx].kind != OutputKind::Mark);
+        match terminal {
+            None => Ok(()),
+            Some((out_idx, mapped)) if plan.outputs[out_idx].kind == OutputKind::RepeatOutcome => {
+                self.repeat_scope(drain, scope_id, scope_cb, out_idx, mapped)
+            }
+            Some((out_idx, mapped)) => {
+                self.terminate_scope(drain, scope_id, scope_cb, out_idx, mapped)?;
+                drain.worklist.seed_commit(plan, scope_id);
+                Ok(())
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn emit_scope_mark(
-        &self,
-        now_ns: u64,
-        instance: &str,
-        plan: &Plan,
-        keys: &InstanceKeys,
+        &mut self,
+        drain: &mut Drain<'_>,
         scope_id: TaskId,
+        mut cb: TaskCb,
         out_idx: usize,
         mapped: &[(StrId, ObjectVal)],
     ) -> Result<(), EngineError> {
+        let (plan, keys) = (drain.plan, drain.keys);
         let output = &plan.outputs[out_idx];
         let mark = plan.str(output.name);
         let scope_path = plan.str(plan.task(scope_id).path);
         let out_key = keys
             .out_key(plan, scope_id, mark)
             .ok_or_else(|| EngineError::UnknownTask(scope_path.to_string()))?;
-        let mut coordinator = self.inner.borrow_mut();
-        let Some(mut cb) = coordinator.read_cb_id(keys, scope_id) else {
-            return Err(EngineError::UnknownTask(scope_path.to_string()));
-        };
         cb.marks_emitted.push(mark.to_string());
-        coordinator.atomically(|mgr, action| {
-            write_cb(mgr, action, keys, scope_id, &cb)?;
-            facts::write_fact_bound(mgr, action, plan, out_key, output.slots, mapped)?;
-            Ok(())
-        })?;
-        // Count the mark only now that it committed.
-        coordinator.metrics.marks.inc();
-        coordinator.record_event(
-            now_ns,
-            instance,
-            Some(scope_path),
-            cb.attempt,
-            coordinator.commit_event(format!("mark `{mark}`")),
-        );
+        let action = drain.step.action(&mut self.mgr);
+        write_cb(&mut self.mgr, action, keys, scope_id, &cb)?;
+        facts::write_fact_bound(&mut self.mgr, action, plan, out_key, output.slots, mapped)?;
+        drain.push(Effect::Count(self.metrics.marks.clone()));
+        let event = || self.commit_event(format!("mark `{mark}`"));
+        self.trace(drain.step, &drain.name, Some(scope_path), cb.attempt, event);
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn terminate_scope(
-        &self,
-        world: &mut World,
-        instance: &str,
-        plan: &Plan,
-        keys: &InstanceKeys,
+        &mut self,
+        drain: &mut Drain<'_>,
         scope_id: TaskId,
+        mut cb: TaskCb,
         out_idx: usize,
-        kind: OutputKind,
         mapped: Vec<(StrId, ObjectVal)>,
-    ) {
+    ) -> Result<(), EngineError> {
+        let (plan, keys) = (drain.plan, drain.keys);
         let output = &plan.outputs[out_idx];
-        let outcome_name = plan.str(output.name);
+        let outcome = plan.str(output.name).to_string();
         let scope_path = plan.str(plan.task(scope_id).path);
-        let is_root = plan.task(scope_id).parent.is_none();
-        let Some(out_key) = keys.out_key(plan, scope_id, outcome_name) else {
-            return;
+        let Some(out_key) = keys.out_key(plan, scope_id, &outcome) else {
+            return Ok(());
         };
-        {
-            let mut coordinator = self.inner.borrow_mut();
-            let Some(mut cb) = coordinator.read_cb_id(keys, scope_id) else {
-                return;
-            };
-            cb.transition(if kind == OutputKind::Outcome {
-                CbState::Done {
-                    outcome: outcome_name.to_string(),
-                }
-            } else {
-                CbState::Aborted {
-                    outcome: outcome_name.to_string(),
-                }
-            });
-            // The root's outcome is the instance's.
-            let root_record = is_root
-                .then(|| coordinator.read_status(instance).ok())
-                .flatten()
-                .map(|mut record| {
-                    record.status = InstanceStatus::Completed(Outcome {
-                        name: outcome_name.to_string(),
-                        kind,
-                        objects: facts::bound_map(plan, &mapped),
-                    });
-                    record
+        let done = output.kind == OutputKind::Outcome;
+        let verb = if done { "done" } else { "aborted" };
+        cb.transition(match (done, outcome.clone()) {
+            (true, outcome) => CbState::Done { outcome },
+            (false, outcome) => CbState::Aborted { outcome },
+        });
+        // The root's outcome is the instance's.
+        let root_record = match plan.task(scope_id).parent {
+            Some(_) => None,
+            None => {
+                let record: Option<StatusRecord> = self.staged(drain.step, keys.status())?;
+                let mut record =
+                    record.ok_or_else(|| EngineError::UnknownInstance(drain.name.to_string()))?;
+                record.status = InstanceStatus::Completed(Outcome {
+                    name: outcome.clone(),
+                    kind: output.kind,
+                    objects: facts::bound_map(plan, &mapped),
                 });
-            let staged = coordinator.atomically(|mgr, action| {
-                write_cb(mgr, action, keys, scope_id, &cb)?;
-                facts::write_fact_bound(mgr, action, plan, out_key, output.slots, &mapped)?;
-                // Cancel every non-terminal descendant (one flat subtree
-                // scan — DFS pre-order keeps descendants contiguous).
-                let cancelled = cancel_descendants(mgr, action, keys, plan, scope_id)?;
-                if let Some(record) = &root_record {
-                    mgr.write_key(action, keys.status(), record)?;
-                }
-                Ok(cancelled)
-            });
-            if let Ok(cancelled) = staged {
-                coordinator.note_terminals(instance, 1 + cancelled); // and the scope itself
-                if let Some(record) = &root_record {
-                    coordinator.note_status(instance, &record.status);
-                }
-                if is_root {
-                    // The instance just completed: its admission slot
-                    // frees for a queued start.
-                    coordinator.admission.instance_settled();
-                }
-                let verb = if kind == OutputKind::Outcome {
-                    "done"
-                } else {
-                    "aborted"
-                };
-                let event = if is_root {
-                    ObsEventKind::Terminal {
-                        outcome: format!("{verb} `{outcome_name}`"),
-                    }
-                } else {
-                    coordinator.commit_event(format!("{verb} `{outcome_name}`"))
-                };
-                coordinator.record_event(
-                    world.now().as_nanos(),
-                    instance,
-                    Some(scope_path),
-                    0,
-                    event,
-                );
+                Some(record)
             }
+        };
+        let action = drain.step.action(&mut self.mgr);
+        write_cb(&mut self.mgr, action, keys, scope_id, &cb)?;
+        facts::write_fact_bound(&mut self.mgr, action, plan, out_key, output.slots, &mapped)?;
+        // Cancel every non-terminal descendant (one flat subtree scan —
+        // DFS pre-order keeps descendants contiguous).
+        let cancelled = cancel_descendants(&mut self.mgr, action, keys, plan, scope_id)?;
+        if let Some(record) = &root_record {
+            self.mgr.write_key(action, keys.status(), record)?;
         }
-        // Drop volatile tracking for the whole subtree.
-        self.discard_flights(world, instance, plan.subtree(scope_id));
+        drain.push(Effect::Terminals(1 + cancelled)); // and the scope itself
+        let is_root = root_record.is_some();
+        if let Some(record) = root_record {
+            // The instance just completed: the drain ends here.
+            drain.terminal = true;
+            drain.push(Effect::Settled(record.status));
+        }
+        self.trace(drain.step, &drain.name, Some(scope_path), 0, || {
+            let what = format!("{verb} `{outcome}`");
+            match is_root {
+                true => ObsEventKind::Terminal { outcome: what },
+                false => self.commit_event(what),
+            }
+        });
+        drain.discard_below(scope_id);
+        Ok(())
     }
 
     /// Scope-level repeat (Fig. 8): publish the repeat fact, reset the
     /// subtree and let the compound rebind its inputs.
-    #[allow(clippy::too_many_arguments)]
     fn repeat_scope(
-        &self,
-        world: &mut World,
-        instance: &str,
-        plan: &Plan,
-        keys: &InstanceKeys,
+        &mut self,
+        drain: &mut Drain<'_>,
         scope_id: TaskId,
+        mut cb: TaskCb,
         out_idx: usize,
         mapped: Vec<(StrId, ObjectVal)>,
-        worklist: &mut Worklist,
-    ) {
+    ) -> Result<(), EngineError> {
+        let (plan, keys) = (drain.plan, drain.keys);
         let output = &plan.outputs[out_idx];
-        let outcome_name = plan.str(output.name);
+        let outcome = plan.str(output.name);
         let scope_path = plan.str(plan.task(scope_id).path);
         let is_root = plan.task(scope_id).parent.is_none();
-        let Some(out_key) = keys.out_key(plan, scope_id, outcome_name) else {
-            return;
+        let Some(out_key) = keys.out_key(plan, scope_id, outcome) else {
+            return Ok(());
         };
-        let over_limit = {
-            let mut coordinator = self.inner.borrow_mut();
-            let Some(mut cb) = coordinator.read_cb_id(keys, scope_id) else {
-                return;
-            };
-            cb.repeats += 1;
-            if cb.repeats > coordinator.config.max_repeats {
-                cb.transition(CbState::Failed {
-                    reason: format!("compound repeat limit exceeded via `{outcome_name}`"),
-                });
-                // The repeat counts only on commit success.
-                if coordinator.commit_cb(keys.cb(scope_id), &cb) {
-                    coordinator.metrics.repeats.inc();
-                    coordinator.record_event(
-                        world.now().as_nanos(),
-                        instance,
-                        Some(scope_path),
-                        cb.attempt,
-                        coordinator.commit_event(format!("repeat `{outcome_name}`")),
-                    );
-                    coordinator.note_terminals(instance, 1);
-                }
-                true
-            } else {
-                // Reset: bump this scope's incarnation, clear own input
-                // facts and all descendant state, publish the repeat fact.
-                cb.scope_inc += 1;
-                let new_inc = cb.scope_inc;
-                // The root, which has no bindings, reactivates with the
-                // input set and inputs it was started with.
-                let started_as = is_root
-                    .then(|| coordinator.read_header(instance).ok())
-                    .flatten();
-                let staged = coordinator.atomically(|mgr, action| {
-                    facts::write_fact_bound(mgr, action, plan, out_key, output.slots, &mapped)?;
-                    if is_root {
-                        if let Some(header) = &started_as {
-                            cb.state = CbState::Active {
-                                set: header.set.clone(),
-                            };
-                            let in_key = keys
-                                .in_key(plan, scope_id, &header.set)
-                                .ok_or_else(|| EngineError::UnknownTask(scope_path.to_string()))?;
-                            facts::write_fact_map(mgr, action, plan, in_key, &header.inputs)?;
-                        }
-                    } else {
-                        // The compound goes back to Waiting to rebind:
-                        // clear its own input-binding facts — one range
-                        // scan over the dense keys.
-                        cb.state = CbState::Waiting;
-                        let (lo, hi) = keys.input_fact_range(scope_id);
-                        for fact in mgr.fact_keys_in_range(lo, hi) {
-                            mgr.delete_key(action, &StoreKey::Fact(fact))?;
-                        }
-                    }
-                    write_cb(mgr, action, keys, scope_id, &cb)?;
-                    // All descendant facts die with the incarnation: the
-                    // whole DFS-contiguous subtree is one key range. The
-                    // blocks in it stay — `reset_descendants` rewrites
-                    // each for the new incarnation.
-                    if let Some((lo, hi)) = keys.subtree_fact_range(plan, scope_id) {
-                        for fact in mgr.fact_keys_in_range(lo, hi) {
-                            if fact.kind != FactKind::Control {
-                                mgr.delete_key(action, &StoreKey::Fact(fact))?;
-                            }
-                        }
-                    }
-                    reset_descendants(mgr, action, keys, plan, scope_id, new_inc)
-                });
-                if let Ok(revived) = staged {
-                    coordinator.metrics.repeats.inc();
-                    coordinator.record_event(
-                        world.now().as_nanos(),
-                        instance,
-                        Some(scope_path),
-                        cb.attempt,
-                        coordinator.commit_event(format!("repeat `{outcome_name}`")),
-                    );
-                    coordinator.note_revived(instance, revived);
-                }
-                false
-            }
-        };
-        // Cancel volatile subtree tracking either way.
-        self.discard_flights(world, instance, plan.subtree(scope_id));
-        // Seed the re-entry: the repeat fact is a fresh commit; a reset
-        // non-root compound rebinds through the start agenda; a reset
-        // root reactivates directly, enabling its constituents.
-        worklist.seed_commit(plan, scope_id);
-        if over_limit {
-            return;
-        }
-        if is_root {
-            worklist.seed_children(plan, scope_id);
+        cb.repeats += 1;
+        let over_limit = cb.repeats > self.config.max_repeats;
+        let moved = if over_limit {
+            cb.transition(CbState::Failed {
+                reason: format!("compound repeat limit exceeded via `{outcome}`"),
+            });
+            let action = drain.step.action(&mut self.mgr);
+            write_cb(&mut self.mgr, action, keys, scope_id, &cb)?;
+            Effect::Terminals(1)
         } else {
-            worklist.push_task(plan, scope_id);
-        }
-    }
-
-    /// The full-scan oracle (debug builds): after a worklist drain, no
-    /// startable task and no satisfied unprocessed scope output may
-    /// remain — if one does, the reverse-edge seeding missed it.
-    #[cfg(debug_assertions)]
-    fn assert_quiescent(&self, instance: &str, plan: &Plan, keys: &InstanceKeys) {
-        let coordinator = self.inner.borrow();
-        // The incremental non-terminal count must agree with a fresh
-        // recount (this is the bookkeeping stuck detection trusts).
-        if let Some(rt) = coordinator.instances.get(instance) {
-            debug_assert_eq!(
-                rt.nonterminal,
-                coordinator.count_nonterminal(plan, keys),
-                "incremental non-terminal count of `{instance}` drifted"
-            );
-        }
-        let facts = StoreFacts::new(&coordinator.mgr, keys);
-        for id in 1..plan.tasks.len() as TaskId {
-            let task = plan.task(id);
-            let Some(parent) = task.parent else {
-                continue;
+            // Reset: bump this scope's incarnation, clear own input
+            // facts and all descendant state, publish the repeat fact.
+            cb.scope_inc += 1;
+            // The root, which has no bindings, reactivates with the
+            // input set and inputs it was started with.
+            let started_as: Option<InstanceHeader> = match is_root {
+                true => self.staged(drain.step, keys.meta()).ok().flatten(),
+                false => None,
             };
-            let (Some(parent_cb), Some(cb)) = (
-                coordinator.read_cb_id(keys, parent),
-                coordinator.read_cb_id(keys, id),
-            ) else {
-                continue;
-            };
-            if matches!(parent_cb.state, CbState::Active { .. })
-                && cb.state == CbState::Waiting
-                && cb.incarnation == parent_cb.scope_inc
-            {
-                debug_assert!(
-                    plan_eval::eval_task_inputs(plan, id, &facts).is_none(),
-                    "worklist missed a startable task `{}` of instance `{instance}`",
-                    plan.str(task.path)
-                );
-            }
-        }
-        for id in 0..plan.tasks.len() as TaskId {
-            if !plan.task(id).is_scope {
-                continue;
-            }
-            let Some(cb) = coordinator.read_cb_id(keys, id) else {
-                continue;
-            };
-            if !matches!(cb.state, CbState::Active { .. }) {
-                continue;
-            }
-            for (out_idx, _) in plan_eval::eval_scope_outputs(plan, id, &facts) {
-                let output = &plan.outputs[out_idx];
-                let name = plan.str(output.name);
-                let missed = match output.kind {
-                    OutputKind::Mark => !cb.mark_emitted(name),
-                    _ => true,
+            let action = drain.step.action(&mut self.mgr);
+            let mgr = &mut self.mgr;
+            facts::write_fact_bound(mgr, action, plan, out_key, output.slots, &mapped)?;
+            if let Some(header) = &started_as {
+                cb.state = CbState::Active {
+                    set: header.set.clone(),
                 };
-                debug_assert!(
-                    !missed,
-                    "worklist missed a satisfied output `{name}` of scope `{}` in `{instance}`",
-                    plan.str(plan.task(id).path)
-                );
+                let in_key = keys
+                    .in_key(plan, scope_id, &header.set)
+                    .ok_or_else(|| EngineError::UnknownTask(scope_path.to_string()))?;
+                facts::write_fact_map(mgr, action, plan, in_key, &header.inputs)?;
+            } else if !is_root {
+                // The compound goes back to Waiting to rebind: clear
+                // its own input-binding facts.
+                cb.state = CbState::Waiting;
+                let own = std::iter::once(scope_id);
+                facts::delete_facts(mgr, action, plan, keys.instance_id, own, true)?;
             }
+            write_cb(mgr, action, keys, scope_id, &cb)?;
+            // All descendant facts die with the incarnation — those
+            // this step staged included. The blocks stay:
+            // `reset_descendants` rewrites each for the new incarnation.
+            let below = plan.subtree(scope_id);
+            facts::delete_facts(mgr, action, plan, keys.instance_id, below, false)?;
+            let revived = reset_descendants(mgr, action, keys, plan, scope_id, cb.scope_inc)?;
+            Effect::Revived(revived)
+        };
+        drain.push(Effect::Count(self.metrics.repeats.clone()));
+        let event = || self.commit_event(format!("repeat `{outcome}`"));
+        self.trace(drain.step, &drain.name, Some(scope_path), cb.attempt, event);
+        drain.push(moved);
+        drain.discard_below(scope_id);
+        // Re-entry: the repeat fact is fresh; a reset compound rebinds
+        // through the start agenda, a reset root enables its children.
+        drain.worklist.seed_commit(plan, scope_id);
+        match (over_limit, is_root) {
+            (true, _) => {}
+            (false, true) => drain.worklist.seed_children(plan, scope_id),
+            (false, false) => drain.worklist.push_task(plan, scope_id),
         }
+        Ok(())
     }
 
-    /// Stuck detection. O(1) on every drain: a running instance with
-    /// work in flight (or, in principle, no live control blocks) can
-    /// never be stuck, and both tests read volatile counters the drain
-    /// maintains incrementally — no control-block enumeration, no store
-    /// scan. Only the one-time transition *to* Stuck reads control
+    /// Stuck detection, at the end of every drain: an instance the step
+    /// settled, or with work in flight once it is published, is not
+    /// stuck. Only the one-time transition *to* Stuck reads control
     /// blocks (dense-key point reads) to compose the diagnostic reason.
-    fn stuck_check(&self, world: &mut World, instance: &str) {
-        let mut coordinator = self.inner.borrow_mut();
-        let Some(rt) = coordinator.instances.get(instance) else {
-            return;
-        };
-        if rt.terminal || !rt.flights.is_idle() {
-            return;
+    fn stuck_check(&mut self, drain: &mut Drain<'_>) -> Result<(), EngineError> {
+        let (plan, keys) = (drain.plan, drain.keys);
+        if drain.terminal || !drain.flying.is_empty() {
+            return Ok(());
         }
-        let plan = rt.plan.clone();
-        let keys = rt.keys.clone();
-        let nonterminal = rt.nonterminal;
         // Quiescent but not terminated: stuck. Summarise why — one walk
-        // over the plan's dense task ids (point reads; this runs once
-        // per stuck instance, never on the commit path), using the
-        // plan's satisfaction masks to say how close each waiting task
-        // got.
-        let mut failed = Vec::new();
-        let mut waiting = Vec::new();
+        // over the plan's dense task ids (once per stuck instance),
+        // saying how close each waiting task got.
+        let (mut nonterminal, mut failed, mut waiting) = (0, Vec::new(), Vec::new());
         for id in 0..plan.tasks.len() as TaskId {
-            let Some(cb) = coordinator.read_cb_id(&keys, id) else {
+            let Some(cb) = self.staged_cb(drain.step, keys, id) else {
                 continue;
             };
+            nonterminal += usize::from(!cb.state.is_terminal());
             let path = plan.str(plan.task(id).path);
             match &cb.state {
                 CbState::Failed { reason } => {
                     failed.push(format!("{path} ({reason})"));
                 }
                 CbState::Waiting => {
-                    let facts = StoreFacts::new(&coordinator.mgr, &keys);
+                    let facts = StoreFacts::new(&self.mgr, drain.step.staged(), keys);
                     let task = plan.task(id);
                     let pending = plan.sets[task.sets.as_range()]
                         .iter()
                         .map(|set| {
-                            let met = plan_eval::met_requirements(&plan, set, &facts);
+                            let met = plan_eval::met_requirements(plan, set, &facts);
                             format!("{} {met}/{}", plan.str(set.name), set.requirement_count())
                         })
                         .collect::<Vec<_>>()
@@ -711,39 +525,96 @@ impl CoordHandle {
             failed.join(", "),
             waiting.join(", ")
         );
-        coordinator.park_stuck(world.now().as_nanos(), instance, &keys, reason);
+        self.park_stuck(drain.step, &drain.name, keys, reason)
     }
-}
 
-impl Coordinator {
-    /// Parks a running instance `Stuck` with the diagnosable `reason`
-    /// (a reconfiguration or administrative repair can revive it). The
-    /// drain ends here when nothing can run and the root cannot
-    /// terminate — and when a fact probe hit a storage/decode fault: a
-    /// corrupt record must not read as "fact absent" and silently
-    /// mis-evaluate readiness.
+    /// Stages parking a running instance `Stuck` with the diagnosable
+    /// `reason` (a reconfiguration or administrative repair can revive
+    /// it): nothing can run and the root cannot terminate, or a fact
+    /// probe hit a storage/decode fault — a corrupt record must not
+    /// read as "fact absent" and silently mis-evaluate readiness.
     pub(super) fn park_stuck(
         &mut self,
-        now_ns: u64,
-        instance: &str,
+        step: &mut Step,
+        instance: &Rc<str>,
         keys: &InstanceKeys,
         reason: String,
-    ) {
-        let Ok(mut record) = self.read_status(instance) else {
-            return;
+    ) -> Result<(), EngineError> {
+        let Ok(Some(mut record)) = self.staged::<StatusRecord>(step, keys.status()) else {
+            return Ok(());
         };
         if record.status.is_terminal() {
-            return;
+            return Ok(());
         }
         record.status = InstanceStatus::Stuck {
             reason: reason.clone(),
         };
-        if self.commit_object(keys.status(), &record).is_ok() {
-            self.note_status(instance, &record.status);
-            // A stuck instance stops counting against the admission
-            // cap (a revival re-counts it).
-            self.admission.instance_settled();
-            self.record_event(now_ns, instance, None, 0, ObsEventKind::Stuck { reason });
+        let action = step.action(&mut self.mgr);
+        self.mgr.write_key(action, keys.status(), &record)?;
+        step.push(instance, Effect::Settled(record.status));
+        self.trace(step, instance, None, 0, || ObsEventKind::Stuck { reason });
+        Ok(())
+    }
+
+    /// The full-scan oracle (debug builds) over a running `instance`'s
+    /// committed state: no startable task and no satisfied unprocessed
+    /// scope output may remain — if one does, the seeding missed it.
+    #[cfg(debug_assertions)]
+    fn assert_quiescent(&self, instance: &str) {
+        let Some(rt) = self.instances.get(instance) else {
+            return;
+        };
+        let (plan, keys) = (&*rt.plan, &*rt.keys);
+        debug_assert_eq!(
+            rt.nonterminal,
+            self.count_nonterminal(plan, keys),
+            "incremental non-terminal count of `{instance}` drifted"
+        );
+        let facts = StoreFacts::new(&self.mgr, None, keys);
+        for id in 1..plan.tasks.len() as TaskId {
+            let task = plan.task(id);
+            let Some(parent) = task.parent else {
+                continue;
+            };
+            let (Some(parent_cb), Some(cb)) =
+                (self.read_cb_id(keys, parent), self.read_cb_id(keys, id))
+            else {
+                continue;
+            };
+            if matches!(parent_cb.state, CbState::Active { .. })
+                && cb.state == CbState::Waiting
+                && cb.incarnation == parent_cb.scope_inc
+            {
+                debug_assert!(
+                    plan_eval::eval_task_inputs(plan, id, &facts).is_none(),
+                    "worklist missed a startable task `{}` of instance `{instance}`",
+                    plan.str(task.path)
+                );
+            }
+        }
+        for id in 0..plan.tasks.len() as TaskId {
+            if !plan.task(id).is_scope {
+                continue;
+            }
+            let Some(cb) = self.read_cb_id(keys, id) else {
+                continue;
+            };
+            if !matches!(cb.state, CbState::Active { .. }) {
+                continue;
+            }
+            for (out_idx, _) in plan_eval::eval_scope_outputs(plan, id, &facts) {
+                let output = &plan.outputs[out_idx];
+                let name = plan.str(output.name);
+                let missed = match output.kind {
+                    OutputKind::Mark => !cb.mark_emitted(name),
+                    _ => true,
+                };
+                debug_assert!(
+                    !missed,
+                    "worklist missed a satisfied output `{name}` of scope `{}` in `{instance}`",
+                    plan.str(plan.task(id).path)
+                );
+            }
         }
     }
 }

@@ -11,11 +11,12 @@ use std::rc::Rc;
 
 use flowscript_core::schema::{self, Schema};
 use flowscript_obs::ObsEventKind;
-use flowscript_plan::{Plan, TaskId};
+use flowscript_plan::{Plan, TaskId, Worklist};
 use flowscript_sim::World;
 use flowscript_tx::{FactKey, StoreKey};
 
 use super::meta::source_hash;
+use super::step::Effect;
 use super::{
     stored_instances, CoordHandle, Coordinator, Flights, InstanceHeader, InstanceRt,
     InstanceStatus, StatusRecord,
@@ -59,6 +60,7 @@ impl Coordinator {
             flights: Flights::default(),
             nonterminal,
             terminal: record.status.is_terminal(),
+            planted: true,
         })
     }
 
@@ -209,49 +211,51 @@ impl CoordHandle {
         let root_path = plan.str(plan.root().path).to_string();
         let hash = source_hash(source);
         let source_key = source_uid(hash);
+        let name: Rc<str> = Rc::from(instance);
 
-        let mut coordinator = self.inner.borrow_mut();
-        // A second start must not write over the first.
-        if coordinator.holds(instance) {
-            return Err(EngineError::DuplicateInstance(instance.to_string()));
-        }
-        // The source is pinned once per shard, under its hash: text
-        // already there is shared only if it is this text.
-        let pinned = coordinator
-            .mgr
-            .read_committed_bytes(&source_key)
-            .map(|stored| stored == source.as_bytes());
-        if pinned == Some(false) {
-            return Err(EngineError::Tx(format!(
-                "`{source_key}` holds a different source than script `{script_name}`"
-            )));
-        }
-        // Allocate the dense instance id from the persistent sequence.
-        let seq_uid = instance_seq_uid();
-        let instance_id: u32 = coordinator.mgr.read_committed_key(&seq_uid)?.unwrap_or(0);
-        let keys = InstanceKeys::build(&plan, instance, instance_id);
-        let root_in = keys
-            .in_key(&plan, 0, set)
-            .ok_or_else(|| EngineError::BadInputs(format!("unmapped input set `{set}`")))?;
-        let header = InstanceHeader {
-            script: script_name.to_string(),
-            source_hash: hash,
-            root: root.to_string(),
-            set: set.to_string(),
-            inputs,
-            instance_id,
-            version,
-        };
-        let record = StatusRecord {
-            status: InstanceStatus::Running,
-            reconfig_count: 0,
-            plan_fingerprint: plan.fingerprint,
-        };
-        // One frame per start: the group opens before the first write
-        // and closes after the first drain, so the records below and the
-        // first activations share one log append.
-        coordinator.mgr.begin_group();
-        let staged = coordinator.atomically(|mgr, action| {
+        // The start is one step — header, status record, blocks, the
+        // root's binding *and* the first drain's activations in one
+        // action — committed straight to the log, outside any group: a
+        // frame that fails to append aborts it, and leaves nothing behind.
+        let staged = self.inner.borrow_mut().run_step(|coordinator, step| {
+            // A second start must not write over the first.
+            if coordinator.holds(instance) {
+                return Err(EngineError::DuplicateInstance(instance.to_string()));
+            }
+            // The source is pinned once per shard, under its hash: text
+            // already there is shared only if it is this text.
+            let pinned = coordinator
+                .mgr
+                .read_committed_bytes(&source_key)
+                .map(|stored| stored == source.as_bytes());
+            if pinned == Some(false) {
+                return Err(EngineError::Tx(format!(
+                    "`{source_key}` holds a different source than script `{script_name}`"
+                )));
+            }
+            // Allocate the dense instance id from the persistent sequence.
+            let seq_uid = instance_seq_uid();
+            let instance_id: u32 = coordinator.mgr.read_committed_key(&seq_uid)?.unwrap_or(0);
+            let keys = Rc::new(InstanceKeys::build(&plan, instance, instance_id));
+            let root_in = keys
+                .in_key(&plan, 0, set)
+                .ok_or_else(|| EngineError::BadInputs(format!("unmapped input set `{set}`")))?;
+            let header = InstanceHeader {
+                script: script_name.to_string(),
+                source_hash: hash,
+                root: root.to_string(),
+                set: set.to_string(),
+                inputs,
+                instance_id,
+                version,
+            };
+            let record = StatusRecord {
+                status: InstanceStatus::Running,
+                reconfig_count: 0,
+                plan_fingerprint: plan.fingerprint,
+            };
+            let action = step.action(&mut coordinator.mgr);
+            let mgr = &mut coordinator.mgr;
             mgr.write_key(action, &seq_uid, &(instance_id + 1))?;
             mgr.write_key(action, keys.meta(), &header)?;
             mgr.write_key(action, keys.status(), &record)?;
@@ -280,42 +284,36 @@ impl CoordHandle {
             for id in 1..plan.tasks.len() as TaskId {
                 mgr.write_key(action, &StoreKey::Fact(keys.cb(id)), &waiting)?;
             }
-            Ok(())
-        });
-        if let Err(err) = staged {
-            let _ = coordinator.mgr.end_group();
-            return Err(err);
-        }
-        let task_count = plan.tasks.len();
-        coordinator.instances.insert(
-            instance.to_string(),
-            InstanceRt {
+            let rt = InstanceRt {
                 schema,
-                plan,
-                keys: Rc::new(keys),
+                plan: plan.clone(),
+                keys: keys.clone(),
                 bindings: BTreeMap::new(),
                 flights: Flights::default(),
                 // Root Active + every descendant Waiting.
-                nonterminal: task_count,
+                nonterminal: plan.tasks.len(),
                 terminal: false,
-            },
-        );
-        coordinator.admission.instance_live();
-        coordinator.record_event(
-            world.now().as_nanos(),
-            instance,
-            Some(&root_path),
-            0,
-            ObsEventKind::InstanceStart,
-        );
-        drop(coordinator);
-        self.evaluate(world, instance);
+                planted: false,
+            };
+            step.push(&name, Effect::Resident(Box::new(rt)));
+            coordinator.trace(step, &name, Some(&root_path), 0, || {
+                ObsEventKind::InstanceStart
+            });
+            // The first drain: the root just activated.
+            let mut worklist = Worklist::new();
+            worklist.seed_children(&plan, 0);
+            coordinator.stage_drain(step, &name, &plan, &keys, worklist, &[])
+        });
         // The caller acknowledges the start on `Ok`: a frame that did
         // not reach the log must not read as one.
-        let mut coordinator = self.inner.borrow_mut();
-        coordinator.mgr.end_group()?;
-        // The drain's own check ran inside the group, where it holds off.
-        let _ = coordinator.maybe_checkpoint();
+        let ((), effects) = staged?;
+        // Whatever the publishing still commits (a first task no executor
+        // can take fails) shares one frame behind the start's.
+        self.inner.borrow_mut().mgr.begin_group();
+        self.publish(world, effects);
+        let _ = self.inner.borrow_mut().mgr.end_group();
+        self.assert_settled(instance);
+        let _ = self.inner.borrow_mut().maybe_checkpoint();
         Ok(())
     }
 
@@ -409,12 +407,12 @@ impl Coordinator {
 /// fail to decode or validate are never entered. Evicted with the
 /// blobs, in [`Coordinator::gc_plans`].
 #[derive(Default)]
-pub(super) struct PlanCache {
+pub(crate) struct PlanCache {
     plans: BTreeMap<Vec<u8>, Rc<Plan>>,
 }
 
 impl PlanCache {
-    pub(super) fn validated(&mut self, bytes: &[u8]) -> Option<Rc<Plan>> {
+    pub(crate) fn validated(&mut self, bytes: &[u8]) -> Option<Rc<Plan>> {
         if let Some(plan) = self.plans.get(bytes) {
             return Some(plan.clone());
         }
@@ -584,17 +582,18 @@ mod tests {
         assert_eq!(coord.instance_names(), ["x", "y"]);
     }
 
-    /// The `Ack` never precedes a durable frame: a start whose one frame
-    /// fails to append reports the storage error, closes its group, and
-    /// the shard serves the next start once the disk heals. Not pinned
-    /// here: `x` itself — the in-memory store is ahead of the log after
-    /// the failed flush (ROADMAP 2(iii), unfixed), so `x` runs on until
-    /// a restart forgets it.
+    /// The `Ack` never precedes a durable frame, and a refused start
+    /// leaves nothing behind: the start is one commit record appended
+    /// before it is applied, so a frame that fails to append aborts the
+    /// step — no key of `x` in the store, no runtime, no admission slot,
+    /// no lock — and the *same* name starts once the disk heals.
     #[test]
     fn a_start_whose_frame_fails_to_append_is_not_acknowledged() {
         let storage = FlakyStorage::default();
         let fail = storage.fail.clone();
         let (mut world, coord) = shard(Shared::from(storage));
+        let objects = |coord: &CoordHandle| coord.inner.borrow().mgr.object_count();
+        let occupancy = |coord: &CoordHandle| coord.inner.borrow().admission.occupancy();
         fail.set(true);
         let refused = start(&coord, &mut world, "x");
         assert!(
@@ -602,8 +601,16 @@ mod tests {
             "{refused:?}"
         );
         assert!(!coord.inner.borrow().mgr.in_group(), "the start's group");
+        assert!(coord.instance_names().is_empty());
+        assert_eq!((objects(&coord), occupancy(&coord)), (0, 0));
+        assert_eq!(coord.log_size(), 0);
+        world.run();
+        assert_eq!(coord.stats().dispatches, 0, "nothing was published");
         fail.set(false);
-        start(&coord, &mut world, "y").expect("the healed disk takes the next start");
+        start(&coord, &mut world, "x").expect("the healed disk takes the same name");
+        assert_eq!(coord.instance_names(), ["x"]);
+        assert_eq!(occupancy(&coord), 1);
+        assert_eq!(coord.stats().dispatches, 1, "t1, once");
     }
 
     #[test]

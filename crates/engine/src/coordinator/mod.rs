@@ -4,19 +4,19 @@
 //! control blocks ([`crate::state::TaskCb`]) and dependency *facts*, all
 //! stored as objects in a [`TxManager`] so that each state transition is
 //! an atomic action and a coordinator crash loses nothing committed
-//! (paper §3, system-level fault tolerance). It is one loop — apply a
-//! task's report to its control block in an atomic action, publish the
-//! output, re-evaluate the dependents — plus what keeps that loop fed
-//! and alive: dispatch with watchdogs and bounded retries, admission,
-//! shard membership and crash recovery.
+//! (paper §3, system-level fault tolerance). It is one loop of *steps* —
+//! stage a window of reports and everything they cascade into in one
+//! atomic action, commit it once, publish what it made true — plus what
+//! keeps that loop fed and alive: dispatch with watchdogs and bounded
+//! retries, admission, shard membership and crash recovery.
 //!
 //! Re-evaluation is **event-driven**: each committed fact seeds a
 //! [`Worklist`](flowscript_plan::Worklist) from the plan's reverse
 //! dependency edges, so per-commit work scales with the fan-out of the
 //! changed task, not the instance size. The full scan survives only for
-//! instance start, crash recovery and reconfiguration (where the plan
-//! itself changes), and — in debug builds — as a quiescence oracle
-//! asserted after every drain. All fact storage runs on dense
+//! crash recovery, adoption and reconfiguration (where the plan itself
+//! changes), and — in debug builds — as a quiescence oracle asserted
+//! after every outermost step. All fact storage runs on dense
 //! per-object sub-keys interned per instance (the
 //! [`crate::keys::InstanceKeys`] table over the [`crate::facts`]
 //! layout): a readiness probe is one point read of exactly the bytes it
@@ -27,17 +27,18 @@
 //!
 //! This module holds the shared state ([`Coordinator`], reached through
 //! the cloneable [`CoordHandle`]), the message entry point and the
-//! helpers every concern uses (`atomically`, `commit`, `commit_cb`,
-//! `record_event`, the control-block/header/status reads, `pump`). Each child module owns one
+//! helpers every concern uses (`commit_cb`, `record_event`, the
+//! control-block/header/status reads, `pump`). Each child module owns one
 //! concern; what it *owns* is private to it, and the entry points named
 //! are the only way in from a sibling:
 //!
 //! | module | concern | owns | entry points |
 //! |---|---|---|---|
 //! | `config`, `meta`, `stats` | the types: operator knobs; status and outcome, the write-once `InstanceHeader`, the `StatusRecord`, the pinned source's hash (their uids: [`crate::keys`]); counters and the dispatch record | — | — |
-//! | `window` | the one place a report is applied: buffer `Done`/`Mark` reports, commit a window of them in one atomic action | `BatchWindow` | `enqueue_event`, `flush_pending`, `commit_event` |
-//! | `evaluate` | the worklist drain: input-set satisfaction, activation, compound-scope outputs (marks, termination, the fig. 8 repeat), stuck detection, the debug full-scan oracle | — | `evaluate`, `evaluate_from`, `park_stuck` |
-//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, bounded retries, the slow-path report handler | `Dispatcher` (scheduler loads, cost model, ready queue), `Flights` (per instance: one record per task with outstanding work) | `dispatch`, `redispatch`, `on_task_done`, `clear_watch`, `drain_parked`, `discard_flights` (subtree sweep, forced outcome), `executing`; `Flights::is_idle` (stuck detection), `rekey_flights` (reconfiguration), `rearm_adopted` (adoption), `Dispatcher::{release_all, reset}` (hand-off, recovery), `executor_loads` |
+//! | `step` | the unit of commit: stage into one action (reading its own writes back), commit once, publish the effects in staging order | `Step`, `Effect` | `run_step` (the one way the engine runs an action), `atomically` (the step with nothing to publish), `publish`; `staged`, `staged_cb`, `trace` |
+//! | `window` | the one place a report is applied: buffer `Done`/`Mark` reports, commit a window of them and its cascade as one step | `BatchWindow` | `enqueue_event`, `flush_pending`, `commit_event` |
+//! | `evaluate` | the cascade a step stages: input-set satisfaction, activation, compound-scope outputs (marks, termination, the fig. 8 repeat), stuck detection; the debug full-scan oracle | — | `stage_drain`, `park_stuck`; `evaluate`, `evaluate_from` (a drain as a step of its own), `assert_settled` |
+//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, bounded retries, the slow-path report handler | `Dispatcher` (scheduler loads, cost model, ready queue), `Flights` (per instance: one record per task with outstanding work) | `dispatch`, `ship` (an activation, under the binding its step staged), `fail_task`, `redispatch`, `on_task_done`, `clear_watch`, `drain_parked`, `discard_flights` (subtree sweep, forced outcome), `executing`; `Flights::outstanding` (stuck detection), `rekey_flights` (reconfiguration), `rearm_adopted` (adoption), `Dispatcher::{release_all, reset}` (hand-off, recovery), `executor_loads` |
 //! | `admission` | the per-shard instance cap on the start RPC | `Admission` | `admit_or_queue`, `admit_from_queue`, `Admission::{instance_live, instance_settled}` |
 //! | `lifecycle` | instance start (the one writer of a header, and of the two per-shard blobs beside it: the compiled plan per fingerprint, the canonical source per hash), materialising a runtime from committed state, the monitoring reads; blob collection | `PlanCache` | `start_instance_full`, `load_instance`, `rebuild_schema` (the one reader of the source), `count_nonterminal`, `PlanCache::validated`, `gc_plans` |
 //! | `membership` | shard routing and relays; the fleet protocols the nodes run among themselves — live hand-off (the one `tx::dist` 2PC, this module its host) and crash-driven adoption | `Membership`, [`MoveReport`], [`FailoverReport`] | `route_report`, `misdirected`, `forward_start`; from the façade `begin_move`, `begin_adoption` (each answers with a `Ticket`); from the wire `on_dist`, `on_claim`; `adopt_orphans`, `repair_handoffs` |
@@ -54,6 +55,7 @@ mod membership;
 mod meta;
 mod recovery;
 mod stats;
+mod step;
 mod window;
 
 use std::cell::RefCell;
@@ -85,7 +87,7 @@ use recovery::{stored_instance_names, stored_instances};
 
 use admission::{Admission, AdmissionTicket};
 use dispatch::{Dispatcher, Flights};
-use lifecycle::PlanCache;
+pub(crate) use lifecycle::PlanCache;
 use membership::Membership;
 use meta::{InstanceHeader, StatusRecord};
 use stats::CoordMetrics;
@@ -120,6 +122,11 @@ struct InstanceRt {
     /// [`Coordinator::note_status`]). The drain tests it once per
     /// worklist step.
     terminal: bool,
+    /// A fact may sit below a scope that has not activated — an operator
+    /// published (`repair_fact`, `abort_waiting_task`), or this runtime
+    /// was loaded from the store, which does not say: an activation then
+    /// enables every constituent, not only [`Plan::activation_seeds`].
+    planted: bool,
 }
 
 /// The execution service state. Use through [`CoordHandle`].
@@ -256,34 +263,6 @@ impl Coordinator {
         }
     }
 
-    fn commit(&mut self, action: AtomicAction) -> Result<(), EngineError> {
-        self.mgr.commit(action)?;
-        self.commits += 1;
-        Ok(())
-    }
-
-    /// Runs `stage` inside an atomic action of its own: committed when
-    /// it returns `Ok`, aborted when it returns `Err`. An action has no
-    /// `Drop` — one abandoned by an early return keeps its locks until
-    /// the next restart — so staging that can fail goes through here:
-    /// the one way the engine runs an action. Two places drive the
-    /// manager's `begin` / `abort` themselves: `commit_window` (it owns a
-    /// lock pre-pass) and `gc_plans` (it must not tick the checkpoint
-    /// counter).
-    fn atomically<T>(
-        &mut self,
-        stage: impl FnOnce(&mut TxManager<StableStore>, &AtomicAction) -> Result<T, EngineError>,
-    ) -> Result<T, EngineError> {
-        let action = self.mgr.begin();
-        match stage(&mut self.mgr, &action) {
-            Ok(value) => self.commit(action).map(|()| value),
-            Err(err) => {
-                self.mgr.abort(action);
-                Err(err)
-            }
-        }
-    }
-
     /// Writes one object in an atomic action of its own.
     fn commit_object<T: Encode>(&mut self, key: &StoreKey, value: &T) -> Result<(), EngineError> {
         self.atomically(|mgr, action| Ok(mgr.write_key(action, key, value)?))
@@ -367,14 +346,6 @@ impl Coordinator {
     fn note_terminals(&mut self, instance: &str, n: usize) {
         if let Some(rt) = self.instances.get_mut(instance) {
             rt.nonterminal = rt.nonterminal.saturating_sub(n);
-        }
-    }
-
-    /// Records `n` control blocks leaving a terminal state (scope
-    /// resets revive terminated constituents).
-    fn note_revived(&mut self, instance: &str, n: usize) {
-        if let Some(rt) = self.instances.get_mut(instance) {
-            rt.nonterminal += n;
         }
     }
 }

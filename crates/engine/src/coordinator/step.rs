@@ -1,0 +1,212 @@
+//! The step — the engine's unit of commit. A start, a commit window and
+//! a re-evaluation each run as one: **stage** everything they cause
+//! into one atomic action (which reads its own earlier transitions back
+//! through [`TxManager::read_through`]), **commit** it once, then
+//! **publish**, in staging order, what the commit made true outside the
+//! store. Nothing is sent, counted or traced for a transition that did
+//! not commit, and a step that rolls back takes its cascade with it.
+
+use std::collections::BTreeMap;
+use std::ops::Range;
+use std::rc::Rc;
+
+use flowscript_codec::Decode;
+use flowscript_obs::{Counter, ObsEventKind};
+use flowscript_plan::TaskId;
+use flowscript_sim::World;
+use flowscript_tx::{AtomicAction, StableStore, StoreKey, TxError, TxManager};
+
+use super::{CoordHandle, Coordinator, InstanceRt, InstanceStatus};
+use crate::error::EngineError;
+use crate::facts;
+use crate::keys::InstanceKeys;
+use crate::state::TaskCb;
+use crate::value::ObjectVal;
+
+/// One thing a committed step owes the world outside the store.
+pub(super) enum Effect {
+    /// A start's instance becomes resident, in its admission slot.
+    Resident(Box<InstanceRt>),
+    /// Control blocks reached a terminal state.
+    Terminals(usize),
+    /// A repeat revived terminated control blocks.
+    Revived(usize),
+    /// The status record left `Running` for this: the mirror follows,
+    /// the admission slot frees.
+    Settled(InstanceStatus),
+    /// A transition counter moves (`coord.marks`, `coord.repeats`).
+    Count(Counter),
+    /// A trace event of `task`'s `attempt`, stamped when published.
+    Trace(Option<String>, u32, ObsEventKind),
+    /// A report was applied: its task's flight ends, a completion.
+    Completed(TaskId),
+    /// A leaf was activated: ship its first attempt as staged (where
+    /// the step went on to cancel it, the `Discard` behind ends it).
+    Dispatch(TaskId, Launch),
+    /// A drain popped this many worklist entries; `true`: to quiescence.
+    Drained(u64, bool),
+    /// A subtree was cancelled or reset: its flights end unfinished.
+    Discard(Range<TaskId>),
+}
+
+/// What an attempt ships under: its task's incarnation, bound input set
+/// and that set's objects as staged, whatever the block reads by then.
+pub(super) type Launch = (u32, String, BTreeMap<String, ObjectVal>);
+
+/// A step's effects in staging order, each with its instance.
+pub(super) type Effects = Vec<(Rc<str>, Effect)>;
+
+/// What a step has staged so far. Its action begins at the first write:
+/// a step that stages nothing commits nothing.
+#[derive(Default)]
+pub(super) struct Step {
+    action: Option<AtomicAction>,
+    pub(super) effects: Effects,
+}
+
+impl Step {
+    /// The step's action.
+    pub(super) fn action(&mut self, mgr: &mut TxManager<StableStore>) -> &AtomicAction {
+        self.action.get_or_insert_with(|| mgr.begin())
+    }
+
+    /// The action, if anything was staged: what the step reads through.
+    pub(super) fn staged(&self) -> Option<&AtomicAction> {
+        self.action.as_ref()
+    }
+
+    pub(super) fn push(&mut self, instance: &Rc<str>, effect: Effect) {
+        self.effects.push((instance.clone(), effect));
+    }
+}
+
+impl Coordinator {
+    /// Runs `stage` as one step: what it staged commits when it returns
+    /// `Ok` — the effects come back for publishing — and aborts on `Err`.
+    /// An action has no `Drop` — one abandoned by an early return keeps
+    /// its locks until the next restart — so this is the one way the
+    /// engine runs an action (`gc_plans` alone drives the manager itself:
+    /// it must not tick the checkpoint counter).
+    pub(super) fn run_step<T>(
+        &mut self,
+        stage: impl FnOnce(&mut Self, &mut Step) -> Result<T, EngineError>,
+    ) -> Result<(T, Effects), EngineError> {
+        let mut step = Step::default();
+        match (stage(self, &mut step), step.action) {
+            (Ok(value), action) => {
+                if let Some(action) = action {
+                    self.mgr.commit(action)?;
+                    self.commits += 1;
+                }
+                Ok((value, step.effects))
+            }
+            (Err(err), action) => {
+                action.into_iter().for_each(|action| self.mgr.abort(action));
+                Err(err)
+            }
+        }
+    }
+
+    /// The step with nothing to publish: `stage` runs inside an atomic
+    /// action of its own, committed on `Ok`, aborted on `Err`.
+    pub(super) fn atomically<T>(
+        &mut self,
+        stage: impl FnOnce(&mut TxManager<StableStore>, &AtomicAction) -> Result<T, EngineError>,
+    ) -> Result<T, EngineError> {
+        let staged = self.run_step(|this, step| {
+            let action = step.action(&mut this.mgr);
+            stage(&mut this.mgr, action)
+        });
+        staged.map(|(value, _)| value)
+    }
+
+    /// `key` as `step` reads it: what it staged there, else what is
+    /// committed.
+    pub(super) fn staged<T: Decode>(
+        &self,
+        step: &Step,
+        key: &StoreKey,
+    ) -> Result<Option<T>, TxError> {
+        facts::decoded(self.mgr.read_through(step.staged(), key))
+    }
+
+    /// The control block of `task` as `step` reads it.
+    pub(super) fn staged_cb(
+        &self,
+        step: &Step,
+        keys: &InstanceKeys,
+        task: TaskId,
+    ) -> Option<TaskCb> {
+        let key = StoreKey::Fact(keys.cb(task));
+        self.staged(step, &key).ok().flatten()
+    }
+
+    /// Stages a trace event (below [`flowscript_obs::ObserveLevel::Trace`]
+    /// nothing, its payload then never built).
+    pub(super) fn trace(
+        &self,
+        step: &mut Step,
+        instance: &Rc<str>,
+        task: Option<&str>,
+        attempt: u32,
+        kind: impl FnOnce() -> ObsEventKind,
+    ) {
+        if self.config.observe.trace() {
+            step.push(
+                instance,
+                Effect::Trace(task.map(str::to_string), attempt, kind()),
+            );
+        }
+    }
+}
+
+impl CoordHandle {
+    /// Publishes a committed step's effects, in staging order. A
+    /// dispatch no executor can take fails its task, in an action of its
+    /// own, last: the step behind that must find what this one shipped.
+    pub(super) fn publish(&self, world: &mut World, effects: Effects) {
+        let now_ns = world.now().as_nanos();
+        let mut unplaceable = Vec::new();
+        for (instance, effect) in effects {
+            let coordinator = || self.inner.borrow_mut();
+            match effect {
+                Effect::Completed(task) => _ = self.clear_watch(world, &instance, task),
+                Effect::Dispatch(task, launch) => {
+                    let shipped = self.ship(world, &instance, task, launch, 0, BTreeMap::new());
+                    unplaceable.extend(shipped.err().map(|reason| (instance, task, reason)));
+                }
+                Effect::Drained(evaluations, quiescent) => {
+                    let coordinator = coordinator();
+                    coordinator.metrics.evaluations.add(evaluations);
+                    if quiescent && coordinator.config.observe.metrics() {
+                        coordinator.metrics.commit_drain_len.record(evaluations);
+                    }
+                }
+                Effect::Discard(tasks) => self.discard_flights(world, &instance, tasks),
+                Effect::Resident(rt) => {
+                    let mut coordinator = coordinator();
+                    coordinator.instances.insert(instance.to_string(), *rt);
+                    coordinator.admission.instance_live();
+                }
+                Effect::Terminals(n) => coordinator().note_terminals(&instance, n),
+                Effect::Revived(n) => {
+                    if let Some(rt) = coordinator().instances.get_mut(&*instance) {
+                        rt.nonterminal += n;
+                    }
+                }
+                Effect::Settled(status) => {
+                    let mut coordinator = coordinator();
+                    coordinator.note_status(&instance, &status);
+                    coordinator.admission.instance_settled();
+                }
+                Effect::Count(counter) => counter.inc(),
+                Effect::Trace(task, attempt, kind) => {
+                    coordinator().record_event(now_ns, &instance, task.as_deref(), attempt, kind);
+                }
+            }
+        }
+        for (instance, task, reason) in unplaceable {
+            self.fail_task(world, &instance, task, &reason);
+        }
+    }
+}

@@ -2,9 +2,10 @@
 //!
 //! `Done`/`Mark` reports buffer in [`BatchWindow`] until the count or
 //! the timer trigger fires, then `commit_window` applies the whole
-//! window in one atomic action (`stage_event` validates each report
-//! against its control block and stages transition + fact), publishes
-//! the effects and re-evaluates the dependents inside one WAL group.
+//! window as one step (`stage_event` validates each report against its
+//! control block and stages transition + fact; the cascade of every
+//! touched instance stages behind them), commits it once and publishes
+//! its effects, inside one WAL group.
 //! [`CommitBatch::disabled`](super::CommitBatch::disabled) is this same
 //! path with a window of one.
 
@@ -13,11 +14,13 @@ use std::rc::Rc;
 
 use flowscript_core::ast::OutputKind;
 use flowscript_obs::ObsEventKind;
-use flowscript_plan::{Plan, TaskId};
+use flowscript_plan::{Plan, TaskId, Worklist};
 use flowscript_sim::{SimDuration, World};
-use flowscript_tx::{AtomicAction, StoreKey};
+use flowscript_tx::StoreKey;
 
+use super::step::{Effect, Step};
 use super::{CommitBatch, CoordHandle, Coordinator};
+use crate::error::EngineError;
 use crate::facts;
 use crate::keys::InstanceKeys;
 use crate::msg::{EngineMsg, MarkMsg, TaskDone, TaskResult};
@@ -53,33 +56,16 @@ impl From<PendingEvent> for EngineMsg {
     }
 }
 
-/// The post-commit bookkeeping owed for one report staged into a
-/// flush: trace event, terminal accounting, watchdog clearance and the
-/// readiness seed.
-struct StagedEffect {
-    instance: String,
-    path: String,
-    attempt: u32,
-    task_id: TaskId,
-    /// Trace-event payload (``done `x```, ``aborted `x```, ``mark `x```).
-    what: String,
-    is_mark: bool,
-}
-
-/// What staging one buffered report into the window's shared action
-/// concluded.
+/// What staging one buffered report into the window's step concluded.
 enum Staging {
-    /// The transition and its facts are staged in the action.
-    Staged(StagedEffect),
+    /// The transition, its facts and its effects are staged in the step.
+    Staged,
     /// The report is stale or a duplicate: dropped on the floor.
     Consumed,
     /// Valid but not a plain transition (error retries, repeats,
     /// undeclared outputs): `on_task_done` handles it after the window
     /// commits.
     Slow,
-    /// A storage fault: abort the shared action; each report of the
-    /// window then retries alone.
-    Error,
 }
 
 /// What the window asks of its owner after buffering a report.
@@ -178,34 +164,39 @@ impl Coordinator {
     }
 
     /// Validates one buffered report against its control block and
-    /// stages transition + fact into the window's shared `action`. The
-    /// block is read *through the action*, so a transition staged by an
-    /// earlier report of the same window is visible — duplicates and
-    /// stale attempts are consumed exactly as they would be had the
-    /// earlier report committed first.
+    /// stages transition + fact into the window's `step`, with the
+    /// bookkeeping owed once it commits: terminal accounting, the trace
+    /// event, the flight's release. The block is read *through the
+    /// action*, so a transition staged by an earlier report of the same
+    /// window is visible — duplicates and stale attempts are consumed
+    /// exactly as they would be had the earlier report committed first.
+    ///
+    /// # Errors
+    ///
+    /// A storage fault: the step aborts; each report of the window then
+    /// retries alone.
     fn stage_event(
         &mut self,
-        action: &AtomicAction,
+        step: &mut Step,
         event: &PendingEvent,
         plan: &Plan,
         keys: &InstanceKeys,
         task_id: TaskId,
-    ) -> Staging {
+    ) -> Result<Staging, EngineError> {
         let (instance, path, incarnation, attempt) = event.address();
         let cb_key = StoreKey::Fact(keys.cb(task_id));
-        let mut cb = match self.mgr.read_key::<TaskCb>(action, &cb_key) {
-            Ok(Some(cb)) => cb,
-            Ok(None) => return Staging::Consumed,
-            Err(_) => return Staging::Error,
+        let action = step.action(&mut self.mgr);
+        let Some(mut cb) = self.mgr.read_key::<TaskCb>(action, &cb_key)? else {
+            return Ok(Staging::Consumed);
         };
         if !cb.awaits(incarnation, attempt) {
-            return Staging::Consumed;
+            return Ok(Staging::Consumed);
         }
         let class = plan.class_of(plan.task(task_id));
         let (name, objects, what) = match event {
             PendingEvent::Done(msg) => {
                 let TaskResult::Output { name, objects, .. } = &msg.result else {
-                    return Staging::Slow; // error retry: per-report bookkeeping
+                    return Ok(Staging::Slow); // error retry: per-report bookkeeping
                 };
                 let outcome = name.clone();
                 let (state, verb) = match plan.class_output(class, name).map(|o| o.kind) {
@@ -213,44 +204,47 @@ impl Coordinator {
                     Some(OutputKind::AbortOutcome) => (CbState::Aborted { outcome }, "aborted"),
                     // Undeclared outputs, mark-as-completion and repeats
                     // take their failure/retry paths post-commit.
-                    _ => return Staging::Slow,
+                    _ => return Ok(Staging::Slow),
                 };
                 cb.transition(state);
-                (name, objects, format!("{verb} `{name}`"))
+                (name, objects, verb)
             }
             PendingEvent::Mark(msg) => {
                 let declared = plan
                     .class_output(class, &msg.mark)
                     .is_some_and(|output| output.kind == OutputKind::Mark);
                 if !declared || cb.mark_emitted(&msg.mark) {
-                    return Staging::Consumed;
+                    return Ok(Staging::Consumed);
                 }
                 cb.marks_emitted.push(msg.mark.clone());
-                (&msg.mark, &msg.objects, format!("mark `{}`", msg.mark))
+                (&msg.mark, &msg.objects, "mark")
             }
         };
         let Some(out_key) = keys.out_key(plan, task_id, name) else {
-            return Staging::Consumed;
+            return Ok(Staging::Consumed);
         };
         let stamped: BTreeMap<String, ObjectVal> = objects
             .iter()
             .map(|(k, v)| (k.clone(), v.clone().produced_by(path.to_string())))
             .collect();
-        let write = self
-            .mgr
-            .write_key(action, &cb_key, &cb)
-            .and_then(|_| facts::write_fact_map(&mut self.mgr, action, plan, out_key, &stamped));
-        match write {
-            Ok(()) => Staging::Staged(StagedEffect {
-                instance: instance.to_string(),
-                path: path.to_string(),
-                attempt,
-                task_id,
-                what,
-                is_mark: matches!(event, PendingEvent::Mark(_)),
-            }),
-            Err(_) => Staging::Error,
+        self.mgr.write_key(action, &cb_key, &cb)?;
+        facts::write_fact_map(&mut self.mgr, action, plan, out_key, &stamped)?;
+        let instance: Rc<str> = Rc::from(instance);
+        let is_mark = matches!(event, PendingEvent::Mark(_));
+        let moved = match is_mark {
+            true => Effect::Count(self.metrics.marks.clone()),
+            false => Effect::Terminals(1),
+        };
+        step.push(&instance, moved);
+        self.trace(step, &instance, Some(path), attempt, || {
+            self.commit_event(format!("{what} `{name}`"))
+        });
+        // A completed dispatch releases its watchdog and load *before*
+        // the cascade dispatches anything new.
+        if !is_mark {
+            step.push(&instance, Effect::Completed(task_id));
         }
+        Ok(Staging::Staged)
     }
 }
 
@@ -306,10 +300,10 @@ impl CoordHandle {
         if events.is_empty() {
             return;
         }
-        // A rolled-back shared action leaves committed state untouched:
-        // each report retries as a window of its own. A window of one
-        // that still aborts drops its report — to the executor's
-        // watchdog it is a message lost in the network.
+        // A rolled-back step leaves committed state untouched: each
+        // report retries as a window of its own. A window of one that
+        // still aborts drops its report — to the executor's watchdog it
+        // is a message lost in the network.
         let rolled_back = self.commit_window(world, events);
         if rolled_back.len() > 1 {
             for event in rolled_back {
@@ -322,17 +316,17 @@ impl CoordHandle {
         self.pump(world);
     }
 
-    /// Commits `events` as one window: a single atomic action over the
-    /// union of touched control blocks (locks taken in deterministic
-    /// [`StoreKey`] order), a single WAL group frame covering the
-    /// reports *and* the readiness cascade they trigger, and one
-    /// consumer-seeded re-evaluation per touched instance. Reports the
-    /// shared action cannot absorb (error retries, repeats, undeclared
-    /// outputs) run through `on_task_done` after it commits — still
-    /// inside the WAL group, serialized as if they had arrived just
-    /// after it. Hands the reports back if the action rolled back; the
-    /// batch id and the `coord.batch_size` sample are spent only on a
-    /// commit, so the histogram's sum is the reports applied.
+    /// Commits `events` as one window, one step: a single atomic action
+    /// over the reports (the locks of their control blocks taken first,
+    /// in deterministic [`StoreKey`] order) *and* the readiness cascade
+    /// of every instance they touched, then its effects published in
+    /// staging order. Reports the step cannot absorb (error retries,
+    /// repeats, undeclared outputs) run through `on_task_done` after it
+    /// — in actions of their own inside the same WAL group, serialized
+    /// as if they had arrived just after it. Hands the reports back if
+    /// the step rolled back; the batch id and the `coord.batch_size`
+    /// sample are spent only on a commit, so the histogram's sum is the
+    /// reports applied.
     fn commit_window(&self, world: &mut World, events: Vec<PendingEvent>) -> Vec<PendingEvent> {
         // Per-event plan context, and the key union for the lock
         // pre-pass.
@@ -351,104 +345,84 @@ impl CoordHandle {
             contexts.push(ctx);
         }
 
-        let mut staged: Vec<StagedEffect> = Vec::new();
         let mut slow: BTreeSet<usize> = BTreeSet::new();
-        let committed = {
+        // The touched instances (first-touch arrival order), each with the
+        // worklist its reports seeded and the tasks they completed.
+        type Touched<'a> = (Rc<str>, &'a Plan, &'a InstanceKeys, Worklist, Vec<TaskId>);
+        let mut touched: Vec<Touched<'_>> = Vec::new();
+        let staged = {
             let mut coordinator = self.inner.borrow_mut();
             coordinator.window.current_batch = Some(coordinator.window.batch_seq);
             coordinator.mgr.begin_group();
-            let action = coordinator.mgr.begin();
-            // One ordered pass acquires every control-block lock before
-            // any transition stages.
-            let mut ok = cb_keys
-                .iter()
-                .all(|key| coordinator.mgr.read_key_raw(&action, key).is_ok());
-            if ok {
+            coordinator.run_step(|coordinator, step| {
+                for key in &cb_keys {
+                    let action = step.action(&mut coordinator.mgr);
+                    coordinator.mgr.read_key_raw(action, key)?;
+                }
                 for (idx, (event, ctx)) in events.iter().zip(&contexts).enumerate() {
                     let Some((plan, keys, task)) = ctx else {
                         continue; // unknown instance or path: dropped, as ever
                     };
-                    match coordinator.stage_event(&action, event, plan, keys, *task) {
-                        Staging::Staged(effect) => staged.push(effect),
-                        Staging::Consumed => {}
+                    match coordinator.stage_event(step, event, plan, keys, *task)? {
+                        Staging::Staged => {}
+                        Staging::Consumed => continue,
                         Staging::Slow => {
                             slow.insert(idx);
-                        }
-                        Staging::Error => {
-                            ok = false;
-                            break;
+                            continue;
                         }
                     }
+                    let instance = event.address().0;
+                    let at = touched.iter().position(|(name, ..)| &**name == instance);
+                    let at = at.unwrap_or_else(|| {
+                        touched.push((instance.into(), plan, keys, Worklist::new(), Vec::new()));
+                        touched.len() - 1
+                    });
+                    let (.., worklist, ended) = &mut touched[at];
+                    worklist.seed_commit(plan, *task);
+                    if matches!(event, PendingEvent::Done(_)) {
+                        ended.push(*task);
+                    }
                 }
-            }
-            if ok {
-                coordinator.commit(action).is_ok()
-            } else {
-                coordinator.mgr.abort(action);
-                false
-            }
+                for (instance, plan, keys, worklist, ended) in &mut touched {
+                    let worklist = std::mem::take(worklist);
+                    coordinator.stage_drain(step, instance, plan, keys, worklist, ended)?;
+                }
+                Ok(())
+            })
         };
 
-        let rolled_back = if committed {
-            let now_ns = world.now().as_nanos();
-            let mut touched: Vec<(String, Vec<TaskId>)> = Vec::new();
-            {
-                let mut coordinator = self.inner.borrow_mut();
-                coordinator.window.batch_seq += 1;
-                if coordinator.config.observe.metrics() {
-                    coordinator.metrics.batch_size.record(events.len() as u64);
-                }
-                for effect in &staged {
-                    if effect.is_mark {
-                        coordinator.metrics.marks.inc();
-                    } else {
-                        coordinator.note_terminals(&effect.instance, 1);
-                    }
-                    let kind = coordinator.commit_event(effect.what.clone());
-                    coordinator.record_event(
-                        now_ns,
-                        &effect.instance,
-                        Some(&effect.path),
-                        effect.attempt,
-                        kind,
-                    );
-                    match touched
-                        .iter_mut()
-                        .find(|(name, _)| name == &effect.instance)
-                    {
-                        Some((_, tasks)) => tasks.push(effect.task_id),
-                        None => touched.push((effect.instance.clone(), vec![effect.task_id])),
+        let rolled_back = match staged {
+            Ok(((), effects)) => {
+                {
+                    let mut coordinator = self.inner.borrow_mut();
+                    coordinator.window.batch_seq += 1;
+                    if coordinator.config.observe.metrics() {
+                        coordinator.metrics.batch_size.record(events.len() as u64);
                     }
                 }
-            }
-            // Completed dispatches release their watchdogs and load
-            // *before* the cascade dispatches anything new.
-            for effect in &staged {
-                if !effect.is_mark {
-                    let _ = self.clear_watch(world, &effect.instance, effect.task_id);
+                self.publish(world, effects);
+                // The leftovers run inside the same WAL group, as if
+                // they had arrived right after the window.
+                for (idx, event) in events.into_iter().enumerate() {
+                    match event {
+                        PendingEvent::Done(msg) if slow.contains(&idx) => {
+                            self.on_task_done(world, msg);
+                        }
+                        _ => {}
+                    }
                 }
+                Vec::new()
             }
-            // One readiness pass per touched instance, seeded from the
-            // union of its completions (first-touch arrival order).
-            for (instance, tasks) in &touched {
-                self.evaluate_from(world, instance, tasks);
-            }
-            // The leftovers run inside the same WAL group, as if they
-            // had arrived right after the window.
-            for (idx, event) in events.into_iter().enumerate() {
-                match event {
-                    PendingEvent::Done(msg) if slow.contains(&idx) => self.on_task_done(world, msg),
-                    _ => {}
-                }
-            }
-            Vec::new()
-        } else {
-            events
+            Err(_) => events,
         };
 
         let mut coordinator = self.inner.borrow_mut();
         let _ = coordinator.mgr.end_group();
         coordinator.window.current_batch = None;
+        drop(coordinator);
+        for (instance, ..) in &touched {
+            self.assert_settled(instance);
+        }
         rolled_back
     }
 }
@@ -500,5 +474,118 @@ mod tests {
                 window.pending.clear();
             }
         }
+    }
+
+    /// A window of three reports over three instances whose shared step
+    /// cannot take one block's lock (a prepared transaction holds it):
+    /// the step rolls back with its whole cascade — nothing of it is
+    /// published — the two healthy reports then commit alone, cascade
+    /// included, and the third is dropped, to be re-reported by its
+    /// watchdog's retry once the lock is gone.
+    #[test]
+    fn a_rolled_back_window_publishes_nothing_and_retries_report_by_report() {
+        use crate::api::WorkflowSystem;
+        use crate::coordinator::EngineConfig;
+        use crate::{CbState, ObserveLevel, TaskBehavior};
+        use flowscript_tx::TxId;
+
+        let text = |value: &str| ObjectVal::text("Message", value);
+        let config = EngineConfig {
+            dispatch_timeout: SimDuration::from_millis(400),
+            retry_backoff: SimDuration::from_millis(20),
+            observe: ObserveLevel::Trace,
+            commit_batch: CommitBatch {
+                max_events: 3,
+                max_window: SimDuration::from_secs(1),
+            },
+            ..EngineConfig::default()
+        };
+        let mut sys = WorkflowSystem::builder().seed(1).config(config).build();
+        let script = flowscript_core::samples::QUICKSTART;
+        sys.register_script("q", script, "pipeline").unwrap();
+        let work = SimDuration::from_millis(10);
+        sys.bind_fn("refProduce", move |_| {
+            let made = TaskBehavior::outcome("produced").with_work(work);
+            made.with_object("message", ObjectVal::text("Message", "m"))
+        });
+        sys.bind_fn("refConsume", move |_| {
+            let used = TaskBehavior::outcome("consumed").with_work(work);
+            used.with_object("result", ObjectVal::text("Message", "r"))
+        });
+        for name in ["i1", "i2", "i3"] {
+            sys.start(name, "q", "main", [("seed", text("s"))]).unwrap();
+        }
+        // While the three `produce`s run, a prepared transaction takes
+        // the write lock of `i3`'s `produce` block.
+        sys.run_for(SimDuration::from_millis(5));
+        let coord = sys.coord_handle(0);
+        let blocker = TxId::new(99, 1);
+        {
+            let mut coordinator = coord.inner.borrow_mut();
+            let (plan, keys) = {
+                let rt = &coordinator.instances["i3"];
+                (rt.plan.clone(), rt.keys.clone())
+            };
+            let produce = plan.task_by_path("pipeline/produce").unwrap();
+            let locked = vec![(StoreKey::Fact(keys.cb(produce)), None)];
+            coordinator.mgr.prepare_remote(blocker, 99, locked).unwrap();
+        }
+        let aborts = |sys: &WorkflowSystem| sys.metrics_snapshot().counter("tx.aborts");
+        assert_eq!(aborts(&sys), 0);
+        // The three reports arrive together and fill the window.
+        sys.run_for(SimDuration::from_millis(10));
+        // Two steps aborted: the shared one, and `i3`'s alone.
+        assert_eq!(aborts(&sys), 2);
+        let batch_size = |sys: &WorkflowSystem| {
+            let snapshot = sys.metrics_snapshot();
+            let sizes = snapshot.histogram("coord.batch_size").unwrap();
+            (sizes.count, sizes.sum)
+        };
+        assert_eq!(batch_size(&sys), (2, 2), "two windows of one applied");
+        let consumes = |sys: &WorkflowSystem, name: &str| {
+            let sent = sys.dispatch_trace_of(name).into_iter();
+            sent.filter(|record| record.path == "pipeline/consume")
+                .count()
+        };
+        // The healthy cascades were published once — by their own
+        // steps, not by the one that rolled back.
+        assert_eq!((consumes(&sys, "i1"), consumes(&sys, "i2")), (1, 1));
+        // Nothing of `i3`'s: no dispatch, no successor fact, no load
+        // beyond the flight its unreported `produce` still holds.
+        assert_eq!(consumes(&sys, "i3"), 0);
+        let states = sys.task_states("i3");
+        assert!(matches!(
+            states["pipeline/produce"],
+            CbState::Executing { .. }
+        ));
+        assert_eq!(states["pipeline/consume"], CbState::Waiting);
+        assert!(sys
+            .output_fact("i3", "pipeline/produce", "produced")
+            .is_none());
+        let in_flight: u32 = sys
+            .executor_loads(0)
+            .iter()
+            .map(|slot| slot.in_flight)
+            .sum();
+        assert_eq!(in_flight, 3, "two `consume`s and `i3`'s `produce`");
+        // The verdict arrives; the dropped report is the watchdog's to
+        // recover, as if the network had lost it.
+        coord
+            .inner
+            .borrow_mut()
+            .mgr
+            .resolve_remote(blocker, false)
+            .unwrap();
+        sys.run();
+        for name in ["i1", "i2", "i3"] {
+            assert_eq!(sys.outcome(name).expect("completes").name, "done");
+        }
+        assert_eq!(sys.stats().retries, 1);
+        let (_, applied) = batch_size(&sys);
+        assert_eq!(
+            applied, 6,
+            "every report applied once, the dropped one never"
+        );
+        assert_eq!(aborts(&sys), 3, "and the blocker's own");
     }
 }

@@ -27,17 +27,19 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
-use flowscript_plan::{eval as plan_eval, Plan, Probe, Range32, StrId};
+use flowscript_codec::Decode;
+use flowscript_plan::{eval as plan_eval, Plan, Probe, Range32, StrId, TaskId};
 use flowscript_tx::{
     AtomicAction, FactKey, FactKind, SharedStorage, Storage, StoreKey, TxError, TxManager,
 };
 
-use crate::keys::InstanceKeys;
+use crate::keys::{InstanceKeys, ProbeKeys};
 use crate::value::ObjectVal;
 
-/// The committed-state fact view the plan evaluator runs over: every
-/// probe resolves through the instance's interned key table to dense
-/// point reads.
+/// The fact view the plan evaluator runs over: every probe resolves
+/// through the instance's interned key table to dense point reads — of
+/// committed state, or, for the step staging a cascade, of what its
+/// action has staged over it ([`TxManager::read_through`]).
 ///
 /// Storage or decode faults do **not** read as "fact absent" (a corrupt
 /// record must not silently mis-evaluate readiness): the first fault is
@@ -46,15 +48,22 @@ use crate::value::ObjectVal;
 /// the instance diagnosably.
 pub struct StoreFacts<'a, S: Storage = SharedStorage> {
     mgr: &'a TxManager<S>,
+    action: Option<&'a AtomicAction>,
     keys: &'a InstanceKeys,
     fault: RefCell<Option<String>>,
 }
 
 impl<'a, S: Storage> StoreFacts<'a, S> {
-    /// A fact view over `mgr` resolving probes through `keys`.
-    pub fn new(mgr: &'a TxManager<S>, keys: &'a InstanceKeys) -> Self {
+    /// A view of `mgr`'s facts — as committed, or as `action` would
+    /// read them — resolving probes through `keys`.
+    pub fn new(
+        mgr: &'a TxManager<S>,
+        action: Option<&'a AtomicAction>,
+        keys: &'a InstanceKeys,
+    ) -> Self {
         Self {
             mgr,
+            action,
             keys,
             fault: RefCell::new(None),
         }
@@ -66,9 +75,9 @@ impl<'a, S: Storage> StoreFacts<'a, S> {
         self.fault.borrow_mut().take()
     }
 
-    /// Unwraps a storage read, latching the first fault.
-    fn checked<T>(&self, read: Result<Option<T>, TxError>) -> Option<T> {
-        match read {
+    /// Reads and decodes one sub-key, latching the first fault.
+    fn read<T: Decode>(&self, key: FactKey) -> Option<T> {
+        match decoded(self.mgr.read_through(self.action, &StoreKey::Fact(key))) {
             Ok(value) => value,
             Err(err) => {
                 let mut fault = self.fault.borrow_mut();
@@ -87,28 +96,27 @@ impl<S: Storage> plan_eval::PlanFacts for StoreFacts<'_, S> {
     fn fact_object(&self, probe: Probe<'_>, object: &str) -> Option<ObjectVal> {
         let keys = self.keys.probe_keys(&probe)?;
         // The probed object's bytes, nothing else.
-        if let Some(data) = keys.data {
-            if let Some(value) = self.checked(
-                self.mgr
-                    .read_committed_key::<ObjectVal>(&StoreKey::Fact(data)),
-            ) {
-                return Some(value);
-            }
+        if let Some(value) = keys.data.and_then(|data| self.read::<ObjectVal>(data)) {
+            return Some(value);
         }
         // The declared sub-key missed: the fact never fired, fired
         // without this object, or the object has no declared ordinal.
         // The presence record settles all three (its extras map is
         // normally empty — a two-byte decode, never a whole record).
-        let mut extras: BTreeMap<String, ObjectVal> =
-            self.checked(self.mgr.read_committed_key(&StoreKey::Fact(keys.presence)))?;
+        let mut extras: BTreeMap<String, ObjectVal> = self.read(keys.presence)?;
         extras.remove(object)
     }
 
     fn fact_fired(&self, probe: Probe<'_>) -> bool {
-        self.keys
-            .probe_keys(&probe)
-            .is_some_and(|keys| self.mgr.exists_key(&StoreKey::Fact(keys.presence)))
+        let presence = |keys: ProbeKeys| StoreKey::Fact(keys.presence);
+        let keys = self.keys.probe_keys(&probe).map(presence);
+        keys.is_some_and(|key| self.mgr.read_through(self.action, &key).is_some())
     }
+}
+
+/// Decodes what a [`TxManager::read_through`] found.
+pub(crate) fn decoded<T: Decode>(bytes: Option<&[u8]>) -> Result<Option<T>, TxError> {
+    Ok(bytes.map(flowscript_codec::from_bytes).transpose()?)
 }
 
 /// Interns a plan-eval binding list into an owned, name-keyed map (the
@@ -148,7 +156,7 @@ pub fn write_fact_map<S: Storage>(
         match objects.get(plan.str(sig.name)) {
             Some(value) => mgr.write_key(action, &sub, value)?,
             None => {
-                if mgr.exists_key(&sub) {
+                if mgr.read_through(Some(action), &sub).is_some() {
                     mgr.delete_key(action, &sub)?;
                 }
             }
@@ -220,11 +228,48 @@ pub fn write_fact_bound<S: Storage>(
     // rebinding never resurrects a stale object.
     for (ordinal, _) in covered.iter().enumerate().filter(|(_, covered)| !**covered) {
         let sub = StoreKey::Fact(base.object(ordinal as u32));
-        if mgr.exists_key(&sub) {
+        if mgr.read_through(Some(action), &sub).is_some() {
             mgr.delete_key(action, &sub)?;
         }
     }
     mgr.write_key(action, &StoreKey::Fact(base), &extras)
+}
+
+/// Deletes every fact of `tasks` that `action` can see — committed, or
+/// staged by it earlier in its step, which no store scan would find —
+/// and leaves their control blocks: one probe per declared fact's
+/// presence key (object sub-keys exist only under one), in key order.
+/// `inputs_only` spares the published outputs.
+///
+/// # Errors
+///
+/// Lock conflicts or storage failures.
+pub fn delete_facts<S: Storage>(
+    mgr: &mut TxManager<S>,
+    action: &AtomicAction,
+    plan: &Plan,
+    instance_id: u32,
+    tasks: impl Iterator<Item = TaskId>,
+    inputs_only: bool,
+) -> Result<(), TxError> {
+    for task in tasks {
+        let class = plan.class_of(plan.task(task));
+        let sets = plan.class_sets[class.sets.as_range()].iter().zip(0..);
+        let sets = sets.map(|(set, item)| (FactKey::input(instance_id, task, item), set.objects));
+        let outs = plan.class_outputs[class.outputs.as_range()].iter().zip(0..);
+        let outs = outs.map(|(out, item)| (FactKey::output(instance_id, task, item), out.objects));
+        for (base, objects) in sets.chain(outs.filter(|_| !inputs_only)) {
+            for obj in 0..=objects.len() as u32 {
+                let key = StoreKey::Fact(base.with_obj(obj));
+                if mgr.read_through(Some(action), &key).is_some() {
+                    mgr.delete_key(action, &key)?;
+                } else if obj == 0 {
+                    break; // the fact never fired
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Reads one fact back as a name-keyed map (whole-fact consumers:
@@ -472,7 +517,7 @@ mod tests {
         objects.insert("stockInfo".to_string(), obj("s"));
         write_output(&mut mgr, &plan, base, &objects);
         // Probe through the evaluator's view.
-        let facts = StoreFacts::new(&mgr, &keys);
+        let facts = StoreFacts::new(&mgr, None, &keys);
         let probe = plan
             .sources
             .iter()
@@ -519,7 +564,7 @@ mod tests {
         )
         .unwrap();
         mgr.commit(action).unwrap();
-        let facts = StoreFacts::new(&mgr, &keys);
+        let facts = StoreFacts::new(&mgr, None, &keys);
         let probe = plan
             .sources
             .iter()

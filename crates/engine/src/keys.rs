@@ -293,30 +293,6 @@ impl InstanceKeys {
             .map(|item| FactKey::input(self.instance_id, task, item))
     }
 
-    /// The inclusive key range holding `task`'s input-binding facts
-    /// (all items, all object sub-keys).
-    pub fn input_fact_range(&self, task: TaskId) -> (FactKey, FactKey) {
-        (
-            FactKey::input(self.instance_id, task, 0),
-            FactKey::input(self.instance_id, task, u32::MAX).fact_last(),
-        )
-    }
-
-    /// The inclusive key range holding every fact — and, interleaved
-    /// task by task, every control block — of every *strict* descendant
-    /// of `scope`: one contiguous range, because plans number tasks in
-    /// DFS pre-order. `None` for childless scopes.
-    pub fn subtree_fact_range(&self, plan: &Plan, scope: TaskId) -> Option<(FactKey, FactKey)> {
-        let end = plan.task(scope).subtree_end;
-        if end <= scope + 1 {
-            return None;
-        }
-        Some((
-            FactKey::task_first(self.instance_id, scope + 1),
-            FactKey::task_last(self.instance_id, end - 1),
-        ))
-    }
-
     /// The inclusive key range holding every fact and control block of
     /// the instance.
     pub fn instance_fact_range(&self) -> (FactKey, FactKey) {
@@ -465,34 +441,15 @@ mod tests {
     }
 
     #[test]
-    fn subtree_range_is_contiguous() {
+    fn the_instance_range_spans_every_block() {
         let schema =
             compile_source(flowscript_core::samples::BUSINESS_TRIP, "tripReservation").unwrap();
         let plan = Plan::lower(&schema);
         let keys = InstanceKeys::build(&plan, "t", 1);
-        let scope = plan
-            .task_by_path("tripReservation/businessReservation")
-            .unwrap();
-        let (lo, hi) = keys.subtree_fact_range(&plan, scope).unwrap();
-        assert_eq!(lo.task, scope + 1);
-        assert_eq!(hi.task, plan.task(scope).subtree_end - 1);
-        assert_eq!(hi.obj, u32::MAX, "ranges span every object sub-key");
-        // A leaf has no descendants.
-        let leaf = plan.task_by_path("tripReservation/printTickets").unwrap();
-        assert!(keys.subtree_fact_range(&plan, leaf).is_none());
-        let (ilo, ihi) = keys.instance_fact_range();
-        assert!(ilo <= lo && hi <= ihi);
-        let (nlo, nhi) = keys.input_fact_range(scope);
-        assert!(ilo <= nlo && nhi <= ihi);
-        // Blocks ride in the ranges that span their task — the subtree's
-        // holds its members' and not the scope's own — and a scope's
-        // input-binding range stops short of its block.
-        let inside = |key: FactKey, (lo, hi): (FactKey, FactKey)| lo <= key && key <= hi;
-        assert!(inside(keys.cb(scope + 1), (lo, hi)));
-        assert!(inside(keys.cb(plan.task(scope).subtree_end - 1), (lo, hi)));
-        assert!(!inside(keys.cb(scope), (lo, hi)));
-        assert!(!inside(keys.cb(scope), (nlo, nhi)));
-        assert!(inside(keys.cb(0), (ilo, ihi)));
-        assert_eq!(keys.cb(scope), FactKey::control(1, scope));
+        let (lo, hi) = keys.instance_fact_range();
+        for task in [0, plan.tasks.len() as TaskId - 1] {
+            assert!(lo <= keys.cb(task) && keys.cb(task) <= hi);
+            assert_eq!(keys.cb(task), FactKey::control(1, task));
+        }
     }
 }

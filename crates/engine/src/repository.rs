@@ -32,6 +32,9 @@ pub struct ScriptVersion {
     pub root: String,
     /// The compiled execution plan (lowered once at registration).
     pub plan: Rc<Plan>,
+    /// The plan's encoding, made once beside it: what every `RepoGet`
+    /// of this version is served.
+    pub plan_bytes: Vec<u8>,
 }
 
 /// The repository state.
@@ -72,6 +75,7 @@ impl Repository {
         versions.push(ScriptVersion {
             source: canonical,
             root: root.to_string(),
+            plan_bytes: flowscript_codec::to_bytes(&plan),
             plan: Rc::new(plan),
         });
         Ok(versions.len() as u32)
@@ -171,7 +175,7 @@ impl RepoHandle {
                         result: Ok(version.unwrap_or_else(|| repository.version_count(&name))),
                         source: stored.source.clone(),
                         root: stored.root.clone(),
-                        plan: flowscript_codec::to_bytes(stored.plan.as_ref()),
+                        plan: stored.plan_bytes.clone(),
                     },
                     Err(err) => EngineMsg::RepoReply {
                         result: Err(err.to_string()),
@@ -266,6 +270,41 @@ mod tests {
         assert_eq!(fresh, *v2);
         assert_eq!(fresh.fingerprint, v2.fingerprint);
         assert!(repo.plan("s", Some(3)).is_err());
+    }
+
+    #[test]
+    fn a_version_is_encoded_once_and_every_get_serves_those_bytes() {
+        let repo = RepoHandle::new();
+        repo.with(|repo| repo.register("d", samples::FIG1_DIAMOND, "diamond"))
+            .unwrap();
+        let mut world = World::new(1);
+        let [client, node] = ["client", "repo"].map(|name| world.add_node(name));
+        repo.install(&mut world, node);
+        let served = Rc::new(RefCell::new(Vec::new()));
+        for _ in 0..2 {
+            let get = EngineMsg::RepoGet {
+                name: "d".into(),
+                version: None,
+            };
+            let sink = served.clone();
+            let timeout = flowscript_sim::SimDuration::from_secs(1);
+            let request = flowscript_codec::to_bytes(&get);
+            world.rpc_call(client, node, request, timeout, move |_, reply| {
+                let reply = flowscript_codec::from_bytes(&reply.expect("the repository answers"));
+                let Ok(EngineMsg::RepoReply { plan, .. }) = reply else {
+                    panic!("not a repository reply");
+                };
+                sink.borrow_mut().push(plan);
+            });
+        }
+        world.run();
+        let served = served.borrow();
+        let stored = repo.with(|repo| repo.get("d", None).unwrap().clone());
+        assert_eq!(*served, [stored.plan_bytes.clone(), stored.plan_bytes]);
+        // They are the plan: a coordinator's cache validates them.
+        let mut cache = crate::coordinator::PlanCache::default();
+        let plan = cache.validated(&served[0]).expect("the bytes validate");
+        assert_eq!(*plan, *stored.plan);
     }
 
     #[test]

@@ -96,6 +96,76 @@ fn forced_abort_validates_outcome_kind_and_state() {
     ));
 }
 
+/// `second` waits for `first`; inside it `fallback` runs only once
+/// `work` was skipped.
+const STAGED: &str = r#"
+class Data;
+taskclass App {
+    inputs { input main { seed of class Data } };
+    outputs { outcome done { }; outcome skipped { } }
+}
+taskclass Stage {
+    inputs { input main { seed of class Data } };
+    outputs { outcome done { out of class Data }; abort outcome skipped { } }
+}
+taskclass Fallback { inputs { input main { } }; outputs { outcome done { } } }
+compoundtask app of taskclass App {
+    task first of taskclass Stage {
+        implementation { "code" is "refFirst" };
+        inputs { input main { inputobject seed from { seed of task app if input main } } }
+    };
+    compoundtask second of taskclass App {
+        inputs { input main { inputobject seed from { out of task first if output done } } };
+        task work of taskclass Stage {
+            implementation { "code" is "refWork" };
+            inputs { input main { inputobject seed from { seed of task second if input main } } }
+        };
+        task fallback of taskclass Fallback {
+            implementation { "code" is "refFallback" };
+            inputs { input main { notification from { task work if output skipped } } }
+        };
+        outputs {
+            outcome done { notification from { task work if output done } };
+            outcome skipped { notification from { task fallback if output done } }
+        }
+    };
+    outputs {
+        outcome done { notification from { task second if output done } };
+        outcome skipped { notification from { task second if output skipped } }
+    }
+}
+"#;
+
+#[test]
+fn an_abort_forced_below_a_waiting_scope_is_seen_when_the_scope_activates() {
+    // A compound's activation enables only the constituents that can
+    // start off an empty subtree — unless an operator published below
+    // it beforehand: `fallback` must then be looked at too.
+    let mut sys = WorkflowSystem::builder().executors(2).seed(83).build();
+    sys.register_script("staged", STAGED, "app").unwrap();
+    sys.bind_fn("refFirst", |_| {
+        TaskBehavior::outcome("done")
+            .with_work(SimDuration::from_secs(5))
+            .with_object("out", text("Data", "d"))
+    });
+    sys.bind_fn("refWork", |_| panic!("`work` was skipped"));
+    sys.bind_fn("refFallback", |_| TaskBehavior::outcome("done"));
+    sys.start("s1", "staged", "main", [("seed", text("Data", "s"))])
+        .unwrap();
+    sys.run_for(SimDuration::from_secs(1));
+    assert_eq!(sys.task_states("s1")["app/second"], CbState::Waiting);
+    sys.abort_waiting_task("s1", "app/second/work", "skipped")
+        .unwrap();
+    sys.run();
+    assert_eq!(sys.outcome("s1").expect("settles").name, "skipped");
+    let states = sys.task_states("s1");
+    let done = |outcome: &str| CbState::Done {
+        outcome: outcome.into(),
+    };
+    assert_eq!(states["app/second/fallback"], done("done"));
+    assert_eq!(states["app/second"], done("skipped"));
+}
+
 #[test]
 fn versioned_instantiation_uses_the_requested_script() {
     // v1's pipeline root is `pipeline`; v2 is a different script whose

@@ -22,12 +22,17 @@ mod common;
 use std::cell::Cell;
 use std::rc::Rc;
 
-use common::{det_link, frame_writes, generated_script, log_frames, text, JOIN, ONE_TASK};
+use common::{
+    build, det_config, det_link, frame_writes, generated_script, log_frames, population,
+    start_population, text, JOIN, ONE_TASK,
+};
 use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
-use flowscript_engine::{CbState, CommitBatch, InstanceStatus, TaskBehavior, WorkflowSystem};
+use flowscript_engine::{
+    CbState, CommitBatch, InstanceStatus, TaskBehavior, TaskCb, WorkflowSystem,
+};
 use flowscript_sim::SimDuration;
-use flowscript_tx::{FactKind, StoreKey};
+use flowscript_tx::{FactKind, LogRecord, StoreKey};
 
 fn order_sys(seed: u64) -> WorkflowSystem {
     let mut sys = WorkflowSystem::builder().executors(2).seed(seed).build();
@@ -198,6 +203,31 @@ fn corrupt_repeat_fact_stops_the_watchdog_retry() {
     assert!(!starved.get(), "the task ran without its repeat objects");
 }
 
+/// Whether a frame is one commit record and nothing else.
+fn is_bare_commit(frame: &LogRecord) -> bool {
+    matches!(frame, LogRecord::Commit { .. })
+}
+
+#[test]
+fn every_step_of_the_paper_population_is_one_bare_commit() {
+    // Fig. 7 orders and fig. 8 trips, batched, on four shards: a start
+    // and a window each write one frame holding one commit record —
+    // the step — whatever they cascade into. (The population's
+    // implementations fail, repeat and misreport nowhere, so no
+    // slow-path leftover rides a window's group.)
+    let mut sys = build(4, det_config());
+    let names = population();
+    start_population(&mut sys, &names);
+    sys.run();
+    for name in &names {
+        assert!(sys.status(name).unwrap().is_terminal(), "{name} ends");
+    }
+    let frames: Vec<LogRecord> = sys.shard_storages().iter().flat_map(log_frames).collect();
+    assert!(frames.len() > names.len(), "starts and windows");
+    let grouped = frames.iter().filter(|frame| !is_bare_commit(frame)).count();
+    assert_eq!(grouped, 0, "of {} frames", frames.len());
+}
+
 /// Fig. 1's diamond registered, every task bound to a quick `done`.
 fn bind_diamond(sys: &mut WorkflowSystem) {
     sys.register_script("diamond", samples::FIG1_DIAMOND, "diamond")
@@ -256,21 +286,22 @@ fn a_diamond_logs_its_source_once_per_shard_and_stays_in_budget() {
         }
     }
     // Under its name an instance logs its header and two status
-    // records; its 14 control-block writes go under dense keys.
+    // records; its 13 control-block writes go under dense keys (five at
+    // the start — `t1`'s once, already `Executing` — and two per report).
     assert_eq!(named_writes, instances * 3);
-    assert_eq!(block_writes, instances * 14);
+    assert_eq!(block_writes, instances * 13);
     let per_instance = sys.log_size() / instances as u64;
     assert!(
-        per_instance < 1_200,
-        "{per_instance} B of log per diamond, budget 1 200"
+        per_instance < 1_100,
+        "{per_instance} B of log per diamond, budget 1 100"
     );
 }
 
 #[test]
 fn a_diamond_starts_in_one_frame() {
-    // The start's records and the first drain's activations share one
-    // log append; with a window of one each of the four reports then
-    // commits, cascade included, in a frame of its own.
+    // The start's records and the first drain's activations are one
+    // commit record; with a window of one each of the four reports then
+    // commits, cascade included, in a record — and a frame — of its own.
     let config = EngineConfig {
         commit_batch: CommitBatch::disabled(),
         ..EngineConfig::default()
@@ -290,6 +321,7 @@ fn a_diamond_starts_in_one_frame() {
     assert!(sys.outcome("d").is_some());
     let frames = log_frames(&sys.storage());
     assert_eq!(frames.len(), 5, "one start and four reports");
+    assert!(frames.iter().all(is_bare_commit), "one step, one record");
 
     let first = frame_writes(&frames[0]);
     let named = |suffix: &str| {
@@ -299,14 +331,17 @@ fn a_diamond_starts_in_one_frame() {
     assert_eq!(named("inst/d/meta"), 1);
     assert_eq!(named("inst/d/status"), 1);
     // Five fresh blocks — the instance is this shard's first, id 0 —
-    // then t1's again, `Executing`, beside the input set it bound.
-    let blocks: Vec<u32> = first
+    // t1's written once, as `Executing`, beside the input set it bound.
+    let blocks: Vec<(u32, &[u8])> = first
         .iter()
-        .filter_map(|(key, _)| key.as_fact())
-        .filter(|key| key.kind == FactKind::Control)
-        .map(|key| key.task)
+        .filter_map(|(key, value)| Some((key.as_fact()?, (*value)?)))
+        .filter(|(key, _)| key.kind == FactKind::Control)
+        .map(|(key, value)| (key.task, value))
         .collect();
-    assert_eq!(blocks, [0, 1, 2, 3, 4, 1]);
+    let tasks: Vec<u32> = blocks.iter().map(|(task, _)| *task).collect();
+    assert_eq!(tasks, [0, 1, 2, 3, 4]);
+    let t1: TaskCb = flowscript_codec::from_bytes(blocks[1].1).expect("a block decodes");
+    assert!(matches!(t1.state, CbState::Executing { .. }), "{t1:?}");
     let bound_t1 = |key: &StoreKey| {
         key.as_fact()
             .is_some_and(|key| key.task == 1 && key.kind == FactKind::Input)

@@ -148,6 +148,48 @@ fn unsatisfiable_location_fails_the_task_diagnosably() {
 }
 
 #[test]
+fn an_unplaceable_task_does_not_strand_the_sibling_activated_beside_it() {
+    // A start activates `paymentAuthorisation` and `checkStock` in one
+    // step. The first cannot be placed: its failure must not park the
+    // instance `Stuck` under the second, which ships and runs; only
+    // when that too is over can nothing more happen.
+    let mut sys = WorkflowSystem::builder()
+        .executors(2)
+        .seed(14)
+        .config(record_config())
+        .build();
+    let pinned = samples::ORDER_PROCESSING.replace(
+        r#""code" is "refPaymentAuthorisation""#,
+        r#""code" is "refPaymentAuthorisation"; "location" is "mars""#,
+    );
+    sys.register_script("order", &pinned, "processOrderApplication")
+        .unwrap();
+    bind_order(&sys);
+    sys.start("o1", "order", "main", [("order", text("Order", "o"))])
+        .unwrap();
+    // Published: the sibling is on the wire, so the instance still runs.
+    let states = sys.task_states("o1");
+    let authorisation = &states["processOrderApplication/paymentAuthorisation"];
+    assert!(
+        matches!(authorisation, CbState::Failed { .. }),
+        "{authorisation:?}"
+    );
+    let stock = &states["processOrderApplication/checkStock"];
+    assert!(matches!(stock, CbState::Executing { .. }), "{stock:?}");
+    assert_eq!(sys.status("o1").unwrap(), InstanceStatus::Running);
+    sys.run();
+    let states = sys.task_states("o1");
+    let stock = &states["processOrderApplication/checkStock"];
+    assert!(matches!(stock, CbState::Done { .. }), "{stock:?}");
+    match sys.status("o1").unwrap() {
+        InstanceStatus::Stuck { reason } => assert!(reason.contains("mars"), "{reason}"),
+        other => panic!("expected stuck, got {other:?}"),
+    }
+    let shipped: Vec<String> = sys.dispatch_trace().into_iter().map(|r| r.path).collect();
+    assert_eq!(shipped, ["processOrderApplication/checkStock"]);
+}
+
+#[test]
 fn pinned_executor_crash_retries_in_place_and_recovers() {
     // The pinned executor crashes mid-flight; the retry has no
     // eligible alternative (the pin matches exactly one node), is

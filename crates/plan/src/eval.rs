@@ -291,12 +291,14 @@ pub fn eval_scope_outputs<F: PlanFacts>(
 ///   constituent's input set or through its own output mapping, and
 ///   the edges do not distinguish the two),
 /// - [`Worklist::seed_children`]: a compound activated (or
-///   re-activated after a repeat) — the compound boundary enables its
-///   direct constituents, including those with *empty* input sets
-///   that no reverse edge will ever point at; nested compounds enable
-///   their own constituents when they activate in turn,
-/// - [`Worklist::seed_all`]: the full scan, kept for instance start,
-///   crash recovery and reconfiguration re-entry (where the plan
+///   re-activated after a repeat) — the compound boundary enables the
+///   direct constituents that can start before any sibling has produced
+///   anything ([`Plan::activation_seeds`]), including those with
+///   *empty* input sets that no reverse edge will ever point at; the
+///   rest are reached from their producers' commits, and nested
+///   compounds enable their own constituents when they activate in turn,
+/// - [`Worklist::seed_all`]: the full scan, kept for crash recovery,
+///   adoption, repair and reconfiguration re-entry (where the plan
 ///   itself changed under the instance).
 ///
 /// Draining pops **all** start work before any output work (a
@@ -350,18 +352,23 @@ impl Worklist {
         }
     }
 
-    /// Seeds the compound boundary of a freshly (re)activated scope:
-    /// its direct constituents, and the scope's own outputs.
+    /// Seeds the compound boundary of a freshly (re)activated scope —
+    /// its subtree holds no fact yet: the constituents, and the scope's
+    /// own outputs, only where facts from outside the subtree can
+    /// satisfy them.
     pub fn seed_children(&mut self, plan: &Plan, scope: TaskId) {
-        for &child in plan.children(scope) {
+        let (children, outputs) = &plan.activation_seeds[scope as usize];
+        for &child in children {
             self.start
                 .insert((std::cmp::Reverse(plan.task_priority(child)), child));
         }
-        self.outputs.insert(scope);
+        if *outputs {
+            self.outputs.insert(scope);
+        }
     }
 
-    /// Seeds everything — the full scan for instance start, recovery
-    /// and reconfiguration.
+    /// Seeds everything — the full scan for recovery, repair and
+    /// reconfiguration.
     pub fn seed_all(&mut self, plan: &Plan) {
         for id in 0..plan.tasks.len() as TaskId {
             self.push_task(plan, id);
@@ -554,7 +561,7 @@ mod tests {
     }
 
     #[test]
-    fn worklist_seeds_consumers_and_compound_boundary() {
+    fn worklist_seeds_the_consumers_of_a_commit() {
         let plan = order_plan();
         let scope = "processOrderApplication";
         let check = plan.task_by_path(&format!("{scope}/checkStock")).unwrap();
@@ -574,11 +581,89 @@ mod tests {
         assert!(!started.contains(&0));
         assert_eq!(worklist.pop_output(&plan), Some(0));
         assert!(worklist.is_empty());
+    }
 
-        // Compound boundary: activation enables every direct child.
-        worklist.seed_children(&plan, 0);
-        let children: Vec<TaskId> = std::iter::from_fn(|| worklist.pop_start()).collect();
-        assert_eq!(children, plan.children(0).to_vec());
+    /// `(scope path, what its activation seeds, whether its outputs are)`
+    /// for every scope of `source`, by name.
+    fn activation_seeds(source: &str, root: &str) -> Vec<(String, Vec<String>, bool)> {
+        let plan = Plan::lower(&flowscript_core::schema::compile_source(source, root).unwrap());
+        let scopes = (0..plan.tasks.len() as TaskId).filter(|id| plan.task(*id).is_scope);
+        scopes
+            .map(|scope| {
+                let mut worklist = Worklist::new();
+                worklist.seed_children(&plan, scope);
+                let started = std::iter::from_fn(|| worklist.pop_start());
+                let names = started.map(|id| plan.str(plan.task(id).name).to_string());
+                let names: Vec<String> = names.collect();
+                let outputs = worklist.pop_output(&plan) == Some(scope);
+                (plan.str(plan.task(scope).path).to_string(), names, outputs)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn activation_seeds_only_what_can_start_off_an_empty_subtree() {
+        use flowscript_core::samples::{BUSINESS_TRIP, FIG1_DIAMOND, ORDER_PROCESSING};
+        let seeds = |children: &[&str]| children.iter().map(|c| c.to_string()).collect();
+        // Fig. 1: t2, t3 and t4 each need a sibling's output.
+        assert_eq!(
+            activation_seeds(FIG1_DIAMOND, "diamond"),
+            [("diamond".to_string(), seeds(&["t1"]), false)]
+        );
+        // Fig. 7: the two tasks fed by the order itself.
+        assert_eq!(
+            activation_seeds(ORDER_PROCESSING, "processOrderApplication"),
+            [(
+                "processOrderApplication".to_string(),
+                seeds(&["paymentAuthorisation", "checkStock"]),
+                false
+            )]
+        );
+        // Fig. 8, nested: each compound enables its own first stage when
+        // it activates in turn; the three airline queries all start off
+        // their compound's inputs.
+        let trip = "tripReservation";
+        let business = format!("{trip}/businessReservation");
+        assert_eq!(
+            activation_seeds(BUSINESS_TRIP, trip),
+            [
+                (trip.to_string(), seeds(&["businessReservation"]), false),
+                (business.clone(), seeds(&["dataAcquisition"]), false),
+                (
+                    format!("{business}/checkFlightReservation"),
+                    seeds(&["airlineQueryA", "airlineQueryB", "airlineQueryC"]),
+                    false
+                ),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_scope_whose_output_maps_its_own_input_seeds_its_outputs() {
+        // `relay`'s outcome needs nothing from inside: it must be looked
+        // at on activation, and so must the constituent with an empty
+        // input set no reverse edge points at.
+        const RELAY: &str = r#"
+class Data;
+taskclass Idle { inputs { input main { } }; outputs { outcome done { } } }
+taskclass Relay {
+    inputs { input main { seed of class Data } };
+    outputs { outcome done { out of class Data } }
+}
+compoundtask relay of taskclass Relay {
+    task idle of taskclass Idle {
+        implementation { "code" is "refIdle" };
+        inputs { input main { } }
+    };
+    outputs {
+        outcome done { outputobject out from { seed of task relay if input main } }
+    }
+}
+"#;
+        assert_eq!(
+            activation_seeds(RELAY, "relay"),
+            [("relay".to_string(), vec!["idle".to_string()], true)]
+        );
     }
 
     #[test]

@@ -271,6 +271,12 @@ pub struct Plan {
     pub child_pool: Vec<TaskId>,
     /// Pool: reverse-dependency consumer task ids.
     pub rdep_pool: Vec<TaskId>,
+    /// Derived (not wire content: fingerprints are unaffected), parallel
+    /// to [`Plan::tasks`]: what activating a scope whose subtree holds no
+    /// fact yet can enable — the children with an input set whose every
+    /// requirement has a source outside that subtree, and whether an
+    /// output mapping of the scope can be met that way.
+    pub activation_seeds: Vec<(Vec<TaskId>, bool)>,
     /// Absolute path → task id.
     pub path_index: BTreeMap<String, TaskId>,
     /// Class name → class id.
@@ -428,7 +434,7 @@ impl Plan {
     }
 
     /// All descendants of a task (DFS pre-order, contiguous).
-    pub fn subtree(&self, id: TaskId) -> impl Iterator<Item = TaskId> + '_ {
+    pub fn subtree(&self, id: TaskId) -> std::ops::Range<TaskId> {
         (id + 1)..self.tasks[id as usize].subtree_end
     }
 
@@ -487,6 +493,41 @@ impl Plan {
         for (task, priority) in self.tasks.iter_mut().zip(priorities) {
             task.priority = priority;
         }
+    }
+
+    /// Fills [`Plan::activation_seeds`] (lowering and decode both end
+    /// with this; bounds-tolerant like the priorities, for the same
+    /// reason). A requirement can be met at activation iff one of its
+    /// sources is produced outside the scope's strict subtree — by the
+    /// scope itself, or by a task that no longer exists.
+    pub(crate) fn finish_activation_seeds(&mut self) {
+        let seeds = |(id, scope): (usize, &PlanTask)| {
+            let inside = |producer: TaskId| producer as usize > id && producer < scope.subtree_end;
+            let met = |sources: Range32| {
+                let mut sources = self.sources.get(sources.as_range()).into_iter().flatten();
+                sources.any(|source| !source.producer.is_some_and(inside))
+            };
+            let open = |slots: Range32, notes: Range32| {
+                let mut slots = self.slots.get(slots.as_range()).into_iter().flatten();
+                let mut notes = self.notes.get(notes.as_range()).into_iter().flatten();
+                slots.all(|slot| met(slot.sources)) && notes.all(|note| met(note.sources))
+            };
+            let startable = |child: &&TaskId| {
+                let sets = self.tasks.get(**child as usize).map(|task| task.sets);
+                let sets = sets.and_then(|sets| self.sets.get(sets.as_range()));
+                let mut sets = sets.into_iter().flatten();
+                sets.any(|set| open(set.slots, set.notes))
+            };
+            let children = self.child_pool.get(scope.children.as_range());
+            let children = children.into_iter().flatten().filter(startable);
+            let outputs = self.outputs.get(scope.outputs.as_range());
+            // (An empty mapping never fires.)
+            let outputs = outputs.into_iter().flatten().any(|output| {
+                output.slots.len() + output.notes.len() > 0 && open(output.slots, output.notes)
+            });
+            (children.copied().collect(), outputs)
+        };
+        self.activation_seeds = self.tasks.iter().enumerate().map(seeds).collect();
     }
 
     /// Interns every dependency source's and every dataflow slot's
@@ -1004,12 +1045,14 @@ impl Decode for Plan {
             impl_kv: Vec::decode(r)?,
             child_pool: Vec::decode(r)?,
             rdep_pool: Vec::decode(r)?,
+            activation_seeds: Vec::new(), // derived: recomputed below
             path_index: BTreeMap::decode(r)?,
             class_index: BTreeMap::decode(r)?,
             fingerprint: r.get_u64()?,
         };
         plan.finish_priorities();
         plan.finish_object_ordinals();
+        plan.finish_activation_seeds();
         Ok(plan)
     }
 }
@@ -1129,6 +1172,7 @@ mod tests {
             impl_kv: Vec::new(),
             child_pool: Vec::new(),
             rdep_pool: Vec::new(),
+            activation_seeds: Vec::new(),
             path_index: std::collections::BTreeMap::new(),
             class_index: std::collections::BTreeMap::new(),
             fingerprint: 0,

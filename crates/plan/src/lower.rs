@@ -67,6 +67,7 @@ impl Plan {
                 impl_kv: Vec::new(),
                 child_pool: Vec::new(),
                 rdep_pool: Vec::new(),
+                activation_seeds: Vec::new(),
                 path_index: BTreeMap::new(),
                 class_index: BTreeMap::new(),
                 fingerprint: 0,
@@ -79,6 +80,7 @@ impl Plan {
         plan.strings = lowerer.interner.strings;
         plan.finish_priorities();
         plan.finish_object_ordinals();
+        plan.finish_activation_seeds();
         plan.fingerprint = fingerprint_of(&plan);
         plan
     }

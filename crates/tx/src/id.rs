@@ -54,17 +54,19 @@ impl fmt::Display for TxId {
     }
 }
 
+/// Two varints, node then sequence number: both are small in every log
+/// a shard writes, and an id sits in every commit record.
 impl Encode for TxId {
     fn encode(&self, w: &mut ByteWriter) {
-        w.put_u32(self.node);
-        w.put_u64(self.seq);
+        w.put_var_u64(u64::from(self.node));
+        w.put_var_u64(self.seq);
     }
 }
 
 impl Decode for TxId {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let node = r.get_u32()?;
-        let seq = r.get_u64()?;
+        let node = u32::try_from(r.get_var_u64()?).map_err(|_| CodecError::VarintOverflow)?;
+        let seq = r.get_var_u64()?;
         Ok(TxId { node, seq })
     }
 }
@@ -128,11 +130,41 @@ mod tests {
     }
 
     #[test]
-    fn ids_roundtrip_codec() {
-        let tx = TxId::new(3, 99);
-        let bytes = flowscript_codec::to_bytes(&tx);
-        assert_eq!(flowscript_codec::from_bytes::<TxId>(&bytes).unwrap(), tx);
+    fn txids_roundtrip_as_two_varints_and_keep_their_order() {
+        let ids = [
+            TxId::new(0, 0),
+            TxId::new(3, 99),
+            TxId::new(0, 128),
+            TxId::new(u32::MAX, 1 << 40),
+            TxId::new(7, u64::MAX),
+        ];
+        for tx in ids {
+            let bytes = flowscript_codec::to_bytes(&tx);
+            assert_eq!(flowscript_codec::from_bytes::<TxId>(&bytes).unwrap(), tx);
+        }
+        // What a shard mints is two or three bytes, not twelve.
+        assert_eq!(flowscript_codec::to_bytes(&TxId::new(3, 99)).len(), 2);
+        assert_eq!(flowscript_codec::to_bytes(&TxId::new(3, 9_999)).len(), 3);
+        // Age order survives the trip (it is by value, not by bytes).
+        let decoded = ids.map(|tx| {
+            flowscript_codec::from_bytes::<TxId>(&flowscript_codec::to_bytes(&tx)).unwrap()
+        });
+        assert!(decoded.windows(2).all(|pair| pair[0] < pair[1]));
+    }
 
+    #[test]
+    fn an_overflowing_node_is_a_typed_error_not_a_truncation() {
+        let mut w = ByteWriter::new();
+        w.put_var_u64(u64::from(u32::MAX) + 1);
+        w.put_var_u64(1);
+        assert_eq!(
+            flowscript_codec::from_bytes::<TxId>(&w.into_vec()).unwrap_err(),
+            CodecError::VarintOverflow
+        );
+    }
+
+    #[test]
+    fn uids_roundtrip_codec() {
         let uid = ObjectUid::new("a/b");
         let bytes = flowscript_codec::to_bytes(&uid);
         assert_eq!(

@@ -639,6 +639,23 @@ impl<S: Storage> TxManager<S> {
         }
     }
 
+    /// The bytes `action` would read at `key` — its staged after-image
+    /// if it wrote one, else the committed state (`None`: that alone) —
+    /// *without* a lock: for the writer staging a cascade, which must see
+    /// its own transitions and which a locked [`TxManager::read_key_raw`]
+    /// would only fence against itself. Counted like
+    /// [`TxManager::read_committed_key`].
+    pub fn read_through(&self, action: Option<&AtomicAction>, key: &StoreKey) -> Option<&[u8]> {
+        if is_fact(key) {
+            self.metrics.fact_point_reads.inc();
+        }
+        let workspace = action.and_then(|action| self.active.get(&action.id));
+        match workspace.and_then(|workspace| workspace.staged(key)) {
+            Some(staged) => staged.as_deref(),
+            None => self.store.get(key).map(Vec::as_slice),
+        }
+    }
+
     /// The committed raw bytes of an object (key remapping, diagnostics).
     pub fn read_committed_bytes(&self, key: &StoreKey) -> Option<&[u8]> {
         self.store.get(key).map(Vec::as_slice)
@@ -986,6 +1003,31 @@ mod tests {
         mgr.delete_key(&a, &key("x")).unwrap();
         assert_eq!(mgr.read_key::<i64>(&a, &key("x")).unwrap(), None);
         mgr.commit(a).unwrap();
+    }
+
+    #[test]
+    fn read_through_sees_staged_then_committed_and_takes_no_lock() {
+        let mut mgr = TxManager::in_memory();
+        let fact = StoreKey::Fact(FactKey::input(0, 1, 0));
+        let a = mgr.begin();
+        mgr.write_key(&a, &fact, &1u8).unwrap();
+        mgr.commit(a).unwrap();
+        let (writer, other) = (mgr.begin(), mgr.begin());
+        mgr.write_key(&writer, &fact, &2u8).unwrap();
+        let reads = mgr.fact_point_read_count();
+        assert_eq!(mgr.read_through(Some(&writer), &fact), Some(&[2u8][..]));
+        // Nobody else's staging shows, and the writer's lock is no bar.
+        assert_eq!(mgr.read_through(Some(&other), &fact), Some(&[1u8][..]));
+        assert_eq!(mgr.read_through(None, &fact), Some(&[1u8][..]));
+        assert_eq!(mgr.fact_point_read_count(), reads + 3);
+        // A staged delete reads as absent; a uid is not a fact read.
+        mgr.delete_key(&writer, &fact).unwrap();
+        assert_eq!(mgr.read_through(Some(&writer), &fact), None);
+        assert_eq!(mgr.read_through(Some(&writer), &key("nothing")), None);
+        assert_eq!(mgr.fact_point_read_count(), reads + 4);
+        mgr.abort(other);
+        mgr.commit(writer).unwrap();
+        assert_eq!(mgr.read_through(None, &fact), None);
     }
 
     #[test]
