@@ -11,7 +11,8 @@ use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::World;
 use flowscript_tx::StoreKey;
 
-use super::{write_cb, CoordHandle, Coordinator, InstanceStatus};
+use super::step::Effect;
+use super::{write_cb, CoordHandle, Coordinator, InstanceStatus, StatusRecord};
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::{bind_uid, plan_uid, reconfig_uid, source_uid, status_uid, InstanceKeys};
@@ -89,9 +90,8 @@ impl CoordHandle {
     /// Administrative fact repair: atomically replaces whatever is
     /// stored for `output` of `path` (including undecodable bytes a
     /// storage fault left behind) with `objects`, revives the instance
-    /// if it was parked `Stuck`, and re-enters evaluation through the
-    /// full scan — the repaired fact has no commit to seed from, so
-    /// this mirrors reconfiguration re-entry.
+    /// if it was parked `Stuck`, and re-evaluates it through the full
+    /// scan, all in one step.
     ///
     /// When `output` is a terminal outcome (`completion`/`abort`) and
     /// the task has not yet terminated, the task is **force-completed**
@@ -100,8 +100,9 @@ impl CoordHandle {
     ///
     /// # Errors
     ///
-    /// Unknown instance/task, an undeclared output name, or a failed
-    /// commit. Validation failures leave the instance untouched.
+    /// Unknown instance/task, an undeclared output name, an outcome the
+    /// task's state cannot take (fig. 3 has no `Waiting → Done`), or a
+    /// failed commit: each leaves the instance untouched.
     pub fn repair_fact(
         &self,
         world: &mut World,
@@ -112,97 +113,101 @@ impl CoordHandle {
     ) -> Result<(), EngineError> {
         // Repair reads current state: absorb the batch window first.
         self.flush_pending(world);
-        let forced = {
+        let (plan, keys) = {
             let mut coordinator = self.inner.borrow_mut();
             let Some(rt) = coordinator.instances.get_mut(instance) else {
                 return Err(EngineError::UnknownInstance(instance.to_string()));
             };
             rt.planted = true; // this may publish below a scope yet to activate
-            let (plan, keys) = (rt.plan.clone(), rt.keys.clone());
-            let Some(task_id) = plan.task_by_path(path) else {
+            (rt.plan.clone(), rt.keys.clone())
+        };
+        let Some(task_id) = plan.task_by_path(path) else {
+            return Err(EngineError::UnknownTask(path.to_string()));
+        };
+        let class = plan.class_of(plan.task(task_id));
+        let kind = plan
+            .class_output(class, output)
+            .map(|decl| decl.kind)
+            .ok_or_else(|| {
+                EngineError::BadInputs(format!("task `{path}` declares no output `{output}`"))
+            })?;
+        let Some(out_key) = keys.out_key(&plan, task_id, output) else {
+            return Err(EngineError::UnknownTask(path.to_string()));
+        };
+        let stamped: BTreeMap<String, ObjectVal> = objects
+            .into_iter()
+            .map(|(k, v)| (k, v.produced_by(path.to_string())))
+            .collect();
+        // One step: the fact, the forced block, the revival and the
+        // full drain behind them — the repaired fact has no commit to
+        // seed from.
+        self.reevaluate(world, instance, |coordinator, step, drain| {
+            let Some(mut cb) = coordinator.staged_cb(step, &keys, task_id) else {
                 return Err(EngineError::UnknownTask(path.to_string()));
             };
-            let class = plan.class_of(plan.task(task_id));
-            let kind = plan
-                .class_output(class, output)
-                .map(|decl| decl.kind)
-                .ok_or_else(|| {
-                    EngineError::BadInputs(format!("task `{path}` declares no output `{output}`"))
-                })?;
-            let Some(out_key) = keys.out_key(&plan, task_id, output) else {
-                return Err(EngineError::UnknownTask(path.to_string()));
+            let forced = match kind {
+                _ if cb.state.is_terminal() => None,
+                OutputKind::Outcome => Some(CbState::Done {
+                    outcome: output.to_string(),
+                }),
+                OutputKind::AbortOutcome => Some(CbState::Aborted {
+                    outcome: output.to_string(),
+                }),
+                OutputKind::RepeatOutcome | OutputKind::Mark => None,
             };
-            let Some(mut cb) = coordinator.read_cb_id(&keys, task_id) else {
-                return Err(EngineError::UnknownTask(path.to_string()));
-            };
-            let force = matches!(kind, OutputKind::Outcome | OutputKind::AbortOutcome)
-                && !cb.state.is_terminal();
-            let stamped: BTreeMap<String, ObjectVal> = objects
-                .into_iter()
-                .map(|(k, v)| (k, v.produced_by(path.to_string())))
-                .collect();
-            if force {
-                cb.transition(if kind == OutputKind::Outcome {
-                    CbState::Done {
-                        outcome: output.to_string(),
-                    }
-                } else {
-                    CbState::Aborted {
-                        outcome: output.to_string(),
-                    }
-                });
+            if let Some(state) = forced.clone() {
+                // Not every state can take every outcome (fig. 3): a task
+                // still `Waiting` has bound no inputs to complete on.
+                if !TaskCb::transition_allowed(&cb.state, &state) {
+                    return Err(EngineError::ReconfigRejected(format!(
+                        "task `{path}` cannot be forced to `{output}` from state {:?}",
+                        cb.state
+                    )));
+                }
+                cb.transition(state);
             }
             let revival = coordinator
-                .read_status(instance)
-                .ok()
+                .staged::<StatusRecord>(step, keys.status())?
                 .filter(|record| matches!(record.status, InstanceStatus::Stuck { .. }))
                 .map(|mut record| {
                     record.status = InstanceStatus::Running;
                     record
                 });
-            coordinator.atomically(|mgr, action| {
-                // Drop the stored sub-keys first: a corrupt record may use
-                // a different layout than the rewrite below.
-                for fact in mgr.fact_keys_in_range(out_key, out_key.fact_last()) {
-                    mgr.delete_key(action, &StoreKey::Fact(fact))?;
-                }
-                facts::write_fact_map(mgr, action, &plan, out_key, &stamped)?;
-                if force {
-                    write_cb(mgr, action, &keys, task_id, &cb)?;
-                }
-                if let Some(record) = &revival {
-                    mgr.write_key(action, keys.status(), record)?;
-                }
-                Ok(())
-            })?;
-            if revival.is_some() {
-                coordinator.note_status(instance, &InstanceStatus::Running);
-                // Back from Stuck: the instance counts against the
-                // admission cap again.
-                coordinator.admission.instance_live();
+            let action = step.action(&mut coordinator.mgr);
+            let mgr = &mut coordinator.mgr;
+            // Drop the stored sub-keys first: a corrupt record may use
+            // a different layout than the rewrite below.
+            for fact in mgr.fact_keys_in_range(out_key, out_key.fact_last()) {
+                mgr.delete_key(action, &StoreKey::Fact(fact))?;
             }
-            if force {
-                coordinator.note_terminals(instance, 1);
+            facts::write_fact_map(mgr, action, &plan, out_key, &stamped)?;
+            if forced.is_some() {
+                write_cb(mgr, action, &keys, task_id, &cb)?;
             }
-            let what = if force {
-                format!("forced `{output}` of `{path}`")
-            } else {
-                format!("republished `{output}` of `{path}`")
+            if let Some(record) = revival {
+                // Back from Stuck: the instance is evaluated, and counts
+                // against the admission cap, again.
+                mgr.write_key(action, keys.status(), &record)?;
+                step.push(&drain.name, Effect::Status(record.status));
+                drain.terminal = false;
+            }
+            let what = match forced {
+                Some(_) => {
+                    // Whatever the task had on the wire will never be
+                    // applied.
+                    step.push(&drain.name, Effect::Terminals(1));
+                    step.push(&drain.name, Effect::Discard(task_id..task_id + 1));
+                    drain.lands(task_id);
+                    format!("forced `{output}` of `{path}`")
+                }
+                None => format!("republished `{output}` of `{path}`"),
             };
-            coordinator.record_event(
-                world.now().as_nanos(),
-                instance,
-                Some(path),
-                cb.attempt,
-                ObsEventKind::Repair { what },
-            );
-            force.then_some(task_id)
-        };
-        if let Some(task_id) = forced {
-            // Whatever the task had on the wire will never be applied.
-            self.discard_flights(world, instance, std::iter::once(task_id));
-        }
-        self.evaluate(world, instance);
+            coordinator.trace(step, &drain.name, Some(path), cb.attempt, || {
+                ObsEventKind::Repair { what }
+            });
+            drain.worklist.seed_all(&plan);
+            Ok(())
+        })?;
         self.pump(world);
         Ok(())
     }
@@ -334,7 +339,9 @@ impl CoordHandle {
         self.inner.borrow_mut().gc_plans()?;
         // The plan changed under the instance: reconfiguration re-enters
         // through the full scan (new tasks and new edges have no commit
-        // to seed from).
+        // to seed from) — a second step, not folded into the commit
+        // above: the resident plan and dispatch's books are swapped in
+        // between.
         self.evaluate(world, instance);
         self.pump(world);
         Ok(())
@@ -360,30 +367,34 @@ impl CoordHandle {
         // The operator decision is against current state: absorb the
         // batch window first.
         self.flush_pending(world);
-        let task_id = {
+        let (plan, keys) = {
             let mut coordinator = self.inner.borrow_mut();
             let Some(rt) = coordinator.instances.get_mut(instance) else {
                 return Err(EngineError::UnknownInstance(instance.to_string()));
             };
             rt.planted = true; // this may publish below a scope yet to activate
-            let (plan, keys) = (rt.plan.clone(), rt.keys.clone());
-            let Some(task_id) = plan.task_by_path(path) else {
-                return Err(EngineError::UnknownTask(path.to_string()));
-            };
-            let class = plan.class_of(plan.task(task_id));
-            let declared_abort = plan
-                .class_output(class, outcome)
-                .is_some_and(|o| o.kind == OutputKind::AbortOutcome);
-            if !declared_abort {
-                return Err(EngineError::ReconfigRejected(format!(
-                    "`{outcome}` is not an abort outcome of `{}`",
-                    plan.str(class.name)
-                )));
-            }
-            let out_key = keys
-                .out_key(&plan, task_id, outcome)
-                .ok_or_else(|| EngineError::UnknownTask(path.to_string()))?;
-            let Some(mut cb) = coordinator.read_cb_id(&keys, task_id) else {
+            (rt.plan.clone(), rt.keys.clone())
+        };
+        let Some(task_id) = plan.task_by_path(path) else {
+            return Err(EngineError::UnknownTask(path.to_string()));
+        };
+        let class = plan.class_of(plan.task(task_id));
+        let declared_abort = plan
+            .class_output(class, outcome)
+            .is_some_and(|o| o.kind == OutputKind::AbortOutcome);
+        if !declared_abort {
+            return Err(EngineError::ReconfigRejected(format!(
+                "`{outcome}` is not an abort outcome of `{}`",
+                plan.str(class.name)
+            )));
+        }
+        let out_key = keys
+            .out_key(&plan, task_id, outcome)
+            .ok_or_else(|| EngineError::UnknownTask(path.to_string()))?;
+        // One step: the abort, its (empty) fact and what they cascade
+        // into.
+        self.reevaluate(world, instance, |coordinator, step, drain| {
+            let Some(mut cb) = coordinator.staged_cb(step, &keys, task_id) else {
                 return Err(EngineError::UnknownTask(path.to_string()));
             };
             if cb.state != CbState::Waiting {
@@ -395,15 +406,19 @@ impl CoordHandle {
             cb.transition(CbState::Aborted {
                 outcome: outcome.to_string(),
             });
-            coordinator.atomically(|mgr, action| {
-                write_cb(mgr, action, &keys, task_id, &cb)?;
-                facts::write_fact_map(mgr, action, &plan, out_key, &BTreeMap::new())?;
-                Ok(())
-            })?;
-            coordinator.note_terminals(instance, 1);
-            task_id
-        };
-        self.evaluate_from(world, instance, &[task_id]);
+            let action = step.action(&mut coordinator.mgr);
+            write_cb(&mut coordinator.mgr, action, &keys, task_id, &cb)?;
+            facts::write_fact_map(
+                &mut coordinator.mgr,
+                action,
+                &plan,
+                out_key,
+                &BTreeMap::new(),
+            )?;
+            step.push(&drain.name, Effect::Terminals(1));
+            drain.worklist.seed_commit(&plan, task_id);
+            Ok(())
+        })?;
         self.pump(world);
         Ok(())
     }

@@ -1,6 +1,6 @@
-//! Dispatch and executor replies: placement on the executor fleet, the
-//! capacity-parked ready queue, watchdogs, bounded retries, and the
-//! slow-path handler for reports the commit window cannot absorb.
+//! Dispatch: placement on the executor fleet, the capacity-parked ready
+//! queue, watchdogs, and what an attempt that ends with no outcome
+//! stages — a bounded retry under a bumped attempt, or `Failed`.
 //!
 //! All of its volatile state lives in two places, both private to this
 //! module: the shard's [`Dispatcher`] (executor loads, observed costs,
@@ -14,7 +14,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use flowscript_core::ast::OutputKind;
 use flowscript_obs::ObsEventKind;
@@ -22,11 +21,13 @@ use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::{EventId, NodeId, SimDuration, World};
 use flowscript_tx::{FactKey, TxError};
 
-use super::step::Launch;
+use super::evaluate::Drain;
+use super::step::{Effect, Launch, Step};
 use super::{write_cb, CoordHandle, Coordinator, InstanceRt};
+use crate::error::EngineError;
 use crate::facts;
 use crate::keys::InstanceKeys;
-use crate::msg::{EngineMsg, StartTask, TaskDone, TaskResult};
+use crate::msg::{EngineMsg, StartTask};
 use crate::sched::{CostModel, ExecutorSlot, ExecutorSpec, ImplHints, SchedPolicy, Scheduler};
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
@@ -71,10 +72,9 @@ struct Flight {
 pub(super) struct Flights(BTreeMap<TaskId, Flight>);
 
 impl Flights {
-    /// The tasks with outstanding work, bar `ended`.
-    pub(super) fn outstanding(&self, ended: &[TaskId]) -> Vec<TaskId> {
-        let tasks = self.0.keys().copied();
-        tasks.filter(|task| !ended.contains(task)).collect()
+    /// The tasks with outstanding work.
+    pub(super) fn outstanding(&self) -> Vec<TaskId> {
+        self.0.keys().copied().collect()
     }
 }
 
@@ -87,9 +87,7 @@ impl Flights {
 struct ParkedDispatch {
     instance: String,
     task: TaskId,
-    attempt: u32,
-    inputs: BTreeMap<String, ObjectVal>,
-    repeat_objects: BTreeMap<String, ObjectVal>,
+    launch: Launch,
     /// Scheduling hints captured at park time (eligibility re-checked
     /// against these when the queue drains).
     hints: ImplHints,
@@ -296,6 +294,123 @@ impl Coordinator {
         Ok([inputs, repeat_objects])
     }
 
+    /// Stages the next attempt of `task` under `cb` — staged `Executing`
+    /// by the caller — shipped once `after` is over, at once when `None`,
+    /// with the bound inputs and `repeat_objects`: the repeat outcome
+    /// just taken, else whatever the task's repeat facts hold. A fact
+    /// that does not decode parks the instance instead: running the task
+    /// on empty inputs would be a silent misread.
+    pub(super) fn stage_launch(
+        &mut self,
+        step: &mut Step,
+        drain: &mut Drain<'_>,
+        task: TaskId,
+        cb: &TaskCb,
+        repeat_objects: Option<&BTreeMap<String, ObjectVal>>,
+        after: Option<SimDuration>,
+    ) -> Result<(), EngineError> {
+        let CbState::Executing { set } = &cb.state else {
+            return Ok(());
+        };
+        let (plan, keys) = (drain.plan, drain.keys);
+        let gathered = match repeat_objects {
+            Some(objects) => self
+                .read_fact(plan, keys.in_key(plan, task, set))
+                .map(|inputs| [inputs, objects.clone()]),
+            None => self.redispatch_objects(plan, keys, task, set),
+        };
+        let [inputs, repeat_objects] = match gathered {
+            Ok(gathered) => gathered,
+            Err(fault) => {
+                return self.park_stuck(step, drain, format!("fact storage fault: {fault}"));
+            }
+        };
+        let launch = Launch {
+            incarnation: cb.incarnation,
+            attempt: cb.attempt,
+            set: set.clone(),
+            inputs,
+            repeat_objects,
+        };
+        if !drain.flying.contains(&task) {
+            drain.flying.push(task);
+        }
+        let shipped = match after {
+            Some(delay) => Effect::Later(task, delay, launch),
+            None => Effect::Dispatch(task, launch),
+        };
+        step.push(&drain.name, shipped);
+        Ok(())
+    }
+
+    /// Stages the end of an attempt of `task` that brought no outcome —
+    /// its executor `reported` an error, or its watchdog fired: a
+    /// bounded retry (the bumped attempt, re-dispatched after an
+    /// exponential back-off, away from the node it died on) or, the
+    /// budget spent, `Failed`. `cb` is the block as the step reads it.
+    pub(super) fn stage_lost(
+        &mut self,
+        step: &mut Step,
+        drain: &mut Drain<'_>,
+        task: TaskId,
+        mut cb: TaskCb,
+        reason: &str,
+        reported: bool,
+    ) -> Result<(), EngineError> {
+        if cb.attempt >= self.config.max_retries {
+            return self.stage_failure(step, drain, task, cb, reason, reported);
+        }
+        cb.attempt += 1;
+        let action = step.action(&mut self.mgr);
+        write_cb(&mut self.mgr, action, drain.keys, task, &cb)?;
+        step.push(&drain.name, Effect::Lost(task, reported));
+        step.push(&drain.name, Effect::Count(self.metrics.retries.clone()));
+        let path = drain.plan.str(drain.plan.task(task).path);
+        self.trace(step, &drain.name, Some(path), cb.attempt, || {
+            ObsEventKind::Retry {
+                reason: reason.to_string(),
+            }
+        });
+        let backoff = self
+            .config
+            .retry_backoff
+            .saturating_mul(1 << (cb.attempt.min(16) - 1));
+        self.stage_launch(step, drain, task, &cb, None, Some(backoff))
+    }
+
+    /// Stages `task` permanently `Failed` (retries exhausted, or nothing
+    /// a retry could fix) and the end of its flight — a completion's
+    /// when its executor `reported`. A failure publishes no fact: nothing
+    /// new can become satisfied, but the instance may now be stuck.
+    pub(super) fn stage_failure(
+        &mut self,
+        step: &mut Step,
+        drain: &mut Drain<'_>,
+        task: TaskId,
+        mut cb: TaskCb,
+        why: &str,
+        reported: bool,
+    ) -> Result<(), EngineError> {
+        cb.transition(CbState::Failed {
+            reason: why.to_string(),
+        });
+        let action = step.action(&mut self.mgr);
+        write_cb(&mut self.mgr, action, drain.keys, task, &cb)?;
+        let landed = match reported {
+            true => Effect::Completed(task),
+            false => Effect::Discard(task..task + 1),
+        };
+        step.push(&drain.name, landed);
+        drain.lands(task);
+        step.push(&drain.name, Effect::Count(self.metrics.failures.clone()));
+        let path = drain.plan.str(drain.plan.task(task).path);
+        self.trace(step, &drain.name, Some(path), cb.attempt, || {
+            self.commit_event(format!("failed: {why}"))
+        });
+        step.push(&drain.name, Effect::Terminals(1));
+        Ok(())
+    }
+
     /// The record of `task`, created if it has none: the task has
     /// outstanding work from here on.
     fn flight_mut(&mut self, instance: &str, task: TaskId) -> Option<&mut Flight> {
@@ -461,20 +576,6 @@ impl CoordHandle {
         }
     }
 
-    /// Where a wire message or a timer enters: its task, named by path,
-    /// resolved against the instance's current plan — with the plan,
-    /// the key table and the committed control block.
-    fn enter(
-        &self,
-        instance: &str,
-        path: &str,
-    ) -> Option<(Rc<Plan>, Rc<InstanceKeys>, TaskId, TaskCb)> {
-        let (plan, keys) = self.instance_ctx(instance)?;
-        let task = plan.task_by_path(path)?;
-        let cb = self.inner.borrow().read_cb_id(&keys, task)?;
-        Some((plan, keys, task, cb))
-    }
-
     /// Re-dispatches parked work, highest `(priority, arrival)` first,
     /// as long as some entry's eligible executors have free capacity.
     /// Per-entry eligibility keeps a pinned entry whose location is
@@ -506,34 +607,26 @@ impl CoordHandle {
                     world.now().as_nanos(),
                     &entry.instance,
                     Some(rt.plan.str(rt.plan.task(entry.task).path)),
-                    entry.attempt,
+                    entry.launch.attempt,
                     ObsEventKind::Admitted { wait_ns },
                 );
                 entry
             };
-            self.dispatch(
-                world,
-                &entry.instance,
-                entry.task,
-                entry.attempt,
-                entry.inputs,
-                entry.repeat_objects,
-            );
+            self.dispatch(world, &entry.instance, entry.task, entry.launch);
         }
     }
 
-    /// Ships an attempt under its task's committed binding (a retry, a
-    /// repeat, a recovery, a parked dispatch); unplaceable, it fails.
+    /// Ships an attempt staged by an earlier step (a retry's or a
+    /// repeat's, its delay over; a parked dispatch) if its block still
+    /// awaits it; unplaceable, it fails.
     pub(super) fn dispatch(
         &self,
         world: &mut World,
         instance: &str,
         task_id: TaskId,
-        attempt: u32,
-        inputs: BTreeMap<String, ObjectVal>,
-        repeat_objects: BTreeMap<String, ObjectVal>,
+        launch: Launch,
     ) {
-        let launch = {
+        {
             let coordinator = self.inner.borrow();
             let Some(rt) = coordinator.instances.get(instance) else {
                 return;
@@ -549,14 +642,68 @@ impl CoordHandle {
                 );
                 return;
             };
-            let CbState::Executing { set } = cb.state else {
+            if !cb.awaits(launch.incarnation, launch.attempt) {
                 return; // stale (cancelled/terminated meanwhile): not a drop
-            };
-            (cb.incarnation, set, inputs)
-        };
-        if let Err(reason) = self.ship(world, instance, task_id, launch, attempt, repeat_objects) {
-            self.fail_task(world, instance, task_id, &reason);
+            }
         }
+        if let Err(reason) = self.ship(world, instance, task_id, launch) {
+            self.fail_unplaceable(world, instance, task_id, &reason);
+        }
+    }
+
+    /// Ships `launch` once `delay` is over — a retry's back-off, a
+    /// repeat's requested delay; waiting it out is outstanding work. The
+    /// timer names the task by path.
+    pub(super) fn dispatch_after(
+        &self,
+        world: &mut World,
+        instance: &str,
+        task: TaskId,
+        delay: SimDuration,
+        launch: Launch,
+    ) {
+        let (node, path) = {
+            let mut coordinator = self.inner.borrow_mut();
+            if coordinator.flight_mut(instance, task).is_none() {
+                return;
+            }
+            let plan = &coordinator.instances[instance].plan;
+            (coordinator.node, plan.str(plan.task(task).path).to_string())
+        };
+        let handle = self.clone();
+        let instance = instance.to_string();
+        world.schedule_node_after(node, delay, move |world| {
+            let Some((plan, _)) = handle.instance_ctx(&instance) else {
+                return;
+            };
+            match plan.task_by_path(&path) {
+                Some(task) => handle.dispatch(world, &instance, task, launch),
+                // Only a mid-flight reconfiguration takes the task away
+                // from a scheduled dispatch.
+                None => handle.inner.borrow().metrics.dropped_dispatches.inc(),
+            }
+        });
+    }
+
+    /// No executor can take `task` — an unsatisfiable pin, no code to
+    /// ship — and no retry can fix that: it fails, in a step of its own.
+    pub(super) fn fail_unplaceable(
+        &self,
+        world: &mut World,
+        instance: &str,
+        task: TaskId,
+        why: &str,
+    ) {
+        // No error channel: a failure that cannot commit changes nothing.
+        let _ = self.reevaluate(world, instance, |coordinator, step, drain| {
+            match coordinator.staged_cb(step, drain.keys, task) {
+                Some(cb) if !cb.state.is_terminal() => {
+                    coordinator.stage_failure(step, drain, task, cb, why, false)
+                }
+                // Cancelled by the step that activated it.
+                _ => Ok(()),
+            }
+        });
     }
 
     /// Sends a `StartTask` to an executor and arms the watchdog. The
@@ -572,8 +719,6 @@ impl CoordHandle {
         instance: &str,
         task_id: TaskId,
         launch: Launch,
-        attempt: u32,
-        repeat_objects: BTreeMap<String, ObjectVal>,
     ) -> Result<(), String> {
         // Fenced = zombie: nothing dispatches off claimed storage.
         if self.inner.borrow_mut().mgr.probe_fence().is_some() {
@@ -582,7 +727,7 @@ impl CoordHandle {
         // Gather everything under one borrow, then interact with the
         // world outside it.
         let now_ns = world.now().as_nanos();
-        let (incarnation, set, inputs) = launch;
+        let (incarnation, attempt) = (launch.incarnation, launch.attempt);
         let (node, executor, bytes, timeout) = {
             let coordinator = &mut *self.inner.borrow_mut();
             let Some(rt) = coordinator.instances.get(instance) else {
@@ -616,9 +761,7 @@ impl CoordHandle {
                 let parked = ParkedDispatch {
                     instance: instance.to_string(),
                     task: task_id,
-                    attempt,
-                    inputs,
-                    repeat_objects,
+                    launch,
                     hints,
                     parked_ns: now_ns,
                 };
@@ -671,9 +814,9 @@ impl CoordHandle {
                 attempt,
                 code: shipment.code,
                 implementation: shipment.implementation,
-                set,
-                inputs,
-                repeat_objects,
+                set: launch.set,
+                inputs: launch.inputs,
+                repeat_objects: launch.repeat_objects,
                 epoch: coordinator.membership.epoch(),
             });
             let bytes = flowscript_codec::to_bytes(&msg);
@@ -706,7 +849,7 @@ impl CoordHandle {
         let handle = self.clone();
         let instance_owned = instance.to_string();
         let watchdog = world.schedule_node_after(node, timeout, move |world| {
-            handle.on_watchdog(world, &instance_owned, &path, incarnation, attempt);
+            handle.on_watchdog(world, &instance_owned, &path, incarnation, attempt, timeout);
         });
         let stale = self
             .inner
@@ -718,140 +861,11 @@ impl CoordHandle {
         }
     }
 
-    /// The slow path of the commit window: a report `stage_event` judged
-    /// valid but not a plain transition — an execution error (bounded
-    /// retry), an undeclared output or a mark posing as a completion
-    /// (the task fails), a repeat outcome (the leaf re-executes). Runs
-    /// after the window's action committed, so the block is re-validated:
-    /// an earlier slow report of the same window may have moved it.
-    pub(super) fn on_task_done(&self, world: &mut World, msg: TaskDone) {
-        let Some((plan, _, task_id, cb)) = self.enter(&msg.instance, &msg.path) else {
-            return;
-        };
-        if !cb.awaits(msg.incarnation, msg.attempt) {
-            return; // stale attempt or previous scope incarnation
-        }
-        let released = self.clear_watch(world, &msg.instance, task_id);
-        match &msg.result {
-            TaskResult::ExecError { reason } => {
-                self.retry_or_fail(world, &msg.instance, task_id, released, reason);
-            }
-            TaskResult::Output {
-                name, redo_after, ..
-            } => {
-                let class = plan.class_of(plan.task(task_id));
-                let reason = match plan.class_output(class, name).map(|o| o.kind) {
-                    Some(OutputKind::RepeatOutcome) => {
-                        self.leaf_repeat(world, &msg, task_id, name, *redo_after);
-                        return;
-                    }
-                    Some(OutputKind::Mark) => format!("mark `{name}` cannot be a completion"),
-                    None => format!("implementation produced undeclared output `{name}`"),
-                    Some(OutputKind::Outcome | OutputKind::AbortOutcome) => {
-                        debug_assert!(false, "`stage_event` applies declared outcomes itself");
-                        return;
-                    }
-                };
-                self.fail_task(world, &msg.instance, task_id, &reason);
-            }
-        }
-    }
-
-    /// A leaf took a repeat outcome: publish the (private) repeat fact and
-    /// re-execute after the requested delay (Fig. 3's `Repeat1`).
-    fn leaf_repeat(
-        &self,
-        world: &mut World,
-        msg: &TaskDone,
-        task_id: TaskId,
-        name: &str,
-        redo_after: SimDuration,
-    ) {
-        let Some((plan, keys)) = self.instance_ctx(&msg.instance) else {
-            return;
-        };
-        let TaskResult::Output { objects, .. } = &msg.result else {
-            return;
-        };
-        let Some(out_key) = keys.out_key(&plan, task_id, name) else {
-            return;
-        };
-        let (over_limit, inputs) = {
-            let mut coordinator = self.inner.borrow_mut();
-            let Some(mut cb) = coordinator.read_cb_id(&keys, task_id) else {
-                return;
-            };
-            let CbState::Executing { set } = &cb.state else {
-                return;
-            };
-            // What the re-execution ships, beside the repeat objects.
-            let inputs = coordinator.read_fact(&plan, keys.in_key(&plan, task_id, set));
-            cb.repeats += 1;
-            let over = cb.repeats > coordinator.config.max_repeats;
-            if over {
-                cb.transition(CbState::Failed {
-                    reason: format!("repeat limit exceeded via `{name}`"),
-                });
-            } else {
-                cb.attempt += 1;
-            }
-            let staged = coordinator.atomically(|mgr, action| {
-                write_cb(mgr, action, &keys, task_id, &cb)?;
-                facts::write_fact_map(mgr, action, &plan, out_key, objects)?;
-                Ok(())
-            });
-            // Counters move only on commit success: an aborted action
-            // must not register as a repeat.
-            if staged.is_ok() {
-                coordinator.metrics.repeats.inc();
-                coordinator.record_event(
-                    world.now().as_nanos(),
-                    &msg.instance,
-                    Some(&msg.path),
-                    msg.attempt,
-                    coordinator.commit_event(format!("repeat `{name}`")),
-                );
-                if over {
-                    coordinator.note_terminals(&msg.instance, 1);
-                }
-            }
-            (over, inputs)
-        };
-        if over_limit {
-            self.evaluate_from(world, &msg.instance, &[task_id]);
-            return;
-        }
-        // Re-dispatch with the repeat objects after the requested delay.
-        let inputs = match inputs {
-            Ok(inputs) => inputs,
-            Err(fault) => return self.park_fact_fault(world, &msg.instance, &keys, fault),
-        };
-        // The pending re-execution is outstanding work.
-        self.inner.borrow_mut().flight_mut(&msg.instance, task_id);
-        let handle = self.clone();
-        let node = self.inner.borrow().node;
-        let instance = msg.instance.clone();
-        let path = msg.path.clone();
-        let attempt = msg.attempt + 1;
-        let repeat_objects = objects.clone();
-        world.schedule_node_after(node, redo_after, move |world| {
-            let Some((plan, _)) = handle.instance_ctx(&instance) else {
-                return;
-            };
-            match plan.task_by_path(&path) {
-                Some(task) => {
-                    handle.dispatch(world, &instance, task, attempt, inputs, repeat_objects);
-                }
-                // Only a mid-flight reconfiguration takes the task away
-                // from a scheduled dispatch.
-                None => handle.inner.borrow().metrics.dropped_dispatches.inc(),
-            }
-        });
-        // The repeat fact is committed now — consumers drawing on it
-        // (e.g. `AnyOf` alternatives) re-check immediately.
-        self.evaluate_from(world, &msg.instance, &[task_id]);
-    }
-
+    /// The watchdog of one attempt fired: the executor is presumed lost,
+    /// and the time-out is one step — the attempt's bounded retry or its
+    /// failure, with the cascade — published once it commits. A step
+    /// that rolls back re-arms the watchdog at the same time-out: nothing
+    /// else is left that can move the task.
     fn on_watchdog(
         &self,
         world: &mut World,
@@ -859,6 +873,7 @@ impl CoordHandle {
         path: &str,
         incarnation: u32,
         attempt: u32,
+        timeout: SimDuration,
     ) {
         // Fenced = zombie: no retry may be driven off claimed storage.
         if self.inner.borrow_mut().mgr.probe_fence().is_some() {
@@ -875,190 +890,72 @@ impl CoordHandle {
         {
             return;
         }
-        let Some((_, _, task_id, cb)) = self.enter(instance, path) else {
+        // Where a timer enters: its task, named by path, resolved
+        // against the instance's current plan.
+        let Some((plan, keys)) = self.instance_ctx(instance) else {
             return;
         };
-        if !cb.awaits(incarnation, attempt) {
+        let Some(task) = plan.task_by_path(path) else {
             return;
+        };
+        let cb = self.inner.borrow().read_cb_id(&keys, task);
+        let Some(cb) = cb.filter(|cb| cb.awaits(incarnation, attempt)) else {
+            return;
+        };
+        let stepped = self.reevaluate(world, instance, |coordinator, step, drain| {
+            coordinator.stage_lost(step, drain, task, cb, "dispatch timed out", false)
+        });
+        if stepped.is_err() {
+            self.arm_watchdog(world, instance, task, incarnation, attempt, timeout);
         }
-        // The executor is presumed lost: stop counting the dispatch
-        // against it.
-        let lost = self
-            .inner
-            .borrow_mut()
-            .release_dispatch(instance, task_id, None);
-        self.retry_or_fail(world, instance, task_id, lost, "dispatch timed out");
         // The timed-out dispatch released its executor load (and a
         // failed task may have terminated its instance): revisit the
         // ready and admission queues.
         self.pump(world);
     }
 
-    /// Bounded automatic retry of a system-level failure. `died_on` is
-    /// the node the failed attempt ran on, remembered so the retry
-    /// relocates whenever an alternative is eligible.
-    fn retry_or_fail(
-        &self,
-        world: &mut World,
-        instance: &str,
-        task_id: TaskId,
-        died_on: Option<NodeId>,
-        reason: &str,
-    ) {
-        let Some((plan, keys)) = self.instance_ctx(instance) else {
-            return;
-        };
-        let path = plan.str(plan.task(task_id).path);
-        let retry = {
-            let mut coordinator = self.inner.borrow_mut();
-            let Some(mut cb) = coordinator.read_cb_id(&keys, task_id) else {
-                return;
-            };
-            let retry = cb.attempt < coordinator.config.max_retries && {
-                cb.attempt += 1;
-                coordinator.commit_cb(keys.cb(task_id), &cb)
-            };
-            if retry {
-                // The retry counts only once its bumped attempt
-                // committed; waiting out the backoff is outstanding
-                // work.
-                coordinator.metrics.retries.inc();
-                coordinator.record_event(
-                    world.now().as_nanos(),
-                    instance,
-                    Some(path),
-                    cb.attempt,
-                    ObsEventKind::Retry {
-                        reason: reason.to_string(),
-                    },
-                );
-                if let Some(flight) = coordinator.flight_mut(instance, task_id) {
-                    flight.avoid = died_on.or(flight.avoid);
-                }
-            }
-            retry.then(|| {
-                let backoff = coordinator
-                    .config
-                    .retry_backoff
-                    .saturating_mul(1 << (cb.attempt.min(16) - 1));
-                (cb.attempt, backoff, coordinator.node)
-            })
-        };
-        match retry {
-            Some((attempt, backoff, node)) => {
-                let handle = self.clone();
-                let (instance, path) = (instance.to_string(), path.to_string());
-                world.schedule_node_after(node, backoff, move |world| {
-                    handle.redispatch(world, &instance, &path, attempt);
-                });
-            }
-            None => self.fail_task(world, instance, task_id, reason),
-        }
-    }
-
-    /// Re-dispatches from persisted facts (the retry timer and the
-    /// recovery path — both name the task by path).
-    pub(super) fn redispatch(&self, world: &mut World, instance: &str, path: &str, attempt: u32) {
-        let Some((plan, keys, task_id, cb)) = self.enter(instance, path) else {
-            return;
-        };
-        let CbState::Executing { set } = &cb.state else {
-            return;
-        };
-        if cb.attempt != attempt {
-            return;
-        }
-        let gathered = self
-            .inner
-            .borrow()
-            .redispatch_objects(&plan, &keys, task_id, set);
-        match gathered {
-            Ok([inputs, repeat_objects]) => {
-                self.dispatch(world, instance, task_id, attempt, inputs, repeat_objects);
-            }
-            Err(fault) => self.park_fact_fault(world, instance, &keys, fault),
-        }
-    }
-
-    /// A fact a re-dispatch must ship does not decode: running the task
-    /// on empty inputs would be a silent misread, so the instance parks
-    /// with the same diagnosable reason a faulted readiness probe gives.
-    fn park_fact_fault(
-        &self,
-        world: &mut World,
-        instance: &str,
-        keys: &InstanceKeys,
-        err: TxError,
-    ) {
-        let reason = format!("fact storage fault: {err}");
-        let parked = self.inner.borrow_mut().run_step(|coordinator, step| {
-            coordinator.park_stuck(step, &instance.into(), keys, reason)
-        });
-        // Nothing to do about a park that cannot be written.
-        if let Ok(((), effects)) = parked {
-            self.publish(world, effects);
-        }
-    }
-
-    /// Marks a task permanently failed (retries exhausted, or nothing a
-    /// retry could fix) and ends whatever was outstanding for it.
-    pub(super) fn fail_task(&self, world: &mut World, instance: &str, task_id: TaskId, why: &str) {
-        self.discard_flights(world, instance, std::iter::once(task_id));
-        let Some((plan, keys)) = self.instance_ctx(instance) else {
-            return;
-        };
-        {
-            let mut coordinator = self.inner.borrow_mut();
-            let Some(mut cb) = coordinator.read_cb_id(&keys, task_id) else {
-                return;
-            };
-            if cb.state.is_terminal() {
-                return;
-            }
-            cb.transition(CbState::Failed {
-                reason: why.to_string(),
-            });
-            // The failure counts only once its transition committed.
-            if coordinator.commit_cb(keys.cb(task_id), &cb) {
-                coordinator.metrics.failures.inc();
-                coordinator.record_event(
-                    world.now().as_nanos(),
-                    instance,
-                    Some(plan.str(plan.task(task_id).path)),
-                    cb.attempt,
-                    coordinator.commit_event(format!("failed: {why}")),
-                );
-                coordinator.note_terminals(instance, 1);
-            }
-        }
-        // A failure publishes no facts: nothing new can become
-        // satisfied, but the instance may now be stuck (the drain's
-        // debug oracle re-verifies quiescence).
-        self.evaluate_from(world, instance, &[]);
-    }
-
-    /// An executor report for `task` was applied: its work is no longer
-    /// outstanding. Drops the flight record, disarming the watchdog and
-    /// releasing the load as a genuine completion; returns the executor
-    /// the dispatch ran on, if one was counted.
-    pub(super) fn clear_watch(
+    /// The attempt of `task` on the wire ended with no outcome: its load
+    /// is released — as a completion's when its executor `reported`, the
+    /// elapsed time a sample — and its watchdog disarmed; the record
+    /// stays, remembering the node so the retry relocates.
+    pub(super) fn lose_flight(
         &self,
         world: &mut World,
         instance: &str,
         task: TaskId,
-    ) -> Option<NodeId> {
-        let (watchdog, released) = {
+        reported: bool,
+    ) {
+        let watchdog = {
             let mut coordinator = self.inner.borrow_mut();
-            let now_ns = world.now().as_nanos();
-            let released = coordinator.release_dispatch(instance, task, Some(now_ns));
-            let rt = coordinator.instances.get_mut(instance)?;
-            let flight = rt.flights.0.remove(&task);
-            (flight.and_then(|flight| flight.watchdog), released)
+            let completed_at_ns = reported.then(|| world.now().as_nanos());
+            let died_on = coordinator.release_dispatch(instance, task, completed_at_ns);
+            coordinator.flight_mut(instance, task).and_then(|flight| {
+                flight.avoid = died_on.or(flight.avoid);
+                flight.watchdog.take()
+            })
         };
         if let Some(id) = watchdog {
             world.cancel(id);
         }
-        released
+    }
+
+    /// An executor report for `task` was applied: its work is no longer
+    /// outstanding. Drops the flight record, disarming the watchdog and
+    /// releasing the load as a genuine completion.
+    pub(super) fn clear_watch(&self, world: &mut World, instance: &str, task: TaskId) {
+        let watchdog = {
+            let mut coordinator = self.inner.borrow_mut();
+            let now_ns = world.now().as_nanos();
+            coordinator.release_dispatch(instance, task, Some(now_ns));
+            let flight = coordinator
+                .instances
+                .get_mut(instance)
+                .and_then(|rt| rt.flights.0.remove(&task));
+            flight.and_then(|flight| flight.watchdog)
+        };
+        if let Some(id) = watchdog {
+            world.cancel(id);
+        }
     }
 }
 
@@ -1089,12 +986,17 @@ mod tests {
 
     fn park(dispatcher: &mut Dispatcher, flights: &mut Flights, instance: &str, task: TaskId) {
         flights.0.entry(task).or_default();
+        let launch = Launch {
+            incarnation: 0,
+            attempt: 0,
+            set: "main".to_string(),
+            inputs: BTreeMap::new(),
+            repeat_objects: BTreeMap::new(),
+        };
         let parked = ParkedDispatch {
             instance: instance.to_string(),
             task,
-            attempt: 0,
-            inputs: BTreeMap::new(),
-            repeat_objects: BTreeMap::new(),
+            launch,
             hints: ImplHints::default(),
             parked_ns: 0,
         };

@@ -7,7 +7,11 @@
 //! stuck. All of it *stages*: writes go into the step's action, reads
 //! back through it, and what must happen outside the store is left as
 //! the step's effects (a debug-build full scan checks the outcome).
+//! [`CoordHandle::reevaluate`] is the step over one resident instance
+//! every event outside the commit window runs as: the caller stages its
+//! transition, the drain stages behind it, one commit, then the effects.
 
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use flowscript_core::ast::OutputKind;
@@ -16,7 +20,7 @@ use flowscript_plan::{eval as plan_eval, Plan, StrId, TaskId, Worklist};
 use flowscript_sim::World;
 use flowscript_tx::{AtomicAction, StableStore, StoreKey, TxManager};
 
-use super::step::{Effect, Step};
+use super::step::{Effect, Launch, Step};
 use super::{
     write_cb, CoordHandle, Coordinator, InstanceHeader, InstanceStatus, Outcome, StatusRecord,
 };
@@ -26,33 +30,36 @@ use crate::keys::InstanceKeys;
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
 
-/// One instance's drain inside a step.
-struct Drain<'a> {
-    step: &'a mut Step,
-    name: Rc<str>,
-    plan: &'a Plan,
-    keys: &'a InstanceKeys,
-    worklist: Worklist,
+/// One instance inside a step: what the step's events staged for it
+/// ahead of its drain, then the drain's own agenda.
+pub(super) struct Drain<'a> {
+    pub(super) name: Rc<str>,
+    pub(super) plan: &'a Plan,
+    pub(super) keys: &'a InstanceKeys,
+    /// What the step's transitions seeded so far.
+    pub(super) worklist: Worklist,
     /// The status record is not `Running`, as committed or as this step
     /// left it: nothing more is evaluated.
-    terminal: bool,
+    pub(super) terminal: bool,
     /// The tasks with outstanding work once the step so far publishes:
-    /// flight records, less the flights it ends, plus the leaves it ships.
-    flying: Vec<TaskId>,
+    /// flight records, less the flights it ends, plus the attempts it
+    /// ships.
+    pub(super) flying: Vec<TaskId>,
     /// `InstanceRt::planted`.
     planted: bool,
 }
 
 impl Drain<'_> {
-    fn push(&mut self, effect: Effect) {
-        self.step.push(&self.name, effect);
+    /// `task` has no outstanding work once the step publishes.
+    pub(super) fn lands(&mut self, task: TaskId) {
+        self.flying.retain(|flying| *flying != task);
     }
 
     /// Stages the end of every flight below `scope`, cancelled or reset.
-    fn discard_below(&mut self, scope: TaskId) {
+    fn discard_below(&mut self, step: &mut Step, scope: TaskId) {
         let below = self.plan.subtree(scope);
         self.flying.retain(|task| !below.contains(task));
-        self.push(Effect::Discard(below));
+        step.push(&self.name, Effect::Discard(below));
     }
 }
 
@@ -64,51 +71,50 @@ impl CoordHandle {
         Some((rt.plan.clone(), rt.keys.clone()))
     }
 
-    /// Full re-evaluation — every task seeded — for crash recovery,
-    /// adoption, reconfiguration and repair re-entry: commits use
-    /// [`CoordHandle::evaluate_from`], a start seeds as a root activation.
-    pub fn evaluate(&self, world: &mut World, instance: &str) {
-        self.reevaluate(world, instance, None);
-    }
-
-    /// Event-driven re-evaluation: seeds only the consumers of the
-    /// tasks whose facts just committed (reverse dependency +
-    /// notification edges) and drains.
-    pub fn evaluate_from(&self, world: &mut World, instance: &str, changed: &[TaskId]) {
-        self.reevaluate(world, instance, Some(changed));
-    }
-
-    /// The drain of `instance` — from the consumers of `changed`, else
-    /// from every task — as a step of its own, inside one WAL group: a
-    /// task its publishing fails (no executor can take it) shares the
-    /// frame, and a step nested in another's group folds into that.
-    fn reevaluate(&self, world: &mut World, instance: &str, changed: Option<&[TaskId]>) {
-        let Some((plan, keys)) = self.instance_ctx(instance) else {
-            return;
-        };
-        let mut worklist = Worklist::new();
-        match changed {
-            Some(tasks) => tasks.iter().for_each(|&id| worklist.seed_commit(&plan, id)),
-            None => worklist.seed_all(&plan),
-        }
-        let nested = self.inner.borrow().mgr.in_group();
-        self.inner.borrow_mut().mgr.begin_group();
-        let staged = self.inner.borrow_mut().run_step(|coordinator, step| {
-            coordinator.stage_drain(step, &instance.into(), &plan, &keys, worklist, &[])
-        });
+    /// Full re-evaluation — every task seeded — where there is no
+    /// transition to seed from: adoption and reconfiguration re-entry
+    /// (`reconfigure` swaps the plan between its own commit and this
+    /// drain, so it stays two steps).
+    pub(super) fn evaluate(&self, world: &mut World, instance: &str) {
         // No error channel: a drain that cannot stage rolls back whole.
-        if let Ok(((), effects)) = staged {
-            self.publish(world, effects);
-        }
-        let _ = self.inner.borrow_mut().mgr.end_group();
-        let _ = self.inner.borrow_mut().maybe_checkpoint();
-        if !nested {
-            self.assert_settled(instance);
-        }
+        let _ = self.reevaluate(world, instance, |_, _, drain| {
+            drain.worklist.seed_all(drain.plan);
+            Ok(())
+        });
     }
 
-    /// The debug-build oracles over what an outermost step published
-    /// for `instance`: the status mirror matches the record, and while it
+    /// One step over a resident `instance`: `stage` stages an event's
+    /// transitions — seeding the drain's worklist, landing and launching
+    /// its flights — the cascade stages behind them, the whole commits
+    /// once and its effects are published.
+    ///
+    /// # Errors
+    ///
+    /// `stage`'s, or the commit's: the step rolled back, nothing of it
+    /// was published.
+    pub(super) fn reevaluate(
+        &self,
+        world: &mut World,
+        instance: &str,
+        stage: impl FnOnce(&mut Coordinator, &mut Step, &mut Drain<'_>) -> Result<(), EngineError>,
+    ) -> Result<(), EngineError> {
+        let (plan, keys) = self
+            .instance_ctx(instance)
+            .ok_or_else(|| EngineError::UnknownInstance(instance.to_string()))?;
+        let staged = self.inner.borrow_mut().run_step(|coordinator, step| {
+            let mut drain = coordinator.drain_of(instance.into(), &plan, &keys);
+            stage(coordinator, step, &mut drain)?;
+            coordinator.stage_drain(step, &mut drain)
+        });
+        let ((), effects) = staged?;
+        self.publish(world, effects);
+        let _ = self.inner.borrow_mut().maybe_checkpoint();
+        self.assert_settled(instance);
+        Ok(())
+    }
+
+    /// The debug-build oracles over what a step published for
+    /// `instance`: the status mirror matches the record, and while it
     /// runs a full scan finds nothing missed and dispatch's books balance.
     pub(super) fn assert_settled(&self, instance: &str) {
         #[cfg(debug_assertions)]
@@ -133,64 +139,66 @@ impl CoordHandle {
 }
 
 impl Coordinator {
-    /// Stages the drain of `instance` into `step`: pops the worklist to
-    /// quiescence — all startability re-checks first (highest declared
-    /// priority, ties by ascending id: declaration order), then scope
-    /// outputs deepest-first — each progress seeding the consumers of
-    /// what it staged, then the stuck check. `ended`: the tasks whose
-    /// flights `step` already ends (the reports it applied). `Err`: the
-    /// action refused a write, the step must abort.
+    /// `name`'s part in a step about to stage, nothing seeded yet. A
+    /// start's instance is not resident: running, nothing flying.
+    pub(super) fn drain_of<'a>(
+        &self,
+        name: Rc<str>,
+        plan: &'a Plan,
+        keys: &'a InstanceKeys,
+    ) -> Drain<'a> {
+        let resident = self.instances.get(&*name);
+        Drain {
+            plan,
+            keys,
+            worklist: Worklist::new(),
+            terminal: resident.is_some_and(|rt| rt.terminal),
+            flying: resident.map_or_else(Vec::new, |rt| rt.flights.outstanding()),
+            planted: resident.is_some_and(|rt| rt.planted),
+            name,
+        }
+    }
+
+    /// Stages the drain of one instance into `step`: pops the worklist
+    /// to quiescence — all startability re-checks first (highest
+    /// declared priority, ties by ascending id: declaration order), then
+    /// scope outputs deepest-first — each progress seeding the consumers
+    /// of what it staged, then the stuck check. `Err`: the action refused
+    /// a write, the step must abort.
     pub(super) fn stage_drain(
         &mut self,
         step: &mut Step,
-        instance: &Rc<str>,
-        plan: &Plan,
-        keys: &InstanceKeys,
-        worklist: Worklist,
-        ended: &[TaskId],
+        drain: &mut Drain<'_>,
     ) -> Result<(), EngineError> {
-        // A start's instance is not resident yet: running, nothing flying.
-        let resident = self.instances.get(&**instance);
-        let mut drain = Drain {
-            step,
-            name: instance.clone(),
-            plan,
-            keys,
-            worklist,
-            terminal: resident.is_some_and(|rt| rt.terminal),
-            flying: resident.map_or_else(Vec::new, |rt| rt.flights.outstanding(ended)),
-            planted: resident.is_some_and(|rt| rt.planted),
-        };
         let mut evaluations: u64 = 0;
         while !drain.terminal {
             if let Some(task) = drain.worklist.pop_start() {
-                self.try_start(&mut drain, task)?;
-            } else if let Some(scope) = drain.worklist.pop_output(plan) {
-                self.check_scope_outputs(&mut drain, scope)?;
+                self.try_start(step, drain, task)?;
+            } else if let Some(scope) = drain.worklist.pop_output(drain.plan) {
+                self.check_scope_outputs(step, drain, scope)?;
             } else {
                 break;
             }
             evaluations += 1;
         }
-        drain.push(Effect::Drained(evaluations, !drain.terminal));
-        self.stuck_check(&mut drain)
+        step.push(&drain.name, Effect::Drained(evaluations, !drain.terminal));
+        self.stuck_check(step, drain)
     }
 
     /// Runs `eval` over the facts `step` reads; `None` when a probe hit
     /// a storage fault — the instance is then parked with it.
     fn probe<T>(
         &mut self,
+        step: &mut Step,
         drain: &mut Drain<'_>,
         eval: impl FnOnce(&StoreFacts<'_, StableStore>) -> T,
     ) -> Result<Option<T>, EngineError> {
-        let facts = StoreFacts::new(&self.mgr, drain.step.staged(), drain.keys);
+        let facts = StoreFacts::new(&self.mgr, step.staged(), drain.keys);
         let value = eval(&facts);
         match facts.take_fault() {
             None => Ok(Some(value)),
             Some(fault) => {
-                drain.terminal = true;
-                let reason = format!("fact storage fault: {fault}");
-                self.park_stuck(drain.step, &drain.name, drain.keys, reason)?;
+                self.park_stuck(step, drain, format!("fact storage fault: {fault}"))?;
                 Ok(None)
             }
         }
@@ -202,15 +210,20 @@ impl Coordinator {
     /// arrives slot-aligned from the evaluator, so the fact write needs
     /// no name-keyed map — only a leaf dispatch materializes one (the
     /// executor wire format).
-    fn try_start(&mut self, drain: &mut Drain<'_>, task_id: TaskId) -> Result<(), EngineError> {
+    fn try_start(
+        &mut self,
+        step: &mut Step,
+        drain: &mut Drain<'_>,
+        task_id: TaskId,
+    ) -> Result<(), EngineError> {
         let (plan, keys) = (drain.plan, drain.keys);
         let task = plan.task(task_id);
         let Some(parent) = task.parent else {
             return Ok(()); // the root never rebinds through the start agenda
         };
         let (Some(parent_cb), Some(mut cb)) = (
-            self.staged_cb(drain.step, keys, parent),
-            self.staged_cb(drain.step, keys, task_id),
+            self.staged_cb(step, keys, parent),
+            self.staged_cb(step, keys, task_id),
         ) else {
             return Ok(());
         };
@@ -220,7 +233,7 @@ impl Coordinator {
         {
             return Ok(());
         }
-        let satisfied = self.probe(drain, |facts| {
+        let satisfied = self.probe(step, drain, |facts| {
             plan_eval::eval_task_inputs(plan, task_id, facts)
         })?;
         let Some((set_id, bound)) = satisfied.flatten() else {
@@ -238,7 +251,7 @@ impl Coordinator {
             true => CbState::Active { set: set.into() },
             false => CbState::Executing { set: set.into() },
         });
-        let action = drain.step.action(&mut self.mgr);
+        let action = step.action(&mut self.mgr);
         write_cb(&mut self.mgr, action, keys, task_id, &cb)?;
         facts::write_fact_bound(&mut self.mgr, action, plan, in_key, slots, &bound)?;
         // The binding itself is a fact: consumers of this task's input
@@ -251,9 +264,15 @@ impl Coordinator {
         } else if task.is_scope {
             drain.worklist.seed_children(plan, task_id);
         } else {
-            let launch = (cb.incarnation, set.into(), facts::bound_map(plan, &bound));
+            let launch = Launch {
+                incarnation: cb.incarnation,
+                attempt: cb.attempt,
+                set: set.into(),
+                inputs: facts::bound_map(plan, &bound),
+                repeat_objects: BTreeMap::new(),
+            };
             drain.flying.push(task_id);
-            drain.push(Effect::Dispatch(task_id, launch));
+            step.push(&drain.name, Effect::Dispatch(task_id, launch));
         }
         Ok(())
     }
@@ -264,11 +283,12 @@ impl Coordinator {
     /// the step run first, preserving the fixpoint precedence.
     fn check_scope_outputs(
         &mut self,
+        step: &mut Step,
         drain: &mut Drain<'_>,
         scope_id: TaskId,
     ) -> Result<(), EngineError> {
         let plan = drain.plan;
-        let Some(scope_cb) = self.staged_cb(drain.step, drain.keys, scope_id) else {
+        let Some(scope_cb) = self.staged_cb(step, drain.keys, scope_id) else {
             return Ok(());
         };
         if !matches!(scope_cb.state, CbState::Active { .. }) {
@@ -276,7 +296,7 @@ impl Coordinator {
         }
         // Marks first (non-terminal), then the first satisfied terminal
         // output (or repeat) — both in declaration order.
-        let satisfied = self.probe(drain, |facts| {
+        let satisfied = self.probe(step, drain, |facts| {
             plan_eval::eval_scope_outputs(plan, scope_id, facts)
         })?;
         let satisfied = satisfied.unwrap_or_default();
@@ -286,7 +306,7 @@ impl Coordinator {
         });
         if let Some(at) = fresh_mark {
             let (out_idx, mapped) = &satisfied[at];
-            self.emit_scope_mark(drain, scope_id, scope_cb, *out_idx, mapped)?;
+            self.emit_scope_mark(step, drain, scope_id, scope_cb, *out_idx, mapped)?;
             drain.worklist.seed_commit(plan, scope_id);
             drain.worklist.push_task(plan, scope_id); // more outputs may fire
             return Ok(());
@@ -297,10 +317,10 @@ impl Coordinator {
         match terminal {
             None => Ok(()),
             Some((out_idx, mapped)) if plan.outputs[out_idx].kind == OutputKind::RepeatOutcome => {
-                self.repeat_scope(drain, scope_id, scope_cb, out_idx, mapped)
+                self.repeat_scope(step, drain, scope_id, scope_cb, out_idx, mapped)
             }
             Some((out_idx, mapped)) => {
-                self.terminate_scope(drain, scope_id, scope_cb, out_idx, mapped)?;
+                self.terminate_scope(step, drain, scope_id, scope_cb, out_idx, mapped)?;
                 drain.worklist.seed_commit(plan, scope_id);
                 Ok(())
             }
@@ -309,6 +329,7 @@ impl Coordinator {
 
     fn emit_scope_mark(
         &mut self,
+        step: &mut Step,
         drain: &mut Drain<'_>,
         scope_id: TaskId,
         mut cb: TaskCb,
@@ -323,17 +344,18 @@ impl Coordinator {
             .out_key(plan, scope_id, mark)
             .ok_or_else(|| EngineError::UnknownTask(scope_path.to_string()))?;
         cb.marks_emitted.push(mark.to_string());
-        let action = drain.step.action(&mut self.mgr);
+        let action = step.action(&mut self.mgr);
         write_cb(&mut self.mgr, action, keys, scope_id, &cb)?;
         facts::write_fact_bound(&mut self.mgr, action, plan, out_key, output.slots, mapped)?;
-        drain.push(Effect::Count(self.metrics.marks.clone()));
+        step.push(&drain.name, Effect::Count(self.metrics.marks.clone()));
         let event = || self.commit_event(format!("mark `{mark}`"));
-        self.trace(drain.step, &drain.name, Some(scope_path), cb.attempt, event);
+        self.trace(step, &drain.name, Some(scope_path), cb.attempt, event);
         Ok(())
     }
 
     fn terminate_scope(
         &mut self,
+        step: &mut Step,
         drain: &mut Drain<'_>,
         scope_id: TaskId,
         mut cb: TaskCb,
@@ -357,7 +379,7 @@ impl Coordinator {
         let root_record = match plan.task(scope_id).parent {
             Some(_) => None,
             None => {
-                let record: Option<StatusRecord> = self.staged(drain.step, keys.status())?;
+                let record: Option<StatusRecord> = self.staged(step, keys.status())?;
                 let mut record =
                     record.ok_or_else(|| EngineError::UnknownInstance(drain.name.to_string()))?;
                 record.status = InstanceStatus::Completed(Outcome {
@@ -368,7 +390,7 @@ impl Coordinator {
                 Some(record)
             }
         };
-        let action = drain.step.action(&mut self.mgr);
+        let action = step.action(&mut self.mgr);
         write_cb(&mut self.mgr, action, keys, scope_id, &cb)?;
         facts::write_fact_bound(&mut self.mgr, action, plan, out_key, output.slots, &mapped)?;
         // Cancel every non-terminal descendant (one flat subtree scan —
@@ -377,21 +399,21 @@ impl Coordinator {
         if let Some(record) = &root_record {
             self.mgr.write_key(action, keys.status(), record)?;
         }
-        drain.push(Effect::Terminals(1 + cancelled)); // and the scope itself
+        step.push(&drain.name, Effect::Terminals(1 + cancelled)); // and the scope itself
         let is_root = root_record.is_some();
         if let Some(record) = root_record {
             // The instance just completed: the drain ends here.
             drain.terminal = true;
-            drain.push(Effect::Settled(record.status));
+            step.push(&drain.name, Effect::Status(record.status));
         }
-        self.trace(drain.step, &drain.name, Some(scope_path), 0, || {
+        self.trace(step, &drain.name, Some(scope_path), 0, || {
             let what = format!("{verb} `{outcome}`");
             match is_root {
                 true => ObsEventKind::Terminal { outcome: what },
                 false => self.commit_event(what),
             }
         });
-        drain.discard_below(scope_id);
+        drain.discard_below(step, scope_id);
         Ok(())
     }
 
@@ -399,6 +421,7 @@ impl Coordinator {
     /// subtree and let the compound rebind its inputs.
     fn repeat_scope(
         &mut self,
+        step: &mut Step,
         drain: &mut Drain<'_>,
         scope_id: TaskId,
         mut cb: TaskCb,
@@ -419,7 +442,7 @@ impl Coordinator {
             cb.transition(CbState::Failed {
                 reason: format!("compound repeat limit exceeded via `{outcome}`"),
             });
-            let action = drain.step.action(&mut self.mgr);
+            let action = step.action(&mut self.mgr);
             write_cb(&mut self.mgr, action, keys, scope_id, &cb)?;
             Effect::Terminals(1)
         } else {
@@ -429,10 +452,10 @@ impl Coordinator {
             // The root, which has no bindings, reactivates with the
             // input set and inputs it was started with.
             let started_as: Option<InstanceHeader> = match is_root {
-                true => self.staged(drain.step, keys.meta()).ok().flatten(),
+                true => self.staged(step, keys.meta()).ok().flatten(),
                 false => None,
             };
-            let action = drain.step.action(&mut self.mgr);
+            let action = step.action(&mut self.mgr);
             let mgr = &mut self.mgr;
             facts::write_fact_bound(mgr, action, plan, out_key, output.slots, &mapped)?;
             if let Some(header) = &started_as {
@@ -459,11 +482,11 @@ impl Coordinator {
             let revived = reset_descendants(mgr, action, keys, plan, scope_id, cb.scope_inc)?;
             Effect::Revived(revived)
         };
-        drain.push(Effect::Count(self.metrics.repeats.clone()));
+        step.push(&drain.name, Effect::Count(self.metrics.repeats.clone()));
         let event = || self.commit_event(format!("repeat `{outcome}`"));
-        self.trace(drain.step, &drain.name, Some(scope_path), cb.attempt, event);
-        drain.push(moved);
-        drain.discard_below(scope_id);
+        self.trace(step, &drain.name, Some(scope_path), cb.attempt, event);
+        step.push(&drain.name, moved);
+        drain.discard_below(step, scope_id);
         // Re-entry: the repeat fact is fresh; a reset compound rebinds
         // through the start agenda, a reset root enables its children.
         drain.worklist.seed_commit(plan, scope_id);
@@ -479,7 +502,7 @@ impl Coordinator {
     /// settled, or with work in flight once it is published, is not
     /// stuck. Only the one-time transition *to* Stuck reads control
     /// blocks (dense-key point reads) to compose the diagnostic reason.
-    fn stuck_check(&mut self, drain: &mut Drain<'_>) -> Result<(), EngineError> {
+    fn stuck_check(&mut self, step: &mut Step, drain: &mut Drain<'_>) -> Result<(), EngineError> {
         let (plan, keys) = (drain.plan, drain.keys);
         if drain.terminal || !drain.flying.is_empty() {
             return Ok(());
@@ -489,7 +512,7 @@ impl Coordinator {
         // saying how close each waiting task got.
         let (mut nonterminal, mut failed, mut waiting) = (0, Vec::new(), Vec::new());
         for id in 0..plan.tasks.len() as TaskId {
-            let Some(cb) = self.staged_cb(drain.step, keys, id) else {
+            let Some(cb) = self.staged_cb(step, keys, id) else {
                 continue;
             };
             nonterminal += usize::from(!cb.state.is_terminal());
@@ -499,7 +522,7 @@ impl Coordinator {
                     failed.push(format!("{path} ({reason})"));
                 }
                 CbState::Waiting => {
-                    let facts = StoreFacts::new(&self.mgr, drain.step.staged(), keys);
+                    let facts = StoreFacts::new(&self.mgr, step.staged(), keys);
                     let task = plan.task(id);
                     let pending = plan.sets[task.sets.as_range()]
                         .iter()
@@ -525,22 +548,24 @@ impl Coordinator {
             failed.join(", "),
             waiting.join(", ")
         );
-        self.park_stuck(drain.step, &drain.name, keys, reason)
+        self.park_stuck(step, drain, reason)
     }
 
     /// Stages parking a running instance `Stuck` with the diagnosable
     /// `reason` (a reconfiguration or administrative repair can revive
     /// it): nothing can run and the root cannot terminate, or a fact
     /// probe hit a storage/decode fault — a corrupt record must not
-    /// read as "fact absent" and silently mis-evaluate readiness.
+    /// read as "fact absent" and silently mis-evaluate readiness. Its
+    /// drain ends here.
     pub(super) fn park_stuck(
         &mut self,
         step: &mut Step,
-        instance: &Rc<str>,
-        keys: &InstanceKeys,
+        drain: &mut Drain<'_>,
         reason: String,
     ) -> Result<(), EngineError> {
-        let Ok(Some(mut record)) = self.staged::<StatusRecord>(step, keys.status()) else {
+        drain.terminal = true;
+        let status_key = drain.keys.status();
+        let Ok(Some(mut record)) = self.staged::<StatusRecord>(step, status_key) else {
             return Ok(());
         };
         if record.status.is_terminal() {
@@ -550,9 +575,11 @@ impl Coordinator {
             reason: reason.clone(),
         };
         let action = step.action(&mut self.mgr);
-        self.mgr.write_key(action, keys.status(), &record)?;
-        step.push(instance, Effect::Settled(record.status));
-        self.trace(step, instance, None, 0, || ObsEventKind::Stuck { reason });
+        self.mgr.write_key(action, status_key, &record)?;
+        step.push(&drain.name, Effect::Status(record.status));
+        self.trace(step, &drain.name, None, 0, || ObsEventKind::Stuck {
+            reason,
+        });
         Ok(())
     }
 

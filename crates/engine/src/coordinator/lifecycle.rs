@@ -11,7 +11,7 @@ use std::rc::Rc;
 
 use flowscript_core::schema::{self, Schema};
 use flowscript_obs::ObsEventKind;
-use flowscript_plan::{Plan, TaskId, Worklist};
+use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::World;
 use flowscript_tx::{FactKey, StoreKey};
 
@@ -215,8 +215,8 @@ impl CoordHandle {
 
         // The start is one step — header, status record, blocks, the
         // root's binding *and* the first drain's activations in one
-        // action — committed straight to the log, outside any group: a
-        // frame that fails to append aborts it, and leaves nothing behind.
+        // action — committed straight to the log: a frame that fails to
+        // append aborts it, and leaves nothing behind.
         let staged = self.inner.borrow_mut().run_step(|coordinator, step| {
             // A second start must not write over the first.
             if coordinator.holds(instance) {
@@ -300,18 +300,14 @@ impl CoordHandle {
                 ObsEventKind::InstanceStart
             });
             // The first drain: the root just activated.
-            let mut worklist = Worklist::new();
-            worklist.seed_children(&plan, 0);
-            coordinator.stage_drain(step, &name, &plan, &keys, worklist, &[])
+            let mut drain = coordinator.drain_of(name.clone(), &plan, &keys);
+            drain.worklist.seed_children(&plan, 0);
+            coordinator.stage_drain(step, &mut drain)
         });
         // The caller acknowledges the start on `Ok`: a frame that did
         // not reach the log must not read as one.
         let ((), effects) = staged?;
-        // Whatever the publishing still commits (a first task no executor
-        // can take fails) shares one frame behind the start's.
-        self.inner.borrow_mut().mgr.begin_group();
         self.publish(world, effects);
-        let _ = self.inner.borrow_mut().mgr.end_group();
         self.assert_settled(instance);
         let _ = self.inner.borrow_mut().maybe_checkpoint();
         Ok(())
@@ -573,7 +569,6 @@ mod tests {
             start(&coord, &mut world, "x"),
             Err(EngineError::Tx(_))
         ));
-        assert!(!coord.inner.borrow().mgr.in_group(), "the start's group");
         // Abandoned with its locks, that action would fail every later
         // start on this shard until a restart.
         start(&coord, &mut world, "y").expect("the failed start released the id sequence");
@@ -600,7 +595,6 @@ mod tests {
             matches!(&refused, Err(EngineError::Tx(why)) if why.contains("injected append failure")),
             "{refused:?}"
         );
-        assert!(!coord.inner.borrow().mgr.in_group(), "the start's group");
         assert!(coord.instance_names().is_empty());
         assert_eq!((objects(&coord), occupancy(&coord)), (0, 0));
         assert_eq!(coord.log_size(), 0);

@@ -5,18 +5,19 @@
 //! stored as objects in a [`TxManager`] so that each state transition is
 //! an atomic action and a coordinator crash loses nothing committed
 //! (paper §3, system-level fault tolerance). It is one loop of *steps* —
-//! stage a window of reports and everything they cascade into in one
-//! atomic action, commit it once, publish what it made true — plus what
-//! keeps that loop fed and alive: dispatch with watchdogs and bounded
-//! retries, admission, shard membership and crash recovery.
+//! stage an event (a window of reports, a time-out, a restart's re-arm,
+//! an operator's repair) and everything it cascades into in one atomic
+//! action, commit it once, publish what it made true — plus what keeps
+//! that loop fed and alive: dispatch with watchdogs, admission, shard
+//! membership and crash recovery. A task attempt moves no other way.
 //!
 //! Re-evaluation is **event-driven**: each committed fact seeds a
 //! [`Worklist`](flowscript_plan::Worklist) from the plan's reverse
 //! dependency edges, so per-commit work scales with the fan-out of the
 //! changed task, not the instance size. The full scan survives only for
-//! crash recovery, adoption and reconfiguration (where the plan itself
-//! changes), and — in debug builds — as a quiescence oracle asserted
-//! after every outermost step. All fact storage runs on dense
+//! crash recovery, adoption, repair and reconfiguration (where the plan
+//! itself changes), and — in debug builds — as a quiescence oracle
+//! asserted after every step. All fact storage runs on dense
 //! per-object sub-keys interned per instance (the
 //! [`crate::keys::InstanceKeys`] table over the [`crate::facts`]
 //! layout): a readiness probe is one point read of exactly the bytes it
@@ -27,7 +28,7 @@
 //!
 //! This module holds the shared state ([`Coordinator`], reached through
 //! the cloneable [`CoordHandle`]), the message entry point and the
-//! helpers every concern uses (`commit_cb`, `record_event`, the
+//! helpers every concern uses (`record_event`, `write_cb`, the
 //! control-block/header/status reads, `pump`). Each child module owns one
 //! concern; what it *owns* is private to it, and the entry points named
 //! are the only way in from a sibling:
@@ -35,15 +36,15 @@
 //! | module | concern | owns | entry points |
 //! |---|---|---|---|
 //! | `config`, `meta`, `stats` | the types: operator knobs; status and outcome, the write-once `InstanceHeader`, the `StatusRecord`, the pinned source's hash (their uids: [`crate::keys`]); counters and the dispatch record | — | — |
-//! | `step` | the unit of commit: stage into one action (reading its own writes back), commit once, publish the effects in staging order | `Step`, `Effect` | `run_step` (the one way the engine runs an action), `atomically` (the step with nothing to publish), `publish`; `staged`, `staged_cb`, `trace` |
-//! | `window` | the one place a report is applied: buffer `Done`/`Mark` reports, commit a window of them and its cascade as one step | `BatchWindow` | `enqueue_event`, `flush_pending`, `commit_event` |
-//! | `evaluate` | the cascade a step stages: input-set satisfaction, activation, compound-scope outputs (marks, termination, the fig. 8 repeat), stuck detection; the debug full-scan oracle | — | `stage_drain`, `park_stuck`; `evaluate`, `evaluate_from` (a drain as a step of its own), `assert_settled` |
-//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, bounded retries, the slow-path report handler | `Dispatcher` (scheduler loads, cost model, ready queue), `Flights` (per instance: one record per task with outstanding work) | `dispatch`, `ship` (an activation, under the binding its step staged), `fail_task`, `redispatch`, `on_task_done`, `clear_watch`, `drain_parked`, `discard_flights` (subtree sweep, forced outcome), `executing`; `Flights::outstanding` (stuck detection), `rekey_flights` (reconfiguration), `rearm_adopted` (adoption), `Dispatcher::{release_all, reset}` (hand-off, recovery), `executor_loads` |
+//! | `step` | the unit of commit: stage into one action (reading its own writes back), commit once — straight to the log, in no WAL group — publish the effects in staging order | `Step`, `Effect`, `Launch` (what an attempt ships under) | `run_step` (the one way the engine runs an action), `atomically` (the step with nothing to publish), `publish`; `staged`, `staged_cb`, `trace` |
+//! | `window` | the one place a report is applied: buffer `Done`/`Mark` reports, stage a window of them in arrival order — outcome, mark, execution error, repeat outcome, misreport — and its cascade as one step | `BatchWindow` | `enqueue_event`, `flush_pending`, `commit_event` |
+//! | `evaluate` | the cascade a step stages: input-set satisfaction, activation, compound-scope outputs (marks, termination, the fig. 8 repeat), stuck detection; the debug full-scan oracle | `Drain` (one instance inside a step: its seeds, its flights as the step leaves them) | `reevaluate` (the step over one resident instance: the caller stages its transition, the drain follows, one commit, publish — the watchdog, a failed placement, the operator's abort and repair, a restart's re-arm), `evaluate` (the same with nothing but the full scan to stage); `drain_of`, `stage_drain`, `park_stuck`, `assert_settled` |
+//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, and what an attempt that ends with no outcome stages: the bounded retry or `Failed` | `Dispatcher` (scheduler loads, cost model, ready queue), `Flights` (per instance: one record per task with outstanding work) | staging: `stage_lost` (error report, time-out), `stage_failure`, `stage_launch` (the next attempt, now or after a delay); publishing: `ship` (an attempt, under what its step staged), `dispatch` (a staged attempt whose delay or park is over), `dispatch_after`, `lose_flight`, `clear_watch`, `discard_flights` (subtree sweep, forced outcome, failure), `fail_unplaceable`; `drain_parked`, `executing`; `Flights::outstanding` (stuck detection), `rekey_flights` (reconfiguration), `rearm_adopted` (adoption), `Dispatcher::{release_all, reset}` (hand-off, recovery), `executor_loads` |
 //! | `admission` | the per-shard instance cap on the start RPC | `Admission` | `admit_or_queue`, `admit_from_queue`, `Admission::{instance_live, instance_settled}` |
 //! | `lifecycle` | instance start (the one writer of a header, and of the two per-shard blobs beside it: the compiled plan per fingerprint, the canonical source per hash), materialising a runtime from committed state, the monitoring reads; blob collection | `PlanCache` | `start_instance_full`, `load_instance`, `rebuild_schema` (the one reader of the source), `count_nonterminal`, `PlanCache::validated`, `gc_plans` |
 //! | `membership` | shard routing and relays; the fleet protocols the nodes run among themselves — live hand-off (the one `tx::dist` 2PC, this module its host) and crash-driven adoption | `Membership`, [`MoveReport`], [`FailoverReport`] | `route_report`, `misdirected`, `forward_start`; from the façade `begin_move`, `begin_adoption` (each answers with a `Ticket`); from the wire `on_dist`, `on_claim`; `adopt_orphans`, `repair_handoffs` |
-//! | `recovery` | restart: reopen the log, reset volatile state (fleet protocols included), repair hand-offs, reload, re-dispatch | — | `recover`, `stored_instances`, `stored_instance_names` |
-//! | `admin` | operator actions on a running instance | — | `reconfigure`, `abort_waiting_task`, `repair_fact` |
+//! | `recovery` | restart: reopen the log, reset volatile state (fleet protocols included), repair hand-offs, reload, re-arm each running instance in one step | — | `recover`, `stored_instances`, `stored_instance_names` |
+//! | `admin` | operator actions on a running instance: the abort and the repair one step each, reconfiguration a commit and a drain (it swaps the plan in between) | — | `reconfigure`, `abort_waiting_task`, `repair_fact` |
 
 mod admin;
 mod admission;
@@ -67,7 +68,7 @@ use flowscript_core::schema::Schema;
 use flowscript_obs::{FlightRecorder, ObsEventKind, Registry};
 use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::{Envelope, NodeId, World};
-use flowscript_tx::{AtomicAction, FactKey, StableStore, StoreKey, TxError, TxManager};
+use flowscript_tx::{AtomicAction, StableStore, StoreKey, TxError, TxManager};
 
 use crate::error::EngineError;
 use crate::keys::{meta_uid, status_uid, InstanceKeys};
@@ -268,18 +269,11 @@ impl Coordinator {
         self.atomically(|mgr, action| Ok(mgr.write_key(action, key, value)?))
     }
 
-    /// Writes one control block in an atomic action of its own and
-    /// reports whether it committed — callers move their counters and
-    /// trace events only on `true`.
-    fn commit_cb(&mut self, key: FactKey, cb: &TaskCb) -> bool {
-        self.commit_object(&StoreKey::Fact(key), cb).is_ok()
-    }
-
     /// Checkpoints when the threshold of commits has accumulated since
-    /// the last one. Evaluated once per drain (and after each batch
-    /// flush) rather than per commit, so a group commit can never stall
+    /// the last one. Evaluated once per step (and after each batch
+    /// flush) rather than per commit, so a window can never stall
     /// mid-batch on a `rewrite_with_checkpoint` — and never while a
-    /// commit group is open.
+    /// commit group (a hand-off round's decision + purge) is open.
     fn maybe_checkpoint(&mut self) -> Result<(), EngineError> {
         let Some(every) = self.config.checkpoint_every else {
             return Ok(());

@@ -1,13 +1,15 @@
 //! Crash recovery: reopen the log, reset everything volatile, repair
-//! stranded hand-offs, reload every stored instance and re-dispatch
-//! whatever was executing.
+//! stranded hand-offs, reload every stored instance and re-arm each
+//! running one in a step: every executing block's attempt bump and the
+//! full drain commit once, then the re-dispatches ship.
 
 use flowscript_obs::ObsEventKind;
 use flowscript_sim::World;
 use flowscript_tx::{StableStore, TxManager};
 
 use super::{
-    Admission, CoordHandle, Coordinator, InstanceHeader, InstanceStatus, PlanCache, StatusRecord,
+    write_cb, Admission, CoordHandle, Coordinator, InstanceHeader, InstanceStatus, PlanCache,
+    StatusRecord,
 };
 use crate::keys::{self, meta_uid, status_uid};
 use crate::msg::EngineMsg;
@@ -123,30 +125,26 @@ impl CoordHandle {
         }
 
         // Re-dispatch whatever was executing (at-least-once execution,
-        // exactly-once outcome application via attempt matching).
+        // exactly-once outcome application via attempt matching), one
+        // step per instance: the bumps, then the full drain.
         for instance in &instances {
-            let Some((plan, keys)) = self.instance_ctx(instance) else {
-                continue;
-            };
-            let executing = self.inner.borrow().executing(instance);
-            for (task, _) in executing {
-                // Bump the attempt so a late pre-crash reply is ignored
-                // (re-read: an earlier re-dispatch of this loop may have
-                // failed its task and cancelled this one).
-                let bumped = {
-                    let mut coordinator = self.inner.borrow_mut();
-                    let Some(mut cb) = coordinator.read_cb_id(&keys, task) else {
-                        continue;
-                    };
+            let rearmed = self.reevaluate(world, instance, |coordinator, step, drain| {
+                for (task, mut cb) in coordinator.executing(instance) {
+                    // Bump the attempt so a late pre-crash reply is
+                    // ignored.
                     cb.attempt += 1;
-                    coordinator.commit_cb(keys.cb(task), &cb).then_some(cb)
-                };
-                if let Some(cb) = bumped {
-                    let path = plan.str(plan.task(task).path);
-                    self.redispatch(world, instance, path, cb.attempt);
+                    let action = step.action(&mut coordinator.mgr);
+                    write_cb(&mut coordinator.mgr, action, drain.keys, task, &cb)?;
+                    coordinator.stage_launch(step, drain, task, &cb, None, None)?;
                 }
+                drain.worklist.seed_all(drain.plan);
+                Ok(())
+            });
+            // The attempts as committed stay on the wire, if anywhere:
+            // their watchdogs are what can still move them.
+            if rearmed.is_err() {
+                self.rearm_adopted(world, instance);
             }
-            self.evaluate(world, instance);
         }
         // Re-dispatches above may have parked against a still-cold
         // scheduler view; give them one immediate placement pass.

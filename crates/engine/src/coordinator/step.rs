@@ -1,10 +1,14 @@
-//! The step — the engine's unit of commit. A start, a commit window and
-//! a re-evaluation each run as one: **stage** everything they cause
-//! into one atomic action (which reads its own earlier transitions back
-//! through [`TxManager::read_through`]), **commit** it once, then
-//! **publish**, in staging order, what the commit made true outside the
-//! store. Nothing is sent, counted or traced for a transition that did
-//! not commit, and a step that rolls back takes its cascade with it.
+//! The step — the engine's unit of commit, and the only way a task
+//! attempt moves. A start, a commit window, a time-out, a failed
+//! placement, an operator's repair and a restart's re-arm each run as
+//! one: **stage** the event's transitions and everything they cascade
+//! into in one atomic action (which reads its own earlier transitions
+//! back through [`TxManager::read_through`]), **commit** it once —
+//! straight to the log, in no WAL group: a refused append aborts it —
+//! then **publish**, in staging order, what the commit made true outside
+//! the store. Nothing is sent, armed, counted or traced for a transition
+//! that did not commit, and a step that rolls back takes its cascade
+//! with it.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -13,7 +17,7 @@ use std::rc::Rc;
 use flowscript_codec::Decode;
 use flowscript_obs::{Counter, ObsEventKind};
 use flowscript_plan::TaskId;
-use flowscript_sim::World;
+use flowscript_sim::{SimDuration, World};
 use flowscript_tx::{AtomicAction, StableStore, StoreKey, TxError, TxManager};
 
 use super::{CoordHandle, Coordinator, InstanceRt, InstanceStatus};
@@ -31,27 +35,45 @@ pub(super) enum Effect {
     Terminals(usize),
     /// A repeat revived terminated control blocks.
     Revived(usize),
-    /// The status record left `Running` for this: the mirror follows,
-    /// the admission slot frees.
-    Settled(InstanceStatus),
-    /// A transition counter moves (`coord.marks`, `coord.repeats`).
+    /// The status record changed to this: the mirror follows, and the
+    /// admission slot frees — or, an operator having revived a stuck
+    /// instance to `Running`, is taken again.
+    Status(InstanceStatus),
+    /// A transition counter moves (`coord.marks`, `coord.repeats`,
+    /// `coord.retries`, `coord.failures`).
     Count(Counter),
     /// A trace event of `task`'s `attempt`, stamped when published.
     Trace(Option<String>, u32, ObsEventKind),
     /// A report was applied: its task's flight ends, a completion.
     Completed(TaskId),
-    /// A leaf was activated: ship its first attempt as staged (where
-    /// the step went on to cancel it, the `Discard` behind ends it).
+    /// An attempt ended with no outcome — its executor reported an error
+    /// (`true`), or its watchdog fired: the load it held is released and
+    /// the next attempt avoids its node.
+    Lost(TaskId, bool),
+    /// An attempt ships as staged: a leaf's first, or a restart's
+    /// re-dispatch (where the step went on to cancel the task, the
+    /// `Discard` behind ends it).
     Dispatch(TaskId, Launch),
+    /// An attempt ships once the delay is over — a retry's back-off, a
+    /// repeat's requested delay; waiting it out is outstanding work.
+    Later(TaskId, SimDuration, Launch),
     /// A drain popped this many worklist entries; `true`: to quiescence.
     Drained(u64, bool),
     /// A subtree was cancelled or reset: its flights end unfinished.
     Discard(Range<TaskId>),
 }
 
-/// What an attempt ships under: its task's incarnation, bound input set
-/// and that set's objects as staged, whatever the block reads by then.
-pub(super) type Launch = (u32, String, BTreeMap<String, ObjectVal>);
+/// What an attempt ships under, as staged, whatever the block reads by
+/// then: its task's incarnation and attempt, the bound input set with
+/// its objects, and the objects of the repeat outcomes the task took.
+#[derive(Debug)]
+pub(super) struct Launch {
+    pub(super) incarnation: u32,
+    pub(super) attempt: u32,
+    pub(super) set: String,
+    pub(super) inputs: BTreeMap<String, ObjectVal>,
+    pub(super) repeat_objects: BTreeMap<String, ObjectVal>,
+}
 
 /// A step's effects in staging order, each with its instance.
 pub(super) type Effects = Vec<(Rc<str>, Effect)>;
@@ -162,7 +184,7 @@ impl Coordinator {
 
 impl CoordHandle {
     /// Publishes a committed step's effects, in staging order. A
-    /// dispatch no executor can take fails its task, in an action of its
+    /// dispatch no executor can take fails its task, in a step of its
     /// own, last: the step behind that must find what this one shipped.
     pub(super) fn publish(&self, world: &mut World, effects: Effects) {
         let now_ns = world.now().as_nanos();
@@ -170,10 +192,14 @@ impl CoordHandle {
         for (instance, effect) in effects {
             let coordinator = || self.inner.borrow_mut();
             match effect {
-                Effect::Completed(task) => _ = self.clear_watch(world, &instance, task),
+                Effect::Completed(task) => self.clear_watch(world, &instance, task),
+                Effect::Lost(task, reported) => self.lose_flight(world, &instance, task, reported),
                 Effect::Dispatch(task, launch) => {
-                    let shipped = self.ship(world, &instance, task, launch, 0, BTreeMap::new());
+                    let shipped = self.ship(world, &instance, task, launch);
                     unplaceable.extend(shipped.err().map(|reason| (instance, task, reason)));
+                }
+                Effect::Later(task, delay, launch) => {
+                    self.dispatch_after(world, &instance, task, delay, launch);
                 }
                 Effect::Drained(evaluations, quiescent) => {
                     let coordinator = coordinator();
@@ -194,10 +220,13 @@ impl CoordHandle {
                         rt.nonterminal += n;
                     }
                 }
-                Effect::Settled(status) => {
+                Effect::Status(status) => {
                     let mut coordinator = coordinator();
                     coordinator.note_status(&instance, &status);
-                    coordinator.admission.instance_settled();
+                    match status.is_terminal() {
+                        true => coordinator.admission.instance_settled(),
+                        false => coordinator.admission.instance_live(),
+                    }
                 }
                 Effect::Count(counter) => counter.inc(),
                 Effect::Trace(task, attempt, kind) => {
@@ -206,7 +235,7 @@ impl CoordHandle {
             }
         }
         for (instance, task, reason) in unplaceable {
-            self.fail_task(world, &instance, task, &reason);
+            self.fail_unplaceable(world, &instance, task, &reason);
         }
     }
 }

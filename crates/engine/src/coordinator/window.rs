@@ -2,10 +2,13 @@
 //!
 //! `Done`/`Mark` reports buffer in [`BatchWindow`] until the count or
 //! the timer trigger fires, then `commit_window` applies the whole
-//! window as one step (`stage_event` validates each report against its
-//! control block and stages transition + fact; the cascade of every
-//! touched instance stages behind them), commits it once and publishes
-//! its effects, inside one WAL group.
+//! window as one step: `stage_event` validates each report, in arrival
+//! order, against its control block and stages what it means — an
+//! outcome's transition and fact, a mark, an execution error's attempt
+//! bump or `Failed`, a repeat outcome's bumped block and repeat fact, an
+//! undeclared output's `Failed` — the cascade of every touched instance
+//! stages behind them, the step commits once, straight to the log, and
+//! its effects are published.
 //! [`CommitBatch::disabled`](super::CommitBatch::disabled) is this same
 //! path with a window of one.
 
@@ -14,12 +17,13 @@ use std::rc::Rc;
 
 use flowscript_core::ast::OutputKind;
 use flowscript_obs::ObsEventKind;
-use flowscript_plan::{Plan, TaskId, Worklist};
+use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::{SimDuration, World};
 use flowscript_tx::StoreKey;
 
+use super::evaluate::Drain;
 use super::step::{Effect, Step};
-use super::{CommitBatch, CoordHandle, Coordinator};
+use super::{write_cb, CommitBatch, CoordHandle, Coordinator};
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::InstanceKeys;
@@ -54,18 +58,6 @@ impl From<PendingEvent> for EngineMsg {
             PendingEvent::Mark(msg) => EngineMsg::Mark(msg),
         }
     }
-}
-
-/// What staging one buffered report into the window's step concluded.
-enum Staging {
-    /// The transition, its facts and its effects are staged in the step.
-    Staged,
-    /// The report is stale or a duplicate: dropped on the floor.
-    Consumed,
-    /// Valid but not a plain transition (error retries, repeats,
-    /// undeclared outputs): `on_task_done` handles it after the window
-    /// commits.
-    Slow,
 }
 
 /// What the window asks of its owner after buffering a report.
@@ -164,12 +156,14 @@ impl Coordinator {
     }
 
     /// Validates one buffered report against its control block and
-    /// stages transition + fact into the window's `step`, with the
+    /// stages what it means into the window's `step`, with the
     /// bookkeeping owed once it commits: terminal accounting, the trace
-    /// event, the flight's release. The block is read *through the
-    /// action*, so a transition staged by an earlier report of the same
-    /// window is visible — duplicates and stale attempts are consumed
-    /// exactly as they would be had the earlier report committed first.
+    /// event, the flight's release, a retry's back-off, a repeat's
+    /// re-execution. The block is read *through the action*, so a
+    /// transition staged by an earlier report of the same window is
+    /// visible — duplicates and stale attempts are consumed exactly as
+    /// they would be had the earlier report committed first. `false`: the
+    /// report is stale or a duplicate, dropped on the floor.
     ///
     /// # Errors
     ///
@@ -178,33 +172,50 @@ impl Coordinator {
     fn stage_event(
         &mut self,
         step: &mut Step,
+        drain: &mut Drain<'_>,
         event: &PendingEvent,
-        plan: &Plan,
-        keys: &InstanceKeys,
         task_id: TaskId,
-    ) -> Result<Staging, EngineError> {
-        let (instance, path, incarnation, attempt) = event.address();
+    ) -> Result<bool, EngineError> {
+        let (_, path, incarnation, attempt) = event.address();
+        let (plan, keys) = (drain.plan, drain.keys);
         let cb_key = StoreKey::Fact(keys.cb(task_id));
         let action = step.action(&mut self.mgr);
         let Some(mut cb) = self.mgr.read_key::<TaskCb>(action, &cb_key)? else {
-            return Ok(Staging::Consumed);
+            return Ok(false);
         };
         if !cb.awaits(incarnation, attempt) {
-            return Ok(Staging::Consumed);
+            return Ok(false);
         }
         let class = plan.class_of(plan.task(task_id));
         let (name, objects, what) = match event {
             PendingEvent::Done(msg) => {
-                let TaskResult::Output { name, objects, .. } = &msg.result else {
-                    return Ok(Staging::Slow); // error retry: per-report bookkeeping
+                let (name, objects, redo_after) = match &msg.result {
+                    TaskResult::Output {
+                        name,
+                        objects,
+                        redo_after,
+                    } => (name, objects, *redo_after),
+                    TaskResult::ExecError { reason } => {
+                        self.stage_lost(step, drain, task_id, cb, reason, true)?;
+                        return Ok(true);
+                    }
                 };
                 let outcome = name.clone();
                 let (state, verb) = match plan.class_output(class, name).map(|o| o.kind) {
                     Some(OutputKind::Outcome) => (CbState::Done { outcome }, "done"),
                     Some(OutputKind::AbortOutcome) => (CbState::Aborted { outcome }, "aborted"),
-                    // Undeclared outputs, mark-as-completion and repeats
-                    // take their failure/retry paths post-commit.
-                    _ => return Ok(Staging::Slow),
+                    Some(OutputKind::RepeatOutcome) => {
+                        return self
+                            .stage_repeat(step, drain, task_id, cb, name, objects, redo_after);
+                    }
+                    misreport => {
+                        let why = match misreport {
+                            Some(_) => format!("mark `{name}` cannot be a completion"),
+                            None => format!("implementation produced undeclared output `{name}`"),
+                        };
+                        self.stage_failure(step, drain, task_id, cb, &why, true)?;
+                        return Ok(true);
+                    }
                 };
                 cb.transition(state);
                 (name, objects, verb)
@@ -214,14 +225,14 @@ impl Coordinator {
                     .class_output(class, &msg.mark)
                     .is_some_and(|output| output.kind == OutputKind::Mark);
                 if !declared || cb.mark_emitted(&msg.mark) {
-                    return Ok(Staging::Consumed);
+                    return Ok(false);
                 }
                 cb.marks_emitted.push(msg.mark.clone());
                 (&msg.mark, &msg.objects, "mark")
             }
         };
         let Some(out_key) = keys.out_key(plan, task_id, name) else {
-            return Ok(Staging::Consumed);
+            return Ok(false);
         };
         let stamped: BTreeMap<String, ObjectVal> = objects
             .iter()
@@ -229,22 +240,72 @@ impl Coordinator {
             .collect();
         self.mgr.write_key(action, &cb_key, &cb)?;
         facts::write_fact_map(&mut self.mgr, action, plan, out_key, &stamped)?;
-        let instance: Rc<str> = Rc::from(instance);
         let is_mark = matches!(event, PendingEvent::Mark(_));
         let moved = match is_mark {
             true => Effect::Count(self.metrics.marks.clone()),
             false => Effect::Terminals(1),
         };
-        step.push(&instance, moved);
-        self.trace(step, &instance, Some(path), attempt, || {
+        step.push(&drain.name, moved);
+        self.trace(step, &drain.name, Some(path), attempt, || {
             self.commit_event(format!("{what} `{name}`"))
         });
         // A completed dispatch releases its watchdog and load *before*
         // the cascade dispatches anything new.
         if !is_mark {
-            step.push(&instance, Effect::Completed(task_id));
+            step.push(&drain.name, Effect::Completed(task_id));
+            drain.lands(task_id);
         }
-        Ok(Staging::Staged)
+        drain.worklist.seed_commit(plan, task_id);
+        Ok(true)
+    }
+
+    /// A leaf took a repeat outcome (fig. 3's `Repeat1`): stages the
+    /// private repeat fact beside the block under its next attempt,
+    /// re-executed with the outcome's objects after the requested delay —
+    /// or beside the block `Failed`, past the repeat limit. Consumers
+    /// drawing on the repeat fact (`AnyOf` alternatives) re-check.
+    #[allow(clippy::too_many_arguments)]
+    fn stage_repeat(
+        &mut self,
+        step: &mut Step,
+        drain: &mut Drain<'_>,
+        task_id: TaskId,
+        mut cb: TaskCb,
+        name: &str,
+        objects: &BTreeMap<String, ObjectVal>,
+        redo_after: SimDuration,
+    ) -> Result<bool, EngineError> {
+        let (plan, keys) = (drain.plan, drain.keys);
+        let Some(out_key) = keys.out_key(plan, task_id, name) else {
+            return Ok(false);
+        };
+        let reported = cb.attempt;
+        cb.repeats += 1;
+        let over_limit = cb.repeats > self.config.max_repeats;
+        if over_limit {
+            cb.transition(CbState::Failed {
+                reason: format!("repeat limit exceeded via `{name}`"),
+            });
+        } else {
+            cb.attempt += 1;
+        }
+        let action = step.action(&mut self.mgr);
+        write_cb(&mut self.mgr, action, keys, task_id, &cb)?;
+        facts::write_fact_map(&mut self.mgr, action, plan, out_key, objects)?;
+        step.push(&drain.name, Effect::Completed(task_id));
+        step.push(&drain.name, Effect::Count(self.metrics.repeats.clone()));
+        let path = plan.str(plan.task(task_id).path);
+        self.trace(step, &drain.name, Some(path), reported, || {
+            self.commit_event(format!("repeat `{name}`"))
+        });
+        drain.worklist.seed_commit(plan, task_id);
+        if over_limit {
+            step.push(&drain.name, Effect::Terminals(1));
+            drain.lands(task_id);
+        } else {
+            self.stage_launch(step, drain, task_id, &cb, Some(objects), Some(redo_after))?;
+        }
+        Ok(true)
     }
 }
 
@@ -318,15 +379,13 @@ impl CoordHandle {
 
     /// Commits `events` as one window, one step: a single atomic action
     /// over the reports (the locks of their control blocks taken first,
-    /// in deterministic [`StoreKey`] order) *and* the readiness cascade
-    /// of every instance they touched, then its effects published in
-    /// staging order. Reports the step cannot absorb (error retries,
-    /// repeats, undeclared outputs) run through `on_task_done` after it
-    /// — in actions of their own inside the same WAL group, serialized
-    /// as if they had arrived just after it. Hands the reports back if
-    /// the step rolled back; the batch id and the `coord.batch_size`
-    /// sample are spent only on a commit, so the histogram's sum is the
-    /// reports applied.
+    /// in deterministic [`StoreKey`] order), each staged in arrival
+    /// order, *and* the readiness cascade of every instance they
+    /// touched, then its effects published in staging order. Hands the
+    /// reports back if the step rolled back — a lock it could not take,
+    /// an append the log refused: nothing of it was published. The batch
+    /// id and the `coord.batch_size` sample are spent only on a commit,
+    /// so the histogram's sum is the reports applied.
     fn commit_window(&self, world: &mut World, events: Vec<PendingEvent>) -> Vec<PendingEvent> {
         // Per-event plan context, and the key union for the lock
         // pre-pass.
@@ -345,47 +404,33 @@ impl CoordHandle {
             contexts.push(ctx);
         }
 
-        let mut slow: BTreeSet<usize> = BTreeSet::new();
-        // The touched instances (first-touch arrival order), each with the
-        // worklist its reports seeded and the tasks they completed.
-        type Touched<'a> = (Rc<str>, &'a Plan, &'a InstanceKeys, Worklist, Vec<TaskId>);
-        let mut touched: Vec<Touched<'_>> = Vec::new();
+        // The touched instances, in first-touch arrival order.
+        let mut touched: Vec<Drain<'_>> = Vec::new();
         let staged = {
             let mut coordinator = self.inner.borrow_mut();
             coordinator.window.current_batch = Some(coordinator.window.batch_seq);
-            coordinator.mgr.begin_group();
             coordinator.run_step(|coordinator, step| {
                 for key in &cb_keys {
                     let action = step.action(&mut coordinator.mgr);
                     coordinator.mgr.read_key_raw(action, key)?;
                 }
-                for (idx, (event, ctx)) in events.iter().zip(&contexts).enumerate() {
+                for (event, ctx) in events.iter().zip(&contexts) {
                     let Some((plan, keys, task)) = ctx else {
                         continue; // unknown instance or path: dropped, as ever
                     };
-                    match coordinator.stage_event(step, event, plan, keys, *task)? {
-                        Staging::Staged => {}
-                        Staging::Consumed => continue,
-                        Staging::Slow => {
-                            slow.insert(idx);
-                            continue;
+                    let instance = event.address().0;
+                    match touched.iter_mut().find(|drain| &*drain.name == instance) {
+                        Some(drain) => _ = coordinator.stage_event(step, drain, event, *task)?,
+                        None => {
+                            let mut drain = coordinator.drain_of(instance.into(), plan, keys);
+                            if coordinator.stage_event(step, &mut drain, event, *task)? {
+                                touched.push(drain);
+                            }
                         }
                     }
-                    let instance = event.address().0;
-                    let at = touched.iter().position(|(name, ..)| &**name == instance);
-                    let at = at.unwrap_or_else(|| {
-                        touched.push((instance.into(), plan, keys, Worklist::new(), Vec::new()));
-                        touched.len() - 1
-                    });
-                    let (.., worklist, ended) = &mut touched[at];
-                    worklist.seed_commit(plan, *task);
-                    if matches!(event, PendingEvent::Done(_)) {
-                        ended.push(*task);
-                    }
                 }
-                for (instance, plan, keys, worklist, ended) in &mut touched {
-                    let worklist = std::mem::take(worklist);
-                    coordinator.stage_drain(step, instance, plan, keys, worklist, ended)?;
+                for drain in &mut touched {
+                    coordinator.stage_drain(step, drain)?;
                 }
                 Ok(())
             })
@@ -401,27 +446,13 @@ impl CoordHandle {
                     }
                 }
                 self.publish(world, effects);
-                // The leftovers run inside the same WAL group, as if
-                // they had arrived right after the window.
-                for (idx, event) in events.into_iter().enumerate() {
-                    match event {
-                        PendingEvent::Done(msg) if slow.contains(&idx) => {
-                            self.on_task_done(world, msg);
-                        }
-                        _ => {}
-                    }
-                }
                 Vec::new()
             }
             Err(_) => events,
         };
-
-        let mut coordinator = self.inner.borrow_mut();
-        let _ = coordinator.mgr.end_group();
-        coordinator.window.current_batch = None;
-        drop(coordinator);
-        for (instance, ..) in &touched {
-            self.assert_settled(instance);
+        self.inner.borrow_mut().window.current_batch = None;
+        for drain in &touched {
+            self.assert_settled(&drain.name);
         }
         rolled_back
     }
@@ -429,7 +460,13 @@ impl CoordHandle {
 
 #[cfg(test)]
 mod tests {
+    use flowscript_tx::storage::FlakyStorage;
+    use flowscript_tx::{Shared, StableStore};
+
     use super::*;
+    use crate::api::WorkflowSystem;
+    use crate::coordinator::EngineConfig;
+    use crate::{InstanceStatus, ObserveLevel, TaskBehavior};
 
     fn report() -> PendingEvent {
         PendingEvent::Mark(MarkMsg {
@@ -476,20 +513,10 @@ mod tests {
         }
     }
 
-    /// A window of three reports over three instances whose shared step
-    /// cannot take one block's lock (a prepared transaction holds it):
-    /// the step rolls back with its whole cascade — nothing of it is
-    /// published — the two healthy reports then commit alone, cascade
-    /// included, and the third is dropped, to be re-reported by its
-    /// watchdog's retry once the lock is gone.
-    #[test]
-    fn a_rolled_back_window_publishes_nothing_and_retries_report_by_report() {
-        use crate::api::WorkflowSystem;
-        use crate::coordinator::EngineConfig;
-        use crate::{CbState, ObserveLevel, TaskBehavior};
-        use flowscript_tx::TxId;
-
-        let text = |value: &str| ObjectVal::text("Message", value);
+    /// Three `QUICKSTART` pipelines `i1`–`i3` on one shard over
+    /// `storage`, tight watchdogs, a window their three `produce` reports
+    /// fill together at 10 ms.
+    fn three_pipelines(storage: Option<StableStore>) -> WorkflowSystem {
         let config = EngineConfig {
             dispatch_timeout: SimDuration::from_millis(400),
             retry_backoff: SimDuration::from_millis(20),
@@ -500,7 +527,11 @@ mod tests {
             },
             ..EngineConfig::default()
         };
-        let mut sys = WorkflowSystem::builder().seed(1).config(config).build();
+        let builder = WorkflowSystem::builder().seed(1).config(config);
+        let mut sys = match storage {
+            Some(storage) => builder.storage(storage).build(),
+            None => builder.build(),
+        };
         let script = flowscript_core::samples::QUICKSTART;
         sys.register_script("q", script, "pipeline").unwrap();
         let work = SimDuration::from_millis(10);
@@ -513,8 +544,34 @@ mod tests {
             used.with_object("result", ObjectVal::text("Message", "r"))
         });
         for name in ["i1", "i2", "i3"] {
-            sys.start(name, "q", "main", [("seed", text("s"))]).unwrap();
+            let seed = ObjectVal::text("Message", "s");
+            sys.start(name, "q", "main", [("seed", seed)]).unwrap();
         }
+        sys
+    }
+
+    fn aborts(sys: &WorkflowSystem) -> u64 {
+        sys.metrics_snapshot().counter("tx.aborts")
+    }
+
+    fn consumes(sys: &WorkflowSystem, name: &str) -> usize {
+        let sent = sys.dispatch_trace_of(name).into_iter();
+        sent.filter(|record| record.path == "pipeline/consume")
+            .count()
+    }
+
+    /// A window of three reports over three instances whose shared step
+    /// cannot take one block's lock (a prepared transaction holds it):
+    /// the step rolls back with its whole cascade — nothing of it is
+    /// published — the two healthy reports then commit alone, cascade
+    /// included, and the third is dropped, to be re-reported by its
+    /// watchdog's retry once the lock is gone.
+    #[test]
+    fn a_rolled_back_window_publishes_nothing_and_retries_report_by_report() {
+        use crate::CbState;
+        use flowscript_tx::TxId;
+
+        let mut sys = three_pipelines(None);
         // While the three `produce`s run, a prepared transaction takes
         // the write lock of `i3`'s `produce` block.
         sys.run_for(SimDuration::from_millis(5));
@@ -530,7 +587,6 @@ mod tests {
             let locked = vec![(StoreKey::Fact(keys.cb(produce)), None)];
             coordinator.mgr.prepare_remote(blocker, 99, locked).unwrap();
         }
-        let aborts = |sys: &WorkflowSystem| sys.metrics_snapshot().counter("tx.aborts");
         assert_eq!(aborts(&sys), 0);
         // The three reports arrive together and fill the window.
         sys.run_for(SimDuration::from_millis(10));
@@ -542,11 +598,6 @@ mod tests {
             (sizes.count, sizes.sum)
         };
         assert_eq!(batch_size(&sys), (2, 2), "two windows of one applied");
-        let consumes = |sys: &WorkflowSystem, name: &str| {
-            let sent = sys.dispatch_trace_of(name).into_iter();
-            sent.filter(|record| record.path == "pipeline/consume")
-                .count()
-        };
         // The healthy cascades were published once — by their own
         // steps, not by the one that rolled back.
         assert_eq!((consumes(&sys, "i1"), consumes(&sys, "i2")), (1, 1));
@@ -587,5 +638,87 @@ mod tests {
             "every report applied once, the dropped one never"
         );
         assert_eq!(aborts(&sys), 3, "and the blocker's own");
+    }
+
+    /// The same window through a log that refuses appends: the shared
+    /// step's one record goes straight to the log, so the refusal aborts
+    /// it — and each one-by-one retry — with nothing published and
+    /// nothing acknowledged that has no frame behind it. The dropped
+    /// reports are the watchdogs' to recover; a watchdog whose own step
+    /// rolls back re-arms itself, and the first one to find the disk
+    /// healed retries.
+    #[test]
+    fn a_window_whose_frame_fails_to_append_publishes_nothing() {
+        let storage = FlakyStorage::default();
+        let fail = storage.fail.clone();
+        let mut sys = three_pipelines(Some(Shared::from(storage).into()));
+        sys.run_for(SimDuration::from_millis(5));
+        let logged = sys.log_size();
+        assert_eq!(aborts(&sys), 0);
+        // The disk goes while the three `produce`s run.
+        fail.set(true);
+        sys.run_for(SimDuration::from_millis(100));
+        assert_eq!(aborts(&sys), 4, "the shared step, then each report alone");
+        for name in ["i1", "i2", "i3"] {
+            assert_eq!(consumes(&sys, name), 0, "{name}: nothing was published");
+            assert_eq!(sys.status(name).unwrap(), InstanceStatus::Running);
+            assert!(sys
+                .output_fact(name, "pipeline/produce", "produced")
+                .is_none());
+        }
+        assert_eq!(sys.log_size(), logged, "no frame, no transition");
+        assert_eq!(sys.stats().retries, 0);
+        // The watchdogs fire at 400 ms into a disk still gone: each
+        // time-out's step rolls back, nothing is released or counted.
+        sys.run_for(SimDuration::from_millis(400));
+        assert_eq!(aborts(&sys), 7, "three time-outs rolled back");
+        assert_eq!((sys.stats().retries, sys.log_size()), (0, logged));
+        // The disk heals; the re-armed watchdogs fire at 800 ms, retry,
+        // and the re-executed `produce`s report into a healthy window.
+        fail.set(false);
+        sys.run();
+        for name in ["i1", "i2", "i3"] {
+            assert_eq!(sys.outcome(name).expect("completes").name, "done");
+            assert_eq!(consumes(&sys, name), 1);
+        }
+        assert_eq!(sys.stats().retries, 3);
+        assert_eq!(aborts(&sys), 7);
+    }
+
+    /// A restart's re-arm is a step like any other: refused by the log,
+    /// it bumps no attempt and re-dispatches nothing — the attempts as
+    /// committed get fresh watchdogs instead, and those retry once the
+    /// disk is back.
+    #[test]
+    fn a_restart_whose_rearm_fails_to_append_leaves_it_to_the_watchdogs() {
+        let storage = FlakyStorage::default();
+        let fail = storage.fail.clone();
+        let mut sys = three_pipelines(Some(Shared::from(storage).into()));
+        sys.run_for(SimDuration::from_millis(5));
+        let logged = sys.log_size();
+        // The coordinator is down while the three `produce`s report.
+        let coordinator = sys.coordinator_node();
+        sys.crash_now(coordinator);
+        sys.run_for(SimDuration::from_millis(10));
+        fail.set(true);
+        sys.restart_now(coordinator);
+        assert_eq!(aborts(&sys), 3, "one re-arm per instance, rolled back");
+        assert_eq!((sys.stats().dispatches, sys.log_size()), (3, logged));
+        fail.set(false);
+        sys.run();
+        for name in ["i1", "i2", "i3"] {
+            assert_eq!(sys.outcome(name).expect("completes").name, "done");
+            let produced = sys.dispatch_trace_of(name).into_iter();
+            let attempts: Vec<u32> = produced
+                .filter(|record| record.path == "pipeline/produce")
+                .map(|record| record.attempt)
+                .collect();
+            assert_eq!(
+                attempts,
+                [0, 1],
+                "{name}: the time-out's retry, no re-arm's"
+            );
+        }
+        assert_eq!(sys.stats().retries, 3);
     }
 }

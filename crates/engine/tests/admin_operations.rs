@@ -167,6 +167,49 @@ fn an_abort_forced_below_a_waiting_scope_is_seen_when_the_scope_activates() {
 }
 
 #[test]
+fn a_completion_forced_onto_a_waiting_task_is_rejected_and_changes_nothing() {
+    // `repair_fact` force-completes a task that has not terminated, as if
+    // its executor had replied — but fig. 3 has no `Waiting → Done` edge:
+    // `second` has bound no inputs to complete on. The call used to
+    // panic in `TaskCb::transition`.
+    let mut sys = WorkflowSystem::builder().executors(2).seed(84).build();
+    sys.register_script("staged", STAGED, "app").unwrap();
+    sys.bind_fn("refFirst", |_| {
+        TaskBehavior::outcome("done")
+            .with_work(SimDuration::from_secs(5))
+            .with_object("out", text("Data", "d"))
+    });
+    sys.bind_fn("refWork", |_| panic!("`work` was skipped"));
+    sys.bind_fn("refFallback", |_| TaskBehavior::outcome("done"));
+    sys.start("s1", "staged", "main", [("seed", text("Data", "s"))])
+        .unwrap();
+    sys.run_for(SimDuration::from_secs(1));
+    let before = (sys.task_states("s1"), sys.status("s1").ok(), sys.log_size());
+    assert_eq!(before.0["app/second"], CbState::Waiting);
+    let refused = sys.repair_fact("s1", "app/second", "done", [] as [(&str, ObjectVal); 0]);
+    assert!(
+        matches!(&refused, Err(EngineError::ReconfigRejected(why)) if why.contains("Waiting")),
+        "{refused:?}"
+    );
+    let after = (sys.task_states("s1"), sys.status("s1").ok(), sys.log_size());
+    assert_eq!(
+        before, after,
+        "a rejected repair leaves the instance untouched"
+    );
+    assert!(sys.output_fact("s1", "app/second", "done").is_none());
+    // The wait-state *abort* is an edge: forcing one is allowed.
+    sys.repair_fact(
+        "s1",
+        "app/second/work",
+        "skipped",
+        [] as [(&str, ObjectVal); 0],
+    )
+    .expect("`Waiting → Aborted` is fig. 3's wait-state abort");
+    sys.run();
+    assert_eq!(sys.outcome("s1").expect("settles").name, "skipped");
+}
+
+#[test]
 fn versioned_instantiation_uses_the_requested_script() {
     // v1's pipeline root is `pipeline`; v2 is a different script whose
     // root differs — version selection must pick the right one.

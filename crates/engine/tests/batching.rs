@@ -16,8 +16,8 @@ mod common;
 use std::collections::{BTreeMap, BTreeSet};
 
 use common::{
-    bind_order, build, det_link, fingerprints, generated_config, generated_script, population,
-    run_generated, start_population, text, Fingerprint,
+    bind_misreports, bind_order, build, det_link, fingerprints, generated_config, generated_script,
+    population, run_generated, start_population, text, Fingerprint,
 };
 use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
@@ -37,10 +37,18 @@ fn arm_config(batch: CommitBatch) -> EngineConfig {
     }
 }
 
+/// The paper population, plus two instances whose leaves error, repeat
+/// and misreport ([`common::MISREPORTS`]) beside a plain outcome.
 fn run_arm(coordinators: usize, batch: CommitBatch) -> BTreeMap<String, Fingerprint> {
     let mut sys = build(coordinators, arm_config(batch));
-    let population = population();
+    bind_misreports(&mut sys, [10, 5, 15]);
+    let mut population = population();
     start_population(&mut sys, &population);
+    for name in ["misreports-a", "misreports-b"] {
+        sys.start(name, "misreports", "main", [("seed", text("Data", "s"))])
+            .unwrap();
+        population.push(name.to_string());
+    }
     sys.run();
     fingerprints(&sys, &population)
 }
@@ -55,6 +63,10 @@ fn batched_matches_unbatched_on_fig7_fig8_across_shards() {
             assert!(!trace.is_empty(), "{name} never dispatched");
             assert!(status.is_terminal());
         }
+        let (_, retried, states) = &unbatched["misreports-a"];
+        assert_eq!(retried.len(), 4 + 3 + 1, "three retries, one repeat");
+        assert!(matches!(states["root/unbound"], CbState::Failed { .. }));
+        assert!(matches!(states["root/rogue"], CbState::Failed { .. }));
         assert_eq!(
             unbatched, batched,
             "batched arm diverged at {coordinators} shard(s)"
@@ -81,8 +93,8 @@ fn batch_metrics_flow_through_registry_and_exports() {
         .expect("frame-size histogram present");
     assert!(frame_bytes.count > 0, "appends must sample frame sizes");
     // A window is one step and a step one commit record, cascade
-    // included: no frame is a multi-record group (only a slow-path
-    // leftover would share its window's frame).
+    // included: no frame is a multi-record group (only a hand-off
+    // round's decision + purge is one).
     assert_eq!(snapshot.counter("tx.group_commits"), 0);
     // Export formats carry the new series.
     let json = snapshot.to_json();

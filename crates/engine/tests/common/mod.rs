@@ -244,6 +244,70 @@ compoundtask root of taskclass Root {
 }
 "#;
 
+/// Four leaves the root waits on, all started off the seed, each
+/// reporting something else (see [`bind_misreports`]): a plain outcome,
+/// a repeat outcome, an execution error (`refUnbound` is never bound)
+/// and an output its class does not declare. The last two fail for
+/// good, so the instance ends `Stuck` — in the step of the last failure.
+pub const MISREPORTS: &str = r#"
+class Data;
+taskclass Work {
+    inputs { input main { in of class Data } };
+    outputs { outcome done { }; repeat outcome again { p of class Data } }
+}
+taskclass Root {
+    inputs { input main { seed of class Data } };
+    outputs { outcome done { } }
+}
+compoundtask root of taskclass Root {
+    task plain of taskclass Work {
+        implementation { "code" is "refPlain" };
+        inputs { input main { inputobject in from { seed of task root if input main } } }
+    };
+    task again of taskclass Work {
+        implementation { "code" is "refAgain" };
+        inputs { input main { inputobject in from { seed of task root if input main } } }
+    };
+    task unbound of taskclass Work {
+        implementation { "code" is "refUnbound" };
+        inputs { input main { inputobject in from { seed of task root if input main } } }
+    };
+    task rogue of taskclass Work {
+        implementation { "code" is "refRogue" };
+        inputs { input main { inputobject in from { seed of task root if input main } } }
+    };
+    outputs { outcome done {
+        notification from { task plain if output done };
+        notification from { task again if output done };
+        notification from { task unbound if output done };
+        notification from { task rogue if output done }
+    } }
+}
+"#;
+
+/// Registers [`MISREPORTS`] as `misreports` and binds its leaves: after
+/// `[plain, again, rogue]` ms of work `plain` is `done`, `again` takes
+/// its repeat outcome once (redone 20 ms later) and `rogue` reports
+/// `bogus`; `unbound`'s executor answers with an error at once.
+pub fn bind_misreports(sys: &mut WorkflowSystem, work_ms: [u64; 3]) {
+    sys.register_script("misreports", MISREPORTS, "root")
+        .unwrap();
+    let [plain, again, rogue] = work_ms.map(SimDuration::from_millis);
+    sys.bind_fn("refPlain", move |_| {
+        TaskBehavior::outcome("done").with_work(plain)
+    });
+    sys.bind_fn("refAgain", move |ctx| match ctx.attempt {
+        0 => TaskBehavior::outcome("again")
+            .with_work(again)
+            .with_object("p", text("Data", "once"))
+            .with_redo_after(SimDuration::from_millis(20)),
+        _ => TaskBehavior::outcome("done").with_work(again),
+    });
+    sys.bind_fn("refRogue", move |_| {
+        TaskBehavior::outcome("bogus").with_work(rogue)
+    });
+}
+
 /// A `width`-way fan of leaves `w{i}` (code `refW{i}`, declaring
 /// `duration_ms(i)` when it gives one) joined by an AND of
 /// notifications: the outcome is independent of completion order, so

@@ -23,15 +23,15 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use common::{
-    build, det_config, det_link, frame_writes, generated_script, log_frames, population,
-    start_population, text, JOIN, ONE_TASK,
+    bind_misreports, build, det_config, det_link, fan_join_source, frame_writes, generated_script,
+    log_frames, population, start_population, text, JOIN, ONE_TASK,
 };
 use flowscript_core::samples;
 use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{
     CbState, CommitBatch, InstanceStatus, TaskBehavior, TaskCb, WorkflowSystem,
 };
-use flowscript_sim::SimDuration;
+use flowscript_sim::{SimDuration, SimTime};
 use flowscript_tx::{FactKind, LogRecord, StoreKey};
 
 fn order_sys(seed: u64) -> WorkflowSystem {
@@ -212,9 +212,7 @@ fn is_bare_commit(frame: &LogRecord) -> bool {
 fn every_step_of_the_paper_population_is_one_bare_commit() {
     // Fig. 7 orders and fig. 8 trips, batched, on four shards: a start
     // and a window each write one frame holding one commit record —
-    // the step — whatever they cascade into. (The population's
-    // implementations fail, repeat and misreport nowhere, so no
-    // slow-path leftover rides a window's group.)
+    // the step — whatever they cascade into.
     let mut sys = build(4, det_config());
     let names = population();
     start_population(&mut sys, &names);
@@ -226,6 +224,159 @@ fn every_step_of_the_paper_population_is_one_bare_commit() {
     assert!(frames.len() > names.len(), "starts and windows");
     let grouped = frames.iter().filter(|frame| !is_bare_commit(frame)).count();
     assert_eq!(grouped, 0, "of {} frames", frames.len());
+}
+
+/// The control blocks a frame writes, as `(instance id, task id)`.
+fn blocks_written(frame: &LogRecord) -> Vec<(u32, u32)> {
+    let keys = frame_writes(frame).into_iter();
+    let facts = keys.filter_map(|(key, _)| key.as_fact());
+    let blocks = facts.filter(|key| key.kind == FactKind::Control);
+    blocks.map(|key| (key.instance, key.task)).collect()
+}
+
+#[test]
+fn a_window_of_errors_repeats_and_misreports_is_one_bare_commit() {
+    // Two instances whose leaves report, into one 50 ms window, an
+    // execution error, a plain outcome, a repeat outcome and an
+    // undeclared output each: eight reports, one step, one commit record
+    // in one frame — no report waits for the window to commit and then
+    // commits alone behind it.
+    let config = EngineConfig {
+        commit_batch: CommitBatch {
+            max_events: 64,
+            max_window: SimDuration::from_millis(50),
+        },
+        ..det_config()
+    };
+    let mut sys = WorkflowSystem::builder()
+        .executors(2)
+        .seed(1)
+        .link(det_link())
+        .config(config)
+        .build();
+    bind_misreports(&mut sys, [10, 5, 15]);
+    for name in ["a", "b"] {
+        sys.start(name, "misreports", "main", [("seed", text("Data", "s"))])
+            .unwrap();
+    }
+    // The window opens on the first error (~0.4 ms) and closes 50 ms on.
+    sys.run_for(SimDuration::from_millis(40));
+    assert_eq!(log_frames(&sys.storage()).len(), 2, "the two starts");
+    assert_eq!(sys.metrics_snapshot().counter("tx.commits"), 2);
+    sys.run_for(SimDuration::from_millis(20));
+    let frames = log_frames(&sys.storage());
+    assert_eq!(frames.len(), 3, "and the window");
+    assert!(is_bare_commit(&frames[2]), "{:?}", frames[2]);
+    assert_eq!(sys.metrics_snapshot().counter("tx.commits"), 3);
+    // The four leaves are tasks 1–4 of instances 0 and 1.
+    let mut blocks = blocks_written(&frames[2]);
+    blocks.sort_unstable();
+    let expected: Vec<(u32, u32)> = (0..2).flat_map(|i| (1..=4).map(move |t| (i, t))).collect();
+    assert_eq!(blocks, expected);
+    let stats = sys.stats();
+    assert_eq!((stats.retries, stats.repeats, stats.failures), (2, 2, 2));
+    sys.run();
+    let frames = log_frames(&sys.storage());
+    assert!(frames.iter().all(is_bare_commit), "to the end");
+    for name in ["a", "b"] {
+        assert!(matches!(
+            sys.status(name).unwrap(),
+            InstanceStatus::Stuck { .. }
+        ));
+    }
+}
+
+#[test]
+fn an_error_a_repeat_and_a_last_failed_retry_each_commit_once() {
+    // The window of one: every report is a step of its own, and the
+    // counter reads what each cost. None of these commits its one block
+    // first and evaluates in a second action.
+    let config = EngineConfig {
+        commit_batch: CommitBatch::disabled(),
+        ..det_config()
+    };
+    let mut sys = WorkflowSystem::builder()
+        .executors(2)
+        .seed(1)
+        .link(det_link())
+        .config(config)
+        .build();
+    bind_misreports(&mut sys, [10, 5, 15]);
+    sys.start("i", "misreports", "main", [("seed", text("Data", "s"))])
+        .unwrap();
+    let commits = |sys: &WorkflowSystem| sys.metrics_snapshot().counter("tx.commits");
+    assert_eq!(commits(&sys), 1, "the start");
+    // What the run up to `ms` committed.
+    let spent_by = |sys: &mut WorkflowSystem, ms: u64| {
+        let before = commits(sys);
+        sys.run_until(SimTime::from_nanos(ms * 1_000_000));
+        commits(sys) - before
+    };
+    assert_eq!(spent_by(&mut sys, 3), 1, "`unbound` errs: the attempt bump");
+    assert_eq!(sys.stats().retries, 1);
+    assert_eq!(spent_by(&mut sys, 8), 1, "`again` repeats: block and fact");
+    assert_eq!(sys.stats().repeats, 1);
+    assert_eq!(spent_by(&mut sys, 13), 1, "`plain` is done");
+    assert_eq!(spent_by(&mut sys, 18), 1, "`rogue` misreports: `Failed`");
+    assert_eq!(sys.stats().failures, 1);
+    // `again` is redone and done, `unbound` errs twice more.
+    assert_eq!(spent_by(&mut sys, 100), 3);
+    assert_eq!(sys.status("i").unwrap(), InstanceStatus::Running);
+    // Its last retry errs too: `Failed`, and the instance — nothing in
+    // flight, the root unable to end — parks `Stuck` in the same step.
+    assert_eq!(spent_by(&mut sys, 200), 1);
+    assert_eq!((sys.stats().retries, sys.stats().failures), (3, 2));
+    assert!(matches!(
+        sys.status("i").unwrap(),
+        InstanceStatus::Stuck { .. }
+    ));
+    let frames = log_frames(&sys.storage());
+    assert_eq!(frames.len() as u64, commits(&sys), "a frame per commit");
+    assert!(frames.iter().all(is_bare_commit));
+}
+
+#[test]
+fn a_restart_rearms_an_instance_in_one_frame() {
+    // Four leaves of one instance are executing when the coordinator
+    // crashes: the restart bumps the four attempts — and stages whatever
+    // the full drain finds — in one step, then re-dispatches.
+    let mut sys = WorkflowSystem::builder()
+        .executors(2)
+        .seed(1)
+        .link(det_link())
+        .config(det_config())
+        .build();
+    let width = 4;
+    sys.register_script("fan", &fan_join_source(width, |_| None), "root")
+        .unwrap();
+    for i in 0..width {
+        sys.bind_fn(&format!("refW{i}"), |_| {
+            TaskBehavior::outcome("done").with_work(SimDuration::from_millis(100))
+        });
+    }
+    sys.start("f", "fan", "main", [("seed", text("Data", "s"))])
+        .unwrap();
+    sys.run_for(SimDuration::from_millis(20));
+    let before = log_frames(&sys.storage()).len();
+    let coordinator = sys.coordinator_node();
+    sys.crash_now(coordinator);
+    sys.restart_now(coordinator);
+    let frames = log_frames(&sys.storage());
+    assert_eq!(frames.len(), before + 1, "one step for the instance");
+    let rearm = frames.last().unwrap();
+    assert!(is_bare_commit(rearm), "{rearm:?}");
+    assert_eq!(blocks_written(rearm), [(0, 1), (0, 2), (0, 3), (0, 4)]);
+    let attempts = |sys: &WorkflowSystem| -> Vec<u32> {
+        let blocks = sys.coord_handle(0).task_blocks("f");
+        (0..width)
+            .map(|i| blocks[&format!("root/w{i}")].attempt)
+            .collect()
+    };
+    assert_eq!(attempts(&sys), [1, 1, 1, 1]);
+    sys.run();
+    assert_eq!(sys.outcome("f").expect("completes").name, "done");
+    let redone = sys.dispatch_trace_of("f").into_iter();
+    assert_eq!(redone.filter(|record| record.attempt == 1).count(), width);
 }
 
 /// Fig. 1's diamond registered, every task bound to a quick `done`.

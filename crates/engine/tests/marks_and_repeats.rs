@@ -167,7 +167,7 @@ compoundtask root of taskclass Root {
 "#;
 
 #[test]
-fn leaf_repeat_reexecutes_with_carried_objects() {
+fn a_repeating_leaf_reexecutes_with_carried_objects() {
     let mut sys = WorkflowSystem::builder().executors(2).seed(93).build();
     sys.register_script("p", LEAF_REPEAT_SCRIPT, "root")
         .unwrap();
@@ -204,7 +204,7 @@ fn leaf_repeat_reexecutes_with_carried_objects() {
 }
 
 #[test]
-fn leaf_repeat_limit_enforced() {
+fn a_repeating_leaf_is_held_to_the_repeat_limit() {
     use flowscript_engine::coordinator::EngineConfig;
     let config = EngineConfig {
         max_repeats: 5,
