@@ -196,8 +196,8 @@ impl SystemBuilder {
     /// Journals every shard to a real synced log file under `dir`
     /// (`shard0.wal`, `shard1.wal`, ...), created fresh — truncating
     /// leftovers from previous runs. Each WAL frame append becomes a
-    /// `write` + `fdatasync`, so commits pay the durable-log cost that
-    /// group commit amortizes; the in-memory default keeps simulated
+    /// `write` + `fdatasync`, so commits pay the durable-log cost the
+    /// commit window amortizes; the in-memory default keeps simulated
     /// crash-survival without touching the disk. Explicit
     /// [`SystemBuilder::storage`]/[`SystemBuilder::shard_storages`]
     /// entries take precedence per shard (restart-over-surviving-disk

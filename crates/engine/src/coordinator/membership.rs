@@ -19,12 +19,15 @@
 //!    the slice, send `Prepare` (the entries as the source keyed them);
 //! 2. *destination*: re-key under a fresh contiguous id range,
 //!    `prepare_remote` — the durable vote — and send `Vote`;
-//! 3. *source*: all yes → `PersistDecision`: the substrate's own
-//!    *decision* record (`log_coordinator_decision`) and the keyspace
-//!    purge in one group frame, durable before any `Decision` leaves; a
-//!    no, or no vote within [`RETRANSMIT_INTERVAL`] → abort, presumed,
-//!    not logged, and the slice thaws where it was. Either way send
-//!    `Decision`, again every interval until acknowledged;
+//! 3. *source*: all yes → `PersistDecision`: one atomic action stages
+//!    the substrate's own *decision* record
+//!    (`TxManager::stage_decision`) and the keyspace purge, and commits
+//!    them as one frame, durable before any `Decision` leaves — a
+//!    refused frame takes neither, and the round is abandoned
+//!    undecided; a no, or no vote within [`RETRANSMIT_INTERVAL`] →
+//!    abort, presumed, not logged, and the slice thaws where it was.
+//!    Either way send `Decision`, again every interval until
+//!    acknowledged;
 //! 4. *destination*: `resolve_remote`, adopt on commit, send `Ack`;
 //! 5. *source*: `Done` — record the pause, relay what was held (an
 //!    aborted round deletes its move record here), start the next
@@ -63,7 +66,7 @@ use flowscript_codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
 use flowscript_obs::ObsEventKind;
 use flowscript_sim::{EventId, NodeId, ReplyToken, RpcError, SimDuration, World};
 use flowscript_tx::dist::{self, AfterImages, CoordAction, DistMsg};
-use flowscript_tx::{FactKey, StableStore, StoreKey, TxId, TxManager};
+use flowscript_tx::{AtomicAction, FactKey, StableStore, StoreKey, TxId, TxManager};
 
 use super::window::PendingEvent;
 use super::{
@@ -407,30 +410,31 @@ fn rekeyed(
     Ok((names, out))
 }
 
-impl Coordinator {
-    /// Deletes every committed object of `instance` in one atomic
-    /// action: its whole uid prefix plus the dense range — facts and
-    /// control blocks — of the header's instance id. The storage half
-    /// of the source side of a committed hand-off (the shared plan and
-    /// source blobs stay; blob GC collects them once no local instance
-    /// pins them).
-    fn purge_instance(&mut self, instance: &str) -> Result<(), EngineError> {
-        let header: Option<InstanceHeader> = self.mgr.read_committed_key(&meta_uid(instance))?;
-        self.atomically(|mgr, action| {
-            for uid in mgr.uids_with_prefix(&keys::instance_prefix(instance)) {
-                mgr.delete_key(action, &StoreKey::Uid(uid))?;
-            }
-            if let Some(header) = &header {
-                let lo = FactKey::instance_first(header.instance_id);
-                let hi = FactKey::instance_last(header.instance_id);
-                for key in mgr.fact_keys_in_range(lo, hi) {
-                    mgr.delete_key(action, &StoreKey::Fact(key))?;
-                }
-            }
-            Ok(())
-        })
+/// Stages into `action` the deletion of every committed object of
+/// `instance`: its whole uid prefix plus the dense range — facts and
+/// control blocks — of the header's instance id. The storage half of
+/// the source side of a committed hand-off (the shared plan and source
+/// blobs stay; blob GC collects them once no local instance pins them).
+fn purge_instance(
+    mgr: &mut TxManager<StableStore>,
+    action: &AtomicAction,
+    instance: &str,
+) -> Result<(), EngineError> {
+    let header: Option<InstanceHeader> = mgr.read_committed_key(&meta_uid(instance))?;
+    for uid in mgr.uids_with_prefix(&keys::instance_prefix(instance)) {
+        mgr.delete_key(action, &StoreKey::Uid(uid))?;
     }
+    if let Some(header) = &header {
+        let lo = FactKey::instance_first(header.instance_id);
+        let hi = FactKey::instance_last(header.instance_id);
+        for key in mgr.fact_keys_in_range(lo, hi) {
+            mgr.delete_key(action, &StoreKey::Fact(key))?;
+        }
+    }
+    Ok(())
+}
 
+impl Coordinator {
     /// Drops `instance`'s volatile runtime — the freeze: outstanding
     /// dispatch load and the admission slot are released, parked
     /// dispatches forgotten (whoever owns the instance next re-arms
@@ -865,10 +869,15 @@ impl CoordHandle {
                 }
                 CoordAction::PersistDecision { tx, .. } => {
                     if let Err(err) = self.commit_round(world, tx) {
-                        // Not durable, so it must not be announced: the
+                        // Not durable, so it was never taken: it must
+                        // not be announced, nor answer a query. The
                         // round is abandoned frozen (a restart presumes
                         // it aborted) and the job reports why.
-                        let round = self.inner.borrow_mut().membership.rounds.remove(&tx);
+                        let round = {
+                            let membership = &mut self.inner.borrow_mut().membership;
+                            membership.dist.abandon(tx);
+                            membership.rounds.remove(&tx)
+                        };
                         if let Some(round) = round {
                             world.cancel(round.timer);
                         }
@@ -881,14 +890,15 @@ impl CoordHandle {
         }
     }
 
-    /// The commit decision, made durable: the substrate's decision
-    /// record — from here the move is committed, crash or no crash, and
-    /// it is what `TxManager::coordinator_decision` answers a
-    /// `QueryOutcome` from — and the slice's keyspace purge, inside one
-    /// WAL commit group so they flush as a single atomic frame. A crash
-    /// can never leave the round decided and part of its slice still
-    /// here — which matters, because the destination resolves its one
-    /// staged transaction all-or-nothing.
+    /// The commit decision, made durable: one atomic action stages the
+    /// substrate's decision record — from here the move is committed,
+    /// crash or no crash, and it is what `TxManager::coordinator_decision`
+    /// answers a `QueryOutcome` from — and the whole slice's keyspace
+    /// purge, and commits them as one frame. A crash can never leave the
+    /// round decided and part of its slice still here — which matters,
+    /// because the destination resolves its one staged transaction
+    /// all-or-nothing — and a log that refuses the frame leaves neither
+    /// the decision nor the purge behind, in memory or on disk.
     fn commit_round(&self, world: &World, tx: TxId) -> Result<(), EngineError> {
         let mut coordinator = self.inner.borrow_mut();
         let coordinator = &mut *coordinator;
@@ -897,15 +907,11 @@ impl CoordHandle {
         };
         let (dest, instances) = (round.dest.index() as u32, round.instances.clone());
         let epoch = coordinator.membership.epoch();
-        coordinator.mgr.begin_group();
-        let decided = coordinator.mgr.log_coordinator_decision(tx, true);
-        let staged = decided.map_err(EngineError::from).and_then(|()| {
-            let purge = |instance: &String| coordinator.purge_instance(instance);
+        coordinator.atomically(|mgr, action| {
+            mgr.stage_decision(action, tx)?;
+            let purge = |instance: &String| purge_instance(mgr, action, instance);
             instances.iter().try_for_each(purge)
-        });
-        // The group closes whatever happened inside it.
-        let flushed = coordinator.mgr.end_group().map_err(EngineError::from);
-        staged.and(flushed)?;
+        })?;
         for instance in &instances {
             coordinator.metrics.handoffs.inc();
             let kind = ObsEventKind::HandOff { to: dest, epoch };

@@ -36,7 +36,7 @@
 //! | module | concern | owns | entry points |
 //! |---|---|---|---|
 //! | `config`, `meta`, `stats` | the types: operator knobs; status and outcome, the write-once `InstanceHeader`, the `StatusRecord`, the pinned source's hash (their uids: [`crate::keys`]); counters and the dispatch record | — | — |
-//! | `step` | the unit of commit: stage into one action (reading its own writes back), commit once — straight to the log, in no WAL group — publish the effects in staging order | `Step`, `Effect`, `Launch` (what an attempt ships under) | `run_step` (the one way the engine runs an action), `atomically` (the step with nothing to publish), `publish`; `staged`, `staged_cb`, `trace` |
+//! | `step` | the unit of commit: stage into one action (reading its own writes back), commit once — one frame straight to the log — publish the effects in staging order | `Step`, `Effect`, `Launch` (what an attempt ships under) | `run_step` (the one way the engine runs an action), `atomically` (the step with nothing to publish), `publish`; `staged`, `staged_cb`, `trace` |
 //! | `window` | the one place a report is applied: buffer `Done`/`Mark` reports, stage a window of them in arrival order — outcome, mark, execution error, repeat outcome, misreport — and its cascade as one step | `BatchWindow` | `enqueue_event`, `flush_pending`, `commit_event` |
 //! | `evaluate` | the cascade a step stages: input-set satisfaction, activation, compound-scope outputs (marks, termination, the fig. 8 repeat), stuck detection; the debug full-scan oracle | `Drain` (one instance inside a step: its seeds, its flights as the step leaves them) | `reevaluate` (the step over one resident instance: the caller stages its transition, the drain follows, one commit, publish — the watchdog, a failed placement, the operator's abort and repair, a restart's re-arm), `evaluate` (the same with nothing but the full scan to stage); `drain_of`, `stage_drain`, `park_stuck`, `assert_settled` |
 //! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, and what an attempt that ends with no outcome stages: the bounded retry or `Failed` | `Dispatcher` (scheduler loads, cost model, ready queue), `Flights` (per instance: one record per task with outstanding work) | staging: `stage_lost` (error report, time-out), `stage_failure`, `stage_launch` (the next attempt, now or after a delay); publishing: `ship` (an attempt, under what its step staged), `dispatch` (a staged attempt whose delay or park is over), `dispatch_after`, `lose_flight`, `clear_watch`, `discard_flights` (subtree sweep, forced outcome, failure), `fail_unplaceable`; `drain_parked`, `executing`; `Flights::outstanding` (stuck detection), `rekey_flights` (reconfiguration), `rearm_adopted` (adoption), `Dispatcher::{release_all, reset}` (hand-off, recovery), `executor_loads` |
@@ -272,13 +272,14 @@ impl Coordinator {
     /// Checkpoints when the threshold of commits has accumulated since
     /// the last one. Evaluated once per step (and after each batch
     /// flush) rather than per commit, so a window can never stall
-    /// mid-batch on a `rewrite_with_checkpoint` — and never while a
-    /// commit group (a hand-off round's decision + purge) is open.
+    /// mid-batch on a `rewrite_with_checkpoint`; every commit is one
+    /// frame already on the log, so there is nothing a checkpoint could
+    /// land in the middle of.
     fn maybe_checkpoint(&mut self) -> Result<(), EngineError> {
         let Some(every) = self.config.checkpoint_every else {
             return Ok(());
         };
-        if self.mgr.in_group() || self.commits - self.commits_at_checkpoint < every {
+        if self.commits - self.commits_at_checkpoint < every {
             return Ok(());
         }
         self.commits_at_checkpoint = self.commits;

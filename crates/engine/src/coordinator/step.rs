@@ -4,8 +4,8 @@
 //! one: **stage** the event's transitions and everything they cascade
 //! into in one atomic action (which reads its own earlier transitions
 //! back through [`TxManager::read_through`]), **commit** it once —
-//! straight to the log, in no WAL group: a refused append aborts it —
-//! then **publish**, in staging order, what the commit made true outside
+//! one frame straight to the log: a refused append aborts it — then
+//! **publish**, in staging order, what the commit made true outside
 //! the store. Nothing is sent, armed, counted or traced for a transition
 //! that did not commit, and a step that rolls back takes its cascade
 //! with it.

@@ -130,12 +130,23 @@ pub fn bind_trip(sys: &WorkflowSystem) {
 /// A 3-executor system on the deterministic link with fig. 7 registered
 /// and bound.
 pub fn build_orders(coordinators: usize, config: EngineConfig) -> WorkflowSystem {
+    build_orders_on(coordinators, config, Vec::new())
+}
+
+/// [`build_orders`] journaling shard `i` to `storages[i]` (fresh
+/// storage for the shards past its end).
+pub fn build_orders_on(
+    coordinators: usize,
+    config: EngineConfig,
+    storages: Vec<StableStore>,
+) -> WorkflowSystem {
     let mut sys = WorkflowSystem::builder()
         .executors(3)
         .coordinators(coordinators)
         .seed(7)
         .link(det_link())
         .config(config)
+        .shard_storages(storages)
         .build();
     sys.register_script(
         "order",

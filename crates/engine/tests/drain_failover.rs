@@ -15,8 +15,8 @@ mod common;
 use std::collections::BTreeMap;
 
 use common::{
-    build_orders, det_link, handoff_frames, order_population as population, settled,
-    start_population, text, ONE_TASK,
+    build_orders, build_orders_on, det_link, handoff_frames, order_population as population,
+    settled, start_population, text, ONE_TASK,
 };
 use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{
@@ -24,7 +24,8 @@ use flowscript_engine::{
 };
 use flowscript_sim::net::LinkConfig;
 use flowscript_sim::{FaultAction, FaultPlan, SimDuration, SimTime};
-use flowscript_tx::{LogRecord, TxError, TxManager};
+use flowscript_tx::storage::FlakyStorage;
+use flowscript_tx::{LogRecord, Shared, SharedStorage, TxError, TxManager};
 
 fn det_config() -> EngineConfig {
     EngineConfig {
@@ -110,7 +111,8 @@ fn planned_drain_preserves_every_outcome() {
     // Live run: drain a shard mid-flight (~20ms into ~100ms orders).
     let mut sys = mid_flight();
     let departing = sys.coord_handle(1);
-    let drained_count = departing.instance_names().len();
+    let drained = departing.instance_names();
+    let drained_count = drained.len();
     assert!(drained_count > 0, "the drain must have work to move");
 
     let rounds_before = sys.metrics_snapshot().counter("tx.two_pc_rounds");
@@ -125,30 +127,50 @@ fn planned_drain_preserves_every_outcome() {
     );
     // And — all the protocol ever logged here — four frames, however
     // many instances it carries: the move record's commit and the
-    // decision with the purges at the source, the prepare and the
-    // resolve at the destination.
+    // decision with the purge at the source — two commits — the
+    // prepare and the resolve at the destination.
     let frames: Vec<usize> = storages.iter().map(|s| handoff_frames(s).len()).collect();
     assert_eq!(
         (frames[1], frames[0] + frames[2]),
         (2 * report.rounds, 2 * report.rounds),
         "{frames:?}"
     );
-    // Each round's decision opens a group frame; the frame's other
-    // members are the purges of its slice, one per instance.
-    let purges = |frame: LogRecord| match frame {
-        LogRecord::GroupCommit { records } => match records.as_slice() {
-            [LogRecord::Resolve { committed, .. }, purges @ ..] if *committed => Some(purges.len()),
-            _ => None,
+    // Each round's decision is one frame, `[Resolve, Commit]`: the
+    // decision and ONE commit purging its whole slice — every moved
+    // instance's header among its deletes.
+    let purge = |frame: LogRecord| match frame {
+        LogRecord::GroupCommit { records } => match <[LogRecord; 2]>::try_from(records) {
+            Ok(
+                [LogRecord::Resolve {
+                    committed: true, ..
+                }, LogRecord::Commit { writes, .. }],
+            ) => Some(writes),
+            other => panic!("a decision frame is [Resolve, Commit], got {other:?}"),
         },
         _ => None,
     };
-    let purged: Vec<usize> = handoff_frames(&storages[1])
+    let purges: Vec<_> = handoff_frames(&storages[1])
         .into_iter()
-        .filter_map(purges)
+        .filter_map(purge)
         .collect();
+    let mut headers: Vec<String> = purges
+        .iter()
+        .flatten()
+        .filter(|(_, value)| value.is_none())
+        .map(|(key, _)| key.to_string())
+        .filter(|uid| uid.starts_with("inst/") && uid.ends_with("/meta"))
+        .collect();
+    headers.sort();
+    let mut moved: Vec<String> = drained
+        .iter()
+        .map(|name| format!("inst/{name}/meta"))
+        .collect();
+    moved.sort();
+    assert_eq!(purges.len(), report.rounds);
     assert_eq!(
-        (purged.len(), purged.iter().sum::<usize>()),
-        (report.rounds, report.moved)
+        headers, moved,
+        "summed over rounds, {} headers",
+        report.moved
     );
     assert!(
         report.rounds < report.moved,
@@ -266,6 +288,80 @@ fn drain_killed_at_any_point_converges_on_rerun() {
                 "{repro}: each instance moves once"
             );
         }
+    }
+}
+
+/// The source's disk starts refusing appends at every instant of the
+/// drain: a move record, a window of the source's own, a round's
+/// decision frame, the flip's bookkeeping. Whatever the refusal hits
+/// leaves memory no further ahead than the log. The destinations
+/// restart first — each in-doubt stage queries the source, still up,
+/// its disk still gone, and must hear the answer its log gives — then
+/// the disk heals, the source restarts and drains what is left: every
+/// instance ends on exactly one shard, with its undisturbed outcome.
+#[test]
+fn a_drain_whose_source_disk_refuses_at_any_point_converges() {
+    let expected = baseline(outcome_print);
+    let span = {
+        let mut sys = mid_flight();
+        let began = sys.now();
+        sys.remove_coordinator("coordinator1").expect("clean drain");
+        sys.now().since(began)
+    };
+    for offset in every_100us(span) {
+        let repro = format!("source disk refuses from t=+{offset}");
+        let disk = FlakyStorage::default();
+        let fail = disk.fail.clone();
+        let storages = vec![SharedStorage::new().into(), Shared::from(disk).into()];
+        let mut sys = build_orders_on(3, det_config(), storages);
+        start_population(&mut sys, &population());
+        sys.run_until(SimTime::from_nanos(20_000_000));
+        let nodes = sys.coordinator_nodes().to_vec();
+        let shards: Vec<_> = (0..3).map(|shard| sys.coord_handle(shard)).collect();
+        let one_owner_each = |when: &str| {
+            for name in population() {
+                let owners: Vec<usize> = (0..3)
+                    .filter(|&shard| shards[shard].instance_names().contains(&name))
+                    .collect();
+                assert_eq!(
+                    owners.len(),
+                    1,
+                    "{repro} {when}: {name} resident on {owners:?}"
+                );
+            }
+        };
+        let at = sys.now() + offset;
+        let refuse = fail.clone();
+        sys.world_mut().schedule_at(at, move |_| refuse.set(true));
+
+        let first = sys.remove_coordinator("coordinator1");
+        for destination in [nodes[0], nodes[2]] {
+            sys.crash_now(destination);
+            sys.restart_now(destination);
+        }
+        sys.run_for(SimDuration::from_millis(5));
+        fail.set(false);
+        sys.crash_now(nodes[1]);
+        sys.restart_now(nodes[1]);
+        one_owner_each("once the source is back");
+        if first.is_err() {
+            assert_eq!(
+                sys.shard_count(),
+                3,
+                "{repro}: a failed drain retires nothing"
+            );
+            sys.remove_coordinator("coordinator1")
+                .unwrap_or_else(|e| panic!("{repro}: re-drain failed: {e}"));
+        }
+        assert_eq!(sys.shard_count(), 2, "{repro}");
+        sys.run();
+        one_owner_each("at the end");
+        assert_no_outcome_lost(&sys, &expected, &repro);
+        assert_eq!(
+            sys.stats().handoffs,
+            10,
+            "{repro}: each instance moves once"
+        );
     }
 }
 

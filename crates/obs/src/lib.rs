@@ -549,7 +549,7 @@ pub enum ObsEventKind {
     Commit {
         /// Short description of the committed change.
         what: String,
-        /// Batch id when this commit coalesced into a group-commit
+        /// Batch id when this commit coalesced into a commit
         /// window; `None` for a stand-alone commit.
         batch: Option<u64>,
     },

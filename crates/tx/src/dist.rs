@@ -339,6 +339,14 @@ impl Coordinator {
         }
     }
 
+    /// Drops `tx` undecided: the host could not make its
+    /// [`CoordAction::PersistDecision`] durable, so the decision was
+    /// never taken — from now on a query is answered from the log, where
+    /// presumed abort reads nothing as abort.
+    pub fn abandon(&mut self, tx: TxId) {
+        self.live.remove(&tx);
+    }
+
     /// Answers an in-doubt participant. `persisted` is the durable
     /// decision looked up by the host (presumed abort: `None` ⇒ abort).
     pub fn on_query(&self, tx: TxId, from: u32, persisted: Option<bool>) -> Vec<CoordAction> {
@@ -506,6 +514,31 @@ mod tests {
                 commit: true
             }
         );
+    }
+
+    #[test]
+    fn an_abandoned_commit_is_answered_from_the_log() {
+        let mut c = Coordinator::new(0);
+        c.begin(tx(), writes_for(&[1]));
+        let decided = c.on_vote(tx(), 1, true);
+        assert!(matches!(
+            decided[0],
+            CoordAction::PersistDecision { commit: true, .. }
+        ));
+        // The persist failed: nothing durable, nothing decided.
+        c.abandon(tx());
+        let actions = c.on_query(tx(), 1, None);
+        assert_eq!(
+            sends(&actions),
+            [(
+                1,
+                &DistMsg::Decision {
+                    tx: tx(),
+                    commit: false
+                }
+            )]
+        );
+        assert!(c.on_timeout(tx()).is_empty() && c.on_ack(tx(), 1).is_empty());
     }
 
     #[test]

@@ -28,6 +28,10 @@ pub enum LogRecord {
     Checkpoint {
         /// Every live object and its committed bytes.
         states: Vec<(StoreKey, Vec<u8>)>,
+        /// The writer's next transaction sequence number: ids minted
+        /// before the snapshot left no record behind, and a replay must
+        /// not mint them again.
+        next_seq: u64,
     },
     /// A 2PC participant prepared this transaction (vote "yes" is durable).
     Prepare {
@@ -45,11 +49,12 @@ pub enum LogRecord {
         /// `true` = commit, `false` = abort.
         committed: bool,
     },
-    /// Several records made durable as one frame (group commit). A torn
-    /// group frame loses the whole group as a unit — recovery never sees
-    /// a partial batch.
+    /// Several records made durable as one frame: a coordinator's
+    /// commit decision and the commit of the action it was staged in,
+    /// `[Resolve, Commit]`. A torn frame loses both — recovery never sees
+    /// one without the other. Groups do not nest.
     GroupCommit {
-        /// The grouped records, in commit order.
+        /// The grouped records, in log order.
         records: Vec<LogRecord>,
     },
     /// Another node claimed this storage (crash-driven failover): the
@@ -67,9 +72,6 @@ pub enum LogRecord {
     },
 }
 
-/// Wire discriminant of [`LogRecord::GroupCommit`].
-const GROUP_COMMIT_TAG: u8 = 4;
-
 impl Encode for LogRecord {
     fn encode(&self, w: &mut ByteWriter) {
         match self {
@@ -78,9 +80,10 @@ impl Encode for LogRecord {
                 tx.encode(w);
                 writes.encode(w);
             }
-            LogRecord::Checkpoint { states } => {
+            LogRecord::Checkpoint { states, next_seq } => {
                 w.put_u8(1);
                 states.encode(w);
+                w.put_var_u64(*next_seq);
             }
             LogRecord::Prepare {
                 tx,
@@ -98,7 +101,7 @@ impl Encode for LogRecord {
                 w.put_bool(*committed);
             }
             LogRecord::GroupCommit { records } => {
-                w.put_u8(GROUP_COMMIT_TAG);
+                w.put_u8(4);
                 records.encode(w);
             }
             LogRecord::Fence { claimant, epoch } => {
@@ -119,6 +122,7 @@ impl Decode for LogRecord {
             }),
             1 => Ok(LogRecord::Checkpoint {
                 states: Vec::decode(r)?,
+                next_seq: r.get_var_u64()?,
             }),
             2 => Ok(LogRecord::Prepare {
                 tx: TxId::decode(r)?,
@@ -129,7 +133,7 @@ impl Decode for LogRecord {
                 tx: TxId::decode(r)?,
                 committed: r.get_bool()?,
             }),
-            GROUP_COMMIT_TAG => Ok(LogRecord::GroupCommit {
+            4 => Ok(LogRecord::GroupCommit {
                 records: Vec::decode(r)?,
             }),
             7 => Ok(LogRecord::Fence {
@@ -144,44 +148,10 @@ impl Decode for LogRecord {
     }
 }
 
-/// Records encoded ahead of their append: the members of an open
-/// commit group, held as the bytes the log will carry so the flush
-/// copies them once instead of re-encoding owned records.
-#[derive(Debug, Default)]
-pub(crate) struct RecordBuffer {
-    bytes: ByteWriter,
-    records: usize,
-}
-
-impl RecordBuffer {
-    /// Encodes `record` behind the records already buffered.
-    pub(crate) fn push(&mut self, record: &LogRecord) {
-        record.encode(&mut self.bytes);
-        self.records += 1;
-    }
-
-    /// Number of buffered records.
-    pub(crate) fn len(&self) -> usize {
-        self.records
-    }
-
-    /// Whether no record is buffered.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.records == 0
-    }
-
-    /// Drops the buffered records, keeping the allocation.
-    pub(crate) fn clear(&mut self) {
-        self.bytes.clear();
-        self.records = 0;
-    }
-}
-
 /// The write-ahead log over some [`Storage`].
 #[derive(Debug)]
 pub struct Wal<S> {
     storage: S,
-    records_appended: u64,
     /// The frame under construction, reused across appends.
     frame: ByteWriter,
 }
@@ -192,7 +162,6 @@ impl<S: Storage> Wal<S> {
     pub fn new(storage: S) -> Self {
         Self {
             storage,
-            records_appended: 0,
             frame: ByteWriter::new(),
         }
     }
@@ -203,37 +172,11 @@ impl<S: Storage> Wal<S> {
     ///
     /// Propagates storage failures.
     pub fn append(&mut self, record: &LogRecord) -> Result<(), TxError> {
-        self.append_frame(|w| record.encode(w))
-    }
-
-    /// Appends `buffer`'s records durably as one frame: a lone record
-    /// bare, two or more as the [`LogRecord::GroupCommit`] holding them
-    /// in order. Nothing is appended for an empty buffer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage failures.
-    pub(crate) fn append_buffered(&mut self, buffer: &RecordBuffer) -> Result<(), TxError> {
-        let members = buffer.bytes.as_slice();
-        match buffer.records {
-            0 => Ok(()),
-            1 => self.append_frame(|w| w.put_bytes(members)),
-            n => self.append_frame(|w| {
-                w.put_u8(GROUP_COMMIT_TAG);
-                w.put_len(n);
-                w.put_bytes(members);
-            }),
-        }
-    }
-
-    /// Frames the payload `fill` encodes — in place, in the reused frame
-    /// buffer — and hands the storage that one slice.
-    fn append_frame(&mut self, fill: impl FnOnce(&mut ByteWriter)) -> Result<(), TxError> {
+        // Framed in place, in the reused frame buffer: the storage gets
+        // that one slice.
         self.frame.clear();
-        frame::encode_frame_with(&mut self.frame, fill)?;
-        self.storage.append(self.frame.as_slice())?;
-        self.records_appended += 1;
-        Ok(())
+        frame::encode_frame_with(&mut self.frame, |w| record.encode(w))?;
+        self.storage.append(self.frame.as_slice())
     }
 
     /// Reads every decodable record. A torn final frame is dropped
@@ -270,8 +213,9 @@ impl<S: Storage> Wal<S> {
         Ok(records)
     }
 
-    /// Replaces the entire log with a checkpoint of `states` followed by
-    /// the `pending` records (log compaction): the new tail is appended
+    /// Replaces the entire log with a checkpoint of `states` and the
+    /// writer's `next_seq`, followed by the `pending` records (log
+    /// compaction): the new tail is appended
     /// behind the old log, read back, and then written over a log
     /// truncated to zero. **Not crash-atomic**: a crash after the
     /// truncation and before the final append loses the log. The fix
@@ -283,10 +227,11 @@ impl<S: Storage> Wal<S> {
     pub fn rewrite_with_checkpoint(
         &mut self,
         states: Vec<(StoreKey, Vec<u8>)>,
+        next_seq: u64,
         pending: Vec<LogRecord>,
     ) -> Result<(), TxError> {
         let old_len = self.storage.len();
-        self.append(&LogRecord::Checkpoint { states })?;
+        self.append(&LogRecord::Checkpoint { states, next_seq })?;
         for record in &pending {
             self.append(record)?;
         }
@@ -296,11 +241,6 @@ impl<S: Storage> Wal<S> {
         self.storage.truncate(0)?;
         self.storage.append(&tail)?;
         Ok(())
-    }
-
-    /// Number of records appended through this handle (diagnostics).
-    pub fn records_appended(&self) -> u64 {
-        self.records_appended
     }
 
     /// Current log size in bytes.
@@ -325,6 +265,14 @@ mod tests {
         }
     }
 
+    /// A coordinator's commit decision record.
+    fn decision(seq: u64) -> LogRecord {
+        LogRecord::Resolve {
+            tx: TxId::new(0, seq),
+            committed: true,
+        }
+    }
+
     #[test]
     fn append_scan_roundtrip() {
         let mut wal = Wal::new(MemStorage::new());
@@ -337,7 +285,6 @@ mod tests {
         let records = wal.scan().unwrap();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0], sample_commit(1));
-        assert_eq!(wal.records_appended(), 2);
     }
 
     #[test]
@@ -375,12 +322,15 @@ mod tests {
             wal.append(&sample_commit(seq)).unwrap();
         }
         let big = wal.size_bytes();
-        wal.rewrite_with_checkpoint(vec![(uid("a"), vec![9])], vec![])
+        wal.rewrite_with_checkpoint(vec![(uid("a"), vec![9])], 50, vec![])
             .unwrap();
         assert!(wal.size_bytes() < big);
         let records = wal.scan().unwrap();
         assert_eq!(records.len(), 1);
-        assert!(matches!(records[0], LogRecord::Checkpoint { .. }));
+        assert!(matches!(
+            records[0],
+            LogRecord::Checkpoint { next_seq: 50, .. }
+        ));
     }
 
     #[test]
@@ -392,7 +342,7 @@ mod tests {
             coordinator: 0,
             writes: vec![(uid("x"), Some(vec![7]))],
         };
-        wal.rewrite_with_checkpoint(vec![], vec![prepare.clone()])
+        wal.rewrite_with_checkpoint(vec![], 2, vec![prepare.clone()])
             .unwrap();
         let records = wal.scan().unwrap();
         assert_eq!(records.len(), 2);
@@ -404,7 +354,7 @@ mod tests {
         let mut wal = Wal::new(MemStorage::new());
         wal.append(&sample_commit(1)).unwrap();
         wal.append(&LogRecord::GroupCommit {
-            records: vec![sample_commit(2), sample_commit(3), sample_commit(4)],
+            records: vec![decision(2), sample_commit(3)],
         })
         .unwrap();
         let mut storage = wal.storage;
@@ -424,6 +374,7 @@ mod tests {
             sample_commit(3),
             LogRecord::Checkpoint {
                 states: vec![(uid("s"), vec![1])],
+                next_seq: 300,
             },
             LogRecord::Prepare {
                 tx: TxId::new(1, 4),
@@ -435,12 +386,7 @@ mod tests {
                 committed: false,
             },
             LogRecord::GroupCommit {
-                records: vec![
-                    sample_commit(5),
-                    LogRecord::GroupCommit {
-                        records: vec![sample_commit(6)],
-                    },
-                ],
+                records: vec![decision(5), sample_commit(6)],
             },
             LogRecord::Fence {
                 claimant: 4,
@@ -468,29 +414,6 @@ mod tests {
                 flowscript_codec::from_bytes::<LogRecord>(&[tag]),
                 Err(CodecError::InvalidDiscriminant { .. })
             ));
-        }
-        // A flush of pre-encoded members carries the bytes of the owned
-        // group record (bare when the group is one record).
-        for members in 0..=records.len() {
-            let members = &records[..members];
-            let mut buffer = RecordBuffer::default();
-            for record in members {
-                buffer.push(record);
-            }
-            assert_eq!(buffer.len(), members.len());
-            let mut wal = Wal::new(MemStorage::new());
-            wal.append_buffered(&buffer).unwrap();
-            let expected = match members {
-                [] => Vec::new(),
-                [lone] => frame::encode_frame(&flowscript_codec::to_bytes(lone)).unwrap(),
-                _ => frame::encode_frame(&flowscript_codec::to_bytes(&LogRecord::GroupCommit {
-                    records: members.to_vec(),
-                }))
-                .unwrap(),
-            };
-            assert_eq!(wal.storage.read_all().unwrap(), expected);
-            buffer.clear();
-            assert!(buffer.is_empty());
         }
     }
 }

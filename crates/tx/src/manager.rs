@@ -1,15 +1,15 @@
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound;
 
-use flowscript_codec::{Decode, Encode};
+use flowscript_codec::{CodecError, Decode, Encode};
 use flowscript_obs::{Counter, Histogram, ObserveLevel, Registry};
 
 use crate::error::TxError;
 use crate::id::{ObjectUid, TxId};
 use crate::key::{FactKey, FactKind, StoreKey};
 use crate::lock::{Acquired, LockManager, LockMode};
-use crate::log::{LogRecord, RecordBuffer, Wal};
+use crate::log::{LogRecord, Wal};
 use crate::storage::{SharedStorage, Storage};
 
 /// A live atomic action (transaction).
@@ -34,11 +34,14 @@ impl AtomicAction {
 /// staged key to its slot in `writes`, so last-write-wins staging and
 /// lookup hash the key once however many keys an action stages (a
 /// start stages one control block per plan task, a purge or an
-/// adoption a whole instance).
+/// adoption a whole instance). `decision` is the distributed
+/// transaction whose commit decision the action carries
+/// ([`TxManager::stage_decision`]).
 #[derive(Debug, Default)]
 struct Workspace {
     writes: Vec<(StoreKey, Option<Vec<u8>>)>,
     index: HashMap<StoreKey, usize>,
+    decision: Option<TxId>,
 }
 
 impl Workspace {
@@ -95,8 +98,8 @@ struct TxMetrics {
     /// 2PC protocol steps processed here — prepares, resolves and
     /// coordinator decision records (`tx.two_pc_rounds`).
     two_pc_rounds: Counter,
-    /// Groups of ≥2 commits flushed as one `GroupCommit` frame
-    /// (`tx.group_commits`).
+    /// Frames holding two records — a commit decision and the writes
+    /// committed with it (`tx.group_commits`).
     group_commits: Counter,
     /// Write frames per commit record
     /// (`wal.frames_per_commit`); only fed when observing metrics.
@@ -144,17 +147,11 @@ pub struct TxManager<S = SharedStorage> {
     active: HashMap<TxId, Workspace>,
     prepared: HashMap<TxId, PreparedTx>,
     /// Commit decisions this node made as a 2PC coordinator (presumed
-    /// abort: only commits are remembered durably). Ordered: a
-    /// checkpoint writes them out, and its bytes must not depend on a
-    /// hasher's iteration order.
-    coordinator_commits: BTreeMap<TxId, bool>,
+    /// abort: only commits are ever taken). Ordered: a checkpoint
+    /// writes them out, and its bytes must not depend on a hasher's
+    /// iteration order.
+    coordinator_commits: BTreeSet<TxId>,
     next_seq: u64,
-    /// Open [`TxManager::begin_group`] nesting depth; while positive,
-    /// commit records buffer instead of hitting the WAL.
-    group_depth: usize,
-    /// Commit records awaiting the group flush, in commit order, already
-    /// encoded.
-    group_buffer: RecordBuffer,
     /// A durable [`LogRecord::Fence`] by *another* node: `(claimant,
     /// epoch)`. Set at replay, or detected mid-run by the tail probe in
     /// [`TxManager::append_record`] (the storage is shared, so a
@@ -202,27 +199,37 @@ impl<S: Storage> TxManager<S> {
         observe: ObserveLevel,
     ) -> Result<Self, TxError> {
         let wal = Wal::new(storage);
-        let records = wal.scan()?;
         let mut store = BTreeMap::new();
         let mut prepared: HashMap<TxId, PreparedTx> = HashMap::new();
-        let mut coordinator_commits = BTreeMap::new();
+        let mut coordinator_commits = BTreeSet::new();
         let mut fence: Option<(u32, u64)> = None;
-        let mut max_seq = 0u64;
-        // Worklist so `GroupCommit` frames flatten to their member
-        // records in order (groups may nest; replay order is preserved
-        // by pushing members reversed onto the stack).
-        let mut worklist: Vec<LogRecord> = records;
-        worklist.reverse();
-        while let Some(record) = worklist.pop() {
+        let mut next_seq = 1u64;
+        // A group frame replays as its members, in order.
+        let records = wal.scan()?.into_iter().flat_map(|frame| {
+            let (lone, members) = match frame {
+                LogRecord::GroupCommit { records } => (None, records),
+                record => (Some(record), Vec::new()),
+            };
+            lone.into_iter().chain(members)
+        });
+        for record in records {
             match record {
-                LogRecord::GroupCommit { records } => {
-                    worklist.extend(records.into_iter().rev());
+                LogRecord::GroupCommit { .. } => {
+                    // Groups do not nest: nothing writes one inside another.
+                    return Err(TxError::Corrupt(CodecError::InvalidDiscriminant {
+                        ty: "LogRecord",
+                        value: 4,
+                    }));
                 }
-                LogRecord::Checkpoint { states } => {
+                LogRecord::Checkpoint {
+                    states,
+                    next_seq: carried,
+                } => {
                     store = states.into_iter().collect();
+                    next_seq = next_seq.max(carried);
                 }
                 LogRecord::Commit { tx, writes } => {
-                    max_seq = max_seq.max(tx.seq());
+                    next_seq = next_seq.max(tx.seq().saturating_add(1));
                     apply_writes(&mut store, writes);
                 }
                 LogRecord::Prepare {
@@ -230,7 +237,7 @@ impl<S: Storage> TxManager<S> {
                     coordinator,
                     writes,
                 } => {
-                    max_seq = max_seq.max(tx.seq());
+                    next_seq = next_seq.max(tx.seq().saturating_add(1));
                     prepared.insert(
                         tx,
                         PreparedTx {
@@ -240,15 +247,15 @@ impl<S: Storage> TxManager<S> {
                     );
                 }
                 LogRecord::Resolve { tx, committed } => {
-                    max_seq = max_seq.max(tx.seq());
+                    next_seq = next_seq.max(tx.seq().saturating_add(1));
                     if let Some(p) = prepared.remove(&tx) {
                         if committed {
                             apply_writes(&mut store, p.writes);
                         }
-                    } else {
+                    } else if committed {
                         // A resolve without a local prepare is a
                         // coordinator-side decision record.
-                        coordinator_commits.insert(tx, committed);
+                        coordinator_commits.insert(tx);
                     }
                 }
                 LogRecord::Fence { claimant, epoch } => {
@@ -278,9 +285,7 @@ impl<S: Storage> TxManager<S> {
             active: HashMap::new(),
             prepared,
             coordinator_commits,
-            next_seq: max_seq + 1,
-            group_depth: 0,
-            group_buffer: RecordBuffer::default(),
+            next_seq,
             fence,
             wal_len,
             metrics: TxMetrics::register(registry),
@@ -420,36 +425,68 @@ impl<S: Storage> TxManager<S> {
         Ok(())
     }
 
-    /// Commits an action: the staged writes are logged durably (or join
-    /// the open commit group), applied to the store, and all its locks
-    /// released.
+    /// Stages the commit decision of distributed transaction `tx`, which
+    /// this node coordinates, into `action`. Presumed abort: only a
+    /// commit is ever logged. The decision is taken when the action
+    /// commits — durable in the action's one frame, beside its writes —
+    /// and not before: [`TxManager::coordinator_decision`] answers it
+    /// only from then on, and an action that aborts, or whose frame the
+    /// log refuses, takes it along.
+    ///
+    /// # Errors
+    ///
+    /// [`TxError::UnknownAction`] for a terminated action.
+    pub fn stage_decision(&mut self, action: &AtomicAction, tx: TxId) -> Result<(), TxError> {
+        let workspace = self
+            .active
+            .get_mut(&action.id)
+            .ok_or(TxError::UnknownAction(action.id))?;
+        workspace.decision = Some(tx);
+        Ok(())
+    }
+
+    /// Commits an action as one frame: its staged writes as a
+    /// [`LogRecord::Commit`], a decision [`TxManager::stage_decision`]
+    /// staged as a [`LogRecord::Resolve`], the two together as one
+    /// [`LogRecord::GroupCommit`] `[Resolve, Commit]`. Once the frame is
+    /// appended the writes apply to the store, the decision is taken,
+    /// and all the action's locks are released.
     ///
     /// # Errors
     ///
     /// [`TxError::UnknownAction`] if already terminated; storage errors
-    /// on log append — the action is then aborted: nothing applied, its
-    /// locks released.
+    /// on log append — the action is then aborted: nothing applied, no
+    /// decision taken, its locks released.
     pub fn commit(&mut self, action: AtomicAction) -> Result<(), TxError> {
-        let writes = self
+        let Workspace {
+            writes, decision, ..
+        } = self
             .active
             .remove(&action.id)
-            .ok_or(TxError::UnknownAction(action.id))?
-            .writes;
+            .ok_or(TxError::UnknownAction(action.id))?;
         if self.observe.metrics() {
             self.metrics
                 .wal_frames_per_commit
                 .record(writes.len() as u64);
         }
-        if !writes.is_empty() {
-            // The record borrows nothing and is encoded exactly once;
-            // the after-images then move into the store.
-            let record = LogRecord::Commit {
-                tx: action.id,
-                writes,
-            };
-            if self.group_depth > 0 {
-                self.group_buffer.push(&record);
-            } else if let Err(err) = self.append_record(&record) {
+        // The frame borrows nothing and is encoded exactly once; the
+        // after-images then move into the store.
+        let commit = (!writes.is_empty()).then_some(LogRecord::Commit {
+            tx: action.id,
+            writes,
+        });
+        let resolve = decision.map(|tx| LogRecord::Resolve {
+            tx,
+            committed: true,
+        });
+        let frame = match (resolve, commit) {
+            (Some(resolve), Some(commit)) => Some(LogRecord::GroupCommit {
+                records: vec![resolve, commit],
+            }),
+            (resolve, commit) => resolve.or(commit),
+        };
+        if let Some(frame) = frame {
+            if let Err(err) = self.append_record(&frame) {
                 // The action is consumed — nobody can abort it any more
                 // — so a commit that did not reach the log ends here as
                 // an abort.
@@ -457,18 +494,22 @@ impl<S: Storage> TxManager<S> {
                 self.metrics.aborts.inc();
                 return Err(err);
             }
-            let LogRecord::Commit { writes, .. } = record else {
-                unreachable!("built as a commit above");
-            };
-            apply_writes(&mut self.store, writes);
+            if matches!(frame, LogRecord::GroupCommit { .. }) {
+                self.metrics.group_commits.inc();
+            }
+            apply_frame(&mut self.store, frame);
+        }
+        if let Some(tx) = decision {
+            self.metrics.two_pc_rounds.inc();
+            self.coordinator_commits.insert(tx);
         }
         self.locks.release_all(action.id);
         self.metrics.commits.inc();
         Ok(())
     }
 
-    /// Aborts an action, discarding its staged writes. Idempotent for
-    /// already-terminated ids.
+    /// Aborts an action, discarding its staged writes and decision.
+    /// Idempotent for already-terminated ids.
     pub fn abort(&mut self, action: AtomicAction) {
         if self.active.remove(&action.id).is_some() {
             self.locks.release_all(action.id);
@@ -476,86 +517,12 @@ impl<S: Storage> TxManager<S> {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Group commit (batched durability).
-    // ------------------------------------------------------------------
-
-    /// Opens a commit group: until the matching [`TxManager::end_group`],
-    /// commits apply to the store and release their locks as
-    /// usual but their log records buffer in memory instead of each
-    /// paying a WAL frame. Nests — only the outermost `end_group`
-    /// flushes. A crash before the flush loses the whole open group as
-    /// a unit (no partial batch is ever durable), which is exactly the
-    /// pre-flush window an unbatched caller would have lost anyway.
-    pub fn begin_group(&mut self) {
-        self.group_depth += 1;
-    }
-
-    /// Closes one [`TxManager::begin_group`] level; at depth zero the
-    /// buffered records flush — one record appends bare, two or more
-    /// become a single [`LogRecord::GroupCommit`] frame.
-    ///
-    /// # Errors
-    ///
-    /// Storage errors on the flush append.
-    pub fn end_group(&mut self) -> Result<(), TxError> {
-        debug_assert!(self.group_depth > 0, "end_group without begin_group");
-        self.group_depth = self.group_depth.saturating_sub(1);
-        if self.group_depth > 0 {
-            return Ok(());
-        }
-        self.flush_group()
-    }
-
-    /// Whether a commit group is currently open (callers gate log
-    /// compaction on this: a rewrite mid-group would reorder records
-    /// around the unflushed buffer).
-    pub fn in_group(&self) -> bool {
-        self.group_depth > 0
-    }
-
-    fn flush_group(&mut self) -> Result<(), TxError> {
-        if self.group_buffer.is_empty() {
-            return Ok(());
-        }
-        if self.group_buffer.len() > 1 {
-            self.metrics.group_commits.inc();
-        }
-        // Flushed or refused (fenced), the window's records are spent.
-        let mut group = std::mem::take(&mut self.group_buffer);
-        let flushed = self.append_frame(|wal| wal.append_buffered(&group));
-        group.clear();
-        self.group_buffer = group;
-        flushed
-    }
-
-    /// Routes a record that is not a commit through the open commit
-    /// group when one is active — it then flushes in that group's single
-    /// frame, in call order, atomically with the commits around it — and
-    /// appends it directly otherwise.
-    fn append_or_buffer(&mut self, record: LogRecord) -> Result<(), TxError> {
-        if self.group_depth > 0 {
-            self.check_fence()?;
-            self.group_buffer.push(&record);
-            Ok(())
-        } else {
-            self.append_record(&record)
-        }
-    }
-
+    /// One record onto the log as one frame, behind the fence check
+    /// every append makes first.
     fn append_record(&mut self, record: &LogRecord) -> Result<(), TxError> {
-        self.append_frame(|wal| wal.append(record))
-    }
-
-    /// One frame onto the log, behind the fence check every append
-    /// makes first.
-    fn append_frame(
-        &mut self,
-        append: impl FnOnce(&mut Wal<S>) -> Result<(), TxError>,
-    ) -> Result<(), TxError> {
         // Past the fence check `wal_len` is the log's length.
         self.check_fence()?;
-        append(&mut self.wal)?;
+        self.wal.append(record)?;
         let len = self.wal.size_bytes();
         if self.observe.metrics() {
             self.metrics
@@ -722,11 +689,6 @@ impl<S: Storage> TxManager<S> {
         // A fenced manager must not compact: the rewrite would erase the
         // claimant's Fence record and un-fence the zombie.
         self.check_fence()?;
-        // Buffered group records are already applied — commits to the
-        // store, decisions to `coordinator_commits` — so what is written
-        // below subsumes them: drop the buffer rather than flushing
-        // records the checkpoint would obsolete.
-        self.group_buffer.clear();
         // The store is ordered, so the snapshot is deterministic as-is.
         let states: Vec<(StoreKey, Vec<u8>)> = self
             .store
@@ -747,13 +709,14 @@ impl<S: Storage> TxManager<S> {
             LogRecord::Prepare { tx, .. } => *tx,
             _ => unreachable!("only prepares pending"),
         });
-        for (tx, committed) in &self.coordinator_commits {
+        for &tx in &self.coordinator_commits {
             pending.push(LogRecord::Resolve {
-                tx: *tx,
-                committed: *committed,
+                tx,
+                committed: true,
             });
         }
-        self.wal.rewrite_with_checkpoint(states, pending)?;
+        self.wal
+            .rewrite_with_checkpoint(states, self.next_seq, pending)?;
         self.wal_len = self.wal.size_bytes();
         Ok(())
     }
@@ -761,19 +724,6 @@ impl<S: Storage> TxManager<S> {
     /// Current log size in bytes.
     pub fn log_size(&self) -> u64 {
         self.wal.size_bytes()
-    }
-
-    /// WAL frames appended through this manager (each append is one
-    /// frame, so this counts frame writes — the unit group commit
-    /// amortizes). Thin wrapper over [`Wal::records_appended`].
-    pub fn wal_frames_appended(&self) -> u64 {
-        self.wal.records_appended()
-    }
-
-    /// Groups of ≥2 commits flushed as a single `GroupCommit` frame.
-    /// Thin wrapper over the `tx.group_commits` registry counter.
-    pub fn group_commit_count(&self) -> u64 {
-        self.metrics.group_commits.get()
     }
 
     /// `(commits, aborts)` — thin wrapper over the `tx.commits` /
@@ -797,13 +747,6 @@ impl<S: Storage> TxManager<S> {
     /// counter.
     pub fn fact_range_scan_count(&self) -> u64 {
         self.metrics.fact_range_scans.get()
-    }
-
-    /// Committed-state fact point reads served — the cheap complement
-    /// the two scan guards above are measured against. Thin wrapper
-    /// over the `tx.fact_point_reads` registry counter.
-    pub fn fact_point_read_count(&self) -> u64 {
-        self.metrics.fact_point_reads.get()
     }
 
     /// Number of live (committed) objects.
@@ -906,26 +849,10 @@ impl<S: Storage> TxManager<S> {
         out
     }
 
-    /// Coordinator-side durable decision record (presumed abort: commits
-    /// *must* be logged before any participant learns of them; aborts may
-    /// be logged for bookkeeping but are also implied by absence). Inside
-    /// an open commit group the record joins the group: it is durable
-    /// when the group flushes, in the same frame as the commits logged
-    /// around it.
-    ///
-    /// # Errors
-    ///
-    /// Storage errors on log append.
-    pub fn log_coordinator_decision(&mut self, tx: TxId, committed: bool) -> Result<(), TxError> {
-        self.metrics.two_pc_rounds.inc();
-        self.append_or_buffer(LogRecord::Resolve { tx, committed })?;
-        self.coordinator_commits.insert(tx, committed);
-        Ok(())
-    }
-
-    /// A previously logged coordinator decision, if any.
+    /// A coordinator decision taken here ([`TxManager::stage_decision`]),
+    /// if any: presumed abort, so `None` means abort.
     pub fn coordinator_decision(&self, tx: TxId) -> Option<bool> {
-        self.coordinator_commits.get(&tx).copied()
+        self.coordinator_commits.contains(&tx).then_some(true)
     }
 
     /// Mints a fresh id for a distributed transaction coordinated here.
@@ -938,6 +865,19 @@ impl<S: Storage> TxManager<S> {
 /// counts; a control block shares the dense key space but is not one.
 fn is_fact(key: &StoreKey) -> bool {
     matches!(key, StoreKey::Fact(key) if key.kind != FactKind::Control)
+}
+
+/// Moves a committed frame's after-images into the store.
+fn apply_frame(store: &mut BTreeMap<StoreKey, Vec<u8>>, frame: LogRecord) {
+    match frame {
+        LogRecord::Commit { writes, .. } => apply_writes(store, writes),
+        LogRecord::GroupCommit { records } => {
+            for record in records {
+                apply_frame(store, record);
+            }
+        }
+        _ => {}
+    }
 }
 
 /// Moves committed after-images into the store.
@@ -1007,24 +947,26 @@ mod tests {
 
     #[test]
     fn read_through_sees_staged_then_committed_and_takes_no_lock() {
-        let mut mgr = TxManager::in_memory();
+        let registry = Registry::new();
+        let (mut mgr, _) = observed(&registry);
+        let point_reads = || registry.counter("tx.fact_point_reads").get();
         let fact = StoreKey::Fact(FactKey::input(0, 1, 0));
         let a = mgr.begin();
         mgr.write_key(&a, &fact, &1u8).unwrap();
         mgr.commit(a).unwrap();
         let (writer, other) = (mgr.begin(), mgr.begin());
         mgr.write_key(&writer, &fact, &2u8).unwrap();
-        let reads = mgr.fact_point_read_count();
+        let reads = point_reads();
         assert_eq!(mgr.read_through(Some(&writer), &fact), Some(&[2u8][..]));
         // Nobody else's staging shows, and the writer's lock is no bar.
         assert_eq!(mgr.read_through(Some(&other), &fact), Some(&[1u8][..]));
         assert_eq!(mgr.read_through(None, &fact), Some(&[1u8][..]));
-        assert_eq!(mgr.fact_point_read_count(), reads + 3);
+        assert_eq!(point_reads(), reads + 3);
         // A staged delete reads as absent; a uid is not a fact read.
         mgr.delete_key(&writer, &fact).unwrap();
         assert_eq!(mgr.read_through(Some(&writer), &fact), None);
         assert_eq!(mgr.read_through(Some(&writer), &key("nothing")), None);
-        assert_eq!(mgr.fact_point_read_count(), reads + 4);
+        assert_eq!(point_reads(), reads + 4);
         mgr.abort(other);
         mgr.commit(writer).unwrap();
         assert_eq!(mgr.read_through(None, &fact), None);
@@ -1187,7 +1129,7 @@ mod tests {
             let mut mgr = TxManager::open(0, stable.clone()).unwrap();
             for _ in 0..8 {
                 let tx = mgr.mint_dist_tx();
-                mgr.log_coordinator_decision(tx, true).unwrap();
+                decide(&mut mgr, tx);
             }
             mgr.checkpoint().unwrap();
             stable.read_all().unwrap()
@@ -1336,162 +1278,121 @@ mod tests {
         let dist_tx = TxId::new(0, 500);
         {
             let mut mgr = TxManager::open(0, stable.clone()).unwrap();
-            mgr.log_coordinator_decision(dist_tx, true).unwrap();
+            decide(&mut mgr, dist_tx);
         }
         let mgr = TxManager::open(0, stable).unwrap();
         assert_eq!(mgr.coordinator_decision(dist_tx), Some(true));
         assert_eq!(mgr.coordinator_decision(TxId::new(0, 501)), None);
     }
 
-    #[test]
-    fn group_commit_flushes_one_frame() {
+    /// Takes `tx`'s commit decision in an action of its own.
+    fn decide<S: Storage>(mgr: &mut TxManager<S>, tx: TxId) {
+        let action = mgr.begin();
+        mgr.stage_decision(&action, tx).unwrap();
+        mgr.commit(action).unwrap();
+    }
+
+    /// A manager over fresh shared storage, reporting into `registry`.
+    fn observed(registry: &Registry) -> (TxManager, SharedStorage) {
         let stable = SharedStorage::new();
-        {
-            let mut mgr = TxManager::open(0, stable.clone()).unwrap();
-            let frames_before = mgr.wal_frames_appended();
-            mgr.begin_group();
-            for i in 0..5u8 {
-                let a = mgr.begin();
-                mgr.write_key(&a, &key(&format!("g{i}")), &i).unwrap();
-                mgr.commit(a).unwrap();
-                // Applied and unlocked immediately, durable later.
-                assert_eq!(
-                    mgr.read_committed_key::<u8>(&key(&format!("g{i}")))
-                        .unwrap(),
-                    Some(i)
-                );
-            }
-            assert_eq!(mgr.wal_frames_appended(), frames_before, "buffered");
-            mgr.end_group().unwrap();
-            assert_eq!(mgr.wal_frames_appended(), frames_before + 1);
-            assert_eq!(mgr.group_commit_count(), 1);
-        }
-        // Recovery replays every member of the group frame.
-        let mgr = TxManager::open(0, stable).unwrap();
-        for i in 0..5u8 {
-            assert_eq!(
-                mgr.read_committed_key::<u8>(&key(&format!("g{i}")))
-                    .unwrap(),
-                Some(i)
-            );
-        }
+        let mgr = TxManager::open_with_metrics(0, stable.clone(), registry, ObserveLevel::Off);
+        (mgr.unwrap(), stable)
     }
 
     #[test]
-    fn singleton_group_appends_bare_record() {
-        let mut mgr = TxManager::in_memory();
-        mgr.begin_group();
-        let a = mgr.begin();
-        mgr.write_key(&a, &key("x"), &1u8).unwrap();
-        mgr.commit(a).unwrap();
-        mgr.end_group().unwrap();
-        assert_eq!(mgr.group_commit_count(), 0, "one record needs no group");
-        assert_eq!(mgr.wal_frames_appended(), 1);
-    }
-
-    #[test]
-    fn nested_groups_flush_once_at_depth_zero() {
-        let mut mgr = TxManager::in_memory();
-        mgr.begin_group();
-        mgr.begin_group();
-        let a = mgr.begin();
-        mgr.write_key(&a, &key("x"), &1u8).unwrap();
-        mgr.commit(a).unwrap();
-        mgr.end_group().unwrap();
-        assert!(mgr.in_group());
-        assert_eq!(mgr.wal_frames_appended(), 0, "inner end does not flush");
-        let b = mgr.begin();
-        mgr.write_key(&b, &key("y"), &2u8).unwrap();
-        mgr.commit(b).unwrap();
-        mgr.end_group().unwrap();
-        assert!(!mgr.in_group());
-        assert_eq!(mgr.wal_frames_appended(), 1);
-        assert_eq!(mgr.group_commit_count(), 1);
-    }
-
-    #[test]
-    fn unflushed_group_lost_as_a_unit() {
-        let stable = SharedStorage::new();
-        {
-            let mut mgr = TxManager::open(0, stable.clone()).unwrap();
-            let a = mgr.begin();
-            mgr.write_key(&a, &key("before"), &1u8).unwrap();
-            mgr.commit(a).unwrap();
-            mgr.begin_group();
-            for i in 0..3u8 {
-                let a = mgr.begin();
-                mgr.write_key(&a, &key(&format!("w{i}")), &i).unwrap();
-                mgr.commit(a).unwrap();
-            }
-            // Crash before end_group: the whole window vanishes.
-        }
-        let mgr = TxManager::open(0, stable).unwrap();
-        assert_eq!(
-            mgr.read_committed_key::<u8>(&key("before")).unwrap(),
-            Some(1)
-        );
-        for i in 0..3u8 {
-            assert_eq!(
-                mgr.read_committed_key::<u8>(&key(&format!("w{i}")))
-                    .unwrap(),
-                None,
-                "no partial batch may survive"
-            );
-        }
-    }
-
-    #[test]
-    fn checkpoint_subsumes_open_group_buffer() {
-        let stable = SharedStorage::new();
-        let dist_tx;
-        {
-            let mut mgr = TxManager::open(0, stable.clone()).unwrap();
-            dist_tx = mgr.mint_dist_tx();
-            mgr.begin_group();
-            let a = mgr.begin();
-            mgr.write_key(&a, &key("x"), &7u8).unwrap();
-            mgr.commit(a).unwrap();
-            mgr.log_coordinator_decision(dist_tx, true).unwrap();
-            mgr.checkpoint().unwrap();
-            mgr.end_group().unwrap();
-        }
-        let mgr = TxManager::open(0, stable).unwrap();
-        assert_eq!(mgr.read_committed_key::<u8>(&key("x")).unwrap(), Some(7));
-        assert_eq!(mgr.coordinator_decision(dist_tx), Some(true));
-    }
-
-    #[test]
-    fn decision_in_an_open_group_flushes_in_the_groups_frame() {
-        let stable = SharedStorage::new();
-        let mut mgr = TxManager::open(0, stable.clone()).unwrap();
+    fn a_decision_staged_with_writes_is_one_resolve_commit_frame() {
+        let registry = Registry::new();
+        let (mut mgr, stable) = observed(&registry);
         let dist_tx = mgr.mint_dist_tx();
-        mgr.begin_group();
         let a = mgr.begin();
         mgr.write_key(&a, &key("x"), &1u8).unwrap();
+        mgr.stage_decision(&a, dist_tx).unwrap();
+        mgr.delete_key(&a, &key("x")).unwrap();
+        mgr.write_key(&a, &key("y"), &2u8).unwrap();
+        assert_eq!(
+            mgr.coordinator_decision(dist_tx),
+            None,
+            "not before the frame"
+        );
+        let id = a.id();
         mgr.commit(a).unwrap();
-        mgr.log_coordinator_decision(dist_tx, true).unwrap();
-        let b = mgr.begin();
-        mgr.delete_key(&b, &key("x")).unwrap();
-        mgr.commit(b).unwrap();
-        assert_eq!(mgr.wal_frames_appended(), 0, "buffered with the group");
-        mgr.end_group().unwrap();
-        // One frame, its members in call order.
         let frames = Wal::new(stable.clone()).scan().unwrap();
         let [LogRecord::GroupCommit { records }] = frames.as_slice() else {
             panic!("one group frame, got {frames:?}");
         };
-        assert!(matches!(
-            records.as_slice(),
-            [LogRecord::Commit { .. }, LogRecord::Resolve { tx, committed: true }, LogRecord::Commit { .. }]
-                if *tx == dist_tx
-        ));
-        // It replays as a decision, and a checkpoint carries it over.
+        assert_eq!(
+            *records,
+            [
+                LogRecord::Resolve {
+                    tx: dist_tx,
+                    committed: true
+                },
+                LogRecord::Commit {
+                    tx: id,
+                    writes: vec![(key("x"), None), (key("y"), Some(vec![2]))],
+                },
+            ]
+        );
+        let counter = |name: &str| registry.counter(name).get();
+        assert_eq!(counter("tx.group_commits"), 1);
+        assert_eq!(counter("tx.two_pc_rounds"), 1);
+        assert_eq!(counter("tx.commits"), 1);
+        // It replays as the decision and the writes, and a checkpoint
+        // carries both over.
         for _ in 0..2 {
             let mut mgr = TxManager::open(0, stable.clone()).unwrap();
             assert_eq!(mgr.coordinator_decision(dist_tx), Some(true));
             assert!(!mgr.exists_key(&key("x")));
+            assert_eq!(mgr.read_committed_key::<u8>(&key("y")).unwrap(), Some(2));
             mgr.checkpoint().unwrap();
         }
+    }
+
+    #[test]
+    fn a_decision_with_no_writes_is_a_bare_resolve() {
+        let registry = Registry::new();
+        let (mut mgr, stable) = observed(&registry);
+        let dist_tx = mgr.mint_dist_tx();
+        decide(&mut mgr, dist_tx);
+        assert_eq!(mgr.coordinator_decision(dist_tx), Some(true));
+        let frames = Wal::new(stable).scan().unwrap();
+        assert_eq!(
+            frames,
+            [LogRecord::Resolve {
+                tx: dist_tx,
+                committed: true
+            }]
+        );
+        assert_eq!(registry.counter("tx.group_commits").get(), 0);
+    }
+
+    #[test]
+    fn a_nested_group_frame_does_not_replay() {
+        let stable = SharedStorage::new();
+        let inner = LogRecord::GroupCommit { records: vec![] };
+        let nested = LogRecord::GroupCommit {
+            records: vec![inner],
+        };
+        Wal::new(stable.clone()).append(&nested).unwrap();
+        assert!(matches!(
+            TxManager::open(0, stable),
+            Err(TxError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn an_aborted_actions_decision_is_gone() {
+        let stable = SharedStorage::new();
+        let mut mgr = TxManager::open(0, stable.clone()).unwrap();
+        let dist_tx = mgr.mint_dist_tx();
+        let a = mgr.begin();
+        mgr.write_key(&a, &key("x"), &1u8).unwrap();
+        mgr.stage_decision(&a, dist_tx).unwrap();
+        mgr.abort(a);
+        assert_eq!(mgr.coordinator_decision(dist_tx), None);
+        assert_eq!(mgr.log_size(), 0);
+        let mgr = TxManager::open(0, stable).unwrap();
+        assert_eq!(mgr.coordinator_decision(dist_tx), None);
     }
 
     fn flaky() -> (TxManager<FlakyStorage>, Rc<Cell<bool>>) {
@@ -1516,6 +1417,26 @@ mod tests {
         mgr.commit(b).unwrap();
         assert_eq!(mgr.read_committed_key::<u8>(&key("x")).unwrap(), Some(2));
         assert_eq!(mgr.stats(), (1, 1), "the failed commit counts as an abort");
+    }
+
+    #[test]
+    fn a_refused_decision_frame_takes_no_decision_no_write_and_no_lock() {
+        let (mut mgr, fail) = flaky();
+        let dist_tx = mgr.mint_dist_tx();
+        let a = mgr.begin();
+        mgr.write_key(&a, &key("x"), &1u8).unwrap();
+        mgr.stage_decision(&a, dist_tx).unwrap();
+        fail.set(true);
+        assert!(matches!(mgr.commit(a), Err(TxError::Storage(_))));
+        fail.set(false);
+        assert_eq!(mgr.coordinator_decision(dist_tx), None);
+        assert!(!mgr.exists_key(&key("x")));
+        assert_eq!(mgr.log_size(), 0);
+        // The key is free for the next writer.
+        let b = mgr.begin();
+        mgr.write_key(&b, &key("x"), &2u8).unwrap();
+        mgr.commit(b).unwrap();
+        assert_eq!(mgr.stats(), (1, 1));
     }
 
     #[test]
@@ -1634,6 +1555,34 @@ mod tests {
         let mut mgr = TxManager::open(0, stable).unwrap();
         let b = mgr.begin();
         assert!(first.is_older_than(b.id()), "ids must not repeat");
+        mgr.abort(b);
+    }
+
+    /// A checkpoint keeps no commit record, so the id high-water mark
+    /// rides in the checkpoint itself: without it, a reopen mints the
+    /// ids of every compacted action again.
+    #[test]
+    fn minted_ids_advance_after_a_checkpoint() {
+        let stable = SharedStorage::new();
+        let mut last = None;
+        {
+            let mut mgr = TxManager::open(0, stable.clone()).unwrap();
+            for i in 0..2u8 {
+                let a = mgr.begin();
+                last = Some(a.id());
+                mgr.write_key(&a, &key("x"), &i).unwrap();
+                mgr.commit(a).unwrap();
+            }
+            mgr.checkpoint().unwrap();
+        }
+        let mut mgr = TxManager::open(0, stable).unwrap();
+        let b = mgr.begin();
+        let last = last.expect("two commits");
+        assert!(
+            last.is_older_than(b.id()),
+            "{} minted again after {last}",
+            b.id()
+        );
         mgr.abort(b);
     }
 }

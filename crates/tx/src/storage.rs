@@ -166,7 +166,7 @@ pub struct Shared<S: ?Sized> {
 pub type SharedStorage = Shared<MemStorage>;
 
 /// One open, synced log file shared the same way: every WAL frame append
-/// is a `write` + `fdatasync`, the cost that group commit amortizes.
+/// is a `write` + `fdatasync`, the cost that the commit window amortizes.
 pub type SharedFileStorage = Shared<FileStorage>;
 
 /// The stable store a coordinator journals to: any shared storage, its

@@ -144,11 +144,13 @@ fn perform(
     for action in actions {
         match action {
             CoordAction::PersistDecision { tx, commit } => {
-                harness
-                    .borrow_mut()
-                    .coord_mgr
-                    .log_coordinator_decision(tx, commit)
-                    .unwrap();
+                // Presumed abort: only a commit is ever persisted, in an
+                // atomic action of its own.
+                assert!(commit, "{tx}: an abort is not persisted");
+                let mgr = &mut harness.borrow_mut().coord_mgr;
+                let action = mgr.begin();
+                mgr.stage_decision(&action, tx).unwrap();
+                mgr.commit(action).unwrap();
             }
             CoordAction::Send { to, msg } => {
                 let node = node_table[&to];
