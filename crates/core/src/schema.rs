@@ -423,34 +423,6 @@ fn lower_compound(
     }
 }
 
-/// Compiles a single parsed task declaration into a [`CompiledTask`]
-/// relative to an enclosing compound named `enclosing` — used by dynamic
-/// reconfiguration to add tasks to running instances.
-///
-/// # Errors
-///
-/// Reports unknown task classes or unresolvable unconditioned sources.
-pub fn compile_task_fragment(
-    task: &ast::TaskDecl,
-    enclosing: &str,
-    task_classes: &BTreeMap<String, TaskClassInfo>,
-) -> Result<CompiledTask, Diagnostics> {
-    let mut diags = Diagnostics::new();
-    if !task_classes.contains_key(task.class.as_str()) {
-        diags.push(Diagnostic::error(
-            format!("unknown taskclass `{}`", task.class),
-            task.class.span,
-        ));
-        return Err(diags);
-    }
-    let compiled = lower_task(task, enclosing, task_classes, &mut diags);
-    if diags.has_errors() {
-        Err(diags)
-    } else {
-        Ok(compiled)
-    }
-}
-
 fn lower_task(
     task: &ast::TaskDecl,
     self_name: &str,

@@ -1,6 +1,7 @@
-//! Operator actions on a running instance: dynamic reconfiguration
-//! (paper §2/§3: transactional structure changes), the wait-state
-//! abort, and fact repair (with its fault-injection twin).
+//! Operator actions on a running instance, each one step: dynamic
+//! reconfiguration (paper §2/§3: transactional structure changes — a
+//! new version of the instance's script), the wait-state abort, and
+//! fact repair (with its fault-injection twin).
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -11,11 +12,13 @@ use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::World;
 use flowscript_tx::StoreKey;
 
+use super::lifecycle::pin_blobs;
+use super::meta::source_hash;
 use super::step::Effect;
 use super::{write_cb, CoordHandle, Coordinator, InstanceStatus, StatusRecord};
 use crate::error::EngineError;
 use crate::facts;
-use crate::keys::{bind_uid, plan_uid, reconfig_uid, source_uid, status_uid, InstanceKeys};
+use crate::keys::{plan_uid, source_uid, status_uid, InstanceKeys};
 use crate::reconfig::{self, Reconfig};
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
@@ -212,137 +215,105 @@ impl CoordHandle {
         Ok(())
     }
 
-    /// Applies a reconfiguration to a running instance atomically.
+    /// Applies a reconfiguration to a running instance: a new version
+    /// of its script, in one step.
     ///
-    /// The plan is re-lowered from the mutated schema, the instance's
-    /// persisted facts and control blocks are **remapped** onto the new
-    /// plan's dense ids (task ids shift when tasks are added or removed;
-    /// what belonged to a vanished task or declaration is deleted), and
-    /// the interned key table is rebuilt — all in the same atomic action
-    /// as the op itself.
+    /// The op edits the script the instance runs — its pinned source —
+    /// and the front end compiles the edited text ([`reconfig::apply`]).
+    /// One atomic action then pins that text and its plan, points the
+    /// header and status record at them, **remaps** the instance's
+    /// persisted facts and control blocks onto the new plan's dense ids
+    /// (task ids shift when tasks are added or removed; what belonged to
+    /// a vanished task or declaration is deleted), gives each new task
+    /// its block, revives a `Stuck` instance and stages the full drain
+    /// over the new plan: new tasks and new edges have no commit to seed
+    /// from. Its first effect swaps the resident plan.
     ///
     /// # Errors
     ///
-    /// Validation failures leave the instance untouched.
+    /// Validation failures, and a commit that fails, leave the instance
+    /// untouched.
     pub fn reconfigure(
         &self,
         world: &mut World,
         instance: &str,
         op: Reconfig,
     ) -> Result<(), EngineError> {
-        // Reconfiguration rebuilds the plan and rebinding state from
-        // committed truth: absorb the batch window first.
+        // Reconfiguration edits committed truth: absorb the batch window
+        // first.
         self.flush_pending(world);
-        let old_plan = {
-            let mut coordinator = self.inner.borrow_mut();
-            let Some(rt) = coordinator.instances.get(instance) else {
-                return Err(EngineError::UnknownInstance(instance.to_string()));
-            };
-            let (old_plan, old_keys) = (rt.plan.clone(), rt.keys.clone());
-            let resident_schema = rt.schema.clone();
+        let (old_plan, old_keys) = self
+            .instance_ctx(instance)
+            .ok_or_else(|| EngineError::UnknownInstance(instance.to_string()))?;
+        let name: Rc<str> = Rc::from(instance);
+        let staged = self.inner.borrow_mut().run_step(|coordinator, step| {
+            let mut header = coordinator.read_header(instance)?;
+            let source = coordinator.pinned_source(instance, &header)?;
+            let (text, plan) = reconfig::apply(source, &header.root, &op)?;
+            let plan = Rc::new(plan);
+            let keys = Rc::new(InstanceKeys::build(&plan, instance, old_keys.instance_id));
+            fn path(plan: &Plan, id: TaskId) -> &str {
+                plan.str(plan.task(id).path)
+            }
+            let old_id = |id: TaskId| old_plan.task_by_path(path(&plan, id));
+            // The new tasks are the paths the old plan lacks; each joins
+            // the current incarnation of its scope.
+            let new_blocks: Vec<(TaskId, TaskCb)> = (0..plan.tasks.len() as TaskId)
+                .filter(|&id| old_id(id).is_none())
+                .map(|id| {
+                    let scope = plan.task(id).parent.and_then(old_id);
+                    let scope_cb = scope.and_then(|scope| coordinator.read_cb_id(&old_keys, scope));
+                    let mut cb = TaskCb::waiting();
+                    cb.incarnation = scope_cb.map_or(0, |cb| cb.scope_inc);
+                    (id, cb)
+                })
+                .collect();
             let mut record = coordinator.read_status(instance)?;
-            // A reconfiguration can rescue a stuck instance (e.g. by adding
-            // an alternative source), so revive it for re-evaluation.
+            // A reconfiguration can rescue a stuck instance (e.g. by
+            // adding an alternative source): it is evaluated again.
             let revived = matches!(record.status, InstanceStatus::Stuck { .. });
             if revived {
                 record.status = InstanceStatus::Running;
             }
-            // Materialize the schema on demand: an instance started
-            // from a served plan never compiled one. Replay any
-            // previously persisted reconfigurations so it is current.
-            let mut schema = match resident_schema {
-                Some(schema) => (*schema).clone(),
-                None => {
-                    let header = coordinator.read_header(instance)?;
-                    coordinator.rebuild_schema(instance, &header)?
-                }
-            };
-            let effects = reconfig::apply(&mut schema, &op)?;
-            // Compile-once per structural change: the mutated schema is
-            // re-lowered and swapped in atomically with the fact remap.
-            let new_plan = Plan::lower(&schema);
-            let new_keys = InstanceKeys::build(&new_plan, instance, old_keys.instance_id);
-
-            let n = record.reconfig_count;
-            record.reconfig_count += 1;
-            record.plan_fingerprint = new_plan.fingerprint;
-            // New tasks join the current incarnation of their scope.
-            let new_blocks: Vec<(TaskId, TaskCb)> = effects
-                .new_tasks
-                .iter()
-                .filter_map(|path| {
-                    let scope_path = path.rsplit_once('/').map(|(s, _)| s).unwrap_or("");
-                    let scope_inc = old_plan
-                        .task_by_path(scope_path)
-                        .and_then(|scope| coordinator.read_cb_id(&old_keys, scope))
-                        .map_or(0, |cb| cb.scope_inc);
-                    let mut cb = TaskCb::waiting();
-                    cb.incarnation = scope_inc;
-                    Some((new_plan.task_by_path(path)?, cb))
-                })
-                .collect();
-            // Persist the op and its engine-side effects in one action.
-            coordinator.atomically(|mgr, action| {
-                mgr.write_key(action, &reconfig_uid(instance, n), &op)?;
-                mgr.write_key(action, new_keys.status(), &record)?;
-                let plan_key = plan_uid(new_plan.fingerprint);
-                if !mgr.exists_key(&plan_key) {
-                    mgr.write_key(action, &plan_key, &new_plan)?;
-                }
-                // Move every persisted fact and control block onto the
-                // new plan's id space; a removed task's die here.
-                facts::remap_instance_facts(
-                    mgr,
-                    action,
-                    &old_plan,
-                    &old_keys,
-                    &new_plan,
-                    old_keys.instance_id,
-                )?;
-                // After the remap: a new task may take an id it vacated.
-                for (task, cb) in &new_blocks {
-                    write_cb(mgr, action, &new_keys, *task, cb)?;
-                }
-                if let Reconfig::Rebind { code, to } = &op {
-                    mgr.write_key(action, &bind_uid(instance, code), to)?;
-                }
-                Ok(())
-            })?;
-            coordinator.note_status(instance, &record.status);
+            record.plan_fingerprint = plan.fingerprint;
+            let hash = source_hash(&text);
+            header.source_hash = hash;
+            let action = step.action(&mut coordinator.mgr);
+            let mgr = &mut coordinator.mgr;
+            // The remap reads committed state: it stages first.
+            let id = old_keys.instance_id;
+            facts::remap_instance_facts(mgr, action, &old_plan, &old_keys, &plan, id)?;
+            pin_blobs(mgr, action, &header.script, hash, &text, &plan)?;
+            mgr.write_key(action, keys.meta(), &header)?;
+            mgr.write_key(action, keys.status(), &record)?;
+            // After the remap: a new task may take an id it vacated.
+            for (task, cb) in &new_blocks {
+                write_cb(mgr, action, &keys, *task, cb)?;
+            }
+            let nonterminal = (0..plan.tasks.len() as TaskId)
+                .filter_map(|id| coordinator.staged_cb(step, &keys, id))
+                .filter(|cb| !cb.state.is_terminal())
+                .count();
+            let replan = Effect::Replan(plan.clone(), keys.clone(), nonterminal);
+            step.push(&name, replan);
             if revived {
-                // Back from Stuck: the instance counts against the
-                // admission cap again.
-                coordinator.admission.instance_live();
+                step.push(&name, Effect::Status(InstanceStatus::Running));
             }
-            coordinator.metrics.reconfigs.inc();
-            // The plan (and possibly the task set) changed: recount the
-            // non-terminal blocks instead of patching deltas.
-            let nonterminal = coordinator.count_nonterminal(&new_plan, &new_keys);
-            let rt = coordinator
-                .instances
-                .get_mut(instance)
-                .expect("checked above");
-            rt.plan = Rc::new(new_plan);
-            rt.keys = Rc::new(new_keys);
-            rt.schema = Some(Rc::new(schema));
-            rt.nonterminal = nonterminal;
-            if let Reconfig::Rebind { code, to } = &op {
-                rt.bindings.insert(code.clone(), to.clone());
-            }
-            old_plan
-        };
-        // Task ids shifted under dispatch's books.
-        self.rekey_flights(world, instance, &old_plan);
-        // The old fingerprint may now be orphaned — reclaim it right
-        // away rather than waiting for the next checkpoint (an idle
-        // instance would strand it forever).
-        self.inner.borrow_mut().gc_plans()?;
-        // The plan changed under the instance: reconfiguration re-enters
-        // through the full scan (new tasks and new edges have no commit
-        // to seed from) — a second step, not folded into the commit
-        // above: the resident plan and dispatch's books are swapped in
-        // between.
-        self.evaluate(world, instance);
+            step.push(&name, Effect::Count(coordinator.metrics.reconfigs.clone()));
+            // The drain runs over the new plan, its flights re-keyed
+            // onto it the way the books will be.
+            let mut drain = coordinator.drain_of(name.clone(), &plan, &keys);
+            drain.terminal = record.status.is_terminal();
+            let flying = drain.flying.iter();
+            let moved = flying.filter_map(|&task| plan.task_by_path(path(&old_plan, task)));
+            drain.flying = moved.collect();
+            drain.worklist.seed_all(&plan);
+            coordinator.stage_drain(step, &mut drain)
+        });
+        let ((), effects) = staged?;
+        self.publish(world, effects);
+        let _ = self.inner.borrow_mut().maybe_checkpoint();
+        self.assert_settled(instance);
         self.pump(world);
         Ok(())
     }

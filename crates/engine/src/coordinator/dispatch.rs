@@ -10,10 +10,11 @@
 //! against the instance's *current* plan exactly where a wire message
 //! or a timer enters (timers capture the path — it is the name that
 //! survives a re-lowering), and a reconfiguration re-keys the records
-//! ([`CoordHandle::rekey_flights`]).
+//! ([`CoordHandle::replan`]).
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use flowscript_core::ast::OutputKind;
 use flowscript_obs::ObsEventKind;
@@ -217,7 +218,7 @@ impl Dispatcher {
 
 /// What one dispatch of a task ships and how long it may take.
 struct Shipment {
-    /// The implementation code after run-time rebinding.
+    /// The implementation code its script names.
     code: String,
     implementation: BTreeMap<String, String>,
     hints: ImplHints,
@@ -229,18 +230,11 @@ struct Shipment {
 }
 
 impl Coordinator {
-    /// The code binding → hints → watchdog timeout derivation, shared
-    /// by a fresh dispatch and the re-arming of an adopted instance.
-    /// Run-time binding: a per-instance rebinding overrides the
-    /// script's name.
+    /// The code → hints → watchdog timeout derivation, shared by a fresh
+    /// dispatch and the re-arming of an adopted instance.
     fn shipment(&self, rt: &InstanceRt, task: TaskId) -> Shipment {
         let task = rt.plan.task(task);
-        let script_code = rt.plan.code(task).unwrap_or("");
-        let code = rt
-            .bindings
-            .get(script_code)
-            .map_or(script_code, String::as_str)
-            .to_string();
+        let code = rt.plan.code(task).unwrap_or("").to_string();
         let implementation = rt.plan.implementation_map(task);
         let hints = ImplHints::from_map(&implementation);
         let timeout =
@@ -540,13 +534,23 @@ impl CoordHandle {
         });
     }
 
-    /// A reconfiguration re-lowered `instance`'s plan and shifted its
-    /// dense task ids: dispatch's books move old id → path → new id,
-    /// and a removed task's entries are released with it.
-    pub(super) fn rekey_flights(&self, world: &mut World, instance: &str, old_plan: &Plan) {
+    /// A reconfiguration committed `instance`'s new plan, with its key
+    /// table and the count of its non-terminal blocks: the resident
+    /// runtime runs off them from here on, and dispatch's books move
+    /// old id → path → new id — a removed task's entries are released
+    /// with it.
+    pub(super) fn replan(
+        &self,
+        world: &mut World,
+        instance: &str,
+        plan: Rc<Plan>,
+        keys: Rc<InstanceKeys>,
+        nonterminal: usize,
+    ) {
         self.edit_books(world, instance, |dispatcher, rt| {
-            let new_plan = rt.plan.clone();
-            let new_id = |old: TaskId| new_plan.task_by_path(old_plan.str(old_plan.task(old).path));
+            let old_plan = std::mem::replace(&mut rt.plan, plan.clone());
+            (rt.keys, rt.nonterminal) = (keys, nonterminal);
+            let new_id = |old: TaskId| plan.task_by_path(old_plan.str(old_plan.task(old).path));
             dispatcher.rekey(instance, &mut rt.flights, new_id)
         });
     }
@@ -556,9 +560,9 @@ impl CoordHandle {
     /// case is the watchdog being disarmed by the old owner's relayed
     /// `TaskDone`; it fires only if the reply (or its relay) is truly
     /// lost, turning the move into an ordinary bounded retry. The
-    /// timeout is a fresh dispatch's — observed-duration extension for
-    /// the rebound code included — so a relay delayed past a lying
-    /// short hint still lands before the adopted watchdog fires.
+    /// timeout is a fresh dispatch's — observed-duration extension
+    /// included — so a relay delayed past a lying short hint still
+    /// lands before the adopted watchdog fires.
     pub(super) fn rearm_adopted(&self, world: &mut World, instance: &str) {
         let executing: Vec<(TaskId, TaskCb, SimDuration)> = {
             let coordinator = self.inner.borrow();

@@ -72,9 +72,8 @@ impl CoordHandle {
     }
 
     /// Full re-evaluation — every task seeded — where there is no
-    /// transition to seed from: adoption and reconfiguration re-entry
-    /// (`reconfigure` swaps the plan between its own commit and this
-    /// drain, so it stays two steps).
+    /// transition to seed from: an adopted instance. (A reconfiguration
+    /// stages the same full drain, over its new plan, into its own step.)
     pub(super) fn evaluate(&self, world: &mut World, instance: &str) {
         // No error channel: a drain that cannot stage rolls back whole.
         let _ = self.reevaluate(world, instance, |_, _, drain| {

@@ -4,16 +4,17 @@
 //! off: decoded and validated once per distinct encoding ([`PlanCache`]),
 //! persisted once per fingerprint (`sys/plan/…`) beside the canonical
 //! source they were compiled from (`sys/src/…`, once per content hash),
-//! both collected when no instance references them.
+//! both pinned by a start or a reconfiguration ([`pin_blobs`]) and
+//! collected when no instance references them.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use flowscript_core::schema::{self, Schema};
+use flowscript_core::schema;
 use flowscript_obs::ObsEventKind;
 use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::World;
-use flowscript_tx::{FactKey, StoreKey};
+use flowscript_tx::{AtomicAction, FactKey, StableStore, StoreKey, TxManager};
 
 use super::meta::source_hash;
 use super::step::Effect;
@@ -24,39 +25,28 @@ use super::{
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::{self, instance_seq_uid, plan_uid, source_uid, InstanceKeys};
-use crate::reconfig::{self, Reconfig};
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
 
 impl Coordinator {
     /// Materializes an instance's volatile runtime from committed
-    /// state: the persisted fingerprinted plan when valid (recompiling
-    /// the source and replaying persisted reconfigurations as the
-    /// fallback), rebindings, interned keys and the non-terminal count.
-    /// Pure state load — arms no timers and dispatches nothing. Shared
-    /// by crash recovery and hand-off adoption.
+    /// state: the persisted fingerprinted plan when valid (its current
+    /// source recompiled as the fallback), interned keys and the
+    /// non-terminal count. Pure state load — arms no timers and
+    /// dispatches nothing. Shared by crash recovery and hand-off
+    /// adoption.
     pub(super) fn load_instance(
         &mut self,
         name: &str,
         header: &InstanceHeader,
         record: &StatusRecord,
     ) -> Option<InstanceRt> {
-        let (plan, schema) = self.committed_plan(name, header, record)?;
-        let mut bindings = BTreeMap::new();
-        let bind_prefix = keys::bind_prefix(name);
-        for bind in self.mgr.uids_with_prefix(&bind_prefix) {
-            let code = bind.as_str()[bind_prefix.len()..].to_string();
-            if let Ok(Some(to)) = self.mgr.read_committed_key(&StoreKey::Uid(bind)) {
-                bindings.insert(code, to);
-            }
-        }
+        let plan = self.committed_plan(name, header, record)?;
         let keys = InstanceKeys::build(&plan, name, header.instance_id);
         let nonterminal = self.count_nonterminal(&plan, &keys);
         Some(InstanceRt {
             plan,
             keys: Rc::new(keys),
-            schema,
-            bindings,
             flights: Flights::default(),
             nonterminal,
             terminal: record.status.is_terminal(),
@@ -65,63 +55,81 @@ impl Coordinator {
     }
 
     /// The plan a stored instance runs off: the persisted blob its
-    /// status record names when that validates, else its source
-    /// recompiled and re-lowered (the schema then comes along).
+    /// status record names when that validates, else the source its
+    /// header names recompiled and re-lowered.
     fn committed_plan(
         &mut self,
         name: &str,
         header: &InstanceHeader,
         record: &StatusRecord,
-    ) -> Option<(Rc<Plan>, Option<Rc<Schema>>)> {
+    ) -> Option<Rc<Plan>> {
         let cached: Option<Rc<Plan>> = self
             .mgr
             .read_committed_bytes(&plan_uid(record.plan_fingerprint))
             .and_then(|bytes| self.plan_cache.validated(bytes))
             .filter(|plan| plan.fingerprint == record.plan_fingerprint);
-        match cached {
-            Some(plan) => Some((plan, None)),
-            None => {
-                let schema = self.rebuild_schema(name, header).ok()?;
-                Some((Rc::new(Plan::lower(&schema)), Some(Rc::new(schema))))
-            }
+        if cached.is_some() {
+            return cached;
         }
+        let source = self.pinned_source(name, header).ok()?;
+        let compiled = schema::compile_source(source, &header.root).ok()?;
+        Some(Rc::new(Plan::lower(&compiled)))
     }
 
-    /// The instance's hierarchical schema as of now: its pinned source
-    /// recompiled and every persisted reconfiguration replayed in
-    /// order. Instances run off their plan; only reconfiguration, and a
-    /// load that finds no valid persisted plan, need this — the only
-    /// readers of the source.
+    /// The canonical source of the script version `name` runs, as its
+    /// header pins it. Instances run off their plan: only
+    /// reconfiguration, and a load that finds no valid plan blob, read
+    /// this.
     ///
     /// # Errors
     ///
     /// The source blob is missing or is not the text the header's hash
-    /// names, or no longer compiles.
-    pub(super) fn rebuild_schema(
+    /// names.
+    pub(super) fn pinned_source(
         &self,
         name: &str,
         header: &InstanceHeader,
-    ) -> Result<Schema, EngineError> {
+    ) -> Result<&str, EngineError> {
         let key = source_uid(header.source_hash);
-        let source = self
-            .mgr
+        self.mgr
             .read_committed_bytes(&key)
             .and_then(|bytes| std::str::from_utf8(bytes).ok())
             .filter(|text| source_hash(text) == header.source_hash)
-            .ok_or_else(|| {
-                EngineError::Tx(format!("`{key}` does not hold the source of `{name}`"))
-            })?;
-        let mut schema = schema::compile_source(source, &header.root)?;
-        for op_uid in self.mgr.uids_with_prefix(&keys::reconfig_prefix(name)) {
-            if let Ok(Some(op)) = self
-                .mgr
-                .read_committed_key::<Reconfig>(&StoreKey::Uid(op_uid))
-            {
-                let _ = reconfig::apply(&mut schema, &op);
-            }
-        }
-        Ok(schema)
+            .ok_or_else(|| EngineError::Tx(format!("`{key}` does not hold the source of `{name}`")))
     }
+}
+
+/// Stages the two blobs an instance runs off, each only where the shard
+/// has none yet: the canonical `source` of `script` under its `hash` —
+/// text already there is shared only if it is this text — and `plan`
+/// under its fingerprint, so a load decodes it instead of recompiling.
+///
+/// # Errors
+///
+/// Different text under `hash`, or a write the action refused.
+pub(super) fn pin_blobs(
+    mgr: &mut TxManager<StableStore>,
+    action: &AtomicAction,
+    script: &str,
+    hash: u64,
+    source: &str,
+    plan: &Plan,
+) -> Result<(), EngineError> {
+    let source_key = source_uid(hash);
+    match mgr.read_committed_bytes(&source_key) {
+        Some(stored) if stored != source.as_bytes() => {
+            return Err(EngineError::Tx(format!(
+                "`{source_key}` holds a different source than script `{script}`"
+            )));
+        }
+        Some(_) => {}
+        None => mgr.write_key_raw(action, &source_key, source.as_bytes().to_vec())?,
+    }
+    let plan_key = plan_uid(plan.fingerprint);
+    if !mgr.exists_key(&plan_key) {
+        mgr.write_key(action, &plan_key, plan)?;
+    }
+    Ok(())
 }
 
 impl CoordHandle {
@@ -170,15 +178,10 @@ impl CoordHandle {
         version: Option<u32>,
     ) -> Result<(), EngineError> {
         // Compile-once, execute-many: a validated served plan skips the
-        // whole front end here. The hierarchical schema is materialized
-        // lazily (only reconfiguration needs it).
-        let (plan, schema) = match served_plan {
-            Some(plan) => (plan, None),
-            None => {
-                let schema = schema::compile_source(source, root)?;
-                let plan = Rc::new(Plan::lower(&schema));
-                (plan, Some(Rc::new(schema)))
-            }
+        // whole front end here.
+        let plan = match served_plan {
+            Some(plan) => plan,
+            None => Rc::new(Plan::lower(&schema::compile_source(source, root)?)),
         };
         // Validate the chosen input set against the root task class.
         let root_class = plan
@@ -210,7 +213,6 @@ impl CoordHandle {
         }
         let root_path = plan.str(plan.root().path).to_string();
         let hash = source_hash(source);
-        let source_key = source_uid(hash);
         let name: Rc<str> = Rc::from(instance);
 
         // The start is one step — header, status record, blocks, the
@@ -221,17 +223,6 @@ impl CoordHandle {
             // A second start must not write over the first.
             if coordinator.holds(instance) {
                 return Err(EngineError::DuplicateInstance(instance.to_string()));
-            }
-            // The source is pinned once per shard, under its hash: text
-            // already there is shared only if it is this text.
-            let pinned = coordinator
-                .mgr
-                .read_committed_bytes(&source_key)
-                .map(|stored| stored == source.as_bytes());
-            if pinned == Some(false) {
-                return Err(EngineError::Tx(format!(
-                    "`{source_key}` holds a different source than script `{script_name}`"
-                )));
             }
             // Allocate the dense instance id from the persistent sequence.
             let seq_uid = instance_seq_uid();
@@ -251,7 +242,6 @@ impl CoordHandle {
             };
             let record = StatusRecord {
                 status: InstanceStatus::Running,
-                reconfig_count: 0,
                 plan_fingerprint: plan.fingerprint,
             };
             let action = step.action(&mut coordinator.mgr);
@@ -259,15 +249,7 @@ impl CoordHandle {
             mgr.write_key(action, &seq_uid, &(instance_id + 1))?;
             mgr.write_key(action, keys.meta(), &header)?;
             mgr.write_key(action, keys.status(), &record)?;
-            if pinned.is_none() {
-                mgr.write_key_raw(action, &source_key, source.as_bytes().to_vec())?;
-            }
-            // Persist the compiled plan once per fingerprint so crash
-            // recovery decodes it instead of recompiling from source.
-            let plan_key = plan_uid(plan.fingerprint);
-            if !mgr.exists_key(&plan_key) {
-                mgr.write_key(action, &plan_key, plan.as_ref())?;
-            }
+            pin_blobs(mgr, action, script_name, hash, source, &plan)?;
             // Root control block starts Active with the supplied inputs
             // bound.
             let mut root_cb = TaskCb::waiting();
@@ -285,10 +267,8 @@ impl CoordHandle {
                 mgr.write_key(action, &StoreKey::Fact(keys.cb(id)), &waiting)?;
             }
             let rt = InstanceRt {
-                schema,
                 plan: plan.clone(),
                 keys: keys.clone(),
-                bindings: BTreeMap::new(),
                 flights: Flights::default(),
                 // Root Active + every descendant Waiting.
                 nonterminal: plan.tasks.len(),
@@ -345,7 +325,7 @@ impl CoordHandle {
         let stored = |coordinator: &mut Coordinator| {
             let header = coordinator.read_header(instance).ok()?;
             let record = coordinator.read_status(instance).ok()?;
-            let (plan, _) = coordinator.committed_plan(instance, &header, &record)?;
+            let plan = coordinator.committed_plan(instance, &header, &record)?;
             Some((plan, header.instance_id))
         };
         let Some((plan, instance_id)) = resident.or_else(|| stored(&mut coordinator)) else {
@@ -437,9 +417,9 @@ impl PlanCache {
 impl Coordinator {
     /// Drops the persisted plan blobs (`sys/plan/…`) and pinned sources
     /// (`sys/src/…`) no instance references any more. Both persist once
-    /// per content; every reconfiguration re-fingerprints, so without
-    /// this a reconfigured instance strands its old plan blobs forever,
-    /// and a script's source outlives its last instance. Runs at
+    /// per content; every reconfiguration pins a new version of both, so
+    /// without this a reconfigured instance strands its old blobs
+    /// forever, and a script's source outlives its last instance. Runs at
     /// checkpoint time (cold path): one pass over the stored instances
     /// — covering those the shard has not (re)loaded — feeds both
     /// reference sets, plus every resident instance's current plan.

@@ -1,8 +1,9 @@
 //! What an instance persists besides control blocks and facts, as
-//! three records: the write-once [`InstanceHeader`], the small mutable
+//! three records: the [`InstanceHeader`], the small mutable
 //! [`StatusRecord`], and — once per shard, shared by content — the
-//! script's canonical source under its [`source_hash`]. Their field
-//! order lives here; their uids in [`crate::keys`].
+//! canonical source of its script's current version under its
+//! [`source_hash`]. Their field order lives here; their uids in
+//! [`crate::keys`].
 
 use std::collections::BTreeMap;
 
@@ -137,15 +138,18 @@ fn expect_tag(r: &mut ByteReader<'_>, tag: u8, ty: &'static str) -> Result<(), C
     }
 }
 
-/// `inst/<name>/meta` — what an instance was started as. Immutable for
-/// the life of an owner: written by instance start, rewritten only by
-/// hand-off re-keying (a new owner allots a new `instance_id`).
+/// `inst/<name>/meta` — what an instance was started as, and the
+/// version of its script it runs: written by instance start, rewritten
+/// by a reconfiguration (a new version of the script) and by hand-off
+/// re-keying (a new owner allots a new `instance_id`). Nothing on the
+/// run path writes it.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct InstanceHeader {
     pub(super) script: String,
-    /// [`source_hash`] of the script's canonical source, pinned once
-    /// per shard under `sys/src/<hash>`. Only reconfiguration, and a
-    /// load that finds no valid plan blob, read the text.
+    /// [`source_hash`] of the canonical source of the script's current
+    /// version, pinned once per shard under `sys/src/<hash>`. Only
+    /// reconfiguration, and a load that finds no valid plan blob, read
+    /// the text.
     pub(super) source_hash: u64,
     pub(super) root: String,
     pub(super) set: String,
@@ -191,7 +195,6 @@ impl Decode for InstanceHeader {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct StatusRecord {
     pub(super) status: InstanceStatus,
-    pub(super) reconfig_count: u32,
     /// Fingerprint of the instance's current compiled plan. Crash
     /// recovery fetches the plan persisted under this fingerprint and
     /// skips the front end entirely.
@@ -202,7 +205,6 @@ impl Encode for StatusRecord {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u8(STATUS_TAG);
         self.status.encode(w);
-        w.put_u32(self.reconfig_count);
         w.put_u64(self.plan_fingerprint);
     }
 }
@@ -212,7 +214,6 @@ impl Decode for StatusRecord {
         expect_tag(r, STATUS_TAG, "StatusRecord")?;
         Ok(StatusRecord {
             status: InstanceStatus::decode(r)?,
-            reconfig_count: r.get_u32()?,
             plan_fingerprint: r.get_u64()?,
         })
     }
@@ -275,9 +276,10 @@ mod tests {
         );
         let running = StatusRecord {
             status: InstanceStatus::Running,
-            reconfig_count: 2,
             plan_fingerprint: 0xDEAD_BEEF,
         };
+        // A tag, the status's discriminant and the fingerprint.
+        assert_eq!(flowscript_codec::to_bytes(&running).len(), 10);
         let stuck = StatusRecord {
             status: InstanceStatus::Stuck {
                 reason: "nothing to run".into(),
@@ -299,8 +301,8 @@ mod tests {
     /// What the layout before the split stored under `inst/<name>/meta`
     /// for the header above, `Running`, two reconfigurations (rendered
     /// by the last commit that wrote it): script, the source text
-    /// `class C;` itself, root, set, inputs, status, reconfig_count,
-    /// instance_id, version, plan_fingerprint.
+    /// `class C;` itself, root, set, inputs, status, the reconfiguration
+    /// count, instance_id, version, plan_fingerprint.
     const PRE_SPLIT_RECORD: &[u8] = b"\x05order\x08class C;\x04root\x04main\
         \x01\x04seed\x01C\x01s\x00\
         \x00\x02\0\0\0\x07\0\0\0\x01\x03\0\0\0\xEF\xBE\xAD\xDE\0\0\0\0";

@@ -35,16 +35,16 @@
 //!
 //! | module | concern | owns | entry points |
 //! |---|---|---|---|
-//! | `config`, `meta`, `stats` | the types: operator knobs; status and outcome, the write-once `InstanceHeader`, the `StatusRecord`, the pinned source's hash (their uids: [`crate::keys`]); counters and the dispatch record | — | — |
+//! | `config`, `meta`, `stats` | the types: operator knobs; status and outcome, the `InstanceHeader` (rewritten only by a reconfiguration and a hand-off's re-key), the `StatusRecord`, the pinned source's hash (their uids: [`crate::keys`]); counters and the dispatch record | — | — |
 //! | `step` | the unit of commit: stage into one action (reading its own writes back), commit once — one frame straight to the log — publish the effects in staging order | `Step`, `Effect`, `Launch` (what an attempt ships under) | `run_step` (the one way the engine runs an action), `atomically` (the step with nothing to publish), `publish`; `staged`, `staged_cb`, `trace` |
 //! | `window` | the one place a report is applied: buffer `Done`/`Mark` reports, stage a window of them in arrival order — outcome, mark, execution error, repeat outcome, misreport — and its cascade as one step | `BatchWindow` | `enqueue_event`, `flush_pending`, `commit_event` |
-//! | `evaluate` | the cascade a step stages: input-set satisfaction, activation, compound-scope outputs (marks, termination, the fig. 8 repeat), stuck detection; the debug full-scan oracle | `Drain` (one instance inside a step: its seeds, its flights as the step leaves them) | `reevaluate` (the step over one resident instance: the caller stages its transition, the drain follows, one commit, publish — the watchdog, a failed placement, the operator's abort and repair, a restart's re-arm), `evaluate` (the same with nothing but the full scan to stage); `drain_of`, `stage_drain`, `park_stuck`, `assert_settled` |
-//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, and what an attempt that ends with no outcome stages: the bounded retry or `Failed` | `Dispatcher` (scheduler loads, cost model, ready queue), `Flights` (per instance: one record per task with outstanding work) | staging: `stage_lost` (error report, time-out), `stage_failure`, `stage_launch` (the next attempt, now or after a delay); publishing: `ship` (an attempt, under what its step staged), `dispatch` (a staged attempt whose delay or park is over), `dispatch_after`, `lose_flight`, `clear_watch`, `discard_flights` (subtree sweep, forced outcome, failure), `fail_unplaceable`; `drain_parked`, `executing`; `Flights::outstanding` (stuck detection), `rekey_flights` (reconfiguration), `rearm_adopted` (adoption), `Dispatcher::{release_all, reset}` (hand-off, recovery), `executor_loads` |
+//! | `evaluate` | the cascade a step stages: input-set satisfaction, activation, compound-scope outputs (marks, termination, the fig. 8 repeat), stuck detection; the debug full-scan oracle | `Drain` (one instance inside a step: its seeds, its flights as the step leaves them) | `reevaluate` (the step over one resident instance: the caller stages its transition, the drain follows, one commit, publish — the watchdog, a failed placement, the operator's abort and repair, a restart's re-arm), `evaluate` (the same with nothing but the full scan to stage: adoption); `drain_of`, `stage_drain`, `park_stuck`, `assert_settled` |
+//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, and what an attempt that ends with no outcome stages: the bounded retry or `Failed` | `Dispatcher` (scheduler loads, cost model, ready queue), `Flights` (per instance: one record per task with outstanding work) | staging: `stage_lost` (error report, time-out), `stage_failure`, `stage_launch` (the next attempt, now or after a delay); publishing: `ship` (an attempt, under what its step staged), `dispatch` (a staged attempt whose delay or park is over), `dispatch_after`, `lose_flight`, `clear_watch`, `discard_flights` (subtree sweep, forced outcome, failure), `fail_unplaceable`; `drain_parked`, `executing`; `Flights::outstanding` (stuck detection), `replan` (a reconfiguration's new plan, its books re-keyed), `rearm_adopted` (adoption), `Dispatcher::{release_all, reset}` (hand-off, recovery), `executor_loads` |
 //! | `admission` | the per-shard instance cap on the start RPC | `Admission` | `admit_or_queue`, `admit_from_queue`, `Admission::{instance_live, instance_settled}` |
-//! | `lifecycle` | instance start (the one writer of a header, and of the two per-shard blobs beside it: the compiled plan per fingerprint, the canonical source per hash), materialising a runtime from committed state, the monitoring reads; blob collection | `PlanCache` | `start_instance_full`, `load_instance`, `rebuild_schema` (the one reader of the source), `count_nonterminal`, `PlanCache::validated`, `gc_plans` |
+//! | `lifecycle` | instance start (the first writer of a header), the two per-shard blobs an instance pins — the compiled plan per fingerprint, the canonical source per hash — materialising a runtime from committed state, the monitoring reads; blob collection | `PlanCache` | `start_instance_full`, `pin_blobs` (start, reconfiguration), `pinned_source` (the one reader of the source: reconfiguration, and a load with no valid plan blob), `load_instance`, `count_nonterminal`, `PlanCache::validated`, `gc_plans` |
 //! | `membership` | shard routing and relays; the fleet protocols the nodes run among themselves — live hand-off (the one `tx::dist` 2PC, this module its host) and crash-driven adoption | `Membership`, [`MoveReport`], [`FailoverReport`] | `route_report`, `misdirected`, `forward_start`; from the façade `begin_move`, `begin_adoption` (each answers with a `Ticket`); from the wire `on_dist`, `on_claim`; `adopt_orphans`, `repair_handoffs` |
 //! | `recovery` | restart: reopen the log, reset volatile state (fleet protocols included), repair hand-offs, reload, re-arm each running instance in one step | — | `recover`, `stored_instances`, `stored_instance_names` |
-//! | `admin` | operator actions on a running instance: the abort and the repair one step each, reconfiguration a commit and a drain (it swaps the plan in between) | — | `reconfigure`, `abort_waiting_task`, `repair_fact` |
+//! | `admin` | operator actions on a running instance, one step each: the abort, the repair, and a reconfiguration — the script's new version, the remap onto its plan and the full drain over it | — | `reconfigure`, `abort_waiting_task`, `repair_fact` |
 
 mod admin;
 mod admission;
@@ -64,7 +64,6 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use flowscript_codec::Encode;
-use flowscript_core::schema::Schema;
 use flowscript_obs::{FlightRecorder, ObsEventKind, Registry};
 use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::{Envelope, NodeId, World};
@@ -96,20 +95,13 @@ use window::{BatchWindow, PendingEvent};
 
 /// Volatile per-instance runtime state (rebuilt on recovery).
 struct InstanceRt {
-    /// The hierarchical schema — the input to dynamic reconfiguration.
-    /// `None` until first needed: instances started from a
-    /// repository-served plan (or recovered from a persisted plan) skip
-    /// the front end entirely, and the schema is recompiled from the
-    /// persisted source on demand.
-    schema: Option<Rc<Schema>>,
     /// The compiled execution plan all hot paths run off (served by the
-    /// repository's plan cache, or lowered locally; re-lowered after
-    /// each reconfiguration).
+    /// repository's plan cache, or lowered locally; a reconfiguration
+    /// swaps in the plan of the script's new version).
     plan: Rc<Plan>,
     /// Interned storage keys: header and status uids formatted once,
     /// fact keys precomputed per plan source (rebuilt with the plan).
     keys: Rc<InstanceKeys>,
-    bindings: BTreeMap<String, String>,
     /// One record per task with outstanding work (`dispatch`'s, keyed
     /// by the plan's dense task ids and re-keyed with the plan).
     flights: Flights,

@@ -63,9 +63,10 @@ impl CoordHandle {
     ///
     /// The compiled plan is read back from its persisted, fingerprinted
     /// blob (written at instance start and on every reconfiguration),
-    /// so recovery skips the whole front end; recompiling from source —
-    /// replaying persisted reconfigurations — survives only as the
-    /// fallback for a missing or corrupt blob.
+    /// so recovery skips the whole front end; recompiling the source
+    /// the header names — the script's current version — survives only
+    /// as the fallback for a missing or corrupt blob. A load scans no
+    /// store prefix of its own.
     pub fn recover(&self, world: &mut World) {
         let (node, instances, handoff_traffic) = {
             let mut coordinator = self.inner.borrow_mut();

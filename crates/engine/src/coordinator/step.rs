@@ -1,14 +1,14 @@
 //! The step — the engine's unit of commit, and the only way a task
 //! attempt moves. A start, a commit window, a time-out, a failed
-//! placement, an operator's repair and a restart's re-arm each run as
-//! one: **stage** the event's transitions and everything they cascade
-//! into in one atomic action (which reads its own earlier transitions
-//! back through [`TxManager::read_through`]), **commit** it once —
-//! one frame straight to the log: a refused append aborts it — then
-//! **publish**, in staging order, what the commit made true outside
-//! the store. Nothing is sent, armed, counted or traced for a transition
-//! that did not commit, and a step that rolls back takes its cascade
-//! with it.
+//! placement, an operator's repair or reconfiguration and a restart's
+//! re-arm each run as one: **stage** the event's transitions and
+//! everything they cascade into in one atomic action (which reads its
+//! own earlier transitions back through [`TxManager::read_through`]),
+//! **commit** it once — one frame straight to the log: a refused append
+//! aborts it — then **publish**, in staging order, what the commit made
+//! true outside the store. Nothing is sent, armed, counted or traced for
+//! a transition that did not commit, and a step that rolls back takes
+//! its cascade with it.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -16,7 +16,7 @@ use std::rc::Rc;
 
 use flowscript_codec::Decode;
 use flowscript_obs::{Counter, ObsEventKind};
-use flowscript_plan::TaskId;
+use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::{SimDuration, World};
 use flowscript_tx::{AtomicAction, StableStore, StoreKey, TxError, TxManager};
 
@@ -31,6 +31,11 @@ use crate::value::ObjectVal;
 pub(super) enum Effect {
     /// A start's instance becomes resident, in its admission slot.
     Resident(Box<InstanceRt>),
+    /// A reconfiguration's new plan, with its key table and the count
+    /// of its non-terminal blocks, replaces the resident one; dispatch's
+    /// books follow the tasks onto its ids. Published before any effect
+    /// that names a task by one.
+    Replan(Rc<Plan>, Rc<InstanceKeys>, usize),
     /// Control blocks reached a terminal state.
     Terminals(usize),
     /// A repeat revived terminated control blocks.
@@ -209,6 +214,9 @@ impl CoordHandle {
                     }
                 }
                 Effect::Discard(tasks) => self.discard_flights(world, &instance, tasks),
+                Effect::Replan(plan, keys, nonterminal) => {
+                    self.replan(world, &instance, plan, keys, nonterminal);
+                }
                 Effect::Resident(rt) => {
                     let mut coordinator = coordinator();
                     coordinator.instances.insert(instance.to_string(), *rt);

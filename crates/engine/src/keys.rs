@@ -4,8 +4,8 @@
 //! here, and leaves here as a [`StoreKey`] — the one key type the store
 //! takes — so no caller converts one. What an instance
 //! keeps under a *name* sits under `inst/<name>/…` — `meta` (the
-//! write-once header), `status` (the small mutable record),
-//! `bind/<code>`, `reconfig/<n>` — with the name **escaped** where it
+//! header) and `status` (the small mutable record) — with the name
+//! **escaped** where it
 //! enters the uid (`%` → `%25`, `/` → `%2F`), so the name is exactly one
 //! path segment: no instance's prefix is a prefix of another's.
 //! Shard-wide objects sit under `sys/…`: the instance-id sequence, the
@@ -44,8 +44,7 @@ use flowscript_tx::{FactKey, ObjectUid, StoreKey, TxId};
 pub(crate) const INSTANCE_ROOT: &str = "inst/";
 /// What a header uid ends with (`uids_matching(INSTANCE_ROOT,
 /// HEADER_SUFFIX)` enumerates the stored instances' headers;
-/// [`header_instance`] names each, and nobody for a rebinding of a code
-/// called `meta`).
+/// [`header_instance`] names each).
 pub(crate) const HEADER_SUFFIX: &str = "/meta";
 /// The prefix of every persisted plan blob.
 pub(crate) const PLAN_PREFIX: &str = "sys/plan/";
@@ -91,7 +90,7 @@ fn key(uid: String) -> StoreKey {
     StoreKey::Uid(ObjectUid::new(uid))
 }
 
-/// The key of an instance's write-once header (used once at table
+/// The key of an instance's header (used once at table
 /// build, and by paths that run before or without a resident instance).
 pub(crate) fn meta_uid(instance: &str) -> StoreKey {
     key(instance_prefix(instance) + "meta")
@@ -109,28 +108,6 @@ pub(crate) fn header_instance(uid: &str) -> Option<String> {
 /// The key of an instance's status record.
 pub(crate) fn status_uid(instance: &str) -> StoreKey {
     key(instance_prefix(instance) + "status")
-}
-
-/// The prefix of an instance's rebinding uids; what follows it in a uid
-/// is the rebound code name.
-pub(crate) fn bind_prefix(instance: &str) -> String {
-    instance_prefix(instance) + "bind/"
-}
-
-/// The key holding what `code` is rebound to in `instance`.
-pub(crate) fn bind_uid(instance: &str, code: &str) -> StoreKey {
-    key(bind_prefix(instance) + code)
-}
-
-/// The prefix of an instance's persisted reconfiguration ops; a scan of
-/// it yields them in application order.
-pub(crate) fn reconfig_prefix(instance: &str) -> String {
-    instance_prefix(instance) + "reconfig/"
-}
-
-/// The key of `instance`'s `n`-th persisted reconfiguration op.
-pub(crate) fn reconfig_uid(instance: &str, n: u32) -> StoreKey {
-    key(format!("{}{n:08}", reconfig_prefix(instance)))
 }
 
 /// Compiled plans persist once per fingerprint, shared by every
@@ -325,15 +302,7 @@ mod tests {
     #[test]
     fn no_instance_owns_a_uid_under_anothers_prefix() {
         let names = ["a", "a/b", "a/bind/x", "inst/a", "b/meta", "50%", "a%2Fb"];
-        let uids_of = |name: &str| {
-            [
-                meta_uid(name),
-                status_uid(name),
-                bind_uid(name, "refCode"),
-                bind_uid(name, "meta"),
-                reconfig_uid(name, 3),
-            ]
-        };
+        let uids_of = |name: &str| [meta_uid(name), status_uid(name)];
         for name in names {
             assert_eq!(unescape(&escape(name)).as_deref(), Some(name));
             assert_eq!(
@@ -349,10 +318,9 @@ mod tests {
                     );
                 }
             }
-            // Only the header reads as one, whatever a code is called.
-            for key in &uids_of(name)[1..] {
-                assert_eq!(header_instance(uid(key).as_str()), None, "`{key}`");
-            }
+            // Only the header reads as one.
+            let status = status_uid(name);
+            assert_eq!(header_instance(uid(&status).as_str()), None);
         }
         // Segments `escape` never produces name nobody.
         for segment in ["a%", "a%2", "a%2f", "a%41", "a/b"] {
@@ -362,10 +330,6 @@ mod tests {
         // golden log was rendered under.
         assert_eq!(uid(&meta_uid("order-1")).as_str(), "inst/order-1/meta");
         assert_eq!(uid(&status_uid("order-1")).as_str(), "inst/order-1/status");
-        assert_eq!(
-            uid(&reconfig_uid("i", 3)).as_str(),
-            "inst/i/reconfig/00000003"
-        );
         assert_eq!(blob_id(uid(&plan_uid(0xAB)), PLAN_PREFIX), Some(0xAB));
         assert_eq!(
             blob_id(uid(&source_uid(u64::MAX)), SOURCE_PREFIX),

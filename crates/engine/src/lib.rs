@@ -28,7 +28,9 @@
 //!   (typed [`EngineError::Busy`]) excess instance starts,
 //! - **dynamic reconfiguration** ([`reconfig`]): transactional
 //!   addition/removal of tasks and dependencies in a running instance,
-//!   and implementation rebinding (online upgrade),
+//!   and implementation rebinding (online upgrade) — each a new version
+//!   of the instance's script, checked by the front end and committed as
+//!   one step,
 //! - **sharded coordinators** ([`shard`]): instance ownership split
 //!   across multiple execution-service nodes by rendezvous hash of the
 //!   instance name, each shard owning its facts, WAL and worklists,

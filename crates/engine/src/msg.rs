@@ -20,7 +20,7 @@ pub struct StartTask {
     pub incarnation: u32,
     /// Dispatch attempt number.
     pub attempt: u32,
-    /// Implementation name to bind (from the script or a rebinding).
+    /// Implementation name to bind, as the instance's script names it.
     pub code: String,
     /// Extra implementation pairs (deadline, priority, …).
     pub implementation: BTreeMap<String, String>,

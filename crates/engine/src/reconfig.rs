@@ -3,18 +3,22 @@
 //! The paper requires that "the structure of a running application
 //! \[can be changed\] by adding/deleting tasks, notifications and
 //! dependencies", carried out under atomic transactions. A [`Reconfig`]
-//! value describes one such change; [`apply`] validates it against the
-//! instance's schema and mutates the schema, reporting which control
-//! blocks the engine must create or delete. The coordinator persists the
-//! op (for recovery replay) and the control-block changes in a single
-//! atomic action.
+//! value describes one such change, and a change is a **new version of
+//! the instance's script**: [`apply`] edits the pinned source's syntax
+//! tree, renders the edited script in canonical form and runs the
+//! ordinary front end over that text. The front end is the only
+//! validator, and the plan is lowered from exactly the text the
+//! coordinator pins, so a reconfigured instance cannot be told apart
+//! from one started on the edited script. The coordinator commits the
+//! new version, the remap of the instance's state onto it and the
+//! re-evaluation behind it as one step.
 
-use flowscript_codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
-use flowscript_core::parse_task_decl;
-use flowscript_core::schema::{
-    compile_task_fragment, CompiledCond, CompiledNotification, CompiledScope, CompiledSource,
-    Schema, TaskBody,
+use flowscript_core::ast::{
+    CompoundTaskDecl, Constituent, InputElem, InputSetBinding, Item, NotifSource,
+    NotificationBinding, ObjectBinding, ObjectSource, OutputElem, Script, SourceCond,
 };
+use flowscript_core::{fmt, parse, parse_task_decl, schema, template};
+use flowscript_plan::Plan;
 
 use crate::error::EngineError;
 
@@ -29,8 +33,9 @@ pub enum Reconfig {
         /// The task declaration source.
         task_source: String,
     },
-    /// Remove the task at `task_path`. Rejected if any sibling or output
-    /// mapping would lose its *only* source.
+    /// Remove the task at `task_path`, and every source drawing on it.
+    /// Rejected if any sibling or output mapping would lose its *only*
+    /// source.
     RemoveTask {
         /// Full path of the task to remove.
         task_path: String,
@@ -74,263 +79,82 @@ pub enum Reconfig {
         /// Producer whose alternatives are removed.
         producer: String,
     },
-    /// Rebind an implementation name for this instance (online upgrade).
+    /// Rebind an implementation name for this instance (online upgrade):
+    /// every `"code" is "<code>"` pair of its script now names `to`.
     Rebind {
-        /// The script's implementation name.
+        /// The implementation name some task's script names.
         code: String,
         /// The replacement implementation name.
         to: String,
     },
 }
 
-impl Encode for Reconfig {
-    fn encode(&self, w: &mut ByteWriter) {
-        match self {
-            Reconfig::AddTask {
-                scope_path,
-                task_source,
-            } => {
-                w.put_u8(0);
-                w.put_str(scope_path);
-                w.put_str(task_source);
-            }
-            Reconfig::RemoveTask { task_path } => {
-                w.put_u8(1);
-                w.put_str(task_path);
-            }
-            Reconfig::AddNotification {
-                task_path,
-                set,
-                producer,
-                outcome,
-            } => {
-                w.put_u8(2);
-                w.put_str(task_path);
-                w.put_str(set);
-                w.put_str(producer);
-                w.put_str(outcome);
-            }
-            Reconfig::AddObjectSource {
-                task_path,
-                set,
-                object,
-                producer,
-                producer_object,
-                outcome,
-            } => {
-                w.put_u8(3);
-                w.put_str(task_path);
-                w.put_str(set);
-                w.put_str(object);
-                w.put_str(producer);
-                w.put_str(producer_object);
-                w.put_str(outcome);
-            }
-            Reconfig::RemoveObjectSource {
-                task_path,
-                set,
-                object,
-                producer,
-            } => {
-                w.put_u8(4);
-                w.put_str(task_path);
-                w.put_str(set);
-                w.put_str(object);
-                w.put_str(producer);
-            }
-            Reconfig::Rebind { code, to } => {
-                w.put_u8(5);
-                w.put_str(code);
-                w.put_str(to);
-            }
-        }
-    }
-}
-
-impl Decode for Reconfig {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.get_u8()? {
-            0 => Reconfig::AddTask {
-                scope_path: r.get_str()?.to_owned(),
-                task_source: r.get_str()?.to_owned(),
-            },
-            1 => Reconfig::RemoveTask {
-                task_path: r.get_str()?.to_owned(),
-            },
-            2 => Reconfig::AddNotification {
-                task_path: r.get_str()?.to_owned(),
-                set: r.get_str()?.to_owned(),
-                producer: r.get_str()?.to_owned(),
-                outcome: r.get_str()?.to_owned(),
-            },
-            3 => Reconfig::AddObjectSource {
-                task_path: r.get_str()?.to_owned(),
-                set: r.get_str()?.to_owned(),
-                object: r.get_str()?.to_owned(),
-                producer: r.get_str()?.to_owned(),
-                producer_object: r.get_str()?.to_owned(),
-                outcome: r.get_str()?.to_owned(),
-            },
-            4 => Reconfig::RemoveObjectSource {
-                task_path: r.get_str()?.to_owned(),
-                set: r.get_str()?.to_owned(),
-                object: r.get_str()?.to_owned(),
-                producer: r.get_str()?.to_owned(),
-            },
-            5 => Reconfig::Rebind {
-                code: r.get_str()?.to_owned(),
-                to: r.get_str()?.to_owned(),
-            },
-            other => {
-                return Err(CodecError::InvalidDiscriminant {
-                    ty: "Reconfig",
-                    value: u64::from(other),
-                })
-            }
-        })
-    }
-}
-
-/// Control-block changes the engine must persist alongside the schema
-/// mutation. (A removed task needs none: its block and facts are keyed
-/// by its task id, and die when the remap onto the new plan finds no
-/// task to move them to.)
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct ReconfigEffects {
-    /// Full paths of tasks added (need fresh control blocks).
-    pub new_tasks: Vec<String>,
-}
-
-/// Validates and applies one reconfiguration to a schema.
+/// Applies `op` to `source`, the script of an instance whose root
+/// compound is `root`: the edited script in canonical form, and the plan
+/// the front end lowers from that text.
 ///
 /// # Errors
 ///
-/// [`EngineError::ReconfigRejected`] (schema untouched on the validation
-/// failures that can be pre-checked; the coordinator applies `apply` to a
-/// *clone*, so any error leaves the live schema untouched).
-pub fn apply(schema: &mut Schema, op: &Reconfig) -> Result<ReconfigEffects, EngineError> {
-    let mut effects = ReconfigEffects::default();
+/// [`EngineError::UnknownTask`] for a path that names no task or scope;
+/// [`EngineError::ReconfigRejected`] for an op that addresses no input
+/// set, object slot, source or implementation of the script, or whose
+/// result the front end refuses (carrying its diagnostics);
+/// [`EngineError::InvalidScript`] if `source` itself does not parse.
+pub fn apply(source: &str, root: &str, op: &Reconfig) -> Result<(String, Plan), EngineError> {
+    let mut script = template::expand(&parse(source)?)?;
+    edit(&mut script, root, op)?;
+    let text = fmt::format_script(&script);
+    let compiled = schema::compile_source(&text, root).map_err(rejected)?;
+    Ok((text, Plan::lower(&compiled)))
+}
+
+fn rejected(why: impl ToString) -> EngineError {
+    EngineError::ReconfigRejected(why.to_string())
+}
+
+/// Edits the syntax tree; checking the result is the front end's.
+fn edit(script: &mut Script, root: &str, op: &Reconfig) -> Result<(), EngineError> {
     match op {
         Reconfig::AddTask {
             scope_path,
             task_source,
         } => {
-            let decl = parse_task_decl(task_source)
-                .map_err(|d| EngineError::ReconfigRejected(d.to_string()))?;
-            let task_classes = schema.task_classes.clone();
-            let scope_name = scope_path
-                .rsplit('/')
-                .next()
-                .unwrap_or(scope_path)
-                .to_string();
-            let compiled = compile_task_fragment(&decl, &scope_name, &task_classes)
-                .map_err(|d| EngineError::ReconfigRejected(d.to_string()))?;
-            let scope = scope_mut(schema, scope_path)?;
-            if scope.task(&compiled.name).is_some() {
-                return Err(EngineError::ReconfigRejected(format!(
-                    "task `{}` already exists in `{scope_path}`",
-                    compiled.name
-                )));
-            }
-            // Sources must reference the scope itself or existing
-            // siblings.
-            for set in &compiled.input_sets {
-                for slot in &set.objects {
-                    for source in &slot.sources {
-                        validate_source(scope, &scope_name, source)?;
-                    }
-                }
-                for notification in &set.notifications {
-                    for source in &notification.sources {
-                        validate_source(scope, &scope_name, source)?;
-                    }
-                }
-            }
-            effects
-                .new_tasks
-                .push(format!("{scope_path}/{}", compiled.name));
-            scope.tasks.push(compiled);
+            let task = parse_task_decl(task_source).map_err(rejected)?;
+            let scope = compound(script, root, scope_path)?;
+            scope.constituents.push(Constituent::Task(task));
         }
         Reconfig::RemoveTask { task_path } => {
-            let (scope_path, task_name) = split_path(task_path)?;
-            let scope = scope_mut(schema, &scope_path)?;
-            let Some(index) = scope.tasks.iter().position(|t| t.name == task_name) else {
-                return Err(EngineError::UnknownTask(task_path.clone()));
-            };
-            // No sibling slot or output mapping may lose its only source.
-            let mut dependents = Vec::new();
-            for sibling in &scope.tasks {
-                if sibling.name == task_name {
-                    continue;
-                }
-                for set in &sibling.input_sets {
-                    for slot in &set.objects {
-                        let all_from_target = !slot.sources.is_empty()
-                            && slot
-                                .sources
-                                .iter()
-                                .all(|s| !s.is_self && s.task == task_name);
-                        if all_from_target {
-                            dependents.push(format!("{}/{}", sibling.name, slot.name));
-                        }
-                    }
-                    for notification in &set.notifications {
-                        let all_from_target = !notification.sources.is_empty()
-                            && notification
-                                .sources
-                                .iter()
-                                .all(|s| !s.is_self && s.task == task_name);
-                        if all_from_target {
-                            dependents.push(format!("{} (notification)", sibling.name));
+            let (scope, at) = locate(script, root, task_path)?;
+            let removed = scope.constituents.remove(at);
+            let name = removed.name().as_str();
+            // Every source drawing on it goes too: a slot or an input
+            // notification left with none is the front end's to refuse,
+            // an output notification left with none is dropped.
+            for constituent in &mut scope.constituents {
+                for set in bindings_mut(constituent) {
+                    for element in &mut set.elements {
+                        match element {
+                            InputElem::Object(slot) => {
+                                slot.sources.retain(|s| s.task.as_str() != name)
+                            }
+                            InputElem::Notification(notification) => {
+                                notification.sources.retain(|s| s.task.as_str() != name)
+                            }
                         }
                     }
                 }
             }
-            for output in &scope.outputs {
-                for slot in &output.objects {
-                    let all_from_target = !slot.sources.is_empty()
-                        && slot
-                            .sources
-                            .iter()
-                            .all(|s| !s.is_self && s.task == task_name);
-                    if all_from_target {
-                        dependents.push(format!("output {}", output.name));
+            for mapping in &mut scope.outputs {
+                mapping.elements.retain_mut(|element| match element {
+                    OutputElem::Object(slot) => {
+                        slot.sources.retain(|s| s.task.as_str() != name);
+                        true
                     }
-                }
-            }
-            if !dependents.is_empty() {
-                return Err(EngineError::ReconfigRejected(format!(
-                    "removing `{task_path}` would orphan: {}",
-                    dependents.join(", ")
-                )));
-            }
-            scope.tasks.remove(index);
-            // Drop any remaining references to the removed task from
-            // sibling alternatives (they had others, by the check above).
-            let scope = scope_mut(schema, &scope_path)?;
-            for sibling in &mut scope.tasks {
-                for set in &mut sibling.input_sets {
-                    for slot in &mut set.objects {
-                        slot.sources.retain(|s| s.is_self || s.task != task_name);
+                    OutputElem::Notification(notification) => {
+                        notification.sources.retain(|s| s.task.as_str() != name);
+                        !notification.sources.is_empty()
                     }
-                    for notification in &mut set.notifications {
-                        notification
-                            .sources
-                            .retain(|s| s.is_self || s.task != task_name);
-                    }
-                    set.notifications.retain(|n| !n.sources.is_empty());
-                }
-            }
-            for output in &mut scope.outputs {
-                for slot in &mut output.objects {
-                    slot.sources.retain(|s| s.is_self || s.task != task_name);
-                }
-                for notification in &mut output.notifications {
-                    notification
-                        .sources
-                        .retain(|s| s.is_self || s.task != task_name);
-                }
-                output.notifications.retain(|n| !n.sources.is_empty());
+                });
             }
         }
         Reconfig::AddNotification {
@@ -339,31 +163,15 @@ pub fn apply(schema: &mut Schema, op: &Reconfig) -> Result<ReconfigEffects, Engi
             producer,
             outcome,
         } => {
-            let (scope_path, task_name) = split_path(task_path)?;
-            let scope_name = scope_path
-                .rsplit('/')
-                .next()
-                .unwrap_or(&scope_path)
-                .to_string();
-            let source = CompiledSource {
-                task: producer.clone(),
-                is_self: *producer == scope_name,
-                object: None,
-                cond: CompiledCond::Output(outcome.clone()),
+            let source = NotifSource {
+                task: producer.as_str().into(),
+                outcome: outcome.as_str().into(),
             };
-            {
-                let scope = scope_mut(schema, &scope_path)?;
-                validate_source(scope, &scope_name, &source)?;
-                let task = task_mut(scope, &task_name, task_path)?;
-                let Some(input_set) = task.input_sets.iter_mut().find(|s| s.name == *set) else {
-                    return Err(EngineError::ReconfigRejected(format!(
-                        "task `{task_path}` binds no input set `{set}`"
-                    )));
-                };
-                input_set.notifications.push(CompiledNotification {
-                    sources: vec![source],
-                });
-            }
+            let notification = NotificationBinding {
+                sources: vec![source],
+            };
+            let set = input_set(script, root, task_path, set)?;
+            set.elements.push(InputElem::Notification(notification));
         }
         Reconfig::AddObjectSource {
             task_path,
@@ -373,32 +181,14 @@ pub fn apply(schema: &mut Schema, op: &Reconfig) -> Result<ReconfigEffects, Engi
             producer_object,
             outcome,
         } => {
-            let (scope_path, task_name) = split_path(task_path)?;
-            let scope_name = scope_path
-                .rsplit('/')
-                .next()
-                .unwrap_or(&scope_path)
-                .to_string();
-            let source = CompiledSource {
-                task: producer.clone(),
-                is_self: *producer == scope_name,
-                object: Some(producer_object.clone()),
-                cond: CompiledCond::Output(outcome.clone()),
+            let source = ObjectSource {
+                object: producer_object.as_str().into(),
+                task: producer.as_str().into(),
+                cond: SourceCond::Output(outcome.as_str().into()),
             };
-            let scope = scope_mut(schema, &scope_path)?;
-            validate_source(scope, &scope_name, &source)?;
-            let task = task_mut(scope, &task_name, task_path)?;
-            let Some(input_set) = task.input_sets.iter_mut().find(|s| s.name == *set) else {
-                return Err(EngineError::ReconfigRejected(format!(
-                    "task `{task_path}` binds no input set `{set}`"
-                )));
-            };
-            let Some(slot) = input_set.objects.iter_mut().find(|o| o.name == *object) else {
-                return Err(EngineError::ReconfigRejected(format!(
-                    "task `{task_path}` has no input object `{object}` in set `{set}`"
-                )));
-            };
-            slot.sources.push(source);
+            input_object(script, root, task_path, set, object)?
+                .sources
+                .push(source);
         }
         Reconfig::RemoveObjectSource {
             task_path,
@@ -406,276 +196,249 @@ pub fn apply(schema: &mut Schema, op: &Reconfig) -> Result<ReconfigEffects, Engi
             object,
             producer,
         } => {
-            let (scope_path, task_name) = split_path(task_path)?;
-            let scope = scope_mut(schema, &scope_path)?;
-            let task = task_mut(scope, &task_name, task_path)?;
-            let Some(input_set) = task.input_sets.iter_mut().find(|s| s.name == *set) else {
-                return Err(EngineError::ReconfigRejected(format!(
-                    "task `{task_path}` binds no input set `{set}`"
-                )));
-            };
-            let Some(slot) = input_set.objects.iter_mut().find(|o| o.name == *object) else {
-                return Err(EngineError::ReconfigRejected(format!(
-                    "task `{task_path}` has no input object `{object}` in set `{set}`"
-                )));
-            };
+            let slot = input_object(script, root, task_path, set, object)?;
             let before = slot.sources.len();
-            let remaining: Vec<CompiledSource> = slot
-                .sources
-                .iter()
-                .filter(|s| s.is_self || s.task != *producer)
-                .cloned()
-                .collect();
-            if remaining.is_empty() {
-                return Err(EngineError::ReconfigRejected(format!(
-                    "removing sources from `{producer}` would leave `{object}` sourceless"
-                )));
-            }
-            if remaining.len() == before {
-                return Err(EngineError::ReconfigRejected(format!(
+            slot.sources.retain(|s| s.task.as_str() != producer);
+            if slot.sources.len() == before {
+                return Err(rejected(format!(
                     "no source from `{producer}` on `{task_path}`.{set}.{object}"
                 )));
             }
-            slot.sources = remaining;
         }
-        Reconfig::Rebind { .. } => {
-            // Schema untouched; the coordinator records the binding.
-        }
-    }
-    Ok(effects)
-}
-
-fn split_path(task_path: &str) -> Result<(String, String), EngineError> {
-    task_path
-        .rsplit_once('/')
-        .map(|(scope, name)| (scope.to_string(), name.to_string()))
-        .ok_or_else(|| EngineError::UnknownTask(task_path.to_string()))
-}
-
-/// Finds the mutable scope with the given path.
-fn scope_mut<'a>(
-    schema: &'a mut Schema,
-    scope_path: &str,
-) -> Result<&'a mut CompiledScope, EngineError> {
-    let mut segments = scope_path.split('/');
-    let root = segments
-        .next()
-        .ok_or_else(|| EngineError::UnknownTask(scope_path.to_string()))?;
-    if root != schema.root.name {
-        return Err(EngineError::UnknownTask(scope_path.to_string()));
-    }
-    let mut scope = &mut schema.root;
-    for segment in segments {
-        let task = scope
-            .tasks
-            .iter_mut()
-            .find(|t| t.name == segment)
-            .ok_or_else(|| EngineError::UnknownTask(scope_path.to_string()))?;
-        match &mut task.body {
-            TaskBody::Scope(inner) => scope = inner,
-            TaskBody::Leaf => {
-                return Err(EngineError::ReconfigRejected(format!(
-                    "`{segment}` in `{scope_path}` is not a compound task"
-                )))
+        Reconfig::Rebind { code, to } => {
+            if rebind(compound(script, root, root)?, code, to) == 0 {
+                return Err(rejected(format!("no task's implementation is `{code}`")));
             }
         }
+    }
+    Ok(())
+}
+
+/// The scope of the task at `task_path`, and where the task sits among
+/// its constituents.
+fn locate<'a>(
+    script: &'a mut Script,
+    root: &str,
+    task_path: &str,
+) -> Result<(&'a mut CompoundTaskDecl, usize), EngineError> {
+    let unknown = || EngineError::UnknownTask(task_path.to_string());
+    let (scope_path, name) = task_path.rsplit_once('/').ok_or_else(unknown)?;
+    let scope = compound(script, root, scope_path)?;
+    let at = scope
+        .constituents
+        .iter()
+        .position(|c| c.name().as_str() == name);
+    Ok((scope, at.ok_or_else(unknown)?))
+}
+
+/// The compound at `path`: the root, or a compound nested in it.
+fn compound<'a>(
+    script: &'a mut Script,
+    root: &str,
+    path: &str,
+) -> Result<&'a mut CompoundTaskDecl, EngineError> {
+    let unknown = || EngineError::UnknownTask(path.to_string());
+    let mut segments = path.split('/');
+    if segments.next() != Some(root) {
+        return Err(unknown());
+    }
+    let mut scope = script
+        .items
+        .iter_mut()
+        .find_map(|item| match item {
+            Item::Compound(compound) if compound.name.as_str() == root => Some(compound),
+            _ => None,
+        })
+        .ok_or_else(unknown)?;
+    for segment in segments {
+        let constituent = scope.constituents.iter_mut();
+        let mut named = constituent.filter(|c| c.name().as_str() == segment);
+        scope = match named.next().ok_or_else(unknown)? {
+            Constituent::Compound(inner) => inner,
+            _ => {
+                return Err(rejected(format!(
+                    "`{segment}` in `{path}` is not a compound task"
+                )))
+            }
+        };
     }
     Ok(scope)
 }
 
-fn task_mut<'a>(
-    scope: &'a mut CompiledScope,
-    name: &str,
-    full_path: &str,
-) -> Result<&'a mut flowscript_core::schema::CompiledTask, EngineError> {
-    scope
-        .tasks
-        .iter_mut()
-        .find(|t| t.name == name)
-        .ok_or_else(|| EngineError::UnknownTask(full_path.to_string()))
+/// A constituent's input-set bindings (the expansion leaves no template
+/// instance, which would bind none).
+fn bindings_mut(constituent: &mut Constituent) -> &mut [InputSetBinding] {
+    match constituent {
+        Constituent::Task(task) => &mut task.input_sets,
+        Constituent::Compound(compound) => &mut compound.input_sets,
+        Constituent::TemplateInstance(_) => &mut [],
+    }
 }
 
-/// Checks a source refers to the scope itself or an existing sibling, and
-/// that the producer actually declares the referenced output/object.
-fn validate_source(
-    scope: &CompiledScope,
-    scope_name: &str,
-    source: &CompiledSource,
-) -> Result<(), EngineError> {
-    if source.is_self || source.task == scope_name {
-        return Ok(());
-    }
-    let Some(_producer) = scope.task(&source.task) else {
-        return Err(EngineError::ReconfigRejected(format!(
-            "source references unknown task `{}`",
-            source.task
-        )));
-    };
-    if let CompiledCond::Output(outcome) = &source.cond {
-        if outcome == "retry" || outcome.is_empty() {
-            // Repeat outcomes are private to their producer (§4.2); we
-            // cannot check kinds without the class table here, so the
-            // coordinator's schema-level validation is authoritative.
-        }
-    }
-    Ok(())
+/// The binding of input set `set` of the task at `task_path`.
+fn input_set<'a>(
+    script: &'a mut Script,
+    root: &str,
+    task_path: &str,
+    set: &str,
+) -> Result<&'a mut InputSetBinding, EngineError> {
+    let (scope, at) = locate(script, root, task_path)?;
+    let mut bindings = bindings_mut(&mut scope.constituents[at]).iter_mut();
+    let binding = bindings.find(|b| b.name.as_str() == set);
+    binding.ok_or_else(|| rejected(format!("task `{task_path}` binds no input set `{set}`")))
+}
+
+/// The binding of input object `object` in set `set` of `task_path`.
+fn input_object<'a>(
+    script: &'a mut Script,
+    root: &str,
+    task_path: &str,
+    set: &str,
+    object: &str,
+) -> Result<&'a mut ObjectBinding, EngineError> {
+    let elements = &mut input_set(script, root, task_path, set)?.elements;
+    let slot = elements.iter_mut().find_map(|element| match element {
+        InputElem::Object(slot) if slot.name.as_str() == object => Some(slot),
+        _ => None,
+    });
+    slot.ok_or_else(|| {
+        rejected(format!(
+            "task `{task_path}` has no input object `{object}` in set `{set}`"
+        ))
+    })
+}
+
+/// Points every `"code" is "<code>"` pair under `scope` at `to`; how
+/// many there were.
+fn rebind(scope: &mut CompoundTaskDecl, code: &str, to: &str) -> usize {
+    let rebound = scope
+        .constituents
+        .iter_mut()
+        .map(|constituent| match constituent {
+            Constituent::Task(task) => {
+                let pairs = task.implementation.iter_mut();
+                let named = pairs.filter(|pair| pair.key == "code" && pair.value == code);
+                named.map(|pair| pair.value = to.to_string()).count()
+            }
+            Constituent::Compound(inner) => rebind(inner, code, to),
+            Constituent::TemplateInstance(_) => 0,
+        });
+    rebound.sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use flowscript_core::samples;
-    use flowscript_core::schema::compile_source;
+    use flowscript_core::schema::{compile_source, Schema};
 
-    fn diamond() -> Schema {
-        compile_source(samples::FIG1_DIAMOND, "diamond").unwrap()
+    fn diamond(op: Reconfig) -> Result<(String, Plan), EngineError> {
+        apply(samples::FIG1_DIAMOND, "diamond", &op)
     }
 
-    #[test]
-    fn ops_roundtrip_codec() {
-        let ops = vec![
-            Reconfig::AddTask {
-                scope_path: "diamond".into(),
-                task_source: "task t5 of taskclass Stage { }".into(),
-            },
-            Reconfig::RemoveTask {
-                task_path: "diamond/t2".into(),
-            },
-            Reconfig::AddNotification {
-                task_path: "diamond/t4".into(),
-                set: "main".into(),
-                producer: "t2".into(),
-                outcome: "done".into(),
-            },
-            Reconfig::AddObjectSource {
-                task_path: "diamond/t4".into(),
-                set: "main".into(),
-                object: "left".into(),
-                producer: "t3".into(),
-                producer_object: "out".into(),
-                outcome: "done".into(),
-            },
-            Reconfig::RemoveObjectSource {
-                task_path: "diamond/t4".into(),
-                set: "main".into(),
-                object: "left".into(),
-                producer: "t2".into(),
-            },
-            Reconfig::Rebind {
-                code: "refT1".into(),
-                to: "refT1v2".into(),
-            },
-        ];
-        for op in ops {
-            let bytes = flowscript_codec::to_bytes(&op);
-            assert_eq!(
-                flowscript_codec::from_bytes::<Reconfig>(&bytes).unwrap(),
-                op
-            );
+    /// The edited script as the front end compiles it.
+    fn compiled(text: &str) -> Schema {
+        compile_source(text, "diamond").expect("an applied edit compiles")
+    }
+
+    /// What the front end said of a refused edit.
+    fn refusal(op: Reconfig) -> String {
+        match diamond(op) {
+            Err(EngineError::ReconfigRejected(why)) => why,
+            other => panic!("not refused: {other:?}"),
+        }
+    }
+
+    fn t5_source() -> String {
+        r#"
+            task t5 of taskclass Join {
+                implementation { "code" is "refT5" };
+                inputs {
+                    input main {
+                        inputobject left from { out of task t2 if output done };
+                        inputobject right from { out of task t4 if output done }
+                    }
+                }
+            }
+        "#
+        .into()
+    }
+
+    fn add_task(task_source: &str) -> Reconfig {
+        Reconfig::AddTask {
+            scope_path: "diamond".into(),
+            task_source: task_source.into(),
         }
     }
 
     #[test]
     fn add_task_t5_like_paper_section2() {
         // The paper's §2 scenario: add t5 depending on t2 and t4.
-        let mut schema = diamond();
-        let effects = apply(
-            &mut schema,
-            &Reconfig::AddTask {
-                scope_path: "diamond".into(),
-                task_source: r#"
-                    task t5 of taskclass Join {
-                        implementation { "code" is "refT5" };
-                        inputs {
-                            input main {
-                                inputobject left from { out of task t2 if output done };
-                                inputobject right from { out of task t4 if output done }
-                            }
-                        }
-                    }
-                "#
-                .into(),
-            },
-        )
-        .unwrap();
-        assert_eq!(effects.new_tasks, vec!["diamond/t5".to_string()]);
-        assert!(schema.root.task("t5").is_some());
+        let (text, plan) = diamond(add_task(&t5_source())).unwrap();
+        assert!(compiled(&text).root.task("t5").is_some());
+        // The plan is the text's: the pinned source is what it runs.
+        assert_eq!(plan, Plan::lower(&compiled(&text)));
+        assert_eq!(plan.tasks.len(), 6);
+        assert!(plan.task_by_path("diamond/t5").is_some());
+        // Canonical: the text is its own formatting.
+        let reparsed = flowscript_core::parse(&text).unwrap();
+        assert_eq!(fmt::format_script(&reparsed), text);
     }
 
     #[test]
     fn add_task_duplicate_rejected() {
-        let mut schema = diamond();
-        let err = apply(
-            &mut schema,
-            &Reconfig::AddTask {
-                scope_path: "diamond".into(),
-                task_source: "task t2 of taskclass Stage { }".into(),
-            },
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("already exists"));
+        let why = refusal(add_task("task t2 of taskclass Stage { }"));
+        assert!(
+            why.contains("duplicate task instance `t2` in scope"),
+            "{why}"
+        );
     }
 
     #[test]
     fn add_task_unknown_sibling_rejected() {
-        let mut schema = diamond();
-        let err = apply(
-            &mut schema,
-            &Reconfig::AddTask {
-                scope_path: "diamond".into(),
-                task_source: r#"
-                    task t9 of taskclass Stage {
-                        inputs { input main {
-                            inputobject in from { out of task ghost if output done }
-                        } }
-                    }
-                "#
-                .into(),
-            },
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("unknown task `ghost`"));
+        let why = refusal(add_task(
+            r#"
+                task t9 of taskclass Stage {
+                    inputs { input main {
+                        inputobject in from { out of task ghost if output done }
+                    } }
+                }
+            "#,
+        ));
+        assert!(why.contains("unknown task `ghost` in source"), "{why}");
     }
 
     #[test]
     fn remove_sole_source_rejected() {
-        let mut schema = diamond();
         // t3 is the only source of t4's `right` input.
-        let err = apply(
-            &mut schema,
-            &Reconfig::RemoveTask {
-                task_path: "diamond/t3".into(),
-            },
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("would orphan"));
+        let why = refusal(Reconfig::RemoveTask {
+            task_path: "diamond/t3".into(),
+        });
+        assert!(
+            why.contains("input object `right` of task `t4` has no sources"),
+            "{why}"
+        );
     }
 
     #[test]
     fn remove_with_alternatives_allowed() {
-        let mut schema = diamond();
         // First give t4.right an alternative from t2, then t3 is removable.
-        apply(
-            &mut schema,
-            &Reconfig::AddObjectSource {
-                task_path: "diamond/t4".into(),
-                set: "main".into(),
-                object: "right".into(),
-                producer: "t2".into(),
-                producer_object: "out".into(),
-                outcome: "done".into(),
-            },
-        )
+        let (text, _) = diamond(Reconfig::AddObjectSource {
+            task_path: "diamond/t4".into(),
+            set: "main".into(),
+            object: "right".into(),
+            producer: "t2".into(),
+            producer_object: "out".into(),
+            outcome: "done".into(),
+        })
         .unwrap();
-        let effects = apply(
-            &mut schema,
-            &Reconfig::RemoveTask {
-                task_path: "diamond/t3".into(),
-            },
-        )
-        .unwrap();
-        assert!(effects.new_tasks.is_empty());
+        let remove = Reconfig::RemoveTask {
+            task_path: "diamond/t3".into(),
+        };
+        let (text, plan) = apply(&text, "diamond", &remove).unwrap();
+        let schema = compiled(&text);
         assert!(schema.root.task("t3").is_none());
+        assert!(plan.task_by_path("diamond/t3").is_none());
         // t4.right kept only the t2 alternative.
         let t4 = schema.root.task("t4").unwrap();
         let right = t4.input_sets[0]
@@ -689,64 +452,92 @@ mod tests {
 
     #[test]
     fn remove_last_source_of_slot_rejected() {
-        let mut schema = diamond();
-        let err = apply(
-            &mut schema,
-            &Reconfig::RemoveObjectSource {
-                task_path: "diamond/t4".into(),
-                set: "main".into(),
-                object: "right".into(),
-                producer: "t3".into(),
-            },
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("sourceless"));
+        let why = refusal(Reconfig::RemoveObjectSource {
+            task_path: "diamond/t4".into(),
+            set: "main".into(),
+            object: "right".into(),
+            producer: "t3".into(),
+        });
+        assert!(
+            why.contains("input object `right` of task `t4` has no sources"),
+            "{why}"
+        );
+        // Removing what is not there is no edit either.
+        let why = refusal(Reconfig::RemoveObjectSource {
+            task_path: "diamond/t4".into(),
+            set: "main".into(),
+            object: "right".into(),
+            producer: "t1".into(),
+        });
+        assert!(why.contains("no source from `t1`"), "{why}");
     }
 
     #[test]
     fn add_notification_appends() {
-        let mut schema = diamond();
-        apply(
-            &mut schema,
-            &Reconfig::AddNotification {
-                task_path: "diamond/t4".into(),
-                set: "main".into(),
-                producer: "t2".into(),
-                outcome: "done".into(),
-            },
-        )
+        let (text, _) = diamond(Reconfig::AddNotification {
+            task_path: "diamond/t4".into(),
+            set: "main".into(),
+            producer: "t2".into(),
+            outcome: "done".into(),
+        })
         .unwrap();
+        let schema = compiled(&text);
         let t4 = schema.root.task("t4").unwrap();
         assert_eq!(t4.input_sets[0].notifications.len(), 1);
+        // One on an outcome its producer does not declare is refused.
+        let why = refusal(Reconfig::AddNotification {
+            task_path: "diamond/t4".into(),
+            set: "main".into(),
+            producer: "t2".into(),
+            outcome: "ghost".into(),
+        });
+        assert!(
+            why.contains("taskclass `NotifiedStage` has no output `ghost`"),
+            "{why}"
+        );
     }
 
     #[test]
     fn unknown_scope_rejected() {
-        let mut schema = diamond();
-        let err = apply(
-            &mut schema,
-            &Reconfig::AddTask {
-                scope_path: "diamond/nonexistent".into(),
-                task_source: "task x of taskclass Stage { }".into(),
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, EngineError::UnknownTask(_)));
+        let op = Reconfig::AddTask {
+            scope_path: "diamond/nonexistent".into(),
+            task_source: "task x of taskclass Stage { }".into(),
+        };
+        assert!(matches!(diamond(op), Err(EngineError::UnknownTask(_))));
+        // A leaf is no scope.
+        let op = Reconfig::AddTask {
+            scope_path: "diamond/t1".into(),
+            task_source: "task x of taskclass Stage { }".into(),
+        };
+        assert!(refusal(op).contains("is not a compound task"));
     }
 
     #[test]
-    fn rebind_leaves_schema_untouched() {
-        let mut schema = diamond();
-        let before = schema.clone();
-        let effects = apply(
-            &mut schema,
-            &Reconfig::Rebind {
-                code: "refT1".into(),
-                to: "refT1v2".into(),
-            },
-        )
+    fn a_rebind_changes_only_implementation_pairs() {
+        let canonical = |source: &str| {
+            let script = template::expand(&parse(source).unwrap()).unwrap();
+            fmt::format_script(&script)
+        };
+        let (text, plan) = diamond(Reconfig::Rebind {
+            code: "refT1".into(),
+            to: "refT1v2".into(),
+        })
         .unwrap();
-        assert_eq!(schema, before);
-        assert!(effects.new_tasks.is_empty());
+        let original = canonical(samples::FIG1_DIAMOND);
+        assert_eq!(text, original.replace("\"refT1\"", "\"refT1v2\""));
+        let t1 = plan.task_by_path("diamond/t1").unwrap();
+        assert_eq!(plan.code(plan.task(t1)), Some("refT1v2"));
+        // A code no task names — the one just replaced among them — is
+        // no rebind at all.
+        let rebind = Reconfig::Rebind {
+            code: "refT1".into(),
+            to: "refT1v3".into(),
+        };
+        match apply(&text, "diamond", &rebind) {
+            Err(EngineError::ReconfigRejected(why)) => {
+                assert!(why.contains("no task's implementation is `refT1`"), "{why}")
+            }
+            other => panic!("rebound a code no task names: {other:?}"),
+        }
     }
 }

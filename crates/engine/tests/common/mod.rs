@@ -503,6 +503,15 @@ pub fn frame_writes(frame: &LogRecord) -> Vec<(&StoreKey, Option<&[u8]>)> {
     images.map(|(key, value)| (key, value.as_deref())).collect()
 }
 
+/// The value the last commit in a shard's log wrote under the string
+/// key `uid` (`None`: none wrote it, or the last one deleted it).
+pub fn last_write(storage: &StableStore, uid: &str) -> Option<Vec<u8>> {
+    let frames = log_frames(storage);
+    let writes = frames.iter().flat_map(frame_writes);
+    let mut named = writes.filter(|(key, _)| key.as_uid().is_some_and(|key| key.as_str() == uid));
+    named.next_back()?.1.map(<[u8]>::to_vec)
+}
+
 /// Where a source keeps its rounds' move records.
 const MOVE_PREFIX: &str = "sys/move/";
 

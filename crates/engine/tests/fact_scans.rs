@@ -449,6 +449,35 @@ fn a_diamond_logs_its_source_once_per_shard_and_stays_in_budget() {
 }
 
 #[test]
+fn a_restart_scans_no_prefix_per_instance() {
+    // A restart enumerates the stored headers and the hand-off rounds'
+    // move records — one prefix scan each — and loads every instance off
+    // its header and status record: however many there are, the load
+    // itself scans nothing.
+    for instances in [4, 8] {
+        let mut sys = WorkflowSystem::builder().executors(2).seed(1).build();
+        bind_diamond(&mut sys);
+        for i in 0..instances {
+            let name = format!("d{i}");
+            sys.start(&name, "diamond", "main", [("seed", text("Data", "s"))])
+                .unwrap();
+        }
+        sys.run_for(SimDuration::from_millis(1));
+        let before = sys.store_prefix_scans();
+        let coordinator = sys.coordinator_node();
+        sys.crash_now(coordinator);
+        sys.restart_now(coordinator);
+        let scans = sys.store_prefix_scans() - before;
+        assert_eq!(scans, 2, "a restart over {instances} instances");
+        assert_eq!(sys.stats().recovered_instances, instances);
+        sys.run();
+        for i in 0..instances {
+            assert!(sys.outcome(&format!("d{i}")).is_some(), "d{i} completes");
+        }
+    }
+}
+
+#[test]
 fn a_diamond_starts_in_one_frame() {
     // The start's records and the first drain's activations are one
     // commit record; with a window of one each of the four reports then

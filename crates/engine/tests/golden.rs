@@ -120,7 +120,7 @@ fn run(coordinators: usize, config: EngineConfig) -> (String, String) {
     let sys = run_population(coordinators, config);
     // Nothing an instance keeps per task is named by a string: what
     // these logs hold under `inst/` is `inst/<name>/meta` and
-    // `inst/<name>/status` (nothing here rebinds or reconfigures).
+    // `inst/<name>/status`.
     for storage in sys.shard_storages() {
         for frame in &log_frames(&storage) {
             for (key, _) in frame_writes(frame) {

@@ -2,8 +2,9 @@
 //!
 //! Compiled plans persist in the WAL once per fingerprint
 //! (`sys/plan/…`) so crash recovery skips the front end. Every
-//! reconfiguration re-fingerprints the instance's plan; without
-//! reclamation a reconfigured instance strands its old blobs forever.
+//! reconfiguration is a new version of the instance's script, with a
+//! new plan and a new source; without reclamation a reconfigured
+//! instance strands its old blobs forever.
 //! The coordinator refcounts blobs by fingerprint at checkpoint time —
 //! a blob survives exactly as long as some instance (resident or
 //! merely persisted) references it. The canonical source a plan was
@@ -89,8 +90,7 @@ fn shared_fingerprints_are_pinned_by_any_referencing_instance() {
     sys.run();
     assert_eq!(sys.persisted_plans(0).len(), 1);
     let original = sys.persisted_plans(0)[0];
-    // And one copy of the text both were compiled from — which no
-    // reconfiguration below re-pins or strands.
+    // And one copy of the text both were compiled from.
     let source = sys.coord_handle(0).persisted_source_hashes();
     assert_eq!(source.len(), 1, "one script, one pinned source");
 
@@ -117,7 +117,12 @@ fn shared_fingerprints_are_pinned_by_any_referencing_instance() {
         "shared blob reclaimed once orphaned: {plans:?}"
     );
     assert!(!plans.contains(&original));
-    assert_eq!(sys.coord_handle(0).persisted_source_hashes(), source);
+    // A reconfiguration is a new version of the script, pinned like any
+    // other: the two identical edits share one new source blob, and the
+    // original text, which no instance runs any more, is collected.
+    let sources = sys.coord_handle(0).persisted_source_hashes();
+    assert_eq!(sources.len(), 1, "one edited script: {sources:?}");
+    assert_ne!(sources, source);
 }
 
 #[test]

@@ -1,13 +1,18 @@
 //! Dynamic reconfiguration of running instances (paper §2/§3): add or
 //! remove tasks and dependencies atomically, rebind implementations
-//! (online upgrade), and rescue stuck instances.
+//! (online upgrade), and rescue stuck instances. A reconfiguration is a
+//! new version of the instance's script, checked by the front end and
+//! committed as one step.
 
 mod common;
 
-use common::{add_t5, text};
+use std::collections::BTreeMap;
+
+use common::{add_t5, frame_writes, last_write, log_frames, text};
+use flowscript_codec::{ByteReader, Decode};
 use flowscript_core::samples;
 use flowscript_engine::{
-    CbState, InstanceStatus, ObjectVal, Reconfig, TaskBehavior, WorkflowSystem,
+    CbState, EngineError, InstanceStatus, ObjectVal, Reconfig, TaskBehavior, WorkflowSystem,
 };
 use flowscript_sim::{SimDuration, SimTime};
 
@@ -252,7 +257,8 @@ fn invalid_reconfigurations_rejected_without_damage() {
 
 #[test]
 fn reconfiguration_survives_coordinator_crash() {
-    // Reconfig ops are persisted and replayed during recovery.
+    // The new version of the script is committed before `reconfigure`
+    // returns: recovery runs it.
     let mut sys = diamond_system(66);
     sys.bind_fn("refT5", |_| {
         TaskBehavior::outcome("done").with_object("out", text("Data", "t5"))
@@ -274,7 +280,7 @@ fn reconfiguration_survives_coordinator_crash() {
     )
     .unwrap();
     // Crash + restart the coordinator immediately; on recovery the
-    // reconfigured schema (with t5) must be rebuilt from the log.
+    // reconfigured plan (with t5) must come back from the log.
     let coordinator = sys.coordinator_node();
     sys.crash_now(coordinator);
     sys.restart_now(coordinator);
@@ -317,9 +323,10 @@ fn reconfigured_then_crashed(poisoned: Option<&str>) -> WorkflowSystem {
 #[test]
 fn recovery_without_a_plan_blob_recompiles_the_pinned_source() {
     // The load fallback: no valid blob under the status record's
-    // fingerprint, so the plan is the pinned source recompiled with the
-    // persisted `t5` replayed — and the run ends as if the blob had
-    // been there.
+    // fingerprint, so the plan is the source the header pins recompiled
+    // — the script's current version, which declares `t5` itself: no
+    // op is replayed, none is stored — and the run ends as if the blob
+    // had been there.
     let mut decoded = reconfigured_then_crashed(None);
     decoded.run();
     assert_eq!(decoded.cached_plans(0).len(), 1, "decoded from its blob");
@@ -333,7 +340,7 @@ fn recovery_without_a_plan_blob_recompiles_the_pinned_source() {
     );
     assert!(
         recompiled.task_states("d1").contains_key("diamond/t5"),
-        "the persisted op was replayed"
+        "the current source declares `t5`"
     );
     assert_eq!(recompiled.status("d1"), decoded.status("d1"));
     assert!(recompiled.outcome("d1").is_some());
@@ -362,10 +369,13 @@ fn poisoned_source_stops_reconfiguration_and_nothing_else() {
     assert_eq!(sys.stats().reconfigs, 1, "only the one before the crash");
     assert_eq!(sys.persisted_plans(0), plans);
     assert_eq!(sys.task_states("d1"), states);
-    // Nor does a new instance of the script share what sits under its
-    // hash: the text there is not its text.
+    // Nor does a new instance of the edited script — the version `d1`
+    // runs — share what sits under its hash: the text there is not its
+    // text.
+    sys.register_script("diamond5", &diamond_with_t5(), "diamond")
+        .unwrap();
     let refused = sys
-        .start("d2", "diamond", "main", [("seed", text("Data", "s"))])
+        .start("d2", "diamond5", "main", [("seed", text("Data", "s"))])
         .expect_err("started off a poisoned source");
     assert!(
         refused.to_string().contains("holds a different source"),
@@ -598,13 +608,26 @@ fn control_blocks_follow_their_tasks_across_id_shifts_and_a_crash() {
             }"#
         .into(),
     };
+    let commits = |sys: &WorkflowSystem| sys.metrics_snapshot().counter("tx.commits");
+    let in_flight = |sys: &WorkflowSystem| -> u32 {
+        sys.executor_loads(0)
+            .iter()
+            .map(|slot| slot.in_flight)
+            .sum()
+    };
+    let (committed, flying) = (commits(&sys), in_flight(&sys));
     sys.reconfigure("i1", add).unwrap();
     let mut grown = blocks(&sys);
     let added = grown.remove("root/g/a2").expect("the new task has a block");
+    // Straight after `reconfigure` returns, `a2` is executing: the step
+    // that added it re-evaluated the instance and dispatched it, in the
+    // one commit.
     assert!(
         matches!(added.state, CbState::Executing { .. }),
         "{added:?}"
     );
+    assert_eq!(commits(&sys) - committed, 1);
+    assert_eq!(in_flight(&sys), flying + 1, "`a2` is on the wire");
     assert_eq!(grown, before);
 
     // `g` goes, with `a` mid-execution: three ids vanish ahead of `k`.
@@ -628,4 +651,212 @@ fn control_blocks_follow_their_tasks_across_id_shifts_and_a_crash() {
     sys.run();
     assert_eq!(sys.outcome("i1").expect("completes").name, "done");
     assert_eq!(sys.stats().marks, 1, "the mark fired once");
+}
+
+/// Fig. 1's diamond with the paper's `t5` declared in the script, last
+/// among the root's constituents: the version `add_t5` makes of it.
+fn diamond_with_t5() -> String {
+    let Reconfig::AddTask { task_source, .. } = add_t5() else {
+        unreachable!("add_t5 adds a task")
+    };
+    let diamond = samples::FIG1_DIAMOND;
+    let outputs = diamond
+        .rfind("    outputs {")
+        .expect("the root maps outputs");
+    format!(
+        "{}{task_source};\n{}",
+        &diamond[..outputs],
+        &diamond[outputs..]
+    )
+}
+
+/// The source hash `instance`'s header and the plan fingerprint its
+/// status record name, as the shard's log last committed them: each
+/// record opens with its layout tag, then the header's script name and
+/// hash, the status and its fingerprint.
+fn pinned_version(sys: &WorkflowSystem, instance: &str) -> (u64, u64) {
+    let storage = sys.storage();
+    let header = last_write(&storage, &format!("inst/{instance}/meta")).expect("a header");
+    let mut header = ByteReader::new(&header[1..]);
+    header.get_str().expect("a script name");
+    let hash = header.get_u64().expect("a source hash");
+    let status = last_write(&storage, &format!("inst/{instance}/status")).expect("a status");
+    let mut status = ByteReader::new(&status[1..]);
+    InstanceStatus::decode(&mut status).expect("a status");
+    (hash, status.get_u64().expect("a plan fingerprint"))
+}
+
+#[test]
+fn malformed_edits_are_refused_by_the_front_end() {
+    // Six edits the front end refuses, each with what it says — the one
+    // validator a reconfiguration has, as a start has.
+    let join_left_only = r#"
+        task t5 of taskclass Join {
+            implementation { "code" is "refT5" };
+            inputs { input main { inputobject left from { out of task t2 if output done } } }
+        }"#;
+    let fed_by_ghost = r#"
+        task t5 of taskclass Stage {
+            implementation { "code" is "refT5" };
+            inputs { input main { inputobject in from { out of task t2 if output ghost } } }
+        }"#;
+    let named_like_its_scope = r#"
+        task diamond of taskclass Stage {
+            implementation { "code" is "refT3" };
+            inputs { input main { inputobject in from { out of task t1 if output done } } }
+        }"#;
+    let add = |task_source: &str| Reconfig::AddTask {
+        scope_path: "diamond".into(),
+        task_source: task_source.into(),
+    };
+    let left_from_t3 = |producer_object: &str, outcome: &str| Reconfig::AddObjectSource {
+        task_path: "diamond/t4".into(),
+        set: "main".into(),
+        object: "left".into(),
+        producer: "t3".into(),
+        producer_object: producer_object.into(),
+        outcome: outcome.into(),
+    };
+    let cases = [
+        (
+            Reconfig::AddNotification {
+                task_path: "diamond/t4".into(),
+                set: "main".into(),
+                producer: "t2".into(),
+                outcome: "ghost".into(),
+            },
+            "taskclass `NotifiedStage` has no output `ghost`",
+        ),
+        (
+            left_from_t3("out", "ghost"),
+            "taskclass `Stage` has no output `ghost`",
+        ),
+        (
+            left_from_t3("ghost", "done"),
+            "output `done` of `Stage` has no object `ghost`",
+        ),
+        (
+            add(named_like_its_scope),
+            "constituent `diamond` shadows its enclosing compound task",
+        ),
+        (
+            add(join_left_only),
+            "input set `main` never binds object `right`",
+        ),
+        (
+            add(fed_by_ghost),
+            "taskclass `NotifiedStage` has no output `ghost`",
+        ),
+    ];
+    let undisturbed = {
+        let mut sys = diamond_system(61);
+        sys.start("d1", "diamond", "main", [("seed", text("Data", "s"))])
+            .unwrap();
+        sys.run();
+        (sys.status("d1").unwrap(), sys.task_states("d1"))
+    };
+    assert!(matches!(undisturbed.0, InstanceStatus::Completed(_)));
+    for (op, said) in cases {
+        let mut sys = diamond_system(61);
+        sys.start("d1", "diamond", "main", [("seed", text("Data", "s"))])
+            .unwrap();
+        sys.run_for(SimDuration::from_millis(5));
+        let plans = sys.persisted_plans(0);
+        match sys.reconfigure("d1", op.clone()) {
+            Err(EngineError::ReconfigRejected(why)) => {
+                assert!(why.contains(said), "{op:?}: {why}")
+            }
+            other => panic!("{op:?} was not refused: {other:?}"),
+        }
+        assert_eq!(sys.stats().reconfigs, 0, "{op:?}");
+        assert_eq!(sys.persisted_plans(0), plans, "{op:?}");
+        sys.run();
+        let run = (sys.status("d1").unwrap(), sys.task_states("d1"));
+        assert_eq!(run, undisturbed, "{op:?}");
+    }
+}
+
+#[test]
+fn a_reconfigured_instance_is_one_started_on_the_edited_script() {
+    let mut sys = diamond_system(69);
+    sys.bind_fn("refT5", |ctx| {
+        let joined = format!("t5({},{})", ctx.input_text("left"), ctx.input_text("right"));
+        TaskBehavior::outcome("done").with_object("out", ObjectVal::text("Data", joined))
+    });
+    sys.start("d1", "diamond", "main", [("seed", text("Data", "s"))])
+        .unwrap();
+    sys.run_for(SimDuration::from_millis(15));
+    sys.reconfigure("d1", add_t5()).unwrap();
+    // The same script, written with `t5` in it and started afresh.
+    sys.register_script("diamond5", &diamond_with_t5(), "diamond")
+        .unwrap();
+    sys.start("d2", "diamond5", "main", [("seed", text("Data", "s"))])
+        .unwrap();
+    let (d1, d2) = (pinned_version(&sys, "d1"), pinned_version(&sys, "d2"));
+    assert_eq!(d1, d2, "one pinned source hash, one plan fingerprint");
+    let served = sys.repository().with(|repo| repo.plan("diamond5", None));
+    assert_eq!(d1.1, served.unwrap().fingerprint);
+
+    sys.run_for(SimDuration::from_millis(10));
+    let coordinator = sys.coordinator_node();
+    sys.crash_now(coordinator);
+    sys.restart_now(coordinator);
+    sys.run();
+    // Nothing was replayed: no op was ever logged, and what `d1` keeps
+    // under its name is a header and a status record, as `d2` does.
+    for frame in log_frames(&sys.storage()) {
+        for (key, _) in frame_writes(&frame) {
+            let uid = key.to_string();
+            assert!(!uid.starts_with("inst/d1/reconfig/"), "`{uid}`");
+            if let Some(record) = uid.strip_prefix("inst/d1/") {
+                assert!(matches!(record, "meta" | "status"), "`{uid}`");
+            }
+        }
+    }
+    // `t4` completes the root while `t5` still waits on it, so the
+    // root's outcome cancels `t5` — in both instances.
+    let InstanceStatus::Completed(outcome) = sys.status("d1").unwrap() else {
+        panic!("{:?}", sys.status("d1"))
+    };
+    assert_eq!(
+        (
+            outcome.name.as_str(),
+            outcome.objects["out"].as_text().as_str()
+        ),
+        ("done", "two|s13")
+    );
+    assert_eq!(outcome.objects["out"].produced_by, "diamond/t4");
+    let done = || CbState::Done {
+        outcome: "done".into(),
+    };
+    let mut states: BTreeMap<String, CbState> = ["", "/t1", "/t2", "/t3", "/t4"]
+        .map(|task| (format!("diamond{task}"), done()))
+        .into();
+    states.insert("diamond/t5".into(), CbState::Cancelled);
+    assert_eq!(sys.task_states("d1"), states);
+    assert_eq!(sys.status("d2"), sys.status("d1"));
+    assert_eq!(sys.task_states("d2"), states);
+}
+
+#[test]
+fn a_reconfiguration_is_one_commit() {
+    // Before `t1` reports, between its report and `t4`'s, and after the
+    // root completed: the edit, the remap, the new block and the
+    // re-evaluation over the new plan are one step, whatever it finds.
+    for ms in [0, 15, 25] {
+        let mut sys = diamond_system(61);
+        sys.bind_fn("refT5", |_| {
+            TaskBehavior::outcome("done").with_object("out", text("Data", "t5"))
+        });
+        sys.start("d1", "diamond", "main", [("seed", text("Data", "s"))])
+            .unwrap();
+        sys.run_for(SimDuration::from_millis(ms));
+        let commits = |sys: &WorkflowSystem| sys.metrics_snapshot().counter("tx.commits");
+        let before = commits(&sys);
+        sys.reconfigure("d1", add_t5()).unwrap();
+        assert_eq!(commits(&sys) - before, 1, "at {ms} ms");
+        sys.run();
+        assert!(sys.outcome("d1").is_some(), "at {ms} ms");
+        assert_eq!(sys.stats().reconfigs, 1);
+    }
 }
