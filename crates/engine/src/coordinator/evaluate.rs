@@ -192,7 +192,7 @@ impl Coordinator {
         drain: &mut Drain<'_>,
         eval: impl FnOnce(&StoreFacts<'_, StableStore>) -> T,
     ) -> Result<Option<T>, EngineError> {
-        let facts = StoreFacts::new(&self.mgr, step.staged(), drain.keys);
+        let facts = StoreFacts::new(&self.mgr, step.staged(), drain.plan, drain.keys);
         let value = eval(&facts);
         match facts.take_fault() {
             None => Ok(Some(value)),
@@ -521,7 +521,7 @@ impl Coordinator {
                     failed.push(format!("{path} ({reason})"));
                 }
                 CbState::Waiting => {
-                    let facts = StoreFacts::new(&self.mgr, step.staged(), keys);
+                    let facts = StoreFacts::new(&self.mgr, step.staged(), plan, keys);
                     let task = plan.task(id);
                     let pending = plan.sets[task.sets.as_range()]
                         .iter()
@@ -596,7 +596,7 @@ impl Coordinator {
             self.count_nonterminal(plan, keys),
             "incremental non-terminal count of `{instance}` drifted"
         );
-        let facts = StoreFacts::new(&self.mgr, None, keys);
+        let facts = StoreFacts::new(&self.mgr, None, plan, keys);
         for id in 1..plan.tasks.len() as TaskId {
             let task = plan.task(id);
             let Some(parent) = task.parent else {

@@ -234,10 +234,7 @@ impl Coordinator {
         let Some(out_key) = keys.out_key(plan, task_id, name) else {
             return Ok(false);
         };
-        let stamped: BTreeMap<String, ObjectVal> = objects
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone().produced_by(path.to_string())))
-            .collect();
+        let stamped = stamped(objects, path);
         self.mgr.write_key(action, &cb_key, &cb)?;
         facts::write_fact_map(&mut self.mgr, action, plan, out_key, &stamped)?;
         let is_mark = matches!(event, PendingEvent::Mark(_));
@@ -289,12 +286,13 @@ impl Coordinator {
         } else {
             cb.attempt += 1;
         }
+        let path = plan.str(plan.task(task_id).path);
+        let stamped = stamped(objects, path);
         let action = step.action(&mut self.mgr);
         write_cb(&mut self.mgr, action, keys, task_id, &cb)?;
-        facts::write_fact_map(&mut self.mgr, action, plan, out_key, objects)?;
+        facts::write_fact_map(&mut self.mgr, action, plan, out_key, &stamped)?;
         step.push(&drain.name, Effect::Completed(task_id));
         step.push(&drain.name, Effect::Count(self.metrics.repeats.clone()));
-        let path = plan.str(plan.task(task_id).path);
         self.trace(step, &drain.name, Some(path), reported, || {
             self.commit_event(format!("repeat `{name}`"))
         });
@@ -303,10 +301,18 @@ impl Coordinator {
             step.push(&drain.name, Effect::Terminals(1));
             drain.lands(task_id);
         } else {
-            self.stage_launch(step, drain, task_id, &cb, Some(objects), Some(redo_after))?;
+            self.stage_launch(step, drain, task_id, &cb, Some(&stamped), Some(redo_after))?;
         }
         Ok(true)
     }
+}
+
+/// A report's objects as the task at `path` produced them: an outcome's,
+/// a mark's and a repeat outcome's alike.
+fn stamped(objects: &BTreeMap<String, ObjectVal>, path: &str) -> BTreeMap<String, ObjectVal> {
+    let stamp =
+        |(name, object): (&String, &ObjectVal)| (name.clone(), object.clone().produced_by(path));
+    objects.iter().map(stamp).collect()
 }
 
 impl CoordHandle {

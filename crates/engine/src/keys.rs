@@ -31,7 +31,8 @@
 //! the fact's *presence* sub-key (`obj = 0`, existence answers
 //! "fired?") and the *data* sub-key of the one object the source takes
 //! (`obj = ordinal + 1`, holding exactly that object's bytes) — so a
-//! readiness probe is a single point read with zero record decode, and
+//! readiness probe is a single point read that decodes that one object,
+//! never a whole record, and
 //! an output commit, a subtree cancel/reset or a stuck diagnostic never
 //! formats a string.
 

@@ -9,7 +9,11 @@ use flowscript_codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
 /// as opaque bytes tagged with the object's class and provenance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjectVal {
-    /// The object's class name (checked against the script's dataflow).
+    /// The object's class name. A root input's is checked against the
+    /// root's declaration at start, and sema checks statically that the
+    /// script routes each object to a slot of its declared class; an
+    /// executor's reply is not checked — its objects keep the class it
+    /// gave them.
     pub class: String,
     /// Opaque payload.
     pub data: Vec<u8>,
@@ -51,6 +55,10 @@ impl fmt::Display for ObjectVal {
     }
 }
 
+/// The wire form, which spells every field out: messages, a header's
+/// inputs, a status record's outcome. What a fact holds under a
+/// declared sub-key is stored relative to the plan instead
+/// ([`crate::facts`]).
 impl Encode for ObjectVal {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_str(&self.class);

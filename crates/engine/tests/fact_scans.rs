@@ -27,10 +27,12 @@ use common::{
     log_frames, population, start_population, text, JOIN, ONE_TASK,
 };
 use flowscript_core::samples;
+use flowscript_core::schema::compile_source;
 use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{
     CbState, CommitBatch, InstanceStatus, TaskBehavior, TaskCb, WorkflowSystem,
 };
+use flowscript_plan::Plan;
 use flowscript_sim::{SimDuration, SimTime};
 use flowscript_tx::{FactKind, LogRecord, StoreKey};
 
@@ -441,11 +443,59 @@ fn a_diamond_logs_its_source_once_per_shard_and_stays_in_budget() {
     // the start — `t1`'s once, already `Executing` — and two per report).
     assert_eq!(named_writes, instances * 3);
     assert_eq!(block_writes, instances * 13);
+    // 716 B with every fact object stored relative to the plan.
     let per_instance = sys.log_size() / instances as u64;
     assert!(
-        per_instance < 1_100,
-        "{per_instance} B of log per diamond, budget 1 100"
+        per_instance < 750,
+        "{per_instance} B of log per diamond, budget 750"
     );
+}
+
+#[test]
+fn no_fact_object_spells_what_its_plan_says() {
+    // Fig. 7 orders and fig. 8 trips on one shard: every object a fact
+    // holds has its declared class and a producer the plan knows, so a
+    // stored object is a tag, a task id at most, and its payload — no
+    // class name, no task path.
+    let mut sys = build(1, det_config());
+    let names = population();
+    start_population(&mut sys, &names);
+    sys.run();
+    let plans = [
+        (samples::ORDER_PROCESSING, "processOrderApplication"),
+        (samples::BUSINESS_TRIP, "tripReservation"),
+    ]
+    .map(|(source, root)| Plan::lower(&compile_source(source, root).unwrap()));
+    let mut spelled: Vec<&str> = Vec::new();
+    for plan in &plans {
+        spelled.extend(plan.class_objects.iter().map(|sig| plan.str(sig.class)));
+        spelled.extend(plan.tasks.iter().map(|task| plan.str(task.path)));
+    }
+    let spells = |bytes: &[u8], text: &str| bytes.windows(text.len()).any(|w| w == text.as_bytes());
+    // The payloads (the instance names, threaded through fig. 8's
+    // dataflow, and the bindings' constants) spell none of them either.
+    for name in &names {
+        assert!(!spelled.iter().any(|text| spells(name.as_bytes(), text)));
+    }
+    let mut objects = 0;
+    for frame in log_frames(&sys.storage()) {
+        for (key, value) in frame_writes(&frame) {
+            let (Some(key), Some(value)) = (key.as_fact(), value) else {
+                continue;
+            };
+            if key.kind == FactKind::Control || key.obj == 0 {
+                continue;
+            }
+            objects += 1;
+            for text in &spelled {
+                assert!(!spells(value, text), "`{key}` spells `{text}`: {value:?}");
+            }
+        }
+    }
+    for name in &names {
+        assert!(sys.status(name).unwrap().is_terminal(), "{name} ends");
+    }
+    assert!(objects > 10 * names.len(), "{objects} objects");
 }
 
 #[test]

@@ -5,7 +5,9 @@
 
 mod common;
 
+use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 use flowscript_core::samples;
 use flowscript_core::schema::compile_source;
@@ -201,6 +203,36 @@ fn a_repeating_leaf_reexecutes_with_carried_objects() {
     assert_eq!(sys.stats().repeats, 3);
     // The redo delays are visible in virtual time (3 × 50ms + work).
     assert!(sys.now() >= SimTime::from_nanos(150_000_000));
+}
+
+#[test]
+fn repeat_objects_name_the_leaf_that_made_them() {
+    // The objects of a repeat outcome are the leaf's, as an outcome's
+    // and a mark's are: stamped with its path in the fact it publishes
+    // and in what the next attempt is handed back.
+    let mut sys = WorkflowSystem::builder().executors(2).seed(93).build();
+    sys.register_script("p", LEAF_REPEAT_SCRIPT, "root")
+        .unwrap();
+    let carried = Rc::new(RefCell::new(Vec::new()));
+    let saw = carried.clone();
+    sys.bind_fn("refPoller", move |ctx| match ctx.attempt {
+        0 => TaskBehavior::outcome("poll")
+            .with_object("progress", ObjectVal::text("Data", "1"))
+            .with_redo_after(SimDuration::from_millis(5)),
+        _ => {
+            saw.borrow_mut()
+                .push(ctx.repeat_objects["progress"].clone());
+            TaskBehavior::outcome("ready").with_object("out", ObjectVal::text("Data", "done"))
+        }
+    });
+    sys.start("p1", "p", "main", [("in", ObjectVal::text("Data", "x"))])
+        .unwrap();
+    sys.run();
+    assert_eq!(sys.outcome("p1").expect("converges").name, "done");
+    let published = sys.output_fact("p1", "root/poller", "poll").unwrap();
+    assert_eq!(published["progress"].produced_by, "root/poller");
+    let stamped = ObjectVal::text("Data", "1").produced_by("root/poller");
+    assert_eq!(*carried.borrow(), [stamped]);
 }
 
 #[test]

@@ -6,7 +6,9 @@
 
 mod common;
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use common::{add_t5, frame_writes, last_write, log_frames, text};
 use flowscript_codec::{ByteReader, Decode};
@@ -651,6 +653,123 @@ fn control_blocks_follow_their_tasks_across_id_shifts_and_a_crash() {
     sys.run();
     assert_eq!(sys.outcome("i1").expect("completes").name, "done");
     assert_eq!(sys.stats().marks, 1, "the mark fired once");
+}
+
+/// `consumer` binds the object `producer`, declared after it, made; the
+/// compound `inner` between them maps the object of its constituent
+/// `made` into its outcome. Removing `inner`'s `middle` keeps the keys
+/// of `consumer`'s binding and of `inner`'s outcome, and shifts the ids
+/// of both producers the objects stored there name.
+const SHIFTED_PRODUCERS: &str = r#"
+class Data;
+taskclass Work {
+    inputs { input main { in of class Data } };
+    outputs { outcome done { out of class Data } }
+}
+taskclass Inner {
+    inputs { input main { seed of class Data } };
+    outputs { outcome done { out of class Data } }
+}
+taskclass Root {
+    inputs { input main { seed of class Data } };
+    outputs { outcome done { out of class Data; made of class Data } }
+}
+compoundtask root of taskclass Root {
+    task consumer of taskclass Work {
+        implementation { "code" is "refConsumer" };
+        inputs { input main { inputobject in from { out of task producer if output done } } }
+    };
+    compoundtask inner of taskclass Inner {
+        inputs { input main { inputobject seed from { seed of task root if input main } } };
+        task middle of taskclass Work {
+            implementation { "code" is "refQuick" };
+            inputs { input main { inputobject in from { seed of task inner if input main } } }
+        };
+        task made of taskclass Work {
+            implementation { "code" is "refMade" };
+            inputs { input main { inputobject in from { seed of task inner if input main } } }
+        };
+        outputs { outcome done { outputobject out from { out of task made if output done } } }
+    };
+    task producer of taskclass Work {
+        implementation { "code" is "refQuick" };
+        inputs { input main { inputobject in from { seed of task root if input main } } }
+    };
+    outputs {
+        outcome done {
+            outputobject out from { out of task consumer if output done };
+            outputobject made from { out of task inner if output done }
+        }
+    }
+}
+"#;
+
+/// Runs [`SHIFTED_PRODUCERS`] to its end — with `middle` removed while
+/// `consumer` executes, then a crash and a restart, when `shifted` —
+/// and returns the final status and every input `consumer` was handed.
+fn run_shifted_producers(shifted: bool) -> (InstanceStatus, Vec<ObjectVal>) {
+    let mut sys = WorkflowSystem::builder().executors(2).seed(70).build();
+    sys.register_script("shift", SHIFTED_PRODUCERS, "root")
+        .unwrap();
+    sys.bind_fn("refQuick", |_| {
+        TaskBehavior::outcome("done")
+            .with_work(SimDuration::from_millis(5))
+            .with_object("out", text("Data", "q"))
+    });
+    // An object of a class its declaration does not name.
+    sys.bind_fn("refMade", |_| {
+        TaskBehavior::outcome("done")
+            .with_work(SimDuration::from_millis(5))
+            .with_object("out", text("Blob", "m"))
+    });
+    let handed = Rc::new(RefCell::new(Vec::new()));
+    let saw = handed.clone();
+    sys.bind_fn("refConsumer", move |ctx| {
+        saw.borrow_mut().push(ctx.inputs["in"].clone());
+        TaskBehavior::outcome("done")
+            .with_work(SimDuration::from_millis(200))
+            .with_object("out", text("Data", "c"))
+    });
+    sys.start("s1", "shift", "main", [("seed", text("Data", "s"))])
+        .unwrap();
+    if shifted {
+        sys.run_for(SimDuration::from_millis(50));
+        let states = sys.task_states("s1");
+        assert!(matches!(states["root/consumer"], CbState::Executing { .. }));
+        assert!(matches!(states["root/inner"], CbState::Done { .. }));
+        let remove = Reconfig::RemoveTask {
+            task_path: "root/inner/middle".into(),
+        };
+        sys.reconfigure("s1", remove).unwrap();
+        let coordinator = sys.coordinator_node();
+        sys.crash_now(coordinator);
+        sys.restart_now(coordinator);
+    }
+    sys.run();
+    let handed = handed.borrow().clone();
+    (sys.status("s1").unwrap(), handed)
+}
+
+#[test]
+fn a_remap_that_shifts_task_ids_re_encodes_the_producers_inside_values() {
+    let (undisturbed, handed) = run_shifted_producers(false);
+    let InstanceStatus::Completed(outcome) = &undisturbed else {
+        panic!("{undisturbed:?}")
+    };
+    let made = &outcome.objects["made"];
+    assert_eq!(
+        (made.class.as_str(), made.produced_by.as_str()),
+        ("Blob", "root/inner/made")
+    );
+    let expected = text("Data", "q").produced_by("root/producer");
+    assert_eq!(handed, std::slice::from_ref(&expected));
+    // The recovered re-dispatch reads the remapped binding back, and
+    // the root maps the remapped outcome of `inner`: both as in the
+    // undisturbed run.
+    let (status, handed) = run_shifted_producers(true);
+    assert_eq!(status, undisturbed);
+    assert!(handed.len() >= 2, "{handed:?}: no re-dispatch");
+    assert!(handed.iter().all(|input| *input == expected), "{handed:?}");
 }
 
 /// Fig. 1's diamond with the paper's `t5` declared in the script, last
