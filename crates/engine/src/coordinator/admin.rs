@@ -15,7 +15,7 @@ use flowscript_tx::StoreKey;
 use super::lifecycle::pin_blobs;
 use super::meta::source_hash;
 use super::step::Effect;
-use super::{write_cb, CoordHandle, Coordinator, InstanceStatus, StatusRecord};
+use super::{CoordHandle, Coordinator, InstanceStatus, StatusRecord};
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::{plan_uid, source_uid, status_uid, InstanceKeys};
@@ -25,7 +25,7 @@ use crate::value::ObjectVal;
 
 impl Coordinator {
     /// Overwrites `keys` with undecodable bytes, in one commit.
-    fn poison(&mut self, keys: impl IntoIterator<Item = StoreKey>) -> bool {
+    pub(super) fn poison(&mut self, keys: impl IntoIterator<Item = StoreKey>) -> bool {
         let staged = self.atomically(|mgr, action| {
             for key in keys {
                 mgr.write_key_raw(action, &key, vec![0xFF, 0xFF, 0xFF])?;
@@ -145,9 +145,7 @@ impl CoordHandle {
         // full drain behind them — the repaired fact has no commit to
         // seed from.
         self.reevaluate(world, instance, |coordinator, step, drain| {
-            let Some(mut cb) = coordinator.staged_cb(step, &keys, task_id) else {
-                return Err(EngineError::UnknownTask(path.to_string()));
-            };
+            let mut cb = coordinator.staged_cb(step, &plan, &keys, task_id)?;
             let forced = match kind {
                 _ if cb.state.is_terminal() => None,
                 OutputKind::Outcome => Some(CbState::Done {
@@ -185,7 +183,7 @@ impl CoordHandle {
             }
             facts::write_fact_map(mgr, action, &plan, out_key, &stamped)?;
             if forced.is_some() {
-                write_cb(mgr, action, &keys, task_id, &cb)?;
+                facts::write_block(mgr, action, &plan, &keys, task_id, &cb)?;
             }
             if let Some(record) = revival {
                 // Back from Stuck: the instance is evaluated, and counts
@@ -257,17 +255,20 @@ impl CoordHandle {
             }
             let old_id = |id: TaskId| old_plan.task_by_path(path(&plan, id));
             // The new tasks are the paths the old plan lacks; each joins
-            // the current incarnation of its scope.
-            let new_blocks: Vec<(TaskId, TaskCb)> = (0..plan.tasks.len() as TaskId)
-                .filter(|&id| old_id(id).is_none())
-                .map(|id| {
-                    let scope = plan.task(id).parent.and_then(old_id);
-                    let scope_cb = scope.and_then(|scope| coordinator.read_cb_id(&old_keys, scope));
-                    let mut cb = TaskCb::waiting();
-                    cb.incarnation = scope_cb.map_or(0, |cb| cb.scope_inc);
-                    (id, cb)
-                })
-                .collect();
+            // the current incarnation of its scope — a block to store
+            // unless that is the first, which a missing block reads as.
+            let mut new_blocks: Vec<(TaskId, TaskCb)> = Vec::new();
+            for id in (0..plan.tasks.len() as TaskId).filter(|&id| old_id(id).is_none()) {
+                let mut cb = TaskCb::waiting();
+                if let Some(scope) = plan.task(id).parent.and_then(old_id) {
+                    cb.incarnation = coordinator
+                        .read_cb_id(&old_plan, &old_keys, scope)?
+                        .scope_inc;
+                }
+                if cb != TaskCb::waiting() {
+                    new_blocks.push((id, cb));
+                }
+            }
             let mut record = coordinator.read_status(instance)?;
             // A reconfiguration can rescue a stuck instance (e.g. by
             // adding an alternative source): it is evaluated again.
@@ -288,12 +289,9 @@ impl CoordHandle {
             mgr.write_key(action, keys.status(), &record)?;
             // After the remap: a new task may take an id it vacated.
             for (task, cb) in &new_blocks {
-                write_cb(mgr, action, &keys, *task, cb)?;
+                facts::write_block(mgr, action, &plan, &keys, *task, cb)?;
             }
-            let nonterminal = (0..plan.tasks.len() as TaskId)
-                .filter_map(|id| coordinator.staged_cb(step, &keys, id))
-                .filter(|cb| !cb.state.is_terminal())
-                .count();
+            let nonterminal = coordinator.count_nonterminal(step.staged(), &plan, &keys);
             let replan = Effect::Replan(plan.clone(), keys.clone(), nonterminal);
             step.push(&name, replan);
             if revived {
@@ -365,9 +363,7 @@ impl CoordHandle {
         // One step: the abort, its (empty) fact and what they cascade
         // into.
         self.reevaluate(world, instance, |coordinator, step, drain| {
-            let Some(mut cb) = coordinator.staged_cb(step, &keys, task_id) else {
-                return Err(EngineError::UnknownTask(path.to_string()));
-            };
+            let mut cb = coordinator.staged_cb(step, &plan, &keys, task_id)?;
             if cb.state != CbState::Waiting {
                 return Err(EngineError::ReconfigRejected(format!(
                     "task `{path}` is not waiting (state {:?})",
@@ -378,7 +374,7 @@ impl CoordHandle {
                 outcome: outcome.to_string(),
             });
             let action = step.action(&mut coordinator.mgr);
-            write_cb(&mut coordinator.mgr, action, &keys, task_id, &cb)?;
+            facts::write_block(&mut coordinator.mgr, action, &plan, &keys, task_id, &cb)?;
             facts::write_fact_map(
                 &mut coordinator.mgr,
                 action,

@@ -24,7 +24,7 @@ use flowscript_tx::{FactKey, TxError};
 
 use super::evaluate::Drain;
 use super::step::{Effect, Launch, Step};
-use super::{write_cb, CoordHandle, Coordinator, InstanceRt};
+use super::{block_fault, CoordHandle, Coordinator, InstanceRt};
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::InstanceKeys;
@@ -356,7 +356,7 @@ impl Coordinator {
         }
         cb.attempt += 1;
         let action = step.action(&mut self.mgr);
-        write_cb(&mut self.mgr, action, drain.keys, task, &cb)?;
+        facts::write_block(&mut self.mgr, action, drain.plan, drain.keys, task, &cb)?;
         step.push(&drain.name, Effect::Lost(task, reported));
         step.push(&drain.name, Effect::Count(self.metrics.retries.clone()));
         let path = drain.plan.str(drain.plan.task(task).path);
@@ -389,7 +389,7 @@ impl Coordinator {
             reason: why.to_string(),
         });
         let action = step.action(&mut self.mgr);
-        write_cb(&mut self.mgr, action, drain.keys, task, &cb)?;
+        facts::write_block(&mut self.mgr, action, drain.plan, drain.keys, task, &cb)?;
         let landed = match reported {
             true => Effect::Completed(task),
             false => Effect::Discard(task..task + 1),
@@ -438,14 +438,24 @@ impl Coordinator {
     /// The committed control blocks of `instance` sitting in
     /// `Executing`, by task id: what a restart re-dispatches and an
     /// adoption re-arms watchdogs for.
-    pub(super) fn executing(&self, instance: &str) -> Vec<(TaskId, TaskCb)> {
+    ///
+    /// # Errors
+    ///
+    /// Why the instance must stop instead: a block that does not decode
+    /// may be an attempt on the wire.
+    pub(super) fn executing(&self, instance: &str) -> Result<Vec<(TaskId, TaskCb)>, String> {
         let Some(rt) = self.instances.get(instance) else {
-            return Vec::new();
+            return Ok(Vec::new());
         };
-        (0..rt.plan.tasks.len() as TaskId)
-            .filter_map(|id| Some((id, self.read_cb_id(&rt.keys, id)?)))
-            .filter(|(_, cb)| matches!(cb.state, CbState::Executing { .. }))
-            .collect()
+        let mut executing = Vec::new();
+        for id in 0..rt.plan.tasks.len() as TaskId {
+            match self.read_cb_id(&rt.plan, &rt.keys, id) {
+                Ok(cb) if matches!(cb.state, CbState::Executing { .. }) => executing.push((id, cb)),
+                Ok(_) => {}
+                Err(fault) => return Err(block_fault(&rt.plan, id, &fault)),
+            }
+        }
+        Ok(executing)
     }
 
     /// The books balance (debug-build oracle, asserted after every
@@ -459,7 +469,7 @@ impl Coordinator {
         };
         for &task in rt.flights.0.keys() {
             let known = rt.plan.tasks.get(task as usize);
-            let cb = known.and_then(|_| self.read_cb_id(&rt.keys, task));
+            let cb = known.and_then(|_| self.read_cb_id(&rt.plan, &rt.keys, task).ok());
             assert!(
                 matches!(&cb, Some(cb) if matches!(cb.state, CbState::Executing { .. })),
                 "flight record {task} of `{instance}` has no `Executing` task in its \
@@ -569,7 +579,11 @@ impl CoordHandle {
             let Some(rt) = coordinator.instances.get(instance) else {
                 return;
             };
-            let executing = coordinator.executing(instance);
+            // A block that does not decode arms no watchdog: the full
+            // drain over the instance parks it on that block.
+            let Ok(executing) = coordinator.executing(instance) else {
+                return;
+            };
             executing
                 .into_iter()
                 .map(|(id, cb)| (id, cb, coordinator.shipment(rt, id).timeout))
@@ -635,15 +649,9 @@ impl CoordHandle {
             let Some(rt) = coordinator.instances.get(instance) else {
                 return;
             };
-            let Some(cb) = coordinator.read_cb_id(&rt.keys, task_id) else {
-                // Only a mid-flight reconfiguration can drop the
-                // control block of a scheduled dispatch.
+            let Ok(cb) = coordinator.read_cb_id(&rt.plan, &rt.keys, task_id) else {
+                // Nothing ships off a block that does not decode.
                 coordinator.metrics.dropped_dispatches.inc();
-                debug_assert!(
-                    coordinator.metrics.reconfigs.get() > 0,
-                    "dispatch dropped task {task_id} of `{instance}`: control block \
-                     missing without any reconfiguration"
-                );
                 return;
             };
             if !cb.awaits(launch.incarnation, launch.attempt) {
@@ -700,7 +708,7 @@ impl CoordHandle {
     ) {
         // No error channel: a failure that cannot commit changes nothing.
         let _ = self.reevaluate(world, instance, |coordinator, step, drain| {
-            match coordinator.staged_cb(step, drain.keys, task) {
+            match coordinator.drain_cb(step, drain, task)? {
                 Some(cb) if !cb.state.is_terminal() => {
                     coordinator.stage_failure(step, drain, task, cb, why, false)
                 }
@@ -902,7 +910,7 @@ impl CoordHandle {
         let Some(task) = plan.task_by_path(path) else {
             return;
         };
-        let cb = self.inner.borrow().read_cb_id(&keys, task);
+        let cb = self.inner.borrow().read_cb_id(&plan, &keys, task).ok();
         let Some(cb) = cb.filter(|cb| cb.awaits(incarnation, attempt)) else {
             return;
         };

@@ -18,11 +18,11 @@ use flowscript_core::ast::OutputKind;
 use flowscript_obs::ObsEventKind;
 use flowscript_plan::{eval as plan_eval, Plan, StrId, TaskId, Worklist};
 use flowscript_sim::World;
-use flowscript_tx::{AtomicAction, StableStore, StoreKey, TxManager};
+use flowscript_tx::{AtomicAction, StableStore, TxManager};
 
 use super::step::{Effect, Launch, Step};
 use super::{
-    write_cb, CoordHandle, Coordinator, InstanceHeader, InstanceStatus, Outcome, StatusRecord,
+    block_fault, CoordHandle, Coordinator, InstanceHeader, InstanceStatus, Outcome, StatusRecord,
 };
 use crate::error::EngineError;
 use crate::facts::{self, StoreFacts};
@@ -203,6 +203,24 @@ impl Coordinator {
         }
     }
 
+    /// `task`'s control block as `step` reads it; `None` when it does not
+    /// decode — the instance is then parked with the fault: a corrupt
+    /// block must not read as a state.
+    pub(super) fn drain_cb(
+        &mut self,
+        step: &mut Step,
+        drain: &mut Drain<'_>,
+        task: TaskId,
+    ) -> Result<Option<TaskCb>, EngineError> {
+        match self.staged_cb(step, drain.plan, drain.keys, task) {
+            Ok(cb) => Ok(Some(cb)),
+            Err(fault) => {
+                self.park_stuck(step, drain, block_fault(drain.plan, task, &fault))?;
+                Ok(None)
+            }
+        }
+    }
+
     /// Re-tests one task's input sets and binds the first satisfied one:
     /// a leaf goes `Executing`, dispatched once the step committed; a
     /// compound goes `Active` and enables its constituents. The binding
@@ -220,10 +238,10 @@ impl Coordinator {
         let Some(parent) = task.parent else {
             return Ok(()); // the root never rebinds through the start agenda
         };
-        let (Some(parent_cb), Some(mut cb)) = (
-            self.staged_cb(step, keys, parent),
-            self.staged_cb(step, keys, task_id),
-        ) else {
+        let Some(parent_cb) = self.drain_cb(step, drain, parent)? else {
+            return Ok(());
+        };
+        let Some(mut cb) = self.drain_cb(step, drain, task_id)? else {
             return Ok(());
         };
         if !matches!(parent_cb.state, CbState::Active { .. })
@@ -251,7 +269,7 @@ impl Coordinator {
             false => CbState::Executing { set: set.into() },
         });
         let action = step.action(&mut self.mgr);
-        write_cb(&mut self.mgr, action, keys, task_id, &cb)?;
+        facts::write_block(&mut self.mgr, action, plan, keys, task_id, &cb)?;
         facts::write_fact_bound(&mut self.mgr, action, plan, in_key, slots, &bound)?;
         // The binding itself is a fact: consumers of this task's input
         // sets re-check, and a fresh compound enables its constituents.
@@ -287,7 +305,7 @@ impl Coordinator {
         scope_id: TaskId,
     ) -> Result<(), EngineError> {
         let plan = drain.plan;
-        let Some(scope_cb) = self.staged_cb(step, drain.keys, scope_id) else {
+        let Some(scope_cb) = self.drain_cb(step, drain, scope_id)? else {
             return Ok(());
         };
         if !matches!(scope_cb.state, CbState::Active { .. }) {
@@ -344,7 +362,7 @@ impl Coordinator {
             .ok_or_else(|| EngineError::UnknownTask(scope_path.to_string()))?;
         cb.marks_emitted.push(mark.to_string());
         let action = step.action(&mut self.mgr);
-        write_cb(&mut self.mgr, action, keys, scope_id, &cb)?;
+        facts::write_block(&mut self.mgr, action, plan, keys, scope_id, &cb)?;
         facts::write_fact_bound(&mut self.mgr, action, plan, out_key, output.slots, mapped)?;
         step.push(&drain.name, Effect::Count(self.metrics.marks.clone()));
         let event = || self.commit_event(format!("mark `{mark}`"));
@@ -390,7 +408,7 @@ impl Coordinator {
             }
         };
         let action = step.action(&mut self.mgr);
-        write_cb(&mut self.mgr, action, keys, scope_id, &cb)?;
+        facts::write_block(&mut self.mgr, action, plan, keys, scope_id, &cb)?;
         facts::write_fact_bound(&mut self.mgr, action, plan, out_key, output.slots, &mapped)?;
         // Cancel every non-terminal descendant (one flat subtree scan —
         // DFS pre-order keeps descendants contiguous).
@@ -442,7 +460,7 @@ impl Coordinator {
                 reason: format!("compound repeat limit exceeded via `{outcome}`"),
             });
             let action = step.action(&mut self.mgr);
-            write_cb(&mut self.mgr, action, keys, scope_id, &cb)?;
+            facts::write_block(&mut self.mgr, action, plan, keys, scope_id, &cb)?;
             Effect::Terminals(1)
         } else {
             // Reset: bump this scope's incarnation, clear own input
@@ -472,7 +490,7 @@ impl Coordinator {
                 let own = std::iter::once(scope_id);
                 facts::delete_facts(mgr, action, plan, keys.instance_id, own, true)?;
             }
-            write_cb(mgr, action, keys, scope_id, &cb)?;
+            facts::write_block(mgr, action, plan, keys, scope_id, &cb)?;
             // All descendant facts die with the incarnation — those
             // this step staged included. The blocks stay:
             // `reset_descendants` rewrites each for the new incarnation.
@@ -511,8 +529,8 @@ impl Coordinator {
         // saying how close each waiting task got.
         let (mut nonterminal, mut failed, mut waiting) = (0, Vec::new(), Vec::new());
         for id in 0..plan.tasks.len() as TaskId {
-            let Some(cb) = self.staged_cb(step, keys, id) else {
-                continue;
+            let Some(cb) = self.drain_cb(step, drain, id)? else {
+                return Ok(()); // parked with the fault
             };
             nonterminal += usize::from(!cb.state.is_terminal());
             let path = plan.str(plan.task(id).path);
@@ -593,7 +611,7 @@ impl Coordinator {
         let (plan, keys) = (&*rt.plan, &*rt.keys);
         debug_assert_eq!(
             rt.nonterminal,
-            self.count_nonterminal(plan, keys),
+            self.count_nonterminal(None, plan, keys),
             "incremental non-terminal count of `{instance}` drifted"
         );
         let facts = StoreFacts::new(&self.mgr, None, plan, keys);
@@ -602,9 +620,10 @@ impl Coordinator {
             let Some(parent) = task.parent else {
                 continue;
             };
-            let (Some(parent_cb), Some(cb)) =
-                (self.read_cb_id(keys, parent), self.read_cb_id(keys, id))
-            else {
+            let (Ok(parent_cb), Ok(cb)) = (
+                self.read_cb_id(plan, keys, parent),
+                self.read_cb_id(plan, keys, id),
+            ) else {
                 continue;
             };
             if matches!(parent_cb.state, CbState::Active { .. })
@@ -622,7 +641,7 @@ impl Coordinator {
             if !plan.task(id).is_scope {
                 continue;
             }
-            let Some(cb) = self.read_cb_id(keys, id) else {
+            let Ok(cb) = self.read_cb_id(plan, keys, id) else {
                 continue;
             };
             if !matches!(cb.state, CbState::Active { .. }) {
@@ -657,13 +676,11 @@ fn cancel_descendants(
 ) -> Result<usize, EngineError> {
     let mut cancelled = 0;
     for task_id in plan.subtree(scope_id) {
-        let key = StoreKey::Fact(keys.cb(task_id));
-        if let Some(mut cb) = mgr.read_key::<TaskCb>(action, &key)? {
-            if !cb.state.is_terminal() {
-                cb.transition(CbState::Cancelled);
-                mgr.write_key(action, &key, &cb)?;
-                cancelled += 1;
-            }
+        let mut cb = facts::lock_block(mgr, action, plan, keys, task_id)?;
+        if !cb.state.is_terminal() {
+            cb.transition(CbState::Cancelled);
+            facts::write_block(mgr, action, plan, keys, task_id, &cb)?;
+            cancelled += 1;
         }
     }
     Ok(cancelled)
@@ -685,23 +702,19 @@ fn reset_descendants(
     let mut revived = 0;
     for &child in plan.children(scope_id) {
         let task = plan.task(child);
-        let key = StoreKey::Fact(keys.cb(child));
-        let mut inner_inc = 0;
-        if let Some(mut cb) = mgr.read_key::<TaskCb>(action, &key)? {
-            if cb.state.is_terminal() {
-                revived += 1;
-            }
-            cb.reset_for_incarnation(incarnation);
-            if task.is_scope {
-                // A nested compound's own scope advances too, so its
-                // children rebind consistently.
-                cb.scope_inc += 1;
-                inner_inc = cb.scope_inc;
-            }
-            mgr.write_key(action, &key, &cb)?;
+        let mut cb = facts::lock_block(mgr, action, plan, keys, child)?;
+        if cb.state.is_terminal() {
+            revived += 1;
         }
+        cb.reset_for_incarnation(incarnation);
         if task.is_scope {
-            revived += reset_descendants(mgr, action, keys, plan, child, inner_inc)?;
+            // A nested compound's own scope advances too, so its
+            // children rebind consistently.
+            cb.scope_inc += 1;
+        }
+        facts::write_block(mgr, action, plan, keys, child, &cb)?;
+        if task.is_scope {
+            revived += reset_descendants(mgr, action, keys, plan, child, cb.scope_inc)?;
         }
     }
     Ok(revived)

@@ -14,7 +14,7 @@ use flowscript_core::schema;
 use flowscript_obs::ObsEventKind;
 use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::World;
-use flowscript_tx::{AtomicAction, FactKey, StableStore, StoreKey, TxManager};
+use flowscript_tx::{AtomicAction, StableStore, StoreKey, TxManager};
 
 use super::meta::source_hash;
 use super::step::Effect;
@@ -43,7 +43,7 @@ impl Coordinator {
     ) -> Option<InstanceRt> {
         let plan = self.committed_plan(name, header, record)?;
         let keys = InstanceKeys::build(&plan, name, header.instance_id);
-        let nonterminal = self.count_nonterminal(&plan, &keys);
+        let nonterminal = self.count_nonterminal(None, &plan, &keys);
         Some(InstanceRt {
             plan,
             keys: Rc::new(keys),
@@ -251,21 +251,16 @@ impl CoordHandle {
             mgr.write_key(action, keys.status(), &record)?;
             pin_blobs(mgr, action, script_name, hash, source, &plan)?;
             // Root control block starts Active with the supplied inputs
-            // bound.
+            // bound; every descendant starts `Waiting`, which a block
+            // never stored reads as.
             let mut root_cb = TaskCb::waiting();
             root_cb.transition(CbState::Active {
                 set: set.to_string(),
             });
-            mgr.write_key(action, &StoreKey::Fact(keys.cb(0)), &root_cb)?;
+            facts::write_block(mgr, action, &plan, &keys, 0, &root_cb)?;
             // The root's input binding goes through the fact layout like
             // every other fact, so root-input fallbacks probe per object.
             facts::write_fact_map(mgr, action, &plan, root_in, &header.inputs)?;
-            // Every descendant starts Waiting — the plan's DFS order
-            // makes this one flat scan instead of a scope-tree recursion.
-            let waiting = TaskCb::waiting();
-            for id in 1..plan.tasks.len() as TaskId {
-                mgr.write_key(action, &StoreKey::Fact(keys.cb(id)), &waiting)?;
-            }
             let rt = InstanceRt {
                 plan: plan.clone(),
                 keys: keys.clone(),
@@ -304,37 +299,39 @@ impl CoordHandle {
         Ok(record.status)
     }
 
-    /// All task states of an instance, keyed by path.
+    /// All task states of an instance, keyed by path (a block never
+    /// stored reads `Waiting`).
     pub fn task_states(&self, instance: &str) -> BTreeMap<String, CbState> {
         let blocks = self.task_blocks(instance).into_iter();
         blocks.map(|(path, cb)| (path, cb.state)).collect()
     }
 
     /// Every committed control block of an instance, keyed by path:
-    /// point reads over the plan's dense task ids. An instance not
-    /// resident in memory (e.g. monitoring a crashed-but-unrecovered
-    /// store) resolves through its stored header's id and the plan its
-    /// status record names. Test hook beyond the states.
+    /// point reads over the plan's dense task ids, skipping a block that
+    /// does not decode. An instance not resident in memory (e.g.
+    /// monitoring a crashed-but-unrecovered store) resolves through its
+    /// stored header's id and the plan its status record names. Test
+    /// hook beyond the states.
     #[doc(hidden)]
     pub fn task_blocks(&self, instance: &str) -> BTreeMap<String, TaskCb> {
         let mut coordinator = self.inner.borrow_mut();
         let resident = coordinator
             .instances
             .get(instance)
-            .map(|rt| (rt.plan.clone(), rt.keys.instance_id));
+            .map(|rt| (rt.plan.clone(), rt.keys.clone()));
         let stored = |coordinator: &mut Coordinator| {
             let header = coordinator.read_header(instance).ok()?;
             let record = coordinator.read_status(instance).ok()?;
             let plan = coordinator.committed_plan(instance, &header, &record)?;
-            Some((plan, header.instance_id))
+            let keys = InstanceKeys::build(&plan, instance, header.instance_id);
+            Some((plan, Rc::new(keys)))
         };
-        let Some((plan, instance_id)) = resident.or_else(|| stored(&mut coordinator)) else {
+        let Some((plan, keys)) = resident.or_else(|| stored(&mut coordinator)) else {
             return BTreeMap::new();
         };
         (0..plan.tasks.len() as TaskId)
             .filter_map(|id| {
-                let key = StoreKey::Fact(FactKey::control(instance_id, id));
-                let cb = coordinator.mgr.read_committed_key(&key).ok().flatten()?;
+                let cb = coordinator.read_cb_id(&plan, &keys, id).ok()?;
                 Some((plan.str(plan.task(id).path).to_string(), cb))
             })
             .collect()
@@ -363,14 +360,23 @@ impl CoordHandle {
 }
 
 impl Coordinator {
-    /// Counts an instance's non-terminal control blocks in committed
-    /// state (point reads over the plan's dense ids — no store scan).
-    /// Seeds and cross-checks the incrementally maintained
-    /// `InstanceRt::nonterminal`.
-    pub(super) fn count_nonterminal(&self, plan: &Plan, keys: &InstanceKeys) -> usize {
+    /// Counts an instance's non-terminal control blocks as `action`
+    /// reads them — committed state when `None` (point reads over the
+    /// plan's dense ids, no store scan); a block that does not decode is
+    /// not known to be terminal. Seeds and cross-checks the incrementally
+    /// maintained `InstanceRt::nonterminal`.
+    pub(super) fn count_nonterminal(
+        &self,
+        action: Option<&AtomicAction>,
+        plan: &Plan,
+        keys: &InstanceKeys,
+    ) -> usize {
+        let terminal = |id| {
+            let cb = facts::read_block(&self.mgr, action, plan, keys, id);
+            cb.is_ok_and(|cb| cb.state.is_terminal())
+        };
         (0..plan.tasks.len() as TaskId)
-            .filter_map(|id| self.read_cb_id(keys, id))
-            .filter(|cb| !cb.state.is_terminal())
+            .filter(|&id| !terminal(id))
             .count()
     }
 }
@@ -585,6 +591,35 @@ mod tests {
         assert_eq!(coord.instance_names(), ["x"]);
         assert_eq!(occupancy(&coord), 1);
         assert_eq!(coord.stats().dispatches, 1, "t1, once");
+    }
+
+    /// A restart that finds an `Executing` block it cannot decode stops
+    /// the instance and says where. Read as absent — which is `Waiting`
+    /// — the leaf would never run again and the instance would wait on
+    /// it with no explanation.
+    #[test]
+    fn a_corrupt_block_stops_a_restart_instead_of_reading_as_waiting() {
+        let (mut world, coord) = shard(SharedStorage::new());
+        start(&coord, &mut world, "d").expect("starts");
+        assert_eq!(coord.stats().dispatches, 1, "t1");
+        let t1 = {
+            let coordinator = coord.inner.borrow();
+            let rt = &coordinator.instances["d"];
+            let t1 = rt.plan.task_by_path("diamond/t1").unwrap();
+            StoreKey::Fact(rt.keys.cb(t1))
+        };
+        assert!(coord.task_states("d")["diamond/t1"].is_running());
+        assert!(coord.inner.borrow_mut().poison([t1]), "poison lands");
+        // The crash loses nothing committed: the restart replays the log.
+        coord.recover(&mut world);
+        match coord.status("d") {
+            Ok(InstanceStatus::Stuck { reason }) => {
+                assert!(reason.contains("control block storage fault"), "{reason}");
+                assert!(reason.contains("diamond/t1"), "{reason}");
+            }
+            other => panic!("expected a storage-fault stop, got {other:?}"),
+        }
+        assert_eq!(coord.stats().dispatches, 1, "t1 was not re-dispatched");
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!
 //! This module holds the shared state ([`Coordinator`], reached through
 //! the cloneable [`CoordHandle`]), the message entry point and the
-//! helpers every concern uses (`record_event`, `write_cb`, the
+//! helpers every concern uses (`record_event`, the
 //! control-block/header/status reads, `pump`). Each child module owns one
 //! concern; what it *owns* is private to it, and the entry points named
 //! are the only way in from a sibling:
@@ -67,9 +67,10 @@ use flowscript_codec::Encode;
 use flowscript_obs::{FlightRecorder, ObsEventKind, Registry};
 use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::{Envelope, NodeId, World};
-use flowscript_tx::{AtomicAction, StableStore, StoreKey, TxError, TxManager};
+use flowscript_tx::{StableStore, StoreKey, TxError, TxManager};
 
 use crate::error::EngineError;
+use crate::facts;
 use crate::keys::{meta_uid, status_uid, InstanceKeys};
 use crate::msg::EngineMsg;
 use crate::sched::ExecutorSpec;
@@ -281,9 +282,13 @@ impl Coordinator {
     }
 
     /// The committed control block of `task`: one dense-key point read.
-    fn read_cb_id(&self, keys: &InstanceKeys, task: TaskId) -> Option<TaskCb> {
-        let key = StoreKey::Fact(keys.cb(task));
-        self.mgr.read_committed_key(&key).ok().flatten()
+    fn read_cb_id(
+        &self,
+        plan: &Plan,
+        keys: &InstanceKeys,
+        task: TaskId,
+    ) -> Result<TaskCb, TxError> {
+        facts::read_block(&self.mgr, None, plan, keys, task)
     }
 
     /// Whether `instance` exists on this shard. The store is the truth,
@@ -337,15 +342,10 @@ impl Coordinator {
     }
 }
 
-/// Stages `cb` as `task`'s control block in `action`.
-fn write_cb(
-    mgr: &mut TxManager<StableStore>,
-    action: &AtomicAction,
-    keys: &InstanceKeys,
-    task: TaskId,
-    cb: &TaskCb,
-) -> Result<(), TxError> {
-    mgr.write_key(action, &StoreKey::Fact(keys.cb(task)), cb)
+/// Why an instance stops on `task`'s block that does not decode.
+fn block_fault(plan: &Plan, task: TaskId, fault: &TxError) -> String {
+    let path = plan.str(plan.task(task).path);
+    format!("control block storage fault at `{path}`: {fault}")
 }
 
 impl CoordHandle {

@@ -8,9 +8,9 @@ use flowscript_sim::World;
 use flowscript_tx::{StableStore, TxManager};
 
 use super::{
-    write_cb, Admission, CoordHandle, Coordinator, InstanceHeader, InstanceStatus, PlanCache,
-    StatusRecord,
+    Admission, CoordHandle, Coordinator, InstanceHeader, InstanceStatus, PlanCache, StatusRecord,
 };
+use crate::facts;
 use crate::keys::{self, meta_uid, status_uid};
 use crate::msg::EngineMsg;
 
@@ -130,12 +130,19 @@ impl CoordHandle {
         // step per instance: the bumps, then the full drain.
         for instance in &instances {
             let rearmed = self.reevaluate(world, instance, |coordinator, step, drain| {
-                for (task, mut cb) in coordinator.executing(instance) {
+                let executing = match coordinator.executing(instance) {
+                    Ok(executing) => executing,
+                    // What the corrupt block was doing is unknown: re-run
+                    // nothing, stop the instance with why.
+                    Err(fault) => return coordinator.park_stuck(step, drain, fault),
+                };
+                for (task, mut cb) in executing {
                     // Bump the attempt so a late pre-crash reply is
                     // ignored.
                     cb.attempt += 1;
                     let action = step.action(&mut coordinator.mgr);
-                    write_cb(&mut coordinator.mgr, action, drain.keys, task, &cb)?;
+                    let (plan, keys) = (drain.plan, drain.keys);
+                    facts::write_block(&mut coordinator.mgr, action, plan, keys, task, &cb)?;
                     coordinator.stage_launch(step, drain, task, &cb, None, None)?;
                 }
                 drain.worklist.seed_all(drain.plan);

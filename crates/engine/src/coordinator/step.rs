@@ -161,11 +161,11 @@ impl Coordinator {
     pub(super) fn staged_cb(
         &self,
         step: &Step,
+        plan: &Plan,
         keys: &InstanceKeys,
         task: TaskId,
-    ) -> Option<TaskCb> {
-        let key = StoreKey::Fact(keys.cb(task));
-        self.staged(step, &key).ok().flatten()
+    ) -> Result<TaskCb, TxError> {
+        facts::read_block(&self.mgr, step.staged(), plan, keys, task)
     }
 
     /// Stages a trace event (below [`flowscript_obs::ObserveLevel::Trace`]

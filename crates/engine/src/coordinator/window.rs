@@ -23,7 +23,7 @@ use flowscript_tx::StoreKey;
 
 use super::evaluate::Drain;
 use super::step::{Effect, Step};
-use super::{write_cb, CommitBatch, CoordHandle, Coordinator};
+use super::{CommitBatch, CoordHandle, Coordinator};
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::InstanceKeys;
@@ -178,11 +178,8 @@ impl Coordinator {
     ) -> Result<bool, EngineError> {
         let (_, path, incarnation, attempt) = event.address();
         let (plan, keys) = (drain.plan, drain.keys);
-        let cb_key = StoreKey::Fact(keys.cb(task_id));
         let action = step.action(&mut self.mgr);
-        let Some(mut cb) = self.mgr.read_key::<TaskCb>(action, &cb_key)? else {
-            return Ok(false);
-        };
+        let mut cb = facts::lock_block(&mut self.mgr, action, plan, keys, task_id)?;
         if !cb.awaits(incarnation, attempt) {
             return Ok(false);
         }
@@ -235,7 +232,7 @@ impl Coordinator {
             return Ok(false);
         };
         let stamped = stamped(objects, path);
-        self.mgr.write_key(action, &cb_key, &cb)?;
+        facts::write_block(&mut self.mgr, action, plan, keys, task_id, &cb)?;
         facts::write_fact_map(&mut self.mgr, action, plan, out_key, &stamped)?;
         let is_mark = matches!(event, PendingEvent::Mark(_));
         let moved = match is_mark {
@@ -289,7 +286,7 @@ impl Coordinator {
         let path = plan.str(plan.task(task_id).path);
         let stamped = stamped(objects, path);
         let action = step.action(&mut self.mgr);
-        write_cb(&mut self.mgr, action, keys, task_id, &cb)?;
+        facts::write_block(&mut self.mgr, action, plan, keys, task_id, &cb)?;
         facts::write_fact_map(&mut self.mgr, action, plan, out_key, &stamped)?;
         step.push(&drain.name, Effect::Completed(task_id));
         step.push(&drain.name, Effect::Count(self.metrics.repeats.clone()));

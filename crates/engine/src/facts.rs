@@ -39,20 +39,43 @@
 //! Facts move between shards verbatim under one plan fingerprint; only
 //! a reconfiguration, which changes the plan, re-encodes them.
 //!
-//! A task's control block shares the facts' dense key space (one key,
-//! after the task's facts), so the instance-wide walks here — the
-//! reconfiguration remap — carry it along.
+//! A task's **control block** shares the facts' dense key space (one
+//! key, after the task's facts), so the instance-wide walks here — the
+//! reconfiguration remap — carry it along. It too is stored relative to
+//! the plan, which declares the task's input sets, outputs and marks
+//! (fig. 3's lifecycle, [`crate::state`]): one tag byte, then what the
+//! tag says follows.
+//!
+//! | field | bytes |
+//! |---|---|
+//! | tag | bits 0–2 the state; bit 3 the counters follow; bit 4 every name is spelled out |
+//! | name | `Active`/`Executing`: the set's ordinal in the class; `Done`/`Aborted`: the output's — a varint, or the name verbatim under bit 4; `Failed`: its reason; else none |
+//! | counters | only when one is non-zero or a mark was emitted: `incarnation`, `scope_inc`, `attempt`, `repeats` as varints, then the marks as a count and output ordinals (names under bit 4) |
+//!
+//! `Executing` on a class's first set at attempt 0 is 2 B, a `Cancelled`
+//! block 1 B. **An absent block reads as [`TaskCb::waiting`]**, so a
+//! start writes none for the tasks it leaves waiting. `read_block` is
+//! the one reader and `write_block` the one writer of block keys; a
+//! block that does not decode — an unknown state, an ordinal the class
+//! lacks, a mark ordinal naming no mark, a truncated value, trailing
+//! bytes — is a [`CodecError`], never a plausible state. Blocks move
+//! verbatim with the facts; a reconfiguration re-encodes one whose
+//! class declares its sets or outputs differently.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use flowscript_codec::{ByteReader, ByteWriter, CodecError, Decode};
-use flowscript_plan::{eval as plan_eval, Plan, PlanObjectSig, Probe, Range32, StrId, TaskId};
+use flowscript_core::ast::OutputKind;
+use flowscript_plan::{
+    eval as plan_eval, Plan, PlanClass, PlanObjectSig, Probe, Range32, StrId, TaskId,
+};
 use flowscript_tx::{
     AtomicAction, FactKey, FactKind, SharedStorage, Storage, StoreKey, TxError, TxManager,
 };
 
 use crate::keys::{InstanceKeys, ProbeKeys};
+use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
 
 /// Tag bit: the value spells its class out.
@@ -445,6 +468,278 @@ pub fn read_fact_map<S: Storage>(
     Ok(Some(map))
 }
 
+/// Block tag bits 0–2: the state.
+const BLOCK_STATE: u8 = 0b0_0111;
+/// Block tag bit 3: the counters and marks follow.
+const BLOCK_COUNTERS: u8 = 0b0_1000;
+/// Block tag bit 4: every name the block carries is spelled out.
+const BLOCK_SPELLED: u8 = 0b1_0000;
+
+/// A block's state bits.
+fn state_bits(state: &CbState) -> u8 {
+    match state {
+        CbState::Waiting => 0,
+        CbState::Active { .. } => 1,
+        CbState::Executing { .. } => 2,
+        CbState::Done { .. } => 3,
+        CbState::Aborted { .. } => 4,
+        CbState::Failed { .. } => 5,
+        CbState::Cancelled => 6,
+    }
+}
+
+/// Whether a block has a counter or a mark to store.
+fn counted(cb: &TaskCb) -> bool {
+    let counters = [cb.incarnation, cb.scope_inc, cb.attempt, cb.repeats];
+    counters.iter().any(|&n| n != 0) || !cb.marks_emitted.is_empty()
+}
+
+/// The class of task `task`; a task the plan lacks is corrupt storage.
+fn block_class(plan: &Plan, task: TaskId) -> Result<&PlanClass, CodecError> {
+    let class = plan
+        .tasks
+        .get(task as usize)
+        .map(|task| plan.class_of(task));
+    class.ok_or(CodecError::InvalidDiscriminant {
+        ty: "control block task",
+        value: task.into(),
+    })
+}
+
+/// The declarations a block's ordinals index: its class's input sets,
+/// its outputs, or those of its outputs that are marks.
+#[derive(Clone, Copy)]
+enum Pool {
+    Sets,
+    Outputs,
+    Marks,
+}
+
+impl Pool {
+    /// The name `class` declares at ordinal `at` of this pool.
+    fn name(self, plan: &Plan, class: &PlanClass, at: u64) -> Option<StrId> {
+        let at = usize::try_from(at).ok()?;
+        match self {
+            Pool::Sets => plan.class_sets[class.sets.as_range()]
+                .get(at)
+                .map(|set| set.name),
+            Pool::Outputs | Pool::Marks => plan.class_outputs[class.outputs.as_range()]
+                .get(at)
+                .filter(|output| matches!(self, Pool::Outputs) || output.kind == OutputKind::Mark)
+                .map(|output| output.name),
+        }
+    }
+
+    /// The ordinal of `name` in this pool of `class`.
+    fn ordinal(self, plan: &Plan, class: &PlanClass, name: &str) -> Option<u32> {
+        let at = match self {
+            Pool::Sets => plan.class_set_ordinal(class, name)?,
+            Pool::Outputs | Pool::Marks => plan.class_output_ordinal(class, name)?,
+        };
+        self.name(plan, class, at.into()).map(|_| at)
+    }
+
+    /// What an ordinal past this pool is reported as.
+    fn what(self) -> &'static str {
+        match self {
+            Pool::Sets => "control block set",
+            Pool::Outputs => "control block output",
+            Pool::Marks => "control block mark",
+        }
+    }
+}
+
+/// Encodes `cb` as `task`'s block, relative to `plan`. A name the class
+/// does not declare spells every name out, so this never fails.
+pub(crate) fn encode_block(plan: &Plan, task: TaskId, cb: &TaskCb) -> Vec<u8> {
+    let class = block_class(plan, task).ok();
+    let ordinal = |pool: Pool, name: &str| class.and_then(|class| pool.ordinal(plan, class, name));
+    let name = match &cb.state {
+        CbState::Active { set } | CbState::Executing { set } => Some((set, Pool::Sets)),
+        CbState::Done { outcome } | CbState::Aborted { outcome } => Some((outcome, Pool::Outputs)),
+        _ => None,
+    };
+    let name = name.map(|(name, pool)| (name, ordinal(pool, name)));
+    let marks = cb.marks_emitted.iter();
+    let marks: Option<Vec<u32>> = marks.map(|mark| ordinal(Pool::Marks, mark)).collect();
+    let spelled = marks.is_none() || name.is_some_and(|(_, ordinal)| ordinal.is_none());
+    let counted = counted(cb);
+    let mut tag = state_bits(&cb.state);
+    if counted {
+        tag |= BLOCK_COUNTERS;
+    }
+    if spelled {
+        tag |= BLOCK_SPELLED;
+    }
+    let mut w = ByteWriter::with_capacity(2);
+    w.put_u8(tag);
+    match (name, &cb.state) {
+        (Some((name, _)), _) if spelled => w.put_str(name),
+        (Some((_, Some(ordinal))), _) => w.put_var_u64(ordinal.into()),
+        (_, CbState::Failed { reason }) => w.put_str(reason),
+        _ => {}
+    }
+    if counted {
+        for counter in [cb.incarnation, cb.scope_inc, cb.attempt, cb.repeats] {
+            w.put_var_u64(counter.into());
+        }
+        w.put_var_u64(cb.marks_emitted.len() as u64);
+        match marks.filter(|_| !spelled) {
+            Some(ordinals) => ordinals.iter().for_each(|&at| w.put_var_u64(at.into())),
+            None => cb.marks_emitted.iter().for_each(|mark| w.put_str(mark)),
+        }
+    }
+    w.into_vec()
+}
+
+/// Decodes what `encode_block` stored as `task`'s block, relative to
+/// `plan`. Bytes it cannot have written are a [`CodecError`].
+pub fn decode_block(plan: &Plan, task: TaskId, bytes: &[u8]) -> Result<TaskCb, CodecError> {
+    let class = block_class(plan, task)?;
+    let mut r = ByteReader::new(bytes);
+    let tag = r.get_u8()?;
+    let bad_tag = CodecError::InvalidDiscriminant {
+        ty: "control block tag",
+        value: tag.into(),
+    };
+    if tag > BLOCK_STATE | BLOCK_COUNTERS | BLOCK_SPELLED {
+        return Err(bad_tag);
+    }
+    let spelled = tag & BLOCK_SPELLED != 0;
+    let name = |r: &mut ByteReader<'_>, pool: Pool| -> Result<String, CodecError> {
+        if spelled {
+            return Ok(r.get_str()?.to_owned());
+        }
+        let at = r.get_var_u64()?;
+        let declared = pool
+            .name(plan, class, at)
+            .map(|name| plan.str(name).to_owned());
+        declared.ok_or(CodecError::InvalidDiscriminant {
+            ty: pool.what(),
+            value: at,
+        })
+    };
+    let state = match tag & BLOCK_STATE {
+        0 => CbState::Waiting,
+        1 => CbState::Active {
+            set: name(&mut r, Pool::Sets)?,
+        },
+        2 => CbState::Executing {
+            set: name(&mut r, Pool::Sets)?,
+        },
+        3 => CbState::Done {
+            outcome: name(&mut r, Pool::Outputs)?,
+        },
+        4 => CbState::Aborted {
+            outcome: name(&mut r, Pool::Outputs)?,
+        },
+        5 => CbState::Failed {
+            reason: r.get_str()?.to_owned(),
+        },
+        6 => CbState::Cancelled,
+        other => {
+            return Err(CodecError::InvalidDiscriminant {
+                ty: "CbState",
+                value: other.into(),
+            })
+        }
+    };
+    let named = matches!(
+        state,
+        CbState::Active { .. }
+            | CbState::Executing { .. }
+            | CbState::Done { .. }
+            | CbState::Aborted { .. }
+    );
+    let mut cb = TaskCb {
+        state,
+        ..TaskCb::waiting()
+    };
+    if tag & BLOCK_COUNTERS != 0 {
+        let counters = [
+            &mut cb.incarnation,
+            &mut cb.scope_inc,
+            &mut cb.attempt,
+            &mut cb.repeats,
+        ];
+        for counter in counters {
+            *counter = u32::try_from(r.get_var_u64()?).map_err(|_| CodecError::VarintOverflow)?;
+        }
+        for _ in 0..r.get_var_u64()? {
+            cb.marks_emitted.push(name(&mut r, Pool::Marks)?);
+        }
+        // The encoder stores no counters it could leave out…
+        if !counted(&cb) {
+            return Err(bad_tag);
+        }
+    }
+    // …and spells nothing out where there is no name.
+    if spelled && !named && cb.marks_emitted.is_empty() {
+        return Err(bad_tag);
+    }
+    if r.remaining() != 0 {
+        return Err(CodecError::TrailingBytes {
+            remaining: r.remaining(),
+        });
+    }
+    Ok(cb)
+}
+
+/// `task`'s control block as `action` reads it — committed, or as the
+/// action staged it over that ([`TxManager::read_through`]). An absent
+/// block is [`TaskCb::waiting`]; one that does not decode is an error,
+/// never a state.
+///
+/// # Errors
+///
+/// [`TxError::Corrupt`] for a block that does not decode, or a task the
+/// plan lacks.
+pub(crate) fn read_block<S: Storage>(
+    mgr: &TxManager<S>,
+    action: Option<&AtomicAction>,
+    plan: &Plan,
+    keys: &InstanceKeys,
+    task: TaskId,
+) -> Result<TaskCb, TxError> {
+    match mgr.read_through(action, &StoreKey::Fact(keys.cb(task))) {
+        Some(bytes) => Ok(decode_block(plan, task, bytes)?),
+        None => Ok(block_class(plan, task).map(|_| TaskCb::waiting())?),
+    }
+}
+
+/// `read_block` under `action`'s read lock on the block's key.
+///
+/// # Errors
+///
+/// As for `read_block`, and a lock conflict.
+pub(crate) fn lock_block<S: Storage>(
+    mgr: &mut TxManager<S>,
+    action: &AtomicAction,
+    plan: &Plan,
+    keys: &InstanceKeys,
+    task: TaskId,
+) -> Result<TaskCb, TxError> {
+    mgr.read_key_raw(action, &StoreKey::Fact(keys.cb(task)))?;
+    read_block(mgr, Some(action), plan, keys, task)
+}
+
+/// Stages `cb` as `task`'s control block.
+///
+/// # Errors
+///
+/// Lock conflicts or storage failures.
+pub(crate) fn write_block<S: Storage>(
+    mgr: &mut TxManager<S>,
+    action: &AtomicAction,
+    plan: &Plan,
+    keys: &InstanceKeys,
+    task: TaskId,
+    cb: &TaskCb,
+) -> Result<(), TxError> {
+    let bytes = encode_block(plan, task, cb);
+    mgr.write_key_raw(action, &StoreKey::Fact(keys.cb(task)), bytes)
+}
+
 /// Resolves one fact's identity (producer path, fact kind, set/output
 /// name) — or one control block's (its task's path) — under a
 /// replacement plan and re-keys its presence key. `None` when the task
@@ -508,8 +803,32 @@ fn ids_keep_paths(old_plan: &Plan, new_plan: &Plan) -> bool {
     })
 }
 
+/// Whether `old` of `old_plan` and `new` of `new_plan` declare the same
+/// input sets and the same outputs, of the same kinds, in the same order:
+/// every ordinal a block of one holds then names the same declaration
+/// under the other.
+fn blocks_match(old_plan: &Plan, old: TaskId, new_plan: &Plan, new: TaskId) -> bool {
+    let old_class = old_plan.class_of(old_plan.task(old));
+    let new_class = new_plan.class_of(new_plan.task(new));
+    let old_sets = &old_plan.class_sets[old_class.sets.as_range()];
+    let new_sets = &new_plan.class_sets[new_class.sets.as_range()];
+    let old_outputs = &old_plan.class_outputs[old_class.outputs.as_range()];
+    let new_outputs = &new_plan.class_outputs[new_class.outputs.as_range()];
+    let same_name = |a: StrId, b: StrId| old_plan.str(a) == new_plan.str(b);
+    old_sets.len() == new_sets.len()
+        && old_outputs.len() == new_outputs.len()
+        && old_sets
+            .iter()
+            .zip(new_sets)
+            .all(|(a, b)| same_name(a.name, b.name))
+        && old_outputs
+            .iter()
+            .zip(new_outputs)
+            .all(|(a, b)| same_name(a.name, b.name) && a.kind == b.kind)
+}
+
 /// What a staged move carries to its new key: a fact's reconstructed
-/// record, or a control block's bytes verbatim.
+/// record, or a control block's bytes.
 enum Moved {
     Fact(BTreeMap<String, ObjectVal>),
     Block(Vec<u8>),
@@ -526,9 +845,11 @@ type KeyMove = (Vec<FactKey>, Option<(FactKey, Moved)>);
 /// blocks whose task did are deleted; objects whose declared slot
 /// vanished demote to the presence extras). A fact that moves, or whose
 /// objects the old plan encodes differently from the new, is re-encoded
-/// — read through the old plan, written through the new. Deletes are
-/// staged before writes so a key vacated by one move can be reoccupied
-/// by another within the same action.
+/// — read through the old plan, written through the new; so is a block
+/// whose class declares its sets or outputs differently under the two
+/// (`blocks_match`), and any other block moves byte for byte. Deletes
+/// are staged before writes so a key vacated by one move can be
+/// reoccupied by another within the same action.
 ///
 /// # Errors
 ///
@@ -556,16 +877,26 @@ pub fn remap_instance_facts<S: Storage>(
     let mut moves: Vec<KeyMove> = Vec::new();
     for (base, members) in groups {
         let target = remap_fact_base(old_plan, new_plan, base, instance_id);
-        // A block has no sub-keys to misplace and names no task.
-        let is_block = base.kind == FactKind::Control;
-        let kept = is_block || (ids_kept && decls_match(old_plan, new_plan, base));
-        if target == Some(base) && kept {
-            continue; // identity: every sub-key already holds what it should
-        }
-        let moved = if is_block {
+        let moved = if base.kind == FactKind::Control {
+            let verbatim =
+                target.is_some_and(|to| blocks_match(old_plan, base.task, new_plan, to.task));
+            if target == Some(base) && verbatim {
+                continue; // identity: the block already says what it should
+            }
             let bytes = mgr.read_committed_bytes(&StoreKey::Fact(base));
-            bytes.map(|bytes| Moved::Block(bytes.to_vec()))
+            let moved = match (target, bytes) {
+                (Some(_), Some(bytes)) if verbatim => Some(bytes.to_vec()),
+                (Some(to), Some(bytes)) => {
+                    let cb = decode_block(old_plan, base.task, bytes)?;
+                    Some(encode_block(new_plan, to.task, &cb))
+                }
+                _ => None,
+            };
+            moved.map(Moved::Block)
         } else {
+            if target == Some(base) && ids_kept && decls_match(old_plan, new_plan, base) {
+                continue; // identity: every sub-key already holds what it should
+            }
             read_fact_map(mgr, old_plan, base)?.map(Moved::Fact)
         };
         moves.push((members, target.zip(moved)));
@@ -869,5 +1200,247 @@ mod tests {
             read_fact_map(&mgr, &plan_b, base).unwrap().unwrap(),
             objects
         );
+    }
+
+    /// A leaf `root/w` whose class declares the input `sets` and the
+    /// `outputs` in that order: `done` and `skipped` are outcomes, any
+    /// other name a mark.
+    fn work_plan(sets: [&str; 2], outputs: [&str; 4]) -> Plan {
+        let set = |name: &str| format!("input {name} {{ in of class Data }}");
+        let task_set = |name: &str| {
+            format!("input {name} {{ inputobject in from {{ seed of task root if input main }} }}")
+        };
+        let output = |name: &str| match name {
+            "done" | "skipped" => format!("outcome {name} {{ }}"),
+            mark => format!("mark {mark} {{ }}"),
+        };
+        let text = format!(
+            "class Data;
+            taskclass Work {{
+                inputs {{ {} }};
+                outputs {{ {} }}
+            }}
+            taskclass Root {{
+                inputs {{ input main {{ seed of class Data }} }};
+                outputs {{ outcome done {{ }} }}
+            }}
+            compoundtask root of taskclass Root {{
+                task w of taskclass Work {{
+                    implementation {{ \"code\" is \"refWork\" }};
+                    inputs {{ {} }}
+                }};
+                outputs {{ outcome done {{ notification from {{ task w if output done }} }} }}
+            }}",
+            sets.map(set).join("; "),
+            outputs.map(output).join("; "),
+            sets.map(task_set).join("; "),
+        );
+        Plan::lower(&schema::compile_source(&text, "root").unwrap())
+    }
+
+    const SETS: [&str; 2] = ["main", "spare"];
+    const OUTPUTS: [&str; 4] = ["done", "skipped", "early", "late"];
+
+    /// `cb` written as `task`'s block and read back, with its bytes.
+    fn stored_block(plan: &Plan, task: TaskId, cb: &TaskCb) -> (Vec<u8>, TaskCb) {
+        let keys = InstanceKeys::build(plan, "i", 0);
+        let mut mgr = TxManager::in_memory();
+        let action = mgr.begin();
+        write_block(&mut mgr, &action, plan, &keys, task, cb).unwrap();
+        mgr.commit(action).unwrap();
+        let bytes = mgr.read_committed_bytes(&StoreKey::Fact(keys.cb(task)));
+        let bytes = bytes.unwrap().to_vec();
+        (bytes, read_block(&mgr, None, plan, &keys, task).unwrap())
+    }
+
+    #[test]
+    fn a_block_stores_ordinals_of_its_class_and_spells_what_it_lacks() {
+        let plan = work_plan(SETS, OUTPUTS);
+        let w = plan.task_by_path("root/w").unwrap();
+        let named = |name: &str| name.to_string();
+        // A state and the ordinal of the name it carries: `spare` is the
+        // second set, `skipped` the second output.
+        let states = [
+            (CbState::Waiting, None),
+            (
+                CbState::Active {
+                    set: named("spare"),
+                },
+                Some(1),
+            ),
+            (CbState::Executing { set: named("main") }, Some(0)),
+            (
+                CbState::Done {
+                    outcome: named("skipped"),
+                },
+                Some(1),
+            ),
+            (
+                CbState::Aborted {
+                    outcome: named("done"),
+                },
+                Some(0),
+            ),
+            (CbState::Cancelled, None),
+        ];
+        for (state, ordinal) in states {
+            let bare = TaskCb {
+                state: state.clone(),
+                ..TaskCb::waiting()
+            };
+            let (bytes, read) = stored_block(&plan, w, &bare);
+            assert_eq!(read, bare);
+            assert_eq!(bytes[0] & BLOCK_STATE, state_bits(&state));
+            assert_eq!(bytes[1..], Vec::from_iter(ordinal), "{state:?}");
+            let counted = TaskCb {
+                incarnation: 1,
+                scope_inc: 2,
+                attempt: 3,
+                marks_emitted: vec![named("late"), named("early")],
+                repeats: 4,
+                ..bare
+            };
+            let (bytes, read) = stored_block(&plan, w, &counted);
+            assert_eq!(read, counted);
+            assert_eq!(bytes[0] & !BLOCK_STATE, BLOCK_COUNTERS, "{state:?}");
+            // The counters, the mark count, then each mark's ordinal.
+            assert_eq!(bytes[bytes.len() - 7..], [1, 2, 3, 4, 2, 3, 2]);
+        }
+        let failed = CbState::Failed {
+            reason: "retries exhausted".into(),
+        };
+        let failed = TaskCb {
+            state: failed,
+            ..TaskCb::waiting()
+        };
+        assert_eq!(stored_block(&plan, w, &failed).1, failed);
+        // A set, an outcome or a mark the class does not declare — here
+        // `done` emitted as a mark — spells every name out.
+        let undeclared = [
+            (
+                CbState::Executing {
+                    set: named("other"),
+                },
+                vec![],
+            ),
+            (
+                CbState::Done {
+                    outcome: named("other"),
+                },
+                vec![],
+            ),
+            (
+                CbState::Executing { set: named("main") },
+                vec![named("done")],
+            ),
+            (CbState::Cancelled, vec![named("early"), named("gone")]),
+        ];
+        for (state, marks_emitted) in undeclared {
+            let cb = TaskCb {
+                state,
+                marks_emitted,
+                ..TaskCb::waiting()
+            };
+            let (bytes, read) = stored_block(&plan, w, &cb);
+            assert_eq!(read, cb);
+            assert_ne!(bytes[0] & BLOCK_SPELLED, 0, "{cb:?}");
+        }
+    }
+
+    #[test]
+    fn an_absent_block_is_waiting_and_a_corrupt_one_is_a_fault() {
+        let plan = work_plan(SETS, OUTPUTS);
+        let keys = InstanceKeys::build(&plan, "i", 0);
+        let w = plan.task_by_path("root/w").unwrap();
+        let mgr = TxManager::in_memory();
+        assert_eq!(
+            read_block(&mgr, None, &plan, &keys, w),
+            Ok(TaskCb::waiting())
+        );
+        let past = plan.tasks.len() as TaskId;
+        assert!(
+            read_block(&mgr, None, &plan, &keys, past).is_err(),
+            "not a task"
+        );
+        let counted = BLOCK_COUNTERS; // a tag whose counters follow
+        let corrupt: [(&str, Vec<u8>); 11] = [
+            ("an unknown state", vec![7]),
+            ("a tag past every bit", vec![0x20]),
+            ("a set ordinal past the class", vec![2, 2]),
+            ("an output ordinal past the class", vec![3, 4]),
+            (
+                "a mark ordinal naming an outcome",
+                vec![counted, 0, 0, 0, 0, 1, 0],
+            ),
+            ("a truncated name", vec![2]),
+            ("truncated counters", vec![counted | 2, 0, 1, 0]),
+            ("trailing bytes", vec![6, 0]),
+            ("nothing at all", vec![]),
+            ("counters that are all zero", vec![counted, 0, 0, 0, 0, 0]),
+            ("a spelled tag with no name", vec![BLOCK_SPELLED | 6]),
+        ];
+        for (what, bytes) in corrupt {
+            let mut mgr = TxManager::in_memory();
+            let action = mgr.begin();
+            let key = StoreKey::Fact(keys.cb(w));
+            mgr.write_key_raw(&action, &key, bytes).unwrap();
+            mgr.commit(action).unwrap();
+            let read = read_block(&mgr, None, &plan, &keys, w);
+            assert!(matches!(read, Err(TxError::Corrupt(_))), "{what}: {read:?}");
+            let action = mgr.begin();
+            let locked = lock_block(&mut mgr, &action, &plan, &keys, w);
+            assert!(matches!(locked, Err(TxError::Corrupt(_))), "{what} locked");
+            mgr.abort(action);
+        }
+    }
+
+    #[test]
+    fn a_remap_re_encodes_a_block_whose_class_ordinals_moved() {
+        // The same class, its sets and outputs declared in another order:
+        // every ordinal a block holds names something else under the new
+        // plan, so a byte-for-byte copy would misread each of them.
+        let old = work_plan(SETS, OUTPUTS);
+        let new = work_plan(["spare", "main"], ["late", "early", "skipped", "done"]);
+        let w = old.task_by_path("root/w").unwrap();
+        assert_eq!(new.task_by_path("root/w"), Some(w), "the task keeps its id");
+        let named = |name: &str| name.to_string();
+        let blocks = [
+            TaskCb {
+                state: CbState::Executing {
+                    set: named("spare"),
+                },
+                ..TaskCb::waiting()
+            },
+            TaskCb {
+                state: CbState::Done {
+                    outcome: named("done"),
+                },
+                ..TaskCb::waiting()
+            },
+            TaskCb {
+                state: CbState::Done {
+                    outcome: named("skipped"),
+                },
+                incarnation: 1,
+                scope_inc: 0,
+                attempt: 2,
+                marks_emitted: vec![named("early"), named("late")],
+                repeats: 1,
+            },
+        ];
+        let (old_keys, new_keys) = (
+            InstanceKeys::build(&old, "i", 3),
+            InstanceKeys::build(&new, "i", 3),
+        );
+        for cb in blocks {
+            let mut mgr = TxManager::in_memory();
+            let action = mgr.begin();
+            write_block(&mut mgr, &action, &old, &old_keys, w, &cb).unwrap();
+            mgr.commit(action).unwrap();
+            let action = mgr.begin();
+            remap_instance_facts(&mut mgr, &action, &old, &old_keys, &new, 3).unwrap();
+            mgr.commit(action).unwrap();
+            assert_eq!(read_block(&mgr, None, &new, &new_keys, w), Ok(cb));
+        }
     }
 }

@@ -16,8 +16,12 @@
 //! is their constituents'). Transitions are validated by
 //! [`TaskCb::transition`]; illegal moves are programming errors and panic
 //! in debug tests via the checked constructor.
-
-use flowscript_codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
+//!
+//! These are the in-memory types. A block is stored relative to the
+//! instance's plan — its set or outcome as an ordinal of the task's
+//! class, its counters only when one is non-zero — and a task without a
+//! stored block is [`TaskCb::waiting`]: the codec and the one reader and
+//! writer of block keys live in [`crate::facts`].
 
 /// Where a task instance is in its lifecycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,60 +74,6 @@ impl CbState {
     pub fn is_running(&self) -> bool {
         matches!(self, CbState::Active { .. } | CbState::Executing { .. })
     }
-
-    fn discriminant(&self) -> u8 {
-        match self {
-            CbState::Waiting => 0,
-            CbState::Active { .. } => 1,
-            CbState::Executing { .. } => 2,
-            CbState::Done { .. } => 3,
-            CbState::Aborted { .. } => 4,
-            CbState::Failed { .. } => 5,
-            CbState::Cancelled => 6,
-        }
-    }
-}
-
-impl Encode for CbState {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.put_u8(self.discriminant());
-        match self {
-            CbState::Waiting | CbState::Cancelled => {}
-            CbState::Active { set } | CbState::Executing { set } => w.put_str(set),
-            CbState::Done { outcome } | CbState::Aborted { outcome } => w.put_str(outcome),
-            CbState::Failed { reason } => w.put_str(reason),
-        }
-    }
-}
-
-impl Decode for CbState {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.get_u8()? {
-            0 => CbState::Waiting,
-            1 => CbState::Active {
-                set: r.get_str()?.to_owned(),
-            },
-            2 => CbState::Executing {
-                set: r.get_str()?.to_owned(),
-            },
-            3 => CbState::Done {
-                outcome: r.get_str()?.to_owned(),
-            },
-            4 => CbState::Aborted {
-                outcome: r.get_str()?.to_owned(),
-            },
-            5 => CbState::Failed {
-                reason: r.get_str()?.to_owned(),
-            },
-            6 => CbState::Cancelled,
-            other => {
-                return Err(CodecError::InvalidDiscriminant {
-                    ty: "CbState",
-                    value: u64::from(other),
-                })
-            }
-        })
-    }
 }
 
 /// The persistent control block of one task instance. It does not name
@@ -150,7 +100,8 @@ pub struct TaskCb {
 }
 
 impl TaskCb {
-    /// A fresh control block in `Waiting`.
+    /// A fresh control block in `Waiting` — what a task whose block was
+    /// never stored reads as.
     pub fn waiting() -> Self {
         Self {
             state: CbState::Waiting,
@@ -232,34 +183,6 @@ impl TaskCb {
     /// Whether this mark was already emitted in this incarnation.
     pub fn mark_emitted(&self, mark: &str) -> bool {
         self.marks_emitted.iter().any(|m| m == mark)
-    }
-}
-
-/// The four counters are almost always zero and never large: varints.
-impl Encode for TaskCb {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.state.encode(w);
-        w.put_var_u64(u64::from(self.incarnation));
-        w.put_var_u64(u64::from(self.scope_inc));
-        w.put_var_u64(u64::from(self.attempt));
-        self.marks_emitted.encode(w);
-        w.put_var_u64(u64::from(self.repeats));
-    }
-}
-
-impl Decode for TaskCb {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let counter = |r: &mut ByteReader<'_>| {
-            u32::try_from(r.get_var_u64()?).map_err(|_| CodecError::VarintOverflow)
-        };
-        Ok(TaskCb {
-            state: CbState::decode(r)?,
-            incarnation: counter(r)?,
-            scope_inc: counter(r)?,
-            attempt: counter(r)?,
-            marks_emitted: Vec::decode(r)?,
-            repeats: counter(r)?,
-        })
     }
 }
 
@@ -376,24 +299,57 @@ mod tests {
 
     #[test]
     fn cb_codec_roundtrip_all_states() {
+        use crate::facts::{decode_block, encode_block};
+        // The diamond's root: class `Diamond`, input set `main`, outcome
+        // `done` (`failed` and the mark `m1` it does not declare).
+        let schema = flowscript_core::schema::compile_source(
+            flowscript_core::samples::FIG1_DIAMOND,
+            "diamond",
+        )
+        .unwrap();
+        let plan = flowscript_plan::Plan::lower(&schema);
         for state in all_states() {
-            let cb = TaskCb {
-                state,
+            let counted = TaskCb {
+                state: state.clone(),
                 incarnation: 2,
                 scope_inc: u32::MAX,
                 attempt: 300,
                 marks_emitted: vec!["m1".into()],
                 repeats: 7,
             };
-            let bytes = flowscript_codec::to_bytes(&cb);
-            assert_eq!(flowscript_codec::from_bytes::<TaskCb>(&bytes).unwrap(), cb);
+            let bare = TaskCb {
+                state,
+                ..TaskCb::waiting()
+            };
+            for cb in [counted, bare] {
+                let bytes = encode_block(&plan, 0, &cb);
+                assert_eq!(decode_block(&plan, 0, &bytes), Ok(cb));
+            }
         }
-        // The block every task starts as is six bytes; a counter past
-        // `u32` is a typed error, not a truncation.
-        let fresh = flowscript_codec::to_bytes(&TaskCb::waiting());
-        assert_eq!(fresh, [0, 0, 0, 0, 0, 0]);
-        let mut wide = fresh.clone();
-        wide.splice(1..2, [0xFF, 0xFF, 0xFF, 0xFF, 0x10]);
-        assert!(flowscript_codec::from_bytes::<TaskCb>(&wide).is_err());
+        // A block whose counters are zero is its tag and its declared
+        // name's ordinal: a bound or finished task two bytes, a waiting
+        // or cancelled one a byte.
+        let sized = |state: CbState| {
+            let cb = TaskCb {
+                state,
+                ..TaskCb::waiting()
+            };
+            encode_block(&plan, 0, &cb).len()
+        };
+        assert_eq!(sized(CbState::Executing { set: "main".into() }), 2);
+        assert_eq!(sized(CbState::Active { set: "main".into() }), 2);
+        let done = CbState::Done {
+            outcome: "done".into(),
+        };
+        assert_eq!(sized(done), 2);
+        assert_eq!(sized(CbState::Waiting), 1);
+        assert_eq!(sized(CbState::Cancelled), 1);
+        // A counter past `u32` is a typed error, not a truncation: a
+        // `Waiting` tag with counters (bit 3), then an oversized varint.
+        let wide = [0b1000, 0xFF, 0xFF, 0xFF, 0xFF, 0x10, 0, 0, 0, 0];
+        assert_eq!(
+            decode_block(&plan, 0, &wide),
+            Err(flowscript_codec::CodecError::VarintOverflow)
+        );
     }
 }

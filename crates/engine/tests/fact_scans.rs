@@ -29,9 +29,8 @@ use common::{
 use flowscript_core::samples;
 use flowscript_core::schema::compile_source;
 use flowscript_engine::coordinator::EngineConfig;
-use flowscript_engine::{
-    CbState, CommitBatch, InstanceStatus, TaskBehavior, TaskCb, WorkflowSystem,
-};
+use flowscript_engine::facts::decode_block;
+use flowscript_engine::{CbState, CommitBatch, InstanceStatus, TaskBehavior, WorkflowSystem};
 use flowscript_plan::Plan;
 use flowscript_sim::{SimDuration, SimTime};
 use flowscript_tx::{FactKind, LogRecord, StoreKey};
@@ -433,21 +432,22 @@ fn a_diamond_logs_its_source_once_per_shard_and_stays_in_budget() {
             }
             (StoreKey::Fact(key), Some(value)) if key.kind == FactKind::Control => {
                 block_writes += 1;
-                assert!(value.len() < 16, "`{key}` logged {} B", value.len());
+                assert!(value.len() <= 2, "`{key}` logged {} B", value.len());
             }
             _ => {}
         }
     }
     // Under its name an instance logs its header and two status
-    // records; its 13 control-block writes go under dense keys (five at
-    // the start — `t1`'s once, already `Executing` — and two per report).
+    // records; its 10 control-block writes go under dense keys (two at
+    // the start — the root's and `t1`'s, already `Executing`; the three
+    // tasks left waiting store none — and two per report).
     assert_eq!(named_writes, instances * 3);
-    assert_eq!(block_writes, instances * 13);
-    // 716 B with every fact object stored relative to the plan.
+    assert_eq!(block_writes, instances * 10);
+    // 584 B with every block stored relative to the plan.
     let per_instance = sys.log_size() / instances as u64;
     assert!(
-        per_instance < 750,
-        "{per_instance} B of log per diamond, budget 750"
+        per_instance < 610,
+        "{per_instance} B of log per diamond, budget 610"
     );
 }
 
@@ -496,6 +496,52 @@ fn no_fact_object_spells_what_its_plan_says() {
         assert!(sys.status(name).unwrap().is_terminal(), "{name} ends");
     }
     assert!(objects > 10 * names.len(), "{objects} objects");
+}
+
+#[test]
+fn no_control_block_spells_what_its_plan_says() {
+    // Fig. 7 orders and fig. 8 trips on one shard — marks, an abort, a
+    // compound repeat: every block's set, outcome and marks are declared
+    // by its task's class, so a stored block holds their ordinals and
+    // never a name.
+    let mut sys = build(1, det_config());
+    let names = population();
+    start_population(&mut sys, &names);
+    sys.run();
+    let plans = [
+        (samples::ORDER_PROCESSING, "processOrderApplication"),
+        (samples::BUSINESS_TRIP, "tripReservation"),
+    ]
+    .map(|(source, root)| Plan::lower(&compile_source(source, root).unwrap()));
+    let mut declared: Vec<&str> = Vec::new();
+    for plan in &plans {
+        declared.extend(plan.class_sets.iter().map(|set| plan.str(set.name)));
+        declared.extend(
+            plan.class_outputs
+                .iter()
+                .map(|output| plan.str(output.name)),
+        );
+    }
+    let spells = |bytes: &[u8], text: &str| bytes.windows(text.len()).any(|w| w == text.as_bytes());
+    let mut blocks = 0;
+    for frame in log_frames(&sys.storage()) {
+        for (key, value) in frame_writes(&frame) {
+            let (Some(key), Some(value)) = (key.as_fact(), value) else {
+                continue;
+            };
+            if key.kind != FactKind::Control {
+                continue;
+            }
+            blocks += 1;
+            for text in &declared {
+                assert!(!spells(value, text), "`{key}` spells `{text}`: {value:?}");
+            }
+        }
+    }
+    for name in &names {
+        assert!(sys.status(name).unwrap().is_terminal(), "{name} ends");
+    }
+    assert!(blocks > 5 * names.len(), "{blocks} blocks");
 }
 
 #[test]
@@ -560,8 +606,9 @@ fn a_diamond_starts_in_one_frame() {
     };
     assert_eq!(named("inst/d/meta"), 1);
     assert_eq!(named("inst/d/status"), 1);
-    // Five fresh blocks — the instance is this shard's first, id 0 —
-    // t1's written once, as `Executing`, beside the input set it bound.
+    // Two blocks — the instance is this shard's first, id 0 — the
+    // root's, and t1's written once, as `Executing`, beside the input set
+    // it bound; t2–t4 wait, which a block never stored says.
     let blocks: Vec<(u32, &[u8])> = first
         .iter()
         .filter_map(|(key, value)| Some((key.as_fact()?, (*value)?)))
@@ -569,9 +616,11 @@ fn a_diamond_starts_in_one_frame() {
         .map(|(key, value)| (key.task, value))
         .collect();
     let tasks: Vec<u32> = blocks.iter().map(|(task, _)| *task).collect();
-    assert_eq!(tasks, [0, 1, 2, 3, 4]);
-    let t1: TaskCb = flowscript_codec::from_bytes(blocks[1].1).expect("a block decodes");
+    assert_eq!(tasks, [0, 1]);
+    let plan = Plan::lower(&compile_source(samples::FIG1_DIAMOND, "diamond").unwrap());
+    let t1 = decode_block(&plan, 1, blocks[1].1).expect("a block decodes");
     assert!(matches!(t1.state, CbState::Executing { .. }), "{t1:?}");
+    assert_eq!(blocks[1].1, [2, 0], "`Executing` its class's first set");
     let bound_t1 = |key: &StoreKey| {
         key.as_fact()
             .is_some_and(|key| key.task == 1 && key.kind == FactKind::Input)
