@@ -19,7 +19,7 @@ pub struct Ident {
 }
 
 impl Ident {
-    /// Creates an identifier with a synthetic span (builder/templates).
+    /// Creates an identifier with a synthetic span (generated nodes).
     pub fn synthetic(name: impl Into<String>) -> Self {
         Self {
             name: name.into(),

@@ -22,8 +22,7 @@
 //! This crate is the front half of the system: text → [`parse`] →
 //! [`ast`] → [`sema::check`] → [`template::expand`] → [`schema::compile`]
 //! → a [`schema::Schema`] executed by `flowscript-engine`. It also
-//! provides a canonical formatter ([`fmt`]), Graphviz export ([`dot`]) and
-//! a programmatic script [`builder`].
+//! provides a canonical formatter ([`fmt`]) and Graphviz export ([`dot`]).
 //!
 //! # Examples
 //!
@@ -42,7 +41,6 @@
 //! ```
 
 pub mod ast;
-pub mod builder;
 pub mod diag;
 pub mod dot;
 pub mod fmt;

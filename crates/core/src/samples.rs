@@ -5,6 +5,11 @@
 //! `order of class Order` but its instance binds `inputobject stockInfo`);
 //! these scripts complete and reconcile them. Each constant is used by the
 //! examples, the integration tests and the per-figure benchmarks.
+//!
+//! [`chain`] and [`fan`] generate the two scalable benchmark shapes as
+//! text.
+
+use std::fmt::Write as _;
 
 /// A minimal two-task pipeline used by the quickstart example.
 pub const QUICKSTART: &str = r#"
@@ -603,10 +608,132 @@ pub fn root_of(sample: &str) -> &'static str {
     }
 }
 
+/// A linear chain of `n` stages, `s0 → s1 → … → s{n-1}`, under a `root`
+/// compound of task class `Chain`. Stage `s{i}` is bound to code
+/// `ref{i}`; every object is of class `Data`. The text is in
+/// [`crate::fmt`]'s canonical form.
+pub fn chain(n: usize) -> String {
+    let mut out = String::from("class Data;\n\n");
+    taskclass(&mut out, "Stage", &["in"]);
+    out.push('\n');
+    taskclass(&mut out, "Chain", &["seed"]);
+    out.push_str("\ncompoundtask root of taskclass Chain {\n");
+    for i in 0..n {
+        let from = match i {
+            0 => "seed of task root if input main".to_string(),
+            _ => format!("out of task s{} if output done", i - 1),
+        };
+        let (name, code) = (format!("s{i}"), format!("ref{i}"));
+        task(&mut out, &name, "Stage", &code, &[("in", from)]);
+    }
+    root_outputs(&mut out, &format!("s{}", n.saturating_sub(1)));
+    out
+}
+
+/// A fan-out/fan-in of `width` parallel stages under a `root` compound of
+/// task class `Fan`: `source` (code `refSource`) feeds every `w{i}` (code
+/// `refW{i}`), and `join` (code `refJoin`) takes each `w{i}`'s output as
+/// its input `in{i}`. The text is in [`crate::fmt`]'s canonical form.
+pub fn fan(width: usize) -> String {
+    let joined: Vec<String> = (0..width).map(|i| format!("in{i}")).collect();
+    let mut out = String::from("class Data;\n\n");
+    taskclass(&mut out, "Stage", &["in"]);
+    out.push('\n');
+    taskclass(&mut out, "Join", &joined);
+    out.push('\n');
+    taskclass(&mut out, "Fan", &["seed"]);
+    out.push_str("\ncompoundtask root of taskclass Fan {\n");
+    let seed = "seed of task root if input main".to_string();
+    task(&mut out, "source", "Stage", "refSource", &[("in", seed)]);
+    for i in 0..width {
+        let from = "out of task source if output done".to_string();
+        let (name, code) = (format!("w{i}"), format!("refW{i}"));
+        task(&mut out, &name, "Stage", &code, &[("in", from)]);
+    }
+    let join_inputs: Vec<(&str, String)> = joined
+        .iter()
+        .enumerate()
+        .map(|(i, object)| (object.as_str(), format!("out of task w{i} if output done")))
+        .collect();
+    task(&mut out, "join", "Join", "refJoin", &join_inputs);
+    root_outputs(&mut out, "join");
+    out
+}
+
+/// `";"` between the elements of a list, nothing after the last.
+fn separator(i: usize, len: usize) -> &'static str {
+    if i + 1 < len {
+        ";"
+    } else {
+        ""
+    }
+}
+
+/// A task class whose input set `main` takes each of `inputs` as a `Data`
+/// object, and whose one outcome `done` carries `out of class Data`.
+fn taskclass<S: AsRef<str>>(out: &mut String, name: &str, inputs: &[S]) {
+    let _ = writeln!(
+        out,
+        "taskclass {name} {{\n    inputs {{\n        input main {{"
+    );
+    for (i, input) in inputs.iter().enumerate() {
+        let (input, sep) = (input.as_ref(), separator(i, inputs.len()));
+        let _ = writeln!(out, "            {input} of class Data{sep}");
+    }
+    out.push_str("        }\n    };\n    outputs {\n        outcome done {\n");
+    out.push_str("            out of class Data\n        }\n    }\n}\n");
+}
+
+/// A constituent task of `root` bound to `code`, whose input set `main`
+/// takes each `(object, source)` from its one source.
+fn task(out: &mut String, name: &str, class: &str, code: &str, inputs: &[(&str, String)]) {
+    let _ = writeln!(out, "    task {name} of taskclass {class} {{");
+    let _ = writeln!(out, "        implementation {{ \"code\" is \"{code}\" }};");
+    out.push_str("        inputs {\n            input main {\n");
+    for (i, (object, source)) in inputs.iter().enumerate() {
+        let sep = separator(i, inputs.len());
+        let _ = writeln!(out, "                inputobject {object} from {{");
+        let _ = writeln!(out, "                    {source}\n                }}{sep}");
+    }
+    out.push_str("            }\n        }\n    };\n");
+}
+
+/// `root`'s outputs, one outcome `done` taking `out` from `last`'s `done`,
+/// and the compound's closing brace.
+fn root_outputs(out: &mut String, last: &str) {
+    out.push_str("    outputs {\n        outcome done {\n            outputobject out from {\n");
+    let _ = writeln!(out, "                out of task {last} if output done");
+    out.push_str("            }\n        }\n    }\n}\n");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse;
+    use crate::fmt::format_script;
+    use crate::{parse, schema, sema};
+
+    /// Parses a generated text, checks it is canonical, and returns its
+    /// compiled leaf count.
+    fn leaves(text: &str) -> usize {
+        let script = parse(text).unwrap_or_else(|d| panic!("{}\n{text}", d.render(text)));
+        assert_eq!(format_script(&script), text, "not in canonical form");
+        let checked = sema::check(&script).unwrap_or_else(|d| panic!("{d}"));
+        schema::compile(&checked, "root").unwrap().leaf_count()
+    }
+
+    #[test]
+    fn chain_is_canonical_and_compiles() {
+        for n in [1, 2, 10, 50, 400] {
+            assert_eq!(leaves(&chain(n)), n, "chain({n})");
+        }
+    }
+
+    #[test]
+    fn fan_is_canonical_and_compiles() {
+        for width in [1, 4, 16, 64] {
+            assert_eq!(leaves(&fan(width)), width + 2, "fan({width})");
+        }
+    }
 
     #[test]
     fn every_sample_parses() {

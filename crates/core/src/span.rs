@@ -37,8 +37,7 @@ pub struct Span {
 }
 
 impl Span {
-    /// A zero-width span at the origin, for synthesised nodes (builder,
-    /// template expansion).
+    /// A zero-width span at the origin, for synthesised nodes.
     pub const SYNTHETIC: Span = Span {
         start: Pos::START,
         end: Pos::START,

@@ -61,7 +61,6 @@ pub struct SystemBuilder {
     config: EngineConfig,
     link: LinkConfig,
     registry: Option<ImplRegistry>,
-    storage: Option<StableStore>,
     shard_storages: Option<Vec<StableStore>>,
     wal_dir: Option<std::path::PathBuf>,
     trace_enabled: bool,
@@ -82,7 +81,6 @@ impl Default for SystemBuilder {
             config: EngineConfig::default(),
             link: LinkConfig::default(),
             registry: None,
-            storage: None,
             shard_storages: None,
             wal_dir: None,
             trace_enabled: true,
@@ -113,20 +111,12 @@ impl SystemBuilder {
         self
     }
 
-    /// Gives every executor **serial capacity**: one task at a time,
-    /// later arrivals queueing in virtual time. Off by default (the
-    /// legacy infinitely-parallel nodes); `tests/scheduling.rs` runs
-    /// with it on so executor load shows up as latency. Shorthand for a
-    /// uniform [`SystemBuilder::executor_capacity`] of 1.
-    pub fn serial_executors(mut self, serial: bool) -> Self {
-        self.default_capacity = u32::from(serial);
-        self
-    }
-
     /// Capacity every executor gets (declared to the schedulers AND
     /// enforced by the node's virtual-time slot queue): `k` concurrent
     /// tasks, `0` for the legacy unbounded node. Coordinators park
-    /// dispatches once every eligible executor is at its capacity.
+    /// dispatches once every eligible executor is at its capacity; `1`
+    /// is the serial model `tests/scheduling.rs` runs on, so executor
+    /// load shows up as latency.
     pub fn executor_capacity(mut self, capacity: u32) -> Self {
         self.default_capacity = capacity;
         self
@@ -176,16 +166,8 @@ impl SystemBuilder {
         self
     }
 
-    /// Uses existing stable storage for shard 0 (to model restarting a
-    /// single-coordinator system over a surviving disk). For sharded
-    /// systems prefer [`SystemBuilder::shard_storages`].
-    pub fn storage(mut self, storage: impl Into<StableStore>) -> Self {
-        self.storage = Some(storage.into());
-        self
-    }
-
     /// Uses existing per-shard stable storages (to model restarting a
-    /// whole sharded system over its surviving disks; see
+    /// system over its surviving disks; see
     /// [`WorkflowSystem::shard_storages`]). Missing entries get fresh
     /// storage.
     pub fn shard_storages<S: Into<StableStore>>(mut self, storages: Vec<S>) -> Self {
@@ -199,9 +181,9 @@ impl SystemBuilder {
     /// `write` + `fdatasync`, so commits pay the durable-log cost the
     /// commit window amortizes; the in-memory default keeps simulated
     /// crash-survival without touching the disk. Explicit
-    /// [`SystemBuilder::storage`]/[`SystemBuilder::shard_storages`]
-    /// entries take precedence per shard (restart-over-surviving-disk
-    /// scenarios pass reopened [`SharedFileStorage`] handles there).
+    /// [`SystemBuilder::shard_storages`] entries take precedence per
+    /// shard (restart-over-surviving-disk scenarios pass reopened
+    /// [`SharedFileStorage`] handles there).
     ///
     /// # Panics
     ///
@@ -277,14 +259,9 @@ impl SystemBuilder {
         let registry = self.registry.unwrap_or_default();
         let provided = self.shard_storages.unwrap_or_default();
         let storages: Vec<StableStore> = (0..self.coordinators)
-            .map(|i| {
-                if i < provided.len() {
-                    provided[i].clone()
-                } else if i == 0 && self.storage.is_some() {
-                    self.storage.clone().expect("checked above")
-                } else {
-                    fresh_storage(self.wal_dir.as_deref(), i).expect("wal file opens fresh")
-                }
+            .map(|i| match provided.get(i) {
+                Some(storage) => storage.clone(),
+                None => fresh_storage(self.wal_dir.as_deref(), i).expect("wal file opens fresh"),
             })
             .collect();
 
@@ -296,7 +273,7 @@ impl SystemBuilder {
             .iter()
             .zip(&storages)
             .map(|(&node, storage)| {
-                let coordinator = Coordinator::open_sharded(
+                let coordinator = Coordinator::open(
                     node,
                     repo_node,
                     executor_specs.clone(),
@@ -315,7 +292,7 @@ impl SystemBuilder {
             .collect();
 
         for spec in &executor_specs {
-            executor::install_with(
+            executor::install(
                 &mut world,
                 spec.node,
                 registry.clone(),
@@ -747,18 +724,6 @@ impl WorkflowSystem {
         self.coords[shard].persisted_plan_fingerprints()
     }
 
-    /// Fingerprints of the validated plans one shard holds decoded in
-    /// memory, ascending — test hook for the plan-cache suites (see
-    /// [`CoordHandle::cached_plan_fingerprints`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    #[doc(hidden)]
-    pub fn cached_plans(&self, shard: usize) -> Vec<u64> {
-        self.coords[shard].cached_plan_fingerprints()
-    }
-
     /// Corrupts one fact of `path` in place — the output, else the
     /// input set, called `name` (fault injection for the corrupt-record
     /// tests).
@@ -866,7 +831,7 @@ impl WorkflowSystem {
     /// `output` of `path` with `objects` (replacing corrupt bytes),
     /// force-completing the task if `output` is a terminal outcome it
     /// never reached, and revives the instance from
-    /// `Stuck{fact storage fault}`. See [`CoordHandle::repair_fact`].
+    /// `Stuck{fact storage fault}`.
     ///
     /// # Errors
     ///
@@ -1014,7 +979,7 @@ impl WorkflowSystem {
         // The new shard starts life on the bumped epoch; the surviving
         // shards keep the old map until the moves commit (dual-delivery
         // window), then flip in `rebalance`.
-        let coordinator = Coordinator::open_sharded(
+        let coordinator = Coordinator::open(
             node,
             self.repo_node,
             self.executor_specs.clone(),
@@ -1032,7 +997,7 @@ impl WorkflowSystem {
 
     /// Moves the system to `new_map` live: every shard in turn hands
     /// off the residents the map assigns elsewhere, one instance per
-    /// two-phase-commit round (see [`crate::coordinator`]'s membership
+    /// two-phase-commit round (see the coordinator's membership
     /// protocol — the shards run it themselves, over messages, while
     /// everything else keeps executing); only after every move commits
     /// does each coordinator (and the client router) flip to the new
@@ -1235,19 +1200,6 @@ impl WorkflowSystem {
         let report = self.await_report(claimant.node(), &ticket)?;
         self.retire_coordinator(idx, new_map);
         Ok(report)
-    }
-
-    /// Overrides one coordinator's shard map *without* moving anything —
-    /// deliberately desynchronizing routing. Test hook for the
-    /// forwarding loop guard; real rebalances flip maps only after the
-    /// moves commit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    #[doc(hidden)]
-    pub fn skew_shard_map(&mut self, shard: usize, map: ShardMap) {
-        self.coords[shard].set_shard_map(map);
     }
 
     /// Direct handle on one coordinator shard — test hook for reading
@@ -1492,7 +1444,7 @@ mod tests {
         // its true fingerprint), and the bad bytes were never cached.
         assert_eq!(sys.outcome("i1").expect("completed").name, "done");
         assert_eq!(sys.persisted_plans(0).len(), 1);
-        assert!(sys.cached_plans(0).is_empty());
+        assert!(sys.coord_handle(0).cached_plan_fingerprints().is_empty());
     }
 
     #[test]

@@ -184,7 +184,7 @@ impl CoordHandle {
                     Err(err) => Err(format!("repository unreachable: {err}")),
                     Ok(bytes) => match flowscript_codec::from_bytes::<EngineMsg>(&bytes) {
                         Ok(EngineMsg::RepoReply {
-                            result: Ok(stored_version),
+                            result: Ok(_),
                             source,
                             root,
                             plan,
@@ -198,7 +198,7 @@ impl CoordHandle {
                                 .then(|| handle.inner.borrow_mut().plan_cache.validated(&plan))
                                 .flatten();
                             handle
-                                .start_instance_full(
+                                .start_instance(
                                     world,
                                     &ticket.instance,
                                     &ticket.script,
@@ -207,7 +207,6 @@ impl CoordHandle {
                                     &ticket.set,
                                     ticket.inputs,
                                     served,
-                                    Some(stored_version),
                                 )
                                 .map_err(|e| e.to_string())
                         }

@@ -45,8 +45,6 @@ pub struct EngineConfig {
     /// instances at once. Excess `StartInstance` RPCs park in a
     /// bounded admission queue and admit as instances terminate;
     /// `None` (the default) keeps the legacy unbounded behaviour.
-    /// Direct in-process starts ([`super::CoordHandle::start_instance`])
-    /// bypass admission — the cap governs the RPC surface.
     pub max_inflight_instances: Option<usize>,
     /// Admission-queue bound: once [`EngineConfig::max_inflight_instances`]
     /// is reached *and* this many starts are already queued, further

@@ -133,39 +133,14 @@ pub(super) fn pin_blobs(
 }
 
 impl CoordHandle {
-    /// Compiles and launches an instance (also used directly by tests).
+    /// Compiles and launches an admitted instance, reusing the plan the
+    /// repository served for this script version when there is one.
     ///
     /// # Errors
     ///
     /// Invalid script, bad inputs or storage failure.
     #[allow(clippy::too_many_arguments)]
-    pub fn start_instance(
-        &self,
-        world: &mut World,
-        instance: &str,
-        script_name: &str,
-        source: &str,
-        root: &str,
-        set: &str,
-        inputs: BTreeMap<String, ObjectVal>,
-    ) -> Result<(), EngineError> {
-        self.start_instance_full(
-            world,
-            instance,
-            script_name,
-            source,
-            root,
-            set,
-            inputs,
-            None,
-            None,
-        )
-    }
-
-    /// [`CoordHandle::start_instance`], optionally reusing a plan the
-    /// repository already compiled for this script version.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn start_instance_full(
+    pub(super) fn start_instance(
         &self,
         world: &mut World,
         instance: &str,
@@ -175,7 +150,6 @@ impl CoordHandle {
         set: &str,
         inputs: BTreeMap<String, ObjectVal>,
         served_plan: Option<Rc<Plan>>,
-        version: Option<u32>,
     ) -> Result<(), EngineError> {
         // Compile-once, execute-many: a validated served plan skips the
         // whole front end here.
@@ -238,7 +212,6 @@ impl CoordHandle {
                 set: set.to_string(),
                 inputs,
                 instance_id,
-                version,
             };
             let record = StatusRecord {
                 status: InstanceStatus::Running,
@@ -511,13 +484,17 @@ mod tests {
 
     use super::*;
     use crate::coordinator::EngineConfig;
+    use crate::sched::ExecutorSpec;
+    use crate::shard::ShardMap;
 
     /// One shard over `storage`, its executor never run.
     fn shard(storage: impl Into<StableStore>) -> (World, CoordHandle) {
         let mut world = World::new(1);
         let [client, here, executor] = ["client", "here", "exec"].map(|n| world.add_node(n));
         let config = EngineConfig::default();
-        let coord = Coordinator::open(here, client, vec![executor], config, storage)
+        let executors = vec![ExecutorSpec::unbounded(executor)];
+        let shard = ShardMap::new(vec![here]);
+        let coord = Coordinator::open(here, client, executors, config, storage, shard)
             .map(CoordHandle::new)
             .expect("empty storage opens");
         (world, coord)
@@ -534,6 +511,7 @@ mod tests {
             "diamond",
             "main",
             inputs,
+            None,
         )
     }
 

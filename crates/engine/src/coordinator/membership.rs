@@ -1387,7 +1387,6 @@ mod tests {
             set: "main".into(),
             inputs: BTreeMap::new(),
             instance_id,
-            version: None,
         }
     }
 
@@ -1461,7 +1460,7 @@ mod tests {
             .expect("some name the map gives the other shard");
         let storage = SharedStorage::new();
         let config = EngineConfig::default();
-        let coord = Coordinator::open_sharded(here, client, Vec::new(), config, storage, map)
+        let coord = Coordinator::open(here, client, Vec::new(), config, storage, map)
             .map(CoordHandle::new)
             .expect("empty storage opens");
         coord.install(&mut world);

@@ -139,10 +139,10 @@ fn expect_tag(r: &mut ByteReader<'_>, tag: u8, ty: &'static str) -> Result<(), C
 }
 
 /// `inst/<name>/meta` — what an instance was started as, and the
-/// version of its script it runs: written by instance start, rewritten
-/// by a reconfiguration (a new version of the script) and by hand-off
-/// re-keying (a new owner allots a new `instance_id`). Nothing on the
-/// run path writes it.
+/// version of its script it runs (named by `source_hash`): written by
+/// instance start, rewritten by a reconfiguration (a new version of the
+/// script) and by hand-off re-keying (a new owner allots a new
+/// `instance_id`). Nothing on the run path writes it.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct InstanceHeader {
     pub(super) script: String,
@@ -156,9 +156,6 @@ pub(crate) struct InstanceHeader {
     pub(super) inputs: BTreeMap<String, ObjectVal>,
     /// The dense numeric id all of this instance's fact keys carry.
     pub(super) instance_id: u32,
-    /// The repository version the instance was started from (its "repo
-    /// pointer", together with `script`), when started via RPC.
-    pub(super) version: Option<u32>,
 }
 
 impl Encode for InstanceHeader {
@@ -170,7 +167,6 @@ impl Encode for InstanceHeader {
         w.put_str(&self.set);
         self.inputs.encode(w);
         w.put_u32(self.instance_id);
-        self.version.encode(w);
     }
 }
 
@@ -184,7 +180,6 @@ impl Decode for InstanceHeader {
             set: r.get_str()?.to_owned(),
             inputs: BTreeMap::decode(r)?,
             instance_id: r.get_u32()?,
-            version: Option::decode(r)?,
         })
     }
 }
@@ -262,7 +257,6 @@ mod tests {
             set: "main".into(),
             inputs: BTreeMap::from([("seed".to_string(), ObjectVal::text("C", "s"))]),
             instance_id: 7,
-            version: Some(3),
         }
     }
 
@@ -299,7 +293,8 @@ mod tests {
     }
 
     /// What the layout before the split stored under `inst/<name>/meta`
-    /// for the header above, `Running`, two reconfigurations (rendered
+    /// for the header above started from repository version 3,
+    /// `Running`, two reconfigurations (rendered
     /// by the last commit that wrote it): script, the source text
     /// `class C;` itself, root, set, inputs, status, the reconfiguration
     /// count, instance_id, version, plan_fingerprint.

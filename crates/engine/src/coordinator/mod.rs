@@ -41,7 +41,7 @@
 //! | `evaluate` | the cascade a step stages: input-set satisfaction, activation, compound-scope outputs (marks, termination, the fig. 8 repeat), stuck detection; the debug full-scan oracle | `Drain` (one instance inside a step: its seeds, its flights as the step leaves them) | `reevaluate` (the step over one resident instance: the caller stages its transition, the drain follows, one commit, publish — the watchdog, a failed placement, the operator's abort and repair, a restart's re-arm), `evaluate` (the same with nothing but the full scan to stage: adoption); `drain_of`, `stage_drain`, `park_stuck`, `assert_settled` |
 //! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, and what an attempt that ends with no outcome stages: the bounded retry or `Failed` | `Dispatcher` (scheduler loads, cost model, ready queue), `Flights` (per instance: one record per task with outstanding work) | staging: `stage_lost` (error report, time-out), `stage_failure`, `stage_launch` (the next attempt, now or after a delay); publishing: `ship` (an attempt, under what its step staged), `dispatch` (a staged attempt whose delay or park is over), `dispatch_after`, `lose_flight`, `clear_watch`, `discard_flights` (subtree sweep, forced outcome, failure), `fail_unplaceable`; `drain_parked`, `executing`; `Flights::outstanding` (stuck detection), `replan` (a reconfiguration's new plan, its books re-keyed), `rearm_adopted` (adoption), `Dispatcher::{release_all, reset}` (hand-off, recovery), `executor_loads` |
 //! | `admission` | the per-shard instance cap on the start RPC | `Admission` | `admit_or_queue`, `admit_from_queue`, `Admission::{instance_live, instance_settled}` |
-//! | `lifecycle` | instance start (the first writer of a header), the two per-shard blobs an instance pins — the compiled plan per fingerprint, the canonical source per hash — materialising a runtime from committed state, the monitoring reads; blob collection | `PlanCache` | `start_instance_full`, `pin_blobs` (start, reconfiguration), `pinned_source` (the one reader of the source: reconfiguration, and a load with no valid plan blob), `load_instance`, `count_nonterminal`, `PlanCache::validated`, `gc_plans` |
+//! | `lifecycle` | instance start (the first writer of a header), the two per-shard blobs an instance pins — the compiled plan per fingerprint, the canonical source per hash — materialising a runtime from committed state, the monitoring reads; blob collection | `PlanCache` | `start_instance` (from admission, the one start path), `pin_blobs` (start, reconfiguration), `pinned_source` (the one reader of the source: reconfiguration, and a load with no valid plan blob), `load_instance`, `count_nonterminal`, `PlanCache::validated`, `gc_plans` |
 //! | `membership` | shard routing and relays; the fleet protocols the nodes run among themselves — live hand-off (the one `tx::dist` 2PC, this module its host) and crash-driven adoption | `Membership`, [`MoveReport`], [`FailoverReport`] | `route_report`, `misdirected`, `forward_start`; from the façade `begin_move`, `begin_adoption` (each answers with a `Ticket`); from the wire `on_dist`, `on_claim`; `adopt_orphans`, `repair_handoffs` |
 //! | `recovery` | restart: reopen the log, reset volatile state (fleet protocols included), repair hand-offs, reload, re-arm each running instance in one step | — | `recover`, `stored_instances`, `stored_instance_names` |
 //! | `admin` | operator actions on a running instance, one step each: the abort, the repair, and a reconfiguration — the script's new version, the remap onto its plan and the full drain over it | — | `reconfigure`, `abort_waiting_task`, `repair_fact` |
@@ -167,32 +167,9 @@ pub struct CoordHandle {
 }
 
 impl Coordinator {
-    /// Opens the coordinator over durable `storage` (recovering any
-    /// previous state).
-    ///
-    /// # Errors
-    ///
-    /// Corrupt storage.
-    pub fn open(
-        node: NodeId,
-        repo: NodeId,
-        executors: Vec<NodeId>,
-        config: EngineConfig,
-        storage: impl Into<StableStore>,
-    ) -> Result<Self, EngineError> {
-        Self::open_sharded(
-            node,
-            repo,
-            executors.into_iter().map(ExecutorSpec::unbounded).collect(),
-            config,
-            storage,
-            ShardMap::new(vec![node]),
-        )
-    }
-
-    /// [`Coordinator::open`] for one shard of a multi-coordinator
-    /// system: `shard` names every coordinator node (this one
-    /// included), and this coordinator serves only the instances the
+    /// Opens one shard's coordinator over durable `storage` (recovering
+    /// any previous state): `shard` names every coordinator node (this
+    /// one included), and this coordinator serves only the instances the
     /// map assigns to `node`, forwarding the rest. Each executor comes
     /// with its optional `location` label — the scheduler's hard
     /// placement constraint — and its declared capacity.
@@ -200,7 +177,7 @@ impl Coordinator {
     /// # Errors
     ///
     /// Corrupt storage.
-    pub fn open_sharded(
+    pub fn open(
         node: NodeId,
         repo: NodeId,
         executors: Vec<ExecutorSpec>,

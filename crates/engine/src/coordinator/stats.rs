@@ -9,7 +9,8 @@ use flowscript_sim::NodeId;
 ///
 /// Since the metrics registry landed this is a *view*: the live values
 /// are `coord.*` counters in the shard's [`Registry`], and
-/// [`super::CoordHandle::stats`] materialises them into this struct. The
+/// `CoordMetrics::stats` materialises them into this struct (what
+/// [`WorkflowSystem::stats`](crate::WorkflowSystem::stats) sums). The
 /// exhaustive-construction there plus the exhaustive destructuring in
 /// `AddAssign` keep the view complete by compile error.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -204,9 +205,10 @@ impl CoordMetrics {
 }
 
 /// One dispatch decision, in order of occurrence: a flight-recorder
-/// `Dispatch` event as [`super::CoordHandle::dispatch_trace`] projects
-/// it (the equivalence suites and the golden fingerprints compare
-/// these).
+/// `Dispatch` event as
+/// [`WorkflowSystem::dispatch_trace`](crate::WorkflowSystem::dispatch_trace)
+/// projects it (the equivalence suites and the golden fingerprints
+/// compare these).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DispatchRecord {
     /// Instance name.

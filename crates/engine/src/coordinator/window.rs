@@ -530,11 +530,11 @@ mod tests {
             },
             ..EngineConfig::default()
         };
-        let builder = WorkflowSystem::builder().seed(1).config(config);
-        let mut sys = match storage {
-            Some(storage) => builder.storage(storage).build(),
-            None => builder.build(),
-        };
+        let mut sys = WorkflowSystem::builder()
+            .seed(1)
+            .config(config)
+            .shard_storages(Vec::from_iter(storage))
+            .build();
         let script = flowscript_core::samples::QUICKSTART;
         sys.register_script("q", script, "pipeline").unwrap();
         let work = SimDuration::from_millis(10);

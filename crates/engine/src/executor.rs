@@ -68,33 +68,11 @@ pub struct ExecutorProfile {
     pub capacity: u32,
 }
 
-impl ExecutorProfile {
-    /// A serial profile (`capacity = 1`) at an optional location — the
-    /// shape the old `serial: bool` flag produced.
-    pub fn serial(location: Option<String>) -> Self {
-        ExecutorProfile {
-            location,
-            capacity: 1,
-        }
-    }
-}
-
-/// Installs the executor handler on `node` with the default profile
-/// (no location label, parallel capacity). Results are reported to
-/// whichever coordinator dispatched the task (executors are shared by
-/// every shard of a multi-coordinator system).
-pub fn install(world: &mut World, node: NodeId, registry: ImplRegistry) {
-    install_with(world, node, registry, ExecutorProfile::default());
-}
-
-/// [`install`] with an explicit deployment profile (location label,
-/// capacity model).
-pub fn install_with(
-    world: &mut World,
-    node: NodeId,
-    registry: ImplRegistry,
-    profile: ExecutorProfile,
-) {
+/// Installs the executor handler on `node`, deployed as `profile`
+/// (location label, capacity model). Results are reported to whichever
+/// coordinator dispatched the task (executors are shared by every shard
+/// of a multi-coordinator system).
+pub fn install(world: &mut World, node: NodeId, registry: ImplRegistry, profile: ExecutorProfile) {
     // One queue tail per declared slot: the next free moment of each.
     // Empty (capacity 0) means unbounded — no queueing at all.
     let tails = Rc::new(RefCell::new(vec![SimTime::ZERO; profile.capacity as usize]));
@@ -344,7 +322,7 @@ mod tests {
             location: Some("warehouse".into()),
             ..ExecutorProfile::default()
         };
-        install_with(&mut world, executor, registry, profile);
+        install(&mut world, executor, registry, profile);
         let replies = Rc::new(RefCell::new(Vec::new()));
         let sink = replies.clone();
         world.set_handler(coordinator, move |_, envelope| {

@@ -1394,6 +1394,24 @@ mod tests {
         }
     }
 
+    /// The two bytes a diamond's start logs as `t1`'s block (see
+    /// `tests/fact_scans.rs`): `Executing` its class's first set.
+    #[test]
+    fn a_started_leaf_block_is_two_bytes() {
+        let diamond = flowscript_core::samples::FIG1_DIAMOND;
+        let plan = Plan::lower(&schema::compile_source(diamond, "diamond").unwrap());
+        assert_eq!(plan.task_by_path("diamond/t1"), Some(1));
+        let t1 = decode_block(&plan, 1, &[2, 0]).expect("a block decodes");
+        let executing = CbState::Executing { set: "main".into() };
+        assert_eq!(
+            t1,
+            TaskCb {
+                state: executing,
+                ..TaskCb::waiting()
+            }
+        );
+    }
+
     #[test]
     fn a_remap_re_encodes_a_block_whose_class_ordinals_moved() {
         // The same class, its sets and outputs declared in another order:

@@ -236,7 +236,7 @@ impl ImplRegistry {
     ///
     /// A human-readable reason when the name is unbound or a built-in is
     /// misconfigured.
-    pub fn invoke(&self, name: &str, ctx: &InvokeCtx) -> Result<Invocation, String> {
+    pub(crate) fn invoke(&self, name: &str, ctx: &InvokeCtx) -> Result<Invocation, String> {
         if let Some(rest) = name.strip_prefix("builtin:") {
             return builtin(rest, ctx).map(Invocation::Behavior);
         }
@@ -272,7 +272,7 @@ impl std::fmt::Debug for ImplRegistry {
 
 /// The result of resolving an implementation name.
 #[derive(Debug)]
-pub enum Invocation {
+pub(crate) enum Invocation {
     /// Run this behaviour.
     Behavior(TaskBehavior),
     /// Run this script as a nested workflow.

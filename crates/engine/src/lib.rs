@@ -4,34 +4,34 @@
 //! This crate is the paper's §3 "execution environment", rebuilt on the
 //! crate stack below it:
 //!
-//! - a **Workflow Repository Service** ([`repository`]) that stores,
+//! - a **Workflow Repository Service** ([`Repository`]) that stores,
 //!   validates and versions scripts,
-//! - a **Workflow Execution Service** ([`coordinator`]) that records
+//! - a **Workflow Execution Service** (the coordinator) that records
 //!   inter-task dependencies in persistent atomic objects
 //!   (`flowscript-tx`), drives tasks through the Fig. 3 state machine,
 //!   propagates dataflow and notifications under atomic transactions,
 //!   retries system-level failures a bounded number of times, and
 //!   survives coordinator crashes by write-ahead-log recovery,
-//! - **task executors** ([`executor`]) on separate simulated nodes,
-//!   running implementations bound *at run time* by name
-//!   ([`ImplRegistry`]), including the built-in timer,
-//! - **adaptive, load-aware scheduling** ([`sched`]): dispatch honors
+//! - **task executors** on separate simulated nodes, running
+//!   implementations bound *at run time* by name ([`ImplRegistry`]),
+//!   including the built-in timer,
+//! - **adaptive, load-aware scheduling** ([`Scheduler`]): dispatch honors
 //!   the implementation clause's typed hints — `location` as a hard
 //!   placement constraint, `priority` ordering ready tasks, declared
 //!   durations/deadlines shaping the watchdog — picks the least loaded
 //!   eligible executor (respecting declared **capacities**, parking
 //!   excess dispatches in a priority-ordered ready queue), relocates
 //!   retries off failed nodes, and feeds **observed completion times**
-//!   ([`CostModel`]) back into load costs and watchdog timeouts; a
+//!   back into load costs and watchdog timeouts; a
 //!   per-shard **admission cap**
 //!   ([`EngineConfig::max_inflight_instances`]) queues or rejects
 //!   (typed [`EngineError::Busy`]) excess instance starts,
-//! - **dynamic reconfiguration** ([`reconfig`]): transactional
+//! - **dynamic reconfiguration** ([`Reconfig`]): transactional
 //!   addition/removal of tasks and dependencies in a running instance,
 //!   and implementation rebinding (online upgrade) — each a new version
 //!   of the instance's script, checked by the front end and committed as
 //!   one step,
-//! - **sharded coordinators** ([`shard`]): instance ownership split
+//! - **sharded coordinators** ([`ShardMap`]): instance ownership split
 //!   across multiple execution-service nodes by rendezvous hash of the
 //!   instance name, each shard owning its facts, WAL and worklists,
 //!   with misdirected requests forwarded and per-shard crash recovery,
@@ -78,19 +78,19 @@
 //! assert_eq!(outcome.objects["result"].as_text(), "hello!");
 //! ```
 
-pub mod api;
-pub mod coordinator;
+mod api;
+mod coordinator;
 mod error;
-pub mod executor;
-pub mod facts;
-pub mod impl_registry;
-pub mod keys;
+mod executor;
+mod facts;
+mod impl_registry;
+mod keys;
 mod msg;
-pub mod reconfig;
-pub mod repository;
-pub mod sched;
-pub mod shard;
-pub mod state;
+mod reconfig;
+mod repository;
+mod sched;
+mod shard;
+mod state;
 mod value;
 
 pub use api::{SystemBuilder, WorkflowSystem};
@@ -99,17 +99,16 @@ pub use coordinator::{
     MoveReport, Outcome, MAX_FORWARD_HOPS,
 };
 pub use error::EngineError;
-pub use facts::StoreFacts;
-pub use flowscript_obs::{
-    FlightRecorder, ObsEvent, ObsEventKind, ObserveLevel, Registry, Snapshot,
-};
-pub use flowscript_tx::{Shared, SharedFileStorage, SharedStorage, StableStore, Storage};
+pub use flowscript_obs::{ObsEvent, ObsEventKind, ObserveLevel, Registry, Snapshot};
+pub use flowscript_tx::StableStore;
 pub use impl_registry::{
     Completion, ImplRegistry, InvokeCtx, MarkEmission, TaskBehavior, TaskImpl,
 };
-pub use keys::InstanceKeys;
 pub use reconfig::Reconfig;
-pub use sched::{CostModel, ExecutorSlot, ExecutorSpec, ImplHints, SchedPolicy, Scheduler};
+pub use repository::{RepoHandle, Repository, ScriptVersion};
+pub use sched::{
+    ExecutorSlot, ExecutorSpec, ImplHints, Placement, SchedError, SchedPolicy, Scheduler,
+};
 pub use shard::ShardMap;
-pub use state::{CbState, TaskCb};
+pub use state::CbState;
 pub use value::ObjectVal;

@@ -141,16 +141,6 @@ impl CostModel {
         self.observed_ns.get(code).map(|ns| ns.div_ceil(1_000_000))
     }
 
-    /// Number of codes with at least one observation.
-    pub fn len(&self) -> usize {
-        self.observed_ns.len()
-    }
-
-    /// True when nothing has been observed yet.
-    pub fn is_empty(&self) -> bool {
-        self.observed_ns.is_empty()
-    }
-
     /// The load one dispatch of `code` is charged at: the observed
     /// estimate once one exists (overriding absent or lying declared
     /// durations), the declared [`ImplHints::load_cost`] before the
@@ -194,7 +184,7 @@ impl CostModel {
 /// How dispatch picks an executor: location hard constraint, avoid the
 /// failed node on retry, least **remaining work** among the eligible
 /// remainder — each in-flight dispatch weighs `1 + duration_ms`
-/// ([`ImplHints::load_cost`], overridden by the observed [`CostModel`]
+/// ([`ImplHints::load_cost`], overridden by the observed `CostModel`
 /// estimate once one exists), so durations shape placement and hintless
 /// fleets degenerate to in-flight counting.
 ///

@@ -58,7 +58,7 @@ impl fmt::Display for ObjectVal {
 /// The wire form, which spells every field out: messages, a header's
 /// inputs, a status record's outcome. What a fact holds under a
 /// declared sub-key is stored relative to the plan instead
-/// ([`crate::facts`]).
+/// (`facts.rs`).
 impl Encode for ObjectVal {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_str(&self.class);

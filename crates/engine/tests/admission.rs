@@ -16,9 +16,9 @@ use common::{
     build, det_config, fan_join_source, fingerprints, run_fan, start_population, text, Fingerprint,
     ONE_TASK,
 };
-use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{
-    CbState, EngineError, InstanceStatus, ObsEventKind, ObserveLevel, TaskBehavior, WorkflowSystem,
+    CbState, EngineConfig, EngineError, InstanceStatus, ObsEventKind, ObserveLevel, TaskBehavior,
+    WorkflowSystem,
 };
 use flowscript_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -71,7 +71,7 @@ compoundtask root of taskclass Root {
     };
     let mut sys = WorkflowSystem::builder()
         .executors(1)
-        .serial_executors(true)
+        .executor_capacity(1)
         .seed(5)
         .config(config)
         .build();
@@ -247,7 +247,7 @@ fn crash_with_parked_dispatches_recovers_the_whole_fan() {
     };
     let mut sys = WorkflowSystem::builder()
         .executors(1)
-        .serial_executors(true)
+        .executor_capacity(1)
         .seed(13)
         .config(config)
         .build();
@@ -313,7 +313,7 @@ fn lying_chain_system() -> WorkflowSystem {
     };
     let mut sys = WorkflowSystem::builder()
         .executors(2)
-        .serial_executors(true)
+        .executor_capacity(1)
         .seed(21)
         .config(config)
         .build();

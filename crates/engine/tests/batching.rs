@@ -20,9 +20,8 @@ use common::{
     population, run_generated, start_population, text, Fingerprint,
 };
 use flowscript_core::samples;
-use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{
-    CbState, CommitBatch, InstanceStatus, ObsEventKind, ObserveLevel, WorkflowSystem,
+    CbState, CommitBatch, EngineConfig, InstanceStatus, ObsEventKind, ObserveLevel, WorkflowSystem,
 };
 use flowscript_sim::{SimDuration, SimTime};
 use proptest::prelude::*;

@@ -5,8 +5,9 @@
 //! double-apply an outcome — and runs must be deterministic per seed.
 
 use flowscript_core::samples;
-use flowscript_engine::coordinator::EngineConfig;
-use flowscript_engine::{CbState, InstanceStatus, ObjectVal, TaskBehavior, WorkflowSystem};
+use flowscript_engine::{
+    CbState, EngineConfig, InstanceStatus, ObjectVal, TaskBehavior, WorkflowSystem,
+};
 use flowscript_sim::{FaultAction, FaultPlan, SimDuration, SimTime};
 use proptest::prelude::*;
 

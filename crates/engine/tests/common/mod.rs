@@ -8,9 +8,9 @@
 use std::collections::BTreeMap;
 
 use flowscript_core::samples;
-use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{
-    CbState, InstanceStatus, ObjectVal, ObserveLevel, Reconfig, TaskBehavior, WorkflowSystem,
+    CbState, EngineConfig, InstanceStatus, ObjectVal, ObserveLevel, Reconfig, TaskBehavior,
+    WorkflowSystem,
 };
 use flowscript_sim::net::LinkConfig;
 use flowscript_sim::SimDuration;

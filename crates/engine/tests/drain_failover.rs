@@ -18,9 +18,9 @@ use common::{
     build_orders, build_orders_on, det_link, handoff_frames, order_population as population,
     settled, start_population, text, ONE_TASK,
 };
-use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{
-    InstanceStatus, MoveReport, ObsEventKind, ObserveLevel, TaskBehavior, WorkflowSystem,
+    EngineConfig, InstanceStatus, MoveReport, ObsEventKind, ObserveLevel, TaskBehavior,
+    WorkflowSystem,
 };
 use flowscript_sim::net::LinkConfig;
 use flowscript_sim::{FaultAction, FaultPlan, SimDuration, SimTime};

@@ -28,9 +28,9 @@ use common::{
 };
 use flowscript_core::samples;
 use flowscript_core::schema::compile_source;
-use flowscript_engine::coordinator::EngineConfig;
-use flowscript_engine::facts::decode_block;
-use flowscript_engine::{CbState, CommitBatch, InstanceStatus, TaskBehavior, WorkflowSystem};
+use flowscript_engine::{
+    CbState, CommitBatch, EngineConfig, InstanceStatus, TaskBehavior, WorkflowSystem,
+};
 use flowscript_plan::Plan;
 use flowscript_sim::{SimDuration, SimTime};
 use flowscript_tx::{FactKind, LogRecord, StoreKey};
@@ -617,10 +617,9 @@ fn a_diamond_starts_in_one_frame() {
         .collect();
     let tasks: Vec<u32> = blocks.iter().map(|(task, _)| *task).collect();
     assert_eq!(tasks, [0, 1]);
-    let plan = Plan::lower(&compile_source(samples::FIG1_DIAMOND, "diamond").unwrap());
-    let t1 = decode_block(&plan, 1, blocks[1].1).expect("a block decodes");
-    assert!(matches!(t1.state, CbState::Executing { .. }), "{t1:?}");
-    assert_eq!(blocks[1].1, [2, 0], "`Executing` its class's first set");
+    // `Executing` its class's first set: what `facts.rs`'s unit tests
+    // decode these two bytes as.
+    assert_eq!(blocks[1].1, [2, 0]);
     let bound_t1 = |key: &StoreKey| {
         key.as_fact()
             .is_some_and(|key| key.task == 1 && key.kind == FactKind::Input)

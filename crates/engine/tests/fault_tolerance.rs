@@ -8,20 +8,20 @@ mod common;
 
 use common::text;
 use flowscript_core::samples;
-use flowscript_engine::coordinator::EngineConfig;
-use flowscript_engine::{CbState, InstanceStatus, ObjectVal, TaskBehavior, WorkflowSystem};
+use flowscript_engine::{
+    CbState, EngineConfig, InstanceStatus, ObjectVal, TaskBehavior, WorkflowSystem,
+};
 use flowscript_sim::{FaultAction, FaultPlan, SimDuration, SimTime};
 
-/// Binds a chain-of-N workload built by the core builder.
+/// Binds a chain-of-N workload generated by `samples::chain`.
 fn chain_system(n: usize, seed: u64, config: EngineConfig) -> WorkflowSystem {
-    let script = flowscript_core::builder::chain(n);
-    let source = flowscript_core::fmt::format_script(&script);
     let mut sys = WorkflowSystem::builder()
         .executors(3)
         .seed(seed)
         .config(config)
         .build();
-    sys.register_script("chain", &source, "root").unwrap();
+    sys.register_script("chain", &samples::chain(n), "root")
+        .unwrap();
     for i in 0..n {
         sys.bind_fn(
             &format!("ref{i}"),
@@ -210,17 +210,16 @@ fn whole_system_restart_resumes_from_shared_storage() {
         assert!(sys.outcome("c1").is_none(), "must still be mid-flight");
         // The system dies here (dropped), volatile state lost.
     }
-    let script = flowscript_core::builder::chain(5);
-    let source = flowscript_core::fmt::format_script(&script);
     let mut sys2 = WorkflowSystem::builder()
         .executors(3)
         .seed(13)
         .config(snappy_config())
-        .storage(storage)
+        .shard_storages(vec![storage])
         .build();
     // Re-register the script and re-bind implementations (the registry is
     // volatile, like redeploying service binaries).
-    sys2.register_script("chain", &source, "root").unwrap();
+    sys2.register_script("chain", &samples::chain(5), "root")
+        .unwrap();
     for i in 0..5 {
         sys2.bind_fn(
             &format!("ref{i}"),
@@ -244,14 +243,13 @@ fn whole_system_restart_resumes_from_shared_storage() {
 fn lossy_network_still_completes_via_retries() {
     let mut config = snappy_config();
     config.max_retries = 8;
-    let script = flowscript_core::builder::chain(4);
-    let source = flowscript_core::fmt::format_script(&script);
     let mut sys = WorkflowSystem::builder()
         .executors(2)
         .seed(14)
         .config(config)
         .build();
-    sys.register_script("chain", &source, "root").unwrap();
+    sys.register_script("chain", &samples::chain(4), "root")
+        .unwrap();
     for i in 0..4 {
         sys.bind_fn(
             &format!("ref{i}"),

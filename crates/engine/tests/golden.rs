@@ -52,9 +52,8 @@ use common::{
     start_population, text, Fingerprint,
 };
 use flowscript_core::samples;
-use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{
-    CommitBatch, InstanceStatus, ObjectVal, ObsEventKind, ObserveLevel, TaskBehavior,
+    CommitBatch, EngineConfig, InstanceStatus, ObjectVal, ObsEventKind, ObserveLevel, TaskBehavior,
     WorkflowSystem,
 };
 use flowscript_sim::SimDuration;

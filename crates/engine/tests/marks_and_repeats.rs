@@ -11,7 +11,7 @@ use std::rc::Rc;
 
 use flowscript_core::samples;
 use flowscript_core::schema::compile_source;
-use flowscript_engine::{CbState, ObjectVal, TaskBehavior, WorkflowSystem};
+use flowscript_engine::{CbState, EngineConfig, ObjectVal, TaskBehavior, WorkflowSystem};
 use flowscript_plan::Plan;
 use flowscript_sim::{SimDuration, SimTime};
 use flowscript_tx::FactKind;
@@ -237,7 +237,6 @@ fn repeat_objects_name_the_leaf_that_made_them() {
 
 #[test]
 fn a_repeating_leaf_is_held_to_the_repeat_limit() {
-    use flowscript_engine::coordinator::EngineConfig;
     let config = EngineConfig {
         max_repeats: 5,
         ..EngineConfig::default()

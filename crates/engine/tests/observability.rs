@@ -10,10 +10,9 @@
 mod common;
 
 use common::{build, det_link, text, JOIN};
-use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{
-    CbState, InstanceStatus, ObjectVal, ObsEvent, ObsEventKind, ObserveLevel, TaskBehavior,
-    WorkflowSystem,
+    CbState, EngineConfig, InstanceStatus, ObjectVal, ObsEvent, ObsEventKind, ObserveLevel,
+    TaskBehavior, WorkflowSystem,
 };
 use flowscript_sim::{FaultPlan, SimDuration, SimTime};
 

@@ -11,7 +11,7 @@ use std::rc::Rc;
 
 use flowscript_core::samples;
 use flowscript_engine::{
-    CbState, InstanceStatus, InvokeCtx, ObjectVal, TaskBehavior, WorkflowSystem,
+    CbState, EngineConfig, InstanceStatus, InvokeCtx, ObjectVal, TaskBehavior, WorkflowSystem,
 };
 use flowscript_sim::SimDuration;
 
@@ -691,7 +691,6 @@ fn fig8_trip_fails_when_no_flight_exists() {
 
 #[test]
 fn fig8_repeat_limit_bounds_infinite_hotel_failures() {
-    use flowscript_engine::coordinator::EngineConfig;
     let config = EngineConfig {
         max_repeats: 4,
         ..EngineConfig::default()

@@ -15,8 +15,7 @@ mod common;
 
 use common::{add_t5, text, ONE_TASK};
 use flowscript_core::samples;
-use flowscript_engine::coordinator::EngineConfig;
-use flowscript_engine::{TaskBehavior, WorkflowSystem};
+use flowscript_engine::{EngineConfig, TaskBehavior, WorkflowSystem};
 use flowscript_sim::{NodeId, SimDuration};
 
 fn diamond_fleet(coordinators: usize, checkpoint_every: u64) -> WorkflowSystem {
@@ -55,7 +54,7 @@ fn checkpoint_reclaims_unreferenced_plan_blobs() {
     let original = sys.persisted_plans(0);
     assert_eq!(original.len(), 1, "one fingerprint persisted: {original:?}");
     // The repository's plan was validated once and is held decoded.
-    assert_eq!(sys.cached_plans(0), original);
+    assert_eq!(sys.coord_handle(0).cached_plan_fingerprints(), original);
 
     // Reconfiguring re-lowers the plan under a new fingerprint…
     sys.reconfigure("d1", add_t5()).unwrap();
@@ -66,7 +65,7 @@ fn checkpoint_reclaims_unreferenced_plan_blobs() {
     assert_ne!(after[0], original[0], "the survivor is the new plan");
     // The reclaimed fingerprint left the decoded-plan cache with its
     // blob (the re-lowered plan never came from bytes, so none is held).
-    assert!(sys.cached_plans(0).is_empty());
+    assert!(sys.coord_handle(0).cached_plan_fingerprints().is_empty());
 
     // The GC'd store still recovers: the instance's current plan blob
     // is intact, so a restarted shard decodes it (no front-end rerun).
@@ -76,7 +75,11 @@ fn checkpoint_reclaims_unreferenced_plan_blobs() {
     sys.run();
     assert!(sys.outcome("d1").is_some(), "recovery after GC");
     assert_eq!(sys.stats().recovered_instances, 1);
-    assert_eq!(sys.cached_plans(0), after, "recovery decoded the blob");
+    assert_eq!(
+        sys.coord_handle(0).cached_plan_fingerprints(),
+        after,
+        "recovery decoded the blob"
+    );
 }
 
 #[test]

@@ -15,7 +15,7 @@
 mod common;
 
 use common::{generated_config, run_worklist_case};
-use flowscript_engine::coordinator::EngineConfig;
+use flowscript_engine::EngineConfig;
 use proptest::prelude::*;
 
 proptest! {

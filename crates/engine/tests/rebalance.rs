@@ -473,7 +473,7 @@ fn skewed_maps_trip_the_forward_loop_guard() {
         .map(|i| format!("ping-{i}"))
         .find(|name| skewed.node_of(name) == nodes[1] && straight.node_of(name) == nodes[0])
         .expect("some name the two maps route at each other");
-    sys.skew_shard_map(0, skewed);
+    sys.coord_handle(0).set_shard_map(skewed);
 
     // Shard 0 forwards to shard 1 (its skewed map says so); shard 1
     // forwards straight back. Without the cap this never terminates.

@@ -170,7 +170,7 @@ fn reconfiguration_rescues_stuck_instance() {
             }
         }
     "#;
-    let config = flowscript_engine::coordinator::EngineConfig {
+    let config = flowscript_engine::EngineConfig {
         dispatch_timeout: SimDuration::from_millis(200),
         retry_backoff: SimDuration::from_millis(10),
         ..Default::default()
@@ -331,13 +331,20 @@ fn recovery_without_a_plan_blob_recompiles_the_pinned_source() {
     // had been there.
     let mut decoded = reconfigured_then_crashed(None);
     decoded.run();
-    assert_eq!(decoded.cached_plans(0).len(), 1, "decoded from its blob");
+    assert_eq!(
+        decoded.coord_handle(0).cached_plan_fingerprints().len(),
+        1,
+        "decoded from its blob"
+    );
 
     let mut recompiled = reconfigured_then_crashed(Some("plan"));
     recompiled.run();
     assert_eq!(recompiled.stats().recovered_instances, 1);
     assert!(
-        recompiled.cached_plans(0).is_empty(),
+        recompiled
+            .coord_handle(0)
+            .cached_plan_fingerprints()
+            .is_empty(),
         "garbage must not validate: the plan was recompiled"
     );
     assert!(

@@ -8,9 +8,8 @@ mod common;
 
 use common::{fan_join_source, text};
 use flowscript_core::samples;
-use flowscript_engine::coordinator::EngineConfig;
 use flowscript_engine::{
-    CbState, InstanceStatus, ObjectVal, ObserveLevel, TaskBehavior, WorkflowSystem,
+    CbState, EngineConfig, InstanceStatus, ObjectVal, ObserveLevel, TaskBehavior, WorkflowSystem,
 };
 use flowscript_sim::{NodeId, SimDuration, SimTime};
 
@@ -481,7 +480,7 @@ fn skew_makespan(executors: usize, seed: u64, hinted: bool, instances: usize) ->
     };
     let mut sys = WorkflowSystem::builder()
         .executors(executors)
-        .serial_executors(true)
+        .executor_capacity(1)
         .seed(seed)
         .config(config)
         .trace(false)

@@ -17,8 +17,9 @@ use common::{
     start_population, text, Fingerprint,
 };
 use flowscript_core::samples;
-use flowscript_engine::coordinator::EngineConfig;
-use flowscript_engine::{InstanceStatus, ObjectVal, Reconfig, TaskBehavior, WorkflowSystem};
+use flowscript_engine::{
+    EngineConfig, InstanceStatus, ObjectVal, Reconfig, TaskBehavior, WorkflowSystem,
+};
 use flowscript_sim::{FaultAction, FaultPlan, SimDuration, SimTime};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];

@@ -8,8 +8,7 @@
 //! a run — completed, stuck, repeating or monitored — must not scan.
 
 use flowscript_core::samples;
-use flowscript_engine::coordinator::EngineConfig;
-use flowscript_engine::{InstanceStatus, ObjectVal, TaskBehavior, WorkflowSystem};
+use flowscript_engine::{EngineConfig, InstanceStatus, ObjectVal, TaskBehavior, WorkflowSystem};
 use flowscript_sim::SimDuration;
 
 fn order_sys(seed: u64) -> WorkflowSystem {

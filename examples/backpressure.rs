@@ -12,7 +12,6 @@
 //! ```
 
 use flowscript::prelude::*;
-use flowscript_engine::coordinator::EngineConfig;
 
 const SLOW_JOB: &str = r#"
 class Data;

@@ -7,7 +7,6 @@
 //! ```
 
 use flowscript::prelude::*;
-use flowscript_engine::coordinator::EngineConfig;
 
 fn main() -> Result<(), EngineError> {
     let config = EngineConfig {

@@ -9,7 +9,6 @@
 //! ```
 
 use flowscript::prelude::*;
-use flowscript_engine::coordinator::EngineConfig;
 
 const JOIN: &str = r#"
 class Data;

@@ -88,10 +88,9 @@ fn many_concurrent_instances_of_different_scripts() {
 #[test]
 fn wide_fan_out_fan_in_topology() {
     let width = 24;
-    let script = flowscript::lang::builder::fan(width);
-    let source = flowscript::lang::fmt::format_script(&script);
     let mut sys = WorkflowSystem::builder().executors(6).seed(78).build();
-    sys.register_script("fan", &source, "root").unwrap();
+    sys.register_script("fan", &samples::fan(width), "root")
+        .unwrap();
     sys.bind_fn("refSource", |ctx| {
         TaskBehavior::outcome("done")
             .with_object("out", ObjectVal::text("Data", ctx.input_text("in")))
@@ -172,10 +171,8 @@ proptest! {
     /// for any seed.
     #[test]
     fn chains_complete_for_any_seed(seed: u64, n in 1usize..12) {
-        let script = flowscript::lang::builder::chain(n);
-        let source = flowscript::lang::fmt::format_script(&script);
         let mut sys = WorkflowSystem::builder().executors(3).seed(seed).build();
-        sys.register_script("chain", &source, "root").unwrap();
+        sys.register_script("chain", &samples::chain(n), "root").unwrap();
         for i in 0..n {
             sys.bind_fn(&format!("ref{i}"), move |ctx: &flowscript::engine::InvokeCtx| {
                 TaskBehavior::outcome("done").with_object(

@@ -2,7 +2,6 @@
 //! schema → DOT, plus formatter canonicality, over the paper samples and
 //! generated workloads.
 
-use flowscript::lang::builder;
 use flowscript::lang::dot;
 use flowscript::lang::fmt::format_script;
 use flowscript::lang::schema::compile_source;
@@ -34,15 +33,11 @@ fn samples_pass_the_entire_pipeline() {
 #[test]
 fn generated_workloads_compile_at_scale() {
     for n in [1, 10, 100, 400] {
-        let script = builder::chain(n);
-        let checked = sema::check(&script).unwrap();
-        let schema = flowscript::lang::schema::compile(&checked, "root").unwrap();
+        let schema = compile_source(&samples::chain(n), "root").unwrap();
         assert_eq!(schema.leaf_count(), n);
     }
     for width in [1, 8, 64] {
-        let script = builder::fan(width);
-        let checked = sema::check(&script).unwrap();
-        let schema = flowscript::lang::schema::compile(&checked, "root").unwrap();
+        let schema = compile_source(&samples::fan(width), "root").unwrap();
         assert_eq!(schema.leaf_count(), width + 2);
     }
 }
@@ -50,14 +45,14 @@ fn generated_workloads_compile_at_scale() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Any chain/fan size round-trips text → AST → text and compiles.
+    /// Any generated chain is canonical text (text → AST → text is the
+    /// identity) and compiles.
     #[test]
     fn builder_outputs_roundtrip(n in 1usize..40) {
-        let script = builder::chain(n);
-        let text = format_script(&script);
-        let reparsed = parse(&text).unwrap();
-        prop_assert_eq!(&script, &reparsed);
-        let checked = sema::check(&reparsed).unwrap();
+        let text = samples::chain(n);
+        let script = parse(&text).unwrap();
+        prop_assert_eq!(format_script(&script), text);
+        let checked = sema::check(&script).unwrap();
         let schema = flowscript::lang::schema::compile(&checked, "root").unwrap();
         prop_assert_eq!(schema.leaf_count(), n);
     }
