@@ -28,9 +28,10 @@ use flowscript_sim::{net::LinkConfig, FaultPlan, NodeId, SimDuration, SimTime, W
 use flowscript_tx::{SharedFileStorage, SharedStorage, StableStore};
 
 use crate::coordinator::{
-    CoordHandle, CoordStats, Coordinator, DispatchRecord, EngineConfig, FailoverReport,
-    InstanceStatus, MoveReport, Outcome, TicketRef, DRAIN_BATCH, FLEET_DEADLINE,
+    CoordStats, Coordinator, DispatchRecord, EngineConfig, FailoverReport, InstanceStatus,
+    MoveReport, Outcome, Ticket, DRAIN_BATCH, FLEET_DEADLINE,
 };
+use crate::driver::Driver;
 use crate::error::EngineError;
 use crate::executor;
 use crate::impl_registry::{ImplRegistry, InvokeCtx, TaskBehavior, TaskImpl};
@@ -269,7 +270,7 @@ impl SystemBuilder {
         repo.install(&mut world, repo_node);
 
         let shard = ShardMap::new(coord_nodes.clone());
-        let coords: Vec<CoordHandle> = coord_nodes
+        let coords: Vec<Driver> = coord_nodes
             .iter()
             .zip(&storages)
             .map(|(&node, storage)| {
@@ -282,11 +283,10 @@ impl SystemBuilder {
                     shard.clone(),
                 )
                 .expect("fresh storage opens");
-                let coord = CoordHandle::new(coordinator);
-                coord.install(&mut world);
+                let coord = Driver::install(coordinator, &mut world);
                 // If the storage carried previous state (system
                 // restart), recover this shard.
-                coord.recover(&mut world);
+                coord.restart(&mut world);
                 coord
             })
             .collect();
@@ -352,7 +352,7 @@ pub struct WorkflowSystem {
     executor_specs: Vec<ExecutorSpec>,
     registry: ImplRegistry,
     repo: RepoHandle,
-    coords: Vec<CoordHandle>,
+    coords: Vec<Driver>,
     shard: ShardMap,
     storages: Vec<StableStore>,
     /// Engine policy, retained for late-added coordinators.
@@ -365,7 +365,7 @@ pub struct WorkflowSystem {
     /// relays (late executor reports for their former instances route
     /// through them to the adopter), and their counters, traces and
     /// metrics keep aggregating.
-    retired: Vec<(NodeId, CoordHandle)>,
+    retired: Vec<Driver>,
 }
 
 impl WorkflowSystem {
@@ -374,8 +374,8 @@ impl WorkflowSystem {
         SystemBuilder::default()
     }
 
-    /// The coordinator handle owning `instance` per the shard map.
-    fn coord_for(&self, instance: &str) -> &CoordHandle {
+    /// The shard owning `instance` per the shard map.
+    fn coord_for(&self, instance: &str) -> &Driver {
         &self.coords[self.shard.shard_of(instance)]
     }
 
@@ -613,12 +613,12 @@ impl WorkflowSystem {
     ///
     /// [`EngineError::UnknownInstance`].
     pub fn status(&self, instance: &str) -> Result<InstanceStatus, EngineError> {
-        self.coord_for(instance).status(instance)
+        self.coord_for(instance).get().status(instance)
     }
 
     /// The final outcome, if the instance completed.
     pub fn outcome(&self, instance: &str) -> Option<Outcome> {
-        match self.coord_for(instance).status(instance) {
+        match self.coord_for(instance).get().status(instance) {
             Ok(InstanceStatus::Completed(outcome)) => Some(outcome),
             _ => None,
         }
@@ -626,7 +626,7 @@ impl WorkflowSystem {
 
     /// Every task's state, keyed by path.
     pub fn task_states(&self, instance: &str) -> BTreeMap<String, CbState> {
-        self.coord_for(instance).task_states(instance)
+        self.coord_for(instance).get_mut().task_states(instance)
     }
 
     /// A published output fact (e.g. a root-level mark like `toPay`).
@@ -636,16 +636,15 @@ impl WorkflowSystem {
         path: &str,
         output: &str,
     ) -> Option<BTreeMap<String, ObjectVal>> {
-        self.coord_for(instance).output_fact(instance, path, output)
+        let shard = self.coord_for(instance).get();
+        shard.output_fact(instance, path, output)
     }
 
-    /// Every coordinator handle: the active shards plus retired ones
-    /// (drained or failed-over nodes kept as relays). Aggregations walk
-    /// all of them so a shard's history survives its retirement.
-    fn all_coords(&self) -> impl Iterator<Item = &CoordHandle> {
-        self.coords
-            .iter()
-            .chain(self.retired.iter().map(|(_, coord)| coord))
+    /// Every shard: the active ones plus retired ones (drained or
+    /// failed-over nodes kept as relays). Aggregations walk all of them
+    /// so a shard's history survives its retirement.
+    fn all_coords(&self) -> impl Iterator<Item = &Driver> {
+        self.coords.iter().chain(&self.retired)
     }
 
     /// Engine counters, aggregated over every coordinator shard —
@@ -654,7 +653,7 @@ impl WorkflowSystem {
     pub fn stats(&self) -> CoordStats {
         let mut total = CoordStats::default();
         for coord in self.all_coords() {
-            total += &coord.stats();
+            total += &coord.get().stats();
         }
         total
     }
@@ -665,7 +664,7 @@ impl WorkflowSystem {
     ///
     /// Panics if `shard` is out of range.
     pub fn shard_stats(&self, shard: usize) -> CoordStats {
-        self.coords[shard].stats()
+        self.coords[shard].get().stats()
     }
 
     /// Ordered dispatch decisions, concatenated shard by shard (within
@@ -675,23 +674,22 @@ impl WorkflowSystem {
     /// recorders: empty below [`ObserveLevel::Trace`].
     pub fn dispatch_trace(&self) -> Vec<DispatchRecord> {
         self.all_coords()
-            .flat_map(|coord| coord.dispatch_trace())
+            .flat_map(|coord| coord.get().recorder().events())
+            .filter_map(DispatchRecord::from_event)
             .collect()
     }
 
     /// One instance's dispatch decisions on its owning shard, in order
     /// of occurrence.
     pub fn dispatch_trace_of(&self, instance: &str) -> Vec<DispatchRecord> {
-        let events = self.coord_for(instance).recorder().events_for(instance);
-        events
-            .into_iter()
-            .filter_map(DispatchRecord::from_event)
-            .collect()
+        let recorder = self.coord_for(instance).get().recorder();
+        let events = recorder.events_for(instance).into_iter();
+        events.filter_map(DispatchRecord::from_event).collect()
     }
 
     /// Total coordinator log size in bytes (all shards).
     pub fn log_size(&self) -> u64 {
-        self.coords.iter().map(CoordHandle::log_size).sum()
+        self.coords.iter().map(|coord| coord.get().log_size()).sum()
     }
 
     /// Uid prefix scans served by every shard's store (regression
@@ -699,7 +697,7 @@ impl WorkflowSystem {
     pub fn store_prefix_scans(&self) -> u64 {
         self.coords
             .iter()
-            .map(CoordHandle::store_prefix_scans)
+            .map(|coord| coord.get().store_prefix_scans())
             .sum()
     }
 
@@ -710,7 +708,7 @@ impl WorkflowSystem {
     pub fn store_fact_range_scans(&self) -> u64 {
         self.coords
             .iter()
-            .map(CoordHandle::store_fact_range_scans)
+            .map(|coord| coord.get().store_fact_range_scans())
             .sum()
     }
 
@@ -721,7 +719,7 @@ impl WorkflowSystem {
     ///
     /// Panics if `shard` is out of range.
     pub fn persisted_plans(&self, shard: usize) -> Vec<u64> {
-        self.coords[shard].persisted_plan_fingerprints()
+        self.coords[shard].get().persisted_plan_fingerprints()
     }
 
     /// Corrupts one fact of `path` in place — the output, else the
@@ -729,7 +727,8 @@ impl WorkflowSystem {
     /// tests).
     #[doc(hidden)]
     pub fn poison_fact(&self, instance: &str, path: &str, name: &str) -> bool {
-        self.coord_for(instance).poison_fact(instance, path, name)
+        let mut shard = self.coord_for(instance).get_mut();
+        shard.poison_fact(instance, path, name)
     }
 
     /// Sends a forged `Mark` message for `instance` *via* shard `via`
@@ -777,7 +776,7 @@ impl WorkflowSystem {
     ///
     /// Panics if `shard` is out of range.
     pub fn executor_loads(&self, shard: usize) -> Vec<crate::sched::ExecutorSlot> {
-        self.coords[shard].executor_loads()
+        self.coords[shard].get().executor_loads()
     }
 
     /// The simulation trace (network/scheduler events of the simulated
@@ -799,7 +798,7 @@ impl WorkflowSystem {
     pub fn trace(&self, instance: &str) -> Vec<ObsEvent> {
         let mut events: Vec<ObsEvent> = self
             .all_coords()
-            .flat_map(|coord| coord.recorder().events_for(instance))
+            .flat_map(|coord| coord.get().recorder().events_for(instance))
             .collect();
         events.sort_by_key(|event| (event.at_ns, event.shard, event.seq));
         events
@@ -812,7 +811,7 @@ impl WorkflowSystem {
     pub fn metrics_snapshot(&self) -> Snapshot {
         let mut merged = Snapshot::default();
         for coord in self.all_coords() {
-            merged.merge(&coord.registry().snapshot());
+            merged.merge(&coord.get().registry().snapshot());
         }
         merged
     }
@@ -824,7 +823,7 @@ impl WorkflowSystem {
     ///
     /// Panics if `shard` is out of range.
     pub fn shard_registry(&self, shard: usize) -> Registry {
-        self.coords[shard].registry()
+        self.coords[shard].get().registry()
     }
 
     /// Administrative fact repair on the owning shard: re-publishes
@@ -851,7 +850,9 @@ impl WorkflowSystem {
         let objects: BTreeMap<String, ObjectVal> =
             objects.into_iter().map(|(k, v)| (k.into(), v)).collect();
         let coord = self.coord_for(instance).clone();
-        coord.repair_fact(&mut self.world, instance, path, output, objects)
+        coord.call(&mut self.world, |shard, now| {
+            shard.repair_fact(now, instance, path, output, objects)
+        })
     }
 
     // -----------------------------------------------------------------
@@ -866,7 +867,9 @@ impl WorkflowSystem {
     /// Validation failures leave the instance untouched.
     pub fn reconfigure(&mut self, instance: &str, op: Reconfig) -> Result<(), EngineError> {
         let coord = self.coord_for(instance).clone();
-        coord.reconfigure(&mut self.world, instance, op)
+        coord.call(&mut self.world, |shard, now| {
+            shard.reconfigure(now, instance, op)
+        })
     }
 
     /// Aborts a *waiting* task with one of its declared abort outcomes
@@ -882,7 +885,9 @@ impl WorkflowSystem {
         outcome: &str,
     ) -> Result<(), EngineError> {
         let coord = self.coord_for(instance).clone();
-        coord.abort_waiting_task(&mut self.world, instance, path, outcome)
+        coord.call(&mut self.world, |shard, now| {
+            shard.abort_waiting_task(now, instance, path, outcome)
+        })
     }
 
     /// Starts an instance of a *specific version* of a repository script.
@@ -987,8 +992,7 @@ impl WorkflowSystem {
             storage.clone(),
             new_map.clone(),
         )?;
-        let coord = CoordHandle::new(coordinator);
-        coord.install(&mut self.world);
+        let coord = Driver::install(coordinator, &mut self.world);
         self.coords.push(coord);
         self.coord_nodes.push(node);
         self.storages.push(storage);
@@ -1034,7 +1038,7 @@ impl WorkflowSystem {
         let report = self.hand_off(&new_map, 0..self.coords.len(), 1)?;
         // The flip: everyone adopts the new map at its bumped epoch.
         for coord in &self.coords {
-            coord.set_shard_map(new_map.clone());
+            coord.get_mut().set_shard_map(new_map.clone());
         }
         self.shard = new_map;
         Ok(report)
@@ -1057,33 +1061,48 @@ impl WorkflowSystem {
         };
         for idx in sources {
             let source = self.coords[idx].clone();
-            let ticket = source.begin_move(&mut self.world, new_map, limit)?;
-            total.absorb(self.await_report(source.node(), &ticket)?);
+            let node = self.coord_nodes[idx];
+            if !self.world.is_up(node) {
+                // A trigger handed to a crashed process reaches nobody.
+                return Err(EngineError::Tx(format!("coordinator {node} is down")));
+            }
+            source.call(&mut self.world, |shard, now| {
+                shard.begin_move(now, new_map, limit)
+            });
+            total.absorb(self.await_report(&source, Coordinator::move_ticket)?);
         }
         Ok(total)
     }
 
-    /// Steps the world until `node` has filed the report of the fleet
-    /// operation it was just handed, giving up — and saying so on the
-    /// ticket — once [`FLEET_DEADLINE`] of virtual time passes without
-    /// it completing a round or a claim.
-    fn await_report<T>(&mut self, node: NodeId, ticket: &TicketRef<T>) -> Result<T, EngineError> {
+    /// Steps the world until `shard` has filed on its `ticket` the
+    /// report of the fleet operation it was just handed, giving up — and
+    /// telling the shard so — once [`FLEET_DEADLINE`] of virtual time
+    /// passes without it completing a round or a claim.
+    fn await_report<T>(
+        &mut self,
+        shard: &Driver,
+        ticket: fn(&mut Coordinator) -> &mut Ticket<T>,
+    ) -> Result<T, EngineError> {
         let mut seen = 0;
         let mut deadline = self.world.now() + FLEET_DEADLINE;
         loop {
-            let mut filed = ticket.borrow_mut();
-            if let Some(report) = filed.outcome.take() {
+            let (outcome, progress) = {
+                let mut coordinator = shard.get_mut();
+                let filed = ticket(&mut coordinator);
+                (filed.outcome.take(), filed.progress)
+            };
+            if let Some(report) = outcome {
                 return report;
             }
-            if filed.progress != seen {
-                seen = filed.progress;
+            if progress != seen {
+                seen = progress;
                 deadline = self.world.now() + FLEET_DEADLINE;
             }
-            drop(filed);
             if !self.world.step_until(deadline) {
-                ticket.borrow_mut().cancelled = true;
+                shard.get_mut().give_up();
                 return Err(EngineError::Tx(format!(
-                    "coordinator {node} reported no progress for {} ms",
+                    "coordinator {} reported no progress for {} ms",
+                    shard.get().node(),
                     FLEET_DEADLINE.as_millis()
                 )));
             }
@@ -1119,15 +1138,15 @@ impl WorkflowSystem {
     /// re-pointed off departed nodes — so late executor reports for
     /// its former instances forward straight to the adopter.
     fn retire_coordinator(&mut self, idx: usize, new_map: ShardMap) {
-        let node = self.coord_nodes.remove(idx);
+        self.coord_nodes.remove(idx);
         let coord = self.coords.remove(idx);
         self.storages.remove(idx);
-        coord.set_shard_map_relay(new_map.clone());
+        coord.get_mut().set_shard_map_relay(new_map.clone());
         for survivor in &self.coords {
-            survivor.set_shard_map(new_map.clone());
+            survivor.get_mut().set_shard_map(new_map.clone());
         }
         self.shard = new_map;
-        self.retired.push((node, coord));
+        self.retired.push(coord);
     }
 
     /// Drains and removes coordinator `name` from the execution
@@ -1148,15 +1167,17 @@ impl WorkflowSystem {
     pub fn remove_coordinator(&mut self, name: &str) -> Result<MoveReport, EngineError> {
         let (idx, new_map) = self.departure(name, "drain")?;
         let src = self.coords[idx].clone();
-        let remaining = src.instance_names().len() as u64;
+        let remaining = src.get().instance_names().len() as u64;
         let begin = ObsEventKind::DrainBegin { remaining };
-        src.record_system_event(self.world.now().as_nanos(), name, begin);
+        src.get_mut()
+            .record_system_event(self.world.now(), name, begin);
         let report = self.hand_off(&new_map, std::iter::once(idx), DRAIN_BATCH)?;
         let end = ObsEventKind::DrainEnd {
             moved: report.moved as u64,
             rounds: report.rounds as u64,
         };
-        src.record_system_event(self.world.now().as_nanos(), name, end);
+        src.get_mut()
+            .record_system_event(self.world.now(), name, end);
         self.retire_coordinator(idx, new_map);
         Ok(report)
     }
@@ -1187,29 +1208,29 @@ impl WorkflowSystem {
     pub fn adopt_dead_shard(&mut self, name: &str) -> Result<FailoverReport, EngineError> {
         let (idx, new_map) = self.departure(name, "fail over")?;
         let dead = self.coord_nodes[idx];
-        let claimant = self
-            .coords
-            .iter()
-            .find(|coord| coord.node() != dead && self.world.is_up(coord.node()))
-            .cloned()
+        let claimant = (self.coord_nodes.iter().zip(&self.coords))
+            .find(|&(&node, _)| node != dead && self.world.is_up(node))
+            .map(|(_, coord)| coord.clone())
             .ok_or_else(|| {
                 EngineError::Tx(format!("no surviving coordinator is up to claim `{name}`"))
             })?;
         let storage = self.storages[idx].clone();
-        let ticket = claimant.begin_adoption(&mut self.world, storage, dead, &new_map)?;
-        let report = self.await_report(claimant.node(), &ticket)?;
+        claimant.call(&mut self.world, |shard, now| {
+            shard.begin_adoption(now, storage, dead, &new_map)
+        })?;
+        let report = self.await_report(&claimant, Coordinator::adoption_ticket)?;
         self.retire_coordinator(idx, new_map);
         Ok(report)
     }
 
     /// Direct handle on one coordinator shard — test hook for reading
-    /// one shard's residency, recorder and counters.
+    /// one shard's residency, recorder, counters and timers.
     ///
     /// # Panics
     ///
     /// Panics if `shard` is out of range.
     #[doc(hidden)]
-    pub fn coord_handle(&self, shard: usize) -> CoordHandle {
+    pub fn coord_handle(&self, shard: usize) -> Driver {
         self.coords[shard].clone()
     }
 
@@ -1217,10 +1238,18 @@ impl WorkflowSystem {
     /// another node (what a test may hold to its volatile invariants).
     #[doc(hidden)]
     pub fn serving_shards(&self) -> Vec<usize> {
-        let serving = |coord: &CoordHandle| self.world.is_up(coord.node()) && !coord.is_fenced();
+        let serving = |shard: usize| {
+            self.world.is_up(self.coord_nodes[shard]) && !self.coords[shard].get_mut().is_fenced()
+        };
         (0..self.coords.len())
-            .filter(|&shard| serving(&self.coords[shard]))
+            .filter(|&shard| serving(shard))
             .collect()
+    }
+
+    /// Whether the world has no event left to run.
+    #[doc(hidden)]
+    pub fn is_quiescent(&self) -> bool {
+        self.world.pending_events() == 0
     }
 
     /// Schedules a fault plan.
@@ -1444,7 +1473,11 @@ mod tests {
         // its true fingerprint), and the bad bytes were never cached.
         assert_eq!(sys.outcome("i1").expect("completed").name, "done");
         assert_eq!(sys.persisted_plans(0).len(), 1);
-        assert!(sys.coord_handle(0).cached_plan_fingerprints().is_empty());
+        assert!(sys
+            .coord_handle(0)
+            .get()
+            .cached_plan_fingerprints()
+            .is_empty());
     }
 
     #[test]

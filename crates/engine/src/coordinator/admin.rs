@@ -9,13 +9,13 @@ use std::rc::Rc;
 use flowscript_core::ast::OutputKind;
 use flowscript_obs::ObsEventKind;
 use flowscript_plan::{Plan, TaskId};
-use flowscript_sim::World;
+use flowscript_sim::SimTime;
 use flowscript_tx::StoreKey;
 
 use super::lifecycle::pin_blobs;
 use super::meta::source_hash;
 use super::step::Effect;
-use super::{CoordHandle, Coordinator, InstanceStatus, StatusRecord};
+use super::{Coordinator, InstanceStatus, Output, StatusRecord};
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::{plan_uid, source_uid, status_uid, InstanceKeys};
@@ -34,20 +34,16 @@ impl Coordinator {
         });
         staged.is_ok()
     }
-}
 
-impl CoordHandle {
     /// Overwrites every stored sub-key of one fact of `path` — the
     /// output called `name`, else the input set called `name` — with
     /// undecodable bytes: fault injection for the corrupt-record tests
     /// (a read must surface the fault, not "absent").
     #[doc(hidden)]
-    pub fn poison_fact(&self, instance: &str, path: &str, name: &str) -> bool {
-        let mut coordinator = self.inner.borrow_mut();
-        let Some(rt) = coordinator.instances.get(instance) else {
+    pub fn poison_fact(&mut self, instance: &str, path: &str, name: &str) -> bool {
+        let Some((plan, keys)) = self.instance_ctx(instance) else {
             return false;
         };
-        let (plan, keys) = (rt.plan.clone(), rt.keys.clone());
         let Some(task) = plan.task_by_path(path) else {
             return false;
         };
@@ -57,35 +53,34 @@ impl CoordHandle {
         let Some(base) = base else {
             return false;
         };
-        let mut targets = coordinator.mgr.fact_keys_in_range(base, base.fact_last());
+        let mut targets = self.mgr.fact_keys_in_range(base, base.fact_last());
         if targets.is_empty() {
             targets.push(base);
         }
-        coordinator.poison(targets.into_iter().map(StoreKey::Fact))
+        self.poison(targets.into_iter().map(StoreKey::Fact))
     }
 
-    /// [`CoordHandle::poison_fact`] for one of the three records an
+    /// [`Coordinator::poison_fact`] for one of the three records an
     /// instance keeps besides its facts: `which` names its `status`
     /// record, or the `plan` or `source` blob it pins. Works on a
     /// crashed coordinator too (the bytes land in its log, as a fault
     /// that struck while it was down would).
     #[doc(hidden)]
-    pub fn poison_record(&self, instance: &str, which: &str) -> bool {
-        let mut coordinator = self.inner.borrow_mut();
+    pub fn poison_record(&mut self, instance: &str, which: &str) -> bool {
         let key = match which {
             "status" => Some(status_uid(instance)),
-            "plan" => coordinator
+            "plan" => self
                 .read_status(instance)
                 .map(|record| plan_uid(record.plan_fingerprint))
                 .ok(),
-            "source" => coordinator
+            "source" => self
                 .read_header(instance)
                 .map(|header| source_uid(header.source_hash))
                 .ok(),
             _ => None,
         };
-        match key.filter(|key| coordinator.mgr.exists_key(key)) {
-            Some(key) => coordinator.poison([key]),
+        match key.filter(|key| self.mgr.exists_key(key)) {
+            Some(key) => self.poison([key]),
             None => false,
         }
     }
@@ -106,111 +101,106 @@ impl CoordHandle {
     /// Unknown instance/task, an undeclared output name, an outcome the
     /// task's state cannot take (fig. 3 has no `Waiting → Done`), or a
     /// failed commit: each leaves the instance untouched.
-    pub fn repair_fact(
-        &self,
-        world: &mut World,
+    pub(crate) fn repair_fact(
+        &mut self,
+        now: SimTime,
         instance: &str,
         path: &str,
         output: &str,
         objects: BTreeMap<String, ObjectVal>,
-    ) -> Result<(), EngineError> {
-        // Repair reads current state: absorb the batch window first.
-        self.flush_pending(world);
-        let (plan, keys) = {
-            let mut coordinator = self.inner.borrow_mut();
-            let Some(rt) = coordinator.instances.get_mut(instance) else {
-                return Err(EngineError::UnknownInstance(instance.to_string()));
+    ) -> (Result<(), EngineError>, Vec<Output>) {
+        self.at(now, |this| {
+            // Repair reads current state: absorb the batch window first.
+            this.flush_pending();
+            let (plan, keys) = this.plant(instance)?;
+            let Some(task_id) = plan.task_by_path(path) else {
+                return Err(EngineError::UnknownTask(path.to_string()));
             };
-            rt.planted = true; // this may publish below a scope yet to activate
-            (rt.plan.clone(), rt.keys.clone())
-        };
-        let Some(task_id) = plan.task_by_path(path) else {
-            return Err(EngineError::UnknownTask(path.to_string()));
-        };
-        let class = plan.class_of(plan.task(task_id));
-        let kind = plan
-            .class_output(class, output)
-            .map(|decl| decl.kind)
-            .ok_or_else(|| {
-                EngineError::BadInputs(format!("task `{path}` declares no output `{output}`"))
-            })?;
-        let Some(out_key) = keys.out_key(&plan, task_id, output) else {
-            return Err(EngineError::UnknownTask(path.to_string()));
-        };
-        let stamped: BTreeMap<String, ObjectVal> = objects
-            .into_iter()
-            .map(|(k, v)| (k, v.produced_by(path.to_string())))
-            .collect();
-        // One step: the fact, the forced block, the revival and the
-        // full drain behind them — the repaired fact has no commit to
-        // seed from.
-        self.reevaluate(world, instance, |coordinator, step, drain| {
-            let mut cb = coordinator.staged_cb(step, &plan, &keys, task_id)?;
-            let forced = match kind {
-                _ if cb.state.is_terminal() => None,
-                OutputKind::Outcome => Some(CbState::Done {
-                    outcome: output.to_string(),
-                }),
-                OutputKind::AbortOutcome => Some(CbState::Aborted {
-                    outcome: output.to_string(),
-                }),
-                OutputKind::RepeatOutcome | OutputKind::Mark => None,
+            let class = plan.class_of(plan.task(task_id));
+            let kind = plan
+                .class_output(class, output)
+                .map(|decl| decl.kind)
+                .ok_or_else(|| {
+                    EngineError::BadInputs(format!("task `{path}` declares no output `{output}`"))
+                })?;
+            let Some(out_key) = keys.out_key(&plan, task_id, output) else {
+                return Err(EngineError::UnknownTask(path.to_string()));
             };
-            if let Some(state) = forced.clone() {
-                // Not every state can take every outcome (fig. 3): a task
-                // still `Waiting` has bound no inputs to complete on.
-                if !TaskCb::transition_allowed(&cb.state, &state) {
-                    return Err(EngineError::ReconfigRejected(format!(
-                        "task `{path}` cannot be forced to `{output}` from state {:?}",
-                        cb.state
-                    )));
+            let stamped: BTreeMap<String, ObjectVal> = objects
+                .into_iter()
+                .map(|(k, v)| (k, v.produced_by(path.to_string())))
+                .collect();
+            // One step: the fact, the forced block, the revival and the
+            // full drain behind them — the repaired fact has no commit to
+            // seed from.
+            this.reevaluate(instance, |coordinator, step, drain| {
+                let mut cb = coordinator.staged_cb(step, &plan, &keys, task_id)?;
+                let forced = match kind {
+                    _ if cb.state.is_terminal() => None,
+                    OutputKind::Outcome => Some(CbState::Done {
+                        outcome: output.to_string(),
+                    }),
+                    OutputKind::AbortOutcome => Some(CbState::Aborted {
+                        outcome: output.to_string(),
+                    }),
+                    OutputKind::RepeatOutcome | OutputKind::Mark => None,
+                };
+                if let Some(state) = forced.clone() {
+                    // Not every state can take every outcome (fig. 3): a task
+                    // still `Waiting` has bound no inputs to complete on.
+                    if !TaskCb::transition_allowed(&cb.state, &state) {
+                        return Err(EngineError::ReconfigRejected(format!(
+                            "task `{path}` cannot be forced to `{output}` from state {:?}",
+                            cb.state
+                        )));
+                    }
+                    cb.transition(state);
                 }
-                cb.transition(state);
-            }
-            let revival = coordinator
-                .staged::<StatusRecord>(step, keys.status())?
-                .filter(|record| matches!(record.status, InstanceStatus::Stuck { .. }))
-                .map(|mut record| {
-                    record.status = InstanceStatus::Running;
-                    record
+                let revival = coordinator
+                    .staged::<StatusRecord>(step, keys.status())?
+                    .filter(|record| matches!(record.status, InstanceStatus::Stuck { .. }))
+                    .map(|mut record| {
+                        record.status = InstanceStatus::Running;
+                        record
+                    });
+                let action = step.action(&mut coordinator.mgr);
+                let mgr = &mut coordinator.mgr;
+                // Drop the stored sub-keys first: a corrupt record may use
+                // a different layout than the rewrite below.
+                for fact in mgr.fact_keys_in_range(out_key, out_key.fact_last()) {
+                    mgr.delete_key(action, &StoreKey::Fact(fact))?;
+                }
+                facts::write_fact_map(mgr, action, &plan, out_key, &stamped)?;
+                if forced.is_some() {
+                    facts::write_block(mgr, action, &plan, &keys, task_id, &cb)?;
+                }
+                if let Some(record) = revival {
+                    // Back from Stuck: the instance is evaluated, and counts
+                    // against the admission cap, again.
+                    mgr.write_key(action, keys.status(), &record)?;
+                    step.push(&drain.name, Effect::Status(record.status));
+                    drain.terminal = false;
+                }
+                let what = match forced {
+                    Some(_) => {
+                        // Whatever the task had on the wire will never be
+                        // applied.
+                        step.push(&drain.name, Effect::Terminals(1));
+                        step.push(&drain.name, Effect::Discard(task_id..task_id + 1));
+                        drain.lands(task_id);
+                        format!("forced `{output}` of `{path}`")
+                    }
+                    None => format!("republished `{output}` of `{path}`"),
+                };
+                coordinator.trace(step, &drain.name, Some(path), cb.attempt, || {
+                    ObsEventKind::Repair { what }
                 });
-            let action = step.action(&mut coordinator.mgr);
-            let mgr = &mut coordinator.mgr;
-            // Drop the stored sub-keys first: a corrupt record may use
-            // a different layout than the rewrite below.
-            for fact in mgr.fact_keys_in_range(out_key, out_key.fact_last()) {
-                mgr.delete_key(action, &StoreKey::Fact(fact))?;
-            }
-            facts::write_fact_map(mgr, action, &plan, out_key, &stamped)?;
-            if forced.is_some() {
-                facts::write_block(mgr, action, &plan, &keys, task_id, &cb)?;
-            }
-            if let Some(record) = revival {
-                // Back from Stuck: the instance is evaluated, and counts
-                // against the admission cap, again.
-                mgr.write_key(action, keys.status(), &record)?;
-                step.push(&drain.name, Effect::Status(record.status));
-                drain.terminal = false;
-            }
-            let what = match forced {
-                Some(_) => {
-                    // Whatever the task had on the wire will never be
-                    // applied.
-                    step.push(&drain.name, Effect::Terminals(1));
-                    step.push(&drain.name, Effect::Discard(task_id..task_id + 1));
-                    drain.lands(task_id);
-                    format!("forced `{output}` of `{path}`")
-                }
-                None => format!("republished `{output}` of `{path}`"),
-            };
-            coordinator.trace(step, &drain.name, Some(path), cb.attempt, || {
-                ObsEventKind::Repair { what }
-            });
-            drain.worklist.seed_all(&plan);
+                drain.worklist.seed_all(&plan);
+                Ok(())
+            })?;
+            this.pump();
             Ok(())
-        })?;
-        self.pump(world);
-        Ok(())
+        })
     }
 
     /// Applies a reconfiguration to a running instance: a new version
@@ -231,89 +221,91 @@ impl CoordHandle {
     ///
     /// Validation failures, and a commit that fails, leave the instance
     /// untouched.
-    pub fn reconfigure(
-        &self,
-        world: &mut World,
+    pub(crate) fn reconfigure(
+        &mut self,
+        now: SimTime,
         instance: &str,
         op: Reconfig,
-    ) -> Result<(), EngineError> {
-        // Reconfiguration edits committed truth: absorb the batch window
-        // first.
-        self.flush_pending(world);
-        let (old_plan, old_keys) = self
-            .instance_ctx(instance)
-            .ok_or_else(|| EngineError::UnknownInstance(instance.to_string()))?;
-        let name: Rc<str> = Rc::from(instance);
-        let staged = self.inner.borrow_mut().run_step(|coordinator, step| {
-            let mut header = coordinator.read_header(instance)?;
-            let source = coordinator.pinned_source(instance, &header)?;
-            let (text, plan) = reconfig::apply(source, &header.root, &op)?;
-            let plan = Rc::new(plan);
-            let keys = Rc::new(InstanceKeys::build(&plan, instance, old_keys.instance_id));
-            fn path(plan: &Plan, id: TaskId) -> &str {
-                plan.str(plan.task(id).path)
-            }
-            let old_id = |id: TaskId| old_plan.task_by_path(path(&plan, id));
-            // The new tasks are the paths the old plan lacks; each joins
-            // the current incarnation of its scope — a block to store
-            // unless that is the first, which a missing block reads as.
-            let mut new_blocks: Vec<(TaskId, TaskCb)> = Vec::new();
-            for id in (0..plan.tasks.len() as TaskId).filter(|&id| old_id(id).is_none()) {
-                let mut cb = TaskCb::waiting();
-                if let Some(scope) = plan.task(id).parent.and_then(old_id) {
-                    cb.incarnation = coordinator
-                        .read_cb_id(&old_plan, &old_keys, scope)?
-                        .scope_inc;
+    ) -> (Result<(), EngineError>, Vec<Output>) {
+        self.at(now, |this| {
+            // Reconfiguration edits committed truth: absorb the batch window
+            // first.
+            this.flush_pending();
+            let (old_plan, old_keys) = this
+                .instance_ctx(instance)
+                .ok_or_else(|| EngineError::UnknownInstance(instance.to_string()))?;
+            let name: Rc<str> = Rc::from(instance);
+            let staged = this.run_step(|coordinator, step| {
+                let mut header = coordinator.read_header(instance)?;
+                let source = coordinator.pinned_source(instance, &header)?;
+                let (text, plan) = reconfig::apply(source, &header.root, &op)?;
+                let plan = Rc::new(plan);
+                let keys = Rc::new(InstanceKeys::build(&plan, instance, old_keys.instance_id));
+                fn path(plan: &Plan, id: TaskId) -> &str {
+                    plan.str(plan.task(id).path)
                 }
-                if cb != TaskCb::waiting() {
-                    new_blocks.push((id, cb));
+                let old_id = |id: TaskId| old_plan.task_by_path(path(&plan, id));
+                // The new tasks are the paths the old plan lacks; each joins
+                // the current incarnation of its scope — a block to store
+                // unless that is the first, which a missing block reads as.
+                let mut new_blocks: Vec<(TaskId, TaskCb)> = Vec::new();
+                for id in (0..plan.tasks.len() as TaskId).filter(|&id| old_id(id).is_none()) {
+                    let mut cb = TaskCb::waiting();
+                    if let Some(scope) = plan.task(id).parent.and_then(old_id) {
+                        cb.incarnation = coordinator
+                            .read_cb_id(&old_plan, &old_keys, scope)?
+                            .scope_inc;
+                    }
+                    if cb != TaskCb::waiting() {
+                        new_blocks.push((id, cb));
+                    }
                 }
-            }
-            let mut record = coordinator.read_status(instance)?;
-            // A reconfiguration can rescue a stuck instance (e.g. by
-            // adding an alternative source): it is evaluated again.
-            let revived = matches!(record.status, InstanceStatus::Stuck { .. });
-            if revived {
-                record.status = InstanceStatus::Running;
-            }
-            record.plan_fingerprint = plan.fingerprint;
-            let hash = source_hash(&text);
-            header.source_hash = hash;
-            let action = step.action(&mut coordinator.mgr);
-            let mgr = &mut coordinator.mgr;
-            // The remap reads committed state: it stages first.
-            let id = old_keys.instance_id;
-            facts::remap_instance_facts(mgr, action, &old_plan, &old_keys, &plan, id)?;
-            pin_blobs(mgr, action, &header.script, hash, &text, &plan)?;
-            mgr.write_key(action, keys.meta(), &header)?;
-            mgr.write_key(action, keys.status(), &record)?;
-            // After the remap: a new task may take an id it vacated.
-            for (task, cb) in &new_blocks {
-                facts::write_block(mgr, action, &plan, &keys, *task, cb)?;
-            }
-            let nonterminal = coordinator.count_nonterminal(step.staged(), &plan, &keys);
-            let replan = Effect::Replan(plan.clone(), keys.clone(), nonterminal);
-            step.push(&name, replan);
-            if revived {
-                step.push(&name, Effect::Status(InstanceStatus::Running));
-            }
-            step.push(&name, Effect::Count(coordinator.metrics.reconfigs.clone()));
-            // The drain runs over the new plan, its flights re-keyed
-            // onto it the way the books will be.
-            let mut drain = coordinator.drain_of(name.clone(), &plan, &keys);
-            drain.terminal = record.status.is_terminal();
-            let flying = drain.flying.iter();
-            let moved = flying.filter_map(|&task| plan.task_by_path(path(&old_plan, task)));
-            drain.flying = moved.collect();
-            drain.worklist.seed_all(&plan);
-            coordinator.stage_drain(step, &mut drain)
-        });
-        let ((), effects) = staged?;
-        self.publish(world, effects);
-        let _ = self.inner.borrow_mut().maybe_checkpoint();
-        self.assert_settled(instance);
-        self.pump(world);
-        Ok(())
+                let mut record = coordinator.read_status(instance)?;
+                // A reconfiguration can rescue a stuck instance (e.g. by
+                // adding an alternative source): it is evaluated again.
+                let revived = matches!(record.status, InstanceStatus::Stuck { .. });
+                if revived {
+                    record.status = InstanceStatus::Running;
+                }
+                record.plan_fingerprint = plan.fingerprint;
+                let hash = source_hash(&text);
+                header.source_hash = hash;
+                let action = step.action(&mut coordinator.mgr);
+                let mgr = &mut coordinator.mgr;
+                // The remap reads committed state: it stages first.
+                let id = old_keys.instance_id;
+                facts::remap_instance_facts(mgr, action, &old_plan, &old_keys, &plan, id)?;
+                pin_blobs(mgr, action, &header.script, hash, &text, &plan)?;
+                mgr.write_key(action, keys.meta(), &header)?;
+                mgr.write_key(action, keys.status(), &record)?;
+                // After the remap: a new task may take an id it vacated.
+                for (task, cb) in &new_blocks {
+                    facts::write_block(mgr, action, &plan, &keys, *task, cb)?;
+                }
+                let nonterminal = coordinator.count_nonterminal(step.staged(), &plan, &keys);
+                let replan = Effect::Replan(plan.clone(), keys.clone(), nonterminal);
+                step.push(&name, replan);
+                if revived {
+                    step.push(&name, Effect::Status(InstanceStatus::Running));
+                }
+                step.push(&name, Effect::Count(coordinator.metrics.reconfigs.clone()));
+                // The drain runs over the new plan, its flights re-keyed
+                // onto it the way the books will be.
+                let mut drain = coordinator.drain_of(name.clone(), &plan, &keys);
+                drain.terminal = record.status.is_terminal();
+                let flying = drain.flying.iter();
+                let moved = flying.filter_map(|&task| plan.task_by_path(path(&old_plan, task)));
+                drain.flying = moved.collect();
+                drain.worklist.seed_all(&plan);
+                coordinator.stage_drain(step, &mut drain)
+            });
+            let ((), effects) = staged?;
+            this.publish(effects);
+            let _ = this.maybe_checkpoint();
+            this.assert_settled(instance);
+            this.pump();
+            Ok(())
+        })
     }
 
     /// Administrative abort of a *waiting* task (Fig. 3 permits
@@ -326,67 +318,72 @@ impl CoordHandle {
     ///
     /// Unknown instance/task, a non-waiting task, or an outcome that is
     /// not a declared abort outcome.
-    pub fn abort_waiting_task(
-        &self,
-        world: &mut World,
+    pub(crate) fn abort_waiting_task(
+        &mut self,
+        now: SimTime,
         instance: &str,
         path: &str,
         outcome: &str,
-    ) -> Result<(), EngineError> {
-        // The operator decision is against current state: absorb the
-        // batch window first.
-        self.flush_pending(world);
-        let (plan, keys) = {
-            let mut coordinator = self.inner.borrow_mut();
-            let Some(rt) = coordinator.instances.get_mut(instance) else {
-                return Err(EngineError::UnknownInstance(instance.to_string()));
+    ) -> (Result<(), EngineError>, Vec<Output>) {
+        self.at(now, |this| {
+            // The operator decision is against current state: absorb the
+            // batch window first.
+            this.flush_pending();
+            let (plan, keys) = this.plant(instance)?;
+            let Some(task_id) = plan.task_by_path(path) else {
+                return Err(EngineError::UnknownTask(path.to_string()));
             };
-            rt.planted = true; // this may publish below a scope yet to activate
-            (rt.plan.clone(), rt.keys.clone())
-        };
-        let Some(task_id) = plan.task_by_path(path) else {
-            return Err(EngineError::UnknownTask(path.to_string()));
-        };
-        let class = plan.class_of(plan.task(task_id));
-        let declared_abort = plan
-            .class_output(class, outcome)
-            .is_some_and(|o| o.kind == OutputKind::AbortOutcome);
-        if !declared_abort {
-            return Err(EngineError::ReconfigRejected(format!(
-                "`{outcome}` is not an abort outcome of `{}`",
-                plan.str(class.name)
-            )));
-        }
-        let out_key = keys
-            .out_key(&plan, task_id, outcome)
-            .ok_or_else(|| EngineError::UnknownTask(path.to_string()))?;
-        // One step: the abort, its (empty) fact and what they cascade
-        // into.
-        self.reevaluate(world, instance, |coordinator, step, drain| {
-            let mut cb = coordinator.staged_cb(step, &plan, &keys, task_id)?;
-            if cb.state != CbState::Waiting {
+            let class = plan.class_of(plan.task(task_id));
+            let declared_abort = plan
+                .class_output(class, outcome)
+                .is_some_and(|o| o.kind == OutputKind::AbortOutcome);
+            if !declared_abort {
                 return Err(EngineError::ReconfigRejected(format!(
-                    "task `{path}` is not waiting (state {:?})",
-                    cb.state
+                    "`{outcome}` is not an abort outcome of `{}`",
+                    plan.str(class.name)
                 )));
             }
-            cb.transition(CbState::Aborted {
-                outcome: outcome.to_string(),
-            });
-            let action = step.action(&mut coordinator.mgr);
-            facts::write_block(&mut coordinator.mgr, action, &plan, &keys, task_id, &cb)?;
-            facts::write_fact_map(
-                &mut coordinator.mgr,
-                action,
-                &plan,
-                out_key,
-                &BTreeMap::new(),
-            )?;
-            step.push(&drain.name, Effect::Terminals(1));
-            drain.worklist.seed_commit(&plan, task_id);
+            let out_key = keys
+                .out_key(&plan, task_id, outcome)
+                .ok_or_else(|| EngineError::UnknownTask(path.to_string()))?;
+            // One step: the abort, its (empty) fact and what they cascade
+            // into.
+            this.reevaluate(instance, |coordinator, step, drain| {
+                let mut cb = coordinator.staged_cb(step, &plan, &keys, task_id)?;
+                if cb.state != CbState::Waiting {
+                    return Err(EngineError::ReconfigRejected(format!(
+                        "task `{path}` is not waiting (state {:?})",
+                        cb.state
+                    )));
+                }
+                cb.transition(CbState::Aborted {
+                    outcome: outcome.to_string(),
+                });
+                let action = step.action(&mut coordinator.mgr);
+                facts::write_block(&mut coordinator.mgr, action, &plan, &keys, task_id, &cb)?;
+                facts::write_fact_map(
+                    &mut coordinator.mgr,
+                    action,
+                    &plan,
+                    out_key,
+                    &BTreeMap::new(),
+                )?;
+                step.push(&drain.name, Effect::Terminals(1));
+                drain.worklist.seed_commit(&plan, task_id);
+                Ok(())
+            })?;
+            this.pump();
             Ok(())
-        })?;
-        self.pump(world);
-        Ok(())
+        })
+    }
+
+    /// `instance`'s plan and key table, its runtime marked as one an
+    /// operator may publish into below a scope yet to activate.
+    fn plant(&mut self, instance: &str) -> Result<(Rc<Plan>, Rc<InstanceKeys>), EngineError> {
+        let Some(rt) = self.instances.get_mut(instance) else {
+            return Err(EngineError::UnknownInstance(instance.to_string()));
+        };
+        rt.planted = true;
+        Ok((rt.plan.clone(), rt.keys.clone()))
     }
 }

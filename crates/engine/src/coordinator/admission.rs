@@ -5,16 +5,18 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use flowscript_obs::ObsEventKind;
-use flowscript_sim::{ReplyToken, SimDuration, World};
+use flowscript_sim::{ReplyToken, RpcError};
 
-use super::CoordHandle;
+use super::membership::REPOSITORY_TIMEOUT;
+use super::{Call, Coordinator, Output};
 use crate::msg::EngineMsg;
 use crate::value::ObjectVal;
 
 /// One owned `StartInstance` RPC. The client's reply token is held
 /// open — across the admission queue, if the shard is at its cap — and
 /// the reply (Ack or error) goes out when the start finally runs.
-pub(super) struct AdmissionTicket {
+#[derive(Debug)]
+pub(crate) struct AdmissionTicket {
     pub(super) instance: String,
     pub(super) script: String,
     pub(super) version: Option<u32>,
@@ -58,51 +60,34 @@ impl Admission {
     }
 }
 
-impl CoordHandle {
+impl Coordinator {
     /// Gates one owned `StartInstance` RPC on the admission cap: under
     /// the cap (with nothing already queued ahead) the start runs
     /// immediately; at the cap it parks in the bounded admission
     /// queue, its reply token held open; with the queue also full the
     /// client gets a typed `Busy` to retry with backoff.
-    pub(super) fn admit_or_queue(&self, world: &mut World, ticket: AdmissionTicket) {
-        let busy = {
-            let mut coordinator = self.inner.borrow_mut();
-            let queued = coordinator.admission.queue.len();
-            match coordinator.config.max_inflight_instances {
-                None => None,
-                // FIFO fairness: a free slot goes to the queue head,
-                // never to a start that arrived after queued ones.
-                Some(cap) if coordinator.admission.occupancy() < cap && queued == 0 => None,
-                Some(_) if queued < coordinator.config.admission_queue_limit => {
-                    coordinator.record_event(
-                        ticket.enqueued_ns,
-                        &ticket.instance,
-                        None,
-                        0,
-                        ObsEventKind::Parked {
-                            queue_depth: queued as u64 + 1,
-                        },
-                    );
-                    coordinator.admission.queue.push_back(ticket);
-                    if coordinator.config.observe.metrics() {
-                        coordinator
-                            .metrics
-                            .admission_queue_depth
-                            .set(queued as i64 + 1);
-                    }
-                    return;
-                }
-                Some(_) => {
-                    coordinator.metrics.busy_rejections.inc();
-                    Some(queued as u32)
+    pub(super) fn admit_or_queue(&mut self, ticket: AdmissionTicket) {
+        let queued = self.admission.queue.len();
+        match self.config.max_inflight_instances {
+            None => self.on_start_instance(ticket),
+            // FIFO fairness: a free slot goes to the queue head, never
+            // to a start that arrived after queued ones.
+            Some(cap) if self.admission.occupancy() < cap && queued == 0 => {
+                self.on_start_instance(ticket);
+            }
+            Some(_) if queued < self.config.admission_queue_limit => {
+                let queue_depth = queued as u64 + 1;
+                let kind = ObsEventKind::Parked { queue_depth };
+                self.record_event(&ticket.instance, None, 0, kind);
+                self.admission.queue.push_back(ticket);
+                if self.config.observe.metrics() {
+                    self.metrics.admission_queue_depth.set(queued as i64 + 1);
                 }
             }
-        };
-        match busy {
-            None => self.on_start_instance(world, ticket),
-            Some(queue_depth) => {
-                let reply = EngineMsg::Busy { queue_depth };
-                world.rpc_reply_to(ticket.token, flowscript_codec::to_bytes(&reply));
+            Some(_) => {
+                self.metrics.busy_rejections.inc();
+                let queue_depth = queued as u32;
+                self.reply(ticket.token, &EngineMsg::Busy { queue_depth });
             }
         }
     }
@@ -111,53 +96,34 @@ impl CoordHandle {
     /// whenever an instance leaves the live set). Each admitted start
     /// counts toward occupancy from its repository round-trip on, so a
     /// burst of admissions cannot overshoot the cap.
-    pub(super) fn admit_from_queue(&self, world: &mut World) {
-        loop {
-            let ticket = {
-                let mut coordinator = self.inner.borrow_mut();
-                let Some(cap) = coordinator.config.max_inflight_instances else {
-                    return;
-                };
-                if coordinator.admission.occupancy() >= cap {
-                    return;
-                }
-                let Some(ticket) = coordinator.admission.queue.pop_front() else {
-                    return;
-                };
-                let now_ns = world.now().as_nanos();
-                let waited = now_ns.saturating_sub(ticket.enqueued_ns);
-                if coordinator.config.observe.metrics() {
-                    coordinator.metrics.admission_wait_ns.record(waited);
-                    coordinator
-                        .metrics
-                        .admission_queue_depth
-                        .set(coordinator.admission.queue.len() as i64);
-                }
-                coordinator.record_event(
-                    now_ns,
-                    &ticket.instance,
-                    None,
-                    0,
-                    ObsEventKind::Admitted { wait_ns: waited },
-                );
-                ticket
+    pub(super) fn admit_from_queue(&mut self) {
+        let Some(cap) = self.config.max_inflight_instances else {
+            return;
+        };
+        while self.admission.occupancy() < cap {
+            let Some(ticket) = self.admission.queue.pop_front() else {
+                return;
             };
-            self.on_start_instance(world, ticket);
+            let waited = self.now.as_nanos().saturating_sub(ticket.enqueued_ns);
+            if self.config.observe.metrics() {
+                self.metrics.admission_wait_ns.record(waited);
+                let depth = self.admission.queue.len() as i64;
+                self.metrics.admission_queue_depth.set(depth);
+            }
+            let kind = ObsEventKind::Admitted { wait_ns: waited };
+            self.record_event(&ticket.instance, None, 0, kind);
+            self.on_start_instance(ticket);
         }
     }
 
-    /// Runs one admitted start: fetches the script from the repository,
-    /// then compiles and launches, and answers the client either way.
-    fn on_start_instance(&self, world: &mut World, ticket: AdmissionTicket) {
-        let (node, repo) = {
-            let coordinator = self.inner.borrow();
-            (coordinator.node, coordinator.repo)
-        };
-        if self.inner.borrow().holds(&ticket.instance) {
+    /// Runs one admitted start: fetches the script from the repository
+    /// ([`Call::Fetch`]); the answer compiles and launches it.
+    fn on_start_instance(&mut self, ticket: AdmissionTicket) {
+        if self.holds(&ticket.instance) {
             let reply = EngineMsg::Ack {
                 result: Err(format!("instance `{}` already exists", ticket.instance)),
             };
-            world.rpc_reply_to(ticket.token, flowscript_codec::to_bytes(&reply));
+            self.reply(ticket.token, &reply);
             return;
         }
         let get = EngineMsg::RepoGet {
@@ -167,62 +133,61 @@ impl CoordHandle {
         // The start occupies an admission slot for the whole repository
         // round-trip — otherwise a burst of starts all admitted before
         // any instance materializes would blow straight past the cap.
-        self.inner.borrow_mut().admission.starting += 1;
-        let handle = self.clone();
-        world.rpc_call(
-            node,
-            repo,
-            flowscript_codec::to_bytes(&get),
-            SimDuration::from_secs(5),
-            move |world, reply| {
-                {
-                    let mut coordinator = handle.inner.borrow_mut();
-                    let admission = &mut coordinator.admission;
-                    admission.starting = admission.starting.saturating_sub(1);
+        self.admission.starting += 1;
+        self.outbox.push(Output::Call {
+            to: self.repo,
+            bytes: flowscript_codec::to_bytes(&get),
+            timeout: REPOSITORY_TIMEOUT,
+            call: Call::Fetch(Box::new(ticket)),
+        });
+    }
+
+    /// The repository answered an admitted start's fetch (or did not in
+    /// time): compiles and launches the instance, and answers the client
+    /// either way.
+    pub(super) fn on_fetched(
+        &mut self,
+        ticket: AdmissionTicket,
+        answer: Result<Vec<u8>, RpcError>,
+    ) {
+        self.admission.starting = self.admission.starting.saturating_sub(1);
+        let result = match answer {
+            Err(err) => Err(format!("repository unreachable: {err}")),
+            Ok(bytes) => match flowscript_codec::from_bytes::<EngineMsg>(&bytes) {
+                Ok(EngineMsg::RepoReply {
+                    result: Ok(_),
+                    source,
+                    root,
+                    plan,
+                }) => {
+                    // Use the repository's cached plan when it decodes
+                    // AND survives structural + fingerprint validation
+                    // (a corrupted plan must fall back to local
+                    // lowering, not panic mid-evaluate).
+                    let served = (!plan.is_empty())
+                        .then(|| self.plan_cache.validated(&plan))
+                        .flatten();
+                    self.start_instance(
+                        &ticket.instance,
+                        &ticket.script,
+                        &source,
+                        &root,
+                        &ticket.set,
+                        ticket.inputs,
+                        served,
+                    )
+                    .map_err(|e| e.to_string())
                 }
-                let result = match reply {
-                    Err(err) => Err(format!("repository unreachable: {err}")),
-                    Ok(bytes) => match flowscript_codec::from_bytes::<EngineMsg>(&bytes) {
-                        Ok(EngineMsg::RepoReply {
-                            result: Ok(_),
-                            source,
-                            root,
-                            plan,
-                        }) => {
-                            // Use the repository's cached plan when it
-                            // decodes AND survives structural +
-                            // fingerprint validation (a corrupted plan
-                            // must fall back to local lowering, not
-                            // panic mid-evaluate).
-                            let served = (!plan.is_empty())
-                                .then(|| handle.inner.borrow_mut().plan_cache.validated(&plan))
-                                .flatten();
-                            handle
-                                .start_instance(
-                                    world,
-                                    &ticket.instance,
-                                    &ticket.script,
-                                    &source,
-                                    &root,
-                                    &ticket.set,
-                                    ticket.inputs,
-                                    served,
-                                )
-                                .map_err(|e| e.to_string())
-                        }
-                        Ok(EngineMsg::RepoReply {
-                            result: Err(err), ..
-                        }) => Err(err),
-                        _ => Err("malformed repository reply".to_string()),
-                    },
-                };
-                let reply = EngineMsg::Ack { result };
-                world.rpc_reply_to(ticket.token, flowscript_codec::to_bytes(&reply));
-                // A failed start frees its reserved slot; a successful
-                // one may still have room under the cap. Either way the
-                // queue head gets another look.
-                handle.pump(world);
+                Ok(EngineMsg::RepoReply {
+                    result: Err(err), ..
+                }) => Err(err),
+                _ => Err("malformed repository reply".to_string()),
             },
-        );
+        };
+        self.reply(ticket.token, &EngineMsg::Ack { result });
+        // A failed start frees its reserved slot; a successful one may
+        // still have room under the cap. Either way the queue head gets
+        // another look.
+        self.pump();
     }
 }

@@ -10,7 +10,7 @@
 //! against the instance's *current* plan exactly where a wire message
 //! or a timer enters (timers capture the path — it is the name that
 //! survives a re-lowering), and a reconfiguration re-keys the records
-//! ([`CoordHandle::replan`]).
+//! ([`Coordinator::replan`]).
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -19,12 +19,12 @@ use std::rc::Rc;
 use flowscript_core::ast::OutputKind;
 use flowscript_obs::ObsEventKind;
 use flowscript_plan::{Plan, TaskId};
-use flowscript_sim::{EventId, NodeId, SimDuration, World};
+use flowscript_sim::{NodeId, SimDuration};
 use flowscript_tx::{FactKey, TxError};
 
 use super::evaluate::Drain;
 use super::step::{Effect, Launch, Step};
-use super::{block_fault, CoordHandle, Coordinator, InstanceRt};
+use super::{block_fault, Coordinator, InstanceRt, Timer, TimerId};
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::InstanceKeys;
@@ -57,7 +57,7 @@ struct Charge {
 #[derive(Debug, Default)]
 struct Flight {
     /// The armed watchdog of the attempt on the wire.
-    watchdog: Option<EventId>,
+    watchdog: Option<TimerId>,
     /// The load that attempt is charged at; taken exactly when the
     /// scheduler load is released.
     charge: Option<Charge>,
@@ -147,7 +147,7 @@ impl Dispatcher {
 
     /// Ends a record that did not complete: releases its load and
     /// returns the watchdog to cancel.
-    fn discard(&mut self, mut flight: Flight) -> Option<EventId> {
+    fn discard(&mut self, mut flight: Flight) -> Option<TimerId> {
         self.release(&mut flight);
         flight.watchdog
     }
@@ -161,7 +161,7 @@ impl Dispatcher {
         instance: &str,
         flights: &mut Flights,
         tasks: impl Iterator<Item = TaskId>,
-    ) -> Vec<EventId> {
+    ) -> Vec<TimerId> {
         let dropped: BTreeMap<TaskId, Flight> = tasks
             .filter_map(|task| Some((task, flights.0.remove(&task)?)))
             .collect();
@@ -184,7 +184,7 @@ impl Dispatcher {
         instance: &str,
         flights: &mut Flights,
         new_id: impl Fn(TaskId) -> Option<TaskId>,
-    ) -> Vec<EventId> {
+    ) -> Vec<TimerId> {
         let mut watchdogs = Vec::new();
         for (old, flight) in std::mem::take(&mut flights.0) {
             match new_id(old) {
@@ -209,7 +209,7 @@ impl Dispatcher {
     /// (hand-off, purge) and forgets its parked dispatches — whoever
     /// owns it next re-arms from its committed control blocks. Returns
     /// the watchdogs to cancel.
-    pub(super) fn release_all(&mut self, instance: &str, flights: Flights) -> Vec<EventId> {
+    pub(super) fn release_all(&mut self, instance: &str, flights: Flights) -> Vec<TimerId> {
         self.parked.retain(|_, entry| entry.instance != instance);
         let records = flights.0.into_values();
         records.filter_map(|flight| self.discard(flight)).collect()
@@ -485,63 +485,39 @@ impl Coordinator {
             );
         }
     }
-}
 
-impl CoordHandle {
     /// This shard's current view of the executor fleet: per-executor
     /// location label and in-flight dispatch count (monitoring; the
     /// scheduling tests assert the counts drain to zero).
     pub fn executor_loads(&self) -> Vec<ExecutorSlot> {
-        self.inner.borrow().dispatcher.sched.snapshot()
+        self.dispatcher.sched.snapshot()
     }
 
     /// Dispatches parked in this shard's ready queue behind saturated
     /// executors (monitoring).
     pub fn ready_queue_len(&self) -> usize {
-        self.inner.borrow().dispatcher.parked.len()
+        self.dispatcher.parked.len()
     }
 
     /// The cost model's smoothed duration estimate for `code`, in
     /// milliseconds.
     #[doc(hidden)]
     pub fn cost_estimate_ms(&self, code: &str) -> Option<u64> {
-        self.inner.borrow().dispatcher.costs.estimate_ms(code)
-    }
-
-    /// Runs `edit` over the shard's dispatcher and `instance`'s flight
-    /// records, then cancels the watchdogs it hands back (outside the
-    /// borrow: cancelling needs the world).
-    fn edit_books(
-        &self,
-        world: &mut World,
-        instance: &str,
-        edit: impl FnOnce(&mut Dispatcher, &mut InstanceRt) -> Vec<EventId>,
-    ) {
-        let watchdogs = {
-            let coordinator = &mut *self.inner.borrow_mut();
-            let Some(rt) = coordinator.instances.get_mut(instance) else {
-                return;
-            };
-            edit(&mut coordinator.dispatcher, rt)
-        };
-        for id in watchdogs {
-            world.cancel(id);
-        }
+        self.dispatcher.costs.estimate_ms(code)
     }
 
     /// Drops the flight records of `tasks` of `instance`, none of which
     /// completed — a subtree cancelled or reset (`plan.subtree(scope)`),
     /// a task that failed, one whose outcome an operator forced — with
     /// their watchdogs, load and parked dispatches.
-    pub(super) fn discard_flights(
-        &self,
-        world: &mut World,
-        instance: &str,
-        tasks: impl Iterator<Item = TaskId>,
-    ) {
-        self.edit_books(world, instance, |dispatcher, rt| {
-            dispatcher.discard_tasks(instance, &mut rt.flights, tasks)
-        });
+    pub(super) fn discard_flights(&mut self, instance: &str, tasks: impl Iterator<Item = TaskId>) {
+        let Some(rt) = self.instances.get_mut(instance) else {
+            return;
+        };
+        let watchdogs = self
+            .dispatcher
+            .discard_tasks(instance, &mut rt.flights, tasks);
+        self.cancel(watchdogs);
     }
 
     /// A reconfiguration committed `instance`'s new plan, with its key
@@ -550,19 +526,20 @@ impl CoordHandle {
     /// old id → path → new id — a removed task's entries are released
     /// with it.
     pub(super) fn replan(
-        &self,
-        world: &mut World,
+        &mut self,
         instance: &str,
         plan: Rc<Plan>,
         keys: Rc<InstanceKeys>,
         nonterminal: usize,
     ) {
-        self.edit_books(world, instance, |dispatcher, rt| {
-            let old_plan = std::mem::replace(&mut rt.plan, plan.clone());
-            (rt.keys, rt.nonterminal) = (keys, nonterminal);
-            let new_id = |old: TaskId| plan.task_by_path(old_plan.str(old_plan.task(old).path));
-            dispatcher.rekey(instance, &mut rt.flights, new_id)
-        });
+        let Some(rt) = self.instances.get_mut(instance) else {
+            return;
+        };
+        let old_plan = std::mem::replace(&mut rt.plan, plan.clone());
+        (rt.keys, rt.nonterminal) = (keys, nonterminal);
+        let new_id = |old: TaskId| plan.task_by_path(old_plan.str(old_plan.task(old).path));
+        let watchdogs = self.dispatcher.rekey(instance, &mut rt.flights, new_id);
+        self.cancel(watchdogs);
     }
 
     /// Arms fresh watchdogs for every task an adopted instance has in
@@ -573,24 +550,15 @@ impl CoordHandle {
     /// timeout is a fresh dispatch's — observed-duration extension
     /// included — so a relay delayed past a lying short hint still
     /// lands before the adopted watchdog fires.
-    pub(super) fn rearm_adopted(&self, world: &mut World, instance: &str) {
-        let executing: Vec<(TaskId, TaskCb, SimDuration)> = {
-            let coordinator = self.inner.borrow();
-            let Some(rt) = coordinator.instances.get(instance) else {
-                return;
-            };
-            // A block that does not decode arms no watchdog: the full
-            // drain over the instance parks it on that block.
-            let Ok(executing) = coordinator.executing(instance) else {
-                return;
-            };
-            executing
-                .into_iter()
-                .map(|(id, cb)| (id, cb, coordinator.shipment(rt, id).timeout))
-                .collect()
+    pub(super) fn rearm_adopted(&mut self, instance: &str) {
+        // A block that does not decode arms no watchdog: the full
+        // drain over the instance parks it on that block.
+        let Ok(executing) = self.executing(instance) else {
+            return;
         };
-        for (task, cb, timeout) in executing {
-            self.arm_watchdog(world, instance, task, cb.incarnation, cb.attempt, timeout);
+        for (task, cb) in executing {
+            let timeout = self.shipment(&self.instances[instance], task).timeout;
+            self.arm_watchdog(instance, task, cb.incarnation, cb.attempt, timeout);
         }
     }
 
@@ -598,68 +566,54 @@ impl CoordHandle {
     /// as long as some entry's eligible executors have free capacity.
     /// Per-entry eligibility keeps a pinned entry whose location is
     /// still full from blocking an unpinned one behind it.
-    pub(super) fn drain_parked(&self, world: &mut World) {
+    pub(super) fn drain_parked(&mut self) {
         loop {
-            let entry = {
-                let mut coordinator = self.inner.borrow_mut();
-                let dispatcher = &mut coordinator.dispatcher;
-                let key = dispatcher
-                    .parked
-                    .iter()
-                    .find(|(_, entry)| !dispatcher.sched.all_saturated(&entry.hints))
-                    .map(|(key, _)| *key);
-                let Some(key) = key else {
-                    return;
-                };
-                let entry = dispatcher.parked.remove(&key).expect("key just found");
-                let depth = dispatcher.parked.len();
-                let Some(rt) = coordinator.instances.get(&entry.instance) else {
-                    continue; // unreachable: a departing instance unparks
-                };
-                let wait_ns = world.now().as_nanos().saturating_sub(entry.parked_ns);
-                if coordinator.config.observe.metrics() {
-                    coordinator.metrics.queue_wait_ns.record(wait_ns);
-                    coordinator.metrics.ready_queue_depth.set(depth as i64);
-                }
-                coordinator.record_event(
-                    world.now().as_nanos(),
-                    &entry.instance,
-                    Some(rt.plan.str(rt.plan.task(entry.task).path)),
-                    entry.launch.attempt,
-                    ObsEventKind::Admitted { wait_ns },
-                );
-                entry
+            let dispatcher = &mut self.dispatcher;
+            let key = dispatcher
+                .parked
+                .iter()
+                .find(|(_, entry)| !dispatcher.sched.all_saturated(&entry.hints))
+                .map(|(key, _)| *key);
+            let Some(key) = key else {
+                return;
             };
-            self.dispatch(world, &entry.instance, entry.task, entry.launch);
+            let entry = dispatcher.parked.remove(&key).expect("key just found");
+            let depth = dispatcher.parked.len();
+            let Some(rt) = self.instances.get(&entry.instance) else {
+                continue; // unreachable: a departing instance unparks
+            };
+            let wait_ns = self.now.as_nanos().saturating_sub(entry.parked_ns);
+            if self.config.observe.metrics() {
+                self.metrics.queue_wait_ns.record(wait_ns);
+                self.metrics.ready_queue_depth.set(depth as i64);
+            }
+            self.record_event(
+                &entry.instance,
+                Some(rt.plan.str(rt.plan.task(entry.task).path)),
+                entry.launch.attempt,
+                ObsEventKind::Admitted { wait_ns },
+            );
+            self.dispatch(&entry.instance, entry.task, entry.launch);
         }
     }
 
     /// Ships an attempt staged by an earlier step (a retry's or a
     /// repeat's, its delay over; a parked dispatch) if its block still
     /// awaits it; unplaceable, it fails.
-    pub(super) fn dispatch(
-        &self,
-        world: &mut World,
-        instance: &str,
-        task_id: TaskId,
-        launch: Launch,
-    ) {
-        {
-            let coordinator = self.inner.borrow();
-            let Some(rt) = coordinator.instances.get(instance) else {
-                return;
-            };
-            let Ok(cb) = coordinator.read_cb_id(&rt.plan, &rt.keys, task_id) else {
-                // Nothing ships off a block that does not decode.
-                coordinator.metrics.dropped_dispatches.inc();
-                return;
-            };
-            if !cb.awaits(launch.incarnation, launch.attempt) {
-                return; // stale (cancelled/terminated meanwhile): not a drop
-            }
+    pub(super) fn dispatch(&mut self, instance: &str, task_id: TaskId, launch: Launch) {
+        let Some(rt) = self.instances.get(instance) else {
+            return;
+        };
+        let Ok(cb) = self.read_cb_id(&rt.plan, &rt.keys, task_id) else {
+            // Nothing ships off a block that does not decode.
+            self.metrics.dropped_dispatches.inc();
+            return;
+        };
+        if !cb.awaits(launch.incarnation, launch.attempt) {
+            return; // stale (cancelled/terminated meanwhile): not a drop
         }
-        if let Err(reason) = self.ship(world, instance, task_id, launch) {
-            self.fail_unplaceable(world, instance, task_id, &reason);
+        if let Err(reason) = self.ship(instance, task_id, launch) {
+            self.fail_unplaceable(instance, task_id, &reason);
         }
     }
 
@@ -667,47 +621,44 @@ impl CoordHandle {
     /// repeat's requested delay; waiting it out is outstanding work. The
     /// timer names the task by path.
     pub(super) fn dispatch_after(
-        &self,
-        world: &mut World,
+        &mut self,
         instance: &str,
         task: TaskId,
         delay: SimDuration,
         launch: Launch,
     ) {
-        let (node, path) = {
-            let mut coordinator = self.inner.borrow_mut();
-            if coordinator.flight_mut(instance, task).is_none() {
-                return;
-            }
-            let plan = &coordinator.instances[instance].plan;
-            (coordinator.node, plan.str(plan.task(task).path).to_string())
+        if self.flight_mut(instance, task).is_none() {
+            return;
+        }
+        let plan = &self.instances[instance].plan;
+        let timer = Timer::Dispatch {
+            instance: instance.to_string(),
+            path: plan.str(plan.task(task).path).to_string(),
+            launch: Box::new(launch),
         };
-        let handle = self.clone();
-        let instance = instance.to_string();
-        world.schedule_node_after(node, delay, move |world| {
-            let Some((plan, _)) = handle.instance_ctx(&instance) else {
-                return;
-            };
-            match plan.task_by_path(&path) {
-                Some(task) => handle.dispatch(world, &instance, task, launch),
-                // Only a mid-flight reconfiguration takes the task away
-                // from a scheduled dispatch.
-                None => handle.inner.borrow().metrics.dropped_dispatches.inc(),
-            }
-        });
+        self.arm(delay, timer);
+    }
+
+    /// A delayed attempt's wait is over ([`Timer::Dispatch`]): where the
+    /// timer enters, its task, named by path, is resolved against the
+    /// instance's current plan.
+    pub(super) fn on_dispatch_timer(&mut self, instance: &str, path: &str, launch: Launch) {
+        let Some((plan, _)) = self.instance_ctx(instance) else {
+            return;
+        };
+        match plan.task_by_path(path) {
+            Some(task) => self.dispatch(instance, task, launch),
+            // Only a mid-flight reconfiguration takes the task away
+            // from a scheduled dispatch.
+            None => self.metrics.dropped_dispatches.inc(),
+        }
     }
 
     /// No executor can take `task` — an unsatisfiable pin, no code to
     /// ship — and no retry can fix that: it fails, in a step of its own.
-    pub(super) fn fail_unplaceable(
-        &self,
-        world: &mut World,
-        instance: &str,
-        task: TaskId,
-        why: &str,
-    ) {
+    pub(super) fn fail_unplaceable(&mut self, instance: &str, task: TaskId, why: &str) {
         // No error channel: a failure that cannot commit changes nothing.
-        let _ = self.reevaluate(world, instance, |coordinator, step, drain| {
+        let _ = self.reevaluate(instance, |coordinator, step, drain| {
             match coordinator.drain_cb(step, drain, task)? {
                 Some(cb) if !cb.state.is_terminal() => {
                     coordinator.stage_failure(step, drain, task, cb, why, false)
@@ -726,151 +677,131 @@ impl CoordHandle {
     /// unsatisfiable pin, no code to ship) — no retry can fix that, so
     /// the caller fails it with this diagnosable reason.
     pub(super) fn ship(
-        &self,
-        world: &mut World,
+        &mut self,
         instance: &str,
         task_id: TaskId,
         launch: Launch,
     ) -> Result<(), String> {
-        // Fenced = zombie: nothing dispatches off claimed storage.
-        if self.inner.borrow_mut().mgr.probe_fence().is_some() {
+        let now_ns = self.now.as_nanos();
+        let (incarnation, attempt) = (launch.incarnation, launch.attempt);
+        let Some(rt) = self.instances.get(instance) else {
+            return Ok(());
+        };
+        let plan = rt.plan.clone();
+        let task = plan.task(task_id);
+        let path = plan.str(task.path);
+        if plan.code(task).is_none_or(str::is_empty) {
+            // A leaf with no implementation clause has no code to
+            // ship — shipping an empty name would bounce off every
+            // executor as an unbound implementation and burn the
+            // retry budget on an error no retry can fix.
+            return Err(format!("missing implementation code for `{path}`"));
+        }
+        let shipment = self.shipment(rt, task_id);
+        let hints = shipment.hints;
+        let dispatcher = &mut self.dispatcher;
+        let rt = self.instances.get_mut(instance).expect("resident");
+        // The task has outstanding work from here on.
+        let flight = rt.flights.0.entry(task_id).or_default();
+        // Capacity gate: when every eligible executor is at its
+        // declared capacity, park instead of piling on. The committed
+        // `Executing` control block makes the park crash-safe: recovery
+        // re-dispatches, and re-parks if the fleet is still full. The
+        // node to avoid stays on the record for the eventual real
+        // dispatch.
+        if dispatcher.sched.all_saturated(&hints) {
+            let seq = dispatcher.park_seq;
+            dispatcher.park_seq += 1;
+            let parked = ParkedDispatch {
+                instance: instance.to_string(),
+                task: task_id,
+                launch,
+                hints,
+                parked_ns: now_ns,
+            };
+            dispatcher
+                .parked
+                .insert((Reverse(parked.hints.priority), seq), parked);
+            let depth = dispatcher.parked.len();
+            let kind = ObsEventKind::Parked {
+                queue_depth: depth as u64,
+            };
+            self.record_event(instance, Some(path), attempt, kind);
+            if self.config.observe.metrics() {
+                self.metrics.ready_queue_depth.set(depth as i64);
+            }
             return Ok(());
         }
-        // Gather everything under one borrow, then interact with the
-        // world outside it.
-        let now_ns = world.now().as_nanos();
-        let (incarnation, attempt) = (launch.incarnation, launch.attempt);
-        let (node, executor, bytes, timeout) = {
-            let coordinator = &mut *self.inner.borrow_mut();
-            let Some(rt) = coordinator.instances.get(instance) else {
-                return Ok(());
-            };
-            let plan = rt.plan.clone();
-            let task = plan.task(task_id);
-            let path = plan.str(task.path);
-            if plan.code(task).is_none_or(str::is_empty) {
-                // A leaf with no implementation clause has no code to
-                // ship — shipping an empty name would bounce off every
-                // executor as an unbound implementation and burn the
-                // retry budget on an error no retry can fix.
-                return Err(format!("missing implementation code for `{path}`"));
-            }
-            let shipment = coordinator.shipment(rt, task_id);
-            let hints = shipment.hints;
-            let dispatcher = &mut coordinator.dispatcher;
-            let rt = coordinator.instances.get_mut(instance).expect("resident");
-            // The task has outstanding work from here on.
-            let flight = rt.flights.0.entry(task_id).or_default();
-            // Capacity gate: when every eligible executor is at its
-            // declared capacity, park instead of piling on. The
-            // committed `Executing` control block makes the park
-            // crash-safe: recovery re-dispatches, and re-parks if the
-            // fleet is still full. The node to avoid stays on the record
-            // for the eventual real dispatch.
-            if dispatcher.sched.all_saturated(&hints) {
-                let seq = dispatcher.park_seq;
-                dispatcher.park_seq += 1;
-                let parked = ParkedDispatch {
-                    instance: instance.to_string(),
-                    task: task_id,
-                    launch,
-                    hints,
-                    parked_ns: now_ns,
-                };
-                dispatcher
-                    .parked
-                    .insert((Reverse(parked.hints.priority), seq), parked);
-                let depth = dispatcher.parked.len();
-                let kind = ObsEventKind::Parked {
-                    queue_depth: depth as u64,
-                };
-                coordinator.record_event(now_ns, instance, Some(path), attempt, kind);
-                if coordinator.config.observe.metrics() {
-                    coordinator.metrics.ready_queue_depth.set(depth as i64);
-                }
-                return Ok(());
-            }
-            let avoid = flight.avoid.take();
-            let placement = dispatcher
-                .sched
-                .pick(path, attempt, &hints, avoid)
-                .map_err(|err| err.to_string())?;
-            // Count the load now — at the observed estimate when the
-            // cost model has one, else the declared remaining-work cost
-            // — releasing any stale charge a defensive re-dispatch
-            // might have left behind.
-            let cost = dispatcher.costs.load_cost(&shipment.code, &hints);
-            dispatcher.release(flight);
-            dispatcher.sched.note_dispatch(placement.node, cost);
-            flight.charge = Some(Charge {
-                node: placement.node,
-                cost,
-                sent_ns: now_ns,
-                code: shipment.code.clone(),
-            });
-            if placement.no_alternative {
-                coordinator.metrics.no_alternative_retries.inc();
-            }
-            if coordinator.config.observe.metrics() {
-                coordinator.metrics.sched_pick_load.record(placement.load);
-            }
-            coordinator.metrics.dispatches.inc();
-            let kind = ObsEventKind::Dispatch {
-                executor: placement.node.index() as u32,
-            };
-            coordinator.record_event(now_ns, instance, Some(path), attempt, kind);
-            let msg = EngineMsg::Start(StartTask {
-                instance: instance.to_string(),
-                path: path.to_string(),
-                incarnation,
-                attempt,
-                code: shipment.code,
-                implementation: shipment.implementation,
-                set: launch.set,
-                inputs: launch.inputs,
-                repeat_objects: launch.repeat_objects,
-                epoch: coordinator.membership.epoch(),
-            });
-            let bytes = flowscript_codec::to_bytes(&msg);
-            (coordinator.node, placement.node, bytes, shipment.timeout)
+        let avoid = flight.avoid.take();
+        let placement = dispatcher
+            .sched
+            .pick(path, attempt, &hints, avoid)
+            .map_err(|err| err.to_string())?;
+        // Count the load now — at the observed estimate when the cost
+        // model has one, else the declared remaining-work cost —
+        // releasing any stale charge a defensive re-dispatch might have
+        // left behind.
+        let cost = dispatcher.costs.load_cost(&shipment.code, &hints);
+        dispatcher.release(flight);
+        dispatcher.sched.note_dispatch(placement.node, cost);
+        flight.charge = Some(Charge {
+            node: placement.node,
+            cost,
+            sent_ns: now_ns,
+            code: shipment.code.clone(),
+        });
+        if placement.no_alternative {
+            self.metrics.no_alternative_retries.inc();
+        }
+        if self.config.observe.metrics() {
+            self.metrics.sched_pick_load.record(placement.load);
+        }
+        self.metrics.dispatches.inc();
+        let kind = ObsEventKind::Dispatch {
+            executor: placement.node.index() as u32,
         };
-        self.arm_watchdog(world, instance, task_id, incarnation, attempt, timeout);
-        world.send(node, executor, bytes);
+        self.record_event(instance, Some(path), attempt, kind);
+        let msg = EngineMsg::Start(StartTask {
+            instance: instance.to_string(),
+            path: path.to_string(),
+            incarnation,
+            attempt,
+            code: shipment.code,
+            implementation: shipment.implementation,
+            set: launch.set,
+            inputs: launch.inputs,
+            repeat_objects: launch.repeat_objects,
+            epoch: self.membership.epoch(),
+        });
+        self.arm_watchdog(instance, task_id, incarnation, attempt, shipment.timeout);
+        self.send(placement.node, &msg);
         Ok(())
     }
 
     /// Arms the watchdog of one attempt on `task`'s flight record,
     /// cancelling any watchdog it replaces.
     fn arm_watchdog(
-        &self,
-        world: &mut World,
+        &mut self,
         instance: &str,
         task: TaskId,
         incarnation: u32,
         attempt: u32,
         timeout: SimDuration,
     ) {
-        let (node, path) = {
-            let coordinator = self.inner.borrow();
-            let Some(rt) = coordinator.instances.get(instance) else {
-                return;
-            };
-            let path = rt.plan.str(rt.plan.task(task).path).to_string();
-            (coordinator.node, path)
+        let Some(rt) = self.instances.get(instance) else {
+            return;
         };
-        let handle = self.clone();
-        let instance_owned = instance.to_string();
-        let watchdog = world.schedule_node_after(node, timeout, move |world| {
-            handle.on_watchdog(world, &instance_owned, &path, incarnation, attempt, timeout);
-        });
-        let stale = self
-            .inner
-            .borrow_mut()
-            .flight_mut(instance, task)
-            .and_then(|flight| flight.watchdog.replace(watchdog));
-        if let Some(stale) = stale {
-            world.cancel(stale);
-        }
+        let timer = Timer::Watchdog {
+            instance: instance.to_string(),
+            path: rt.plan.str(rt.plan.task(task).path).to_string(),
+            incarnation,
+            attempt,
+            timeout,
+        };
+        let watchdog = self.arm(timeout, timer);
+        let flight = self.flight_mut(instance, task);
+        let stale = flight.and_then(|flight| flight.watchdog.replace(watchdog));
+        self.cancel(stale);
     }
 
     /// The watchdog of one attempt fired: the executor is presumed lost,
@@ -878,28 +809,18 @@ impl CoordHandle {
     /// failure, with the cascade — published once it commits. A step
     /// that rolls back re-arms the watchdog at the same time-out: nothing
     /// else is left that can move the task.
-    fn on_watchdog(
-        &self,
-        world: &mut World,
+    pub(super) fn on_watchdog(
+        &mut self,
         instance: &str,
         path: &str,
         incarnation: u32,
         attempt: u32,
         timeout: SimDuration,
     ) {
-        // Fenced = zombie: no retry may be driven off claimed storage.
-        if self.inner.borrow_mut().mgr.probe_fence().is_some() {
-            return;
-        }
         // The completion may already be sitting in the batch window:
         // its transition just hasn't committed yet, and the watchdog
         // must not turn a report-in-flight into a spurious retry.
-        if self
-            .inner
-            .borrow()
-            .window
-            .holds_done(instance, path, incarnation, attempt)
-        {
+        if self.window.holds_done(instance, path, incarnation, attempt) {
             return;
         }
         // Where a timer enters: its task, named by path, resolved
@@ -910,64 +831,46 @@ impl CoordHandle {
         let Some(task) = plan.task_by_path(path) else {
             return;
         };
-        let cb = self.inner.borrow().read_cb_id(&plan, &keys, task).ok();
+        let cb = self.read_cb_id(&plan, &keys, task).ok();
         let Some(cb) = cb.filter(|cb| cb.awaits(incarnation, attempt)) else {
             return;
         };
-        let stepped = self.reevaluate(world, instance, |coordinator, step, drain| {
+        let stepped = self.reevaluate(instance, |coordinator, step, drain| {
             coordinator.stage_lost(step, drain, task, cb, "dispatch timed out", false)
         });
         if stepped.is_err() {
-            self.arm_watchdog(world, instance, task, incarnation, attempt, timeout);
+            self.arm_watchdog(instance, task, incarnation, attempt, timeout);
         }
         // The timed-out dispatch released its executor load (and a
         // failed task may have terminated its instance): revisit the
         // ready and admission queues.
-        self.pump(world);
+        self.pump();
     }
 
     /// The attempt of `task` on the wire ended with no outcome: its load
     /// is released — as a completion's when its executor `reported`, the
     /// elapsed time a sample — and its watchdog disarmed; the record
     /// stays, remembering the node so the retry relocates.
-    pub(super) fn lose_flight(
-        &self,
-        world: &mut World,
-        instance: &str,
-        task: TaskId,
-        reported: bool,
-    ) {
-        let watchdog = {
-            let mut coordinator = self.inner.borrow_mut();
-            let completed_at_ns = reported.then(|| world.now().as_nanos());
-            let died_on = coordinator.release_dispatch(instance, task, completed_at_ns);
-            coordinator.flight_mut(instance, task).and_then(|flight| {
-                flight.avoid = died_on.or(flight.avoid);
-                flight.watchdog.take()
-            })
-        };
-        if let Some(id) = watchdog {
-            world.cancel(id);
-        }
+    pub(super) fn lose_flight(&mut self, instance: &str, task: TaskId, reported: bool) {
+        let completed_at_ns = reported.then(|| self.now.as_nanos());
+        let died_on = self.release_dispatch(instance, task, completed_at_ns);
+        let watchdog = self.flight_mut(instance, task).and_then(|flight| {
+            flight.avoid = died_on.or(flight.avoid);
+            flight.watchdog.take()
+        });
+        self.cancel(watchdog);
     }
 
     /// An executor report for `task` was applied: its work is no longer
     /// outstanding. Drops the flight record, disarming the watchdog and
     /// releasing the load as a genuine completion.
-    pub(super) fn clear_watch(&self, world: &mut World, instance: &str, task: TaskId) {
-        let watchdog = {
-            let mut coordinator = self.inner.borrow_mut();
-            let now_ns = world.now().as_nanos();
-            coordinator.release_dispatch(instance, task, Some(now_ns));
-            let flight = coordinator
-                .instances
-                .get_mut(instance)
-                .and_then(|rt| rt.flights.0.remove(&task));
-            flight.and_then(|flight| flight.watchdog)
-        };
-        if let Some(id) = watchdog {
-            world.cancel(id);
-        }
+    pub(super) fn clear_watch(&mut self, instance: &str, task: TaskId) {
+        self.release_dispatch(instance, task, Some(self.now.as_nanos()));
+        let flight = self
+            .instances
+            .get_mut(instance)
+            .and_then(|rt| rt.flights.0.remove(&task));
+        self.cancel(flight.and_then(|flight| flight.watchdog));
     }
 }
 
@@ -978,8 +881,7 @@ mod tests {
     /// `n` unbounded executors, and a dispatch charged `task` units
     /// under code `ref{task}` for each of `tasks`, spread round-robin.
     fn booked(n: usize, tasks: &[TaskId]) -> (Dispatcher, Flights) {
-        let mut world = World::new(0);
-        let nodes: Vec<NodeId> = (0..n).map(|i| world.add_node(format!("e{i}"))).collect();
+        let nodes: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
         let specs = nodes.iter().copied().map(ExecutorSpec::unbounded).collect();
         let (mut dispatcher, mut flights) = (Dispatcher::new(specs), Flights::default());
         for &task in tasks {

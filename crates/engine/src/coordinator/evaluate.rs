@@ -7,7 +7,7 @@
 //! stuck. All of it *stages*: writes go into the step's action, reads
 //! back through it, and what must happen outside the store is left as
 //! the step's effects (a debug-build full scan checks the outcome).
-//! [`CoordHandle::reevaluate`] is the step over one resident instance
+//! [`Coordinator::reevaluate`] is the step over one resident instance
 //! every event outside the commit window runs as: the caller stages its
 //! transition, the drain stages behind it, one commit, then the effects.
 
@@ -17,13 +17,10 @@ use std::rc::Rc;
 use flowscript_core::ast::OutputKind;
 use flowscript_obs::ObsEventKind;
 use flowscript_plan::{eval as plan_eval, Plan, StrId, TaskId, Worklist};
-use flowscript_sim::World;
 use flowscript_tx::{AtomicAction, StableStore, TxManager};
 
 use super::step::{Effect, Launch, Step};
-use super::{
-    block_fault, CoordHandle, Coordinator, InstanceHeader, InstanceStatus, Outcome, StatusRecord,
-};
+use super::{block_fault, Coordinator, InstanceHeader, InstanceStatus, Outcome, StatusRecord};
 use crate::error::EngineError;
 use crate::facts::{self, StoreFacts};
 use crate::keys::InstanceKeys;
@@ -63,20 +60,19 @@ impl Drain<'_> {
     }
 }
 
-impl CoordHandle {
+impl Coordinator {
     /// The instance's plan and interned key table.
     pub(super) fn instance_ctx(&self, instance: &str) -> Option<(Rc<Plan>, Rc<InstanceKeys>)> {
-        let coordinator = self.inner.borrow();
-        let rt = coordinator.instances.get(instance)?;
+        let rt = self.instances.get(instance)?;
         Some((rt.plan.clone(), rt.keys.clone()))
     }
 
     /// Full re-evaluation — every task seeded — where there is no
     /// transition to seed from: an adopted instance. (A reconfiguration
     /// stages the same full drain, over its new plan, into its own step.)
-    pub(super) fn evaluate(&self, world: &mut World, instance: &str) {
+    pub(super) fn evaluate(&mut self, instance: &str) {
         // No error channel: a drain that cannot stage rolls back whole.
-        let _ = self.reevaluate(world, instance, |_, _, drain| {
+        let _ = self.reevaluate(instance, |_, _, drain| {
             drain.worklist.seed_all(drain.plan);
             Ok(())
         });
@@ -92,22 +88,20 @@ impl CoordHandle {
     /// `stage`'s, or the commit's: the step rolled back, nothing of it
     /// was published.
     pub(super) fn reevaluate(
-        &self,
-        world: &mut World,
+        &mut self,
         instance: &str,
         stage: impl FnOnce(&mut Coordinator, &mut Step, &mut Drain<'_>) -> Result<(), EngineError>,
     ) -> Result<(), EngineError> {
         let (plan, keys) = self
             .instance_ctx(instance)
             .ok_or_else(|| EngineError::UnknownInstance(instance.to_string()))?;
-        let staged = self.inner.borrow_mut().run_step(|coordinator, step| {
+        let ((), effects) = self.run_step(|coordinator, step| {
             let mut drain = coordinator.drain_of(instance.into(), &plan, &keys);
             stage(coordinator, step, &mut drain)?;
             coordinator.stage_drain(step, &mut drain)
-        });
-        let ((), effects) = staged?;
-        self.publish(world, effects);
-        let _ = self.inner.borrow_mut().maybe_checkpoint();
+        })?;
+        self.publish(effects);
+        let _ = self.maybe_checkpoint();
         self.assert_settled(instance);
         Ok(())
     }
@@ -118,26 +112,23 @@ impl CoordHandle {
     pub(super) fn assert_settled(&self, instance: &str) {
         #[cfg(debug_assertions)]
         {
-            let coordinator = self.inner.borrow();
-            let Some(rt) = coordinator.instances.get(instance) else {
+            let Some(rt) = self.instances.get(instance) else {
                 return;
             };
             // Checked only where the record decodes: a missing or
             // corrupt one is a storage fault, not a mirror drift.
-            if let Ok(record) = coordinator.read_status(instance) {
+            if let Ok(record) = self.read_status(instance) {
                 let terminal = record.status.is_terminal();
                 assert_eq!(rt.terminal, terminal, "status mirror of `{instance}`");
             }
             if !rt.terminal {
-                coordinator.assert_quiescent(instance);
-                coordinator.assert_flights_consistent(instance);
+                self.assert_quiescent(instance);
+                self.assert_flights_consistent(instance);
             }
         }
         let _ = instance;
     }
-}
 
-impl Coordinator {
     /// `name`'s part in a step about to stage, nothing seeded yet. A
     /// start's instance is not resident: running, nothing flying.
     pub(super) fn drain_of<'a>(

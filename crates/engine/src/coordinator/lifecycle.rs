@@ -13,14 +13,13 @@ use std::rc::Rc;
 use flowscript_core::schema;
 use flowscript_obs::ObsEventKind;
 use flowscript_plan::{Plan, TaskId};
-use flowscript_sim::World;
 use flowscript_tx::{AtomicAction, StableStore, StoreKey, TxManager};
 
 use super::meta::source_hash;
 use super::step::Effect;
 use super::{
-    stored_instances, CoordHandle, Coordinator, Flights, InstanceHeader, InstanceRt,
-    InstanceStatus, StatusRecord,
+    stored_instances, Coordinator, Flights, InstanceHeader, InstanceRt, InstanceStatus,
+    StatusRecord,
 };
 use crate::error::EngineError;
 use crate::facts;
@@ -97,42 +96,7 @@ impl Coordinator {
             .filter(|text| source_hash(text) == header.source_hash)
             .ok_or_else(|| EngineError::Tx(format!("`{key}` does not hold the source of `{name}`")))
     }
-}
 
-/// Stages the two blobs an instance runs off, each only where the shard
-/// has none yet: the canonical `source` of `script` under its `hash` —
-/// text already there is shared only if it is this text — and `plan`
-/// under its fingerprint, so a load decodes it instead of recompiling.
-///
-/// # Errors
-///
-/// Different text under `hash`, or a write the action refused.
-pub(super) fn pin_blobs(
-    mgr: &mut TxManager<StableStore>,
-    action: &AtomicAction,
-    script: &str,
-    hash: u64,
-    source: &str,
-    plan: &Plan,
-) -> Result<(), EngineError> {
-    let source_key = source_uid(hash);
-    match mgr.read_committed_bytes(&source_key) {
-        Some(stored) if stored != source.as_bytes() => {
-            return Err(EngineError::Tx(format!(
-                "`{source_key}` holds a different source than script `{script}`"
-            )));
-        }
-        Some(_) => {}
-        None => mgr.write_key_raw(action, &source_key, source.as_bytes().to_vec())?,
-    }
-    let plan_key = plan_uid(plan.fingerprint);
-    if !mgr.exists_key(&plan_key) {
-        mgr.write_key(action, &plan_key, plan)?;
-    }
-    Ok(())
-}
-
-impl CoordHandle {
     /// Compiles and launches an admitted instance, reusing the plan the
     /// repository served for this script version when there is one.
     ///
@@ -141,8 +105,7 @@ impl CoordHandle {
     /// Invalid script, bad inputs or storage failure.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn start_instance(
-        &self,
-        world: &mut World,
+        &mut self,
         instance: &str,
         script_name: &str,
         source: &str,
@@ -193,7 +156,7 @@ impl CoordHandle {
         // root's binding *and* the first drain's activations in one
         // action — committed straight to the log: a frame that fails to
         // append aborts it, and leaves nothing behind.
-        let staged = self.inner.borrow_mut().run_step(|coordinator, step| {
+        let staged = self.run_step(|coordinator, step| {
             // A second start must not write over the first.
             if coordinator.holds(instance) {
                 return Err(EngineError::DuplicateInstance(instance.to_string()));
@@ -255,9 +218,9 @@ impl CoordHandle {
         // The caller acknowledges the start on `Ok`: a frame that did
         // not reach the log must not read as one.
         let ((), effects) = staged?;
-        self.publish(world, effects);
+        self.publish(effects);
         self.assert_settled(instance);
-        let _ = self.inner.borrow_mut().maybe_checkpoint();
+        let _ = self.maybe_checkpoint();
         Ok(())
     }
 
@@ -268,13 +231,13 @@ impl CoordHandle {
     /// [`EngineError::UnknownInstance`]; a storage error if the stored
     /// status record does not decode.
     pub fn status(&self, instance: &str) -> Result<InstanceStatus, EngineError> {
-        let record = self.inner.borrow().read_status(instance)?;
+        let record = self.read_status(instance)?;
         Ok(record.status)
     }
 
     /// All task states of an instance, keyed by path (a block never
     /// stored reads `Waiting`).
-    pub fn task_states(&self, instance: &str) -> BTreeMap<String, CbState> {
+    pub fn task_states(&mut self, instance: &str) -> BTreeMap<String, CbState> {
         let blocks = self.task_blocks(instance).into_iter();
         blocks.map(|(path, cb)| (path, cb.state)).collect()
     }
@@ -286,12 +249,7 @@ impl CoordHandle {
     /// stored header's id and the plan its status record names. Test
     /// hook beyond the states.
     #[doc(hidden)]
-    pub fn task_blocks(&self, instance: &str) -> BTreeMap<String, TaskCb> {
-        let mut coordinator = self.inner.borrow_mut();
-        let resident = coordinator
-            .instances
-            .get(instance)
-            .map(|rt| (rt.plan.clone(), rt.keys.clone()));
+    pub fn task_blocks(&mut self, instance: &str) -> BTreeMap<String, TaskCb> {
         let stored = |coordinator: &mut Coordinator| {
             let header = coordinator.read_header(instance).ok()?;
             let record = coordinator.read_status(instance).ok()?;
@@ -299,12 +257,12 @@ impl CoordHandle {
             let keys = InstanceKeys::build(&plan, instance, header.instance_id);
             Some((plan, Rc::new(keys)))
         };
-        let Some((plan, keys)) = resident.or_else(|| stored(&mut coordinator)) else {
+        let Some((plan, keys)) = self.instance_ctx(instance).or_else(|| stored(self)) else {
             return BTreeMap::new();
         };
         (0..plan.tasks.len() as TaskId)
             .filter_map(|id| {
-                let cb = coordinator.read_cb_id(&plan, &keys, id).ok()?;
+                let cb = self.read_cb_id(&plan, &keys, id).ok()?;
                 Some((plan.str(plan.task(id).path).to_string(), cb))
             })
             .collect()
@@ -317,22 +275,19 @@ impl CoordHandle {
         path: &str,
         output: &str,
     ) -> Option<BTreeMap<String, ObjectVal>> {
-        let coordinator = self.inner.borrow();
-        let rt = coordinator.instances.get(instance)?;
+        let rt = self.instances.get(instance)?;
         let task = rt.plan.task_by_path(path)?;
         let key = rt.keys.out_key(&rt.plan, task, output)?;
-        facts::read_fact_map(&coordinator.mgr, &rt.plan, key)
+        facts::read_fact_map(&self.mgr, &rt.plan, key)
             .ok()
             .flatten()
     }
 
     /// Names of instances known to the coordinator.
     pub fn instance_names(&self) -> Vec<String> {
-        self.inner.borrow().instances.keys().cloned().collect()
+        self.instances.keys().cloned().collect()
     }
-}
 
-impl Coordinator {
     /// Counts an instance's non-terminal control blocks as `action`
     /// reads them — committed state when `None` (point reads over the
     /// plan's dense ids, no store scan); a block that does not decode is
@@ -352,48 +307,7 @@ impl Coordinator {
             .filter(|&id| !terminal(id))
             .count()
     }
-}
 
-/// Validated plans by their encoding. Decoding a plan and checking it
-/// (`is_well_formed` + `verify_fingerprint`) is a pure function of the
-/// bytes, so each distinct encoding — the repository's reply for a
-/// script version, a `sys/plan/…` blob — pays it once per coordinator,
-/// and every instance of that plan shares one `Rc<Plan>`. Bytes that
-/// fail to decode or validate are never entered. Evicted with the
-/// blobs, in [`Coordinator::gc_plans`].
-#[derive(Default)]
-pub(crate) struct PlanCache {
-    plans: BTreeMap<Vec<u8>, Rc<Plan>>,
-}
-
-impl PlanCache {
-    pub(crate) fn validated(&mut self, bytes: &[u8]) -> Option<Rc<Plan>> {
-        if let Some(plan) = self.plans.get(bytes) {
-            return Some(plan.clone());
-        }
-        let plan = flowscript_codec::from_bytes::<Plan>(bytes)
-            .ok()
-            .filter(|plan| plan.is_well_formed() && plan.verify_fingerprint())?;
-        let plan = Rc::new(plan);
-        self.plans.insert(bytes.to_vec(), plan.clone());
-        Some(plan)
-    }
-
-    /// Drops every plan whose fingerprint is not in `live`.
-    fn retain_live(&mut self, live: &BTreeSet<u64>) {
-        self.plans
-            .retain(|_, plan| live.contains(&plan.fingerprint));
-    }
-
-    /// The held plans' fingerprints, ascending.
-    fn fingerprints(&self) -> Vec<u64> {
-        let mut held: Vec<u64> = self.plans.values().map(|plan| plan.fingerprint).collect();
-        held.sort_unstable();
-        held
-    }
-}
-
-impl Coordinator {
     /// Drops the persisted plan blobs (`sys/plan/…`) and pinned sources
     /// (`sys/src/…`) no instance references any more. Both persist once
     /// per content; every reconfiguration pins a new version of both, so
@@ -440,13 +354,11 @@ impl Coordinator {
         self.mgr.commit(action)?;
         Ok(())
     }
-}
 
-impl CoordHandle {
     /// The ids of the blobs this shard's store holds under `prefix`.
     /// Performs a uid prefix scan: admin/monitoring only.
     fn persisted_blobs(&self, prefix: &str) -> Vec<u64> {
-        let blobs = self.inner.borrow().mgr.uids_with_prefix(prefix);
+        let blobs = self.mgr.uids_with_prefix(prefix);
         let ids = blobs.iter().filter_map(|uid| keys::blob_id(uid, prefix));
         ids.collect()
     }
@@ -459,7 +371,7 @@ impl CoordHandle {
 
     /// Hashes of the canonical sources pinned in this shard's store
     /// (`sys/src/…`) — the twin of
-    /// [`CoordHandle::persisted_plan_fingerprints`]; test hook.
+    /// [`Coordinator::persisted_plan_fingerprints`]; test hook.
     #[doc(hidden)]
     pub fn persisted_source_hashes(&self) -> Vec<u64> {
         self.persisted_blobs(keys::SOURCE_PREFIX)
@@ -468,11 +380,83 @@ impl CoordHandle {
     /// Fingerprints of the validated plans this shard holds decoded
     /// (served by the repository or read back from `sys/plan/…`
     /// blobs), ascending — the in-memory twin of
-    /// [`CoordHandle::persisted_plan_fingerprints`]; test hook for the
+    /// [`Coordinator::persisted_plan_fingerprints`]; test hook for the
     /// plan-cache suites.
     #[doc(hidden)]
     pub fn cached_plan_fingerprints(&self) -> Vec<u64> {
-        self.inner.borrow().plan_cache.fingerprints()
+        self.plan_cache.fingerprints()
+    }
+}
+
+/// Stages the two blobs an instance runs off, each only where the shard
+/// has none yet: the canonical `source` of `script` under its `hash` —
+/// text already there is shared only if it is this text — and `plan`
+/// under its fingerprint, so a load decodes it instead of recompiling.
+///
+/// # Errors
+///
+/// Different text under `hash`, or a write the action refused.
+pub(super) fn pin_blobs(
+    mgr: &mut TxManager<StableStore>,
+    action: &AtomicAction,
+    script: &str,
+    hash: u64,
+    source: &str,
+    plan: &Plan,
+) -> Result<(), EngineError> {
+    let source_key = source_uid(hash);
+    match mgr.read_committed_bytes(&source_key) {
+        Some(stored) if stored != source.as_bytes() => {
+            return Err(EngineError::Tx(format!(
+                "`{source_key}` holds a different source than script `{script}`"
+            )));
+        }
+        Some(_) => {}
+        None => mgr.write_key_raw(action, &source_key, source.as_bytes().to_vec())?,
+    }
+    let plan_key = plan_uid(plan.fingerprint);
+    if !mgr.exists_key(&plan_key) {
+        mgr.write_key(action, &plan_key, plan)?;
+    }
+    Ok(())
+}
+
+/// Validated plans by their encoding. Decoding a plan and checking it
+/// (`is_well_formed` + `verify_fingerprint`) is a pure function of the
+/// bytes, so each distinct encoding — the repository's reply for a
+/// script version, a `sys/plan/…` blob — pays it once per coordinator,
+/// and every instance of that plan shares one `Rc<Plan>`. Bytes that
+/// fail to decode or validate are never entered. Evicted with the
+/// blobs, in [`Coordinator::gc_plans`].
+#[derive(Default)]
+pub(crate) struct PlanCache {
+    plans: BTreeMap<Vec<u8>, Rc<Plan>>,
+}
+
+impl PlanCache {
+    pub(crate) fn validated(&mut self, bytes: &[u8]) -> Option<Rc<Plan>> {
+        if let Some(plan) = self.plans.get(bytes) {
+            return Some(plan.clone());
+        }
+        let plan = flowscript_codec::from_bytes::<Plan>(bytes)
+            .ok()
+            .filter(|plan| plan.is_well_formed() && plan.verify_fingerprint())?;
+        let plan = Rc::new(plan);
+        self.plans.insert(bytes.to_vec(), plan.clone());
+        Some(plan)
+    }
+
+    /// Drops every plan whose fingerprint is not in `live`.
+    fn retain_live(&mut self, live: &BTreeSet<u64>) {
+        self.plans
+            .retain(|_, plan| live.contains(&plan.fingerprint));
+    }
+
+    /// The held plans' fingerprints, ascending.
+    fn fingerprints(&self) -> Vec<u64> {
+        let mut held: Vec<u64> = self.plans.values().map(|plan| plan.fingerprint).collect();
+        held.sort_unstable();
+        held
     }
 }
 
@@ -482,29 +466,28 @@ mod tests {
     use flowscript_tx::storage::FlakyStorage;
     use flowscript_tx::{Shared, SharedStorage, StableStore};
 
+    use flowscript_sim::{NodeId, SimTime};
+
     use super::*;
-    use crate::coordinator::EngineConfig;
+    use crate::coordinator::{EngineConfig, Input};
     use crate::sched::ExecutorSpec;
     use crate::shard::ShardMap;
 
-    /// One shard over `storage`, its executor never run.
-    fn shard(storage: impl Into<StableStore>) -> (World, CoordHandle) {
-        let mut world = World::new(1);
-        let [client, here, executor] = ["client", "here", "exec"].map(|n| world.add_node(n));
+    /// One shard over `storage`, its executor never run: nothing but
+    /// the coordinator, its outputs left in its outbox.
+    fn shard(storage: impl Into<StableStore>) -> Coordinator {
+        let [client, here, executor] = [0, 1, 2].map(NodeId::from_index);
         let config = EngineConfig::default();
         let executors = vec![ExecutorSpec::unbounded(executor)];
         let shard = ShardMap::new(vec![here]);
-        let coord = Coordinator::open(here, client, executors, config, storage, shard)
-            .map(CoordHandle::new)
-            .expect("empty storage opens");
-        (world, coord)
+        Coordinator::open(here, client, executors, config, storage, shard)
+            .expect("empty storage opens")
     }
 
-    fn start(coord: &CoordHandle, world: &mut World, name: &str) -> Result<(), EngineError> {
+    fn start(coord: &mut Coordinator, name: &str) -> Result<(), EngineError> {
         let seed = ObjectVal::text("Data", "s");
         let inputs = BTreeMap::from([("seed".to_string(), seed)]);
         coord.start_instance(
-            world,
             name,
             "diamond",
             FIG1_DIAMOND,
@@ -517,27 +500,18 @@ mod tests {
 
     #[test]
     fn a_start_that_fails_mid_staging_keeps_no_lock() {
-        let (mut world, coord) = shard(SharedStorage::new());
+        let mut coord = shard(SharedStorage::new());
         // Another open action holds the write lock on `x`'s header: the
         // start of `x` dies on it, after it took the id sequence's.
-        let blocker = {
-            let mut coordinator = coord.inner.borrow_mut();
-            let action = coordinator.mgr.begin();
-            let written = coordinator
-                .mgr
-                .write_key(&action, &keys::meta_uid("x"), &0u8);
-            written.expect("nothing else is open");
-            action
-        };
-        assert!(matches!(
-            start(&coord, &mut world, "x"),
-            Err(EngineError::Tx(_))
-        ));
+        let blocker = coord.mgr.begin();
+        let written = coord.mgr.write_key(&blocker, &keys::meta_uid("x"), &0u8);
+        written.expect("nothing else is open");
+        assert!(matches!(start(&mut coord, "x"), Err(EngineError::Tx(_))));
         // Abandoned with its locks, that action would fail every later
         // start on this shard until a restart.
-        start(&coord, &mut world, "y").expect("the failed start released the id sequence");
-        coord.inner.borrow_mut().mgr.abort(blocker);
-        start(&coord, &mut world, "x").expect("and left nothing of `x` behind");
+        start(&mut coord, "y").expect("the failed start released the id sequence");
+        coord.mgr.abort(blocker);
+        start(&mut coord, "x").expect("and left nothing of `x` behind");
         assert_eq!(coord.instance_names(), ["x", "y"]);
     }
 
@@ -550,11 +524,11 @@ mod tests {
     fn a_start_whose_frame_fails_to_append_is_not_acknowledged() {
         let storage = FlakyStorage::default();
         let fail = storage.fail.clone();
-        let (mut world, coord) = shard(Shared::from(storage));
-        let objects = |coord: &CoordHandle| coord.inner.borrow().mgr.object_count();
-        let occupancy = |coord: &CoordHandle| coord.inner.borrow().admission.occupancy();
+        let mut coord = shard(Shared::from(storage));
+        let objects = |coord: &Coordinator| coord.mgr.object_count();
+        let occupancy = |coord: &Coordinator| coord.admission.occupancy();
         fail.set(true);
-        let refused = start(&coord, &mut world, "x");
+        let refused = start(&mut coord, "x");
         assert!(
             matches!(&refused, Err(EngineError::Tx(why)) if why.contains("injected append failure")),
             "{refused:?}"
@@ -562,10 +536,10 @@ mod tests {
         assert!(coord.instance_names().is_empty());
         assert_eq!((objects(&coord), occupancy(&coord)), (0, 0));
         assert_eq!(coord.log_size(), 0);
-        world.run();
-        assert_eq!(coord.stats().dispatches, 0, "nothing was published");
+        assert!(coord.outbox.is_empty(), "nothing was published");
+        assert_eq!(coord.stats().dispatches, 0);
         fail.set(false);
-        start(&coord, &mut world, "x").expect("the healed disk takes the same name");
+        start(&mut coord, "x").expect("the healed disk takes the same name");
         assert_eq!(coord.instance_names(), ["x"]);
         assert_eq!(occupancy(&coord), 1);
         assert_eq!(coord.stats().dispatches, 1, "t1, once");
@@ -577,19 +551,18 @@ mod tests {
     /// it with no explanation.
     #[test]
     fn a_corrupt_block_stops_a_restart_instead_of_reading_as_waiting() {
-        let (mut world, coord) = shard(SharedStorage::new());
-        start(&coord, &mut world, "d").expect("starts");
+        let mut coord = shard(SharedStorage::new());
+        start(&mut coord, "d").expect("starts");
         assert_eq!(coord.stats().dispatches, 1, "t1");
         let t1 = {
-            let coordinator = coord.inner.borrow();
-            let rt = &coordinator.instances["d"];
+            let rt = &coord.instances["d"];
             let t1 = rt.plan.task_by_path("diamond/t1").unwrap();
             StoreKey::Fact(rt.keys.cb(t1))
         };
         assert!(coord.task_states("d")["diamond/t1"].is_running());
-        assert!(coord.inner.borrow_mut().poison([t1]), "poison lands");
+        assert!(coord.poison([t1]), "poison lands");
         // The crash loses nothing committed: the restart replays the log.
-        coord.recover(&mut world);
+        coord.handle(SimTime::ZERO, Input::Restart);
         match coord.status("d") {
             Ok(InstanceStatus::Stuck { reason }) => {
                 assert!(reason.contains("control block storage fault"), "{reason}");

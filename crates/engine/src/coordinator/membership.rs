@@ -2,9 +2,9 @@
 //! wrong shard, and the two ways instances change shards. Both are run
 //! by the nodes themselves, over [`EngineMsg`]s: the façade
 //! ([`crate::WorkflowSystem`]) hands ONE node the trigger
-//! ([`CoordHandle::begin_move`], [`CoordHandle::begin_adoption`]),
-//! steps the world until that node's report is ready, then pushes the
-//! map flip.
+//! ([`Coordinator::begin_move`], [`Coordinator::begin_adoption`]),
+//! steps the world until that node files its report on its [`Ticket`],
+//! then pushes the map flip.
 //!
 //! **Live hand-off** (rebalance, planned drain) is one protocol: the
 //! presumed-abort two-phase commit of [`flowscript_tx::dist`], hosted
@@ -41,7 +41,7 @@
 //! relayed to the destination after the ack, re-enqueued here after an
 //! abort, never applied to a packaged instance and never dropped. An
 //! aborted slice re-materialises through the same
-//! [`CoordHandle::adopt_orphans`] a destination lands a commit on.
+//! [`Coordinator::adopt_orphans`] a destination lands a commit on.
 //!
 //! Crash repair ([`Coordinator::repair_handoffs`]) speaks the same
 //! messages: a restarted source announces every stored move record as
@@ -52,25 +52,24 @@
 //!
 //! **Crash-driven adoption.** The claimant fences the dead shard's
 //! storage, packages every instance in it and sends each new owner its
-//! share as [`EngineMsg::Claim`] RPCs, again every
-//! [`RETRANSMIT_INTERVAL`] until acknowledged. No 2PC — the source is
+//! share as [`EngineMsg::Claim`] calls ([`super::Call::Claim`]), again
+//! every [`RETRANSMIT_INTERVAL`] until acknowledged. No 2PC — the source is
 //! dead and the fence already decided; a claim is one local atomic
 //! commit, and an instance already present is skipped, so a re-run is
 //! idempotent.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
 
 use flowscript_codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
 use flowscript_obs::ObsEventKind;
-use flowscript_sim::{EventId, NodeId, ReplyToken, RpcError, SimDuration, World};
+use flowscript_sim::{NodeId, ReplyToken, RpcError, SimDuration, SimTime};
 use flowscript_tx::dist::{self, AfterImages, CoordAction, DistMsg};
 use flowscript_tx::{AtomicAction, FactKey, StableStore, StoreKey, TxId, TxManager};
 
 use super::window::PendingEvent;
 use super::{
-    stored_instance_names, CoordHandle, Coordinator, InstanceHeader, InstanceStatus, StatusRecord,
+    stored_instance_names, Call, Coordinator, InstanceHeader, InstanceStatus, Output, StatusRecord,
+    Timer, TimerId,
 };
 use crate::error::EngineError;
 use crate::keys::{self, instance_seq_uid, meta_uid, move_uid, plan_uid, source_uid, status_uid};
@@ -94,6 +93,15 @@ pub(crate) const DRAIN_BATCH: usize = 64;
 /// decision or claim is sent again. Comfortably above a round trip on
 /// any link the simulator models, far below a dispatch watchdog.
 const RETRANSMIT_INTERVAL: SimDuration = SimDuration::from_millis(5);
+
+/// How long an admitted start waits on the repository for its script
+/// before it answers the client that the repository is unreachable.
+pub(super) const REPOSITORY_TIMEOUT: SimDuration = SimDuration::from_secs(5);
+
+/// How long a relayed start waits on its owner before it answers the
+/// client that the owning shard is unreachable: above the owner's own
+/// [`REPOSITORY_TIMEOUT`], so the owner's answer comes first.
+const RELAY_TIMEOUT: SimDuration = SimDuration::from_secs(8);
 
 /// How long the façade waits on a node without seeing it complete a
 /// round or a claim before it gives the call up (the operator's RPC
@@ -193,12 +201,13 @@ struct Round {
     /// Reports that arrived for the frozen slice, with their hop counts.
     held: Vec<(PendingEvent, u32)>,
     /// The pending [`RETRANSMIT_INTERVAL`] timer.
-    timer: EventId,
+    timer: TimerId,
 }
 
 /// The façade's end of a fleet operation it handed a node — the reply
-/// channel of the operator's RPC; shared memory here, because the
-/// operator trigger is not a wire message.
+/// slot of the operator's call, which the façade reads through the
+/// driver. It is the caller's, not the node's volatile state: a restart
+/// leaves it as it was.
 #[derive(Default)]
 pub(crate) struct Ticket<T> {
     /// The node's report, once it has one.
@@ -206,15 +215,7 @@ pub(crate) struct Ticket<T> {
     /// Rounds or claims acknowledged so far: the sign of life the
     /// façade's deadline restarts on.
     pub(crate) progress: u64,
-    /// Set by the façade when it gives the call up. The node then stops
-    /// re-sending for this operation, so no fleet timer outlives the
-    /// call that started it by more than a tick; rounds already decided
-    /// but unacknowledged stay on the books for the next job, a recovery
-    /// re-announcement or the destination's own query to finish.
-    pub(crate) cancelled: bool,
 }
-
-pub(crate) type TicketRef<T> = Rc<RefCell<Ticket<T>>>;
 
 /// The move the façade handed this node: the rounds still to run, the
 /// one in flight and the tally so far.
@@ -222,15 +223,16 @@ struct MoveJob {
     queue: VecDeque<(NodeId, Vec<String>)>,
     current: Option<TxId>,
     report: MoveReport,
-    ticket: TicketRef<MoveReport>,
 }
 
-/// The adoption a claimant runs: what each claim RPC's continuation —
-/// the only thing that advances it — needs to count itself off.
+/// The adoption a claimant runs: what each claim's answer — the only
+/// thing that advances it — needs to count itself off.
 struct Adoption {
+    /// Which of this node's adoptions: a late answer to an earlier one's
+    /// claim counts for nothing.
+    id: u64,
     claims: u64,
     report: FailoverReport,
-    ticket: TicketRef<FailoverReport>,
 }
 
 /// Who owns what, as this coordinator sees it — and the fleet
@@ -245,7 +247,7 @@ pub(super) struct Membership {
     /// rebalance's final map flip, when this node's `shard` map still
     /// claims ownership. Volatile, but rebuilt on recovery from the
     /// stored move records of committed rounds; cleared, with them, by
-    /// the flip ([`CoordHandle::set_shard_map`]), after which the map
+    /// the flip ([`Coordinator::set_shard_map`]), after which the map
     /// itself routes to the new owner.
     moved: BTreeMap<String, NodeId>,
     /// The 2PC coordinator of every round this node sources.
@@ -255,6 +257,13 @@ pub(super) struct Membership {
     /// undelivered (the next job settles those first).
     rounds: BTreeMap<TxId, Round>,
     job: Option<MoveJob>,
+    adoption: Option<Adoption>,
+    /// Adoptions begun so far.
+    adoptions: u64,
+    /// The façade's ends of the last move and the last adoption it
+    /// handed this node.
+    move_ticket: Ticket<MoveReport>,
+    adoption_ticket: Ticket<FailoverReport>,
 }
 
 impl Membership {
@@ -265,6 +274,10 @@ impl Membership {
             dist: dist::Coordinator::new(node.index() as u32),
             rounds: BTreeMap::new(),
             job: None,
+            adoption: None,
+            adoptions: 0,
+            move_ticket: Ticket::default(),
+            adoption_ticket: Ticket::default(),
         }
     }
 
@@ -281,19 +294,13 @@ impl Membership {
         self.dist = dist::Coordinator::new(self.dist.node());
         self.rounds.clear();
         self.job = None;
+        self.adoption = None;
     }
 
     /// A fenced zombie relays nothing: its relay table dies with its
     /// claim on the storage.
     pub(super) fn forget_moves(&mut self) {
         self.moved.clear();
-    }
-
-    /// The job the façade is still waiting on, if there is one: a
-    /// cancelled job is dropped on sight.
-    fn live_job(&mut self) -> Option<&mut MoveJob> {
-        self.job.take_if(|job| job.ticket.borrow().cancelled);
-        self.job.as_mut()
     }
 
     /// The round that holds `instance` frozen, if one does.
@@ -440,7 +447,7 @@ impl Coordinator {
     /// dispatches forgotten (whoever owns the instance next re-arms
     /// from its committed control blocks). Returns the watchdogs to
     /// cancel.
-    fn drop_runtime(&mut self, instance: &str) -> Vec<EventId> {
+    fn drop_runtime(&mut self, instance: &str) -> Vec<TimerId> {
         let Some(rt) = self.instances.remove(instance) else {
             return Vec::new();
         };
@@ -509,165 +516,155 @@ impl Coordinator {
         }
         traffic
     }
-}
 
-impl CoordHandle {
     /// `Some(owner)` when `instance` belongs to a *different*
     /// coordinator per the shared shard map (the request must be
     /// forwarded), `None` when this node owns it.
     pub(super) fn misdirected(&self, instance: &str) -> Option<NodeId> {
-        let coordinator = self.inner.borrow();
         // Residency beats the map: the instant a committed hand-off is
         // adopted, this node *is* the owner — even while its own map is
         // still the pre-flip one (a crashed destination recovers the
         // move before any map update reaches it). Without this, the
         // stale map bounces relayed reports straight back at the
         // relayer until the hop cap eats them.
-        if coordinator.instances.contains_key(instance) {
+        if self.instances.contains_key(instance) {
             return None;
         }
-        let owner = coordinator.membership.shard.node_of(instance);
-        if owner != coordinator.node {
+        let owner = self.membership.shard.node_of(instance);
+        if owner != self.node {
             return Some(owner);
         }
         // The map says "mine" but the instance was handed off and the
         // rebalance's map flip hasn't happened yet (the dual-delivery
         // window): relay to where it went.
-        coordinator.membership.moved.get(instance).copied()
+        self.membership.moved.get(instance).copied()
     }
 
     /// Routes one executor report: held with its round while the
     /// instance is frozen, relayed when another shard owns it, buffered
     /// into the commit window when it is ours.
-    pub(super) fn route_report(&self, world: &mut World, report: PendingEvent, hops: u32) {
-        {
-            let mut coordinator = self.inner.borrow_mut();
-            let membership = &mut coordinator.membership;
-            let frozen_in = membership.freezing(report.address().0);
-            if let Some(round) = frozen_in.and_then(|tx| membership.rounds.get_mut(&tx)) {
-                round.held.push((report, hops));
-                return;
-            }
+    pub(super) fn route_report(&mut self, report: PendingEvent, hops: u32) {
+        let membership = &mut self.membership;
+        let frozen_in = membership.freezing(report.address().0);
+        if let Some(round) = frozen_in.and_then(|tx| membership.rounds.get_mut(&tx)) {
+            round.held.push((report, hops));
+            return;
         }
         match self.misdirected(report.address().0) {
             Some(owner) => {
                 let instance = report.address().0.to_string();
-                self.forward_oneway(world, owner, &instance, report.into(), hops);
+                self.forward_oneway(owner, &instance, report.into(), hops);
             }
-            None => self.enqueue_event(world, report),
+            None => self.enqueue_event(report),
         }
     }
 
     /// Wraps a misdirected message for its relay to `owner`: an
     /// `EngineMsg::Forwarded` carrying this node's map epoch and the
-    /// hop count, returned as `(this node, encoded wrapper)`. A message
-    /// that already burned [`MAX_FORWARD_HOPS`] relays is circling
-    /// between coordinators whose shard maps disagree — it is counted
-    /// (`coord.forward_loops`) and `None` comes back instead of another
-    /// bounce. The relay charges only `forwarded`; the owner counts the
-    /// operation itself exactly once.
+    /// hop count, returned encoded. A message that already burned
+    /// [`MAX_FORWARD_HOPS`] relays is circling between coordinators
+    /// whose shard maps disagree — it is counted (`coord.forward_loops`)
+    /// and `None` comes back instead of another bounce. The relay
+    /// charges only `forwarded`; the owner counts the operation itself
+    /// exactly once.
     fn forward_envelope(
         &self,
-        world: &World,
         owner: NodeId,
         instance: &str,
         inner: &EngineMsg,
         hops: u32,
-    ) -> Option<(NodeId, Vec<u8>)> {
-        let coordinator = self.inner.borrow();
+    ) -> Option<Vec<u8>> {
         if hops >= MAX_FORWARD_HOPS {
-            coordinator.metrics.forward_loops.inc();
+            self.metrics.forward_loops.inc();
             return None;
         }
-        coordinator.metrics.forwarded.inc();
-        let epoch = coordinator.membership.epoch();
-        coordinator.record_event(
-            world.now().as_nanos(),
-            instance,
-            None,
-            0,
-            ObsEventKind::Forward {
-                to: owner.index() as u32,
-                epoch,
-            },
-        );
+        self.metrics.forwarded.inc();
+        let epoch = self.membership.epoch();
+        let to = owner.index() as u32;
+        let kind = ObsEventKind::Forward { to, epoch };
+        self.record_event(instance, None, 0, kind);
         let wrapped = EngineMsg::Forwarded {
             epoch,
             hops: hops + 1,
             inner: flowscript_codec::to_bytes(inner),
         };
-        Some((coordinator.node, flowscript_codec::to_bytes(&wrapped)))
+        Some(flowscript_codec::to_bytes(&wrapped))
     }
 
     /// Relays a misdirected one-way message (`Done`/`Mark`) to the
     /// owning shard; at the hop cap it is dropped.
-    fn forward_oneway(
-        &self,
-        world: &mut World,
-        owner: NodeId,
-        instance: &str,
-        inner: EngineMsg,
-        hops: u32,
-    ) {
-        if let Some((node, wrapped)) = self.forward_envelope(world, owner, instance, &inner, hops) {
-            world.send(node, owner, wrapped);
+    fn forward_oneway(&mut self, owner: NodeId, instance: &str, inner: EngineMsg, hops: u32) {
+        if let Some(bytes) = self.forward_envelope(owner, instance, &inner, hops) {
+            self.outbox.push(Output::Send { to: owner, bytes });
         }
     }
 
-    /// Relays a misdirected `StartInstance` RPC to the owning shard and
-    /// pipes the owner's reply back to the original caller. At the hop
-    /// cap the caller gets a diagnosable error instead of a hang.
+    /// Relays a misdirected `StartInstance` call to the owning shard
+    /// ([`Call::Relay`]), whose answer goes back to the original caller.
+    /// At the hop cap the caller gets a diagnosable error instead of a
+    /// hang.
     pub(super) fn forward_start(
-        &self,
-        world: &mut World,
+        &mut self,
         owner: NodeId,
         instance: &str,
         token: ReplyToken,
         inner: EngineMsg,
         hops: u32,
     ) {
-        let Some((node, wrapped)) = self.forward_envelope(world, owner, instance, &inner, hops)
-        else {
+        let Some(bytes) = self.forward_envelope(owner, instance, &inner, hops) else {
             let reply = EngineMsg::Ack {
                 result: Err(format!(
                     "instance `{instance}` bounced through {hops} shards without \
                      finding an owner (disagreeing shard maps?)"
                 )),
             };
-            world.rpc_reply_to(token, flowscript_codec::to_bytes(&reply));
+            self.reply(token, &reply);
             return;
         };
-        world.rpc_call(
-            node,
-            owner,
-            wrapped,
-            SimDuration::from_secs(8),
-            move |world, reply| {
-                let bytes = match reply {
-                    Ok(bytes) => bytes,
-                    Err(err) => flowscript_codec::to_bytes(&EngineMsg::Ack {
-                        result: Err(format!("owning shard unreachable: {err}")),
-                    }),
-                };
-                world.rpc_reply_to(token, bytes);
-            },
-        );
+        self.outbox.push(Output::Call {
+            to: owner,
+            bytes,
+            timeout: RELAY_TIMEOUT,
+            call: Call::Relay(token),
+        });
     }
 
-    fn send_dist(&self, world: &mut World, to: NodeId, msg: DistMsg) {
-        let bytes = flowscript_codec::to_bytes(&EngineMsg::Dist(msg));
-        world.send(self.node(), to, bytes);
+    /// The owner answered a relayed start (or did not in time): its
+    /// answer, or why there is none, goes back to the caller.
+    pub(super) fn on_relayed(&mut self, token: ReplyToken, answer: Result<Vec<u8>, RpcError>) {
+        let bytes = match answer {
+            Ok(bytes) => bytes,
+            Err(err) => flowscript_codec::to_bytes(&EngineMsg::Ack {
+                result: Err(format!("owning shard unreachable: {err}")),
+            }),
+        };
+        self.outbox.push(Output::Reply { token, bytes });
     }
 
-    /// Fails if this node is down: a trigger handed to a crashed
-    /// process reaches nobody.
-    fn ensure_up(&self, world: &World) -> Result<NodeId, EngineError> {
-        let node = self.node();
-        if world.is_up(node) {
-            Ok(node)
-        } else {
-            Err(EngineError::Tx(format!("coordinator {node} is down")))
-        }
+    // -----------------------------------------------------------------
+    // The façade's end of a fleet operation.
+    // -----------------------------------------------------------------
+
+    /// Where this node files the report of the last move the façade
+    /// handed it.
+    pub(crate) fn move_ticket(&mut self) -> &mut Ticket<MoveReport> {
+        &mut self.membership.move_ticket
+    }
+
+    /// Where this node files the report of the last adoption the façade
+    /// handed it.
+    pub(crate) fn adoption_ticket(&mut self) -> &mut Ticket<FailoverReport> {
+        &mut self.membership.adoption_ticket
+    }
+
+    /// The façade gave the call up: this node re-sends nothing more for
+    /// it, so no fleet timer outlives the call that started it by more
+    /// than a tick. Rounds already decided but unacknowledged stay on
+    /// the books for the next job, a recovery re-announcement or the
+    /// destination's own query to finish.
+    pub(crate) fn give_up(&mut self) {
+        self.membership.job = None;
+        self.membership.adoption = None;
     }
 
     // -----------------------------------------------------------------
@@ -679,29 +676,22 @@ impl CoordHandle {
     /// against residency, not the old map, since a crash-recovered
     /// shard may hold instances the old map would misattribute — in
     /// rounds of up to `limit` per destination, one round at a time.
-    /// The returned ticket's report is ready once the last round is
-    /// acknowledged, or as soon as one aborts. Rounds an
-    /// earlier, cancelled job left undelivered are settled first: their
+    /// The report is on [`Coordinator::move_ticket`] once the last round
+    /// is acknowledged, or as soon as one aborts. Rounds an earlier,
+    /// abandoned job left undelivered are settled first: their
     /// decisions go out again now, and the first new round waits for
     /// their acks (the destination's staged locks would veto it).
-    ///
-    /// # Errors
-    ///
-    /// This node is down.
     pub(crate) fn begin_move(
-        &self,
-        world: &mut World,
+        &mut self,
+        now: SimTime,
         map: &ShardMap,
         limit: usize,
-    ) -> Result<TicketRef<MoveReport>, EngineError> {
-        let node = self.ensure_up(world)?;
-        let ticket = TicketRef::default();
-        let unsettled: Vec<TxId> = {
-            let mut coordinator = self.inner.borrow_mut();
+    ) -> ((), Vec<Output>) {
+        self.at(now, |this| {
             let mut by_dest: BTreeMap<NodeId, Vec<String>> = BTreeMap::new();
-            for instance in coordinator.instances.keys() {
+            for instance in this.instances.keys() {
                 let owner = map.node_of(instance);
-                if owner != node {
+                if owner != this.node {
                     by_dest.entry(owner).or_default().push(instance.clone());
                 }
             }
@@ -713,43 +703,39 @@ impl CoordHandle {
                 epoch: map.epoch(),
                 ..MoveReport::default()
             };
-            let membership = &mut coordinator.membership;
+            let membership = &mut this.membership;
+            membership.move_ticket = Ticket::default();
             membership.job = Some(MoveJob {
                 queue,
                 current: None,
                 report,
-                ticket: ticket.clone(),
             });
-            membership.rounds.keys().copied().collect()
-        };
-        for tx in unsettled {
-            self.on_round_timer(world, tx);
-        }
-        self.advance(world);
-        Ok(ticket)
+            let unsettled: Vec<TxId> = membership.rounds.keys().copied().collect();
+            for tx in unsettled {
+                this.on_round_timer(tx);
+            }
+            this.advance();
+        })
     }
 
     /// Ends the running job with `outcome` for the façade to collect.
-    fn finish_job(&self, outcome: Result<(), EngineError>) {
-        if let Some(job) = self.inner.borrow_mut().membership.job.take() {
-            job.ticket.borrow_mut().outcome = Some(outcome.map(|()| job.report));
+    fn finish_job(&mut self, outcome: Result<(), EngineError>) {
+        if let Some(job) = self.membership.job.take() {
+            self.membership.move_ticket.outcome = Some(outcome.map(|()| job.report));
         }
     }
 
     /// Starts the job's next round once nothing is in flight, or
     /// finishes the job when none is left.
-    fn advance(&self, world: &mut World) {
-        let next = {
-            let mut coordinator = self.inner.borrow_mut();
-            let membership = &mut coordinator.membership;
-            let idle = membership.rounds.is_empty();
-            match membership.live_job() {
-                Some(job) if idle => job.queue.pop_front(),
-                _ => return,
-            }
+    fn advance(&mut self) {
+        let membership = &mut self.membership;
+        let idle = membership.rounds.is_empty();
+        let next = match membership.job.as_mut() {
+            Some(job) if idle => job.queue.pop_front(),
+            _ => return,
         };
         let outcome = match next {
-            Some((dest, instances)) => match self.start_round(world, dest, instances) {
+            Some((dest, instances)) => match self.start_round(dest, instances) {
                 Ok(()) => return,
                 Err(err) => Err(err),
             },
@@ -762,130 +748,97 @@ impl CoordHandle {
     /// whole committed truth — no report may be stranded in memory),
     /// packages the slice, commits its move record under a freshly
     /// minted transaction id, freezes it and sends the `Prepare`.
-    fn start_round(
-        &self,
-        world: &mut World,
-        dest: NodeId,
-        instances: Vec<String>,
-    ) -> Result<(), EngineError> {
-        self.flush_pending(world);
-        let (tx, actions, watchdogs) = {
-            let mut coordinator = self.inner.borrow_mut();
-            let coordinator = &mut *coordinator;
-            let mut images = AfterImages::new();
-            for instance in &instances {
-                let package = package_instance(&coordinator.mgr, instance)
-                    .filter(|_| coordinator.instances.contains_key(instance.as_str()))
-                    .ok_or_else(|| EngineError::UnknownInstance(instance.clone()))?;
-                images.extend(package);
-            }
-            let dest = dest.index() as u32;
-            let tx = coordinator.mgr.mint_dist_tx();
-            let record = MoveRecord {
-                dest,
-                instances: instances.clone(),
-            };
-            coordinator.commit_object(&move_uid(tx), &record)?;
-            let watchdogs: Vec<EventId> = instances
-                .iter()
-                .flat_map(|instance| coordinator.drop_runtime(instance))
-                .collect();
-            let actions = coordinator.membership.dist.begin(tx, vec![(dest, images)]);
-            (tx, actions, watchdogs)
-        };
-        for id in watchdogs {
-            world.cancel(id);
+    fn start_round(&mut self, dest: NodeId, instances: Vec<String>) -> Result<(), EngineError> {
+        self.flush_pending();
+        let mut images = AfterImages::new();
+        for instance in &instances {
+            let package = package_instance(&self.mgr, instance)
+                .filter(|_| self.instances.contains_key(instance.as_str()))
+                .ok_or_else(|| EngineError::UnknownInstance(instance.clone()))?;
+            images.extend(package);
         }
+        let dest_index = dest.index() as u32;
+        let tx = self.mgr.mint_dist_tx();
+        let record = MoveRecord {
+            dest: dest_index,
+            instances: instances.clone(),
+        };
+        self.atomically(|mgr, action| Ok(mgr.write_key(action, &move_uid(tx), &record)?))?;
+        let watchdogs: Vec<TimerId> = instances
+            .iter()
+            .flat_map(|instance| self.drop_runtime(instance))
+            .collect();
+        let actions = self.membership.dist.begin(tx, vec![(dest_index, images)]);
+        self.cancel(watchdogs);
         let round = Round {
             dest,
             instances,
-            started_ns: world.now().as_nanos(),
+            started_ns: self.now.as_nanos(),
             frozen: true,
             held: Vec::new(),
-            timer: self.arm_round_timer(world, tx),
+            timer: self.arm(RETRANSMIT_INTERVAL, Timer::Round(tx)),
         };
-        {
-            let mut coordinator = self.inner.borrow_mut();
-            let membership = &mut coordinator.membership;
-            membership.rounds.insert(tx, round);
-            if let Some(job) = &mut membership.job {
-                job.current = Some(tx);
-            }
+        let membership = &mut self.membership;
+        membership.rounds.insert(tx, round);
+        if let Some(job) = &mut membership.job {
+            job.current = Some(tx);
         }
-        self.perform(world, actions);
+        self.perform(actions);
         // Freed executor load and freed admission slots: parked
         // dispatches of other instances may now place, and queued
         // starts may now admit.
-        self.pump(world);
+        self.pump();
         Ok(())
     }
 
-    fn arm_round_timer(&self, world: &mut World, tx: TxId) -> EventId {
-        let handle = self.clone();
-        world.schedule_node_after(self.node(), RETRANSMIT_INTERVAL, move |world| {
-            handle.on_round_timer(world, tx);
-        })
-    }
-
-    /// Round `tx` has waited an interval: `dist` aborts it if the vote
-    /// is still missing, sends the decision again if the ack is.
-    fn on_round_timer(&self, world: &mut World, tx: TxId) {
-        let actions = {
-            let mut coordinator = self.inner.borrow_mut();
-            // Same muzzle as the window timer: a fenced zombie acts on
-            // nothing.
-            if coordinator.mgr.probe_fence().is_some() {
-                return;
-            }
-            // Nobody waiting: the round rests until the next job.
-            if coordinator.membership.live_job().is_none() {
-                return;
-            }
-            let Some(stale) = coordinator.membership.rounds.get(&tx).map(|r| r.timer) else {
-                return;
-            };
-            world.cancel(stale);
-            coordinator.membership.dist.on_timeout(tx)
+    /// Round `tx` has waited an interval ([`Timer::Round`]): `dist`
+    /// aborts it if the vote is still missing, sends the decision again
+    /// if the ack is.
+    pub(super) fn on_round_timer(&mut self, tx: TxId) {
+        // Nobody waiting: the round rests until the next job.
+        if self.membership.job.is_none() {
+            return;
+        }
+        let Some(stale) = self.membership.rounds.get(&tx).map(|r| r.timer) else {
+            return;
         };
-        let timer = self.arm_round_timer(world, tx);
-        if let Some(round) = self.inner.borrow_mut().membership.rounds.get_mut(&tx) {
+        self.cancel([stale]);
+        let actions = self.membership.dist.on_timeout(tx);
+        let timer = self.arm(RETRANSMIT_INTERVAL, Timer::Round(tx));
+        if let Some(round) = self.membership.rounds.get_mut(&tx) {
             round.timer = timer;
         }
-        self.perform(world, actions);
+        self.perform(actions);
     }
 
     /// Carries out what `dist` decided, in order — the ONE place its
     /// actions meet the log and the network.
-    fn perform(&self, world: &mut World, actions: Vec<CoordAction>) {
+    fn perform(&mut self, actions: Vec<CoordAction>) {
         for action in actions {
             match action {
                 CoordAction::Send { to, msg } => {
                     // Aborts are presumed, not persisted, so `dist`
                     // announces one only through its first `Decision`.
                     if let DistMsg::Decision { tx, commit: false } = msg {
-                        self.abort_round(world, tx);
+                        self.abort_round(tx);
                     }
-                    self.send_dist(world, NodeId::from_index(to as usize), msg);
+                    self.send(NodeId::from_index(to as usize), &EngineMsg::Dist(msg));
                 }
                 CoordAction::PersistDecision { tx, .. } => {
-                    if let Err(err) = self.commit_round(world, tx) {
+                    if let Err(err) = self.commit_round(tx) {
                         // Not durable, so it was never taken: it must
                         // not be announced, nor answer a query. The
                         // round is abandoned frozen (a restart presumes
                         // it aborted) and the job reports why.
-                        let round = {
-                            let membership = &mut self.inner.borrow_mut().membership;
-                            membership.dist.abandon(tx);
-                            membership.rounds.remove(&tx)
-                        };
-                        if let Some(round) = round {
-                            world.cancel(round.timer);
-                        }
+                        let membership = &mut self.membership;
+                        membership.dist.abandon(tx);
+                        let round = membership.rounds.remove(&tx);
+                        self.cancel(round.map(|round| round.timer));
                         self.finish_job(Err(err));
                         return;
                     }
                 }
-                CoordAction::Done { tx, committed } => self.finish_round(world, tx, committed),
+                CoordAction::Done { tx, committed } => self.finish_round(tx, committed),
             }
         }
     }
@@ -899,23 +852,21 @@ impl CoordHandle {
     /// because the destination resolves its one staged transaction
     /// all-or-nothing — and a log that refuses the frame leaves neither
     /// the decision nor the purge behind, in memory or on disk.
-    fn commit_round(&self, world: &World, tx: TxId) -> Result<(), EngineError> {
-        let mut coordinator = self.inner.borrow_mut();
-        let coordinator = &mut *coordinator;
-        let Some(round) = coordinator.membership.rounds.get(&tx) else {
+    fn commit_round(&mut self, tx: TxId) -> Result<(), EngineError> {
+        let Some(round) = self.membership.rounds.get(&tx) else {
             return Err(EngineError::Tx(format!("no round for {tx}")));
         };
         let (dest, instances) = (round.dest.index() as u32, round.instances.clone());
-        let epoch = coordinator.membership.epoch();
-        coordinator.atomically(|mgr, action| {
+        let epoch = self.membership.epoch();
+        self.atomically(|mgr, action| {
             mgr.stage_decision(action, tx)?;
             let purge = |instance: &String| purge_instance(mgr, action, instance);
             instances.iter().try_for_each(purge)
         })?;
         for instance in &instances {
-            coordinator.metrics.handoffs.inc();
+            self.metrics.handoffs.inc();
             let kind = ObsEventKind::HandOff { to: dest, epoch };
-            coordinator.record_event(world.now().as_nanos(), instance, None, 0, kind);
+            self.record_event(instance, None, 0, kind);
         }
         Ok(())
     }
@@ -926,20 +877,17 @@ impl CoordHandle {
     /// state, held reports re-enqueued in arrival order. The move
     /// record goes with the destination's ack (or a restart's presumed
     /// abort). Runs once per round; a re-sent abort finds it thawed.
-    fn abort_round(&self, world: &mut World, tx: TxId) {
-        let held = {
-            let mut coordinator = self.inner.borrow_mut();
-            let Some(round) = coordinator.membership.rounds.get_mut(&tx) else {
-                return;
-            };
-            if !std::mem::take(&mut round.frozen) {
-                return;
-            }
-            std::mem::take(&mut round.held)
+    fn abort_round(&mut self, tx: TxId) {
+        let Some(round) = self.membership.rounds.get_mut(&tx) else {
+            return;
         };
-        self.adopt_orphans(world, None);
+        if !std::mem::take(&mut round.frozen) {
+            return;
+        }
+        let held = std::mem::take(&mut round.held);
+        self.adopt_orphans(None);
         for (report, _) in held {
-            self.enqueue_event(world, report);
+            self.enqueue_event(report);
         }
     }
 
@@ -948,44 +896,39 @@ impl CoordHandle {
     /// forwards what was held; an aborted one deletes its move record —
     /// nobody is left to tell. Either way the job moves on — to the
     /// next round, or to its report if this round aborted.
-    fn finish_round(&self, world: &mut World, tx: TxId, committed: bool) {
-        let (round, ours) = {
-            let mut coordinator = self.inner.borrow_mut();
-            let coordinator = &mut *coordinator;
-            let membership = &mut coordinator.membership;
-            let Some(round) = membership.rounds.remove(&tx) else {
-                return;
-            };
-            let mut job = membership
-                .job
-                .as_mut()
-                .filter(|job| job.current == Some(tx));
-            if let Some(job) = &mut job {
-                job.current = None;
-                job.ticket.borrow_mut().progress += 1;
-            }
-            if committed {
-                let pause_ns = world.now().as_nanos() - round.started_ns;
-                coordinator.metrics.handoff_pause_ns.record(pause_ns);
-                if let Some(job) = &mut job {
-                    job.report.moved += round.instances.len();
-                    job.report.rounds += 1;
-                    job.report.pause_ns.push(pause_ns);
-                }
-                for instance in &round.instances {
-                    membership.moved.insert(instance.clone(), round.dest);
-                }
-            }
-            let ours = job.is_some();
-            if !committed {
-                let _ = coordinator.drop_move_records(&[move_uid(tx)]);
-            }
-            (round, ours)
+    fn finish_round(&mut self, tx: TxId, committed: bool) {
+        let membership = &mut self.membership;
+        let Some(round) = membership.rounds.remove(&tx) else {
+            return;
         };
-        world.cancel(round.timer);
+        let mut job = membership
+            .job
+            .as_mut()
+            .filter(|job| job.current == Some(tx));
+        if let Some(job) = &mut job {
+            job.current = None;
+            membership.move_ticket.progress += 1;
+        }
+        if committed {
+            let pause_ns = self.now.as_nanos() - round.started_ns;
+            self.metrics.handoff_pause_ns.record(pause_ns);
+            if let Some(job) = &mut job {
+                job.report.moved += round.instances.len();
+                job.report.rounds += 1;
+                job.report.pause_ns.push(pause_ns);
+            }
+            for instance in &round.instances {
+                membership.moved.insert(instance.clone(), round.dest);
+            }
+        }
+        let ours = job.is_some();
+        if !committed {
+            let _ = self.drop_move_records(&[move_uid(tx)]);
+        }
+        self.cancel([round.timer]);
         for (report, hops) in round.held {
             let instance = report.address().0.to_string();
-            self.forward_oneway(world, round.dest, &instance, report.into(), hops);
+            self.forward_oneway(round.dest, &instance, report.into(), hops);
         }
         if ours && !committed {
             self.finish_job(Err(EngineError::Tx(format!(
@@ -995,7 +938,7 @@ impl CoordHandle {
                 round.dest
             ))));
         } else {
-            self.advance(world);
+            self.advance();
         }
     }
 
@@ -1009,8 +952,8 @@ impl CoordHandle {
     /// again. As coordinator (source): votes, acks and queries go
     /// through `dist`, queries answered from the durable decision
     /// record (presumed abort: none means abort).
-    pub(super) fn on_dist(&self, world: &mut World, msg: DistMsg) {
-        let from = self.node().index() as u32;
+    pub(super) fn on_dist(&mut self, msg: DistMsg) {
+        let from = self.node.index() as u32;
         let actions = match msg {
             DistMsg::Prepare {
                 tx,
@@ -1018,37 +961,27 @@ impl CoordHandle {
                 writes,
             } => {
                 let yes = self.stage_prepare(tx, coordinator, writes).is_ok();
-                let vote = DistMsg::Vote { tx, from, yes };
-                return self.send_dist(world, NodeId::from_index(coordinator as usize), vote);
+                let vote = EngineMsg::Dist(DistMsg::Vote { tx, from, yes });
+                return self.send(NodeId::from_index(coordinator as usize), &vote);
             }
             DistMsg::Decision { tx, commit } => {
-                if self
-                    .inner
-                    .borrow_mut()
-                    .mgr
-                    .resolve_remote(tx, commit)
-                    .is_err()
-                {
+                if self.mgr.resolve_remote(tx, commit).is_err() {
                     return; // unacked: the source sends it again
                 }
                 if commit {
-                    self.adopt_orphans(world, None);
+                    self.adopt_orphans(None);
                 }
                 let source = NodeId::from_index(tx.node() as usize);
-                return self.send_dist(world, source, DistMsg::Ack { tx, from });
+                return self.send(source, &EngineMsg::Dist(DistMsg::Ack { tx, from }));
             }
-            DistMsg::Vote { tx, from, yes } => {
-                let mut coordinator = self.inner.borrow_mut();
-                coordinator.membership.dist.on_vote(tx, from, yes)
-            }
-            DistMsg::Ack { tx, from } => self.inner.borrow_mut().membership.dist.on_ack(tx, from),
+            DistMsg::Vote { tx, from, yes } => self.membership.dist.on_vote(tx, from, yes),
+            DistMsg::Ack { tx, from } => self.membership.dist.on_ack(tx, from),
             DistMsg::QueryOutcome { tx, from } => {
-                let coordinator = self.inner.borrow();
-                let persisted = coordinator.mgr.coordinator_decision(tx);
-                coordinator.membership.dist.on_query(tx, from, persisted)
+                let persisted = self.mgr.coordinator_decision(tx);
+                self.membership.dist.on_query(tx, from, persisted)
             }
         };
-        self.perform(world, actions);
+        self.perform(actions);
     }
 
     /// `Prepare` at the destination: re-keys the slice under freshly
@@ -1066,13 +999,12 @@ impl CoordHandle {
     /// Lock conflict on a staged key, a malformed package, or storage
     /// failure persisting the vote: each is a no-vote.
     fn stage_prepare(
-        &self,
+        &mut self,
         tx: TxId,
         coordinator_node: u32,
         images: AfterImages,
     ) -> Result<(), EngineError> {
-        let mut coordinator = self.inner.borrow_mut();
-        let base: u32 = coordinator
+        let base: u32 = self
             .mgr
             .read_committed_key(&instance_seq_uid())?
             .unwrap_or(0);
@@ -1080,9 +1012,7 @@ impl CoordHandle {
         let next_id = flowscript_codec::to_bytes(&(base + names.len() as u32));
         let mut writes = vec![(instance_seq_uid(), Some(next_id))];
         writes.extend(rekeyed);
-        coordinator
-            .mgr
-            .prepare_remote(tx, coordinator_node, writes)?;
+        self.mgr.prepare_remote(tx, coordinator_node, writes)?;
         Ok(())
     }
 
@@ -1096,101 +1026,113 @@ impl CoordHandle {
     /// manager can never commit again, the claimed copies are the
     /// truth — then packages every instance in it and sends each owner
     /// under `map` its share, [`DRAIN_BATCH`] instances a claim. The
-    /// returned ticket's report is ready once every claim is
+    /// report is on [`Coordinator::adoption_ticket`] once every claim is
     /// acknowledged.
     ///
     /// # Errors
     ///
-    /// This node is down, the storage does not replay, or it carries a
-    /// foreign fence (another claimant got there first).
+    /// The storage does not replay, or it carries a foreign fence
+    /// (another claimant got there first).
     pub(crate) fn begin_adoption(
-        &self,
-        world: &mut World,
+        &mut self,
+        now: SimTime,
         dead_storage: StableStore,
         dead: NodeId,
         map: &ShardMap,
-    ) -> Result<TicketRef<FailoverReport>, EngineError> {
-        let node = self.ensure_up(world)?;
-        let (dead, epoch) = (dead.index() as u32, map.epoch());
-        let mut mgr = TxManager::open(node.index() as u32, dead_storage)?;
-        mgr.write_fence(epoch)?;
-        let mut shares: BTreeMap<NodeId, Vec<AfterImages>> = BTreeMap::new();
-        for instance in stored_instance_names(&mgr) {
-            if let Some(package) = package_instance(&mgr, &instance) {
-                let owner = map.node_of(&instance);
-                shares.entry(owner).or_default().push(package);
+    ) -> (Result<(), EngineError>, Vec<Output>) {
+        self.at(now, |this| {
+            let (dead, epoch) = (dead.index() as u32, map.epoch());
+            let mut mgr = TxManager::open(this.node.index() as u32, dead_storage)?;
+            mgr.write_fence(epoch)?;
+            let mut shares: BTreeMap<NodeId, Vec<AfterImages>> = BTreeMap::new();
+            for instance in stored_instance_names(&mgr) {
+                if let Some(package) = package_instance(&mgr, &instance) {
+                    let owner = map.node_of(&instance);
+                    shares.entry(owner).or_default().push(package);
+                }
             }
-        }
-        let claims: Vec<(NodeId, Rc<Vec<u8>>)> = shares
-            .iter()
-            .flat_map(|(&dest, packages)| {
-                packages.chunks(DRAIN_BATCH).map(move |chunk| {
-                    let writes = chunk.concat();
-                    let claim = EngineMsg::Claim {
-                        dead,
-                        epoch,
-                        writes,
-                    };
-                    (dest, Rc::new(flowscript_codec::to_bytes(&claim)))
+            let claims: Vec<(NodeId, Vec<u8>)> = shares
+                .iter()
+                .flat_map(|(&dest, packages)| {
+                    packages.chunks(DRAIN_BATCH).map(move |chunk| {
+                        let writes = chunk.concat();
+                        let claim = EngineMsg::Claim {
+                            dead,
+                            epoch,
+                            writes,
+                        };
+                        (dest, flowscript_codec::to_bytes(&claim))
+                    })
                 })
-            })
-            .collect();
-        let report = FailoverReport {
-            adopted: shares.values().map(Vec::len).sum(),
-            epoch,
-            claimant: node.index() as u32,
-        };
-        let ticket = TicketRef::default();
-        if claims.is_empty() {
-            ticket.borrow_mut().outcome = Some(Ok(report.clone()));
-        }
-        let adoption = Rc::new(Adoption {
-            claims: claims.len() as u64,
-            report,
-            ticket: ticket.clone(),
-        });
-        for (dest, claim) in claims {
-            self.send_claim(world, &adoption, dest, claim);
-        }
-        Ok(ticket)
+                .collect();
+            let report = FailoverReport {
+                adopted: shares.values().map(Vec::len).sum(),
+                epoch,
+                claimant: this.node.index() as u32,
+            };
+            let membership = &mut this.membership;
+            membership.adoption_ticket = Ticket::default();
+            if claims.is_empty() {
+                membership.adoption_ticket.outcome = Some(Ok(report.clone()));
+            }
+            membership.adoptions += 1;
+            let id = membership.adoptions;
+            membership.adoption = Some(Adoption {
+                id,
+                claims: claims.len() as u64,
+                report,
+            });
+            for (dest, bytes) in claims {
+                this.send_claim(id, dest, bytes);
+            }
+            Ok(())
+        })
     }
 
-    /// Sends one claim as an RPC and keeps sending it, an interval
-    /// apart, until its `Ack` arrives: `Ok` counts it off — the last
-    /// one files the report — an error files that instead.
-    fn send_claim(
-        &self,
-        world: &mut World,
-        adoption: &Rc<Adoption>,
+    /// Sends one claim of adoption `id` as a call ([`Call::Claim`]),
+    /// answered within an interval or sent again.
+    fn send_claim(&mut self, id: u64, dest: NodeId, bytes: Vec<u8>) {
+        self.outbox.push(Output::Call {
+            to: dest,
+            bytes: bytes.clone(),
+            timeout: RETRANSMIT_INTERVAL,
+            call: Call::Claim(id, dest, bytes),
+        });
+    }
+
+    /// A claim was answered, or not in time: an `Ack` counts it off —
+    /// the last one files the report — an error files that instead, and
+    /// a claim lost, late or garbled goes out again. An answer for an
+    /// adoption the façade gave up on, or that already filed, counts
+    /// for nothing.
+    pub(super) fn on_claim_answered(
+        &mut self,
+        id: u64,
         dest: NodeId,
-        claim: Rc<Vec<u8>>,
+        bytes: Vec<u8>,
+        answer: Result<Vec<u8>, RpcError>,
     ) {
-        let (handle, adoption) = (self.clone(), adoption.clone());
-        let payload = claim.to_vec();
-        let on_reply = move |world: &mut World, reply: Result<Vec<u8>, RpcError>| {
-            let ack = reply
-                .ok()
-                .and_then(|bytes| flowscript_codec::from_bytes::<EngineMsg>(&bytes).ok());
-            let mut filed = adoption.ticket.borrow_mut();
-            match ack {
-                _ if filed.cancelled || filed.outcome.is_some() => {}
-                Some(EngineMsg::Ack { result: Ok(()) }) => {
-                    filed.progress += 1;
-                    if filed.progress == adoption.claims {
-                        filed.outcome = Some(Ok(adoption.report.clone()));
-                    }
-                }
-                Some(EngineMsg::Ack { result: Err(why) }) => {
-                    filed.outcome = Some(Err(EngineError::Tx(format!("claim refused: {why}"))));
-                }
-                // Lost, late or garbled: again.
-                _ => {
-                    drop(filed);
-                    handle.send_claim(world, &adoption, dest, claim);
+        let membership = &mut self.membership;
+        let Some(adoption) = membership.adoption.as_ref().filter(|a| a.id == id) else {
+            return;
+        };
+        let filed = &mut membership.adoption_ticket;
+        let ack = answer
+            .ok()
+            .and_then(|bytes| flowscript_codec::from_bytes::<EngineMsg>(&bytes).ok());
+        match ack {
+            _ if filed.outcome.is_some() => {}
+            Some(EngineMsg::Ack { result: Ok(()) }) => {
+                filed.progress += 1;
+                if filed.progress == adoption.claims {
+                    filed.outcome = Some(Ok(adoption.report.clone()));
                 }
             }
-        };
-        world.rpc_call(self.node(), dest, payload, RETRANSMIT_INTERVAL, on_reply);
+            Some(EngineMsg::Ack { result: Err(why) }) => {
+                filed.outcome = Some(Err(EngineError::Tx(format!("claim refused: {why}"))));
+            }
+            _ => self.send_claim(id, dest, bytes),
+        }
     }
 
     /// A claim arriving at its destination: commits the dead shard's
@@ -1205,134 +1147,122 @@ impl CoordHandle {
     ///
     /// A malformed package, or storage failure on the commit.
     pub(super) fn on_claim(
-        &self,
-        world: &mut World,
+        &mut self,
         dead: u32,
         epoch: u64,
         images: AfterImages,
     ) -> Result<(), EngineError> {
-        {
-            let mut coordinator = self.inner.borrow_mut();
-            let coordinator = &mut *coordinator;
-            let base: u32 = coordinator
-                .mgr
-                .read_committed_key(&instance_seq_uid())?
-                .unwrap_or(0);
-            let (names, writes) = rekeyed(images, base, |name| coordinator.holds(name))?;
-            if names.is_empty() {
-                return Ok(());
-            }
-            let next_id = base + names.len() as u32;
-            coordinator.atomically(|mgr, action| {
-                mgr.write_key(action, &instance_seq_uid(), &next_id)?;
-                // (A package carries no tombstones; one that does has
-                // nothing to delete here.)
-                for (key, bytes) in writes {
-                    if let Some(bytes) = bytes {
-                        mgr.write_key_raw(action, &key, bytes)?;
-                    }
-                }
-                Ok(())
-            })?;
-            for name in &names {
-                let kind = ObsEventKind::Claim { from: dead, epoch };
-                coordinator.record_event(world.now().as_nanos(), name, None, 0, kind);
-            }
+        let base: u32 = self
+            .mgr
+            .read_committed_key(&instance_seq_uid())?
+            .unwrap_or(0);
+        let (names, writes) = rekeyed(images, base, |name| self.holds(name))?;
+        if names.is_empty() {
+            return Ok(());
         }
-        self.adopt_orphans(world, Some((dead, epoch)));
+        let next_id = base + names.len() as u32;
+        self.atomically(|mgr, action| {
+            mgr.write_key(action, &instance_seq_uid(), &next_id)?;
+            // (A package carries no tombstones; one that does has
+            // nothing to delete here.)
+            for (key, bytes) in writes {
+                if let Some(bytes) = bytes {
+                    mgr.write_key_raw(action, &key, bytes)?;
+                }
+            }
+            Ok(())
+        })?;
+        for name in &names {
+            let kind = ObsEventKind::Claim { from: dead, epoch };
+            self.record_event(name, None, 0, kind);
+        }
+        self.adopt_orphans(Some((dead, epoch)));
         Ok(())
     }
 
     /// Adopts every instance whose committed state sits in this
     /// shard's store without a resident runtime — the landing half of
     /// a hand-off (a committed one on the destination, an aborted one
-    /// back on the source) and of a claim. Unlike crash recovery this bumps no attempts and
-    /// re-dispatches nothing: the old owner relays in-flight executor
-    /// replies, so the execution history stays byte-identical to an
-    /// unmoved run. Watchdogs are re-armed as the safety net for a
-    /// relay that never arrives.
+    /// back on the source) and of a claim. Unlike crash recovery this
+    /// bumps no attempts and re-dispatches nothing: the old owner relays
+    /// in-flight executor replies, so the execution history stays
+    /// byte-identical to an unmoved run. Watchdogs are re-armed as the
+    /// safety net for a relay that never arrives.
     ///
     /// `claim` is `Some((dead shard, membership epoch))` for
     /// crash-driven adoption: the landing trace event is then
     /// [`ObsEventKind::Adopted`] and the `coord.adoptions` counter
     /// ticks once per instance.
-    pub(crate) fn adopt_orphans(&self, world: &mut World, claim: Option<(u32, u64)>) {
-        let adopted: Vec<(String, bool)> = {
-            let mut coordinator = self.inner.borrow_mut();
-            let mut adopted = Vec::new();
-            // Residents are skipped by name, undecoded: a hand-off sweeps
-            // once per chunk, and a sweep must cost only its orphans.
-            // So is a slice one of this node's own rounds holds frozen:
-            // it is in the store, and not to be woken by a sweep.
-            let orphans: Vec<String> = stored_instance_names(&coordinator.mgr)
-                .filter(|name| !coordinator.instances.contains_key(name))
-                .filter(|name| coordinator.membership.freezing(name).is_none())
-                .collect();
-            for name in orphans {
-                let (Ok(header), Ok(record)) = (
-                    coordinator.read_header(&name),
-                    coordinator.read_status(&name),
-                ) else {
-                    continue;
-                };
-                let Some(rt) = coordinator.load_instance(&name, &header, &record) else {
-                    continue;
-                };
-                coordinator.instances.insert(name.clone(), rt);
-                let running = record.status == InstanceStatus::Running;
-                if running {
-                    // An adopted live instance occupies an admission
-                    // slot on its new shard.
-                    coordinator.admission.instance_live();
-                }
-                let kind = match claim {
-                    Some((from, claim_epoch)) => {
-                        coordinator.metrics.adoptions.inc();
-                        ObsEventKind::Adopted {
-                            from,
-                            epoch: claim_epoch,
-                        }
-                    }
-                    None => ObsEventKind::HandOff {
-                        to: coordinator.node.index() as u32,
-                        epoch: coordinator.membership.epoch(),
-                    },
-                };
-                coordinator.record_event(world.now().as_nanos(), &name, None, 0, kind);
-                adopted.push((name, running));
+    pub(super) fn adopt_orphans(&mut self, claim: Option<(u32, u64)>) {
+        // Residents are skipped by name, undecoded: a hand-off sweeps
+        // once per chunk, and a sweep must cost only its orphans. So is
+        // a slice one of this node's own rounds holds frozen: it is in
+        // the store, and not to be woken by a sweep.
+        let orphans: Vec<String> = stored_instance_names(&self.mgr)
+            .filter(|name| !self.instances.contains_key(name))
+            .filter(|name| self.membership.freezing(name).is_none())
+            .collect();
+        let mut adopted = Vec::new();
+        for name in orphans {
+            let (Ok(header), Ok(record)) = (self.read_header(&name), self.read_status(&name))
+            else {
+                continue;
+            };
+            let Some(rt) = self.load_instance(&name, &header, &record) else {
+                continue;
+            };
+            self.instances.insert(name.clone(), rt);
+            let running = record.status == InstanceStatus::Running;
+            if running {
+                // An adopted live instance occupies an admission slot
+                // on its new shard.
+                self.admission.instance_live();
             }
-            adopted
-        };
+            let kind = match claim {
+                Some((from, claim_epoch)) => {
+                    self.metrics.adoptions.inc();
+                    ObsEventKind::Adopted {
+                        from,
+                        epoch: claim_epoch,
+                    }
+                }
+                None => ObsEventKind::HandOff {
+                    to: self.node.index() as u32,
+                    epoch: self.membership.epoch(),
+                },
+            };
+            self.record_event(&name, None, 0, kind);
+            adopted.push((name, running));
+        }
         for (name, running) in adopted {
-            self.rearm_adopted(world, &name);
+            self.rearm_adopted(&name);
             if running {
                 // Full re-evaluation: an adopted instance has no
                 // commit to seed from. Executing tasks are not
                 // re-dispatched — their transitions gate on the
                 // control-block state.
-                self.evaluate(world, &name);
+                self.evaluate(&name);
             }
         }
     }
 
     /// The shard map's current epoch on this coordinator.
     pub fn shard_epoch(&self) -> u64 {
-        self.inner.borrow().membership.epoch()
+        self.membership.epoch()
     }
 
     /// Replaces this coordinator's shard map — the final flip of a
     /// rebalance, after every moved instance committed. Requests for
     /// instances the new map assigns elsewhere forward from now on.
-    pub fn set_shard_map(&self, map: ShardMap) {
-        let mut coordinator = self.inner.borrow_mut();
-        coordinator.membership.shard = map;
+    pub fn set_shard_map(&mut self, map: ShardMap) {
+        self.membership.shard = map;
         // The new map is authoritative: relay tombstones from the
         // moves that led to this flip are now redundant, and so are the
         // move records a restart would rebuild them from.
-        coordinator.membership.moved.clear();
-        let settled = coordinator.mgr.uids_with_prefix(keys::MOVE_PREFIX);
+        self.membership.moved.clear();
+        let settled = self.mgr.uids_with_prefix(keys::MOVE_PREFIX);
         let settled: Vec<StoreKey> = settled.into_iter().map(StoreKey::Uid).collect();
-        let _ = coordinator.drop_move_records(&settled);
+        let _ = self.drop_move_records(&settled);
     }
 
     /// [`Self::set_shard_map`] for a coordinator that stays behind as a
@@ -1343,9 +1273,8 @@ impl CoordHandle {
     /// re-pointed at the new map's owner — so a late executor report
     /// forwards straight to the adopter instead of bouncing off a dead
     /// address and burning `forward_loops` hops.
-    pub fn set_shard_map_relay(&self, map: ShardMap) {
-        let mut coordinator = self.inner.borrow_mut();
-        let membership = &mut coordinator.membership;
+    pub(crate) fn set_shard_map_relay(&mut self, map: ShardMap) {
+        let membership = &mut self.membership;
         let moved = std::mem::take(&mut membership.moved);
         for (instance, dest) in moved {
             let dest = if map.nodes().contains(&dest) {
@@ -1359,24 +1288,20 @@ impl CoordHandle {
     }
 
     /// Records a fleet-level trace event (drain begin/end) against
-    /// this shard, labeled with the shard's node name rather than an
-    /// instance.
-    pub(crate) fn record_system_event(&self, now_ns: u64, label: &str, kind: ObsEventKind) {
-        self.inner
-            .borrow_mut()
-            .record_event(now_ns, label, None, 0, kind);
+    /// this shard at `now`, labeled with the shard's node name rather
+    /// than an instance.
+    pub(crate) fn record_system_event(&mut self, now: SimTime, label: &str, kind: ObsEventKind) {
+        self.now = now;
+        self.record_event(label, None, 0, kind);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::cell::{Cell, RefCell};
-    use std::rc::Rc;
-
     use flowscript_tx::SharedStorage;
 
     use super::*;
-    use crate::coordinator::EngineConfig;
+    use crate::coordinator::{EngineConfig, Input};
     use crate::msg::MarkMsg;
 
     fn header(instance_id: u32) -> InstanceHeader {
@@ -1451,8 +1376,7 @@ mod tests {
 
     #[test]
     fn at_the_hop_cap_neither_forwarder_sends_and_each_counts_one_loop() {
-        let mut world = World::new(1);
-        let [client, here, owner] = ["client", "here", "owner"].map(|name| world.add_node(name));
+        let [client, here, owner] = [0, 1, 2].map(NodeId::from_index);
         let map = ShardMap::new(vec![here, owner]);
         let instance = (0..)
             .map(|i| format!("x{i}"))
@@ -1460,13 +1384,8 @@ mod tests {
             .expect("some name the map gives the other shard");
         let storage = SharedStorage::new();
         let config = EngineConfig::default();
-        let coord = Coordinator::open(here, client, Vec::new(), config, storage, map)
-            .map(CoordHandle::new)
+        let mut coord = Coordinator::open(here, client, Vec::new(), config, storage, map)
             .expect("empty storage opens");
-        coord.install(&mut world);
-        let reached_owner = Rc::new(Cell::new(0));
-        let seen = reached_owner.clone();
-        world.set_handler(owner, move |_, _| seen.set(seen.get() + 1));
         // Both arrive having burned every hop already.
         let capped = |inner: EngineMsg| {
             flowscript_codec::to_bytes(&EngineMsg::Forwarded {
@@ -1492,25 +1411,25 @@ mod tests {
             inputs: BTreeMap::new(),
             epoch: 0,
         };
+        let mut deliver = |msg: EngineMsg, token| {
+            let payload = &capped(msg);
+            coord.handle(SimTime::ZERO, Input::Message(payload, token))
+        };
         // One-way: dropped.
-        world.send(client, here, capped(mark));
-        world.run();
-        assert_eq!(coord.stats().forward_loops, 1);
-        // RPC: the caller hears why instead of hanging.
-        let reply = Rc::new(RefCell::new(None));
-        let slot = reply.clone();
-        let timeout = SimDuration::from_secs(1);
-        world.rpc_call(client, here, capped(start), timeout, move |_, result| {
-            *slot.borrow_mut() = result.ok();
-        });
-        world.run();
-        let reply = reply.borrow_mut().take().expect("a reply, not a timeout");
+        assert!(
+            deliver(mark, None).is_empty(),
+            "nothing may be relayed at the cap"
+        );
+        // A call: the caller hears why instead of hanging.
+        let outputs = deliver(start, Some(ReplyToken::new(here, client, 0)));
+        let [Output::Reply { bytes, .. }] = &outputs[..] else {
+            panic!("one reply, nothing relayed: {outputs:?}");
+        };
         assert!(matches!(
-            flowscript_codec::from_bytes::<EngineMsg>(&reply),
+            flowscript_codec::from_bytes::<EngineMsg>(bytes),
             Ok(EngineMsg::Ack { result: Err(_) })
         ));
         let stats = coord.stats();
         assert_eq!((stats.forward_loops, stats.forwarded), (2, 0));
-        assert_eq!(reached_owner.get(), 0, "nothing may be relayed at the cap");
     }
 }

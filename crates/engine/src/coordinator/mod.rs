@@ -24,11 +24,21 @@
 //! needs, and no commit or probe on the dispatch hot path decodes a
 //! whole record or formats a string.
 //!
-//! # Inside the coordinator
+//! # Inputs in, outputs out
 //!
-//! This module holds the shared state ([`Coordinator`], reached through
-//! the cloneable [`CoordHandle`]), the message entry point and the
-//! helpers every concern uses (`record_event`, the
+//! A shard is a value: a [`Coordinator`] does no I/O and reads no clock.
+//! Its one door is [`Coordinator::handle`]: an [`Input`] — a message, a
+//! timer it armed going off, a call it made answered, a restart — at a
+//! virtual time in, the [`Output`]s it owes the world out: sends,
+//! replies, calls, timers armed and cancelled, in the order the world
+//! must carry them out. What a timer or a call resumes is data, not a
+//! closure: a [`Timer`] or a [`Call`] the world hands back. Operator
+//! calls (a reconfiguration, a repair, a hand-off's trigger) are typed
+//! methods that take the time too and return their outputs beside their
+//! result. A driver outside this module applies the outputs.
+//!
+//! This module holds the shared state ([`Coordinator`]), the door and
+//! the helpers every concern uses (`record_event`, the
 //! control-block/header/status reads, `pump`). Each child module owns one
 //! concern; what it *owns* is private to it, and the entry points named
 //! are the only way in from a sibling:
@@ -36,14 +46,14 @@
 //! | module | concern | owns | entry points |
 //! |---|---|---|---|
 //! | `config`, `meta`, `stats` | the types: operator knobs; status and outcome, the `InstanceHeader` (rewritten only by a reconfiguration and a hand-off's re-key), the `StatusRecord`, the pinned source's hash (their uids: [`crate::keys`]); counters and the dispatch record | — | — |
-//! | `step` | the unit of commit: stage into one action (reading its own writes back), commit once — one frame straight to the log — publish the effects in staging order | `Step`, `Effect`, `Launch` (what an attempt ships under) | `run_step` (the one way the engine runs an action), `atomically` (the step with nothing to publish), `publish`; `staged`, `staged_cb`, `trace` |
-//! | `window` | the one place a report is applied: buffer `Done`/`Mark` reports, stage a window of them in arrival order — outcome, mark, execution error, repeat outcome, misreport — and its cascade as one step | `BatchWindow` | `enqueue_event`, `flush_pending`, `commit_event` |
-//! | `evaluate` | the cascade a step stages: input-set satisfaction, activation, compound-scope outputs (marks, termination, the fig. 8 repeat), stuck detection; the debug full-scan oracle | `Drain` (one instance inside a step: its seeds, its flights as the step leaves them) | `reevaluate` (the step over one resident instance: the caller stages its transition, the drain follows, one commit, publish — the watchdog, a failed placement, the operator's abort and repair, a restart's re-arm), `evaluate` (the same with nothing but the full scan to stage: adoption); `drain_of`, `stage_drain`, `park_stuck`, `assert_settled` |
-//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, and what an attempt that ends with no outcome stages: the bounded retry or `Failed` | `Dispatcher` (scheduler loads, cost model, ready queue), `Flights` (per instance: one record per task with outstanding work) | staging: `stage_lost` (error report, time-out), `stage_failure`, `stage_launch` (the next attempt, now or after a delay); publishing: `ship` (an attempt, under what its step staged), `dispatch` (a staged attempt whose delay or park is over), `dispatch_after`, `lose_flight`, `clear_watch`, `discard_flights` (subtree sweep, forced outcome, failure), `fail_unplaceable`; `drain_parked`, `executing`; `Flights::outstanding` (stuck detection), `replan` (a reconfiguration's new plan, its books re-keyed), `rearm_adopted` (adoption), `Dispatcher::{release_all, reset}` (hand-off, recovery), `executor_loads` |
-//! | `admission` | the per-shard instance cap on the start RPC | `Admission` | `admit_or_queue`, `admit_from_queue`, `Admission::{instance_live, instance_settled}` |
+//! | `step` | the unit of commit: stage into one action (reading its own writes back), commit once — one frame straight to the log — publish the effects in staging order, as outputs | `Step`, `Effect`, `Launch` (what an attempt ships under) | `run_step` (the one way the engine runs an action), `atomically` (the step with nothing to publish), `publish`; `staged`, `staged_cb`, `trace` |
+//! | `window` | the one place a report is applied: buffer `Done`/`Mark` reports, stage a window of them in arrival order — outcome, mark, execution error, repeat outcome, misreport — and its cascade as one step | `BatchWindow` | `enqueue_event`, `flush_pending`, `on_batch_window` ([`Timer::Window`]), `commit_event` |
+//! | `evaluate` | the cascade a step stages: input-set satisfaction, activation, compound-scope outputs (marks, termination, the fig. 8 repeat), stuck detection; the debug full-scan oracle | `Drain` (one instance inside a step: its seeds, its flights as the step leaves them) | `reevaluate` (the step over one resident instance: the caller stages its transition, the drain follows, one commit, publish — the watchdog, a failed placement, the operator's abort and repair, a restart's re-arm), `evaluate` (the same with nothing but the full scan to stage: adoption); `instance_ctx`, `drain_of`, `stage_drain`, `park_stuck`, `assert_settled` |
+//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, and what an attempt that ends with no outcome stages: the bounded retry or `Failed` | `Dispatcher` (scheduler loads, cost model, ready queue), `Flights` (per instance: one record per task with outstanding work, its watchdog a [`TimerId`]) | staging: `stage_lost` (error report, time-out), `stage_failure`, `stage_launch` (the next attempt, now or after a delay); publishing: `ship` (an attempt, under what its step staged), `dispatch` (a staged attempt whose delay or park is over), `dispatch_after`, `lose_flight`, `clear_watch`, `discard_flights` (subtree sweep, forced outcome, failure), `fail_unplaceable`; timers: `on_watchdog` ([`Timer::Watchdog`]), `on_dispatch_timer` ([`Timer::Dispatch`]); `drain_parked`, `executing`; `Flights::outstanding` (stuck detection), `replan` (a reconfiguration's new plan, its books re-keyed), `rearm_adopted` (adoption), `Dispatcher::{release_all, reset}` (hand-off, recovery), `executor_loads` |
+//! | `admission` | the per-shard instance cap on the start RPC, and the start's repository fetch | `Admission`, `AdmissionTicket` (the fetch's [`Call::Fetch`]) | `admit_or_queue`, `admit_from_queue`, `on_fetched`, `Admission::{instance_live, instance_settled}` |
 //! | `lifecycle` | instance start (the first writer of a header), the two per-shard blobs an instance pins — the compiled plan per fingerprint, the canonical source per hash — materialising a runtime from committed state, the monitoring reads; blob collection | `PlanCache` | `start_instance` (from admission, the one start path), `pin_blobs` (start, reconfiguration), `pinned_source` (the one reader of the source: reconfiguration, and a load with no valid plan blob), `load_instance`, `count_nonterminal`, `PlanCache::validated`, `gc_plans` |
-//! | `membership` | shard routing and relays; the fleet protocols the nodes run among themselves — live hand-off (the one `tx::dist` 2PC, this module its host) and crash-driven adoption | `Membership`, [`MoveReport`], [`FailoverReport`] | `route_report`, `misdirected`, `forward_start`; from the façade `begin_move`, `begin_adoption` (each answers with a `Ticket`); from the wire `on_dist`, `on_claim`; `adopt_orphans`, `repair_handoffs` |
-//! | `recovery` | restart: reopen the log, reset volatile state (fleet protocols included), repair hand-offs, reload, re-arm each running instance in one step | — | `recover`, `stored_instances`, `stored_instance_names` |
+//! | `membership` | shard routing and relays; the fleet protocols the nodes run among themselves — live hand-off (the one `tx::dist` 2PC, this module its host) and crash-driven adoption — and the façade's end of each, its [`Ticket`] | `Membership`, [`MoveReport`], [`FailoverReport`] | `route_report`, `misdirected`, `forward_start`, `on_relayed` ([`Call::Relay`]); from the façade `begin_move`, `begin_adoption`, `give_up`, `move_ticket`, `adoption_ticket`; from the wire `on_dist`, `on_claim`, `on_claim_answered` ([`Call::Claim`]), `on_round_timer` ([`Timer::Round`]); `adopt_orphans`, `repair_handoffs` |
+//! | `recovery` | restart ([`Input::Restart`]): reopen the log, reset volatile state (fleet protocols included), repair hand-offs, reload, re-arm each running instance in one step | — | `recover`, `stored_instances`, `stored_instance_names` |
 //! | `admin` | operator actions on a running instance, one step each: the abort, the repair, and a reconfiguration — the script's new version, the remap onto its plan and the full drain over it | — | `reconfigure`, `abort_waiting_task`, `repair_fact` |
 
 mod admin;
@@ -59,15 +69,13 @@ mod stats;
 mod step;
 mod window;
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use flowscript_codec::Encode;
 use flowscript_obs::{FlightRecorder, ObsEventKind, Registry};
 use flowscript_plan::{Plan, TaskId};
-use flowscript_sim::{Envelope, NodeId, World};
-use flowscript_tx::{StableStore, StoreKey, TxError, TxManager};
+use flowscript_sim::{NodeId, ReplyToken, RpcError, SimDuration, SimTime};
+use flowscript_tx::{StableStore, TxError, TxId, TxManager};
 
 use crate::error::EngineError;
 use crate::facts;
@@ -80,7 +88,7 @@ use crate::state::TaskCb;
 pub use config::{CommitBatch, EngineConfig};
 pub use membership::{FailoverReport, MoveReport, MAX_FORWARD_HOPS};
 
-pub(crate) use membership::{TicketRef, DRAIN_BATCH, FLEET_DEADLINE};
+pub(crate) use membership::{Ticket, DRAIN_BATCH, FLEET_DEADLINE};
 pub use meta::{InstanceStatus, Outcome};
 pub use stats::{CoordStats, DispatchRecord};
 
@@ -92,7 +100,94 @@ pub(crate) use lifecycle::PlanCache;
 use membership::Membership;
 use meta::{InstanceHeader, StatusRecord};
 use stats::CoordMetrics;
+use step::Launch;
 use window::{BatchWindow, PendingEvent};
+
+/// What the world feeds a shard.
+pub(crate) enum Input<'a> {
+    /// A message's payload delivered to the shard's node, with the token
+    /// to answer it through when it is a request.
+    Message(&'a [u8], Option<ReplyToken>),
+    /// A timer the shard armed went off.
+    Fired(Timer),
+    /// A call the shard made was answered, or timed out.
+    Answered(Call, Result<Vec<u8>, RpcError>),
+    /// The node restarted: everything volatile is gone, the log is not.
+    Restart,
+}
+
+/// What a shard owes the world, in the order the world must carry it
+/// out: a send draws from the world's randomness and an event's place in
+/// the queue is its scheduling order, so the order is part of the
+/// behaviour.
+#[derive(Debug)]
+pub(crate) enum Output {
+    /// A one-way message from this node.
+    Send { to: NodeId, bytes: Vec<u8> },
+    /// The answer to a request this node holds the token of.
+    Reply { token: ReplyToken, bytes: Vec<u8> },
+    /// A request from this node; `call` comes back with the answer, or
+    /// with the time-out `timeout` later.
+    Call {
+        to: NodeId,
+        bytes: Vec<u8>,
+        timeout: SimDuration,
+        call: Call,
+    },
+    /// `timer` comes back `after` from now, unless cancelled by `id`
+    /// first or the node restarts.
+    Arm {
+        id: TimerId,
+        after: SimDuration,
+        timer: Timer,
+    },
+    /// The timer armed under this id does not come back (a no-op once it
+    /// went off).
+    Cancel(TimerId),
+}
+
+/// The name a shard gives a timer it arms, for cancelling it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct TimerId(u64);
+
+/// What an armed timer resumes when it goes off.
+#[derive(Debug)]
+pub(crate) enum Timer {
+    /// One attempt on the wire waited out its time-out; the task named by
+    /// path, the name that survives a re-lowering.
+    Watchdog {
+        instance: String,
+        path: String,
+        incarnation: u32,
+        attempt: u32,
+        timeout: SimDuration,
+    },
+    /// A retry's back-off or a repeat's delay is over: the attempt ships
+    /// (its launch boxed, so that every armed timer stays small).
+    Dispatch {
+        instance: String,
+        path: String,
+        launch: Box<Launch>,
+    },
+    /// The open commit window's time is up.
+    Window,
+    /// A hand-off round waited one retransmit interval.
+    Round(TxId),
+}
+
+/// What an answered call resumes.
+#[derive(Debug)]
+pub(crate) enum Call {
+    /// An admitted start's fetch of its script from the repository (the
+    /// ticket boxed, so that every output stays small).
+    Fetch(Box<AdmissionTicket>),
+    /// A misdirected start relayed to its owner: the owner's answer goes
+    /// back to the client holding this token.
+    Relay(ReplyToken),
+    /// One claim — its adoption's number, its destination, its bytes —
+    /// sent again if no acknowledgement comes.
+    Claim(u64, NodeId, Vec<u8>),
+}
 
 /// Volatile per-instance runtime state (rebuilt on recovery).
 struct InstanceRt {
@@ -123,7 +218,8 @@ struct InstanceRt {
     planted: bool,
 }
 
-/// The execution service state. Use through [`CoordHandle`].
+/// The execution service state of one shard: inputs in, outputs out
+/// ([`Coordinator::handle`]).
 pub struct Coordinator {
     node: NodeId,
     repo: NodeId,
@@ -157,22 +253,23 @@ pub struct Coordinator {
     /// [`Coordinator::recover`]: it models an external telemetry sink,
     /// so a trace spans crashes of the coordinator it describes.
     recorder: FlightRecorder,
-}
-
-/// A cloneable handle to the coordinator, used by node handlers, timers
-/// and the [`crate::WorkflowSystem`] facade.
-#[derive(Clone)]
-pub struct CoordHandle {
-    inner: Rc<RefCell<Coordinator>>,
+    /// Virtual time of the input being handled.
+    now: SimTime,
+    /// What the input being handled owes the world so far, in order.
+    outbox: Vec<Output>,
+    /// The id the next armed timer gets: never reused, restarts
+    /// included.
+    next_timer: u64,
 }
 
 impl Coordinator {
-    /// Opens one shard's coordinator over durable `storage` (recovering
-    /// any previous state): `shard` names every coordinator node (this
-    /// one included), and this coordinator serves only the instances the
-    /// map assigns to `node`, forwarding the rest. Each executor comes
-    /// with its optional `location` label — the scheduler's hard
-    /// placement constraint — and its declared capacity.
+    /// Opens one shard's coordinator over durable `storage`: `shard`
+    /// names every coordinator node (this one included), and this
+    /// coordinator serves only the instances the map assigns to `node`,
+    /// forwarding the rest. Each executor comes with its optional
+    /// `location` label — the scheduler's hard placement constraint —
+    /// and its declared capacity. Previous state in `storage` is loaded
+    /// by the first [`Input::Restart`].
     ///
     /// # Errors
     ///
@@ -216,27 +313,163 @@ impl Coordinator {
             registry,
             metrics,
             recorder,
+            now: SimTime::ZERO,
+            outbox: Vec::new(),
+            next_timer: 0,
         })
     }
 
-    /// Appends a lifecycle event to the flight recorder (no-op below
-    /// [`ObserveLevel::Trace`]).
-    fn record_event(
-        &self,
-        at_ns: u64,
-        instance: &str,
-        task: Option<&str>,
-        attempt: u32,
-        kind: ObsEventKind,
-    ) {
-        if self.config.observe.trace() {
-            self.recorder.record(at_ns, instance, task, attempt, kind);
+    /// The one door: handles `input` at `now`, and returns what it owes
+    /// the world in the order owed.
+    pub(crate) fn handle(&mut self, now: SimTime, input: Input<'_>) -> Vec<Output> {
+        let ((), outputs) = self.at(now, |this| match input {
+            Input::Restart => this.recover(),
+            // A fenced shard is a zombie: its storage was claimed by
+            // another node and its instances run there now. Probe the
+            // claim *before* touching any state, so a zombie that never
+            // crashed (a false-positive failure detection) is muzzled at
+            // the door rather than discovering the fence mid-commit with
+            // half-mutated volatile state. Dropped requests time out at
+            // the sender, exactly like a down node; buffered reports die
+            // with it, the claimant's copies being the truth now.
+            Input::Message(..) | Input::Fired(_) if this.mgr.probe_fence().is_some() => {}
+            Input::Message(payload, token) => this.on_message(payload, token),
+            Input::Fired(Timer::Watchdog {
+                instance,
+                path,
+                incarnation,
+                attempt,
+                timeout,
+            }) => this.on_watchdog(&instance, &path, incarnation, attempt, timeout),
+            Input::Fired(Timer::Dispatch {
+                instance,
+                path,
+                launch,
+            }) => this.on_dispatch_timer(&instance, &path, *launch),
+            Input::Fired(Timer::Window) => this.on_batch_window(),
+            Input::Fired(Timer::Round(tx)) => this.on_round_timer(tx),
+            Input::Answered(Call::Fetch(ticket), answer) => this.on_fetched(*ticket, answer),
+            Input::Answered(Call::Relay(token), answer) => this.on_relayed(token, answer),
+            Input::Answered(Call::Claim(adoption, dest, bytes), answer) => {
+                this.on_claim_answered(adoption, dest, bytes, answer);
+            }
+        });
+        outputs
+    }
+
+    /// Runs `act` at `now` — an input, or an operator call — and returns
+    /// its result beside the outputs it owes the world.
+    fn at<T>(&mut self, now: SimTime, act: impl FnOnce(&mut Self) -> T) -> (T, Vec<Output>) {
+        self.now = now;
+        let result = act(self);
+        (result, std::mem::take(&mut self.outbox))
+    }
+
+    fn on_message(&mut self, payload: &[u8], token: Option<ReplyToken>) {
+        let Ok(msg) = flowscript_codec::from_bytes::<EngineMsg>(payload) else {
+            return; // corrupt message: drop, sender will time out / retry
+        };
+        // A relay unwraps before it re-wraps, so an honest message nests
+        // at most one `Forwarded` deep: unwrap that one layer, without
+        // recursion, and drop anything still wrapped as a routing loop
+        // (however deep the nest, this frame is all it costs). `hops`:
+        // the relays the message took (0 for a direct send).
+        let (msg, hops) = match msg {
+            EngineMsg::Forwarded { hops, inner, .. } => {
+                match flowscript_codec::from_bytes::<EngineMsg>(&inner) {
+                    Ok(EngineMsg::Forwarded { .. }) => {
+                        self.metrics.forward_loops.inc();
+                        return;
+                    }
+                    Ok(inner) => (inner, hops),
+                    Err(_) => return,
+                }
+            }
+            msg => (msg, 0),
+        };
+        match (msg, token) {
+            (EngineMsg::Done(done), _) => self.route_report(PendingEvent::Done(done), hops),
+            (EngineMsg::Mark(mark), _) => self.route_report(PendingEvent::Mark(mark), hops),
+            (
+                EngineMsg::StartInstance {
+                    instance,
+                    script,
+                    version,
+                    set,
+                    inputs,
+                    epoch,
+                },
+                Some(token),
+            ) => {
+                if let Some(owner) = self.misdirected(&instance) {
+                    let relay = EngineMsg::StartInstance {
+                        instance: instance.clone(),
+                        script,
+                        version,
+                        set,
+                        inputs,
+                        epoch,
+                    };
+                    return self.forward_start(owner, &instance, token, relay, hops);
+                }
+                let ticket = AdmissionTicket {
+                    instance,
+                    script,
+                    version,
+                    set,
+                    inputs,
+                    token,
+                    enqueued_ns: self.now.as_nanos(),
+                };
+                self.admit_or_queue(ticket);
+            }
+            (EngineMsg::Dist(msg), _) => self.on_dist(msg),
+            (
+                EngineMsg::Claim {
+                    dead,
+                    epoch,
+                    writes,
+                },
+                Some(token),
+            ) => {
+                let result = self.on_claim(dead, epoch, writes);
+                let result = result.map_err(|err| err.to_string());
+                self.reply(token, &EngineMsg::Ack { result });
+            }
+            _ => {}
         }
     }
 
-    /// Writes one object in an atomic action of its own.
-    fn commit_object<T: Encode>(&mut self, key: &StoreKey, value: &T) -> Result<(), EngineError> {
-        self.atomically(|mgr, action| Ok(mgr.write_key(action, key, value)?))
+    fn send(&mut self, to: NodeId, msg: &EngineMsg) {
+        let bytes = flowscript_codec::to_bytes(msg);
+        self.outbox.push(Output::Send { to, bytes });
+    }
+
+    fn reply(&mut self, token: ReplyToken, msg: &EngineMsg) {
+        let bytes = flowscript_codec::to_bytes(msg);
+        self.outbox.push(Output::Reply { token, bytes });
+    }
+
+    /// Arms `timer` to come back `after` from now.
+    fn arm(&mut self, after: SimDuration, timer: Timer) -> TimerId {
+        let id = TimerId(self.next_timer);
+        self.next_timer += 1;
+        self.outbox.push(Output::Arm { id, after, timer });
+        id
+    }
+
+    fn cancel(&mut self, timers: impl IntoIterator<Item = TimerId>) {
+        self.outbox.extend(timers.into_iter().map(Output::Cancel));
+    }
+
+    /// Appends a lifecycle event, stamped now, to the flight recorder
+    /// (no-op below
+    /// [`ObserveLevel::Trace`](flowscript_obs::ObserveLevel::Trace)).
+    fn record_event(&self, instance: &str, task: Option<&str>, attempt: u32, kind: ObsEventKind) {
+        if self.config.observe.trace() {
+            let at_ns = self.now.as_nanos();
+            self.recorder.record(at_ns, instance, task, attempt, kind);
+        }
     }
 
     /// Checkpoints when the threshold of commits has accumulated since
@@ -317,6 +550,65 @@ impl Coordinator {
             rt.nonterminal = rt.nonterminal.saturating_sub(n);
         }
     }
+
+    /// The release pump: runs after any event that can free executor
+    /// capacity or admission headroom — completed/failed/timed-out
+    /// tasks, terminal instances, hand-offs, recovery — first draining
+    /// the capacity-parked ready queue, then admitting queued starts.
+    /// Never called from inside a drain (dispatch cascades would
+    /// re-enter); the outer event handlers call it exactly once.
+    fn pump(&mut self) {
+        self.drain_parked();
+        self.admit_from_queue();
+    }
+
+    /// Engine counters, materialized from the `coord.*` registry
+    /// entries.
+    pub fn stats(&self) -> CoordStats {
+        self.metrics.stats()
+    }
+
+    /// This shard's metric registry (counters, gauges, histograms for
+    /// the coordinator, scheduler, transaction manager and WAL).
+    pub fn registry(&self) -> Registry {
+        self.registry.clone()
+    }
+
+    /// This shard's flight recorder. Empty unless
+    /// [`EngineConfig::observe`] is [`flowscript_obs::ObserveLevel::Trace`].
+    pub fn recorder(&self) -> FlightRecorder {
+        self.recorder.clone()
+    }
+
+    /// Current log size in bytes (ablation measurements).
+    pub fn log_size(&self) -> u64 {
+        self.mgr.log_size()
+    }
+
+    /// Uid prefix scans this coordinator's store has served (the
+    /// stuck-diagnostics regression guard: zero during normal runs).
+    pub fn store_prefix_scans(&self) -> u64 {
+        self.mgr.prefix_scan_count()
+    }
+
+    /// Fact range scans this coordinator's store has served (the
+    /// per-object regression guard: readiness probes are point reads,
+    /// so a clean run performs none — only repeats, cancellations,
+    /// recovery and reconfiguration legitimately scan).
+    pub fn store_fact_range_scans(&self) -> u64 {
+        self.mgr.fact_range_scan_count()
+    }
+
+    /// The node this coordinator runs on.
+    pub fn node(&self) -> NodeId {
+        self.node
+    }
+
+    /// Whether another node has claimed this shard's storage (probes
+    /// the log tail, so a zombie that has not noticed yet says yes).
+    pub(crate) fn is_fenced(&mut self) -> bool {
+        self.mgr.probe_fence().is_some()
+    }
 }
 
 /// Why an instance stops on `task`'s block that does not decode.
@@ -325,189 +617,161 @@ fn block_fault(plan: &Plan, task: TaskId, fault: &TxError) -> String {
     format!("control block storage fault at `{path}`: {fault}")
 }
 
-impl CoordHandle {
-    /// Wraps a coordinator.
-    pub fn new(coordinator: Coordinator) -> Self {
-        Self {
-            inner: Rc::new(RefCell::new(coordinator)),
+#[cfg(test)]
+mod tests {
+    use flowscript_tx::SharedStorage;
+
+    use super::*;
+    use crate::msg::{StartTask, TaskDone, TaskResult};
+    use crate::value::ObjectVal;
+
+    /// One leaf under the root, handing the seed back as the result.
+    const ECHO: &str = r#"
+class Message;
+
+taskclass Echo {
+    inputs { input main { seed of class Message } };
+    outputs { outcome echoed { seed of class Message } }
+}
+
+taskclass Root {
+    inputs { input main { seed of class Message } };
+    outputs { outcome done { result of class Message } }
+}
+
+compoundtask root of taskclass Root {
+    task echo of taskclass Echo {
+        implementation { "code" is "refEcho" };
+        inputs {
+            input main {
+                inputobject seed from { seed of task root if input main }
+            }
+        }
+    };
+    outputs {
+        outcome done {
+            outputobject result from { seed of task echo if output echoed }
         }
     }
+}
+"#;
 
-    /// Installs the message handler on the coordinator's node.
-    pub fn install(&self, world: &mut World) {
-        let node = self.inner.borrow().node;
-        let handle = self.clone();
-        world.set_handler(node, move |world, envelope| {
-            handle.handle_message(world, envelope);
-        });
-        let handle = self.clone();
-        world.set_restart_hook(node, move |world, _| {
-            handle.recover(world);
-        });
+    fn decoded(bytes: &[u8]) -> EngineMsg {
+        flowscript_codec::from_bytes(bytes).expect("an engine message")
     }
 
-    /// Engine counters, materialized from the `coord.*` registry
-    /// entries.
-    pub fn stats(&self) -> CoordStats {
-        self.inner.borrow().metrics.stats()
-    }
+    /// A shard needs no world to run: fed a start, the repository's
+    /// answer, an executor's report and its window's timer by hand, it
+    /// answers each with exactly the outputs a driver would carry out.
+    #[test]
+    fn a_shard_runs_on_inputs_alone() {
+        let [client, repo, here, executor] = [0, 1, 2, 3].map(NodeId::from_index);
+        let mut shard = Coordinator::open(
+            here,
+            repo,
+            vec![ExecutorSpec::unbounded(executor)],
+            EngineConfig::default(),
+            SharedStorage::new(),
+            ShardMap::new(vec![here]),
+        )
+        .expect("empty storage opens");
+        let at = SimTime::from_nanos;
+        let seed = ObjectVal::text("Message", "hi");
 
-    /// This shard's metric registry (counters, gauges, histograms for
-    /// the coordinator, scheduler, transaction manager and WAL).
-    pub fn registry(&self) -> Registry {
-        self.inner.borrow().registry.clone()
-    }
-
-    /// This shard's flight recorder. Empty unless
-    /// [`EngineConfig::observe`] is [`flowscript_obs::ObserveLevel::Trace`].
-    pub fn recorder(&self) -> FlightRecorder {
-        self.inner.borrow().recorder.clone()
-    }
-
-    /// Ordered dispatch decisions: the recorder's `Dispatch` events,
-    /// oldest first. Like the recorder, empty below
-    /// [`flowscript_obs::ObserveLevel::Trace`] and bounded by
-    /// [`EngineConfig::recorder_capacity`] (a suite that compares traces
-    /// checks [`FlightRecorder::dropped`] is zero).
-    pub fn dispatch_trace(&self) -> Vec<DispatchRecord> {
-        let events = self.inner.borrow().recorder.events();
-        events
-            .into_iter()
-            .filter_map(DispatchRecord::from_event)
-            .collect()
-    }
-
-    /// Current log size in bytes (ablation measurements).
-    pub fn log_size(&self) -> u64 {
-        self.inner.borrow().mgr.log_size()
-    }
-
-    /// Uid prefix scans this coordinator's store has served (the
-    /// stuck-diagnostics regression guard: zero during normal runs).
-    pub fn store_prefix_scans(&self) -> u64 {
-        self.inner.borrow().mgr.prefix_scan_count()
-    }
-
-    /// Fact range scans this coordinator's store has served (the
-    /// per-object regression guard: readiness probes are point reads,
-    /// so a clean run performs none — only repeats, cancellations,
-    /// recovery and reconfiguration legitimately scan).
-    pub fn store_fact_range_scans(&self) -> u64 {
-        self.inner.borrow().mgr.fact_range_scan_count()
-    }
-
-    /// The node this coordinator runs on.
-    pub fn node(&self) -> NodeId {
-        self.inner.borrow().node
-    }
-
-    /// Whether another node has claimed this shard's storage (probes
-    /// the log tail, so a zombie that has not noticed yet says yes).
-    pub(crate) fn is_fenced(&self) -> bool {
-        self.inner.borrow_mut().mgr.probe_fence().is_some()
-    }
-
-    fn handle_message(&self, world: &mut World, envelope: &Envelope) {
-        // A fenced shard is a zombie: its storage was claimed by
-        // another node and its instances run there now. Probe the
-        // claim *before* touching any state, so a zombie that never
-        // crashed (a false-positive failure detection) is muzzled at
-        // the door rather than discovering the fence mid-commit with
-        // half-mutated volatile state. Dropped requests time out at
-        // the sender, exactly like a down node.
-        if self.inner.borrow_mut().mgr.probe_fence().is_some() {
-            return;
-        }
-        let Ok(msg) = flowscript_codec::from_bytes::<EngineMsg>(&envelope.payload) else {
-            return; // corrupt message: drop, sender will time out / retry
+        // The client's start: the shard asks the repository for the
+        // script, and nothing else.
+        let start = EngineMsg::StartInstance {
+            instance: "i".into(),
+            script: "echo".into(),
+            version: None,
+            set: "main".into(),
+            inputs: BTreeMap::from([("seed".to_string(), seed.clone())]),
+            epoch: 1,
         };
-        // A relay unwraps before it re-wraps, so an honest message nests
-        // at most one `Forwarded` deep: unwrap that one layer, without
-        // recursion, and drop anything still wrapped as a routing loop
-        // (however deep the nest, this frame is all it costs).
-        let (msg, hops) = match msg {
-            EngineMsg::Forwarded { hops, inner, .. } => {
-                match flowscript_codec::from_bytes::<EngineMsg>(&inner) {
-                    Ok(EngineMsg::Forwarded { .. }) => {
-                        self.inner.borrow().metrics.forward_loops.inc();
-                        return;
-                    }
-                    Ok(inner) => (inner, hops),
-                    Err(_) => return,
-                }
-            }
-            msg => (msg, 0),
+        let payload = &flowscript_codec::to_bytes(&start);
+        let token = Some(ReplyToken::new(here, client, 7));
+        let outputs = shard.handle(at(0), Input::Message(payload, token));
+        let [Output::Call {
+            to, bytes, call, ..
+        }] = <[Output; 1]>::try_from(outputs).unwrap()
+        else {
+            panic!("a call to the repository, and nothing else");
         };
-        self.deliver(world, envelope, msg, hops);
-    }
+        assert_eq!(to, repo);
+        assert!(matches!(decoded(&bytes), EngineMsg::RepoGet { name, .. } if name == "echo"));
 
-    /// Handles one unwrapped engine message that has been relayed
-    /// `hops` times already (0 for a direct send).
-    fn deliver(&self, world: &mut World, envelope: &Envelope, msg: EngineMsg, hops: u32) {
-        match msg {
-            EngineMsg::Done(done) => self.route_report(world, PendingEvent::Done(done), hops),
-            EngineMsg::Mark(mark) => self.route_report(world, PendingEvent::Mark(mark), hops),
-            EngineMsg::StartInstance {
-                instance,
-                script,
-                version,
-                set,
-                inputs,
-                epoch,
-            } => {
-                let Some(token) = envelope.reply_token() else {
-                    return;
-                };
-                if let Some(owner) = self.misdirected(&instance) {
-                    let relay = EngineMsg::StartInstance {
-                        instance: instance.clone(),
-                        script,
-                        version,
-                        set,
-                        inputs,
-                        epoch,
-                    };
-                    self.forward_start(world, owner, &instance, token, relay, hops);
-                    return;
-                }
-                let ticket = AdmissionTicket {
-                    instance,
-                    script,
-                    version,
-                    set,
-                    inputs,
-                    token,
-                    enqueued_ns: world.now().as_nanos(),
-                };
-                self.admit_or_queue(world, ticket);
+        // The repository's answer: the start commits, `echo` ships with
+        // its watchdog armed first, and then the client hears `Ack`.
+        let answer = EngineMsg::RepoReply {
+            result: Ok(1),
+            source: ECHO.into(),
+            root: "root".into(),
+            plan: Vec::new(),
+        };
+        let answer = Ok(flowscript_codec::to_bytes(&answer));
+        let outputs = shard.handle(at(10), Input::Answered(call, answer));
+        let [watchdog, dispatch, ack] = <[Output; 3]>::try_from(outputs).unwrap();
+        let Output::Arm {
+            id: watchdog,
+            timer: Timer::Watchdog { path, .. },
+            ..
+        } = watchdog
+        else {
+            panic!("the watchdog first: {watchdog:?}");
+        };
+        assert_eq!(path, "root/echo");
+        let Output::Send { to, bytes } = dispatch else {
+            panic!("then the dispatch: {dispatch:?}");
+        };
+        assert_eq!(to, executor);
+        let EngineMsg::Start(StartTask {
+            path,
+            incarnation,
+            attempt,
+            ..
+        }) = decoded(&bytes)
+        else {
+            panic!("a `StartTask`");
+        };
+        assert!(matches!(
+            ack,
+            Output::Reply { bytes, .. } if decoded(&bytes) == EngineMsg::Ack { result: Ok(()) }
+        ));
+
+        // The executor's report waits in the commit window, whose timer
+        // it arms.
+        let done = EngineMsg::Done(TaskDone {
+            instance: "i".into(),
+            path,
+            incarnation,
+            attempt,
+            result: TaskResult::Output {
+                name: "echoed".into(),
+                objects: BTreeMap::from([("seed".to_string(), seed)]),
+                redo_after: SimDuration::ZERO,
+            },
+            epoch: 1,
+        });
+        let payload = &flowscript_codec::to_bytes(&done);
+        let outputs = shard.handle(at(20), Input::Message(payload, None));
+        assert!(matches!(
+            &outputs[..],
+            [Output::Arm {
+                timer: Timer::Window,
+                ..
+            }]
+        ));
+
+        // The window's timer: the report commits, the instance with it,
+        // and all the world hears of it is the watchdog cancelled.
+        let outputs = shard.handle(at(30), Input::Fired(Timer::Window));
+        assert!(matches!(&outputs[..], [Output::Cancel(id)] if *id == watchdog));
+        match shard.status("i") {
+            Ok(InstanceStatus::Completed(outcome)) => {
+                assert_eq!(outcome.name, "done");
+                assert_eq!(outcome.objects["result"].as_text(), "hi");
             }
-            EngineMsg::Dist(msg) => self.on_dist(world, msg),
-            EngineMsg::Claim {
-                dead,
-                epoch,
-                writes,
-            } => {
-                let Some(token) = envelope.reply_token() else {
-                    return;
-                };
-                let result = self.on_claim(world, dead, epoch, writes);
-                let reply = EngineMsg::Ack {
-                    result: result.map_err(|err| err.to_string()),
-                };
-                world.rpc_reply_to(token, flowscript_codec::to_bytes(&reply));
-            }
-            _ => {}
+            other => panic!("expected the root's outcome, got {other:?}"),
         }
-    }
-
-    /// The release pump: runs after any event that can free executor
-    /// capacity or admission headroom — completed/failed/timed-out
-    /// tasks, terminal instances, hand-offs, recovery — first draining
-    /// the capacity-parked ready queue, then admitting queued starts.
-    /// Never called from inside a drain (dispatch cascades would
-    /// re-enter); the outer event handlers call it exactly once.
-    fn pump(&self, world: &mut World) {
-        self.drain_parked(world);
-        self.admit_from_queue(world);
     }
 }

@@ -4,12 +4,9 @@
 //! full drain commit once, then the re-dispatches ship.
 
 use flowscript_obs::ObsEventKind;
-use flowscript_sim::World;
 use flowscript_tx::{StableStore, TxManager};
 
-use super::{
-    Admission, CoordHandle, Coordinator, InstanceHeader, InstanceStatus, PlanCache, StatusRecord,
-};
+use super::{Admission, Coordinator, InstanceHeader, InstanceStatus, PlanCache, StatusRecord};
 use crate::facts;
 use crate::keys::{self, meta_uid, status_uid};
 use crate::msg::EngineMsg;
@@ -55,11 +52,10 @@ impl Coordinator {
         self.admission = Admission::default();
         self.membership.reset_protocols();
     }
-}
 
-impl CoordHandle {
-    /// Rebuilds all state from the write-ahead log after a restart and
-    /// resumes every running instance (re-dispatching in-flight tasks).
+    /// Rebuilds all state from the write-ahead log after a restart
+    /// ([`super::Input::Restart`]) and resumes every running instance
+    /// (re-dispatching in-flight tasks).
     ///
     /// The compiled plan is read back from its persisted, fingerprinted
     /// blob (written at instance start and on every reconfiguration),
@@ -67,69 +63,57 @@ impl CoordHandle {
     /// the header names — the script's current version — survives only
     /// as the fallback for a missing or corrupt blob. A load scans no
     /// store prefix of its own.
-    pub fn recover(&self, world: &mut World) {
-        let (node, instances, handoff_traffic) = {
-            let mut coordinator = self.inner.borrow_mut();
-            let (node, storage) = (coordinator.node, coordinator.storage.clone());
-            // Reopen the store against the same registry: metric
-            // history (like the flight recorder's) spans the crash.
-            let Ok(mgr) = TxManager::open_with_metrics(
-                node.index() as u32,
-                storage,
-                &coordinator.registry,
-                coordinator.config.observe,
-            ) else {
-                return;
-            };
-            coordinator.mgr = mgr;
-            coordinator.reset_volatile();
-            if coordinator.mgr.fenced().is_some() {
-                // Another shard claimed this storage while the node was
-                // down (crash-driven adoption): every instance now
-                // lives — and runs — on the claimant's side. A zombie
-                // must not reload, re-dispatch, or relay anything; it
-                // wakes empty and every durable act it attempts fails
-                // on the fence.
-                coordinator.membership.forget_moves();
-                return;
-            }
-            // Hand-off repair: the relay table comes back from the
-            // stored move records, undecided rounds are presumed aborted.
-            let handoff_traffic = coordinator.repair_handoffs();
-            let mut running = Vec::new();
-            for (name, header, record) in stored_instances(&coordinator.mgr) {
-                // Fast path inside: decode the persisted plan
-                // (validated like any other untrusted plan) and skip
-                // the front end.
-                let Some(rt) = coordinator.load_instance(&name, &header, &record) else {
-                    continue;
-                };
-                coordinator.instances.insert(name.clone(), rt);
-                coordinator.metrics.recovered_instances.inc();
-                let epoch = coordinator.membership.epoch();
-                coordinator.record_event(
-                    world.now().as_nanos(),
-                    &name,
-                    None,
-                    0,
-                    ObsEventKind::Recovery { epoch },
-                );
-                if record.status == InstanceStatus::Running {
-                    coordinator.admission.instance_live();
-                    running.push(name);
-                }
-            }
-            (node, running, handoff_traffic)
+    pub(super) fn recover(&mut self) {
+        // Reopen the store against the same registry: metric history
+        // (like the flight recorder's) spans the crash.
+        let Ok(mgr) = TxManager::open_with_metrics(
+            self.node.index() as u32,
+            self.storage.clone(),
+            &self.registry,
+            self.config.observe,
+        ) else {
+            return;
         };
+        self.mgr = mgr;
+        self.reset_volatile();
+        if self.mgr.fenced().is_some() {
+            // Another shard claimed this storage while the node was
+            // down (crash-driven adoption): every instance now lives —
+            // and runs — on the claimant's side. A zombie must not
+            // reload, re-dispatch, or relay anything; it wakes empty and
+            // every durable act it attempts fails on the fence.
+            self.membership.forget_moves();
+            return;
+        }
+        // Hand-off repair: the relay table comes back from the stored
+        // move records, undecided rounds are presumed aborted.
+        let handoff_traffic = self.repair_handoffs();
+        let mut running = Vec::new();
+        for (name, header, record) in stored_instances(&self.mgr) {
+            // Fast path inside: decode the persisted plan (validated
+            // like any other untrusted plan) and skip the front end.
+            let Some(rt) = self.load_instance(&name, &header, &record) else {
+                continue;
+            };
+            self.instances.insert(name.clone(), rt);
+            self.metrics.recovered_instances.inc();
+            let epoch = self.membership.epoch();
+            let kind = ObsEventKind::Recovery { epoch };
+            self.record_event(&name, None, 0, kind);
+            if record.status == InstanceStatus::Running {
+                self.admission.instance_live();
+                running.push(name);
+            }
+        }
         for (to, msg) in handoff_traffic {
-            world.send(node, to, flowscript_codec::to_bytes(&EngineMsg::Dist(msg)));
+            self.send(to, &EngineMsg::Dist(msg));
         }
 
         // Re-dispatch whatever was executing (at-least-once execution,
         // exactly-once outcome application via attempt matching), one
         // step per instance: the bumps, then the full drain.
-        for instance in &instances {
-            let rearmed = self.reevaluate(world, instance, |coordinator, step, drain| {
+        for instance in &running {
+            let rearmed = self.reevaluate(instance, |coordinator, step, drain| {
                 let executing = match coordinator.executing(instance) {
                     Ok(executing) => executing,
                     // What the corrupt block was doing is unknown: re-run
@@ -151,11 +135,11 @@ impl CoordHandle {
             // The attempts as committed stay on the wire, if anywhere:
             // their watchdogs are what can still move them.
             if rearmed.is_err() {
-                self.rearm_adopted(world, instance);
+                self.rearm_adopted(instance);
             }
         }
         // Re-dispatches above may have parked against a still-cold
         // scheduler view; give them one immediate placement pass.
-        self.pump(world);
+        self.pump();
     }
 }

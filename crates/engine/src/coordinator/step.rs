@@ -17,10 +17,10 @@ use std::rc::Rc;
 use flowscript_codec::Decode;
 use flowscript_obs::{Counter, ObsEventKind};
 use flowscript_plan::{Plan, TaskId};
-use flowscript_sim::{SimDuration, World};
+use flowscript_sim::SimDuration;
 use flowscript_tx::{AtomicAction, StableStore, StoreKey, TxError, TxManager};
 
-use super::{CoordHandle, Coordinator, InstanceRt, InstanceStatus};
+use super::{Coordinator, InstanceRt, InstanceStatus};
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::InstanceKeys;
@@ -72,7 +72,7 @@ pub(super) enum Effect {
 /// then: its task's incarnation and attempt, the bound input set with
 /// its objects, and the objects of the repeat outcomes the task took.
 #[derive(Debug)]
-pub(super) struct Launch {
+pub(crate) struct Launch {
     pub(super) incarnation: u32,
     pub(super) attempt: u32,
     pub(super) set: String,
@@ -185,65 +185,58 @@ impl Coordinator {
             );
         }
     }
-}
 
-impl CoordHandle {
     /// Publishes a committed step's effects, in staging order. A
     /// dispatch no executor can take fails its task, in a step of its
     /// own, last: the step behind that must find what this one shipped.
-    pub(super) fn publish(&self, world: &mut World, effects: Effects) {
-        let now_ns = world.now().as_nanos();
+    pub(super) fn publish(&mut self, effects: Effects) {
         let mut unplaceable = Vec::new();
         for (instance, effect) in effects {
-            let coordinator = || self.inner.borrow_mut();
             match effect {
-                Effect::Completed(task) => self.clear_watch(world, &instance, task),
-                Effect::Lost(task, reported) => self.lose_flight(world, &instance, task, reported),
+                Effect::Completed(task) => self.clear_watch(&instance, task),
+                Effect::Lost(task, reported) => self.lose_flight(&instance, task, reported),
                 Effect::Dispatch(task, launch) => {
-                    let shipped = self.ship(world, &instance, task, launch);
+                    let shipped = self.ship(&instance, task, launch);
                     unplaceable.extend(shipped.err().map(|reason| (instance, task, reason)));
                 }
                 Effect::Later(task, delay, launch) => {
-                    self.dispatch_after(world, &instance, task, delay, launch);
+                    self.dispatch_after(&instance, task, delay, launch);
                 }
                 Effect::Drained(evaluations, quiescent) => {
-                    let coordinator = coordinator();
-                    coordinator.metrics.evaluations.add(evaluations);
-                    if quiescent && coordinator.config.observe.metrics() {
-                        coordinator.metrics.commit_drain_len.record(evaluations);
+                    self.metrics.evaluations.add(evaluations);
+                    if quiescent && self.config.observe.metrics() {
+                        self.metrics.commit_drain_len.record(evaluations);
                     }
                 }
-                Effect::Discard(tasks) => self.discard_flights(world, &instance, tasks),
+                Effect::Discard(tasks) => self.discard_flights(&instance, tasks),
                 Effect::Replan(plan, keys, nonterminal) => {
-                    self.replan(world, &instance, plan, keys, nonterminal);
+                    self.replan(&instance, plan, keys, nonterminal);
                 }
                 Effect::Resident(rt) => {
-                    let mut coordinator = coordinator();
-                    coordinator.instances.insert(instance.to_string(), *rt);
-                    coordinator.admission.instance_live();
+                    self.instances.insert(instance.to_string(), *rt);
+                    self.admission.instance_live();
                 }
-                Effect::Terminals(n) => coordinator().note_terminals(&instance, n),
+                Effect::Terminals(n) => self.note_terminals(&instance, n),
                 Effect::Revived(n) => {
-                    if let Some(rt) = coordinator().instances.get_mut(&*instance) {
+                    if let Some(rt) = self.instances.get_mut(&*instance) {
                         rt.nonterminal += n;
                     }
                 }
                 Effect::Status(status) => {
-                    let mut coordinator = coordinator();
-                    coordinator.note_status(&instance, &status);
+                    self.note_status(&instance, &status);
                     match status.is_terminal() {
-                        true => coordinator.admission.instance_settled(),
-                        false => coordinator.admission.instance_live(),
+                        true => self.admission.instance_settled(),
+                        false => self.admission.instance_live(),
                     }
                 }
                 Effect::Count(counter) => counter.inc(),
                 Effect::Trace(task, attempt, kind) => {
-                    coordinator().record_event(now_ns, &instance, task.as_deref(), attempt, kind);
+                    self.record_event(&instance, task.as_deref(), attempt, kind);
                 }
             }
         }
         for (instance, task, reason) in unplaceable {
-            self.fail_unplaceable(world, &instance, task, &reason);
+            self.fail_unplaceable(&instance, task, &reason);
         }
     }
 }

@@ -18,12 +18,12 @@ use std::rc::Rc;
 use flowscript_core::ast::OutputKind;
 use flowscript_obs::ObsEventKind;
 use flowscript_plan::{Plan, TaskId};
-use flowscript_sim::{SimDuration, World};
+use flowscript_sim::SimDuration;
 use flowscript_tx::StoreKey;
 
 use super::evaluate::Drain;
 use super::step::{Effect, Step};
-use super::{CommitBatch, CoordHandle, Coordinator};
+use super::{CommitBatch, Coordinator, Timer};
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::InstanceKeys;
@@ -302,65 +302,32 @@ impl Coordinator {
         }
         Ok(true)
     }
-}
 
-/// A report's objects as the task at `path` produced them: an outcome's,
-/// a mark's and a repeat outcome's alike.
-fn stamped(objects: &BTreeMap<String, ObjectVal>, path: &str) -> BTreeMap<String, ObjectVal> {
-    let stamp =
-        |(name, object): (&String, &ObjectVal)| (name.clone(), object.clone().produced_by(path));
-    objects.iter().map(stamp).collect()
-}
-
-impl CoordHandle {
     /// Buffers an executor report into the open window, flushing when
     /// the count trigger fires and arming the flush timer on the first
     /// report of a window.
-    pub(super) fn enqueue_event(&self, world: &mut World, event: PendingEvent) {
-        let (next, node) = {
-            let mut coordinator = self.inner.borrow_mut();
-            let coordinator = &mut *coordinator;
-            let next = coordinator
-                .window
-                .push(event, &coordinator.config.commit_batch);
-            (next, coordinator.node)
-        };
-        match next {
-            Next::Flush => self.flush_pending(world),
-            Next::Arm(window) => {
-                let handle = self.clone();
-                world.schedule_node_after(node, window, move |world| {
-                    handle.on_batch_window(world);
-                });
-            }
+    pub(super) fn enqueue_event(&mut self, event: PendingEvent) {
+        match self.window.push(event, &self.config.commit_batch) {
+            Next::Flush => self.flush_pending(),
+            Next::Arm(window) => _ = self.arm(window, Timer::Window),
             Next::Wait => {}
         }
     }
 
-    /// The flush timer elapsed: flush whatever accumulated.
-    fn on_batch_window(&self, world: &mut World) {
-        {
-            let mut coordinator = self.inner.borrow_mut();
-            // A fenced coordinator is a zombie: another node claimed its
-            // storage. Buffered reports die with it — the claimant's
-            // copies are the truth now (same muzzle as
-            // `handle_message`, for the timer entry points).
-            if coordinator.mgr.probe_fence().is_some() {
-                return;
-            }
-            if !coordinator.window.timer_fired() {
-                return;
-            }
+    /// The flush timer elapsed ([`Timer::Window`]): flush whatever
+    /// accumulated.
+    pub(super) fn on_batch_window(&mut self) {
+        if self.window.timer_fired() {
+            self.flush_pending();
         }
-        self.flush_pending(world);
     }
 
     /// Commits the open window immediately, if it holds any reports.
     /// Admin entry points (reconfiguration, operator abort, fact
     /// repair) and hand-off collection call this first so their reads
     /// and cascades see every report that already arrived.
-    pub(super) fn flush_pending(&self, world: &mut World) {
-        let events = std::mem::take(&mut self.inner.borrow_mut().window.pending);
+    pub(super) fn flush_pending(&mut self) {
+        let events = std::mem::take(&mut self.window.pending);
         if events.is_empty() {
             return;
         }
@@ -368,16 +335,16 @@ impl CoordHandle {
         // report retries as a window of its own. A window of one that
         // still aborts drops its report — to the executor's watchdog it
         // is a message lost in the network.
-        let rolled_back = self.commit_window(world, events);
+        let rolled_back = self.commit_window(events);
         if rolled_back.len() > 1 {
             for event in rolled_back {
-                self.commit_window(world, vec![event]);
+                self.commit_window(vec![event]);
             }
         }
-        let _ = self.inner.borrow_mut().maybe_checkpoint();
+        let _ = self.maybe_checkpoint();
         // A flushed window frees executor slots and settles instances:
         // revisit parked dispatches and the admission queue.
-        self.pump(world);
+        self.pump();
     }
 
     /// Commits `events` as one window, one step: a single atomic action
@@ -389,7 +356,7 @@ impl CoordHandle {
     /// an append the log refused: nothing of it was published. The batch
     /// id and the `coord.batch_size` sample are spent only on a commit,
     /// so the histogram's sum is the reports applied.
-    fn commit_window(&self, world: &mut World, events: Vec<PendingEvent>) -> Vec<PendingEvent> {
+    fn commit_window(&mut self, events: Vec<PendingEvent>) -> Vec<PendingEvent> {
         // Per-event plan context, and the key union for the lock
         // pre-pass.
         type EventCtx = Option<(Rc<Plan>, Rc<InstanceKeys>, TaskId)>;
@@ -409,56 +376,58 @@ impl CoordHandle {
 
         // The touched instances, in first-touch arrival order.
         let mut touched: Vec<Drain<'_>> = Vec::new();
-        let staged = {
-            let mut coordinator = self.inner.borrow_mut();
-            coordinator.window.current_batch = Some(coordinator.window.batch_seq);
-            coordinator.run_step(|coordinator, step| {
-                for key in &cb_keys {
-                    let action = step.action(&mut coordinator.mgr);
-                    coordinator.mgr.read_key_raw(action, key)?;
-                }
-                for (event, ctx) in events.iter().zip(&contexts) {
-                    let Some((plan, keys, task)) = ctx else {
-                        continue; // unknown instance or path: dropped, as ever
-                    };
-                    let instance = event.address().0;
-                    match touched.iter_mut().find(|drain| &*drain.name == instance) {
-                        Some(drain) => _ = coordinator.stage_event(step, drain, event, *task)?,
-                        None => {
-                            let mut drain = coordinator.drain_of(instance.into(), plan, keys);
-                            if coordinator.stage_event(step, &mut drain, event, *task)? {
-                                touched.push(drain);
-                            }
+        self.window.current_batch = Some(self.window.batch_seq);
+        let staged = self.run_step(|coordinator, step| {
+            for key in &cb_keys {
+                let action = step.action(&mut coordinator.mgr);
+                coordinator.mgr.read_key_raw(action, key)?;
+            }
+            for (event, ctx) in events.iter().zip(&contexts) {
+                let Some((plan, keys, task)) = ctx else {
+                    continue; // unknown instance or path: dropped, as ever
+                };
+                let instance = event.address().0;
+                match touched.iter_mut().find(|drain| &*drain.name == instance) {
+                    Some(drain) => _ = coordinator.stage_event(step, drain, event, *task)?,
+                    None => {
+                        let mut drain = coordinator.drain_of(instance.into(), plan, keys);
+                        if coordinator.stage_event(step, &mut drain, event, *task)? {
+                            touched.push(drain);
                         }
                     }
                 }
-                for drain in &mut touched {
-                    coordinator.stage_drain(step, drain)?;
-                }
-                Ok(())
-            })
-        };
+            }
+            for drain in &mut touched {
+                coordinator.stage_drain(step, drain)?;
+            }
+            Ok(())
+        });
 
         let rolled_back = match staged {
             Ok(((), effects)) => {
-                {
-                    let mut coordinator = self.inner.borrow_mut();
-                    coordinator.window.batch_seq += 1;
-                    if coordinator.config.observe.metrics() {
-                        coordinator.metrics.batch_size.record(events.len() as u64);
-                    }
+                self.window.batch_seq += 1;
+                if self.config.observe.metrics() {
+                    self.metrics.batch_size.record(events.len() as u64);
                 }
-                self.publish(world, effects);
+                self.publish(effects);
                 Vec::new()
             }
             Err(_) => events,
         };
-        self.inner.borrow_mut().window.current_batch = None;
+        self.window.current_batch = None;
         for drain in &touched {
             self.assert_settled(&drain.name);
         }
         rolled_back
     }
+}
+
+/// A report's objects as the task at `path` produced them: an outcome's,
+/// a mark's and a repeat outcome's alike.
+fn stamped(objects: &BTreeMap<String, ObjectVal>, path: &str) -> BTreeMap<String, ObjectVal> {
+    let stamp =
+        |(name, object): (&String, &ObjectVal)| (name.clone(), object.clone().produced_by(path));
+    objects.iter().map(stamp).collect()
 }
 
 #[cfg(test)]
@@ -581,7 +550,7 @@ mod tests {
         let coord = sys.coord_handle(0);
         let blocker = TxId::new(99, 1);
         {
-            let mut coordinator = coord.inner.borrow_mut();
+            let mut coordinator = coord.get_mut();
             let (plan, keys) = {
                 let rt = &coordinator.instances["i3"];
                 (rt.plan.clone(), rt.keys.clone())
@@ -624,12 +593,7 @@ mod tests {
         assert_eq!(in_flight, 3, "two `consume`s and `i3`'s `produce`");
         // The verdict arrives; the dropped report is the watchdog's to
         // recover, as if the network had lost it.
-        coord
-            .inner
-            .borrow_mut()
-            .mgr
-            .resolve_remote(blocker, false)
-            .unwrap();
+        coord.get_mut().mgr.resolve_remote(blocker, false).unwrap();
         sys.run();
         for name in ["i1", "i2", "i3"] {
             assert_eq!(sys.outcome(name).expect("completes").name, "done");

@@ -80,6 +80,7 @@
 
 mod api;
 mod coordinator;
+mod driver;
 mod error;
 mod executor;
 mod facts;

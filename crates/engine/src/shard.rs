@@ -24,7 +24,7 @@
 //! [`ShardMap::remove_node`]). Every coordinator of a system starts
 //! from the same epoch-1 map; a rebalance installs a successor map on
 //! all of them after the hand-off protocol (see
-//! [`crate::coordinator::CoordHandle`]) has 2PC'd the moving
+//! [`crate::coordinator::Coordinator`]) has 2PC'd the moving
 //! instances' facts to their new owners. Requests landing on the wrong
 //! shard are forwarded to the owner, stamped with the forwarder's
 //! epoch, and a hop cap breaks the ping-pong two disagreeing maps

@@ -430,20 +430,38 @@ pub type Fingerprint = (
 
 /// The books balance: a shard that is serving (up, unfenced) and whose
 /// every resident instance is terminal holds no executor load and no
-/// parked dispatch. Every suite runs this through [`fingerprint`].
+/// parked dispatch; and once the world has no event left, no serving
+/// shard holds a timer that neither went off nor was cancelled. Every
+/// suite runs this through [`fingerprint`].
 pub fn assert_books_balance(sys: &WorkflowSystem) {
     for shard in sys.serving_shards() {
         let coord = sys.coord_handle(shard);
-        let terminal = |name: &String| coord.status(name).is_ok_and(|status| status.is_terminal());
-        if !coord.instance_names().iter().all(terminal) {
+        if sys.is_quiescent() {
+            let armed = coord.armed_timers();
+            assert_eq!(
+                armed, 0,
+                "shard {shard}: {armed} timers leaked past quiescence"
+            );
+        }
+        let terminal = |name: &String| {
+            coord
+                .get()
+                .status(name)
+                .is_ok_and(|status| status.is_terminal())
+        };
+        if !coord.get().instance_names().iter().all(terminal) {
             continue;
         }
-        let loads = coord.executor_loads();
+        let loads = coord.get().executor_loads();
         assert!(
             loads.iter().all(|s| s.in_flight == 0 && s.remaining == 0),
             "shard {shard}: every instance is terminal, load is still charged: {loads:?}"
         );
-        assert_eq!(coord.ready_queue_len(), 0, "shard {shard}: ready queue");
+        assert_eq!(
+            coord.get().ready_queue_len(),
+            0,
+            "shard {shard}: ready queue"
+        );
     }
 }
 
@@ -454,7 +472,7 @@ pub fn fingerprint(sys: &WorkflowSystem, instance: &str) -> Fingerprint {
     // The dispatch trace is read off the flight recorders: a ring that
     // evicted would truncate it and let a comparison pass vacuously.
     for shard in 0..sys.shard_count() {
-        let dropped = sys.coord_handle(shard).recorder().dropped();
+        let dropped = sys.coord_handle(shard).get().recorder().dropped();
         assert_eq!(dropped, 0, "shard {shard}'s recorder evicted events");
     }
     let trace = sys

@@ -111,7 +111,7 @@ fn planned_drain_preserves_every_outcome() {
     // Live run: drain a shard mid-flight (~20ms into ~100ms orders).
     let mut sys = mid_flight();
     let departing = sys.coord_handle(1);
-    let drained = departing.instance_names();
+    let drained = departing.get().instance_names();
     let drained_count = drained.len();
     assert!(drained_count > 0, "the drain must have work to move");
 
@@ -184,7 +184,7 @@ fn planned_drain_preserves_every_outcome() {
     assert!(
         !sys.coordinator_nodes()
             .iter()
-            .any(|&n| n == departing.node()),
+            .any(|&n| n == departing.get().node()),
         "the drained node must leave the map"
     );
     assert_eq!(
@@ -321,7 +321,7 @@ fn a_drain_whose_source_disk_refuses_at_any_point_converges() {
         let one_owner_each = |when: &str| {
             for name in population() {
                 let owners: Vec<usize> = (0..3)
-                    .filter(|&shard| shards[shard].instance_names().contains(&name))
+                    .filter(|&shard| shards[shard].get().instance_names().contains(&name))
                     .collect();
                 assert_eq!(
                     owners.len(),
@@ -374,7 +374,7 @@ fn partition_during_voting_aborts_the_round_and_heals() {
     let mut sys = mid_flight();
     let nodes = sys.coordinator_nodes().to_vec();
     let source = sys.coord_handle(1);
-    let residents = source.instance_names();
+    let residents = source.get().instance_names();
     let live = |sys: &WorkflowSystem| {
         let running = |name: &&String| !sys.status(name).unwrap().is_terminal();
         residents.iter().filter(running).count()
@@ -394,7 +394,7 @@ fn partition_during_voting_aborts_the_round_and_heals() {
     assert_eq!(sys.shard_count(), 3, "a failed drain retires nothing");
     assert_eq!(sys.stats().handoffs, 0, "the round aborted");
     assert_eq!(
-        source.instance_names(),
+        source.get().instance_names(),
         residents,
         "the slice thawed in place"
     );
@@ -532,12 +532,12 @@ fn dead_shard_adoption_loses_no_outcomes() {
 
     let mut sys = mid_flight();
     let dead = sys.coord_handle(1);
-    let dead_population = dead.instance_names().len();
+    let dead_population = dead.get().instance_names().len();
     assert!(dead_population > 0);
 
     // The shard dies and never comes back: its instances are adopted
     // straight out of the surviving storage.
-    sys.crash_now(dead.node());
+    sys.crash_now(dead.get().node());
     let report = sys.adopt_dead_shard("coordinator1").expect("failover");
     assert_eq!(report.adopted, dead_population);
     assert_eq!(report.epoch, 2);
@@ -562,7 +562,7 @@ fn dead_shard_adoption_loses_no_outcomes() {
         })
         .expect("some instance was claimed");
     let kinds: Vec<ObsEventKind> = sys.trace(&moved).into_iter().map(|e| e.kind).collect();
-    let from = dead.node().index() as u32;
+    let from = dead.get().node().index() as u32;
     assert!(
         kinds
             .iter()
@@ -589,7 +589,7 @@ fn fenced_zombie_cannot_commit_after_storage_is_claimed() {
     start_population(&mut sys, &population());
     sys.run_until(SimTime::from_nanos(20_000_000));
     let zombie = sys.coord_handle(0);
-    let zombie_node = zombie.node();
+    let zombie_node = zombie.get().node();
     let storage = sys.storage();
     assert!(
         sys.world_mut().is_up(zombie_node),
@@ -597,13 +597,13 @@ fn fenced_zombie_cannot_commit_after_storage_is_claimed() {
     );
 
     sys.adopt_dead_shard("coordinator0").expect("failover");
-    let muzzled_at = zombie.log_size();
+    let muzzled_at = zombie.get().log_size();
 
     // The live zombie keeps receiving executor replies and firing
     // watchdogs for the whole rest of the run — none of it may commit.
     sys.run();
     assert_eq!(
-        zombie.log_size(),
+        zombie.get().log_size(),
         muzzled_at,
         "a fenced shard's log must never grow again"
     );
@@ -633,10 +633,11 @@ fn adoption_killed_mid_claim_converges_on_rerun() {
     let expected = baseline(outcome_print);
     let adopt = |sys: &mut WorkflowSystem| {
         let dead = sys.coord_handle(1);
-        sys.crash_now(dead.node());
+        sys.crash_now(dead.get().node());
         let began = sys.now();
         let result = sys.adopt_dead_shard("coordinator1");
-        (result, sys.now().since(began), dead.instance_names().len())
+        let population = dead.get().instance_names().len();
+        (result, sys.now().since(began), population)
     };
     let (clean, span, dead_population) = adopt(&mut mid_flight());
     let clean = clean.expect("clean failover");

@@ -368,7 +368,7 @@ fn a_restart_rearms_an_instance_in_one_frame() {
     assert!(is_bare_commit(rearm), "{rearm:?}");
     assert_eq!(blocks_written(rearm), [(0, 1), (0, 2), (0, 3), (0, 4)]);
     let attempts = |sys: &WorkflowSystem| -> Vec<u32> {
-        let blocks = sys.coord_handle(0).task_blocks("f");
+        let blocks = sys.coord_handle(0).get_mut().task_blocks("f");
         (0..width)
             .map(|i| blocks[&format!("root/w{i}")].attempt)
             .collect()

@@ -389,11 +389,11 @@ fn undecodable_status_record_fails_its_instance_alone() {
     sys.run_until(SimTime::from_nanos(30_000_000));
     let coordinator = sys.coordinator_node();
     sys.crash_now(coordinator);
-    assert!(sys.coord_handle(0).poison_record("c2", "status"));
+    assert!(sys.coord_handle(0).get_mut().poison_record("c2", "status"));
     sys.restart_now(coordinator);
     sys.run();
     assert_eq!(sys.stats().recovered_instances, 2, "the siblings recover");
-    assert_eq!(sys.coord_handle(0).instance_names(), ["c1", "c3"]);
+    assert_eq!(sys.coord_handle(0).get().instance_names(), ["c1", "c3"]);
     for name in ["c1", "c3"] {
         assert!(
             sys.outcome(name).is_some(),

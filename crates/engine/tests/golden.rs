@@ -389,7 +389,7 @@ fn full_scan_matches_golden() {
 fn render_placement(sys: &WorkflowSystem) -> String {
     let mut events: Vec<_> = (0..sys.shard_count())
         .flat_map(|shard| {
-            let recorder = sys.coord_handle(shard).recorder();
+            let recorder = sys.coord_handle(shard).get().recorder();
             assert_eq!(recorder.dropped(), 0, "shard {shard}'s recorder evicted");
             recorder.events()
         })

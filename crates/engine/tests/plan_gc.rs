@@ -54,7 +54,10 @@ fn checkpoint_reclaims_unreferenced_plan_blobs() {
     let original = sys.persisted_plans(0);
     assert_eq!(original.len(), 1, "one fingerprint persisted: {original:?}");
     // The repository's plan was validated once and is held decoded.
-    assert_eq!(sys.coord_handle(0).cached_plan_fingerprints(), original);
+    assert_eq!(
+        sys.coord_handle(0).get().cached_plan_fingerprints(),
+        original
+    );
 
     // Reconfiguring re-lowers the plan under a new fingerprint…
     sys.reconfigure("d1", add_t5()).unwrap();
@@ -65,7 +68,11 @@ fn checkpoint_reclaims_unreferenced_plan_blobs() {
     assert_ne!(after[0], original[0], "the survivor is the new plan");
     // The reclaimed fingerprint left the decoded-plan cache with its
     // blob (the re-lowered plan never came from bytes, so none is held).
-    assert!(sys.coord_handle(0).cached_plan_fingerprints().is_empty());
+    assert!(sys
+        .coord_handle(0)
+        .get()
+        .cached_plan_fingerprints()
+        .is_empty());
 
     // The GC'd store still recovers: the instance's current plan blob
     // is intact, so a restarted shard decodes it (no front-end rerun).
@@ -76,7 +83,7 @@ fn checkpoint_reclaims_unreferenced_plan_blobs() {
     assert!(sys.outcome("d1").is_some(), "recovery after GC");
     assert_eq!(sys.stats().recovered_instances, 1);
     assert_eq!(
-        sys.coord_handle(0).cached_plan_fingerprints(),
+        sys.coord_handle(0).get().cached_plan_fingerprints(),
         after,
         "recovery decoded the blob"
     );
@@ -94,7 +101,7 @@ fn shared_fingerprints_are_pinned_by_any_referencing_instance() {
     assert_eq!(sys.persisted_plans(0).len(), 1);
     let original = sys.persisted_plans(0)[0];
     // And one copy of the text both were compiled from.
-    let source = sys.coord_handle(0).persisted_source_hashes();
+    let source = sys.coord_handle(0).get().persisted_source_hashes();
     assert_eq!(source.len(), 1, "one script, one pinned source");
 
     // Reconfiguring d1 must NOT reclaim the original blob while d2
@@ -123,7 +130,7 @@ fn shared_fingerprints_are_pinned_by_any_referencing_instance() {
     // A reconfiguration is a new version of the script, pinned like any
     // other: the two identical edits share one new source blob, and the
     // original text, which no instance runs any more, is collected.
-    let sources = sys.coord_handle(0).persisted_source_hashes();
+    let sources = sys.coord_handle(0).get().persisted_source_hashes();
     assert_eq!(sources.len(), 1, "one edited script: {sources:?}");
     assert_ne!(sources, source);
 }
@@ -152,15 +159,21 @@ fn blobs_are_collected_once_their_instances_have_moved_away() {
     }
     sys.run_for(SimDuration::from_millis(5));
     let emptied = sys.coord_handle(0);
-    let (plans, sources) = (sys.persisted_plans(0), emptied.persisted_source_hashes());
+    let (plans, sources) = (
+        sys.persisted_plans(0),
+        emptied.get().persisted_source_hashes(),
+    );
     assert_eq!((plans.len(), sources.len()), (1, 1));
 
     let report = sys.add_coordinator("coordinator2").expect("rebalance");
     assert_eq!(report.moved, movers.len());
-    assert!(emptied.instance_names().is_empty(), "shard 0 is drained");
+    assert!(
+        emptied.get().instance_names().is_empty(),
+        "shard 0 is drained"
+    );
     // The blobs went along, and nothing has collected the originals yet.
     assert_eq!(sys.persisted_plans(2), plans);
-    assert_eq!(sys.coord_handle(2).persisted_source_hashes(), sources);
+    assert_eq!(sys.coord_handle(2).get().persisted_source_hashes(), sources);
     assert_eq!(sys.persisted_plans(0), plans);
 
     // Shard 0's next checkpoint comes with its next instance — of a
@@ -179,9 +192,12 @@ fn blobs_are_collected_once_their_instances_have_moved_away() {
             sys.status(name)
         );
     }
-    let (left_plans, left_sources) = (sys.persisted_plans(0), emptied.persisted_source_hashes());
+    let (left_plans, left_sources) = (
+        sys.persisted_plans(0),
+        emptied.get().persisted_source_hashes(),
+    );
     assert_eq!((left_plans.len(), left_sources.len()), (1, 1));
     assert_ne!(left_plans, plans, "the diamond's plan is collected");
     assert_ne!(left_sources, sources, "and so is its source");
-    assert_eq!(sys.coord_handle(2).persisted_source_hashes(), sources);
+    assert_eq!(sys.coord_handle(2).get().persisted_source_hashes(), sources);
 }

@@ -165,7 +165,7 @@ fn an_instance_named_under_anothers_prefix_moves_alone() {
     for name in &names {
         assert_eq!(sys.shard_of(name), 2, "{name} is won by the joiner");
     }
-    assert_eq!(sys.coord_handle(2).instance_names(), names);
+    assert_eq!(sys.coord_handle(2).get().instance_names(), names);
     sys.run();
     for (name, unmoved) in names.iter().zip(&baseline) {
         assert_eq!(&settled(&sys, name), unmoved, "{name} diverged");
@@ -186,11 +186,11 @@ fn moved_instance_is_reconfigured_on_a_shard_that_never_ran_its_script() {
     assert_eq!((report.moved, sys.shard_of(&name)), (1, 2));
     let joiner = sys.coord_handle(2);
     assert_eq!(
-        joiner.persisted_source_hashes(),
-        sys.coord_handle(0).persisted_source_hashes(),
+        joiner.get().persisted_source_hashes(),
+        sys.coord_handle(0).get().persisted_source_hashes(),
         "the joiner pins the text the source shard pinned"
     );
-    assert_eq!(joiner.persisted_source_hashes().len(), 1);
+    assert_eq!(joiner.get().persisted_source_hashes().len(), 1);
 
     let audit = Reconfig::AddTask {
         scope_path: "processOrderApplication".into(),
@@ -228,7 +228,7 @@ fn map_naming_a_non_coordinator_moves_nothing() {
     sys.run_until(SimTime::from_nanos(20_000_000));
     let resident = |sys: &WorkflowSystem| -> Vec<Vec<String>> {
         (0..2)
-            .map(|shard| sys.coord_handle(shard).instance_names())
+            .map(|shard| sys.coord_handle(shard).get().instance_names())
             .collect()
     };
     let before = resident(&sys);
@@ -274,7 +274,7 @@ fn map_with_a_stale_epoch_moves_nothing() {
     assert_eq!(sys.shard_map().epoch(), 2);
     let resident = |sys: &WorkflowSystem| -> Vec<Vec<String>> {
         (0..3)
-            .map(|shard| sys.coord_handle(shard).instance_names())
+            .map(|shard| sys.coord_handle(shard).get().instance_names())
             .collect()
     };
     let (before, handoffs) = (resident(&sys), sys.stats().handoffs);
@@ -291,7 +291,11 @@ fn map_with_a_stale_epoch_moves_nothing() {
         "the epoch must not run backwards"
     );
     for shard in 0..3 {
-        assert_eq!(sys.coord_handle(shard).shard_epoch(), 2, "shard {shard}");
+        assert_eq!(
+            sys.coord_handle(shard).get().shard_epoch(),
+            2,
+            "shard {shard}"
+        );
     }
     assert_eq!(sys.stats().handoffs, handoffs, "nothing may move");
     assert_eq!(resident(&sys), before, "every instance stays where it was");
@@ -372,7 +376,7 @@ fn swapping_rebalance() -> (WorkflowSystem, ShardMap) {
 fn source_crash_before_decision_presumes_abort() {
     let (mut sys, swapped) = swapping_rebalance();
     let src_node = sys.coordinator_nodes()[0];
-    let before = sys.coord_handle(0).instance_names();
+    let before = sys.coord_handle(0).get().instance_names();
     let source_log = sys.shard_storages()[0].clone();
 
     let at = sys.now() + SimDuration::from_micros(100);
@@ -393,10 +397,10 @@ fn source_crash_before_decision_presumes_abort() {
     assert_eq!(handoff_frames(&source_log).len(), 2);
     // Presumed abort: nothing left the source, nothing leaked to the
     // destination, and recovery finished every instance.
-    assert_eq!(sys.coord_handle(0).instance_names(), before);
+    assert_eq!(sys.coord_handle(0).get().instance_names(), before);
     for name in &before {
         assert!(
-            !sys.coord_handle(1).instance_names().contains(name),
+            !sys.coord_handle(1).get().instance_names().contains(name),
             "the aborted move must not leak {name} to the destination"
         );
     }
@@ -418,7 +422,7 @@ fn source_crash_before_decision_presumes_abort() {
 fn destination_crash_after_commit_converges_to_destination() {
     let (mut sys, swapped) = swapping_rebalance();
     let dest_node = sys.coordinator_nodes()[1];
-    let before = sys.coord_handle(1).instance_names();
+    let before = sys.coord_handle(1).get().instance_names();
 
     // The `Prepare` lands one hop in (200 µs); the decision would land
     // at three.
@@ -436,6 +440,7 @@ fn destination_crash_after_commit_converges_to_destination() {
     // `commit`, and adopted.
     let dest = sys.coord_handle(1);
     let arrived: Vec<String> = dest
+        .get()
         .instance_names()
         .into_iter()
         .filter(|name| !before.contains(name))
@@ -444,13 +449,13 @@ fn destination_crash_after_commit_converges_to_destination() {
         panic!("exactly the one committed move must land: {arrived:?}");
     };
     assert!(
-        !sys.coord_handle(0).instance_names().contains(name),
+        !sys.coord_handle(0).get().instance_names().contains(name),
         "the source must have purged the moved instance"
     );
     assert_eq!(sys.shard_stats(0).handoffs, 1);
     // The map was never flipped (the rebalance failed), so ask the new
     // owner directly.
-    let status = dest.status(name).unwrap();
+    let status = dest.get().status(name).unwrap();
     assert!(
         matches!(status, InstanceStatus::Completed(_)),
         "{name}: {status:?}"
@@ -473,7 +478,7 @@ fn skewed_maps_trip_the_forward_loop_guard() {
         .map(|i| format!("ping-{i}"))
         .find(|name| skewed.node_of(name) == nodes[1] && straight.node_of(name) == nodes[0])
         .expect("some name the two maps route at each other");
-    sys.coord_handle(0).set_shard_map(skewed);
+    sys.coord_handle(0).get_mut().set_shard_map(skewed);
 
     // Shard 0 forwards to shard 1 (its skewed map says so); shard 1
     // forwards straight back. Without the cap this never terminates.

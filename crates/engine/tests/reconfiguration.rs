@@ -316,7 +316,10 @@ fn reconfigured_then_crashed(poisoned: Option<&str>) -> WorkflowSystem {
     let coordinator = sys.coordinator_node();
     sys.crash_now(coordinator);
     if let Some(which) = poisoned {
-        assert!(sys.coord_handle(0).poison_record("d1", which), "{which}");
+        assert!(
+            sys.coord_handle(0).get_mut().poison_record("d1", which),
+            "{which}"
+        );
     }
     sys.restart_now(coordinator);
     sys
@@ -332,7 +335,11 @@ fn recovery_without_a_plan_blob_recompiles_the_pinned_source() {
     let mut decoded = reconfigured_then_crashed(None);
     decoded.run();
     assert_eq!(
-        decoded.coord_handle(0).cached_plan_fingerprints().len(),
+        decoded
+            .coord_handle(0)
+            .get()
+            .cached_plan_fingerprints()
+            .len(),
         1,
         "decoded from its blob"
     );
@@ -343,6 +350,7 @@ fn recovery_without_a_plan_blob_recompiles_the_pinned_source() {
     assert!(
         recompiled
             .coord_handle(0)
+            .get()
             .cached_plan_fingerprints()
             .is_empty(),
         "garbage must not validate: the plan was recompiled"
@@ -499,12 +507,12 @@ fn cost_samples_follow_the_task_across_an_id_shift() {
     assert_eq!(sys.outcome("i1").expect("completes").name, "done");
     let coord = sys.coord_handle(0);
     assert_eq!(
-        coord.cost_estimate_ms("refA"),
+        coord.get().cost_estimate_ms("refA"),
         None,
         "`a` never reported: nothing ran under its code"
     );
-    let b = coord.cost_estimate_ms("refB").expect("`b` completed");
-    let c = coord.cost_estimate_ms("refC").expect("`c` completed");
+    let b = coord.get().cost_estimate_ms("refB").expect("`b` completed");
+    let c = coord.get().cost_estimate_ms("refC").expect("`c` completed");
     assert!((50..60).contains(&b), "refB sampled at {b} ms");
     assert!((20..30).contains(&c), "refC sampled at {c} ms");
     assert!(sys
@@ -590,7 +598,7 @@ fn control_blocks_follow_their_tasks_across_id_shifts_and_a_crash() {
         .unwrap();
     sys.run_for(SimDuration::from_millis(30));
 
-    let blocks = |sys: &WorkflowSystem| sys.coord_handle(0).task_blocks("i1");
+    let blocks = |sys: &WorkflowSystem| sys.coord_handle(0).get_mut().task_blocks("i1");
     let before = blocks(&sys);
     let x = &before["root/k/x"];
     assert!(matches!(x.state, CbState::Executing { .. }), "{x:?}");

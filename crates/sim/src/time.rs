@@ -58,7 +58,7 @@ impl SimDuration {
     }
 
     /// Creates a duration from seconds.
-    pub fn from_secs(secs: u64) -> Self {
+    pub const fn from_secs(secs: u64) -> Self {
         SimDuration(secs.saturating_mul(1_000_000_000))
     }
 

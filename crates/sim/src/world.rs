@@ -45,11 +45,7 @@ impl Envelope {
     /// (deferred replies). Returns `None` for non-request envelopes.
     pub fn reply_token(&self) -> Option<ReplyToken> {
         match self.kind {
-            PayloadKind::Request(call_id) => Some(ReplyToken {
-                server: self.dst,
-                client: self.src,
-                call_id,
-            }),
+            PayloadKind::Request(call_id) => Some(ReplyToken::new(self.dst, self.src, call_id)),
             _ => None,
         }
     }
@@ -62,6 +58,18 @@ pub struct ReplyToken {
     server: NodeId,
     client: NodeId,
     call_id: u64,
+}
+
+impl ReplyToken {
+    /// The token of call `call_id` from `client` to `server`, for a
+    /// handler fed by hand rather than by a world.
+    pub fn new(server: NodeId, client: NodeId, call_id: u64) -> Self {
+        Self {
+            server,
+            client,
+            call_id,
+        }
+    }
 }
 
 type Handler = Rc<dyn Fn(&mut World, &Envelope)>;
