@@ -24,7 +24,7 @@ pub struct EngineConfig {
     /// How much the engine observes itself. `Off` (the default) keeps
     /// only the always-on counters behind the public stats getters;
     /// `Metrics` adds the optional histograms (commit-drain length,
-    /// dispatch latency, WAL frames per commit, scheduler pick load);
+    /// dispatch latency, after-images per commit record, scheduler pick load);
     /// `Trace` adds the per-shard flight recorder of lifecycle events
     /// queryable via [`crate::WorkflowSystem::trace`] (and, projected to
     /// its dispatches, [`crate::WorkflowSystem::dispatch_trace`]). Every

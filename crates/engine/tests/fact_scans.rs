@@ -443,11 +443,12 @@ fn a_diamond_logs_its_source_once_per_shard_and_stays_in_budget() {
     // tasks left waiting store none — and two per report).
     assert_eq!(named_writes, instances * 3);
     assert_eq!(block_writes, instances * 10);
-    // 584 B with every block stored relative to the plan.
+    // 435 B with each key of a commit record written relative to the
+    // key before it (584 B when every key was spelled whole).
     let per_instance = sys.log_size() / instances as u64;
     assert!(
-        per_instance < 610,
-        "{per_instance} B of log per diamond, budget 610"
+        per_instance < 455,
+        "{per_instance} B of log per diamond, budget 455"
     );
 }
 

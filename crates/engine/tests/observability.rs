@@ -436,9 +436,9 @@ fn metrics_snapshot_aggregates_shards_and_exports() {
     );
     assert!(
         snapshot
-            .histogram("wal.frames_per_commit")
+            .histogram("wal.writes_per_commit")
             .is_some_and(|h| h.count > 0),
-        "WAL frames-per-commit histogram sampled"
+        "WAL writes-per-commit histogram sampled"
     );
     // Old getters are thin wrappers over the same registry entries.
     assert_eq!(
@@ -452,7 +452,7 @@ fn metrics_snapshot_aggregates_shards_and_exports() {
     // Export formats.
     let json = snapshot.to_json();
     assert!(json.contains("\"coord.dispatches\""));
-    assert!(json.contains("\"wal.frames_per_commit\""));
+    assert!(json.contains("\"wal.writes_per_commit\""));
     let csv = snapshot.to_csv();
     assert!(csv.starts_with("metric,kind,"));
     assert!(csv.contains("coord.dispatches,counter"));
@@ -596,7 +596,7 @@ fn observe_off_records_nothing() {
         "coord.commit_drain_len",
         "coord.dispatch_latency_ns",
         "sched.pick_load",
-        "wal.frames_per_commit",
+        "wal.writes_per_commit",
     ] {
         assert_eq!(
             snapshot.histogram(name).map(|h| h.count).unwrap_or(0),

@@ -34,7 +34,7 @@ pub enum ObserveLevel {
     #[default]
     Off,
     /// Record optional metrics (histograms: drain lengths, dispatch
-    /// latency, WAL frames per commit, scheduler load…).
+    /// latency, after-images per commit, scheduler load…).
     Metrics,
     /// `Metrics` plus the flight recorder of lifecycle events.
     Trace,

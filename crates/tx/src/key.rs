@@ -37,6 +37,34 @@ pub enum FactKind {
     Control,
 }
 
+impl FactKind {
+    /// The kind's wire code: `0` input, `1` output, `2` control block.
+    pub(crate) fn code(self) -> u8 {
+        match self {
+            FactKind::Input => 0,
+            FactKind::Output => 1,
+            FactKind::Control => 2,
+        }
+    }
+
+    /// The kind a wire code names.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::InvalidDiscriminant`] for any code but `0`–`2`.
+    pub(crate) fn from_code(code: u8) -> Result<Self, CodecError> {
+        match code {
+            0 => Ok(FactKind::Input),
+            1 => Ok(FactKind::Output),
+            2 => Ok(FactKind::Control),
+            other => Err(CodecError::InvalidDiscriminant {
+                ty: "FactKind",
+                value: u64::from(other),
+            }),
+        }
+    }
+}
+
 /// Dense key of one dependency-fact **sub-object**, or of one task's
 /// control block ([`FactKey::control`]).
 ///
@@ -164,11 +192,7 @@ impl Encode for FactKey {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_var_u64(u64::from(self.instance));
         w.put_var_u64(u64::from(self.task));
-        w.put_u8(match self.kind {
-            FactKind::Input => 0,
-            FactKind::Output => 1,
-            FactKind::Control => 2,
-        });
+        w.put_u8(self.kind.code());
         w.put_var_u64(u64::from(self.item));
         w.put_var_u64(u64::from(self.obj));
     }
@@ -178,17 +202,7 @@ impl Decode for FactKey {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let instance = r.get_var_u64()? as u32;
         let task = r.get_var_u64()? as u32;
-        let kind = match r.get_u8()? {
-            0 => FactKind::Input,
-            1 => FactKind::Output,
-            2 => FactKind::Control,
-            other => {
-                return Err(CodecError::InvalidDiscriminant {
-                    ty: "FactKind",
-                    value: u64::from(other),
-                })
-            }
-        };
+        let kind = FactKind::from_code(r.get_u8()?)?;
         let item = r.get_var_u64()? as u32;
         let obj = r.get_var_u64()? as u32;
         Ok(FactKey {

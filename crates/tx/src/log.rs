@@ -5,12 +5,45 @@
 //! Recovery replays commits in order, starting from the newest checkpoint.
 //! Prepared distributed transactions are additionally logged so in-doubt
 //! participants can be resolved after a crash (see [`crate::dist`]).
+//!
+//! # After-image lists
+//!
+//! A commit's writes, a prepare's staged writes and a checkpoint's
+//! states share one encoding: a varint count, then one entry per image
+//! in list order. Each entry's key is written relative to the key
+//! before it in the same list — the shared-prefix key coding of
+//! LevelDB's table blocks, scoped to one record — so a run of writes to
+//! one task spells its instance and task once. An entry opens with a
+//! header byte:
+//!
+//! | header bits | holds |
+//! |---|---|
+//! | 0–1 | the key's form: `0` a uid; `1` a fact key of a new instance (instance and task varints follow); `2` a fact key of the previous fact key's instance, on a new task (a task varint follows); `3` a fact key of the previous fact key's instance and task |
+//! | 2–3 | a fact key's [`FactKind`] code (`0` input, `1` output, `2` control block); `0` for a uid |
+//! | 4–6 | a fact key's `obj` when it is `0`–`6`; `7`: an `obj` varint follows the item; `0` for a uid |
+//! | 7 | a tombstone: the image deletes its key (refused in a checkpoint) |
+//!
+//! What follows the header:
+//!
+//! | form | key bytes |
+//! |---|---|
+//! | `0` uid | the length it shares with the list's previous uid (varint), then the rest of it, length-prefixed |
+//! | `1` | instance, task, item (varints), then `obj` if bit 4–6 say `7` |
+//! | `2` | task, item, then `obj` if `7` |
+//! | `3` | item, then `obj` if `7` |
+//!
+//! and then, unless the entry is a tombstone, the value, length-prefixed.
+//! A list's first fact key is form `1` and its first uid shares
+//! nothing, so every record decodes on its own. A key a form cannot
+//! reach — form `2` or `3` with no fact key before it, a uid sharing
+//! more than the previous uid holds, a kind code of `3` — is a typed
+//! [`CodecError`], never a guess.
 
 use flowscript_codec::{frame, ByteReader, ByteWriter, CodecError, Decode, Encode, FrameReader};
 
 use crate::error::TxError;
-use crate::id::TxId;
-use crate::key::StoreKey;
+use crate::id::{ObjectUid, TxId};
+use crate::key::{FactKey, FactKind, StoreKey};
 use crate::storage::Storage;
 
 /// One durable log record.
@@ -72,17 +105,209 @@ pub enum LogRecord {
     },
 }
 
+/// Header form: a uid key.
+const FORM_UID: u8 = 0;
+/// Header form: a fact key of an instance other than the previous fact
+/// key's (or the list's first fact key).
+const FORM_INSTANCE: u8 = 1;
+/// Header form: the previous fact key's instance, another task.
+const FORM_TASK: u8 = 2;
+/// Header form: the previous fact key's instance and task.
+const FORM_SAME: u8 = 3;
+/// Inline `obj` value meaning "an `obj` varint follows".
+const OBJ_VARINT: u8 = 7;
+/// Header bit: the image deletes its key.
+const TOMBSTONE: u8 = 0x80;
+
+/// What an after-image list holds against each key: a commit's or a
+/// prepare's new bytes or deletion, a checkpoint's live bytes.
+trait Image {
+    /// Whether a list of these may delete a key.
+    const DELETES: bool;
+
+    /// The image's bytes; `None` deletes the key.
+    fn bytes(&self) -> Option<&[u8]>;
+
+    /// The image of `bytes` (`None` only where [`Image::DELETES`]).
+    fn from_bytes(bytes: Option<&[u8]>) -> Self;
+}
+
+impl Image for Option<Vec<u8>> {
+    const DELETES: bool = true;
+
+    fn bytes(&self) -> Option<&[u8]> {
+        self.as_deref()
+    }
+
+    fn from_bytes(bytes: Option<&[u8]>) -> Self {
+        bytes.map(<[u8]>::to_vec)
+    }
+}
+
+impl Image for Vec<u8> {
+    const DELETES: bool = false;
+
+    fn bytes(&self) -> Option<&[u8]> {
+        Some(self)
+    }
+
+    fn from_bytes(bytes: Option<&[u8]>) -> Self {
+        bytes.unwrap_or_default().to_vec()
+    }
+}
+
+/// Writes one after-image list, each key relative to the one before it
+/// (the layout is in the module doc).
+fn encode_images<V: Image>(w: &mut ByteWriter, images: &[(StoreKey, V)]) {
+    w.put_len(images.len());
+    let mut prev_fact: Option<FactKey> = None;
+    let mut prev_uid = "";
+    for (key, image) in images {
+        let value = image.bytes();
+        let tombstone = if value.is_none() { TOMBSTONE } else { 0 };
+        match key {
+            StoreKey::Uid(uid) => {
+                let uid = uid.as_str();
+                let shared = prev_uid
+                    .bytes()
+                    .zip(uid.bytes())
+                    .take_while(|(a, b)| a == b)
+                    .count();
+                w.put_u8(FORM_UID | tombstone);
+                w.put_len(shared);
+                w.put_len_prefixed(&uid.as_bytes()[shared..]);
+                prev_uid = uid;
+            }
+            StoreKey::Fact(fact) => {
+                let form = match prev_fact {
+                    Some(prev) if prev.instance == fact.instance && prev.task == fact.task => {
+                        FORM_SAME
+                    }
+                    Some(prev) if prev.instance == fact.instance => FORM_TASK,
+                    _ => FORM_INSTANCE,
+                };
+                let obj = fact.obj.min(u32::from(OBJ_VARINT)) as u8;
+                w.put_u8(form | (fact.kind.code() << 2) | (obj << 4) | tombstone);
+                if form == FORM_INSTANCE {
+                    w.put_var_u64(u64::from(fact.instance));
+                }
+                if form != FORM_SAME {
+                    w.put_var_u64(u64::from(fact.task));
+                }
+                w.put_var_u64(u64::from(fact.item));
+                if obj == OBJ_VARINT {
+                    w.put_var_u64(u64::from(fact.obj));
+                }
+                prev_fact = Some(*fact);
+            }
+        }
+        if let Some(value) = value {
+            w.put_len_prefixed(value);
+        }
+    }
+}
+
+/// Reads one after-image list written by [`encode_images`].
+fn decode_images<V: Image>(r: &mut ByteReader<'_>) -> Result<Vec<(StoreKey, V)>, CodecError> {
+    let len = r.get_len()?;
+    // Every entry takes at least a byte: a corrupt count cannot reserve
+    // more than the input could hold.
+    let mut images = Vec::with_capacity(len.min(r.remaining()));
+    let mut prev_fact: Option<FactKey> = None;
+    let mut prev_uid: Vec<u8> = Vec::new();
+    for _ in 0..len {
+        let header = r.get_u8()?;
+        if header & TOMBSTONE != 0 && !V::DELETES {
+            return Err(CodecError::InvalidDiscriminant {
+                ty: "checkpoint image (a tombstone)",
+                value: u64::from(header),
+            });
+        }
+        let key = match header & 0b11 {
+            FORM_UID => {
+                if (header & !TOMBSTONE) != FORM_UID {
+                    return Err(CodecError::InvalidDiscriminant {
+                        ty: "uid image header",
+                        value: u64::from(header),
+                    });
+                }
+                let shared = r.get_len()?;
+                if shared > prev_uid.len() {
+                    return Err(CodecError::LengthOverflow {
+                        length: shared as u64,
+                        max: prev_uid.len() as u64,
+                    });
+                }
+                prev_uid.truncate(shared);
+                prev_uid.extend_from_slice(r.get_len_prefixed()?);
+                let uid = std::str::from_utf8(&prev_uid).map_err(|_| CodecError::InvalidUtf8)?;
+                StoreKey::Uid(ObjectUid::new(uid))
+            }
+            form => {
+                let (instance, task) = match (form, prev_fact) {
+                    (FORM_INSTANCE, _) => (get_u32(r)?, get_u32(r)?),
+                    (FORM_TASK, Some(prev)) => (prev.instance, get_u32(r)?),
+                    (_, Some(prev)) => (prev.instance, prev.task),
+                    (_, None) => {
+                        return Err(CodecError::InvalidDiscriminant {
+                            ty: "fact image form (no fact key before it)",
+                            value: u64::from(form),
+                        })
+                    }
+                };
+                let kind = FactKind::from_code((header >> 2) & 0b11)?;
+                let item = get_u32(r)?;
+                let obj = match (header >> 4) & 0b111 {
+                    OBJ_VARINT => get_u32(r)?,
+                    inline => u32::from(inline),
+                };
+                let fact = FactKey {
+                    instance,
+                    task,
+                    kind,
+                    item,
+                    obj,
+                };
+                prev_fact = Some(fact);
+                StoreKey::Fact(fact)
+            }
+        };
+        let value = if header & TOMBSTONE == 0 {
+            Some(r.get_len_prefixed()?)
+        } else {
+            None
+        };
+        images.push((key, V::from_bytes(value)));
+    }
+    Ok(images)
+}
+
+/// A varint that must fit a `u32` (a key's ids and ordinals).
+fn get_u32(r: &mut ByteReader<'_>) -> Result<u32, CodecError> {
+    u32::try_from(r.get_var_u64()?).map_err(|_| CodecError::VarintOverflow)
+}
+
+// Record tags. `0`, `1` and `2` (commit, checkpoint and prepare with
+// every key spelled whole) and `5` and `6` are retired: a log holding
+// them is refused, never misread.
+const TAG_RESOLVE: u8 = 3;
+const TAG_GROUP_COMMIT: u8 = 4;
+const TAG_FENCE: u8 = 7;
+const TAG_COMMIT: u8 = 8;
+const TAG_CHECKPOINT: u8 = 9;
+const TAG_PREPARE: u8 = 10;
+
 impl Encode for LogRecord {
     fn encode(&self, w: &mut ByteWriter) {
         match self {
             LogRecord::Commit { tx, writes } => {
-                w.put_u8(0);
+                w.put_u8(TAG_COMMIT);
                 tx.encode(w);
-                writes.encode(w);
+                encode_images(w, writes);
             }
             LogRecord::Checkpoint { states, next_seq } => {
-                w.put_u8(1);
-                states.encode(w);
+                w.put_u8(TAG_CHECKPOINT);
+                encode_images(w, states);
                 w.put_var_u64(*next_seq);
             }
             LogRecord::Prepare {
@@ -90,22 +315,22 @@ impl Encode for LogRecord {
                 coordinator,
                 writes,
             } => {
-                w.put_u8(2);
+                w.put_u8(TAG_PREPARE);
                 tx.encode(w);
                 w.put_u32(*coordinator);
-                writes.encode(w);
+                encode_images(w, writes);
             }
             LogRecord::Resolve { tx, committed } => {
-                w.put_u8(3);
+                w.put_u8(TAG_RESOLVE);
                 tx.encode(w);
                 w.put_bool(*committed);
             }
             LogRecord::GroupCommit { records } => {
-                w.put_u8(4);
+                w.put_u8(TAG_GROUP_COMMIT);
                 records.encode(w);
             }
             LogRecord::Fence { claimant, epoch } => {
-                w.put_u8(7);
+                w.put_u8(TAG_FENCE);
                 w.put_u32(*claimant);
                 w.put_u64(*epoch);
             }
@@ -116,27 +341,27 @@ impl Encode for LogRecord {
 impl Decode for LogRecord {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         match r.get_u8()? {
-            0 => Ok(LogRecord::Commit {
+            TAG_COMMIT => Ok(LogRecord::Commit {
                 tx: TxId::decode(r)?,
-                writes: Vec::decode(r)?,
+                writes: decode_images(r)?,
             }),
-            1 => Ok(LogRecord::Checkpoint {
-                states: Vec::decode(r)?,
+            TAG_CHECKPOINT => Ok(LogRecord::Checkpoint {
+                states: decode_images(r)?,
                 next_seq: r.get_var_u64()?,
             }),
-            2 => Ok(LogRecord::Prepare {
+            TAG_PREPARE => Ok(LogRecord::Prepare {
                 tx: TxId::decode(r)?,
                 coordinator: r.get_u32()?,
-                writes: Vec::decode(r)?,
+                writes: decode_images(r)?,
             }),
-            3 => Ok(LogRecord::Resolve {
+            TAG_RESOLVE => Ok(LogRecord::Resolve {
                 tx: TxId::decode(r)?,
                 committed: r.get_bool()?,
             }),
-            4 => Ok(LogRecord::GroupCommit {
+            TAG_GROUP_COMMIT => Ok(LogRecord::GroupCommit {
                 records: Vec::decode(r)?,
             }),
-            7 => Ok(LogRecord::Fence {
+            TAG_FENCE => Ok(LogRecord::Fence {
                 claimant: r.get_u32()?,
                 epoch: r.get_u64()?,
             }),
@@ -255,7 +480,7 @@ mod tests {
     use crate::storage::MemStorage;
 
     fn uid(s: &str) -> StoreKey {
-        StoreKey::Uid(crate::id::ObjectUid::new(s))
+        StoreKey::Uid(ObjectUid::new(s))
     }
 
     fn sample_commit(seq: u64) -> LogRecord {
@@ -408,12 +633,246 @@ mod tests {
                 frame::encode_frame(&bytes).unwrap()
             );
         }
-        // Tags 5 and 6 are retired: refused typed, never misread.
-        for tag in [5u8, 6] {
+        // Retired tags are refused typed, never misread.
+        for tag in [0u8, 1, 2, 5, 6] {
             assert!(matches!(
                 flowscript_codec::from_bytes::<LogRecord>(&[tag]),
                 Err(CodecError::InvalidDiscriminant { .. })
             ));
+        }
+    }
+
+    fn fact(key: FactKey) -> StoreKey {
+        StoreKey::Fact(key)
+    }
+
+    /// An after-image list reaching every key form: a run of one task's
+    /// facts (its presence, an object, its block), another task of the
+    /// same instance with an `obj` past the inline range, two uids
+    /// sharing `inst/a/`, another instance with a two-byte id, and two
+    /// deletions.
+    fn golden_writes() -> Vec<(StoreKey, Option<Vec<u8>>)> {
+        vec![
+            (fact(FactKey::output(3, 1, 0)), Some(vec![])),
+            (fact(FactKey::output(3, 1, 0).object(0)), Some(vec![0xAA])),
+            (fact(FactKey::control(3, 1)), Some(vec![0x03])),
+            (fact(FactKey::input(3, 2, 1).with_obj(9)), None),
+            (uid("inst/a/meta"), Some(vec![1])),
+            (uid("inst/a/status"), Some(vec![2])),
+            (fact(FactKey::control(300, 0)), None),
+        ]
+    }
+
+    fn golden_commit() -> LogRecord {
+        LogRecord::Commit {
+            tx: TxId::new(0, 7),
+            writes: golden_writes(),
+        }
+    }
+
+    /// [`golden_commit`]'s payload, entry by entry.
+    const GOLDEN_COMMIT: &[u8] = b"\x08\x00\x07\x07\
+        \x05\x03\x01\x00\x00\
+        \x17\x00\x01\xAA\
+        \x0B\x00\x01\x03\
+        \xF2\x02\x01\x09\
+        \x00\x00\x0Binst/a/meta\x01\x01\
+        \x00\x07\x06status\x01\x02\
+        \x89\xAC\x02\x00\x00";
+
+    fn golden_prepare() -> LogRecord {
+        LogRecord::Prepare {
+            tx: TxId::new(1, 4),
+            coordinator: 2,
+            writes: golden_writes(),
+        }
+    }
+
+    fn golden_checkpoint() -> LogRecord {
+        let states = golden_writes()
+            .into_iter()
+            .filter_map(|(key, value)| Some((key, value?)))
+            .collect();
+        LogRecord::Checkpoint {
+            states,
+            next_seq: 300,
+        }
+    }
+
+    /// What the layout before delta coding (tag 0, every key spelled
+    /// whole behind its `StoreKey` tag, every value behind an `Option`
+    /// tag) wrote for a commit of `tx0.5` setting `fact/1/2/ctl/0/0` to
+    /// `[0x21]` and `fact/1/2/out/0/0` to `[]` and deleting
+    /// `inst/a/status`.
+    const WHOLE_KEY_COMMIT: &[u8] = b"\x00\x00\x05\x03\
+        \x01\x01\x02\x02\x00\x00\x01\x01\x21\
+        \x01\x01\x02\x01\x00\x00\x01\x00\
+        \x00\x0Dinst/a/status\x00";
+
+    fn decode(bytes: &[u8]) -> Result<LogRecord, CodecError> {
+        flowscript_codec::from_bytes::<LogRecord>(bytes)
+    }
+
+    #[test]
+    fn the_golden_commit_is_pinned_and_every_list_roundtrips() {
+        assert_eq!(flowscript_codec::to_bytes(&golden_commit()), GOLDEN_COMMIT);
+        // Whole keys and `Option` tags (tag, tx, list) took half again.
+        let whole_keys = 1 + flowscript_codec::to_bytes(&(TxId::new(0, 7), golden_writes())).len();
+        assert_eq!((GOLDEN_COMMIT.len(), whole_keys), (53, 79));
+        for record in [golden_commit(), golden_prepare(), golden_checkpoint()] {
+            assert_eq!(
+                decode(&flowscript_codec::to_bytes(&record)).unwrap(),
+                record
+            );
+        }
+    }
+
+    #[test]
+    fn the_whole_key_layout_is_refused_not_misread() {
+        assert_eq!(WHOLE_KEY_COMMIT.len(), 37);
+        assert_eq!(
+            decode(WHOLE_KEY_COMMIT),
+            Err(CodecError::InvalidDiscriminant {
+                ty: "LogRecord",
+                value: 0
+            })
+        );
+        // Retagged as a commit of this layout, it still does not decode:
+        // its second key's `StoreKey` tag reads as a uid sharing a byte
+        // with no uid before it.
+        let mut retagged = WHOLE_KEY_COMMIT.to_vec();
+        retagged[0] = TAG_COMMIT;
+        assert_eq!(
+            decode(&retagged),
+            Err(CodecError::LengthOverflow { length: 1, max: 0 })
+        );
+    }
+
+    #[test]
+    fn every_truncation_of_a_golden_payload_is_a_typed_error() {
+        for record in [golden_commit(), golden_prepare(), golden_checkpoint()] {
+            let bytes = flowscript_codec::to_bytes(&record);
+            for len in 0..bytes.len() {
+                assert!(
+                    matches!(decode(&bytes[..len]), Err(CodecError::UnexpectedEof { .. })),
+                    "{record:?} cut at {len} of {}",
+                    bytes.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_lists_are_typed_errors() {
+        // A commit of `tx0.1` holding these entries.
+        let commit = |count: u8, entries: &[u8]| {
+            let mut bytes = vec![TAG_COMMIT, 0, 1, count];
+            bytes.extend_from_slice(entries);
+            decode(&bytes)
+        };
+        let no_fact_before = |form| CodecError::InvalidDiscriminant {
+            ty: "fact image form (no fact key before it)",
+            value: form,
+        };
+        // Form 2 or 3 with no fact key before it, a uid's
+        // notwithstanding.
+        assert_eq!(commit(1, b"\x02\x01\x00\x00"), Err(no_fact_before(2)));
+        assert_eq!(
+            commit(2, b"\x00\x00\x01a\x00\x03\x00\x00"),
+            Err(no_fact_before(3))
+        );
+        // A uid sharing more than the uid before it holds.
+        assert_eq!(
+            commit(2, b"\x00\x00\x02ab\x00\x00\x03\x01c\x00"),
+            Err(CodecError::LengthOverflow { length: 3, max: 2 })
+        );
+        assert_eq!(
+            commit(1, b"\x00\x01\x01a\x00"),
+            Err(CodecError::LengthOverflow { length: 1, max: 0 })
+        );
+        // A suffix that completes the shared half of a character is
+        // fine; one that breaks it is not UTF-8.
+        assert_eq!(
+            commit(2, b"\x00\x00\x02\xC3\xA9\x00\x00\x01\x01\xAA\x00"),
+            Ok(LogRecord::Commit {
+                tx: TxId::new(0, 1),
+                writes: vec![(uid("é"), Some(vec![])), (uid("ê"), Some(vec![]))],
+            })
+        );
+        assert_eq!(
+            commit(2, b"\x00\x00\x02\xC3\xA9\x00\x00\x01\x01(\x00"),
+            Err(CodecError::InvalidUtf8)
+        );
+        // Kind code 3.
+        assert_eq!(
+            commit(1, b"\x0D\x01\x01\x00\x00"),
+            Err(CodecError::InvalidDiscriminant {
+                ty: "FactKind",
+                value: 3
+            })
+        );
+        // A uid header with a fact key's bits set.
+        assert_eq!(
+            commit(1, b"\x10\x00\x01a\x00"),
+            Err(CodecError::InvalidDiscriminant {
+                ty: "uid image header",
+                value: 0x10
+            })
+        );
+        // An id past `u32`.
+        assert_eq!(
+            commit(1, b"\x01\x80\x80\x80\x80\x10\x00\x00\x00"),
+            Err(CodecError::VarintOverflow)
+        );
+        // A tombstone inside a checkpoint.
+        assert_eq!(
+            decode(b"\x09\x01\x81\x01\x01\x00\x00"),
+            Err(CodecError::InvalidDiscriminant {
+                ty: "checkpoint image (a tombstone)",
+                value: 0x81
+            })
+        );
+        // Trailing bytes.
+        let mut trailing = GOLDEN_COMMIT.to_vec();
+        trailing.push(0);
+        assert_eq!(
+            decode(&trailing),
+            Err(CodecError::TrailingBytes { remaining: 1 })
+        );
+        // A count no input could hold reserves nothing near it.
+        assert!(matches!(
+            decode(b"\x08\x00\x01\xFF\xFF\xFF\x03"),
+            Err(CodecError::UnexpectedEof { .. })
+        ));
+    }
+
+    #[test]
+    fn a_fact_key_after_the_first_of_its_task_costs_at_most_two_bytes() {
+        // What a diamond's report commits: the reporting task's outcome
+        // (presence and object) and block, then each task it enables —
+        // its bound input set, the set's object, its block.
+        let (instance, t1) = (41, 1);
+        let done = FactKey::output(instance, t1, 0);
+        let mut keys = vec![done, done.object(0), FactKey::control(instance, t1)];
+        for task in [2, 3] {
+            let set = FactKey::input(instance, task, 0);
+            keys.extend([set, set.object(0), FactKey::control(instance, task)]);
+        }
+        // Deletions: an entry is then its key alone.
+        let writes: Vec<(StoreKey, Option<Vec<u8>>)> =
+            keys.iter().map(|key| (fact(*key), None)).collect();
+        let size = |n: usize| {
+            flowscript_codec::to_bytes(&LogRecord::Commit {
+                tx: TxId::new(0, 1),
+                writes: writes[..n].to_vec(),
+            })
+            .len()
+        };
+        assert_eq!(size(1) - size(0), 4, "the first key spells its instance");
+        for (n, pair) in keys.windows(2).enumerate() {
+            let cost = size(n + 2) - size(n + 1);
+            let limit = if pair[0].task == pair[1].task { 2 } else { 3 };
+            assert!(cost <= limit, "`{}` costs {cost} B", pair[1]);
         }
     }
 }

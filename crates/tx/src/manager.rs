@@ -101,9 +101,9 @@ struct TxMetrics {
     /// Frames holding two records — a commit decision and the writes
     /// committed with it (`tx.group_commits`).
     group_commits: Counter,
-    /// Write frames per commit record
-    /// (`wal.frames_per_commit`); only fed when observing metrics.
-    wal_frames_per_commit: Histogram,
+    /// After-images per commit record
+    /// (`wal.writes_per_commit`); only fed when observing metrics.
+    wal_writes_per_commit: Histogram,
     /// Bytes per appended WAL frame (`wal.bytes_per_frame`); only fed
     /// when observing metrics.
     wal_bytes_per_frame: Histogram,
@@ -120,7 +120,7 @@ impl TxMetrics {
             lock_waits: registry.counter("tx.lock_waits"),
             two_pc_rounds: registry.counter("tx.two_pc_rounds"),
             group_commits: registry.counter("tx.group_commits"),
-            wal_frames_per_commit: registry.histogram("wal.frames_per_commit"),
+            wal_writes_per_commit: registry.histogram("wal.writes_per_commit"),
             wal_bytes_per_frame: registry.histogram("wal.bytes_per_frame"),
         }
     }
@@ -466,7 +466,7 @@ impl<S: Storage> TxManager<S> {
             .ok_or(TxError::UnknownAction(action.id))?;
         if self.observe.metrics() {
             self.metrics
-                .wal_frames_per_commit
+                .wal_writes_per_commit
                 .record(writes.len() as u64);
         }
         // The frame borrows nothing and is encoded exactly once; the

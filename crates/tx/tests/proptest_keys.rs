@@ -4,9 +4,12 @@
 //! event-driven commit pipeline: they must round-trip the binary codec
 //! exactly, and their ordering must keep an instance's facts (and a
 //! task's facts) contiguous so subtree cancel/reset and reconfiguration
-//! remapping stay single range scans.
+//! remapping stay single range scans. The log writes each key of an
+//! after-image list relative to the one before it, so whole records
+//! must round-trip too, whatever runs of shared instances, tasks and
+//! uid prefixes they hold.
 
-use flowscript_tx::{FactKey, FactKind, ObjectUid, StoreKey};
+use flowscript_tx::{FactKey, FactKind, LogRecord, ObjectUid, StoreKey, TxId};
 use proptest::prelude::*;
 
 fn fact_key(instance: u32, task: u32, kind_bit: bool, item: u32, obj: u32) -> FactKey {
@@ -28,8 +31,76 @@ fn store_key() -> impl Strategy<Value = StoreKey> {
     ]
 }
 
+/// An instance or task id: mostly one of a few, so neighbours share
+/// it, sometimes the largest.
+fn id() -> impl Strategy<Value = u32> {
+    prop_oneof![4 => 0u32..3, 1 => Just(u32::MAX)]
+}
+
+/// A sub-object ordinal on both sides of the inline range's end.
+fn obj() -> impl Strategy<Value = u32> {
+    prop_oneof![4 => 0u32..9, 1 => Just(6u32), 1 => Just(7u32), 1 => Just(u32::MAX)]
+}
+
+/// A key of an after-image list: fact keys clustered on a few
+/// instances and tasks, uids sharing prefixes (some splitting a
+/// two-byte character).
+fn image_key() -> impl Strategy<Value = StoreKey> {
+    let kind = prop_oneof![
+        Just(FactKind::Input),
+        Just(FactKind::Output),
+        Just(FactKind::Control),
+    ];
+    prop_oneof![
+        3 => (id(), id(), kind, prop_oneof![0u32..3, Just(u32::MAX)], obj()).prop_map(
+            |(instance, task, kind, item, obj)| StoreKey::from(FactKey {
+                instance,
+                task,
+                kind,
+                item,
+                obj,
+            })
+        ),
+        1 => "inst/[ab]/[éêab/]{0,4}".prop_map(|name| StoreKey::from(ObjectUid::new(name))),
+        1 => "[a-c/]{0,3}".prop_map(|name| StoreKey::from(ObjectUid::new(name))),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn log_records_roundtrip_with_delta_coded_lists(
+        writes in proptest::collection::vec(
+            (image_key(), proptest::option::of(proptest::collection::vec(any::<u8>(), 0..4))),
+            0..24,
+        ),
+        node in id(),
+        seq: u64,
+        coordinator: u32,
+        next_seq: u64,
+    ) {
+        let tx = TxId::new(node, seq);
+        let states: Vec<(StoreKey, Vec<u8>)> = writes
+            .iter()
+            .filter_map(|(key, value)| Some((key.clone(), value.clone()?)))
+            .collect();
+        let commit = LogRecord::Commit { tx, writes: writes.clone() };
+        let prepare = LogRecord::Prepare { tx, coordinator, writes };
+        let checkpoint = LogRecord::Checkpoint { states, next_seq };
+        let mut payloads = Vec::new();
+        for record in [commit, prepare, checkpoint] {
+            let bytes = flowscript_codec::to_bytes(&record);
+            prop_assert_eq!(flowscript_codec::from_bytes::<LogRecord>(&bytes).unwrap(), record.clone());
+            // The same list encodes to the same bytes every time.
+            prop_assert_eq!(flowscript_codec::to_bytes(&record), bytes.clone());
+            payloads.push(bytes);
+        }
+        // A commit's list and a prepare's are one encoding: the prepare
+        // ends in the bytes the commit holds past its tag and id.
+        let list = &payloads[0][1 + flowscript_codec::to_bytes(&tx).len()..];
+        prop_assert!(payloads[1].ends_with(list));
+    }
 
     #[test]
     fn after_images_roundtrip_codec(
