@@ -19,25 +19,26 @@
 //! the other shards keep committing), partition the network, or apply a
 //! scripted [`FaultPlan`].
 
-use std::cell::RefCell;
+use std::cell::Ref;
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::rc::Rc;
 
 use flowscript_obs::{ObsEvent, ObsEventKind, ObserveLevel, Registry, Snapshot};
-use flowscript_sim::{net::LinkConfig, FaultPlan, NodeId, SimDuration, SimTime, World};
+use flowscript_sim::{net::LinkConfig, FaultPlan, NodeId, RpcError, SimDuration, SimTime, World};
 use flowscript_tx::{SharedFileStorage, SharedStorage, StableStore};
 
 use crate::coordinator::{
     CoordStats, Coordinator, DispatchRecord, EngineConfig, FailoverReport, InstanceStatus,
     MoveReport, Outcome, Ticket, DRAIN_BATCH, FLEET_DEADLINE,
 };
-use crate::driver::Driver;
+use crate::driver::{Driver, Input, Node, Output};
 use crate::error::EngineError;
-use crate::executor;
+use crate::executor::{Executor, ExecutorProfile};
 use crate::impl_registry::{ImplRegistry, InvokeCtx, TaskBehavior, TaskImpl};
 use crate::msg::EngineMsg;
 use crate::reconfig::Reconfig;
-use crate::repository::RepoHandle;
+use crate::repository::Repository;
 use crate::sched::ExecutorSpec;
 use crate::shard::ShardMap;
 use crate::state::CbState;
@@ -266,11 +267,10 @@ impl SystemBuilder {
             })
             .collect();
 
-        let repo = RepoHandle::new();
-        repo.install(&mut world, repo_node);
+        let repo = Driver::install(Repository::new(repo_node), &mut world);
 
         let shard = ShardMap::new(coord_nodes.clone());
-        let coords: Vec<Driver> = coord_nodes
+        let coords: Vec<Driver<Coordinator>> = coord_nodes
             .iter()
             .zip(&storages)
             .map(|(&node, storage)| {
@@ -292,26 +292,31 @@ impl SystemBuilder {
             .collect();
 
         for spec in &executor_specs {
-            executor::install(
+            let profile = ExecutorProfile {
+                location: spec.location.clone(),
+                capacity: spec.capacity,
+            };
+            Driver::install(
+                Executor::new(spec.node, registry.clone(), profile),
                 &mut world,
-                spec.node,
-                registry.clone(),
-                executor::ExecutorProfile {
-                    location: spec.location.clone(),
-                    capacity: spec.capacity,
-                },
             );
         }
+        let client = Driver::install(
+            Client {
+                node: client,
+                answer: None,
+            },
+            &mut world,
+        );
 
         WorkflowSystem {
             world,
             client,
-            repo_node,
+            repo,
             coord_nodes,
             executors,
             executor_specs,
             registry,
-            repo,
             coords,
             shard,
             storages,
@@ -338,11 +343,38 @@ fn fresh_storage(
     Ok(file.into())
 }
 
+/// The façade's own node: it files the answer to the one call it
+/// awaits.
+struct Client {
+    node: NodeId,
+    answer: Option<Result<Vec<u8>, RpcError>>,
+}
+
+impl Node for Client {
+    type Timer = Infallible;
+    type Call = ();
+
+    fn node(&self) -> NodeId {
+        self.node
+    }
+
+    fn handle(
+        &mut self,
+        _: SimTime,
+        input: Input<'_, Infallible, ()>,
+    ) -> Vec<Output<Infallible, ()>> {
+        if let Input::Answered((), answer) = input {
+            self.answer = Some(answer);
+        }
+        Vec::new()
+    }
+}
+
 /// A complete simulated workflow management system (Fig. 4).
 pub struct WorkflowSystem {
     world: World,
-    client: NodeId,
-    repo_node: NodeId,
+    client: Driver<Client>,
+    repo: Driver<Repository>,
     coord_nodes: Vec<NodeId>,
     executors: Vec<NodeId>,
     /// The executor fleet with location labels and capacities —
@@ -351,8 +383,7 @@ pub struct WorkflowSystem {
     /// fleet.
     executor_specs: Vec<ExecutorSpec>,
     registry: ImplRegistry,
-    repo: RepoHandle,
-    coords: Vec<Driver>,
+    coords: Vec<Driver<Coordinator>>,
     shard: ShardMap,
     storages: Vec<StableStore>,
     /// Engine policy, retained for late-added coordinators.
@@ -365,7 +396,7 @@ pub struct WorkflowSystem {
     /// relays (late executor reports for their former instances route
     /// through them to the adopter), and their counters, traces and
     /// metrics keep aggregating.
-    retired: Vec<Driver>,
+    retired: Vec<Driver<Coordinator>>,
 }
 
 impl WorkflowSystem {
@@ -375,7 +406,7 @@ impl WorkflowSystem {
     }
 
     /// The shard owning `instance` per the shard map.
-    fn coord_for(&self, instance: &str) -> &Driver {
+    fn coord_for(&self, instance: &str) -> &Driver<Coordinator> {
         &self.coords[self.shard.shard_of(instance)]
     }
 
@@ -399,30 +430,34 @@ impl WorkflowSystem {
             source: source.to_string(),
             root: root.to_string(),
         };
-        let result: Rc<RefCell<Option<Result<u32, String>>>> = Rc::new(RefCell::new(None));
-        let result2 = result.clone();
-        self.world.rpc_call(
-            self.client,
-            self.repo_node,
-            flowscript_codec::to_bytes(&msg),
-            SimDuration::from_secs(10),
-            move |_, reply| {
-                let outcome = match reply {
-                    Err(err) => Err(err.to_string()),
-                    Ok(bytes) => match flowscript_codec::from_bytes::<EngineMsg>(&bytes) {
-                        Ok(EngineMsg::RepoReply { result, .. }) => result,
-                        _ => Err("malformed repository reply".to_string()),
-                    },
-                };
-                *result2.borrow_mut() = Some(outcome);
+        let result = match self.client_call(self.repo.node(), &msg) {
+            None => return Err(EngineError::Tx("repository call never completed".into())),
+            Some(Err(err)) => Err(err.to_string()),
+            Some(Ok(bytes)) => match flowscript_codec::from_bytes::<EngineMsg>(&bytes) {
+                Ok(EngineMsg::RepoReply { result, .. }) => result,
+                _ => Err("malformed repository reply".to_string()),
             },
-        );
-        self.pump(|| result.borrow().is_some());
-        let taken = result.borrow_mut().take();
-        match taken {
-            Some(Ok(version)) => Ok(version),
-            Some(Err(err)) => Err(EngineError::InvalidScript(err)),
-            None => Err(EngineError::Tx("repository call never completed".into())),
+        };
+        result.map_err(EngineError::InvalidScript)
+    }
+
+    /// Calls `to` with `msg` from the client node, and runs the world
+    /// until the answer is filed: `None` if the world runs dry first.
+    fn client_call(&mut self, to: NodeId, msg: &EngineMsg) -> Option<Result<Vec<u8>, RpcError>> {
+        let call = Output::Call {
+            to,
+            bytes: flowscript_codec::to_bytes(msg),
+            timeout: SimDuration::from_secs(10),
+            call: (),
+        };
+        self.client.call(&mut self.world, |_, _| ((), vec![call]));
+        loop {
+            if let Some(answer) = self.client.get_mut().answer.take() {
+                return Some(answer);
+            }
+            if !self.world.step() {
+                return None;
+            }
         }
     }
 
@@ -450,8 +485,8 @@ impl WorkflowSystem {
     }
 
     /// Direct repository access (admin/monitoring).
-    pub fn repository(&self) -> &RepoHandle {
-        &self.repo
+    pub fn repository(&self) -> Ref<'_, Repository> {
+        self.repo.get()
     }
 
     // -----------------------------------------------------------------
@@ -487,37 +522,18 @@ impl WorkflowSystem {
     /// Sends a `StartInstance` RPC from the client to `target` and
     /// awaits the acknowledgement.
     fn rpc_start(&mut self, target: NodeId, msg: &EngineMsg) -> Result<(), EngineError> {
-        let result: Rc<RefCell<Option<Result<(), EngineError>>>> = Rc::new(RefCell::new(None));
-        let result2 = result.clone();
-        self.world.rpc_call(
-            self.client,
-            target,
-            flowscript_codec::to_bytes(msg),
-            SimDuration::from_secs(10),
-            move |_, reply| {
-                let outcome = match reply {
-                    Err(err) => Err(EngineError::BadInputs(err.to_string())),
-                    Ok(bytes) => match flowscript_codec::from_bytes::<EngineMsg>(&bytes) {
-                        Ok(EngineMsg::Ack { result }) => result.map_err(EngineError::BadInputs),
-                        // The owning shard is at admission capacity:
-                        // typed, retryable rejection — not an input
-                        // error.
-                        Ok(EngineMsg::Busy { queue_depth }) => {
-                            Err(EngineError::Busy { queue_depth })
-                        }
-                        _ => Err(EngineError::BadInputs(
-                            "malformed coordinator reply".to_string(),
-                        )),
-                    },
-                };
-                *result2.borrow_mut() = Some(outcome);
-            },
-        );
-        self.pump(|| result.borrow().is_some());
-        let taken = result.borrow_mut().take();
-        match taken {
-            Some(outcome) => outcome,
+        match self.client_call(target, msg) {
             None => Err(EngineError::Tx("start call never completed".into())),
+            Some(Err(err)) => Err(EngineError::BadInputs(err.to_string())),
+            Some(Ok(bytes)) => match flowscript_codec::from_bytes::<EngineMsg>(&bytes) {
+                Ok(EngineMsg::Ack { result }) => result.map_err(EngineError::BadInputs),
+                // The owning shard is at admission capacity: typed,
+                // retryable rejection — not an input error.
+                Ok(EngineMsg::Busy { queue_depth }) => Err(EngineError::Busy { queue_depth }),
+                _ => Err(EngineError::BadInputs(
+                    "malformed coordinator reply".to_string(),
+                )),
+            },
         }
     }
 
@@ -595,14 +611,6 @@ impl WorkflowSystem {
         self.world.now()
     }
 
-    fn pump(&mut self, done: impl Fn() -> bool) {
-        while !done() {
-            if !self.world.step() {
-                return;
-            }
-        }
-    }
-
     // -----------------------------------------------------------------
     // Monitoring (the paper's administrative applications).
     // -----------------------------------------------------------------
@@ -643,7 +651,7 @@ impl WorkflowSystem {
     /// Every shard: the active ones plus retired ones (drained or
     /// failed-over nodes kept as relays). Aggregations walk all of them
     /// so a shard's history survives its retirement.
-    fn all_coords(&self) -> impl Iterator<Item = &Driver> {
+    fn all_coords(&self) -> impl Iterator<Item = &Driver<Coordinator>> {
         self.coords.iter().chain(&self.retired)
     }
 
@@ -763,8 +771,9 @@ impl WorkflowSystem {
             epoch: self.shard.epoch(),
         });
         let target = self.coord_nodes[via];
+        let client = self.client.node();
         self.world
-            .send(self.client, target, flowscript_codec::to_bytes(&msg));
+            .send(client, target, flowscript_codec::to_bytes(&msg));
     }
 
     /// One shard's current view of the executor fleet: per-executor
@@ -986,7 +995,7 @@ impl WorkflowSystem {
         // window), then flip in `rebalance`.
         let coordinator = Coordinator::open(
             node,
-            self.repo_node,
+            self.repo.node(),
             self.executor_specs.clone(),
             self.config.clone(),
             storage.clone(),
@@ -1080,7 +1089,7 @@ impl WorkflowSystem {
     /// passes without it completing a round or a claim.
     fn await_report<T>(
         &mut self,
-        shard: &Driver,
+        shard: &Driver<Coordinator>,
         ticket: fn(&mut Coordinator) -> &mut Ticket<T>,
     ) -> Result<T, EngineError> {
         let mut seen = 0;
@@ -1230,7 +1239,7 @@ impl WorkflowSystem {
     ///
     /// Panics if `shard` is out of range.
     #[doc(hidden)]
-    pub fn coord_handle(&self, shard: usize) -> Driver {
+    pub fn coord_handle(&self, shard: usize) -> Driver<Coordinator> {
         self.coords[shard].clone()
     }
 
@@ -1431,8 +1440,6 @@ mod tests {
 
     #[test]
     fn corrupted_served_plan_falls_back_to_local_lowering_uncached() {
-        use crate::msg::EngineMsg;
-
         let mut sys = WorkflowSystem::builder().seed(8).build();
         sys.register_script("q", samples::QUICKSTART, "pipeline")
             .unwrap();
@@ -1445,27 +1452,11 @@ mod tests {
         });
         // A repository that serves the right source beside a plan whose
         // stored fingerprint no longer matches its content.
-        let repo = sys.repo.clone();
-        sys.world
-            .set_handler(sys.repo_node, move |world, envelope| {
-                let Ok(EngineMsg::RepoGet { name, version }) =
-                    flowscript_codec::from_bytes::<EngineMsg>(&envelope.payload)
-                else {
-                    return;
-                };
-                let reply = repo.with(|repository| {
-                    let stored = repository.get(&name, version).expect("registered above");
-                    let mut plan = flowscript_codec::to_bytes(stored.plan.as_ref());
-                    *plan.last_mut().expect("plans are not empty") ^= 0xFF;
-                    EngineMsg::RepoReply {
-                        result: Ok(1),
-                        source: stored.source.clone(),
-                        root: stored.root.clone(),
-                        plan,
-                    }
-                });
-                world.rpc_reply(envelope, flowscript_codec::to_bytes(&reply));
-            });
+        {
+            let mut repo = sys.repo.get_mut();
+            let plan = &mut repo.stored_mut("q", 1).plan_bytes;
+            *plan.last_mut().expect("plans are not empty") ^= 0xFF;
+        }
         sys.start("i1", "q", "main", [("seed", text("Message", "x"))])
             .unwrap();
         sys.run();

@@ -470,6 +470,7 @@ mod tests {
 
     use super::*;
     use crate::coordinator::{EngineConfig, Input};
+    use crate::driver::Node;
     use crate::sched::ExecutorSpec;
     use crate::shard::ShardMap;
 

@@ -1302,6 +1302,7 @@ mod tests {
 
     use super::*;
     use crate::coordinator::{EngineConfig, Input};
+    use crate::driver::Node;
     use crate::msg::MarkMsg;
 
     fn header(instance_id: u32) -> InstanceHeader {
@@ -1413,7 +1414,15 @@ mod tests {
         };
         let mut deliver = |msg: EngineMsg, token| {
             let payload = &capped(msg);
-            coord.handle(SimTime::ZERO, Input::Message(payload, token))
+            let from = client;
+            coord.handle(
+                SimTime::ZERO,
+                Input::Message {
+                    from,
+                    payload,
+                    token,
+                },
+            )
         };
         // One-way: dropped.
         assert!(

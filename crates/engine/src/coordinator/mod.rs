@@ -74,9 +74,10 @@ use std::rc::Rc;
 
 use flowscript_obs::{FlightRecorder, ObsEventKind, Registry};
 use flowscript_plan::{Plan, TaskId};
-use flowscript_sim::{NodeId, ReplyToken, RpcError, SimDuration, SimTime};
+use flowscript_sim::{NodeId, ReplyToken, SimDuration, SimTime};
 use flowscript_tx::{StableStore, TxError, TxId, TxManager};
 
+use crate::driver::{self, Node, TimerId};
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::{meta_uid, status_uid, InstanceKeys};
@@ -104,51 +105,10 @@ use step::Launch;
 use window::{BatchWindow, PendingEvent};
 
 /// What the world feeds a shard.
-pub(crate) enum Input<'a> {
-    /// A message's payload delivered to the shard's node, with the token
-    /// to answer it through when it is a request.
-    Message(&'a [u8], Option<ReplyToken>),
-    /// A timer the shard armed went off.
-    Fired(Timer),
-    /// A call the shard made was answered, or timed out.
-    Answered(Call, Result<Vec<u8>, RpcError>),
-    /// The node restarted: everything volatile is gone, the log is not.
-    Restart,
-}
+pub(crate) type Input<'a> = driver::Input<'a, Timer, Call>;
 
-/// What a shard owes the world, in the order the world must carry it
-/// out: a send draws from the world's randomness and an event's place in
-/// the queue is its scheduling order, so the order is part of the
-/// behaviour.
-#[derive(Debug)]
-pub(crate) enum Output {
-    /// A one-way message from this node.
-    Send { to: NodeId, bytes: Vec<u8> },
-    /// The answer to a request this node holds the token of.
-    Reply { token: ReplyToken, bytes: Vec<u8> },
-    /// A request from this node; `call` comes back with the answer, or
-    /// with the time-out `timeout` later.
-    Call {
-        to: NodeId,
-        bytes: Vec<u8>,
-        timeout: SimDuration,
-        call: Call,
-    },
-    /// `timer` comes back `after` from now, unless cancelled by `id`
-    /// first or the node restarts.
-    Arm {
-        id: TimerId,
-        after: SimDuration,
-        timer: Timer,
-    },
-    /// The timer armed under this id does not come back (a no-op once it
-    /// went off).
-    Cancel(TimerId),
-}
-
-/// The name a shard gives a timer it arms, for cancelling it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct TimerId(u64);
+/// What a shard owes the world, in the order owed.
+pub(crate) type Output = driver::Output<Timer, Call>;
 
 /// What an armed timer resumes when it goes off.
 #[derive(Debug)]
@@ -317,44 +277,6 @@ impl Coordinator {
             outbox: Vec::new(),
             next_timer: 0,
         })
-    }
-
-    /// The one door: handles `input` at `now`, and returns what it owes
-    /// the world in the order owed.
-    pub(crate) fn handle(&mut self, now: SimTime, input: Input<'_>) -> Vec<Output> {
-        let ((), outputs) = self.at(now, |this| match input {
-            Input::Restart => this.recover(),
-            // A fenced shard is a zombie: its storage was claimed by
-            // another node and its instances run there now. Probe the
-            // claim *before* touching any state, so a zombie that never
-            // crashed (a false-positive failure detection) is muzzled at
-            // the door rather than discovering the fence mid-commit with
-            // half-mutated volatile state. Dropped requests time out at
-            // the sender, exactly like a down node; buffered reports die
-            // with it, the claimant's copies being the truth now.
-            Input::Message(..) | Input::Fired(_) if this.mgr.probe_fence().is_some() => {}
-            Input::Message(payload, token) => this.on_message(payload, token),
-            Input::Fired(Timer::Watchdog {
-                instance,
-                path,
-                incarnation,
-                attempt,
-                timeout,
-            }) => this.on_watchdog(&instance, &path, incarnation, attempt, timeout),
-            Input::Fired(Timer::Dispatch {
-                instance,
-                path,
-                launch,
-            }) => this.on_dispatch_timer(&instance, &path, *launch),
-            Input::Fired(Timer::Window) => this.on_batch_window(),
-            Input::Fired(Timer::Round(tx)) => this.on_round_timer(tx),
-            Input::Answered(Call::Fetch(ticket), answer) => this.on_fetched(*ticket, answer),
-            Input::Answered(Call::Relay(token), answer) => this.on_relayed(token, answer),
-            Input::Answered(Call::Claim(adoption, dest, bytes), answer) => {
-                this.on_claim_answered(adoption, dest, bytes, answer);
-            }
-        });
-        outputs
     }
 
     /// Runs `act` at `now` — an input, or an operator call — and returns
@@ -611,6 +533,54 @@ impl Coordinator {
     }
 }
 
+impl Node for Coordinator {
+    type Timer = Timer;
+    type Call = Call;
+
+    fn node(&self) -> NodeId {
+        self.node
+    }
+
+    /// The one door: handles `input` at `now`, and returns what it owes
+    /// the world in the order owed. Who sent a message does not matter
+    /// to a shard: what it answers is in the message or its token.
+    fn handle(&mut self, now: SimTime, input: Input<'_>) -> Vec<Output> {
+        let ((), outputs) = self.at(now, |this| match input {
+            Input::Restart => this.recover(),
+            // A fenced shard is a zombie: its storage was claimed by
+            // another node and its instances run there now. Probe the
+            // claim *before* touching any state, so a zombie that never
+            // crashed (a false-positive failure detection) is muzzled at
+            // the door rather than discovering the fence mid-commit with
+            // half-mutated volatile state. Dropped requests time out at
+            // the sender, exactly like a down node; buffered reports die
+            // with it, the claimant's copies being the truth now.
+            Input::Message { .. } | Input::Fired(_) if this.mgr.probe_fence().is_some() => {}
+            Input::Message { payload, token, .. } => this.on_message(payload, token),
+            Input::Fired(Timer::Watchdog {
+                instance,
+                path,
+                incarnation,
+                attempt,
+                timeout,
+            }) => this.on_watchdog(&instance, &path, incarnation, attempt, timeout),
+            Input::Fired(Timer::Dispatch {
+                instance,
+                path,
+                launch,
+            }) => this.on_dispatch_timer(&instance, &path, *launch),
+            Input::Fired(Timer::Window) => this.on_batch_window(),
+            Input::Fired(Timer::Round(tx)) => this.on_round_timer(tx),
+            Input::Answered(Call::Fetch(ticket), answer) => this.on_fetched(*ticket, answer),
+            Input::Answered(Call::Relay(token), answer) => this.on_relayed(token, answer),
+            Input::Answered(Call::Claim(adoption, dest, bytes), answer) => {
+                this.on_claim_answered(adoption, dest, bytes, answer);
+            }
+        });
+        outputs
+    }
+}
+
 /// Why an instance stops on `task`'s block that does not decode.
 fn block_fault(plan: &Plan, task: TaskId, fault: &TxError) -> String {
     let path = plan.str(plan.task(task).path);
@@ -690,7 +660,12 @@ compoundtask root of taskclass Root {
         };
         let payload = &flowscript_codec::to_bytes(&start);
         let token = Some(ReplyToken::new(here, client, 7));
-        let outputs = shard.handle(at(0), Input::Message(payload, token));
+        let message = Input::Message {
+            from: client,
+            payload,
+            token,
+        };
+        let outputs = shard.handle(at(0), message);
         let [Output::Call {
             to, bytes, call, ..
         }] = <[Output; 1]>::try_from(outputs).unwrap()
@@ -753,7 +728,12 @@ compoundtask root of taskclass Root {
             epoch: 1,
         });
         let payload = &flowscript_codec::to_bytes(&done);
-        let outputs = shard.handle(at(20), Input::Message(payload, None));
+        let message = Input::Message {
+            from: executor,
+            payload,
+            token: None,
+        };
+        let outputs = shard.handle(at(20), message);
         assert!(matches!(
             &outputs[..],
             [Output::Arm {

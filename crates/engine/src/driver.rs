@@ -1,11 +1,12 @@
-//! The one driver of a shard: a [`Coordinator`] on a simulated node. It
-//! turns the world's events into the shard's inputs — borrowing the
-//! shard's one cell once per input — and the shard's outputs into the
-//! world's calls, keeping the world's event for every timer the shard
-//! armed under the id the shard named it by.
+//! The one driver of every node: a [`Node`] value — a shard, an
+//! executor, the repository, the client — on a simulated node. It turns
+//! the world's events into the node's inputs — borrowing the node's one
+//! cell once per input — and the node's outputs into the world's calls,
+//! keeping the world's event for every timer the node armed under the
+//! id the node named it by.
 //!
 //! **Emission order is the traffic contract.** Outputs are applied in the
-//! order the shard emitted them: every [`World::send`] draws two samples
+//! order the node emitted them: every [`World::send`] draws two samples
 //! from the world's one random stream, and events due at the same instant
 //! run in the order they were scheduled, so reordering outputs would make
 //! a different simulation.
@@ -14,38 +15,118 @@ use std::cell::{Ref, RefCell, RefMut};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use flowscript_sim::{EventId, NodeId, SimTime, World};
+use flowscript_sim::{EventId, NodeId, ReplyToken, RpcError, SimDuration, SimTime, World};
 
-use crate::coordinator::{Coordinator, Input, Output, TimerId};
+/// A node as a value: inputs at a virtual time in, what it owes the
+/// world out. What a timer or a call resumes is data the node names:
+/// its `Timer` and its `Call`.
+pub(crate) trait Node {
+    /// What an armed timer resumes when it goes off.
+    type Timer;
+    /// What an answered call resumes.
+    type Call;
 
-/// A shard installed on its node. Clones share the shard.
-#[derive(Clone)]
-pub struct Driver(Rc<Shard>);
+    /// The node this value runs on.
+    fn node(&self) -> NodeId;
 
-struct Shard {
+    /// Handles `input` at `now`, and returns what it owes the world in
+    /// the order owed.
+    fn handle(
+        &mut self,
+        now: SimTime,
+        input: Input<'_, Self::Timer, Self::Call>,
+    ) -> Vec<Output<Self::Timer, Self::Call>>;
+}
+
+/// What the world feeds a node.
+pub(crate) enum Input<'a, T, C> {
+    /// A message delivered to the node from `from`, with the token to
+    /// answer it through when it is a request.
+    Message {
+        from: NodeId,
+        payload: &'a [u8],
+        token: Option<ReplyToken>,
+    },
+    /// A timer the node armed went off.
+    Fired(T),
+    /// A call the node made was answered, or timed out.
+    Answered(C, Result<Vec<u8>, RpcError>),
+    /// The node restarted: everything volatile is gone, storage is not.
+    Restart,
+}
+
+/// What a node owes the world, in the order the world must carry it
+/// out: a send draws from the world's randomness and an event's place in
+/// the queue is its scheduling order, so the order is part of the
+/// behaviour.
+#[derive(Debug)]
+pub(crate) enum Output<T, C> {
+    /// A one-way message from this node.
+    Send { to: NodeId, bytes: Vec<u8> },
+    /// The answer to a request this node holds the token of.
+    Reply { token: ReplyToken, bytes: Vec<u8> },
+    /// A request from this node; `call` comes back with the answer, or
+    /// with the time-out `timeout` later.
+    Call {
+        to: NodeId,
+        bytes: Vec<u8>,
+        timeout: SimDuration,
+        call: C,
+    },
+    /// `timer` comes back `after` from now, unless cancelled by `id`
+    /// first or the node restarts.
+    Arm {
+        id: TimerId,
+        after: SimDuration,
+        timer: T,
+    },
+    /// The timer armed under this id does not come back (a no-op once it
+    /// went off).
+    Cancel(TimerId),
+}
+
+/// The name a node gives a timer it arms, for cancelling it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct TimerId(pub(crate) u64);
+
+/// A node installed on its simulated node. Clones share the node.
+pub struct Driver<N>(Rc<Installed<N>>);
+
+impl<N> Clone for Driver<N> {
+    fn clone(&self) -> Self {
+        Self(self.0.clone())
+    }
+}
+
+struct Installed<N> {
     node: NodeId,
-    coordinator: RefCell<Coordinator>,
-    /// The world's event for every timer the shard armed that has
+    value: RefCell<N>,
+    /// The world's event for every timer the node armed that has
     /// neither gone off nor been cancelled.
     timers: RefCell<BTreeMap<TimerId, EventId>>,
 }
 
-impl Driver {
-    /// Installs `coordinator` on its node: the node's messages and
-    /// restarts become its inputs.
-    pub(crate) fn install(coordinator: Coordinator, world: &mut World) -> Self {
-        let node = coordinator.node();
-        let driver = Self(Rc::new(Shard {
+// Every method that needs the bound is crate-private: outside the
+// crate, a driver is only `get`, `get_mut` and `armed_timers`.
+#[allow(private_bounds)]
+impl<N: Node + 'static> Driver<N> {
+    /// Installs `value` on its node: the node's messages and restarts
+    /// become its inputs.
+    pub(crate) fn install(value: N, world: &mut World) -> Self {
+        let node = value.node();
+        let driver = Self(Rc::new(Installed {
             node,
-            coordinator: RefCell::new(coordinator),
+            value: RefCell::new(value),
             timers: RefCell::default(),
         }));
         let handler = driver.clone();
         world.set_handler(node, move |world, envelope| {
-            handler.input(
-                world,
-                Input::Message(&envelope.payload, envelope.reply_token()),
-            );
+            let input = Input::Message {
+                from: envelope.src,
+                payload: &envelope.payload,
+                token: envelope.reply_token(),
+            };
+            handler.input(world, input);
         });
         let restarted = driver.clone();
         world.set_restart_hook(node, move |world, _| restarted.restart(world));
@@ -54,31 +135,31 @@ impl Driver {
 
     /// The node restarted — or came up over storage a previous run left
     /// behind: the world dropped the timers of the incarnation that
-    /// died, and the shard reloads from its log.
+    /// died, and the node starts over from what it keeps.
     pub(crate) fn restart(&self, world: &mut World) {
         self.0.timers.borrow_mut().clear();
         self.input(world, Input::Restart);
     }
 
-    fn input(&self, world: &mut World, input: Input<'_>) {
-        let outputs = self.0.coordinator.borrow_mut().handle(world.now(), input);
+    fn input(&self, world: &mut World, input: Input<'_, N::Timer, N::Call>) {
+        let outputs = self.0.value.borrow_mut().handle(world.now(), input);
         self.apply(world, outputs);
     }
 
-    /// Runs an operator call on the shard at the world's time and
+    /// Runs an operator call on the node at the world's time and
     /// applies the outputs it returns beside its result.
     pub(crate) fn call<T>(
         &self,
         world: &mut World,
-        op: impl FnOnce(&mut Coordinator, SimTime) -> (T, Vec<Output>),
+        op: impl FnOnce(&mut N, SimTime) -> (T, Vec<Output<N::Timer, N::Call>>),
     ) -> T {
-        let (result, outputs) = op(&mut self.0.coordinator.borrow_mut(), world.now());
+        let (result, outputs) = op(&mut self.0.value.borrow_mut(), world.now());
         self.apply(world, outputs);
         result
     }
 
     /// Carries out `outputs` in emission order.
-    fn apply(&self, world: &mut World, outputs: Vec<Output>) {
+    fn apply(&self, world: &mut World, outputs: Vec<Output<N::Timer, N::Call>>) {
         let node = self.0.node;
         for output in outputs {
             match output {
@@ -111,15 +192,22 @@ impl Driver {
             }
         }
     }
+}
 
-    /// The shard, for reading.
-    pub fn get(&self) -> Ref<'_, Coordinator> {
-        self.0.coordinator.borrow()
+impl<N> Driver<N> {
+    /// The simulated node it is installed on.
+    pub(crate) fn node(&self) -> NodeId {
+        self.0.node
     }
 
-    /// The shard, for an edit that owes the world nothing.
-    pub fn get_mut(&self) -> RefMut<'_, Coordinator> {
-        self.0.coordinator.borrow_mut()
+    /// The node, for reading.
+    pub fn get(&self) -> Ref<'_, N> {
+        self.0.value.borrow()
+    }
+
+    /// The node, for an edit that owes the world nothing.
+    pub fn get_mut(&self) -> RefMut<'_, N> {
+        self.0.value.borrow_mut()
     }
 
     /// Timers armed and not yet gone off or cancelled: none once the

@@ -1,18 +1,19 @@
 //! Task executor nodes.
 //!
-//! An executor receives `StartTask` messages, binds the named
-//! implementation through the shared [`ImplRegistry`], plays the resulting
-//! [`crate::TaskBehavior`] out in simulated time (marks at their offsets,
-//! completion after the work duration) and reports back with one-way
-//! messages. Executors hold **no durable state**: a crash simply loses
-//! in-flight work, which the coordinator's watchdogs turn into bounded
-//! retries on another node.
+//! An executor is a value ([`Executor`]), driven like every node by
+//! `crate::driver`. A `StartTask` message in, it binds the named
+//! implementation through the shared [`ImplRegistry`] and plays the
+//! resulting [`crate::TaskBehavior`] out as timers: one per mark at its
+//! offset, then one for the completion after the work duration, each a
+//! [`Report`] sent to the dispatching shard when it goes off. Executors
+//! hold **no durable state**: a crash simply loses in-flight work, which
+//! the coordinator's watchdogs turn into bounded retries on another node.
 //!
 //! Per §4.3 an implementation name may refer to *a script*; such bindings
 //! run a complete nested workflow (own simulated world, same registry)
 //! and map its root outcome onto this task's completion.
 //!
-//! An executor registers a **location label** at install time
+//! An executor declares a **location label** in its profile
 //! ([`ExecutorProfile::location`]): the coordinators' schedulers treat
 //! a task's `location` hint as a hard placement constraint, and the
 //! executor itself double-checks the pin on arrival (a mispinned task
@@ -25,11 +26,12 @@
 //! every coordinator's scheduler, which parks dispatches instead of
 //! queueing them here once all eligible executors are saturated.
 
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
+use std::cell::Cell;
+use std::convert::Infallible;
 
-use flowscript_sim::{Envelope, NodeId, SimDuration, SimTime, World};
+use flowscript_sim::{NodeId, SimDuration, SimTime};
 
+use crate::driver::{self, Input, Node, TimerId};
 use crate::impl_registry::{ImplRegistry, Invocation, InvokeCtx, TaskBehavior};
 use crate::msg::{EngineMsg, MarkMsg, StartTask, TaskDone, TaskResult};
 
@@ -68,164 +70,170 @@ pub struct ExecutorProfile {
     pub capacity: u32,
 }
 
-/// Installs the executor handler on `node`, deployed as `profile`
-/// (location label, capacity model). Results are reported to whichever
-/// coordinator dispatched the task (executors are shared by every shard
-/// of a multi-coordinator system).
-pub fn install(world: &mut World, node: NodeId, registry: ImplRegistry, profile: ExecutorProfile) {
-    // One queue tail per declared slot: the next free moment of each.
-    // Empty (capacity 0) means unbounded — no queueing at all.
-    let tails = Rc::new(RefCell::new(vec![SimTime::ZERO; profile.capacity as usize]));
-    world.set_handler(node, move |world, envelope| {
-        handle(world, node, &registry, &profile, &tails, envelope);
-    });
+/// A report an executor owes the shard that dispatched a task, once its
+/// time comes: a mark, or the completion.
+#[derive(Debug)]
+pub(crate) struct Report {
+    to: NodeId,
+    msg: EngineMsg,
 }
 
-fn handle(
-    world: &mut World,
+/// What an executor answers an input with.
+type Output = driver::Output<Report, Infallible>;
+
+/// One executor node, deployed as its [`ExecutorProfile`]: inputs in,
+/// outputs out. Results are reported to whichever coordinator
+/// dispatched the task (executors are shared by every shard of a
+/// multi-coordinator system).
+pub(crate) struct Executor {
     node: NodeId,
-    registry: &ImplRegistry,
-    profile: &ExecutorProfile,
-    tails: &Rc<RefCell<Vec<SimTime>>>,
-    envelope: &Envelope,
-) {
-    let Ok(EngineMsg::Start(start)) = flowscript_codec::from_bytes::<EngineMsg>(&envelope.payload)
-    else {
-        return;
-    };
-    // Reply to the shard that dispatched this task, not a fixed node.
-    let coordinator = envelope.src;
-    // Location guard: the scheduler should never mispin, but a task
-    // arriving at the wrong place must fail loudly, not run quietly.
-    if let Some(pinned) = start.hints().location {
-        if profile.location.as_deref() != Some(pinned.as_str()) {
-            let reason = format!(
-                "task pinned to location `{pinned}` arrived at an executor registered {}",
-                match &profile.location {
-                    Some(label) => format!("at `{label}`"),
-                    None => "without a location".to_string(),
-                }
-            );
-            send_done(
-                world,
-                node,
-                coordinator,
-                &start,
-                TaskResult::ExecError { reason },
-            );
-            return;
+    registry: ImplRegistry,
+    profile: ExecutorProfile,
+    /// One queue tail per declared slot: the next free moment of each.
+    /// Empty (capacity 0) means unbounded — no queueing at all.
+    slots: Vec<SimTime>,
+    next_timer: u64,
+}
+
+impl Executor {
+    /// The executor on `node`, its slots all free.
+    pub(crate) fn new(node: NodeId, registry: ImplRegistry, profile: ExecutorProfile) -> Self {
+        let slots = vec![SimTime::ZERO; profile.capacity as usize];
+        Self {
+            node,
+            registry,
+            profile,
+            slots,
+            next_timer: 0,
         }
     }
-    let ctx = InvokeCtx {
-        path: start.path.clone(),
-        incarnation: start.incarnation,
-        attempt: start.attempt,
-        set: start.set.clone(),
-        inputs: start.inputs.clone(),
-        repeat_objects: start.repeat_objects.clone(),
-        implementation: start.implementation.clone(),
-    };
-    let behavior = match registry.invoke(&start.code, &ctx) {
-        Err(reason) => {
-            send_done(
-                world,
-                node,
-                coordinator,
-                &start,
-                TaskResult::ExecError { reason },
-            );
-            return;
-        }
-        Ok(Invocation::Behavior(behavior)) => behavior,
-        Ok(Invocation::Script { source, root }) => {
-            match run_nested_script(registry, &source, &root, &start) {
-                Ok(behavior) => behavior,
-                Err(reason) => {
-                    send_done(
-                        world,
-                        node,
-                        coordinator,
-                        &start,
-                        TaskResult::ExecError { reason },
-                    );
-                    return;
-                }
-            }
-        }
-    };
-    // Bounded capacity: the task takes the earliest-free slot, waits
-    // for its tail before the work (and marks) begin, and advances
-    // that tail by its work time. Slot index breaks ties (stable, so
-    // runs stay deterministic). No slots = unbounded, zero delay.
-    let queue_delay = {
-        let mut tails = tails.borrow_mut();
-        match tails.iter().enumerate().min_by_key(|(_, tail)| **tail) {
-            Some((slot, _)) => {
-                let now = world.now();
-                let tail = tails[slot].max(now);
-                let delay = tail.since(now);
-                tails[slot] = tail + behavior.work;
-                delay
-            }
-            None => SimDuration::ZERO,
-        }
-    };
-    play_behavior(world, node, coordinator, &start, behavior, queue_delay);
-}
 
-/// Schedules the behaviour's marks and completion in simulated time,
-/// `queue_delay` after now (the node's serial queue, zero on parallel
-/// nodes).
-fn play_behavior(
-    world: &mut World,
-    node: NodeId,
-    coordinator: NodeId,
-    start: &StartTask,
-    behavior: TaskBehavior,
-    queue_delay: SimDuration,
-) {
-    for mark in behavior.marks {
-        let msg = EngineMsg::Mark(MarkMsg {
-            instance: start.instance.clone(),
+    /// Binds and plays out `start`, dispatched by `from`: one timer per
+    /// mark and then one for the completion, or at once an execution
+    /// error.
+    fn start(&mut self, now: SimTime, from: NodeId, start: StartTask) -> Vec<Output> {
+        let behavior = match self.bind(&start) {
+            Ok(behavior) => behavior,
+            Err(reason) => {
+                let msg = done(&start, TaskResult::ExecError { reason });
+                let bytes = flowscript_codec::to_bytes(&msg);
+                return vec![Output::Send { to: from, bytes }];
+            }
+        };
+        let queue_delay = self.reserve(now, behavior.work);
+        let mut outputs = Vec::with_capacity(behavior.marks.len() + 1);
+        for mark in behavior.marks {
+            let msg = EngineMsg::Mark(MarkMsg {
+                instance: start.instance.clone(),
+                path: start.path.clone(),
+                incarnation: start.incarnation,
+                attempt: start.attempt,
+                mark: mark.name,
+                objects: mark.objects,
+                epoch: start.epoch,
+            });
+            let at = queue_delay + mark.at.min(behavior.work);
+            outputs.push(self.arm(at, Report { to: from, msg }));
+        }
+        let result = TaskResult::Output {
+            name: behavior.completion.outcome,
+            objects: behavior.completion.objects,
+            redo_after: behavior.redo_after,
+        };
+        let msg = done(&start, result);
+        outputs.push(self.arm(queue_delay + behavior.work, Report { to: from, msg }));
+        outputs
+    }
+
+    /// The behaviour `start` binds to here, or why it cannot run here.
+    fn bind(&self, start: &StartTask) -> Result<TaskBehavior, String> {
+        // Location guard: the scheduler should never mispin, but a task
+        // arriving at the wrong place must fail loudly, not run quietly.
+        if let Some(pinned) = start.hints().location {
+            if self.profile.location.as_deref() != Some(pinned.as_str()) {
+                return Err(format!(
+                    "task pinned to location `{pinned}` arrived at an executor registered {}",
+                    match &self.profile.location {
+                        Some(label) => format!("at `{label}`"),
+                        None => "without a location".to_string(),
+                    }
+                ));
+            }
+        }
+        let ctx = InvokeCtx {
             path: start.path.clone(),
             incarnation: start.incarnation,
             attempt: start.attempt,
-            mark: mark.name,
-            objects: mark.objects,
-            epoch: start.epoch,
-        });
-        let at = queue_delay + mark.at.min(behavior.work);
-        world.schedule_node_after(node, at, move |world| {
-            world.send(node, coordinator, flowscript_codec::to_bytes(&msg));
-        });
+            set: start.set.clone(),
+            inputs: start.inputs.clone(),
+            repeat_objects: start.repeat_objects.clone(),
+            implementation: start.implementation.clone(),
+        };
+        match self.registry.invoke(&start.code, &ctx)? {
+            Invocation::Behavior(behavior) => Ok(behavior),
+            Invocation::Script { source, root } => {
+                run_nested_script(&self.registry, &source, &root, start)
+            }
+        }
     }
-    let done = TaskResult::Output {
-        name: behavior.completion.outcome,
-        objects: behavior.completion.objects,
-        redo_after: behavior.redo_after,
-    };
-    let start = start.clone();
-    world.schedule_node_after(node, queue_delay + behavior.work, move |world| {
-        send_done(world, node, coordinator, &start, done);
-    });
+
+    /// Bounded capacity: the task takes the earliest-free slot, waits
+    /// for its tail before the work (and marks) begin, and advances
+    /// that tail by its work time. Slot index breaks ties (stable, so
+    /// runs stay deterministic). No slots = unbounded, zero delay.
+    fn reserve(&mut self, now: SimTime, work: SimDuration) -> SimDuration {
+        let slots = &mut self.slots;
+        let Some((slot, _)) = slots.iter().enumerate().min_by_key(|(_, tail)| **tail) else {
+            return SimDuration::ZERO;
+        };
+        let tail = slots[slot].max(now);
+        slots[slot] = tail + work;
+        tail.since(now)
+    }
+
+    fn arm(&mut self, after: SimDuration, timer: Report) -> Output {
+        let id = TimerId(self.next_timer);
+        self.next_timer += 1;
+        Output::Arm { id, after, timer }
+    }
 }
 
-fn send_done(
-    world: &mut World,
-    node: NodeId,
-    coordinator: NodeId,
-    start: &StartTask,
-    result: TaskResult,
-) {
-    let msg = EngineMsg::Done(TaskDone {
+impl Node for Executor {
+    type Timer = Report;
+    type Call = Infallible;
+
+    fn node(&self) -> NodeId {
+        self.node
+    }
+
+    fn handle(&mut self, now: SimTime, input: Input<'_, Report, Infallible>) -> Vec<Output> {
+        match input {
+            Input::Message { from, payload, .. } => {
+                match flowscript_codec::from_bytes::<EngineMsg>(payload) {
+                    Ok(EngineMsg::Start(start)) => self.start(now, from, start),
+                    _ => Vec::new(),
+                }
+            }
+            Input::Fired(Report { to, msg }) => {
+                let bytes = flowscript_codec::to_bytes(&msg);
+                vec![Output::Send { to, bytes }]
+            }
+            Input::Answered(never, _) => match never {},
+            Input::Restart => Vec::new(),
+        }
+    }
+}
+
+/// The completion report of `start`.
+fn done(start: &StartTask, result: TaskResult) -> EngineMsg {
+    EngineMsg::Done(TaskDone {
         instance: start.instance.clone(),
         path: start.path.clone(),
         incarnation: start.incarnation,
         attempt: start.attempt,
         result,
         epoch: start.epoch,
-    });
-    world.send(node, coordinator, flowscript_codec::to_bytes(&msg));
+    })
 }
 
 /// Runs a nested workflow for a script-bound implementation and maps its
@@ -310,41 +318,75 @@ mod tests {
         NESTING.with(|n| n.set(0));
     }
 
+    /// `start` delivered to `executor` at `now` from `from`.
+    fn deliver(
+        executor: &mut Executor,
+        now: SimTime,
+        from: NodeId,
+        start: StartTask,
+    ) -> Vec<Output> {
+        let payload = &flowscript_codec::to_bytes(&EngineMsg::Start(start));
+        let token = None;
+        executor.handle(
+            now,
+            Input::Message {
+                from,
+                payload,
+                token,
+            },
+        )
+    }
+
+    /// An executor needs no world to run: fed a start by hand, it
+    /// answers with the timers it arms, or with an immediate report.
     #[test]
     fn location_guard_rejects_a_mispinned_start() {
         // The scheduler never mispins; the guard is for the day it does.
-        let mut world = World::new(1);
-        let coordinator = world.add_node("coordinator");
-        let executor = world.add_node("warehouse0");
+        let [coordinator, here] = [0, 1].map(NodeId::from_index);
         let registry = ImplRegistry::new();
         registry.bind_fn("c", |_| TaskBehavior::outcome("done"));
         let profile = ExecutorProfile {
             location: Some("warehouse".into()),
             ..ExecutorProfile::default()
         };
-        install(&mut world, executor, registry, profile);
-        let replies = Rc::new(RefCell::new(Vec::new()));
-        let sink = replies.clone();
-        world.set_handler(coordinator, move |_, envelope| {
-            let Ok(EngineMsg::Done(done)) = flowscript_codec::from_bytes(&envelope.payload) else {
-                panic!("the executor answers a start with a report");
-            };
-            sink.borrow_mut().push(done.result);
-        });
-        for location in ["warehouse", "paris"] {
-            let msg = EngineMsg::Start(start(&[("location", location)]));
-            world.send(coordinator, executor, flowscript_codec::to_bytes(&msg));
-            world.run();
-        }
-        let replies = replies.borrow();
-        assert!(
-            matches!(&replies[0], TaskResult::Output { name, .. } if name == "done"),
-            "a start pinned here runs: {replies:?}"
+        let mut executor = Executor::new(here, registry, profile);
+        let pinned = |location| start(&[("location", location)]);
+
+        // Pinned here: the completion is armed, owed to the dispatcher,
+        // and sent when it goes off.
+        let outputs = deliver(
+            &mut executor,
+            SimTime::ZERO,
+            coordinator,
+            pinned("warehouse"),
         );
+        let [Output::Arm { timer, .. }] = <[Output; 1]>::try_from(outputs).unwrap() else {
+            panic!("one timer, the completion's");
+        };
+        assert_eq!(timer.to, coordinator);
+        let EngineMsg::Done(done) = &timer.msg else {
+            panic!("a completion report: {timer:?}");
+        };
+        assert!(matches!(&done.result, TaskResult::Output { name, .. } if name == "done"));
+        let expected = flowscript_codec::to_bytes(&timer.msg);
+        let outputs = executor.handle(SimTime::ZERO, Input::Fired(timer));
+        assert!(matches!(&outputs[..], [Output::Send { to, bytes }]
+            if *to == coordinator && *bytes == expected));
+
+        // Pinned elsewhere: an execution error, sent at once.
+        let outputs = deliver(&mut executor, SimTime::ZERO, coordinator, pinned("paris"));
+        let [Output::Send { to, bytes }] = &outputs[..] else {
+            panic!("one immediate report: {outputs:?}");
+        };
+        assert_eq!(*to, coordinator);
+        let Ok(EngineMsg::Done(done)) = flowscript_codec::from_bytes(bytes) else {
+            panic!("a completion report");
+        };
         assert!(
-            matches!(&replies[1], TaskResult::ExecError { reason }
+            matches!(&done.result, TaskResult::ExecError { reason }
                 if reason.contains("pinned to location `paris`") && reason.contains("`warehouse`")),
-            "a start pinned elsewhere fails loudly: {replies:?}"
+            "a start pinned elsewhere fails loudly: {:?}",
+            done.result
         );
     }
 }

@@ -48,6 +48,12 @@
 //! - a high-level facade, [`WorkflowSystem`], that wires all services
 //!   onto `flowscript-sim` nodes (the paper's Fig. 4 topology).
 //!
+//! Every node is a value that does no I/O — the repository, each
+//! coordinator shard, each executor and the façade's client take an
+//! input at a virtual time and return the sends, replies, calls and
+//! timers they owe — and one driver applies those outputs to the
+//! simulated world, in the order they were emitted.
+//!
 //! # Examples
 //!
 //! ```
@@ -106,7 +112,7 @@ pub use impl_registry::{
     Completion, ImplRegistry, InvokeCtx, MarkEmission, TaskBehavior, TaskImpl,
 };
 pub use reconfig::Reconfig;
-pub use repository::{RepoHandle, Repository, ScriptVersion};
+pub use repository::{Repository, ScriptVersion};
 pub use sched::{
     ExecutorSlot, ExecutorSpec, ImplHints, Placement, SchedError, SchedPolicy, Scheduler,
 };

@@ -11,15 +11,19 @@
 //! is lowered to a [`Plan`] and cached per version, and `RepoGet`
 //! replies carry the encoded plan so coordinators start instances
 //! without re-running the front end (compile-once, execute-many).
+//!
+//! The service is a value like every node (`crate::driver`): a
+//! `RepoRegister` or `RepoGet` request in, its one reply out.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::rc::Rc;
 
 use flowscript_core::{fmt as script_fmt, schema};
 use flowscript_plan::Plan;
-use flowscript_sim::{Envelope, NodeId, World};
+use flowscript_sim::{NodeId, SimTime};
 
+use crate::driver::{Input, Node, Output};
 use crate::error::EngineError;
 use crate::msg::EngineMsg;
 
@@ -37,16 +41,20 @@ pub struct ScriptVersion {
     pub plan_bytes: Vec<u8>,
 }
 
-/// The repository state.
-#[derive(Debug, Default)]
+/// The repository service on its node.
+#[derive(Debug)]
 pub struct Repository {
+    node: NodeId,
     scripts: BTreeMap<String, Vec<ScriptVersion>>,
 }
 
 impl Repository {
-    /// An empty repository.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty repository on `node`.
+    pub fn new(node: NodeId) -> Self {
+        Self {
+            node,
+            scripts: BTreeMap::new(),
+        }
     }
 
     /// Validates and stores a script, returning its (1-based) version.
@@ -122,82 +130,50 @@ impl Repository {
     }
 }
 
-/// Shared handle to a repository installed on a sim node.
-#[derive(Clone, Default)]
-pub struct RepoHandle {
-    inner: Rc<RefCell<Repository>>,
-}
+impl Node for Repository {
+    type Timer = Infallible;
+    type Call = Infallible;
 
-impl RepoHandle {
-    /// Creates a handle over an empty repository.
-    pub fn new() -> Self {
-        Self::default()
+    fn node(&self) -> NodeId {
+        self.node
     }
 
-    /// Installs the RPC handler on `node`.
-    pub fn install(&self, world: &mut World, node: NodeId) {
-        let handle = self.clone();
-        world.set_handler(node, move |world, envelope| {
-            handle.handle(world, envelope);
-        });
-    }
-
-    /// Direct (non-RPC) access for tests and monitoring.
-    pub fn with<R>(&self, f: impl FnOnce(&mut Repository) -> R) -> R {
-        f(&mut self.inner.borrow_mut())
-    }
-
-    fn handle(&self, world: &mut World, envelope: &Envelope) {
-        let Ok(msg) = flowscript_codec::from_bytes::<EngineMsg>(&envelope.payload) else {
-            return;
+    fn handle(
+        &mut self,
+        _: SimTime,
+        input: Input<'_, Infallible, Infallible>,
+    ) -> Vec<Output<Infallible, Infallible>> {
+        let Input::Message {
+            payload,
+            token: Some(token),
+            ..
+        } = input
+        else {
+            return Vec::new();
         };
-        if !envelope.is_request() {
-            return;
-        }
-        let reply = match msg {
-            EngineMsg::RepoRegister { name, source, root } => {
-                let result = self
-                    .inner
-                    .borrow_mut()
-                    .register(&name, &source, &root)
-                    .map_err(|e| e.to_string());
-                EngineMsg::RepoReply {
-                    result,
-                    source: String::new(),
-                    root: String::new(),
-                    plan: Vec::new(),
-                }
-            }
-            EngineMsg::RepoGet { name, version } => {
-                let repository = self.inner.borrow();
-                match repository.get(&name, version) {
-                    Ok(stored) => EngineMsg::RepoReply {
-                        result: Ok(version.unwrap_or_else(|| repository.version_count(&name))),
-                        source: stored.source.clone(),
-                        root: stored.root.clone(),
-                        plan: stored.plan_bytes.clone(),
-                    },
-                    Err(err) => EngineMsg::RepoReply {
-                        result: Err(err.to_string()),
-                        source: String::new(),
-                        root: String::new(),
-                        plan: Vec::new(),
-                    },
-                }
-            }
-            _ => return,
+        let bare = |result: Result<u32, EngineError>| EngineMsg::RepoReply {
+            result: result.map_err(|e| e.to_string()),
+            source: String::new(),
+            root: String::new(),
+            plan: Vec::new(),
         };
-        world.rpc_reply(envelope, flowscript_codec::to_bytes(&reply));
-    }
-}
-
-impl std::fmt::Debug for RepoHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "RepoHandle({} scripts)",
-            self.inner.borrow().scripts.len()
-        )
+        let reply = match flowscript_codec::from_bytes::<EngineMsg>(payload) {
+            Ok(EngineMsg::RepoRegister { name, source, root }) => {
+                bare(self.register(&name, &source, &root))
+            }
+            Ok(EngineMsg::RepoGet { name, version }) => match self.get(&name, version) {
+                Ok(stored) => EngineMsg::RepoReply {
+                    result: Ok(version.unwrap_or_else(|| self.version_count(&name))),
+                    source: stored.source.clone(),
+                    root: stored.root.clone(),
+                    plan: stored.plan_bytes.clone(),
+                },
+                Err(err) => bare(Err(err)),
+            },
+            _ => return Vec::new(),
+        };
+        let bytes = flowscript_codec::to_bytes(&reply);
+        vec![Output::Reply { token, bytes }]
     }
 }
 
@@ -205,10 +181,23 @@ impl std::fmt::Debug for RepoHandle {
 mod tests {
     use super::*;
     use flowscript_core::samples;
+    use flowscript_sim::ReplyToken;
+
+    fn repository() -> Repository {
+        Repository::new(NodeId::from_index(0))
+    }
+
+    impl Repository {
+        /// Version `version` of `name` as stored, for a test that
+        /// tampers with what the service serves.
+        pub(crate) fn stored_mut(&mut self, name: &str, version: u32) -> &mut ScriptVersion {
+            &mut self.scripts.get_mut(name).expect("registered")[version as usize - 1]
+        }
+    }
 
     #[test]
     fn register_validates_and_versions() {
-        let mut repo = Repository::new();
+        let mut repo = repository();
         let v1 = repo
             .register(
                 "order",
@@ -231,7 +220,7 @@ mod tests {
 
     #[test]
     fn register_rejects_invalid_scripts() {
-        let mut repo = Repository::new();
+        let mut repo = repository();
         let err = repo.register("bad", "class ;;", "x").unwrap_err();
         assert!(matches!(err, EngineError::InvalidScript(_)));
         // Valid script, wrong root.
@@ -243,7 +232,7 @@ mod tests {
 
     #[test]
     fn get_latest_and_specific_versions() {
-        let mut repo = Repository::new();
+        let mut repo = repository();
         repo.register("s", samples::QUICKSTART, "pipeline").unwrap();
         repo.register("s", samples::FIG1_DIAMOND, "diamond")
             .unwrap();
@@ -255,7 +244,7 @@ mod tests {
 
     #[test]
     fn plans_are_compiled_once_and_cached_per_version() {
-        let mut repo = Repository::new();
+        let mut repo = repository();
         repo.register("s", samples::QUICKSTART, "pipeline").unwrap();
         repo.register("s", samples::ORDER_PROCESSING, "processOrderApplication")
             .unwrap();
@@ -272,35 +261,44 @@ mod tests {
         assert!(repo.plan("s", Some(3)).is_err());
     }
 
+    /// The repository needs no world to run: fed requests by hand, it
+    /// answers each with one reply through its token.
     #[test]
     fn a_version_is_encoded_once_and_every_get_serves_those_bytes() {
-        let repo = RepoHandle::new();
-        repo.with(|repo| repo.register("d", samples::FIG1_DIAMOND, "diamond"))
+        let mut repo = repository();
+        repo.register("d", samples::FIG1_DIAMOND, "diamond")
             .unwrap();
-        let mut world = World::new(1);
-        let [client, node] = ["client", "repo"].map(|name| world.add_node(name));
-        repo.install(&mut world, node);
-        let served = Rc::new(RefCell::new(Vec::new()));
-        for _ in 0..2 {
-            let get = EngineMsg::RepoGet {
-                name: "d".into(),
-                version: None,
+        let client = NodeId::from_index(1);
+        let get = flowscript_codec::to_bytes(&EngineMsg::RepoGet {
+            name: "d".into(),
+            version: None,
+        });
+        let mut deliver = |token| {
+            let payload = &get;
+            let message = Input::Message {
+                from: client,
+                payload,
+                token,
             };
-            let sink = served.clone();
-            let timeout = flowscript_sim::SimDuration::from_secs(1);
-            let request = flowscript_codec::to_bytes(&get);
-            world.rpc_call(client, node, request, timeout, move |_, reply| {
-                let reply = flowscript_codec::from_bytes(&reply.expect("the repository answers"));
-                let Ok(EngineMsg::RepoReply { plan, .. }) = reply else {
+            repo.handle(SimTime::ZERO, message)
+        };
+        let served: Vec<Vec<u8>> = (0..2)
+            .map(|call| {
+                let token = ReplyToken::new(NodeId::from_index(0), client, call);
+                let [Output::Reply { bytes, .. }] = &deliver(Some(token))[..] else {
+                    panic!("one reply per request");
+                };
+                let Ok(EngineMsg::RepoReply { plan, .. }) = flowscript_codec::from_bytes(bytes)
+                else {
                     panic!("not a repository reply");
                 };
-                sink.borrow_mut().push(plan);
-            });
-        }
-        world.run();
-        let served = served.borrow();
-        let stored = repo.with(|repo| repo.get("d", None).unwrap().clone());
-        assert_eq!(*served, [stored.plan_bytes.clone(), stored.plan_bytes]);
+                plan
+            })
+            .collect();
+        // A one-way message is not a request: nothing to answer.
+        assert!(deliver(None).is_empty());
+        let stored = repo.get("d", None).unwrap();
+        assert_eq!(served, vec![stored.plan_bytes.clone(); 2]);
         // They are the plan: a coordinator's cache validates them.
         let mut cache = crate::coordinator::PlanCache::default();
         let plan = cache.validated(&served[0]).expect("the bytes validate");
@@ -309,7 +307,7 @@ mod tests {
 
     #[test]
     fn stored_source_is_canonical() {
-        let mut repo = Repository::new();
+        let mut repo = repository();
         repo.register("q", samples::QUICKSTART, "pipeline").unwrap();
         let stored = repo.get("q", None).unwrap();
         // Canonical form re-parses and re-formats to itself.

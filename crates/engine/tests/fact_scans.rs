@@ -415,7 +415,10 @@ fn a_diamond_logs_its_source_once_per_shard_and_stays_in_budget() {
     // What instances run off is the repository's canonical form.
     let canonical = sys
         .repository()
-        .with(|repo| repo.get("diamond", None).unwrap().source.clone());
+        .get("diamond", None)
+        .unwrap()
+        .source
+        .clone();
     let source = canonical.as_bytes();
     let carrying_source = writes
         .iter()

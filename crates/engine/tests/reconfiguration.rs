@@ -928,8 +928,8 @@ fn a_reconfigured_instance_is_one_started_on_the_edited_script() {
         .unwrap();
     let (d1, d2) = (pinned_version(&sys, "d1"), pinned_version(&sys, "d2"));
     assert_eq!(d1, d2, "one pinned source hash, one plan fingerprint");
-    let served = sys.repository().with(|repo| repo.plan("diamond5", None));
-    assert_eq!(d1.1, served.unwrap().fingerprint);
+    let served = sys.repository().plan("diamond5", None).unwrap();
+    assert_eq!(d1.1, served.fingerprint);
 
     sys.run_for(SimDuration::from_millis(10));
     let coordinator = sys.coordinator_node();

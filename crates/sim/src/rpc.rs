@@ -139,10 +139,9 @@ mod tests {
         let client = world.add_node("client");
         let server = world.add_node("server");
         world.set_handler(server, |world, env| {
-            assert!(env.is_request());
             let mut reply = env.payload.clone();
             reply.reverse();
-            world.rpc_reply(env, reply);
+            world.rpc_reply_to(env.reply_token().expect("a request"), reply);
         });
         let result = Rc::new(RefCell::new(None));
         let result2 = result.clone();
@@ -187,7 +186,7 @@ mod tests {
         let client = world.add_node("client");
         let server = world.add_node("server");
         world.set_handler(server, |world, env| {
-            world.rpc_reply(env, vec![]);
+            world.rpc_reply_to(env.reply_token().expect("a request"), vec![]);
         });
         world.partition(&[client], &[server]);
         let result = Rc::new(RefCell::new(None));
@@ -231,7 +230,7 @@ mod tests {
         let client = world.add_node("client");
         let server = world.add_node("server");
         world.set_handler(server, |world, env| {
-            world.rpc_reply(env, vec![1]);
+            world.rpc_reply_to(env.reply_token().expect("a request"), vec![1]);
         });
         let ran = Rc::new(RefCell::new(false));
         let ran2 = ran.clone();
@@ -269,7 +268,7 @@ mod tests {
             },
         );
         world.set_handler(server, |world, env| {
-            world.rpc_reply(env, vec![42]);
+            world.rpc_reply_to(env.reply_token().expect("a request"), vec![42]);
         });
         let results = Rc::new(RefCell::new(Vec::new()));
         let results2 = results.clone();

@@ -16,8 +16,8 @@ use crate::trace::{DropReason, Trace, TraceEvent};
 pub(crate) enum PayloadKind {
     /// Plain one-way message.
     Raw,
-    /// RPC request carrying a correlation id; the handler may reply via
-    /// [`World::rpc_reply`].
+    /// RPC request carrying a correlation id; the handler may reply
+    /// through [`Envelope::reply_token`] and [`World::rpc_reply_to`].
     Request(u64),
     /// RPC reply; routed by the world to the pending callback.
     Reply(u64),
@@ -36,13 +36,8 @@ pub struct Envelope {
 }
 
 impl Envelope {
-    /// Whether this message is an RPC request expecting a reply.
-    pub fn is_request(&self) -> bool {
-        matches!(self.kind, PayloadKind::Request(_))
-    }
-
-    /// Captures a token allowing a reply after the handler returns
-    /// (deferred replies). Returns `None` for non-request envelopes.
+    /// The token to answer this message through, now or after the
+    /// handler returns. Returns `None` for non-request envelopes.
     pub fn reply_token(&self) -> Option<ReplyToken> {
         match self.kind {
             PayloadKind::Request(call_id) => Some(ReplyToken::new(self.dst, self.src, call_id)),
@@ -51,7 +46,7 @@ impl Envelope {
     }
 }
 
-/// A deferred-reply capability captured from a request envelope via
+/// The capability to answer one request, captured from its envelope via
 /// [`Envelope::reply_token`].
 #[derive(Debug, Clone, Copy)]
 pub struct ReplyToken {
@@ -376,25 +371,7 @@ impl World {
         rpc::call(self, src, dst, payload, timeout, Box::new(on_done));
     }
 
-    /// Replies to an RPC request previously delivered to a handler.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `request` is not an RPC request envelope.
-    pub fn rpc_reply(&mut self, request: &Envelope, payload: Vec<u8>) {
-        let PayloadKind::Request(call_id) = request.kind else {
-            panic!("rpc_reply on a non-request envelope");
-        };
-        self.send_kind(
-            request.dst,
-            request.src,
-            PayloadKind::Reply(call_id),
-            payload,
-        );
-    }
-
-    /// Replies to an RPC request via a stored [`ReplyToken`] (deferred
-    /// replies issued after the handler returned).
+    /// Replies to an RPC request through its [`ReplyToken`].
     pub fn rpc_reply_to(&mut self, token: ReplyToken, payload: Vec<u8>) {
         self.send_kind(
             token.server,

@@ -70,7 +70,8 @@ proptest! {
             ..LinkConfig::default()
         });
         world.set_handler(server, |world, env| {
-            world.rpc_reply(env, env.payload.clone());
+            let token = env.reply_token().expect("a request");
+            world.rpc_reply_to(token, env.payload.clone());
         });
         let outcomes = Rc::new(RefCell::new(0u32));
         for i in 0..10u8 {
