@@ -8,6 +8,8 @@
 //! [`Report`] sent to the dispatching shard when it goes off. Executors
 //! hold **no durable state**: a crash simply loses in-flight work, which
 //! the coordinator's watchdogs turn into bounded retries on another node.
+//! Its slots are volatile too: a restarted executor starts with every
+//! slot free, so new work never queues behind work that died with it.
 //!
 //! Per §4.3 an implementation name may refer to *a script*; such bindings
 //! run a complete nested workflow (own simulated world, same registry)
@@ -219,7 +221,11 @@ impl Node for Executor {
                 vec![Output::Send { to, bytes }]
             }
             Input::Answered(never, _) => match never {},
-            Input::Restart => Vec::new(),
+            // The work that held the slots died with the node.
+            Input::Restart => {
+                self.slots.fill(SimTime::ZERO);
+                Vec::new()
+            }
         }
     }
 }
@@ -388,5 +394,31 @@ mod tests {
             "a start pinned elsewhere fails loudly: {:?}",
             done.result
         );
+    }
+
+    #[test]
+    fn a_serial_executor_queues_starts_and_a_restart_frees_its_slot() {
+        let work = SimDuration::from_millis(10);
+        let [coordinator, here] = [0, 1].map(NodeId::from_index);
+        let registry = ImplRegistry::new();
+        registry.bind_fn("c", move |_| TaskBehavior::outcome("done").with_work(work));
+        let profile = ExecutorProfile {
+            capacity: 1,
+            ..ExecutorProfile::default()
+        };
+        let mut executor = Executor::new(here, registry, profile);
+        let mut completion_after = |executor: &mut Executor| {
+            let outputs = deliver(executor, SimTime::ZERO, coordinator, start(&[]));
+            let [Output::Arm { after, .. }] = outputs[..] else {
+                panic!("one timer, the completion's: {outputs:?}");
+            };
+            after
+        };
+        // Two starts at once: the second waits out the first's work.
+        assert_eq!(completion_after(&mut executor), work);
+        assert_eq!(completion_after(&mut executor), work + work);
+        // A restart lost both: the slot is free again.
+        assert!(executor.handle(SimTime::ZERO, Input::Restart).is_empty());
+        assert_eq!(completion_after(&mut executor), work);
     }
 }

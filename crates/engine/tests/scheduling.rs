@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{fan_join_source, text};
+use common::{fan_join_source, text, ONE_TASK};
 use flowscript_core::samples;
 use flowscript_engine::{
     CbState, EngineConfig, InstanceStatus, ObjectVal, ObserveLevel, TaskBehavior, WorkflowSystem,
@@ -239,6 +239,54 @@ fn pinned_executor_crash_retries_in_place_and_recovers() {
         sys.stats().no_alternative_retries >= 1,
         "no-alternative retries must be counted: {:?}",
         sys.stats()
+    );
+}
+
+#[test]
+fn a_restarted_executor_frees_the_slots_of_the_work_it_lost() {
+    // One serial executor serves two shards. `a`'s 1 s task dies with
+    // the executor at 100 ms, and the executor is back at 200 ms. At
+    // 300 ms `b`'s shard, which never saw the executor loaded, dispatches
+    // `b` there at once: it must run then, not queue behind the slot
+    // `a`'s lost task held.
+    let mut sys = WorkflowSystem::builder()
+        .executors_weighted(vec![1])
+        .coordinators(2)
+        .seed(3)
+        .build();
+    sys.register_script("one", ONE_TASK, "root").unwrap();
+    sys.bind_fn("refWork", |ctx| {
+        let work = if ctx.input_text("in") == "slow" {
+            1_000
+        } else {
+            10
+        };
+        TaskBehavior::outcome("done").with_work(SimDuration::from_millis(work))
+    });
+    let on_shard = |shard| {
+        (0..)
+            .map(|i| format!("i{i}"))
+            .find(|name| sys.shard_of(name) == shard)
+            .expect("some name on each shard")
+    };
+    let (a, b) = (on_shard(0), on_shard(1));
+    let executor = sys.executor_nodes()[0];
+    let at = |ms: u64| SimTime::from_nanos(ms * 1_000_000);
+    sys.start(&a, "one", "main", [("seed", text("Data", "slow"))])
+        .unwrap();
+    sys.run_until(at(100));
+    sys.crash_now(executor);
+    sys.run_until(at(200));
+    sys.restart_now(executor);
+    sys.run_until(at(300));
+    sys.start(&b, "one", "main", [("seed", text("Data", "fast"))])
+        .unwrap();
+    sys.run_for(SimDuration::from_millis(100));
+    assert!(
+        matches!(sys.status(&b), Ok(InstanceStatus::Completed(_))),
+        "`b` queued behind work its executor lost: {:?} at {:?}",
+        sys.status(&b),
+        sys.now()
     );
 }
 
