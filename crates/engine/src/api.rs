@@ -34,7 +34,7 @@ use crate::coordinator::{
 };
 use crate::driver::{Driver, Input, Node, Output};
 use crate::error::EngineError;
-use crate::executor::{Executor, ExecutorProfile};
+use crate::executor::Executor;
 use crate::impl_registry::{ImplRegistry, InvokeCtx, TaskBehavior, TaskImpl};
 use crate::msg::EngineMsg;
 use crate::reconfig::Reconfig;
@@ -292,22 +292,13 @@ impl SystemBuilder {
             .collect();
 
         for spec in &executor_specs {
-            let profile = ExecutorProfile {
-                location: spec.location.clone(),
-                capacity: spec.capacity,
-            };
-            Driver::install(
-                Executor::new(spec.node, registry.clone(), profile),
-                &mut world,
-            );
+            Driver::install(Executor::new(spec.clone(), registry.clone()), &mut world);
         }
-        let client = Driver::install(
-            Client {
-                node: client,
-                answer: None,
-            },
-            &mut world,
-        );
+        let client = Client {
+            node: client,
+            answer: None,
+        };
+        let client = Driver::install(client, &mut world);
 
         WorkflowSystem {
             world,

@@ -26,16 +26,14 @@
 //!
 //! # Inputs in, outputs out
 //!
-//! A shard is a value: a [`Coordinator`] does no I/O and reads no clock.
-//! Its one door is [`Coordinator::handle`]: an [`Input`] — a message, a
-//! timer it armed going off, a call it made answered, a restart — at a
-//! virtual time in, the [`Output`]s it owes the world out: sends,
-//! replies, calls, timers armed and cancelled, in the order the world
-//! must carry them out. What a timer or a call resumes is data, not a
-//! closure: a [`Timer`] or a [`Call`] the world hands back. Operator
-//! calls (a reconfiguration, a repair, a hand-off's trigger) are typed
-//! methods that take the time too and return their outputs beside their
-//! result. A driver outside this module applies the outputs.
+//! A shard is a value like every node (`crate::driver`): a
+//! [`Coordinator`] does no I/O and reads no clock. Its one door is
+//! [`Coordinator::handle`]: an [`Input`] at a virtual time in, the
+//! [`Output`]s it owes the world out, in the order owed. What a timer or
+//! a call resumes is a [`Timer`] or a [`Call`] the world hands back.
+//! Operator calls (a reconfiguration, a repair, a hand-off's trigger)
+//! are typed methods that take the time too and return their outputs
+//! beside their result.
 //!
 //! This module holds the shared state ([`Coordinator`]), the door and
 //! the helpers every concern uses (`record_event`, the
@@ -541,9 +539,8 @@ impl Node for Coordinator {
         self.node
     }
 
-    /// The one door: handles `input` at `now`, and returns what it owes
-    /// the world in the order owed. Who sent a message does not matter
-    /// to a shard: what it answers is in the message or its token.
+    /// The one door. A shard ignores who sent a message: whom it
+    /// answers is in the message or its token.
     fn handle(&mut self, now: SimTime, input: Input<'_>) -> Vec<Output> {
         let ((), outputs) = self.at(now, |this| match input {
             Input::Restart => this.recover(),

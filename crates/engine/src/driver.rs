@@ -1,9 +1,8 @@
-//! The one driver of every node: a [`Node`] value — a shard, an
-//! executor, the repository, the client — on a simulated node. It turns
-//! the world's events into the node's inputs — borrowing the node's one
-//! cell once per input — and the node's outputs into the world's calls,
-//! keeping the world's event for every timer the node armed under the
-//! id the node named it by.
+//! The one driver of every [`Node`] — a shard, an executor, the
+//! repository, the client — on its simulated node: the world's events
+//! become the node's inputs (one borrow of its cell per input) and its
+//! outputs the world's calls, each armed timer's world event kept under
+//! the id the node named it by.
 //!
 //! **Emission order is the traffic contract.** Outputs are applied in the
 //! order the node emitted them: every [`World::send`] draws two samples
@@ -18,8 +17,7 @@ use std::rc::Rc;
 use flowscript_sim::{EventId, NodeId, ReplyToken, RpcError, SimDuration, SimTime, World};
 
 /// A node as a value: inputs at a virtual time in, what it owes the
-/// world out. What a timer or a call resumes is data the node names:
-/// its `Timer` and its `Call`.
+/// world out; what its timers and calls resume is data it names.
 pub(crate) trait Node {
     /// What an armed timer resumes when it goes off.
     type Timer;
@@ -56,9 +54,7 @@ pub(crate) enum Input<'a, T, C> {
 }
 
 /// What a node owes the world, in the order the world must carry it
-/// out: a send draws from the world's randomness and an event's place in
-/// the queue is its scheduling order, so the order is part of the
-/// behaviour.
+/// out (the traffic contract above).
 #[derive(Debug)]
 pub(crate) enum Output<T, C> {
     /// A one-way message from this node.
@@ -106,8 +102,8 @@ struct Installed<N> {
     timers: RefCell<BTreeMap<TimerId, EventId>>,
 }
 
-// Every method that needs the bound is crate-private: outside the
-// crate, a driver is only `get`, `get_mut` and `armed_timers`.
+// The bounded methods are crate-private; outside, a driver is `get`,
+// `get_mut` and `armed_timers`.
 #[allow(private_bounds)]
 impl<N: Node + 'static> Driver<N> {
     /// Installs `value` on its node: the node's messages and restarts

@@ -15,18 +15,25 @@
 //! run a complete nested workflow (own simulated world, same registry)
 //! and map its root outcome onto this task's completion.
 //!
-//! An executor declares a **location label** in its profile
-//! ([`ExecutorProfile::location`]): the coordinators' schedulers treat
-//! a task's `location` hint as a hard placement constraint, and the
-//! executor itself double-checks the pin on arrival (a mispinned task
-//! is rejected as an execution error instead of silently running in
-//! the wrong place). A profile can also declare a **capacity**: `k`
-//! concurrent task slots, later arrivals queueing behind the earliest
-//! free slot in virtual time (`k = 1` is the serial model
+//! An executor is deployed as its [`ExecutorSpec`], the same one every
+//! coordinator's scheduler registers. Its **location label** is a hard
+//! placement constraint for a task's `location` hint, and the executor
+//! itself double-checks the pin on arrival (a mispinned task is
+//! rejected as an execution error instead of silently running in the
+//! wrong place). Its **capacity** is `k` concurrent task slots, later
+//! arrivals queueing behind the earliest-free slot in virtual time (FIFO
+//! by arrival within a slot; `k = 1` is the serial model
 //! `tests/scheduling.rs` runs on; `0` keeps the legacy
-//! infinitely-parallel node). The same capacity is registered with
-//! every coordinator's scheduler, which parks dispatches instead of
+//! infinitely-parallel node, where load only shows in the coordinators'
+//! in-flight counters). The schedulers park dispatches instead of
 //! queueing them here once all eligible executors are saturated.
+//!
+//! Caveat: the queue reservation is made at arrival and there is no
+//! cancel protocol, so an attempt the coordinator abandons (a watchdog
+//! firing while the task is still queued) keeps its slot and the retry
+//! queues *behind* it. Bounded fleets should pair with watchdog
+//! timeouts generous relative to the expected queue depth (as
+//! `tests/scheduling.rs` does).
 
 use std::cell::Cell;
 use std::convert::Infallible;
@@ -36,6 +43,7 @@ use flowscript_sim::{NodeId, SimDuration, SimTime};
 use crate::driver::{self, Input, Node, TimerId};
 use crate::impl_registry::{ImplRegistry, Invocation, InvokeCtx, TaskBehavior};
 use crate::msg::{EngineMsg, MarkMsg, StartTask, TaskDone, TaskResult};
+use crate::sched::ExecutorSpec;
 
 thread_local! {
     /// Nested-script recursion guard (a script bound as its own
@@ -45,32 +53,6 @@ thread_local! {
 
 /// Maximum depth of script-as-implementation nesting.
 pub const MAX_SCRIPT_NESTING: u32 = 8;
-
-/// How one executor node is deployed.
-#[derive(Debug, Clone, Default)]
-pub struct ExecutorProfile {
-    /// The node's location label. Registered with every coordinator's
-    /// scheduler and re-checked on arrival against the task's
-    /// `location` hint.
-    pub location: Option<String>,
-    /// Concurrent task slots: `k` tasks run at a time, later arrivals
-    /// queueing behind the earliest-free slot in virtual time (FIFO by
-    /// arrival within a slot). `1` is the serial model; the default
-    /// `0` keeps the legacy infinitely-parallel node, where load only
-    /// shows in the coordinator's in-flight counters, never in virtual
-    /// latency.
-    ///
-    /// Caveat: the queue reservation is made at arrival and there is
-    /// no cancel protocol, so an attempt the coordinator abandons (a
-    /// watchdog firing while the task is still queued) keeps its slot
-    /// and the retry queues *behind* it. Bounded fleets should pair
-    /// with watchdog timeouts generous relative to the expected queue
-    /// depth (as `tests/scheduling.rs` does) — though with
-    /// capacity-aware scheduling the coordinator parks excess
-    /// dispatches instead of queueing them here, so in practice at
-    /// most `capacity` tasks occupy the node at once.
-    pub capacity: u32,
-}
 
 /// A report an executor owes the shard that dispatched a task, once its
 /// time comes: a mark, or the completion.
@@ -83,14 +65,13 @@ pub(crate) struct Report {
 /// What an executor answers an input with.
 type Output = driver::Output<Report, Infallible>;
 
-/// One executor node, deployed as its [`ExecutorProfile`]: inputs in,
+/// One executor node, deployed as its [`ExecutorSpec`]: inputs in,
 /// outputs out. Results are reported to whichever coordinator
 /// dispatched the task (executors are shared by every shard of a
 /// multi-coordinator system).
 pub(crate) struct Executor {
-    node: NodeId,
+    spec: ExecutorSpec,
     registry: ImplRegistry,
-    profile: ExecutorProfile,
     /// One queue tail per declared slot: the next free moment of each.
     /// Empty (capacity 0) means unbounded — no queueing at all.
     slots: Vec<SimTime>,
@@ -98,13 +79,12 @@ pub(crate) struct Executor {
 }
 
 impl Executor {
-    /// The executor on `node`, its slots all free.
-    pub(crate) fn new(node: NodeId, registry: ImplRegistry, profile: ExecutorProfile) -> Self {
-        let slots = vec![SimTime::ZERO; profile.capacity as usize];
+    /// The executor `spec` deploys, its slots all free.
+    pub(crate) fn new(spec: ExecutorSpec, registry: ImplRegistry) -> Self {
+        let slots = vec![SimTime::ZERO; spec.capacity as usize];
         Self {
-            node,
+            spec,
             registry,
-            profile,
             slots,
             next_timer: 0,
         }
@@ -152,10 +132,10 @@ impl Executor {
         // Location guard: the scheduler should never mispin, but a task
         // arriving at the wrong place must fail loudly, not run quietly.
         if let Some(pinned) = start.hints().location {
-            if self.profile.location.as_deref() != Some(pinned.as_str()) {
+            if self.spec.location.as_deref() != Some(pinned.as_str()) {
                 return Err(format!(
                     "task pinned to location `{pinned}` arrived at an executor registered {}",
-                    match &self.profile.location {
+                    match &self.spec.location {
                         Some(label) => format!("at `{label}`"),
                         None => "without a location".to_string(),
                     }
@@ -184,12 +164,11 @@ impl Executor {
     /// that tail by its work time. Slot index breaks ties (stable, so
     /// runs stay deterministic). No slots = unbounded, zero delay.
     fn reserve(&mut self, now: SimTime, work: SimDuration) -> SimDuration {
-        let slots = &mut self.slots;
-        let Some((slot, _)) = slots.iter().enumerate().min_by_key(|(_, tail)| **tail) else {
+        let Some((slot, _)) = self.slots.iter().enumerate().min_by_key(|(_, tail)| **tail) else {
             return SimDuration::ZERO;
         };
-        let tail = slots[slot].max(now);
-        slots[slot] = tail + work;
+        let tail = self.slots[slot].max(now);
+        self.slots[slot] = tail + work;
         tail.since(now)
     }
 
@@ -205,17 +184,15 @@ impl Node for Executor {
     type Call = Infallible;
 
     fn node(&self) -> NodeId {
-        self.node
+        self.spec.node
     }
 
     fn handle(&mut self, now: SimTime, input: Input<'_, Report, Infallible>) -> Vec<Output> {
         match input {
-            Input::Message { from, payload, .. } => {
-                match flowscript_codec::from_bytes::<EngineMsg>(payload) {
-                    Ok(EngineMsg::Start(start)) => self.start(now, from, start),
-                    _ => Vec::new(),
-                }
-            }
+            Input::Message { from, payload, .. } => match flowscript_codec::from_bytes(payload) {
+                Ok(EngineMsg::Start(start)) => self.start(now, from, start),
+                _ => Vec::new(),
+            },
             Input::Fired(Report { to, msg }) => {
                 let bytes = flowscript_codec::to_bytes(&msg);
                 vec![Output::Send { to, bytes }]
@@ -351,11 +328,11 @@ mod tests {
         let [coordinator, here] = [0, 1].map(NodeId::from_index);
         let registry = ImplRegistry::new();
         registry.bind_fn("c", |_| TaskBehavior::outcome("done"));
-        let profile = ExecutorProfile {
+        let spec = ExecutorSpec {
             location: Some("warehouse".into()),
-            ..ExecutorProfile::default()
+            ..ExecutorSpec::unbounded(here)
         };
-        let mut executor = Executor::new(here, registry, profile);
+        let mut executor = Executor::new(spec, registry);
         let pinned = |location| start(&[("location", location)]);
 
         // Pinned here: the completion is armed, owed to the dispatcher,
@@ -402,12 +379,12 @@ mod tests {
         let [coordinator, here] = [0, 1].map(NodeId::from_index);
         let registry = ImplRegistry::new();
         registry.bind_fn("c", move |_| TaskBehavior::outcome("done").with_work(work));
-        let profile = ExecutorProfile {
+        let spec = ExecutorSpec {
             capacity: 1,
-            ..ExecutorProfile::default()
+            ..ExecutorSpec::unbounded(here)
         };
-        let mut executor = Executor::new(here, registry, profile);
-        let mut completion_after = |executor: &mut Executor| {
+        let mut executor = Executor::new(spec, registry);
+        let completion_after = |executor: &mut Executor| {
             let outputs = deliver(executor, SimTime::ZERO, coordinator, start(&[]));
             let [Output::Arm { after, .. }] = outputs[..] else {
                 panic!("one timer, the completion's: {outputs:?}");

@@ -46,13 +46,9 @@
 //!   instances out of its fenced storage; pauses are virtual time
 //!   ([`MoveReport`]),
 //! - a high-level facade, [`WorkflowSystem`], that wires all services
-//!   onto `flowscript-sim` nodes (the paper's Fig. 4 topology).
-//!
-//! Every node is a value that does no I/O — the repository, each
-//! coordinator shard, each executor and the façade's client take an
-//! input at a virtual time and return the sends, replies, calls and
-//! timers they owe — and one driver applies those outputs to the
-//! simulated world, in the order they were emitted.
+//!   onto `flowscript-sim` nodes (the paper's Fig. 4 topology). Every
+//!   node — repository, shard, executor, client — is a value that does
+//!   no I/O: one driver applies what it returns to the simulated world.
 //!
 //! # Examples
 //!
