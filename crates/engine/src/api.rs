@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::rc::Rc;
 
-use flowscript_obs::{ObsEvent, ObsEventKind, ObserveLevel, Registry, Snapshot};
+use flowscript_obs::{ObsEvent, ObsEventKind, ObserveLevel, Snapshot};
 use flowscript_sim::{net::LinkConfig, FaultPlan, NodeId, RpcError, SimDuration, SimTime, World};
 use flowscript_tx::{SharedFileStorage, SharedStorage, StableStore};
 
@@ -681,34 +681,14 @@ impl WorkflowSystem {
     /// One instance's dispatch decisions on its owning shard, in order
     /// of occurrence.
     pub fn dispatch_trace_of(&self, instance: &str) -> Vec<DispatchRecord> {
-        let recorder = self.coord_for(instance).get().recorder();
-        let events = recorder.events_for(instance).into_iter();
+        let shard = self.coord_for(instance).get();
+        let events = shard.recorder().events_for(instance).into_iter();
         events.filter_map(DispatchRecord::from_event).collect()
     }
 
     /// Total coordinator log size in bytes (all shards).
     pub fn log_size(&self) -> u64 {
         self.coords.iter().map(|coord| coord.get().log_size()).sum()
-    }
-
-    /// Uid prefix scans served by every shard's store (regression
-    /// guard: normal runs perform none).
-    pub fn store_prefix_scans(&self) -> u64 {
-        self.coords
-            .iter()
-            .map(|coord| coord.get().store_prefix_scans())
-            .sum()
-    }
-
-    /// Fact range scans served by every shard's store (regression
-    /// guard: per-object readiness probes are point reads, so a clean
-    /// run performs none — only repeats, cancellations, recovery and
-    /// reconfiguration legitimately scan).
-    pub fn store_fact_range_scans(&self) -> u64 {
-        self.coords
-            .iter()
-            .map(|coord| coord.get().store_fact_range_scans())
-            .sum()
     }
 
     /// Fingerprints of the compiled-plan blobs persisted on one shard
@@ -805,25 +785,16 @@ impl WorkflowSystem {
     }
 
     /// A point-in-time metrics snapshot, merged over every shard's
-    /// registry: counters and gauges sum, histograms merge bucket-wise.
-    /// Exportable as JSON ([`Snapshot::to_json`]) or CSV
-    /// ([`Snapshot::to_csv`]).
+    /// (retired ones included): counters and gauges sum, histograms
+    /// merge bucket-wise. Exportable as JSON ([`Snapshot::to_json`]) or
+    /// CSV ([`Snapshot::to_csv`]); one shard's is
+    /// `coord_handle(shard).get().snapshot()`.
     pub fn metrics_snapshot(&self) -> Snapshot {
         let mut merged = Snapshot::default();
         for coord in self.all_coords() {
-            merged.merge(&coord.get().registry().snapshot());
+            merged.merge(&coord.get().snapshot());
         }
         merged
-    }
-
-    /// One shard's metric registry (single-shard introspection; for the
-    /// aggregate view use [`WorkflowSystem::metrics_snapshot`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn shard_registry(&self, shard: usize) -> Registry {
-        self.coords[shard].get().registry()
     }
 
     /// Administrative fact repair on the owning shard: re-publishes

@@ -4,7 +4,7 @@
 //! fact repair (with its fault-injection twin).
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use flowscript_core::ast::OutputKind;
 use flowscript_obs::ObsEventKind;
@@ -234,13 +234,13 @@ impl Coordinator {
             let (old_plan, old_keys) = this
                 .instance_ctx(instance)
                 .ok_or_else(|| EngineError::UnknownInstance(instance.to_string()))?;
-            let name: Rc<str> = Rc::from(instance);
+            let name: Arc<str> = Arc::from(instance);
             let staged = this.run_step(|coordinator, step| {
                 let mut header = coordinator.read_header(instance)?;
                 let source = coordinator.pinned_source(instance, &header)?;
                 let (text, plan) = reconfig::apply(source, &header.root, &op)?;
-                let plan = Rc::new(plan);
-                let keys = Rc::new(InstanceKeys::build(&plan, instance, old_keys.instance_id));
+                let plan = Arc::new(plan);
+                let keys = Arc::new(InstanceKeys::build(&plan, instance, old_keys.instance_id));
                 fn path(plan: &Plan, id: TaskId) -> &str {
                     plan.str(plan.task(id).path)
                 }
@@ -288,7 +288,7 @@ impl Coordinator {
                 if revived {
                     step.push(&name, Effect::Status(InstanceStatus::Running));
                 }
-                step.push(&name, Effect::Count(coordinator.metrics.reconfigs.clone()));
+                step.push(&name, Effect::Count(|stats| &mut stats.reconfigs));
                 // The drain runs over the new plan, its flights re-keyed
                 // onto it the way the books will be.
                 let mut drain = coordinator.drain_of(name.clone(), &plan, &keys);
@@ -379,7 +379,7 @@ impl Coordinator {
 
     /// `instance`'s plan and key table, its runtime marked as one an
     /// operator may publish into below a scope yet to activate.
-    fn plant(&mut self, instance: &str) -> Result<(Rc<Plan>, Rc<InstanceKeys>), EngineError> {
+    fn plant(&mut self, instance: &str) -> Result<(Arc<Plan>, Arc<InstanceKeys>), EngineError> {
         let Some(rt) = self.instances.get_mut(instance) else {
             return Err(EngineError::UnknownInstance(instance.to_string()));
         };

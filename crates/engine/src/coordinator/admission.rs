@@ -81,11 +81,11 @@ impl Coordinator {
                 self.record_event(&ticket.instance, None, 0, kind);
                 self.admission.queue.push_back(ticket);
                 if self.config.observe.metrics() {
-                    self.metrics.admission_queue_depth.set(queued as i64 + 1);
+                    self.metrics.admission_queue_depth = queued as i64 + 1;
                 }
             }
             Some(_) => {
-                self.metrics.busy_rejections.inc();
+                self.metrics.stats.busy_rejections += 1;
                 let queue_depth = queued as u32;
                 self.reply(ticket.token, &EngineMsg::Busy { queue_depth });
             }
@@ -108,7 +108,7 @@ impl Coordinator {
             if self.config.observe.metrics() {
                 self.metrics.admission_wait_ns.record(waited);
                 let depth = self.admission.queue.len() as i64;
-                self.metrics.admission_queue_depth.set(depth);
+                self.metrics.admission_queue_depth = depth;
             }
             let kind = ObsEventKind::Admitted { wait_ns: waited };
             self.record_event(&ticket.instance, None, 0, kind);

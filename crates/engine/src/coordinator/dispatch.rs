@@ -14,7 +14,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use flowscript_core::ast::OutputKind;
 use flowscript_obs::ObsEventKind;
@@ -358,7 +358,7 @@ impl Coordinator {
         let action = step.action(&mut self.mgr);
         facts::write_block(&mut self.mgr, action, drain.plan, drain.keys, task, &cb)?;
         step.push(&drain.name, Effect::Lost(task, reported));
-        step.push(&drain.name, Effect::Count(self.metrics.retries.clone()));
+        step.push(&drain.name, Effect::Count(|stats| &mut stats.retries));
         let path = drain.plan.str(drain.plan.task(task).path);
         self.trace(step, &drain.name, Some(path), cb.attempt, || {
             ObsEventKind::Retry {
@@ -396,7 +396,7 @@ impl Coordinator {
         };
         step.push(&drain.name, landed);
         drain.lands(task);
-        step.push(&drain.name, Effect::Count(self.metrics.failures.clone()));
+        step.push(&drain.name, Effect::Count(|stats| &mut stats.failures));
         let path = drain.plan.str(drain.plan.task(task).path);
         self.trace(step, &drain.name, Some(path), cb.attempt, || {
             self.commit_event(format!("failed: {why}"))
@@ -528,8 +528,8 @@ impl Coordinator {
     pub(super) fn replan(
         &mut self,
         instance: &str,
-        plan: Rc<Plan>,
-        keys: Rc<InstanceKeys>,
+        plan: Arc<Plan>,
+        keys: Arc<InstanceKeys>,
         nonterminal: usize,
     ) {
         let Some(rt) = self.instances.get_mut(instance) else {
@@ -582,14 +582,15 @@ impl Coordinator {
             let Some(rt) = self.instances.get(&entry.instance) else {
                 continue; // unreachable: a departing instance unparks
             };
+            let plan = Arc::clone(&rt.plan);
             let wait_ns = self.now.as_nanos().saturating_sub(entry.parked_ns);
             if self.config.observe.metrics() {
                 self.metrics.queue_wait_ns.record(wait_ns);
-                self.metrics.ready_queue_depth.set(depth as i64);
+                self.metrics.ready_queue_depth = depth as i64;
             }
             self.record_event(
                 &entry.instance,
-                Some(rt.plan.str(rt.plan.task(entry.task).path)),
+                Some(plan.str(plan.task(entry.task).path)),
                 entry.launch.attempt,
                 ObsEventKind::Admitted { wait_ns },
             );
@@ -606,7 +607,7 @@ impl Coordinator {
         };
         let Ok(cb) = self.read_cb_id(&rt.plan, &rt.keys, task_id) else {
             // Nothing ships off a block that does not decode.
-            self.metrics.dropped_dispatches.inc();
+            self.metrics.stats.dropped_dispatches += 1;
             return;
         };
         if !cb.awaits(launch.incarnation, launch.attempt) {
@@ -650,7 +651,7 @@ impl Coordinator {
             Some(task) => self.dispatch(instance, task, launch),
             // Only a mid-flight reconfiguration takes the task away
             // from a scheduled dispatch.
-            None => self.metrics.dropped_dispatches.inc(),
+            None => self.metrics.stats.dropped_dispatches += 1,
         }
     }
 
@@ -728,7 +729,7 @@ impl Coordinator {
             };
             self.record_event(instance, Some(path), attempt, kind);
             if self.config.observe.metrics() {
-                self.metrics.ready_queue_depth.set(depth as i64);
+                self.metrics.ready_queue_depth = depth as i64;
             }
             return Ok(());
         }
@@ -751,12 +752,12 @@ impl Coordinator {
             code: shipment.code.clone(),
         });
         if placement.no_alternative {
-            self.metrics.no_alternative_retries.inc();
+            self.metrics.stats.no_alternative_retries += 1;
         }
         if self.config.observe.metrics() {
             self.metrics.sched_pick_load.record(placement.load);
         }
-        self.metrics.dispatches.inc();
+        self.metrics.stats.dispatches += 1;
         let kind = ObsEventKind::Dispatch {
             executor: placement.node.index() as u32,
         };

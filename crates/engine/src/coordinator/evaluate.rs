@@ -12,7 +12,7 @@
 //! transition, the drain stages behind it, one commit, then the effects.
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use flowscript_core::ast::OutputKind;
 use flowscript_obs::ObsEventKind;
@@ -30,7 +30,7 @@ use crate::value::ObjectVal;
 /// One instance inside a step: what the step's events staged for it
 /// ahead of its drain, then the drain's own agenda.
 pub(super) struct Drain<'a> {
-    pub(super) name: Rc<str>,
+    pub(super) name: Arc<str>,
     pub(super) plan: &'a Plan,
     pub(super) keys: &'a InstanceKeys,
     /// What the step's transitions seeded so far.
@@ -62,7 +62,7 @@ impl Drain<'_> {
 
 impl Coordinator {
     /// The instance's plan and interned key table.
-    pub(super) fn instance_ctx(&self, instance: &str) -> Option<(Rc<Plan>, Rc<InstanceKeys>)> {
+    pub(super) fn instance_ctx(&self, instance: &str) -> Option<(Arc<Plan>, Arc<InstanceKeys>)> {
         let rt = self.instances.get(instance)?;
         Some((rt.plan.clone(), rt.keys.clone()))
     }
@@ -133,7 +133,7 @@ impl Coordinator {
     /// start's instance is not resident: running, nothing flying.
     pub(super) fn drain_of<'a>(
         &self,
-        name: Rc<str>,
+        name: Arc<str>,
         plan: &'a Plan,
         keys: &'a InstanceKeys,
     ) -> Drain<'a> {
@@ -355,7 +355,7 @@ impl Coordinator {
         let action = step.action(&mut self.mgr);
         facts::write_block(&mut self.mgr, action, plan, keys, scope_id, &cb)?;
         facts::write_fact_bound(&mut self.mgr, action, plan, out_key, output.slots, mapped)?;
-        step.push(&drain.name, Effect::Count(self.metrics.marks.clone()));
+        step.push(&drain.name, Effect::Count(|stats| &mut stats.marks));
         let event = || self.commit_event(format!("mark `{mark}`"));
         self.trace(step, &drain.name, Some(scope_path), cb.attempt, event);
         Ok(())
@@ -490,7 +490,7 @@ impl Coordinator {
             let revived = reset_descendants(mgr, action, keys, plan, scope_id, cb.scope_inc)?;
             Effect::Revived(revived)
         };
-        step.push(&drain.name, Effect::Count(self.metrics.repeats.clone()));
+        step.push(&drain.name, Effect::Count(|stats| &mut stats.repeats));
         let event = || self.commit_event(format!("repeat `{outcome}`"));
         self.trace(step, &drain.name, Some(scope_path), cb.attempt, event);
         step.push(&drain.name, moved);

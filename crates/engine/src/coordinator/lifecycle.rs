@@ -8,7 +8,7 @@
 //! collected when no instance references them.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
+use std::sync::Arc;
 
 use flowscript_core::schema;
 use flowscript_obs::ObsEventKind;
@@ -45,7 +45,7 @@ impl Coordinator {
         let nonterminal = self.count_nonterminal(None, &plan, &keys);
         Some(InstanceRt {
             plan,
-            keys: Rc::new(keys),
+            keys: Arc::new(keys),
             flights: Flights::default(),
             nonterminal,
             terminal: record.status.is_terminal(),
@@ -61,8 +61,8 @@ impl Coordinator {
         name: &str,
         header: &InstanceHeader,
         record: &StatusRecord,
-    ) -> Option<Rc<Plan>> {
-        let cached: Option<Rc<Plan>> = self
+    ) -> Option<Arc<Plan>> {
+        let cached: Option<Arc<Plan>> = self
             .mgr
             .read_committed_bytes(&plan_uid(record.plan_fingerprint))
             .and_then(|bytes| self.plan_cache.validated(bytes))
@@ -72,7 +72,7 @@ impl Coordinator {
         }
         let source = self.pinned_source(name, header).ok()?;
         let compiled = schema::compile_source(source, &header.root).ok()?;
-        Some(Rc::new(Plan::lower(&compiled)))
+        Some(Arc::new(Plan::lower(&compiled)))
     }
 
     /// The canonical source of the script version `name` runs, as its
@@ -112,13 +112,13 @@ impl Coordinator {
         root: &str,
         set: &str,
         inputs: BTreeMap<String, ObjectVal>,
-        served_plan: Option<Rc<Plan>>,
+        served_plan: Option<Arc<Plan>>,
     ) -> Result<(), EngineError> {
         // Compile-once, execute-many: a validated served plan skips the
         // whole front end here.
         let plan = match served_plan {
             Some(plan) => plan,
-            None => Rc::new(Plan::lower(&schema::compile_source(source, root)?)),
+            None => Arc::new(Plan::lower(&schema::compile_source(source, root)?)),
         };
         // Validate the chosen input set against the root task class.
         let root_class = plan
@@ -150,7 +150,7 @@ impl Coordinator {
         }
         let root_path = plan.str(plan.root().path).to_string();
         let hash = source_hash(source);
-        let name: Rc<str> = Rc::from(instance);
+        let name: Arc<str> = Arc::from(instance);
 
         // The start is one step — header, status record, blocks, the
         // root's binding *and* the first drain's activations in one
@@ -164,7 +164,7 @@ impl Coordinator {
             // Allocate the dense instance id from the persistent sequence.
             let seq_uid = instance_seq_uid();
             let instance_id: u32 = coordinator.mgr.read_committed_key(&seq_uid)?.unwrap_or(0);
-            let keys = Rc::new(InstanceKeys::build(&plan, instance, instance_id));
+            let keys = Arc::new(InstanceKeys::build(&plan, instance, instance_id));
             let root_in = keys
                 .in_key(&plan, 0, set)
                 .ok_or_else(|| EngineError::BadInputs(format!("unmapped input set `{set}`")))?;
@@ -255,7 +255,7 @@ impl Coordinator {
             let record = coordinator.read_status(instance).ok()?;
             let plan = coordinator.committed_plan(instance, &header, &record)?;
             let keys = InstanceKeys::build(&plan, instance, header.instance_id);
-            Some((plan, Rc::new(keys)))
+            Some((plan, Arc::new(keys)))
         };
         let Some((plan, keys)) = self.instance_ctx(instance).or_else(|| stored(self)) else {
             return BTreeMap::new();
@@ -425,23 +425,23 @@ pub(super) fn pin_blobs(
 /// (`is_well_formed` + `verify_fingerprint`) is a pure function of the
 /// bytes, so each distinct encoding — the repository's reply for a
 /// script version, a `sys/plan/…` blob — pays it once per coordinator,
-/// and every instance of that plan shares one `Rc<Plan>`. Bytes that
+/// and every instance of that plan shares one `Arc<Plan>`. Bytes that
 /// fail to decode or validate are never entered. Evicted with the
 /// blobs, in [`Coordinator::gc_plans`].
 #[derive(Default)]
 pub(crate) struct PlanCache {
-    plans: BTreeMap<Vec<u8>, Rc<Plan>>,
+    plans: BTreeMap<Vec<u8>, Arc<Plan>>,
 }
 
 impl PlanCache {
-    pub(crate) fn validated(&mut self, bytes: &[u8]) -> Option<Rc<Plan>> {
+    pub(crate) fn validated(&mut self, bytes: &[u8]) -> Option<Arc<Plan>> {
         if let Some(plan) = self.plans.get(bytes) {
             return Some(plan.clone());
         }
         let plan = flowscript_codec::from_bytes::<Plan>(bytes)
             .ok()
             .filter(|plan| plan.is_well_formed() && plan.verify_fingerprint())?;
-        let plan = Rc::new(plan);
+        let plan = Arc::new(plan);
         self.plans.insert(bytes.to_vec(), plan.clone());
         Some(plan)
     }
@@ -462,6 +462,8 @@ impl PlanCache {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::Ordering;
+
     use flowscript_core::samples::FIG1_DIAMOND;
     use flowscript_tx::storage::FlakyStorage;
     use flowscript_tx::{Shared, SharedStorage, StableStore};
@@ -528,7 +530,7 @@ mod tests {
         let mut coord = shard(Shared::from(storage));
         let objects = |coord: &Coordinator| coord.mgr.object_count();
         let occupancy = |coord: &Coordinator| coord.admission.occupancy();
-        fail.set(true);
+        fail.store(true, Ordering::Relaxed);
         let refused = start(&mut coord, "x");
         assert!(
             matches!(&refused, Err(EngineError::Tx(why)) if why.contains("injected append failure")),
@@ -539,7 +541,7 @@ mod tests {
         assert_eq!(coord.log_size(), 0);
         assert!(coord.outbox.is_empty(), "nothing was published");
         assert_eq!(coord.stats().dispatches, 0);
-        fail.set(false);
+        fail.store(false, Ordering::Relaxed);
         start(&mut coord, "x").expect("the healed disk takes the same name");
         assert_eq!(coord.instance_names(), ["x"]);
         assert_eq!(occupancy(&coord), 1);
@@ -585,7 +587,7 @@ mod tests {
         let again = cache
             .validated(&bytes)
             .expect("and is served from the cache");
-        assert!(Rc::ptr_eq(&first, &again));
+        assert!(Arc::ptr_eq(&first, &again));
         assert_eq!(cache.fingerprints(), [first.fingerprint]);
         // Undecodable, truncated and tampered encodings all miss — and
         // leave no entry behind to be served later.

@@ -568,17 +568,17 @@ impl Coordinator {
     /// charges only `forwarded`; the owner counts the operation itself
     /// exactly once.
     fn forward_envelope(
-        &self,
+        &mut self,
         owner: NodeId,
         instance: &str,
         inner: &EngineMsg,
         hops: u32,
     ) -> Option<Vec<u8>> {
         if hops >= MAX_FORWARD_HOPS {
-            self.metrics.forward_loops.inc();
+            self.metrics.stats.forward_loops += 1;
             return None;
         }
-        self.metrics.forwarded.inc();
+        self.metrics.stats.forwarded += 1;
         let epoch = self.membership.epoch();
         let to = owner.index() as u32;
         let kind = ObsEventKind::Forward { to, epoch };
@@ -864,7 +864,7 @@ impl Coordinator {
             instances.iter().try_for_each(purge)
         })?;
         for instance in &instances {
-            self.metrics.handoffs.inc();
+            self.metrics.stats.handoffs += 1;
             let kind = ObsEventKind::HandOff { to: dest, epoch };
             self.record_event(instance, None, 0, kind);
         }
@@ -1220,7 +1220,7 @@ impl Coordinator {
             }
             let kind = match claim {
                 Some((from, claim_epoch)) => {
-                    self.metrics.adoptions.inc();
+                    self.metrics.stats.adoptions += 1;
                     ObsEventKind::Adopted {
                         from,
                         epoch: claim_epoch,

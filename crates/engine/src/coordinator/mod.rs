@@ -68,12 +68,12 @@ mod step;
 mod window;
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
-use flowscript_obs::{FlightRecorder, ObsEventKind, Registry};
+use flowscript_obs::{FlightRecorder, ObsEventKind, Snapshot};
 use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::{NodeId, ReplyToken, SimDuration, SimTime};
-use flowscript_tx::{StableStore, TxError, TxId, TxManager};
+use flowscript_tx::{StableStore, TxError, TxId, TxManager, TxMetrics};
 
 use crate::driver::{self, Node, TimerId};
 use crate::error::EngineError;
@@ -152,10 +152,10 @@ struct InstanceRt {
     /// The compiled execution plan all hot paths run off (served by the
     /// repository's plan cache, or lowered locally; a reconfiguration
     /// swaps in the plan of the script's new version).
-    plan: Rc<Plan>,
+    plan: Arc<Plan>,
     /// Interned storage keys: header and status uids formatted once,
     /// fact keys precomputed per plan source (rebuilt with the plan).
-    keys: Rc<InstanceKeys>,
+    keys: Arc<InstanceKeys>,
     /// One record per task with outstanding work (`dispatch`'s, keyed
     /// by the plan's dense task ids and re-keyed with the plan).
     flights: Flights,
@@ -177,7 +177,9 @@ struct InstanceRt {
 }
 
 /// The execution service state of one shard: inputs in, outputs out
-/// ([`Coordinator::handle`]).
+/// ([`Coordinator::handle`]). What it holds is its own, or shared only
+/// through an `Arc` where sharing is real (a plan, the disk), so a
+/// shard is `Send` — checked below, at build.
 pub struct Coordinator {
     node: NodeId,
     repo: NodeId,
@@ -201,12 +203,12 @@ pub struct Coordinator {
     /// The open commit window: buffered executor reports, the flush
     /// timer flag and batch ids.
     window: BatchWindow,
-    /// This shard's metric registry: `coord.*`, `sched.*`, `tx.*` and
-    /// `wal.*` live here. Shared with the [`TxManager`], surviving
-    /// crash-recovery reopens.
-    registry: Registry,
-    /// Counter/histogram handles into `registry`.
-    metrics: CoordMetrics,
+    /// The `coord.*` and `sched.*` metrics (the [`TxManager`] owns the
+    /// `tx.*` and `wal.*` ones). Like the recorder, they survive
+    /// [`Coordinator::recover`], which moves the manager's into the
+    /// reopened one. Boxed: kilobytes of cold histogram buckets kept off
+    /// the hot fields' cache lines.
+    metrics: Box<CoordMetrics>,
     /// The shard's flight recorder. Intentionally NOT reset by
     /// [`Coordinator::recover`]: it models an external telemetry sink,
     /// so a trace spans crashes of the coordinator it describes.
@@ -219,6 +221,11 @@ pub struct Coordinator {
     /// included.
     next_timer: u64,
 }
+
+const _: fn() = || {
+    fn is_send<T: Send>() {}
+    is_send::<Coordinator>();
+};
 
 impl Coordinator {
     /// Opens one shard's coordinator over durable `storage`: `shard`
@@ -245,15 +252,9 @@ impl Coordinator {
             shard.nodes().contains(&node),
             "shard map must include the node"
         );
-        let registry = Registry::new();
-        let metrics = CoordMetrics::register(&registry);
         let recorder = FlightRecorder::new(node.index() as u32, config.recorder_capacity);
-        let mgr = TxManager::open_with_metrics(
-            node.index() as u32,
-            storage.clone(),
-            &registry,
-            config.observe,
-        )?;
+        let mut mgr = TxManager::open(node.index() as u32, storage.clone())?;
+        *mgr.metrics_mut() = TxMetrics::new(config.observe);
         Ok(Self {
             node,
             repo,
@@ -268,8 +269,7 @@ impl Coordinator {
             commits: 0,
             commits_at_checkpoint: 0,
             window: BatchWindow::default(),
-            registry,
-            metrics,
+            metrics: Box::default(),
             recorder,
             now: SimTime::ZERO,
             outbox: Vec::new(),
@@ -298,7 +298,7 @@ impl Coordinator {
             EngineMsg::Forwarded { hops, inner, .. } => {
                 match flowscript_codec::from_bytes::<EngineMsg>(&inner) {
                     Ok(EngineMsg::Forwarded { .. }) => {
-                        self.metrics.forward_loops.inc();
+                        self.metrics.stats.forward_loops += 1;
                         return;
                     }
                     Ok(inner) => (inner, hops),
@@ -385,7 +385,13 @@ impl Coordinator {
     /// Appends a lifecycle event, stamped now, to the flight recorder
     /// (no-op below
     /// [`ObserveLevel::Trace`](flowscript_obs::ObserveLevel::Trace)).
-    fn record_event(&self, instance: &str, task: Option<&str>, attempt: u32, kind: ObsEventKind) {
+    fn record_event(
+        &mut self,
+        instance: &str,
+        task: Option<&str>,
+        attempt: u32,
+        kind: ObsEventKind,
+    ) {
         if self.config.observe.trace() {
             let at_ns = self.now.as_nanos();
             self.recorder.record(at_ns, instance, task, attempt, kind);
@@ -482,41 +488,31 @@ impl Coordinator {
         self.admit_from_queue();
     }
 
-    /// Engine counters, materialized from the `coord.*` registry
-    /// entries.
+    /// Engine counters.
     pub fn stats(&self) -> CoordStats {
-        self.metrics.stats()
+        self.metrics.stats
     }
 
-    /// This shard's metric registry (counters, gauges, histograms for
-    /// the coordinator, scheduler, transaction manager and WAL).
-    pub fn registry(&self) -> Registry {
-        self.registry.clone()
+    /// This shard's metrics by name, zeros included: the coordinator's
+    /// and scheduler's (`coord.*`, `sched.*`) and its transaction
+    /// manager's (`tx.*`, `wal.*` — `tx.prefix_scans` and
+    /// `tx.fact_range_scans` are the regression guards a clean run
+    /// keeps flat).
+    pub fn snapshot(&self) -> Snapshot {
+        let mut snapshot = self.metrics.snapshot();
+        snapshot.merge(&self.mgr.metrics().snapshot());
+        snapshot
     }
 
     /// This shard's flight recorder. Empty unless
     /// [`EngineConfig::observe`] is [`flowscript_obs::ObserveLevel::Trace`].
-    pub fn recorder(&self) -> FlightRecorder {
-        self.recorder.clone()
+    pub fn recorder(&self) -> &FlightRecorder {
+        &self.recorder
     }
 
     /// Current log size in bytes (ablation measurements).
     pub fn log_size(&self) -> u64 {
         self.mgr.log_size()
-    }
-
-    /// Uid prefix scans this coordinator's store has served (the
-    /// stuck-diagnostics regression guard: zero during normal runs).
-    pub fn store_prefix_scans(&self) -> u64 {
-        self.mgr.prefix_scan_count()
-    }
-
-    /// Fact range scans this coordinator's store has served (the
-    /// per-object regression guard: readiness probes are point reads,
-    /// so a clean run performs none — only repeats, cancellations,
-    /// recovery and reconfiguration legitimately scan).
-    pub fn store_fact_range_scans(&self) -> u64 {
-        self.mgr.fact_range_scan_count()
     }
 
     /// The node this coordinator runs on.

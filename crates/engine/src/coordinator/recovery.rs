@@ -64,16 +64,12 @@ impl Coordinator {
     /// as the fallback for a missing or corrupt blob. A load scans no
     /// store prefix of its own.
     pub(super) fn recover(&mut self) {
-        // Reopen the store against the same registry: metric history
-        // (like the flight recorder's) spans the crash.
-        let Ok(mgr) = TxManager::open_with_metrics(
-            self.node.index() as u32,
-            self.storage.clone(),
-            &self.registry,
-            self.config.observe,
-        ) else {
+        let Ok(mut mgr) = TxManager::open(self.node.index() as u32, self.storage.clone()) else {
             return;
         };
+        // The reopened store takes the old one's metrics: their history
+        // (like the flight recorder's) spans the crash.
+        std::mem::swap(mgr.metrics_mut(), self.mgr.metrics_mut());
         self.mgr = mgr;
         self.reset_volatile();
         if self.mgr.fenced().is_some() {
@@ -96,7 +92,7 @@ impl Coordinator {
                 continue;
             };
             self.instances.insert(name.clone(), rt);
-            self.metrics.recovered_instances.inc();
+            self.metrics.stats.recovered_instances += 1;
             let epoch = self.membership.epoch();
             let kind = ObsEventKind::Recovery { epoch };
             self.record_event(&name, None, 0, kind);

@@ -1,18 +1,17 @@
-//! The coordinator's counters and histograms: the public [`CoordStats`]
-//! view, the registry handles behind it, and the dispatch record the
+//! The coordinator's counters and histograms: the public [`CoordStats`],
+//! the metrics a shard owns around it, and the dispatch record the
 //! flight recorder's `Dispatch` events project to.
 
-use flowscript_obs::{Counter, Gauge, Histogram, ObsEvent, ObsEventKind, Registry};
+use flowscript_obs::{Histogram, MetricValue, ObsEvent, ObsEventKind, Snapshot};
 use flowscript_sim::NodeId;
 
 /// Engine counters (diagnostics and benchmarks).
 ///
-/// Since the metrics registry landed this is a *view*: the live values
-/// are `coord.*` counters in the shard's [`Registry`], and
-/// `CoordMetrics::stats` materialises them into this struct (what
-/// [`WorkflowSystem::stats`](crate::WorkflowSystem::stats) sums). The
-/// exhaustive-construction there plus the exhaustive destructuring in
-/// `AddAssign` keep the view complete by compile error.
+/// A shard counts into its own copy and exports each field as a
+/// `coord.*` counter of its metrics snapshot;
+/// [`WorkflowSystem::stats`](crate::WorkflowSystem::stats) sums the
+/// copies. The exhaustive destructuring there and in `AddAssign` keeps
+/// both complete by compile error.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoordStats {
     /// Task dispatches sent to executors.
@@ -101,26 +100,12 @@ impl std::ops::AddAssign<&CoordStats> for CoordStats {
     }
 }
 
-/// The coordinator's handles into the shard [`Registry`]: always-on
-/// `coord.*` counters (one per [`CoordStats`] field) plus the optional
-/// histograms gated on [`super::EngineConfig::observe`].
-#[derive(Clone)]
+/// The coordinator's metrics, owned by its shard: always-on counters
+/// (the [`CoordStats`] value, exported as `coord.*`) plus the optional
+/// histograms and gauges gated on [`super::EngineConfig::observe`].
+#[derive(Debug, Default)]
 pub(super) struct CoordMetrics {
-    pub(super) dispatches: Counter,
-    pub(super) retries: Counter,
-    pub(super) failures: Counter,
-    pub(super) marks: Counter,
-    pub(super) repeats: Counter,
-    pub(super) reconfigs: Counter,
-    pub(super) recovered_instances: Counter,
-    pub(super) evaluations: Counter,
-    pub(super) forwarded: Counter,
-    pub(super) no_alternative_retries: Counter,
-    pub(super) dropped_dispatches: Counter,
-    pub(super) handoffs: Counter,
-    pub(super) forward_loops: Counter,
-    pub(super) busy_rejections: Counter,
-    pub(super) adoptions: Counter,
+    pub(super) stats: CoordStats,
     /// Worklist steps per drain-to-quiescence (`coord.commit_drain_len`).
     pub(super) commit_drain_len: Histogram,
     /// Executor reports coalesced per batch flush (`coord.batch_size`).
@@ -145,62 +130,70 @@ pub(super) struct CoordMetrics {
     /// saturated executor capacity (`sched.queue_wait_ns`).
     pub(super) queue_wait_ns: Histogram,
     /// Current capacity-parked dispatch count (`sched.ready_queue_depth`).
-    pub(super) ready_queue_depth: Gauge,
+    pub(super) ready_queue_depth: i64,
     /// Current admission-queue depth (`coord.admission_queue_depth`).
-    pub(super) admission_queue_depth: Gauge,
+    pub(super) admission_queue_depth: i64,
 }
 
 impl CoordMetrics {
-    pub(super) fn register(registry: &Registry) -> Self {
-        CoordMetrics {
-            dispatches: registry.counter("coord.dispatches"),
-            retries: registry.counter("coord.retries"),
-            failures: registry.counter("coord.failures"),
-            marks: registry.counter("coord.marks"),
-            repeats: registry.counter("coord.repeats"),
-            reconfigs: registry.counter("coord.reconfigs"),
-            recovered_instances: registry.counter("coord.recovered_instances"),
-            evaluations: registry.counter("coord.evaluations"),
-            forwarded: registry.counter("coord.forwarded"),
-            no_alternative_retries: registry.counter("coord.no_alternative_retries"),
-            dropped_dispatches: registry.counter("coord.dropped_dispatches"),
-            handoffs: registry.counter("coord.handoffs"),
-            forward_loops: registry.counter("coord.forward_loops"),
-            busy_rejections: registry.counter("coord.busy_rejections"),
-            adoptions: registry.counter("coord.adoptions"),
-            commit_drain_len: registry.histogram("coord.commit_drain_len"),
-            batch_size: registry.histogram("coord.batch_size"),
-            dispatch_latency_ns: registry.histogram("coord.dispatch_latency_ns"),
-            sched_pick_load: registry.histogram("sched.pick_load"),
-            handoff_pause_ns: registry.histogram("coord.handoff_pause_ns"),
-            admission_wait_ns: registry.histogram("sched.admission_wait_ns"),
-            queue_wait_ns: registry.histogram("sched.queue_wait_ns"),
-            ready_queue_depth: registry.gauge("sched.ready_queue_depth"),
-            admission_queue_depth: registry.gauge("coord.admission_queue_depth"),
-        }
-    }
-
-    /// The [`CoordStats`] view of the counters. Exhaustive struct
-    /// construction: a new counter that is not wired through here is a
-    /// compile error.
-    pub(super) fn stats(&self) -> CoordStats {
-        CoordStats {
-            dispatches: self.dispatches.get(),
-            retries: self.retries.get(),
-            failures: self.failures.get(),
-            marks: self.marks.get(),
-            repeats: self.repeats.get(),
-            reconfigs: self.reconfigs.get(),
-            recovered_instances: self.recovered_instances.get(),
-            evaluations: self.evaluations.get(),
-            forwarded: self.forwarded.get(),
-            no_alternative_retries: self.no_alternative_retries.get(),
-            dropped_dispatches: self.dropped_dispatches.get(),
-            handoffs: self.handoffs.get(),
-            forward_loops: self.forward_loops.get(),
-            busy_rejections: self.busy_rejections.get(),
-            adoptions: self.adoptions.get(),
-        }
+    /// Every metric by name, zeros included. Exhaustive destructuring:
+    /// a counter that is not exported here is a compile error.
+    pub(super) fn snapshot(&self) -> Snapshot {
+        let CoordStats {
+            dispatches,
+            retries,
+            failures,
+            marks,
+            repeats,
+            reconfigs,
+            recovered_instances,
+            evaluations,
+            forwarded,
+            no_alternative_retries,
+            dropped_dispatches,
+            handoffs,
+            forward_loops,
+            busy_rejections,
+            adoptions,
+        } = self.stats;
+        let counters = [
+            ("coord.dispatches", dispatches),
+            ("coord.retries", retries),
+            ("coord.failures", failures),
+            ("coord.marks", marks),
+            ("coord.repeats", repeats),
+            ("coord.reconfigs", reconfigs),
+            ("coord.recovered_instances", recovered_instances),
+            ("coord.evaluations", evaluations),
+            ("coord.forwarded", forwarded),
+            ("coord.no_alternative_retries", no_alternative_retries),
+            ("coord.dropped_dispatches", dropped_dispatches),
+            ("coord.handoffs", handoffs),
+            ("coord.forward_loops", forward_loops),
+            ("coord.busy_rejections", busy_rejections),
+            ("coord.adoptions", adoptions),
+        ];
+        let histograms = [
+            ("coord.commit_drain_len", &self.commit_drain_len),
+            ("coord.batch_size", &self.batch_size),
+            ("coord.dispatch_latency_ns", &self.dispatch_latency_ns),
+            ("sched.pick_load", &self.sched_pick_load),
+            ("coord.handoff_pause_ns", &self.handoff_pause_ns),
+            ("sched.admission_wait_ns", &self.admission_wait_ns),
+            ("sched.queue_wait_ns", &self.queue_wait_ns),
+        ];
+        let gauges = [
+            ("sched.ready_queue_depth", self.ready_queue_depth),
+            ("coord.admission_queue_depth", self.admission_queue_depth),
+        ];
+        let counters = counters.map(|(name, n)| (name, MetricValue::Counter(n)));
+        let histograms = histograms.map(|(name, h)| (name, h.into()));
+        let gauges = gauges.map(|(name, n)| (name, MetricValue::Gauge(n)));
+        counters
+            .into_iter()
+            .chain(histograms)
+            .chain(gauges)
+            .collect()
     }
 }
 

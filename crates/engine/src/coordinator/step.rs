@@ -12,15 +12,15 @@
 
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use flowscript_codec::Decode;
-use flowscript_obs::{Counter, ObsEventKind};
+use flowscript_obs::ObsEventKind;
 use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::SimDuration;
 use flowscript_tx::{AtomicAction, StableStore, StoreKey, TxError, TxManager};
 
-use super::{Coordinator, InstanceRt, InstanceStatus};
+use super::{CoordStats, Coordinator, InstanceRt, InstanceStatus};
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::InstanceKeys;
@@ -35,7 +35,7 @@ pub(super) enum Effect {
     /// of its non-terminal blocks, replaces the resident one; dispatch's
     /// books follow the tasks onto its ids. Published before any effect
     /// that names a task by one.
-    Replan(Rc<Plan>, Rc<InstanceKeys>, usize),
+    Replan(Arc<Plan>, Arc<InstanceKeys>, usize),
     /// Control blocks reached a terminal state.
     Terminals(usize),
     /// A repeat revived terminated control blocks.
@@ -45,8 +45,9 @@ pub(super) enum Effect {
     /// instance to `Running`, is taken again.
     Status(InstanceStatus),
     /// A transition counter moves (`coord.marks`, `coord.repeats`,
-    /// `coord.retries`, `coord.failures`).
-    Count(Counter),
+    /// `coord.retries`, `coord.failures`, `coord.reconfigs`): the field
+    /// named.
+    Count(fn(&mut CoordStats) -> &mut u64),
     /// A trace event of `task`'s `attempt`, stamped when published.
     Trace(Option<String>, u32, ObsEventKind),
     /// A report was applied: its task's flight ends, a completion.
@@ -81,7 +82,7 @@ pub(crate) struct Launch {
 }
 
 /// A step's effects in staging order, each with its instance.
-pub(super) type Effects = Vec<(Rc<str>, Effect)>;
+pub(super) type Effects = Vec<(Arc<str>, Effect)>;
 
 /// What a step has staged so far. Its action begins at the first write:
 /// a step that stages nothing commits nothing.
@@ -102,7 +103,7 @@ impl Step {
         self.action.as_ref()
     }
 
-    pub(super) fn push(&mut self, instance: &Rc<str>, effect: Effect) {
+    pub(super) fn push(&mut self, instance: &Arc<str>, effect: Effect) {
         self.effects.push((instance.clone(), effect));
     }
 }
@@ -173,7 +174,7 @@ impl Coordinator {
     pub(super) fn trace(
         &self,
         step: &mut Step,
-        instance: &Rc<str>,
+        instance: &Arc<str>,
         task: Option<&str>,
         attempt: u32,
         kind: impl FnOnce() -> ObsEventKind,
@@ -203,7 +204,7 @@ impl Coordinator {
                     self.dispatch_after(&instance, task, delay, launch);
                 }
                 Effect::Drained(evaluations, quiescent) => {
-                    self.metrics.evaluations.add(evaluations);
+                    self.metrics.stats.evaluations += evaluations;
                     if quiescent && self.config.observe.metrics() {
                         self.metrics.commit_drain_len.record(evaluations);
                     }
@@ -229,7 +230,7 @@ impl Coordinator {
                         false => self.admission.instance_live(),
                     }
                 }
-                Effect::Count(counter) => counter.inc(),
+                Effect::Count(field) => *field(&mut self.metrics.stats) += 1,
                 Effect::Trace(task, attempt, kind) => {
                     self.record_event(&instance, task.as_deref(), attempt, kind);
                 }

@@ -13,7 +13,7 @@
 //! path with a window of one.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
+use std::sync::Arc;
 
 use flowscript_core::ast::OutputKind;
 use flowscript_obs::ObsEventKind;
@@ -236,7 +236,7 @@ impl Coordinator {
         facts::write_fact_map(&mut self.mgr, action, plan, out_key, &stamped)?;
         let is_mark = matches!(event, PendingEvent::Mark(_));
         let moved = match is_mark {
-            true => Effect::Count(self.metrics.marks.clone()),
+            true => Effect::Count(|stats| &mut stats.marks),
             false => Effect::Terminals(1),
         };
         step.push(&drain.name, moved);
@@ -289,7 +289,7 @@ impl Coordinator {
         facts::write_block(&mut self.mgr, action, plan, keys, task_id, &cb)?;
         facts::write_fact_map(&mut self.mgr, action, plan, out_key, &stamped)?;
         step.push(&drain.name, Effect::Completed(task_id));
-        step.push(&drain.name, Effect::Count(self.metrics.repeats.clone()));
+        step.push(&drain.name, Effect::Count(|stats| &mut stats.repeats));
         self.trace(step, &drain.name, Some(path), reported, || {
             self.commit_event(format!("repeat `{name}`"))
         });
@@ -359,7 +359,7 @@ impl Coordinator {
     fn commit_window(&mut self, events: Vec<PendingEvent>) -> Vec<PendingEvent> {
         // Per-event plan context, and the key union for the lock
         // pre-pass.
-        type EventCtx = Option<(Rc<Plan>, Rc<InstanceKeys>, TaskId)>;
+        type EventCtx = Option<(Arc<Plan>, Arc<InstanceKeys>, TaskId)>;
         let mut contexts: Vec<EventCtx> = Vec::with_capacity(events.len());
         let mut cb_keys: BTreeSet<StoreKey> = BTreeSet::new();
         for event in &events {
@@ -432,6 +432,8 @@ fn stamped(objects: &BTreeMap<String, ObjectVal>, path: &str) -> BTreeMap<String
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::Ordering;
+
     use flowscript_tx::storage::FlakyStorage;
     use flowscript_tx::{Shared, StableStore};
 
@@ -623,7 +625,7 @@ mod tests {
         let logged = sys.log_size();
         assert_eq!(aborts(&sys), 0);
         // The disk goes while the three `produce`s run.
-        fail.set(true);
+        fail.store(true, Ordering::Relaxed);
         sys.run_for(SimDuration::from_millis(100));
         assert_eq!(aborts(&sys), 4, "the shared step, then each report alone");
         for name in ["i1", "i2", "i3"] {
@@ -642,7 +644,7 @@ mod tests {
         assert_eq!((sys.stats().retries, sys.log_size()), (0, logged));
         // The disk heals; the re-armed watchdogs fire at 800 ms, retry,
         // and the re-executed `produce`s report into a healthy window.
-        fail.set(false);
+        fail.store(false, Ordering::Relaxed);
         sys.run();
         for name in ["i1", "i2", "i3"] {
             assert_eq!(sys.outcome(name).expect("completes").name, "done");
@@ -667,11 +669,11 @@ mod tests {
         let coordinator = sys.coordinator_node();
         sys.crash_now(coordinator);
         sys.run_for(SimDuration::from_millis(10));
-        fail.set(true);
+        fail.store(true, Ordering::Relaxed);
         sys.restart_now(coordinator);
         assert_eq!(aborts(&sys), 3, "one re-arm per instance, rolled back");
         assert_eq!((sys.stats().dispatches, sys.log_size()), (3, logged));
-        fail.set(false);
+        fail.store(false, Ordering::Relaxed);
         sys.run();
         for name in ["i1", "i2", "i3"] {
             assert_eq!(sys.outcome(name).expect("completes").name, "done");

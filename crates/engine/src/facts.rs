@@ -1031,14 +1031,11 @@ mod tests {
         // Probe through the evaluator's view.
         let facts = StoreFacts::new(&mgr, None, &plan, &keys);
         let probe = stock_probe(&plan, check);
-        let scans = mgr.fact_range_scan_count();
+        let scans = || mgr.metrics().snapshot().counter("tx.fact_range_scans");
+        let before = scans();
         assert!(facts.fact_fired(probe));
         assert_eq!(facts.fact_object(probe, "stockInfo"), Some(obj("s")));
-        assert_eq!(
-            mgr.fact_range_scan_count(),
-            scans,
-            "probes must be point reads"
-        );
+        assert_eq!(scans(), before, "probes must be point reads");
         assert!(facts.take_fault().is_none());
     }
 

@@ -102,7 +102,7 @@ pub use coordinator::{
     MoveReport, Outcome, MAX_FORWARD_HOPS,
 };
 pub use error::EngineError;
-pub use flowscript_obs::{ObsEvent, ObsEventKind, ObserveLevel, Registry, Snapshot};
+pub use flowscript_obs::{ObsEvent, ObsEventKind, ObserveLevel, Snapshot};
 pub use flowscript_tx::StableStore;
 pub use impl_registry::{
     Completion, ImplRegistry, InvokeCtx, MarkEmission, TaskBehavior, TaskImpl,

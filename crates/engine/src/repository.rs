@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 use std::convert::Infallible;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use flowscript_core::{fmt as script_fmt, schema};
 use flowscript_plan::Plan;
@@ -35,7 +35,7 @@ pub struct ScriptVersion {
     /// Root compound task name.
     pub root: String,
     /// The compiled execution plan (lowered once at registration).
-    pub plan: Rc<Plan>,
+    pub plan: Arc<Plan>,
     /// The plan's encoding, made once beside it: what every `RepoGet`
     /// of this version is served.
     pub plan_bytes: Vec<u8>,
@@ -84,7 +84,7 @@ impl Repository {
             source: canonical,
             root: root.to_string(),
             plan_bytes: flowscript_codec::to_bytes(&plan),
-            plan: Rc::new(plan),
+            plan: Arc::new(plan),
         });
         Ok(versions.len() as u32)
     }
@@ -115,7 +115,7 @@ impl Repository {
     /// # Errors
     ///
     /// [`EngineError::UnknownScript`] for missing names or versions.
-    pub fn plan(&self, name: &str, version: Option<u32>) -> Result<Rc<Plan>, EngineError> {
+    pub fn plan(&self, name: &str, version: Option<u32>) -> Result<Arc<Plan>, EngineError> {
         self.get(name, version).map(|stored| stored.plan.clone())
     }
 

@@ -6,7 +6,7 @@
 //! one: every report commits, with its cascade, before the next is
 //! looked at); randomized scripts must agree too; the batch metrics
 //! (`coord.batch_size`, `wal.bytes_per_frame`, `tx.group_commits`) must
-//! flow through the registry and exports; `Commit` trace events must
+//! flow through the metrics snapshot and exports; `Commit` trace events must
 //! carry the batch id; and a coordinator crash in the middle of an open
 //! window must lose the unflushed window **as a unit** — no partial
 //! batch ever visible — while committed group frames replay fully.

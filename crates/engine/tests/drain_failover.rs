@@ -13,6 +13,7 @@
 mod common;
 
 use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
 
 use common::{
     build_orders, build_orders_on, det_link, handoff_frames, order_population as population,
@@ -332,7 +333,8 @@ fn a_drain_whose_source_disk_refuses_at_any_point_converges() {
         };
         let at = sys.now() + offset;
         let refuse = fail.clone();
-        sys.world_mut().schedule_at(at, move |_| refuse.set(true));
+        sys.world_mut()
+            .schedule_at(at, move |_| refuse.store(true, Ordering::Relaxed));
 
         let first = sys.remove_coordinator("coordinator1");
         for destination in [nodes[0], nodes[2]] {
@@ -340,7 +342,7 @@ fn a_drain_whose_source_disk_refuses_at_any_point_converges() {
             sys.restart_now(destination);
         }
         sys.run_for(SimDuration::from_millis(5));
-        fail.set(false);
+        fail.store(false, Ordering::Relaxed);
         sys.crash_now(nodes[1]);
         sys.restart_now(nodes[1]);
         one_owner_each("once the source is back");

@@ -2,8 +2,8 @@
 //!
 //! A readiness probe must be a **point read**: no uid prefix scan, no
 //! fact range scan, no whole-record decode. The store counts both scan
-//! families ([`TxManager::prefix_scan_count`],
-//! [`TxManager::fact_range_scan_count`]); a clean run must leave both
+//! families (`tx.prefix_scans`, `tx.fact_range_scans` in
+//! [`WorkflowSystem::metrics_snapshot`]); a clean run must leave both
 //! flat. And a *corrupt* fact record must surface as a diagnosable
 //! storage fault — never silently read as "fact absent" and
 //! mis-evaluate readiness.
@@ -13,9 +13,6 @@
 //! its control blocks and facts is a small header and a smaller status
 //! record — the script's source is logged once per shard, never per
 //! instance, never per status change.
-//!
-//! [`TxManager::prefix_scan_count`]: flowscript_tx::TxManager::prefix_scan_count
-//! [`TxManager::fact_range_scan_count`]: flowscript_tx::TxManager::fact_range_scan_count
 
 mod common;
 
@@ -73,8 +70,8 @@ fn per_object_probes_never_scan() {
         )
         .unwrap();
     }
-    let prefix_before = sys.store_prefix_scans();
-    let range_before = sys.store_fact_range_scans();
+    let prefix_before = sys.metrics_snapshot().counter("tx.prefix_scans");
+    let range_before = sys.metrics_snapshot().counter("tx.fact_range_scans");
     sys.run();
     for i in 0..4 {
         assert_eq!(
@@ -83,12 +80,12 @@ fn per_object_probes_never_scan() {
         );
     }
     assert_eq!(
-        sys.store_prefix_scans(),
+        sys.metrics_snapshot().counter("tx.prefix_scans"),
         prefix_before,
         "probes must not scan uids by prefix"
     );
     assert_eq!(
-        sys.store_fact_range_scans(),
+        sys.metrics_snapshot().counter("tx.fact_range_scans"),
         range_before,
         "per-object probes must be point reads, never fact range scans"
     );
@@ -563,11 +560,11 @@ fn a_restart_scans_no_prefix_per_instance() {
                 .unwrap();
         }
         sys.run_for(SimDuration::from_millis(1));
-        let before = sys.store_prefix_scans();
+        let before = sys.metrics_snapshot().counter("tx.prefix_scans");
         let coordinator = sys.coordinator_node();
         sys.crash_now(coordinator);
         sys.restart_now(coordinator);
-        let scans = sys.store_prefix_scans() - before;
+        let scans = sys.metrics_snapshot().counter("tx.prefix_scans") - before;
         assert_eq!(scans, 2, "a restart over {instances} instances");
         assert_eq!(sys.stats().recovered_instances, instances);
         sys.run();

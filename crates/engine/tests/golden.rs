@@ -389,7 +389,9 @@ fn full_scan_matches_golden() {
 fn render_placement(sys: &WorkflowSystem) -> String {
     let mut events: Vec<_> = (0..sys.shard_count())
         .flat_map(|shard| {
-            let recorder = sys.coord_handle(shard).get().recorder();
+            let handle = sys.coord_handle(shard);
+            let coordinator = handle.get();
+            let recorder = coordinator.recorder();
             assert_eq!(recorder.dropped(), 0, "shard {shard}'s recorder evicted");
             recorder.events()
         })

@@ -1,7 +1,7 @@
-//! The flight recorder and unified metrics registry, end to end:
-//! trace completeness on the paper's fig. 7 (order processing) and
-//! fig. 8 (business trip) workloads across shard counts, trace
-//! survival through one-shard crash recovery, ring-buffer eviction
+//! The flight recorder and per-shard metrics, end to end: trace
+//! completeness on the paper's fig. 7 (order processing) and fig. 8
+//! (business trip) workloads across shard counts, trace and metric
+//! history surviving one-shard crash recovery, ring-buffer eviction
 //! semantics, retry/forward cause pairing under chaos, the
 //! `repair_fact` escape hatch for `Stuck{fact storage fault}`
 //! instances, and exactly-once stats accounting for forwarded
@@ -147,6 +147,58 @@ fn trace_spans_one_shard_crash_and_recovery() {
     );
 }
 
+/// A shard's metrics are values it owns, and its restart reopens the
+/// store with the old store's metrics moved in: their history, like the
+/// recorder's, spans the crash, under the same names as a run that
+/// never crashed.
+#[test]
+fn metric_history_spans_one_shard_crash_and_recovery() {
+    let names = |sys: &WorkflowSystem| -> Vec<String> {
+        sys.metrics_snapshot().entries.into_keys().collect()
+    };
+    let start = |sys: &mut WorkflowSystem| {
+        sys.start(
+            "order-metrics",
+            "order",
+            "main",
+            [("order", text("Order", "m"))],
+        )
+        .unwrap();
+    };
+    let mut calm = build(1, det_config());
+    start(&mut calm);
+    calm.run();
+
+    let mut sys = build(1, det_config());
+    start(&mut sys);
+    sys.run_until(SimTime::from_nanos(40_000_000));
+    let before = sys.metrics_snapshot();
+    assert!(before.counter("tx.commits") >= 2, "{}", before.to_json());
+    let node = sys.coordinator_node();
+    sys.crash_now(node);
+    sys.restart_now(node);
+    let restarted = sys.metrics_snapshot();
+    sys.run();
+    assert!(
+        matches!(
+            sys.status("order-metrics").unwrap(),
+            InstanceStatus::Completed(_)
+        ),
+        "the instance completes through recovery"
+    );
+    for after in [&restarted, &sys.metrics_snapshot()] {
+        for name in ["tx.commits", "coord.dispatches"] {
+            assert!(
+                after.counter(name) >= before.counter(name),
+                "{name}: {} before the crash, {} after",
+                before.counter(name),
+                after.counter(name)
+            );
+        }
+    }
+    assert_eq!(names(&sys), names(&calm));
+}
+
 #[test]
 fn ring_buffer_evicts_oldest_and_keeps_newest() {
     let mut config = det_config();
@@ -260,7 +312,7 @@ fn chaos_trace_pairs_every_retry_with_its_cause() {
     assert_eq!(
         sys.stats().retries,
         retries_seen,
-        "traced retries and the metrics registry must agree"
+        "traced retries and the metrics snapshot must agree"
     );
 }
 
@@ -409,10 +461,15 @@ fn metrics_snapshot_aggregates_shards_and_exports() {
     assert_eq!(
         snapshot.counter("coord.dispatches"),
         sys.stats().dispatches,
-        "registry and CoordStats views must agree"
+        "the snapshot and CoordStats must agree"
     );
     let per_shard: u64 = (0..4)
-        .map(|s| sys.shard_registry(s).snapshot().counter("coord.dispatches"))
+        .map(|s| {
+            sys.coord_handle(s)
+                .get()
+                .snapshot()
+                .counter("coord.dispatches")
+        })
         .sum();
     assert_eq!(snapshot.counter("coord.dispatches"), per_shard);
     // The hot-path histograms sampled.
@@ -429,25 +486,16 @@ fn metrics_snapshot_aggregates_shards_and_exports() {
         "every clean dispatch completes and samples its latency"
     );
     assert!(latency.min > 0, "virtual dispatch latency is nonzero");
-    // WAL and tx metrics migrated onto the registry.
+    // Each shard's snapshot carries its transaction manager's metrics.
     assert!(
         snapshot.counter("tx.commits") > 0,
-        "tx commits flow through the registry"
+        "tx commits flow into the snapshot"
     );
     assert!(
         snapshot
             .histogram("wal.writes_per_commit")
             .is_some_and(|h| h.count > 0),
         "WAL writes-per-commit histogram sampled"
-    );
-    // Old getters are thin wrappers over the same registry entries.
-    assert_eq!(
-        sys.store_prefix_scans(),
-        snapshot.counter("tx.prefix_scans")
-    );
-    assert_eq!(
-        sys.store_fact_range_scans(),
-        snapshot.counter("tx.fact_range_scans")
     );
     // Export formats.
     let json = snapshot.to_json();

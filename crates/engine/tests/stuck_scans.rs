@@ -56,7 +56,7 @@ fn completed_run_performs_no_prefix_scans() {
         )
         .unwrap();
     }
-    let before = sys.store_prefix_scans();
+    let before = sys.metrics_snapshot().counter("tx.prefix_scans");
     sys.run();
     for i in 0..4 {
         assert_eq!(
@@ -68,7 +68,7 @@ fn completed_run_performs_no_prefix_scans() {
     let states = sys.task_states("o0");
     assert!(states.values().all(flowscript_engine::CbState::is_terminal));
     assert_eq!(
-        sys.store_prefix_scans(),
+        sys.metrics_snapshot().counter("tx.prefix_scans"),
         before,
         "the run (and live monitoring) must not scan the store by prefix"
     );
@@ -88,7 +88,7 @@ fn stuck_run_performs_no_prefix_scans_and_still_explains_itself() {
         [("order", ObjectVal::text("Order", "o"))],
     )
     .unwrap();
-    let before = sys.store_prefix_scans();
+    let before = sys.metrics_snapshot().counter("tx.prefix_scans");
     sys.run();
     match sys.status("o").unwrap() {
         InstanceStatus::Stuck { reason } => {
@@ -100,7 +100,7 @@ fn stuck_run_performs_no_prefix_scans_and_still_explains_itself() {
         other => panic!("expected stuck, got {other:?}"),
     }
     assert_eq!(
-        sys.store_prefix_scans(),
+        sys.metrics_snapshot().counter("tx.prefix_scans"),
         before,
         "going stuck must not scan the store by prefix"
     );
@@ -141,9 +141,9 @@ fn repeat_loops_perform_no_prefix_scans() {
     });
     sys.start("i", "r", "main", [("seed", ObjectVal::text("Data", "s"))])
         .unwrap();
-    let before = sys.store_prefix_scans();
+    let before = sys.metrics_snapshot().counter("tx.prefix_scans");
     sys.run();
     assert_eq!(sys.outcome("i").expect("completes").name, "done");
     assert!(sys.stats().repeats >= 3);
-    assert_eq!(sys.store_prefix_scans(), before);
+    assert_eq!(sys.metrics_snapshot().counter("tx.prefix_scans"), before);
 }

@@ -1,14 +1,12 @@
 #![warn(missing_docs)]
 //! Low-overhead observability for the flowscript engine.
 //!
-//! Two cooperating pieces, both single-threaded (`Rc`/`Cell` — the
-//! whole system runs inside one deterministic simulation thread):
+//! Two pieces, both plain values a shard owns and mutates in place —
+//! no shared cells, so an owner can move between threads:
 //!
-//! - a **metrics [`Registry`]** of typed [`Counter`]s, [`Gauge`]s and
-//!   [`Histogram`]s. Handles are cheap clones of shared cells, so hot
-//!   paths increment without a registry lookup; [`Registry::snapshot`]
-//!   materialises everything into a [`Snapshot`] that merges across
-//!   shards and exports as JSON or CSV,
+//! - **metrics**: a [`Histogram`] records samples; a shard keeps its
+//!   counters and gauges as plain integers. A [`Snapshot`] exports them
+//!   by name, merges across shards and renders as JSON or CSV,
 //! - a **[`FlightRecorder`]**: a bounded ring buffer of structured
 //!   lifecycle [`ObsEvent`]s (instance start, commit, dispatch, retry,
 //!   forward, stuck, recovery…), each carrying the instance id, task
@@ -18,10 +16,8 @@
 //! How much the engine feeds these is a branch on [`ObserveLevel`]:
 //! `Off` costs one enum compare per hook point.
 
-use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::rc::Rc;
 
 /// How much the engine observes itself.
 ///
@@ -54,69 +50,17 @@ impl ObserveLevel {
     }
 }
 
-/// A monotonically increasing `u64` counter.
-///
-/// Clones share the same cell — register once, clone the handle into
-/// the hot path, and increment without any lookup.
-#[derive(Debug, Clone, Default)]
-pub struct Counter(Rc<Cell<u64>>);
-
-impl Counter {
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.set(self.0.get().wrapping_add(n));
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.get()
-    }
-
-    /// Overwrites the value (used when recovery re-derives a count).
-    #[inline]
-    pub fn set(&self, value: u64) {
-        self.0.set(value);
-    }
-}
-
-/// A signed instantaneous value (queue depths, in-flight counts).
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Rc<Cell<i64>>);
-
-impl Gauge {
-    /// Sets the value.
-    #[inline]
-    pub fn set(&self, value: i64) {
-        self.0.set(value);
-    }
-
-    /// Adds `delta` (may be negative).
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.0.set(self.0.get().wrapping_add(delta));
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> i64 {
-        self.0.get()
-    }
-}
-
 /// Number of power-of-two buckets a histogram tracks: bucket `i`
 /// counts samples with `ilog2(value) == i` (bucket 0 also takes 0).
 const HIST_BUCKETS: usize = 64;
 
+/// A histogram over `u64` samples with power-of-two buckets.
+///
+/// Recording is O(1); quantiles are estimated from the bucket upper
+/// bounds (good to a factor of two, which is plenty for latency
+/// distributions in a simulated clock).
 #[derive(Debug, Clone)]
-struct HistState {
+pub struct Histogram {
     count: u64,
     sum: u64,
     min: u64,
@@ -124,9 +68,9 @@ struct HistState {
     buckets: [u64; HIST_BUCKETS],
 }
 
-impl Default for HistState {
+impl Default for Histogram {
     fn default() -> Self {
-        HistState {
+        Histogram {
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -136,84 +80,32 @@ impl Default for HistState {
     }
 }
 
-/// A histogram over `u64` samples with power-of-two buckets.
-///
-/// Recording is O(1); quantiles are estimated from the bucket upper
-/// bounds (good to a factor of two, which is plenty for latency
-/// distributions in a simulated clock).
-#[derive(Debug, Clone, Default)]
-pub struct Histogram(Rc<RefCell<HistState>>);
-
 impl Histogram {
     /// Records one sample.
-    pub fn record(&self, value: u64) {
-        let mut state = self.0.borrow_mut();
-        state.count += 1;
-        state.sum = state.sum.saturating_add(value);
-        state.min = state.min.min(value);
-        state.max = state.max.max(value);
+    pub fn record(&mut self, value: u64) {
+        self.count += 1;
+        self.sum = self.sum.saturating_add(value);
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
         let bucket = if value == 0 {
             0
         } else {
             value.ilog2() as usize
         };
-        state.buckets[bucket] += 1;
+        self.buckets[bucket] += 1;
     }
 
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.0.borrow().count
-    }
-
-    /// Sum of recorded samples (saturating).
-    pub fn sum(&self) -> u64 {
-        self.0.borrow().sum
-    }
-
-    /// Largest recorded sample, or 0 if empty.
-    pub fn max(&self) -> u64 {
-        self.0.borrow().max
-    }
-
-    /// Mean of recorded samples, or 0 if empty.
-    pub fn mean(&self) -> u64 {
-        let state = self.0.borrow();
-        state.sum.checked_div(state.count).unwrap_or(0)
-    }
-
-    /// Estimated quantile (`q` in `0.0..=1.0`): the upper bound of the
-    /// bucket holding the q-th sample, clamped to the observed max.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let state = self.0.borrow();
-        if state.count == 0 {
-            return 0;
-        }
-        let rank = ((state.count as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &n) in state.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                let upper = if i + 1 >= HIST_BUCKETS {
-                    u64::MAX
-                } else {
-                    (1u64 << (i + 1)) - 1
-                };
-                return upper.min(state.max);
-            }
-        }
-        state.max
-    }
-
-    fn summary(&self) -> HistogramSummary {
-        let state = self.0.borrow();
+    /// The histogram as a [`Snapshot`] exports it.
+    pub fn summary(&self) -> HistogramSummary {
+        let (p50, p99) = quantiles_from_buckets(&self.buckets, self.count, self.max);
         HistogramSummary {
-            count: state.count,
-            sum: state.sum,
-            min: if state.count == 0 { 0 } else { state.min },
-            max: state.max,
-            p50: self.quantile(0.5),
-            p99: self.quantile(0.99),
-            buckets: state.buckets,
+            count: self.count,
+            sum: self.sum,
+            min: if self.count == 0 { 0 } else { self.min },
+            max: self.max,
+            p50,
+            p99,
+            buckets: self.buckets,
         }
     }
 }
@@ -267,6 +159,9 @@ impl HistogramSummary {
     }
 }
 
+/// Estimated median and 99th percentile of `count` samples in
+/// `buckets`: the upper bound of the bucket holding the q-th sample,
+/// clamped to the observed `max`.
 fn quantiles_from_buckets(buckets: &[u64; HIST_BUCKETS], count: u64, max: u64) -> (u64, u64) {
     let at = |q: f64| -> u64 {
         if count == 0 {
@@ -301,110 +196,28 @@ pub enum MetricValue {
     Histogram(Box<HistogramSummary>),
 }
 
-enum Metric {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
-}
-
-/// A registry of named metrics for one shard (or one subsystem).
-///
-/// Cloning shares the underlying table. `counter`/`gauge`/`histogram`
-/// get-or-register by name and hand back a clone-cheap handle;
-/// re-registering the same name with the same type returns the same
-/// underlying cell (so the engine and tests can both reach it).
-#[derive(Clone, Default)]
-pub struct Registry {
-    metrics: Rc<RefCell<BTreeMap<String, Metric>>>,
-}
-
-impl fmt::Debug for Registry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Registry")
-            .field("metrics", &self.metrics.borrow().len())
-            .finish()
+impl From<&Histogram> for MetricValue {
+    fn from(histogram: &Histogram) -> Self {
+        MetricValue::Histogram(Box::new(histogram.summary()))
     }
 }
 
-impl Registry {
-    /// A fresh, empty registry.
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    /// Gets or registers the counter `name`.
-    ///
-    /// # Panics
-    ///
-    /// If `name` is already registered as a different metric type.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut metrics = self.metrics.borrow_mut();
-        match metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Counter::default()))
-        {
-            Metric::Counter(counter) => counter.clone(),
-            _ => panic!("metric `{name}` already registered with a different type"),
-        }
-    }
-
-    /// Gets or registers the gauge `name`.
-    ///
-    /// # Panics
-    ///
-    /// If `name` is already registered as a different metric type.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut metrics = self.metrics.borrow_mut();
-        match metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Gauge::default()))
-        {
-            Metric::Gauge(gauge) => gauge.clone(),
-            _ => panic!("metric `{name}` already registered with a different type"),
-        }
-    }
-
-    /// Gets or registers the histogram `name`.
-    ///
-    /// # Panics
-    ///
-    /// If `name` is already registered as a different metric type.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        let mut metrics = self.metrics.borrow_mut();
-        match metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::default()))
-        {
-            Metric::Histogram(histogram) => histogram.clone(),
-            _ => panic!("metric `{name}` already registered with a different type"),
-        }
-    }
-
-    /// Materialises every registered metric into a [`Snapshot`].
-    pub fn snapshot(&self) -> Snapshot {
-        let metrics = self.metrics.borrow();
-        let entries = metrics
-            .iter()
-            .map(|(name, metric)| {
-                let value = match metric {
-                    Metric::Counter(counter) => MetricValue::Counter(counter.get()),
-                    Metric::Gauge(gauge) => MetricValue::Gauge(gauge.get()),
-                    Metric::Histogram(histogram) => {
-                        MetricValue::Histogram(Box::new(histogram.summary()))
-                    }
-                };
-                (name.clone(), value)
-            })
-            .collect();
-        Snapshot { entries }
-    }
-}
-
-/// A point-in-time export of a [`Registry`], mergeable across shards.
+/// A point-in-time export of named metrics, mergeable across shards.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// Metric name → exported value, sorted by name.
     pub entries: BTreeMap<String, MetricValue>,
+}
+
+impl<'a> FromIterator<(&'a str, MetricValue)> for Snapshot {
+    fn from_iter<I: IntoIterator<Item = (&'a str, MetricValue)>>(entries: I) -> Self {
+        let entries = entries.into_iter();
+        Snapshot {
+            entries: entries
+                .map(|(name, value)| (name.to_string(), value))
+                .collect(),
+        }
+    }
 }
 
 impl Snapshot {
@@ -736,15 +549,9 @@ impl fmt::Display for ObsEvent {
 /// A bounded ring buffer of [`ObsEvent`]s for one shard.
 ///
 /// When full, the oldest events are evicted first, so the recorder
-/// always keeps the *newest* events per instance. Cloning shares the
-/// ring (handle semantics, like the metric types).
+/// always keeps the *newest* events per instance.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
-    inner: Rc<RefCell<RecorderState>>,
-}
-
-#[derive(Debug)]
-struct RecorderState {
     shard: u32,
     capacity: usize,
     next_seq: u64,
@@ -757,38 +564,34 @@ impl FlightRecorder {
     /// (clamped to at least 1).
     pub fn new(shard: u32, capacity: usize) -> Self {
         FlightRecorder {
-            inner: Rc::new(RefCell::new(RecorderState {
-                shard,
-                capacity: capacity.max(1),
-                next_seq: 0,
-                dropped: 0,
-                ring: VecDeque::new(),
-            })),
+            shard,
+            capacity: capacity.max(1),
+            next_seq: 0,
+            dropped: 0,
+            ring: VecDeque::new(),
         }
     }
 
     /// Records one event. `task`/`attempt` scope it to a dispatch when
     /// applicable.
     pub fn record(
-        &self,
+        &mut self,
         at_ns: u64,
         instance: &str,
         task: Option<&str>,
         attempt: u32,
         kind: ObsEventKind,
     ) {
-        let mut state = self.inner.borrow_mut();
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        if state.ring.len() == state.capacity {
-            state.ring.pop_front();
-            state.dropped += 1;
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if self.ring.len() == self.capacity {
+            self.ring.pop_front();
+            self.dropped += 1;
         }
-        let shard = state.shard;
-        state.ring.push_back(ObsEvent {
+        self.ring.push_back(ObsEvent {
             seq,
             at_ns,
-            shard,
+            shard: self.shard,
             instance: instance.to_string(),
             task: task.map(str::to_string),
             attempt,
@@ -798,38 +601,21 @@ impl FlightRecorder {
 
     /// Every retained event, oldest first.
     pub fn events(&self) -> Vec<ObsEvent> {
-        self.inner.borrow().ring.iter().cloned().collect()
+        self.ring.iter().cloned().collect()
     }
 
     /// Retained events concerning `instance`, oldest first.
     pub fn events_for(&self, instance: &str) -> Vec<ObsEvent> {
-        self.inner
-            .borrow()
-            .ring
-            .iter()
+        let events = self.ring.iter();
+        events
             .filter(|event| event.instance == instance)
             .cloned()
             .collect()
     }
 
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.inner.borrow().ring.len()
-    }
-
-    /// True when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.inner.borrow().ring.is_empty()
-    }
-
     /// Number of events evicted by the ring bound so far.
     pub fn dropped(&self) -> u64 {
-        self.inner.borrow().dropped
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.inner.borrow().capacity
+        self.dropped
     }
 }
 
@@ -847,69 +633,70 @@ mod tests {
         assert!(ObserveLevel::Trace.trace());
     }
 
-    #[test]
-    fn counter_handles_share_state() {
-        let registry = Registry::new();
-        let a = registry.counter("x");
-        let b = registry.counter("x");
-        a.inc();
-        b.add(2);
-        assert_eq!(a.get(), 3);
-        assert_eq!(registry.snapshot().counter("x"), 3);
+    fn histogram(samples: impl IntoIterator<Item = u64>) -> Histogram {
+        let mut histogram = Histogram::default();
+        samples
+            .into_iter()
+            .for_each(|sample| histogram.record(sample));
+        histogram
     }
 
-    #[test]
-    #[should_panic(expected = "different type")]
-    fn type_mismatch_panics() {
-        let registry = Registry::new();
-        registry.counter("x");
-        registry.histogram("x");
+    fn snapshot(entries: Vec<(&str, MetricValue)>) -> Snapshot {
+        entries.into_iter().collect()
     }
 
     #[test]
     fn histogram_quantiles_and_merge() {
-        let registry = Registry::new();
-        let h = registry.histogram("lat");
-        for v in [1u64, 2, 3, 100, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1106);
-        assert_eq!(h.max(), 1000);
-        assert!(h.quantile(0.5) >= 3);
-        assert!(h.quantile(1.0) <= 1000);
+        let summary = histogram([1, 2, 3, 100, 1000]).summary();
+        assert_eq!((summary.count, summary.sum, summary.max), (5, 1106, 1000));
+        assert!(summary.p50 >= 3);
+        assert!(summary.p99 <= 1000);
 
-        let other = Registry::new();
-        let g = other.histogram("lat");
-        g.record(5000);
-        let mut snap = registry.snapshot();
-        snap.merge(&other.snapshot());
+        let mut snap = snapshot(vec![("lat", (&histogram([1, 2, 3, 100, 1000])).into())]);
+        snap.merge(&snapshot(vec![("lat", (&histogram([5000])).into())]));
         let merged = snap.histogram("lat").expect("histogram survives merge");
         assert_eq!(merged.count, 6);
         assert_eq!(merged.max, 5000);
         assert_eq!(merged.min, 1);
     }
 
+    /// One quantile estimator: a histogram's own summary and the one a
+    /// merge re-estimates from its buckets agree, sample set by set.
+    #[test]
+    fn a_summary_and_a_merged_snapshot_estimate_the_same_quantiles() {
+        let skewed = std::iter::repeat_n(1, 98).chain([1_000_000, 1_000_000]);
+        let cases: [(Histogram, (u64, u64)); 3] = [
+            (histogram([]), (0, 0)),
+            (histogram([5]), (5, 5)),
+            (histogram(skewed), (1, 1_000_000)),
+        ];
+        for (histogram, (p50, p99)) in cases {
+            let summary = histogram.summary();
+            assert_eq!((summary.p50, summary.p99), (p50, p99), "{summary:?}");
+            let mut merged = snapshot(vec![("h", (&Histogram::default()).into())]);
+            merged.merge(&snapshot(vec![("h", (&histogram).into())]));
+            assert_eq!(merged.histogram("h"), Some(&summary));
+        }
+    }
+
     #[test]
     fn snapshot_merge_adds_counters() {
-        let a = Registry::new();
-        a.counter("n").add(2);
-        let b = Registry::new();
-        b.counter("n").add(3);
-        b.counter("only_b").inc();
-        let mut snap = a.snapshot();
-        snap.merge(&b.snapshot());
+        let mut snap = snapshot(vec![("n", MetricValue::Counter(2))]);
+        snap.merge(&snapshot(vec![
+            ("n", MetricValue::Counter(3)),
+            ("only_b", MetricValue::Counter(1)),
+        ]));
         assert_eq!(snap.counter("n"), 5);
         assert_eq!(snap.counter("only_b"), 1);
     }
 
     #[test]
     fn snapshot_exports() {
-        let registry = Registry::new();
-        registry.counter("c").add(7);
-        registry.gauge("g").set(-2);
-        registry.histogram("h").record(10);
-        let snap = registry.snapshot();
+        let snap = snapshot(vec![
+            ("c", MetricValue::Counter(7)),
+            ("g", MetricValue::Gauge(-2)),
+            ("h", (&histogram([10])).into()),
+        ]);
         let json = snap.to_json();
         assert!(json.contains("\"c\": 7"));
         assert!(json.contains("\"g\": -2"));
@@ -922,7 +709,7 @@ mod tests {
 
     #[test]
     fn recorder_evicts_oldest_first() {
-        let rec = FlightRecorder::new(0, 3);
+        let mut rec = FlightRecorder::new(0, 3);
         for i in 0..5u64 {
             rec.record(i, "inst", None, 0, ObsEventKind::InstanceStart);
         }
@@ -938,7 +725,7 @@ mod tests {
 
     #[test]
     fn recorder_filters_per_instance() {
-        let rec = FlightRecorder::new(1, 16);
+        let mut rec = FlightRecorder::new(1, 16);
         rec.record(1, "a", None, 0, ObsEventKind::InstanceStart);
         rec.record(2, "b", Some("t"), 1, ObsEventKind::Dispatch { executor: 4 });
         rec.record(

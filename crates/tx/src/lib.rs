@@ -55,7 +55,7 @@ pub use id::{ObjectUid, TxId};
 pub use key::{FactKey, FactKind, StoreKey};
 pub use lock::{Conflict, LockMode};
 pub use log::{LogRecord, Wal};
-pub use manager::{AtomicAction, TxManager};
+pub use manager::{AtomicAction, TxManager, TxMetrics};
 pub use storage::{
     FileStorage, MemStorage, Shared, SharedFileStorage, SharedStorage, StableStore, Storage,
 };

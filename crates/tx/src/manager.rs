@@ -1,9 +1,10 @@
+use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound;
 
 use flowscript_codec::{CodecError, Decode, Encode};
-use flowscript_obs::{Counter, Histogram, ObserveLevel, Registry};
+use flowscript_obs::{Histogram, MetricValue, ObserveLevel, Snapshot};
 
 use crate::error::TxError;
 use crate::id::{ObjectUid, TxId};
@@ -66,41 +67,42 @@ struct PreparedTx {
     writes: Vec<(StoreKey, Option<Vec<u8>>)>,
 }
 
-/// The manager's metric handles, registered under `tx.*`/`wal.*` in
-/// whatever [`Registry`] the manager was opened with (a private one
-/// for [`TxManager::open`], the shard's for
-/// [`TxManager::open_with_metrics`]). The legacy getters
-/// ([`TxManager::prefix_scan_count`] and friends) are thin wrappers
-/// over these handles.
-#[derive(Debug, Clone)]
-struct TxMetrics {
+/// The manager's metrics, exported under `tx.*`/`wal.*` by
+/// [`TxMetrics::snapshot`]. The manager owns them: a shard reopening its
+/// log after a crash moves them into the new manager
+/// ([`TxManager::metrics_mut`]), so their history spans the crash. The
+/// counts the `&self` read paths tick are cells.
+#[derive(Debug, Default)]
+pub struct TxMetrics {
+    /// Gates the optional histograms; the counters tick regardless.
+    observe: ObserveLevel,
     /// Committed actions, local and resolved-commit 2PC ones
     /// (`tx.commits`).
-    commits: Counter,
+    commits: u64,
     /// Aborted actions: explicit, a commit whose append failed, and
     /// resolved-abort 2PC ones (`tx.aborts`).
-    aborts: Counter,
+    aborts: u64,
     /// Uid prefix scans served (`tx.prefix_scans`). Scans are
     /// O(matches) range walks, fine for recovery and cold admin paths —
     /// but the engine's per-commit paths must never need one, and
     /// regression tests assert this counter stays flat during runs.
-    prefix_scans: Counter,
+    prefix_scans: Cell<u64>,
     /// Fact range scans served (`tx.fact_range_scans`). Legitimate on
     /// subtree cancel/reset, whole-fact reconstruction and
     /// reconfiguration — but a readiness *probe* must be a point read,
     /// and regression tests assert clean runs keep this counter flat.
-    fact_range_scans: Counter,
+    fact_range_scans: Cell<u64>,
     /// Committed-state point reads of fact keys (`tx.fact_point_reads`)
     /// — the cheap side of the point-read-vs-range-scan split above.
-    fact_point_reads: Counter,
+    fact_point_reads: Cell<u64>,
     /// Lock requests denied with a wait-die verdict (`tx.lock_waits`).
-    lock_waits: Counter,
+    lock_waits: u64,
     /// 2PC protocol steps processed here — prepares, resolves and
     /// coordinator decision records (`tx.two_pc_rounds`).
-    two_pc_rounds: Counter,
+    two_pc_rounds: u64,
     /// Frames holding two records — a commit decision and the writes
     /// committed with it (`tx.group_commits`).
-    group_commits: Counter,
+    group_commits: u64,
     /// After-images per commit record
     /// (`wal.writes_per_commit`); only fed when observing metrics.
     wal_writes_per_commit: Histogram,
@@ -110,20 +112,38 @@ struct TxMetrics {
 }
 
 impl TxMetrics {
-    fn register(registry: &Registry) -> Self {
-        TxMetrics {
-            commits: registry.counter("tx.commits"),
-            aborts: registry.counter("tx.aborts"),
-            prefix_scans: registry.counter("tx.prefix_scans"),
-            fact_range_scans: registry.counter("tx.fact_range_scans"),
-            fact_point_reads: registry.counter("tx.fact_point_reads"),
-            lock_waits: registry.counter("tx.lock_waits"),
-            two_pc_rounds: registry.counter("tx.two_pc_rounds"),
-            group_commits: registry.counter("tx.group_commits"),
-            wal_writes_per_commit: registry.histogram("wal.writes_per_commit"),
-            wal_bytes_per_frame: registry.histogram("wal.bytes_per_frame"),
+    /// Fresh metrics observing at `observe`.
+    pub fn new(observe: ObserveLevel) -> Self {
+        Self {
+            observe,
+            ..Self::default()
         }
     }
+
+    /// Every metric by name, zeros included.
+    pub fn snapshot(&self) -> Snapshot {
+        let (counter, histogram) = (MetricValue::Counter, MetricValue::from);
+        Snapshot::from_iter([
+            ("tx.commits", counter(self.commits)),
+            ("tx.aborts", counter(self.aborts)),
+            ("tx.prefix_scans", counter(self.prefix_scans.get())),
+            ("tx.fact_range_scans", counter(self.fact_range_scans.get())),
+            ("tx.fact_point_reads", counter(self.fact_point_reads.get())),
+            ("tx.lock_waits", counter(self.lock_waits)),
+            ("tx.two_pc_rounds", counter(self.two_pc_rounds)),
+            ("tx.group_commits", counter(self.group_commits)),
+            (
+                "wal.writes_per_commit",
+                histogram(&self.wal_writes_per_commit),
+            ),
+            ("wal.bytes_per_frame", histogram(&self.wal_bytes_per_frame)),
+        ])
+    }
+}
+
+/// Adds one to a count a `&self` read path keeps.
+fn tick(count: &Cell<u64>) {
+    count.set(count.get() + 1);
 }
 
 /// The transaction manager: atomic actions over a persistent object store.
@@ -161,8 +181,9 @@ pub struct TxManager<S = SharedStorage> {
     /// Log length after this manager's own last append — a tail beyond
     /// it means another handle wrote (fence detection).
     wal_len: u64,
-    metrics: TxMetrics,
-    observe: ObserveLevel,
+    /// Boxed, like the shard's: cold histogram buckets kept off the
+    /// store's cache lines.
+    metrics: Box<TxMetrics>,
 }
 
 impl TxManager<SharedStorage> {
@@ -181,23 +202,6 @@ impl<S: Storage> TxManager<S> {
     /// [`TxError::Corrupt`] if the log is damaged beyond a torn tail,
     /// [`TxError::Storage`] on I/O failure.
     pub fn open(node: u32, storage: S) -> Result<Self, TxError> {
-        Self::open_with_metrics(node, storage, &Registry::new(), ObserveLevel::Off)
-    }
-
-    /// [`TxManager::open`] registering this manager's metrics
-    /// (`tx.*`/`wal.*`) in the caller's `registry` instead of a private
-    /// one, observing at `observe` (gates the optional histograms; the
-    /// always-on counters behind the legacy getters tick regardless).
-    ///
-    /// # Errors
-    ///
-    /// As for [`TxManager::open`].
-    pub fn open_with_metrics(
-        node: u32,
-        storage: S,
-        registry: &Registry,
-        observe: ObserveLevel,
-    ) -> Result<Self, TxError> {
         let wal = Wal::new(storage);
         let mut store = BTreeMap::new();
         let mut prepared: HashMap<TxId, PreparedTx> = HashMap::new();
@@ -288,8 +292,7 @@ impl<S: Storage> TxManager<S> {
             next_seq,
             fence,
             wal_len,
-            metrics: TxMetrics::register(registry),
-            observe,
+            metrics: Box::default(),
         })
     }
 
@@ -316,7 +319,7 @@ impl<S: Storage> TxManager<S> {
         match self.locks.acquire(tx, key, mode) {
             Acquired::Granted => Ok(()),
             Acquired::Conflicted { holder, verdict } => {
-                self.metrics.lock_waits.inc();
+                self.metrics.lock_waits += 1;
                 Err(TxError::Lock {
                     key: key.clone(),
                     holder,
@@ -464,10 +467,9 @@ impl<S: Storage> TxManager<S> {
             .active
             .remove(&action.id)
             .ok_or(TxError::UnknownAction(action.id))?;
-        if self.observe.metrics() {
-            self.metrics
-                .wal_writes_per_commit
-                .record(writes.len() as u64);
+        if self.metrics.observe.metrics() {
+            let images = writes.len() as u64;
+            self.metrics.wal_writes_per_commit.record(images);
         }
         // The frame borrows nothing and is encoded exactly once; the
         // after-images then move into the store.
@@ -491,20 +493,20 @@ impl<S: Storage> TxManager<S> {
                 // — so a commit that did not reach the log ends here as
                 // an abort.
                 self.locks.release_all(action.id);
-                self.metrics.aborts.inc();
+                self.metrics.aborts += 1;
                 return Err(err);
             }
             if matches!(frame, LogRecord::GroupCommit { .. }) {
-                self.metrics.group_commits.inc();
+                self.metrics.group_commits += 1;
             }
             apply_frame(&mut self.store, frame);
         }
         if let Some(tx) = decision {
-            self.metrics.two_pc_rounds.inc();
+            self.metrics.two_pc_rounds += 1;
             self.coordinator_commits.insert(tx);
         }
         self.locks.release_all(action.id);
-        self.metrics.commits.inc();
+        self.metrics.commits += 1;
         Ok(())
     }
 
@@ -513,7 +515,7 @@ impl<S: Storage> TxManager<S> {
     pub fn abort(&mut self, action: AtomicAction) {
         if self.active.remove(&action.id).is_some() {
             self.locks.release_all(action.id);
-            self.metrics.aborts.inc();
+            self.metrics.aborts += 1;
         }
     }
 
@@ -524,10 +526,9 @@ impl<S: Storage> TxManager<S> {
         self.check_fence()?;
         self.wal.append(record)?;
         let len = self.wal.size_bytes();
-        if self.observe.metrics() {
-            self.metrics
-                .wal_bytes_per_frame
-                .record(len.saturating_sub(self.wal_len));
+        if self.metrics.observe.metrics() {
+            let frame = len.saturating_sub(self.wal_len);
+            self.metrics.wal_bytes_per_frame.record(frame);
         }
         self.wal_len = len;
         Ok(())
@@ -598,7 +599,7 @@ impl<S: Storage> TxManager<S> {
     /// [`TxError::Corrupt`] if the stored bytes fail to decode as `T`.
     pub fn read_committed_key<T: Decode>(&self, key: &StoreKey) -> Result<Option<T>, TxError> {
         if is_fact(key) {
-            self.metrics.fact_point_reads.inc();
+            tick(&self.metrics.fact_point_reads);
         }
         match self.store.get(key) {
             None => Ok(None),
@@ -614,7 +615,7 @@ impl<S: Storage> TxManager<S> {
     /// [`TxManager::read_committed_key`].
     pub fn read_through(&self, action: Option<&AtomicAction>, key: &StoreKey) -> Option<&[u8]> {
         if is_fact(key) {
-            self.metrics.fact_point_reads.inc();
+            tick(&self.metrics.fact_point_reads);
         }
         let workspace = action.and_then(|action| self.active.get(&action.id));
         match workspace.and_then(|workspace| workspace.staged(key)) {
@@ -631,7 +632,7 @@ impl<S: Storage> TxManager<S> {
     /// Whether an object exists in committed state.
     pub fn exists_key(&self, key: &StoreKey) -> bool {
         if is_fact(key) {
-            self.metrics.fact_point_reads.inc();
+            tick(&self.metrics.fact_point_reads);
         }
         self.store.contains_key(key)
     }
@@ -647,7 +648,7 @@ impl<S: Storage> TxManager<S> {
     /// the `inst/…/meta` objects does not materialize the records stored
     /// beside them.
     pub fn uids_matching(&self, prefix: &str, suffix: &str) -> Vec<ObjectUid> {
-        self.metrics.prefix_scans.inc();
+        tick(&self.metrics.prefix_scans);
         let start = StoreKey::Uid(ObjectUid::new(prefix));
         self.store
             .range((Bound::Included(start), Bound::Unbounded))
@@ -662,7 +663,7 @@ impl<S: Storage> TxManager<S> {
     /// cancel/reset, reconfiguration remapping). One range scan over the
     /// dense fact index space.
     pub fn fact_keys_in_range(&self, lo: FactKey, hi: FactKey) -> Vec<FactKey> {
-        self.metrics.fact_range_scans.inc();
+        tick(&self.metrics.fact_range_scans);
         self.store
             .range(StoreKey::Fact(lo)..=StoreKey::Fact(hi))
             .filter_map(|(key, _)| key.as_fact())
@@ -673,7 +674,7 @@ impl<S: Storage> TxManager<S> {
     /// (whole-fact reconstruction on cold paths: monitoring, recovery
     /// re-dispatch, reconfiguration remapping). One range scan.
     pub fn facts_in_range(&self, lo: FactKey, hi: FactKey) -> Vec<(FactKey, Vec<u8>)> {
-        self.metrics.fact_range_scans.inc();
+        tick(&self.metrics.fact_range_scans);
         self.store
             .range(StoreKey::Fact(lo)..=StoreKey::Fact(hi))
             .filter_map(|(key, bytes)| key.as_fact().map(|key| (key, bytes.clone())))
@@ -726,27 +727,15 @@ impl<S: Storage> TxManager<S> {
         self.wal.size_bytes()
     }
 
-    /// `(commits, aborts)` — thin wrapper over the `tx.commits` /
-    /// `tx.aborts` registry counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.metrics.commits.get(), self.metrics.aborts.get())
+    /// This manager's metrics.
+    pub fn metrics(&self) -> &TxMetrics {
+        &self.metrics
     }
 
-    /// Uid prefix scans served (the stuck-diagnostics regression
-    /// guard: commit-path work must be point reads and dense-key range
-    /// scans, never a prefix walk). Thin wrapper over the
-    /// `tx.prefix_scans` registry counter.
-    pub fn prefix_scan_count(&self) -> u64 {
-        self.metrics.prefix_scans.get()
-    }
-
-    /// Fact range scans served (per-object probes are point reads: a
-    /// clean run performs none of these either — only subtree
-    /// cancel/reset, whole-fact reconstruction and reconfiguration
-    /// do). Thin wrapper over the `tx.fact_range_scans` registry
-    /// counter.
-    pub fn fact_range_scan_count(&self) -> u64 {
-        self.metrics.fact_range_scans.get()
+    /// This manager's metrics, to replace: set the level they observe
+    /// at, or carry their history into a reopened manager.
+    pub fn metrics_mut(&mut self) -> &mut TxMetrics {
+        &mut self.metrics
     }
 
     /// Number of live (committed) objects.
@@ -773,13 +762,13 @@ impl<S: Storage> TxManager<S> {
         coordinator: u32,
         writes: Vec<(StoreKey, Option<Vec<u8>>)>,
     ) -> Result<(), TxError> {
-        self.metrics.two_pc_rounds.inc();
+        self.metrics.two_pc_rounds += 1;
         for (key, _) in &writes {
             if let Acquired::Conflicted { holder, verdict } =
                 self.locks.acquire(tx, key, LockMode::Write)
             {
                 self.locks.release_all(tx);
-                self.metrics.lock_waits.inc();
+                self.metrics.lock_waits += 1;
                 return Err(TxError::Lock {
                     key: key.clone(),
                     holder,
@@ -822,16 +811,16 @@ impl<S: Storage> TxManager<S> {
         if !self.prepared.contains_key(&tx) {
             return Ok(());
         }
-        self.metrics.two_pc_rounds.inc();
+        self.metrics.two_pc_rounds += 1;
         // Append first: a resolve that did not reach the log leaves the
         // transaction prepared, for the decision's next delivery.
         self.append_record(&LogRecord::Resolve { tx, committed })?;
         let prepared = self.prepared.remove(&tx).expect("checked above");
         if committed {
             apply_writes(&mut self.store, prepared.writes);
-            self.metrics.commits.inc();
+            self.metrics.commits += 1;
         } else {
-            self.metrics.aborts.inc();
+            self.metrics.aborts += 1;
         }
         self.locks.release_all(tx);
         Ok(())
@@ -896,12 +885,22 @@ fn apply_writes(store: &mut BTreeMap<StoreKey, Vec<u8>>, writes: Vec<(StoreKey, 
 
 #[cfg(test)]
 mod tests {
-    use std::cell::Cell;
-    use std::rc::Rc;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     use super::*;
     use crate::lock::Conflict;
     use crate::storage::FlakyStorage;
+
+    /// `name`'s count, read the one way: off the metrics' snapshot.
+    fn counter<S: Storage>(mgr: &TxManager<S>, name: &str) -> u64 {
+        mgr.metrics().snapshot().counter(name)
+    }
+
+    /// `(commits, aborts)`.
+    fn stats<S: Storage>(mgr: &TxManager<S>) -> (u64, u64) {
+        (counter(mgr, "tx.commits"), counter(mgr, "tx.aborts"))
+    }
 
     fn uid(s: &str) -> ObjectUid {
         ObjectUid::new(s)
@@ -931,7 +930,7 @@ mod tests {
         mgr.abort(a);
         assert_eq!(mgr.read_committed_key::<u8>(&key("x")).unwrap(), None);
         assert!(!mgr.exists_key(&key("x")));
-        assert_eq!(mgr.stats(), (0, 1));
+        assert_eq!(stats(&mgr), (0, 1));
     }
 
     #[test]
@@ -947,26 +946,25 @@ mod tests {
 
     #[test]
     fn read_through_sees_staged_then_committed_and_takes_no_lock() {
-        let registry = Registry::new();
-        let (mut mgr, _) = observed(&registry);
-        let point_reads = || registry.counter("tx.fact_point_reads").get();
+        let mut mgr = TxManager::in_memory();
+        let point_reads = |mgr: &TxManager| counter(mgr, "tx.fact_point_reads");
         let fact = StoreKey::Fact(FactKey::input(0, 1, 0));
         let a = mgr.begin();
         mgr.write_key(&a, &fact, &1u8).unwrap();
         mgr.commit(a).unwrap();
         let (writer, other) = (mgr.begin(), mgr.begin());
         mgr.write_key(&writer, &fact, &2u8).unwrap();
-        let reads = point_reads();
+        let reads = point_reads(&mgr);
         assert_eq!(mgr.read_through(Some(&writer), &fact), Some(&[2u8][..]));
         // Nobody else's staging shows, and the writer's lock is no bar.
         assert_eq!(mgr.read_through(Some(&other), &fact), Some(&[1u8][..]));
         assert_eq!(mgr.read_through(None, &fact), Some(&[1u8][..]));
-        assert_eq!(point_reads(), reads + 3);
+        assert_eq!(point_reads(&mgr), reads + 3);
         // A staged delete reads as absent; a uid is not a fact read.
         mgr.delete_key(&writer, &fact).unwrap();
         assert_eq!(mgr.read_through(Some(&writer), &fact), None);
         assert_eq!(mgr.read_through(Some(&writer), &key("nothing")), None);
-        assert_eq!(point_reads(), reads + 4);
+        assert_eq!(point_reads(&mgr), reads + 4);
         mgr.abort(other);
         mgr.commit(writer).unwrap();
         assert_eq!(mgr.read_through(None, &fact), None);
@@ -1171,7 +1169,7 @@ mod tests {
     #[test]
     fn prefix_scan_counter_tracks_only_prefix_walks() {
         let mut mgr = TxManager::in_memory();
-        assert_eq!(mgr.prefix_scan_count(), 0);
+        assert_eq!(counter(&mgr, "tx.prefix_scans"), 0);
         let a = mgr.begin();
         mgr.write_key(&a, &key("inst/1/a"), &1u8).unwrap();
         mgr.write_key(&a, &StoreKey::Fact(FactKey::output(1, 0, 0)), &1u8)
@@ -1180,10 +1178,10 @@ mod tests {
         // Point reads and dense-key range scans are not prefix scans.
         let _ = mgr.read_committed_key::<u8>(&key("inst/1/a")).unwrap();
         let _ = mgr.fact_keys_in_range(FactKey::instance_first(1), FactKey::instance_last(1));
-        assert_eq!(mgr.prefix_scan_count(), 0);
+        assert_eq!(counter(&mgr, "tx.prefix_scans"), 0);
         let _ = mgr.uids_with_prefix("inst/");
         let _ = mgr.uids_with_prefix("inst/1/");
-        assert_eq!(mgr.prefix_scan_count(), 2);
+        assert_eq!(counter(&mgr, "tx.prefix_scans"), 2);
     }
 
     #[test]
@@ -1292,17 +1290,15 @@ mod tests {
         mgr.commit(action).unwrap();
     }
 
-    /// A manager over fresh shared storage, reporting into `registry`.
-    fn observed(registry: &Registry) -> (TxManager, SharedStorage) {
+    /// A manager over fresh shared storage, and the storage.
+    fn shared() -> (TxManager, SharedStorage) {
         let stable = SharedStorage::new();
-        let mgr = TxManager::open_with_metrics(0, stable.clone(), registry, ObserveLevel::Off);
-        (mgr.unwrap(), stable)
+        (TxManager::open(0, stable.clone()).unwrap(), stable)
     }
 
     #[test]
     fn a_decision_staged_with_writes_is_one_resolve_commit_frame() {
-        let registry = Registry::new();
-        let (mut mgr, stable) = observed(&registry);
+        let (mut mgr, stable) = shared();
         let dist_tx = mgr.mint_dist_tx();
         let a = mgr.begin();
         mgr.write_key(&a, &key("x"), &1u8).unwrap();
@@ -1333,10 +1329,9 @@ mod tests {
                 },
             ]
         );
-        let counter = |name: &str| registry.counter(name).get();
-        assert_eq!(counter("tx.group_commits"), 1);
-        assert_eq!(counter("tx.two_pc_rounds"), 1);
-        assert_eq!(counter("tx.commits"), 1);
+        assert_eq!(counter(&mgr, "tx.group_commits"), 1);
+        assert_eq!(counter(&mgr, "tx.two_pc_rounds"), 1);
+        assert_eq!(counter(&mgr, "tx.commits"), 1);
         // It replays as the decision and the writes, and a checkpoint
         // carries both over.
         for _ in 0..2 {
@@ -1350,8 +1345,7 @@ mod tests {
 
     #[test]
     fn a_decision_with_no_writes_is_a_bare_resolve() {
-        let registry = Registry::new();
-        let (mut mgr, stable) = observed(&registry);
+        let (mut mgr, stable) = shared();
         let dist_tx = mgr.mint_dist_tx();
         decide(&mut mgr, dist_tx);
         assert_eq!(mgr.coordinator_decision(dist_tx), Some(true));
@@ -1363,7 +1357,7 @@ mod tests {
                 committed: true
             }]
         );
-        assert_eq!(registry.counter("tx.group_commits").get(), 0);
+        assert_eq!(counter(&mgr, "tx.group_commits"), 0);
     }
 
     #[test]
@@ -1395,7 +1389,7 @@ mod tests {
         assert_eq!(mgr.coordinator_decision(dist_tx), None);
     }
 
-    fn flaky() -> (TxManager<FlakyStorage>, Rc<Cell<bool>>) {
+    fn flaky() -> (TxManager<FlakyStorage>, Arc<AtomicBool>) {
         let storage = FlakyStorage::default();
         let fail = storage.fail.clone();
         (TxManager::open(0, storage).unwrap(), fail)
@@ -1406,9 +1400,9 @@ mod tests {
         let (mut mgr, fail) = flaky();
         let a = mgr.begin();
         mgr.write_key(&a, &key("x"), &1u8).unwrap();
-        fail.set(true);
+        fail.store(true, Ordering::Relaxed);
         assert!(matches!(mgr.commit(a), Err(TxError::Storage(_))));
-        fail.set(false);
+        fail.store(false, Ordering::Relaxed);
         // Nothing applied — and the action is consumed, so nobody could
         // release its locks after the fact: the next writer must get in.
         assert_eq!(mgr.read_committed_key::<u8>(&key("x")).unwrap(), None);
@@ -1416,7 +1410,7 @@ mod tests {
         mgr.write_key(&b, &key("x"), &2u8).unwrap();
         mgr.commit(b).unwrap();
         assert_eq!(mgr.read_committed_key::<u8>(&key("x")).unwrap(), Some(2));
-        assert_eq!(mgr.stats(), (1, 1), "the failed commit counts as an abort");
+        assert_eq!(stats(&mgr), (1, 1), "the failed commit counts as an abort");
     }
 
     #[test]
@@ -1426,9 +1420,9 @@ mod tests {
         let a = mgr.begin();
         mgr.write_key(&a, &key("x"), &1u8).unwrap();
         mgr.stage_decision(&a, dist_tx).unwrap();
-        fail.set(true);
+        fail.store(true, Ordering::Relaxed);
         assert!(matches!(mgr.commit(a), Err(TxError::Storage(_))));
-        fail.set(false);
+        fail.store(false, Ordering::Relaxed);
         assert_eq!(mgr.coordinator_decision(dist_tx), None);
         assert!(!mgr.exists_key(&key("x")));
         assert_eq!(mgr.log_size(), 0);
@@ -1436,19 +1430,19 @@ mod tests {
         let b = mgr.begin();
         mgr.write_key(&b, &key("x"), &2u8).unwrap();
         mgr.commit(b).unwrap();
-        assert_eq!(mgr.stats(), (1, 1));
+        assert_eq!(stats(&mgr), (1, 1));
     }
 
     #[test]
     fn failed_prepare_append_keeps_no_locks() {
         let (mut mgr, fail) = flaky();
         let writes = || vec![(key("x"), Some(vec![1]))];
-        fail.set(true);
+        fail.store(true, Ordering::Relaxed);
         assert!(matches!(
             mgr.prepare_remote(TxId::new(9, 1), 9, writes()),
             Err(TxError::Storage(_))
         ));
-        fail.set(false);
+        fail.store(false, Ordering::Relaxed);
         assert!(mgr.in_doubt().is_empty(), "not durable, not prepared");
         // The key is free for a local writer and for the next prepare.
         let a = mgr.begin();
@@ -1464,12 +1458,12 @@ mod tests {
         let dist_tx = TxId::new(9, 1);
         mgr.prepare_remote(dist_tx, 9, vec![(key("x"), Some(vec![1]))])
             .unwrap();
-        fail.set(true);
+        fail.store(true, Ordering::Relaxed);
         assert!(matches!(
             mgr.resolve_remote(dist_tx, true),
             Err(TxError::Storage(_))
         ));
-        fail.set(false);
+        fail.store(false, Ordering::Relaxed);
         // Still in doubt, still locked, nothing applied: the decision's
         // next delivery is not mistaken for a duplicate.
         assert_eq!(mgr.in_doubt(), vec![(dist_tx, 9)]);

@@ -2,19 +2,19 @@
 //!
 //! In simulation, durable state must survive *simulated node crashes* while
 //! living in the test process: a [`Storage`] is shared via [`Shared`] (an
-//! `Rc` cell), so a "crashed" node's `TxManager` can be dropped and a
+//! `Arc<Mutex>`), so a "crashed" node's `TxManager` can be dropped and a
 //! fresh one recovered from the same bytes — exactly the paper's model of
 //! stable storage surviving processor crashes. [`MemStorage`] is the
 //! simulated disk, [`FileStorage`] provides real on-disk durability, and
 //! [`StableStore`] is either — or any other [`Storage`], a test double
 //! included — behind one handle.
 
-use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::error::TxError;
 
@@ -157,9 +157,11 @@ impl Storage for FileStorage {
 /// A storage cell shared across the "disk" boundary: the simulated
 /// machine holds one clone, the simulated stable store the other, and
 /// dropping the machine's clone (a crash) does not lose the bytes — a
-/// fresh `TxManager` recovers from what the surviving clone holds.
+/// fresh `TxManager` recovers from what the surviving clone holds. A
+/// clone is `Send` when the storage is: the façade, a shard and the
+/// claimant of a dead shard's disk really share the bytes.
 pub struct Shared<S: ?Sized> {
-    inner: Rc<RefCell<S>>,
+    inner: Arc<Mutex<S>>,
 }
 
 /// Simulated stable memory: crash survival without touching a disk.
@@ -172,12 +174,22 @@ pub type SharedFileStorage = Shared<FileStorage>;
 /// The stable store a coordinator journals to: any shared storage, its
 /// type erased. Built `From` a [`SharedStorage`], a
 /// [`SharedFileStorage`], or a `Shared::from` of any other [`Storage`].
-pub type StableStore = Shared<dyn Storage>;
+pub type StableStore = Shared<dyn Storage + Send>;
+
+impl<S: ?Sized> Shared<S> {
+    /// The storage. No [`Storage`] call here panics midway, so a
+    /// poisoned lock is a bug.
+    fn lock(&self) -> MutexGuard<'_, S> {
+        self.inner
+            .lock()
+            .expect("a storage call panicked holding the disk")
+    }
+}
 
 impl<S: ?Sized> Clone for Shared<S> {
     fn clone(&self) -> Self {
         Self {
-            inner: Rc::clone(&self.inner),
+            inner: Arc::clone(&self.inner),
         }
     }
 }
@@ -191,12 +203,12 @@ impl<S: ?Sized> fmt::Debug for Shared<S> {
 impl<S: Storage> From<S> for Shared<S> {
     fn from(storage: S) -> Self {
         Self {
-            inner: Rc::new(RefCell::new(storage)),
+            inner: Arc::new(Mutex::new(storage)),
         }
     }
 }
 
-impl<S: Storage + 'static> From<Shared<S>> for StableStore {
+impl<S: Storage + Send + 'static> From<Shared<S>> for StableStore {
     fn from(storage: Shared<S>) -> Self {
         Self {
             inner: storage.inner,
@@ -243,19 +255,19 @@ impl SharedFileStorage {
 
 impl<S: Storage + ?Sized> Storage for Shared<S> {
     fn append(&mut self, bytes: &[u8]) -> Result<(), TxError> {
-        self.inner.borrow_mut().append(bytes)
+        self.lock().append(bytes)
     }
 
     fn read_all(&self) -> Result<Vec<u8>, TxError> {
-        self.inner.borrow().read_all()
+        self.lock().read_all()
     }
 
     fn truncate(&mut self, len: u64) -> Result<(), TxError> {
-        self.inner.borrow_mut().truncate(len)
+        self.lock().truncate(len)
     }
 
     fn len(&self) -> u64 {
-        self.inner.borrow().len()
+        self.lock().len()
     }
 }
 
@@ -267,12 +279,12 @@ impl<S: Storage + ?Sized> Storage for Shared<S> {
 pub struct FlakyStorage {
     inner: MemStorage,
     /// The switch: keep a clone, set it, and appends fail.
-    pub fail: Rc<Cell<bool>>,
+    pub fail: Arc<AtomicBool>,
 }
 
 impl Storage for FlakyStorage {
     fn append(&mut self, bytes: &[u8]) -> Result<(), TxError> {
-        if self.fail.get() {
+        if self.fail.load(Ordering::Relaxed) {
             return Err(TxError::Storage("injected append failure".into()));
         }
         self.inner.append(bytes)

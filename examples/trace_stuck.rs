@@ -115,7 +115,7 @@ fn main() -> Result<(), EngineError> {
         println!("  {event}");
     }
 
-    // The unified metrics registry watched the same run.
+    // The shards' metrics watched the same run.
     let snapshot = sys.metrics_snapshot();
     println!(
         "\nmetrics: {} dispatches, {} tx commits, commit-drain p99 {}",

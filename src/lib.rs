@@ -17,7 +17,7 @@
 //! | [`flowscript_tx`] | Arjuna-style transactions: atomic actions, 2PL, write-ahead log, recovery, 2PC |
 //! | [`flowscript_sim`] | deterministic discrete-event simulation: nodes, faulty network, RPC, virtual time |
 //! | [`flowscript_codec`] | binary encoding, framing, checksums |
-//! | [`flowscript_obs`] | flight recorder and metrics registry |
+//! | [`flowscript_obs`] | flight recorder, histograms and metric snapshots |
 //!
 //! (The perf ledger — the one performance instrument — is the
 //! stand-alone `ledger/` package.)
