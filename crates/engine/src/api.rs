@@ -691,16 +691,6 @@ impl WorkflowSystem {
         self.coords.iter().map(|coord| coord.get().log_size()).sum()
     }
 
-    /// Fingerprints of the compiled-plan blobs persisted on one shard
-    /// (`sys/plan/…`) — observability for checkpoint-time plan GC.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn persisted_plans(&self, shard: usize) -> Vec<u64> {
-        self.coords[shard].get().persisted_plan_fingerprints()
-    }
-
     /// Corrupts one fact of `path` in place — the output, else the
     /// input set, called `name` (fault injection for the corrupt-record
     /// tests).
@@ -1398,39 +1388,6 @@ mod tests {
             .start("i3", "q", "alt", [("seed", text("Message", "x"))])
             .unwrap_err();
         assert!(err.to_string().contains("no input set"), "{err}");
-    }
-
-    #[test]
-    fn corrupted_served_plan_falls_back_to_local_lowering_uncached() {
-        let mut sys = WorkflowSystem::builder().seed(8).build();
-        sys.register_script("q", samples::QUICKSTART, "pipeline")
-            .unwrap();
-        sys.bind_fn("refProduce", |_| {
-            TaskBehavior::outcome("produced")
-                .with_object("message", ObjectVal::text("Message", "m"))
-        });
-        sys.bind_fn("refConsume", |_| {
-            TaskBehavior::outcome("consumed").with_object("result", ObjectVal::text("Message", "r"))
-        });
-        // A repository that serves the right source beside a plan whose
-        // stored fingerprint no longer matches its content.
-        {
-            let mut repo = sys.repo.get_mut();
-            let plan = &mut repo.stored_mut("q", 1).plan_bytes;
-            *plan.last_mut().expect("plans are not empty") ^= 0xFF;
-        }
-        sys.start("i1", "q", "main", [("seed", text("Message", "x"))])
-            .unwrap();
-        sys.run();
-        // The instance ran off a locally lowered plan (persisted under
-        // its true fingerprint), and the bad bytes were never cached.
-        assert_eq!(sys.outcome("i1").expect("completed").name, "done");
-        assert_eq!(sys.persisted_plans(0).len(), 1);
-        assert!(sys
-            .coord_handle(0)
-            .get()
-            .cached_plan_fingerprints()
-            .is_empty());
     }
 
     #[test]

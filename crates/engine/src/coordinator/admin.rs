@@ -12,13 +12,13 @@ use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::SimTime;
 use flowscript_tx::StoreKey;
 
-use super::lifecycle::pin_blobs;
+use super::lifecycle::{pin_source, pinned_source};
 use super::meta::source_hash;
 use super::step::Effect;
 use super::{Coordinator, InstanceStatus, Output, StatusRecord};
 use crate::error::EngineError;
 use crate::facts;
-use crate::keys::{plan_uid, source_uid, status_uid, InstanceKeys};
+use crate::keys::{source_uid, status_uid, InstanceKeys};
 use crate::reconfig::{self, Reconfig};
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
@@ -60,19 +60,15 @@ impl Coordinator {
         self.poison(targets.into_iter().map(StoreKey::Fact))
     }
 
-    /// [`Coordinator::poison_fact`] for one of the three records an
-    /// instance keeps besides its facts: `which` names its `status`
-    /// record, or the `plan` or `source` blob it pins. Works on a
-    /// crashed coordinator too (the bytes land in its log, as a fault
-    /// that struck while it was down would).
+    /// [`Coordinator::poison_fact`] for a record an instance keeps
+    /// besides its facts: `which` names its `status` record, or the
+    /// `source` blob it pins. Works on a crashed coordinator too (the
+    /// bytes land in its log, as a fault that struck while it was down
+    /// would).
     #[doc(hidden)]
     pub fn poison_record(&mut self, instance: &str, which: &str) -> bool {
         let key = match which {
             "status" => Some(status_uid(instance)),
-            "plan" => self
-                .read_status(instance)
-                .map(|record| plan_uid(record.plan_fingerprint))
-                .ok(),
             "source" => self
                 .read_header(instance)
                 .map(|header| source_uid(header.source_hash))
@@ -206,10 +202,11 @@ impl Coordinator {
     /// Applies a reconfiguration to a running instance: a new version
     /// of its script, in one step.
     ///
-    /// The op edits the script the instance runs — its pinned source —
-    /// and the front end compiles the edited text ([`reconfig::apply`]).
-    /// One atomic action then pins that text and its plan, points the
-    /// header and status record at them, **remaps** the instance's
+    /// The op edits the script the instance runs — its pinned source
+    /// ([`reconfig::apply`]) — and the front end compiles the edited
+    /// text through the shard's plan cache, as it compiles a start's.
+    /// One atomic action then pins that text, points the header at it,
+    /// **remaps** the instance's
     /// persisted facts and control blocks onto the new plan's dense ids
     /// (task ids shift when tasks are added or removed; what belonged to
     /// a vanished task or declaration is deleted), gives each new task
@@ -237,9 +234,11 @@ impl Coordinator {
             let name: Arc<str> = Arc::from(instance);
             let staged = this.run_step(|coordinator, step| {
                 let mut header = coordinator.read_header(instance)?;
-                let source = coordinator.pinned_source(instance, &header)?;
-                let (text, plan) = reconfig::apply(source, &header.root, &op)?;
-                let plan = Arc::new(plan);
+                let source = pinned_source(&coordinator.mgr, instance, &header)?;
+                let text = reconfig::apply(source, &header.root, &op)?;
+                let hash = source_hash(&text);
+                let plan = coordinator.plan_cache.plan(hash, &text, &header.root);
+                let plan = plan.map_err(reconfig::rejected)?;
                 let keys = Arc::new(InstanceKeys::build(&plan, instance, old_keys.instance_id));
                 fn path(plan: &Plan, id: TaskId) -> &str {
                     plan.str(plan.task(id).path)
@@ -267,17 +266,17 @@ impl Coordinator {
                 if revived {
                     record.status = InstanceStatus::Running;
                 }
-                record.plan_fingerprint = plan.fingerprint;
-                let hash = source_hash(&text);
                 header.source_hash = hash;
                 let action = step.action(&mut coordinator.mgr);
                 let mgr = &mut coordinator.mgr;
                 // The remap reads committed state: it stages first.
                 let id = old_keys.instance_id;
                 facts::remap_instance_facts(mgr, action, &old_plan, &old_keys, &plan, id)?;
-                pin_blobs(mgr, action, &header.script, hash, &text, &plan)?;
+                pin_source(mgr, action, &header.script, hash, &text)?;
                 mgr.write_key(action, keys.meta(), &header)?;
-                mgr.write_key(action, keys.status(), &record)?;
+                if revived {
+                    mgr.write_key(action, keys.status(), &record)?;
+                }
                 // After the remap: a new task may take an id it vacated.
                 for (task, cb) in &new_blocks {
                     facts::write_block(mgr, action, &plan, &keys, *task, cb)?;

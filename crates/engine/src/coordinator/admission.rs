@@ -142,9 +142,9 @@ impl Coordinator {
         });
     }
 
-    /// The repository answered an admitted start's fetch (or did not in
-    /// time): compiles and launches the instance, and answers the client
-    /// either way.
+    /// The repository answered an admitted start's fetch with the
+    /// version's source (or did not in time): launches the instance,
+    /// and answers the client either way.
     pub(super) fn on_fetched(
         &mut self,
         ticket: AdmissionTicket,
@@ -158,26 +158,16 @@ impl Coordinator {
                     result: Ok(_),
                     source,
                     root,
-                    plan,
-                }) => {
-                    // Use the repository's cached plan when it decodes
-                    // AND survives structural + fingerprint validation
-                    // (a corrupted plan must fall back to local
-                    // lowering, not panic mid-evaluate).
-                    let served = (!plan.is_empty())
-                        .then(|| self.plan_cache.validated(&plan))
-                        .flatten();
-                    self.start_instance(
+                }) => self
+                    .start_instance(
                         &ticket.instance,
                         &ticket.script,
                         &source,
                         &root,
                         &ticket.set,
                         ticket.inputs,
-                        served,
                     )
-                    .map_err(|e| e.to_string())
-                }
+                    .map_err(|e| e.to_string()),
                 Ok(EngineMsg::RepoReply {
                     result: Err(err), ..
                 }) => Err(err),

@@ -1,16 +1,17 @@
 //! Instance lifecycle: starting an instance, materialising its volatile
 //! runtime from committed state (crash recovery and adoption share the
-//! loader), the monitoring reads — and the compiled plans instances run
-//! off: decoded and validated once per distinct encoding ([`PlanCache`]),
-//! persisted once per fingerprint (`sys/plan/…`) beside the canonical
-//! source they were compiled from (`sys/src/…`, once per content hash),
-//! both pinned by a start or a reconfiguration ([`pin_blobs`]) and
-//! collected when no instance references them.
+//! loader), the monitoring reads — and the plans instances run off. A
+//! plan is its source, compiled: the canonical text a start or a
+//! reconfiguration pins (`sys/src/…`, once per content hash,
+//! [`pin_source`]) is compiled once per shard and version by the
+//! [`PlanCache`], which every start, load and reconfiguration goes
+//! through, and which sheds a version with its source blob once no
+//! instance pins it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use flowscript_core::schema;
+use flowscript_core::{schema, Diagnostics};
 use flowscript_obs::ObsEventKind;
 use flowscript_plan::{Plan, TaskId};
 use flowscript_tx::{AtomicAction, StableStore, StoreKey, TxManager};
@@ -23,27 +24,29 @@ use super::{
 };
 use crate::error::EngineError;
 use crate::facts;
-use crate::keys::{self, instance_seq_uid, plan_uid, source_uid, InstanceKeys};
+use crate::keys::{self, instance_seq_uid, source_uid, status_uid, InstanceKeys};
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
 
 impl Coordinator {
     /// Materializes an instance's volatile runtime from committed
-    /// state: the persisted fingerprinted plan when valid (its current
-    /// source recompiled as the fallback), interned keys and the
-    /// non-terminal count. Pure state load — arms no timers and
-    /// dispatches nothing. Shared by crash recovery and hand-off
-    /// adoption.
-    pub(super) fn load_instance(
+    /// state: the plan of the source its header pins, interned keys and
+    /// the non-terminal count. Pure state load — arms no timers and
+    /// dispatches nothing.
+    ///
+    /// # Errors
+    ///
+    /// The pinned source is missing or corrupt, or does not compile.
+    fn load_instance(
         &mut self,
         name: &str,
         header: &InstanceHeader,
         record: &StatusRecord,
-    ) -> Option<InstanceRt> {
-        let plan = self.committed_plan(name, header, record)?;
+    ) -> Result<InstanceRt, EngineError> {
+        let plan = self.stored_plan(name, header)?;
         let keys = InstanceKeys::build(&plan, name, header.instance_id);
         let nonterminal = self.count_nonterminal(None, &plan, &keys);
-        Some(InstanceRt {
+        Ok(InstanceRt {
             plan,
             keys: Arc::new(keys),
             flights: Flights::default(),
@@ -53,57 +56,58 @@ impl Coordinator {
         })
     }
 
-    /// The plan a stored instance runs off: the persisted blob its
-    /// status record names when that validates, else the source its
-    /// header names recompiled and re-lowered.
-    fn committed_plan(
+    /// [`Self::load_instance`] for crash recovery and adoption, which
+    /// must not leave a stored instance behind unexplained: a running
+    /// instance whose plan cannot be built is stopped `Stuck`, its
+    /// reason naming the fault — as a control block that does not
+    /// decode stops its instance. Read as absent it would stay
+    /// `Running`, never dispatched again, with no word of why.
+    pub(super) fn load_or_park(
         &mut self,
         name: &str,
         header: &InstanceHeader,
         record: &StatusRecord,
-    ) -> Option<Arc<Plan>> {
-        let cached: Option<Arc<Plan>> = self
-            .mgr
-            .read_committed_bytes(&plan_uid(record.plan_fingerprint))
-            .and_then(|bytes| self.plan_cache.validated(bytes))
-            .filter(|plan| plan.fingerprint == record.plan_fingerprint);
-        if cached.is_some() {
-            return cached;
+    ) -> Option<InstanceRt> {
+        let fault = match self.load_instance(name, header, record) {
+            Ok(rt) => return Some(rt),
+            Err(fault) => fault,
+        };
+        if record.status == InstanceStatus::Running {
+            let reason = format!("script source storage fault: {fault}");
+            let stuck = StatusRecord {
+                status: InstanceStatus::Stuck { reason },
+            };
+            let key = status_uid(name);
+            let _ = self.atomically(|mgr, action| Ok(mgr.write_key(action, &key, &stuck)?));
         }
-        let source = self.pinned_source(name, header).ok()?;
-        let compiled = schema::compile_source(source, &header.root).ok()?;
-        Some(Arc::new(Plan::lower(&compiled)))
+        None
     }
 
-    /// The canonical source of the script version `name` runs, as its
-    /// header pins it. Instances run off their plan: only
-    /// reconfiguration, and a load that finds no valid plan blob, read
-    /// this.
-    ///
-    /// # Errors
-    ///
-    /// The source blob is missing or is not the text the header's hash
-    /// names.
-    pub(super) fn pinned_source(
-        &self,
+    /// The plan a stored instance runs off: the source its header pins,
+    /// compiled for its root through the shard's [`PlanCache`]. Bytes
+    /// the cache compiled its entry from were checked then, so a hit
+    /// costs a comparison; only a miss checks the text against its hash.
+    fn stored_plan(
+        &mut self,
         name: &str,
         header: &InstanceHeader,
-    ) -> Result<&str, EngineError> {
-        let key = source_uid(header.source_hash);
-        self.mgr
-            .read_committed_bytes(&key)
-            .and_then(|bytes| std::str::from_utf8(bytes).ok())
-            .filter(|text| source_hash(text) == header.source_hash)
-            .ok_or_else(|| EngineError::Tx(format!("`{key}` does not hold the source of `{name}`")))
+    ) -> Result<Arc<Plan>, EngineError> {
+        let (hash, root) = (header.source_hash, header.root.as_str());
+        let stored = self.mgr.read_committed_bytes(&source_uid(hash));
+        if let Some(plan) = stored.and_then(|bytes| self.plan_cache.cached(hash, root, bytes)) {
+            return Ok(plan);
+        }
+        let source = pinned_source(&self.mgr, name, header)?;
+        Ok(self.plan_cache.plan(hash, source, root)?)
     }
 
-    /// Compiles and launches an admitted instance, reusing the plan the
-    /// repository served for this script version when there is one.
+    /// Compiles (through the [`PlanCache`]) and launches an admitted
+    /// instance of `source`, the text the repository serves for the
+    /// script version.
     ///
     /// # Errors
     ///
     /// Invalid script, bad inputs or storage failure.
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn start_instance(
         &mut self,
         instance: &str,
@@ -112,14 +116,9 @@ impl Coordinator {
         root: &str,
         set: &str,
         inputs: BTreeMap<String, ObjectVal>,
-        served_plan: Option<Arc<Plan>>,
     ) -> Result<(), EngineError> {
-        // Compile-once, execute-many: a validated served plan skips the
-        // whole front end here.
-        let plan = match served_plan {
-            Some(plan) => plan,
-            None => Arc::new(Plan::lower(&schema::compile_source(source, root)?)),
-        };
+        let hash = source_hash(source);
+        let plan = self.plan_cache.plan(hash, source, root)?;
         // Validate the chosen input set against the root task class.
         let root_class = plan
             .classes
@@ -149,7 +148,6 @@ impl Coordinator {
             }
         }
         let root_path = plan.str(plan.root().path).to_string();
-        let hash = source_hash(source);
         let name: Arc<str> = Arc::from(instance);
 
         // The start is one step — header, status record, blocks, the
@@ -178,14 +176,13 @@ impl Coordinator {
             };
             let record = StatusRecord {
                 status: InstanceStatus::Running,
-                plan_fingerprint: plan.fingerprint,
             };
             let action = step.action(&mut coordinator.mgr);
             let mgr = &mut coordinator.mgr;
             mgr.write_key(action, &seq_uid, &(instance_id + 1))?;
             mgr.write_key(action, keys.meta(), &header)?;
             mgr.write_key(action, keys.status(), &record)?;
-            pin_blobs(mgr, action, script_name, hash, source, &plan)?;
+            pin_source(mgr, action, script_name, hash, source)?;
             // Root control block starts Active with the supplied inputs
             // bound; every descendant starts `Waiting`, which a block
             // never stored reads as.
@@ -246,14 +243,13 @@ impl Coordinator {
     /// point reads over the plan's dense task ids, skipping a block that
     /// does not decode. An instance not resident in memory (e.g.
     /// monitoring a crashed-but-unrecovered store) resolves through its
-    /// stored header's id and the plan its status record names. Test
-    /// hook beyond the states.
+    /// stored header's id and the plan of the source it pins. Test hook
+    /// beyond the states.
     #[doc(hidden)]
     pub fn task_blocks(&mut self, instance: &str) -> BTreeMap<String, TaskCb> {
         let stored = |coordinator: &mut Coordinator| {
             let header = coordinator.read_header(instance).ok()?;
-            let record = coordinator.read_status(instance).ok()?;
-            let plan = coordinator.committed_plan(instance, &header, &record)?;
+            let plan = coordinator.stored_plan(instance, &header).ok()?;
             let keys = InstanceKeys::build(&plan, instance, header.instance_id);
             Some((plan, Arc::new(keys)))
         };
@@ -308,35 +304,21 @@ impl Coordinator {
             .count()
     }
 
-    /// Drops the persisted plan blobs (`sys/plan/…`) and pinned sources
-    /// (`sys/src/…`) no instance references any more. Both persist once
-    /// per content; every reconfiguration pins a new version of both, so
-    /// without this a reconfigured instance strands its old blobs
-    /// forever, and a script's source outlives its last instance. Runs at
-    /// checkpoint time (cold path): one pass over the stored instances
-    /// — covering those the shard has not (re)loaded — feeds both
-    /// reference sets, plus every resident instance's current plan.
+    /// Drops the pinned sources (`sys/src/…`) no stored instance
+    /// references any more, and their versions' plans with them. Every
+    /// reconfiguration pins a new version, so without this a
+    /// reconfigured instance strands its old source forever, and a
+    /// script's source outlives its last instance. Runs at checkpoint
+    /// time (cold path): one pass over the stored instances — covering
+    /// those the shard has not (re)loaded — names every live version.
     pub(super) fn gc_plans(&mut self) -> Result<(), EngineError> {
-        let mut live_plans: BTreeSet<u64> = self
-            .instances
-            .values()
-            .map(|rt| rt.plan.fingerprint)
+        let live: BTreeSet<u64> = stored_instances(&self.mgr)
+            .into_iter()
+            .map(|(_, header, _)| header.source_hash)
             .collect();
-        let mut live_sources = BTreeSet::new();
-        for (_, header, record) in stored_instances(&self.mgr) {
-            live_plans.insert(record.plan_fingerprint);
-            live_sources.insert(header.source_hash);
-        }
-        self.plan_cache.retain_live(&live_plans);
-        let mut stale = Vec::new();
-        for (prefix, live) in [
-            (keys::PLAN_PREFIX, &live_plans),
-            (keys::SOURCE_PREFIX, &live_sources),
-        ] {
-            let mut blobs = self.mgr.uids_with_prefix(prefix);
-            blobs.retain(|uid| keys::blob_id(uid, prefix).is_none_or(|id| !live.contains(&id)));
-            stale.extend(blobs.into_iter().map(StoreKey::Uid));
-        }
+        self.plan_cache.retain(&live);
+        let mut stale = self.mgr.uids_with_prefix(keys::SOURCE_PREFIX);
+        stale.retain(|uid| keys::source_blob_hash(uid).is_none_or(|hash| !live.contains(&hash)));
         if stale.is_empty() {
             return Ok(());
         }
@@ -345,8 +327,8 @@ impl Coordinator {
         // re-trigger the checkpoint counter.
         let action = self.mgr.begin();
         if let Err(err) = stale
-            .iter()
-            .try_for_each(|key| self.mgr.delete_key(&action, key))
+            .into_iter()
+            .try_for_each(|uid| self.mgr.delete_key(&action, &StoreKey::Uid(uid)))
         {
             self.mgr.abort(action);
             return Err(err.into());
@@ -355,108 +337,105 @@ impl Coordinator {
         Ok(())
     }
 
-    /// The ids of the blobs this shard's store holds under `prefix`.
-    /// Performs a uid prefix scan: admin/monitoring only.
-    fn persisted_blobs(&self, prefix: &str) -> Vec<u64> {
-        let blobs = self.mgr.uids_with_prefix(prefix);
-        let ids = blobs.iter().filter_map(|uid| keys::blob_id(uid, prefix));
-        ids.collect()
-    }
-
-    /// Fingerprints of the compiled-plan blobs persisted in this
-    /// shard's store (`sys/plan/…`) — the plan-GC observability hook.
-    pub fn persisted_plan_fingerprints(&self) -> Vec<u64> {
-        self.persisted_blobs(keys::PLAN_PREFIX)
-    }
-
     /// Hashes of the canonical sources pinned in this shard's store
-    /// (`sys/src/…`) — the twin of
-    /// [`Coordinator::persisted_plan_fingerprints`]; test hook.
+    /// (`sys/src/…`) — the blob-GC observability hook. Performs a uid
+    /// prefix scan.
     #[doc(hidden)]
     pub fn persisted_source_hashes(&self) -> Vec<u64> {
-        self.persisted_blobs(keys::SOURCE_PREFIX)
-    }
-
-    /// Fingerprints of the validated plans this shard holds decoded
-    /// (served by the repository or read back from `sys/plan/…`
-    /// blobs), ascending — the in-memory twin of
-    /// [`Coordinator::persisted_plan_fingerprints`]; test hook for the
-    /// plan-cache suites.
-    #[doc(hidden)]
-    pub fn cached_plan_fingerprints(&self) -> Vec<u64> {
-        self.plan_cache.fingerprints()
+        let blobs = self.mgr.uids_with_prefix(keys::SOURCE_PREFIX);
+        blobs.iter().filter_map(keys::source_blob_hash).collect()
     }
 }
 
-/// Stages the two blobs an instance runs off, each only where the shard
-/// has none yet: the canonical `source` of `script` under its `hash` —
-/// text already there is shared only if it is this text — and `plan`
-/// under its fingerprint, so a load decodes it instead of recompiling.
+/// The canonical source the header of `name` pins, as `mgr` holds it
+/// committed. Every plan a stored instance runs off is compiled from
+/// this text, and a reconfiguration edits it.
+///
+/// # Errors
+///
+/// The source blob is missing or is not the text the header's hash
+/// names.
+pub(super) fn pinned_source<'a>(
+    mgr: &'a TxManager<StableStore>,
+    name: &str,
+    header: &InstanceHeader,
+) -> Result<&'a str, EngineError> {
+    let key = source_uid(header.source_hash);
+    mgr.read_committed_bytes(&key)
+        .and_then(|bytes| std::str::from_utf8(bytes).ok())
+        .filter(|text| source_hash(text) == header.source_hash)
+        .ok_or_else(|| EngineError::Tx(format!("`{key}` does not hold the source of `{name}`")))
+}
+
+/// Stages the canonical `source` of `script` under its `hash`, unless
+/// the shard holds it already — text already there is shared only if it
+/// is this text.
 ///
 /// # Errors
 ///
 /// Different text under `hash`, or a write the action refused.
-pub(super) fn pin_blobs(
+pub(super) fn pin_source(
     mgr: &mut TxManager<StableStore>,
     action: &AtomicAction,
     script: &str,
     hash: u64,
     source: &str,
-    plan: &Plan,
 ) -> Result<(), EngineError> {
-    let source_key = source_uid(hash);
-    match mgr.read_committed_bytes(&source_key) {
-        Some(stored) if stored != source.as_bytes() => {
-            return Err(EngineError::Tx(format!(
-                "`{source_key}` holds a different source than script `{script}`"
-            )));
-        }
-        Some(_) => {}
-        None => mgr.write_key_raw(action, &source_key, source.as_bytes().to_vec())?,
+    let key = source_uid(hash);
+    match mgr.read_committed_bytes(&key) {
+        Some(stored) if stored != source.as_bytes() => Err(EngineError::Tx(format!(
+            "`{key}` holds a different source than script `{script}`"
+        ))),
+        Some(_) => Ok(()),
+        None => Ok(mgr.write_key_raw(action, &key, source.as_bytes().to_vec())?),
     }
-    let plan_key = plan_uid(plan.fingerprint);
-    if !mgr.exists_key(&plan_key) {
-        mgr.write_key(action, &plan_key, plan)?;
-    }
-    Ok(())
 }
 
-/// Validated plans by their encoding. Decoding a plan and checking it
-/// (`is_well_formed` + `verify_fingerprint`) is a pure function of the
-/// bytes, so each distinct encoding — the repository's reply for a
-/// script version, a `sys/plan/…` blob — pays it once per coordinator,
-/// and every instance of that plan shares one `Arc<Plan>`. Bytes that
-/// fail to decode or validate are never entered. Evicted with the
-/// blobs, in [`Coordinator::gc_plans`].
+/// The plans of the script versions this shard runs, each compiled once
+/// and shared by every instance of its version as one `Arc<Plan>`. A
+/// version is its source hash and root; an entry keeps the text it was
+/// compiled from and is served only for that text, so a plan is never
+/// handed to a text it was not compiled from, whatever the hash says.
+/// Volatile: a restart recompiles each version on its first load.
 #[derive(Default)]
-pub(crate) struct PlanCache {
-    plans: BTreeMap<Vec<u8>, Arc<Plan>>,
+pub(super) struct PlanCache {
+    plans: BTreeMap<(u64, String), (String, Arc<Plan>)>,
 }
 
 impl PlanCache {
-    pub(crate) fn validated(&mut self, bytes: &[u8]) -> Option<Arc<Plan>> {
-        if let Some(plan) = self.plans.get(bytes) {
-            return Some(plan.clone());
+    /// The plan of `source` (whose [`source_hash`] is `hash`) compiled
+    /// for `root`: from the cache, else through the front end and
+    /// lowered — the one place a coordinator lowers a plan.
+    ///
+    /// # Errors
+    ///
+    /// The front end refuses the text.
+    pub(super) fn plan(
+        &mut self,
+        hash: u64,
+        source: &str,
+        root: &str,
+    ) -> Result<Arc<Plan>, Diagnostics> {
+        if let Some(plan) = self.cached(hash, root, source.as_bytes()) {
+            return Ok(plan);
         }
-        let plan = flowscript_codec::from_bytes::<Plan>(bytes)
-            .ok()
-            .filter(|plan| plan.is_well_formed() && plan.verify_fingerprint())?;
-        let plan = Arc::new(plan);
-        self.plans.insert(bytes.to_vec(), plan.clone());
-        Some(plan)
-    }
-
-    /// Drops every plan whose fingerprint is not in `live`.
-    fn retain_live(&mut self, live: &BTreeSet<u64>) {
+        let plan = Arc::new(Plan::lower(&schema::compile_source(source, root)?));
+        let version = (hash, root.to_string());
         self.plans
-            .retain(|_, plan| live.contains(&plan.fingerprint));
+            .insert(version, (source.to_string(), plan.clone()));
+        Ok(plan)
     }
 
-    /// The held plans' fingerprints, ascending.
-    fn fingerprints(&self) -> Vec<u64> {
-        let mut held: Vec<u64> = self.plans.values().map(|plan| plan.fingerprint).collect();
-        held.sort_unstable();
-        held
+    /// The plan of version `(hash, root)`, if this shard compiled it
+    /// from exactly `source`.
+    fn cached(&self, hash: u64, root: &str, source: &[u8]) -> Option<Arc<Plan>> {
+        let (text, plan) = self.plans.get(&(hash, root.to_string()))?;
+        (text.as_bytes() == source).then(|| plan.clone())
+    }
+
+    /// Drops every version whose source hash is not in `live`.
+    fn retain(&mut self, live: &BTreeSet<u64>) {
+        self.plans.retain(|(hash, _), _| live.contains(hash));
     }
 }
 
@@ -473,6 +452,7 @@ mod tests {
     use super::*;
     use crate::coordinator::{EngineConfig, Input};
     use crate::driver::Node;
+    use crate::reconfig::Reconfig;
     use crate::sched::ExecutorSpec;
     use crate::shard::ShardMap;
 
@@ -490,15 +470,7 @@ mod tests {
     fn start(coord: &mut Coordinator, name: &str) -> Result<(), EngineError> {
         let seed = ObjectVal::text("Data", "s");
         let inputs = BTreeMap::from([("seed".to_string(), seed)]);
-        coord.start_instance(
-            name,
-            "diamond",
-            FIG1_DIAMOND,
-            "diamond",
-            "main",
-            inputs,
-            None,
-        )
+        coord.start_instance(name, "diamond", FIG1_DIAMOND, "diamond", "main", inputs)
     }
 
     #[test]
@@ -576,26 +548,46 @@ mod tests {
         assert_eq!(coord.stats().dispatches, 1, "t1 was not re-dispatched");
     }
 
+    /// A shard compiles each script version once: every instance on a
+    /// version holds the one plan, a restart compiles each version once
+    /// more, and a checkpoint sheds a version no instance runs any more.
     #[test]
-    fn plan_cache_validates_once_and_never_holds_bad_bytes() {
-        let schema =
-            schema::compile_source(flowscript_core::samples::FIG1_DIAMOND, "diamond").unwrap();
-        let bytes = flowscript_codec::to_bytes(&Plan::lower(&schema));
-        let mut cache = PlanCache::default();
-        // Every instance of one encoding shares one decoded plan.
-        let first = cache.validated(&bytes).expect("a lowered plan validates");
-        let again = cache
-            .validated(&bytes)
-            .expect("and is served from the cache");
-        assert!(Arc::ptr_eq(&first, &again));
-        assert_eq!(cache.fingerprints(), [first.fingerprint]);
-        // Undecodable, truncated and tampered encodings all miss — and
-        // leave no entry behind to be served later.
-        let mut tampered = bytes.clone();
-        *tampered.last_mut().unwrap() ^= 0xFF; // the stored fingerprint
-        for bad in [&[0xFF; 3][..], &bytes[..bytes.len() / 2], &tampered] {
-            assert!(cache.validated(bad).is_none());
+    fn a_shard_compiles_each_version_once() {
+        let mut coord = shard(SharedStorage::new());
+        for name in ["d1", "d2", "d3"] {
+            start(&mut coord, name).expect("starts");
         }
-        assert_eq!(cache.fingerprints(), [first.fingerprint]);
+        let rebind = || Reconfig::Rebind {
+            code: "refT4".into(),
+            to: "refT4b".into(),
+        };
+        let (reconfigured, _) = coord.reconfigure(SimTime::ZERO, "d1", rebind());
+        reconfigured.expect("a new version of `d1`'s script");
+        let plan = |coord: &Coordinator, name: &str| coord.instances[name].plan.clone();
+        let shared = |coord: &Coordinator, a, b| Arc::ptr_eq(&plan(coord, a), &plan(coord, b));
+
+        coord.handle(SimTime::ZERO, Input::Restart);
+        assert_eq!(coord.instance_names(), ["d1", "d2", "d3"]);
+        assert!(shared(&coord, "d2", "d3"), "one plan per version");
+        assert!(!shared(&coord, "d1", "d2"));
+        assert_eq!(
+            coord.plan_cache.plans.len(),
+            2,
+            "two versions, two compiles"
+        );
+
+        for name in ["d2", "d3"] {
+            let (reconfigured, _) = coord.reconfigure(SimTime::ZERO, name, rebind());
+            reconfigured.expect("the same edit makes the same version");
+        }
+        assert!(shared(&coord, "d1", "d2") && shared(&coord, "d2", "d3"));
+        assert_eq!(
+            coord.plan_cache.plans.len(),
+            2,
+            "the first version is still cached"
+        );
+        coord.gc_plans().expect("collects");
+        assert_eq!(coord.plan_cache.plans.len(), 1, "it left with its source");
+        assert_eq!(coord.persisted_source_hashes().len(), 1);
     }
 }

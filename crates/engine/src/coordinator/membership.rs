@@ -72,7 +72,7 @@ use super::{
     Timer, TimerId,
 };
 use crate::error::EngineError;
-use crate::keys::{self, instance_seq_uid, meta_uid, move_uid, plan_uid, source_uid, status_uid};
+use crate::keys::{self, instance_seq_uid, meta_uid, move_uid, source_uid, status_uid};
 use crate::msg::EngineMsg;
 use crate::shard::ShardMap;
 
@@ -314,11 +314,11 @@ impl Membership {
 /// Packages `instance`'s entire committed keyspace out of `mgr` — the
 /// collect half shared by planned hand-offs (the source's own store)
 /// and crash-driven adoption (a dead shard's reopened storage).
-/// Everything derives from the committed header and status record: the
-/// instance's uid prefix, the two blobs it pins — the plan under the
-/// record's fingerprint, the canonical source under the header's hash —
-/// and the dense range of the header's instance id, every task's facts
-/// and control block in one contiguous range scan. The header comes FIRST: it is the entry that tells
+/// Everything derives from the committed header: the instance's uid
+/// prefix, the canonical source it pins (under the header's hash; the
+/// destination compiles its own plan from it) and the dense range of
+/// the header's instance id, every task's facts and control block in
+/// one contiguous range scan. The header comes FIRST: it is the entry that tells
 /// [`rekeyed`] a new instance's run begins, what it is called and which
 /// dense id its fact keys carry. Returns `None` for a missing or
 /// undecodable header or status record.
@@ -328,7 +328,8 @@ pub(super) fn package_instance(
 ) -> Option<AfterImages> {
     let header_key = meta_uid(instance);
     let header: InstanceHeader = mgr.read_committed_key(&header_key).ok()??;
-    let record: StatusRecord = mgr.read_committed_key(&status_uid(instance)).ok()??;
+    mgr.read_committed_key::<StatusRecord>(&status_uid(instance))
+        .ok()??;
     let uids = mgr.uids_with_prefix(&keys::instance_prefix(instance));
     let facts = mgr.fact_keys_in_range(
         FactKey::instance_first(header.instance_id),
@@ -340,10 +341,7 @@ pub(super) fn package_instance(
                 .map(StoreKey::Uid)
                 .filter(|key| *key != header_key),
         )
-        .chain([
-            plan_uid(record.plan_fingerprint),
-            source_uid(header.source_hash),
-        ])
+        .chain([source_uid(header.source_hash)])
         .chain(facts.into_iter().map(StoreKey::Fact));
     let images = keys.filter_map(|key| {
         let bytes = mgr.read_committed_bytes(&key)?.to_vec();
@@ -410,7 +408,7 @@ fn rekeyed(
                 out.push((key, Some(flowscript_codec::to_bytes(&header))));
             }
         } else if matches!(run, Some((.., Some(_)))) {
-            // One of the run's own objects, or a blob it pins.
+            // One of the run's own objects, or the source it pins.
             out.push((key, bytes));
         }
     }
@@ -420,8 +418,9 @@ fn rekeyed(
 /// Stages into `action` the deletion of every committed object of
 /// `instance`: its whole uid prefix plus the dense range — facts and
 /// control blocks — of the header's instance id. The storage half of
-/// the source side of a committed hand-off (the shared plan and source
-/// blobs stay; blob GC collects them once no local instance pins them).
+/// the source side of a committed hand-off (the shared source blob
+/// stays; blob GC collects it, and its plan, once no local instance
+/// pins it).
 fn purge_instance(
     mgr: &mut TxManager<StableStore>,
     action: &AtomicAction,
@@ -1208,7 +1207,7 @@ impl Coordinator {
             else {
                 continue;
             };
-            let Some(rt) = self.load_instance(&name, &header, &record) else {
+            let Some(rt) = self.load_or_park(&name, &header, &record) else {
                 continue;
             };
             self.instances.insert(name.clone(), rt);
@@ -1317,8 +1316,8 @@ mod tests {
     }
 
     /// One instance's run as `package_instance` lays it out: the
-    /// header, the status record, the shared plan and source, one fact
-    /// and one control block.
+    /// header, the status record, the shared source, one fact and one
+    /// control block.
     fn run(name: &str, id: u32) -> AfterImages {
         vec![
             (
@@ -1326,7 +1325,6 @@ mod tests {
                 Some(flowscript_codec::to_bytes(&header(id))),
             ),
             (status_uid(name), Some(vec![0])),
-            (plan_uid(9), Some(vec![2])),
             (source_uid(5), Some(vec![4])),
             (StoreKey::Fact(FactKey::output(id, 2, 1)), Some(vec![3])),
             (StoreKey::Fact(FactKey::control(id, 2)), Some(vec![1])),
@@ -1363,7 +1361,7 @@ mod tests {
         // header, a fact before any run, a fact on somebody else's id,
         // a run that opens with something other than its header.
         let corrupt = vec![(meta_uid("i"), Some(vec![0xFF; 3]))];
-        let stray = vec![run("i", 3).remove(4)];
+        let stray = vec![run("i", 3).remove(3)];
         let mut foreign = run("i", 3);
         foreign.push((StoreKey::Fact(FactKey::output(4, 0, 0)), Some(vec![])));
         let headless = run("i", 3).split_off(1);

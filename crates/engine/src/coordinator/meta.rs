@@ -2,8 +2,8 @@
 //! three records: the [`InstanceHeader`], the small mutable
 //! [`StatusRecord`], and — once per shard, shared by content — the
 //! canonical source of its script's current version under its
-//! [`source_hash`]. Their field order lives here; their uids in
-//! [`crate::keys`].
+//! [`source_hash`], which the plan it runs is compiled from. Their field
+//! order lives here; their uids in [`crate::keys`].
 
 use std::collections::BTreeMap;
 
@@ -147,9 +147,8 @@ fn expect_tag(r: &mut ByteReader<'_>, tag: u8, ty: &'static str) -> Result<(), C
 pub(crate) struct InstanceHeader {
     pub(super) script: String,
     /// [`source_hash`] of the canonical source of the script's current
-    /// version, pinned once per shard under `sys/src/<hash>`. Only
-    /// reconfiguration, and a load that finds no valid plan blob, read
-    /// the text.
+    /// version, pinned once per shard under `sys/src/<hash>`: with
+    /// `root`, it names the version, and the plan is that text compiled.
     pub(super) source_hash: u64,
     pub(super) root: String,
     pub(super) set: String,
@@ -190,17 +189,12 @@ impl Decode for InstanceHeader {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct StatusRecord {
     pub(super) status: InstanceStatus,
-    /// Fingerprint of the instance's current compiled plan. Crash
-    /// recovery fetches the plan persisted under this fingerprint and
-    /// skips the front end entirely.
-    pub(super) plan_fingerprint: u64,
 }
 
 impl Encode for StatusRecord {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u8(STATUS_TAG);
         self.status.encode(w);
-        w.put_u64(self.plan_fingerprint);
     }
 }
 
@@ -209,7 +203,6 @@ impl Decode for StatusRecord {
         expect_tag(r, STATUS_TAG, "StatusRecord")?;
         Ok(StatusRecord {
             status: InstanceStatus::decode(r)?,
-            plan_fingerprint: r.get_u64()?,
         })
     }
 }
@@ -270,15 +263,13 @@ mod tests {
         );
         let running = StatusRecord {
             status: InstanceStatus::Running,
-            plan_fingerprint: 0xDEAD_BEEF,
         };
-        // A tag, the status's discriminant and the fingerprint.
-        assert_eq!(flowscript_codec::to_bytes(&running).len(), 10);
+        // A tag and the status's discriminant.
+        assert_eq!(flowscript_codec::to_bytes(&running).len(), 2);
         let stuck = StatusRecord {
             status: InstanceStatus::Stuck {
                 reason: "nothing to run".into(),
             },
-            ..running.clone()
         };
         for record in [running, stuck] {
             let bytes = flowscript_codec::to_bytes(&record);

@@ -49,7 +49,7 @@
 //! | `evaluate` | the cascade a step stages: input-set satisfaction, activation, compound-scope outputs (marks, termination, the fig. 8 repeat), stuck detection; the debug full-scan oracle | `Drain` (one instance inside a step: its seeds, its flights as the step leaves them) | `reevaluate` (the step over one resident instance: the caller stages its transition, the drain follows, one commit, publish — the watchdog, a failed placement, the operator's abort and repair, a restart's re-arm), `evaluate` (the same with nothing but the full scan to stage: adoption); `instance_ctx`, `drain_of`, `stage_drain`, `park_stuck`, `assert_settled` |
 //! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, and what an attempt that ends with no outcome stages: the bounded retry or `Failed` | `Dispatcher` (scheduler loads, cost model, ready queue), `Flights` (per instance: one record per task with outstanding work, its watchdog a [`TimerId`]) | staging: `stage_lost` (error report, time-out), `stage_failure`, `stage_launch` (the next attempt, now or after a delay); publishing: `ship` (an attempt, under what its step staged), `dispatch` (a staged attempt whose delay or park is over), `dispatch_after`, `lose_flight`, `clear_watch`, `discard_flights` (subtree sweep, forced outcome, failure), `fail_unplaceable`; timers: `on_watchdog` ([`Timer::Watchdog`]), `on_dispatch_timer` ([`Timer::Dispatch`]); `drain_parked`, `executing`; `Flights::outstanding` (stuck detection), `replan` (a reconfiguration's new plan, its books re-keyed), `rearm_adopted` (adoption), `Dispatcher::{release_all, reset}` (hand-off, recovery), `executor_loads` |
 //! | `admission` | the per-shard instance cap on the start RPC, and the start's repository fetch | `Admission`, `AdmissionTicket` (the fetch's [`Call::Fetch`]) | `admit_or_queue`, `admit_from_queue`, `on_fetched`, `Admission::{instance_live, instance_settled}` |
-//! | `lifecycle` | instance start (the first writer of a header), the two per-shard blobs an instance pins — the compiled plan per fingerprint, the canonical source per hash — materialising a runtime from committed state, the monitoring reads; blob collection | `PlanCache` | `start_instance` (from admission, the one start path), `pin_blobs` (start, reconfiguration), `pinned_source` (the one reader of the source: reconfiguration, and a load with no valid plan blob), `load_instance`, `count_nonterminal`, `PlanCache::validated`, `gc_plans` |
+//! | `lifecycle` | instance start (the first writer of a header), the canonical source an instance pins (once per shard and hash) and the plan compiled from it (once per shard and version), materialising a runtime from committed state, the monitoring reads; blob collection | `PlanCache` | `start_instance` (from admission, the one start path), `pin_source` (start, reconfiguration), `pinned_source` (the one reader of the source: every load, and reconfiguration), `load_or_park` (recovery, adoption: a running instance whose plan cannot be built stops `Stuck`), `count_nonterminal`, `PlanCache::plan` (the one way a plan is obtained: start, load, reconfiguration), `gc_plans` |
 //! | `membership` | shard routing and relays; the fleet protocols the nodes run among themselves — live hand-off (the one `tx::dist` 2PC, this module its host) and crash-driven adoption — and the façade's end of each, its [`Ticket`] | `Membership`, [`MoveReport`], [`FailoverReport`] | `route_report`, `misdirected`, `forward_start`, `on_relayed` ([`Call::Relay`]); from the façade `begin_move`, `begin_adoption`, `give_up`, `move_ticket`, `adoption_ticket`; from the wire `on_dist`, `on_claim`, `on_claim_answered` ([`Call::Claim`]), `on_round_timer` ([`Timer::Round`]); `adopt_orphans`, `repair_handoffs` |
 //! | `recovery` | restart ([`Input::Restart`]): reopen the log, reset volatile state (fleet protocols included), repair hand-offs, reload, re-arm each running instance in one step | — | `recover`, `stored_instances`, `stored_instance_names` |
 //! | `admin` | operator actions on a running instance, one step each: the abort, the repair, and a reconfiguration — the script's new version, the remap onto its plan and the full drain over it | — | `reconfigure`, `abort_waiting_task`, `repair_fact` |
@@ -95,7 +95,7 @@ use recovery::{stored_instance_names, stored_instances};
 
 use admission::{Admission, AdmissionTicket};
 use dispatch::{Dispatcher, Flights};
-pub(crate) use lifecycle::PlanCache;
+use lifecycle::PlanCache;
 use membership::Membership;
 use meta::{InstanceHeader, StatusRecord};
 use stats::CoordMetrics;
@@ -149,9 +149,10 @@ pub(crate) enum Call {
 
 /// Volatile per-instance runtime state (rebuilt on recovery).
 struct InstanceRt {
-    /// The compiled execution plan all hot paths run off (served by the
-    /// repository's plan cache, or lowered locally; a reconfiguration
-    /// swaps in the plan of the script's new version).
+    /// The compiled execution plan all hot paths run off: the pinned
+    /// source compiled, shared through the shard's [`PlanCache`] with
+    /// every instance of the same version (a reconfiguration swaps in
+    /// the plan of the script's new version).
     plan: Arc<Plan>,
     /// Interned storage keys: header and status uids formatted once,
     /// fact keys precomputed per plan source (rebuilt with the plan).
@@ -674,7 +675,6 @@ compoundtask root of taskclass Root {
             result: Ok(1),
             source: ECHO.into(),
             root: "root".into(),
-            plan: Vec::new(),
         };
         let answer = Ok(flowscript_codec::to_bytes(&answer));
         let outputs = shard.handle(at(10), Input::Answered(call, answer));

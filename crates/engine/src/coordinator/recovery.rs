@@ -38,7 +38,7 @@ pub(super) fn stored_instances(
 
 impl Coordinator {
     /// Everything volatile died with the process: resident runtimes and
-    /// decoded plans (the loads re-validate each persisted blob once),
+    /// compiled plans (the loads compile each pinned version once),
     /// the open commit window, dispatch's in-flight view and ready queue
     /// (re-dispatches rebuild both) and the admission queue and counts
     /// (queued starts are the client's to retry — their reply tokens
@@ -57,12 +57,12 @@ impl Coordinator {
     /// ([`super::Input::Restart`]) and resumes every running instance
     /// (re-dispatching in-flight tasks).
     ///
-    /// The compiled plan is read back from its persisted, fingerprinted
-    /// blob (written at instance start and on every reconfiguration),
-    /// so recovery skips the whole front end; recompiling the source
-    /// the header names — the script's current version — survives only
-    /// as the fallback for a missing or corrupt blob. A load scans no
-    /// store prefix of its own.
+    /// Each instance runs off its pinned source — the script's current
+    /// version — compiled once per version through the plan cache, so
+    /// a restart runs the front end once per version, not per instance.
+    /// A running instance whose plan cannot be built stops `Stuck` with
+    /// why ([`Coordinator::load_or_park`]). A load scans no store prefix
+    /// of its own.
     pub(super) fn recover(&mut self) {
         let Ok(mut mgr) = TxManager::open(self.node.index() as u32, self.storage.clone()) else {
             return;
@@ -86,9 +86,7 @@ impl Coordinator {
         let handoff_traffic = self.repair_handoffs();
         let mut running = Vec::new();
         for (name, header, record) in stored_instances(&self.mgr) {
-            // Fast path inside: decode the persisted plan (validated
-            // like any other untrusted plan) and skip the front end.
-            let Some(rt) = self.load_instance(&name, &header, &record) else {
+            let Some(rt) = self.load_or_park(&name, &header, &record) else {
                 continue;
             };
             self.instances.insert(name.clone(), rt);

@@ -36,8 +36,9 @@
 //! never reads as "absent". What is read before a plan is at hand keeps
 //! the wire codec of [`ObjectVal`]: the presence record's extras, the
 //! header's inputs, the status record's outcome and every message.
-//! Facts move between shards verbatim under one plan fingerprint; only
-//! a reconfiguration, which changes the plan, re-encodes them.
+//! Facts move between shards verbatim beside the source they pin, which
+//! compiles to the same plan on either side; only a reconfiguration,
+//! which changes the plan, re-encodes them.
 //!
 //! A task's **control block** shares the facts' dense key space (one
 //! key, after the task's facts), so the instance-wide walks here — the

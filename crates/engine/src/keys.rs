@@ -9,10 +9,10 @@
 //! enters the uid (`%` → `%25`, `/` → `%2F`), so the name is exactly one
 //! path segment: no instance's prefix is a prefix of another's.
 //! Shard-wide objects sit under `sys/…`: the instance-id sequence, the
-//! two blobs instances share by content — `sys/plan/<fingerprint>` and
-//! `sys/src/<hash>` — and `sys/move/<tx>`, the record of a hand-off
-//! round this shard coordinates (see [`crate::coordinator`]'s
-//! membership protocol).
+//! canonical sources instances share by content (`sys/src/<hash>`; the
+//! plan an instance runs is its source compiled, and is never stored)
+//! and `sys/move/<tx>`, the record of a hand-off round this shard
+//! coordinates (see [`crate::coordinator`]'s membership protocol).
 //!
 //! Everything an instance keeps **per task** is dense-keyed by
 //! `(instance id, task id)` — the header assigns the first, the plan the
@@ -47,8 +47,6 @@ pub(crate) const INSTANCE_ROOT: &str = "inst/";
 /// HEADER_SUFFIX)` enumerates the stored instances' headers;
 /// [`header_instance`] names each).
 pub(crate) const HEADER_SUFFIX: &str = "/meta";
-/// The prefix of every persisted plan blob.
-pub(crate) const PLAN_PREFIX: &str = "sys/plan/";
 /// The prefix of every pinned canonical source.
 pub(crate) const SOURCE_PREFIX: &str = "sys/src/";
 /// The prefix of every hand-off round's move record; a scan of it
@@ -111,22 +109,15 @@ pub(crate) fn status_uid(instance: &str) -> StoreKey {
     key(instance_prefix(instance) + "status")
 }
 
-/// Compiled plans persist once per fingerprint, shared by every
-/// instance running that plan; recovery decodes instead of recompiling.
-pub(crate) fn plan_uid(fingerprint: u64) -> StoreKey {
-    key(format!("{PLAN_PREFIX}{fingerprint:016x}"))
-}
-
 /// A script's canonical source persists once per content hash, shared
 /// by every instance started from that text.
 pub(crate) fn source_uid(hash: u64) -> StoreKey {
     key(format!("{SOURCE_PREFIX}{hash:016x}"))
 }
 
-/// Inverse of [`plan_uid`] and [`source_uid`]: the fingerprint or hash
-/// a blob uid under `prefix` ([`PLAN_PREFIX`], [`SOURCE_PREFIX`]) names.
-pub(crate) fn blob_id(uid: &ObjectUid, prefix: &str) -> Option<u64> {
-    let hex = uid.as_str().strip_prefix(prefix)?;
+/// Inverse of [`source_uid`]: the hash a source blob's uid names.
+pub(crate) fn source_blob_hash(uid: &ObjectUid) -> Option<u64> {
+    let hex = uid.as_str().strip_prefix(SOURCE_PREFIX)?;
     u64::from_str_radix(hex, 16).ok()
 }
 
@@ -331,19 +322,16 @@ mod tests {
         // golden log was rendered under.
         assert_eq!(uid(&meta_uid("order-1")).as_str(), "inst/order-1/meta");
         assert_eq!(uid(&status_uid("order-1")).as_str(), "inst/order-1/status");
-        assert_eq!(blob_id(uid(&plan_uid(0xAB)), PLAN_PREFIX), Some(0xAB));
-        assert_eq!(
-            blob_id(uid(&source_uid(u64::MAX)), SOURCE_PREFIX),
-            Some(u64::MAX)
-        );
-        assert_eq!(blob_id(uid(&plan_uid(1)), SOURCE_PREFIX), None);
+        assert_eq!(source_blob_hash(uid(&source_uid(0xAB))), Some(0xAB));
+        assert_eq!(source_blob_hash(uid(&source_uid(u64::MAX))), Some(u64::MAX));
+        assert_eq!(source_blob_hash(uid(&move_uid(TxId::new(1, 2)))), None);
         let round = TxId::new(3, 0x1_0000_0002);
         assert_eq!(
             uid(&move_uid(round)).as_str(),
             "sys/move/00000003.0000000100000002"
         );
         assert_eq!(move_tx(uid(&move_uid(round))), Some(round));
-        assert_eq!(move_tx(uid(&plan_uid(1))), None);
+        assert_eq!(move_tx(uid(&source_uid(1))), None);
         assert_eq!(move_tx(&ObjectUid::new("sys/move/3")), None);
     }
 

@@ -129,11 +129,6 @@ pub enum EngineMsg {
         source: String,
         /// Root compound for get replies.
         root: String,
-        /// The version's compiled execution plan, codec-encoded (empty
-        /// for register replies and errors). Serving the cached plan
-        /// saves the coordinator a full front-end recompile per
-        /// instance start.
-        plan: Vec<u8>,
     },
     /// Coordinator → repository: fetch a script.
     RepoGet {
@@ -355,13 +350,11 @@ impl Encode for EngineMsg {
                 result,
                 source,
                 root,
-                plan,
             } => {
                 w.put_u8(4);
                 result.encode(w);
                 w.put_str(source);
                 w.put_str(root);
-                w.put_len_prefixed(plan);
             }
             EngineMsg::RepoGet { name, version } => {
                 w.put_u8(5);
@@ -431,7 +424,6 @@ impl Decode for EngineMsg {
                 result: Result::decode(r)?,
                 source: r.get_str()?.to_owned(),
                 root: r.get_str()?.to_owned(),
-                plan: r.get_len_prefixed()?.to_vec(),
             },
             5 => EngineMsg::RepoGet {
                 name: r.get_str()?.to_owned(),
@@ -534,7 +526,6 @@ mod tests {
                 result: Ok(3),
                 source: String::new(),
                 root: String::new(),
-                plan: vec![1, 2, 3],
             },
             EngineMsg::RepoGet {
                 name: "s".into(),

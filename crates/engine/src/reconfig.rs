@@ -5,20 +5,19 @@
 //! dependencies", carried out under atomic transactions. A [`Reconfig`]
 //! value describes one such change, and a change is a **new version of
 //! the instance's script**: [`apply`] edits the pinned source's syntax
-//! tree, renders the edited script in canonical form and runs the
-//! ordinary front end over that text. The front end is the only
-//! validator, and the plan is lowered from exactly the text the
-//! coordinator pins, so a reconfigured instance cannot be told apart
-//! from one started on the edited script. The coordinator commits the
-//! new version, the remap of the instance's state onto it and the
-//! re-evaluation behind it as one step.
+//! tree and renders the edited script in canonical form. The coordinator
+//! compiles that text as it compiles every script it runs — the ordinary
+//! front end is the only validator, and the plan is compiled from
+//! exactly the text the coordinator pins — so a reconfigured instance
+//! cannot be told apart from one started on the edited script. The
+//! coordinator commits the new version, the remap of the instance's
+//! state onto it and the re-evaluation behind it as one step.
 
 use flowscript_core::ast::{
     CompoundTaskDecl, Constituent, InputElem, InputSetBinding, Item, NotifSource,
     NotificationBinding, ObjectBinding, ObjectSource, OutputElem, Script, SourceCond,
 };
-use flowscript_core::{fmt, parse, parse_task_decl, schema, template};
-use flowscript_plan::Plan;
+use flowscript_core::{fmt, parse, parse_task_decl, template};
 
 use crate::error::EngineError;
 
@@ -90,25 +89,25 @@ pub enum Reconfig {
 }
 
 /// Applies `op` to `source`, the script of an instance whose root
-/// compound is `root`: the edited script in canonical form, and the plan
-/// the front end lowers from that text.
+/// compound is `root`: the edited script in canonical form. The
+/// coordinator compiles it as it compiles every script it runs, and a
+/// text the front end refuses is [`rejected`].
 ///
 /// # Errors
 ///
 /// [`EngineError::UnknownTask`] for a path that names no task or scope;
 /// [`EngineError::ReconfigRejected`] for an op that addresses no input
-/// set, object slot, source or implementation of the script, or whose
-/// result the front end refuses (carrying its diagnostics);
+/// set, object slot, source or implementation of the script;
 /// [`EngineError::InvalidScript`] if `source` itself does not parse.
-pub fn apply(source: &str, root: &str, op: &Reconfig) -> Result<(String, Plan), EngineError> {
+pub fn apply(source: &str, root: &str, op: &Reconfig) -> Result<String, EngineError> {
     let mut script = template::expand(&parse(source)?)?;
     edit(&mut script, root, op)?;
-    let text = fmt::format_script(&script);
-    let compiled = schema::compile_source(&text, root).map_err(rejected)?;
-    Ok((text, Plan::lower(&compiled)))
+    Ok(fmt::format_script(&script))
 }
 
-fn rejected(why: impl ToString) -> EngineError {
+/// An edit refused, with why — the front end's diagnostics of the
+/// edited text, or what the edit could not address.
+pub(crate) fn rejected(why: impl ToString) -> EngineError {
     EngineError::ReconfigRejected(why.to_string())
 }
 
@@ -331,9 +330,19 @@ mod tests {
     use super::*;
     use flowscript_core::samples;
     use flowscript_core::schema::{compile_source, Schema};
+    use flowscript_plan::Plan;
+
+    /// `op` applied to `source`, and the plan the edited text lowers to:
+    /// what a coordinator compiles, a text the front end refuses
+    /// rejected as the coordinator rejects it.
+    fn edited(source: &str, op: &Reconfig) -> Result<(String, Plan), EngineError> {
+        let text = apply(source, "diamond", op)?;
+        let schema = compile_source(&text, "diamond").map_err(rejected)?;
+        Ok((text, Plan::lower(&schema)))
+    }
 
     fn diamond(op: Reconfig) -> Result<(String, Plan), EngineError> {
-        apply(samples::FIG1_DIAMOND, "diamond", &op)
+        edited(samples::FIG1_DIAMOND, &op)
     }
 
     /// The edited script as the front end compiles it.
@@ -376,8 +385,6 @@ mod tests {
         // The paper's §2 scenario: add t5 depending on t2 and t4.
         let (text, plan) = diamond(add_task(&t5_source())).unwrap();
         assert!(compiled(&text).root.task("t5").is_some());
-        // The plan is the text's: the pinned source is what it runs.
-        assert_eq!(plan, Plan::lower(&compiled(&text)));
         assert_eq!(plan.tasks.len(), 6);
         assert!(plan.task_by_path("diamond/t5").is_some());
         // Canonical: the text is its own formatting.
@@ -435,7 +442,7 @@ mod tests {
         let remove = Reconfig::RemoveTask {
             task_path: "diamond/t3".into(),
         };
-        let (text, plan) = apply(&text, "diamond", &remove).unwrap();
+        let (text, plan) = edited(&text, &remove).unwrap();
         let schema = compiled(&text);
         assert!(schema.root.task("t3").is_none());
         assert!(plan.task_by_path("diamond/t3").is_none());

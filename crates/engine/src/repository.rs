@@ -7,20 +7,19 @@
 //! and inspecting scripts"). Scripts are stored in the canonical
 //! formatter's normal form.
 //!
-//! Registration also *compiles* each version once: the validated schema
-//! is lowered to a [`Plan`] and cached per version, and `RepoGet`
-//! replies carry the encoded plan so coordinators start instances
-//! without re-running the front end (compile-once, execute-many).
+//! Registration runs the whole front end once, on the submitted text (so
+//! its diagnostics point at the user's lines), and stores the canonical
+//! text; `RepoGet` replies carry that text and its root. The text is
+//! the script version: every instance pins it, and each coordinator
+//! compiles it into a plan once per shard (compile once, execute many).
 //!
 //! The service is a value like every node (`crate::driver`): a
 //! `RepoRegister` or `RepoGet` request in, its one reply out.
 
 use std::collections::BTreeMap;
 use std::convert::Infallible;
-use std::sync::Arc;
 
 use flowscript_core::{fmt as script_fmt, schema};
-use flowscript_plan::Plan;
 use flowscript_sim::{NodeId, SimTime};
 
 use crate::driver::{Input, Node, Output};
@@ -34,11 +33,6 @@ pub struct ScriptVersion {
     pub source: String,
     /// Root compound task name.
     pub root: String,
-    /// The compiled execution plan (lowered once at registration).
-    pub plan: Arc<Plan>,
-    /// The plan's encoding, made once beside it: what every `RepoGet`
-    /// of this version is served.
-    pub plan_bytes: Vec<u8>,
 }
 
 /// The repository service on its node.
@@ -68,23 +62,12 @@ impl Repository {
         let script = flowscript_core::parse(source)?;
         let expanded = flowscript_core::template::expand(&script)?;
         let checked = flowscript_core::sema::check(&expanded)?;
-        let compiled = schema::compile(&checked, root)?;
-        // Store in canonical form (repository normal form), and cache
-        // the plan lowered from the *canonical* text so it is exactly
-        // what a coordinator recompiling the stored source would get.
-        let canonical = script_fmt::format_script(&script);
-        let plan = match schema::compile_source(&canonical, root) {
-            Ok(schema) => Plan::lower(&schema),
-            // The canonical form round-trips by construction; fall back
-            // to the original schema should the formatter ever regress.
-            Err(_) => Plan::lower(&compiled),
-        };
+        schema::compile(&checked, root)?;
+        // Store in canonical form (repository normal form).
         let versions = self.scripts.entry(name.to_string()).or_default();
         versions.push(ScriptVersion {
-            source: canonical,
+            source: script_fmt::format_script(&script),
             root: root.to_string(),
-            plan_bytes: flowscript_codec::to_bytes(&plan),
-            plan: Arc::new(plan),
         });
         Ok(versions.len() as u32)
     }
@@ -107,16 +90,6 @@ impl Repository {
             }
         };
         Ok(&versions[index])
-    }
-
-    /// The cached compiled plan of a script version (latest when
-    /// `None`) — the per-version plan cache serving coordinators.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::UnknownScript`] for missing names or versions.
-    pub fn plan(&self, name: &str, version: Option<u32>) -> Result<Arc<Plan>, EngineError> {
-        self.get(name, version).map(|stored| stored.plan.clone())
     }
 
     /// Number of versions stored for `name`.
@@ -155,7 +128,6 @@ impl Node for Repository {
             result: result.map_err(|e| e.to_string()),
             source: String::new(),
             root: String::new(),
-            plan: Vec::new(),
         };
         let reply = match flowscript_codec::from_bytes::<EngineMsg>(payload) {
             Ok(EngineMsg::RepoRegister { name, source, root }) => {
@@ -166,7 +138,6 @@ impl Node for Repository {
                     result: Ok(version.unwrap_or_else(|| self.version_count(&name))),
                     source: stored.source.clone(),
                     root: stored.root.clone(),
-                    plan: stored.plan_bytes.clone(),
                 },
                 Err(err) => bare(Err(err)),
             },
@@ -181,18 +152,11 @@ impl Node for Repository {
 mod tests {
     use super::*;
     use flowscript_core::samples;
+    use flowscript_plan::Plan;
     use flowscript_sim::ReplyToken;
 
     fn repository() -> Repository {
         Repository::new(NodeId::from_index(0))
-    }
-
-    impl Repository {
-        /// Version `version` of `name` as stored, for a test that
-        /// tampers with what the service serves.
-        pub(crate) fn stored_mut(&mut self, name: &str, version: u32) -> &mut ScriptVersion {
-            &mut self.scripts.get_mut(name).expect("registered")[version as usize - 1]
-        }
     }
 
     #[test]
@@ -242,29 +206,25 @@ mod tests {
         assert!(repo.get("missing", None).is_err());
     }
 
+    /// The stored canonical text is the script: what a coordinator
+    /// compiles from it is what the submitted text compiles to.
     #[test]
-    fn plans_are_compiled_once_and_cached_per_version() {
+    fn every_sample_compiles_from_its_canonical_text_as_submitted() {
         let mut repo = repository();
-        repo.register("s", samples::QUICKSTART, "pipeline").unwrap();
-        repo.register("s", samples::ORDER_PROCESSING, "processOrderApplication")
-            .unwrap();
-        let v1 = repo.plan("s", Some(1)).unwrap();
-        let v2 = repo.plan("s", None).unwrap();
-        assert_eq!(repo.get("s", Some(1)).unwrap().plan.as_ref(), v1.as_ref());
-        assert_eq!(v1.str(v1.root().name), "pipeline");
-        assert_eq!(v2.str(v2.root().name), "processOrderApplication");
-        // The cached plan equals a fresh lowering of the stored source.
-        let stored = repo.get("s", None).unwrap();
-        let fresh = Plan::lower(&schema::compile_source(&stored.source, &stored.root).unwrap());
-        assert_eq!(fresh, *v2);
-        assert_eq!(fresh.fingerprint, v2.fingerprint);
-        assert!(repo.plan("s", Some(3)).is_err());
+        for (name, source) in samples::all() {
+            let root = samples::root_of(name);
+            repo.register(name, source, root).unwrap();
+            let stored = repo.get(name, None).unwrap();
+            assert_ne!(stored.source, source, "{name} is stored reformatted");
+            let lowered = |text: &str| Plan::lower(&schema::compile_source(text, root).unwrap());
+            assert_eq!(lowered(&stored.source), lowered(source), "{name}");
+        }
     }
 
     /// The repository needs no world to run: fed requests by hand, it
     /// answers each with one reply through its token.
     #[test]
-    fn a_version_is_encoded_once_and_every_get_serves_those_bytes() {
+    fn every_get_serves_the_stored_version() {
         let mut repo = repository();
         repo.register("d", samples::FIG1_DIAMOND, "diamond")
             .unwrap();
@@ -282,27 +242,24 @@ mod tests {
             };
             repo.handle(SimTime::ZERO, message)
         };
-        let served: Vec<Vec<u8>> = (0..2)
+        let served: Vec<EngineMsg> = (0..2)
             .map(|call| {
                 let token = ReplyToken::new(NodeId::from_index(0), client, call);
                 let [Output::Reply { bytes, .. }] = &deliver(Some(token))[..] else {
                     panic!("one reply per request");
                 };
-                let Ok(EngineMsg::RepoReply { plan, .. }) = flowscript_codec::from_bytes(bytes)
-                else {
-                    panic!("not a repository reply");
-                };
-                plan
+                flowscript_codec::from_bytes(bytes).expect("an engine message")
             })
             .collect();
         // A one-way message is not a request: nothing to answer.
         assert!(deliver(None).is_empty());
         let stored = repo.get("d", None).unwrap();
-        assert_eq!(served, vec![stored.plan_bytes.clone(); 2]);
-        // They are the plan: a coordinator's cache validates them.
-        let mut cache = crate::coordinator::PlanCache::default();
-        let plan = cache.validated(&served[0]).expect("the bytes validate");
-        assert_eq!(*plan, *stored.plan);
+        let reply = EngineMsg::RepoReply {
+            result: Ok(1),
+            source: stored.source.clone(),
+            root: stored.root.clone(),
+        };
+        assert_eq!(served, vec![reply; 2]);
     }
 
     #[test]

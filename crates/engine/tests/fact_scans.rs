@@ -443,8 +443,10 @@ fn a_diamond_logs_its_source_once_per_shard_and_stays_in_budget() {
     // tasks left waiting store none — and two per report).
     assert_eq!(named_writes, instances * 3);
     assert_eq!(block_writes, instances * 10);
-    // 435 B with each key of a commit record written relative to the
-    // key before it (584 B when every key was spelled whole).
+    // 400 B with each key of a commit record written relative to the
+    // key before it and no plan logged beside the source (435 B with a
+    // plan blob and a plan fingerprint in every status record; 584 B
+    // when every key was spelled whole).
     let per_instance = sys.log_size() / instances as u64;
     assert!(
         per_instance < 455,

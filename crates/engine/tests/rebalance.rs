@@ -173,9 +173,9 @@ fn an_instance_named_under_anothers_prefix_moves_alone() {
 }
 
 /// The canonical source travels with a moved instance: the joining
-/// shard never started anything, so the only way it can recompile the
-/// order's script — which reconfiguring an instance that runs off a
-/// decoded plan blob must — is out of the package.
+/// shard never started anything, so the only way it can compile the
+/// order's script — which loading the instance and reconfiguring it
+/// both must — is out of the package.
 #[test]
 fn moved_instance_is_reconfigured_on_a_shard_that_never_ran_its_script() {
     let name = "order-p128".to_string();

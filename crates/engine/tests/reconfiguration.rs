@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use common::{add_t5, frame_writes, last_write, log_frames, text};
-use flowscript_codec::{ByteReader, Decode};
+use flowscript_codec::ByteReader;
 use flowscript_core::samples;
 use flowscript_engine::{
     CbState, EngineError, InstanceStatus, ObjectVal, Reconfig, TaskBehavior, WorkflowSystem,
@@ -299,108 +299,83 @@ fn reconfiguration_survives_coordinator_crash() {
     );
 }
 
-/// The diamond with the paper's `t5` added 15 ms in; at 25 ms the
-/// coordinator crashes and restarts, with `poisoned` (a record
-/// `poison_record` names) overwritten while it is down.
-fn reconfigured_then_crashed(poisoned: Option<&str>) -> WorkflowSystem {
+/// The diamond `d1` with the paper's `t5` added 15 ms in, beside a
+/// plain diamond `d2`; at 25 ms the coordinator crashes and restarts,
+/// with `d1`'s pinned source overwritten while it is down when
+/// `poison_source`.
+fn reconfigured_then_crashed(poison_source: bool) -> WorkflowSystem {
     let mut sys = diamond_system(67);
     sys.bind_fn("refT5", |_| {
         TaskBehavior::outcome("done").with_object("out", text("Data", "t5"))
     });
-    sys.start("d1", "diamond", "main", [("seed", text("Data", "s"))])
-        .unwrap();
+    for name in ["d1", "d2"] {
+        sys.start(name, "diamond", "main", [("seed", text("Data", "s"))])
+            .unwrap();
+    }
     sys.run_for(SimDuration::from_millis(15));
     sys.reconfigure("d1", add_t5()).unwrap();
     sys.run_for(SimDuration::from_millis(10));
     assert_eq!(sys.status("d1"), Ok(InstanceStatus::Running));
     let coordinator = sys.coordinator_node();
     sys.crash_now(coordinator);
-    if let Some(which) = poisoned {
-        assert!(
-            sys.coord_handle(0).get_mut().poison_record("d1", which),
-            "{which}"
-        );
+    if poison_source {
+        assert!(sys.coord_handle(0).get_mut().poison_record("d1", "source"));
     }
     sys.restart_now(coordinator);
     sys
 }
 
 #[test]
-fn recovery_without_a_plan_blob_recompiles_the_pinned_source() {
-    // The load fallback: no valid blob under the status record's
-    // fingerprint, so the plan is the source the header pins recompiled
-    // — the script's current version, which declares `t5` itself: no
-    // op is replayed, none is stored — and the run ends as if the blob
-    // had been there.
-    let mut decoded = reconfigured_then_crashed(None);
-    decoded.run();
-    assert_eq!(
-        decoded
-            .coord_handle(0)
-            .get()
-            .cached_plan_fingerprints()
-            .len(),
-        1,
-        "decoded from its blob"
-    );
-
-    let mut recompiled = reconfigured_then_crashed(Some("plan"));
-    recompiled.run();
-    assert_eq!(recompiled.stats().recovered_instances, 1);
+fn recovery_compiles_the_current_version_from_its_pinned_source() {
+    // The plan a restart runs `d1` off is the source its header pins
+    // compiled — the script's current version, which declares `t5`
+    // itself: no op is replayed, none is stored.
+    let mut sys = reconfigured_then_crashed(false);
+    sys.run();
+    assert_eq!(sys.stats().recovered_instances, 2);
     assert!(
-        recompiled
-            .coord_handle(0)
-            .get()
-            .cached_plan_fingerprints()
-            .is_empty(),
-        "garbage must not validate: the plan was recompiled"
-    );
-    assert!(
-        recompiled.task_states("d1").contains_key("diamond/t5"),
+        sys.task_states("d1").contains_key("diamond/t5"),
         "the current source declares `t5`"
     );
-    assert_eq!(recompiled.status("d1"), decoded.status("d1"));
-    assert!(recompiled.outcome("d1").is_some());
-    assert_eq!(recompiled.task_states("d1"), decoded.task_states("d1"));
+    for name in ["d1", "d2"] {
+        assert!(
+            sys.outcome(name).is_some(),
+            "{name}: {:?}",
+            sys.status(name)
+        );
+    }
 }
 
 #[test]
-fn poisoned_source_stops_reconfiguration_and_nothing_else() {
-    // Nothing on the run path reads the source: the instance recovers
-    // off its plan blob. Reconfiguring it needs the text, and garbage
-    // under the header's hash is a typed refusal that changes nothing.
-    let mut sys = reconfigured_then_crashed(Some("source"));
-    assert_eq!(sys.stats().recovered_instances, 1);
-    let plans = sys.persisted_plans(0);
-    let states = sys.task_states("d1");
-    let rebind = Reconfig::Rebind {
-        code: "refT4".into(),
-        to: "refT5".into(),
-    };
-    match sys.reconfigure("d1", rebind) {
-        Err(flowscript_engine::EngineError::Tx(why)) => {
-            assert!(why.contains("does not hold the source"), "{why}")
+fn a_poisoned_source_stops_its_instance_at_the_next_load() {
+    // An instance runs off its pinned source compiled, so garbage under
+    // the header's hash stops it at its next load, saying where — as
+    // every other corrupt record of an instance does — and nothing else
+    // on the shard.
+    let mut sys = reconfigured_then_crashed(true);
+    sys.run();
+    match sys.status("d1") {
+        Ok(InstanceStatus::Stuck { reason }) => {
+            assert!(reason.contains("storage fault"), "{reason}");
+            assert!(reason.contains("`sys/src/"), "{reason}");
         }
-        other => panic!("reconfigured off a poisoned source: {other:?}"),
+        other => panic!("a poisoned source loaded as {other:?}"),
     }
-    assert_eq!(sys.stats().reconfigs, 1, "only the one before the crash");
-    assert_eq!(sys.persisted_plans(0), plans);
-    assert_eq!(sys.task_states("d1"), states);
+    assert_eq!(sys.stats().recovered_instances, 1, "`d2` alone");
+    assert!(sys.outcome("d2").is_some(), "{:?}", sys.status("d2"));
     // Nor does a new instance of the edited script — the version `d1`
     // runs — share what sits under its hash: the text there is not its
     // text.
     sys.register_script("diamond5", &diamond_with_t5(), "diamond")
         .unwrap();
     let refused = sys
-        .start("d2", "diamond5", "main", [("seed", text("Data", "s"))])
+        .start("d3", "diamond5", "main", [("seed", text("Data", "s"))])
         .expect_err("started off a poisoned source");
     assert!(
         refused.to_string().contains("holds a different source"),
         "{refused}"
     );
-    assert!(sys.status("d2").is_err());
-    sys.run();
-    assert!(sys.outcome("d1").is_some(), "{:?}", sys.status("d1"));
+    assert!(sys.status("d3").is_err());
 }
 
 /// Three leaves under a root that is `done` on `c`; `c` draws on the
@@ -804,20 +779,16 @@ fn diamond_with_t5() -> String {
     )
 }
 
-/// The source hash `instance`'s header and the plan fingerprint its
-/// status record name, as the shard's log last committed them: each
-/// record opens with its layout tag, then the header's script name and
-/// hash, the status and its fingerprint.
-fn pinned_version(sys: &WorkflowSystem, instance: &str) -> (u64, u64) {
+/// The source `instance`'s header pins, as the shard's log last
+/// committed them: the header opens with its layout tag, then its
+/// script name and the source's hash, which names the blob.
+fn pinned_source(sys: &WorkflowSystem, instance: &str) -> Vec<u8> {
     let storage = sys.storage();
     let header = last_write(&storage, &format!("inst/{instance}/meta")).expect("a header");
     let mut header = ByteReader::new(&header[1..]);
     header.get_str().expect("a script name");
     let hash = header.get_u64().expect("a source hash");
-    let status = last_write(&storage, &format!("inst/{instance}/status")).expect("a status");
-    let mut status = ByteReader::new(&status[1..]);
-    InstanceStatus::decode(&mut status).expect("a status");
-    (hash, status.get_u64().expect("a plan fingerprint"))
+    last_write(&storage, &format!("sys/src/{hash:016x}")).expect("a pinned source")
 }
 
 #[test]
@@ -895,7 +866,8 @@ fn malformed_edits_are_refused_by_the_front_end() {
         sys.start("d1", "diamond", "main", [("seed", text("Data", "s"))])
             .unwrap();
         sys.run_for(SimDuration::from_millis(5));
-        let plans = sys.persisted_plans(0);
+        let sources = |sys: &WorkflowSystem| sys.coord_handle(0).get().persisted_source_hashes();
+        let pinned = sources(&sys);
         match sys.reconfigure("d1", op.clone()) {
             Err(EngineError::ReconfigRejected(why)) => {
                 assert!(why.contains(said), "{op:?}: {why}")
@@ -903,7 +875,7 @@ fn malformed_edits_are_refused_by_the_front_end() {
             other => panic!("{op:?} was not refused: {other:?}"),
         }
         assert_eq!(sys.stats().reconfigs, 0, "{op:?}");
-        assert_eq!(sys.persisted_plans(0), plans, "{op:?}");
+        assert_eq!(sources(&sys), pinned, "{op:?}");
         sys.run();
         let run = (sys.status("d1").unwrap(), sys.task_states("d1"));
         assert_eq!(run, undisturbed, "{op:?}");
@@ -926,10 +898,19 @@ fn a_reconfigured_instance_is_one_started_on_the_edited_script() {
         .unwrap();
     sys.start("d2", "diamond5", "main", [("seed", text("Data", "s"))])
         .unwrap();
-    let (d1, d2) = (pinned_version(&sys, "d1"), pinned_version(&sys, "d2"));
-    assert_eq!(d1, d2, "one pinned source hash, one plan fingerprint");
-    let served = sys.repository().plan("diamond5", None).unwrap();
-    assert_eq!(d1.1, served.fingerprint);
+    let pinned = pinned_source(&sys, "d1");
+    assert_eq!(pinned, pinned_source(&sys, "d2"), "one pinned source");
+    let served = sys
+        .repository()
+        .get("diamond5", None)
+        .unwrap()
+        .source
+        .clone();
+    assert_eq!(
+        pinned,
+        served.into_bytes(),
+        "the text the repository serves"
+    );
 
     sys.run_for(SimDuration::from_millis(10));
     let coordinator = sys.coordinator_node();

@@ -1,8 +1,8 @@
-//! The plan data structures and their binary codec.
+//! The plan data structures and their encoding.
 
 use std::collections::BTreeMap;
 
-use flowscript_codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
+use flowscript_codec::{ByteWriter, Encode};
 use flowscript_core::ast::OutputKind;
 
 /// Index into the plan's interned string table.
@@ -26,8 +26,7 @@ impl Range32 {
     /// An empty range.
     pub const EMPTY: Range32 = Range32 { start: 0, end: 0 };
 
-    /// Number of elements covered (0 for an inverted range, which only
-    /// a corrupted decode can produce — see [`Plan::is_well_formed`]).
+    /// Number of elements covered (0 for an inverted range).
     pub fn len(&self) -> usize {
         self.end.saturating_sub(self.start) as usize
     }
@@ -78,9 +77,7 @@ pub struct PlanTask {
     pub is_scope: bool,
     /// Derived: the parsed `"priority"` implementation pair (0 when
     /// absent or unparsable), precomputed so the worklist's hot path
-    /// never re-scans `impl_kv`. Not wire content — recomputed at
-    /// lowering and after decode, excluded from the codec so
-    /// fingerprints are unaffected.
+    /// never re-scans `impl_kv`. Derived at lowering, not encoded.
     pub priority: i64,
 }
 
@@ -123,9 +120,8 @@ pub struct PlanSlot {
     /// input-set signature for binding slots, the owning scope's class
     /// output for mapping slots (`None` when the name is undeclared
     /// there, so the value lands in the fact's presence record). This
-    /// is the dense sub-key the engine writes bound objects at. Not
-    /// wire content — recomputed at lowering and after decode, excluded
-    /// from the codec so fingerprints are unaffected.
+    /// is the dense sub-key the engine writes bound objects at. Derived
+    /// at lowering, not encoded.
     pub obj_ordinal: Option<u32>,
 }
 
@@ -169,8 +165,8 @@ pub struct PlanSource {
     /// conditions live in [`Plan::any_obj_ordinals`]). `None` when the
     /// producer is gone, the source is a notification, or the object is
     /// undeclared there. A fact store with per-object sub-keys probes
-    /// `(producer, fact, ordinal)` as one dense key. Not wire content —
-    /// recomputed at lowering and after decode.
+    /// `(producer, fact, ordinal)` as one dense key. Derived at
+    /// lowering, not encoded.
     pub object_ordinal: Option<u32>,
 }
 
@@ -260,8 +256,8 @@ pub struct Plan {
     pub any_pool: Vec<StrId>,
     /// Derived, parallel to [`Plan::any_pool`]: the owning source's
     /// object ordinal within each candidate output's declared objects
-    /// (see [`PlanSource::object_ordinal`]). Not wire content —
-    /// recomputed at lowering and after decode.
+    /// (see [`PlanSource::object_ordinal`]). Derived at lowering, not
+    /// encoded.
     pub any_obj_ordinals: Vec<Option<u32>>,
     /// Pool: compound output mappings.
     pub outputs: Vec<PlanOutput>,
@@ -271,8 +267,8 @@ pub struct Plan {
     pub child_pool: Vec<TaskId>,
     /// Pool: reverse-dependency consumer task ids.
     pub rdep_pool: Vec<TaskId>,
-    /// Derived (not wire content: fingerprints are unaffected), parallel
-    /// to [`Plan::tasks`]: what activating a scope whose subtree holds no
+    /// Derived at lowering (not encoded), parallel to [`Plan::tasks`]:
+    /// what activating a scope whose subtree holds no
     /// fact yet can enable — the children with an input set whose every
     /// requirement has a source outside that subtree, and whether an
     /// output mapping of the scope can be met that way.
@@ -281,9 +277,6 @@ pub struct Plan {
     pub path_index: BTreeMap<String, TaskId>,
     /// Class name → class id.
     pub class_index: BTreeMap<String, ClassId>,
-    /// FNV-64 fingerprint of the structural content (strings + pools),
-    /// for cheap identity checks between repository and coordinator.
-    pub fingerprint: u64,
 }
 
 impl Plan {
@@ -379,11 +372,9 @@ impl Plan {
     }
 
     /// The declared objects of a class's input-set signature, by
-    /// interned set name (bounds-tolerant: callers run before
-    /// [`Plan::is_well_formed`] during decode).
+    /// interned set name.
     fn decl_objects_of_set(&self, class: &PlanClass, name: StrId) -> Option<Range32> {
-        self.class_sets
-            .get(class.sets.as_range())?
+        self.class_sets[class.sets.as_range()]
             .iter()
             .find(|set| set.name == name)
             .map(|set| set.objects)
@@ -391,8 +382,7 @@ impl Plan {
 
     /// The declared objects of a class's output, by interned name.
     fn decl_objects_of_output(&self, class: &PlanClass, name: StrId) -> Option<Range32> {
-        self.class_outputs
-            .get(class.outputs.as_range())?
+        self.class_outputs[class.outputs.as_range()]
             .iter()
             .find(|output| output.name == name)
             .map(|output| output.objects)
@@ -468,22 +458,16 @@ impl Plan {
         self.tasks[id as usize].priority
     }
 
-    /// Recomputes one task's derived priority from its implementation
-    /// pairs. Bounds-tolerant rather than panicking: decode runs this
-    /// *before* the caller gets to [`Plan::is_well_formed`], so a
-    /// hostile range must degrade to the default.
+    /// One task's priority, parsed from its implementation pairs.
     fn derived_priority(&self, task: &PlanTask) -> i64 {
-        self.impl_kv
-            .get(task.impl_kv.as_range())
-            .into_iter()
-            .flatten()
-            .find(|(k, _)| self.strings.get(*k as usize).map(String::as_str) == Some("priority"))
-            .and_then(|(_, v)| self.strings.get(*v as usize)?.parse().ok())
+        self.impl_kv[task.impl_kv.as_range()]
+            .iter()
+            .find(|(k, _)| self.str(*k) == "priority")
+            .and_then(|(_, v)| self.str(*v).parse().ok())
             .unwrap_or(0)
     }
 
-    /// Fills every task's derived [`PlanTask::priority`] (lowering and
-    /// decode both end with this).
+    /// Fills every task's derived [`PlanTask::priority`].
     pub(crate) fn finish_priorities(&mut self) {
         let priorities: Vec<i64> = self
             .tasks
@@ -495,34 +479,34 @@ impl Plan {
         }
     }
 
-    /// Fills [`Plan::activation_seeds`] (lowering and decode both end
-    /// with this; bounds-tolerant like the priorities, for the same
-    /// reason). A requirement can be met at activation iff one of its
-    /// sources is produced outside the scope's strict subtree — by the
-    /// scope itself, or by a task that no longer exists.
+    /// Fills [`Plan::activation_seeds`]. A requirement can be met at
+    /// activation iff one of its sources is produced outside the scope's
+    /// strict subtree — by the scope itself, or by a task that no longer
+    /// exists.
     pub(crate) fn finish_activation_seeds(&mut self) {
         let seeds = |(id, scope): (usize, &PlanTask)| {
             let inside = |producer: TaskId| producer as usize > id && producer < scope.subtree_end;
             let met = |sources: Range32| {
-                let mut sources = self.sources.get(sources.as_range()).into_iter().flatten();
+                let mut sources = self.sources[sources.as_range()].iter();
                 sources.any(|source| !source.producer.is_some_and(inside))
             };
             let open = |slots: Range32, notes: Range32| {
-                let mut slots = self.slots.get(slots.as_range()).into_iter().flatten();
-                let mut notes = self.notes.get(notes.as_range()).into_iter().flatten();
-                slots.all(|slot| met(slot.sources)) && notes.all(|note| met(note.sources))
+                self.slots[slots.as_range()]
+                    .iter()
+                    .all(|slot| met(slot.sources))
+                    && self.notes[notes.as_range()]
+                        .iter()
+                        .all(|note| met(note.sources))
             };
             let startable = |child: &&TaskId| {
-                let sets = self.tasks.get(**child as usize).map(|task| task.sets);
-                let sets = sets.and_then(|sets| self.sets.get(sets.as_range()));
-                let mut sets = sets.into_iter().flatten();
+                let mut sets = self.sets[self.task(**child).sets.as_range()].iter();
                 sets.any(|set| open(set.slots, set.notes))
             };
-            let children = self.child_pool.get(scope.children.as_range());
-            let children = children.into_iter().flatten().filter(startable);
-            let outputs = self.outputs.get(scope.outputs.as_range());
+            let children = self.child_pool[scope.children.as_range()]
+                .iter()
+                .filter(startable);
             // (An empty mapping never fires.)
-            let outputs = outputs.into_iter().flatten().any(|output| {
+            let outputs = self.outputs[scope.outputs.as_range()].iter().any(|output| {
                 output.slots.len() + output.notes.len() > 0 && open(output.slots, output.notes)
             });
             (children.copied().collect(), outputs)
@@ -533,9 +517,7 @@ impl Plan {
     /// Interns every dependency source's and every dataflow slot's
     /// object name to its dense declared-object ordinal
     /// ([`PlanSource::object_ordinal`], [`Plan::any_obj_ordinals`],
-    /// [`PlanSlot::obj_ordinal`]). Lowering and decode both end with
-    /// this; like the priorities it is bounds-tolerant, because decode
-    /// runs it before the caller gets to [`Plan::is_well_formed`].
+    /// [`PlanSlot::obj_ordinal`]).
     pub(crate) fn finish_object_ordinals(&mut self) {
         let mut src_ordinals: Vec<Option<u32>> = vec![None; self.sources.len()];
         let mut any_ordinals: Vec<Option<u32>> = vec![None; self.any_pool.len()];
@@ -543,13 +525,7 @@ impl Plan {
             let (Some(producer), Some(object)) = (source.producer, source.object) else {
                 continue;
             };
-            let Some(class) = self
-                .tasks
-                .get(producer as usize)
-                .and_then(|task| self.classes.get(task.class as usize))
-            else {
-                continue;
-            };
+            let class = self.class_of(self.task(producer));
             match &source.cond {
                 PlanCond::Input(set) => {
                     src_ordinals[idx] = self
@@ -562,7 +538,7 @@ impl Plan {
                         .and_then(|objects| self.object_ordinal_in(objects, object));
                 }
                 PlanCond::AnyOf(range) => {
-                    for cand in range.iter().filter(|&c| c < self.any_pool.len()) {
+                    for cand in range.iter() {
                         let name = self.any_pool[cand];
                         any_ordinals[cand] = self
                             .decl_objects_of_output(class, name)
@@ -581,25 +557,18 @@ impl Plan {
         // class output declaration.
         let mut slot_ordinals: Vec<Option<u32>> = vec![None; self.slots.len()];
         for task in &self.tasks {
-            let Some(class) = self.classes.get(task.class as usize) else {
-                continue;
-            };
-            for set in self.sets.get(task.sets.as_range()).into_iter().flatten() {
+            let class = self.class_of(task);
+            for set in &self.sets[task.sets.as_range()] {
                 let decl = self.decl_objects_of_set(class, set.name);
-                for slot_idx in set.slots.iter().filter(|&s| s < self.slots.len()) {
+                for slot_idx in set.slots.iter() {
                     slot_ordinals[slot_idx] = decl.and_then(|objects| {
                         self.object_ordinal_in(objects, self.slots[slot_idx].name)
                     });
                 }
             }
-            for output in self
-                .outputs
-                .get(task.outputs.as_range())
-                .into_iter()
-                .flatten()
-            {
+            for output in &self.outputs[task.outputs.as_range()] {
                 let decl = self.decl_objects_of_output(class, output.name);
-                for slot_idx in output.slots.iter().filter(|&s| s < self.slots.len()) {
+                for slot_idx in output.slots.iter() {
                     slot_ordinals[slot_idx] = decl.and_then(|objects| {
                         self.object_ordinal_in(objects, self.slots[slot_idx].name)
                     });
@@ -624,104 +593,11 @@ impl Plan {
     pub fn leaf_count(&self) -> usize {
         self.tasks.iter().filter(|t| !t.is_scope).count()
     }
-
-    /// Structural well-formedness of a (possibly untrusted, freshly
-    /// decoded) plan: every id and range stays inside its pool, so
-    /// evaluation cannot index out of bounds. `Decode` checks wire
-    /// syntax only; callers accepting plans from outside (the
-    /// coordinator taking a repository-served plan, WAL recovery) must
-    /// check this before executing and fall back to local lowering
-    /// otherwise.
-    pub fn is_well_formed(&self) -> bool {
-        let strings = self.strings.len() as u32;
-        let str_ok = |id: StrId| id < strings;
-        let range_ok = |r: Range32, pool: usize| r.start <= r.end && (r.end as usize) <= pool;
-        let task_ok = |id: TaskId| (id as usize) < self.tasks.len();
-        let source_ok = |source: &PlanSource| {
-            str_ok(source.producer_path)
-                && source.producer.is_none_or(task_ok)
-                && source.object.is_none_or(str_ok)
-                && match &source.cond {
-                    PlanCond::Input(set) => str_ok(*set),
-                    PlanCond::Output(output) => str_ok(*output),
-                    PlanCond::AnyOf(range) => {
-                        range_ok(*range, self.any_pool.len())
-                            && self.any_pool[range.as_range()].iter().copied().all(str_ok)
-                    }
-                }
-        };
-        !self.tasks.is_empty()
-            && self.tasks.iter().enumerate().all(|(id, task)| {
-                str_ok(task.name)
-                    && str_ok(task.path)
-                    && (task.class as usize) < self.classes.len()
-                    && task.parent.is_none_or(task_ok)
-                    && range_ok(task.sets, self.sets.len())
-                    && range_ok(task.impl_kv, self.impl_kv.len())
-                    && range_ok(task.children, self.child_pool.len())
-                    && task.subtree_end > id as TaskId
-                    && (task.subtree_end as usize) <= self.tasks.len()
-                    && range_ok(task.outputs, self.outputs.len())
-                    && range_ok(task.rdeps, self.rdep_pool.len())
-            })
-            && self.sets.iter().all(|set| {
-                str_ok(set.name)
-                    && range_ok(set.slots, self.slots.len())
-                    && range_ok(set.notes, self.notes.len())
-            })
-            && self.slots.iter().all(|slot| {
-                str_ok(slot.name)
-                    && str_ok(slot.class)
-                    && range_ok(slot.sources, self.sources.len())
-            })
-            && self
-                .notes
-                .iter()
-                .all(|note| range_ok(note.sources, self.sources.len()))
-            && self.sources.iter().all(source_ok)
-            && self.any_pool.iter().copied().all(str_ok)
-            && self.outputs.iter().all(|output| {
-                str_ok(output.name)
-                    && range_ok(output.slots, self.slots.len())
-                    && range_ok(output.notes, self.notes.len())
-            })
-            && self.classes.iter().all(|class| {
-                str_ok(class.name)
-                    && range_ok(class.sets, self.class_sets.len())
-                    && range_ok(class.outputs, self.class_outputs.len())
-            })
-            && self
-                .class_sets
-                .iter()
-                .all(|set| str_ok(set.name) && range_ok(set.objects, self.class_objects.len()))
-            && self.class_outputs.iter().all(|output| {
-                str_ok(output.name) && range_ok(output.objects, self.class_objects.len())
-            })
-            && self
-                .class_objects
-                .iter()
-                .all(|sig| str_ok(sig.name) && str_ok(sig.class))
-            && self.impl_kv.iter().all(|(k, v)| str_ok(*k) && str_ok(*v))
-            && self.child_pool.iter().copied().all(task_ok)
-            && self.rdep_pool.iter().copied().all(task_ok)
-            && self.object_classes.iter().copied().all(str_ok)
-            && self.path_index.values().copied().all(task_ok)
-            && self
-                .class_index
-                .values()
-                .all(|id| (*id as usize) < self.classes.len())
-    }
-
-    /// Whether the stored fingerprint matches a recomputation over the
-    /// structural content — detects tampered or corrupted plans whose
-    /// bytes still decode.
-    pub fn verify_fingerprint(&self) -> bool {
-        crate::lower::fingerprint_of(self) == self.fingerprint
-    }
 }
 
 // ---------------------------------------------------------------------
-// Binary codec.
+// Encoding: the wire form the ledger's `plan.encoded_bytes` prices.
+// Nothing decodes a plan: every plan is lowered from its source.
 // ---------------------------------------------------------------------
 
 fn kind_discriminant(kind: OutputKind) -> u8 {
@@ -733,33 +609,10 @@ fn kind_discriminant(kind: OutputKind) -> u8 {
     }
 }
 
-fn kind_from(discriminant: u8) -> Result<OutputKind, CodecError> {
-    Ok(match discriminant {
-        0 => OutputKind::Outcome,
-        1 => OutputKind::AbortOutcome,
-        2 => OutputKind::RepeatOutcome,
-        3 => OutputKind::Mark,
-        other => {
-            return Err(CodecError::InvalidDiscriminant {
-                ty: "OutputKind",
-                value: u64::from(other),
-            })
-        }
-    })
-}
-
 impl Encode for Range32 {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_var_u64(u64::from(self.start));
         w.put_var_u64(u64::from(self.end));
-    }
-}
-
-impl Decode for Range32 {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let start = r.get_var_u64()? as u32;
-        let end = r.get_var_u64()? as u32;
-        Ok(Range32 { start, end })
     }
 }
 
@@ -779,43 +632,12 @@ impl Encode for PlanTask {
     }
 }
 
-impl Decode for PlanTask {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(PlanTask {
-            name: r.get_u32()?,
-            path: r.get_u32()?,
-            class: r.get_u32()?,
-            parent: Option::decode(r)?,
-            sets: Range32::decode(r)?,
-            impl_kv: Range32::decode(r)?,
-            children: Range32::decode(r)?,
-            subtree_end: r.get_u32()?,
-            outputs: Range32::decode(r)?,
-            rdeps: Range32::decode(r)?,
-            is_scope: r.get_bool()?,
-            // Derived, not wire content: Plan::decode recomputes it.
-            priority: 0,
-        })
-    }
-}
-
 impl Encode for PlanInputSet {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u32(self.name);
         self.slots.encode(w);
         self.notes.encode(w);
         w.put_u64(self.required_mask);
-    }
-}
-
-impl Decode for PlanInputSet {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(PlanInputSet {
-            name: r.get_u32()?,
-            slots: Range32::decode(r)?,
-            notes: Range32::decode(r)?,
-            required_mask: r.get_u64()?,
-        })
     }
 }
 
@@ -827,29 +649,9 @@ impl Encode for PlanSlot {
     }
 }
 
-impl Decode for PlanSlot {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(PlanSlot {
-            name: r.get_u32()?,
-            class: r.get_u32()?,
-            sources: Range32::decode(r)?,
-            // Derived, not wire content: Plan::decode recomputes it.
-            obj_ordinal: None,
-        })
-    }
-}
-
 impl Encode for PlanNotification {
     fn encode(&self, w: &mut ByteWriter) {
         self.sources.encode(w);
-    }
-}
-
-impl Decode for PlanNotification {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(PlanNotification {
-            sources: Range32::decode(r)?,
-        })
     }
 }
 
@@ -872,41 +674,12 @@ impl Encode for PlanCond {
     }
 }
 
-impl Decode for PlanCond {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.get_u8()? {
-            0 => PlanCond::Input(r.get_u32()?),
-            1 => PlanCond::Output(r.get_u32()?),
-            2 => PlanCond::AnyOf(Range32::decode(r)?),
-            other => {
-                return Err(CodecError::InvalidDiscriminant {
-                    ty: "PlanCond",
-                    value: u64::from(other),
-                })
-            }
-        })
-    }
-}
-
 impl Encode for PlanSource {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u32(self.producer_path);
         self.producer.encode(w);
         self.object.encode(w);
         self.cond.encode(w);
-    }
-}
-
-impl Decode for PlanSource {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(PlanSource {
-            producer_path: r.get_u32()?,
-            producer: Option::decode(r)?,
-            object: Option::decode(r)?,
-            cond: PlanCond::decode(r)?,
-            // Derived, not wire content: Plan::decode recomputes it.
-            object_ordinal: None,
-        })
     }
 }
 
@@ -919,17 +692,6 @@ impl Encode for PlanOutput {
     }
 }
 
-impl Decode for PlanOutput {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(PlanOutput {
-            name: r.get_u32()?,
-            kind: kind_from(r.get_u8()?)?,
-            slots: Range32::decode(r)?,
-            notes: Range32::decode(r)?,
-        })
-    }
-}
-
 impl Encode for PlanClass {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u32(self.name);
@@ -939,30 +701,10 @@ impl Encode for PlanClass {
     }
 }
 
-impl Decode for PlanClass {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(PlanClass {
-            name: r.get_u32()?,
-            sets: Range32::decode(r)?,
-            outputs: Range32::decode(r)?,
-            atomic: r.get_bool()?,
-        })
-    }
-}
-
 impl Encode for PlanClassSet {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u32(self.name);
         self.objects.encode(w);
-    }
-}
-
-impl Decode for PlanClassSet {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(PlanClassSet {
-            name: r.get_u32()?,
-            objects: Range32::decode(r)?,
-        })
     }
 }
 
@@ -974,29 +716,10 @@ impl Encode for PlanClassOutput {
     }
 }
 
-impl Decode for PlanClassOutput {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(PlanClassOutput {
-            name: r.get_u32()?,
-            kind: kind_from(r.get_u8()?)?,
-            objects: Range32::decode(r)?,
-        })
-    }
-}
-
 impl Encode for PlanObjectSig {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u32(self.name);
         w.put_u32(self.class);
-    }
-}
-
-impl Decode for PlanObjectSig {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(PlanObjectSig {
-            name: r.get_u32()?,
-            class: r.get_u32()?,
-        })
     }
 }
 
@@ -1020,40 +743,6 @@ impl Encode for Plan {
         self.rdep_pool.encode(w);
         self.path_index.encode(w);
         self.class_index.encode(w);
-        w.put_u64(self.fingerprint);
-    }
-}
-
-impl Decode for Plan {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let mut plan = Plan {
-            strings: Vec::decode(r)?,
-            object_classes: Vec::decode(r)?,
-            classes: Vec::decode(r)?,
-            class_sets: Vec::decode(r)?,
-            class_outputs: Vec::decode(r)?,
-            class_objects: Vec::decode(r)?,
-            tasks: Vec::decode(r)?,
-            sets: Vec::decode(r)?,
-            slots: Vec::decode(r)?,
-            notes: Vec::decode(r)?,
-            sources: Vec::decode(r)?,
-            any_pool: Vec::decode(r)?,
-            // Derived, not wire content: recomputed below.
-            any_obj_ordinals: Vec::new(),
-            outputs: Vec::decode(r)?,
-            impl_kv: Vec::decode(r)?,
-            child_pool: Vec::decode(r)?,
-            rdep_pool: Vec::decode(r)?,
-            activation_seeds: Vec::new(), // derived: recomputed below
-            path_index: BTreeMap::decode(r)?,
-            class_index: BTreeMap::decode(r)?,
-            fingerprint: r.get_u64()?,
-        };
-        plan.finish_priorities();
-        plan.finish_object_ordinals();
-        plan.finish_activation_seeds();
-        Ok(plan)
     }
 }
 
@@ -1068,13 +757,6 @@ mod tests {
         )
         .unwrap();
         Plan::lower(&schema)
-    }
-
-    #[test]
-    fn lowered_plans_are_well_formed_and_fingerprinted() {
-        let plan = order_plan();
-        assert!(plan.is_well_formed());
-        assert!(plan.verify_fingerprint());
     }
 
     #[test]
@@ -1102,10 +784,6 @@ mod tests {
             let ordinal = slot.obj_ordinal.expect("slot names a declared object");
             let _ = ordinal;
         }
-        // A decoded plan recomputes identical ordinals.
-        let decoded =
-            flowscript_codec::from_bytes::<Plan>(&flowscript_codec::to_bytes(&plan)).unwrap();
-        assert_eq!(decoded, plan);
     }
 
     #[test]
@@ -1125,58 +803,5 @@ mod tests {
         // Out-of-range queries degrade to None instead of panicking.
         assert_eq!(plan.fact_decl_objects(check, false, 10_000), None);
         assert_eq!(plan.fact_decl_objects(10_000, true, 0), None);
-    }
-
-    #[test]
-    fn corruption_is_detected_not_panicked_on() {
-        // Out-of-range string id.
-        let mut plan = order_plan();
-        plan.tasks[2].name = plan.strings.len() as StrId + 7;
-        assert!(!plan.is_well_formed());
-
-        // Inverted range (would underflow a naive len / panic a slice).
-        let mut plan = order_plan();
-        plan.sets[0].slots = Range32 { start: 5, end: 2 };
-        assert_eq!(plan.sets[0].slots.len(), 0);
-        assert!(!plan.is_well_formed());
-
-        // Range running past its pool.
-        let mut plan = order_plan();
-        plan.tasks[1].sets.end = plan.sets.len() as u32 + 1;
-        assert!(!plan.is_well_formed());
-
-        // Tampered content with a stale fingerprint.
-        let mut plan = order_plan();
-        plan.strings[0] = "tampered".to_string();
-        assert!(!plan.verify_fingerprint());
-    }
-
-    #[test]
-    fn decoded_noise_fails_validation_cleanly() {
-        // A syntactically decodable but structurally bogus plan.
-        let plan = Plan {
-            strings: vec!["a".into()],
-            object_classes: vec![9],
-            classes: Vec::new(),
-            class_sets: Vec::new(),
-            class_outputs: Vec::new(),
-            class_objects: Vec::new(),
-            tasks: Vec::new(),
-            sets: Vec::new(),
-            slots: Vec::new(),
-            notes: Vec::new(),
-            sources: Vec::new(),
-            any_pool: Vec::new(),
-            any_obj_ordinals: Vec::new(),
-            outputs: Vec::new(),
-            impl_kv: Vec::new(),
-            child_pool: Vec::new(),
-            rdep_pool: Vec::new(),
-            activation_seeds: Vec::new(),
-            path_index: std::collections::BTreeMap::new(),
-            class_index: std::collections::BTreeMap::new(),
-            fingerprint: 0,
-        };
-        assert!(!plan.is_well_formed());
     }
 }

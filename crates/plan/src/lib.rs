@@ -25,9 +25,9 @@
 //! - reverse dependency edges ([`Plan::consumers`]) record, per
 //!   producer task, which tasks and scopes may become ready when it
 //!   publishes a fact,
-//! - the whole plan implements `flowscript_codec::{Encode, Decode}`, so
-//!   it persists through the existing frame/WAL machinery and the
-//!   repository can serve compiled plans to coordinators.
+//! - the whole plan implements `flowscript_codec::Encode`, a
+//!   deterministic wire form the ledger prices; nothing decodes one —
+//!   a plan is always lowered from its source.
 //!
 //! [`eval`] evaluates input-set satisfaction and compound output
 //! mappings off the plan with semantics identical to the schema
@@ -48,9 +48,9 @@
 //! assert_eq!(plan.task_paths(), schema.task_paths());
 //! let dispatch = plan.task_by_path("processOrderApplication/dispatch").unwrap();
 //! assert_eq!(plan.str(plan.task(dispatch).name), "dispatch");
-//! // Round-trips through the binary codec.
-//! let bytes = flowscript_codec::to_bytes(&plan);
-//! assert_eq!(flowscript_codec::from_bytes::<Plan>(&bytes).unwrap(), plan);
+//! // Lowering is deterministic, down to the encoded bytes.
+//! let again = Plan::lower(&schema);
+//! assert_eq!(flowscript_codec::to_bytes(&again), flowscript_codec::to_bytes(&plan));
 //! # Ok::<(), flowscript_core::Diagnostics>(())
 //! ```
 

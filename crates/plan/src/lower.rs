@@ -70,7 +70,6 @@ impl Plan {
                 activation_seeds: Vec::new(),
                 path_index: BTreeMap::new(),
                 class_index: BTreeMap::new(),
-                fingerprint: 0,
             },
         };
         lowerer.lower_classes(schema);
@@ -81,7 +80,6 @@ impl Plan {
         plan.finish_priorities();
         plan.finish_object_ordinals();
         plan.finish_activation_seeds();
-        plan.fingerprint = fingerprint_of(&plan);
         plan
     }
 }
@@ -430,18 +428,4 @@ fn required_mask(requirements: usize) -> u64 {
     } else {
         (1u64 << requirements) - 1
     }
-}
-
-/// FNV-64 over the structural content (everything but the fingerprint
-/// field itself).
-pub(crate) fn fingerprint_of(plan: &Plan) -> u64 {
-    let mut unstamped = plan.clone();
-    unstamped.fingerprint = 0;
-    let bytes = flowscript_codec::to_bytes(&unstamped);
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
 }

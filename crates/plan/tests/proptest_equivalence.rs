@@ -317,8 +317,7 @@ proptest! {
         }
     }
 
-    /// Lowering is deterministic: equal schemas lower to equal plans
-    /// with equal fingerprints.
+    /// Lowering is deterministic: equal schemas lower to equal plans.
     #[test]
     fn lowering_is_deterministic(selector in 0usize..7, n in 1usize..14) {
         let (source, root) = pick_script(selector, n);
@@ -326,6 +325,5 @@ proptest! {
         let plan1 = Plan::lower(&schema);
         let plan2 = Plan::lower(&schema);
         prop_assert_eq!(&plan1, &plan2);
-        prop_assert_eq!(plan1.fingerprint, plan2.fingerprint);
     }
 }
