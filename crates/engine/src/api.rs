@@ -612,12 +612,12 @@ impl WorkflowSystem {
     ///
     /// [`EngineError::UnknownInstance`].
     pub fn status(&self, instance: &str) -> Result<InstanceStatus, EngineError> {
-        self.coord_for(instance).get().status(instance)
+        self.coord_for(instance).get_mut().status(instance)
     }
 
     /// The final outcome, if the instance completed.
     pub fn outcome(&self, instance: &str) -> Option<Outcome> {
-        match self.coord_for(instance).get().status(instance) {
+        match self.status(instance) {
             Ok(InstanceStatus::Completed(outcome)) => Some(outcome),
             _ => None,
         }

@@ -10,12 +10,13 @@ use flowscript_core::ast::OutputKind;
 use flowscript_obs::ObsEventKind;
 use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::SimTime;
-use flowscript_tx::StoreKey;
+use flowscript_tx::{FactKey, StoreKey};
 
+use super::evaluate::cancel_descendants;
 use super::lifecycle::{pin_source, pinned_source};
 use super::meta::source_hash;
 use super::step::Effect;
-use super::{Coordinator, InstanceStatus, Output, StatusRecord};
+use super::{Coordinator, Output};
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::{source_uid, status_uid, InstanceKeys};
@@ -61,18 +62,17 @@ impl Coordinator {
     }
 
     /// [`Coordinator::poison_fact`] for a record an instance keeps
-    /// besides its facts: `which` names its `status` record, or the
-    /// `source` blob it pins. Works on a crashed coordinator too (the
-    /// bytes land in its log, as a fault that struck while it was down
-    /// would).
+    /// besides its facts: `which` names its `status` (stuck) record, its
+    /// `root` control block, or the `source` blob it pins. Works on a
+    /// crashed coordinator too (the bytes land in its log, as a fault
+    /// that struck while it was down would).
     #[doc(hidden)]
     pub fn poison_record(&mut self, instance: &str, which: &str) -> bool {
-        let key = match which {
-            "status" => Some(status_uid(instance)),
-            "source" => self
-                .read_header(instance)
-                .map(|header| source_uid(header.source_hash))
-                .ok(),
+        let header = self.read_header(instance).ok();
+        let key = match (which, header) {
+            ("status", _) => Some(status_uid(instance)),
+            ("root", Some(header)) => Some(StoreKey::Fact(FactKey::control(header.instance_id, 0))),
+            ("source", Some(header)) => Some(source_uid(header.source_hash)),
             _ => None,
         };
         match key.filter(|key| self.mgr.exists_key(key)) {
@@ -152,13 +152,12 @@ impl Coordinator {
                     }
                     cb.transition(state);
                 }
-                let revival = coordinator
-                    .staged::<StatusRecord>(step, keys.status())?
-                    .filter(|record| matches!(record.status, InstanceStatus::Stuck { .. }))
-                    .map(|mut record| {
-                        record.status = InstanceStatus::Running;
-                        record
-                    });
+                let revived = coordinator
+                    .mgr
+                    .read_through(step.staged(), keys.status())
+                    .is_some();
+                // The root's outcome is the instance's.
+                let settles = forced.is_some() && plan.task(task_id).parent.is_none();
                 let action = step.action(&mut coordinator.mgr);
                 let mgr = &mut coordinator.mgr;
                 // Drop the stored sub-keys first: a corrupt record may use
@@ -170,24 +169,37 @@ impl Coordinator {
                 if forced.is_some() {
                     facts::write_block(mgr, action, &plan, &keys, task_id, &cb)?;
                 }
-                if let Some(record) = revival {
+                if revived {
+                    mgr.delete_key(action, keys.status())?;
+                }
+                let cancelled = match settles {
+                    true => cancel_descendants(mgr, action, &keys, &plan, task_id)?,
+                    false => 0,
+                };
+                if revived {
                     // Back from Stuck: the instance is evaluated, and counts
                     // against the admission cap, again.
-                    mgr.write_key(action, keys.status(), &record)?;
-                    step.push(&drain.name, Effect::Status(record.status));
+                    step.push(&drain.name, Effect::Status(false));
                     drain.terminal = false;
                 }
                 let what = match forced {
                     Some(_) => {
                         // Whatever the task had on the wire will never be
                         // applied.
-                        step.push(&drain.name, Effect::Terminals(1));
+                        step.push(&drain.name, Effect::Terminals(1 + cancelled));
                         step.push(&drain.name, Effect::Discard(task_id..task_id + 1));
                         drain.lands(task_id);
                         format!("forced `{output}` of `{path}`")
                     }
                     None => format!("republished `{output}` of `{path}`"),
                 };
+                if settles {
+                    // What still ran below the root is cancelled with its
+                    // flights, and the instance completes.
+                    drain.discard_below(step, task_id);
+                    drain.terminal = true;
+                    step.push(&drain.name, Effect::Status(true));
+                }
                 coordinator.trace(step, &drain.name, Some(path), cb.attempt, || {
                     ObsEventKind::Repair { what }
                 });
@@ -259,13 +271,9 @@ impl Coordinator {
                         new_blocks.push((id, cb));
                     }
                 }
-                let mut record = coordinator.read_status(instance)?;
                 // A reconfiguration can rescue a stuck instance (e.g. by
                 // adding an alternative source): it is evaluated again.
-                let revived = matches!(record.status, InstanceStatus::Stuck { .. });
-                if revived {
-                    record.status = InstanceStatus::Running;
-                }
+                let revived = coordinator.mgr.exists_key(keys.status());
                 header.source_hash = hash;
                 let action = step.action(&mut coordinator.mgr);
                 let mgr = &mut coordinator.mgr;
@@ -275,7 +283,7 @@ impl Coordinator {
                 pin_source(mgr, action, &header.script, hash, &text)?;
                 mgr.write_key(action, keys.meta(), &header)?;
                 if revived {
-                    mgr.write_key(action, keys.status(), &record)?;
+                    mgr.delete_key(action, keys.status())?;
                 }
                 // After the remap: a new task may take an id it vacated.
                 for (task, cb) in &new_blocks {
@@ -285,13 +293,13 @@ impl Coordinator {
                 let replan = Effect::Replan(plan.clone(), keys.clone(), nonterminal);
                 step.push(&name, replan);
                 if revived {
-                    step.push(&name, Effect::Status(InstanceStatus::Running));
+                    step.push(&name, Effect::Status(false));
                 }
                 step.push(&name, Effect::Count(|stats| &mut stats.reconfigs));
                 // The drain runs over the new plan, its flights re-keyed
                 // onto it the way the books will be.
                 let mut drain = coordinator.drain_of(name.clone(), &plan, &keys);
-                drain.terminal = record.status.is_terminal();
+                drain.terminal &= !revived;
                 let flying = drain.flying.iter();
                 let moved = flying.filter_map(|&task| plan.task_by_path(path(&old_plan, task)));
                 drain.flying = moved.collect();

@@ -58,6 +58,9 @@ struct Charge {
 struct Flight {
     /// The armed watchdog of the attempt on the wire.
     watchdog: Option<TimerId>,
+    /// The armed timer of an attempt waiting out a delay — a retry's
+    /// back-off, a repeat's requested delay — before it ships.
+    delayed: Option<TimerId>,
     /// The load that attempt is charged at; taken exactly when the
     /// scheduler load is released.
     charge: Option<Charge>,
@@ -146,15 +149,15 @@ impl Dispatcher {
     }
 
     /// Ends a record that did not complete: releases its load and
-    /// returns the watchdog to cancel.
-    fn discard(&mut self, mut flight: Flight) -> Option<TimerId> {
+    /// returns its timers to cancel — the watchdog, a delayed attempt's.
+    fn discard(&mut self, mut flight: Flight) -> [Option<TimerId>; 2] {
         self.release(&mut flight);
-        flight.watchdog
+        [flight.watchdog, flight.delayed]
     }
 
     /// Drops the records of `tasks` — none of them completed — with
     /// their load, and any dispatch of theirs still parked (a cancelled
-    /// task's parked dispatch must never run). Returns the watchdogs to
+    /// task's parked dispatch must never run). Returns the timers to
     /// cancel.
     fn discard_tasks(
         &mut self,
@@ -172,13 +175,16 @@ impl Dispatcher {
             });
         }
         let dropped = dropped.into_values();
-        dropped.filter_map(|flight| self.discard(flight)).collect()
+        dropped
+            .flat_map(|flight| self.discard(flight))
+            .flatten()
+            .collect()
     }
 
     /// Moves every record and parked dispatch of `instance` from its
     /// task id under the old plan to `new_id(old)`; what belonged to a
     /// task the new plan no longer has is released — load freed, parked
-    /// entry dropped, the watchdog returned for cancelling.
+    /// entry dropped, its timers returned for cancelling.
     fn rekey(
         &mut self,
         instance: &str,
@@ -191,7 +197,7 @@ impl Dispatcher {
                 Some(new) => {
                     flights.0.insert(new, flight);
                 }
-                None => watchdogs.extend(self.discard(flight)),
+                None => watchdogs.extend(self.discard(flight).into_iter().flatten()),
             }
         }
         self.parked.retain(|_, entry| {
@@ -208,11 +214,14 @@ impl Dispatcher {
     /// Releases every record of an instance leaving this shard
     /// (hand-off, purge) and forgets its parked dispatches — whoever
     /// owns it next re-arms from its committed control blocks. Returns
-    /// the watchdogs to cancel.
+    /// the timers to cancel.
     pub(super) fn release_all(&mut self, instance: &str, flights: Flights) -> Vec<TimerId> {
         self.parked.retain(|_, entry| entry.instance != instance);
         let records = flights.0.into_values();
-        records.filter_map(|flight| self.discard(flight)).collect()
+        records
+            .flat_map(|flight| self.discard(flight))
+            .flatten()
+            .collect()
     }
 }
 
@@ -620,7 +629,7 @@ impl Coordinator {
 
     /// Ships `launch` once `delay` is over — a retry's back-off, a
     /// repeat's requested delay; waiting it out is outstanding work. The
-    /// timer names the task by path.
+    /// timer names the task by path, and goes with its flight record.
     pub(super) fn dispatch_after(
         &mut self,
         instance: &str,
@@ -637,7 +646,11 @@ impl Coordinator {
             path: plan.str(plan.task(task).path).to_string(),
             launch: Box::new(launch),
         };
-        self.arm(delay, timer);
+        let timer = self.arm(delay, timer);
+        let stale = self
+            .flight_mut(instance, task)
+            .and_then(|flight| flight.delayed.replace(timer));
+        self.cancel(stale);
     }
 
     /// A delayed attempt's wait is over ([`Timer::Dispatch`]): where the
@@ -648,7 +661,13 @@ impl Coordinator {
             return;
         };
         match plan.task_by_path(path) {
-            Some(task) => self.dispatch(instance, task, launch),
+            Some(task) => {
+                let rt = self.instances.get_mut(instance);
+                if let Some(flight) = rt.and_then(|rt| rt.flights.0.get_mut(&task)) {
+                    flight.delayed = None; // it went off
+                }
+                self.dispatch(instance, task, launch);
+            }
             // Only a mid-flight reconfiguration takes the task away
             // from a scheduled dispatch.
             None => self.metrics.stats.dropped_dispatches += 1,
@@ -863,7 +882,7 @@ impl Coordinator {
     }
 
     /// An executor report for `task` was applied: its work is no longer
-    /// outstanding. Drops the flight record, disarming the watchdog and
+    /// outstanding. Drops the flight record, disarming its timers and
     /// releasing the load as a genuine completion.
     pub(super) fn clear_watch(&mut self, instance: &str, task: TaskId) {
         self.release_dispatch(instance, task, Some(self.now.as_nanos()));
@@ -871,7 +890,8 @@ impl Coordinator {
             .instances
             .get_mut(instance)
             .and_then(|rt| rt.flights.0.remove(&task));
-        self.cancel(flight.and_then(|flight| flight.watchdog));
+        let timers = flight.map(|flight| [flight.watchdog, flight.delayed]);
+        self.cancel(timers.into_iter().flatten().flatten());
     }
 }
 

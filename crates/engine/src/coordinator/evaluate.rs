@@ -20,7 +20,7 @@ use flowscript_plan::{eval as plan_eval, Plan, StrId, TaskId, Worklist};
 use flowscript_tx::{AtomicAction, StableStore, TxManager};
 
 use super::step::{Effect, Launch, Step};
-use super::{block_fault, Coordinator, InstanceHeader, InstanceStatus, Outcome, StatusRecord};
+use super::{block_fault, settled, Coordinator, InstanceHeader, StuckRecord};
 use crate::error::EngineError;
 use crate::facts::{self, StoreFacts};
 use crate::keys::InstanceKeys;
@@ -35,8 +35,9 @@ pub(super) struct Drain<'a> {
     pub(super) keys: &'a InstanceKeys,
     /// What the step's transitions seeded so far.
     pub(super) worklist: Worklist,
-    /// The status record is not `Running`, as committed or as this step
-    /// left it: nothing more is evaluated.
+    /// The instance is settled — its root terminated, or it is parked
+    /// `Stuck` — as committed or as this step left it: nothing more is
+    /// evaluated.
     pub(super) terminal: bool,
     /// The tasks with outstanding work once the step so far publishes:
     /// flight records, less the flights it ends, plus the attempts it
@@ -53,7 +54,7 @@ impl Drain<'_> {
     }
 
     /// Stages the end of every flight below `scope`, cancelled or reset.
-    fn discard_below(&mut self, step: &mut Step, scope: TaskId) {
+    pub(super) fn discard_below(&mut self, step: &mut Step, scope: TaskId) {
         let below = self.plan.subtree(scope);
         self.flying.retain(|task| !below.contains(task));
         step.push(&self.name, Effect::Discard(below));
@@ -107,20 +108,16 @@ impl Coordinator {
     }
 
     /// The debug-build oracles over what a step published for
-    /// `instance`: the status mirror matches the record, and while it
-    /// runs a full scan finds nothing missed and dispatch's books balance.
+    /// `instance`: the status mirror matches the store, and while it runs
+    /// a full scan finds nothing missed and dispatch's books balance.
     pub(super) fn assert_settled(&self, instance: &str) {
         #[cfg(debug_assertions)]
         {
             let Some(rt) = self.instances.get(instance) else {
                 return;
             };
-            // Checked only where the record decodes: a missing or
-            // corrupt one is a storage fault, not a mirror drift.
-            if let Ok(record) = self.read_status(instance) {
-                let terminal = record.status.is_terminal();
-                assert_eq!(rt.terminal, terminal, "status mirror of `{instance}`");
-            }
+            let stored = settled(&self.mgr, None, rt.keys.status(), rt.keys.instance_id);
+            assert_eq!(rt.terminal, stored, "status mirror of `{instance}`");
             if !rt.terminal {
                 self.assert_quiescent(instance);
                 self.assert_flights_consistent(instance);
@@ -383,36 +380,20 @@ impl Coordinator {
             (true, outcome) => CbState::Done { outcome },
             (false, outcome) => CbState::Aborted { outcome },
         });
-        // The root's outcome is the instance's.
-        let root_record = match plan.task(scope_id).parent {
-            Some(_) => None,
-            None => {
-                let record: Option<StatusRecord> = self.staged(step, keys.status())?;
-                let mut record =
-                    record.ok_or_else(|| EngineError::UnknownInstance(drain.name.to_string()))?;
-                record.status = InstanceStatus::Completed(Outcome {
-                    name: outcome.clone(),
-                    kind: output.kind,
-                    objects: facts::bound_map(plan, &mapped),
-                });
-                Some(record)
-            }
-        };
         let action = step.action(&mut self.mgr);
         facts::write_block(&mut self.mgr, action, plan, keys, scope_id, &cb)?;
         facts::write_fact_bound(&mut self.mgr, action, plan, out_key, output.slots, &mapped)?;
         // Cancel every non-terminal descendant (one flat subtree scan —
         // DFS pre-order keeps descendants contiguous).
         let cancelled = cancel_descendants(&mut self.mgr, action, keys, plan, scope_id)?;
-        if let Some(record) = &root_record {
-            self.mgr.write_key(action, keys.status(), record)?;
-        }
         step.push(&drain.name, Effect::Terminals(1 + cancelled)); // and the scope itself
-        let is_root = root_record.is_some();
-        if let Some(record) = root_record {
-            // The instance just completed: the drain ends here.
+
+        // The root's outcome is the instance's — its block and output
+        // fact say so: the drain ends here.
+        let is_root = plan.task(scope_id).parent.is_none();
+        if is_root {
             drain.terminal = true;
-            step.push(&drain.name, Effect::Status(record.status));
+            step.push(&drain.name, Effect::Status(true));
         }
         self.trace(step, &drain.name, Some(scope_path), 0, || {
             let what = format!("{verb} `{outcome}`");
@@ -564,7 +545,8 @@ impl Coordinator {
     /// it): nothing can run and the root cannot terminate, or a fact
     /// probe hit a storage/decode fault — a corrupt record must not
     /// read as "fact absent" and silently mis-evaluate readiness. Its
-    /// drain ends here.
+    /// drain ends here. An instance already parked, or whose root
+    /// terminated, stays as it is.
     pub(super) fn park_stuck(
         &mut self,
         step: &mut Step,
@@ -572,19 +554,16 @@ impl Coordinator {
         reason: String,
     ) -> Result<(), EngineError> {
         drain.terminal = true;
-        let status_key = drain.keys.status();
-        let Ok(Some(mut record)) = self.staged::<StatusRecord>(step, status_key) else {
-            return Ok(());
-        };
-        if record.status.is_terminal() {
+        let keys = drain.keys;
+        if settled(&self.mgr, step.staged(), keys.status(), keys.instance_id) {
             return Ok(());
         }
-        record.status = InstanceStatus::Stuck {
+        let record = StuckRecord {
             reason: reason.clone(),
         };
         let action = step.action(&mut self.mgr);
-        self.mgr.write_key(action, status_key, &record)?;
-        step.push(&drain.name, Effect::Status(record.status));
+        self.mgr.write_key(action, keys.status(), &record)?;
+        step.push(&drain.name, Effect::Status(true));
         self.trace(step, &drain.name, None, 0, || ObsEventKind::Stuck {
             reason,
         });
@@ -658,7 +637,7 @@ impl Coordinator {
 /// Cancels every non-terminal descendant of a scope: one linear scan of
 /// the plan's contiguous subtree range. Returns how many blocks it
 /// cancelled.
-fn cancel_descendants(
+pub(super) fn cancel_descendants(
     mgr: &mut TxManager<StableStore>,
     action: &AtomicAction,
     keys: &InstanceKeys,

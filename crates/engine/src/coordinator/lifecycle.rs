@@ -19,8 +19,8 @@ use flowscript_tx::{AtomicAction, StableStore, StoreKey, TxManager};
 use super::meta::source_hash;
 use super::step::Effect;
 use super::{
-    stored_instances, Coordinator, Flights, InstanceHeader, InstanceRt, InstanceStatus,
-    StatusRecord,
+    settled, stored_instances, Coordinator, Flights, InstanceHeader, InstanceRt, InstanceStatus,
+    Outcome, StuckRecord,
 };
 use crate::error::EngineError;
 use crate::facts;
@@ -41,17 +41,17 @@ impl Coordinator {
         &mut self,
         name: &str,
         header: &InstanceHeader,
-        record: &StatusRecord,
     ) -> Result<InstanceRt, EngineError> {
         let plan = self.stored_plan(name, header)?;
         let keys = InstanceKeys::build(&plan, name, header.instance_id);
         let nonterminal = self.count_nonterminal(None, &plan, &keys);
+        let terminal = settled(&self.mgr, None, keys.status(), keys.instance_id);
         Ok(InstanceRt {
             plan,
             keys: Arc::new(keys),
             flights: Flights::default(),
             nonterminal,
-            terminal: record.status.is_terminal(),
+            terminal,
             planted: true,
         })
     }
@@ -61,23 +61,22 @@ impl Coordinator {
     /// instance whose plan cannot be built is stopped `Stuck`, its
     /// reason naming the fault — as a control block that does not
     /// decode stops its instance. Read as absent it would stay
-    /// `Running`, never dispatched again, with no word of why.
+    /// `Running`, never dispatched again, with no word of why. Whether
+    /// it runs is read without the plan: no stuck record, and a root
+    /// block whose tag says neither `Done` nor `Aborted`.
     pub(super) fn load_or_park(
         &mut self,
         name: &str,
         header: &InstanceHeader,
-        record: &StatusRecord,
     ) -> Option<InstanceRt> {
-        let fault = match self.load_instance(name, header, record) {
+        let fault = match self.load_instance(name, header) {
             Ok(rt) => return Some(rt),
             Err(fault) => fault,
         };
-        if record.status == InstanceStatus::Running {
+        let key = status_uid(name);
+        if !settled(&self.mgr, None, &key, header.instance_id) {
             let reason = format!("script source storage fault: {fault}");
-            let stuck = StatusRecord {
-                status: InstanceStatus::Stuck { reason },
-            };
-            let key = status_uid(name);
+            let stuck = StuckRecord { reason };
             let _ = self.atomically(|mgr, action| Ok(mgr.write_key(action, &key, &stuck)?));
         }
         None
@@ -150,10 +149,11 @@ impl Coordinator {
         let root_path = plan.str(plan.root().path).to_string();
         let name: Arc<str> = Arc::from(instance);
 
-        // The start is one step — header, status record, blocks, the
-        // root's binding *and* the first drain's activations in one
-        // action — committed straight to the log: a frame that fails to
-        // append aborts it, and leaves nothing behind.
+        // The start is one step — header, blocks, the root's binding
+        // *and* the first drain's activations in one action — committed
+        // straight to the log: a frame that fails to append aborts it,
+        // and leaves nothing behind. It writes no status: the root block
+        // it stores `Active` says the instance runs.
         let staged = self.run_step(|coordinator, step| {
             // A second start must not write over the first.
             if coordinator.holds(instance) {
@@ -174,14 +174,10 @@ impl Coordinator {
                 inputs,
                 instance_id,
             };
-            let record = StatusRecord {
-                status: InstanceStatus::Running,
-            };
             let action = step.action(&mut coordinator.mgr);
             let mgr = &mut coordinator.mgr;
             mgr.write_key(action, &seq_uid, &(instance_id + 1))?;
             mgr.write_key(action, keys.meta(), &header)?;
-            mgr.write_key(action, keys.status(), &record)?;
             pin_source(mgr, action, script_name, hash, source)?;
             // Root control block starts Active with the supplied inputs
             // bound; every descendant starts `Waiting`, which a block
@@ -221,15 +217,58 @@ impl Coordinator {
         Ok(())
     }
 
-    /// Instance status (monitoring API).
+    /// Instance status (monitoring API), read off what the log holds: a
+    /// stuck record says `Stuck` and why; else a root block saying
+    /// `Done`/`Aborted` says `Completed`, with the objects of the root's
+    /// output fact; else the instance runs. An instance not resident
+    /// resolves through its stored header and pinned source.
     ///
     /// # Errors
     ///
-    /// [`EngineError::UnknownInstance`]; a storage error if the stored
-    /// status record does not decode.
-    pub fn status(&self, instance: &str) -> Result<InstanceStatus, EngineError> {
-        let record = self.read_status(instance)?;
-        Ok(record.status)
+    /// [`EngineError::UnknownInstance`]; a storage error if the stuck
+    /// record, the root block or the root's output fact does not decode.
+    pub fn status(&mut self, instance: &str) -> Result<InstanceStatus, EngineError> {
+        let stuck: Option<StuckRecord> = self.mgr.read_committed_key(&status_uid(instance))?;
+        if let Some(StuckRecord { reason }) = stuck {
+            return Ok(InstanceStatus::Stuck { reason });
+        }
+        let (plan, keys) = self.plan_of(instance)?;
+        let (CbState::Done { outcome: name } | CbState::Aborted { outcome: name }) =
+            self.read_cb_id(&plan, &keys, 0)?.state
+        else {
+            return Ok(InstanceStatus::Running);
+        };
+        let kind = plan.class_output(plan.class_of(plan.root()), &name);
+        let fact = keys.out_key(&plan, 0, &name);
+        let objects = fact.map(|key| facts::read_fact_map(&self.mgr, &plan, key));
+        match (kind, objects.transpose()?.flatten()) {
+            (Some(output), Some(objects)) => Ok(InstanceStatus::Completed(Outcome {
+                name,
+                kind: output.kind,
+                objects,
+            })),
+            _ => Err(EngineError::Tx(format!(
+                "the root of `{instance}` ended `{name}` and holds no such output"
+            ))),
+        }
+    }
+
+    /// `instance`'s plan and key table: the resident runtime's, else
+    /// (e.g. monitoring a crashed-but-unrecovered store) its stored
+    /// header's id over the plan of the source it pins.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::UnknownInstance`], or a header or source that does
+    /// not load.
+    fn plan_of(&mut self, instance: &str) -> Result<(Arc<Plan>, Arc<InstanceKeys>), EngineError> {
+        if let Some(ctx) = self.instance_ctx(instance) {
+            return Ok(ctx);
+        }
+        let header = self.read_header(instance)?;
+        let plan = self.stored_plan(instance, &header)?;
+        let keys = InstanceKeys::build(&plan, instance, header.instance_id);
+        Ok((plan, Arc::new(keys)))
     }
 
     /// All task states of an instance, keyed by path (a block never
@@ -241,19 +280,11 @@ impl Coordinator {
 
     /// Every committed control block of an instance, keyed by path:
     /// point reads over the plan's dense task ids, skipping a block that
-    /// does not decode. An instance not resident in memory (e.g.
-    /// monitoring a crashed-but-unrecovered store) resolves through its
-    /// stored header's id and the plan of the source it pins. Test hook
-    /// beyond the states.
+    /// does not decode; an instance not resident resolves through its
+    /// stored header and pinned source. Test hook beyond the states.
     #[doc(hidden)]
     pub fn task_blocks(&mut self, instance: &str) -> BTreeMap<String, TaskCb> {
-        let stored = |coordinator: &mut Coordinator| {
-            let header = coordinator.read_header(instance).ok()?;
-            let plan = coordinator.stored_plan(instance, &header).ok()?;
-            let keys = InstanceKeys::build(&plan, instance, header.instance_id);
-            Some((plan, Arc::new(keys)))
-        };
-        let Some((plan, keys)) = self.instance_ctx(instance).or_else(|| stored(self)) else {
+        let Ok((plan, keys)) = self.plan_of(instance) else {
             return BTreeMap::new();
         };
         (0..plan.tasks.len() as TaskId)
@@ -314,7 +345,7 @@ impl Coordinator {
     pub(super) fn gc_plans(&mut self) -> Result<(), EngineError> {
         let live: BTreeSet<u64> = stored_instances(&self.mgr)
             .into_iter()
-            .map(|(_, header, _)| header.source_hash)
+            .map(|(_, header)| header.source_hash)
             .collect();
         self.plan_cache.retain(&live);
         let mut stale = self.mgr.uids_with_prefix(keys::SOURCE_PREFIX);

@@ -67,12 +67,9 @@ use flowscript_tx::dist::{self, AfterImages, CoordAction, DistMsg};
 use flowscript_tx::{AtomicAction, FactKey, StableStore, StoreKey, TxId, TxManager};
 
 use super::window::PendingEvent;
-use super::{
-    stored_instance_names, Call, Coordinator, InstanceHeader, InstanceStatus, Output, StatusRecord,
-    Timer, TimerId,
-};
+use super::{stored_instance_names, Call, Coordinator, InstanceHeader, Output, Timer, TimerId};
 use crate::error::EngineError;
-use crate::keys::{self, instance_seq_uid, meta_uid, move_uid, source_uid, status_uid};
+use crate::keys::{self, instance_seq_uid, meta_uid, move_uid, source_uid};
 use crate::msg::EngineMsg;
 use crate::shard::ShardMap;
 
@@ -320,16 +317,15 @@ impl Membership {
 /// the header's instance id, every task's facts and control block in
 /// one contiguous range scan. The header comes FIRST: it is the entry that tells
 /// [`rekeyed`] a new instance's run begins, what it is called and which
-/// dense id its fact keys carry. Returns `None` for a missing or
-/// undecodable header or status record.
+/// dense id its fact keys carry. A stuck record, if the instance has
+/// one, rides along under the uid prefix. Returns `None` for a missing
+/// or undecodable header.
 pub(super) fn package_instance(
     mgr: &TxManager<StableStore>,
     instance: &str,
 ) -> Option<AfterImages> {
     let header_key = meta_uid(instance);
     let header: InstanceHeader = mgr.read_committed_key(&header_key).ok()??;
-    mgr.read_committed_key::<StatusRecord>(&status_uid(instance))
-        .ok()??;
     let uids = mgr.uids_with_prefix(&keys::instance_prefix(instance));
     let facts = mgr.fact_keys_in_range(
         FactKey::instance_first(header.instance_id),
@@ -1203,15 +1199,14 @@ impl Coordinator {
             .collect();
         let mut adopted = Vec::new();
         for name in orphans {
-            let (Ok(header), Ok(record)) = (self.read_header(&name), self.read_status(&name))
-            else {
+            let Ok(header) = self.read_header(&name) else {
                 continue;
             };
-            let Some(rt) = self.load_or_park(&name, &header, &record) else {
+            let Some(rt) = self.load_or_park(&name, &header) else {
                 continue;
             };
+            let running = !rt.terminal;
             self.instances.insert(name.clone(), rt);
-            let running = record.status == InstanceStatus::Running;
             if running {
                 // An adopted live instance occupies an admission slot
                 // on its new shard.
@@ -1315,8 +1310,8 @@ mod tests {
         }
     }
 
-    /// One instance's run as `package_instance` lays it out: the
-    /// header, the status record, the shared source, one fact and one
+    /// One stuck instance's run as `package_instance` lays it out: the
+    /// header, the stuck record, the shared source, one fact and one
     /// control block.
     fn run(name: &str, id: u32) -> AfterImages {
         vec![
@@ -1324,7 +1319,7 @@ mod tests {
                 meta_uid(name),
                 Some(flowscript_codec::to_bytes(&header(id))),
             ),
-            (status_uid(name), Some(vec![0])),
+            (crate::keys::status_uid(name), Some(vec![0])),
             (source_uid(5), Some(vec![4])),
             (StoreKey::Fact(FactKey::output(id, 2, 1)), Some(vec![3])),
             (StoreKey::Fact(FactKey::control(id, 2)), Some(vec![1])),

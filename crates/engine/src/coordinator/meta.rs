@@ -1,9 +1,10 @@
-//! What an instance persists besides control blocks and facts, as
-//! three records: the [`InstanceHeader`], the small mutable
-//! [`StatusRecord`], and — once per shard, shared by content — the
-//! canonical source of its script's current version under its
-//! [`source_hash`], which the plan it runs is compiled from. Their field
-//! order lives here; their uids in [`crate::keys`].
+//! What an instance persists besides control blocks and facts: the
+//! [`InstanceHeader`], a [`StuckRecord`] while it is parked `Stuck`,
+//! and — once per shard, shared by content — the canonical source of
+//! its script's current version under its [`source_hash`], which the
+//! plan it runs is compiled from. Their field order lives here; their
+//! uids in [`crate::keys`]. Where an instance stands is not a stored
+//! type: `Running` and `Completed` are read off its root block.
 
 use std::collections::BTreeMap;
 
@@ -45,88 +46,13 @@ impl InstanceStatus {
     }
 }
 
-fn kind_discriminant(kind: OutputKind) -> u8 {
-    match kind {
-        OutputKind::Outcome => 0,
-        OutputKind::AbortOutcome => 1,
-        OutputKind::RepeatOutcome => 2,
-        OutputKind::Mark => 3,
-    }
-}
-
-fn kind_from(discriminant: u8) -> Result<OutputKind, CodecError> {
-    Ok(match discriminant {
-        0 => OutputKind::Outcome,
-        1 => OutputKind::AbortOutcome,
-        2 => OutputKind::RepeatOutcome,
-        3 => OutputKind::Mark,
-        other => {
-            return Err(CodecError::InvalidDiscriminant {
-                ty: "OutputKind",
-                value: u64::from(other),
-            })
-        }
-    })
-}
-
-impl Encode for Outcome {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.put_str(&self.name);
-        w.put_u8(kind_discriminant(self.kind));
-        self.objects.encode(w);
-    }
-}
-
-impl Decode for Outcome {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(Outcome {
-            name: r.get_str()?.to_owned(),
-            kind: kind_from(r.get_u8()?)?,
-            objects: BTreeMap::decode(r)?,
-        })
-    }
-}
-
-impl Encode for InstanceStatus {
-    fn encode(&self, w: &mut ByteWriter) {
-        match self {
-            InstanceStatus::Running => w.put_u8(0),
-            InstanceStatus::Completed(outcome) => {
-                w.put_u8(1);
-                outcome.encode(w);
-            }
-            InstanceStatus::Stuck { reason } => {
-                w.put_u8(2);
-                w.put_str(reason);
-            }
-        }
-    }
-}
-
-impl Decode for InstanceStatus {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.get_u8()? {
-            0 => InstanceStatus::Running,
-            1 => InstanceStatus::Completed(Outcome::decode(r)?),
-            2 => InstanceStatus::Stuck {
-                reason: r.get_str()?.to_owned(),
-            },
-            other => {
-                return Err(CodecError::InvalidDiscriminant {
-                    ty: "InstanceStatus",
-                    value: u64::from(other),
-                })
-            }
-        })
-    }
-}
-
 /// The first byte of every stored [`InstanceHeader`] and
-/// [`StatusRecord`]: bytes written under any other layout — the
-/// pre-split record opened with its script name's length — fail to
-/// decode instead of reading as a record with garbage fields.
+/// [`StuckRecord`]: bytes written under any other layout — the
+/// pre-split record opened with its script name's length, the status
+/// record that stored every status under `0xA2` — fail to decode
+/// instead of reading as a record with garbage fields.
 const HEADER_TAG: u8 = 0xA1;
-const STATUS_TAG: u8 = 0xA2;
+const STUCK_TAG: u8 = 0xA3;
 
 fn expect_tag(r: &mut ByteReader<'_>, tag: u8, ty: &'static str) -> Result<(), CodecError> {
     match r.get_u8()? {
@@ -183,26 +109,26 @@ impl Decode for InstanceHeader {
     }
 }
 
-/// `inst/<name>/status` — where an instance stands: everything about it
-/// that changes after start, rewritten in the same atomic action as
-/// whatever changed it.
+/// `inst/<name>/status` — why an instance is parked `Stuck`: written by
+/// the step that parks it, deleted by the one that revives it. An
+/// instance that never got stuck has none.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct StatusRecord {
-    pub(super) status: InstanceStatus,
+pub(crate) struct StuckRecord {
+    pub(super) reason: String,
 }
 
-impl Encode for StatusRecord {
+impl Encode for StuckRecord {
     fn encode(&self, w: &mut ByteWriter) {
-        w.put_u8(STATUS_TAG);
-        self.status.encode(w);
+        w.put_u8(STUCK_TAG);
+        w.put_str(&self.reason);
     }
 }
 
-impl Decode for StatusRecord {
+impl Decode for StuckRecord {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        expect_tag(r, STATUS_TAG, "StatusRecord")?;
-        Ok(StatusRecord {
-            status: InstanceStatus::decode(r)?,
+        expect_tag(r, STUCK_TAG, "StuckRecord")?;
+        Ok(StuckRecord {
+            reason: r.get_str()?.to_owned(),
         })
     }
 }
@@ -219,29 +145,6 @@ pub(super) fn source_hash(source: &str) -> u64 {
 mod tests {
     use super::*;
 
-    #[test]
-    fn status_codec_roundtrip() {
-        let statuses = vec![
-            InstanceStatus::Running,
-            InstanceStatus::Completed(Outcome {
-                name: "done".into(),
-                kind: OutputKind::Outcome,
-                objects: BTreeMap::from([("x".to_string(), ObjectVal::text("C", "v"))]),
-            }),
-            InstanceStatus::Stuck {
-                reason: "nothing to run".into(),
-            },
-        ];
-        for status in statuses {
-            let bytes = flowscript_codec::to_bytes(&status);
-            assert_eq!(
-                flowscript_codec::from_bytes::<InstanceStatus>(&bytes).unwrap(),
-                status
-            );
-            let _ = status.is_terminal();
-        }
-    }
-
     fn header() -> InstanceHeader {
         InstanceHeader {
             script: "order".into(),
@@ -254,33 +157,31 @@ mod tests {
     }
 
     #[test]
-    fn header_and_status_record_codec_roundtrip() {
+    fn header_and_stuck_record_codec_roundtrip() {
         let header = header();
         let bytes = flowscript_codec::to_bytes(&header);
         assert_eq!(
             flowscript_codec::from_bytes::<InstanceHeader>(&bytes).unwrap(),
             header
         );
-        let running = StatusRecord {
-            status: InstanceStatus::Running,
+        let stuck = StuckRecord {
+            reason: "nothing to run".into(),
         };
-        // A tag and the status's discriminant.
-        assert_eq!(flowscript_codec::to_bytes(&running).len(), 2);
-        let stuck = StatusRecord {
-            status: InstanceStatus::Stuck {
-                reason: "nothing to run".into(),
-            },
-        };
-        for record in [running, stuck] {
-            let bytes = flowscript_codec::to_bytes(&record);
-            assert_eq!(
-                flowscript_codec::from_bytes::<StatusRecord>(&bytes).unwrap(),
-                record
-            );
-            // Neither record reads as the other.
-            assert!(flowscript_codec::from_bytes::<InstanceHeader>(&bytes).is_err());
+        let stuck_bytes = flowscript_codec::to_bytes(&stuck);
+        assert_eq!(
+            flowscript_codec::from_bytes::<StuckRecord>(&stuck_bytes).unwrap(),
+            stuck
+        );
+        // Neither record reads as the other.
+        assert!(flowscript_codec::from_bytes::<InstanceHeader>(&stuck_bytes).is_err());
+        assert!(flowscript_codec::from_bytes::<StuckRecord>(&bytes).is_err());
+        // Nor does a status record of the layout that stored every
+        // status: `Running`, and `Stuck` with the same reason.
+        let mut stored_stuck = b"\xA2\x02".to_vec();
+        stored_stuck.extend_from_slice(&stuck_bytes[1..]);
+        for stored in [&b"\xA2\x00"[..], &stored_stuck] {
+            assert!(flowscript_codec::from_bytes::<StuckRecord>(stored).is_err());
         }
-        assert!(flowscript_codec::from_bytes::<StatusRecord>(&bytes).is_err());
     }
 
     /// What the layout before the split stored under `inst/<name>/meta`
@@ -303,8 +204,8 @@ mod tests {
             Err(not_tagged("InstanceHeader"))
         );
         assert_eq!(
-            flowscript_codec::from_bytes::<StatusRecord>(PRE_SPLIT_RECORD),
-            Err(not_tagged("StatusRecord"))
+            flowscript_codec::from_bytes::<StuckRecord>(PRE_SPLIT_RECORD),
+            Err(not_tagged("StuckRecord"))
         );
     }
 

@@ -36,18 +36,18 @@
 //! beside their result.
 //!
 //! This module holds the shared state ([`Coordinator`]), the door and
-//! the helpers every concern uses (`record_event`, the
-//! control-block/header/status reads, `pump`). Each child module owns one
+//! the helpers every concern uses (`record_event`, the control-block
+//! and header reads, `settled`, `pump`). Each child module owns one
 //! concern; what it *owns* is private to it, and the entry points named
 //! are the only way in from a sibling:
 //!
 //! | module | concern | owns | entry points |
 //! |---|---|---|---|
-//! | `config`, `meta`, `stats` | the types: operator knobs; status and outcome, the `InstanceHeader` (rewritten only by a reconfiguration and a hand-off's re-key), the `StatusRecord`, the pinned source's hash (their uids: [`crate::keys`]); counters and the dispatch record | — | — |
+//! | `config`, `meta`, `stats` | the types: operator knobs; status and outcome, the `InstanceHeader` (rewritten only by a reconfiguration and a hand-off's re-key), the `StuckRecord` (stored only while an instance is parked `Stuck`: `Running` and `Completed` are read off the root block), the pinned source's hash (their uids: [`crate::keys`]); counters and the dispatch record | — | — |
 //! | `step` | the unit of commit: stage into one action (reading its own writes back), commit once — one frame straight to the log — publish the effects in staging order, as outputs | `Step`, `Effect`, `Launch` (what an attempt ships under) | `run_step` (the one way the engine runs an action), `atomically` (the step with nothing to publish), `publish`; `staged`, `staged_cb`, `trace` |
 //! | `window` | the one place a report is applied: buffer `Done`/`Mark` reports, stage a window of them in arrival order — outcome, mark, execution error, repeat outcome, misreport — and its cascade as one step | `BatchWindow` | `enqueue_event`, `flush_pending`, `on_batch_window` ([`Timer::Window`]), `commit_event` |
 //! | `evaluate` | the cascade a step stages: input-set satisfaction, activation, compound-scope outputs (marks, termination, the fig. 8 repeat), stuck detection; the debug full-scan oracle | `Drain` (one instance inside a step: its seeds, its flights as the step leaves them) | `reevaluate` (the step over one resident instance: the caller stages its transition, the drain follows, one commit, publish — the watchdog, a failed placement, the operator's abort and repair, a restart's re-arm), `evaluate` (the same with nothing but the full scan to stage: adoption); `instance_ctx`, `drain_of`, `stage_drain`, `park_stuck`, `assert_settled` |
-//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, and what an attempt that ends with no outcome stages: the bounded retry or `Failed` | `Dispatcher` (scheduler loads, cost model, ready queue), `Flights` (per instance: one record per task with outstanding work, its watchdog a [`TimerId`]) | staging: `stage_lost` (error report, time-out), `stage_failure`, `stage_launch` (the next attempt, now or after a delay); publishing: `ship` (an attempt, under what its step staged), `dispatch` (a staged attempt whose delay or park is over), `dispatch_after`, `lose_flight`, `clear_watch`, `discard_flights` (subtree sweep, forced outcome, failure), `fail_unplaceable`; timers: `on_watchdog` ([`Timer::Watchdog`]), `on_dispatch_timer` ([`Timer::Dispatch`]); `drain_parked`, `executing`; `Flights::outstanding` (stuck detection), `replan` (a reconfiguration's new plan, its books re-keyed), `rearm_adopted` (adoption), `Dispatcher::{release_all, reset}` (hand-off, recovery), `executor_loads` |
+//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, and what an attempt that ends with no outcome stages: the bounded retry or `Failed` | `Dispatcher` (scheduler loads, cost model, ready queue), `Flights` (per instance: one record per task with outstanding work, its watchdog and a delayed attempt's timer each a [`TimerId`], cancelled with the record) | staging: `stage_lost` (error report, time-out), `stage_failure`, `stage_launch` (the next attempt, now or after a delay); publishing: `ship` (an attempt, under what its step staged), `dispatch` (a staged attempt whose delay or park is over), `dispatch_after`, `lose_flight`, `clear_watch`, `discard_flights` (subtree sweep, forced outcome, failure), `fail_unplaceable`; timers: `on_watchdog` ([`Timer::Watchdog`]), `on_dispatch_timer` ([`Timer::Dispatch`]); `drain_parked`, `executing`; `Flights::outstanding` (stuck detection), `replan` (a reconfiguration's new plan, its books re-keyed), `rearm_adopted` (adoption), `Dispatcher::{release_all, reset}` (hand-off, recovery), `executor_loads` |
 //! | `admission` | the per-shard instance cap on the start RPC, and the start's repository fetch | `Admission`, `AdmissionTicket` (the fetch's [`Call::Fetch`]) | `admit_or_queue`, `admit_from_queue`, `on_fetched`, `Admission::{instance_live, instance_settled}` |
 //! | `lifecycle` | instance start (the first writer of a header), the canonical source an instance pins (once per shard and hash) and the plan compiled from it (once per shard and version), materialising a runtime from committed state, the monitoring reads; blob collection | `PlanCache` | `start_instance` (from admission, the one start path), `pin_source` (start, reconfiguration), `pinned_source` (the one reader of the source: every load, and reconfiguration), `load_or_park` (recovery, adoption: a running instance whose plan cannot be built stops `Stuck`), `count_nonterminal`, `PlanCache::plan` (the one way a plan is obtained: start, load, reconfiguration), `gc_plans` |
 //! | `membership` | shard routing and relays; the fleet protocols the nodes run among themselves — live hand-off (the one `tx::dist` 2PC, this module its host) and crash-driven adoption — and the façade's end of each, its [`Ticket`] | `Membership`, [`MoveReport`], [`FailoverReport`] | `route_report`, `misdirected`, `forward_start`, `on_relayed` ([`Call::Relay`]); from the façade `begin_move`, `begin_adoption`, `give_up`, `move_ticket`, `adoption_ticket`; from the wire `on_dist`, `on_claim`, `on_claim_answered` ([`Call::Claim`]), `on_round_timer` ([`Timer::Round`]); `adopt_orphans`, `repair_handoffs` |
@@ -73,12 +73,14 @@ use std::sync::Arc;
 use flowscript_obs::{FlightRecorder, ObsEventKind, Snapshot};
 use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::{NodeId, ReplyToken, SimDuration, SimTime};
-use flowscript_tx::{StableStore, TxError, TxId, TxManager, TxMetrics};
+use flowscript_tx::{
+    AtomicAction, FactKey, StableStore, StoreKey, TxError, TxId, TxManager, TxMetrics,
+};
 
 use crate::driver::{self, Node, TimerId};
 use crate::error::EngineError;
 use crate::facts;
-use crate::keys::{meta_uid, status_uid, InstanceKeys};
+use crate::keys::{meta_uid, InstanceKeys};
 use crate::msg::EngineMsg;
 use crate::sched::ExecutorSpec;
 use crate::shard::ShardMap;
@@ -97,7 +99,7 @@ use admission::{Admission, AdmissionTicket};
 use dispatch::{Dispatcher, Flights};
 use lifecycle::PlanCache;
 use membership::Membership;
-use meta::{InstanceHeader, StatusRecord};
+use meta::{InstanceHeader, StuckRecord};
 use stats::CoordMetrics;
 use step::Launch;
 use window::{BatchWindow, PendingEvent};
@@ -154,7 +156,7 @@ struct InstanceRt {
     /// every instance of the same version (a reconfiguration swaps in
     /// the plan of the script's new version).
     plan: Arc<Plan>,
-    /// Interned storage keys: header and status uids formatted once,
+    /// Interned storage keys: header and stuck-record uids formatted once,
     /// fact keys precomputed per plan source (rebuilt with the plan).
     keys: Arc<InstanceKeys>,
     /// One record per task with outstanding work (`dispatch`'s, keyed
@@ -165,8 +167,9 @@ struct InstanceRt {
     /// recovery and reconfiguration). Stuck detection reads this
     /// instead of enumerating the store.
     nonterminal: usize,
-    /// Mirror of the committed status record's `status.is_terminal()`,
-    /// refreshed right after every commit that writes it (see
+    /// Whether the instance is settled — its root terminated or it is
+    /// parked `Stuck` — mirrored from the store, refreshed right after
+    /// every commit that settles or revives it (see
     /// [`Coordinator::note_status`]). The drain tests it once per
     /// worklist step.
     terminal: bool,
@@ -449,24 +452,11 @@ impl Coordinator {
         stored?.ok_or_else(|| EngineError::UnknownInstance(instance.to_string()))
     }
 
-    /// The committed status record of `instance`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Coordinator::read_header`].
-    fn read_status(&self, instance: &str) -> Result<StatusRecord, EngineError> {
-        let stored = match self.instances.get(instance) {
-            Some(rt) => self.mgr.read_committed_key(rt.keys.status()),
-            None => self.mgr.read_committed_key(&status_uid(instance)),
-        };
-        stored?.ok_or_else(|| EngineError::UnknownInstance(instance.to_string()))
-    }
-
-    /// Refreshes the volatile mirror of the status a commit just wrote
-    /// to `instance`'s status record.
-    fn note_status(&mut self, instance: &str, status: &InstanceStatus) {
+    /// Refreshes the volatile mirror of whether a commit just settled
+    /// `instance` or revived it.
+    fn note_status(&mut self, instance: &str, terminal: bool) {
         if let Some(rt) = self.instances.get_mut(instance) {
-            rt.terminal = status.is_terminal();
+            rt.terminal = terminal;
         }
     }
 
@@ -573,6 +563,23 @@ impl Node for Coordinator {
         });
         outputs
     }
+}
+
+/// Whether an instance is settled as `action` reads `mgr` — parked
+/// `Stuck`, its record under `stuck` present, or its root block (dense
+/// id `id`) saying `Done`/`Aborted`. Reads no plan: recovery and
+/// adoption decide running vs settled before one is built.
+fn settled(
+    mgr: &TxManager<StableStore>,
+    action: Option<&AtomicAction>,
+    stuck: &StoreKey,
+    id: u32,
+) -> bool {
+    let root = StoreKey::Fact(FactKey::control(id, 0));
+    mgr.read_through(action, stuck).is_some()
+        || mgr
+            .read_through(action, &root)
+            .is_some_and(facts::block_settled)
 }
 
 /// Why an instance stops on `task`'s block that does not decode.

@@ -6,9 +6,9 @@
 use flowscript_obs::ObsEventKind;
 use flowscript_tx::{StableStore, TxManager};
 
-use super::{Admission, Coordinator, InstanceHeader, InstanceStatus, PlanCache, StatusRecord};
+use super::{Admission, Coordinator, InstanceHeader, PlanCache};
 use crate::facts;
-use crate::keys::{self, meta_uid, status_uid};
+use crate::keys::{self, meta_uid};
 use crate::msg::EngineMsg;
 
 /// The name of every instance with a header in `mgr` — the one
@@ -21,17 +21,13 @@ pub(super) fn stored_instance_names(mgr: &TxManager<StableStore>) -> impl Iterat
         .filter_map(|uid| keys::header_instance(uid.as_str()))
 }
 
-/// Every instance stored in `mgr`, by name, with its committed header
-/// and status record: [`stored_instance_names`] minus whatever does not
-/// decode as both.
-pub(super) fn stored_instances(
-    mgr: &TxManager<StableStore>,
-) -> Vec<(String, InstanceHeader, StatusRecord)> {
+/// Every instance stored in `mgr`, by name, with its committed header:
+/// [`stored_instance_names`] minus any header that does not decode.
+pub(super) fn stored_instances(mgr: &TxManager<StableStore>) -> Vec<(String, InstanceHeader)> {
     stored_instance_names(mgr)
         .filter_map(|name| {
             let header = mgr.read_committed_key(&meta_uid(&name)).ok()??;
-            let record = mgr.read_committed_key(&status_uid(&name)).ok()??;
-            Some((name, header, record))
+            Some((name, header))
         })
         .collect()
 }
@@ -42,8 +38,9 @@ impl Coordinator {
     /// the open commit window, dispatch's in-flight view and ready queue
     /// (re-dispatches rebuild both) and the admission queue and counts
     /// (queued starts are the client's to retry — their reply tokens
-    /// are gone — and the reload recounts occupancy from the persisted
-    /// status records).
+    /// are gone — and the reload recounts occupancy from what the log
+    /// says of each instance: a stuck record, or a root block that says
+    /// it terminated).
     fn reset_volatile(&mut self) {
         self.instances.clear();
         self.plan_cache = PlanCache::default();
@@ -60,9 +57,10 @@ impl Coordinator {
     /// Each instance runs off its pinned source — the script's current
     /// version — compiled once per version through the plan cache, so
     /// a restart runs the front end once per version, not per instance.
-    /// A running instance whose plan cannot be built stops `Stuck` with
-    /// why ([`Coordinator::load_or_park`]). A load scans no store prefix
-    /// of its own.
+    /// An instance runs unless it has a stuck record or its root block
+    /// says `Done`/`Aborted`; a running one whose plan cannot be built
+    /// stops `Stuck` with why ([`Coordinator::load_or_park`]). A load
+    /// scans no store prefix of its own.
     pub(super) fn recover(&mut self) {
         let Ok(mut mgr) = TxManager::open(self.node.index() as u32, self.storage.clone()) else {
             return;
@@ -85,16 +83,17 @@ impl Coordinator {
         // move records, undecided rounds are presumed aborted.
         let handoff_traffic = self.repair_handoffs();
         let mut running = Vec::new();
-        for (name, header, record) in stored_instances(&self.mgr) {
-            let Some(rt) = self.load_or_park(&name, &header, &record) else {
+        for (name, header) in stored_instances(&self.mgr) {
+            let Some(rt) = self.load_or_park(&name, &header) else {
                 continue;
             };
+            let settled = rt.terminal;
             self.instances.insert(name.clone(), rt);
             self.metrics.stats.recovered_instances += 1;
             let epoch = self.membership.epoch();
             let kind = ObsEventKind::Recovery { epoch };
             self.record_event(&name, None, 0, kind);
-            if record.status == InstanceStatus::Running {
+            if !settled {
                 self.admission.instance_live();
                 running.push(name);
             }

@@ -20,7 +20,7 @@ use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::SimDuration;
 use flowscript_tx::{AtomicAction, StableStore, StoreKey, TxError, TxManager};
 
-use super::{CoordStats, Coordinator, InstanceRt, InstanceStatus};
+use super::{CoordStats, Coordinator, InstanceRt};
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::InstanceKeys;
@@ -40,10 +40,10 @@ pub(super) enum Effect {
     Terminals(usize),
     /// A repeat revived terminated control blocks.
     Revived(usize),
-    /// The status record changed to this: the mirror follows, and the
-    /// admission slot frees — or, an operator having revived a stuck
-    /// instance to `Running`, is taken again.
-    Status(InstanceStatus),
+    /// The instance settled (`true`: its root terminated, or it parked
+    /// `Stuck`) or an operator revived it (`false`): the mirror follows,
+    /// and the admission slot frees — or is taken again.
+    Status(bool),
     /// A transition counter moves (`coord.marks`, `coord.repeats`,
     /// `coord.retries`, `coord.failures`, `coord.reconfigs`): the field
     /// named.
@@ -223,9 +223,9 @@ impl Coordinator {
                         rt.nonterminal += n;
                     }
                 }
-                Effect::Status(status) => {
-                    self.note_status(&instance, &status);
-                    match status.is_terminal() {
+                Effect::Status(terminal) => {
+                    self.note_status(&instance, terminal);
+                    match terminal {
                         true => self.admission.instance_settled(),
                         false => self.admission.instance_live(),
                     }

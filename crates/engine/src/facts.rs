@@ -35,7 +35,8 @@
 //! unknown tag or a truncated value is a [`CodecError`], a fault that
 //! never reads as "absent". What is read before a plan is at hand keeps
 //! the wire codec of [`ObjectVal`]: the presence record's extras, the
-//! header's inputs, the status record's outcome and every message.
+//! header's inputs and every message. An instance's outcome objects are
+//! its root's output fact, read back through its plan.
 //! Facts move between shards verbatim beside the source they pin, which
 //! compiles to the same plan on either side; only a reconfiguration,
 //! which changes the plan, re-encodes them.
@@ -684,6 +685,14 @@ pub fn decode_block(plan: &Plan, task: TaskId, bytes: &[u8]) -> Result<TaskCb, C
         });
     }
     Ok(cb)
+}
+
+/// Whether stored block bytes say `Done` or `Aborted` — what a block
+/// says without its plan: its tag's state bits. Bytes no block begins
+/// with say neither.
+pub(crate) fn block_settled(bytes: &[u8]) -> bool {
+    let tag = bytes.first().copied().unwrap_or(u8::MAX);
+    tag <= BLOCK_STATE | BLOCK_COUNTERS | BLOCK_SPELLED && matches!(tag & BLOCK_STATE, 3 | 4)
 }
 
 /// `task`'s control block as `action` reads it — committed, or as the

@@ -4,7 +4,7 @@
 //! here, and leaves here as a [`StoreKey`] — the one key type the store
 //! takes — so no caller converts one. What an instance
 //! keeps under a *name* sits under `inst/<name>/…` — `meta` (the
-//! header) and `status` (the small mutable record) — with the name
+//! header) and, only while it is parked `Stuck`, `status` (why) — with the name
 //! **escaped** where it
 //! enters the uid (`%` → `%25`, `/` → `%2F`), so the name is exactly one
 //! path segment: no instance's prefix is a prefix of another's.
@@ -26,7 +26,7 @@
 //! A live instance resolves every hot-path storage access through an
 //! [`InstanceKeys`] table built **once** at instance start (and rebuilt
 //! on reconfiguration, when the plan itself changes): the header and
-//! status keys are formatted exactly once, and every plan dependency
+//! stuck-record keys are formatted exactly once, and every plan dependency
 //! source gets its probed fact's dense [`FactKey`]s precomputed — both
 //! the fact's *presence* sub-key (`obj = 0`, existence answers
 //! "fired?") and the *data* sub-key of the one object the source takes
@@ -104,7 +104,8 @@ pub(crate) fn header_instance(uid: &str) -> Option<String> {
     unescape(segment)
 }
 
-/// The key of an instance's status record.
+/// The key of an instance's stuck record: present only while it is
+/// parked `Stuck`.
 pub(crate) fn status_uid(instance: &str) -> StoreKey {
     key(instance_prefix(instance) + "status")
 }
@@ -160,7 +161,7 @@ pub struct InstanceKeys {
     pub instance_id: u32,
     /// The instance's header key.
     meta: StoreKey,
-    /// The instance's status-record key.
+    /// The instance's stuck-record key.
     status: StoreKey,
     /// Per plan source index: the probed fact's keys (`None` when the
     /// producer no longer exists or the named set/output is
@@ -225,7 +226,7 @@ impl InstanceKeys {
         &self.meta
     }
 
-    /// The instance's status-record key.
+    /// The instance's stuck-record key.
     pub fn status(&self) -> &StoreKey {
         &self.status
     }

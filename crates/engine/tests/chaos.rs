@@ -298,16 +298,13 @@ fn repeated_shard_kills_with_adoption_lose_no_outcomes() {
 
     // The no-failure reference: outcomes are pure functions of the
     // invocation, so they must survive any number of adoptions.
-    let expected: Vec<Vec<u8>> = {
+    let expected: Vec<InstanceStatus> = {
         let mut sys = sharded_order_system(5, 4, 8);
         for name in &names {
             start(&mut sys, name);
         }
         sys.run();
-        names
-            .iter()
-            .map(|name| flowscript_codec::to_bytes(&sys.status(name).unwrap()))
-            .collect()
+        names.iter().map(|name| sys.status(name).unwrap()).collect()
     };
 
     let mut sys = sharded_order_system(5, 4, 8);
@@ -335,9 +332,8 @@ fn repeated_shard_kills_with_adoption_lose_no_outcomes() {
 
     sys.run();
     for (name, expected) in names.iter().zip(&expected) {
-        let status = sys.status(name).unwrap();
         assert_eq!(
-            &flowscript_codec::to_bytes(&status),
+            &sys.status(name).unwrap(),
             expected,
             "{name} lost or changed its outcome across the kill cycles"
         );

@@ -445,11 +445,12 @@ pub fn assert_books_balance(sys: &WorkflowSystem) {
         }
         let terminal = |name: &String| {
             coord
-                .get()
+                .get_mut()
                 .status(name)
                 .is_ok_and(|status| status.is_terminal())
         };
-        if !coord.get().instance_names().iter().all(terminal) {
+        let names = coord.get().instance_names();
+        if !names.iter().all(terminal) {
             continue;
         }
         let loads = coord.get().executor_loads();

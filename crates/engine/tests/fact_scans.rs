@@ -10,9 +10,9 @@
 //!
 //!
 //! And the log has a **byte budget**: what an instance writes besides
-//! its control blocks and facts is a small header and a smaller status
-//! record — the script's source is logged once per shard, never per
-//! instance, never per status change.
+//! its control blocks and facts is a small header, and a stuck record
+//! only while it is parked — the script's source is logged once per
+//! shard, never per instance, never per status change.
 
 mod common;
 
@@ -73,12 +73,6 @@ fn per_object_probes_never_scan() {
     let prefix_before = sys.metrics_snapshot().counter("tx.prefix_scans");
     let range_before = sys.metrics_snapshot().counter("tx.fact_range_scans");
     sys.run();
-    for i in 0..4 {
-        assert_eq!(
-            sys.outcome(&format!("o{i}")).expect("completes").name,
-            "orderCompleted"
-        );
-    }
     assert_eq!(
         sys.metrics_snapshot().counter("tx.prefix_scans"),
         prefix_before,
@@ -88,6 +82,18 @@ fn per_object_probes_never_scan() {
         sys.metrics_snapshot().counter("tx.fact_range_scans"),
         range_before,
         "per-object probes must be point reads, never fact range scans"
+    );
+    // Monitoring is a whole-fact consumer: an outcome's objects are the
+    // root's output fact, one range scan each.
+    for i in 0..4 {
+        assert_eq!(
+            sys.outcome(&format!("o{i}")).expect("completes").name,
+            "orderCompleted"
+        );
+    }
+    assert_eq!(
+        sys.metrics_snapshot().counter("tx.fact_range_scans"),
+        range_before + 4
     );
 }
 
@@ -437,20 +443,20 @@ fn a_diamond_logs_its_source_once_per_shard_and_stays_in_budget() {
             _ => {}
         }
     }
-    // Under its name an instance logs its header and two status
-    // records; its 10 control-block writes go under dense keys (two at
-    // the start — the root's and `t1`'s, already `Executing`; the three
+    // Under its name an instance that never got stuck logs its header
+    // alone; its 10 control-block writes go under dense keys (two at the
+    // start — the root's and `t1`'s, already `Executing`; the three
     // tasks left waiting store none — and two per report).
-    assert_eq!(named_writes, instances * 3);
+    assert_eq!(named_writes, instances);
     assert_eq!(block_writes, instances * 10);
-    // 400 B with each key of a commit record written relative to the
-    // key before it and no plan logged beside the source (435 B with a
-    // plan blob and a plan fingerprint in every status record; 584 B
-    // when every key was spelled whole).
+    // 339 B with no status stored for an instance that completes (400 B
+    // with a status record written at the start and again at the
+    // outcome; 435 B with a plan blob and a plan fingerprint in every
+    // status record; 584 B when every key was spelled whole).
     let per_instance = sys.log_size() / instances as u64;
     assert!(
-        per_instance < 455,
-        "{per_instance} B of log per diamond, budget 455"
+        per_instance < 350,
+        "{per_instance} B of log per diamond, budget 350"
     );
 }
 
@@ -551,8 +557,8 @@ fn no_control_block_spells_what_its_plan_says() {
 fn a_restart_scans_no_prefix_per_instance() {
     // A restart enumerates the stored headers and the hand-off rounds'
     // move records — one prefix scan each — and loads every instance off
-    // its header and status record: however many there are, the load
-    // itself scans nothing.
+    // its header, stuck record and root block: however many there are,
+    // the load itself scans nothing.
     for instances in [4, 8] {
         let mut sys = WorkflowSystem::builder().executors(2).seed(1).build();
         bind_diamond(&mut sys);
@@ -574,6 +580,33 @@ fn a_restart_scans_no_prefix_per_instance() {
             assert!(sys.outcome(&format!("d{i}")).is_some(), "d{i} completes");
         }
     }
+}
+
+#[test]
+fn park_then_revive_logs_one_record_and_one_tombstone() {
+    // `w` has no implementation bound: it fails, and the instance parks
+    // `Stuck` — its one stuck record. The repair that republishes `w`'s
+    // outcome revives it — the record's tombstone — and the root
+    // completes on it.
+    let mut sys = WorkflowSystem::builder().executors(2).seed(3).build();
+    sys.register_script("one", ONE_TASK, "root").unwrap();
+    sys.start("i", "one", "main", [("seed", text("Data", "s"))])
+        .unwrap();
+    sys.run();
+    assert!(matches!(sys.status("i"), Ok(InstanceStatus::Stuck { .. })));
+    sys.repair_fact("i", "root/w", "done", [("unused", text("Data", "x"))])
+        .unwrap();
+    sys.run();
+    assert_eq!(sys.outcome("i").expect("revived, completed").name, "done");
+    let frames = log_frames(&sys.storage());
+    let status = frames
+        .iter()
+        .flat_map(frame_writes)
+        .filter_map(|(key, value)| {
+            let uid = key.as_uid()?;
+            (uid.as_str() == "inst/i/status").then_some(value.is_some())
+        });
+    assert_eq!(status.collect::<Vec<_>>(), [true, false]);
 }
 
 #[test]
@@ -608,7 +641,8 @@ fn a_diamond_starts_in_one_frame() {
         first.iter().filter(|(key, _)| ends(key)).count()
     };
     assert_eq!(named("inst/d/meta"), 1);
-    assert_eq!(named("inst/d/status"), 1);
+    // No status: the root block, stored `Active`, says the instance runs.
+    assert_eq!(named("inst/d/status"), 0);
     // Two blocks — the instance is this shard's first, id 0 — the
     // root's, and t1's written once, as `Executing`, beside the input set
     // it bound; t2–t4 wait, which a block never stored says.

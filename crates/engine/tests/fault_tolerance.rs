@@ -9,7 +9,7 @@ mod common;
 use common::text;
 use flowscript_core::samples;
 use flowscript_engine::{
-    CbState, EngineConfig, InstanceStatus, ObjectVal, TaskBehavior, WorkflowSystem,
+    CbState, EngineConfig, EngineError, InstanceStatus, ObjectVal, TaskBehavior, WorkflowSystem,
 };
 use flowscript_sim::{FaultAction, FaultPlan, SimDuration, SimTime};
 
@@ -376,24 +376,37 @@ fn recovery_keeps_instance_names_that_look_like_storage_keys() {
     }
 }
 
-#[test]
-fn undecodable_status_record_fails_its_instance_alone() {
-    // A status record that does not decode must not load as anything —
-    // least of all as a stale `Running` — must not take recovery down,
-    // and must say what is wrong when asked.
+/// Starts `names` on a four-stage chain.
+fn chains(names: &[&str]) -> WorkflowSystem {
     let mut sys = chain_system(4, 12, snappy_config());
-    for name in ["c1", "c2", "c3"] {
+    for name in names {
         sys.start(name, "chain", "main", [("seed", text("Data", "s"))])
             .unwrap();
     }
+    sys
+}
+
+fn assert_corrupt(status: Result<InstanceStatus, EngineError>) {
+    match status {
+        Err(EngineError::Tx(why)) => assert!(why.contains("corrupt"), "undiagnosable: {why}"),
+        other => panic!("a poisoned record read as {other:?}"),
+    }
+}
+
+#[test]
+fn a_poisoned_root_block_stops_its_instance_alone() {
+    // Where a running instance stands is its root block: one that does
+    // not decode must not read as `Running` (the restart would re-arm
+    // it and its next step misread) nor as an outcome. The restart
+    // stops it with why, and its siblings complete.
+    let mut sys = chains(&["c1", "c2", "c3"]);
     sys.run_until(SimTime::from_nanos(30_000_000));
     let coordinator = sys.coordinator_node();
     sys.crash_now(coordinator);
-    assert!(sys.coord_handle(0).get_mut().poison_record("c2", "status"));
+    assert!(sys.coord_handle(0).get_mut().poison_record("c2", "root"));
     sys.restart_now(coordinator);
     sys.run();
-    assert_eq!(sys.stats().recovered_instances, 2, "the siblings recover");
-    assert_eq!(sys.coord_handle(0).get().instance_names(), ["c1", "c3"]);
+    assert_eq!(sys.stats().recovered_instances, 3);
     for name in ["c1", "c3"] {
         assert!(
             sys.outcome(name).is_some(),
@@ -402,9 +415,144 @@ fn undecodable_status_record_fails_its_instance_alone() {
         );
     }
     match sys.status("c2") {
-        Err(flowscript_engine::EngineError::Tx(why)) => {
-            assert!(why.contains("corrupt"), "undiagnosable: {why}")
-        }
-        other => panic!("a poisoned status record read as {other:?}"),
+        Ok(InstanceStatus::Stuck { reason }) => assert!(
+            reason.contains("control block storage fault at `root`"),
+            "{reason}"
+        ),
+        other => panic!("expected a storage-fault stop, got {other:?}"),
     }
+}
+
+#[test]
+fn a_poisoned_stuck_record_says_so() {
+    // A stuck record that does not decode must not take recovery down,
+    // and must say what is wrong when asked; its instance stays parked.
+    let mut sys = chains(&["c1"]);
+    sys.register_script("one", common::ONE_TASK, "root")
+        .unwrap();
+    sys.start("s", "one", "main", [("seed", text("Data", "s"))])
+        .unwrap();
+    sys.run();
+    assert!(matches!(sys.status("s"), Ok(InstanceStatus::Stuck { .. })));
+    let coordinator = sys.coordinator_node();
+    sys.crash_now(coordinator);
+    assert!(sys.coord_handle(0).get_mut().poison_record("s", "status"));
+    sys.restart_now(coordinator);
+    sys.run();
+    assert_eq!(sys.stats().recovered_instances, 2);
+    assert!(sys.outcome("c1").is_some());
+    assert_corrupt(sys.status("s"));
+}
+
+#[test]
+fn a_poisoned_root_output_fails_the_status_read() {
+    // A completed instance's outcome objects are its root's output
+    // fact: a fact that does not decode is the fault, never a
+    // `Completed` with objects missing.
+    let mut sys = chains(&["c1", "c2"]);
+    sys.run();
+    assert!(sys.poison_fact("c1", "root", "done"), "poison lands");
+    assert_corrupt(sys.status("c1"));
+    assert!(sys.outcome("c1").is_none());
+    assert!(sys.outcome("c2").is_some());
+}
+
+#[test]
+fn forcing_the_root_outcome_completes_the_instance() {
+    // An operator forces the root's outcome while `s1` executes. The
+    // root block now says `Done`, so the instance reads `Completed`
+    // with the forced objects; what still ran below is cancelled with
+    // its watchdog, so the run ends at once. (With a status record
+    // beside the block, the instance read `Running` here and, once
+    // `s1` reported, parked `Stuck`: the root could not terminate
+    // twice.)
+    let mut sys = chains(&["c1"]);
+    sys.run_until(SimTime::from_nanos(30_000_000));
+    assert!(sys.task_states("c1")["root/s1"].is_running());
+    let forced = [("out", text("Data", "forced"))];
+    sys.repair_fact("c1", "root", "done", forced).unwrap();
+    let outcome = |sys: &WorkflowSystem| {
+        let outcome = sys.outcome("c1").expect("completed");
+        let out = &outcome.objects["out"];
+        (
+            outcome.name,
+            out.as_text().to_string(),
+            out.produced_by.clone(),
+        )
+    };
+    let expected = ("done".to_string(), "forced".to_string(), "root".to_string());
+    assert_eq!(outcome(&sys), expected);
+    sys.run();
+    assert!(
+        sys.now() < SimTime::from_nanos(100_000_000),
+        "{}",
+        sys.now()
+    );
+    assert_eq!(outcome(&sys), expected);
+    let states = sys.task_states("c1");
+    assert_eq!(states["root/s1"], CbState::Cancelled);
+    assert_eq!(states["root/s3"], CbState::Cancelled);
+    // A restart finds it settled: nothing is re-armed.
+    let coordinator = sys.coordinator_node();
+    sys.crash_now(coordinator);
+    sys.restart_now(coordinator);
+    sys.run();
+    assert_eq!(outcome(&sys), expected);
+    assert_eq!(sys.stats().dispatches, 2, "s0 and s1, once each");
+}
+
+#[test]
+fn a_retry_backoff_ends_with_its_scope() {
+    // `b` has no implementation bound: its executor reports the error,
+    // and its retry waits out a 10 s back-off. Before that is over, `a`
+    // completes the root, which cancels `b`: the back-off's timer goes
+    // with it, so the run ends when the instance does and no dispatch is
+    // dropped.
+    let script = r#"
+class Data;
+taskclass Work {
+    inputs { input main { in of class Data } };
+    outputs { outcome done { } }
+}
+taskclass Root {
+    inputs { input main { seed of class Data } };
+    outputs { outcome done { } }
+}
+compoundtask root of taskclass Root {
+    task a of taskclass Work {
+        implementation { "code" is "refA" };
+        inputs { input main { inputobject in from { seed of task root if input main } } }
+    };
+    task b of taskclass Work {
+        implementation { "code" is "refB" };
+        inputs { input main { inputobject in from { seed of task root if input main } } }
+    };
+    outputs { outcome done { notification from { task a if output done } } }
+}
+"#;
+    let config = EngineConfig {
+        retry_backoff: SimDuration::from_secs(10),
+        ..snappy_config()
+    };
+    let mut sys = WorkflowSystem::builder()
+        .executors(2)
+        .seed(3)
+        .config(config)
+        .build();
+    sys.register_script("ab", script, "root").unwrap();
+    sys.bind_fn("refA", |_| {
+        TaskBehavior::outcome("done").with_work(SimDuration::from_millis(50))
+    });
+    sys.start("i", "ab", "main", [("seed", text("Data", "s"))])
+        .unwrap();
+    sys.run();
+    assert_eq!(sys.outcome("i").expect("completes").name, "done");
+    assert_eq!(sys.task_states("i")["root/b"], CbState::Cancelled);
+    let stats = sys.stats();
+    assert_eq!((stats.retries, stats.dropped_dispatches), (1, 0));
+    assert!(
+        sys.now() < SimTime::from_nanos(1_000_000_000),
+        "a back-off outlived its task: the run ended at {}",
+        sys.now()
+    );
 }

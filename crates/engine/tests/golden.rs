@@ -117,9 +117,12 @@ fn run_population(coordinators: usize, config: EngineConfig) -> WorkflowSystem {
 /// Fingerprints of every instance, then the digest of every shard's log.
 fn run(coordinators: usize, config: EngineConfig) -> (String, String) {
     let sys = run_population(coordinators, config);
+    let population = population();
     // Nothing an instance keeps per task is named by a string: what
-    // these logs hold under `inst/` is `inst/<name>/meta` and
-    // `inst/<name>/status`.
+    // these logs hold under `inst/` is `inst/<name>/meta`, and
+    // `inst/<name>/status` only for an instance that got stuck (here
+    // none ever revives, so that is one that ends `Stuck`).
+    let stuck = |name: &str| matches!(sys.status(name), Ok(InstanceStatus::Stuck { .. }));
     for storage in sys.shard_storages() {
         for frame in &log_frames(&storage) {
             for (key, _) in frame_writes(frame) {
@@ -129,14 +132,16 @@ fn run(coordinators: usize, config: EngineConfig) -> (String, String) {
                 else {
                     continue;
                 };
-                assert!(
-                    matches!(rest.split_once('/'), Some((_, "meta" | "status"))),
-                    "`{key}` names a task"
-                );
+                match rest.split_once('/') {
+                    Some((_, "meta")) => {}
+                    Some((name, "status")) => {
+                        assert!(stuck(name), "`{key}`: `{name}` is not stuck")
+                    }
+                    _ => panic!("`{key}` names a task"),
+                }
             }
         }
     }
-    let population = population();
     let fingerprints = population
         .iter()
         .map(|name| render(name, &fingerprint(&sys, name)))

@@ -455,7 +455,7 @@ fn destination_crash_after_commit_converges_to_destination() {
     assert_eq!(sys.shard_stats(0).handoffs, 1);
     // The map was never flipped (the rebalance failed), so ask the new
     // owner directly.
-    let status = dest.get().status(name).unwrap();
+    let status = dest.get_mut().status(name).unwrap();
     assert!(
         matches!(status, InstanceStatus::Completed(_)),
         "{name}: {status:?}"
