@@ -398,7 +398,7 @@ impl WorkflowSystem {
 
     /// The shard owning `instance` per the shard map.
     fn coord_for(&self, instance: &str) -> &Driver<Coordinator> {
-        &self.coords[self.shard.shard_of(instance)]
+        &self.coords[self.shard_of(instance)]
     }
 
     // -----------------------------------------------------------------
@@ -893,9 +893,13 @@ impl WorkflowSystem {
         self.shard.node_of(instance)
     }
 
-    /// The shard index owning `instance`.
+    /// The shard index owning `instance`: its coordinator's position
+    /// among [`Self::coordinator_nodes`], whatever order the map lists
+    /// the nodes in.
     pub fn shard_of(&self, instance: &str) -> usize {
-        self.shard.shard_of(instance)
+        let owner = self.shard.node_of(instance);
+        let shard = self.coord_nodes.iter().position(|&node| node == owner);
+        shard.expect("the map names only coordinators")
     }
 
     /// Number of coordinator shards.
@@ -962,23 +966,24 @@ impl WorkflowSystem {
 
     /// Moves the system to `new_map` live: every shard in turn hands
     /// off the residents the map assigns elsewhere, one instance per
-    /// two-phase-commit round (see the coordinator's membership
-    /// protocol — the shards run it themselves, over messages, while
-    /// everything else keeps executing); only after every move commits
-    /// does each coordinator (and the client router) flip to the new
-    /// map. During the window, executor replies for moved instances
-    /// keep landing on the old owner and are relayed — no report is
-    /// lost or applied twice.
+    /// round — a claim sent from the source's move record (see the
+    /// coordinator's membership protocol: the shards run it themselves,
+    /// over messages, while everything else keeps executing); only
+    /// after every round lands does each coordinator (and the client
+    /// router) flip to the new map. During the window, executor replies
+    /// for moved instances keep landing on the old owner and are
+    /// relayed — no report is lost or applied twice.
     ///
     /// # Errors
     ///
     /// A map naming a node that runs no coordinator, or whose epoch is
     /// not newer than the system's (both checked before anything
     /// moves); a source that is down or stops answering; a round whose
-    /// destination votes no or cannot be reached — that round aborts
-    /// and its instances stay where they were. Moves that
-    /// committed before the failure stay committed (their old owners
-    /// relay); running the call again moves the rest.
+    /// destination refuses it — its instances thaw where they were — or
+    /// does not answer — they stay frozen, decided, until a re-run, a
+    /// restart or a flip settles them. Rounds that landed before the
+    /// failure stay landed (their old owners relay); running the call
+    /// again moves the rest.
     pub fn rebalance(&mut self, new_map: ShardMap) -> Result<MoveReport, EngineError> {
         if let Some(stranger) = new_map
             .nodes()
@@ -998,18 +1003,25 @@ impl WorkflowSystem {
         }
         let report = self.hand_off(&new_map, 0..self.coords.len(), 1)?;
         // The flip: everyone adopts the new map at its bumped epoch.
-        for coord in &self.coords {
-            coord.get_mut().set_shard_map(new_map.clone());
+        for shard in 0..self.coords.len() {
+            self.set_shard_map_of(shard, new_map.clone());
         }
         self.shard = new_map;
         Ok(report)
     }
 
+    /// Installs `map` on shard `shard`: the flip, one shard's worth
+    /// (a test calls it alone for the disagreeing maps a buggy flip
+    /// would leave behind).
+    #[doc(hidden)]
+    pub fn set_shard_map_of(&mut self, shard: usize, map: ShardMap) {
+        let coord = self.coords[shard].clone();
+        coord.call(&mut self.world, |shard, now| shard.set_shard_map(now, map));
+    }
+
     /// Hands each of the `sources` shards, in turn, the trigger to move
     /// out what `new_map` takes from it, `limit` instances a round, and
-    /// collects the reports. One source at a time: prepares into one
-    /// destination must not overlap (its id allocation reads committed
-    /// state; the staged lock on the sequence would veto the second).
+    /// collects the reports.
     fn hand_off(
         &mut self,
         new_map: &ShardMap,
@@ -1103,8 +1115,8 @@ impl WorkflowSystem {
         let coord = self.coords.remove(idx);
         self.storages.remove(idx);
         coord.get_mut().set_shard_map_relay(new_map.clone());
-        for survivor in &self.coords {
-            survivor.get_mut().set_shard_map(new_map.clone());
+        for shard in 0..self.coords.len() {
+            self.set_shard_map_of(shard, new_map.clone());
         }
         self.shard = new_map;
         self.retired.push(coord);
@@ -1114,9 +1126,9 @@ impl WorkflowSystem {
     /// service **live**: the departing shard's entire resident
     /// population moves to the surviving shards *before* the node
     /// leaves the map — [`WorkflowSystem::rebalance`] in reverse, with
-    /// rounds of up to 64 instances (one move record, one prepared
-    /// stage with a contiguous destination id range, one atomic
-    /// decision frame). The drained node is then retired: it
+    /// rounds of up to 64 instances (one move record, one claim landed
+    /// under a contiguous destination id range in one frame, one frame
+    /// purging the slice). The drained node is then retired: it
     /// stays installed as a relay for late executor reports but owns
     /// nothing and serves nothing.
     ///
@@ -1150,11 +1162,14 @@ impl WorkflowSystem {
     /// (epoch-stamped claim — a zombie waking mid-adoption fails its
     /// next append instead of double-driving instances), reads every
     /// committed instance out of it and sends each to its new owner per
-    /// the epoch-bumped map, where it is re-keyed, committed and
-    /// adopted through the same path a committed hand-off lands on.
-    /// Idempotent end to end: after a claimant that died mid-claim, or
-    /// a destination that could not be reached, just run it again —
-    /// already-claimed instances are skipped.
+    /// the epoch-bumped map as a claim, where it is re-keyed, committed
+    /// and adopted through the same path a live move lands on. The map
+    /// flips only once every claim is answered, so a round some
+    /// survivor had bound for the dead shard, re-addressed at the flip,
+    /// finds the dead shard's newer copy already landed. Idempotent end
+    /// to end: after a claimant that died mid-claim, or a destination
+    /// that could not be reached, just run it again — already-claimed
+    /// instances are skipped.
     ///
     /// Deliberately does NOT require the node to be down: adopting a
     /// *live* shard is the false-positive failure-detection scenario,

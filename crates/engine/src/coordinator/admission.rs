@@ -5,12 +5,15 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use flowscript_obs::ObsEventKind;
-use flowscript_sim::{ReplyToken, RpcError};
+use flowscript_sim::{ReplyToken, RpcError, SimDuration};
 
-use super::membership::REPOSITORY_TIMEOUT;
 use super::{Call, Coordinator, Output};
 use crate::msg::EngineMsg;
 use crate::value::ObjectVal;
+
+/// How long an admitted start waits on the repository for its script
+/// before it answers the client that the repository is unreachable.
+pub(super) const REPOSITORY_TIMEOUT: SimDuration = SimDuration::from_secs(5);
 
 /// One owned `StartInstance` RPC. The client's reply token is held
 /// open — across the admission queue, if the shard is at its cap — and

@@ -75,9 +75,7 @@ impl Default for EngineConfig {
 /// Executor `Done`/`Mark` reports (including ones forwarded from relay
 /// shards) gather in a per-shard window and commit as **one** atomic
 /// action: one lock pass over the union of touched keys, one WAL frame
-/// holding one bare [`flowscript_tx::LogRecord::Commit`] (a
-/// `GroupCommit` frame carries a hand-off's commit decision, which no
-/// window stages), one readiness
+/// holding one [`flowscript_tx::LogRecord::Commit`], one readiness
 /// re-evaluation seeded from every completed task's consumers. There is
 /// one pipeline whatever the size: the window is placement, not
 /// semantics — each report applies exactly the transition it would have

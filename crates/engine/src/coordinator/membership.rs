@@ -1,76 +1,59 @@
 //! Shard membership: who owns an instance, relaying what lands on the
-//! wrong shard, and the two ways instances change shards. Both are run
-//! by the nodes themselves, over [`EngineMsg`]s: the façade
+//! wrong shard, and the one way an instance changes shards — a *claim*.
+//! The nodes run it themselves, over [`EngineMsg`]s: the façade
 //! ([`crate::WorkflowSystem`]) hands ONE node the trigger
 //! ([`Coordinator::begin_move`], [`Coordinator::begin_adoption`]),
 //! steps the world until that node files its report on its [`Ticket`],
-//! then pushes the map flip.
+//! then flips every node's map ([`Coordinator::set_shard_map`]).
 //!
-//! **Live hand-off** (rebalance, planned drain) is one protocol: the
-//! presumed-abort two-phase commit of [`flowscript_tx::dist`], hosted
-//! in [`Membership`]. The source shard is the 2PC coordinator, the
-//! destination its one participant, and the commit/abort decision is
-//! taken nowhere else. A rebalance moves rounds of one instance, a
-//! drain rounds of up to [`DRAIN_BATCH`]; per round:
+//! **A claim** ([`EngineMsg::Claim`]) carries some instances' committed
+//! entries under an id and the epoch it was routed under, sent as a call
+//! ([`Call::Claim`]) until answered. Its receiver lands it in ONE local
+//! action ([`Coordinator::on_claim`]) that also writes its *receipt*,
+//! `sys/claimed/<id>`. A claim whose receipt exists answers `Ok` and
+//! commits nothing; one stamped below the receiver's epoch is refused;
+//! a name held live is skipped, one frozen in a round of the receiver's
+//! own is superseded. An `Err` answer means nothing was committed.
 //!
-//! 1. *source*: flush the commit window, package the slice, commit its
-//!    *move record* — `sys/move/<tx>` → [`MoveRecord`], one ordinary
-//!    atomic action under a freshly minted transaction id — **freeze**
-//!    the slice, send `Prepare` (the entries as the source keyed them);
-//! 2. *destination*: re-key under a fresh contiguous id range,
-//!    `prepare_remote` — the durable vote — and send `Vote`;
-//! 3. *source*: all yes → `PersistDecision`: one atomic action stages
-//!    the substrate's own *decision* record
-//!    (`TxManager::stage_decision`) and the keyspace purge, and commits
-//!    them as one frame, durable before any `Decision` leaves — a
-//!    refused frame takes neither, and the round is abandoned
-//!    undecided; a no, or no vote within [`RETRANSMIT_INTERVAL`] →
-//!    abort, presumed, not logged, and the slice thaws where it was.
-//!    Either way send `Decision`, again every interval until
-//!    acknowledged;
-//! 4. *destination*: `resolve_remote`, adopt on commit, send `Ack`;
-//! 5. *source*: `Done` — record the pause, relay what was held (an
-//!    aborted round deletes its move record here), start the next
-//!    round.
+//! **A live move** (rebalance, planned drain) is a claim whose claimant
+//! is the source, in rounds of one instance (a rebalance) or up to
+//! [`DRAIN_BATCH`] (a drain). The source decides alone: it commits the
+//! round's *move record*, `sys/move/<id>` → [`MoveRecord`], and
+//! **freezes** the slice — runtimes dropped (watchdogs disarmed, load
+//! and admission slots released), every `Done`/`Mark` for it held with
+//! the round. It sends the claim every [`RETRANSMIT_INTERVAL`] while the
+//! job runs. `Ok` → one action purges the slice and marks the record
+//! landed, and the held reports are relayed; `Err` → the record goes and
+//! the slice thaws ([`Coordinator::adopt_orphans`], the held reports
+//! applied here); silence → the round waits, frozen, for a re-run, a
+//! restart or a flip.
 //!
-//! **The freeze rule.** From collect until the destination's ack (or
-//! the abort decision) the slice belongs to neither shard's evaluator:
-//! its runtimes are dropped at collect (watchdogs disarmed, executor
-//! load and admission slots released — none of its timers can commit),
-//! and every `Done`/`Mark` that arrives for it is held with the round —
-//! relayed to the destination after the ack, re-enqueued here after an
-//! abort, never applied to a packaged instance and never dropped. An
-//! aborted slice re-materialises through the same
-//! [`Coordinator::adopt_orphans`] a destination lands a commit on.
+//! The move record is the round's outbox and the one record recovery
+//! consults ([`Coordinator::repair_handoffs`]): landed, it rebuilds the
+//! relay table; unlanded, it keeps its slice frozen and unloaded and
+//! sends its claim once. The flip deletes landed records and the
+//! receipts of older epochs, and re-addresses each unlanded round.
 //!
-//! Crash repair ([`Coordinator::repair_handoffs`]) speaks the same
-//! messages: a restarted source announces every stored move record as
-//! `Decision` — commit where the decision record says so, abort
-//! (presumed) for every other, whose record it deletes — and a
-//! restarted destination chases each in-doubt stage with
-//! `QueryOutcome`.
-//!
-//! **Crash-driven adoption.** The claimant fences the dead shard's
-//! storage, packages every instance in it and sends each new owner its
-//! share as [`EngineMsg::Claim`] calls ([`super::Call::Claim`]), again
-//! every [`RETRANSMIT_INTERVAL`] until acknowledged. No 2PC — the source is
-//! dead and the fence already decided; a claim is one local atomic
-//! commit, and an instance already present is skipped, so a re-run is
-//! idempotent.
+//! **Crash-driven adoption** is a claim whose claimant is a survivor: it
+//! fences the dead shard's storage and sends each new owner its share of
+//! the instances in it, [`DRAIN_BATCH`] a claim. The façade flips only
+//! once every claim is answered, so a round re-addressed at the flip
+//! never lands before a dead destination's newer copy.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use flowscript_codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
 use flowscript_obs::ObsEventKind;
 use flowscript_sim::{NodeId, ReplyToken, RpcError, SimDuration, SimTime};
-use flowscript_tx::dist::{self, AfterImages, CoordAction, DistMsg};
-use flowscript_tx::{AtomicAction, FactKey, StableStore, StoreKey, TxId, TxManager};
+use flowscript_tx::{AtomicAction, StableStore, StoreKey, TxId, TxManager};
 
+use super::package::{claim_bytes, purge_instance, rekeyed};
+use super::step::Step;
 use super::window::PendingEvent;
-use super::{stored_instance_names, Call, Coordinator, InstanceHeader, Output, Timer, TimerId};
+use super::{stored_instance_names, Call, Coordinator, Output, TimerId};
 use crate::error::EngineError;
-use crate::keys::{self, instance_seq_uid, meta_uid, move_uid, source_uid};
-use crate::msg::EngineMsg;
+use crate::keys::{self, claimed_uid, instance_seq_uid, move_uid};
+use crate::msg::{AfterImages, EngineMsg};
 use crate::shard::ShardMap;
 
 /// Maximum relays a misdirected message may take before the relay
@@ -79,25 +62,21 @@ use crate::shard::ShardMap;
 /// leaves slack for stacked membership changes.
 pub const MAX_FORWARD_HOPS: u32 = 4;
 
-/// How many instances one drain round moves under a single 2PC (and
-/// one adoption claim carries): the slice is frozen for the whole
-/// round, so its size bounds the per-instance pause while still
-/// amortizing prepare/decision traffic across many instances.
+/// How many instances one drain round moves (and one adoption claim
+/// carries): the slice is frozen for the whole round, so its size
+/// bounds the per-instance pause while still amortizing the claim
+/// across many instances.
 pub(crate) const DRAIN_BATCH: usize = 64;
 
-/// How long a node lets a fleet message go unanswered before acting on
-/// the silence: a vote still missing aborts its round, an unacked
-/// decision or claim is sent again. Comfortably above a round trip on
-/// any link the simulator models, far below a dispatch watchdog.
+/// How long a node lets a claim go unanswered before it sends it again.
+/// Comfortably above a round trip on any link the simulator models, far
+/// below a dispatch watchdog.
 const RETRANSMIT_INTERVAL: SimDuration = SimDuration::from_millis(5);
-
-/// How long an admitted start waits on the repository for its script
-/// before it answers the client that the repository is unreachable.
-pub(super) const REPOSITORY_TIMEOUT: SimDuration = SimDuration::from_secs(5);
 
 /// How long a relayed start waits on its owner before it answers the
 /// client that the owning shard is unreachable: above the owner's own
-/// [`REPOSITORY_TIMEOUT`], so the owner's answer comes first.
+/// [`super::admission::REPOSITORY_TIMEOUT`], so the owner's answer comes
+/// first.
 const RELAY_TIMEOUT: SimDuration = SimDuration::from_secs(8);
 
 /// How long the façade waits on a node without seeing it complete a
@@ -115,13 +94,13 @@ pub(crate) const FLEET_DEADLINE: SimDuration = SimDuration::from_millis(100);
 pub struct MoveReport {
     /// Instances handed off.
     pub moved: usize,
-    /// 2PC rounds that took: `moved` for a rebalance, far fewer for a
+    /// Rounds that landed: `moved` for a rebalance, far fewer for a
     /// drain, where up to 64 instances share one.
     pub rounds: usize,
     /// Virtual nanoseconds each round's instances were unavailable
-    /// (collect → the destination's ack), in round order. Also in the
-    /// source shards' `coord.handoff_pause_ns` histogram. Exact per
-    /// seed: the simulator's clock is the only one the engine reads.
+    /// (the decision → the destination's answer), in round order. Also
+    /// in the source shards' `coord.handoff_pause_ns` histogram. Exact
+    /// per seed: the simulator's clock is the only one the engine reads.
     pub pause_ns: Vec<u64>,
     /// The membership epoch of the map the move converged on.
     pub epoch: u64,
@@ -156,22 +135,28 @@ pub struct FailoverReport {
     pub claimant: u32,
 }
 
-/// `sys/move/<tx>` — what hand-off round `tx` moves and where to:
-/// written before its `Prepare` leaves, kept by a committed round until
-/// the map flip, deleted by an aborted one. Whether the round committed
-/// is not in here: that is the transaction substrate's decision record.
+/// `sys/move/<id>` — a round this shard decided, `id` the deciding
+/// action's: the outbox its claim is sent from until answered. A landed
+/// record is kept until the map flip (a restart rebuilds the relay
+/// table from it); a refused one is deleted.
 #[derive(Debug, PartialEq, Eq)]
 struct MoveRecord {
     /// Destination shard (coordinator node index).
     dest: u32,
+    /// The epoch the claim is routed under.
+    epoch: u64,
     /// The moving instances' names.
     instances: Vec<String>,
+    /// Whether the destination answered `Ok` and the slice is purged.
+    landed: bool,
 }
 
 impl Encode for MoveRecord {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u32(self.dest);
+        w.put_u64(self.epoch);
         self.instances.encode(w);
+        w.put_bool(self.landed);
     }
 }
 
@@ -179,26 +164,72 @@ impl Decode for MoveRecord {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(MoveRecord {
             dest: r.get_u32()?,
+            epoch: r.get_u64()?,
             instances: Vec::decode(r)?,
+            landed: r.get_bool()?,
         })
     }
 }
 
-/// One hand-off round this node coordinates: a slice of its residents
-/// bound for one destination under one distributed transaction.
+impl MoveRecord {
+    /// The destination's node.
+    fn dest_node(&self) -> NodeId {
+        NodeId::from_index(self.dest as usize)
+    }
+}
+
+/// Every move record `mgr` holds committed, by round, oldest first.
+fn move_records(mgr: &TxManager<StableStore>) -> Vec<(TxId, MoveRecord)> {
+    let uids = mgr.uids_with_prefix(keys::MOVE_PREFIX);
+    let records = uids.into_iter().filter_map(|uid| {
+        let id = keys::move_id(&uid)?;
+        let record = mgr.read_committed_key(&StoreKey::Uid(uid)).ok()??;
+        Some((id, record))
+    });
+    records.collect()
+}
+
+/// One unlanded round this node sources: a frozen slice of its store
+/// bound for one destination.
 struct Round {
     dest: NodeId,
+    /// The epoch its claim is stamped with.
+    epoch: u64,
     instances: Vec<String>,
-    /// Virtual time of the collect — the pause runs from here.
+    /// Virtual time of the decision — the pause runs from here.
     started_ns: u64,
-    /// Whether the slice is still frozen (see the module docs). Cleared
-    /// by an abort decision; a committed round stays frozen until its
-    /// ack removes it.
-    frozen: bool,
     /// Reports that arrived for the frozen slice, with their hop counts.
     held: Vec<(PendingEvent, u32)>,
-    /// The pending [`RETRANSMIT_INTERVAL`] timer.
-    timer: TimerId,
+    /// Whether a send of its claim still awaits an answer.
+    calling: bool,
+}
+
+impl Round {
+    /// The round's move record.
+    fn record(&self, landed: bool) -> MoveRecord {
+        MoveRecord {
+            dest: self.dest.index() as u32,
+            epoch: self.epoch,
+            instances: self.instances.clone(),
+            landed,
+        }
+    }
+}
+
+/// Stages `record` under round `id`'s key, or its deletion when it
+/// names no instance.
+fn stage_record(
+    mgr: &mut TxManager<StableStore>,
+    action: &AtomicAction,
+    id: TxId,
+    record: &MoveRecord,
+) -> Result<(), EngineError> {
+    if record.instances.is_empty() {
+        mgr.delete_key(action, &move_uid(id))?;
+    } else {
+        mgr.write_key(action, &move_uid(id), record)?;
+    }
+    Ok(())
 }
 
 /// The façade's end of a fleet operation it handed a node — the reply
@@ -209,8 +240,8 @@ struct Round {
 pub(crate) struct Ticket<T> {
     /// The node's report, once it has one.
     pub(crate) outcome: Option<Result<T, EngineError>>,
-    /// Rounds or claims acknowledged so far: the sign of life the
-    /// façade's deadline restarts on.
+    /// Rounds or claims answered so far: the sign of life the façade's
+    /// deadline restarts on.
     pub(crate) progress: u64,
 }
 
@@ -222,13 +253,11 @@ struct MoveJob {
     report: MoveReport,
 }
 
-/// The adoption a claimant runs: what each claim's answer — the only
-/// thing that advances it — needs to count itself off.
+/// The adoption a claimant runs: each claim not yet answered `Ok`, by
+/// id, with its destination and bytes, and the report it files once
+/// none is left.
 struct Adoption {
-    /// Which of this node's adoptions: a late answer to an earlier one's
-    /// claim counts for nothing.
-    id: u64,
-    claims: u64,
+    claims: BTreeMap<TxId, (NodeId, Vec<u8>)>,
     report: FailoverReport,
 }
 
@@ -240,23 +269,19 @@ pub(super) struct Membership {
     /// node does not own are forwarded to the owner).
     shard: ShardMap,
     /// Where instances this node handed off went — the dual-delivery
-    /// relay table for the window between a move's ack and the
-    /// rebalance's final map flip, when this node's `shard` map still
-    /// claims ownership. Volatile, but rebuilt on recovery from the
-    /// stored move records of committed rounds; cleared, with them, by
-    /// the flip ([`Coordinator::set_shard_map`]), after which the map
-    /// itself routes to the new owner.
+    /// relay table for the window between a round's landing and the
+    /// final map flip, when this node's `shard` map still claims
+    /// ownership. Volatile, but rebuilt on recovery from the landed
+    /// move records; cleared, with them, by the flip
+    /// ([`Coordinator::set_shard_map`]), after which the map itself
+    /// routes to the new owner.
     moved: BTreeMap<String, NodeId>,
-    /// The 2PC coordinator of every round this node sources.
-    dist: dist::Coordinator,
-    /// Rounds begun and not yet acknowledged, by moving transaction:
-    /// the running job's current one, plus any a cancelled job left
-    /// undelivered (the next job settles those first).
+    /// Rounds decided and not yet answered, by move id: the running
+    /// job's current one, plus any a cancelled job, a restart or a flip
+    /// left unanswered (the next job settles those first).
     rounds: BTreeMap<TxId, Round>,
     job: Option<MoveJob>,
     adoption: Option<Adoption>,
-    /// Adoptions begun so far.
-    adoptions: u64,
     /// The façade's ends of the last move and the last adoption it
     /// handed this node.
     move_ticket: Ticket<MoveReport>,
@@ -264,15 +289,13 @@ pub(super) struct Membership {
 }
 
 impl Membership {
-    pub(super) fn new(node: NodeId, shard: ShardMap) -> Self {
+    pub(super) fn new(shard: ShardMap) -> Self {
         Self {
             shard,
             moved: BTreeMap::new(),
-            dist: dist::Coordinator::new(node.index() as u32),
             rounds: BTreeMap::new(),
             job: None,
             adoption: None,
-            adoptions: 0,
             move_ticket: Ticket::default(),
             adoption_ticket: Ticket::default(),
         }
@@ -284,11 +307,10 @@ impl Membership {
         self.shard.epoch()
     }
 
-    /// The protocols died with the process: rounds in flight are
-    /// repaired from the log ([`Coordinator::repair_handoffs`]), an
-    /// interrupted job or adoption is the operator's to run again.
+    /// The protocols died with the process: unlanded rounds come back
+    /// from the log ([`Coordinator::repair_handoffs`]), an interrupted
+    /// job or adoption is the operator's to run again.
     pub(super) fn reset_protocols(&mut self) {
-        self.dist = dist::Coordinator::new(self.dist.node());
         self.rounds.clear();
         self.job = None;
         self.adoption = None;
@@ -301,139 +323,11 @@ impl Membership {
     }
 
     /// The round that holds `instance` frozen, if one does.
-    fn freezing(&self, instance: &str) -> Option<TxId> {
-        let holds = |round: &Round| round.frozen && round.instances.iter().any(|n| n == instance);
-        let (tx, _) = self.rounds.iter().find(|(_, round)| holds(round))?;
-        Some(*tx)
+    pub(super) fn freezing(&self, instance: &str) -> Option<TxId> {
+        let holds = |round: &Round| round.instances.iter().any(|n| n == instance);
+        let (id, _) = self.rounds.iter().find(|(_, round)| holds(round))?;
+        Some(*id)
     }
-}
-
-/// Packages `instance`'s entire committed keyspace out of `mgr` — the
-/// collect half shared by planned hand-offs (the source's own store)
-/// and crash-driven adoption (a dead shard's reopened storage).
-/// Everything derives from the committed header: the instance's uid
-/// prefix, the canonical source it pins (under the header's hash; the
-/// destination compiles its own plan from it) and the dense range of
-/// the header's instance id, every task's facts and control block in
-/// one contiguous range scan. The header comes FIRST: it is the entry that tells
-/// [`rekeyed`] a new instance's run begins, what it is called and which
-/// dense id its fact keys carry. A stuck record, if the instance has
-/// one, rides along under the uid prefix. Returns `None` for a missing
-/// or undecodable header.
-pub(super) fn package_instance(
-    mgr: &TxManager<StableStore>,
-    instance: &str,
-) -> Option<AfterImages> {
-    let header_key = meta_uid(instance);
-    let header: InstanceHeader = mgr.read_committed_key(&header_key).ok()??;
-    let uids = mgr.uids_with_prefix(&keys::instance_prefix(instance));
-    let facts = mgr.fact_keys_in_range(
-        FactKey::instance_first(header.instance_id),
-        FactKey::instance_last(header.instance_id),
-    );
-    let keys = std::iter::once(header_key.clone())
-        .chain(
-            uids.into_iter()
-                .map(StoreKey::Uid)
-                .filter(|key| *key != header_key),
-        )
-        .chain([source_uid(header.source_hash)])
-        .chain(facts.into_iter().map(StoreKey::Fact));
-    let images = keys.filter_map(|key| {
-        let bytes = mgr.read_committed_bytes(&key)?.to_vec();
-        Some((key, Some(bytes)))
-    });
-    Some(images.collect())
-}
-
-/// Packaged entries ([`package_instance`] runs, back to back) as the
-/// receiving shard stores them: each instance, in order of appearance,
-/// takes the next dense id from `base` — every dense key, fact or
-/// control block, re-keyed onto it (the dense id is shard-local; the
-/// instance keeps its name), the
-/// header's `instance_id` rewritten to match, everything else verbatim.
-/// An instance `skip` names is left out whole. Returns the instances
-/// kept, in id order, beside their entries.
-///
-/// # Errors
-///
-/// Entries that do not parse as such runs: a fact key outside its
-/// run's id, a run that does not open with a decodable header.
-fn rekeyed(
-    images: AfterImages,
-    base: u32,
-    skip: impl Fn(&str) -> bool,
-) -> Result<(Vec<String>, AfterImages), EngineError> {
-    let malformed = |what: &str| EngineError::Tx(format!("hand-off package malformed: {what}"));
-    let mut names: Vec<String> = Vec::new();
-    let mut out = AfterImages::with_capacity(images.len());
-    // The open run: its uid prefix, the dense id its fact keys carry,
-    // and the id they move onto (`None`: the instance is skipped).
-    let mut run: Option<(String, u32, Option<u32>)> = None;
-    for (key, bytes) in images {
-        let uid = match &key {
-            StoreKey::Fact(fact) => {
-                let Some((_, src_id, new_id)) = &run else {
-                    return Err(malformed("a fact before any header"));
-                };
-                if fact.instance != *src_id {
-                    return Err(malformed("a fact outside its instance's id"));
-                }
-                if let Some(instance) = *new_id {
-                    out.push((StoreKey::Fact(FactKey { instance, ..*fact }), bytes));
-                }
-                continue;
-            }
-            StoreKey::Uid(uid) => uid.as_str(),
-        };
-        let in_run = run
-            .as_ref()
-            .is_some_and(|(prefix, ..)| uid.starts_with(prefix));
-        if !in_run && uid.starts_with(keys::INSTANCE_ROOT) {
-            let name = keys::header_instance(uid)
-                .ok_or_else(|| malformed("a run that does not open with its header"))?;
-            let mut header: InstanceHeader = bytes
-                .as_deref()
-                .and_then(|bytes| flowscript_codec::from_bytes(bytes).ok())
-                .ok_or_else(|| malformed("a header that does not decode"))?;
-            let new_id = (!skip(&name)).then(|| base + names.len() as u32);
-            run = Some((keys::instance_prefix(&name), header.instance_id, new_id));
-            if let Some(new_id) = new_id {
-                names.push(name);
-                header.instance_id = new_id;
-                out.push((key, Some(flowscript_codec::to_bytes(&header))));
-            }
-        } else if matches!(run, Some((.., Some(_)))) {
-            // One of the run's own objects, or the source it pins.
-            out.push((key, bytes));
-        }
-    }
-    Ok((names, out))
-}
-
-/// Stages into `action` the deletion of every committed object of
-/// `instance`: its whole uid prefix plus the dense range — facts and
-/// control blocks — of the header's instance id. The storage half of
-/// the source side of a committed hand-off (the shared source blob
-/// stays; blob GC collects it, and its plan, once no local instance
-/// pins it).
-fn purge_instance(
-    mgr: &mut TxManager<StableStore>,
-    action: &AtomicAction,
-    instance: &str,
-) -> Result<(), EngineError> {
-    let header: Option<InstanceHeader> = mgr.read_committed_key(&meta_uid(instance))?;
-    for uid in mgr.uids_with_prefix(&keys::instance_prefix(instance)) {
-        mgr.delete_key(action, &StoreKey::Uid(uid))?;
-    }
-    if let Some(header) = &header {
-        let lo = FactKey::instance_first(header.instance_id);
-        let hi = FactKey::instance_last(header.instance_id);
-        for key in mgr.fact_keys_in_range(lo, hi) {
-            mgr.delete_key(action, &StoreKey::Fact(key))?;
-        }
-    }
-    Ok(())
 }
 
 impl Coordinator {
@@ -452,14 +346,14 @@ impl Coordinator {
         self.dispatcher.release_all(instance, rt.flights)
     }
 
-    /// Deletes move records — one aborted round's, or every round's at
-    /// the map flip — in one atomic action.
-    fn drop_move_records(&mut self, records: &[StoreKey]) -> Result<(), EngineError> {
-        if records.is_empty() {
+    /// Deletes `keys` — a refused round's record, or at the flip the
+    /// landed records and stale receipts — in one atomic action.
+    fn delete_keys(&mut self, keys: &[StoreKey]) -> Result<(), EngineError> {
+        if keys.is_empty() {
             return Ok(());
         }
         self.atomically(|mgr, action| {
-            for key in records {
+            for key in keys {
                 mgr.delete_key(action, key)?;
             }
             Ok(())
@@ -467,61 +361,48 @@ impl Coordinator {
     }
 
     /// Hand-off crash repair, run by recovery before any instance
-    /// loads: one scan of the stored move records. A round whose commit
-    /// decision is on record purged its slice in that decision's frame
-    /// — the destination owns the instances, so their relay entries are
-    /// rebuilt (executor replies may still arrive here). Any other
-    /// round never decided, or aborted: presumed aborted, its record
-    /// deleted; its slice is in the store, untouched, and loads with
-    /// everything else.
+    /// loads: one scan of the stored move records. A landed round's
+    /// instances live at its destination — their relay entries are
+    /// rebuilt (executor replies may still arrive here). An unlanded
+    /// round stays decided: its slice stays frozen in the store, and
+    /// recovery loads none of it.
     ///
-    /// Returns the 2PC termination traffic to send once the instances
-    /// are back: every stored round's verdict is announced — the
-    /// destination may have crashed before hearing it the first time;
-    /// resolution is idempotent, so duplicates are harmless — and every
-    /// stage this node prepared but never heard a decision for is
-    /// chased with a query to its coordinator.
-    pub(super) fn repair_handoffs(&mut self) -> Vec<(NodeId, DistMsg)> {
-        let mut traffic = Vec::new();
-        let mut aborted = Vec::new();
-        for uid in self.mgr.uids_with_prefix(keys::MOVE_PREFIX) {
-            let tx = keys::move_tx(&uid);
-            let key = StoreKey::Uid(uid);
-            let (Some(tx), Ok(Some(record))) =
-                (tx, self.mgr.read_committed_key::<MoveRecord>(&key))
-            else {
-                continue;
-            };
-            let dest = NodeId::from_index(record.dest as usize);
-            let commit = self.mgr.coordinator_decision(tx) == Some(true);
-            if commit {
+    /// Returns the unlanded rounds, whose claims go out once each when
+    /// the instances are back.
+    pub(super) fn repair_handoffs(&mut self) -> Vec<TxId> {
+        let mut unlanded = Vec::new();
+        for (id, record) in move_records(&self.mgr) {
+            let dest = record.dest_node();
+            if record.landed {
                 for instance in record.instances {
                     self.membership.moved.insert(instance, dest);
                 }
-            } else {
-                aborted.push(key);
+                continue;
             }
-            traffic.push((dest, DistMsg::Decision { tx, commit }));
+            let round = Round {
+                dest,
+                epoch: record.epoch,
+                instances: record.instances,
+                started_ns: self.now.as_nanos(),
+                held: Vec::new(),
+                calling: false,
+            };
+            self.membership.rounds.insert(id, round);
+            unlanded.push(id);
         }
-        let _ = self.drop_move_records(&aborted);
-        let from = self.node.index() as u32;
-        for (tx, coordinator_node) in self.mgr.in_doubt() {
-            let query = DistMsg::QueryOutcome { tx, from };
-            traffic.push((NodeId::from_index(coordinator_node as usize), query));
-        }
-        traffic
+        unlanded
     }
 
     /// `Some(owner)` when `instance` belongs to a *different*
     /// coordinator per the shared shard map (the request must be
     /// forwarded), `None` when this node owns it.
     pub(super) fn misdirected(&self, instance: &str) -> Option<NodeId> {
-        // Residency beats the map: the instant a committed hand-off is
-        // adopted, this node *is* the owner — even while its own map is
-        // still the pre-flip one (a crashed destination recovers the
-        // move before any map update reaches it). Without this, the
-        // stale map bounces relayed reports straight back at the
-        // relayer until the hop cap eats them.
+        // Residency beats the map: the instant a claim lands, this node
+        // *is* the owner — even while its own map is still the pre-flip
+        // one (a crashed destination recovers the landing before any map
+        // update reaches it). Without this, the stale map bounces
+        // relayed reports straight back at the relayer until the hop cap
+        // eats them.
         if self.instances.contains_key(instance) {
             return None;
         }
@@ -541,7 +422,7 @@ impl Coordinator {
     pub(super) fn route_report(&mut self, report: PendingEvent, hops: u32) {
         let membership = &mut self.membership;
         let frozen_in = membership.freezing(report.address().0);
-        if let Some(round) = frozen_in.and_then(|tx| membership.rounds.get_mut(&tx)) {
+        if let Some(round) = frozen_in.and_then(|id| membership.rounds.get_mut(&id)) {
             round.held.push((report, hops));
             return;
         }
@@ -653,17 +534,25 @@ impl Coordinator {
     }
 
     /// The façade gave the call up: this node re-sends nothing more for
-    /// it, so no fleet timer outlives the call that started it by more
-    /// than a tick. Rounds already decided but unacknowledged stay on
-    /// the books for the next job, a recovery re-announcement or the
-    /// destination's own query to finish.
+    /// it, so no fleet call outlives the call that started it by more
+    /// than an interval. Unanswered rounds stay frozen on the books for
+    /// the next job, a restart or a flip to settle.
     pub(crate) fn give_up(&mut self) {
         self.membership.job = None;
         self.membership.adoption = None;
     }
 
+    /// Instances this shard holds frozen in an unlanded round: committed
+    /// here and resident nowhere until the round is answered (a test
+    /// hook for the one-owner invariant).
+    #[doc(hidden)]
+    pub fn frozen_instance_names(&self) -> Vec<String> {
+        let rounds = self.membership.rounds.values();
+        rounds.flat_map(|round| round.instances.clone()).collect()
+    }
+
     // -----------------------------------------------------------------
-    // Live hand-off, source side: the 2PC coordinator's host.
+    // A live move, source side.
     // -----------------------------------------------------------------
 
     /// The façade's trigger for a rebalance or drain: moves every
@@ -672,10 +561,9 @@ impl Coordinator {
     /// shard may hold instances the old map would misattribute — in
     /// rounds of up to `limit` per destination, one round at a time.
     /// The report is on [`Coordinator::move_ticket`] once the last round
-    /// is acknowledged, or as soon as one aborts. Rounds an earlier,
-    /// abandoned job left undelivered are settled first: their
-    /// decisions go out again now, and the first new round waits for
-    /// their acks (the destination's staged locks would veto it).
+    /// lands, or as soon as one is refused. Rounds left unanswered are
+    /// settled first: their claims go out again now, and the first new
+    /// round waits for their answers.
     pub(crate) fn begin_move(
         &mut self,
         now: SimTime,
@@ -706,8 +594,8 @@ impl Coordinator {
                 report,
             });
             let unsettled: Vec<TxId> = membership.rounds.keys().copied().collect();
-            for tx in unsettled {
-                this.on_round_timer(tx);
+            for id in unsettled {
+                this.send_claim(id);
             }
             this.advance();
         })
@@ -726,11 +614,11 @@ impl Coordinator {
         let membership = &mut self.membership;
         let idle = membership.rounds.is_empty();
         let next = match membership.job.as_mut() {
-            Some(job) if idle => job.queue.pop_front(),
+            Some(job) if idle => job.queue.pop_front().map(|next| (next, job.report.epoch)),
             _ => return,
         };
         let outcome = match next {
-            Some((dest, instances)) => match self.start_round(dest, instances) {
+            Some(((dest, instances), epoch)) => match self.start_round(dest, epoch, instances) {
                 Ok(()) => return,
                 Err(err) => Err(err),
             },
@@ -739,46 +627,41 @@ impl Coordinator {
         self.finish_job(outcome);
     }
 
-    /// Collect: flushes the commit window (the packages must be the
-    /// whole committed truth — no report may be stranded in memory),
-    /// packages the slice, commits its move record under a freshly
-    /// minted transaction id, freezes it and sends the `Prepare`.
-    fn start_round(&mut self, dest: NodeId, instances: Vec<String>) -> Result<(), EngineError> {
+    /// The decision, taken alone: flushes the commit window (the claim
+    /// must carry the whole committed truth — no report may be stranded
+    /// in memory), commits the round's move record, freezes the slice
+    /// and sends its claim.
+    fn start_round(
+        &mut self,
+        dest: NodeId,
+        epoch: u64,
+        instances: Vec<String>,
+    ) -> Result<(), EngineError> {
         self.flush_pending();
-        let mut images = AfterImages::new();
-        for instance in &instances {
-            let package = package_instance(&self.mgr, instance)
-                .filter(|_| self.instances.contains_key(instance.as_str()))
-                .ok_or_else(|| EngineError::UnknownInstance(instance.clone()))?;
-            images.extend(package);
-        }
-        let dest_index = dest.index() as u32;
-        let tx = self.mgr.mint_dist_tx();
-        let record = MoveRecord {
-            dest: dest_index,
-            instances: instances.clone(),
+        let round = Round {
+            dest,
+            epoch,
+            instances,
+            started_ns: self.now.as_nanos(),
+            held: Vec::new(),
+            calling: false,
         };
-        self.atomically(|mgr, action| Ok(mgr.write_key(action, &move_uid(tx), &record)?))?;
-        let watchdogs: Vec<TimerId> = instances
+        let id = self.atomically(|mgr, action| {
+            mgr.write_key(action, &move_uid(action.id()), &round.record(false))?;
+            Ok(action.id())
+        })?;
+        let watchdogs: Vec<TimerId> = round
+            .instances
             .iter()
             .flat_map(|instance| self.drop_runtime(instance))
             .collect();
-        let actions = self.membership.dist.begin(tx, vec![(dest_index, images)]);
         self.cancel(watchdogs);
-        let round = Round {
-            dest,
-            instances,
-            started_ns: self.now.as_nanos(),
-            frozen: true,
-            held: Vec::new(),
-            timer: self.arm(RETRANSMIT_INTERVAL, Timer::Round(tx)),
-        };
         let membership = &mut self.membership;
-        membership.rounds.insert(tx, round);
+        membership.rounds.insert(id, round);
         if let Some(job) = &mut membership.job {
-            job.current = Some(tx);
+            job.current = Some(id);
         }
-        self.perform(actions);
+        self.send_claim(id);
         // Freed executor load and freed admission slots: parked
         // dispatches of other instances may now place, and queued
         // starts may now admit.
@@ -786,378 +669,226 @@ impl Coordinator {
         Ok(())
     }
 
-    /// Round `tx` has waited an interval ([`Timer::Round`]): `dist`
-    /// aborts it if the vote is still missing, sends the decision again
-    /// if the ack is.
-    pub(super) fn on_round_timer(&mut self, tx: TxId) {
-        // Nobody waiting: the round rests until the next job.
-        if self.membership.job.is_none() {
-            return;
-        }
-        let Some(stale) = self.membership.rounds.get(&tx).map(|r| r.timer) else {
-            return;
-        };
-        self.cancel([stale]);
-        let actions = self.membership.dist.on_timeout(tx);
-        let timer = self.arm(RETRANSMIT_INTERVAL, Timer::Round(tx));
-        if let Some(round) = self.membership.rounds.get_mut(&tx) {
-            round.timer = timer;
-        }
-        self.perform(actions);
-    }
-
-    /// Carries out what `dist` decided, in order — the ONE place its
-    /// actions meet the log and the network.
-    fn perform(&mut self, actions: Vec<CoordAction>) {
-        for action in actions {
-            match action {
-                CoordAction::Send { to, msg } => {
-                    // Aborts are presumed, not persisted, so `dist`
-                    // announces one only through its first `Decision`.
-                    if let DistMsg::Decision { tx, commit: false } = msg {
-                        self.abort_round(tx);
-                    }
-                    self.send(NodeId::from_index(to as usize), &EngineMsg::Dist(msg));
-                }
-                CoordAction::PersistDecision { tx, .. } => {
-                    if let Err(err) = self.commit_round(tx) {
-                        // Not durable, so it was never taken: it must
-                        // not be announced, nor answer a query. The
-                        // round is abandoned frozen (a restart presumes
-                        // it aborted) and the job reports why.
-                        let membership = &mut self.membership;
-                        membership.dist.abandon(tx);
-                        let round = membership.rounds.remove(&tx);
-                        self.cancel(round.map(|round| round.timer));
-                        self.finish_job(Err(err));
-                        return;
-                    }
-                }
-                CoordAction::Done { tx, committed } => self.finish_round(tx, committed),
+    /// Sends claim `id` as a call ([`Call::Claim`]), answered within an
+    /// interval or not: a round's packaged from what the store holds,
+    /// unless one of its sends still awaits an answer; an adoption's
+    /// as it was packaged.
+    pub(super) fn send_claim(&mut self, id: TxId) {
+        let (to, bytes) = if let Some(round) = self.membership.rounds.get_mut(&id) {
+            if std::mem::replace(&mut round.calling, true) {
+                return;
             }
-        }
-    }
-
-    /// The commit decision, made durable: one atomic action stages the
-    /// substrate's decision record — from here the move is committed,
-    /// crash or no crash, and it is what `TxManager::coordinator_decision`
-    /// answers a `QueryOutcome` from — and the whole slice's keyspace
-    /// purge, and commits them as one frame. A crash can never leave the
-    /// round decided and part of its slice still here — which matters,
-    /// because the destination resolves its one staged transaction
-    /// all-or-nothing — and a log that refuses the frame leaves neither
-    /// the decision nor the purge behind, in memory or on disk.
-    fn commit_round(&mut self, tx: TxId) -> Result<(), EngineError> {
-        let Some(round) = self.membership.rounds.get(&tx) else {
-            return Err(EngineError::Tx(format!("no round for {tx}")));
+            let bytes = claim_bytes(&self.mgr, id, round.epoch, false, &round.instances);
+            (round.dest, bytes)
+        } else {
+            let adoption = self.membership.adoption.as_ref();
+            let Some((to, bytes)) = adoption.and_then(|adoption| adoption.claims.get(&id)) else {
+                return;
+            };
+            (*to, bytes.clone())
         };
-        let (dest, instances) = (round.dest.index() as u32, round.instances.clone());
-        let epoch = self.membership.epoch();
-        self.atomically(|mgr, action| {
-            mgr.stage_decision(action, tx)?;
-            let purge = |instance: &String| purge_instance(mgr, action, instance);
-            instances.iter().try_for_each(purge)
-        })?;
-        for instance in &instances {
-            self.metrics.stats.handoffs += 1;
-            let kind = ObsEventKind::HandOff { to: dest, epoch };
-            self.record_event(instance, None, 0, kind);
-        }
-        Ok(())
+        self.outbox.push(Output::Call {
+            to,
+            bytes,
+            timeout: RETRANSMIT_INTERVAL,
+            call: Call::Claim(id),
+        });
     }
 
-    /// The abort decision (a no-vote, or none in time): nothing to log —
-    /// no decision record is the abort — so the slice just thaws where
-    /// it is: runtimes re-materialised from the untouched committed
-    /// state, held reports re-enqueued in arrival order. The move
-    /// record goes with the destination's ack (or a restart's presumed
-    /// abort). Runs once per round; a re-sent abort finds it thawed.
-    fn abort_round(&mut self, tx: TxId) {
-        let Some(round) = self.membership.rounds.get_mut(&tx) else {
-            return;
+    /// Claim `id` was answered, or not in time. A round lands on `Ok`,
+    /// thaws on `Err`, and is sent again on silence while a job runs.
+    /// An adoption's claim is counted off on `Ok` — the last files the
+    /// report — files the refusal on `Err`, and is sent again on
+    /// silence. An answer nobody waits for counts for nothing.
+    pub(super) fn on_claim_answered(&mut self, id: TxId, answer: Result<Vec<u8>, RpcError>) {
+        let answer = answer
+            .ok()
+            .and_then(|bytes| flowscript_codec::from_bytes::<EngineMsg>(&bytes).ok());
+        let result = match answer {
+            Some(EngineMsg::Ack { result }) => Some(result),
+            _ => None,
         };
-        if !std::mem::take(&mut round.frozen) {
-            return;
+        if let Some(round) = self.membership.rounds.get_mut(&id) {
+            round.calling = false;
+            return match result {
+                Some(Ok(())) => self.land_round(id),
+                Some(Err(why)) => self.refuse_round(id, &why),
+                None if self.membership.job.is_some() => self.send_claim(id),
+                None => {}
+            };
         }
-        let held = std::mem::take(&mut round.held);
-        self.adopt_orphans(None);
-        for (report, _) in held {
-            self.enqueue_event(report);
-        }
-    }
-
-    /// `Done`: the destination acknowledged the decision. A committed
-    /// round records its pause, opens the relay for its instances and
-    /// forwards what was held; an aborted one deletes its move record —
-    /// nobody is left to tell. Either way the job moves on — to the
-    /// next round, or to its report if this round aborted.
-    fn finish_round(&mut self, tx: TxId, committed: bool) {
         let membership = &mut self.membership;
-        let Some(round) = membership.rounds.remove(&tx) else {
+        let filed = &mut membership.adoption_ticket;
+        let Some(adoption) = membership.adoption.as_mut() else {
             return;
         };
-        let mut job = membership
-            .job
-            .as_mut()
-            .filter(|job| job.current == Some(tx));
-        if let Some(job) = &mut job {
-            job.current = None;
-            membership.move_ticket.progress += 1;
+        if filed.outcome.is_some() || !adoption.claims.contains_key(&id) {
+            return;
         }
-        if committed {
-            let pause_ns = self.now.as_nanos() - round.started_ns;
-            self.metrics.handoff_pause_ns.record(pause_ns);
-            if let Some(job) = &mut job {
-                job.report.moved += round.instances.len();
-                job.report.rounds += 1;
-                job.report.pause_ns.push(pause_ns);
+        match result {
+            Some(Ok(())) => {
+                adoption.claims.remove(&id);
+                filed.progress += 1;
+                if adoption.claims.is_empty() {
+                    filed.outcome = Some(Ok(adoption.report.clone()));
+                }
             }
-            for instance in &round.instances {
-                membership.moved.insert(instance.clone(), round.dest);
+            Some(Err(why)) => {
+                filed.outcome = Some(Err(EngineError::Tx(format!("claim refused: {why}"))));
             }
+            None => self.send_claim(id),
         }
-        let ours = job.is_some();
-        if !committed {
-            let _ = self.drop_move_records(&[move_uid(tx)]);
+    }
+
+    /// `Ok`: the destination holds the slice. One action purges it here
+    /// and marks the record landed; then what was held is relayed, the
+    /// pause recorded and the move counted, and the job moves on. A log
+    /// that refuses the action leaves the round frozen: the job reports
+    /// why, and the claim's next answer — its receipt's — lands it.
+    fn land_round(&mut self, id: TxId) {
+        let Some(round) = self.membership.rounds.remove(&id) else {
+            return;
+        };
+        let record = round.record(true);
+        let landed = self.atomically(|mgr, action| {
+            let purge = |instance: &String| purge_instance(mgr, action, instance);
+            record.instances.iter().try_for_each(purge)?;
+            Ok(mgr.write_key(action, &move_uid(id), &record)?)
+        });
+        if let Err(err) = landed {
+            self.membership.rounds.insert(id, round);
+            return self.finish_job(Err(err));
         }
-        self.cancel([round.timer]);
+        let pause_ns = self.now.as_nanos() - round.started_ns;
+        self.metrics.handoff_pause_ns.record(pause_ns);
+        let epoch = self.membership.epoch();
+        for instance in &round.instances {
+            self.metrics.stats.handoffs += 1;
+            let kind = ObsEventKind::HandOff {
+                to: record.dest,
+                epoch,
+            };
+            self.record_event(instance, None, 0, kind);
+            self.membership.moved.insert(instance.clone(), round.dest);
+        }
         for (report, hops) in round.held {
             let instance = report.address().0.to_string();
             self.forward_oneway(round.dest, &instance, report.into(), hops);
         }
-        if ours && !committed {
-            self.finish_job(Err(EngineError::Tx(format!(
-                "hand-off of {} instance(s) to {} aborted: the destination voted no \
-                 or did not answer; they stay where they were",
-                round.instances.len(),
-                round.dest
-            ))));
-        } else {
-            self.advance();
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Live hand-off: every `Dist` message, either role.
-    // -----------------------------------------------------------------
-
-    /// Handles one 2PC message. As participant (destination):
-    /// `Prepare` → stage and vote, `Decision` → resolve, adopt, ack —
-    /// idempotent, so a re-sent or re-announced decision is acked
-    /// again. As coordinator (source): votes, acks and queries go
-    /// through `dist`, queries answered from the durable decision
-    /// record (presumed abort: none means abort).
-    pub(super) fn on_dist(&mut self, msg: DistMsg) {
-        let from = self.node.index() as u32;
-        let actions = match msg {
-            DistMsg::Prepare {
-                tx,
-                coordinator,
-                writes,
-            } => {
-                let yes = self.stage_prepare(tx, coordinator, writes).is_ok();
-                let vote = EngineMsg::Dist(DistMsg::Vote { tx, from, yes });
-                return self.send(NodeId::from_index(coordinator as usize), &vote);
-            }
-            DistMsg::Decision { tx, commit } => {
-                if self.mgr.resolve_remote(tx, commit).is_err() {
-                    return; // unacked: the source sends it again
-                }
-                if commit {
-                    self.adopt_orphans(None);
-                }
-                let source = NodeId::from_index(tx.node() as usize);
-                return self.send(source, &EngineMsg::Dist(DistMsg::Ack { tx, from }));
-            }
-            DistMsg::Vote { tx, from, yes } => self.membership.dist.on_vote(tx, from, yes),
-            DistMsg::Ack { tx, from } => self.membership.dist.on_ack(tx, from),
-            DistMsg::QueryOutcome { tx, from } => {
-                let persisted = self.mgr.coordinator_decision(tx);
-                self.membership.dist.on_query(tx, from, persisted)
-            }
-        };
-        self.perform(actions);
-    }
-
-    /// `Prepare` at the destination: re-keys the slice under freshly
-    /// allocated local instance ids and stages it as one prepared
-    /// remote transaction — the durable yes-vote. The committed id
-    /// sequence is read once and a contiguous range `base..base + N`
-    /// allocated up front, so the slice costs a single prepare frame
-    /// however many instances it carries. Nothing is visible until the
-    /// source's decision arrives. The staged write lock on the id
-    /// sequence is what keeps a second prepare — which would draw the
-    /// same ids — voting no until this one resolves.
-    ///
-    /// # Errors
-    ///
-    /// Lock conflict on a staged key, a malformed package, or storage
-    /// failure persisting the vote: each is a no-vote.
-    fn stage_prepare(
-        &mut self,
-        tx: TxId,
-        coordinator_node: u32,
-        images: AfterImages,
-    ) -> Result<(), EngineError> {
-        let base: u32 = self
-            .mgr
-            .read_committed_key(&instance_seq_uid())?
-            .unwrap_or(0);
-        let (names, rekeyed) = rekeyed(images, base, |_| false)?;
-        let next_id = flowscript_codec::to_bytes(&(base + names.len() as u32));
-        let mut writes = vec![(instance_seq_uid(), Some(next_id))];
-        writes.extend(rekeyed);
-        self.mgr.prepare_remote(tx, coordinator_node, writes)?;
-        Ok(())
-    }
-
-    // -----------------------------------------------------------------
-    // Crash-driven adoption.
-    // -----------------------------------------------------------------
-
-    /// The façade's trigger for a failover, on the claimant: reopens
-    /// the dead shard's surviving storage under this node's identity
-    /// and stamps the fence — from that append on the dead shard's own
-    /// manager can never commit again, the claimed copies are the
-    /// truth — then packages every instance in it and sends each owner
-    /// under `map` its share, [`DRAIN_BATCH`] instances a claim. The
-    /// report is on [`Coordinator::adoption_ticket`] once every claim is
-    /// acknowledged.
-    ///
-    /// # Errors
-    ///
-    /// The storage does not replay, or it carries a foreign fence
-    /// (another claimant got there first).
-    pub(crate) fn begin_adoption(
-        &mut self,
-        now: SimTime,
-        dead_storage: StableStore,
-        dead: NodeId,
-        map: &ShardMap,
-    ) -> (Result<(), EngineError>, Vec<Output>) {
-        self.at(now, |this| {
-            let (dead, epoch) = (dead.index() as u32, map.epoch());
-            let mut mgr = TxManager::open(this.node.index() as u32, dead_storage)?;
-            mgr.write_fence(epoch)?;
-            let mut shares: BTreeMap<NodeId, Vec<AfterImages>> = BTreeMap::new();
-            for instance in stored_instance_names(&mgr) {
-                if let Some(package) = package_instance(&mgr, &instance) {
-                    let owner = map.node_of(&instance);
-                    shares.entry(owner).or_default().push(package);
-                }
-            }
-            let claims: Vec<(NodeId, Vec<u8>)> = shares
-                .iter()
-                .flat_map(|(&dest, packages)| {
-                    packages.chunks(DRAIN_BATCH).map(move |chunk| {
-                        let writes = chunk.concat();
-                        let claim = EngineMsg::Claim {
-                            dead,
-                            epoch,
-                            writes,
-                        };
-                        (dest, flowscript_codec::to_bytes(&claim))
-                    })
-                })
-                .collect();
-            let report = FailoverReport {
-                adopted: shares.values().map(Vec::len).sum(),
-                epoch,
-                claimant: this.node.index() as u32,
-            };
-            let membership = &mut this.membership;
-            membership.adoption_ticket = Ticket::default();
-            if claims.is_empty() {
-                membership.adoption_ticket.outcome = Some(Ok(report.clone()));
-            }
-            membership.adoptions += 1;
-            let id = membership.adoptions;
-            membership.adoption = Some(Adoption {
-                id,
-                claims: claims.len() as u64,
-                report,
-            });
-            for (dest, bytes) in claims {
-                this.send_claim(id, dest, bytes);
-            }
-            Ok(())
-        })
-    }
-
-    /// Sends one claim of adoption `id` as a call ([`Call::Claim`]),
-    /// answered within an interval or sent again.
-    fn send_claim(&mut self, id: u64, dest: NodeId, bytes: Vec<u8>) {
-        self.outbox.push(Output::Call {
-            to: dest,
-            bytes: bytes.clone(),
-            timeout: RETRANSMIT_INTERVAL,
-            call: Call::Claim(id, dest, bytes),
-        });
-    }
-
-    /// A claim was answered, or not in time: an `Ack` counts it off —
-    /// the last one files the report — an error files that instead, and
-    /// a claim lost, late or garbled goes out again. An answer for an
-    /// adoption the façade gave up on, or that already filed, counts
-    /// for nothing.
-    pub(super) fn on_claim_answered(
-        &mut self,
-        id: u64,
-        dest: NodeId,
-        bytes: Vec<u8>,
-        answer: Result<Vec<u8>, RpcError>,
-    ) {
         let membership = &mut self.membership;
-        let Some(adoption) = membership.adoption.as_ref().filter(|a| a.id == id) else {
+        if let Some(job) = membership
+            .job
+            .as_mut()
+            .filter(|job| job.current == Some(id))
+        {
+            job.current = None;
+            job.report.moved += round.instances.len();
+            job.report.rounds += 1;
+            job.report.pause_ns.push(pause_ns);
+            membership.move_ticket.progress += 1;
+        }
+        self.advance();
+    }
+
+    /// `Err`: the destination committed nothing. The record goes and
+    /// the slice thaws where it is; the job reports the refusal, as it
+    /// does any refused round of its own. A log that refuses the
+    /// record's deletion leaves the round frozen, to be claimed again.
+    fn refuse_round(&mut self, id: TxId, why: &str) {
+        if let Err(err) = self.delete_keys(&[move_uid(id)]) {
+            return self.finish_job(Err(err));
+        }
+        let Some(round) = self.membership.rounds.remove(&id) else {
             return;
         };
-        let filed = &mut membership.adoption_ticket;
-        let ack = answer
-            .ok()
-            .and_then(|bytes| flowscript_codec::from_bytes::<EngineMsg>(&bytes).ok());
-        match ack {
-            _ if filed.outcome.is_some() => {}
-            Some(EngineMsg::Ack { result: Ok(()) }) => {
-                filed.progress += 1;
-                if filed.progress == adoption.claims {
-                    filed.outcome = Some(Ok(adoption.report.clone()));
-                }
-            }
-            Some(EngineMsg::Ack { result: Err(why) }) => {
-                filed.outcome = Some(Err(EngineError::Tx(format!("claim refused: {why}"))));
-            }
-            _ => self.send_claim(id, dest, bytes),
+        self.adopt_orphans(None);
+        self.reroute(round.held);
+        let ours = self.membership.job.as_ref().map(|job| job.current) == Some(Some(id));
+        if !ours {
+            return self.advance();
+        }
+        self.finish_job(Err(EngineError::Tx(format!(
+            "hand-off of {} instance(s) to {} refused: {why}; they stay where they were",
+            round.instances.len(),
+            round.dest
+        ))));
+    }
+
+    /// Routes again, in arrival order, reports a round held for names
+    /// that have since left it: held by the round that now holds the
+    /// name, applied where it thawed or landed.
+    fn reroute(&mut self, held: Vec<(PendingEvent, u32)>) {
+        for (report, hops) in held {
+            self.route_report(report, hops);
         }
     }
 
-    /// A claim arriving at its destination: commits the dead shard's
-    /// packaged instances locally under freshly allocated ids — ONE
-    /// atomic commit, no 2PC, the source is dead and its storage fenced
-    /// behind the claimant — and adopts them. Idempotent: an instance
-    /// already present (resident or committed) is skipped, which is
-    /// what lets a claimant that crashed mid-claim, or whose ack was
-    /// lost, simply send everything again.
+    // -----------------------------------------------------------------
+    // A claim, at its destination.
+    // -----------------------------------------------------------------
+
+    /// A claim arriving at its destination: commits the packaged
+    /// instances under freshly allocated ids — a contiguous range read
+    /// off the id sequence once — beside the claim's receipt, in ONE
+    /// atomic action, and adopts them. `fenced`: a claimant sent it out
+    /// of a dead shard's storage. A claim whose receipt exists commits
+    /// nothing; one stamped below this shard's epoch is refused. An
+    /// instance held live is skipped; one a round of this shard holds
+    /// frozen is superseded — the same action purges the frozen copy and
+    /// rewrites the round's record without it.
     ///
     /// # Errors
     ///
-    /// A malformed package, or storage failure on the commit.
+    /// A stale epoch, a malformed package, or storage failure on the
+    /// commit: nothing is committed.
     pub(super) fn on_claim(
         &mut self,
-        dead: u32,
+        id: TxId,
         epoch: u64,
+        fenced: bool,
         images: AfterImages,
     ) -> Result<(), EngineError> {
+        if self.mgr.exists_key(&claimed_uid(id)) {
+            return Ok(());
+        }
+        let installed = self.membership.epoch();
+        if epoch < installed {
+            return Err(EngineError::Tx(format!(
+                "claim routed under epoch {epoch}, below this shard's {installed}: stale"
+            )));
+        }
         let base: u32 = self
             .mgr
             .read_committed_key(&instance_seq_uid())?
             .unwrap_or(0);
-        let (names, writes) = rekeyed(images, base, |name| self.holds(name))?;
-        if names.is_empty() {
-            return Ok(());
-        }
+        let live = |name: &str| self.holds(name) && self.membership.freezing(name).is_none();
+        let (names, writes) = rekeyed(images, base, live)?;
+        // A landing name held here at all is frozen in a round: that
+        // round keeps the rest of its names, or goes when none is left.
+        let superseded: Vec<(TxId, &String)> = names
+            .iter()
+            .filter_map(|name| Some((self.membership.freezing(name)?, name)))
+            .collect();
+        let shrunk: BTreeMap<TxId, MoveRecord> = superseded
+            .iter()
+            .map(|&(round_id, _)| {
+                let mut record = self.membership.rounds[&round_id].record(false);
+                record.instances.retain(|name| !names.contains(name));
+                (round_id, record)
+            })
+            .collect();
         let next_id = base + names.len() as u32;
         self.atomically(|mgr, action| {
-            mgr.write_key(action, &instance_seq_uid(), &next_id)?;
+            for (_, name) in &superseded {
+                purge_instance(mgr, action, name)?;
+            }
+            for (round_id, record) in &shrunk {
+                stage_record(mgr, action, *round_id, record)?;
+            }
+            mgr.write_key(action, &claimed_uid(id), &epoch)?;
+            if !names.is_empty() {
+                mgr.write_key(action, &instance_seq_uid(), &next_id)?;
+            }
             // (A package carries no tombstones; one that does has
             // nothing to delete here.)
             for (key, bytes) in writes {
@@ -1167,32 +898,49 @@ impl Coordinator {
             }
             Ok(())
         })?;
-        for name in &names {
-            let kind = ObsEventKind::Claim { from: dead, epoch };
-            self.record_event(name, None, 0, kind);
+        let mut held = Vec::new();
+        for (round_id, record) in shrunk {
+            let rounds = &mut self.membership.rounds;
+            let round = rounds.get_mut(&round_id).expect("it froze a name");
+            held.append(&mut round.held);
+            round.instances = record.instances;
+            if round.instances.is_empty() {
+                rounds.remove(&round_id);
+            }
         }
-        self.adopt_orphans(Some((dead, epoch)));
+        if fenced {
+            for name in &names {
+                let kind = ObsEventKind::Claim {
+                    from: id.node(),
+                    epoch,
+                };
+                self.record_event(name, None, 0, kind);
+            }
+        }
+        self.adopt_orphans(fenced.then_some((id.node(), epoch)));
+        self.reroute(held);
+        // A job whose round emptied moves on.
+        self.advance();
         Ok(())
     }
 
     /// Adopts every instance whose committed state sits in this
     /// shard's store without a resident runtime — the landing half of
-    /// a hand-off (a committed one on the destination, an aborted one
-    /// back on the source) and of a claim. Unlike crash recovery this
-    /// bumps no attempts and re-dispatches nothing: the old owner relays
-    /// in-flight executor replies, so the execution history stays
-    /// byte-identical to an unmoved run. Watchdogs are re-armed as the
-    /// safety net for a relay that never arrives.
+    /// a claim, and the thaw of a slice no round holds any more. Unlike
+    /// crash recovery this bumps no attempts and re-dispatches nothing:
+    /// the old owner relays in-flight executor replies, so the execution
+    /// history stays byte-identical to an unmoved run. Watchdogs are
+    /// re-armed as the safety net for a relay that never arrives.
     ///
     /// `claim` is `Some((dead shard, membership epoch))` for
     /// crash-driven adoption: the landing trace event is then
     /// [`ObsEventKind::Adopted`] and the `coord.adoptions` counter
     /// ticks once per instance.
     pub(super) fn adopt_orphans(&mut self, claim: Option<(u32, u64)>) {
-        // Residents are skipped by name, undecoded: a hand-off sweeps
-        // once per chunk, and a sweep must cost only its orphans. So is
-        // a slice one of this node's own rounds holds frozen: it is in
-        // the store, and not to be woken by a sweep.
+        // Residents are skipped by name, undecoded: a landing sweeps once
+        // per claim, and a sweep must cost only its orphans. So is a
+        // slice one of this node's own rounds holds frozen: it is in the
+        // store, and not to be woken by a sweep.
         let orphans: Vec<String> = stored_instance_names(&self.mgr)
             .filter(|name| !self.instances.contains_key(name))
             .filter(|name| self.membership.freezing(name).is_none())
@@ -1240,33 +988,184 @@ impl Coordinator {
         }
     }
 
+    // -----------------------------------------------------------------
+    // Crash-driven adoption.
+    // -----------------------------------------------------------------
+
+    /// The façade's trigger for a failover, on the claimant: reopens
+    /// the dead shard's surviving storage under this node's identity
+    /// and stamps the fence — from that append on the dead shard's own
+    /// manager can never commit again, the claimed copies are the
+    /// truth — then packages every instance in it and sends each owner
+    /// under `map` its share, [`DRAIN_BATCH`] instances a claim. A round
+    /// the dead shard left unlanded goes whole, under its own id, to its
+    /// destination when `map` keeps it: if the destination landed it,
+    /// the receipt answers. The report is on
+    /// [`Coordinator::adoption_ticket`] once every claim is answered.
+    ///
+    /// # Errors
+    ///
+    /// The storage does not replay, or it carries a foreign fence
+    /// (another claimant got there first).
+    pub(crate) fn begin_adoption(
+        &mut self,
+        now: SimTime,
+        dead_storage: StableStore,
+        dead: NodeId,
+        map: &ShardMap,
+    ) -> (Result<(), EngineError>, Vec<Output>) {
+        self.at(now, |this| {
+            let (dead, epoch) = (dead.index() as u32, map.epoch());
+            let mut mgr = TxManager::open(this.node.index() as u32, dead_storage)?;
+            mgr.write_fence(epoch)?;
+            let mut rounds = move_records(&mgr);
+            rounds.retain(|(_, r)| !r.landed && map.nodes().contains(&r.dest_node()));
+            let in_rounds: BTreeSet<&String> =
+                rounds.iter().flat_map(|(_, r)| &r.instances).collect();
+            let mut shares: BTreeMap<NodeId, Vec<String>> = BTreeMap::new();
+            for instance in stored_instance_names(&mgr).filter(|n| !in_rounds.contains(&n)) {
+                shares
+                    .entry(map.node_of(&instance))
+                    .or_default()
+                    .push(instance);
+            }
+            // Ids the dead shard never minted: its log's next sequence
+            // number on (the fence carries none, so a re-run mints the
+            // same ones).
+            let first = Step::default().action(&mut mgr).id().seq();
+            let chunks = shares
+                .iter()
+                .flat_map(|(&dest, names)| names.chunks(DRAIN_BATCH).map(move |c| (dest, c)));
+            let ids = (first..).map(|seq| TxId::new(dead, seq));
+            let left = rounds
+                .iter()
+                .map(|(id, r)| ((r.dest_node(), &r.instances[..]), *id));
+            let (mut claims, mut order, mut adopted) = (BTreeMap::new(), Vec::new(), 0);
+            for ((dest, names), id) in chunks.zip(ids).chain(left) {
+                adopted += names.len();
+                order.push(id);
+                claims.insert(id, (dest, claim_bytes(&mgr, id, epoch, true, names)));
+            }
+            let report = FailoverReport {
+                adopted,
+                epoch,
+                claimant: this.node.index() as u32,
+            };
+            let membership = &mut this.membership;
+            membership.adoption_ticket = Ticket::default();
+            if order.is_empty() {
+                membership.adoption_ticket.outcome = Some(Ok(report.clone()));
+            }
+            membership.adoption = Some(Adoption { claims, report });
+            for id in order {
+                this.send_claim(id);
+            }
+            Ok(())
+        })
+    }
+
+    // -----------------------------------------------------------------
+    // The map.
+    // -----------------------------------------------------------------
+
     /// The shard map's current epoch on this coordinator.
     pub fn shard_epoch(&self) -> u64 {
         self.membership.epoch()
     }
 
-    /// Replaces this coordinator's shard map — the final flip of a
-    /// rebalance, after every moved instance committed. Requests for
-    /// instances the new map assigns elsewhere forward from now on.
-    pub fn set_shard_map(&mut self, map: ShardMap) {
-        self.membership.shard = map;
-        // The new map is authoritative: relay tombstones from the
-        // moves that led to this flip are now redundant, and so are the
-        // move records a restart would rebuild them from.
-        self.membership.moved.clear();
-        let settled = self.mgr.uids_with_prefix(keys::MOVE_PREFIX);
-        let settled: Vec<StoreKey> = settled.into_iter().map(StoreKey::Uid).collect();
-        let _ = self.drop_move_records(&settled);
+    /// The flip: installs `map` — the last step of a rebalance, a drain
+    /// or an adoption, once each of its rounds and claims is answered.
+    /// Requests for instances the new map assigns elsewhere forward from
+    /// now on. The relay table goes, and so do the landed move records
+    /// a restart would rebuild it from and the receipts of claims routed
+    /// under an older epoch (a claim that old is refused as stale). Each
+    /// round still unlanded is re-addressed ([`Self::readdress`]).
+    pub(crate) fn set_shard_map(&mut self, now: SimTime, map: ShardMap) -> ((), Vec<Output>) {
+        self.at(now, |this| {
+            let epoch = map.epoch();
+            this.membership.shard = map;
+            this.membership.moved.clear();
+            let records = move_records(&this.mgr).into_iter();
+            let landed = records.filter(|(_, record)| record.landed);
+            let receipts = this.mgr.uids_with_prefix(keys::CLAIMED_PREFIX);
+            let stale = receipts.into_iter().map(StoreKey::Uid).filter(|key| {
+                let stamped = this.mgr.read_committed_key::<u64>(key);
+                matches!(stamped, Ok(Some(stamped)) if stamped < epoch)
+            });
+            let settled: Vec<StoreKey> = landed.map(|(id, _)| move_uid(id)).chain(stale).collect();
+            let _ = this.delete_keys(&settled);
+            let unlanded: Vec<TxId> = this.membership.rounds.keys().copied().collect();
+            for id in unlanded {
+                this.readdress(id);
+            }
+        })
     }
 
-    /// [`Self::set_shard_map`] for a coordinator that stays behind as a
-    /// pure relay (a drained shard retired from the map, or any node
-    /// whose relay table may reference departed peers). Instead of
-    /// clearing the relay table (and the move records behind it), every
-    /// entry pointing at a node the new map no longer carries is
-    /// re-pointed at the new map's owner — so a late executor report
-    /// forwards straight to the adopter instead of bouncing off a dead
-    /// address and burning `forward_loops` hops.
+    /// Re-addresses unlanded round `id` under the installed map, each
+    /// claim stamped with its epoch and sent once: the names stay with
+    /// the round's destination if the map keeps it, else go to their new
+    /// owners — each owner's share a round of its own, its record written
+    /// in the action that takes those names off this one — and the names
+    /// the map now gives this shard thaw. A log that refuses an action
+    /// leaves what is left of the round frozen.
+    fn readdress(&mut self, id: TxId) {
+        let Some(mut round) = self.membership.rounds.remove(&id) else {
+            return;
+        };
+        let map = &self.membership.shard;
+        let (epoch, kept) = (map.epoch(), map.nodes().contains(&round.dest));
+        let mut shares: BTreeMap<NodeId, Vec<String>> = BTreeMap::new();
+        for name in &round.instances {
+            let owner = if kept { round.dest } else { map.node_of(name) };
+            shares.entry(owner).or_default().push(name.clone());
+        }
+        shares.remove(&self.node);
+        let mut refused = false;
+        for (dest, instances) in shares {
+            let share = Round {
+                dest,
+                epoch,
+                instances,
+                started_ns: round.started_ns,
+                held: Vec::new(),
+                calling: false,
+            };
+            let mut rest = round.record(false);
+            rest.instances
+                .retain(|name| !share.instances.contains(name));
+            let split = self.atomically(|mgr, action| {
+                mgr.write_key(action, &move_uid(action.id()), &share.record(false))?;
+                stage_record(mgr, action, id, &rest)?;
+                Ok(action.id())
+            });
+            let Ok(share_id) = split else {
+                refused = true;
+                break;
+            };
+            round.instances = rest.instances;
+            self.membership.rounds.insert(share_id, share);
+            self.send_claim(share_id);
+        }
+        let held = std::mem::take(&mut round.held);
+        if !round.instances.is_empty() {
+            // What is left, the map gives this shard.
+            if refused || self.delete_keys(&[move_uid(id)]).is_err() {
+                self.membership.rounds.insert(id, round);
+            } else {
+                self.adopt_orphans(None);
+            }
+        }
+        self.reroute(held);
+    }
+
+    /// The flip for a coordinator that stays behind as a pure relay (a
+    /// drained shard retired from the map, or any node whose relay
+    /// table may reference departed peers). Instead of clearing the
+    /// relay table (and the move records behind it), every entry
+    /// pointing at a node the new map no longer carries is re-pointed
+    /// at the new map's owner — so a late executor report forwards
+    /// straight to the adopter instead of bouncing off a dead address
+    /// and burning `forward_loops` hops.
     pub(crate) fn set_shard_map_relay(&mut self, map: ShardMap) {
         let membership = &mut self.membership;
         let moved = std::mem::take(&mut membership.moved);
@@ -1292,45 +1191,146 @@ impl Coordinator {
 
 #[cfg(test)]
 mod tests {
-    use flowscript_tx::SharedStorage;
+    use flowscript_tx::{FactKey, SharedStorage};
 
     use super::*;
-    use crate::coordinator::{EngineConfig, Input};
-    use crate::driver::Node;
+    use crate::api::WorkflowSystem;
+    use crate::coordinator::package::package_instance;
+    use crate::coordinator::{EngineConfig, Input, InstanceHeader};
+    use crate::driver::{Driver, Node};
+    use crate::keys::meta_uid;
     use crate::msg::MarkMsg;
+    use crate::{ObjectVal, TaskBehavior};
 
-    fn header(instance_id: u32) -> InstanceHeader {
-        InstanceHeader {
-            script: "s".into(),
-            source_hash: 5,
-            root: "root".into(),
-            set: "main".into(),
-            inputs: BTreeMap::new(),
-            instance_id,
-        }
+    /// Two shards and `q`, a quickstart pipeline shard 0 owns, run 10 ms
+    /// into its 50 ms `produce`: the shards, and the instance's name.
+    fn one_running_instance() -> (WorkflowSystem, [Driver<Coordinator>; 2], String) {
+        let mut sys = WorkflowSystem::builder()
+            .executors(1)
+            .coordinators(2)
+            .seed(7)
+            .build();
+        let source = flowscript_core::samples::QUICKSTART;
+        sys.register_script("quickstart", source, "pipeline")
+            .unwrap();
+        sys.bind_fn("refProduce", |_| {
+            TaskBehavior::outcome("produced")
+                .with_work(SimDuration::from_millis(50))
+                .with_object("message", ObjectVal::text("Message", "m"))
+        });
+        sys.bind_fn("refConsume", |_| {
+            TaskBehavior::outcome("consumed").with_object("result", ObjectVal::text("Message", "r"))
+        });
+        let name = (0..)
+            .map(|i| format!("q{i}"))
+            .find(|name| sys.shard_of(name) == 0)
+            .expect("some name shard 0 owns");
+        let seed = ObjectVal::text("Message", "s");
+        sys.start(&name, "quickstart", "main", [("seed", seed)])
+            .unwrap();
+        sys.run_for(SimDuration::from_millis(10));
+        let shards = [sys.coord_handle(0), sys.coord_handle(1)];
+        (sys, shards, name)
     }
 
-    /// One stuck instance's run as `package_instance` lays it out: the
-    /// header, the stuck record, the shared source, one fact and one
-    /// control block.
-    fn run(name: &str, id: u32) -> AfterImages {
-        vec![
-            (
-                meta_uid(name),
-                Some(flowscript_codec::to_bytes(&header(id))),
-            ),
-            (crate::keys::status_uid(name), Some(vec![0])),
-            (source_uid(5), Some(vec![4])),
-            (StoreKey::Fact(FactKey::output(id, 2, 1)), Some(vec![3])),
-            (StoreKey::Fact(FactKey::control(id, 2)), Some(vec![1])),
-        ]
+    /// A claim delivered again after its instance moved on from the
+    /// receiver is answered `Ok` by its receipt and lands nothing — even
+    /// stamped below the receiver's epoch, since the receipt comes first.
+    #[test]
+    fn a_claim_delivered_again_after_its_instance_moved_on_lands_nothing() {
+        let (_sys, [source, dest], name) = one_running_instance();
+        let writes = package_instance(&source.get().mgr, &name).expect("stored");
+        let id = TxId::new(source.get().node.index() as u32, 1_000);
+        let mut dest = dest.get_mut();
+        let epoch = dest.membership.epoch();
+        dest.on_claim(id, epoch, false, writes.clone())
+            .expect("the first delivery lands");
+        assert!(dest.instances.contains_key(&name));
+        // It moves on: this shard purges it, as a landed round does.
+        let _ = dest.drop_runtime(&name);
+        dest.atomically(|mgr, action| purge_instance(mgr, action, &name))
+            .unwrap();
+        let log = dest.log_size();
+        for stamped in [epoch, epoch - 1] {
+            dest.on_claim(id, stamped, false, writes.clone())
+                .expect("answered by the receipt");
+        }
+        assert_eq!(dest.log_size(), log, "nothing committed");
+        assert!(!dest.holds(&name), "nothing landed");
+    }
+
+    /// A claim stamped below the receiver's epoch is refused, having
+    /// committed nothing.
+    #[test]
+    fn a_claim_below_the_installed_epoch_commits_nothing() {
+        let (_sys, [source, dest], name) = one_running_instance();
+        let writes = package_instance(&source.get().mgr, &name).expect("stored");
+        let id = TxId::new(source.get().node.index() as u32, 1_000);
+        let mut dest = dest.get_mut();
+        let stale = dest.membership.epoch() - 1;
+        let log = dest.log_size();
+        let refused = dest.on_claim(id, stale, false, writes);
+        assert!(
+            matches!(&refused, Err(EngineError::Tx(why)) if why.contains("stale")),
+            "{refused:?}"
+        );
+        assert_eq!(dest.log_size(), log, "nothing committed");
+        assert!(!dest.holds(&name) && !dest.mgr.exists_key(&claimed_uid(id)));
+    }
+
+    /// An adoption claim naming an instance a round of the receiver's
+    /// own holds frozen supersedes the frozen copy: one action purges it
+    /// and deletes the emptied round's record, and the claimed copy
+    /// lands, loads and counts as adopted.
+    #[test]
+    fn an_adoption_claim_naming_a_frozen_copy_supersedes_it() {
+        let (_sys, [source, dest], name) = one_running_instance();
+        let mut source = source.get_mut();
+        let epoch = source.membership.epoch();
+        source
+            .start_round(dest.get().node, epoch, vec![name.clone()])
+            .expect("decided");
+        assert_eq!(source.frozen_instance_names(), std::slice::from_ref(&name));
+        let frozen: InstanceHeader = source
+            .mgr
+            .read_committed_key(&meta_uid(&name))
+            .unwrap()
+            .unwrap();
+        // The copy a dead destination's claimant sends back.
+        let writes = package_instance(&source.mgr, &name).expect("stored");
+        source
+            .on_claim(TxId::new(9, 1), epoch, true, writes)
+            .expect("lands");
+        assert!(
+            source.frozen_instance_names().is_empty(),
+            "the round let go"
+        );
+        assert!(move_records(&source.mgr).is_empty(), "its record went too");
+        assert!(
+            source.instances.contains_key(&name),
+            "the claimed copy loaded"
+        );
+        let landed: InstanceHeader = source
+            .mgr
+            .read_committed_key(&meta_uid(&name))
+            .unwrap()
+            .unwrap();
+        assert_ne!(landed.instance_id, frozen.instance_id);
+        let old = source.mgr.fact_keys_in_range(
+            FactKey::instance_first(frozen.instance_id),
+            FactKey::instance_last(frozen.instance_id),
+        );
+        assert!(old.is_empty(), "the frozen copy is purged: {old:?}");
+        assert_eq!(source.stats().adoptions, 1);
     }
 
     #[test]
     fn move_record_codec_roundtrip() {
         let record = MoveRecord {
             dest: 2,
+            epoch: 7,
             instances: vec!["order-3".into(), "order-p128/kid".into()],
+            landed: true,
         };
         let bytes = flowscript_codec::to_bytes(&record);
         assert_eq!(
@@ -1338,34 +1338,6 @@ mod tests {
             record
         );
         assert!(flowscript_codec::from_bytes::<MoveRecord>(&bytes[..bytes.len() - 1]).is_err());
-    }
-
-    #[test]
-    fn rekeyed_moves_facts_and_header_onto_the_new_ids_and_nothing_else() {
-        // Two runs back to back, both on the source's ids 3 and 4, land
-        // on 7 and 8: facts and headers move, the rest is verbatim. The
-        // second's name extends the first's by a `/`: its run is its own.
-        let images = [run("i", 3), run("i/j", 4)].concat();
-        let (names, entries) = rekeyed(images.clone(), 7, |_| false).expect("well-formed runs");
-        assert_eq!(names, ["i", "i/j"]);
-        assert_eq!(entries, [run("i", 7), run("i/j", 8)].concat());
-        // A skipped instance is left out whole, and takes no id.
-        let (names, entries) = rekeyed(images, 7, |name| name == "i").expect("well-formed runs");
-        assert_eq!((names, entries), (vec!["i/j".to_string()], run("i/j", 7)));
-        // Hostile bytes are a typed error, never a panic: a corrupt
-        // header, a fact before any run, a fact on somebody else's id,
-        // a run that opens with something other than its header.
-        let corrupt = vec![(meta_uid("i"), Some(vec![0xFF; 3]))];
-        let stray = vec![run("i", 3).remove(3)];
-        let mut foreign = run("i", 3);
-        foreign.push((StoreKey::Fact(FactKey::output(4, 0, 0)), Some(vec![])));
-        let headless = run("i", 3).split_off(1);
-        for bad in [corrupt, stray, foreign, headless] {
-            assert!(matches!(
-                rekeyed(bad, 7, |_| false),
-                Err(EngineError::Tx(why)) if why.contains("malformed")
-            ));
-        }
     }
 
     #[test]

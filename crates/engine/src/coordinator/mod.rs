@@ -50,7 +50,8 @@
 //! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, and what an attempt that ends with no outcome stages: the bounded retry or `Failed` | `Dispatcher` (scheduler loads, cost model, ready queue), `Flights` (per instance: one record per task with outstanding work, its watchdog and a delayed attempt's timer each a [`TimerId`], cancelled with the record) | staging: `stage_lost` (error report, time-out), `stage_failure`, `stage_launch` (the next attempt, now or after a delay); publishing: `ship` (an attempt, under what its step staged), `dispatch` (a staged attempt whose delay or park is over), `dispatch_after`, `lose_flight`, `clear_watch`, `discard_flights` (subtree sweep, forced outcome, failure), `fail_unplaceable`; timers: `on_watchdog` ([`Timer::Watchdog`]), `on_dispatch_timer` ([`Timer::Dispatch`]); `drain_parked`, `executing`; `Flights::outstanding` (stuck detection), `replan` (a reconfiguration's new plan, its books re-keyed), `rearm_adopted` (adoption), `Dispatcher::{release_all, reset}` (hand-off, recovery), `executor_loads` |
 //! | `admission` | the per-shard instance cap on the start RPC, and the start's repository fetch | `Admission`, `AdmissionTicket` (the fetch's [`Call::Fetch`]) | `admit_or_queue`, `admit_from_queue`, `on_fetched`, `Admission::{instance_live, instance_settled}` |
 //! | `lifecycle` | instance start (the first writer of a header), the canonical source an instance pins (once per shard and hash) and the plan compiled from it (once per shard and version), materialising a runtime from committed state, the monitoring reads; blob collection | `PlanCache` | `start_instance` (from admission, the one start path), `pin_source` (start, reconfiguration), `pinned_source` (the one reader of the source: every load, and reconfiguration), `load_or_park` (recovery, adoption: a running instance whose plan cannot be built stops `Stuck`), `count_nonterminal`, `PlanCache::plan` (the one way a plan is obtained: start, load, reconfiguration), `gc_plans` |
-//! | `membership` | shard routing and relays; the fleet protocols the nodes run among themselves — live hand-off (the one `tx::dist` 2PC, this module its host) and crash-driven adoption — and the façade's end of each, its [`Ticket`] | `Membership`, [`MoveReport`], [`FailoverReport`] | `route_report`, `misdirected`, `forward_start`, `on_relayed` ([`Call::Relay`]); from the façade `begin_move`, `begin_adoption`, `give_up`, `move_ticket`, `adoption_ticket`; from the wire `on_dist`, `on_claim`, `on_claim_answered` ([`Call::Claim`]), `on_round_timer` ([`Timer::Round`]); `adopt_orphans`, `repair_handoffs` |
+//! | `membership` | shard routing and relays; the one way an instance changes shards — a claim, landed in one local action beside its receipt, sent by a live source from its move record (rebalance, drain) or by a claimant out of a dead shard's fenced storage (adoption) — the map flip, and the façade's end of each fleet call, its [`Ticket`] | `Membership`, [`MoveReport`], [`FailoverReport`] | `route_report`, `misdirected`, `forward_start`, `on_relayed` ([`Call::Relay`]); from the façade `begin_move`, `begin_adoption`, `set_shard_map`, `give_up`, `move_ticket`, `adoption_ticket`; from the wire `on_claim`, `on_claim_answered` ([`Call::Claim`]); `adopt_orphans`, `repair_handoffs` |
+//! | `package` | what a claim carries: an instance's committed keyspace packaged (header first, its pinned source, its dense range), re-keyed onto the receiver's ids, purged from the source once landed | — | `package_instance`, `claim_bytes`, `rekeyed`, `purge_instance` |
 //! | `recovery` | restart ([`Input::Restart`]): reopen the log, reset volatile state (fleet protocols included), repair hand-offs, reload, re-arm each running instance in one step | — | `recover`, `stored_instances`, `stored_instance_names` |
 //! | `admin` | operator actions on a running instance, one step each: the abort, the repair, and a reconfiguration — the script's new version, the remap onto its plan and the full drain over it | — | `reconfigure`, `abort_waiting_task`, `repair_fact` |
 
@@ -62,6 +63,7 @@ mod evaluate;
 mod lifecycle;
 mod membership;
 mod meta;
+mod package;
 mod recovery;
 mod stats;
 mod step;
@@ -131,8 +133,6 @@ pub(crate) enum Timer {
     },
     /// The open commit window's time is up.
     Window,
-    /// A hand-off round waited one retransmit interval.
-    Round(TxId),
 }
 
 /// What an answered call resumes.
@@ -144,9 +144,9 @@ pub(crate) enum Call {
     /// A misdirected start relayed to its owner: the owner's answer goes
     /// back to the client holding this token.
     Relay(ReplyToken),
-    /// One claim — its adoption's number, its destination, its bytes —
-    /// sent again if no acknowledgement comes.
-    Claim(u64, NodeId, Vec<u8>),
+    /// One claim, by id: a live move's round or an adoption's share,
+    /// sent again if no answer comes while someone waits for it.
+    Claim(TxId),
 }
 
 /// Volatile per-instance runtime state (rebuilt on recovery).
@@ -264,7 +264,7 @@ impl Coordinator {
             repo,
             dispatcher: Dispatcher::new(executors),
             admission: Admission::default(),
-            membership: Membership::new(node, shard),
+            membership: Membership::new(shard),
             config,
             mgr,
             storage,
@@ -347,16 +347,16 @@ impl Coordinator {
                 };
                 self.admit_or_queue(ticket);
             }
-            (EngineMsg::Dist(msg), _) => self.on_dist(msg),
             (
                 EngineMsg::Claim {
-                    dead,
+                    id,
                     epoch,
+                    fenced,
                     writes,
                 },
                 Some(token),
             ) => {
-                let result = self.on_claim(dead, epoch, writes);
+                let result = self.on_claim(id, epoch, fenced, writes);
                 let result = result.map_err(|err| err.to_string());
                 self.reply(token, &EngineMsg::Ack { result });
             }
@@ -554,12 +554,9 @@ impl Node for Coordinator {
                 launch,
             }) => this.on_dispatch_timer(&instance, &path, *launch),
             Input::Fired(Timer::Window) => this.on_batch_window(),
-            Input::Fired(Timer::Round(tx)) => this.on_round_timer(tx),
             Input::Answered(Call::Fetch(ticket), answer) => this.on_fetched(*ticket, answer),
             Input::Answered(Call::Relay(token), answer) => this.on_relayed(token, answer),
-            Input::Answered(Call::Claim(adoption, dest, bytes), answer) => {
-                this.on_claim_answered(adoption, dest, bytes, answer);
-            }
+            Input::Answered(Call::Claim(id), answer) => this.on_claim_answered(id, answer),
         });
         outputs
     }

@@ -1,5 +1,6 @@
 //! Crash recovery: reopen the log, reset everything volatile, repair
-//! stranded hand-offs, reload every stored instance and re-arm each
+//! hand-offs from their move records, reload every stored instance
+//! (a slice an unlanded round holds frozen stays unloaded) and re-arm each
 //! running one in a step: every executing block's attempt bump and the
 //! full drain commit once, then the re-dispatches ship.
 
@@ -9,7 +10,6 @@ use flowscript_tx::{StableStore, TxManager};
 use super::{Admission, Coordinator, InstanceHeader, PlanCache};
 use crate::facts;
 use crate::keys::{self, meta_uid};
-use crate::msg::EngineMsg;
 
 /// The name of every instance with a header in `mgr` — the one
 /// enumeration recovery, orphan adoption, blob GC and dead-shard claims
@@ -79,11 +79,14 @@ impl Coordinator {
             self.membership.forget_moves();
             return;
         }
-        // Hand-off repair: the relay table comes back from the stored
-        // move records, undecided rounds are presumed aborted.
-        let handoff_traffic = self.repair_handoffs();
+        // Hand-off repair: the relay table comes back from the landed
+        // move records, the unlanded rounds with their slices frozen.
+        let unlanded = self.repair_handoffs();
         let mut running = Vec::new();
         for (name, header) in stored_instances(&self.mgr) {
+            if self.membership.freezing(&name).is_some() {
+                continue;
+            }
             let Some(rt) = self.load_or_park(&name, &header) else {
                 continue;
             };
@@ -98,8 +101,8 @@ impl Coordinator {
                 running.push(name);
             }
         }
-        for (to, msg) in handoff_traffic {
-            self.send(to, &EngineMsg::Dist(msg));
+        for id in unlanded {
+            self.send_claim(id);
         }
 
         // Re-dispatch whatever was executing (at-least-once execution,

@@ -44,8 +44,8 @@ pub struct CoordStats {
     /// vanished between scheduling and sending (only a mid-flight
     /// reconfiguration can legitimately cause one).
     pub dropped_dispatches: u64,
-    /// Instances this coordinator handed off to another shard (the 2PC
-    /// moves of live rebalancing, counted at the commit decision).
+    /// Instances this coordinator handed off to another shard (the
+    /// rounds of a live move, counted as each lands).
     pub handoffs: u64,
     /// Forwarded messages dropped at the relay hop cap — two
     /// coordinators whose shard maps disagree (the mid-rebalance state)
@@ -117,8 +117,8 @@ pub(super) struct CoordMetrics {
     /// The chosen executor's load at each placement decision
     /// (`sched.pick_load`).
     pub(super) sched_pick_load: Histogram,
-    /// Virtual nanoseconds the instances of one committed hand-off
-    /// round were unavailable, collect to the destination's ack
+    /// Virtual nanoseconds the instances of one landed hand-off round
+    /// were unavailable, the decision to the destination's answer
     /// (`coord.handoff_pause_ns`; recorded by the source shard, once
     /// per round — a rebalance moves rounds of one, a drain rounds of
     /// up to a batch).

@@ -535,31 +535,32 @@ mod tests {
     }
 
     /// A window of three reports over three instances whose shared step
-    /// cannot take one block's lock (a prepared transaction holds it):
-    /// the step rolls back with its whole cascade — nothing of it is
-    /// published — the two healthy reports then commit alone, cascade
-    /// included, and the third is dropped, to be re-reported by its
-    /// watchdog's retry once the lock is gone.
+    /// cannot take one block's lock (an open action holds it): the step
+    /// rolls back with its whole cascade — nothing of it is published —
+    /// the two healthy reports then commit alone, cascade included, and
+    /// the third is dropped, to be re-reported by its watchdog's retry
+    /// once the lock is gone.
     #[test]
     fn a_rolled_back_window_publishes_nothing_and_retries_report_by_report() {
+        use super::super::step::Step;
         use crate::CbState;
-        use flowscript_tx::TxId;
 
         let mut sys = three_pipelines(None);
-        // While the three `produce`s run, a prepared transaction takes
+        // While the three `produce`s run, a step that stays open takes
         // the write lock of `i3`'s `produce` block.
         sys.run_for(SimDuration::from_millis(5));
         let coord = sys.coord_handle(0);
-        let blocker = TxId::new(99, 1);
+        let mut blocker = Step::default();
         {
-            let mut coordinator = coord.get_mut();
+            let coordinator = &mut *coord.get_mut();
             let (plan, keys) = {
                 let rt = &coordinator.instances["i3"];
                 (rt.plan.clone(), rt.keys.clone())
             };
             let produce = plan.task_by_path("pipeline/produce").unwrap();
-            let locked = vec![(StoreKey::Fact(keys.cb(produce)), None)];
-            coordinator.mgr.prepare_remote(blocker, 99, locked).unwrap();
+            let action = blocker.action(&mut coordinator.mgr);
+            let block = StoreKey::Fact(keys.cb(produce));
+            coordinator.mgr.delete_key(action, &block).unwrap();
         }
         assert_eq!(aborts(&sys), 0);
         // The three reports arrive together and fill the window.
@@ -593,9 +594,14 @@ mod tests {
             .map(|slot| slot.in_flight)
             .sum();
         assert_eq!(in_flight, 3, "two `consume`s and `i3`'s `produce`");
-        // The verdict arrives; the dropped report is the watchdog's to
-        // recover, as if the network had lost it.
-        coord.get_mut().mgr.resolve_remote(blocker, false).unwrap();
+        // The blocker rolls back — a step that errs aborts its action —
+        // and the dropped report is the watchdog's to recover, as if the
+        // network had lost it.
+        let released = coord.get_mut().run_step(|_, step| {
+            *step = blocker;
+            Err::<(), _>(EngineError::Tx("the blocker rolls back".into()))
+        });
+        assert!(released.is_err());
         sys.run();
         for name in ["i1", "i2", "i3"] {
             assert_eq!(sys.outcome(name).expect("completes").name, "done");

@@ -11,8 +11,9 @@
 //! Shard-wide objects sit under `sys/…`: the instance-id sequence, the
 //! canonical sources instances share by content (`sys/src/<hash>`; the
 //! plan an instance runs is its source compiled, and is never stored)
-//! and `sys/move/<tx>`, the record of a hand-off round this shard
-//! coordinates (see [`crate::coordinator`]'s membership protocol).
+//! `sys/move/<id>`, the record of a round this shard decided to move
+//! out, and `sys/claimed/<id>`, the receipt of a claim this shard landed
+//! (see [`crate::coordinator`]'s membership protocol).
 //!
 //! Everything an instance keeps **per task** is dense-keyed by
 //! `(instance id, task id)` — the header assigns the first, the plan the
@@ -52,6 +53,8 @@ pub(crate) const SOURCE_PREFIX: &str = "sys/src/";
 /// The prefix of every hand-off round's move record; a scan of it
 /// yields one source's rounds oldest first.
 pub(crate) const MOVE_PREFIX: &str = "sys/move/";
+/// The prefix of every landed claim's receipt.
+pub(crate) const CLAIMED_PREFIX: &str = "sys/claimed/";
 
 /// An instance name as it appears in a uid: one path segment.
 fn escape(name: &str) -> Cow<'_, str> {
@@ -122,17 +125,26 @@ pub(crate) fn source_blob_hash(uid: &ObjectUid) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
-/// The record of the hand-off round running under distributed
-/// transaction `tx`.
-pub(crate) fn move_uid(tx: TxId) -> StoreKey {
-    key(format!("{MOVE_PREFIX}{:08x}.{:016x}", tx.node(), tx.seq()))
+/// The record of the hand-off round `id` — the id of the action that
+/// decided it.
+pub(crate) fn move_uid(id: TxId) -> StoreKey {
+    key(format!("{MOVE_PREFIX}{:08x}.{:016x}", id.node(), id.seq()))
 }
 
-/// Inverse of [`move_uid`]: the transaction a move-record uid names.
-pub(crate) fn move_tx(uid: &ObjectUid) -> Option<TxId> {
+/// Inverse of [`move_uid`]: the round a move-record uid names.
+pub(crate) fn move_id(uid: &ObjectUid) -> Option<TxId> {
     let (node, seq) = uid.as_str().strip_prefix(MOVE_PREFIX)?.split_once('.')?;
     let node = u32::from_str_radix(node, 16).ok()?;
     Some(TxId::new(node, u64::from_str_radix(seq, 16).ok()?))
+}
+
+/// The receipt of claim `id`, written by the action that landed it.
+pub(crate) fn claimed_uid(id: TxId) -> StoreKey {
+    key(format!(
+        "{CLAIMED_PREFIX}{:08x}.{:016x}",
+        id.node(),
+        id.seq()
+    ))
 }
 
 /// The persistent instance-id allocator.
@@ -331,9 +343,9 @@ mod tests {
             uid(&move_uid(round)).as_str(),
             "sys/move/00000003.0000000100000002"
         );
-        assert_eq!(move_tx(uid(&move_uid(round))), Some(round));
-        assert_eq!(move_tx(uid(&source_uid(1))), None);
-        assert_eq!(move_tx(&ObjectUid::new("sys/move/3")), None);
+        assert_eq!(move_id(uid(&move_uid(round))), Some(round));
+        assert_eq!(move_id(uid(&source_uid(1))), None);
+        assert_eq!(move_id(&ObjectUid::new("sys/move/3")), None);
     }
 
     #[test]

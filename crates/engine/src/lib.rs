@@ -38,13 +38,13 @@
 //! - an **elastic fleet**: epoch-versioned shard maps with hop-capped
 //!   forwarding; [`WorkflowSystem::add_coordinator`] /
 //!   [`WorkflowSystem::rebalance`] / [`WorkflowSystem::remove_coordinator`]
-//!   move running instances between shards as rounds of ONE two-phase
-//!   commit — `flowscript_tx::dist`, hosted by the shards and spoken
-//!   over the simulated network, so a crash, partition or lossy link
-//!   from a fault plan reaches every step — and
-//!   [`WorkflowSystem::adopt_dead_shard`] claims a dead shard's
-//!   instances out of its fenced storage; pauses are virtual time
-//!   ([`MoveReport`]),
+//!   move running instances between shards as rounds of ONE idempotent
+//!   claim — a source's move record is its outbox, a destination lands
+//!   it in one local commit, all spoken over the simulated network, so
+//!   a crash, partition or lossy link from a fault plan reaches every
+//!   step — and [`WorkflowSystem::adopt_dead_shard`] claims a dead
+//!   shard's instances out of its fenced storage the same way; pauses
+//!   are virtual time ([`MoveReport`]),
 //! - a high-level facade, [`WorkflowSystem`], that wires all services
 //!   onto `flowscript-sim` nodes (the paper's Fig. 4 topology). Every
 //!   node — repository, shard, executor, client — is a value that does

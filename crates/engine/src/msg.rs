@@ -5,9 +5,13 @@ use std::collections::BTreeMap;
 
 use flowscript_codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
 use flowscript_sim::SimDuration;
-use flowscript_tx::dist::{AfterImages, DistMsg};
+use flowscript_tx::{StoreKey, TxId};
 
 use crate::value::ObjectVal;
+
+/// A run of after-images: `(key, new bytes or tombstone)` pairs — what
+/// a claim carries, as its sender keyed them.
+pub type AfterImages = Vec<(StoreKey, Option<Vec<u8>>)>;
 
 /// Coordinator → executor: run a task implementation.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,24 +183,24 @@ pub enum EngineMsg {
         /// Admission-queue depth at rejection time (a backoff hint).
         queue_depth: u32,
     },
-    /// Coordinator ↔ coordinator: one message of a live hand-off's
-    /// two-phase commit ([`flowscript_tx::dist`]) — the source shard is
-    /// the 2PC coordinator, the destination its participant. `Prepare`
-    /// carries the moving instances' committed entries as the source
-    /// keyed them; `QueryOutcome` and a re-announced `Decision` are the
-    /// termination traffic after a crash on either side.
-    Dist(DistMsg),
-    /// Claimant → surviving coordinator (an RPC, answered with
-    /// [`EngineMsg::Ack`]): commit these instances, read out of a dead
-    /// shard's fenced storage, as your own. No 2PC — the fence already
-    /// decided.
+    /// Coordinator → coordinator (an RPC, answered with
+    /// [`EngineMsg::Ack`]): commit these instances as your own, in one
+    /// local action that also writes the claim's receipt. The one way an
+    /// instance changes shards: a live source sends it from its move
+    /// record (rebalance, drain), a claimant out of a dead shard's fenced
+    /// storage (adoption). An `Err` answer means nothing was committed.
     Claim {
-        /// Node index of the dead shard the entries came from.
-        dead: u32,
-        /// The membership epoch stamped into the fence.
+        /// The claim's id: a live move's round, or one a claimant minted
+        /// past the dead shard's own. Its node is the shard the entries
+        /// came from.
+        id: TxId,
+        /// The membership epoch the claim was routed under; one below
+        /// the receiver's is refused as stale.
         epoch: u64,
-        /// The instances' committed entries, as the dead shard keyed
-        /// them (same layout as a hand-off `Prepare`).
+        /// Whether a claimant sent it out of a dead shard's fenced
+        /// storage, not a live source.
+        fenced: bool,
+        /// The instances' committed entries, as the sender keyed them.
         writes: AfterImages,
     },
 }
@@ -387,18 +391,16 @@ impl Encode for EngineMsg {
                 w.put_u32(*hops);
                 w.put_len_prefixed(inner);
             }
-            EngineMsg::Dist(msg) => {
-                w.put_u8(9);
-                msg.encode(w);
-            }
             EngineMsg::Claim {
-                dead,
+                id,
                 epoch,
+                fenced,
                 writes,
             } => {
                 w.put_u8(10);
-                w.put_u32(*dead);
+                id.encode(w);
                 w.put_u64(*epoch);
+                w.put_bool(*fenced);
                 writes.encode(w);
             }
             EngineMsg::Busy { queue_depth } => {
@@ -445,10 +447,10 @@ impl Decode for EngineMsg {
                 hops: r.get_u32()?,
                 inner: r.get_len_prefixed()?.to_vec(),
             },
-            9 => EngineMsg::Dist(DistMsg::decode(r)?),
             10 => EngineMsg::Claim {
-                dead: r.get_u32()?,
+                id: TxId::decode(r)?,
                 epoch: r.get_u64()?,
+                fenced: r.get_bool()?,
                 writes: Vec::decode(r)?,
             },
             11 => EngineMsg::Busy {
@@ -467,7 +469,7 @@ impl Decode for EngineMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowscript_tx::{ObjectUid, StoreKey, TxId};
+    use flowscript_tx::ObjectUid;
 
     #[test]
     fn all_messages_roundtrip() {
@@ -547,13 +549,10 @@ mod tests {
                 hops: 2,
                 inner: vec![7, 0, 1],
             },
-            EngineMsg::Dist(DistMsg::Decision {
-                tx: TxId::new(1, 42),
-                commit: true,
-            }),
             EngineMsg::Claim {
-                dead: 3,
+                id: TxId::new(3, 42),
                 epoch: 2,
+                fenced: true,
                 writes: vec![(StoreKey::Uid(ObjectUid::new("inst/i1/meta")), Some(vec![9]))],
             },
             EngineMsg::Busy { queue_depth: 17 },
@@ -565,5 +564,10 @@ mod tests {
                 msg
             );
         }
+        // Tag 9, the retired hand-off 2PC message, is refused typed.
+        assert!(matches!(
+            flowscript_codec::from_bytes::<EngineMsg>(&[9, 0]),
+            Err(CodecError::InvalidDiscriminant { value: 9, .. })
+        ));
     }
 }

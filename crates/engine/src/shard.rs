@@ -24,8 +24,8 @@
 //! [`ShardMap::remove_node`]). Every coordinator of a system starts
 //! from the same epoch-1 map; a rebalance installs a successor map on
 //! all of them after the hand-off protocol (see
-//! [`crate::coordinator::Coordinator`]) has 2PC'd the moving
-//! instances' facts to their new owners. Requests landing on the wrong
+//! [`crate::coordinator::Coordinator`]) has claimed the moving
+//! instances' facts onto their new owners. Requests landing on the wrong
 //! shard are forwarded to the owner, stamped with the forwarder's
 //! epoch, and a hop cap breaks the ping-pong two disagreeing maps
 //! could otherwise sustain mid-flip.

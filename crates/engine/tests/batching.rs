@@ -5,11 +5,11 @@
 //! window and the reference arm (`CommitBatch::disabled`, the window of
 //! one: every report commits, with its cascade, before the next is
 //! looked at); randomized scripts must agree too; the batch metrics
-//! (`coord.batch_size`, `wal.bytes_per_frame`, `tx.group_commits`) must
+//! (`coord.batch_size`, `wal.bytes_per_frame`) must
 //! flow through the metrics snapshot and exports; `Commit` trace events must
 //! carry the batch id; and a coordinator crash in the middle of an open
 //! window must lose the unflushed window **as a unit** — no partial
-//! batch ever visible — while committed group frames replay fully.
+//! batch ever visible — while committed frames replay fully.
 
 mod common;
 
@@ -91,16 +91,12 @@ fn batch_metrics_flow_through_registry_and_exports() {
         .histogram("wal.bytes_per_frame")
         .expect("frame-size histogram present");
     assert!(frame_bytes.count > 0, "appends must sample frame sizes");
-    // A window is one step and a step one commit record, cascade
-    // included: no frame is a multi-record group (only a hand-off
-    // round's decision + purge is one).
-    assert_eq!(snapshot.counter("tx.group_commits"), 0);
     // Export formats carry the new series.
     let json = snapshot.to_json();
     assert!(json.contains("\"coord.batch_size\""));
-    assert!(json.contains("\"tx.group_commits\""));
+    assert!(json.contains("\"wal.bytes_per_frame\""));
     let csv = snapshot.to_csv();
-    assert!(csv.contains("tx.group_commits,counter"));
+    assert!(csv.contains("tx.commits,counter"));
     assert!(csv.contains("coord.batch_size,histogram"));
 }
 

@@ -4,6 +4,9 @@
 //! (Completed or Stuck) — never hang, never corrupt state, never
 //! double-apply an outcome — and runs must be deterministic per seed.
 
+mod common;
+
+use common::assert_one_owner;
 use flowscript_core::samples;
 use flowscript_engine::{
     CbState, EngineConfig, InstanceStatus, ObjectVal, TaskBehavior, WorkflowSystem,
@@ -317,6 +320,7 @@ fn repeated_shard_kills_with_adoption_lose_no_outcomes() {
     let victim = sys.coordinator_nodes()[1];
     sys.crash_now(victim);
     let first = sys.adopt_dead_shard("coordinator1").expect("failover 1");
+    assert_one_owner(&sys, &names[..8], "after failover 1");
 
     // Traffic continues against the shrunken fleet.
     for name in &names[8..] {
@@ -328,9 +332,11 @@ fn repeated_shard_kills_with_adoption_lose_no_outcomes() {
     let victim = sys.coordinator_nodes()[1];
     sys.crash_now(victim);
     let second = sys.adopt_dead_shard("coordinator2").expect("failover 2");
+    assert_one_owner(&sys, &names, "after failover 2");
     assert_eq!(sys.shard_count(), 2);
 
     sys.run();
+    assert_one_owner(&sys, &names, "at the end");
     for (name, expected) in names.iter().zip(&expected) {
         assert_eq!(
             &sys.status(name).unwrap(),

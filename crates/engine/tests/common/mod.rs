@@ -511,15 +511,17 @@ pub fn log_frames(storage: &StableStore) -> Vec<LogRecord> {
     Wal::new(storage.clone()).scan().expect("log scans")
 }
 
-/// Every after-image the commits and prepares of a frame carry, group
-/// members flattened, in log order, as `(key, value)` (`None`: a
-/// delete).
+/// Every after-image a frame's commit carries, in log order, as `(key,
+/// value)` (`None`: a delete).
 pub fn frame_writes(frame: &LogRecord) -> Vec<(&StoreKey, Option<&[u8]>)> {
-    let images = members(frame).into_iter().flat_map(|record| match record {
-        LogRecord::Commit { writes, .. } | LogRecord::Prepare { writes, .. } => writes.as_slice(),
+    let images = match frame {
+        LogRecord::Commit { writes, .. } => writes.as_slice(),
         _ => &[],
-    });
-    images.map(|(key, value)| (key, value.as_deref())).collect()
+    };
+    images
+        .iter()
+        .map(|(key, value)| (key, value.as_deref()))
+        .collect()
 }
 
 /// The value the last commit in a shard's log wrote under the string
@@ -533,50 +535,71 @@ pub fn last_write(storage: &StableStore, uid: &str) -> Option<Vec<u8>> {
 
 /// Where a source keeps its rounds' move records.
 const MOVE_PREFIX: &str = "sys/move/";
+/// Where a destination keeps the receipts of the claims it landed.
+const CLAIMED_PREFIX: &str = "sys/claimed/";
 
-/// A frame's records: itself, or a group frame's members.
-fn members(frame: &LogRecord) -> Vec<&LogRecord> {
-    match frame {
-        LogRecord::GroupCommit { records } => records.iter().flat_map(members).collect(),
-        record => vec![record],
-    }
-}
-
-/// The move records a commit touches: `(uid, true)` for a write,
-/// `(uid, false)` for a delete.
-fn move_record_writes(record: &LogRecord) -> Vec<(String, bool)> {
-    let LogRecord::Commit { writes, .. } = record else {
-        return Vec::new();
-    };
-    let touched = writes
-        .iter()
+/// The keys under `prefix` a frame's commit touches: `(uid, true)` for
+/// a write, `(uid, false)` for a delete.
+fn writes_under(frame: &LogRecord, prefix: &str) -> Vec<(String, bool)> {
+    let touched = frame_writes(frame)
+        .into_iter()
         .map(|(key, value)| (key.to_string(), value.is_some()));
-    touched
-        .filter(|(uid, _)| uid.starts_with(MOVE_PREFIX))
-        .collect()
+    touched.filter(|(uid, _)| uid.starts_with(prefix)).collect()
 }
 
-/// The frames of a shard's log the hand-off protocol put there: a frame
-/// holding a 2PC record (`Prepare`, `Resolve`) or a commit that touches
-/// a move record. Every other frame is the instances' own work, which
-/// keeps landing while a round runs.
+/// The frames of a shard's log the hand-off protocol put there: a
+/// commit that touches a move record (the source's decision, landing,
+/// refusal, re-addressing, and the flip's clean-up) or a claim's receipt
+/// (the destination's landing, and the flip's clean-up). Every other
+/// frame is the instances' own work, which keeps landing while a round
+/// runs.
 pub fn handoff_frames(storage: &StableStore) -> Vec<LogRecord> {
-    let of_the_protocol = |record: &LogRecord| {
-        matches!(
-            record,
-            LogRecord::Prepare { .. } | LogRecord::Resolve { .. }
-        ) || !move_record_writes(record).is_empty()
-    };
     let mut frames = log_frames(storage);
-    frames.retain(|frame| members(frame).into_iter().any(of_the_protocol));
+    frames.retain(|frame| {
+        !writes_under(frame, MOVE_PREFIX).is_empty()
+            || !writes_under(frame, CLAIMED_PREFIX).is_empty()
+    });
     frames
 }
 
 /// Every write and delete of a move record in a shard's log, in order.
 pub fn move_record_history(storage: &StableStore) -> Vec<(String, bool)> {
-    let frames = handoff_frames(storage);
-    let records = frames.iter().flat_map(members);
-    records.flat_map(move_record_writes).collect()
+    let frames = log_frames(storage);
+    frames
+        .iter()
+        .flat_map(|frame| writes_under(frame, MOVE_PREFIX))
+        .collect()
+}
+
+/// The one-owner invariant: no instance of `names` has two owners among
+/// the shards serving (up, unfenced) — an owner being a shard it is
+/// resident on, or one holding it frozen in an unlanded move round — and
+/// while every shard serves, each has exactly one. `when` names the
+/// check in a failure.
+pub fn assert_one_owner(sys: &WorkflowSystem, names: &[String], when: &str) {
+    let serving = sys.serving_shards();
+    let everyone = serving.len() == sys.shard_count();
+    let holders: Vec<(usize, Vec<String>)> = serving
+        .into_iter()
+        .map(|shard| {
+            let coord = sys.coord_handle(shard);
+            let coord = coord.get();
+            let mut held = coord.instance_names();
+            held.extend(coord.frozen_instance_names());
+            (shard, held)
+        })
+        .collect();
+    for name in names {
+        let copies: Vec<usize> = holders
+            .iter()
+            .flat_map(|(shard, held)| held.iter().filter(|n| *n == name).map(move |_| *shard))
+            .collect();
+        assert!(
+            copies.len() <= 1 && (copies.len() == 1 || !everyone),
+            "{when}: {name} has {} owners among the serving shards: {copies:?}",
+            copies.len()
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -1,20 +1,21 @@
 //! Live shard rebalancing: adding a coordinator under load must move
-//! running instances to the new owner as 2PC hand-offs without losing
-//! or duplicating a single outcome — per-instance results must be
-//! byte-identical to a run that never rebalanced. A crash on either
-//! side of a half-finished hand-off — scheduled through the simulator's
-//! fault plan, never by calling a protocol step — must recover to
-//! exactly one converged owner (presumed abort before the decision,
-//! destination adoption after it). And deliberately skewed shard maps — the state
-//! a buggy flip would leave behind — must not ping-pong a message
-//! forever: the hop cap drops it and counts the loop.
+//! running instances to the new owner — each a claim sent from the
+//! source's move record — without losing or duplicating a single
+//! outcome: per-instance results must be byte-identical to a run that
+//! never rebalanced. A crash on either side of a half-finished round —
+//! scheduled through the simulator's fault plan, never by calling a
+//! protocol step — must converge to exactly one owner (nothing moves
+//! before the record commits; after it, the round is claimed again
+//! until answered). And deliberately skewed shard maps — the state a
+//! buggy flip would leave behind — must not ping-pong a message forever:
+//! the hop cap drops it and counts the loop.
 
 mod common;
 
 use std::collections::BTreeMap;
 
 use common::{
-    build_orders, det_config, det_link, handoff_frames, move_record_history,
+    assert_one_owner, build_orders, det_config, det_link, handoff_frames, move_record_history,
     order_population as population, settled, start_population, text,
 };
 use flowscript_codec::ByteWriter;
@@ -53,35 +54,33 @@ fn live_rebalance_preserves_every_outcome() {
         .count();
     assert!(live_before > 0, "rebalance must catch running instances");
 
-    let rounds_before = sys.metrics_snapshot().counter("tx.two_pc_rounds");
     let report = sys.add_coordinator("coordinator2").expect("rebalance");
+    assert_one_owner(&sys, &population(), "after the rebalance");
     assert!(report.moved > 0, "the new shard must take over instances");
     assert_eq!(report.moved, report.pause_ns.len());
-    // A rebalance moves one instance per round, and a round logs one
-    // decision, one prepare, one resolve.
-    assert_eq!(
-        sys.metrics_snapshot().counter("tx.two_pc_rounds") - rounds_before,
-        (3 * report.rounds) as u64,
-        "the protocol's durable steps per round must not move"
-    );
-    // Which is all the protocol ever logged here: two frames per round
-    // at the joiner — prepare, resolve — and two at its source, the
-    // move record's commit and the decision with the purge. The flip
-    // then deletes a source's records in one more.
+    // A rebalance moves one instance per round, and that is all the
+    // protocol ever logged here: one frame per round at the joiner —
+    // the claim landed beside its receipt — and two at its source, the
+    // move record and the landing (the purge, the record marked
+    // landed). The flip then deletes a source's records in one more.
     let storages = sys.shard_storages();
     let frames: Vec<usize> = storages.iter().map(|s| handoff_frames(s).len()).collect();
     let sources = (0..2).filter(|&shard| sys.shard_stats(shard).handoffs > 0);
     assert_eq!(
         (frames[2], frames[0] + frames[1]),
-        (2 * report.rounds, 2 * report.rounds + sources.count()),
+        (report.rounds, 2 * report.rounds + sources.count()),
         "{frames:?}"
     );
     for (shard, storage) in storages.iter().enumerate() {
         let history = move_record_history(storage);
         let (written, deleted): (Vec<_>, Vec<_>) = history.iter().partition(|(_, write)| *write);
-        assert_eq!(written.len(), sys.shard_stats(shard).handoffs as usize);
+        // Each record is written twice, decided then landed, and the
+        // flip deletes it.
+        assert_eq!(written.len(), 2 * sys.shard_stats(shard).handoffs as usize);
+        let mut decided: Vec<_> = written.iter().map(|(uid, _)| uid).collect();
+        decided.dedup();
         assert_eq!(
-            written.iter().map(|(uid, _)| uid).collect::<Vec<_>>(),
+            decided,
             deleted.iter().map(|(uid, _)| uid).collect::<Vec<_>>(),
             "shard {shard}: the flip leaves no move record behind"
         );
@@ -92,7 +91,7 @@ fn live_rebalance_preserves_every_outcome() {
     assert_eq!(
         sys.stats().handoffs,
         report.moved as u64,
-        "every move counted exactly once, at its commit decision"
+        "every move counted exactly once, as it landed"
     );
 
     sys.run();
@@ -116,6 +115,7 @@ fn added_shard_serves_new_instances() {
     start_population(&mut sys, &population());
     sys.run_until(SimTime::from_nanos(20_000_000));
     sys.add_coordinator("coordinator2").expect("rebalance");
+    assert_one_owner(&sys, &population(), "after the rebalance");
 
     // New arrivals route by the flipped map; some must land on the new
     // shard, and everything — moved, resident and new — completes.
@@ -161,6 +161,7 @@ fn an_instance_named_under_anothers_prefix_moves_alone() {
     }
     sys.run_until(SimTime::from_nanos(20_000_000));
     let report = sys.add_coordinator("coordinator2").expect("rebalance");
+    assert_one_owner(&sys, &names, "after the rebalance");
     assert_eq!((report.moved, report.rounds), (2, 2));
     for name in &names {
         assert_eq!(sys.shard_of(name), 2, "{name} is won by the joiner");
@@ -183,6 +184,7 @@ fn moved_instance_is_reconfigured_on_a_shard_that_never_ran_its_script() {
     start_population(&mut sys, std::slice::from_ref(&name));
     sys.run_until(SimTime::from_nanos(20_000_000));
     let report = sys.add_coordinator("coordinator2").expect("rebalance");
+    assert_one_owner(&sys, std::slice::from_ref(&name), "after the rebalance");
     assert_eq!((report.moved, sys.shard_of(&name)), (1, 2));
     let joiner = sys.coord_handle(2);
     assert_eq!(
@@ -248,6 +250,7 @@ fn map_naming_a_non_coordinator_moves_nothing() {
     );
 
     let err = sys.rebalance(bad).expect_err("a bad map must be refused");
+    assert_one_owner(&sys, &population(), "after the refusal");
     assert!(err.to_string().contains("runs no coordinator"), "{err}");
     assert_eq!(sys.stats().handoffs, 0, "nothing may move on a bad map");
     assert_eq!(resident(&sys), before, "every instance stays where it was");
@@ -271,6 +274,7 @@ fn map_with_a_stale_epoch_moves_nothing() {
     start_population(&mut sys, &population());
     sys.run_until(SimTime::from_nanos(20_000_000));
     sys.add_coordinator("coordinator2").expect("rebalance");
+    assert_one_owner(&sys, &population(), "after the rebalance");
     assert_eq!(sys.shard_map().epoch(), 2);
     let resident = |sys: &WorkflowSystem| -> Vec<Vec<String>> {
         (0..3)
@@ -332,6 +336,7 @@ fn interrupted_join_resumes_under_the_same_name() {
 
     sys.restart_now(victim);
     let report = sys.add_coordinator("coordinator2").expect("resumed join");
+    assert_one_owner(&sys, &population(), "after the resumed join");
     assert_eq!(report.epoch, 2, "the same successor map, not a third one");
     assert_eq!(sys.shard_count(), 3, "one coordinator2, not two");
     assert_eq!(sys.shard_map().shard_count(), 3);
@@ -369,42 +374,48 @@ fn swapping_rebalance() -> (WorkflowSystem, ShardMap) {
     (sys, swapped)
 }
 
-/// Crash the *source* after it logged the hand-off intent but before
-/// the decision (its `Prepare` is still on the wire): recovery must
-/// presume abort, keep the instance, and finish it locally.
+/// A successor map may list the same nodes in another order: the
+/// façade routes by the owner's node, not by its position in the map,
+/// so every instance still answers `status()` after the flip. (It used
+/// to index the coordinators by map position: after this swap, all 24
+/// answered `UnknownInstance`.)
 #[test]
-fn source_crash_before_decision_presumes_abort() {
+fn a_reordered_map_routes_to_the_owner() {
+    let (mut sys, swapped) = swapping_rebalance();
+    sys.rebalance(swapped).expect("clean rebalance");
+    assert_one_owner(&sys, &population(), "after the rebalance");
+    sys.run();
+    for name in population() {
+        let owner = sys.coord_handle(sys.shard_of(&name));
+        assert!(owner.get().instance_names().contains(&name), "{name}");
+        let status = sys.status(&name).unwrap();
+        assert!(
+            matches!(status, InstanceStatus::Completed(_)),
+            "{name}: {status:?}"
+        );
+    }
+}
+
+/// Crash the *source* before its first round's record commits — the
+/// trigger finds it down: nothing is decided, nothing leaves, nothing is
+/// logged, and the restarted shard finishes every instance itself.
+#[test]
+fn source_crash_before_its_record_commits_moves_nothing() {
     let (mut sys, swapped) = swapping_rebalance();
     let src_node = sys.coordinator_nodes()[0];
     let before = sys.coord_handle(0).get().instance_names();
     let source_log = sys.shard_storages()[0].clone();
 
-    let at = sys.now() + SimDuration::from_micros(100);
-    sys.apply_faults(&FaultPlan::new().at(at, FaultAction::Crash(src_node)));
-    sys.rebalance(swapped)
-        .expect_err("the source died mid-round");
+    sys.crash_now(src_node);
+    let err = sys.rebalance(swapped).expect_err("the source is down");
+    assert!(err.to_string().contains("is down"), "{err}");
     sys.restart_now(src_node);
+    assert_one_owner(&sys, &population(), "after the restart");
     sys.run();
 
-    // The round's move record was durable, and recovery — finding no
-    // decision for it — deleted it: its write and its delete are all
-    // the round left in the source's log, and no record is left over.
-    let history = move_record_history(&source_log);
-    let [(written, true), (deleted, false)] = history.as_slice() else {
-        panic!("one write, one delete: {history:?}");
-    };
-    assert_eq!(written, deleted);
-    assert_eq!(handoff_frames(&source_log).len(), 2);
-    // Presumed abort: nothing left the source, nothing leaked to the
-    // destination, and recovery finished every instance.
+    assert!(move_record_history(&source_log).is_empty());
     assert_eq!(sys.coord_handle(0).get().instance_names(), before);
-    for name in &before {
-        assert!(
-            !sys.coord_handle(1).get().instance_names().contains(name),
-            "the aborted move must not leak {name} to the destination"
-        );
-    }
-    assert_eq!(sys.shard_stats(0).handoffs, 0, "no commit, no count");
+    assert_eq!(sys.shard_stats(0).handoffs, 0, "nothing landed");
     for name in population() {
         let status = sys.status(&name).unwrap();
         assert!(
@@ -414,30 +425,34 @@ fn source_crash_before_decision_presumes_abort() {
     }
 }
 
-/// Crash the *destination* between its yes-vote and hearing the
-/// commit: its restart finds the in-doubt stage, asks the source (the
-/// 2PC coordinator), learns `commit`, and adopts the instance — which
-/// then finishes on its new owner, fed by relayed executor reports.
+/// Crash the *source* after its first round's record commits, while
+/// the claim is on the wire: the destination lands it and answers into
+/// the crash. The restarted source keeps the slice frozen and unloaded,
+/// claims it once, hears the receipt and lands the round — the
+/// instance finishes at its destination, never back at the source.
 #[test]
-fn destination_crash_after_commit_converges_to_destination() {
+fn source_crash_after_its_record_commits_lands_on_restart() {
     let (mut sys, swapped) = swapping_rebalance();
-    let dest_node = sys.coordinator_nodes()[1];
+    let src_node = sys.coordinator_nodes()[0];
+    let source_log = sys.shard_storages()[0].clone();
     let before = sys.coord_handle(1).get().instance_names();
 
-    // The `Prepare` lands one hop in (200 µs); the decision would land
-    // at three.
-    let at = sys.now() + SimDuration::from_micros(300);
-    sys.apply_faults(&FaultPlan::new().at(at, FaultAction::Crash(dest_node)));
+    let at = sys.now() + SimDuration::from_micros(100);
+    sys.apply_faults(&FaultPlan::new().at(at, FaultAction::Crash(src_node)));
     sys.rebalance(swapped)
-        .expect_err("the destination died before acknowledging");
-    // The decision is durable at the source; the destination crashed
-    // without ever applying it.
-    assert_eq!(sys.shard_stats(0).handoffs, 1);
-    sys.restart_now(dest_node);
+        .expect_err("the source died mid-round");
+    assert_eq!(sys.shard_stats(0).handoffs, 0, "no answer reached it");
+    sys.restart_now(src_node);
     sys.run();
+    assert_one_owner(&sys, &population(), "after the restart");
 
-    // The restarted destination chased its in-doubt stage, heard
-    // `commit`, and adopted.
+    // The record, written decided and then landed; no flip deleted it.
+    let history = move_record_history(&source_log);
+    let [(decided, true), (landed, true)] = history.as_slice() else {
+        panic!("one decision, one landing: {history:?}");
+    };
+    assert_eq!(decided, landed);
+    assert_eq!(sys.shard_stats(0).handoffs, 1);
     let dest = sys.coord_handle(1);
     let arrived: Vec<String> = dest
         .get()
@@ -446,13 +461,9 @@ fn destination_crash_after_commit_converges_to_destination() {
         .filter(|name| !before.contains(name))
         .collect();
     let [name] = &arrived[..] else {
-        panic!("exactly the one committed move must land: {arrived:?}");
+        panic!("exactly the one decided round must land: {arrived:?}");
     };
-    assert!(
-        !sys.coord_handle(0).get().instance_names().contains(name),
-        "the source must have purged the moved instance"
-    );
-    assert_eq!(sys.shard_stats(0).handoffs, 1);
+    assert!(!sys.coord_handle(0).get().instance_names().contains(name));
     // The map was never flipped (the rebalance failed), so ask the new
     // owner directly.
     let status = dest.get_mut().status(name).unwrap();
@@ -460,6 +471,101 @@ fn destination_crash_after_commit_converges_to_destination() {
         matches!(status, InstanceStatus::Completed(_)),
         "{name}: {status:?}"
     );
+    assert_eq!(sys.stats().forward_loops, 0);
+}
+
+/// A source that dies with a round decided — its claim landed, the
+/// answer lost — and is adopted, not restarted: the claimant finds the
+/// unlanded move record in the dead storage and claims the round, under
+/// its own id, from its destination, which the adoption's map keeps —
+/// not from the name's owner under that map, which would land a second
+/// copy. The receipt answers, and the one copy finishes where it landed.
+#[test]
+fn a_source_adopted_mid_round_leaves_one_copy() {
+    let mut sys = build(3);
+    let nodes = sys.coordinator_nodes().to_vec();
+    let mut moved = sys.shard_map().clone();
+    moved.remove_node(nodes[0]);
+    moved.add_node(nodes[0]);
+    let mut adopting = sys.shard_map().clone();
+    adopting.remove_node(nodes[1]);
+    // A name shard 1 owns, the rebalance moves to shard 0, and the
+    // adoption's map would give to shard 2.
+    let name = (0..)
+        .map(|i| format!("order-x{i}"))
+        .find(|name| {
+            sys.shard_map().node_of(name) == nodes[1]
+                && moved.node_of(name) == nodes[0]
+                && adopting.node_of(name) == nodes[2]
+        })
+        .expect("some name the three maps place so");
+    let names = [name.clone()];
+    start_population(&mut sys, &names);
+    sys.run_until(SimTime::from_nanos(20_000_000));
+
+    let at = sys.now() + SimDuration::from_micros(100);
+    sys.apply_faults(&FaultPlan::new().at(at, FaultAction::Crash(nodes[1])));
+    sys.rebalance(moved).expect_err("the source died mid-round");
+    let destination = sys.coord_handle(0);
+    assert!(destination.get().instance_names().contains(&name), "landed");
+    sys.adopt_dead_shard("coordinator1").expect("failover");
+    assert_one_owner(&sys, &names, "after the failover");
+    sys.run();
+    assert_one_owner(&sys, &names, "at the end");
+    let status = destination.get_mut().status(&name).unwrap();
+    assert!(
+        matches!(status, InstanceStatus::Completed(_)),
+        "{name}: {status:?}"
+    );
+}
+
+/// Crash the *destination* after it landed the first round: its answer
+/// left before the crash, so the round lands at the source. The next
+/// round's claim meets the crashed node and waits, frozen at the
+/// source. The destination restarts with what it landed, the operator
+/// runs the rebalance again — claiming the waiting round first — and
+/// everything converges, every instance on exactly one shard.
+#[test]
+fn destination_crash_after_landing_converges_to_destination() {
+    let (mut sys, swapped) = swapping_rebalance();
+    let dest_node = sys.coordinator_nodes()[1];
+    let before = sys.coord_handle(1).get().instance_names();
+
+    // The claim lands one hop in (200 µs); its answer is on the wire
+    // when the destination dies.
+    let at = sys.now() + SimDuration::from_micros(300);
+    sys.apply_faults(&FaultPlan::new().at(at, FaultAction::Crash(dest_node)));
+    sys.rebalance(swapped.clone())
+        .expect_err("the destination died mid-rebalance");
+    assert_eq!(sys.shard_stats(0).handoffs, 1, "the first round landed");
+    assert_eq!(
+        sys.coord_handle(0).get().frozen_instance_names().len(),
+        1,
+        "the second round waits, decided"
+    );
+    sys.restart_now(dest_node);
+    let dest = sys.coord_handle(1);
+    let arrived: Vec<String> = dest
+        .get()
+        .instance_names()
+        .into_iter()
+        .filter(|name| !before.contains(name))
+        .collect();
+    let [name] = &arrived[..] else {
+        panic!("exactly the landed round comes back: {arrived:?}");
+    };
+    assert!(!sys.coord_handle(0).get().instance_names().contains(name));
+
+    sys.rebalance(swapped).expect("the re-run converges");
+    assert_one_owner(&sys, &population(), "after the re-run");
+    sys.run();
+    for name in population() {
+        let status = sys.status(&name).unwrap();
+        assert!(
+            matches!(status, InstanceStatus::Completed(_)),
+            "{name}: {status:?}"
+        );
+    }
     assert_eq!(sys.stats().forward_loops, 0);
 }
 
@@ -478,7 +584,7 @@ fn skewed_maps_trip_the_forward_loop_guard() {
         .map(|i| format!("ping-{i}"))
         .find(|name| skewed.node_of(name) == nodes[1] && straight.node_of(name) == nodes[0])
         .expect("some name the two maps route at each other");
-    sys.coord_handle(0).get_mut().set_shard_map(skewed);
+    sys.set_shard_map_of(0, skewed);
 
     // Shard 0 forwards to shard 1 (its skewed map says so); shard 1
     // forwards straight back. Without the cap this never terminates.

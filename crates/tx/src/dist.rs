@@ -1,31 +1,26 @@
-//! Presumed-abort two-phase commit.
+//! Presumed-abort two-phase commit, as a pure state machine: callers
+//! feed it votes, acks and time-outs, and it emits [`CoordAction`]s
+//! (messages to send, decisions to persist). Keeping I/O outside makes
+//! the protocol unit-testable in isolation and reusable over any
+//! transport.
 //!
-//! When the engine shards its coordination objects over several execution-
-//! service nodes, a workflow state transition touches more than one
-//! [`crate::TxManager`] and must commit atomically across them. This module
-//! provides the coordinator as a *pure state machine*: callers feed it
-//! votes/acks/timeouts and it emits [`CoordAction`]s (messages to send,
-//! decisions to persist). Keeping I/O outside makes the protocol unit-
-//! testable in isolation and reusable over any transport.
-//!
-//! The engine hosts it in `flowscript-engine`'s `coordinator::membership`:
-//! a live instance hand-off (rebalance, planned drain) is a transaction of
-//! this protocol, the source shard holding the [`Coordinator`], the
-//! destination its one participant, [`DistMsg`] travelling inside the
-//! engine's own message type over the simulated network, and a constant-
-//! interval node timer driving [`Coordinator::on_timeout`]. The workspace's
-//! `tests/two_phase_commit.rs` models the same host in miniature.
+//! **Ledger-pinned.** Nothing in the workspace runs it: the engine moves
+//! an instance between shards as an idempotent claim, one local commit
+//! at the destination, and the transaction manager keeps no prepared
+//! stage and no decision record. The module stays whole only because the
+//! perf ledger's `dist.round_ns` probe drives a [`Coordinator`] round,
+//! and goes when that probe does.
 //!
 //! Protocol summary (presumed abort):
 //!
 //! 1. Coordinator sends `Prepare` with each participant's writes.
-//! 2. Participants durably prepare ([`crate::TxManager::prepare_remote`])
-//!    and vote. A participant that cannot prepare votes no.
+//! 2. Participants durably stage the writes and vote. A participant
+//!    that cannot stage them votes no.
 //! 3. On all-yes the coordinator *first persists* the commit decision,
 //!    then sends `Decision{commit: true}`. On any no / timeout it sends
 //!    `Decision{commit: false}` without persisting (absence ⇒ abort).
-//! 4. Participants resolve ([`crate::TxManager::resolve_remote`]) and ack;
-//!    the coordinator retries decisions until all acks arrive.
+//! 4. Participants apply or drop the staged writes and ack; the
+//!    coordinator retries decisions until all acks arrive.
 //! 5. A recovering in-doubt participant queries the coordinator; a missing
 //!    decision record means abort.
 
@@ -204,7 +199,7 @@ pub type AfterImages = Vec<(StoreKey, Option<Vec<u8>>)>;
 /// Decisions that must survive coordinator crashes are emitted as
 /// [`CoordAction::PersistDecision`]; after a crash, rebuild with
 /// [`Coordinator::new`] and answer in-doubt queries from the persisted
-/// decisions (see [`crate::TxManager::coordinator_decision`]).
+/// decisions.
 #[derive(Debug)]
 pub struct Coordinator {
     node: u32,

@@ -17,8 +17,8 @@
 //!   survives simulated node crashes — or file-backed), shared through
 //!   one cell type and erased to one handle, [`StableStore`],
 //! - recovery: replaying the log rebuilds the committed store exactly,
-//! - [`dist`]: presumed-abort two-phase commit for coordination state
-//!   sharded across nodes.
+//! - [`dist`]: a presumed-abort two-phase-commit state machine nothing
+//!   in the workspace runs, kept for the perf ledger's probe.
 //!
 //! # Examples
 //!

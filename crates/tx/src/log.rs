@@ -2,14 +2,12 @@
 //!
 //! Uncommitted data never reaches the object store (no-steal), so the log
 //! only needs *redo* information: the after-images of committed writes.
-//! Recovery replays commits in order, starting from the newest checkpoint.
-//! Prepared distributed transactions are additionally logged so in-doubt
-//! participants can be resolved after a crash (see [`crate::dist`]).
+//! Recovery replays commits in order, starting from the newest checkpoint;
+//! a fence tells a shard another node claimed its storage.
 //!
 //! # After-image lists
 //!
-//! A commit's writes, a prepare's staged writes and a checkpoint's
-//! states share one encoding: a varint count, then one entry per image
+//! A commit's writes and a checkpoint's states share one encoding: a varint count, then one entry per image
 //! in list order. Each entry's key is written relative to the key
 //! before it in the same list — the shared-prefix key coding of
 //! LevelDB's table blocks, scoped to one record — so a run of writes to
@@ -66,26 +64,10 @@ pub enum LogRecord {
         /// not mint them again.
         next_seq: u64,
     },
-    /// A 2PC participant prepared this transaction (vote "yes" is durable).
-    Prepare {
-        /// The distributed transaction.
-        tx: TxId,
-        /// Coordinator node, for in-doubt resolution after recovery.
-        coordinator: u32,
-        /// Staged after-images, applied only on a later `Resolve{commit}`.
-        writes: Vec<(StoreKey, Option<Vec<u8>>)>,
-    },
-    /// Outcome of a prepared transaction.
-    Resolve {
-        /// The distributed transaction.
-        tx: TxId,
-        /// `true` = commit, `false` = abort.
-        committed: bool,
-    },
-    /// Several records made durable as one frame: a coordinator's
-    /// commit decision and the commit of the action it was staged in,
-    /// `[Resolve, Commit]`. A torn frame loses both — recovery never sees
-    /// one without the other. Groups do not nest.
+    /// Several records made durable as one frame. Nothing writes one
+    /// and replay refuses one: the variant and its codec are kept only
+    /// because the perf ledger names them (its log-shape probe), and go
+    /// when it stops.
     GroupCommit {
         /// The grouped records, in log order.
         records: Vec<LogRecord>,
@@ -119,8 +101,8 @@ const OBJ_VARINT: u8 = 7;
 /// Header bit: the image deletes its key.
 const TOMBSTONE: u8 = 0x80;
 
-/// What an after-image list holds against each key: a commit's or a
-/// prepare's new bytes or deletion, a checkpoint's live bytes.
+/// What an after-image list holds against each key: a commit's new
+/// bytes or deletion, a checkpoint's live bytes.
 trait Image {
     /// Whether a list of these may delete a key.
     const DELETES: bool;
@@ -287,15 +269,14 @@ fn get_u32(r: &mut ByteReader<'_>) -> Result<u32, CodecError> {
     u32::try_from(r.get_var_u64()?).map_err(|_| CodecError::VarintOverflow)
 }
 
-// Record tags. `0`, `1` and `2` (commit, checkpoint and prepare with
-// every key spelled whole) and `5` and `6` are retired: a log holding
-// them is refused, never misread.
-const TAG_RESOLVE: u8 = 3;
+// Record tags. `0`, `1` and `2` (commit, checkpoint and a 2PC prepare
+// with every key spelled whole), `3` and `10` (the 2PC resolve and
+// prepare) and `5` and `6` are retired: a log holding them is refused,
+// never misread.
 const TAG_GROUP_COMMIT: u8 = 4;
 const TAG_FENCE: u8 = 7;
 const TAG_COMMIT: u8 = 8;
 const TAG_CHECKPOINT: u8 = 9;
-const TAG_PREPARE: u8 = 10;
 
 impl Encode for LogRecord {
     fn encode(&self, w: &mut ByteWriter) {
@@ -309,21 +290,6 @@ impl Encode for LogRecord {
                 w.put_u8(TAG_CHECKPOINT);
                 encode_images(w, states);
                 w.put_var_u64(*next_seq);
-            }
-            LogRecord::Prepare {
-                tx,
-                coordinator,
-                writes,
-            } => {
-                w.put_u8(TAG_PREPARE);
-                tx.encode(w);
-                w.put_u32(*coordinator);
-                encode_images(w, writes);
-            }
-            LogRecord::Resolve { tx, committed } => {
-                w.put_u8(TAG_RESOLVE);
-                tx.encode(w);
-                w.put_bool(*committed);
             }
             LogRecord::GroupCommit { records } => {
                 w.put_u8(TAG_GROUP_COMMIT);
@@ -348,15 +314,6 @@ impl Decode for LogRecord {
             TAG_CHECKPOINT => Ok(LogRecord::Checkpoint {
                 states: decode_images(r)?,
                 next_seq: r.get_var_u64()?,
-            }),
-            TAG_PREPARE => Ok(LogRecord::Prepare {
-                tx: TxId::decode(r)?,
-                coordinator: r.get_u32()?,
-                writes: decode_images(r)?,
-            }),
-            TAG_RESOLVE => Ok(LogRecord::Resolve {
-                tx: TxId::decode(r)?,
-                committed: r.get_bool()?,
             }),
             TAG_GROUP_COMMIT => Ok(LogRecord::GroupCommit {
                 records: Vec::decode(r)?,
@@ -439,8 +396,7 @@ impl<S: Storage> Wal<S> {
     }
 
     /// Replaces the entire log with a checkpoint of `states` and the
-    /// writer's `next_seq`, followed by the `pending` records (log
-    /// compaction): the new tail is appended
+    /// writer's `next_seq` (log compaction): the checkpoint is appended
     /// behind the old log, read back, and then written over a log
     /// truncated to zero. **Not crash-atomic**: a crash after the
     /// truncation and before the final append loses the log. The fix
@@ -453,13 +409,9 @@ impl<S: Storage> Wal<S> {
         &mut self,
         states: Vec<(StoreKey, Vec<u8>)>,
         next_seq: u64,
-        pending: Vec<LogRecord>,
     ) -> Result<(), TxError> {
         let old_len = self.storage.len();
         self.append(&LogRecord::Checkpoint { states, next_seq })?;
-        for record in &pending {
-            self.append(record)?;
-        }
         // Move the new tail to the front by rewriting storage wholesale.
         let bytes = self.storage.read_all()?;
         let tail = bytes[old_len as usize..].to_vec();
@@ -490,21 +442,13 @@ mod tests {
         }
     }
 
-    /// A coordinator's commit decision record.
-    fn decision(seq: u64) -> LogRecord {
-        LogRecord::Resolve {
-            tx: TxId::new(0, seq),
-            committed: true,
-        }
-    }
-
     #[test]
     fn append_scan_roundtrip() {
         let mut wal = Wal::new(MemStorage::new());
         wal.append(&sample_commit(1)).unwrap();
-        wal.append(&LogRecord::Resolve {
-            tx: TxId::new(1, 2),
-            committed: true,
+        wal.append(&LogRecord::Fence {
+            claimant: 1,
+            epoch: 2,
         })
         .unwrap();
         let records = wal.scan().unwrap();
@@ -547,7 +491,7 @@ mod tests {
             wal.append(&sample_commit(seq)).unwrap();
         }
         let big = wal.size_bytes();
-        wal.rewrite_with_checkpoint(vec![(uid("a"), vec![9])], 50, vec![])
+        wal.rewrite_with_checkpoint(vec![(uid("a"), vec![9])], 50)
             .unwrap();
         assert!(wal.size_bytes() < big);
         let records = wal.scan().unwrap();
@@ -559,41 +503,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_preserves_pending_records() {
-        let mut wal = Wal::new(MemStorage::new());
-        wal.append(&sample_commit(1)).unwrap();
-        let prepare = LogRecord::Prepare {
-            tx: TxId::new(2, 9),
-            coordinator: 0,
-            writes: vec![(uid("x"), Some(vec![7]))],
-        };
-        wal.rewrite_with_checkpoint(vec![], 2, vec![prepare.clone()])
-            .unwrap();
-        let records = wal.scan().unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[1], prepare);
-    }
-
-    #[test]
-    fn torn_group_frame_drops_whole_group() {
-        let mut wal = Wal::new(MemStorage::new());
-        wal.append(&sample_commit(1)).unwrap();
-        wal.append(&LogRecord::GroupCommit {
-            records: vec![decision(2), sample_commit(3)],
-        })
-        .unwrap();
-        let mut storage = wal.storage;
-        let len = storage.len();
-        // Tear off the frame tail: the whole group vanishes as a unit,
-        // never a prefix of its member records.
-        storage.truncate(len - 3).unwrap();
-        let wal = Wal::new(storage);
-        let records = wal.scan().unwrap();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0], sample_commit(1));
-    }
-
-    #[test]
     fn all_record_kinds_roundtrip() {
         let records = vec![
             sample_commit(3),
@@ -601,17 +510,8 @@ mod tests {
                 states: vec![(uid("s"), vec![1])],
                 next_seq: 300,
             },
-            LogRecord::Prepare {
-                tx: TxId::new(1, 4),
-                coordinator: 7,
-                writes: vec![],
-            },
-            LogRecord::Resolve {
-                tx: TxId::new(1, 4),
-                committed: false,
-            },
             LogRecord::GroupCommit {
-                records: vec![decision(5), sample_commit(6)],
+                records: vec![sample_commit(5), sample_commit(6)],
             },
             LogRecord::Fence {
                 claimant: 4,
@@ -634,7 +534,7 @@ mod tests {
             );
         }
         // Retired tags are refused typed, never misread.
-        for tag in [0u8, 1, 2, 5, 6] {
+        for tag in [0u8, 1, 2, 3, 5, 6, 10] {
             assert!(matches!(
                 flowscript_codec::from_bytes::<LogRecord>(&[tag]),
                 Err(CodecError::InvalidDiscriminant { .. })
@@ -680,14 +580,6 @@ mod tests {
         \x00\x07\x06status\x01\x02\
         \x89\xAC\x02\x00\x00";
 
-    fn golden_prepare() -> LogRecord {
-        LogRecord::Prepare {
-            tx: TxId::new(1, 4),
-            coordinator: 2,
-            writes: golden_writes(),
-        }
-    }
-
     fn golden_checkpoint() -> LogRecord {
         let states = golden_writes()
             .into_iter()
@@ -719,7 +611,7 @@ mod tests {
         // Whole keys and `Option` tags (tag, tx, list) took half again.
         let whole_keys = 1 + flowscript_codec::to_bytes(&(TxId::new(0, 7), golden_writes())).len();
         assert_eq!((GOLDEN_COMMIT.len(), whole_keys), (53, 79));
-        for record in [golden_commit(), golden_prepare(), golden_checkpoint()] {
+        for record in [golden_commit(), golden_checkpoint()] {
             assert_eq!(
                 decode(&flowscript_codec::to_bytes(&record)).unwrap(),
                 record
@@ -750,7 +642,7 @@ mod tests {
 
     #[test]
     fn every_truncation_of_a_golden_payload_is_a_typed_error() {
-        for record in [golden_commit(), golden_prepare(), golden_checkpoint()] {
+        for record in [golden_commit(), golden_checkpoint()] {
             let bytes = flowscript_codec::to_bytes(&record);
             for len in 0..bytes.len() {
                 assert!(

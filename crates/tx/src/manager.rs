@@ -1,6 +1,6 @@
 use std::cell::Cell;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
 use flowscript_codec::{CodecError, Decode, Encode};
@@ -35,14 +35,11 @@ impl AtomicAction {
 /// staged key to its slot in `writes`, so last-write-wins staging and
 /// lookup hash the key once however many keys an action stages (a
 /// start stages one control block per plan task, a purge or an
-/// adoption a whole instance). `decision` is the distributed
-/// transaction whose commit decision the action carries
-/// ([`TxManager::stage_decision`]).
+/// adoption a whole instance).
 #[derive(Debug, Default)]
 struct Workspace {
     writes: Vec<(StoreKey, Option<Vec<u8>>)>,
     index: HashMap<StoreKey, usize>,
-    decision: Option<TxId>,
 }
 
 impl Workspace {
@@ -61,12 +58,6 @@ impl Workspace {
     }
 }
 
-#[derive(Debug)]
-struct PreparedTx {
-    coordinator: u32,
-    writes: Vec<(StoreKey, Option<Vec<u8>>)>,
-}
-
 /// The manager's metrics, exported under `tx.*`/`wal.*` by
 /// [`TxMetrics::snapshot`]. The manager owns them: a shard reopening its
 /// log after a crash moves them into the new manager
@@ -76,11 +67,10 @@ struct PreparedTx {
 pub struct TxMetrics {
     /// Gates the optional histograms; the counters tick regardless.
     observe: ObserveLevel,
-    /// Committed actions, local and resolved-commit 2PC ones
-    /// (`tx.commits`).
+    /// Committed actions (`tx.commits`).
     commits: u64,
-    /// Aborted actions: explicit, a commit whose append failed, and
-    /// resolved-abort 2PC ones (`tx.aborts`).
+    /// Aborted actions: explicit, and a commit whose append failed
+    /// (`tx.aborts`).
     aborts: u64,
     /// Uid prefix scans served (`tx.prefix_scans`). Scans are
     /// O(matches) range walks, fine for recovery and cold admin paths —
@@ -97,12 +87,6 @@ pub struct TxMetrics {
     fact_point_reads: Cell<u64>,
     /// Lock requests denied with a wait-die verdict (`tx.lock_waits`).
     lock_waits: u64,
-    /// 2PC protocol steps processed here — prepares, resolves and
-    /// coordinator decision records (`tx.two_pc_rounds`).
-    two_pc_rounds: u64,
-    /// Frames holding two records — a commit decision and the writes
-    /// committed with it (`tx.group_commits`).
-    group_commits: u64,
     /// After-images per commit record
     /// (`wal.writes_per_commit`); only fed when observing metrics.
     wal_writes_per_commit: Histogram,
@@ -130,8 +114,6 @@ impl TxMetrics {
             ("tx.fact_range_scans", counter(self.fact_range_scans.get())),
             ("tx.fact_point_reads", counter(self.fact_point_reads.get())),
             ("tx.lock_waits", counter(self.lock_waits)),
-            ("tx.two_pc_rounds", counter(self.two_pc_rounds)),
-            ("tx.group_commits", counter(self.group_commits)),
             (
                 "wal.writes_per_commit",
                 histogram(&self.wal_writes_per_commit),
@@ -165,12 +147,6 @@ pub struct TxManager<S = SharedStorage> {
     store: BTreeMap<StoreKey, Vec<u8>>,
     locks: LockManager,
     active: HashMap<TxId, Workspace>,
-    prepared: HashMap<TxId, PreparedTx>,
-    /// Commit decisions this node made as a 2PC coordinator (presumed
-    /// abort: only commits are ever taken). Ordered: a checkpoint
-    /// writes them out, and its bytes must not depend on a hasher's
-    /// iteration order.
-    coordinator_commits: BTreeSet<TxId>,
     next_seq: u64,
     /// A durable [`LogRecord::Fence`] by *another* node: `(claimant,
     /// epoch)`. Set at replay, or detected mid-run by the tail probe in
@@ -204,22 +180,12 @@ impl<S: Storage> TxManager<S> {
     pub fn open(node: u32, storage: S) -> Result<Self, TxError> {
         let wal = Wal::new(storage);
         let mut store = BTreeMap::new();
-        let mut prepared: HashMap<TxId, PreparedTx> = HashMap::new();
-        let mut coordinator_commits = BTreeSet::new();
         let mut fence: Option<(u32, u64)> = None;
         let mut next_seq = 1u64;
-        // A group frame replays as its members, in order.
-        let records = wal.scan()?.into_iter().flat_map(|frame| {
-            let (lone, members) = match frame {
-                LogRecord::GroupCommit { records } => (None, records),
-                record => (Some(record), Vec::new()),
-            };
-            lone.into_iter().chain(members)
-        });
-        for record in records {
+        for record in wal.scan()? {
             match record {
                 LogRecord::GroupCommit { .. } => {
-                    // Groups do not nest: nothing writes one inside another.
+                    // Nothing writes a group frame any more.
                     return Err(TxError::Corrupt(CodecError::InvalidDiscriminant {
                         ty: "LogRecord",
                         value: 4,
@@ -236,32 +202,6 @@ impl<S: Storage> TxManager<S> {
                     next_seq = next_seq.max(tx.seq().saturating_add(1));
                     apply_writes(&mut store, writes);
                 }
-                LogRecord::Prepare {
-                    tx,
-                    coordinator,
-                    writes,
-                } => {
-                    next_seq = next_seq.max(tx.seq().saturating_add(1));
-                    prepared.insert(
-                        tx,
-                        PreparedTx {
-                            coordinator,
-                            writes,
-                        },
-                    );
-                }
-                LogRecord::Resolve { tx, committed } => {
-                    next_seq = next_seq.max(tx.seq().saturating_add(1));
-                    if let Some(p) = prepared.remove(&tx) {
-                        if committed {
-                            apply_writes(&mut store, p.writes);
-                        }
-                    } else if committed {
-                        // A resolve without a local prepare is a
-                        // coordinator-side decision record.
-                        coordinator_commits.insert(tx);
-                    }
-                }
                 LogRecord::Fence { claimant, epoch } => {
                     // A claimant reopening storage it fenced itself must
                     // not be fenced out by its own claim.
@@ -271,24 +211,13 @@ impl<S: Storage> TxManager<S> {
                 }
             }
         }
-        let mut locks = LockManager::new();
-        // In-doubt transactions keep their write locks so nothing reads
-        // through them until the coordinator's verdict arrives.
-        for (tx, p) in &prepared {
-            for (key, _) in &p.writes {
-                let acquired = locks.acquire(*tx, key, LockMode::Write);
-                debug_assert_eq!(acquired, Acquired::Granted);
-            }
-        }
         let wal_len = wal.size_bytes();
         Ok(Self {
             node,
             wal,
             store,
-            locks,
+            locks: LockManager::new(),
             active: HashMap::new(),
-            prepared,
-            coordinator_commits,
             next_seq,
             fence,
             wal_len,
@@ -428,42 +357,18 @@ impl<S: Storage> TxManager<S> {
         Ok(())
     }
 
-    /// Stages the commit decision of distributed transaction `tx`, which
-    /// this node coordinates, into `action`. Presumed abort: only a
-    /// commit is ever logged. The decision is taken when the action
-    /// commits — durable in the action's one frame, beside its writes —
-    /// and not before: [`TxManager::coordinator_decision`] answers it
-    /// only from then on, and an action that aborts, or whose frame the
-    /// log refuses, takes it along.
-    ///
-    /// # Errors
-    ///
-    /// [`TxError::UnknownAction`] for a terminated action.
-    pub fn stage_decision(&mut self, action: &AtomicAction, tx: TxId) -> Result<(), TxError> {
-        let workspace = self
-            .active
-            .get_mut(&action.id)
-            .ok_or(TxError::UnknownAction(action.id))?;
-        workspace.decision = Some(tx);
-        Ok(())
-    }
-
-    /// Commits an action as one frame: its staged writes as a
-    /// [`LogRecord::Commit`], a decision [`TxManager::stage_decision`]
-    /// staged as a [`LogRecord::Resolve`], the two together as one
-    /// [`LogRecord::GroupCommit`] `[Resolve, Commit]`. Once the frame is
-    /// appended the writes apply to the store, the decision is taken,
-    /// and all the action's locks are released.
+    /// Commits an action as one frame, its staged writes as a
+    /// [`LogRecord::Commit`] (an action that staged none appends
+    /// nothing). Once the frame is appended the writes apply to the
+    /// store and all the action's locks are released.
     ///
     /// # Errors
     ///
     /// [`TxError::UnknownAction`] if already terminated; storage errors
-    /// on log append — the action is then aborted: nothing applied, no
-    /// decision taken, its locks released.
+    /// on log append — the action is then aborted: nothing applied, its
+    /// locks released.
     pub fn commit(&mut self, action: AtomicAction) -> Result<(), TxError> {
-        let Workspace {
-            writes, decision, ..
-        } = self
+        let Workspace { writes, .. } = self
             .active
             .remove(&action.id)
             .ok_or(TxError::UnknownAction(action.id))?;
@@ -471,23 +376,13 @@ impl<S: Storage> TxManager<S> {
             let images = writes.len() as u64;
             self.metrics.wal_writes_per_commit.record(images);
         }
-        // The frame borrows nothing and is encoded exactly once; the
-        // after-images then move into the store.
-        let commit = (!writes.is_empty()).then_some(LogRecord::Commit {
-            tx: action.id,
-            writes,
-        });
-        let resolve = decision.map(|tx| LogRecord::Resolve {
-            tx,
-            committed: true,
-        });
-        let frame = match (resolve, commit) {
-            (Some(resolve), Some(commit)) => Some(LogRecord::GroupCommit {
-                records: vec![resolve, commit],
-            }),
-            (resolve, commit) => resolve.or(commit),
-        };
-        if let Some(frame) = frame {
+        if !writes.is_empty() {
+            // The frame borrows nothing and is encoded exactly once; the
+            // after-images then move into the store.
+            let frame = LogRecord::Commit {
+                tx: action.id,
+                writes,
+            };
             if let Err(err) = self.append_record(&frame) {
                 // The action is consumed — nobody can abort it any more
                 // — so a commit that did not reach the log ends here as
@@ -496,21 +391,16 @@ impl<S: Storage> TxManager<S> {
                 self.metrics.aborts += 1;
                 return Err(err);
             }
-            if matches!(frame, LogRecord::GroupCommit { .. }) {
-                self.metrics.group_commits += 1;
+            if let LogRecord::Commit { writes, .. } = frame {
+                apply_writes(&mut self.store, writes);
             }
-            apply_frame(&mut self.store, frame);
-        }
-        if let Some(tx) = decision {
-            self.metrics.two_pc_rounds += 1;
-            self.coordinator_commits.insert(tx);
         }
         self.locks.release_all(action.id);
         self.metrics.commits += 1;
         Ok(())
     }
 
-    /// Aborts an action, discarding its staged writes and decision.
+    /// Aborts an action, discarding its staged writes.
     /// Idempotent for already-terminated ids.
     pub fn abort(&mut self, action: AtomicAction) {
         if self.active.remove(&action.id).is_some() {
@@ -696,28 +586,7 @@ impl<S: Storage> TxManager<S> {
             .iter()
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
-        // Prepared-but-unresolved transactions must survive compaction.
-        let mut pending: Vec<LogRecord> = self
-            .prepared
-            .iter()
-            .map(|(tx, p)| LogRecord::Prepare {
-                tx: *tx,
-                coordinator: p.coordinator,
-                writes: p.writes.clone(),
-            })
-            .collect();
-        pending.sort_by_key(|r| match r {
-            LogRecord::Prepare { tx, .. } => *tx,
-            _ => unreachable!("only prepares pending"),
-        });
-        for &tx in &self.coordinator_commits {
-            pending.push(LogRecord::Resolve {
-                tx,
-                committed: true,
-            });
-        }
-        self.wal
-            .rewrite_with_checkpoint(states, self.next_seq, pending)?;
+        self.wal.rewrite_with_checkpoint(states, self.next_seq)?;
         self.wal_len = self.wal.size_bytes();
         Ok(())
     }
@@ -742,131 +611,12 @@ impl<S: Storage> TxManager<S> {
     pub fn object_count(&self) -> usize {
         self.store.len()
     }
-
-    // ------------------------------------------------------------------
-    // 2PC participant operations (see `crate::dist`).
-    // ------------------------------------------------------------------
-
-    /// Participant prepare: durably stages the writes of distributed
-    /// transaction `tx` and takes its write locks. After this returns the
-    /// node has voted "yes" and must await the coordinator's decision.
-    ///
-    /// # Errors
-    ///
-    /// [`TxError::Lock`] if any lock is unavailable, storage errors on
-    /// log append: either way nothing is prepared, no lock is kept, and
-    /// the caller votes "no".
-    pub fn prepare_remote(
-        &mut self,
-        tx: TxId,
-        coordinator: u32,
-        writes: Vec<(StoreKey, Option<Vec<u8>>)>,
-    ) -> Result<(), TxError> {
-        self.metrics.two_pc_rounds += 1;
-        for (key, _) in &writes {
-            if let Acquired::Conflicted { holder, verdict } =
-                self.locks.acquire(tx, key, LockMode::Write)
-            {
-                self.locks.release_all(tx);
-                self.metrics.lock_waits += 1;
-                return Err(TxError::Lock {
-                    key: key.clone(),
-                    holder,
-                    conflict: verdict,
-                });
-            }
-        }
-        let record = LogRecord::Prepare {
-            tx,
-            coordinator,
-            writes,
-        };
-        if let Err(err) = self.append_record(&record) {
-            // Not durable, not prepared: the vote is no, and the locks
-            // must not outlive it.
-            self.locks.release_all(tx);
-            return Err(err);
-        }
-        let LogRecord::Prepare { writes, .. } = record else {
-            unreachable!("built as a prepare above");
-        };
-        self.prepared.insert(
-            tx,
-            PreparedTx {
-                coordinator,
-                writes,
-            },
-        );
-        Ok(())
-    }
-
-    /// Participant resolve: applies or discards a prepared transaction per
-    /// the coordinator's decision. Idempotent.
-    ///
-    /// # Errors
-    ///
-    /// Storage errors on log append; the transaction then stays
-    /// prepared (in doubt, locks held).
-    pub fn resolve_remote(&mut self, tx: TxId, committed: bool) -> Result<(), TxError> {
-        if !self.prepared.contains_key(&tx) {
-            return Ok(());
-        }
-        self.metrics.two_pc_rounds += 1;
-        // Append first: a resolve that did not reach the log leaves the
-        // transaction prepared, for the decision's next delivery.
-        self.append_record(&LogRecord::Resolve { tx, committed })?;
-        let prepared = self.prepared.remove(&tx).expect("checked above");
-        if committed {
-            apply_writes(&mut self.store, prepared.writes);
-            self.metrics.commits += 1;
-        } else {
-            self.metrics.aborts += 1;
-        }
-        self.locks.release_all(tx);
-        Ok(())
-    }
-
-    /// Distributed transactions prepared here but not yet resolved,
-    /// with their coordinator node ids (queried after recovery).
-    pub fn in_doubt(&self) -> Vec<(TxId, u32)> {
-        let mut out: Vec<(TxId, u32)> = self
-            .prepared
-            .iter()
-            .map(|(tx, p)| (*tx, p.coordinator))
-            .collect();
-        out.sort();
-        out
-    }
-
-    /// A coordinator decision taken here ([`TxManager::stage_decision`]),
-    /// if any: presumed abort, so `None` means abort.
-    pub fn coordinator_decision(&self, tx: TxId) -> Option<bool> {
-        self.coordinator_commits.contains(&tx).then_some(true)
-    }
-
-    /// Mints a fresh id for a distributed transaction coordinated here.
-    pub fn mint_dist_tx(&mut self) -> TxId {
-        self.mint()
-    }
 }
 
 /// Whether `key` addresses a dependency fact — what `tx.fact_point_reads`
 /// counts; a control block shares the dense key space but is not one.
 fn is_fact(key: &StoreKey) -> bool {
     matches!(key, StoreKey::Fact(key) if key.kind != FactKind::Control)
-}
-
-/// Moves a committed frame's after-images into the store.
-fn apply_frame(store: &mut BTreeMap<StoreKey, Vec<u8>>, frame: LogRecord) {
-    match frame {
-        LogRecord::Commit { writes, .. } => apply_writes(store, writes),
-        LogRecord::GroupCommit { records } => {
-            for record in records {
-                apply_frame(store, record);
-            }
-        }
-        _ => {}
-    }
 }
 
 /// Moves committed after-images into the store.
@@ -1118,27 +868,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoints_are_deterministic() {
-        // Every rebalance or drain leaves coordinator decisions behind;
-        // two managers fed the same operations must compact to the same
-        // bytes, or a WAL digest is not "exact per seed".
-        let checkpointed = || {
-            let stable = SharedStorage::new();
-            let mut mgr = TxManager::open(0, stable.clone()).unwrap();
-            for _ in 0..8 {
-                let tx = mgr.mint_dist_tx();
-                decide(&mut mgr, tx);
-            }
-            mgr.checkpoint().unwrap();
-            stable.read_all().unwrap()
-        };
-        let first = checkpointed();
-        for _ in 0..8 {
-            assert_eq!(first, checkpointed());
-        }
-    }
-
-    #[test]
     fn read_only_commit_appends_nothing() {
         let mut mgr = TxManager::in_memory();
         let a = mgr.begin();
@@ -1228,165 +957,15 @@ mod tests {
     }
 
     #[test]
-    fn prepared_transaction_survives_recovery_in_doubt() {
+    fn a_group_frame_does_not_replay() {
+        // Nothing writes one: a log holding one is refused, not misread.
         let stable = SharedStorage::new();
-        let dist_tx = TxId::new(9, 1000);
-        {
-            let mut mgr = TxManager::open(0, stable.clone()).unwrap();
-            mgr.prepare_remote(dist_tx, 9, vec![(key("x"), Some(vec![1]))])
-                .unwrap();
-        }
-        let mut mgr = TxManager::open(0, stable.clone()).unwrap();
-        assert_eq!(mgr.in_doubt(), vec![(dist_tx, 9)]);
-        // The staged write is invisible and the object locked.
-        assert_eq!(mgr.read_committed_key::<u8>(&key("x")).unwrap(), None);
-        let a = mgr.begin();
-        assert!(matches!(
-            mgr.read_key::<u8>(&a, &key("x")),
-            Err(TxError::Lock { .. })
-        ));
-        mgr.abort(a);
-        // Resolution commits it.
-        mgr.resolve_remote(dist_tx, true).unwrap();
-        assert!(mgr.exists_key(&key("x")));
-        assert!(mgr.in_doubt().is_empty());
-        // And is durable.
-        let mgr2 = TxManager::open(0, stable).unwrap();
-        assert!(mgr2.exists_key(&key("x")));
-    }
-
-    #[test]
-    fn resolve_is_idempotent() {
-        let mut mgr = TxManager::in_memory();
-        let dist_tx = TxId::new(9, 1);
-        mgr.prepare_remote(dist_tx, 9, vec![(key("x"), Some(vec![1]))])
-            .unwrap();
-        mgr.resolve_remote(dist_tx, false).unwrap();
-        mgr.resolve_remote(dist_tx, false).unwrap();
-        assert!(!mgr.exists_key(&key("x")));
-        // Lock released after abort resolution.
-        let a = mgr.begin();
-        assert!(mgr.write_key(&a, &key("x"), &2u8).is_ok());
-        mgr.abort(a);
-    }
-
-    #[test]
-    fn coordinator_decisions_survive_recovery() {
-        let stable = SharedStorage::new();
-        let dist_tx = TxId::new(0, 500);
-        {
-            let mut mgr = TxManager::open(0, stable.clone()).unwrap();
-            decide(&mut mgr, dist_tx);
-        }
-        let mgr = TxManager::open(0, stable).unwrap();
-        assert_eq!(mgr.coordinator_decision(dist_tx), Some(true));
-        assert_eq!(mgr.coordinator_decision(TxId::new(0, 501)), None);
-    }
-
-    /// Takes `tx`'s commit decision in an action of its own.
-    fn decide<S: Storage>(mgr: &mut TxManager<S>, tx: TxId) {
-        let action = mgr.begin();
-        mgr.stage_decision(&action, tx).unwrap();
-        mgr.commit(action).unwrap();
-    }
-
-    /// A manager over fresh shared storage, and the storage.
-    fn shared() -> (TxManager, SharedStorage) {
-        let stable = SharedStorage::new();
-        (TxManager::open(0, stable.clone()).unwrap(), stable)
-    }
-
-    #[test]
-    fn a_decision_staged_with_writes_is_one_resolve_commit_frame() {
-        let (mut mgr, stable) = shared();
-        let dist_tx = mgr.mint_dist_tx();
-        let a = mgr.begin();
-        mgr.write_key(&a, &key("x"), &1u8).unwrap();
-        mgr.stage_decision(&a, dist_tx).unwrap();
-        mgr.delete_key(&a, &key("x")).unwrap();
-        mgr.write_key(&a, &key("y"), &2u8).unwrap();
-        assert_eq!(
-            mgr.coordinator_decision(dist_tx),
-            None,
-            "not before the frame"
-        );
-        let id = a.id();
-        mgr.commit(a).unwrap();
-        let frames = Wal::new(stable.clone()).scan().unwrap();
-        let [LogRecord::GroupCommit { records }] = frames.as_slice() else {
-            panic!("one group frame, got {frames:?}");
-        };
-        assert_eq!(
-            *records,
-            [
-                LogRecord::Resolve {
-                    tx: dist_tx,
-                    committed: true
-                },
-                LogRecord::Commit {
-                    tx: id,
-                    writes: vec![(key("x"), None), (key("y"), Some(vec![2]))],
-                },
-            ]
-        );
-        assert_eq!(counter(&mgr, "tx.group_commits"), 1);
-        assert_eq!(counter(&mgr, "tx.two_pc_rounds"), 1);
-        assert_eq!(counter(&mgr, "tx.commits"), 1);
-        // It replays as the decision and the writes, and a checkpoint
-        // carries both over.
-        for _ in 0..2 {
-            let mut mgr = TxManager::open(0, stable.clone()).unwrap();
-            assert_eq!(mgr.coordinator_decision(dist_tx), Some(true));
-            assert!(!mgr.exists_key(&key("x")));
-            assert_eq!(mgr.read_committed_key::<u8>(&key("y")).unwrap(), Some(2));
-            mgr.checkpoint().unwrap();
-        }
-    }
-
-    #[test]
-    fn a_decision_with_no_writes_is_a_bare_resolve() {
-        let (mut mgr, stable) = shared();
-        let dist_tx = mgr.mint_dist_tx();
-        decide(&mut mgr, dist_tx);
-        assert_eq!(mgr.coordinator_decision(dist_tx), Some(true));
-        let frames = Wal::new(stable).scan().unwrap();
-        assert_eq!(
-            frames,
-            [LogRecord::Resolve {
-                tx: dist_tx,
-                committed: true
-            }]
-        );
-        assert_eq!(counter(&mgr, "tx.group_commits"), 0);
-    }
-
-    #[test]
-    fn a_nested_group_frame_does_not_replay() {
-        let stable = SharedStorage::new();
-        let inner = LogRecord::GroupCommit { records: vec![] };
-        let nested = LogRecord::GroupCommit {
-            records: vec![inner],
-        };
-        Wal::new(stable.clone()).append(&nested).unwrap();
+        let group = LogRecord::GroupCommit { records: vec![] };
+        Wal::new(stable.clone()).append(&group).unwrap();
         assert!(matches!(
             TxManager::open(0, stable),
             Err(TxError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn an_aborted_actions_decision_is_gone() {
-        let stable = SharedStorage::new();
-        let mut mgr = TxManager::open(0, stable.clone()).unwrap();
-        let dist_tx = mgr.mint_dist_tx();
-        let a = mgr.begin();
-        mgr.write_key(&a, &key("x"), &1u8).unwrap();
-        mgr.stage_decision(&a, dist_tx).unwrap();
-        mgr.abort(a);
-        assert_eq!(mgr.coordinator_decision(dist_tx), None);
-        assert_eq!(mgr.log_size(), 0);
-        let mgr = TxManager::open(0, stable).unwrap();
-        assert_eq!(mgr.coordinator_decision(dist_tx), None);
     }
 
     fn flaky() -> (TxManager<FlakyStorage>, Arc<AtomicBool>) {
@@ -1411,66 +990,6 @@ mod tests {
         mgr.commit(b).unwrap();
         assert_eq!(mgr.read_committed_key::<u8>(&key("x")).unwrap(), Some(2));
         assert_eq!(stats(&mgr), (1, 1), "the failed commit counts as an abort");
-    }
-
-    #[test]
-    fn a_refused_decision_frame_takes_no_decision_no_write_and_no_lock() {
-        let (mut mgr, fail) = flaky();
-        let dist_tx = mgr.mint_dist_tx();
-        let a = mgr.begin();
-        mgr.write_key(&a, &key("x"), &1u8).unwrap();
-        mgr.stage_decision(&a, dist_tx).unwrap();
-        fail.store(true, Ordering::Relaxed);
-        assert!(matches!(mgr.commit(a), Err(TxError::Storage(_))));
-        fail.store(false, Ordering::Relaxed);
-        assert_eq!(mgr.coordinator_decision(dist_tx), None);
-        assert!(!mgr.exists_key(&key("x")));
-        assert_eq!(mgr.log_size(), 0);
-        // The key is free for the next writer.
-        let b = mgr.begin();
-        mgr.write_key(&b, &key("x"), &2u8).unwrap();
-        mgr.commit(b).unwrap();
-        assert_eq!(stats(&mgr), (1, 1));
-    }
-
-    #[test]
-    fn failed_prepare_append_keeps_no_locks() {
-        let (mut mgr, fail) = flaky();
-        let writes = || vec![(key("x"), Some(vec![1]))];
-        fail.store(true, Ordering::Relaxed);
-        assert!(matches!(
-            mgr.prepare_remote(TxId::new(9, 1), 9, writes()),
-            Err(TxError::Storage(_))
-        ));
-        fail.store(false, Ordering::Relaxed);
-        assert!(mgr.in_doubt().is_empty(), "not durable, not prepared");
-        // The key is free for a local writer and for the next prepare.
-        let a = mgr.begin();
-        mgr.write_key(&a, &key("x"), &2u8).unwrap();
-        mgr.commit(a).unwrap();
-        mgr.prepare_remote(TxId::new(9, 2), 9, writes()).unwrap();
-        assert_eq!(mgr.in_doubt(), vec![(TxId::new(9, 2), 9)]);
-    }
-
-    #[test]
-    fn failed_resolve_append_leaves_the_transaction_prepared() {
-        let (mut mgr, fail) = flaky();
-        let dist_tx = TxId::new(9, 1);
-        mgr.prepare_remote(dist_tx, 9, vec![(key("x"), Some(vec![1]))])
-            .unwrap();
-        fail.store(true, Ordering::Relaxed);
-        assert!(matches!(
-            mgr.resolve_remote(dist_tx, true),
-            Err(TxError::Storage(_))
-        ));
-        fail.store(false, Ordering::Relaxed);
-        // Still in doubt, still locked, nothing applied: the decision's
-        // next delivery is not mistaken for a duplicate.
-        assert_eq!(mgr.in_doubt(), vec![(dist_tx, 9)]);
-        assert!(!mgr.exists_key(&key("x")));
-        mgr.resolve_remote(dist_tx, true).unwrap();
-        assert!(mgr.exists_key(&key("x")));
-        assert!(mgr.in_doubt().is_empty());
     }
 
     #[test]

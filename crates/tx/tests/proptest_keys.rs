@@ -77,7 +77,6 @@ proptest! {
         ),
         node in id(),
         seq: u64,
-        coordinator: u32,
         next_seq: u64,
     ) {
         let tx = TxId::new(node, seq);
@@ -85,21 +84,14 @@ proptest! {
             .iter()
             .filter_map(|(key, value)| Some((key.clone(), value.clone()?)))
             .collect();
-        let commit = LogRecord::Commit { tx, writes: writes.clone() };
-        let prepare = LogRecord::Prepare { tx, coordinator, writes };
+        let commit = LogRecord::Commit { tx, writes };
         let checkpoint = LogRecord::Checkpoint { states, next_seq };
-        let mut payloads = Vec::new();
-        for record in [commit, prepare, checkpoint] {
+        for record in [commit, checkpoint] {
             let bytes = flowscript_codec::to_bytes(&record);
             prop_assert_eq!(flowscript_codec::from_bytes::<LogRecord>(&bytes).unwrap(), record.clone());
             // The same list encodes to the same bytes every time.
-            prop_assert_eq!(flowscript_codec::to_bytes(&record), bytes.clone());
-            payloads.push(bytes);
+            prop_assert_eq!(flowscript_codec::to_bytes(&record), bytes);
         }
-        // A commit's list and a prepare's are one encoding: the prepare
-        // ends in the bytes the commit holds past its tag and id.
-        let list = &payloads[0][1 + flowscript_codec::to_bytes(&tx).len()..];
-        prop_assert!(payloads[1].ends_with(list));
     }
 
     #[test]
