@@ -196,6 +196,46 @@ pub fn start_population(sys: &mut WorkflowSystem, names: &[String]) {
 }
 
 // ---------------------------------------------------------------------
+// Fig. 1 diamonds, in a burst.
+// ---------------------------------------------------------------------
+
+/// Fig. 1's diamond registered, every task bound to a quick `done`.
+pub fn bind_diamond(sys: &mut WorkflowSystem) {
+    sys.register_script("diamond", samples::FIG1_DIAMOND, "diamond")
+        .unwrap();
+    for code in ["refT1", "refT2", "refT3", "refT4"] {
+        sys.bind_fn(code, |_| {
+            TaskBehavior::outcome("done").with_object("out", text("Data", "d"))
+        });
+    }
+}
+
+/// How many diamonds [`diamond_burst`] starts.
+pub const BURST: usize = 50;
+
+/// [`BURST`] diamonds, `d0`…, started at once on `shards` shards and run
+/// to the end: the `wave` workload's shape, whose logs the anatomy
+/// golden (four shards) and the byte budget read.
+pub fn diamond_burst(shards: usize) -> WorkflowSystem {
+    let mut sys = WorkflowSystem::builder()
+        .executors(2)
+        .coordinators(shards)
+        .seed(1)
+        .build();
+    bind_diamond(&mut sys);
+    for i in 0..BURST {
+        let name = format!("d{i}");
+        sys.start(&name, "diamond", "main", [("seed", text("Data", "s"))])
+            .unwrap();
+    }
+    sys.run();
+    for i in 0..BURST {
+        assert!(sys.outcome(&format!("d{i}")).is_some(), "d{i} completes");
+    }
+    sys
+}
+
+// ---------------------------------------------------------------------
 // Small scripts.
 // ---------------------------------------------------------------------
 

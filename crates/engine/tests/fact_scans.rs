@@ -20,8 +20,8 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use common::{
-    bind_misreports, build, det_config, det_link, fan_join_source, frame_writes, generated_script,
-    log_frames, population, start_population, text, JOIN, ONE_TASK,
+    bind_diamond, bind_misreports, build, det_config, det_link, fan_join_source, frame_writes,
+    generated_script, log_frames, population, start_population, text, JOIN, ONE_TASK,
 };
 use flowscript_core::samples;
 use flowscript_core::schema::compile_source;
@@ -381,17 +381,6 @@ fn a_restart_rearms_an_instance_in_one_frame() {
     assert_eq!(sys.outcome("f").expect("completes").name, "done");
     let redone = sys.dispatch_trace_of("f").into_iter();
     assert_eq!(redone.filter(|record| record.attempt == 1).count(), width);
-}
-
-/// Fig. 1's diamond registered, every task bound to a quick `done`.
-fn bind_diamond(sys: &mut WorkflowSystem) {
-    sys.register_script("diamond", samples::FIG1_DIAMOND, "diamond")
-        .unwrap();
-    for code in ["refT1", "refT2", "refT3", "refT4"] {
-        sys.bind_fn(code, |_| {
-            TaskBehavior::outcome("done").with_object("out", text("Data", "d"))
-        });
-    }
 }
 
 #[test]

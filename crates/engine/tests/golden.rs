@@ -44,12 +44,13 @@
 
 mod common;
 
+use std::collections::BTreeMap;
 use std::path::Path;
 
 use common::{
-    add_t5, build, build_orders, det_config, det_link, fingerprint, frame_writes, generated_config,
-    generated_script, log_frames, population, run_fan, run_generated, run_worklist_case,
-    start_population, text, Fingerprint,
+    add_t5, build, build_orders, det_config, det_link, diamond_burst, fingerprint, frame_writes,
+    generated_config, generated_script, log_frames, population, run_fan, run_generated,
+    run_worklist_case, start_population, text, Fingerprint, BURST,
 };
 use flowscript_core::samples;
 use flowscript_engine::{
@@ -57,7 +58,7 @@ use flowscript_engine::{
     WorkflowSystem,
 };
 use flowscript_sim::SimDuration;
-use flowscript_tx::Storage;
+use flowscript_tx::{FactKind, LogRecord, StableStore, Storage, StoreKey};
 
 fn render(name: &str, (status, trace, states): &Fingerprint) -> String {
     let status = match status {
@@ -452,4 +453,210 @@ fn placement_matches_golden() {
         render_placement(&run_executor_crash()),
     );
     check("placement.txt", &rendered);
+}
+
+/// The key families an anatomy sorts a log's after-images into, in
+/// render order.
+const FAMILIES: [&str; 9] = [
+    "header",
+    "stuck record",
+    "control block",
+    "fact object",
+    "fact presence",
+    "sys/src",
+    "sys/move",
+    "sys/claimed",
+    "sys/ other",
+];
+
+/// The family of `key`, read off the key alone: a uid by its prefix and
+/// suffix, a fact key by its kind and whether `obj` is 0.
+fn family(key: &StoreKey) -> usize {
+    match key {
+        StoreKey::Fact(fact) if fact.kind == FactKind::Control => 2,
+        StoreKey::Fact(fact) if fact.obj == 0 => 4,
+        StoreKey::Fact(_) => 3,
+        StoreKey::Uid(uid) => match uid.as_str() {
+            uid if uid.starts_with("inst/") && uid.ends_with("/meta") => 0,
+            uid if uid.starts_with("inst/") && uid.ends_with("/status") => 1,
+            uid if uid.starts_with("sys/src/") => 5,
+            uid if uid.starts_with("sys/move/") => 6,
+            uid if uid.starts_with("sys/claimed/") => 7,
+            uid if uid.starts_with("sys/") => 8,
+            uid => panic!("`{uid}` is in no family"),
+        },
+    }
+}
+
+/// A record's after-images as `(key, value bytes)`.
+fn images(record: &LogRecord) -> Vec<(&StoreKey, usize)> {
+    match record {
+        LogRecord::Commit { writes, .. } => writes
+            .iter()
+            .map(|(key, value)| (key, value.as_ref().map_or(0, Vec::len)))
+            .collect(),
+        LogRecord::Checkpoint { states, .. } => states
+            .iter()
+            .map(|(key, value)| (key, value.len()))
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// `record` with the after-images of family `dropped` left out.
+fn without(record: &LogRecord, dropped: usize) -> LogRecord {
+    let kept = |key: &StoreKey| family(key) != dropped;
+    match record {
+        LogRecord::Commit { tx, writes } => LogRecord::Commit {
+            tx: *tx,
+            writes: writes
+                .iter()
+                .filter(|(key, _)| kept(key))
+                .cloned()
+                .collect(),
+        },
+        LogRecord::Checkpoint { states, next_seq } => LogRecord::Checkpoint {
+            states: states
+                .iter()
+                .filter(|(key, _)| kept(key))
+                .cloned()
+                .collect(),
+            next_seq: *next_seq,
+        },
+        other => other.clone(),
+    }
+}
+
+/// What one log holds, or several summed.
+#[derive(Default)]
+struct Anatomy {
+    log_bytes: usize,
+    frames: usize,
+    /// Per record kind: records, encoded bytes.
+    records: BTreeMap<&'static str, (usize, usize)>,
+    /// Per family: entries, value bytes, and what the records shrink by
+    /// when re-encoded without the family's entries.
+    families: [(usize, usize, usize); FAMILIES.len()],
+}
+
+impl Anatomy {
+    fn of(storage: &StableStore) -> Self {
+        let log = storage.read_all().expect("in-memory log reads");
+        let mut anatomy = Anatomy {
+            log_bytes: log.len(),
+            ..Anatomy::default()
+        };
+        for record in log_frames(storage) {
+            let bytes = flowscript_codec::to_bytes(&record).len();
+            anatomy.frames += 1;
+            let kind = match &record {
+                LogRecord::Commit { .. } => "Commit",
+                LogRecord::Checkpoint { .. } => "Checkpoint",
+                LogRecord::GroupCommit { .. } => "GroupCommit",
+                LogRecord::Fence { .. } => "Fence",
+            };
+            let (count, total) = anatomy.records.entry(kind).or_default();
+            *count += 1;
+            *total += bytes;
+            let mut present = [false; FAMILIES.len()];
+            for (key, value) in images(&record) {
+                let (entries, values, _) = &mut anatomy.families[family(key)];
+                *entries += 1;
+                *values += value;
+                present[family(key)] = true;
+            }
+            for (at, (_, _, shrink)) in anatomy.families.iter_mut().enumerate() {
+                if present[at] {
+                    *shrink += bytes - flowscript_codec::to_bytes(&without(&record, at)).len();
+                }
+            }
+        }
+        anatomy
+    }
+
+    fn add(&mut self, other: &Anatomy) {
+        self.log_bytes += other.log_bytes;
+        self.frames += other.frames;
+        for (kind, (count, bytes)) in &other.records {
+            let (sum_count, sum_bytes) = self.records.entry(kind).or_default();
+            *sum_count += count;
+            *sum_bytes += bytes;
+        }
+        for (sum, (entries, values, shrink)) in self.families.iter_mut().zip(other.families) {
+            sum.0 += entries;
+            sum.1 += values;
+            sum.2 += shrink;
+        }
+    }
+
+    /// The anatomy's lines under `label`. With `per`, they open with the
+    /// log's bytes, and it divides those and each family's into a figure
+    /// per diamond.
+    fn render(&self, label: &str, per: Option<usize>) -> String {
+        let per_instance = |bytes: usize| match per {
+            Some(n) => format!(" | {:.2} B per diamond", bytes as f64 / n as f64),
+            None => String::new(),
+        };
+        let framed: usize = self.records.values().map(|(_, bytes)| bytes).sum();
+        let mut out = match per {
+            Some(_) => format!(
+                "{label} | {} bytes{}\n",
+                self.log_bytes,
+                per_instance(self.log_bytes)
+            ),
+            None => String::new(),
+        };
+        out.push_str(&format!(
+            "{label} | {} frames | {} B of framing\n",
+            self.frames,
+            self.log_bytes - framed,
+        ));
+        for (kind, (count, bytes)) in &self.records {
+            out.push_str(&format!("{label} | {kind} | {count} records | {bytes} B\n"));
+        }
+        for (name, (entries, values, shrink)) in FAMILIES.iter().zip(self.families) {
+            out.push_str(&format!(
+                "{label} | {name} | {entries} entries | {values} value B | {} key B{}\n",
+                shrink - values,
+                per_instance(shrink),
+            ));
+        }
+        out
+    }
+}
+
+/// The anatomy golden's header: what each line says.
+const ANATOMY_HEADER: &str = "\
+# The durable logs of `common::diamond_burst`: 50 fig. 1 diamonds started
+# at once on 4 shards and run to the end. Per shard, then summed:
+#   the log's length and FNV-1a hash, as in the `.wal.txt` files;
+#   its frames, and what framing adds to the records they hold;
+#   per record kind: records, and their encoded bytes;
+#   per key family (a uid by its prefix, a fact key by its kind and
+#   whether `obj` is 0): entries, value bytes, and key bytes. A family's
+#   key bytes are what the records shrink by when re-encoded without its
+#   entries, less their values: entry headers, keys, value lengths, and
+#   the change in how the next key is delta-coded; they need not add up
+#   across families. `sys/ other` is any shard-wide key of no other family.
+# The sum gives the log's bytes, and each family's, per diamond.
+";
+
+#[test]
+fn diamond_burst_anatomy_matches_golden() {
+    let sys = diamond_burst(4);
+    let mut rendered = ANATOMY_HEADER.to_string();
+    let mut sum = Anatomy::default();
+    for (shard, storage) in sys.shard_storages().iter().enumerate() {
+        let bytes = storage.read_all().expect("in-memory log reads");
+        let anatomy = Anatomy::of(storage);
+        rendered.push_str(&format!(
+            "shard {shard} | {} bytes | fnv1a64 {:016x}\n{}",
+            bytes.len(),
+            fnv1a64(&bytes),
+            anatomy.render(&format!("shard {shard}"), None)
+        ));
+        sum.add(&anatomy);
+    }
+    rendered.push_str(&sum.render("all", Some(BURST)));
+    check("diamond_burst.anatomy.txt", &rendered);
 }

@@ -323,3 +323,101 @@ fn compound_repeat_deletes_the_subtrees_facts_and_resets_its_blocks() {
         "{reset:?} misses some of {subtree:?}"
     );
 }
+
+/// A root that repeats: `w` reads both objects of the root's second
+/// input set `alt`, and the root takes `again` whenever `w` does.
+const ROOT_REPEAT: &str = r#"
+class Data;
+
+taskclass Work {
+    inputs { input main { in of class Data; extra of class Data } };
+    outputs { outcome done { }; outcome again { } }
+}
+
+taskclass Root {
+    inputs {
+        input main { seed of class Data };
+        input alt { seed of class Data; note of class Data }
+    };
+    outputs { outcome done { }; repeat outcome again { } }
+}
+
+compoundtask root of taskclass Root {
+    task w of taskclass Work {
+        implementation { "code" is "refWork" };
+        inputs {
+            input main {
+                inputobject in from { seed of task root if input alt };
+                inputobject extra from { note of task root if input alt }
+            }
+        }
+    };
+    outputs {
+        outcome done { notification from { task w if output done } };
+        repeat outcome again { notification from { task w if output again } }
+    }
+}
+"#;
+
+#[test]
+fn a_repeating_root_reactivates_on_its_start_set_and_inputs_across_a_restart() {
+    // `w` takes `again` in incarnations 0 and 1 — the second time 100 ms
+    // in, across a crash — and `done` in incarnation 2. Each of the
+    // root's incarnations runs on the set it was started on, `alt`, not
+    // its class's first, and hands `w` the objects it was started with.
+    let mut sys = WorkflowSystem::builder()
+        .executors(1)
+        .seed(17)
+        .config(common::det_config())
+        .build();
+    sys.register_script("rr", ROOT_REPEAT, "root").unwrap();
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let saw = seen.clone();
+    sys.bind_fn("refWork", move |ctx| {
+        saw.borrow_mut().push((ctx.incarnation, ctx.inputs.clone()));
+        match ctx.incarnation {
+            0 => TaskBehavior::outcome("again"),
+            1 => TaskBehavior::outcome("again").with_work(SimDuration::from_millis(100)),
+            _ => TaskBehavior::outcome("done"),
+        }
+    });
+    let started = [
+        ("seed", ObjectVal::text("Data", "s")),
+        ("note", ObjectVal::text("Data", "n")),
+    ];
+    sys.start("r", "rr", "alt", started.clone()).unwrap();
+    let root_active_on_alt = |sys: &WorkflowSystem| {
+        assert_eq!(
+            sys.task_states("r")["root"],
+            CbState::Active { set: "alt".into() }
+        );
+    };
+    sys.run_for(SimDuration::from_millis(20));
+    assert_eq!(sys.stats().repeats, 1, "incarnation 0 repeated the root");
+    root_active_on_alt(&sys);
+    let coordinator = sys.coordinator_node();
+    sys.crash_now(coordinator);
+    sys.restart_now(coordinator);
+    root_active_on_alt(&sys);
+    sys.run();
+    assert_eq!(sys.outcome("r").expect("completes").name, "done");
+    assert_eq!(
+        sys.stats().repeats,
+        2,
+        "and incarnation 1, after the restart"
+    );
+    let seen = seen.borrow();
+    let incarnations: Vec<u32> = seen.iter().map(|(incarnation, _)| *incarnation).collect();
+    assert_eq!(incarnations, [0, 1, 1, 2], "incarnation 1 re-dispatched");
+    for (incarnation, inputs) in seen.iter() {
+        let data: Vec<(&str, &str)> = inputs
+            .iter()
+            .map(|(slot, value)| (slot.as_str(), std::str::from_utf8(&value.data).unwrap()))
+            .collect();
+        assert_eq!(
+            data,
+            [("extra", "n"), ("in", "s")],
+            "incarnation {incarnation}"
+        );
+    }
+}
