@@ -17,10 +17,10 @@ use std::sync::Arc;
 use flowscript_core::ast::OutputKind;
 use flowscript_obs::ObsEventKind;
 use flowscript_plan::{eval as plan_eval, Plan, StrId, TaskId, Worklist};
-use flowscript_tx::{AtomicAction, StableStore, TxManager};
+use flowscript_tx::{AtomicAction, FactKey, StableStore, TxManager};
 
 use super::step::{Effect, Launch, Step};
-use super::{block_fault, settled, Coordinator, InstanceHeader, StuckRecord};
+use super::{block_fault, settled, Coordinator, StuckRecord};
 use crate::error::EngineError;
 use crate::facts::{self, StoreFacts};
 use crate::keys::InstanceKeys;
@@ -438,23 +438,21 @@ impl Coordinator {
             // Reset: bump this scope's incarnation, clear own input
             // facts and all descendant state, publish the repeat fact.
             cb.scope_inc += 1;
-            // The root, which has no bindings, reactivates with the
-            // input set and inputs it was started with.
-            let started_as: Option<InstanceHeader> = match is_root {
-                true => self.staged(step, keys.meta()).ok().flatten(),
+            // The root, which has no bindings, reactivates on the input
+            // set it was started on: the one whose fact holds what it was
+            // started with, which a repeat leaves in place (a scope's
+            // subtree does not hold the scope).
+            let started_on = match is_root {
+                true => Some(self.bound_set(step, plan, keys, scope_id).ok_or_else(|| {
+                    EngineError::UnknownTask(scope_path.to_string())
+                })?),
                 false => None,
             };
             let action = step.action(&mut self.mgr);
             let mgr = &mut self.mgr;
             facts::write_fact_bound(mgr, action, plan, out_key, output.slots, &mapped)?;
-            if let Some(header) = &started_as {
-                cb.state = CbState::Active {
-                    set: header.set.clone(),
-                };
-                let in_key = keys
-                    .in_key(plan, scope_id, &header.set)
-                    .ok_or_else(|| EngineError::UnknownTask(scope_path.to_string()))?;
-                facts::write_fact_map(mgr, action, plan, in_key, &header.inputs)?;
+            if let Some(set) = started_on {
+                cb.state = CbState::Active { set };
             } else if !is_root {
                 // The compound goes back to Waiting to rebind: clear
                 // its own input-binding facts.
@@ -485,6 +483,22 @@ impl Coordinator {
             (false, false) => drain.worklist.push_task(plan, scope_id),
         }
         Ok(())
+    }
+
+    /// The input set of `task` whose fact fired, as `step` reads it:
+    /// the set it is bound on.
+    fn bound_set(
+        &self,
+        step: &Step,
+        plan: &Plan,
+        keys: &InstanceKeys,
+        task: TaskId,
+    ) -> Option<String> {
+        let class = plan.class_of(plan.task(task));
+        let sets = plan.class_sets[class.sets.as_range()].iter().zip(0..);
+        sets.map(|(set, item)| (set, FactKey::input(keys.instance_id, task, item)))
+            .find(|(_, base)| facts::fired(&self.mgr, step.staged(), plan, *base))
+            .map(|(set, _)| plan.str(set.name).to_string())
     }
 
     /// Stuck detection, at the end of every drain: an instance the step

@@ -170,8 +170,6 @@ impl Coordinator {
                 script: script_name.to_string(),
                 source_hash: hash,
                 root: root.to_string(),
-                set: set.to_string(),
-                inputs,
                 instance_id,
             };
             let action = step.action(&mut coordinator.mgr);
@@ -188,8 +186,9 @@ impl Coordinator {
             });
             facts::write_block(mgr, action, &plan, &keys, 0, &root_cb)?;
             // The root's input binding goes through the fact layout like
-            // every other fact, so root-input fallbacks probe per object.
-            facts::write_fact_map(mgr, action, &plan, root_in, &header.inputs)?;
+            // every other fact, so root-input fallbacks probe per object;
+            // it is the one record of what the instance was started on.
+            facts::write_fact_map(mgr, action, &plan, root_in, &inputs)?;
             let rt = InstanceRt {
                 plan: plan.clone(),
                 keys: keys.clone(),

@@ -49,9 +49,10 @@ impl InstanceStatus {
 /// The first byte of every stored [`InstanceHeader`] and
 /// [`StuckRecord`]: bytes written under any other layout — the
 /// pre-split record opened with its script name's length, the status
-/// record that stored every status under `0xA2` — fail to decode
+/// record that stored every status under `0xA2`, the header that copied
+/// its start's input set and objects under `0xA1` — fail to decode
 /// instead of reading as a record with garbage fields.
-const HEADER_TAG: u8 = 0xA1;
+const HEADER_TAG: u8 = 0xA4;
 const STUCK_TAG: u8 = 0xA3;
 
 fn expect_tag(r: &mut ByteReader<'_>, tag: u8, ty: &'static str) -> Result<(), CodecError> {
@@ -64,11 +65,13 @@ fn expect_tag(r: &mut ByteReader<'_>, tag: u8, ty: &'static str) -> Result<(), C
     }
 }
 
-/// `inst/<name>/meta` — what an instance was started as, and the
-/// version of its script it runs (named by `source_hash`): written by
-/// instance start, rewritten by a reconfiguration (a new version of the
-/// script) and by hand-off re-keying (a new owner allots a new
-/// `instance_id`). Nothing on the run path writes it.
+/// `inst/<name>/meta` — the version of its script an instance runs
+/// (named by `source_hash` and `root`) and the dense id its facts carry,
+/// nothing the log says elsewhere: the input set and objects it was
+/// started with are the root's input fact. Written by instance start,
+/// rewritten by a reconfiguration (a new version of the script) and by
+/// hand-off re-keying (a new owner allots a new `instance_id`). Nothing
+/// on the run path writes it.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct InstanceHeader {
     pub(super) script: String,
@@ -77,8 +80,6 @@ pub(crate) struct InstanceHeader {
     /// `root`, it names the version, and the plan is that text compiled.
     pub(super) source_hash: u64,
     pub(super) root: String,
-    pub(super) set: String,
-    pub(super) inputs: BTreeMap<String, ObjectVal>,
     /// The dense numeric id all of this instance's fact keys carry.
     pub(super) instance_id: u32,
 }
@@ -89,8 +90,6 @@ impl Encode for InstanceHeader {
         w.put_str(&self.script);
         w.put_u64(self.source_hash);
         w.put_str(&self.root);
-        w.put_str(&self.set);
-        self.inputs.encode(w);
         w.put_u32(self.instance_id);
     }
 }
@@ -102,8 +101,6 @@ impl Decode for InstanceHeader {
             script: r.get_str()?.to_owned(),
             source_hash: r.get_u64()?,
             root: r.get_str()?.to_owned(),
-            set: r.get_str()?.to_owned(),
-            inputs: BTreeMap::decode(r)?,
             instance_id: r.get_u32()?,
         })
     }
@@ -150,8 +147,6 @@ mod tests {
             script: "order".into(),
             source_hash: source_hash("class C;"),
             root: "root".into(),
-            set: "main".into(),
-            inputs: BTreeMap::from([("seed".to_string(), ObjectVal::text("C", "s"))]),
             instance_id: 7,
         }
     }
@@ -207,6 +202,32 @@ mod tests {
             flowscript_codec::from_bytes::<StuckRecord>(PRE_SPLIT_RECORD),
             Err(not_tagged("StuckRecord"))
         );
+    }
+
+    /// What the layout before this one stored under `inst/<name>/meta`
+    /// for the header above, started on set `main` with the input
+    /// `seed`: tag `0xA1`, script, source hash, root, then the copies of
+    /// the start's set and objects the root's input fact holds, then
+    /// instance_id.
+    const COPYING_HEADER: &[u8] = b"\xA1\x05order\x30\xA4\x12\x21\x08\0\0\0\x04root\
+        \x04main\x01\x04seed\x01C\x01s\x00\x07\0\0\0";
+
+    #[test]
+    fn the_copying_header_decodes_as_neither() {
+        assert_eq!(COPYING_HEADER.len(), 40);
+        assert_eq!(COPYING_HEADER[7..15], source_hash("class C;").to_le_bytes());
+        let tagged = |ty| CodecError::InvalidDiscriminant { ty, value: 0xA1 };
+        assert_eq!(
+            flowscript_codec::from_bytes::<InstanceHeader>(COPYING_HEADER),
+            Err(tagged("InstanceHeader"))
+        );
+        assert_eq!(
+            flowscript_codec::from_bytes::<StuckRecord>(COPYING_HEADER),
+            Err(tagged("StuckRecord"))
+        );
+        // What is left of it under the new tag: the set and the objects
+        // gone, 16 B fewer.
+        assert_eq!(flowscript_codec::to_bytes(&header()).len(), 24);
     }
 
     #[test]

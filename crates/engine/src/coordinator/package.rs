@@ -161,8 +161,6 @@ pub(super) fn purge_instance(
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeMap;
-
     use super::*;
 
     fn header(instance_id: u32) -> InstanceHeader {
@@ -170,8 +168,6 @@ mod tests {
             script: "s".into(),
             source_hash: 5,
             root: "root".into(),
-            set: "main".into(),
-            inputs: BTreeMap::new(),
             instance_id,
         }
     }

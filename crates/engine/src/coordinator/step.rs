@@ -14,11 +14,10 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use flowscript_codec::Decode;
 use flowscript_obs::ObsEventKind;
 use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::SimDuration;
-use flowscript_tx::{AtomicAction, StableStore, StoreKey, TxError, TxManager};
+use flowscript_tx::{AtomicAction, StableStore, TxError, TxManager};
 
 use super::{CoordStats, Coordinator, InstanceRt};
 use crate::error::EngineError;
@@ -146,16 +145,6 @@ impl Coordinator {
             stage(&mut this.mgr, action)
         });
         staged.map(|(value, _)| value)
-    }
-
-    /// `key` as `step` reads it: what it staged there, else what is
-    /// committed.
-    pub(super) fn staged<T: Decode>(
-        &self,
-        step: &Step,
-        key: &StoreKey,
-    ) -> Result<Option<T>, TxError> {
-        facts::decoded(self.mgr.read_through(step.staged(), key))
     }
 
     /// The control block of `task` as `step` reads it.

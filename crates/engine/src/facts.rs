@@ -281,8 +281,20 @@ impl<S: Storage> plan_eval::PlanFacts for StoreFacts<'_, S> {
     }
 }
 
+/// Whether the fact at `base` fired, as `action` reads it (committed
+/// state when `None`): one point read of its presence record.
+pub(crate) fn fired<S: Storage>(
+    mgr: &TxManager<S>,
+    action: Option<&AtomicAction>,
+    plan: &Plan,
+    base: FactKey,
+) -> bool {
+    let _ = plan;
+    mgr.read_through(action, &StoreKey::Fact(base)).is_some()
+}
+
 /// Decodes what a [`TxManager::read_through`] found.
-pub(crate) fn decoded<T: Decode>(bytes: Option<&[u8]>) -> Result<Option<T>, TxError> {
+fn decoded<T: Decode>(bytes: Option<&[u8]>) -> Result<Option<T>, TxError> {
     Ok(bytes.map(flowscript_codec::from_bytes).transpose()?)
 }
 
