@@ -443,9 +443,10 @@ impl Coordinator {
             // started with, which a repeat leaves in place (a scope's
             // subtree does not hold the scope).
             let started_on = match is_root {
-                true => Some(self.bound_set(step, plan, keys, scope_id).ok_or_else(|| {
-                    EngineError::UnknownTask(scope_path.to_string())
-                })?),
+                true => Some(
+                    self.bound_set(step, plan, keys, scope_id)
+                        .ok_or_else(|| EngineError::UnknownTask(scope_path.to_string()))?,
+                ),
                 false => None,
             };
             let action = step.action(&mut self.mgr);

@@ -24,7 +24,7 @@ use super::{
 };
 use crate::error::EngineError;
 use crate::facts;
-use crate::keys::{self, instance_seq_uid, source_uid, status_uid, InstanceKeys};
+use crate::keys::{self, source_uid, status_uid, InstanceKeys};
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
 
@@ -159,9 +159,9 @@ impl Coordinator {
             if coordinator.holds(instance) {
                 return Err(EngineError::DuplicateInstance(instance.to_string()));
             }
-            // Allocate the dense instance id from the persistent sequence.
-            let seq_uid = instance_seq_uid();
-            let instance_id: u32 = coordinator.mgr.read_committed_key(&seq_uid)?.unwrap_or(0);
+            // The dense instance id: the shard's next free one, taken
+            // once the start commits.
+            let instance_id = coordinator.next_id;
             let keys = Arc::new(InstanceKeys::build(&plan, instance, instance_id));
             let root_in = keys
                 .in_key(&plan, 0, set)
@@ -174,7 +174,6 @@ impl Coordinator {
             };
             let action = step.action(&mut coordinator.mgr);
             let mgr = &mut coordinator.mgr;
-            mgr.write_key(action, &seq_uid, &(instance_id + 1))?;
             mgr.write_key(action, keys.meta(), &header)?;
             pin_source(mgr, action, script_name, hash, source)?;
             // Root control block starts Active with the supplied inputs
@@ -205,11 +204,13 @@ impl Coordinator {
             // The first drain: the root just activated.
             let mut drain = coordinator.drain_of(name.clone(), &plan, &keys);
             drain.worklist.seed_children(&plan, 0);
-            coordinator.stage_drain(step, &mut drain)
+            coordinator.stage_drain(step, &mut drain)?;
+            Ok(instance_id)
         });
         // The caller acknowledges the start on `Ok`: a frame that did
         // not reach the log must not read as one.
-        let ((), effects) = staged?;
+        let (instance_id, effects) = staged?;
+        self.next_id = instance_id + 1;
         self.publish(effects);
         self.assert_settled(instance);
         let _ = self.maybe_checkpoint();

@@ -52,7 +52,7 @@ use super::step::Step;
 use super::window::PendingEvent;
 use super::{stored_instance_names, Call, Coordinator, Output, TimerId};
 use crate::error::EngineError;
-use crate::keys::{self, claimed_uid, instance_seq_uid, move_uid};
+use crate::keys::{self, claimed_uid, move_uid};
 use crate::msg::{AfterImages, EngineMsg};
 use crate::shard::ShardMap;
 
@@ -828,8 +828,8 @@ impl Coordinator {
     // -----------------------------------------------------------------
 
     /// A claim arriving at its destination: commits the packaged
-    /// instances under freshly allocated ids — a contiguous range read
-    /// off the id sequence once — beside the claim's receipt, in ONE
+    /// instances under freshly allocated ids — a contiguous range from
+    /// the shard's next free id — beside the claim's receipt, in ONE
     /// atomic action, and adopts them. `fenced`: a claimant sent it out
     /// of a dead shard's storage. A claim whose receipt exists commits
     /// nothing; one stamped below this shard's epoch is refused. An
@@ -857,10 +857,7 @@ impl Coordinator {
                 "claim routed under epoch {epoch}, below this shard's {installed}: stale"
             )));
         }
-        let base: u32 = self
-            .mgr
-            .read_committed_key(&instance_seq_uid())?
-            .unwrap_or(0);
+        let base = self.next_id;
         let live = |name: &str| self.holds(name) && self.membership.freezing(name).is_none();
         let (names, writes) = rekeyed(images, base, live)?;
         // A landing name held here at all is frozen in a round: that
@@ -877,7 +874,6 @@ impl Coordinator {
                 (round_id, record)
             })
             .collect();
-        let next_id = base + names.len() as u32;
         self.atomically(|mgr, action| {
             for (_, name) in &superseded {
                 purge_instance(mgr, action, name)?;
@@ -886,9 +882,6 @@ impl Coordinator {
                 stage_record(mgr, action, *round_id, record)?;
             }
             mgr.write_key(action, &claimed_uid(id), &epoch)?;
-            if !names.is_empty() {
-                mgr.write_key(action, &instance_seq_uid(), &next_id)?;
-            }
             // (A package carries no tombstones; one that does has
             // nothing to delete here.)
             for (key, bytes) in writes {
@@ -898,6 +891,7 @@ impl Coordinator {
             }
             Ok(())
         })?;
+        self.next_id = base + names.len() as u32;
         let mut held = Vec::new();
         for (round_id, record) in shrunk {
             let rounds = &mut self.membership.rounds;
@@ -1191,6 +1185,8 @@ impl Coordinator {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use flowscript_tx::{FactKey, SharedStorage};
 
     use super::*;
@@ -1202,12 +1198,12 @@ mod tests {
     use crate::msg::MarkMsg;
     use crate::{ObjectVal, TaskBehavior};
 
-    /// Two shards and `q`, a quickstart pipeline shard 0 owns, run 10 ms
-    /// into its 50 ms `produce`: the shards, and the instance's name.
-    fn one_running_instance() -> (WorkflowSystem, [Driver<Coordinator>; 2], String) {
+    /// `shards` shards serving the quickstart pipeline, whose `produce`
+    /// works 50 ms.
+    fn quickstart(shards: usize) -> WorkflowSystem {
         let mut sys = WorkflowSystem::builder()
             .executors(1)
-            .coordinators(2)
+            .coordinators(shards)
             .seed(7)
             .build();
         let source = flowscript_core::samples::QUICKSTART;
@@ -1221,16 +1217,130 @@ mod tests {
         sys.bind_fn("refConsume", |_| {
             TaskBehavior::outcome("consumed").with_object("result", ObjectVal::text("Message", "r"))
         });
-        let name = (0..)
-            .map(|i| format!("q{i}"))
-            .find(|name| sys.shard_of(name) == 0)
-            .expect("some name shard 0 owns");
-        let seed = ObjectVal::text("Message", "s");
-        sys.start(&name, "quickstart", "main", [("seed", seed)])
-            .unwrap();
+        sys
+    }
+
+    /// The first `n` names `q0`, `q1`, … the map gives `shard`.
+    fn names_on(sys: &WorkflowSystem, shard: usize, n: usize) -> Vec<String> {
+        let names = (0..).map(|i| format!("q{i}"));
+        names
+            .filter(|name| sys.shard_of(name) == shard)
+            .take(n)
+            .collect()
+    }
+
+    /// The pipeline's input objects.
+    fn seed() -> BTreeMap<String, ObjectVal> {
+        BTreeMap::from([("seed".to_string(), ObjectVal::text("Message", "s"))])
+    }
+
+    /// Two shards and `q`, a quickstart pipeline shard 0 owns, run 10 ms
+    /// into its 50 ms `produce`: the shards, and the instance's name.
+    fn one_running_instance() -> (WorkflowSystem, [Driver<Coordinator>; 2], String) {
+        let mut sys = quickstart(2);
+        let name = names_on(&sys, 0, 1).remove(0);
+        sys.start(&name, "quickstart", "main", seed()).unwrap();
         sys.run_for(SimDuration::from_millis(10));
         let shards = [sys.coord_handle(0), sys.coord_handle(1)];
         (sys, shards, name)
+    }
+
+    /// The id of every instance `coord` stores, by name — asserting that
+    /// no two share one, that a resident runtime keys its facts by its
+    /// header's, and that every fact key in the store lies in the range
+    /// of one of them: an instance can neither share nor inherit facts.
+    fn ids_by_instance(coord: &Coordinator) -> BTreeMap<String, u32> {
+        let stored = crate::coordinator::stored_instances(&coord.mgr);
+        let ids: BTreeMap<String, u32> = stored
+            .into_iter()
+            .map(|(name, header)| (name, header.instance_id))
+            .collect();
+        let distinct: BTreeSet<u32> = ids.values().copied().collect();
+        assert_eq!(distinct.len(), ids.len(), "an id is shared: {ids:?}");
+        for (name, rt) in &coord.instances {
+            assert_eq!(Some(&rt.keys.instance_id), ids.get(name), "`{name}`");
+        }
+        let (lo, hi) = (FactKey::instance_first(0), FactKey::instance_last(u32::MAX));
+        for key in coord.mgr.fact_keys_in_range(lo, hi) {
+            assert!(distinct.contains(&key.instance), "`{key}` is nobody's");
+        }
+        ids
+    }
+
+    #[test]
+    fn a_restart_after_the_highest_id_left_gives_it_to_one_instance() {
+        let mut sys = quickstart(2);
+        let names = names_on(&sys, 0, 4);
+        for name in &names[..3] {
+            sys.start(name, "quickstart", "main", seed()).unwrap();
+        }
+        sys.run_for(SimDuration::from_millis(10));
+        let shard = sys.coord_handle(0);
+        let gone = &names[2];
+        {
+            let mut source = shard.get_mut();
+            assert_eq!(ids_by_instance(&source)[gone], 2, "the highest id");
+            // What a source does once its round landed: the runtime
+            // goes, and one action purges the slice.
+            let _ = source.drop_runtime(gone);
+            source
+                .atomically(|mgr, action| purge_instance(mgr, action, gone))
+                .unwrap();
+        }
+        let node = shard.get().node;
+        sys.crash_now(node);
+        sys.restart_now(node);
+        sys.start(&names[3], "quickstart", "main", seed()).unwrap();
+        let ids = ids_by_instance(&shard.get());
+        assert_eq!(ids.len(), 3);
+        assert_eq!(ids[&names[3]], 2, "the purged id is free again");
+        sys.run();
+        for name in [&names[0], &names[1], &names[3]] {
+            assert!(sys.outcome(name).is_some(), "{name} completes");
+        }
+    }
+
+    #[test]
+    fn starts_around_a_claim_landing_take_ids_of_their_own() {
+        let (_sys, [source, dest], name) = one_running_instance();
+        let writes = package_instance(&source.get().mgr, &name).expect("stored");
+        let id = TxId::new(source.get().node.index() as u32, 1_000);
+        let mut dest = dest.get_mut();
+        let epoch = dest.membership.epoch();
+        let text = flowscript_core::samples::QUICKSTART;
+        let start = |dest: &mut Coordinator, instance: &str| {
+            dest.start_instance(instance, "quickstart", text, "pipeline", "main", seed())
+                .expect("starts");
+        };
+        start(&mut dest, "before");
+        dest.on_claim(id, epoch, false, writes).expect("lands");
+        start(&mut dest, "after");
+        let ids = ids_by_instance(&dest);
+        let order: Vec<u32> = ["before", name.as_str(), "after"]
+            .iter()
+            .map(|name| ids[*name])
+            .collect();
+        assert_eq!(order, [0, 1, 2]);
+    }
+
+    #[test]
+    fn an_adoption_onto_a_shard_with_live_instances_takes_fresh_ids() {
+        let mut sys = quickstart(2);
+        let names = [names_on(&sys, 0, 3), names_on(&sys, 1, 3)].concat();
+        for name in &names {
+            sys.start(name, "quickstart", "main", seed()).unwrap();
+        }
+        sys.run_for(SimDuration::from_millis(10));
+        let dead = sys.coord_handle(1).get().node;
+        sys.crash_now(dead);
+        let report = sys.adopt_dead_shard("coordinator1").expect("failover");
+        assert_eq!(report.adopted, 3);
+        let ids = ids_by_instance(&sys.coord_handle(0).get());
+        assert_eq!(ids.len(), names.len(), "every instance on the survivor");
+        sys.run();
+        for name in &names {
+            assert!(sys.outcome(name).is_some(), "{name} completes");
+        }
     }
 
     /// A claim delivered again after its instance moved on from the

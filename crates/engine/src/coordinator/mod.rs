@@ -224,6 +224,12 @@ pub struct Coordinator {
     /// The id the next armed timer gets: never reused, restarts
     /// included.
     next_timer: u64,
+    /// The dense id the next instance this shard starts or lands takes:
+    /// past every id the store holds, seeded from it at open and at
+    /// every restart ([`recovery::next_free_id`]), and advanced by each
+    /// start and landing that commits. Not stored: the log already says
+    /// which ids are taken.
+    next_id: u32,
 }
 
 const _: fn() = || {
@@ -259,6 +265,7 @@ impl Coordinator {
         let recorder = FlightRecorder::new(node.index() as u32, config.recorder_capacity);
         let mut mgr = TxManager::open(node.index() as u32, storage.clone())?;
         *mgr.metrics_mut() = TxMetrics::new(config.observe);
+        let next_id = recovery::next_free_id(&mgr, []);
         Ok(Self {
             node,
             repo,
@@ -278,6 +285,7 @@ impl Coordinator {
             now: SimTime::ZERO,
             outbox: Vec::new(),
             next_timer: 0,
+            next_id,
         })
     }
 

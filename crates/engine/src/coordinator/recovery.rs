@@ -32,6 +32,21 @@ pub(super) fn stored_instances(mgr: &TxManager<StableStore>) -> Vec<(String, Ins
         .collect()
 }
 
+/// The first instance id past every id `mgr` holds: the last fact key's
+/// (an instance stores its root block from its start to its purge) and
+/// each of `headers`' ids (the ones recovery reads anyway, a frozen
+/// slice's included). An id whose instance was purged whole is free
+/// again, which is safe because nothing outside an instance's own keys
+/// names its id (see [`keys`]).
+pub(super) fn next_free_id(
+    mgr: &TxManager<StableStore>,
+    headers: impl IntoIterator<Item = u32>,
+) -> u32 {
+    let last = mgr.last_fact_key().map(|key| key.instance);
+    let highest = headers.into_iter().chain(last).max();
+    highest.map_or(0, |id| id + 1)
+}
+
 impl Coordinator {
     /// Everything volatile died with the process: resident runtimes and
     /// compiled plans (the loads compile each pinned version once),
@@ -82,8 +97,11 @@ impl Coordinator {
         // Hand-off repair: the relay table comes back from the landed
         // move records, the unlanded rounds with their slices frozen.
         let unlanded = self.repair_handoffs();
+        let stored = stored_instances(&self.mgr);
+        let ids = stored.iter().map(|(_, header)| header.instance_id);
+        self.next_id = next_free_id(&self.mgr, ids);
         let mut running = Vec::new();
-        for (name, header) in stored_instances(&self.mgr) {
+        for (name, header) in stored {
             if self.membership.freezing(&name).is_some() {
                 continue;
             }

@@ -8,9 +8,9 @@
 //! **escaped** where it
 //! enters the uid (`%` → `%25`, `/` → `%2F`), so the name is exactly one
 //! path segment: no instance's prefix is a prefix of another's.
-//! Shard-wide objects sit under `sys/…`: the instance-id sequence, the
-//! canonical sources instances share by content (`sys/src/<hash>`; the
-//! plan an instance runs is its source compiled, and is never stored)
+//! Shard-wide objects sit under `sys/…`: the canonical sources
+//! instances share by content (`sys/src/<hash>`; the plan an instance
+//! runs is its source compiled, and is never stored),
 //! `sys/move/<id>`, the record of a round this shard decided to move
 //! out, and `sys/claimed/<id>`, the receipt of a claim this shard landed
 //! (see [`crate::coordinator`]'s membership protocol).
@@ -23,6 +23,16 @@
 //! instance, so hand-off packages, re-keys and purges blocks with the
 //! facts, and no per-task object's key is ever formatted, hashed as a
 //! string or compared bytewise.
+//!
+//! **An instance id is shard-local and named only by the instance's own
+//! keys**: its header and its dense range. Everything that crosses an
+//! instance's boundary names it by its name — executor reports and
+//! relays, timers, move records and their claims (which re-key the ids
+//! they carry onto the receiver's) — so no id is stored for the shard
+//! at large. A shard allots the next id past the highest its store
+//! holds (the last fact key, every header), keeps the count in memory,
+//! and recomputes it at a restart: the id of an instance purged whole
+//! may then be reused, and nothing can mistake one for the other.
 //!
 //! A live instance resolves every hot-path storage access through an
 //! [`InstanceKeys`] table built **once** at instance start (and rebuilt
@@ -145,11 +155,6 @@ pub(crate) fn claimed_uid(id: TxId) -> StoreKey {
         id.node(),
         id.seq()
     ))
-}
-
-/// The persistent instance-id allocator.
-pub(crate) fn instance_seq_uid() -> StoreKey {
-    key("sys/instance_seq".into())
 }
 
 /// The two dense keys one dependency probe resolves to.

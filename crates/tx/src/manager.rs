@@ -549,6 +549,12 @@ impl<S: Storage> TxManager<S> {
             .collect()
     }
 
+    /// The greatest committed fact key, if any: the last key of the
+    /// ordered store, where fact keys sort after every uid. Not a scan.
+    pub fn last_fact_key(&self) -> Option<FactKey> {
+        self.store.keys().next_back().and_then(StoreKey::as_fact)
+    }
+
     /// All committed fact keys in `lo..=hi`, in key order (subtree
     /// cancel/reset, reconfiguration remapping). One range scan over the
     /// dense fact index space.
@@ -670,6 +676,28 @@ mod tests {
         let b = mgr.begin();
         assert_eq!(mgr.read_key::<u32>(&b, &key("x")).unwrap(), Some(41));
         mgr.abort(b);
+    }
+
+    #[test]
+    fn the_last_fact_key_is_the_greatest_committed_one() {
+        let mut mgr = TxManager::in_memory();
+        assert_eq!(mgr.last_fact_key(), None);
+        let a = mgr.begin();
+        mgr.write_key(&a, &key("zzz"), &1u8).unwrap();
+        mgr.commit(a).unwrap();
+        assert_eq!(mgr.last_fact_key(), None, "a uid is no fact key");
+        let (low, high) = (FactKey::output(2, 9, 1), FactKey::control(3, 0));
+        let a = mgr.begin();
+        for fact in [high, low] {
+            mgr.write_key(&a, &StoreKey::Fact(fact), &1u8).unwrap();
+        }
+        assert_eq!(mgr.last_fact_key(), None, "staged is not committed");
+        mgr.commit(a).unwrap();
+        assert_eq!(mgr.last_fact_key(), Some(high));
+        let a = mgr.begin();
+        mgr.delete_key(&a, &StoreKey::Fact(high)).unwrap();
+        mgr.commit(a).unwrap();
+        assert_eq!(mgr.last_fact_key(), Some(low));
     }
 
     #[test]
