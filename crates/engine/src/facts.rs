@@ -76,7 +76,7 @@ use flowscript_tx::{
     AtomicAction, FactKey, FactKind, SharedStorage, Storage, StoreKey, TxError, TxManager,
 };
 
-use crate::keys::{InstanceKeys, ProbeKeys};
+use crate::keys::{fired_key, InstanceKeys};
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
 
@@ -275,22 +275,54 @@ impl<S: Storage> plan_eval::PlanFacts for StoreFacts<'_, S> {
     }
 
     fn fact_fired(&self, probe: Probe<'_>) -> bool {
-        let presence = |keys: ProbeKeys| StoreKey::Fact(keys.presence);
-        let keys = self.keys.probe_keys(&probe).map(presence);
-        keys.is_some_and(|key| self.mgr.read_through(self.action, &key).is_some())
+        let keys = self.keys.probe_keys(&probe);
+        keys.is_some_and(|keys| fired_at(self.mgr, self.action, keys.fired, keys.presence))
     }
 }
 
+/// Whether a fact fired: `fired` exists, or — when that is its first
+/// declared object's sub-key, which a fact stored without that object
+/// lacks — its presence record does. Point reads only.
+fn fired_at<S: Storage>(
+    mgr: &TxManager<S>,
+    action: Option<&AtomicAction>,
+    fired: FactKey,
+    presence: FactKey,
+) -> bool {
+    let exists = |key| mgr.read_through(action, &StoreKey::Fact(key)).is_some();
+    exists(fired) || (fired != presence && exists(presence))
+}
+
 /// Whether the fact at `base` fired, as `action` reads it (committed
-/// state when `None`): one point read of its presence record.
+/// state when `None`).
 pub(crate) fn fired<S: Storage>(
     mgr: &TxManager<S>,
     action: Option<&AtomicAction>,
     plan: &Plan,
     base: FactKey,
 ) -> bool {
-    let _ = plan;
-    mgr.read_through(action, &StoreKey::Fact(base)).is_some()
+    fired_at(mgr, action, fired_key(plan, base), base)
+}
+
+/// Stages the presence record of the fact at `base` holding `extras`
+/// when `needed` — no declared object says the fact fired, or some
+/// object has no declared ordinal — and otherwise deletes one an earlier
+/// write left.
+fn write_presence<S: Storage, T: flowscript_codec::Encode>(
+    mgr: &mut TxManager<S>,
+    action: &AtomicAction,
+    base: FactKey,
+    needed: bool,
+    extras: &T,
+) -> Result<(), TxError> {
+    let key = StoreKey::Fact(base);
+    if needed {
+        mgr.write_key(action, &key, extras)
+    } else if mgr.read_through(Some(action), &key).is_some() {
+        mgr.delete_key(action, &key)
+    } else {
+        Ok(())
+    }
 }
 
 /// Decodes what a [`TxManager::read_through`] found.
@@ -313,7 +345,9 @@ pub fn bound_map(plan: &Plan, bound: &[(StrId, ObjectVal)]) -> BTreeMap<String, 
 /// Each declared object goes under its dense sub-key (stale declared
 /// sub-keys from a previous publication are cleared so rewrites never
 /// resurrect old objects), undeclared names land in the presence
-/// record's extras map.
+/// record's extras map. The presence record is stored only when the
+/// first declared object does not say the fact fired: the declaration
+/// has none, the map lacks it, or there are extras.
 ///
 /// # Errors
 ///
@@ -350,7 +384,16 @@ pub fn write_fact_map<S: Storage>(
                 .all(|sig| plan.str(sig.name) != name.as_str())
         })
         .collect();
-    mgr.write_key(action, &StoreKey::Fact(base), &extras)
+    let first_stored = decl_sigs
+        .first()
+        .is_some_and(|sig| objects.contains_key(plan.str(sig.name)));
+    write_presence(
+        mgr,
+        action,
+        base,
+        !first_stored || !extras.is_empty(),
+        &extras,
+    )
 }
 
 /// Writes one fact straight from the evaluator's slot-aligned binding
@@ -358,7 +401,8 @@ pub fn write_fact_map<S: Storage>(
 /// interned at plan lowering ([`PlanSlot::obj_ordinal`]), so the write
 /// looks up no object name (each value is still encoded against its
 /// declaration); only names with no declared ordinal (rare) are
-/// materialized into the presence extras.
+/// materialized into the presence extras. The presence record is stored
+/// as [`write_fact_map`] stores it.
 ///
 /// `slots` is the bound input set's (or output mapping's) slot range:
 /// the evaluator produces exactly one bound value per slot, in slot
@@ -413,14 +457,22 @@ pub fn write_fact_bound<S: Storage>(
             mgr.delete_key(action, &sub)?;
         }
     }
-    mgr.write_key(action, &StoreKey::Fact(base), &extras)
+    let first_stored = covered.first() == Some(&true);
+    write_presence(
+        mgr,
+        action,
+        base,
+        !first_stored || !extras.is_empty(),
+        &extras,
+    )
 }
 
 /// Deletes every fact of `tasks` that `action` can see — committed, or
 /// staged by it earlier in its step, which no store scan would find —
-/// and leaves their control blocks: one probe per declared fact's
-/// presence key (object sub-keys exist only under one), in key order.
-/// `inputs_only` spares the published outputs.
+/// and leaves their control blocks: point reads in key order, over each
+/// declared fact's sub-keys up to its "fired?" key ([`fired_key`]) and,
+/// if it fired, on to its last declared object. `inputs_only` spares
+/// the published outputs.
 ///
 /// # Errors
 ///
@@ -440,11 +492,14 @@ pub fn delete_facts<S: Storage>(
         let outs = plan.class_outputs[class.outputs.as_range()].iter().zip(0..);
         let outs = outs.map(|(out, item)| (FactKey::output(instance_id, task, item), out.objects));
         for (base, objects) in sets.chain(outs.filter(|_| !inputs_only)) {
+            let fired = u32::from(!objects.is_empty());
+            let mut found = false;
             for obj in 0..=objects.len() as u32 {
                 let key = StoreKey::Fact(base.with_obj(obj));
                 if mgr.read_through(Some(action), &key).is_some() {
                     mgr.delete_key(action, &key)?;
-                } else if obj == 0 {
+                    found = true;
+                } else if obj == fired && !found {
                     break; // the fact never fired
                 }
             }
@@ -454,9 +509,10 @@ pub fn delete_facts<S: Storage>(
 }
 
 /// Reads one fact back as a name-keyed map (whole-fact consumers:
-/// recovery re-dispatch, monitoring, remapping): one contiguous range
-/// scan over the fact's sub-keys, naming and decoding each by its
-/// declaration in `plan`; the presence record contributes the extras.
+/// recovery re-dispatch, monitoring, remapping): `None` unless it fired
+/// (point reads), else one contiguous range scan over the fact's
+/// sub-keys, naming and decoding each by its declaration in `plan`; the
+/// presence record, where there is one, contributes the extras.
 ///
 /// # Errors
 ///
@@ -467,10 +523,12 @@ pub fn read_fact_map<S: Storage>(
     base: FactKey,
 ) -> Result<Option<BTreeMap<String, ObjectVal>>, TxError> {
     debug_assert_eq!(base.obj, 0, "facts are addressed by their presence key");
-    let Some(mut map) =
-        mgr.read_committed_key::<BTreeMap<String, ObjectVal>>(&StoreKey::Fact(base))?
-    else {
-        return Ok(None);
+    let presence = mgr.read_committed_key::<BTreeMap<String, ObjectVal>>(&StoreKey::Fact(base))?;
+    let fired = fired_key(plan, base);
+    let mut map = match presence {
+        Some(extras) => extras,
+        None if fired != base && mgr.exists_key(&StoreKey::Fact(fired)) => BTreeMap::new(),
+        None => return Ok(None),
     };
     for (key, bytes) in mgr.facts_in_range(base.object(0), base.fact_last()) {
         let Some(sig) = declared(plan, key) else {
@@ -886,8 +944,9 @@ pub fn remap_instance_facts<S: Storage>(
 ) -> Result<(), TxError> {
     let ids_kept = ids_keep_paths(old_plan, new_plan);
     let (lo, hi) = old_keys.instance_fact_range();
-    // Group sub-keys per fact; key order keeps a fact's range adjacent
-    // (a control block is a group of one).
+    // Group sub-keys per fact, by the fact's presence key whether or not
+    // one is stored; key order keeps a fact's range adjacent (a control
+    // block is a group of one).
     let mut groups: Vec<(FactKey, Vec<FactKey>)> = Vec::new();
     for key in mgr.fact_keys_in_range(lo, hi) {
         let base = key.with_obj(0);
@@ -1001,9 +1060,12 @@ mod tests {
         let mut objects = BTreeMap::new();
         objects.insert("stockInfo".to_string(), obj("v1"));
         write_output(&mut mgr, &plan, base, &objects);
-        // The declared object lives under its own sub-key…
+        // The declared object lives under its own sub-key, and says the
+        // fact fired: no presence record…
         assert!(mgr.exists_key(&StoreKey::Fact(base.object(0))));
-        // …and a rewrite without it clears the stale sub-key.
+        assert!(!mgr.exists_key(&StoreKey::Fact(base)));
+        // …and a rewrite without it clears the stale sub-key, leaving the
+        // presence record to say so.
         write_output(&mut mgr, &plan, base, &BTreeMap::new());
         assert!(!mgr.exists_key(&StoreKey::Fact(base.object(0))));
         assert!(mgr.exists_key(&StoreKey::Fact(base)), "fact still fired");
@@ -1059,6 +1121,65 @@ mod tests {
         assert_eq!(facts.fact_object(probe, "stockInfo"), Some(obj("s")));
         assert_eq!(scans(), before, "probes must be point reads");
         assert!(facts.take_fault().is_none());
+    }
+
+    #[test]
+    fn a_presence_record_is_kept_only_where_no_declared_object_says_the_fact_fired() {
+        let plan = order_plan();
+        let keys = InstanceKeys::build(&plan, "i", 0);
+        let (check, base) = stock_fact(&plan, &keys);
+        let probe = stock_probe(&plan, check);
+        let with = |pairs: &[(&str, &str)]| -> BTreeMap<String, ObjectVal> {
+            let pairs = pairs
+                .iter()
+                .map(|(name, value)| (name.to_string(), obj(value)));
+            pairs.collect()
+        };
+        // What each write stores under the fact: its presence record?
+        let cases = [
+            (with(&[("stockInfo", "s")]), false),
+            (with(&[("stockInfo", "s"), ("extra", "x")]), true),
+            (with(&[]), true),
+            (with(&[("stockInfo", "t")]), false),
+        ];
+        let mut mgr = TxManager::in_memory();
+        for (objects, presence) in cases {
+            write_output(&mut mgr, &plan, base, &objects);
+            assert_eq!(
+                mgr.exists_key(&StoreKey::Fact(base)),
+                presence,
+                "{objects:?}"
+            );
+            let facts = StoreFacts::new(&mgr, None, &plan, &keys);
+            assert!(facts.fact_fired(probe), "{objects:?}");
+            assert_eq!(
+                facts.fact_object(probe, "stockInfo"),
+                objects.get("stockInfo").cloned()
+            );
+            assert!(facts.take_fault().is_none());
+            assert!(fired(&mgr, None, &plan, base));
+            assert_eq!(read_fact_map(&mgr, &plan, base), Ok(Some(objects)));
+        }
+        // Deleting the fact leaves nothing of it, and it reads unfired.
+        for objects in [with(&[("stockInfo", "s")]), with(&[])] {
+            write_output(&mut mgr, &plan, base, &objects);
+            let action = mgr.begin();
+            delete_facts(&mut mgr, &action, &plan, 0, [check].into_iter(), false).unwrap();
+            mgr.commit(action).unwrap();
+            assert!(mgr.fact_keys_in_range(base, base.fact_last()).is_empty());
+            let facts = StoreFacts::new(&mgr, None, &plan, &keys);
+            assert!(!facts.fact_fired(probe));
+            assert_eq!(read_fact_map(&mgr, &plan, base), Ok(None));
+        }
+        // A fact declaring no objects keeps its presence record: nothing
+        // else can say it fired.
+        let plan = work_plan(SETS, OUTPUTS);
+        let keys = InstanceKeys::build(&plan, "i", 0);
+        let w = plan.task_by_path("root/w").unwrap();
+        let done = keys.out_key(&plan, w, "done").unwrap();
+        write_output(&mut mgr, &plan, done, &BTreeMap::new());
+        assert!(mgr.exists_key(&StoreKey::Fact(done)));
+        assert!(fired(&mgr, None, &plan, done));
     }
 
     #[test]
@@ -1135,13 +1256,17 @@ mod tests {
         let truncated = valid[..valid.len() - 1].to_vec();
         // A producer id the plan does not have.
         let foreign = vec![PRODUCER_TASK << 1, 0x7F, 1, b's'];
-        for bytes in [unknown_tag, truncated, foreign, Vec::new()] {
+        let corrupt = [unknown_tag, truncated, foreign, Vec::new()];
+        // With a valid presence record beside it, and without one: the
+        // object alone says the fact fired.
+        for (bytes, presence) in corrupt.iter().flat_map(|b| [(b, true), (b, false)]) {
             let mut mgr = TxManager::in_memory();
             let action = mgr.begin();
-            // A valid presence record: the fact fired.
-            let no_extras: BTreeMap<String, ObjectVal> = BTreeMap::new();
-            mgr.write_key(&action, &StoreKey::Fact(base), &no_extras)
-                .unwrap();
+            if presence {
+                let no_extras: BTreeMap<String, ObjectVal> = BTreeMap::new();
+                mgr.write_key(&action, &StoreKey::Fact(base), &no_extras)
+                    .unwrap();
+            }
             mgr.write_key_raw(&action, &StoreKey::Fact(sub), bytes.clone())
                 .unwrap();
             mgr.commit(action).unwrap();

@@ -50,7 +50,7 @@
 use std::borrow::Cow;
 
 use flowscript_plan::{Plan, PlanCond, Probe, TaskId};
-use flowscript_tx::{FactKey, ObjectUid, StoreKey, TxId};
+use flowscript_tx::{FactKey, FactKind, ObjectUid, StoreKey, TxId};
 
 /// Every per-instance uid starts with this.
 pub(crate) const INSTANCE_ROOT: &str = "inst/";
@@ -157,13 +157,28 @@ pub(crate) fn claimed_uid(id: TxId) -> StoreKey {
     ))
 }
 
-/// The two dense keys one dependency probe resolves to.
+/// The sub-key whose existence says the fact at `base` fired: the first
+/// declared object's (`obj = 1`) when the declaration has objects — a
+/// fact stored with that object keeps no presence record — else the
+/// presence record (`obj = 0`).
+pub(crate) fn fired_key(plan: &Plan, base: FactKey) -> FactKey {
+    let decl = plan.fact_decl_objects(base.task, base.kind == FactKind::Input, base.item);
+    match decl {
+        Some(decl) if !decl.is_empty() => base.object(0),
+        _ => base,
+    }
+}
+
+/// The dense keys one dependency probe resolves to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeKeys {
-    /// The probed fact's presence sub-key (`obj = 0`): it exists iff
-    /// the fact fired, and its payload carries only objects with no
-    /// declared ordinal.
+    /// The probed fact's presence sub-key (`obj = 0`): stored only when
+    /// no declared object says the fact fired (see [`fired_key`]); its
+    /// payload carries only objects with no declared ordinal.
     pub presence: FactKey,
+    /// The sub-key read first to answer "fired?" ([`fired_key`]); when
+    /// it is not `presence` and is absent, `presence` settles it.
+    pub fired: FactKey,
     /// The sub-key holding the probed object's value alone (`None` for
     /// notifications, or when the object is undeclared at the producer
     /// — such a value, if published at all, lives in the presence
@@ -200,6 +215,7 @@ impl InstanceKeys {
             let class = plan.class_of(plan.task(producer));
             let with_data = |base: FactKey| ProbeKeys {
                 presence: base,
+                fired: fired_key(plan, base),
                 data: src.object_ordinal.map(|ordinal| base.object(ordinal)),
             };
             match &src.cond {
@@ -221,6 +237,7 @@ impl InstanceKeys {
                                 let base = FactKey::output(instance_id, producer, item);
                                 ProbeKeys {
                                     presence: base,
+                                    fired: fired_key(plan, base),
                                     data: plan.any_obj_ordinals[cand_idx]
                                         .map(|ordinal| base.object(ordinal)),
                                 }
@@ -294,7 +311,6 @@ impl InstanceKeys {
 mod tests {
     use super::*;
     use flowscript_core::schema::compile_source;
-    use flowscript_tx::FactKind;
 
     fn uid(key: &StoreKey) -> &ObjectUid {
         key.as_uid().expect("a string key")
@@ -374,13 +390,20 @@ mod tests {
                 );
             }
         }
-        for probe in keys.source.iter().flatten() {
+        for probe in keys.source.iter().chain(&keys.any).flatten() {
             assert_eq!(probe.presence.instance, 3);
             assert_eq!(probe.presence.obj, 0, "presence keys address sub-object 0");
             if let Some(data) = probe.data {
                 assert!(data.obj >= 1, "data keys address declared sub-objects");
                 assert_eq!(data.with_obj(0), probe.presence);
             }
+            // "Fired?" reads the first declared object where there is
+            // one: a point read either way.
+            let base = probe.presence;
+            let decl = plan.fact_decl_objects(base.task, base.kind == FactKind::Input, base.item);
+            let declares = !decl.expect("a resolved fact is declared").is_empty();
+            assert_eq!(probe.fired.with_obj(0), base);
+            assert_eq!(probe.fired.obj, u32::from(declares), "{base}");
         }
     }
 

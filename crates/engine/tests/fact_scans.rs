@@ -20,8 +20,9 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use common::{
-    bind_diamond, bind_misreports, build, det_config, det_link, fan_join_source, frame_writes,
-    generated_script, log_frames, population, start_population, text, JOIN, ONE_TASK,
+    bind_diamond, bind_misreports, build, det_config, det_link, diamond_burst, fan_join_source,
+    frame_writes, generated_script, log_frames, population, start_population, text, BURST, JOIN,
+    ONE_TASK,
 };
 use flowscript_core::samples;
 use flowscript_core::schema::compile_source;
@@ -384,26 +385,11 @@ fn a_restart_rearms_an_instance_in_one_frame() {
 }
 
 #[test]
-fn a_diamond_logs_its_source_once_per_shard_and_stays_in_budget() {
-    let instances = 50;
-    let mut sys = WorkflowSystem::builder().executors(2).seed(1).build();
-    bind_diamond(&mut sys);
-    for i in 0..instances {
-        sys.start(
-            &format!("d{i}"),
-            "diamond",
-            "main",
-            [("seed", text("Data", "s"))],
-        )
-        .unwrap();
-    }
-    sys.run();
-    for i in 0..instances {
-        assert!(sys.outcome(&format!("d{i}")).is_some(), "d{i} completes");
-    }
-
-    let frames = log_frames(&sys.storage());
-    let writes: Vec<_> = frames.iter().flat_map(frame_writes).collect();
+fn a_diamond_burst_logs_what_its_anatomy_golden_says() {
+    // The figures below are `tests/golden/diamond_burst.anatomy.txt`'s:
+    // a change to any of them is a change to that file too.
+    let sys = diamond_burst(4);
+    let plan = Plan::lower(&compile_source(samples::FIG1_DIAMOND, "diamond").unwrap());
     // What instances run off is the repository's canonical form.
     let canonical = sys
         .repository()
@@ -412,41 +398,70 @@ fn a_diamond_logs_its_source_once_per_shard_and_stays_in_budget() {
         .source
         .clone();
     let source = canonical.as_bytes();
-    let carrying_source = writes
-        .iter()
-        .filter_map(|(_, value)| *value)
-        .filter(|value| value.windows(source.len()).any(|window| window == source))
-        .count();
-    assert_eq!(carrying_source, 1, "the source is logged once per shard");
-    let (mut named_writes, mut block_writes) = (0, 0);
-    for (key, value) in &writes {
-        match (key, value) {
-            (StoreKey::Uid(uid), Some(value)) if uid.as_str().starts_with("inst/") => {
-                named_writes += 1;
-                assert!(value.len() < 256, "`{uid}` logged {} B", value.len());
+    let (mut headers, mut blocks, mut presences) = (0, 0, 0);
+    for storage in sys.shard_storages() {
+        let frames = log_frames(&storage);
+        let mut shared = Vec::new();
+        for (at, frame) in frames.iter().enumerate() {
+            let writes = frame_writes(frame);
+            let starts = writes.iter().any(|(key, _)| {
+                key.as_uid()
+                    .is_some_and(|uid| uid.as_str().ends_with("/meta"))
+            });
+            for (key, value) in writes {
+                let Some(value) = value else {
+                    panic!("`{key}` deleted: a burst deletes nothing");
+                };
+                let carries_source = value.windows(source.len()).any(|w| w == source);
+                match key {
+                    StoreKey::Uid(uid) if uid.as_str().starts_with("inst/") => {
+                        // Under its name an instance that never got stuck
+                        // logs its header alone: 29 B, nothing the log
+                        // says elsewhere.
+                        assert!(uid.as_str().ends_with("/meta"), "`{uid}`");
+                        assert_eq!(value.len(), 29, "`{uid}`");
+                        headers += 1;
+                    }
+                    StoreKey::Uid(uid) => {
+                        assert!(uid.as_str().starts_with("sys/src/"), "`{uid}` logged");
+                        assert!(starts && carries_source, "`{uid}` outside a start");
+                        shared.push(at);
+                    }
+                    StoreKey::Fact(key) => {
+                        assert!(!carries_source, "`{key}` carries the source");
+                        if key.kind == FactKind::Control {
+                            assert!(value.len() <= 2, "`{key}` logged {} B", value.len());
+                            blocks += 1;
+                        } else if key.obj == 0 {
+                            // A fact keeps a presence record only when no
+                            // declared object can say it fired.
+                            let decl = plan.fact_decl_objects(
+                                key.task,
+                                key.kind == FactKind::Input,
+                                key.item,
+                            );
+                            assert_eq!(decl.map(|d| d.len()), Some(0), "`{key}`");
+                            presences += 1;
+                        }
+                    }
+                }
             }
-            (StoreKey::Fact(key), Some(value)) if key.kind == FactKind::Control => {
-                block_writes += 1;
-                assert!(value.len() <= 2, "`{key}` logged {} B", value.len());
-            }
-            _ => {}
         }
+        // The source is pinned once per shard, by the shard's first start,
+        // and a start writes no other shard-wide key.
+        assert_eq!(shared, [0], "the shard's first start pins the source");
     }
-    // Under its name an instance that never got stuck logs its header
-    // alone; its 10 control-block writes go under dense keys (two at the
-    // start — the root's and `t1`'s, already `Executing`; the three
-    // tasks left waiting store none — and two per report).
-    assert_eq!(named_writes, instances);
-    assert_eq!(block_writes, instances * 10);
-    // 339 B with no status stored for an instance that completes (400 B
-    // with a status record written at the start and again at the
-    // outcome; 435 B with a plan blob and a plan fingerprint in every
-    // status record; 584 B when every key was spelled whole).
-    let per_instance = sys.log_size() / instances as u64;
-    assert!(
-        per_instance < 350,
-        "{per_instance} B of log per diamond, budget 350"
-    );
+    // Each diamond: its header; 10 control-block writes (two at the start
+    // — the root's and `t1`'s, already `Executing`; the three tasks left
+    // waiting store none — and two per report); one presence record, for
+    // `t2`'s input set, which declares no object.
+    assert_eq!(headers, BURST);
+    assert_eq!(blocks, BURST * 10);
+    assert_eq!(presences, BURST);
+    // 417.88 B per diamond (496.88 B while the header copied the start's
+    // set and objects, the shard kept an id sequence and every fact kept
+    // a presence record).
+    assert_eq!(sys.log_size(), 20_894);
 }
 
 #[test]
