@@ -476,7 +476,7 @@ mod tests {
 
     use flowscript_core::samples::FIG1_DIAMOND;
     use flowscript_tx::storage::FlakyStorage;
-    use flowscript_tx::{Shared, SharedStorage, StableStore};
+    use flowscript_tx::{FactKey, Shared, SharedStorage, StableStore};
 
     use flowscript_sim::{NodeId, SimTime};
 
@@ -507,18 +507,23 @@ mod tests {
     #[test]
     fn a_start_that_fails_mid_staging_keeps_no_lock() {
         let mut coord = shard(SharedStorage::new());
-        // Another open action holds the write lock on `x`'s header: the
-        // start of `x` dies on it, after it took the id sequence's.
+        // Another open action holds the write lock on the root block of
+        // the shard's first instance: the start of `x` dies on it, after
+        // it took its header's and the source pin's.
         let blocker = coord.mgr.begin();
-        let written = coord.mgr.write_key(&blocker, &keys::meta_uid("x"), &0u8);
+        let root = StoreKey::Fact(FactKey::control(0, 0));
+        let written = coord.mgr.write_key_raw(&blocker, &root, vec![0]);
         written.expect("nothing else is open");
         assert!(matches!(start(&mut coord, "x"), Err(EngineError::Tx(_))));
+        coord.mgr.abort(blocker);
         // Abandoned with its locks, that action would fail every later
         // start on this shard until a restart.
-        start(&mut coord, "y").expect("the failed start released the id sequence");
-        coord.mgr.abort(blocker);
+        start(&mut coord, "y").expect("the failed start released the source pin");
         start(&mut coord, "x").expect("and left nothing of `x` behind");
         assert_eq!(coord.instance_names(), ["x", "y"]);
+        // Nor did it take an id.
+        let id = |name: &str| coord.instances[name].keys.instance_id;
+        assert_eq!((id("y"), id("x")), (0, 1));
     }
 
     /// The `Ack` never precedes a durable frame, and a refused start

@@ -1,10 +1,12 @@
 //! What an instance persists besides control blocks and facts: the
-//! [`InstanceHeader`], a [`StuckRecord`] while it is parked `Stuck`,
-//! and — once per shard, shared by content — the canonical source of
-//! its script's current version under its [`source_hash`], which the
-//! plan it runs is compiled from. Their field order lives here; their
-//! uids in [`crate::keys`]. Where an instance stands is not a stored
-//! type: `Running` and `Completed` are read off its root block.
+//! [`InstanceHeader`] (the script version it runs and its dense id), a
+//! [`StuckRecord`] while it is parked `Stuck`, and — once per shard,
+//! shared by content — the canonical source of its script's current
+//! version under its [`source_hash`], which the plan it runs is compiled
+//! from. Their field order lives here; their uids in [`crate::keys`].
+//! None repeats what the log says elsewhere: where an instance stands is
+//! not a stored type (`Running` and `Completed` are read off its root
+//! block), and what it was started on is its root's input fact.
 
 use std::collections::BTreeMap;
 

@@ -7,14 +7,19 @@
 //! *whole* map to extract a single object. This module stores facts
 //! **per object** instead:
 //!
-//! - sub-key `obj = 0` (the *presence record*) exists iff the fact
-//!   fired; its payload holds only objects with no declared ordinal
-//!   (normally none, so it encodes as an empty map),
 //! - sub-key `obj = i + 1` holds the value of the declaration's `i`-th
-//!   object alone.
+//!   object alone,
+//! - sub-key `obj = 0` (the *presence record*) holds the objects with no
+//!   declared ordinal, and is stored only where the first declared
+//!   object cannot say the fact fired: the declaration has no objects,
+//!   the fact was published without that object, or there are such
+//!   extras. A fact fired iff its first declared object or its presence
+//!   record is stored ([`crate::keys::fired_key`] names the sub-key a
+//!   probe reads first), so a fact is logged once, by what it holds.
 //!
-//! A probe through [`StoreFacts`] is then a single `BTreeMap` point
-//! read of exactly the bytes it needs, decoded into one object, while
+//! A probe through [`StoreFacts`] is then a `BTreeMap` point read (two
+//! for a fact that may have fired without its first object) of exactly
+//! the bytes it needs, decoded into one object, while
 //! whole-fact consumers (recovery re-dispatch, monitoring,
 //! reconfiguration remapping) reconstruct the map with one contiguous
 //! range scan. Subtree cancel/reset ranges widen transparently: object
@@ -34,8 +39,8 @@
 //! This module is the only writer and reader of those sub-keys: an
 //! unknown tag or a truncated value is a [`CodecError`], a fault that
 //! never reads as "absent". What is read before a plan is at hand keeps
-//! the wire codec of [`ObjectVal`]: the presence record's extras, the
-//! header's inputs and every message. An instance's outcome objects are
+//! the wire codec of [`ObjectVal`]: the presence record's extras and
+//! every message. An instance's outcome objects are
 //! its root's output fact, read back through its plan.
 //! Facts move between shards verbatim beside the source they pin, which
 //! compiles to the same plan on either side; only a reconfiguration,
@@ -304,19 +309,22 @@ pub(crate) fn fired<S: Storage>(
     fired_at(mgr, action, fired_key(plan, base), base)
 }
 
-/// Stages the presence record of the fact at `base` holding `extras`
-/// when `needed` — no declared object says the fact fired, or some
-/// object has no declared ordinal — and otherwise deletes one an earlier
-/// write left.
-fn write_presence<S: Storage, T: flowscript_codec::Encode>(
+/// Stages the presence record of the fact at `base` holding `extras` —
+/// unless the fact's first declared object is stored (`first_stored`)
+/// and there are no extras: that object then says the fact fired, and
+/// a presence record an earlier write left goes.
+fn write_presence<S: Storage, K, V>(
     mgr: &mut TxManager<S>,
     action: &AtomicAction,
     base: FactKey,
-    needed: bool,
-    extras: &T,
-) -> Result<(), TxError> {
+    first_stored: bool,
+    extras: &BTreeMap<K, V>,
+) -> Result<(), TxError>
+where
+    BTreeMap<K, V>: flowscript_codec::Encode,
+{
     let key = StoreKey::Fact(base);
-    if needed {
+    if !first_stored || !extras.is_empty() {
         mgr.write_key(action, &key, extras)
     } else if mgr.read_through(Some(action), &key).is_some() {
         mgr.delete_key(action, &key)
@@ -387,13 +395,7 @@ pub fn write_fact_map<S: Storage>(
     let first_stored = decl_sigs
         .first()
         .is_some_and(|sig| objects.contains_key(plan.str(sig.name)));
-    write_presence(
-        mgr,
-        action,
-        base,
-        !first_stored || !extras.is_empty(),
-        &extras,
-    )
+    write_presence(mgr, action, base, first_stored, &extras)
 }
 
 /// Writes one fact straight from the evaluator's slot-aligned binding
@@ -458,13 +460,7 @@ pub fn write_fact_bound<S: Storage>(
         }
     }
     let first_stored = covered.first() == Some(&true);
-    write_presence(
-        mgr,
-        action,
-        base,
-        !first_stored || !extras.is_empty(),
-        &extras,
-    )
+    write_presence(mgr, action, base, first_stored, &extras)
 }
 
 /// Deletes every fact of `tasks` that `action` can see — committed, or
@@ -492,14 +488,14 @@ pub fn delete_facts<S: Storage>(
         let outs = plan.class_outputs[class.outputs.as_range()].iter().zip(0..);
         let outs = outs.map(|(out, item)| (FactKey::output(instance_id, task, item), out.objects));
         for (base, objects) in sets.chain(outs.filter(|_| !inputs_only)) {
-            let fired = u32::from(!objects.is_empty());
+            let fired_obj = u32::from(!objects.is_empty());
             let mut found = false;
             for obj in 0..=objects.len() as u32 {
                 let key = StoreKey::Fact(base.with_obj(obj));
                 if mgr.read_through(Some(action), &key).is_some() {
                     mgr.delete_key(action, &key)?;
                     found = true;
-                } else if obj == fired && !found {
+                } else if obj == fired_obj && !found {
                     break; // the fact never fired
                 }
             }

@@ -38,12 +38,14 @@
 //! [`InstanceKeys`] table built **once** at instance start (and rebuilt
 //! on reconfiguration, when the plan itself changes): the header and
 //! stuck-record keys are formatted exactly once, and every plan dependency
-//! source gets its probed fact's dense [`FactKey`]s precomputed — both
-//! the fact's *presence* sub-key (`obj = 0`, existence answers
-//! "fired?") and the *data* sub-key of the one object the source takes
+//! source gets its probed fact's dense [`FactKey`]s precomputed — the
+//! sub-key whose existence answers "fired?" (the first declared object,
+//! `obj = 1`, where the declaration has one; the *presence* record,
+//! `obj = 0`, which a fact keeps only when no declared object can say
+//! it fired) and the *data* sub-key of the one object the source takes
 //! (`obj = ordinal + 1`, holding exactly that object's bytes) — so a
-//! readiness probe is a single point read that decodes that one object,
-//! never a whole record, and
+//! readiness probe is point reads that decode that one object, never a
+//! range scan or a whole record, and
 //! an output commit, a subtree cancel/reset or a stuck diagnostic never
 //! formats a string.
 

@@ -55,8 +55,8 @@ impl fmt::Display for ObjectVal {
     }
 }
 
-/// The wire form, which spells every field out: messages, a header's
-/// inputs, a presence record's extras. What a fact holds under a
+/// The wire form, which spells every field out: messages, a presence
+/// record's extras. What a fact holds under a
 /// declared sub-key is stored relative to the plan instead
 /// (`facts.rs`).
 impl Encode for ObjectVal {

@@ -458,9 +458,7 @@ fn a_diamond_burst_logs_what_its_anatomy_golden_says() {
     assert_eq!(headers, BURST);
     assert_eq!(blocks, BURST * 10);
     assert_eq!(presences, BURST);
-    // 417.88 B per diamond (496.88 B while the header copied the start's
-    // set and objects, the shard kept an id sequence and every fact kept
-    // a presence record).
+    // 417.88 B per diamond.
     assert_eq!(sys.log_size(), 20_894);
 }
 

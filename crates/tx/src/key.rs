@@ -72,10 +72,11 @@ impl FactKind {
 /// set or output within the task's class declaration — both assigned by
 /// the compiled plan, so a live instance never builds a string to name
 /// a fact. `obj` addresses *within* one fact: sub-key `0` is the fact's
-/// presence record (it exists iff the fact fired; its payload carries
-/// only objects with no declared ordinal), and sub-key `i + 1` holds
-/// the value of the declaration's `i`-th object alone — so a readiness
-/// probe reads exactly the bytes of the one object it needs.
+/// presence record (its payload carries only objects with no declared
+/// ordinal; the engine stores it only where no declared object can say
+/// the fact fired), and sub-key `i + 1` holds the value of the
+/// declaration's `i`-th object alone — so a readiness probe reads
+/// exactly the bytes of the one object it needs.
 ///
 /// Ordering is `(instance, task, kind, item, obj)`: all sub-objects of
 /// a fact are contiguous, as are all facts of a task — followed by its
