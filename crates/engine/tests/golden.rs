@@ -13,7 +13,10 @@
 //! FNV-1a hash of every shard's durable log after the same run. The
 //! fingerprints pin behaviour; these pin the bytes — record encoding,
 //! framing, checksums and commit grouping — so "no format change" is a
-//! checked claim.
+//! checked claim. Each `.anatomy.txt` takes one run's logs apart —
+//! the paper population's on one and four shards, and a burst of 50
+//! diamonds — into frames, record kinds and key families, per shard and
+//! summed: a storage change reads as a diff of its rows.
 //!
 //! The reference arm — `CommitBatch::disabled()`, every report committed
 //! with its cascade before the next is looked at — is frozen the same
@@ -589,12 +592,12 @@ impl Anatomy {
         }
     }
 
-    /// The anatomy's lines under `label`. With `per`, they open with the
-    /// log's bytes, and it divides those and each family's into a figure
-    /// per diamond.
-    fn render(&self, label: &str, per: Option<usize>) -> String {
+    /// The anatomy's lines under `label`. With `per = (n, unit)`, they
+    /// open with the log's bytes, and it divides those and each family's
+    /// into a figure per `unit`, of which the logs hold `n`.
+    fn render(&self, label: &str, per: Option<(usize, &str)>) -> String {
         let per_instance = |bytes: usize| match per {
-            Some(n) => format!(" | {:.2} B per diamond", bytes as f64 / n as f64),
+            Some((n, unit)) => format!(" | {:.2} B per {unit}", bytes as f64 / n as f64),
             None => String::new(),
         };
         let framed: usize = self.records.values().map(|(_, bytes)| bytes).sum();
@@ -625,10 +628,9 @@ impl Anatomy {
     }
 }
 
-/// The anatomy golden's header: what each line says.
-const ANATOMY_HEADER: &str = "\
-# The durable logs of `common::diamond_burst`: 50 fig. 1 diamonds started
-# at once on 4 shards and run to the end. Per shard, then summed:
+/// What each line of an anatomy golden says, after the line or two
+/// naming the run.
+const ANATOMY_LINES: &str = "\
 #   the log's length and FNV-1a hash, as in the `.wal.txt` files;
 #   its frames, and what framing adds to the records they hold;
 #   per record kind: records, and their encoded bytes;
@@ -638,13 +640,15 @@ const ANATOMY_HEADER: &str = "\
 #   entries, less their values: entry headers, keys, value lengths, and
 #   the change in how the next key is delta-coded; they need not add up
 #   across families. `sys/ other` is any shard-wide key of no other family.
-# The sum gives the log's bytes, and each family's, per diamond.
 ";
 
-#[test]
-fn diamond_burst_anatomy_matches_golden() {
-    let sys = diamond_burst(4);
-    let mut rendered = ANATOMY_HEADER.to_string();
+/// The anatomy golden of `sys`'s logs, which hold `instances` runs of
+/// one `unit` each: `run` (what was run), what the lines say, each
+/// shard's anatomy, then their sum with its figures per `unit`.
+fn render_anatomy(sys: &WorkflowSystem, run: &str, instances: usize, unit: &str) -> String {
+    let mut rendered = format!(
+        "{run}{ANATOMY_LINES}# The sum gives the log's bytes, and each family's, per {unit}.\n"
+    );
     let mut sum = Anatomy::default();
     for (shard, storage) in sys.shard_storages().iter().enumerate() {
         let bytes = storage.read_all().expect("in-memory log reads");
@@ -657,6 +661,49 @@ fn diamond_burst_anatomy_matches_golden() {
         ));
         sum.add(&anatomy);
     }
-    rendered.push_str(&sum.render("all", Some(BURST)));
+    rendered.push_str(&sum.render("all", Some((instances, unit))));
+    rendered
+}
+
+#[test]
+fn diamond_burst_anatomy_matches_golden() {
+    let run = "\
+# The durable logs of `common::diamond_burst`: 50 fig. 1 diamonds started
+# at once on 4 shards and run to the end. Per shard, then summed:
+";
+    let rendered = render_anatomy(&diamond_burst(4), run, BURST, "diamond");
     check("diamond_burst.anatomy.txt", &rendered);
+}
+
+/// The paper population's logs under the default config, read the way
+/// the diamond burst's are.
+fn paper_population_anatomy(coordinators: usize, file: &str) {
+    let population = population();
+    let orders = population
+        .iter()
+        .filter(|name| name.starts_with("order-"))
+        .count();
+    let trips = population.len() - orders;
+    let run = format!(
+        "\
+# The durable logs of `common::population` ({orders} fig. 7 orders, {trips} fig. 8
+# trips) on {coordinators} shard(s), as `paper_population_matches` leaves them.
+# Per shard, then summed:
+"
+    );
+    let sys = run_population(coordinators, EngineConfig::default());
+    check(
+        file,
+        &render_anatomy(&sys, &run, population.len(), "instance"),
+    );
+}
+
+#[test]
+fn paper_population_anatomy_matches_golden_on_one_shard() {
+    paper_population_anatomy(1, "paper_1_shard.anatomy.txt");
+}
+
+#[test]
+fn paper_population_anatomy_matches_golden_on_four_shards() {
+    paper_population_anatomy(4, "paper_4_shards.anatomy.txt");
 }
