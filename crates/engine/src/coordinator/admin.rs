@@ -172,10 +172,9 @@ impl Coordinator {
                 if revived {
                     mgr.delete_key(action, keys.status())?;
                 }
-                let cancelled = match settles {
-                    true => cancel_descendants(mgr, action, &keys, &plan, task_id)?,
-                    false => 0,
-                };
+                if settles {
+                    cancel_descendants(mgr, action, &keys, &plan, task_id)?;
+                }
                 if revived {
                     // Back from Stuck: the instance is evaluated, and counts
                     // against the admission cap, again.
@@ -186,7 +185,6 @@ impl Coordinator {
                     Some(_) => {
                         // Whatever the task had on the wire will never be
                         // applied.
-                        step.push(&drain.name, Effect::Terminals(1 + cancelled));
                         step.push(&drain.name, Effect::Discard(task_id..task_id + 1));
                         drain.lands(task_id);
                         format!("forced `{output}` of `{path}`")
@@ -289,9 +287,7 @@ impl Coordinator {
                 for (task, cb) in &new_blocks {
                     facts::write_block(mgr, action, &plan, &keys, *task, cb)?;
                 }
-                let nonterminal = coordinator.count_nonterminal(step.staged(), &plan, &keys);
-                let replan = Effect::Replan(plan.clone(), keys.clone(), nonterminal);
-                step.push(&name, replan);
+                step.push(&name, Effect::Replan(plan.clone(), keys.clone()));
                 if revived {
                     step.push(&name, Effect::Status(false));
                 }
@@ -375,7 +371,6 @@ impl Coordinator {
                     out_key,
                     &BTreeMap::new(),
                 )?;
-                step.push(&drain.name, Effect::Terminals(1));
                 drain.worklist.seed_commit(&plan, task_id);
                 Ok(())
             })?;

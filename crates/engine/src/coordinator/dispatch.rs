@@ -410,7 +410,6 @@ impl Coordinator {
         self.trace(step, &drain.name, Some(path), cb.attempt, || {
             self.commit_event(format!("failed: {why}"))
         });
-        step.push(&drain.name, Effect::Terminals(1));
         Ok(())
     }
 
@@ -530,22 +529,15 @@ impl Coordinator {
     }
 
     /// A reconfiguration committed `instance`'s new plan, with its key
-    /// table and the count of its non-terminal blocks: the resident
-    /// runtime runs off them from here on, and dispatch's books move
-    /// old id → path → new id — a removed task's entries are released
-    /// with it.
-    pub(super) fn replan(
-        &mut self,
-        instance: &str,
-        plan: Arc<Plan>,
-        keys: Arc<InstanceKeys>,
-        nonterminal: usize,
-    ) {
+    /// table: the resident runtime runs off them from here on, and
+    /// dispatch's books move old id → path → new id — a removed task's
+    /// entries are released with it.
+    pub(super) fn replan(&mut self, instance: &str, plan: Arc<Plan>, keys: Arc<InstanceKeys>) {
         let Some(rt) = self.instances.get_mut(instance) else {
             return;
         };
         let old_plan = std::mem::replace(&mut rt.plan, plan.clone());
-        (rt.keys, rt.nonterminal) = (keys, nonterminal);
+        rt.keys = keys;
         let new_id = |old: TaskId| plan.task_by_path(old_plan.str(old_plan.task(old).path));
         let watchdogs = self.dispatcher.rekey(instance, &mut rt.flights, new_id);
         self.cancel(watchdogs);

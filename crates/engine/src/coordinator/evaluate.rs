@@ -385,8 +385,7 @@ impl Coordinator {
         facts::write_fact_bound(&mut self.mgr, action, plan, out_key, output.slots, &mapped)?;
         // Cancel every non-terminal descendant (one flat subtree scan —
         // DFS pre-order keeps descendants contiguous).
-        let cancelled = cancel_descendants(&mut self.mgr, action, keys, plan, scope_id)?;
-        step.push(&drain.name, Effect::Terminals(1 + cancelled)); // and the scope itself
+        cancel_descendants(&mut self.mgr, action, keys, plan, scope_id)?;
 
         // The root's outcome is the instance's — its block and output
         // fact say so: the drain ends here.
@@ -427,13 +426,12 @@ impl Coordinator {
         };
         cb.repeats += 1;
         let over_limit = cb.repeats > self.config.max_repeats;
-        let moved = if over_limit {
+        if over_limit {
             cb.transition(CbState::Failed {
                 reason: format!("compound repeat limit exceeded via `{outcome}`"),
             });
             let action = step.action(&mut self.mgr);
             facts::write_block(&mut self.mgr, action, plan, keys, scope_id, &cb)?;
-            Effect::Terminals(1)
         } else {
             // Reset: bump this scope's incarnation, clear own input
             // facts and all descendant state, publish the repeat fact.
@@ -467,13 +465,11 @@ impl Coordinator {
             // `reset_descendants` rewrites each for the new incarnation.
             let below = plan.subtree(scope_id);
             facts::delete_facts(mgr, action, plan, keys.instance_id, below, false)?;
-            let revived = reset_descendants(mgr, action, keys, plan, scope_id, cb.scope_inc)?;
-            Effect::Revived(revived)
-        };
+            reset_descendants(mgr, action, keys, plan, scope_id, cb.scope_inc)?;
+        }
         step.push(&drain.name, Effect::Count(|stats| &mut stats.repeats));
         let event = || self.commit_event(format!("repeat `{outcome}`"));
         self.trace(step, &drain.name, Some(scope_path), cb.attempt, event);
-        step.push(&drain.name, moved);
         drain.discard_below(step, scope_id);
         // Re-entry: the repeat fact is fresh; a reset compound rebinds
         // through the start agenda, a reset root enables its children.
@@ -594,11 +590,6 @@ impl Coordinator {
             return;
         };
         let (plan, keys) = (&*rt.plan, &*rt.keys);
-        debug_assert_eq!(
-            rt.nonterminal,
-            self.count_nonterminal(None, plan, keys),
-            "incremental non-terminal count of `{instance}` drifted"
-        );
         let facts = StoreFacts::new(&self.mgr, None, plan, keys);
         for id in 1..plan.tasks.len() as TaskId {
             let task = plan.task(id);
@@ -650,32 +641,28 @@ impl Coordinator {
 }
 
 /// Cancels every non-terminal descendant of a scope: one linear scan of
-/// the plan's contiguous subtree range. Returns how many blocks it
-/// cancelled.
+/// the plan's contiguous subtree range.
 pub(super) fn cancel_descendants(
     mgr: &mut TxManager<StableStore>,
     action: &AtomicAction,
     keys: &InstanceKeys,
     plan: &Plan,
     scope_id: TaskId,
-) -> Result<usize, EngineError> {
-    let mut cancelled = 0;
+) -> Result<(), EngineError> {
     for task_id in plan.subtree(scope_id) {
         let mut cb = facts::lock_block(mgr, action, plan, keys, task_id)?;
         if !cb.state.is_terminal() {
             cb.transition(CbState::Cancelled);
             facts::write_block(mgr, action, plan, keys, task_id, &cb)?;
-            cancelled += 1;
         }
     }
-    Ok(cancelled)
+    Ok(())
 }
 
 /// Resets a scope's subtree for a new incarnation, bumping each nested
 /// compound's own scope incarnation so its children rebind
 /// consistently. (The subtree's facts were already range-deleted by the
-/// caller.) Returns how many previously *terminal* blocks the reset
-/// revived to `Waiting`.
+/// caller.)
 fn reset_descendants(
     mgr: &mut TxManager<StableStore>,
     action: &AtomicAction,
@@ -683,14 +670,10 @@ fn reset_descendants(
     plan: &Plan,
     scope_id: TaskId,
     incarnation: u32,
-) -> Result<usize, EngineError> {
-    let mut revived = 0;
+) -> Result<(), EngineError> {
     for &child in plan.children(scope_id) {
         let task = plan.task(child);
         let mut cb = facts::lock_block(mgr, action, plan, keys, child)?;
-        if cb.state.is_terminal() {
-            revived += 1;
-        }
         cb.reset_for_incarnation(incarnation);
         if task.is_scope {
             // A nested compound's own scope advances too, so its
@@ -699,8 +682,8 @@ fn reset_descendants(
         }
         facts::write_block(mgr, action, plan, keys, child, &cb)?;
         if task.is_scope {
-            revived += reset_descendants(mgr, action, keys, plan, child, cb.scope_inc)?;
+            reset_descendants(mgr, action, keys, plan, child, cb.scope_inc)?;
         }
     }
-    Ok(revived)
+    Ok(())
 }

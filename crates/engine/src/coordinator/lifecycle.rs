@@ -30,9 +30,8 @@ use crate::value::ObjectVal;
 
 impl Coordinator {
     /// Materializes an instance's volatile runtime from committed
-    /// state: the plan of the source its header pins, interned keys and
-    /// the non-terminal count. Pure state load — arms no timers and
-    /// dispatches nothing.
+    /// state: the plan of the source its header pins, and interned
+    /// keys. Pure state load — arms no timers and dispatches nothing.
     ///
     /// # Errors
     ///
@@ -44,13 +43,11 @@ impl Coordinator {
     ) -> Result<InstanceRt, EngineError> {
         let plan = self.stored_plan(name, header)?;
         let keys = InstanceKeys::build(&plan, name, header.instance_id);
-        let nonterminal = self.count_nonterminal(None, &plan, &keys);
         let terminal = settled(&self.mgr, None, keys.status(), keys.instance_id);
         Ok(InstanceRt {
             plan,
             keys: Arc::new(keys),
             flights: Flights::default(),
-            nonterminal,
             terminal,
             planted: true,
         })
@@ -192,8 +189,6 @@ impl Coordinator {
                 plan: plan.clone(),
                 keys: keys.clone(),
                 flights: Flights::default(),
-                // Root Active + every descendant Waiting.
-                nonterminal: plan.tasks.len(),
                 terminal: false,
                 planted: false,
             };
@@ -313,26 +308,6 @@ impl Coordinator {
     /// Names of instances known to the coordinator.
     pub fn instance_names(&self) -> Vec<String> {
         self.instances.keys().cloned().collect()
-    }
-
-    /// Counts an instance's non-terminal control blocks as `action`
-    /// reads them — committed state when `None` (point reads over the
-    /// plan's dense ids, no store scan); a block that does not decode is
-    /// not known to be terminal. Seeds and cross-checks the incrementally
-    /// maintained `InstanceRt::nonterminal`.
-    pub(super) fn count_nonterminal(
-        &self,
-        action: Option<&AtomicAction>,
-        plan: &Plan,
-        keys: &InstanceKeys,
-    ) -> usize {
-        let terminal = |id| {
-            let cb = facts::read_block(&self.mgr, action, plan, keys, id);
-            cb.is_ok_and(|cb| cb.state.is_terminal())
-        };
-        (0..plan.tasks.len() as TaskId)
-            .filter(|&id| !terminal(id))
-            .count()
     }
 
     /// Drops the pinned sources (`sys/src/…`) no stored instance

@@ -49,7 +49,7 @@
 //! | `evaluate` | the cascade a step stages: input-set satisfaction, activation, compound-scope outputs (marks, termination, the fig. 8 repeat), stuck detection; the debug full-scan oracle | `Drain` (one instance inside a step: its seeds, its flights as the step leaves them) | `reevaluate` (the step over one resident instance: the caller stages its transition, the drain follows, one commit, publish — the watchdog, a failed placement, the operator's abort and repair, a restart's re-arm), `evaluate` (the same with nothing but the full scan to stage: adoption); `instance_ctx`, `drain_of`, `stage_drain`, `park_stuck`, `assert_settled` |
 //! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, and what an attempt that ends with no outcome stages: the bounded retry or `Failed` | `Dispatcher` (scheduler loads, cost model, ready queue), `Flights` (per instance: one record per task with outstanding work, its watchdog and a delayed attempt's timer each a [`TimerId`], cancelled with the record) | staging: `stage_lost` (error report, time-out), `stage_failure`, `stage_launch` (the next attempt, now or after a delay); publishing: `ship` (an attempt, under what its step staged), `dispatch` (a staged attempt whose delay or park is over), `dispatch_after`, `lose_flight`, `clear_watch`, `discard_flights` (subtree sweep, forced outcome, failure), `fail_unplaceable`; timers: `on_watchdog` ([`Timer::Watchdog`]), `on_dispatch_timer` ([`Timer::Dispatch`]); `drain_parked`, `executing`; `Flights::outstanding` (stuck detection), `replan` (a reconfiguration's new plan, its books re-keyed), `rearm_adopted` (adoption), `Dispatcher::{release_all, reset}` (hand-off, recovery), `executor_loads` |
 //! | `admission` | the per-shard instance cap on the start RPC, and the start's repository fetch | `Admission`, `AdmissionTicket` (the fetch's [`Call::Fetch`]) | `admit_or_queue`, `admit_from_queue`, `on_fetched`, `Admission::{instance_live, instance_settled}` |
-//! | `lifecycle` | instance start (the first writer of a header), the canonical source an instance pins (once per shard and hash) and the plan compiled from it (once per shard and version), materialising a runtime from committed state, the monitoring reads; blob collection | `PlanCache` | `start_instance` (from admission, the one start path), `pin_source` (start, reconfiguration), `pinned_source` (the one reader of the source: every load, and reconfiguration), `load_or_park` (recovery, adoption: a running instance whose plan cannot be built stops `Stuck`), `count_nonterminal`, `PlanCache::plan` (the one way a plan is obtained: start, load, reconfiguration), `gc_plans` |
+//! | `lifecycle` | instance start (the first writer of a header), the canonical source an instance pins (once per shard and hash) and the plan compiled from it (once per shard and version), materialising a runtime from committed state, the monitoring reads; blob collection | `PlanCache` | `start_instance` (from admission, the one start path), `pin_source` (start, reconfiguration), `pinned_source` (the one reader of the source: every load, and reconfiguration), `load_or_park` (recovery, adoption: a running instance whose plan cannot be built stops `Stuck`), `PlanCache::plan` (the one way a plan is obtained: start, load, reconfiguration), `gc_plans` |
 //! | `membership` | shard routing and relays; the one way an instance changes shards — a claim, landed in one local action beside its receipt, sent by a live source from its move record (rebalance, drain) or by a claimant out of a dead shard's fenced storage (adoption) — the map flip, and the façade's end of each fleet call, its [`Ticket`] | `Membership`, [`MoveReport`], [`FailoverReport`] | `route_report`, `misdirected`, `forward_start`, `on_relayed` ([`Call::Relay`]); from the façade `begin_move`, `begin_adoption`, `set_shard_map`, `give_up`, `move_ticket`, `adoption_ticket`; from the wire `on_claim`, `on_claim_answered` ([`Call::Claim`]); `adopt_orphans`, `repair_handoffs` |
 //! | `package` | what a claim carries: an instance's committed keyspace packaged (header first, its pinned source, its dense range), re-keyed onto the receiver's ids, purged from the source once landed | — | `package_instance`, `claim_bytes`, `rekeyed`, `purge_instance` |
 //! | `recovery` | restart ([`Input::Restart`]): reopen the log, reset volatile state (fleet protocols included), repair hand-offs, reload, re-arm each running instance in one step | — | `recover`, `stored_instances`, `stored_instance_names` |
@@ -162,11 +162,6 @@ struct InstanceRt {
     /// One record per task with outstanding work (`dispatch`'s, keyed
     /// by the plan's dense task ids and re-keyed with the plan).
     flights: Flights,
-    /// Control blocks not yet in a terminal state, maintained
-    /// incrementally at every transition commit (recounted only on
-    /// recovery and reconfiguration). Stuck detection reads this
-    /// instead of enumerating the store.
-    nonterminal: usize,
     /// Whether the instance is settled — its root terminated or it is
     /// parked `Stuck` — mirrored from the store, refreshed right after
     /// every commit that settles or revives it (see
@@ -465,14 +460,6 @@ impl Coordinator {
     fn note_status(&mut self, instance: &str, terminal: bool) {
         if let Some(rt) = self.instances.get_mut(instance) {
             rt.terminal = terminal;
-        }
-    }
-
-    /// Records `n` control blocks entering a terminal state (stuck
-    /// detection stays O(1) by never recounting).
-    fn note_terminals(&mut self, instance: &str, n: usize) {
-        if let Some(rt) = self.instances.get_mut(instance) {
-            rt.nonterminal = rt.nonterminal.saturating_sub(n);
         }
     }
 

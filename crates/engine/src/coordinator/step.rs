@@ -30,15 +30,10 @@ use crate::value::ObjectVal;
 pub(super) enum Effect {
     /// A start's instance becomes resident, in its admission slot.
     Resident(Box<InstanceRt>),
-    /// A reconfiguration's new plan, with its key table and the count
-    /// of its non-terminal blocks, replaces the resident one; dispatch's
-    /// books follow the tasks onto its ids. Published before any effect
-    /// that names a task by one.
-    Replan(Arc<Plan>, Arc<InstanceKeys>, usize),
-    /// Control blocks reached a terminal state.
-    Terminals(usize),
-    /// A repeat revived terminated control blocks.
-    Revived(usize),
+    /// A reconfiguration's new plan, with its key table, replaces the
+    /// resident one; dispatch's books follow the tasks onto its ids.
+    /// Published before any effect that names a task by one.
+    Replan(Arc<Plan>, Arc<InstanceKeys>),
     /// The instance settled (`true`: its root terminated, or it parked
     /// `Stuck`) or an operator revived it (`false`): the mirror follows,
     /// and the admission slot frees — or is taken again.
@@ -199,18 +194,10 @@ impl Coordinator {
                     }
                 }
                 Effect::Discard(tasks) => self.discard_flights(&instance, tasks),
-                Effect::Replan(plan, keys, nonterminal) => {
-                    self.replan(&instance, plan, keys, nonterminal);
-                }
+                Effect::Replan(plan, keys) => self.replan(&instance, plan, keys),
                 Effect::Resident(rt) => {
                     self.instances.insert(instance.to_string(), *rt);
                     self.admission.instance_live();
-                }
-                Effect::Terminals(n) => self.note_terminals(&instance, n),
-                Effect::Revived(n) => {
-                    if let Some(rt) = self.instances.get_mut(&*instance) {
-                        rt.nonterminal += n;
-                    }
                 }
                 Effect::Status(terminal) => {
                     self.note_status(&instance, terminal);

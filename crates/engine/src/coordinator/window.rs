@@ -235,11 +235,9 @@ impl Coordinator {
         facts::write_block(&mut self.mgr, action, plan, keys, task_id, &cb)?;
         facts::write_fact_map(&mut self.mgr, action, plan, out_key, &stamped)?;
         let is_mark = matches!(event, PendingEvent::Mark(_));
-        let moved = match is_mark {
-            true => Effect::Count(|stats| &mut stats.marks),
-            false => Effect::Terminals(1),
-        };
-        step.push(&drain.name, moved);
+        if is_mark {
+            step.push(&drain.name, Effect::Count(|stats| &mut stats.marks));
+        }
         self.trace(step, &drain.name, Some(path), attempt, || {
             self.commit_event(format!("{what} `{name}`"))
         });
@@ -295,7 +293,6 @@ impl Coordinator {
         });
         drain.worklist.seed_commit(plan, task_id);
         if over_limit {
-            step.push(&drain.name, Effect::Terminals(1));
             drain.lands(task_id);
         } else {
             self.stage_launch(step, drain, task_id, &cb, Some(&stamped), Some(redo_after))?;

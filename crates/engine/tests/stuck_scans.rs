@@ -1,9 +1,10 @@
 //! Regression guard for O(1) stuck detection.
 //!
 //! `stuck_check` used to enumerate every control block by uid prefix
-//! after every worklist drain; it now reads an incrementally maintained
-//! non-terminal count plus the volatile in-flight set, and even the
-//! one-time stuck *report* resolves through dense-key point reads.
+//! after every worklist drain; it now reads what the drain already
+//! holds — whether it settled the instance, and its outstanding
+//! flights — and even the one-time stuck *report* resolves through
+//! dense-key point reads.
 //! These tests count actual store prefix scans to pin that down:
 //! a run — completed, stuck, repeating or monitored — must not scan.
 
