@@ -485,9 +485,9 @@ impl WorkflowSystem {
     // -----------------------------------------------------------------
 
     /// The `StartInstance` wire message (one builder for every start
-    /// entry point, so the shapes cannot drift apart). Client requests
-    /// carry the shard-map epoch they routed under, so a coordinator
-    /// whose map disagrees can tell a stale client from a stale peer.
+    /// entry point, so the shapes cannot drift apart). It names no
+    /// epoch: a shard whose map disagrees with the client's relays the
+    /// start to the owner its own map names.
     fn start_msg<I, K>(
         &self,
         instance: &str,
@@ -506,7 +506,6 @@ impl WorkflowSystem {
             version,
             set: set.to_string(),
             inputs: inputs.into_iter().map(|(k, v)| (k.into(), v)).collect(),
-            epoch: self.shard.epoch(),
         }
     }
 
@@ -729,7 +728,6 @@ impl WorkflowSystem {
             attempt,
             mark: mark.to_string(),
             objects: objects.into_iter().map(|(k, v)| (k.into(), v)).collect(),
-            epoch: self.shard.epoch(),
         });
         let target = self.coord_nodes[via];
         let client = self.client.node();

@@ -778,12 +778,10 @@ impl Coordinator {
             path: path.to_string(),
             incarnation,
             attempt,
-            code: shipment.code,
             implementation: shipment.implementation,
             set: launch.set,
             inputs: launch.inputs,
             repeat_objects: launch.repeat_objects,
-            epoch: self.membership.epoch(),
         });
         self.arm_watchdog(instance, task_id, incarnation, attempt, shipment.timeout);
         self.send(placement.node, &msg);

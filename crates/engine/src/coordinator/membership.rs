@@ -301,8 +301,8 @@ impl Membership {
         }
     }
 
-    /// The shard map's current epoch (stamped on dispatches and on the
-    /// membership trace events).
+    /// The shard map's current epoch (stamped on the membership trace
+    /// events).
     pub(super) fn epoch(&self) -> u64 {
         self.shard.epoch()
     }
@@ -436,8 +436,8 @@ impl Coordinator {
     }
 
     /// Wraps a misdirected message for its relay to `owner`: an
-    /// `EngineMsg::Forwarded` carrying this node's map epoch and the
-    /// hop count, returned encoded. A message that already burned
+    /// `EngineMsg::Forwarded` carrying the hop count, returned encoded
+    /// (the `Forward` trace event names this node's map epoch). A message that already burned
     /// [`MAX_FORWARD_HOPS`] relays is circling between coordinators
     /// whose shard maps disagree — it is counted (`coord.forward_loops`)
     /// and `None` comes back instead of another bounce. The relay
@@ -455,12 +455,13 @@ impl Coordinator {
             return None;
         }
         self.metrics.stats.forwarded += 1;
-        let epoch = self.membership.epoch();
         let to = owner.index() as u32;
-        let kind = ObsEventKind::Forward { to, epoch };
+        let kind = ObsEventKind::Forward {
+            to,
+            epoch: self.membership.epoch(),
+        };
         self.record_event(instance, None, 0, kind);
         let wrapped = EngineMsg::Forwarded {
-            epoch,
             hops: hops + 1,
             inner: flowscript_codec::to_bytes(inner),
         };
@@ -1465,7 +1466,6 @@ mod tests {
         // Both arrive having burned every hop already.
         let capped = |inner: EngineMsg| {
             flowscript_codec::to_bytes(&EngineMsg::Forwarded {
-                epoch: 0,
                 hops: MAX_FORWARD_HOPS,
                 inner: flowscript_codec::to_bytes(&inner),
             })
@@ -1477,7 +1477,6 @@ mod tests {
             attempt: 0,
             mark: "m".into(),
             objects: BTreeMap::new(),
-            epoch: 0,
         });
         let start = EngineMsg::StartInstance {
             instance,
@@ -1485,7 +1484,6 @@ mod tests {
             version: None,
             set: "main".into(),
             inputs: BTreeMap::new(),
-            epoch: 0,
         };
         let mut deliver = |msg: EngineMsg, token| {
             let payload = &capped(msg);

@@ -324,7 +324,6 @@ impl Coordinator {
                     version,
                     set,
                     inputs,
-                    epoch,
                 },
                 Some(token),
             ) => {
@@ -335,7 +334,6 @@ impl Coordinator {
                         version,
                         set,
                         inputs,
-                        epoch,
                     };
                     return self.forward_start(owner, &instance, token, relay, hops);
                 }
@@ -649,7 +647,6 @@ compoundtask root of taskclass Root {
             version: None,
             set: "main".into(),
             inputs: BTreeMap::from([("seed".to_string(), seed.clone())]),
-            epoch: 1,
         };
         let payload = &flowscript_codec::to_bytes(&start);
         let token = Some(ReplyToken::new(here, client, 7));
@@ -717,7 +714,6 @@ compoundtask root of taskclass Root {
                 objects: BTreeMap::from([("seed".to_string(), seed)]),
                 redo_after: SimDuration::ZERO,
             },
-            epoch: 1,
         });
         let payload = &flowscript_codec::to_bytes(&done);
         let message = Input::Message {

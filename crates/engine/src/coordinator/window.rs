@@ -447,7 +447,6 @@ mod tests {
             attempt: 0,
             mark: "m".into(),
             objects: BTreeMap::new(),
-            epoch: 0,
         })
     }
 

@@ -112,7 +112,6 @@ impl Executor {
                 attempt: start.attempt,
                 mark: mark.name,
                 objects: mark.objects,
-                epoch: start.epoch,
             });
             let at = queue_delay + mark.at.min(behavior.work);
             outputs.push(self.arm(at, Report { to: from, msg }));
@@ -151,7 +150,7 @@ impl Executor {
             repeat_objects: start.repeat_objects.clone(),
             implementation: start.implementation.clone(),
         };
-        match self.registry.invoke(&start.code, &ctx)? {
+        match self.registry.invoke(start.code(), &ctx)? {
             Invocation::Behavior(behavior) => Ok(behavior),
             Invocation::Script { source, root } => {
                 run_nested_script(&self.registry, &source, &root, start)
@@ -215,7 +214,6 @@ fn done(start: &StartTask, result: TaskResult) -> EngineMsg {
         incarnation: start.incarnation,
         attempt: start.attempt,
         result,
-        epoch: start.epoch,
     })
 }
 
@@ -274,21 +272,21 @@ fn run_nested_script(
 mod tests {
     use super::*;
 
-    fn start(implementation: &[(&str, &str)]) -> StartTask {
+    /// A start of code `c`, with `hints` beside it in the clause.
+    fn start(hints: &[(&str, &str)]) -> StartTask {
         StartTask {
             instance: "i".into(),
             path: "p".into(),
             incarnation: 0,
             attempt: 0,
-            code: "c".into(),
-            implementation: implementation
+            implementation: [("code", "c")]
                 .iter()
+                .chain(hints)
                 .map(|(k, v)| ((*k).to_string(), (*v).to_string()))
                 .collect(),
             set: "main".into(),
             inputs: Default::default(),
             repeat_objects: Default::default(),
-            epoch: 1,
         }
     }
 
@@ -369,6 +367,45 @@ mod tests {
             matches!(&done.result, TaskResult::ExecError { reason }
                 if reason.contains("pinned to location `paris`") && reason.contains("`warehouse`")),
             "a start pinned elsewhere fails loudly: {:?}",
+            done.result
+        );
+    }
+
+    /// The name to bind is the clause's `code` pair: a start naming a
+    /// bound code arms its completion, one with no `code` pair binds
+    /// the empty name — an execution error, sent at once.
+    #[test]
+    fn a_start_binds_the_code_pair_of_its_clause() {
+        let [coordinator, here] = [0, 1].map(NodeId::from_index);
+        let registry = ImplRegistry::new();
+        registry.bind_fn("c", |_| TaskBehavior::outcome("done"));
+        let mut executor = Executor::new(ExecutorSpec::unbounded(here), registry);
+
+        let named = start(&[("priority", "3")]);
+        assert_eq!(named.code(), "c");
+        let outputs = deliver(&mut executor, SimTime::ZERO, coordinator, named);
+        let [Output::Arm { timer, .. }] = &outputs[..] else {
+            panic!("one timer, the completion's: {outputs:?}");
+        };
+        assert!(matches!(&timer.msg, EngineMsg::Done(TaskDone {
+            result: TaskResult::Output { name, .. }, ..
+        }) if name == "done"));
+
+        let mut unnamed = start(&[("priority", "3")]);
+        unnamed.implementation.remove("code");
+        assert_eq!(unnamed.code(), "");
+        let outputs = deliver(&mut executor, SimTime::ZERO, coordinator, unnamed);
+        let [Output::Send { to, bytes }] = &outputs[..] else {
+            panic!("one immediate report and no timer: {outputs:?}");
+        };
+        assert_eq!(*to, coordinator);
+        let Ok(EngineMsg::Done(done)) = flowscript_codec::from_bytes(bytes) else {
+            panic!("a completion report");
+        };
+        assert!(
+            matches!(&done.result, TaskResult::ExecError { reason }
+                if reason.contains("no implementation bound for ``")),
+            "{:?}",
             done.result
         );
     }

@@ -24,9 +24,9 @@ pub struct StartTask {
     pub incarnation: u32,
     /// Dispatch attempt number.
     pub attempt: u32,
-    /// Implementation name to bind, as the instance's script names it.
-    pub code: String,
-    /// Extra implementation pairs (deadline, priority, …).
+    /// The task's implementation clause: the name to bind under
+    /// `"code"` ([`StartTask::code`]), and its hints (deadline,
+    /// priority, …).
     pub implementation: BTreeMap<String, String>,
     /// The bound input set's name.
     pub set: String,
@@ -34,13 +34,15 @@ pub struct StartTask {
     pub inputs: BTreeMap<String, ObjectVal>,
     /// Objects carried over from a repeat outcome, if re-executing.
     pub repeat_objects: BTreeMap<String, ObjectVal>,
-    /// Shard-map epoch the dispatching coordinator routed under; the
-    /// executor echoes it back on its reports so post-rebalance replies
-    /// are attributable to the map that placed them.
-    pub epoch: u64,
 }
 
 impl StartTask {
+    /// The implementation name to bind, as the instance's script names
+    /// it: the clause's `"code"` pair, empty when it has none.
+    pub fn code(&self) -> &str {
+        self.implementation.get("code").map_or("", String::as_str)
+    }
+
     /// The typed scheduling hints carried in the implementation clause
     /// (the executor's location guard reads these instead of parsing
     /// strings itself).
@@ -63,8 +65,6 @@ pub struct TaskDone {
     pub attempt: u32,
     /// The result.
     pub result: TaskResult,
-    /// Shard-map epoch echoed from the dispatching [`StartTask`].
-    pub epoch: u64,
 }
 
 /// The terminal result of one task execution attempt.
@@ -102,8 +102,6 @@ pub struct MarkMsg {
     pub mark: String,
     /// Objects released with it.
     pub objects: BTreeMap<String, ObjectVal>,
-    /// Shard-map epoch echoed from the dispatching [`StartTask`].
-    pub epoch: u64,
 }
 
 /// All engine messages, tagged for dispatch.
@@ -153,10 +151,6 @@ pub enum EngineMsg {
         set: String,
         /// Root input objects.
         inputs: BTreeMap<String, ObjectVal>,
-        /// Shard-map epoch the client routed under (0 = epoch-unaware
-        /// client; the owner serves it either way and the stamp makes
-        /// stale routing diagnosable in traces).
-        epoch: u64,
     },
     /// Generic acknowledgement reply.
     Ack {
@@ -167,8 +161,6 @@ pub enum EngineMsg {
     /// wrapper counts hops so two coordinators with disagreeing maps
     /// (the mid-rebalance state) cannot ping-pong a report forever.
     Forwarded {
-        /// Shard-map epoch of the most recent forwarder.
-        epoch: u64,
         /// Relays so far (the first forward sends 1).
         hops: u32,
         /// The encoded original [`EngineMsg`].
@@ -211,12 +203,10 @@ impl Encode for StartTask {
         w.put_str(&self.path);
         w.put_u32(self.incarnation);
         w.put_u32(self.attempt);
-        w.put_str(&self.code);
         self.implementation.encode(w);
         w.put_str(&self.set);
         self.inputs.encode(w);
         self.repeat_objects.encode(w);
-        w.put_u64(self.epoch);
     }
 }
 
@@ -227,12 +217,10 @@ impl Decode for StartTask {
             path: r.get_str()?.to_owned(),
             incarnation: r.get_u32()?,
             attempt: r.get_u32()?,
-            code: r.get_str()?.to_owned(),
             implementation: BTreeMap::decode(r)?,
             set: r.get_str()?.to_owned(),
             inputs: BTreeMap::decode(r)?,
             repeat_objects: BTreeMap::decode(r)?,
-            epoch: r.get_u64()?,
         })
     }
 }
@@ -286,7 +274,6 @@ impl Encode for TaskDone {
         w.put_u32(self.incarnation);
         w.put_u32(self.attempt);
         self.result.encode(w);
-        w.put_u64(self.epoch);
     }
 }
 
@@ -298,7 +285,6 @@ impl Decode for TaskDone {
             incarnation: r.get_u32()?,
             attempt: r.get_u32()?,
             result: TaskResult::decode(r)?,
-            epoch: r.get_u64()?,
         })
     }
 }
@@ -311,7 +297,6 @@ impl Encode for MarkMsg {
         w.put_u32(self.attempt);
         w.put_str(&self.mark);
         self.objects.encode(w);
-        w.put_u64(self.epoch);
     }
 }
 
@@ -324,7 +309,6 @@ impl Decode for MarkMsg {
             attempt: r.get_u32()?,
             mark: r.get_str()?.to_owned(),
             objects: BTreeMap::decode(r)?,
-            epoch: r.get_u64()?,
         })
     }
 }
@@ -371,7 +355,6 @@ impl Encode for EngineMsg {
                 version,
                 set,
                 inputs,
-                epoch,
             } => {
                 w.put_u8(6);
                 w.put_str(instance);
@@ -379,15 +362,13 @@ impl Encode for EngineMsg {
                 version.encode(w);
                 w.put_str(set);
                 inputs.encode(w);
-                w.put_u64(*epoch);
             }
             EngineMsg::Ack { result } => {
                 w.put_u8(7);
                 result.encode(w);
             }
-            EngineMsg::Forwarded { epoch, hops, inner } => {
+            EngineMsg::Forwarded { hops, inner } => {
                 w.put_u8(8);
-                w.put_u64(*epoch);
                 w.put_u32(*hops);
                 w.put_len_prefixed(inner);
             }
@@ -437,13 +418,11 @@ impl Decode for EngineMsg {
                 version: Option::decode(r)?,
                 set: r.get_str()?.to_owned(),
                 inputs: BTreeMap::decode(r)?,
-                epoch: r.get_u64()?,
             },
             7 => EngineMsg::Ack {
                 result: Result::decode(r)?,
             },
             8 => EngineMsg::Forwarded {
-                epoch: r.get_u64()?,
                 hops: r.get_u32()?,
                 inner: r.get_len_prefixed()?.to_vec(),
             },
@@ -481,12 +460,13 @@ mod tests {
                 path: "root/t1".into(),
                 incarnation: 1,
                 attempt: 2,
-                code: "refT1".into(),
-                implementation: BTreeMap::from([("priority".to_string(), "3".to_string())]),
+                implementation: BTreeMap::from([
+                    ("code".to_string(), "refT1".to_string()),
+                    ("priority".to_string(), "3".to_string()),
+                ]),
                 set: "main".into(),
                 inputs: inputs.clone(),
                 repeat_objects: BTreeMap::new(),
-                epoch: 1,
             }),
             EngineMsg::Done(TaskDone {
                 instance: "i1".into(),
@@ -498,7 +478,6 @@ mod tests {
                     objects: inputs.clone(),
                     redo_after: SimDuration::from_millis(5),
                 },
-                epoch: 2,
             }),
             EngineMsg::Done(TaskDone {
                 instance: "i1".into(),
@@ -508,7 +487,6 @@ mod tests {
                 result: TaskResult::ExecError {
                     reason: "no binding".into(),
                 },
-                epoch: 1,
             }),
             EngineMsg::Mark(MarkMsg {
                 instance: "i1".into(),
@@ -517,7 +495,6 @@ mod tests {
                 attempt: 1,
                 mark: "toPay".into(),
                 objects: inputs,
-                epoch: 3,
             }),
             EngineMsg::RepoRegister {
                 name: "s".into(),
@@ -539,13 +516,11 @@ mod tests {
                 version: None,
                 set: "main".into(),
                 inputs: BTreeMap::new(),
-                epoch: 2,
             },
             EngineMsg::Ack {
                 result: Err("boom".into()),
             },
             EngineMsg::Forwarded {
-                epoch: 4,
                 hops: 2,
                 inner: vec![7, 0, 1],
             },

@@ -26,9 +26,10 @@
 //! all of them after the hand-off protocol (see
 //! [`crate::coordinator::Coordinator`]) has claimed the moving
 //! instances' facts onto their new owners. Requests landing on the wrong
-//! shard are forwarded to the owner, stamped with the forwarder's
-//! epoch, and a hop cap breaks the ping-pong two disagreeing maps
-//! could otherwise sustain mid-flip.
+//! shard are forwarded to the owner with a count of their hops, and a
+//! hop cap breaks the ping-pong two disagreeing maps could otherwise
+//! sustain mid-flip. No message names the epoch it was routed under
+//! save a claim, which the receiver refuses when it is stale.
 //!
 //! Each shard's rendezvous weight is keyed by a **stable seed**
 //! assigned when the shard joins (not by its current index), so

@@ -609,14 +609,13 @@ fn nested_forwarded_wrappers_are_dropped_without_recursion() {
     // `Forwarded` inside `Forwarded`. This one does, tens of thousands
     // deep and still under half a megabyte: one stack frame per layer
     // would take the coordinator down. The wire form of
-    // `EngineMsg::Forwarded { epoch, hops, inner }` is
-    // `[8, epoch, hops, len, inner…]`; built back to front, so each
-    // layer only appends its (reversed) header.
+    // `EngineMsg::Forwarded { hops, inner }` is `[8, hops, len,
+    // inner…]`; built back to front, so each layer only appends its
+    // (reversed) header.
     let mut message = Vec::new();
     for _ in 0..30_000 {
         let mut header = ByteWriter::new();
         header.put_u8(8);
-        header.put_u64(0);
         header.put_u32(0);
         header.put_len(message.len());
         message.extend(header.into_vec().into_iter().rev());
