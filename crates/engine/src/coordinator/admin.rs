@@ -278,7 +278,7 @@ impl Coordinator {
                 // The remap reads committed state: it stages first.
                 let id = old_keys.instance_id;
                 facts::remap_instance_facts(mgr, action, &old_plan, &old_keys, &plan, id)?;
-                pin_source(mgr, action, &header.script, hash, &text)?;
+                pin_source(mgr, action, hash, &text)?;
                 mgr.write_key(action, keys.meta(), &header)?;
                 if revived {
                     mgr.delete_key(action, keys.status())?;

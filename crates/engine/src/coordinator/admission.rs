@@ -162,14 +162,7 @@ impl Coordinator {
                     source,
                     root,
                 }) => self
-                    .start_instance(
-                        &ticket.instance,
-                        &ticket.script,
-                        &source,
-                        &root,
-                        &ticket.set,
-                        ticket.inputs,
-                    )
+                    .start_instance(&ticket.instance, &source, &root, &ticket.set, ticket.inputs)
                     .map_err(|e| e.to_string()),
                 Ok(EngineMsg::RepoReply {
                     result: Err(err), ..

@@ -107,7 +107,6 @@ impl Coordinator {
     pub(super) fn start_instance(
         &mut self,
         instance: &str,
-        script_name: &str,
         source: &str,
         root: &str,
         set: &str,
@@ -164,7 +163,6 @@ impl Coordinator {
                 .in_key(&plan, 0, set)
                 .ok_or_else(|| EngineError::BadInputs(format!("unmapped input set `{set}`")))?;
             let header = InstanceHeader {
-                script: script_name.to_string(),
                 source_hash: hash,
                 root: root.to_string(),
                 instance_id,
@@ -172,7 +170,7 @@ impl Coordinator {
             let action = step.action(&mut coordinator.mgr);
             let mgr = &mut coordinator.mgr;
             mgr.write_key(action, keys.meta(), &header)?;
-            pin_source(mgr, action, script_name, hash, source)?;
+            pin_source(mgr, action, hash, source)?;
             // Root control block starts Active with the supplied inputs
             // bound; every descendant starts `Waiting`, which a block
             // never stored reads as.
@@ -373,9 +371,9 @@ pub(super) fn pinned_source<'a>(
         .ok_or_else(|| EngineError::Tx(format!("`{key}` does not hold the source of `{name}`")))
 }
 
-/// Stages the canonical `source` of `script` under its `hash`, unless
-/// the shard holds it already — text already there is shared only if it
-/// is this text.
+/// Stages the canonical `source` under its `hash`, unless the shard
+/// holds it already — text already there is shared only if it is this
+/// text.
 ///
 /// # Errors
 ///
@@ -383,14 +381,13 @@ pub(super) fn pinned_source<'a>(
 pub(super) fn pin_source(
     mgr: &mut TxManager<StableStore>,
     action: &AtomicAction,
-    script: &str,
     hash: u64,
     source: &str,
 ) -> Result<(), EngineError> {
     let key = source_uid(hash);
     match mgr.read_committed_bytes(&key) {
         Some(stored) if stored != source.as_bytes() => Err(EngineError::Tx(format!(
-            "`{key}` holds a different source than script `{script}`"
+            "`{key}` holds a different source of the same hash"
         ))),
         Some(_) => Ok(()),
         None => Ok(mgr.write_key_raw(action, &key, source.as_bytes().to_vec())?),
@@ -476,7 +473,7 @@ mod tests {
     fn start(coord: &mut Coordinator, name: &str) -> Result<(), EngineError> {
         let seed = ObjectVal::text("Data", "s");
         let inputs = BTreeMap::from([("seed".to_string(), seed)]);
-        coord.start_instance(name, "diamond", FIG1_DIAMOND, "diamond", "main", inputs)
+        coord.start_instance(name, FIG1_DIAMOND, "diamond", "main", inputs)
     }
 
     #[test]

@@ -1310,7 +1310,7 @@ mod tests {
         let epoch = dest.membership.epoch();
         let text = flowscript_core::samples::QUICKSTART;
         let start = |dest: &mut Coordinator, instance: &str| {
-            dest.start_instance(instance, "quickstart", text, "pipeline", "main", seed())
+            dest.start_instance(instance, text, "pipeline", "main", seed())
                 .expect("starts");
         };
         start(&mut dest, "before");

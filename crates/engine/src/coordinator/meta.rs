@@ -52,9 +52,10 @@ impl InstanceStatus {
 /// [`StuckRecord`]: bytes written under any other layout — the
 /// pre-split record opened with its script name's length, the status
 /// record that stored every status under `0xA2`, the header that copied
-/// its start's input set and objects under `0xA1` — fail to decode
-/// instead of reading as a record with garbage fields.
-const HEADER_TAG: u8 = 0xA4;
+/// its start's input set and objects under `0xA1`, the one that named
+/// its script under `0xA4` — fail to decode instead of reading as a
+/// record with garbage fields.
+const HEADER_TAG: u8 = 0xA5;
 const STUCK_TAG: u8 = 0xA3;
 
 fn expect_tag(r: &mut ByteReader<'_>, tag: u8, ty: &'static str) -> Result<(), CodecError> {
@@ -69,14 +70,15 @@ fn expect_tag(r: &mut ByteReader<'_>, tag: u8, ty: &'static str) -> Result<(), C
 
 /// `inst/<name>/meta` — the version of its script an instance runs
 /// (named by `source_hash` and `root`) and the dense id its facts carry,
-/// nothing the log says elsewhere: the input set and objects it was
-/// started with are the root's input fact. Written by instance start,
-/// rewritten by a reconfiguration (a new version of the script) and by
-/// hand-off re-keying (a new owner allots a new `instance_id`). Nothing
-/// on the run path writes it.
+/// nothing the log says elsewhere or nothing reads: the input set and
+/// objects it was started with are the root's input fact, and the
+/// script's name is the start's to fetch the source by, which the
+/// header pins by hash. Written by instance start, rewritten by a
+/// reconfiguration (a new version of the script) and by hand-off
+/// re-keying (a new owner allots a new `instance_id`). Nothing on the
+/// run path writes it.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct InstanceHeader {
-    pub(super) script: String,
     /// [`source_hash`] of the canonical source of the script's current
     /// version, pinned once per shard under `sys/src/<hash>`: with
     /// `root`, it names the version, and the plan is that text compiled.
@@ -89,7 +91,6 @@ pub(crate) struct InstanceHeader {
 impl Encode for InstanceHeader {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_u8(HEADER_TAG);
-        w.put_str(&self.script);
         w.put_u64(self.source_hash);
         w.put_str(&self.root);
         w.put_u32(self.instance_id);
@@ -100,7 +101,6 @@ impl Decode for InstanceHeader {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         expect_tag(r, HEADER_TAG, "InstanceHeader")?;
         Ok(InstanceHeader {
-            script: r.get_str()?.to_owned(),
             source_hash: r.get_u64()?,
             root: r.get_str()?.to_owned(),
             instance_id: r.get_u32()?,
@@ -146,7 +146,6 @@ mod tests {
 
     fn header() -> InstanceHeader {
         InstanceHeader {
-            script: "order".into(),
             source_hash: source_hash("class C;"),
             root: "root".into(),
             instance_id: 7,
@@ -182,7 +181,8 @@ mod tests {
     }
 
     /// What the layout before the split stored under `inst/<name>/meta`
-    /// for the header above started from repository version 3,
+    /// for the header above of script `order` started from repository
+    /// version 3,
     /// `Running`, two reconfigurations (rendered
     /// by the last commit that wrote it): script, the source text
     /// `class C;` itself, root, set, inputs, status, the reconfiguration
@@ -206,11 +206,11 @@ mod tests {
         );
     }
 
-    /// What the layout before this one stored under `inst/<name>/meta`
-    /// for the header above, started on set `main` with the input
-    /// `seed`: tag `0xA1`, script, source hash, root, then the copies of
-    /// the start's set and objects the root's input fact holds, then
-    /// instance_id.
+    /// What the layout before the last stored under `inst/<name>/meta`
+    /// for the header above of script `order`, started on set `main`
+    /// with the input `seed`: tag `0xA1`, script, source hash, root, then
+    /// the copies of the start's set and objects the root's input fact
+    /// holds, then instance_id.
     const COPYING_HEADER: &[u8] = b"\xA1\x05order\x30\xA4\x12\x21\x08\0\0\0\x04root\
         \x04main\x01\x04seed\x01C\x01s\x00\x07\0\0\0";
 
@@ -227,9 +227,33 @@ mod tests {
             flowscript_codec::from_bytes::<StuckRecord>(COPYING_HEADER),
             Err(tagged("StuckRecord"))
         );
-        // What is left of it under the new tag: the set and the objects
-        // gone, 16 B fewer.
-        assert_eq!(flowscript_codec::to_bytes(&header()).len(), 24);
+        // What is left of it under the new tag: the script, the set
+        // and the objects gone, 22 B fewer.
+        assert_eq!(flowscript_codec::to_bytes(&header()).len(), 18);
+    }
+
+    /// What the layout before this one stored under `inst/<name>/meta`
+    /// for the header above of script `order`: tag `0xA4`, script,
+    /// source hash, root, instance_id.
+    const NAMING_HEADER: &[u8] = b"\xA4\x05order\x30\xA4\x12\x21\x08\0\0\0\x04root\x07\0\0\0";
+
+    #[test]
+    fn the_naming_header_decodes_as_neither() {
+        assert_eq!(NAMING_HEADER.len(), 24);
+        assert_eq!(NAMING_HEADER[7..15], source_hash("class C;").to_le_bytes());
+        let tagged = |ty| CodecError::InvalidDiscriminant { ty, value: 0xA4 };
+        assert_eq!(
+            flowscript_codec::from_bytes::<InstanceHeader>(NAMING_HEADER),
+            Err(tagged("InstanceHeader"))
+        );
+        assert_eq!(
+            flowscript_codec::from_bytes::<StuckRecord>(NAMING_HEADER),
+            Err(tagged("StuckRecord"))
+        );
+        // The new layout is the old one less its script's name.
+        let mut renamed = vec![HEADER_TAG];
+        renamed.extend_from_slice(&NAMING_HEADER[7..]);
+        assert_eq!(flowscript_codec::to_bytes(&header()), renamed);
     }
 
     #[test]

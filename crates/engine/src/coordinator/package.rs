@@ -165,7 +165,6 @@ mod tests {
 
     fn header(instance_id: u32) -> InstanceHeader {
         InstanceHeader {
-            script: "s".into(),
             source_hash: 5,
             root: "root".into(),
             instance_id,

@@ -416,10 +416,10 @@ fn a_diamond_burst_logs_what_its_anatomy_golden_says() {
                 match key {
                     StoreKey::Uid(uid) if uid.as_str().starts_with("inst/") => {
                         // Under its name an instance that never got stuck
-                        // logs its header alone: 29 B, nothing the log
+                        // logs its header alone: 21 B, nothing the log
                         // says elsewhere.
                         assert!(uid.as_str().ends_with("/meta"), "`{uid}`");
-                        assert_eq!(value.len(), 29, "`{uid}`");
+                        assert_eq!(value.len(), 21, "`{uid}`");
                         headers += 1;
                     }
                     StoreKey::Uid(uid) => {
@@ -458,8 +458,8 @@ fn a_diamond_burst_logs_what_its_anatomy_golden_says() {
     assert_eq!(headers, BURST);
     assert_eq!(blocks, BURST * 10);
     assert_eq!(presences, BURST);
-    // 417.88 B per diamond.
-    assert_eq!(sys.log_size(), 20_894);
+    // 409.88 B per diamond.
+    assert_eq!(sys.log_size(), 20_494);
 }
 
 #[test]

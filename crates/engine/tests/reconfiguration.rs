@@ -780,14 +780,14 @@ fn diamond_with_t5() -> String {
 }
 
 /// The source `instance`'s header pins, as the shard's log last
-/// committed them: the header opens with its layout tag, then its
-/// script name and the source's hash, which names the blob.
+/// committed them: the header opens with its layout tag, then the
+/// source's hash, which names the blob.
 fn pinned_source(sys: &WorkflowSystem, instance: &str) -> Vec<u8> {
     let storage = sys.storage();
     let header = last_write(&storage, &format!("inst/{instance}/meta")).expect("a header");
-    let mut header = ByteReader::new(&header[1..]);
-    header.get_str().expect("a script name");
-    let hash = header.get_u64().expect("a source hash");
+    let hash = ByteReader::new(&header[1..])
+        .get_u64()
+        .expect("a source hash");
     last_write(&storage, &format!("sys/src/{hash:016x}")).expect("a pinned source")
 }
 
