@@ -437,12 +437,12 @@ impl Coordinator {
 
     /// Wraps a misdirected message for its relay to `owner`: an
     /// `EngineMsg::Forwarded` carrying the hop count, returned encoded
-    /// (the `Forward` trace event names this node's map epoch). A message that already burned
-    /// [`MAX_FORWARD_HOPS`] relays is circling between coordinators
-    /// whose shard maps disagree — it is counted (`coord.forward_loops`)
-    /// and `None` comes back instead of another bounce. The relay
-    /// charges only `forwarded`; the owner counts the operation itself
-    /// exactly once.
+    /// (the `Forward` trace event names this node's map epoch). A
+    /// message that already burned [`MAX_FORWARD_HOPS`] relays is
+    /// circling between coordinators whose shard maps disagree — it is
+    /// counted (`coord.forward_loops`) and `None` comes back instead of
+    /// another bounce. The relay charges only `forwarded`; the owner
+    /// counts the operation itself exactly once.
     fn forward_envelope(
         &mut self,
         owner: NodeId,
@@ -455,11 +455,9 @@ impl Coordinator {
             return None;
         }
         self.metrics.stats.forwarded += 1;
+        let epoch = self.membership.epoch();
         let to = owner.index() as u32;
-        let kind = ObsEventKind::Forward {
-            to,
-            epoch: self.membership.epoch(),
-        };
+        let kind = ObsEventKind::Forward { to, epoch };
         self.record_event(instance, None, 0, kind);
         let wrapped = EngineMsg::Forwarded {
             hops: hops + 1,

@@ -69,14 +69,14 @@ fn expect_tag(r: &mut ByteReader<'_>, tag: u8, ty: &'static str) -> Result<(), C
 }
 
 /// `inst/<name>/meta` — the version of its script an instance runs
-/// (named by `source_hash` and `root`) and the dense id its facts carry,
-/// nothing the log says elsewhere or nothing reads: the input set and
-/// objects it was started with are the root's input fact, and the
-/// script's name is the start's to fetch the source by, which the
-/// header pins by hash. Written by instance start, rewritten by a
-/// reconfiguration (a new version of the script) and by hand-off
-/// re-keying (a new owner allots a new `instance_id`). Nothing on the
-/// run path writes it.
+/// (named by `source_hash` and `root`) and the dense id its facts carry.
+/// It holds nothing the log says elsewhere, and nothing unread: the
+/// input set and objects it was started with are the root's input fact,
+/// and the script's name only fetched the source the header pins by
+/// hash.
+/// Written by instance start, rewritten by a reconfiguration (a new
+/// version of the script) and by hand-off re-keying (a new owner allots
+/// a new `instance_id`). Nothing on the run path writes it.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct InstanceHeader {
     /// [`source_hash`] of the canonical source of the script's current
