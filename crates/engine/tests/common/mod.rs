@@ -215,12 +215,14 @@ pub const BURST: usize = 50;
 
 /// [`BURST`] diamonds, `d0`…, started at once on `shards` shards and run
 /// to the end: the `wave` workload's shape, whose logs the anatomy
-/// golden (four shards) and the byte budget read.
+/// golden (four shards) and the byte budget read. It observes metrics,
+/// which write nothing, so the counters golden reads filled histograms.
 pub fn diamond_burst(shards: usize) -> WorkflowSystem {
     let mut sys = WorkflowSystem::builder()
         .executors(2)
         .coordinators(shards)
         .seed(1)
+        .observe(ObserveLevel::Metrics)
         .build();
     bind_diamond(&mut sys);
     for i in 0..BURST {

@@ -16,7 +16,12 @@
 //! checked claim. Each `.anatomy.txt` takes one run's logs apart —
 //! the paper population's on one and four shards, and a burst of 50
 //! diamonds — into frames, record kinds and key families, per shard and
-//! summed: a storage change reads as a diff of its rows.
+//! summed: a storage change reads as a diff of its rows. Each
+//! `.counters.txt` is `metrics_snapshot()` of the paper population's
+//! traced run and of the burst, less the one count the debug build's
+//! oracles move: every metric there is a count or a virtual time, so a
+//! change to what the engine does or logs reads as a diff of its rows
+//! too.
 //!
 //! The reference arm — `CommitBatch::disabled()`, every report committed
 //! with its cascade before the next is looked at — is frozen the same
@@ -119,8 +124,7 @@ fn run_population(coordinators: usize, config: EngineConfig) -> WorkflowSystem {
 }
 
 /// Fingerprints of every instance, then the digest of every shard's log.
-fn run(coordinators: usize, config: EngineConfig) -> (String, String) {
-    let sys = run_population(coordinators, config);
+fn render_run(sys: &WorkflowSystem) -> (String, String) {
     let population = population();
     // Nothing an instance keeps per task is named by a string: what
     // these logs hold under `inst/` is `inst/<name>/meta`, and
@@ -148,7 +152,7 @@ fn run(coordinators: usize, config: EngineConfig) -> (String, String) {
     }
     let fingerprints = population
         .iter()
-        .map(|name| render(name, &fingerprint(&sys, name)))
+        .map(|name| render(name, &fingerprint(sys, name)))
         .collect();
     let wal = sys
         .shard_storages()
@@ -200,25 +204,53 @@ fn check(file: &str, actual: &str) {
     );
 }
 
+/// `run`, the `#` header naming the run, then every metric of `sys`'s
+/// snapshot but `tx.fact_point_reads`: counts and virtual times only, so
+/// each is exact per seed in any build.
+fn render_counters(sys: &WorkflowSystem, run: &str) -> String {
+    let why = "\
+# `tx.fact_point_reads` is left out: a debug build's oracles read facts
+# a release build does not, so it is not the same count in both.
+";
+    let csv = sys.metrics_snapshot().to_csv();
+    let rows = csv
+        .lines()
+        .filter(|row| !row.starts_with("tx.fact_point_reads,"));
+    rows.fold(format!("{run}{why}"), |out, row| out + row + "\n")
+}
+
 /// Observation writes nothing: the log bytes are the same with the
 /// flight recorder and every histogram off (the production default,
-/// which leaves no dispatch trace to fingerprint) and on.
-fn paper_population_matches(coordinators: usize, fingerprint_file: &str, wal_file: &str) {
-    let (_, wal) = run(coordinators, EngineConfig::default());
-    check(wal_file, &wal);
-    let (fingerprints, wal) = run(coordinators, paper_config());
-    check(fingerprint_file, &fingerprints);
-    check(wal_file, &wal);
+/// which leaves no dispatch trace to fingerprint) and on. The traced
+/// run's snapshot is the `.counters.txt` golden.
+fn paper_population_matches(coordinators: usize, file: &str) {
+    let wal_file = format!("{file}.wal.txt");
+    let (_, wal) = render_run(&run_population(coordinators, EngineConfig::default()));
+    check(&wal_file, &wal);
+    let sys = run_population(coordinators, paper_config());
+    let (fingerprints, wal) = render_run(&sys);
+    check(&format!("{file}.txt"), &fingerprints);
+    check(&wal_file, &wal);
+    let run = format!(
+        "\
+# `metrics_snapshot()` of `common::population` on {coordinators} shard(s) under
+# `paper_config()`, as `paper_population_matches` runs it:
+"
+    );
+    check(
+        &format!("{file}.counters.txt"),
+        &render_counters(&sys, &run),
+    );
 }
 
 #[test]
 fn paper_population_matches_golden_on_one_shard() {
-    paper_population_matches(1, "paper_1_shard.txt", "paper_1_shard.wal.txt");
+    paper_population_matches(1, "paper_1_shard");
 }
 
 #[test]
 fn paper_population_matches_golden_on_four_shards() {
-    paper_population_matches(4, "paper_4_shards.txt", "paper_4_shards.wal.txt");
+    paper_population_matches(4, "paper_4_shards");
 }
 
 #[test]
@@ -228,7 +260,7 @@ fn reference_arm_renders_the_same_paper_goldens() {
         ..paper_config()
     };
     for (coordinators, file) in [(1, "paper_1_shard.txt"), (4, "paper_4_shards.txt")] {
-        let (fingerprints, _wal) = run(coordinators, config.clone());
+        let (fingerprints, _wal) = render_run(&run_population(coordinators, config.clone()));
         check(file, &fingerprints);
     }
 }
@@ -665,14 +697,21 @@ fn render_anatomy(sys: &WorkflowSystem, run: &str, instances: usize, unit: &str)
     rendered
 }
 
+/// The burst's logs, and the snapshot of the same run.
 #[test]
 fn diamond_burst_anatomy_matches_golden() {
+    let sys = diamond_burst(4);
     let run = "\
 # The durable logs of `common::diamond_burst`: 50 fig. 1 diamonds started
 # at once on 4 shards and run to the end. Per shard, then summed:
 ";
-    let rendered = render_anatomy(&diamond_burst(4), run, BURST, "diamond");
+    let rendered = render_anatomy(&sys, run, BURST, "diamond");
     check("diamond_burst.anatomy.txt", &rendered);
+    let run = "\
+# `metrics_snapshot()` of `common::diamond_burst`: 50 fig. 1 diamonds on
+# 4 shards, observing metrics:
+";
+    check("diamond_burst.counters.txt", &render_counters(&sys, run));
 }
 
 /// The paper population's logs under the default config, read the way
