@@ -87,7 +87,7 @@ pub struct TxMetrics {
     fact_point_reads: Cell<u64>,
     /// Lock requests denied with a wait-die verdict (`tx.lock_waits`).
     lock_waits: u64,
-    /// After-images per commit record
+    /// After-images per commit record the log took
     /// (`wal.writes_per_commit`); only fed when observing metrics.
     wal_writes_per_commit: Histogram,
     /// Bytes per appended WAL frame (`wal.bytes_per_frame`); only fed
@@ -372,11 +372,8 @@ impl<S: Storage> TxManager<S> {
             .active
             .remove(&action.id)
             .ok_or(TxError::UnknownAction(action.id))?;
-        if self.metrics.observe.metrics() {
-            let images = writes.len() as u64;
-            self.metrics.wal_writes_per_commit.record(images);
-        }
         if !writes.is_empty() {
+            let images = writes.len() as u64;
             // The frame borrows nothing and is encoded exactly once; the
             // after-images then move into the store.
             let frame = LogRecord::Commit {
@@ -390,6 +387,9 @@ impl<S: Storage> TxManager<S> {
                 self.locks.release_all(action.id);
                 self.metrics.aborts += 1;
                 return Err(err);
+            }
+            if self.metrics.observe.metrics() {
+                self.metrics.wal_writes_per_commit.record(images);
             }
             if let LogRecord::Commit { writes, .. } = frame {
                 apply_writes(&mut self.store, writes);
@@ -1018,6 +1018,30 @@ mod tests {
         mgr.commit(b).unwrap();
         assert_eq!(mgr.read_committed_key::<u8>(&key("x")).unwrap(), Some(2));
         assert_eq!(stats(&mgr), (1, 1), "the failed commit counts as an abort");
+    }
+
+    /// `wal.writes_per_commit` samples the commit records the log took:
+    /// not an action that staged nothing, nor one whose append failed.
+    #[test]
+    fn writes_per_commit_samples_only_records_the_log_took() {
+        let (mut mgr, fail) = flaky();
+        *mgr.metrics_mut() = TxMetrics::new(ObserveLevel::Metrics);
+        let empty = mgr.begin();
+        mgr.commit(empty).unwrap();
+        let refused = mgr.begin();
+        mgr.write_key(&refused, &key("x"), &1u8).unwrap();
+        fail.store(true, Ordering::Relaxed);
+        assert!(matches!(mgr.commit(refused), Err(TxError::Storage(_))));
+        fail.store(false, Ordering::Relaxed);
+        let taken = mgr.begin();
+        mgr.write_key(&taken, &key("x"), &2u8).unwrap();
+        mgr.write_key(&taken, &key("y"), &3u8).unwrap();
+        mgr.commit(taken).unwrap();
+        let snapshot = mgr.metrics().snapshot();
+        let per_commit = snapshot.histogram("wal.writes_per_commit").unwrap();
+        assert_eq!((per_commit.count, per_commit.sum), (1, 2));
+        let frames = snapshot.histogram("wal.bytes_per_frame").unwrap();
+        assert_eq!(frames.count, 1, "one sample per frame, as here");
     }
 
     #[test]
