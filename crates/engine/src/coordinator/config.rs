@@ -74,13 +74,13 @@ impl Default for EngineConfig {
 ///
 /// Executor `Done`/`Mark` reports (including ones forwarded from relay
 /// shards) gather in a per-shard window and commit as **one** atomic
-/// action: one lock pass over the union of touched keys, one WAL frame
-/// holding one [`flowscript_tx::LogRecord::Commit`], one readiness
-/// re-evaluation seeded from every completed task's consumers. There is
-/// one pipeline whatever the size: the window is placement, not
-/// semantics — each report applies exactly the transition it would have
-/// alone, and the equivalence suite (`engine/tests/batching.rs`) holds
-/// per-instance outcomes identical to the window of one.
+/// action: one WAL frame holding one [`flowscript_tx::LogRecord::Commit`],
+/// one readiness re-evaluation seeded from every completed task's
+/// consumers. There is one pipeline whatever the size: the window is
+/// placement, not semantics — each report applies exactly the transition
+/// it would have alone, and the equivalence suite
+/// (`engine/tests/batching.rs`) holds per-instance outcomes identical to
+/// the window of one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommitBatch {
     /// Flush when this many reports are pending. `1` is the window of

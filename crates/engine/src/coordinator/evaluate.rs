@@ -650,7 +650,7 @@ pub(super) fn cancel_descendants(
     scope_id: TaskId,
 ) -> Result<(), EngineError> {
     for task_id in plan.subtree(scope_id) {
-        let mut cb = facts::lock_block(mgr, action, plan, keys, task_id)?;
+        let mut cb = facts::read_block(mgr, Some(action), plan, keys, task_id)?;
         if !cb.state.is_terminal() {
             cb.transition(CbState::Cancelled);
             facts::write_block(mgr, action, plan, keys, task_id, &cb)?;
@@ -673,7 +673,7 @@ fn reset_descendants(
 ) -> Result<(), EngineError> {
     for &child in plan.children(scope_id) {
         let task = plan.task(child);
-        let mut cb = facts::lock_block(mgr, action, plan, keys, child)?;
+        let mut cb = facts::read_block(mgr, Some(action), plan, keys, child)?;
         cb.reset_for_incarnation(incarnation);
         if task.is_scope {
             // A nested compound's own scope advances too, so its

@@ -448,7 +448,7 @@ mod tests {
 
     use flowscript_core::samples::FIG1_DIAMOND;
     use flowscript_tx::storage::FlakyStorage;
-    use flowscript_tx::{FactKey, Shared, SharedStorage, StableStore};
+    use flowscript_tx::{Shared, SharedStorage, StableStore};
 
     use flowscript_sim::{NodeId, SimTime};
 
@@ -476,33 +476,11 @@ mod tests {
         coord.start_instance(name, FIG1_DIAMOND, "diamond", "main", inputs)
     }
 
-    #[test]
-    fn a_start_that_fails_mid_staging_keeps_no_lock() {
-        let mut coord = shard(SharedStorage::new());
-        // Another open action holds the write lock on the root block of
-        // the shard's first instance: the start of `x` dies on it, after
-        // it took its header's and the source pin's.
-        let blocker = coord.mgr.begin();
-        let root = StoreKey::Fact(FactKey::control(0, 0));
-        let written = coord.mgr.write_key_raw(&blocker, &root, vec![0]);
-        written.expect("nothing else is open");
-        assert!(matches!(start(&mut coord, "x"), Err(EngineError::Tx(_))));
-        coord.mgr.abort(blocker);
-        // Abandoned with its locks, that action would fail every later
-        // start on this shard until a restart.
-        start(&mut coord, "y").expect("the failed start released the source pin");
-        start(&mut coord, "x").expect("and left nothing of `x` behind");
-        assert_eq!(coord.instance_names(), ["x", "y"]);
-        // Nor did it take an id.
-        let id = |name: &str| coord.instances[name].keys.instance_id;
-        assert_eq!((id("y"), id("x")), (0, 1));
-    }
-
     /// The `Ack` never precedes a durable frame, and a refused start
     /// leaves nothing behind: the start is one commit record appended
     /// before it is applied, so a frame that fails to append aborts the
     /// step — no key of `x` in the store, no runtime, no admission slot,
-    /// no lock — and the *same* name starts once the disk heals.
+    /// no instance id — and the *same* name starts once the disk heals.
     #[test]
     fn a_start_whose_frame_fails_to_append_is_not_acknowledged() {
         let storage = FlakyStorage::default();
@@ -524,6 +502,10 @@ mod tests {
         fail.store(false, Ordering::Relaxed);
         start(&mut coord, "x").expect("the healed disk takes the same name");
         assert_eq!(coord.instance_names(), ["x"]);
+        assert_eq!(
+            coord.instances["x"].keys.instance_id, 0,
+            "nor did it take an id"
+        );
         assert_eq!(occupancy(&coord), 1);
         assert_eq!(coord.stats().dispatches, 1, "t1, once");
     }

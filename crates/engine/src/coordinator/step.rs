@@ -105,8 +105,8 @@ impl Step {
 impl Coordinator {
     /// Runs `stage` as one step: what it staged commits when it returns
     /// `Ok` — the effects come back for publishing — and aborts on `Err`.
-    /// An action has no `Drop` — one abandoned by an early return keeps
-    /// its locks until the next restart — so this is the one way the
+    /// An action has no `Drop`: one abandoned by an early return stays
+    /// open until the next `begin` aborts it. So this is the one way the
     /// engine runs an action (`gc_plans` alone drives the manager itself:
     /// it must not tick the checkpoint counter).
     pub(super) fn run_step<T>(

@@ -12,14 +12,13 @@
 //! [`CommitBatch::disabled`](super::CommitBatch::disabled) is this same
 //! path with a window of one.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use flowscript_core::ast::OutputKind;
 use flowscript_obs::ObsEventKind;
 use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::SimDuration;
-use flowscript_tx::StoreKey;
 
 use super::evaluate::Drain;
 use super::step::{Effect, Step};
@@ -179,7 +178,7 @@ impl Coordinator {
         let (_, path, incarnation, attempt) = event.address();
         let (plan, keys) = (drain.plan, drain.keys);
         let action = step.action(&mut self.mgr);
-        let mut cb = facts::lock_block(&mut self.mgr, action, plan, keys, task_id)?;
+        let mut cb = facts::read_block(&self.mgr, Some(action), plan, keys, task_id)?;
         if !cb.awaits(incarnation, attempt) {
             return Ok(false);
         }
@@ -345,40 +344,30 @@ impl Coordinator {
     }
 
     /// Commits `events` as one window, one step: a single atomic action
-    /// over the reports (the locks of their control blocks taken first,
-    /// in deterministic [`StoreKey`] order), each staged in arrival
-    /// order, *and* the readiness cascade of every instance they
-    /// touched, then its effects published in staging order. Hands the
-    /// reports back if the step rolled back — a lock it could not take,
-    /// an append the log refused: nothing of it was published. The batch
-    /// id and the `coord.batch_size` sample are spent only on a commit,
-    /// so the histogram's sum is the reports applied.
+    /// over the reports, each staged in arrival order, *and* the
+    /// readiness cascade of every instance they touched, then its effects
+    /// published in staging order. Hands the reports back if the step
+    /// rolled back — a block it could not read, an append the log
+    /// refused: nothing of it was published. The batch id and the
+    /// `coord.batch_size` sample are spent only on a commit, so the
+    /// histogram's sum is the reports applied.
     fn commit_window(&mut self, events: Vec<PendingEvent>) -> Vec<PendingEvent> {
-        // Per-event plan context, and the key union for the lock
-        // pre-pass.
+        // Per-event plan context.
         type EventCtx = Option<(Arc<Plan>, Arc<InstanceKeys>, TaskId)>;
-        let mut contexts: Vec<EventCtx> = Vec::with_capacity(events.len());
-        let mut cb_keys: BTreeSet<StoreKey> = BTreeSet::new();
-        for event in &events {
-            let (instance, path, ..) = event.address();
-            let ctx = self.instance_ctx(instance).and_then(|(plan, keys)| {
+        let contexts: Vec<EventCtx> = events
+            .iter()
+            .map(|event| {
+                let (instance, path, ..) = event.address();
+                let (plan, keys) = self.instance_ctx(instance)?;
                 let task = plan.task_by_path(path)?;
                 Some((plan, keys, task))
-            });
-            if let Some((_, keys, task)) = &ctx {
-                cb_keys.insert(StoreKey::Fact(keys.cb(*task)));
-            }
-            contexts.push(ctx);
-        }
+            })
+            .collect();
 
         // The touched instances, in first-touch arrival order.
         let mut touched: Vec<Drain<'_>> = Vec::new();
         self.window.current_batch = Some(self.window.batch_seq);
         let staged = self.run_step(|coordinator, step| {
-            for key in &cb_keys {
-                let action = step.action(&mut coordinator.mgr);
-                coordinator.mgr.read_key_raw(action, key)?;
-            }
             for (event, ctx) in events.iter().zip(&contexts) {
                 let Some((plan, keys, task)) = ctx else {
                     continue; // unknown instance or path: dropped, as ever
@@ -432,7 +421,7 @@ mod tests {
     use std::sync::atomic::Ordering;
 
     use flowscript_tx::storage::FlakyStorage;
-    use flowscript_tx::{Shared, StableStore};
+    use flowscript_tx::{Shared, StableStore, StoreKey};
 
     use super::*;
     use crate::api::WorkflowSystem;
@@ -531,38 +520,41 @@ mod tests {
     }
 
     /// A window of three reports over three instances whose shared step
-    /// cannot take one block's lock (an open action holds it): the step
-    /// rolls back with its whole cascade — nothing of it is published —
-    /// the two healthy reports then commit alone, cascade included, and
-    /// the third is dropped, to be re-reported by its watchdog's retry
-    /// once the lock is gone.
+    /// cannot read one block (its committed bytes do not decode): the
+    /// step rolls back with its whole cascade — nothing of it is
+    /// published — the two healthy reports then commit alone, cascade
+    /// included, and the third is dropped, to be re-reported by its
+    /// watchdog's retry once the block is whole again.
     #[test]
     fn a_rolled_back_window_publishes_nothing_and_retries_report_by_report() {
-        use super::super::step::Step;
         use crate::CbState;
 
         let mut sys = three_pipelines(None);
-        // While the three `produce`s run, a step that stays open takes
-        // the write lock of `i3`'s `produce` block.
+        // While the three `produce`s run, `i3`'s `produce` block is
+        // overwritten with a byte no block begins with.
         sys.run_for(SimDuration::from_millis(5));
         let coord = sys.coord_handle(0);
-        let mut blocker = Step::default();
-        {
-            let coordinator = &mut *coord.get_mut();
-            let (plan, keys) = {
-                let rt = &coordinator.instances["i3"];
-                (rt.plan.clone(), rt.keys.clone())
-            };
-            let produce = plan.task_by_path("pipeline/produce").unwrap();
-            let action = blocker.action(&mut coordinator.mgr);
-            let block = StoreKey::Fact(keys.cb(produce));
-            coordinator.mgr.delete_key(action, &block).unwrap();
-        }
+        let (block, saved) = {
+            let coordinator = coord.get();
+            let rt = &coordinator.instances["i3"];
+            let produce = rt.plan.task_by_path("pipeline/produce").unwrap();
+            let block = StoreKey::Fact(rt.keys.cb(produce));
+            let saved = coordinator.mgr.read_committed_bytes(&block).unwrap();
+            (block, saved.to_vec())
+        };
+        let overwrite = |bytes: Vec<u8>| {
+            let mut coordinator = coord.get_mut();
+            let written =
+                coordinator.atomically(|mgr, action| Ok(mgr.write_key_raw(action, &block, bytes)?));
+            written.expect("the block commits");
+        };
+        overwrite(vec![7]);
         assert_eq!(aborts(&sys), 0);
         // The three reports arrive together and fill the window.
         sys.run_for(SimDuration::from_millis(10));
         // Two steps aborted: the shared one, and `i3`'s alone.
         assert_eq!(aborts(&sys), 2);
+        overwrite(saved);
         let batch_size = |sys: &WorkflowSystem| {
             let snapshot = sys.metrics_snapshot();
             let sizes = snapshot.histogram("coord.batch_size").unwrap();
@@ -590,14 +582,8 @@ mod tests {
             .map(|slot| slot.in_flight)
             .sum();
         assert_eq!(in_flight, 3, "two `consume`s and `i3`'s `produce`");
-        // The blocker rolls back — a step that errs aborts its action —
-        // and the dropped report is the watchdog's to recover, as if the
+        // The dropped report is the watchdog's to recover, as if the
         // network had lost it.
-        let released = coord.get_mut().run_step(|_, step| {
-            *step = blocker;
-            Err::<(), _>(EngineError::Tx("the blocker rolls back".into()))
-        });
-        assert!(released.is_err());
         sys.run();
         for name in ["i1", "i2", "i3"] {
             assert_eq!(sys.outcome(name).expect("completes").name, "done");
@@ -608,7 +594,7 @@ mod tests {
             applied, 6,
             "every report applied once, the dropped one never"
         );
-        assert_eq!(aborts(&sys), 3, "and the blocker's own");
+        assert_eq!(aborts(&sys), 2, "and no step aborted since");
     }
 
     /// The same window through a log that refuses appends: the shared

@@ -359,7 +359,7 @@ pub fn bound_map(plan: &Plan, bound: &[(StrId, ObjectVal)]) -> BTreeMap<String, 
 ///
 /// # Errors
 ///
-/// Lock conflicts or storage failures.
+/// [`TxError::UnknownAction`] for an action no longer open.
 pub fn write_fact_map<S: Storage>(
     mgr: &mut TxManager<S>,
     action: &AtomicAction,
@@ -412,7 +412,7 @@ pub fn write_fact_map<S: Storage>(
 ///
 /// # Errors
 ///
-/// Lock conflicts or storage failures.
+/// [`TxError::UnknownAction`] for an action no longer open.
 ///
 /// [`PlanSlot::obj_ordinal`]: flowscript_plan::PlanSlot::obj_ordinal
 pub fn write_fact_bound<S: Storage>(
@@ -472,7 +472,7 @@ pub fn write_fact_bound<S: Storage>(
 ///
 /// # Errors
 ///
-/// Lock conflicts or storage failures.
+/// [`TxError::UnknownAction`] for an action no longer open.
 pub fn delete_facts<S: Storage>(
     mgr: &mut TxManager<S>,
     action: &AtomicAction,
@@ -783,27 +783,11 @@ pub(crate) fn read_block<S: Storage>(
     }
 }
 
-/// `read_block` under `action`'s read lock on the block's key.
-///
-/// # Errors
-///
-/// As for `read_block`, and a lock conflict.
-pub(crate) fn lock_block<S: Storage>(
-    mgr: &mut TxManager<S>,
-    action: &AtomicAction,
-    plan: &Plan,
-    keys: &InstanceKeys,
-    task: TaskId,
-) -> Result<TaskCb, TxError> {
-    mgr.read_key_raw(action, &StoreKey::Fact(keys.cb(task)))?;
-    read_block(mgr, Some(action), plan, keys, task)
-}
-
 /// Stages `cb` as `task`'s control block.
 ///
 /// # Errors
 ///
-/// Lock conflicts or storage failures.
+/// [`TxError::UnknownAction`] for an action no longer open.
 pub(crate) fn write_block<S: Storage>(
     mgr: &mut TxManager<S>,
     action: &AtomicAction,
@@ -929,7 +913,8 @@ type KeyMove = (Vec<FactKey>, Option<(FactKey, Moved)>);
 ///
 /// # Errors
 ///
-/// Lock conflicts, storage failures, or corrupt records.
+/// [`TxError::UnknownAction`] for an action no longer open, or corrupt
+/// records.
 pub fn remap_instance_facts<S: Storage>(
     mgr: &mut TxManager<S>,
     action: &AtomicAction,
@@ -1528,8 +1513,8 @@ mod tests {
             let read = read_block(&mgr, None, &plan, &keys, w);
             assert!(matches!(read, Err(TxError::Corrupt(_))), "{what}: {read:?}");
             let action = mgr.begin();
-            let locked = lock_block(&mut mgr, &action, &plan, &keys, w);
-            assert!(matches!(locked, Err(TxError::Corrupt(_))), "{what} locked");
+            let staged = read_block(&mgr, Some(&action), &plan, &keys, w);
+            assert!(matches!(staged, Err(TxError::Corrupt(_))), "{what} staged");
             mgr.abort(action);
         }
     }

@@ -1,24 +1,12 @@
 use std::fmt;
 
 use crate::id::TxId;
-use crate::key::StoreKey;
-use crate::lock::Conflict;
 
 /// Errors raised by the transaction substrate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TxError {
-    /// A lock could not be granted. The embedded [`Conflict`] tells the
-    /// caller whether wait-die policy says to retry later (`Wait`) or to
-    /// abort itself (`Die`).
-    Lock {
-        /// The contended object's key.
-        key: StoreKey,
-        /// The holder that blocked us.
-        holder: TxId,
-        /// Wait-die verdict for the requester.
-        conflict: Conflict,
-    },
-    /// The action id is unknown (already committed/aborted, or foreign).
+    /// The action id is unknown: already committed or aborted, ended by
+    /// the next `begin`, or foreign.
     UnknownAction(TxId),
     /// The log or a stored object failed to decode.
     Corrupt(flowscript_codec::CodecError),
@@ -40,14 +28,6 @@ pub enum TxError {
 impl fmt::Display for TxError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TxError::Lock {
-                key,
-                holder,
-                conflict,
-            } => write!(
-                f,
-                "lock conflict on {key}: held by {holder}, verdict {conflict:?}"
-            ),
             TxError::UnknownAction(tx) => write!(f, "unknown or terminated action {tx}"),
             TxError::Corrupt(err) => write!(f, "corrupt transactional state: {err}"),
             TxError::Storage(msg) => write!(f, "storage failure: {msg}"),
@@ -80,12 +60,6 @@ mod tests {
 
     #[test]
     fn display_covers_variants() {
-        let lock = TxError::Lock {
-            key: StoreKey::Uid(crate::id::ObjectUid::new("o")),
-            holder: TxId::new(0, 1),
-            conflict: Conflict::Wait,
-        };
-        assert!(lock.to_string().contains("lock conflict"));
         assert!(TxError::UnknownAction(TxId::new(0, 2))
             .to_string()
             .contains("unknown"));

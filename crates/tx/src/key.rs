@@ -14,8 +14,7 @@
 //! self-describing string [`ObjectUid`]s (instance headers and status
 //! records, reconfiguration records, shared blobs — anything enumerated
 //! by prefix on cold paths) and the dense [`FactKey`]s of the commit hot
-//! path. Storage, locking and the write-ahead log are all keyed by
-//! `StoreKey`.
+//! path. Storage and the write-ahead log are both keyed by `StoreKey`.
 
 use std::fmt;
 

@@ -9,16 +9,19 @@
 //! - [`TxManager`]: atomic actions over a persistent object store —
 //!   begin / read / write / delete / commit / abort, every object
 //!   addressed by one key type, [`StoreKey`]. Actions are flat: the
-//!   paper's substrate nests them, but lock inheritance was never
-//!   implemented here and nothing used a nested action,
-//! - [`lock`]: strict two-phase locking with wait-die deadlock avoidance,
+//!   paper's substrate nests them, but nothing here used a nested
+//!   action. One action is open at a time: a manager belongs to one
+//!   shard, whose one-at-a-time steps are the serial order, so no action
+//!   takes a lock and the next `begin` aborts an action still open,
 //! - [`log`]: a redo-only write-ahead log with checksummed frames,
 //! - [`storage`]: durable byte storage (in-memory for simulation — it
 //!   survives simulated node crashes — or file-backed), shared through
 //!   one cell type and erased to one handle, [`StableStore`],
 //! - recovery: replaying the log rebuilds the committed store exactly,
 //! - [`dist`]: a presumed-abort two-phase-commit state machine nothing
-//!   in the workspace runs, kept for the perf ledger's probe.
+//!   in the workspace runs, kept for the perf ledger's probe,
+//! - [`lock`]: strict two-phase locking with wait-die, which no manager
+//!   takes any more, kept for the perf ledger's probe.
 //!
 //! # Examples
 //!
@@ -33,10 +36,8 @@
 //! mgr.write_key(&a, &key, &100u64)?;
 //! mgr.commit(a)?;
 //!
-//! let b = mgr.begin();
-//! let balance: u64 = mgr.read_key(&b, &key)?.unwrap();
-//! assert_eq!(balance, 100);
-//! mgr.abort(b);
+//! let balance: Option<u64> = mgr.read_committed_key(&key)?;
+//! assert_eq!(balance, Some(100));
 //! # Ok(())
 //! # }
 //! ```
@@ -53,7 +54,7 @@ pub mod storage;
 pub use error::TxError;
 pub use id::{ObjectUid, TxId};
 pub use key::{FactKey, FactKind, StoreKey};
-pub use lock::{Conflict, LockMode};
+pub use lock::LockMode;
 pub use log::{LogRecord, Wal};
 pub use manager::{AtomicAction, TxManager, TxMetrics};
 pub use storage::{

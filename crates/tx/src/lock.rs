@@ -9,6 +9,12 @@
 //! requester is told to [`Conflict::Wait`] (retry later) while a younger
 //! one is told to [`Conflict::Die`] (abort itself). Age comes from
 //! [`TxId`] ordering, so the policy is deterministic.
+//!
+//! **Ledger-pinned.** No transaction manager takes a lock: a manager has
+//! one open action at a time, its shard's steps being the serial order.
+//! The module stays whole only because the perf ledger's
+//! `lock.acquire_ns` probe drives a [`LockManager`], and goes when that
+//! probe does.
 
 use std::collections::HashMap;
 

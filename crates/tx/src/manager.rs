@@ -9,7 +9,6 @@ use flowscript_obs::{Histogram, MetricValue, ObserveLevel, Snapshot};
 use crate::error::TxError;
 use crate::id::{ObjectUid, TxId};
 use crate::key::{FactKey, FactKind, StoreKey};
-use crate::lock::{Acquired, LockManager, LockMode};
 use crate::log::{LogRecord, Wal};
 use crate::storage::{SharedStorage, Storage};
 
@@ -17,7 +16,8 @@ use crate::storage::{SharedStorage, Storage};
 ///
 /// Deliberately neither `Clone` nor `Copy`: an action is terminated exactly
 /// once, by passing it *by value* to [`TxManager::commit`] or
-/// [`TxManager::abort`].
+/// [`TxManager::abort`] — or by the manager's next [`TxManager::begin`],
+/// after which this handle stages, reads and commits nothing.
 #[derive(Debug)]
 pub struct AtomicAction {
     id: TxId,
@@ -69,8 +69,8 @@ pub struct TxMetrics {
     observe: ObserveLevel,
     /// Committed actions (`tx.commits`).
     commits: u64,
-    /// Aborted actions: explicit, and a commit whose append failed
-    /// (`tx.aborts`).
+    /// Aborted actions: explicit, a commit whose append failed, and an
+    /// action still open when the next began (`tx.aborts`).
     aborts: u64,
     /// Uid prefix scans served (`tx.prefix_scans`). Scans are
     /// O(matches) range walks, fine for recovery and cold admin paths —
@@ -85,8 +85,6 @@ pub struct TxMetrics {
     /// Committed-state point reads of fact keys (`tx.fact_point_reads`)
     /// — the cheap side of the point-read-vs-range-scan split above.
     fact_point_reads: Cell<u64>,
-    /// Lock requests denied with a wait-die verdict (`tx.lock_waits`).
-    lock_waits: u64,
     /// After-images per commit record the log took
     /// (`wal.writes_per_commit`); only fed when observing metrics.
     wal_writes_per_commit: Histogram,
@@ -113,7 +111,6 @@ impl TxMetrics {
             ("tx.prefix_scans", counter(self.prefix_scans.get())),
             ("tx.fact_range_scans", counter(self.fact_range_scans.get())),
             ("tx.fact_point_reads", counter(self.fact_point_reads.get())),
-            ("tx.lock_waits", counter(self.lock_waits)),
             (
                 "wal.writes_per_commit",
                 histogram(&self.wal_writes_per_commit),
@@ -140,13 +137,17 @@ fn tick(count: &Cell<u64>) {
 /// self-describing metadata, dense [`FactKey`]s for the dependency facts
 /// and control blocks of the commit hot path. The store is ordered by
 /// key, so uid prefixes and dense ranges are both real range scans.
+///
+/// A manager has at most one open action. It belongs to one shard, which
+/// runs one step at a time, so the order actions begin in is the serial
+/// order and no action needs a lock: beginning one aborts any still open.
 #[derive(Debug)]
 pub struct TxManager<S = SharedStorage> {
     node: u32,
     wal: Wal<S>,
     store: BTreeMap<StoreKey, Vec<u8>>,
-    locks: LockManager,
-    active: HashMap<TxId, Workspace>,
+    /// The open action and what it staged.
+    open: Option<(TxId, Workspace)>,
     next_seq: u64,
     /// A durable [`LogRecord::Fence`] by *another* node: `(claimant,
     /// epoch)`. Set at replay, or detected mid-run by the tail probe in
@@ -216,8 +217,7 @@ impl<S: Storage> TxManager<S> {
             node,
             wal,
             store,
-            locks: LockManager::new(),
-            active: HashMap::new(),
+            open: None,
             next_seq,
             fence,
             wal_len,
@@ -237,76 +237,29 @@ impl<S: Storage> TxManager<S> {
     }
 
     /// Begins an atomic action. Actions are flat: each commits or aborts
-    /// on its own.
+    /// on its own. An action still open is aborted first (`tx.aborts`):
+    /// its handle then stages, reads and commits nothing.
     pub fn begin(&mut self) -> AtomicAction {
+        if self.open.take().is_some() {
+            self.metrics.aborts += 1;
+        }
         let id = self.mint();
-        self.active.insert(id, Workspace::default());
+        self.open = Some((id, Workspace::default()));
         AtomicAction { id }
     }
 
-    fn acquire(&mut self, tx: TxId, key: &StoreKey, mode: LockMode) -> Result<(), TxError> {
-        match self.locks.acquire(tx, key, mode) {
-            Acquired::Granted => Ok(()),
-            Acquired::Conflicted { holder, verdict } => {
-                self.metrics.lock_waits += 1;
-                Err(TxError::Lock {
-                    key: key.clone(),
-                    holder,
-                    conflict: verdict,
-                })
-            }
-        }
+    /// What `action` staged, if it is the open action.
+    fn workspace(&self, action: &AtomicAction) -> Option<&Workspace> {
+        let (id, workspace) = self.open.as_ref()?;
+        (*id == action.id).then_some(workspace)
     }
 
-    /// Reads an object within an action, acquiring a read lock.
-    /// Returns `None` if the object does not exist.
+    /// Writes an object within an action. The value is staged and
+    /// reaches the store only on commit.
     ///
     /// # Errors
     ///
-    /// [`TxError::Lock`] on conflict, [`TxError::UnknownAction`] for a
-    /// terminated action, [`TxError::Corrupt`] if stored bytes fail to
-    /// decode as `T`.
-    pub fn read_key<T: Decode>(
-        &mut self,
-        action: &AtomicAction,
-        key: &StoreKey,
-    ) -> Result<Option<T>, TxError> {
-        let bytes = self.read_key_raw(action, key)?;
-        match bytes {
-            None => Ok(None),
-            Some(b) => Ok(Some(flowscript_codec::from_bytes(&b)?)),
-        }
-    }
-
-    /// Reads raw object bytes within an action (see
-    /// [`TxManager::read_key`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`TxManager::read_key`], minus decode failures.
-    pub fn read_key_raw(
-        &mut self,
-        action: &AtomicAction,
-        key: &StoreKey,
-    ) -> Result<Option<Vec<u8>>, TxError> {
-        if !self.active.contains_key(&action.id) {
-            return Err(TxError::UnknownAction(action.id));
-        }
-        self.acquire(action.id, key, LockMode::Read)?;
-        // The action's own staged version wins over the store's.
-        match self.active[&action.id].staged(key) {
-            Some(staged) => Ok(staged.clone()),
-            None => Ok(self.store.get(key).cloned()),
-        }
-    }
-
-    /// Writes an object within an action, acquiring a write lock. The
-    /// value is staged and reaches the store only on commit.
-    ///
-    /// # Errors
-    ///
-    /// [`TxError::Lock`] on conflict, [`TxError::UnknownAction`] for a
-    /// terminated action.
+    /// [`TxError::UnknownAction`] for a terminated action.
     pub fn write_key<T: Encode + ?Sized>(
         &mut self,
         action: &AtomicAction,
@@ -346,32 +299,29 @@ impl<S: Storage> TxManager<S> {
         key: &StoreKey,
         value: Option<Vec<u8>>,
     ) -> Result<(), TxError> {
-        if !self.active.contains_key(&action.id) {
-            return Err(TxError::UnknownAction(action.id));
+        match &mut self.open {
+            Some((id, workspace)) if *id == action.id => {
+                workspace.stage(key.clone(), value);
+                Ok(())
+            }
+            _ => Err(TxError::UnknownAction(action.id)),
         }
-        self.acquire(action.id, key, LockMode::Write)?;
-        self.active
-            .get_mut(&action.id)
-            .expect("checked above")
-            .stage(key.clone(), value);
-        Ok(())
     }
 
     /// Commits an action as one frame, its staged writes as a
     /// [`LogRecord::Commit`] (an action that staged none appends
     /// nothing). Once the frame is appended the writes apply to the
-    /// store and all the action's locks are released.
+    /// store.
     ///
     /// # Errors
     ///
     /// [`TxError::UnknownAction`] if already terminated; storage errors
-    /// on log append — the action is then aborted: nothing applied, its
-    /// locks released.
+    /// on log append — the action is then aborted: nothing applied.
     pub fn commit(&mut self, action: AtomicAction) -> Result<(), TxError> {
-        let Workspace { writes, .. } = self
-            .active
-            .remove(&action.id)
-            .ok_or(TxError::UnknownAction(action.id))?;
+        let Some((_, Workspace { writes, .. })) = self.open.take_if(|(id, _)| *id == action.id)
+        else {
+            return Err(TxError::UnknownAction(action.id));
+        };
         if !writes.is_empty() {
             let images = writes.len() as u64;
             // The frame borrows nothing and is encoded exactly once; the
@@ -384,7 +334,6 @@ impl<S: Storage> TxManager<S> {
                 // The action is consumed — nobody can abort it any more
                 // — so a commit that did not reach the log ends here as
                 // an abort.
-                self.locks.release_all(action.id);
                 self.metrics.aborts += 1;
                 return Err(err);
             }
@@ -395,7 +344,6 @@ impl<S: Storage> TxManager<S> {
                 apply_writes(&mut self.store, writes);
             }
         }
-        self.locks.release_all(action.id);
         self.metrics.commits += 1;
         Ok(())
     }
@@ -403,8 +351,7 @@ impl<S: Storage> TxManager<S> {
     /// Aborts an action, discarding its staged writes.
     /// Idempotent for already-terminated ids.
     pub fn abort(&mut self, action: AtomicAction) {
-        if self.active.remove(&action.id).is_some() {
-            self.locks.release_all(action.id);
+        if self.open.take_if(|(id, _)| *id == action.id).is_some() {
             self.metrics.aborts += 1;
         }
     }
@@ -498,17 +445,19 @@ impl<S: Storage> TxManager<S> {
     }
 
     /// The bytes `action` would read at `key` — its staged after-image
-    /// if it wrote one, else the committed state (`None`: that alone) —
-    /// *without* a lock: for the writer staging a cascade, which must see
-    /// its own transitions and which a locked [`TxManager::read_key_raw`]
-    /// would only fence against itself. Counted like
+    /// if it wrote one, else the committed state (`None`: that alone):
+    /// the writer staging a cascade sees its own transitions. A handle
+    /// that is no longer the open action reads nothing. Counted like
     /// [`TxManager::read_committed_key`].
     pub fn read_through(&self, action: Option<&AtomicAction>, key: &StoreKey) -> Option<&[u8]> {
         if is_fact(key) {
             tick(&self.metrics.fact_point_reads);
         }
-        let workspace = action.and_then(|action| self.active.get(&action.id));
-        match workspace.and_then(|workspace| workspace.staged(key)) {
+        let staged = match action {
+            Some(action) => self.workspace(action)?.staged(key),
+            None => None,
+        };
+        match staged {
             Some(staged) => staged.as_deref(),
             None => self.store.get(key).map(Vec::as_slice),
         }
@@ -645,7 +594,6 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::lock::Conflict;
     use crate::storage::FlakyStorage;
 
     /// `name`'s count, read the one way: off the metrics' snapshot.
@@ -674,7 +622,8 @@ mod tests {
         mgr.commit(a).unwrap();
         assert_eq!(mgr.read_committed_key::<u32>(&key("x")).unwrap(), Some(41));
         let b = mgr.begin();
-        assert_eq!(mgr.read_key::<u32>(&b, &key("x")).unwrap(), Some(41));
+        let bytes = flowscript_codec::to_bytes(&41u32);
+        assert_eq!(mgr.read_through(Some(&b), &key("x")), Some(&bytes[..]));
         mgr.abort(b);
     }
 
@@ -716,68 +665,65 @@ mod tests {
         let mut mgr = TxManager::in_memory();
         let a = mgr.begin();
         mgr.write_key(&a, &key("x"), &7i64).unwrap();
-        assert_eq!(mgr.read_key::<i64>(&a, &key("x")).unwrap(), Some(7));
+        let bytes = flowscript_codec::to_bytes(&7i64);
+        assert_eq!(mgr.read_through(Some(&a), &key("x")), Some(&bytes[..]));
         mgr.delete_key(&a, &key("x")).unwrap();
-        assert_eq!(mgr.read_key::<i64>(&a, &key("x")).unwrap(), None);
+        assert_eq!(mgr.read_through(Some(&a), &key("x")), None);
         mgr.commit(a).unwrap();
     }
 
     #[test]
-    fn read_through_sees_staged_then_committed_and_takes_no_lock() {
+    fn read_through_sees_staged_then_committed() {
         let mut mgr = TxManager::in_memory();
         let point_reads = |mgr: &TxManager| counter(mgr, "tx.fact_point_reads");
         let fact = StoreKey::Fact(FactKey::input(0, 1, 0));
         let a = mgr.begin();
         mgr.write_key(&a, &fact, &1u8).unwrap();
         mgr.commit(a).unwrap();
-        let (writer, other) = (mgr.begin(), mgr.begin());
+        let writer = mgr.begin();
         mgr.write_key(&writer, &fact, &2u8).unwrap();
         let reads = point_reads(&mgr);
         assert_eq!(mgr.read_through(Some(&writer), &fact), Some(&[2u8][..]));
-        // Nobody else's staging shows, and the writer's lock is no bar.
-        assert_eq!(mgr.read_through(Some(&other), &fact), Some(&[1u8][..]));
+        // A read outside the action sees no staging.
         assert_eq!(mgr.read_through(None, &fact), Some(&[1u8][..]));
-        assert_eq!(point_reads(&mgr), reads + 3);
+        assert_eq!(point_reads(&mgr), reads + 2);
         // A staged delete reads as absent; a uid is not a fact read.
         mgr.delete_key(&writer, &fact).unwrap();
         assert_eq!(mgr.read_through(Some(&writer), &fact), None);
         assert_eq!(mgr.read_through(Some(&writer), &key("nothing")), None);
-        assert_eq!(point_reads(&mgr), reads + 4);
-        mgr.abort(other);
+        assert_eq!(point_reads(&mgr), reads + 3);
         mgr.commit(writer).unwrap();
         assert_eq!(mgr.read_through(None, &fact), None);
     }
 
+    /// One action is open at a time: the next `begin` aborts it, and its
+    /// stale handle fails loudly rather than act outside the serial order.
     #[test]
-    fn write_conflict_gets_wait_die_verdict() {
+    fn a_second_begin_ends_the_open_action() {
         let mut mgr = TxManager::in_memory();
-        let older = mgr.begin();
-        let younger = mgr.begin();
-        mgr.write_key(&younger, &key("x"), &1u8).unwrap();
-        // Older requester is told to wait.
-        match mgr.write_key(&older, &key("x"), &2u8) {
-            Err(TxError::Lock { conflict, .. }) => assert_eq!(conflict, Conflict::Wait),
-            other => panic!("expected lock conflict, got {other:?}"),
-        }
-        mgr.abort(younger);
-        // Now the lock is free.
-        mgr.write_key(&older, &key("x"), &2u8).unwrap();
-        mgr.commit(older).unwrap();
-        assert_eq!(mgr.read_committed_key::<u8>(&key("x")).unwrap(), Some(2));
-    }
-
-    #[test]
-    fn younger_conflicting_writer_dies() {
-        let mut mgr = TxManager::in_memory();
-        let older = mgr.begin();
-        mgr.write_key(&older, &key("x"), &1u8).unwrap();
-        let younger = mgr.begin();
-        match mgr.write_key(&younger, &key("x"), &2u8) {
-            Err(TxError::Lock { conflict, .. }) => assert_eq!(conflict, Conflict::Die),
-            other => panic!("expected lock conflict, got {other:?}"),
-        }
-        mgr.abort(younger);
-        mgr.commit(older).unwrap();
+        let a = mgr.begin();
+        mgr.write_key(&a, &key("x"), &1u8).unwrap();
+        mgr.write_key(&a, &key("y"), &1u8).unwrap();
+        assert_eq!(mgr.read_through(Some(&a), &key("x")), Some(&[1u8][..]));
+        let b = mgr.begin();
+        assert_eq!(stats(&mgr), (0, 1), "the stale action counts as aborted");
+        let stale = TxError::UnknownAction(a.id());
+        assert_eq!(mgr.write_key(&a, &key("z"), &1u8), Err(stale.clone()));
+        assert_eq!(mgr.delete_key(&a, &key("x")), Err(stale.clone()));
+        assert_eq!(mgr.read_through(Some(&a), &key("x")), None);
+        // It reads nothing, not even what is committed.
+        mgr.write_key(&b, &key("y"), &2u8).unwrap();
+        assert_eq!(mgr.read_through(Some(&a), &key("y")), None);
+        assert_eq!(mgr.read_through(Some(&b), &key("y")), Some(&[2u8][..]));
+        mgr.commit(b).unwrap();
+        assert_eq!(mgr.read_through(Some(&a), &key("y")), None);
+        assert_eq!(mgr.commit(a), Err(stale));
+        // Nothing it staged reached the store or the log.
+        assert_eq!(mgr.read_committed_key::<u8>(&key("x")).unwrap(), None);
+        assert_eq!(mgr.read_committed_key::<u8>(&key("y")).unwrap(), Some(2));
+        let records = mgr.wal.scan().unwrap();
+        assert_eq!(records.len(), 1, "b's commit alone: {records:?}");
+        assert_eq!(stats(&mgr), (1, 1));
     }
 
     /// A start stages one control block per plan task and a purge a
@@ -813,12 +759,10 @@ mod tests {
             }
             stage(&mut model, i, value);
         }
-        assert_eq!(
-            mgr.read_key_raw(&action, &keys[3]).unwrap(),
-            Some(vec![3, 3])
-        );
-        assert_eq!(mgr.read_key_raw(&action, &keys[5]).unwrap(), Some(vec![2]));
-        assert_eq!(mgr.read_key_raw(&action, &keys[21]).unwrap(), None);
+        let read = |key: &StoreKey| mgr.read_through(Some(&action), key).map(<[u8]>::to_vec);
+        assert_eq!(read(&keys[3]), Some(vec![3, 3]));
+        assert_eq!(read(&keys[5]), Some(vec![2]));
+        assert_eq!(read(&keys[21]), None);
         mgr.commit(action).unwrap();
         let records = Wal::new(stable).scan().unwrap();
         let [LogRecord::Commit { writes, .. }] = records.as_slice() else {
@@ -903,7 +847,7 @@ mod tests {
         mgr.commit(a).unwrap();
         let size = mgr.log_size();
         let b = mgr.begin();
-        let _ = mgr.read_key::<u8>(&b, &key("x")).unwrap();
+        assert!(mgr.read_through(Some(&b), &key("x")).is_some());
         mgr.commit(b).unwrap();
         assert_eq!(mgr.log_size(), size);
     }
@@ -1003,15 +947,15 @@ mod tests {
     }
 
     #[test]
-    fn failed_commit_append_aborts_the_action_and_frees_its_locks() {
+    fn failed_commit_append_aborts_the_action() {
         let (mut mgr, fail) = flaky();
         let a = mgr.begin();
         mgr.write_key(&a, &key("x"), &1u8).unwrap();
         fail.store(true, Ordering::Relaxed);
         assert!(matches!(mgr.commit(a), Err(TxError::Storage(_))));
         fail.store(false, Ordering::Relaxed);
-        // Nothing applied — and the action is consumed, so nobody could
-        // release its locks after the fact: the next writer must get in.
+        // Nothing applied — and the action is consumed, so it is no
+        // longer open: the next writer gets in, with no second abort.
         assert_eq!(mgr.read_committed_key::<u8>(&key("x")).unwrap(), None);
         let b = mgr.begin();
         mgr.write_key(&b, &key("x"), &2u8).unwrap();

@@ -14,7 +14,7 @@
 //! | [`flowscript_core`] | the language: parser, semantic analysis, templates, formatter, DOT export, compiled schemas |
 //! | [`flowscript_plan`] | compiled execution plans: the dense, index-based IR the coordinator's hot paths run off (lowered once per script version, cached by the repository) |
 //! | [`flowscript_engine`] | the execution environment: repository + execution services, Fig. 3 task lifecycle, compound scopes, retries, recovery, dynamic reconfiguration |
-//! | [`flowscript_tx`] | Arjuna-style transactions: atomic actions, 2PL, write-ahead log, recovery, fencing |
+//! | [`flowscript_tx`] | Arjuna-style transactions: flat atomic actions, one open per shard, write-ahead log, recovery, fencing |
 //! | [`flowscript_sim`] | deterministic discrete-event simulation: nodes, faulty network, RPC, virtual time |
 //! | [`flowscript_codec`] | binary encoding, framing, checksums |
 //! | [`flowscript_obs`] | flight recorder, histograms and metric snapshots |
