@@ -20,8 +20,8 @@
 //! - recovery: replaying the log rebuilds the committed store exactly,
 //! - [`dist`]: a presumed-abort two-phase-commit state machine nothing
 //!   in the workspace runs, kept for the perf ledger's probe,
-//! - [`lock`]: strict two-phase locking with wait-die, which no manager
-//!   takes any more, kept for the perf ledger's probe.
+//! - [`lock`]: strict two-phase locking with wait-die, which nothing in
+//!   the workspace takes, kept for the perf ledger's probe.
 //!
 //! # Examples
 //!
