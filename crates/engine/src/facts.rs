@@ -251,9 +251,20 @@ impl<'a, S: Storage> StoreFacts<'a, S> {
         })
     }
 
+    /// The bytes at `key` as the view reads them. A view of committed
+    /// state alone is the debug build's full-scan oracle, which counts no
+    /// read: `tx.fact_point_reads` is then the same in every build.
+    fn read(&self, key: FactKey) -> Option<&'a [u8]> {
+        let key = StoreKey::Fact(key);
+        match self.action {
+            Some(_) => self.mgr.read_through(self.action, &key),
+            None => self.mgr.read_committed_bytes(&key),
+        }
+    }
+
     /// The object stored under the declared sub-key `key`.
     fn object(&self, key: FactKey) -> Option<ObjectVal> {
-        let bytes = self.mgr.read_through(self.action, &StoreKey::Fact(key));
+        let bytes = self.read(key);
         let object = bytes.map(|bytes| decode_object(self.plan, key, bytes));
         self.latch(object.transpose().map_err(TxError::from))
     }
@@ -272,29 +283,21 @@ impl<S: Storage> plan_eval::PlanFacts for StoreFacts<'_, S> {
         // without this object, or the object has no declared ordinal.
         // The presence record settles all three (its extras map is
         // normally empty — a two-byte decode, never a whole record).
-        let presence = self
-            .mgr
-            .read_through(self.action, &StoreKey::Fact(keys.presence));
+        let presence = self.read(keys.presence);
         let mut extras: BTreeMap<String, ObjectVal> = self.latch(decoded(presence))?;
         extras.remove(object)
     }
 
     fn fact_fired(&self, probe: Probe<'_>) -> bool {
         let keys = self.keys.probe_keys(&probe);
-        keys.is_some_and(|keys| fired_at(self.mgr, self.action, keys.fired, keys.presence))
+        keys.is_some_and(|keys| fired_at(|key| self.read(key).is_some(), keys.fired, keys.presence))
     }
 }
 
 /// Whether a fact fired: `fired` exists, or — when that is its first
 /// declared object's sub-key, which a fact stored without that object
 /// lacks — its presence record does. Point reads only.
-fn fired_at<S: Storage>(
-    mgr: &TxManager<S>,
-    action: Option<&AtomicAction>,
-    fired: FactKey,
-    presence: FactKey,
-) -> bool {
-    let exists = |key| mgr.read_through(action, &StoreKey::Fact(key)).is_some();
+fn fired_at(exists: impl Fn(FactKey) -> bool, fired: FactKey, presence: FactKey) -> bool {
     exists(fired) || (fired != presence && exists(presence))
 }
 
@@ -306,7 +309,8 @@ pub(crate) fn fired<S: Storage>(
     plan: &Plan,
     base: FactKey,
 ) -> bool {
-    fired_at(mgr, action, fired_key(plan, base), base)
+    let exists = |key| mgr.read_through(action, &StoreKey::Fact(key)).is_some();
+    fired_at(exists, fired_key(plan, base), base)
 }
 
 /// Stages the presence record of the fact at `base` holding `extras` —

@@ -14,14 +14,14 @@
 //! fingerprints pin behaviour; these pin the bytes — record encoding,
 //! framing, checksums and commit grouping — so "no format change" is a
 //! checked claim. Each `.anatomy.txt` takes one run's logs apart —
-//! the paper population's on one and four shards, and a burst of 50
-//! diamonds — into frames, record kinds and key families, per shard and
-//! summed: a storage change reads as a diff of its rows. Each
+//! the paper population's on one and four shards, a burst of 50
+//! diamonds, and one diamond `rebalance` moves while it runs — into
+//! frames, record kinds and key families, per shard and summed: a
+//! storage change reads as a diff of its rows. Each
 //! `.counters.txt` is `metrics_snapshot()` of the paper population's
-//! traced run and of the burst, less the one count the debug build's
-//! oracles move: every metric there is a count or a virtual time, so a
-//! change to what the engine does or logs reads as a diff of its rows
-//! too.
+//! traced run and of the burst: every metric there is a count or a
+//! virtual time, the same in a debug and a release build, so a change to
+//! what the engine does or logs reads as a diff of its rows too.
 //!
 //! The reference arm — `CommitBatch::disabled()`, every report committed
 //! with its cascade before the next is looked at — is frozen the same
@@ -56,16 +56,16 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use common::{
-    add_t5, build, build_orders, det_config, det_link, diamond_burst, fingerprint, frame_writes,
-    generated_config, generated_script, log_frames, population, run_fan, run_generated,
-    run_worklist_case, start_population, text, Fingerprint, BURST,
+    add_t5, bind_diamond, build, build_orders, det_config, det_link, diamond_burst, fingerprint,
+    frame_writes, generated_config, generated_script, log_frames, population, run_fan,
+    run_generated, run_worklist_case, start_population, text, Fingerprint, BURST,
 };
 use flowscript_core::samples;
 use flowscript_engine::{
     CommitBatch, EngineConfig, InstanceStatus, ObjectVal, ObsEventKind, ObserveLevel, TaskBehavior,
     WorkflowSystem,
 };
-use flowscript_sim::SimDuration;
+use flowscript_sim::{SimDuration, SimTime};
 use flowscript_tx::{FactKind, LogRecord, StableStore, Storage, StoreKey};
 
 fn render(name: &str, (status, trace, states): &Fingerprint) -> String {
@@ -205,18 +205,10 @@ fn check(file: &str, actual: &str) {
 }
 
 /// `run`, the `#` header naming the run, then every metric of `sys`'s
-/// snapshot but `tx.fact_point_reads`: counts and virtual times only, so
-/// each is exact per seed in any build.
+/// snapshot: counts and virtual times only, so each is exact per seed in
+/// any build (the debug build's oracles count no read).
 fn render_counters(sys: &WorkflowSystem, run: &str) -> String {
-    let why = "\
-# `tx.fact_point_reads` is left out: a debug build's oracles read facts
-# a release build does not, so it is not the same count in both.
-";
-    let csv = sys.metrics_snapshot().to_csv();
-    let rows = csv
-        .lines()
-        .filter(|row| !row.starts_with("tx.fact_point_reads,"));
-    rows.fold(format!("{run}{why}"), |out, row| out + row + "\n")
+    format!("{run}{}", sys.metrics_snapshot().to_csv())
 }
 
 /// Observation writes nothing: the log bytes are the same with the
@@ -745,4 +737,49 @@ fn paper_population_anatomy_matches_golden_on_one_shard() {
 #[test]
 fn paper_population_anatomy_matches_golden_on_four_shards() {
     paper_population_anatomy(4, "paper_4_shards.anatomy.txt");
+}
+
+/// One fig. 1 diamond moved while it runs: both shards' logs, the
+/// source's move record and purge beside the destination's claim.
+#[test]
+fn moved_diamond_anatomy_matches_golden() {
+    let mut sys = WorkflowSystem::builder()
+        .executors(2)
+        .coordinators(2)
+        .seed(1)
+        .build();
+    bind_diamond(&mut sys);
+    // A successor map listing the same two nodes, the first re-added
+    // under a new seed, and the first name it moves.
+    let mut moved = sys.shard_map().clone();
+    let first = sys.coordinator_nodes()[0];
+    moved.remove_node(first);
+    moved.add_node(first);
+    let name = (0..)
+        .map(|i| format!("d{i}"))
+        .find(|name| sys.shard_map().node_of(name) != moved.node_of(name))
+        .unwrap();
+    sys.start(&name, "diamond", "main", [("seed", text("Data", "s"))])
+        .unwrap();
+    // Mid-flight: its first task executing, the other three waiting.
+    sys.run_until(SimTime::from_nanos(3_000_000));
+    assert_eq!(sys.status(&name).unwrap(), InstanceStatus::Running);
+    let (from, to) = (sys.shard_of(&name), 1 - sys.shard_of(&name));
+    sys.rebalance(moved).expect("the round lands");
+    assert_eq!(sys.shard_of(&name), to);
+    let run = format!(
+        "\
+# The durable logs of one fig. 1 diamond `{name}` started on shard {from} of 2,
+# moved to shard {to} by `rebalance` while it runs. Per shard, then summed:
+"
+    );
+    check(
+        "moved_diamond.anatomy.txt",
+        &render_anatomy(&sys, &run, 1, "diamond"),
+    );
+    sys.run();
+    assert!(
+        sys.outcome(&name).is_some(),
+        "{name} completes where it moved"
+    );
 }
