@@ -19,7 +19,7 @@ use super::step::Effect;
 use super::{Coordinator, Output};
 use crate::error::EngineError;
 use crate::facts;
-use crate::keys::{source_uid, status_uid, InstanceKeys};
+use crate::keys::{in_key, meta_uid, out_key, source_uid, status_uid};
 use crate::reconfig::{self, Reconfig};
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
@@ -42,15 +42,14 @@ impl Coordinator {
     /// (a read must surface the fault, not "absent").
     #[doc(hidden)]
     pub fn poison_fact(&mut self, instance: &str, path: &str, name: &str) -> bool {
-        let Some((plan, keys)) = self.instance_ctx(instance) else {
+        let Some((plan, instance_id)) = self.instance_ctx(instance) else {
             return false;
         };
         let Some(task) = plan.task_by_path(path) else {
             return false;
         };
-        let base = keys
-            .out_key(&plan, task, name)
-            .or_else(|| keys.in_key(&plan, task, name));
+        let base = out_key(&plan, instance_id, task, name)
+            .or_else(|| in_key(&plan, instance_id, task, name));
         let Some(base) = base else {
             return false;
         };
@@ -108,7 +107,7 @@ impl Coordinator {
         self.at(now, |this| {
             // Repair reads current state: absorb the batch window first.
             this.flush_pending();
-            let (plan, keys) = this.plant(instance)?;
+            let (plan, instance_id) = this.plant(instance)?;
             let Some(task_id) = plan.task_by_path(path) else {
                 return Err(EngineError::UnknownTask(path.to_string()));
             };
@@ -119,7 +118,7 @@ impl Coordinator {
                 .ok_or_else(|| {
                     EngineError::BadInputs(format!("task `{path}` declares no output `{output}`"))
                 })?;
-            let Some(out_key) = keys.out_key(&plan, task_id, output) else {
+            let Some(out_key) = out_key(&plan, instance_id, task_id, output) else {
                 return Err(EngineError::UnknownTask(path.to_string()));
             };
             let stamped: BTreeMap<String, ObjectVal> = objects
@@ -130,7 +129,7 @@ impl Coordinator {
             // full drain behind them — the repaired fact has no commit to
             // seed from.
             this.reevaluate(instance, |coordinator, step, drain| {
-                let mut cb = coordinator.staged_cb(step, &plan, &keys, task_id)?;
+                let mut cb = coordinator.staged_cb(step, &plan, instance_id, task_id)?;
                 let forced = match kind {
                     _ if cb.state.is_terminal() => None,
                     OutputKind::Outcome => Some(CbState::Done {
@@ -152,9 +151,10 @@ impl Coordinator {
                     }
                     cb.transition(state);
                 }
+                let stuck = status_uid(instance);
                 let revived = coordinator
                     .mgr
-                    .read_through(step.staged(), keys.status())
+                    .read_through(step.staged(), &stuck)
                     .is_some();
                 // The root's outcome is the instance's.
                 let settles = forced.is_some() && plan.task(task_id).parent.is_none();
@@ -167,13 +167,13 @@ impl Coordinator {
                 }
                 facts::write_fact_map(mgr, action, &plan, out_key, &stamped)?;
                 if forced.is_some() {
-                    facts::write_block(mgr, action, &plan, &keys, task_id, &cb)?;
+                    facts::write_block(mgr, action, &plan, instance_id, task_id, &cb)?;
                 }
                 if revived {
-                    mgr.delete_key(action, keys.status())?;
+                    mgr.delete_key(action, &stuck)?;
                 }
                 if settles {
-                    cancel_descendants(mgr, action, &keys, &plan, task_id)?;
+                    cancel_descendants(mgr, action, instance_id, &plan, task_id)?;
                 }
                 if revived {
                     // Back from Stuck: the instance is evaluated, and counts
@@ -238,7 +238,7 @@ impl Coordinator {
             // Reconfiguration edits committed truth: absorb the batch window
             // first.
             this.flush_pending();
-            let (old_plan, old_keys) = this
+            let (old_plan, instance_id) = this
                 .instance_ctx(instance)
                 .ok_or_else(|| EngineError::UnknownInstance(instance.to_string()))?;
             let name: Arc<str> = Arc::from(instance);
@@ -249,7 +249,6 @@ impl Coordinator {
                 let hash = source_hash(&text);
                 let plan = coordinator.plan_cache.plan(hash, &text, &header.root);
                 let plan = plan.map_err(reconfig::rejected)?;
-                let keys = Arc::new(InstanceKeys::build(&plan, instance, old_keys.instance_id));
                 fn path(plan: &Plan, id: TaskId) -> &str {
                     plan.str(plan.task(id).path)
                 }
@@ -262,7 +261,7 @@ impl Coordinator {
                     let mut cb = TaskCb::waiting();
                     if let Some(scope) = plan.task(id).parent.and_then(old_id) {
                         cb.incarnation = coordinator
-                            .read_cb_id(&old_plan, &old_keys, scope)?
+                            .read_cb_id(&old_plan, instance_id, scope)?
                             .scope_inc;
                     }
                     if cb != TaskCb::waiting() {
@@ -271,30 +270,30 @@ impl Coordinator {
                 }
                 // A reconfiguration can rescue a stuck instance (e.g. by
                 // adding an alternative source): it is evaluated again.
-                let revived = coordinator.mgr.exists_key(keys.status());
+                let stuck = status_uid(instance);
+                let revived = coordinator.mgr.exists_key(&stuck);
                 header.source_hash = hash;
                 let action = step.action(&mut coordinator.mgr);
                 let mgr = &mut coordinator.mgr;
                 // The remap reads committed state: it stages first.
-                let id = old_keys.instance_id;
-                facts::remap_instance_facts(mgr, action, &old_plan, &old_keys, &plan, id)?;
+                facts::remap_instance_facts(mgr, action, &old_plan, &plan, instance_id)?;
                 pin_source(mgr, action, hash, &text)?;
-                mgr.write_key(action, keys.meta(), &header)?;
+                mgr.write_key(action, &meta_uid(instance), &header)?;
                 if revived {
-                    mgr.delete_key(action, keys.status())?;
+                    mgr.delete_key(action, &stuck)?;
                 }
                 // After the remap: a new task may take an id it vacated.
                 for (task, cb) in &new_blocks {
-                    facts::write_block(mgr, action, &plan, &keys, *task, cb)?;
+                    facts::write_block(mgr, action, &plan, instance_id, *task, cb)?;
                 }
-                step.push(&name, Effect::Replan(plan.clone(), keys.clone()));
+                step.push(&name, Effect::Replan(plan.clone()));
                 if revived {
                     step.push(&name, Effect::Status(false));
                 }
                 step.push(&name, Effect::Count(|stats| &mut stats.reconfigs));
                 // The drain runs over the new plan, its flights re-keyed
                 // onto it the way the books will be.
-                let mut drain = coordinator.drain_of(name.clone(), &plan, &keys);
+                let mut drain = coordinator.drain_of(name.clone(), &plan, instance_id);
                 drain.terminal &= !revived;
                 let flying = drain.flying.iter();
                 let moved = flying.filter_map(|&task| plan.task_by_path(path(&old_plan, task)));
@@ -332,7 +331,7 @@ impl Coordinator {
             // The operator decision is against current state: absorb the
             // batch window first.
             this.flush_pending();
-            let (plan, keys) = this.plant(instance)?;
+            let (plan, instance_id) = this.plant(instance)?;
             let Some(task_id) = plan.task_by_path(path) else {
                 return Err(EngineError::UnknownTask(path.to_string()));
             };
@@ -346,13 +345,12 @@ impl Coordinator {
                     plan.str(class.name)
                 )));
             }
-            let out_key = keys
-                .out_key(&plan, task_id, outcome)
+            let out_key = out_key(&plan, instance_id, task_id, outcome)
                 .ok_or_else(|| EngineError::UnknownTask(path.to_string()))?;
             // One step: the abort, its (empty) fact and what they cascade
             // into.
             this.reevaluate(instance, |coordinator, step, drain| {
-                let mut cb = coordinator.staged_cb(step, &plan, &keys, task_id)?;
+                let mut cb = coordinator.staged_cb(step, &plan, instance_id, task_id)?;
                 if cb.state != CbState::Waiting {
                     return Err(EngineError::ReconfigRejected(format!(
                         "task `{path}` is not waiting (state {:?})",
@@ -363,7 +361,14 @@ impl Coordinator {
                     outcome: outcome.to_string(),
                 });
                 let action = step.action(&mut coordinator.mgr);
-                facts::write_block(&mut coordinator.mgr, action, &plan, &keys, task_id, &cb)?;
+                facts::write_block(
+                    &mut coordinator.mgr,
+                    action,
+                    &plan,
+                    instance_id,
+                    task_id,
+                    &cb,
+                )?;
                 facts::write_fact_map(
                     &mut coordinator.mgr,
                     action,
@@ -379,13 +384,13 @@ impl Coordinator {
         })
     }
 
-    /// `instance`'s plan and key table, its runtime marked as one an
-    /// operator may publish into below a scope yet to activate.
-    fn plant(&mut self, instance: &str) -> Result<(Arc<Plan>, Arc<InstanceKeys>), EngineError> {
+    /// `instance`'s plan and id, its runtime marked as one an operator
+    /// may publish into below a scope yet to activate.
+    fn plant(&mut self, instance: &str) -> Result<(Arc<Plan>, u32), EngineError> {
         let Some(rt) = self.instances.get_mut(instance) else {
             return Err(EngineError::UnknownInstance(instance.to_string()));
         };
         rt.planted = true;
-        Ok((rt.plan.clone(), rt.keys.clone()))
+        Ok((rt.plan.clone(), rt.id))
     }
 }

@@ -27,7 +27,7 @@ use super::step::{Effect, Launch, Step};
 use super::{block_fault, Coordinator, InstanceRt, Timer, TimerId};
 use crate::error::EngineError;
 use crate::facts;
-use crate::keys::InstanceKeys;
+use crate::keys::in_key;
 use crate::msg::{EngineMsg, StartTask};
 use crate::sched::{CostModel, ExecutorSlot, ExecutorSpec, ImplHints, SchedPolicy, Scheduler};
 use crate::state::{CbState, TaskCb};
@@ -278,11 +278,11 @@ impl Coordinator {
     fn redispatch_objects(
         &self,
         plan: &Plan,
-        keys: &InstanceKeys,
+        instance_id: u32,
         task_id: TaskId,
         set: &str,
     ) -> Result<[BTreeMap<String, ObjectVal>; 2], TxError> {
-        let inputs = self.read_fact(plan, keys.in_key(plan, task_id, set))?;
+        let inputs = self.read_fact(plan, in_key(plan, instance_id, task_id, set))?;
         let mut repeat_objects = BTreeMap::new();
         let class = plan.class_of(plan.task(task_id));
         for (ordinal, output) in plan.class_outputs[class.outputs.as_range()]
@@ -290,7 +290,7 @@ impl Coordinator {
             .enumerate()
         {
             if output.kind == OutputKind::RepeatOutcome {
-                let key = FactKey::output(keys.instance_id, task_id, ordinal as u32);
+                let key = FactKey::output(instance_id, task_id, ordinal as u32);
                 repeat_objects.extend(self.read_fact(plan, Some(key))?);
             }
         }
@@ -315,12 +315,12 @@ impl Coordinator {
         let CbState::Executing { set } = &cb.state else {
             return Ok(());
         };
-        let (plan, keys) = (drain.plan, drain.keys);
+        let (plan, instance_id) = (drain.plan, drain.id);
         let gathered = match repeat_objects {
             Some(objects) => self
-                .read_fact(plan, keys.in_key(plan, task, set))
+                .read_fact(plan, in_key(plan, instance_id, task, set))
                 .map(|inputs| [inputs, objects.clone()]),
-            None => self.redispatch_objects(plan, keys, task, set),
+            None => self.redispatch_objects(plan, instance_id, task, set),
         };
         let [inputs, repeat_objects] = match gathered {
             Ok(gathered) => gathered,
@@ -365,7 +365,7 @@ impl Coordinator {
         }
         cb.attempt += 1;
         let action = step.action(&mut self.mgr);
-        facts::write_block(&mut self.mgr, action, drain.plan, drain.keys, task, &cb)?;
+        facts::write_block(&mut self.mgr, action, drain.plan, drain.id, task, &cb)?;
         step.push(&drain.name, Effect::Lost(task, reported));
         step.push(&drain.name, Effect::Count(|stats| &mut stats.retries));
         let path = drain.plan.str(drain.plan.task(task).path);
@@ -398,7 +398,7 @@ impl Coordinator {
             reason: why.to_string(),
         });
         let action = step.action(&mut self.mgr);
-        facts::write_block(&mut self.mgr, action, drain.plan, drain.keys, task, &cb)?;
+        facts::write_block(&mut self.mgr, action, drain.plan, drain.id, task, &cb)?;
         let landed = match reported {
             true => Effect::Completed(task),
             false => Effect::Discard(task..task + 1),
@@ -457,7 +457,7 @@ impl Coordinator {
         };
         let mut executing = Vec::new();
         for id in 0..rt.plan.tasks.len() as TaskId {
-            match self.read_cb_id(&rt.plan, &rt.keys, id) {
+            match self.read_cb_id(&rt.plan, rt.id, id) {
                 Ok(cb) if matches!(cb.state, CbState::Executing { .. }) => executing.push((id, cb)),
                 Ok(_) => {}
                 Err(fault) => return Err(block_fault(&rt.plan, id, &fault)),
@@ -477,7 +477,7 @@ impl Coordinator {
         };
         for &task in rt.flights.0.keys() {
             let known = rt.plan.tasks.get(task as usize);
-            let cb = known.and_then(|_| self.read_cb_id(&rt.plan, &rt.keys, task).ok());
+            let cb = known.and_then(|_| self.read_cb_id(&rt.plan, rt.id, task).ok());
             assert!(
                 matches!(&cb, Some(cb) if matches!(cb.state, CbState::Executing { .. })),
                 "flight record {task} of `{instance}` has no `Executing` task in its \
@@ -528,16 +528,15 @@ impl Coordinator {
         self.cancel(watchdogs);
     }
 
-    /// A reconfiguration committed `instance`'s new plan, with its key
-    /// table: the resident runtime runs off them from here on, and
-    /// dispatch's books move old id → path → new id — a removed task's
-    /// entries are released with it.
-    pub(super) fn replan(&mut self, instance: &str, plan: Arc<Plan>, keys: Arc<InstanceKeys>) {
+    /// A reconfiguration committed `instance`'s new plan: the resident
+    /// runtime runs off it from here on, and dispatch's books move old
+    /// id → path → new id — a removed task's entries are released with
+    /// it.
+    pub(super) fn replan(&mut self, instance: &str, plan: Arc<Plan>) {
         let Some(rt) = self.instances.get_mut(instance) else {
             return;
         };
         let old_plan = std::mem::replace(&mut rt.plan, plan.clone());
-        rt.keys = keys;
         let new_id = |old: TaskId| plan.task_by_path(old_plan.str(old_plan.task(old).path));
         let watchdogs = self.dispatcher.rekey(instance, &mut rt.flights, new_id);
         self.cancel(watchdogs);
@@ -606,7 +605,7 @@ impl Coordinator {
         let Some(rt) = self.instances.get(instance) else {
             return;
         };
-        let Ok(cb) = self.read_cb_id(&rt.plan, &rt.keys, task_id) else {
+        let Ok(cb) = self.read_cb_id(&rt.plan, rt.id, task_id) else {
             // Nothing ships off a block that does not decode.
             self.metrics.stats.dropped_dispatches += 1;
             return;
@@ -835,13 +834,13 @@ impl Coordinator {
         }
         // Where a timer enters: its task, named by path, resolved
         // against the instance's current plan.
-        let Some((plan, keys)) = self.instance_ctx(instance) else {
+        let Some((plan, instance_id)) = self.instance_ctx(instance) else {
             return;
         };
         let Some(task) = plan.task_by_path(path) else {
             return;
         };
-        let cb = self.read_cb_id(&plan, &keys, task).ok();
+        let cb = self.read_cb_id(&plan, instance_id, task).ok();
         let Some(cb) = cb.filter(|cb| cb.awaits(incarnation, attempt)) else {
             return;
         };

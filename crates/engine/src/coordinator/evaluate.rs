@@ -23,7 +23,7 @@ use super::step::{Effect, Launch, Step};
 use super::{block_fault, settled, Coordinator, StuckRecord};
 use crate::error::EngineError;
 use crate::facts::{self, StoreFacts};
-use crate::keys::InstanceKeys;
+use crate::keys::{in_key, out_key, status_uid};
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
 
@@ -32,7 +32,8 @@ use crate::value::ObjectVal;
 pub(super) struct Drain<'a> {
     pub(super) name: Arc<str>,
     pub(super) plan: &'a Plan,
-    pub(super) keys: &'a InstanceKeys,
+    /// The instance's id: the namespace of its fact and block keys.
+    pub(super) id: u32,
     /// What the step's transitions seeded so far.
     pub(super) worklist: Worklist,
     /// The instance is settled — its root terminated, or it is parked
@@ -62,10 +63,10 @@ impl Drain<'_> {
 }
 
 impl Coordinator {
-    /// The instance's plan and interned key table.
-    pub(super) fn instance_ctx(&self, instance: &str) -> Option<(Arc<Plan>, Arc<InstanceKeys>)> {
+    /// The instance's plan and id.
+    pub(super) fn instance_ctx(&self, instance: &str) -> Option<(Arc<Plan>, u32)> {
         let rt = self.instances.get(instance)?;
-        Some((rt.plan.clone(), rt.keys.clone()))
+        Some((rt.plan.clone(), rt.id))
     }
 
     /// Full re-evaluation — every task seeded — where there is no
@@ -93,11 +94,11 @@ impl Coordinator {
         instance: &str,
         stage: impl FnOnce(&mut Coordinator, &mut Step, &mut Drain<'_>) -> Result<(), EngineError>,
     ) -> Result<(), EngineError> {
-        let (plan, keys) = self
+        let (plan, instance_id) = self
             .instance_ctx(instance)
             .ok_or_else(|| EngineError::UnknownInstance(instance.to_string()))?;
         let ((), effects) = self.run_step(|coordinator, step| {
-            let mut drain = coordinator.drain_of(instance.into(), &plan, &keys);
+            let mut drain = coordinator.drain_of(instance.into(), &plan, instance_id);
             stage(coordinator, step, &mut drain)?;
             coordinator.stage_drain(step, &mut drain)
         })?;
@@ -116,7 +117,7 @@ impl Coordinator {
             let Some(rt) = self.instances.get(instance) else {
                 return;
             };
-            let stored = settled(&self.mgr, None, rt.keys.status(), rt.keys.instance_id);
+            let stored = settled(&self.mgr, None, instance, rt.id);
             assert_eq!(rt.terminal, stored, "status mirror of `{instance}`");
             if !rt.terminal {
                 self.assert_quiescent(instance);
@@ -128,16 +129,11 @@ impl Coordinator {
 
     /// `name`'s part in a step about to stage, nothing seeded yet. A
     /// start's instance is not resident: running, nothing flying.
-    pub(super) fn drain_of<'a>(
-        &self,
-        name: Arc<str>,
-        plan: &'a Plan,
-        keys: &'a InstanceKeys,
-    ) -> Drain<'a> {
+    pub(super) fn drain_of<'a>(&self, name: Arc<str>, plan: &'a Plan, id: u32) -> Drain<'a> {
         let resident = self.instances.get(&*name);
         Drain {
             plan,
-            keys,
+            id,
             worklist: Worklist::new(),
             terminal: resident.is_some_and(|rt| rt.terminal),
             flying: resident.map_or_else(Vec::new, |rt| rt.flights.outstanding()),
@@ -180,7 +176,7 @@ impl Coordinator {
         drain: &mut Drain<'_>,
         eval: impl FnOnce(&StoreFacts<'_, StableStore>) -> T,
     ) -> Result<Option<T>, EngineError> {
-        let facts = StoreFacts::new(&self.mgr, step.staged(), drain.plan, drain.keys);
+        let facts = StoreFacts::new(&self.mgr, step.staged(), drain.plan, drain.id);
         let value = eval(&facts);
         match facts.take_fault() {
             None => Ok(Some(value)),
@@ -200,7 +196,7 @@ impl Coordinator {
         drain: &mut Drain<'_>,
         task: TaskId,
     ) -> Result<Option<TaskCb>, EngineError> {
-        match self.staged_cb(step, drain.plan, drain.keys, task) {
+        match self.staged_cb(step, drain.plan, drain.id, task) {
             Ok(cb) => Ok(Some(cb)),
             Err(fault) => {
                 self.park_stuck(step, drain, block_fault(drain.plan, task, &fault))?;
@@ -221,7 +217,7 @@ impl Coordinator {
         drain: &mut Drain<'_>,
         task_id: TaskId,
     ) -> Result<(), EngineError> {
-        let (plan, keys) = (drain.plan, drain.keys);
+        let (plan, instance_id) = (drain.plan, drain.id);
         let task = plan.task(task_id);
         let Some(parent) = task.parent else {
             return Ok(()); // the root never rebinds through the start agenda
@@ -249,7 +245,7 @@ impl Coordinator {
             .iter()
             .find(|s| s.name == set_id)
             .map(|s| s.slots);
-        let (Some(in_key), Some(slots)) = (keys.in_key(plan, task_id, set), slots) else {
+        let (Some(in_key), Some(slots)) = (in_key(plan, instance_id, task_id, set), slots) else {
             return Ok(());
         };
         cb.transition(match task.is_scope {
@@ -257,7 +253,7 @@ impl Coordinator {
             false => CbState::Executing { set: set.into() },
         });
         let action = step.action(&mut self.mgr);
-        facts::write_block(&mut self.mgr, action, plan, keys, task_id, &cb)?;
+        facts::write_block(&mut self.mgr, action, plan, instance_id, task_id, &cb)?;
         facts::write_fact_bound(&mut self.mgr, action, plan, in_key, slots, &bound)?;
         // The binding itself is a fact: consumers of this task's input
         // sets re-check, and a fresh compound enables its constituents.
@@ -341,16 +337,15 @@ impl Coordinator {
         out_idx: usize,
         mapped: &[(StrId, ObjectVal)],
     ) -> Result<(), EngineError> {
-        let (plan, keys) = (drain.plan, drain.keys);
+        let (plan, instance_id) = (drain.plan, drain.id);
         let output = &plan.outputs[out_idx];
         let mark = plan.str(output.name);
         let scope_path = plan.str(plan.task(scope_id).path);
-        let out_key = keys
-            .out_key(plan, scope_id, mark)
+        let out_key = out_key(plan, instance_id, scope_id, mark)
             .ok_or_else(|| EngineError::UnknownTask(scope_path.to_string()))?;
         cb.marks_emitted.push(mark.to_string());
         let action = step.action(&mut self.mgr);
-        facts::write_block(&mut self.mgr, action, plan, keys, scope_id, &cb)?;
+        facts::write_block(&mut self.mgr, action, plan, instance_id, scope_id, &cb)?;
         facts::write_fact_bound(&mut self.mgr, action, plan, out_key, output.slots, mapped)?;
         step.push(&drain.name, Effect::Count(|stats| &mut stats.marks));
         let event = || self.commit_event(format!("mark `{mark}`"));
@@ -367,11 +362,11 @@ impl Coordinator {
         out_idx: usize,
         mapped: Vec<(StrId, ObjectVal)>,
     ) -> Result<(), EngineError> {
-        let (plan, keys) = (drain.plan, drain.keys);
+        let (plan, instance_id) = (drain.plan, drain.id);
         let output = &plan.outputs[out_idx];
         let outcome = plan.str(output.name).to_string();
         let scope_path = plan.str(plan.task(scope_id).path);
-        let Some(out_key) = keys.out_key(plan, scope_id, &outcome) else {
+        let Some(out_key) = out_key(plan, instance_id, scope_id, &outcome) else {
             return Ok(());
         };
         let done = output.kind == OutputKind::Outcome;
@@ -381,11 +376,11 @@ impl Coordinator {
             (false, outcome) => CbState::Aborted { outcome },
         });
         let action = step.action(&mut self.mgr);
-        facts::write_block(&mut self.mgr, action, plan, keys, scope_id, &cb)?;
+        facts::write_block(&mut self.mgr, action, plan, instance_id, scope_id, &cb)?;
         facts::write_fact_bound(&mut self.mgr, action, plan, out_key, output.slots, &mapped)?;
         // Cancel every non-terminal descendant (one flat subtree scan —
         // DFS pre-order keeps descendants contiguous).
-        cancel_descendants(&mut self.mgr, action, keys, plan, scope_id)?;
+        cancel_descendants(&mut self.mgr, action, instance_id, plan, scope_id)?;
 
         // The root's outcome is the instance's — its block and output
         // fact say so: the drain ends here.
@@ -416,12 +411,12 @@ impl Coordinator {
         out_idx: usize,
         mapped: Vec<(StrId, ObjectVal)>,
     ) -> Result<(), EngineError> {
-        let (plan, keys) = (drain.plan, drain.keys);
+        let (plan, instance_id) = (drain.plan, drain.id);
         let output = &plan.outputs[out_idx];
         let outcome = plan.str(output.name);
         let scope_path = plan.str(plan.task(scope_id).path);
         let is_root = plan.task(scope_id).parent.is_none();
-        let Some(out_key) = keys.out_key(plan, scope_id, outcome) else {
+        let Some(out_key) = out_key(plan, instance_id, scope_id, outcome) else {
             return Ok(());
         };
         cb.repeats += 1;
@@ -431,7 +426,7 @@ impl Coordinator {
                 reason: format!("compound repeat limit exceeded via `{outcome}`"),
             });
             let action = step.action(&mut self.mgr);
-            facts::write_block(&mut self.mgr, action, plan, keys, scope_id, &cb)?;
+            facts::write_block(&mut self.mgr, action, plan, instance_id, scope_id, &cb)?;
         } else {
             // Reset: bump this scope's incarnation, clear own input
             // facts and all descendant state, publish the repeat fact.
@@ -442,7 +437,7 @@ impl Coordinator {
             // subtree does not hold the scope).
             let started_on = match is_root {
                 true => Some(
-                    self.bound_set(step, plan, keys, scope_id)
+                    self.bound_set(step, plan, instance_id, scope_id)
                         .ok_or_else(|| EngineError::UnknownTask(scope_path.to_string()))?,
                 ),
                 false => None,
@@ -457,15 +452,15 @@ impl Coordinator {
                 // its own input-binding facts.
                 cb.state = CbState::Waiting;
                 let own = std::iter::once(scope_id);
-                facts::delete_facts(mgr, action, plan, keys.instance_id, own, true)?;
+                facts::delete_facts(mgr, action, plan, instance_id, own, true)?;
             }
-            facts::write_block(mgr, action, plan, keys, scope_id, &cb)?;
+            facts::write_block(mgr, action, plan, instance_id, scope_id, &cb)?;
             // All descendant facts die with the incarnation — those
             // this step staged included. The blocks stay:
             // `reset_descendants` rewrites each for the new incarnation.
             let below = plan.subtree(scope_id);
-            facts::delete_facts(mgr, action, plan, keys.instance_id, below, false)?;
-            reset_descendants(mgr, action, keys, plan, scope_id, cb.scope_inc)?;
+            facts::delete_facts(mgr, action, plan, instance_id, below, false)?;
+            reset_descendants(mgr, action, instance_id, plan, scope_id, cb.scope_inc)?;
         }
         step.push(&drain.name, Effect::Count(|stats| &mut stats.repeats));
         let event = || self.commit_event(format!("repeat `{outcome}`"));
@@ -488,12 +483,12 @@ impl Coordinator {
         &self,
         step: &Step,
         plan: &Plan,
-        keys: &InstanceKeys,
+        instance_id: u32,
         task: TaskId,
     ) -> Option<String> {
         let class = plan.class_of(plan.task(task));
         let sets = plan.class_sets[class.sets.as_range()].iter().zip(0..);
-        sets.map(|(set, item)| (set, FactKey::input(keys.instance_id, task, item)))
+        sets.map(|(set, item)| (set, FactKey::input(instance_id, task, item)))
             .find(|(_, base)| facts::fired(&self.mgr, step.staged(), plan, *base))
             .map(|(set, _)| plan.str(set.name).to_string())
     }
@@ -503,7 +498,7 @@ impl Coordinator {
     /// stuck. Only the one-time transition *to* Stuck reads control
     /// blocks (dense-key point reads) to compose the diagnostic reason.
     fn stuck_check(&mut self, step: &mut Step, drain: &mut Drain<'_>) -> Result<(), EngineError> {
-        let (plan, keys) = (drain.plan, drain.keys);
+        let (plan, instance_id) = (drain.plan, drain.id);
         if drain.terminal || !drain.flying.is_empty() {
             return Ok(());
         }
@@ -522,7 +517,7 @@ impl Coordinator {
                     failed.push(format!("{path} ({reason})"));
                 }
                 CbState::Waiting => {
-                    let facts = StoreFacts::new(&self.mgr, step.staged(), plan, keys);
+                    let facts = StoreFacts::new(&self.mgr, step.staged(), plan, instance_id);
                     let task = plan.task(id);
                     let pending = plan.sets[task.sets.as_range()]
                         .iter()
@@ -565,15 +560,15 @@ impl Coordinator {
         reason: String,
     ) -> Result<(), EngineError> {
         drain.terminal = true;
-        let keys = drain.keys;
-        if settled(&self.mgr, step.staged(), keys.status(), keys.instance_id) {
+        if settled(&self.mgr, step.staged(), &drain.name, drain.id) {
             return Ok(());
         }
         let record = StuckRecord {
             reason: reason.clone(),
         };
         let action = step.action(&mut self.mgr);
-        self.mgr.write_key(action, keys.status(), &record)?;
+        self.mgr
+            .write_key(action, &status_uid(&drain.name), &record)?;
         step.push(&drain.name, Effect::Status(true));
         self.trace(step, &drain.name, None, 0, || ObsEventKind::Stuck {
             reason,
@@ -589,16 +584,16 @@ impl Coordinator {
         let Some(rt) = self.instances.get(instance) else {
             return;
         };
-        let (plan, keys) = (&*rt.plan, &*rt.keys);
-        let facts = StoreFacts::new(&self.mgr, None, plan, keys);
+        let (plan, instance_id) = (&*rt.plan, rt.id);
+        let facts = StoreFacts::new(&self.mgr, None, plan, instance_id);
         for id in 1..plan.tasks.len() as TaskId {
             let task = plan.task(id);
             let Some(parent) = task.parent else {
                 continue;
             };
             let (Ok(parent_cb), Ok(cb)) = (
-                self.read_cb_id(plan, keys, parent),
-                self.read_cb_id(plan, keys, id),
+                self.read_cb_id(plan, instance_id, parent),
+                self.read_cb_id(plan, instance_id, id),
             ) else {
                 continue;
             };
@@ -617,7 +612,7 @@ impl Coordinator {
             if !plan.task(id).is_scope {
                 continue;
             }
-            let Ok(cb) = self.read_cb_id(plan, keys, id) else {
+            let Ok(cb) = self.read_cb_id(plan, instance_id, id) else {
                 continue;
             };
             if !matches!(cb.state, CbState::Active { .. }) {
@@ -645,15 +640,15 @@ impl Coordinator {
 pub(super) fn cancel_descendants(
     mgr: &mut TxManager<StableStore>,
     action: &AtomicAction,
-    keys: &InstanceKeys,
+    instance_id: u32,
     plan: &Plan,
     scope_id: TaskId,
 ) -> Result<(), EngineError> {
     for task_id in plan.subtree(scope_id) {
-        let mut cb = facts::read_block(mgr, Some(action), plan, keys, task_id)?;
+        let mut cb = facts::read_block(mgr, Some(action), plan, instance_id, task_id)?;
         if !cb.state.is_terminal() {
             cb.transition(CbState::Cancelled);
-            facts::write_block(mgr, action, plan, keys, task_id, &cb)?;
+            facts::write_block(mgr, action, plan, instance_id, task_id, &cb)?;
         }
     }
     Ok(())
@@ -666,23 +661,23 @@ pub(super) fn cancel_descendants(
 fn reset_descendants(
     mgr: &mut TxManager<StableStore>,
     action: &AtomicAction,
-    keys: &InstanceKeys,
+    instance_id: u32,
     plan: &Plan,
     scope_id: TaskId,
     incarnation: u32,
 ) -> Result<(), EngineError> {
     for &child in plan.children(scope_id) {
         let task = plan.task(child);
-        let mut cb = facts::read_block(mgr, Some(action), plan, keys, child)?;
+        let mut cb = facts::read_block(mgr, Some(action), plan, instance_id, child)?;
         cb.reset_for_incarnation(incarnation);
         if task.is_scope {
             // A nested compound's own scope advances too, so its
             // children rebind consistently.
             cb.scope_inc += 1;
         }
-        facts::write_block(mgr, action, plan, keys, child, &cb)?;
+        facts::write_block(mgr, action, plan, instance_id, child, &cb)?;
         if task.is_scope {
-            reset_descendants(mgr, action, keys, plan, child, cb.scope_inc)?;
+            reset_descendants(mgr, action, instance_id, plan, child, cb.scope_inc)?;
         }
     }
     Ok(())

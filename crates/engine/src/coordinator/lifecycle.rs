@@ -24,14 +24,14 @@ use super::{
 };
 use crate::error::EngineError;
 use crate::facts;
-use crate::keys::{self, source_uid, status_uid, InstanceKeys};
+use crate::keys::{self, in_key, meta_uid, out_key, source_uid, status_uid};
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
 
 impl Coordinator {
     /// Materializes an instance's volatile runtime from committed
-    /// state: the plan of the source its header pins, and interned
-    /// keys. Pure state load — arms no timers and dispatches nothing.
+    /// state: the plan of the source its header pins, and its id. Pure
+    /// state load — arms no timers and dispatches nothing.
     ///
     /// # Errors
     ///
@@ -42,11 +42,10 @@ impl Coordinator {
         header: &InstanceHeader,
     ) -> Result<InstanceRt, EngineError> {
         let plan = self.stored_plan(name, header)?;
-        let keys = InstanceKeys::build(&plan, name, header.instance_id);
-        let terminal = settled(&self.mgr, None, keys.status(), keys.instance_id);
+        let terminal = settled(&self.mgr, None, name, header.instance_id);
         Ok(InstanceRt {
             plan,
-            keys: Arc::new(keys),
+            id: header.instance_id,
             flights: Flights::default(),
             terminal,
             planted: true,
@@ -71,7 +70,7 @@ impl Coordinator {
             Err(fault) => fault,
         };
         let key = status_uid(name);
-        if !settled(&self.mgr, None, &key, header.instance_id) {
+        if !settled(&self.mgr, None, name, header.instance_id) {
             let reason = format!("script source storage fault: {fault}");
             let stuck = StuckRecord { reason };
             let _ = self.atomically(|mgr, action| Ok(mgr.write_key(action, &key, &stuck)?));
@@ -158,9 +157,7 @@ impl Coordinator {
             // The dense instance id: the shard's next free one, taken
             // once the start commits.
             let instance_id = coordinator.next_id;
-            let keys = Arc::new(InstanceKeys::build(&plan, instance, instance_id));
-            let root_in = keys
-                .in_key(&plan, 0, set)
+            let root_in = in_key(&plan, instance_id, 0, set)
                 .ok_or_else(|| EngineError::BadInputs(format!("unmapped input set `{set}`")))?;
             let header = InstanceHeader {
                 source_hash: hash,
@@ -169,7 +166,7 @@ impl Coordinator {
             };
             let action = step.action(&mut coordinator.mgr);
             let mgr = &mut coordinator.mgr;
-            mgr.write_key(action, keys.meta(), &header)?;
+            mgr.write_key(action, &meta_uid(instance), &header)?;
             pin_source(mgr, action, hash, source)?;
             // Root control block starts Active with the supplied inputs
             // bound; every descendant starts `Waiting`, which a block
@@ -178,14 +175,14 @@ impl Coordinator {
             root_cb.transition(CbState::Active {
                 set: set.to_string(),
             });
-            facts::write_block(mgr, action, &plan, &keys, 0, &root_cb)?;
+            facts::write_block(mgr, action, &plan, instance_id, 0, &root_cb)?;
             // The root's input binding goes through the fact layout like
             // every other fact, so root-input fallbacks probe per object;
             // it is the one record of what the instance was started on.
             facts::write_fact_map(mgr, action, &plan, root_in, &inputs)?;
             let rt = InstanceRt {
                 plan: plan.clone(),
-                keys: keys.clone(),
+                id: instance_id,
                 flights: Flights::default(),
                 terminal: false,
                 planted: false,
@@ -195,7 +192,7 @@ impl Coordinator {
                 ObsEventKind::InstanceStart
             });
             // The first drain: the root just activated.
-            let mut drain = coordinator.drain_of(name.clone(), &plan, &keys);
+            let mut drain = coordinator.drain_of(name.clone(), &plan, instance_id);
             drain.worklist.seed_children(&plan, 0);
             coordinator.stage_drain(step, &mut drain)?;
             Ok(instance_id)
@@ -225,14 +222,14 @@ impl Coordinator {
         if let Some(StuckRecord { reason }) = stuck {
             return Ok(InstanceStatus::Stuck { reason });
         }
-        let (plan, keys) = self.plan_of(instance)?;
+        let (plan, instance_id) = self.plan_of(instance)?;
         let (CbState::Done { outcome: name } | CbState::Aborted { outcome: name }) =
-            self.read_cb_id(&plan, &keys, 0)?.state
+            self.read_cb_id(&plan, instance_id, 0)?.state
         else {
             return Ok(InstanceStatus::Running);
         };
         let kind = plan.class_output(plan.class_of(plan.root()), &name);
-        let fact = keys.out_key(&plan, 0, &name);
+        let fact = out_key(&plan, instance_id, 0, &name);
         let objects = fact.map(|key| facts::read_fact_map(&self.mgr, &plan, key));
         match (kind, objects.transpose()?.flatten()) {
             (Some(output), Some(objects)) => Ok(InstanceStatus::Completed(Outcome {
@@ -246,7 +243,7 @@ impl Coordinator {
         }
     }
 
-    /// `instance`'s plan and key table: the resident runtime's, else
+    /// `instance`'s plan and id: the resident runtime's, else
     /// (e.g. monitoring a crashed-but-unrecovered store) its stored
     /// header's id over the plan of the source it pins.
     ///
@@ -254,14 +251,13 @@ impl Coordinator {
     ///
     /// [`EngineError::UnknownInstance`], or a header or source that does
     /// not load.
-    fn plan_of(&mut self, instance: &str) -> Result<(Arc<Plan>, Arc<InstanceKeys>), EngineError> {
+    fn plan_of(&mut self, instance: &str) -> Result<(Arc<Plan>, u32), EngineError> {
         if let Some(ctx) = self.instance_ctx(instance) {
             return Ok(ctx);
         }
         let header = self.read_header(instance)?;
         let plan = self.stored_plan(instance, &header)?;
-        let keys = InstanceKeys::build(&plan, instance, header.instance_id);
-        Ok((plan, Arc::new(keys)))
+        Ok((plan, header.instance_id))
     }
 
     /// All task states of an instance, keyed by path (a block never
@@ -277,12 +273,12 @@ impl Coordinator {
     /// stored header and pinned source. Test hook beyond the states.
     #[doc(hidden)]
     pub fn task_blocks(&mut self, instance: &str) -> BTreeMap<String, TaskCb> {
-        let Ok((plan, keys)) = self.plan_of(instance) else {
+        let Ok((plan, instance_id)) = self.plan_of(instance) else {
             return BTreeMap::new();
         };
         (0..plan.tasks.len() as TaskId)
             .filter_map(|id| {
-                let cb = self.read_cb_id(&plan, &keys, id).ok()?;
+                let cb = self.read_cb_id(&plan, instance_id, id).ok()?;
                 Some((plan.str(plan.task(id).path).to_string(), cb))
             })
             .collect()
@@ -297,7 +293,7 @@ impl Coordinator {
     ) -> Option<BTreeMap<String, ObjectVal>> {
         let rt = self.instances.get(instance)?;
         let task = rt.plan.task_by_path(path)?;
-        let key = rt.keys.out_key(&rt.plan, task, output)?;
+        let key = out_key(&rt.plan, rt.id, task, output)?;
         facts::read_fact_map(&self.mgr, &rt.plan, key)
             .ok()
             .flatten()
@@ -448,7 +444,7 @@ mod tests {
 
     use flowscript_core::samples::FIG1_DIAMOND;
     use flowscript_tx::storage::FlakyStorage;
-    use flowscript_tx::{Shared, SharedStorage, StableStore};
+    use flowscript_tx::{FactKey, Shared, SharedStorage, StableStore};
 
     use flowscript_sim::{NodeId, SimTime};
 
@@ -502,10 +498,7 @@ mod tests {
         fail.store(false, Ordering::Relaxed);
         start(&mut coord, "x").expect("the healed disk takes the same name");
         assert_eq!(coord.instance_names(), ["x"]);
-        assert_eq!(
-            coord.instances["x"].keys.instance_id, 0,
-            "nor did it take an id"
-        );
+        assert_eq!(coord.instances["x"].id, 0, "nor did it take an id");
         assert_eq!(occupancy(&coord), 1);
         assert_eq!(coord.stats().dispatches, 1, "t1, once");
     }
@@ -522,7 +515,7 @@ mod tests {
         let t1 = {
             let rt = &coord.instances["d"];
             let t1 = rt.plan.task_by_path("diamond/t1").unwrap();
-            StoreKey::Fact(rt.keys.cb(t1))
+            StoreKey::Fact(FactKey::control(rt.id, t1))
         };
         assert!(coord.task_states("d")["diamond/t1"].is_running());
         assert!(coord.poison([t1]), "poison lands");

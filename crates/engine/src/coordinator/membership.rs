@@ -1257,7 +1257,7 @@ mod tests {
         let distinct: BTreeSet<u32> = ids.values().copied().collect();
         assert_eq!(distinct.len(), ids.len(), "an id is shared: {ids:?}");
         for (name, rt) in &coord.instances {
-            assert_eq!(Some(&rt.keys.instance_id), ids.get(name), "`{name}`");
+            assert_eq!(Some(&rt.id), ids.get(name), "`{name}`");
         }
         let (lo, hi) = (FactKey::instance_first(0), FactKey::instance_last(u32::MAX));
         for key in coord.mgr.fact_keys_in_range(lo, hi) {

@@ -18,9 +18,9 @@
 //! crash recovery, adoption, repair and reconfiguration (where the plan
 //! itself changes), and — in debug builds — as a quiescence oracle
 //! asserted after every step. All fact storage runs on dense
-//! per-object sub-keys interned per instance (the
-//! [`crate::keys::InstanceKeys`] table over the [`crate::facts`]
-//! layout): a readiness probe is one point read of exactly the bytes it
+//! per-object sub-keys (the [`crate::facts`] layout): an instance is its
+//! id, which [`crate::keys`] places the plan's derived ordinals under,
+//! so a readiness probe is one point read of exactly the bytes it
 //! needs, and no commit or probe on the dispatch hot path decodes a
 //! whole record or formats a string.
 //!
@@ -82,7 +82,7 @@ use flowscript_tx::{
 use crate::driver::{self, Node, TimerId};
 use crate::error::EngineError;
 use crate::facts;
-use crate::keys::{meta_uid, InstanceKeys};
+use crate::keys::{meta_uid, status_uid};
 use crate::msg::EngineMsg;
 use crate::sched::ExecutorSpec;
 use crate::shard::ShardMap;
@@ -156,9 +156,10 @@ struct InstanceRt {
     /// every instance of the same version (a reconfiguration swaps in
     /// the plan of the script's new version).
     plan: Arc<Plan>,
-    /// Interned storage keys: header and stuck-record uids formatted once,
-    /// fact keys precomputed per plan source (rebuilt with the plan).
-    keys: Arc<InstanceKeys>,
+    /// The instance's id, from its header: the namespace of its fact and
+    /// control-block keys, which `crate::keys` resolves through the plan
+    /// (a reconfiguration keeps it; a move re-keys it and loads anew).
+    id: u32,
     /// One record per task with outstanding work (`dispatch`'s, keyed
     /// by the plan's dense task ids and re-keyed with the plan).
     flights: Flights,
@@ -423,13 +424,8 @@ impl Coordinator {
     }
 
     /// The committed control block of `task`: one dense-key point read.
-    fn read_cb_id(
-        &self,
-        plan: &Plan,
-        keys: &InstanceKeys,
-        task: TaskId,
-    ) -> Result<TaskCb, TxError> {
-        facts::read_block(&self.mgr, None, plan, keys, task)
+    fn read_cb_id(&self, plan: &Plan, instance_id: u32, task: TaskId) -> Result<TaskCb, TxError> {
+        facts::read_block(&self.mgr, None, plan, instance_id, task)
     }
 
     /// Whether `instance` exists on this shard. The store is the truth,
@@ -446,11 +442,8 @@ impl Coordinator {
     /// [`EngineError::UnknownInstance`] if there is none, a storage
     /// error if what is stored does not decode as one.
     fn read_header(&self, instance: &str) -> Result<InstanceHeader, EngineError> {
-        let stored = match self.instances.get(instance) {
-            Some(rt) => self.mgr.read_committed_key(rt.keys.meta()),
-            None => self.mgr.read_committed_key(&meta_uid(instance)),
-        };
-        stored?.ok_or_else(|| EngineError::UnknownInstance(instance.to_string()))
+        let stored = self.mgr.read_committed_key(&meta_uid(instance))?;
+        stored.ok_or_else(|| EngineError::UnknownInstance(instance.to_string()))
     }
 
     /// Refreshes the volatile mirror of whether a commit just settled
@@ -555,18 +548,18 @@ impl Node for Coordinator {
     }
 }
 
-/// Whether an instance is settled as `action` reads `mgr` — parked
-/// `Stuck`, its record under `stuck` present, or its root block (dense
-/// id `id`) saying `Done`/`Aborted`. Reads no plan: recovery and
-/// adoption decide running vs settled before one is built.
+/// Whether `instance` is settled as `action` reads `mgr` — parked
+/// `Stuck`, its stuck record present, or its root block (dense id `id`)
+/// saying `Done`/`Aborted`. Reads no plan: recovery and adoption decide
+/// running vs settled before one is built.
 fn settled(
     mgr: &TxManager<StableStore>,
     action: Option<&AtomicAction>,
-    stuck: &StoreKey,
+    instance: &str,
     id: u32,
 ) -> bool {
     let root = StoreKey::Fact(FactKey::control(id, 0));
-    mgr.read_through(action, stuck).is_some()
+    mgr.read_through(action, &status_uid(instance)).is_some()
         || mgr
             .read_through(action, &root)
             .is_some_and(facts::block_settled)

@@ -139,8 +139,8 @@ impl Coordinator {
                     // ignored.
                     cb.attempt += 1;
                     let action = step.action(&mut coordinator.mgr);
-                    let (plan, keys) = (drain.plan, drain.keys);
-                    facts::write_block(&mut coordinator.mgr, action, plan, keys, task, &cb)?;
+                    let (plan, instance_id) = (drain.plan, drain.id);
+                    facts::write_block(&mut coordinator.mgr, action, plan, instance_id, task, &cb)?;
                     coordinator.stage_launch(step, drain, task, &cb, None, None)?;
                 }
                 drain.worklist.seed_all(drain.plan);

@@ -22,7 +22,6 @@ use flowscript_tx::{AtomicAction, StableStore, TxError, TxManager};
 use super::{CoordStats, Coordinator, InstanceRt};
 use crate::error::EngineError;
 use crate::facts;
-use crate::keys::InstanceKeys;
 use crate::state::TaskCb;
 use crate::value::ObjectVal;
 
@@ -30,10 +29,10 @@ use crate::value::ObjectVal;
 pub(super) enum Effect {
     /// A start's instance becomes resident, in its admission slot.
     Resident(Box<InstanceRt>),
-    /// A reconfiguration's new plan, with its key table, replaces the
-    /// resident one; dispatch's books follow the tasks onto its ids.
-    /// Published before any effect that names a task by one.
-    Replan(Arc<Plan>, Arc<InstanceKeys>),
+    /// A reconfiguration's new plan replaces the resident one;
+    /// dispatch's books follow the tasks onto its ids. Published before
+    /// any effect that names a task by one.
+    Replan(Arc<Plan>),
     /// The instance settled (`true`: its root terminated, or it parked
     /// `Stuck`) or an operator revived it (`false`): the mirror follows,
     /// and the admission slot frees — or is taken again.
@@ -147,10 +146,10 @@ impl Coordinator {
         &self,
         step: &Step,
         plan: &Plan,
-        keys: &InstanceKeys,
+        instance_id: u32,
         task: TaskId,
     ) -> Result<TaskCb, TxError> {
-        facts::read_block(&self.mgr, step.staged(), plan, keys, task)
+        facts::read_block(&self.mgr, step.staged(), plan, instance_id, task)
     }
 
     /// Stages a trace event (below [`flowscript_obs::ObserveLevel::Trace`]
@@ -194,7 +193,7 @@ impl Coordinator {
                     }
                 }
                 Effect::Discard(tasks) => self.discard_flights(&instance, tasks),
-                Effect::Replan(plan, keys) => self.replan(&instance, plan, keys),
+                Effect::Replan(plan) => self.replan(&instance, plan),
                 Effect::Resident(rt) => {
                     self.instances.insert(instance.to_string(), *rt);
                     self.admission.instance_live();

@@ -25,7 +25,7 @@ use super::step::{Effect, Step};
 use super::{CommitBatch, Coordinator, Timer};
 use crate::error::EngineError;
 use crate::facts;
-use crate::keys::InstanceKeys;
+use crate::keys::out_key;
 use crate::msg::{EngineMsg, MarkMsg, TaskDone, TaskResult};
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
@@ -176,9 +176,9 @@ impl Coordinator {
         task_id: TaskId,
     ) -> Result<bool, EngineError> {
         let (_, path, incarnation, attempt) = event.address();
-        let (plan, keys) = (drain.plan, drain.keys);
+        let (plan, instance_id) = (drain.plan, drain.id);
         let action = step.action(&mut self.mgr);
-        let mut cb = facts::read_block(&self.mgr, Some(action), plan, keys, task_id)?;
+        let mut cb = facts::read_block(&self.mgr, Some(action), plan, instance_id, task_id)?;
         if !cb.awaits(incarnation, attempt) {
             return Ok(false);
         }
@@ -227,11 +227,11 @@ impl Coordinator {
                 (&msg.mark, &msg.objects, "mark")
             }
         };
-        let Some(out_key) = keys.out_key(plan, task_id, name) else {
+        let Some(out_key) = out_key(plan, instance_id, task_id, name) else {
             return Ok(false);
         };
         let stamped = stamped(objects, path);
-        facts::write_block(&mut self.mgr, action, plan, keys, task_id, &cb)?;
+        facts::write_block(&mut self.mgr, action, plan, instance_id, task_id, &cb)?;
         facts::write_fact_map(&mut self.mgr, action, plan, out_key, &stamped)?;
         let is_mark = matches!(event, PendingEvent::Mark(_));
         if is_mark {
@@ -266,8 +266,8 @@ impl Coordinator {
         objects: &BTreeMap<String, ObjectVal>,
         redo_after: SimDuration,
     ) -> Result<bool, EngineError> {
-        let (plan, keys) = (drain.plan, drain.keys);
-        let Some(out_key) = keys.out_key(plan, task_id, name) else {
+        let (plan, instance_id) = (drain.plan, drain.id);
+        let Some(out_key) = out_key(plan, instance_id, task_id, name) else {
             return Ok(false);
         };
         let reported = cb.attempt;
@@ -283,7 +283,7 @@ impl Coordinator {
         let path = plan.str(plan.task(task_id).path);
         let stamped = stamped(objects, path);
         let action = step.action(&mut self.mgr);
-        facts::write_block(&mut self.mgr, action, plan, keys, task_id, &cb)?;
+        facts::write_block(&mut self.mgr, action, plan, instance_id, task_id, &cb)?;
         facts::write_fact_map(&mut self.mgr, action, plan, out_key, &stamped)?;
         step.push(&drain.name, Effect::Completed(task_id));
         step.push(&drain.name, Effect::Count(|stats| &mut stats.repeats));
@@ -353,14 +353,14 @@ impl Coordinator {
     /// histogram's sum is the reports applied.
     fn commit_window(&mut self, events: Vec<PendingEvent>) -> Vec<PendingEvent> {
         // Per-event plan context.
-        type EventCtx = Option<(Arc<Plan>, Arc<InstanceKeys>, TaskId)>;
+        type EventCtx = Option<(Arc<Plan>, u32, TaskId)>;
         let contexts: Vec<EventCtx> = events
             .iter()
             .map(|event| {
                 let (instance, path, ..) = event.address();
-                let (plan, keys) = self.instance_ctx(instance)?;
+                let (plan, instance_id) = self.instance_ctx(instance)?;
                 let task = plan.task_by_path(path)?;
-                Some((plan, keys, task))
+                Some((plan, instance_id, task))
             })
             .collect();
 
@@ -369,14 +369,14 @@ impl Coordinator {
         self.window.current_batch = Some(self.window.batch_seq);
         let staged = self.run_step(|coordinator, step| {
             for (event, ctx) in events.iter().zip(&contexts) {
-                let Some((plan, keys, task)) = ctx else {
+                let Some((plan, instance_id, task)) = ctx else {
                     continue; // unknown instance or path: dropped, as ever
                 };
                 let instance = event.address().0;
                 match touched.iter_mut().find(|drain| &*drain.name == instance) {
                     Some(drain) => _ = coordinator.stage_event(step, drain, event, *task)?,
                     None => {
-                        let mut drain = coordinator.drain_of(instance.into(), plan, keys);
+                        let mut drain = coordinator.drain_of(instance.into(), plan, *instance_id);
                         if coordinator.stage_event(step, &mut drain, event, *task)? {
                             touched.push(drain);
                         }
@@ -421,7 +421,7 @@ mod tests {
     use std::sync::atomic::Ordering;
 
     use flowscript_tx::storage::FlakyStorage;
-    use flowscript_tx::{Shared, StableStore, StoreKey};
+    use flowscript_tx::{FactKey, Shared, StableStore, StoreKey};
 
     use super::*;
     use crate::api::WorkflowSystem;
@@ -538,7 +538,7 @@ mod tests {
             let coordinator = coord.get();
             let rt = &coordinator.instances["i3"];
             let produce = rt.plan.task_by_path("pipeline/produce").unwrap();
-            let block = StoreKey::Fact(rt.keys.cb(produce));
+            let block = StoreKey::Fact(FactKey::control(rt.id, produce));
             let saved = coordinator.mgr.read_committed_bytes(&block).unwrap();
             (block, saved.to_vec())
         };

@@ -81,7 +81,7 @@ use flowscript_tx::{
     AtomicAction, FactKey, FactKind, SharedStorage, Storage, StoreKey, TxError, TxManager,
 };
 
-use crate::keys::{fired_key, InstanceKeys};
+use crate::keys::{fired_key, probe_keys};
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
 
@@ -198,7 +198,8 @@ fn write_object<S: Storage>(
 }
 
 /// The fact view the plan evaluator runs over: every probe resolves
-/// through the instance's interned key table to dense point reads — of
+/// through the plan, under the instance's id, to dense point reads
+/// ([`probe_keys`]) — of
 /// committed state, or, for the step staging a cascade, of what its
 /// action has staged over it ([`TxManager::read_through`]).
 ///
@@ -211,25 +212,25 @@ pub struct StoreFacts<'a, S: Storage = SharedStorage> {
     mgr: &'a TxManager<S>,
     action: Option<&'a AtomicAction>,
     plan: &'a Plan,
-    keys: &'a InstanceKeys,
+    instance: u32,
     fault: RefCell<Option<String>>,
 }
 
 impl<'a, S: Storage> StoreFacts<'a, S> {
-    /// A view of `mgr`'s facts — as committed, or as `action` would
-    /// read them — resolving probes through `keys` and decoding objects
-    /// relative to `plan`, the plan `keys` was built for.
+    /// A view of instance `instance`'s facts in `mgr` — as committed,
+    /// or as `action` would read them — resolving probes through `plan`,
+    /// the plan the instance runs, and decoding objects relative to it.
     pub fn new(
         mgr: &'a TxManager<S>,
         action: Option<&'a AtomicAction>,
         plan: &'a Plan,
-        keys: &'a InstanceKeys,
+        instance: u32,
     ) -> Self {
         Self {
             mgr,
             action,
             plan,
-            keys,
+            instance,
             fault: RefCell::new(None),
         }
     }
@@ -274,7 +275,7 @@ impl<S: Storage> plan_eval::PlanFacts for StoreFacts<'_, S> {
     type Value = ObjectVal;
 
     fn fact_object(&self, probe: Probe<'_>, object: &str) -> Option<ObjectVal> {
-        let keys = self.keys.probe_keys(&probe)?;
+        let keys = probe_keys(self.plan, self.instance, &probe)?;
         // The probed object's bytes, nothing else.
         if let Some(value) = keys.data.and_then(|data| self.object(data)) {
             return Some(value);
@@ -289,7 +290,7 @@ impl<S: Storage> plan_eval::PlanFacts for StoreFacts<'_, S> {
     }
 
     fn fact_fired(&self, probe: Probe<'_>) -> bool {
-        let keys = self.keys.probe_keys(&probe);
+        let keys = probe_keys(self.plan, self.instance, &probe);
         keys.is_some_and(|keys| fired_at(|key| self.read(key).is_some(), keys.fired, keys.presence))
     }
 }
@@ -765,8 +766,9 @@ pub(crate) fn block_settled(bytes: &[u8]) -> bool {
     tag <= BLOCK_STATE | BLOCK_COUNTERS | BLOCK_SPELLED && matches!(tag & BLOCK_STATE, 3 | 4)
 }
 
-/// `task`'s control block as `action` reads it — committed, or as the
-/// action staged it over that ([`TxManager::read_through`]). An absent
+/// `task`'s control block of instance `instance` as `action` reads it —
+/// committed, or as the action staged it over that
+/// ([`TxManager::read_through`]). An absent
 /// block is [`TaskCb::waiting`]; one that does not decode is an error,
 /// never a state.
 ///
@@ -778,16 +780,16 @@ pub(crate) fn read_block<S: Storage>(
     mgr: &TxManager<S>,
     action: Option<&AtomicAction>,
     plan: &Plan,
-    keys: &InstanceKeys,
+    instance: u32,
     task: TaskId,
 ) -> Result<TaskCb, TxError> {
-    match mgr.read_through(action, &StoreKey::Fact(keys.cb(task))) {
+    match mgr.read_through(action, &StoreKey::Fact(FactKey::control(instance, task))) {
         Some(bytes) => Ok(decode_block(plan, task, bytes)?),
         None => Ok(block_class(plan, task).map(|_| TaskCb::waiting())?),
     }
 }
 
-/// Stages `cb` as `task`'s control block.
+/// Stages `cb` as `task`'s control block of instance `instance`.
 ///
 /// # Errors
 ///
@@ -796,12 +798,13 @@ pub(crate) fn write_block<S: Storage>(
     mgr: &mut TxManager<S>,
     action: &AtomicAction,
     plan: &Plan,
-    keys: &InstanceKeys,
+    instance: u32,
     task: TaskId,
     cb: &TaskCb,
 ) -> Result<(), TxError> {
     let bytes = encode_block(plan, task, cb);
-    mgr.write_key_raw(action, &StoreKey::Fact(keys.cb(task)), bytes)
+    let key = StoreKey::Fact(FactKey::control(instance, task));
+    mgr.write_key_raw(action, &key, bytes)
 }
 
 /// Resolves one fact's identity (producer path, fact kind, set/output
@@ -923,12 +926,14 @@ pub fn remap_instance_facts<S: Storage>(
     mgr: &mut TxManager<S>,
     action: &AtomicAction,
     old_plan: &Plan,
-    old_keys: &InstanceKeys,
     new_plan: &Plan,
     instance_id: u32,
 ) -> Result<(), TxError> {
     let ids_kept = ids_keep_paths(old_plan, new_plan);
-    let (lo, hi) = old_keys.instance_fact_range();
+    let (lo, hi) = (
+        FactKey::instance_first(instance_id),
+        FactKey::instance_last(instance_id),
+    );
     // Group sub-keys per fact, by the fact's presence key whether or not
     // one is stored; key order keeps a fact's range adjacent (a control
     // block is a group of one).
@@ -989,6 +994,7 @@ pub fn remap_instance_facts<S: Storage>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keys::out_key;
     use flowscript_core::schema;
     use flowscript_plan::eval::PlanFacts;
 
@@ -1019,11 +1025,10 @@ mod tests {
     #[test]
     fn records_roundtrip_with_undeclared_extras() {
         let plan = order_plan();
-        let keys = InstanceKeys::build(&plan, "i", 0);
         let check = plan
             .task_by_path("processOrderApplication/checkStock")
             .unwrap();
-        let base = keys.out_key(&plan, check, "stockAvailable").unwrap();
+        let base = out_key(&plan, 0, check, "stockAvailable").unwrap();
         let mut objects = BTreeMap::new();
         objects.insert("stockInfo".to_string(), obj("s"));
         objects.insert("extraneous".to_string(), obj("x")); // undeclared
@@ -1036,11 +1041,10 @@ mod tests {
     #[test]
     fn per_object_layout_splits_and_clears_stale_sub_keys() {
         let plan = order_plan();
-        let keys = InstanceKeys::build(&plan, "i", 0);
         let check = plan
             .task_by_path("processOrderApplication/checkStock")
             .unwrap();
-        let base = keys.out_key(&plan, check, "stockAvailable").unwrap();
+        let base = out_key(&plan, 0, check, "stockAvailable").unwrap();
         let mut mgr = TxManager::in_memory();
         let mut objects = BTreeMap::new();
         objects.insert("stockInfo".to_string(), obj("v1"));
@@ -1063,11 +1067,11 @@ mod tests {
     /// The order plan's `checkStock` and the key of its `stockAvailable`
     /// output, whose one declared object is `stockInfo` of class
     /// `StockInfo`.
-    fn stock_fact(plan: &Plan, keys: &InstanceKeys) -> (TaskId, FactKey) {
+    fn stock_fact(plan: &Plan) -> (TaskId, FactKey) {
         let check = plan
             .task_by_path("processOrderApplication/checkStock")
             .unwrap();
-        (check, keys.out_key(plan, check, "stockAvailable").unwrap())
+        (check, out_key(plan, 0, check, "stockAvailable").unwrap())
     }
 
     /// The evaluator's probe of `stockInfo` from `check`'s output.
@@ -1091,14 +1095,13 @@ mod tests {
     #[test]
     fn store_facts_probe_reads_one_object_without_scanning() {
         let plan = order_plan();
-        let keys = InstanceKeys::build(&plan, "i", 0);
-        let (check, base) = stock_fact(&plan, &keys);
+        let (check, base) = stock_fact(&plan);
         let mut mgr = TxManager::in_memory();
         let mut objects = BTreeMap::new();
         objects.insert("stockInfo".to_string(), obj("s"));
         write_output(&mut mgr, &plan, base, &objects);
         // Probe through the evaluator's view.
-        let facts = StoreFacts::new(&mgr, None, &plan, &keys);
+        let facts = StoreFacts::new(&mgr, None, &plan, 0);
         let probe = stock_probe(&plan, check);
         let scans = || mgr.metrics().snapshot().counter("tx.fact_range_scans");
         let before = scans();
@@ -1111,8 +1114,7 @@ mod tests {
     #[test]
     fn a_presence_record_is_kept_only_where_no_declared_object_says_the_fact_fired() {
         let plan = order_plan();
-        let keys = InstanceKeys::build(&plan, "i", 0);
-        let (check, base) = stock_fact(&plan, &keys);
+        let (check, base) = stock_fact(&plan);
         let probe = stock_probe(&plan, check);
         let with = |pairs: &[(&str, &str)]| -> BTreeMap<String, ObjectVal> {
             let pairs = pairs
@@ -1135,7 +1137,7 @@ mod tests {
                 presence,
                 "{objects:?}"
             );
-            let facts = StoreFacts::new(&mgr, None, &plan, &keys);
+            let facts = StoreFacts::new(&mgr, None, &plan, 0);
             assert!(facts.fact_fired(probe), "{objects:?}");
             assert_eq!(
                 facts.fact_object(probe, "stockInfo"),
@@ -1152,16 +1154,15 @@ mod tests {
             delete_facts(&mut mgr, &action, &plan, 0, [check].into_iter(), false).unwrap();
             mgr.commit(action).unwrap();
             assert!(mgr.fact_keys_in_range(base, base.fact_last()).is_empty());
-            let facts = StoreFacts::new(&mgr, None, &plan, &keys);
+            let facts = StoreFacts::new(&mgr, None, &plan, 0);
             assert!(!facts.fact_fired(probe));
             assert_eq!(read_fact_map(&mgr, &plan, base), Ok(None));
         }
         // A fact declaring no objects keeps its presence record: nothing
         // else can say it fired.
         let plan = work_plan(SETS, OUTPUTS);
-        let keys = InstanceKeys::build(&plan, "i", 0);
         let w = plan.task_by_path("root/w").unwrap();
-        let done = keys.out_key(&plan, w, "done").unwrap();
+        let done = out_key(&plan, 0, w, "done").unwrap();
         write_output(&mut mgr, &plan, done, &BTreeMap::new());
         assert!(mgr.exists_key(&StoreKey::Fact(done)));
         assert!(fired(&mgr, None, &plan, done));
@@ -1170,8 +1171,7 @@ mod tests {
     #[test]
     fn corrupt_fact_surfaces_a_fault_instead_of_absence() {
         let plan = order_plan();
-        let keys = InstanceKeys::build(&plan, "i", 0);
-        let (check, base) = stock_fact(&plan, &keys);
+        let (check, base) = stock_fact(&plan);
         let mut mgr = TxManager::in_memory();
         let action = mgr.begin();
         // Garbage bytes at both the presence and data sub-keys.
@@ -1184,7 +1184,7 @@ mod tests {
         )
         .unwrap();
         mgr.commit(action).unwrap();
-        let facts = StoreFacts::new(&mgr, None, &plan, &keys);
+        let facts = StoreFacts::new(&mgr, None, &plan, 0);
         let probe = stock_probe(&plan, check);
         assert_eq!(facts.fact_object(probe, "stockInfo"), None);
         let fault = facts.take_fault();
@@ -1195,8 +1195,7 @@ mod tests {
     #[test]
     fn every_tag_branch_roundtrips() {
         let plan = order_plan();
-        let keys = InstanceKeys::build(&plan, "i", 0);
-        let (check, base) = stock_fact(&plan, &keys);
+        let (check, base) = stock_fact(&plan);
         let sub = base.object(0);
         let other = "processOrderApplication/dispatch";
         let producers = [
@@ -1220,7 +1219,7 @@ mod tests {
                 let objects = BTreeMap::from([("stockInfo".to_string(), value.clone())]);
                 write_output(&mut mgr, &plan, base, &objects);
                 assert_eq!(read_fact_map(&mgr, &plan, base), Ok(Some(objects)));
-                let facts = StoreFacts::new(&mgr, None, &plan, &keys);
+                let facts = StoreFacts::new(&mgr, None, &plan, 0);
                 let probe = stock_probe(&plan, check);
                 assert_eq!(facts.fact_object(probe, "stockInfo"), Some(value));
                 assert!(facts.take_fault().is_none());
@@ -1231,8 +1230,7 @@ mod tests {
     #[test]
     fn a_corrupt_tag_or_a_truncated_value_is_a_fault_not_absence() {
         let plan = order_plan();
-        let keys = InstanceKeys::build(&plan, "i", 0);
-        let (check, base) = stock_fact(&plan, &keys);
+        let (check, base) = stock_fact(&plan);
         let sub = base.object(0);
         let value = obj("s").produced_by("processOrderApplication/dispatch");
         let valid = encode_object(&plan, sub, &value);
@@ -1255,7 +1253,7 @@ mod tests {
             mgr.write_key_raw(&action, &StoreKey::Fact(sub), bytes.clone())
                 .unwrap();
             mgr.commit(action).unwrap();
-            let facts = StoreFacts::new(&mgr, None, &plan, &keys);
+            let facts = StoreFacts::new(&mgr, None, &plan, 0);
             let probe = stock_probe(&plan, check);
             assert!(facts.fact_fired(probe));
             assert_eq!(facts.fact_object(probe, "stockInfo"), None);
@@ -1311,18 +1309,17 @@ mod tests {
     fn remap_is_identity_for_an_unchanged_plan() {
         let plan_a = order_plan();
         let plan_b = order_plan();
-        let keys = InstanceKeys::build(&plan_a, "i", 5);
         let check = plan_a
             .task_by_path("processOrderApplication/checkStock")
             .unwrap();
-        let base = keys.out_key(&plan_a, check, "stockAvailable").unwrap();
+        let base = out_key(&plan_a, 5, check, "stockAvailable").unwrap();
         let mut mgr = TxManager::in_memory();
         let mut objects = BTreeMap::new();
         objects.insert("stockInfo".to_string(), obj("s"));
         write_output(&mut mgr, &plan_a, base, &objects);
         let count = mgr.object_count();
         let action = mgr.begin();
-        remap_instance_facts(&mut mgr, &action, &plan_a, &keys, &plan_b, 5).unwrap();
+        remap_instance_facts(&mut mgr, &action, &plan_a, &plan_b, 5).unwrap();
         mgr.commit(action).unwrap();
         assert_eq!(mgr.object_count(), count, "identity remap moves nothing");
         assert_eq!(
@@ -1372,14 +1369,13 @@ mod tests {
 
     /// `cb` written as `task`'s block and read back, with its bytes.
     fn stored_block(plan: &Plan, task: TaskId, cb: &TaskCb) -> (Vec<u8>, TaskCb) {
-        let keys = InstanceKeys::build(plan, "i", 0);
         let mut mgr = TxManager::in_memory();
         let action = mgr.begin();
-        write_block(&mut mgr, &action, plan, &keys, task, cb).unwrap();
+        write_block(&mut mgr, &action, plan, 0, task, cb).unwrap();
         mgr.commit(action).unwrap();
-        let bytes = mgr.read_committed_bytes(&StoreKey::Fact(keys.cb(task)));
+        let bytes = mgr.read_committed_bytes(&StoreKey::Fact(FactKey::control(0, task)));
         let bytes = bytes.unwrap().to_vec();
-        (bytes, read_block(&mgr, None, plan, &keys, task).unwrap())
+        (bytes, read_block(&mgr, None, plan, 0, task).unwrap())
     }
 
     #[test]
@@ -1479,16 +1475,12 @@ mod tests {
     #[test]
     fn an_absent_block_is_waiting_and_a_corrupt_one_is_a_fault() {
         let plan = work_plan(SETS, OUTPUTS);
-        let keys = InstanceKeys::build(&plan, "i", 0);
         let w = plan.task_by_path("root/w").unwrap();
         let mgr = TxManager::in_memory();
-        assert_eq!(
-            read_block(&mgr, None, &plan, &keys, w),
-            Ok(TaskCb::waiting())
-        );
+        assert_eq!(read_block(&mgr, None, &plan, 0, w), Ok(TaskCb::waiting()));
         let past = plan.tasks.len() as TaskId;
         assert!(
-            read_block(&mgr, None, &plan, &keys, past).is_err(),
+            read_block(&mgr, None, &plan, 0, past).is_err(),
             "not a task"
         );
         let counted = BLOCK_COUNTERS; // a tag whose counters follow
@@ -1511,13 +1503,13 @@ mod tests {
         for (what, bytes) in corrupt {
             let mut mgr = TxManager::in_memory();
             let action = mgr.begin();
-            let key = StoreKey::Fact(keys.cb(w));
+            let key = StoreKey::Fact(FactKey::control(0, w));
             mgr.write_key_raw(&action, &key, bytes).unwrap();
             mgr.commit(action).unwrap();
-            let read = read_block(&mgr, None, &plan, &keys, w);
+            let read = read_block(&mgr, None, &plan, 0, w);
             assert!(matches!(read, Err(TxError::Corrupt(_))), "{what}: {read:?}");
             let action = mgr.begin();
-            let staged = read_block(&mgr, Some(&action), &plan, &keys, w);
+            let staged = read_block(&mgr, Some(&action), &plan, 0, w);
             assert!(matches!(staged, Err(TxError::Corrupt(_))), "{what} staged");
             mgr.abort(action);
         }
@@ -1575,19 +1567,15 @@ mod tests {
                 repeats: 1,
             },
         ];
-        let (old_keys, new_keys) = (
-            InstanceKeys::build(&old, "i", 3),
-            InstanceKeys::build(&new, "i", 3),
-        );
         for cb in blocks {
             let mut mgr = TxManager::in_memory();
             let action = mgr.begin();
-            write_block(&mut mgr, &action, &old, &old_keys, w, &cb).unwrap();
+            write_block(&mut mgr, &action, &old, 3, w, &cb).unwrap();
             mgr.commit(action).unwrap();
             let action = mgr.begin();
-            remap_instance_facts(&mut mgr, &action, &old, &old_keys, &new, 3).unwrap();
+            remap_instance_facts(&mut mgr, &action, &old, &new, 3).unwrap();
             mgr.commit(action).unwrap();
-            assert_eq!(read_block(&mgr, None, &new, &new_keys, w), Ok(cb));
+            assert_eq!(read_block(&mgr, None, &new, 3, w), Ok(cb));
         }
     }
 }

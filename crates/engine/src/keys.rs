@@ -1,4 +1,4 @@
-//! Storage keys: the string uid layout, and per-instance interned keys.
+//! Storage keys: the string uid layout, and the dense keys a probe reads.
 //!
 //! **The uid layout lives here and nowhere else**: every uid is spelled
 //! here, and leaves here as a [`StoreKey`] — the one key type the store
@@ -34,20 +34,22 @@
 //! and recomputes it at a restart: the id of an instance purged whole
 //! may then be reused, and nothing can mistake one for the other.
 //!
-//! A live instance resolves every hot-path storage access through an
-//! [`InstanceKeys`] table built **once** at instance start (and rebuilt
-//! on reconfiguration, when the plan itself changes): the header and
-//! stuck-record keys are formatted exactly once, and every plan dependency
-//! source gets its probed fact's dense [`FactKey`]s precomputed — the
-//! sub-key whose existence answers "fired?" (the first declared object,
+//! **A live instance is its id**: nothing is built per instance. Every
+//! plan dependency source (and every `AnyOf` candidate) carries the
+//! ordinals lowering derived for it — the probed fact's in its
+//! producer's class ([`flowscript_plan::PlanSource::fact_ordinal`]) and
+//! the taken object's in that fact's declaration — so [`probe_keys`]
+//! places them under the instance's id by index arithmetic: the sub-key
+//! whose existence answers "fired?" (the first declared object,
 //! `obj = 1`, where the declaration has one; the *presence* record,
 //! `obj = 0`, which a fact keeps only when no declared object can say
 //! it fired) and the *data* sub-key of the one object the source takes
-//! (`obj = ordinal + 1`, holding exactly that object's bytes) — so a
-//! readiness probe is point reads that decode that one object, never a
-//! range scan or a whole record, and
-//! an output commit, a subtree cancel/reset or a stuck diagnostic never
-//! formats a string.
+//! (`obj = ordinal + 1`, holding exactly that object's bytes). A
+//! readiness probe is then point reads that decode that one object,
+//! never a range scan or a whole record, and it compares no name,
+//! scans nothing and allocates nothing. The header and stuck-record
+//! uids are spelled on demand ([`meta_uid`], [`status_uid`]): every use
+//! is cold — a start, a load, status, parking, repair, reconfiguration.
 
 use std::borrow::Cow;
 
@@ -104,8 +106,7 @@ fn key(uid: String) -> StoreKey {
     StoreKey::Uid(ObjectUid::new(uid))
 }
 
-/// The key of an instance's header (used once at table
-/// build, and by paths that run before or without a resident instance).
+/// The key of an instance's header.
 pub(crate) fn meta_uid(instance: &str) -> StoreKey {
     key(instance_prefix(instance) + "meta")
 }
@@ -173,7 +174,7 @@ pub(crate) fn fired_key(plan: &Plan, base: FactKey) -> FactKey {
 
 /// The dense keys one dependency probe resolves to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProbeKeys {
+pub(crate) struct ProbeKeys {
     /// The probed fact's presence sub-key (`obj = 0`): stored only when
     /// no declared object says the fact fired (see [`fired_key`]); its
     /// payload carries only objects with no declared ordinal.
@@ -188,125 +189,59 @@ pub struct ProbeKeys {
     pub data: Option<FactKey>,
 }
 
-/// The interned key table of one live instance.
-pub struct InstanceKeys {
-    /// The instance's dense numeric id (the namespace of its fact and
-    /// control-block keys).
-    pub instance_id: u32,
-    /// The instance's header key.
-    meta: StoreKey,
-    /// The instance's stuck-record key.
-    status: StoreKey,
-    /// Per plan source index: the probed fact's keys (`None` when the
-    /// producer no longer exists or the named set/output is
-    /// undeclared — a probe that can never fire).
-    source: Vec<Option<ProbeKeys>>,
-    /// Per `any_pool` index: the `AnyOf` candidate output's keys.
-    any: Vec<Option<ProbeKeys>>,
+/// What an evaluation probe of instance `instance`, running `plan`,
+/// reads: the plan's derived ordinals of the probed source (or `AnyOf`
+/// candidate) placed under the instance's id — index arithmetic, no
+/// name compared, nothing scanned or allocated. `None` for a probe that
+/// can never fire: its producer is gone, or does not declare the named
+/// set or output.
+pub(crate) fn probe_keys(plan: &Plan, instance: u32, probe: &Probe<'_>) -> Option<ProbeKeys> {
+    let source = &plan.sources[probe.source as usize];
+    let producer = source.producer?;
+    let (base, object) = match probe.candidate {
+        Some(cand) => {
+            let item = plan.any_fact_ordinals[cand as usize]?;
+            let object = plan.any_obj_ordinals[cand as usize];
+            (FactKey::output(instance, producer, item), object)
+        }
+        None if matches!(source.cond, PlanCond::Input(_)) => {
+            let item = source.fact_ordinal?;
+            (
+                FactKey::input(instance, producer, item),
+                source.object_ordinal,
+            )
+        }
+        None => {
+            let item = source.fact_ordinal?;
+            (
+                FactKey::output(instance, producer, item),
+                source.object_ordinal,
+            )
+        }
+    };
+    Some(ProbeKeys {
+        presence: base,
+        fired: fired_key(plan, base),
+        data: object.map(|ordinal| base.object(ordinal)),
+    })
 }
 
-impl InstanceKeys {
-    /// Builds the table for `plan` (one pass over the source pool).
-    pub fn build(plan: &Plan, instance: &str, instance_id: u32) -> Self {
-        let mut source = vec![None; plan.sources.len()];
-        let mut any = vec![None; plan.any_pool.len()];
-        for (idx, src) in plan.sources.iter().enumerate() {
-            let Some(producer) = src.producer else {
-                continue;
-            };
-            let class = plan.class_of(plan.task(producer));
-            let with_data = |base: FactKey| ProbeKeys {
-                presence: base,
-                fired: fired_key(plan, base),
-                data: src.object_ordinal.map(|ordinal| base.object(ordinal)),
-            };
-            match &src.cond {
-                PlanCond::Input(set) => {
-                    source[idx] = plan
-                        .class_set_ordinal_by_id(class, *set)
-                        .map(|item| with_data(FactKey::input(instance_id, producer, item)));
-                }
-                PlanCond::Output(output) => {
-                    source[idx] = plan
-                        .class_output_ordinal_by_id(class, *output)
-                        .map(|item| with_data(FactKey::output(instance_id, producer, item)));
-                }
-                PlanCond::AnyOf(candidates) => {
-                    for cand_idx in candidates.iter() {
-                        any[cand_idx] = plan
-                            .class_output_ordinal_by_id(class, plan.any_pool[cand_idx])
-                            .map(|item| {
-                                let base = FactKey::output(instance_id, producer, item);
-                                ProbeKeys {
-                                    presence: base,
-                                    fired: fired_key(plan, base),
-                                    data: plan.any_obj_ordinals[cand_idx]
-                                        .map(|ordinal| base.object(ordinal)),
-                                }
-                            });
-                    }
-                }
-            }
-        }
-        Self {
-            instance_id,
-            meta: meta_uid(instance),
-            status: status_uid(instance),
-            source,
-            any,
-        }
-    }
+/// The presence sub-key of `task`'s output fact named `name`, of
+/// instance `instance` (commit paths; the name arrives from the wire,
+/// so one short scan over the class's declared outputs compares
+/// interned strings — no allocation).
+pub(crate) fn out_key(plan: &Plan, instance: u32, task: TaskId, name: &str) -> Option<FactKey> {
+    let class = plan.class_of(plan.task(task));
+    plan.class_output_ordinal(class, name)
+        .map(|item| FactKey::output(instance, task, item))
+}
 
-    /// The instance's header key.
-    pub fn meta(&self) -> &StoreKey {
-        &self.meta
-    }
-
-    /// The instance's stuck-record key.
-    pub fn status(&self) -> &StoreKey {
-        &self.status
-    }
-
-    /// The key of a task's control block.
-    pub fn cb(&self, task: TaskId) -> FactKey {
-        FactKey::control(self.instance_id, task)
-    }
-
-    /// Resolves an evaluation probe to its interned fact keys — pure
-    /// index lookups, no strings touched.
-    pub fn probe_keys(&self, probe: &Probe<'_>) -> Option<ProbeKeys> {
-        match probe.candidate {
-            Some(cand) => self.any[cand as usize],
-            None => self.source[probe.source as usize],
-        }
-    }
-
-    /// The presence sub-key of `task`'s output fact named `name`
-    /// (commit paths; the name arrives from the wire, so one short scan
-    /// over the class's declared outputs compares interned strings — no
-    /// allocation).
-    pub fn out_key(&self, plan: &Plan, task: TaskId, name: &str) -> Option<FactKey> {
-        let class = plan.class_of(plan.task(task));
-        plan.class_output_ordinal(class, name)
-            .map(|item| FactKey::output(self.instance_id, task, item))
-    }
-
-    /// The presence sub-key of `task`'s input-binding fact for set
-    /// `name`.
-    pub fn in_key(&self, plan: &Plan, task: TaskId, name: &str) -> Option<FactKey> {
-        let class = plan.class_of(plan.task(task));
-        plan.class_set_ordinal(class, name)
-            .map(|item| FactKey::input(self.instance_id, task, item))
-    }
-
-    /// The inclusive key range holding every fact and control block of
-    /// the instance.
-    pub fn instance_fact_range(&self) -> (FactKey, FactKey) {
-        (
-            FactKey::instance_first(self.instance_id),
-            FactKey::instance_last(self.instance_id),
-        )
-    }
+/// The presence sub-key of `task`'s input-binding fact for set `name`,
+/// of instance `instance`.
+pub(crate) fn in_key(plan: &Plan, instance: u32, task: TaskId, name: &str) -> Option<FactKey> {
+    let class = plan.class_of(plan.task(task));
+    plan.class_set_ordinal(class, name)
+        .map(|item| FactKey::input(instance, task, item))
 }
 
 #[cfg(test)]
@@ -371,28 +306,52 @@ mod tests {
         assert_eq!(move_id(&ObjectUid::new("sys/move/3")), None);
     }
 
+    /// The probe the evaluator builds for `source` (and `candidate`).
+    fn probe(plan: &Plan, source: usize, candidate: Option<usize>) -> Probe<'_> {
+        let src = &plan.sources[source];
+        let (name, is_input) = match (&src.cond, candidate) {
+            (_, Some(cand)) => (plan.any_pool[cand], false),
+            (PlanCond::Input(set), None) => (*set, true),
+            (PlanCond::Output(output), None) => (*output, false),
+            (PlanCond::AnyOf(_), None) => unreachable!("a candidate is probed"),
+        };
+        Probe {
+            source: source as u32,
+            candidate: candidate.map(|cand| cand as u32),
+            producer: plan.str(src.producer_path),
+            name: plan.str(name),
+            is_input,
+        }
+    }
+
     #[test]
     fn every_source_of_a_live_plan_resolves() {
         let plan = order_plan();
-        let keys = InstanceKeys::build(&plan, "i1", 3);
+        let mut resolved = Vec::new();
         for (idx, source) in plan.sources.iter().enumerate() {
             match &source.cond {
                 PlanCond::AnyOf(range) => {
                     for cand in range.iter() {
-                        assert!(keys.any[cand].is_some(), "candidate {cand} unresolved");
+                        let keys = probe_keys(&plan, 3, &probe(&plan, idx, Some(cand)));
+                        assert!(keys.is_some(), "candidate {cand} unresolved");
+                        resolved.extend(keys);
                     }
                 }
-                _ => assert!(keys.source[idx].is_some(), "source {idx} unresolved"),
-            }
-            // Dataflow sources resolve their object's data sub-key too.
-            if source.object.is_some() && !matches!(source.cond, PlanCond::AnyOf(_)) {
-                assert!(
-                    keys.source[idx].unwrap().data.is_some(),
-                    "source {idx} lost its object sub-key"
-                );
+                _ => {
+                    let keys = probe_keys(&plan, 3, &probe(&plan, idx, None));
+                    assert!(keys.is_some(), "source {idx} unresolved");
+                    // Dataflow sources resolve their object's data sub-key too.
+                    if source.object.is_some() {
+                        assert!(
+                            keys.unwrap().data.is_some(),
+                            "source {idx} lost its object sub-key"
+                        );
+                    }
+                    resolved.extend(keys);
+                }
             }
         }
-        for probe in keys.source.iter().chain(&keys.any).flatten() {
+        for probe in resolved {
             assert_eq!(probe.presence.instance, 3);
             assert_eq!(probe.presence.obj, 0, "presence keys address sub-object 0");
             if let Some(data) = probe.data {
@@ -412,13 +371,12 @@ mod tests {
     #[test]
     fn write_keys_match_probe_keys() {
         let plan = order_plan();
-        let keys = InstanceKeys::build(&plan, "i1", 0);
         let check = plan
             .task_by_path("processOrderApplication/checkStock")
             .unwrap();
         // The key the commit path writes under must be the key probes
         // read from: find the source probing checkStock/stockAvailable.
-        let written = keys.out_key(&plan, check, "stockAvailable").unwrap();
+        let written = out_key(&plan, 0, check, "stockAvailable").unwrap();
         assert_eq!(written.kind, FactKind::Output);
         let probed = plan
             .sources
@@ -426,7 +384,9 @@ mod tests {
             .enumerate()
             .filter(|(_, s)| s.producer == Some(check))
             .filter_map(|(idx, s)| match &s.cond {
-                PlanCond::Output(name) if plan.str(*name) == "stockAvailable" => keys.source[idx],
+                PlanCond::Output(name) if plan.str(*name) == "stockAvailable" => {
+                    probe_keys(&plan, 0, &probe(&plan, idx, None))
+                }
                 _ => None,
             })
             .next()
@@ -441,11 +401,17 @@ mod tests {
         let schema =
             compile_source(flowscript_core::samples::BUSINESS_TRIP, "tripReservation").unwrap();
         let plan = Plan::lower(&schema);
-        let keys = InstanceKeys::build(&plan, "t", 1);
-        let (lo, hi) = keys.instance_fact_range();
+        let (lo, hi) = (FactKey::instance_first(1), FactKey::instance_last(1));
         for task in [0, plan.tasks.len() as TaskId - 1] {
-            assert!(lo <= keys.cb(task) && keys.cb(task) <= hi);
-            assert_eq!(keys.cb(task), FactKey::control(1, task));
+            let block = FactKey::control(1, task);
+            assert!(lo <= block && block <= hi);
+            assert_eq!(block.instance, 1);
+            assert_eq!(block.task, task);
+            for item in 0..3 {
+                let fact = FactKey::output(1, task, item).object(item);
+                assert!(lo <= fact && fact <= hi, "{fact}");
+                assert!(fact < block, "a block sorts after its task's facts");
+            }
         }
     }
 }

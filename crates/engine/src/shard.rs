@@ -5,7 +5,7 @@
 //! module supplies the missing piece: a [`ShardMap`] assigning every
 //! workflow instance — by **name** — to exactly one coordinator node.
 //! Each coordinator owns its instances' facts, control blocks,
-//! write-ahead log, interned key tables and worklists; the repository
+//! write-ahead log and worklists; the repository
 //! (and its per-version plan cache) stays shared by all shards.
 //!
 //! Ownership is decided by **rendezvous (highest-random-weight)

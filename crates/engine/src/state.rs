@@ -78,7 +78,7 @@ impl CbState {
 
 /// The persistent control block of one task instance. It does not name
 /// its task: it is stored under the task's dense key
-/// ([`InstanceKeys::cb`](crate::keys::InstanceKeys::cb)), and the plan
+/// ([`FactKey::control`](flowscript_tx::FactKey::control)), and the plan
 /// that assigned the id names the path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskCb {

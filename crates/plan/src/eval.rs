@@ -29,8 +29,9 @@ pub type Bound<F> = Vec<(StrId, <F as PlanFacts>::Value)>;
 ///
 /// `source` (and `candidate`, for `AnyOf` conditions) pin down exactly
 /// which plan dependency edge is being tested — an indexed fact store
-/// precomputes one storage key per source index and never touches the
-/// strings. `producer` and `name` carry the same identity for
+/// resolves them through the plan's derived ordinals
+/// ([`PlanSource::fact_ordinal`](crate::ir::PlanSource::fact_ordinal))
+/// and never touches the strings. `producer` and `name` carry the same identity for
 /// name-keyed stores (tests, benches, the schema-interpreting oracle);
 /// both are borrowed from the plan's intern table, never formatted.
 #[derive(Debug, Clone, Copy)]
@@ -52,8 +53,8 @@ pub struct Probe<'p> {
 /// Mirrors the reference interpreter's `FactView`, but asks for one
 /// object at a time, and probes arrive pre-resolved: the engine's
 /// tx-backed view (`StoreFacts`) stores facts per object and answers
-/// each probe with a point read of exactly that object's bytes under a
-/// precomputed dense key.
+/// each probe with a point read of exactly that object's bytes under the
+/// dense key the plan's derived ordinals give.
 pub trait PlanFacts {
     /// The object value type (the engine's `ObjectVal`).
     type Value;

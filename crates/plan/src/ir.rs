@@ -168,6 +168,15 @@ pub struct PlanSource {
     /// `(producer, fact, ordinal)` as one dense key. Derived at
     /// lowering, not encoded.
     pub object_ordinal: Option<u32>,
+    /// Derived: the ordinal of the probed fact among the producer
+    /// class's input sets ([`PlanCond::Input`]) or outputs
+    /// ([`PlanCond::Output`]) — the `item` of its dense fact key, as
+    /// [`Plan::class_set_ordinal`] and [`Plan::class_output_ordinal`]
+    /// name it (`AnyOf` candidates' live in [`Plan::any_fact_ordinals`]).
+    /// `None` when the producer is gone or does not declare the set or
+    /// output: a probe that can never fire. Derived at lowering, not
+    /// encoded.
+    pub fact_ordinal: Option<u32>,
 }
 
 /// One output mapping of a compound scope.
@@ -259,6 +268,10 @@ pub struct Plan {
     /// (see [`PlanSource::object_ordinal`]). Derived at lowering, not
     /// encoded.
     pub any_obj_ordinals: Vec<Option<u32>>,
+    /// Derived, parallel to [`Plan::any_pool`]: each candidate output's
+    /// ordinal among its producer class's outputs (see
+    /// [`PlanSource::fact_ordinal`]). Derived at lowering, not encoded.
+    pub any_fact_ordinals: Vec<Option<u32>>,
     /// Pool: compound output mappings.
     pub outputs: Vec<PlanOutput>,
     /// Pool: implementation key/value pairs.
@@ -371,21 +384,17 @@ impl Plan {
             .map(|i| i as u32)
     }
 
-    /// The declared objects of a class's input-set signature, by
-    /// interned set name.
-    fn decl_objects_of_set(&self, class: &PlanClass, name: StrId) -> Option<Range32> {
-        self.class_sets[class.sets.as_range()]
-            .iter()
-            .find(|set| set.name == name)
-            .map(|set| set.objects)
-    }
-
-    /// The declared objects of a class's output, by interned name.
-    fn decl_objects_of_output(&self, class: &PlanClass, name: StrId) -> Option<Range32> {
-        self.class_outputs[class.outputs.as_range()]
-            .iter()
-            .find(|output| output.name == name)
-            .map(|output| output.objects)
+    /// The ordinal of object `name` within the declaration of `task`'s
+    /// `item`-th input set (`is_input`) or output.
+    fn decl_object_ordinal(
+        &self,
+        task: TaskId,
+        is_input: bool,
+        item: Option<u32>,
+        name: StrId,
+    ) -> Option<u32> {
+        let objects = self.fact_decl_objects(task, is_input, item?)?;
+        self.object_ordinal_in(objects, name)
     }
 
     /// The ordinal of an interned object name within a declared-objects
@@ -515,63 +524,67 @@ impl Plan {
     }
 
     /// Interns every dependency source's and every dataflow slot's
-    /// object name to its dense declared-object ordinal
-    /// ([`PlanSource::object_ordinal`], [`Plan::any_obj_ordinals`],
+    /// object name to its dense declared-object ordinal, and every
+    /// source's probed fact to its ordinal in the producer's class
+    /// ([`PlanSource::object_ordinal`], [`PlanSource::fact_ordinal`],
+    /// [`Plan::any_obj_ordinals`], [`Plan::any_fact_ordinals`],
     /// [`PlanSlot::obj_ordinal`]).
     pub(crate) fn finish_object_ordinals(&mut self) {
-        let mut src_ordinals: Vec<Option<u32>> = vec![None; self.sources.len()];
-        let mut any_ordinals: Vec<Option<u32>> = vec![None; self.any_pool.len()];
+        let mut src_ordinals = vec![(None, None); self.sources.len()];
+        let mut any_ordinals = vec![(None, None); self.any_pool.len()];
         for (idx, source) in self.sources.iter().enumerate() {
-            let (Some(producer), Some(object)) = (source.producer, source.object) else {
+            let Some(producer) = source.producer else {
                 continue;
             };
             let class = self.class_of(self.task(producer));
+            // The probed fact's ordinal, and the taken object's within
+            // the fact's declaration.
+            let ordinals = |item: Option<u32>, is_input: bool| {
+                let object = source
+                    .object
+                    .and_then(|object| self.decl_object_ordinal(producer, is_input, item, object));
+                (item, object)
+            };
             match &source.cond {
                 PlanCond::Input(set) => {
-                    src_ordinals[idx] = self
-                        .decl_objects_of_set(class, *set)
-                        .and_then(|objects| self.object_ordinal_in(objects, object));
+                    src_ordinals[idx] = ordinals(self.class_set_ordinal_by_id(class, *set), true);
                 }
                 PlanCond::Output(output) => {
-                    src_ordinals[idx] = self
-                        .decl_objects_of_output(class, *output)
-                        .and_then(|objects| self.object_ordinal_in(objects, object));
+                    let item = self.class_output_ordinal_by_id(class, *output);
+                    src_ordinals[idx] = ordinals(item, false);
                 }
                 PlanCond::AnyOf(range) => {
                     for cand in range.iter() {
-                        let name = self.any_pool[cand];
-                        any_ordinals[cand] = self
-                            .decl_objects_of_output(class, name)
-                            .and_then(|objects| self.object_ordinal_in(objects, object));
+                        let item = self.class_output_ordinal_by_id(class, self.any_pool[cand]);
+                        any_ordinals[cand] = ordinals(item, false);
                     }
                 }
             }
         }
-        for (source, ordinal) in self.sources.iter_mut().zip(src_ordinals) {
-            source.object_ordinal = ordinal;
+        for (source, (fact, object)) in self.sources.iter_mut().zip(src_ordinals) {
+            source.fact_ordinal = fact;
+            source.object_ordinal = object;
         }
-        self.any_obj_ordinals = any_ordinals;
+        (self.any_fact_ordinals, self.any_obj_ordinals) = any_ordinals.into_iter().unzip();
 
         // Slots: binding slots resolve against the owning task's class
         // input-set signature, mapping slots against the owning scope's
         // class output declaration.
         let mut slot_ordinals: Vec<Option<u32>> = vec![None; self.slots.len()];
-        for task in &self.tasks {
-            let class = self.class_of(task);
+        for (id, task) in self.tasks.iter().enumerate() {
+            let (id, class) = (id as TaskId, self.class_of(task));
             for set in &self.sets[task.sets.as_range()] {
-                let decl = self.decl_objects_of_set(class, set.name);
+                let item = self.class_set_ordinal_by_id(class, set.name);
                 for slot_idx in set.slots.iter() {
-                    slot_ordinals[slot_idx] = decl.and_then(|objects| {
-                        self.object_ordinal_in(objects, self.slots[slot_idx].name)
-                    });
+                    let name = self.slots[slot_idx].name;
+                    slot_ordinals[slot_idx] = self.decl_object_ordinal(id, true, item, name);
                 }
             }
             for output in &self.outputs[task.outputs.as_range()] {
-                let decl = self.decl_objects_of_output(class, output.name);
+                let item = self.class_output_ordinal_by_id(class, output.name);
                 for slot_idx in output.slots.iter() {
-                    slot_ordinals[slot_idx] = decl.and_then(|objects| {
-                        self.object_ordinal_in(objects, self.slots[slot_idx].name)
-                    });
+                    let name = self.slots[slot_idx].name;
+                    slot_ordinals[slot_idx] = self.decl_object_ordinal(id, false, item, name);
                 }
             }
         }
@@ -778,11 +791,55 @@ mod tests {
             }
         }
         assert_eq!(plan.any_obj_ordinals.len(), plan.any_pool.len());
+        assert_eq!(plan.any_fact_ordinals.len(), plan.any_pool.len());
         // Binding/mapping slots intern too, and the ordinal names the
         // same object the declaration does.
         for slot in &plan.slots {
             let ordinal = slot.obj_ordinal.expect("slot names a declared object");
             let _ = ordinal;
+        }
+        // Every live source and candidate of every sample probes the
+        // fact its class names by ordinal: the set's or the output's,
+        // looked up by name.
+        for (sample, source) in flowscript_core::samples::all() {
+            let root = flowscript_core::samples::root_of(sample);
+            let schema = flowscript_core::schema::compile_source(source, root).unwrap();
+            let plan = Plan::lower(&schema);
+            for source in &plan.sources {
+                let Some(producer) = source.producer else {
+                    assert_eq!(source.fact_ordinal, None);
+                    continue;
+                };
+                let class = plan.class_of(plan.task(producer));
+                match &source.cond {
+                    PlanCond::Input(set) => assert_eq!(
+                        source.fact_ordinal,
+                        plan.class_set_ordinal(class, plan.str(*set)),
+                        "{sample}: set `{}`",
+                        plan.str(*set)
+                    ),
+                    PlanCond::Output(output) => assert_eq!(
+                        source.fact_ordinal,
+                        plan.class_output_ordinal(class, plan.str(*output)),
+                        "{sample}: output `{}`",
+                        plan.str(*output)
+                    ),
+                    PlanCond::AnyOf(range) => {
+                        assert_eq!(source.fact_ordinal, None);
+                        for cand in range.iter() {
+                            let name = plan.str(plan.any_pool[cand]);
+                            let ordinal = plan.class_output_ordinal(class, name);
+                            assert_eq!(plan.any_fact_ordinals[cand], ordinal, "{sample}: `{name}`");
+                        }
+                    }
+                }
+                if !matches!(source.cond, PlanCond::AnyOf(_)) {
+                    assert!(
+                        source.fact_ordinal.is_some(),
+                        "{sample}: a live source resolves"
+                    );
+                }
+            }
         }
     }
 

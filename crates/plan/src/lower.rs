@@ -63,6 +63,7 @@ impl Plan {
                 sources: Vec::new(),
                 any_pool: Vec::new(),
                 any_obj_ordinals: Vec::new(),
+                any_fact_ordinals: Vec::new(),
                 outputs: Vec::new(),
                 impl_kv: Vec::new(),
                 child_pool: Vec::new(),
@@ -336,7 +337,9 @@ impl Lowerer {
                 producer: None,
                 object,
                 cond,
-                object_ordinal: None, // derived; filled by finish_object_ordinals
+                // Derived; filled by `finish_object_ordinals`.
+                object_ordinal: None,
+                fact_ordinal: None,
             });
         }
         Range32 {
