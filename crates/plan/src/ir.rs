@@ -360,7 +360,7 @@ impl Plan {
 
     /// [`Plan::class_output_ordinal`] comparing by interned id instead
     /// of by string (both ids must come from this plan's intern table).
-    pub fn class_output_ordinal_by_id(&self, class: &PlanClass, name: StrId) -> Option<u32> {
+    fn class_output_ordinal_by_id(&self, class: &PlanClass, name: StrId) -> Option<u32> {
         self.class_outputs[class.outputs.as_range()]
             .iter()
             .position(|output| output.name == name)
@@ -377,7 +377,7 @@ impl Plan {
     }
 
     /// [`Plan::class_set_ordinal`] comparing by interned id.
-    pub fn class_set_ordinal_by_id(&self, class: &PlanClass, name: StrId) -> Option<u32> {
+    fn class_set_ordinal_by_id(&self, class: &PlanClass, name: StrId) -> Option<u32> {
         self.class_sets[class.sets.as_range()]
             .iter()
             .position(|set| set.name == name)
