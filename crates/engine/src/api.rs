@@ -24,13 +24,13 @@ use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::rc::Rc;
 
-use flowscript_obs::{ObsEvent, ObsEventKind, ObserveLevel, Snapshot};
+use flowscript_obs::{ObsEvent, ObserveLevel, Snapshot};
 use flowscript_sim::{net::LinkConfig, FaultPlan, NodeId, RpcError, SimDuration, SimTime, World};
 use flowscript_tx::{SharedFileStorage, SharedStorage, StableStore};
 
 use crate::coordinator::{
     CoordStats, Coordinator, DispatchRecord, EngineConfig, FailoverReport, InstanceStatus,
-    MoveReport, Outcome, Ticket, DRAIN_BATCH, FLEET_DEADLINE,
+    MoveReport, Op, Outcome, Report, FLEET_DEADLINE,
 };
 use crate::driver::{Driver, Input, Node, Output};
 use crate::error::EngineError;
@@ -286,7 +286,7 @@ impl SystemBuilder {
                 let coord = Driver::install(coordinator, &mut world);
                 // If the storage carried previous state (system
                 // restart), recover this shard.
-                coord.restart(&mut world);
+                coord.input(&mut world, Input::Restart);
                 coord
             })
             .collect();
@@ -294,11 +294,7 @@ impl SystemBuilder {
         for spec in &executor_specs {
             Driver::install(Executor::new(spec.clone(), registry.clone()), &mut world);
         }
-        let client = Client {
-            node: client,
-            answer: None,
-        };
-        let client = Driver::install(client, &mut world);
+        let client = Driver::install(Client { node: client }, &mut world);
 
         WorkflowSystem {
             world,
@@ -334,16 +330,17 @@ fn fresh_storage(
     Ok(file.into())
 }
 
-/// The façade's own node: it files the answer to the one call it
-/// awaits.
+/// The façade's own node: the operator's request is a call to make —
+/// to whom, with what bytes — and its answer what came back.
 struct Client {
     node: NodeId,
-    answer: Option<Result<Vec<u8>, RpcError>>,
 }
 
 impl Node for Client {
     type Timer = Infallible;
     type Call = ();
+    type Op = (NodeId, Vec<u8>);
+    type Answer = Result<Vec<u8>, RpcError>;
 
     fn node(&self) -> NodeId {
         self.node
@@ -352,12 +349,18 @@ impl Node for Client {
     fn handle(
         &mut self,
         _: SimTime,
-        input: Input<'_, Infallible, ()>,
-    ) -> Vec<Output<Infallible, ()>> {
-        if let Input::Answered((), answer) = input {
-            self.answer = Some(answer);
+        input: Input<'_, Infallible, (), Self::Op>,
+    ) -> Vec<Output<Infallible, (), Self::Answer>> {
+        match input {
+            Input::Op((to, bytes)) => vec![Output::Call {
+                to,
+                bytes,
+                timeout: SimDuration::from_secs(10),
+                call: (),
+            }],
+            Input::Answered((), answer) => vec![Output::Answer(answer)],
+            _ => Vec::new(),
         }
-        Vec::new()
     }
 }
 
@@ -433,23 +436,11 @@ impl WorkflowSystem {
     }
 
     /// Calls `to` with `msg` from the client node, and runs the world
-    /// until the answer is filed: `None` if the world runs dry first.
+    /// until the answer comes: `None` if the world runs dry first.
     fn client_call(&mut self, to: NodeId, msg: &EngineMsg) -> Option<Result<Vec<u8>, RpcError>> {
-        let call = Output::Call {
-            to,
-            bytes: flowscript_codec::to_bytes(msg),
-            timeout: SimDuration::from_secs(10),
-            call: (),
-        };
-        self.client.call(&mut self.world, |_, _| ((), vec![call]));
-        loop {
-            if let Some(answer) = self.client.get_mut().answer.take() {
-                return Some(answer);
-            }
-            if !self.world.step() {
-                return None;
-            }
-        }
+        let call = Input::Op((to, flowscript_codec::to_bytes(msg)));
+        self.client.input(&mut self.world, call);
+        self.client.await_answer(&mut self.world, None)
     }
 
     /// Binds a closure implementation.
@@ -806,12 +797,13 @@ impl WorkflowSystem {
         I: IntoIterator<Item = (K, ObjectVal)>,
         K: Into<String>,
     {
-        let objects: BTreeMap<String, ObjectVal> =
-            objects.into_iter().map(|(k, v)| (k.into(), v)).collect();
-        let coord = self.coord_for(instance).clone();
-        coord.call(&mut self.world, |shard, now| {
-            shard.repair_fact(now, instance, path, output, objects)
-        })
+        let op = Op::Repair {
+            instance: instance.to_string(),
+            path: path.to_string(),
+            output: output.to_string(),
+            objects: objects.into_iter().map(|(k, v)| (k.into(), v)).collect(),
+        };
+        self.ask(&self.coord_for(instance).clone(), op).map(drop)
     }
 
     // -----------------------------------------------------------------
@@ -825,10 +817,9 @@ impl WorkflowSystem {
     ///
     /// Validation failures leave the instance untouched.
     pub fn reconfigure(&mut self, instance: &str, op: Reconfig) -> Result<(), EngineError> {
-        let coord = self.coord_for(instance).clone();
-        coord.call(&mut self.world, |shard, now| {
-            shard.reconfigure(now, instance, op)
-        })
+        let name = instance.to_string();
+        let op = Op::Reconfigure { instance: name, op };
+        self.ask(&self.coord_for(instance).clone(), op).map(drop)
     }
 
     /// Aborts a *waiting* task with one of its declared abort outcomes
@@ -843,10 +834,12 @@ impl WorkflowSystem {
         path: &str,
         outcome: &str,
     ) -> Result<(), EngineError> {
-        let coord = self.coord_for(instance).clone();
-        coord.call(&mut self.world, |shard, now| {
-            shard.abort_waiting_task(now, instance, path, outcome)
-        })
+        let op = Op::Abort {
+            instance: instance.to_string(),
+            path: path.to_string(),
+            outcome: outcome.to_string(),
+        };
+        self.ask(&self.coord_for(instance).clone(), op).map(drop)
     }
 
     /// Starts an instance of a *specific version* of a repository script.
@@ -999,7 +992,7 @@ impl WorkflowSystem {
                 self.shard.epoch()
             )));
         }
-        let report = self.hand_off(&new_map, 0..self.coords.len(), 1)?;
+        let report = self.hand_off(&new_map, 0..self.coords.len(), None)?;
         // The flip: everyone adopts the new map at its bumped epoch.
         for shard in 0..self.coords.len() {
             self.set_shard_map_of(shard, new_map.clone());
@@ -1014,70 +1007,52 @@ impl WorkflowSystem {
     #[doc(hidden)]
     pub fn set_shard_map_of(&mut self, shard: usize, map: ShardMap) {
         let coord = self.coords[shard].clone();
-        coord.call(&mut self.world, |shard, now| shard.set_shard_map(now, map));
+        let _ = self.ask(&coord, Op::Map(map));
     }
 
-    /// Hands each of the `sources` shards, in turn, the trigger to move
-    /// out what `new_map` takes from it, `limit` instances a round, and
-    /// collects the reports.
+    /// Hands each of the `sources` shards, in turn, the request to move
+    /// out what `new_map` takes from it — a `drain` of the one named —
+    /// and collects the reports.
     fn hand_off(
         &mut self,
         new_map: &ShardMap,
         sources: impl Iterator<Item = usize>,
-        limit: usize,
+        drain: Option<&str>,
     ) -> Result<MoveReport, EngineError> {
-        let mut total = MoveReport {
-            epoch: new_map.epoch(),
-            ..MoveReport::default()
-        };
+        let mut total = MoveReport::default();
         for idx in sources {
             let source = self.coords[idx].clone();
             let node = self.coord_nodes[idx];
             if !self.world.is_up(node) {
-                // A trigger handed to a crashed process reaches nobody.
+                // A request handed to a crashed process reaches nobody.
                 return Err(EngineError::Tx(format!("coordinator {node} is down")));
             }
-            source.call(&mut self.world, |shard, now| {
-                shard.begin_move(now, new_map, limit)
-            });
-            total.absorb(self.await_report(&source, Coordinator::move_ticket)?);
+            let (to, drain) = (new_map.clone(), drain.map(str::to_string));
+            let Report::Moved(report) = self.ask(&source, Op::Move { to, drain })? else {
+                unreachable!("a move is answered with its report");
+            };
+            total.absorb(report);
         }
         Ok(total)
     }
 
-    /// Steps the world until `shard` has filed on its `ticket` the
-    /// report of the fleet operation it was just handed, giving up — and
-    /// telling the shard so — once [`FLEET_DEADLINE`] of virtual time
-    /// passes without it completing a round or a claim.
-    fn await_report<T>(
-        &mut self,
-        shard: &Driver<Coordinator>,
-        ticket: fn(&mut Coordinator) -> &mut Ticket<T>,
-    ) -> Result<T, EngineError> {
-        let mut seen = 0;
-        let mut deadline = self.world.now() + FLEET_DEADLINE;
-        loop {
-            let (outcome, progress) = {
-                let mut coordinator = shard.get_mut();
-                let filed = ticket(&mut coordinator);
-                (filed.outcome.take(), filed.progress)
-            };
-            if let Some(report) = outcome {
-                return report;
-            }
-            if progress != seen {
-                seen = progress;
-                deadline = self.world.now() + FLEET_DEADLINE;
-            }
-            if !self.world.step_until(deadline) {
-                shard.get_mut().give_up();
-                return Err(EngineError::Tx(format!(
-                    "coordinator {} reported no progress for {} ms",
-                    shard.get().node(),
-                    FLEET_DEADLINE.as_millis()
-                )));
+    /// Hands `shard` the operator's `op`, and steps the world until the
+    /// shard answers what it came to, giving up — and telling the shard
+    /// so — once [`FLEET_DEADLINE`] of virtual time passes without an
+    /// answer, a landed round or an answered claim included.
+    fn ask(&mut self, shard: &Driver<Coordinator>, op: Op) -> Result<Report, EngineError> {
+        shard.input(&mut self.world, Input::Op(op));
+        while let Some(answer) = shard.await_answer(&mut self.world, Some(FLEET_DEADLINE)) {
+            if !matches!(answer, Ok(Report::Progress)) {
+                return answer;
             }
         }
+        self.ask(shard, Op::GiveUp)?;
+        Err(EngineError::Tx(format!(
+            "coordinator {} reported no progress for {} ms",
+            shard.node(),
+            FLEET_DEADLINE.as_millis()
+        )))
     }
 
     /// Resolves a coordinator by node name to `(index, node)`.
@@ -1103,21 +1078,19 @@ impl WorkflowSystem {
         Ok((idx, new_map))
     }
 
-    /// Retires shard `idx` from the fleet: survivors (and the client
-    /// router) flip to `new_map`, while the retired coordinator stays
-    /// installed as a pure relay on the same map — its relay table
-    /// re-pointed off departed nodes — so late executor reports for
-    /// its former instances forward straight to the adopter.
+    /// Retires shard `idx` from the fleet: every shard (and the client
+    /// router) flips to `new_map`, which omits the retired coordinator,
+    /// so it stays installed as a pure relay on that map — its relay
+    /// table re-pointed off departed nodes — and late executor reports
+    /// for its former instances forward straight to the adopter.
     fn retire_coordinator(&mut self, idx: usize, new_map: ShardMap) {
-        self.coord_nodes.remove(idx);
-        let coord = self.coords.remove(idx);
-        self.storages.remove(idx);
-        coord.get_mut().set_shard_map_relay(new_map.clone());
         for shard in 0..self.coords.len() {
             self.set_shard_map_of(shard, new_map.clone());
         }
         self.shard = new_map;
-        self.retired.push(coord);
+        self.coord_nodes.remove(idx);
+        self.storages.remove(idx);
+        self.retired.push(self.coords.remove(idx));
     }
 
     /// Drains and removes coordinator `name` from the execution
@@ -1137,18 +1110,7 @@ impl WorkflowSystem {
     /// moved, the shard is not retired, and a re-run drains the rest).
     pub fn remove_coordinator(&mut self, name: &str) -> Result<MoveReport, EngineError> {
         let (idx, new_map) = self.departure(name, "drain")?;
-        let src = self.coords[idx].clone();
-        let remaining = src.get().instance_names().len() as u64;
-        let begin = ObsEventKind::DrainBegin { remaining };
-        src.get_mut()
-            .record_system_event(self.world.now(), name, begin);
-        let report = self.hand_off(&new_map, std::iter::once(idx), DRAIN_BATCH)?;
-        let end = ObsEventKind::DrainEnd {
-            moved: report.moved as u64,
-            rounds: report.rounds as u64,
-        };
-        src.get_mut()
-            .record_system_event(self.world.now(), name, end);
+        let report = self.hand_off(&new_map, std::iter::once(idx), Some(name))?;
         self.retire_coordinator(idx, new_map);
         Ok(report)
     }
@@ -1188,11 +1150,10 @@ impl WorkflowSystem {
             .ok_or_else(|| {
                 EngineError::Tx(format!("no surviving coordinator is up to claim `{name}`"))
             })?;
-        let storage = self.storages[idx].clone();
-        claimant.call(&mut self.world, |shard, now| {
-            shard.begin_adoption(now, storage, dead, &new_map)
-        })?;
-        let report = self.await_report(&claimant, Coordinator::adoption_ticket)?;
+        let op = Op::Adopt(self.storages[idx].clone(), dead, new_map.clone());
+        let Report::Adopted(report) = self.ask(&claimant, op)? else {
+            unreachable!("an adoption is answered with its report");
+        };
         self.retire_coordinator(idx, new_map);
         Ok(report)
     }

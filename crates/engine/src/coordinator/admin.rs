@@ -9,14 +9,13 @@ use std::sync::Arc;
 use flowscript_core::ast::OutputKind;
 use flowscript_obs::ObsEventKind;
 use flowscript_plan::{Plan, TaskId};
-use flowscript_sim::SimTime;
 use flowscript_tx::{FactKey, StoreKey};
 
 use super::evaluate::cancel_descendants;
 use super::lifecycle::{pin_source, pinned_source};
 use super::meta::source_hash;
 use super::step::Effect;
-use super::{Coordinator, Output};
+use super::Coordinator;
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::{in_key, meta_uid, out_key, source_uid, status_uid};
@@ -96,117 +95,114 @@ impl Coordinator {
     /// Unknown instance/task, an undeclared output name, an outcome the
     /// task's state cannot take (fig. 3 has no `Waiting → Done`), or a
     /// failed commit: each leaves the instance untouched.
-    pub(crate) fn repair_fact(
+    pub(super) fn repair_fact(
         &mut self,
-        now: SimTime,
         instance: &str,
         path: &str,
         output: &str,
         objects: BTreeMap<String, ObjectVal>,
-    ) -> (Result<(), EngineError>, Vec<Output>) {
-        self.at(now, |this| {
-            // Repair reads current state: absorb the batch window first.
-            this.flush_pending();
-            let (plan, instance_id) = this.plant(instance)?;
-            let Some(task_id) = plan.task_by_path(path) else {
-                return Err(EngineError::UnknownTask(path.to_string()));
-            };
-            let class = plan.class_of(plan.task(task_id));
-            let kind = plan
-                .class_output(class, output)
-                .map(|decl| decl.kind)
-                .ok_or_else(|| {
-                    EngineError::BadInputs(format!("task `{path}` declares no output `{output}`"))
-                })?;
-            let Some(out_key) = out_key(&plan, instance_id, task_id, output) else {
-                return Err(EngineError::UnknownTask(path.to_string()));
-            };
-            let stamped: BTreeMap<String, ObjectVal> = objects
-                .into_iter()
-                .map(|(k, v)| (k, v.produced_by(path.to_string())))
-                .collect();
-            // One step: the fact, the forced block, the revival and the
-            // full drain behind them — the repaired fact has no commit to
-            // seed from.
-            this.reevaluate(instance, |coordinator, step, drain| {
-                let mut cb = coordinator.staged_cb(step, &plan, instance_id, task_id)?;
-                let forced = match kind {
-                    _ if cb.state.is_terminal() => None,
-                    OutputKind::Outcome => Some(CbState::Done {
-                        outcome: output.to_string(),
-                    }),
-                    OutputKind::AbortOutcome => Some(CbState::Aborted {
-                        outcome: output.to_string(),
-                    }),
-                    OutputKind::RepeatOutcome | OutputKind::Mark => None,
-                };
-                if let Some(state) = forced.clone() {
-                    // Not every state can take every outcome (fig. 3): a task
-                    // still `Waiting` has bound no inputs to complete on.
-                    if !TaskCb::transition_allowed(&cb.state, &state) {
-                        return Err(EngineError::ReconfigRejected(format!(
-                            "task `{path}` cannot be forced to `{output}` from state {:?}",
-                            cb.state
-                        )));
-                    }
-                    cb.transition(state);
-                }
-                let stuck = status_uid(instance);
-                let revived = coordinator
-                    .mgr
-                    .read_through(step.staged(), &stuck)
-                    .is_some();
-                // The root's outcome is the instance's.
-                let settles = forced.is_some() && plan.task(task_id).parent.is_none();
-                let action = step.action(&mut coordinator.mgr);
-                let mgr = &mut coordinator.mgr;
-                // Drop the stored sub-keys first: a corrupt record may use
-                // a different layout than the rewrite below.
-                for fact in mgr.fact_keys_in_range(out_key, out_key.fact_last()) {
-                    mgr.delete_key(action, &StoreKey::Fact(fact))?;
-                }
-                facts::write_fact_map(mgr, action, &plan, out_key, &stamped)?;
-                if forced.is_some() {
-                    facts::write_block(mgr, action, &plan, instance_id, task_id, &cb)?;
-                }
-                if revived {
-                    mgr.delete_key(action, &stuck)?;
-                }
-                if settles {
-                    cancel_descendants(mgr, action, instance_id, &plan, task_id)?;
-                }
-                if revived {
-                    // Back from Stuck: the instance is evaluated, and counts
-                    // against the admission cap, again.
-                    step.push(&drain.name, Effect::Status(false));
-                    drain.terminal = false;
-                }
-                let what = match forced {
-                    Some(_) => {
-                        // Whatever the task had on the wire will never be
-                        // applied.
-                        step.push(&drain.name, Effect::Discard(task_id..task_id + 1));
-                        drain.lands(task_id);
-                        format!("forced `{output}` of `{path}`")
-                    }
-                    None => format!("republished `{output}` of `{path}`"),
-                };
-                if settles {
-                    // What still ran below the root is cancelled with its
-                    // flights, and the instance completes.
-                    drain.discard_below(step, task_id);
-                    drain.terminal = true;
-                    step.push(&drain.name, Effect::Status(true));
-                }
-                coordinator.trace(step, &drain.name, Some(path), cb.attempt, || {
-                    ObsEventKind::Repair { what }
-                });
-                drain.worklist.seed_all(&plan);
-                Ok(())
+    ) -> Result<(), EngineError> {
+        // Repair reads current state: absorb the batch window first.
+        self.flush_pending();
+        let (plan, instance_id) = self.plant(instance)?;
+        let Some(task_id) = plan.task_by_path(path) else {
+            return Err(EngineError::UnknownTask(path.to_string()));
+        };
+        let class = plan.class_of(plan.task(task_id));
+        let kind = plan
+            .class_output(class, output)
+            .map(|decl| decl.kind)
+            .ok_or_else(|| {
+                EngineError::BadInputs(format!("task `{path}` declares no output `{output}`"))
             })?;
-            this.pump();
+        let Some(out_key) = out_key(&plan, instance_id, task_id, output) else {
+            return Err(EngineError::UnknownTask(path.to_string()));
+        };
+        let stamped: BTreeMap<String, ObjectVal> = objects
+            .into_iter()
+            .map(|(k, v)| (k, v.produced_by(path.to_string())))
+            .collect();
+        // One step: the fact, the forced block, the revival and the
+        // full drain behind them — the repaired fact has no commit to
+        // seed from.
+        self.reevaluate(instance, |coordinator, step, drain| {
+            let mut cb = coordinator.staged_cb(step, &plan, instance_id, task_id)?;
+            let forced = match kind {
+                _ if cb.state.is_terminal() => None,
+                OutputKind::Outcome => Some(CbState::Done {
+                    outcome: output.to_string(),
+                }),
+                OutputKind::AbortOutcome => Some(CbState::Aborted {
+                    outcome: output.to_string(),
+                }),
+                OutputKind::RepeatOutcome | OutputKind::Mark => None,
+            };
+            if let Some(state) = forced.clone() {
+                // Not every state can take every outcome (fig. 3): a task
+                // still `Waiting` has bound no inputs to complete on.
+                if !TaskCb::transition_allowed(&cb.state, &state) {
+                    return Err(EngineError::ReconfigRejected(format!(
+                        "task `{path}` cannot be forced to `{output}` from state {:?}",
+                        cb.state
+                    )));
+                }
+                cb.transition(state);
+            }
+            let stuck = status_uid(instance);
+            let revived = coordinator
+                .mgr
+                .read_through(step.staged(), &stuck)
+                .is_some();
+            // The root's outcome is the instance's.
+            let settles = forced.is_some() && plan.task(task_id).parent.is_none();
+            let action = step.action(&mut coordinator.mgr);
+            let mgr = &mut coordinator.mgr;
+            // Drop the stored sub-keys first: a corrupt record may use
+            // a different layout than the rewrite below.
+            for fact in mgr.fact_keys_in_range(out_key, out_key.fact_last()) {
+                mgr.delete_key(action, &StoreKey::Fact(fact))?;
+            }
+            facts::write_fact_map(mgr, action, &plan, out_key, &stamped)?;
+            if forced.is_some() {
+                facts::write_block(mgr, action, &plan, instance_id, task_id, &cb)?;
+            }
+            if revived {
+                mgr.delete_key(action, &stuck)?;
+            }
+            if settles {
+                cancel_descendants(mgr, action, instance_id, &plan, task_id)?;
+            }
+            if revived {
+                // Back from Stuck: the instance is evaluated, and counts
+                // against the admission cap, again.
+                step.push(&drain.name, Effect::Status(false));
+                drain.terminal = false;
+            }
+            let what = match forced {
+                Some(_) => {
+                    // Whatever the task had on the wire will never be
+                    // applied.
+                    step.push(&drain.name, Effect::Discard(task_id..task_id + 1));
+                    drain.lands(task_id);
+                    format!("forced `{output}` of `{path}`")
+                }
+                None => format!("republished `{output}` of `{path}`"),
+            };
+            if settles {
+                // What still ran below the root is cancelled with its
+                // flights, and the instance completes.
+                drain.discard_below(step, task_id);
+                drain.terminal = true;
+                step.push(&drain.name, Effect::Status(true));
+            }
+            coordinator.trace(step, &drain.name, Some(path), cb.attempt, || {
+                ObsEventKind::Repair { what }
+            });
+            drain.worklist.seed_all(&plan);
             Ok(())
-        })
+        })?;
+        self.pump();
+        Ok(())
     }
 
     /// Applies a reconfiguration to a running instance: a new version
@@ -228,86 +224,79 @@ impl Coordinator {
     ///
     /// Validation failures, and a commit that fails, leave the instance
     /// untouched.
-    pub(crate) fn reconfigure(
-        &mut self,
-        now: SimTime,
-        instance: &str,
-        op: Reconfig,
-    ) -> (Result<(), EngineError>, Vec<Output>) {
-        self.at(now, |this| {
-            // Reconfiguration edits committed truth: absorb the batch window
-            // first.
-            this.flush_pending();
-            let (old_plan, instance_id) = this
-                .instance_ctx(instance)
-                .ok_or_else(|| EngineError::UnknownInstance(instance.to_string()))?;
-            let name: Arc<str> = Arc::from(instance);
-            let staged = this.run_step(|coordinator, step| {
-                let mut header = coordinator.read_header(instance)?;
-                let source = pinned_source(&coordinator.mgr, instance, &header)?;
-                let text = reconfig::apply(source, &header.root, &op)?;
-                let hash = source_hash(&text);
-                let plan = coordinator.plan_cache.plan(hash, &text, &header.root);
-                let plan = plan.map_err(reconfig::rejected)?;
-                fn path(plan: &Plan, id: TaskId) -> &str {
-                    plan.str(plan.task(id).path)
+    pub(super) fn reconfigure(&mut self, instance: &str, op: Reconfig) -> Result<(), EngineError> {
+        // Reconfiguration edits committed truth: absorb the batch window
+        // first.
+        self.flush_pending();
+        let (old_plan, instance_id) = self
+            .instance_ctx(instance)
+            .ok_or_else(|| EngineError::UnknownInstance(instance.to_string()))?;
+        let name: Arc<str> = Arc::from(instance);
+        let staged = self.run_step(|coordinator, step| {
+            let mut header = coordinator.read_header(instance)?;
+            let source = pinned_source(&coordinator.mgr, instance, &header)?;
+            let text = reconfig::apply(source, &header.root, &op)?;
+            let hash = source_hash(&text);
+            let plan = coordinator.plan_cache.plan(hash, &text, &header.root);
+            let plan = plan.map_err(reconfig::rejected)?;
+            fn path(plan: &Plan, id: TaskId) -> &str {
+                plan.str(plan.task(id).path)
+            }
+            let old_id = |id: TaskId| old_plan.task_by_path(path(&plan, id));
+            // The new tasks are the paths the old plan lacks; each joins
+            // the current incarnation of its scope — a block to store
+            // unless that is the first, which a missing block reads as.
+            let mut new_blocks: Vec<(TaskId, TaskCb)> = Vec::new();
+            for id in (0..plan.tasks.len() as TaskId).filter(|&id| old_id(id).is_none()) {
+                let mut cb = TaskCb::waiting();
+                if let Some(scope) = plan.task(id).parent.and_then(old_id) {
+                    cb.incarnation = coordinator
+                        .read_cb_id(&old_plan, instance_id, scope)?
+                        .scope_inc;
                 }
-                let old_id = |id: TaskId| old_plan.task_by_path(path(&plan, id));
-                // The new tasks are the paths the old plan lacks; each joins
-                // the current incarnation of its scope — a block to store
-                // unless that is the first, which a missing block reads as.
-                let mut new_blocks: Vec<(TaskId, TaskCb)> = Vec::new();
-                for id in (0..plan.tasks.len() as TaskId).filter(|&id| old_id(id).is_none()) {
-                    let mut cb = TaskCb::waiting();
-                    if let Some(scope) = plan.task(id).parent.and_then(old_id) {
-                        cb.incarnation = coordinator
-                            .read_cb_id(&old_plan, instance_id, scope)?
-                            .scope_inc;
-                    }
-                    if cb != TaskCb::waiting() {
-                        new_blocks.push((id, cb));
-                    }
+                if cb != TaskCb::waiting() {
+                    new_blocks.push((id, cb));
                 }
-                // A reconfiguration can rescue a stuck instance (e.g. by
-                // adding an alternative source): it is evaluated again.
-                let stuck = status_uid(instance);
-                let revived = coordinator.mgr.exists_key(&stuck);
-                header.source_hash = hash;
-                let action = step.action(&mut coordinator.mgr);
-                let mgr = &mut coordinator.mgr;
-                // The remap reads committed state: it stages first.
-                facts::remap_instance_facts(mgr, action, &old_plan, &plan, instance_id)?;
-                pin_source(mgr, action, hash, &text)?;
-                mgr.write_key(action, &meta_uid(instance), &header)?;
-                if revived {
-                    mgr.delete_key(action, &stuck)?;
-                }
-                // After the remap: a new task may take an id it vacated.
-                for (task, cb) in &new_blocks {
-                    facts::write_block(mgr, action, &plan, instance_id, *task, cb)?;
-                }
-                step.push(&name, Effect::Replan(plan.clone()));
-                if revived {
-                    step.push(&name, Effect::Status(false));
-                }
-                step.push(&name, Effect::Count(|stats| &mut stats.reconfigs));
-                // The drain runs over the new plan, its flights re-keyed
-                // onto it the way the books will be.
-                let mut drain = coordinator.drain_of(name.clone(), &plan, instance_id);
-                drain.terminal &= !revived;
-                let flying = drain.flying.iter();
-                let moved = flying.filter_map(|&task| plan.task_by_path(path(&old_plan, task)));
-                drain.flying = moved.collect();
-                drain.worklist.seed_all(&plan);
-                coordinator.stage_drain(step, &mut drain)
-            });
-            let ((), effects) = staged?;
-            this.publish(effects);
-            let _ = this.maybe_checkpoint();
-            this.assert_settled(instance);
-            this.pump();
-            Ok(())
-        })
+            }
+            // A reconfiguration can rescue a stuck instance (e.g. by
+            // adding an alternative source): it is evaluated again.
+            let stuck = status_uid(instance);
+            let revived = coordinator.mgr.exists_key(&stuck);
+            header.source_hash = hash;
+            let action = step.action(&mut coordinator.mgr);
+            let mgr = &mut coordinator.mgr;
+            // The remap reads committed state: it stages first.
+            facts::remap_instance_facts(mgr, action, &old_plan, &plan, instance_id)?;
+            pin_source(mgr, action, hash, &text)?;
+            mgr.write_key(action, &meta_uid(instance), &header)?;
+            if revived {
+                mgr.delete_key(action, &stuck)?;
+            }
+            // After the remap: a new task may take an id it vacated.
+            for (task, cb) in &new_blocks {
+                facts::write_block(mgr, action, &plan, instance_id, *task, cb)?;
+            }
+            step.push(&name, Effect::Replan(plan.clone()));
+            if revived {
+                step.push(&name, Effect::Status(false));
+            }
+            step.push(&name, Effect::Count(|stats| &mut stats.reconfigs));
+            // The drain runs over the new plan, its flights re-keyed
+            // onto it the way the books will be.
+            let mut drain = coordinator.drain_of(name.clone(), &plan, instance_id);
+            drain.terminal &= !revived;
+            let flying = drain.flying.iter();
+            let moved = flying.filter_map(|&task| plan.task_by_path(path(&old_plan, task)));
+            drain.flying = moved.collect();
+            drain.worklist.seed_all(&plan);
+            coordinator.stage_drain(step, &mut drain)
+        });
+        let ((), effects) = staged?;
+        self.publish(effects);
+        let _ = self.maybe_checkpoint();
+        self.assert_settled(instance);
+        self.pump();
+        Ok(())
     }
 
     /// Administrative abort of a *waiting* task (Fig. 3 permits
@@ -320,68 +309,65 @@ impl Coordinator {
     ///
     /// Unknown instance/task, a non-waiting task, or an outcome that is
     /// not a declared abort outcome.
-    pub(crate) fn abort_waiting_task(
+    pub(super) fn abort_waiting_task(
         &mut self,
-        now: SimTime,
         instance: &str,
         path: &str,
         outcome: &str,
-    ) -> (Result<(), EngineError>, Vec<Output>) {
-        self.at(now, |this| {
-            // The operator decision is against current state: absorb the
-            // batch window first.
-            this.flush_pending();
-            let (plan, instance_id) = this.plant(instance)?;
-            let Some(task_id) = plan.task_by_path(path) else {
-                return Err(EngineError::UnknownTask(path.to_string()));
-            };
-            let class = plan.class_of(plan.task(task_id));
-            let declared_abort = plan
-                .class_output(class, outcome)
-                .is_some_and(|o| o.kind == OutputKind::AbortOutcome);
-            if !declared_abort {
+    ) -> Result<(), EngineError> {
+        // The operator decision is against current state: absorb the
+        // batch window first.
+        self.flush_pending();
+        let (plan, instance_id) = self.plant(instance)?;
+        let Some(task_id) = plan.task_by_path(path) else {
+            return Err(EngineError::UnknownTask(path.to_string()));
+        };
+        let class = plan.class_of(plan.task(task_id));
+        let declared_abort = plan
+            .class_output(class, outcome)
+            .is_some_and(|o| o.kind == OutputKind::AbortOutcome);
+        if !declared_abort {
+            return Err(EngineError::ReconfigRejected(format!(
+                "`{outcome}` is not an abort outcome of `{}`",
+                plan.str(class.name)
+            )));
+        }
+        let out_key = out_key(&plan, instance_id, task_id, outcome)
+            .ok_or_else(|| EngineError::UnknownTask(path.to_string()))?;
+        // One step: the abort, its (empty) fact and what they cascade
+        // into.
+        self.reevaluate(instance, |coordinator, step, drain| {
+            let mut cb = coordinator.staged_cb(step, &plan, instance_id, task_id)?;
+            if cb.state != CbState::Waiting {
                 return Err(EngineError::ReconfigRejected(format!(
-                    "`{outcome}` is not an abort outcome of `{}`",
-                    plan.str(class.name)
+                    "task `{path}` is not waiting (state {:?})",
+                    cb.state
                 )));
             }
-            let out_key = out_key(&plan, instance_id, task_id, outcome)
-                .ok_or_else(|| EngineError::UnknownTask(path.to_string()))?;
-            // One step: the abort, its (empty) fact and what they cascade
-            // into.
-            this.reevaluate(instance, |coordinator, step, drain| {
-                let mut cb = coordinator.staged_cb(step, &plan, instance_id, task_id)?;
-                if cb.state != CbState::Waiting {
-                    return Err(EngineError::ReconfigRejected(format!(
-                        "task `{path}` is not waiting (state {:?})",
-                        cb.state
-                    )));
-                }
-                cb.transition(CbState::Aborted {
-                    outcome: outcome.to_string(),
-                });
-                let action = step.action(&mut coordinator.mgr);
-                facts::write_block(
-                    &mut coordinator.mgr,
-                    action,
-                    &plan,
-                    instance_id,
-                    task_id,
-                    &cb,
-                )?;
-                facts::write_fact_map(
-                    &mut coordinator.mgr,
-                    action,
-                    &plan,
-                    out_key,
-                    &BTreeMap::new(),
-                )?;
-                drain.worklist.seed_commit(&plan, task_id);
-                Ok(())
-            })?;
-            this.pump();
+            cb.transition(CbState::Aborted {
+                outcome: outcome.to_string(),
+            });
+            let action = step.action(&mut coordinator.mgr);
+            facts::write_block(
+                &mut coordinator.mgr,
+                action,
+                &plan,
+                instance_id,
+                task_id,
+                &cb,
+            )?;
+            facts::write_fact_map(
+                &mut coordinator.mgr,
+                action,
+                &plan,
+                out_key,
+                &BTreeMap::new(),
+            )?;
+            drain.worklist.seed_commit(&plan, task_id);
             Ok(())
-        })
+        })?;
+        self.pump();
+        Ok(())
     }
 
     /// `instance`'s plan and id, its runtime marked as one an operator

@@ -449,7 +449,7 @@ mod tests {
     use flowscript_sim::{NodeId, SimTime};
 
     use super::*;
-    use crate::coordinator::{EngineConfig, Input};
+    use crate::coordinator::{EngineConfig, Input, Op, Output};
     use crate::driver::Node;
     use crate::reconfig::Reconfig;
     use crate::sched::ExecutorSpec;
@@ -470,6 +470,23 @@ mod tests {
         let seed = ObjectVal::text("Data", "s");
         let inputs = BTreeMap::from([("seed".to_string(), seed)]);
         coord.start_instance(name, FIG1_DIAMOND, "diamond", "main", inputs)
+    }
+
+    /// The operator's reconfiguration of `instance`, handed in through
+    /// the door: what it is answered.
+    fn reconfigure(
+        coord: &mut Coordinator,
+        instance: &str,
+        op: Reconfig,
+    ) -> Result<(), EngineError> {
+        let op = Op::Reconfigure {
+            instance: instance.into(),
+            op,
+        };
+        match coord.handle(SimTime::ZERO, Input::Op(op)).pop() {
+            Some(Output::Answer(answer)) => answer.map(drop),
+            last => panic!("the answer comes last: {last:?}"),
+        }
     }
 
     /// The `Ack` never precedes a durable frame, and a refused start
@@ -544,7 +561,7 @@ mod tests {
             code: "refT4".into(),
             to: "refT4b".into(),
         };
-        let (reconfigured, _) = coord.reconfigure(SimTime::ZERO, "d1", rebind());
+        let reconfigured = reconfigure(&mut coord, "d1", rebind());
         reconfigured.expect("a new version of `d1`'s script");
         let plan = |coord: &Coordinator, name: &str| coord.instances[name].plan.clone();
         let shared = |coord: &Coordinator, a, b| Arc::ptr_eq(&plan(coord, a), &plan(coord, b));
@@ -560,7 +577,7 @@ mod tests {
         );
 
         for name in ["d2", "d3"] {
-            let (reconfigured, _) = coord.reconfigure(SimTime::ZERO, name, rebind());
+            let reconfigured = reconfigure(&mut coord, name, rebind());
             reconfigured.expect("the same edit makes the same version");
         }
         assert!(shared(&coord, "d1", "d2") && shared(&coord, "d2", "d3"));

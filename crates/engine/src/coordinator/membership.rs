@@ -1,10 +1,10 @@
 //! Shard membership: who owns an instance, relaying what lands on the
 //! wrong shard, and the one way an instance changes shards — a *claim*.
 //! The nodes run it themselves, over [`EngineMsg`]s: the façade
-//! ([`crate::WorkflowSystem`]) hands ONE node the trigger
-//! ([`Coordinator::begin_move`], [`Coordinator::begin_adoption`]),
-//! steps the world until that node files its report on its [`Ticket`],
-//! then flips every node's map ([`Coordinator::set_shard_map`]).
+//! ([`crate::WorkflowSystem`]) hands ONE node the operator's request
+//! ([`Op::Move`](super::Op::Move), [`Op::Adopt`](super::Op::Adopt)), steps the world until that node
+//! answers it with its report ([`Report::Moved`], [`Report::Adopted`]),
+//! then flips every node's map ([`Op::Map`](super::Op::Map)).
 //!
 //! **A claim** ([`EngineMsg::Claim`]) carries some instances' committed
 //! entries under an id and the epoch it was routed under, sent as a call
@@ -44,13 +44,13 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use flowscript_codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
 use flowscript_obs::ObsEventKind;
-use flowscript_sim::{NodeId, ReplyToken, RpcError, SimDuration, SimTime};
+use flowscript_sim::{NodeId, ReplyToken, RpcError, SimDuration};
 use flowscript_tx::{AtomicAction, StableStore, StoreKey, TxId, TxManager};
 
 use super::package::{claim_bytes, purge_instance, rekeyed};
 use super::step::Step;
 use super::window::PendingEvent;
-use super::{stored_instance_names, Call, Coordinator, Output, TimerId};
+use super::{stored_instance_names, Call, Coordinator, Output, Report, TimerId};
 use crate::error::EngineError;
 use crate::keys::{self, claimed_uid, move_uid};
 use crate::msg::{AfterImages, EngineMsg};
@@ -113,8 +113,9 @@ impl MoveReport {
         self.pause_ns.iter().copied().max().unwrap_or(0)
     }
 
-    /// Folds another source's report into this one.
+    /// Folds another source's report, under the same map, into this one.
     pub(crate) fn absorb(&mut self, other: MoveReport) {
+        self.epoch = other.epoch;
         self.moved += other.moved;
         self.rounds += other.rounds;
         self.pause_ns.extend(other.pause_ns);
@@ -232,33 +233,22 @@ fn stage_record(
     Ok(())
 }
 
-/// The façade's end of a fleet operation it handed a node — the reply
-/// slot of the operator's call, which the façade reads through the
-/// driver. It is the caller's, not the node's volatile state: a restart
-/// leaves it as it was.
-#[derive(Default)]
-pub(crate) struct Ticket<T> {
-    /// The node's report, once it has one.
-    pub(crate) outcome: Option<Result<T, EngineError>>,
-    /// Rounds or claims answered so far: the sign of life the façade's
-    /// deadline restarts on.
-    pub(crate) progress: u64,
-}
-
 /// The move the façade handed this node: the rounds still to run, the
-/// one in flight and the tally so far.
+/// one in flight, the tally so far, and this node's name if the move
+/// drains it.
 struct MoveJob {
     queue: VecDeque<(NodeId, Vec<String>)>,
     current: Option<TxId>,
     report: MoveReport,
+    drain: Option<String>,
 }
 
 /// The adoption a claimant runs: each claim not yet answered `Ok`, by
-/// id, with its destination and bytes, and the report it files once
-/// none is left.
+/// id, with its destination and bytes, and the report it answers with
+/// once none is left — taken when answered, a refusal included.
 struct Adoption {
     claims: BTreeMap<TxId, (NodeId, Vec<u8>)>,
-    report: FailoverReport,
+    report: Option<FailoverReport>,
 }
 
 /// Who owns what, as this coordinator sees it — and the fleet
@@ -282,10 +272,6 @@ pub(super) struct Membership {
     rounds: BTreeMap<TxId, Round>,
     job: Option<MoveJob>,
     adoption: Option<Adoption>,
-    /// The façade's ends of the last move and the last adoption it
-    /// handed this node.
-    move_ticket: Ticket<MoveReport>,
-    adoption_ticket: Ticket<FailoverReport>,
 }
 
 impl Membership {
@@ -296,8 +282,6 @@ impl Membership {
             rounds: BTreeMap::new(),
             job: None,
             adoption: None,
-            move_ticket: Ticket::default(),
-            adoption_ticket: Ticket::default(),
         }
     }
 
@@ -312,6 +296,12 @@ impl Membership {
     /// job or adoption is the operator's to run again.
     pub(super) fn reset_protocols(&mut self) {
         self.rounds.clear();
+        self.drop_jobs();
+    }
+
+    /// [`Op::GiveUp`](super::Op::GiveUp): unanswered rounds stay frozen on the books for
+    /// the next job, a restart or a flip to settle.
+    pub(super) fn drop_jobs(&mut self) {
         self.job = None;
         self.adoption = None;
     }
@@ -516,31 +506,6 @@ impl Coordinator {
         self.outbox.push(Output::Reply { token, bytes });
     }
 
-    // -----------------------------------------------------------------
-    // The façade's end of a fleet operation.
-    // -----------------------------------------------------------------
-
-    /// Where this node files the report of the last move the façade
-    /// handed it.
-    pub(crate) fn move_ticket(&mut self) -> &mut Ticket<MoveReport> {
-        &mut self.membership.move_ticket
-    }
-
-    /// Where this node files the report of the last adoption the façade
-    /// handed it.
-    pub(crate) fn adoption_ticket(&mut self) -> &mut Ticket<FailoverReport> {
-        &mut self.membership.adoption_ticket
-    }
-
-    /// The façade gave the call up: this node re-sends nothing more for
-    /// it, so no fleet call outlives the call that started it by more
-    /// than an interval. Unanswered rounds stay frozen on the books for
-    /// the next job, a restart or a flip to settle.
-    pub(crate) fn give_up(&mut self) {
-        self.membership.job = None;
-        self.membership.adoption = None;
-    }
-
     /// Instances this shard holds frozen in an unlanded round: committed
     /// here and resident nowhere until the round is answered (a test
     /// hook for the one-owner invariant).
@@ -554,57 +519,62 @@ impl Coordinator {
     // A live move, source side.
     // -----------------------------------------------------------------
 
-    /// The façade's trigger for a rebalance or drain: moves every
-    /// instance resident here that `map` assigns elsewhere — decided
-    /// against residency, not the old map, since a crash-recovered
-    /// shard may hold instances the old map would misattribute — in
-    /// rounds of up to `limit` per destination, one round at a time.
-    /// The report is on [`Coordinator::move_ticket`] once the last round
-    /// lands, or as soon as one is refused. Rounds left unanswered are
-    /// settled first: their claims go out again now, and the first new
-    /// round waits for their answers.
-    pub(crate) fn begin_move(
-        &mut self,
-        now: SimTime,
-        map: &ShardMap,
-        limit: usize,
-    ) -> ((), Vec<Output>) {
-        self.at(now, |this| {
-            let mut by_dest: BTreeMap<NodeId, Vec<String>> = BTreeMap::new();
-            for instance in this.instances.keys() {
-                let owner = map.node_of(instance);
-                if owner != this.node {
-                    by_dest.entry(owner).or_default().push(instance.clone());
-                }
+    /// [`Op::Move`](super::Op::Move): moves every instance resident here that `map`
+    /// assigns elsewhere — decided against residency, not the old map,
+    /// since a crash-recovered shard may hold instances the old map
+    /// would misattribute — one round at a time, of one instance for a
+    /// rebalance or up to [`DRAIN_BATCH`] per destination for a `drain`
+    /// of this shard, which the recorder shows under its name. Each
+    /// round that lands is answered [`Report::Progress`], and the report
+    /// once the last lands, or as soon as one is refused. Rounds left
+    /// unanswered are settled first: their claims go out again now, and
+    /// the first new round waits for their answers.
+    pub(super) fn begin_move(&mut self, map: &ShardMap, drain: Option<String>) {
+        if let Some(name) = &drain {
+            let remaining = self.instances.len() as u64;
+            self.record_event(name, None, 0, ObsEventKind::DrainBegin { remaining });
+        }
+        let limit = if drain.is_some() { DRAIN_BATCH } else { 1 };
+        let mut by_dest: BTreeMap<NodeId, Vec<String>> = BTreeMap::new();
+        for instance in self.instances.keys() {
+            let owner = map.node_of(instance);
+            if owner != self.node {
+                by_dest.entry(owner).or_default().push(instance.clone());
             }
-            let queue = by_dest
-                .iter()
-                .flat_map(|(&dest, names)| names.chunks(limit).map(move |c| (dest, c.to_vec())))
-                .collect();
-            let report = MoveReport {
-                epoch: map.epoch(),
-                ..MoveReport::default()
-            };
-            let membership = &mut this.membership;
-            membership.move_ticket = Ticket::default();
-            membership.job = Some(MoveJob {
-                queue,
-                current: None,
-                report,
-            });
-            let unsettled: Vec<TxId> = membership.rounds.keys().copied().collect();
-            for id in unsettled {
-                this.send_claim(id);
-            }
-            this.advance();
-        })
+        }
+        let queue = by_dest
+            .iter()
+            .flat_map(|(&dest, names)| names.chunks(limit).map(move |c| (dest, c.to_vec())))
+            .collect();
+        let report = MoveReport {
+            epoch: map.epoch(),
+            ..MoveReport::default()
+        };
+        let membership = &mut self.membership;
+        membership.job = Some(MoveJob {
+            queue,
+            current: None,
+            report,
+            drain,
+        });
+        let unsettled: Vec<TxId> = membership.rounds.keys().copied().collect();
+        for id in unsettled {
+            self.send_claim(id);
+        }
+        self.advance();
     }
 
-    /// Ends the running job with `outcome` for the façade to collect.
+    /// Ends the running job with `outcome`, answered with its report
+    /// (a drain's end recorded beside it).
     fn finish_job(&mut self, outcome: Result<(), EngineError>) {
-        if let Some(job) = self.membership.job.take() {
-            self.membership.move_ticket.outcome = Some(outcome.map(|()| job.report));
+        let Some(job) = self.membership.job.take() else {
+            return;
+        };
+        if let (Ok(()), Some(name)) = (&outcome, &job.drain) {
+            let (moved, rounds) = (job.report.moved as u64, job.report.rounds as u64);
+            self.record_event(name, None, 0, ObsEventKind::DrainEnd { moved, rounds });
         }
+        self.answer(outcome.map(|()| Report::Moved(job.report)));
     }
 
     /// Starts the job's next round once nothing is in flight, or
@@ -696,9 +666,10 @@ impl Coordinator {
 
     /// Claim `id` was answered, or not in time. A round lands on `Ok`,
     /// thaws on `Err`, and is sent again on silence while a job runs.
-    /// An adoption's claim is counted off on `Ok` — the last files the
-    /// report — files the refusal on `Err`, and is sent again on
-    /// silence. An answer nobody waits for counts for nothing.
+    /// An adoption's claim is counted off on `Ok` — answered as
+    /// progress, the last followed by the report — answers the refusal
+    /// on `Err`, and is sent again on silence. Once the adoption is
+    /// answered, an answer counts for nothing.
     pub(super) fn on_claim_answered(&mut self, id: TxId, answer: Result<Vec<u8>, RpcError>) {
         let answer = answer
             .ok()
@@ -716,26 +687,28 @@ impl Coordinator {
                 None => {}
             };
         }
-        let membership = &mut self.membership;
-        let filed = &mut membership.adoption_ticket;
-        let Some(adoption) = membership.adoption.as_mut() else {
+        let adoption = self.membership.adoption.as_mut();
+        let Some(adoption) = adoption.filter(|adoption| adoption.claims.contains_key(&id)) else {
             return;
         };
-        if filed.outcome.is_some() || !adoption.claims.contains_key(&id) {
-            return;
-        }
-        match result {
+        let answering = adoption.report.is_some();
+        let answer = match result {
+            None => return self.send_claim(id),
             Some(Ok(())) => {
                 adoption.claims.remove(&id);
-                filed.progress += 1;
-                if adoption.claims.is_empty() {
-                    filed.outcome = Some(Ok(adoption.report.clone()));
-                }
+                Ok(Report::Progress)
             }
             Some(Err(why)) => {
-                filed.outcome = Some(Err(EngineError::Tx(format!("claim refused: {why}"))));
+                adoption.report = None;
+                Err(EngineError::Tx(format!("claim refused: {why}")))
             }
-            None => self.send_claim(id),
+        };
+        let last = adoption.report.take_if(|_| adoption.claims.is_empty());
+        if answering {
+            self.answer(answer);
+        }
+        if let Some(report) = last {
+            self.answer(Ok(Report::Adopted(report)));
         }
     }
 
@@ -774,17 +747,13 @@ impl Coordinator {
             let instance = report.address().0.to_string();
             self.forward_oneway(round.dest, &instance, report.into(), hops);
         }
-        let membership = &mut self.membership;
-        if let Some(job) = membership
-            .job
-            .as_mut()
-            .filter(|job| job.current == Some(id))
-        {
+        let job = self.membership.job.as_mut();
+        if let Some(job) = job.filter(|job| job.current == Some(id)) {
             job.current = None;
             job.report.moved += round.instances.len();
             job.report.rounds += 1;
             job.report.pause_ns.push(pause_ns);
-            membership.move_ticket.progress += 1;
+            self.answer(Ok(Report::Progress));
         }
         self.advance();
     }
@@ -985,7 +954,7 @@ impl Coordinator {
     // Crash-driven adoption.
     // -----------------------------------------------------------------
 
-    /// The façade's trigger for a failover, on the claimant: reopens
+    /// [`Op::Adopt`](super::Op::Adopt), on the claimant: reopens
     /// the dead shard's surviving storage under this node's identity
     /// and stamps the fence — from that append on the dead shard's own
     /// manager can never commit again, the claimed copies are the
@@ -993,68 +962,63 @@ impl Coordinator {
     /// under `map` its share, [`DRAIN_BATCH`] instances a claim. A round
     /// the dead shard left unlanded goes whole, under its own id, to its
     /// destination when `map` keeps it: if the destination landed it,
-    /// the receipt answers. The report is on
-    /// [`Coordinator::adoption_ticket`] once every claim is answered.
-    ///
-    /// # Errors
-    ///
-    /// The storage does not replay, or it carries a foreign fence
-    /// (another claimant got there first).
-    pub(crate) fn begin_adoption(
+    /// the receipt answers. Each claim answered `Ok` is answered
+    /// [`Report::Progress`], and the report once none is left; the
+    /// refusal at once if the storage does not replay, or carries a
+    /// foreign fence (another claimant got there first).
+    pub(super) fn begin_adoption(
         &mut self,
-        now: SimTime,
         dead_storage: StableStore,
         dead: NodeId,
         map: &ShardMap,
-    ) -> (Result<(), EngineError>, Vec<Output>) {
-        self.at(now, |this| {
-            let (dead, epoch) = (dead.index() as u32, map.epoch());
-            let mut mgr = TxManager::open(this.node.index() as u32, dead_storage)?;
-            mgr.write_fence(epoch)?;
-            let mut rounds = move_records(&mgr);
-            rounds.retain(|(_, r)| !r.landed && map.nodes().contains(&r.dest_node()));
-            let in_rounds: BTreeSet<&String> =
-                rounds.iter().flat_map(|(_, r)| &r.instances).collect();
-            let mut shares: BTreeMap<NodeId, Vec<String>> = BTreeMap::new();
-            for instance in stored_instance_names(&mgr).filter(|n| !in_rounds.contains(&n)) {
-                shares
-                    .entry(map.node_of(&instance))
-                    .or_default()
-                    .push(instance);
-            }
-            // Ids the dead shard never minted: its log's next sequence
-            // number on (the fence carries none, so a re-run mints the
-            // same ones).
-            let first = Step::default().action(&mut mgr).id().seq();
-            let chunks = shares
-                .iter()
-                .flat_map(|(&dest, names)| names.chunks(DRAIN_BATCH).map(move |c| (dest, c)));
-            let ids = (first..).map(|seq| TxId::new(dead, seq));
-            let left = rounds
-                .iter()
-                .map(|(id, r)| ((r.dest_node(), &r.instances[..]), *id));
-            let (mut claims, mut order, mut adopted) = (BTreeMap::new(), Vec::new(), 0);
-            for ((dest, names), id) in chunks.zip(ids).chain(left) {
-                adopted += names.len();
-                order.push(id);
-                claims.insert(id, (dest, claim_bytes(&mgr, id, epoch, true, names)));
-            }
-            let report = FailoverReport {
-                adopted,
-                epoch,
-                claimant: this.node.index() as u32,
-            };
-            let membership = &mut this.membership;
-            membership.adoption_ticket = Ticket::default();
-            if order.is_empty() {
-                membership.adoption_ticket.outcome = Some(Ok(report.clone()));
-            }
-            membership.adoption = Some(Adoption { claims, report });
-            for id in order {
-                this.send_claim(id);
-            }
-            Ok(())
-        })
+    ) {
+        let (dead, epoch) = (dead.index() as u32, map.epoch());
+        let fenced = TxManager::open(self.node.index() as u32, dead_storage)
+            .and_then(|mut mgr| mgr.write_fence(epoch).map(|()| mgr));
+        let mut mgr = match fenced {
+            Ok(mgr) => mgr,
+            Err(err) => return self.answer(Err(err.into())),
+        };
+        let mut rounds = move_records(&mgr);
+        rounds.retain(|(_, r)| !r.landed && map.nodes().contains(&r.dest_node()));
+        let in_rounds: BTreeSet<&String> = rounds.iter().flat_map(|(_, r)| &r.instances).collect();
+        let mut shares: BTreeMap<NodeId, Vec<String>> = BTreeMap::new();
+        for instance in stored_instance_names(&mgr).filter(|n| !in_rounds.contains(&n)) {
+            shares
+                .entry(map.node_of(&instance))
+                .or_default()
+                .push(instance);
+        }
+        // Ids the dead shard never minted: its log's next sequence
+        // number on (the fence carries none, so a re-run mints the
+        // same ones).
+        let first = Step::default().action(&mut mgr).id().seq();
+        let chunks = shares
+            .iter()
+            .flat_map(|(&dest, names)| names.chunks(DRAIN_BATCH).map(move |c| (dest, c)));
+        let ids = (first..).map(|seq| TxId::new(dead, seq));
+        let left = rounds
+            .iter()
+            .map(|(id, r)| ((r.dest_node(), &r.instances[..]), *id));
+        let (mut claims, mut order, mut adopted) = (BTreeMap::new(), Vec::new(), 0);
+        for ((dest, names), id) in chunks.zip(ids).chain(left) {
+            adopted += names.len();
+            order.push(id);
+            claims.insert(id, (dest, claim_bytes(&mgr, id, epoch, true, names)));
+        }
+        let report = FailoverReport {
+            adopted,
+            epoch,
+            claimant: self.node.index() as u32,
+        };
+        if order.is_empty() {
+            self.answer(Ok(Report::Adopted(report.clone())));
+        }
+        let report = (!order.is_empty()).then_some(report);
+        self.membership.adoption = Some(Adoption { claims, report });
+        for id in order {
+            self.send_claim(id);
+        }
     }
 
     // -----------------------------------------------------------------
@@ -1066,32 +1030,49 @@ impl Coordinator {
         self.membership.epoch()
     }
 
-    /// The flip: installs `map` — the last step of a rebalance, a drain
-    /// or an adoption, once each of its rounds and claims is answered.
-    /// Requests for instances the new map assigns elsewhere forward from
-    /// now on. The relay table goes, and so do the landed move records
-    /// a restart would rebuild it from and the receipts of claims routed
-    /// under an older epoch (a claim that old is refused as stale). Each
-    /// round still unlanded is re-addressed ([`Self::readdress`]).
-    pub(crate) fn set_shard_map(&mut self, now: SimTime, map: ShardMap) -> ((), Vec<Output>) {
-        self.at(now, |this| {
-            let epoch = map.epoch();
-            this.membership.shard = map;
-            this.membership.moved.clear();
-            let records = move_records(&this.mgr).into_iter();
-            let landed = records.filter(|(_, record)| record.landed);
-            let receipts = this.mgr.uids_with_prefix(keys::CLAIMED_PREFIX);
-            let stale = receipts.into_iter().map(StoreKey::Uid).filter(|key| {
-                let stamped = this.mgr.read_committed_key::<u64>(key);
-                matches!(stamped, Ok(Some(stamped)) if stamped < epoch)
-            });
-            let settled: Vec<StoreKey> = landed.map(|(id, _)| move_uid(id)).chain(stale).collect();
-            let _ = this.delete_keys(&settled);
-            let unlanded: Vec<TxId> = this.membership.rounds.keys().copied().collect();
-            for id in unlanded {
-                this.readdress(id);
+    /// [`Op::Map`](super::Op::Map), the flip: installs `map` — the last step of a
+    /// rebalance, a drain or an adoption, once each of its rounds and
+    /// claims is answered. Requests for instances the new map assigns
+    /// elsewhere forward from now on. The relay table goes, and so do
+    /// the landed move records a restart would rebuild it from and the
+    /// receipts of claims routed under an older epoch (a claim that old
+    /// is refused as stale). Each round still unlanded is re-addressed
+    /// ([`Self::readdress`]).
+    ///
+    /// A map that omits this shard retires it (a drain, a failover): it
+    /// stays behind as a pure relay, its relay table kept, and every
+    /// entry pointing at a node the map no longer carries re-pointed at
+    /// the map's owner — so a late executor report forwards straight to
+    /// the adopter instead of bouncing off a dead address and burning
+    /// `forward_loops` hops. Answered the log's refusal to delete what
+    /// the flip settled, which the next flip deletes.
+    pub(super) fn set_shard_map(&mut self, map: ShardMap) -> Result<(), EngineError> {
+        if !map.nodes().contains(&self.node) {
+            for (instance, dest) in &mut self.membership.moved {
+                if !map.nodes().contains(dest) {
+                    *dest = map.node_of(instance);
+                }
             }
-        })
+            self.membership.shard = map;
+            return Ok(());
+        }
+        let epoch = map.epoch();
+        self.membership.shard = map;
+        self.membership.moved.clear();
+        let records = move_records(&self.mgr).into_iter();
+        let landed = records.filter(|(_, record)| record.landed);
+        let receipts = self.mgr.uids_with_prefix(keys::CLAIMED_PREFIX);
+        let stale = receipts.into_iter().map(StoreKey::Uid).filter(|key| {
+            let stamped = self.mgr.read_committed_key::<u64>(key);
+            matches!(stamped, Ok(Some(stamped)) if stamped < epoch)
+        });
+        let settled: Vec<StoreKey> = landed.map(|(id, _)| move_uid(id)).chain(stale).collect();
+        let deleted = self.delete_keys(&settled);
+        let unlanded: Vec<TxId> = self.membership.rounds.keys().copied().collect();
+        for id in unlanded {
+            self.readdress(id);
+        }
+        deleted
     }
 
     /// Re-addresses unlanded round `id` under the installed map, each
@@ -1150,42 +1131,13 @@ impl Coordinator {
         }
         self.reroute(held);
     }
-
-    /// The flip for a coordinator that stays behind as a pure relay (a
-    /// drained shard retired from the map, or any node whose relay
-    /// table may reference departed peers). Instead of clearing the
-    /// relay table (and the move records behind it), every entry
-    /// pointing at a node the new map no longer carries is re-pointed
-    /// at the new map's owner — so a late executor report forwards
-    /// straight to the adopter instead of bouncing off a dead address
-    /// and burning `forward_loops` hops.
-    pub(crate) fn set_shard_map_relay(&mut self, map: ShardMap) {
-        let membership = &mut self.membership;
-        let moved = std::mem::take(&mut membership.moved);
-        for (instance, dest) in moved {
-            let dest = if map.nodes().contains(&dest) {
-                dest
-            } else {
-                map.node_of(&instance)
-            };
-            membership.moved.insert(instance, dest);
-        }
-        membership.shard = map;
-    }
-
-    /// Records a fleet-level trace event (drain begin/end) against
-    /// this shard at `now`, labeled with the shard's node name rather
-    /// than an instance.
-    pub(crate) fn record_system_event(&mut self, now: SimTime, label: &str, kind: ObsEventKind) {
-        self.now = now;
-        self.record_event(label, None, 0, kind);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeSet;
 
+    use flowscript_sim::SimTime;
     use flowscript_tx::{FactKey, SharedStorage};
 
     use super::*;

@@ -31,9 +31,9 @@
 //! [`Coordinator::handle`]: an [`Input`] at a virtual time in, the
 //! [`Output`]s it owes the world out, in the order owed. What a timer or
 //! a call resumes is a [`Timer`] or a [`Call`] the world hands back.
-//! Operator calls (a reconfiguration, a repair, a hand-off's trigger)
-//! are typed methods that take the time too and return their outputs
-//! beside their result.
+//! An operator's request (a reconfiguration, a repair, a move) is an
+//! input too, an [`Op`], and what it came to an output, a [`Report`] or
+//! why not, which the driver files on the caller's side.
 //!
 //! This module holds the shared state ([`Coordinator`]), the door and
 //! the helpers every concern uses (`record_event`, the control-block
@@ -50,10 +50,10 @@
 //! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, and what an attempt that ends with no outcome stages: the bounded retry or `Failed` | `Dispatcher` (scheduler loads, cost model, ready queue), `Flights` (per instance: one record per task with outstanding work, its watchdog and a delayed attempt's timer each a [`TimerId`], cancelled with the record) | staging: `stage_lost` (error report, time-out), `stage_failure`, `stage_launch` (the next attempt, now or after a delay); publishing: `ship` (an attempt, under what its step staged), `dispatch` (a staged attempt whose delay or park is over), `dispatch_after`, `lose_flight`, `clear_watch`, `discard_flights` (subtree sweep, forced outcome, failure), `fail_unplaceable`; timers: `on_watchdog` ([`Timer::Watchdog`]), `on_dispatch_timer` ([`Timer::Dispatch`]); `drain_parked`, `executing`; `Flights::outstanding` (stuck detection), `replan` (a reconfiguration's new plan, its books re-keyed), `rearm_adopted` (adoption), `Dispatcher::{release_all, reset}` (hand-off, recovery), `executor_loads` |
 //! | `admission` | the per-shard instance cap on the start RPC, and the start's repository fetch | `Admission`, `AdmissionTicket` (the fetch's [`Call::Fetch`]) | `admit_or_queue`, `admit_from_queue`, `on_fetched`, `Admission::{instance_live, instance_settled}` |
 //! | `lifecycle` | instance start (the first writer of a header), the canonical source an instance pins (once per shard and hash) and the plan compiled from it (once per shard and version), materialising a runtime from committed state, the monitoring reads; blob collection | `PlanCache` | `start_instance` (from admission, the one start path), `pin_source` (start, reconfiguration), `pinned_source` (the one reader of the source: every load, and reconfiguration), `load_or_park` (recovery, adoption: a running instance whose plan cannot be built stops `Stuck`), `PlanCache::plan` (the one way a plan is obtained: start, load, reconfiguration), `gc_plans` |
-//! | `membership` | shard routing and relays; the one way an instance changes shards — a claim, landed in one local action beside its receipt, sent by a live source from its move record (rebalance, drain) or by a claimant out of a dead shard's fenced storage (adoption) — the map flip, and the façade's end of each fleet call, its [`Ticket`] | `Membership`, [`MoveReport`], [`FailoverReport`] | `route_report`, `misdirected`, `forward_start`, `on_relayed` ([`Call::Relay`]); from the façade `begin_move`, `begin_adoption`, `set_shard_map`, `give_up`, `move_ticket`, `adoption_ticket`; from the wire `on_claim`, `on_claim_answered` ([`Call::Claim`]); `adopt_orphans`, `repair_handoffs` |
+//! | `membership` | shard routing and relays; the one way an instance changes shards — a claim, landed in one local action beside its receipt, sent by a live source from its move record (rebalance, drain) or by a claimant out of a dead shard's fenced storage (adoption) — the map flip, and the shard's end of each fleet call, answered as it goes | `Membership`, [`MoveReport`], [`FailoverReport`] | `route_report`, `misdirected`, `forward_start`, `on_relayed` ([`Call::Relay`]); from the operator `begin_move` ([`Op::Move`]), `begin_adoption` ([`Op::Adopt`]), `set_shard_map` ([`Op::Map`]), `Membership::drop_jobs` ([`Op::GiveUp`]); from the wire `on_claim`, `on_claim_answered` ([`Call::Claim`]); `adopt_orphans`, `repair_handoffs` |
 //! | `package` | what a claim carries: an instance's committed keyspace packaged (header first, its pinned source, its dense range), re-keyed onto the receiver's ids, purged from the source once landed | — | `package_instance`, `claim_bytes`, `rekeyed`, `purge_instance` |
 //! | `recovery` | restart ([`Input::Restart`]): reopen the log, reset volatile state (fleet protocols included), repair hand-offs, reload, re-arm each running instance in one step | — | `recover`, `stored_instances`, `stored_instance_names` |
-//! | `admin` | operator actions on a running instance, one step each: the abort, the repair, and a reconfiguration — the script's new version, the remap onto its plan and the full drain over it | — | `reconfigure`, `abort_waiting_task`, `repair_fact` |
+//! | `admin` | operator actions on a running instance, one step each, answered at once: the abort, the repair, and a reconfiguration — the script's new version, the remap onto its plan and the full drain over it | — | `reconfigure` ([`Op::Reconfigure`]), `abort_waiting_task` ([`Op::Abort`]), `repair_fact` ([`Op::Repair`]) |
 
 mod admin;
 mod admission;
@@ -84,14 +84,16 @@ use crate::error::EngineError;
 use crate::facts;
 use crate::keys::{meta_uid, status_uid};
 use crate::msg::EngineMsg;
+use crate::reconfig::Reconfig;
 use crate::sched::ExecutorSpec;
 use crate::shard::ShardMap;
 use crate::state::TaskCb;
+use crate::value::ObjectVal;
 
 pub use config::{CommitBatch, EngineConfig};
 pub use membership::{FailoverReport, MoveReport, MAX_FORWARD_HOPS};
 
-pub(crate) use membership::{Ticket, DRAIN_BATCH, FLEET_DEADLINE};
+pub(crate) use membership::FLEET_DEADLINE;
 pub use meta::{InstanceStatus, Outcome};
 pub use stats::{CoordStats, DispatchRecord};
 
@@ -106,11 +108,11 @@ use stats::CoordMetrics;
 use step::Launch;
 use window::{BatchWindow, PendingEvent};
 
-/// What the world feeds a shard.
-pub(crate) type Input<'a> = driver::Input<'a, Timer, Call>;
+/// What the world, or the operator, feeds a shard.
+pub(crate) type Input<'a> = driver::Input<'a, Timer, Call, Op>;
 
-/// What a shard owes the world, in the order owed.
-pub(crate) type Output = driver::Output<Timer, Call>;
+/// What a shard owes the world and the operator, in the order owed.
+pub(crate) type Output = driver::Output<Timer, Call, Result<Report, EngineError>>;
 
 /// What an armed timer resumes when it goes off.
 #[derive(Debug)]
@@ -147,6 +149,48 @@ pub(crate) enum Call {
     /// One claim, by id: a live move's round or an adoption's share,
     /// sent again if no answer comes while someone waits for it.
     Claim(TxId),
+}
+
+/// An operator's request, answered once by what it came to.
+pub(crate) enum Op {
+    /// A new version of a running instance's script.
+    Reconfigure { instance: String, op: Reconfig },
+    /// A fact repair.
+    Repair {
+        instance: String,
+        path: String,
+        output: String,
+        objects: BTreeMap<String, ObjectVal>,
+    },
+    /// The abort of a waiting task.
+    Abort {
+        instance: String,
+        path: String,
+        outcome: String,
+    },
+    /// A rebalance to the map `to`, or, given this shard's name, its drain.
+    Move { to: ShardMap, drain: Option<String> },
+    /// A claim of a dead node's storage for the owners the map names.
+    Adopt(StableStore, NodeId, ShardMap),
+    /// The flip to `map`, or retirement to a relay if it omits this shard.
+    Map(ShardMap),
+    /// The caller stopped waiting on the running move or adoption:
+    /// nothing more is sent again for it, so no fleet call outlives the
+    /// caller's wait by more than an interval.
+    GiveUp,
+}
+
+/// What a request came to — a move once its last round landed, an
+/// adoption once every claim is answered, anything else at once — or,
+/// until then, how it progresses.
+#[derive(Debug)]
+pub(crate) enum Report {
+    /// A round of the running move landed, or a claim of the running
+    /// adoption was answered `Ok`: the caller's deadline restarts.
+    Progress,
+    Acted,
+    Moved(MoveReport),
+    Adopted(FailoverReport),
 }
 
 /// Volatile per-instance runtime state (rebuilt on recovery).
@@ -285,14 +329,6 @@ impl Coordinator {
         })
     }
 
-    /// Runs `act` at `now` — an input, or an operator call — and returns
-    /// its result beside the outputs it owes the world.
-    fn at<T>(&mut self, now: SimTime, act: impl FnOnce(&mut Self) -> T) -> (T, Vec<Output>) {
-        self.now = now;
-        let result = act(self);
-        (result, std::mem::take(&mut self.outbox))
-    }
-
     fn on_message(&mut self, payload: &[u8], token: Option<ReplyToken>) {
         let Ok(msg) = flowscript_codec::from_bytes::<EngineMsg>(payload) else {
             return; // corrupt message: drop, sender will time out / retry
@@ -386,6 +422,37 @@ impl Coordinator {
 
     fn cancel(&mut self, timers: impl IntoIterator<Item = TimerId>) {
         self.outbox.extend(timers.into_iter().map(Output::Cancel));
+    }
+
+    fn answer(&mut self, answer: Result<Report, EngineError>) {
+        self.outbox.push(Output::Answer(answer));
+    }
+
+    /// An operator's request. A move or an adoption answers as it goes;
+    /// anything else, at once.
+    fn on_op(&mut self, op: Op) {
+        let done = match op {
+            Op::Reconfigure { instance, op } => self.reconfigure(&instance, op),
+            Op::Repair {
+                instance,
+                path,
+                output,
+                objects,
+            } => self.repair_fact(&instance, &path, &output, objects),
+            Op::Abort {
+                instance,
+                path,
+                outcome,
+            } => self.abort_waiting_task(&instance, &path, &outcome),
+            Op::Move { to, drain } => return self.begin_move(&to, drain),
+            Op::Adopt(storage, dead, map) => return self.begin_adoption(storage, dead, &map),
+            Op::Map(map) => self.set_shard_map(map),
+            Op::GiveUp => {
+                self.membership.drop_jobs();
+                Ok(())
+            }
+        };
+        self.answer(done.map(|()| Report::Acted));
     }
 
     /// Appends a lifecycle event, stamped now, to the flight recorder
@@ -507,6 +574,8 @@ impl Coordinator {
 impl Node for Coordinator {
     type Timer = Timer;
     type Call = Call;
+    type Op = Op;
+    type Answer = Result<Report, EngineError>;
 
     fn node(&self) -> NodeId {
         self.node
@@ -515,36 +584,38 @@ impl Node for Coordinator {
     /// The one door. A shard ignores who sent a message: whom it
     /// answers is in the message or its token.
     fn handle(&mut self, now: SimTime, input: Input<'_>) -> Vec<Output> {
-        let ((), outputs) = self.at(now, |this| match input {
-            Input::Restart => this.recover(),
-            // A fenced shard is a zombie: its storage was claimed by
-            // another node and its instances run there now. Probe the
-            // claim *before* touching any state, so a zombie that never
-            // crashed (a false-positive failure detection) is muzzled at
-            // the door rather than discovering the fence mid-commit with
-            // half-mutated volatile state. Dropped requests time out at
-            // the sender, exactly like a down node; buffered reports die
-            // with it, the claimant's copies being the truth now.
-            Input::Message { .. } | Input::Fired(_) if this.mgr.probe_fence().is_some() => {}
-            Input::Message { payload, token, .. } => this.on_message(payload, token),
+        self.now = now;
+        match input {
+            Input::Restart => self.recover(),
+            // A fenced shard is a zombie: its storage was claimed by another node and
+            // its instances run there now. Probe the claim *before* touching any
+            // state, so a zombie that never crashed (a false-positive failure
+            // detection) is muzzled at the door rather than discovering the fence
+            // mid-commit with half-mutated volatile state. Dropped requests time out
+            // at the sender, exactly like a down node; buffered reports die with it,
+            // the claimant's copies being the truth now. An operator's request
+            // passes: the flip that retires a zombie to a relay must reach it.
+            Input::Message { .. } | Input::Fired(_) if self.mgr.probe_fence().is_some() => {}
+            Input::Message { payload, token, .. } => self.on_message(payload, token),
             Input::Fired(Timer::Watchdog {
                 instance,
                 path,
                 incarnation,
                 attempt,
                 timeout,
-            }) => this.on_watchdog(&instance, &path, incarnation, attempt, timeout),
+            }) => self.on_watchdog(&instance, &path, incarnation, attempt, timeout),
             Input::Fired(Timer::Dispatch {
                 instance,
                 path,
                 launch,
-            }) => this.on_dispatch_timer(&instance, &path, *launch),
-            Input::Fired(Timer::Window) => this.on_batch_window(),
-            Input::Answered(Call::Fetch(ticket), answer) => this.on_fetched(*ticket, answer),
-            Input::Answered(Call::Relay(token), answer) => this.on_relayed(token, answer),
-            Input::Answered(Call::Claim(id), answer) => this.on_claim_answered(id, answer),
-        });
-        outputs
+            }) => self.on_dispatch_timer(&instance, &path, *launch),
+            Input::Fired(Timer::Window) => self.on_batch_window(),
+            Input::Answered(Call::Fetch(ticket), answer) => self.on_fetched(*ticket, answer),
+            Input::Answered(Call::Relay(token), answer) => self.on_relayed(token, answer),
+            Input::Answered(Call::Claim(id), answer) => self.on_claim_answered(id, answer),
+            Input::Op(op) => self.on_op(op),
+        }
+        std::mem::take(&mut self.outbox)
     }
 }
 
@@ -734,5 +805,111 @@ compoundtask root of taskclass Root {
             }
             other => panic!("expected the root's outcome, got {other:?}"),
         }
+    }
+
+    /// A move needs no world either. Handed `Op::Move`, the source sends
+    /// its claim; fed that claim, the destination lands it and answers;
+    /// fed the answer, the source tells the operator — a progress tick
+    /// for the round, then the report — and the flip settles the round's
+    /// move record.
+    #[test]
+    fn a_move_runs_on_inputs_alone() {
+        let [client, repo, here, there, executor] = [0, 1, 2, 3, 4].map(NodeId::from_index);
+        let before = ShardMap::new(vec![here]);
+        let mut after = before.clone();
+        after.add_node(there);
+        let mut names = (0..).map(|i| format!("i{i}"));
+        let instance = names.find(|n| after.node_of(n) == there).unwrap();
+        let open = |node, map| {
+            let executors = vec![ExecutorSpec::unbounded(executor)];
+            let (config, storage) = (EngineConfig::default(), SharedStorage::new());
+            Coordinator::open(node, repo, executors, config, storage, map).expect("opens")
+        };
+        let (mut source, mut dest) = (open(here, before), open(there, after.clone()));
+        let at = SimTime::from_nanos;
+
+        // The start, by hand: the client's request, the repository's answer.
+        let start = EngineMsg::StartInstance {
+            instance: instance.clone(),
+            script: "echo".into(),
+            version: None,
+            set: "main".into(),
+            inputs: BTreeMap::from([("seed".to_string(), ObjectVal::text("Message", "hi"))]),
+        };
+        let payload = &flowscript_codec::to_bytes(&start);
+        let token = Some(ReplyToken::new(here, client, 7));
+        let message = Input::Message {
+            from: client,
+            payload,
+            token,
+        };
+        let outputs = source.handle(at(0), message);
+        let [Output::Call { call, .. }] = <[Output; 1]>::try_from(outputs).unwrap() else {
+            panic!("the repository's fetch, and nothing else");
+        };
+        let answer = EngineMsg::RepoReply {
+            result: Ok(1),
+            source: ECHO.into(),
+            root: "root".into(),
+        };
+        let answer = Ok(flowscript_codec::to_bytes(&answer));
+        source.handle(at(10), Input::Answered(call, answer));
+        assert!(source.instances.contains_key(&instance), "running");
+
+        // The move: the source freezes the instance and sends its claim.
+        let op = Op::Move {
+            to: after.clone(),
+            drain: None,
+        };
+        let outputs = source.handle(at(20), Input::Op(op));
+        let claim = outputs.into_iter().find_map(|output| match output {
+            Output::Call {
+                to, bytes, call, ..
+            } => Some((to, bytes, call)),
+            _ => None,
+        });
+        let Some((to, payload, call)) = claim else {
+            panic!("the claim");
+        };
+        assert_eq!(to, there);
+        assert!(!source.instances.contains_key(&instance), "frozen");
+
+        // The claim, at the destination: landed, and answered.
+        let token = Some(ReplyToken::new(there, here, 8));
+        let message = Input::Message {
+            from: here,
+            payload: &payload,
+            token,
+        };
+        let outputs = dest.handle(at(30), message);
+        let reply = outputs.into_iter().find_map(|output| match output {
+            Output::Reply { bytes, .. } => Some(bytes),
+            _ => None,
+        });
+        let reply = reply.expect("the claim's answer");
+        assert!(dest.instances.contains_key(&instance), "landed");
+
+        // Its answer, at the source: what the operator hears.
+        let outputs = source.handle(at(40), Input::Answered(call, Ok(reply)));
+        let answers: Vec<_> = outputs
+            .into_iter()
+            .filter_map(|output| match output {
+                Output::Answer(answer) => Some(answer),
+                _ => None,
+            })
+            .collect();
+        let [Ok(Report::Progress), Ok(Report::Moved(report))] = &answers[..] else {
+            panic!("a progress tick, then the report: {answers:?}");
+        };
+        assert_eq!((report.moved, report.rounds), (1, 1));
+
+        // The flip: the landed round's record goes.
+        let records = |shard: &Coordinator| shard.mgr.uids_with_prefix(crate::keys::MOVE_PREFIX);
+        assert_eq!(records(&source).len(), 1, "landed, kept until the flip");
+        for shard in [&mut source, &mut dest] {
+            let outputs = shard.handle(at(50), Input::Op(Op::Map(after.clone())));
+            assert!(matches!(&outputs[..], [Output::Answer(Ok(Report::Acted))]));
+        }
+        assert!(records(&source).is_empty(), "settled by the flip");
     }
 }

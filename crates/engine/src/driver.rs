@@ -1,8 +1,9 @@
 //! The one driver of every [`Node`] — a shard, an executor, the
 //! repository, the client — on its simulated node: the world's events
-//! become the node's inputs (one borrow of its cell per input) and its
-//! outputs the world's calls, each armed timer's world event kept under
-//! the id the node named it by.
+//! and the operator's requests become the node's inputs (one borrow of
+//! its cell per input), and its outputs the world's calls, each armed
+//! timer's world event kept under the id the node named it by, each
+//! answer to the operator filed in the driver's slot.
 //!
 //! **Emission order is the traffic contract.** Outputs are applied in the
 //! order the node emitted them: every [`World::send`] draws two samples
@@ -11,7 +12,7 @@
 //! a different simulation.
 
 use std::cell::{Ref, RefCell, RefMut};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use flowscript_sim::{EventId, NodeId, ReplyToken, RpcError, SimDuration, SimTime, World};
@@ -23,6 +24,10 @@ pub(crate) trait Node {
     type Timer;
     /// What an answered call resumes.
     type Call;
+    /// An operator's request.
+    type Op;
+    /// What the node answers the operator.
+    type Answer;
 
     /// The node this value runs on.
     fn node(&self) -> NodeId;
@@ -32,12 +37,12 @@ pub(crate) trait Node {
     fn handle(
         &mut self,
         now: SimTime,
-        input: Input<'_, Self::Timer, Self::Call>,
-    ) -> Vec<Output<Self::Timer, Self::Call>>;
+        input: Input<'_, Self::Timer, Self::Call, Self::Op>,
+    ) -> Vec<Output<Self::Timer, Self::Call, Self::Answer>>;
 }
 
-/// What the world feeds a node.
-pub(crate) enum Input<'a, T, C> {
+/// What the world, or the operator, feeds a node.
+pub(crate) enum Input<'a, T, C, O> {
     /// A message delivered to the node from `from`, with the token to
     /// answer it through when it is a request.
     Message {
@@ -51,12 +56,15 @@ pub(crate) enum Input<'a, T, C> {
     Answered(C, Result<Vec<u8>, RpcError>),
     /// The node restarted: everything volatile is gone, storage is not.
     Restart,
+    /// An operator's request, at the world's time, whether the node is
+    /// up or not.
+    Op(O),
 }
 
 /// What a node owes the world, in the order the world must carry it
 /// out (the traffic contract above).
 #[derive(Debug)]
-pub(crate) enum Output<T, C> {
+pub(crate) enum Output<T, C, A> {
     /// A one-way message from this node.
     Send { to: NodeId, bytes: Vec<u8> },
     /// The answer to a request this node holds the token of.
@@ -79,6 +87,8 @@ pub(crate) enum Output<T, C> {
     /// The timer armed under this id does not come back (a no-op once it
     /// went off).
     Cancel(TimerId),
+    /// An answer to the operator, filed after those before it.
+    Answer(A),
 }
 
 /// The name a node gives a timer it arms, for cancelling it.
@@ -86,24 +96,27 @@ pub(crate) enum Output<T, C> {
 pub(crate) struct TimerId(pub(crate) u64);
 
 /// A node installed on its simulated node. Clones share the node.
-pub struct Driver<N>(Rc<Installed<N>>);
+#[allow(private_bounds)]
+pub struct Driver<N: Node>(Rc<Installed<N>>);
 
-impl<N> Clone for Driver<N> {
+impl<N: Node> Clone for Driver<N> {
     fn clone(&self) -> Self {
         Self(self.0.clone())
     }
 }
 
-struct Installed<N> {
+struct Installed<N: Node> {
     node: NodeId,
     value: RefCell<N>,
     /// The world's event for every timer the node armed that has
     /// neither gone off nor been cancelled.
     timers: RefCell<BTreeMap<TimerId, EventId>>,
+    /// The node's answers not yet taken, oldest first: the caller's, so
+    /// a restart leaves them as they were.
+    answers: RefCell<VecDeque<N::Answer>>,
 }
 
-// The bounded methods are crate-private; outside, a driver is `get`,
-// `get_mut` and `armed_timers`.
+// Outside the crate, a driver is `get`, `get_mut` and `armed_timers`.
 #[allow(private_bounds)]
 impl<N: Node + 'static> Driver<N> {
     /// Installs `value` on its node: the node's messages and restarts
@@ -114,6 +127,7 @@ impl<N: Node + 'static> Driver<N> {
             node,
             value: RefCell::new(value),
             timers: RefCell::default(),
+            answers: RefCell::default(),
         }));
         let handler = driver.clone();
         world.set_handler(node, move |world, envelope| {
@@ -125,37 +139,50 @@ impl<N: Node + 'static> Driver<N> {
             handler.input(world, input);
         });
         let restarted = driver.clone();
-        world.set_restart_hook(node, move |world, _| restarted.restart(world));
+        world.set_restart_hook(node, move |world, _| restarted.input(world, Input::Restart));
         driver
     }
 
-    /// The node restarted — or came up over storage a previous run left
-    /// behind: the world dropped the timers of the incarnation that
-    /// died, and the node starts over from what it keeps.
-    pub(crate) fn restart(&self, world: &mut World) {
-        self.0.timers.borrow_mut().clear();
-        self.input(world, Input::Restart);
-    }
-
-    fn input(&self, world: &mut World, input: Input<'_, N::Timer, N::Call>) {
+    /// Hands the node `input` at the world's time, and carries out what
+    /// it owes: the one way in, the operator's requests included. A
+    /// restart (or a start over a previous run's storage) forgets the
+    /// timers first: the world dropped those of the incarnation that died.
+    pub(crate) fn input(&self, world: &mut World, input: Input<'_, N::Timer, N::Call, N::Op>) {
+        if let Input::Restart = input {
+            self.0.timers.borrow_mut().clear();
+        }
         let outputs = self.0.value.borrow_mut().handle(world.now(), input);
         self.apply(world, outputs);
     }
 
-    /// Runs an operator call on the node at the world's time and
-    /// applies the outputs it returns beside its result.
-    pub(crate) fn call<T>(
+    /// Steps `world` until the node answers the operator, and takes its
+    /// oldest answer: `None` once the world runs dry — or, given
+    /// `patience`, once that much virtual time passes without one.
+    pub(crate) fn await_answer(
         &self,
         world: &mut World,
-        op: impl FnOnce(&mut N, SimTime) -> (T, Vec<Output<N::Timer, N::Call>>),
-    ) -> T {
-        let (result, outputs) = op(&mut self.0.value.borrow_mut(), world.now());
-        self.apply(world, outputs);
-        result
+        patience: Option<SimDuration>,
+    ) -> Option<N::Answer> {
+        let deadline = patience.map(|patience| world.now() + patience);
+        while self.0.answers.borrow().is_empty() {
+            let stepped = match deadline {
+                Some(deadline) => world.step_until(deadline),
+                None => world.step(),
+            };
+            if !stepped {
+                return None;
+            }
+        }
+        self.0.answers.borrow_mut().pop_front()
+    }
+
+    /// The simulated node it is installed on.
+    pub(crate) fn node(&self) -> NodeId {
+        self.0.node
     }
 
     /// Carries out `outputs` in emission order.
-    fn apply(&self, world: &mut World, outputs: Vec<Output<N::Timer, N::Call>>) {
+    fn apply(&self, world: &mut World, outputs: Vec<Output<N::Timer, N::Call, N::Answer>>) {
         let node = self.0.node;
         for output in outputs {
             match output {
@@ -185,15 +212,9 @@ impl<N: Node + 'static> Driver<N> {
                         world.cancel(event);
                     }
                 }
+                Output::Answer(answer) => self.0.answers.borrow_mut().push_back(answer),
             }
         }
-    }
-}
-
-impl<N> Driver<N> {
-    /// The simulated node it is installed on.
-    pub(crate) fn node(&self) -> NodeId {
-        self.0.node
     }
 
     /// The node, for reading.
@@ -201,7 +222,9 @@ impl<N> Driver<N> {
         self.0.value.borrow()
     }
 
-    /// The node, for an edit that owes the world nothing.
+    /// The node, for a read that needs `&mut` (one that probes the log
+    /// tail or decodes through a cache), or a test's edit by hand: what
+    /// changes what a node holds is an input, the operator's an op.
     pub fn get_mut(&self) -> RefMut<'_, N> {
         self.0.value.borrow_mut()
     }

@@ -40,7 +40,7 @@ use std::convert::Infallible;
 
 use flowscript_sim::{NodeId, SimDuration, SimTime};
 
-use crate::driver::{self, Input, Node, TimerId};
+use crate::driver::{self, Node, TimerId};
 use crate::impl_registry::{ImplRegistry, Invocation, InvokeCtx, TaskBehavior};
 use crate::msg::{EngineMsg, MarkMsg, StartTask, TaskDone, TaskResult};
 use crate::sched::ExecutorSpec;
@@ -62,8 +62,9 @@ pub(crate) struct Report {
     msg: EngineMsg,
 }
 
-/// What an executor answers an input with.
-type Output = driver::Output<Report, Infallible>;
+/// What an executor is fed, and what it answers an input with.
+type Input<'a> = driver::Input<'a, Report, Infallible, Infallible>;
+type Output = driver::Output<Report, Infallible, Infallible>;
 
 /// One executor node, deployed as its [`ExecutorSpec`]: inputs in,
 /// outputs out. Results are reported to whichever coordinator
@@ -181,12 +182,14 @@ impl Executor {
 impl Node for Executor {
     type Timer = Report;
     type Call = Infallible;
+    type Op = Infallible;
+    type Answer = Infallible;
 
     fn node(&self) -> NodeId {
         self.spec.node
     }
 
-    fn handle(&mut self, now: SimTime, input: Input<'_, Report, Infallible>) -> Vec<Output> {
+    fn handle(&mut self, now: SimTime, input: Input<'_>) -> Vec<Output> {
         match input {
             Input::Message { from, payload, .. } => match flowscript_codec::from_bytes(payload) {
                 Ok(EngineMsg::Start(start)) => self.start(now, from, start),
@@ -196,7 +199,7 @@ impl Node for Executor {
                 let bytes = flowscript_codec::to_bytes(&msg);
                 vec![Output::Send { to, bytes }]
             }
-            Input::Answered(never, _) => match never {},
+            Input::Answered(never, _) | Input::Op(never) => match never {},
             // The work that held the slots died with the node.
             Input::Restart => {
                 self.slots.fill(SimTime::ZERO);

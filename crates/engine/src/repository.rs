@@ -106,6 +106,8 @@ impl Repository {
 impl Node for Repository {
     type Timer = Infallible;
     type Call = Infallible;
+    type Op = Infallible;
+    type Answer = Infallible;
 
     fn node(&self) -> NodeId {
         self.node
@@ -114,8 +116,8 @@ impl Node for Repository {
     fn handle(
         &mut self,
         _: SimTime,
-        input: Input<'_, Infallible, Infallible>,
-    ) -> Vec<Output<Infallible, Infallible>> {
+        input: Input<'_, Infallible, Infallible, Infallible>,
+    ) -> Vec<Output<Infallible, Infallible, Infallible>> {
         let Input::Message {
             payload,
             token: Some(token),

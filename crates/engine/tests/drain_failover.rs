@@ -240,6 +240,29 @@ fn drain_refuses_the_last_coordinator() {
     assert!(err.to_string().contains("nonesuch"), "{err}");
 }
 
+/// A drain refused because its source is down leaves no trace on the
+/// source: the request never reached it, so its recorder holds neither
+/// end of a drain.
+#[test]
+fn a_refused_drain_records_no_drain_events() {
+    let mut sys = build(3);
+    sys.crash_now(sys.coordinator_nodes()[1]);
+    let err = sys.remove_coordinator("coordinator1").expect_err("down");
+    assert!(err.to_string().contains("is down"), "{err}");
+    let kinds: Vec<ObsEventKind> = sys
+        .trace("coordinator1")
+        .into_iter()
+        .map(|e| e.kind)
+        .collect();
+    assert!(
+        !kinds.iter().any(|k| matches!(
+            k,
+            ObsEventKind::DrainBegin { .. } | ObsEventKind::DrainEnd { .. }
+        )),
+        "a refused drain recorded: {kinds:?}"
+    );
+}
+
 /// Crash either end at every instant of the drain: run it once clean
 /// to learn its virtual span, then for every 100 µs step across it and
 /// each victim — the draining source, each destination — schedule the
