@@ -2,6 +2,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use crate::event::EventId;
+use crate::node::NodeId;
 use crate::time::SimTime;
 use crate::world::World;
 
@@ -15,12 +16,13 @@ pub(crate) type EventFn = Box<dyn FnOnce(&mut World)>;
 /// monotonic tie-breaker that makes two events at the same instant run
 /// in the order they were scheduled, the root of determinism. The heap
 /// holds `(time, id)` keys, earliest time first, then scheduling order;
-/// `entries` holds the pending events' closures. Cancelling removes
-/// the table entry, and a heap key without one is skipped (and dropped)
-/// whenever it surfaces at the top.
+/// `entries` holds the pending events' closures, each beside the node it
+/// was scheduled for, if any. Cancelling removes the table entry, and a
+/// heap key without one is skipped (and dropped) whenever it surfaces at
+/// the top.
 pub(crate) struct Scheduler {
     heap: BinaryHeap<Reverse<(SimTime, u64)>>,
-    entries: HashMap<u64, EventFn>,
+    entries: HashMap<u64, (Option<NodeId>, EventFn)>,
     next_event: u64,
     now: SimTime,
 }
@@ -43,11 +45,22 @@ impl Scheduler {
     /// "now" (the event runs as soon as possible, after events already
     /// queued for the current instant).
     pub(crate) fn schedule_at(&mut self, at: SimTime, run: EventFn) -> EventId {
+        self.schedule_for(at, None, run)
+    }
+
+    /// [`Scheduler::schedule_at`] on behalf of `owner`: the event leaves
+    /// the queue with [`Scheduler::cancel_owned_by`].
+    pub(crate) fn schedule_for(
+        &mut self,
+        at: SimTime,
+        owner: Option<NodeId>,
+        run: EventFn,
+    ) -> EventId {
         let at = at.max(self.now);
         let id = self.next_event;
         self.next_event += 1;
         self.heap.push(Reverse((at, id)));
-        self.entries.insert(id, run);
+        self.entries.insert(id, (owner, run));
         EventId(id)
     }
 
@@ -55,6 +68,11 @@ impl Scheduler {
     /// already cancelled.
     pub(crate) fn cancel(&mut self, id: EventId) {
         self.entries.remove(&id.0);
+    }
+
+    /// Cancels every pending event scheduled on behalf of `node`.
+    pub(crate) fn cancel_owned_by(&mut self, node: NodeId) {
+        self.entries.retain(|_, (owner, _)| *owner != Some(node));
     }
 
     #[cfg(test)]
@@ -69,7 +87,7 @@ impl Scheduler {
     /// Pops the next runnable event, advancing the clock to its time.
     pub(crate) fn pop(&mut self) -> Option<(SimTime, EventId, EventFn)> {
         while let Some(Reverse((at, id))) = self.heap.pop() {
-            let Some(run) = self.entries.remove(&id) else {
+            let Some((_, run)) = self.entries.remove(&id) else {
                 continue; // cancelled
             };
             debug_assert!(at >= self.now, "clock went backwards");

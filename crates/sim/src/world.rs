@@ -229,19 +229,22 @@ impl World {
         self.sched.schedule_at(at, Box::new(f))
     }
 
-    /// Schedules `f` on behalf of `node`: it is silently skipped if the
-    /// node has crashed or restarted in the meantime (a restarted process
-    /// does not inherit its predecessor's timers).
+    /// Schedules `f` on behalf of `node`: a crash of the node takes it
+    /// out of the queue, and one scheduled while the node is down is
+    /// skipped (a restarted process does not inherit its predecessor's
+    /// timers).
     pub fn schedule_node_after<F>(&mut self, node: NodeId, delay: SimDuration, f: F) -> EventId
     where
         F: FnOnce(&mut World) + 'static,
     {
         let incarnation = self.incarnation(node);
-        self.schedule_after(delay, move |world| {
+        let at = self.sched.now() + delay;
+        let run = move |world: &mut World| {
             if world.is_up(node) && world.incarnation(node) == incarnation {
                 f(world);
             }
-        })
+        };
+        self.sched.schedule_for(at, Some(node), Box::new(run))
     }
 
     /// Cancels a scheduled event.
@@ -382,7 +385,8 @@ impl World {
     }
 
     /// Crashes a node: volatile state is lost, in-flight messages to and
-    /// from it will be dropped, its timers will not fire.
+    /// from it will be dropped, and its timers leave the event queue —
+    /// the clock does not run on to when they would have gone off.
     pub fn crash(&mut self, node: NodeId) {
         if self.nodes[node.index()].status == NodeStatus::Crashed {
             return;
@@ -391,6 +395,7 @@ impl World {
         self.trace
             .record(self.sched.now(), TraceEvent::NodeCrashed { node });
         rpc::fail_calls_from(self, node);
+        self.sched.cancel_owned_by(node);
     }
 
     /// Restarts a crashed node and runs its restart hook (recovery).
@@ -545,6 +550,22 @@ mod tests {
         world.crash(a);
         world.run();
         assert!(!*fired.borrow());
+    }
+
+    #[test]
+    fn a_crashed_nodes_timers_leave_the_queue() {
+        let mut world = World::new(1);
+        let a = world.add_node("a");
+        world.schedule_node_after(a, SimDuration::from_secs(300), |_| {
+            panic!("a timer of the dead incarnation fired")
+        });
+        world.schedule_after(SimDuration::from_secs(1), move |world| {
+            world.crash(a);
+            world.restart(a);
+        });
+        world.run();
+        assert_eq!(world.now(), SimTime::from_nanos(1_000_000_000));
+        assert_eq!(world.pending_events(), 0);
     }
 
     #[test]
