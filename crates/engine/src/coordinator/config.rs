@@ -76,7 +76,12 @@ impl Default for EngineConfig {
 /// shards) gather in a per-shard window and commit as **one** atomic
 /// action: one WAL frame holding one [`flowscript_tx::LogRecord::Commit`],
 /// one readiness re-evaluation seeded from every completed task's
-/// consumers. There is one pipeline whatever the size: the window is
+/// consumers. The window closes on `max_events` reports, on its
+/// `max_window` timer, or — what the shard decides exactly, with no
+/// field here — once its buffered `Done` reports are at least the
+/// dispatches it has on the wire: no report that could join is on its
+/// way, so a lone report does not idle. There is one pipeline whatever
+/// the size: the window is
 /// placement, not semantics — each report applies exactly the transition
 /// it would have alone, and the equivalence suite
 /// (`engine/tests/batching.rs`) holds per-instance outcomes identical to
@@ -87,7 +92,8 @@ pub struct CommitBatch {
     /// one: every report flushes on arrival and no timer is ever armed.
     pub max_events: usize,
     /// Flush at most this long (virtual time) after the first buffered
-    /// report. Zero is the window of one too, whatever `max_events` says.
+    /// report, if the reports it awaits are not in sooner. Zero is the
+    /// window of one too, whatever `max_events` says.
     pub max_window: SimDuration,
 }
 

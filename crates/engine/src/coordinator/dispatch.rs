@@ -140,6 +140,12 @@ impl Dispatcher {
         self.park_seq = 0;
     }
 
+    /// The dispatches on the wire whose reports this shard awaits — the
+    /// loads it charged and has not released.
+    pub(super) fn in_flight(&self) -> u32 {
+        self.sched.in_flight()
+    }
+
     /// Releases the load `flight` is charged at, if any. Idempotent:
     /// the charge is taken, so a second release finds none.
     fn release(&mut self, flight: &mut Flight) -> Option<Charge> {

@@ -45,7 +45,7 @@
 //! |---|---|---|---|
 //! | `config`, `meta`, `stats` | the types: operator knobs; status and outcome, the `InstanceHeader` (rewritten only by a reconfiguration and a hand-off's re-key), the `StuckRecord` (stored only while an instance is parked `Stuck`: `Running` and `Completed` are read off the root block), the pinned source's hash (their uids: [`crate::keys`]); counters and the dispatch record | — | — |
 //! | `step` | the unit of commit: stage into one action (reading its own writes back), commit once — one frame straight to the log — publish the effects in staging order, as outputs | `Step`, `Effect`, `Launch` (what an attempt ships under) | `run_step` (the one way the engine runs an action), `atomically` (the step with nothing to publish), `publish`; `staged_cb`, `trace` |
-//! | `window` | the one place a report is applied: buffer `Done`/`Mark` reports, stage a window of them in arrival order — outcome, mark, execution error, repeat outcome, misreport — and its cascade as one step | `BatchWindow` | `enqueue_event`, `flush_pending`, `on_batch_window` ([`Timer::Window`]), `commit_event` |
+//! | `window` | the one place a report is applied: buffer `Done`/`Mark` reports until `max_events`, the window's timer, or every report the shard awaits is in, stage a window of them in arrival order — outcome, mark, execution error, repeat outcome, misreport — and its cascade as one step | `BatchWindow` | `enqueue_event`, `flush_pending`, `on_batch_window` ([`Timer::Window`]), `commit_event` |
 //! | `evaluate` | the cascade a step stages: input-set satisfaction, activation, compound-scope outputs (marks, termination, the fig. 8 repeat), stuck detection; the debug full-scan oracle | `Drain` (one instance inside a step: its seeds, its flights as the step leaves them) | `reevaluate` (the step over one resident instance: the caller stages its transition, the drain follows, one commit, publish — the watchdog, a failed placement, the operator's abort and repair, a restart's re-arm), `evaluate` (the same with nothing but the full scan to stage: adoption); `instance_ctx`, `drain_of`, `stage_drain`, `park_stuck`, `assert_settled` |
 //! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, and what an attempt that ends with no outcome stages: the bounded retry or `Failed` | `Dispatcher` (scheduler loads, cost model, ready queue), `Flights` (per instance: one record per task with outstanding work, its watchdog and a delayed attempt's timer each a [`TimerId`], cancelled with the record) | staging: `stage_lost` (error report, time-out), `stage_failure`, `stage_launch` (the next attempt, now or after a delay); publishing: `ship` (an attempt, under what its step staged), `dispatch` (a staged attempt whose delay or park is over), `dispatch_after`, `lose_flight`, `clear_watch`, `discard_flights` (subtree sweep, forced outcome, failure), `fail_unplaceable`; timers: `on_watchdog` ([`Timer::Watchdog`]), `on_dispatch_timer` ([`Timer::Dispatch`]); `drain_parked`, `executing`; `Flights::outstanding` (stuck detection), `replan` (a reconfiguration's new plan, its books re-keyed), `rearm_adopted` (adoption), `Dispatcher::{release_all, reset}` (hand-off, recovery), `executor_loads` |
 //! | `admission` | the per-shard instance cap on the start RPC, and the start's repository fetch | `Admission`, `AdmissionTicket` (the fetch's [`Call::Fetch`]) | `admit_or_queue`, `admit_from_queue`, `on_fetched`, `Admission::{instance_live, instance_settled}` |
@@ -244,8 +244,8 @@ pub struct Coordinator {
     /// threshold check works off the delta (see
     /// [`Coordinator::maybe_checkpoint`]).
     commits_at_checkpoint: u64,
-    /// The open commit window: buffered executor reports, the flush
-    /// timer flag and batch ids.
+    /// The open commit window: buffered executor reports, the armed
+    /// flush timer and batch ids.
     window: BatchWindow,
     /// The `coord.*` and `sched.*` metrics (the [`TxManager`] owns the
     /// `tx.*` and `wal.*` ones). Like the recorder, they survive
@@ -686,7 +686,7 @@ compoundtask root of taskclass Root {
     }
 
     /// A shard needs no world to run: fed a start, the repository's
-    /// answer, an executor's report and its window's timer by hand, it
+    /// answer and an executor's report by hand, it
     /// answers each with exactly the outputs a driver would carry out.
     #[test]
     fn a_shard_runs_on_inputs_alone() {
@@ -766,8 +766,9 @@ compoundtask root of taskclass Root {
             Output::Reply { bytes, .. } if decoded(&bytes) == EngineMsg::Ack { result: Ok(()) }
         ));
 
-        // The executor's report waits in the commit window, whose timer
-        // it arms.
+        // The executor's report is the only one the shard awaits: it
+        // commits on arrival, the instance with it, and all the world
+        // hears of it is the watchdog cancelled.
         let done = EngineMsg::Done(TaskDone {
             instance: "i".into(),
             path,
@@ -786,17 +787,6 @@ compoundtask root of taskclass Root {
             token: None,
         };
         let outputs = shard.handle(at(20), message);
-        assert!(matches!(
-            &outputs[..],
-            [Output::Arm {
-                timer: Timer::Window,
-                ..
-            }]
-        ));
-
-        // The window's timer: the report commits, the instance with it,
-        // and all the world hears of it is the watchdog cancelled.
-        let outputs = shard.handle(at(30), Input::Fired(Timer::Window));
         assert!(matches!(&outputs[..], [Output::Cancel(id)] if *id == watchdog));
         match shard.status("i") {
             Ok(InstanceStatus::Completed(outcome)) => {

@@ -1,7 +1,11 @@
 //! The commit window — the one place an executor report is applied.
 //!
-//! `Done`/`Mark` reports buffer in [`BatchWindow`] until the count or
-//! the timer trigger fires, then `commit_window` applies the whole
+//! `Done`/`Mark` reports buffer in [`BatchWindow`] until one of three
+//! triggers fires: `max_events` reports, the `max_window` timer, or —
+//! decided exactly — every report the shard awaits is in (its buffered
+//! `Done`s at least its charged dispatches on the wire, so no report
+//! that could join is on its way). A flush that is not the timer's own
+//! cancels the armed timer. Then `commit_window` applies the whole
 //! window as one step: `stage_event` validates each report, in arrival
 //! order, against its control block and stages what it means — an
 //! outcome's transition and fact, a mark, an execution error's attempt
@@ -23,6 +27,7 @@ use flowscript_sim::SimDuration;
 use super::evaluate::Drain;
 use super::step::{Effect, Step};
 use super::{CommitBatch, Coordinator, Timer};
+use crate::driver::TimerId;
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::out_key;
@@ -62,7 +67,7 @@ impl From<PendingEvent> for EngineMsg {
 /// What the window asks of its owner after buffering a report.
 #[derive(Debug, PartialEq, Eq)]
 enum Next {
-    /// The count trigger fired: flush now.
+    /// The count or the awaited trigger fired: flush now.
     Flush,
     /// First report of a window: arm the one-shot flush timer.
     Arm(SimDuration),
@@ -77,8 +82,10 @@ enum Next {
 pub(super) struct BatchWindow {
     /// Buffered reports, in arrival order.
     pending: Vec<PendingEvent>,
-    /// Whether a flush timer is outstanding.
-    armed: bool,
+    /// How many of `pending` are `Done` reports.
+    done: u32,
+    /// The outstanding flush timer, if one is armed.
+    timer: Option<TimerId>,
     /// Next batch id (per-shard; trace events carry it so coalesced
     /// completions are visible in `WorkflowSystem::trace`).
     batch_seq: u64,
@@ -87,27 +94,39 @@ pub(super) struct BatchWindow {
 }
 
 impl BatchWindow {
-    /// Buffers one report. The first report of a window arms a
-    /// one-shot timer so a lone report still commits within the window;
-    /// reaching `max_events` flushes at once, and so does a zero
-    /// `max_window` — no time to wait is a window of one.
-    fn push(&mut self, event: PendingEvent, batch: &CommitBatch) -> Next {
+    /// Buffers one report, with `in_flight` the dispatches the shard has
+    /// charged and not released. Flushes at once when the buffered
+    /// `Done`s are at least `in_flight` — every awaited report is in —
+    /// on reaching `max_events`, and on a zero `max_window`: no time to
+    /// wait is a window of one. Otherwise the first report of a window
+    /// arms a one-shot timer, so a report whose siblings are still out
+    /// commits within the window.
+    fn push(&mut self, event: PendingEvent, batch: &CommitBatch, in_flight: u32) -> Next {
+        self.done += u32::from(matches!(event, PendingEvent::Done(_)));
         self.pending.push(event);
-        if self.pending.len() >= batch.max_events || batch.max_window == SimDuration::ZERO {
+        if self.done >= in_flight
+            || self.pending.len() >= batch.max_events
+            || batch.max_window == SimDuration::ZERO
+        {
             Next::Flush
-        } else if self.armed {
+        } else if self.timer.is_some() {
             Next::Wait
         } else {
-            self.armed = true;
             Next::Arm(batch.max_window)
         }
     }
 
-    /// The flush timer fired: whether anything is left to flush (the
-    /// stale timer of a window the count trigger already flushed finds
-    /// an empty buffer).
+    /// The reports to flush, and the armed timer to cancel if the flush
+    /// is not its own.
+    fn take(&mut self) -> (Vec<PendingEvent>, Option<TimerId>) {
+        self.done = 0;
+        (std::mem::take(&mut self.pending), self.timer.take())
+    }
+
+    /// The flush timer fired: whether anything is left to flush (a
+    /// restart's reset window finds none).
     fn timer_fired(&mut self) -> bool {
-        self.armed = false;
+        self.timer = None;
         !self.pending.is_empty()
     }
 
@@ -300,14 +319,25 @@ impl Coordinator {
     }
 
     /// Buffers an executor report into the open window, flushing when
-    /// the count trigger fires and arming the flush timer on the first
-    /// report of a window.
+    /// the count or the awaited trigger fires and arming the flush timer
+    /// on the first report of a window.
     pub(super) fn enqueue_event(&mut self, event: PendingEvent) {
-        match self.window.push(event, &self.config.commit_batch) {
+        let in_flight = self.dispatcher.in_flight();
+        match self
+            .window
+            .push(event, &self.config.commit_batch, in_flight)
+        {
             Next::Flush => self.flush_pending(),
-            Next::Arm(window) => _ = self.arm(window, Timer::Window),
+            Next::Arm(window) => self.window.timer = Some(self.arm(window, Timer::Window)),
             Next::Wait => {}
         }
+    }
+
+    /// Whether the commit window's flush timer is armed (the shared test
+    /// harness asserts none is once the world is quiescent).
+    #[doc(hidden)]
+    pub fn window_armed(&self) -> bool {
+        self.window.timer.is_some()
     }
 
     /// The flush timer elapsed ([`Timer::Window`]): flush whatever
@@ -318,12 +348,14 @@ impl Coordinator {
         }
     }
 
-    /// Commits the open window immediately, if it holds any reports.
-    /// Admin entry points (reconfiguration, operator abort, fact
-    /// repair) and hand-off collection call this first so their reads
-    /// and cascades see every report that already arrived.
+    /// Commits the open window immediately, if it holds any reports,
+    /// cancelling its timer unless that is what fired. Admin entry
+    /// points (reconfiguration, operator abort, fact repair) and
+    /// hand-off collection call this first so their reads and cascades
+    /// see every report that already arrived.
     pub(super) fn flush_pending(&mut self) {
-        let events = std::mem::take(&mut self.window.pending);
+        let (events, timer) = self.window.take();
+        self.cancel(timer);
         if events.is_empty() {
             return;
         }
@@ -423,9 +455,16 @@ mod tests {
     use flowscript_tx::storage::FlakyStorage;
     use flowscript_tx::{FactKey, Shared, StableStore, StoreKey};
 
+    use flowscript_sim::{NodeId, ReplyToken, SimTime};
+    use flowscript_tx::{SharedStorage, Wal};
+
     use super::*;
     use crate::api::WorkflowSystem;
-    use crate::coordinator::EngineConfig;
+    use crate::coordinator::{EngineConfig, Input, Output};
+    use crate::driver::Node;
+    use crate::msg::StartTask;
+    use crate::sched::ExecutorSpec;
+    use crate::shard::ShardMap;
     use crate::{InstanceStatus, ObserveLevel, TaskBehavior};
 
     fn report() -> PendingEvent {
@@ -440,21 +479,23 @@ mod tests {
     }
 
     #[test]
-    fn count_trigger_flushes_and_leaves_the_stale_timer_a_no_op() {
+    fn a_report_after_a_count_flush_gets_a_full_window() {
         let max_window = SimDuration::from_millis(1);
         let config = CommitBatch {
             max_events: 3,
             max_window,
         };
+        // Marks, and eight dispatches out: no report the shard awaits.
         let mut window = BatchWindow::default();
-        assert_eq!(window.push(report(), &config), Next::Arm(max_window));
-        assert_eq!(window.push(report(), &config), Next::Wait);
-        assert_eq!(window.push(report(), &config), Next::Flush);
-        assert_eq!(std::mem::take(&mut window.pending).len(), 3);
-        // The timer armed by the first report fires on the empty buffer.
-        assert!(!window.timer_fired());
-        // A window the timer does find reports in flushes, once.
-        assert_eq!(window.push(report(), &config), Next::Arm(max_window));
+        assert_eq!(window.push(report(), &config, 8), Next::Arm(max_window));
+        window.timer = Some(TimerId(0));
+        assert_eq!(window.push(report(), &config, 8), Next::Wait);
+        assert_eq!(window.push(report(), &config, 8), Next::Flush);
+        // The count trigger's flush takes the armed timer, to cancel it.
+        let (flushed, timer) = window.take();
+        assert_eq!((flushed.len(), timer), (3, Some(TimerId(0))));
+        // A fourth report opens a window of its own, timer and all.
+        assert_eq!(window.push(report(), &config, 8), Next::Arm(max_window));
         assert!(window.timer_fired());
     }
 
@@ -465,11 +506,257 @@ mod tests {
         for config in [CommitBatch::disabled(), zero_window] {
             let mut window = BatchWindow::default();
             for _ in 0..3 {
-                assert_eq!(window.push(report(), &config), Next::Flush);
-                assert!(!window.armed);
-                window.pending.clear();
+                assert_eq!(window.push(report(), &config, 8), Next::Flush);
+                assert!(window.timer.is_none());
+                window.take();
             }
         }
+    }
+
+    /// Two sibling leaves `a` and `b` under the root, each of which may
+    /// emit the mark `early` before its outcome, and `c`, the join of
+    /// their outcomes.
+    const SIBLINGS: &str = r#"
+class Message;
+
+taskclass Leaf {
+    inputs { input main { seed of class Message } };
+    outputs {
+        outcome done { seed of class Message };
+        mark early { seed of class Message }
+    }
+}
+
+taskclass Join {
+    inputs { input main { left of class Message; right of class Message } };
+    outputs { outcome done { seed of class Message } }
+}
+
+taskclass Root {
+    inputs { input main { seed of class Message } };
+    outputs { outcome done { result of class Message } }
+}
+
+compoundtask root of taskclass Root {
+    task a of taskclass Leaf {
+        implementation { "code" is "refA" };
+        inputs {
+            input main { inputobject seed from { seed of task root if input main } }
+        }
+    };
+    task b of taskclass Leaf {
+        implementation { "code" is "refB" };
+        inputs {
+            input main { inputobject seed from { seed of task root if input main } }
+        }
+    };
+    task c of taskclass Join {
+        implementation { "code" is "refC" };
+        inputs {
+            input main {
+                inputobject left from { seed of task a if output done };
+                inputobject right from { seed of task b if output done }
+            }
+        }
+    };
+    outputs {
+        outcome done { outputobject result from { seed of task c if output done } }
+    }
+}
+"#;
+
+    /// A shard fed by hand, with the default window: `SIBLINGS` served
+    /// by the repository, one unbounded executor.
+    struct ByHand {
+        shard: Coordinator,
+        repo: NodeId,
+        executor: NodeId,
+        now: SimTime,
+    }
+
+    impl ByHand {
+        fn new() -> Self {
+            let [repo, here, executor] = [0, 1, 2].map(NodeId::from_index);
+            let shard = Coordinator::open(
+                here,
+                repo,
+                vec![ExecutorSpec::unbounded(executor)],
+                EngineConfig::default(),
+                SharedStorage::new(),
+                ShardMap::new(vec![here]),
+            );
+            ByHand {
+                shard: shard.expect("empty storage opens"),
+                repo,
+                executor,
+                now: SimTime::ZERO,
+            }
+        }
+
+        fn input(&mut self, after_ms: u64, input: Input<'_>) -> Vec<Output> {
+            self.now += SimDuration::from_millis(after_ms);
+            self.shard.handle(self.now, input)
+        }
+
+        /// The executor's `msg`, a millisecond on.
+        fn report(&mut self, msg: &EngineMsg) -> Vec<Output> {
+            let payload = &flowscript_codec::to_bytes(msg);
+            let from = self.executor;
+            let token = None;
+            self.input(
+                1,
+                Input::Message {
+                    from,
+                    payload,
+                    token,
+                },
+            )
+        }
+
+        /// Starts `instance`, the repository answering: what it
+        /// dispatched.
+        fn start(&mut self, instance: &str) -> Vec<StartTask> {
+            let start = EngineMsg::StartInstance {
+                instance: instance.into(),
+                script: "siblings".into(),
+                version: None,
+                set: "main".into(),
+                inputs: BTreeMap::from([("seed".to_string(), seed())]),
+            };
+            let payload = &flowscript_codec::to_bytes(&start);
+            let from = NodeId::from_index(3);
+            let token = Some(ReplyToken::new(self.shard.node, from, 0));
+            let mut outputs = self.input(
+                1,
+                Input::Message {
+                    from,
+                    payload,
+                    token,
+                },
+            );
+            while let Some(call) = outputs
+                .iter()
+                .position(|o| matches!(o, Output::Call { .. }))
+            {
+                let Output::Call { to, call, .. } = outputs.swap_remove(call) else {
+                    unreachable!();
+                };
+                assert_eq!(to, self.repo);
+                let answer = EngineMsg::RepoReply {
+                    result: Ok(1),
+                    source: SIBLINGS.into(),
+                    root: "root".into(),
+                };
+                let answer = Ok(flowscript_codec::to_bytes(&answer));
+                outputs.extend(self.input(1, Input::Answered(call, answer)));
+            }
+            sent(&outputs)
+        }
+
+        fn frames(&self) -> usize {
+            Wal::new(self.shard.storage.clone())
+                .scan()
+                .expect("scans")
+                .len()
+        }
+
+        fn state(&mut self, instance: &str, task: &str) -> CbState {
+            self.shard.task_states(instance)[&format!("root/{task}")].clone()
+        }
+    }
+
+    fn seed() -> ObjectVal {
+        ObjectVal::text("Message", "s")
+    }
+
+    /// The attempts `outputs` dispatched.
+    fn sent(outputs: &[Output]) -> Vec<StartTask> {
+        let starts = outputs.iter().filter_map(|output| match output {
+            Output::Send { bytes, .. } => match flowscript_codec::from_bytes(bytes) {
+                Ok(EngineMsg::Start(task)) => Some(task),
+                _ => None,
+            },
+            _ => None,
+        });
+        starts.collect()
+    }
+
+    fn done(task: &StartTask) -> EngineMsg {
+        EngineMsg::Done(TaskDone {
+            instance: task.instance.clone(),
+            path: task.path.clone(),
+            incarnation: task.incarnation,
+            attempt: task.attempt,
+            result: TaskResult::Output {
+                name: "done".into(),
+                objects: BTreeMap::from([("seed".to_string(), seed())]),
+                redo_after: SimDuration::ZERO,
+            },
+        })
+    }
+
+    /// The window timer `outputs` armed, if any.
+    fn window_timer(outputs: &[Output]) -> Option<TimerId> {
+        outputs.iter().find_map(|output| match output {
+            Output::Arm {
+                id,
+                timer: Timer::Window,
+                ..
+            } => Some(*id),
+            _ => None,
+        })
+    }
+
+    /// Both siblings out: the first report arms the window's timer, and
+    /// the second — the last the shard awaits — flushes the two as one
+    /// frame and cancels it. The join's report, awaited alone, commits
+    /// on arrival and arms nothing.
+    #[test]
+    fn a_window_closes_once_every_awaited_report_is_in() {
+        let mut fed = ByHand::new();
+        let [a, b] = <[StartTask; 2]>::try_from(fed.start("i")).unwrap();
+        let frames = fed.frames();
+        let outputs = fed.report(&done(&a));
+        let timer = window_timer(&outputs);
+        assert!(timer.is_some() && outputs.len() == 1, "{outputs:?}");
+        let outputs = fed.report(&done(&b));
+        assert!(outputs
+            .iter()
+            .any(|o| matches!(o, Output::Cancel(id) if Some(*id) == timer)));
+        assert!(!fed.shard.window_armed());
+        assert_eq!(fed.frames(), frames + 1, "one frame for both");
+        let [c] = <[StartTask; 1]>::try_from(sent(&outputs)).unwrap();
+
+        let outputs = fed.report(&done(&c));
+        assert_eq!(window_timer(&outputs), None);
+        assert!(!fed.shard.window_armed());
+        assert_eq!(fed.frames(), frames + 2);
+        let status = fed.shard.status("i").unwrap();
+        assert!(matches!(status, InstanceStatus::Completed(_)), "{status:?}");
+    }
+
+    /// A mark is no report the shard awaits: `a`'s mark and `b`'s outcome,
+    /// while `a` still runs, wait out the window together.
+    #[test]
+    fn a_mark_never_stands_in_for_a_done() {
+        let mut fed = ByHand::new();
+        let [a, b] = <[StartTask; 2]>::try_from(fed.start("i")).unwrap();
+        let frames = fed.frames();
+        let mark = EngineMsg::Mark(MarkMsg {
+            instance: a.instance.clone(),
+            path: a.path.clone(),
+            incarnation: a.incarnation,
+            attempt: a.attempt,
+            mark: "early".into(),
+            objects: BTreeMap::from([("seed".to_string(), seed())]),
+        });
+        assert!(window_timer(&fed.report(&mark)).is_some());
+        assert!(fed.report(&done(&b)).is_empty(), "waits for `a`");
+        assert_eq!(fed.frames(), frames);
+        fed.input(1, Input::Fired(Timer::Window));
+        assert_eq!(fed.frames(), frames + 1, "one frame for both");
+        assert!(matches!(fed.state("i", "a"), CbState::Executing { .. }));
+        assert!(matches!(fed.state("i", "b"), CbState::Done { .. }));
     }
 
     /// Three `QUICKSTART` pipelines `i1`–`i3` on one shard over

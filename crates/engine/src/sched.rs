@@ -287,6 +287,9 @@ pub struct Placement {
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     slots: Vec<ExecutorSlot>,
+    /// The sum of every slot's `in_flight`: the dispatches whose
+    /// reports this shard still awaits.
+    in_flight: u32,
 }
 
 impl Scheduler {
@@ -307,6 +310,7 @@ impl Scheduler {
                     remaining: 0,
                 })
                 .collect(),
+            in_flight: 0,
         }
     }
 
@@ -403,6 +407,7 @@ impl Scheduler {
         if let Some(slot) = self.slots.iter_mut().find(|slot| slot.node == node) {
             slot.in_flight += 1;
             slot.remaining = slot.remaining.saturating_add(cost);
+            self.in_flight += 1;
         }
     }
 
@@ -411,7 +416,10 @@ impl Scheduler {
     /// charged at.
     pub fn note_release(&mut self, node: NodeId, cost: u64) {
         if let Some(slot) = self.slots.iter_mut().find(|slot| slot.node == node) {
-            slot.in_flight = slot.in_flight.saturating_sub(1);
+            if slot.in_flight > 0 {
+                slot.in_flight -= 1;
+                self.in_flight -= 1;
+            }
             slot.remaining = slot.remaining.saturating_sub(cost);
         }
     }
@@ -423,6 +431,13 @@ impl Scheduler {
             slot.in_flight = 0;
             slot.remaining = 0;
         }
+        self.in_flight = 0;
+    }
+
+    /// The dispatches in flight over every executor: the sum of the
+    /// slots' `in_flight`, kept as they change.
+    pub fn in_flight(&self) -> u32 {
+        self.in_flight
     }
 
     /// The current per-executor view (monitoring / tests).
@@ -780,10 +795,14 @@ mod tests {
         let ids = nodes(2);
         let mut sched = Scheduler::new(unbounded(&ids), SchedPolicy::LeastLoaded);
         sched.note_release(ids[0], 1);
-        assert_eq!(sched.load_of(ids[0]), 0);
+        assert_eq!((sched.load_of(ids[0]), sched.in_flight()), (0, 0));
         sched.note_dispatch(ids[0], 1);
         sched.note_dispatch(ids[1], 1);
+        // A node the scheduler does not know charges nothing.
+        sched.note_dispatch(nodes(3)[2], 1);
+        assert_eq!(sched.in_flight(), 2, "the slots' sum");
         sched.reset_loads();
         assert!(sched.snapshot().iter().all(|slot| slot.in_flight == 0));
+        assert_eq!(sched.in_flight(), 0);
     }
 }

@@ -21,7 +21,8 @@ use common::{
 };
 use flowscript_core::samples;
 use flowscript_engine::{
-    CbState, CommitBatch, EngineConfig, InstanceStatus, ObsEventKind, ObserveLevel, WorkflowSystem,
+    CbState, CommitBatch, EngineConfig, InstanceStatus, ObsEventKind, ObserveLevel, TaskBehavior,
+    WorkflowSystem,
 };
 use flowscript_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -174,6 +175,26 @@ fn crash_mid_window_loses_the_batch_as_a_unit_and_recovers() {
         max_window: SimDuration::from_secs(5),
     };
     let mut sys = build(1, arm_config(window));
+    // A sibling's dispatch, 300 ms of work, is still out at the crash:
+    // the window closes once every report the shard awaits is in, so
+    // without one the order's reports would each commit on arrival.
+    sys.register_script("sibling", samples::QUICKSTART, "pipeline")
+        .unwrap();
+    sys.bind_fn("refProduce", |_| {
+        TaskBehavior::outcome("produced")
+            .with_work(SimDuration::from_millis(300))
+            .with_object("message", text("Message", "m"))
+    });
+    sys.bind_fn("refConsume", |_| {
+        TaskBehavior::outcome("consumed").with_object("result", text("Message", "r"))
+    });
+    sys.start(
+        "sibling",
+        "sibling",
+        "main",
+        [("seed", text("Message", "s"))],
+    )
+    .unwrap();
     sys.start(
         "crash-order",
         "order",
@@ -183,6 +204,10 @@ fn crash_mid_window_loses_the_batch_as_a_unit_and_recovers() {
     .unwrap();
     // Pause mid-window: completions have reported, nothing flushed.
     sys.run_until(SimTime::from_nanos(200 * 1_000_000));
+    assert!(
+        sys.coord_handle(0).get().window_armed(),
+        "the window is open"
+    );
     let states = sys.task_states("crash-order");
     assert!(
         !states.is_empty(),

@@ -473,7 +473,8 @@ pub type Fingerprint = (
 /// The books balance: a shard that is serving (up, unfenced) and whose
 /// every resident instance is terminal holds no executor load and no
 /// parked dispatch; and once the world has no event left, no serving
-/// shard holds a timer that neither went off nor was cancelled. Every
+/// shard holds a timer that neither went off nor was cancelled, nor a
+/// commit window that thinks its timer is armed. Every
 /// suite runs this through [`fingerprint`].
 pub fn assert_books_balance(sys: &WorkflowSystem) {
     for shard in sys.serving_shards() {
@@ -483,6 +484,10 @@ pub fn assert_books_balance(sys: &WorkflowSystem) {
             assert_eq!(
                 armed, 0,
                 "shard {shard}: {armed} timers leaked past quiescence"
+            );
+            assert!(
+                !coord.get().window_armed(),
+                "shard {shard}: a commit window's timer is armed past quiescence"
             );
         }
         let terminal = |name: &String| {
