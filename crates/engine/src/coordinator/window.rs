@@ -123,13 +123,6 @@ impl BatchWindow {
         (std::mem::take(&mut self.pending), self.timer.take())
     }
 
-    /// The flush timer fired: whether anything is left to flush (a
-    /// restart's reset window finds none).
-    fn timer_fired(&mut self) -> bool {
-        self.timer = None;
-        !self.pending.is_empty()
-    }
-
     /// Whether the completion of exactly this dispatch is buffered —
     /// its transition just hasn't committed yet, and the watchdog must
     /// not turn a report-in-flight into a spurious retry.
@@ -343,9 +336,8 @@ impl Coordinator {
     /// The flush timer elapsed ([`Timer::Window`]): flush whatever
     /// accumulated.
     pub(super) fn on_batch_window(&mut self) {
-        if self.window.timer_fired() {
-            self.flush_pending();
-        }
+        self.window.timer = None; // it went off
+        self.flush_pending();
     }
 
     /// Commits the open window immediately, if it holds any reports,
@@ -496,7 +488,6 @@ mod tests {
         assert_eq!((flushed.len(), timer), (3, Some(TimerId(0))));
         // A fourth report opens a window of its own, timer and all.
         assert_eq!(window.push(report(), &config, 8), Next::Arm(max_window));
-        assert!(window.timer_fired());
     }
 
     #[test]

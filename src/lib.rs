@@ -64,6 +64,12 @@ pub mod prelude {
     pub use flowscript_sim::{FaultAction, FaultPlan, SimDuration, SimTime};
 }
 
+/// README.md's Rust blocks, compiled and run as doctests: its quick
+/// start is checked the way this crate's own is.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 #[cfg(test)]
 mod tests {
     #[test]
