@@ -382,9 +382,32 @@ impl<S: Storage> Wal<S> {
     ///
     /// As for [`Wal::scan`].
     pub fn scan_from(&self, offset: u64) -> Result<Vec<LogRecord>, TxError> {
+        Ok(self.read_from(offset)?.0)
+    }
+
+    /// Reads every record, as [`Wal::scan`] does, and cuts a torn final
+    /// frame off the storage, so the next append lands on a frame
+    /// boundary. Recovery reads the log this way: a torn frame left in
+    /// place would have its length run into the next frame appended
+    /// behind it, and the reopen after that would find the log corrupt.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Wal::scan`].
+    pub fn recover(&mut self) -> Result<Vec<LogRecord>, TxError> {
+        let (records, end) = self.read_from(0)?;
+        if end < self.storage.len() {
+            self.storage.truncate(end)?;
+        }
+        Ok(records)
+    }
+
+    /// The records of the whole frames at or after `offset`, and the
+    /// byte offset where the last of them ends.
+    fn read_from(&self, offset: u64) -> Result<(Vec<LogRecord>, u64), TxError> {
         let bytes = self.storage.read_all()?;
         if offset as usize >= bytes.len() {
-            return Ok(Vec::new());
+            return Ok((Vec::new(), bytes.len() as u64));
         }
         let mut reader = FrameReader::new(&bytes[offset as usize..]);
         let (frames, _torn) = reader.read_all_tolerant()?;
@@ -392,7 +415,7 @@ impl<S: Storage> Wal<S> {
         for payload in frames {
             records.push(flowscript_codec::from_bytes::<LogRecord>(payload)?);
         }
-        Ok(records)
+        Ok((records, offset + reader.position() as u64))
     }
 
     /// Replaces the entire log with a checkpoint of `states` and the

@@ -172,18 +172,20 @@ impl TxManager<SharedStorage> {
 
 impl<S: Storage> TxManager<S> {
     /// Opens a manager over `storage`, replaying any existing log
-    /// (recovery). An empty log yields an empty store.
+    /// (recovery) and cutting off a torn final frame. An empty log
+    /// yields an empty store.
     ///
     /// # Errors
     ///
     /// [`TxError::Corrupt`] if the log is damaged beyond a torn tail,
     /// [`TxError::Storage`] on I/O failure.
     pub fn open(node: u32, storage: S) -> Result<Self, TxError> {
-        let wal = Wal::new(storage);
+        let mut wal = Wal::new(storage);
         let mut store = BTreeMap::new();
         let mut fence: Option<(u32, u64)> = None;
         let mut next_seq = 1u64;
-        for record in wal.scan()? {
+        // A torn tail is cut off here, before anything appends behind it.
+        for record in wal.recover()? {
             match record {
                 LogRecord::GroupCommit { .. } => {
                     // Nothing writes a group frame any more.
@@ -796,6 +798,35 @@ mod tests {
         );
         assert_eq!(mgr.read_committed_key::<u8>(&key("y")).unwrap(), None);
         assert_eq!(mgr.read_committed_key::<u8>(&key("z")).unwrap(), None);
+    }
+
+    /// A torn tail is cut off at recovery, not only skipped: a commit
+    /// appended behind the torn bytes would have the torn frame's length
+    /// run into it, and the reopen after that commit would fail.
+    #[test]
+    fn a_torn_tail_is_cut_off_before_the_next_commit() {
+        let commit = |mgr: &mut TxManager, name: &str| {
+            let a = mgr.begin();
+            mgr.write_key(&a, &key(name), &1u8).unwrap();
+            mgr.commit(a).unwrap();
+        };
+        let stable = SharedStorage::new();
+        {
+            let mut mgr = TxManager::open(0, stable.clone()).unwrap();
+            commit(&mut mgr, "a");
+            commit(&mut mgr, "b");
+        }
+        let mut torn = stable.clone();
+        torn.truncate(torn.len() - 2).unwrap();
+        let mut mgr = TxManager::open(0, stable.clone()).unwrap();
+        assert!(mgr.exists_key(&key("a")));
+        assert!(!mgr.exists_key(&key("b")), "the torn commit is dropped");
+        commit(&mut mgr, "c");
+        drop(mgr);
+        let mgr = TxManager::open(0, stable).unwrap();
+        assert!(mgr.exists_key(&key("a")) && mgr.exists_key(&key("c")));
+        assert!(!mgr.exists_key(&key("b")));
+        assert_eq!(mgr.object_count(), 2);
     }
 
     #[test]
