@@ -35,9 +35,9 @@ pub enum CodecError {
         /// Count of bytes left over.
         remaining: usize,
     },
-    /// A frame's magic bytes did not match [`crate::FRAME_MAGIC`].
+    /// A log's magic bytes did not match its format's.
     BadMagic([u8; 4]),
-    /// A frame declared an unsupported format version.
+    /// A log declared a format version this build does not read.
     UnsupportedVersion(u16),
     /// A frame's checksum did not match its payload.
     ChecksumMismatch {
@@ -69,8 +69,8 @@ impl fmt::Display for CodecError {
             CodecError::TrailingBytes { remaining } => {
                 write!(f, "{remaining} unconsumed bytes after value")
             }
-            CodecError::BadMagic(m) => write!(f, "bad frame magic {m:02x?}"),
-            CodecError::UnsupportedVersion(v) => write!(f, "unsupported frame version {v}"),
+            CodecError::BadMagic(m) => write!(f, "bad log magic {m:02x?}"),
+            CodecError::UnsupportedVersion(v) => write!(f, "unsupported log version {v}"),
             CodecError::ChecksumMismatch { stored, computed } => write!(
                 f,
                 "checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"

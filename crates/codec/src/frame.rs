@@ -4,30 +4,36 @@
 //! corruption and torn writes:
 //!
 //! ```text
-//! +-------+---------+-----------+--------------+----------+
-//! | magic | version | len (u32) | crc32 (u32)  | payload  |
-//! | 4B    | u16     | 4B        | of payload   | len B    |
-//! +-------+---------+-----------+--------------+----------+
+//! +--------------+-----------------------+----------+
+//! | len (varint) | crc32 (u32 LE)        | payload  |
+//! | 1-4 B        | of len bytes, payload | len B    |
+//! +--------------+-----------------------+----------+
 //! ```
+//!
+//! The length is a LEB128 varint, as [`ByteWriter::put_var_u64`] writes
+//! one: a payload under 128 B costs a 5 B frame header, one under
+//! 16 KiB 6 B. The checksum covers the length's bytes too, so a flipped
+//! length is caught like a flipped payload byte. A frame names no
+//! format: the write-ahead log states its magic and version once, at
+//! its front.
 //!
 //! The write-ahead log appends frames; on recovery, a truncated or
 //! corrupt tail frame terminates the scan cleanly (see
 //! [`FrameReader::read_frame`]).
 
-use crate::crc::crc32;
+use crate::crc::Crc32;
 use crate::error::CodecError;
+use crate::reader::ByteReader;
 use crate::writer::ByteWriter;
-
-/// Magic bytes opening every frame.
-pub const FRAME_MAGIC: [u8; 4] = *b"FSRC";
-
-/// Current frame format version.
-pub const FRAME_VERSION: u16 = 1;
 
 /// Maximum payload a frame may carry (64 MiB).
 pub const MAX_FRAME_PAYLOAD: u32 = 64 * 1024 * 1024;
 
-const HEADER_LEN: usize = 4 + 2 + 4 + 4;
+/// The longest length varint: [`MAX_FRAME_PAYLOAD`] is 2^26, 27 bits.
+const MAX_VARINT_LEN: usize = 4;
+
+/// The longest frame header: the longest length, then the checksum.
+const MAX_HEADER_LEN: usize = MAX_VARINT_LEN + 4;
 
 /// Serialises payloads into framed records on an in-memory buffer.
 ///
@@ -98,13 +104,37 @@ fn checked_len(len: usize) -> Result<u32, CodecError> {
     }
 }
 
-fn header(len: u32, crc: u32) -> [u8; HEADER_LEN] {
-    let mut header = [0u8; HEADER_LEN];
-    header[0..4].copy_from_slice(&FRAME_MAGIC);
-    header[4..6].copy_from_slice(&FRAME_VERSION.to_le_bytes());
-    header[6..10].copy_from_slice(&len.to_le_bytes());
-    header[10..14].copy_from_slice(&crc.to_le_bytes());
-    header
+/// `len` as a LEB128 varint: the first `n` bytes of the array, `n`
+/// returned beside it.
+fn varint(mut len: u32) -> ([u8; MAX_VARINT_LEN], usize) {
+    let mut bytes = [0u8; MAX_VARINT_LEN];
+    let mut n = 0;
+    while len >= 0x80 {
+        bytes[n] = (len as u8) | 0x80;
+        len >>= 7;
+        n += 1;
+    }
+    bytes[n] = len as u8;
+    (bytes, n + 1)
+}
+
+/// The checksum a frame stores: over its length's bytes, then its
+/// payload.
+fn checksum(len: &[u8], payload: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(len);
+    crc.update(payload);
+    crc.finish()
+}
+
+/// The header of a frame around `payload`: the first `n` bytes of the
+/// array, `n` returned beside it.
+fn header(len: u32, payload: &[u8]) -> ([u8; MAX_HEADER_LEN], usize) {
+    let (length, n) = varint(len);
+    let mut header = [0u8; MAX_HEADER_LEN];
+    header[..n].copy_from_slice(&length[..n]);
+    header[n..n + 4].copy_from_slice(&checksum(&length[..n], payload).to_le_bytes());
+    (header, n + 4)
 }
 
 /// Encodes a single frame around `payload`, appending to `out`.
@@ -114,17 +144,17 @@ fn header(len: u32, crc: u32) -> [u8; HEADER_LEN] {
 /// [`CodecError::LengthOverflow`] if the payload exceeds
 /// [`MAX_FRAME_PAYLOAD`].
 pub fn encode_frame_into(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), CodecError> {
-    let len = checked_len(payload.len())?;
-    out.extend_from_slice(&header(len, crc32(payload)));
+    let (header, n) = header(checked_len(payload.len())?, payload);
+    out.extend_from_slice(&header[..n]);
     out.extend_from_slice(payload);
     Ok(())
 }
 
 /// Builds a single frame in place at the end of `w`: reserves the
-/// header, lets `fill` encode the payload straight behind it, then
-/// patches the length and checksum in — the payload is written once and
-/// never copied. The bytes appended equal [`encode_frame`] of the
-/// payload `fill` wrote.
+/// longest header, lets `fill` encode the payload straight behind it,
+/// then writes the header against the payload and shifts the payload
+/// down once over what the header did not use. The bytes appended equal
+/// [`encode_frame`] of the payload `fill` wrote.
 ///
 /// # Errors
 ///
@@ -135,13 +165,15 @@ pub fn encode_frame_with(
     fill: impl FnOnce(&mut ByteWriter),
 ) -> Result<(), CodecError> {
     let start = w.buf.len();
-    w.buf.extend_from_slice(&[0u8; HEADER_LEN]);
+    w.buf.extend_from_slice(&[0u8; MAX_HEADER_LEN]);
     fill(w);
-    let body = start + HEADER_LEN;
+    let body = start + MAX_HEADER_LEN;
     match checked_len(w.buf.len() - body) {
         Ok(len) => {
-            let crc = crc32(&w.buf[body..]);
-            w.buf[start..body].copy_from_slice(&header(len, crc));
+            let (header, n) = header(len, &w.buf[body..]);
+            let gap = MAX_HEADER_LEN - n;
+            w.buf[start + gap..body].copy_from_slice(&header[..n]);
+            w.buf.drain(start..start + gap);
             Ok(())
         }
         Err(err) => {
@@ -153,7 +185,7 @@ pub fn encode_frame_with(
 
 /// Encodes a single frame around `payload` into a fresh vector.
 pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    let mut out = Vec::with_capacity(MAX_HEADER_LEN + payload.len());
     encode_frame_into(&mut out, payload)?;
     Ok(out)
 }
@@ -185,44 +217,37 @@ impl<'a> FrameReader<'a> {
     ///
     /// # Errors
     ///
-    /// [`CodecError::BadMagic`], [`CodecError::UnsupportedVersion`],
-    /// [`CodecError::LengthOverflow`], [`CodecError::TruncatedFrame`] or
-    /// [`CodecError::ChecksumMismatch`] on malformed input.
+    /// [`CodecError::VarintOverflow`], [`CodecError::LengthOverflow`],
+    /// [`CodecError::TruncatedFrame`] or [`CodecError::ChecksumMismatch`]
+    /// on malformed input.
     pub fn read_frame(&mut self) -> Result<Option<&'a [u8]>, CodecError> {
         if self.pos == self.bytes.len() {
             return Ok(None);
         }
         let rest = &self.bytes[self.pos..];
-        if rest.len() < HEADER_LEN {
-            return Err(CodecError::TruncatedFrame);
-        }
-        let magic: [u8; 4] = rest[0..4].try_into().unwrap();
-        if magic != FRAME_MAGIC {
-            return Err(CodecError::BadMagic(magic));
-        }
-        let version = u16::from_le_bytes(rest[4..6].try_into().unwrap());
-        if version != FRAME_VERSION {
-            return Err(CodecError::UnsupportedVersion(version));
-        }
-        let len = u32::from_le_bytes(rest[6..10].try_into().unwrap());
-        if len > MAX_FRAME_PAYLOAD {
+        let mut reader = ByteReader::new(rest);
+        let len = match reader.get_var_u64() {
+            Ok(len) => len,
+            Err(CodecError::UnexpectedEof { .. }) => return Err(CodecError::TruncatedFrame),
+            Err(other) => return Err(other),
+        };
+        if len > u64::from(MAX_FRAME_PAYLOAD) {
             return Err(CodecError::LengthOverflow {
-                length: u64::from(len),
+                length: len,
                 max: u64::from(MAX_FRAME_PAYLOAD),
             });
         }
-        let stored_crc = u32::from_le_bytes(rest[10..14].try_into().unwrap());
-        let body_end = HEADER_LEN + len as usize;
+        let n = reader.position();
+        let body = n + 4;
+        let body_end = body + len as usize;
         if rest.len() < body_end {
             return Err(CodecError::TruncatedFrame);
         }
-        let payload = &rest[HEADER_LEN..body_end];
-        let computed = crc32(payload);
-        if computed != stored_crc {
-            return Err(CodecError::ChecksumMismatch {
-                stored: stored_crc,
-                computed,
-            });
+        let stored = u32::from_le_bytes(rest[n..body].try_into().unwrap());
+        let payload = &rest[body..body_end];
+        let computed = checksum(&rest[..n], payload);
+        if computed != stored {
+            return Err(CodecError::ChecksumMismatch { stored, computed });
         }
         self.pos += body_end;
         Ok(Some(payload))
@@ -307,29 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn bad_magic_detected() {
-        let mut framed = encode_frame(b"x").unwrap();
-        framed[0] = b'X';
-        let mut r = FrameReader::new(&framed);
-        assert!(matches!(
-            r.read_frame().unwrap_err(),
-            CodecError::BadMagic(_)
-        ));
-    }
-
-    #[test]
-    fn version_mismatch_detected() {
-        let mut framed = encode_frame(b"x").unwrap();
-        framed[4] = 0xFE;
-        framed[5] = 0xFF;
-        let mut r = FrameReader::new(&framed);
-        assert_eq!(
-            r.read_frame().unwrap_err(),
-            CodecError::UnsupportedVersion(0xFFFE)
-        );
-    }
-
-    #[test]
     fn oversize_payload_rejected_at_write() {
         // Both encoders bound their payload through `checked_len`, so
         // the limit is checked here without allocating 64 MiB.
@@ -374,12 +376,68 @@ mod tests {
     fn frame_built_in_place_equals_the_copying_encoder() {
         let mut w = ByteWriter::new();
         w.put_bytes(b"already here");
-        for payload in [&b""[..], b"x", b"a longer payload, 9+ bytes"] {
+        // Every header width: a 1, 2 and 3 B length, each at both ends.
+        for len in [0, 1, 26, 127, 128, 16_383, 16_384, 70_000] {
+            let payload = vec![0xA5; len];
             let before = w.len();
-            encode_frame_with(&mut w, |w| w.put_bytes(payload)).unwrap();
-            assert_eq!(&w.as_slice()[before..], encode_frame(payload).unwrap());
+            encode_frame_with(&mut w, |w| w.put_bytes(&payload)).unwrap();
+            assert_eq!(&w.as_slice()[before..], encode_frame(&payload).unwrap());
         }
         assert_eq!(&w.as_slice()[..12], b"already here");
+    }
+
+    #[test]
+    fn a_frame_is_a_varint_length_a_checksum_and_its_payload() {
+        let framed = encode_frame(b"abc").unwrap();
+        let crc = crate::crc32(b"\x03abc").to_le_bytes();
+        assert_eq!(framed, [&[3], &crc[..], b"abc"].concat());
+        // 5 B of header under 128 B, 6 under 16 KiB, 4 + 4 at the most.
+        for (len, header) in [(127, 5), (128, 6), (16_383, 6), (16_384, 7)] {
+            assert_eq!(encode_frame(&vec![0; len]).unwrap().len(), len + header);
+        }
+        // The length is the varint the byte writer writes.
+        for len in [0, 127, 128, 16_384, MAX_FRAME_PAYLOAD] {
+            let (bytes, n) = varint(len);
+            let mut w = ByteWriter::new();
+            w.put_var_u64(u64::from(len));
+            assert_eq!(&bytes[..n], w.as_slice());
+        }
+        assert_eq!(varint(MAX_FRAME_PAYLOAD).1, MAX_VARINT_LEN);
+    }
+
+    #[test]
+    fn the_checksum_covers_the_length() {
+        let mut w = FrameWriter::new();
+        w.write_frame(b"one").unwrap();
+        w.write_frame(b"two").unwrap();
+        // The first frame claims 2 B: its checksum no longer matches.
+        let mut bytes = w.into_vec();
+        bytes[0] = 2;
+        let mut r = FrameReader::new(&bytes);
+        assert!(matches!(
+            r.read_frame().unwrap_err(),
+            CodecError::ChecksumMismatch { .. }
+        ));
+    }
+
+    #[test]
+    fn a_length_is_bounded_before_anything_is_read_behind_it() {
+        // 2^26 + 1 as a varint, and nothing behind it.
+        let over = [0x81, 0x80, 0x80, 0x20];
+        assert_eq!(
+            FrameReader::new(&over).read_frame(),
+            Err(CodecError::LengthOverflow {
+                length: u64::from(MAX_FRAME_PAYLOAD) + 1,
+                max: u64::from(MAX_FRAME_PAYLOAD),
+            })
+        );
+        // A varint cut short is a torn frame; one past 64 bits is not.
+        let mut r = FrameReader::new(&[0x80, 0x80]);
+        assert_eq!(r.read_all_tolerant(), Ok((vec![], true)));
+        assert_eq!(
+            FrameReader::new(&[0xFF; 11]).read_frame(),
+            Err(CodecError::VarintOverflow)
+        );
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! - [`Encode`] / [`Decode`]: structured value (de)serialisation traits with
 //!   implementations for common standard-library types,
 //! - [`crc32`]: a table-driven CRC-32 (ISO-HDLC polynomial),
-//! - [`frame`]: length-prefixed, checksummed, versioned record frames used
-//!   by the write-ahead log and the RPC layer.
+//! - [`frame`]: length-prefixed, checksummed record frames used by the
+//!   write-ahead log.
 //!
 //! # Examples
 //!
@@ -39,7 +39,7 @@ pub use crc::{crc32, Crc32};
 pub use decode::Decode;
 pub use encode::Encode;
 pub use error::CodecError;
-pub use frame::{FrameReader, FrameWriter, FRAME_MAGIC, FRAME_VERSION};
+pub use frame::{FrameReader, FrameWriter};
 pub use reader::ByteReader;
 pub use writer::ByteWriter;
 

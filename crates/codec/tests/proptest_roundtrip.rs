@@ -128,8 +128,15 @@ proptest! {
         let cut = cut.min(bytes.len());
         let torn = &bytes[..bytes.len() - cut];
         let mut r = FrameReader::new(torn);
-        // Must terminate with either the payload or a clean error.
-        let _ = r.read_all_tolerant();
+        // Must terminate with either the payload or a clean error: a
+        // strict prefix of a frame is a torn frame, never a frame.
+        let (frames, torn_tail) = r.read_all_tolerant().unwrap();
+        if cut == 0 {
+            prop_assert_eq!(frames, vec![payload.as_slice()]);
+        } else {
+            prop_assert!(frames.is_empty());
+        }
+        prop_assert_eq!(torn_tail, cut != 0 && cut < bytes.len());
     }
 
     #[test]

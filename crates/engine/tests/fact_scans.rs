@@ -460,8 +460,8 @@ fn a_diamond_burst_logs_what_its_anatomy_golden_says() {
     assert_eq!(headers, BURST);
     assert_eq!(blocks, BURST * 10);
     assert_eq!(presences, BURST);
-    // 412.24 B per diamond.
-    assert_eq!(sys.log_size(), 20_612);
+    // 385.68 B per diamond.
+    assert_eq!(sys.log_size(), 19_284);
 }
 
 #[test]

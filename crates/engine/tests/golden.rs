@@ -656,7 +656,8 @@ impl Anatomy {
 /// naming the run.
 const ANATOMY_LINES: &str = "\
 #   the log's length and FNV-1a hash, as in the `.wal.txt` files;
-#   its frames, and what framing adds to the records they hold;
+#   its frames, and what framing adds to the records they hold (the
+#   B of framing include the log's 6 B header);
 #   per record kind: records, and their encoded bytes;
 #   per key family (a uid by its prefix, a fact key by its kind and
 #   whether `obj` is 0): entries, value bytes, and key bytes. A family's

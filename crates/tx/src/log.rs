@@ -5,6 +5,26 @@
 //! Recovery replays commits in order, starting from the newest checkpoint;
 //! a fence tells a shard another node claimed its storage.
 //!
+//! # Layout
+//!
+//! A log opens with a 6 B header, its magic `FSRC` and its format
+//! version (a `u16`, little-endian), written with the first append to
+//! an empty storage. Then come the records, one [`frame`] each: a
+//! varint length, a CRC-32 over the length and the payload, and the
+//! payload, the record's encoding.
+//!
+//! ```text
+//! +------+---------+-------+-------+-----
+//! | FSRC | version | frame | frame | ...
+//! | 4 B  | u16 = 2 |       |       |
+//! +------+---------+-------+-------+-----
+//! ```
+//!
+//! Version 1 repeated magic and version in every frame's 14 B header;
+//! a version-1 log is refused with [`CodecError::UnsupportedVersion`],
+//! never misread. A strict prefix of the header is an empty log: an
+//! append torn in the log's first write.
+//!
 //! # After-image lists
 //!
 //! A commit's writes and a checkpoint's states share one encoding: a varint count, then one entry per image
@@ -330,7 +350,32 @@ impl Decode for LogRecord {
     }
 }
 
-/// The write-ahead log over some [`Storage`].
+/// What opens every log: the magic `FSRC`, then the format version, a
+/// `u16` (little-endian). This is version 2; version 1 framed every
+/// record with a magic and version of its own.
+const LOG_HEADER: [u8; 6] = *b"FSRC\x02\x00";
+
+/// Whether `log` opens with a whole header: `false` for a log holding
+/// a strict prefix of one (none at all included), which is empty.
+fn has_header(log: &[u8]) -> Result<bool, CodecError> {
+    let head = &log[..log.len().min(LOG_HEADER.len())];
+    if LOG_HEADER.starts_with(head) {
+        return Ok(head.len() == LOG_HEADER.len());
+    }
+    let mut magic = [0u8; 4];
+    let n = head.len().min(4);
+    magic[..n].copy_from_slice(&head[..n]);
+    if magic[..] != LOG_HEADER[..4] {
+        return Err(CodecError::BadMagic(magic));
+    }
+    // The magic is whole, so at least one version byte differs.
+    let mut version = [0u8; 2];
+    version[..head.len() - 4].copy_from_slice(&head[4..]);
+    Err(CodecError::UnsupportedVersion(u16::from_le_bytes(version)))
+}
+
+/// The write-ahead log over some [`Storage`]: a 6 B header naming the
+/// format, then one frame per record (the layout is in the module doc).
 #[derive(Debug)]
 pub struct Wal<S> {
     storage: S,
@@ -348,7 +393,10 @@ impl<S: Storage> Wal<S> {
         }
     }
 
-    /// Appends one record durably.
+    /// Appends one record durably; the first append to an empty
+    /// storage writes the log header with it, in the same storage
+    /// append. The storage holds a whole header or nothing, as
+    /// [`Wal::recover`] leaves it.
     ///
     /// # Errors
     ///
@@ -357,24 +405,30 @@ impl<S: Storage> Wal<S> {
         // Framed in place, in the reused frame buffer: the storage gets
         // that one slice.
         self.frame.clear();
+        if self.storage.is_empty() {
+            self.frame.put_bytes(&LOG_HEADER);
+        }
         frame::encode_frame_with(&mut self.frame, |w| record.encode(w))?;
         self.storage.append(self.frame.as_slice())
     }
 
     /// Reads every decodable record. A torn final frame is dropped
-    /// (interrupted append); corruption elsewhere is an error.
+    /// (interrupted append), and so is a torn header; corruption
+    /// elsewhere is an error.
     ///
     /// # Errors
     ///
-    /// [`TxError::Corrupt`] on checksum/decode failure mid-log,
-    /// [`TxError::Storage`] on I/O failure.
+    /// [`TxError::Corrupt`] on a foreign magic or version, or on a
+    /// checksum/decode failure mid-log; [`TxError::Storage`] on I/O
+    /// failure.
     pub fn scan(&self) -> Result<Vec<LogRecord>, TxError> {
         self.scan_from(0)
     }
 
     /// Reads every decodable record appended at or after byte `offset`
     /// (a frame boundary — callers pass a length they observed after
-    /// one of their own appends). The cheap half of fence detection:
+    /// one of their own appends, `0` for the first frame). The header
+    /// is checked all the same. The cheap half of fence detection:
     /// a shared-storage writer scans only the tail another handle
     /// grew, not the whole log.
     ///
@@ -406,24 +460,28 @@ impl<S: Storage> Wal<S> {
     /// byte offset where the last of them ends.
     fn read_from(&self, offset: u64) -> Result<(Vec<LogRecord>, u64), TxError> {
         let bytes = self.storage.read_all()?;
-        if offset as usize >= bytes.len() {
+        if !has_header(&bytes)? {
+            return Ok((Vec::new(), 0));
+        }
+        let offset = LOG_HEADER.len().max(offset as usize);
+        if offset >= bytes.len() {
             return Ok((Vec::new(), bytes.len() as u64));
         }
-        let mut reader = FrameReader::new(&bytes[offset as usize..]);
+        let mut reader = FrameReader::new(&bytes[offset..]);
         let (frames, _torn) = reader.read_all_tolerant()?;
         let mut records = Vec::with_capacity(frames.len());
         for payload in frames {
             records.push(flowscript_codec::from_bytes::<LogRecord>(payload)?);
         }
-        Ok((records, offset + reader.position() as u64))
+        Ok((records, (offset + reader.position()) as u64))
     }
 
     /// Replaces the entire log with a checkpoint of `states` and the
     /// writer's `next_seq` (log compaction): the checkpoint is appended
-    /// behind the old log, read back, and then written over a log
-    /// truncated to zero. **Not crash-atomic**: a crash after the
-    /// truncation and before the final append loses the log. The fix
-    /// needs a crash-point injector to prove it (ROADMAP item 2).
+    /// behind the old log, and then again to a log truncated to zero,
+    /// which writes the header afresh. **Not crash-atomic**: a crash
+    /// after the truncation and before the final append loses the log.
+    /// The fix needs a crash-point injector to prove it (ROADMAP item 2).
     ///
     /// # Errors
     ///
@@ -433,14 +491,10 @@ impl<S: Storage> Wal<S> {
         states: Vec<(StoreKey, Vec<u8>)>,
         next_seq: u64,
     ) -> Result<(), TxError> {
-        let old_len = self.storage.len();
-        self.append(&LogRecord::Checkpoint { states, next_seq })?;
-        // Move the new tail to the front by rewriting storage wholesale.
-        let bytes = self.storage.read_all()?;
-        let tail = bytes[old_len as usize..].to_vec();
+        let checkpoint = LogRecord::Checkpoint { states, next_seq };
+        self.append(&checkpoint)?;
         self.storage.truncate(0)?;
-        self.storage.append(&tail)?;
-        Ok(())
+        self.append(&checkpoint)
     }
 
     /// Current log size in bytes.
@@ -507,6 +561,90 @@ mod tests {
         assert!(matches!(wal.scan(), Err(TxError::Corrupt(_))));
     }
 
+    fn log_of(bytes: &[u8]) -> Wal<MemStorage> {
+        let mut storage = MemStorage::new();
+        storage.append(bytes).unwrap();
+        Wal::new(storage)
+    }
+
+    #[test]
+    fn the_header_is_written_once_with_the_first_append() {
+        let mut wal = Wal::new(MemStorage::new());
+        wal.append(&sample_commit(1)).unwrap();
+        wal.append(&sample_commit(2)).unwrap();
+        let frames = [sample_commit(1), sample_commit(2)]
+            .map(|record| frame::encode_frame(&flowscript_codec::to_bytes(&record)).unwrap());
+        assert_eq!(
+            wal.storage.read_all().unwrap(),
+            [&b"FSRC\x02\x00"[..], &frames[0], &frames[1]].concat()
+        );
+    }
+
+    #[test]
+    fn bad_magic_detected() {
+        let mut foreign = b"FSRX\x02\x00".to_vec();
+        foreign.extend(frame::encode_frame(b"x").unwrap());
+        let bad = |magic| Err(TxError::Corrupt(CodecError::BadMagic(magic)));
+        assert_eq!(log_of(&foreign).scan(), bad(*b"FSRX"));
+        // Shorter than a header and no prefix of one: not a torn header.
+        assert_eq!(log_of(b"XY").scan(), bad(*b"XY\0\0"));
+    }
+
+    /// Version 1 framed every record as magic, version, a `u32` length,
+    /// a CRC-32 of the payload, and the payload: its log opens with its
+    /// first frame, which reads as a log header of version 1.
+    #[test]
+    fn version_mismatch_detected() {
+        let payload = flowscript_codec::to_bytes(&sample_commit(1));
+        let mut v1 = b"FSRC\x01\x00".to_vec();
+        v1.extend((payload.len() as u32).to_le_bytes());
+        v1.extend(flowscript_codec::crc32(&payload).to_le_bytes());
+        v1.extend(&payload);
+        let unsupported = Err(TxError::Corrupt(CodecError::UnsupportedVersion(1)));
+        assert_eq!(log_of(&v1).scan(), unsupported);
+        // Recovery refuses it too, and leaves it as it was.
+        let mut wal = log_of(&v1);
+        assert_eq!(wal.recover(), unsupported);
+        assert_eq!(wal.storage.read_all().unwrap(), v1);
+    }
+
+    #[test]
+    fn a_torn_header_is_an_empty_log_and_the_next_append_writes_a_whole_one() {
+        let mut whole = Wal::new(MemStorage::new());
+        whole.append(&sample_commit(1)).unwrap();
+        let whole = whole.storage.read_all().unwrap();
+        for cut in 1..LOG_HEADER.len() {
+            let mut wal = log_of(&whole[..cut]);
+            assert_eq!(wal.scan(), Ok(vec![]), "cut at {cut}");
+            assert_eq!(wal.recover(), Ok(vec![]), "cut at {cut}");
+            assert!(wal.storage.is_empty(), "cut at {cut}: the torn header goes");
+            wal.append(&sample_commit(1)).unwrap();
+            assert_eq!(wal.storage.read_all().unwrap(), whole, "cut at {cut}");
+        }
+        // A whole header with no frame behind it is kept as it is.
+        let mut wal = log_of(&LOG_HEADER);
+        assert_eq!(wal.recover(), Ok(vec![]));
+        wal.append(&sample_commit(1)).unwrap();
+        assert_eq!(wal.storage.read_all().unwrap(), whole);
+    }
+
+    #[test]
+    fn a_checkpoint_of_an_empty_log_writes_one_header() {
+        let mut wal = Wal::new(MemStorage::new());
+        wal.rewrite_with_checkpoint(vec![(uid("a"), vec![9])], 4)
+            .unwrap();
+        let checkpoint = LogRecord::Checkpoint {
+            states: vec![(uid("a"), vec![9])],
+            next_seq: 4,
+        };
+        let frame = frame::encode_frame(&flowscript_codec::to_bytes(&checkpoint)).unwrap();
+        assert_eq!(
+            wal.storage.read_all().unwrap(),
+            [&LOG_HEADER[..], &frame].concat()
+        );
+        assert_eq!(wal.scan(), Ok(vec![checkpoint]));
+    }
+
     #[test]
     fn checkpoint_rewrite_compacts() {
         let mut wal = Wal::new(MemStorage::new());
@@ -548,12 +686,13 @@ mod tests {
                 record
             );
             // The frame `append` builds in place is the frame the
-            // copying encoder makes of the same payload.
+            // copying encoder makes of the same payload, behind the
+            // log header the first append writes.
             let mut wal = Wal::new(MemStorage::new());
             wal.append(record).unwrap();
             assert_eq!(
                 wal.storage.read_all().unwrap(),
-                frame::encode_frame(&bytes).unwrap()
+                [&LOG_HEADER[..], &frame::encode_frame(&bytes).unwrap()].concat()
             );
         }
         // Retired tags are refused typed, never misread.
