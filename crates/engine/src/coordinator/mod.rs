@@ -270,6 +270,10 @@ pub struct Coordinator {
     /// start and landing that commits. Not stored: the log already says
     /// which ids are taken.
     next_id: u32,
+    /// Why the log did not open at the last restart: until one opens
+    /// it, the shard holds nothing and answers every start and request
+    /// with this ([`Coordinator::refuse`]).
+    unopened: Option<EngineError>,
 }
 
 const _: fn() = || {
@@ -326,6 +330,7 @@ impl Coordinator {
             outbox: Vec::new(),
             next_timer: 0,
             next_id,
+            unopened: None,
         })
     }
 
@@ -453,6 +458,25 @@ impl Coordinator {
             }
         };
         self.answer(done.map(|()| Report::Acted));
+    }
+
+    /// An input to a shard whose log did not open: a start (or a
+    /// claim) and an operator's request are answered with why, anything
+    /// else is dropped.
+    fn refuse(&mut self, input: Input<'_>) {
+        let Some(why) = self.unopened.clone() else {
+            return;
+        };
+        match input {
+            Input::Message {
+                token: Some(token), ..
+            } => {
+                let result = Err(why.to_string());
+                self.reply(token, &EngineMsg::Ack { result });
+            }
+            Input::Op(_) => self.answer(Err(why)),
+            _ => {}
+        }
     }
 
     /// Appends a lifecycle event, stamped now, to the flight recorder
@@ -587,6 +611,7 @@ impl Node for Coordinator {
         self.now = now;
         match input {
             Input::Restart => self.recover(),
+            input if self.unopened.is_some() => self.refuse(input),
             // A fenced shard is a zombie: its storage was claimed by another node and
             // its instances run there now. Probe the claim *before* touching any
             // state, so a zombie that never crashed (a false-positive failure

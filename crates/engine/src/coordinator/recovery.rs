@@ -1,11 +1,12 @@
-//! Crash recovery: reopen the log, reset everything volatile, repair
+//! Crash recovery: reset everything volatile, reopen the log (one that
+//! does not open leaves the shard holding nothing), repair
 //! hand-offs from their move records, reload every stored instance
 //! (a slice an unlanded round holds frozen stays unloaded) and re-arm each
 //! running one in a step: every executing block's attempt bump and the
 //! full drain commit once, then the re-dispatches ship.
 
 use flowscript_obs::ObsEventKind;
-use flowscript_tx::{StableStore, TxManager};
+use flowscript_tx::{SharedStorage, StableStore, TxManager};
 
 use super::{Admission, Coordinator, InstanceHeader, PlanCache};
 use crate::facts;
@@ -76,15 +77,29 @@ impl Coordinator {
     /// says `Done`/`Aborted`; a running one whose plan cannot be built
     /// stops `Stuck` with why ([`Coordinator::load_or_park`]). A load
     /// scans no store prefix of its own.
+    ///
+    /// A log that does not open leaves the shard holding nothing: an
+    /// empty store over no storage, so nothing appends behind the bad
+    /// frame, and every start and operator request is answered with the
+    /// open's error until a restart opens the log.
     pub(super) fn recover(&mut self) {
-        let Ok(mut mgr) = TxManager::open(self.node.index() as u32, self.storage.clone()) else {
-            return;
+        self.reset_volatile();
+        let node = self.node.index() as u32;
+        let (mut mgr, unopened) = match TxManager::open(node, self.storage.clone()) {
+            Ok(mgr) => (mgr, None),
+            Err(err) => {
+                let nothing = TxManager::open(node, SharedStorage::new().into());
+                (nothing.expect("empty storage opens"), Some(err.into()))
+            }
         };
         // The reopened store takes the old one's metrics: their history
         // (like the flight recorder's) spans the crash.
         std::mem::swap(mgr.metrics_mut(), self.mgr.metrics_mut());
         self.mgr = mgr;
-        self.reset_volatile();
+        self.unopened = unopened;
+        if self.unopened.is_some() {
+            return;
+        }
         if self.mgr.fenced().is_some() {
             // Another shard claimed this storage while the node was
             // down (crash-driven adoption): every instance now lives —

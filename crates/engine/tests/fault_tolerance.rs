@@ -12,6 +12,7 @@ use flowscript_engine::{
     CbState, EngineConfig, EngineError, InstanceStatus, ObjectVal, TaskBehavior, WorkflowSystem,
 };
 use flowscript_sim::{FaultAction, FaultPlan, SimDuration, SimTime};
+use flowscript_tx::{StableStore, Storage, TxError, TxManager};
 
 /// Binds a chain-of-N workload generated by `samples::chain`.
 fn chain_system(n: usize, seed: u64, config: EngineConfig) -> WorkflowSystem {
@@ -555,4 +556,58 @@ compoundtask root of taskclass Root {
         "a back-off outlived its task: the run ended at {}",
         sys.now()
     );
+}
+
+/// A restart over a log that does not open serves nothing of what the
+/// shard held before the crash: it holds no instance, appends nothing
+/// behind the bad frame, drops the late report of an attempt it can no
+/// longer name, and answers a start and an operator's request with why
+/// the log did not open.
+#[test]
+fn a_restart_over_a_log_that_does_not_open_serves_nothing() {
+    let mut sys = WorkflowSystem::builder().seed(1).build();
+    sys.register_script("q", samples::QUICKSTART, "pipeline")
+        .unwrap();
+    sys.bind_fn("refProduce", |_| {
+        TaskBehavior::outcome("produced")
+            .with_work(SimDuration::from_millis(50))
+            .with_object("message", text("Message", "m"))
+    });
+    sys.bind_fn("refConsume", |_| {
+        TaskBehavior::outcome("consumed").with_object("result", text("Message", "r"))
+    });
+    sys.start("q1", "q", "main", [("seed", text("Message", "s"))])
+        .unwrap();
+    sys.run_for(SimDuration::from_millis(5));
+    let coordinator = sys.coordinator_node();
+    sys.crash_now(coordinator);
+    // One bit flipped mid-log, while the shard is down.
+    let mut storage = sys.storage();
+    let mut log = storage.read_all().unwrap();
+    let mid = log.len() / 2;
+    log[mid] ^= 1;
+    storage.truncate(0).unwrap();
+    storage.append(&log).unwrap();
+    let reopen = |storage: &StableStore| TxManager::open(0, storage.clone()).map(drop);
+    let refused = reopen(&storage).unwrap_err();
+    assert!(matches!(refused, TxError::Corrupt(_)), "{refused}");
+    let why = EngineError::from(refused.clone());
+
+    // `produce` reports at 50 ms, into the restarted shard.
+    sys.restart_now(coordinator);
+    sys.run();
+    assert_eq!(storage.read_all().unwrap(), log, "nothing appended");
+    assert_eq!(
+        sys.status("q1"),
+        Err(EngineError::UnknownInstance("q1".into()))
+    );
+    assert_eq!(
+        sys.abort_waiting_task("q1", "pipeline/consume", "rejected"),
+        Err(why.clone())
+    );
+    let started = sys.start("q2", "q", "main", [("seed", text("Message", "s"))]);
+    assert_eq!(started, Err(EngineError::BadInputs(why.to_string())));
+    sys.run();
+    assert_eq!(storage.read_all().unwrap(), log, "still nothing appended");
+    assert_eq!(reopen(&storage), Err(refused));
 }
