@@ -62,8 +62,8 @@ use common::{
 };
 use flowscript_core::samples;
 use flowscript_engine::{
-    CommitBatch, EngineConfig, InstanceStatus, ObjectVal, ObsEventKind, ObserveLevel, TaskBehavior,
-    WorkflowSystem,
+    CbState, CommitBatch, EngineConfig, InstanceStatus, ObjectVal, ObsEventKind, ObserveLevel,
+    TaskBehavior, WorkflowSystem,
 };
 use flowscript_sim::{SimDuration, SimTime};
 use flowscript_tx::{FactKind, LogRecord, StableStore, Storage, StoreKey};
@@ -705,6 +705,70 @@ fn diamond_burst_anatomy_matches_golden() {
 # 4 shards, observing metrics:
 ";
     check("diamond_burst.counters.txt", &render_counters(&sys, run));
+}
+
+/// The burst's logs across a restart of every shard: 50 diamonds whose
+/// tasks each take 30 s, all four shards crashed at 45 s — T1 done, T2
+/// and T3 executing in every diamond — then restarted and run to the
+/// end. What a restart's re-arm logs reads as a diff of its rows.
+#[test]
+fn restarted_burst_anatomy_matches_golden() {
+    // Watchdogs out of the way of 30 s tasks, as the ledger's waves keep
+    // them.
+    let config = EngineConfig {
+        dispatch_timeout: SimDuration::from_secs(300),
+        ..EngineConfig::default()
+    };
+    let mut sys = WorkflowSystem::builder()
+        .executors(2)
+        .coordinators(4)
+        .seed(1)
+        .config(config)
+        .build();
+    sys.register_script("diamond", samples::FIG1_DIAMOND, "diamond")
+        .unwrap();
+    for code in ["refT1", "refT2", "refT3", "refT4"] {
+        sys.bind_fn(code, |_| {
+            let done = TaskBehavior::outcome("done").with_work(SimDuration::from_secs(30));
+            done.with_object("out", text("Data", "d"))
+        });
+    }
+    let names: Vec<String> = (0..BURST).map(|i| format!("d{i}")).collect();
+    for name in &names {
+        sys.start(name, "diamond", "main", [("seed", text("Data", "s"))])
+            .unwrap();
+    }
+    sys.run_until(SimTime::from_nanos(45_000_000_000));
+    for name in &names {
+        let states = sys.task_states(name);
+        for path in ["diamond/t2", "diamond/t3"] {
+            assert!(
+                matches!(states[path], CbState::Executing { .. }),
+                "{name}: {path} executes at the crash"
+            );
+        }
+    }
+    let nodes = sys.coordinator_nodes().to_vec();
+    for &node in &nodes {
+        sys.crash_now(node);
+    }
+    for &node in &nodes {
+        sys.restart_now(node);
+    }
+    sys.run();
+    for name in &names {
+        assert!(sys.outcome(name).is_some(), "{name} completes");
+    }
+    let run = "\
+# The durable logs of 50 fig. 1 diamonds started at once on 4 shards, each
+# task 30 s of work, every shard crashed at 45 s (T1 done, T2 and T3
+# executing in every diamond), restarted and run to the end. Per shard,
+# then summed:
+";
+    check(
+        "restarted_burst.anatomy.txt",
+        &render_anatomy(&sys, run, BURST, "diamond"),
+    );
 }
 
 /// The paper population's logs under the default config, read the way
