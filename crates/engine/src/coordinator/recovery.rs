@@ -5,10 +5,15 @@
 //! running one in a step: every executing block's attempt bump and the
 //! full drain commit once, then the re-dispatches ship.
 
+use std::slice;
+use std::sync::Arc;
+
 use flowscript_obs::ObsEventKind;
+use flowscript_plan::Plan;
 use flowscript_tx::{SharedStorage, StableStore, TxManager};
 
 use super::{Admission, Coordinator, InstanceHeader, PlanCache};
+use crate::error::EngineError;
 use crate::facts;
 use crate::keys::{self, meta_uid};
 
@@ -139,36 +144,68 @@ impl Coordinator {
         }
 
         // Re-dispatch whatever was executing (at-least-once execution,
-        // exactly-once outcome application via attempt matching), one
-        // step per instance: the bumps, then the full drain.
-        for instance in &running {
-            let rearmed = self.reevaluate(instance, |coordinator, step, drain| {
-                let executing = match coordinator.executing(instance) {
-                    Ok(executing) => executing,
-                    // What the corrupt block was doing is unknown: re-run
-                    // nothing, stop the instance with why.
-                    Err(fault) => return coordinator.park_stuck(step, drain, fault),
-                };
-                for (task, mut cb) in executing {
-                    // Bump the attempt so a late pre-crash reply is
-                    // ignored.
-                    cb.attempt += 1;
-                    let action = step.action(&mut coordinator.mgr);
-                    let (plan, instance_id) = (drain.plan, drain.id);
-                    facts::write_block(&mut coordinator.mgr, action, plan, instance_id, task, &cb)?;
-                    coordinator.stage_launch(step, drain, task, &cb, None, None)?;
+        // exactly-once outcome application via attempt matching), every
+        // running instance in one step. One that rolls back leaves
+        // committed state untouched: each instance retries alone, and
+        // one that still cannot re-arm keeps the attempts as committed
+        // on the wire, if anywhere — their watchdogs are what can still
+        // move them.
+        let rearmed = running.is_empty() || self.rearm(&running).is_ok();
+        if !rearmed {
+            for instance in &running {
+                if running.len() == 1 || self.rearm(slice::from_ref(instance)).is_err() {
+                    self.rearm_adopted(instance);
                 }
-                drain.worklist.seed_all(drain.plan);
-                Ok(())
-            });
-            // The attempts as committed stay on the wire, if anywhere:
-            // their watchdogs are what can still move them.
-            if rearmed.is_err() {
-                self.rearm_adopted(instance);
             }
         }
         // Re-dispatches above may have parked against a still-cold
         // scheduler view; give them one immediate placement pass.
         self.pump();
+    }
+
+    /// Re-arms `instances` in one step: for each in turn, every executing
+    /// block's attempt bumped — so a late pre-crash reply is ignored —
+    /// and re-dispatched, then the full drain. One commit, the effects
+    /// published in staging order (instance by instance), one checkpoint
+    /// check, then the oracles over each.
+    ///
+    /// # Errors
+    ///
+    /// The step rolled back: nothing of it was published.
+    fn rearm(&mut self, instances: &[String]) -> Result<(), EngineError> {
+        let contexts: Vec<(Arc<str>, Arc<Plan>, u32)> = instances
+            .iter()
+            .filter_map(|name| {
+                let (plan, id) = self.instance_ctx(name)?;
+                Some((name.as_str().into(), plan, id))
+            })
+            .collect();
+        let ((), effects) = self.run_step(|coordinator, step| {
+            for (name, plan, id) in &contexts {
+                let mut drain = coordinator.drain_of(name.clone(), plan, *id);
+                match coordinator.executing(name) {
+                    // What the corrupt block was doing is unknown: re-run
+                    // nothing, stop the instance with why.
+                    Err(fault) => coordinator.park_stuck(step, &mut drain, fault)?,
+                    Ok(executing) => {
+                        for (task, mut cb) in executing {
+                            cb.attempt += 1;
+                            let action = step.action(&mut coordinator.mgr);
+                            facts::write_block(&mut coordinator.mgr, action, plan, *id, task, &cb)?;
+                            coordinator.stage_launch(step, &mut drain, task, &cb, None, None)?;
+                        }
+                        drain.worklist.seed_all(plan);
+                    }
+                }
+                coordinator.stage_drain(step, &mut drain)?;
+            }
+            Ok(())
+        })?;
+        self.publish(effects);
+        let _ = self.maybe_checkpoint();
+        for instance in instances {
+            self.assert_settled(instance);
+        }
+        Ok(())
     }
 }

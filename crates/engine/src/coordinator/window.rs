@@ -920,6 +920,39 @@ compoundtask root of taskclass Root {
         assert_eq!(aborts(&sys), 7);
     }
 
+    /// A restart re-arms every running instance in one step, and one the
+    /// log refuses falls back to each instance alone: here the group's
+    /// frame fails to append, each instance's own step commits — every
+    /// attempt bumped and re-dispatched, no watchdog's retry behind it.
+    #[test]
+    fn a_restart_whose_group_rearm_fails_rearms_each_instance_alone() {
+        let storage = FlakyStorage::default();
+        let fail_next = storage.fail_next.clone();
+        let mut sys = three_pipelines(Some(Shared::from(storage).into()));
+        sys.run_for(SimDuration::from_millis(5));
+        let frames = |sys: &WorkflowSystem| Wal::new(sys.storage()).scan().expect("scans").len();
+        let logged = frames(&sys);
+        let coordinator = sys.coordinator_node();
+        sys.crash_now(coordinator);
+        sys.run_for(SimDuration::from_millis(10));
+        fail_next.store(1, Ordering::Relaxed);
+        sys.restart_now(coordinator);
+        assert_eq!(aborts(&sys), 1, "the re-arm of all three, rolled back");
+        assert_eq!(frames(&sys), logged + 3, "then one re-arm each");
+        assert_eq!(sys.stats().dispatches, 6, "three attempts, three re-arms");
+        sys.run();
+        for name in ["i1", "i2", "i3"] {
+            assert_eq!(sys.outcome(name).expect("completes").name, "done");
+            let produced = sys.dispatch_trace_of(name).into_iter();
+            let attempts: Vec<u32> = produced
+                .filter(|record| record.path == "pipeline/produce")
+                .map(|record| record.attempt)
+                .collect();
+            assert_eq!(attempts, [0, 1], "{name}: the re-arm's, no time-out's");
+        }
+        assert_eq!((sys.stats().retries, aborts(&sys)), (0, 1));
+    }
+
     /// A restart's re-arm is a step like any other: refused by the log,
     /// it bumps no attempt and re-dispatches nothing — the attempts as
     /// committed get fresh watchdogs instead, and those retry once the
@@ -937,7 +970,11 @@ compoundtask root of taskclass Root {
         sys.run_for(SimDuration::from_millis(10));
         fail.store(true, Ordering::Relaxed);
         sys.restart_now(coordinator);
-        assert_eq!(aborts(&sys), 3, "one re-arm per instance, rolled back");
+        assert_eq!(
+            aborts(&sys),
+            4,
+            "the re-arm of all three, then each alone, rolled back"
+        );
         assert_eq!((sys.stats().dispatches, sys.log_size()), (3, logged));
         fail.store(false, Ordering::Relaxed);
         sys.run();

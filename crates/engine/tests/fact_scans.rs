@@ -387,6 +387,76 @@ fn a_restart_rearms_an_instance_in_one_frame() {
 }
 
 #[test]
+fn a_restart_rearms_every_running_instance_in_one_frame() {
+    // One shard, `n` two-leaf fans with both leaves executing when the
+    // coordinator crashes: the restart bumps every executing block's
+    // attempt, of every instance, in one step — one frame. The attempts
+    // the crash left on the wire report late and are ignored, and every
+    // instance ends as it does in a run that never crashed.
+    let (width, work_ms) = (2, 100);
+    let work = SimDuration::from_millis(work_ms);
+    let fans = |n: usize, crash: bool| {
+        let mut sys = WorkflowSystem::builder()
+            .executors(2)
+            .seed(1)
+            .link(det_link())
+            .config(det_config())
+            .build();
+        sys.register_script("fan", &fan_join_source(width, |_| None), "root")
+            .unwrap();
+        for i in 0..width {
+            sys.bind_fn(&format!("refW{i}"), move |_| {
+                TaskBehavior::outcome("done").with_work(work)
+            });
+        }
+        let names: Vec<String> = (0..n).map(|i| format!("f{i}")).collect();
+        for name in &names {
+            sys.start(name, "fan", "main", [("seed", text("Data", "s"))])
+                .unwrap();
+        }
+        sys.run_for(SimDuration::from_millis(20));
+        if crash {
+            let before = log_frames(&sys.storage()).len();
+            let coordinator = sys.coordinator_node();
+            sys.crash_now(coordinator);
+            sys.restart_now(coordinator);
+            let frames = log_frames(&sys.storage());
+            assert_eq!(frames.len(), before + 1, "{n} instances: one step");
+            let rearm = frames.last().unwrap();
+            assert!(is_bare_commit(rearm), "{rearm:?}");
+            let bumped: Vec<(u32, u32)> = (0..n as u32)
+                .flat_map(|id| (1..=width as u32).map(move |task| (id, task)))
+                .collect();
+            assert_eq!(blocks_written(rearm), bumped, "{n} instances");
+            // Every pre-crash attempt has reported by now, no re-armed
+            // one has: the leaves still execute, under attempt 1.
+            sys.run_for(SimDuration::from_millis(work_ms - 1));
+            for name in &names {
+                let blocks = sys.coord_handle(0).get_mut().task_blocks(name);
+                for i in 0..width {
+                    let block = &blocks[&format!("root/w{i}")];
+                    assert_eq!(block.attempt, 1, "{name}/w{i}");
+                    assert!(
+                        matches!(block.state, CbState::Executing { .. }),
+                        "{name}/w{i}: a late report applied"
+                    );
+                }
+            }
+        }
+        sys.run();
+        let ended = names
+            .iter()
+            .map(|name| (sys.outcome(name), sys.task_states(name)));
+        ended.collect::<Vec<_>>()
+    };
+    for n in [1, 8] {
+        let ended = fans(n, true);
+        assert!(ended.iter().all(|(outcome, _)| outcome.is_some()));
+        assert_eq!(ended, fans(n, false), "{n} instances");
+    }
+}
+
+#[test]
 fn a_diamond_burst_logs_what_its_anatomy_golden_says() {
     // The figures below are `tests/golden/diamond_burst.anatomy.txt`'s:
     // a change to any of them is a change to that file too.

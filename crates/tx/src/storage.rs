@@ -13,7 +13,7 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::error::TxError;
@@ -271,20 +271,27 @@ impl<S: Storage + ?Sized> Storage for Shared<S> {
     }
 }
 
-/// A [`MemStorage`] whose appends fail while `fail` is set: the one
-/// failure a test double injects so far (tearing and crash points are
-/// ROADMAP item 2's).
+/// A [`MemStorage`] whose appends fail while `fail` is set, or for as
+/// many appends as `fail_next` counts down: the one failure a test
+/// double injects so far (tearing and crash points are ROADMAP item
+/// 2's).
 #[doc(hidden)]
 #[derive(Debug, Default)]
 pub struct FlakyStorage {
     inner: MemStorage,
     /// The switch: keep a clone, set it, and appends fail.
     pub fail: Arc<AtomicBool>,
+    /// The count: keep a clone, set it to `n`, and the next `n` appends
+    /// fail.
+    pub fail_next: Arc<AtomicU32>,
 }
 
 impl Storage for FlakyStorage {
     fn append(&mut self, bytes: &[u8]) -> Result<(), TxError> {
-        if self.fail.load(Ordering::Relaxed) {
+        let counted = self
+            .fail_next
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
+        if self.fail.load(Ordering::Relaxed) || counted.is_ok() {
             return Err(TxError::Storage("injected append failure".into()));
         }
         self.inner.append(bytes)
