@@ -10,6 +10,8 @@
 //! [`Coordinator::reevaluate`] is the step over one resident instance
 //! every event outside the commit window runs as: the caller stages its
 //! transition, the drain stages behind it, one commit, then the effects.
+//! A restart's re-arm stages every running instance into one step the
+//! same way, a drain each (`recovery`).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

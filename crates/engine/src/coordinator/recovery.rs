@@ -1,9 +1,14 @@
 //! Crash recovery: reset everything volatile, reopen the log (one that
-//! does not open leaves the shard holding nothing), repair
-//! hand-offs from their move records, reload every stored instance
-//! (a slice an unlanded round holds frozen stays unloaded) and re-arm each
-//! running one in a step: every executing block's attempt bump and the
-//! full drain commit once, then the re-dispatches ship.
+//! does not open leaves the shard holding nothing), repair hand-offs
+//! from their move records, reload every stored instance (a slice an
+//! unlanded round holds frozen stays unloaded) and re-arm every running
+//! one in a single step — for each instance in turn, every executing
+//! block's attempt bump and re-dispatch, then the full drain — so a
+//! restart logs one frame and pays one sync, however many instances it
+//! resumes. The re-dispatches ship once it commits, instance by
+//! instance. A step that rolls back retries each instance alone, the
+//! `flush_pending` idiom; one that still cannot commit leaves its
+//! attempts as committed to fresh watchdogs.
 
 use std::slice;
 use std::sync::Arc;
@@ -72,8 +77,9 @@ impl Coordinator {
     }
 
     /// Rebuilds all state from the write-ahead log after a restart
-    /// ([`super::Input::Restart`]) and resumes every running instance
-    /// (re-dispatching in-flight tasks).
+    /// ([`super::Input::Restart`]) and resumes every running instance,
+    /// all of them in one step ([`Coordinator::rearm`]): every in-flight
+    /// task re-dispatched under its next attempt.
     ///
     /// Each instance runs off its pinned source — the script's current
     /// version — compiled once per version through the plan cache, so
