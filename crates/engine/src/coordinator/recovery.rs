@@ -156,8 +156,7 @@ impl Coordinator {
         // one that still cannot re-arm keeps the attempts as committed
         // on the wire, if anywhere — their watchdogs are what can still
         // move them.
-        let rearmed = running.is_empty() || self.rearm(&running).is_ok();
-        if !rearmed {
+        if !running.is_empty() && self.rearm(&running).is_err() {
             for instance in &running {
                 if running.len() == 1 || self.rearm(slice::from_ref(instance)).is_err() {
                     self.rearm_adopted(instance);
