@@ -125,7 +125,7 @@ impl Coordinator {
         // One step: the fact, the forced block, the revival and the
         // full drain behind them — the repaired fact has no commit to
         // seed from.
-        self.reevaluate(instance, |coordinator, step, drain| {
+        self.reevaluate(&[instance], |coordinator, step, drain| {
             let mut cb = coordinator.staged_cb(step, &plan, instance_id, task_id)?;
             let forced = match kind {
                 _ if cb.state.is_terminal() => None,
@@ -336,7 +336,7 @@ impl Coordinator {
             .ok_or_else(|| EngineError::UnknownTask(path.to_string()))?;
         // One step: the abort, its (empty) fact and what they cascade
         // into.
-        self.reevaluate(instance, |coordinator, step, drain| {
+        self.reevaluate(&[instance], |coordinator, step, drain| {
             let mut cb = coordinator.staged_cb(step, &plan, instance_id, task_id)?;
             if cb.state != CbState::Waiting {
                 return Err(EngineError::ReconfigRejected(format!(

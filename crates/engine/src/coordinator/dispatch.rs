@@ -675,7 +675,7 @@ impl Coordinator {
     /// ship — and no retry can fix that: it fails, in a step of its own.
     pub(super) fn fail_unplaceable(&mut self, instance: &str, task: TaskId, why: &str) {
         // No error channel: a failure that cannot commit changes nothing.
-        let _ = self.reevaluate(instance, |coordinator, step, drain| {
+        let _ = self.reevaluate(&[instance], |coordinator, step, drain| {
             match coordinator.drain_cb(step, drain, task)? {
                 Some(cb) if !cb.state.is_terminal() => {
                     coordinator.stage_failure(step, drain, task, cb, why, false)
@@ -850,7 +850,8 @@ impl Coordinator {
         let Some(cb) = cb.filter(|cb| cb.awaits(incarnation, attempt)) else {
             return;
         };
-        let stepped = self.reevaluate(instance, |coordinator, step, drain| {
+        let stepped = self.reevaluate(&[instance], |coordinator, step, drain| {
+            let cb = cb.clone();
             coordinator.stage_lost(step, drain, task, cb, "dispatch timed out", false)
         });
         if stepped.is_err() {

@@ -7,11 +7,12 @@
 //! stuck. All of it *stages*: writes go into the step's action, reads
 //! back through it, and what must happen outside the store is left as
 //! the step's effects (a debug-build full scan checks the outcome).
-//! [`Coordinator::reevaluate`] is the step over one resident instance
-//! every event outside the commit window runs as: the caller stages its
-//! transition, the drain stages behind it, one commit, then the effects.
-//! A restart's re-arm stages every running instance into one step the
-//! same way, a drain each (`recovery`).
+//! [`Coordinator::reevaluate`] is the step over resident instances that
+//! every event outside the commit window runs as: for each instance in
+//! turn the caller stages its transition and the drain stages behind
+//! it, then one commit and the effects. An event names one instance; a
+//! stored instance coming back — a restart, a landing — names all of
+//! them at once (`recovery`).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -71,42 +72,40 @@ impl Coordinator {
         Some((rt.plan.clone(), rt.id))
     }
 
-    /// Full re-evaluation — every task seeded — where there is no
-    /// transition to seed from: an adopted instance. (A reconfiguration
-    /// stages the same full drain, over its new plan, into its own step.)
-    pub(super) fn evaluate(&mut self, instance: &str) {
-        // No error channel: a drain that cannot stage rolls back whole.
-        let _ = self.reevaluate(instance, |_, _, drain| {
-            drain.worklist.seed_all(drain.plan);
-            Ok(())
-        });
-    }
-
-    /// One step over a resident `instance`: `stage` stages an event's
-    /// transitions — seeding the drain's worklist, landing and launching
-    /// its flights — the cascade stages behind them, the whole commits
-    /// once and its effects are published.
+    /// One step over resident `instances`: for each in turn, `stage`
+    /// stages what happened to it — seeding its drain's worklist, landing
+    /// and launching its flights — and the cascade stages behind; the
+    /// whole commits once, its effects are published in staging order,
+    /// then the oracles run over each.
     ///
     /// # Errors
     ///
-    /// `stage`'s, or the commit's: the step rolled back, nothing of it
-    /// was published.
+    /// An instance that is not resident, `stage`'s, or the commit's: the
+    /// step rolled back, nothing of it was published.
     pub(super) fn reevaluate(
         &mut self,
-        instance: &str,
-        stage: impl FnOnce(&mut Coordinator, &mut Step, &mut Drain<'_>) -> Result<(), EngineError>,
+        instances: &[impl AsRef<str>],
+        mut stage: impl FnMut(&mut Coordinator, &mut Step, &mut Drain<'_>) -> Result<(), EngineError>,
     ) -> Result<(), EngineError> {
-        let (plan, instance_id) = self
-            .instance_ctx(instance)
-            .ok_or_else(|| EngineError::UnknownInstance(instance.to_string()))?;
+        let mut contexts = Vec::new();
+        for name in instances.iter().map(AsRef::as_ref) {
+            let unknown = || EngineError::UnknownInstance(name.to_string());
+            let (plan, id) = self.instance_ctx(name).ok_or_else(unknown)?;
+            contexts.push((Arc::<str>::from(name), plan, id));
+        }
         let ((), effects) = self.run_step(|coordinator, step| {
-            let mut drain = coordinator.drain_of(instance.into(), &plan, instance_id);
-            stage(coordinator, step, &mut drain)?;
-            coordinator.stage_drain(step, &mut drain)
+            for (name, plan, id) in &contexts {
+                let mut drain = coordinator.drain_of(name.clone(), plan, *id);
+                stage(coordinator, step, &mut drain)?;
+                coordinator.stage_drain(step, &mut drain)?;
+            }
+            Ok(())
         })?;
         self.publish(effects);
         let _ = self.maybe_checkpoint();
-        self.assert_settled(instance);
+        for instance in instances {
+            self.assert_settled(instance.as_ref());
+        }
         Ok(())
     }
 

@@ -48,9 +48,10 @@ use flowscript_sim::{NodeId, ReplyToken, RpcError, SimDuration};
 use flowscript_tx::{AtomicAction, StableStore, StoreKey, TxId, TxManager};
 
 use super::package::{claim_bytes, purge_instance, rekeyed};
+use super::recovery::Back;
 use super::step::Step;
 use super::window::PendingEvent;
-use super::{stored_instance_names, Call, Coordinator, Output, Report, TimerId};
+use super::{stored_instance_names, Call, Coordinator, InstanceHeader, Output, Report, TimerId};
 use crate::error::EngineError;
 use crate::keys::{self, claimed_uid, move_uid};
 use crate::msg::{AfterImages, EngineMsg};
@@ -888,7 +889,8 @@ impl Coordinator {
 
     /// Adopts every instance whose committed state sits in this
     /// shard's store without a resident runtime — the landing half of
-    /// a claim, and the thaw of a slice no round holds any more. Unlike
+    /// a claim, and the thaw of a slice no round holds any more — loaded
+    /// and resumed as a restart's are ([`Coordinator::resume`]). Unlike
     /// crash recovery this bumps no attempts and re-dispatches nothing:
     /// the old owner relays in-flight executor replies, so the execution
     /// history stays byte-identical to an unmoved run. Watchdogs are
@@ -903,51 +905,16 @@ impl Coordinator {
         // per claim, and a sweep must cost only its orphans. So is a
         // slice one of this node's own rounds holds frozen: it is in the
         // store, and not to be woken by a sweep.
-        let orphans: Vec<String> = stored_instance_names(&self.mgr)
+        let orphans: Vec<(String, InstanceHeader)> = stored_instance_names(&self.mgr)
             .filter(|name| !self.instances.contains_key(name))
             .filter(|name| self.membership.freezing(name).is_none())
+            .filter_map(|name| {
+                let header = self.read_header(&name).ok()?;
+                Some((name, header))
+            })
             .collect();
-        let mut adopted = Vec::new();
-        for name in orphans {
-            let Ok(header) = self.read_header(&name) else {
-                continue;
-            };
-            let Some(rt) = self.load_or_park(&name, &header) else {
-                continue;
-            };
-            let running = !rt.terminal;
-            self.instances.insert(name.clone(), rt);
-            if running {
-                // An adopted live instance occupies an admission slot
-                // on its new shard.
-                self.admission.instance_live();
-            }
-            let kind = match claim {
-                Some((from, claim_epoch)) => {
-                    self.metrics.stats.adoptions += 1;
-                    ObsEventKind::Adopted {
-                        from,
-                        epoch: claim_epoch,
-                    }
-                }
-                None => ObsEventKind::HandOff {
-                    to: self.node.index() as u32,
-                    epoch: self.membership.epoch(),
-                },
-            };
-            self.record_event(&name, None, 0, kind);
-            adopted.push((name, running));
-        }
-        for (name, running) in adopted {
-            self.rearm_adopted(&name);
-            if running {
-                // Full re-evaluation: an adopted instance has no
-                // commit to seed from. Executing tasks are not
-                // re-dispatched — their transitions gate on the
-                // control-block state.
-                self.evaluate(&name);
-            }
-        }
+        let loaded = self.load_stored(orphans, Back::Landed(claim));
+        self.resume(loaded, Back::Landed(claim));
     }
 
     // -----------------------------------------------------------------

@@ -1,24 +1,20 @@
-//! Crash recovery: reset everything volatile, reopen the log (one that
-//! does not open leaves the shard holding nothing), repair hand-offs
-//! from their move records, reload every stored instance (a slice an
-//! unlanded round holds frozen stays unloaded) and re-arm every running
-//! one in a single step — for each instance in turn, every executing
-//! block's attempt bump and re-dispatch, then the full drain — so a
-//! restart logs one frame and pays one sync, however many instances it
-//! resumes. The re-dispatches ship once it commits, instance by
-//! instance. A step that rolls back retries each instance alone, the
-//! `flush_pending` idiom; one that still cannot commit leaves its
-//! attempts as committed to fresh watchdogs.
-
-use std::slice;
-use std::sync::Arc;
+//! How a stored instance comes back: [`Coordinator::load_stored`] makes
+//! it resident and [`Coordinator::resume`] re-arms every running one in
+//! a single [`Coordinator::reevaluate`] — one frame and one sync however
+//! many it resumes — a restart staging each executing block's attempt
+//! bump and re-dispatch ahead of the full drain, a landing (`membership`)
+//! nothing. A step that rolls back retries each instance alone. And crash
+//! recovery, the restart: reset everything volatile, reopen the log (one
+//! that does not open leaves the shard holding nothing), repair
+//! hand-offs from their move records, then load (a slice an unlanded
+//! round holds frozen stays unloaded) and resume.
 
 use flowscript_obs::ObsEventKind;
-use flowscript_plan::Plan;
 use flowscript_tx::{SharedStorage, StableStore, TxManager};
 
+use super::evaluate::Drain;
+use super::step::Step;
 use super::{Admission, Coordinator, InstanceHeader, PlanCache};
-use crate::error::EngineError;
 use crate::facts;
 use crate::keys::{self, meta_uid};
 
@@ -58,6 +54,16 @@ pub(super) fn next_free_id(
     highest.map_or(0, |id| id + 1)
 }
 
+/// Why stored instances come back into residence.
+#[derive(Clone, Copy)]
+pub(super) enum Back {
+    /// The shard restarted over its own log.
+    Restart,
+    /// A claim landed them, or a slice thawed; `Some((dead shard,
+    /// epoch))` when claimed out of a dead shard's fenced storage.
+    Landed(Option<(u32, u64)>),
+}
+
 impl Coordinator {
     /// Everything volatile died with the process: resident runtimes and
     /// compiled plans (the loads compile each pinned version once),
@@ -78,8 +84,9 @@ impl Coordinator {
 
     /// Rebuilds all state from the write-ahead log after a restart
     /// ([`super::Input::Restart`]) and resumes every running instance,
-    /// all of them in one step ([`Coordinator::rearm`]): every in-flight
-    /// task re-dispatched under its next attempt.
+    /// all of them in one step ([`Coordinator::resume`]): every in-flight
+    /// task re-dispatched under its next attempt. The claims of unlanded
+    /// rounds go out between the load and the re-arm.
     ///
     /// Each instance runs off its pinned source — the script's current
     /// version — compiled once per version through the plan cache, so
@@ -126,7 +133,26 @@ impl Coordinator {
         let stored = stored_instances(&self.mgr);
         let ids = stored.iter().map(|(_, header)| header.instance_id);
         self.next_id = next_free_id(&self.mgr, ids);
-        let mut running = Vec::new();
+        let loaded = self.load_stored(stored, Back::Restart);
+        for id in unlanded {
+            self.send_claim(id);
+        }
+        self.resume(loaded, Back::Restart);
+        // Re-dispatches above may have parked against a still-cold
+        // scheduler view; give them one immediate placement pass.
+        self.pump();
+    }
+
+    /// Makes each of `stored` resident, less a frozen slice and what
+    /// [`Coordinator::load_or_park`] stops: a running one takes an
+    /// admission slot, each is traced and counted as `why` says. Arms and
+    /// dispatches nothing: the names loaded, for [`Coordinator::resume`].
+    pub(super) fn load_stored(
+        &mut self,
+        stored: Vec<(String, InstanceHeader)>,
+        why: Back,
+    ) -> Vec<String> {
+        let mut loaded = Vec::new();
         for (name, header) in stored {
             if self.membership.freezing(&name).is_some() {
                 continue;
@@ -134,83 +160,75 @@ impl Coordinator {
             let Some(rt) = self.load_or_park(&name, &header) else {
                 continue;
             };
-            let settled = rt.terminal;
-            self.instances.insert(name.clone(), rt);
-            self.metrics.stats.recovered_instances += 1;
-            let epoch = self.membership.epoch();
-            let kind = ObsEventKind::Recovery { epoch };
-            self.record_event(&name, None, 0, kind);
-            if !settled {
+            if !rt.terminal {
                 self.admission.instance_live();
-                running.push(name);
             }
-        }
-        for id in unlanded {
-            self.send_claim(id);
-        }
-
-        // Re-dispatch whatever was executing (at-least-once execution,
-        // exactly-once outcome application via attempt matching), every
-        // running instance in one step. One that rolls back leaves
-        // committed state untouched: each instance retries alone, and
-        // one that still cannot re-arm keeps the attempts as committed
-        // on the wire, if anywhere — their watchdogs are what can still
-        // move them.
-        if !running.is_empty() && self.rearm(&running).is_err() {
-            for instance in &running {
-                if running.len() == 1 || self.rearm(slice::from_ref(instance)).is_err() {
-                    self.rearm_adopted(instance);
+            self.instances.insert(name.clone(), rt);
+            let epoch = self.membership.epoch();
+            let kind = match why {
+                Back::Restart => {
+                    self.metrics.stats.recovered_instances += 1;
+                    ObsEventKind::Recovery { epoch }
                 }
-            }
+                Back::Landed(Some((from, epoch))) => {
+                    self.metrics.stats.adoptions += 1;
+                    ObsEventKind::Adopted { from, epoch }
+                }
+                Back::Landed(None) => ObsEventKind::HandOff {
+                    to: self.node.index() as u32,
+                    epoch,
+                },
+            };
+            self.record_event(&name, None, 0, kind);
+            loaded.push(name);
         }
-        // Re-dispatches above may have parked against a still-cold
-        // scheduler view; give them one immediate placement pass.
-        self.pump();
+        loaded
     }
 
-    /// Re-arms `instances` in one step: for each in turn, every executing
-    /// block's attempt bumped — so a late pre-crash reply is ignored —
-    /// and re-dispatched, then the full drain. One commit, the effects
-    /// published in staging order (instance by instance), one checkpoint
-    /// check, then the oracles over each.
-    ///
-    /// # Errors
-    ///
-    /// The step rolled back: nothing of it was published.
-    fn rearm(&mut self, instances: &[String]) -> Result<(), EngineError> {
-        let contexts: Vec<(Arc<str>, Arc<Plan>, u32)> = instances
-            .iter()
-            .filter_map(|name| {
-                let (plan, id) = self.instance_ctx(name)?;
-                Some((name.as_str().into(), plan, id))
-            })
-            .collect();
-        let ((), effects) = self.run_step(|coordinator, step| {
-            for (name, plan, id) in &contexts {
-                let mut drain = coordinator.drain_of(name.clone(), plan, *id);
-                match coordinator.executing(name) {
-                    // What the corrupt block was doing is unknown: re-run
-                    // nothing, stop the instance with why.
-                    Err(fault) => coordinator.park_stuck(step, &mut drain, fault)?,
-                    Ok(executing) => {
-                        for (task, mut cb) in executing {
-                            cb.attempt += 1;
-                            let action = step.action(&mut coordinator.mgr);
-                            facts::write_block(&mut coordinator.mgr, action, plan, *id, task, &cb)?;
-                            coordinator.stage_launch(step, &mut drain, task, &cb, None, None)?;
-                        }
-                        drain.worklist.seed_all(plan);
-                    }
-                }
-                coordinator.stage_drain(step, &mut drain)?;
-            }
-            Ok(())
-        })?;
-        self.publish(effects);
-        let _ = self.maybe_checkpoint();
-        for instance in instances {
-            self.assert_settled(instance);
+    /// Re-arms every running instance of `loaded` in one step, the full
+    /// drain behind what `why` stages for each: a restart bumps and
+    /// re-dispatches every executing block, so a late pre-crash reply is
+    /// ignored; a landing stages nothing, its fresh watchdogs armed first
+    /// ([`Coordinator::rearm_adopted`]) for what its old owner relays. A
+    /// rollback retries each instance alone; a restarted one that still
+    /// fails leaves its attempts as committed to fresh watchdogs.
+    pub(super) fn resume(&mut self, loaded: Vec<String>, why: Back) {
+        let redispatch = matches!(why, Back::Restart);
+        if !redispatch {
+            loaded.iter().for_each(|name| self.rearm_adopted(name));
         }
-        Ok(())
+        let mut stage = |coordinator: &mut Coordinator, step: &mut Step, drain: &mut Drain<'_>| {
+            if redispatch {
+                // What a corrupt block was doing is unknown: re-run
+                // nothing, stop the instance with why.
+                let executing = match coordinator.executing(&drain.name) {
+                    Ok(executing) => executing,
+                    Err(fault) => return coordinator.park_stuck(step, drain, fault),
+                };
+                let (plan, id) = (drain.plan, drain.id);
+                for (task, mut cb) in executing {
+                    cb.attempt += 1;
+                    let action = step.action(&mut coordinator.mgr);
+                    facts::write_block(&mut coordinator.mgr, action, plan, id, task, &cb)?;
+                    coordinator.stage_launch(step, drain, task, &cb, None, None)?;
+                }
+            }
+            // No transition to seed from: every task is looked at.
+            drain.worklist.seed_all(drain.plan);
+            Ok(())
+        };
+        let running: Vec<String> = loaded
+            .into_iter()
+            .filter(|name| !self.instances[name].terminal)
+            .collect();
+        if running.is_empty() || self.reevaluate(&running, &mut stage).is_ok() {
+            return;
+        }
+        for instance in &running {
+            let failed = running.len() == 1 || self.reevaluate(&[instance], &mut stage).is_err();
+            if failed && redispatch {
+                self.rearm_adopted(instance);
+            }
+        }
     }
 }
