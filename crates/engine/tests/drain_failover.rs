@@ -670,6 +670,35 @@ fn dead_shard_adoption_loses_no_outcomes() {
     );
 }
 
+/// The landing side of the loader a restart shares: an adopted instance
+/// whose root block does not decode stops `Stuck` with why, alone; the
+/// rest of the dead shard lands and completes.
+#[test]
+fn an_adopted_instance_whose_root_block_does_not_decode_stops_alone() {
+    let expected = baseline(outcome_print);
+
+    let mut sys = mid_flight();
+    let dead = sys.coord_handle(1);
+    let names = dead.get().instance_names();
+    let victim = names.first().expect("the shard holds instances").clone();
+    sys.crash_now(dead.get().node());
+    assert!(dead.get_mut().poison_record(&victim, "root"));
+    let report = sys.adopt_dead_shard("coordinator1").expect("failover");
+    assert_eq!(report.adopted, names.len());
+    sys.run();
+
+    match sys.status(&victim) {
+        Ok(InstanceStatus::Stuck { reason }) => assert!(
+            reason.contains("control block storage fault at `processOrderApplication`"),
+            "{reason}"
+        ),
+        other => panic!("{victim}: expected a storage-fault stop, got {other:?}"),
+    }
+    for name in population().into_iter().filter(|name| *name != victim) {
+        assert_eq!(outcome_print(&sys, &name), expected[&name], "{name}");
+    }
+}
+
 /// The false-positive scenario: the "dead" shard is actually alive.
 /// The fence must muzzle it — it drops every message and timer, its
 /// log never grows again, and a manager reopened under its identity is
