@@ -890,14 +890,16 @@ impl Coordinator {
     /// Adopts every instance whose committed state sits in this
     /// shard's store without a resident runtime — the landing half of
     /// a claim, and the thaw of a slice no round holds any more — loaded
-    /// and resumed as a restart's are ([`Coordinator::resume`]). Unlike
-    /// crash recovery this bumps no attempts and re-dispatches nothing:
+    /// and resumed as a restart's are ([`Coordinator::resume`]). A live
+    /// landing or a thaw bumps no attempts and re-dispatches nothing:
     /// the old owner relays in-flight executor replies, so the execution
     /// history stays byte-identical to an unmoved run. Watchdogs are
     /// re-armed as the safety net for a relay that never arrives.
     ///
     /// `claim` is `Some((dead shard, membership epoch))` for
-    /// crash-driven adoption: the landing trace event is then
+    /// crash-driven adoption: a dead or fenced owner relays nothing, so
+    /// every executing task is re-dispatched at once under its next
+    /// attempt, as after a restart; the landing trace event is
     /// [`ObsEventKind::Adopted`] and the `coord.adoptions` counter
     /// ticks once per instance.
     pub(super) fn adopt_orphans(&mut self, claim: Option<(u32, u64)>) {

@@ -47,12 +47,12 @@
 //! | `step` | the unit of commit: stage into one action (reading its own writes back), commit once — one frame straight to the log — publish the effects in staging order, as outputs | `Step`, `Effect`, `Launch` (what an attempt ships under) | `run_step` (the one way the engine runs an action), `atomically` (the step with nothing to publish), `publish`; `staged_cb`, `trace` |
 //! | `window` | the one place a report is applied: buffer `Done`/`Mark` reports until `max_events`, the window's timer, or every report the shard awaits is in, stage a window of them in arrival order — outcome, mark, execution error, repeat outcome, misreport — and its cascade as one step | `BatchWindow` | `enqueue_event`, `flush_pending`, `on_batch_window` ([`Timer::Window`]), `commit_event` |
 //! | `evaluate` | the cascade a step stages: input-set satisfaction, activation, compound-scope outputs (marks, termination, the fig. 8 repeat), stuck detection; the debug full-scan oracle | `Drain` (one instance inside a step: its seeds, its flights as the step leaves them) | `reevaluate` (the step over resident instances, one or many: for each the caller stages its transition and the drain follows, one commit, publish — one instance for the watchdog, a failed placement, the operator's abort and repair; every running one for a restart or a landing, `resume`); `instance_ctx`, `drain_of`, `stage_drain`, `park_stuck`, `assert_settled` |
-//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, and what an attempt that ends with no outcome stages: the bounded retry or `Failed` | `Dispatcher` (scheduler loads, cost model, ready queue), `Flights` (per instance: one record per task with outstanding work, its watchdog and a delayed attempt's timer each a [`TimerId`], cancelled with the record) | staging: `stage_lost` (error report, time-out), `stage_failure`, `stage_launch` (the next attempt, now or after a delay); publishing: `ship` (an attempt, under what its step staged), `dispatch` (a staged attempt whose delay or park is over), `dispatch_after`, `lose_flight`, `clear_watch`, `discard_flights` (subtree sweep, forced outcome, failure), `fail_unplaceable`; timers: `on_watchdog` ([`Timer::Watchdog`]), `on_dispatch_timer` ([`Timer::Dispatch`]); `drain_parked`, `executing`; `Flights::outstanding` (stuck detection), `replan` (a reconfiguration's new plan, its books re-keyed), `rearm_adopted` (a landing's watchdogs, and a restart's re-arm that cannot commit), `Dispatcher::{release_all, reset}` (hand-off, recovery), `executor_loads` |
+//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, and what an attempt that ends with no outcome stages: the bounded retry or `Failed` | `Dispatcher` (scheduler loads, cost model, ready queue), `Flights` (per instance: one record per task with outstanding work, its watchdog and a delayed attempt's timer each a [`TimerId`], cancelled with the record) | staging: `stage_lost` (error report, time-out), `stage_failure`, `stage_launch` (the next attempt, now or after a delay); publishing: `ship` (an attempt, under what its step staged), `dispatch` (a staged attempt whose delay or park is over), `dispatch_after`, `lose_flight`, `clear_watch`, `discard_flights` (subtree sweep, forced outcome, failure), `fail_unplaceable`; timers: `on_watchdog` ([`Timer::Watchdog`]), `on_dispatch_timer` ([`Timer::Dispatch`]); `drain_parked`, `executing`; `Flights::outstanding` (stuck detection), `replan` (a reconfiguration's new plan, its books re-keyed), `rearm_adopted` (a live landing's watchdogs, and a re-dispatching re-arm that cannot commit), `Dispatcher::{release_all, reset}` (hand-off, recovery), `executor_loads` |
 //! | `admission` | the per-shard instance cap on the start RPC, and the start's repository fetch | `Admission`, `AdmissionTicket` (the fetch's [`Call::Fetch`]) | `admit_or_queue`, `admit_from_queue`, `on_fetched`, `Admission::{instance_live, instance_settled}` |
 //! | `lifecycle` | instance start (the first writer of a header), the canonical source an instance pins (once per shard and hash) and the plan compiled from it (once per shard and version), materialising a runtime from committed state, the monitoring reads; blob collection | `PlanCache` | `start_instance` (from admission, the one start path), `pin_source` (start, reconfiguration), `pinned_source` (the one reader of the source: every load, and reconfiguration), `load_or_park` (recovery, adoption: a running instance whose plan cannot be built stops `Stuck`), `PlanCache::plan` (the one way a plan is obtained: start, load, reconfiguration), `gc_plans` |
 //! | `membership` | shard routing and relays; the one way an instance changes shards — a claim, landed in one local action beside its receipt, sent by a live source from its move record (rebalance, drain) or by a claimant out of a dead shard's fenced storage (adoption) — the map flip, and the shard's end of each fleet call, answered as it goes | `Membership`, [`MoveReport`], [`FailoverReport`] | `route_report`, `misdirected`, `forward_start`, `on_relayed` ([`Call::Relay`]); from the operator `begin_move` ([`Op::Move`]), `begin_adoption` ([`Op::Adopt`]), `set_shard_map` ([`Op::Map`]), `Membership::drop_jobs` ([`Op::GiveUp`]); from the wire `on_claim`, `on_claim_answered` ([`Call::Claim`]); `adopt_orphans` (a landing or a thaw: `load_stored`, then `resume`), `repair_handoffs` |
 //! | `package` | what a claim carries: an instance's committed keyspace packaged (header first, its pinned source, its dense range), re-keyed onto the receiver's ids, purged from the source once landed | — | `package_instance`, `claim_bytes`, `rekeyed`, `purge_instance` |
-//! | `recovery` | the ways a stored instance comes back — loaded, then re-armed — and restart ([`Input::Restart`]): reset volatile state (fleet protocols included), reopen the log (one that does not open leaves the shard holding nothing, every start and request answered with why: `refuse`), repair hand-offs, reload, and re-arm every running instance in one step — one frame per shard, the bumps and re-dispatches of each instance in turn — or, if that rolls back, each instance alone | `Back` (how an instance came back: a restart, or a landing with the dead shard it was claimed from) | `recover`, `load_stored` (recovery, adoption: residency, admission slot, trace event and counter), `resume` (recovery, adoption: one `reevaluate` over every running instance — a restart's bumps and re-dispatches, a landing's fresh watchdogs — then each alone if it rolls back), `stored_instances`, `stored_instance_names` |
+//! | `recovery` | the ways a stored instance comes back — loaded, then re-armed — and restart ([`Input::Restart`]): reset volatile state (fleet protocols included), reopen the log (one that does not open leaves the shard holding nothing, every start and request answered with why: `refuse`), repair hand-offs, reload, and re-arm every running instance in one step — one frame per shard, the bumps and re-dispatches of each instance in turn — or, if that rolls back, each instance alone | `Back` (how an instance came back: a restart, or a landing with the dead shard it was claimed from) | `recover`, `load_stored` (recovery, adoption: residency, admission slot, trace event and counter), `resume` (recovery, adoption: one `reevaluate` over every running instance — a restart's or a dead shard's landing's bumps and re-dispatches, a live landing's fresh watchdogs — then each alone if it rolls back), `stored_instances`, `stored_instance_names` |
 //! | `admin` | operator actions on a running instance, one step each, answered at once: the abort, the repair, and a reconfiguration — the script's new version, the remap onto its plan and the full drain over it | — | `reconfigure` ([`Op::Reconfigure`]), `abort_waiting_task` ([`Op::Abort`]), `repair_fact` ([`Op::Repair`]) |
 
 mod admin;

@@ -1,9 +1,9 @@
 //! How a stored instance comes back: [`Coordinator::load_stored`] makes
 //! it resident and [`Coordinator::resume`] re-arms every running one in
 //! a single [`Coordinator::reevaluate`] — one frame and one sync however
-//! many it resumes — a restart staging each executing block's attempt
-//! bump and re-dispatch ahead of the full drain, a landing (`membership`)
-//! nothing. A step that rolls back retries each instance alone. And crash
+//! many it resumes — a restart, or a landing out of a dead shard,
+//! staging each executing block's attempt bump and re-dispatch ahead of
+//! the full drain, a live landing (`membership`) nothing. A step that rolls back retries each instance alone. And crash
 //! recovery, the restart: reset everything volatile, reopen the log (one
 //! that does not open leaves the shard holding nothing), repair
 //! hand-offs from their move records, then load (a slice an unlanded
@@ -186,14 +186,15 @@ impl Coordinator {
     }
 
     /// Re-arms every running instance of `loaded` in one step, the full
-    /// drain behind what `why` stages for each: a restart bumps and
-    /// re-dispatches every executing block, so a late pre-crash reply is
-    /// ignored; a landing stages nothing, its fresh watchdogs armed first
+    /// drain behind what `why` stages for each: a restart, and a landing
+    /// out of a dead shard, which relays nothing, bump and re-dispatch
+    /// every executing block, so a late pre-crash reply is ignored; a
+    /// live landing stages nothing, its fresh watchdogs armed first
     /// ([`Coordinator::rearm_adopted`]) for what its old owner relays. A
-    /// rollback retries each instance alone; a restarted one that still
-    /// fails leaves its attempts as committed to fresh watchdogs.
+    /// rollback retries each instance alone; a re-dispatching one that
+    /// still fails leaves its attempts as committed to fresh watchdogs.
     pub(super) fn resume(&mut self, loaded: Vec<String>, why: Back) {
-        let redispatch = matches!(why, Back::Restart);
+        let redispatch = matches!(why, Back::Restart | Back::Landed(Some(_)));
         if !redispatch {
             loaded.iter().for_each(|name| self.rearm_adopted(name));
         }

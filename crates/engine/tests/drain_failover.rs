@@ -670,6 +670,29 @@ fn dead_shard_adoption_loses_no_outcomes() {
     );
 }
 
+/// A dead owner relays nothing: what it had executing ships again
+/// under its next attempt as soon as its claim lands, as after a
+/// restart — not once a watchdog per task has waited out the dispatch
+/// timeout and spent a retry.
+#[test]
+fn a_dead_shards_in_flight_work_is_redispatched_as_it_lands() {
+    let expected = baseline(outcome_print);
+
+    let mut sys = mid_flight();
+    let dead = sys.coord_handle(1);
+    sys.crash_now(dead.get().node());
+    sys.adopt_dead_shard("coordinator1").expect("failover");
+    let adopted_at = sys.now();
+    sys.run();
+    assert_no_outcome_lost(&sys, &expected, "failover");
+    let after = sys.now().since(adopted_at);
+    assert!(
+        after < det_config().dispatch_timeout,
+        "the run ended {after:?} after the adoption"
+    );
+    assert_eq!(sys.stats().retries, 0);
+}
+
 /// The landing side of the loader a restart shares: an adopted instance
 /// whose root block does not decode stops `Stuck` with why, alone; the
 /// rest of the dead shard lands and completes.
