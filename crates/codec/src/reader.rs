@@ -1,5 +1,4 @@
 use crate::error::CodecError;
-use crate::writer::zigzag_decode;
 
 /// Maximum length a decoder will accept for a single collection or string.
 ///
@@ -138,11 +137,6 @@ impl<'a> ByteReader<'a> {
                 return Err(CodecError::VarintOverflow);
             }
         }
-    }
-
-    /// Reads a zig-zag encoded signed varint.
-    pub fn get_var_i64(&mut self) -> Result<i64, CodecError> {
-        Ok(zigzag_decode(self.get_var_u64()?))
     }
 
     /// Reads a collection length, bounding it by an internal 1 GiB cap.

@@ -125,11 +125,6 @@ impl ByteWriter {
         }
     }
 
-    /// Appends a zig-zag encoded signed varint.
-    pub fn put_var_i64(&mut self, v: i64) {
-        self.put_var_u64(zigzag_encode(v));
-    }
-
     /// Appends a collection length as a varint.
     pub fn put_len(&mut self, len: usize) {
         self.put_var_u64(len as u64);
@@ -152,17 +147,6 @@ impl ByteWriter {
     }
 }
 
-/// Maps a signed integer onto an unsigned one so small magnitudes stay
-/// small when varint encoded.
-pub(crate) fn zigzag_encode(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag_encode`].
-pub(crate) fn zigzag_decode(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,21 +165,6 @@ mod tests {
         let mut w = ByteWriter::new();
         w.put_var_u64(u64::MAX);
         assert_eq!(w.len(), 10);
-    }
-
-    #[test]
-    fn zigzag_roundtrip_extremes() {
-        for v in [0i64, -1, 1, i64::MIN, i64::MAX, -64, 63] {
-            assert_eq!(zigzag_decode(zigzag_encode(v)), v);
-        }
-    }
-
-    #[test]
-    fn zigzag_small_magnitudes_small_codes() {
-        assert_eq!(zigzag_encode(0), 0);
-        assert_eq!(zigzag_encode(-1), 1);
-        assert_eq!(zigzag_encode(1), 2);
-        assert_eq!(zigzag_encode(-2), 3);
     }
 
     #[test]

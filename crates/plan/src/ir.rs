@@ -326,13 +326,6 @@ impl Plan {
         &self.classes[task.class as usize]
     }
 
-    /// Looks up a class by name.
-    pub fn class_by_name(&self, name: &str) -> Option<&PlanClass> {
-        self.class_index
-            .get(name)
-            .map(|id| &self.classes[*id as usize])
-    }
-
     /// A class's declared output by name.
     pub fn class_output(&self, class: &PlanClass, name: &str) -> Option<&PlanClassOutput> {
         self.class_outputs[class.outputs.as_range()]

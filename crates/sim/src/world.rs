@@ -145,11 +145,6 @@ impl World {
         id
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// A node's configured name.
     ///
     /// # Panics
