@@ -3,11 +3,12 @@
 //! a single [`Coordinator::reevaluate`] — one frame and one sync however
 //! many it resumes — a restart, or a landing out of a dead shard,
 //! staging each executing block's attempt bump and re-dispatch ahead of
-//! the full drain, a live landing (`membership`) nothing. A step that rolls back retries each instance alone. And crash
-//! recovery, the restart: reset everything volatile, reopen the log (one
-//! that does not open leaves the shard holding nothing), repair
-//! hand-offs from their move records, then load (a slice an unlanded
-//! round holds frozen stays unloaded) and resume.
+//! the full drain, a live landing (`membership`) nothing. A step that
+//! rolls back retries each instance alone. And crash recovery, the
+//! restart: reset everything volatile, reopen the log (one that does not
+//! open leaves the shard holding nothing), repair hand-offs from their
+//! move records, then load (a slice an unlanded round holds frozen stays
+//! unloaded) and resume.
 
 use flowscript_obs::ObsEventKind;
 use flowscript_tx::{SharedStorage, StableStore, TxManager};
