@@ -673,9 +673,11 @@ impl Coordinator {
 
     /// No executor can take `task` — an unsatisfiable pin, no code to
     /// ship — and no retry can fix that: it fails, in a step of its own.
+    /// A failure that cannot commit changes nothing but the watchdog: as
+    /// in [`Self::on_watchdog`], a step that rolls back re-arms it, so
+    /// the task still `Executing` is timed out and placed again.
     pub(super) fn fail_unplaceable(&mut self, instance: &str, task: TaskId, why: &str) {
-        // No error channel: a failure that cannot commit changes nothing.
-        let _ = self.reevaluate(&[instance], |coordinator, step, drain| {
+        let stepped = self.reevaluate(&[instance], |coordinator, step, drain| {
             match coordinator.drain_cb(step, drain, task)? {
                 Some(cb) if !cb.state.is_terminal() => {
                     coordinator.stage_failure(step, drain, task, cb, why, false)
@@ -684,6 +686,16 @@ impl Coordinator {
                 _ => Ok(()),
             }
         });
+        if stepped.is_err() {
+            let Some((plan, instance_id)) = self.instance_ctx(instance) else {
+                return;
+            };
+            let Ok(cb) = self.read_cb_id(&plan, instance_id, task) else {
+                return;
+            };
+            let timeout = self.shipment(&self.instances[instance], task).timeout;
+            self.arm_watchdog(instance, task, cb.incarnation, cb.attempt, timeout);
+        }
     }
 
     /// Sends a `StartTask` to an executor and arms the watchdog. The

@@ -12,6 +12,8 @@ use flowscript_engine::{
     CbState, EngineConfig, InstanceStatus, ObjectVal, ObserveLevel, TaskBehavior, WorkflowSystem,
 };
 use flowscript_sim::{NodeId, SimDuration, SimTime};
+use flowscript_tx::storage::{MemStorage, Storage};
+use flowscript_tx::{Shared, StableStore, TxError};
 
 /// Fig. 7 order processing with the `dispatch` task pinned to
 /// `location`, exactly as a script author would write it.
@@ -186,6 +188,84 @@ fn an_unplaceable_task_does_not_strand_the_sibling_activated_beside_it() {
     }
     let shipped: Vec<String> = sys.dispatch_trace().into_iter().map(|r| r.path).collect();
     assert_eq!(shipped, ["processOrderApplication/checkStock"]);
+}
+
+/// A disk that refuses its `refuse`-th append (counting from 1), once,
+/// and takes every other.
+struct RefusesNth {
+    disk: MemStorage,
+    appends: u32,
+    refuse: u32,
+}
+
+impl Storage for RefusesNth {
+    fn append(&mut self, bytes: &[u8]) -> Result<(), TxError> {
+        self.appends += 1;
+        if self.appends == self.refuse {
+            return Err(TxError::Storage("refused append".into()));
+        }
+        self.disk.append(bytes)
+    }
+
+    fn read_all(&self) -> Result<Vec<u8>, TxError> {
+        self.disk.read_all()
+    }
+
+    fn truncate(&mut self, len: u64) -> Result<(), TxError> {
+        self.disk.truncate(len)
+    }
+
+    fn len(&self) -> u64 {
+        self.disk.len()
+    }
+}
+
+#[test]
+fn a_failed_placement_that_cannot_commit_is_timed_out_and_failed() {
+    // The start commits, `paymentAuthorisation` cannot be placed, and
+    // the step that fails it is refused by the disk. The task stays
+    // `Executing` with nothing on the wire: the watchdog re-armed by the
+    // rolled-back step times it out, the retry cannot be placed either,
+    // and that failure commits — the instance is not left `Running`
+    // with no flight and no timer.
+    let disk = RefusesNth {
+        disk: MemStorage::new(),
+        appends: 0,
+        refuse: 2,
+    };
+    let storage: StableStore = Shared::from(disk).into();
+    let mut sys = WorkflowSystem::builder()
+        .executors(2)
+        .seed(14)
+        .config(record_config())
+        .shard_storages(vec![storage])
+        .build();
+    let pinned = samples::ORDER_PROCESSING.replace(
+        r#""code" is "refPaymentAuthorisation""#,
+        r#""code" is "refPaymentAuthorisation"; "location" is "mars""#,
+    );
+    sys.register_script("order", &pinned, "processOrderApplication")
+        .unwrap();
+    bind_order(&sys);
+    sys.start("o1", "order", "main", [("order", text("Order", "o"))])
+        .unwrap();
+    let states = sys.task_states("o1");
+    let authorisation = &states["processOrderApplication/paymentAuthorisation"];
+    assert!(
+        matches!(authorisation, CbState::Executing { .. }),
+        "the failure did not commit: {authorisation:?}"
+    );
+    sys.run();
+    let states = sys.task_states("o1");
+    match &states["processOrderApplication/paymentAuthorisation"] {
+        CbState::Failed { reason } => assert!(reason.contains("mars"), "{reason}"),
+        other => panic!("expected the task failed, got {other:?}"),
+    }
+    match sys.status("o1").unwrap() {
+        InstanceStatus::Stuck { reason } => assert!(reason.contains("mars"), "{reason}"),
+        other => panic!("expected stuck, got {other:?}"),
+    }
+    assert!(sys.is_quiescent());
 }
 
 #[test]
