@@ -310,6 +310,7 @@ impl SystemBuilder {
             config: self.config,
             wal_dir: self.wal_dir,
             retired: Vec::new(),
+            registered: BTreeMap::new(),
         }
     }
 }
@@ -391,6 +392,11 @@ pub struct WorkflowSystem {
     /// through them to the adopter), and their counters, traces and
     /// metrics keep aggregating.
     retired: Vec<Driver<Coordinator>>,
+    /// Each script's version [`WorkflowSystem::register_script`] last
+    /// returned. The façade is the repository's one writer, so this is
+    /// its latest version: a start names it, and a shard that fetched
+    /// it before launches with no round trip.
+    registered: BTreeMap<String, u32>,
 }
 
 impl WorkflowSystem {
@@ -408,7 +414,8 @@ impl WorkflowSystem {
     // Scripts and implementations.
     // -----------------------------------------------------------------
 
-    /// Registers (and validates) a script with the repository service.
+    /// Registers (and validates) a script with the repository service:
+    /// its new version, which [`WorkflowSystem::start`] runs from now on.
     ///
     /// # Errors
     ///
@@ -432,7 +439,9 @@ impl WorkflowSystem {
                 _ => Err("malformed repository reply".to_string()),
             },
         };
-        result.map_err(EngineError::InvalidScript)
+        let version = result.map_err(EngineError::InvalidScript)?;
+        self.registered.insert(name.to_string(), version);
+        Ok(version)
     }
 
     /// Calls `to` with `msg` from the client node, and runs the world
@@ -518,9 +527,13 @@ impl WorkflowSystem {
         }
     }
 
-    /// Starts an instance of a registered script, binding the root's
-    /// `set` input set with `inputs`. The request routes to the
-    /// coordinator shard owning the instance name.
+    /// Starts an instance of a registered script's latest version —
+    /// the one this façade last registered — binding the root's `set`
+    /// input set with `inputs`. The request routes to the coordinator
+    /// shard owning the instance name. It names the version, so a shard
+    /// that fetched it before starts it with no repository round trip;
+    /// a name this façade never registered is looked up (and refused)
+    /// by the repository.
     ///
     /// # Errors
     ///
@@ -537,7 +550,8 @@ impl WorkflowSystem {
         I: IntoIterator<Item = (K, ObjectVal)>,
         K: Into<String>,
     {
-        let msg = self.start_msg(instance, script, None, set, inputs);
+        let version = self.registered.get(script).copied();
+        let msg = self.start_msg(instance, script, version, set, inputs);
         let target = self.shard.node_of(instance);
         self.rpc_start(target, &msg)
     }
@@ -562,7 +576,8 @@ impl WorkflowSystem {
         I: IntoIterator<Item = (K, ObjectVal)>,
         K: Into<String>,
     {
-        let msg = self.start_msg(instance, script, None, set, inputs);
+        let version = self.registered.get(script).copied();
+        let msg = self.start_msg(instance, script, version, set, inputs);
         let target = self.coord_nodes[via % self.coord_nodes.len()];
         self.rpc_start(target, &msg)
     }

@@ -1,6 +1,14 @@
 //! Admission control: the per-shard instance cap on the start RPC.
 //! Owned starts run at once under the cap, queue FIFO at it, and are
 //! turned away with a typed `Busy` once the queue is full too.
+//!
+//! An admitted start needs its script version's text. A version's text
+//! never changes, so a shard fetches each `(script, version)` from the
+//! repository once: the plan cache notes what the answer was, and a
+//! later start naming that version launches at once, with no round trip
+//! and no slot held across one. A start naming no version (a script the
+//! client never registered) or one the shard does not know fetches; a
+//! restart forgets every version, and refetches each once.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -119,14 +127,25 @@ impl Coordinator {
         }
     }
 
-    /// Runs one admitted start: fetches the script from the repository
-    /// ([`Call::Fetch`]); the answer compiles and launches it.
+    /// Runs one admitted start. A version this shard fetched before is
+    /// what it was then: the start launches at once off the plan cache's
+    /// text, holding no slot across a round trip it does not make (and
+    /// reserving none, it pumps nothing: `admit_from_queue`'s loop is
+    /// its caller). Any other start fetches its script from the
+    /// repository ([`Call::Fetch`]), and the answer launches it.
     fn on_start_instance(&mut self, ticket: AdmissionTicket) {
         if self.holds(&ticket.instance) {
             let reply = EngineMsg::Ack {
                 result: Err(format!("instance `{}` already exists", ticket.instance)),
             };
             self.reply(ticket.token, &reply);
+            return;
+        }
+        let known = ticket
+            .version
+            .and_then(|v| self.plan_cache.version(&ticket.script, v));
+        if let Some((source, root)) = known {
+            self.launch(ticket, &source, &root);
             return;
         }
         let get = EngineMsg::RepoGet {
@@ -146,34 +165,48 @@ impl Coordinator {
     }
 
     /// The repository answered an admitted start's fetch with the
-    /// version's source (or did not in time): launches the instance,
-    /// and answers the client either way.
+    /// version's source (or did not in time): notes what the version is,
+    /// launches the instance, and answers the client either way.
     pub(super) fn on_fetched(
         &mut self,
         ticket: AdmissionTicket,
         answer: Result<Vec<u8>, RpcError>,
     ) {
         self.admission.starting = self.admission.starting.saturating_sub(1);
-        let result = match answer {
+        let fetched = match answer {
             Err(err) => Err(format!("repository unreachable: {err}")),
             Ok(bytes) => match flowscript_codec::from_bytes::<EngineMsg>(&bytes) {
                 Ok(EngineMsg::RepoReply {
-                    result: Ok(_),
+                    result: Ok(version),
                     source,
                     root,
-                }) => self
-                    .start_instance(&ticket.instance, &source, &root, &ticket.set, ticket.inputs)
-                    .map_err(|e| e.to_string()),
+                }) => Ok((version, source, root)),
                 Ok(EngineMsg::RepoReply {
                     result: Err(err), ..
                 }) => Err(err),
                 _ => Err("malformed repository reply".to_string()),
             },
         };
-        self.reply(ticket.token, &EngineMsg::Ack { result });
+        match fetched {
+            Ok((version, source, root)) => {
+                self.plan_cache
+                    .remember(&ticket.script, version, &source, &root);
+                self.launch(ticket, &source, &root);
+            }
+            Err(why) => self.reply(ticket.token, &EngineMsg::Ack { result: Err(why) }),
+        }
         // A failed start frees its reserved slot; a successful one may
         // still have room under the cap. Either way the queue head gets
         // another look.
         self.pump();
+    }
+
+    /// Launches an admitted start off `source`, the text of its script
+    /// version, and answers the client.
+    fn launch(&mut self, ticket: AdmissionTicket, source: &str, root: &str) {
+        let (instance, set) = (&ticket.instance, &ticket.set);
+        let started = self.start_instance(instance, source, root, set, ticket.inputs);
+        let result = started.map_err(|e| e.to_string());
+        self.reply(ticket.token, &EngineMsg::Ack { result });
     }
 }

@@ -395,10 +395,16 @@ pub(super) fn pin_source(
 /// version is its source hash and root; an entry keeps the text it was
 /// compiled from and is served only for that text, so a plan is never
 /// handed to a text it was not compiled from, whatever the hash says.
-/// Volatile: a restart recompiles each version on its first load.
+/// It also knows what each repository version it fetched is — a
+/// `(script, version)`'s text never changes — so a start that names
+/// one launches off the entry's text with no round trip.
+/// Volatile: a restart recompiles each version on its first load, and
+/// fetches each repository version once more.
 #[derive(Default)]
 pub(super) struct PlanCache {
-    plans: BTreeMap<(u64, String), (String, Arc<Plan>)>,
+    plans: BTreeMap<(u64, String), (Arc<str>, Arc<Plan>)>,
+    /// `(script, version)` → the source hash and root of its text.
+    versions: BTreeMap<(String, u32), (u64, String)>,
 }
 
 impl PlanCache {
@@ -421,8 +427,23 @@ impl PlanCache {
         let plan = Arc::new(Plan::lower(&schema::compile_source(source, root)?));
         let version = (hash, root.to_string());
         self.plans
-            .insert(version, (source.to_string(), plan.clone()));
+            .insert(version, (Arc::from(source), plan.clone()));
         Ok(plan)
+    }
+
+    /// Notes that the repository serves `source` for `root` as `version`
+    /// of `script`.
+    pub(super) fn remember(&mut self, script: &str, version: u32, source: &str, root: &str) {
+        let known = (source_hash(source), root.to_string());
+        self.versions.insert((script.to_string(), version), known);
+    }
+
+    /// The text and root of `version` of `script`, if this shard fetched
+    /// it and still holds its plan.
+    pub(super) fn version(&self, script: &str, version: u32) -> Option<(Arc<str>, String)> {
+        let known = self.versions.get(&(script.to_string(), version))?;
+        let (text, _) = self.plans.get(known)?;
+        Some((text.clone(), known.1.clone()))
     }
 
     /// The plan of version `(hash, root)`, if this shard compiled it
@@ -432,9 +453,11 @@ impl PlanCache {
         (text.as_bytes() == source).then(|| plan.clone())
     }
 
-    /// Drops every version whose source hash is not in `live`.
+    /// Drops every version whose source hash is not in `live`: a start
+    /// of a repository version dropped here fetches it again.
     fn retain(&mut self, live: &BTreeSet<u64>) {
         self.plans.retain(|(hash, _), _| live.contains(hash));
+        self.versions.retain(|_, (hash, _)| live.contains(hash));
     }
 }
 

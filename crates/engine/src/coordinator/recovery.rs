@@ -66,14 +66,15 @@ pub(super) enum Back {
 }
 
 impl Coordinator {
-    /// Everything volatile died with the process: resident runtimes and
-    /// compiled plans (the loads compile each pinned version once),
-    /// the open commit window, dispatch's in-flight view and ready queue
-    /// (re-dispatches rebuild both) and the admission queue and counts
-    /// (queued starts are the client's to retry — their reply tokens
-    /// are gone — and the reload recounts occupancy from what the log
-    /// says of each instance: a stuck record, or a root block that says
-    /// it terminated).
+    /// Everything volatile died with the process: resident runtimes,
+    /// compiled plans (the loads compile each pinned version once) and
+    /// the repository versions the shard knew (the next start of each
+    /// fetches it once more), the open commit window, dispatch's
+    /// in-flight view and ready queue (re-dispatches rebuild both) and
+    /// the admission queue and counts (queued starts are the client's to
+    /// retry — their reply tokens are gone — and the reload recounts
+    /// occupancy from what the log says of each instance: a stuck
+    /// record, or a root block that says it terminated).
     fn reset_volatile(&mut self) {
         self.instances.clear();
         self.plan_cache = PlanCache::default();

@@ -12,6 +12,9 @@
 //! text; `RepoGet` replies carry that text and its root. The text is
 //! the script version: every instance pins it, and each coordinator
 //! compiles it into a plan once per shard (compile once, execute many).
+//! A version never changes once stored, so a shard asks for each one
+//! once: the façade names the version it last registered in every
+//! start, and a shard that fetched it before serves the start itself.
 //!
 //! The service is a value like every node (`crate::driver`): a
 //! `RepoRegister` or `RepoGet` request in, its one reply out.

@@ -530,8 +530,8 @@ fn a_diamond_burst_logs_what_its_anatomy_golden_says() {
     assert_eq!(headers, BURST);
     assert_eq!(blocks, BURST * 10);
     assert_eq!(presences, BURST);
-    // 385.68 B per diamond.
-    assert_eq!(sys.log_size(), 19_284);
+    // 381.14 B per diamond.
+    assert_eq!(sys.log_size(), 19_057);
 }
 
 #[test]

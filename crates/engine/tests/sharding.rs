@@ -5,22 +5,24 @@
 //! must be byte-identical to the single-coordinator baseline; a
 //! one-shard crash must recover from that shard's WAL alone while other
 //! shards keep committing; a partition isolating one shard must heal
-//! into completion; reconfiguration must work on non-zero shards; and
-//! misdirected requests must be forwarded to the owner.
+//! into completion; reconfiguration must work on non-zero shards;
+//! misdirected requests must be forwarded to the owner; and a shard
+//! fetches each script version from the repository once, while a start
+//! still runs the version last registered.
 
 mod common;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use common::{
     bind_order, bind_trip, build, det_config, det_link, fingerprint, fingerprints, population,
-    start_population, text, Fingerprint,
+    start_population, text, Fingerprint, ONE_TASK,
 };
 use flowscript_core::samples;
 use flowscript_engine::{
     EngineConfig, InstanceStatus, ObjectVal, Reconfig, TaskBehavior, WorkflowSystem,
 };
-use flowscript_sim::{FaultAction, FaultPlan, SimDuration, SimTime};
+use flowscript_sim::{FaultAction, FaultPlan, SimDuration, SimTime, TraceEvent};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -356,4 +358,130 @@ fn ten_k_concurrent_instances_smoke() {
         assert!(owned > 0, "shard {shard} owned nothing: {per_shard:?}");
     }
     assert_eq!(sys.stats().dispatches, 2 * count as u64);
+}
+
+// ---------------------------------------------------------------------
+// The repository: one fetch per shard and script version.
+// ---------------------------------------------------------------------
+
+/// Messages the coordinators have sent the repository so far: one per
+/// fetch.
+fn repository_fetches(sys: &mut WorkflowSystem) -> usize {
+    let coordinators = sys.coordinator_nodes().to_vec();
+    let sent: Vec<_> = (sys.sim_trace().entries().iter())
+        .filter_map(|(_, event)| match event {
+            TraceEvent::MessageSent { src, dst, .. } if coordinators.contains(src) => Some(*dst),
+            _ => None,
+        })
+        .collect();
+    let world = sys.world_mut();
+    sent.into_iter()
+        .filter(|&dst| world.node_name(dst) == "repository")
+        .count()
+}
+
+/// Each `(shard, script)` the `order-…` / `trip-…` names start on.
+fn versions_used(sys: &WorkflowSystem, names: &[String]) -> BTreeSet<(usize, &'static str)> {
+    let script = |name: &str| {
+        if name.starts_with("order-") {
+            "order"
+        } else {
+            "trip"
+        }
+    };
+    names
+        .iter()
+        .map(|name| (sys.shard_of(name), script(name)))
+        .collect()
+}
+
+fn orders_and_trips(from: usize, to: usize) -> Vec<String> {
+    (from..to)
+        .flat_map(|i| [format!("order-{i}"), format!("trip-{i}")])
+        .collect()
+}
+
+#[test]
+fn a_shard_fetches_each_script_version_once() {
+    let mut sys = WorkflowSystem::builder()
+        .executors(3)
+        .coordinators(4)
+        .seed(7)
+        .link(det_link())
+        .config(det_config())
+        .trace(true)
+        .build();
+    sys.register_script(
+        "order",
+        samples::ORDER_PROCESSING,
+        "processOrderApplication",
+    )
+    .unwrap();
+    sys.register_script("trip", samples::BUSINESS_TRIP, "tripReservation")
+        .unwrap();
+    bind_order(&sys);
+    bind_trip(&sys);
+    let first = orders_and_trips(0, 12);
+    start_population(&mut sys, &first);
+    sys.run();
+    let used = versions_used(&sys, &first);
+    assert_eq!(used.len(), 8, "both scripts on all four shards: {used:?}");
+    assert_eq!(repository_fetches(&mut sys), used.len(), "24 starts");
+
+    // A restart forgets what each version is: the restarted shard's
+    // next start of each fetches it once more, the other shards none.
+    let restarted = sys.shard_of("order-0");
+    let node = sys.coordinator_nodes()[restarted];
+    sys.crash_now(node);
+    sys.restart_now(node);
+    sys.run();
+    let second = orders_and_trips(12, 36);
+    start_population(&mut sys, &second);
+    sys.run();
+    let refetched: BTreeSet<_> = (versions_used(&sys, &second).into_iter())
+        .filter(|&(shard, _)| shard == restarted)
+        .collect();
+    assert_eq!(
+        refetched.len(),
+        2,
+        "both scripts again on the restarted shard"
+    );
+    assert_eq!(repository_fetches(&mut sys), used.len() + refetched.len());
+    for name in first.iter().chain(&second) {
+        assert!(sys.outcome(name).is_some(), "{name} completes");
+    }
+}
+
+#[test]
+fn a_start_runs_the_version_registered_last_whatever_its_shard_holds() {
+    let mut sys = WorkflowSystem::builder()
+        .executors(2)
+        .seed(7)
+        .link(det_link())
+        .config(det_config())
+        .build();
+    sys.bind_fn("refWork", |_| TaskBehavior::outcome("done"));
+    let seed = || [("seed", text("Data", "s"))];
+    let paths = |sys: &WorkflowSystem, name: &str| -> Vec<String> {
+        sys.task_states(name).into_keys().collect()
+    };
+    assert_eq!(sys.register_script("work", ONE_TASK, "root").unwrap(), 1);
+    sys.start("a", "work", "main", seed()).unwrap();
+    sys.run();
+    assert_eq!(paths(&sys, "a"), ["root", "root/w"]);
+
+    // The shard holds v1; v2 renames the leaf.
+    let renamed = ONE_TASK.replace("task w", "task v");
+    assert_eq!(sys.register_script("work", &renamed, "root").unwrap(), 2);
+    sys.start("b", "work", "main", seed()).unwrap();
+    sys.run();
+    assert_eq!(paths(&sys, "b"), ["root", "root/v"], "the new version runs");
+
+    // The old version still runs when named.
+    sys.start_version("c", "work", 1, "main", seed()).unwrap();
+    sys.run();
+    assert_eq!(paths(&sys, "c"), ["root", "root/w"]);
+    for name in ["a", "b", "c"] {
+        assert_eq!(sys.outcome(name).expect("completes").name, "done");
+    }
 }

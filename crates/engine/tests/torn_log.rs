@@ -122,7 +122,7 @@ fn reopen(bytes: &[u8], frames: &Frames, case: &str) -> Result<usize, TxError> {
 fn a_torn_tail_reopens_to_the_whole_frames_before_it() {
     let log = paper_log();
     let frames = frames_of(&log);
-    assert_eq!(frames.spans.len(), 35);
+    assert_eq!(frames.spans.len(), 39);
     for (i, &(start, end, payload)) in frames.spans.iter().enumerate() {
         let body = end - payload;
         let mut cuts = vec![start + 1, body - 1, end - payload / 2, end - 1];
