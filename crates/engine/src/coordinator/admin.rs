@@ -232,7 +232,7 @@ impl Coordinator {
             .instance_ctx(instance)
             .ok_or_else(|| EngineError::UnknownInstance(instance.to_string()))?;
         let name: Arc<str> = Arc::from(instance);
-        let staged = self.run_step(|coordinator, step| {
+        self.step(&[instance], |coordinator, step, _| {
             let mut header = coordinator.read_header(instance)?;
             let source = pinned_source(&coordinator.mgr, instance, &header)?;
             let text = reconfig::apply(source, &header.root, &op)?;
@@ -290,11 +290,7 @@ impl Coordinator {
             drain.flying = moved.collect();
             drain.worklist.seed_all(&plan);
             coordinator.stage_drain(step, &mut drain)
-        });
-        let ((), effects) = staged?;
-        self.publish(effects);
-        let _ = self.maybe_checkpoint();
-        self.assert_settled(instance);
+        })?;
         self.pump();
         Ok(())
     }

@@ -548,23 +548,28 @@ impl Coordinator {
         self.cancel(watchdogs);
     }
 
-    /// Arms fresh watchdogs for every task an adopted instance has in
-    /// the `Executing` state, giving each its flight record. The normal
-    /// case is the watchdog being disarmed by the old owner's relayed
-    /// `TaskDone`; it fires only if the reply (or its relay) is truly
-    /// lost, turning the move into an ordinary bounded retry. The
-    /// timeout is a fresh dispatch's — observed-duration extension
-    /// included — so a relay delayed past a lying short hint still
-    /// lands before the adopted watchdog fires.
-    pub(super) fn rearm_adopted(&mut self, instance: &str) {
+    /// Keeps `instance`'s work moving: each task it has `Executing` with
+    /// no armed watchdog, no delayed attempt and no parked dispatch gets
+    /// a watchdog at the incarnation and attempt its block committed, a
+    /// fresh dispatch's time-out (observed-duration extension included).
+    /// What a unit whose step rolled back owes ([`Coordinator::step`]),
+    /// and a live landing's safety net for a relay that is truly lost.
+    pub(super) fn keep_moving(&mut self, instance: &str) {
         // A block that does not decode arms no watchdog: the full
         // drain over the instance parks it on that block.
         let Ok(executing) = self.executing(instance) else {
             return;
         };
         for (task, cb) in executing {
-            let timeout = self.shipment(&self.instances[instance], task).timeout;
-            self.arm_watchdog(instance, task, cb.incarnation, cb.attempt, timeout);
+            let rt = &self.instances[instance];
+            let flight = rt.flights.0.get(&task);
+            let mut parked = self.dispatcher.parked.values();
+            let moving = flight.is_some_and(|f| f.watchdog.is_some() || f.delayed.is_some())
+                || parked.any(|entry| entry.instance == instance && entry.task == task);
+            if !moving {
+                let timeout = self.shipment(rt, task).timeout;
+                self.arm_watchdog(instance, task, cb.incarnation, cb.attempt, timeout);
+            }
         }
     }
 
@@ -673,11 +678,8 @@ impl Coordinator {
 
     /// No executor can take `task` — an unsatisfiable pin, no code to
     /// ship — and no retry can fix that: it fails, in a step of its own.
-    /// A failure that cannot commit changes nothing but the watchdog: as
-    /// in [`Self::on_watchdog`], a step that rolls back re-arms it, so
-    /// the task still `Executing` is timed out and placed again.
     pub(super) fn fail_unplaceable(&mut self, instance: &str, task: TaskId, why: &str) {
-        let stepped = self.reevaluate(&[instance], |coordinator, step, drain| {
+        let _ = self.reevaluate(&[instance], |coordinator, step, drain| {
             match coordinator.drain_cb(step, drain, task)? {
                 Some(cb) if !cb.state.is_terminal() => {
                     coordinator.stage_failure(step, drain, task, cb, why, false)
@@ -686,16 +688,6 @@ impl Coordinator {
                 _ => Ok(()),
             }
         });
-        if stepped.is_err() {
-            let Some((plan, instance_id)) = self.instance_ctx(instance) else {
-                return;
-            };
-            let Ok(cb) = self.read_cb_id(&plan, instance_id, task) else {
-                return;
-            };
-            let timeout = self.shipment(&self.instances[instance], task).timeout;
-            self.arm_watchdog(instance, task, cb.incarnation, cb.attempt, timeout);
-        }
     }
 
     /// Sends a `StartTask` to an executor and arms the watchdog. The
@@ -823,7 +815,6 @@ impl Coordinator {
             path: rt.plan.str(rt.plan.task(task).path).to_string(),
             incarnation,
             attempt,
-            timeout,
         };
         let watchdog = self.arm(timeout, timer);
         let flight = self.flight_mut(instance, task);
@@ -833,23 +824,14 @@ impl Coordinator {
 
     /// The watchdog of one attempt fired: the executor is presumed lost,
     /// and the time-out is one step — the attempt's bounded retry or its
-    /// failure, with the cascade — published once it commits. A step
-    /// that rolls back re-arms the watchdog at the same time-out: nothing
-    /// else is left that can move the task.
+    /// failure, with the cascade — published once it commits.
     pub(super) fn on_watchdog(
         &mut self,
         instance: &str,
         path: &str,
         incarnation: u32,
         attempt: u32,
-        timeout: SimDuration,
     ) {
-        // The completion may already be sitting in the batch window:
-        // its transition just hasn't committed yet, and the watchdog
-        // must not turn a report-in-flight into a spurious retry.
-        if self.window.holds_done(instance, path, incarnation, attempt) {
-            return;
-        }
         // Where a timer enters: its task, named by path, resolved
         // against the instance's current plan.
         let Some((plan, instance_id)) = self.instance_ctx(instance) else {
@@ -858,17 +840,24 @@ impl Coordinator {
         let Some(task) = plan.task_by_path(path) else {
             return;
         };
+        let rt = self.instances.get_mut(instance);
+        if let Some(flight) = rt.and_then(|rt| rt.flights.0.get_mut(&task)) {
+            flight.watchdog = None; // it went off
+        }
+        // The completion may already be sitting in the batch window:
+        // its transition just hasn't committed yet, and the watchdog
+        // must not turn a report-in-flight into a spurious retry.
+        if self.window.holds_done(instance, path, incarnation, attempt) {
+            return;
+        }
         let cb = self.read_cb_id(&plan, instance_id, task).ok();
         let Some(cb) = cb.filter(|cb| cb.awaits(incarnation, attempt)) else {
             return;
         };
-        let stepped = self.reevaluate(&[instance], |coordinator, step, drain| {
+        let _ = self.reevaluate(&[instance], |coordinator, step, drain| {
             let cb = cb.clone();
             coordinator.stage_lost(step, drain, task, cb, "dispatch timed out", false)
         });
-        if stepped.is_err() {
-            self.arm_watchdog(instance, task, incarnation, attempt, timeout);
-        }
         // The timed-out dispatch released its executor load (and a
         // failed task may have terminated its instance): revisit the
         // ready and admission queues.

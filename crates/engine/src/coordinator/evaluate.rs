@@ -72,11 +72,10 @@ impl Coordinator {
         Some((rt.plan.clone(), rt.id))
     }
 
-    /// One step over resident `instances`: for each in turn, `stage`
-    /// stages what happened to it — seeding its drain's worklist, landing
-    /// and launching its flights — and the cascade stages behind; the
-    /// whole commits once, its effects are published in staging order,
-    /// then the oracles run over each.
+    /// The step over resident `instances` ([`Coordinator::step`]): for
+    /// each in turn, `stage` stages what happened to it — seeding its
+    /// drain's worklist, landing and launching its flights — and the
+    /// cascade stages behind.
     ///
     /// # Errors
     ///
@@ -87,45 +86,32 @@ impl Coordinator {
         instances: &[impl AsRef<str>],
         mut stage: impl FnMut(&mut Coordinator, &mut Step, &mut Drain<'_>) -> Result<(), EngineError>,
     ) -> Result<(), EngineError> {
-        let mut contexts = Vec::new();
-        for name in instances.iter().map(AsRef::as_ref) {
-            let unknown = || EngineError::UnknownInstance(name.to_string());
-            let (plan, id) = self.instance_ctx(name).ok_or_else(unknown)?;
-            contexts.push((Arc::<str>::from(name), plan, id));
-        }
-        let ((), effects) = self.run_step(|coordinator, step| {
-            for (name, plan, id) in &contexts {
-                let mut drain = coordinator.drain_of(name.clone(), plan, *id);
+        self.step(instances, |coordinator, step, instances| {
+            for name in instances.iter().map(AsRef::as_ref) {
+                let unknown = || EngineError::UnknownInstance(name.to_string());
+                let (plan, id) = coordinator.instance_ctx(name).ok_or_else(unknown)?;
+                let mut drain = coordinator.drain_of(name.into(), &plan, id);
                 stage(coordinator, step, &mut drain)?;
                 coordinator.stage_drain(step, &mut drain)?;
             }
             Ok(())
-        })?;
-        self.publish(effects);
-        let _ = self.maybe_checkpoint();
-        for instance in instances {
-            self.assert_settled(instance.as_ref());
-        }
-        Ok(())
+        })
     }
 
     /// The debug-build oracles over what a step published for
     /// `instance`: the status mirror matches the store, and while it runs
     /// a full scan finds nothing missed and dispatch's books balance.
+    #[cfg(debug_assertions)]
     pub(super) fn assert_settled(&self, instance: &str) {
-        #[cfg(debug_assertions)]
-        {
-            let Some(rt) = self.instances.get(instance) else {
-                return;
-            };
-            let stored = settled(&self.mgr, None, instance, rt.id);
-            assert_eq!(rt.terminal, stored, "status mirror of `{instance}`");
-            if !rt.terminal {
-                self.assert_quiescent(instance);
-                self.assert_flights_consistent(instance);
-            }
+        let Some(rt) = self.instances.get(instance) else {
+            return;
+        };
+        let stored = settled(&self.mgr, None, instance, rt.id);
+        assert_eq!(rt.terminal, stored, "status mirror of `{instance}`");
+        if !rt.terminal {
+            self.assert_quiescent(instance);
+            self.assert_flights_consistent(instance);
         }
-        let _ = instance;
     }
 
     /// `name`'s part in a step about to stage, nothing seeded yet. A

@@ -148,14 +148,16 @@ impl Coordinator {
         // *and* the first drain's activations in one action — committed
         // straight to the log: a frame that fails to append aborts it,
         // and leaves nothing behind. It writes no status: the root block
-        // it stores `Active` says the instance runs.
-        let staged = self.run_step(|coordinator, step| {
+        // it stores `Active` says the instance runs. The caller
+        // acknowledges the start on `Ok`: a frame that did not reach the
+        // log must not read as one.
+        self.step(&[instance], |coordinator, step, _| {
             // A second start must not write over the first.
             if coordinator.holds(instance) {
                 return Err(EngineError::DuplicateInstance(instance.to_string()));
             }
             // The dense instance id: the shard's next free one, taken
-            // once the start commits.
+            // once the start commits (`Effect::Resident`).
             let instance_id = coordinator.next_id;
             let root_in = in_key(&plan, instance_id, 0, set)
                 .ok_or_else(|| EngineError::BadInputs(format!("unmapped input set `{set}`")))?;
@@ -194,17 +196,8 @@ impl Coordinator {
             // The first drain: the root just activated.
             let mut drain = coordinator.drain_of(name.clone(), &plan, instance_id);
             drain.worklist.seed_children(&plan, 0);
-            coordinator.stage_drain(step, &mut drain)?;
-            Ok(instance_id)
-        });
-        // The caller acknowledges the start on `Ok`: a frame that did
-        // not reach the log must not read as one.
-        let (instance_id, effects) = staged?;
-        self.next_id = instance_id + 1;
-        self.publish(effects);
-        self.assert_settled(instance);
-        let _ = self.maybe_checkpoint();
-        Ok(())
+            coordinator.stage_drain(step, &mut drain)
+        })
     }
 
     /// Instance status (monitoring API), read off what the log holds: a

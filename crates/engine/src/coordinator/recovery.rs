@@ -3,18 +3,15 @@
 //! a single [`Coordinator::reevaluate`] — one frame and one sync however
 //! many it resumes — a restart, or a landing out of a dead shard,
 //! staging each executing block's attempt bump and re-dispatch ahead of
-//! the full drain, a live landing (`membership`) nothing. A step that
-//! rolls back retries each instance alone. And crash recovery, the
-//! restart: reset everything volatile, reopen the log (one that does not
-//! open leaves the shard holding nothing), repair hand-offs from their
-//! move records, then load (a slice an unlanded round holds frozen stays
-//! unloaded) and resume.
+//! the full drain, a live landing (`membership`) nothing. And crash
+//! recovery, the restart: reset everything volatile, reopen the log (one
+//! that does not open leaves the shard holding nothing), repair
+//! hand-offs from their move records, then load (a slice an unlanded
+//! round holds frozen stays unloaded) and resume.
 
 use flowscript_obs::ObsEventKind;
 use flowscript_tx::{SharedStorage, StableStore, TxManager};
 
-use super::evaluate::Drain;
-use super::step::Step;
 use super::{Admission, Coordinator, InstanceHeader, PlanCache};
 use crate::facts;
 use crate::keys::{self, meta_uid};
@@ -192,15 +189,17 @@ impl Coordinator {
     /// out of a dead shard, which relays nothing, bump and re-dispatch
     /// every executing block, so a late pre-crash reply is ignored; a
     /// live landing stages nothing, its fresh watchdogs armed first
-    /// ([`Coordinator::rearm_adopted`]) for what its old owner relays. A
-    /// rollback retries each instance alone; a re-dispatching one that
-    /// still fails leaves its attempts as committed to fresh watchdogs.
+    /// ([`Coordinator::keep_moving`]) for what its old owner relays.
     pub(super) fn resume(&mut self, loaded: Vec<String>, why: Back) {
         let redispatch = matches!(why, Back::Restart | Back::Landed(Some(_)));
         if !redispatch {
-            loaded.iter().for_each(|name| self.rearm_adopted(name));
+            loaded.iter().for_each(|name| self.keep_moving(name));
         }
-        let mut stage = |coordinator: &mut Coordinator, step: &mut Step, drain: &mut Drain<'_>| {
+        let running: Vec<String> = loaded
+            .into_iter()
+            .filter(|name| !self.instances[name].terminal)
+            .collect();
+        let _ = self.reevaluate(&running, |coordinator, step, drain| {
             if redispatch {
                 // What a corrupt block was doing is unknown: re-run
                 // nothing, stop the instance with why.
@@ -219,19 +218,6 @@ impl Coordinator {
             // No transition to seed from: every task is looked at.
             drain.worklist.seed_all(drain.plan);
             Ok(())
-        };
-        let running: Vec<String> = loaded
-            .into_iter()
-            .filter(|name| !self.instances[name].terminal)
-            .collect();
-        if running.is_empty() || self.reevaluate(&running, &mut stage).is_ok() {
-            return;
-        }
-        for instance in &running {
-            let failed = running.len() == 1 || self.reevaluate(&[instance], &mut stage).is_err();
-            if failed && redispatch {
-                self.rearm_adopted(instance);
-            }
-        }
+        });
     }
 }

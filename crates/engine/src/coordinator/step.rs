@@ -1,14 +1,20 @@
 //! The step — the engine's unit of commit, and the only way a task
 //! attempt moves. A start, a commit window, a time-out, a failed
 //! placement, an operator's repair or reconfiguration and a restart's
-//! re-arm each run as one: **stage** the event's transitions and
-//! everything they cascade into in one atomic action (which reads its
-//! own earlier transitions back through [`TxManager::read_through`]),
-//! **commit** it once — one frame straight to the log: a refused append
-//! aborts it — then **publish**, in staging order, what the commit made
-//! true outside the store. Nothing is sent, armed, counted or traced for
-//! a transition that did not commit, and a step that rolls back takes
-//! its cascade with it.
+//! re-arm each run as one, through [`Coordinator::step`]: **stage** the
+//! event's transitions and everything they cascade into in one atomic
+//! action (which reads its own earlier transitions back through
+//! [`TxManager::read_through`]), **commit** it once — one frame straight
+//! to the log: a refused append aborts it — then **publish**, in staging
+//! order, what the commit made true outside the store. Nothing is sent,
+//! armed, counted or traced for a transition that did not commit, and a
+//! step that rolls back takes its cascade with it.
+//!
+//! A step that rolls back owes one rule, kept here: units whose shared
+//! step rolled back retry one by one, and a unit whose own step rolled
+//! back keeps its instance's work moving ([`Coordinator::keep_moving`]):
+//! each task it has `Executing` with nothing armed or parked to move it
+//! gets a watchdog, so no task is stranded.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -27,7 +33,7 @@ use crate::value::ObjectVal;
 
 /// One thing a committed step owes the world outside the store.
 pub(super) enum Effect {
-    /// A start's instance becomes resident, in its admission slot.
+    /// A start's instance becomes resident, in its admission slot; its id is taken.
     Resident(Box<InstanceRt>),
     /// A reconfiguration's new plan replaces the resident one;
     /// dispatch's books follow the tasks onto its ids. Published before
@@ -58,6 +64,8 @@ pub(super) enum Effect {
     Later(TaskId, SimDuration, Launch),
     /// A drain popped this many worklist entries; `true`: to quiescence.
     Drained(u64, bool),
+    /// A window of this many reports committed: its batch id is spent.
+    Batch(u64),
     /// A subtree was cancelled or reset: its flights end unfinished.
     Discard(Range<TaskId>),
 }
@@ -102,13 +110,67 @@ impl Step {
 }
 
 impl Coordinator {
-    /// Runs `stage` as one step: what it staged commits when it returns
-    /// `Ok` — the effects come back for publishing — and aborts on `Err`.
-    /// An action has no `Drop`: one abandoned by an early return stays
-    /// open until the next `begin` aborts it. So this is the one way the
-    /// engine runs an action (`gc_plans` alone drives the manager itself:
-    /// it must not tick the checkpoint counter).
-    pub(super) fn run_step<T>(
+    /// The step over `units` — a window's reports, a restart's or a
+    /// landing's instances, one instance — each naming the instance it
+    /// moves: `stage` stages them all into one action, committed once;
+    /// the effects are published in staging order, the checkpoint
+    /// threshold is checked, and the oracles run over each instance the
+    /// step drained. A rollback owes the module's rule.
+    ///
+    /// # Errors
+    ///
+    /// The (shared) step rolled back: it published nothing.
+    pub(super) fn step<U: AsRef<str>>(
+        &mut self,
+        units: &[U],
+        mut stage: impl FnMut(&mut Self, &mut Step, &[U]) -> Result<(), EngineError>,
+    ) -> Result<(), EngineError> {
+        if units.is_empty() {
+            return Ok(());
+        }
+        let stepped = self.commit_and_publish(units, &mut stage);
+        if stepped.is_err() {
+            for unit in units {
+                let alone = std::slice::from_ref(unit);
+                let retried = units.len() > 1 && self.commit_and_publish(alone, &mut stage).is_ok();
+                if !retried {
+                    self.keep_moving(unit.as_ref());
+                }
+            }
+        }
+        stepped
+    }
+
+    /// One try of [`Coordinator::step`]: stage, commit, and on a commit
+    /// the tail — publish, the checkpoint threshold, the oracles.
+    fn commit_and_publish<U>(
+        &mut self,
+        units: &[U],
+        stage: &mut impl FnMut(&mut Self, &mut Step, &[U]) -> Result<(), EngineError>,
+    ) -> Result<(), EngineError> {
+        let ((), effects) = self.run_step(|coordinator, step| stage(coordinator, step, units))?;
+        #[cfg(debug_assertions)]
+        let drained: Vec<Arc<str>> = effects
+            .iter()
+            .filter(|(_, effect)| matches!(effect, Effect::Drained(..)))
+            .map(|(instance, _)| instance.clone())
+            .collect();
+        self.publish(effects);
+        let _ = self.maybe_checkpoint();
+        #[cfg(debug_assertions)]
+        for instance in &drained {
+            self.assert_settled(instance);
+        }
+        Ok(())
+    }
+
+    /// Runs `stage` inside an action: what it staged commits when it
+    /// returns `Ok` — the effects come back for publishing — and aborts
+    /// on `Err`. An action has no `Drop`: one abandoned by an early
+    /// return stays open until the next `begin` aborts it. So this is
+    /// the one way the engine runs an action (`gc_plans` alone drives
+    /// the manager itself: it must not tick the checkpoint counter).
+    fn run_step<T>(
         &mut self,
         stage: impl FnOnce(&mut Self, &mut Step) -> Result<T, EngineError>,
     ) -> Result<(T, Effects), EngineError> {
@@ -173,7 +235,7 @@ impl Coordinator {
     /// Publishes a committed step's effects, in staging order. A
     /// dispatch no executor can take fails its task, in a step of its
     /// own, last: the step behind that must find what this one shipped.
-    pub(super) fn publish(&mut self, effects: Effects) {
+    fn publish(&mut self, effects: Effects) {
         let mut unplaceable = Vec::new();
         for (instance, effect) in effects {
             match effect {
@@ -192,9 +254,11 @@ impl Coordinator {
                         self.metrics.commit_drain_len.record(evaluations);
                     }
                 }
+                Effect::Batch(reports) => self.window_committed(reports),
                 Effect::Discard(tasks) => self.discard_flights(&instance, tasks),
                 Effect::Replan(plan) => self.replan(&instance, plan),
                 Effect::Resident(rt) => {
+                    self.next_id = rt.id + 1;
                     self.instances.insert(instance.to_string(), *rt);
                     self.admission.instance_live();
                 }

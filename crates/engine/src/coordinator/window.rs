@@ -5,14 +5,14 @@
 //! decided exactly — every report the shard awaits is in (its buffered
 //! `Done`s at least its charged dispatches on the wire, so no report
 //! that could join is on its way). A flush that is not the timer's own
-//! cancels the armed timer. Then `commit_window` applies the whole
-//! window as one step: `stage_event` validates each report, in arrival
+//! cancels the armed timer. Then the whole window is applied as one
+//! step over its reports: `stage_event` validates each report, in arrival
 //! order, against its control block and stages what it means — an
 //! outcome's transition and fact, a mark, an execution error's attempt
 //! bump or `Failed`, a repeat outcome's bumped block and repeat fact, an
 //! undeclared output's `Failed` — the cascade of every touched instance
-//! stages behind them, the step commits once, straight to the log, and
-//! its effects are published.
+//! stages behind them, and the step commits once, straight to the log,
+//! and publishes its effects.
 //! [`CommitBatch::disabled`](super::CommitBatch::disabled) is this same
 //! path with a window of one.
 
@@ -51,6 +51,14 @@ impl PendingEvent {
             PendingEvent::Done(msg) => (&msg.instance, &msg.path, msg.incarnation, msg.attempt),
             PendingEvent::Mark(msg) => (&msg.instance, &msg.path, msg.incarnation, msg.attempt),
         }
+    }
+}
+
+/// A report names the instance it moves: a window is a step over its
+/// reports ([`Coordinator::step`]).
+impl AsRef<str> for PendingEvent {
+    fn as_ref(&self) -> &str {
+        self.address().0
     }
 }
 
@@ -340,9 +348,9 @@ impl Coordinator {
         self.flush_pending();
     }
 
-    /// Commits the open window immediately, if it holds any reports,
-    /// cancelling its timer unless that is what fired. Admin entry
-    /// points (reconfiguration, operator abort, fact repair) and
+    /// Commits the open window now, as one step over its reports, if it
+    /// holds any, cancelling its timer unless that is what fired. Admin
+    /// entry points (reconfiguration, operator abort, fact repair) and
     /// hand-off collection call this first so their reads and cascades
     /// see every report that already arrived.
     pub(super) fn flush_pending(&mut self) {
@@ -351,31 +359,22 @@ impl Coordinator {
         if events.is_empty() {
             return;
         }
-        // A rolled-back step leaves committed state untouched: each
-        // report retries as a window of its own. A window of one that
-        // still aborts drops its report — to the executor's watchdog it
-        // is a message lost in the network.
-        let rolled_back = self.commit_window(events);
-        if rolled_back.len() > 1 {
-            for event in rolled_back {
-                self.commit_window(vec![event]);
-            }
-        }
-        let _ = self.maybe_checkpoint();
+        let _ = self.step(&events, Self::stage_window);
+        self.window.current_batch = None;
         // A flushed window frees executor slots and settles instances:
         // revisit parked dispatches and the admission queue.
         self.pump();
     }
 
-    /// Commits `events` as one window, one step: a single atomic action
-    /// over the reports, each staged in arrival order, *and* the
-    /// readiness cascade of every instance they touched, then its effects
-    /// published in staging order. Hands the reports back if the step
-    /// rolled back — a block it could not read, an append the log
-    /// refused: nothing of it was published. The batch id and the
-    /// `coord.batch_size` sample are spent only on a commit, so the
-    /// histogram's sum is the reports applied.
-    fn commit_window(&mut self, events: Vec<PendingEvent>) -> Vec<PendingEvent> {
+    /// Stages `events` as one window: each report in arrival order, then
+    /// the readiness cascade of every instance they touched. The batch id
+    /// and the `coord.batch_size` sample are spent only on a commit
+    /// ([`Effect::Batch`]): the histogram's sum is the reports applied.
+    fn stage_window(
+        &mut self,
+        step: &mut Step,
+        events: &[PendingEvent],
+    ) -> Result<(), EngineError> {
         // Per-event plan context.
         type EventCtx = Option<(Arc<Plan>, u32, TaskId)>;
         let contexts: Vec<EventCtx> = events
@@ -391,44 +390,36 @@ impl Coordinator {
         // The touched instances, in first-touch arrival order.
         let mut touched: Vec<Drain<'_>> = Vec::new();
         self.window.current_batch = Some(self.window.batch_seq);
-        let staged = self.run_step(|coordinator, step| {
-            for (event, ctx) in events.iter().zip(&contexts) {
-                let Some((plan, instance_id, task)) = ctx else {
-                    continue; // unknown instance or path: dropped, as ever
-                };
-                let instance = event.address().0;
-                match touched.iter_mut().find(|drain| &*drain.name == instance) {
-                    Some(drain) => _ = coordinator.stage_event(step, drain, event, *task)?,
-                    None => {
-                        let mut drain = coordinator.drain_of(instance.into(), plan, *instance_id);
-                        if coordinator.stage_event(step, &mut drain, event, *task)? {
-                            touched.push(drain);
-                        }
+        for (event, ctx) in events.iter().zip(&contexts) {
+            let Some((plan, instance_id, task)) = ctx else {
+                continue; // unknown instance or path: dropped, as ever
+            };
+            let instance = event.address().0;
+            match touched.iter_mut().find(|drain| &*drain.name == instance) {
+                Some(drain) => _ = self.stage_event(step, drain, event, *task)?,
+                None => {
+                    let mut drain = self.drain_of(instance.into(), plan, *instance_id);
+                    if self.stage_event(step, &mut drain, event, *task)? {
+                        touched.push(drain);
                     }
                 }
             }
-            for drain in &mut touched {
-                coordinator.stage_drain(step, drain)?;
-            }
-            Ok(())
-        });
-
-        let rolled_back = match staged {
-            Ok(((), effects)) => {
-                self.window.batch_seq += 1;
-                if self.config.observe.metrics() {
-                    self.metrics.batch_size.record(events.len() as u64);
-                }
-                self.publish(effects);
-                Vec::new()
-            }
-            Err(_) => events,
-        };
-        self.window.current_batch = None;
-        for drain in &touched {
-            self.assert_settled(&drain.name);
         }
-        rolled_back
+        for drain in &mut touched {
+            self.stage_drain(step, drain)?;
+        }
+        let first: Arc<str> = events[0].address().0.into();
+        step.push(&first, Effect::Batch(events.len() as u64));
+        Ok(())
+    }
+
+    /// A window of `reports` committed ([`Effect::Batch`]): its batch id
+    /// is spent, its size sampled.
+    pub(super) fn window_committed(&mut self, reports: u64) {
+        self.window.batch_seq += 1;
+        if self.config.observe.metrics() {
+            self.metrics.batch_size.record(reports);
+        }
     }
 }
 

@@ -6,13 +6,16 @@
 
 mod common;
 
+use std::sync::atomic::Ordering;
+
 use common::{fan_join_source, text, ONE_TASK};
 use flowscript_core::samples;
 use flowscript_engine::{
-    CbState, EngineConfig, InstanceStatus, ObjectVal, ObserveLevel, TaskBehavior, WorkflowSystem,
+    CbState, CommitBatch, EngineConfig, InstanceStatus, ObjectVal, ObserveLevel, TaskBehavior,
+    WorkflowSystem,
 };
 use flowscript_sim::{NodeId, SimDuration, SimTime};
-use flowscript_tx::storage::{MemStorage, Storage};
+use flowscript_tx::storage::{FlakyStorage, MemStorage, Storage};
 use flowscript_tx::{Shared, StableStore, TxError};
 
 /// Fig. 7 order processing with the `dispatch` task pinned to
@@ -266,6 +269,65 @@ fn a_failed_placement_that_cannot_commit_is_timed_out_and_failed() {
         other => panic!("expected stuck, got {other:?}"),
     }
     assert!(sys.is_quiescent());
+}
+
+#[test]
+fn a_report_dropped_after_its_watchdog_fired_is_timed_out_again() {
+    // `w0` reports at ≈ 399 ms into a window that waits for `w1`; its
+    // watchdog fires at ≈ 400 ms and stands down, since the report sits
+    // in the window. At ≈ 1.4 s the window's timer flushes into a disk
+    // that refuses from 1.0 s to 1.5 s, and the window of one rolls
+    // back, dropping the report. The rolled-back step arms `w0` a
+    // watchdog again: it times the attempt out once the disk is back,
+    // the retry completes, and `f` is not left `Running` with `w0`
+    // `Executing` and nothing armed.
+    let disk = FlakyStorage::default();
+    let fail = disk.fail.clone();
+    let storage: StableStore = Shared::from(disk).into();
+    let config = EngineConfig {
+        dispatch_timeout: SimDuration::from_millis(400),
+        commit_batch: CommitBatch {
+            max_events: 64,
+            max_window: SimDuration::from_secs(1),
+        },
+        ..EngineConfig::default()
+    };
+    let mut sys = WorkflowSystem::builder()
+        .seed(1)
+        .config(config)
+        .shard_storages(vec![storage])
+        .build();
+    let source = fan_join_source(2, |i| (i == 1).then_some(3000));
+    sys.register_script("fan", &source, "root").unwrap();
+    for (i, ms) in [399, 3000].into_iter().enumerate() {
+        sys.bind_fn(&format!("refW{i}"), move |_| {
+            TaskBehavior::outcome("done").with_work(SimDuration::from_millis(ms))
+        });
+    }
+    for (at_ms, refuse) in [(1000, true), (1500, false)] {
+        let fail = fail.clone();
+        let at = SimTime::from_nanos(at_ms * 1_000_000);
+        sys.world_mut()
+            .schedule_at(at, move |_| fail.store(refuse, Ordering::Relaxed));
+    }
+    sys.start("f", "fan", "main", [("seed", text("Data", "d"))])
+        .unwrap();
+    sys.run();
+    let states = sys.task_states("f");
+    assert!(
+        matches!(states["root/w0"], CbState::Done { .. }),
+        "{:?}",
+        states["root/w0"]
+    );
+    assert_eq!(sys.outcome("f").expect("completes").name, "done");
+    let stats = sys.stats();
+    assert_eq!((stats.retries, stats.dispatches), (1, 3));
+    // The retry finished well inside `w1`'s 3 s of work.
+    assert!(
+        sys.now() < SimTime::from_nanos(3_010_000_000),
+        "{:?}",
+        sys.now()
+    );
 }
 
 #[test]
