@@ -474,11 +474,20 @@ pub type Fingerprint = (
 /// every resident instance is terminal holds no executor load and no
 /// parked dispatch; and once the world has no event left, no serving
 /// shard holds a timer that neither went off nor was cancelled, nor a
-/// commit window that thinks its timer is armed. Every
+/// commit window that thinks its timer is armed, nor an instance that
+/// is not settled — nothing is left that could move it. Every
 /// suite runs this through [`fingerprint`].
 pub fn assert_books_balance(sys: &WorkflowSystem) {
     for shard in sys.serving_shards() {
         let coord = sys.coord_handle(shard);
+        let terminal = |name: &String| {
+            coord
+                .get_mut()
+                .status(name)
+                .is_ok_and(|status| status.is_terminal())
+        };
+        let names = coord.get().instance_names();
+        let settled = names.iter().all(terminal);
         if sys.is_quiescent() {
             let armed = coord.armed_timers();
             assert_eq!(
@@ -489,15 +498,12 @@ pub fn assert_books_balance(sys: &WorkflowSystem) {
                 !coord.get().window_armed(),
                 "shard {shard}: a commit window's timer is armed past quiescence"
             );
+            assert!(
+                settled,
+                "shard {shard}: an instance is left unsettled past quiescence: {names:?}"
+            );
         }
-        let terminal = |name: &String| {
-            coord
-                .get_mut()
-                .status(name)
-                .is_ok_and(|status| status.is_terminal())
-        };
-        let names = coord.get().instance_names();
-        if !names.iter().all(terminal) {
+        if !settled {
             continue;
         }
         let loads = coord.get().executor_loads();
