@@ -291,9 +291,10 @@ impl SystemBuilder {
             })
             .collect();
 
-        for spec in &executor_specs {
-            Driver::install(Executor::new(spec.clone(), registry.clone()), &mut world);
-        }
+        let fleet = executor_specs
+            .iter()
+            .map(|spec| Driver::install(Executor::new(spec.clone(), registry.clone()), &mut world))
+            .collect();
         let client = Driver::install(Client { node: client }, &mut world);
 
         WorkflowSystem {
@@ -302,6 +303,7 @@ impl SystemBuilder {
             repo,
             coord_nodes,
             executors,
+            fleet,
             executor_specs,
             registry,
             coords,
@@ -372,6 +374,8 @@ pub struct WorkflowSystem {
     repo: Driver<Repository>,
     coord_nodes: Vec<NodeId>,
     executors: Vec<NodeId>,
+    /// The executors, installed on `executors`' nodes.
+    fleet: Vec<Driver<Executor>>,
     /// The executor fleet with location labels and capacities —
     /// retained so coordinators added later
     /// ([`WorkflowSystem::add_coordinator`]) schedule over the same
@@ -1194,6 +1198,15 @@ impl WorkflowSystem {
         (0..self.coords.len())
             .filter(|&shard| serving(shard))
             .collect()
+    }
+
+    /// The attempts each executor that is up holds running, by node:
+    /// none once the world is quiescent — a finished attempt leaves the
+    /// index, and so does a cancelled one.
+    #[doc(hidden)]
+    pub fn running_attempts(&self) -> Vec<(NodeId, usize)> {
+        let up = self.fleet.iter().filter(|e| self.world.is_up(e.node()));
+        up.map(|e| (e.node(), e.get().running())).collect()
     }
 
     /// Whether the world has no event left to run.

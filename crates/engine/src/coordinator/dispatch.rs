@@ -11,6 +11,19 @@
 //! or a timer enters (timers capture the path — it is the name that
 //! survives a re-lowering), and a reconfiguration re-keys the records
 //! ([`Coordinator::replan`]).
+//!
+//! An attempt on the wire carries a **ticket**, the shard's name for
+//! it: when the shard drops the attempt unfinished — its scope cancelled
+//! or reset, its outcome forced, its task reconfigured away, its
+//! watchdog fired — one [`EngineMsg::Cancel`] with that ticket, sent
+//! once the step commits, stops the work at its executor. An instance
+//! leaving the shard cancels nothing: its next owner is owed that work.
+//! Tickets are volatile, and never reused by a shard, restarts
+//! included: a life whose log opened at sequence number `s` counts from
+//! `s << 32`. Every attempt a life ships follows a commit of its own
+//! (a step's publish, or a timer or a park that step left behind), so a
+//! life that shipped anything moved the log past `s`, and the next life
+//! counts from a higher base (one life ships fewer than 2^32).
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -33,14 +46,15 @@ use crate::sched::{CostModel, ExecutorSlot, ExecutorSpec, ImplHints, SchedPolicy
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
 
-/// Scheduler accounting for the attempt on the wire: where it went,
-/// the load cost it was charged at (the unit of remaining-work
-/// accounting), the virtual send time (dispatch-latency metric and
-/// cost-model sample base) and the implementation code that ran (the
-/// [`CostModel`] EWMA key).
+/// Scheduler accounting for the attempt on the wire: where it went
+/// and under which ticket, the load cost it was charged at (the unit of
+/// remaining-work accounting), the virtual send time (dispatch-latency
+/// metric and cost-model sample base) and the implementation code that
+/// ran (the [`CostModel`] EWMA key).
 #[derive(Debug)]
 struct Charge {
     node: NodeId,
+    ticket: u64,
     cost: u64,
     sent_ns: u64,
     code: String,
@@ -116,16 +130,34 @@ pub(super) struct Dispatcher {
     parked: BTreeMap<(Reverse<i64>, u64), ParkedDispatch>,
     /// Arrival tie-break for `parked` keys.
     park_seq: u64,
+    /// The ticket the next attempt shipped takes.
+    next_ticket: u64,
+}
+
+/// What dropping unfinished records leaves to do: the timers to cancel,
+/// and each attempt still on the wire, by executor and ticket.
+#[derive(Default)]
+pub(super) struct Dropped {
+    timers: Vec<TimerId>,
+    attempts: Vec<(NodeId, u64)>,
 }
 
 impl Dispatcher {
-    pub(super) fn new(executors: Vec<ExecutorSpec>) -> Self {
+    /// A dispatcher for a shard whose log opened at `next_seq`.
+    pub(super) fn new(executors: Vec<ExecutorSpec>, next_seq: u64) -> Self {
         Self {
             sched: Scheduler::new(executors, SchedPolicy::default()),
             costs: CostModel::new(),
             parked: BTreeMap::new(),
             park_seq: 0,
+            next_ticket: next_seq << 32,
         }
+    }
+
+    /// A new life of the shard, its log reopened at `next_seq`: tickets
+    /// count from a base no earlier life used (the module doc says why).
+    pub(super) fn reopened(&mut self, next_seq: u64) {
+        self.next_ticket = next_seq << 32;
     }
 
     /// The in-flight view and the ready queue died with the process:
@@ -154,23 +186,26 @@ impl Dispatcher {
         Some(charge)
     }
 
-    /// Ends a record that did not complete: releases its load and
-    /// returns its timers to cancel — the watchdog, a delayed attempt's.
-    fn discard(&mut self, mut flight: Flight) -> [Option<TimerId>; 2] {
-        self.release(&mut flight);
-        [flight.watchdog, flight.delayed]
+    /// Ends a record that did not complete: releases its load and notes
+    /// in `dropped` its timers to cancel — the watchdog, a delayed
+    /// attempt's — and the attempt it had on the wire.
+    fn discard(&mut self, mut flight: Flight, dropped: &mut Dropped) {
+        if let Some(charge) = self.release(&mut flight) {
+            dropped.attempts.push((charge.node, charge.ticket));
+        }
+        let timers = [flight.watchdog, flight.delayed];
+        dropped.timers.extend(timers.into_iter().flatten());
     }
 
     /// Drops the records of `tasks` — none of them completed — with
     /// their load, and any dispatch of theirs still parked (a cancelled
-    /// task's parked dispatch must never run). Returns the timers to
-    /// cancel.
+    /// task's parked dispatch must never run).
     fn discard_tasks(
         &mut self,
         instance: &str,
         flights: &mut Flights,
         tasks: impl Iterator<Item = TaskId>,
-    ) -> Vec<TimerId> {
+    ) -> Dropped {
         let dropped: BTreeMap<TaskId, Flight> = tasks
             .filter_map(|task| Some((task, flights.0.remove(&task)?)))
             .collect();
@@ -180,30 +215,30 @@ impl Dispatcher {
                 entry.instance != instance || !dropped.contains_key(&entry.task)
             });
         }
-        let dropped = dropped.into_values();
-        dropped
-            .flat_map(|flight| self.discard(flight))
-            .flatten()
-            .collect()
+        let mut ended = Dropped::default();
+        for flight in dropped.into_values() {
+            self.discard(flight, &mut ended);
+        }
+        ended
     }
 
     /// Moves every record and parked dispatch of `instance` from its
     /// task id under the old plan to `new_id(old)`; what belonged to a
-    /// task the new plan no longer has is released — load freed, parked
-    /// entry dropped, its timers returned for cancelling.
+    /// task the new plan no longer has is dropped — load freed, parked
+    /// entry dropped, its timers and attempt returned for cancelling.
     fn rekey(
         &mut self,
         instance: &str,
         flights: &mut Flights,
         new_id: impl Fn(TaskId) -> Option<TaskId>,
-    ) -> Vec<TimerId> {
-        let mut watchdogs = Vec::new();
+    ) -> Dropped {
+        let mut dropped = Dropped::default();
         for (old, flight) in std::mem::take(&mut flights.0) {
             match new_id(old) {
                 Some(new) => {
                     flights.0.insert(new, flight);
                 }
-                None => watchdogs.extend(self.discard(flight).into_iter().flatten()),
+                None => self.discard(flight, &mut dropped),
             }
         }
         self.parked.retain(|_, entry| {
@@ -214,20 +249,21 @@ impl Dispatcher {
             entry.task = new.unwrap_or(entry.task);
             new.is_some()
         });
-        watchdogs
+        dropped
     }
 
     /// Releases every record of an instance leaving this shard
     /// (hand-off, purge) and forgets its parked dispatches — whoever
-    /// owns it next re-arms from its committed control blocks. Returns
-    /// the timers to cancel.
+    /// owns it next re-arms from its committed control blocks, and is
+    /// owed the work on the wire, so none is cancelled. Returns the
+    /// timers to cancel.
     pub(super) fn release_all(&mut self, instance: &str, flights: Flights) -> Vec<TimerId> {
         self.parked.retain(|_, entry| entry.instance != instance);
-        let records = flights.0.into_values();
-        records
-            .flat_map(|flight| self.discard(flight))
-            .flatten()
-            .collect()
+        let mut dropped = Dropped::default();
+        for flight in flights.0.into_values() {
+            self.discard(flight, &mut dropped);
+        }
+        dropped.timers
     }
 }
 
@@ -354,9 +390,11 @@ impl Coordinator {
 
     /// Stages the end of an attempt of `task` that brought no outcome —
     /// its executor `reported` an error, or its watchdog fired: a
-    /// bounded retry (the bumped attempt, re-dispatched after an
-    /// exponential back-off, away from the node it died on) or, the
-    /// budget spent, `Failed`. `cb` is the block as the step reads it.
+    /// bounded retry (one more retry spent, the bumped attempt
+    /// re-dispatched after an exponential back-off, away from the node it
+    /// died on) or, the budget spent, `Failed`. Only retries spend the
+    /// budget: a restart's or a repeat's bumped attempt does not. `cb` is
+    /// the block as the step reads it.
     pub(super) fn stage_lost(
         &mut self,
         step: &mut Step,
@@ -366,9 +404,10 @@ impl Coordinator {
         reason: &str,
         reported: bool,
     ) -> Result<(), EngineError> {
-        if cb.attempt >= self.config.max_retries {
+        if cb.retries >= self.config.max_retries {
             return self.stage_failure(step, drain, task, cb, reason, reported);
         }
+        cb.retries += 1;
         cb.attempt += 1;
         let action = step.action(&mut self.mgr);
         facts::write_block(&mut self.mgr, action, drain.plan, drain.id, task, &cb)?;
@@ -383,7 +422,7 @@ impl Coordinator {
         let backoff = self
             .config
             .retry_backoff
-            .saturating_mul(1 << (cb.attempt.min(16) - 1));
+            .saturating_mul(1 << (cb.retries.min(16) - 1));
         self.stage_launch(step, drain, task, &cb, None, Some(backoff))
     }
 
@@ -427,17 +466,17 @@ impl Coordinator {
     }
 
     /// Ends the load accounting of `task`'s attempt on the wire and
-    /// returns the executor it ran on, if one was counted (idempotent —
-    /// the charge gates the release). `completed_at_ns` is `Some` only
-    /// for a genuine executor report: its elapsed time feeds the
-    /// `coord.dispatch_latency_ns` histogram and the cost model.
+    /// returns the executor it ran on and its ticket, if one was counted
+    /// (idempotent — the charge gates the release). `completed_at_ns` is
+    /// `Some` only for a genuine executor report: its elapsed time feeds
+    /// the `coord.dispatch_latency_ns` histogram and the cost model.
     /// Timeouts, failures and sweeps pass `None` and teach neither.
     fn release_dispatch(
         &mut self,
         instance: &str,
         task: TaskId,
         completed_at_ns: Option<u64>,
-    ) -> Option<NodeId> {
+    ) -> Option<(NodeId, u64)> {
         let flight = self.instances.get_mut(instance)?.flights.0.get_mut(&task)?;
         let charge = self.dispatcher.release(flight)?;
         if let Some(elapsed) = completed_at_ns.and_then(|now| now.checked_sub(charge.sent_ns)) {
@@ -446,7 +485,7 @@ impl Coordinator {
                 self.metrics.dispatch_latency_ns.record(elapsed);
             }
         }
-        Some(charge.node)
+        Some((charge.node, charge.ticket))
     }
 
     /// The committed control blocks of `instance` sitting in
@@ -528,10 +567,10 @@ impl Coordinator {
         let Some(rt) = self.instances.get_mut(instance) else {
             return;
         };
-        let watchdogs = self
+        let dropped = self
             .dispatcher
             .discard_tasks(instance, &mut rt.flights, tasks);
-        self.cancel(watchdogs);
+        self.end_dropped(dropped);
     }
 
     /// A reconfiguration committed `instance`'s new plan: the resident
@@ -544,8 +583,24 @@ impl Coordinator {
         };
         let old_plan = std::mem::replace(&mut rt.plan, plan.clone());
         let new_id = |old: TaskId| plan.task_by_path(old_plan.str(old_plan.task(old).path));
-        let watchdogs = self.dispatcher.rekey(instance, &mut rt.flights, new_id);
-        self.cancel(watchdogs);
+        let dropped = self.dispatcher.rekey(instance, &mut rt.flights, new_id);
+        self.end_dropped(dropped);
+    }
+
+    /// Cancels what dropped records left: their timers here, and each
+    /// attempt on the wire where it runs.
+    fn end_dropped(&mut self, dropped: Dropped) {
+        self.cancel(dropped.timers);
+        for (node, ticket) in dropped.attempts {
+            self.cancel_attempt(node, ticket);
+        }
+    }
+
+    /// Tells `node` to drop the attempt this shard shipped it under
+    /// `ticket` (lost harmlessly if that executor is down).
+    fn cancel_attempt(&mut self, node: NodeId, ticket: u64) {
+        self.metrics.stats.cancels += 1;
+        self.send(node, &EngineMsg::Cancel { ticket });
     }
 
     /// Keeps `instance`'s work moving: each task it has `Executing` with
@@ -765,8 +820,11 @@ impl Coordinator {
         let cost = dispatcher.costs.load_cost(&shipment.code, &hints);
         dispatcher.release(flight);
         dispatcher.sched.note_dispatch(placement.node, cost);
+        let ticket = dispatcher.next_ticket;
+        dispatcher.next_ticket += 1;
         flight.charge = Some(Charge {
             node: placement.node,
+            ticket,
             cost,
             sent_ns: now_ns,
             code: shipment.code.clone(),
@@ -787,6 +845,7 @@ impl Coordinator {
             path: path.to_string(),
             incarnation,
             attempt,
+            ticket,
             implementation: shipment.implementation,
             set: launch.set,
             inputs: launch.inputs,
@@ -867,15 +926,20 @@ impl Coordinator {
     /// The attempt of `task` on the wire ended with no outcome: its load
     /// is released — as a completion's when its executor `reported`, the
     /// elapsed time a sample — and its watchdog disarmed; the record
-    /// stays, remembering the node so the retry relocates.
+    /// stays, remembering the node so the retry relocates. An attempt
+    /// its watchdog gave up on may still run: it is cancelled there, so
+    /// the retry never queues behind it.
     pub(super) fn lose_flight(&mut self, instance: &str, task: TaskId, reported: bool) {
         let completed_at_ns = reported.then(|| self.now.as_nanos());
-        let died_on = self.release_dispatch(instance, task, completed_at_ns);
+        let charged = self.release_dispatch(instance, task, completed_at_ns);
         let watchdog = self.flight_mut(instance, task).and_then(|flight| {
-            flight.avoid = died_on.or(flight.avoid);
+            flight.avoid = charged.map(|(node, _)| node).or(flight.avoid);
             flight.watchdog.take()
         });
         self.cancel(watchdog);
+        if let Some((node, ticket)) = charged.filter(|_| !reported) {
+            self.cancel_attempt(node, ticket);
+        }
     }
 
     /// An executor report for `task` was applied: its work is no longer
@@ -901,13 +965,14 @@ mod tests {
     fn booked(n: usize, tasks: &[TaskId]) -> (Dispatcher, Flights) {
         let nodes: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
         let specs = nodes.iter().copied().map(ExecutorSpec::unbounded).collect();
-        let (mut dispatcher, mut flights) = (Dispatcher::new(specs), Flights::default());
+        let (mut dispatcher, mut flights) = (Dispatcher::new(specs, 1), Flights::default());
         for &task in tasks {
             let (node, cost) = (nodes[task as usize % n], u64::from(task));
             dispatcher.sched.note_dispatch(node, cost);
             let flight = flights.0.entry(task).or_default();
             flight.charge = Some(Charge {
                 node,
+                ticket: task.into(),
                 cost,
                 sent_ns: 0,
                 code: format!("ref{task}"),
@@ -983,7 +1048,14 @@ mod tests {
             3 => Some(2),
             _ => Some(3),
         };
-        assert!(dispatcher.rekey("i", &mut flights, new_id).is_empty());
+        let dropped = dispatcher.rekey("i", &mut flights, new_id);
+        assert!(dropped.timers.is_empty());
+        let b = (NodeId::from_index(0), 2);
+        assert_eq!(
+            dropped.attempts,
+            [b],
+            "b's attempt, to cancel where it runs"
+        );
         // Kept (a), moved (c under c's own code, e), removed (b, d).
         assert_eq!(codes(&flights), [(1, "ref1"), (2, "ref3"), (3, "-")]);
         assert_eq!(parked(&dispatcher), [("j", 2), ("i", 3)]);
@@ -997,14 +1069,19 @@ mod tests {
         park(&mut dispatcher, &mut flights, "i", 4);
         park(&mut dispatcher, &mut flights, "i", 6);
         park(&mut dispatcher, &mut Flights::default(), "j", 4);
-        dispatcher.discard_tasks("i", &mut flights, 2..5);
+        let dropped = dispatcher.discard_tasks("i", &mut flights, 2..5);
+        let on_the_wire = [2, 3].map(|ticket| (NodeId::from_index(0), ticket));
+        assert_eq!(dropped.attempts, on_the_wire, "4 was parked: never shipped");
         assert_eq!(codes(&flights), [(1, "ref1"), (5, "ref5"), (6, "-")]);
         assert_eq!(parked(&dispatcher), [("j", 4), ("i", 6)]);
         assert_eq!(loads(&dispatcher), [(2, 6)]);
         // Again is a no-op; the rest goes when the instance leaves.
-        assert!(dispatcher.discard_tasks("i", &mut flights, 2..5).is_empty());
+        let again = dispatcher.discard_tasks("i", &mut flights, 2..5);
+        assert!(again.timers.is_empty() && again.attempts.is_empty());
         assert!(!flights.0.is_empty());
-        dispatcher.release_all("i", flights);
+        // An instance leaving cancels nothing where it runs: only the
+        // timers come back.
+        assert!(dispatcher.release_all("i", flights).is_empty());
         assert_eq!(parked(&dispatcher), [("j", 4)]);
         assert_eq!(loads(&dispatcher), [(0, 0)]);
     }

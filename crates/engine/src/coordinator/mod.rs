@@ -47,7 +47,7 @@
 //! | `step` | the unit of commit: stage a step's units (a window's reports, a restart's or landing's instances, one instance) into one action (reading its own writes back), commit once — one frame straight to the log — then the one tail: publish the effects in staging order, as outputs, check the checkpoint threshold, run the debug oracles over each instance drained; and the one rollback rule: units whose shared step rolled back retry one by one, a unit whose own step rolled back keeps its instance's work moving | `Step`, `Effect`, `Launch` (what an attempt ships under) | `step` (every step: a start, a window, `reevaluate`, a reconfiguration), `atomically` (an action with nothing to publish); `staged_cb`, `trace` |
 //! | `window` | the one place a report is applied: buffer `Done`/`Mark` reports until `max_events`, the window's timer, or every report the shard awaits is in, stage a window of them in arrival order — outcome, mark, execution error, repeat outcome, misreport — and its cascade as one step over its reports | `BatchWindow` | `enqueue_event`, `flush_pending`, `on_batch_window` ([`Timer::Window`]), `commit_event`, `window_committed` (a committed window's batch id and size sample) |
 //! | `evaluate` | the cascade a step stages: input-set satisfaction, activation, compound-scope outputs (marks, termination, the fig. 8 repeat), stuck detection; the debug full-scan oracle | `Drain` (one instance inside a step: its seeds, its flights as the step leaves them) | `reevaluate` (`step` over resident instances, one or many: for each the caller stages its transition and the drain follows — one instance for the watchdog, a failed placement, the operator's abort and repair; every running one for a restart or a landing, `resume`); `instance_ctx`, `drain_of`, `stage_drain`, `park_stuck`, `assert_settled` (the oracles `step` runs) |
-//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, and what an attempt that ends with no outcome stages: the bounded retry or `Failed` | `Dispatcher` (scheduler loads, cost model, ready queue), `Flights` (per instance: one record per task with outstanding work, its watchdog and a delayed attempt's timer each a [`TimerId`], cancelled with the record) | staging: `stage_lost` (error report, time-out), `stage_failure`, `stage_launch` (the next attempt, now or after a delay); publishing: `ship` (an attempt, under what its step staged), `dispatch` (a staged attempt whose delay or park is over), `dispatch_after`, `lose_flight`, `clear_watch`, `discard_flights` (subtree sweep, forced outcome, failure), `fail_unplaceable`; timers: `on_watchdog` ([`Timer::Watchdog`]), `on_dispatch_timer` ([`Timer::Dispatch`]), each clearing its own timer first; `drain_parked`, `executing`; `Flights::outstanding` (stuck detection), `replan` (a reconfiguration's new plan, its books re-keyed), `keep_moving` (the rollback rule's watchdogs: each `Executing` task with nothing armed or parked gets one; a live landing's, up front), `Dispatcher::{release_all, reset}` (hand-off, recovery), `executor_loads` |
+//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, what an attempt that ends with no outcome stages — the bounded retry (`TaskCb::retries` is the budget) or `Failed` — and the cancel of an attempt the shard drops on the wire: one `Cancel` message to its executor, naming the ticket it shipped under | `Dispatcher` (scheduler loads, cost model, ready queue, the next ticket: a life's tickets count from its reopened log's sequence number, so none is reused), `Flights` (per instance: one record per task with outstanding work, its watchdog and a delayed attempt's timer each a [`TimerId`], cancelled with the record; its charge names the attempt's executor and ticket) | staging: `stage_lost` (error report, time-out), `stage_failure`, `stage_launch` (the next attempt, now or after a delay); publishing: `ship` (an attempt, under what its step staged, with a fresh ticket), `dispatch` (a staged attempt whose delay or park is over), `dispatch_after`, `lose_flight` (a watchdog's attempt cancelled where it runs), `clear_watch`, `discard_flights` (subtree sweep, forced outcome, failure; each attempt on the wire cancelled), `fail_unplaceable`; timers: `on_watchdog` ([`Timer::Watchdog`]), `on_dispatch_timer` ([`Timer::Dispatch`]), each clearing its own timer first; `drain_parked`, `executing`; `Flights::outstanding` (stuck detection), `replan` (a reconfiguration's new plan, its books re-keyed, a removed task's attempt cancelled), `keep_moving` (the rollback rule's watchdogs: each `Executing` task with nothing armed or parked gets one; a live landing's, up front), `Dispatcher::{release_all, reset, reopened}` (hand-off, which cancels nothing: the next owner is owed the work; recovery), `executor_loads` |
 //! | `admission` | the per-shard instance cap on the start RPC, and the start's repository fetch, once per shard and version: a start naming a version the shard fetched before launches at once | `Admission`, `AdmissionTicket` (the fetch's [`Call::Fetch`]) | `admit_or_queue`, `admit_from_queue`, `on_fetched`, `Admission::{instance_live, instance_settled}` |
 //! | `lifecycle` | instance start (the first writer of a header), the canonical source an instance pins (once per shard and hash) and the plan compiled from it (once per shard and version), materialising a runtime from committed state, the monitoring reads; blob collection | `PlanCache` (which also knows what each repository version the shard fetched is: its source hash and root) | `start_instance` (from admission, the one start path), `pin_source` (start, reconfiguration), `pinned_source` (the one reader of the source: every load, and reconfiguration), `load_or_park` (recovery, adoption: a running instance whose plan cannot be built stops `Stuck`), `PlanCache::plan` (the one way a plan is obtained: start, load, reconfiguration), `PlanCache::{remember, version}` (admission: a fetched version noted, a known one's text), `gc_plans` |
 //! | `membership` | shard routing and relays; the one way an instance changes shards — a claim, landed in one local action beside its receipt, sent by a live source from its move record (rebalance, drain) or by a claimant out of a dead shard's fenced storage (adoption) — the map flip, and the shard's end of each fleet call, answered as it goes | `Membership`, [`MoveReport`], [`FailoverReport`] | `route_report`, `misdirected`, `forward_start`, `on_relayed` ([`Call::Relay`]); from the operator `begin_move` ([`Op::Move`]), `begin_adoption` ([`Op::Adopt`]), `set_shard_map` ([`Op::Map`]), `Membership::drop_jobs` ([`Op::GiveUp`]); from the wire `on_claim`, `on_claim_answered` ([`Call::Claim`]); `adopt_orphans` (a landing or a thaw: `load_stored`, then `resume`), `repair_handoffs` |
@@ -312,7 +312,7 @@ impl Coordinator {
         Ok(Self {
             node,
             repo,
-            dispatcher: Dispatcher::new(executors),
+            dispatcher: Dispatcher::new(executors, mgr.next_seq()),
             admission: Admission::default(),
             membership: Membership::new(shard),
             config,

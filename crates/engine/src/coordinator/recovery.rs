@@ -112,6 +112,7 @@ impl Coordinator {
         // The reopened store takes the old one's metrics: their history
         // (like the flight recorder's) spans the crash.
         std::mem::swap(mgr.metrics_mut(), self.mgr.metrics_mut());
+        self.dispatcher.reopened(mgr.next_seq());
         self.mgr = mgr;
         self.unopened = unopened;
         if self.unopened.is_some() {

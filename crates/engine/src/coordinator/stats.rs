@@ -16,6 +16,10 @@ use flowscript_sim::NodeId;
 pub struct CoordStats {
     /// Task dispatches sent to executors.
     pub dispatches: u64,
+    /// Dispatches this shard gave up on while on the wire — a cancelled
+    /// or reset scope, a forced outcome, a reconfiguration, a watchdog —
+    /// each cancelled at its executor with one message.
+    pub cancels: u64,
     /// Automatic retries of system-level failures.
     pub retries: u64,
     /// Tasks that exhausted their retries.
@@ -67,6 +71,7 @@ impl std::ops::AddAssign<&CoordStats> for CoordStats {
         // here is a compile error, so sharded aggregates stay complete.
         let CoordStats {
             dispatches,
+            cancels,
             retries,
             failures,
             marks,
@@ -83,6 +88,7 @@ impl std::ops::AddAssign<&CoordStats> for CoordStats {
             adoptions,
         } = *other;
         self.dispatches += dispatches;
+        self.cancels += cancels;
         self.retries += retries;
         self.failures += failures;
         self.marks += marks;
@@ -141,6 +147,7 @@ impl CoordMetrics {
     pub(super) fn snapshot(&self) -> Snapshot {
         let CoordStats {
             dispatches,
+            cancels,
             retries,
             failures,
             marks,
@@ -158,6 +165,7 @@ impl CoordMetrics {
         } = self.stats;
         let counters = [
             ("coord.dispatches", dispatches),
+            ("coord.cancels", cancels),
             ("coord.retries", retries),
             ("coord.failures", failures),
             ("coord.marks", marks),

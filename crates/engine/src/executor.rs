@@ -28,14 +28,21 @@
 //! in-flight counters). The schedulers park dispatches instead of
 //! queueing them here once all eligible executors are saturated.
 //!
-//! Caveat: the queue reservation is made at arrival and there is no
-//! cancel protocol, so an attempt the coordinator abandons (a watchdog
-//! firing while the task is still queued) keeps its slot and the retry
-//! queues *behind* it. Bounded fleets should pair with watchdog
-//! timeouts generous relative to the expected queue depth (as
-//! `tests/scheduling.rs` does).
+//! A start is indexed by the shard that dispatched it and the ticket
+//! it carries until its completion goes off. A shard that gives up on
+//! an attempt — its scope cancelled, its watchdog fired, its task
+//! reconfigured away — sends [`EngineMsg::Cancel`] with that ticket: the
+//! attempt's pending reports are disarmed, and if its reservation is
+//! still its slot's tail, the slot gets that time back (work queued
+//! behind it keeps the times it was promised). A ticket the index does
+//! not hold — the attempt finished, or died with a restart — is a
+//! no-op; so is a cancel that overtook its start on the wire, whose
+//! attempt then runs out and reports stale. A shard never reuses a
+//! ticket, restarts included (see the coordinator's dispatch module),
+//! so a cancel names one attempt.
 
 use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::convert::Infallible;
 
 use flowscript_sim::{NodeId, SimDuration, SimTime};
@@ -59,7 +66,26 @@ pub const MAX_SCRIPT_NESTING: u32 = 8;
 #[derive(Debug)]
 pub(crate) struct Report {
     to: NodeId,
+    /// The attempt's ticket: its completion ends the attempt's entry.
+    ticket: u64,
     msg: EngineMsg,
+}
+
+/// An attempt playing out here: its timers, consecutive from `first`
+/// (the completion last).
+#[derive(Debug)]
+struct Running {
+    first: u64,
+    timers: u32,
+}
+
+/// The slot time an attempt reserved on a bounded executor: `from` to
+/// `until` on slot `slot`.
+#[derive(Debug)]
+struct Booking {
+    slot: u32,
+    from: SimTime,
+    until: SimTime,
 }
 
 /// What an executor is fed, and what it answers an input with.
@@ -76,6 +102,11 @@ pub(crate) struct Executor {
     /// One queue tail per declared slot: the next free moment of each.
     /// Empty (capacity 0) means unbounded — no queueing at all.
     slots: Vec<SimTime>,
+    /// The attempts playing out, by dispatching shard and ticket…
+    running: BTreeMap<(NodeId, u64), Running>,
+    /// …and, on a bounded executor, the slot time each reserved: kept
+    /// apart, so an unbounded executor's index holds only its timers.
+    booked: BTreeMap<(NodeId, u64), Booking>,
     next_timer: u64,
 }
 
@@ -87,13 +118,15 @@ impl Executor {
             spec,
             registry,
             slots,
+            running: BTreeMap::new(),
+            booked: BTreeMap::new(),
             next_timer: 0,
         }
     }
 
     /// Binds and plays out `start`, dispatched by `from`: one timer per
-    /// mark and then one for the completion, or at once an execution
-    /// error.
+    /// mark and then one for the completion, indexed under its ticket,
+    /// or at once an execution error.
     fn start(&mut self, now: SimTime, from: NodeId, start: StartTask) -> Vec<Output> {
         let behavior = match self.bind(&start) {
             Ok(behavior) => behavior,
@@ -103,7 +136,19 @@ impl Executor {
                 return vec![Output::Send { to: from, bytes }];
             }
         };
-        let queue_delay = self.reserve(now, behavior.work);
+        let (ticket, first) = (start.ticket, self.next_timer);
+        let booking = self.reserve(now, behavior.work);
+        let queue_delay = booking
+            .as_ref()
+            .map_or(SimDuration::ZERO, |b| b.from.since(now));
+        if let Some(booking) = booking {
+            self.booked.insert((from, ticket), booking);
+        }
+        let report = |msg| Report {
+            to: from,
+            ticket,
+            msg,
+        };
         let mut outputs = Vec::with_capacity(behavior.marks.len() + 1);
         for mark in behavior.marks {
             let msg = EngineMsg::Mark(MarkMsg {
@@ -115,16 +160,37 @@ impl Executor {
                 objects: mark.objects,
             });
             let at = queue_delay + mark.at.min(behavior.work);
-            outputs.push(self.arm(at, Report { to: from, msg }));
+            outputs.push(self.arm(at, report(msg)));
         }
         let result = TaskResult::Output {
             name: behavior.completion.outcome,
             objects: behavior.completion.objects,
             redo_after: behavior.redo_after,
         };
-        let msg = done(&start, result);
-        outputs.push(self.arm(queue_delay + behavior.work, Report { to: from, msg }));
+        let completion = report(done(&start, result));
+        outputs.push(self.arm(queue_delay + behavior.work, completion));
+        let timers = outputs.len() as u32;
+        self.running
+            .insert((from, ticket), Running { first, timers });
         outputs
+    }
+
+    /// `from` gave up on the attempt it dispatched under `ticket`: its
+    /// pending reports are disarmed, and its reservation, if still its
+    /// slot's tail, is given back from whichever is later, its start or
+    /// now. Anything else is a no-op.
+    fn cancel(&mut self, now: SimTime, from: NodeId, ticket: u64) -> Vec<Output> {
+        let Some(running) = self.running.remove(&(from, ticket)) else {
+            return Vec::new();
+        };
+        if let Some(booking) = self.booked.remove(&(from, ticket)) {
+            let tail = &mut self.slots[booking.slot as usize];
+            if *tail == booking.until {
+                *tail = booking.from.max(now);
+            }
+        }
+        let timers = running.first..running.first + u64::from(running.timers);
+        timers.map(|id| Output::Cancel(TimerId(id))).collect()
     }
 
     /// The behaviour `start` binds to here, or why it cannot run here.
@@ -162,14 +228,24 @@ impl Executor {
     /// Bounded capacity: the task takes the earliest-free slot, waits
     /// for its tail before the work (and marks) begin, and advances
     /// that tail by its work time. Slot index breaks ties (stable, so
-    /// runs stay deterministic). No slots = unbounded, zero delay.
-    fn reserve(&mut self, now: SimTime, work: SimDuration) -> SimDuration {
-        let Some((slot, _)) = self.slots.iter().enumerate().min_by_key(|(_, tail)| **tail) else {
-            return SimDuration::ZERO;
-        };
-        let tail = self.slots[slot].max(now);
-        self.slots[slot] = tail + work;
-        tail.since(now)
+    /// runs stay deterministic). No slots = unbounded: no booking, the
+    /// work begins now.
+    fn reserve(&mut self, now: SimTime, work: SimDuration) -> Option<Booking> {
+        let (slot, _) = self
+            .slots
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, tail)| **tail)?;
+        let from = self.slots[slot].max(now);
+        self.slots[slot] = from + work;
+        let until = self.slots[slot];
+        let slot = slot as u32;
+        Some(Booking { slot, from, until })
+    }
+
+    /// The attempts playing out here: none once the world is quiescent.
+    pub(crate) fn running(&self) -> usize {
+        self.running.len()
     }
 
     fn arm(&mut self, after: SimDuration, timer: Report) -> Output {
@@ -193,9 +269,14 @@ impl Node for Executor {
         match input {
             Input::Message { from, payload, .. } => match flowscript_codec::from_bytes(payload) {
                 Ok(EngineMsg::Start(start)) => self.start(now, from, start),
+                Ok(EngineMsg::Cancel { ticket }) => self.cancel(now, from, ticket),
                 _ => Vec::new(),
             },
-            Input::Fired(Report { to, msg }) => {
+            Input::Fired(Report { to, ticket, msg }) => {
+                if let EngineMsg::Done(_) = msg {
+                    self.running.remove(&(to, ticket));
+                    self.booked.remove(&(to, ticket));
+                }
                 let bytes = flowscript_codec::to_bytes(&msg);
                 vec![Output::Send { to, bytes }]
             }
@@ -203,6 +284,8 @@ impl Node for Executor {
             // The work that held the slots died with the node.
             Input::Restart => {
                 self.slots.fill(SimTime::ZERO);
+                self.running.clear();
+                self.booked.clear();
                 Vec::new()
             }
         }
@@ -282,6 +365,7 @@ mod tests {
             path: "p".into(),
             incarnation: 0,
             attempt: 0,
+            ticket: 0,
             implementation: [("code", "c")]
                 .iter()
                 .chain(hints)
@@ -437,5 +521,122 @@ mod tests {
         // A restart lost both: the slot is free again.
         assert!(executor.handle(SimTime::ZERO, Input::Restart).is_empty());
         assert_eq!(completion_after(&mut executor), work);
+    }
+
+    /// A serial executor playing `c` as 10 ms of work with a mark at
+    /// 5 ms.
+    fn serial() -> Executor {
+        let work = SimDuration::from_millis(10);
+        let registry = ImplRegistry::new();
+        registry.bind_fn("c", move |_| {
+            TaskBehavior::outcome("done").with_work(work).with_mark(
+                SimDuration::from_millis(5),
+                "half",
+                [],
+            )
+        });
+        let spec = ExecutorSpec {
+            capacity: 1,
+            ..ExecutorSpec::unbounded(NodeId::from_index(1))
+        };
+        Executor::new(spec, registry)
+    }
+
+    /// A start of `c` under `ticket`, delivered at 0: the completion's
+    /// delay, and the ids of the timers it armed.
+    fn started(executor: &mut Executor, ticket: u64) -> (SimDuration, Vec<TimerId>) {
+        let coordinator = NodeId::from_index(0);
+        let start = StartTask {
+            ticket,
+            ..start(&[])
+        };
+        let outputs = deliver(executor, SimTime::ZERO, coordinator, start);
+        let ids = outputs.iter().map(|output| match output {
+            Output::Arm { id, .. } => *id,
+            other => panic!("only timers: {other:?}"),
+        });
+        let Some(Output::Arm { after, .. }) = outputs.last() else {
+            panic!("the completion last: {outputs:?}");
+        };
+        (*after, ids.collect())
+    }
+
+    /// The cancel of `ticket`, delivered at 0: the timers it disarms.
+    fn cancel(executor: &mut Executor, ticket: u64) -> Vec<TimerId> {
+        let payload = &flowscript_codec::to_bytes(&EngineMsg::Cancel { ticket });
+        let from = NodeId::from_index(0);
+        let message = Input::Message {
+            from,
+            payload,
+            token: None,
+        };
+        let outputs = executor.handle(SimTime::ZERO, message);
+        let ids = outputs.into_iter().map(|output| match output {
+            Output::Cancel(id) => id,
+            other => panic!("only cancels: {other:?}"),
+        });
+        ids.collect()
+    }
+
+    /// A cancel disarms every timer of its attempt, the mark's and the
+    /// completion's; the slot time of a reservation at its slot's tail
+    /// comes back, and work queued behind one that is not keeps its
+    /// promised time.
+    #[test]
+    fn a_cancel_ends_the_timers_of_its_attempt() {
+        let ms = SimDuration::from_millis;
+        let mut executor = serial();
+        let (a_at, a) = started(&mut executor, 1);
+        let (b_at, _) = started(&mut executor, 2);
+        assert_eq!((a_at, b_at, a.len()), (ms(10), ms(20), 2));
+        assert_eq!(executor.running(), 2);
+        // `a` is not the tail: `b` keeps its 20 ms, and the next start
+        // queues behind `b`.
+        assert_eq!(cancel(&mut executor, 1), a);
+        assert_eq!(started(&mut executor, 3).0, ms(30));
+        // `c` is the tail: its 10 ms come back, and `d` takes them.
+        let (_, c) = started(&mut executor, 4);
+        assert_eq!(cancel(&mut executor, 4), c);
+        assert_eq!(started(&mut executor, 5).0, ms(40));
+        assert_eq!(executor.running(), 3, "b, the second start and d");
+    }
+
+    /// A ticket the index does not hold — never started, already
+    /// cancelled, or finished — cancels nothing.
+    #[test]
+    fn an_unknown_or_finished_ticket_is_a_no_op() {
+        let mut executor = serial();
+        assert!(cancel(&mut executor, 7).is_empty(), "never started");
+        let (_, timers) = started(&mut executor, 7);
+        assert_eq!(cancel(&mut executor, 7), timers);
+        assert!(cancel(&mut executor, 7).is_empty(), "already cancelled");
+        // A start whose completion went off is finished.
+        let coordinator = NodeId::from_index(0);
+        let start = StartTask {
+            ticket: 8,
+            ..start(&[])
+        };
+        let outputs = deliver(&mut executor, SimTime::ZERO, coordinator, start);
+        for output in outputs {
+            let Output::Arm { timer, .. } = output else {
+                panic!("only timers");
+            };
+            executor.handle(SimTime::ZERO, Input::Fired(timer));
+        }
+        assert_eq!(executor.running(), 0);
+        assert!(cancel(&mut executor, 8).is_empty(), "finished");
+    }
+
+    /// A restart lost every attempt: the index is empty, and a cancel of
+    /// what ran before it is a no-op.
+    #[test]
+    fn a_restart_clears_the_index() {
+        let mut executor = serial();
+        started(&mut executor, 1);
+        started(&mut executor, 2);
+        assert_eq!(executor.running(), 2);
+        assert!(executor.handle(SimTime::ZERO, Input::Restart).is_empty());
+        assert_eq!(executor.running(), 0);
+        assert!(cancel(&mut executor, 1).is_empty());
     }
 }

@@ -55,9 +55,10 @@
 //!
 //! | field | bytes |
 //! |---|---|
-//! | tag | bits 0–2 the state; bit 3 the counters follow; bit 4 every name is spelled out |
+//! | tag | bits 0–2 the state; bit 3 the counters follow; bit 4 every name is spelled out; bit 5 the retries follow |
 //! | name | `Active`/`Executing`: the set's ordinal in the class; `Done`/`Aborted`: the output's — a varint, or the name verbatim under bit 4; `Failed`: its reason; else none |
 //! | counters | only when one is non-zero or a mark was emitted: `incarnation`, `scope_inc`, `attempt`, `repeats` as varints, then the marks as a count and output ordinals (names under bit 4) |
+//! | retries | only when non-zero: the retries spent, a varint |
 //!
 //! `Executing` on a class's first set at attempt 0 is 2 B, a `Cancelled`
 //! block 1 B. **An absent block reads as [`TaskCb::waiting`]**, so a
@@ -547,6 +548,10 @@ const BLOCK_STATE: u8 = 0b0_0111;
 const BLOCK_COUNTERS: u8 = 0b0_1000;
 /// Block tag bit 4: every name the block carries is spelled out.
 const BLOCK_SPELLED: u8 = 0b1_0000;
+/// Block tag bit 5: the retries spent follow (only a task that retried).
+const BLOCK_RETRIES: u8 = 0b10_0000;
+/// Every bit a block tag can carry.
+const BLOCK_TAG_MAX: u8 = BLOCK_STATE | BLOCK_COUNTERS | BLOCK_SPELLED | BLOCK_RETRIES;
 
 /// A block's state bits.
 fn state_bits(state: &CbState) -> u8 {
@@ -644,6 +649,9 @@ pub(crate) fn encode_block(plan: &Plan, task: TaskId, cb: &TaskCb) -> Vec<u8> {
     if spelled {
         tag |= BLOCK_SPELLED;
     }
+    if cb.retries != 0 {
+        tag |= BLOCK_RETRIES;
+    }
     let mut w = ByteWriter::with_capacity(2);
     w.put_u8(tag);
     match (name, &cb.state) {
@@ -662,6 +670,9 @@ pub(crate) fn encode_block(plan: &Plan, task: TaskId, cb: &TaskCb) -> Vec<u8> {
             None => cb.marks_emitted.iter().for_each(|mark| w.put_str(mark)),
         }
     }
+    if cb.retries != 0 {
+        w.put_var_u64(cb.retries.into());
+    }
     w.into_vec()
 }
 
@@ -675,7 +686,7 @@ pub fn decode_block(plan: &Plan, task: TaskId, bytes: &[u8]) -> Result<TaskCb, C
         ty: "control block tag",
         value: tag.into(),
     };
-    if tag > BLOCK_STATE | BLOCK_COUNTERS | BLOCK_SPELLED {
+    if tag > BLOCK_TAG_MAX {
         return Err(bad_tag);
     }
     let spelled = tag & BLOCK_SPELLED != 0;
@@ -746,6 +757,13 @@ pub fn decode_block(plan: &Plan, task: TaskId, bytes: &[u8]) -> Result<TaskCb, C
             return Err(bad_tag);
         }
     }
+    if tag & BLOCK_RETRIES != 0 {
+        cb.retries = u32::try_from(r.get_var_u64()?).map_err(|_| CodecError::VarintOverflow)?;
+        // …nor retries it did not spend…
+        if cb.retries == 0 {
+            return Err(bad_tag);
+        }
+    }
     // …and spells nothing out where there is no name.
     if spelled && !named && cb.marks_emitted.is_empty() {
         return Err(bad_tag);
@@ -763,7 +781,7 @@ pub fn decode_block(plan: &Plan, task: TaskId, bytes: &[u8]) -> Result<TaskCb, C
 /// with say neither.
 pub(crate) fn block_settled(bytes: &[u8]) -> bool {
     let tag = bytes.first().copied().unwrap_or(u8::MAX);
-    tag <= BLOCK_STATE | BLOCK_COUNTERS | BLOCK_SPELLED && matches!(tag & BLOCK_STATE, 3 | 4)
+    tag <= BLOCK_TAG_MAX && matches!(tag & BLOCK_STATE, 3 | 4)
 }
 
 /// `task`'s control block of instance `instance` as `action` reads it —
@@ -1430,6 +1448,15 @@ mod tests {
             assert_eq!(bytes[0] & !BLOCK_STATE, BLOCK_COUNTERS, "{state:?}");
             // The counters, the mark count, then each mark's ordinal.
             assert_eq!(bytes[bytes.len() - 7..], [1, 2, 3, 4, 2, 3, 2]);
+            // A task that retried: the retries spent, last.
+            let retried = TaskCb {
+                retries: 5,
+                ..counted
+            };
+            let (bytes, read) = stored_block(&plan, w, &retried);
+            assert_eq!(read, retried);
+            assert_eq!(bytes[0] & !BLOCK_STATE, BLOCK_COUNTERS | BLOCK_RETRIES);
+            assert_eq!(bytes[bytes.len() - 8..], [1, 2, 3, 4, 2, 3, 2, 5]);
         }
         let failed = CbState::Failed {
             reason: "retries exhausted".into(),
@@ -1484,9 +1511,11 @@ mod tests {
             "not a task"
         );
         let counted = BLOCK_COUNTERS; // a tag whose counters follow
-        let corrupt: [(&str, Vec<u8>); 11] = [
+        let corrupt: [(&str, Vec<u8>); 13] = [
             ("an unknown state", vec![7]),
-            ("a tag past every bit", vec![0x20]),
+            ("a tag past every bit", vec![0x40]),
+            ("retries that are zero", vec![BLOCK_RETRIES | 6, 0]),
+            ("truncated retries", vec![BLOCK_RETRIES | 6]),
             ("a set ordinal past the class", vec![2, 2]),
             ("an output ordinal past the class", vec![3, 4]),
             (
@@ -1563,6 +1592,7 @@ mod tests {
                 incarnation: 1,
                 scope_inc: 0,
                 attempt: 2,
+                retries: 1,
                 marks_emitted: vec![named("early"), named("late")],
                 repeats: 1,
             },

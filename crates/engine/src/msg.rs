@@ -24,6 +24,9 @@ pub struct StartTask {
     pub incarnation: u32,
     /// Dispatch attempt number.
     pub attempt: u32,
+    /// The dispatching shard's ticket for this attempt: what an
+    /// [`EngineMsg::Cancel`] names it by. Never stored.
+    pub ticket: u64,
     /// The task's implementation clause: the name to bind under
     /// `"code"` ([`StartTask::code`]), and its hints (deadline,
     /// priority, …).
@@ -113,6 +116,12 @@ pub enum EngineMsg {
     Done(TaskDone),
     /// A mark was produced.
     Mark(MarkMsg),
+    /// Coordinator → executor: drop the attempt this shard dispatched
+    /// under `ticket` (a no-op once it finished, or if it never arrived).
+    Cancel {
+        /// The [`StartTask::ticket`] of the attempt.
+        ticket: u64,
+    },
     /// Client → repository: store a script (already validated client-side,
     /// revalidated server-side).
     RepoRegister {
@@ -203,6 +212,7 @@ impl Encode for StartTask {
         w.put_str(&self.path);
         w.put_u32(self.incarnation);
         w.put_u32(self.attempt);
+        w.put_var_u64(self.ticket);
         self.implementation.encode(w);
         w.put_str(&self.set);
         self.inputs.encode(w);
@@ -217,6 +227,7 @@ impl Decode for StartTask {
             path: r.get_str()?.to_owned(),
             incarnation: r.get_u32()?,
             attempt: r.get_u32()?,
+            ticket: r.get_var_u64()?,
             implementation: BTreeMap::decode(r)?,
             set: r.get_str()?.to_owned(),
             inputs: BTreeMap::decode(r)?,
@@ -388,6 +399,10 @@ impl Encode for EngineMsg {
                 w.put_u8(11);
                 w.put_u32(*queue_depth);
             }
+            EngineMsg::Cancel { ticket } => {
+                w.put_u8(12);
+                w.put_var_u64(*ticket);
+            }
         }
     }
 }
@@ -435,6 +450,9 @@ impl Decode for EngineMsg {
             11 => EngineMsg::Busy {
                 queue_depth: r.get_u32()?,
             },
+            12 => EngineMsg::Cancel {
+                ticket: r.get_var_u64()?,
+            },
             other => {
                 return Err(CodecError::InvalidDiscriminant {
                     ty: "EngineMsg",
@@ -460,6 +478,7 @@ mod tests {
                 path: "root/t1".into(),
                 incarnation: 1,
                 attempt: 2,
+                ticket: 1 << 40 | 7,
                 implementation: BTreeMap::from([
                     ("code".to_string(), "refT1".to_string()),
                     ("priority".to_string(), "3".to_string()),
@@ -531,6 +550,9 @@ mod tests {
                 writes: vec![(StoreKey::Uid(ObjectUid::new("inst/i1/meta")), Some(vec![9]))],
             },
             EngineMsg::Busy { queue_depth: 17 },
+            EngineMsg::Cancel {
+                ticket: 1 << 40 | 7,
+            },
         ];
         for msg in msgs {
             let bytes = flowscript_codec::to_bytes(&msg);
@@ -544,5 +566,15 @@ mod tests {
             flowscript_codec::from_bytes::<EngineMsg>(&[9, 0]),
             Err(CodecError::InvalidDiscriminant { value: 9, .. })
         ));
+        // A `Cancel` cut short is a typed error, never a ticket.
+        let cancel = flowscript_codec::to_bytes(&EngineMsg::Cancel { ticket: 1 << 40 });
+        for cut in 1..cancel.len() {
+            let truncated = flowscript_codec::from_bytes::<EngineMsg>(&cancel[..cut]);
+            assert!(
+                truncated.is_err(),
+                "{cut} of {} bytes: {truncated:?}",
+                cancel.len()
+            );
+        }
     }
 }

@@ -91,8 +91,13 @@ pub struct TaskCb {
     /// For compound tasks: the current incarnation of *its own*
     /// constituents (bumped when this compound takes a repeat outcome).
     pub scope_inc: u32,
-    /// Dispatch attempt within the current incarnation (bumped on retry).
+    /// Dispatch attempt within the current incarnation: bumped by a
+    /// retry, a repeat and a restart's re-dispatch, and the fence a
+    /// report must match ([`TaskCb::awaits`]).
     pub attempt: u32,
+    /// Retries spent within the current incarnation: what the retry
+    /// budget counts (a restart or a repeat spends none).
+    pub retries: u32,
     /// Mark outputs already emitted (each mark fires at most once).
     pub marks_emitted: Vec<String>,
     /// Times this task produced a repeat outcome (bounded by policy).
@@ -108,6 +113,7 @@ impl TaskCb {
             incarnation: 0,
             scope_inc: 0,
             attempt: 0,
+            retries: 0,
             marks_emitted: Vec::new(),
             repeats: 0,
         }
@@ -166,6 +172,7 @@ impl TaskCb {
         self.state = CbState::Waiting;
         self.incarnation = incarnation;
         self.attempt = 0;
+        self.retries = 0;
         self.marks_emitted.clear();
     }
 
@@ -287,12 +294,13 @@ mod tests {
         let mut cb = TaskCb::waiting();
         cb.transition(CbState::Executing { set: "main".into() });
         cb.attempt = 3;
+        cb.retries = 2;
         cb.marks_emitted.push("toPay".into());
         cb.repeats = 1;
         cb.reset_for_incarnation(2);
         assert_eq!(cb.state, CbState::Waiting);
         assert_eq!(cb.incarnation, 2);
-        assert_eq!(cb.attempt, 0);
+        assert_eq!((cb.attempt, cb.retries), (0, 0));
         assert!(cb.marks_emitted.is_empty());
         assert_eq!(cb.repeats, 1, "repeat count survives reset (bounded loop)");
     }
@@ -314,6 +322,7 @@ mod tests {
                 incarnation: 2,
                 scope_inc: u32::MAX,
                 attempt: 300,
+                retries: 3,
                 marks_emitted: vec!["m1".into()],
                 repeats: 7,
             };

@@ -7,7 +7,7 @@ mod common;
 use common::text;
 use flowscript_core::samples;
 use flowscript_engine::{CbState, EngineError, ObjectVal, TaskBehavior, WorkflowSystem};
-use flowscript_sim::SimDuration;
+use flowscript_sim::{SimDuration, SimTime};
 
 #[test]
 fn forced_abort_of_waiting_dispatch_cancels_order() {
@@ -53,6 +53,14 @@ fn forced_abort_of_waiting_dispatch_cancels_order() {
         CbState::Aborted {
             outcome: "dispatchFailed".into()
         }
+    );
+    // The cancelled scope's two queries stop where they run: the world
+    // is quiet well before the minute the stock check would have taken.
+    assert_eq!(sys.stats().cancels, 2);
+    assert!(
+        sys.now() < SimTime::from_nanos(2_000_000_000),
+        "{:?}",
+        sys.now()
     );
 }
 

@@ -475,9 +475,18 @@ pub type Fingerprint = (
 /// parked dispatch; and once the world has no event left, no serving
 /// shard holds a timer that neither went off nor was cancelled, nor a
 /// commit window that thinks its timer is armed, nor an instance that
-/// is not settled — nothing is left that could move it. Every
-/// suite runs this through [`fingerprint`].
+/// is not settled — nothing is left that could move it — and no
+/// executor that is up holds an attempt running. Every suite runs this
+/// through [`fingerprint`].
 pub fn assert_books_balance(sys: &WorkflowSystem) {
+    if sys.is_quiescent() {
+        for (node, running) in sys.running_attempts() {
+            assert_eq!(
+                running, 0,
+                "executor {node:?}: {running} attempts running past quiescence"
+            );
+        }
+    }
     for shard in sys.serving_shards() {
         let coord = sys.coord_handle(shard);
         let terminal = |name: &String| {

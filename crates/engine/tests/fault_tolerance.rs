@@ -147,6 +147,41 @@ fn coordinator_crash_recovers_from_wal_and_completes() {
     );
 }
 
+/// A restart re-dispatches under the next attempt but spends no retry
+/// (nor does a repeat): only retries count against `max_retries`. One
+/// 100 ms leaf, its coordinator restarted three times 20 ms apart — its
+/// attempt is 3 — and then its implementation unbound: every attempt
+/// from there is an execution error, and the task still gets its three
+/// retries before it fails.
+#[test]
+fn restarts_spend_no_retry() {
+    let mut sys = WorkflowSystem::builder().seed(1).build();
+    let source = common::fan_join_source(1, |_| None);
+    sys.register_script("fan", &source, "root").unwrap();
+    sys.bind_fn("refW0", |_| {
+        TaskBehavior::outcome("done").with_work(SimDuration::from_millis(100))
+    });
+    sys.start("f", "fan", "main", [("seed", text("Data", "d"))])
+        .unwrap();
+    let coordinator = sys.coordinator_node();
+    for round in 1..=3 {
+        sys.run_until(SimTime::from_nanos(round * 20_000_000));
+        sys.crash_now(coordinator);
+        sys.restart_now(coordinator);
+    }
+    assert!(sys.registry().unbind("refW0"));
+    sys.run();
+    let states = sys.task_states("f");
+    assert!(
+        matches!(&states["root/w0"], CbState::Failed { reason } if reason.contains("refW0")),
+        "{:?}",
+        states["root/w0"]
+    );
+    let stats = sys.stats();
+    assert_eq!((stats.recovered_instances, stats.retries), (3, 3));
+    assert_eq!(stats.failures, 1);
+}
+
 #[test]
 fn coordinator_crash_during_order_processing_preserves_exactly_one_outcome() {
     let mut sys = WorkflowSystem::builder()

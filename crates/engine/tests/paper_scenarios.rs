@@ -11,8 +11,10 @@ use std::rc::Rc;
 
 use flowscript_core::samples;
 use flowscript_engine::{
-    CbState, EngineConfig, InstanceStatus, InvokeCtx, ObjectVal, TaskBehavior, WorkflowSystem,
+    CbState, EngineConfig, InstanceStatus, InvokeCtx, ObjectVal, ObsEventKind, ObserveLevel,
+    TaskBehavior, WorkflowSystem,
 };
+use flowscript_sim::net::LinkConfig;
 use flowscript_sim::SimDuration;
 
 // ---------------------------------------------------------------------
@@ -667,6 +669,44 @@ fn fig8_fig9_hotel_failures_compensate_and_retry() {
     assert!(sys
         .output_fact("trip1", "tripReservation", "toPay")
         .is_some());
+}
+
+/// Fig. 8's `checkFlightReservation` takes the first airline to answer
+/// `found` and cancels the others. The cancel reaches the executor that
+/// runs airline C's 30 ms query, so nothing of the trip outlives its
+/// root's outcome by more than one link hop: the world is quiescent
+/// then, not when C's abandoned query would have finished.
+#[test]
+fn fig8_a_cancelled_query_stops_where_it_runs() {
+    let config = EngineConfig {
+        observe: ObserveLevel::Trace,
+        ..EngineConfig::default()
+    };
+    let mut sys = WorkflowSystem::builder()
+        .executors(4)
+        .seed(44)
+        .config(config)
+        .build();
+    sys.register_script("trip", samples::BUSINESS_TRIP, "tripReservation")
+        .unwrap();
+    bind_trip(&sys, 0);
+    sys.start("trip1", "trip", "main", [("user", text("User", "kim"))])
+        .unwrap();
+    sys.run();
+    assert_eq!(sys.outcome("trip1").expect("booked").name, "booked");
+    let trace = sys.trace("trip1");
+    let terminal = trace
+        .iter()
+        .find(|event| matches!(event.kind, ObsEventKind::Terminal { .. }))
+        .expect("the root's outcome is traced");
+    let hop = LinkConfig::default();
+    let hop = (hop.base_latency + hop.jitter).as_nanos();
+    let quiet_after = sys.now().as_nanos() - terminal.at_ns;
+    assert!(
+        quiet_after <= hop,
+        "the world went quiet {quiet_after} ns after the root's outcome"
+    );
+    assert!(sys.stats().cancels >= 1, "{:?}", sys.stats());
 }
 
 #[test]

@@ -468,6 +468,8 @@ fn removing_a_task_under_in_flight_siblings_keeps_the_books() {
         sys.now()
     );
     assert_eq!(sys.stats().retries, 0);
+    // And `a`'s attempt was cancelled where it ran.
+    assert_eq!(sys.stats().cancels, 1);
 }
 
 #[test]

@@ -330,6 +330,66 @@ fn a_report_dropped_after_its_watchdog_fired_is_timed_out_again() {
     );
 }
 
+/// A cancel goes out only once the step that drops its attempt
+/// commits. `checkStock` finds no stock at ≈ 6 ms while
+/// `paymentAuthorisation` has a second of work ahead: the step applying
+/// that report cancels the order, and with it the authorisation where it
+/// runs. With the disk refusing every append from 4 ms to 100 ms, that
+/// step rolls back, and sends nothing; the order is cancelled later,
+/// once the watchdog has brought `checkStock` back.
+#[test]
+fn a_rolled_back_step_cancels_nothing() {
+    // (cancels, aborted actions) by 100 ms, the disk refusing from 4 ms
+    // when `refuse`.
+    let cancels_by_100_ms = |refuse: bool| {
+        let disk = FlakyStorage::default();
+        let fail = disk.fail.clone();
+        let storage: StableStore = Shared::from(disk).into();
+        let mut sys = WorkflowSystem::builder()
+            .seed(5)
+            .shard_storages(vec![storage])
+            .build();
+        sys.register_script(
+            "order",
+            samples::ORDER_PROCESSING,
+            "processOrderApplication",
+        )
+        .unwrap();
+        sys.bind_fn("refPaymentAuthorisation", |_| {
+            TaskBehavior::outcome("authorised")
+                .with_work(SimDuration::from_secs(1))
+                .with_object("paymentInfo", text("PaymentInfo", "p"))
+        });
+        sys.bind_fn("refCheckStock", |_| {
+            TaskBehavior::outcome("stockNotAvailable").with_work(SimDuration::from_millis(5))
+        });
+        let at = |ms: u64| SimTime::from_nanos(ms * 1_000_000);
+        for (at_ms, refused) in [(4, refuse), (100, false)] {
+            let fail = fail.clone();
+            sys.world_mut()
+                .schedule_at(at(at_ms), move |_| fail.store(refused, Ordering::Relaxed));
+        }
+        sys.start("o1", "order", "main", [("order", text("Order", "o"))])
+            .unwrap();
+        sys.run_until(at(100));
+        let by_100_ms = (
+            sys.stats().cancels,
+            sys.metrics_snapshot().counter("tx.aborts"),
+        );
+        sys.run();
+        assert_eq!(sys.outcome("o1").expect("settles").name, "orderCancelled");
+        by_100_ms
+    };
+    assert_eq!(
+        cancels_by_100_ms(false),
+        (1, 0),
+        "the committed step's cancel"
+    );
+    let (cancels, aborts) = cancels_by_100_ms(true);
+    assert!(aborts > 0, "the step applying the report rolled back");
+    assert_eq!(cancels, 0, "a rolled-back step sent a cancel");
+}
+
 #[test]
 fn pinned_executor_crash_retries_in_place_and_recovers() {
     // The pinned executor crashes mid-flight; the retry has no
@@ -437,8 +497,9 @@ fn a_restarted_executor_frees_the_slots_of_the_work_it_lost() {
 // ---------------------------------------------------------------------
 
 /// A system whose single leaf stalls past the watchdog on attempt 0
-/// and completes instantly on later attempts.
-fn flaky_first_attempt(executors: usize, seed: u64) -> WorkflowSystem {
+/// and completes instantly on later attempts, on `executors` executors
+/// of `capacity` slots each (`0`: unbounded).
+fn flaky_first_attempt(executors: usize, capacity: u32, seed: u64) -> WorkflowSystem {
     let config = EngineConfig {
         dispatch_timeout: SimDuration::from_millis(200),
         retry_backoff: SimDuration::from_millis(20),
@@ -446,7 +507,7 @@ fn flaky_first_attempt(executors: usize, seed: u64) -> WorkflowSystem {
         ..EngineConfig::default()
     };
     let mut builder = WorkflowSystem::builder().seed(seed).config(config);
-    builder = builder.executors(executors);
+    builder = builder.executors(executors).executor_capacity(capacity);
     let mut sys = builder.build();
     sys.register_script("q", samples::QUICKSTART, "pipeline")
         .unwrap();
@@ -468,7 +529,7 @@ fn flaky_first_attempt(executors: usize, seed: u64) -> WorkflowSystem {
 
 #[test]
 fn watchdog_retry_relocates_whenever_an_alternative_exists() {
-    let mut sys = flaky_first_attempt(3, 21);
+    let mut sys = flaky_first_attempt(3, 0, 21);
     sys.start("i1", "q", "main", [("seed", text("Message", "s"))])
         .unwrap();
     sys.run();
@@ -492,7 +553,7 @@ fn single_executor_retry_is_detected_not_silent() {
     // With one executor the old `(hash + attempt) % 1` silently
     // re-picked the failed node while claiming relocation; the
     // scheduler now counts the no-alternative retry.
-    let mut sys = flaky_first_attempt(1, 22);
+    let mut sys = flaky_first_attempt(1, 0, 22);
     sys.start("i1", "q", "main", [("seed", text("Message", "s"))])
         .unwrap();
     sys.run();
@@ -509,6 +570,27 @@ fn single_executor_retry_is_detected_not_silent() {
         sys.stats().no_alternative_retries >= 1,
         "the stuck-in-place retry must be counted: {:?}",
         sys.stats()
+    );
+}
+
+/// A watchdog that gives up on an attempt cancels it where it runs: on
+/// a serial executor the abandoned hour of work gives its slot back, and
+/// the retry runs at once instead of queueing behind it.
+#[test]
+fn a_retry_does_not_queue_behind_its_own_abandoned_attempt() {
+    let mut sys = flaky_first_attempt(1, 1, 23);
+    sys.start("i1", "q", "main", [("seed", text("Message", "s"))])
+        .unwrap();
+    sys.run();
+    assert_eq!(sys.outcome("i1").expect("completes").name, "done");
+    let stats = sys.stats();
+    assert_eq!((stats.retries, stats.cancels), (1, 1));
+    // The 200 ms watchdog, the 20 ms back-off and the retry's work: far
+    // from the hour attempt 0 held its slot for.
+    assert!(
+        sys.now() < SimTime::from_nanos(1_000_000_000),
+        "the retry queued behind its abandoned attempt: done at {:?}",
+        sys.now()
     );
 }
 

@@ -232,6 +232,12 @@ impl<S: Storage> TxManager<S> {
         self.node
     }
 
+    /// The sequence number the next action takes: past every one this
+    /// log committed, so it only grows across reopens of the same log.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
     fn mint(&mut self) -> TxId {
         let id = TxId::new(self.node, self.next_seq);
         self.next_seq += 1;
