@@ -144,8 +144,8 @@ impl Coordinator {
         let known = ticket
             .version
             .and_then(|v| self.plan_cache.version(&ticket.script, v));
-        if let Some((source, root)) = known {
-            self.launch(ticket, &source, &root);
+        if let Some((hash, source, root)) = known {
+            self.launch(ticket, (hash, &source), &root);
             return;
         }
         let get = EngineMsg::RepoGet {
@@ -189,9 +189,10 @@ impl Coordinator {
         };
         match fetched {
             Ok((version, source, root)) => {
-                self.plan_cache
+                let hash = self
+                    .plan_cache
                     .remember(&ticket.script, version, &source, &root);
-                self.launch(ticket, &source, &root);
+                self.launch(ticket, (hash, &source), &root);
             }
             Err(why) => self.reply(ticket.token, &EngineMsg::Ack { result: Err(why) }),
         }
@@ -202,8 +203,8 @@ impl Coordinator {
     }
 
     /// Launches an admitted start off `source`, the text of its script
-    /// version, and answers the client.
-    fn launch(&mut self, ticket: AdmissionTicket, source: &str, root: &str) {
+    /// version with its hash, and answers the client.
+    fn launch(&mut self, ticket: AdmissionTicket, source: (u64, &str), root: &str) {
         let (instance, set) = (&ticket.instance, &ticket.set);
         let started = self.start_instance(instance, source, root, set, ticket.inputs);
         let result = started.map_err(|e| e.to_string());

@@ -76,13 +76,13 @@ impl Default for EngineConfig {
 /// shards) gather in a per-shard window and commit as **one** atomic
 /// action: one WAL frame holding one [`flowscript_tx::LogRecord::Commit`],
 /// one readiness re-evaluation seeded from every completed task's
-/// consumers. The window closes on `max_events` reports, on its
-/// `max_window` timer, or — what the shard decides exactly, with no
-/// field here — once its buffered `Done` reports are at least the
-/// dispatches it has on the wire: no report that could join is on its
-/// way, so a lone report does not idle. There is one pipeline whatever
-/// the size: the window is
-/// placement, not semantics — each report applies exactly the transition
+/// consumers. The window closes on `max_events` reports, on its timer
+/// (`max_window`, longer for long work), or — what the shard decides
+/// exactly, with no field here — once its buffered `Done` reports are at
+/// least the dispatches it has on the wire: no report that could join is
+/// on its way, so a lone report does not idle. There is one pipeline
+/// whatever the size: the window is placement, not semantics — each
+/// report applies exactly the transition
 /// it would have alone, and the equivalence suite
 /// (`engine/tests/batching.rs`) holds per-instance outcomes identical to
 /// the window of one.
@@ -92,8 +92,12 @@ pub struct CommitBatch {
     /// one: every report flushes on arrival and no timer is ever armed.
     pub max_events: usize,
     /// Flush at most this long (virtual time) after the first buffered
-    /// report, if the reports it awaits are not in sooner. Zero is the
-    /// window of one too, whatever `max_events` says.
+    /// report, if the reports it awaits are not in sooner — or, when
+    /// longer, a thousandth of how long ago the shard shipped the attempt
+    /// that report came from: a window holding 30 s of work may wait
+    /// 30 ms for company. This is the floor, the shortest wait. Zero is
+    /// the window of one, whatever `max_events` says or the attempt's
+    /// age.
     pub max_window: SimDuration,
 }
 

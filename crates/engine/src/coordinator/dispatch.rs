@@ -20,15 +20,21 @@
 //! leaving the shard cancels nothing: its next owner is owed that work.
 //! Tickets are volatile, and never reused by a shard, restarts
 //! included: a life whose log opened at sequence number `s` counts from
-//! `s << 32`. Every attempt a life ships follows a commit of its own
-//! (a step's publish, or a timer or a park that step left behind), so a
-//! life that shipped anything moved the log past `s`, and the next life
-//! counts from a higher base (one life ships fewer than 2^32).
+//! `s << 32`. Every attempt a life ships follows a commit of its own: a
+//! step's publish, or a timer or a park that step left behind — and a
+//! restart's re-sends, which write no block, follow the shard-life key
+//! their step stages ([`Coordinator::stage_life`]), so a refused append
+//! ships none of them. So a life that shipped anything moved the log
+//! past `s`, and the next life counts from a higher base (one life ships
+//! fewer than 2^32): two restarts with nothing else committed between
+//! them still count from two bases, and an executor's `(shard, ticket)`
+//! index never holds two attempts under one name.
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use flowscript_codec::ByteWriter;
 use flowscript_core::ast::OutputKind;
 use flowscript_obs::ObsEventKind;
 use flowscript_plan::{Plan, TaskId};
@@ -40,7 +46,7 @@ use super::step::{Effect, Launch, Step};
 use super::{block_fault, Coordinator, InstanceRt, Timer, TimerId};
 use crate::error::EngineError;
 use crate::facts;
-use crate::keys::in_key;
+use crate::keys::{self, in_key};
 use crate::msg::{EngineMsg, StartTask};
 use crate::sched::{CostModel, ExecutorSlot, ExecutorSpec, ImplHints, SchedPolicy, Scheduler};
 use crate::state::{CbState, TaskCb};
@@ -393,8 +399,8 @@ impl Coordinator {
     /// bounded retry (one more retry spent, the bumped attempt
     /// re-dispatched after an exponential back-off, away from the node it
     /// died on) or, the budget spent, `Failed`. Only retries spend the
-    /// budget: a restart's or a repeat's bumped attempt does not. `cb` is
-    /// the block as the step reads it.
+    /// budget: a repeat's bumped attempt does not, and a restart bumps
+    /// none. `cb` is the block as the step reads it.
     pub(super) fn stage_lost(
         &mut self,
         step: &mut Step,
@@ -486,6 +492,31 @@ impl Coordinator {
             }
         }
         Some((charge.node, charge.ticket))
+    }
+
+    /// How long ago this shard shipped the attempt of `instance`'s task
+    /// at `path` that it has charged; zero when it charged none (a
+    /// relayed report's, a landed instance's).
+    pub(super) fn attempt_age(&self, instance: &str, path: &str) -> SimDuration {
+        let rt = self.instances.get(instance);
+        let flight = rt.and_then(|rt| rt.flights.0.get(&rt.plan.task_by_path(path)?));
+        let sent_ns = flight.and_then(|flight| Some(flight.charge.as_ref()?.sent_ns));
+        let age = sent_ns.map_or(0, |sent| self.now.as_nanos().saturating_sub(sent));
+        SimDuration::from_nanos(age)
+    }
+
+    /// Stages the shard-life key, a varint of the sequence number this
+    /// life's tickets count from: a restart's re-sends then follow a
+    /// commit of their own, as every attempt a life ships must (the
+    /// module doc says why), and a refused append rolls them back with
+    /// it.
+    pub(super) fn stage_life(&mut self, step: &mut Step) -> Result<(), EngineError> {
+        let mut life = ByteWriter::with_capacity(4);
+        life.put_var_u64(self.dispatcher.next_ticket >> 32);
+        let action = step.action(&mut self.mgr);
+        Ok(self
+            .mgr
+            .write_key_raw(action, &keys::life_uid(), life.into_vec())?)
     }
 
     /// The committed control blocks of `instance` sitting in

@@ -98,7 +98,8 @@ impl Coordinator {
 
     /// Compiles (through the [`PlanCache`]) and launches an admitted
     /// instance of `source`, the text the repository serves for the
-    /// script version.
+    /// script version, whose [`source_hash`] is `hash` (worked out once
+    /// per version, when the shard fetched it).
     ///
     /// # Errors
     ///
@@ -106,12 +107,11 @@ impl Coordinator {
     pub(super) fn start_instance(
         &mut self,
         instance: &str,
-        source: &str,
+        (hash, source): (u64, &str),
         root: &str,
         set: &str,
         inputs: BTreeMap<String, ObjectVal>,
     ) -> Result<(), EngineError> {
-        let hash = source_hash(source);
         let plan = self.plan_cache.plan(hash, source, root)?;
         // Validate the chosen input set against the root task class.
         let root_class = plan
@@ -425,25 +425,29 @@ impl PlanCache {
     }
 
     /// Notes that the repository serves `source` for `root` as `version`
-    /// of `script`.
-    pub(super) fn remember(&mut self, script: &str, version: u32, source: &str, root: &str) {
-        let known = (source_hash(source), root.to_string());
+    /// of `script`: its [`source_hash`], the one a fetched version costs.
+    pub(super) fn remember(&mut self, script: &str, version: u32, source: &str, root: &str) -> u64 {
+        let hash = source_hash(source);
+        let known = (hash, root.to_string());
         self.versions.insert((script.to_string(), version), known);
+        hash
     }
 
-    /// The text and root of `version` of `script`, if this shard fetched
-    /// it and still holds its plan.
-    pub(super) fn version(&self, script: &str, version: u32) -> Option<(Arc<str>, String)> {
+    /// The source hash, text and root of `version` of `script`, if this
+    /// shard fetched it and still holds its plan.
+    pub(super) fn version(&self, script: &str, version: u32) -> Option<(u64, Arc<str>, String)> {
         let known = self.versions.get(&(script.to_string(), version))?;
         let (text, _) = self.plans.get(known)?;
-        Some((text.clone(), known.1.clone()))
+        Some((known.0, text.clone(), known.1.clone()))
     }
 
     /// The plan of version `(hash, root)`, if this shard compiled it
-    /// from exactly `source`.
+    /// from exactly `source`: the entry's own text (as
+    /// [`PlanCache::version`] serves it) is, and any other is compared.
     fn cached(&self, hash: u64, root: &str, source: &[u8]) -> Option<Arc<Plan>> {
         let (text, plan) = self.plans.get(&(hash, root.to_string()))?;
-        (text.as_bytes() == source).then(|| plan.clone())
+        let text = text.as_bytes();
+        (std::ptr::eq(text, source) || text == source).then(|| plan.clone())
     }
 
     /// Drops every version whose source hash is not in `live`: a start
@@ -485,7 +489,13 @@ mod tests {
     fn start(coord: &mut Coordinator, name: &str) -> Result<(), EngineError> {
         let seed = ObjectVal::text("Data", "s");
         let inputs = BTreeMap::from([("seed".to_string(), seed)]);
-        coord.start_instance(name, FIG1_DIAMOND, "diamond", "main", inputs)
+        coord.start_instance(
+            name,
+            (source_hash(FIG1_DIAMOND), FIG1_DIAMOND),
+            "diamond",
+            "main",
+            inputs,
+        )
     }
 
     /// The operator's reconfiguration of `instance`, handed in through

@@ -898,8 +898,9 @@ impl Coordinator {
     ///
     /// `claim` is `Some((dead shard, membership epoch))` for
     /// crash-driven adoption: a dead or fenced owner relays nothing, so
-    /// every executing task is re-dispatched at once under its next
-    /// attempt, as after a restart; the landing trace event is
+    /// every executing task is re-sent at once under the attempt its
+    /// block holds, as after a restart — whichever report of it lands
+    /// first is applied; the landing trace event is
     /// [`ObsEventKind::Adopted`] and the `coord.adoptions` counter
     /// ticks once per instance.
     pub(super) fn adopt_orphans(&mut self, claim: Option<(u32, u64)>) {
@@ -1111,6 +1112,7 @@ mod tests {
 
     use super::*;
     use crate::api::WorkflowSystem;
+    use crate::coordinator::meta::source_hash;
     use crate::coordinator::package::package_instance;
     use crate::coordinator::{EngineConfig, Input, InstanceHeader};
     use crate::driver::{Driver, Node};
@@ -1229,8 +1231,14 @@ mod tests {
         let epoch = dest.membership.epoch();
         let text = flowscript_core::samples::QUICKSTART;
         let start = |dest: &mut Coordinator, instance: &str| {
-            dest.start_instance(instance, text, "pipeline", "main", seed())
-                .expect("starts");
+            dest.start_instance(
+                instance,
+                (source_hash(text), text),
+                "pipeline",
+                "main",
+                seed(),
+            )
+            .expect("starts");
         };
         start(&mut dest, "before");
         dest.on_claim(id, epoch, false, writes).expect("lands");

@@ -2,8 +2,12 @@
 //! it resident and [`Coordinator::resume`] re-arms every running one in
 //! a single [`Coordinator::reevaluate`] — one frame and one sync however
 //! many it resumes — a restart, or a landing out of a dead shard,
-//! staging each executing block's attempt bump and re-dispatch ahead of
-//! the full drain, a live landing (`membership`) nothing. And crash
+//! staging the re-send of each executing block's attempt as committed
+//! ahead of the full drain, a live landing (`membership`) nothing. The
+//! executors did not crash: the attempt the shard re-sends may still run
+//! there, and whichever of its reports lands first is applied — the
+//! other is a duplicate the block no longer awaits — while a report
+//! lost with the shard is covered by the re-send. And crash
 //! recovery, the restart: reset everything volatile, reopen the log (one
 //! that does not open leaves the shard holding nothing), repair
 //! hand-offs from their move records, then load (a slice an unlanded
@@ -13,7 +17,6 @@ use flowscript_obs::ObsEventKind;
 use flowscript_tx::{SharedStorage, StableStore, TxManager};
 
 use super::{Admission, Coordinator, InstanceHeader, PlanCache};
-use crate::facts;
 use crate::keys::{self, meta_uid};
 
 /// The name of every instance with a header in `mgr` — the one
@@ -84,8 +87,9 @@ impl Coordinator {
     /// Rebuilds all state from the write-ahead log after a restart
     /// ([`super::Input::Restart`]) and resumes every running instance,
     /// all of them in one step ([`Coordinator::resume`]): every in-flight
-    /// task re-dispatched under its next attempt. The claims of unlanded
-    /// rounds go out between the load and the re-arm.
+    /// task re-sent under the attempt it has, beside the shard-life key
+    /// ([`Coordinator::stage_life`]). The claims of unlanded rounds go out
+    /// between the load and the re-arm.
     ///
     /// Each instance runs off its pinned source — the script's current
     /// version — compiled once per version through the plan cache, so
@@ -187,9 +191,11 @@ impl Coordinator {
 
     /// Re-arms every running instance of `loaded` in one step, the full
     /// drain behind what `why` stages for each: a restart, and a landing
-    /// out of a dead shard, which relays nothing, bump and re-dispatch
-    /// every executing block, so a late pre-crash reply is ignored; a
-    /// live landing stages nothing, its fresh watchdogs armed first
+    /// out of a dead shard, which relays nothing, re-send every executing
+    /// block's attempt as committed — a restart that ships any beside its
+    /// shard-life key, the landing behind its claim's commit — so the
+    /// first report of each attempt to land is applied; a live landing
+    /// stages nothing, its fresh watchdogs armed first
     /// ([`Coordinator::keep_moving`]) for what its old owner relays.
     pub(super) fn resume(&mut self, loaded: Vec<String>, why: Back) {
         let redispatch = matches!(why, Back::Restart | Back::Landed(Some(_)));
@@ -208,11 +214,10 @@ impl Coordinator {
                     Ok(executing) => executing,
                     Err(fault) => return coordinator.park_stuck(step, drain, fault),
                 };
-                let (plan, id) = (drain.plan, drain.id);
-                for (task, mut cb) in executing {
-                    cb.attempt += 1;
-                    let action = step.action(&mut coordinator.mgr);
-                    facts::write_block(&mut coordinator.mgr, action, plan, id, task, &cb)?;
+                if matches!(why, Back::Restart) && !executing.is_empty() {
+                    coordinator.stage_life(step)?;
+                }
+                for (task, cb) in executing {
                     coordinator.stage_launch(step, drain, task, &cb, None, None)?;
                 }
             }

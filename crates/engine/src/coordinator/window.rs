@@ -1,18 +1,20 @@
 //! The commit window — the one place an executor report is applied.
 //!
 //! `Done`/`Mark` reports buffer in [`BatchWindow`] until one of three
-//! triggers fires: `max_events` reports, the `max_window` timer, or —
+//! triggers fires: `max_events` reports, the window's timer, or —
 //! decided exactly — every report the shard awaits is in (its buffered
 //! `Done`s at least its charged dispatches on the wire, so no report
-//! that could join is on its way). A flush that is not the timer's own
-//! cancels the armed timer. Then the whole window is applied as one
-//! step over its reports: `stage_event` validates each report, in arrival
-//! order, against its control block and stages what it means — an
-//! outcome's transition and fact, a mark, an execution error's attempt
-//! bump or `Failed`, a repeat outcome's bumped block and repeat fact, an
-//! undeclared output's `Failed` — the cascade of every touched instance
-//! stages behind them, and the step commits once, straight to the log,
-//! and publishes its effects.
+//! that could join is on its way). The timer waits in proportion to the
+//! work the window holds ([`AGE_PER_WAIT`]), so the reports of long tasks
+//! share a frame even when they arrive spread out. A flush that is not
+//! the timer's own cancels the armed timer. Then the whole window is
+//! applied as one step over its reports: `stage_event` validates each
+//! report, in arrival order, against its control block and stages what
+//! it means — an outcome's transition and fact, a mark, an execution
+//! error's attempt bump or `Failed`, a repeat outcome's bumped block and
+//! repeat fact, an undeclared output's `Failed` — the cascade of every
+//! touched instance stages behind them, and the step commits once,
+//! straight to the log, and publishes its effects.
 //! [`CommitBatch::disabled`](super::CommitBatch::disabled) is this same
 //! path with a window of one.
 
@@ -72,6 +74,12 @@ impl From<PendingEvent> for EngineMsg {
     }
 }
 
+/// A window waits for company `max_window`, or one `AGE_PER_WAIT`-th of
+/// the age of the attempt whose report opened it when that is longer: a
+/// report whose attempt took 30 s may wait 30 ms for its siblings', one
+/// whose attempt took a millisecond waits `max_window`.
+const AGE_PER_WAIT: u64 = 1_000;
+
 /// What the window asks of its owner after buffering a report.
 #[derive(Debug, PartialEq, Eq)]
 enum Next {
@@ -103,13 +111,21 @@ pub(super) struct BatchWindow {
 
 impl BatchWindow {
     /// Buffers one report, with `in_flight` the dispatches the shard has
-    /// charged and not released. Flushes at once when the buffered
-    /// `Done`s are at least `in_flight` — every awaited report is in —
-    /// on reaching `max_events`, and on a zero `max_window`: no time to
-    /// wait is a window of one. Otherwise the first report of a window
-    /// arms a one-shot timer, so a report whose siblings are still out
-    /// commits within the window.
-    fn push(&mut self, event: PendingEvent, batch: &CommitBatch, in_flight: u32) -> Next {
+    /// charged and not released and `age` how long ago the shard shipped
+    /// the reporting attempt (zero when it charged none). Flushes at once
+    /// when the buffered `Done`s are at least `in_flight` — every awaited
+    /// report is in — on reaching `max_events`, and on a zero
+    /// `max_window`: no time to wait is a window of one. Otherwise the
+    /// first report of a window arms a one-shot timer ([`AGE_PER_WAIT`]
+    /// says how long), so a report whose siblings are still out commits
+    /// within the window.
+    fn push(
+        &mut self,
+        event: PendingEvent,
+        batch: &CommitBatch,
+        in_flight: u32,
+        age: SimDuration,
+    ) -> Next {
         self.done += u32::from(matches!(event, PendingEvent::Done(_)));
         self.pending.push(event);
         if self.done >= in_flight
@@ -120,7 +136,8 @@ impl BatchWindow {
         } else if self.timer.is_some() {
             Next::Wait
         } else {
-            Next::Arm(batch.max_window)
+            let share = SimDuration::from_nanos(age.as_nanos() / AGE_PER_WAIT);
+            Next::Arm(batch.max_window.max(share))
         }
     }
 
@@ -197,8 +214,7 @@ impl Coordinator {
     ) -> Result<bool, EngineError> {
         let (_, path, incarnation, attempt) = event.address();
         let (plan, instance_id) = (drain.plan, drain.id);
-        let action = step.action(&mut self.mgr);
-        let mut cb = facts::read_block(&self.mgr, Some(action), plan, instance_id, task_id)?;
+        let mut cb = self.staged_cb(step, plan, instance_id, task_id)?;
         if !cb.awaits(incarnation, attempt) {
             return Ok(false);
         }
@@ -251,6 +267,9 @@ impl Coordinator {
             return Ok(false);
         };
         let stamped = stamped(objects, path);
+        // The action begins at the first write: a window of stale or
+        // duplicate reports commits nothing.
+        let action = step.action(&mut self.mgr);
         facts::write_block(&mut self.mgr, action, plan, instance_id, task_id, &cb)?;
         facts::write_fact_map(&mut self.mgr, action, plan, out_key, &stamped)?;
         let is_mark = matches!(event, PendingEvent::Mark(_));
@@ -324,9 +343,11 @@ impl Coordinator {
     /// on the first report of a window.
     pub(super) fn enqueue_event(&mut self, event: PendingEvent) {
         let in_flight = self.dispatcher.in_flight();
+        let (instance, path, ..) = event.address();
+        let age = self.attempt_age(instance, path);
         match self
             .window
-            .push(event, &self.config.commit_batch, in_flight)
+            .push(event, &self.config.commit_batch, in_flight, age)
         {
             Next::Flush => self.flush_pending(),
             Next::Arm(window) => self.window.timer = Some(self.arm(window, Timer::Window)),
@@ -470,15 +491,27 @@ mod tests {
         };
         // Marks, and eight dispatches out: no report the shard awaits.
         let mut window = BatchWindow::default();
-        assert_eq!(window.push(report(), &config, 8), Next::Arm(max_window));
+        assert_eq!(
+            window.push(report(), &config, 8, SimDuration::ZERO),
+            Next::Arm(max_window)
+        );
         window.timer = Some(TimerId(0));
-        assert_eq!(window.push(report(), &config, 8), Next::Wait);
-        assert_eq!(window.push(report(), &config, 8), Next::Flush);
+        assert_eq!(
+            window.push(report(), &config, 8, SimDuration::ZERO),
+            Next::Wait
+        );
+        assert_eq!(
+            window.push(report(), &config, 8, SimDuration::ZERO),
+            Next::Flush
+        );
         // The count trigger's flush takes the armed timer, to cancel it.
         let (flushed, timer) = window.take();
         assert_eq!((flushed.len(), timer), (3, Some(TimerId(0))));
         // A fourth report opens a window of its own, timer and all.
-        assert_eq!(window.push(report(), &config, 8), Next::Arm(max_window));
+        assert_eq!(
+            window.push(report(), &config, 8, SimDuration::ZERO),
+            Next::Arm(max_window)
+        );
     }
 
     #[test]
@@ -488,11 +521,51 @@ mod tests {
         for config in [CommitBatch::disabled(), zero_window] {
             let mut window = BatchWindow::default();
             for _ in 0..3 {
-                assert_eq!(window.push(report(), &config, 8), Next::Flush);
+                assert_eq!(
+                    window.push(report(), &config, 8, SimDuration::ZERO),
+                    Next::Flush
+                );
                 assert!(window.timer.is_none());
                 window.take();
             }
         }
+    }
+
+    /// The window's first report arms its timer at `max_window`, or at
+    /// a thousandth of the report's age when that is longer: 30 s of
+    /// work buys 30 ms of waiting for company.
+    #[test]
+    fn a_report_of_a_30_s_attempt_arms_a_30_ms_window() {
+        let config = CommitBatch::default();
+        let mut window = BatchWindow::default();
+        let age = SimDuration::from_secs(30);
+        let thirty_ms = SimDuration::from_millis(30);
+        assert_eq!(window.push(report(), &config, 8, age), Next::Arm(thirty_ms));
+        // The window's later reports wait on that timer, however old.
+        window.timer = Some(TimerId(0));
+        let older = SimDuration::from_secs(300);
+        assert_eq!(window.push(report(), &config, 8, older), Next::Wait);
+    }
+
+    #[test]
+    fn a_report_of_a_5_ms_attempt_arms_max_window() {
+        let config = CommitBatch::default();
+        let mut window = BatchWindow::default();
+        let age = SimDuration::from_millis(5);
+        assert_eq!(
+            window.push(report(), &config, 8, age),
+            Next::Arm(config.max_window)
+        );
+    }
+
+    #[test]
+    fn a_zero_window_flushes_on_arrival_however_old_the_attempt() {
+        let mut config = CommitBatch::disabled();
+        config.max_events = 8;
+        let mut window = BatchWindow::default();
+        let age = SimDuration::from_secs(30);
+        assert_eq!(window.push(report(), &config, 8, age), Next::Flush);
+        assert!(window.timer.is_none());
     }
 
     /// Two sibling leaves `a` and `b` under the root, each of which may
@@ -741,6 +814,48 @@ compoundtask root of taskclass Root {
         assert!(matches!(fed.state("i", "b"), CbState::Done { .. }));
     }
 
+    /// The age is the shard's own: `a`'s report, 30.001 s after the
+    /// shard shipped `a`, opens a window of 30.001 ms.
+    #[test]
+    fn a_window_waits_a_thousandth_of_the_age_of_its_first_report() {
+        let mut fed = ByHand::new();
+        let [a, _b] = <[StartTask; 2]>::try_from(fed.start("i")).unwrap();
+        fed.now += SimDuration::from_secs(30);
+        let outputs = fed.report(&done(&a));
+        let wait = outputs.iter().find_map(|output| match output {
+            Output::Arm {
+                after,
+                timer: Timer::Window,
+                ..
+            } => Some(*after),
+            _ => None,
+        });
+        assert_eq!(wait, Some(SimDuration::from_micros(30_001)));
+    }
+
+    /// A window holding only a duplicate report stages nothing and
+    /// commits nothing: no frame, and neither the log's `tx.commits` nor
+    /// the shard's commit count (what `checkpoint_every` is measured
+    /// against) moves.
+    #[test]
+    fn a_window_of_only_a_duplicate_report_commits_nothing() {
+        let mut fed = ByHand::new();
+        let [a, b] = <[StartTask; 2]>::try_from(fed.start("i")).unwrap();
+        fed.report(&done(&a));
+        let [_c] = <[StartTask; 1]>::try_from(sent(&fed.report(&done(&b)))).unwrap();
+        let counts = |fed: &ByHand| {
+            let logged = fed.shard.snapshot().counter("tx.commits");
+            (fed.frames(), fed.shard.commits, logged)
+        };
+        let before = counts(&fed);
+        // `a` again, while `c` is out: one `Done` for one dispatch on
+        // the wire, so the window closes on it alone.
+        assert!(fed.report(&done(&a)).is_empty());
+        assert!(!fed.shard.window_armed());
+        assert_eq!(counts(&fed), before);
+        assert!(matches!(fed.state("i", "c"), CbState::Executing { .. }));
+    }
+
     /// Three `QUICKSTART` pipelines `i1`–`i3` on one shard over
     /// `storage`, tight watchdogs, a window their three `produce` reports
     /// fill together at 10 ms.
@@ -821,8 +936,9 @@ compoundtask root of taskclass Root {
         assert_eq!(aborts(&sys), 0);
         // The three reports arrive together and fill the window.
         sys.run_for(SimDuration::from_millis(10));
-        // Two steps aborted: the shared one, and `i3`'s alone.
-        assert_eq!(aborts(&sys), 2);
+        // Two steps rolled back: the shared one, and `i3`'s alone — whose
+        // action never began, its one read failing before any write.
+        assert_eq!(aborts(&sys), 1);
         overwrite(saved);
         let batch_size = |sys: &WorkflowSystem| {
             let snapshot = sys.metrics_snapshot();
@@ -863,7 +979,7 @@ compoundtask root of taskclass Root {
             applied, 6,
             "every report applied once, the dropped one never"
         );
-        assert_eq!(aborts(&sys), 2, "and no step aborted since");
+        assert_eq!(aborts(&sys), 1, "and no step aborted since");
     }
 
     /// The same window through a log that refuses appends: the shared
@@ -913,8 +1029,9 @@ compoundtask root of taskclass Root {
 
     /// A restart re-arms every running instance in one step, and one the
     /// log refuses falls back to each instance alone: here the group's
-    /// frame fails to append, each instance's own step commits — every
-    /// attempt bumped and re-dispatched, no watchdog's retry behind it.
+    /// frame fails to append, each instance's own step commits — its
+    /// shard-life key, and its attempt re-sent as committed, no
+    /// watchdog's retry behind it.
     #[test]
     fn a_restart_whose_group_rearm_fails_rearms_each_instance_alone() {
         let storage = FlakyStorage::default();
@@ -930,7 +1047,7 @@ compoundtask root of taskclass Root {
         sys.restart_now(coordinator);
         assert_eq!(aborts(&sys), 1, "the re-arm of all three, rolled back");
         assert_eq!(frames(&sys), logged + 3, "then one re-arm each");
-        assert_eq!(sys.stats().dispatches, 6, "three attempts, three re-arms");
+        assert_eq!(sys.stats().dispatches, 6, "three attempts, three re-sends");
         sys.run();
         for name in ["i1", "i2", "i3"] {
             assert_eq!(sys.outcome(name).expect("completes").name, "done");
@@ -939,15 +1056,15 @@ compoundtask root of taskclass Root {
                 .filter(|record| record.path == "pipeline/produce")
                 .map(|record| record.attempt)
                 .collect();
-            assert_eq!(attempts, [0, 1], "{name}: the re-arm's, no time-out's");
+            assert_eq!(attempts, [0, 0], "{name}: the re-send's, no time-out's");
         }
         assert_eq!((sys.stats().retries, aborts(&sys)), (0, 1));
     }
 
     /// A restart's re-arm is a step like any other: refused by the log,
-    /// it bumps no attempt and re-dispatches nothing — the attempts as
-    /// committed get fresh watchdogs instead, and those retry once the
-    /// disk is back.
+    /// its shard-life key is not written and it re-sends nothing — the
+    /// attempts as committed get fresh watchdogs instead, and those retry
+    /// once the disk is back.
     #[test]
     fn a_restart_whose_rearm_fails_to_append_leaves_it_to_the_watchdogs() {
         let storage = FlakyStorage::default();
@@ -983,5 +1100,90 @@ compoundtask root of taskclass Root {
             );
         }
         assert_eq!(sys.stats().retries, 3);
+    }
+
+    /// The coordinator is down while the three `produce`s report: their
+    /// reports are lost, and the restart's re-send of each attempt as
+    /// committed recovers them — attempt 0 again, no retry spent.
+    #[test]
+    fn a_report_lost_while_its_shard_is_down_is_recovered_by_the_re_send() {
+        let mut sys = three_pipelines(None);
+        sys.run_for(SimDuration::from_millis(5));
+        let coordinator = sys.coordinator_node();
+        sys.crash_now(coordinator);
+        sys.run_for(SimDuration::from_millis(10));
+        sys.restart_now(coordinator);
+        sys.run();
+        for name in ["i1", "i2", "i3"] {
+            assert_eq!(sys.outcome(name).expect("completes").name, "done");
+            let produced = sys.dispatch_trace_of(name).into_iter();
+            let attempts: Vec<u32> = produced
+                .filter(|record| record.path == "pipeline/produce")
+                .map(|record| record.attempt)
+                .collect();
+            assert_eq!(attempts, [0, 0], "{name}: shipped, then re-sent");
+        }
+        assert_eq!(sys.stats().retries, 0);
+    }
+
+    /// Two restarts in a row, nothing committed between them but the
+    /// first's shard-life key: each life's tickets are its own, so the
+    /// executor holds three copies of `produce`'s 10 s attempt — the first
+    /// life's and each restart's re-send, all attempt 0 — and the
+    /// watchdog's cancel of the copy the shard charged ends that copy
+    /// alone.
+    #[test]
+    fn a_cancel_after_two_restarts_ends_only_its_attempt() {
+        let config = EngineConfig {
+            dispatch_timeout: SimDuration::from_millis(400),
+            retry_backoff: SimDuration::from_millis(20),
+            observe: ObserveLevel::Trace,
+            ..EngineConfig::default()
+        };
+        let mut sys = WorkflowSystem::builder()
+            .executors(1)
+            .seed(1)
+            .config(config)
+            .build();
+        let script = flowscript_core::samples::QUICKSTART;
+        sys.register_script("q", script, "pipeline").unwrap();
+        // Attempt 0 takes 10 s, the retry no time.
+        sys.bind_fn("refProduce", |ctx| {
+            let work = SimDuration::from_secs(10).saturating_mul(u64::from(ctx.attempt == 0));
+            let made = TaskBehavior::outcome("produced").with_work(work);
+            made.with_object("message", ObjectVal::text("Message", "m"))
+        });
+        sys.bind_fn("refConsume", |_| {
+            let used = TaskBehavior::outcome("consumed");
+            used.with_object("result", ObjectVal::text("Message", "r"))
+        });
+        let seed = ObjectVal::text("Message", "s");
+        sys.start("i", "q", "main", [("seed", seed)]).unwrap();
+        let running = |sys: &WorkflowSystem| -> usize {
+            let executors = sys.running_attempts().into_iter();
+            executors.map(|(_, running)| running).sum()
+        };
+        sys.run_for(SimDuration::from_millis(5));
+        assert_eq!(running(&sys), 1);
+        let coordinator = sys.coordinator_node();
+        for copies in [2, 3] {
+            sys.crash_now(coordinator);
+            sys.restart_now(coordinator);
+            sys.run_for(SimDuration::from_millis(5));
+            assert_eq!(running(&sys), copies, "one copy per life");
+        }
+        // The last re-send's watchdog fires 400 ms on: its copy is
+        // cancelled, and the retry waits out its 20 ms back-off.
+        sys.run_for(SimDuration::from_millis(405));
+        assert_eq!(sys.stats().retries, 1);
+        assert_eq!(running(&sys), 2, "the earlier lives' copies run on");
+        sys.run();
+        assert_eq!(sys.outcome("i").expect("completes").name, "done");
+        let produced = sys.dispatch_trace_of("i").into_iter();
+        let attempts: Vec<u32> = produced
+            .filter(|record| record.path == "pipeline/produce")
+            .map(|record| record.attempt)
+            .collect();
+        assert_eq!(attempts, [0, 0, 0, 1], "two re-sends, then the retry");
     }
 }

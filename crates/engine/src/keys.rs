@@ -144,6 +144,13 @@ pub(crate) fn move_uid(id: TxId) -> StoreKey {
     key(format!("{MOVE_PREFIX}{:08x}.{:016x}", id.node(), id.seq()))
 }
 
+/// The shard-wide key a restart that ships anything rewrites, so the
+/// log moves past the sequence number the restarted life counts its
+/// dispatch tickets from (see the coordinator's dispatch module).
+pub(crate) fn life_uid() -> StoreKey {
+    key("sys/life".to_string())
+}
+
 /// Inverse of [`move_uid`]: the round a move-record uid names.
 pub(crate) fn move_id(uid: &ObjectUid) -> Option<TxId> {
     let (node, seq) = uid.as_str().strip_prefix(MOVE_PREFIX)?.split_once('.')?;

@@ -342,11 +342,20 @@ fn an_error_a_repeat_and_a_last_failed_retry_each_commit_once() {
     assert!(frames.iter().all(is_bare_commit));
 }
 
+/// The uids a frame's commit writes, in log order.
+fn uids_written(frame: &LogRecord) -> Vec<&str> {
+    let keys = frame_writes(frame).into_iter();
+    keys.filter_map(|(key, _)| Some(key.as_uid()?.as_str()))
+        .collect()
+}
+
 #[test]
 fn a_restart_rearms_an_instance_in_one_frame() {
     // Four leaves of one instance are executing when the coordinator
-    // crashes: the restart bumps the four attempts — and stages whatever
-    // the full drain finds — in one step, then re-dispatches.
+    // crashes: the restart re-sends the four attempts as committed — and
+    // stages whatever the full drain finds — in one step. It bumps no
+    // block: its frame holds only the shard-life key, which moves the
+    // log past this life's ticket base.
     let mut sys = WorkflowSystem::builder()
         .executors(2)
         .seed(1)
@@ -372,27 +381,36 @@ fn a_restart_rearms_an_instance_in_one_frame() {
     assert_eq!(frames.len(), before + 1, "one step for the instance");
     let rearm = frames.last().unwrap();
     assert!(is_bare_commit(rearm), "{rearm:?}");
-    assert_eq!(blocks_written(rearm), [(0, 1), (0, 2), (0, 3), (0, 4)]);
+    assert_eq!(uids_written(rearm), ["sys/life"]);
+    assert_eq!(blocks_written(rearm), []);
     let attempts = |sys: &WorkflowSystem| -> Vec<u32> {
         let blocks = sys.coord_handle(0).get_mut().task_blocks("f");
         (0..width)
             .map(|i| blocks[&format!("root/w{i}")].attempt)
             .collect()
     };
-    assert_eq!(attempts(&sys), [1, 1, 1, 1]);
+    assert_eq!(attempts(&sys), [0, 0, 0, 0]);
     sys.run();
     assert_eq!(sys.outcome("f").expect("completes").name, "done");
-    let redone = sys.dispatch_trace_of("f").into_iter();
-    assert_eq!(redone.filter(|record| record.attempt == 1).count(), width);
+    // Each leaf shipped twice, both times attempt 0: before the crash,
+    // and re-sent. The first report of each was applied.
+    let sent = sys.dispatch_trace_of("f");
+    assert!(sent.iter().all(|record| record.attempt == 0), "{sent:?}");
+    let leaves = sent
+        .iter()
+        .filter(|record| record.path.starts_with("root/w"));
+    assert_eq!(leaves.count(), 2 * width);
+    assert_eq!(sys.stats().retries, 0);
 }
 
 #[test]
 fn a_restart_rearms_every_running_instance_in_one_frame() {
     // One shard, `n` two-leaf fans with both leaves executing when the
-    // coordinator crashes: the restart bumps every executing block's
-    // attempt, of every instance, in one step — one frame. The attempts
-    // the crash left on the wire report late and are ignored, and every
-    // instance ends as it does in a run that never crashed.
+    // coordinator crashes: the restart re-sends every executing attempt,
+    // of every instance, in one step — one frame, which bumps no block.
+    // The attempts the crash left on the wire report first and are
+    // applied, the re-sent ones report stale, and every instance ends as
+    // it does in a run that never crashed.
     let (width, work_ms) = (2, 100);
     let work = SimDuration::from_millis(work_ms);
     let fans = |n: usize, crash: bool| {
@@ -424,21 +442,19 @@ fn a_restart_rearms_every_running_instance_in_one_frame() {
             assert_eq!(frames.len(), before + 1, "{n} instances: one step");
             let rearm = frames.last().unwrap();
             assert!(is_bare_commit(rearm), "{rearm:?}");
-            let bumped: Vec<(u32, u32)> = (0..n as u32)
-                .flat_map(|id| (1..=width as u32).map(move |task| (id, task)))
-                .collect();
-            assert_eq!(blocks_written(rearm), bumped, "{n} instances");
-            // Every pre-crash attempt has reported by now, no re-armed
-            // one has: the leaves still execute, under attempt 1.
+            assert_eq!(uids_written(rearm), ["sys/life"], "{n} instances");
+            assert_eq!(blocks_written(rearm), [], "{n} instances");
+            // Every pre-crash attempt has reported by now, no re-sent
+            // one has: each leaf is done, under attempt 0.
             sys.run_for(SimDuration::from_millis(work_ms - 1));
             for name in &names {
                 let blocks = sys.coord_handle(0).get_mut().task_blocks(name);
                 for i in 0..width {
                     let block = &blocks[&format!("root/w{i}")];
-                    assert_eq!(block.attempt, 1, "{name}/w{i}");
+                    assert_eq!(block.attempt, 0, "{name}/w{i}");
                     assert!(
-                        matches!(block.state, CbState::Executing { .. }),
-                        "{name}/w{i}: a late report applied"
+                        matches!(block.state, CbState::Done { .. }),
+                        "{name}/w{i}: a pre-crash report dropped"
                     );
                 }
             }

@@ -634,13 +634,12 @@ fn control_blocks_follow_their_tasks_across_id_shifts_and_a_crash() {
     assert_eq!(survivors.len(), 4);
     assert_eq!(blocks(&sys), survivors);
 
-    // The log replays to the same blocks; what recovery then does to
-    // them is its own: the executing leaf's attempt is bumped so a late
-    // pre-crash report is ignored.
+    // The log replays to the same blocks, and recovery leaves them so:
+    // the executing leaf is re-sent under the attempt it has, and
+    // whichever of its reports lands first is applied.
     let coordinator = sys.coordinator_node();
     sys.crash_now(coordinator);
     sys.restart_now(coordinator);
-    survivors.get_mut("root/k/x").expect("kept above").attempt += 1;
     assert_eq!(blocks(&sys), survivors);
     sys.run();
     assert_eq!(sys.outcome("i1").expect("completes").name, "done");
