@@ -21,14 +21,19 @@
 //! Tickets are volatile, and never reused by a shard, restarts
 //! included: a life whose log opened at sequence number `s` counts from
 //! `s << 32`. Every attempt a life ships follows a commit of its own: a
-//! step's publish, or a timer or a park that step left behind — and a
-//! restart's re-sends, which write no block, follow the shard-life key
-//! their step stages ([`Coordinator::stage_life`]), so a refused append
-//! ships none of them. So a life that shipped anything moved the log
-//! past `s`, and the next life counts from a higher base (one life ships
-//! fewer than 2^32): two restarts with nothing else committed between
-//! them still count from two bases, and an executor's `(shard, ticket)`
-//! index never holds two attempts under one name.
+//! step's publish, or a timer or a park that step left behind — and the
+//! re-send that follows a restart's census, which writes no block,
+//! follows the shard-life key its step stages
+//! ([`Coordinator::stage_life`]), so a refused append ships none of it.
+//! So a life that shipped anything moved the log past `s`, and the next
+//! life counts from a higher base (one life ships fewer than 2^32): two
+//! restarts with nothing else committed between them still count from
+//! two bases, and an executor's `(shard, ticket)` index never holds two
+//! attempts under one name. The census itself ships nothing: an attempt
+//! it claims where it runs ([`Coordinator::claim_running`]) keeps the
+//! ticket an earlier life shipped it under, below this life's base like
+//! every earlier life's, so the life's own tickets never meet it, and
+//! the census's cancels, like every other, go out from here.
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -47,7 +52,7 @@ use super::{block_fault, Coordinator, InstanceRt, Timer, TimerId};
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::{self, in_key};
-use crate::msg::{EngineMsg, StartTask};
+use crate::msg::{EngineMsg, RunningAttempt, StartTask};
 use crate::sched::{CostModel, ExecutorSlot, ExecutorSpec, ImplHints, SchedPolicy, Scheduler};
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
@@ -176,6 +181,12 @@ impl Dispatcher {
         self.sched.reset_loads();
         self.parked.clear();
         self.park_seq = 0;
+    }
+
+    /// The executor fleet, in registration order.
+    pub(super) fn executors(&self) -> Vec<NodeId> {
+        let slots = self.sched.snapshot();
+        slots.into_iter().map(|slot| slot.node).collect()
     }
 
     /// The dispatches on the wire whose reports this shard awaits — the
@@ -649,14 +660,75 @@ impl Coordinator {
         for (task, cb) in executing {
             let rt = &self.instances[instance];
             let flight = rt.flights.0.get(&task);
-            let mut parked = self.dispatcher.parked.values();
             let moving = flight.is_some_and(|f| f.watchdog.is_some() || f.delayed.is_some())
-                || parked.any(|entry| entry.instance == instance && entry.task == task);
+                || self.parked(instance, task);
             if !moving {
                 let timeout = self.shipment(rt, task).timeout;
                 self.arm_watchdog(instance, task, cb.incarnation, cb.attempt, timeout);
             }
         }
+    }
+
+    /// Whether a dispatch of `instance`'s `task` waits in the ready queue.
+    fn parked(&self, instance: &str, task: TaskId) -> bool {
+        let mut parked = self.dispatcher.parked.values();
+        parked.any(|entry| entry.instance == instance && entry.task == task)
+    }
+
+    /// The tasks of running `instance` that only a watchdog moves: no
+    /// attempt charged, delayed or parked — after a restart's census,
+    /// the attempts no executor claimed.
+    pub(super) fn unclaimed(&self, instance: &str) -> Vec<TaskId> {
+        let Some(rt) = self.instances.get(instance).filter(|rt| !rt.terminal) else {
+            return Vec::new();
+        };
+        let flights = rt.flights.0.iter().filter(|(&task, flight)| {
+            let idle = flight.charge.is_none() && flight.delayed.is_none();
+            flight.watchdog.is_some() && idle && !self.parked(instance, task)
+        });
+        flights.map(|(&task, _)| task).collect()
+    }
+
+    /// A census answer: `node` still runs `running` for this shard. An
+    /// attempt its block awaits with nothing charged is charged on
+    /// `node` under the ticket it already has, as sent now — its
+    /// watchdog stands — so nothing re-runs it. Anything else listed
+    /// is cancelled there: a second copy of a claimed attempt, or one
+    /// the block no longer awaits, an earlier life's orphan. An
+    /// instance this shard does not hold resident (moved away, frozen
+    /// in an unlanded round) is not its to judge, nor is an attempt a
+    /// settled instance still awaits: it reports as it would have.
+    pub(super) fn claim_running(&mut self, node: NodeId, running: RunningAttempt) {
+        let Some(rt) = self.instances.get(&running.instance) else {
+            return;
+        };
+        let task = rt.plan.task_by_path(&running.path);
+        let cb = task.and_then(|task| self.read_cb_id(&rt.plan, rt.id, task).ok());
+        let awaited = cb.is_some_and(|cb| cb.awaits(running.incarnation, running.attempt));
+        if awaited && rt.terminal {
+            return;
+        }
+        let idle = |task| rt.flights.0.get(&task).is_some_and(|f| f.charge.is_none());
+        let Some(task) = task.filter(|&task| awaited && idle(task)) else {
+            return self.cancel_attempt(node, running.ticket);
+        };
+        let shipment = self.shipment(rt, task);
+        let cost = self
+            .dispatcher
+            .costs
+            .load_cost(&shipment.code, &shipment.hints);
+        self.dispatcher.sched.note_dispatch(node, cost);
+        let charge = Charge {
+            node,
+            ticket: running.ticket,
+            cost,
+            sent_ns: self.now.as_nanos(),
+            code: shipment.code,
+        };
+        if let Some(flight) = self.flight_mut(&running.instance, task) {
+            flight.charge = Some(charge);
+        }
+        self.metrics.stats.census_claimed += 1;
     }
 
     /// Re-dispatches parked work, highest `(priority, arrival)` first,

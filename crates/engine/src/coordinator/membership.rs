@@ -899,7 +899,8 @@ impl Coordinator {
     /// `claim` is `Some((dead shard, membership epoch))` for
     /// crash-driven adoption: a dead or fenced owner relays nothing, so
     /// every executing task is re-sent at once under the attempt its
-    /// block holds, as after a restart — whichever report of it lands
+    /// block holds — its running copy reports to the dead node, so a
+    /// census could not claim it — and whichever report of it lands
     /// first is applied; the landing trace event is
     /// [`ObsEventKind::Adopted`] and the `coord.adoptions` counter
     /// ticks once per instance.

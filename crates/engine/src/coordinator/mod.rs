@@ -47,12 +47,12 @@
 //! | `step` | the unit of commit: stage a step's units (a window's reports, a restart's or landing's instances, one instance) into one action (reading its own writes back), commit once — one frame straight to the log — then the one tail: publish the effects in staging order, as outputs, check the checkpoint threshold, run the debug oracles over each instance drained; and the one rollback rule: units whose shared step rolled back retry one by one, a unit whose own step rolled back keeps its instance's work moving | `Step`, `Effect`, `Launch` (what an attempt ships under) | `step` (every step: a start, a window, `reevaluate`, a reconfiguration), `atomically` (an action with nothing to publish); `staged_cb`, `trace` |
 //! | `window` | the one place a report is applied: buffer `Done`/`Mark` reports until `max_events`, the window's timer (`max_window`, or a thousandth of the age of the attempt whose report opened the window when that is longer), or every report the shard awaits is in, stage a window of them in arrival order — outcome, mark, execution error, repeat outcome, misreport — and its cascade as one step over its reports | `BatchWindow` | `enqueue_event`, `flush_pending`, `on_batch_window` ([`Timer::Window`]), `commit_event`, `window_committed` (a committed window's batch id and size sample) |
 //! | `evaluate` | the cascade a step stages: input-set satisfaction, activation, compound-scope outputs (marks, termination, the fig. 8 repeat), stuck detection; the debug full-scan oracle | `Drain` (one instance inside a step: its seeds, its flights as the step leaves them) | `reevaluate` (`step` over resident instances, one or many: for each the caller stages its transition and the drain follows — one instance for the watchdog, a failed placement, the operator's abort and repair; every running one for a restart or a landing, `resume`); `instance_ctx`, `drain_of`, `stage_drain`, `park_stuck`, `assert_settled` (the oracles `step` runs) |
-//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, what an attempt that ends with no outcome stages — the bounded retry (`TaskCb::retries` is the budget) or `Failed` — and the cancel of an attempt the shard drops on the wire: one `Cancel` message to its executor, naming the ticket it shipped under | `Dispatcher` (scheduler loads, cost model, ready queue, the next ticket: a life's tickets count from its reopened log's sequence number, and every attempt a life ships follows a commit of its own — a restart's re-sends the shard-life key — so none is reused), `Flights` (per instance: one record per task with outstanding work, its watchdog and a delayed attempt's timer each a [`TimerId`], cancelled with the record; its charge names the attempt's executor and ticket) | staging: `stage_lost` (error report, time-out), `stage_failure`, `stage_launch` (the next attempt, now or after a delay); publishing: `ship` (an attempt, under what its step staged, with a fresh ticket), `dispatch` (a staged attempt whose delay or park is over), `dispatch_after`, `lose_flight` (a watchdog's attempt cancelled where it runs), `clear_watch`, `discard_flights` (subtree sweep, forced outcome, failure; each attempt on the wire cancelled), `fail_unplaceable`; timers: `on_watchdog` ([`Timer::Watchdog`]), `on_dispatch_timer` ([`Timer::Dispatch`]), each clearing its own timer first; `drain_parked`, `executing`, `attempt_age` (how long ago the charged attempt shipped: what a window waits in proportion to), `stage_life` (a restart's shard-life key); `Flights::outstanding` (stuck detection), `replan` (a reconfiguration's new plan, its books re-keyed, a removed task's attempt cancelled), `keep_moving` (the rollback rule's watchdogs: each `Executing` task with nothing armed or parked gets one; a live landing's, up front), `Dispatcher::{release_all, reset, reopened}` (hand-off, which cancels nothing: the next owner is owed the work; recovery), `executor_loads` |
+//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, what an attempt that ends with no outcome stages — the bounded retry (`TaskCb::retries` is the budget) or `Failed` — and the cancel of an attempt the shard drops on the wire: one `Cancel` message to its executor, naming the ticket it shipped under | `Dispatcher` (scheduler loads, cost model, ready queue, the next ticket: a life's tickets count from its reopened log's sequence number, and every attempt a life ships follows a commit of its own — the re-send after a restart's census the shard-life key — so none is reused; an attempt a census claims keeps an earlier life's ticket, below the base), `Flights` (per instance: one record per task with outstanding work, its watchdog and a delayed attempt's timer each a [`TimerId`], cancelled with the record; its charge names the attempt's executor and ticket) | staging: `stage_lost` (error report, time-out), `stage_failure`, `stage_launch` (the next attempt, now or after a delay); publishing: `ship` (an attempt, under what its step staged, with a fresh ticket), `dispatch` (a staged attempt whose delay or park is over), `dispatch_after`, `lose_flight` (a watchdog's attempt cancelled where it runs), `clear_watch`, `discard_flights` (subtree sweep, forced outcome, failure; each attempt on the wire cancelled), `fail_unplaceable`; timers: `on_watchdog` ([`Timer::Watchdog`]), `on_dispatch_timer` ([`Timer::Dispatch`]), each clearing its own timer first; `drain_parked`, `executing`, `attempt_age` (how long ago the charged attempt shipped: what a window waits in proportion to), `stage_life` (a restart's shard-life key); `Flights::outstanding` (stuck detection), `replan` (a reconfiguration's new plan, its books re-keyed, a removed task's attempt cancelled), `keep_moving` (the rollback rule's watchdogs: each `Executing` task with nothing armed or parked gets one; a restart's and a live landing's, up front), `claim_running` (a census answer's attempt: charged where it runs under its old ticket, as sent now, if its block awaits it and nothing is charged, else cancelled there), `unclaimed` (what only a watchdog moves: after a census, what no executor claimed), `Dispatcher::{release_all, reset, reopened, executors}` (hand-off, which cancels nothing: the next owner is owed the work; recovery; the fleet a census asks), `executor_loads` |
 //! | `admission` | the per-shard instance cap on the start RPC, and the start's repository fetch, once per shard and version: a start naming a version the shard fetched before launches at once | `Admission`, `AdmissionTicket` (the fetch's [`Call::Fetch`]) | `admit_or_queue`, `admit_from_queue`, `on_fetched`, `Admission::{instance_live, instance_settled}` |
 //! | `lifecycle` | instance start (the first writer of a header), the canonical source an instance pins (once per shard and hash) and the plan compiled from it (once per shard and version), materialising a runtime from committed state, the monitoring reads; blob collection | `PlanCache` (which also knows what each repository version the shard fetched is: its source hash and root) | `start_instance` (from admission, the one start path), `pin_source` (start, reconfiguration), `pinned_source` (the one reader of the source: every load, and reconfiguration), `load_or_park` (recovery, adoption: a running instance whose plan cannot be built stops `Stuck`), `PlanCache::plan` (the one way a plan is obtained: start, load, reconfiguration), `PlanCache::{remember, version}` (admission: a fetched version noted, a known one's text), `gc_plans` |
 //! | `membership` | shard routing and relays; the one way an instance changes shards — a claim, landed in one local action beside its receipt, sent by a live source from its move record (rebalance, drain) or by a claimant out of a dead shard's fenced storage (adoption) — the map flip, and the shard's end of each fleet call, answered as it goes | `Membership`, [`MoveReport`], [`FailoverReport`] | `route_report`, `misdirected`, `forward_start`, `on_relayed` ([`Call::Relay`]); from the operator `begin_move` ([`Op::Move`]), `begin_adoption` ([`Op::Adopt`]), `set_shard_map` ([`Op::Map`]), `Membership::drop_jobs` ([`Op::GiveUp`]); from the wire `on_claim`, `on_claim_answered` ([`Call::Claim`]); `adopt_orphans` (a landing or a thaw: `load_stored`, then `resume`), `repair_handoffs` |
 //! | `package` | what a claim carries: an instance's committed keyspace packaged (header first, its pinned source, its dense range), re-keyed onto the receiver's ids, purged from the source once landed | — | `package_instance`, `claim_bytes`, `rekeyed`, `purge_instance` |
-//! | `recovery` | the ways a stored instance comes back — loaded, then re-armed — and restart ([`Input::Restart`]): reset volatile state (fleet protocols included), reopen the log (one that does not open leaves the shard holding nothing, every start and request answered with why: `refuse`), repair hand-offs, reload, and re-arm every running instance in one step — one frame per shard, the re-sends of each instance's executing attempts as committed in turn (a restart's beside the shard-life key) | `Back` (how an instance came back: a restart, or a landing with the dead shard it was claimed from) | `recover`, `load_stored` (recovery, adoption: residency, admission slot, trace event and counter), `resume` (recovery, adoption: one `reevaluate` over every running instance — a restart's or a dead shard's landing's re-sends, the first report of each attempt applied, a live landing's fresh watchdogs), `stored_instances`, `stored_instance_names` |
+//! | `recovery` | the ways a stored instance comes back — loaded, then re-armed — and restart ([`Input::Restart`]): reset volatile state (fleet protocols included), reopen the log (one that does not open leaves the shard holding nothing, every start and request answered with why: `refuse`), repair hand-offs, reload, re-arm every running instance in one step — its executing tasks watched — and take the census of the executors: each attempt one still runs is claimed there or cancelled, and once all have answered or timed out ([`FLEET_DEADLINE`]) what nobody claimed is re-sent as committed, in one step beside the shard-life key | `Back` (how an instance came back: a restart, or a landing with the dead shard it was claimed from), `Census` (the executors yet to answer, the instances owed a re-send) | `recover`, `load_stored` (recovery, adoption: residency, admission slot, trace event and counter), `resume` (recovery, adoption: one `reevaluate` over every running instance — a restart's and a live landing's fresh watchdogs, a dead shard's landing's re-sends, the first report of each attempt applied), `on_census` ([`Call::Census`]), `stored_instances`, `stored_instance_names` |
 //! | `admin` | operator actions on a running instance, one step each, answered at once: the abort, the repair, and a reconfiguration — the script's new version, the remap onto its plan and the full drain over it | — | `reconfigure` ([`Op::Reconfigure`]), `abort_waiting_task` ([`Op::Abort`]), `repair_fact` ([`Op::Repair`]) |
 
 mod admin;
@@ -97,7 +97,7 @@ pub(crate) use membership::FLEET_DEADLINE;
 pub use meta::{InstanceStatus, Outcome};
 pub use stats::{CoordStats, DispatchRecord};
 
-use recovery::{stored_instance_names, stored_instances};
+use recovery::{stored_instance_names, stored_instances, Census};
 
 use admission::{Admission, AdmissionTicket};
 use dispatch::{Dispatcher, Flights};
@@ -148,6 +148,9 @@ pub(crate) enum Call {
     /// One claim, by id: a live move's round or an adoption's share,
     /// sent again if no answer comes while someone waits for it.
     Claim(TxId),
+    /// A restart's census of one executor: what it still runs for this
+    /// shard.
+    Census(NodeId),
 }
 
 /// An operator's request, answered once by what it came to.
@@ -273,6 +276,9 @@ pub struct Coordinator {
     /// it, the shard holds nothing and answers every start and request
     /// with this ([`Coordinator::refuse`]).
     unopened: Option<EngineError>,
+    /// The last restart's census of the executors, until every one has
+    /// answered.
+    census: Census,
 }
 
 const _: fn() = || {
@@ -330,6 +336,7 @@ impl Coordinator {
             next_timer: 0,
             next_id,
             unopened: None,
+            census: Census::default(),
         })
     }
 
@@ -636,6 +643,7 @@ impl Node for Coordinator {
             Input::Answered(Call::Fetch(ticket), answer) => self.on_fetched(*ticket, answer),
             Input::Answered(Call::Relay(token), answer) => self.on_relayed(token, answer),
             Input::Answered(Call::Claim(id), answer) => self.on_claim_answered(id, answer),
+            Input::Answered(Call::Census(node), answer) => self.on_census(node, answer),
             Input::Op(op) => self.on_op(op),
         }
         std::mem::take(&mut self.outbox)

@@ -1,23 +1,34 @@
 //! How a stored instance comes back: [`Coordinator::load_stored`] makes
 //! it resident and [`Coordinator::resume`] re-arms every running one in
-//! a single [`Coordinator::reevaluate`] — one frame and one sync however
-//! many it resumes — a restart, or a landing out of a dead shard,
-//! staging the re-send of each executing block's attempt as committed
-//! ahead of the full drain, a live landing (`membership`) nothing. The
-//! executors did not crash: the attempt the shard re-sends may still run
-//! there, and whichever of its reports lands first is applied — the
-//! other is a duplicate the block no longer awaits — while a report
-//! lost with the shard is covered by the re-send. And crash
+//! a single [`Coordinator::reevaluate`] — one step however many it
+//! resumes, each executing task watched by a fresh watchdog. And crash
 //! recovery, the restart: reset everything volatile, reopen the log (one
 //! that does not open leaves the shard holding nothing), repair
 //! hand-offs from their move records, then load (a slice an unlanded
 //! round holds frozen stays unloaded) and resume.
+//!
+//! The executors did not crash with the shard: the work they run for it
+//! survived. So a restart that holds instances takes a **census**: one
+//! [`EngineMsg::Census`] call to every executor, answered with each
+//! attempt it still runs for this shard. An attempt its block still
+//! awaits is taken over where it runs — charged on that executor under
+//! its old ticket, as if sent when the answer came — and anything else
+//! listed, a copy an earlier life left behind, is cancelled there
+//! ([`Coordinator::claim_running`]). Once every executor has answered,
+//! or its call has timed out ([`FLEET_DEADLINE`]), each executing
+//! attempt nobody claimed is re-sent as committed, in one step beside
+//! the shard-life key: a report lost while the shard was down, or work
+//! that died with its executor. A landing out of a dead shard re-sends
+//! at once: its attempts report to the dead node.
 
 use flowscript_obs::ObsEventKind;
+use flowscript_sim::{NodeId, RpcError};
 use flowscript_tx::{SharedStorage, StableStore, TxManager};
 
-use super::{Admission, Coordinator, InstanceHeader, PlanCache};
+use super::step::Effect;
+use super::{Admission, Call, Coordinator, InstanceHeader, Output, PlanCache, FLEET_DEADLINE};
 use crate::keys::{self, meta_uid};
+use crate::msg::EngineMsg;
 
 /// The name of every instance with a header in `mgr` — the one
 /// enumeration recovery, orphan adoption, blob GC and dead-shard claims
@@ -55,6 +66,15 @@ pub(super) fn next_free_id(
     highest.map_or(0, |id| id + 1)
 }
 
+/// A restart's census of its executors: how many have yet to answer,
+/// and the instances whose executing attempts are re-sent once all have,
+/// unless an executor claims them first.
+#[derive(Default)]
+pub(super) struct Census {
+    awaited: usize,
+    owed: Vec<String>,
+}
+
 /// Why stored instances come back into residence.
 #[derive(Clone, Copy)]
 pub(super) enum Back {
@@ -82,14 +102,15 @@ impl Coordinator {
         self.dispatcher.reset();
         self.admission = Admission::default();
         self.membership.reset_protocols();
+        self.census = Census::default();
     }
 
     /// Rebuilds all state from the write-ahead log after a restart
     /// ([`super::Input::Restart`]) and resumes every running instance,
-    /// all of them in one step ([`Coordinator::resume`]): every in-flight
-    /// task re-sent under the attempt it has, beside the shard-life key
-    /// ([`Coordinator::stage_life`]). The claims of unlanded rounds go out
-    /// between the load and the re-arm.
+    /// all of them in one step ([`Coordinator::resume`]), then takes the
+    /// census of the executors if it holds any instance: what nobody
+    /// still runs is re-sent once every executor has answered. The
+    /// claims of unlanded rounds go out between the load and the re-arm.
     ///
     /// Each instance runs off its pinned source — the script's current
     /// version — compiled once per version through the plan cache, so
@@ -142,8 +163,71 @@ impl Coordinator {
             self.send_claim(id);
         }
         self.resume(loaded, Back::Restart);
-        // Re-dispatches above may have parked against a still-cold
+        if !self.instances.is_empty() {
+            self.take_census();
+        }
+        // Dispatches above may have parked against a still-cold
         // scheduler view; give them one immediate placement pass.
+        self.pump();
+    }
+
+    /// Asks every executor what it still runs for this shard.
+    fn take_census(&mut self) {
+        let executors = self.dispatcher.executors();
+        self.census.awaited = executors.len();
+        for node in executors {
+            self.outbox.push(Output::Call {
+                to: node,
+                bytes: flowscript_codec::to_bytes(&EngineMsg::Census),
+                timeout: FLEET_DEADLINE,
+                call: Call::Census(node),
+            });
+        }
+    }
+
+    /// `node` answered the census ([`Call::Census`]), or did not in time:
+    /// each attempt it listed is claimed or cancelled, and the last
+    /// answer re-sends what nobody claimed.
+    pub(super) fn on_census(&mut self, node: NodeId, answer: Result<Vec<u8>, RpcError>) {
+        let listed = answer
+            .ok()
+            .and_then(|bytes| flowscript_codec::from_bytes(&bytes).ok());
+        if let Some(EngineMsg::Running { attempts }) = listed {
+            for running in attempts {
+                self.claim_running(node, running);
+            }
+        }
+        self.census.awaited = self.census.awaited.saturating_sub(1);
+        if self.census.awaited == 0 {
+            self.resend_unclaimed();
+        }
+    }
+
+    /// Re-sends, as committed, each executing attempt of the instances
+    /// the census owes that no executor claimed, in one step: each
+    /// instance that ships any stages the shard-life key beside them
+    /// ([`Coordinator::stage_life`]), so they follow a commit of their
+    /// own and a refused append ships none — the watchdogs armed at the
+    /// restart then retry them.
+    fn resend_unclaimed(&mut self) {
+        let mut owed = std::mem::take(&mut self.census.owed);
+        owed.retain(|name| !self.unclaimed(name).is_empty());
+        let _ = self.reevaluate(&owed, |coordinator, step, drain| {
+            for task in coordinator.unclaimed(&drain.name) {
+                // What a corrupt block was doing is unknown: re-run
+                // nothing, stop the instance with why.
+                let Some(cb) = coordinator.drain_cb(step, drain, task)? else {
+                    return Ok(());
+                };
+                coordinator.stage_life(step)?;
+                coordinator.stage_launch(step, drain, task, &cb, None, None)?;
+                if drain.terminal {
+                    return Ok(()); // an input that does not decode parked it
+                }
+                step.push(&drain.name, Effect::Count(|stats| &mut stats.resent));
+            }
+            Ok(())
+        });
         self.pump();
     }
 
@@ -190,33 +274,36 @@ impl Coordinator {
     }
 
     /// Re-arms every running instance of `loaded` in one step, the full
-    /// drain behind what `why` stages for each: a restart, and a landing
-    /// out of a dead shard, which relays nothing, re-send every executing
-    /// block's attempt as committed — a restart that ships any beside its
-    /// shard-life key, the landing behind its claim's commit — so the
-    /// first report of each attempt to land is applied; a live landing
-    /// stages nothing, its fresh watchdogs armed first
-    /// ([`Coordinator::keep_moving`]) for what its old owner relays.
+    /// drain behind what `why` stages for each. A restart watches each
+    /// executing task of a running instance with a fresh watchdog up
+    /// front ([`Coordinator::keep_moving`]) and owes the instance to its
+    /// census; a live landing watches those of every instance it landed,
+    /// for what its old owner relays; a landing out of a dead shard
+    /// re-sends each executing block's attempt as committed, behind its
+    /// claim's commit: those attempts report to the dead node.
     pub(super) fn resume(&mut self, loaded: Vec<String>, why: Back) {
-        let redispatch = matches!(why, Back::Restart | Back::Landed(Some(_)));
-        if !redispatch {
-            loaded.iter().for_each(|name| self.keep_moving(name));
-        }
         let running: Vec<String> = loaded
-            .into_iter()
-            .filter(|name| !self.instances[name].terminal)
+            .iter()
+            .filter(|name| !self.instances[*name].terminal)
+            .cloned()
             .collect();
+        let watched: &[String] = match why {
+            Back::Restart => &running,
+            Back::Landed(None) => &loaded,
+            Back::Landed(Some(_)) => &[],
+        };
+        watched.iter().for_each(|name| self.keep_moving(name));
+        if let Back::Restart = why {
+            self.census.owed = running.clone();
+        }
         let _ = self.reevaluate(&running, |coordinator, step, drain| {
-            if redispatch {
+            if let Back::Landed(Some(_)) = why {
                 // What a corrupt block was doing is unknown: re-run
                 // nothing, stop the instance with why.
                 let executing = match coordinator.executing(&drain.name) {
                     Ok(executing) => executing,
                     Err(fault) => return coordinator.park_stuck(step, drain, fault),
                 };
-                if matches!(why, Back::Restart) && !executing.is_empty() {
-                    coordinator.stage_life(step)?;
-                }
                 for (task, cb) in executing {
                     coordinator.stage_launch(step, drain, task, &cb, None, None)?;
                 }

@@ -20,6 +20,13 @@ pub struct CoordStats {
     /// or reset scope, a forced outcome, a reconfiguration, a watchdog —
     /// each cancelled at its executor with one message.
     pub cancels: u64,
+    /// Attempts a restart found still running at their executors (its
+    /// census) and took over there instead of re-running them.
+    pub census_claimed: u64,
+    /// Attempts a restart re-sent because no executor still ran them: a
+    /// report lost while the shard was down, or work that died with its
+    /// executor.
+    pub resent: u64,
     /// Automatic retries of system-level failures.
     pub retries: u64,
     /// Tasks that exhausted their retries.
@@ -72,6 +79,8 @@ impl std::ops::AddAssign<&CoordStats> for CoordStats {
         let CoordStats {
             dispatches,
             cancels,
+            census_claimed,
+            resent,
             retries,
             failures,
             marks,
@@ -89,6 +98,8 @@ impl std::ops::AddAssign<&CoordStats> for CoordStats {
         } = *other;
         self.dispatches += dispatches;
         self.cancels += cancels;
+        self.census_claimed += census_claimed;
+        self.resent += resent;
         self.retries += retries;
         self.failures += failures;
         self.marks += marks;
@@ -148,6 +159,8 @@ impl CoordMetrics {
         let CoordStats {
             dispatches,
             cancels,
+            census_claimed,
+            resent,
             retries,
             failures,
             marks,
@@ -166,6 +179,8 @@ impl CoordMetrics {
         let counters = [
             ("coord.dispatches", dispatches),
             ("coord.cancels", cancels),
+            ("coord.census_claimed", census_claimed),
+            ("coord.resent", resent),
             ("coord.retries", retries),
             ("coord.failures", failures),
             ("coord.marks", marks),

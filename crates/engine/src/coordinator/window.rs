@@ -1027,9 +1027,11 @@ compoundtask root of taskclass Root {
         assert_eq!(aborts(&sys), 7);
     }
 
-    /// A restart re-arms every running instance in one step, and one the
-    /// log refuses falls back to each instance alone: here the group's
-    /// frame fails to append, each instance's own step commits — its
+    /// A restart re-sends what no executor still runs in one step over
+    /// every instance, and one the log refuses falls back to each
+    /// instance alone: here the three `produce`s report while the shard
+    /// is down, so the census finds none running; the group's frame
+    /// fails to append, and each instance's own step commits — its
     /// shard-life key, and its attempt re-sent as committed, no
     /// watchdog's retry behind it.
     #[test]
@@ -1045,7 +1047,14 @@ compoundtask root of taskclass Root {
         sys.run_for(SimDuration::from_millis(10));
         fail_next.store(1, Ordering::Relaxed);
         sys.restart_now(coordinator);
-        assert_eq!(aborts(&sys), 1, "the re-arm of all three, rolled back");
+        assert_eq!(
+            (aborts(&sys), frames(&sys)),
+            (0, logged),
+            "nothing to append"
+        );
+        // The census answers within a round trip.
+        sys.run_for(SimDuration::from_millis(1));
+        assert_eq!(aborts(&sys), 1, "the re-send of all three, rolled back");
         assert_eq!(frames(&sys), logged + 3, "then one re-arm each");
         assert_eq!(sys.stats().dispatches, 6, "three attempts, three re-sends");
         sys.run();
@@ -1059,12 +1068,13 @@ compoundtask root of taskclass Root {
             assert_eq!(attempts, [0, 0], "{name}: the re-send's, no time-out's");
         }
         assert_eq!((sys.stats().retries, aborts(&sys)), (0, 1));
+        assert_eq!(sys.stats().resent, 3);
     }
 
-    /// A restart's re-arm is a step like any other: refused by the log,
+    /// A restart's re-send is a step like any other: refused by the log,
     /// its shard-life key is not written and it re-sends nothing — the
-    /// attempts as committed get fresh watchdogs instead, and those retry
-    /// once the disk is back.
+    /// watchdogs the restart armed over the attempts as committed retry
+    /// them once the disk is back.
     #[test]
     fn a_restart_whose_rearm_fails_to_append_leaves_it_to_the_watchdogs() {
         let storage = FlakyStorage::default();
@@ -1072,16 +1082,18 @@ compoundtask root of taskclass Root {
         let mut sys = three_pipelines(Some(Shared::from(storage).into()));
         sys.run_for(SimDuration::from_millis(5));
         let logged = sys.log_size();
-        // The coordinator is down while the three `produce`s report.
+        // The coordinator is down while the three `produce`s report: the
+        // census finds none of them running.
         let coordinator = sys.coordinator_node();
         sys.crash_now(coordinator);
         sys.run_for(SimDuration::from_millis(10));
         fail.store(true, Ordering::Relaxed);
         sys.restart_now(coordinator);
+        sys.run_for(SimDuration::from_millis(1));
         assert_eq!(
             aborts(&sys),
             4,
-            "the re-arm of all three, then each alone, rolled back"
+            "the re-send of all three, then each alone, rolled back"
         );
         assert_eq!((sys.stats().dispatches, sys.log_size()), (3, logged));
         fail.store(false, Ordering::Relaxed);
@@ -1126,12 +1138,13 @@ compoundtask root of taskclass Root {
         assert_eq!(sys.stats().retries, 0);
     }
 
-    /// Two restarts in a row, nothing committed between them but the
-    /// first's shard-life key: each life's tickets are its own, so the
-    /// executor holds three copies of `produce`'s 10 s attempt — the first
-    /// life's and each restart's re-send, all attempt 0 — and the
-    /// watchdog's cancel of the copy the shard charged ends that copy
-    /// alone.
+    /// Two restarts in a row, each with its census lost to a partition
+    /// between the shard and the executor, healed before the re-send:
+    /// nothing claims `produce`'s 10 s attempt, so each restart re-sends
+    /// it, and each life's tickets are its own — the executor holds
+    /// three copies, the first life's and each restart's re-send, all
+    /// attempt 0 — and the watchdog's cancel of the copy the shard
+    /// charged ends that copy alone.
     #[test]
     fn a_cancel_after_two_restarts_ends_only_its_attempt() {
         let config = EngineConfig {
@@ -1166,15 +1179,20 @@ compoundtask root of taskclass Root {
         sys.run_for(SimDuration::from_millis(5));
         assert_eq!(running(&sys), 1);
         let coordinator = sys.coordinator_node();
+        let executor = sys.executor_nodes()[0];
         for copies in [2, 3] {
             sys.crash_now(coordinator);
+            sys.world_mut().partition(&[coordinator], &[executor]);
             sys.restart_now(coordinator);
-            sys.run_for(SimDuration::from_millis(5));
+            sys.world_mut().heal_all();
+            // The census call times out at 100 ms; the re-send ships.
+            sys.run_for(SimDuration::from_millis(105));
             assert_eq!(running(&sys), copies, "one copy per life");
         }
+        assert_eq!(sys.stats().resent, 2);
         // The last re-send's watchdog fires 400 ms on: its copy is
         // cancelled, and the retry waits out its 20 ms back-off.
-        sys.run_for(SimDuration::from_millis(405));
+        sys.run_for(SimDuration::from_millis(400));
         assert_eq!(sys.stats().retries, 1);
         assert_eq!(running(&sys), 2, "the earlier lives' copies run on");
         sys.run();

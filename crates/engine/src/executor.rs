@@ -29,17 +29,25 @@
 //! queueing them here once all eligible executors are saturated.
 //!
 //! A start is indexed by the shard that dispatched it and the ticket
-//! it carries until its completion goes off. A shard that gives up on
-//! an attempt — its scope cancelled, its watchdog fired, its task
-//! reconfigured away — sends [`EngineMsg::Cancel`] with that ticket: the
-//! attempt's pending reports are disarmed, and if its reservation is
-//! still its slot's tail, the slot gets that time back (work queued
-//! behind it keeps the times it was promised). A ticket the index does
-//! not hold — the attempt finished, or died with a restart — is a
-//! no-op; so is a cancel that overtook its start on the wire, whose
-//! attempt then runs out and reports stale. A shard never reuses a
-//! ticket, restarts included (see the coordinator's dispatch module),
-//! so a cancel names one attempt.
+//! it carries until its completion goes off. The entry holds the
+//! attempt's address (instance, path, incarnation, attempt), and the
+//! completion timer only the result it is sent with, so the address is
+//! kept once. A shard that gives up on an attempt — its scope
+//! cancelled, its watchdog fired, its task reconfigured away — sends
+//! [`EngineMsg::Cancel`] with that ticket: the attempt's pending reports
+//! are disarmed, and if its reservation is still its slot's tail, the
+//! slot gets that time back (work queued behind it keeps the times it
+//! was promised). A ticket the index does not hold — the attempt
+//! finished, or died with a restart — is a no-op; so is a cancel that
+//! overtook its start on the wire, whose attempt then runs out and
+//! reports stale. A shard never reuses a ticket, restarts included (see
+//! the coordinator's dispatch module), so a cancel names one attempt.
+//!
+//! A restarted shard asks every executor what still runs for it: an
+//! [`EngineMsg::Census`] call, answered with [`EngineMsg::Running`] —
+//! each attempt the index holds for that shard, by ticket and address.
+//! The shard takes over the ones it still awaits and cancels the rest,
+//! so a restart re-runs none of the work that survived it.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -49,7 +57,7 @@ use flowscript_sim::{NodeId, SimDuration, SimTime};
 
 use crate::driver::{self, Node, TimerId};
 use crate::impl_registry::{ImplRegistry, Invocation, InvokeCtx, TaskBehavior};
-use crate::msg::{EngineMsg, MarkMsg, StartTask, TaskDone, TaskResult};
+use crate::msg::{EngineMsg, MarkMsg, RunningAttempt, StartTask, TaskDone, TaskResult};
 use crate::sched::ExecutorSpec;
 
 thread_local! {
@@ -62,21 +70,32 @@ thread_local! {
 pub const MAX_SCRIPT_NESTING: u32 = 8;
 
 /// A report an executor owes the shard that dispatched a task, once its
-/// time comes: a mark, or the completion.
+/// time comes. Kept small: one is armed for every attempt running.
 #[derive(Debug)]
-pub(crate) struct Report {
-    to: NodeId,
-    /// The attempt's ticket: its completion ends the attempt's entry.
-    ticket: u64,
-    msg: EngineMsg,
+pub(crate) enum Report {
+    /// A mark, sent as it is.
+    Mark { to: NodeId, msg: Box<MarkMsg> },
+    /// The completion of the attempt `to` dispatched under `ticket`, with
+    /// its result: the attempt's entry holds the address it reports
+    /// under, and the completion ends it.
+    Done {
+        to: NodeId,
+        ticket: u64,
+        result: TaskResult,
+    },
 }
 
 /// An attempt playing out here: its timers, consecutive from `first`
-/// (the completion last).
+/// (the completion last), and the address its reports carry — what a
+/// census lists, and what its completion is sent under.
 #[derive(Debug)]
 struct Running {
     first: u64,
     timers: u32,
+    incarnation: u32,
+    attempt: u32,
+    instance: String,
+    path: String,
 }
 
 /// The slot time an attempt reserved on a bounded executor: `from` to
@@ -144,14 +163,9 @@ impl Executor {
         if let Some(booking) = booking {
             self.booked.insert((from, ticket), booking);
         }
-        let report = |msg| Report {
-            to: from,
-            ticket,
-            msg,
-        };
         let mut outputs = Vec::with_capacity(behavior.marks.len() + 1);
         for mark in behavior.marks {
-            let msg = EngineMsg::Mark(MarkMsg {
+            let msg = Box::new(MarkMsg {
                 instance: start.instance.clone(),
                 path: start.path.clone(),
                 incarnation: start.incarnation,
@@ -160,19 +174,42 @@ impl Executor {
                 objects: mark.objects,
             });
             let at = queue_delay + mark.at.min(behavior.work);
-            outputs.push(self.arm(at, report(msg)));
+            outputs.push(self.arm(at, Report::Mark { to: from, msg }));
         }
         let result = TaskResult::Output {
             name: behavior.completion.outcome,
             objects: behavior.completion.objects,
             redo_after: behavior.redo_after,
         };
-        let completion = report(done(&start, result));
+        let completion = Report::Done {
+            to: from,
+            ticket,
+            result,
+        };
         outputs.push(self.arm(queue_delay + behavior.work, completion));
-        let timers = outputs.len() as u32;
-        self.running
-            .insert((from, ticket), Running { first, timers });
+        let running = Running {
+            first,
+            timers: outputs.len() as u32,
+            incarnation: start.incarnation,
+            attempt: start.attempt,
+            instance: start.instance,
+            path: start.path,
+        };
+        self.running.insert((from, ticket), running);
         outputs
+    }
+
+    /// What still runs here for `shard`: a census answer.
+    fn census(&self, shard: NodeId) -> Vec<RunningAttempt> {
+        let mine = self.running.range((shard, 0)..=(shard, u64::MAX));
+        mine.map(|(&(_, ticket), running)| RunningAttempt {
+            ticket,
+            instance: running.instance.clone(),
+            path: running.path.clone(),
+            incarnation: running.incarnation,
+            attempt: running.attempt,
+        })
+        .collect()
     }
 
     /// `from` gave up on the attempt it dispatched under `ticket`: its
@@ -267,17 +304,37 @@ impl Node for Executor {
 
     fn handle(&mut self, now: SimTime, input: Input<'_>) -> Vec<Output> {
         match input {
-            Input::Message { from, payload, .. } => match flowscript_codec::from_bytes(payload) {
-                Ok(EngineMsg::Start(start)) => self.start(now, from, start),
-                Ok(EngineMsg::Cancel { ticket }) => self.cancel(now, from, ticket),
+            Input::Message {
+                from,
+                payload,
+                token,
+            } => match (flowscript_codec::from_bytes(payload), token) {
+                (Ok(EngineMsg::Start(start)), _) => self.start(now, from, start),
+                (Ok(EngineMsg::Cancel { ticket }), _) => self.cancel(now, from, ticket),
+                (Ok(EngineMsg::Census), Some(token)) => {
+                    let attempts = self.census(from);
+                    let bytes = flowscript_codec::to_bytes(&EngineMsg::Running { attempts });
+                    vec![Output::Reply { token, bytes }]
+                }
                 _ => Vec::new(),
             },
-            Input::Fired(Report { to, ticket, msg }) => {
-                if let EngineMsg::Done(_) = msg {
-                    self.running.remove(&(to, ticket));
-                    self.booked.remove(&(to, ticket));
-                }
-                let bytes = flowscript_codec::to_bytes(&msg);
+            Input::Fired(Report::Mark { to, msg }) => {
+                let bytes = flowscript_codec::to_bytes(&EngineMsg::Mark(*msg));
+                vec![Output::Send { to, bytes }]
+            }
+            Input::Fired(Report::Done { to, ticket, result }) => {
+                self.booked.remove(&(to, ticket));
+                let Some(running) = self.running.remove(&(to, ticket)) else {
+                    return Vec::new();
+                };
+                let done = TaskDone {
+                    instance: running.instance,
+                    path: running.path,
+                    incarnation: running.incarnation,
+                    attempt: running.attempt,
+                    result,
+                };
+                let bytes = flowscript_codec::to_bytes(&EngineMsg::Done(done));
                 vec![Output::Send { to, bytes }]
             }
             Input::Answered(never, _) | Input::Op(never) => match never {},
@@ -356,6 +413,8 @@ fn run_nested_script(
 
 #[cfg(test)]
 mod tests {
+    use flowscript_sim::ReplyToken;
+
     use super::*;
 
     /// A start of code `c`, with `hints` beside it in the clause.
@@ -405,6 +464,20 @@ mod tests {
         )
     }
 
+    /// `timer` goes off at `executor`: the completion report it sends to
+    /// the shard that dispatched the attempt.
+    fn fire(executor: &mut Executor, timer: Report) -> TaskDone {
+        let outputs = executor.handle(SimTime::ZERO, Input::Fired(timer));
+        let [Output::Send { to, bytes }] = &outputs[..] else {
+            panic!("one report sent: {outputs:?}");
+        };
+        assert_eq!(*to, NodeId::from_index(0));
+        let Ok(EngineMsg::Done(done)) = flowscript_codec::from_bytes(bytes) else {
+            panic!("a completion report");
+        };
+        done
+    }
+
     /// An executor needs no world to run: fed a start by hand, it
     /// answers with the timers it arms, or with an immediate report.
     #[test]
@@ -431,15 +504,12 @@ mod tests {
         let [Output::Arm { timer, .. }] = <[Output; 1]>::try_from(outputs).unwrap() else {
             panic!("one timer, the completion's");
         };
-        assert_eq!(timer.to, coordinator);
-        let EngineMsg::Done(done) = &timer.msg else {
-            panic!("a completion report: {timer:?}");
-        };
+        assert!(
+            matches!(timer, Report::Done { to, .. } if to == coordinator),
+            "a completion report: {timer:?}"
+        );
+        let done = fire(&mut executor, timer);
         assert!(matches!(&done.result, TaskResult::Output { name, .. } if name == "done"));
-        let expected = flowscript_codec::to_bytes(&timer.msg);
-        let outputs = executor.handle(SimTime::ZERO, Input::Fired(timer));
-        assert!(matches!(&outputs[..], [Output::Send { to, bytes }]
-            if *to == coordinator && *bytes == expected));
 
         // Pinned elsewhere: an execution error, sent at once.
         let outputs = deliver(&mut executor, SimTime::ZERO, coordinator, pinned("paris"));
@@ -471,12 +541,11 @@ mod tests {
         let named = start(&[("priority", "3")]);
         assert_eq!(named.code(), "c");
         let outputs = deliver(&mut executor, SimTime::ZERO, coordinator, named);
-        let [Output::Arm { timer, .. }] = &outputs[..] else {
-            panic!("one timer, the completion's: {outputs:?}");
+        let [Output::Arm { timer, .. }] = <[Output; 1]>::try_from(outputs).unwrap() else {
+            panic!("one timer, the completion's");
         };
-        assert!(matches!(&timer.msg, EngineMsg::Done(TaskDone {
-            result: TaskResult::Output { name, .. }, ..
-        }) if name == "done"));
+        let done = fire(&mut executor, timer);
+        assert!(matches!(&done.result, TaskResult::Output { name, .. } if name == "done"));
 
         let mut unnamed = start(&[("priority", "3")]);
         unnamed.implementation.remove("code");
@@ -625,6 +694,80 @@ mod tests {
         }
         assert_eq!(executor.running(), 0);
         assert!(cancel(&mut executor, 8).is_empty(), "finished");
+    }
+
+    /// The census `shard` takes of `executor`: the attempts listed, or
+    /// `None` when it sends no answer.
+    fn census_of(executor: &mut Executor, shard: NodeId) -> Option<Vec<RunningAttempt>> {
+        let payload = &flowscript_codec::to_bytes(&EngineMsg::Census);
+        let token = Some(ReplyToken::new(executor.node(), shard, 1));
+        let message = Input::Message {
+            from: shard,
+            payload,
+            token,
+        };
+        let outputs = executor.handle(SimTime::ZERO, message);
+        let [Output::Reply { bytes, .. }] = &outputs[..] else {
+            assert!(outputs.is_empty(), "one answer or none: {outputs:?}");
+            return None;
+        };
+        match flowscript_codec::from_bytes(bytes) {
+            Ok(EngineMsg::Running { attempts }) => Some(attempts),
+            other => panic!("a census answer: {other:?}"),
+        }
+    }
+
+    /// A census lists each attempt running for the shard that asks — by
+    /// ticket, under the address its reports carry — and nothing that
+    /// finished, nothing of another shard's, nothing a restart lost; a
+    /// census that is no call is not answered.
+    #[test]
+    fn a_census_lists_what_runs_for_the_shard_that_asks() {
+        let mut executor = serial();
+        let [shard, other] = [0, 2].map(NodeId::from_index);
+        let (_, first) = started(&mut executor, 1);
+        started(&mut executor, 2);
+        let from_other = StartTask {
+            ticket: 1,
+            attempt: 3,
+            ..start(&[])
+        };
+        deliver(&mut executor, SimTime::ZERO, other, from_other);
+        // The attempt under ticket 1 is cancelled: it no longer runs.
+        let payload = &flowscript_codec::to_bytes(&EngineMsg::Cancel { ticket: 1 });
+        let cancelled = Input::Message {
+            from: shard,
+            payload,
+            token: None,
+        };
+        assert_eq!(executor.handle(SimTime::ZERO, cancelled).len(), first.len());
+        let listed = census_of(&mut executor, shard).expect("answered");
+        let expected = RunningAttempt {
+            ticket: 2,
+            instance: "i".into(),
+            path: "p".into(),
+            incarnation: 0,
+            attempt: 0,
+        };
+        assert_eq!(listed, [expected]);
+        let listed = census_of(&mut executor, other).expect("answered");
+        assert_eq!(
+            listed
+                .iter()
+                .map(|a| (a.ticket, a.attempt))
+                .collect::<Vec<_>>(),
+            [(1, 3)]
+        );
+        // Not a call: nothing to answer through.
+        let payload = &flowscript_codec::to_bytes(&EngineMsg::Census);
+        let one_way = Input::Message {
+            from: shard,
+            payload,
+            token: None,
+        };
+        assert!(executor.handle(SimTime::ZERO, one_way).is_empty());
+        assert!(executor.handle(SimTime::ZERO, Input::Restart).is_empty());
+        assert_eq!(census_of(&mut executor, shard), Some(Vec::new()));
     }
 
     /// A restart lost every attempt: the index is empty, and a cancel of

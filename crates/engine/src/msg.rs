@@ -107,6 +107,23 @@ pub struct MarkMsg {
     pub objects: BTreeMap<String, ObjectVal>,
 }
 
+/// Executor → coordinator, in a census answer: one attempt the
+/// executor still runs for the shard that asks — its ticket and the
+/// address its reports carry.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunningAttempt {
+    /// The [`StartTask::ticket`] it was shipped under.
+    pub ticket: u64,
+    /// Instance name.
+    pub instance: String,
+    /// Task path.
+    pub path: String,
+    /// Scope incarnation.
+    pub incarnation: u32,
+    /// Dispatch attempt number.
+    pub attempt: u32,
+}
+
 /// All engine messages, tagged for dispatch.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineMsg {
@@ -121,6 +138,16 @@ pub enum EngineMsg {
     Cancel {
         /// The [`StartTask::ticket`] of the attempt.
         ticket: u64,
+    },
+    /// Coordinator → executor, a call answered with
+    /// [`EngineMsg::Running`]: a restarted shard asks what still runs
+    /// for it.
+    Census,
+    /// Executor → coordinator: the answer to a [`EngineMsg::Census`],
+    /// every attempt the executor still runs for the shard that asked.
+    Running {
+        /// Those attempts, by ticket.
+        attempts: Vec<RunningAttempt>,
     },
     /// Client → repository: store a script (already validated client-side,
     /// revalidated server-side).
@@ -232,6 +259,28 @@ impl Decode for StartTask {
             set: r.get_str()?.to_owned(),
             inputs: BTreeMap::decode(r)?,
             repeat_objects: BTreeMap::decode(r)?,
+        })
+    }
+}
+
+impl Encode for RunningAttempt {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_var_u64(self.ticket);
+        w.put_str(&self.instance);
+        w.put_str(&self.path);
+        w.put_u32(self.incarnation);
+        w.put_u32(self.attempt);
+    }
+}
+
+impl Decode for RunningAttempt {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(RunningAttempt {
+            ticket: r.get_var_u64()?,
+            instance: r.get_str()?.to_owned(),
+            path: r.get_str()?.to_owned(),
+            incarnation: r.get_u32()?,
+            attempt: r.get_u32()?,
         })
     }
 }
@@ -403,6 +452,11 @@ impl Encode for EngineMsg {
                 w.put_u8(12);
                 w.put_var_u64(*ticket);
             }
+            EngineMsg::Census => w.put_u8(13),
+            EngineMsg::Running { attempts } => {
+                w.put_u8(14);
+                attempts.encode(w);
+            }
         }
     }
 }
@@ -452,6 +506,10 @@ impl Decode for EngineMsg {
             },
             12 => EngineMsg::Cancel {
                 ticket: r.get_var_u64()?,
+            },
+            13 => EngineMsg::Census,
+            14 => EngineMsg::Running {
+                attempts: Vec::decode(r)?,
             },
             other => {
                 return Err(CodecError::InvalidDiscriminant {
@@ -553,6 +611,19 @@ mod tests {
             EngineMsg::Cancel {
                 ticket: 1 << 40 | 7,
             },
+            EngineMsg::Census,
+            EngineMsg::Running {
+                attempts: Vec::new(),
+            },
+            EngineMsg::Running {
+                attempts: vec![RunningAttempt {
+                    ticket: 1 << 40 | 7,
+                    instance: "i1".into(),
+                    path: "root/t1".into(),
+                    incarnation: 1,
+                    attempt: 2,
+                }],
+            },
         ];
         for msg in msgs {
             let bytes = flowscript_codec::to_bytes(&msg);
@@ -575,6 +646,20 @@ mod tests {
                 "{cut} of {} bytes: {truncated:?}",
                 cancel.len()
             );
+        }
+        // So is a census answer cut short: never a shorter list.
+        let running = flowscript_codec::to_bytes(&EngineMsg::Running {
+            attempts: vec![RunningAttempt {
+                ticket: 3,
+                instance: "i".into(),
+                path: "p".into(),
+                incarnation: 0,
+                attempt: 0,
+            }],
+        });
+        for cut in 1..running.len() {
+            let truncated = flowscript_codec::from_bytes::<EngineMsg>(&running[..cut]);
+            assert!(truncated.is_err(), "{cut} bytes: {truncated:?}");
         }
     }
 }

@@ -92,8 +92,8 @@ pub struct TaskCb {
     /// constituents (bumped when this compound takes a repeat outcome).
     pub scope_inc: u32,
     /// Dispatch attempt within the current incarnation: bumped by a
-    /// retry and a repeat (a restart re-sends the attempt it has), and
-    /// the fence a report must match ([`TaskCb::awaits`]).
+    /// retry and a repeat (a restart takes over or re-sends the attempt
+    /// it has), and the fence a report must match ([`TaskCb::awaits`]).
     pub attempt: u32,
     /// Retries spent within the current incarnation: what the retry
     /// budget counts (a restart or a repeat spends none).

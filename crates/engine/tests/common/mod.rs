@@ -20,6 +20,23 @@ pub fn text(class: &str, value: &str) -> ObjectVal {
     ObjectVal::text(class, value)
 }
 
+/// Crashes `sys`'s coordinator and every executor at once, and brings
+/// them back, the executors first and empty: the shard's restart census
+/// finds nothing running, so it re-sends every attempt its log says is
+/// executing.
+pub fn restart_with_executors(sys: &mut WorkflowSystem) {
+    let coordinator = sys.coordinator_node();
+    let executors = sys.executor_nodes().to_vec();
+    sys.crash_now(coordinator);
+    for &executor in &executors {
+        sys.crash_now(executor);
+    }
+    for &executor in &executors {
+        sys.restart_now(executor);
+    }
+    sys.restart_now(coordinator);
+}
+
 /// A fully deterministic link: equivalence runs must not depend on the
 /// shared RNG (jitter draws), only on the topology.
 pub fn det_link() -> LinkConfig {

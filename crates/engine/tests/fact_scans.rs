@@ -21,8 +21,8 @@ use std::rc::Rc;
 
 use common::{
     bind_diamond, bind_misreports, build, det_config, det_link, diamond_burst, fan_join_source,
-    frame_writes, generated_script, log_frames, population, start_population, text, BURST, JOIN,
-    ONE_TASK,
+    frame_writes, generated_script, log_frames, population, restart_with_executors,
+    start_population, text, BURST, JOIN, ONE_TASK,
 };
 use flowscript_core::samples;
 use flowscript_core::schema::compile_source;
@@ -160,9 +160,9 @@ fn corrupt_bound_input_stops_the_recovery_redispatch() {
         CbState::Executing { .. }
     ));
     assert!(sys.poison_fact("i", "root/w", "main"), "poison lands");
-    let coordinator = sys.coordinator_node();
-    sys.crash_now(coordinator);
-    sys.restart_now(coordinator);
+    // The executors crash too: no census claims the attempt, so the
+    // restart re-sends it.
+    restart_with_executors(&mut sys);
     sys.run();
     assert_storage_fault_stop(&sys, "i");
     assert!(!starved.get(), "the task ran on empty inputs");
@@ -352,10 +352,10 @@ fn uids_written(frame: &LogRecord) -> Vec<&str> {
 #[test]
 fn a_restart_rearms_an_instance_in_one_frame() {
     // Four leaves of one instance are executing when the coordinator
-    // crashes: the restart re-sends the four attempts as committed — and
-    // stages whatever the full drain finds — in one step. It bumps no
-    // block: its frame holds only the shard-life key, which moves the
-    // log past this life's ticket base.
+    // crashes, and both executors with it: the census finds none of them
+    // running, and the re-send ships the four attempts as committed in
+    // one step. It bumps no block: its frame holds only the shard-life
+    // key, which moves the log past this life's ticket base.
     let mut sys = WorkflowSystem::builder()
         .executors(2)
         .seed(1)
@@ -374,9 +374,10 @@ fn a_restart_rearms_an_instance_in_one_frame() {
         .unwrap();
     sys.run_for(SimDuration::from_millis(20));
     let before = log_frames(&sys.storage()).len();
-    let coordinator = sys.coordinator_node();
-    sys.crash_now(coordinator);
-    sys.restart_now(coordinator);
+    restart_with_executors(&mut sys);
+    assert_eq!(log_frames(&sys.storage()).len(), before, "the census first");
+    // Both executors answer within a round trip.
+    sys.run_for(SimDuration::from_millis(1));
     let frames = log_frames(&sys.storage());
     assert_eq!(frames.len(), before + 1, "one step for the instance");
     let rearm = frames.last().unwrap();
@@ -393,7 +394,7 @@ fn a_restart_rearms_an_instance_in_one_frame() {
     sys.run();
     assert_eq!(sys.outcome("f").expect("completes").name, "done");
     // Each leaf shipped twice, both times attempt 0: before the crash,
-    // and re-sent. The first report of each was applied.
+    // and re-sent. The re-sent report of each was applied.
     let sent = sys.dispatch_trace_of("f");
     assert!(sent.iter().all(|record| record.attempt == 0), "{sent:?}");
     let leaves = sent
@@ -401,19 +402,34 @@ fn a_restart_rearms_an_instance_in_one_frame() {
         .filter(|record| record.path.starts_with("root/w"));
     assert_eq!(leaves.count(), 2 * width);
     assert_eq!(sys.stats().retries, 0);
+    assert_eq!((sys.stats().resent, sys.stats().census_claimed), (4, 0));
+}
+
+/// How [`a_restart_rearms_every_running_instance_in_one_frame`]'s
+/// coordinator restarts, if at all.
+#[derive(Clone, Copy)]
+enum Crash {
+    None,
+    /// Alone: its executors run on, and the census claims every attempt.
+    Shard,
+    /// With both executors: the census claims nothing.
+    WithExecutors,
 }
 
 #[test]
 fn a_restart_rearms_every_running_instance_in_one_frame() {
     // One shard, `n` two-leaf fans with both leaves executing when the
-    // coordinator crashes: the restart re-sends every executing attempt,
-    // of every instance, in one step — one frame, which bumps no block.
-    // The attempts the crash left on the wire report first and are
-    // applied, the re-sent ones report stale, and every instance ends as
-    // it does in a run that never crashed.
+    // coordinator crashes. With its executors up, the census claims
+    // every attempt where it runs: the restart writes and re-sends
+    // nothing, and the attempts the crash left on the wire report and
+    // are applied. With its executors crashed too, the restart re-sends
+    // every executing attempt, of every instance, in one step — one
+    // frame, which bumps no block — and the re-sent attempts report and
+    // are applied. Either way every instance ends as it does in a run
+    // that never crashed.
     let (width, work_ms) = (2, 100);
     let work = SimDuration::from_millis(work_ms);
-    let fans = |n: usize, crash: bool| {
+    let fans = |n: usize, crash: Crash| {
         let mut sys = WorkflowSystem::builder()
             .executors(2)
             .seed(1)
@@ -433,20 +449,40 @@ fn a_restart_rearms_every_running_instance_in_one_frame() {
                 .unwrap();
         }
         sys.run_for(SimDuration::from_millis(20));
-        if crash {
-            let before = log_frames(&sys.storage()).len();
-            let coordinator = sys.coordinator_node();
-            sys.crash_now(coordinator);
-            sys.restart_now(coordinator);
-            let frames = log_frames(&sys.storage());
-            assert_eq!(frames.len(), before + 1, "{n} instances: one step");
-            let rearm = frames.last().unwrap();
-            assert!(is_bare_commit(rearm), "{rearm:?}");
-            assert_eq!(uids_written(rearm), ["sys/life"], "{n} instances");
-            assert_eq!(blocks_written(rearm), [], "{n} instances");
-            // Every pre-crash attempt has reported by now, no re-sent
-            // one has: each leaf is done, under attempt 0.
-            sys.run_for(SimDuration::from_millis(work_ms - 1));
+        let before = log_frames(&sys.storage()).len();
+        let coordinator = sys.coordinator_node();
+        match crash {
+            Crash::None => {}
+            Crash::Shard => {
+                sys.crash_now(coordinator);
+                sys.restart_now(coordinator);
+            }
+            Crash::WithExecutors => restart_with_executors(&mut sys),
+        }
+        // The census answers within a round trip.
+        sys.run_for(SimDuration::from_millis(1));
+        let frames = log_frames(&sys.storage());
+        let (claimed, resent) = (sys.stats().census_claimed, sys.stats().resent);
+        let leaves = (n * width) as u64;
+        match crash {
+            Crash::None => {}
+            Crash::Shard => {
+                assert_eq!(frames.len(), before, "{n} instances: nothing written");
+                assert_eq!((claimed, resent), (leaves, 0), "{n} instances");
+            }
+            Crash::WithExecutors => {
+                assert_eq!(frames.len(), before + 1, "{n} instances: one step");
+                let rearm = frames.last().unwrap();
+                assert!(is_bare_commit(rearm), "{rearm:?}");
+                assert_eq!(uids_written(rearm), ["sys/life"], "{n} instances");
+                assert_eq!(blocks_written(rearm), [], "{n} instances");
+                assert_eq!((claimed, resent), (0, leaves), "{n} instances");
+            }
+        }
+        if !matches!(crash, Crash::None) {
+            // Every attempt running after the restart has reported by
+            // now: each leaf is done, under attempt 0.
+            sys.run_for(work);
             for name in &names {
                 let blocks = sys.coord_handle(0).get_mut().task_blocks(name);
                 for i in 0..width {
@@ -454,7 +490,7 @@ fn a_restart_rearms_every_running_instance_in_one_frame() {
                     assert_eq!(block.attempt, 0, "{name}/w{i}");
                     assert!(
                         matches!(block.state, CbState::Done { .. }),
-                        "{name}/w{i}: a pre-crash report dropped"
+                        "{name}/w{i}: a report dropped"
                     );
                 }
             }
@@ -466,9 +502,12 @@ fn a_restart_rearms_every_running_instance_in_one_frame() {
         ended.collect::<Vec<_>>()
     };
     for n in [1, 8] {
-        let ended = fans(n, true);
-        assert!(ended.iter().all(|(outcome, _)| outcome.is_some()));
-        assert_eq!(ended, fans(n, false), "{n} instances");
+        let undisturbed = fans(n, Crash::None);
+        for crash in [Crash::Shard, Crash::WithExecutors] {
+            let ended = fans(n, crash);
+            assert!(ended.iter().all(|(outcome, _)| outcome.is_some()));
+            assert_eq!(ended, undisturbed, "{n} instances");
+        }
     }
 }
 

@@ -6,10 +6,14 @@
 
 mod common;
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use common::text;
 use flowscript_core::samples;
 use flowscript_engine::{
-    CbState, EngineConfig, EngineError, InstanceStatus, ObjectVal, TaskBehavior, WorkflowSystem,
+    CbState, EngineConfig, EngineError, InstanceStatus, ObjectVal, ObserveLevel, TaskBehavior,
+    WorkflowSystem,
 };
 use flowscript_sim::{FaultAction, FaultPlan, SimDuration, SimTime};
 use flowscript_tx::{StableStore, Storage, TxError, TxManager};
@@ -147,12 +151,13 @@ fn coordinator_crash_recovers_from_wal_and_completes() {
     );
 }
 
-/// A restart re-dispatches under the next attempt but spends no retry
-/// (nor does a repeat): only retries count against `max_retries`. One
-/// 100 ms leaf, its coordinator restarted three times 20 ms apart — its
-/// attempt is 3 — and then its implementation unbound: every attempt
-/// from there is an execution error, and the task still gets its three
-/// retries before it fails.
+/// A restart's re-send spends no retry (nor does a repeat): only
+/// retries count against `max_retries`. One 100 ms leaf, its
+/// coordinator restarted three times 20 ms apart, each time with the
+/// executors, so that nothing claims the attempt and each restart
+/// re-sends it — attempt 0 every time — and then its implementation
+/// unbound: every attempt from the last re-send on is an execution
+/// error, and the task still gets its three retries before it fails.
 #[test]
 fn restarts_spend_no_retry() {
     let mut sys = WorkflowSystem::builder().seed(1).build();
@@ -163,11 +168,9 @@ fn restarts_spend_no_retry() {
     });
     sys.start("f", "fan", "main", [("seed", text("Data", "d"))])
         .unwrap();
-    let coordinator = sys.coordinator_node();
     for round in 1..=3 {
         sys.run_until(SimTime::from_nanos(round * 20_000_000));
-        sys.crash_now(coordinator);
-        sys.restart_now(coordinator);
+        common::restart_with_executors(&mut sys);
     }
     assert!(sys.registry().unbind("refW0"));
     sys.run();
@@ -179,7 +182,152 @@ fn restarts_spend_no_retry() {
     );
     let stats = sys.stats();
     assert_eq!((stats.recovered_instances, stats.retries), (3, 3));
-    assert_eq!(stats.failures, 1);
+    assert_eq!((stats.resent, stats.failures), (3, 1));
+}
+
+/// A QUICKSTART pipeline on one executor: `produce` takes `produce_ms`
+/// of work and is counted each time it starts, `consume` takes
+/// `consume_ms`.
+fn counted_pipeline(produce_ms: u64, consume_ms: u64) -> (WorkflowSystem, Rc<Cell<u32>>) {
+    let config = EngineConfig {
+        observe: ObserveLevel::Trace,
+        ..EngineConfig::default()
+    };
+    let mut sys = WorkflowSystem::builder()
+        .executors(1)
+        .seed(1)
+        .config(config)
+        .build();
+    sys.register_script("q", samples::QUICKSTART, "pipeline")
+        .unwrap();
+    let starts = Rc::new(Cell::new(0));
+    let counted = starts.clone();
+    sys.bind_fn("refProduce", move |_| {
+        counted.set(counted.get() + 1);
+        let work = SimDuration::from_millis(produce_ms);
+        let made = TaskBehavior::outcome("produced").with_work(work);
+        made.with_object("message", text("Message", "m"))
+    });
+    sys.bind_fn("refConsume", move |_| {
+        let work = SimDuration::from_millis(consume_ms);
+        let used = TaskBehavior::outcome("consumed").with_work(work);
+        used.with_object("result", text("Message", "r"))
+    });
+    sys.start("i", "q", "main", [("seed", text("Message", "s"))])
+        .unwrap();
+    (sys, starts)
+}
+
+/// The attempt numbers `instance`'s task at `path` was dispatched under.
+fn attempts(sys: &WorkflowSystem, instance: &str, path: &str) -> Vec<u32> {
+    let sent = sys.dispatch_trace_of(instance).into_iter();
+    let sent = sent.filter(|record| record.path == path);
+    sent.map(|record| record.attempt).collect()
+}
+
+/// The attempts running at the executors.
+fn running(sys: &WorkflowSystem) -> usize {
+    let executors = sys.running_attempts().into_iter();
+    executors.map(|(_, running)| running).sum()
+}
+
+/// The work a restart finds running is not run again: `produce`'s 10 s
+/// attempt, running when the shard restarts, is claimed by the census
+/// where it runs. Its executor saw one `StartTask`, its report is
+/// applied at attempt 0, and no retry is spent.
+#[test]
+fn an_attempt_running_across_a_restart_runs_once() {
+    let (mut sys, starts) = counted_pipeline(10_000, 0);
+    sys.run_for(SimDuration::from_millis(5));
+    let coordinator = sys.coordinator_node();
+    sys.crash_now(coordinator);
+    sys.restart_now(coordinator);
+    sys.run();
+    assert_eq!(sys.outcome("i").expect("completes").name, "done");
+    assert_eq!(starts.get(), 1, "one `StartTask` at the executor");
+    assert_eq!(attempts(&sys, "i", "pipeline/produce"), [0]);
+    let blocks = sys.coord_handle(0).get_mut().task_blocks("i");
+    let produce = &blocks["pipeline/produce"];
+    assert!(matches!(produce.state, CbState::Done { .. }), "{produce:?}");
+    assert_eq!(produce.attempt, 0);
+    let stats = sys.stats();
+    assert_eq!(
+        (stats.census_claimed, stats.resent, stats.retries),
+        (1, 0, 0)
+    );
+    assert!(
+        sys.now() < SimTime::from_nanos(10_100_000_000),
+        "{:?}",
+        sys.now()
+    );
+}
+
+/// An executor down at the restart cannot answer the census: its call
+/// times out, and the attempt it held is re-sent then — here to the
+/// same executor, up again by then — and finishes long before a
+/// watchdog (30 s) would have noticed it was lost.
+#[test]
+fn a_census_call_to_a_down_executor_times_out_and_the_attempt_is_re_sent() {
+    let (mut sys, starts) = counted_pipeline(50, 0);
+    sys.run_for(SimDuration::from_millis(5));
+    let (coordinator, executor) = (sys.coordinator_node(), sys.executor_nodes()[0]);
+    sys.crash_now(coordinator);
+    sys.crash_now(executor);
+    sys.restart_now(coordinator);
+    sys.run_for(SimDuration::from_millis(50));
+    sys.restart_now(executor);
+    sys.run();
+    assert_eq!(sys.outcome("i").expect("completes").name, "done");
+    assert!(
+        sys.now() < SimTime::from_nanos(300_000_000),
+        "{:?}",
+        sys.now()
+    );
+    assert_eq!(starts.get(), 2, "shipped, then re-sent");
+    assert_eq!(attempts(&sys, "i", "pipeline/produce"), [0, 0]);
+    let stats = sys.stats();
+    assert_eq!(
+        (stats.census_claimed, stats.resent, stats.retries),
+        (0, 1, 0)
+    );
+}
+
+/// A census cancels what an earlier life left running: the first
+/// restart's census is lost to a partition, so it re-sends `produce`'s
+/// 10 s attempt beside the copy still running; the first copy's report
+/// is applied, and the re-sent copy runs on with nothing awaiting it.
+/// The next restart's census lists it with `consume`: `consume` is
+/// claimed, and the orphan draws one `Cancel`, which ends it.
+#[test]
+fn a_census_cancels_an_orphan_an_earlier_life_left() {
+    let (mut sys, starts) = counted_pipeline(10_000, 10_000);
+    sys.run_for(SimDuration::from_millis(5));
+    let (coordinator, executor) = (sys.coordinator_node(), sys.executor_nodes()[0]);
+    sys.crash_now(coordinator);
+    sys.world_mut().partition(&[coordinator], &[executor]);
+    sys.restart_now(coordinator);
+    sys.world_mut().heal_all();
+    sys.run_until(SimTime::from_nanos(10_050_000_000));
+    assert_eq!(starts.get(), 2, "shipped, then re-sent");
+    assert!(matches!(
+        sys.task_states("i")["pipeline/consume"],
+        CbState::Executing { .. }
+    ));
+    assert_eq!(running(&sys), 2, "`consume`, and the orphan");
+    assert_eq!(sys.stats().cancels, 0);
+    sys.crash_now(coordinator);
+    sys.restart_now(coordinator);
+    sys.run_for(SimDuration::from_millis(5));
+    assert_eq!(running(&sys), 1, "the orphan ended");
+    let stats = sys.stats();
+    assert_eq!(
+        (stats.cancels, stats.census_claimed, stats.resent),
+        (1, 1, 1)
+    );
+    sys.run();
+    assert_eq!(sys.outcome("i").expect("completes").name, "done");
+    assert_eq!(attempts(&sys, "i", "pipeline/consume"), [0]);
+    assert_eq!(sys.stats().retries, 0);
 }
 
 #[test]

@@ -759,12 +759,14 @@ fn restarted_burst_anatomy_matches_golden() {
     for name in &names {
         assert!(sys.outcome(name).is_some(), "{name} completes");
     }
-    // The restart re-sent each running attempt as committed, so the
-    // first report of each — the pre-crash one, at 60 s — is applied: T4
+    // Each restart's census claimed every running attempt where it
+    // runs, so each reports once, at 60 s, and nothing is re-sent: T4
     // runs 60–90 s, not after a second 30 s of T2 and T3.
     let end = sys.now();
     assert!(end < SimTime::from_nanos(91_000_000_000), "ends at {end:?}");
-    assert_eq!(sys.stats().retries, 0);
+    let stats = sys.stats();
+    assert_eq!((stats.retries, stats.resent), (0, 0));
+    assert_eq!(stats.census_claimed, 2 * BURST as u64, "T2 and T3 of each");
     let run = "\
 # The durable logs of 50 fig. 1 diamonds started at once on 4 shards, each
 # task 30 s of work, every shard crashed at 45 s (T1 done, T2 and T3

@@ -362,7 +362,8 @@ compoundtask root of taskclass Root {
 #[test]
 fn a_repeating_root_reactivates_on_its_start_set_and_inputs_across_a_restart() {
     // `w` takes `again` in incarnations 0 and 1 — the second time 100 ms
-    // in, across a crash — and `done` in incarnation 2. Each of the
+    // in, across a crash of the coordinator and the executor, so that the
+    // restart re-sends it — and `done` in incarnation 2. Each of the
     // root's incarnations runs on the set it was started on, `alt`, not
     // its class's first, and hands `w` the objects it was started with.
     let mut sys = WorkflowSystem::builder()
@@ -395,9 +396,7 @@ fn a_repeating_root_reactivates_on_its_start_set_and_inputs_across_a_restart() {
     sys.run_for(SimDuration::from_millis(20));
     assert_eq!(sys.stats().repeats, 1, "incarnation 0 repeated the root");
     root_active_on_alt(&sys);
-    let coordinator = sys.coordinator_node();
-    sys.crash_now(coordinator);
-    sys.restart_now(coordinator);
+    common::restart_with_executors(&mut sys);
     root_active_on_alt(&sys);
     sys.run();
     assert_eq!(sys.outcome("r").expect("completes").name, "done");

@@ -696,8 +696,10 @@ compoundtask root of taskclass Root {
 "#;
 
 /// Runs [`SHIFTED_PRODUCERS`] to its end — with `middle` removed while
-/// `consumer` executes, then a crash and a restart, when `shifted` —
-/// and returns the final status and every input `consumer` was handed.
+/// `consumer` executes, then a crash and a restart of the coordinator
+/// and the executors, when `shifted`, so that the restart re-sends
+/// `consumer` — and returns the final status and every input `consumer`
+/// was handed.
 fn run_shifted_producers(shifted: bool) -> (InstanceStatus, Vec<ObjectVal>) {
     let mut sys = WorkflowSystem::builder().executors(2).seed(70).build();
     sys.register_script("shift", SHIFTED_PRODUCERS, "root")
@@ -732,9 +734,7 @@ fn run_shifted_producers(shifted: bool) -> (InstanceStatus, Vec<ObjectVal>) {
             task_path: "root/inner/middle".into(),
         };
         sys.reconfigure("s1", remove).unwrap();
-        let coordinator = sys.coordinator_node();
-        sys.crash_now(coordinator);
-        sys.restart_now(coordinator);
+        common::restart_with_executors(&mut sys);
     }
     sys.run();
     let handed = handed.borrow().clone();
