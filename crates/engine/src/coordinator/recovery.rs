@@ -293,9 +293,6 @@ impl Coordinator {
             Back::Landed(Some(_)) => &[],
         };
         watched.iter().for_each(|name| self.keep_moving(name));
-        if let Back::Restart = why {
-            self.census.owed = running.clone();
-        }
         let _ = self.reevaluate(&running, |coordinator, step, drain| {
             if let Back::Landed(Some(_)) = why {
                 // What a corrupt block was doing is unknown: re-run
@@ -312,5 +309,8 @@ impl Coordinator {
             drain.worklist.seed_all(drain.plan);
             Ok(())
         });
+        if let Back::Restart = why {
+            self.census.owed = running;
+        }
     }
 }
