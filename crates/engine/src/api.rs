@@ -709,7 +709,7 @@ impl WorkflowSystem {
         shard.poison_fact(instance, path, name)
     }
 
-    /// Sends a forged `Mark` message for `instance` *via* shard `via`
+    /// Sends a forged mark report (under ticket 0) for `instance` *via* shard `via`
     /// (possibly not the owner) — test hook for the cross-shard
     /// forwarding path of one-way messages.
     ///
@@ -731,18 +731,20 @@ impl WorkflowSystem {
         I: IntoIterator<Item = (K, ObjectVal)>,
         K: Into<String>,
     {
-        let msg = EngineMsg::Mark(crate::msg::MarkMsg {
+        let at = crate::msg::Attempt {
             instance: instance.to_string(),
             path: path.to_string(),
             incarnation,
             attempt,
-            mark: mark.to_string(),
+        };
+        let result = crate::msg::TaskResult::Mark {
+            name: mark.to_string(),
             objects: objects.into_iter().map(|(k, v)| (k.into(), v)).collect(),
-        });
+        };
+        let msg = crate::msg::report_bytes(&at, 0, &result);
         let target = self.coord_nodes[via];
         let client = self.client.node();
-        self.world
-            .send(client, target, flowscript_codec::to_bytes(&msg));
+        self.world.send(client, target, msg);
     }
 
     /// One shard's current view of the executor fleet: per-executor

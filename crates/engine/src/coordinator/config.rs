@@ -72,13 +72,14 @@ impl Default for EngineConfig {
 
 /// The size of the commit window.
 ///
-/// Executor `Done`/`Mark` reports (including ones forwarded from relay
-/// shards) gather in a per-shard window and commit as **one** atomic
-/// action: one WAL frame holding one [`flowscript_tx::LogRecord::Commit`],
+/// Executor reports, marks and completions (including ones forwarded
+/// from relay shards) gather in a per-shard window and commit as
+/// **one** atomic action: one WAL frame holding one
+/// [`flowscript_tx::LogRecord::Commit`],
 /// one readiness re-evaluation seeded from every completed task's
 /// consumers. The window closes on `max_events` reports, on its timer
 /// (`max_window`, longer for long work), or — what the shard decides
-/// exactly, with no field here — once its buffered `Done` reports are at
+/// exactly, with no field here — once its buffered completions are at
 /// least the dispatches it has on the wire: no report that could join is
 /// on its way, so a lone report does not idle. There is one pipeline
 /// whatever the size: the window is placement, not semantics — each

@@ -52,7 +52,7 @@ use super::{block_fault, Coordinator, InstanceRt, Timer, TimerId};
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::{self, in_key};
-use crate::msg::{EngineMsg, RunningAttempt, StartTask};
+use crate::msg::{Attempt, EngineMsg, StartTask};
 use crate::sched::{CostModel, ExecutorSlot, ExecutorSpec, ImplHints, SchedPolicy, Scheduler};
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
@@ -132,7 +132,7 @@ pub(super) struct Dispatcher {
     /// dispatch hot path).
     sched: Scheduler,
     /// Observed-duration feedback: per-code EWMA of real completion
-    /// times, sampled at every genuine `TaskDone` release. An estimate,
+    /// times, sampled at every genuine completion's release. An estimate,
     /// not state: where it is empty the declared hints carry placement.
     costs: CostModel,
     /// Dispatches parked because every eligible executor sat at its
@@ -411,7 +411,9 @@ impl Coordinator {
     /// re-dispatched after an exponential back-off, away from the node it
     /// died on) or, the budget spent, `Failed`. Only retries spend the
     /// budget: a repeat's bumped attempt does not, and a restart bumps
-    /// none. `cb` is the block as the step reads it.
+    /// none. `cb` is the block as the step reads it; `reported`, the
+    /// ticket of the copy whose error report ended the attempt, if one
+    /// did.
     pub(super) fn stage_lost(
         &mut self,
         step: &mut Step,
@@ -419,7 +421,7 @@ impl Coordinator {
         task: TaskId,
         mut cb: TaskCb,
         reason: &str,
-        reported: bool,
+        reported: Option<u64>,
     ) -> Result<(), EngineError> {
         if cb.retries >= self.config.max_retries {
             return self.stage_failure(step, drain, task, cb, reason, reported);
@@ -445,8 +447,9 @@ impl Coordinator {
 
     /// Stages `task` permanently `Failed` (retries exhausted, or nothing
     /// a retry could fix) and the end of its flight — a completion's
-    /// when its executor `reported`. A failure publishes no fact: nothing
-    /// new can become satisfied, but the instance may now be stuck.
+    /// when a copy shipped under the ticket `reported` reported it. A
+    /// failure publishes no fact: nothing new can become satisfied, but
+    /// the instance may now be stuck.
     pub(super) fn stage_failure(
         &mut self,
         step: &mut Step,
@@ -454,7 +457,7 @@ impl Coordinator {
         task: TaskId,
         mut cb: TaskCb,
         why: &str,
-        reported: bool,
+        reported: Option<u64>,
     ) -> Result<(), EngineError> {
         cb.transition(CbState::Failed {
             reason: why.to_string(),
@@ -462,8 +465,8 @@ impl Coordinator {
         let action = step.action(&mut self.mgr);
         facts::write_block(&mut self.mgr, action, drain.plan, drain.id, task, &cb)?;
         let landed = match reported {
-            true => Effect::Completed(task),
-            false => Effect::Discard(task..task + 1),
+            Some(ticket) => Effect::Completed(task, ticket),
+            None => Effect::Discard(task..task + 1),
         };
         step.push(&drain.name, landed);
         drain.lands(task);
@@ -689,7 +692,8 @@ impl Coordinator {
         flights.map(|(&task, _)| task).collect()
     }
 
-    /// A census answer: `node` still runs `running` for this shard. An
+    /// A census answer: `node` still runs the attempt `at` for this
+    /// shard, shipped under `ticket`. An
     /// attempt its block awaits with nothing charged is charged on
     /// `node` under the ticket it already has, as sent now — its
     /// watchdog stands — so nothing re-runs it. Anything else listed
@@ -698,19 +702,19 @@ impl Coordinator {
     /// instance this shard does not hold resident (moved away, frozen
     /// in an unlanded round) is not its to judge, nor is an attempt a
     /// settled instance still awaits: it reports as it would have.
-    pub(super) fn claim_running(&mut self, node: NodeId, running: RunningAttempt) {
-        let Some(rt) = self.instances.get(&running.instance) else {
+    pub(super) fn claim_running(&mut self, node: NodeId, ticket: u64, at: Attempt) {
+        let Some(rt) = self.instances.get(&at.instance) else {
             return;
         };
-        let task = rt.plan.task_by_path(&running.path);
+        let task = rt.plan.task_by_path(&at.path);
         let cb = task.and_then(|task| self.read_cb_id(&rt.plan, rt.id, task).ok());
-        let awaited = cb.is_some_and(|cb| cb.awaits(running.incarnation, running.attempt));
+        let awaited = cb.is_some_and(|cb| cb.awaits(at.incarnation, at.attempt));
         if awaited && rt.terminal {
             return;
         }
         let idle = |task| rt.flights.0.get(&task).is_some_and(|f| f.charge.is_none());
         let Some(task) = task.filter(|&task| awaited && idle(task)) else {
-            return self.cancel_attempt(node, running.ticket);
+            return self.cancel_attempt(node, ticket);
         };
         let shipment = self.shipment(rt, task);
         let cost = self
@@ -720,12 +724,12 @@ impl Coordinator {
         self.dispatcher.sched.note_dispatch(node, cost);
         let charge = Charge {
             node,
-            ticket: running.ticket,
+            ticket,
             cost,
             sent_ns: self.now.as_nanos(),
             code: shipment.code,
         };
-        if let Some(flight) = self.flight_mut(&running.instance, task) {
+        if let Some(flight) = self.flight_mut(&at.instance, task) {
             flight.charge = Some(charge);
         }
         self.metrics.stats.census_claimed += 1;
@@ -840,7 +844,7 @@ impl Coordinator {
         let _ = self.reevaluate(&[instance], |coordinator, step, drain| {
             match coordinator.drain_cb(step, drain, task)? {
                 Some(cb) if !cb.state.is_terminal() => {
-                    coordinator.stage_failure(step, drain, task, cb, why, false)
+                    coordinator.stage_failure(step, drain, task, cb, why, None)
                 }
                 // Cancelled by the step that activated it.
                 _ => Ok(()),
@@ -943,11 +947,14 @@ impl Coordinator {
             executor: placement.node.index() as u32,
         };
         self.record_event(instance, Some(path), attempt, kind);
-        let msg = EngineMsg::Start(StartTask {
+        let at = Attempt {
             instance: instance.to_string(),
             path: path.to_string(),
             incarnation,
             attempt,
+        };
+        let msg = EngineMsg::Start(StartTask {
+            at,
             ticket,
             implementation: shipment.implementation,
             set: launch.set,
@@ -972,12 +979,12 @@ impl Coordinator {
         let Some(rt) = self.instances.get(instance) else {
             return;
         };
-        let timer = Timer::Watchdog {
+        let timer = Timer::Watchdog(Attempt {
             instance: instance.to_string(),
             path: rt.plan.str(rt.plan.task(task).path).to_string(),
             incarnation,
             attempt,
-        };
+        });
         let watchdog = self.arm(timeout, timer);
         let flight = self.flight_mut(instance, task);
         let stale = flight.and_then(|flight| flight.watchdog.replace(watchdog));
@@ -987,19 +994,14 @@ impl Coordinator {
     /// The watchdog of one attempt fired: the executor is presumed lost,
     /// and the time-out is one step — the attempt's bounded retry or its
     /// failure, with the cascade — published once it commits.
-    pub(super) fn on_watchdog(
-        &mut self,
-        instance: &str,
-        path: &str,
-        incarnation: u32,
-        attempt: u32,
-    ) {
+    pub(super) fn on_watchdog(&mut self, at: &Attempt) {
         // Where a timer enters: its task, named by path, resolved
         // against the instance's current plan.
+        let instance = at.instance.as_str();
         let Some((plan, instance_id)) = self.instance_ctx(instance) else {
             return;
         };
-        let Some(task) = plan.task_by_path(path) else {
+        let Some(task) = plan.task_by_path(&at.path) else {
             return;
         };
         let rt = self.instances.get_mut(instance);
@@ -1009,16 +1011,16 @@ impl Coordinator {
         // The completion may already be sitting in the batch window:
         // its transition just hasn't committed yet, and the watchdog
         // must not turn a report-in-flight into a spurious retry.
-        if self.window.holds_done(instance, path, incarnation, attempt) {
+        if self.window.holds_done(at) {
             return;
         }
         let cb = self.read_cb_id(&plan, instance_id, task).ok();
-        let Some(cb) = cb.filter(|cb| cb.awaits(incarnation, attempt)) else {
+        let Some(cb) = cb.filter(|cb| cb.awaits(at.incarnation, at.attempt)) else {
             return;
         };
         let _ = self.reevaluate(&[instance], |coordinator, step, drain| {
             let cb = cb.clone();
-            coordinator.stage_lost(step, drain, task, cb, "dispatch timed out", false)
+            coordinator.stage_lost(step, drain, task, cb, "dispatch timed out", None)
         });
         // The timed-out dispatch released its executor load (and a
         // failed task may have terminated its instance): revisit the
@@ -1027,35 +1029,43 @@ impl Coordinator {
     }
 
     /// The attempt of `task` on the wire ended with no outcome: its load
-    /// is released — as a completion's when its executor `reported`, the
-    /// elapsed time a sample — and its watchdog disarmed; the record
-    /// stays, remembering the node so the retry relocates. An attempt
-    /// its watchdog gave up on may still run: it is cancelled there, so
-    /// the retry never queues behind it.
-    pub(super) fn lose_flight(&mut self, instance: &str, task: TaskId, reported: bool) {
-        let completed_at_ns = reported.then(|| self.now.as_nanos());
+    /// is released — as a completion's when a copy under the ticket
+    /// `reported` reported the error, the elapsed time a sample — and its
+    /// watchdog disarmed; the record stays, remembering the node so the
+    /// retry relocates. A charged copy that did not report — its
+    /// watchdog gave up on it, or another copy's report came first — may
+    /// still run: it is cancelled there, so the retry never queues
+    /// behind it.
+    pub(super) fn lose_flight(&mut self, instance: &str, task: TaskId, reported: Option<u64>) {
+        let completed_at_ns = reported.map(|_| self.now.as_nanos());
         let charged = self.release_dispatch(instance, task, completed_at_ns);
         let watchdog = self.flight_mut(instance, task).and_then(|flight| {
             flight.avoid = charged.map(|(node, _)| node).or(flight.avoid);
             flight.watchdog.take()
         });
         self.cancel(watchdog);
-        if let Some((node, ticket)) = charged.filter(|_| !reported) {
+        if let Some((node, ticket)) = charged.filter(|&(_, ticket)| Some(ticket) != reported) {
             self.cancel_attempt(node, ticket);
         }
     }
 
-    /// An executor report for `task` was applied: its work is no longer
-    /// outstanding. Drops the flight record, disarming its timers and
-    /// releasing the load as a genuine completion.
-    pub(super) fn clear_watch(&mut self, instance: &str, task: TaskId) {
-        self.release_dispatch(instance, task, Some(self.now.as_nanos()));
+    /// The report of the copy of `task`'s attempt shipped under `ticket`
+    /// was applied: its work is no longer outstanding. Drops the flight
+    /// record, disarming its timers and releasing the load as a genuine
+    /// completion; a charged copy other than the one that reported — a
+    /// restart's re-send beside a copy its census missed — is cancelled
+    /// where it runs.
+    pub(super) fn clear_watch(&mut self, instance: &str, task: TaskId, ticket: u64) {
+        let charged = self.release_dispatch(instance, task, Some(self.now.as_nanos()));
         let flight = self
             .instances
             .get_mut(instance)
             .and_then(|rt| rt.flights.0.remove(&task));
         let timers = flight.map(|flight| [flight.watchdog, flight.delayed]);
         self.cancel(timers.into_iter().flatten().flatten());
+        if let Some((node, charged)) = charged.filter(|&(_, charged)| charged != ticket) {
+            self.cancel_attempt(node, charged);
+        }
     }
 }
 

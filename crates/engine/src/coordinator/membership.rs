@@ -20,8 +20,8 @@
 //! [`DRAIN_BATCH`] (a drain). The source decides alone: it commits the
 //! round's *move record*, `sys/move/<id>` → [`MoveRecord`], and
 //! **freezes** the slice — runtimes dropped (watchdogs disarmed, load
-//! and admission slots released), every `Done`/`Mark` for it held with
-//! the round. It sends the claim every [`RETRANSMIT_INTERVAL`] while the
+//! and admission slots released), every report for it held with the
+//! round. It sends the claim every [`RETRANSMIT_INTERVAL`] while the
 //! job runs. `Ok` → one action purges the slice and marks the record
 //! landed, and the held reports are relayed; `Err` → the record goes and
 //! the slice thaws ([`Coordinator::adopt_orphans`], the held reports
@@ -50,11 +50,10 @@ use flowscript_tx::{AtomicAction, StableStore, StoreKey, TxId, TxManager};
 use super::package::{claim_bytes, purge_instance, rekeyed};
 use super::recovery::Back;
 use super::step::Step;
-use super::window::PendingEvent;
 use super::{stored_instance_names, Call, Coordinator, InstanceHeader, Output, Report, TimerId};
 use crate::error::EngineError;
 use crate::keys::{self, claimed_uid, move_uid};
-use crate::msg::{AfterImages, EngineMsg};
+use crate::msg::{AfterImages, EngineMsg, TaskReport};
 use crate::shard::ShardMap;
 
 /// Maximum relays a misdirected message may take before the relay
@@ -201,7 +200,7 @@ struct Round {
     /// Virtual time of the decision — the pause runs from here.
     started_ns: u64,
     /// Reports that arrived for the frozen slice, with their hop counts.
-    held: Vec<(PendingEvent, u32)>,
+    held: Vec<(TaskReport, u32)>,
     /// Whether a send of its claim still awaits an answer.
     calling: bool,
 }
@@ -410,18 +409,15 @@ impl Coordinator {
     /// Routes one executor report: held with its round while the
     /// instance is frozen, relayed when another shard owns it, buffered
     /// into the commit window when it is ours.
-    pub(super) fn route_report(&mut self, report: PendingEvent, hops: u32) {
+    pub(super) fn route_report(&mut self, report: TaskReport, hops: u32) {
         let membership = &mut self.membership;
-        let frozen_in = membership.freezing(report.address().0);
+        let frozen_in = membership.freezing(&report.at.instance);
         if let Some(round) = frozen_in.and_then(|id| membership.rounds.get_mut(&id)) {
             round.held.push((report, hops));
             return;
         }
-        match self.misdirected(report.address().0) {
-            Some(owner) => {
-                let instance = report.address().0.to_string();
-                self.forward_oneway(owner, &instance, report.into(), hops);
-            }
+        match self.misdirected(&report.at.instance) {
+            Some(owner) => self.forward_report(owner, report, hops),
             None => self.enqueue_event(report),
         }
     }
@@ -457,10 +453,12 @@ impl Coordinator {
         Some(flowscript_codec::to_bytes(&wrapped))
     }
 
-    /// Relays a misdirected one-way message (`Done`/`Mark`) to the
-    /// owning shard; at the hop cap it is dropped.
-    fn forward_oneway(&mut self, owner: NodeId, instance: &str, inner: EngineMsg, hops: u32) {
-        if let Some(bytes) = self.forward_envelope(owner, instance, &inner, hops) {
+    /// Relays a misdirected report to the owning shard; at the hop cap
+    /// it is dropped.
+    fn forward_report(&mut self, owner: NodeId, report: TaskReport, hops: u32) {
+        let instance = report.at.instance.clone();
+        let inner = EngineMsg::Report(report);
+        if let Some(bytes) = self.forward_envelope(owner, &instance, &inner, hops) {
             self.outbox.push(Output::Send { to: owner, bytes });
         }
     }
@@ -745,8 +743,7 @@ impl Coordinator {
             self.membership.moved.insert(instance.clone(), round.dest);
         }
         for (report, hops) in round.held {
-            let instance = report.address().0.to_string();
-            self.forward_oneway(round.dest, &instance, report.into(), hops);
+            self.forward_report(round.dest, report, hops);
         }
         let job = self.membership.job.as_mut();
         if let Some(job) = job.filter(|job| job.current == Some(id)) {
@@ -786,7 +783,7 @@ impl Coordinator {
     /// Routes again, in arrival order, reports a round held for names
     /// that have since left it: held by the round that now holds the
     /// name, applied where it thawed or landed.
-    fn reroute(&mut self, held: Vec<(PendingEvent, u32)>) {
+    fn reroute(&mut self, held: Vec<(TaskReport, u32)>) {
         for (report, hops) in held {
             self.route_report(report, hops);
         }
@@ -1118,7 +1115,7 @@ mod tests {
     use crate::coordinator::{EngineConfig, Input, InstanceHeader};
     use crate::driver::{Driver, Node};
     use crate::keys::meta_uid;
-    use crate::msg::MarkMsg;
+    use crate::msg::{Attempt, TaskResult};
     use crate::{ObjectVal, TaskBehavior};
 
     /// `shards` shards serving the quickstart pipeline, whose `produce`
@@ -1398,13 +1395,18 @@ mod tests {
                 inner: flowscript_codec::to_bytes(&inner),
             })
         };
-        let mark = EngineMsg::Mark(MarkMsg {
-            instance: instance.clone(),
-            path: "t".into(),
-            incarnation: 0,
-            attempt: 0,
-            mark: "m".into(),
-            objects: BTreeMap::new(),
+        let mark = EngineMsg::Report(TaskReport {
+            at: Attempt {
+                instance: instance.clone(),
+                path: "t".into(),
+                incarnation: 0,
+                attempt: 0,
+            },
+            ticket: 0,
+            result: TaskResult::Mark {
+                name: "m".into(),
+                objects: BTreeMap::new(),
+            },
         });
         let start = EngineMsg::StartInstance {
             instance,

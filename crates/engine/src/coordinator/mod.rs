@@ -38,22 +38,22 @@
 //! This module holds the shared state ([`Coordinator`]), the door and
 //! the helpers every concern uses (`record_event`, the control-block
 //! and header reads, `settled`, `pump`). Each child module owns one
-//! concern; what it *owns* is private to it, and the entry points named
-//! are the only way in from a sibling:
+//! concern; what it *owns* is private to it, and its documented
+//! `pub(super)` functions are the only way in from a sibling:
 //!
-//! | module | concern | owns | entry points |
-//! |---|---|---|---|
-//! | `config`, `meta`, `stats` | the types: operator knobs; status and outcome, the `InstanceHeader` (rewritten only by a reconfiguration and a hand-off's re-key), the `StuckRecord` (stored only while an instance is parked `Stuck`: `Running` and `Completed` are read off the root block), the pinned source's hash (their uids: [`crate::keys`]); counters and the dispatch record | — | — |
-//! | `step` | the unit of commit: stage a step's units (a window's reports, a restart's or landing's instances, one instance) into one action (reading its own writes back), commit once — one frame straight to the log — then the one tail: publish the effects in staging order, as outputs, check the checkpoint threshold, run the debug oracles over each instance drained; and the one rollback rule: units whose shared step rolled back retry one by one, a unit whose own step rolled back keeps its instance's work moving | `Step`, `Effect`, `Launch` (what an attempt ships under) | `step` (every step: a start, a window, `reevaluate`, a reconfiguration), `atomically` (an action with nothing to publish); `staged_cb`, `trace` |
-//! | `window` | the one place a report is applied: buffer `Done`/`Mark` reports until `max_events`, the window's timer (`max_window`, or a thousandth of the age of the attempt whose report opened the window when that is longer), or every report the shard awaits is in, stage a window of them in arrival order — outcome, mark, execution error, repeat outcome, misreport — and its cascade as one step over its reports | `BatchWindow` | `enqueue_event`, `flush_pending`, `on_batch_window` ([`Timer::Window`]), `commit_event`, `window_committed` (a committed window's batch id and size sample) |
-//! | `evaluate` | the cascade a step stages: input-set satisfaction, activation, compound-scope outputs (marks, termination, the fig. 8 repeat), stuck detection; the debug full-scan oracle | `Drain` (one instance inside a step: its seeds, its flights as the step leaves them) | `reevaluate` (`step` over resident instances, one or many: for each the caller stages its transition and the drain follows — one instance for the watchdog, a failed placement, the operator's abort and repair; every running one for a restart or a landing, `resume`); `instance_ctx`, `drain_of`, `stage_drain`, `park_stuck`, `assert_settled` (the oracles `step` runs) |
-//! | `dispatch` | executor placement, the capacity-parked ready queue, watchdogs, what an attempt that ends with no outcome stages — the bounded retry (`TaskCb::retries` is the budget) or `Failed` — and the cancel of an attempt the shard drops on the wire: one `Cancel` message to its executor, naming the ticket it shipped under | `Dispatcher` (scheduler loads, cost model, ready queue, the next ticket: a life's tickets count from its reopened log's sequence number, and every attempt a life ships follows a commit of its own — the re-send after a restart's census the shard-life key — so none is reused; an attempt a census claims keeps an earlier life's ticket, below the base), `Flights` (per instance: one record per task with outstanding work, its watchdog and a delayed attempt's timer each a [`TimerId`], cancelled with the record; its charge names the attempt's executor and ticket) | staging: `stage_lost` (error report, time-out), `stage_failure`, `stage_launch` (the next attempt, now or after a delay); publishing: `ship` (an attempt, under what its step staged, with a fresh ticket), `dispatch` (a staged attempt whose delay or park is over), `dispatch_after`, `lose_flight` (a watchdog's attempt cancelled where it runs), `clear_watch`, `discard_flights` (subtree sweep, forced outcome, failure; each attempt on the wire cancelled), `fail_unplaceable`; timers: `on_watchdog` ([`Timer::Watchdog`]), `on_dispatch_timer` ([`Timer::Dispatch`]), each clearing its own timer first; `drain_parked`, `executing`, `attempt_age` (how long ago the charged attempt shipped: what a window waits in proportion to), `stage_life` (a restart's shard-life key); `Flights::outstanding` (stuck detection), `replan` (a reconfiguration's new plan, its books re-keyed, a removed task's attempt cancelled), `keep_moving` (the rollback rule's watchdogs: each `Executing` task with nothing armed or parked gets one; a restart's and a live landing's, up front), `claim_running` (a census answer's attempt: charged where it runs under its old ticket, as sent now, if its block awaits it and nothing is charged, else cancelled there), `unclaimed` (what only a watchdog moves: after a census, what no executor claimed), `Dispatcher::{release_all, reset, reopened, executors}` (hand-off, which cancels nothing: the next owner is owed the work; recovery; the fleet a census asks), `executor_loads` |
-//! | `admission` | the per-shard instance cap on the start RPC, and the start's repository fetch, once per shard and version: a start naming a version the shard fetched before launches at once | `Admission`, `AdmissionTicket` (the fetch's [`Call::Fetch`]) | `admit_or_queue`, `admit_from_queue`, `on_fetched`, `Admission::{instance_live, instance_settled}` |
-//! | `lifecycle` | instance start (the first writer of a header), the canonical source an instance pins (once per shard and hash) and the plan compiled from it (once per shard and version), materialising a runtime from committed state, the monitoring reads; blob collection | `PlanCache` (which also knows what each repository version the shard fetched is: its source hash and root) | `start_instance` (from admission, the one start path), `pin_source` (start, reconfiguration), `pinned_source` (the one reader of the source: every load, and reconfiguration), `load_or_park` (recovery, adoption: a running instance whose plan cannot be built stops `Stuck`), `PlanCache::plan` (the one way a plan is obtained: start, load, reconfiguration), `PlanCache::{remember, version}` (admission: a fetched version noted, a known one's text), `gc_plans` |
-//! | `membership` | shard routing and relays; the one way an instance changes shards — a claim, landed in one local action beside its receipt, sent by a live source from its move record (rebalance, drain) or by a claimant out of a dead shard's fenced storage (adoption) — the map flip, and the shard's end of each fleet call, answered as it goes | `Membership`, [`MoveReport`], [`FailoverReport`] | `route_report`, `misdirected`, `forward_start`, `on_relayed` ([`Call::Relay`]); from the operator `begin_move` ([`Op::Move`]), `begin_adoption` ([`Op::Adopt`]), `set_shard_map` ([`Op::Map`]), `Membership::drop_jobs` ([`Op::GiveUp`]); from the wire `on_claim`, `on_claim_answered` ([`Call::Claim`]); `adopt_orphans` (a landing or a thaw: `load_stored`, then `resume`), `repair_handoffs` |
-//! | `package` | what a claim carries: an instance's committed keyspace packaged (header first, its pinned source, its dense range), re-keyed onto the receiver's ids, purged from the source once landed | — | `package_instance`, `claim_bytes`, `rekeyed`, `purge_instance` |
-//! | `recovery` | the ways a stored instance comes back — loaded, then re-armed — and restart ([`Input::Restart`]): reset volatile state (fleet protocols included), reopen the log (one that does not open leaves the shard holding nothing, every start and request answered with why: `refuse`), repair hand-offs, reload, re-arm every running instance in one step — its executing tasks watched — and take the census of the executors: each attempt one still runs is claimed there or cancelled, and once all have answered or timed out ([`FLEET_DEADLINE`]) what nobody claimed is re-sent as committed, in one step beside the shard-life key | `Back` (how an instance came back: a restart, or a landing with the dead shard it was claimed from), `Census` (the executors yet to answer, the instances owed a re-send) | `recover`, `load_stored` (recovery, adoption: residency, admission slot, trace event and counter), `resume` (recovery, adoption: one `reevaluate` over every running instance — a restart's and a live landing's fresh watchdogs, a dead shard's landing's re-sends, the first report of each attempt applied), `on_census` ([`Call::Census`]), `stored_instances`, `stored_instance_names` |
-//! | `admin` | operator actions on a running instance, one step each, answered at once: the abort, the repair, and a reconfiguration — the script's new version, the remap onto its plan and the full drain over it | — | `reconfigure` ([`Op::Reconfigure`]), `abort_waiting_task` ([`Op::Abort`]), `repair_fact` ([`Op::Repair`]) |
+//! | module | concern | owns |
+//! |---|---|---|
+//! | `config`, `meta`, `stats` | the types: operator knobs; status, outcome, the instance header and stuck record; counters | — |
+//! | `step` | the unit of commit: one action, one frame, one tail, one rollback rule | `Step`, `Effect`, `Launch` |
+//! | `window` | the one place a report is applied: a window of reports and its cascade, one step | `BatchWindow` |
+//! | `evaluate` | the cascade a step stages: readiness, activation, scope outputs, stuck detection | `Drain` |
+//! | `dispatch` | placement, the parked ready queue, watchdogs, retries, tickets and cancels | `Dispatcher`, `Flights` |
+//! | `admission` | the per-shard instance cap, and a start's fetch, once per shard and version | `Admission`, `AdmissionTicket` |
+//! | `lifecycle` | instance start, the pinned source and its plan, loading, monitoring reads, blob collection | `PlanCache` |
+//! | `membership` | routing and relays; the claim, the one way an instance changes shards; fleet calls | `Membership`, [`MoveReport`], [`FailoverReport`] |
+//! | `package` | what a claim carries: an instance's keyspace packaged, re-keyed, purged | — |
+//! | `recovery` | a stored instance coming back, and restart: reopen, reload, re-arm, census, re-send | `Back`, `Census` |
+//! | `admin` | operator actions on a running instance, one step each: abort, repair, reconfiguration | — |
 
 mod admin;
 mod admission;
@@ -83,7 +83,7 @@ use crate::driver::{self, Node, TimerId};
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::{meta_uid, status_uid};
-use crate::msg::EngineMsg;
+use crate::msg::{Attempt, EngineMsg};
 use crate::reconfig::Reconfig;
 use crate::sched::ExecutorSpec;
 use crate::shard::ShardMap;
@@ -106,7 +106,7 @@ use membership::Membership;
 use meta::{InstanceHeader, StuckRecord};
 use stats::CoordMetrics;
 use step::Launch;
-use window::{BatchWindow, PendingEvent};
+use window::BatchWindow;
 
 /// What the world, or the operator, feeds a shard.
 pub(crate) type Input<'a> = driver::Input<'a, Timer, Call, Op>;
@@ -119,12 +119,7 @@ pub(crate) type Output = driver::Output<Timer, Call, Result<Report, EngineError>
 pub(crate) enum Timer {
     /// One attempt on the wire waited out its time-out; the task named by
     /// path, the name that survives a re-lowering.
-    Watchdog {
-        instance: String,
-        path: String,
-        incarnation: u32,
-        attempt: u32,
-    },
+    Watchdog(Attempt),
     /// A retry's back-off or a repeat's delay is over: the attempt ships
     /// (its launch boxed, so that every armed timer stays small).
     Dispatch {
@@ -363,8 +358,7 @@ impl Coordinator {
             msg => (msg, 0),
         };
         match (msg, token) {
-            (EngineMsg::Done(done), _) => self.route_report(PendingEvent::Done(done), hops),
-            (EngineMsg::Mark(mark), _) => self.route_report(PendingEvent::Mark(mark), hops),
+            (EngineMsg::Report(report), _) => self.route_report(report, hops),
             (
                 EngineMsg::StartInstance {
                     instance,
@@ -628,12 +622,7 @@ impl Node for Coordinator {
             // passes: the flip that retires a zombie to a relay must reach it.
             Input::Message { .. } | Input::Fired(_) if self.mgr.probe_fence().is_some() => {}
             Input::Message { payload, token, .. } => self.on_message(payload, token),
-            Input::Fired(Timer::Watchdog {
-                instance,
-                path,
-                incarnation,
-                attempt,
-            }) => self.on_watchdog(&instance, &path, incarnation, attempt),
+            Input::Fired(Timer::Watchdog(at)) => self.on_watchdog(&at),
             Input::Fired(Timer::Dispatch {
                 instance,
                 path,
@@ -678,7 +667,7 @@ mod tests {
     use flowscript_tx::SharedStorage;
 
     use super::*;
-    use crate::msg::{StartTask, TaskDone, TaskResult};
+    use crate::msg::{StartTask, TaskReport, TaskResult};
     use crate::value::ObjectVal;
 
     /// One leaf under the root, handing the seed back as the result.
@@ -772,26 +761,26 @@ compoundtask root of taskclass Root {
         let [watchdog, dispatch, ack] = <[Output; 3]>::try_from(outputs).unwrap();
         let Output::Arm {
             id: watchdog,
-            timer: Timer::Watchdog { path, .. },
+            timer: Timer::Watchdog(watched),
             ..
         } = watchdog
         else {
             panic!("the watchdog first: {watchdog:?}");
         };
-        assert_eq!(path, "root/echo");
+        assert_eq!(watched.path, "root/echo");
         let Output::Send { to, bytes } = dispatch else {
             panic!("then the dispatch: {dispatch:?}");
         };
         assert_eq!(to, executor);
         let EngineMsg::Start(StartTask {
-            path,
-            incarnation,
-            attempt,
+            at: shipped,
+            ticket,
             ..
         }) = decoded(&bytes)
         else {
             panic!("a `StartTask`");
         };
+        assert_eq!(shipped, watched, "watched under the address shipped");
         assert!(matches!(
             ack,
             Output::Reply { bytes, .. } if decoded(&bytes) == EngineMsg::Ack { result: Ok(()) }
@@ -800,11 +789,9 @@ compoundtask root of taskclass Root {
         // The executor's report is the only one the shard awaits: it
         // commits on arrival, the instance with it, and all the world
         // hears of it is the watchdog cancelled.
-        let done = EngineMsg::Done(TaskDone {
-            instance: "i".into(),
-            path,
-            incarnation,
-            attempt,
+        let done = EngineMsg::Report(TaskReport {
+            at: shipped,
+            ticket,
             result: TaskResult::Output {
                 name: "echoed".into(),
                 objects: BTreeMap::from([("seed".to_string(), seed)]),

@@ -193,8 +193,8 @@ impl Coordinator {
             .ok()
             .and_then(|bytes| flowscript_codec::from_bytes(&bytes).ok());
         if let Some(EngineMsg::Running { attempts }) = listed {
-            for running in attempts {
-                self.claim_running(node, running);
+            for (ticket, at) in attempts {
+                self.claim_running(node, ticket, at);
             }
         }
         self.census.awaited = self.census.awaited.saturating_sub(1);

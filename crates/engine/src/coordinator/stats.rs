@@ -128,7 +128,7 @@ pub(super) struct CoordMetrics {
     /// Executor reports coalesced per batch flush (`coord.batch_size`).
     pub(super) batch_size: Histogram,
     /// Virtual nanoseconds from dispatch send to the executor's
-    /// `TaskDone` reply (`coord.dispatch_latency_ns`; timeouts and
+    /// completion report (`coord.dispatch_latency_ns`; timeouts and
     /// cancellations are not replies and do not sample).
     pub(super) dispatch_latency_ns: Histogram,
     /// The chosen executor's load at each placement decision

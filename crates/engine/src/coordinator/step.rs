@@ -49,12 +49,13 @@ pub(super) enum Effect {
     Count(fn(&mut CoordStats) -> &mut u64),
     /// A trace event of `task`'s `attempt`, stamped when published.
     Trace(Option<String>, u32, ObsEventKind),
-    /// A report was applied: its task's flight ends, a completion.
-    Completed(TaskId),
-    /// An attempt ended with no outcome — its executor reported an error
-    /// (`true`), or its watchdog fired: the load it held is released and
-    /// the next attempt avoids its node.
-    Lost(TaskId, bool),
+    /// A report from the copy shipped under this ticket was applied: its
+    /// task's flight ends, a completion.
+    Completed(TaskId, u64),
+    /// An attempt ended with no outcome — the copy under this ticket
+    /// reported an error, or (`None`) its watchdog fired: the load it
+    /// held is released and the next attempt avoids its node.
+    Lost(TaskId, Option<u64>),
     /// An attempt ships as staged: a leaf's first, or a restart's
     /// re-dispatch (where the step went on to cancel the task, the
     /// `Discard` behind ends it).
@@ -239,7 +240,7 @@ impl Coordinator {
         let mut unplaceable = Vec::new();
         for (instance, effect) in effects {
             match effect {
-                Effect::Completed(task) => self.clear_watch(&instance, task),
+                Effect::Completed(task, ticket) => self.clear_watch(&instance, task, ticket),
                 Effect::Lost(task, reported) => self.lose_flight(&instance, task, reported),
                 Effect::Dispatch(task, launch) => {
                     let shipped = self.ship(&instance, task, launch);

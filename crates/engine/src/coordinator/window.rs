@@ -1,18 +1,19 @@
 //! The commit window — the one place an executor report is applied.
 //!
-//! `Done`/`Mark` reports buffer in [`BatchWindow`] until one of three
-//! triggers fires: `max_events` reports, the window's timer, or —
-//! decided exactly — every report the shard awaits is in (its buffered
-//! `Done`s at least its charged dispatches on the wire, so no report
-//! that could join is on its way). The timer waits in proportion to the
+//! Reports — marks and completions alike, one [`TaskReport`] each —
+//! buffer in [`BatchWindow`] until one of three triggers fires:
+//! `max_events` reports, the window's timer, or — decided exactly —
+//! every report the shard awaits is in (its buffered completions at
+//! least its charged dispatches on the wire, so no report that could
+//! join is on its way). The timer waits in proportion to the
 //! work the window holds ([`AGE_PER_WAIT`]), so the reports of long tasks
 //! share a frame even when they arrive spread out. A flush that is not
 //! the timer's own cancels the armed timer. Then the whole window is
 //! applied as one step over its reports: `stage_event` validates each
 //! report, in arrival order, against its control block and stages what
-//! it means — an outcome's transition and fact, a mark, an execution
-//! error's attempt bump or `Failed`, a repeat outcome's bumped block and
-//! repeat fact, an undeclared output's `Failed` — the cascade of every
+//! its result means — an outcome's transition and fact, a mark, an
+//! execution error's attempt bump or `Failed`, a repeat outcome's bumped
+//! block and repeat fact, a misreport's `Failed` — the cascade of every
 //! touched instance stages behind them, and the step commits once,
 //! straight to the log, and publishes its effects.
 //! [`CommitBatch::disabled`](super::CommitBatch::disabled) is this same
@@ -33,46 +34,9 @@ use crate::driver::TimerId;
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::out_key;
-use crate::msg::{EngineMsg, MarkMsg, TaskDone, TaskResult};
+use crate::msg::{Attempt, TaskReport, TaskResult};
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
-
-/// An executor report buffered in the commit window.
-#[derive(Debug)]
-pub(super) enum PendingEvent {
-    /// A `TaskDone` report (completion, error or repeat).
-    Done(TaskDone),
-    /// A mid-task mark emission.
-    Mark(MarkMsg),
-}
-
-impl PendingEvent {
-    /// `(instance, path, incarnation, attempt)` of the reporting task.
-    pub(super) fn address(&self) -> (&str, &str, u32, u32) {
-        match self {
-            PendingEvent::Done(msg) => (&msg.instance, &msg.path, msg.incarnation, msg.attempt),
-            PendingEvent::Mark(msg) => (&msg.instance, &msg.path, msg.incarnation, msg.attempt),
-        }
-    }
-}
-
-/// A report names the instance it moves: a window is a step over its
-/// reports ([`Coordinator::step`]).
-impl AsRef<str> for PendingEvent {
-    fn as_ref(&self) -> &str {
-        self.address().0
-    }
-}
-
-/// Back onto the wire: a report this shard relays instead of applying.
-impl From<PendingEvent> for EngineMsg {
-    fn from(event: PendingEvent) -> Self {
-        match event {
-            PendingEvent::Done(msg) => EngineMsg::Done(msg),
-            PendingEvent::Mark(msg) => EngineMsg::Mark(msg),
-        }
-    }
-}
 
 /// A window waits for company `max_window`, or one `AGE_PER_WAIT`-th of
 /// the age of the attempt whose report opened it when that is longer: a
@@ -97,8 +61,8 @@ enum Next {
 #[derive(Default)]
 pub(super) struct BatchWindow {
     /// Buffered reports, in arrival order.
-    pending: Vec<PendingEvent>,
-    /// How many of `pending` are `Done` reports.
+    pending: Vec<TaskReport>,
+    /// How many of `pending` are completions.
     done: u32,
     /// The outstanding flush timer, if one is armed.
     timer: Option<TimerId>,
@@ -113,21 +77,21 @@ impl BatchWindow {
     /// Buffers one report, with `in_flight` the dispatches the shard has
     /// charged and not released and `age` how long ago the shard shipped
     /// the reporting attempt (zero when it charged none). Flushes at once
-    /// when the buffered `Done`s are at least `in_flight` — every awaited
-    /// report is in — on reaching `max_events`, and on a zero
+    /// when the buffered completions are at least `in_flight` — every
+    /// awaited report is in — on reaching `max_events`, and on a zero
     /// `max_window`: no time to wait is a window of one. Otherwise the
     /// first report of a window arms a one-shot timer ([`AGE_PER_WAIT`]
     /// says how long), so a report whose siblings are still out commits
     /// within the window.
     fn push(
         &mut self,
-        event: PendingEvent,
+        report: TaskReport,
         batch: &CommitBatch,
         in_flight: u32,
         age: SimDuration,
     ) -> Next {
-        self.done += u32::from(matches!(event, PendingEvent::Done(_)));
-        self.pending.push(event);
+        self.done += u32::from(!report.result.is_mark());
+        self.pending.push(report);
         if self.done >= in_flight
             || self.pending.len() >= batch.max_events
             || batch.max_window == SimDuration::ZERO
@@ -143,7 +107,7 @@ impl BatchWindow {
 
     /// The reports to flush, and the armed timer to cancel if the flush
     /// is not its own.
-    fn take(&mut self) -> (Vec<PendingEvent>, Option<TimerId>) {
+    fn take(&mut self) -> (Vec<TaskReport>, Option<TimerId>) {
         self.done = 0;
         (std::mem::take(&mut self.pending), self.timer.take())
     }
@@ -151,22 +115,9 @@ impl BatchWindow {
     /// Whether the completion of exactly this dispatch is buffered —
     /// its transition just hasn't committed yet, and the watchdog must
     /// not turn a report-in-flight into a spurious retry.
-    pub(super) fn holds_done(
-        &self,
-        instance: &str,
-        path: &str,
-        incarnation: u32,
-        attempt: u32,
-    ) -> bool {
-        self.pending.iter().any(|event| match event {
-            PendingEvent::Done(msg) => {
-                msg.instance == instance
-                    && msg.path == path
-                    && msg.incarnation == incarnation
-                    && msg.attempt == attempt
-            }
-            PendingEvent::Mark(_) => false,
-        })
+    pub(super) fn holds_done(&self, at: &Attempt) -> bool {
+        let done = |report: &TaskReport| !report.result.is_mark() && report.at == *at;
+        self.pending.iter().any(done)
     }
 
     /// The window died with the process: unflushed reports are lost as
@@ -209,80 +160,83 @@ impl Coordinator {
         &mut self,
         step: &mut Step,
         drain: &mut Drain<'_>,
-        event: &PendingEvent,
+        report: &TaskReport,
         task_id: TaskId,
     ) -> Result<bool, EngineError> {
-        let (_, path, incarnation, attempt) = event.address();
+        let (at, ticket) = (&report.at, report.ticket);
         let (plan, instance_id) = (drain.plan, drain.id);
         let mut cb = self.staged_cb(step, plan, instance_id, task_id)?;
-        if !cb.awaits(incarnation, attempt) {
+        if !cb.awaits(at.incarnation, at.attempt) {
             return Ok(false);
         }
         let class = plan.class_of(plan.task(task_id));
-        let (name, objects, what) = match event {
-            PendingEvent::Done(msg) => {
-                let (name, objects, redo_after) = match &msg.result {
-                    TaskResult::Output {
-                        name,
-                        objects,
-                        redo_after,
-                    } => (name, objects, *redo_after),
-                    TaskResult::ExecError { reason } => {
-                        self.stage_lost(step, drain, task_id, cb, reason, true)?;
-                        return Ok(true);
-                    }
-                };
+        let kind = |name| plan.class_output(class, name).map(|output| output.kind);
+        let (name, objects, what) = match &report.result {
+            TaskResult::ExecError { reason } => {
+                self.stage_lost(step, drain, task_id, cb, reason, Some(ticket))?;
+                return Ok(true);
+            }
+            TaskResult::Mark { name, objects } => {
+                if kind(name) != Some(OutputKind::Mark) || cb.mark_emitted(name) {
+                    return Ok(false);
+                }
+                cb.marks_emitted.push(name.clone());
+                (name, objects, "mark")
+            }
+            TaskResult::Output {
+                name,
+                objects,
+                redo_after,
+            } => {
                 let outcome = name.clone();
-                let (state, verb) = match plan.class_output(class, name).map(|o| o.kind) {
+                let (state, verb) = match kind(name) {
                     Some(OutputKind::Outcome) => (CbState::Done { outcome }, "done"),
                     Some(OutputKind::AbortOutcome) => (CbState::Aborted { outcome }, "aborted"),
                     Some(OutputKind::RepeatOutcome) => {
-                        return self
-                            .stage_repeat(step, drain, task_id, cb, name, objects, redo_after);
+                        return self.stage_repeat(
+                            step,
+                            drain,
+                            task_id,
+                            cb,
+                            name,
+                            objects,
+                            *redo_after,
+                            ticket,
+                        );
                     }
                     misreport => {
                         let why = match misreport {
                             Some(_) => format!("mark `{name}` cannot be a completion"),
                             None => format!("implementation produced undeclared output `{name}`"),
                         };
-                        self.stage_failure(step, drain, task_id, cb, &why, true)?;
+                        self.stage_failure(step, drain, task_id, cb, &why, Some(ticket))?;
                         return Ok(true);
                     }
                 };
                 cb.transition(state);
                 (name, objects, verb)
             }
-            PendingEvent::Mark(msg) => {
-                let declared = plan
-                    .class_output(class, &msg.mark)
-                    .is_some_and(|output| output.kind == OutputKind::Mark);
-                if !declared || cb.mark_emitted(&msg.mark) {
-                    return Ok(false);
-                }
-                cb.marks_emitted.push(msg.mark.clone());
-                (&msg.mark, &msg.objects, "mark")
-            }
         };
         let Some(out_key) = out_key(plan, instance_id, task_id, name) else {
             return Ok(false);
         };
-        let stamped = stamped(objects, path);
+        let stamped = stamped(objects, &at.path);
         // The action begins at the first write: a window of stale or
         // duplicate reports commits nothing.
         let action = step.action(&mut self.mgr);
         facts::write_block(&mut self.mgr, action, plan, instance_id, task_id, &cb)?;
         facts::write_fact_map(&mut self.mgr, action, plan, out_key, &stamped)?;
-        let is_mark = matches!(event, PendingEvent::Mark(_));
+        let is_mark = report.result.is_mark();
         if is_mark {
             step.push(&drain.name, Effect::Count(|stats| &mut stats.marks));
         }
-        self.trace(step, &drain.name, Some(path), attempt, || {
+        self.trace(step, &drain.name, Some(&at.path), at.attempt, || {
             self.commit_event(format!("{what} `{name}`"))
         });
         // A completed dispatch releases its watchdog and load *before*
         // the cascade dispatches anything new.
         if !is_mark {
-            step.push(&drain.name, Effect::Completed(task_id));
+            step.push(&drain.name, Effect::Completed(task_id, ticket));
             drain.lands(task_id);
         }
         drain.worklist.seed_commit(plan, task_id);
@@ -304,6 +258,7 @@ impl Coordinator {
         name: &str,
         objects: &BTreeMap<String, ObjectVal>,
         redo_after: SimDuration,
+        ticket: u64,
     ) -> Result<bool, EngineError> {
         let (plan, instance_id) = (drain.plan, drain.id);
         let Some(out_key) = out_key(plan, instance_id, task_id, name) else {
@@ -324,7 +279,7 @@ impl Coordinator {
         let action = step.action(&mut self.mgr);
         facts::write_block(&mut self.mgr, action, plan, instance_id, task_id, &cb)?;
         facts::write_fact_map(&mut self.mgr, action, plan, out_key, &stamped)?;
-        step.push(&drain.name, Effect::Completed(task_id));
+        step.push(&drain.name, Effect::Completed(task_id, ticket));
         step.push(&drain.name, Effect::Count(|stats| &mut stats.repeats));
         self.trace(step, &drain.name, Some(path), reported, || {
             self.commit_event(format!("repeat `{name}`"))
@@ -341,13 +296,12 @@ impl Coordinator {
     /// Buffers an executor report into the open window, flushing when
     /// the count or the awaited trigger fires and arming the flush timer
     /// on the first report of a window.
-    pub(super) fn enqueue_event(&mut self, event: PendingEvent) {
+    pub(super) fn enqueue_event(&mut self, report: TaskReport) {
         let in_flight = self.dispatcher.in_flight();
-        let (instance, path, ..) = event.address();
-        let age = self.attempt_age(instance, path);
+        let age = self.attempt_age(&report.at.instance, &report.at.path);
         match self
             .window
-            .push(event, &self.config.commit_batch, in_flight, age)
+            .push(report, &self.config.commit_batch, in_flight, age)
         {
             Next::Flush => self.flush_pending(),
             Next::Arm(window) => self.window.timer = Some(self.arm(window, Timer::Window)),
@@ -391,19 +345,14 @@ impl Coordinator {
     /// the readiness cascade of every instance they touched. The batch id
     /// and the `coord.batch_size` sample are spent only on a commit
     /// ([`Effect::Batch`]): the histogram's sum is the reports applied.
-    fn stage_window(
-        &mut self,
-        step: &mut Step,
-        events: &[PendingEvent],
-    ) -> Result<(), EngineError> {
+    fn stage_window(&mut self, step: &mut Step, events: &[TaskReport]) -> Result<(), EngineError> {
         // Per-event plan context.
         type EventCtx = Option<(Arc<Plan>, u32, TaskId)>;
         let contexts: Vec<EventCtx> = events
             .iter()
             .map(|event| {
-                let (instance, path, ..) = event.address();
-                let (plan, instance_id) = self.instance_ctx(instance)?;
-                let task = plan.task_by_path(path)?;
+                let (plan, instance_id) = self.instance_ctx(&event.at.instance)?;
+                let task = plan.task_by_path(&event.at.path)?;
                 Some((plan, instance_id, task))
             })
             .collect();
@@ -415,7 +364,7 @@ impl Coordinator {
             let Some((plan, instance_id, task)) = ctx else {
                 continue; // unknown instance or path: dropped, as ever
             };
-            let instance = event.address().0;
+            let instance = event.at.instance.as_str();
             match touched.iter_mut().find(|drain| &*drain.name == instance) {
                 Some(drain) => _ = self.stage_event(step, drain, event, *task)?,
                 None => {
@@ -429,7 +378,7 @@ impl Coordinator {
         for drain in &mut touched {
             self.stage_drain(step, drain)?;
         }
-        let first: Arc<str> = events[0].address().0.into();
+        let first: Arc<str> = events[0].at.instance.as_str().into();
         step.push(&first, Effect::Batch(events.len() as u64));
         Ok(())
     }
@@ -466,20 +415,27 @@ mod tests {
     use crate::api::WorkflowSystem;
     use crate::coordinator::{EngineConfig, Input, Output};
     use crate::driver::Node;
-    use crate::msg::StartTask;
+    use crate::msg::{EngineMsg, StartTask};
     use crate::sched::ExecutorSpec;
     use crate::shard::ShardMap;
     use crate::{InstanceStatus, ObserveLevel, TaskBehavior};
 
-    fn report() -> PendingEvent {
-        PendingEvent::Mark(MarkMsg {
+    fn report() -> TaskReport {
+        let at = Attempt {
             instance: "i".into(),
             path: "t".into(),
             incarnation: 0,
             attempt: 0,
-            mark: "m".into(),
+        };
+        let result = TaskResult::Mark {
+            name: "m".into(),
             objects: BTreeMap::new(),
-        })
+        };
+        TaskReport {
+            at,
+            ticket: 0,
+            result,
+        }
     }
 
     #[test]
@@ -737,11 +693,9 @@ compoundtask root of taskclass Root {
     }
 
     fn done(task: &StartTask) -> EngineMsg {
-        EngineMsg::Done(TaskDone {
-            instance: task.instance.clone(),
-            path: task.path.clone(),
-            incarnation: task.incarnation,
-            attempt: task.attempt,
+        EngineMsg::Report(TaskReport {
+            at: task.at.clone(),
+            ticket: task.ticket,
             result: TaskResult::Output {
                 name: "done".into(),
                 objects: BTreeMap::from([("seed".to_string(), seed())]),
@@ -797,13 +751,13 @@ compoundtask root of taskclass Root {
         let mut fed = ByHand::new();
         let [a, b] = <[StartTask; 2]>::try_from(fed.start("i")).unwrap();
         let frames = fed.frames();
-        let mark = EngineMsg::Mark(MarkMsg {
-            instance: a.instance.clone(),
-            path: a.path.clone(),
-            incarnation: a.incarnation,
-            attempt: a.attempt,
-            mark: "early".into(),
-            objects: BTreeMap::from([("seed".to_string(), seed())]),
+        let mark = EngineMsg::Report(TaskReport {
+            at: a.at.clone(),
+            ticket: a.ticket,
+            result: TaskResult::Mark {
+                name: "early".into(),
+                objects: BTreeMap::from([("seed".to_string(), seed())]),
+            },
         });
         assert!(window_timer(&fed.report(&mark)).is_some());
         assert!(fed.report(&done(&b)).is_empty(), "waits for `a`");

@@ -4,10 +4,12 @@
 //! `crate::driver`. A `StartTask` message in, it binds the named
 //! implementation through the shared [`ImplRegistry`] and plays the
 //! resulting [`crate::TaskBehavior`] out as timers: one per mark at its
-//! offset, then one for the completion after the work duration, each a
-//! [`Report`] sent to the dispatching shard when it goes off. Executors
-//! hold **no durable state**: a crash simply loses in-flight work, which
-//! the coordinator's watchdogs turn into bounded retries on another node.
+//! offset, then one for the completion after the work duration. Each
+//! goes off as one [`EngineMsg::Report`] to the dispatching shard — the
+//! attempt's address, the start's ticket, the result — and a start that
+//! cannot bind is reported the same way, at once. Executors hold **no
+//! durable state**: a crash simply loses in-flight work, which the
+//! coordinator's watchdogs turn into bounded retries on another node.
 //! Its slots are volatile too: a restarted executor starts with every
 //! slot free, so new work never queues behind work that died with it.
 //!
@@ -28,20 +30,20 @@
 //! in-flight counters). The schedulers park dispatches instead of
 //! queueing them here once all eligible executors are saturated.
 //!
-//! A start is indexed by the shard that dispatched it and the ticket
-//! it carries until its completion goes off. The entry holds the
-//! attempt's address (instance, path, incarnation, attempt), and the
-//! completion timer only the result it is sent with, so the address is
-//! kept once. A shard that gives up on an attempt — its scope
-//! cancelled, its watchdog fired, its task reconfigured away — sends
-//! [`EngineMsg::Cancel`] with that ticket: the attempt's pending reports
-//! are disarmed, and if its reservation is still its slot's tail, the
-//! slot gets that time back (work queued behind it keeps the times it
-//! was promised). A ticket the index does not hold — the attempt
-//! finished, or died with a restart — is a no-op; so is a cancel that
-//! overtook its start on the wire, whose attempt then runs out and
-//! reports stale. A shard never reuses a ticket, restarts included (see
-//! the coordinator's dispatch module), so a cancel names one attempt.
+//! A start is indexed by the shard that dispatched it and its ticket
+//! until its completion goes off: the entry holds the attempt's
+//! [`Attempt`] address and its timers, and each timer only its result,
+//! so the address is kept once. A shard that gives up on an attempt —
+//! its scope cancelled, its watchdog fired, its task reconfigured away,
+//! another copy's report applied — sends [`EngineMsg::Cancel`] with that
+//! ticket: the attempt's pending reports are disarmed, and if its
+//! reservation is still its slot's tail, the slot gets that time back
+//! (work queued behind it keeps the times it was promised). A ticket the
+//! index does not hold — the attempt finished, or died with a restart —
+//! is a no-op; so is a cancel that overtook its start on the wire, whose
+//! attempt then runs out and reports stale. A shard never reuses a
+//! ticket, restarts included (see the coordinator's dispatch module), so
+//! a cancel names one attempt.
 //!
 //! A restarted shard asks every executor what still runs for it: an
 //! [`EngineMsg::Census`] call, answered with [`EngineMsg::Running`] —
@@ -57,7 +59,7 @@ use flowscript_sim::{NodeId, SimDuration, SimTime};
 
 use crate::driver::{self, Node, TimerId};
 use crate::impl_registry::{ImplRegistry, Invocation, InvokeCtx, TaskBehavior};
-use crate::msg::{EngineMsg, MarkMsg, RunningAttempt, StartTask, TaskDone, TaskResult};
+use crate::msg::{report_bytes, Attempt, EngineMsg, StartTask, TaskResult};
 use crate::sched::ExecutorSpec;
 
 thread_local! {
@@ -69,33 +71,24 @@ thread_local! {
 /// Maximum depth of script-as-implementation nesting.
 pub const MAX_SCRIPT_NESTING: u32 = 8;
 
-/// A report an executor owes the shard that dispatched a task, once its
-/// time comes. Kept small: one is armed for every attempt running.
+/// A report an executor owes the shard `to` that dispatched an attempt
+/// under `ticket`, once its time comes: a mark, or the completion, which
+/// ends the attempt. Kept small: one is armed for every attempt running.
 #[derive(Debug)]
-pub(crate) enum Report {
-    /// A mark, sent as it is.
-    Mark { to: NodeId, msg: Box<MarkMsg> },
-    /// The completion of the attempt `to` dispatched under `ticket`, with
-    /// its result: the attempt's entry holds the address it reports
-    /// under, and the completion ends it.
-    Done {
-        to: NodeId,
-        ticket: u64,
-        result: TaskResult,
-    },
+pub(crate) struct Due {
+    to: NodeId,
+    ticket: u64,
+    result: TaskResult,
 }
 
 /// An attempt playing out here: its timers, consecutive from `first`
 /// (the completion last), and the address its reports carry — what a
-/// census lists, and what its completion is sent under.
+/// census lists.
 #[derive(Debug)]
 struct Running {
     first: u64,
     timers: u32,
-    incarnation: u32,
-    attempt: u32,
-    instance: String,
-    path: String,
+    at: Attempt,
 }
 
 /// The slot time an attempt reserved on a bounded executor: `from` to
@@ -108,8 +101,8 @@ struct Booking {
 }
 
 /// What an executor is fed, and what it answers an input with.
-type Input<'a> = driver::Input<'a, Report, Infallible, Infallible>;
-type Output = driver::Output<Report, Infallible, Infallible>;
+type Input<'a> = driver::Input<'a, Due, Infallible, Infallible>;
+type Output = driver::Output<Due, Infallible, Infallible>;
 
 /// One executor node, deployed as its [`ExecutorSpec`]: inputs in,
 /// outputs out. Results are reported to whichever coordinator
@@ -147,15 +140,16 @@ impl Executor {
     /// mark and then one for the completion, indexed under its ticket,
     /// or at once an execution error.
     fn start(&mut self, now: SimTime, from: NodeId, start: StartTask) -> Vec<Output> {
+        let ticket = start.ticket;
         let behavior = match self.bind(&start) {
             Ok(behavior) => behavior,
             Err(reason) => {
-                let msg = done(&start, TaskResult::ExecError { reason });
-                let bytes = flowscript_codec::to_bytes(&msg);
+                let result = TaskResult::ExecError { reason };
+                let bytes = report_bytes(&start.at, ticket, &result);
                 return vec![Output::Send { to: from, bytes }];
             }
         };
-        let (ticket, first) = (start.ticket, self.next_timer);
+        let first = self.next_timer;
         let booking = self.reserve(now, behavior.work);
         let queue_delay = booking
             .as_ref()
@@ -165,51 +159,49 @@ impl Executor {
         }
         let mut outputs = Vec::with_capacity(behavior.marks.len() + 1);
         for mark in behavior.marks {
-            let msg = Box::new(MarkMsg {
-                instance: start.instance.clone(),
-                path: start.path.clone(),
-                incarnation: start.incarnation,
-                attempt: start.attempt,
-                mark: mark.name,
+            let result = TaskResult::Mark {
+                name: mark.name,
                 objects: mark.objects,
-            });
-            let at = queue_delay + mark.at.min(behavior.work);
-            outputs.push(self.arm(at, Report::Mark { to: from, msg }));
+            };
+            let after = queue_delay + mark.at.min(behavior.work);
+            outputs.push(self.arm(after, from, ticket, result));
         }
         let result = TaskResult::Output {
             name: behavior.completion.outcome,
             objects: behavior.completion.objects,
             redo_after: behavior.redo_after,
         };
-        let completion = Report::Done {
-            to: from,
-            ticket,
-            result,
-        };
-        outputs.push(self.arm(queue_delay + behavior.work, completion));
+        outputs.push(self.arm(queue_delay + behavior.work, from, ticket, result));
         let running = Running {
             first,
             timers: outputs.len() as u32,
-            incarnation: start.incarnation,
-            attempt: start.attempt,
-            instance: start.instance,
-            path: start.path,
+            at: start.at,
         };
         self.running.insert((from, ticket), running);
         outputs
     }
 
     /// What still runs here for `shard`: a census answer.
-    fn census(&self, shard: NodeId) -> Vec<RunningAttempt> {
+    fn census(&self, shard: NodeId) -> Vec<(u64, Attempt)> {
         let mine = self.running.range((shard, 0)..=(shard, u64::MAX));
-        mine.map(|(&(_, ticket), running)| RunningAttempt {
-            ticket,
-            instance: running.instance.clone(),
-            path: running.path.clone(),
-            incarnation: running.incarnation,
-            attempt: running.attempt,
-        })
-        .collect()
+        mine.map(|(&(_, ticket), running)| (ticket, running.at.clone()))
+            .collect()
+    }
+
+    /// A timer of the attempt `due.to` dispatched under `due.ticket`
+    /// went off: its report, sent under the address the attempt's entry
+    /// holds. The completion ends the attempt.
+    fn report(&mut self, due: Due) -> Vec<Output> {
+        let key = (due.to, due.ticket);
+        let Some(running) = self.running.get(&key) else {
+            return Vec::new();
+        };
+        let bytes = report_bytes(&running.at, due.ticket, &due.result);
+        if !due.result.is_mark() {
+            self.running.remove(&key);
+            self.booked.remove(&key);
+        }
+        vec![Output::Send { to: due.to, bytes }]
     }
 
     /// `from` gave up on the attempt it dispatched under `ticket`: its
@@ -246,9 +238,9 @@ impl Executor {
             }
         }
         let ctx = InvokeCtx {
-            path: start.path.clone(),
-            incarnation: start.incarnation,
-            attempt: start.attempt,
+            path: start.at.path.clone(),
+            incarnation: start.at.incarnation,
+            attempt: start.at.attempt,
             set: start.set.clone(),
             inputs: start.inputs.clone(),
             repeat_objects: start.repeat_objects.clone(),
@@ -285,15 +277,16 @@ impl Executor {
         self.running.len()
     }
 
-    fn arm(&mut self, after: SimDuration, timer: Report) -> Output {
+    fn arm(&mut self, after: SimDuration, to: NodeId, ticket: u64, result: TaskResult) -> Output {
         let id = TimerId(self.next_timer);
         self.next_timer += 1;
+        let timer = Due { to, ticket, result };
         Output::Arm { id, after, timer }
     }
 }
 
 impl Node for Executor {
-    type Timer = Report;
+    type Timer = Due;
     type Call = Infallible;
     type Op = Infallible;
     type Answer = Infallible;
@@ -318,25 +311,7 @@ impl Node for Executor {
                 }
                 _ => Vec::new(),
             },
-            Input::Fired(Report::Mark { to, msg }) => {
-                let bytes = flowscript_codec::to_bytes(&EngineMsg::Mark(*msg));
-                vec![Output::Send { to, bytes }]
-            }
-            Input::Fired(Report::Done { to, ticket, result }) => {
-                self.booked.remove(&(to, ticket));
-                let Some(running) = self.running.remove(&(to, ticket)) else {
-                    return Vec::new();
-                };
-                let done = TaskDone {
-                    instance: running.instance,
-                    path: running.path,
-                    incarnation: running.incarnation,
-                    attempt: running.attempt,
-                    result,
-                };
-                let bytes = flowscript_codec::to_bytes(&EngineMsg::Done(done));
-                vec![Output::Send { to, bytes }]
-            }
+            Input::Fired(due) => self.report(due),
             Input::Answered(never, _) | Input::Op(never) => match never {},
             // The work that held the slots died with the node.
             Input::Restart => {
@@ -347,17 +322,6 @@ impl Node for Executor {
             }
         }
     }
-}
-
-/// The completion report of `start`.
-fn done(start: &StartTask, result: TaskResult) -> EngineMsg {
-    EngineMsg::Done(TaskDone {
-        instance: start.instance.clone(),
-        path: start.path.clone(),
-        incarnation: start.incarnation,
-        attempt: start.attempt,
-        result,
-    })
 }
 
 /// Runs a nested workflow for a script-bound implementation and maps its
@@ -379,7 +343,7 @@ fn run_nested_script(
     let result = (|| {
         let mut nested = crate::api::WorkflowSystem::builder()
             .executors(1)
-            .seed(u64::from(start.attempt).wrapping_add(0x5eed))
+            .seed(u64::from(start.at.attempt).wrapping_add(0x5eed))
             .registry(registry.clone())
             .build();
         nested
@@ -416,14 +380,22 @@ mod tests {
     use flowscript_sim::ReplyToken;
 
     use super::*;
+    use crate::msg::TaskReport;
 
-    /// A start of code `c`, with `hints` beside it in the clause.
-    fn start(hints: &[(&str, &str)]) -> StartTask {
-        StartTask {
+    /// The address every start here ships.
+    fn address() -> Attempt {
+        Attempt {
             instance: "i".into(),
             path: "p".into(),
             incarnation: 0,
             attempt: 0,
+        }
+    }
+
+    /// A start of code `c`, with `hints` beside it in the clause.
+    fn start(hints: &[(&str, &str)]) -> StartTask {
+        StartTask {
+            at: address(),
             ticket: 0,
             implementation: [("code", "c")]
                 .iter()
@@ -464,18 +436,22 @@ mod tests {
         )
     }
 
-    /// `timer` goes off at `executor`: the completion report it sends to
-    /// the shard that dispatched the attempt.
-    fn fire(executor: &mut Executor, timer: Report) -> TaskDone {
-        let outputs = executor.handle(SimTime::ZERO, Input::Fired(timer));
-        let [Output::Send { to, bytes }] = &outputs[..] else {
+    /// The report `outputs` send to the shard that dispatched the
+    /// attempt, coordinator 0.
+    fn sent(outputs: &[Output]) -> TaskReport {
+        let [Output::Send { to, bytes }] = outputs else {
             panic!("one report sent: {outputs:?}");
         };
         assert_eq!(*to, NodeId::from_index(0));
-        let Ok(EngineMsg::Done(done)) = flowscript_codec::from_bytes(bytes) else {
-            panic!("a completion report");
+        let Ok(EngineMsg::Report(report)) = flowscript_codec::from_bytes(bytes) else {
+            panic!("a report");
         };
-        done
+        report
+    }
+
+    /// `timer` goes off at `executor`: the report it sends.
+    fn fire(executor: &mut Executor, timer: Due) -> TaskReport {
+        sent(&executor.handle(SimTime::ZERO, Input::Fired(timer)))
     }
 
     /// An executor needs no world to run: fed a start by hand, it
@@ -504,22 +480,13 @@ mod tests {
         let [Output::Arm { timer, .. }] = <[Output; 1]>::try_from(outputs).unwrap() else {
             panic!("one timer, the completion's");
         };
-        assert!(
-            matches!(timer, Report::Done { to, .. } if to == coordinator),
-            "a completion report: {timer:?}"
-        );
+        assert_eq!(timer.to, coordinator, "a report owed the dispatcher");
         let done = fire(&mut executor, timer);
         assert!(matches!(&done.result, TaskResult::Output { name, .. } if name == "done"));
 
         // Pinned elsewhere: an execution error, sent at once.
         let outputs = deliver(&mut executor, SimTime::ZERO, coordinator, pinned("paris"));
-        let [Output::Send { to, bytes }] = &outputs[..] else {
-            panic!("one immediate report: {outputs:?}");
-        };
-        assert_eq!(*to, coordinator);
-        let Ok(EngineMsg::Done(done)) = flowscript_codec::from_bytes(bytes) else {
-            panic!("a completion report");
-        };
+        let done = sent(&outputs);
         assert!(
             matches!(&done.result, TaskResult::ExecError { reason }
                 if reason.contains("pinned to location `paris`") && reason.contains("`warehouse`")),
@@ -551,13 +518,7 @@ mod tests {
         unnamed.implementation.remove("code");
         assert_eq!(unnamed.code(), "");
         let outputs = deliver(&mut executor, SimTime::ZERO, coordinator, unnamed);
-        let [Output::Send { to, bytes }] = &outputs[..] else {
-            panic!("one immediate report and no timer: {outputs:?}");
-        };
-        assert_eq!(*to, coordinator);
-        let Ok(EngineMsg::Done(done)) = flowscript_codec::from_bytes(bytes) else {
-            panic!("a completion report");
-        };
+        let done = sent(&outputs);
         assert!(
             matches!(&done.result, TaskResult::ExecError { reason }
                 if reason.contains("no implementation bound for ``")),
@@ -696,9 +657,60 @@ mod tests {
         assert!(cancel(&mut executor, 8).is_empty(), "finished");
     }
 
+    /// A start's one timer type carries its mark and its completion
+    /// alike: each goes out under the start's address and ticket, the
+    /// mark first, and the completion ends the attempt. A cancel between
+    /// them disarms both, so neither is sent.
+    #[test]
+    fn a_mark_and_its_completion_go_out_under_the_start() {
+        let mut executor = serial();
+        let coordinator = NodeId::from_index(0);
+        let nine = StartTask {
+            ticket: 9,
+            ..start(&[])
+        };
+        let outputs = deliver(&mut executor, SimTime::ZERO, coordinator, nine);
+        let timers = outputs.into_iter().map(|output| match output {
+            Output::Arm { id, after, timer } => (id, after, timer),
+            other => panic!("only timers: {other:?}"),
+        });
+        let [(mark_id, mark_at, mark), (done_id, done_at, done)] =
+            <[_; 2]>::try_from(timers.collect::<Vec<_>>()).unwrap();
+        assert!(mark_id.0 < done_id.0 && mark_at < done_at, "the mark first");
+        let mark = fire(&mut executor, mark);
+        assert_eq!((&mark.at, mark.ticket), (&address(), 9));
+        assert!(matches!(&mark.result, TaskResult::Mark { name, .. } if name == "half"));
+        assert_eq!(executor.running(), 1, "a mark ends nothing");
+        let done = fire(&mut executor, done);
+        assert_eq!((&done.at, done.ticket), (&address(), 9));
+        assert!(matches!(&done.result, TaskResult::Output { name, .. } if name == "done"));
+        assert_eq!(executor.running(), 0, "the completion ends the attempt");
+
+        // Cancelled before either went off: both are disarmed, and a
+        // timer that went off anyway finds no attempt to report.
+        let ten = StartTask {
+            ticket: 10,
+            ..start(&[])
+        };
+        let outputs = deliver(&mut executor, SimTime::ZERO, coordinator, ten);
+        let (ids, timers): (Vec<_>, Vec<_>) = outputs
+            .into_iter()
+            .map(|output| match output {
+                Output::Arm { id, timer, .. } => (id, timer),
+                other => panic!("only timers: {other:?}"),
+            })
+            .unzip();
+        assert_eq!(cancel(&mut executor, 10), ids);
+        for timer in timers {
+            assert!(executor
+                .handle(SimTime::ZERO, Input::Fired(timer))
+                .is_empty());
+        }
+    }
+
     /// The census `shard` takes of `executor`: the attempts listed, or
     /// `None` when it sends no answer.
-    fn census_of(executor: &mut Executor, shard: NodeId) -> Option<Vec<RunningAttempt>> {
+    fn census_of(executor: &mut Executor, shard: NodeId) -> Option<Vec<(u64, Attempt)>> {
         let payload = &flowscript_codec::to_bytes(&EngineMsg::Census);
         let token = Some(ReplyToken::new(executor.node(), shard, 1));
         let message = Input::Message {
@@ -729,7 +741,10 @@ mod tests {
         started(&mut executor, 2);
         let from_other = StartTask {
             ticket: 1,
-            attempt: 3,
+            at: Attempt {
+                attempt: 3,
+                ..address()
+            },
             ..start(&[])
         };
         deliver(&mut executor, SimTime::ZERO, other, from_other);
@@ -742,22 +757,10 @@ mod tests {
         };
         assert_eq!(executor.handle(SimTime::ZERO, cancelled).len(), first.len());
         let listed = census_of(&mut executor, shard).expect("answered");
-        let expected = RunningAttempt {
-            ticket: 2,
-            instance: "i".into(),
-            path: "p".into(),
-            incarnation: 0,
-            attempt: 0,
-        };
-        assert_eq!(listed, [expected]);
+        assert_eq!(listed, [(2, address())]);
         let listed = census_of(&mut executor, other).expect("answered");
-        assert_eq!(
-            listed
-                .iter()
-                .map(|a| (a.ticket, a.attempt))
-                .collect::<Vec<_>>(),
-            [(1, 3)]
-        );
+        let listed = listed.iter().map(|(ticket, at)| (*ticket, at.attempt));
+        assert_eq!(listed.collect::<Vec<_>>(), [(1, 3)]);
         // Not a call: nothing to answer through.
         let payload = &flowscript_codec::to_bytes(&EngineMsg::Census);
         let one_way = Input::Message {

@@ -1,5 +1,12 @@
 //! Wire messages between the engine's services (codec-framed over the
 //! simulated network — the IIOP of our Fig. 4).
+//!
+//! A shard and an executor speak of one [`Attempt`] of a task, named
+//! and encoded one way (paper §3, fig. 3): the shard ships it in a
+//! [`StartTask`] under a ticket, cancels it by that ticket, and after a
+//! restart asks what still runs ([`EngineMsg::Census`]); the executor
+//! sends each mark and then the completion as one [`TaskReport`], under
+//! the ticket of the copy that sent it.
 
 use std::collections::BTreeMap;
 
@@ -13,9 +20,10 @@ use crate::value::ObjectVal;
 /// a claim carries, as its sender keyed them.
 pub type AfterImages = Vec<(StoreKey, Option<Vec<u8>>)>;
 
-/// Coordinator → executor: run a task implementation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StartTask {
+/// One attempt of a task, as a shard ships it and every report of it
+/// comes back: the address the shard–executor protocol names it by.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Attempt {
     /// Instance name.
     pub instance: String,
     /// Task path within the instance.
@@ -24,8 +32,16 @@ pub struct StartTask {
     pub incarnation: u32,
     /// Dispatch attempt number.
     pub attempt: u32,
-    /// The dispatching shard's ticket for this attempt: what an
-    /// [`EngineMsg::Cancel`] names it by. Never stored.
+}
+
+/// Coordinator → executor: run a task implementation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StartTask {
+    /// The attempt shipped.
+    pub at: Attempt,
+    /// The dispatching shard's ticket for this copy of the attempt: what
+    /// an [`EngineMsg::Cancel`] names it by, and what its reports carry.
+    /// Never stored.
     pub ticket: u64,
     /// The task's implementation clause: the name to bind under
     /// `"code"` ([`StartTask::code`]), and its hints (deadline,
@@ -54,23 +70,28 @@ impl StartTask {
     }
 }
 
-/// Executor → coordinator: a task finished (outcome or abort), or could
-/// not run at all.
+/// Executor → coordinator: what one attempt came to — a mark mid-run,
+/// its completion, or why it could not run — sent by the copy shipped
+/// under `ticket`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TaskDone {
-    /// Instance name.
-    pub instance: String,
-    /// Task path.
-    pub path: String,
-    /// Scope incarnation the execution belonged to.
-    pub incarnation: u32,
-    /// Attempt that produced this result.
-    pub attempt: u32,
-    /// The result.
+pub struct TaskReport {
+    /// The attempt reported on.
+    pub at: Attempt,
+    /// The [`StartTask::ticket`] of the copy that sent it.
+    pub ticket: u64,
+    /// What it came to.
     pub result: TaskResult,
 }
 
-/// The terminal result of one task execution attempt.
+/// A report names the instance it moves: a commit window is a step over
+/// its reports.
+impl AsRef<str> for TaskReport {
+    fn as_ref(&self) -> &str {
+        &self.at.instance
+    }
+}
+
+/// What one task execution attempt reports.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TaskResult {
     /// The implementation terminated in a declared output.
@@ -88,40 +109,21 @@ pub enum TaskResult {
         /// Why.
         reason: String,
     },
+    /// An early-release mark, produced mid-execution: the attempt runs
+    /// on.
+    Mark {
+        /// Mark output name.
+        name: String,
+        /// Objects released with it.
+        objects: BTreeMap<String, ObjectVal>,
+    },
 }
 
-/// Executor → coordinator: an early-release mark produced mid-execution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MarkMsg {
-    /// Instance name.
-    pub instance: String,
-    /// Task path.
-    pub path: String,
-    /// Scope incarnation.
-    pub incarnation: u32,
-    /// Attempt that produced the mark.
-    pub attempt: u32,
-    /// Mark output name.
-    pub mark: String,
-    /// Objects released with it.
-    pub objects: BTreeMap<String, ObjectVal>,
-}
-
-/// Executor → coordinator, in a census answer: one attempt the
-/// executor still runs for the shard that asks — its ticket and the
-/// address its reports carry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunningAttempt {
-    /// The [`StartTask::ticket`] it was shipped under.
-    pub ticket: u64,
-    /// Instance name.
-    pub instance: String,
-    /// Task path.
-    pub path: String,
-    /// Scope incarnation.
-    pub incarnation: u32,
-    /// Dispatch attempt number.
-    pub attempt: u32,
+impl TaskResult {
+    /// Whether this is a mark, which the attempt runs on after.
+    pub fn is_mark(&self) -> bool {
+        matches!(self, TaskResult::Mark { .. })
+    }
 }
 
 /// All engine messages, tagged for dispatch.
@@ -129,10 +131,8 @@ pub struct RunningAttempt {
 pub enum EngineMsg {
     /// Run a task.
     Start(StartTask),
-    /// A task finished.
-    Done(TaskDone),
-    /// A mark was produced.
-    Mark(MarkMsg),
+    /// A task attempt's mark or completion.
+    Report(TaskReport),
     /// Coordinator → executor: drop the attempt this shard dispatched
     /// under `ticket` (a no-op once it finished, or if it never arrived).
     Cancel {
@@ -146,8 +146,8 @@ pub enum EngineMsg {
     /// Executor → coordinator: the answer to a [`EngineMsg::Census`],
     /// every attempt the executor still runs for the shard that asked.
     Running {
-        /// Those attempts, by ticket.
-        attempts: Vec<RunningAttempt>,
+        /// Those attempts, each with its [`StartTask::ticket`].
+        attempts: Vec<(u64, Attempt)>,
     },
     /// Client → repository: store a script (already validated client-side,
     /// revalidated server-side).
@@ -233,12 +233,29 @@ pub enum EngineMsg {
     },
 }
 
-impl Encode for StartTask {
+impl Encode for Attempt {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_str(&self.instance);
         w.put_str(&self.path);
         w.put_u32(self.incarnation);
         w.put_u32(self.attempt);
+    }
+}
+
+impl Decode for Attempt {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(Attempt {
+            instance: r.get_str()?.to_owned(),
+            path: r.get_str()?.to_owned(),
+            incarnation: r.get_u32()?,
+            attempt: r.get_u32()?,
+        })
+    }
+}
+
+impl Encode for StartTask {
+    fn encode(&self, w: &mut ByteWriter) {
+        self.at.encode(w);
         w.put_var_u64(self.ticket);
         self.implementation.encode(w);
         w.put_str(&self.set);
@@ -250,37 +267,12 @@ impl Encode for StartTask {
 impl Decode for StartTask {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(StartTask {
-            instance: r.get_str()?.to_owned(),
-            path: r.get_str()?.to_owned(),
-            incarnation: r.get_u32()?,
-            attempt: r.get_u32()?,
+            at: Attempt::decode(r)?,
             ticket: r.get_var_u64()?,
             implementation: BTreeMap::decode(r)?,
             set: r.get_str()?.to_owned(),
             inputs: BTreeMap::decode(r)?,
             repeat_objects: BTreeMap::decode(r)?,
-        })
-    }
-}
-
-impl Encode for RunningAttempt {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.put_var_u64(self.ticket);
-        w.put_str(&self.instance);
-        w.put_str(&self.path);
-        w.put_u32(self.incarnation);
-        w.put_u32(self.attempt);
-    }
-}
-
-impl Decode for RunningAttempt {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(RunningAttempt {
-            ticket: r.get_var_u64()?,
-            instance: r.get_str()?.to_owned(),
-            path: r.get_str()?.to_owned(),
-            incarnation: r.get_u32()?,
-            attempt: r.get_u32()?,
         })
     }
 }
@@ -302,6 +294,11 @@ impl Encode for TaskResult {
                 w.put_u8(1);
                 w.put_str(reason);
             }
+            TaskResult::Mark { name, objects } => {
+                w.put_u8(2);
+                w.put_str(name);
+                objects.encode(w);
+            }
         }
     }
 }
@@ -317,6 +314,10 @@ impl Decode for TaskResult {
             1 => TaskResult::ExecError {
                 reason: r.get_str()?.to_owned(),
             },
+            2 => TaskResult::Mark {
+                name: r.get_str()?.to_owned(),
+                objects: BTreeMap::decode(r)?,
+            },
             other => {
                 return Err(CodecError::InvalidDiscriminant {
                     ty: "TaskResult",
@@ -327,50 +328,32 @@ impl Decode for TaskResult {
     }
 }
 
-impl Encode for TaskDone {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.put_str(&self.instance);
-        w.put_str(&self.path);
-        w.put_u32(self.incarnation);
-        w.put_u32(self.attempt);
-        self.result.encode(w);
-    }
-}
-
-impl Decode for TaskDone {
+impl Decode for TaskReport {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(TaskDone {
-            instance: r.get_str()?.to_owned(),
-            path: r.get_str()?.to_owned(),
-            incarnation: r.get_u32()?,
-            attempt: r.get_u32()?,
+        Ok(TaskReport {
+            at: Attempt::decode(r)?,
+            ticket: r.get_var_u64()?,
             result: TaskResult::decode(r)?,
         })
     }
 }
 
-impl Encode for MarkMsg {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.put_str(&self.instance);
-        w.put_str(&self.path);
-        w.put_u32(self.incarnation);
-        w.put_u32(self.attempt);
-        w.put_str(&self.mark);
-        self.objects.encode(w);
-    }
+/// Writes the [`EngineMsg::Report`] of `result`, from the copy of `at`
+/// shipped under `ticket`.
+fn put_report(w: &mut ByteWriter, at: &Attempt, ticket: u64, result: &TaskResult) {
+    w.put_u8(1);
+    at.encode(w);
+    w.put_var_u64(ticket);
+    result.encode(w);
 }
 
-impl Decode for MarkMsg {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(MarkMsg {
-            instance: r.get_str()?.to_owned(),
-            path: r.get_str()?.to_owned(),
-            incarnation: r.get_u32()?,
-            attempt: r.get_u32()?,
-            mark: r.get_str()?.to_owned(),
-            objects: BTreeMap::decode(r)?,
-        })
-    }
+/// The encoded [`EngineMsg::Report`] of `result`, from the copy of `at`
+/// shipped under `ticket`: how an executor sends one off an address it
+/// keeps.
+pub(crate) fn report_bytes(at: &Attempt, ticket: u64, result: &TaskResult) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    put_report(&mut w, at, ticket, result);
+    w.into_vec()
 }
 
 impl Encode for EngineMsg {
@@ -380,14 +363,7 @@ impl Encode for EngineMsg {
                 w.put_u8(0);
                 msg.encode(w);
             }
-            EngineMsg::Done(msg) => {
-                w.put_u8(1);
-                msg.encode(w);
-            }
-            EngineMsg::Mark(msg) => {
-                w.put_u8(2);
-                msg.encode(w);
-            }
+            EngineMsg::Report(report) => put_report(w, &report.at, report.ticket, &report.result),
             EngineMsg::RepoRegister { name, source, root } => {
                 w.put_u8(3);
                 w.put_str(name);
@@ -455,7 +431,11 @@ impl Encode for EngineMsg {
             EngineMsg::Census => w.put_u8(13),
             EngineMsg::Running { attempts } => {
                 w.put_u8(14);
-                attempts.encode(w);
+                w.put_len(attempts.len());
+                for (ticket, at) in attempts {
+                    w.put_var_u64(*ticket);
+                    at.encode(w);
+                }
             }
         }
     }
@@ -465,8 +445,7 @@ impl Decode for EngineMsg {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(match r.get_u8()? {
             0 => EngineMsg::Start(StartTask::decode(r)?),
-            1 => EngineMsg::Done(TaskDone::decode(r)?),
-            2 => EngineMsg::Mark(MarkMsg::decode(r)?),
+            1 => EngineMsg::Report(TaskReport::decode(r)?),
             3 => EngineMsg::RepoRegister {
                 name: r.get_str()?.to_owned(),
                 source: r.get_str()?.to_owned(),
@@ -508,9 +487,13 @@ impl Decode for EngineMsg {
                 ticket: r.get_var_u64()?,
             },
             13 => EngineMsg::Census,
-            14 => EngineMsg::Running {
-                attempts: Vec::decode(r)?,
-            },
+            14 => {
+                let listed = r.get_len()?;
+                let attempts = (0..listed).map(|_| Ok((r.get_var_u64()?, Attempt::decode(r)?)));
+                EngineMsg::Running {
+                    attempts: attempts.collect::<Result<_, CodecError>>()?,
+                }
+            }
             other => {
                 return Err(CodecError::InvalidDiscriminant {
                     ty: "EngineMsg",
@@ -526,16 +509,32 @@ mod tests {
     use super::*;
     use flowscript_tx::ObjectUid;
 
+    fn at(incarnation: u32, attempt: u32) -> Attempt {
+        Attempt {
+            instance: "i1".into(),
+            path: "root/t1".into(),
+            incarnation,
+            attempt,
+        }
+    }
+
+    /// Every message round-trips, and none decodes from a proper prefix
+    /// of its bytes: a message cut short is a typed error, never a
+    /// shorter message.
     #[test]
     fn all_messages_roundtrip() {
         let mut inputs = BTreeMap::new();
         inputs.insert("order".to_string(), ObjectVal::text("Order", "o1"));
+        let report = |at, result| {
+            EngineMsg::Report(TaskReport {
+                at,
+                ticket: 1 << 40 | 7,
+                result,
+            })
+        };
         let msgs = vec![
             EngineMsg::Start(StartTask {
-                instance: "i1".into(),
-                path: "root/t1".into(),
-                incarnation: 1,
-                attempt: 2,
+                at: at(1, 2),
                 ticket: 1 << 40 | 7,
                 implementation: BTreeMap::from([
                     ("code".to_string(), "refT1".to_string()),
@@ -545,34 +544,27 @@ mod tests {
                 inputs: inputs.clone(),
                 repeat_objects: BTreeMap::new(),
             }),
-            EngineMsg::Done(TaskDone {
-                instance: "i1".into(),
-                path: "root/t1".into(),
-                incarnation: 1,
-                attempt: 2,
-                result: TaskResult::Output {
+            report(
+                at(1, 2),
+                TaskResult::Output {
                     name: "done".into(),
                     objects: inputs.clone(),
                     redo_after: SimDuration::from_millis(5),
                 },
-            }),
-            EngineMsg::Done(TaskDone {
-                instance: "i1".into(),
-                path: "root/t1".into(),
-                incarnation: 0,
-                attempt: 0,
-                result: TaskResult::ExecError {
+            ),
+            report(
+                at(0, 0),
+                TaskResult::ExecError {
                     reason: "no binding".into(),
                 },
-            }),
-            EngineMsg::Mark(MarkMsg {
-                instance: "i1".into(),
-                path: "root/t1".into(),
-                incarnation: 0,
-                attempt: 1,
-                mark: "toPay".into(),
-                objects: inputs,
-            }),
+            ),
+            report(
+                at(0, 1),
+                TaskResult::Mark {
+                    name: "toPay".into(),
+                    objects: inputs,
+                },
+            ),
             EngineMsg::RepoRegister {
                 name: "s".into(),
                 source: "class C;".into(),
@@ -616,13 +608,7 @@ mod tests {
                 attempts: Vec::new(),
             },
             EngineMsg::Running {
-                attempts: vec![RunningAttempt {
-                    ticket: 1 << 40 | 7,
-                    instance: "i1".into(),
-                    path: "root/t1".into(),
-                    incarnation: 1,
-                    attempt: 2,
-                }],
+                attempts: vec![(1 << 40 | 7, at(1, 2)), (3, at(0, 0))],
             },
         ];
         for msg in msgs {
@@ -631,35 +617,61 @@ mod tests {
                 flowscript_codec::from_bytes::<EngineMsg>(&bytes).unwrap(),
                 msg
             );
+            for cut in 1..bytes.len() {
+                let truncated = flowscript_codec::from_bytes::<EngineMsg>(&bytes[..cut]);
+                assert!(
+                    truncated.is_err(),
+                    "{msg:?} cut to {cut} of {} bytes: {truncated:?}",
+                    bytes.len()
+                );
+            }
         }
-        // Tag 9, the retired hand-off 2PC message, is refused typed.
-        assert!(matches!(
-            flowscript_codec::from_bytes::<EngineMsg>(&[9, 0]),
-            Err(CodecError::InvalidDiscriminant { value: 9, .. })
-        ));
-        // A `Cancel` cut short is a typed error, never a ticket.
-        let cancel = flowscript_codec::to_bytes(&EngineMsg::Cancel { ticket: 1 << 40 });
-        for cut in 1..cancel.len() {
-            let truncated = flowscript_codec::from_bytes::<EngineMsg>(&cancel[..cut]);
-            assert!(
-                truncated.is_err(),
-                "{cut} of {} bytes: {truncated:?}",
-                cancel.len()
-            );
+        // Tag 9, the retired hand-off 2PC message, and tag 2, the
+        // retired mark message, are refused typed.
+        for tag in [2, 9] {
+            assert!(matches!(
+                flowscript_codec::from_bytes::<EngineMsg>(&[tag, 0]),
+                Err(CodecError::InvalidDiscriminant { value, .. }) if value == u64::from(tag)
+            ));
         }
-        // So is a census answer cut short: never a shorter list.
-        let running = flowscript_codec::to_bytes(&EngineMsg::Running {
-            attempts: vec![RunningAttempt {
-                ticket: 3,
-                instance: "i".into(),
-                path: "p".into(),
-                incarnation: 0,
-                attempt: 0,
-            }],
+    }
+
+    /// A start's and a completion's bytes are pinned: each is its tag,
+    /// the address, the sending copy's ticket as a varint, and then the
+    /// rest of a start or the result.
+    #[test]
+    fn a_start_and_a_completion_keep_their_bytes() {
+        let objects = BTreeMap::from([("o".to_string(), ObjectVal::text("O", "v"))]);
+        let start = EngineMsg::Start(StartTask {
+            at: at(1, 2),
+            ticket: 300,
+            implementation: BTreeMap::from([("code".to_string(), "c".to_string())]),
+            set: "main".into(),
+            inputs: objects.clone(),
+            repeat_objects: BTreeMap::new(),
         });
-        for cut in 1..running.len() {
-            let truncated = flowscript_codec::from_bytes::<EngineMsg>(&running[..cut]);
-            assert!(truncated.is_err(), "{cut} bytes: {truncated:?}");
-        }
+        let address = [
+            2, 105, 49, 7, 114, 111, 111, 116, 47, 116, 49, 1, 0, 0, 0, 2, 0, 0, 0,
+        ];
+        let ticket = [172, 2];
+        let start_rest = [
+            1, 4, 99, 111, 100, 101, 1, 99, 4, 109, 97, 105, 110, 1, 1, 111, 1, 79, 1, 118, 0, 0,
+        ];
+        let expected = [&[0][..], &address, &ticket, &start_rest].concat();
+        assert_eq!(flowscript_codec::to_bytes(&start), expected);
+        let done = EngineMsg::Report(TaskReport {
+            at: at(1, 2),
+            ticket: 300,
+            result: TaskResult::Output {
+                name: "done".into(),
+                objects,
+                redo_after: SimDuration::from_millis(5),
+            },
+        });
+        let result = [
+            0, 4, 100, 111, 110, 101, 1, 1, 111, 1, 79, 1, 118, 0, 64, 75, 76, 0, 0, 0, 0, 0,
+        ];
+        let expected = [&[1][..], &address, &ticket, &result].concat();
+        assert_eq!(flowscript_codec::to_bytes(&done), expected);
     }
 }

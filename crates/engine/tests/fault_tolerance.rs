@@ -292,14 +292,13 @@ fn a_census_call_to_a_down_executor_times_out_and_the_attempt_is_re_sent() {
     );
 }
 
-/// A census cancels what an earlier life left running: the first
-/// restart's census is lost to a partition, so it re-sends `produce`'s
-/// 10 s attempt beside the copy still running; the first copy's report
-/// is applied, and the re-sent copy runs on with nothing awaiting it.
-/// The next restart's census lists it with `consume`: `consume` is
-/// claimed, and the orphan draws one `Cancel`, which ends it.
+/// A report from a copy the shard did not charge cancels the copy it
+/// did: the restart's census is lost to a partition, so it re-sends
+/// `produce`'s 10 s attempt beside the copy still running. That copy
+/// reports first, under an earlier life's ticket; its report is applied,
+/// and the re-sent copy draws one `Cancel`, which ends it.
 #[test]
-fn a_census_cancels_an_orphan_an_earlier_life_left() {
+fn a_report_from_an_uncharged_copy_cancels_the_charged_one() {
     let (mut sys, starts) = counted_pipeline(10_000, 10_000);
     sys.run_for(SimDuration::from_millis(5));
     let (coordinator, executor) = (sys.coordinator_node(), sys.executor_nodes()[0]);
@@ -313,20 +312,59 @@ fn a_census_cancels_an_orphan_an_earlier_life_left() {
         sys.task_states("i")["pipeline/consume"],
         CbState::Executing { .. }
     ));
-    assert_eq!(running(&sys), 2, "`consume`, and the orphan");
-    assert_eq!(sys.stats().cancels, 0);
+    assert_eq!(running(&sys), 1, "`consume`: the re-sent copy ended");
+    assert_eq!(sys.stats().cancels, 1);
+    sys.run();
+    assert_eq!(sys.outcome("i").expect("completes").name, "done");
+    assert_eq!(attempts(&sys, "i", "pipeline/produce"), [0, 0]);
+    assert_eq!((sys.stats().cancels, sys.stats().retries), (1, 0));
+}
+
+/// A census cancels what an earlier life left running: the first
+/// restart's census is lost to a partition, so it re-sends `produce`'s
+/// 10 s attempt beside the copy still running. The first copy's report
+/// is applied, and the `Cancel` of the re-sent copy is lost to a second
+/// partition, with `consume`'s start: the re-sent copy runs on with
+/// nothing awaiting it. The next restart's census lists it alone: it
+/// draws one `Cancel`, which ends it, and `consume` is re-sent.
+#[test]
+fn a_census_cancels_an_orphan_an_earlier_life_left() {
+    let (mut sys, starts) = counted_pipeline(10_000, 10_000);
+    sys.run_for(SimDuration::from_millis(5));
+    let (coordinator, executor) = (sys.coordinator_node(), sys.executor_nodes()[0]);
+    sys.crash_now(coordinator);
+    sys.world_mut().partition(&[coordinator], &[executor]);
+    sys.restart_now(coordinator);
+    sys.world_mut().heal_all();
+    // The first copy's report leaves the executor: what the shard
+    // sends once it is applied is lost.
+    sys.run_until(SimTime::from_nanos(10_000_000_000));
+    while running(&sys) == 2 {
+        sys.run_for(SimDuration::from_micros(10));
+    }
+    sys.world_mut().partition(&[coordinator], &[executor]);
+    sys.run_for(SimDuration::from_millis(1));
+    sys.world_mut().heal_all();
+    sys.run_until(SimTime::from_nanos(10_050_000_000));
+    assert_eq!(starts.get(), 2, "shipped, then re-sent");
+    assert!(matches!(
+        sys.task_states("i")["pipeline/consume"],
+        CbState::Executing { .. }
+    ));
+    assert_eq!(running(&sys), 1, "the orphan, and no `consume`");
+    assert_eq!(sys.stats().cancels, 1);
     sys.crash_now(coordinator);
     sys.restart_now(coordinator);
     sys.run_for(SimDuration::from_millis(5));
-    assert_eq!(running(&sys), 1, "the orphan ended");
+    assert_eq!(running(&sys), 1, "the orphan ended, `consume` re-sent");
     let stats = sys.stats();
     assert_eq!(
         (stats.cancels, stats.census_claimed, stats.resent),
-        (1, 1, 1)
+        (2, 0, 2)
     );
     sys.run();
     assert_eq!(sys.outcome("i").expect("completes").name, "done");
-    assert_eq!(attempts(&sys, "i", "pipeline/consume"), [0]);
+    assert_eq!(attempts(&sys, "i", "pipeline/consume"), [0, 0]);
     assert_eq!(sys.stats().retries, 0);
 }
 
