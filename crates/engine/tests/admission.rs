@@ -273,6 +273,77 @@ fn crash_with_parked_dispatches_recovers_the_whole_fan() {
     );
 }
 
+/// Two siblings on one serial executor: `a` works 40 s and says so, `b`
+/// works 10 s and declares nothing, so its watchdog is the 30 s default.
+const LONG_THEN_SHORT: &str = r#"
+class Data;
+taskclass Work {
+    inputs { input main { in of class Data } };
+    outputs { outcome done { } }
+}
+taskclass Root {
+    inputs { input main { seed of class Data } };
+    outputs { outcome done { } }
+}
+compoundtask root of taskclass Root {
+    task a of taskclass Work {
+        implementation { "code" is "refA"; "duration_ms" is "40000" };
+        inputs { input main { inputobject in from { seed of task root if input main } } }
+    };
+    task b of taskclass Work {
+        implementation { "code" is "refB" };
+        inputs { input main { inputobject in from { seed of task root if input main } } }
+    };
+    outputs { outcome done { notification from { task a if output done }; notification from { task b if output done } } }
+}
+"#;
+
+/// Runs [`LONG_THEN_SHORT`] on one serial executor under
+/// `max_retries`, restarting the shard with its executor 50 ms in: `a`
+/// runs and `b` is parked behind it. The restart watches both, then its
+/// re-send ships `a` and parks `b` again. The instance's status and the
+/// retries spent.
+fn restart_over_a_parked_sibling(max_retries: u32) -> (InstanceStatus, u64) {
+    let config = EngineConfig {
+        max_retries,
+        ..EngineConfig::default()
+    };
+    let mut sys = WorkflowSystem::builder()
+        .executors(1)
+        .executor_capacity(1)
+        .seed(13)
+        .config(config)
+        .build();
+    sys.register_script("lts", LONG_THEN_SHORT, "root").unwrap();
+    for (code, secs) in [("refA", 40), ("refB", 10)] {
+        sys.bind_fn(code, move |_| {
+            TaskBehavior::outcome("done").with_work(SimDuration::from_secs(secs))
+        });
+    }
+    sys.start("i", "lts", "main", [("seed", text("Data", "s"))])
+        .unwrap();
+    sys.run_for(SimDuration::from_millis(50));
+    common::restart_with_executors(&mut sys);
+    sys.run();
+    (sys.status("i").unwrap(), sys.stats().retries)
+}
+
+#[test]
+fn a_restart_that_parks_a_resent_attempt_spends_no_retry() {
+    // A parked attempt holds no watchdog: `b` waits out `a`'s 40 s
+    // without timing out at 30 s, exactly as it does with no restart.
+    let (status, retries) = restart_over_a_parked_sibling(3);
+    assert!(matches!(status, InstanceStatus::Completed(_)), "{status:?}");
+    assert_eq!(retries, 0, "`b` never left its shard before `a` ended");
+}
+
+#[test]
+fn a_restart_that_parks_a_resent_attempt_completes_with_no_retries_to_spend() {
+    let (status, retries) = restart_over_a_parked_sibling(0);
+    assert!(matches!(status, InstanceStatus::Completed(_)), "{status:?}");
+    assert_eq!(retries, 0);
+}
+
 // ---------------------------------------------------------------------
 // Observed-duration feedback vs lying hints.
 // ---------------------------------------------------------------------
