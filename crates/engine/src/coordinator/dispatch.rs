@@ -2,38 +2,42 @@
 //! queue, watchdogs, and what an attempt that ends with no outcome
 //! stages — a bounded retry under a bumped attempt, or `Failed`.
 //!
-//! All of its volatile state lives in two places, both private to this
-//! module: the shard's [`Dispatcher`] (executor loads, observed costs,
-//! the parked ready queue) and, per instance, one [`Flights`] container
-//! holding a record for every task with outstanding work. Inside the
-//! coordinator a task is its dense [`TaskId`]; a path is resolved
-//! against the instance's *current* plan exactly where a wire message
-//! or a timer enters (timers capture the path — it is the name that
-//! survives a re-lowering), and a reconfiguration re-keys the records
-//! ([`Coordinator::replan`]).
+//! Its volatile state is private to this module: the shard's
+//! [`Dispatcher`] (executor loads, observed costs, the ready queue's
+//! order) and, per instance, [`Flights`]: one record per task with
+//! outstanding work, in exactly one of three states, each holding at
+//! most one timer:
+//! - **watched**: on the wire, or awaited where it already runs (a
+//!   restart's or a landing's watch), under its watchdog and charged the
+//!   load it runs at here, if any;
+//! - **delayed**: its launch waits out a back-off or a repeat's delay
+//!   under the timer that ships it;
+//! - **parked**: its launch waits behind saturated executors under its
+//!   queue key, and holds no timer.
 //!
-//! An attempt on the wire carries a **ticket**, the shard's name for
-//! it: when the shard drops the attempt unfinished — its scope cancelled
-//! or reset, its outcome forced, its task reconfigured away, its
-//! watchdog fired — one [`EngineMsg::Cancel`] with that ticket, sent
-//! once the step commits, stops the work at its executor. An instance
-//! leaving the shard cancels nothing: its next owner is owed that work.
-//! Tickets are volatile, and never reused by a shard, restarts
-//! included: a life whose log opened at sequence number `s` counts from
-//! `s << 32`. Every attempt a life ships follows a commit of its own: a
-//! step's publish, or a timer or a park that step left behind — and the
-//! re-send that follows a restart's census, which writes no block,
-//! follows the shard-life key its step stages
-//! ([`Coordinator::stage_life`]), so a refused append ships none of it.
-//! So a life that shipped anything moved the log past `s`, and the next
-//! life counts from a higher base (one life ships fewer than 2^32): two
-//! restarts with nothing else committed between them still count from
-//! two bases, and an executor's `(shard, ticket)` index never holds two
-//! attempts under one name. The census itself ships nothing: an attempt
-//! it claims where it runs ([`Coordinator::claim_running`]) keeps the
-//! ticket an earlier life shipped it under, below this life's base like
-//! every earlier life's, so the life's own tickets never meet it, and
-//! the census's cancels, like every other, go out from here.
+//! Entering a state ends the one left ([`Dispatcher::enter`]): its timer
+//! is cancelled, its load released, its queue entry dropped by key. A
+//! task is its dense [`TaskId`]: a timer names its [`Attempt`] by path,
+//! resolved against the instance's current plan where it enters, and a
+//! reconfiguration re-keys the records ([`Coordinator::replan`]).
+//!
+//! An attempt on the wire carries a **ticket**, the shard's name for it:
+//! when the shard drops the attempt unfinished — its scope cancelled or
+//! reset, its outcome forced, its task reconfigured away, its watchdog
+//! fired — one [`EngineMsg::Cancel`] with that ticket, sent once the step
+//! commits, stops the work at its executor; an instance leaving the shard
+//! cancels nothing, its next owner being owed that work. Tickets are
+//! volatile and never reused, restarts included: a life whose log opened
+//! at sequence number `s` counts from `s << 32`. Every attempt a life
+//! ships follows a commit of its own — a step's publish, a delay or a
+//! park it left, or a census re-send behind the shard-life key
+//! ([`Coordinator::stage_life`]), so a refused append ships none — and
+//! so a life that shipped anything moved the log past `s`: the next
+//! counts from a higher base (one life ships fewer than 2^32), and an
+//! executor's `(shard, ticket)` index never holds two attempts under one
+//! name. An attempt the census claims ([`Coordinator::claim_running`])
+//! keeps the ticket an earlier life shipped it under, below this life's
+//! base; the census's cancels, like every other, go out from here.
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -71,26 +75,62 @@ struct Charge {
     code: String,
 }
 
-/// One task's outstanding work. A present record *is* "outstanding":
-/// an attempt on the wire, a dispatch parked behind saturated
-/// executors, a retry waiting out its backoff or a repeat its delay —
-/// stuck detection and the drain oracle read presence, nothing else.
-/// Every field is optional, so a watchdog that fired (its load released,
-/// the retry pending) and a watchdog armed over a load charged on
-/// another shard's books (an adopted instance) are states of the one
-/// record.
+/// A parked record's place in the ready queue: `(priority desc,
+/// arrival)`.
+type QueueKey = (Reverse<i64>, u64);
+
+/// Where one task's outstanding work stands: the module doc's three
+/// states, each holding at most one timer.
+#[derive(Debug)]
+enum State {
+    /// On the wire or awaited where it runs: its watchdog, if armed, and
+    /// its charge here, if any. A watchdog that fired (the retry not yet
+    /// staged) and one over a load charged on another shard's books (a
+    /// landed instance) are this state too.
+    Watched(Option<TimerId>, Option<Charge>),
+    /// Waiting out a delay: the timer that ships the launch (boxed, like
+    /// a parked one, so that a watched record does not grow).
+    Delayed(TimerId, Box<Launch>),
+    /// In the ready queue behind saturated executors.
+    Parked(Box<Parked>),
+}
+
+impl Default for State {
+    /// Watched by nothing, charged nothing: a record between states.
+    fn default() -> Self {
+        State::Watched(None, None)
+    }
+}
+
+impl State {
+    /// The load charged here, if any.
+    fn charge(&self) -> Option<&Charge> {
+        match self {
+            State::Watched(_, charge) => charge.as_ref(),
+            _ => None,
+        }
+    }
+}
+
+/// A parked launch: its queue key, the hints its eligibility is
+/// re-checked against as the queue drains, and its virtual park time
+/// (`sched.queue_wait_ns` sample base).
+#[derive(Debug)]
+struct Parked {
+    key: QueueKey,
+    launch: Launch,
+    hints: ImplHints,
+    since_ns: u64,
+}
+
+/// One task's outstanding work, in one [`State`]: watched, delayed or
+/// parked. A present record *is* "outstanding" — stuck detection and the
+/// drain oracle read presence, nothing else.
 #[derive(Debug, Default)]
 struct Flight {
-    /// The armed watchdog of the attempt on the wire.
-    watchdog: Option<TimerId>,
-    /// The armed timer of an attempt waiting out a delay — a retry's
-    /// back-off, a repeat's requested delay — before it ships.
-    delayed: Option<TimerId>,
-    /// The load that attempt is charged at; taken exactly when the
-    /// scheduler load is released.
-    charge: Option<Charge>,
+    state: State,
     /// The node the most recent *failed* attempt ran on; consumed by
-    /// the next dispatch so the retry relocates whenever an eligible
+    /// the next placement so the retry relocates whenever an eligible
     /// alternative exists (service relocation, §3).
     avoid: Option<NodeId>,
 }
@@ -107,23 +147,6 @@ impl Flights {
     }
 }
 
-/// One dispatch parked in the per-shard ready queue because every
-/// eligible executor sat at its declared capacity. Its task keeps a
-/// flight record while parked; the queue itself is volatile — the
-/// control block committed `Executing` *before* the park, so recovery
-/// re-dispatches (and possibly re-parks) it.
-#[derive(Debug)]
-struct ParkedDispatch {
-    instance: String,
-    task: TaskId,
-    launch: Launch,
-    /// Scheduling hints captured at park time (eligibility re-checked
-    /// against these when the queue drains).
-    hints: ImplHints,
-    /// Virtual park time (`sched.queue_wait_ns` sample base).
-    parked_ns: u64,
-}
-
 /// The shard-wide half of dispatch state. Volatile by design: recovery
 /// resets it and the re-dispatches rebuild it.
 pub(super) struct Dispatcher {
@@ -135,11 +158,10 @@ pub(super) struct Dispatcher {
     /// times, sampled at every genuine completion's release. An estimate,
     /// not state: where it is empty the declared hints carry placement.
     costs: CostModel,
-    /// Dispatches parked because every eligible executor sat at its
-    /// declared capacity, ordered by `(priority desc, arrival)`.
-    /// Drained whenever a release frees a slot.
-    parked: BTreeMap<(Reverse<i64>, u64), ParkedDispatch>,
-    /// Arrival tie-break for `parked` keys.
+    /// The ready queue: each parked record's instance and task, in the
+    /// order the queue drains. Drained whenever a release frees a slot.
+    queue: BTreeMap<QueueKey, (String, TaskId)>,
+    /// Arrival tie-break for queue keys.
     park_seq: u64,
     /// The ticket the next attempt shipped takes.
     next_ticket: u64,
@@ -159,7 +181,7 @@ impl Dispatcher {
         Self {
             sched: Scheduler::new(executors, SchedPolicy::default()),
             costs: CostModel::new(),
-            parked: BTreeMap::new(),
+            queue: BTreeMap::new(),
             park_seq: 0,
             next_ticket: next_seq << 32,
         }
@@ -179,7 +201,7 @@ impl Dispatcher {
     /// they re-converged.
     pub(super) fn reset(&mut self) {
         self.sched.reset_loads();
-        self.parked.clear();
+        self.queue.clear();
         self.park_seq = 0;
     }
 
@@ -195,92 +217,65 @@ impl Dispatcher {
         self.sched.in_flight()
     }
 
-    /// Releases the load `flight` is charged at, if any. Idempotent:
-    /// the charge is taken, so a second release finds none.
-    fn release(&mut self, flight: &mut Flight) -> Option<Charge> {
-        let charge = flight.charge.take()?;
-        self.sched.note_release(charge.node, charge.cost);
-        Some(charge)
-    }
-
-    /// Ends a record that did not complete: releases its load and notes
-    /// in `dropped` its timers to cancel — the watchdog, a delayed
-    /// attempt's — and the attempt it had on the wire.
-    fn discard(&mut self, mut flight: Flight, dropped: &mut Dropped) {
-        if let Some(charge) = self.release(&mut flight) {
-            dropped.attempts.push((charge.node, charge.ticket));
+    /// Puts `flight` in `state`, ending the state it leaves: a parked
+    /// launch leaves the queue and a charged load is released. Returns
+    /// what the caller still owes: the timer it held, to cancel, and the
+    /// released charge, whose attempt may still run.
+    fn enter(&mut self, flight: &mut Flight, state: State) -> (Option<TimerId>, Option<Charge>) {
+        match std::mem::replace(&mut flight.state, state) {
+            State::Watched(watchdog, charge) => {
+                if let Some(charge) = &charge {
+                    self.sched.note_release(charge.node, charge.cost);
+                }
+                (watchdog, charge)
+            }
+            State::Delayed(timer, _) => (Some(timer), None),
+            State::Parked(parked) => {
+                self.queue.remove(&parked.key);
+                (None, None)
+            }
         }
-        let timers = [flight.watchdog, flight.delayed];
-        dropped.timers.extend(timers.into_iter().flatten());
     }
 
     /// Drops the records of `tasks` — none of them completed — with
-    /// their load, and any dispatch of theirs still parked (a cancelled
-    /// task's parked dispatch must never run).
-    fn discard_tasks(
-        &mut self,
-        instance: &str,
-        flights: &mut Flights,
-        tasks: impl Iterator<Item = TaskId>,
-    ) -> Dropped {
-        let dropped: BTreeMap<TaskId, Flight> = tasks
-            .filter_map(|task| Some((task, flights.0.remove(&task)?)))
-            .collect();
-        if !dropped.is_empty() {
-            // A parked dispatch always has its record.
-            self.parked.retain(|_, entry| {
-                entry.instance != instance || !dropped.contains_key(&entry.task)
-            });
+    /// their load and queue entries (a cancelled task's parked launch
+    /// must never run): their timers and attempts on the wire are left
+    /// to cancel.
+    fn discard(&mut self, flights: &mut Flights, tasks: impl Iterator<Item = TaskId>) -> Dropped {
+        let mut dropped = Dropped::default();
+        for mut flight in tasks.filter_map(|task| flights.0.remove(&task)) {
+            let (timer, charge) = self.enter(&mut flight, State::default());
+            dropped.timers.extend(timer);
+            dropped.attempts.extend(charge.map(|c| (c.node, c.ticket)));
         }
-        let mut ended = Dropped::default();
-        for flight in dropped.into_values() {
-            self.discard(flight, &mut ended);
-        }
-        ended
+        dropped
     }
 
-    /// Moves every record and parked dispatch of `instance` from its
-    /// task id under the old plan to `new_id(old)`; what belonged to a
-    /// task the new plan no longer has is dropped — load freed, parked
-    /// entry dropped, its timers and attempt returned for cancelling.
-    fn rekey(
-        &mut self,
-        instance: &str,
-        flights: &mut Flights,
-        new_id: impl Fn(TaskId) -> Option<TaskId>,
-    ) -> Dropped {
-        let mut dropped = Dropped::default();
+    /// Moves every record of an instance from its task id under the old
+    /// plan to `to(old)`, a parked one's queue entry with it; the
+    /// records of tasks the new plan no longer has are discarded.
+    fn rekey(&mut self, flights: &mut Flights, to: impl Fn(TaskId) -> Option<TaskId>) -> Dropped {
+        let mut removed = flights.outstanding();
+        removed.retain(|&old| to(old).is_none());
+        let dropped = self.discard(flights, removed.into_iter());
         for (old, flight) in std::mem::take(&mut flights.0) {
-            match new_id(old) {
-                Some(new) => {
-                    flights.0.insert(new, flight);
-                }
-                None => self.discard(flight, &mut dropped),
+            let new = to(old).expect("a removed task's record is discarded");
+            if let State::Parked(parked) = &flight.state {
+                self.queue.get_mut(&parked.key).expect("queued").1 = new;
             }
+            flights.0.insert(new, flight);
         }
-        self.parked.retain(|_, entry| {
-            if entry.instance != instance {
-                return true;
-            }
-            let new = new_id(entry.task);
-            entry.task = new.unwrap_or(entry.task);
-            new.is_some()
-        });
         dropped
     }
 
     /// Releases every record of an instance leaving this shard
-    /// (hand-off, purge) and forgets its parked dispatches — whoever
-    /// owns it next re-arms from its committed control blocks, and is
-    /// owed the work on the wire, so none is cancelled. Returns the
-    /// timers to cancel.
-    pub(super) fn release_all(&mut self, instance: &str, flights: Flights) -> Vec<TimerId> {
-        self.parked.retain(|_, entry| entry.instance != instance);
-        let mut dropped = Dropped::default();
-        for flight in flights.0.into_values() {
-            self.discard(flight, &mut dropped);
-        }
-        dropped.timers
+    /// (hand-off, purge), its queue entries with them — whoever owns it
+    /// next re-arms from its committed control blocks, and is owed the
+    /// work on the wire, so none is cancelled. Returns the timers to
+    /// cancel.
+    pub(super) fn release_all(&mut self, mut flights: Flights) -> Vec<TimerId> {
+        let tasks = flights.outstanding();
+        self.discard(&mut flights, tasks.into_iter()).timers
     }
 }
 
@@ -290,6 +285,9 @@ struct Shipment {
     code: String,
     implementation: BTreeMap<String, String>,
     hints: ImplHints,
+    /// The load it is charged at: the observed estimate when the cost
+    /// model has one, else the declared remaining-work cost.
+    cost: u64,
     /// Watchdog: base timeout extended by the declared duration — or by
     /// the observed estimate when that is *longer* (a lying short hint
     /// must not time out healthy work) — capped by the declared
@@ -305,14 +303,14 @@ impl Coordinator {
         let code = rt.plan.code(task).unwrap_or("").to_string();
         let implementation = rt.plan.implementation_map(task);
         let hints = ImplHints::from_map(&implementation);
-        let timeout =
-            self.dispatcher
-                .costs
-                .watchdog_timeout(&code, &hints, self.config.dispatch_timeout);
+        let costs = &self.dispatcher.costs;
+        let timeout = costs.watchdog_timeout(&code, &hints, self.config.dispatch_timeout);
+        let cost = costs.load_cost(&code, &hints);
         Shipment {
             code,
             implementation,
             hints,
+            cost,
             timeout,
         }
     }
@@ -485,27 +483,26 @@ impl Coordinator {
         Some(rt.flights.0.entry(task).or_default())
     }
 
-    /// Ends the load accounting of `task`'s attempt on the wire and
-    /// returns the executor it ran on and its ticket, if one was counted
-    /// (idempotent — the charge gates the release). `completed_at_ns` is
-    /// `Some` only for a genuine executor report: its elapsed time feeds
-    /// the `coord.dispatch_latency_ns` histogram and the cost model.
-    /// Timeouts, failures and sweeps pass `None` and teach neither.
-    fn release_dispatch(
-        &mut self,
-        instance: &str,
-        task: TaskId,
-        completed_at_ns: Option<u64>,
-    ) -> Option<(NodeId, u64)> {
-        let flight = self.instances.get_mut(instance)?.flights.0.get_mut(&task)?;
-        let charge = self.dispatcher.release(flight)?;
-        if let Some(elapsed) = completed_at_ns.and_then(|now| now.checked_sub(charge.sent_ns)) {
-            self.dispatcher.costs.observe(&charge.code, elapsed);
-            if self.config.observe.metrics() {
-                self.metrics.dispatch_latency_ns.record(elapsed);
-            }
+    /// Puts `instance`'s record of `task`, created if it has none, in
+    /// `state` ([`Dispatcher::enter`]): the timer it held, to cancel.
+    fn enter(&mut self, instance: &str, task: TaskId, state: State) -> Option<TimerId> {
+        let rt = self.instances.get_mut(instance)?;
+        self.dispatcher
+            .enter(rt.flights.0.entry(task).or_default(), state)
+            .0
+    }
+
+    /// A genuine executor report ended `charge`'s attempt: its elapsed
+    /// time feeds the `coord.dispatch_latency_ns` histogram and the cost
+    /// model. Time-outs, failures and sweeps teach neither.
+    fn observe(&mut self, charge: &Charge) {
+        let Some(elapsed) = self.now.as_nanos().checked_sub(charge.sent_ns) else {
+            return;
+        };
+        self.dispatcher.costs.observe(&charge.code, elapsed);
+        if self.config.observe.metrics() {
+            self.metrics.dispatch_latency_ns.record(elapsed);
         }
-        Some((charge.node, charge.ticket))
     }
 
     /// How long ago this shard shipped the attempt of `instance`'s task
@@ -514,7 +511,7 @@ impl Coordinator {
     pub(super) fn attempt_age(&self, instance: &str, path: &str) -> SimDuration {
         let rt = self.instances.get(instance);
         let flight = rt.and_then(|rt| rt.flights.0.get(&rt.plan.task_by_path(path)?));
-        let sent_ns = flight.and_then(|flight| Some(flight.charge.as_ref()?.sent_ns));
+        let sent_ns = flight.and_then(|flight| Some(flight.state.charge()?.sent_ns));
         let age = sent_ns.map_or(0, |sent| self.now.as_nanos().saturating_sub(sent));
         SimDuration::from_nanos(age)
     }
@@ -559,13 +556,14 @@ impl Coordinator {
     /// The books balance (debug-build oracle, asserted after every
     /// drain): each flight record of `instance` belongs to a task of
     /// its current plan whose committed control block is `Executing`,
-    /// and each of its parked dispatches has its record.
+    /// and its queue entries are its parked records, each under its key.
     #[cfg(debug_assertions)]
     pub(super) fn assert_flights_consistent(&self, instance: &str) {
         let Some(rt) = self.instances.get(instance) else {
             return;
         };
-        for &task in rt.flights.0.keys() {
+        let mut parked = 0;
+        for (&task, flight) in &rt.flights.0 {
             let known = rt.plan.tasks.get(task as usize);
             let cb = known.and_then(|_| self.read_cb_id(&rt.plan, rt.id, task).ok());
             assert!(
@@ -574,14 +572,14 @@ impl Coordinator {
                  {}-task plan: {cb:?}",
                 rt.plan.tasks.len()
             );
+            if let State::Parked(entry) = &flight.state {
+                let queued = &self.dispatcher.queue[&entry.key];
+                assert_eq!((queued.0.as_str(), queued.1), (instance, task), "queued");
+                parked += 1;
+            }
         }
-        for entry in self.dispatcher.parked.values() {
-            assert!(
-                entry.instance != instance || rt.flights.0.contains_key(&entry.task),
-                "parked dispatch {} of `{instance}` has no flight record",
-                entry.task
-            );
-        }
+        let queue = self.dispatcher.queue.values();
+        assert_eq!(queue.filter(|(name, _)| name == instance).count(), parked);
     }
 
     /// This shard's current view of the executor fleet: per-executor
@@ -594,7 +592,7 @@ impl Coordinator {
     /// Dispatches parked in this shard's ready queue behind saturated
     /// executors (monitoring).
     pub fn ready_queue_len(&self) -> usize {
-        self.dispatcher.parked.len()
+        self.dispatcher.queue.len()
     }
 
     /// The cost model's smoothed duration estimate for `code`, in
@@ -607,14 +605,12 @@ impl Coordinator {
     /// Drops the flight records of `tasks` of `instance`, none of which
     /// completed — a subtree cancelled or reset (`plan.subtree(scope)`),
     /// a task that failed, one whose outcome an operator forced — with
-    /// their watchdogs, load and parked dispatches.
+    /// their timers, load and queue entries.
     pub(super) fn discard_flights(&mut self, instance: &str, tasks: impl Iterator<Item = TaskId>) {
         let Some(rt) = self.instances.get_mut(instance) else {
             return;
         };
-        let dropped = self
-            .dispatcher
-            .discard_tasks(instance, &mut rt.flights, tasks);
+        let dropped = self.dispatcher.discard(&mut rt.flights, tasks);
         self.end_dropped(dropped);
     }
 
@@ -628,7 +624,7 @@ impl Coordinator {
         };
         let old_plan = std::mem::replace(&mut rt.plan, plan.clone());
         let new_id = |old: TaskId| plan.task_by_path(old_plan.str(old_plan.task(old).path));
-        let dropped = self.dispatcher.rekey(instance, &mut rt.flights, new_id);
+        let dropped = self.dispatcher.rekey(&mut rt.flights, new_id);
         self.end_dropped(dropped);
     }
 
@@ -648,12 +644,13 @@ impl Coordinator {
         self.send(node, &EngineMsg::Cancel { ticket });
     }
 
-    /// Keeps `instance`'s work moving: each task it has `Executing` with
-    /// no armed watchdog, no delayed attempt and no parked dispatch gets
-    /// a watchdog at the incarnation and attempt its block committed, a
-    /// fresh dispatch's time-out (observed-duration extension included).
-    /// What a unit whose step rolled back owes ([`Coordinator::step`]),
-    /// and a live landing's safety net for a relay that is truly lost.
+    /// Keeps `instance`'s work moving: each task it has `Executing` whose
+    /// record is missing or watched by no watchdog — not delayed, not
+    /// parked — gets a watchdog at the incarnation and attempt its block
+    /// committed, a fresh dispatch's time-out (observed-duration
+    /// extension included). What a unit whose step rolled back owes
+    /// ([`Coordinator::step`]), and a live landing's safety net for a
+    /// relay that is truly lost.
     pub(super) fn keep_moving(&mut self, instance: &str) {
         // A block that does not decode arms no watchdog: the full
         // drain over the instance parks it on that block.
@@ -662,46 +659,38 @@ impl Coordinator {
         };
         for (task, cb) in executing {
             let rt = &self.instances[instance];
-            let flight = rt.flights.0.get(&task);
-            let moving = flight.is_some_and(|f| f.watchdog.is_some() || f.delayed.is_some())
-                || self.parked(instance, task);
-            if !moving {
+            let state = rt.flights.0.get(&task).map(|flight| &flight.state);
+            if matches!(state, None | Some(State::Watched(None, _))) {
+                let at = address(rt, instance, task, cb.incarnation, cb.attempt);
                 let timeout = self.shipment(rt, task).timeout;
-                self.arm_watchdog(instance, task, cb.incarnation, cb.attempt, timeout);
+                self.arm_watchdog(instance, task, at, timeout);
             }
         }
     }
 
-    /// Whether a dispatch of `instance`'s `task` waits in the ready queue.
-    fn parked(&self, instance: &str, task: TaskId) -> bool {
-        let mut parked = self.dispatcher.parked.values();
-        parked.any(|entry| entry.instance == instance && entry.task == task)
-    }
-
-    /// The tasks of running `instance` that only a watchdog moves: no
-    /// attempt charged, delayed or parked — after a restart's census,
-    /// the attempts no executor claimed.
+    /// The tasks of running `instance` that only a watchdog moves —
+    /// watched, charged nothing: after a restart's census, the attempts
+    /// no executor claimed.
     pub(super) fn unclaimed(&self, instance: &str) -> Vec<TaskId> {
         let Some(rt) = self.instances.get(instance).filter(|rt| !rt.terminal) else {
             return Vec::new();
         };
-        let flights = rt.flights.0.iter().filter(|(&task, flight)| {
-            let idle = flight.charge.is_none() && flight.delayed.is_none();
-            flight.watchdog.is_some() && idle && !self.parked(instance, task)
-        });
-        flights.map(|(&task, _)| task).collect()
+        let unclaimed = |(&task, flight): (&TaskId, &Flight)| {
+            matches!(flight.state, State::Watched(Some(_), None)).then_some(task)
+        };
+        rt.flights.0.iter().filter_map(unclaimed).collect()
     }
 
     /// A census answer: `node` still runs the attempt `at` for this
-    /// shard, shipped under `ticket`. An
-    /// attempt its block awaits with nothing charged is charged on
-    /// `node` under the ticket it already has, as sent now — its
-    /// watchdog stands — so nothing re-runs it. Anything else listed
-    /// is cancelled there: a second copy of a claimed attempt, or one
-    /// the block no longer awaits, an earlier life's orphan. An
-    /// instance this shard does not hold resident (moved away, frozen
-    /// in an unlanded round) is not its to judge, nor is an attempt a
-    /// settled instance still awaits: it reports as it would have.
+    /// shard, shipped under `ticket`. An attempt its block awaits whose
+    /// record is watched and charged nothing is charged on `node` under
+    /// the ticket it already has, as sent now — its watchdog stands — so
+    /// nothing re-runs it. Anything else listed is cancelled there: a
+    /// second copy of a claimed attempt, or one the block no longer
+    /// awaits, an earlier life's orphan. An instance this shard does not
+    /// hold resident (moved away, frozen in an unlanded round) is not its
+    /// to judge, nor is an attempt a settled instance still awaits: it
+    /// reports as it would have.
     pub(super) fn claim_running(&mut self, node: NodeId, ticket: u64, at: Attempt) {
         let Some(rt) = self.instances.get(&at.instance) else {
             return;
@@ -712,67 +701,73 @@ impl Coordinator {
         if awaited && rt.terminal {
             return;
         }
-        let idle = |task| rt.flights.0.get(&task).is_some_and(|f| f.charge.is_none());
-        let Some(task) = task.filter(|&task| awaited && idle(task)) else {
+        let state = |task| rt.flights.0.get(&task).map(|flight| &flight.state);
+        let uncharged = |task| matches!(state(task), Some(State::Watched(_, None)));
+        let Some(task) = task.filter(|&task| awaited && uncharged(task)) else {
             return self.cancel_attempt(node, ticket);
         };
         let shipment = self.shipment(rt, task);
-        let cost = self
-            .dispatcher
-            .costs
-            .load_cost(&shipment.code, &shipment.hints);
-        self.dispatcher.sched.note_dispatch(node, cost);
-        let charge = Charge {
+        self.dispatcher.sched.note_dispatch(node, shipment.cost);
+        let claimed = Charge {
             node,
             ticket,
-            cost,
+            cost: shipment.cost,
             sent_ns: self.now.as_nanos(),
             code: shipment.code,
         };
-        if let Some(flight) = self.flight_mut(&at.instance, task) {
-            flight.charge = Some(charge);
+        let flight = self.flight_mut(&at.instance, task);
+        if let Some(State::Watched(_, charge)) = flight.map(|flight| &mut flight.state) {
+            *charge = Some(claimed);
         }
         self.metrics.stats.census_claimed += 1;
     }
 
+    /// The first queue entry whose parked record an eligible executor
+    /// has room for: a pinned entry whose location is still full does
+    /// not block an unpinned one behind it.
+    fn next_parked(&self) -> Option<QueueKey> {
+        let fits = |(name, task): &(String, TaskId)| {
+            let flight = self
+                .instances
+                .get(name)
+                .and_then(|rt| rt.flights.0.get(task));
+            let state = flight.map(|flight| &flight.state);
+            let sched = &self.dispatcher.sched;
+            matches!(state, Some(State::Parked(parked)) if !sched.all_saturated(&parked.hints))
+        };
+        let mut queue = self.dispatcher.queue.iter();
+        queue.find(|(_, named)| fits(named)).map(|(key, _)| *key)
+    }
+
     /// Re-dispatches parked work, highest `(priority, arrival)` first,
     /// as long as some entry's eligible executors have free capacity.
-    /// Per-entry eligibility keeps a pinned entry whose location is
-    /// still full from blocking an unpinned one behind it.
     pub(super) fn drain_parked(&mut self) {
-        loop {
-            let dispatcher = &mut self.dispatcher;
-            let key = dispatcher
-                .parked
-                .iter()
-                .find(|(_, entry)| !dispatcher.sched.all_saturated(&entry.hints))
-                .map(|(key, _)| *key);
-            let Some(key) = key else {
-                return;
-            };
-            let entry = dispatcher.parked.remove(&key).expect("key just found");
-            let depth = dispatcher.parked.len();
-            let Some(rt) = self.instances.get(&entry.instance) else {
-                continue; // unreachable: a departing instance unparks
+        while let Some(key) = self.next_parked() {
+            let (instance, task) = self.dispatcher.queue.remove(&key).expect("just found");
+            let depth = self.dispatcher.queue.len();
+            let rt = self
+                .instances
+                .get_mut(&instance)
+                .expect("a queued instance");
+            let flight = rt.flights.0.get_mut(&task).expect("a queued record");
+            let State::Parked(parked) = std::mem::take(&mut flight.state) else {
+                unreachable!("found parked");
             };
             let plan = Arc::clone(&rt.plan);
-            let wait_ns = self.now.as_nanos().saturating_sub(entry.parked_ns);
+            let wait_ns = self.now.as_nanos().saturating_sub(parked.since_ns);
             if self.config.observe.metrics() {
                 self.metrics.queue_wait_ns.record(wait_ns);
                 self.metrics.ready_queue_depth = depth as i64;
             }
-            self.record_event(
-                &entry.instance,
-                Some(plan.str(plan.task(entry.task).path)),
-                entry.launch.attempt,
-                ObsEventKind::Admitted { wait_ns },
-            );
-            self.dispatch(&entry.instance, entry.task, entry.launch);
+            let path = Some(plan.str(plan.task(task).path));
+            let kind = ObsEventKind::Admitted { wait_ns };
+            self.record_event(&instance, path, parked.launch.attempt, kind);
+            self.dispatch(&instance, task, parked.launch);
         }
     }
 
     /// Ships an attempt staged by an earlier step (a retry's or a
-    /// repeat's, its delay over; a parked dispatch) if its block still
+    /// repeat's, its delay over; a parked one) if its block still
     /// awaits it; unplaceable, it fails.
     pub(super) fn dispatch(&mut self, instance: &str, task_id: TaskId, launch: Launch) {
         let Some(rt) = self.instances.get(instance) else {
@@ -791,51 +786,23 @@ impl Coordinator {
         }
     }
 
-    /// Ships `launch` once `delay` is over — a retry's back-off, a
-    /// repeat's requested delay; waiting it out is outstanding work. The
-    /// timer names the task by path, and goes with its flight record.
-    pub(super) fn dispatch_after(
+    /// Delays `launch` by `after` — a retry's back-off, a repeat's
+    /// requested delay; waiting it out is outstanding work: `task`'s
+    /// record holds the launch and the timer that ships it.
+    pub(super) fn delay(
         &mut self,
         instance: &str,
         task: TaskId,
-        delay: SimDuration,
+        after: SimDuration,
         launch: Launch,
     ) {
-        if self.flight_mut(instance, task).is_none() {
+        let Some(rt) = self.instances.get(instance) else {
             return;
-        }
-        let plan = &self.instances[instance].plan;
-        let timer = Timer::Dispatch {
-            instance: instance.to_string(),
-            path: plan.str(plan.task(task).path).to_string(),
-            launch: Box::new(launch),
         };
-        let timer = self.arm(delay, timer);
-        let stale = self
-            .flight_mut(instance, task)
-            .and_then(|flight| flight.delayed.replace(timer));
+        let at = address(rt, instance, task, launch.incarnation, launch.attempt);
+        let timer = self.arm(after, Timer::Flight(at));
+        let stale = self.enter(instance, task, State::Delayed(timer, Box::new(launch)));
         self.cancel(stale);
-    }
-
-    /// A delayed attempt's wait is over ([`Timer::Dispatch`]): where the
-    /// timer enters, its task, named by path, is resolved against the
-    /// instance's current plan.
-    pub(super) fn on_dispatch_timer(&mut self, instance: &str, path: &str, launch: Launch) {
-        let Some((plan, _)) = self.instance_ctx(instance) else {
-            return;
-        };
-        match plan.task_by_path(path) {
-            Some(task) => {
-                let rt = self.instances.get_mut(instance);
-                if let Some(flight) = rt.and_then(|rt| rt.flights.0.get_mut(&task)) {
-                    flight.delayed = None; // it went off
-                }
-                self.dispatch(instance, task, launch);
-            }
-            // Only a mid-flight reconfiguration takes the task away
-            // from a scheduled dispatch.
-            None => self.metrics.stats.dropped_dispatches += 1,
-        }
     }
 
     /// No executor can take `task` — an unsatisfiable pin, no code to
@@ -866,7 +833,6 @@ impl Coordinator {
         launch: Launch,
     ) -> Result<(), String> {
         let now_ns = self.now.as_nanos();
-        let (incarnation, attempt) = (launch.incarnation, launch.attempt);
         let Some(rt) = self.instances.get(instance) else {
             return Ok(());
         };
@@ -881,61 +847,59 @@ impl Coordinator {
             return Err(format!("missing implementation code for `{path}`"));
         }
         let shipment = self.shipment(rt, task_id);
-        let hints = shipment.hints;
+        let at = address(rt, instance, task_id, launch.incarnation, launch.attempt);
         let dispatcher = &mut self.dispatcher;
-        let rt = self.instances.get_mut(instance).expect("resident");
-        // The task has outstanding work from here on.
-        let flight = rt.flights.0.entry(task_id).or_default();
         // Capacity gate: when every eligible executor is at its
         // declared capacity, park instead of piling on. The committed
         // `Executing` control block makes the park crash-safe: recovery
         // re-dispatches, and re-parks if the fleet is still full. The
         // node to avoid stays on the record for the eventual real
-        // dispatch.
-        if dispatcher.sched.all_saturated(&hints) {
-            let seq = dispatcher.park_seq;
+        // dispatch; a timer the record held (a restart's watchdog) goes.
+        if dispatcher.sched.all_saturated(&shipment.hints) {
+            let key = (Reverse(shipment.hints.priority), dispatcher.park_seq);
             dispatcher.park_seq += 1;
-            let parked = ParkedDispatch {
-                instance: instance.to_string(),
-                task: task_id,
+            let named = (instance.to_string(), task_id);
+            dispatcher.queue.insert(key, named);
+            let depth = dispatcher.queue.len();
+            let parked = Box::new(Parked {
+                key,
                 launch,
-                hints,
-                parked_ns: now_ns,
-            };
-            dispatcher
-                .parked
-                .insert((Reverse(parked.hints.priority), seq), parked);
-            let depth = dispatcher.parked.len();
+                hints: shipment.hints,
+                since_ns: now_ns,
+            });
+            let stale = self.enter(instance, task_id, State::Parked(parked));
+            self.cancel(stale);
             let kind = ObsEventKind::Parked {
                 queue_depth: depth as u64,
             };
-            self.record_event(instance, Some(path), attempt, kind);
+            self.record_event(instance, Some(path), at.attempt, kind);
             if self.config.observe.metrics() {
                 self.metrics.ready_queue_depth = depth as i64;
             }
             return Ok(());
         }
-        let avoid = flight.avoid.take();
-        let placement = dispatcher
+        let avoid = self
+            .flight_mut(instance, task_id)
+            .and_then(|f| f.avoid.take());
+        let picked = self
+            .dispatcher
             .sched
-            .pick(path, attempt, &hints, avoid)
-            .map_err(|err| err.to_string())?;
-        // Count the load now — at the observed estimate when the cost
-        // model has one, else the declared remaining-work cost —
-        // releasing any stale charge a defensive re-dispatch might have
-        // left behind.
-        let cost = dispatcher.costs.load_cost(&shipment.code, &hints);
-        dispatcher.release(flight);
-        dispatcher.sched.note_dispatch(placement.node, cost);
-        let ticket = dispatcher.next_ticket;
-        dispatcher.next_ticket += 1;
-        flight.charge = Some(Charge {
-            node: placement.node,
+            .pick(path, at.attempt, &shipment.hints, avoid);
+        let placement = picked.map_err(|err| err.to_string())?;
+        // Count the load now, releasing any stale charge a defensive
+        // re-dispatch might have left behind.
+        let (node, cost) = (placement.node, shipment.cost);
+        let ticket = self.dispatcher.next_ticket;
+        self.dispatcher.next_ticket += 1;
+        let charge = Charge {
+            node,
             ticket,
             cost,
             sent_ns: now_ns,
-            code: shipment.code.clone(),
-        });
+            code: shipment.code,
+        };
+        let stale = self.enter(instance, task_id, State::Watched(None, Some(charge)));
+        self.dispatcher.sched.note_dispatch(node, cost);
         if placement.no_alternative {
             self.metrics.stats.no_alternative_retries += 1;
         }
@@ -944,59 +908,42 @@ impl Coordinator {
         }
         self.metrics.stats.dispatches += 1;
         let kind = ObsEventKind::Dispatch {
-            executor: placement.node.index() as u32,
+            executor: node.index() as u32,
         };
-        self.record_event(instance, Some(path), attempt, kind);
-        let at = Attempt {
-            instance: instance.to_string(),
-            path: path.to_string(),
-            incarnation,
-            attempt,
-        };
+        self.record_event(instance, Some(path), at.attempt, kind);
         let msg = EngineMsg::Start(StartTask {
-            at,
+            at: at.clone(),
             ticket,
             implementation: shipment.implementation,
             set: launch.set,
             inputs: launch.inputs,
             repeat_objects: launch.repeat_objects,
         });
-        self.arm_watchdog(instance, task_id, incarnation, attempt, shipment.timeout);
-        self.send(placement.node, &msg);
+        self.arm_watchdog(instance, task_id, at, shipment.timeout);
+        self.cancel(stale);
+        self.send(node, &msg);
         Ok(())
     }
 
-    /// Arms the watchdog of one attempt on `task`'s flight record,
-    /// cancelling any watchdog it replaces.
-    fn arm_watchdog(
-        &mut self,
-        instance: &str,
-        task: TaskId,
-        incarnation: u32,
-        attempt: u32,
-        timeout: SimDuration,
-    ) {
-        let Some(rt) = self.instances.get(instance) else {
-            return;
+    /// Watches `task`'s record under a watchdog of the attempt `at`,
+    /// keeping the load it is charged and cancelling the timer it held.
+    fn arm_watchdog(&mut self, instance: &str, task: TaskId, at: Attempt, timeout: SimDuration) {
+        let watchdog = Some(self.arm(timeout, Timer::Flight(at)));
+        let charge = match self.flight_mut(instance, task).map(|f| &mut f.state) {
+            Some(State::Watched(_, charge)) => charge.take(),
+            _ => None,
         };
-        let timer = Timer::Watchdog(Attempt {
-            instance: instance.to_string(),
-            path: rt.plan.str(rt.plan.task(task).path).to_string(),
-            incarnation,
-            attempt,
-        });
-        let watchdog = self.arm(timeout, timer);
-        let flight = self.flight_mut(instance, task);
-        let stale = flight.and_then(|flight| flight.watchdog.replace(watchdog));
+        let stale = self.enter(instance, task, State::Watched(watchdog, charge));
         self.cancel(stale);
     }
 
-    /// The watchdog of one attempt fired: the executor is presumed lost,
-    /// and the time-out is one step — the attempt's bounded retry or its
-    /// failure, with the cascade — published once it commits.
-    pub(super) fn on_watchdog(&mut self, at: &Attempt) {
-        // Where a timer enters: its task, named by path, resolved
-        // against the instance's current plan.
+    /// A flight's one timer went off ([`Timer::Flight`]). Where a timer
+    /// enters, its task, named by path, is resolved against the
+    /// instance's current plan; the record's state says which timer it
+    /// was. A delayed launch ships. A watchdog presumes the executor
+    /// lost, and the time-out is one step — the attempt's bounded retry
+    /// or its failure, with the cascade — published once it commits.
+    pub(super) fn on_flight_timer(&mut self, at: &Attempt) {
         let instance = at.instance.as_str();
         let Some((plan, instance_id)) = self.instance_ctx(instance) else {
             return;
@@ -1005,8 +952,17 @@ impl Coordinator {
             return;
         };
         let rt = self.instances.get_mut(instance);
-        if let Some(flight) = rt.and_then(|rt| rt.flights.0.get_mut(&task)) {
-            flight.watchdog = None; // it went off
+        let Some(flight) = rt.and_then(|rt| rt.flights.0.get_mut(&task)) else {
+            return;
+        };
+        match std::mem::take(&mut flight.state) {
+            State::Delayed(_, launch) => return self.dispatch(instance, task, *launch),
+            // The watchdog went off.
+            State::Watched(_, charge) => flight.state = State::Watched(None, charge),
+            parked => {
+                flight.state = parked; // it holds no timer
+                return;
+            }
         }
         // The completion may already be sitting in the batch window:
         // its transition just hasn't committed yet, and the watchdog
@@ -1031,41 +987,67 @@ impl Coordinator {
     /// The attempt of `task` on the wire ended with no outcome: its load
     /// is released — as a completion's when a copy under the ticket
     /// `reported` reported the error, the elapsed time a sample — and its
-    /// watchdog disarmed; the record stays, remembering the node so the
-    /// retry relocates. A charged copy that did not report — its
+    /// timer cancelled; the record stays, idle, remembering the node so
+    /// the retry relocates. A charged copy that did not report — its
     /// watchdog gave up on it, or another copy's report came first — may
     /// still run: it is cancelled there, so the retry never queues
     /// behind it.
     pub(super) fn lose_flight(&mut self, instance: &str, task: TaskId, reported: Option<u64>) {
-        let completed_at_ns = reported.map(|_| self.now.as_nanos());
-        let charged = self.release_dispatch(instance, task, completed_at_ns);
-        let watchdog = self.flight_mut(instance, task).and_then(|flight| {
-            flight.avoid = charged.map(|(node, _)| node).or(flight.avoid);
-            flight.watchdog.take()
-        });
-        self.cancel(watchdog);
-        if let Some((node, ticket)) = charged.filter(|&(_, ticket)| Some(ticket) != reported) {
-            self.cancel_attempt(node, ticket);
+        let Some(rt) = self.instances.get_mut(instance) else {
+            return;
+        };
+        let flight = rt.flights.0.entry(task).or_default();
+        let (timer, charge) = self.dispatcher.enter(flight, State::default());
+        flight.avoid = charge.as_ref().map(|charge| charge.node).or(flight.avoid);
+        self.cancel(timer);
+        let Some(charge) = charge else {
+            return;
+        };
+        if reported.is_some() {
+            self.observe(&charge);
+        }
+        if Some(charge.ticket) != reported {
+            self.cancel_attempt(charge.node, charge.ticket);
         }
     }
 
     /// The report of the copy of `task`'s attempt shipped under `ticket`
     /// was applied: its work is no longer outstanding. Drops the flight
-    /// record, disarming its timers and releasing the load as a genuine
+    /// record, cancelling its timer and releasing the load as a genuine
     /// completion; a charged copy other than the one that reported — a
     /// restart's re-send beside a copy its census missed — is cancelled
     /// where it runs.
     pub(super) fn clear_watch(&mut self, instance: &str, task: TaskId, ticket: u64) {
-        let charged = self.release_dispatch(instance, task, Some(self.now.as_nanos()));
-        let flight = self
-            .instances
-            .get_mut(instance)
-            .and_then(|rt| rt.flights.0.remove(&task));
-        let timers = flight.map(|flight| [flight.watchdog, flight.delayed]);
-        self.cancel(timers.into_iter().flatten().flatten());
-        if let Some((node, charged)) = charged.filter(|&(_, charged)| charged != ticket) {
-            self.cancel_attempt(node, charged);
+        let rt = self.instances.get_mut(instance);
+        let Some(mut flight) = rt.and_then(|rt| rt.flights.0.remove(&task)) else {
+            return;
+        };
+        let (timer, charge) = self.dispatcher.enter(&mut flight, State::default());
+        self.cancel(timer);
+        let Some(charge) = charge else {
+            return;
+        };
+        self.observe(&charge);
+        if charge.ticket != ticket {
+            self.cancel_attempt(charge.node, charge.ticket);
         }
+    }
+}
+
+/// `instance`'s `task`, resident as `rt`, at `incarnation` and
+/// `attempt`: how a wire message or a timer names it.
+fn address(
+    rt: &InstanceRt,
+    instance: &str,
+    task: TaskId,
+    incarnation: u32,
+    attempt: u32,
+) -> Attempt {
+    Attempt {
+        instance: instance.to_string(),
+        path: rt.plan.str(rt.plan.task(task).path).to_string(),
+        incarnation,
+        attempt,
     }
 }
 
@@ -1082,35 +1064,48 @@ mod tests {
         for &task in tasks {
             let (node, cost) = (nodes[task as usize % n], u64::from(task));
             dispatcher.sched.note_dispatch(node, cost);
-            let flight = flights.0.entry(task).or_default();
-            flight.charge = Some(Charge {
+            let charge = Some(Charge {
                 node,
                 ticket: task.into(),
                 cost,
                 sent_ns: 0,
                 code: format!("ref{task}"),
             });
+            flights.0.entry(task).or_default().state = State::Watched(None, charge);
         }
         (dispatcher, flights)
     }
 
-    fn park(dispatcher: &mut Dispatcher, flights: &mut Flights, instance: &str, task: TaskId) {
-        flights.0.entry(task).or_default();
-        let launch = Launch {
+    fn launch() -> Launch {
+        Launch {
             incarnation: 0,
             attempt: 0,
             set: "main".to_string(),
             inputs: BTreeMap::new(),
             repeat_objects: BTreeMap::new(),
-        };
-        let parked = ParkedDispatch {
-            instance: instance.to_string(),
-            task,
-            launch,
+        }
+    }
+
+    /// Parks `task` of `instance` as `ship` does: its record holds the
+    /// launch and the key of its queue entry.
+    fn park(dispatcher: &mut Dispatcher, flights: &mut Flights, instance: &str, task: TaskId) {
+        let key = (Reverse(0), dispatcher.park_seq);
+        dispatcher.park_seq += 1;
+        dispatcher.queue.insert(key, (instance.to_string(), task));
+        let parked = Parked {
+            key,
+            launch: launch(),
             hints: ImplHints::default(),
-            parked_ns: 0,
+            since_ns: 0,
         };
-        dispatcher.parked.insert((Reverse(0), task.into()), parked);
+        flights.0.entry(task).or_default().state = State::Parked(Box::new(parked));
+    }
+
+    /// Delays `task` under `timer`, as a retry's back-off does.
+    fn delay(flights: &mut Flights, task: TaskId, timer: u64) {
+        let launch = Box::new(launch());
+        let timer = TimerId(timer);
+        flights.0.entry(task).or_default().state = State::Delayed(timer, launch);
     }
 
     fn loads(dispatcher: &Dispatcher) -> Vec<(u32, u64)> {
@@ -1121,14 +1116,26 @@ mod tests {
     /// `(task, code it is charged under)` of every record.
     fn codes(flights: &Flights) -> Vec<(TaskId, &str)> {
         fn code(flight: &Flight) -> &str {
-            flight.charge.as_ref().map_or("-", |c| c.code.as_str())
+            flight.state.charge().map_or("-", |c| c.code.as_str())
         }
         flights.0.iter().map(|(id, f)| (*id, code(f))).collect()
     }
 
-    fn parked(dispatcher: &Dispatcher) -> Vec<(&str, TaskId)> {
-        let entries = dispatcher.parked.values();
-        entries.map(|e| (e.instance.as_str(), e.task)).collect()
+    /// The queue in drain order. Each of `flights`' parked records
+    /// finds its own entry under its key, named by `instance`.
+    fn queued<'a>(
+        dispatcher: &'a Dispatcher,
+        flights: &Flights,
+        instance: &str,
+    ) -> Vec<(&'a str, TaskId)> {
+        for (&task, flight) in &flights.0 {
+            if let State::Parked(parked) = &flight.state {
+                let entry = &dispatcher.queue[&parked.key];
+                assert_eq!((entry.0.as_str(), entry.1), (instance, task));
+            }
+        }
+        let entries = dispatcher.queue.values();
+        entries.map(|(name, task)| (name.as_str(), *task)).collect()
     }
 
     #[test]
@@ -1136,66 +1143,78 @@ mod tests {
         let (mut dispatcher, mut flights) = booked(1, &[7]);
         let flight = flights.0.get_mut(&7).unwrap();
         assert_eq!(loads(&dispatcher), [(1, 7)]);
-        assert_eq!(dispatcher.release(flight).map(|c| c.cost), Some(7));
+        let (timer, charge) = dispatcher.enter(flight, State::default());
+        assert_eq!((timer, charge.map(|c| c.cost)), (None, Some(7)));
         assert_eq!(loads(&dispatcher), [(0, 0)]);
         // The record outlives its load (a fired watchdog waiting out
         // the retry backoff): releasing again finds nothing to release.
-        assert!(dispatcher.release(flight).is_none());
+        assert!(dispatcher.enter(flight, State::default()).1.is_none());
         assert_eq!(loads(&dispatcher), [(0, 0)]);
     }
 
     #[test]
     fn rekey_keeps_moves_and_releases_the_removed() {
-        // Old plan: root 0, a 1, b 2, c 3, d 4, e 5; b and c executing
-        // on node 0/1, a executing, d and e parked (e for another
-        // instance too). The operation removes `b` and `d`.
+        // Old plan: root 0, a 1, b 2, c 3, d 4, e 5, f 6; b and c
+        // executing on node 0/1, a executing, d and e parked (and task 2
+        // of another instance), f waiting out a back-off. The operation
+        // removes `b`, `d` and `f`.
         let (mut dispatcher, mut flights) = booked(2, &[1, 2, 3]);
         let mut other = Flights::default();
         park(&mut dispatcher, &mut flights, "i", 4);
         park(&mut dispatcher, &mut flights, "i", 5);
         park(&mut dispatcher, &mut other, "j", 2);
+        delay(&mut flights, 6, 60);
         assert_eq!(loads(&dispatcher), [(1, 2), (2, 4)]);
         let new_id = |old: TaskId| match old {
             0 | 1 => Some(old),
-            2 | 4 => None,
+            2 | 4 | 6 => None,
             3 => Some(2),
             _ => Some(3),
         };
-        let dropped = dispatcher.rekey("i", &mut flights, new_id);
-        assert!(dropped.timers.is_empty());
+        let dropped = dispatcher.rekey(&mut flights, new_id);
+        assert_eq!(dropped.timers, [TimerId(60)], "f's one timer; d held none");
         let b = (NodeId::from_index(0), 2);
         assert_eq!(
             dropped.attempts,
             [b],
             "b's attempt, to cancel where it runs"
         );
-        // Kept (a), moved (c under c's own code, e), removed (b, d).
+        // Kept (a), moved (c under c's own code, e), removed (b, d, f):
+        // d's queue entry left with its record, e's follows it to 3.
         assert_eq!(codes(&flights), [(1, "ref1"), (2, "ref3"), (3, "-")]);
-        assert_eq!(parked(&dispatcher), [("j", 2), ("i", 3)]);
+        assert_eq!(queued(&dispatcher, &flights, "i"), [("i", 3), ("j", 2)]);
         assert_eq!(loads(&dispatcher), [(0, 0), (2, 4)], "exactly b's load");
     }
 
     #[test]
     fn discarding_a_subtree_releases_exactly_its_range() {
-        // Tasks 2..5 are the swept scope's descendants; 1 and 5 are not.
+        // Tasks 2..5 are the swept scope's descendants; 1, 5 and 6 are
+        // not. 4 and 6 are parked, and so is another instance's 4.
         let (mut dispatcher, mut flights) = booked(1, &[1, 2, 3, 5]);
         park(&mut dispatcher, &mut flights, "i", 4);
         park(&mut dispatcher, &mut flights, "i", 6);
         park(&mut dispatcher, &mut Flights::default(), "j", 4);
-        let dropped = dispatcher.discard_tasks("i", &mut flights, 2..5);
+        delay(&mut flights, 7, 70);
+        let dropped = dispatcher.discard(&mut flights, 2..5);
         let on_the_wire = [2, 3].map(|ticket| (NodeId::from_index(0), ticket));
         assert_eq!(dropped.attempts, on_the_wire, "4 was parked: never shipped");
-        assert_eq!(codes(&flights), [(1, "ref1"), (5, "ref5"), (6, "-")]);
-        assert_eq!(parked(&dispatcher), [("j", 4), ("i", 6)]);
+        assert!(dropped.timers.is_empty(), "a parked record holds no timer");
+        assert_eq!(
+            codes(&flights),
+            [(1, "ref1"), (5, "ref5"), (6, "-"), (7, "-")]
+        );
+        // 4's queue entry left with its record; `j`'s 4 stays.
+        assert_eq!(queued(&dispatcher, &flights, "i"), [("i", 6), ("j", 4)]);
         assert_eq!(loads(&dispatcher), [(2, 6)]);
         // Again is a no-op; the rest goes when the instance leaves.
-        let again = dispatcher.discard_tasks("i", &mut flights, 2..5);
+        let again = dispatcher.discard(&mut flights, 2..5);
         assert!(again.timers.is_empty() && again.attempts.is_empty());
         assert!(!flights.0.is_empty());
         // An instance leaving cancels nothing where it runs: only the
-        // timers come back.
-        assert!(dispatcher.release_all("i", flights).is_empty());
-        assert_eq!(parked(&dispatcher), [("j", 4)]);
+        // timers come back, and its queue entries go with its records.
+        assert_eq!(dispatcher.release_all(flights), [TimerId(70)]);
+        let entries: Vec<_> = dispatcher.queue.values().cloned().collect();
+        assert_eq!(entries, [("j".to_string(), 4)]);
         assert_eq!(loads(&dispatcher), [(0, 0)]);
     }
 }

@@ -333,7 +333,7 @@ impl Coordinator {
         if !rt.terminal {
             self.admission.instance_settled();
         }
-        self.dispatcher.release_all(instance, rt.flights)
+        self.dispatcher.release_all(rt.flights)
     }
 
     /// Deletes `keys` — a refused round's record, or at the flip the

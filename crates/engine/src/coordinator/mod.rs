@@ -47,7 +47,7 @@
 //! | `step` | the unit of commit: one action, one frame, one tail, one rollback rule | `Step`, `Effect`, `Launch` |
 //! | `window` | the one place a report is applied: a window of reports and its cascade, one step | `BatchWindow` |
 //! | `evaluate` | the cascade a step stages: readiness, activation, scope outputs, stuck detection | `Drain` |
-//! | `dispatch` | placement, the parked ready queue, watchdogs, retries, tickets and cancels | `Dispatcher`, `Flights` |
+//! | `dispatch` | placement; each task's flight, watched, delayed or parked; retries, tickets, cancels | `Dispatcher`, `Flights` |
 //! | `admission` | the per-shard instance cap, and a start's fetch, once per shard and version | `Admission`, `AdmissionTicket` |
 //! | `lifecycle` | instance start, the pinned source and its plan, loading, monitoring reads, blob collection | `PlanCache` |
 //! | `membership` | routing and relays; the claim, the one way an instance changes shards; fleet calls | `Membership`, [`MoveReport`], [`FailoverReport`] |
@@ -105,7 +105,6 @@ use lifecycle::PlanCache;
 use membership::Membership;
 use meta::{InstanceHeader, StuckRecord};
 use stats::CoordMetrics;
-use step::Launch;
 use window::BatchWindow;
 
 /// What the world, or the operator, feeds a shard.
@@ -117,16 +116,10 @@ pub(crate) type Output = driver::Output<Timer, Call, Result<Report, EngineError>
 /// What an armed timer resumes when it goes off.
 #[derive(Debug)]
 pub(crate) enum Timer {
-    /// One attempt on the wire waited out its time-out; the task named by
-    /// path, the name that survives a re-lowering.
-    Watchdog(Attempt),
-    /// A retry's back-off or a repeat's delay is over: the attempt ships
-    /// (its launch boxed, so that every armed timer stays small).
-    Dispatch {
-        instance: String,
-        path: String,
-        launch: Box<Launch>,
-    },
+    /// A flight's one timer: its attempt's watchdog, or the end of the
+    /// delay its launch waits out. The task is named by path, the name
+    /// that survives a re-lowering.
+    Flight(Attempt),
     /// The open commit window's time is up.
     Window,
 }
@@ -224,8 +217,7 @@ struct InstanceRt {
 pub struct Coordinator {
     node: NodeId,
     repo: NodeId,
-    /// Executor loads, observed costs and the capacity-parked ready
-    /// queue.
+    /// Executor loads, observed costs and the ready queue's order.
     dispatcher: Dispatcher,
     /// The admission cap's queue and occupancy counts.
     admission: Admission,
@@ -622,12 +614,7 @@ impl Node for Coordinator {
             // passes: the flip that retires a zombie to a relay must reach it.
             Input::Message { .. } | Input::Fired(_) if self.mgr.probe_fence().is_some() => {}
             Input::Message { payload, token, .. } => self.on_message(payload, token),
-            Input::Fired(Timer::Watchdog(at)) => self.on_watchdog(&at),
-            Input::Fired(Timer::Dispatch {
-                instance,
-                path,
-                launch,
-            }) => self.on_dispatch_timer(&instance, &path, *launch),
+            Input::Fired(Timer::Flight(at)) => self.on_flight_timer(&at),
             Input::Fired(Timer::Window) => self.on_batch_window(),
             Input::Answered(Call::Fetch(ticket), answer) => self.on_fetched(*ticket, answer),
             Input::Answered(Call::Relay(token), answer) => self.on_relayed(token, answer),
@@ -761,7 +748,7 @@ compoundtask root of taskclass Root {
         let [watchdog, dispatch, ack] = <[Output; 3]>::try_from(outputs).unwrap();
         let Output::Arm {
             id: watchdog,
-            timer: Timer::Watchdog(watched),
+            timer: Timer::Flight(watched),
             ..
         } = watchdog
         else {

@@ -13,8 +13,8 @@
 //! A step that rolls back owes one rule, kept here: units whose shared
 //! step rolled back retry one by one, and a unit whose own step rolled
 //! back keeps its instance's work moving ([`Coordinator::keep_moving`]):
-//! each task it has `Executing` with nothing armed or parked to move it
-//! gets a watchdog, so no task is stranded.
+//! each task it has `Executing` whose flight is not watched by a
+//! watchdog, delayed or parked gets a watchdog, so no task is stranded.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -61,7 +61,7 @@ pub(super) enum Effect {
     /// `Discard` behind ends it).
     Dispatch(TaskId, Launch),
     /// An attempt ships once the delay is over — a retry's back-off, a
-    /// repeat's requested delay; waiting it out is outstanding work.
+    /// repeat's requested delay: its flight waits it out, delayed.
     Later(TaskId, SimDuration, Launch),
     /// A drain popped this many worklist entries; `true`: to quiescence.
     Drained(u64, bool),
@@ -75,7 +75,7 @@ pub(super) enum Effect {
 /// then: its task's incarnation and attempt, the bound input set with
 /// its objects, and the objects of the repeat outcomes the task took.
 #[derive(Debug)]
-pub(crate) struct Launch {
+pub(super) struct Launch {
     pub(super) incarnation: u32,
     pub(super) attempt: u32,
     pub(super) set: String,
@@ -246,9 +246,7 @@ impl Coordinator {
                     let shipped = self.ship(&instance, task, launch);
                     unplaceable.extend(shipped.err().map(|reason| (instance, task, reason)));
                 }
-                Effect::Later(task, delay, launch) => {
-                    self.dispatch_after(&instance, task, delay, launch);
-                }
+                Effect::Later(task, after, launch) => self.delay(&instance, task, after, launch),
                 Effect::Drained(evaluations, quiescent) => {
                     self.metrics.stats.evaluations += evaluations;
                     if quiescent && self.config.observe.metrics() {

@@ -100,7 +100,8 @@ pub enum TaskResult {
         name: String,
         /// Objects produced with it.
         objects: BTreeMap<String, ObjectVal>,
-        /// Requested re-execution delay for repeat outcomes.
+        /// Requested re-execution delay for repeat outcomes (a varint of
+        /// nanoseconds on the wire: one byte when zero).
         redo_after: SimDuration,
     },
     /// The executor could not run the task (unbound implementation,
@@ -288,7 +289,7 @@ impl Encode for TaskResult {
                 w.put_u8(0);
                 w.put_str(name);
                 objects.encode(w);
-                redo_after.encode(w);
+                w.put_var_u64(redo_after.as_nanos());
             }
             TaskResult::ExecError { reason } => {
                 w.put_u8(1);
@@ -309,7 +310,7 @@ impl Decode for TaskResult {
             0 => TaskResult::Output {
                 name: r.get_str()?.to_owned(),
                 objects: BTreeMap::decode(r)?,
-                redo_after: SimDuration::decode(r)?,
+                redo_after: SimDuration::from_nanos(r.get_var_u64()?),
             },
             1 => TaskResult::ExecError {
                 reason: r.get_str()?.to_owned(),
@@ -638,7 +639,7 @@ mod tests {
 
     /// A start's and a completion's bytes are pinned: each is its tag,
     /// the address, the sending copy's ticket as a varint, and then the
-    /// rest of a start or the result.
+    /// rest of a start or the result, whose delay is a varint too.
     #[test]
     fn a_start_and_a_completion_keep_their_bytes() {
         let objects = BTreeMap::from([("o".to_string(), ObjectVal::text("O", "v"))]);
@@ -669,7 +670,7 @@ mod tests {
             },
         });
         let result = [
-            0, 4, 100, 111, 110, 101, 1, 1, 111, 1, 79, 1, 118, 0, 64, 75, 76, 0, 0, 0, 0, 0,
+            0, 4, 100, 111, 110, 101, 1, 1, 111, 1, 79, 1, 118, 0, 192, 150, 177, 2,
         ];
         let expected = [&[1][..], &address, &ticket, &result].concat();
         assert_eq!(flowscript_codec::to_bytes(&done), expected);
