@@ -231,6 +231,36 @@ fn planned_drain_preserves_every_outcome() {
     assert_eq!(pauses.count, report.rounds as u64);
 }
 
+/// A landing loads the names it landed, and the flip deletes the
+/// records of its own landed rounds by id: neither sweeps the store.
+/// The only uid prefix scan a move costs a destination is the flip's
+/// scan of its claim receipts.
+#[test]
+fn a_landing_and_the_flip_scan_no_store_prefix_but_the_receipts() {
+    let mut sys = mid_flight();
+    let destinations = [sys.coord_handle(0), sys.coord_handle(2)];
+    let scans = || {
+        let snapshots = destinations.each_ref().map(|coord| coord.get().snapshot());
+        snapshots.map(|snapshot| snapshot.counter("tx.prefix_scans"))
+    };
+    let before = scans();
+    let report = sys.remove_coordinator("coordinator1").expect("drain");
+    assert_eq!((report.moved, report.rounds), (10, 2));
+    let after = scans();
+    let grown = [after[0] - before[0], after[1] - before[1]];
+    assert_eq!(grown, [1, 1], "each destination scans its receipts once");
+
+    let mut sys = mid_flight();
+    let report = sys.add_coordinator("coordinator3").expect("join");
+    assert_eq!((report.moved, report.rounds), (3, 3));
+    let joined = sys.coord_handle(3).get().snapshot();
+    assert_eq!(
+        joined.counter("tx.prefix_scans"),
+        1,
+        "the joining shard scans its receipts once"
+    );
+}
+
 #[test]
 fn drain_refuses_the_last_coordinator() {
     let mut sys = build(1);
