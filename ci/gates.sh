@@ -63,7 +63,9 @@ test "$(grep -rn 'attempt += 1' crates/engine/src | wc -l)" -eq 2 || fail 'An at
 ! grep -rnE 'struct (MarkMsg|RunningAttempt)|enum PendingEvent|EngineMsg::Mark\b' crates src tests examples README.md || fail 'One attempt, one report (an attempt'\''s address and an executor'\''s report are one type each; the retired mark message, census entry and window buffer stay deleted)'
 test "$(grep -c 'pub incarnation: u32' crates/engine/src/msg.rs)" -eq 1 || fail 'An attempt'\''s address is declared once (msg.rs'\''s Attempt holds the one incarnation field)'
 ! grep -rnE 'Timer::Dispatch|struct ParkedDispatch|fn on_dispatch_timer' crates src tests examples README.md || fail 'One state and one timer per flight (a delayed or parked attempt waits on its dispatch record; the boxed dispatch timer, the queue'\''s copy of the launch and their handler stay deleted)'
-test "$(wc -c < README.md)" -le 39615 || fail 'README byte budget'
+! grep -rnE 'fn (adopt_orphans|forget_moves)\b|moved: BTreeMap' crates/engine/src || fail 'One book of rounds (a landed round relays from the books until the flip; no relay table beside them, no sweep of the store for what a landing or thaw loads)'
+! grep -nE 'stored_instance(s|_names)\(&self\.mgr\)' crates/engine/src/coordinator/membership.rs || fail 'A landing loads what it landed (membership names what it loads; only a restart and blob GC sweep a shard'\''s headers)'
+test "$(wc -c < README.md)" -le 39604 || fail 'README byte budget'
 
 if [ "$failed" -ne 0 ]; then
     echo "$failed gate(s) failed" >&2

@@ -24,15 +24,18 @@
 //! round. It sends the claim every [`RETRANSMIT_INTERVAL`] while the
 //! job runs. `Ok` → one action purges the slice and marks the record
 //! landed, and the held reports are relayed; `Err` → the record goes and
-//! the slice thaws ([`Coordinator::adopt_orphans`], the held reports
-//! applied here); silence → the round waits, frozen, for a re-run, a
-//! restart or a flip.
+//! the slice thaws, the held reports applied here; silence → the round
+//! waits, frozen, for a re-run, a restart or a flip.
 //!
-//! The move record is the round's outbox and the one record recovery
-//! consults ([`Coordinator::repair_handoffs`]): landed, it rebuilds the
-//! relay table; unlanded, it keeps its slice frozen and unloaded and
-//! sends its claim once. The flip deletes landed records and the
-//! receipts of older epochs, and re-addresses each unlanded round.
+//! **The books.** A round is one entry of [`Membership`]'s rounds from
+//! its decision until it is refused, superseded whole, split by a
+//! re-address or deleted by the flip: *frozen* (its slice here,
+//! unloaded) or *landed* (its slice at the destination, where late
+//! reports relay). An index names the newest round naming each
+//! instance. A restart books every stored move record back in its state
+//! ([`Coordinator::repair_handoffs`]); the flip deletes the landed
+//! rounds, records included, and the receipts of older epochs, and
+//! re-addresses each frozen round.
 //!
 //! **Crash-driven adoption** is a claim whose claimant is a survivor: it
 //! fences the dead shard's storage and sends each new owner its share of
@@ -50,9 +53,9 @@ use flowscript_tx::{AtomicAction, StableStore, StoreKey, TxId, TxManager};
 use super::package::{claim_bytes, purge_instance, rekeyed};
 use super::recovery::Back;
 use super::step::Step;
-use super::{stored_instance_names, Call, Coordinator, InstanceHeader, Output, Report, TimerId};
+use super::{stored_instance_names, Call, Coordinator, Output, Report, TimerId};
 use crate::error::EngineError;
-use crate::keys::{self, claimed_uid, move_uid};
+use crate::keys::{self, claimed_uid, meta_uid, move_uid};
 use crate::msg::{AfterImages, EngineMsg, TaskReport};
 use crate::shard::ShardMap;
 
@@ -138,9 +141,9 @@ pub struct FailoverReport {
 
 /// `sys/move/<id>` — a round this shard decided, `id` the deciding
 /// action's: the outbox its claim is sent from until answered. A landed
-/// record is kept until the map flip (a restart rebuilds the relay
-/// table from it); a refused one is deleted.
-#[derive(Debug, PartialEq, Eq)]
+/// record is kept until the map flip (a restart books its round landed
+/// again); a refused one is deleted.
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct MoveRecord {
     /// Destination shard (coordinator node index).
     dest: u32,
@@ -190,13 +193,12 @@ fn move_records(mgr: &TxManager<StableStore>) -> Vec<(TxId, MoveRecord)> {
     records.collect()
 }
 
-/// One unlanded round this node sources: a frozen slice of its store
-/// bound for one destination.
+/// One round this node sources, on the books from its decision until
+/// it leaves them: its move record as committed — unlanded, the slice
+/// is frozen here, unloaded; landed, it is at the destination, where
+/// late reports relay — and what the freeze keeps beside it.
 struct Round {
-    dest: NodeId,
-    /// The epoch its claim is stamped with.
-    epoch: u64,
-    instances: Vec<String>,
+    record: MoveRecord,
     /// Virtual time of the decision — the pause runs from here.
     started_ns: u64,
     /// Reports that arrived for the frozen slice, with their hop counts.
@@ -206,15 +208,32 @@ struct Round {
 }
 
 impl Round {
-    /// The round's move record.
-    fn record(&self, landed: bool) -> MoveRecord {
-        MoveRecord {
-            dest: self.dest.index() as u32,
-            epoch: self.epoch,
-            instances: self.instances.clone(),
-            landed,
+    /// The round of `record`, decided at `started_ns`.
+    fn new(record: MoveRecord, started_ns: u64) -> Round {
+        Round {
+            record,
+            started_ns,
+            held: Vec::new(),
+            calling: false,
         }
     }
+}
+
+/// `names` grouped by the node `owner` gives each, in node order, each
+/// group cut in order into rounds of at most `size`.
+fn split(
+    names: impl IntoIterator<Item = String>,
+    owner: impl Fn(&str) -> NodeId,
+    size: usize,
+) -> Vec<(NodeId, Vec<String>)> {
+    let mut by_owner: BTreeMap<NodeId, Vec<String>> = BTreeMap::new();
+    for name in names {
+        by_owner.entry(owner(&name)).or_default().push(name);
+    }
+    let rounds = by_owner
+        .iter()
+        .flat_map(|(&node, names)| names.chunks(size).map(move |chunk| (node, chunk.to_vec())));
+    rounds.collect()
 }
 
 /// Stages `record` under round `id`'s key, or its deletion when it
@@ -258,18 +277,12 @@ pub(super) struct Membership {
     /// (shared verbatim by every shard; requests for instances this
     /// node does not own are forwarded to the owner).
     shard: ShardMap,
-    /// Where instances this node handed off went — the dual-delivery
-    /// relay table for the window between a round's landing and the
-    /// final map flip, when this node's `shard` map still claims
-    /// ownership. Volatile, but rebuilt on recovery from the landed
-    /// move records; cleared, with them, by the flip
-    /// ([`Coordinator::set_shard_map`]), after which the map itself
-    /// routes to the new owner.
-    moved: BTreeMap<String, NodeId>,
-    /// Rounds decided and not yet answered, by move id: the running
-    /// job's current one, plus any a cancelled job, a restart or a flip
-    /// left unanswered (the next job settles those first).
+    /// Every round this node sources, by move id: frozen ones until
+    /// answered (the next job settles those a cancelled job, a restart
+    /// or a flip left first), landed ones until the flip.
     rounds: BTreeMap<TxId, Round>,
+    /// The newest round naming each instance.
+    index: BTreeMap<String, TxId>,
     job: Option<MoveJob>,
     adoption: Option<Adoption>,
 }
@@ -278,8 +291,8 @@ impl Membership {
     pub(super) fn new(shard: ShardMap) -> Self {
         Self {
             shard,
-            moved: BTreeMap::new(),
             rounds: BTreeMap::new(),
+            index: BTreeMap::new(),
             job: None,
             adoption: None,
         }
@@ -291,11 +304,12 @@ impl Membership {
         self.shard.epoch()
     }
 
-    /// The protocols died with the process: unlanded rounds come back
+    /// The protocols died with the process: every round comes back
     /// from the log ([`Coordinator::repair_handoffs`]), an interrupted
     /// job or adoption is the operator's to run again.
     pub(super) fn reset_protocols(&mut self) {
         self.rounds.clear();
+        self.index.clear();
         self.drop_jobs();
     }
 
@@ -306,17 +320,36 @@ impl Membership {
         self.adoption = None;
     }
 
-    /// A fenced zombie relays nothing: its relay table dies with its
-    /// claim on the storage.
-    pub(super) fn forget_moves(&mut self) {
-        self.moved.clear();
+    /// Books round `id`, the newest naming each of its instances.
+    fn insert(&mut self, id: TxId, round: Round) {
+        for name in &round.record.instances {
+            self.index.insert(name.clone(), id);
+        }
+        self.rounds.insert(id, round);
+    }
+
+    /// Takes round `id` off the books, and out of the index.
+    fn remove(&mut self, id: TxId) -> Option<Round> {
+        let round = self.rounds.remove(&id)?;
+        for name in &round.record.instances {
+            if self.index.get(name) == Some(&id) {
+                self.index.remove(name);
+            }
+        }
+        Some(round)
     }
 
     /// The round that holds `instance` frozen, if one does.
     pub(super) fn freezing(&self, instance: &str) -> Option<TxId> {
-        let holds = |round: &Round| round.instances.iter().any(|n| n == instance);
-        let (id, _) = self.rounds.iter().find(|(_, round)| holds(round))?;
-        Some(*id)
+        let id = *self.index.get(instance)?;
+        (!self.rounds[&id].record.landed).then_some(id)
+    }
+
+    /// The ids of the rounds landed (`true`) or frozen (`false`).
+    fn ids(&self, landed: bool) -> Vec<TxId> {
+        let rounds = self.rounds.iter();
+        let picked = rounds.filter(|(_, round)| round.record.landed == landed);
+        picked.map(|(id, _)| *id).collect()
     }
 }
 
@@ -351,36 +384,16 @@ impl Coordinator {
     }
 
     /// Hand-off crash repair, run by recovery before any instance
-    /// loads: one scan of the stored move records. A landed round's
-    /// instances live at its destination — their relay entries are
-    /// rebuilt (executor replies may still arrive here). An unlanded
-    /// round stays decided: its slice stays frozen in the store, and
-    /// recovery loads none of it.
-    ///
-    /// Returns the unlanded rounds, whose claims go out once each when
-    /// the instances are back.
+    /// loads: one scan of the stored move records, each booked as its
+    /// round in its state — a frozen one's slice stays unloaded. Returns
+    /// the frozen rounds, whose claims go out once each when the
+    /// instances are back.
     pub(super) fn repair_handoffs(&mut self) -> Vec<TxId> {
-        let mut unlanded = Vec::new();
+        let now = self.now.as_nanos();
         for (id, record) in move_records(&self.mgr) {
-            let dest = record.dest_node();
-            if record.landed {
-                for instance in record.instances {
-                    self.membership.moved.insert(instance, dest);
-                }
-                continue;
-            }
-            let round = Round {
-                dest,
-                epoch: record.epoch,
-                instances: record.instances,
-                started_ns: self.now.as_nanos(),
-                held: Vec::new(),
-                calling: false,
-            };
-            self.membership.rounds.insert(id, round);
-            unlanded.push(id);
+            self.membership.insert(id, Round::new(record, now));
         }
-        unlanded
+        self.membership.ids(false)
     }
 
     /// `Some(owner)` when `instance` belongs to a *different*
@@ -400,10 +413,11 @@ impl Coordinator {
         if owner != self.node {
             return Some(owner);
         }
-        // The map says "mine" but the instance was handed off and the
-        // rebalance's map flip hasn't happened yet (the dual-delivery
+        // The map says "mine" but a round landed the instance elsewhere
+        // and the map flip hasn't happened yet (the dual-delivery
         // window): relay to where it went.
-        self.membership.moved.get(instance).copied()
+        let record = &self.membership.rounds[self.membership.index.get(instance)?].record;
+        record.landed.then(|| record.dest_node())
     }
 
     /// Routes one executor report: held with its round while the
@@ -511,7 +525,10 @@ impl Coordinator {
     #[doc(hidden)]
     pub fn frozen_instance_names(&self) -> Vec<String> {
         let rounds = self.membership.rounds.values();
-        rounds.flat_map(|round| round.instances.clone()).collect()
+        let frozen = rounds.filter(|round| !round.record.landed);
+        frozen
+            .flat_map(|round| round.record.instances.clone())
+            .collect()
     }
 
     // -----------------------------------------------------------------
@@ -534,30 +551,21 @@ impl Coordinator {
             self.record_event(name, None, 0, ObsEventKind::DrainBegin { remaining });
         }
         let limit = if drain.is_some() { DRAIN_BATCH } else { 1 };
-        let mut by_dest: BTreeMap<NodeId, Vec<String>> = BTreeMap::new();
-        for instance in self.instances.keys() {
-            let owner = map.node_of(instance);
-            if owner != self.node {
-                by_dest.entry(owner).or_default().push(instance.clone());
-            }
-        }
-        let queue = by_dest
-            .iter()
-            .flat_map(|(&dest, names)| names.chunks(limit).map(move |c| (dest, c.to_vec())))
-            .collect();
+        let names = self.instances.keys().cloned();
+        let mut queue = split(names, |name| map.node_of(name), limit);
+        queue.retain(|(dest, _)| *dest != self.node);
         let report = MoveReport {
             epoch: map.epoch(),
             ..MoveReport::default()
         };
         let membership = &mut self.membership;
         membership.job = Some(MoveJob {
-            queue,
+            queue: queue.into(),
             current: None,
             report,
             drain,
         });
-        let unsettled: Vec<TxId> = membership.rounds.keys().copied().collect();
-        for id in unsettled {
+        for id in membership.ids(false) {
             self.send_claim(id);
         }
         self.advance();
@@ -580,7 +588,7 @@ impl Coordinator {
     /// finishes the job when none is left.
     fn advance(&mut self) {
         let membership = &mut self.membership;
-        let idle = membership.rounds.is_empty();
+        let idle = membership.rounds.values().all(|round| round.record.landed);
         let next = match membership.job.as_mut() {
             Some(job) if idle => job.queue.pop_front().map(|next| (next, job.report.epoch)),
             _ => return,
@@ -606,26 +614,22 @@ impl Coordinator {
         instances: Vec<String>,
     ) -> Result<(), EngineError> {
         self.flush_pending();
-        let round = Round {
-            dest,
+        let record = MoveRecord {
+            dest: dest.index() as u32,
             epoch,
             instances,
-            started_ns: self.now.as_nanos(),
-            held: Vec::new(),
-            calling: false,
+            landed: false,
         };
+        let round = Round::new(record, self.now.as_nanos());
         let id = self.atomically(|mgr, action| {
-            mgr.write_key(action, &move_uid(action.id()), &round.record(false))?;
+            mgr.write_key(action, &move_uid(action.id()), &round.record)?;
             Ok(action.id())
         })?;
-        let watchdogs: Vec<TimerId> = round
-            .instances
-            .iter()
-            .flat_map(|instance| self.drop_runtime(instance))
-            .collect();
+        let instances = round.record.instances.iter();
+        let watchdogs: Vec<TimerId> = instances.flat_map(|name| self.drop_runtime(name)).collect();
         self.cancel(watchdogs);
         let membership = &mut self.membership;
-        membership.rounds.insert(id, round);
+        membership.insert(id, round);
         if let Some(job) = &mut membership.job {
             job.current = Some(id);
         }
@@ -638,16 +642,17 @@ impl Coordinator {
     }
 
     /// Sends claim `id` as a call ([`Call::Claim`]), answered within an
-    /// interval or not: a round's packaged from what the store holds,
-    /// unless one of its sends still awaits an answer; an adoption's
-    /// as it was packaged.
+    /// interval or not: a frozen round's packaged from what the store
+    /// holds, unless one of its sends still awaits an answer; an
+    /// adoption's as it was packaged.
     pub(super) fn send_claim(&mut self, id: TxId) {
         let (to, bytes) = if let Some(round) = self.membership.rounds.get_mut(&id) {
-            if std::mem::replace(&mut round.calling, true) {
+            if round.record.landed || std::mem::replace(&mut round.calling, true) {
                 return;
             }
-            let bytes = claim_bytes(&self.mgr, id, round.epoch, false, &round.instances);
-            (round.dest, bytes)
+            let record = &round.record;
+            let bytes = claim_bytes(&self.mgr, id, record.epoch, false, &record.instances);
+            (record.dest_node(), bytes)
         } else {
             let adoption = self.membership.adoption.as_ref();
             let Some((to, bytes)) = adoption.and_then(|adoption| adoption.claims.get(&id)) else {
@@ -677,7 +682,8 @@ impl Coordinator {
             Some(EngineMsg::Ack { result }) => Some(result),
             _ => None,
         };
-        if let Some(round) = self.membership.rounds.get_mut(&id) {
+        let round = self.membership.rounds.get_mut(&id);
+        if let Some(round) = round.filter(|round| !round.record.landed) {
             round.calling = false;
             return match result {
                 Some(Ok(())) => self.land_round(id),
@@ -712,43 +718,39 @@ impl Coordinator {
     }
 
     /// `Ok`: the destination holds the slice. One action purges it here
-    /// and marks the record landed; then what was held is relayed, the
-    /// pause recorded and the move counted, and the job moves on. A log
-    /// that refuses the action leaves the round frozen: the job reports
-    /// why, and the claim's next answer — its receipt's — lands it.
+    /// and marks the record landed, and the round lands on the books;
+    /// then what was held is relayed, the pause recorded and the move
+    /// counted, and the job moves on. A log that refuses the action
+    /// leaves the round frozen: the job reports why, and the claim's
+    /// next answer — its receipt's — lands it.
     fn land_round(&mut self, id: TxId) {
-        let Some(round) = self.membership.rounds.remove(&id) else {
-            return;
-        };
-        let record = round.record(true);
+        let mut record = self.membership.rounds[&id].record.clone();
+        record.landed = true;
         let landed = self.atomically(|mgr, action| {
             let purge = |instance: &String| purge_instance(mgr, action, instance);
             record.instances.iter().try_for_each(purge)?;
             Ok(mgr.write_key(action, &move_uid(id), &record)?)
         });
         if let Err(err) = landed {
-            self.membership.rounds.insert(id, round);
             return self.finish_job(Err(err));
         }
+        let round = self.membership.rounds.get_mut(&id).expect("booked");
+        round.record.landed = true;
+        let (dest, held) = (round.record.dest_node(), std::mem::take(&mut round.held));
         let pause_ns = self.now.as_nanos() - round.started_ns;
         self.metrics.handoff_pause_ns.record(pause_ns);
-        let epoch = self.membership.epoch();
-        for instance in &round.instances {
+        let (to, epoch) = (record.dest, self.membership.epoch());
+        for instance in &record.instances {
             self.metrics.stats.handoffs += 1;
-            let kind = ObsEventKind::HandOff {
-                to: record.dest,
-                epoch,
-            };
-            self.record_event(instance, None, 0, kind);
-            self.membership.moved.insert(instance.clone(), round.dest);
+            self.record_event(instance, None, 0, ObsEventKind::HandOff { to, epoch });
         }
-        for (report, hops) in round.held {
-            self.forward_report(round.dest, report, hops);
+        for (report, hops) in held {
+            self.forward_report(dest, report, hops);
         }
         let job = self.membership.job.as_mut();
         if let Some(job) = job.filter(|job| job.current == Some(id)) {
             job.current = None;
-            job.report.moved += round.instances.len();
+            job.report.moved += record.instances.len();
             job.report.rounds += 1;
             job.report.pause_ns.push(pause_ns);
             self.answer(Ok(Report::Progress));
@@ -757,26 +759,26 @@ impl Coordinator {
     }
 
     /// `Err`: the destination committed nothing. The record goes and
-    /// the slice thaws where it is; the job reports the refusal, as it
-    /// does any refused round of its own. A log that refuses the
-    /// record's deletion leaves the round frozen, to be claimed again.
+    /// the slice thaws where it is, its names loaded again; the job
+    /// reports the refusal, as it does any refused round of its own. A
+    /// log that refuses the record's deletion leaves the round frozen,
+    /// to be claimed again.
     fn refuse_round(&mut self, id: TxId, why: &str) {
         if let Err(err) = self.delete_keys(&[move_uid(id)]) {
             return self.finish_job(Err(err));
         }
-        let Some(round) = self.membership.rounds.remove(&id) else {
+        let Some(Round { record, held, .. }) = self.membership.remove(id) else {
             return;
         };
-        self.adopt_orphans(None);
-        self.reroute(round.held);
+        let (dest, count) = (record.dest_node(), record.instances.len());
+        self.load_names(record.instances, None);
+        self.reroute(held);
         let ours = self.membership.job.as_ref().map(|job| job.current) == Some(Some(id));
         if !ours {
             return self.advance();
         }
         self.finish_job(Err(EngineError::Tx(format!(
-            "hand-off of {} instance(s) to {} refused: {why}; they stay where they were",
-            round.instances.len(),
-            round.dest
+            "hand-off of {count} instance(s) to {dest} refused: {why}; they stay where they were"
         ))));
     }
 
@@ -835,7 +837,7 @@ impl Coordinator {
         let shrunk: BTreeMap<TxId, MoveRecord> = superseded
             .iter()
             .map(|&(round_id, _)| {
-                let mut record = self.membership.rounds[&round_id].record(false);
+                let mut record = self.membership.rounds[&round_id].record.clone();
                 record.instances.retain(|name| !names.contains(name));
                 (round_id, record)
             })
@@ -860,38 +862,33 @@ impl Coordinator {
         self.next_id = base + names.len() as u32;
         let mut held = Vec::new();
         for (round_id, record) in shrunk {
-            let rounds = &mut self.membership.rounds;
-            let round = rounds.get_mut(&round_id).expect("it froze a name");
+            let mut round = self.membership.remove(round_id).expect("it froze a name");
             held.append(&mut round.held);
-            round.instances = record.instances;
-            if round.instances.is_empty() {
-                rounds.remove(&round_id);
+            if !record.instances.is_empty() {
+                round.record = record;
+                self.membership.insert(round_id, round);
             }
         }
         if fenced {
+            let from = id.node();
             for name in &names {
-                let kind = ObsEventKind::Claim {
-                    from: id.node(),
-                    epoch,
-                };
-                self.record_event(name, None, 0, kind);
+                self.record_event(name, None, 0, ObsEventKind::Claim { from, epoch });
             }
         }
-        self.adopt_orphans(fenced.then_some((id.node(), epoch)));
+        self.load_names(names, fenced.then_some((id.node(), epoch)));
         self.reroute(held);
         // A job whose round emptied moves on.
         self.advance();
         Ok(())
     }
 
-    /// Adopts every instance whose committed state sits in this
-    /// shard's store without a resident runtime — the landing half of
-    /// a claim, and the thaw of a slice no round holds any more — loaded
-    /// and resumed as a restart's are ([`Coordinator::resume`]). A live
-    /// landing or a thaw bumps no attempts and re-dispatches nothing:
-    /// the old owner relays in-flight executor replies, so the execution
-    /// history stays byte-identical to an unmoved run. Watchdogs are
-    /// re-armed as the safety net for a relay that never arrives.
+    /// Loads `names` — stored here with no runtime: what a claim landed,
+    /// or a slice that thawed — in header-uid order, and resumes them as
+    /// a restart does its own ([`Coordinator::resume`]). A live landing
+    /// or a thaw bumps no attempts and re-dispatches nothing: the old
+    /// owner relays in-flight executor replies, so the execution history
+    /// stays byte-identical to an unmoved run. Watchdogs are re-armed as
+    /// the safety net for a relay that never arrives.
     ///
     /// `claim` is `Some((dead shard, membership epoch))` for
     /// crash-driven adoption: a dead or fenced owner relays nothing, so
@@ -901,20 +898,13 @@ impl Coordinator {
     /// first is applied; the landing trace event is
     /// [`ObsEventKind::Adopted`] and the `coord.adoptions` counter
     /// ticks once per instance.
-    pub(super) fn adopt_orphans(&mut self, claim: Option<(u32, u64)>) {
-        // Residents are skipped by name, undecoded: a landing sweeps once
-        // per claim, and a sweep must cost only its orphans. So is a
-        // slice one of this node's own rounds holds frozen: it is in the
-        // store, and not to be woken by a sweep.
-        let orphans: Vec<(String, InstanceHeader)> = stored_instance_names(&self.mgr)
-            .filter(|name| !self.instances.contains_key(name))
-            .filter(|name| self.membership.freezing(name).is_none())
-            .filter_map(|name| {
-                let header = self.read_header(&name).ok()?;
-                Some((name, header))
-            })
-            .collect();
-        let loaded = self.load_stored(orphans, Back::Landed(claim));
+    fn load_names(&mut self, mut names: Vec<String>, claim: Option<(u32, u64)>) {
+        names.sort_by_cached_key(|name| meta_uid(name));
+        let stored = names.into_iter().filter_map(|name| {
+            let header = self.read_header(&name).ok()?;
+            Some((name, header))
+        });
+        let loaded = self.load_stored(stored.collect(), Back::Landed(claim));
         self.resume(loaded, Back::Landed(claim));
     }
 
@@ -950,20 +940,13 @@ impl Coordinator {
         let mut rounds = move_records(&mgr);
         rounds.retain(|(_, r)| !r.landed && map.nodes().contains(&r.dest_node()));
         let in_rounds: BTreeSet<&String> = rounds.iter().flat_map(|(_, r)| &r.instances).collect();
-        let mut shares: BTreeMap<NodeId, Vec<String>> = BTreeMap::new();
-        for instance in stored_instance_names(&mgr).filter(|n| !in_rounds.contains(&n)) {
-            shares
-                .entry(map.node_of(&instance))
-                .or_default()
-                .push(instance);
-        }
+        let names = stored_instance_names(&mgr).filter(|name| !in_rounds.contains(name));
+        let shares = split(names, |name| map.node_of(name), DRAIN_BATCH);
         // Ids the dead shard never minted: its log's next sequence
         // number on (the fence carries none, so a re-run mints the
         // same ones).
         let first = Step::default().action(&mut mgr).id().seq();
-        let chunks = shares
-            .iter()
-            .flat_map(|(&dest, names)| names.chunks(DRAIN_BATCH).map(move |c| (dest, c)));
+        let chunks = shares.iter().map(|(dest, names)| (*dest, &names[..]));
         let ids = (first..).map(|seq| TxId::new(dead, seq));
         let left = rounds
             .iter()
@@ -1001,49 +984,41 @@ impl Coordinator {
     /// [`Op::Map`](super::Op::Map), the flip: installs `map` — the last step of a
     /// rebalance, a drain or an adoption, once each of its rounds and
     /// claims is answered. Requests for instances the new map assigns
-    /// elsewhere forward from now on. The relay table goes, and so do
-    /// the landed move records a restart would rebuild it from and the
-    /// receipts of claims routed under an older epoch (a claim that old
-    /// is refused as stale). Each round still unlanded is re-addressed
-    /// ([`Self::readdress`]).
+    /// elsewhere forward from now on. The landed rounds leave the books,
+    /// their records deleted by id, with the receipts of claims routed
+    /// under an older epoch (a claim that old is refused as stale); each
+    /// frozen round is re-addressed ([`Self::readdress`]). Answered the
+    /// log's refusal to delete them, which leaves the landed rounds for
+    /// the next flip.
     ///
-    /// A map that omits this shard retires it (a drain, a failover): it
-    /// stays behind as a pure relay, its relay table kept, and every
-    /// entry pointing at a node the map no longer carries re-pointed at
-    /// the map's owner — so a late executor report forwards straight to
-    /// the adopter instead of bouncing off a dead address and burning
-    /// `forward_loops` hops. Answered the log's refusal to delete what
-    /// the flip settled, which the next flip deletes.
+    /// A map that omits this shard retires it (a drain, a failover) to
+    /// a pure relay: the map forwards every late report to the owner.
     pub(super) fn set_shard_map(&mut self, map: ShardMap) -> Result<(), EngineError> {
-        if !map.nodes().contains(&self.node) {
-            for (instance, dest) in &mut self.membership.moved {
-                if !map.nodes().contains(dest) {
-                    *dest = map.node_of(instance);
-                }
-            }
-            self.membership.shard = map;
+        let (serving, epoch) = (map.nodes().contains(&self.node), map.epoch());
+        self.membership.shard = map;
+        if !serving {
             return Ok(());
         }
-        let epoch = map.epoch();
-        self.membership.shard = map;
-        self.membership.moved.clear();
-        let records = move_records(&self.mgr).into_iter();
-        let landed = records.filter(|(_, record)| record.landed);
+        let landed = self.membership.ids(true);
         let receipts = self.mgr.uids_with_prefix(keys::CLAIMED_PREFIX);
         let stale = receipts.into_iter().map(StoreKey::Uid).filter(|key| {
             let stamped = self.mgr.read_committed_key::<u64>(key);
             matches!(stamped, Ok(Some(stamped)) if stamped < epoch)
         });
-        let settled: Vec<StoreKey> = landed.map(|(id, _)| move_uid(id)).chain(stale).collect();
+        let settled: Vec<StoreKey> = landed.iter().map(|&id| move_uid(id)).chain(stale).collect();
         let deleted = self.delete_keys(&settled);
-        let unlanded: Vec<TxId> = self.membership.rounds.keys().copied().collect();
-        for id in unlanded {
+        if deleted.is_ok() {
+            for id in landed {
+                self.membership.remove(id);
+            }
+        }
+        for id in self.membership.ids(false) {
             self.readdress(id);
         }
         deleted
     }
 
-    /// Re-addresses unlanded round `id` under the installed map, each
+    /// Re-addresses frozen round `id` under the installed map, each
     /// claim stamped with its epoch and sent once: the names stay with
     /// the round's destination if the map keeps it, else go to their new
     /// owners — each owner's share a round of its own, its record written
@@ -1051,32 +1026,28 @@ impl Coordinator {
     /// the map now gives this shard thaw. A log that refuses an action
     /// leaves what is left of the round frozen.
     fn readdress(&mut self, id: TxId) {
-        let Some(mut round) = self.membership.rounds.remove(&id) else {
+        let Some(mut round) = self.membership.remove(id) else {
             return;
         };
         let map = &self.membership.shard;
-        let (epoch, kept) = (map.epoch(), map.nodes().contains(&round.dest));
-        let mut shares: BTreeMap<NodeId, Vec<String>> = BTreeMap::new();
-        for name in &round.instances {
-            let owner = if kept { round.dest } else { map.node_of(name) };
-            shares.entry(owner).or_default().push(name.clone());
-        }
-        shares.remove(&self.node);
+        let (epoch, dest) = (map.epoch(), round.record.dest_node());
+        let kept = map.nodes().contains(&dest);
+        let owner = |name: &str| if kept { dest } else { map.node_of(name) };
+        let mut shares = split(round.record.instances.clone(), owner, usize::MAX);
+        shares.retain(|(dest, _)| *dest != self.node);
         let mut refused = false;
         for (dest, instances) in shares {
-            let share = Round {
-                dest,
+            let share = MoveRecord {
+                dest: dest.index() as u32,
                 epoch,
                 instances,
-                started_ns: round.started_ns,
-                held: Vec::new(),
-                calling: false,
+                landed: false,
             };
-            let mut rest = round.record(false);
+            let mut rest = round.record.clone();
             rest.instances
                 .retain(|name| !share.instances.contains(name));
             let split = self.atomically(|mgr, action| {
-                mgr.write_key(action, &move_uid(action.id()), &share.record(false))?;
+                mgr.write_key(action, &move_uid(action.id()), &share)?;
                 stage_record(mgr, action, id, &rest)?;
                 Ok(action.id())
             });
@@ -1084,17 +1055,18 @@ impl Coordinator {
                 refused = true;
                 break;
             };
-            round.instances = rest.instances;
-            self.membership.rounds.insert(share_id, share);
+            round.record = rest;
+            self.membership
+                .insert(share_id, Round::new(share, round.started_ns));
             self.send_claim(share_id);
         }
         let held = std::mem::take(&mut round.held);
-        if !round.instances.is_empty() {
+        if !round.record.instances.is_empty() {
             // What is left, the map gives this shard.
             if refused || self.delete_keys(&[move_uid(id)]).is_err() {
-                self.membership.rounds.insert(id, round);
+                self.membership.insert(id, round);
             } else {
-                self.adopt_orphans(None);
+                self.load_names(round.record.instances, None);
             }
         }
         self.reroute(held);
@@ -1163,6 +1135,23 @@ mod tests {
         sys.run_for(SimDuration::from_millis(10));
         let shards = [sys.coord_handle(0), sys.coord_handle(1)];
         (sys, shards, name)
+    }
+
+    /// A mark report of task `t` of `instance`.
+    fn mark(instance: &str) -> TaskReport {
+        TaskReport {
+            at: Attempt {
+                instance: instance.into(),
+                path: "t".into(),
+                incarnation: 0,
+                attempt: 0,
+            },
+            ticket: 0,
+            result: TaskResult::Mark {
+                name: "m".into(),
+                objects: BTreeMap::new(),
+            },
+        }
     }
 
     /// The id of every instance `coord` stores, by name — asserting that
@@ -1272,16 +1261,25 @@ mod tests {
     /// A claim delivered again after its instance moved on from the
     /// receiver is answered `Ok` by its receipt and lands nothing — even
     /// stamped below the receiver's epoch, since the receipt comes first.
+    /// The source routes the name by the newest round naming it: landed,
+    /// a report relays to the destination though the map says "mine";
+    /// claimed back and frozen in a newer round, that round holds it.
     #[test]
     fn a_claim_delivered_again_after_its_instance_moved_on_lands_nothing() {
         let (_sys, [source, dest], name) = one_running_instance();
-        let writes = package_instance(&source.get().mgr, &name).expect("stored");
-        let id = TxId::new(source.get().node.index() as u32, 1_000);
-        let mut dest = dest.get_mut();
+        let (mut source, mut dest) = (source.get_mut(), dest.get_mut());
+        let writes = package_instance(&source.mgr, &name).expect("stored");
         let epoch = dest.membership.epoch();
+        source
+            .start_round(dest.node, epoch, vec![name.clone()])
+            .expect("decided");
+        let id = source.membership.freezing(&name).expect("frozen");
         dest.on_claim(id, epoch, false, writes.clone())
             .expect("the first delivery lands");
         assert!(dest.instances.contains_key(&name));
+        source.land_round(id);
+        assert_eq!(source.membership.freezing(&name), None);
+        assert_eq!(source.misdirected(&name), Some(dest.node), "relayed");
         // It moves on: this shard purges it, as a landed round does.
         let _ = dest.drop_runtime(&name);
         dest.atomically(|mgr, action| purge_instance(mgr, action, &name))
@@ -1293,6 +1291,17 @@ mod tests {
         }
         assert_eq!(dest.log_size(), log, "nothing committed");
         assert!(!dest.holds(&name), "nothing landed");
+        source
+            .on_claim(TxId::new(9, 1), epoch, false, writes)
+            .expect("claimed back");
+        assert_eq!(source.misdirected(&name), None, "resident");
+        source
+            .start_round(dest.node, epoch, vec![name.clone()])
+            .expect("decided again");
+        let newer = source.membership.freezing(&name).expect("frozen");
+        assert!(newer != id && source.membership.rounds[&id].record.landed);
+        source.route_report(mark(&name), 0);
+        assert_eq!(source.membership.rounds[&newer].held.len(), 1);
     }
 
     /// A claim stamped below the receiver's epoch is refused, having
@@ -1327,6 +1336,9 @@ mod tests {
             .start_round(dest.get().node, epoch, vec![name.clone()])
             .expect("decided");
         assert_eq!(source.frozen_instance_names(), std::slice::from_ref(&name));
+        let round = source.membership.freezing(&name).expect("indexed");
+        source.route_report(mark(&name), 0);
+        assert_eq!(source.membership.rounds[&round].held.len(), 1, "held");
         let frozen: InstanceHeader = source
             .mgr
             .read_committed_key(&meta_uid(&name))
@@ -1342,6 +1354,7 @@ mod tests {
             "the round let go"
         );
         assert!(move_records(&source.mgr).is_empty(), "its record went too");
+        assert!(source.membership.index.is_empty(), "and its index entry");
         assert!(
             source.instances.contains_key(&name),
             "the claimed copy loaded"
@@ -1395,19 +1408,7 @@ mod tests {
                 inner: flowscript_codec::to_bytes(&inner),
             })
         };
-        let mark = EngineMsg::Report(TaskReport {
-            at: Attempt {
-                instance: instance.clone(),
-                path: "t".into(),
-                incarnation: 0,
-                attempt: 0,
-            },
-            ticket: 0,
-            result: TaskResult::Mark {
-                name: "m".into(),
-                objects: BTreeMap::new(),
-            },
-        });
+        let mark = EngineMsg::Report(mark(&instance));
         let start = EngineMsg::StartInstance {
             instance,
             script: "s".into(),

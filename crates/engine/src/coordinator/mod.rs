@@ -50,7 +50,7 @@
 //! | `dispatch` | placement; each task's flight, watched, delayed or parked; retries, tickets, cancels | `Dispatcher`, `Flights` |
 //! | `admission` | the per-shard instance cap, and a start's fetch, once per shard and version | `Admission`, `AdmissionTicket` |
 //! | `lifecycle` | instance start, the pinned source and its plan, loading, monitoring reads, blob collection | `PlanCache` |
-//! | `membership` | routing and relays; the claim, the one way an instance changes shards; fleet calls | `Membership`, [`MoveReport`], [`FailoverReport`] |
+//! | `membership` | routing and relays; the book of rounds, each frozen or landed, one name index over them; the claim, the one way an instance changes shards; fleet calls | `Membership`, [`MoveReport`], [`FailoverReport`] |
 //! | `package` | what a claim carries: an instance's keyspace packaged, re-keyed, purged | — |
 //! | `recovery` | a stored instance coming back, and restart: reopen, reload, re-arm, census, re-send | `Back`, `Census` |
 //! | `admin` | operator actions on a running instance, one step each: abort, repair, reconfiguration | — |
@@ -221,7 +221,7 @@ pub struct Coordinator {
     dispatcher: Dispatcher,
     /// The admission cap's queue and occupancy counts.
     admission: Admission,
-    /// The shard map and the relay table of handed-off instances.
+    /// The shard map and the rounds this shard sources, frozen or landed.
     membership: Membership,
     config: EngineConfig,
     mgr: TxManager<StableStore>,

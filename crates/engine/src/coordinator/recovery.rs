@@ -31,9 +31,9 @@ use crate::keys::{self, meta_uid};
 use crate::msg::EngineMsg;
 
 /// The name of every instance with a header in `mgr` — the one
-/// enumeration recovery, orphan adoption, blob GC and dead-shard claims
-/// share. Nothing is decoded: the uid alone says whether it is a header
-/// and whose (see [`keys::header_instance`]).
+/// enumeration recovery, blob GC and dead-shard claims share. Nothing
+/// is decoded: the uid alone says whether it is a header and whose
+/// (see [`keys::header_instance`]).
 pub(super) fn stored_instance_names(mgr: &TxManager<StableStore>) -> impl Iterator<Item = String> {
     mgr.uids_matching(keys::INSTANCE_ROOT, keys::HEADER_SUFFIX)
         .into_iter()
@@ -147,13 +147,13 @@ impl Coordinator {
             // Another shard claimed this storage while the node was
             // down (crash-driven adoption): every instance now lives —
             // and runs — on the claimant's side. A zombie must not
-            // reload, re-dispatch, or relay anything; it wakes empty and
-            // every durable act it attempts fails on the fence.
-            self.membership.forget_moves();
+            // reload, re-dispatch, or relay anything; it wakes empty, its
+            // books of rounds empty too, and every durable act it
+            // attempts fails on the fence.
             return;
         }
-        // Hand-off repair: the relay table comes back from the landed
-        // move records, the unlanded rounds with their slices frozen.
+        // Hand-off repair: every move record comes back as its round,
+        // landed or frozen, and a frozen round's slice stays unloaded.
         let unlanded = self.repair_handoffs();
         let stored = stored_instances(&self.mgr);
         let ids = stored.iter().map(|(_, header)| header.instance_id);
