@@ -235,6 +235,16 @@ pub const BURST: usize = 50;
 /// golden (four shards) and the byte budget read. It observes metrics,
 /// which write nothing, so the counters golden reads filled histograms.
 pub fn diamond_burst(shards: usize) -> WorkflowSystem {
+    let mut sys = diamond_burst_system(shards);
+    run_diamond_burst(&mut sys);
+    for i in 0..BURST {
+        assert!(sys.outcome(&format!("d{i}")).is_some(), "d{i} completes");
+    }
+    sys
+}
+
+/// [`diamond_burst`]'s system, built and bound, nothing started.
+pub fn diamond_burst_system(shards: usize) -> WorkflowSystem {
     let mut sys = WorkflowSystem::builder()
         .executors(2)
         .coordinators(shards)
@@ -242,16 +252,18 @@ pub fn diamond_burst(shards: usize) -> WorkflowSystem {
         .observe(ObserveLevel::Metrics)
         .build();
     bind_diamond(&mut sys);
+    sys
+}
+
+/// Starts [`diamond_burst`]'s [`BURST`] diamonds and runs them to
+/// quiescence.
+pub fn run_diamond_burst(sys: &mut WorkflowSystem) {
     for i in 0..BURST {
         let name = format!("d{i}");
         sys.start(&name, "diamond", "main", [("seed", text("Data", "s"))])
             .unwrap();
     }
     sys.run();
-    for i in 0..BURST {
-        assert!(sys.outcome(&format!("d{i}")).is_some(), "d{i} completes");
-    }
-    sys
 }
 
 // ---------------------------------------------------------------------

@@ -22,6 +22,8 @@
 //! traced run and of the burst: every metric there is a count or a
 //! virtual time, the same in a debug and a release build, so a change to
 //! what the engine does or logs reads as a diff of its rows too.
+//! `diamond_burst.alloc.txt` is what the burst costs the heap, counted
+//! by this binary's allocator and pinned in a release build only.
 //!
 //! The reference arm — `CommitBatch::disabled()`, every report committed
 //! with its cascade before the next is looked at — is frozen the same
@@ -705,6 +707,91 @@ fn diamond_burst_anatomy_matches_golden() {
 # 4 shards, observing metrics:
 ";
     check("diamond_burst.counters.txt", &render_counters(&sys, run));
+}
+
+/// Counts the heap allocations of the thread that reads it: a test binary
+/// runs its tests on parallel threads, so a count read off one thread is
+/// that test's own. Only the release build pins what it counts (the
+/// debug build's oracles allocate as they check).
+#[cfg(not(debug_assertions))]
+mod alloc_count {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// This thread's `(allocations, bytes)`; a `realloc` is one
+        /// allocation of its new size.
+        static COUNT: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+
+    fn count(bytes: usize) {
+        let _ = COUNT.try_with(|count| {
+            let (allocations, total) = count.get();
+            count.set((allocations + 1, total + bytes as u64));
+        });
+    }
+
+    /// The system allocator, counting.
+    pub struct Counting;
+
+    // SAFETY: every call is the system allocator's own; counting only
+    // touches a thread-local cell, which allocates nothing.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count(layout.size());
+            System.alloc(layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            count(layout.size());
+            System.alloc_zeroed(layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count(new_size);
+            System.realloc(ptr, layout, new_size)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    /// `(allocations, bytes)` this thread made so far.
+    pub fn so_far() -> (u64, u64) {
+        COUNT.with(Cell::get)
+    }
+}
+
+#[cfg(not(debug_assertions))]
+#[global_allocator]
+static COUNTING: alloc_count::Counting = alloc_count::Counting;
+
+/// What the burst costs the heap, from its first start to quiescence:
+/// the engine's allocations, the sim's, and the bound closures' (20 per
+/// diamond build a `TaskBehavior`), not the system's build. A count per
+/// node kind would need a hook in the engine; this is the sum.
+#[cfg(not(debug_assertions))]
+#[test]
+fn diamond_burst_allocations_match_golden() {
+    let mut sys = common::diamond_burst_system(4);
+    let before = alloc_count::so_far();
+    common::run_diamond_burst(&mut sys);
+    let after = alloc_count::so_far();
+    let (allocations, bytes) = (after.0 - before.0, after.1 - before.1);
+    let per = |total: u64| total as f64 / BURST as f64;
+    let rendered = format!(
+        "\
+# Heap allocations of `common::diamond_burst`: 50 fig. 1 diamonds on 4
+# shards, from the first start to quiescence, release build. A realloc is
+# one allocation of its new size.
+allocations | {allocations} | {:.2} per diamond
+bytes | {bytes} | {:.2} per diamond
+",
+        per(allocations),
+        per(bytes),
+    );
+    check("diamond_burst.alloc.txt", &rendered);
 }
 
 /// The burst's logs across a restart of every shard: 50 diamonds whose
