@@ -11,7 +11,8 @@
 //!   implementations for common standard-library types,
 //! - [`crc32`]: a table-driven CRC-32 (ISO-HDLC polynomial),
 //! - [`frame`]: length-prefixed, checksummed record frames used by the
-//!   write-ahead log.
+//!   write-ahead log,
+//! - [`IdHasher`] / [`IdMap`]: a fixed hasher for keys the program mints.
 //!
 //! # Examples
 //!
@@ -27,11 +28,14 @@
 //! # }
 //! ```
 
+use std::cell::Cell;
+
 mod crc;
 mod decode;
 mod encode;
 mod error;
 pub mod frame;
+mod hash;
 mod reader;
 mod writer;
 
@@ -40,19 +44,50 @@ pub use decode::Decode;
 pub use encode::Encode;
 pub use error::CodecError;
 pub use frame::{FrameReader, FrameWriter};
+pub use hash::{IdHasher, IdMap};
 pub use reader::ByteReader;
 pub use writer::ByteWriter;
 
-/// Encodes a value into a freshly allocated byte vector.
+/// Encodes a value into a freshly allocated byte vector of exactly its
+/// length (see [`encode_exact`]).
 ///
 /// ```
 /// let bytes = flowscript_codec::to_bytes(&7u32);
 /// assert_eq!(bytes, vec![7, 0, 0, 0]);
 /// ```
 pub fn to_bytes<T: Encode + ?Sized>(value: &T) -> Vec<u8> {
-    let mut writer = ByteWriter::new();
-    value.encode(&mut writer);
-    writer.into_vec()
+    encode_exact(|writer| value.encode(writer))
+}
+
+/// The largest scratch buffer a thread keeps between encodes.
+const SCRATCH_KEPT: usize = 64 * 1024;
+
+thread_local! {
+    /// The buffer [`encode_exact`] writes into, kept between calls.
+    static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// What `write` puts in a writer, as a vector of exactly its length: it
+/// writes into a scratch buffer the thread keeps, so the one allocation
+/// is the result's, which keeps no slack. A `write` that encodes
+/// another value this way meanwhile gets a buffer of its own.
+///
+/// ```
+/// let bytes = flowscript_codec::encode_exact(|w| w.put_str("hi"));
+/// assert_eq!((bytes.as_slice(), bytes.capacity()), (&[2, b'h', b'i'][..], 3));
+/// ```
+pub fn encode_exact(write: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+    let mut writer = ByteWriter {
+        buf: SCRATCH.take(),
+    };
+    write(&mut writer);
+    let bytes = writer.as_slice().to_vec();
+    let mut scratch = writer.into_vec();
+    if scratch.capacity() <= SCRATCH_KEPT {
+        scratch.clear();
+        SCRATCH.set(scratch);
+    }
+    bytes
 }
 
 /// Decodes a value from a byte slice, requiring the slice to be fully

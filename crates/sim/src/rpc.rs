@@ -6,8 +6,9 @@
 //! reply payload or fails with a [`RpcError`]; lost messages surface as
 //! timeouts, exactly the failure the engine's retry logic must absorb.
 
-use std::collections::HashMap;
 use std::fmt;
+
+use flowscript_codec::IdMap;
 
 use crate::event::EventId;
 use crate::node::NodeId;
@@ -47,14 +48,15 @@ struct PendingCall {
 /// Book-keeping for in-flight calls, owned by the [`World`].
 pub(crate) struct RpcState {
     next_id: u64,
-    pending: HashMap<u64, PendingCall>,
+    /// By call id, the state's own sequence: under the fixed hasher.
+    pending: IdMap<u64, PendingCall>,
 }
 
 impl RpcState {
     pub(crate) fn new() -> Self {
         Self {
             next_id: 0,
-            pending: HashMap::new(),
+            pending: IdMap::default(),
         }
     }
 

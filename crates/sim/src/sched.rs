@@ -1,5 +1,7 @@
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
+
+use flowscript_codec::IdMap;
 
 use crate::event::EventId;
 use crate::node::NodeId;
@@ -17,12 +19,13 @@ pub(crate) type EventFn = Box<dyn FnOnce(&mut World)>;
 /// in the order they were scheduled, the root of determinism. The heap
 /// holds `(time, id)` keys, earliest time first, then scheduling order;
 /// `entries` holds the pending events' closures, each beside the node it
-/// was scheduled for, if any. Cancelling removes the table entry, and a
+/// was scheduled for, if any, under the fixed hasher: the ids are the
+/// scheduler's own sequence. Cancelling removes the table entry, and a
 /// heap key without one is skipped (and dropped) whenever it surfaces at
 /// the top.
 pub(crate) struct Scheduler {
     heap: BinaryHeap<Reverse<(SimTime, u64)>>,
-    entries: HashMap<u64, (Option<NodeId>, EventFn)>,
+    entries: IdMap<u64, (Option<NodeId>, EventFn)>,
     next_event: u64,
     now: SimTime,
 }
@@ -31,7 +34,7 @@ impl Scheduler {
     pub(crate) fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
-            entries: HashMap::new(),
+            entries: IdMap::default(),
             next_event: 0,
             now: SimTime::ZERO,
         }

@@ -1,9 +1,8 @@
 use std::cell::Cell;
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 
-use flowscript_codec::{CodecError, Decode, Encode};
+use flowscript_codec::{CodecError, Decode, Encode, IdMap};
 use flowscript_obs::{Histogram, MetricValue, ObserveLevel, Snapshot};
 
 use crate::error::TxError;
@@ -31,30 +30,63 @@ impl AtomicAction {
 }
 
 /// An action's staged after-images in first-write order (the order of
-/// the commit record); `None` marks a deletion. `index` maps each
+/// the commit record); `None` marks a deletion. The indexes map each
 /// staged key to its slot in `writes`, so last-write-wins staging and
-/// lookup hash the key once however many keys an action stages (a
-/// start stages one control block per plan task, a purge or an
-/// adoption a whole instance).
+/// lookup find a key once however many keys an action stages (a start
+/// stages one control block per plan task, a purge or an adoption a
+/// whole instance). Fact keys are dense ids the engine mints, so they
+/// hash under the fixed [`IdHasher`](flowscript_codec::IdHasher); uids
+/// carry names a client chose, so they stay in an ordered map, which
+/// no choice of names can flood. The manager keeps one workspace and
+/// empties it between actions, keeping what it allocated.
 #[derive(Debug, Default)]
 struct Workspace {
     writes: Vec<(StoreKey, Option<Vec<u8>>)>,
-    index: HashMap<StoreKey, usize>,
+    facts: IdMap<FactKey, usize>,
+    uids: BTreeMap<ObjectUid, usize>,
 }
 
+/// The most staged writes whose room an emptied workspace keeps.
+const WORKSPACE_KEPT: usize = 1024;
+
 impl Workspace {
-    fn stage(&mut self, key: StoreKey, value: Option<Vec<u8>>) {
-        match self.index.entry(key) {
-            Entry::Occupied(slot) => self.writes[*slot.get()].1 = value,
-            Entry::Vacant(slot) => {
-                self.writes.push((slot.key().clone(), value));
-                slot.insert(self.writes.len() - 1);
-            }
+    fn stage(&mut self, key: &StoreKey, value: Option<Vec<u8>>) {
+        let next = self.writes.len();
+        let slot = match key {
+            StoreKey::Fact(fact) => *self.facts.entry(*fact).or_insert(next),
+            StoreKey::Uid(uid) => match self.uids.get(uid) {
+                Some(&slot) => slot,
+                None => {
+                    self.uids.insert(uid.clone(), next);
+                    next
+                }
+            },
+        };
+        match self.writes.get_mut(slot) {
+            Some((_, staged)) => *staged = value,
+            None => self.writes.push((key.clone(), value)),
         }
     }
 
     fn staged(&self, key: &StoreKey) -> Option<&Option<Vec<u8>>> {
-        self.index.get(key).map(|&slot| &self.writes[slot].1)
+        let slot = match key {
+            StoreKey::Fact(fact) => self.facts.get(fact),
+            StoreKey::Uid(uid) => self.uids.get(uid),
+        };
+        slot.map(|&slot| &self.writes[slot].1)
+    }
+
+    /// Empties the workspace for the next action, `writes` the vector
+    /// its after-images go back into.
+    fn reset(&mut self, mut writes: Vec<(StoreKey, Option<Vec<u8>>)>) {
+        if writes.capacity() > WORKSPACE_KEPT {
+            *self = Workspace::default();
+            return;
+        }
+        writes.clear();
+        self.writes = writes;
+        self.facts.clear();
+        self.uids.clear();
     }
 }
 
@@ -146,8 +178,10 @@ pub struct TxManager<S = SharedStorage> {
     node: u32,
     wal: Wal<S>,
     store: BTreeMap<StoreKey, Vec<u8>>,
-    /// The open action and what it staged.
-    open: Option<(TxId, Workspace)>,
+    /// The open action…
+    open: Option<TxId>,
+    /// …and what it staged.
+    workspace: Workspace,
     next_seq: u64,
     /// A durable [`LogRecord::Fence`] by *another* node: `(claimant,
     /// epoch)`. Set at replay, or detected mid-run by the tail probe in
@@ -201,9 +235,9 @@ impl<S: Storage> TxManager<S> {
                     store = states.into_iter().collect();
                     next_seq = next_seq.max(carried);
                 }
-                LogRecord::Commit { tx, writes } => {
+                LogRecord::Commit { tx, mut writes } => {
                     next_seq = next_seq.max(tx.seq().saturating_add(1));
-                    apply_writes(&mut store, writes);
+                    apply_writes(&mut store, &mut writes);
                 }
                 LogRecord::Fence { claimant, epoch } => {
                     // A claimant reopening storage it fenced itself must
@@ -220,6 +254,7 @@ impl<S: Storage> TxManager<S> {
             wal,
             store,
             open: None,
+            workspace: Workspace::default(),
             next_seq,
             fence,
             wal_len,
@@ -250,16 +285,22 @@ impl<S: Storage> TxManager<S> {
     pub fn begin(&mut self) -> AtomicAction {
         if self.open.take().is_some() {
             self.metrics.aborts += 1;
+            self.discard();
         }
         let id = self.mint();
-        self.open = Some((id, Workspace::default()));
+        self.open = Some(id);
         AtomicAction { id }
     }
 
     /// What `action` staged, if it is the open action.
     fn workspace(&self, action: &AtomicAction) -> Option<&Workspace> {
-        let (id, workspace) = self.open.as_ref()?;
-        (*id == action.id).then_some(workspace)
+        (self.open == Some(action.id)).then_some(&self.workspace)
+    }
+
+    /// Drops what the workspace staged.
+    fn discard(&mut self) {
+        let writes = std::mem::take(&mut self.workspace.writes);
+        self.workspace.reset(writes);
     }
 
     /// Writes an object within an action. The value is staged and
@@ -307,13 +348,11 @@ impl<S: Storage> TxManager<S> {
         key: &StoreKey,
         value: Option<Vec<u8>>,
     ) -> Result<(), TxError> {
-        match &mut self.open {
-            Some((id, workspace)) if *id == action.id => {
-                workspace.stage(key.clone(), value);
-                Ok(())
-            }
-            _ => Err(TxError::UnknownAction(action.id)),
+        if self.open != Some(action.id) {
+            return Err(TxError::UnknownAction(action.id));
         }
+        self.workspace.stage(key, value);
+        Ok(())
     }
 
     /// Commits an action as one frame, its staged writes as a
@@ -326,32 +365,38 @@ impl<S: Storage> TxManager<S> {
     /// [`TxError::UnknownAction`] if already terminated; storage errors
     /// on log append — the action is then aborted: nothing applied.
     pub fn commit(&mut self, action: AtomicAction) -> Result<(), TxError> {
-        let Some((_, Workspace { writes, .. })) = self.open.take_if(|(id, _)| *id == action.id)
-        else {
+        if self.open.take_if(|id| *id == action.id).is_none() {
             return Err(TxError::UnknownAction(action.id));
-        };
-        if !writes.is_empty() {
-            let images = writes.len() as u64;
-            // The frame borrows nothing and is encoded exactly once; the
-            // after-images then move into the store.
-            let frame = LogRecord::Commit {
-                tx: action.id,
-                writes,
-            };
-            if let Err(err) = self.append_record(&frame) {
-                // The action is consumed — nobody can abort it any more
-                // — so a commit that did not reach the log ends here as
-                // an abort.
-                self.metrics.aborts += 1;
-                return Err(err);
-            }
-            if self.metrics.observe.metrics() {
-                self.metrics.wal_writes_per_commit.record(images);
-            }
-            if let LogRecord::Commit { writes, .. } = frame {
-                apply_writes(&mut self.store, writes);
-            }
         }
+        let writes = std::mem::take(&mut self.workspace.writes);
+        if writes.is_empty() {
+            self.workspace.reset(writes);
+            self.metrics.commits += 1;
+            return Ok(());
+        }
+        let images = writes.len() as u64;
+        // The frame borrows nothing and is encoded exactly once; the
+        // after-images then move into the store.
+        let frame = LogRecord::Commit {
+            tx: action.id,
+            writes,
+        };
+        let appended = self.append_record(&frame);
+        let LogRecord::Commit { mut writes, .. } = frame else {
+            unreachable!("the frame is the commit record built above");
+        };
+        if let Err(err) = appended {
+            // The action is consumed — nobody can abort it any more — so
+            // a commit that did not reach the log ends here as an abort.
+            self.metrics.aborts += 1;
+            self.workspace.reset(writes);
+            return Err(err);
+        }
+        if self.metrics.observe.metrics() {
+            self.metrics.wal_writes_per_commit.record(images);
+        }
+        apply_writes(&mut self.store, &mut writes);
+        self.workspace.reset(writes);
         self.metrics.commits += 1;
         Ok(())
     }
@@ -359,8 +404,9 @@ impl<S: Storage> TxManager<S> {
     /// Aborts an action, discarding its staged writes.
     /// Idempotent for already-terminated ids.
     pub fn abort(&mut self, action: AtomicAction) {
-        if self.open.take_if(|(id, _)| *id == action.id).is_some() {
+        if self.open.take_if(|id| *id == action.id).is_some() {
             self.metrics.aborts += 1;
+            self.discard();
         }
     }
 
@@ -582,9 +628,12 @@ fn is_fact(key: &StoreKey) -> bool {
     matches!(key, StoreKey::Fact(key) if key.kind != FactKind::Control)
 }
 
-/// Moves committed after-images into the store.
-fn apply_writes(store: &mut BTreeMap<StoreKey, Vec<u8>>, writes: Vec<(StoreKey, Option<Vec<u8>>)>) {
-    for (key, value) in writes {
+/// Moves committed after-images into the store, emptying `writes`.
+fn apply_writes(
+    store: &mut BTreeMap<StoreKey, Vec<u8>>,
+    writes: &mut Vec<(StoreKey, Option<Vec<u8>>)>,
+) {
+    for (key, value) in writes.drain(..) {
         match value {
             Some(bytes) => {
                 store.insert(key, bytes);
