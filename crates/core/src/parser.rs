@@ -97,12 +97,17 @@ impl Parser {
         self.tokens[self.pos.saturating_sub(1)].span
     }
 
+    /// Consumes the current token. Nothing reads a token behind `pos`,
+    /// so it moves out, its name with it; the final `Eof` stays put.
     fn bump(&mut self) -> Token {
-        let token = self.tokens[self.pos].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+        if self.pos == self.tokens.len() - 1 {
+            return self.tokens[self.pos].clone();
         }
-        token
+        let consumed = &mut self.tokens[self.pos];
+        let kind = std::mem::replace(&mut consumed.kind, TokenKind::Eof);
+        let span = consumed.span;
+        self.pos += 1;
+        Token { kind, span }
     }
 
     fn at(&self, kind: &TokenKind) -> bool {

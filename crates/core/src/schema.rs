@@ -295,7 +295,7 @@ pub fn compile(checked: &Checked<'_>, root: &str) -> Result<Schema, Diagnostics>
 /// ```
 pub fn compile_source(source: &str, root: &str) -> Result<Schema, Diagnostics> {
     let script = crate::parse(source)?;
-    let expanded = template::expand(&script)?;
+    let expanded = template::expand(script)?;
     let checked = sema::check(&expanded)?;
     compile(&checked, root)
 }

@@ -43,7 +43,7 @@ use crate::diag::{Diagnostic, Diagnostics};
 ///     w1 of tasktemplate watcher(p)
 /// "#;
 /// let script = flowscript_core::parse(source)?;
-/// let expanded = flowscript_core::template::expand(&script)?;
+/// let expanded = flowscript_core::template::expand(script)?;
 /// // The instance became a plain task.
 /// assert!(expanded.items.iter().any(|i| matches!(
 ///     i,
@@ -51,24 +51,25 @@ use crate::diag::{Diagnostic, Diagnostics};
 /// )));
 /// # Ok::<(), flowscript_core::Diagnostics>(())
 /// ```
-pub fn expand(script: &Script) -> Result<Script, Diagnostics> {
-    let templates: BTreeMap<&str, &TemplateDecl> = script
+pub fn expand(script: Script) -> Result<Script, Diagnostics> {
+    // Owned, so the items can move out of the script below.
+    let templates: BTreeMap<String, TemplateDecl> = script
         .items
         .iter()
         .filter_map(|item| match item {
-            Item::Template(t) => Some((t.name.as_str(), t)),
+            Item::Template(t) => Some((t.name.name.clone(), t.clone())),
             _ => None,
         })
         .collect();
 
     let mut diags = Diagnostics::new();
     let mut items = Vec::with_capacity(script.items.len());
-    for item in &script.items {
+    for item in script.items {
         match item {
             Item::TemplateInstance(instance) => {
-                match instantiate(instance, &templates, &mut diags) {
+                match instantiate(&instance, &templates, &mut diags) {
                     Some(task) => items.push(Item::Task(task)),
-                    None => items.push(item.clone()),
+                    None => items.push(Item::TemplateInstance(instance)),
                 }
             }
             Item::Compound(compound) => {
@@ -76,7 +77,7 @@ pub fn expand(script: &Script) -> Result<Script, Diagnostics> {
                     compound, &templates, &mut diags,
                 )));
             }
-            other => items.push(other.clone()),
+            other => items.push(other),
         }
     }
     if diags.has_errors() {
@@ -87,33 +88,31 @@ pub fn expand(script: &Script) -> Result<Script, Diagnostics> {
 }
 
 fn expand_compound(
-    compound: &CompoundTaskDecl,
-    templates: &BTreeMap<&str, &TemplateDecl>,
+    mut compound: CompoundTaskDecl,
+    templates: &BTreeMap<String, TemplateDecl>,
     diags: &mut Diagnostics,
 ) -> CompoundTaskDecl {
-    let mut out = compound.clone();
-    out.constituents = compound
-        .constituents
-        .iter()
+    compound.constituents = std::mem::take(&mut compound.constituents)
+        .into_iter()
         .map(|constituent| match constituent {
             Constituent::TemplateInstance(instance) => {
-                match instantiate(instance, templates, diags) {
+                match instantiate(&instance, templates, diags) {
                     Some(task) => Constituent::Task(task),
-                    None => constituent.clone(),
+                    None => Constituent::TemplateInstance(instance),
                 }
             }
             Constituent::Compound(inner) => {
                 Constituent::Compound(expand_compound(inner, templates, diags))
             }
-            Constituent::Task(_) => constituent.clone(),
+            task @ Constituent::Task(_) => task,
         })
         .collect();
-    out
+    compound
 }
 
 fn instantiate(
     instance: &TemplateInstanceDecl,
-    templates: &BTreeMap<&str, &TemplateDecl>,
+    templates: &BTreeMap<String, TemplateDecl>,
     diags: &mut Diagnostics,
 ) -> Option<TaskDecl> {
     let Some(template) = templates.get(instance.template.as_str()) else {
@@ -243,7 +242,7 @@ mod tests {
     #[test]
     fn instance_becomes_task_with_substituted_sources() {
         let script = parse(TEMPLATE_SCRIPT).unwrap();
-        let expanded = expand(&script).unwrap();
+        let expanded = expand(script).unwrap();
         let task = expanded
             .items
             .iter()
@@ -267,7 +266,7 @@ mod tests {
     #[test]
     fn expanded_script_passes_sema() {
         let script = parse(TEMPLATE_SCRIPT).unwrap();
-        let expanded = expand(&script).unwrap();
+        let expanded = expand(script).unwrap();
         crate::sema::check(&expanded).expect("expanded script is valid");
     }
 
@@ -275,7 +274,7 @@ mod tests {
     fn arity_mismatch_reported() {
         let source = TEMPLATE_SCRIPT.replace("joiner(p1, p2)", "joiner(p1)");
         let script = parse(&source).unwrap();
-        let err = expand(&script).unwrap_err();
+        let err = expand(script).unwrap_err();
         assert!(err.to_string().contains("expects 2 argument(s), got 1"));
     }
 
@@ -286,14 +285,14 @@ mod tests {
             "j of tasktemplate ghost(p1, p2)",
         );
         let script = parse(&source).unwrap();
-        let err = expand(&script).unwrap_err();
+        let err = expand(script).unwrap_err();
         assert!(err.to_string().contains("unknown tasktemplate `ghost`"));
     }
 
     #[test]
     fn scripts_without_templates_unchanged() {
         let script = parse(crate::samples::ORDER_PROCESSING).unwrap();
-        let expanded = expand(&script).unwrap();
+        let expanded = expand(script.clone()).unwrap();
         assert_eq!(script, expanded);
     }
 }

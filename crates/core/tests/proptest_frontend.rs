@@ -12,7 +12,7 @@ proptest! {
     #[test]
     fn arbitrary_text_never_panics(input in ".{0,400}") {
         if let Ok(script) = parse(&input) {
-            if let Ok(expanded) = template::expand(&script) {
+            if let Ok(expanded) = template::expand(script.clone()) {
                 let _ = sema::check(&expanded);
             }
             let _ = flowscript_core::fmt::format_script(&script);
@@ -35,7 +35,7 @@ proptest! {
     )) {
         let input = words.join(" ");
         if let Ok(script) = parse(&input) {
-            if let Ok(expanded) = template::expand(&script) {
+            if let Ok(expanded) = template::expand(script) {
                 let _ = sema::check(&expanded);
             }
         }
@@ -53,7 +53,7 @@ proptest! {
         let mutated: String = chars.into_iter().collect();
         match parse(&mutated) {
             Ok(script) => {
-                if let Ok(expanded) = template::expand(&script) {
+                if let Ok(expanded) = template::expand(script) {
                     let _ = sema::check(&expanded);
                 }
             }

@@ -14,7 +14,7 @@ fn samples_pass_the_entire_pipeline() {
     for (name, source) in samples::all() {
         let root = samples::root_of(name);
         let script = parse(source).unwrap_or_else(|d| panic!("{name}: {d}"));
-        let expanded = template::expand(&script).unwrap();
+        let expanded = template::expand(script.clone()).unwrap();
         let checked = sema::check(&expanded).unwrap_or_else(|d| panic!("{name}: {d}"));
         let schema = flowscript::lang::schema::compile(&checked, root)
             .unwrap_or_else(|d| panic!("{name}: {d}"));
@@ -70,7 +70,7 @@ proptest! {
         mutated.push_str(&source[end..]);
         match parse(&mutated) {
             Ok(script) => {
-                let _ = template::expand(&script).and_then(|e| {
+                let _ = template::expand(script).and_then(|e| {
                     sema::check(&e).map(|_| ())
                 });
             }
