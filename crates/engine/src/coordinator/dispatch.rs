@@ -52,11 +52,11 @@ use flowscript_tx::{FactKey, TxError};
 
 use super::evaluate::Drain;
 use super::step::{Effect, Launch, Step};
-use super::{block_fault, Coordinator, InstanceRt, Timer, TimerId};
+use super::{block_fault, Coordinator, InstanceRt, Output, Timer, TimerId};
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::{self, in_key};
-use crate::msg::{Attempt, EngineMsg, StartTask};
+use crate::msg::{start_bytes, Attempt, EngineMsg};
 use crate::sched::{CostModel, ExecutorSlot, ExecutorSpec, ImplHints, SchedPolicy, Scheduler};
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
@@ -279,11 +279,11 @@ impl Dispatcher {
     }
 }
 
-/// What one dispatch of a task ships and how long it may take.
+/// What one dispatch of a task is charged and how long it may take;
+/// the clause it ships is its plan task's.
 struct Shipment {
     /// The implementation code its script names.
     code: String,
-    implementation: BTreeMap<String, String>,
     hints: ImplHints,
     /// The load it is charged at: the observed estimate when the cost
     /// model has one, else the declared remaining-work cost.
@@ -301,14 +301,12 @@ impl Coordinator {
     fn shipment(&self, rt: &InstanceRt, task: TaskId) -> Shipment {
         let task = rt.plan.task(task);
         let code = rt.plan.code(task).unwrap_or("").to_string();
-        let implementation = rt.plan.implementation_map(task);
-        let hints = ImplHints::from_map(&implementation);
+        let hints = ImplHints::from_map(&task.implementation);
         let costs = &self.dispatcher.costs;
         let timeout = costs.watchdog_timeout(&code, &hints, self.config.dispatch_timeout);
         let cost = costs.load_cost(&code, &hints);
         Shipment {
             code,
-            implementation,
             hints,
             cost,
             timeout,
@@ -911,17 +909,11 @@ impl Coordinator {
             executor: node.index() as u32,
         };
         self.record_event(instance, Some(path), at.attempt, kind);
-        let msg = EngineMsg::Start(StartTask {
-            at: at.clone(),
-            ticket,
-            implementation: shipment.implementation,
-            set: launch.set,
-            inputs: launch.inputs,
-            repeat_objects: launch.repeat_objects,
-        });
+        let objects = [&launch.inputs, &launch.repeat_objects];
+        let bytes = start_bytes(&at, ticket, &task.implementation, &launch.set, objects);
         self.arm_watchdog(instance, task_id, at, shipment.timeout);
         self.cancel(stale);
-        self.send(node, &msg);
+        self.outbox.push(Output::Send { to: node, bytes });
         Ok(())
     }
 

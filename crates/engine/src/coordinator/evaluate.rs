@@ -256,7 +256,7 @@ impl Coordinator {
                 incarnation: cb.incarnation,
                 attempt: cb.attempt,
                 set: set.into(),
-                inputs: facts::bound_map(plan, &bound),
+                inputs: facts::bound_map(plan, bound),
                 repeat_objects: BTreeMap::new(),
             };
             drain.flying.push(task_id);

@@ -220,12 +220,11 @@ impl Coordinator {
         let Some(out_key) = out_key(plan, instance_id, task_id, name) else {
             return Ok(false);
         };
-        let stamped = stamped(objects, &at.path);
         // The action begins at the first write: a window of stale or
         // duplicate reports commits nothing.
         let action = step.action(&mut self.mgr);
         facts::write_block(&mut self.mgr, action, plan, instance_id, task_id, &cb)?;
-        facts::write_fact_map(&mut self.mgr, action, plan, out_key, &stamped)?;
+        facts::write_produced(&mut self.mgr, action, plan, out_key, objects, &at.path)?;
         let is_mark = report.result.is_mark();
         if is_mark {
             step.push(&drain.name, Effect::Count(|stats| &mut stats.marks));
@@ -275,10 +274,9 @@ impl Coordinator {
             cb.attempt += 1;
         }
         let path = plan.str(plan.task(task_id).path);
-        let stamped = stamped(objects, path);
         let action = step.action(&mut self.mgr);
         facts::write_block(&mut self.mgr, action, plan, instance_id, task_id, &cb)?;
-        facts::write_fact_map(&mut self.mgr, action, plan, out_key, &stamped)?;
+        facts::write_produced(&mut self.mgr, action, plan, out_key, objects, path)?;
         step.push(&drain.name, Effect::Completed(task_id, ticket));
         step.push(&drain.name, Effect::Count(|stats| &mut stats.repeats));
         self.trace(step, &drain.name, Some(path), reported, || {
@@ -288,6 +286,7 @@ impl Coordinator {
         if over_limit {
             drain.lands(task_id);
         } else {
+            let stamped = stamped(objects, path);
             self.stage_launch(step, drain, task_id, &cb, Some(&stamped), Some(redo_after))?;
         }
         Ok(true)
@@ -393,8 +392,8 @@ impl Coordinator {
     }
 }
 
-/// A report's objects as the task at `path` produced them: an outcome's,
-/// a mark's and a repeat outcome's alike.
+/// A repeat outcome's objects as the task at `path` produced them: what
+/// its next attempt ships.
 fn stamped(objects: &BTreeMap<String, ObjectVal>, path: &str) -> BTreeMap<String, ObjectVal> {
     let stamp =
         |(name, object): (&String, &ObjectVal)| (name.clone(), object.clone().produced_by(path));

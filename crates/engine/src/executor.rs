@@ -140,12 +140,29 @@ impl Executor {
     /// mark and then one for the completion, indexed under its ticket,
     /// or at once an execution error.
     fn start(&mut self, now: SimTime, from: NodeId, start: StartTask) -> Vec<Output> {
-        let ticket = start.ticket;
-        let behavior = match self.bind(&start) {
+        let StartTask {
+            at,
+            ticket,
+            implementation,
+            set,
+            inputs,
+            repeat_objects,
+        } = start;
+        // The context takes the start's fields as they arrived.
+        let ctx = InvokeCtx {
+            path: at.path.clone(),
+            incarnation: at.incarnation,
+            attempt: at.attempt,
+            set,
+            inputs,
+            repeat_objects,
+            implementation,
+        };
+        let behavior = match self.bind(&ctx) {
             Ok(behavior) => behavior,
             Err(reason) => {
                 let result = TaskResult::ExecError { reason };
-                let bytes = report_bytes(&start.at, ticket, &result);
+                let bytes = report_bytes(&at, ticket, &result);
                 return vec![Output::Send { to: from, bytes }];
             }
         };
@@ -175,7 +192,7 @@ impl Executor {
         let running = Running {
             first,
             timers: outputs.len() as u32,
-            at: start.at,
+            at,
         };
         self.running.insert((from, ticket), running);
         outputs
@@ -222,11 +239,12 @@ impl Executor {
         timers.map(|id| Output::Cancel(TimerId(id))).collect()
     }
 
-    /// The behaviour `start` binds to here, or why it cannot run here.
-    fn bind(&self, start: &StartTask) -> Result<TaskBehavior, String> {
+    /// The behaviour a start, as `ctx`, binds to here — its clause's
+    /// `"code"`, empty when it has none — or why it cannot run here.
+    fn bind(&self, ctx: &InvokeCtx) -> Result<TaskBehavior, String> {
         // Location guard: the scheduler should never mispin, but a task
         // arriving at the wrong place must fail loudly, not run quietly.
-        if let Some(pinned) = start.hints().location {
+        if let Some(pinned) = ctx.hints().location {
             if self.spec.location.as_deref() != Some(pinned.as_str()) {
                 return Err(format!(
                     "task pinned to location `{pinned}` arrived at an executor registered {}",
@@ -237,19 +255,11 @@ impl Executor {
                 ));
             }
         }
-        let ctx = InvokeCtx {
-            path: start.at.path.clone(),
-            incarnation: start.at.incarnation,
-            attempt: start.at.attempt,
-            set: start.set.clone(),
-            inputs: start.inputs.clone(),
-            repeat_objects: start.repeat_objects.clone(),
-            implementation: start.implementation.clone(),
-        };
-        match self.registry.invoke(start.code(), &ctx)? {
+        let code = ctx.impl_value("code").unwrap_or("");
+        match self.registry.invoke(code, ctx)? {
             Invocation::Behavior(behavior) => Ok(behavior),
             Invocation::Script { source, root } => {
-                run_nested_script(&self.registry, &source, &root, start)
+                run_nested_script(&self.registry, &source, &root, ctx)
             }
         }
     }
@@ -331,7 +341,7 @@ fn run_nested_script(
     registry: &ImplRegistry,
     source: &str,
     root: &str,
-    start: &StartTask,
+    ctx: &InvokeCtx,
 ) -> Result<TaskBehavior, String> {
     let depth = NESTING.with(|n| n.get());
     if depth >= MAX_SCRIPT_NESTING {
@@ -343,19 +353,19 @@ fn run_nested_script(
     let result = (|| {
         let mut nested = crate::api::WorkflowSystem::builder()
             .executors(1)
-            .seed(u64::from(start.at.attempt).wrapping_add(0x5eed))
+            .seed(u64::from(ctx.attempt).wrapping_add(0x5eed))
             .registry(registry.clone())
             .build();
         nested
             .register_script("nested", source, root)
             .map_err(|e| format!("nested script invalid: {e}"))?;
-        let inputs: Vec<(String, crate::ObjectVal)> = start
+        let inputs: Vec<(String, crate::ObjectVal)> = ctx
             .inputs
             .iter()
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
         nested
-            .start("nested-run", "nested", &start.set, inputs)
+            .start("nested-run", "nested", &ctx.set, inputs)
             .map_err(|e| format!("nested start failed: {e}"))?;
         nested.run();
         let elapsed = nested.now().since(flowscript_sim::SimTime::ZERO);
@@ -412,7 +422,16 @@ mod tests {
     fn nesting_counter_restores_after_guard() {
         NESTING.with(|n| n.set(MAX_SCRIPT_NESTING));
         let registry = ImplRegistry::new();
-        let err = run_nested_script(&registry, "class C;", "root", &start(&[])).unwrap_err();
+        let ctx = InvokeCtx {
+            path: "p".into(),
+            incarnation: 0,
+            attempt: 0,
+            set: "main".into(),
+            inputs: Default::default(),
+            repeat_objects: Default::default(),
+            implementation: Default::default(),
+        };
+        let err = run_nested_script(&registry, "class C;", "root", &ctx).unwrap_err();
         assert!(err.contains("nesting"), "{err}");
         NESTING.with(|n| n.set(0));
     }
@@ -506,7 +525,7 @@ mod tests {
         let mut executor = Executor::new(ExecutorSpec::unbounded(here), registry);
 
         let named = start(&[("priority", "3")]);
-        assert_eq!(named.code(), "c");
+        assert_eq!(named.implementation["code"], "c");
         let outputs = deliver(&mut executor, SimTime::ZERO, coordinator, named);
         let [Output::Arm { timer, .. }] = <[Output; 1]>::try_from(outputs).unwrap() else {
             panic!("one timer, the completion's");
@@ -516,7 +535,6 @@ mod tests {
 
         let mut unnamed = start(&[("priority", "3")]);
         unnamed.implementation.remove("code");
-        assert_eq!(unnamed.code(), "");
         let outputs = deliver(&mut executor, SimTime::ZERO, coordinator, unnamed);
         let done = sent(&outputs);
         assert!(

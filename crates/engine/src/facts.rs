@@ -73,7 +73,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
-use flowscript_codec::{ByteReader, ByteWriter, CodecError, Decode};
+use flowscript_codec::{ByteReader, CodecError, Decode};
 use flowscript_core::ast::OutputKind;
 use flowscript_plan::{
     eval as plan_eval, Plan, PlanClass, PlanObjectSig, Probe, Range32, StrId, TaskId,
@@ -118,15 +118,16 @@ fn task_path(plan: &Plan, id: u64) -> Result<&str, CodecError> {
     })
 }
 
-/// Encodes `value` for the declared sub-key `key`, relative to `plan`.
-fn encode_object(plan: &Plan, key: FactKey, value: &ObjectVal) -> Vec<u8> {
+/// Encodes `value`, produced by `produced_by`, for the declared sub-key
+/// `key`, relative to `plan`.
+fn encode_object(plan: &Plan, key: FactKey, value: &ObjectVal, produced_by: &str) -> Vec<u8> {
     let declared_class = declared(plan, key).map(|sig| plan.str(sig.class));
     let spell_class = declared_class != Some(value.class.as_str());
     let own = plan
         .tasks
         .get(key.task as usize)
         .map(|task| plan.str(task.path));
-    let (form, task) = match value.produced_by.as_str() {
+    let (form, task) = match produced_by {
         "" => (PRODUCER_NONE, None),
         path if own == Some(path) => (PRODUCER_OWN, None),
         path => match plan.task_by_path(path) {
@@ -134,18 +135,18 @@ fn encode_object(plan: &Plan, key: FactKey, value: &ObjectVal) -> Vec<u8> {
             None => (PRODUCER_SPELLED, None),
         },
     };
-    let mut w = ByteWriter::with_capacity(value.data.len() + 4);
-    w.put_u8(u8::from(spell_class) | form << 1);
-    if spell_class {
-        w.put_str(&value.class);
-    }
-    if let Some(task) = task {
-        w.put_var_u64(u64::from(task));
-    } else if form == PRODUCER_SPELLED {
-        w.put_str(&value.produced_by);
-    }
-    w.put_len_prefixed(&value.data);
-    w.into_vec()
+    flowscript_codec::encode_exact(|w| {
+        w.put_u8(u8::from(spell_class) | form << 1);
+        if spell_class {
+            w.put_str(&value.class);
+        }
+        if let Some(task) = task {
+            w.put_var_u64(u64::from(task));
+        } else if form == PRODUCER_SPELLED {
+            w.put_str(produced_by);
+        }
+        w.put_len_prefixed(&value.data);
+    })
 }
 
 /// Decodes what [`encode_object`] stored under `key`, relative to `plan`.
@@ -186,15 +187,17 @@ fn decode_object(plan: &Plan, key: FactKey, bytes: &[u8]) -> Result<ObjectVal, C
     })
 }
 
-/// Stages `value` under the declared sub-key `key`.
+/// Stages `value`, produced by `produced_by`, under the declared sub-key
+/// `key`.
 fn write_object<S: Storage>(
     mgr: &mut TxManager<S>,
     action: &AtomicAction,
     plan: &Plan,
     key: FactKey,
     value: &ObjectVal,
+    produced_by: &str,
 ) -> Result<(), TxError> {
-    let bytes = encode_object(plan, key, value);
+    let bytes = encode_object(plan, key, value, produced_by);
     mgr.write_key_raw(action, &StoreKey::Fact(key), bytes)
 }
 
@@ -345,11 +348,11 @@ fn decoded<T: Decode>(bytes: Option<&[u8]>) -> Result<Option<T>, TxError> {
 }
 
 /// Interns a plan-eval binding list into an owned, name-keyed map (the
-/// executor wire format).
-pub fn bound_map(plan: &Plan, bound: &[(StrId, ObjectVal)]) -> BTreeMap<String, ObjectVal> {
+/// executor wire format), moving each value in.
+pub fn bound_map(plan: &Plan, bound: Vec<(StrId, ObjectVal)>) -> BTreeMap<String, ObjectVal> {
     bound
-        .iter()
-        .map(|(name, value)| (plan.str(*name).to_string(), value.clone()))
+        .into_iter()
+        .map(|(name, value)| (plan.str(name).to_string(), value))
         .collect()
 }
 
@@ -373,6 +376,37 @@ pub fn write_fact_map<S: Storage>(
     base: FactKey,
     objects: &BTreeMap<String, ObjectVal>,
 ) -> Result<(), TxError> {
+    write_objects(mgr, action, plan, base, objects, None)
+}
+
+/// [`write_fact_map`] of the objects the task at `path` produced: each
+/// is written as if its `produced_by` said `path`, so no stamped copy of
+/// a report's objects is made.
+///
+/// # Errors
+///
+/// As for [`write_fact_map`].
+pub fn write_produced<S: Storage>(
+    mgr: &mut TxManager<S>,
+    action: &AtomicAction,
+    plan: &Plan,
+    base: FactKey,
+    objects: &BTreeMap<String, ObjectVal>,
+    path: &str,
+) -> Result<(), TxError> {
+    write_objects(mgr, action, plan, base, objects, Some(path))
+}
+
+/// [`write_fact_map`], every object's producer `stamp` when one is
+/// given.
+fn write_objects<S: Storage>(
+    mgr: &mut TxManager<S>,
+    action: &AtomicAction,
+    plan: &Plan,
+    base: FactKey,
+    objects: &BTreeMap<String, ObjectVal>,
+    stamp: Option<&str>,
+) -> Result<(), TxError> {
     debug_assert_eq!(base.obj, 0, "facts are addressed by their presence key");
     let decl = plan
         .fact_decl_objects(base.task, base.kind == FactKind::Input, base.item)
@@ -381,7 +415,10 @@ pub fn write_fact_map<S: Storage>(
     for (ordinal, sig) in decl_sigs.iter().enumerate() {
         let sub = base.object(ordinal as u32);
         match objects.get(plan.str(sig.name)) {
-            Some(value) => write_object(mgr, action, plan, sub, value)?,
+            Some(value) => {
+                let produced_by = stamp.unwrap_or(&value.produced_by);
+                write_object(mgr, action, plan, sub, value, produced_by)?;
+            }
             None => {
                 let sub = StoreKey::Fact(sub);
                 if mgr.read_through(Some(action), &sub).is_some() {
@@ -390,12 +427,16 @@ pub fn write_fact_map<S: Storage>(
             }
         }
     }
-    let extras: BTreeMap<&String, &ObjectVal> = objects
+    let extras: BTreeMap<&String, ObjectVal> = objects
         .iter()
         .filter(|(name, _)| {
             decl_sigs
                 .iter()
                 .all(|sig| plan.str(sig.name) != name.as_str())
+        })
+        .map(|(name, object)| match stamp {
+            Some(path) => (name, object.clone().produced_by(path)),
+            None => (name, object.clone()),
         })
         .collect();
     let first_stored = decl_sigs
@@ -450,7 +491,8 @@ pub fn write_fact_bound<S: Storage>(
                 if let Some(flag) = covered.get_mut(ordinal as usize) {
                     *flag = true;
                 }
-                write_object(mgr, action, plan, base.object(ordinal), value)?;
+                let sub = base.object(ordinal);
+                write_object(mgr, action, plan, sub, value, &value.produced_by)?;
             }
             None => {
                 extras.insert(plan.str(*name).to_string(), value.clone());
@@ -652,28 +694,28 @@ pub(crate) fn encode_block(plan: &Plan, task: TaskId, cb: &TaskCb) -> Vec<u8> {
     if cb.retries != 0 {
         tag |= BLOCK_RETRIES;
     }
-    let mut w = ByteWriter::with_capacity(2);
-    w.put_u8(tag);
-    match (name, &cb.state) {
-        (Some((name, _)), _) if spelled => w.put_str(name),
-        (Some((_, Some(ordinal))), _) => w.put_var_u64(ordinal.into()),
-        (_, CbState::Failed { reason }) => w.put_str(reason),
-        _ => {}
-    }
-    if counted {
-        for counter in [cb.incarnation, cb.scope_inc, cb.attempt, cb.repeats] {
-            w.put_var_u64(counter.into());
+    flowscript_codec::encode_exact(|w| {
+        w.put_u8(tag);
+        match (name, &cb.state) {
+            (Some((name, _)), _) if spelled => w.put_str(name),
+            (Some((_, Some(ordinal))), _) => w.put_var_u64(ordinal.into()),
+            (_, CbState::Failed { reason }) => w.put_str(reason),
+            _ => {}
         }
-        w.put_var_u64(cb.marks_emitted.len() as u64);
-        match marks.filter(|_| !spelled) {
-            Some(ordinals) => ordinals.iter().for_each(|&at| w.put_var_u64(at.into())),
-            None => cb.marks_emitted.iter().for_each(|mark| w.put_str(mark)),
+        if counted {
+            for counter in [cb.incarnation, cb.scope_inc, cb.attempt, cb.repeats] {
+                w.put_var_u64(counter.into());
+            }
+            w.put_var_u64(cb.marks_emitted.len() as u64);
+            match marks.filter(|_| !spelled) {
+                Some(ordinals) => ordinals.iter().for_each(|&at| w.put_var_u64(at.into())),
+                None => cb.marks_emitted.iter().for_each(|mark| w.put_str(mark)),
+            }
         }
-    }
-    if cb.retries != 0 {
-        w.put_var_u64(cb.retries.into());
-    }
-    w.into_vec()
+        if cb.retries != 0 {
+            w.put_var_u64(cb.retries.into());
+        }
+    })
 }
 
 /// Decodes what `encode_block` stored as `task`'s block, relative to
@@ -1226,7 +1268,7 @@ mod tests {
         for (class, spelled) in [("StockInfo", 0), ("Blob", 5)] {
             for (producer, form, producer_bytes) in producers {
                 let value = ObjectVal::text(class, "payload").produced_by(producer);
-                let bytes = encode_object(&plan, sub, &value);
+                let bytes = encode_object(&plan, sub, &value, &value.produced_by);
                 let tag = u8::from(spelled > 0) | form << 1;
                 assert_eq!(bytes[0], tag, "{value:?}");
                 // Tag, the spelled fields, then the payload's length and bytes.
@@ -1251,7 +1293,7 @@ mod tests {
         let (check, base) = stock_fact(&plan);
         let sub = base.object(0);
         let value = obj("s").produced_by("processOrderApplication/dispatch");
-        let valid = encode_object(&plan, sub, &value);
+        let valid = encode_object(&plan, sub, &value, &value.produced_by);
         let mut unknown_tag = valid.clone();
         unknown_tag[0] = TAG_MAX + 1;
         let truncated = valid[..valid.len() - 1].to_vec();

@@ -44,8 +44,7 @@ pub struct StartTask {
     /// Never stored.
     pub ticket: u64,
     /// The task's implementation clause: the name to bind under
-    /// `"code"` ([`StartTask::code`]), and its hints (deadline,
-    /// priority, …).
+    /// `"code"`, and its hints (deadline, priority, …).
     pub implementation: BTreeMap<String, String>,
     /// The bound input set's name.
     pub set: String,
@@ -53,21 +52,6 @@ pub struct StartTask {
     pub inputs: BTreeMap<String, ObjectVal>,
     /// Objects carried over from a repeat outcome, if re-executing.
     pub repeat_objects: BTreeMap<String, ObjectVal>,
-}
-
-impl StartTask {
-    /// The implementation name to bind, as the instance's script names
-    /// it: the clause's `"code"` pair, empty when it has none.
-    pub fn code(&self) -> &str {
-        self.implementation.get("code").map_or("", String::as_str)
-    }
-
-    /// The typed scheduling hints carried in the implementation clause
-    /// (the executor's location guard reads these instead of parsing
-    /// strings itself).
-    pub fn hints(&self) -> crate::sched::ImplHints {
-        crate::sched::ImplHints::from_map(&self.implementation)
-    }
 }
 
 /// Executor → coordinator: what one attempt came to — a mark mid-run,
@@ -256,13 +240,43 @@ impl Decode for Attempt {
 
 impl Encode for StartTask {
     fn encode(&self, w: &mut ByteWriter) {
-        self.at.encode(w);
-        w.put_var_u64(self.ticket);
-        self.implementation.encode(w);
-        w.put_str(&self.set);
-        self.inputs.encode(w);
-        self.repeat_objects.encode(w);
+        let objects = [&self.inputs, &self.repeat_objects];
+        put_start(w, &self.at, self.ticket, &self.implementation, &self.set, objects);
     }
+}
+
+/// Writes a [`StartTask`]'s fields, `objects` its inputs and then its
+/// repeat objects.
+fn put_start(
+    w: &mut ByteWriter,
+    at: &Attempt,
+    ticket: u64,
+    implementation: &BTreeMap<String, String>,
+    set: &str,
+    [inputs, repeat_objects]: [&BTreeMap<String, ObjectVal>; 2],
+) {
+    at.encode(w);
+    w.put_var_u64(ticket);
+    implementation.encode(w);
+    w.put_str(set);
+    inputs.encode(w);
+    repeat_objects.encode(w);
+}
+
+/// The encoded [`EngineMsg::Start`] of the attempt `at` under `ticket`,
+/// from its parts where they lie: how a shard ships one, its plan's
+/// clause borrowed, not copied into a [`StartTask`].
+pub(crate) fn start_bytes(
+    at: &Attempt,
+    ticket: u64,
+    implementation: &BTreeMap<String, String>,
+    set: &str,
+    objects: [&BTreeMap<String, ObjectVal>; 2],
+) -> Vec<u8> {
+    flowscript_codec::encode_exact(|w| {
+        w.put_u8(0);
+        put_start(w, at, ticket, implementation, set, objects);
+    })
 }
 
 impl Decode for StartTask {
@@ -352,9 +366,7 @@ fn put_report(w: &mut ByteWriter, at: &Attempt, ticket: u64, result: &TaskResult
 /// shipped under `ticket`: how an executor sends one off an address it
 /// keeps.
 pub(crate) fn report_bytes(at: &Attempt, ticket: u64, result: &TaskResult) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    put_report(&mut w, at, ticket, result);
-    w.into_vec()
+    flowscript_codec::encode_exact(|w| put_report(w, at, ticket, result))
 }
 
 impl Encode for EngineMsg {

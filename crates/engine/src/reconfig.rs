@@ -100,7 +100,7 @@ pub enum Reconfig {
 /// set, object slot, source or implementation of the script;
 /// [`EngineError::InvalidScript`] if `source` itself does not parse.
 pub fn apply(source: &str, root: &str, op: &Reconfig) -> Result<String, EngineError> {
-    let mut script = template::expand(&parse(source)?)?;
+    let mut script = template::expand(parse(source)?)?;
     edit(&mut script, root, op)?;
     Ok(fmt::format_script(&script))
 }
@@ -522,7 +522,7 @@ mod tests {
     #[test]
     fn a_rebind_changes_only_implementation_pairs() {
         let canonical = |source: &str| {
-            let script = template::expand(&parse(source).unwrap()).unwrap();
+            let script = template::expand(parse(source).unwrap()).unwrap();
             fmt::format_script(&script)
         };
         let (text, plan) = diamond(Reconfig::Rebind {

@@ -63,7 +63,7 @@ impl Repository {
     pub fn register(&mut self, name: &str, source: &str, root: &str) -> Result<u32, EngineError> {
         // Validate through the complete front end.
         let script = flowscript_core::parse(source)?;
-        let expanded = flowscript_core::template::expand(&script)?;
+        let expanded = flowscript_core::template::expand(script.clone())?;
         let checked = flowscript_core::sema::check(&expanded)?;
         schema::compile(&checked, root)?;
         // Store in canonical form (repository normal form).

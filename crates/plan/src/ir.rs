@@ -79,6 +79,10 @@ pub struct PlanTask {
     /// absent or unparsable), precomputed so the worklist's hot path
     /// never re-scans `impl_kv`. Derived at lowering, not encoded.
     pub priority: i64,
+    /// Derived: the implementation pairs as owned strings, by key (a key
+    /// given twice keeps its last value) — the clause every dispatch of
+    /// the task ships, built once at lowering, not encoded.
+    pub implementation: BTreeMap<String, String>,
 }
 
 /// A bound input set of a task.
@@ -436,14 +440,6 @@ impl Plan {
         &self.rdep_pool[self.tasks[producer as usize].rdeps.as_range()]
     }
 
-    /// The task's implementation pairs as owned strings (dispatch path).
-    pub fn implementation_map(&self, task: &PlanTask) -> BTreeMap<String, String> {
-        self.impl_kv[task.impl_kv.as_range()]
-            .iter()
-            .map(|(k, v)| (self.str(*k).to_string(), self.str(*v).to_string()))
-            .collect()
-    }
-
     /// The task's `code` implementation binding, if present.
     pub fn code(&self, task: &PlanTask) -> Option<&str> {
         self.impl_kv[task.impl_kv.as_range()]
@@ -469,15 +465,21 @@ impl Plan {
             .unwrap_or(0)
     }
 
-    /// Fills every task's derived [`PlanTask::priority`].
-    pub(crate) fn finish_priorities(&mut self) {
-        let priorities: Vec<i64> = self
+    /// Fills every task's derived [`PlanTask::priority`] and
+    /// [`PlanTask::implementation`].
+    pub(crate) fn finish_implementations(&mut self) {
+        let derived: Vec<(i64, BTreeMap<String, String>)> = self
             .tasks
             .iter()
-            .map(|task| self.derived_priority(task))
+            .map(|task| {
+                let pairs = self.impl_kv[task.impl_kv.as_range()].iter();
+                let owned = pairs.map(|(k, v)| (self.str(*k).to_string(), self.str(*v).to_string()));
+                (self.derived_priority(task), owned.collect())
+            })
             .collect();
-        for (task, priority) in self.tasks.iter_mut().zip(priorities) {
+        for (task, (priority, implementation)) in self.tasks.iter_mut().zip(derived) {
             task.priority = priority;
+            task.implementation = implementation;
         }
     }
 

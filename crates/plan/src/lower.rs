@@ -78,7 +78,7 @@ impl Plan {
         lowerer.link_rdeps();
         let mut plan = lowerer.plan;
         plan.strings = lowerer.interner.strings;
-        plan.finish_priorities();
+        plan.finish_implementations();
         plan.finish_object_ordinals();
         plan.finish_activation_seeds();
         plan
@@ -166,7 +166,8 @@ impl Lowerer {
             outputs: Range32::EMPTY,
             rdeps: Range32::EMPTY,
             is_scope: true,
-            priority: 0, // derived; filled by finish_priorities
+            priority: 0, // derived; filled by finish_implementations
+            implementation: BTreeMap::new(), // derived, the same
         });
         self.plan.path_index.insert(root.name.clone(), 0);
         self.lower_scope_body(0, root, &root.name.clone());
@@ -238,7 +239,8 @@ impl Lowerer {
             outputs: Range32::EMPTY,
             rdeps: Range32::EMPTY,
             is_scope: matches!(task.body, TaskBody::Scope(_)),
-            priority: 0, // derived; filled by finish_priorities
+            priority: 0, // derived; filled by finish_implementations
+            implementation: BTreeMap::new(), // derived, the same
         });
         self.plan.path_index.insert(path.clone(), id);
         if let TaskBody::Scope(inner) = &task.body {
