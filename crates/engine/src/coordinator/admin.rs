@@ -130,10 +130,10 @@ impl Coordinator {
             let forced = match kind {
                 _ if cb.state.is_terminal() => None,
                 OutputKind::Outcome => Some(CbState::Done {
-                    outcome: output.to_string(),
+                    outcome: output.into(),
                 }),
                 OutputKind::AbortOutcome => Some(CbState::Aborted {
-                    outcome: output.to_string(),
+                    outcome: output.into(),
                 }),
                 OutputKind::RepeatOutcome | OutputKind::Mark => None,
             };
@@ -341,7 +341,7 @@ impl Coordinator {
                 )));
             }
             cb.transition(CbState::Aborted {
-                outcome: outcome.to_string(),
+                outcome: outcome.into(),
             });
             let action = step.action(&mut coordinator.mgr);
             facts::write_block(

@@ -1072,7 +1072,7 @@ mod tests {
         Launch {
             incarnation: 0,
             attempt: 0,
-            set: "main".to_string(),
+            set: "main".into(),
             inputs: BTreeMap::new(),
             repeat_objects: BTreeMap::new(),
         }

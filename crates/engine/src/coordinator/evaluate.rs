@@ -227,17 +227,17 @@ impl Coordinator {
         let Some((set_id, bound)) = satisfied.flatten() else {
             return Ok(());
         };
-        let set = plan.str(set_id);
+        let set = plan.name(set_id);
         let slots = plan.sets[task.sets.as_range()]
             .iter()
             .find(|s| s.name == set_id)
             .map(|s| s.slots);
-        let (Some(in_key), Some(slots)) = (in_key(plan, instance_id, task_id, set), slots) else {
+        let (Some(in_key), Some(slots)) = (in_key(plan, instance_id, task_id, &set), slots) else {
             return Ok(());
         };
         cb.transition(match task.is_scope {
-            true => CbState::Active { set: set.into() },
-            false => CbState::Executing { set: set.into() },
+            true => CbState::Active { set: set.clone() },
+            false => CbState::Executing { set: set.clone() },
         });
         let action = step.action(&mut self.mgr);
         facts::write_block(&mut self.mgr, action, plan, instance_id, task_id, &cb)?;
@@ -255,7 +255,7 @@ impl Coordinator {
             let launch = Launch {
                 incarnation: cb.incarnation,
                 attempt: cb.attempt,
-                set: set.into(),
+                set,
                 inputs: facts::bound_map(plan, bound),
                 repeat_objects: BTreeMap::new(),
             };
@@ -351,7 +351,7 @@ impl Coordinator {
     ) -> Result<(), EngineError> {
         let (plan, instance_id) = (drain.plan, drain.id);
         let output = &plan.outputs[out_idx];
-        let outcome = plan.str(output.name).to_string();
+        let outcome = plan.name(output.name);
         let scope_path = plan.str(plan.task(scope_id).path);
         let Some(out_key) = out_key(plan, instance_id, scope_id, &outcome) else {
             return Ok(());
@@ -472,12 +472,12 @@ impl Coordinator {
         plan: &Plan,
         instance_id: u32,
         task: TaskId,
-    ) -> Option<String> {
+    ) -> Option<Arc<str>> {
         let class = plan.class_of(plan.task(task));
         let sets = plan.class_sets[class.sets.as_range()].iter().zip(0..);
         sets.map(|(set, item)| (set, FactKey::input(instance_id, task, item)))
             .find(|(_, base)| facts::fired(&self.mgr, step.staged(), plan, *base))
-            .map(|(set, _)| plan.str(set.name).to_string())
+            .map(|(set, _)| plan.name(set.name))
     }
 
     /// Stuck detection, at the end of every drain: an instance the step

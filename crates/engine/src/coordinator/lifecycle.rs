@@ -174,9 +174,7 @@ impl Coordinator {
             // bound; every descendant starts `Waiting`, which a block
             // never stored reads as.
             let mut root_cb = TaskCb::waiting();
-            root_cb.transition(CbState::Active {
-                set: set.to_string(),
-            });
+            root_cb.transition(CbState::Active { set: set.into() });
             facts::write_block(mgr, action, &plan, instance_id, 0, &root_cb)?;
             // The root's input binding goes through the fact layout like
             // every other fact, so root-input fallbacks probe per object;
@@ -226,7 +224,7 @@ impl Coordinator {
         let objects = fact.map(|key| facts::read_fact_map(&self.mgr, &plan, key));
         match (kind, objects.transpose()?.flatten()) {
             (Some(output), Some(objects)) => Ok(InstanceStatus::Completed(Outcome {
-                name,
+                name: name.to_string(),
                 kind: output.kind,
                 objects,
             })),

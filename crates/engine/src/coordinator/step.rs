@@ -78,7 +78,7 @@ pub(super) enum Effect {
 pub(super) struct Launch {
     pub(super) incarnation: u32,
     pub(super) attempt: u32,
-    pub(super) set: String,
+    pub(super) set: Arc<str>,
     pub(super) inputs: BTreeMap<String, ObjectVal>,
     pub(super) repeat_objects: BTreeMap<String, ObjectVal>,
 }

@@ -188,11 +188,15 @@ impl Coordinator {
                 objects,
                 redo_after,
             } => {
-                let outcome = name.clone();
-                let (state, verb) = match kind(name) {
-                    Some(OutputKind::Outcome) => (CbState::Done { outcome }, "done"),
-                    Some(OutputKind::AbortOutcome) => (CbState::Aborted { outcome }, "aborted"),
-                    Some(OutputKind::RepeatOutcome) => {
+                // The block names the outcome as the plan declares it.
+                let declared = plan.class_output(class, name);
+                let declared = declared.map(|output| (output.kind, plan.name(output.name)));
+                let (state, verb) = match declared {
+                    Some((OutputKind::Outcome, outcome)) => (CbState::Done { outcome }, "done"),
+                    Some((OutputKind::AbortOutcome, outcome)) => {
+                        (CbState::Aborted { outcome }, "aborted")
+                    }
+                    Some((OutputKind::RepeatOutcome, _)) => {
                         return self.stage_repeat(
                             step,
                             drain,

@@ -141,16 +141,17 @@ impl Executor {
     /// or at once an execution error.
     fn start(&mut self, now: SimTime, from: NodeId, start: StartTask) -> Vec<Output> {
         let StartTask {
-            at,
+            mut at,
             ticket,
             implementation,
             set,
             inputs,
             repeat_objects,
         } = start;
-        // The context takes the start's fields as they arrived.
+        // The context takes the start's fields as they arrived, and the
+        // address its path back once the implementation has run.
         let ctx = InvokeCtx {
-            path: at.path.clone(),
+            path: std::mem::take(&mut at.path),
             incarnation: at.incarnation,
             attempt: at.attempt,
             set,
@@ -158,7 +159,9 @@ impl Executor {
             repeat_objects,
             implementation,
         };
-        let behavior = match self.bind(&ctx) {
+        let bound = self.bind(&ctx);
+        at.path = ctx.path;
+        let behavior = match bound {
             Ok(behavior) => behavior,
             Err(reason) => {
                 let result = TaskResult::ExecError { reason };

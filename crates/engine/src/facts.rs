@@ -72,6 +72,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use flowscript_codec::{ByteReader, CodecError, Decode};
 use flowscript_core::ast::OutputKind;
@@ -479,18 +480,16 @@ pub fn write_fact_bound<S: Storage>(
     let decl = plan
         .fact_decl_objects(base.task, base.kind == FactKind::Input, base.item)
         .unwrap_or(Range32::EMPTY);
-    let mut covered = vec![false; decl.len()];
+    let ordinal = |i: usize| {
+        let slot = plan.slots.get(slots.start as usize + i);
+        slot.and_then(|slot| slot.obj_ordinal)
+    };
+    // Whether the binding (re)produces the declaration's `at`-th object.
+    let covered = |at: u32| (0..bound.len()).any(|i| ordinal(i) == Some(at));
     let mut extras: BTreeMap<String, ObjectVal> = BTreeMap::new();
     for (i, (name, value)) in bound.iter().enumerate() {
-        let ordinal = plan
-            .slots
-            .get(slots.start as usize + i)
-            .and_then(|slot| slot.obj_ordinal);
-        match ordinal {
+        match ordinal(i) {
             Some(ordinal) => {
-                if let Some(flag) = covered.get_mut(ordinal as usize) {
-                    *flag = true;
-                }
                 let sub = base.object(ordinal);
                 write_object(mgr, action, plan, sub, value, &value.produced_by)?;
             }
@@ -501,13 +500,13 @@ pub fn write_fact_bound<S: Storage>(
     }
     // Clear declared sub-keys this binding did not (re)produce, so a
     // rebinding never resurrects a stale object.
-    for (ordinal, _) in covered.iter().enumerate().filter(|(_, covered)| !**covered) {
-        let sub = StoreKey::Fact(base.object(ordinal as u32));
+    for at in (0..decl.len() as u32).filter(|&at| !covered(at)) {
+        let sub = StoreKey::Fact(base.object(at));
         if mgr.read_through(Some(action), &sub).is_some() {
             mgr.delete_key(action, &sub)?;
         }
     }
-    let first_stored = covered.first() == Some(&true);
+    let first_stored = !decl.is_empty() && covered(0);
     write_presence(mgr, action, base, first_stored, &extras)
 }
 
@@ -732,14 +731,12 @@ pub fn decode_block(plan: &Plan, task: TaskId, bytes: &[u8]) -> Result<TaskCb, C
         return Err(bad_tag);
     }
     let spelled = tag & BLOCK_SPELLED != 0;
-    let name = |r: &mut ByteReader<'_>, pool: Pool| -> Result<String, CodecError> {
+    let name = |r: &mut ByteReader<'_>, pool: Pool| -> Result<Arc<str>, CodecError> {
         if spelled {
-            return Ok(r.get_str()?.to_owned());
+            return Ok(r.get_str()?.into());
         }
         let at = r.get_var_u64()?;
-        let declared = pool
-            .name(plan, class, at)
-            .map(|name| plan.str(name).to_owned());
+        let declared = pool.name(plan, class, at).map(|name| plan.name(name));
         declared.ok_or(CodecError::InvalidDiscriminant {
             ty: pool.what(),
             value: at,
@@ -792,7 +789,8 @@ pub fn decode_block(plan: &Plan, task: TaskId, bytes: &[u8]) -> Result<TaskCb, C
             *counter = u32::try_from(r.get_var_u64()?).map_err(|_| CodecError::VarintOverflow)?;
         }
         for _ in 0..r.get_var_u64()? {
-            cb.marks_emitted.push(name(&mut r, Pool::Marks)?);
+            cb.marks_emitted
+                .push(name(&mut r, Pool::Marks)?.to_string());
         }
         // The encoder stores no counters it could leave out…
         if !counted(&cb) {
@@ -1449,20 +1447,20 @@ mod tests {
             (CbState::Waiting, None),
             (
                 CbState::Active {
-                    set: named("spare"),
+                    set: "spare".into(),
                 },
                 Some(1),
             ),
-            (CbState::Executing { set: named("main") }, Some(0)),
+            (CbState::Executing { set: "main".into() }, Some(0)),
             (
                 CbState::Done {
-                    outcome: named("skipped"),
+                    outcome: "skipped".into(),
                 },
                 Some(1),
             ),
             (
                 CbState::Aborted {
-                    outcome: named("done"),
+                    outcome: "done".into(),
                 },
                 Some(0),
             ),
@@ -1513,18 +1511,18 @@ mod tests {
         let undeclared = [
             (
                 CbState::Executing {
-                    set: named("other"),
+                    set: "other".into(),
                 },
                 vec![],
             ),
             (
                 CbState::Done {
-                    outcome: named("other"),
+                    outcome: "other".into(),
                 },
                 vec![],
             ),
             (
-                CbState::Executing { set: named("main") },
+                CbState::Executing { set: "main".into() },
                 vec![named("done")],
             ),
             (CbState::Cancelled, vec![named("early"), named("gone")]),
@@ -1617,19 +1615,19 @@ mod tests {
         let blocks = [
             TaskCb {
                 state: CbState::Executing {
-                    set: named("spare"),
+                    set: "spare".into(),
                 },
                 ..TaskCb::waiting()
             },
             TaskCb {
                 state: CbState::Done {
-                    outcome: named("done"),
+                    outcome: "done".into(),
                 },
                 ..TaskCb::waiting()
             },
             TaskCb {
                 state: CbState::Done {
-                    outcome: named("skipped"),
+                    outcome: "skipped".into(),
                 },
                 incarnation: 1,
                 scope_inc: 0,

@@ -241,7 +241,14 @@ impl Decode for Attempt {
 impl Encode for StartTask {
     fn encode(&self, w: &mut ByteWriter) {
         let objects = [&self.inputs, &self.repeat_objects];
-        put_start(w, &self.at, self.ticket, &self.implementation, &self.set, objects);
+        put_start(
+            w,
+            &self.at,
+            self.ticket,
+            &self.implementation,
+            &self.set,
+            objects,
+        );
     }
 }
 

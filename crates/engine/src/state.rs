@@ -23,7 +23,11 @@
 //! stored block is [`TaskCb::waiting`]: the codec and the one reader and
 //! writer of block keys live in [`crate::facts`].
 
-/// Where a task instance is in its lifecycle.
+use std::sync::Arc;
+
+/// Where a task instance is in its lifecycle. A set or outcome name is
+/// shared with the plan that declares it ([`flowscript_plan::Plan::name`]):
+/// reading a block copies no name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CbState {
     /// Awaiting input-set satisfaction (Fig. 3 "Wait").
@@ -31,22 +35,22 @@ pub enum CbState {
     /// A compound whose input set `set` is bound; constituents may run.
     Active {
         /// The bound input set.
-        set: String,
+        set: Arc<str>,
     },
     /// A leaf dispatched to an executor with input set `set`.
     Executing {
         /// The bound input set.
-        set: String,
+        set: Arc<str>,
     },
     /// Terminated in a non-abort outcome.
     Done {
         /// The outcome name.
-        outcome: String,
+        outcome: Arc<str>,
     },
     /// Terminated in an abort outcome (no side effects, §4.2).
     Aborted {
         /// The abort outcome name.
-        outcome: String,
+        outcome: Arc<str>,
     },
     /// The system exhausted its automatic retries (paper §3: "finite
     /// number of retries") without the task completing.

@@ -1,6 +1,7 @@
 //! The plan data structures and their encoding.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use flowscript_codec::{ByteWriter, Encode};
 use flowscript_core::ast::OutputKind;
@@ -243,8 +244,10 @@ pub struct PlanObjectSig {
 /// addressed exclusively through `u32` ids into flat pools.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Plan {
-    /// Interned strings; every `StrId` indexes here.
-    pub strings: Vec<String>,
+    /// Interned strings; every `StrId` indexes here. Shared, so a
+    /// control block names its set or outcome with a reference count,
+    /// not a copy ([`Plan::name`]).
+    pub strings: Vec<Arc<str>>,
     /// Object class names declared by the script.
     pub object_classes: Vec<StrId>,
     /// Task classes, sorted by name.
@@ -304,6 +307,15 @@ impl Plan {
     /// Panics on an id not produced for this plan.
     pub fn str(&self, id: StrId) -> &str {
         &self.strings[id as usize]
+    }
+
+    /// The interned string behind `id`, shared.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an id not produced for this plan.
+    pub fn name(&self, id: StrId) -> Arc<str> {
+        self.strings[id as usize].clone()
     }
 
     /// The task behind `id`.
@@ -473,7 +485,8 @@ impl Plan {
             .iter()
             .map(|task| {
                 let pairs = self.impl_kv[task.impl_kv.as_range()].iter();
-                let owned = pairs.map(|(k, v)| (self.str(*k).to_string(), self.str(*v).to_string()));
+                let owned =
+                    pairs.map(|(k, v)| (self.str(*k).to_string(), self.str(*v).to_string()));
                 (self.derived_priority(task), owned.collect())
             })
             .collect();
@@ -733,7 +746,8 @@ impl Encode for PlanObjectSig {
 
 impl Encode for Plan {
     fn encode(&self, w: &mut ByteWriter) {
-        self.strings.encode(w);
+        w.put_len(self.strings.len());
+        self.strings.iter().for_each(|s| w.put_str(s));
         self.object_classes.encode(w);
         self.classes.encode(w);
         self.class_sets.encode(w);

@@ -5,6 +5,7 @@
 //! source, then back-links reverse dependency edges.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use flowscript_core::schema::{
     CompiledCond, CompiledInputSet, CompiledNotification, CompiledObjectSlot, CompiledScope,
@@ -19,8 +20,8 @@ use crate::ir::{
 
 #[derive(Default)]
 struct Interner {
-    strings: Vec<String>,
-    lookup: BTreeMap<String, StrId>,
+    strings: Vec<Arc<str>>,
+    lookup: BTreeMap<Arc<str>, StrId>,
 }
 
 impl Interner {
@@ -29,8 +30,9 @@ impl Interner {
             return *id;
         }
         let id = self.strings.len() as StrId;
-        self.strings.push(s.to_string());
-        self.lookup.insert(s.to_string(), id);
+        let shared: Arc<str> = Arc::from(s);
+        self.strings.push(shared.clone());
+        self.lookup.insert(shared, id);
         id
     }
 }
@@ -166,7 +168,7 @@ impl Lowerer {
             outputs: Range32::EMPTY,
             rdeps: Range32::EMPTY,
             is_scope: true,
-            priority: 0, // derived; filled by finish_implementations
+            priority: 0,                     // derived; filled by finish_implementations
             implementation: BTreeMap::new(), // derived, the same
         });
         self.plan.path_index.insert(root.name.clone(), 0);
@@ -239,7 +241,7 @@ impl Lowerer {
             outputs: Range32::EMPTY,
             rdeps: Range32::EMPTY,
             is_scope: matches!(task.body, TaskBody::Scope(_)),
-            priority: 0, // derived; filled by finish_implementations
+            priority: 0,                     // derived; filled by finish_implementations
             implementation: BTreeMap::new(), // derived, the same
         });
         self.plan.path_index.insert(path.clone(), id);
@@ -406,7 +408,7 @@ impl Lowerer {
             let producer = self
                 .plan
                 .path_index
-                .get(self.interner.strings[producer_path as usize].as_str())
+                .get(&*self.interner.strings[producer_path as usize])
                 .copied();
             self.plan.sources[src_idx].producer = producer;
             if let (Some(producer), Some(consumer)) = (producer, consumer) {
