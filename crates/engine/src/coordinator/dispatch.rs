@@ -690,7 +690,7 @@ impl Coordinator {
     /// to judge, nor is an attempt a settled instance still awaits: it
     /// reports as it would have.
     pub(super) fn claim_running(&mut self, node: NodeId, ticket: u64, at: Attempt) {
-        let Some(rt) = self.instances.get(&at.instance) else {
+        let Some(rt) = self.instances.get(at.instance.as_str()) else {
             return;
         };
         let task = rt.plan.task_by_path(&at.path);
@@ -727,7 +727,7 @@ impl Coordinator {
         let fits = |(name, task): &(String, TaskId)| {
             let flight = self
                 .instances
-                .get(name)
+                .get(name.as_str())
                 .and_then(|rt| rt.flights.0.get(task));
             let state = flight.map(|flight| &flight.state);
             let sched = &self.dispatcher.sched;
@@ -745,7 +745,7 @@ impl Coordinator {
             let depth = self.dispatcher.queue.len();
             let rt = self
                 .instances
-                .get_mut(&instance)
+                .get_mut(instance.as_str())
                 .expect("a queued instance");
             let flight = rt.flights.0.get_mut(&task).expect("a queued record");
             let State::Parked(parked) = std::mem::take(&mut flight.state) else {

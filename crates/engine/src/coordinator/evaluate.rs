@@ -66,6 +66,15 @@ impl Drain<'_> {
 }
 
 impl Coordinator {
+    /// `instance`'s name as the shard shares it: its runtime's key when
+    /// it is resident, else a new one.
+    pub(super) fn shared_name(&self, instance: &str) -> Arc<str> {
+        match self.instances.get_key_value(instance) {
+            Some((name, _)) => name.clone(),
+            None => instance.into(),
+        }
+    }
+
     /// The instance's plan and id.
     pub(super) fn instance_ctx(&self, instance: &str) -> Option<(Arc<Plan>, u32)> {
         let rt = self.instances.get(instance)?;
@@ -90,7 +99,8 @@ impl Coordinator {
             for name in instances.iter().map(AsRef::as_ref) {
                 let unknown = || EngineError::UnknownInstance(name.to_string());
                 let (plan, id) = coordinator.instance_ctx(name).ok_or_else(unknown)?;
-                let mut drain = coordinator.drain_of(name.into(), &plan, id);
+                let name = coordinator.shared_name(name);
+                let mut drain = coordinator.drain_of(name, &plan, id);
                 stage(coordinator, step, &mut drain)?;
                 coordinator.stage_drain(step, &mut drain)?;
             }

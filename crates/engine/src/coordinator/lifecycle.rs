@@ -292,7 +292,7 @@ impl Coordinator {
 
     /// Names of instances known to the coordinator.
     pub fn instance_names(&self) -> Vec<String> {
-        self.instances.keys().cloned().collect()
+        self.instances.keys().map(|name| name.to_string()).collect()
     }
 
     /// Drops the pinned sources (`sys/src/…`) no stored instance
@@ -394,8 +394,8 @@ pub(super) fn pin_source(
 #[derive(Default)]
 pub(super) struct PlanCache {
     plans: BTreeMap<(u64, String), (Arc<str>, Arc<Plan>)>,
-    /// `(script, version)` → the source hash and root of its text.
-    versions: BTreeMap<(String, u32), (u64, String)>,
+    /// Script → version → the source hash and root of its text.
+    versions: BTreeMap<String, BTreeMap<u32, (u64, Arc<str>)>>,
 }
 
 impl PlanCache {
@@ -426,24 +426,33 @@ impl PlanCache {
     /// of `script`: its [`source_hash`], the one a fetched version costs.
     pub(super) fn remember(&mut self, script: &str, version: u32, source: &str, root: &str) -> u64 {
         let hash = source_hash(source);
-        let known = (hash, root.to_string());
-        self.versions.insert((script.to_string(), version), known);
+        let versions = self.versions.entry(script.to_string()).or_default();
+        versions.insert(version, (hash, root.into()));
         hash
     }
 
     /// The source hash, text and root of `version` of `script`, if this
     /// shard fetched it and still holds its plan.
-    pub(super) fn version(&self, script: &str, version: u32) -> Option<(u64, Arc<str>, String)> {
-        let known = self.versions.get(&(script.to_string(), version))?;
-        let (text, _) = self.plans.get(known)?;
-        Some((known.0, text.clone(), known.1.clone()))
+    pub(super) fn version(&self, script: &str, version: u32) -> Option<(u64, Arc<str>, Arc<str>)> {
+        let (hash, root) = self.versions.get(script)?.get(&version)?;
+        let (text, _) = self.entry(*hash, root)?;
+        Some((*hash, text.clone(), root.clone()))
+    }
+
+    /// The entry of version `(hash, root)`, found with no key built.
+    fn entry(&self, hash: u64, root: &str) -> Option<&(Arc<str>, Arc<Plan>)> {
+        let mut of_hash = self.plans.range((hash, String::new())..);
+        of_hash
+            .find(|((at, compiled), _)| *at != hash || compiled == root)
+            .filter(|((at, _), _)| *at == hash)
+            .map(|(_, entry)| entry)
     }
 
     /// The plan of version `(hash, root)`, if this shard compiled it
     /// from exactly `source`: the entry's own text (as
     /// [`PlanCache::version`] serves it) is, and any other is compared.
     fn cached(&self, hash: u64, root: &str, source: &[u8]) -> Option<Arc<Plan>> {
-        let (text, plan) = self.plans.get(&(hash, root.to_string()))?;
+        let (text, plan) = self.entry(hash, root)?;
         let text = text.as_bytes();
         (std::ptr::eq(text, source) || text == source).then(|| plan.clone())
     }
@@ -452,7 +461,10 @@ impl PlanCache {
     /// of a repository version dropped here fetches it again.
     fn retain(&mut self, live: &BTreeSet<u64>) {
         self.plans.retain(|(hash, _), _| live.contains(hash));
-        self.versions.retain(|_, (hash, _)| live.contains(hash));
+        for versions in self.versions.values_mut() {
+            versions.retain(|_, (hash, _)| live.contains(hash));
+        }
+        self.versions.retain(|_, versions| !versions.is_empty());
     }
 }
 

@@ -551,7 +551,7 @@ impl Coordinator {
             self.record_event(name, None, 0, ObsEventKind::DrainBegin { remaining });
         }
         let limit = if drain.is_some() { DRAIN_BATCH } else { 1 };
-        let names = self.instances.keys().cloned();
+        let names = self.instances.keys().map(|name| name.to_string());
         let mut queue = split(names, |name| map.node_of(name), limit);
         queue.retain(|(dest, _)| *dest != self.node);
         let report = MoveReport {
@@ -1167,7 +1167,7 @@ mod tests {
         let distinct: BTreeSet<u32> = ids.values().copied().collect();
         assert_eq!(distinct.len(), ids.len(), "an id is shared: {ids:?}");
         for (name, rt) in &coord.instances {
-            assert_eq!(Some(&rt.id), ids.get(name), "`{name}`");
+            assert_eq!(Some(&rt.id), ids.get(&**name), "`{name}`");
         }
         let (lo, hi) = (FactKey::instance_first(0), FactKey::instance_last(u32::MAX));
         for key in coord.mgr.fact_keys_in_range(lo, hi) {
@@ -1276,7 +1276,7 @@ mod tests {
         let id = source.membership.freezing(&name).expect("frozen");
         dest.on_claim(id, epoch, false, writes.clone())
             .expect("the first delivery lands");
-        assert!(dest.instances.contains_key(&name));
+        assert!(dest.instances.contains_key(name.as_str()));
         source.land_round(id);
         assert_eq!(source.membership.freezing(&name), None);
         assert_eq!(source.misdirected(&name), Some(dest.node), "relayed");
@@ -1356,7 +1356,7 @@ mod tests {
         assert!(move_records(&source.mgr).is_empty(), "its record went too");
         assert!(source.membership.index.is_empty(), "and its index entry");
         assert!(
-            source.instances.contains_key(&name),
+            source.instances.contains_key(name.as_str()),
             "the claimed copy loaded"
         );
         let landed: InstanceHeader = source

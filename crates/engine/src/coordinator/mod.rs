@@ -226,7 +226,7 @@ pub struct Coordinator {
     config: EngineConfig,
     mgr: TxManager<StableStore>,
     storage: StableStore,
-    instances: BTreeMap<String, InstanceRt>,
+    instances: BTreeMap<Arc<str>, InstanceRt>,
     plan_cache: PlanCache,
     commits: u64,
     /// `commits` as of the last checkpoint — the once-per-drain
@@ -849,7 +849,7 @@ compoundtask root of taskclass Root {
         };
         let answer = Ok(flowscript_codec::to_bytes(&answer));
         source.handle(at(10), Input::Answered(call, answer));
-        assert!(source.instances.contains_key(&instance), "running");
+        assert!(source.instances.contains_key(instance.as_str()), "running");
 
         // The move: the source freezes the instance and sends its claim.
         let op = Op::Move {
@@ -867,7 +867,7 @@ compoundtask root of taskclass Root {
             panic!("the claim");
         };
         assert_eq!(to, there);
-        assert!(!source.instances.contains_key(&instance), "frozen");
+        assert!(!source.instances.contains_key(instance.as_str()), "frozen");
 
         // The claim, at the destination: landed, and answered.
         let token = Some(ReplyToken::new(there, here, 8));
@@ -882,7 +882,7 @@ compoundtask root of taskclass Root {
             _ => None,
         });
         let reply = reply.expect("the claim's answer");
-        assert!(dest.instances.contains_key(&instance), "landed");
+        assert!(dest.instances.contains_key(instance.as_str()), "landed");
 
         // Its answer, at the source: what the operator hears.
         let outputs = source.handle(at(40), Input::Answered(call, Ok(reply)));

@@ -251,7 +251,7 @@ impl Coordinator {
             if !rt.terminal {
                 self.admission.instance_live();
             }
-            self.instances.insert(name.clone(), rt);
+            self.instances.insert(name.as_str().into(), rt);
             let epoch = self.membership.epoch();
             let kind = match why {
                 Back::Restart => {
@@ -284,7 +284,7 @@ impl Coordinator {
     pub(super) fn resume(&mut self, loaded: Vec<String>, why: Back) {
         let running: Vec<String> = loaded
             .iter()
-            .filter(|name| !self.instances[*name].terminal)
+            .filter(|name| !self.instances[name.as_str()].terminal)
             .cloned()
             .collect();
         let watched: &[String] = match why {

@@ -258,7 +258,7 @@ impl Coordinator {
                 Effect::Replan(plan) => self.replan(&instance, plan),
                 Effect::Resident(rt) => {
                     self.next_id = rt.id + 1;
-                    self.instances.insert(instance.to_string(), *rt);
+                    self.instances.insert(instance.clone(), *rt);
                     self.admission.instance_live();
                 }
                 Effect::Status(terminal) => {

@@ -371,7 +371,8 @@ impl Coordinator {
             match touched.iter_mut().find(|drain| &*drain.name == instance) {
                 Some(drain) => _ = self.stage_event(step, drain, event, *task)?,
                 None => {
-                    let mut drain = self.drain_of(instance.into(), plan, *instance_id);
+                    let name = self.shared_name(instance);
+                    let mut drain = self.drain_of(name, plan, *instance_id);
                     if self.stage_event(step, &mut drain, event, *task)? {
                         touched.push(drain);
                     }
@@ -381,7 +382,7 @@ impl Coordinator {
         for drain in &mut touched {
             self.stage_drain(step, drain)?;
         }
-        let first: Arc<str> = events[0].at.instance.as_str().into();
+        let first = self.shared_name(&events[0].at.instance);
         step.push(&first, Effect::Batch(events.len() as u64));
         Ok(())
     }

@@ -52,6 +52,7 @@
 //! is cold — a start, a load, status, parking, repair, reconfiguration.
 
 use std::borrow::Cow;
+use std::fmt::Write;
 
 use flowscript_plan::{Plan, PlanCond, Probe, TaskId};
 use flowscript_tx::{FactKey, FactKind, ObjectUid, StoreKey, TxId};
@@ -99,7 +100,17 @@ fn unescape(segment: &str) -> Option<String> {
 /// The prefix every uid of `instance` — and of no other instance —
 /// starts with.
 pub(crate) fn instance_prefix(instance: &str) -> String {
-    format!("{INSTANCE_ROOT}{}/", escape(instance))
+    instance_uid(instance, "")
+}
+
+/// `instance`'s uid ending in `suffix`, spelled into one allocation.
+fn instance_uid(instance: &str, suffix: &str) -> String {
+    let segment = escape(instance);
+    let mut uid = String::with_capacity(INSTANCE_ROOT.len() + segment.len() + 1 + suffix.len());
+    for part in [INSTANCE_ROOT, &segment, "/", suffix] {
+        uid.push_str(part);
+    }
+    uid
 }
 
 fn key(uid: String) -> StoreKey {
@@ -108,7 +119,7 @@ fn key(uid: String) -> StoreKey {
 
 /// The key of an instance's header.
 pub(crate) fn meta_uid(instance: &str) -> StoreKey {
-    key(instance_prefix(instance) + "meta")
+    key(instance_uid(instance, "meta"))
 }
 
 /// The instance a header uid names — the inverse of [`meta_uid`];
@@ -123,13 +134,15 @@ pub(crate) fn header_instance(uid: &str) -> Option<String> {
 /// The key of an instance's stuck record: present only while it is
 /// parked `Stuck`.
 pub(crate) fn status_uid(instance: &str) -> StoreKey {
-    key(instance_prefix(instance) + "status")
+    key(instance_uid(instance, "status"))
 }
 
 /// A script's canonical source persists once per content hash, shared
 /// by every instance started from that text.
 pub(crate) fn source_uid(hash: u64) -> StoreKey {
-    key(format!("{SOURCE_PREFIX}{hash:016x}"))
+    let mut uid = String::with_capacity(SOURCE_PREFIX.len() + 16);
+    let _ = write!(uid, "{SOURCE_PREFIX}{hash:016x}");
+    key(uid)
 }
 
 /// Inverse of [`source_uid`]: the hash a source blob's uid names.

@@ -6,10 +6,28 @@ use flowscript_codec::IdMap;
 use crate::event::EventId;
 use crate::node::NodeId;
 use crate::time::SimTime;
-use crate::world::World;
+use crate::world::{PayloadKind, World};
 
-/// A pending simulation event: a closure to run at a virtual instant.
+/// A pending simulation event's closure, run at a virtual instant.
 pub(crate) type EventFn = Box<dyn FnOnce(&mut World)>;
+
+/// What a pending event does when it runs: hand a message to its
+/// destination — the commonest event, so it is kept unboxed — or run a
+/// closure.
+pub(crate) enum Event {
+    Deliver(Delivery),
+    Run(EventFn),
+}
+
+/// A message on the wire: its ends, what it is, and the incarnation of
+/// the destination it was sent to (a restart in between drops it).
+pub(crate) struct Delivery {
+    pub(crate) src: NodeId,
+    pub(crate) dst: NodeId,
+    pub(crate) kind: PayloadKind,
+    pub(crate) payload: Vec<u8>,
+    pub(crate) incarnation: u64,
+}
 
 /// The event queue: a time-ordered heap of closures with stable ordering
 /// and cancellation.
@@ -18,14 +36,14 @@ pub(crate) type EventFn = Box<dyn FnOnce(&mut World)>;
 /// monotonic tie-breaker that makes two events at the same instant run
 /// in the order they were scheduled, the root of determinism. The heap
 /// holds `(time, id)` keys, earliest time first, then scheduling order;
-/// `entries` holds the pending events' closures, each beside the node it
-/// was scheduled for, if any, under the fixed hasher: the ids are the
+/// `entries` holds the pending events, each beside the node it was
+/// scheduled for, if any, under the fixed hasher: the ids are the
 /// scheduler's own sequence. Cancelling removes the table entry, and a
 /// heap key without one is skipped (and dropped) whenever it surfaces at
 /// the top.
 pub(crate) struct Scheduler {
     heap: BinaryHeap<Reverse<(SimTime, u64)>>,
-    entries: IdMap<u64, (Option<NodeId>, EventFn)>,
+    entries: IdMap<u64, (Option<NodeId>, Event)>,
     next_event: u64,
     now: SimTime,
 }
@@ -48,22 +66,22 @@ impl Scheduler {
     /// "now" (the event runs as soon as possible, after events already
     /// queued for the current instant).
     pub(crate) fn schedule_at(&mut self, at: SimTime, run: EventFn) -> EventId {
-        self.schedule_for(at, None, run)
+        self.schedule_for(at, None, Event::Run(run))
     }
 
-    /// [`Scheduler::schedule_at`] on behalf of `owner`: the event leaves
-    /// the queue with [`Scheduler::cancel_owned_by`].
+    /// [`Scheduler::schedule_at`] of any event, on behalf of `owner`: the
+    /// event leaves the queue with [`Scheduler::cancel_owned_by`].
     pub(crate) fn schedule_for(
         &mut self,
         at: SimTime,
         owner: Option<NodeId>,
-        run: EventFn,
+        event: Event,
     ) -> EventId {
         let at = at.max(self.now);
         let id = self.next_event;
         self.next_event += 1;
         self.heap.push(Reverse((at, id)));
-        self.entries.insert(id, (owner, run));
+        self.entries.insert(id, (owner, event));
         EventId(id)
     }
 
@@ -88,14 +106,14 @@ impl Scheduler {
     }
 
     /// Pops the next runnable event, advancing the clock to its time.
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, EventId, EventFn)> {
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, EventId, Event)> {
         while let Some(Reverse((at, id))) = self.heap.pop() {
-            let Some((_, run)) = self.entries.remove(&id) else {
+            let Some((_, event)) = self.entries.remove(&id) else {
                 continue; // cancelled
             };
             debug_assert!(at >= self.now, "clock went backwards");
             self.now = at;
-            return Some((at, EventId(id), run));
+            return Some((at, EventId(id), event));
         }
         None
     }

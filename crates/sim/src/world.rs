@@ -7,7 +7,7 @@ use crate::event::EventId;
 use crate::net::{DeliveryFailure, Network};
 use crate::node::{NodeId, NodeState, NodeStatus};
 use crate::rpc::{self, RpcError, RpcState};
-use crate::sched::Scheduler;
+use crate::sched::{Delivery, Event, Scheduler};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{DropReason, Trace, TraceEvent};
 
@@ -239,7 +239,8 @@ impl World {
                 f(world);
             }
         };
-        self.sched.schedule_for(at, Some(node), Box::new(run))
+        self.sched
+            .schedule_for(at, Some(node), Event::Run(Box::new(run)))
     }
 
     /// Cancels a scheduled event.
@@ -293,22 +294,27 @@ impl World {
                     .record(now, TraceEvent::MessageDropped { src, dst, reason });
             }
             Ok(latency) => {
-                let expected_incarnation = self.incarnation(dst);
-                self.schedule_after(latency, move |world| {
-                    world.deliver(src, dst, kind, payload, expected_incarnation);
-                });
+                let delivery = Delivery {
+                    src,
+                    dst,
+                    kind,
+                    payload,
+                    incarnation: self.incarnation(dst),
+                };
+                let at = now + latency;
+                self.sched.schedule_for(at, None, Event::Deliver(delivery));
             }
         }
     }
 
-    fn deliver(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        kind: PayloadKind,
-        payload: Vec<u8>,
-        expected_incarnation: u64,
-    ) {
+    fn deliver(&mut self, delivery: Delivery) {
+        let Delivery {
+            src,
+            dst,
+            kind,
+            payload,
+            incarnation: expected_incarnation,
+        } = delivery;
         let now = self.sched.now();
         if !self.is_up(dst) {
             self.trace.record(
@@ -422,7 +428,11 @@ impl World {
     /// Runs a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         match self.sched.pop() {
-            Some((_, _, run)) => {
+            Some((_, _, Event::Deliver(delivery))) => {
+                self.deliver(delivery);
+                true
+            }
+            Some((_, _, Event::Run(run))) => {
                 run(self);
                 true
             }
