@@ -732,8 +732,8 @@ impl WorkflowSystem {
         K: Into<String>,
     {
         let at = crate::msg::Attempt {
-            instance: instance.to_string(),
-            path: path.to_string(),
+            instance: instance.into(),
+            path: path.into(),
             incarnation,
             attempt,
         };

@@ -72,7 +72,7 @@ struct Charge {
     ticket: u64,
     cost: u64,
     sent_ns: u64,
-    code: String,
+    code: Arc<str>,
 }
 
 /// A parked record's place in the ready queue: `(priority desc,
@@ -283,7 +283,7 @@ impl Dispatcher {
 /// the clause it ships is its plan task's.
 struct Shipment {
     /// The implementation code its script names.
-    code: String,
+    code: Arc<str>,
     hints: ImplHints,
     /// The load it is charged at: the observed estimate when the cost
     /// model has one, else the declared remaining-work cost.
@@ -300,7 +300,7 @@ impl Coordinator {
     /// dispatch and the re-arming of an adopted instance.
     fn shipment(&self, rt: &InstanceRt, task: TaskId) -> Shipment {
         let task = rt.plan.task(task);
-        let code = rt.plan.code(task).unwrap_or("").to_string();
+        let code = rt.plan.code(task).cloned().unwrap_or_else(|| "".into());
         let hints = ImplHints::from_map(&task.implementation);
         let costs = &self.dispatcher.costs;
         let timeout = costs.watchdog_timeout(&code, &hints, self.config.dispatch_timeout);
@@ -656,10 +656,12 @@ impl Coordinator {
             return;
         };
         for (task, cb) in executing {
-            let rt = &self.instances[instance];
+            let Some((name, rt)) = self.instances.get_key_value(instance) else {
+                return;
+            };
             let state = rt.flights.0.get(&task).map(|flight| &flight.state);
             if matches!(state, None | Some(State::Watched(None, _))) {
-                let at = address(rt, instance, task, cb.incarnation, cb.attempt);
+                let at = address(name, rt, task, cb.incarnation, cb.attempt);
                 let timeout = self.shipment(rt, task).timeout;
                 self.arm_watchdog(instance, task, at, timeout);
             }
@@ -690,7 +692,7 @@ impl Coordinator {
     /// to judge, nor is an attempt a settled instance still awaits: it
     /// reports as it would have.
     pub(super) fn claim_running(&mut self, node: NodeId, ticket: u64, at: Attempt) {
-        let Some(rt) = self.instances.get(at.instance.as_str()) else {
+        let Some(rt) = self.instances.get(&*at.instance) else {
             return;
         };
         let task = rt.plan.task_by_path(&at.path);
@@ -794,10 +796,10 @@ impl Coordinator {
         after: SimDuration,
         launch: Launch,
     ) {
-        let Some(rt) = self.instances.get(instance) else {
+        let Some((name, rt)) = self.instances.get_key_value(instance) else {
             return;
         };
-        let at = address(rt, instance, task, launch.incarnation, launch.attempt);
+        let at = address(name, rt, task, launch.incarnation, launch.attempt);
         let timer = self.arm(after, Timer::Flight(at));
         let stale = self.enter(instance, task, State::Delayed(timer, Box::new(launch)));
         self.cancel(stale);
@@ -831,13 +833,13 @@ impl Coordinator {
         launch: Launch,
     ) -> Result<(), String> {
         let now_ns = self.now.as_nanos();
-        let Some(rt) = self.instances.get(instance) else {
+        let Some((name, rt)) = self.instances.get_key_value(instance) else {
             return Ok(());
         };
         let plan = rt.plan.clone();
         let task = plan.task(task_id);
         let path = plan.str(task.path);
-        if plan.code(task).is_none_or(str::is_empty) {
+        if plan.code(task).is_none_or(|code| code.is_empty()) {
             // A leaf with no implementation clause has no code to
             // ship — shipping an empty name would bounce off every
             // executor as an unbound implementation and burn the
@@ -845,7 +847,7 @@ impl Coordinator {
             return Err(format!("missing implementation code for `{path}`"));
         }
         let shipment = self.shipment(rt, task_id);
-        let at = address(rt, instance, task_id, launch.incarnation, launch.attempt);
+        let at = address(name, rt, task_id, launch.incarnation, launch.attempt);
         let dispatcher = &mut self.dispatcher;
         // Capacity gate: when every eligible executor is at its
         // declared capacity, park instead of piling on. The committed
@@ -936,7 +938,7 @@ impl Coordinator {
     /// lost, and the time-out is one step — the attempt's bounded retry
     /// or its failure, with the cascade — published once it commits.
     pub(super) fn on_flight_timer(&mut self, at: &Attempt) {
-        let instance = at.instance.as_str();
+        let instance = &*at.instance;
         let Some((plan, instance_id)) = self.instance_ctx(instance) else {
             return;
         };
@@ -1029,15 +1031,15 @@ impl Coordinator {
 /// `instance`'s `task`, resident as `rt`, at `incarnation` and
 /// `attempt`: how a wire message or a timer names it.
 fn address(
+    name: &Arc<str>,
     rt: &InstanceRt,
-    instance: &str,
     task: TaskId,
     incarnation: u32,
     attempt: u32,
 ) -> Attempt {
     Attempt {
-        instance: instance.to_string(),
-        path: rt.plan.str(rt.plan.task(task).path).to_string(),
+        instance: name.clone(),
+        path: rt.plan.name(rt.plan.task(task).path),
         incarnation,
         attempt,
     }
@@ -1061,7 +1063,7 @@ mod tests {
                 ticket: task.into(),
                 cost,
                 sent_ns: 0,
-                code: format!("ref{task}"),
+                code: format!("ref{task}").into(),
             });
             flights.0.entry(task).or_default().state = State::Watched(None, charge);
         }
@@ -1108,7 +1110,7 @@ mod tests {
     /// `(task, code it is charged under)` of every record.
     fn codes(flights: &Flights) -> Vec<(TaskId, &str)> {
         fn code(flight: &Flight) -> &str {
-            flight.state.charge().map_or("-", |c| c.code.as_str())
+            flight.state.charge().map_or("-", |c| &*c.code)
         }
         flights.0.iter().map(|(id, f)| (*id, code(f))).collect()
     }

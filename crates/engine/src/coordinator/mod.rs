@@ -754,7 +754,7 @@ compoundtask root of taskclass Root {
         else {
             panic!("the watchdog first: {watchdog:?}");
         };
-        assert_eq!(watched.path, "root/echo");
+        assert_eq!(&*watched.path, "root/echo");
         let Output::Send { to, bytes } = dispatch else {
             panic!("then the dispatch: {dispatch:?}");
         };

@@ -112,6 +112,15 @@ impl BatchWindow {
         (std::mem::take(&mut self.pending), self.timer.take())
     }
 
+    /// Takes back the vector of a flushed window's reports, emptied, to
+    /// buffer the next window in — unless that one already began.
+    fn recycle(&mut self, mut flushed: Vec<TaskReport>) {
+        if self.pending.capacity() == 0 {
+            flushed.clear();
+            self.pending = flushed;
+        }
+    }
+
     /// Whether the completion of exactly this dispatch is buffered —
     /// its transition just hasn't committed yet, and the watchdog must
     /// not turn a report-in-flight into a spurious retry.
@@ -338,6 +347,7 @@ impl Coordinator {
             return;
         }
         let _ = self.step(&events, Self::stage_window);
+        self.window.recycle(events);
         self.window.current_batch = None;
         // A flushed window frees executor slots and settles instances:
         // revisit parked dispatches and the admission queue.
@@ -367,7 +377,7 @@ impl Coordinator {
             let Some((plan, instance_id, task)) = ctx else {
                 continue; // unknown instance or path: dropped, as ever
             };
-            let instance = event.at.instance.as_str();
+            let instance = &*event.at.instance;
             match touched.iter_mut().find(|drain| &*drain.name == instance) {
                 Some(drain) => _ = self.stage_event(step, drain, event, *task)?,
                 None => {

@@ -141,17 +141,16 @@ impl Executor {
     /// or at once an execution error.
     fn start(&mut self, now: SimTime, from: NodeId, start: StartTask) -> Vec<Output> {
         let StartTask {
-            mut at,
+            at,
             ticket,
             implementation,
             set,
             inputs,
             repeat_objects,
         } = start;
-        // The context takes the start's fields as they arrived, and the
-        // address its path back once the implementation has run.
+        // The context takes the start's fields as they arrived.
         let ctx = InvokeCtx {
-            path: std::mem::take(&mut at.path),
+            path: at.path.to_string(),
             incarnation: at.incarnation,
             attempt: at.attempt,
             set,
@@ -159,9 +158,7 @@ impl Executor {
             repeat_objects,
             implementation,
         };
-        let bound = self.bind(&ctx);
-        at.path = ctx.path;
-        let behavior = match bound {
+        let behavior = match self.bind(&ctx) {
             Ok(behavior) => behavior,
             Err(reason) => {
                 let result = TaskResult::ExecError { reason };

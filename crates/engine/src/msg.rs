@@ -9,6 +9,7 @@
 //! the ticket of the copy that sent it.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use flowscript_codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
 use flowscript_sim::SimDuration;
@@ -21,13 +22,15 @@ use crate::value::ObjectVal;
 pub type AfterImages = Vec<(StoreKey, Option<Vec<u8>>)>;
 
 /// One attempt of a task, as a shard ships it and every report of it
-/// comes back: the address the shard–executor protocol names it by.
+/// comes back: the address the shard–executor protocol names it by. Its
+/// names are shared: a shard addresses an attempt with its resident
+/// instance's name and its plan's path, copying neither.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Attempt {
     /// Instance name.
-    pub instance: String,
+    pub instance: Arc<str>,
     /// Task path within the instance.
-    pub path: String,
+    pub path: Arc<str>,
     /// Scope incarnation (stale replies are discarded by this).
     pub incarnation: u32,
     /// Dispatch attempt number.
@@ -230,8 +233,8 @@ impl Encode for Attempt {
 impl Decode for Attempt {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(Attempt {
-            instance: r.get_str()?.to_owned(),
-            path: r.get_str()?.to_owned(),
+            instance: r.get_str()?.into(),
+            path: r.get_str()?.into(),
             incarnation: r.get_u32()?,
             attempt: r.get_u32()?,
         })

@@ -453,11 +453,11 @@ impl Plan {
     }
 
     /// The task's `code` implementation binding, if present.
-    pub fn code(&self, task: &PlanTask) -> Option<&str> {
+    pub fn code(&self, task: &PlanTask) -> Option<&Arc<str>> {
         self.impl_kv[task.impl_kv.as_range()]
             .iter()
             .find(|(k, _)| self.str(*k) == "code")
-            .map(|(_, v)| self.str(*v))
+            .map(|(_, v)| &self.strings[*v as usize])
     }
 
     /// The task's declared scheduling priority (`"priority"` in the
