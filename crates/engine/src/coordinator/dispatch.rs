@@ -56,7 +56,7 @@ use super::{block_fault, Coordinator, InstanceRt, Output, Timer, TimerId};
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::{self, in_key};
-use crate::msg::{start_bytes, Attempt, EngineMsg};
+use crate::msg::{start_bytes, Attempt, Encoded, EngineMsg};
 use crate::sched::{CostModel, ExecutorSlot, ExecutorSpec, ImplHints, SchedPolicy, Scheduler};
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
@@ -387,7 +387,7 @@ impl Coordinator {
             incarnation: cb.incarnation,
             attempt: cb.attempt,
             set: set.clone(),
-            inputs,
+            inputs: Encoded(flowscript_codec::to_bytes(&inputs)),
             repeat_objects,
         };
         if !drain.flying.contains(&task) {
@@ -911,8 +911,15 @@ impl Coordinator {
             executor: node.index() as u32,
         };
         self.record_event(instance, Some(path), at.attempt, kind);
-        let objects = [&launch.inputs, &launch.repeat_objects];
-        let bytes = start_bytes(&at, ticket, &task.implementation, &launch.set, objects);
+        let (clause, set) = (&task.implementation, &launch.set);
+        let bytes = start_bytes(
+            &at,
+            ticket,
+            clause,
+            set,
+            &launch.inputs,
+            &launch.repeat_objects,
+        );
         self.arm_watchdog(instance, task_id, at, shipment.timeout);
         self.cancel(stale);
         self.outbox.push(Output::Send { to: node, bytes });
@@ -1075,7 +1082,9 @@ mod tests {
             incarnation: 0,
             attempt: 0,
             set: "main".into(),
-            inputs: BTreeMap::new(),
+            inputs: Encoded(flowscript_codec::to_bytes(
+                &BTreeMap::<String, ObjectVal>::new(),
+            )),
             repeat_objects: BTreeMap::new(),
         }
     }

@@ -28,6 +28,7 @@ use flowscript_tx::{AtomicAction, StableStore, TxError, TxManager};
 use super::{CoordStats, Coordinator, InstanceRt};
 use crate::error::EngineError;
 use crate::facts;
+use crate::msg::Encoded;
 use crate::state::TaskCb;
 use crate::value::ObjectVal;
 
@@ -73,13 +74,14 @@ pub(super) enum Effect {
 
 /// What an attempt ships under, as staged, whatever the block reads by
 /// then: its task's incarnation and attempt, the bound input set with
-/// its objects, and the objects of the repeat outcomes the task took.
+/// its objects (in their wire form), and the objects of the repeat
+/// outcomes the task took.
 #[derive(Debug)]
 pub(super) struct Launch {
     pub(super) incarnation: u32,
     pub(super) attempt: u32,
     pub(super) set: Arc<str>,
-    pub(super) inputs: BTreeMap<String, ObjectVal>,
+    pub(super) inputs: Encoded,
     pub(super) repeat_objects: BTreeMap<String, ObjectVal>,
 }
 

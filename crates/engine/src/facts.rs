@@ -74,7 +74,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use flowscript_codec::{ByteReader, CodecError, Decode};
+use flowscript_codec::{ByteReader, CodecError, Decode, Encode};
 use flowscript_core::ast::OutputKind;
 use flowscript_plan::{
     eval as plan_eval, Plan, PlanClass, PlanObjectSig, Probe, Range32, StrId, TaskId,
@@ -84,6 +84,7 @@ use flowscript_tx::{
 };
 
 use crate::keys::{fired_key, probe_keys};
+use crate::msg::Encoded;
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
 
@@ -348,13 +349,31 @@ fn decoded<T: Decode>(bytes: Option<&[u8]>) -> Result<Option<T>, TxError> {
     Ok(bytes.map(flowscript_codec::from_bytes).transpose()?)
 }
 
-/// Interns a plan-eval binding list into an owned, name-keyed map (the
-/// executor wire format), moving each value in.
-pub fn bound_map(plan: &Plan, bound: Vec<(StrId, ObjectVal)>) -> BTreeMap<String, ObjectVal> {
-    bound
-        .into_iter()
-        .map(|(name, value)| (plan.str(name).to_string(), value))
-        .collect()
+/// A plan-eval binding list in the executor wire format: what the
+/// name-keyed map it interns to encodes as — names ascending, a name
+/// bound twice by its last value — written straight from the list,
+/// which holds a handful of slots, with no map built.
+pub(crate) fn bound_bytes(plan: &Plan, bound: &[(StrId, ObjectVal)]) -> Encoded {
+    let name = |at: usize| plan.str(bound[at].0);
+    let kept = |at: &usize| {
+        bound[at + 1..]
+            .iter()
+            .all(|(later, _)| plan.str(*later) != name(*at))
+    };
+    Encoded(flowscript_codec::encode_exact(|w| {
+        w.put_len((0..bound.len()).filter(kept).count());
+        let mut last: Option<&str> = None;
+        loop {
+            let unwritten = (0..bound.len()).filter(kept);
+            let unwritten = unwritten.filter(|at| last.is_none_or(|last| name(*at) > last));
+            let Some(next) = unwritten.min_by_key(|&at| name(at)) else {
+                break;
+            };
+            w.put_str(name(next));
+            bound[next].1.encode(w);
+            last = Some(name(next));
+        }
+    }))
 }
 
 /// Writes one fact from a name-keyed object map (outputs and marks

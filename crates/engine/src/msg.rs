@@ -243,34 +243,37 @@ impl Decode for Attempt {
 
 impl Encode for StartTask {
     fn encode(&self, w: &mut ByteWriter) {
-        let objects = [&self.inputs, &self.repeat_objects];
-        put_start(
-            w,
-            &self.at,
-            self.ticket,
-            &self.implementation,
-            &self.set,
-            objects,
-        );
+        let (at, clause) = (&self.at, &self.implementation);
+        put_start(w, at, self.ticket, clause, &self.set, &self.inputs);
+        self.repeat_objects.encode(w);
     }
 }
 
-/// Writes a [`StartTask`]'s fields, `objects` its inputs and then its
-/// repeat objects.
-fn put_start(
+/// A value's wire form, encoded ahead: how a shard keeps the objects it
+/// bound to an attempt until it ships them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Encoded(pub(crate) Vec<u8>);
+
+impl Encode for Encoded {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_bytes(&self.0);
+    }
+}
+
+/// Writes a [`StartTask`]'s fields up to its repeat objects.
+fn put_start<I: Encode + ?Sized>(
     w: &mut ByteWriter,
     at: &Attempt,
     ticket: u64,
     implementation: &BTreeMap<String, String>,
     set: &str,
-    [inputs, repeat_objects]: [&BTreeMap<String, ObjectVal>; 2],
+    inputs: &I,
 ) {
     at.encode(w);
     w.put_var_u64(ticket);
     implementation.encode(w);
     w.put_str(set);
     inputs.encode(w);
-    repeat_objects.encode(w);
 }
 
 /// The encoded [`EngineMsg::Start`] of the attempt `at` under `ticket`,
@@ -281,11 +284,13 @@ pub(crate) fn start_bytes(
     ticket: u64,
     implementation: &BTreeMap<String, String>,
     set: &str,
-    objects: [&BTreeMap<String, ObjectVal>; 2],
+    inputs: &Encoded,
+    repeat_objects: &BTreeMap<String, ObjectVal>,
 ) -> Vec<u8> {
     flowscript_codec::encode_exact(|w| {
         w.put_u8(0);
-        put_start(w, at, ticket, implementation, set, objects);
+        put_start(w, at, ticket, implementation, set, inputs);
+        repeat_objects.encode(w);
     })
 }
 
