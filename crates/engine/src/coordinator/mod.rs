@@ -98,6 +98,7 @@ pub use meta::{InstanceStatus, Outcome};
 pub use stats::{CoordStats, DispatchRecord};
 
 use recovery::{stored_instance_names, stored_instances, Census};
+use step::Effects;
 
 use admission::{Admission, AdmissionTicket};
 use dispatch::{Dispatcher, Flights};
@@ -236,6 +237,9 @@ pub struct Coordinator {
     /// The open commit window: buffered executor reports, the armed
     /// flush timer and batch ids.
     window: BatchWindow,
+    /// The last published step's effects vector, emptied: the next step
+    /// stages into it.
+    spare_effects: Effects,
     /// The `coord.*` and `sched.*` metrics (the [`TxManager`] owns the
     /// `tx.*` and `wal.*` ones). Like the recorder, they survive
     /// [`Coordinator::recover`], which moves the manager's into the
@@ -316,6 +320,7 @@ impl Coordinator {
             commits: 0,
             commits_at_checkpoint: 0,
             window: BatchWindow::default(),
+            spare_effects: Effects::new(),
             metrics: Box::default(),
             recorder,
             now: SimTime::ZERO,

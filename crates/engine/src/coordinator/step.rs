@@ -177,7 +177,10 @@ impl Coordinator {
         &mut self,
         stage: impl FnOnce(&mut Self, &mut Step) -> Result<T, EngineError>,
     ) -> Result<(T, Effects), EngineError> {
-        let mut step = Step::default();
+        let mut step = Step {
+            action: None,
+            effects: std::mem::take(&mut self.spare_effects),
+        };
         match (stage(self, &mut step), step.action) {
             (Ok(value), action) => {
                 if let Some(action) = action {
@@ -238,9 +241,9 @@ impl Coordinator {
     /// Publishes a committed step's effects, in staging order. A
     /// dispatch no executor can take fails its task, in a step of its
     /// own, last: the step behind that must find what this one shipped.
-    fn publish(&mut self, effects: Effects) {
+    fn publish(&mut self, mut effects: Effects) {
         let mut unplaceable = Vec::new();
-        for (instance, effect) in effects {
+        for (instance, effect) in effects.drain(..) {
             match effect {
                 Effect::Completed(task, ticket) => self.clear_watch(&instance, task, ticket),
                 Effect::Lost(task, reported) => self.lose_flight(&instance, task, reported),
@@ -275,6 +278,10 @@ impl Coordinator {
                     self.record_event(&instance, task.as_deref(), attempt, kind);
                 }
             }
+        }
+        // Emptied, the vector is the next step's to stage into.
+        if self.spare_effects.capacity() == 0 {
+            self.spare_effects = effects;
         }
         for (instance, task, reason) in unplaceable {
             self.fail_unplaceable(&instance, task, &reason);
