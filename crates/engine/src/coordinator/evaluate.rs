@@ -25,10 +25,9 @@ use flowscript_tx::{AtomicAction, FactKey, StableStore, TxManager};
 use super::step::{Effect, Launch, Step};
 use super::{block_fault, settled, Coordinator, StuckRecord};
 use crate::error::EngineError;
-use crate::facts::{self, StoreFacts};
+use crate::facts::{self, Found, StoreFacts};
 use crate::keys::{in_key, out_key, status_uid};
 use crate::state::{CbState, TaskCb};
-use crate::value::ObjectVal;
 
 /// One instance inside a step: what the step's events staged for it
 /// ahead of its drain, then the drain's own agenda.
@@ -332,7 +331,7 @@ impl Coordinator {
         scope_id: TaskId,
         mut cb: TaskCb,
         out_idx: usize,
-        mapped: &[(StrId, ObjectVal)],
+        mapped: &[(StrId, Found)],
     ) -> Result<(), EngineError> {
         let (plan, instance_id) = (drain.plan, drain.id);
         let output = &plan.outputs[out_idx];
@@ -357,7 +356,7 @@ impl Coordinator {
         scope_id: TaskId,
         mut cb: TaskCb,
         out_idx: usize,
-        mapped: Vec<(StrId, ObjectVal)>,
+        mapped: Vec<(StrId, Found)>,
     ) -> Result<(), EngineError> {
         let (plan, instance_id) = (drain.plan, drain.id);
         let output = &plan.outputs[out_idx];
@@ -406,7 +405,7 @@ impl Coordinator {
         scope_id: TaskId,
         mut cb: TaskCb,
         out_idx: usize,
-        mapped: Vec<(StrId, ObjectVal)>,
+        mapped: Vec<(StrId, Found)>,
     ) -> Result<(), EngineError> {
         let (plan, instance_id) = (drain.plan, drain.id);
         let output = &plan.outputs[out_idx];

@@ -86,7 +86,7 @@ use flowscript_tx::{
 use crate::keys::{fired_key, probe_keys};
 use crate::msg::Encoded;
 use crate::state::{CbState, TaskCb};
-use crate::value::ObjectVal;
+use crate::value::{ObjectRef, ObjectVal};
 
 /// Tag bit: the value spells its class out.
 const CLASS_SPELLED: u8 = 0b001;
@@ -111,25 +111,104 @@ fn declared(plan: &Plan, key: FactKey) -> Option<&PlanObjectSig> {
 }
 
 /// The path of task `id`; an id the plan lacks is corrupt storage.
-fn task_path(plan: &Plan, id: u64) -> Result<&str, CodecError> {
+fn task_path(plan: &Plan, id: u64) -> Result<StrId, CodecError> {
     let task = usize::try_from(id).ok().and_then(|id| plan.tasks.get(id));
-    let path = task.map(|task| plan.str(task.path));
+    let path = task.map(|task| task.path);
     path.ok_or(CodecError::InvalidDiscriminant {
         ty: "fact object producer",
         value: id,
     })
 }
 
-/// Encodes `value`, produced by `produced_by`, for the declared sub-key
-/// `key`, relative to `plan`.
-fn encode_object(plan: &Plan, key: FactKey, value: &ObjectVal, produced_by: &str) -> Vec<u8> {
+/// A name a stored object carries: one its plan holds, or one it spells
+/// out.
+#[derive(Debug, Clone, Copy)]
+enum Name<'a> {
+    Plan(StrId),
+    Spelled(&'a str),
+}
+
+impl<'a> Name<'a> {
+    fn str(self, plan: &'a Plan) -> &'a str {
+        match self {
+            Name::Plan(id) => plan.str(id),
+            Name::Spelled(name) => name,
+        }
+    }
+
+    /// The name shared: the plan's, else a copy.
+    fn shared(self, plan: &Plan) -> Arc<str> {
+        match self {
+            Name::Plan(id) => plan.name(id),
+            Name::Spelled(name) => name.into(),
+        }
+    }
+}
+
+/// What [`decode_object`] read: the object's fields where they lie.
+struct Stored<'a> {
+    class: Name<'a>,
+    produced_by: Option<Name<'a>>,
+    data: &'a [u8],
+}
+
+impl<'a> Stored<'a> {
+    fn view(&self, plan: &'a Plan) -> ObjectRef<'a> {
+        ObjectRef {
+            class: self.class.str(plan),
+            data: self.data,
+            produced_by: self.produced_by.map_or("", |name| name.str(plan)),
+        }
+    }
+}
+
+/// An object as a probe reads it from a declared sub-key: its payload
+/// copied out of the store, its class and producer shared with the plan
+/// that names them — one allocation, where an [`ObjectVal`] takes three.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Found {
+    class: Arc<str>,
+    produced_by: Option<Arc<str>>,
+    data: Vec<u8>,
+}
+
+impl Found {
+    /// The object's fields, borrowed.
+    pub(crate) fn view(&self) -> ObjectRef<'_> {
+        ObjectRef {
+            class: &self.class,
+            data: &self.data,
+            produced_by: self.produced_by.as_deref().unwrap_or(""),
+        }
+    }
+
+    /// The object, owned.
+    pub(crate) fn to_val(&self) -> ObjectVal {
+        self.view().to_val()
+    }
+}
+
+/// An object with no declared ordinal, found in a presence record.
+impl From<ObjectVal> for Found {
+    fn from(object: ObjectVal) -> Self {
+        let produced_by = Some(object.produced_by).filter(|path| !path.is_empty());
+        Found {
+            class: object.class.into(),
+            produced_by: produced_by.map(Arc::from),
+            data: object.data,
+        }
+    }
+}
+
+/// Encodes `object` for the declared sub-key `key`, relative to `plan`.
+fn encode_object(plan: &Plan, key: FactKey, object: ObjectRef<'_>) -> Vec<u8> {
     let declared_class = declared(plan, key).map(|sig| plan.str(sig.class));
-    let spell_class = declared_class != Some(value.class.as_str());
+    let spell_class = declared_class != Some(object.class);
     let own = plan
         .tasks
         .get(key.task as usize)
         .map(|task| plan.str(task.path));
-    let (form, task) = match produced_by {
+    let (form, task) = match object.produced_by {
         "" => (PRODUCER_NONE, None),
         path if own == Some(path) => (PRODUCER_OWN, None),
         path => match plan.task_by_path(path) {
@@ -140,19 +219,19 @@ fn encode_object(plan: &Plan, key: FactKey, value: &ObjectVal, produced_by: &str
     flowscript_codec::encode_exact(|w| {
         w.put_u8(u8::from(spell_class) | form << 1);
         if spell_class {
-            w.put_str(&value.class);
+            w.put_str(object.class);
         }
         if let Some(task) = task {
             w.put_var_u64(u64::from(task));
         } else if form == PRODUCER_SPELLED {
-            w.put_str(produced_by);
+            w.put_str(object.produced_by);
         }
-        w.put_len_prefixed(&value.data);
+        w.put_len_prefixed(object.data);
     })
 }
 
 /// Decodes what [`encode_object`] stored under `key`, relative to `plan`.
-fn decode_object(plan: &Plan, key: FactKey, bytes: &[u8]) -> Result<ObjectVal, CodecError> {
+fn decode_object<'a>(plan: &Plan, key: FactKey, bytes: &'a [u8]) -> Result<Stored<'a>, CodecError> {
     let mut r = ByteReader::new(bytes);
     let tag = r.get_u8()?;
     if tag > TAG_MAX {
@@ -162,44 +241,42 @@ fn decode_object(plan: &Plan, key: FactKey, bytes: &[u8]) -> Result<ObjectVal, C
         });
     }
     let class = if tag & CLASS_SPELLED != 0 {
-        r.get_str()?
+        Name::Spelled(r.get_str()?)
     } else {
         let undeclared = CodecError::InvalidDiscriminant {
             ty: "fact object ordinal",
             value: key.obj.into(),
         };
-        plan.str(declared(plan, key).ok_or(undeclared)?.class)
+        Name::Plan(declared(plan, key).ok_or(undeclared)?.class)
     };
     let produced_by = match tag >> 1 {
-        PRODUCER_NONE => "",
-        PRODUCER_OWN => task_path(plan, key.task.into())?,
-        PRODUCER_TASK => task_path(plan, r.get_var_u64()?)?,
-        _ => r.get_str()?,
+        PRODUCER_NONE => None,
+        PRODUCER_OWN => Some(Name::Plan(task_path(plan, key.task.into())?)),
+        PRODUCER_TASK => Some(Name::Plan(task_path(plan, r.get_var_u64()?)?)),
+        _ => Some(Name::Spelled(r.get_str()?)),
     };
-    let data = r.get_len_prefixed()?.to_vec();
+    let data = r.get_len_prefixed()?;
     if r.remaining() != 0 {
         return Err(CodecError::TrailingBytes {
             remaining: r.remaining(),
         });
     }
-    Ok(ObjectVal {
-        class: class.to_owned(),
+    Ok(Stored {
+        class,
+        produced_by,
         data,
-        produced_by: produced_by.to_owned(),
     })
 }
 
-/// Stages `value`, produced by `produced_by`, under the declared sub-key
-/// `key`.
+/// Stages `object` under the declared sub-key `key`.
 fn write_object<S: Storage>(
     mgr: &mut TxManager<S>,
     action: &AtomicAction,
     plan: &Plan,
     key: FactKey,
-    value: &ObjectVal,
-    produced_by: &str,
+    object: ObjectRef<'_>,
 ) -> Result<(), TxError> {
-    let bytes = encode_object(plan, key, value, produced_by);
+    let bytes = encode_object(plan, key, object);
     mgr.write_key_raw(action, &StoreKey::Fact(key), bytes)
 }
 
@@ -270,17 +347,24 @@ impl<'a, S: Storage> StoreFacts<'a, S> {
     }
 
     /// The object stored under the declared sub-key `key`.
-    fn object(&self, key: FactKey) -> Option<ObjectVal> {
-        let bytes = self.read(key);
-        let object = bytes.map(|bytes| decode_object(self.plan, key, bytes));
-        self.latch(object.transpose().map_err(TxError::from))
+    fn object(&self, key: FactKey) -> Option<Found> {
+        let plan = self.plan;
+        let stored = self.read(key).map(|bytes| decode_object(plan, key, bytes));
+        let found = stored.map(|stored| {
+            stored.map(|stored| Found {
+                class: stored.class.shared(plan),
+                produced_by: stored.produced_by.map(|name| name.shared(plan)),
+                data: stored.data.to_vec(),
+            })
+        });
+        self.latch(found.transpose().map_err(TxError::from))
     }
 }
 
 impl<S: Storage> plan_eval::PlanFacts for StoreFacts<'_, S> {
-    type Value = ObjectVal;
+    type Value = Found;
 
-    fn fact_object(&self, probe: Probe<'_>, object: &str) -> Option<ObjectVal> {
+    fn fact_object(&self, probe: Probe<'_>, object: &str) -> Option<Found> {
         let keys = probe_keys(self.plan, self.instance, &probe)?;
         // The probed object's bytes, nothing else.
         if let Some(value) = keys.data.and_then(|data| self.object(data)) {
@@ -292,7 +376,7 @@ impl<S: Storage> plan_eval::PlanFacts for StoreFacts<'_, S> {
         // normally empty — a two-byte decode, never a whole record).
         let presence = self.read(keys.presence);
         let mut extras: BTreeMap<String, ObjectVal> = self.latch(decoded(presence))?;
-        extras.remove(object)
+        extras.remove(object).map(Found::from)
     }
 
     fn fact_fired(&self, probe: Probe<'_>) -> bool {
@@ -353,7 +437,7 @@ fn decoded<T: Decode>(bytes: Option<&[u8]>) -> Result<Option<T>, TxError> {
 /// name-keyed map it interns to encodes as — names ascending, a name
 /// bound twice by its last value — written straight from the list,
 /// which holds a handful of slots, with no map built.
-pub(crate) fn bound_bytes(plan: &Plan, bound: &[(StrId, ObjectVal)]) -> Encoded {
+pub(crate) fn bound_bytes(plan: &Plan, bound: &[(StrId, Found)]) -> Encoded {
     let name = |at: usize| plan.str(bound[at].0);
     let kept = |at: &usize| {
         bound[at + 1..]
@@ -370,7 +454,7 @@ pub(crate) fn bound_bytes(plan: &Plan, bound: &[(StrId, ObjectVal)]) -> Encoded 
                 break;
             };
             w.put_str(name(next));
-            bound[next].1.encode(w);
+            bound[next].1.view().encode(w);
             last = Some(name(next));
         }
     }))
@@ -437,7 +521,11 @@ fn write_objects<S: Storage>(
         match objects.get(plan.str(sig.name)) {
             Some(value) => {
                 let produced_by = stamp.unwrap_or(&value.produced_by);
-                write_object(mgr, action, plan, sub, value, produced_by)?;
+                let object = ObjectRef {
+                    produced_by,
+                    ..value.view()
+                };
+                write_object(mgr, action, plan, sub, object)?;
             }
             None => {
                 let sub = StoreKey::Fact(sub);
@@ -488,7 +576,7 @@ pub fn write_fact_bound<S: Storage>(
     plan: &Plan,
     base: FactKey,
     slots: Range32,
-    bound: &[(StrId, ObjectVal)],
+    bound: &[(StrId, Found)],
 ) -> Result<(), TxError> {
     debug_assert_eq!(base.obj, 0, "facts are addressed by their presence key");
     debug_assert_eq!(
@@ -509,11 +597,10 @@ pub fn write_fact_bound<S: Storage>(
     for (i, (name, value)) in bound.iter().enumerate() {
         match ordinal(i) {
             Some(ordinal) => {
-                let sub = base.object(ordinal);
-                write_object(mgr, action, plan, sub, value, &value.produced_by)?;
+                write_object(mgr, action, plan, base.object(ordinal), value.view())?;
             }
             None => {
-                extras.insert(plan.str(*name).to_string(), value.clone());
+                extras.insert(plan.str(*name).to_string(), value.to_val());
             }
         }
     }
@@ -596,7 +683,7 @@ pub fn read_fact_map<S: Storage>(
         let Some(sig) = declared(plan, key) else {
             continue; // stale sub-key past the declaration: unreachable by probes
         };
-        let object = decode_object(plan, key, &bytes)?;
+        let object = decode_object(plan, key, &bytes)?.view(plan).to_val();
         map.insert(plan.str(sig.name).to_string(), object);
     }
     Ok(Some(map))
@@ -1183,7 +1270,8 @@ mod tests {
         let scans = || mgr.metrics().snapshot().counter("tx.fact_range_scans");
         let before = scans();
         assert!(facts.fact_fired(probe));
-        assert_eq!(facts.fact_object(probe, "stockInfo"), Some(obj("s")));
+        let found = facts.fact_object(probe, "stockInfo");
+        assert_eq!(found.map(|found| found.to_val()), Some(obj("s")));
         assert_eq!(scans(), before, "probes must be point reads");
         assert!(facts.take_fault().is_none());
     }
@@ -1217,7 +1305,9 @@ mod tests {
             let facts = StoreFacts::new(&mgr, None, &plan, 0);
             assert!(facts.fact_fired(probe), "{objects:?}");
             assert_eq!(
-                facts.fact_object(probe, "stockInfo"),
+                facts
+                    .fact_object(probe, "stockInfo")
+                    .map(|found| found.to_val()),
                 objects.get("stockInfo").cloned()
             );
             assert!(facts.take_fault().is_none());
@@ -1285,12 +1375,13 @@ mod tests {
         for (class, spelled) in [("StockInfo", 0), ("Blob", 5)] {
             for (producer, form, producer_bytes) in producers {
                 let value = ObjectVal::text(class, "payload").produced_by(producer);
-                let bytes = encode_object(&plan, sub, &value, &value.produced_by);
+                let bytes = encode_object(&plan, sub, value.view());
                 let tag = u8::from(spelled > 0) | form << 1;
                 assert_eq!(bytes[0], tag, "{value:?}");
                 // Tag, the spelled fields, then the payload's length and bytes.
                 assert_eq!(bytes.len(), 1 + spelled + producer_bytes + 1 + 7);
-                assert_eq!(decode_object(&plan, sub, &bytes), Ok(value.clone()));
+                let decoded = decode_object(&plan, sub, &bytes).map(|stored| stored.view(&plan));
+                assert_eq!(decoded, Ok(value.view()));
                 // The same through the store: written by the map writer,
                 // read back whole and by a probe.
                 let objects = BTreeMap::from([("stockInfo".to_string(), value.clone())]);
@@ -1298,7 +1389,8 @@ mod tests {
                 assert_eq!(read_fact_map(&mgr, &plan, base), Ok(Some(objects)));
                 let facts = StoreFacts::new(&mgr, None, &plan, 0);
                 let probe = stock_probe(&plan, check);
-                assert_eq!(facts.fact_object(probe, "stockInfo"), Some(value));
+                let found = facts.fact_object(probe, "stockInfo");
+                assert_eq!(found.map(|found| found.to_val()), Some(value));
                 assert!(facts.take_fault().is_none());
             }
         }
@@ -1310,7 +1402,7 @@ mod tests {
         let (check, base) = stock_fact(&plan);
         let sub = base.object(0);
         let value = obj("s").produced_by("processOrderApplication/dispatch");
-        let valid = encode_object(&plan, sub, &value, &value.produced_by);
+        let valid = encode_object(&plan, sub, value.view());
         let mut unknown_tag = valid.clone();
         unknown_tag[0] = TAG_MAX + 1;
         let truncated = valid[..valid.len() - 1].to_vec();

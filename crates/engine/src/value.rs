@@ -61,9 +61,48 @@ impl fmt::Display for ObjectVal {
 /// (`facts.rs`).
 impl Encode for ObjectVal {
     fn encode(&self, w: &mut ByteWriter) {
-        w.put_str(&self.class);
-        w.put_len_prefixed(&self.data);
-        w.put_str(&self.produced_by);
+        self.view().encode(w);
+    }
+}
+
+/// An object's fields borrowed from wherever they lie: how an object is
+/// written, to a message or the store, without first being copied into
+/// an [`ObjectVal`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ObjectRef<'a> {
+    pub(crate) class: &'a str,
+    pub(crate) data: &'a [u8],
+    pub(crate) produced_by: &'a str,
+}
+
+impl ObjectVal {
+    /// This object's fields, borrowed.
+    pub(crate) fn view(&self) -> ObjectRef<'_> {
+        ObjectRef {
+            class: &self.class,
+            data: &self.data,
+            produced_by: &self.produced_by,
+        }
+    }
+}
+
+impl ObjectRef<'_> {
+    /// The object, owned.
+    pub(crate) fn to_val(self) -> ObjectVal {
+        ObjectVal {
+            class: self.class.to_owned(),
+            data: self.data.to_vec(),
+            produced_by: self.produced_by.to_owned(),
+        }
+    }
+}
+
+/// The wire form of [`ObjectVal`].
+impl Encode for ObjectRef<'_> {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_str(self.class);
+        w.put_len_prefixed(self.data);
+        w.put_str(self.produced_by);
     }
 }
 
