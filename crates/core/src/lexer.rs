@@ -155,9 +155,9 @@ impl<'a> Lexer<'a> {
 
     fn string(&mut self) {
         let start = self.pos;
-        let open = self.bump().expect("string opener");
-        let mut text = String::new();
-        loop {
+        let _open = self.bump().expect("string opener");
+        let begin = self.pos.offset;
+        let end = loop {
             match self.peek() {
                 None | Some('\n') => {
                     self.diags.push(Diagnostic::error(
@@ -167,18 +167,18 @@ impl<'a> Lexer<'a> {
                     return;
                 }
                 Some('"') | Some('\u{201D}') | Some('\u{201C}') => {
+                    let end = self.pos.offset;
                     self.bump();
-                    break;
+                    break end;
                 }
                 Some(_) => {
-                    text.push(self.bump().expect("peeked"));
+                    self.bump();
                 }
             }
-        }
-        let _ = open;
+        };
         // The paper sometimes has stray spaces inside quoted names
         // (`“ refPaymentAuthorisation”`); normalise them away.
-        let text = text.trim().to_string();
+        let text = self.source[begin..end].trim().to_string();
         self.tokens.push(Token {
             kind: TokenKind::Str(text),
             span: Span::new(start, self.pos),

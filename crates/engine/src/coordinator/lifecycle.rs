@@ -141,7 +141,7 @@ impl Coordinator {
                 Some(_) => {}
             }
         }
-        let root_path = plan.str(plan.root().path).to_string();
+        let (root_path, set_name) = (plan.name(plan.root().path), plan.name(set_info.name));
         let name: Arc<str> = Arc::from(instance);
 
         // The start is one step — header, blocks, the root's binding
@@ -174,7 +174,9 @@ impl Coordinator {
             // bound; every descendant starts `Waiting`, which a block
             // never stored reads as.
             let mut root_cb = TaskCb::waiting();
-            root_cb.transition(CbState::Active { set: set.into() });
+            root_cb.transition(CbState::Active {
+                set: set_name.clone(),
+            });
             facts::write_block(mgr, action, &plan, instance_id, 0, &root_cb)?;
             // The root's input binding goes through the fact layout like
             // every other fact, so root-input fallbacks probe per object;

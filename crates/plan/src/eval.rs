@@ -146,10 +146,13 @@ pub fn eval_input_set<F: PlanFacts>(
     set: &PlanInputSet,
     facts: &F,
 ) -> Option<Bound<F>> {
-    let mut bound = Vec::with_capacity(set.slots.len());
+    let mut bound = Vec::new();
     for slot_idx in set.slots.iter() {
         let slot = &plan.slots[slot_idx];
         let value = resolve_slot(plan, slot, facts)?;
+        // Sized once the first slot resolves: an unsatisfied first slot
+        // costs no allocation.
+        bound.reserve_exact(set.slots.len() - bound.len());
         bound.push((slot.name, value));
     }
     for note_idx in set.notes.iter() {
@@ -239,10 +242,12 @@ pub fn eval_output<F: PlanFacts>(plan: &Plan, output: &PlanOutput, facts: &F) ->
     if output.slots.is_empty() && output.notes.is_empty() {
         return None;
     }
-    let mut mapped = Vec::with_capacity(output.slots.len());
+    let mut mapped = Vec::new();
     for slot_idx in output.slots.iter() {
         let slot = &plan.slots[slot_idx];
         let value = resolve_slot(plan, slot, facts)?;
+        // As in `eval_input_set`: sized once the first slot resolves.
+        mapped.reserve_exact(output.slots.len() - mapped.len());
         mapped.push((slot.name, value));
     }
     for note_idx in output.notes.iter() {
