@@ -36,14 +36,16 @@ pub(crate) struct Delivery {
 /// monotonic tie-breaker that makes two events at the same instant run
 /// in the order they were scheduled, the root of determinism. The heap
 /// holds `(time, id)` keys, earliest time first, then scheduling order;
-/// `entries` holds the pending events, each beside the node it was
-/// scheduled for, if any, under the fixed hasher: the ids are the
-/// scheduler's own sequence. Cancelling removes the table entry, and a
-/// heap key without one is skipped (and dropped) whenever it surfaces at
-/// the top.
+/// `entries` holds the pending closures, each beside the node it was
+/// scheduled for, if any, and `deliveries` the messages on the wire
+/// (apart, so a long-lived timer's slot stays small), both under the
+/// fixed hasher: the ids are the scheduler's own sequence. Cancelling
+/// removes the table entry, and a heap key without one is skipped (and
+/// dropped) whenever it surfaces at the top.
 pub(crate) struct Scheduler {
     heap: BinaryHeap<Reverse<(SimTime, u64)>>,
-    entries: IdMap<u64, (Option<NodeId>, Event)>,
+    entries: IdMap<u64, (Option<NodeId>, EventFn)>,
+    deliveries: IdMap<u64, Delivery>,
     next_event: u64,
     now: SimTime,
 }
@@ -53,6 +55,7 @@ impl Scheduler {
         Self {
             heap: BinaryHeap::new(),
             entries: IdMap::default(),
+            deliveries: IdMap::default(),
             next_event: 0,
             now: SimTime::ZERO,
         }
@@ -81,14 +84,19 @@ impl Scheduler {
         let id = self.next_event;
         self.next_event += 1;
         self.heap.push(Reverse((at, id)));
-        self.entries.insert(id, (owner, event));
+        match event {
+            Event::Run(run) => _ = self.entries.insert(id, (owner, run)),
+            Event::Deliver(delivery) => _ = self.deliveries.insert(id, delivery),
+        }
         EventId(id)
     }
 
     /// Cancels a pending event; a no-op for one that already ran or was
     /// already cancelled.
     pub(crate) fn cancel(&mut self, id: EventId) {
-        self.entries.remove(&id.0);
+        if self.entries.remove(&id.0).is_none() {
+            self.deliveries.remove(&id.0);
+        }
     }
 
     /// Cancels every pending event scheduled on behalf of `node`.
@@ -98,18 +106,22 @@ impl Scheduler {
 
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.pending() == 0
     }
 
     pub(crate) fn pending(&self) -> usize {
-        self.entries.len()
+        self.entries.len() + self.deliveries.len()
     }
 
     /// Pops the next runnable event, advancing the clock to its time.
     pub(crate) fn pop(&mut self) -> Option<(SimTime, EventId, Event)> {
         while let Some(Reverse((at, id))) = self.heap.pop() {
-            let Some((_, event)) = self.entries.remove(&id) else {
-                continue; // cancelled
+            let event = match self.entries.remove(&id) {
+                Some((_, run)) => Event::Run(run),
+                None => match self.deliveries.remove(&id) {
+                    Some(delivery) => Event::Deliver(delivery),
+                    None => continue, // cancelled
+                },
             };
             debug_assert!(at >= self.now, "clock went backwards");
             self.now = at;
@@ -133,7 +145,7 @@ impl Scheduler {
     /// keys of cancelled events above it are dropped.
     pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
         while let Some(&Reverse((at, id))) = self.heap.peek() {
-            if self.entries.contains_key(&id) {
+            if self.entries.contains_key(&id) || self.deliveries.contains_key(&id) {
                 return Some(at);
             }
             self.heap.pop();
