@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use flowscript_tx::{ObjectUid, SharedStorage, StoreKey, TxManager};
+use flowscript_tx::{FactKey, LogRecord, ObjectUid, SharedStorage, StoreKey, TxManager, Wal};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -105,5 +105,65 @@ proptest! {
             let stored: Option<u16> = recovered.read_committed_key(&key(k)).unwrap();
             prop_assert_eq!(stored, model.get(&k).copied(), "post-recovery key {}", k);
         }
+    }
+}
+
+/// Key `k` of the mixed-action model: an even `k` is a uid named like a
+/// client's instance, an odd one a fact key, over a few instances, tasks
+/// and sub-keys — so one action interleaves both families of keys.
+fn mixed_key(k: u8) -> StoreKey {
+    if k % 2 == 0 {
+        StoreKey::Uid(ObjectUid::new(format!("inst/i{}/meta", k / 2)))
+    } else {
+        let k = u32::from(k);
+        StoreKey::Fact(FactKey::output(k % 3, k % 5, 0).with_obj(k % 2))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One action stages interleaved uid and fact keys, overwriting and
+    /// deleting as it goes. After every write, `read_through` sees each
+    /// key's last staged value; the commit record then lists each key
+    /// once, with that value, in the order the key was first written —
+    /// the order that keeps a log's bytes the same however the
+    /// workspace indexes its keys.
+    #[test]
+    fn a_mixed_action_reads_its_last_writes_and_logs_them_in_first_write_order(
+        writes in proptest::collection::vec(
+            (0u8..16, proptest::option::of(any::<u16>())),
+            1..64,
+        ),
+    ) {
+        let storage = SharedStorage::new();
+        let mut mgr = TxManager::open(0, storage.clone()).unwrap();
+        let action = mgr.begin();
+        let mut first_written: Vec<u8> = Vec::new();
+        let mut last: HashMap<u8, Option<Vec<u8>>> = HashMap::new();
+        for (k, value) in writes {
+            match value {
+                Some(value) => mgr.write_key(&action, &mixed_key(k), &value).unwrap(),
+                None => mgr.delete_key(&action, &mixed_key(k)).unwrap(),
+            }
+            if !first_written.contains(&k) {
+                first_written.push(k);
+            }
+            last.insert(k, value.map(|value| flowscript_codec::to_bytes(&value)));
+            for (k, staged) in &last {
+                let read = mgr.read_through(Some(&action), &mixed_key(*k));
+                prop_assert_eq!(read, staged.as_deref(), "key {}", k);
+            }
+        }
+        mgr.commit(action).unwrap();
+        let expected: Vec<(StoreKey, Option<Vec<u8>>)> = first_written
+            .iter()
+            .map(|k| (mixed_key(*k), last[k].clone()))
+            .collect();
+        let records = Wal::new(storage).scan().unwrap();
+        let [LogRecord::Commit { writes, .. }] = records.as_slice() else {
+            panic!("one commit record: {records:?}");
+        };
+        prop_assert_eq!(writes, &expected);
     }
 }
