@@ -65,6 +65,8 @@ test "$(grep -c 'pub incarnation: u32' crates/engine/src/msg.rs)" -eq 1 || fail 
 ! grep -rnE 'Timer::Dispatch|struct ParkedDispatch|fn on_dispatch_timer' crates src tests examples README.md || fail 'One state and one timer per flight (a delayed or parked attempt waits on its dispatch record; the boxed dispatch timer, the queue'\''s copy of the launch and their handler stay deleted)'
 ! grep -rnE 'fn (adopt_orphans|forget_moves)\b|moved: BTreeMap' crates/engine/src || fail 'One book of rounds (a landed round relays from the books until the flip; no relay table beside them, no sweep of the store for what a landing or thaw loads)'
 ! grep -nE 'stored_instance(s|_names)\(&self\.mgr\)' crates/engine/src/coordinator/membership.rs || fail 'A landing loads what it landed (membership names what it loads; only a restart and blob GC sweep a shard'\''s headers)'
+! grep -nE 'HashMap<(StoreKey|u64),' crates/tx/src/manager.rs crates/sim/src/sched.rs crates/sim/src/rpc.rs || fail 'Minted keys hash under the fixed hasher (the action workspace, the sim scheduler and the rpc table key by ids the program mints: IdMap, no SipHash; uids, which carry client names, stay in an ordered map)'
+! grep -nE 'start\.(inputs|repeat_objects|implementation)\.clone\(\)' crates/engine/src/executor.rs || fail 'An executor moves a start into its context (no copy of its inputs, repeat objects or clause)'
 test "$(wc -c < README.md)" -le 39604 || fail 'README byte budget'
 
 if [ "$failed" -ne 0 ]; then
