@@ -112,7 +112,7 @@ proptest! {
 /// client's instance, an odd one a fact key, over a few instances, tasks
 /// and sub-keys — so one action interleaves both families of keys.
 fn mixed_key(k: u8) -> StoreKey {
-    if k % 2 == 0 {
+    if k.is_multiple_of(2) {
         StoreKey::Uid(ObjectUid::new(format!("inst/i{}/meta", k / 2)))
     } else {
         let k = u32::from(k);
