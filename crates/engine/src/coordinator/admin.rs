@@ -118,10 +118,6 @@ impl Coordinator {
         let Some(out_key) = out_key(&plan, instance_id, task_id, output) else {
             return Err(EngineError::UnknownTask(path.to_string()));
         };
-        let stamped: BTreeMap<String, ObjectVal> = objects
-            .into_iter()
-            .map(|(k, v)| (k, v.produced_by(path.to_string())))
-            .collect();
         // One step: the fact, the forced block, the revival and the
         // full drain behind them — the repaired fact has no commit to
         // seed from.
@@ -162,7 +158,7 @@ impl Coordinator {
             for fact in mgr.fact_keys_in_range(out_key, out_key.fact_last()) {
                 mgr.delete_key(action, &StoreKey::Fact(fact))?;
             }
-            facts::write_fact_map(mgr, action, &plan, out_key, &stamped)?;
+            facts::write_fact_map(mgr, action, &plan, out_key, &objects, Some(path))?;
             if forced.is_some() {
                 facts::write_block(mgr, action, &plan, instance_id, task_id, &cb)?;
             }
@@ -358,6 +354,7 @@ impl Coordinator {
                 &plan,
                 out_key,
                 &BTreeMap::new(),
+                None,
             )?;
             drain.worklist.seed_commit(&plan, task_id);
             Ok(())

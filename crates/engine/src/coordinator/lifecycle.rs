@@ -181,7 +181,7 @@ impl Coordinator {
             // The root's input binding goes through the fact layout like
             // every other fact, so root-input fallbacks probe per object;
             // it is the one record of what the instance was started on.
-            facts::write_fact_map(mgr, action, &plan, root_in, &inputs)?;
+            facts::write_fact_map(mgr, action, &plan, root_in, &inputs, None)?;
             let rt = InstanceRt {
                 plan: plan.clone(),
                 id: instance_id,

@@ -237,7 +237,8 @@ impl Coordinator {
         // duplicate reports commits nothing.
         let action = step.action(&mut self.mgr);
         facts::write_block(&mut self.mgr, action, plan, instance_id, task_id, &cb)?;
-        facts::write_produced(&mut self.mgr, action, plan, out_key, objects, &at.path)?;
+        let stamp = Some(&*at.path);
+        facts::write_fact_map(&mut self.mgr, action, plan, out_key, objects, stamp)?;
         let is_mark = report.result.is_mark();
         if is_mark {
             step.push(&drain.name, Effect::Count(|stats| &mut stats.marks));
@@ -289,7 +290,7 @@ impl Coordinator {
         let path = plan.str(plan.task(task_id).path);
         let action = step.action(&mut self.mgr);
         facts::write_block(&mut self.mgr, action, plan, instance_id, task_id, &cb)?;
-        facts::write_produced(&mut self.mgr, action, plan, out_key, objects, path)?;
+        facts::write_fact_map(&mut self.mgr, action, plan, out_key, objects, Some(path))?;
         step.push(&drain.name, Effect::Completed(task_id, ticket));
         step.push(&drain.name, Effect::Count(|stats| &mut stats.repeats));
         self.trace(step, &drain.name, Some(path), reported, || {

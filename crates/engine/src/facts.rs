@@ -120,51 +120,9 @@ fn task_path(plan: &Plan, id: u64) -> Result<StrId, CodecError> {
     })
 }
 
-/// A name a stored object carries: one its plan holds, or one it spells
-/// out.
-#[derive(Debug, Clone, Copy)]
-enum Name<'a> {
-    Plan(StrId),
-    Spelled(&'a str),
-}
-
-impl<'a> Name<'a> {
-    fn str(self, plan: &'a Plan) -> &'a str {
-        match self {
-            Name::Plan(id) => plan.str(id),
-            Name::Spelled(name) => name,
-        }
-    }
-
-    /// The name shared: the plan's, else a copy.
-    fn shared(self, plan: &Plan) -> Arc<str> {
-        match self {
-            Name::Plan(id) => plan.name(id),
-            Name::Spelled(name) => name.into(),
-        }
-    }
-}
-
-/// What [`decode_object`] read: the object's fields where they lie.
-struct Stored<'a> {
-    class: Name<'a>,
-    produced_by: Option<Name<'a>>,
-    data: &'a [u8],
-}
-
-impl<'a> Stored<'a> {
-    fn view(&self, plan: &'a Plan) -> ObjectRef<'a> {
-        ObjectRef {
-            class: self.class.str(plan),
-            data: self.data,
-            produced_by: self.produced_by.map_or("", |name| name.str(plan)),
-        }
-    }
-}
-
-/// An object as a probe reads it from a declared sub-key: its payload
-/// copied out of the store, its class and producer shared with the plan
-/// that names them — one allocation, where an [`ObjectVal`] takes three.
+/// An object as it is read from a declared sub-key: its payload copied
+/// out of the store, its class and producer shared with the plan that
+/// names them — one allocation, where an [`ObjectVal`] takes three.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Found {
     class: Arc<str>,
@@ -231,7 +189,7 @@ fn encode_object(plan: &Plan, key: FactKey, object: ObjectRef<'_>) -> Vec<u8> {
 }
 
 /// Decodes what [`encode_object`] stored under `key`, relative to `plan`.
-fn decode_object<'a>(plan: &Plan, key: FactKey, bytes: &'a [u8]) -> Result<Stored<'a>, CodecError> {
+fn decode_object(plan: &Plan, key: FactKey, bytes: &[u8]) -> Result<Found, CodecError> {
     let mut r = ByteReader::new(bytes);
     let tag = r.get_u8()?;
     if tag > TAG_MAX {
@@ -241,27 +199,27 @@ fn decode_object<'a>(plan: &Plan, key: FactKey, bytes: &'a [u8]) -> Result<Store
         });
     }
     let class = if tag & CLASS_SPELLED != 0 {
-        Name::Spelled(r.get_str()?)
+        r.get_str()?.into()
     } else {
         let undeclared = CodecError::InvalidDiscriminant {
             ty: "fact object ordinal",
             value: key.obj.into(),
         };
-        Name::Plan(declared(plan, key).ok_or(undeclared)?.class)
+        plan.name(declared(plan, key).ok_or(undeclared)?.class)
     };
     let produced_by = match tag >> 1 {
         PRODUCER_NONE => None,
-        PRODUCER_OWN => Some(Name::Plan(task_path(plan, key.task.into())?)),
-        PRODUCER_TASK => Some(Name::Plan(task_path(plan, r.get_var_u64()?)?)),
-        _ => Some(Name::Spelled(r.get_str()?)),
+        PRODUCER_OWN => Some(plan.name(task_path(plan, key.task.into())?)),
+        PRODUCER_TASK => Some(plan.name(task_path(plan, r.get_var_u64()?)?)),
+        _ => Some(r.get_str()?.into()),
     };
-    let data = r.get_len_prefixed()?;
+    let data = r.get_len_prefixed()?.to_vec();
     if r.remaining() != 0 {
         return Err(CodecError::TrailingBytes {
             remaining: r.remaining(),
         });
     }
-    Ok(Stored {
+    Ok(Found {
         class,
         produced_by,
         data,
@@ -348,16 +306,9 @@ impl<'a, S: Storage> StoreFacts<'a, S> {
 
     /// The object stored under the declared sub-key `key`.
     fn object(&self, key: FactKey) -> Option<Found> {
-        let plan = self.plan;
-        let stored = self.read(key).map(|bytes| decode_object(plan, key, bytes));
-        let found = stored.map(|stored| {
-            stored.map(|stored| Found {
-                class: stored.class.shared(plan),
-                produced_by: stored.produced_by.map(|name| name.shared(plan)),
-                data: stored.data.to_vec(),
-            })
-        });
-        self.latch(found.transpose().map_err(TxError::from))
+        let bytes = self.read(key);
+        let object = bytes.map(|bytes| decode_object(self.plan, key, bytes));
+        self.latch(object.transpose().map_err(TxError::from))
     }
 }
 
@@ -461,7 +412,10 @@ pub(crate) fn bound_bytes(plan: &Plan, bound: &[(StrId, Found)]) -> Encoded {
 }
 
 /// Writes one fact from a name-keyed object map (outputs and marks
-/// arriving from the wire, reconstructed records during remapping).
+/// arriving from the wire, reconstructed records during remapping),
+/// each object as if its `produced_by` said `stamp` when one is given:
+/// a report's objects are written as the task at its path produced
+/// them, with no stamped copy of the map made.
 ///
 /// Each declared object goes under its dense sub-key (stale declared
 /// sub-keys from a previous publication are cleared so rewrites never
@@ -474,36 +428,6 @@ pub(crate) fn bound_bytes(plan: &Plan, bound: &[(StrId, Found)]) -> Encoded {
 ///
 /// [`TxError::UnknownAction`] for an action no longer open.
 pub fn write_fact_map<S: Storage>(
-    mgr: &mut TxManager<S>,
-    action: &AtomicAction,
-    plan: &Plan,
-    base: FactKey,
-    objects: &BTreeMap<String, ObjectVal>,
-) -> Result<(), TxError> {
-    write_objects(mgr, action, plan, base, objects, None)
-}
-
-/// [`write_fact_map`] of the objects the task at `path` produced: each
-/// is written as if its `produced_by` said `path`, so no stamped copy of
-/// a report's objects is made.
-///
-/// # Errors
-///
-/// As for [`write_fact_map`].
-pub fn write_produced<S: Storage>(
-    mgr: &mut TxManager<S>,
-    action: &AtomicAction,
-    plan: &Plan,
-    base: FactKey,
-    objects: &BTreeMap<String, ObjectVal>,
-    path: &str,
-) -> Result<(), TxError> {
-    write_objects(mgr, action, plan, base, objects, Some(path))
-}
-
-/// [`write_fact_map`], every object's producer `stamp` when one is
-/// given.
-fn write_objects<S: Storage>(
     mgr: &mut TxManager<S>,
     action: &AtomicAction,
     plan: &Plan,
@@ -683,7 +607,7 @@ pub fn read_fact_map<S: Storage>(
         let Some(sig) = declared(plan, key) else {
             continue; // stale sub-key past the declaration: unreachable by probes
         };
-        let object = decode_object(plan, key, &bytes)?.view(plan).to_val();
+        let object = decode_object(plan, key, &bytes)?.to_val();
         map.insert(plan.str(sig.name).to_string(), object);
     }
     Ok(Some(map))
@@ -1144,7 +1068,7 @@ pub fn remap_instance_facts<S: Storage>(
     for (_, target) in moves {
         match target {
             Some((base, Moved::Fact(record))) => {
-                write_fact_map(mgr, action, new_plan, base, &record)?;
+                write_fact_map(mgr, action, new_plan, base, &record, None)?;
             }
             Some((base, Moved::Block(bytes))) => {
                 mgr.write_key_raw(action, &StoreKey::Fact(base), bytes)?;
@@ -1182,7 +1106,7 @@ mod tests {
         objects: &BTreeMap<String, ObjectVal>,
     ) {
         let action = mgr.begin();
-        write_fact_map(mgr, &action, plan, base, objects).unwrap();
+        write_fact_map(mgr, &action, plan, base, objects, None).unwrap();
         mgr.commit(action).unwrap();
     }
 
@@ -1380,8 +1304,8 @@ mod tests {
                 assert_eq!(bytes[0], tag, "{value:?}");
                 // Tag, the spelled fields, then the payload's length and bytes.
                 assert_eq!(bytes.len(), 1 + spelled + producer_bytes + 1 + 7);
-                let decoded = decode_object(&plan, sub, &bytes).map(|stored| stored.view(&plan));
-                assert_eq!(decoded, Ok(value.view()));
+                let decoded = decode_object(&plan, sub, &bytes).map(|found| found.to_val());
+                assert_eq!(decoded, Ok(value.clone()));
                 // The same through the store: written by the map writer,
                 // read back whole and by a probe.
                 let objects = BTreeMap::from([("stockInfo".to_string(), value.clone())]);
