@@ -36,7 +36,7 @@ use crate::driver::{Driver, Input, Node, Output};
 use crate::error::EngineError;
 use crate::executor::Executor;
 use crate::impl_registry::{ImplRegistry, InvokeCtx, TaskBehavior, TaskImpl};
-use crate::msg::EngineMsg;
+use crate::msg::{EngineMsg, Objects};
 use crate::reconfig::Reconfig;
 use crate::repository::Repository;
 use crate::sched::ExecutorSpec;
@@ -739,7 +739,7 @@ impl WorkflowSystem {
         };
         let result = crate::msg::TaskResult::Mark {
             name: mark.to_string(),
-            objects: objects.into_iter().map(|(k, v)| (k.into(), v)).collect(),
+            objects: Objects::of(&objects.into_iter().map(|(k, v)| (k.into(), v)).collect()),
         };
         let msg = crate::msg::report_bytes(&at, 0, &result);
         let target = self.coord_nodes[via];

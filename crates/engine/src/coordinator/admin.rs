@@ -21,7 +21,7 @@ use crate::facts;
 use crate::keys::{in_key, meta_uid, out_key, source_uid, status_uid};
 use crate::reconfig::{self, Reconfig};
 use crate::state::{CbState, TaskCb};
-use crate::value::ObjectVal;
+use crate::value::{entries, ObjectVal};
 
 impl Coordinator {
     /// Overwrites `keys` with undecodable bytes, in one commit.
@@ -158,7 +158,7 @@ impl Coordinator {
             for fact in mgr.fact_keys_in_range(out_key, out_key.fact_last()) {
                 mgr.delete_key(action, &StoreKey::Fact(fact))?;
             }
-            facts::write_fact_map(mgr, action, &plan, out_key, &objects, Some(path))?;
+            facts::write_fact_map(mgr, action, &plan, out_key, entries(&objects), Some(path))?;
             if forced.is_some() {
                 facts::write_block(mgr, action, &plan, instance_id, task_id, &cb)?;
             }
@@ -353,7 +353,7 @@ impl Coordinator {
                 action,
                 &plan,
                 out_key,
-                &BTreeMap::new(),
+                std::iter::empty(),
                 None,
             )?;
             drain.worklist.seed_commit(&plan, task_id);

@@ -56,7 +56,7 @@ use super::{block_fault, Coordinator, InstanceRt, Output, Timer, TimerId};
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::{self, in_key};
-use crate::msg::{start_bytes, Attempt, Encoded, EngineMsg};
+use crate::msg::{start_bytes, Attempt, EngineMsg, Objects};
 use crate::sched::{CostModel, ExecutorSlot, ExecutorSpec, ImplHints, SchedPolicy, Scheduler};
 use crate::state::{CbState, TaskCb};
 use crate::value::ObjectVal;
@@ -387,7 +387,7 @@ impl Coordinator {
             incarnation: cb.incarnation,
             attempt: cb.attempt,
             set: set.clone(),
-            inputs: Encoded(flowscript_codec::to_bytes(&inputs)),
+            inputs: Objects::of(&inputs),
             repeat_objects,
         };
         if !drain.flying.contains(&task) {
@@ -1082,9 +1082,7 @@ mod tests {
             incarnation: 0,
             attempt: 0,
             set: "main".into(),
-            inputs: Encoded(flowscript_codec::to_bytes(
-                &BTreeMap::<String, ObjectVal>::new(),
-            )),
+            inputs: Objects::of(&BTreeMap::new()),
             repeat_objects: BTreeMap::new(),
         }
     }

@@ -26,7 +26,7 @@ use crate::error::EngineError;
 use crate::facts;
 use crate::keys::{self, in_key, meta_uid, out_key, source_uid, status_uid};
 use crate::state::{CbState, TaskCb};
-use crate::value::ObjectVal;
+use crate::value::{entries, ObjectVal};
 
 impl Coordinator {
     /// Materializes an instance's volatile runtime from committed
@@ -181,7 +181,7 @@ impl Coordinator {
             // The root's input binding goes through the fact layout like
             // every other fact, so root-input fallbacks probe per object;
             // it is the one record of what the instance was started on.
-            facts::write_fact_map(mgr, action, &plan, root_in, &inputs, None)?;
+            facts::write_fact_map(mgr, action, &plan, root_in, entries(&inputs), None)?;
             let rt = InstanceRt {
                 plan: plan.clone(),
                 id: instance_id,

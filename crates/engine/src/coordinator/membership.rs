@@ -1149,7 +1149,7 @@ mod tests {
             ticket: 0,
             result: TaskResult::Mark {
                 name: "m".into(),
-                objects: BTreeMap::new(),
+                objects: crate::msg::Objects::of(&BTreeMap::new()),
             },
         }
     }

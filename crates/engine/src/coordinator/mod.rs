@@ -786,7 +786,7 @@ compoundtask root of taskclass Root {
             ticket,
             result: TaskResult::Output {
                 name: "echoed".into(),
-                objects: BTreeMap::from([("seed".to_string(), seed)]),
+                objects: crate::msg::Objects::of(&BTreeMap::from([("seed".to_string(), seed)])),
                 redo_after: SimDuration::ZERO,
             },
         });

@@ -28,7 +28,7 @@ use flowscript_tx::{AtomicAction, StableStore, TxError, TxManager};
 use super::{CoordStats, Coordinator, InstanceRt};
 use crate::error::EngineError;
 use crate::facts;
-use crate::msg::Encoded;
+use crate::msg::Objects;
 use crate::state::TaskCb;
 use crate::value::ObjectVal;
 
@@ -81,7 +81,7 @@ pub(super) struct Launch {
     pub(super) incarnation: u32,
     pub(super) attempt: u32,
     pub(super) set: Arc<str>,
-    pub(super) inputs: Encoded,
+    pub(super) inputs: Objects,
     pub(super) repeat_objects: BTreeMap<String, ObjectVal>,
 }
 

@@ -34,9 +34,9 @@ use crate::driver::TimerId;
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::out_key;
-use crate::msg::{Attempt, TaskReport, TaskResult};
+use crate::msg::{Attempt, Objects, TaskReport, TaskResult};
 use crate::state::{CbState, TaskCb};
-use crate::value::ObjectVal;
+use crate::value::{ObjectRef, ObjectVal};
 
 /// A window waits for company `max_window`, or one `AGE_PER_WAIT`-th of
 /// the age of the attempt whose report opened it when that is longer: a
@@ -237,7 +237,7 @@ impl Coordinator {
         // duplicate reports commits nothing.
         let action = step.action(&mut self.mgr);
         facts::write_block(&mut self.mgr, action, plan, instance_id, task_id, &cb)?;
-        let stamp = Some(&*at.path);
+        let (objects, stamp) = (objects.entries(), Some(&*at.path));
         facts::write_fact_map(&mut self.mgr, action, plan, out_key, objects, stamp)?;
         let is_mark = report.result.is_mark();
         if is_mark {
@@ -269,7 +269,7 @@ impl Coordinator {
         task_id: TaskId,
         mut cb: TaskCb,
         name: &str,
-        objects: &BTreeMap<String, ObjectVal>,
+        objects: &Objects,
         redo_after: SimDuration,
         ticket: u64,
     ) -> Result<bool, EngineError> {
@@ -290,7 +290,8 @@ impl Coordinator {
         let path = plan.str(plan.task(task_id).path);
         let action = step.action(&mut self.mgr);
         facts::write_block(&mut self.mgr, action, plan, instance_id, task_id, &cb)?;
-        facts::write_fact_map(&mut self.mgr, action, plan, out_key, objects, Some(path))?;
+        let entries = objects.entries();
+        facts::write_fact_map(&mut self.mgr, action, plan, out_key, entries, Some(path))?;
         step.push(&drain.name, Effect::Completed(task_id, ticket));
         step.push(&drain.name, Effect::Count(|stats| &mut stats.repeats));
         self.trace(step, &drain.name, Some(path), reported, || {
@@ -410,10 +411,15 @@ impl Coordinator {
 
 /// A repeat outcome's objects as the task at `path` produced them: what
 /// its next attempt ships.
-fn stamped(objects: &BTreeMap<String, ObjectVal>, path: &str) -> BTreeMap<String, ObjectVal> {
-    let stamp =
-        |(name, object): (&String, &ObjectVal)| (name.clone(), object.clone().produced_by(path));
-    objects.iter().map(stamp).collect()
+fn stamped(objects: &Objects, path: &str) -> BTreeMap<String, ObjectVal> {
+    let stamp = |(name, object): (&str, ObjectRef<'_>)| {
+        let object = ObjectRef {
+            produced_by: path,
+            ..object
+        };
+        (name.to_owned(), object.to_val())
+    };
+    objects.entries().map(stamp).collect()
 }
 
 #[cfg(test)]
@@ -444,7 +450,7 @@ mod tests {
         };
         let result = TaskResult::Mark {
             name: "m".into(),
-            objects: BTreeMap::new(),
+            objects: Objects::of(&BTreeMap::new()),
         };
         TaskReport {
             at,
@@ -713,7 +719,7 @@ compoundtask root of taskclass Root {
             ticket: task.ticket,
             result: TaskResult::Output {
                 name: "done".into(),
-                objects: BTreeMap::from([("seed".to_string(), seed())]),
+                objects: Objects::of(&BTreeMap::from([("seed".to_string(), seed())])),
                 redo_after: SimDuration::ZERO,
             },
         })
@@ -771,7 +777,7 @@ compoundtask root of taskclass Root {
             ticket: a.ticket,
             result: TaskResult::Mark {
                 name: "early".into(),
-                objects: BTreeMap::from([("seed".to_string(), seed())]),
+                objects: Objects::of(&BTreeMap::from([("seed".to_string(), seed())])),
             },
         });
         assert!(window_timer(&fed.report(&mark)).is_some());

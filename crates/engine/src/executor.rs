@@ -59,7 +59,7 @@ use flowscript_sim::{NodeId, SimDuration, SimTime};
 
 use crate::driver::{self, Node, TimerId};
 use crate::impl_registry::{ImplRegistry, Invocation, InvokeCtx, TaskBehavior};
-use crate::msg::{report_bytes, Attempt, EngineMsg, StartTask, TaskResult};
+use crate::msg::{report_bytes, Attempt, EngineMsg, Objects, StartTask, TaskResult};
 use crate::sched::ExecutorSpec;
 
 thread_local! {
@@ -178,14 +178,14 @@ impl Executor {
         for mark in behavior.marks {
             let result = TaskResult::Mark {
                 name: mark.name,
-                objects: mark.objects,
+                objects: Objects::of(&mark.objects),
             };
             let after = queue_delay + mark.at.min(behavior.work);
             outputs.push(self.arm(after, from, ticket, result));
         }
         let result = TaskResult::Output {
             name: behavior.completion.outcome,
-            objects: behavior.completion.objects,
+            objects: Objects::of(&behavior.completion.objects),
             redo_after: behavior.redo_after,
         };
         outputs.push(self.arm(queue_delay + behavior.work, from, ticket, result));

@@ -84,9 +84,9 @@ use flowscript_tx::{
 };
 
 use crate::keys::{fired_key, probe_keys};
-use crate::msg::Encoded;
+use crate::msg::Objects;
 use crate::state::{CbState, TaskCb};
-use crate::value::{ObjectRef, ObjectVal};
+use crate::value::{entries, ObjectRef, ObjectVal};
 
 /// Tag bit: the value spells its class out.
 const CLASS_SPELLED: u8 = 0b001;
@@ -388,14 +388,14 @@ fn decoded<T: Decode>(bytes: Option<&[u8]>) -> Result<Option<T>, TxError> {
 /// name-keyed map it interns to encodes as — names ascending, a name
 /// bound twice by its last value — written straight from the list,
 /// which holds a handful of slots, with no map built.
-pub(crate) fn bound_bytes(plan: &Plan, bound: &[(StrId, Found)]) -> Encoded {
+pub(crate) fn bound_bytes(plan: &Plan, bound: &[(StrId, Found)]) -> Objects {
     let name = |at: usize| plan.str(bound[at].0);
     let kept = |at: &usize| {
         bound[at + 1..]
             .iter()
             .all(|(later, _)| plan.str(*later) != name(*at))
     };
-    Encoded(flowscript_codec::encode_exact(|w| {
+    Objects::written(|w| {
         w.put_len((0..bound.len()).filter(kept).count());
         let mut last: Option<&str> = None;
         loop {
@@ -408,7 +408,7 @@ pub(crate) fn bound_bytes(plan: &Plan, bound: &[(StrId, Found)]) -> Encoded {
             bound[next].1.view().encode(w);
             last = Some(name(next));
         }
-    }))
+    })
 }
 
 /// Writes one fact from a name-keyed object map (outputs and marks
@@ -427,12 +427,12 @@ pub(crate) fn bound_bytes(plan: &Plan, bound: &[(StrId, Found)]) -> Encoded {
 /// # Errors
 ///
 /// [`TxError::UnknownAction`] for an action no longer open.
-pub fn write_fact_map<S: Storage>(
+pub fn write_fact_map<'o, S: Storage>(
     mgr: &mut TxManager<S>,
     action: &AtomicAction,
     plan: &Plan,
     base: FactKey,
-    objects: &BTreeMap<String, ObjectVal>,
+    objects: impl Iterator<Item = (&'o str, ObjectRef<'o>)> + Clone,
     stamp: Option<&str>,
 ) -> Result<(), TxError> {
     debug_assert_eq!(base.obj, 0, "facts are addressed by their presence key");
@@ -440,17 +440,19 @@ pub fn write_fact_map<S: Storage>(
         .fact_decl_objects(base.task, base.kind == FactKind::Input, base.item)
         .unwrap_or(Range32::EMPTY);
     let decl_sigs = &plan.class_objects[decl.as_range()];
+    let stamped = |object: ObjectRef<'o>| ObjectRef {
+        produced_by: stamp.unwrap_or(object.produced_by),
+        ..object
+    };
+    let named = |name: &str| {
+        let mut all = objects.clone();
+        all.find(|(at, _)| *at == name)
+            .map(|(_, object)| stamped(object))
+    };
     for (ordinal, sig) in decl_sigs.iter().enumerate() {
         let sub = base.object(ordinal as u32);
-        match objects.get(plan.str(sig.name)) {
-            Some(value) => {
-                let produced_by = stamp.unwrap_or(&value.produced_by);
-                let object = ObjectRef {
-                    produced_by,
-                    ..value.view()
-                };
-                write_object(mgr, action, plan, sub, object)?;
-            }
+        match named(plan.str(sig.name)) {
+            Some(object) => write_object(mgr, action, plan, sub, object)?,
             None => {
                 let sub = StoreKey::Fact(sub);
                 if mgr.read_through(Some(action), &sub).is_some() {
@@ -459,21 +461,16 @@ pub fn write_fact_map<S: Storage>(
             }
         }
     }
-    let extras: BTreeMap<&String, ObjectVal> = objects
-        .iter()
-        .filter(|(name, _)| {
-            decl_sigs
-                .iter()
-                .all(|sig| plan.str(sig.name) != name.as_str())
-        })
-        .map(|(name, object)| match stamp {
-            Some(path) => (name, object.clone().produced_by(path)),
-            None => (name, object.clone()),
-        })
+    let undeclared =
+        |(name, _): &(&str, _)| decl_sigs.iter().all(|sig| plan.str(sig.name) != *name);
+    let extras: BTreeMap<&str, ObjectRef<'_>> = objects
+        .clone()
+        .filter(undeclared)
+        .map(|(name, object)| (name, stamped(object)))
         .collect();
     let first_stored = decl_sigs
         .first()
-        .is_some_and(|sig| objects.contains_key(plan.str(sig.name)));
+        .is_some_and(|sig| named(plan.str(sig.name)).is_some());
     write_presence(mgr, action, base, first_stored, &extras)
 }
 
@@ -1068,7 +1065,7 @@ pub fn remap_instance_facts<S: Storage>(
     for (_, target) in moves {
         match target {
             Some((base, Moved::Fact(record))) => {
-                write_fact_map(mgr, action, new_plan, base, &record, None)?;
+                write_fact_map(mgr, action, new_plan, base, entries(&record), None)?;
             }
             Some((base, Moved::Block(bytes))) => {
                 mgr.write_key_raw(action, &StoreKey::Fact(base), bytes)?;
@@ -1106,7 +1103,7 @@ mod tests {
         objects: &BTreeMap<String, ObjectVal>,
     ) {
         let action = mgr.begin();
-        write_fact_map(mgr, &action, plan, base, objects, None).unwrap();
+        write_fact_map(mgr, &action, plan, base, entries(objects), None).unwrap();
         mgr.commit(action).unwrap();
     }
 

@@ -15,7 +15,7 @@ use flowscript_codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
 use flowscript_sim::SimDuration;
 use flowscript_tx::{StoreKey, TxId};
 
-use crate::value::ObjectVal;
+use crate::value::{ObjectRef, ObjectVal};
 
 /// A run of after-images: `(key, new bytes or tombstone)` pairs — what
 /// a claim carries, as its sender keyed them.
@@ -86,7 +86,7 @@ pub enum TaskResult {
         /// Output (outcome/abort/repeat) name.
         name: String,
         /// Objects produced with it.
-        objects: BTreeMap<String, ObjectVal>,
+        objects: Objects,
         /// Requested re-execution delay for repeat outcomes (a varint of
         /// nanoseconds on the wire: one byte when zero).
         redo_after: SimDuration,
@@ -103,7 +103,7 @@ pub enum TaskResult {
         /// Mark output name.
         name: String,
         /// Objects released with it.
-        objects: BTreeMap<String, ObjectVal>,
+        objects: Objects,
     },
 }
 
@@ -249,14 +249,73 @@ impl Encode for StartTask {
     }
 }
 
-/// A value's wire form, encoded ahead: how a shard keeps the objects it
-/// bound to an attempt until it ships them.
+/// Named objects in their wire form — the bytes a
+/// `BTreeMap<String, ObjectVal>` encodes as, names strictly ascending —
+/// kept encoded: one allocation however many objects, read in place
+/// ([`Objects::entries`]). An attempt's bound inputs wait for shipping
+/// this way, and a report's objects arrive this way.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Encoded(pub(crate) Vec<u8>);
+pub(crate) struct Objects(Vec<u8>);
 
-impl Encode for Encoded {
+impl Objects {
+    /// `objects`, encoded.
+    pub(crate) fn of(objects: &BTreeMap<String, ObjectVal>) -> Self {
+        Objects(flowscript_codec::to_bytes(objects))
+    }
+
+    /// The map `write` writes (it writes a count and then each entry,
+    /// names ascending).
+    pub(crate) fn written(write: impl FnOnce(&mut ByteWriter)) -> Self {
+        Objects(flowscript_codec::encode_exact(write))
+    }
+
+    /// Each name and object, names ascending, borrowed from the bytes.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (&str, ObjectRef<'_>)> + Clone {
+        let mut r = ByteReader::new(&self.0);
+        let count = r.get_len().unwrap_or(0);
+        // The bytes were read once whole (`decode`) or written whole
+        // (`of`, `written`): every entry is there.
+        (0..count).map_while(move |_| read_entry(&mut r).ok())
+    }
+}
+
+/// One entry of an encoded object map.
+fn read_entry<'a>(r: &mut ByteReader<'a>) -> Result<(&'a str, ObjectRef<'a>), CodecError> {
+    let name = r.get_str()?;
+    let object = ObjectRef {
+        class: r.get_str()?,
+        data: r.get_len_prefixed()?,
+        produced_by: r.get_str()?,
+    };
+    Ok((name, object))
+}
+
+impl Encode for Objects {
     fn encode(&self, w: &mut ByteWriter) {
         w.put_bytes(&self.0);
+    }
+}
+
+/// Reads a map whole, copying its bytes once; names out of order or
+/// repeated are refused, not reordered.
+impl Decode for Objects {
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let start = r.remaining();
+        let mut rest = r.clone();
+        let count = rest.get_len()?;
+        let mut last: Option<&str> = None;
+        for _ in 0..count {
+            let (name, _) = read_entry(&mut rest)?;
+            if last.is_some_and(|last| last >= name) {
+                return Err(CodecError::InvalidDiscriminant {
+                    ty: "object map order",
+                    value: count as u64,
+                });
+            }
+            last = Some(name);
+        }
+        let bytes = r.get_bytes(start - rest.remaining())?;
+        Ok(Objects(bytes.to_vec()))
     }
 }
 
@@ -284,7 +343,7 @@ pub(crate) fn start_bytes(
     ticket: u64,
     implementation: &BTreeMap<String, String>,
     set: &str,
-    inputs: &Encoded,
+    inputs: &Objects,
     repeat_objects: &BTreeMap<String, ObjectVal>,
 ) -> Vec<u8> {
     flowscript_codec::encode_exact(|w| {
@@ -338,7 +397,7 @@ impl Decode for TaskResult {
         Ok(match r.get_u8()? {
             0 => TaskResult::Output {
                 name: r.get_str()?.to_owned(),
-                objects: BTreeMap::decode(r)?,
+                objects: Objects::decode(r)?,
                 redo_after: SimDuration::from_nanos(r.get_var_u64()?),
             },
             1 => TaskResult::ExecError {
@@ -346,7 +405,7 @@ impl Decode for TaskResult {
             },
             2 => TaskResult::Mark {
                 name: r.get_str()?.to_owned(),
-                objects: BTreeMap::decode(r)?,
+                objects: Objects::decode(r)?,
             },
             other => {
                 return Err(CodecError::InvalidDiscriminant {
@@ -576,7 +635,7 @@ mod tests {
                 at(1, 2),
                 TaskResult::Output {
                     name: "done".into(),
-                    objects: inputs.clone(),
+                    objects: Objects::of(&inputs),
                     redo_after: SimDuration::from_millis(5),
                 },
             ),
@@ -590,7 +649,7 @@ mod tests {
                 at(0, 1),
                 TaskResult::Mark {
                     name: "toPay".into(),
-                    objects: inputs,
+                    objects: Objects::of(&inputs),
                 },
             ),
             EngineMsg::RepoRegister {
@@ -692,7 +751,7 @@ mod tests {
             ticket: 300,
             result: TaskResult::Output {
                 name: "done".into(),
-                objects,
+                objects: Objects::of(&objects),
                 redo_after: SimDuration::from_millis(5),
             },
         });
@@ -701,5 +760,24 @@ mod tests {
         ];
         let expected = [&[1][..], &address, &ticket, &result].concat();
         assert_eq!(flowscript_codec::to_bytes(&done), expected);
+    }
+
+    /// A report's objects are read in place, as the map that wrote them
+    /// lists them: names ascending, each once. Bytes naming one out of
+    /// order or twice are refused, not reordered or deduplicated.
+    #[test]
+    fn objects_naming_one_out_of_order_or_twice_are_refused() {
+        let entry = |name: &str| {
+            let object = flowscript_codec::to_bytes(&ObjectVal::text("C", "v"));
+            [flowscript_codec::to_bytes(name), object].concat()
+        };
+        let map = |names: [&str; 2]| [vec![2], entry(names[0]), entry(names[1])].concat();
+        let read = flowscript_codec::from_bytes::<Objects>(&map(["a", "b"])).unwrap();
+        let names: Vec<&str> = read.entries().map(|(name, _)| name).collect();
+        assert_eq!(names, ["a", "b"]);
+        for names in [["b", "a"], ["a", "a"]] {
+            let read = flowscript_codec::from_bytes::<Objects>(&map(names));
+            assert!(read.is_err(), "{names:?}: {read:?}");
+        }
     }
 }

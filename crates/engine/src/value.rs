@@ -1,3 +1,4 @@
+use std::collections::BTreeMap;
 use std::fmt;
 
 use flowscript_codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
@@ -84,6 +85,16 @@ impl ObjectVal {
             produced_by: &self.produced_by,
         }
     }
+}
+
+/// Each name and object of `objects`, borrowed: how a map is written
+/// where an encoded one ([`crate::msg::Objects`]) can be too.
+pub(crate) fn entries(
+    objects: &BTreeMap<String, ObjectVal>,
+) -> impl Iterator<Item = (&str, ObjectRef<'_>)> + Clone {
+    objects
+        .iter()
+        .map(|(name, object)| (name.as_str(), object.view()))
 }
 
 impl ObjectRef<'_> {
