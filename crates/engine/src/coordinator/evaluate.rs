@@ -265,7 +265,7 @@ impl Coordinator {
                 incarnation: cb.incarnation,
                 attempt: cb.attempt,
                 set,
-                inputs: facts::bound_bytes(plan, &bound),
+                inputs: facts::bound_objects(plan, &bound),
                 repeat_objects: BTreeMap::new(),
             };
             drain.flying.push(task_id);

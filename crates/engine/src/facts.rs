@@ -388,7 +388,7 @@ fn decoded<T: Decode>(bytes: Option<&[u8]>) -> Result<Option<T>, TxError> {
 /// name-keyed map it interns to encodes as — names ascending, a name
 /// bound twice by its last value — written straight from the list,
 /// which holds a handful of slots, with no map built.
-pub(crate) fn bound_bytes(plan: &Plan, bound: &[(StrId, Found)]) -> Objects {
+pub(crate) fn bound_objects(plan: &Plan, bound: &[(StrId, Found)]) -> Objects {
     let name = |at: usize| plan.str(bound[at].0);
     let kept = |at: &usize| {
         bound[at + 1..]
