@@ -41,17 +41,18 @@ fail() {
 ! grep -rnE 'impl (Encode|Decode) for TaskCb|read_key::<TaskCb>|read_committed_key::<TaskCb>' crates/engine/src || fail 'A control block is stored relative to its plan (facts.rs'\''s block codec is the one reader and writer of block keys; TaskCb has no wire codec)'
 ! grep -rnE 'lang::builder|flowscript_core::builder|ScriptBuilder' crates src tests examples README.md || fail 'Scripts are text (the front end has one way in; chain and fan are generated as text in samples.rs)'
 ! grep -nE '^pub mod' crates/engine/src/lib.rs || fail 'The engine'\''s public API is its crate root (every module is private; the pub use lines are the API)'
-! for f in crates/engine/src/coordinator/*.rs; do awk '/#\[cfg\(test\)\]/{exit} {print}' "$f"; done | grep -nE 'RefCell|borrow\(\)|borrow_mut\(\)|World|schedule_node_after|rpc_call' && ! grep -rn 'TicketRef' crates src tests examples || fail 'A shard is a value (below its test modules the coordinator names no cell, no borrow, no world, no timer or call closure; no shared cell stands between the façade and what a node answers)'
+! for f in crates/engine/src/coordinator/*.rs; do awk '/#\[cfg\(test\)\]/{exit} {print}' "$f"; done | grep -nE 'RefCell|borrow\(\)|borrow_mut\(\)|World|arm_timer|world\.call\(' && ! grep -rn 'TicketRef' crates src tests examples || fail 'A shard is a value (below its test modules the coordinator names no cell, no borrow, no world, no world timer or call; no shared cell stands between the façade and what a node answers)'
 ! grep -nE 'fn call\b' crates/engine/src/driver.rs && ! grep -rnwE 'Ticket|give_up|set_shard_map_relay|record_system_event' crates/engine/src src tests examples README.md || fail 'One door into a node (an operator'\''s request is an input and its answer an output filed by the driver; no call closure beside the door, no ticket, no façade edit of a node'\''s state)'
 ! grep -nE '(writes|states)\.encode\(w\)|(writes|states): Vec::decode' crates/tx/src/log.rs || fail 'The log'\''s after-image lists have one encoding (each key written relative to the one before it; no list goes through the generic Vec codec)'
 ! grep -rnE 'FRAME_MAGIC|FRAME_VERSION|4 \+ 2 \+ 4 \+ 4' crates/codec/src || fail 'A log states its format once (magic and version live in the log header in crates/tx/src/log.rs; a frame is a varint length, a CRC and its record, and the per-frame magic, version and 14 B header stay gone)'
-! grep -rnE 'set_handler|set_restart_hook|rpc_call|rpc_reply|schedule_node_after|RepoHandle' crates/engine/src | grep -v '^crates/engine/src/driver.rs:' || fail 'The engine meets the world in one place (only driver.rs installs handlers, makes calls, answers requests or arms timers)'
+! grep -rnE 'set_(node_)?handler|arm_timer|rpc_reply|world\.call\(|RepoHandle' crates/engine/src | grep -v '^crates/engine/src/driver.rs:' || fail 'The engine meets the world in one place (only driver.rs installs handlers, makes calls, answers requests or arms timers)'
 ! grep -nE 'Rc<RefCell' crates/engine/src/{executor,repository,api}.rs || fail 'Every node is a value (no executor, repository or client state hides in a shared cell)'
 ! for f in crates/obs/src/*.rs crates/engine/src/coordinator/*.rs crates/tx/src/manager.rs crates/tx/src/storage.rs; do awk '/#\[cfg\(test\)\]/{exit} {print}' "$f"; done | grep -nE '\bRc\b|\bRegistry\b' || fail 'A shard owns what it holds (below their test modules, obs, the coordinator and the tx manager and storage name no Rc and no metric Registry; Coordinator is Send, asserted at build)'
 ! for f in crates/*/src/*.rs crates/*/src/*/*.rs; do awk '/#\[cfg\(test\)\]/{exit} {print}' "$f"; done | grep -nE 'sys/plan|plan_uid|PLAN_PREFIX|plan_bytes|is_well_formed|verify_fingerprint|impl Decode for Plan\b|from_bytes::<Plan>' || fail 'A plan is its source, compiled (below their test modules, the crates store, ship, decode and validate no plan)'
 ! for f in crates/*/src/*.rs crates/*/src/*/*.rs; do awk '/#\[cfg\(test\)\]/{exit} {print}' "$f"; done | grep -nE 'impl (Encode|Decode) for (InstanceStatus|Outcome)\b' || fail 'Status is not a stored type (below their test modules, the crates encode only the stuck reason; `Running` and `Completed` are read off the root block)'
 test "$(for f in $(find crates/engine/src -name "*.rs"); do awk "/#\[cfg\(test\)\]/{exit} {print}" "$f"; done | grep -c "Plan::lower")" -eq 1 || fail 'One place the engine lowers a plan (the shard'\''s PlanCache; non-test crates/engine/src names Plan::lower once)'
 ! grep -rnE 'rpc_reply\(|is_request\(' crates src tests examples || fail 'One reply path in the sim (a request is answered through its reply token)'
+! grep -rnE 'fn (schedule_node_after|set_restart_hook|rpc_call)\b|type (Callback|RestartHook)\b' crates/sim/src crates/engine/src || fail 'What a node asks of the simulator is data (a timer is a queued tag, a call a pending entry with no continuation, and one handler takes every event of a node; no closure-based timer, call or restart hook beside them)'
 grep -qE 'reevaluate\(&running' crates/engine/src/coordinator/recovery.rs || fail 'A restart re-arms in one step (recovery hands every running instance to the one step over resident instances, one frame; no step per instance)'
 ! grep -rnE 'fn (rearm|evaluate)\(' crates/engine/src/coordinator || fail 'One step over resident instances (no re-arm or full-evaluate step beside reevaluate)'
 ! grep -n 'start_msg(instance, script, None' crates/engine/src/api.rs || fail 'The façade names the version it registered (a start sends the version register_script returned, so a shard that fetched it before starts with no repository round trip)'

@@ -1,9 +1,12 @@
 //! The one driver of every [`Node`] — a shard, an executor, the
 //! repository, the client — on its simulated node: the world's events
 //! and the operator's requests become the node's inputs (one borrow of
-//! its cell per input), and its outputs the world's calls, each armed
-//! timer's world event kept under the id the node named it by, each
-//! answer to the operator filed in the driver's slot.
+//! its cell per input), and its outputs the world's calls. Timers and
+//! calls are values on both sides: the world queues a timer's tag and a
+//! call's id, and the driver keeps each armed timer's value beside its
+//! world event and each open call's value under its call id, until the
+//! world's [`NodeEvent`] names it; each answer to the operator is filed
+//! in the driver's slot.
 //!
 //! **Emission order is the traffic contract.** Outputs are applied in the
 //! order the node emitted them: every [`World::send`] draws two samples
@@ -15,7 +18,10 @@ use std::cell::{Ref, RefCell, RefMut};
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use flowscript_sim::{EventId, NodeId, ReplyToken, RpcError, SimDuration, SimTime, World};
+use flowscript_codec::IdMap;
+use flowscript_sim::{
+    EventId, NodeEvent, NodeId, ReplyToken, RpcError, SimDuration, SimTime, World,
+};
 
 /// A node as a value: inputs at a virtual time in, what it owes the
 /// world out; what its timers and calls resume is data it names.
@@ -108,9 +114,12 @@ impl<N: Node> Clone for Driver<N> {
 struct Installed<N: Node> {
     node: NodeId,
     value: RefCell<N>,
-    /// The world's event for every timer the node armed that has
-    /// neither gone off nor been cancelled.
-    timers: RefCell<BTreeMap<TimerId, EventId>>,
+    /// Every timer the node armed that has neither gone off nor been
+    /// cancelled: its world event, and what it resumes.
+    timers: RefCell<BTreeMap<TimerId, (EventId, N::Timer)>>,
+    /// What each call the node made resumes, by the world's call id,
+    /// until it is answered.
+    calls: RefCell<IdMap<u64, N::Call>>,
     /// The node's answers not yet taken, oldest first: the caller's, so
     /// a restart leaves them as they were.
     answers: RefCell<VecDeque<N::Answer>>,
@@ -119,37 +128,51 @@ struct Installed<N: Node> {
 // Outside the crate, a driver is `get`, `get_mut` and `armed_timers`.
 #[allow(private_bounds)]
 impl<N: Node + 'static> Driver<N> {
-    /// Installs `value` on its node: the node's messages and restarts
-    /// become its inputs.
+    /// Installs `value` on its node: whatever reaches the node becomes
+    /// its input.
     pub(crate) fn install(value: N, world: &mut World) -> Self {
         let node = value.node();
         let driver = Self(Rc::new(Installed {
             node,
             value: RefCell::new(value),
             timers: RefCell::default(),
+            calls: RefCell::default(),
             answers: RefCell::default(),
         }));
         let handler = driver.clone();
-        world.set_handler(node, move |world, envelope| {
-            let input = Input::Message {
-                from: envelope.src,
-                payload: &envelope.payload,
-                token: envelope.reply_token(),
+        world.set_node_handler(node, move |world, event| {
+            let input = match event {
+                NodeEvent::Message(envelope) => Input::Message {
+                    from: envelope.src,
+                    payload: &envelope.payload,
+                    token: envelope.reply_token(),
+                },
+                NodeEvent::Timer(tag) => {
+                    match handler.0.timers.borrow_mut().remove(&TimerId(tag)) {
+                        Some((_, timer)) => Input::Fired(timer),
+                        None => return,
+                    }
+                }
+                NodeEvent::Answer(id, answer) => match handler.0.calls.borrow_mut().remove(&id) {
+                    Some(call) => Input::Answered(call, answer),
+                    None => return,
+                },
+                NodeEvent::Restart => Input::Restart,
             };
             handler.input(world, input);
         });
-        let restarted = driver.clone();
-        world.set_restart_hook(node, move |world, _| restarted.input(world, Input::Restart));
         driver
     }
 
     /// Hands the node `input` at the world's time, and carries out what
     /// it owes: the one way in, the operator's requests included. A
     /// restart (or a start over a previous run's storage) forgets the
-    /// timers first: the world dropped those of the incarnation that died.
+    /// timers and calls first: the world dropped those of the
+    /// incarnation that died.
     pub(crate) fn input(&self, world: &mut World, input: Input<'_, N::Timer, N::Call, N::Op>) {
         if let Input::Restart = input {
             self.0.timers.borrow_mut().clear();
+            self.0.calls.borrow_mut().clear();
         }
         let outputs = self.0.value.borrow_mut().handle(world.now(), input);
         self.apply(world, outputs);
@@ -193,22 +216,16 @@ impl<N: Node + 'static> Driver<N> {
                     bytes,
                     timeout,
                     call,
-                } => {
-                    let caller = self.clone();
-                    world.rpc_call(node, to, bytes, timeout, move |world, answer| {
-                        caller.input(world, Input::Answered(call, answer));
-                    });
-                }
+                } => match world.call(node, to, bytes, timeout) {
+                    Ok(id) => _ = self.0.calls.borrow_mut().insert(id, call),
+                    Err(down) => self.input(world, Input::Answered(call, Err(down))),
+                },
                 Output::Arm { id, after, timer } => {
-                    let owner = self.clone();
-                    let event = world.schedule_node_after(node, after, move |world| {
-                        owner.0.timers.borrow_mut().remove(&id);
-                        owner.input(world, Input::Fired(timer));
-                    });
-                    self.0.timers.borrow_mut().insert(id, event);
+                    let event = world.arm_timer(node, after, id.0);
+                    self.0.timers.borrow_mut().insert(id, (event, timer));
                 }
                 Output::Cancel(id) => {
-                    if let Some(event) = self.0.timers.borrow_mut().remove(&id) {
+                    if let Some((event, _)) = self.0.timers.borrow_mut().remove(&id) {
                         world.cancel(event);
                     }
                 }
@@ -233,5 +250,92 @@ impl<N: Node + 'static> Driver<N> {
     /// world is quiescent.
     pub fn armed_timers(&self) -> usize {
         self.0.timers.borrow().len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Arms one timer and makes one call per operator request, and notes
+    /// what comes back.
+    struct Probe {
+        node: NodeId,
+        peer: NodeId,
+        seen: Vec<&'static str>,
+    }
+
+    impl Node for Probe {
+        type Timer = &'static str;
+        type Call = &'static str;
+        type Op = ();
+        type Answer = ();
+
+        fn node(&self) -> NodeId {
+            self.node
+        }
+
+        fn handle(
+            &mut self,
+            _: SimTime,
+            input: Input<'_, &'static str, &'static str, ()>,
+        ) -> Vec<Output<&'static str, &'static str, ()>> {
+            match input {
+                Input::Op(()) => {
+                    let after = SimDuration::from_millis(5);
+                    return vec![
+                        Output::Arm {
+                            id: TimerId(0),
+                            after,
+                            timer: "timer",
+                        },
+                        Output::Call {
+                            to: self.peer,
+                            bytes: Vec::new(),
+                            timeout: after,
+                            call: "call",
+                        },
+                    ];
+                }
+                Input::Fired(seen) | Input::Answered(seen, _) => self.seen.push(seen),
+                Input::Restart => self.seen.push("restart"),
+                Input::Message { .. } => {}
+            }
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn a_restart_forgets_the_timers_and_calls_of_the_incarnation_that_died() {
+        let mut world = World::new(1);
+        let (node, peer) = (world.add_node("probe"), world.add_node("peer"));
+        world.set_handler(peer, |world, envelope| {
+            world.rpc_reply_to(envelope.reply_token().expect("a request"), Vec::new());
+        });
+        let seen = Vec::new();
+        let driver = Driver::install(Probe { node, peer, seen }, &mut world);
+        driver.input(&mut world, Input::Op(()));
+        assert_eq!(
+            (driver.armed_timers(), driver.0.calls.borrow().len()),
+            (1, 1)
+        );
+        world.crash(node);
+        world.restart(node);
+        world.run();
+        assert_eq!(driver.get().seen, ["restart"]);
+        assert_eq!(
+            (driver.armed_timers(), driver.0.calls.borrow().len()),
+            (0, 0)
+        );
+        assert_eq!(flowscript_sim::rpc::in_flight(&world), 0);
+
+        // The new incarnation's own timer and call do come back.
+        driver.input(&mut world, Input::Op(()));
+        world.run();
+        assert_eq!(driver.get().seen, ["restart", "call", "timer"]);
+        assert_eq!(
+            (driver.armed_timers(), driver.0.calls.borrow().len()),
+            (0, 0)
+        );
     }
 }

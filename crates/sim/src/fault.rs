@@ -35,7 +35,7 @@ use crate::world::World;
 pub enum FaultAction {
     /// Crash a node.
     Crash(NodeId),
-    /// Restart a crashed node (running its restart hook).
+    /// Restart a crashed node (handing it `NodeEvent::Restart`).
     Restart(NodeId),
     /// Partition two groups of nodes.
     Partition(Vec<NodeId>, Vec<NodeId>),

@@ -8,7 +8,8 @@
 //! reproduced exactly:
 //!
 //! - [`World`]: the simulation facade — virtual clock, event queue, nodes,
-//!   network, RNG and trace,
+//!   network, RNG and trace; a node's timers and calls queue as values,
+//!   and what reaches a node comes to its one handler as a [`NodeEvent`],
 //! - [`net`]: per-link latency/jitter/loss plus named partitions,
 //! - [`rpc`]: correlated request/response with timeouts over the network,
 //! - [`fault`]: declarative fault plans (crash at *t*, partition, heal …),
@@ -50,4 +51,4 @@ pub use node::{NodeId, NodeStatus};
 pub use rpc::RpcError;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceEvent};
-pub use world::{Envelope, ReplyToken, World};
+pub use world::{Envelope, NodeEvent, ReplyToken, World};

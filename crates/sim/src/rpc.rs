@@ -12,8 +12,9 @@ use flowscript_codec::IdMap;
 
 use crate::event::EventId;
 use crate::node::NodeId;
+use crate::sched::Event;
 use crate::time::SimDuration;
-use crate::world::{PayloadKind, World};
+use crate::world::{NodeEvent, PayloadKind, World};
 
 /// Why an RPC did not return a reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,13 +37,10 @@ impl fmt::Display for RpcError {
 
 impl std::error::Error for RpcError {}
 
-type Callback = Box<dyn FnOnce(&mut World, Result<Vec<u8>, RpcError>)>;
-
+/// A call awaiting its answer: who made it, and its time-out's event.
 struct PendingCall {
     from: NodeId,
-    from_incarnation: u64,
-    timeout_event: EventId,
-    on_done: Callback,
+    timeout: EventId,
 }
 
 /// Book-keeping for in-flight calls, owned by the [`World`].
@@ -60,73 +58,60 @@ impl RpcState {
         }
     }
 
-    /// Number of in-flight calls (diagnostics).
-    pub(crate) fn in_flight(&self) -> usize {
-        self.pending.len()
+    /// Forgets every call `node` made (crash handling: the world drops
+    /// their time-outs with the node's timers, so no answer reaches a
+    /// later incarnation).
+    pub(crate) fn drop_calls_from(&mut self, node: NodeId) {
+        self.pending.retain(|_, call| call.from != node);
     }
 }
 
-pub(crate) fn call(
-    world: &mut World,
-    src: NodeId,
-    dst: NodeId,
-    payload: Vec<u8>,
-    timeout: SimDuration,
-    on_done: Callback,
-) {
-    if !world.is_up(src) {
-        on_done(world, Err(RpcError::SenderDown));
-        return;
-    }
-    let call_id = world.rpc.next_id;
-    world.rpc.next_id += 1;
-    let timeout_event = world.schedule_after(timeout, move |world| {
-        complete_call(world, call_id, Err(RpcError::Timeout));
-    });
-    let pending = PendingCall {
-        from: src,
-        from_incarnation: world.incarnation(src),
-        timeout_event,
-        on_done,
-    };
-    world.rpc.pending.insert(call_id, pending);
-    world.send_kind(src, dst, PayloadKind::Request(call_id), payload);
-}
-
-/// Resolves a pending call. Invoked by reply delivery or by the timeout
-/// event; whichever runs first wins and the other finds nothing pending.
-pub(crate) fn complete_call(world: &mut World, call_id: u64, result: Result<Vec<u8>, RpcError>) {
-    let Some(pending) = world.rpc.pending.remove(&call_id) else {
-        return;
-    };
-    world.cancel(pending.timeout_event);
-    // The caller crashed (or restarted) while the call was in flight: the
-    // continuation belonged to its lost volatile state.
-    if !world.is_up(pending.from) || world.incarnation(pending.from) != pending.from_incarnation {
-        return;
-    }
-    (pending.on_done)(world, result);
-}
-
-/// Drops every pending call originated by `node` (crash handling).
-pub(crate) fn fail_calls_from(world: &mut World, node: NodeId) {
-    let stale: Vec<u64> = world
-        .rpc
-        .pending
-        .iter()
-        .filter(|(_, p)| p.from == node)
-        .map(|(id, _)| *id)
-        .collect();
-    for id in stale {
-        if let Some(pending) = world.rpc.pending.remove(&id) {
-            world.cancel(pending.timeout_event);
+impl World {
+    /// Issues an RPC from `src` to `dst`, and returns its call id: the
+    /// reply's payload, or [`RpcError::Timeout`] once `timeout` passes,
+    /// comes back to `src`'s node handler as [`NodeEvent::Answer`] under
+    /// that id — unless `src` crashes or restarts first.
+    ///
+    /// # Errors
+    ///
+    /// [`RpcError::SenderDown`] at once if `src` is down.
+    pub fn call(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        payload: Vec<u8>,
+        timeout: SimDuration,
+    ) -> Result<u64, RpcError> {
+        if !self.is_up(src) {
+            return Err(RpcError::SenderDown);
         }
+        let call = self.rpc.next_id;
+        self.rpc.next_id += 1;
+        let at = self.now() + timeout;
+        let timeout = self
+            .sched
+            .schedule(at, Event::Timeout { caller: src, call });
+        let pending = PendingCall { from: src, timeout };
+        self.rpc.pending.insert(call, pending);
+        self.send_kind(src, dst, PayloadKind::Request(call), payload);
+        Ok(call)
+    }
+
+    /// Resolves a pending call: invoked by reply delivery or by the
+    /// time-out; whichever runs first wins and the other finds nothing
+    /// pending.
+    pub(crate) fn answer(&mut self, call: u64, answer: Result<Vec<u8>, RpcError>) {
+        let Some(pending) = self.rpc.pending.remove(&call) else {
+            return;
+        };
+        self.sched.cancel(pending.timeout);
+        self.dispatch(pending.from, NodeEvent::Answer(call, answer));
     }
 }
 
 /// Number of in-flight RPCs in `world` (diagnostic helper for tests).
 pub fn in_flight(world: &World) -> usize {
-    world.rpc.in_flight()
+    world.rpc.pending.len()
 }
 
 #[cfg(test)]
@@ -134,6 +119,21 @@ mod tests {
     use super::*;
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    type Answers = Rc<RefCell<Vec<(u64, Result<Vec<u8>, RpcError>)>>>;
+
+    /// The answers `client`'s handler is handed, in order, each beside
+    /// its call id.
+    fn record_answers(world: &mut World, client: NodeId) -> Answers {
+        let answers = Answers::default();
+        let seen = answers.clone();
+        world.set_node_handler(client, move |_, event| {
+            if let NodeEvent::Answer(call, answer) = event {
+                seen.borrow_mut().push((call, answer));
+            }
+        });
+        answers
+    }
 
     #[test]
     fn request_reply_roundtrip() {
@@ -145,19 +145,12 @@ mod tests {
             reply.reverse();
             world.rpc_reply_to(env.reply_token().expect("a request"), reply);
         });
-        let result = Rc::new(RefCell::new(None));
-        let result2 = result.clone();
-        world.rpc_call(
-            client,
-            server,
-            vec![1, 2, 3],
-            SimDuration::from_secs(1),
-            move |_, r| {
-                *result2.borrow_mut() = Some(r);
-            },
-        );
+        let result = record_answers(&mut world, client);
+        let call = world
+            .call(client, server, vec![1, 2, 3], SimDuration::from_secs(1))
+            .expect("the client is up");
         world.run();
-        assert_eq!(*result.borrow(), Some(Ok(vec![3, 2, 1])));
+        assert_eq!(*result.borrow(), [(call, Ok(vec![3, 2, 1]))]);
         assert_eq!(in_flight(&world), 0);
     }
 
@@ -167,19 +160,12 @@ mod tests {
         let client = world.add_node("client");
         let server = world.add_node("server");
         world.crash(server);
-        let result = Rc::new(RefCell::new(None));
-        let result2 = result.clone();
-        world.rpc_call(
-            client,
-            server,
-            vec![9],
-            SimDuration::from_millis(10),
-            move |_, r| {
-                *result2.borrow_mut() = Some(r);
-            },
-        );
+        let result = record_answers(&mut world, client);
+        let call = world
+            .call(client, server, vec![9], SimDuration::from_millis(10))
+            .expect("the client is up");
         world.run();
-        assert_eq!(*result.borrow(), Some(Err(RpcError::Timeout)));
+        assert_eq!(*result.borrow(), [(call, Err(RpcError::Timeout))]);
     }
 
     #[test]
@@ -191,19 +177,12 @@ mod tests {
             world.rpc_reply_to(env.reply_token().expect("a request"), vec![]);
         });
         world.partition(&[client], &[server]);
-        let result = Rc::new(RefCell::new(None));
-        let result2 = result.clone();
-        world.rpc_call(
-            client,
-            server,
-            vec![],
-            SimDuration::from_millis(5),
-            move |_, r| {
-                *result2.borrow_mut() = Some(r);
-            },
-        );
+        let result = record_answers(&mut world, client);
+        let call = world
+            .call(client, server, vec![], SimDuration::from_millis(5))
+            .expect("the client is up");
         world.run();
-        assert_eq!(*result.borrow(), Some(Err(RpcError::Timeout)));
+        assert_eq!(*result.borrow(), [(call, Err(RpcError::Timeout))]);
     }
 
     #[test]
@@ -212,18 +191,8 @@ mod tests {
         let client = world.add_node("client");
         let server = world.add_node("server");
         world.crash(client);
-        let result = Rc::new(RefCell::new(None));
-        let result2 = result.clone();
-        world.rpc_call(
-            client,
-            server,
-            vec![],
-            SimDuration::from_millis(5),
-            move |_, r| {
-                *result2.borrow_mut() = Some(r);
-            },
-        );
-        assert_eq!(*result.borrow(), Some(Err(RpcError::SenderDown)));
+        let result = world.call(client, server, vec![], SimDuration::from_millis(5));
+        assert_eq!(result, Err(RpcError::SenderDown));
     }
 
     #[test]
@@ -234,21 +203,14 @@ mod tests {
         world.set_handler(server, |world, env| {
             world.rpc_reply_to(env.reply_token().expect("a request"), vec![1]);
         });
-        let ran = Rc::new(RefCell::new(false));
-        let ran2 = ran.clone();
-        world.rpc_call(
-            client,
-            server,
-            vec![],
-            SimDuration::from_secs(1),
-            move |_, _| {
-                *ran2.borrow_mut() = true;
-            },
-        );
+        let ran = record_answers(&mut world, client);
+        world
+            .call(client, server, vec![], SimDuration::from_secs(1))
+            .expect("the client is up");
         world.crash(client);
         world.run();
         assert!(
-            !*ran.borrow(),
+            ran.borrow().is_empty(),
             "continuation of crashed caller must not run"
         );
         assert_eq!(in_flight(&world), 0);
@@ -272,19 +234,12 @@ mod tests {
         world.set_handler(server, |world, env| {
             world.rpc_reply_to(env.reply_token().expect("a request"), vec![42]);
         });
-        let results = Rc::new(RefCell::new(Vec::new()));
-        let results2 = results.clone();
-        world.rpc_call(
-            client,
-            server,
-            vec![],
-            SimDuration::from_millis(1),
-            move |_, r| {
-                results2.borrow_mut().push(r);
-            },
-        );
+        let results = record_answers(&mut world, client);
+        world
+            .call(client, server, vec![], SimDuration::from_millis(1))
+            .expect("the client is up");
         world.run();
         assert_eq!(results.borrow().len(), 1, "callback must run exactly once");
-        assert_eq!(results.borrow()[0], Err(RpcError::Timeout));
+        assert_eq!(results.borrow()[0].1, Err(RpcError::Timeout));
     }
 }

@@ -8,14 +8,24 @@ use crate::node::NodeId;
 use crate::time::SimTime;
 use crate::world::{PayloadKind, World};
 
-/// A pending simulation event's closure, run at a virtual instant.
+/// A closure the environment's script runs at a virtual instant.
 pub(crate) type EventFn = Box<dyn FnOnce(&mut World)>;
 
-/// What a pending event does when it runs: hand a message to its
-/// destination — the commonest event, so it is kept unboxed — or run a
-/// closure.
+/// What a pending event does when it runs. Everything a node asked for
+/// is a value; only the environment's script is code.
 pub(crate) enum Event {
+    /// Hand a message to its destination.
     Deliver(Delivery),
+    /// Hand `node` its timer's `tag`, if the incarnation that armed it
+    /// still runs.
+    Timer {
+        node: NodeId,
+        incarnation: u64,
+        tag: u64,
+    },
+    /// Fail `caller`'s call `call` unless its answer came first.
+    Timeout { caller: NodeId, call: u64 },
+    /// Run a scripted closure (`World::schedule_at`).
     Run(EventFn),
 }
 
@@ -29,23 +39,20 @@ pub(crate) struct Delivery {
     pub(crate) incarnation: u64,
 }
 
-/// The event queue: a time-ordered heap of closures with stable ordering
+/// The event queue: a time-ordered heap of events with stable ordering
 /// and cancellation.
 ///
 /// An event's id doubles as its scheduling sequence number — the
 /// monotonic tie-breaker that makes two events at the same instant run
 /// in the order they were scheduled, the root of determinism. The heap
 /// holds `(time, id)` keys, earliest time first, then scheduling order;
-/// `entries` holds the pending closures, each beside the node it was
-/// scheduled for, if any, and `deliveries` the messages on the wire
-/// (apart, so a long-lived timer's slot stays small), both under the
-/// fixed hasher: the ids are the scheduler's own sequence. Cancelling
-/// removes the table entry, and a heap key without one is skipped (and
-/// dropped) whenever it surfaces at the top.
+/// `entries` holds the pending events under the fixed hasher: the ids
+/// are the scheduler's own sequence. Cancelling removes the table
+/// entry, and a heap key without one is skipped (and dropped) whenever
+/// it surfaces at the top.
 pub(crate) struct Scheduler {
     heap: BinaryHeap<Reverse<(SimTime, u64)>>,
-    entries: IdMap<u64, (Option<NodeId>, EventFn)>,
-    deliveries: IdMap<u64, Delivery>,
+    entries: IdMap<u64, Event>,
     next_event: u64,
     now: SimTime,
 }
@@ -55,7 +62,6 @@ impl Scheduler {
         Self {
             heap: BinaryHeap::new(),
             entries: IdMap::default(),
-            deliveries: IdMap::default(),
             next_event: 0,
             now: SimTime::ZERO,
         }
@@ -65,43 +71,32 @@ impl Scheduler {
         self.now
     }
 
-    /// Schedules `run` at `at`; times already in the past are clamped to
-    /// "now" (the event runs as soon as possible, after events already
+    /// Schedules `event` at `at`; times already in the past are clamped
+    /// to "now" (the event runs as soon as possible, after events already
     /// queued for the current instant).
-    pub(crate) fn schedule_at(&mut self, at: SimTime, run: EventFn) -> EventId {
-        self.schedule_for(at, None, Event::Run(run))
-    }
-
-    /// [`Scheduler::schedule_at`] of any event, on behalf of `owner`: the
-    /// event leaves the queue with [`Scheduler::cancel_owned_by`].
-    pub(crate) fn schedule_for(
-        &mut self,
-        at: SimTime,
-        owner: Option<NodeId>,
-        event: Event,
-    ) -> EventId {
+    pub(crate) fn schedule(&mut self, at: SimTime, event: Event) -> EventId {
         let at = at.max(self.now);
         let id = self.next_event;
         self.next_event += 1;
         self.heap.push(Reverse((at, id)));
-        match event {
-            Event::Run(run) => _ = self.entries.insert(id, (owner, run)),
-            Event::Deliver(delivery) => _ = self.deliveries.insert(id, delivery),
-        }
+        self.entries.insert(id, event);
         EventId(id)
     }
 
     /// Cancels a pending event; a no-op for one that already ran or was
     /// already cancelled.
     pub(crate) fn cancel(&mut self, id: EventId) {
-        if self.entries.remove(&id.0).is_none() {
-            self.deliveries.remove(&id.0);
-        }
+        self.entries.remove(&id.0);
     }
 
-    /// Cancels every pending event scheduled on behalf of `node`.
+    /// Cancels every pending timer and call time-out of `node`.
     pub(crate) fn cancel_owned_by(&mut self, node: NodeId) {
-        self.entries.retain(|_, (owner, _)| *owner != Some(node));
+        self.entries.retain(|_, event| match event {
+            Event::Timer { node: owner, .. } | Event::Timeout { caller: owner, .. } => {
+                *owner != node
+            }
+            Event::Deliver(_) | Event::Run(_) => true,
+        });
     }
 
     #[cfg(test)]
@@ -110,18 +105,14 @@ impl Scheduler {
     }
 
     pub(crate) fn pending(&self) -> usize {
-        self.entries.len() + self.deliveries.len()
+        self.entries.len()
     }
 
     /// Pops the next runnable event, advancing the clock to its time.
     pub(crate) fn pop(&mut self) -> Option<(SimTime, EventId, Event)> {
         while let Some(Reverse((at, id))) = self.heap.pop() {
-            let event = match self.entries.remove(&id) {
-                Some((_, run)) => Event::Run(run),
-                None => match self.deliveries.remove(&id) {
-                    Some(delivery) => Event::Deliver(delivery),
-                    None => continue, // cancelled
-                },
+            let Some(event) = self.entries.remove(&id) else {
+                continue; // cancelled
             };
             debug_assert!(at >= self.now, "clock went backwards");
             self.now = at;
@@ -145,7 +136,7 @@ impl Scheduler {
     /// keys of cancelled events above it are dropped.
     pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
         while let Some(&Reverse((at, id))) = self.heap.peek() {
-            if self.entries.contains_key(&id) || self.deliveries.contains_key(&id) {
+            if self.entries.contains_key(&id) {
                 return Some(at);
             }
             self.heap.pop();
@@ -159,8 +150,12 @@ mod tests {
     use super::*;
     use crate::time::SimDuration;
 
-    fn noop() -> EventFn {
-        Box::new(|_| {})
+    fn noop() -> Event {
+        Event::Timer {
+            node: NodeId(0),
+            incarnation: 0,
+            tag: 0,
+        }
     }
 
     #[test]
@@ -168,9 +163,9 @@ mod tests {
         let mut s = Scheduler::new();
         let t1 = SimTime::from_nanos(10);
         let t2 = SimTime::from_nanos(20);
-        let a = s.schedule_at(t2, noop());
-        let b = s.schedule_at(t1, noop());
-        let c = s.schedule_at(t1, noop());
+        let a = s.schedule(t2, noop());
+        let b = s.schedule(t1, noop());
+        let c = s.schedule(t1, noop());
         let (at1, id1, _) = s.pop().unwrap();
         let (at2, id2, _) = s.pop().unwrap();
         let (at3, id3, _) = s.pop().unwrap();
@@ -183,7 +178,7 @@ mod tests {
     #[test]
     fn clock_advances_with_pop() {
         let mut s = Scheduler::new();
-        s.schedule_at(SimTime::from_nanos(5), noop());
+        s.schedule(SimTime::from_nanos(5), noop());
         assert_eq!(s.now(), SimTime::ZERO);
         let _ = s.pop().unwrap();
         assert_eq!(s.now(), SimTime::from_nanos(5));
@@ -192,8 +187,8 @@ mod tests {
     #[test]
     fn cancellation_skips_event() {
         let mut s = Scheduler::new();
-        let id = s.schedule_at(SimTime::from_nanos(1), noop());
-        let keep = s.schedule_at(SimTime::from_nanos(2), noop());
+        let id = s.schedule(SimTime::from_nanos(1), noop());
+        let keep = s.schedule(SimTime::from_nanos(2), noop());
         s.cancel(id);
         assert_eq!(s.pending(), 1);
         let (_, popped, _) = s.pop().unwrap();
@@ -205,8 +200,8 @@ mod tests {
     #[test]
     fn peek_ignores_cancelled() {
         let mut s = Scheduler::new();
-        let early = s.schedule_at(SimTime::from_nanos(1), noop());
-        s.schedule_at(SimTime::from_nanos(9), noop());
+        let early = s.schedule(SimTime::from_nanos(1), noop());
+        s.schedule(SimTime::from_nanos(9), noop());
         s.cancel(early);
         assert_eq!(s.peek_time(), Some(SimTime::from_nanos(9)));
     }
@@ -214,8 +209,8 @@ mod tests {
     #[test]
     fn cancel_after_fire_and_cancel_twice_leave_nothing_behind() {
         let mut s = Scheduler::new();
-        let fired = s.schedule_at(SimTime::from_nanos(1), noop());
-        let dropped = s.schedule_at(SimTime::from_nanos(2), noop());
+        let fired = s.schedule(SimTime::from_nanos(1), noop());
+        let dropped = s.schedule(SimTime::from_nanos(2), noop());
         let _ = s.pop().unwrap();
         s.cancel(fired);
         s.cancel(dropped);
@@ -224,7 +219,7 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.peek_time(), None);
         // A later event is not mistaken for the cancelled ones.
-        let next = s.schedule_at(SimTime::from_nanos(3), noop());
+        let next = s.schedule(SimTime::from_nanos(3), noop());
         assert_eq!(s.peek_time(), Some(SimTime::from_nanos(3)));
         assert_eq!(s.pop().map(|(_, id, _)| id), Some(next));
     }
@@ -247,7 +242,7 @@ mod tests {
                 match op {
                     0 | 1 => {
                         let at = SimTime::from_nanos(at);
-                        let id = s.schedule_at(at, noop());
+                        let id = s.schedule(at, noop());
                         pending.push((at.max(now), id));
                         issued.push(id);
                     }
@@ -279,11 +274,11 @@ mod tests {
     #[test]
     fn past_times_clamp_to_now() {
         let mut s = Scheduler::new();
-        s.schedule_at(SimTime::from_nanos(100), noop());
+        s.schedule(SimTime::from_nanos(100), noop());
         let _ = s.pop().unwrap();
         assert_eq!(s.now(), SimTime::from_nanos(100));
         // Scheduling "in the past" runs at the current instant instead.
-        let id = s.schedule_at(SimTime::from_nanos(5), noop());
+        let id = s.schedule(SimTime::from_nanos(5), noop());
         let (at, popped, _) = s.pop().unwrap();
         assert_eq!(at, SimTime::from_nanos(100));
         assert_eq!(popped, id);
@@ -294,7 +289,7 @@ mod tests {
     fn zero_delay_events_preserve_order() {
         let mut s = Scheduler::new();
         let now = s.now();
-        let ids: Vec<_> = (0..10).map(|_| s.schedule_at(now, noop())).collect();
+        let ids: Vec<_> = (0..10).map(|_| s.schedule(now, noop())).collect();
         let popped: Vec<_> = std::iter::from_fn(|| s.pop().map(|(_, id, _)| id)).collect();
         assert_eq!(ids, popped);
         let _ = SimDuration::ZERO;

@@ -6,7 +6,7 @@ use rand::{Rng, SeedableRng};
 use crate::event::EventId;
 use crate::net::{DeliveryFailure, Network};
 use crate::node::{NodeId, NodeState, NodeStatus};
-use crate::rpc::{self, RpcError, RpcState};
+use crate::rpc::{RpcError, RpcState};
 use crate::sched::{Delivery, Event, Scheduler};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{DropReason, Trace, TraceEvent};
@@ -19,7 +19,7 @@ pub(crate) enum PayloadKind {
     /// RPC request carrying a correlation id; the handler may reply
     /// through [`Envelope::reply_token`] and [`World::rpc_reply_to`].
     Request(u64),
-    /// RPC reply; routed by the world to the pending callback.
+    /// RPC reply; handed to the caller as [`NodeEvent::Answer`].
     Reply(u64),
 }
 
@@ -67,21 +67,37 @@ impl ReplyToken {
     }
 }
 
-type Handler = Rc<dyn Fn(&mut World, &Envelope)>;
-type RestartHook = Rc<dyn Fn(&mut World, NodeId)>;
+/// What the world hands a node's handler: everything that reaches a
+/// node, one event at a time.
+#[derive(Debug)]
+pub enum NodeEvent<'a> {
+    /// A message delivered to the node.
+    Message(&'a Envelope),
+    /// A timer the node armed with [`World::arm_timer`] went off: its tag.
+    Timer(u64),
+    /// A call the node made with [`World::call`] was answered, or timed
+    /// out: its call id and the answer.
+    Answer(u64, Result<Vec<u8>, RpcError>),
+    /// The node restarted: everything volatile is gone.
+    Restart,
+}
+
+type Handler = Rc<dyn Fn(&mut World, NodeEvent<'_>)>;
 
 /// The simulation: virtual clock, event queue, nodes, network, RNG, trace.
 ///
-/// All state mutation happens through `&mut World` inside event closures,
-/// which the single-threaded scheduler runs one at a time in deterministic
-/// order. See the crate-level example for typical use.
+/// The single-threaded scheduler runs one event at a time, in
+/// deterministic order: it hands a node its [`NodeEvent`]s through the
+/// node's handler, and runs the environment's script
+/// ([`World::schedule_at`]). All state mutation happens through
+/// `&mut World` inside those. See the crate-level example for typical
+/// use.
 pub struct World {
-    sched: Scheduler,
+    pub(crate) sched: Scheduler,
     rng: SmallRng,
     net: Network,
     nodes: Vec<NodeState>,
     handlers: Vec<Option<Handler>>,
-    restart_hooks: Vec<Option<RestartHook>>,
     trace: Trace,
     pub(crate) rpc: RpcState,
     /// Hard cap on events processed by [`World::run`]; guards against
@@ -99,7 +115,6 @@ impl World {
             net: Network::new(),
             nodes: Vec::new(),
             handlers: Vec::new(),
-            restart_hooks: Vec::new(),
             trace: Trace::new(),
             rpc: RpcState::new(),
             event_budget: 50_000_000,
@@ -141,7 +156,6 @@ impl World {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(NodeState::new(name));
         self.handlers.push(None);
-        self.restart_hooks.push(None);
         id
     }
 
@@ -168,20 +182,33 @@ impl World {
         self.nodes[node.index()].incarnation
     }
 
-    /// Installs the message handler for `node`, replacing any previous one.
-    pub fn set_handler<F>(&mut self, node: NodeId, handler: F)
+    /// Installs the handler of everything that reaches `node`, replacing
+    /// any previous one.
+    pub fn set_node_handler<F>(&mut self, node: NodeId, handler: F)
     where
-        F: Fn(&mut World, &Envelope) + 'static,
+        F: Fn(&mut World, NodeEvent<'_>) + 'static,
     {
         self.handlers[node.index()] = Some(Rc::new(handler));
     }
 
-    /// Installs a hook invoked after `node` restarts (used for recovery).
-    pub fn set_restart_hook<F>(&mut self, node: NodeId, hook: F)
+    /// Installs a handler of `node`'s messages only, replacing any
+    /// previous one.
+    pub fn set_handler<F>(&mut self, node: NodeId, handler: F)
     where
-        F: Fn(&mut World, NodeId) + 'static,
+        F: Fn(&mut World, &Envelope) + 'static,
     {
-        self.restart_hooks[node.index()] = Some(Rc::new(hook));
+        self.set_node_handler(node, move |world, event| {
+            if let NodeEvent::Message(envelope) = event {
+                handler(world, envelope);
+            }
+        });
+    }
+
+    /// Hands `node` `event` through its handler, if it has one.
+    pub(crate) fn dispatch(&mut self, node: NodeId, event: NodeEvent<'_>) {
+        if let Some(handler) = self.handlers[node.index()].clone() {
+            handler(self, event);
+        }
     }
 
     /// Draws a uniform sample in `[0, 1)` from the world RNG.
@@ -207,40 +234,28 @@ impl World {
         self.trace.record(self.sched.now(), event);
     }
 
-    /// Schedules `f` to run at absolute time `at`.
+    /// Schedules `f`, a step of the environment's script (a fault, a
+    /// flaky disk), to run at absolute time `at`.
     pub fn schedule_at<F>(&mut self, at: SimTime, f: F) -> EventId
     where
         F: FnOnce(&mut World) + 'static,
     {
-        self.sched.schedule_at(at, Box::new(f))
+        self.sched.schedule(at, Event::Run(Box::new(f)))
     }
 
-    /// Schedules `f` to run after `delay`.
-    pub fn schedule_after<F>(&mut self, delay: SimDuration, f: F) -> EventId
-    where
-        F: FnOnce(&mut World) + 'static,
-    {
-        let at = self.sched.now() + delay;
-        self.sched.schedule_at(at, Box::new(f))
-    }
-
-    /// Schedules `f` on behalf of `node`: a crash of the node takes it
-    /// out of the queue, and one scheduled while the node is down is
-    /// skipped (a restarted process does not inherit its predecessor's
-    /// timers).
-    pub fn schedule_node_after<F>(&mut self, node: NodeId, delay: SimDuration, f: F) -> EventId
-    where
-        F: FnOnce(&mut World) + 'static,
-    {
+    /// Arms a timer of `node`: [`NodeEvent::Timer`] hands it `tag` after
+    /// `delay`. A crash of the node takes it out of the queue, and one
+    /// armed while the node is down is skipped (a restarted process does
+    /// not inherit its predecessor's timers).
+    pub fn arm_timer(&mut self, node: NodeId, delay: SimDuration, tag: u64) -> EventId {
         let incarnation = self.incarnation(node);
         let at = self.sched.now() + delay;
-        let run = move |world: &mut World| {
-            if world.is_up(node) && world.incarnation(node) == incarnation {
-                f(world);
-            }
+        let timer = Event::Timer {
+            node,
+            incarnation,
+            tag,
         };
-        self.sched
-            .schedule_for(at, Some(node), Event::Run(Box::new(run)))
+        self.sched.schedule(at, timer)
     }
 
     /// Cancels a scheduled event.
@@ -301,8 +316,7 @@ impl World {
                     payload,
                     incarnation: self.incarnation(dst),
                 };
-                let at = now + latency;
-                self.sched.schedule_for(at, None, Event::Deliver(delivery));
+                self.sched.schedule(now + latency, Event::Deliver(delivery));
             }
         }
     }
@@ -340,39 +354,17 @@ impl World {
         }
         self.trace
             .record(now, TraceEvent::MessageDelivered { src, dst });
+        if let PayloadKind::Reply(call) = kind {
+            self.answer(call, Ok(payload));
+            return;
+        }
         let envelope = Envelope {
             src,
             dst,
             payload,
             kind,
         };
-        match kind {
-            PayloadKind::Reply(call_id) => {
-                rpc::complete_call(self, call_id, Ok(envelope.payload));
-            }
-            PayloadKind::Raw | PayloadKind::Request(_) => {
-                if let Some(handler) = self.handlers[dst.index()].clone() {
-                    handler(self, &envelope);
-                }
-            }
-        }
-    }
-
-    /// Issues an RPC from `src` to `dst`. `on_done` runs with the reply
-    /// payload, or with an [`RpcError`] on timeout / sender failure. The
-    /// callback is discarded if the calling node crashes or restarts before
-    /// completion.
-    pub fn rpc_call<F>(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        payload: Vec<u8>,
-        timeout: SimDuration,
-        on_done: F,
-    ) where
-        F: FnOnce(&mut World, Result<Vec<u8>, RpcError>) + 'static,
-    {
-        rpc::call(self, src, dst, payload, timeout, Box::new(on_done));
+        self.dispatch(dst, NodeEvent::Message(&envelope));
     }
 
     /// Replies to an RPC request through its [`ReplyToken`].
@@ -395,11 +387,12 @@ impl World {
         self.nodes[node.index()].status = NodeStatus::Crashed;
         self.trace
             .record(self.sched.now(), TraceEvent::NodeCrashed { node });
-        rpc::fail_calls_from(self, node);
+        self.rpc.drop_calls_from(node);
         self.sched.cancel_owned_by(node);
     }
 
-    /// Restarts a crashed node and runs its restart hook (recovery).
+    /// Restarts a crashed node and hands it [`NodeEvent::Restart`]
+    /// (recovery).
     pub fn restart(&mut self, node: NodeId) {
         if self.nodes[node.index()].status == NodeStatus::Up {
             return;
@@ -408,9 +401,7 @@ impl World {
         self.nodes[node.index()].incarnation += 1;
         self.trace
             .record(self.sched.now(), TraceEvent::NodeRestarted { node });
-        if let Some(hook) = self.restart_hooks[node.index()].clone() {
-            hook(self, node);
-        }
+        self.dispatch(node, NodeEvent::Restart);
     }
 
     /// Partitions two groups of nodes (trace-recorded).
@@ -427,17 +418,24 @@ impl World {
 
     /// Runs a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        match self.sched.pop() {
-            Some((_, _, Event::Deliver(delivery))) => {
-                self.deliver(delivery);
-                true
+        let Some((_, _, event)) = self.sched.pop() else {
+            return false;
+        };
+        match event {
+            Event::Deliver(delivery) => self.deliver(delivery),
+            Event::Timer {
+                node,
+                incarnation,
+                tag,
+            } => {
+                if self.is_up(node) && self.incarnation(node) == incarnation {
+                    self.dispatch(node, NodeEvent::Timer(tag));
+                }
             }
-            Some((_, _, Event::Run(run))) => {
-                run(self);
-                true
-            }
-            None => false,
+            Event::Timeout { call, .. } => self.answer(call, Err(RpcError::Timeout)),
+            Event::Run(run) => run(self),
         }
+        true
     }
 
     /// Runs until the event queue is empty (or the event budget trips).
@@ -543,28 +541,40 @@ mod tests {
         assert_eq!(world.trace().drops(DropReason::StaleIncarnation), 1);
     }
 
+    /// The tags of `node`'s timers, in the order they went off.
+    fn record_timers(world: &mut World, node: NodeId) -> Rc<RefCell<Vec<u64>>> {
+        let fired = Rc::new(RefCell::new(Vec::new()));
+        let seen = fired.clone();
+        world.set_node_handler(node, move |_, event| {
+            if let NodeEvent::Timer(tag) = event {
+                seen.borrow_mut().push(tag);
+            }
+        });
+        fired
+    }
+
     #[test]
     fn node_timer_skipped_after_crash() {
-        let fired = Rc::new(RefCell::new(false));
         let mut world = World::new(1);
         let a = world.add_node("a");
-        let fired2 = fired.clone();
-        world.schedule_node_after(a, SimDuration::from_millis(1), move |_| {
-            *fired2.borrow_mut() = true;
-        });
+        let fired = record_timers(&mut world, a);
+        world.arm_timer(a, SimDuration::from_millis(1), 7);
         world.crash(a);
         world.run();
-        assert!(!*fired.borrow());
+        assert!(fired.borrow().is_empty());
     }
 
     #[test]
     fn a_crashed_nodes_timers_leave_the_queue() {
         let mut world = World::new(1);
         let a = world.add_node("a");
-        world.schedule_node_after(a, SimDuration::from_secs(300), |_| {
-            panic!("a timer of the dead incarnation fired")
+        world.set_node_handler(a, |_, event| {
+            if let NodeEvent::Timer(_) = event {
+                panic!("a timer of the dead incarnation fired")
+            }
         });
-        world.schedule_after(SimDuration::from_secs(1), move |world| {
+        world.arm_timer(a, SimDuration::from_secs(300), 0);
+        world.schedule_at(SimTime::from_nanos(1_000_000_000), move |world| {
             world.crash(a);
             world.restart(a);
         });
@@ -574,12 +584,14 @@ mod tests {
     }
 
     #[test]
-    fn restart_hook_runs_on_restart() {
+    fn a_restart_reaches_the_node_handler() {
         let mut world = World::new(1);
         let a = world.add_node("a");
-        world.set_restart_hook(a, |world, node| {
-            let name = world.node_name(node).to_string();
-            world.trace_custom(name, "recovered");
+        world.set_node_handler(a, move |world, event| {
+            if let NodeEvent::Restart = event {
+                let name = world.node_name(a).to_string();
+                world.trace_custom(name, "recovered");
+            }
         });
         world.crash(a);
         world.restart(a);
@@ -641,11 +653,10 @@ mod tests {
     #[test]
     fn run_until_stops_at_deadline() {
         let mut world = World::new(1);
-        let order = Rc::new(RefCell::new(Vec::new()));
-        let o1 = order.clone();
-        let o2 = order.clone();
-        world.schedule_at(SimTime::from_nanos(10), move |_| o1.borrow_mut().push(1));
-        world.schedule_at(SimTime::from_nanos(20), move |_| o2.borrow_mut().push(2));
+        let a = world.add_node("a");
+        let order = record_timers(&mut world, a);
+        world.arm_timer(a, SimDuration::from_nanos(10), 1);
+        world.arm_timer(a, SimDuration::from_nanos(20), 2);
         world.run_until(SimTime::from_nanos(15));
         assert_eq!(*order.borrow(), vec![1]);
         assert_eq!(world.pending_events(), 1);
@@ -658,10 +669,11 @@ mod tests {
     fn runaway_loop_trips_budget() {
         let mut world = World::new(1);
         world.set_event_budget(100);
-        fn reschedule(world: &mut World) {
-            world.schedule_after(SimDuration::from_nanos(1), reschedule);
-        }
-        world.schedule_after(SimDuration::from_nanos(1), reschedule);
+        let a = world.add_node("a");
+        world.set_node_handler(a, move |world, _| {
+            world.arm_timer(a, SimDuration::from_nanos(1), 0);
+        });
+        world.arm_timer(a, SimDuration::from_nanos(1), 0);
         world.run();
     }
 }

@@ -5,7 +5,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use flowscript_sim::{
-    net::LinkConfig, FaultAction, FaultPlan, NodeId, SimDuration, SimTime, World,
+    net::LinkConfig, FaultAction, FaultPlan, NodeEvent, NodeId, SimDuration, SimTime, World,
 };
 use proptest::prelude::*;
 
@@ -74,17 +74,16 @@ proptest! {
             world.rpc_reply_to(token, env.payload.clone());
         });
         let outcomes = Rc::new(RefCell::new(0u32));
+        let counted = outcomes.clone();
+        world.set_node_handler(client, move |_, event| {
+            if let NodeEvent::Answer(..) = event {
+                *counted.borrow_mut() += 1;
+            }
+        });
         for i in 0..10u8 {
-            let outcomes = outcomes.clone();
-            world.rpc_call(
-                client,
-                server,
-                vec![i],
-                SimDuration::from_millis(50),
-                move |_, _| {
-                    *outcomes.borrow_mut() += 1;
-                },
-            );
+            world
+                .call(client, server, vec![i], SimDuration::from_millis(50))
+                .expect("the client is up");
         }
         world.run();
         // Every call resolves exactly once, success or timeout.
