@@ -70,7 +70,7 @@ impl World {
     /// Issues an RPC from `src` to `dst`, and returns its call id: the
     /// reply's payload, or [`RpcError::Timeout`] once `timeout` passes,
     /// comes back to `src`'s node handler as [`NodeEvent::Answer`] under
-    /// that id — unless `src` crashes or restarts first.
+    /// that id — unless `src` crashes first.
     ///
     /// # Errors
     ///
