@@ -19,13 +19,14 @@
 //! the other shards keep committing), partition the network, or apply a
 //! scripted [`FaultPlan`].
 
-use std::cell::Ref;
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::rc::Rc;
 
 use flowscript_obs::{ObsEvent, ObserveLevel, Snapshot};
-use flowscript_sim::{net::LinkConfig, FaultPlan, NodeId, RpcError, SimDuration, SimTime, World};
+use flowscript_sim::{
+    net::LinkConfig, FaultPlan, NodeEvent, NodeId, RpcError, SimDuration, SimTime, World,
+};
 use flowscript_tx::{SharedFileStorage, SharedStorage, StableStore};
 
 use crate::coordinator::{
@@ -267,51 +268,46 @@ impl SystemBuilder {
             })
             .collect();
 
-        let repo = Driver::install(Repository::new(repo_node), &mut world);
-
+        // The table, in the order the world numbered the nodes.
+        let mut nodes = vec![
+            Installed::Client(Driver::new(Client { node: client })),
+            Installed::Repository(Driver::new(Repository::new(repo_node))),
+        ];
         let shard = ShardMap::new(coord_nodes.clone());
-        let coords: Vec<Driver<Coordinator>> = coord_nodes
-            .iter()
-            .zip(&storages)
-            .map(|(&node, storage)| {
-                let coordinator = Coordinator::open(
-                    node,
-                    repo_node,
-                    executor_specs.clone(),
-                    self.config.clone(),
-                    storage.clone(),
-                    shard.clone(),
-                )
-                .expect("fresh storage opens");
-                let coord = Driver::install(coordinator, &mut world);
-                // If the storage carried previous state (system
-                // restart), recover this shard.
-                coord.input(&mut world, Input::Restart);
-                coord
-            })
-            .collect();
-
-        let fleet = executor_specs
-            .iter()
-            .map(|spec| Driver::install(Executor::new(spec.clone(), registry.clone()), &mut world))
-            .collect();
-        let client = Driver::install(Client { node: client }, &mut world);
+        for (&node, storage) in coord_nodes.iter().zip(&storages) {
+            let coordinator = Coordinator::open(
+                node,
+                repo_node,
+                executor_specs.clone(),
+                self.config.clone(),
+                storage.clone(),
+                shard.clone(),
+            )
+            .expect("fresh storage opens");
+            let mut coord = Driver::new(coordinator);
+            // If the storage carried previous state (system restart),
+            // recover this shard.
+            coord.input(&mut world, Input::Restart);
+            nodes.push(Installed::Coordinator(Box::new(coord)));
+        }
+        nodes.extend(executor_specs.iter().map(|spec| {
+            let executor = Executor::new(spec.clone(), registry.clone());
+            Installed::Executor(Driver::new(executor))
+        }));
 
         WorkflowSystem {
             world,
+            nodes,
             client,
-            repo,
+            repo: repo_node,
             coord_nodes,
             executors,
-            fleet,
             executor_specs,
             registry,
-            coords,
             shard,
             storages,
             config: self.config,
             wal_dir: self.wal_dir,
-            retired: Vec::new(),
             registered: BTreeMap::new(),
         }
     }
@@ -367,22 +363,45 @@ impl Node for Client {
     }
 }
 
+/// What runs on one node of the system: one of the four node kinds.
+enum Installed {
+    Client(Driver<Client>),
+    Repository(Driver<Repository>),
+    Coordinator(Box<Driver<Coordinator>>),
+    Executor(Driver<Executor>),
+}
+
+/// The driver of kind `$kind` that the table entry `$entry` holds: the
+/// kind the node's role says it runs.
+macro_rules! driver {
+    ($entry:expr, $kind:ident) => {
+        match $entry {
+            Installed::$kind(driver) => driver,
+            _ => unreachable!(concat!("the node runs no ", stringify!($kind))),
+        }
+    };
+}
+
 /// A complete simulated workflow management system (Fig. 4).
 pub struct WorkflowSystem {
     world: World,
-    client: Driver<Client>,
-    repo: Driver<Repository>,
+    /// What runs on each node of the world, by node index: the client,
+    /// the repository, every coordinator and every executor. A
+    /// coordinator retired from the shard map by a planned drain or a
+    /// crash-driven failover stays as a pure relay (late executor
+    /// reports for its former instances route through it to the
+    /// adopter), and its counters, traces and metrics keep aggregating.
+    nodes: Vec<Installed>,
+    client: NodeId,
+    repo: NodeId,
     coord_nodes: Vec<NodeId>,
     executors: Vec<NodeId>,
-    /// The executors, installed on `executors`' nodes.
-    fleet: Vec<Driver<Executor>>,
     /// The executor fleet with location labels and capacities —
     /// retained so coordinators added later
     /// ([`WorkflowSystem::add_coordinator`]) schedule over the same
     /// fleet.
     executor_specs: Vec<ExecutorSpec>,
     registry: ImplRegistry,
-    coords: Vec<Driver<Coordinator>>,
     shard: ShardMap,
     storages: Vec<StableStore>,
     /// Engine policy, retained for late-added coordinators.
@@ -390,12 +409,6 @@ pub struct WorkflowSystem {
     /// WAL directory, retained so late-added shards journal alongside
     /// the original fleet (`shardN.wal`).
     wal_dir: Option<std::path::PathBuf>,
-    /// Coordinators retired from the shard map by a planned drain or a
-    /// crash-driven failover. They stay installed in the world as pure
-    /// relays (late executor reports for their former instances route
-    /// through them to the adopter), and their counters, traces and
-    /// metrics keep aggregating.
-    retired: Vec<Driver<Coordinator>>,
     /// Each script's version [`WorkflowSystem::register_script`] last
     /// returned. The façade is the repository's one writer, so this is
     /// its latest version: a start names it, and a shard that fetched
@@ -411,7 +424,41 @@ impl WorkflowSystem {
 
     /// The shard owning `instance` per the shard map.
     fn coord_for(&self, instance: &str) -> &Driver<Coordinator> {
-        &self.coords[self.shard_of(instance)]
+        self.coord_on(self.shard.node_of(instance))
+    }
+
+    /// Hands `node` the event [`World::next`] named it for: the one
+    /// place a node is fed what the world carries.
+    fn deliver(&mut self, node: NodeId, event: NodeEvent) {
+        let world = &mut self.world;
+        match &mut self.nodes[node.index()] {
+            Installed::Client(driver) => driver.deliver(world, event),
+            Installed::Repository(driver) => driver.deliver(world, event),
+            Installed::Coordinator(driver) => driver.deliver(world, event),
+            Installed::Executor(driver) => driver.deliver(world, event),
+        }
+    }
+
+    /// The loop: feeds every node the world's events until `answer`
+    /// takes what the asked node filed. `None` once the world runs dry
+    /// — or, given `patience`, once that much virtual time passes
+    /// without one.
+    fn await_answer<A>(
+        &mut self,
+        patience: Option<SimDuration>,
+        answer: impl Fn(&mut Self) -> Option<A>,
+    ) -> Option<A> {
+        let deadline = patience.map(|patience| self.world.now() + patience);
+        loop {
+            if let Some(answer) = answer(self) {
+                return Some(answer);
+            }
+            let (node, event) = match deadline {
+                Some(deadline) => self.world.next_until(deadline),
+                None => self.world.next(),
+            }?;
+            self.deliver(node, event);
+        }
     }
 
     // -----------------------------------------------------------------
@@ -435,7 +482,7 @@ impl WorkflowSystem {
             source: source.to_string(),
             root: root.to_string(),
         };
-        let result = match self.client_call(self.repo.node(), &msg) {
+        let result = match self.client_call(self.repo, &msg) {
             None => return Err(EngineError::Tx("repository call never completed".into())),
             Some(Err(err)) => Err(err.to_string()),
             Some(Ok(bytes)) => match flowscript_codec::from_bytes::<EngineMsg>(&bytes) {
@@ -451,9 +498,12 @@ impl WorkflowSystem {
     /// Calls `to` with `msg` from the client node, and runs the world
     /// until the answer comes: `None` if the world runs dry first.
     fn client_call(&mut self, to: NodeId, msg: &EngineMsg) -> Option<Result<Vec<u8>, RpcError>> {
+        let client = self.client.index();
         let call = Input::Op((to, flowscript_codec::to_bytes(msg)));
-        self.client.input(&mut self.world, call);
-        self.client.await_answer(&mut self.world, None)
+        driver!(&mut self.nodes[client], Client).input(&mut self.world, call);
+        self.await_answer(None, |sys| {
+            driver!(&mut sys.nodes[client], Client).take_answer()
+        })
     }
 
     /// Binds a closure implementation.
@@ -480,8 +530,8 @@ impl WorkflowSystem {
     }
 
     /// Direct repository access (admin/monitoring).
-    pub fn repository(&self) -> Ref<'_, Repository> {
-        self.repo.get()
+    pub fn repository(&self) -> &Repository {
+        driver!(&self.nodes[self.repo.index()], Repository).get()
     }
 
     // -----------------------------------------------------------------
@@ -592,18 +642,21 @@ impl WorkflowSystem {
 
     /// Runs until the event queue drains (all instances settled).
     pub fn run(&mut self) {
-        self.world.run();
+        while let Some((node, event)) = self.world.next() {
+            self.deliver(node, event);
+        }
     }
 
     /// Runs events up to the given virtual time.
     pub fn run_until(&mut self, deadline: SimTime) {
-        self.world.run_until(deadline);
+        while let Some((node, event)) = self.world.next_until(deadline) {
+            self.deliver(node, event);
+        }
     }
 
     /// Runs events for the given additional virtual duration.
     pub fn run_for(&mut self, duration: SimDuration) {
-        let deadline = self.world.now() + duration;
-        self.world.run_until(deadline);
+        self.run_until(self.world.now() + duration);
     }
 
     /// Current virtual time.
@@ -621,7 +674,7 @@ impl WorkflowSystem {
     ///
     /// [`EngineError::UnknownInstance`].
     pub fn status(&self, instance: &str) -> Result<InstanceStatus, EngineError> {
-        self.coord_for(instance).get_mut().status(instance)
+        self.coord_for(instance).get().status(instance)
     }
 
     /// The final outcome, if the instance completed.
@@ -634,7 +687,7 @@ impl WorkflowSystem {
 
     /// Every task's state, keyed by path.
     pub fn task_states(&self, instance: &str) -> BTreeMap<String, CbState> {
-        self.coord_for(instance).get_mut().task_states(instance)
+        self.coord_for(instance).get().task_states(instance)
     }
 
     /// A published output fact (e.g. a root-level mark like `toPay`).
@@ -649,10 +702,14 @@ impl WorkflowSystem {
     }
 
     /// Every shard: the active ones plus retired ones (drained or
-    /// failed-over nodes kept as relays). Aggregations walk all of them
-    /// so a shard's history survives its retirement.
+    /// failed-over nodes kept as relays), in the order they were
+    /// installed. Aggregations walk all of them so a shard's history
+    /// survives its retirement.
     fn all_coords(&self) -> impl Iterator<Item = &Driver<Coordinator>> {
-        self.coords.iter().chain(&self.retired)
+        self.nodes.iter().filter_map(|node| match node {
+            Installed::Coordinator(driver) => Some(&**driver),
+            _ => None,
+        })
     }
 
     /// Engine counters, aggregated over every coordinator shard —
@@ -672,7 +729,7 @@ impl WorkflowSystem {
     ///
     /// Panics if `shard` is out of range.
     pub fn shard_stats(&self, shard: usize) -> CoordStats {
-        self.coords[shard].get().stats()
+        self.coord_handle(shard).get().stats()
     }
 
     /// Ordered dispatch decisions, concatenated shard by shard (within
@@ -697,15 +754,16 @@ impl WorkflowSystem {
 
     /// Total coordinator log size in bytes (all shards).
     pub fn log_size(&self) -> u64 {
-        self.coords.iter().map(|coord| coord.get().log_size()).sum()
+        let coords = self.coord_nodes.iter().map(|&node| self.coord_on(node));
+        coords.map(|coord| coord.get().log_size()).sum()
     }
 
     /// Corrupts one fact of `path` in place — the output, else the
     /// input set, called `name` (fault injection for the corrupt-record
     /// tests).
     #[doc(hidden)]
-    pub fn poison_fact(&self, instance: &str, path: &str, name: &str) -> bool {
-        let mut shard = self.coord_for(instance).get_mut();
+    pub fn poison_fact(&mut self, instance: &str, path: &str, name: &str) -> bool {
+        let shard = self.coord_handle_mut(self.shard_of(instance)).get_mut();
         shard.poison_fact(instance, path, name)
     }
 
@@ -743,8 +801,7 @@ impl WorkflowSystem {
         };
         let msg = crate::msg::report_bytes(&at, 0, &result);
         let target = self.coord_nodes[via];
-        let client = self.client.node();
-        self.world.send(client, target, msg);
+        self.world.send(self.client, target, msg);
     }
 
     /// One shard's current view of the executor fleet: per-executor
@@ -756,7 +813,7 @@ impl WorkflowSystem {
     ///
     /// Panics if `shard` is out of range.
     pub fn executor_loads(&self, shard: usize) -> Vec<crate::sched::ExecutorSlot> {
-        self.coords[shard].get().executor_loads()
+        self.coord_handle(shard).get().executor_loads()
     }
 
     /// The simulation trace (network/scheduler events of the simulated
@@ -824,7 +881,7 @@ impl WorkflowSystem {
             output: output.to_string(),
             objects: objects.into_iter().map(|(k, v)| (k.into(), v)).collect(),
         };
-        self.ask(&self.coord_for(instance).clone(), op).map(drop)
+        self.ask(self.shard.node_of(instance), op).map(drop)
     }
 
     // -----------------------------------------------------------------
@@ -840,7 +897,7 @@ impl WorkflowSystem {
     pub fn reconfigure(&mut self, instance: &str, op: Reconfig) -> Result<(), EngineError> {
         let name = instance.to_string();
         let op = Op::Reconfigure { instance: name, op };
-        self.ask(&self.coord_for(instance).clone(), op).map(drop)
+        self.ask(self.shard.node_of(instance), op).map(drop)
     }
 
     /// Aborts a *waiting* task with one of its declared abort outcomes
@@ -860,7 +917,7 @@ impl WorkflowSystem {
             path: path.to_string(),
             outcome: outcome.to_string(),
         };
-        self.ask(&self.coord_for(instance).clone(), op).map(drop)
+        self.ask(self.shard.node_of(instance), op).map(drop)
     }
 
     /// Starts an instance of a *specific version* of a repository script.
@@ -916,7 +973,7 @@ impl WorkflowSystem {
 
     /// Number of coordinator shards.
     pub fn shard_count(&self) -> usize {
-        self.coords.len()
+        self.coord_nodes.len()
     }
 
     /// The instance → coordinator assignment.
@@ -955,7 +1012,7 @@ impl WorkflowSystem {
             new_map.add_node(node);
             return self.rebalance(new_map);
         }
-        let storage = fresh_storage(self.wal_dir.as_deref(), self.coords.len())?;
+        let storage = fresh_storage(self.wal_dir.as_deref(), self.coord_nodes.len())?;
         let node = self.world.add_node(name);
         new_map.add_node(node);
         // The new shard starts life on the bumped epoch; the surviving
@@ -963,14 +1020,14 @@ impl WorkflowSystem {
         // window), then flip in `rebalance`.
         let coordinator = Coordinator::open(
             node,
-            self.repo.node(),
+            self.repo,
             self.executor_specs.clone(),
             self.config.clone(),
             storage.clone(),
             new_map.clone(),
         )?;
-        let coord = Driver::install(coordinator, &mut self.world);
-        self.coords.push(coord);
+        let coord = Driver::new(coordinator);
+        self.nodes.push(Installed::Coordinator(Box::new(coord)));
         self.coord_nodes.push(node);
         self.storages.push(storage);
         self.rebalance(new_map)
@@ -1013,9 +1070,9 @@ impl WorkflowSystem {
                 self.shard.epoch()
             )));
         }
-        let report = self.hand_off(&new_map, 0..self.coords.len(), None)?;
+        let report = self.hand_off(&new_map, 0..self.coord_nodes.len(), None)?;
         // The flip: everyone adopts the new map at its bumped epoch.
-        for shard in 0..self.coords.len() {
+        for shard in 0..self.coord_nodes.len() {
             self.set_shard_map_of(shard, new_map.clone());
         }
         self.shard = new_map;
@@ -1027,8 +1084,7 @@ impl WorkflowSystem {
     /// would leave behind).
     #[doc(hidden)]
     pub fn set_shard_map_of(&mut self, shard: usize, map: ShardMap) {
-        let coord = self.coords[shard].clone();
-        let _ = self.ask(&coord, Op::Map(map));
+        let _ = self.ask(self.coord_nodes[shard], Op::Map(map));
     }
 
     /// Hands each of the `sources` shards, in turn, the request to move
@@ -1042,14 +1098,13 @@ impl WorkflowSystem {
     ) -> Result<MoveReport, EngineError> {
         let mut total = MoveReport::default();
         for idx in sources {
-            let source = self.coords[idx].clone();
             let node = self.coord_nodes[idx];
             if !self.world.is_up(node) {
                 // A request handed to a crashed process reaches nobody.
                 return Err(EngineError::Tx(format!("coordinator {node} is down")));
             }
             let (to, drain) = (new_map.clone(), drain.map(str::to_string));
-            let Report::Moved(report) = self.ask(&source, Op::Move { to, drain })? else {
+            let Report::Moved(report) = self.ask(node, Op::Move { to, drain })? else {
                 unreachable!("a move is answered with its report");
             };
             total.absorb(report);
@@ -1057,21 +1112,22 @@ impl WorkflowSystem {
         Ok(total)
     }
 
-    /// Hands `shard` the operator's `op`, and steps the world until the
-    /// shard answers what it came to, giving up — and telling the shard
-    /// so — once [`FLEET_DEADLINE`] of virtual time passes without an
-    /// answer, a landed round or an answered claim included.
-    fn ask(&mut self, shard: &Driver<Coordinator>, op: Op) -> Result<Report, EngineError> {
-        shard.input(&mut self.world, Input::Op(op));
-        while let Some(answer) = shard.await_answer(&mut self.world, Some(FLEET_DEADLINE)) {
+    /// Hands the shard on `node` the operator's `op`, and runs the world
+    /// until the shard answers what it came to, giving up — and telling
+    /// the shard so — once [`FLEET_DEADLINE`] of virtual time passes
+    /// without an answer, a landed round or an answered claim included.
+    fn ask(&mut self, node: NodeId, op: Op) -> Result<Report, EngineError> {
+        let shard = node.index();
+        driver!(&mut self.nodes[shard], Coordinator).input(&mut self.world, Input::Op(op));
+        let answer = |sys: &mut Self| driver!(&mut sys.nodes[shard], Coordinator).take_answer();
+        while let Some(answer) = self.await_answer(Some(FLEET_DEADLINE), answer) {
             if !matches!(answer, Ok(Report::Progress)) {
                 return answer;
             }
         }
-        self.ask(shard, Op::GiveUp)?;
+        self.ask(node, Op::GiveUp)?;
         Err(EngineError::Tx(format!(
-            "coordinator {} reported no progress for {} ms",
-            shard.node(),
+            "coordinator {node} reported no progress for {} ms",
             FLEET_DEADLINE.as_millis()
         )))
     }
@@ -1089,7 +1145,7 @@ impl WorkflowSystem {
     /// the pre-flight drains and failovers share.
     fn departure(&self, name: &str, what: &str) -> Result<(usize, ShardMap), EngineError> {
         let (idx, node) = self.coord_by_name(name)?;
-        if self.coords.len() == 1 {
+        if self.coord_nodes.len() == 1 {
             return Err(EngineError::Tx(format!(
                 "cannot {what} the last coordinator"
             )));
@@ -1105,13 +1161,12 @@ impl WorkflowSystem {
     /// table re-pointed off departed nodes — and late executor reports
     /// for its former instances forward straight to the adopter.
     fn retire_coordinator(&mut self, idx: usize, new_map: ShardMap) {
-        for shard in 0..self.coords.len() {
+        for shard in 0..self.coord_nodes.len() {
             self.set_shard_map_of(shard, new_map.clone());
         }
         self.shard = new_map;
-        self.coord_nodes.remove(idx);
         self.storages.remove(idx);
-        self.retired.push(self.coords.remove(idx));
+        self.coord_nodes.remove(idx);
     }
 
     /// Drains and removes coordinator `name` from the execution
@@ -1165,14 +1220,13 @@ impl WorkflowSystem {
     pub fn adopt_dead_shard(&mut self, name: &str) -> Result<FailoverReport, EngineError> {
         let (idx, new_map) = self.departure(name, "fail over")?;
         let dead = self.coord_nodes[idx];
-        let claimant = (self.coord_nodes.iter().zip(&self.coords))
-            .find(|&(&node, _)| node != dead && self.world.is_up(node))
-            .map(|(_, coord)| coord.clone())
+        let claimant = (self.coord_nodes.iter().copied())
+            .find(|&node| node != dead && self.world.is_up(node))
             .ok_or_else(|| {
                 EngineError::Tx(format!("no surviving coordinator is up to claim `{name}`"))
             })?;
         let op = Op::Adopt(self.storages[idx].clone(), dead, new_map.clone());
-        let Report::Adopted(report) = self.ask(&claimant, op)? else {
+        let Report::Adopted(report) = self.ask(claimant, op)? else {
             unreachable!("an adoption is answered with its report");
         };
         self.retire_coordinator(idx, new_map);
@@ -1186,8 +1240,32 @@ impl WorkflowSystem {
     ///
     /// Panics if `shard` is out of range.
     #[doc(hidden)]
-    pub fn coord_handle(&self, shard: usize) -> Driver<Coordinator> {
-        self.coords[shard].clone()
+    pub fn coord_handle(&self, shard: usize) -> &Driver<Coordinator> {
+        self.coord_on(self.coord_nodes[shard])
+    }
+
+    /// [`Self::coord_handle`] of the coordinator on `node`, retired or
+    /// not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` runs no coordinator.
+    #[doc(hidden)]
+    pub fn coord_on(&self, node: NodeId) -> &Driver<Coordinator> {
+        driver!(&self.nodes[node.index()], Coordinator)
+    }
+
+    /// [`Self::coord_handle`], for a test that edits the shard by hand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of range.
+    #[doc(hidden)]
+    pub fn coord_handle_mut(&mut self, shard: usize) -> &mut Driver<Coordinator> {
+        driver!(
+            &mut self.nodes[self.coord_nodes[shard].index()],
+            Coordinator
+        )
     }
 
     /// The shards serving right now: node up, storage not claimed by
@@ -1195,9 +1273,9 @@ impl WorkflowSystem {
     #[doc(hidden)]
     pub fn serving_shards(&self) -> Vec<usize> {
         let serving = |shard: usize| {
-            self.world.is_up(self.coord_nodes[shard]) && !self.coords[shard].get_mut().is_fenced()
+            self.world.is_up(self.coord_nodes[shard]) && !self.coord_handle(shard).get().is_fenced()
         };
-        (0..self.coords.len())
+        (0..self.coord_nodes.len())
             .filter(|&shard| serving(shard))
             .collect()
     }
@@ -1207,8 +1285,17 @@ impl WorkflowSystem {
     /// index, and so does a cancelled one.
     #[doc(hidden)]
     pub fn running_attempts(&self) -> Vec<(NodeId, usize)> {
-        let up = self.fleet.iter().filter(|e| self.world.is_up(e.node()));
-        up.map(|e| (e.node(), e.get().running())).collect()
+        let up = self
+            .executors
+            .iter()
+            .filter(|&&node| self.world.is_up(node));
+        up.map(|&node| {
+            (
+                node,
+                driver!(&self.nodes[node.index()], Executor).get().running(),
+            )
+        })
+        .collect()
     }
 
     /// Whether the world has no event left to run.
@@ -1229,10 +1316,13 @@ impl WorkflowSystem {
 
     /// Restarts a node immediately (a coordinator runs shard recovery).
     pub fn restart_now(&mut self, node: NodeId) {
-        self.world.restart(node);
+        if self.world.restart(node) {
+            self.deliver(node, NodeEvent::Restart);
+        }
     }
 
-    /// Direct world access for advanced scenarios.
+    /// Direct world access for advanced scenarios (a node it restarts
+    /// does not recover: [`Self::restart_now`] hands it the restart).
     pub fn world_mut(&mut self) -> &mut World {
         &mut self.world
     }
@@ -1255,9 +1345,22 @@ impl std::fmt::Debug for WorkflowSystem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkflowSystem")
             .field("now", &self.world.now())
-            .field("coordinators", &self.coords.len())
+            .field("coordinators", &self.coord_nodes.len())
             .field("executors", &self.executors.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+impl WorkflowSystem {
+    /// Every coordinator, in the order they were installed (shard order
+    /// until a shard retires), to edit several by hand at once.
+    pub(crate) fn shards_mut(&mut self) -> Vec<&mut Coordinator> {
+        let coordinators = self.nodes.iter_mut().filter_map(|node| match node {
+            Installed::Coordinator(driver) => Some(driver.get_mut()),
+            _ => None,
+        });
+        coordinators.collect()
     }
 }
 

@@ -41,7 +41,14 @@ impl Coordinator {
         name: &str,
         header: &InstanceHeader,
     ) -> Result<InstanceRt, EngineError> {
-        let plan = self.stored_plan(name, header)?;
+        let plan = match self.cached_plan(header) {
+            Some(plan) => plan,
+            None => {
+                let source = pinned_source(&self.mgr, name, header)?;
+                let (hash, root) = (header.source_hash, header.root.as_str());
+                self.plan_cache.plan(hash, source, root)?
+            }
+        };
         let terminal = settled(&self.mgr, None, name, header.instance_id);
         Ok(InstanceRt {
             plan,
@@ -78,22 +85,13 @@ impl Coordinator {
         None
     }
 
-    /// The plan a stored instance runs off: the source its header pins,
-    /// compiled for its root through the shard's [`PlanCache`]. Bytes
-    /// the cache compiled its entry from were checked then, so a hit
-    /// costs a comparison; only a miss checks the text against its hash.
-    fn stored_plan(
-        &mut self,
-        name: &str,
-        header: &InstanceHeader,
-    ) -> Result<Arc<Plan>, EngineError> {
+    /// The plan a stored instance runs off — the source its header pins,
+    /// compiled for its root — if the shard's [`PlanCache`] holds it: a
+    /// comparison, the bytes being checked when the entry was compiled.
+    fn cached_plan(&self, header: &InstanceHeader) -> Option<Arc<Plan>> {
         let (hash, root) = (header.source_hash, header.root.as_str());
-        let stored = self.mgr.read_committed_bytes(&source_uid(hash));
-        if let Some(plan) = stored.and_then(|bytes| self.plan_cache.cached(hash, root, bytes)) {
-            return Ok(plan);
-        }
-        let source = pinned_source(&self.mgr, name, header)?;
-        Ok(self.plan_cache.plan(hash, source, root)?)
+        let stored = self.mgr.read_committed_bytes(&source_uid(hash))?;
+        self.plan_cache.cached(hash, root, stored)
     }
 
     /// Compiles (through the [`PlanCache`]) and launches an admitted
@@ -210,7 +208,7 @@ impl Coordinator {
     ///
     /// [`EngineError::UnknownInstance`]; a storage error if the stuck
     /// record, the root block or the root's output fact does not decode.
-    pub fn status(&mut self, instance: &str) -> Result<InstanceStatus, EngineError> {
+    pub fn status(&self, instance: &str) -> Result<InstanceStatus, EngineError> {
         let stuck: Option<StuckRecord> = self.mgr.read_committed_key(&status_uid(instance))?;
         if let Some(StuckRecord { reason }) = stuck {
             return Ok(InstanceStatus::Stuck { reason });
@@ -238,24 +236,28 @@ impl Coordinator {
 
     /// `instance`'s plan and id: the resident runtime's, else
     /// (e.g. monitoring a crashed-but-unrecovered store) its stored
-    /// header's id over the plan of the source it pins.
+    /// header's id over the plan of the source it pins — compiled, on a
+    /// cache miss, without keeping it: a read leaves the cache alone.
     ///
     /// # Errors
     ///
     /// [`EngineError::UnknownInstance`], or a header or source that does
     /// not load.
-    fn plan_of(&mut self, instance: &str) -> Result<(Arc<Plan>, u32), EngineError> {
+    fn plan_of(&self, instance: &str) -> Result<(Arc<Plan>, u32), EngineError> {
         if let Some(ctx) = self.instance_ctx(instance) {
             return Ok(ctx);
         }
         let header = self.read_header(instance)?;
-        let plan = self.stored_plan(instance, &header)?;
+        let plan = match self.cached_plan(&header) {
+            Some(plan) => plan,
+            None => PlanCache::compile(pinned_source(&self.mgr, instance, &header)?, &header.root)?,
+        };
         Ok((plan, header.instance_id))
     }
 
     /// All task states of an instance, keyed by path (a block never
     /// stored reads `Waiting`).
-    pub fn task_states(&mut self, instance: &str) -> BTreeMap<String, CbState> {
+    pub fn task_states(&self, instance: &str) -> BTreeMap<String, CbState> {
         let blocks = self.task_blocks(instance).into_iter();
         blocks.map(|(path, cb)| (path, cb.state)).collect()
     }
@@ -265,7 +267,7 @@ impl Coordinator {
     /// does not decode; an instance not resident resolves through its
     /// stored header and pinned source. Test hook beyond the states.
     #[doc(hidden)]
-    pub fn task_blocks(&mut self, instance: &str) -> BTreeMap<String, TaskCb> {
+    pub fn task_blocks(&self, instance: &str) -> BTreeMap<String, TaskCb> {
         let Ok((plan, instance_id)) = self.plan_of(instance) else {
             return BTreeMap::new();
         };
@@ -402,8 +404,7 @@ pub(super) struct PlanCache {
 
 impl PlanCache {
     /// The plan of `source` (whose [`source_hash`] is `hash`) compiled
-    /// for `root`: from the cache, else through the front end and
-    /// lowered — the one place a coordinator lowers a plan.
+    /// for `root`: from the cache, else compiled and kept.
     ///
     /// # Errors
     ///
@@ -417,11 +418,18 @@ impl PlanCache {
         if let Some(plan) = self.cached(hash, root, source.as_bytes()) {
             return Ok(plan);
         }
-        let plan = Arc::new(Plan::lower(&schema::compile_source(source, root)?));
+        let plan = Self::compile(source, root)?;
         let version = (hash, root.to_string());
         self.plans
             .insert(version, (Arc::from(source), plan.clone()));
         Ok(plan)
+    }
+
+    /// `source` compiled for `root` and kept nowhere: the one place a
+    /// coordinator lowers a plan.
+    fn compile(source: &str, root: &str) -> Result<Arc<Plan>, Diagnostics> {
+        let schema = schema::compile_source(source, root)?;
+        Ok(Arc::new(Plan::lower(&schema)))
     }
 
     /// Notes that the repository serves `source` for `root` as `version`

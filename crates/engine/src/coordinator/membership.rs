@@ -1085,7 +1085,7 @@ mod tests {
     use crate::coordinator::meta::source_hash;
     use crate::coordinator::package::package_instance;
     use crate::coordinator::{EngineConfig, Input, InstanceHeader};
-    use crate::driver::{Driver, Node};
+    use crate::driver::Node;
     use crate::keys::meta_uid;
     use crate::msg::{Attempt, TaskResult};
     use crate::{ObjectVal, TaskBehavior};
@@ -1127,14 +1127,19 @@ mod tests {
     }
 
     /// Two shards and `q`, a quickstart pipeline shard 0 owns, run 10 ms
-    /// into its 50 ms `produce`: the shards, and the instance's name.
-    fn one_running_instance() -> (WorkflowSystem, [Driver<Coordinator>; 2], String) {
+    /// into its 50 ms `produce`: the system, and the instance's name.
+    fn one_running_instance() -> (WorkflowSystem, String) {
         let mut sys = quickstart(2);
         let name = names_on(&sys, 0, 1).remove(0);
         sys.start(&name, "quickstart", "main", seed()).unwrap();
         sys.run_for(SimDuration::from_millis(10));
-        let shards = [sys.coord_handle(0), sys.coord_handle(1)];
-        (sys, shards, name)
+        (sys, name)
+    }
+
+    /// The two shards of `sys`, to edit by hand.
+    fn shards(sys: &mut WorkflowSystem) -> [&mut Coordinator; 2] {
+        let shards = sys.shards_mut().try_into();
+        shards.ok().expect("two shards")
     }
 
     /// A mark report of task `t` of `instance`.
@@ -1184,11 +1189,10 @@ mod tests {
             sys.start(name, "quickstart", "main", seed()).unwrap();
         }
         sys.run_for(SimDuration::from_millis(10));
-        let shard = sys.coord_handle(0);
         let gone = &names[2];
         {
-            let mut source = shard.get_mut();
-            assert_eq!(ids_by_instance(&source)[gone], 2, "the highest id");
+            let source = sys.coord_handle_mut(0).get_mut();
+            assert_eq!(ids_by_instance(source)[gone], 2, "the highest id");
             // What a source does once its round landed: the runtime
             // goes, and one action purges the slice.
             let _ = source.drop_runtime(gone);
@@ -1196,11 +1200,11 @@ mod tests {
                 .atomically(|mgr, action| purge_instance(mgr, action, gone))
                 .unwrap();
         }
-        let node = shard.get().node;
+        let node = sys.coord_handle(0).get().node;
         sys.crash_now(node);
         sys.restart_now(node);
         sys.start(&names[3], "quickstart", "main", seed()).unwrap();
-        let ids = ids_by_instance(&shard.get());
+        let ids = ids_by_instance(sys.coord_handle(0).get());
         assert_eq!(ids.len(), 3);
         assert_eq!(ids[&names[3]], 2, "the purged id is free again");
         sys.run();
@@ -1211,10 +1215,10 @@ mod tests {
 
     #[test]
     fn starts_around_a_claim_landing_take_ids_of_their_own() {
-        let (_sys, [source, dest], name) = one_running_instance();
-        let writes = package_instance(&source.get().mgr, &name).expect("stored");
-        let id = TxId::new(source.get().node.index() as u32, 1_000);
-        let mut dest = dest.get_mut();
+        let (mut sys, name) = one_running_instance();
+        let [source, dest] = shards(&mut sys);
+        let writes = package_instance(&source.mgr, &name).expect("stored");
+        let id = TxId::new(source.node.index() as u32, 1_000);
         let epoch = dest.membership.epoch();
         let text = flowscript_core::samples::QUICKSTART;
         let start = |dest: &mut Coordinator, instance: &str| {
@@ -1227,10 +1231,10 @@ mod tests {
             )
             .expect("starts");
         };
-        start(&mut dest, "before");
+        start(dest, "before");
         dest.on_claim(id, epoch, false, writes).expect("lands");
-        start(&mut dest, "after");
-        let ids = ids_by_instance(&dest);
+        start(dest, "after");
+        let ids = ids_by_instance(dest);
         let order: Vec<u32> = ["before", name.as_str(), "after"]
             .iter()
             .map(|name| ids[*name])
@@ -1250,7 +1254,7 @@ mod tests {
         sys.crash_now(dead);
         let report = sys.adopt_dead_shard("coordinator1").expect("failover");
         assert_eq!(report.adopted, 3);
-        let ids = ids_by_instance(&sys.coord_handle(0).get());
+        let ids = ids_by_instance(sys.coord_handle(0).get());
         assert_eq!(ids.len(), names.len(), "every instance on the survivor");
         sys.run();
         for name in &names {
@@ -1266,8 +1270,8 @@ mod tests {
     /// claimed back and frozen in a newer round, that round holds it.
     #[test]
     fn a_claim_delivered_again_after_its_instance_moved_on_lands_nothing() {
-        let (_sys, [source, dest], name) = one_running_instance();
-        let (mut source, mut dest) = (source.get_mut(), dest.get_mut());
+        let (mut sys, name) = one_running_instance();
+        let [source, dest] = shards(&mut sys);
         let writes = package_instance(&source.mgr, &name).expect("stored");
         let epoch = dest.membership.epoch();
         source
@@ -1308,10 +1312,10 @@ mod tests {
     /// committed nothing.
     #[test]
     fn a_claim_below_the_installed_epoch_commits_nothing() {
-        let (_sys, [source, dest], name) = one_running_instance();
-        let writes = package_instance(&source.get().mgr, &name).expect("stored");
-        let id = TxId::new(source.get().node.index() as u32, 1_000);
-        let mut dest = dest.get_mut();
+        let (mut sys, name) = one_running_instance();
+        let [source, dest] = shards(&mut sys);
+        let writes = package_instance(&source.mgr, &name).expect("stored");
+        let id = TxId::new(source.node.index() as u32, 1_000);
         let stale = dest.membership.epoch() - 1;
         let log = dest.log_size();
         let refused = dest.on_claim(id, stale, false, writes);
@@ -1329,11 +1333,11 @@ mod tests {
     /// lands, loads and counts as adopted.
     #[test]
     fn an_adoption_claim_naming_a_frozen_copy_supersedes_it() {
-        let (_sys, [source, dest], name) = one_running_instance();
-        let mut source = source.get_mut();
+        let (mut sys, name) = one_running_instance();
+        let [source, dest] = shards(&mut sys);
         let epoch = source.membership.epoch();
         source
-            .start_round(dest.get().node, epoch, vec![name.clone()])
+            .start_round(dest.node, epoch, vec![name.clone()])
             .expect("decided");
         assert_eq!(source.frozen_instance_names(), std::slice::from_ref(&name));
         let round = source.membership.freezing(&name).expect("indexed");

@@ -587,8 +587,8 @@ impl Coordinator {
 
     /// Whether another node has claimed this shard's storage (probes
     /// the log tail, so a zombie that has not noticed yet says yes).
-    pub(crate) fn is_fenced(&mut self) -> bool {
-        self.mgr.probe_fence().is_some()
+    pub(crate) fn is_fenced(&self) -> bool {
+        matches!(self.mgr.tail_fence(), Ok(Some(_)))
     }
 }
 

@@ -892,29 +892,28 @@ compoundtask root of taskclass Root {
         // While the three `produce`s run, `i3`'s `produce` block is
         // overwritten with a byte no block begins with.
         sys.run_for(SimDuration::from_millis(5));
-        let coord = sys.coord_handle(0);
         let (block, saved) = {
-            let coordinator = coord.get();
+            let coordinator = sys.coord_handle(0).get();
             let rt = &coordinator.instances["i3"];
             let produce = rt.plan.task_by_path("pipeline/produce").unwrap();
             let block = StoreKey::Fact(FactKey::control(rt.id, produce));
             let saved = coordinator.mgr.read_committed_bytes(&block).unwrap();
             (block, saved.to_vec())
         };
-        let overwrite = |bytes: Vec<u8>| {
-            let mut coordinator = coord.get_mut();
+        let overwrite = |sys: &mut WorkflowSystem, bytes: Vec<u8>| {
+            let coordinator = sys.coord_handle_mut(0).get_mut();
             let written =
                 coordinator.atomically(|mgr, action| Ok(mgr.write_key_raw(action, &block, bytes)?));
             written.expect("the block commits");
         };
-        overwrite(vec![7]);
+        overwrite(&mut sys, vec![7]);
         assert_eq!(aborts(&sys), 0);
         // The three reports arrive together and fill the window.
         sys.run_for(SimDuration::from_millis(10));
         // Two steps rolled back: the shared one, and `i3`'s alone — whose
         // action never began, its one read failing before any write.
         assert_eq!(aborts(&sys), 1);
-        overwrite(saved);
+        overwrite(&mut sys, saved);
         let batch_size = |sys: &WorkflowSystem| {
             let snapshot = sys.metrics_snapshot();
             let sizes = snapshot.histogram("coord.batch_size").unwrap();

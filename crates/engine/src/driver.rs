@@ -1,12 +1,12 @@
 //! The one driver of every [`Node`] — a shard, an executor, the
-//! repository, the client — on its simulated node: the world's events
-//! and the operator's requests become the node's inputs (one borrow of
-//! its cell per input), and its outputs the world's calls. Timers and
-//! calls are values on both sides: the world queues a timer's tag and a
-//! call's id, and the driver keeps each armed timer's value beside its
-//! world event and each open call's value under its call id, until the
-//! world's [`NodeEvent`] names it; each answer to the operator is filed
-//! in the driver's slot.
+//! repository, the client — on its simulated node: the events
+//! [`World::next`] hands the node and the operator's requests become
+//! its inputs, and its outputs the world's calls. Timers and calls are
+//! values on both sides: the world queues a timer's tag and a call's
+//! id, and the driver keeps each armed timer's value beside its world
+//! event and each open call's value under its call id, until a
+//! [`NodeEvent`] names it; each answer to the operator is filed in the
+//! driver's queue.
 //!
 //! **Emission order is the traffic contract.** Outputs are applied in the
 //! order the node emitted them: every [`World::send`] draws two samples
@@ -14,9 +14,7 @@
 //! run in the order they were scheduled, so reordering outputs would make
 //! a different simulation.
 
-use std::cell::{Ref, RefCell, RefMut};
 use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
 
 use flowscript_codec::IdMap;
 use flowscript_sim::{
@@ -101,67 +99,63 @@ pub(crate) enum Output<T, C, A> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct TimerId(pub(crate) u64);
 
-/// A node installed on its simulated node. Clones share the node.
+/// A node and what the world owes it back: the value the façade's
+/// loop feeds.
 #[allow(private_bounds)]
-pub struct Driver<N: Node>(Rc<Installed<N>>);
-
-impl<N: Node> Clone for Driver<N> {
-    fn clone(&self) -> Self {
-        Self(self.0.clone())
-    }
-}
-
-struct Installed<N: Node> {
-    node: NodeId,
-    value: RefCell<N>,
+pub struct Driver<N: Node> {
+    value: N,
     /// Every timer the node armed that has neither gone off nor been
     /// cancelled: its world event, and what it resumes.
-    timers: RefCell<BTreeMap<TimerId, (EventId, N::Timer)>>,
+    timers: BTreeMap<TimerId, (EventId, N::Timer)>,
     /// What each call the node made resumes, by the world's call id,
     /// until it is answered.
-    calls: RefCell<IdMap<u64, N::Call>>,
+    calls: IdMap<u64, N::Call>,
     /// The node's answers not yet taken, oldest first: the caller's, so
     /// a restart leaves them as they were.
-    answers: RefCell<VecDeque<N::Answer>>,
+    answers: VecDeque<N::Answer>,
 }
 
 // Outside the crate, a driver is `get`, `get_mut` and `armed_timers`.
 #[allow(private_bounds)]
-impl<N: Node + 'static> Driver<N> {
-    /// Installs `value` on its node: whatever reaches the node becomes
-    /// its input.
-    pub(crate) fn install(value: N, world: &mut World) -> Self {
-        let node = value.node();
-        let driver = Self(Rc::new(Installed {
-            node,
-            value: RefCell::new(value),
-            timers: RefCell::default(),
-            calls: RefCell::default(),
-            answers: RefCell::default(),
-        }));
-        let handler = driver.clone();
-        world.set_node_handler(node, move |world, event| {
-            let input = match event {
-                NodeEvent::Message(envelope) => Input::Message {
-                    from: envelope.src,
-                    payload: &envelope.payload,
-                    token: envelope.reply_token(),
-                },
-                NodeEvent::Timer(tag) => {
-                    match handler.0.timers.borrow_mut().remove(&TimerId(tag)) {
-                        Some((_, timer)) => Input::Fired(timer),
-                        None => return,
-                    }
-                }
-                NodeEvent::Answer(id, answer) => match handler.0.calls.borrow_mut().remove(&id) {
-                    Some(call) => Input::Answered(call, answer),
-                    None => return,
-                },
-                NodeEvent::Restart => Input::Restart,
-            };
-            handler.input(world, input);
-        });
-        driver
+impl<N: Node> Driver<N> {
+    /// `value`, with no timer armed, no call open and nothing answered.
+    pub(crate) fn new(value: N) -> Self {
+        Self {
+            value,
+            timers: BTreeMap::new(),
+            calls: IdMap::default(),
+            answers: VecDeque::new(),
+        }
+    }
+
+    /// Hands the node the event [`World::next`] named it for: the
+    /// value a timer or call resumes, looked up by its tag or id (one
+    /// the node cancelled, or a restart forgot, resumes nothing).
+    pub(crate) fn deliver(&mut self, world: &mut World, event: NodeEvent) {
+        let input = match event {
+            NodeEvent::Message(envelope) => {
+                let token = envelope.reply_token();
+                let (from, payload) = (envelope.src, &envelope.payload);
+                return self.input(
+                    world,
+                    Input::Message {
+                        from,
+                        payload,
+                        token,
+                    },
+                );
+            }
+            NodeEvent::Timer(tag) => match self.timers.remove(&TimerId(tag)) {
+                Some((_, timer)) => Input::Fired(timer),
+                None => return,
+            },
+            NodeEvent::Answer(id, answer) => match self.calls.remove(&id) {
+                Some(call) => Input::Answered(call, answer),
+                None => return,
+            },
+            NodeEvent::Restart => Input::Restart,
+        };
+        self.input(world, input);
     }
 
     /// Hands the node `input` at the world's time, and carries out what
@@ -169,44 +163,28 @@ impl<N: Node + 'static> Driver<N> {
     /// restart (or a start over a previous run's storage) forgets the
     /// timers and calls first: the world dropped those of the
     /// incarnation that died.
-    pub(crate) fn input(&self, world: &mut World, input: Input<'_, N::Timer, N::Call, N::Op>) {
+    pub(crate) fn input(&mut self, world: &mut World, input: Input<'_, N::Timer, N::Call, N::Op>) {
         if let Input::Restart = input {
-            self.0.timers.borrow_mut().clear();
-            self.0.calls.borrow_mut().clear();
+            self.timers.clear();
+            self.calls.clear();
         }
-        let outputs = self.0.value.borrow_mut().handle(world.now(), input);
+        let outputs = self.value.handle(world.now(), input);
         self.apply(world, outputs);
     }
 
-    /// Steps `world` until the node answers the operator, and takes its
-    /// oldest answer: `None` once the world runs dry — or, given
-    /// `patience`, once that much virtual time passes without one.
-    pub(crate) fn await_answer(
-        &self,
-        world: &mut World,
-        patience: Option<SimDuration>,
-    ) -> Option<N::Answer> {
-        let deadline = patience.map(|patience| world.now() + patience);
-        while self.0.answers.borrow().is_empty() {
-            let stepped = match deadline {
-                Some(deadline) => world.step_until(deadline),
-                None => world.step(),
-            };
-            if !stepped {
-                return None;
-            }
-        }
-        self.0.answers.borrow_mut().pop_front()
+    /// The node's oldest answer to the operator not yet taken.
+    pub(crate) fn take_answer(&mut self) -> Option<N::Answer> {
+        self.answers.pop_front()
     }
 
-    /// The simulated node it is installed on.
+    /// The simulated node it runs on.
     pub(crate) fn node(&self) -> NodeId {
-        self.0.node
+        self.value.node()
     }
 
     /// Carries out `outputs` in emission order.
-    fn apply(&self, world: &mut World, outputs: Vec<Output<N::Timer, N::Call, N::Answer>>) {
-        let node = self.0.node;
+    fn apply(&mut self, world: &mut World, outputs: Vec<Output<N::Timer, N::Call, N::Answer>>) {
+        let node = self.node();
         for output in outputs {
             match output {
                 Output::Send { to, bytes } => world.send(node, to, bytes),
@@ -217,39 +195,39 @@ impl<N: Node + 'static> Driver<N> {
                     timeout,
                     call,
                 } => match world.call(node, to, bytes, timeout) {
-                    Ok(id) => _ = self.0.calls.borrow_mut().insert(id, call),
+                    Ok(id) => _ = self.calls.insert(id, call),
                     Err(down) => self.input(world, Input::Answered(call, Err(down))),
                 },
                 Output::Arm { id, after, timer } => {
                     let event = world.arm_timer(node, after, id.0);
-                    self.0.timers.borrow_mut().insert(id, (event, timer));
+                    self.timers.insert(id, (event, timer));
                 }
                 Output::Cancel(id) => {
-                    if let Some((event, _)) = self.0.timers.borrow_mut().remove(&id) {
+                    if let Some((event, _)) = self.timers.remove(&id) {
                         world.cancel(event);
                     }
                 }
-                Output::Answer(answer) => self.0.answers.borrow_mut().push_back(answer),
+                Output::Answer(answer) => self.answers.push_back(answer),
             }
         }
     }
 
     /// The node, for reading.
-    pub fn get(&self) -> Ref<'_, N> {
-        self.0.value.borrow()
+    pub fn get(&self) -> &N {
+        &self.value
     }
 
     /// The node, for a read that needs `&mut` (one that probes the log
-    /// tail or decodes through a cache), or a test's edit by hand: what
-    /// changes what a node holds is an input, the operator's an op.
-    pub fn get_mut(&self) -> RefMut<'_, N> {
-        self.0.value.borrow_mut()
+    /// tail), or a test's edit by hand: what changes what a node holds
+    /// is an input, the operator's an op.
+    pub fn get_mut(&mut self) -> &mut N {
+        &mut self.value
     }
 
     /// Timers armed and not yet gone off or cancelled: none once the
     /// world is quiescent.
     pub fn armed_timers(&self) -> usize {
-        self.0.timers.borrow().len()
+        self.timers.len()
     }
 }
 
@@ -305,37 +283,40 @@ mod tests {
         }
     }
 
+    /// Runs `world` dry, feeding `driver` its events; `peer` answers
+    /// every request with nothing.
+    fn run(world: &mut World, driver: &mut Driver<Probe>, peer: NodeId) {
+        while let Some((node, event)) = world.next() {
+            match event {
+                NodeEvent::Message(envelope) if node == peer => {
+                    let token = envelope.reply_token().expect("a request");
+                    world.rpc_reply_to(token, Vec::new());
+                }
+                event => driver.deliver(world, event),
+            }
+        }
+    }
+
     #[test]
     fn a_restart_forgets_the_timers_and_calls_of_the_incarnation_that_died() {
         let mut world = World::new(1);
         let (node, peer) = (world.add_node("probe"), world.add_node("peer"));
-        world.set_handler(peer, |world, envelope| {
-            world.rpc_reply_to(envelope.reply_token().expect("a request"), Vec::new());
-        });
         let seen = Vec::new();
-        let driver = Driver::install(Probe { node, peer, seen }, &mut world);
+        let mut driver = Driver::new(Probe { node, peer, seen });
         driver.input(&mut world, Input::Op(()));
-        assert_eq!(
-            (driver.armed_timers(), driver.0.calls.borrow().len()),
-            (1, 1)
-        );
+        assert_eq!((driver.armed_timers(), driver.calls.len()), (1, 1));
         world.crash(node);
-        world.restart(node);
-        world.run();
+        assert!(world.restart(node));
+        driver.deliver(&mut world, NodeEvent::Restart);
+        run(&mut world, &mut driver, peer);
         assert_eq!(driver.get().seen, ["restart"]);
-        assert_eq!(
-            (driver.armed_timers(), driver.0.calls.borrow().len()),
-            (0, 0)
-        );
+        assert_eq!((driver.armed_timers(), driver.calls.len()), (0, 0));
         assert_eq!(flowscript_sim::rpc::in_flight(&world), 0);
 
         // The new incarnation's own timer and call do come back.
         driver.input(&mut world, Input::Op(()));
-        world.run();
+        run(&mut world, &mut driver, peer);
         assert_eq!(driver.get().seen, ["restart", "call", "timer"]);
-        assert_eq!(
-            (driver.armed_timers(), driver.0.calls.borrow().len()),
-            (0, 0)
-        );
+        assert_eq!((driver.armed_timers(), driver.calls.len()), (0, 0));
     }
 }

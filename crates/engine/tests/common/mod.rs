@@ -520,7 +520,7 @@ pub fn assert_books_balance(sys: &WorkflowSystem) {
         let coord = sys.coord_handle(shard);
         let terminal = |name: &String| {
             coord
-                .get_mut()
+                .get()
                 .status(name)
                 .is_ok_and(|status| status.is_terminal())
         };

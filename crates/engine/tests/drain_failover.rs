@@ -121,8 +121,8 @@ fn planned_drain_preserves_every_outcome() {
 
     // Live run: drain a shard mid-flight (~20ms into ~100ms orders).
     let mut sys = mid_flight();
-    let departing = sys.coord_handle(1);
-    let drained = departing.get().instance_names();
+    let departing = sys.coord_handle(1).get().node();
+    let drained = sys.coord_on(departing).get().instance_names();
     let drained_count = drained.len();
     assert!(drained_count > 0, "the drain must have work to move");
 
@@ -179,9 +179,7 @@ fn planned_drain_preserves_every_outcome() {
     assert_eq!(report.epoch, 2, "one membership change after epoch 1");
     assert_eq!(sys.shard_count(), 2);
     assert!(
-        !sys.coordinator_nodes()
-            .iter()
-            .any(|&n| n == departing.get().node()),
+        !sys.coordinator_nodes().contains(&departing),
         "the drained node must leave the map"
     );
     assert_eq!(
@@ -238,15 +236,15 @@ fn planned_drain_preserves_every_outcome() {
 #[test]
 fn a_landing_and_the_flip_scan_no_store_prefix_but_the_receipts() {
     let mut sys = mid_flight();
-    let destinations = [sys.coord_handle(0), sys.coord_handle(2)];
-    let scans = || {
-        let snapshots = destinations.each_ref().map(|coord| coord.get().snapshot());
+    let destinations = [0, 2].map(|shard| sys.coord_handle(shard).get().node());
+    let scans = |sys: &WorkflowSystem| {
+        let snapshots = destinations.map(|node| sys.coord_on(node).get().snapshot());
         snapshots.map(|snapshot| snapshot.counter("tx.prefix_scans"))
     };
-    let before = scans();
+    let before = scans(&sys);
     let report = sys.remove_coordinator("coordinator1").expect("drain");
     assert_eq!((report.moved, report.rounds), (10, 2));
-    let after = scans();
+    let after = scans(&sys);
     let grown = [after[0] - before[0], after[1] - before[1]];
     assert_eq!(grown, [1, 1], "each destination scans its receipts once");
 
@@ -394,9 +392,8 @@ fn disk_refusal_sweep(flaky: usize) {
         sys.run_until(SimTime::from_nanos(20_000_000));
         let nodes = sys.coordinator_nodes().to_vec();
         let at = sys.now() + offset;
-        let refuse = fail.clone();
-        sys.world_mut()
-            .schedule_at(at, move |_| refuse.store(true, Ordering::Relaxed));
+        let refuse = FaultAction::Switch(fail.clone(), true);
+        sys.apply_faults(&FaultPlan::new().at(at, refuse));
 
         let first = sys.remove_coordinator("coordinator1");
         match &first {
@@ -453,8 +450,7 @@ fn a_partition_keeps_a_decided_round_frozen_until_healed() {
     let expected = baseline(outcome_print);
     let mut sys = mid_flight();
     let nodes = sys.coordinator_nodes().to_vec();
-    let source = sys.coord_handle(1);
-    let residents = source.get().instance_names();
+    let residents = sys.coord_handle(1).get().instance_names();
     let source_log = sys.shard_storages()[1].clone();
 
     let at = sys.now() + SimDuration::from_micros(100);
@@ -468,13 +464,13 @@ fn a_partition_keeps_a_decided_round_frozen_until_healed() {
     assert_eq!(sys.stats().handoffs, 0, "no round landed at its source");
     // The first round is frozen at the source and landed at its
     // destination, whose answer the partition ate; the rest never left.
-    let frozen = source.get().frozen_instance_names();
+    let frozen = sys.coord_handle(1).get().frozen_instance_names();
     assert!(!frozen.is_empty(), "the first round waits, decided");
     let destination = sys.coord_handle(0);
     for name in &frozen {
         assert!(destination.get().instance_names().contains(name), "{name}");
     }
-    let mut still_here = source.get().instance_names();
+    let mut still_here = sys.coord_handle(1).get().instance_names();
     still_here.extend(frozen.iter().cloned());
     still_here.sort();
     assert_eq!(still_here, residents, "only the decided round froze");
@@ -653,13 +649,13 @@ fn dead_shard_adoption_loses_no_outcomes() {
     let expected = baseline(outcome_print);
 
     let mut sys = mid_flight();
-    let dead = sys.coord_handle(1);
-    let dead_population = dead.get().instance_names().len();
+    let dead = sys.coord_handle(1).get().node();
+    let dead_population = sys.coord_handle(1).get().instance_names().len();
     assert!(dead_population > 0);
 
     // The shard dies and never comes back: its instances are adopted
     // straight out of the surviving storage.
-    sys.crash_now(dead.get().node());
+    sys.crash_now(dead);
     let report = sys.adopt_dead_shard("coordinator1").expect("failover");
     one_owner(&sys, "after the failover");
     assert_eq!(report.adopted, dead_population);
@@ -685,7 +681,7 @@ fn dead_shard_adoption_loses_no_outcomes() {
         })
         .expect("some instance was claimed");
     let kinds: Vec<ObsEventKind> = sys.trace(&moved).into_iter().map(|e| e.kind).collect();
-    let from = dead.get().node().index() as u32;
+    let from = dead.index() as u32;
     assert!(
         kinds
             .iter()
@@ -709,8 +705,8 @@ fn a_dead_shards_in_flight_work_is_redispatched_as_it_lands() {
     let expected = baseline(outcome_print);
 
     let mut sys = mid_flight();
-    let dead = sys.coord_handle(1);
-    sys.crash_now(dead.get().node());
+    let dead = sys.coord_handle(1).get().node();
+    sys.crash_now(dead);
     sys.adopt_dead_shard("coordinator1").expect("failover");
     let adopted_at = sys.now();
     sys.run();
@@ -731,11 +727,14 @@ fn an_adopted_instance_whose_root_block_does_not_decode_stops_alone() {
     let expected = baseline(outcome_print);
 
     let mut sys = mid_flight();
-    let dead = sys.coord_handle(1);
-    let names = dead.get().instance_names();
+    let dead = sys.coord_handle(1).get().node();
+    let names = sys.coord_handle(1).get().instance_names();
     let victim = names.first().expect("the shard holds instances").clone();
-    sys.crash_now(dead.get().node());
-    assert!(dead.get_mut().poison_record(&victim, "root"));
+    sys.crash_now(dead);
+    assert!(sys
+        .coord_handle_mut(1)
+        .get_mut()
+        .poison_record(&victim, "root"));
     let report = sys.adopt_dead_shard("coordinator1").expect("failover");
     assert_eq!(report.adopted, names.len());
     sys.run();
@@ -763,8 +762,7 @@ fn fenced_zombie_cannot_commit_after_storage_is_claimed() {
     let mut sys = build(3);
     start_population(&mut sys, &population());
     sys.run_until(SimTime::from_nanos(20_000_000));
-    let zombie = sys.coord_handle(0);
-    let zombie_node = zombie.get().node();
+    let zombie_node = sys.coord_handle(0).get().node();
     let storage = sys.storage();
     assert!(
         sys.world_mut().is_up(zombie_node),
@@ -773,13 +771,13 @@ fn fenced_zombie_cannot_commit_after_storage_is_claimed() {
 
     sys.adopt_dead_shard("coordinator0").expect("failover");
     one_owner(&sys, "after the failover");
-    let muzzled_at = zombie.get().log_size();
+    let muzzled_at = sys.coord_on(zombie_node).get().log_size();
 
     // The live zombie keeps receiving executor replies and firing
     // watchdogs for the whole rest of the run — none of it may commit.
     sys.run();
     assert_eq!(
-        zombie.get().log_size(),
+        sys.coord_on(zombie_node).get().log_size(),
         muzzled_at,
         "a fenced shard's log must never grow again"
     );
@@ -808,11 +806,11 @@ fn fenced_zombie_cannot_commit_after_storage_is_claimed() {
 fn adoption_killed_mid_claim_converges_on_rerun() {
     let expected = baseline(outcome_print);
     let adopt = |sys: &mut WorkflowSystem| {
-        let dead = sys.coord_handle(1);
-        sys.crash_now(dead.get().node());
+        let dead = sys.coord_handle(1).get().node();
+        sys.crash_now(dead);
         let began = sys.now();
         let result = sys.adopt_dead_shard("coordinator1");
-        let population = dead.get().instance_names().len();
+        let population = sys.coord_on(dead).get().instance_names().len();
         (result, sys.now().since(began), population)
     };
     let (clean, span, dead_population) = adopt(&mut mid_flight());

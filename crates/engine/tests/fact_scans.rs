@@ -385,7 +385,7 @@ fn a_restart_rearms_an_instance_in_one_frame() {
     assert_eq!(uids_written(rearm), ["sys/life"]);
     assert_eq!(blocks_written(rearm), []);
     let attempts = |sys: &WorkflowSystem| -> Vec<u32> {
-        let blocks = sys.coord_handle(0).get_mut().task_blocks("f");
+        let blocks = sys.coord_handle(0).get().task_blocks("f");
         (0..width)
             .map(|i| blocks[&format!("root/w{i}")].attempt)
             .collect()
@@ -484,7 +484,7 @@ fn a_restart_rearms_every_running_instance_in_one_frame() {
             // now: each leaf is done, under attempt 0.
             sys.run_for(work);
             for name in &names {
-                let blocks = sys.coord_handle(0).get_mut().task_blocks(name);
+                let blocks = sys.coord_handle(0).get().task_blocks(name);
                 for i in 0..width {
                     let block = &blocks[&format!("root/w{i}")];
                     assert_eq!(block.attempt, 0, "{name}/w{i}");

@@ -246,7 +246,7 @@ fn an_attempt_running_across_a_restart_runs_once() {
     assert_eq!(sys.outcome("i").expect("completes").name, "done");
     assert_eq!(starts.get(), 1, "one `StartTask` at the executor");
     assert_eq!(attempts(&sys, "i", "pipeline/produce"), [0]);
-    let blocks = sys.coord_handle(0).get_mut().task_blocks("i");
+    let blocks = sys.coord_handle(0).get().task_blocks("i");
     let produce = &blocks["pipeline/produce"];
     assert!(matches!(produce.state, CbState::Done { .. }), "{produce:?}");
     assert_eq!(produce.attempt, 0);
@@ -625,7 +625,10 @@ fn a_poisoned_root_block_stops_its_instance_alone() {
     sys.run_until(SimTime::from_nanos(30_000_000));
     let coordinator = sys.coordinator_node();
     sys.crash_now(coordinator);
-    assert!(sys.coord_handle(0).get_mut().poison_record("c2", "root"));
+    assert!(sys
+        .coord_handle_mut(0)
+        .get_mut()
+        .poison_record("c2", "root"));
     sys.restart_now(coordinator);
     sys.run();
     assert_eq!(sys.stats().recovered_instances, 3);
@@ -658,7 +661,10 @@ fn a_poisoned_stuck_record_says_so() {
     assert!(matches!(sys.status("s"), Ok(InstanceStatus::Stuck { .. })));
     let coordinator = sys.coordinator_node();
     sys.crash_now(coordinator);
-    assert!(sys.coord_handle(0).get_mut().poison_record("s", "status"));
+    assert!(sys
+        .coord_handle_mut(0)
+        .get_mut()
+        .poison_record("s", "status"));
     sys.restart_now(coordinator);
     sys.run();
     assert_eq!(sys.stats().recovered_instances, 2);

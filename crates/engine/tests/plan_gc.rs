@@ -127,19 +127,18 @@ fn sources_are_collected_once_their_instances_have_moved_away() {
             .unwrap();
     }
     sys.run_for(SimDuration::from_millis(5));
-    let emptied = sys.coord_handle(0);
-    let sources = emptied.get().persisted_source_hashes();
+    let sources = sys.coord_handle(0).get().persisted_source_hashes();
     assert_eq!(sources.len(), 1);
 
     let report = sys.add_coordinator("coordinator2").expect("rebalance");
     assert_eq!(report.moved, movers.len());
     assert!(
-        emptied.get().instance_names().is_empty(),
+        sys.coord_handle(0).get().instance_names().is_empty(),
         "shard 0 is drained"
     );
     // The source went along, and nothing has collected the original yet.
     assert_eq!(sys.coord_handle(2).get().persisted_source_hashes(), sources);
-    assert_eq!(emptied.get().persisted_source_hashes(), sources);
+    assert_eq!(sys.coord_handle(0).get().persisted_source_hashes(), sources);
 
     // Shard 0's next checkpoint comes with its next instance — of a
     // different script, which is then all that is pinned there.
@@ -157,7 +156,7 @@ fn sources_are_collected_once_their_instances_have_moved_away() {
             sys.status(name)
         );
     }
-    let left = emptied.get().persisted_source_hashes();
+    let left = sys.coord_handle(0).get().persisted_source_hashes();
     assert_eq!(left.len(), 1);
     assert_ne!(left, sources, "the diamond's source is collected");
     assert_eq!(sys.coord_handle(2).get().persisted_source_hashes(), sources);

@@ -466,7 +466,7 @@ fn source_crash_after_its_record_commits_lands_on_restart() {
     assert!(!sys.coord_handle(0).get().instance_names().contains(name));
     // The map was never flipped (the rebalance failed), so ask the new
     // owner directly.
-    let status = dest.get_mut().status(name).unwrap();
+    let status = dest.get().status(name).unwrap();
     assert!(
         matches!(status, InstanceStatus::Completed(_)),
         "{name}: {status:?}"
@@ -512,7 +512,7 @@ fn a_source_adopted_mid_round_leaves_one_copy() {
     assert_one_owner(&sys, &names, "after the failover");
     sys.run();
     assert_one_owner(&sys, &names, "at the end");
-    let status = destination.get_mut().status(&name).unwrap();
+    let status = sys.coord_handle(0).get().status(&name).unwrap();
     assert!(
         matches!(status, InstanceStatus::Completed(_)),
         "{name}: {status:?}"

@@ -319,7 +319,10 @@ fn reconfigured_then_crashed(poison_source: bool) -> WorkflowSystem {
     let coordinator = sys.coordinator_node();
     sys.crash_now(coordinator);
     if poison_source {
-        assert!(sys.coord_handle(0).get_mut().poison_record("d1", "source"));
+        assert!(sys
+            .coord_handle_mut(0)
+            .get_mut()
+            .poison_record("d1", "source"));
     }
     sys.restart_now(coordinator);
     sys
@@ -575,7 +578,7 @@ fn control_blocks_follow_their_tasks_across_id_shifts_and_a_crash() {
         .unwrap();
     sys.run_for(SimDuration::from_millis(30));
 
-    let blocks = |sys: &WorkflowSystem| sys.coord_handle(0).get_mut().task_blocks("i1");
+    let blocks = |sys: &WorkflowSystem| sys.coord_handle(0).get().task_blocks("i1");
     let before = blocks(&sys);
     let x = &before["root/k/x"];
     assert!(matches!(x.state, CbState::Executing { .. }), "{x:?}");

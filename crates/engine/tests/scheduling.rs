@@ -6,15 +6,13 @@
 
 mod common;
 
-use std::sync::atomic::Ordering;
-
 use common::{fan_join_source, text, ONE_TASK};
 use flowscript_core::samples;
 use flowscript_engine::{
     CbState, CommitBatch, EngineConfig, InstanceStatus, ObjectVal, ObserveLevel, TaskBehavior,
     WorkflowSystem,
 };
-use flowscript_sim::{NodeId, SimDuration, SimTime};
+use flowscript_sim::{FaultAction, FaultPlan, NodeId, SimDuration, SimTime};
 use flowscript_tx::storage::{FlakyStorage, MemStorage, Storage};
 use flowscript_tx::{Shared, StableStore, TxError};
 
@@ -305,10 +303,9 @@ fn a_report_dropped_after_its_watchdog_fired_is_timed_out_again() {
         });
     }
     for (at_ms, refuse) in [(1000, true), (1500, false)] {
-        let fail = fail.clone();
         let at = SimTime::from_nanos(at_ms * 1_000_000);
-        sys.world_mut()
-            .schedule_at(at, move |_| fail.store(refuse, Ordering::Relaxed));
+        let flip = FaultAction::Switch(fail.clone(), refuse);
+        sys.apply_faults(&FaultPlan::new().at(at, flip));
     }
     sys.start("f", "fan", "main", [("seed", text("Data", "d"))])
         .unwrap();
@@ -365,9 +362,8 @@ fn a_rolled_back_step_cancels_nothing() {
         });
         let at = |ms: u64| SimTime::from_nanos(ms * 1_000_000);
         for (at_ms, refused) in [(4, refuse), (100, false)] {
-            let fail = fail.clone();
-            sys.world_mut()
-                .schedule_at(at(at_ms), move |_| fail.store(refused, Ordering::Relaxed));
+            let flip = FaultAction::Switch(fail.clone(), refused);
+            sys.apply_faults(&FaultPlan::new().at(at(at_ms), flip));
         }
         sys.start("o1", "order", "main", [("order", text("Order", "o"))])
             .unwrap();

@@ -3,12 +3,14 @@
 //! A [`FaultPlan`] scripts the environmental failures of the paper's §2 —
 //! processor crashes, network partitions (healing or not), lossy periods —
 //! as timed actions applied to the [`World`]. Benchmarks and tests build
-//! plans once and replay them deterministically.
+//! plans once and replay them deterministically. An action is a queued
+//! value: [`World::next`] applies it when its time comes, and hands a
+//! restarted node its [`NodeEvent::Restart`] before any other event.
 //!
 //! # Examples
 //!
 //! ```
-//! use flowscript_sim::{FaultAction, FaultPlan, SimTime, World};
+//! use flowscript_sim::{FaultAction, FaultPlan, NodeEvent, SimTime, World};
 //!
 //! let mut world = World::new(1);
 //! let a = world.add_node("a");
@@ -22,16 +24,19 @@
 //!     )
 //!     .at(SimTime::from_nanos(900), FaultAction::HealAll);
 //! plan.apply(&mut world);
-//! world.run();
+//! assert!(matches!(world.next(), Some((node, NodeEvent::Restart)) if node == a));
 //! ```
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use crate::net::LinkConfig;
 use crate::node::NodeId;
 use crate::time::SimTime;
-use crate::world::World;
+use crate::world::{NodeEvent, World};
 
 /// One scripted environmental failure (or repair).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum FaultAction {
     /// Crash a node.
     Crash(NodeId),
@@ -43,10 +48,31 @@ pub enum FaultAction {
     HealAll,
     /// Replace the default link configuration (e.g. enter a lossy period).
     SetDefaultLink(LinkConfig),
+    /// Set a switch the environment shares with a node's code (say, a
+    /// flaky disk that refuses writes while it is on).
+    Switch(Arc<AtomicBool>, bool),
+}
+
+impl FaultAction {
+    /// Applies the action to `world`: the restarted node and its
+    /// [`NodeEvent::Restart`], if the action brought one up.
+    pub(crate) fn apply(self, world: &mut World) -> Option<(NodeId, NodeEvent)> {
+        match self {
+            FaultAction::Crash(node) => world.crash(node),
+            FaultAction::Restart(node) => {
+                return world.restart(node).then_some((node, NodeEvent::Restart))
+            }
+            FaultAction::Partition(a, b) => world.partition(&a, &b),
+            FaultAction::HealAll => world.heal_all(),
+            FaultAction::SetDefaultLink(config) => world.net_mut().set_default_link(config),
+            FaultAction::Switch(switch, on) => switch.store(on, Ordering::Relaxed),
+        }
+        None
+    }
 }
 
 /// A timed sequence of [`FaultAction`]s.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     actions: Vec<(SimTime, FaultAction)>,
 }
@@ -80,18 +106,10 @@ impl FaultPlan {
         &self.actions
     }
 
-    /// Schedules every action onto the world.
+    /// Queues every action onto the world.
     pub fn apply(&self, world: &mut World) {
-        for (time, action) in self.actions.clone() {
-            world.schedule_at(time, move |world| match action {
-                FaultAction::Crash(node) => world.crash(node),
-                FaultAction::Restart(node) => world.restart(node),
-                FaultAction::Partition(ref a, ref b) => world.partition(a, b),
-                FaultAction::HealAll => world.heal_all(),
-                FaultAction::SetDefaultLink(config) => {
-                    world.net_mut().set_default_link(config);
-                }
-            });
+        for (time, action) in &self.actions {
+            world.schedule_fault(*time, action.clone());
         }
     }
 
@@ -116,9 +134,9 @@ mod tests {
         let a = world.add_node("a");
         FaultPlan::crash_restart(a, SimTime::from_nanos(10), SimDuration::from_nanos(20))
             .apply(&mut world);
-        world.run_until(SimTime::from_nanos(15));
+        assert!(world.next_until(SimTime::from_nanos(15)).is_none());
         assert_eq!(world.node_status(a), NodeStatus::Crashed);
-        world.run();
+        assert!(matches!(world.next(), Some((node, NodeEvent::Restart)) if node == a));
         assert_eq!(world.node_status(a), NodeStatus::Up);
     }
 
@@ -134,9 +152,9 @@ mod tests {
             )
             .at(SimTime::from_nanos(10), FaultAction::HealAll)
             .apply(&mut world);
-        world.run_until(SimTime::from_nanos(7));
+        assert!(world.next_until(SimTime::from_nanos(7)).is_none());
         assert!(!world.net().can_communicate(a, b));
-        world.run();
+        assert!(world.next().is_none());
         assert!(world.net().can_communicate(a, b));
     }
 
@@ -150,8 +168,30 @@ mod tests {
         FaultPlan::new()
             .at(SimTime::from_nanos(1), FaultAction::SetDefaultLink(lossy))
             .apply(&mut world);
-        world.run();
+        assert!(world.next().is_none());
         assert_eq!(world.net().default_link().drop_prob, 1.0);
+    }
+
+    #[test]
+    fn a_switch_flips_at_its_time() {
+        let mut world = World::new(1);
+        let switch = Arc::new(AtomicBool::new(false));
+        FaultPlan::new()
+            .at(
+                SimTime::from_nanos(5),
+                FaultAction::Switch(switch.clone(), true),
+            )
+            .at(
+                SimTime::from_nanos(9),
+                FaultAction::Switch(switch.clone(), false),
+            )
+            .apply(&mut world);
+        assert!(world.next_until(SimTime::from_nanos(4)).is_none());
+        assert!(!switch.load(Ordering::Relaxed));
+        assert!(world.next_until(SimTime::from_nanos(5)).is_none());
+        assert!(switch.load(Ordering::Relaxed));
+        assert!(world.next().is_none());
+        assert!(!switch.load(Ordering::Relaxed));
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! reproduced exactly:
 //!
 //! - [`World`]: the simulation facade — virtual clock, event queue, nodes,
-//!   network, RNG and trace; a node's timers and calls queue as values,
-//!   and what reaches a node comes to its one handler as a [`NodeEvent`],
+//!   network, RNG and trace; a node's timers and calls, and the faults
+//!   of the environment's script, queue as values, and [`World::next`]
+//!   hands out what reaches a node, one [`NodeEvent`] at a time,
 //! - [`net`]: per-link latency/jitter/loss plus named partitions,
 //! - [`rpc`]: correlated request/response with timeouts over the network,
 //! - [`fault`]: declarative fault plans (crash at *t*, partition, heal …),
@@ -19,18 +20,20 @@
 //! # Examples
 //!
 //! ```
-//! use flowscript_sim::World;
+//! use flowscript_sim::{NodeEvent, World};
 //!
 //! let mut world = World::new(42);
 //! let a = world.add_node("a");
 //! let b = world.add_node("b");
-//! world.set_handler(b, move |world, envelope| {
-//!     let greeting = String::from_utf8(envelope.payload.clone()).unwrap();
-//!     assert_eq!(greeting, "hello");
-//!     world.trace_custom("b", "greeted");
-//! });
 //! world.send(a, b, b"hello".to_vec());
-//! world.run();
+//! // The one loop: the world hands out an event, the caller feeds the
+//! // node it names.
+//! while let Some((node, event)) = world.next() {
+//!     if let NodeEvent::Message(envelope) = event {
+//!         assert_eq!((node, envelope.payload.as_slice()), (b, &b"hello"[..]));
+//!         world.trace_custom("b", "greeted");
+//!     }
+//! }
 //! assert!(world.trace().contains_custom("greeted"));
 //! ```
 

@@ -69,8 +69,8 @@ impl RpcState {
 impl World {
     /// Issues an RPC from `src` to `dst`, and returns its call id: the
     /// reply's payload, or [`RpcError::Timeout`] once `timeout` passes,
-    /// comes back to `src`'s node handler as [`NodeEvent::Answer`] under
-    /// that id — unless `src` crashes first.
+    /// comes out of [`World::next`] to `src` as [`NodeEvent::Answer`]
+    /// under that id — unless `src` crashes first.
     ///
     /// # Errors
     ///
@@ -97,15 +97,17 @@ impl World {
         Ok(call)
     }
 
-    /// Resolves a pending call: invoked by reply delivery or by the
-    /// time-out; whichever runs first wins and the other finds nothing
-    /// pending.
-    pub(crate) fn answer(&mut self, call: u64, answer: Result<Vec<u8>, RpcError>) {
-        let Some(pending) = self.rpc.pending.remove(&call) else {
-            return;
-        };
+    /// Resolves a pending call into the answer its caller is handed:
+    /// invoked by reply delivery or by the time-out; whichever runs
+    /// first wins and the other finds nothing pending.
+    pub(crate) fn answer(
+        &mut self,
+        call: u64,
+        answer: Result<Vec<u8>, RpcError>,
+    ) -> Option<(NodeId, NodeEvent)> {
+        let pending = self.rpc.pending.remove(&call)?;
         self.sched.cancel(pending.timeout);
-        self.dispatch(pending.from, NodeEvent::Answer(call, answer));
+        Some((pending.from, NodeEvent::Answer(call, answer)))
     }
 }
 
@@ -117,21 +119,24 @@ pub fn in_flight(world: &World) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
-    type Answers = Rc<RefCell<Vec<(u64, Result<Vec<u8>, RpcError>)>>>;
+    type Answers = Vec<(u64, Result<Vec<u8>, RpcError>)>;
 
-    /// The answers `client`'s handler is handed, in order, each beside
-    /// its call id.
-    fn record_answers(world: &mut World, client: NodeId) -> Answers {
-        let answers = Answers::default();
-        let seen = answers.clone();
-        world.set_node_handler(client, move |_, event| {
-            if let NodeEvent::Answer(call, answer) = event {
-                seen.borrow_mut().push((call, answer));
+    /// Runs `world` dry, every request answered with `reply` of its
+    /// payload, and returns the answers `client` is handed, in order,
+    /// each beside its call id.
+    fn serve(world: &mut World, client: NodeId, reply: impl Fn(&[u8]) -> Vec<u8>) -> Answers {
+        let mut answers = Answers::new();
+        while let Some((node, event)) = world.next() {
+            match event {
+                NodeEvent::Message(env) => {
+                    let token = env.reply_token().expect("a request");
+                    world.rpc_reply_to(token, reply(&env.payload));
+                }
+                NodeEvent::Answer(call, answer) if node == client => answers.push((call, answer)),
+                _ => {}
             }
-        });
+        }
         answers
     }
 
@@ -140,17 +145,12 @@ mod tests {
         let mut world = World::new(3);
         let client = world.add_node("client");
         let server = world.add_node("server");
-        world.set_handler(server, |world, env| {
-            let mut reply = env.payload.clone();
-            reply.reverse();
-            world.rpc_reply_to(env.reply_token().expect("a request"), reply);
-        });
-        let result = record_answers(&mut world, client);
         let call = world
             .call(client, server, vec![1, 2, 3], SimDuration::from_secs(1))
             .expect("the client is up");
-        world.run();
-        assert_eq!(*result.borrow(), [(call, Ok(vec![3, 2, 1]))]);
+        let reversed = |payload: &[u8]| payload.iter().rev().copied().collect();
+        let result = serve(&mut world, client, reversed);
+        assert_eq!(result, [(call, Ok(vec![3, 2, 1]))]);
         assert_eq!(in_flight(&world), 0);
     }
 
@@ -160,12 +160,11 @@ mod tests {
         let client = world.add_node("client");
         let server = world.add_node("server");
         world.crash(server);
-        let result = record_answers(&mut world, client);
         let call = world
             .call(client, server, vec![9], SimDuration::from_millis(10))
             .expect("the client is up");
-        world.run();
-        assert_eq!(*result.borrow(), [(call, Err(RpcError::Timeout))]);
+        let result = serve(&mut world, client, |_| unreachable!("the server is down"));
+        assert_eq!(result, [(call, Err(RpcError::Timeout))]);
     }
 
     #[test]
@@ -173,16 +172,12 @@ mod tests {
         let mut world = World::new(3);
         let client = world.add_node("client");
         let server = world.add_node("server");
-        world.set_handler(server, |world, env| {
-            world.rpc_reply_to(env.reply_token().expect("a request"), vec![]);
-        });
         world.partition(&[client], &[server]);
-        let result = record_answers(&mut world, client);
         let call = world
             .call(client, server, vec![], SimDuration::from_millis(5))
             .expect("the client is up");
-        world.run();
-        assert_eq!(*result.borrow(), [(call, Err(RpcError::Timeout))]);
+        let result = serve(&mut world, client, |_| vec![]);
+        assert_eq!(result, [(call, Err(RpcError::Timeout))]);
     }
 
     #[test]
@@ -200,17 +195,13 @@ mod tests {
         let mut world = World::new(3);
         let client = world.add_node("client");
         let server = world.add_node("server");
-        world.set_handler(server, |world, env| {
-            world.rpc_reply_to(env.reply_token().expect("a request"), vec![1]);
-        });
-        let ran = record_answers(&mut world, client);
         world
             .call(client, server, vec![], SimDuration::from_secs(1))
             .expect("the client is up");
         world.crash(client);
-        world.run();
+        let ran = serve(&mut world, client, |_| vec![1]);
         assert!(
-            ran.borrow().is_empty(),
+            ran.is_empty(),
             "continuation of crashed caller must not run"
         );
         assert_eq!(in_flight(&world), 0);
@@ -231,15 +222,11 @@ mod tests {
                 drop_prob: 0.0,
             },
         );
-        world.set_handler(server, |world, env| {
-            world.rpc_reply_to(env.reply_token().expect("a request"), vec![42]);
-        });
-        let results = record_answers(&mut world, client);
         world
             .call(client, server, vec![], SimDuration::from_millis(1))
             .expect("the client is up");
-        world.run();
-        assert_eq!(results.borrow().len(), 1, "callback must run exactly once");
-        assert_eq!(results.borrow()[0].1, Err(RpcError::Timeout));
+        let results = serve(&mut world, client, |_| vec![42]);
+        assert_eq!(results.len(), 1, "callback must run exactly once");
+        assert_eq!(results[0].1, Err(RpcError::Timeout));
     }
 }

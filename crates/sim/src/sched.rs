@@ -4,15 +4,13 @@ use std::collections::BinaryHeap;
 use flowscript_codec::IdMap;
 
 use crate::event::EventId;
+use crate::fault::FaultAction;
 use crate::node::NodeId;
 use crate::time::SimTime;
-use crate::world::{PayloadKind, World};
+use crate::world::PayloadKind;
 
-/// A closure the environment's script runs at a virtual instant.
-pub(crate) type EventFn = Box<dyn FnOnce(&mut World)>;
-
-/// What a pending event does when it runs. Everything a node asked for
-/// is a value; only the environment's script is code.
+/// What a pending event does when it runs: a value, whether a node
+/// asked for it or the environment's script did.
 pub(crate) enum Event {
     /// Hand a message to its destination.
     Deliver(Delivery),
@@ -25,8 +23,8 @@ pub(crate) enum Event {
     },
     /// Fail `caller`'s call `call` unless its answer came first.
     Timeout { caller: NodeId, call: u64 },
-    /// Run a scripted closure (`World::schedule_at`).
-    Run(EventFn),
+    /// Apply a scripted fault (`FaultPlan::apply`).
+    Fault(FaultAction),
 }
 
 /// A message on the wire: its ends, what it is, and the incarnation of
@@ -95,7 +93,7 @@ impl Scheduler {
             Event::Timer { node: owner, .. } | Event::Timeout { caller: owner, .. } => {
                 *owner != node
             }
-            Event::Deliver(_) | Event::Run(_) => true,
+            Event::Deliver(_) | Event::Fault(_) => true,
         });
     }
 
@@ -108,9 +106,14 @@ impl Scheduler {
         self.entries.len()
     }
 
-    /// Pops the next runnable event, advancing the clock to its time.
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, EventId, Event)> {
-        while let Some(Reverse((at, id))) = self.heap.pop() {
+    /// Pops the next runnable event if it is due by `deadline`,
+    /// advancing the clock to its time.
+    pub(crate) fn pop(&mut self, deadline: SimTime) -> Option<(SimTime, EventId, Event)> {
+        while let Some(&Reverse((at, id))) = self.heap.peek() {
+            if at > deadline {
+                return None;
+            }
+            self.heap.pop();
             let Some(event) = self.entries.remove(&id) else {
                 continue; // cancelled
             };
@@ -166,13 +169,13 @@ mod tests {
         let a = s.schedule(t2, noop());
         let b = s.schedule(t1, noop());
         let c = s.schedule(t1, noop());
-        let (at1, id1, _) = s.pop().unwrap();
-        let (at2, id2, _) = s.pop().unwrap();
-        let (at3, id3, _) = s.pop().unwrap();
+        let (at1, id1, _) = s.pop(SimTime::MAX).unwrap();
+        let (at2, id2, _) = s.pop(SimTime::MAX).unwrap();
+        let (at3, id3, _) = s.pop(SimTime::MAX).unwrap();
         assert_eq!((at1, id1), (t1, b));
         assert_eq!((at2, id2), (t1, c), "same-time events pop in FIFO order");
         assert_eq!((at3, id3), (t2, a));
-        assert!(s.pop().is_none());
+        assert!(s.pop(SimTime::MAX).is_none());
     }
 
     #[test]
@@ -180,7 +183,7 @@ mod tests {
         let mut s = Scheduler::new();
         s.schedule(SimTime::from_nanos(5), noop());
         assert_eq!(s.now(), SimTime::ZERO);
-        let _ = s.pop().unwrap();
+        let _ = s.pop(SimTime::MAX).unwrap();
         assert_eq!(s.now(), SimTime::from_nanos(5));
     }
 
@@ -191,9 +194,9 @@ mod tests {
         let keep = s.schedule(SimTime::from_nanos(2), noop());
         s.cancel(id);
         assert_eq!(s.pending(), 1);
-        let (_, popped, _) = s.pop().unwrap();
+        let (_, popped, _) = s.pop(SimTime::MAX).unwrap();
         assert_eq!(popped, keep);
-        assert!(s.pop().is_none());
+        assert!(s.pop(SimTime::MAX).is_none());
         assert!(s.is_empty());
     }
 
@@ -211,7 +214,7 @@ mod tests {
         let mut s = Scheduler::new();
         let fired = s.schedule(SimTime::from_nanos(1), noop());
         let dropped = s.schedule(SimTime::from_nanos(2), noop());
-        let _ = s.pop().unwrap();
+        let _ = s.pop(SimTime::MAX).unwrap();
         s.cancel(fired);
         s.cancel(dropped);
         s.cancel(dropped);
@@ -221,7 +224,7 @@ mod tests {
         // A later event is not mistaken for the cancelled ones.
         let next = s.schedule(SimTime::from_nanos(3), noop());
         assert_eq!(s.peek_time(), Some(SimTime::from_nanos(3)));
-        assert_eq!(s.pop().map(|(_, id, _)| id), Some(next));
+        assert_eq!(s.pop(SimTime::MAX).map(|(_, id, _)| id), Some(next));
     }
 
     proptest::proptest! {
@@ -256,7 +259,7 @@ mod tests {
                         // Ids are minted in scheduling order, so the
                         // pair minimum is "earliest, then FIFO".
                         let expected = pending.iter().copied().min();
-                        assert_eq!(s.pop().map(|(at, id, _)| (at, id)), expected);
+                        assert_eq!(s.pop(SimTime::MAX).map(|(at, id, _)| (at, id)), expected);
                         if let Some((at, id)) = expected {
                             pending.retain(|(_, other)| *other != id);
                             now = at;
@@ -275,11 +278,11 @@ mod tests {
     fn past_times_clamp_to_now() {
         let mut s = Scheduler::new();
         s.schedule(SimTime::from_nanos(100), noop());
-        let _ = s.pop().unwrap();
+        let _ = s.pop(SimTime::MAX).unwrap();
         assert_eq!(s.now(), SimTime::from_nanos(100));
         // Scheduling "in the past" runs at the current instant instead.
         let id = s.schedule(SimTime::from_nanos(5), noop());
-        let (at, popped, _) = s.pop().unwrap();
+        let (at, popped, _) = s.pop(SimTime::MAX).unwrap();
         assert_eq!(at, SimTime::from_nanos(100));
         assert_eq!(popped, id);
         assert_eq!(s.now(), SimTime::from_nanos(100));
@@ -290,7 +293,8 @@ mod tests {
         let mut s = Scheduler::new();
         let now = s.now();
         let ids: Vec<_> = (0..10).map(|_| s.schedule(now, noop())).collect();
-        let popped: Vec<_> = std::iter::from_fn(|| s.pop().map(|(_, id, _)| id)).collect();
+        let popped: Vec<_> =
+            std::iter::from_fn(|| s.pop(SimTime::MAX).map(|(_, id, _)| id)).collect();
         assert_eq!(ids, popped);
         let _ = SimDuration::ZERO;
     }

@@ -1,9 +1,8 @@
-use std::rc::Rc;
-
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::event::EventId;
+use crate::fault::FaultAction;
 use crate::net::{DeliveryFailure, Network};
 use crate::node::{NodeId, NodeState, NodeStatus};
 use crate::rpc::{RpcError, RpcState};
@@ -23,7 +22,7 @@ pub(crate) enum PayloadKind {
     Reply(u64),
 }
 
-/// A message as seen by a node's handler.
+/// A message as handed to its destination.
 #[derive(Debug)]
 pub struct Envelope {
     /// Sending node.
@@ -36,8 +35,8 @@ pub struct Envelope {
 }
 
 impl Envelope {
-    /// The token to answer this message through, now or after the
-    /// handler returns. Returns `None` for non-request envelopes.
+    /// The token to answer this message through, now or later. Returns
+    /// `None` for non-request envelopes.
     pub fn reply_token(&self) -> Option<ReplyToken> {
         match self.kind {
             PayloadKind::Request(call_id) => Some(ReplyToken::new(self.dst, self.src, call_id)),
@@ -57,7 +56,7 @@ pub struct ReplyToken {
 
 impl ReplyToken {
     /// The token of call `call_id` from `client` to `server`, for a
-    /// handler fed by hand rather than by a world.
+    /// node fed by hand rather than by a world.
     pub fn new(server: NodeId, client: NodeId, call_id: u64) -> Self {
         Self {
             server,
@@ -67,12 +66,12 @@ impl ReplyToken {
     }
 }
 
-/// What the world hands a node's handler: everything that reaches a
-/// node, one event at a time.
+/// What [`World::next`] hands a node: everything that reaches a node,
+/// one event at a time.
 #[derive(Debug)]
-pub enum NodeEvent<'a> {
+pub enum NodeEvent {
     /// A message delivered to the node.
-    Message(&'a Envelope),
+    Message(Envelope),
     /// A timer the node armed with [`World::arm_timer`] went off: its tag.
     Timer(u64),
     /// A call the node made with [`World::call`] was answered, or timed
@@ -82,27 +81,38 @@ pub enum NodeEvent<'a> {
     Restart,
 }
 
-type Handler = Rc<dyn Fn(&mut World, NodeEvent<'_>)>;
+type MessageHandler = Box<dyn Fn(&mut World, &Envelope)>;
 
 /// The simulation: virtual clock, event queue, nodes, network, RNG, trace.
 ///
-/// The single-threaded scheduler runs one event at a time, in
-/// deterministic order: it hands a node its [`NodeEvent`]s through the
-/// node's handler, and runs the environment's script
-/// ([`World::schedule_at`]). All state mutation happens through
-/// `&mut World` inside those. See the crate-level example for typical
-/// use.
+/// The single-threaded scheduler pops one event at a time, in
+/// deterministic order. [`World::next`] does the world's own part of
+/// each — drops a message to a node that is down or restarted, skips a
+/// timer of a dead incarnation, resolves a call, applies a fault — and
+/// hands over the first event a node must handle. The caller feeds the
+/// node, whose sends, timers and calls go back into the world, and asks
+/// for the next one (the crate-level example runs one):
+///
+/// ```
+/// # let mut world = flowscript_sim::World::new(7);
+/// while let Some((node, event)) = world.next() {
+///     println!("{node} is handed {event:?}");
+/// }
+/// ```
 pub struct World {
     pub(crate) sched: Scheduler,
     rng: SmallRng,
     net: Network,
     nodes: Vec<NodeState>,
-    handlers: Vec<Option<Handler>>,
+    /// The messages-only handlers [`World::run`] feeds.
+    handlers: Vec<Option<MessageHandler>>,
     trace: Trace,
     pub(crate) rpc: RpcState,
-    /// Hard cap on events processed by [`World::run`]; guards against
-    /// accidental infinite event loops in tests.
+    /// Hard cap on events popped between two times the queue ran dry
+    /// (or had nothing due); guards against accidental infinite event
+    /// loops in tests.
     event_budget: u64,
+    popped: u64,
 }
 
 impl World {
@@ -118,6 +128,7 @@ impl World {
             trace: Trace::new(),
             rpc: RpcState::new(),
             event_budget: 50_000_000,
+            popped: 0,
         }
     }
 
@@ -146,12 +157,12 @@ impl World {
         &mut self.trace
     }
 
-    /// Caps the number of events [`World::run`] will process.
+    /// Caps the number of events popped before the queue runs dry.
     pub fn set_event_budget(&mut self, budget: u64) {
         self.event_budget = budget;
     }
 
-    /// Adds a node, initially up, with no handler.
+    /// Adds a node, initially up.
     pub fn add_node(&mut self, name: impl Into<String>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(NodeState::new(name));
@@ -182,33 +193,13 @@ impl World {
         self.nodes[node.index()].incarnation
     }
 
-    /// Installs the handler of everything that reaches `node`, replacing
-    /// any previous one.
-    pub fn set_node_handler<F>(&mut self, node: NodeId, handler: F)
-    where
-        F: Fn(&mut World, NodeEvent<'_>) + 'static,
-    {
-        self.handlers[node.index()] = Some(Rc::new(handler));
-    }
-
-    /// Installs a handler of `node`'s messages only, replacing any
-    /// previous one.
+    /// Installs a handler of `node`'s messages for [`World::run`],
+    /// replacing any previous one.
     pub fn set_handler<F>(&mut self, node: NodeId, handler: F)
     where
         F: Fn(&mut World, &Envelope) + 'static,
     {
-        self.set_node_handler(node, move |world, event| {
-            if let NodeEvent::Message(envelope) = event {
-                handler(world, envelope);
-            }
-        });
-    }
-
-    /// Hands `node` `event` through its handler, if it has one.
-    pub(crate) fn dispatch(&mut self, node: NodeId, event: NodeEvent<'_>) {
-        if let Some(handler) = self.handlers[node.index()].clone() {
-            handler(self, event);
-        }
+        self.handlers[node.index()] = Some(Box::new(handler));
     }
 
     /// Draws a uniform sample in `[0, 1)` from the world RNG.
@@ -234,19 +225,11 @@ impl World {
         self.trace.record(self.sched.now(), event);
     }
 
-    /// Schedules `f`, a step of the environment's script (a fault, a
-    /// flaky disk), to run at absolute time `at`.
-    pub fn schedule_at<F>(&mut self, at: SimTime, f: F) -> EventId
-    where
-        F: FnOnce(&mut World) + 'static,
-    {
-        self.sched.schedule(at, Event::Run(Box::new(f)))
-    }
-
-    /// Arms a timer of `node`: [`NodeEvent::Timer`] hands it `tag` after
-    /// `delay`. A crash of the node takes it out of the queue, and one
-    /// armed while the node is down is skipped (a restarted process does
-    /// not inherit its predecessor's timers).
+    /// Arms a timer of `node`: [`World::next`] hands it
+    /// [`NodeEvent::Timer`] with `tag` after `delay`. A crash of the node
+    /// takes it out of the queue, and one armed while the node is down
+    /// is skipped (a restarted process does not inherit its
+    /// predecessor's timers).
     pub fn arm_timer(&mut self, node: NodeId, delay: SimDuration, tag: u64) -> EventId {
         let incarnation = self.incarnation(node);
         let at = self.sched.now() + delay;
@@ -321,7 +304,10 @@ impl World {
         }
     }
 
-    fn deliver(&mut self, delivery: Delivery) {
+    /// A message arriving: the envelope its destination is handed, or
+    /// `None` if the destination is down or restarted since the send, or
+    /// the message is the reply to a call no longer pending.
+    fn deliver(&mut self, delivery: Delivery) -> Option<(NodeId, NodeEvent)> {
         let Delivery {
             src,
             dst,
@@ -330,33 +316,22 @@ impl World {
             incarnation: expected_incarnation,
         } = delivery;
         let now = self.sched.now();
-        if !self.is_up(dst) {
-            self.trace.record(
-                now,
-                TraceEvent::MessageDropped {
-                    src,
-                    dst,
-                    reason: DropReason::NodeDown,
-                },
-            );
-            return;
-        }
-        if self.incarnation(dst) != expected_incarnation {
-            self.trace.record(
-                now,
-                TraceEvent::MessageDropped {
-                    src,
-                    dst,
-                    reason: DropReason::StaleIncarnation,
-                },
-            );
-            return;
+        let dropped = if !self.is_up(dst) {
+            Some(DropReason::NodeDown)
+        } else if self.incarnation(dst) != expected_incarnation {
+            Some(DropReason::StaleIncarnation)
+        } else {
+            None
+        };
+        if let Some(reason) = dropped {
+            let drop = TraceEvent::MessageDropped { src, dst, reason };
+            self.trace.record(now, drop);
+            return None;
         }
         self.trace
             .record(now, TraceEvent::MessageDelivered { src, dst });
         if let PayloadKind::Reply(call) = kind {
-            self.answer(call, Ok(payload));
-            return;
+            return self.answer(call, Ok(payload));
         }
         let envelope = Envelope {
             src,
@@ -364,7 +339,7 @@ impl World {
             payload,
             kind,
         };
-        self.dispatch(dst, NodeEvent::Message(&envelope));
+        Some((dst, NodeEvent::Message(envelope)))
     }
 
     /// Replies to an RPC request through its [`ReplyToken`].
@@ -391,17 +366,19 @@ impl World {
         self.sched.cancel_owned_by(node);
     }
 
-    /// Restarts a crashed node and hands it [`NodeEvent::Restart`]
-    /// (recovery).
-    pub fn restart(&mut self, node: NodeId) {
+    /// Restarts a crashed node, and returns whether it came up: the
+    /// caller then owes it [`NodeEvent::Restart`] (recovery), before any
+    /// other event. A restart a [`crate::FaultPlan`] scripts comes out
+    /// of [`World::next`] as that event.
+    pub fn restart(&mut self, node: NodeId) -> bool {
         if self.nodes[node.index()].status == NodeStatus::Up {
-            return;
+            return false;
         }
         self.nodes[node.index()].status = NodeStatus::Up;
         self.nodes[node.index()].incarnation += 1;
         self.trace
             .record(self.sched.now(), TraceEvent::NodeRestarted { node });
-        self.dispatch(node, NodeEvent::Restart);
+        true
     }
 
     /// Partitions two groups of nodes (trace-recorded).
@@ -416,64 +393,72 @@ impl World {
         self.trace.record(self.sched.now(), TraceEvent::Healed);
     }
 
-    /// Runs a single event. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some((_, _, event)) = self.sched.pop() else {
-            return false;
-        };
-        match event {
-            Event::Deliver(delivery) => self.deliver(delivery),
-            Event::Timer {
-                node,
-                incarnation,
-                tag,
-            } => {
-                if self.is_up(node) && self.incarnation(node) == incarnation {
-                    self.dispatch(node, NodeEvent::Timer(tag));
-                }
-            }
-            Event::Timeout { call, .. } => self.answer(call, Err(RpcError::Timeout)),
-            Event::Run(run) => run(self),
-        }
-        true
-    }
-
-    /// Runs until the event queue is empty (or the event budget trips).
+    /// Pops events, doing the world's part of each, until one a node
+    /// must handle: that node and its event. `None` once the queue runs
+    /// dry.
     ///
     /// # Panics
     ///
     /// Panics if the event budget is exhausted, which indicates a runaway
-    /// event loop.
-    pub fn run(&mut self) {
-        let mut processed = 0u64;
-        while self.step() {
-            processed += 1;
-            assert!(
-                processed <= self.event_budget,
-                "event budget exhausted after {processed} events: runaway loop?"
-            );
+    /// event loop; so do [`World::next_until`] and [`World::run`].
+    // Not `Iterator::next`: the trait's adaptors would shadow the world's
+    // own methods (`partition`) on a world held by value.
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> Option<(NodeId, NodeEvent)> {
+        self.next_due(SimTime::MAX)
+    }
+
+    /// [`World::next`] over the events due by `deadline`, leaving later
+    /// ones queued: with nothing due, advances the clock to `deadline`
+    /// itself — so waiting out a quiet stretch (retry backoff, admission
+    /// polling) really spends the virtual time instead of spinning at
+    /// the last event's timestamp — and returns `None`.
+    pub fn next_until(&mut self, deadline: SimTime) -> Option<(NodeId, NodeEvent)> {
+        let next = self.next_due(deadline);
+        if next.is_none() {
+            self.sched.advance_to(deadline);
         }
+        next
     }
 
-    /// Runs events with time ≤ `deadline`, leaving later events queued,
-    /// then advances the clock to `deadline` itself — so waiting out a
-    /// quiet stretch (retry backoff, admission polling) really spends
-    /// the virtual time instead of spinning at the last event's
-    /// timestamp.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        while self.step_until(deadline) {}
+    fn next_due(&mut self, deadline: SimTime) -> Option<(NodeId, NodeEvent)> {
+        while let Some((_, _, event)) = self.sched.pop(deadline) {
+            self.popped += 1;
+            assert!(
+                self.popped <= self.event_budget,
+                "event budget exhausted after {} events: runaway loop?",
+                self.popped
+            );
+            let handed = match event {
+                Event::Deliver(delivery) => self.deliver(delivery),
+                Event::Timer {
+                    node,
+                    incarnation,
+                    tag,
+                } => (self.is_up(node) && self.incarnation(node) == incarnation)
+                    .then_some((node, NodeEvent::Timer(tag))),
+                Event::Timeout { call, .. } => self.answer(call, Err(RpcError::Timeout)),
+                Event::Fault(action) => action.apply(self),
+            };
+            if handed.is_some() {
+                return handed;
+            }
+        }
+        self.popped = 0;
+        None
     }
 
-    /// Runs the next event if it is due by `deadline` and returns
-    /// `true`; with nothing due, advances the clock to `deadline` and
-    /// returns `false`. The single step of [`World::run_until`], for
-    /// callers that wait on a condition of their own between events.
-    pub fn step_until(&mut self, deadline: SimTime) -> bool {
-        match self.sched.peek_time() {
-            Some(next) if next <= deadline => self.step(),
-            _ => {
-                self.sched.advance_to(deadline);
-                false
+    /// Runs until the event queue is empty, handing each message to its
+    /// destination's handler ([`World::set_handler`]); every other node
+    /// event is dropped.
+    pub fn run(&mut self) {
+        while let Some((node, event)) = self.next() {
+            let NodeEvent::Message(envelope) = event else {
+                continue;
+            };
+            if let Some(handler) = self.handlers[node.index()].take() {
+                handler(self, &envelope);
+                self.handlers[node.index()].get_or_insert(handler);
             }
         }
     }
@@ -481,6 +466,11 @@ impl World {
     /// Number of pending (uncancelled) events.
     pub fn pending_events(&self) -> usize {
         self.sched.pending()
+    }
+
+    /// Queues `action` to happen at `at` ([`crate::FaultPlan::apply`]).
+    pub(crate) fn schedule_fault(&mut self, at: SimTime, action: FaultAction) {
+        self.sched.schedule(at, Event::Fault(action));
     }
 }
 
@@ -497,19 +487,37 @@ impl std::fmt::Debug for World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
+    use crate::FaultPlan;
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    /// Every event `world` hands over until it runs dry, with its node.
+    fn drain(world: &mut World) -> Vec<(NodeId, NodeEvent)> {
+        std::iter::from_fn(|| world.next()).collect()
+    }
+
+    /// The tags of the timers among `events`, in order.
+    fn timer_tags(events: &[(NodeId, NodeEvent)]) -> Vec<u64> {
+        let tag = |(_, event): &(NodeId, NodeEvent)| match event {
+            NodeEvent::Timer(tag) => Some(*tag),
+            _ => None,
+        };
+        events.iter().filter_map(tag).collect()
+    }
 
     #[test]
     fn message_roundtrip_advances_clock() {
         let mut world = World::new(1);
         let a = world.add_node("a");
         let b = world.add_node("b");
-        world.set_handler(b, |world, env| {
-            assert_eq!(env.payload, b"ping");
-            world.trace_custom("b", "got ping");
-        });
         world.send(a, b, b"ping".to_vec());
-        world.run();
+        let Some((node, NodeEvent::Message(env))) = world.next() else {
+            panic!("the ping reaches b");
+        };
+        assert_eq!((node, env.src, env.dst), (b, a, b));
+        assert_eq!(env.payload, b"ping");
+        world.trace_custom("b", "got ping");
+        assert!(world.next().is_none());
         assert!(world.now() > SimTime::ZERO);
         assert!(world.trace().contains_custom("got ping"));
         assert_eq!(world.trace().deliveries(), 1);
@@ -520,10 +528,9 @@ mod tests {
         let mut world = World::new(1);
         let a = world.add_node("a");
         let b = world.add_node("b");
-        world.set_handler(b, |_, _| panic!("handler must not run"));
         world.crash(b);
         world.send(a, b, b"x".to_vec());
-        world.run();
+        assert!(drain(&mut world).is_empty(), "nothing reaches b");
         assert_eq!(world.trace().drops(DropReason::NodeDown), 1);
     }
 
@@ -532,71 +539,88 @@ mod tests {
         let mut world = World::new(1);
         let a = world.add_node("a");
         let b = world.add_node("b");
-        world.set_handler(b, |_, _| panic!("stale message delivered"));
         world.send(a, b, b"x".to_vec());
         // Crash and immediately restart b before delivery.
         world.crash(b);
-        world.restart(b);
-        world.run();
+        assert!(world.restart(b));
+        assert!(drain(&mut world).is_empty(), "stale message delivered");
         assert_eq!(world.trace().drops(DropReason::StaleIncarnation), 1);
-    }
-
-    /// The tags of `node`'s timers, in the order they went off.
-    fn record_timers(world: &mut World, node: NodeId) -> Rc<RefCell<Vec<u64>>> {
-        let fired = Rc::new(RefCell::new(Vec::new()));
-        let seen = fired.clone();
-        world.set_node_handler(node, move |_, event| {
-            if let NodeEvent::Timer(tag) = event {
-                seen.borrow_mut().push(tag);
-            }
-        });
-        fired
     }
 
     #[test]
     fn node_timer_skipped_after_crash() {
         let mut world = World::new(1);
         let a = world.add_node("a");
-        let fired = record_timers(&mut world, a);
         world.arm_timer(a, SimDuration::from_millis(1), 7);
         world.crash(a);
-        world.run();
-        assert!(fired.borrow().is_empty());
+        assert!(timer_tags(&drain(&mut world)).is_empty());
     }
 
     #[test]
     fn a_crashed_nodes_timers_leave_the_queue() {
         let mut world = World::new(1);
         let a = world.add_node("a");
-        world.set_node_handler(a, |_, event| {
-            if let NodeEvent::Timer(_) = event {
-                panic!("a timer of the dead incarnation fired")
-            }
-        });
         world.arm_timer(a, SimDuration::from_secs(300), 0);
-        world.schedule_at(SimTime::from_nanos(1_000_000_000), move |world| {
-            world.crash(a);
-            world.restart(a);
-        });
-        world.run();
+        FaultPlan::crash_restart(a, SimTime::from_nanos(1_000_000_000), SimDuration::ZERO)
+            .apply(&mut world);
+        let events = drain(&mut world);
+        assert!(
+            timer_tags(&events).is_empty(),
+            "a timer of the dead incarnation fired"
+        );
+        assert!(matches!(events[..], [(node, NodeEvent::Restart)] if node == a));
         assert_eq!(world.now(), SimTime::from_nanos(1_000_000_000));
         assert_eq!(world.pending_events(), 0);
     }
 
     #[test]
-    fn a_restart_reaches_the_node_handler() {
+    fn a_restart_reaches_the_node() {
         let mut world = World::new(1);
         let a = world.add_node("a");
-        world.set_node_handler(a, move |world, event| {
-            if let NodeEvent::Restart = event {
-                let name = world.node_name(a).to_string();
-                world.trace_custom(name, "recovered");
-            }
-        });
         world.crash(a);
-        world.restart(a);
-        assert!(world.trace().contains_custom("recovered"));
+        assert!(world.restart(a), "a crashed node comes up");
+        assert!(!world.restart(a), "one that is up does not come up again");
         assert_eq!(world.node_status(a), NodeStatus::Up);
+        let at = SimTime::from_nanos(5);
+        FaultPlan::crash_restart(a, at, SimDuration::ZERO).apply(&mut world);
+        assert!(matches!(world.next(), Some((node, NodeEvent::Restart)) if node == a));
+        assert_eq!(world.now(), at);
+    }
+
+    /// The ordering contract: a node that restarts at the instant a
+    /// message is due hears of its restart first, and nothing of the
+    /// incarnation that died surfaces — not the message sent to it, not
+    /// its timer, not the answer to its call.
+    #[test]
+    fn a_restart_comes_first_and_nothing_of_the_dead_incarnation_follows() {
+        let mut world = World::new(1);
+        let (a, b) = (world.add_node("a"), world.add_node("b"));
+        let link = crate::net::LinkConfig {
+            base_latency: SimDuration::from_nanos(10),
+            jitter: SimDuration::ZERO,
+            drop_prob: 0.0,
+        };
+        world.net_mut().set_default_link(link);
+        let at = SimTime::from_nanos(10);
+        world.arm_timer(a, SimDuration::from_nanos(10), 1);
+        world
+            .call(a, b, Vec::new(), SimDuration::from_nanos(10))
+            .expect("a is up");
+        world.send(b, a, b"queued before the restart".to_vec());
+        world.crash(a);
+        let plan = FaultPlan::new().at(at, FaultAction::Restart(a));
+        plan.apply(&mut world);
+        world.send(b, a, b"queued after it".to_vec());
+        assert!(matches!(world.next(), Some((node, NodeEvent::Message(_))) if node == b));
+        assert!(matches!(world.next(), Some((node, NodeEvent::Restart)) if node == a));
+        assert_eq!(world.now(), at);
+        assert!(
+            world.next().is_none(),
+            "an event of the dead incarnation surfaced"
+        );
+        assert_eq!(world.trace().drops(DropReason::NodeDown), 1);
+        assert_eq!(world.trace().drops(DropReason::StaleIncarnation), 1);
+        assert_eq!(crate::rpc::in_flight(&world), 0);
     }
 
     #[test]
@@ -604,17 +628,12 @@ mod tests {
         let mut world = World::new(1);
         let a = world.add_node("a");
         let b = world.add_node("b");
-        let seen = Rc::new(RefCell::new(0u32));
-        let seen2 = seen.clone();
-        world.set_handler(b, move |_, _| *seen2.borrow_mut() += 1);
         world.partition(&[a], &[b]);
         world.send(a, b, b"lost".to_vec());
-        world.run();
-        assert_eq!(*seen.borrow(), 0);
+        assert_eq!(drain(&mut world).len(), 0);
         world.heal_all();
         world.send(a, b, b"found".to_vec());
-        world.run();
-        assert_eq!(*seen.borrow(), 1);
+        assert_eq!(drain(&mut world).len(), 1);
     }
 
     #[test]
@@ -627,20 +646,19 @@ mod tests {
                 drop_prob: 0.3,
                 ..Default::default()
             });
-            world.set_handler(b, |world, env| {
-                if env.payload[0] < 100 {
-                    let (src, dst) = (env.dst, env.src);
-                    world.send(src, dst, vec![env.payload[0] + 100]);
-                }
-            });
-            world.set_handler(a, |world, env| {
-                let label = format!("echo {}", env.payload[0]);
-                world.trace_custom("a", label);
-            });
             for i in 0..50u8 {
                 world.send(a, b, vec![i]);
             }
-            world.run();
+            while let Some((node, event)) = world.next() {
+                let NodeEvent::Message(env) = event else {
+                    continue;
+                };
+                if node == b && env.payload[0] < 100 {
+                    world.send(b, a, vec![env.payload[0] + 100]);
+                } else if node == a {
+                    world.trace_custom("a", format!("echo {}", env.payload[0]));
+                }
+            }
             world.trace().render()
         }
         let t1 = run_once(7);
@@ -651,17 +669,17 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_at_deadline() {
+    fn next_until_stops_at_deadline() {
         let mut world = World::new(1);
         let a = world.add_node("a");
-        let order = record_timers(&mut world, a);
         world.arm_timer(a, SimDuration::from_nanos(10), 1);
         world.arm_timer(a, SimDuration::from_nanos(20), 2);
-        world.run_until(SimTime::from_nanos(15));
-        assert_eq!(*order.borrow(), vec![1]);
+        let deadline = SimTime::from_nanos(15);
+        let early: Vec<_> = std::iter::from_fn(|| world.next_until(deadline)).collect();
+        assert_eq!(timer_tags(&early), [1]);
+        assert_eq!(world.now(), deadline, "the quiet stretch is spent");
         assert_eq!(world.pending_events(), 1);
-        world.run();
-        assert_eq!(*order.borrow(), vec![1, 2]);
+        assert_eq!(timer_tags(&drain(&mut world)), [2]);
     }
 
     #[test]
@@ -670,10 +688,30 @@ mod tests {
         let mut world = World::new(1);
         world.set_event_budget(100);
         let a = world.add_node("a");
-        world.set_node_handler(a, move |world, _| {
-            world.arm_timer(a, SimDuration::from_nanos(1), 0);
-        });
         world.arm_timer(a, SimDuration::from_nanos(1), 0);
+        while let Some((node, _)) = world.next() {
+            world.arm_timer(node, SimDuration::from_nanos(1), 0);
+        }
+    }
+
+    #[test]
+    fn run_feeds_the_message_handlers() {
+        let mut world = World::new(1);
+        let a = world.add_node("a");
+        let b = world.add_node("b");
+        let left = Rc::new(Cell::new(3u32));
+        for (node, peer) in [(a, b), (b, a)] {
+            let left = left.clone();
+            world.set_handler(node, move |world, env| {
+                if left.get() > 0 {
+                    left.set(left.get() - 1);
+                    world.send(node, peer, env.payload.clone());
+                }
+            });
+        }
+        world.send(a, b, b"ball".to_vec());
         world.run();
+        assert_eq!(left.get(), 0);
+        assert_eq!(world.trace().deliveries(), 4);
     }
 }

@@ -1,9 +1,6 @@
 //! Determinism guarantee: the same seed and the same program produce
 //! identical traces, even under heavy message loss, crashes and partitions.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use flowscript_sim::{
     net::LinkConfig, FaultAction, FaultPlan, NodeEvent, NodeId, SimDuration, SimTime, World,
 };
@@ -19,20 +16,6 @@ fn run_scenario(seed: u64, drop_prob: f64, fanout: u8) -> String {
         ..LinkConfig::default()
     });
 
-    // Every node echoes decremented payloads to the next node until zero.
-    for (i, &node) in nodes.iter().enumerate() {
-        let next = nodes[(i + 1) % nodes.len()];
-        world.set_handler(node, move |world, env| {
-            let value = env.payload[0];
-            if value > 0 {
-                let dst = env.dst;
-                world.send(dst, next, vec![value - 1]);
-            } else {
-                world.trace_custom(format!("{}", env.dst), "chain done");
-            }
-        });
-    }
-
     FaultPlan::new()
         .at(SimTime::from_nanos(400_000), FaultAction::Crash(nodes[2]))
         .at(SimTime::from_nanos(900_000), FaultAction::Restart(nodes[2]))
@@ -46,7 +29,19 @@ fn run_scenario(seed: u64, drop_prob: f64, fanout: u8) -> String {
     for i in 0..fanout {
         world.send(nodes[0], nodes[1], vec![i.wrapping_mul(3) % 17]);
     }
-    world.run();
+    // Every node echoes decremented payloads to the next node until zero.
+    while let Some((node, event)) = world.next() {
+        let NodeEvent::Message(env) = event else {
+            continue;
+        };
+        let value = env.payload[0];
+        if value > 0 {
+            let next = nodes[(node.index() + 1) % nodes.len()];
+            world.send(node, next, vec![value - 1]);
+        } else {
+            world.trace_custom(format!("{node}"), "chain done");
+        }
+    }
     world.trace().render()
 }
 
@@ -69,25 +64,24 @@ proptest! {
             drop_prob: drop,
             ..LinkConfig::default()
         });
-        world.set_handler(server, |world, env| {
-            let token = env.reply_token().expect("a request");
-            world.rpc_reply_to(token, env.payload.clone());
-        });
-        let outcomes = Rc::new(RefCell::new(0u32));
-        let counted = outcomes.clone();
-        world.set_node_handler(client, move |_, event| {
-            if let NodeEvent::Answer(..) = event {
-                *counted.borrow_mut() += 1;
-            }
-        });
         for i in 0..10u8 {
             world
                 .call(client, server, vec![i], SimDuration::from_millis(50))
                 .expect("the client is up");
         }
-        world.run();
+        let mut outcomes = 0u32;
+        while let Some((node, event)) = world.next() {
+            match event {
+                NodeEvent::Message(env) => {
+                    let token = env.reply_token().expect("a request");
+                    world.rpc_reply_to(token, env.payload);
+                }
+                NodeEvent::Answer(..) if node == client => outcomes += 1,
+                _ => {}
+            }
+        }
         // Every call resolves exactly once, success or timeout.
-        prop_assert_eq!(*outcomes.borrow(), 10);
+        prop_assert_eq!(outcomes, 10);
     }
 }
 

@@ -430,24 +430,34 @@ impl<S: Storage> TxManager<S> {
     /// grew behind our back — some other handle appended — do we scan
     /// the foreign tail for a [`LogRecord::Fence`].
     fn check_fence(&mut self) -> Result<(), TxError> {
+        self.fence = self.tail_fence()?;
         if let Some((claimant, epoch)) = self.fence {
             return Err(TxError::Fenced { claimant, epoch });
         }
-        let len = self.wal.size_bytes();
-        if len != self.wal_len {
-            for record in self.wal.scan_from(self.wal_len)? {
-                if let LogRecord::Fence { claimant, epoch } = record {
-                    if claimant != self.node {
-                        self.fence = Some((claimant, epoch));
-                        return Err(TxError::Fenced { claimant, epoch });
-                    }
-                }
-            }
-            // Foreign tail but no fence in it (e.g. our own claim written
-            // through a sibling handle): fold it into the watermark.
-            self.wal_len = len;
-        }
+        // Foreign tail but no fence in it (e.g. our own claim written
+        // through a sibling handle): fold it into the watermark.
+        self.wal_len = self.wal.size_bytes();
         Ok(())
+    }
+
+    /// The fence another node holds on this storage: the one this
+    /// manager observed, else one in the log's tail past its watermark,
+    /// found without noting it.
+    ///
+    /// # Errors
+    ///
+    /// [`TxError::Storage`] if the tail does not read.
+    pub fn tail_fence(&self) -> Result<Option<(u32, u64)>, TxError> {
+        if self.fence.is_some() || self.wal.size_bytes() == self.wal_len {
+            return Ok(self.fence);
+        }
+        let mut tail = self.wal.scan_from(self.wal_len)?.into_iter();
+        Ok(tail.find_map(|record| match record {
+            LogRecord::Fence { claimant, epoch } if claimant != self.node => {
+                Some((claimant, epoch))
+            }
+            _ => None,
+        }))
     }
 
     /// The fence this manager has observed, if any: `(claimant, epoch)`.
