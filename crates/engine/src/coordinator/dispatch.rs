@@ -142,8 +142,8 @@ pub(super) struct Flights(BTreeMap<TaskId, Flight>);
 
 impl Flights {
     /// The tasks with outstanding work.
-    pub(super) fn outstanding(&self) -> Vec<TaskId> {
-        self.0.keys().copied().collect()
+    pub(super) fn outstanding(&self) -> impl Iterator<Item = TaskId> + '_ {
+        self.0.keys().copied()
     }
 }
 
@@ -255,8 +255,10 @@ impl Dispatcher {
     /// plan to `to(old)`, a parked one's queue entry with it; the
     /// records of tasks the new plan no longer has are discarded.
     fn rekey(&mut self, flights: &mut Flights, to: impl Fn(TaskId) -> Option<TaskId>) -> Dropped {
-        let mut removed = flights.outstanding();
-        removed.retain(|&old| to(old).is_none());
+        let removed: Vec<TaskId> = flights
+            .outstanding()
+            .filter(|&old| to(old).is_none())
+            .collect();
         let dropped = self.discard(flights, removed.into_iter());
         for (old, flight) in std::mem::take(&mut flights.0) {
             let new = to(old).expect("a removed task's record is discarded");
@@ -274,7 +276,7 @@ impl Dispatcher {
     /// work on the wire, so none is cancelled. Returns the timers to
     /// cancel.
     pub(super) fn release_all(&mut self, mut flights: Flights) -> Vec<TimerId> {
-        let tasks = flights.outstanding();
+        let tasks: Vec<TaskId> = flights.outstanding().collect();
         self.discard(&mut flights, tasks.into_iter()).timers
     }
 }

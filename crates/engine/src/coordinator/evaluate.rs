@@ -125,14 +125,17 @@ impl Coordinator {
 
     /// `name`'s part in a step about to stage, nothing seeded yet. A
     /// start's instance is not resident: running, nothing flying.
-    pub(super) fn drain_of<'a>(&self, name: Arc<str>, plan: &'a Plan, id: u32) -> Drain<'a> {
+    pub(super) fn drain_of<'a>(&mut self, name: Arc<str>, plan: &'a Plan, id: u32) -> Drain<'a> {
         let resident = self.instances.get(&*name);
+        let mut flying = self.spare_flying.pop().unwrap_or_default();
+        flying.clear();
+        flying.extend(resident.into_iter().flat_map(|rt| rt.flights.outstanding()));
         Drain {
             plan,
             id,
             worklist: Worklist::new(),
             terminal: resident.is_some_and(|rt| rt.terminal),
-            flying: resident.map_or_else(Vec::new, |rt| rt.flights.outstanding()),
+            flying,
             planted: resident.is_some_and(|rt| rt.planted),
             name,
         }
@@ -161,7 +164,9 @@ impl Coordinator {
             evaluations += 1;
         }
         step.push(&drain.name, Effect::Drained(evaluations, !drain.terminal));
-        self.stuck_check(step, drain)
+        let stuck = self.stuck_check(step, drain);
+        self.spare_flying.push(std::mem::take(&mut drain.flying));
+        stuck
     }
 
     /// Runs `eval` over the facts `step` reads; `None` when a probe hit

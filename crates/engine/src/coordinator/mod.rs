@@ -240,6 +240,9 @@ pub struct Coordinator {
     /// The last published step's effects vector, emptied: the next step
     /// stages into it.
     spare_effects: Effects,
+    /// Emptied `Drain::flying` buffers, one per drain a step held at
+    /// once: the next drains fill them.
+    spare_flying: Vec<Vec<TaskId>>,
     /// The `coord.*` and `sched.*` metrics (the [`TxManager`] owns the
     /// `tx.*` and `wal.*` ones). Like the recorder, they survive
     /// [`Coordinator::recover`], which moves the manager's into the
@@ -321,6 +324,7 @@ impl Coordinator {
             commits_at_checkpoint: 0,
             window: BatchWindow::default(),
             spare_effects: Effects::new(),
+            spare_flying: Vec::new(),
             metrics: Box::default(),
             recorder,
             now: SimTime::ZERO,
