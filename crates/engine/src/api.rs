@@ -1245,21 +1245,13 @@ impl WorkflowSystem {
     }
 
     /// [`Self::coord_handle`] of the coordinator on `node`, retired or
-    /// not.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` runs no coordinator.
+    /// not (panics if `node` runs none).
     #[doc(hidden)]
     pub fn coord_on(&self, node: NodeId) -> &Driver<Coordinator> {
         driver!(&self.nodes[node.index()], Coordinator)
     }
 
     /// [`Self::coord_handle`], for a test that edits the shard by hand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
     #[doc(hidden)]
     pub fn coord_handle_mut(&mut self, shard: usize) -> &mut Driver<Coordinator> {
         driver!(

@@ -621,7 +621,7 @@ impl Node for Coordinator {
             // at the sender, exactly like a down node; buffered reports die with it,
             // the claimant's copies being the truth now. An operator's request
             // passes: the flip that retires a zombie to a relay must reach it.
-            Input::Message { .. } | Input::Fired(_) if self.mgr.probe_fence().is_some() => {}
+            Input::Message { .. } | Input::Fired(_) if self.is_fenced() => {}
             Input::Message { payload, token, .. } => self.on_message(payload, token),
             Input::Fired(Timer::Flight(at)) => self.on_flight_timer(&at),
             Input::Fired(Timer::Window) => self.on_batch_window(),

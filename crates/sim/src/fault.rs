@@ -32,6 +32,7 @@ use std::sync::Arc;
 
 use crate::net::LinkConfig;
 use crate::node::NodeId;
+use crate::sched::Event;
 use crate::time::SimTime;
 use crate::world::{NodeEvent, World};
 
@@ -109,7 +110,7 @@ impl FaultPlan {
     /// Queues every action onto the world.
     pub fn apply(&self, world: &mut World) {
         for (time, action) in &self.actions {
-            world.schedule_fault(*time, action.clone());
+            world.sched.schedule(*time, Event::Fault(action.clone()));
         }
     }
 

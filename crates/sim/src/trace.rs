@@ -22,7 +22,7 @@ pub enum TraceEvent {
         /// Payload length in bytes.
         bytes: usize,
     },
-    /// A message arrived and was handed to the destination handler.
+    /// A message arrived and was handed to its destination.
     MessageDelivered {
         /// Sender.
         src: NodeId,

@@ -2,7 +2,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::event::EventId;
-use crate::fault::FaultAction;
 use crate::net::{DeliveryFailure, Network};
 use crate::node::{NodeId, NodeState, NodeStatus};
 use crate::rpc::{RpcError, RpcState};
@@ -15,7 +14,7 @@ use crate::trace::{DropReason, Trace, TraceEvent};
 pub(crate) enum PayloadKind {
     /// Plain one-way message.
     Raw,
-    /// RPC request carrying a correlation id; the handler may reply
+    /// RPC request carrying a correlation id; the destination may reply
     /// through [`Envelope::reply_token`] and [`World::rpc_reply_to`].
     Request(u64),
     /// RPC reply; handed to the caller as [`NodeEvent::Answer`].
@@ -205,15 +204,6 @@ impl World {
     /// Draws a uniform sample in `[0, 1)` from the world RNG.
     pub fn sample_f64(&mut self) -> f64 {
         self.rng.gen::<f64>()
-    }
-
-    /// Draws a uniform integer in `[lo, hi)` from the world RNG.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi`.
-    pub fn sample_range(&mut self, lo: u64, hi: u64) -> u64 {
-        self.rng.gen_range(lo..hi)
     }
 
     /// Records a custom annotation in the trace.
@@ -467,11 +457,6 @@ impl World {
     pub fn pending_events(&self) -> usize {
         self.sched.pending()
     }
-
-    /// Queues `action` to happen at `at` ([`crate::FaultPlan::apply`]).
-    pub(crate) fn schedule_fault(&mut self, at: SimTime, action: FaultAction) {
-        self.sched.schedule(at, Event::Fault(action));
-    }
 }
 
 impl std::fmt::Debug for World {
@@ -487,7 +472,7 @@ impl std::fmt::Debug for World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FaultPlan;
+    use crate::{FaultAction, FaultPlan};
     use std::cell::Cell;
     use std::rc::Rc;
 

@@ -430,13 +430,17 @@ impl<S: Storage> TxManager<S> {
     /// grew behind our back — some other handle appended — do we scan
     /// the foreign tail for a [`LogRecord::Fence`].
     fn check_fence(&mut self) -> Result<(), TxError> {
+        let len = self.wal.size_bytes();
+        if self.fence.is_none() && len == self.wal_len {
+            return Ok(());
+        }
         self.fence = self.tail_fence()?;
         if let Some((claimant, epoch)) = self.fence {
             return Err(TxError::Fenced { claimant, epoch });
         }
         // Foreign tail but no fence in it (e.g. our own claim written
         // through a sibling handle): fold it into the watermark.
-        self.wal_len = self.wal.size_bytes();
+        self.wal_len = len;
         Ok(())
     }
 
@@ -461,17 +465,9 @@ impl<S: Storage> TxManager<S> {
     }
 
     /// The fence this manager has observed, if any: `(claimant, epoch)`.
-    /// Cached — does not touch storage; use [`TxManager::probe_fence`]
-    /// to actively check the log tail.
+    /// Cached — does not touch storage; use [`TxManager::tail_fence`]
+    /// to check the log tail.
     pub fn fenced(&self) -> Option<(u32, u64)> {
-        self.fence
-    }
-
-    /// Actively checks the log tail for a foreign fence and returns the
-    /// verdict. Lets callers muzzle a zombie *before* it starts mutating
-    /// in-memory state, instead of discovering the fence mid-commit.
-    pub fn probe_fence(&mut self) -> Option<(u32, u64)> {
-        let _ = self.check_fence();
         self.fence
     }
 
@@ -1119,7 +1115,7 @@ mod tests {
         // The fenced owner restarting sees the claim at replay.
         let mut owner = TxManager::open(0, stable.clone()).unwrap();
         assert_eq!(owner.fenced(), Some((2, 4)));
-        assert_eq!(owner.probe_fence(), Some((2, 4)));
+        assert_eq!(owner.tail_fence().unwrap(), Some((2, 4)));
         let a = owner.begin();
         owner.write_key(&a, &key("x"), &1u8).unwrap();
         assert!(matches!(owner.commit(a), Err(TxError::Fenced { .. })));
