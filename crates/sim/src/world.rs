@@ -360,6 +360,7 @@ impl World {
     /// caller then owes it [`NodeEvent::Restart`] (recovery), before any
     /// other event. A restart a [`crate::FaultPlan`] scripts comes out
     /// of [`World::next`] as that event.
+    #[must_use = "a node that came up is owed `NodeEvent::Restart`"]
     pub fn restart(&mut self, node: NodeId) -> bool {
         if self.nodes[node.index()].status == NodeStatus::Up {
             return false;
