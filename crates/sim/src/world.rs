@@ -600,6 +600,22 @@ mod tests {
         assert!(matches!(world.next(), Some((node, NodeEvent::Message(_))) if node == b));
         assert!(matches!(world.next(), Some((node, NodeEvent::Restart)) if node == a));
         assert_eq!(world.now(), at);
+        // A message to the new incarnation, due at the same instant,
+        // comes after the restart; the one queued for the dead one never.
+        let instant = crate::net::LinkConfig {
+            base_latency: SimDuration::ZERO,
+            ..link
+        };
+        world.net_mut().set_link(b, a, instant);
+        world.send(b, a, b"to the new incarnation".to_vec());
+        let Some((node, NodeEvent::Message(env))) = world.next() else {
+            panic!("the message to the new incarnation is handed over");
+        };
+        assert_eq!(
+            (node, env.payload.as_slice()),
+            (a, &b"to the new incarnation"[..])
+        );
+        assert_eq!(world.now(), at);
         assert!(
             world.next().is_none(),
             "an event of the dead incarnation surfaced"
