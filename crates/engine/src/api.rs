@@ -309,6 +309,7 @@ impl SystemBuilder {
             config: self.config,
             wal_dir: self.wal_dir,
             registered: BTreeMap::new(),
+            probe: None,
         }
     }
 }
@@ -371,6 +372,27 @@ enum Installed {
     Executor(Driver<Executor>),
 }
 
+impl Installed {
+    /// Feeds the node the event the world named it for.
+    fn deliver(&mut self, world: &mut World, event: NodeEvent) {
+        match self {
+            Installed::Client(driver) => driver.deliver(world, event),
+            Installed::Repository(driver) => driver.deliver(world, event),
+            Installed::Coordinator(driver) => driver.deliver(world, event),
+            Installed::Executor(driver) => driver.deliver(world, event),
+        }
+    }
+
+    fn kind(&self) -> NodeKind {
+        match self {
+            Installed::Client(_) => NodeKind::Client,
+            Installed::Repository(_) => NodeKind::Repository,
+            Installed::Coordinator(_) => NodeKind::Shard,
+            Installed::Executor(_) => NodeKind::Executor,
+        }
+    }
+}
+
 /// The driver of kind `$kind` that the table entry `$entry` holds: the
 /// kind the node's role says it runs.
 macro_rules! driver {
@@ -414,6 +436,24 @@ pub struct WorkflowSystem {
     /// its latest version: a start names it, and a shard that fetched
     /// it before launches with no round trip.
     registered: BTreeMap<String, u32>,
+    /// A test's probe at [`WorkflowSystem::probe_deliveries`]: told the
+    /// kind of node each delivery feeds, then `None` once it is fed.
+    probe: Option<fn(Option<NodeKind>)>,
+}
+
+/// The kind of node a delivery feeds: what a probe at
+/// [`WorkflowSystem::probe_deliveries`] is told.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NodeKind {
+    /// The façade's client.
+    Client,
+    /// The script repository.
+    Repository,
+    /// A coordinator shard, serving or retired.
+    Shard,
+    /// A task executor.
+    Executor,
 }
 
 impl WorkflowSystem {
@@ -431,12 +471,22 @@ impl WorkflowSystem {
     /// place a node is fed what the world carries.
     fn deliver(&mut self, node: NodeId, event: NodeEvent) {
         let world = &mut self.world;
-        match &mut self.nodes[node.index()] {
-            Installed::Client(driver) => driver.deliver(world, event),
-            Installed::Repository(driver) => driver.deliver(world, event),
-            Installed::Coordinator(driver) => driver.deliver(world, event),
-            Installed::Executor(driver) => driver.deliver(world, event),
-        }
+        let installed = &mut self.nodes[node.index()];
+        let Some(probe) = self.probe else {
+            return installed.deliver(world, event);
+        };
+        probe(Some(installed.kind()));
+        installed.deliver(world, event);
+        probe(None);
+    }
+
+    /// Has `probe` told the kind of node each delivery feeds before it
+    /// is fed, and `None` after: how a test's counting allocator
+    /// charges what each kind costs. `None` removes it; unset, it costs
+    /// each delivery one branch.
+    #[doc(hidden)]
+    pub fn probe_deliveries(&mut self, probe: Option<fn(Option<NodeKind>)>) {
+        self.probe = probe;
     }
 
     /// The loop: feeds every node the world's events until `answer`

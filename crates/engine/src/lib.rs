@@ -96,7 +96,7 @@ mod shard;
 mod state;
 mod value;
 
-pub use api::{SystemBuilder, WorkflowSystem};
+pub use api::{NodeKind, SystemBuilder, WorkflowSystem};
 pub use coordinator::{
     CommitBatch, CoordStats, DispatchRecord, EngineConfig, FailoverReport, InstanceStatus,
     MoveReport, Outcome, MAX_FORWARD_HOPS,

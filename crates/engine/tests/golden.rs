@@ -23,7 +23,8 @@
 //! virtual time, the same in a debug and a release build, so a change to
 //! what the engine does or logs reads as a diff of its rows too.
 //! `diamond_burst.alloc.txt` is what the burst costs the heap, counted
-//! by this binary's allocator and pinned in a release build only.
+//! by this binary's allocator, summed and by the kind of node fed, and
+//! pinned in a release build only.
 //!
 //! The reference arm — `CommitBatch::disabled()`, every report committed
 //! with its cascade before the next is looked at — is frozen the same
@@ -711,31 +712,57 @@ fn diamond_burst_anatomy_matches_golden() {
 
 /// Counts the heap allocations of the thread that reads it: a test binary
 /// runs its tests on parallel threads, so a count read off one thread is
-/// that test's own. Only the release build pins what it counts (the
-/// debug build's oracles allocate as they check).
+/// that test's own. Each allocation is charged to the kind of node the
+/// façade is feeding when it is made, or to the façade and the world
+/// between deliveries ([`alloc_count::feeding`] is the façade's probe).
+/// Only the release build pins what it counts (the debug build's
+/// oracles allocate as they check).
 #[cfg(not(debug_assertions))]
 mod alloc_count {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
 
+    use flowscript_engine::NodeKind;
+
+    /// What an allocation is charged to, by row: the façade and the
+    /// world, a shard, an executor, the repository or the client.
+    pub const ROWS: [&str; 4] = ["facade and world", "shard", "executor", "repository and client"];
+
     thread_local! {
-        /// This thread's `(allocations, bytes)`; a `realloc` is one
-        /// allocation of its new size.
-        static COUNT: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+        /// The row this thread's allocations are charged to now.
+        static ROW: Cell<usize> = const { Cell::new(0) };
+        /// This thread's `(allocations, bytes)` by row; a `realloc` is
+        /// one allocation of its new size.
+        static COUNT: Cell<[(u64, u64); 4]> = const { Cell::new([(0, 0); 4]) };
     }
 
     fn count(bytes: usize) {
         let _ = COUNT.try_with(|count| {
-            let (allocations, total) = count.get();
-            count.set((allocations + 1, total + bytes as u64));
+            let row = ROW.try_with(Cell::get).unwrap_or(0);
+            let mut rows = count.get();
+            rows[row].0 += 1;
+            rows[row].1 += bytes as u64;
+            count.set(rows);
         });
+    }
+
+    /// The façade's delivery probe: the node kind being fed, `None`
+    /// once it is.
+    pub fn feeding(kind: Option<NodeKind>) {
+        let row = match kind {
+            None => 0,
+            Some(NodeKind::Shard) => 1,
+            Some(NodeKind::Executor) => 2,
+            Some(NodeKind::Repository | NodeKind::Client) => 3,
+        };
+        ROW.set(row);
     }
 
     /// The system allocator, counting.
     pub struct Counting;
 
     // SAFETY: every call is the system allocator's own; counting only
-    // touches a thread-local cell, which allocates nothing.
+    // touches thread-local cells, which allocate nothing.
     unsafe impl GlobalAlloc for Counting {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             count(layout.size());
@@ -757,8 +784,8 @@ mod alloc_count {
         }
     }
 
-    /// `(allocations, bytes)` this thread made so far.
-    pub fn so_far() -> (u64, u64) {
+    /// `(allocations, bytes)` this thread made so far, by row.
+    pub fn so_far() -> [(u64, u64); 4] {
         COUNT.with(Cell::get)
     }
 }
@@ -769,28 +796,44 @@ static COUNTING: alloc_count::Counting = alloc_count::Counting;
 
 /// What the burst costs the heap, from its first start to quiescence:
 /// the engine's allocations, the sim's, and the bound closures' (20 per
-/// diamond build a `TaskBehavior`), not the system's build. A count per
-/// node kind would need a hook in the engine; this is the sum.
+/// diamond build a `TaskBehavior`, charged to the executor that calls
+/// them), not the system's build; summed, and by the kind of node the
+/// façade was feeding when each was made.
 #[cfg(not(debug_assertions))]
 #[test]
 fn diamond_burst_allocations_match_golden() {
     let mut sys = common::diamond_burst_system(4);
+    sys.probe_deliveries(Some(alloc_count::feeding));
     let before = alloc_count::so_far();
     common::run_diamond_burst(&mut sys);
     let after = alloc_count::so_far();
-    let (allocations, bytes) = (after.0 - before.0, after.1 - before.1);
+    sys.probe_deliveries(None);
+    let rows: Vec<(u64, u64)> = (0..alloc_count::ROWS.len())
+        .map(|row| (after[row].0 - before[row].0, after[row].1 - before[row].1))
+        .collect();
+    let allocations: u64 = rows.iter().map(|row| row.0).sum();
+    let bytes: u64 = rows.iter().map(|row| row.1).sum();
     let per = |total: u64| total as f64 / BURST as f64;
-    let rendered = format!(
+    let mut rendered = format!(
         "\
 # Heap allocations of `common::diamond_burst`: 50 fig. 1 diamonds on 4
 # shards, from the first start to quiescence, release build. A realloc is
 # one allocation of its new size.
 allocations | {allocations} | {:.2} per diamond
 bytes | {bytes} | {:.2} per diamond
+# By the kind of node being fed when each was made (the facade and the
+# world: between deliveries): allocations, then bytes.
 ",
         per(allocations),
         per(bytes),
     );
+    for (name, (allocations, bytes)) in alloc_count::ROWS.iter().zip(rows) {
+        rendered += &format!(
+            "{name} | {allocations} | {:.2} per diamond | {bytes} | {:.2} per diamond\n",
+            per(allocations),
+            per(bytes),
+        );
+    }
     check("diamond_burst.alloc.txt", &rendered);
 }
 
