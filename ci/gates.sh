@@ -68,7 +68,7 @@ test "$(grep -c 'pub incarnation: u32' crates/engine/src/msg.rs)" -eq 1 || fail 
 ! grep -rnE 'fn (adopt_orphans|forget_moves)\b|moved: BTreeMap' crates/engine/src || fail 'One book of rounds (a landed round relays from the books until the flip; no relay table beside them, no sweep of the store for what a landing or thaw loads)'
 ! grep -nE 'stored_instance(s|_names)\(&self\.mgr\)' crates/engine/src/coordinator/membership.rs || fail 'A landing loads what it landed (membership names what it loads; only a restart and blob GC sweep a shard'\''s headers)'
 ! grep -nE 'HashMap<(StoreKey|u64),' crates/tx/src/manager.rs crates/sim/src/sched.rs crates/sim/src/rpc.rs || fail 'Minted keys hash under the fixed hasher (the action workspace, the sim scheduler and the rpc table key by ids the program mints: IdMap, no SipHash; uids, which carry client names, stay in an ordered map)'
-! grep -nE 'start\.(inputs|repeat_objects|implementation)\.clone\(\)' crates/engine/src/executor.rs || fail 'An executor moves a start into its context (no copy of its inputs, repeat objects or clause)'
+! grep -rnE 'impl Decode for (StartTask|TaskReport)\b' crates/engine/src && ! awk '/^pub struct InvokeCtx/,/^}/' crates/engine/src/impl_registry.rs | grep -q 'BTreeMap<String, ObjectVal>' || fail 'A start and a report are read where they lie (an executor binds a start as a view over the delivered bytes, a shard keeps a report in the bytes it arrived in: no owned decode of StartTask or TaskReport, no map of owned objects on InvokeCtx)'
 test "$(wc -c < README.md)" -le 39600 || fail 'README byte budget'
 
 if [ "$failed" -ne 0 ]; then

@@ -349,7 +349,7 @@ impl Node for Client {
     fn handle(
         &mut self,
         _: SimTime,
-        input: Input<'_, Infallible, (), Self::Op>,
+        input: Input<Infallible, (), Self::Op>,
     ) -> Vec<Output<Infallible, (), Self::Answer>> {
         match input {
             Input::Op((to, bytes)) => vec![Output::Call {
@@ -849,7 +849,12 @@ impl WorkflowSystem {
             name: mark.to_string(),
             objects: Objects::of(&objects.into_iter().map(|(k, v)| (k.into(), v)).collect()),
         };
-        let msg = crate::msg::report_bytes(&at, 0, &result);
+        let report = crate::msg::TaskReport {
+            at,
+            ticket: 0,
+            result,
+        };
+        let msg = flowscript_codec::to_bytes(&EngineMsg::Report(report));
         let target = self.coord_nodes[via];
         self.world.send(self.client, target, msg);
     }

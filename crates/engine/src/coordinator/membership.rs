@@ -56,7 +56,7 @@ use super::step::Step;
 use super::{stored_instance_names, Call, Coordinator, Output, Report, TimerId};
 use crate::error::EngineError;
 use crate::keys::{self, claimed_uid, meta_uid, move_uid};
-use crate::msg::{AfterImages, EngineMsg, TaskReport};
+use crate::msg::{self, AfterImages, Delivered, EngineMsg};
 use crate::shard::ShardMap;
 
 /// Maximum relays a misdirected message may take before the relay
@@ -202,7 +202,7 @@ struct Round {
     /// Virtual time of the decision — the pause runs from here.
     started_ns: u64,
     /// Reports that arrived for the frozen slice, with their hop counts.
-    held: Vec<(TaskReport, u32)>,
+    held: Vec<(Delivered, u32)>,
     /// Whether a send of its claim still awaits an answer.
     calling: bool,
 }
@@ -423,14 +423,14 @@ impl Coordinator {
     /// Routes one executor report: held with its round while the
     /// instance is frozen, relayed when another shard owns it, buffered
     /// into the commit window when it is ours.
-    pub(super) fn route_report(&mut self, report: TaskReport, hops: u32) {
+    pub(super) fn route_report(&mut self, report: Delivered, hops: u32) {
         let membership = &mut self.membership;
-        let frozen_in = membership.freezing(&report.at.instance);
+        let frozen_in = membership.freezing(report.instance());
         if let Some(round) = frozen_in.and_then(|id| membership.rounds.get_mut(&id)) {
             round.held.push((report, hops));
             return;
         }
-        match self.misdirected(&report.at.instance) {
+        match self.misdirected(report.instance()) {
             Some(owner) => self.forward_report(owner, report, hops),
             None => self.enqueue_event(report),
         }
@@ -448,7 +448,7 @@ impl Coordinator {
         &mut self,
         owner: NodeId,
         instance: &str,
-        inner: &EngineMsg,
+        inner: &[u8],
         hops: u32,
     ) -> Option<Vec<u8>> {
         if hops >= MAX_FORWARD_HOPS {
@@ -460,19 +460,16 @@ impl Coordinator {
         let to = owner.index() as u32;
         let kind = ObsEventKind::Forward { to, epoch };
         self.record_event(instance, None, 0, kind);
-        let wrapped = EngineMsg::Forwarded {
-            hops: hops + 1,
-            inner: flowscript_codec::to_bytes(inner),
-        };
-        Some(flowscript_codec::to_bytes(&wrapped))
+        Some(flowscript_codec::encode_exact(|w| {
+            msg::put_relay(w, hops + 1, inner)
+        }))
     }
 
-    /// Relays a misdirected report to the owning shard; at the hop cap
-    /// it is dropped.
-    fn forward_report(&mut self, owner: NodeId, report: TaskReport, hops: u32) {
-        let instance = report.at.instance.clone();
-        let inner = EngineMsg::Report(report);
-        if let Some(bytes) = self.forward_envelope(owner, &instance, &inner, hops) {
+    /// Relays a misdirected report to the owning shard, its message as
+    /// it arrived; at the hop cap it is dropped.
+    fn forward_report(&mut self, owner: NodeId, report: Delivered, hops: u32) {
+        let (instance, inner) = (report.instance(), report.message());
+        if let Some(bytes) = self.forward_envelope(owner, instance, inner, hops) {
             self.outbox.push(Output::Send { to: owner, bytes });
         }
     }
@@ -489,6 +486,7 @@ impl Coordinator {
         inner: EngineMsg,
         hops: u32,
     ) {
+        let inner = flowscript_codec::to_bytes(&inner);
         let Some(bytes) = self.forward_envelope(owner, instance, &inner, hops) else {
             let reply = EngineMsg::Ack {
                 result: Err(format!(
@@ -785,7 +783,7 @@ impl Coordinator {
     /// Routes again, in arrival order, reports a round held for names
     /// that have since left it: held by the round that now holds the
     /// name, applied where it thawed or landed.
-    fn reroute(&mut self, held: Vec<(TaskReport, u32)>) {
+    fn reroute(&mut self, held: Vec<(Delivered, u32)>) {
         for (report, hops) in held {
             self.route_report(report, hops);
         }
@@ -1087,7 +1085,7 @@ mod tests {
     use crate::coordinator::{EngineConfig, Input, InstanceHeader};
     use crate::driver::Node;
     use crate::keys::meta_uid;
-    use crate::msg::{Attempt, TaskResult};
+    use crate::msg::{Attempt, TaskReport, TaskResult};
     use crate::{ObjectVal, TaskBehavior};
 
     /// `shards` shards serving the quickstart pipeline, whose `produce`
@@ -1157,6 +1155,12 @@ mod tests {
                 objects: crate::msg::Objects::of(&BTreeMap::new()),
             },
         }
+    }
+
+    /// [`mark`], as a shard keeps it delivered.
+    fn delivered_mark(instance: &str) -> Delivered {
+        let bytes = flowscript_codec::to_bytes(&EngineMsg::Report(mark(instance)));
+        Delivered::read(bytes.clone(), 0..bytes.len()).expect("a report")
     }
 
     /// The id of every instance `coord` stores, by name — asserting that
@@ -1304,7 +1308,7 @@ mod tests {
             .expect("decided again");
         let newer = source.membership.freezing(&name).expect("frozen");
         assert!(newer != id && source.membership.rounds[&id].record.landed);
-        source.route_report(mark(&name), 0);
+        source.route_report(delivered_mark(&name), 0);
         assert_eq!(source.membership.rounds[&newer].held.len(), 1);
     }
 
@@ -1341,7 +1345,7 @@ mod tests {
             .expect("decided");
         assert_eq!(source.frozen_instance_names(), std::slice::from_ref(&name));
         let round = source.membership.freezing(&name).expect("indexed");
-        source.route_report(mark(&name), 0);
+        source.route_report(delivered_mark(&name), 0);
         assert_eq!(source.membership.rounds[&round].held.len(), 1, "held");
         let frozen: InstanceHeader = source
             .mgr
@@ -1421,7 +1425,7 @@ mod tests {
             inputs: BTreeMap::new(),
         };
         let mut deliver = |msg: EngineMsg, token| {
-            let payload = &capped(msg);
+            let payload = capped(msg);
             let from = client;
             coord.handle(
                 SimTime::ZERO,

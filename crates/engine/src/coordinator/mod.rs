@@ -83,7 +83,7 @@ use crate::driver::{self, Node, TimerId};
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::{meta_uid, status_uid};
-use crate::msg::{Attempt, EngineMsg};
+use crate::msg::{self, Attempt, Delivered, EngineMsg};
 use crate::reconfig::Reconfig;
 use crate::sched::ExecutorSpec;
 use crate::shard::ShardMap;
@@ -109,7 +109,7 @@ use stats::CoordMetrics;
 use window::BatchWindow;
 
 /// What the world, or the operator, feeds a shard.
-pub(crate) type Input<'a> = driver::Input<'a, Timer, Call, Op>;
+pub(crate) type Input = driver::Input<Timer, Call, Op>;
 
 /// What a shard owes the world and the operator, in the order owed.
 pub(crate) type Output = driver::Output<Timer, Call, Result<Report, EngineError>>;
@@ -336,30 +336,31 @@ impl Coordinator {
         })
     }
 
-    fn on_message(&mut self, payload: &[u8], token: Option<ReplyToken>) {
-        let Ok(msg) = flowscript_codec::from_bytes::<EngineMsg>(payload) else {
-            return; // corrupt message: drop, sender will time out / retry
-        };
+    fn on_message(&mut self, payload: Vec<u8>, token: Option<ReplyToken>) {
         // A relay unwraps before it re-wraps, so an honest message nests
         // at most one `Forwarded` deep: unwrap that one layer, without
         // recursion, and drop anything still wrapped as a routing loop
         // (however deep the nest, this frame is all it costs). `hops`:
         // the relays the message took (0 for a direct send).
-        let (msg, hops) = match msg {
-            EngineMsg::Forwarded { hops, inner, .. } => {
-                match flowscript_codec::from_bytes::<EngineMsg>(&inner) {
-                    Ok(EngineMsg::Forwarded { .. }) => {
-                        self.metrics.stats.forward_loops += 1;
-                        return;
-                    }
-                    Ok(inner) => (inner, hops),
-                    Err(_) => return,
-                }
+        let Ok((inner, hops)) = msg::unwrap_relay(&payload) else {
+            return; // corrupt message: drop, sender will time out / retry
+        };
+        let message = payload.get(inner.clone()).unwrap_or_default();
+        if inner.start > 0 && msg::is_relay(message) {
+            self.metrics.stats.forward_loops += 1;
+            return;
+        }
+        // A report is kept in the bytes it arrived in.
+        if msg::is_report(message) {
+            if let Ok(report) = Delivered::read(payload, inner) {
+                self.route_report(report, hops);
             }
-            msg => (msg, 0),
+            return;
+        }
+        let Ok(msg) = flowscript_codec::from_bytes::<EngineMsg>(message) else {
+            return;
         };
         match (msg, token) {
-            (EngineMsg::Report(report), _) => self.route_report(report, hops),
             (
                 EngineMsg::StartInstance {
                     instance,
@@ -464,7 +465,7 @@ impl Coordinator {
     /// An input to a shard whose log did not open: a start (or a
     /// claim) and an operator's request are answered with why, anything
     /// else is dropped.
-    fn refuse(&mut self, input: Input<'_>) {
+    fn refuse(&mut self, input: Input) {
         let Some(why) = self.unopened.clone() else {
             return;
         };
@@ -608,7 +609,7 @@ impl Node for Coordinator {
 
     /// The one door. A shard ignores who sent a message: whom it
     /// answers is in the message or its token.
-    fn handle(&mut self, now: SimTime, input: Input<'_>) -> Vec<Output> {
+    fn handle(&mut self, now: SimTime, input: Input) -> Vec<Output> {
         self.now = now;
         match input {
             Input::Restart => self.recover(),
@@ -728,7 +729,7 @@ compoundtask root of taskclass Root {
             set: "main".into(),
             inputs: BTreeMap::from([("seed".to_string(), seed.clone())]),
         };
-        let payload = &flowscript_codec::to_bytes(&start);
+        let payload = flowscript_codec::to_bytes(&start);
         let token = Some(ReplyToken::new(here, client, 7));
         let message = Input::Message {
             from: client,
@@ -768,11 +769,11 @@ compoundtask root of taskclass Root {
             panic!("then the dispatch: {dispatch:?}");
         };
         assert_eq!(to, executor);
-        let EngineMsg::Start(StartTask {
+        let Some(StartTask {
             at: shipped,
             ticket,
             ..
-        }) = decoded(&bytes)
+        }) = crate::msg::start_in(&bytes)
         else {
             panic!("a `StartTask`");
         };
@@ -794,7 +795,7 @@ compoundtask root of taskclass Root {
                 redo_after: SimDuration::ZERO,
             },
         });
-        let payload = &flowscript_codec::to_bytes(&done);
+        let payload = flowscript_codec::to_bytes(&done);
         let message = Input::Message {
             from: executor,
             payload,
@@ -840,7 +841,7 @@ compoundtask root of taskclass Root {
             set: "main".into(),
             inputs: BTreeMap::from([("seed".to_string(), ObjectVal::text("Message", "hi"))]),
         };
-        let payload = &flowscript_codec::to_bytes(&start);
+        let payload = flowscript_codec::to_bytes(&start);
         let token = Some(ReplyToken::new(here, client, 7));
         let message = Input::Message {
             from: client,
@@ -882,7 +883,7 @@ compoundtask root of taskclass Root {
         let token = Some(ReplyToken::new(there, here, 8));
         let message = Input::Message {
             from: here,
-            payload: &payload,
+            payload,
             token,
         };
         let outputs = dest.handle(at(30), message);

@@ -1,6 +1,7 @@
 //! The commit window — the one place an executor report is applied.
 //!
-//! Reports — marks and completions alike, one [`TaskReport`] each —
+//! Reports — marks and completions alike, each kept [`Delivered`], in
+//! the bytes it arrived in —
 //! buffer in [`BatchWindow`] until one of three triggers fires:
 //! `max_events` reports, the window's timer, or — decided exactly —
 //! every report the shard awaits is in (its buffered completions at
@@ -34,7 +35,7 @@ use crate::driver::TimerId;
 use crate::error::EngineError;
 use crate::facts;
 use crate::keys::out_key;
-use crate::msg::{Attempt, Objects, TaskReport, TaskResult};
+use crate::msg::{Attempt, Delivered, ObjectMap, ResultView};
 use crate::state::{CbState, TaskCb};
 use crate::value::{ObjectRef, ObjectVal};
 
@@ -61,7 +62,7 @@ enum Next {
 #[derive(Default)]
 pub(super) struct BatchWindow {
     /// Buffered reports, in arrival order.
-    pending: Vec<TaskReport>,
+    pending: Vec<Delivered>,
     /// How many of `pending` are completions.
     done: u32,
     /// The outstanding flush timer, if one is armed.
@@ -85,12 +86,12 @@ impl BatchWindow {
     /// within the window.
     fn push(
         &mut self,
-        report: TaskReport,
+        report: Delivered,
         batch: &CommitBatch,
         in_flight: u32,
         age: SimDuration,
     ) -> Next {
-        self.done += u32::from(!report.result.is_mark());
+        self.done += u32::from(!report.is_mark());
         self.pending.push(report);
         if self.done >= in_flight
             || self.pending.len() >= batch.max_events
@@ -107,14 +108,14 @@ impl BatchWindow {
 
     /// The reports to flush, and the armed timer to cancel if the flush
     /// is not its own.
-    fn take(&mut self) -> (Vec<TaskReport>, Option<TimerId>) {
+    fn take(&mut self) -> (Vec<Delivered>, Option<TimerId>) {
         self.done = 0;
         (std::mem::take(&mut self.pending), self.timer.take())
     }
 
     /// Takes back the vector of a flushed window's reports, emptied, to
     /// buffer the next window in — unless that one already began.
-    fn recycle(&mut self, mut flushed: Vec<TaskReport>) {
+    fn recycle(&mut self, mut flushed: Vec<Delivered>) {
         if self.pending.capacity() == 0 {
             flushed.clear();
             self.pending = flushed;
@@ -125,7 +126,7 @@ impl BatchWindow {
     /// its transition just hasn't committed yet, and the watchdog must
     /// not turn a report-in-flight into a spurious retry.
     pub(super) fn holds_done(&self, at: &Attempt) -> bool {
-        let done = |report: &TaskReport| !report.result.is_mark() && report.at == *at;
+        let done = |report: &Delivered| !report.is_mark() && report.at().is(at);
         self.pending.iter().any(done)
     }
 
@@ -169,10 +170,11 @@ impl Coordinator {
         &mut self,
         step: &mut Step,
         drain: &mut Drain<'_>,
-        report: &TaskReport,
+        report: &Delivered,
         task_id: TaskId,
     ) -> Result<bool, EngineError> {
-        let (at, ticket) = (&report.at, report.ticket);
+        let report = report.view();
+        let (at, ticket) = (report.at, report.ticket);
         let (plan, instance_id) = (drain.plan, drain.id);
         let mut cb = self.staged_cb(step, plan, instance_id, task_id)?;
         if !cb.awaits(at.incarnation, at.attempt) {
@@ -180,19 +182,19 @@ impl Coordinator {
         }
         let class = plan.class_of(plan.task(task_id));
         let kind = |name| plan.class_output(class, name).map(|output| output.kind);
-        let (name, objects, what) = match &report.result {
-            TaskResult::ExecError { reason } => {
+        let (name, objects, what) = match report.result {
+            ResultView::ExecError { reason } => {
                 self.stage_lost(step, drain, task_id, cb, reason, Some(ticket))?;
                 return Ok(true);
             }
-            TaskResult::Mark { name, objects } => {
+            ResultView::Mark { name, objects } => {
                 if kind(name) != Some(OutputKind::Mark) || cb.mark_emitted(name) {
                     return Ok(false);
                 }
-                cb.marks_emitted.push(name.clone());
+                cb.marks_emitted.push(name.to_owned());
                 (name, objects, "mark")
             }
-            TaskResult::Output {
+            ResultView::Output {
                 name,
                 objects,
                 redo_after,
@@ -207,14 +209,7 @@ impl Coordinator {
                     }
                     Some((OutputKind::RepeatOutcome, _)) => {
                         return self.stage_repeat(
-                            step,
-                            drain,
-                            task_id,
-                            cb,
-                            name,
-                            objects,
-                            *redo_after,
-                            ticket,
+                            step, drain, task_id, cb, name, objects, redo_after, ticket,
                         );
                     }
                     misreport => {
@@ -237,13 +232,13 @@ impl Coordinator {
         // duplicate reports commits nothing.
         let action = step.action(&mut self.mgr);
         facts::write_block(&mut self.mgr, action, plan, instance_id, task_id, &cb)?;
-        let (objects, stamp) = (objects.entries(), Some(&*at.path));
+        let (objects, stamp) = (objects.entries(), Some(at.path));
         facts::write_fact_map(&mut self.mgr, action, plan, out_key, objects, stamp)?;
-        let is_mark = report.result.is_mark();
+        let is_mark = report.is_mark();
         if is_mark {
             step.push(&drain.name, Effect::Count(|stats| &mut stats.marks));
         }
-        self.trace(step, &drain.name, Some(&at.path), at.attempt, || {
+        self.trace(step, &drain.name, Some(at.path), at.attempt, || {
             self.commit_event(format!("{what} `{name}`"))
         });
         // A completed dispatch releases its watchdog and load *before*
@@ -269,7 +264,7 @@ impl Coordinator {
         task_id: TaskId,
         mut cb: TaskCb,
         name: &str,
-        objects: &Objects,
+        objects: ObjectMap<'_>,
         redo_after: SimDuration,
         ticket: u64,
     ) -> Result<bool, EngineError> {
@@ -310,9 +305,10 @@ impl Coordinator {
     /// Buffers an executor report into the open window, flushing when
     /// the count or the awaited trigger fires and arming the flush timer
     /// on the first report of a window.
-    pub(super) fn enqueue_event(&mut self, report: TaskReport) {
+    pub(super) fn enqueue_event(&mut self, report: Delivered) {
         let in_flight = self.dispatcher.in_flight();
-        let age = self.attempt_age(&report.at.instance, &report.at.path);
+        let at = report.at();
+        let age = self.attempt_age(at.instance, at.path);
         match self
             .window
             .push(report, &self.config.commit_batch, in_flight, age)
@@ -360,14 +356,15 @@ impl Coordinator {
     /// the readiness cascade of every instance they touched. The batch id
     /// and the `coord.batch_size` sample are spent only on a commit
     /// ([`Effect::Batch`]): the histogram's sum is the reports applied.
-    fn stage_window(&mut self, step: &mut Step, events: &[TaskReport]) -> Result<(), EngineError> {
+    fn stage_window(&mut self, step: &mut Step, events: &[Delivered]) -> Result<(), EngineError> {
         // Per-event plan context.
         type EventCtx = Option<(Arc<Plan>, u32, TaskId)>;
         let contexts: Vec<EventCtx> = events
             .iter()
             .map(|event| {
-                let (plan, instance_id) = self.instance_ctx(&event.at.instance)?;
-                let task = plan.task_by_path(&event.at.path)?;
+                let at = event.at();
+                let (plan, instance_id) = self.instance_ctx(at.instance)?;
+                let task = plan.task_by_path(at.path)?;
                 Some((plan, instance_id, task))
             })
             .collect();
@@ -379,7 +376,7 @@ impl Coordinator {
             let Some((plan, instance_id, task)) = ctx else {
                 continue; // unknown instance or path: dropped, as ever
             };
-            let instance = &*event.at.instance;
+            let instance = event.instance();
             match touched.iter_mut().find(|drain| &*drain.name == instance) {
                 Some(drain) => _ = self.stage_event(step, drain, event, *task)?,
                 None => {
@@ -394,7 +391,7 @@ impl Coordinator {
         for drain in &mut touched {
             self.stage_drain(step, drain)?;
         }
-        let first = self.shared_name(&events[0].at.instance);
+        let first = self.shared_name(events[0].instance());
         step.push(&first, Effect::Batch(events.len() as u64));
         Ok(())
     }
@@ -411,7 +408,7 @@ impl Coordinator {
 
 /// A repeat outcome's objects as the task at `path` produced them: what
 /// its next attempt ships.
-fn stamped(objects: &Objects, path: &str) -> BTreeMap<String, ObjectVal> {
+fn stamped(objects: ObjectMap<'_>, path: &str) -> BTreeMap<String, ObjectVal> {
     let stamp = |(name, object): (&str, ObjectRef<'_>)| {
         let object = ObjectRef {
             produced_by: path,
@@ -436,12 +433,12 @@ mod tests {
     use crate::api::WorkflowSystem;
     use crate::coordinator::{EngineConfig, Input, Output};
     use crate::driver::Node;
-    use crate::msg::{EngineMsg, StartTask};
+    use crate::msg::{EngineMsg, Objects, StartTask, TaskReport, TaskResult};
     use crate::sched::ExecutorSpec;
     use crate::shard::ShardMap;
     use crate::{InstanceStatus, ObserveLevel, TaskBehavior};
 
-    fn report() -> TaskReport {
+    fn report() -> Delivered {
         let at = Attempt {
             instance: "i".into(),
             path: "t".into(),
@@ -452,11 +449,13 @@ mod tests {
             name: "m".into(),
             objects: Objects::of(&BTreeMap::new()),
         };
-        TaskReport {
+        let report = TaskReport {
             at,
             ticket: 0,
             result,
-        }
+        };
+        let bytes = flowscript_codec::to_bytes(&EngineMsg::Report(report));
+        Delivered::read(bytes.clone(), 0..bytes.len()).expect("a report")
     }
 
     #[test]
@@ -625,14 +624,14 @@ compoundtask root of taskclass Root {
             }
         }
 
-        fn input(&mut self, after_ms: u64, input: Input<'_>) -> Vec<Output> {
+        fn input(&mut self, after_ms: u64, input: Input) -> Vec<Output> {
             self.now += SimDuration::from_millis(after_ms);
             self.shard.handle(self.now, input)
         }
 
         /// The executor's `msg`, a millisecond on.
         fn report(&mut self, msg: &EngineMsg) -> Vec<Output> {
-            let payload = &flowscript_codec::to_bytes(msg);
+            let payload = flowscript_codec::to_bytes(msg);
             let from = self.executor;
             let token = None;
             self.input(
@@ -655,7 +654,7 @@ compoundtask root of taskclass Root {
                 set: "main".into(),
                 inputs: BTreeMap::from([("seed".to_string(), seed())]),
             };
-            let payload = &flowscript_codec::to_bytes(&start);
+            let payload = flowscript_codec::to_bytes(&start);
             let from = NodeId::from_index(3);
             let token = Some(ReplyToken::new(self.shard.node, from, 0));
             let mut outputs = self.input(
@@ -704,10 +703,7 @@ compoundtask root of taskclass Root {
     /// The attempts `outputs` dispatched.
     fn sent(outputs: &[Output]) -> Vec<StartTask> {
         let starts = outputs.iter().filter_map(|output| match output {
-            Output::Send { bytes, .. } => match flowscript_codec::from_bytes(bytes) {
-                Ok(EngineMsg::Start(task)) => Some(task),
-                _ => None,
-            },
+            Output::Send { bytes, .. } => crate::msg::start_in(bytes),
             _ => None,
         });
         starts.collect()

@@ -41,17 +41,18 @@ pub(crate) trait Node {
     fn handle(
         &mut self,
         now: SimTime,
-        input: Input<'_, Self::Timer, Self::Call, Self::Op>,
+        input: Input<Self::Timer, Self::Call, Self::Op>,
     ) -> Vec<Output<Self::Timer, Self::Call, Self::Answer>>;
 }
 
 /// What the world, or the operator, feeds a node.
-pub(crate) enum Input<'a, T, C, O> {
+pub(crate) enum Input<T, C, O> {
     /// A message delivered to the node from `from`, with the token to
-    /// answer it through when it is a request.
+    /// answer it through when it is a request: its payload moved out of
+    /// the envelope, so a node may keep it as it arrived.
     Message {
         from: NodeId,
-        payload: &'a [u8],
+        payload: Vec<u8>,
         token: Option<ReplyToken>,
     },
     /// A timer the node armed went off.
@@ -135,15 +136,12 @@ impl<N: Node> Driver<N> {
         let input = match event {
             NodeEvent::Message(envelope) => {
                 let token = envelope.reply_token();
-                let (from, payload) = (envelope.src, &envelope.payload);
-                return self.input(
-                    world,
-                    Input::Message {
-                        from,
-                        payload,
-                        token,
-                    },
-                );
+                let (from, payload) = (envelope.src, envelope.payload);
+                Input::Message {
+                    from,
+                    payload,
+                    token,
+                }
             }
             NodeEvent::Timer(tag) => match self.timers.remove(&TimerId(tag)) {
                 Some((_, timer)) => Input::Fired(timer),
@@ -163,7 +161,7 @@ impl<N: Node> Driver<N> {
     /// restart (or a start over a previous run's storage) forgets the
     /// timers and calls first: the world dropped those of the
     /// incarnation that died.
-    pub(crate) fn input(&mut self, world: &mut World, input: Input<'_, N::Timer, N::Call, N::Op>) {
+    pub(crate) fn input(&mut self, world: &mut World, input: Input<N::Timer, N::Call, N::Op>) {
         if let Input::Restart = input {
             self.timers.clear();
             self.calls.clear();
@@ -256,7 +254,7 @@ mod tests {
         fn handle(
             &mut self,
             _: SimTime,
-            input: Input<'_, &'static str, &'static str, ()>,
+            input: Input<&'static str, &'static str, ()>,
         ) -> Vec<Output<&'static str, &'static str, ()>> {
             match input {
                 Input::Op(()) => {

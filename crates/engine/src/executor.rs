@@ -59,7 +59,7 @@ use flowscript_sim::{NodeId, SimDuration, SimTime};
 
 use crate::driver::{self, Node, TimerId};
 use crate::impl_registry::{ImplRegistry, Invocation, InvokeCtx, TaskBehavior};
-use crate::msg::{report_bytes, Attempt, EngineMsg, Objects, StartTask, TaskResult};
+use crate::msg::{self, report_bytes, EngineMsg, StartView, TaskResult};
 use crate::sched::ExecutorSpec;
 
 thread_local! {
@@ -73,22 +73,24 @@ pub const MAX_SCRIPT_NESTING: u32 = 8;
 
 /// A report an executor owes the shard `to` that dispatched an attempt
 /// under `ticket`, once its time comes: a mark, or the completion, which
-/// ends the attempt. Kept small: one is armed for every attempt running.
+/// `ends` the attempt — encoded when the start was bound, and sent as
+/// it is. One is armed for every report owed.
 #[derive(Debug)]
 pub(crate) struct Due {
     to: NodeId,
     ticket: u64,
-    result: TaskResult,
+    report: Vec<u8>,
+    ends: bool,
 }
 
 /// An attempt playing out here: its timers, consecutive from `first`
-/// (the completion last), and the address its reports carry — what a
-/// census lists.
+/// (the completion last), and its address as its start carried it,
+/// encoded — what a census lists.
 #[derive(Debug)]
 struct Running {
     first: u64,
     timers: u32,
-    at: Attempt,
+    address: Box<[u8]>,
 }
 
 /// The slot time an attempt reserved on a bounded executor: `from` to
@@ -101,7 +103,7 @@ struct Booking {
 }
 
 /// What an executor is fed, and what it answers an input with.
-type Input<'a> = driver::Input<'a, Due, Infallible, Infallible>;
+type Input = driver::Input<Due, Infallible, Infallible>;
 type Output = driver::Output<Due, Infallible, Infallible>;
 
 /// One executor node, deployed as its [`ExecutorSpec`]: inputs in,
@@ -137,32 +139,15 @@ impl Executor {
     }
 
     /// Binds and plays out `start`, dispatched by `from`: one timer per
-    /// mark and then one for the completion, indexed under its ticket,
-    /// or at once an execution error.
-    fn start(&mut self, now: SimTime, from: NodeId, start: StartTask) -> Vec<Output> {
-        let StartTask {
-            at,
-            ticket,
-            implementation,
-            set,
-            inputs,
-            repeat_objects,
-        } = start;
-        // The context takes the start's fields as they arrived.
-        let ctx = InvokeCtx {
-            path: at.path.to_string(),
-            incarnation: at.incarnation,
-            attempt: at.attempt,
-            set,
-            inputs,
-            repeat_objects,
-            implementation,
-        };
-        let behavior = match self.bind(&ctx) {
+    /// mark and then one for the completion, each holding its report,
+    /// indexed under its ticket, or at once an execution error.
+    fn start(&mut self, now: SimTime, from: NodeId, start: StartView<'_>) -> Vec<Output> {
+        let (address, ticket) = (start.address, start.ticket);
+        let behavior = match self.bind(&InvokeCtx::of(&start)) {
             Ok(behavior) => behavior,
             Err(reason) => {
-                let result = TaskResult::ExecError { reason };
-                let bytes = report_bytes(&at, ticket, &result);
+                let result = TaskResult::<()>::ExecError { reason };
+                let bytes = report_bytes(address, ticket, &result);
                 return vec![Output::Send { to: from, bytes }];
             }
         };
@@ -174,51 +159,58 @@ impl Executor {
         if let Some(booking) = booking {
             self.booked.insert((from, ticket), booking);
         }
-        let mut outputs = Vec::with_capacity(behavior.marks.len() + 1);
-        for mark in behavior.marks {
-            let result = TaskResult::Mark {
-                name: mark.name,
-                objects: Objects::of(&mark.objects),
-            };
-            let after = queue_delay + mark.at.min(behavior.work);
-            outputs.push(self.arm(after, from, ticket, result));
+        let TaskBehavior {
+            work,
+            marks,
+            completion,
+            redo_after,
+        } = behavior;
+        let mut outputs = Vec::with_capacity(marks.len() + 1);
+        for mark in marks {
+            let (name, objects) = (mark.name, &mark.objects);
+            let report = report_bytes(address, ticket, &TaskResult::Mark { name, objects });
+            let after = queue_delay + mark.at.min(work);
+            outputs.push(self.arm(after, from, ticket, report, false));
         }
         let result = TaskResult::Output {
-            name: behavior.completion.outcome,
-            objects: Objects::of(&behavior.completion.objects),
-            redo_after: behavior.redo_after,
+            name: completion.outcome,
+            objects: &completion.objects,
+            redo_after,
         };
-        outputs.push(self.arm(queue_delay + behavior.work, from, ticket, result));
+        let report = report_bytes(address, ticket, &result);
+        outputs.push(self.arm(queue_delay + work, from, ticket, report, true));
         let running = Running {
             first,
             timers: outputs.len() as u32,
-            at,
+            address: address.into(),
         };
         self.running.insert((from, ticket), running);
         outputs
     }
 
-    /// What still runs here for `shard`: a census answer.
-    fn census(&self, shard: NodeId) -> Vec<(u64, Attempt)> {
+    /// What still runs here for `shard`: a census answer, encoded.
+    fn census(&self, shard: NodeId) -> Vec<u8> {
         let mine = self.running.range((shard, 0)..=(shard, u64::MAX));
-        mine.map(|(&(_, ticket), running)| (ticket, running.at.clone()))
-            .collect()
+        let mine: Vec<(u64, &[u8])> = mine
+            .map(|(&(_, ticket), running)| (ticket, &*running.address))
+            .collect();
+        msg::running_bytes(mine.into_iter())
     }
 
     /// A timer of the attempt `due.to` dispatched under `due.ticket`
-    /// went off: its report, sent under the address the attempt's entry
-    /// holds. The completion ends the attempt.
+    /// went off: its report goes out, if the attempt still runs. The
+    /// completion ends the attempt.
     fn report(&mut self, due: Due) -> Vec<Output> {
         let key = (due.to, due.ticket);
-        let Some(running) = self.running.get(&key) else {
+        if !self.running.contains_key(&key) {
             return Vec::new();
-        };
-        let bytes = report_bytes(&running.at, due.ticket, &due.result);
-        if !due.result.is_mark() {
+        }
+        if due.ends {
             self.running.remove(&key);
             self.booked.remove(&key);
         }
-        vec![Output::Send { to: due.to, bytes }]
+        let (to, bytes) = (due.to, due.report);
+        vec![Output::Send { to, bytes }]
     }
 
     /// `from` gave up on the attempt it dispatched under `ticket`: its
@@ -241,11 +233,12 @@ impl Executor {
 
     /// The behaviour a start, as `ctx`, binds to here — its clause's
     /// `"code"`, empty when it has none — or why it cannot run here.
-    fn bind(&self, ctx: &InvokeCtx) -> Result<TaskBehavior, String> {
+    fn bind(&self, ctx: &InvokeCtx<'_>) -> Result<TaskBehavior, String> {
         // Location guard: the scheduler should never mispin, but a task
         // arriving at the wrong place must fail loudly, not run quietly.
-        if let Some(pinned) = ctx.hints().location {
-            if self.spec.location.as_deref() != Some(pinned.as_str()) {
+        // An empty label pins nothing, as in `ImplHints`.
+        if let Some(pinned) = ctx.impl_value("location").filter(|label| !label.is_empty()) {
+            if self.spec.location.as_deref() != Some(pinned) {
                 return Err(format!(
                     "task pinned to location `{pinned}` arrived at an executor registered {}",
                     match &self.spec.location {
@@ -287,10 +280,22 @@ impl Executor {
         self.running.len()
     }
 
-    fn arm(&mut self, after: SimDuration, to: NodeId, ticket: u64, result: TaskResult) -> Output {
+    fn arm(
+        &mut self,
+        after: SimDuration,
+        to: NodeId,
+        ticket: u64,
+        report: Vec<u8>,
+        ends: bool,
+    ) -> Output {
         let id = TimerId(self.next_timer);
         self.next_timer += 1;
-        let timer = Due { to, ticket, result };
+        let timer = Due {
+            to,
+            ticket,
+            report,
+            ends,
+        };
         Output::Arm { id, after, timer }
     }
 }
@@ -305,18 +310,22 @@ impl Node for Executor {
         self.spec.node
     }
 
-    fn handle(&mut self, now: SimTime, input: Input<'_>) -> Vec<Output> {
+    fn handle(&mut self, now: SimTime, input: Input) -> Vec<Output> {
         match input {
+            Input::Message { from, payload, .. } if msg::is_start(&payload) => {
+                match StartView::read(&payload) {
+                    Ok(start) => self.start(now, from, start),
+                    Err(_) => Vec::new(), // corrupt: the shard's watchdog retries
+                }
+            }
             Input::Message {
                 from,
                 payload,
                 token,
-            } => match (flowscript_codec::from_bytes(payload), token) {
-                (Ok(EngineMsg::Start(start)), _) => self.start(now, from, start),
+            } => match (flowscript_codec::from_bytes(&payload), token) {
                 (Ok(EngineMsg::Cancel { ticket }), _) => self.cancel(now, from, ticket),
                 (Ok(EngineMsg::Census), Some(token)) => {
-                    let attempts = self.census(from);
-                    let bytes = flowscript_codec::to_bytes(&EngineMsg::Running { attempts });
+                    let bytes = self.census(from);
                     vec![Output::Reply { token, bytes }]
                 }
                 _ => Vec::new(),
@@ -341,7 +350,7 @@ fn run_nested_script(
     registry: &ImplRegistry,
     source: &str,
     root: &str,
-    ctx: &InvokeCtx,
+    ctx: &InvokeCtx<'_>,
 ) -> Result<TaskBehavior, String> {
     let depth = NESTING.with(|n| n.get());
     if depth >= MAX_SCRIPT_NESTING {
@@ -359,13 +368,9 @@ fn run_nested_script(
         nested
             .register_script("nested", source, root)
             .map_err(|e| format!("nested script invalid: {e}"))?;
-        let inputs: Vec<(String, crate::ObjectVal)> = ctx
-            .inputs
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
+        let inputs = ctx.inputs().map(|(name, object)| (name, object.to_val()));
         nested
-            .start("nested-run", "nested", &ctx.set, inputs)
+            .start("nested-run", "nested", ctx.set, inputs)
             .map_err(|e| format!("nested start failed: {e}"))?;
         nested.run();
         let elapsed = nested.now().since(flowscript_sim::SimTime::ZERO);
@@ -390,7 +395,7 @@ mod tests {
     use flowscript_sim::ReplyToken;
 
     use super::*;
-    use crate::msg::TaskReport;
+    use crate::msg::{Attempt, Delivered, ResultView, StartTask};
 
     /// The address every start here ships.
     fn address() -> Attempt {
@@ -422,15 +427,8 @@ mod tests {
     fn nesting_counter_restores_after_guard() {
         NESTING.with(|n| n.set(MAX_SCRIPT_NESTING));
         let registry = ImplRegistry::new();
-        let ctx = InvokeCtx {
-            path: "p".into(),
-            incarnation: 0,
-            attempt: 0,
-            set: "main".into(),
-            inputs: Default::default(),
-            repeat_objects: Default::default(),
-            implementation: Default::default(),
-        };
+        let bytes = flowscript_codec::to_bytes(&EngineMsg::Start(start(&[])));
+        let ctx = InvokeCtx::of(&StartView::read(&bytes).unwrap());
         let err = run_nested_script(&registry, "class C;", "root", &ctx).unwrap_err();
         assert!(err.contains("nesting"), "{err}");
         NESTING.with(|n| n.set(0));
@@ -443,7 +441,7 @@ mod tests {
         from: NodeId,
         start: StartTask,
     ) -> Vec<Output> {
-        let payload = &flowscript_codec::to_bytes(&EngineMsg::Start(start));
+        let payload = flowscript_codec::to_bytes(&EngineMsg::Start(start));
         let token = None;
         executor.handle(
             now,
@@ -457,19 +455,21 @@ mod tests {
 
     /// The report `outputs` send to the shard that dispatched the
     /// attempt, coordinator 0.
-    fn sent(outputs: &[Output]) -> TaskReport {
+    fn sent(outputs: &[Output]) -> Delivered {
         let [Output::Send { to, bytes }] = outputs else {
             panic!("one report sent: {outputs:?}");
         };
         assert_eq!(*to, NodeId::from_index(0));
-        let Ok(EngineMsg::Report(report)) = flowscript_codec::from_bytes(bytes) else {
-            panic!("a report");
-        };
-        report
+        Delivered::read(bytes.clone(), 0..bytes.len()).expect("a report")
+    }
+
+    /// Whether `report` is a completion in the outcome `outcome`.
+    fn done_in(report: &Delivered, outcome: &str) -> bool {
+        matches!(report.view().result, ResultView::Output { name, .. } if name == outcome)
     }
 
     /// `timer` goes off at `executor`: the report it sends.
-    fn fire(executor: &mut Executor, timer: Due) -> TaskReport {
+    fn fire(executor: &mut Executor, timer: Due) -> Delivered {
         sent(&executor.handle(SimTime::ZERO, Input::Fired(timer)))
     }
 
@@ -501,16 +501,16 @@ mod tests {
         };
         assert_eq!(timer.to, coordinator, "a report owed the dispatcher");
         let done = fire(&mut executor, timer);
-        assert!(matches!(&done.result, TaskResult::Output { name, .. } if name == "done"));
+        assert!(done_in(&done, "done"));
 
         // Pinned elsewhere: an execution error, sent at once.
         let outputs = deliver(&mut executor, SimTime::ZERO, coordinator, pinned("paris"));
         let done = sent(&outputs);
         assert!(
-            matches!(&done.result, TaskResult::ExecError { reason }
+            matches!(done.view().result, ResultView::ExecError { reason }
                 if reason.contains("pinned to location `paris`") && reason.contains("`warehouse`")),
             "a start pinned elsewhere fails loudly: {:?}",
-            done.result
+            done.view().result
         );
     }
 
@@ -531,17 +531,17 @@ mod tests {
             panic!("one timer, the completion's");
         };
         let done = fire(&mut executor, timer);
-        assert!(matches!(&done.result, TaskResult::Output { name, .. } if name == "done"));
+        assert!(done_in(&done, "done"));
 
         let mut unnamed = start(&[("priority", "3")]);
         unnamed.implementation.remove("code");
         let outputs = deliver(&mut executor, SimTime::ZERO, coordinator, unnamed);
         let done = sent(&outputs);
         assert!(
-            matches!(&done.result, TaskResult::ExecError { reason }
+            matches!(done.view().result, ResultView::ExecError { reason }
                 if reason.contains("no implementation bound for ``")),
             "{:?}",
-            done.result
+            done.view().result
         );
     }
 
@@ -611,7 +611,7 @@ mod tests {
 
     /// The cancel of `ticket`, delivered at 0: the timers it disarms.
     fn cancel(executor: &mut Executor, ticket: u64) -> Vec<TimerId> {
-        let payload = &flowscript_codec::to_bytes(&EngineMsg::Cancel { ticket });
+        let payload = flowscript_codec::to_bytes(&EngineMsg::Cancel { ticket });
         let from = NodeId::from_index(0);
         let message = Input::Message {
             from,
@@ -696,12 +696,13 @@ mod tests {
             <[_; 2]>::try_from(timers.collect::<Vec<_>>()).unwrap();
         assert!(mark_id.0 < done_id.0 && mark_at < done_at, "the mark first");
         let mark = fire(&mut executor, mark);
-        assert_eq!((&mark.at, mark.ticket), (&address(), 9));
-        assert!(matches!(&mark.result, TaskResult::Mark { name, .. } if name == "half"));
+        let mark = mark.view();
+        assert!(mark.at.is(&address()) && mark.ticket == 9);
+        assert!(matches!(mark.result, ResultView::Mark { name, .. } if name == "half"));
         assert_eq!(executor.running(), 1, "a mark ends nothing");
         let done = fire(&mut executor, done);
-        assert_eq!((&done.at, done.ticket), (&address(), 9));
-        assert!(matches!(&done.result, TaskResult::Output { name, .. } if name == "done"));
+        assert!(done.view().at.is(&address()) && done.view().ticket == 9);
+        assert!(done_in(&done, "done"));
         assert_eq!(executor.running(), 0, "the completion ends the attempt");
 
         // Cancelled before either went off: both are disarmed, and a
@@ -729,7 +730,7 @@ mod tests {
     /// The census `shard` takes of `executor`: the attempts listed, or
     /// `None` when it sends no answer.
     fn census_of(executor: &mut Executor, shard: NodeId) -> Option<Vec<(u64, Attempt)>> {
-        let payload = &flowscript_codec::to_bytes(&EngineMsg::Census);
+        let payload = flowscript_codec::to_bytes(&EngineMsg::Census);
         let token = Some(ReplyToken::new(executor.node(), shard, 1));
         let message = Input::Message {
             from: shard,
@@ -767,7 +768,7 @@ mod tests {
         };
         deliver(&mut executor, SimTime::ZERO, other, from_other);
         // The attempt under ticket 1 is cancelled: it no longer runs.
-        let payload = &flowscript_codec::to_bytes(&EngineMsg::Cancel { ticket: 1 });
+        let payload = flowscript_codec::to_bytes(&EngineMsg::Cancel { ticket: 1 });
         let cancelled = Input::Message {
             from: shard,
             payload,
@@ -780,7 +781,7 @@ mod tests {
         let listed = listed.iter().map(|(ticket, at)| (*ticket, at.attempt));
         assert_eq!(listed.collect::<Vec<_>>(), [(1, 3)]);
         // Not a call: nothing to answer through.
-        let payload = &flowscript_codec::to_bytes(&EngineMsg::Census);
+        let payload = flowscript_codec::to_bytes(&EngineMsg::Census);
         let one_way = Input::Message {
             from: shard,
             payload,

@@ -74,7 +74,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use flowscript_codec::{ByteReader, CodecError, Decode, Encode};
+use flowscript_codec::{ByteReader, ByteWriter, CodecError, Decode, Encode};
 use flowscript_core::ast::OutputKind;
 use flowscript_plan::{
     eval as plan_eval, Plan, PlanClass, PlanObjectSig, Probe, Range32, StrId, TaskId,
@@ -158,8 +158,8 @@ impl From<ObjectVal> for Found {
     }
 }
 
-/// Encodes `object` for the declared sub-key `key`, relative to `plan`.
-fn encode_object(plan: &Plan, key: FactKey, object: ObjectRef<'_>) -> Vec<u8> {
+/// Writes `object` for the declared sub-key `key`, relative to `plan`.
+fn put_object(w: &mut ByteWriter, plan: &Plan, key: FactKey, object: ObjectRef<'_>) {
     let declared_class = declared(plan, key).map(|sig| plan.str(sig.class));
     let spell_class = declared_class != Some(object.class);
     let own = plan
@@ -174,21 +174,19 @@ fn encode_object(plan: &Plan, key: FactKey, object: ObjectRef<'_>) -> Vec<u8> {
             None => (PRODUCER_SPELLED, None),
         },
     };
-    flowscript_codec::encode_exact(|w| {
-        w.put_u8(u8::from(spell_class) | form << 1);
-        if spell_class {
-            w.put_str(object.class);
-        }
-        if let Some(task) = task {
-            w.put_var_u64(u64::from(task));
-        } else if form == PRODUCER_SPELLED {
-            w.put_str(object.produced_by);
-        }
-        w.put_len_prefixed(object.data);
-    })
+    w.put_u8(u8::from(spell_class) | form << 1);
+    if spell_class {
+        w.put_str(object.class);
+    }
+    if let Some(task) = task {
+        w.put_var_u64(u64::from(task));
+    } else if form == PRODUCER_SPELLED {
+        w.put_str(object.produced_by);
+    }
+    w.put_len_prefixed(object.data);
 }
 
-/// Decodes what [`encode_object`] stored under `key`, relative to `plan`.
+/// Decodes what [`put_object`] stored under `key`, relative to `plan`.
 fn decode_object(plan: &Plan, key: FactKey, bytes: &[u8]) -> Result<Found, CodecError> {
     let mut r = ByteReader::new(bytes);
     let tag = r.get_u8()?;
@@ -226,7 +224,8 @@ fn decode_object(plan: &Plan, key: FactKey, bytes: &[u8]) -> Result<Found, Codec
     })
 }
 
-/// Stages `object` under the declared sub-key `key`.
+/// Stages `object` under the declared sub-key `key`, encoded straight
+/// into the action's after-image.
 fn write_object<S: Storage>(
     mgr: &mut TxManager<S>,
     action: &AtomicAction,
@@ -234,8 +233,8 @@ fn write_object<S: Storage>(
     key: FactKey,
     object: ObjectRef<'_>,
 ) -> Result<(), TxError> {
-    let bytes = encode_object(plan, key, object);
-    mgr.write_key_raw(action, &StoreKey::Fact(key), bytes)
+    let write = |w: &mut ByteWriter| put_object(w, plan, key, object);
+    mgr.write_key_with(action, &StoreKey::Fact(key), write)
 }
 
 /// The fact view the plan evaluator runs over: every probe resolves
@@ -695,9 +694,14 @@ impl Pool {
     }
 }
 
-/// Encodes `cb` as `task`'s block, relative to `plan`. A name the class
-/// does not declare spells every name out, so this never fails.
+/// `cb` encoded as `task`'s block, relative to `plan` ([`put_block`]).
 pub(crate) fn encode_block(plan: &Plan, task: TaskId, cb: &TaskCb) -> Vec<u8> {
+    flowscript_codec::encode_exact(|w| put_block(w, plan, task, cb))
+}
+
+/// Writes `cb` as `task`'s block, relative to `plan`. A name the class
+/// does not declare spells every name out, so this never fails.
+fn put_block(w: &mut ByteWriter, plan: &Plan, task: TaskId, cb: &TaskCb) {
     let class = block_class(plan, task).ok();
     let ordinal = |pool: Pool, name: &str| class.and_then(|class| pool.ordinal(plan, class, name));
     let name = match &cb.state {
@@ -720,31 +724,29 @@ pub(crate) fn encode_block(plan: &Plan, task: TaskId, cb: &TaskCb) -> Vec<u8> {
     if cb.retries != 0 {
         tag |= BLOCK_RETRIES;
     }
-    flowscript_codec::encode_exact(|w| {
-        w.put_u8(tag);
-        match (name, &cb.state) {
-            (Some((name, _)), _) if spelled => w.put_str(name),
-            (Some((_, Some(ordinal))), _) => w.put_var_u64(ordinal.into()),
-            (_, CbState::Failed { reason }) => w.put_str(reason),
-            _ => {}
+    w.put_u8(tag);
+    match (name, &cb.state) {
+        (Some((name, _)), _) if spelled => w.put_str(name),
+        (Some((_, Some(ordinal))), _) => w.put_var_u64(ordinal.into()),
+        (_, CbState::Failed { reason }) => w.put_str(reason),
+        _ => {}
+    }
+    if counted {
+        for counter in [cb.incarnation, cb.scope_inc, cb.attempt, cb.repeats] {
+            w.put_var_u64(counter.into());
         }
-        if counted {
-            for counter in [cb.incarnation, cb.scope_inc, cb.attempt, cb.repeats] {
-                w.put_var_u64(counter.into());
-            }
-            w.put_var_u64(cb.marks_emitted.len() as u64);
-            match marks.filter(|_| !spelled) {
-                Some(ordinals) => ordinals.iter().for_each(|&at| w.put_var_u64(at.into())),
-                None => cb.marks_emitted.iter().for_each(|mark| w.put_str(mark)),
-            }
+        w.put_var_u64(cb.marks_emitted.len() as u64);
+        match marks.filter(|_| !spelled) {
+            Some(ordinals) => ordinals.iter().for_each(|&at| w.put_var_u64(at.into())),
+            None => cb.marks_emitted.iter().for_each(|mark| w.put_str(mark)),
         }
-        if cb.retries != 0 {
-            w.put_var_u64(cb.retries.into());
-        }
-    })
+    }
+    if cb.retries != 0 {
+        w.put_var_u64(cb.retries.into());
+    }
 }
 
-/// Decodes what `encode_block` stored as `task`'s block, relative to
+/// Decodes what `put_block` stored as `task`'s block, relative to
 /// `plan`. Bytes it cannot have written are a [`CodecError`].
 pub fn decode_block(plan: &Plan, task: TaskId, bytes: &[u8]) -> Result<TaskCb, CodecError> {
     let class = block_class(plan, task)?;
@@ -887,9 +889,8 @@ pub(crate) fn write_block<S: Storage>(
     task: TaskId,
     cb: &TaskCb,
 ) -> Result<(), TxError> {
-    let bytes = encode_block(plan, task, cb);
     let key = StoreKey::Fact(FactKey::control(instance, task));
-    mgr.write_key_raw(action, &key, bytes)
+    mgr.write_key_with(action, &key, |w| put_block(w, plan, task, cb))
 }
 
 /// Resolves one fact's identity (producer path, fact kind, set/output
@@ -1079,6 +1080,12 @@ pub fn remap_instance_facts<S: Storage>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `object` encoded for the declared sub-key `key`, relative to
+    /// `plan`.
+    fn encode_object(plan: &Plan, key: FactKey, object: ObjectRef<'_>) -> Vec<u8> {
+        flowscript_codec::encode_exact(|w| put_object(w, plan, key, object))
+    }
     use crate::keys::out_key;
     use flowscript_core::schema;
     use flowscript_plan::eval::PlanFacts;
@@ -1373,7 +1380,7 @@ mod tests {
         let seen = Rc::new(RefCell::new(None));
         let saw = seen.clone();
         sys.bind_fn("refT3", move |ctx| {
-            *saw.borrow_mut() = ctx.inputs.get("in").cloned();
+            *saw.borrow_mut() = ctx.input("in").map(ObjectRef::to_val);
             TaskBehavior::outcome("done").with_object("out", ObjectVal::text("Data", "3"))
         });
         let ran = Rc::new(Cell::new(0));

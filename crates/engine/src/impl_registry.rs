@@ -19,13 +19,18 @@ use std::rc::Rc;
 
 use flowscript_sim::SimDuration;
 
-use crate::value::ObjectVal;
+use crate::msg::{Clause, ObjectMap, StartView};
+use crate::value::{ObjectRef, ObjectVal};
 
-/// Context handed to an implementation invocation.
-#[derive(Debug)]
-pub struct InvokeCtx {
+/// Context handed to an implementation invocation: the start it runs
+/// for, read where the executor received it. Its names, clause and
+/// objects borrow the delivered bytes ([`InvokeCtx::inputs`],
+/// [`InvokeCtx::implementation`]); [`ObjectRef::to_val`] copies an
+/// object out.
+#[derive(Debug, Clone, Copy)]
+pub struct InvokeCtx<'a> {
     /// Task path within the instance.
-    pub path: String,
+    pub path: &'a str,
     /// The enclosing scope's incarnation this execution belongs to
     /// (0 initially; a compound repeat resets its subtree into a new
     /// incarnation — pure-function implementations can key retry
@@ -34,34 +39,70 @@ pub struct InvokeCtx {
     /// Dispatch attempt (0 for the first try; retries increment).
     pub attempt: u32,
     /// The bound input set's name.
-    pub set: String,
-    /// Bound input objects by slot name.
-    pub inputs: BTreeMap<String, ObjectVal>,
-    /// Objects from a previous repeat outcome of this task, if any.
-    pub repeat_objects: BTreeMap<String, ObjectVal>,
-    /// Implementation pairs from the script (deadline, priority, …).
-    pub implementation: BTreeMap<String, String>,
+    pub set: &'a str,
+    inputs: ObjectMap<'a>,
+    repeat_objects: ObjectMap<'a>,
+    implementation: Clause<'a>,
 }
 
-impl InvokeCtx {
+impl<'a> InvokeCtx<'a> {
+    /// The context of `start`, borrowing it.
+    pub(crate) fn of(start: &StartView<'a>) -> Self {
+        InvokeCtx {
+            path: start.at.path,
+            incarnation: start.at.incarnation,
+            attempt: start.at.attempt,
+            set: start.set,
+            inputs: start.inputs,
+            repeat_objects: start.repeat_objects,
+            implementation: start.implementation,
+        }
+    }
+
+    /// Bound input objects by slot name, names ascending.
+    pub fn inputs(&self) -> impl Iterator<Item = (&'a str, ObjectRef<'a>)> + Clone {
+        self.inputs.entries()
+    }
+
+    /// The bound input object in slot `name`.
+    pub fn input(&self, name: &str) -> Option<ObjectRef<'a>> {
+        self.inputs.get(name)
+    }
+
     /// The text payload of an input object (empty if missing).
     pub fn input_text(&self, name: &str) -> String {
-        self.inputs
-            .get(name)
-            .map(ObjectVal::as_text)
+        self.input(name)
+            .map(|object| object.as_text().into_owned())
             .unwrap_or_default()
     }
 
+    /// Objects from a previous repeat outcome of this task, by name —
+    /// none unless re-executing.
+    pub fn repeat_objects(&self) -> impl Iterator<Item = (&'a str, ObjectRef<'a>)> + Clone {
+        self.repeat_objects.entries()
+    }
+
+    /// The repeat outcome's object called `name`.
+    pub fn repeat_object(&self, name: &str) -> Option<ObjectRef<'a>> {
+        self.repeat_objects.get(name)
+    }
+
+    /// Implementation pairs from the script (code, deadline, priority,
+    /// …), keys ascending.
+    pub fn implementation(&self) -> impl Iterator<Item = (&'a str, &'a str)> + Clone {
+        self.implementation.pairs()
+    }
+
     /// An implementation pair's value.
-    pub fn impl_value(&self, key: &str) -> Option<&str> {
-        self.implementation.get(key).map(String::as_str)
+    pub fn impl_value(&self, key: &str) -> Option<&'a str> {
+        self.implementation.get(key)
     }
 
     /// The typed scheduling hints of the implementation clause
     /// (location, priority, duration, deadline) — one extraction
     /// instead of ad-hoc string parsing per consumer.
     pub fn hints(&self) -> crate::sched::ImplHints {
-        crate::sched::ImplHints::from_map(&self.implementation)
+        crate::sched::ImplHints::from_lookup(|key| self.impl_value(key))
     }
 }
 
@@ -156,7 +197,7 @@ impl TaskBehavior {
 pub trait TaskImpl {
     /// Decides this attempt's behaviour. Called once per dispatch; the
     /// executor then plays the behaviour out in simulated time.
-    fn invoke(&self, ctx: &InvokeCtx) -> TaskBehavior;
+    fn invoke(&self, ctx: &InvokeCtx<'_>) -> TaskBehavior;
 }
 
 /// A bound implementation entry.
@@ -190,11 +231,11 @@ impl ImplRegistry {
     /// Binds `name` to a closure.
     pub fn bind_fn<F>(&self, name: impl Into<String>, f: F)
     where
-        F: Fn(&InvokeCtx) -> TaskBehavior + 'static,
+        F: Fn(&InvokeCtx<'_>) -> TaskBehavior + 'static,
     {
         struct Closure<F>(F);
-        impl<F: Fn(&InvokeCtx) -> TaskBehavior> TaskImpl for Closure<F> {
-            fn invoke(&self, ctx: &InvokeCtx) -> TaskBehavior {
+        impl<F: Fn(&InvokeCtx<'_>) -> TaskBehavior> TaskImpl for Closure<F> {
+            fn invoke(&self, ctx: &InvokeCtx<'_>) -> TaskBehavior {
                 (self.0)(ctx)
             }
         }
@@ -236,7 +277,7 @@ impl ImplRegistry {
     ///
     /// A human-readable reason when the name is unbound or a built-in is
     /// misconfigured.
-    pub(crate) fn invoke(&self, name: &str, ctx: &InvokeCtx) -> Result<Invocation, String> {
+    pub(crate) fn invoke(&self, name: &str, ctx: &InvokeCtx<'_>) -> Result<Invocation, String> {
         if let Some(rest) = name.strip_prefix("builtin:") {
             return builtin(rest, ctx).map(Invocation::Behavior);
         }
@@ -291,7 +332,7 @@ pub(crate) enum Invocation {
 ///   of an exceptional input set with a timer.
 /// - `builtin:emit:<outcome>`: terminates immediately in `<outcome>`,
 ///   echoing its inputs as outputs (handy glue in tests/benches).
-fn builtin(name: &str, ctx: &InvokeCtx) -> Result<TaskBehavior, String> {
+fn builtin(name: &str, ctx: &InvokeCtx<'_>) -> Result<TaskBehavior, String> {
     if name == "timer" {
         if ctx.impl_value("duration_ms").is_none() {
             return Err("builtin:timer needs a duration_ms implementation pair".to_string());
@@ -304,8 +345,8 @@ fn builtin(name: &str, ctx: &InvokeCtx) -> Result<TaskBehavior, String> {
     }
     if let Some(outcome) = name.strip_prefix("emit:") {
         let mut behavior = TaskBehavior::outcome(outcome);
-        for (slot, value) in &ctx.inputs {
-            behavior = behavior.with_object(slot.clone(), value.clone());
+        for (slot, value) in ctx.inputs() {
+            behavior = behavior.with_object(slot, value.to_val());
         }
         return Ok(behavior);
     }
@@ -315,27 +356,70 @@ fn builtin(name: &str, ctx: &InvokeCtx) -> Result<TaskBehavior, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::{Attempt, EngineMsg, StartTask};
 
-    fn ctx() -> InvokeCtx {
-        InvokeCtx {
-            path: "root/t".into(),
-            incarnation: 0,
-            attempt: 0,
+    /// A delivered start of `root/t`, input `x` bound, its clause
+    /// `clause`.
+    fn start(clause: &[(&str, &str)]) -> Vec<u8> {
+        let clause = clause.iter().map(|(k, v)| (k.to_string(), v.to_string()));
+        flowscript_codec::to_bytes(&EngineMsg::Start(StartTask {
+            at: Attempt {
+                instance: "i".into(),
+                path: "root/t".into(),
+                incarnation: 0,
+                attempt: 0,
+            },
+            ticket: 0,
+            implementation: clause.collect(),
             set: "main".into(),
             inputs: BTreeMap::from([("x".to_string(), ObjectVal::text("C", "v"))]),
             repeat_objects: BTreeMap::new(),
-            implementation: BTreeMap::from([("duration_ms".to_string(), "250".to_string())]),
-        }
+        }))
+    }
+
+    /// The context of the start `bytes` hold.
+    fn ctx(bytes: &[u8]) -> InvokeCtx<'_> {
+        InvokeCtx::of(&StartView::read(bytes).expect("a start"))
+    }
+
+    /// A start whose clause says `duration_ms` 250.
+    fn timed() -> Vec<u8> {
+        start(&[("duration_ms", "250")])
+    }
+
+    /// The context reads the start in place: its inputs, clause and
+    /// set, as the start carried them.
+    #[test]
+    fn a_context_reads_its_start_in_place() {
+        let bytes = start(&[("code", "c"), ("location", "")]);
+        let ctx = ctx(&bytes);
+        assert_eq!((ctx.path, ctx.set), ("root/t", "main"));
+        let inputs: Vec<_> = ctx
+            .inputs()
+            .map(|(name, object)| (name, object.to_val()))
+            .collect();
+        assert_eq!(inputs, [("x", ObjectVal::text("C", "v"))]);
+        assert_eq!(ctx.input_text("x"), "v");
+        assert_eq!(ctx.input_text("y"), "");
+        assert_eq!(ctx.repeat_objects().count(), 0);
+        assert!(ctx.repeat_object("x").is_none());
+        let pairs: Vec<_> = ctx.implementation().collect();
+        assert_eq!(pairs, [("code", "c"), ("location", "")]);
+        assert_eq!(
+            (ctx.impl_value("code"), ctx.impl_value("x")),
+            (Some("c"), None)
+        );
+        assert_eq!(ctx.hints().location, None, "an empty label pins nothing");
     }
 
     #[test]
     fn closure_binding_invokes() {
         let registry = ImplRegistry::new();
-        registry.bind_fn("ref", |ctx: &InvokeCtx| {
+        registry.bind_fn("ref", |ctx: &InvokeCtx<'_>| {
             TaskBehavior::outcome("done")
                 .with_object("y", ObjectVal::text("C", ctx.input_text("x")))
         });
-        let Invocation::Behavior(behavior) = registry.invoke("ref", &ctx()).unwrap() else {
+        let Invocation::Behavior(behavior) = registry.invoke("ref", &ctx(&timed())).unwrap() else {
             panic!("expected behaviour");
         };
         assert_eq!(behavior.completion.outcome, "done");
@@ -345,7 +429,7 @@ mod tests {
     #[test]
     fn unbound_name_is_error() {
         let registry = ImplRegistry::new();
-        let err = registry.invoke("ghost", &ctx()).unwrap_err();
+        let err = registry.invoke("ghost", &ctx(&timed())).unwrap_err();
         assert!(err.contains("ghost"));
         assert!(!registry.is_bound("ghost"));
     }
@@ -353,9 +437,9 @@ mod tests {
     #[test]
     fn rebinding_replaces() {
         let registry = ImplRegistry::new();
-        registry.bind_fn("ref", |_: &InvokeCtx| TaskBehavior::outcome("v1"));
-        registry.bind_fn("ref", |_: &InvokeCtx| TaskBehavior::outcome("v2"));
-        let Invocation::Behavior(behavior) = registry.invoke("ref", &ctx()).unwrap() else {
+        registry.bind_fn("ref", |_: &InvokeCtx<'_>| TaskBehavior::outcome("v1"));
+        registry.bind_fn("ref", |_: &InvokeCtx<'_>| TaskBehavior::outcome("v2"));
+        let Invocation::Behavior(behavior) = registry.invoke("ref", &ctx(&timed())).unwrap() else {
             panic!();
         };
         assert_eq!(behavior.completion.outcome, "v2");
@@ -368,7 +452,8 @@ mod tests {
     fn builtin_timer_reads_duration() {
         let registry = ImplRegistry::new();
         assert!(registry.is_bound("builtin:timer"));
-        let Invocation::Behavior(behavior) = registry.invoke("builtin:timer", &ctx()).unwrap()
+        let Invocation::Behavior(behavior) =
+            registry.invoke("builtin:timer", &ctx(&timed())).unwrap()
         else {
             panic!();
         };
@@ -379,15 +464,15 @@ mod tests {
     #[test]
     fn builtin_timer_without_duration_errors() {
         let registry = ImplRegistry::new();
-        let mut c = ctx();
-        c.implementation.clear();
-        assert!(registry.invoke("builtin:timer", &c).is_err());
+        let untimed = start(&[]);
+        assert!(registry.invoke("builtin:timer", &ctx(&untimed)).is_err());
     }
 
     #[test]
     fn builtin_emit_echoes_inputs() {
         let registry = ImplRegistry::new();
-        let Invocation::Behavior(behavior) = registry.invoke("builtin:emit:ok", &ctx()).unwrap()
+        let Invocation::Behavior(behavior) =
+            registry.invoke("builtin:emit:ok", &ctx(&timed())).unwrap()
         else {
             panic!();
         };
@@ -398,14 +483,16 @@ mod tests {
     #[test]
     fn unknown_builtin_is_error() {
         let registry = ImplRegistry::new();
-        assert!(registry.invoke("builtin:frobnicate", &ctx()).is_err());
+        assert!(registry
+            .invoke("builtin:frobnicate", &ctx(&timed()))
+            .is_err());
     }
 
     #[test]
     fn script_binding_resolves() {
         let registry = ImplRegistry::new();
         registry.bind_script("nested", "class C;", "root");
-        match registry.invoke("nested", &ctx()).unwrap() {
+        match registry.invoke("nested", &ctx(&timed())).unwrap() {
             Invocation::Script { source, root } => {
                 assert_eq!(source, "class C;");
                 assert_eq!(root, "root");

@@ -114,4 +114,4 @@ pub use sched::{
 };
 pub use shard::ShardMap;
 pub use state::CbState;
-pub use value::ObjectVal;
+pub use value::{ObjectRef, ObjectVal};

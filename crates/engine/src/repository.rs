@@ -119,7 +119,7 @@ impl Node for Repository {
     fn handle(
         &mut self,
         _: SimTime,
-        input: Input<'_, Infallible, Infallible, Infallible>,
+        input: Input<Infallible, Infallible, Infallible>,
     ) -> Vec<Output<Infallible, Infallible, Infallible>> {
         let Input::Message {
             payload,
@@ -134,7 +134,7 @@ impl Node for Repository {
             source: String::new(),
             root: String::new(),
         };
-        let reply = match flowscript_codec::from_bytes::<EngineMsg>(payload) {
+        let reply = match flowscript_codec::from_bytes::<EngineMsg>(&payload) {
             Ok(EngineMsg::RepoRegister { name, source, root }) => {
                 bare(self.register(&name, &source, &root))
             }
@@ -239,7 +239,7 @@ mod tests {
             version: None,
         });
         let mut deliver = |token| {
-            let payload = &get;
+            let payload = get.clone();
             let message = Input::Message {
                 from: client,
                 payload,

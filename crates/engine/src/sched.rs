@@ -64,21 +64,19 @@ impl ImplHints {
     /// it through would pin the task to executors registered with an
     /// empty label.
     pub fn from_map(implementation: &BTreeMap<String, String>) -> Self {
+        Self::from_lookup(|key| implementation.get(key).map(String::as_str))
+    }
+
+    /// [`ImplHints::from_map`] of the clause whose value of a key `get`
+    /// looks up, wherever the clause lies.
+    pub(crate) fn from_lookup<'a>(get: impl Fn(&str) -> Option<&'a str>) -> Self {
         Self {
-            location: implementation
-                .get("location")
+            location: get("location")
                 .filter(|label| !label.is_empty())
-                .cloned(),
-            priority: implementation
-                .get("priority")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
-            duration_ms: implementation
-                .get("duration_ms")
-                .and_then(|v| v.parse().ok()),
-            deadline_ms: implementation
-                .get("deadline_ms")
-                .and_then(|v| v.parse().ok()),
+                .map(str::to_owned),
+            priority: get("priority").and_then(|v| v.parse().ok()).unwrap_or(0),
+            duration_ms: get("duration_ms").and_then(|v| v.parse().ok()),
+            deadline_ms: get("deadline_ms").and_then(|v| v.parse().ok()),
         }
     }
 

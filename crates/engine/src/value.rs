@@ -66,14 +66,19 @@ impl Encode for ObjectVal {
     }
 }
 
-/// An object's fields borrowed from wherever they lie: how an object is
-/// written, to a message or the store, without first being copied into
-/// an [`ObjectVal`].
+/// An object's fields borrowed from wherever they lie: how an
+/// implementation reads its inputs where the executor received them
+/// ([`crate::InvokeCtx::inputs`]), and how an object is written, to a
+/// message or the store, without first being copied into an
+/// [`ObjectVal`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ObjectRef<'a> {
-    pub(crate) class: &'a str,
-    pub(crate) data: &'a [u8],
-    pub(crate) produced_by: &'a str,
+pub struct ObjectRef<'a> {
+    /// The object's class name.
+    pub class: &'a str,
+    /// Opaque payload.
+    pub data: &'a [u8],
+    /// Path of the task that produced it (empty for external inputs).
+    pub produced_by: &'a str,
 }
 
 impl ObjectVal {
@@ -97,9 +102,15 @@ pub(crate) fn entries(
         .map(|(name, object)| (name.as_str(), object.view()))
 }
 
-impl ObjectRef<'_> {
+impl<'a> ObjectRef<'a> {
+    /// The payload as text (lossy for non-UTF-8 payloads), borrowed
+    /// where it is valid UTF-8.
+    pub fn as_text(self) -> std::borrow::Cow<'a, str> {
+        String::from_utf8_lossy(self.data)
+    }
+
     /// The object, owned.
-    pub(crate) fn to_val(self) -> ObjectVal {
+    pub fn to_val(self) -> ObjectVal {
         ObjectVal {
             class: self.class.to_owned(),
             data: self.data.to_vec(),

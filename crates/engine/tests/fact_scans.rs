@@ -149,7 +149,7 @@ fn corrupt_bound_input_stops_the_recovery_redispatch() {
     let starved = Rc::new(Cell::new(false));
     let saw = starved.clone();
     sys.bind_fn("refWork", move |ctx| {
-        saw.set(saw.get() || ctx.inputs.is_empty());
+        saw.set(saw.get() || ctx.inputs().next().is_none());
         TaskBehavior::outcome("done").with_work(SimDuration::from_millis(200))
     });
     sys.start("i", "one", "main", [("seed", text("Data", "s"))])
@@ -189,7 +189,7 @@ fn corrupt_repeat_fact_stops_the_watchdog_retry() {
     sys.bind_fn("ref0", move |ctx| match ctx.attempt {
         0 => TaskBehavior::outcome("again").with_object("p", text("Data", "first")),
         attempt => {
-            saw.set(saw.get() || ctx.repeat_objects.is_empty());
+            saw.set(saw.get() || ctx.repeat_objects().next().is_none());
             let hang = if attempt == 1 { 10_000 } else { 1 };
             TaskBehavior::outcome("done").with_work(SimDuration::from_millis(hang))
         }

@@ -726,7 +726,12 @@ mod alloc_count {
 
     /// What an allocation is charged to, by row: the façade and the
     /// world, a shard, an executor, the repository or the client.
-    pub const ROWS: [&str; 4] = ["facade and world", "shard", "executor", "repository and client"];
+    pub const ROWS: [&str; 4] = [
+        "facade and world",
+        "shard",
+        "executor",
+        "repository and client",
+    ];
 
     thread_local! {
         /// The row this thread's allocations are charged to now.

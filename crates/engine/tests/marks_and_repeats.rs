@@ -6,7 +6,7 @@
 mod common;
 
 use std::cell::RefCell;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use flowscript_core::samples;
@@ -177,8 +177,7 @@ fn a_repeating_leaf_reexecutes_with_carried_objects() {
     // Repeat1 transition, state carried through repeat objects).
     sys.bind_fn("refPoller", |ctx| {
         let progress: u32 = ctx
-            .repeat_objects
-            .get("progress")
+            .repeat_object("progress")
             .map(|o| o.as_text().parse().unwrap_or(0))
             .unwrap_or(0);
         if progress < 3 {
@@ -221,7 +220,7 @@ fn repeat_objects_name_the_leaf_that_made_them() {
             .with_redo_after(SimDuration::from_millis(5)),
         _ => {
             saw.borrow_mut()
-                .push(ctx.repeat_objects["progress"].clone());
+                .push(ctx.repeat_object("progress").unwrap().to_val());
             TaskBehavior::outcome("ready").with_object("out", ObjectVal::text("Data", "done"))
         }
     });
@@ -375,7 +374,11 @@ fn a_repeating_root_reactivates_on_its_start_set_and_inputs_across_a_restart() {
     let seen = Rc::new(RefCell::new(Vec::new()));
     let saw = seen.clone();
     sys.bind_fn("refWork", move |ctx| {
-        saw.borrow_mut().push((ctx.incarnation, ctx.inputs.clone()));
+        let inputs = ctx
+            .inputs()
+            .map(|(name, object)| (name.to_string(), object.to_val()));
+        saw.borrow_mut()
+            .push((ctx.incarnation, inputs.collect::<BTreeMap<_, _>>()));
         match ctx.incarnation {
             0 => TaskBehavior::outcome("again"),
             1 => TaskBehavior::outcome("again").with_work(SimDuration::from_millis(100)),

@@ -721,7 +721,7 @@ fn run_shifted_producers(shifted: bool) -> (InstanceStatus, Vec<ObjectVal>) {
     let handed = Rc::new(RefCell::new(Vec::new()));
     let saw = handed.clone();
     sys.bind_fn("refConsumer", move |ctx| {
-        saw.borrow_mut().push(ctx.inputs["in"].clone());
+        saw.borrow_mut().push(ctx.input("in").unwrap().to_val());
         TaskBehavior::outcome("done")
             .with_work(SimDuration::from_millis(200))
             .with_object("out", text("Data", "c"))

@@ -123,7 +123,7 @@ const TOMBSTONE: u8 = 0x80;
 
 /// What an after-image list holds against each key: a commit's new
 /// bytes or deletion, a checkpoint's live bytes.
-trait Image {
+pub(crate) trait Image {
     /// Whether a list of these may delete a key.
     const DELETES: bool;
 
@@ -298,14 +298,19 @@ const TAG_FENCE: u8 = 7;
 const TAG_COMMIT: u8 = 8;
 const TAG_CHECKPOINT: u8 = 9;
 
+/// Writes the [`LogRecord::Commit`] of `tx` with the after-images
+/// `writes`, wherever they lie: a manager writes its open action's
+/// straight from its workspace.
+pub(crate) fn put_commit<V: Image>(w: &mut ByteWriter, tx: TxId, writes: &[(StoreKey, V)]) {
+    w.put_u8(TAG_COMMIT);
+    tx.encode(w);
+    encode_images(w, writes);
+}
+
 impl Encode for LogRecord {
     fn encode(&self, w: &mut ByteWriter) {
         match self {
-            LogRecord::Commit { tx, writes } => {
-                w.put_u8(TAG_COMMIT);
-                tx.encode(w);
-                encode_images(w, writes);
-            }
+            LogRecord::Commit { tx, writes } => put_commit(w, *tx, writes),
             LogRecord::Checkpoint { states, next_seq } => {
                 w.put_u8(TAG_CHECKPOINT);
                 encode_images(w, states);
@@ -402,13 +407,25 @@ impl<S: Storage> Wal<S> {
     ///
     /// Propagates storage failures.
     pub fn append(&mut self, record: &LogRecord) -> Result<(), TxError> {
+        self.append_with(|w| record.encode(w))
+    }
+
+    /// [`Wal::append`] of the record `write` writes.
+    ///
+    /// # Errors
+    ///
+    /// Propagates storage failures.
+    pub(crate) fn append_with(
+        &mut self,
+        write: impl FnOnce(&mut ByteWriter),
+    ) -> Result<(), TxError> {
         // Framed in place, in the reused frame buffer: the storage gets
         // that one slice.
         self.frame.clear();
         if self.storage.is_empty() {
             self.frame.put_bytes(&LOG_HEADER);
         }
-        frame::encode_frame_with(&mut self.frame, |w| record.encode(w))?;
+        frame::encode_frame_with(&mut self.frame, write)?;
         self.storage.append(self.frame.as_slice())
     }
 

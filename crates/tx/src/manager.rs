@@ -2,13 +2,13 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
-use flowscript_codec::{CodecError, Decode, Encode, IdMap};
+use flowscript_codec::{ByteWriter, CodecError, Decode, Encode, IdMap};
 use flowscript_obs::{Histogram, MetricValue, ObserveLevel, Snapshot};
 
 use crate::error::TxError;
 use crate::id::{ObjectUid, TxId};
 use crate::key::{FactKey, FactKind, StoreKey};
-use crate::log::{LogRecord, Wal};
+use crate::log::{self, LogRecord, Wal};
 use crate::storage::{SharedStorage, Storage};
 
 /// A live atomic action (transaction).
@@ -41,7 +41,7 @@ impl AtomicAction {
 /// empties it between actions, keeping what it allocated.
 #[derive(Debug, Default)]
 struct Workspace {
-    writes: Vec<(StoreKey, Option<Vec<u8>>)>,
+    writes: Vec<(StoreKey, Option<Stored>)>,
     facts: IdMap<FactKey, usize>,
     uids: BTreeMap<ObjectUid, usize>,
 }
@@ -49,8 +49,11 @@ struct Workspace {
 /// The most staged writes whose room an emptied workspace keeps.
 const WORKSPACE_KEPT: usize = 1024;
 
+/// The most bytes of room the scratch writer keeps after an image.
+const SCRATCH_KEPT: usize = 64 * 1024;
+
 impl Workspace {
-    fn stage(&mut self, key: &StoreKey, value: Option<Vec<u8>>) {
+    fn stage(&mut self, key: &StoreKey, value: Option<Stored>) {
         let next = self.writes.len();
         let slot = match key {
             StoreKey::Fact(fact) => *self.facts.entry(*fact).or_insert(next),
@@ -68,7 +71,7 @@ impl Workspace {
         }
     }
 
-    fn staged(&self, key: &StoreKey) -> Option<&Option<Vec<u8>>> {
+    fn staged(&self, key: &StoreKey) -> Option<&Option<Stored>> {
         let slot = match key {
             StoreKey::Fact(fact) => self.facts.get(fact),
             StoreKey::Uid(uid) => self.uids.get(uid),
@@ -78,7 +81,7 @@ impl Workspace {
 
     /// Empties the workspace for the next action, `writes` the vector
     /// its after-images go back into.
-    fn reset(&mut self, mut writes: Vec<(StoreKey, Option<Vec<u8>>)>) {
+    fn reset(&mut self, mut writes: Vec<(StoreKey, Option<Stored>)>) {
         if writes.capacity() > WORKSPACE_KEPT {
             *self = Workspace::default();
             return;
@@ -87,6 +90,75 @@ impl Workspace {
         self.writes = writes;
         self.facts.clear();
         self.uids.clear();
+    }
+}
+
+/// The most bytes an object holds in place ([`Stored`]): every control
+/// block, and a fact object of a short payload.
+const INLINE: usize = 22;
+
+/// One object's bytes as the store and a workspace hold them: up to
+/// [`INLINE`] bytes in place, so staging and committing one allocates
+/// nothing, and longer ones on the heap. A staged after-image is
+/// encoded into the manager's scratch writer and copied here
+/// ([`TxManager::write_key_with`]), not into a `Vec` of its own.
+#[derive(Clone)]
+pub(crate) enum Stored {
+    Inline { len: u8, bytes: [u8; INLINE] },
+    Heap(Box<[u8]>),
+}
+
+impl Stored {
+    /// A copy of `bytes`.
+    fn copy_of(bytes: &[u8]) -> Self {
+        let mut inline = [0; INLINE];
+        match inline.get_mut(..bytes.len()) {
+            Some(held) => {
+                held.copy_from_slice(bytes);
+                let len = bytes.len() as u8;
+                Stored::Inline { len, bytes: inline }
+            }
+            None => Stored::Heap(bytes.into()),
+        }
+    }
+
+    /// The bytes.
+    pub(crate) fn as_slice(&self) -> &[u8] {
+        match self {
+            Stored::Inline { len, bytes } => bytes.get(..usize::from(*len)).unwrap_or_default(),
+            Stored::Heap(bytes) => bytes,
+        }
+    }
+}
+
+/// Bytes that arrived in a `Vec` of their own (a caller's raw write, a
+/// replayed image) move to the heap as they are, or in place if short.
+impl From<Vec<u8>> for Stored {
+    fn from(bytes: Vec<u8>) -> Self {
+        if bytes.len() <= INLINE {
+            Stored::copy_of(&bytes)
+        } else {
+            Stored::Heap(bytes.into_boxed_slice())
+        }
+    }
+}
+
+impl std::fmt::Debug for Stored {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
+/// A workspace's after-image, written to the log where it lies.
+impl log::Image for Option<Stored> {
+    const DELETES: bool = true;
+
+    fn bytes(&self) -> Option<&[u8]> {
+        self.as_ref().map(Stored::as_slice)
+    }
+
+    fn from_bytes(bytes: Option<&[u8]>) -> Self {
+        bytes.map(Stored::copy_of)
     }
 }
 
@@ -177,11 +249,13 @@ fn tick(count: &Cell<u64>) {
 pub struct TxManager<S = SharedStorage> {
     node: u32,
     wal: Wal<S>,
-    store: BTreeMap<StoreKey, Vec<u8>>,
+    store: BTreeMap<StoreKey, Stored>,
     /// The open action…
     open: Option<TxId>,
-    /// …and what it staged.
+    /// …and what it staged,…
     workspace: Workspace,
+    /// …each after-image encoded here first ([`TxManager::write_key_with`]).
+    scratch: ByteWriter,
     next_seq: u64,
     /// A durable [`LogRecord::Fence`] by *another* node: `(claimant,
     /// epoch)`. Set at replay, or detected mid-run by the tail probe in
@@ -232,7 +306,10 @@ impl<S: Storage> TxManager<S> {
                     states,
                     next_seq: carried,
                 } => {
-                    store = states.into_iter().collect();
+                    store = states
+                        .into_iter()
+                        .map(|(key, bytes)| (key, bytes.into()))
+                        .collect();
                     next_seq = next_seq.max(carried);
                 }
                 LogRecord::Commit { tx, mut writes } => {
@@ -255,6 +332,7 @@ impl<S: Storage> TxManager<S> {
             store,
             open: None,
             workspace: Workspace::default(),
+            scratch: ByteWriter::new(),
             next_seq,
             fence,
             wal_len,
@@ -315,7 +393,30 @@ impl<S: Storage> TxManager<S> {
         key: &StoreKey,
         value: &T,
     ) -> Result<(), TxError> {
-        self.write_key_raw(action, key, flowscript_codec::to_bytes(value))
+        self.write_key_with(action, key, |w| value.encode(w))
+    }
+
+    /// Writes the object bytes `write` writes within an action (see
+    /// [`TxManager::write_key`]): encoded into the manager's scratch
+    /// writer and staged from there, a short object in place — no
+    /// buffer of its own.
+    ///
+    /// # Errors
+    ///
+    /// As for [`TxManager::write_key`].
+    pub fn write_key_with(
+        &mut self,
+        action: &AtomicAction,
+        key: &StoreKey,
+        write: impl FnOnce(&mut ByteWriter),
+    ) -> Result<(), TxError> {
+        self.scratch.clear();
+        write(&mut self.scratch);
+        let image = Stored::copy_of(self.scratch.as_slice());
+        if self.scratch.len() > SCRATCH_KEPT {
+            self.scratch = ByteWriter::new();
+        }
+        self.stage(action, key, Some(image))
     }
 
     /// Writes raw object bytes within an action (see
@@ -330,7 +431,7 @@ impl<S: Storage> TxManager<S> {
         key: &StoreKey,
         bytes: Vec<u8>,
     ) -> Result<(), TxError> {
-        self.stage(action, key, Some(bytes))
+        self.stage(action, key, Some(bytes.into()))
     }
 
     /// Deletes an object within an action.
@@ -346,7 +447,7 @@ impl<S: Storage> TxManager<S> {
         &mut self,
         action: &AtomicAction,
         key: &StoreKey,
-        value: Option<Vec<u8>>,
+        value: Option<Stored>,
     ) -> Result<(), TxError> {
         if self.open != Some(action.id) {
             return Err(TxError::UnknownAction(action.id));
@@ -375,16 +476,10 @@ impl<S: Storage> TxManager<S> {
             return Ok(());
         }
         let images = writes.len() as u64;
-        // The frame borrows nothing and is encoded exactly once; the
-        // after-images then move into the store.
-        let frame = LogRecord::Commit {
-            tx: action.id,
-            writes,
-        };
-        let appended = self.append_record(&frame);
-        let LogRecord::Commit { mut writes, .. } = frame else {
-            unreachable!("the frame is the commit record built above");
-        };
+        // The record is written from the workspace where it lies, once;
+        // the after-images then move into the store.
+        let appended = self.append_with(|w| log::put_commit(w, action.id, &writes));
+        let mut writes = writes;
         if let Err(err) = appended {
             // The action is consumed — nobody can abort it any more — so
             // a commit that did not reach the log ends here as an abort.
@@ -413,9 +508,14 @@ impl<S: Storage> TxManager<S> {
     /// One record onto the log as one frame, behind the fence check
     /// every append makes first.
     fn append_record(&mut self, record: &LogRecord) -> Result<(), TxError> {
+        self.append_with(|w| record.encode(w))
+    }
+
+    /// [`TxManager::append_record`] of the record `write` writes.
+    fn append_with(&mut self, write: impl FnOnce(&mut ByteWriter)) -> Result<(), TxError> {
         // Past the fence check `wal_len` is the log's length.
         self.check_fence()?;
-        self.wal.append(record)?;
+        self.wal.append_with(write)?;
         let len = self.wal.size_bytes();
         if self.metrics.observe.metrics() {
             let frame = len.saturating_sub(self.wal_len);
@@ -500,7 +600,7 @@ impl<S: Storage> TxManager<S> {
         }
         match self.store.get(key) {
             None => Ok(None),
-            Some(bytes) => Ok(Some(flowscript_codec::from_bytes(bytes)?)),
+            Some(bytes) => Ok(Some(flowscript_codec::from_bytes(bytes.as_slice())?)),
         }
     }
 
@@ -518,14 +618,14 @@ impl<S: Storage> TxManager<S> {
             None => None,
         };
         match staged {
-            Some(staged) => staged.as_deref(),
-            None => self.store.get(key).map(Vec::as_slice),
+            Some(staged) => staged.as_ref().map(Stored::as_slice),
+            None => self.store.get(key).map(Stored::as_slice),
         }
     }
 
     /// The committed raw bytes of an object (key remapping, diagnostics).
     pub fn read_committed_bytes(&self, key: &StoreKey) -> Option<&[u8]> {
-        self.store.get(key).map(Vec::as_slice)
+        self.store.get(key).map(Stored::as_slice)
     }
 
     /// Whether an object exists in committed state.
@@ -582,7 +682,7 @@ impl<S: Storage> TxManager<S> {
         tick(&self.metrics.fact_range_scans);
         self.store
             .range(StoreKey::Fact(lo)..=StoreKey::Fact(hi))
-            .filter_map(|(key, bytes)| key.as_fact().map(|key| (key, bytes.clone())))
+            .filter_map(|(key, bytes)| key.as_fact().map(|key| (key, bytes.as_slice().to_vec())))
             .collect()
     }
 
@@ -599,7 +699,7 @@ impl<S: Storage> TxManager<S> {
         let states: Vec<(StoreKey, Vec<u8>)> = self
             .store
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .map(|(k, v)| (k.clone(), v.as_slice().to_vec()))
             .collect();
         self.wal.rewrite_with_checkpoint(states, self.next_seq)?;
         self.wal_len = self.wal.size_bytes();
@@ -635,14 +735,14 @@ fn is_fact(key: &StoreKey) -> bool {
 }
 
 /// Moves committed after-images into the store, emptying `writes`.
-fn apply_writes(
-    store: &mut BTreeMap<StoreKey, Vec<u8>>,
-    writes: &mut Vec<(StoreKey, Option<Vec<u8>>)>,
+fn apply_writes<V: Into<Stored>>(
+    store: &mut BTreeMap<StoreKey, Stored>,
+    writes: &mut Vec<(StoreKey, Option<V>)>,
 ) {
     for (key, value) in writes.drain(..) {
         match value {
             Some(bytes) => {
-                store.insert(key, bytes);
+                store.insert(key, bytes.into());
             }
             None => {
                 store.remove(&key);

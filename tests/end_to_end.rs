@@ -107,7 +107,7 @@ fn wide_fan_out_fan_in_topology() {
         );
     }
     sys.bind_fn("refJoin", |ctx| {
-        let joined = ctx.inputs.len();
+        let joined = ctx.inputs().count();
         TaskBehavior::outcome("done")
             .with_object("out", ObjectVal::text("Data", format!("{joined} joined")))
     });
