@@ -522,12 +522,10 @@ impl Coordinator {
     /// module doc says why), and a refused append rolls them back with
     /// it.
     pub(super) fn stage_life(&mut self, step: &mut Step) -> Result<(), EngineError> {
-        let mut life = ByteWriter::with_capacity(4);
-        life.put_var_u64(self.dispatcher.next_ticket >> 32);
+        let life = self.dispatcher.next_ticket >> 32;
         let action = step.action(&mut self.mgr);
-        Ok(self
-            .mgr
-            .write_key_raw(action, &keys::life_uid(), life.into_vec())?)
+        let write = |w: &mut ByteWriter| w.put_var_u64(life);
+        Ok(self.mgr.write_key_with(action, &keys::life_uid(), write)?)
     }
 
     /// The committed control blocks of `instance` sitting in

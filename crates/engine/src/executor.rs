@@ -1,13 +1,16 @@
 //! Task executor nodes.
 //!
 //! An executor is a value ([`Executor`]), driven like every node by
-//! `crate::driver`. A `StartTask` message in, it binds the named
-//! implementation through the shared [`ImplRegistry`] and plays the
-//! resulting [`crate::TaskBehavior`] out as timers: one per mark at its
-//! offset, then one for the completion after the work duration. Each
-//! goes off as one [`EngineMsg::Report`] to the dispatching shard — the
-//! attempt's address, the start's ticket, the result — and a start that
-//! cannot bind is reported the same way, at once. Executors hold **no
+//! `crate::driver`. A start in, it checks the delivered bytes whole once
+//! and binds them as a [`StartView`] — the implementation's
+//! [`InvokeCtx`] borrows it — to the named implementation through the
+//! shared [`ImplRegistry`], and plays the resulting
+//! [`crate::TaskBehavior`] out as timers: one per mark at its offset,
+//! then one for the completion after the work duration. Each holds its
+//! [`EngineMsg::Report`] to the dispatching shard, encoded at the bind —
+//! the attempt's address as the start carried it, the start's ticket,
+//! the result — and a start that cannot bind is reported the same way,
+//! at once. Executors hold **no
 //! durable state**: a crash simply loses in-flight work, which the
 //! coordinator's watchdogs turn into bounded retries on another node.
 //! Its slots are volatile too: a restarted executor starts with every
@@ -31,9 +34,8 @@
 //! queueing them here once all eligible executors are saturated.
 //!
 //! A start is indexed by the shard that dispatched it and its ticket
-//! until its completion goes off: the entry holds the attempt's
-//! [`Attempt`] address and its timers, and each timer only its result,
-//! so the address is kept once. A shard that gives up on an attempt —
+//! until its completion goes off: the entry holds the attempt's encoded
+//! address and its timers. A shard that gives up on an attempt —
 //! its scope cancelled, its watchdog fired, its task reconfigured away,
 //! another copy's report applied — sends [`EngineMsg::Cancel`] with that
 //! ticket: the attempt's pending reports are disarmed, and if its

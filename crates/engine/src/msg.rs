@@ -334,6 +334,7 @@ fn map_entries<'a, V>(
 }
 
 /// One object in its wire form.
+#[deny(clippy::indexing_slicing)]
 fn read_object<'a>(r: &mut ByteReader<'a>) -> Result<ObjectRef<'a>, CodecError> {
     Ok(ObjectRef {
         class: r.get_str()?,
@@ -394,6 +395,7 @@ impl<'a> Clause<'a> {
 }
 
 /// A message's tag, read off a reader at its start.
+#[deny(clippy::indexing_slicing)]
 fn expect_tag(r: &mut ByteReader<'_>, tag: u8, ty: &'static str) -> Result<(), CodecError> {
     match r.get_u8()? {
         got if got == tag => Ok(()),
