@@ -15,6 +15,11 @@ fail() {
     echo "gate failed: $1" >&2
     failed=$((failed + 1))
 }
+# A file's lines above the `#[cfg(test)]` line that `mod tests` follows
+# (as `ci/loc.sh` counts them): a test-only item above it stays in.
+above_tests='/^#\[cfg\(test\)\]$/ {if (held != "") print held; held = $0; next}
+held != "" {if (/^mod tests/) exit; print held; held = ""}
+{print}'
 
 ! cargo tree -p flowscript-plan -e dev --offline | grep -q flowscript-engine || fail 'No dev-dependency cycle (the plan crate'\''s reference interpreter lives in its own tests)'
 ! grep -rnE 'std::time::(Instant|SystemTime)' crates/{codec,core,engine,obs,plan,sim,tx}/src || fail 'One clock (the engine and everything under it read virtual time only)'
@@ -48,8 +53,8 @@ fail() {
 ! grep -rnE 'set_(node_)?handler|RepoHandle' crates/engine/src && ! grep -rnE 'arm_timer|rpc_reply|world\.call\(' crates/engine/src | grep -v '^crates/engine/src/driver.rs:' && ! for f in $(find crates/engine/src -name '*.rs' ! -name api.rs); do awk '/#\[cfg\(test\)\]/{exit} {print}' "$f"; done | grep -nE 'world\.next(_until)?\(' || fail 'The engine meets the world in one place (only the façade'\''s loop in api.rs takes the world'\''s events, World::next/next_until, and feeds them to a node through its deliver; only driver.rs makes calls, answers requests or arms timers; nothing installs a handler)'
 ! grep -nE 'Rc<RefCell' crates/engine/src/{executor,repository,api}.rs || fail 'Every node is a value (no executor, repository or client state hides in a shared cell)'
 ! for f in crates/obs/src/*.rs crates/engine/src/coordinator/*.rs crates/tx/src/manager.rs crates/tx/src/storage.rs; do awk '/#\[cfg\(test\)\]/{exit} {print}' "$f"; done | grep -nE '\bRc\b|\bRegistry\b' || fail 'A shard owns what it holds (below their test modules, obs, the coordinator and the tx manager and storage name no Rc and no metric Registry; Coordinator is Send, asserted at build)'
-! for f in crates/*/src/*.rs crates/*/src/*/*.rs; do awk '/#\[cfg\(test\)\]/{exit} {print}' "$f"; done | grep -nE 'sys/plan|plan_uid|PLAN_PREFIX|plan_bytes|is_well_formed|verify_fingerprint|impl Decode for Plan\b|from_bytes::<Plan>' || fail 'A plan is its source, compiled (below their test modules, the crates store, ship, decode and validate no plan)'
-! for f in crates/*/src/*.rs crates/*/src/*/*.rs; do awk '/#\[cfg\(test\)\]/{exit} {print}' "$f"; done | grep -nE 'impl (Encode|Decode) for (InstanceStatus|Outcome)\b' || fail 'Status is not a stored type (below their test modules, the crates encode only the stuck reason; `Running` and `Completed` are read off the root block)'
+! for f in crates/*/src/*.rs crates/*/src/*/*.rs; do awk "$above_tests" "$f"; done | grep -nE 'sys/plan|plan_uid|PLAN_PREFIX|plan_bytes|is_well_formed|verify_fingerprint|impl Decode for Plan\b|from_bytes::<Plan>' || fail 'A plan is its source, compiled (below their test modules, the crates store, ship, decode and validate no plan)'
+! for f in crates/*/src/*.rs crates/*/src/*/*.rs; do awk "$above_tests" "$f"; done | grep -nE 'impl (Encode|Decode) for (InstanceStatus|Outcome)\b' || fail 'Status is not a stored type (below their test modules, the crates encode only the stuck reason; `Running` and `Completed` are read off the root block)'
 test "$(for f in $(find crates/engine/src -name "*.rs"); do awk "/#\[cfg\(test\)\]/{exit} {print}" "$f"; done | grep -c "Plan::lower")" -eq 1 || fail 'One place the engine lowers a plan (the shard'\''s PlanCache; non-test crates/engine/src names Plan::lower once)'
 ! grep -rnE 'rpc_reply\(|is_request\(' crates src tests examples || fail 'One reply path in the sim (a request is answered through its reply token)'
 ! grep -rnE 'fn (schedule_node_after|set_restart_hook|rpc_call)\b|type (Callback|RestartHook)\b' crates/sim/src crates/engine/src || fail 'What a node asks of the simulator is data (a timer is a queued tag, a call a pending entry with no continuation; no closure-based timer, call or restart hook)'
@@ -67,7 +72,7 @@ test "$(grep -c 'pub incarnation: u32' crates/engine/src/msg.rs)" -eq 1 || fail 
 ! grep -rnE 'Timer::Dispatch|struct ParkedDispatch|fn on_dispatch_timer' crates src tests examples README.md || fail 'One state and one timer per flight (a delayed or parked attempt waits on its dispatch record; the boxed dispatch timer, the queue'\''s copy of the launch and their handler stay deleted)'
 ! grep -rnE 'fn (adopt_orphans|forget_moves)\b|moved: BTreeMap' crates/engine/src || fail 'One book of rounds (a landed round relays from the books until the flip; no relay table beside them, no sweep of the store for what a landing or thaw loads)'
 ! grep -nE 'stored_instance(s|_names)\(&self\.mgr\)' crates/engine/src/coordinator/membership.rs || fail 'A landing loads what it landed (membership names what it loads; only a restart and blob GC sweep a shard'\''s headers)'
-! grep -nE 'HashMap<(StoreKey|u64),' crates/tx/src/manager.rs crates/sim/src/sched.rs crates/sim/src/rpc.rs || fail 'Minted keys hash under the fixed hasher (the action workspace, the sim scheduler and the rpc table key by ids the program mints: IdMap, no SipHash; uids, which carry client names, stay in an ordered map)'
+! grep -nE 'HashMap<(StoreKey|u64),' crates/tx/src/manager.rs crates/sim/src/sched.rs crates/sim/src/rpc.rs && ! for f in crates/tx/src/*.rs; do awk "$above_tests" "$f"; done | grep -nE 'BTreeMap<StoreKey|HashMap<u32,' || fail 'Minted keys hash under the fixed hasher (the action workspace, the committed store'\''s instance index, the sim scheduler and the rpc table key by ids the program mints: IdMap, no SipHash; uids, which carry client names, stay in an ordered map, and no ordered map holds the whole store by StoreKey)'
 ! grep -rnE 'impl Decode for (StartTask|TaskReport)\b' crates/engine/src && ! awk '/^pub struct InvokeCtx/,/^}/' crates/engine/src/impl_registry.rs | grep -q 'BTreeMap<String, ObjectVal>' || fail 'A start and a report are read where they lie (an executor binds a start as a view over the delivered bytes, a shard keeps a report in the bytes it arrived in: no owned decode of StartTask or TaskReport, no map of owned objects on InvokeCtx)'
 test "$(wc -c < README.md)" -le 39600 || fail 'README byte budget'
 

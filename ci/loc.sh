@@ -1,17 +1,23 @@
 #!/usr/bin/env bash
 # Non-test lines of code, by one rule: every `.rs` under `crates`, `src`
 # and `examples` that is not under a `tests/` directory, each counted up
-# to its first `#[cfg(test)]` line. Prints the total, then each crate
-# (the umbrella's `src` and `examples` as rows of their own), then each
-# file of the engine's `coordinator/`. A report, not a gate:
+# to the `#[cfg(test)]` that opens its `mod tests` (a test-only item
+# above that line is counted). Prints the total, then each crate (the
+# umbrella's `src` and `examples` as rows of their own), then each file
+# of the engine's `coordinator/`. A report, not a gate:
 #
 #     bash ci/loc.sh
 set -u
 cd "$(dirname "$0")/.." || exit 2
 
+# A file's lines above the `#[cfg(test)]` line that `mod tests` follows.
+above_tests='/^#\[cfg\(test\)\]$/ {if (held != "") print held; held = $0; next}
+held != "" {if (/^mod tests/) exit; print held; held = ""}
+{print}'
+
 loc() {
     for f in $(find "$@" -name '*.rs' -not -path '*/tests/*' | sort); do
-        awk '/#\[cfg\(test\)\]/{exit} {print}' "$f"
+        awk "$above_tests" "$f"
     done | wc -l
 }
 

@@ -218,9 +218,10 @@ impl Decode for FactKey {
 /// A key into the persistent object store: either a self-describing
 /// string uid or a dense fact key.
 ///
-/// String uids order before dense keys, so prefix enumeration of uids
-/// and range scans over facts and control blocks each stay within their
-/// own region of the store's key space.
+/// String uids order before dense keys: a checkpoint lists the uids
+/// first and then each instance's facts and control blocks, the order
+/// the store walks its keys in. The store keeps the two families apart,
+/// uids in one ordered map and fact keys in a run per instance.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StoreKey {
     /// A path-like string key (instance records, admin records, blobs).

@@ -50,6 +50,7 @@ pub mod lock;
 pub mod log;
 mod manager;
 pub mod storage;
+mod store;
 
 pub use error::TxError;
 pub use id::{ObjectUid, TxId};

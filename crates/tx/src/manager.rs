@@ -1,6 +1,5 @@
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::ops::Bound;
 
 use flowscript_codec::{ByteWriter, CodecError, Decode, Encode, IdMap};
 use flowscript_obs::{Histogram, MetricValue, ObserveLevel, Snapshot};
@@ -10,6 +9,7 @@ use crate::id::{ObjectUid, TxId};
 use crate::key::{FactKey, FactKind, StoreKey};
 use crate::log::{self, LogRecord, Wal};
 use crate::storage::{SharedStorage, Storage};
+use crate::store::{Store, Stored};
 
 /// A live atomic action (transaction).
 ///
@@ -93,75 +93,6 @@ impl Workspace {
     }
 }
 
-/// The most bytes an object holds in place ([`Stored`]): every control
-/// block, and a fact object of a short payload.
-const INLINE: usize = 22;
-
-/// One object's bytes as the store and a workspace hold them: up to
-/// [`INLINE`] bytes in place, so staging and committing one allocates
-/// nothing, and longer ones on the heap. A staged after-image is
-/// encoded into the manager's scratch writer and copied here
-/// ([`TxManager::write_key_with`]), not into a `Vec` of its own.
-#[derive(Clone)]
-pub(crate) enum Stored {
-    Inline { len: u8, bytes: [u8; INLINE] },
-    Heap(Box<[u8]>),
-}
-
-impl Stored {
-    /// A copy of `bytes`.
-    fn copy_of(bytes: &[u8]) -> Self {
-        let mut inline = [0; INLINE];
-        match inline.get_mut(..bytes.len()) {
-            Some(held) => {
-                held.copy_from_slice(bytes);
-                let len = bytes.len() as u8;
-                Stored::Inline { len, bytes: inline }
-            }
-            None => Stored::Heap(bytes.into()),
-        }
-    }
-
-    /// The bytes.
-    pub(crate) fn as_slice(&self) -> &[u8] {
-        match self {
-            Stored::Inline { len, bytes } => bytes.get(..usize::from(*len)).unwrap_or_default(),
-            Stored::Heap(bytes) => bytes,
-        }
-    }
-}
-
-/// Bytes that arrived in a `Vec` of their own (a caller's raw write, a
-/// replayed image) move to the heap as they are, or in place if short.
-impl From<Vec<u8>> for Stored {
-    fn from(bytes: Vec<u8>) -> Self {
-        if bytes.len() <= INLINE {
-            Stored::copy_of(&bytes)
-        } else {
-            Stored::Heap(bytes.into_boxed_slice())
-        }
-    }
-}
-
-impl std::fmt::Debug for Stored {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.as_slice().fmt(f)
-    }
-}
-
-/// A workspace's after-image, written to the log where it lies.
-impl log::Image for Option<Stored> {
-    const DELETES: bool = true;
-
-    fn bytes(&self) -> Option<&[u8]> {
-        self.as_ref().map(Stored::as_slice)
-    }
-
-    fn from_bytes(bytes: Option<&[u8]>) -> Self {
-        bytes.map(Stored::copy_of)
-    }
-}
-
 /// The manager's metrics, exported under `tx.*`/`wal.*` by
 /// [`TxMetrics::snapshot`]. The manager owns them: a shard reopening its
 /// log after a crash moves them into the new manager
@@ -239,8 +170,11 @@ fn tick(count: &Cell<u64>) {
 ///
 /// Objects are addressed by [`StoreKey`]: string [`ObjectUid`]s for the
 /// self-describing metadata, dense [`FactKey`]s for the dependency facts
-/// and control blocks of the commit hot path. The store is ordered by
-/// key, so uid prefixes and dense ranges are both real range scans.
+/// and control blocks of the commit hot path. Uids are kept in order, so
+/// a uid prefix is a range scan; fact keys are kept by instance id, each
+/// instance's in one sorted run, so a point read is a hash probe and a
+/// binary search over that instance's keys and a range within it is one
+/// slice.
 ///
 /// A manager has at most one open action. It belongs to one shard, which
 /// runs one step at a time, so the order actions begin in is the serial
@@ -249,7 +183,7 @@ fn tick(count: &Cell<u64>) {
 pub struct TxManager<S = SharedStorage> {
     node: u32,
     wal: Wal<S>,
-    store: BTreeMap<StoreKey, Stored>,
+    store: Store,
     /// The open action…
     open: Option<TxId>,
     /// …and what it staged,…
@@ -289,7 +223,7 @@ impl<S: Storage> TxManager<S> {
     /// [`TxError::Storage`] on I/O failure.
     pub fn open(node: u32, storage: S) -> Result<Self, TxError> {
         let mut wal = Wal::new(storage);
-        let mut store = BTreeMap::new();
+        let mut store = Store::default();
         let mut fence: Option<(u32, u64)> = None;
         let mut next_seq = 1u64;
         // A torn tail is cut off here, before anything appends behind it.
@@ -306,15 +240,12 @@ impl<S: Storage> TxManager<S> {
                     states,
                     next_seq: carried,
                 } => {
-                    store = states
-                        .into_iter()
-                        .map(|(key, bytes)| (key, bytes.into()))
-                        .collect();
+                    store = Store::from_states(states);
                     next_seq = next_seq.max(carried);
                 }
                 LogRecord::Commit { tx, mut writes } => {
                     next_seq = next_seq.max(tx.seq().saturating_add(1));
-                    apply_writes(&mut store, &mut writes);
+                    store.apply(&mut writes);
                 }
                 LogRecord::Fence { claimant, epoch } => {
                     // A claimant reopening storage it fenced itself must
@@ -490,7 +421,7 @@ impl<S: Storage> TxManager<S> {
         if self.metrics.observe.metrics() {
             self.metrics.wal_writes_per_commit.record(images);
         }
-        apply_writes(&mut self.store, &mut writes);
+        self.store.apply(&mut writes);
         self.workspace.reset(writes);
         self.metrics.commits += 1;
         Ok(())
@@ -633,11 +564,11 @@ impl<S: Storage> TxManager<S> {
         if is_fact(key) {
             tick(&self.metrics.fact_point_reads);
         }
-        self.store.contains_key(key)
+        self.store.get(key).is_some()
     }
 
     /// All committed uids with the given prefix, sorted (recovery
-    /// enumeration). One range scan: uids order before fact keys.
+    /// enumeration). One range walk of the ordered uids.
     pub fn uids_with_prefix(&self, prefix: &str) -> Vec<ObjectUid> {
         self.uids_matching(prefix, "")
     }
@@ -648,31 +579,26 @@ impl<S: Storage> TxManager<S> {
     /// beside them.
     pub fn uids_matching(&self, prefix: &str, suffix: &str) -> Vec<ObjectUid> {
         tick(&self.metrics.prefix_scans);
-        let start = StoreKey::Uid(ObjectUid::new(prefix));
         self.store
-            .range((Bound::Included(start), Bound::Unbounded))
-            .map_while(|(key, _)| key.as_uid())
-            .take_while(|uid| uid.as_str().starts_with(prefix))
+            .uids_from(prefix)
             .filter(|uid| uid.as_str().ends_with(suffix))
             .cloned()
             .collect()
     }
 
-    /// The greatest committed fact key, if any: the last key of the
-    /// ordered store, where fact keys sort after every uid. Not a scan.
+    /// The greatest committed fact key, if any: a max over the
+    /// instances' last keys, each a run's end. The engine asks at open
+    /// and restart only, for the next free instance id.
     pub fn last_fact_key(&self) -> Option<FactKey> {
-        self.store.keys().next_back().and_then(StoreKey::as_fact)
+        self.store.last_fact()
     }
 
     /// All committed fact keys in `lo..=hi`, in key order (subtree
-    /// cancel/reset, reconfiguration remapping). One range scan over the
-    /// dense fact index space.
+    /// cancel/reset, reconfiguration remapping). One range scan: a slice
+    /// of one instance's run, or one per instance a wider range spans.
     pub fn fact_keys_in_range(&self, lo: FactKey, hi: FactKey) -> Vec<FactKey> {
         tick(&self.metrics.fact_range_scans);
-        self.store
-            .range(StoreKey::Fact(lo)..=StoreKey::Fact(hi))
-            .filter_map(|(key, _)| key.as_fact())
-            .collect()
+        self.store.facts(lo, hi).map(|(key, _)| *key).collect()
     }
 
     /// All committed fact keys in `lo..=hi` with their raw payloads
@@ -681,8 +607,8 @@ impl<S: Storage> TxManager<S> {
     pub fn facts_in_range(&self, lo: FactKey, hi: FactKey) -> Vec<(FactKey, Vec<u8>)> {
         tick(&self.metrics.fact_range_scans);
         self.store
-            .range(StoreKey::Fact(lo)..=StoreKey::Fact(hi))
-            .filter_map(|(key, bytes)| key.as_fact().map(|key| (key, bytes.as_slice().to_vec())))
+            .facts(lo, hi)
+            .map(|(key, bytes)| (*key, bytes.as_slice().to_vec()))
             .collect()
     }
 
@@ -695,11 +621,12 @@ impl<S: Storage> TxManager<S> {
         // A fenced manager must not compact: the rewrite would erase the
         // claimant's Fence record and un-fence the zombie.
         self.check_fence()?;
-        // The store is ordered, so the snapshot is deterministic as-is.
+        // The store walks its keys in order, uids and then each instance
+        // in id order, so the snapshot is deterministic.
         let states: Vec<(StoreKey, Vec<u8>)> = self
             .store
             .iter()
-            .map(|(k, v)| (k.clone(), v.as_slice().to_vec()))
+            .map(|(key, bytes)| (key, bytes.as_slice().to_vec()))
             .collect();
         self.wal.rewrite_with_checkpoint(states, self.next_seq)?;
         self.wal_len = self.wal.size_bytes();
@@ -732,23 +659,6 @@ impl<S: Storage> TxManager<S> {
 /// counts; a control block shares the dense key space but is not one.
 fn is_fact(key: &StoreKey) -> bool {
     matches!(key, StoreKey::Fact(key) if key.kind != FactKind::Control)
-}
-
-/// Moves committed after-images into the store, emptying `writes`.
-fn apply_writes<V: Into<Stored>>(
-    store: &mut BTreeMap<StoreKey, Stored>,
-    writes: &mut Vec<(StoreKey, Option<V>)>,
-) {
-    for (key, value) in writes.drain(..) {
-        match value {
-            Some(bytes) => {
-                store.insert(key, bytes.into());
-            }
-            None => {
-                store.remove(&key);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

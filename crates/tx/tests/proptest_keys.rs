@@ -187,7 +187,7 @@ proptest! {
         kinds: (bool, bool),
     ) {
         // Decode(encode(x)) preserves comparisons — the WAL can replay
-        // checkpoints into the ordered store without re-sorting
+        // a checkpoint into the store's sorted runs without re-sorting
         // surprises.
         let a = fact_key(1, a_task, kinds.0, a_item, a_obj);
         let b = fact_key(1, b_task, kinds.1, b_item, b_obj);
