@@ -120,6 +120,9 @@ impl Store {
             .map(|(key, bytes)| (key, Some(bytes)))
             .collect();
         store.apply(&mut writes);
+        // Each run came whole: the room a start's run keeps for the
+        // facts to come would only idle.
+        store.runs.values_mut().for_each(Vec::shrink_to_fit);
         store
     }
 
