@@ -41,9 +41,10 @@ impl Coordinator {
     /// (a read must surface the fault, not "absent").
     #[doc(hidden)]
     pub fn poison_fact(&mut self, instance: &str, path: &str, name: &str) -> bool {
-        let Some((plan, instance_id)) = self.instance_ctx(instance) else {
+        let Some(rt) = self.instances.named(instance) else {
             return false;
         };
+        let (plan, instance_id) = (rt.plan.clone(), rt.id);
         let Some(task) = plan.task_by_path(path) else {
             return false;
         };
@@ -121,7 +122,7 @@ impl Coordinator {
         // One step: the fact, the forced block, the revival and the
         // full drain behind them — the repaired fact has no commit to
         // seed from.
-        self.reevaluate(&[instance], |coordinator, step, drain| {
+        self.reevaluate(&[instance_id], |coordinator, step, drain| {
             let mut cb = coordinator.staged_cb(step, &plan, instance_id, task_id)?;
             let forced = match kind {
                 _ if cb.state.is_terminal() => None,
@@ -171,14 +172,14 @@ impl Coordinator {
             if revived {
                 // Back from Stuck: the instance is evaluated, and counts
                 // against the admission cap, again.
-                step.push(&drain.name, Effect::Status(false));
+                step.push(drain.id, Effect::Status(false));
                 drain.terminal = false;
             }
             let what = match forced {
                 Some(_) => {
                     // Whatever the task had on the wire will never be
                     // applied.
-                    step.push(&drain.name, Effect::Discard(task_id..task_id + 1));
+                    step.push(drain.id, Effect::Discard(task_id..task_id + 1));
                     drain.lands(task_id);
                     format!("forced `{output}` of `{path}`")
                 }
@@ -189,9 +190,9 @@ impl Coordinator {
                 // flights, and the instance completes.
                 drain.discard_below(step, task_id);
                 drain.terminal = true;
-                step.push(&drain.name, Effect::Status(true));
+                step.push(drain.id, Effect::Status(true));
             }
-            coordinator.trace(step, &drain.name, Some(path), cb.attempt, || {
+            coordinator.trace(step, drain.id, Some(path), cb.attempt, || {
                 ObsEventKind::Repair { what }
             });
             drain.worklist.seed_all(&plan);
@@ -224,11 +225,10 @@ impl Coordinator {
         // Reconfiguration edits committed truth: absorb the batch window
         // first.
         self.flush_pending();
-        let (old_plan, instance_id) = self
-            .instance_ctx(instance)
-            .ok_or_else(|| EngineError::UnknownInstance(instance.to_string()))?;
-        let name: Arc<str> = Arc::from(instance);
-        self.step(&[instance], |coordinator, step, _| {
+        let unknown = || EngineError::UnknownInstance(instance.to_string());
+        let instance_id = self.instances.resolve(instance).ok_or_else(unknown)?;
+        let (old_plan, name) = self.instance_ctx(instance_id).ok_or_else(unknown)?;
+        self.step(&[instance_id], |coordinator, step, _| {
             let mut header = coordinator.read_header(instance)?;
             let source = pinned_source(&coordinator.mgr, instance, &header)?;
             let text = reconfig::apply(source, &header.root, &op)?;
@@ -272,11 +272,11 @@ impl Coordinator {
             for (task, cb) in &new_blocks {
                 facts::write_block(mgr, action, &plan, instance_id, *task, cb)?;
             }
-            step.push(&name, Effect::Replan(plan.clone()));
+            step.push(instance_id, Effect::Replan(plan.clone()));
             if revived {
-                step.push(&name, Effect::Status(false));
+                step.push(instance_id, Effect::Status(false));
             }
-            step.push(&name, Effect::Count(|stats| &mut stats.reconfigs));
+            step.push(instance_id, Effect::Count(|stats| &mut stats.reconfigs));
             // The drain runs over the new plan, its flights re-keyed
             // onto it the way the books will be.
             let mut drain = coordinator.drain_of(name.clone(), &plan, instance_id);
@@ -328,7 +328,7 @@ impl Coordinator {
             .ok_or_else(|| EngineError::UnknownTask(path.to_string()))?;
         // One step: the abort, its (empty) fact and what they cascade
         // into.
-        self.reevaluate(&[instance], |coordinator, step, drain| {
+        self.reevaluate(&[instance_id], |coordinator, step, drain| {
             let mut cb = coordinator.staged_cb(step, &plan, instance_id, task_id)?;
             if cb.state != CbState::Waiting {
                 return Err(EngineError::ReconfigRejected(format!(
@@ -366,7 +366,7 @@ impl Coordinator {
     /// `instance`'s plan and id, its runtime marked as one an operator
     /// may publish into below a scope yet to activate.
     fn plant(&mut self, instance: &str) -> Result<(Arc<Plan>, u32), EngineError> {
-        let Some(rt) = self.instances.get_mut(instance) else {
+        let Some(rt) = self.instances.named_mut(instance) else {
             return Err(EngineError::UnknownInstance(instance.to_string()));
         };
         rt.planted = true;

@@ -135,15 +135,46 @@ struct Flight {
     avoid: Option<NodeId>,
 }
 
-/// The flight records of one instance, keyed by the dense task id of
-/// its current plan.
+/// The flight records of one instance, by the dense task id of its
+/// current plan, in id order.
 #[derive(Debug, Default)]
-pub(super) struct Flights(BTreeMap<TaskId, Flight>);
+pub(super) struct Flights(Vec<(TaskId, Flight)>);
 
 impl Flights {
     /// The tasks with outstanding work.
     pub(super) fn outstanding(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.0.keys().copied()
+        self.0.iter().map(|(task, _)| *task)
+    }
+
+    fn at(&self, task: TaskId) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&task, |(at, _)| *at)
+    }
+
+    fn get(&self, task: TaskId) -> Option<&Flight> {
+        Some(&self.0[self.at(task).ok()?].1)
+    }
+
+    fn get_mut(&mut self, task: TaskId) -> Option<&mut Flight> {
+        let at = self.at(task).ok()?;
+        Some(&mut self.0[at].1)
+    }
+
+    /// The record of `task`, created if it has none.
+    fn entry(&mut self, task: TaskId) -> &mut Flight {
+        let at = self.at(task).unwrap_or_else(|at| {
+            self.0.insert(at, (task, Flight::default()));
+            at
+        });
+        &mut self.0[at].1
+    }
+
+    fn remove(&mut self, task: TaskId) -> Option<Flight> {
+        let at = self.at(task).ok()?;
+        Some(self.0.remove(at).1)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (TaskId, &Flight)> {
+        self.0.iter().map(|(task, flight)| (*task, flight))
     }
 }
 
@@ -158,9 +189,10 @@ pub(super) struct Dispatcher {
     /// times, sampled at every genuine completion's release. An estimate,
     /// not state: where it is empty the declared hints carry placement.
     costs: CostModel,
-    /// The ready queue: each parked record's instance and task, in the
-    /// order the queue drains. Drained whenever a release frees a slot.
-    queue: BTreeMap<QueueKey, (String, TaskId)>,
+    /// The ready queue: each parked record's instance id and task, in
+    /// the order the queue drains. Drained whenever a release frees a
+    /// slot.
+    queue: BTreeMap<QueueKey, (u32, TaskId)>,
     /// Arrival tie-break for queue keys.
     park_seq: u64,
     /// The ticket the next attempt shipped takes.
@@ -243,7 +275,7 @@ impl Dispatcher {
     /// to cancel.
     fn discard(&mut self, flights: &mut Flights, tasks: impl Iterator<Item = TaskId>) -> Dropped {
         let mut dropped = Dropped::default();
-        for mut flight in tasks.filter_map(|task| flights.0.remove(&task)) {
+        for mut flight in tasks.filter_map(|task| flights.remove(task)) {
             let (timer, charge) = self.enter(&mut flight, State::default());
             dropped.timers.extend(timer);
             dropped.attempts.extend(charge.map(|c| (c.node, c.ticket)));
@@ -265,7 +297,7 @@ impl Dispatcher {
             if let State::Parked(parked) = &flight.state {
                 self.queue.get_mut(&parked.key).expect("queued").1 = new;
             }
-            flights.0.insert(new, flight);
+            *flights.entry(new) = flight;
         }
         dropped
     }
@@ -399,7 +431,7 @@ impl Coordinator {
             Some(delay) => Effect::Later(task, delay, launch),
             None => Effect::Dispatch(task, launch),
         };
-        step.push(&drain.name, shipped);
+        step.push(drain.id, shipped);
         Ok(())
     }
 
@@ -428,10 +460,10 @@ impl Coordinator {
         cb.attempt += 1;
         let action = step.action(&mut self.mgr);
         facts::write_block(&mut self.mgr, action, drain.plan, drain.id, task, &cb)?;
-        step.push(&drain.name, Effect::Lost(task, reported));
-        step.push(&drain.name, Effect::Count(|stats| &mut stats.retries));
+        step.push(drain.id, Effect::Lost(task, reported));
+        step.push(drain.id, Effect::Count(|stats| &mut stats.retries));
         let path = drain.plan.str(drain.plan.task(task).path);
-        self.trace(step, &drain.name, Some(path), cb.attempt, || {
+        self.trace(step, drain.id, Some(path), cb.attempt, || {
             ObsEventKind::Retry {
                 reason: reason.to_string(),
             }
@@ -466,11 +498,11 @@ impl Coordinator {
             Some(ticket) => Effect::Completed(task, ticket),
             None => Effect::Discard(task..task + 1),
         };
-        step.push(&drain.name, landed);
+        step.push(drain.id, landed);
         drain.lands(task);
-        step.push(&drain.name, Effect::Count(|stats| &mut stats.failures));
+        step.push(drain.id, Effect::Count(|stats| &mut stats.failures));
         let path = drain.plan.str(drain.plan.task(task).path);
-        self.trace(step, &drain.name, Some(path), cb.attempt, || {
+        self.trace(step, drain.id, Some(path), cb.attempt, || {
             self.commit_event(format!("failed: {why}"))
         });
         Ok(())
@@ -478,18 +510,16 @@ impl Coordinator {
 
     /// The record of `task`, created if it has none: the task has
     /// outstanding work from here on.
-    fn flight_mut(&mut self, instance: &str, task: TaskId) -> Option<&mut Flight> {
+    fn flight_mut(&mut self, instance: u32, task: TaskId) -> Option<&mut Flight> {
         let rt = self.instances.get_mut(instance)?;
-        Some(rt.flights.0.entry(task).or_default())
+        Some(rt.flights.entry(task))
     }
 
     /// Puts `instance`'s record of `task`, created if it has none, in
     /// `state` ([`Dispatcher::enter`]): the timer it held, to cancel.
-    fn enter(&mut self, instance: &str, task: TaskId, state: State) -> Option<TimerId> {
+    fn enter(&mut self, instance: u32, task: TaskId, state: State) -> Option<TimerId> {
         let rt = self.instances.get_mut(instance)?;
-        self.dispatcher
-            .enter(rt.flights.0.entry(task).or_default(), state)
-            .0
+        self.dispatcher.enter(rt.flights.entry(task), state).0
     }
 
     /// A genuine executor report ended `charge`'s attempt: its elapsed
@@ -508,9 +538,9 @@ impl Coordinator {
     /// How long ago this shard shipped the attempt of `instance`'s task
     /// at `path` that it has charged; zero when it charged none (a
     /// relayed report's, a landed instance's).
-    pub(super) fn attempt_age(&self, instance: &str, path: &str) -> SimDuration {
+    pub(super) fn attempt_age(&self, instance: u32, path: &str) -> SimDuration {
         let rt = self.instances.get(instance);
-        let flight = rt.and_then(|rt| rt.flights.0.get(&rt.plan.task_by_path(path)?));
+        let flight = rt.and_then(|rt| rt.flights.get(rt.plan.task_by_path(path)?));
         let sent_ns = flight.and_then(|flight| Some(flight.state.charge()?.sent_ns));
         let age = sent_ns.map_or(0, |sent| self.now.as_nanos().saturating_sub(sent));
         SimDuration::from_nanos(age)
@@ -536,7 +566,7 @@ impl Coordinator {
     ///
     /// Why the instance must stop instead: a block that does not decode
     /// may be an attempt on the wire.
-    pub(super) fn executing(&self, instance: &str) -> Result<Vec<(TaskId, TaskCb)>, String> {
+    pub(super) fn executing(&self, instance: u32) -> Result<Vec<(TaskId, TaskCb)>, String> {
         let Some(rt) = self.instances.get(instance) else {
             return Ok(Vec::new());
         };
@@ -556,28 +586,29 @@ impl Coordinator {
     /// its current plan whose committed control block is `Executing`,
     /// and its queue entries are its parked records, each under its key.
     #[cfg(debug_assertions)]
-    pub(super) fn assert_flights_consistent(&self, instance: &str) {
+    pub(super) fn assert_flights_consistent(&self, instance: u32) {
         let Some(rt) = self.instances.get(instance) else {
             return;
         };
         let mut parked = 0;
-        for (&task, flight) in &rt.flights.0 {
+        for (task, flight) in rt.flights.iter() {
             let known = rt.plan.tasks.get(task as usize);
             let cb = known.and_then(|_| self.read_cb_id(&rt.plan, rt.id, task).ok());
             assert!(
                 matches!(&cb, Some(cb) if matches!(cb.state, CbState::Executing { .. })),
-                "flight record {task} of `{instance}` has no `Executing` task in its \
+                "flight record {task} of `{}` has no `Executing` task in its \
                  {}-task plan: {cb:?}",
+                rt.name,
                 rt.plan.tasks.len()
             );
             if let State::Parked(entry) = &flight.state {
                 let queued = &self.dispatcher.queue[&entry.key];
-                assert_eq!((queued.0.as_str(), queued.1), (instance, task), "queued");
+                assert_eq!(*queued, (instance, task), "queued");
                 parked += 1;
             }
         }
         let queue = self.dispatcher.queue.values();
-        assert_eq!(queue.filter(|(name, _)| name == instance).count(), parked);
+        assert_eq!(queue.filter(|(id, _)| *id == instance).count(), parked);
     }
 
     /// This shard's current view of the executor fleet: per-executor
@@ -604,7 +635,7 @@ impl Coordinator {
     /// completed — a subtree cancelled or reset (`plan.subtree(scope)`),
     /// a task that failed, one whose outcome an operator forced — with
     /// their timers, load and queue entries.
-    pub(super) fn discard_flights(&mut self, instance: &str, tasks: impl Iterator<Item = TaskId>) {
+    pub(super) fn discard_flights(&mut self, instance: u32, tasks: impl Iterator<Item = TaskId>) {
         let Some(rt) = self.instances.get_mut(instance) else {
             return;
         };
@@ -616,7 +647,7 @@ impl Coordinator {
     /// runtime runs off it from here on, and dispatch's books move old
     /// id → path → new id — a removed task's entries are released with
     /// it.
-    pub(super) fn replan(&mut self, instance: &str, plan: Arc<Plan>) {
+    pub(super) fn replan(&mut self, instance: u32, plan: Arc<Plan>) {
         let Some(rt) = self.instances.get_mut(instance) else {
             return;
         };
@@ -649,19 +680,19 @@ impl Coordinator {
     /// extension included). What a unit whose step rolled back owes
     /// ([`Coordinator::step`]), and a live landing's safety net for a
     /// relay that is truly lost.
-    pub(super) fn keep_moving(&mut self, instance: &str) {
+    pub(super) fn keep_moving(&mut self, instance: u32) {
         // A block that does not decode arms no watchdog: the full
         // drain over the instance parks it on that block.
         let Ok(executing) = self.executing(instance) else {
             return;
         };
         for (task, cb) in executing {
-            let Some((name, rt)) = self.instances.get_key_value(instance) else {
+            let Some(rt) = self.instances.get(instance) else {
                 return;
             };
-            let state = rt.flights.0.get(&task).map(|flight| &flight.state);
+            let state = rt.flights.get(task).map(|flight| &flight.state);
             if matches!(state, None | Some(State::Watched(None, _))) {
-                let at = address(name, rt, task, cb.incarnation, cb.attempt);
+                let at = address(rt, task, cb.incarnation, cb.attempt);
                 let timeout = self.shipment(rt, task).timeout;
                 self.arm_watchdog(instance, task, at, timeout);
             }
@@ -671,14 +702,14 @@ impl Coordinator {
     /// The tasks of running `instance` that only a watchdog moves —
     /// watched, charged nothing: after a restart's census, the attempts
     /// no executor claimed.
-    pub(super) fn unclaimed(&self, instance: &str) -> Vec<TaskId> {
+    pub(super) fn unclaimed(&self, instance: u32) -> Vec<TaskId> {
         let Some(rt) = self.instances.get(instance).filter(|rt| !rt.terminal) else {
             return Vec::new();
         };
-        let unclaimed = |(&task, flight): (&TaskId, &Flight)| {
+        let unclaimed = |(task, flight): (TaskId, &Flight)| {
             matches!(flight.state, State::Watched(Some(_), None)).then_some(task)
         };
-        rt.flights.0.iter().filter_map(unclaimed).collect()
+        rt.flights.iter().filter_map(unclaimed).collect()
     }
 
     /// A census answer: `node` still runs the attempt `at` for this
@@ -692,7 +723,10 @@ impl Coordinator {
     /// to judge, nor is an attempt a settled instance still awaits: it
     /// reports as it would have.
     pub(super) fn claim_running(&mut self, node: NodeId, ticket: u64, at: Attempt) {
-        let Some(rt) = self.instances.get(&*at.instance) else {
+        let Some(id) = self.instances.resolve(&at.instance) else {
+            return;
+        };
+        let Some(rt) = self.instances.get(id) else {
             return;
         };
         let task = rt.plan.task_by_path(&at.path);
@@ -701,7 +735,7 @@ impl Coordinator {
         if awaited && rt.terminal {
             return;
         }
-        let state = |task| rt.flights.0.get(&task).map(|flight| &flight.state);
+        let state = |task| rt.flights.get(task).map(|flight| &flight.state);
         let uncharged = |task| matches!(state(task), Some(State::Watched(_, None)));
         let Some(task) = task.filter(|&task| awaited && uncharged(task)) else {
             return self.cancel_attempt(node, ticket);
@@ -715,7 +749,7 @@ impl Coordinator {
             sent_ns: self.now.as_nanos(),
             code: shipment.code,
         };
-        let flight = self.flight_mut(&at.instance, task);
+        let flight = self.flight_mut(id, task);
         if let Some(State::Watched(_, charge)) = flight.map(|flight| &mut flight.state) {
             *charge = Some(claimed);
         }
@@ -726,11 +760,8 @@ impl Coordinator {
     /// has room for: a pinned entry whose location is still full does
     /// not block an unpinned one behind it.
     fn next_parked(&self) -> Option<QueueKey> {
-        let fits = |(name, task): &(String, TaskId)| {
-            let flight = self
-                .instances
-                .get(name.as_str())
-                .and_then(|rt| rt.flights.0.get(task));
+        let fits = |&(id, task): &(u32, TaskId)| {
+            let flight = self.instances.get(id).and_then(|rt| rt.flights.get(task));
             let state = flight.map(|flight| &flight.state);
             let sched = &self.dispatcher.sched;
             matches!(state, Some(State::Parked(parked)) if !sched.all_saturated(&parked.hints))
@@ -745,15 +776,12 @@ impl Coordinator {
         while let Some(key) = self.next_parked() {
             let (instance, task) = self.dispatcher.queue.remove(&key).expect("just found");
             let depth = self.dispatcher.queue.len();
-            let rt = self
-                .instances
-                .get_mut(instance.as_str())
-                .expect("a queued instance");
-            let flight = rt.flights.0.get_mut(&task).expect("a queued record");
+            let rt = self.instances.get_mut(instance).expect("a queued instance");
+            let flight = rt.flights.get_mut(task).expect("a queued record");
             let State::Parked(parked) = std::mem::take(&mut flight.state) else {
                 unreachable!("found parked");
             };
-            let plan = Arc::clone(&rt.plan);
+            let (plan, name) = (Arc::clone(&rt.plan), Arc::clone(&rt.name));
             let wait_ns = self.now.as_nanos().saturating_sub(parked.since_ns);
             if self.config.observe.metrics() {
                 self.metrics.queue_wait_ns.record(wait_ns);
@@ -761,15 +789,15 @@ impl Coordinator {
             }
             let path = Some(plan.str(plan.task(task).path));
             let kind = ObsEventKind::Admitted { wait_ns };
-            self.record_event(&instance, path, parked.launch.attempt, kind);
-            self.dispatch(&instance, task, parked.launch);
+            self.record_event(&name, path, parked.launch.attempt, kind);
+            self.dispatch(instance, task, parked.launch);
         }
     }
 
     /// Ships an attempt staged by an earlier step (a retry's or a
     /// repeat's, its delay over; a parked one) if its block still
     /// awaits it; unplaceable, it fails.
-    pub(super) fn dispatch(&mut self, instance: &str, task_id: TaskId, launch: Launch) {
+    pub(super) fn dispatch(&mut self, instance: u32, task_id: TaskId, launch: Launch) {
         let Some(rt) = self.instances.get(instance) else {
             return;
         };
@@ -791,15 +819,15 @@ impl Coordinator {
     /// record holds the launch and the timer that ships it.
     pub(super) fn delay(
         &mut self,
-        instance: &str,
+        instance: u32,
         task: TaskId,
         after: SimDuration,
         launch: Launch,
     ) {
-        let Some((name, rt)) = self.instances.get_key_value(instance) else {
+        let Some(rt) = self.instances.get(instance) else {
             return;
         };
-        let at = address(name, rt, task, launch.incarnation, launch.attempt);
+        let at = address(rt, task, launch.incarnation, launch.attempt);
         let timer = self.arm(after, Timer::Flight(at));
         let stale = self.enter(instance, task, State::Delayed(timer, Box::new(launch)));
         self.cancel(stale);
@@ -807,7 +835,7 @@ impl Coordinator {
 
     /// No executor can take `task` — an unsatisfiable pin, no code to
     /// ship — and no retry can fix that: it fails, in a step of its own.
-    pub(super) fn fail_unplaceable(&mut self, instance: &str, task: TaskId, why: &str) {
+    pub(super) fn fail_unplaceable(&mut self, instance: u32, task: TaskId, why: &str) {
         let _ = self.reevaluate(&[instance], |coordinator, step, drain| {
             match coordinator.drain_cb(step, drain, task)? {
                 Some(cb) if !cb.state.is_terminal() => {
@@ -828,12 +856,12 @@ impl Coordinator {
     /// the caller fails it with this diagnosable reason.
     pub(super) fn ship(
         &mut self,
-        instance: &str,
+        instance: u32,
         task_id: TaskId,
         launch: Launch,
     ) -> Result<(), String> {
         let now_ns = self.now.as_nanos();
-        let Some((name, rt)) = self.instances.get_key_value(instance) else {
+        let Some(rt) = self.instances.get(instance) else {
             return Ok(());
         };
         let plan = rt.plan.clone();
@@ -847,7 +875,7 @@ impl Coordinator {
             return Err(format!("missing implementation code for `{path}`"));
         }
         let shipment = self.shipment(rt, task_id);
-        let at = address(name, rt, task_id, launch.incarnation, launch.attempt);
+        let at = address(rt, task_id, launch.incarnation, launch.attempt);
         let dispatcher = &mut self.dispatcher;
         // Capacity gate: when every eligible executor is at its
         // declared capacity, park instead of piling on. The committed
@@ -858,8 +886,7 @@ impl Coordinator {
         if dispatcher.sched.all_saturated(&shipment.hints) {
             let key = (Reverse(shipment.hints.priority), dispatcher.park_seq);
             dispatcher.park_seq += 1;
-            let named = (instance.to_string(), task_id);
-            dispatcher.queue.insert(key, named);
+            dispatcher.queue.insert(key, (instance, task_id));
             let depth = dispatcher.queue.len();
             let parked = Box::new(Parked {
                 key,
@@ -872,7 +899,7 @@ impl Coordinator {
             let kind = ObsEventKind::Parked {
                 queue_depth: depth as u64,
             };
-            self.record_event(instance, Some(path), at.attempt, kind);
+            self.record_event(&at.instance, Some(path), at.attempt, kind);
             if self.config.observe.metrics() {
                 self.metrics.ready_queue_depth = depth as i64;
             }
@@ -910,7 +937,7 @@ impl Coordinator {
         let kind = ObsEventKind::Dispatch {
             executor: node.index() as u32,
         };
-        self.record_event(instance, Some(path), at.attempt, kind);
+        self.record_event(&at.instance, Some(path), at.attempt, kind);
         let (clause, set) = (&task.implementation, &launch.set);
         let bytes = start_bytes(
             &at,
@@ -928,7 +955,7 @@ impl Coordinator {
 
     /// Watches `task`'s record under a watchdog of the attempt `at`,
     /// keeping the load it is charged and cancelling the timer it held.
-    fn arm_watchdog(&mut self, instance: &str, task: TaskId, at: Attempt, timeout: SimDuration) {
+    fn arm_watchdog(&mut self, instance: u32, task: TaskId, at: Attempt, timeout: SimDuration) {
         let watchdog = Some(self.arm(timeout, Timer::Flight(at)));
         let charge = match self.flight_mut(instance, task).map(|f| &mut f.state) {
             Some(State::Watched(_, charge)) => charge.take(),
@@ -939,21 +966,24 @@ impl Coordinator {
     }
 
     /// A flight's one timer went off ([`Timer::Flight`]). Where a timer
-    /// enters, its task, named by path, is resolved against the
-    /// instance's current plan; the record's state says which timer it
-    /// was. A delayed launch ships. A watchdog presumes the executor
-    /// lost, and the time-out is one step — the attempt's bounded retry
-    /// or its failure, with the cascade — published once it commits.
+    /// enters, its instance's name is resolved to its id, and its task,
+    /// named by path, against the instance's current plan; the record's
+    /// state says which timer it was. A delayed launch ships. A watchdog
+    /// presumes the executor lost, and the time-out is one step — the
+    /// attempt's bounded retry or its failure, with the cascade —
+    /// published once it commits.
     pub(super) fn on_flight_timer(&mut self, at: &Attempt) {
-        let instance = &*at.instance;
-        let Some((plan, instance_id)) = self.instance_ctx(instance) else {
+        let Some(instance) = self.instances.resolve(&at.instance) else {
             return;
         };
+        let Some(rt) = self.instances.get_mut(instance) else {
+            return;
+        };
+        let plan = Arc::clone(&rt.plan);
         let Some(task) = plan.task_by_path(&at.path) else {
             return;
         };
-        let rt = self.instances.get_mut(instance);
-        let Some(flight) = rt.and_then(|rt| rt.flights.0.get_mut(&task)) else {
+        let Some(flight) = rt.flights.get_mut(task) else {
             return;
         };
         match std::mem::take(&mut flight.state) {
@@ -971,7 +1001,7 @@ impl Coordinator {
         if self.window.holds_done(at) {
             return;
         }
-        let cb = self.read_cb_id(&plan, instance_id, task).ok();
+        let cb = self.read_cb_id(&plan, instance, task).ok();
         let Some(cb) = cb.filter(|cb| cb.awaits(at.incarnation, at.attempt)) else {
             return;
         };
@@ -993,11 +1023,11 @@ impl Coordinator {
     /// watchdog gave up on it, or another copy's report came first — may
     /// still run: it is cancelled there, so the retry never queues
     /// behind it.
-    pub(super) fn lose_flight(&mut self, instance: &str, task: TaskId, reported: Option<u64>) {
+    pub(super) fn lose_flight(&mut self, instance: u32, task: TaskId, reported: Option<u64>) {
         let Some(rt) = self.instances.get_mut(instance) else {
             return;
         };
-        let flight = rt.flights.0.entry(task).or_default();
+        let flight = rt.flights.entry(task);
         let (timer, charge) = self.dispatcher.enter(flight, State::default());
         flight.avoid = charge.as_ref().map(|charge| charge.node).or(flight.avoid);
         self.cancel(timer);
@@ -1018,9 +1048,9 @@ impl Coordinator {
     /// completion; a charged copy other than the one that reported — a
     /// restart's re-send beside a copy its census missed — is cancelled
     /// where it runs.
-    pub(super) fn clear_watch(&mut self, instance: &str, task: TaskId, ticket: u64) {
+    pub(super) fn clear_watch(&mut self, instance: u32, task: TaskId, ticket: u64) {
         let rt = self.instances.get_mut(instance);
-        let Some(mut flight) = rt.and_then(|rt| rt.flights.0.remove(&task)) else {
+        let Some(mut flight) = rt.and_then(|rt| rt.flights.remove(task)) else {
             return;
         };
         let (timer, charge) = self.dispatcher.enter(&mut flight, State::default());
@@ -1035,17 +1065,11 @@ impl Coordinator {
     }
 }
 
-/// `instance`'s `task`, resident as `rt`, at `incarnation` and
+/// The `task` of the instance resident as `rt`, at `incarnation` and
 /// `attempt`: how a wire message or a timer names it.
-fn address(
-    name: &Arc<str>,
-    rt: &InstanceRt,
-    task: TaskId,
-    incarnation: u32,
-    attempt: u32,
-) -> Attempt {
+fn address(rt: &InstanceRt, task: TaskId, incarnation: u32, attempt: u32) -> Attempt {
     Attempt {
-        instance: name.clone(),
+        instance: rt.name.clone(),
         path: rt.plan.name(rt.plan.task(task).path),
         incarnation,
         attempt,
@@ -1055,6 +1079,10 @@ fn address(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Two instances' ids.
+    const I: u32 = 0;
+    const J: u32 = 1;
 
     /// `n` unbounded executors, and a dispatch charged `task` units
     /// under code `ref{task}` for each of `tasks`, spread round-robin.
@@ -1072,7 +1100,7 @@ mod tests {
                 sent_ns: 0,
                 code: format!("ref{task}").into(),
             });
-            flights.0.entry(task).or_default().state = State::Watched(None, charge);
+            flights.entry(task).state = State::Watched(None, charge);
         }
         (dispatcher, flights)
     }
@@ -1087,26 +1115,26 @@ mod tests {
         }
     }
 
-    /// Parks `task` of `instance` as `ship` does: its record holds the
-    /// launch and the key of its queue entry.
-    fn park(dispatcher: &mut Dispatcher, flights: &mut Flights, instance: &str, task: TaskId) {
+    /// Parks `task` of instance `instance` as `ship` does: its record
+    /// holds the launch and the key of its queue entry.
+    fn park(dispatcher: &mut Dispatcher, flights: &mut Flights, instance: u32, task: TaskId) {
         let key = (Reverse(0), dispatcher.park_seq);
         dispatcher.park_seq += 1;
-        dispatcher.queue.insert(key, (instance.to_string(), task));
+        dispatcher.queue.insert(key, (instance, task));
         let parked = Parked {
             key,
             launch: launch(),
             hints: ImplHints::default(),
             since_ns: 0,
         };
-        flights.0.entry(task).or_default().state = State::Parked(Box::new(parked));
+        flights.entry(task).state = State::Parked(Box::new(parked));
     }
 
     /// Delays `task` under `timer`, as a retry's back-off does.
     fn delay(flights: &mut Flights, task: TaskId, timer: u64) {
         let launch = Box::new(launch());
         let timer = TimerId(timer);
-        flights.0.entry(task).or_default().state = State::Delayed(timer, launch);
+        flights.entry(task).state = State::Delayed(timer, launch);
     }
 
     fn loads(dispatcher: &Dispatcher) -> Vec<(u32, u64)> {
@@ -1119,30 +1147,24 @@ mod tests {
         fn code(flight: &Flight) -> &str {
             flight.state.charge().map_or("-", |c| &*c.code)
         }
-        flights.0.iter().map(|(id, f)| (*id, code(f))).collect()
+        flights.iter().map(|(id, f)| (id, code(f))).collect()
     }
 
     /// The queue in drain order. Each of `flights`' parked records
-    /// finds its own entry under its key, named by `instance`.
-    fn queued<'a>(
-        dispatcher: &'a Dispatcher,
-        flights: &Flights,
-        instance: &str,
-    ) -> Vec<(&'a str, TaskId)> {
-        for (&task, flight) in &flights.0 {
+    /// finds its own entry under its key, naming instance `instance`.
+    fn queued(dispatcher: &Dispatcher, flights: &Flights, instance: u32) -> Vec<(u32, TaskId)> {
+        for (task, flight) in flights.iter() {
             if let State::Parked(parked) = &flight.state {
-                let entry = &dispatcher.queue[&parked.key];
-                assert_eq!((entry.0.as_str(), entry.1), (instance, task));
+                assert_eq!(dispatcher.queue[&parked.key], (instance, task));
             }
         }
-        let entries = dispatcher.queue.values();
-        entries.map(|(name, task)| (name.as_str(), *task)).collect()
+        dispatcher.queue.values().copied().collect()
     }
 
     #[test]
     fn release_is_idempotent() {
         let (mut dispatcher, mut flights) = booked(1, &[7]);
-        let flight = flights.0.get_mut(&7).unwrap();
+        let flight = flights.get_mut(7).unwrap();
         assert_eq!(loads(&dispatcher), [(1, 7)]);
         let (timer, charge) = dispatcher.enter(flight, State::default());
         assert_eq!((timer, charge.map(|c| c.cost)), (None, Some(7)));
@@ -1161,9 +1183,9 @@ mod tests {
         // removes `b`, `d` and `f`.
         let (mut dispatcher, mut flights) = booked(2, &[1, 2, 3]);
         let mut other = Flights::default();
-        park(&mut dispatcher, &mut flights, "i", 4);
-        park(&mut dispatcher, &mut flights, "i", 5);
-        park(&mut dispatcher, &mut other, "j", 2);
+        park(&mut dispatcher, &mut flights, I, 4);
+        park(&mut dispatcher, &mut flights, I, 5);
+        park(&mut dispatcher, &mut other, J, 2);
         delay(&mut flights, 6, 60);
         assert_eq!(loads(&dispatcher), [(1, 2), (2, 4)]);
         let new_id = |old: TaskId| match old {
@@ -1183,7 +1205,7 @@ mod tests {
         // Kept (a), moved (c under c's own code, e), removed (b, d, f):
         // d's queue entry left with its record, e's follows it to 3.
         assert_eq!(codes(&flights), [(1, "ref1"), (2, "ref3"), (3, "-")]);
-        assert_eq!(queued(&dispatcher, &flights, "i"), [("i", 3), ("j", 2)]);
+        assert_eq!(queued(&dispatcher, &flights, I), [(I, 3), (J, 2)]);
         assert_eq!(loads(&dispatcher), [(0, 0), (2, 4)], "exactly b's load");
     }
 
@@ -1192,9 +1214,9 @@ mod tests {
         // Tasks 2..5 are the swept scope's descendants; 1, 5 and 6 are
         // not. 4 and 6 are parked, and so is another instance's 4.
         let (mut dispatcher, mut flights) = booked(1, &[1, 2, 3, 5]);
-        park(&mut dispatcher, &mut flights, "i", 4);
-        park(&mut dispatcher, &mut flights, "i", 6);
-        park(&mut dispatcher, &mut Flights::default(), "j", 4);
+        park(&mut dispatcher, &mut flights, I, 4);
+        park(&mut dispatcher, &mut flights, I, 6);
+        park(&mut dispatcher, &mut Flights::default(), J, 4);
         delay(&mut flights, 7, 70);
         let dropped = dispatcher.discard(&mut flights, 2..5);
         let on_the_wire = [2, 3].map(|ticket| (NodeId::from_index(0), ticket));
@@ -1205,7 +1227,7 @@ mod tests {
             [(1, "ref1"), (5, "ref5"), (6, "-"), (7, "-")]
         );
         // 4's queue entry left with its record; `j`'s 4 stays.
-        assert_eq!(queued(&dispatcher, &flights, "i"), [("i", 6), ("j", 4)]);
+        assert_eq!(queued(&dispatcher, &flights, I), [(I, 6), (J, 4)]);
         assert_eq!(loads(&dispatcher), [(2, 6)]);
         // Again is a no-op; the rest goes when the instance leaves.
         let again = dispatcher.discard(&mut flights, 2..5);
@@ -1215,7 +1237,7 @@ mod tests {
         // timers come back, and its queue entries go with its records.
         assert_eq!(dispatcher.release_all(flights), [TimerId(70)]);
         let entries: Vec<_> = dispatcher.queue.values().cloned().collect();
-        assert_eq!(entries, [("j".to_string(), 4)]);
+        assert_eq!(entries, [(J, 4)]);
         assert_eq!(loads(&dispatcher), [(0, 0)]);
     }
 }

@@ -60,27 +60,18 @@ impl Drain<'_> {
     pub(super) fn discard_below(&mut self, step: &mut Step, scope: TaskId) {
         let below = self.plan.subtree(scope);
         self.flying.retain(|task| !below.contains(task));
-        step.push(&self.name, Effect::Discard(below));
+        step.push(self.id, Effect::Discard(below));
     }
 }
 
 impl Coordinator {
-    /// `instance`'s name as the shard shares it: its runtime's key when
-    /// it is resident, else a new one.
-    pub(super) fn shared_name(&self, instance: &str) -> Arc<str> {
-        match self.instances.get_key_value(instance) {
-            Some((name, _)) => name.clone(),
-            None => instance.into(),
-        }
+    /// Resident instance `id`'s plan and name.
+    pub(super) fn instance_ctx(&self, id: u32) -> Option<(Arc<Plan>, Arc<str>)> {
+        let rt = self.instances.get(id)?;
+        Some((rt.plan.clone(), rt.name.clone()))
     }
 
-    /// The instance's plan and id.
-    pub(super) fn instance_ctx(&self, instance: &str) -> Option<(Arc<Plan>, u32)> {
-        let rt = self.instances.get(instance)?;
-        Some((rt.plan.clone(), rt.id))
-    }
-
-    /// The step over resident `instances` ([`Coordinator::step`]): for
+    /// The step over resident `instances`, by id ([`Coordinator::step`]): for
     /// each in turn, `stage` stages what happened to it — seeding its
     /// drain's worklist, landing and launching its flights — and the
     /// cascade stages behind.
@@ -91,14 +82,13 @@ impl Coordinator {
     /// step rolled back, nothing of it was published.
     pub(super) fn reevaluate(
         &mut self,
-        instances: &[impl AsRef<str>],
+        instances: &[u32],
         mut stage: impl FnMut(&mut Coordinator, &mut Step, &mut Drain<'_>) -> Result<(), EngineError>,
     ) -> Result<(), EngineError> {
         self.step(instances, |coordinator, step, instances| {
-            for name in instances.iter().map(AsRef::as_ref) {
-                let unknown = || EngineError::UnknownInstance(name.to_string());
-                let (plan, id) = coordinator.instance_ctx(name).ok_or_else(unknown)?;
-                let name = coordinator.shared_name(name);
+            for &id in instances {
+                let unknown = || EngineError::UnknownInstance(format!("#{id}"));
+                let (plan, name) = coordinator.instance_ctx(id).ok_or_else(unknown)?;
                 let mut drain = coordinator.drain_of(name, &plan, id);
                 stage(coordinator, step, &mut drain)?;
                 coordinator.stage_drain(step, &mut drain)?;
@@ -107,26 +97,27 @@ impl Coordinator {
         })
     }
 
-    /// The debug-build oracles over what a step published for
-    /// `instance`: the status mirror matches the store, and while it runs
-    /// a full scan finds nothing missed and dispatch's books balance.
+    /// The debug-build oracles over what a step published for instance
+    /// `id`: the status mirror matches the store, and while it runs a full
+    /// scan finds nothing missed and dispatch's books balance.
     #[cfg(debug_assertions)]
-    pub(super) fn assert_settled(&self, instance: &str) {
-        let Some(rt) = self.instances.get(instance) else {
+    pub(super) fn assert_settled(&self, id: u32) {
+        let Some(rt) = self.instances.get(id) else {
             return;
         };
-        let stored = settled(&self.mgr, None, instance, rt.id);
-        assert_eq!(rt.terminal, stored, "status mirror of `{instance}`");
+        let stored = settled(&self.mgr, None, &rt.name, rt.id);
+        assert_eq!(rt.terminal, stored, "status mirror of `{}`", rt.name);
         if !rt.terminal {
-            self.assert_quiescent(instance);
-            self.assert_flights_consistent(instance);
+            self.assert_quiescent(id);
+            self.assert_flights_consistent(id);
         }
     }
 
-    /// `name`'s part in a step about to stage, nothing seeded yet. A
-    /// start's instance is not resident: running, nothing flying.
+    /// Instance `id`'s part, called `name`, in a step about to stage,
+    /// nothing seeded yet. A start's instance is not resident: running,
+    /// nothing flying.
     pub(super) fn drain_of<'a>(&mut self, name: Arc<str>, plan: &'a Plan, id: u32) -> Drain<'a> {
-        let resident = self.instances.get(&*name);
+        let resident = self.instances.get(id);
         let mut flying = self.spare_flying.pop().unwrap_or_default();
         flying.clear();
         flying.extend(resident.into_iter().flat_map(|rt| rt.flights.outstanding()));
@@ -163,7 +154,7 @@ impl Coordinator {
             }
             evaluations += 1;
         }
-        step.push(&drain.name, Effect::Drained(evaluations, !drain.terminal));
+        step.push(drain.id, Effect::Drained(evaluations, !drain.terminal));
         let stuck = self.stuck_check(step, drain);
         self.spare_flying.push(std::mem::take(&mut drain.flying));
         stuck
@@ -274,7 +265,7 @@ impl Coordinator {
                 repeat_objects: BTreeMap::new(),
             };
             drain.flying.push(task_id);
-            step.push(&drain.name, Effect::Dispatch(task_id, launch));
+            step.push(drain.id, Effect::Dispatch(task_id, launch));
         }
         Ok(())
     }
@@ -348,9 +339,9 @@ impl Coordinator {
         let action = step.action(&mut self.mgr);
         facts::write_block(&mut self.mgr, action, plan, instance_id, scope_id, &cb)?;
         facts::write_fact_bound(&mut self.mgr, action, plan, out_key, output.slots, mapped)?;
-        step.push(&drain.name, Effect::Count(|stats| &mut stats.marks));
+        step.push(drain.id, Effect::Count(|stats| &mut stats.marks));
         let event = || self.commit_event(format!("mark `{mark}`"));
-        self.trace(step, &drain.name, Some(scope_path), cb.attempt, event);
+        self.trace(step, drain.id, Some(scope_path), cb.attempt, event);
         Ok(())
     }
 
@@ -388,9 +379,9 @@ impl Coordinator {
         let is_root = plan.task(scope_id).parent.is_none();
         if is_root {
             drain.terminal = true;
-            step.push(&drain.name, Effect::Status(true));
+            step.push(drain.id, Effect::Status(true));
         }
-        self.trace(step, &drain.name, Some(scope_path), 0, || {
+        self.trace(step, drain.id, Some(scope_path), 0, || {
             let what = format!("{verb} `{outcome}`");
             match is_root {
                 true => ObsEventKind::Terminal { outcome: what },
@@ -463,9 +454,9 @@ impl Coordinator {
             facts::delete_facts(mgr, action, plan, instance_id, below, false)?;
             reset_descendants(mgr, action, instance_id, plan, scope_id, cb.scope_inc)?;
         }
-        step.push(&drain.name, Effect::Count(|stats| &mut stats.repeats));
+        step.push(drain.id, Effect::Count(|stats| &mut stats.repeats));
         let event = || self.commit_event(format!("repeat `{outcome}`"));
-        self.trace(step, &drain.name, Some(scope_path), cb.attempt, event);
+        self.trace(step, drain.id, Some(scope_path), cb.attempt, event);
         drain.discard_below(step, scope_id);
         // Re-entry: the repeat fact is fresh; a reset compound rebinds
         // through the start agenda, a reset root enables its children.
@@ -570,22 +561,20 @@ impl Coordinator {
         let action = step.action(&mut self.mgr);
         self.mgr
             .write_key(action, &status_uid(&drain.name), &record)?;
-        step.push(&drain.name, Effect::Status(true));
-        self.trace(step, &drain.name, None, 0, || ObsEventKind::Stuck {
-            reason,
-        });
+        step.push(drain.id, Effect::Status(true));
+        self.trace(step, drain.id, None, 0, || ObsEventKind::Stuck { reason });
         Ok(())
     }
 
-    /// The full-scan oracle (debug builds) over a running `instance`'s
+    /// The full-scan oracle (debug builds) over running instance `id`'s
     /// committed state: no startable task and no satisfied unprocessed
     /// scope output may remain — if one does, the seeding missed it.
     #[cfg(debug_assertions)]
-    fn assert_quiescent(&self, instance: &str) {
-        let Some(rt) = self.instances.get(instance) else {
+    fn assert_quiescent(&self, id: u32) {
+        let Some(rt) = self.instances.get(id) else {
             return;
         };
-        let (plan, instance_id) = (&*rt.plan, rt.id);
+        let (plan, instance_id, instance) = (&*rt.plan, rt.id, &rt.name);
         let facts = StoreFacts::new(&self.mgr, None, plan, instance_id);
         for id in 1..plan.tasks.len() as TaskId {
             let task = plan.task(id);

@@ -51,6 +51,7 @@ impl Coordinator {
         };
         let terminal = settled(&self.mgr, None, name, header.instance_id);
         Ok(InstanceRt {
+            name: name.into(),
             plan,
             id: header.instance_id,
             flights: Flights::default(),
@@ -149,7 +150,7 @@ impl Coordinator {
         // it stores `Active` says the instance runs. The caller
         // acknowledges the start on `Ok`: a frame that did not reach the
         // log must not read as one.
-        self.step(&[instance], |coordinator, step, _| {
+        self.step(&[self.next_id], |coordinator, step, _| {
             // A second start must not write over the first.
             if coordinator.holds(instance) {
                 return Err(EngineError::DuplicateInstance(instance.to_string()));
@@ -181,14 +182,15 @@ impl Coordinator {
             // it is the one record of what the instance was started on.
             facts::write_fact_map(mgr, action, &plan, root_in, entries(&inputs), None)?;
             let rt = InstanceRt {
+                name: name.clone(),
                 plan: plan.clone(),
                 id: instance_id,
                 flights: Flights::default(),
                 terminal: false,
                 planted: false,
             };
-            step.push(&name, Effect::Resident(Box::new(rt)));
-            coordinator.trace(step, &name, Some(&root_path), 0, || {
+            step.push(instance_id, Effect::Resident(Box::new(rt)));
+            coordinator.trace(step, instance_id, Some(&root_path), 0, || {
                 ObsEventKind::InstanceStart
             });
             // The first drain: the root just activated.
@@ -244,8 +246,8 @@ impl Coordinator {
     /// [`EngineError::UnknownInstance`], or a header or source that does
     /// not load.
     fn plan_of(&self, instance: &str) -> Result<(Arc<Plan>, u32), EngineError> {
-        if let Some(ctx) = self.instance_ctx(instance) {
-            return Ok(ctx);
+        if let Some(rt) = self.instances.named(instance) {
+            return Ok((rt.plan.clone(), rt.id));
         }
         let header = self.read_header(instance)?;
         let plan = match self.cached_plan(&header) {
@@ -286,7 +288,7 @@ impl Coordinator {
         path: &str,
         output: &str,
     ) -> Option<BTreeMap<String, ObjectVal>> {
-        let rt = self.instances.get(instance)?;
+        let rt = self.instances.named(instance)?;
         let task = rt.plan.task_by_path(path)?;
         let key = out_key(&rt.plan, rt.id, task, output)?;
         facts::read_fact_map(&self.mgr, &rt.plan, key)
@@ -294,9 +296,9 @@ impl Coordinator {
             .flatten()
     }
 
-    /// Names of instances known to the coordinator.
+    /// Names of instances known to the coordinator, in name order.
     pub fn instance_names(&self) -> Vec<String> {
-        self.instances.keys().map(|name| name.to_string()).collect()
+        self.instances.names().map(ToString::to_string).collect()
     }
 
     /// Drops the pinned sources (`sys/src/…`) no stored instance
@@ -561,7 +563,11 @@ mod tests {
         fail.store(false, Ordering::Relaxed);
         start(&mut coord, "x").expect("the healed disk takes the same name");
         assert_eq!(coord.instance_names(), ["x"]);
-        assert_eq!(coord.instances["x"].id, 0, "nor did it take an id");
+        assert_eq!(
+            coord.instances.named("x").unwrap().id,
+            0,
+            "nor did it take an id"
+        );
         assert_eq!(occupancy(&coord), 1);
         assert_eq!(coord.stats().dispatches, 1, "t1, once");
     }
@@ -576,7 +582,7 @@ mod tests {
         start(&mut coord, "d").expect("starts");
         assert_eq!(coord.stats().dispatches, 1, "t1");
         let t1 = {
-            let rt = &coord.instances["d"];
+            let rt = coord.instances.named("d").unwrap();
             let t1 = rt.plan.task_by_path("diamond/t1").unwrap();
             StoreKey::Fact(FactKey::control(rt.id, t1))
         };
@@ -609,7 +615,8 @@ mod tests {
         };
         let reconfigured = reconfigure(&mut coord, "d1", rebind());
         reconfigured.expect("a new version of `d1`'s script");
-        let plan = |coord: &Coordinator, name: &str| coord.instances[name].plan.clone();
+        let plan =
+            |coord: &Coordinator, name: &str| coord.instances.named(name).unwrap().plan.clone();
         let shared = |coord: &Coordinator, a, b| Arc::ptr_eq(&plan(coord, a), &plan(coord, b));
 
         coord.handle(SimTime::ZERO, Input::Restart);

@@ -360,7 +360,8 @@ impl Coordinator {
     /// from its committed control blocks). Returns the watchdogs to
     /// cancel.
     fn drop_runtime(&mut self, instance: &str) -> Vec<TimerId> {
-        let Some(rt) = self.instances.remove(instance) else {
+        let id = self.instances.resolve(instance);
+        let Some(rt) = id.and_then(|id| self.instances.remove(id)) else {
             return Vec::new();
         };
         if !rt.terminal {
@@ -400,29 +401,29 @@ impl Coordinator {
     /// coordinator per the shared shard map (the request must be
     /// forwarded), `None` when this node owns it.
     pub(super) fn misdirected(&self, instance: &str) -> Option<NodeId> {
+        let mut owner = self.membership.shard.node_of(instance);
+        if owner == self.node {
+            // The map says "mine" but a round landed the instance
+            // elsewhere and the map flip hasn't happened yet (the
+            // dual-delivery window): relay to where it went.
+            let record = &self.membership.rounds[self.membership.index.get(instance)?].record;
+            owner = record.landed.then(|| record.dest_node())?;
+        }
         // Residency beats the map: the instant a claim lands, this node
         // *is* the owner — even while its own map is still the pre-flip
         // one (a crashed destination recovers the landing before any map
         // update reaches it). Without this, the stale map bounces
         // relayed reports straight back at the relayer until the hop cap
-        // eats them.
-        if self.instances.contains_key(instance) {
-            return None;
-        }
-        let owner = self.membership.shard.node_of(instance);
-        if owner != self.node {
-            return Some(owner);
-        }
-        // The map says "mine" but a round landed the instance elsewhere
-        // and the map flip hasn't happened yet (the dual-delivery
-        // window): relay to where it went.
-        let record = &self.membership.rounds[self.membership.index.get(instance)?].record;
-        record.landed.then(|| record.dest_node())
+        // eats them. Asked last, so that a request the map routes here
+        // resolves no name.
+        self.instances.resolve(instance).is_none().then_some(owner)
     }
 
     /// Routes one executor report: held with its round while the
-    /// instance is frozen, relayed when another shard owns it, buffered
-    /// into the commit window when it is ours.
+    /// instance is frozen, buffered into the commit window when it is
+    /// resident here — by its id, the name resolved once — relayed when
+    /// another shard owns it, and buffered unresolved when it is ours
+    /// but not resident.
     pub(super) fn route_report(&mut self, report: Delivered, hops: u32) {
         let membership = &mut self.membership;
         let frozen_in = membership.freezing(report.instance());
@@ -430,9 +431,12 @@ impl Coordinator {
             round.held.push((report, hops));
             return;
         }
+        if let Some(id) = self.instances.resolve(report.instance()) {
+            return self.enqueue_event(Some(id), report);
+        }
         match self.misdirected(report.instance()) {
             Some(owner) => self.forward_report(owner, report, hops),
-            None => self.enqueue_event(report),
+            None => self.enqueue_event(None, report),
         }
     }
 
@@ -549,7 +553,7 @@ impl Coordinator {
             self.record_event(name, None, 0, ObsEventKind::DrainBegin { remaining });
         }
         let limit = if drain.is_some() { DRAIN_BATCH } else { 1 };
-        let names = self.instances.keys().map(|name| name.to_string());
+        let names = self.instances.names().map(|name| name.to_string());
         let mut queue = split(names, |name| map.node_of(name), limit);
         queue.retain(|(dest, _)| *dest != self.node);
         let report = MoveReport {
@@ -1086,16 +1090,17 @@ mod tests {
     use crate::driver::Node;
     use crate::keys::meta_uid;
     use crate::msg::{Attempt, TaskReport, TaskResult};
-    use crate::{ObjectVal, TaskBehavior};
+    use crate::{ObjectVal, ObserveLevel, TaskBehavior};
 
     /// `shards` shards serving the quickstart pipeline, whose `produce`
     /// works 50 ms.
     fn quickstart(shards: usize) -> WorkflowSystem {
-        let mut sys = WorkflowSystem::builder()
-            .executors(1)
-            .coordinators(shards)
-            .seed(7)
-            .build();
+        let builder = WorkflowSystem::builder().executors(1).coordinators(shards);
+        serve_quickstart(builder.seed(7).build())
+    }
+
+    /// `sys`, serving the quickstart pipeline.
+    fn serve_quickstart(mut sys: WorkflowSystem) -> WorkflowSystem {
         let source = flowscript_core::samples::QUICKSTART;
         sys.register_script("quickstart", source, "pipeline")
             .unwrap();
@@ -1175,7 +1180,8 @@ mod tests {
             .collect();
         let distinct: BTreeSet<u32> = ids.values().copied().collect();
         assert_eq!(distinct.len(), ids.len(), "an id is shared: {ids:?}");
-        for (name, rt) in &coord.instances {
+        for name in coord.instances.names() {
+            let rt = coord.instances.named(name).unwrap();
             assert_eq!(Some(&rt.id), ids.get(&**name), "`{name}`");
         }
         let (lo, hi) = (FactKey::instance_first(0), FactKey::instance_last(u32::MAX));
@@ -1284,7 +1290,7 @@ mod tests {
         let id = source.membership.freezing(&name).expect("frozen");
         dest.on_claim(id, epoch, false, writes.clone())
             .expect("the first delivery lands");
-        assert!(dest.instances.contains_key(name.as_str()));
+        assert!(dest.instances.named(&name).is_some());
         source.land_round(id);
         assert_eq!(source.membership.freezing(&name), None);
         assert_eq!(source.misdirected(&name), Some(dest.node), "relayed");
@@ -1364,7 +1370,7 @@ mod tests {
         assert!(move_records(&source.mgr).is_empty(), "its record went too");
         assert!(source.membership.index.is_empty(), "and its index entry");
         assert!(
-            source.instances.contains_key(name.as_str()),
+            source.instances.named(&name).is_some(),
             "the claimed copy loaded"
         );
         let landed: InstanceHeader = source
@@ -1452,5 +1458,29 @@ mod tests {
         ));
         let stats = coord.stats();
         assert_eq!((stats.forward_loops, stats.forwarded), (2, 0));
+    }
+
+    /// The resident set is walked in name order, however its instances
+    /// came: three started out of name order, so that their ids run in
+    /// start order, are listed in name order, and a drain's round hands
+    /// them off in name order.
+    #[test]
+    fn the_resident_set_is_walked_in_name_order() {
+        let builder = WorkflowSystem::builder().executors(1).coordinators(2);
+        let mut sys = serve_quickstart(builder.seed(7).observe(ObserveLevel::Trace).build());
+        let mut names = names_on(&sys, 0, 3);
+        names.sort();
+        for i in [2, 0, 1] {
+            sys.start(&names[i], "quickstart", "main", seed()).unwrap();
+        }
+        sys.run_for(SimDuration::from_millis(10));
+        let source = sys.coordinator_nodes()[0];
+        assert_eq!(sys.coord_on(source).get().instance_names(), names);
+        let report = sys.remove_coordinator("coordinator0").expect("drain");
+        assert_eq!((report.moved, report.rounds), (3, 1));
+        let events = sys.coord_on(source).get().recorder().events().into_iter();
+        let handed = events.filter(|event| matches!(event.kind, ObsEventKind::HandOff { .. }));
+        let handed: Vec<String> = handed.map(|event| event.instance).collect();
+        assert_eq!(handed, names, "the round holds its names in name order");
     }
 }

@@ -53,6 +53,7 @@
 //! | `membership` | routing and relays; the book of rounds, each frozen or landed, one name index over them; the claim, the one way an instance changes shards; fleet calls | `Membership`, [`MoveReport`], [`FailoverReport`] |
 //! | `package` | what a claim carries: an instance's keyspace packaged, re-keyed, purged | — |
 //! | `recovery` | a stored instance coming back, and restart: reopen, reload, re-arm, census, re-send | `Back`, `Census` |
+//! | `resident` | the resident set: each runtime by its id, one name index, resolved where a name enters | `Residents` |
 //! | `admin` | operator actions on a running instance, one step each: abort, repair, reconfiguration | — |
 
 mod admin;
@@ -65,6 +66,7 @@ mod membership;
 mod meta;
 mod package;
 mod recovery;
+mod resident;
 mod stats;
 mod step;
 mod window;
@@ -98,6 +100,7 @@ pub use meta::{InstanceStatus, Outcome};
 pub use stats::{CoordStats, DispatchRecord};
 
 use recovery::{stored_instance_names, stored_instances, Census};
+use resident::Residents;
 use step::Effects;
 
 use admission::{Admission, AdmissionTicket};
@@ -186,6 +189,9 @@ pub(crate) enum Report {
 
 /// Volatile per-instance runtime state (rebuilt on recovery).
 struct InstanceRt {
+    /// The instance's name, shared with every trace, reply and timer
+    /// that spells it.
+    name: Arc<str>,
     /// The compiled execution plan all hot paths run off: the pinned
     /// source compiled, shared through the shard's [`PlanCache`] with
     /// every instance of the same version (a reconfiguration swaps in
@@ -227,7 +233,8 @@ pub struct Coordinator {
     config: EngineConfig,
     mgr: TxManager<StableStore>,
     storage: StableStore,
-    instances: BTreeMap<Arc<str>, InstanceRt>,
+    /// The resident instances, by id, and the one name index.
+    instances: Residents,
     plan_cache: PlanCache,
     commits: u64,
     /// `commits` as of the last checkpoint — the once-per-drain
@@ -318,7 +325,7 @@ impl Coordinator {
             config,
             mgr,
             storage,
-            instances: BTreeMap::new(),
+            instances: Residents::default(),
             plan_cache: PlanCache::default(),
             commits: 0,
             commits_at_checkpoint: 0,
@@ -523,9 +530,10 @@ impl Coordinator {
 
     /// Whether `instance` exists on this shard. The store is the truth,
     /// not residency: an instance a hand-off round holds frozen is
-    /// committed here without being resident.
+    /// committed here without being resident, and a resident one is
+    /// committed too.
     fn holds(&self, instance: &str) -> bool {
-        self.instances.contains_key(instance) || self.mgr.exists_key(&meta_uid(instance))
+        self.mgr.exists_key(&meta_uid(instance))
     }
 
     /// The committed header of `instance`.
@@ -540,9 +548,9 @@ impl Coordinator {
     }
 
     /// Refreshes the volatile mirror of whether a commit just settled
-    /// `instance` or revived it.
-    fn note_status(&mut self, instance: &str, terminal: bool) {
-        if let Some(rt) = self.instances.get_mut(instance) {
+    /// instance `id` or revived it.
+    fn note_status(&mut self, id: u32, terminal: bool) {
+        if let Some(rt) = self.instances.get_mut(id) {
             rt.terminal = terminal;
         }
     }
@@ -588,6 +596,13 @@ impl Coordinator {
     /// The node this coordinator runs on.
     pub fn node(&self) -> NodeId {
         self.node
+    }
+
+    /// How many instance names this shard has resolved to ids: a test
+    /// hook, which a golden pins per instance.
+    #[doc(hidden)]
+    pub fn name_resolutions(&self) -> u64 {
+        self.instances.resolutions()
     }
 
     /// Whether another node has claimed this shard's storage (probes
@@ -859,7 +874,7 @@ compoundtask root of taskclass Root {
         };
         let answer = Ok(flowscript_codec::to_bytes(&answer));
         source.handle(at(10), Input::Answered(call, answer));
-        assert!(source.instances.contains_key(instance.as_str()), "running");
+        assert!(source.instances.named(&instance).is_some(), "running");
 
         // The move: the source freezes the instance and sends its claim.
         let op = Op::Move {
@@ -877,7 +892,7 @@ compoundtask root of taskclass Root {
             panic!("the claim");
         };
         assert_eq!(to, there);
-        assert!(!source.instances.contains_key(instance.as_str()), "frozen");
+        assert!(source.instances.named(&instance).is_none(), "frozen");
 
         // The claim, at the destination: landed, and answered.
         let token = Some(ReplyToken::new(there, here, 8));
@@ -892,7 +907,7 @@ compoundtask root of taskclass Root {
             _ => None,
         });
         let reply = reply.expect("the claim's answer");
-        assert!(dest.instances.contains_key(instance.as_str()), "landed");
+        assert!(dest.instances.named(&instance).is_some(), "landed");
 
         // Its answer, at the source: what the operator hears.
         let outputs = source.handle(at(40), Input::Answered(call, Ok(reply)));

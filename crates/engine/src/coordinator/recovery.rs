@@ -72,7 +72,7 @@ pub(super) fn next_free_id(
 #[derive(Default)]
 pub(super) struct Census {
     awaited: usize,
-    owed: Vec<String>,
+    owed: Vec<u32>,
 }
 
 /// Why stored instances come back into residence.
@@ -96,7 +96,7 @@ impl Coordinator {
     /// occupancy from what the log says of each instance: a stuck
     /// record, or a root block that says it terminated).
     fn reset_volatile(&mut self) {
-        self.instances.clear();
+        self.instances.reset(0);
         self.plan_cache = PlanCache::default();
         self.window.reset();
         self.dispatcher.reset();
@@ -158,6 +158,7 @@ impl Coordinator {
         let stored = stored_instances(&self.mgr);
         let ids = stored.iter().map(|(_, header)| header.instance_id);
         self.next_id = next_free_id(&self.mgr, ids);
+        self.instances.reset(self.next_id);
         let loaded = self.load_stored(stored, Back::Restart);
         for id in unlanded {
             self.send_claim(id);
@@ -211,9 +212,9 @@ impl Coordinator {
     /// restart then retry them.
     fn resend_unclaimed(&mut self) {
         let mut owed = std::mem::take(&mut self.census.owed);
-        owed.retain(|name| !self.unclaimed(name).is_empty());
+        owed.retain(|&id| !self.unclaimed(id).is_empty());
         let _ = self.reevaluate(&owed, |coordinator, step, drain| {
-            for task in coordinator.unclaimed(&drain.name) {
+            for task in coordinator.unclaimed(drain.id) {
                 // What a corrupt block was doing is unknown: re-run
                 // nothing, stop the instance with why.
                 let Some(cb) = coordinator.drain_cb(step, drain, task)? else {
@@ -224,7 +225,7 @@ impl Coordinator {
                 if drain.terminal {
                     return Ok(()); // an input that does not decode parked it
                 }
-                step.push(&drain.name, Effect::Count(|stats| &mut stats.resent));
+                step.push(drain.id, Effect::Count(|stats| &mut stats.resent));
             }
             Ok(())
         });
@@ -234,12 +235,13 @@ impl Coordinator {
     /// Makes each of `stored` resident, less a frozen slice and what
     /// [`Coordinator::load_or_park`] stops: a running one takes an
     /// admission slot, each is traced and counted as `why` says. Arms and
-    /// dispatches nothing: the names loaded, for [`Coordinator::resume`].
+    /// dispatches nothing: the ids loaded, in `stored`'s order, for
+    /// [`Coordinator::resume`].
     pub(super) fn load_stored(
         &mut self,
         stored: Vec<(String, InstanceHeader)>,
         why: Back,
-    ) -> Vec<String> {
+    ) -> Vec<u32> {
         let mut loaded = Vec::new();
         for (name, header) in stored {
             if self.membership.freezing(&name).is_some() {
@@ -251,7 +253,8 @@ impl Coordinator {
             if !rt.terminal {
                 self.admission.instance_live();
             }
-            self.instances.insert(name.as_str().into(), rt);
+            loaded.push(rt.id);
+            self.instances.insert(rt);
             let epoch = self.membership.epoch();
             let kind = match why {
                 Back::Restart => {
@@ -268,7 +271,6 @@ impl Coordinator {
                 },
             };
             self.record_event(&name, None, 0, kind);
-            loaded.push(name);
         }
         loaded
     }
@@ -281,23 +283,23 @@ impl Coordinator {
     /// for what its old owner relays; a landing out of a dead shard
     /// re-sends each executing block's attempt as committed, behind its
     /// claim's commit: those attempts report to the dead node.
-    pub(super) fn resume(&mut self, loaded: Vec<String>, why: Back) {
-        let running: Vec<String> = loaded
+    pub(super) fn resume(&mut self, loaded: Vec<u32>, why: Back) {
+        let running: Vec<u32> = loaded
             .iter()
-            .filter(|name| !self.instances[name.as_str()].terminal)
-            .cloned()
+            .copied()
+            .filter(|&id| self.instances.get(id).is_some_and(|rt| !rt.terminal))
             .collect();
-        let watched: &[String] = match why {
+        let watched: &[u32] = match why {
             Back::Restart => &running,
             Back::Landed(None) => &loaded,
             Back::Landed(Some(_)) => &[],
         };
-        watched.iter().for_each(|name| self.keep_moving(name));
+        watched.iter().for_each(|&id| self.keep_moving(id));
         let _ = self.reevaluate(&running, |coordinator, step, drain| {
             if let Back::Landed(Some(_)) = why {
                 // What a corrupt block was doing is unknown: re-run
                 // nothing, stop the instance with why.
-                let executing = match coordinator.executing(&drain.name) {
+                let executing = match coordinator.executing(drain.id) {
                     Ok(executing) => executing,
                     Err(fault) => return coordinator.park_stuck(step, drain, fault),
                 };

@@ -85,8 +85,20 @@ pub(super) struct Launch {
     pub(super) repeat_objects: BTreeMap<String, ObjectVal>,
 }
 
-/// A step's effects in staging order, each with its instance.
-pub(super) type Effects = Vec<(Arc<str>, Effect)>;
+/// A step's effects in staging order, each with its instance's id.
+pub(super) type Effects = Vec<(u32, Effect)>;
+
+/// One unit of a step — an instance, by id, or a window's report —
+/// and the resident instance it moves, if it names one.
+pub(super) trait Unit {
+    fn resident(&self) -> Option<u32>;
+}
+
+impl Unit for u32 {
+    fn resident(&self) -> Option<u32> {
+        Some(*self)
+    }
+}
 
 /// What a step has staged so far. Its action begins at the first write:
 /// a step that stages nothing commits nothing.
@@ -107,15 +119,15 @@ impl Step {
         self.action.as_ref()
     }
 
-    pub(super) fn push(&mut self, instance: &Arc<str>, effect: Effect) {
-        self.effects.push((instance.clone(), effect));
+    pub(super) fn push(&mut self, instance: u32, effect: Effect) {
+        self.effects.push((instance, effect));
     }
 }
 
 impl Coordinator {
     /// The step over `units` — a window's reports, a restart's or a
     /// landing's instances, one instance — each naming the instance it
-    /// moves: `stage` stages them all into one action, committed once;
+    /// moves by id: `stage` stages them all into one action, committed once;
     /// the effects are published in staging order, the checkpoint
     /// threshold is checked, and the oracles run over each instance the
     /// step drained. A rollback owes the module's rule.
@@ -123,7 +135,7 @@ impl Coordinator {
     /// # Errors
     ///
     /// The (shared) step rolled back: it published nothing.
-    pub(super) fn step<U: AsRef<str>>(
+    pub(super) fn step<U: Unit>(
         &mut self,
         units: &[U],
         mut stage: impl FnMut(&mut Self, &mut Step, &[U]) -> Result<(), EngineError>,
@@ -136,8 +148,8 @@ impl Coordinator {
             for unit in units {
                 let alone = std::slice::from_ref(unit);
                 let retried = units.len() > 1 && self.commit_and_publish(alone, &mut stage).is_ok();
-                if !retried {
-                    self.keep_moving(unit.as_ref());
+                if let Some(id) = unit.resident().filter(|_| !retried) {
+                    self.keep_moving(id);
                 }
             }
         }
@@ -153,15 +165,15 @@ impl Coordinator {
     ) -> Result<(), EngineError> {
         let ((), effects) = self.run_step(|coordinator, step| stage(coordinator, step, units))?;
         #[cfg(debug_assertions)]
-        let drained: Vec<Arc<str>> = effects
+        let drained: Vec<u32> = effects
             .iter()
             .filter(|(_, effect)| matches!(effect, Effect::Drained(..)))
-            .map(|(instance, _)| instance.clone())
+            .map(|(instance, _)| *instance)
             .collect();
         self.publish(effects);
         let _ = self.maybe_checkpoint();
         #[cfg(debug_assertions)]
-        for instance in &drained {
+        for &instance in &drained {
             self.assert_settled(instance);
         }
         Ok(())
@@ -225,7 +237,7 @@ impl Coordinator {
     pub(super) fn trace(
         &self,
         step: &mut Step,
-        instance: &Arc<str>,
+        instance: u32,
         task: Option<&str>,
         attempt: u32,
         kind: impl FnOnce() -> ObsEventKind,
@@ -245,13 +257,13 @@ impl Coordinator {
         let mut unplaceable = Vec::new();
         for (instance, effect) in effects.drain(..) {
             match effect {
-                Effect::Completed(task, ticket) => self.clear_watch(&instance, task, ticket),
-                Effect::Lost(task, reported) => self.lose_flight(&instance, task, reported),
+                Effect::Completed(task, ticket) => self.clear_watch(instance, task, ticket),
+                Effect::Lost(task, reported) => self.lose_flight(instance, task, reported),
                 Effect::Dispatch(task, launch) => {
-                    let shipped = self.ship(&instance, task, launch);
+                    let shipped = self.ship(instance, task, launch);
                     unplaceable.extend(shipped.err().map(|reason| (instance, task, reason)));
                 }
-                Effect::Later(task, after, launch) => self.delay(&instance, task, after, launch),
+                Effect::Later(task, after, launch) => self.delay(instance, task, after, launch),
                 Effect::Drained(evaluations, quiescent) => {
                     self.metrics.stats.evaluations += evaluations;
                     if quiescent && self.config.observe.metrics() {
@@ -259,15 +271,15 @@ impl Coordinator {
                     }
                 }
                 Effect::Batch(reports) => self.window_committed(reports),
-                Effect::Discard(tasks) => self.discard_flights(&instance, tasks),
-                Effect::Replan(plan) => self.replan(&instance, plan),
+                Effect::Discard(tasks) => self.discard_flights(instance, tasks),
+                Effect::Replan(plan) => self.replan(instance, plan),
                 Effect::Resident(rt) => {
                     self.next_id = rt.id + 1;
-                    self.instances.insert(instance.clone(), *rt);
+                    self.instances.insert(*rt);
                     self.admission.instance_live();
                 }
                 Effect::Status(terminal) => {
-                    self.note_status(&instance, terminal);
+                    self.note_status(instance, terminal);
                     match terminal {
                         true => self.admission.instance_settled(),
                         false => self.admission.instance_live(),
@@ -275,7 +287,10 @@ impl Coordinator {
                 }
                 Effect::Count(field) => *field(&mut self.metrics.stats) += 1,
                 Effect::Trace(task, attempt, kind) => {
-                    self.record_event(&instance, task.as_deref(), attempt, kind);
+                    // A start's instance is resident by its first trace.
+                    if let Some(name) = self.instances.get(instance).map(|rt| rt.name.clone()) {
+                        self.record_event(&name, task.as_deref(), attempt, kind);
+                    }
                 }
             }
         }
@@ -284,7 +299,7 @@ impl Coordinator {
             self.spare_effects = effects;
         }
         for (instance, task, reason) in unplaceable {
-            self.fail_unplaceable(&instance, task, &reason);
+            self.fail_unplaceable(instance, task, &reason);
         }
     }
 }

@@ -29,7 +29,7 @@ use flowscript_plan::{Plan, TaskId};
 use flowscript_sim::SimDuration;
 
 use super::evaluate::Drain;
-use super::step::{Effect, Step};
+use super::step::{Effect, Step, Unit};
 use super::{CommitBatch, Coordinator, Timer};
 use crate::driver::TimerId;
 use crate::error::EngineError;
@@ -56,13 +56,33 @@ enum Next {
     Wait,
 }
 
+/// A buffered report, and the id of the resident instance it names:
+/// resolved where it arrived, or, if none was resident then, where the
+/// window flushes.
+type Buffered = (Option<u32>, Delivered);
+
+/// A report moves the instance it names, if that is resident: a commit
+/// window is a step over its reports.
+impl Unit for Buffered {
+    fn resident(&self) -> Option<u32> {
+        self.0
+    }
+}
+
+/// What a flushed report applies to, if it names a resident instance
+/// and one of its tasks: the plan, the instance's name and id, the task.
+type Applied = Option<(Arc<Plan>, Arc<str>, u32, TaskId)>;
+
 /// The open commit window of one shard. Volatile by design: a crash
 /// loses the open window as a unit, exactly as if the messages were
 /// still in the network.
 #[derive(Default)]
 pub(super) struct BatchWindow {
     /// Buffered reports, in arrival order.
-    pending: Vec<Delivered>,
+    pending: Vec<Buffered>,
+    /// The last flush's [`Applied`] contexts, emptied: the next flush
+    /// fills them.
+    applied: Vec<Applied>,
     /// How many of `pending` are completions.
     done: u32,
     /// The outstanding flush timer, if one is armed.
@@ -86,12 +106,12 @@ impl BatchWindow {
     /// within the window.
     fn push(
         &mut self,
-        report: Delivered,
+        report: Buffered,
         batch: &CommitBatch,
         in_flight: u32,
         age: SimDuration,
     ) -> Next {
-        self.done += u32::from(!report.is_mark());
+        self.done += u32::from(!report.1.is_mark());
         self.pending.push(report);
         if self.done >= in_flight
             || self.pending.len() >= batch.max_events
@@ -108,14 +128,14 @@ impl BatchWindow {
 
     /// The reports to flush, and the armed timer to cancel if the flush
     /// is not its own.
-    fn take(&mut self) -> (Vec<Delivered>, Option<TimerId>) {
+    fn take(&mut self) -> (Vec<Buffered>, Option<TimerId>) {
         self.done = 0;
         (std::mem::take(&mut self.pending), self.timer.take())
     }
 
     /// Takes back the vector of a flushed window's reports, emptied, to
     /// buffer the next window in — unless that one already began.
-    fn recycle(&mut self, mut flushed: Vec<Delivered>) {
+    fn recycle(&mut self, mut flushed: Vec<Buffered>) {
         if self.pending.capacity() == 0 {
             flushed.clear();
             self.pending = flushed;
@@ -126,7 +146,7 @@ impl BatchWindow {
     /// its transition just hasn't committed yet, and the watchdog must
     /// not turn a report-in-flight into a spurious retry.
     pub(super) fn holds_done(&self, at: &Attempt) -> bool {
-        let done = |report: &Delivered| !report.is_mark() && report.at().is(at);
+        let done = |(_, report): &Buffered| !report.is_mark() && report.at().is(at);
         self.pending.iter().any(done)
     }
 
@@ -236,15 +256,15 @@ impl Coordinator {
         facts::write_fact_map(&mut self.mgr, action, plan, out_key, objects, stamp)?;
         let is_mark = report.is_mark();
         if is_mark {
-            step.push(&drain.name, Effect::Count(|stats| &mut stats.marks));
+            step.push(drain.id, Effect::Count(|stats| &mut stats.marks));
         }
-        self.trace(step, &drain.name, Some(at.path), at.attempt, || {
+        self.trace(step, drain.id, Some(at.path), at.attempt, || {
             self.commit_event(format!("{what} `{name}`"))
         });
         // A completed dispatch releases its watchdog and load *before*
         // the cascade dispatches anything new.
         if !is_mark {
-            step.push(&drain.name, Effect::Completed(task_id, ticket));
+            step.push(drain.id, Effect::Completed(task_id, ticket));
             drain.lands(task_id);
         }
         drain.worklist.seed_commit(plan, task_id);
@@ -287,9 +307,9 @@ impl Coordinator {
         facts::write_block(&mut self.mgr, action, plan, instance_id, task_id, &cb)?;
         let entries = objects.entries();
         facts::write_fact_map(&mut self.mgr, action, plan, out_key, entries, Some(path))?;
-        step.push(&drain.name, Effect::Completed(task_id, ticket));
-        step.push(&drain.name, Effect::Count(|stats| &mut stats.repeats));
-        self.trace(step, &drain.name, Some(path), reported, || {
+        step.push(drain.id, Effect::Completed(task_id, ticket));
+        step.push(drain.id, Effect::Count(|stats| &mut stats.repeats));
+        self.trace(step, drain.id, Some(path), reported, || {
             self.commit_event(format!("repeat `{name}`"))
         });
         drain.worklist.seed_commit(plan, task_id);
@@ -302,16 +322,18 @@ impl Coordinator {
         Ok(true)
     }
 
-    /// Buffers an executor report into the open window, flushing when
-    /// the count or the awaited trigger fires and arming the flush timer
-    /// on the first report of a window.
-    pub(super) fn enqueue_event(&mut self, report: Delivered) {
+    /// Buffers an executor report, and the id of the resident instance
+    /// it names if one is, into the open window, flushing when the count
+    /// or the awaited trigger fires and arming the flush timer on the
+    /// first report of a window.
+    pub(super) fn enqueue_event(&mut self, id: Option<u32>, report: Delivered) {
         let in_flight = self.dispatcher.in_flight();
-        let at = report.at();
-        let age = self.attempt_age(at.instance, at.path);
+        let age = id.map_or(SimDuration::ZERO, |id| {
+            self.attempt_age(id, report.at().path)
+        });
         match self
             .window
-            .push(report, &self.config.commit_batch, in_flight, age)
+            .push((id, report), &self.config.commit_batch, in_flight, age)
         {
             Next::Flush => self.flush_pending(),
             Next::Arm(window) => self.window.timer = Some(self.arm(window, Timer::Window)),
@@ -339,10 +361,15 @@ impl Coordinator {
     /// hand-off collection call this first so their reads and cascades
     /// see every report that already arrived.
     pub(super) fn flush_pending(&mut self) {
-        let (events, timer) = self.window.take();
+        let (mut events, timer) = self.window.take();
         self.cancel(timer);
         if events.is_empty() {
             return;
+        }
+        // A report that arrived before its instance was resident here
+        // (a landing's) resolves its name now.
+        for (id, report) in events.iter_mut().filter(|(id, _)| id.is_none()) {
+            *id = self.instances.resolve(report.instance());
         }
         let _ = self.step(&events, Self::stage_window);
         self.window.recycle(events);
@@ -356,32 +383,25 @@ impl Coordinator {
     /// the readiness cascade of every instance they touched. The batch id
     /// and the `coord.batch_size` sample are spent only on a commit
     /// ([`Effect::Batch`]): the histogram's sum is the reports applied.
-    fn stage_window(&mut self, step: &mut Step, events: &[Delivered]) -> Result<(), EngineError> {
-        // Per-event plan context.
-        type EventCtx = Option<(Arc<Plan>, u32, TaskId)>;
-        let contexts: Vec<EventCtx> = events
-            .iter()
-            .map(|event| {
-                let at = event.at();
-                let (plan, instance_id) = self.instance_ctx(at.instance)?;
-                let task = plan.task_by_path(at.path)?;
-                Some((plan, instance_id, task))
-            })
-            .collect();
-
-        // The touched instances, in first-touch arrival order.
-        let mut touched: Vec<Drain<'_>> = Vec::new();
+    fn stage_window(&mut self, step: &mut Step, events: &[Buffered]) -> Result<(), EngineError> {
+        let mut applied = std::mem::take(&mut self.window.applied);
+        applied.extend(events.iter().map(|(id, event)| {
+            let (plan, name) = self.instance_ctx((*id)?)?;
+            let task = plan.task_by_path(event.at().path)?;
+            Some((plan, name, (*id)?, task))
+        }));
+        // The touched instances, in first-touch arrival order: at most
+        // one a report.
+        let mut touched: Vec<Drain<'_>> = Vec::with_capacity(events.len());
         self.window.current_batch = Some(self.window.batch_seq);
-        for (event, ctx) in events.iter().zip(&contexts) {
-            let Some((plan, instance_id, task)) = ctx else {
+        for ((_, event), ctx) in events.iter().zip(&applied) {
+            let Some((plan, name, id, task)) = ctx else {
                 continue; // unknown instance or path: dropped, as ever
             };
-            let instance = event.instance();
-            match touched.iter_mut().find(|drain| &*drain.name == instance) {
+            match touched.iter_mut().find(|drain| drain.id == *id) {
                 Some(drain) => _ = self.stage_event(step, drain, event, *task)?,
                 None => {
-                    let name = self.shared_name(instance);
-                    let mut drain = self.drain_of(name, plan, *instance_id);
+                    let mut drain = self.drain_of(name.clone(), plan, *id);
                     if self.stage_event(step, &mut drain, event, *task)? {
                         touched.push(drain);
                     }
@@ -391,8 +411,12 @@ impl Coordinator {
         for drain in &mut touched {
             self.stage_drain(step, drain)?;
         }
-        let first = self.shared_name(events[0].instance());
-        step.push(&first, Effect::Batch(events.len() as u64));
+        drop(touched);
+        applied.clear();
+        self.window.applied = applied;
+        // A batch is the shard's: the id it is staged under goes unread.
+        let first = events[0].0.unwrap_or_default();
+        step.push(first, Effect::Batch(events.len() as u64));
         Ok(())
     }
 
@@ -438,7 +462,7 @@ mod tests {
     use crate::shard::ShardMap;
     use crate::{InstanceStatus, ObserveLevel, TaskBehavior};
 
-    fn report() -> Delivered {
+    fn report() -> Buffered {
         let at = Attempt {
             instance: "i".into(),
             path: "t".into(),
@@ -455,7 +479,10 @@ mod tests {
             result,
         };
         let bytes = flowscript_codec::to_bytes(&EngineMsg::Report(report));
-        Delivered::read(bytes.clone(), 0..bytes.len()).expect("a report")
+        (
+            None,
+            Delivered::read(bytes.clone(), 0..bytes.len()).expect("a report"),
+        )
     }
 
     #[test]
@@ -890,7 +917,7 @@ compoundtask root of taskclass Root {
         sys.run_for(SimDuration::from_millis(5));
         let (block, saved) = {
             let coordinator = sys.coord_handle(0).get();
-            let rt = &coordinator.instances["i3"];
+            let rt = coordinator.instances.named("i3").unwrap();
             let produce = rt.plan.task_by_path("pipeline/produce").unwrap();
             let block = StoreKey::Fact(FactKey::control(rt.id, produce));
             let saved = coordinator.mgr.read_committed_bytes(&block).unwrap();

@@ -14,7 +14,7 @@
 //! run in the order they were scheduled, so reordering outputs would make
 //! a different simulation.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use flowscript_codec::IdMap;
 use flowscript_sim::{
@@ -97,7 +97,7 @@ pub(crate) enum Output<T, C, A> {
 }
 
 /// The name a node gives a timer it arms, for cancelling it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) struct TimerId(pub(crate) u64);
 
 /// A node and what the world owes it back: the value the façade's
@@ -106,8 +106,9 @@ pub(crate) struct TimerId(pub(crate) u64);
 pub struct Driver<N: Node> {
     value: N,
     /// Every timer the node armed that has neither gone off nor been
-    /// cancelled: its world event, and what it resumes.
-    timers: BTreeMap<TimerId, (EventId, N::Timer)>,
+    /// cancelled: its world event, and what it resumes, by the id the
+    /// node minted for it.
+    timers: IdMap<TimerId, (EventId, N::Timer)>,
     /// What each call the node made resumes, by the world's call id,
     /// until it is answered.
     calls: IdMap<u64, N::Call>,
@@ -123,7 +124,7 @@ impl<N: Node> Driver<N> {
     pub(crate) fn new(value: N) -> Self {
         Self {
             value,
-            timers: BTreeMap::new(),
+            timers: IdMap::default(),
             calls: IdMap::default(),
             answers: VecDeque::new(),
         }

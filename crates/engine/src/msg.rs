@@ -742,14 +742,6 @@ impl Delivered {
     }
 }
 
-/// A report names the instance it moves: a commit window is a step over
-/// its reports.
-impl AsRef<str> for Delivered {
-    fn as_ref(&self) -> &str {
-        self.instance()
-    }
-}
-
 impl Decode for EngineMsg {
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(match r.get_u8()? {
