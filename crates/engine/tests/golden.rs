@@ -24,8 +24,9 @@
 //! what the engine does or logs reads as a diff of its rows too.
 //! `diamond_burst.alloc.txt` is what the burst costs the heap, counted
 //! by this binary's allocator, summed and by the kind of node fed, and
-//! pinned in a release build only; `diamond_burst.names.txt`, how often
-//! its shards resolved an instance's name to its id.
+//! `diamond_burst.replay_alloc.txt` what reopening its four logs costs
+//! it; both are pinned in a release build only. `diamond_burst.names.txt`
+//! is how often its shards resolved an instance's name to its id.
 //!
 //! The reference arm — `CommitBatch::disabled()`, every report committed
 //! with its cascade before the next is looked at — is frozen the same
@@ -70,7 +71,7 @@ use flowscript_engine::{
     TaskBehavior, WorkflowSystem,
 };
 use flowscript_sim::{SimDuration, SimTime};
-use flowscript_tx::{FactKind, LogRecord, StableStore, Storage, StoreKey};
+use flowscript_tx::{FactKind, LogRecord, MemStorage, StableStore, Storage, StoreKey, TxManager};
 
 fn render(name: &str, (status, trace, states): &Fingerprint) -> String {
     let status = match status {
@@ -841,6 +842,55 @@ bytes | {bytes} | {:.2} per diamond
         );
     }
     check("diamond_burst.alloc.txt", &rendered);
+}
+
+/// What a restart's replay costs the heap: each of the burst's four logs
+/// reopened by a [`TxManager`], counted from the copy the log is read
+/// into to the manager holding the committed store; summed, and per
+/// shard.
+#[cfg(not(debug_assertions))]
+#[test]
+fn diamond_burst_replay_allocations_match_golden() {
+    let sys = diamond_burst(4);
+    let mut rendered = String::from(
+        "\
+# Heap allocations of reopening `common::diamond_burst`'s logs (50 fig. 1
+# diamonds run to the end on 4 shards): `TxManager::open` of each shard's
+# log, release build. A realloc is one allocation of its new size.
+",
+    );
+    let (mut allocations, mut bytes, mut objects) = (0, 0, 0);
+    let mut shards = String::new();
+    for (shard, storage) in sys.shard_storages().iter().enumerate() {
+        let mut copy = MemStorage::new();
+        copy.append(&storage.read_all().expect("in-memory log reads"))
+            .expect("in-memory append");
+        let before = alloc_count::so_far();
+        let reopened = TxManager::open(shard as u32, copy).expect("the log replays");
+        let after = alloc_count::so_far();
+        let rows = after.iter().zip(&before);
+        let made: u64 = rows.clone().map(|(a, b)| a.0 - b.0).sum();
+        let made_bytes: u64 = rows.map(|(a, b)| a.1 - b.1).sum();
+        shards += &format!(
+            "shard {shard} | {made} | {made_bytes} | {} objects\n",
+            reopened.object_count()
+        );
+        allocations += made;
+        bytes += made_bytes;
+        objects += reopened.object_count();
+    }
+    let per = |total: u64| total as f64 / BURST as f64;
+    rendered += &format!(
+        "\
+allocations | {allocations} | {:.2} per diamond
+bytes | {bytes} | {:.2} per diamond
+objects | {objects}
+# Per shard: allocations, bytes, the objects its store holds.
+{shards}",
+        per(allocations),
+        per(bytes),
+    );
+    check("diamond_burst.replay_alloc.txt", &rendered);
 }
 
 /// How often the burst's shards resolve an instance's name to its id:
