@@ -76,6 +76,7 @@ test "$(grep -c 'pub incarnation: u32' crates/engine/src/msg.rs)" -eq 1 || fail 
 ! grep -rn 'BTreeMap<Arc<str>, InstanceRt>' crates/engine/src || fail 'A resident instance is its id (a shard keeps each runtime in the slot of its minted id; names map to ids in one ordered index beside it)'
 test "$(for f in crates/engine/src/coordinator/*.rs; do awk "$above_tests" "$f"; done | grep -cE '\bnames\.(get|get_mut|get_key_value|contains_key|range)\(')" -eq 1 || fail 'A name is resolved in one place (below their test modules, the coordinator'\''s files look a name up in the name index only in Residents::resolve: an input resolves the name it carries once, and passes the id on)'
 ! grep -rnE 'impl Decode for (StartTask|TaskReport)\b' crates/engine/src && ! awk '/^pub struct InvokeCtx/,/^}/' crates/engine/src/impl_registry.rs | grep -q 'BTreeMap<String, ObjectVal>' || fail 'A start and a report are read where they lie (an executor binds a start as a view over the delivered bytes, a shard keeps a report in the bytes it arrived in: no owned decode of StartTask or TaskReport, no map of owned objects on InvokeCtx)'
+! awk "$above_tests" crates/tx/src/manager.rs | grep -nE '\.recover\(|LogRecord::(Commit|Checkpoint) *\{' || fail 'A restart replays its log where it lies (above its tests, the manager takes no owned records from the log and matches no owned commit or checkpoint: each record is read from its frame and applied as it is read)'
 test "$(wc -c < README.md)" -le 39600 || fail 'README byte budget'
 
 if [ "$failed" -ne 0 ]; then

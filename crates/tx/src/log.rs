@@ -56,6 +56,19 @@
 //! reach — form `2` or `3` with no fact key before it, a uid sharing
 //! more than the previous uid holds, a kind code of `3` — is a typed
 //! [`CodecError`], never a guess.
+//!
+//! # Replay
+//!
+//! A reopened log is read in one pass over its frames (`Wal::replay`):
+//! each whole frame's payload is handed on where it lies, in the one
+//! copy the storage reads, and the manager applies its record as it
+//! reads it (`replay_record`). A commit's after-images decode straight
+//! into the store's own form, and a checkpoint's build the store afresh,
+//! so no record is held whole and a short image costs no allocation.
+//! Replay refuses what [`LogRecord`]'s decoder refuses, and a group
+//! frame; a torn final frame is cut off only once every frame before it
+//! replayed. [`Wal::scan`] is the reader that owns its records, for
+//! tools and tests; a fence probe reads only each record's tag.
 
 use flowscript_codec::{frame, ByteReader, ByteWriter, CodecError, Decode, Encode, FrameReader};
 
@@ -124,19 +137,14 @@ const TOMBSTONE: u8 = 0x80;
 /// What an after-image list holds against each key: a commit's new
 /// bytes or deletion, a checkpoint's live bytes.
 pub(crate) trait Image {
-    /// Whether a list of these may delete a key.
-    const DELETES: bool;
-
     /// The image's bytes; `None` deletes the key.
     fn bytes(&self) -> Option<&[u8]>;
 
-    /// The image of `bytes` (`None` only where [`Image::DELETES`]).
+    /// The image of `bytes` (`None` only in a list that may delete).
     fn from_bytes(bytes: Option<&[u8]>) -> Self;
 }
 
 impl Image for Option<Vec<u8>> {
-    const DELETES: bool = true;
-
     fn bytes(&self) -> Option<&[u8]> {
         self.as_deref()
     }
@@ -147,8 +155,6 @@ impl Image for Option<Vec<u8>> {
 }
 
 impl Image for Vec<u8> {
-    const DELETES: bool = false;
-
     fn bytes(&self) -> Option<&[u8]> {
         Some(self)
     }
@@ -209,17 +215,25 @@ fn encode_images<V: Image>(w: &mut ByteWriter, images: &[(StoreKey, V)]) {
     }
 }
 
-/// Reads one after-image list written by [`encode_images`].
-fn decode_images<V: Image>(r: &mut ByteReader<'_>) -> Result<Vec<(StoreKey, V)>, CodecError> {
+/// Reads one after-image list written by [`encode_images`] onto the end
+/// of `images`, each image made from its bytes where they lie; a
+/// tombstone is refused unless the list may `delete`.
+fn decode_images<V: Image>(
+    r: &mut ByteReader<'_>,
+    delete: bool,
+    images: &mut Vec<(StoreKey, V)>,
+) -> Result<(), CodecError> {
     let len = r.get_len()?;
     // Every entry takes at least a byte: a corrupt count cannot reserve
     // more than the input could hold.
-    let mut images = Vec::with_capacity(len.min(r.remaining()));
+    images.reserve(len.min(r.remaining()));
     let mut prev_fact: Option<FactKey> = None;
-    let mut prev_uid: Vec<u8> = Vec::new();
+    // Where the list's previous uid lies in `images`: a uid is spelled
+    // from it, with no buffer of its own.
+    let mut prev_uid: Option<usize> = None;
     for _ in 0..len {
         let header = r.get_u8()?;
-        if header & TOMBSTONE != 0 && !V::DELETES {
+        if header & TOMBSTONE != 0 && !delete {
             return Err(CodecError::InvalidDiscriminant {
                 ty: "checkpoint image (a tombstone)",
                 value: u64::from(header),
@@ -233,16 +247,23 @@ fn decode_images<V: Image>(r: &mut ByteReader<'_>) -> Result<Vec<(StoreKey, V)>,
                         value: u64::from(header),
                     });
                 }
+                let prev = match prev_uid.map(|at| &images[at].0) {
+                    Some(StoreKey::Uid(uid)) => uid.as_str().as_bytes(),
+                    _ => &[],
+                };
                 let shared = r.get_len()?;
-                if shared > prev_uid.len() {
+                if shared > prev.len() {
                     return Err(CodecError::LengthOverflow {
                         length: shared as u64,
-                        max: prev_uid.len() as u64,
+                        max: prev.len() as u64,
                     });
                 }
-                prev_uid.truncate(shared);
-                prev_uid.extend_from_slice(r.get_len_prefixed()?);
-                let uid = std::str::from_utf8(&prev_uid).map_err(|_| CodecError::InvalidUtf8)?;
+                let rest = r.get_len_prefixed()?;
+                let mut uid = Vec::with_capacity(shared + rest.len());
+                uid.extend_from_slice(&prev[..shared]);
+                uid.extend_from_slice(rest);
+                let uid = String::from_utf8(uid).map_err(|_| CodecError::InvalidUtf8)?;
+                prev_uid = Some(images.len());
                 StoreKey::Uid(ObjectUid::new(uid))
             }
             form => {
@@ -281,6 +302,13 @@ fn decode_images<V: Image>(r: &mut ByteReader<'_>) -> Result<Vec<(StoreKey, V)>,
         };
         images.push((key, V::from_bytes(value)));
     }
+    Ok(())
+}
+
+/// An owned after-image list ([`decode_images`]).
+fn images<V: Image>(r: &mut ByteReader<'_>, delete: bool) -> Result<Vec<(StoreKey, V)>, CodecError> {
+    let mut images = Vec::new();
+    decode_images(r, delete, &mut images)?;
     Ok(images)
 }
 
@@ -334,10 +362,10 @@ impl Decode for LogRecord {
         match r.get_u8()? {
             TAG_COMMIT => Ok(LogRecord::Commit {
                 tx: TxId::decode(r)?,
-                writes: decode_images(r)?,
+                writes: images(r, true)?,
             }),
             TAG_CHECKPOINT => Ok(LogRecord::Checkpoint {
-                states: decode_images(r)?,
+                states: images(r, false)?,
                 next_seq: r.get_var_u64()?,
             }),
             TAG_GROUP_COMMIT => Ok(LogRecord::GroupCommit {
@@ -353,6 +381,75 @@ impl Decode for LogRecord {
             }),
         }
     }
+}
+
+/// What replay needs of a record beyond its after-images
+/// ([`replay_record`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Replayed {
+    /// A [`LogRecord::Commit`] by this transaction.
+    Commit(TxId),
+    /// A [`LogRecord::Checkpoint`] carrying the writer's next sequence
+    /// number.
+    Checkpoint(u64),
+    /// A [`LogRecord::Fence`]: `(claimant, epoch)`.
+    Fence(u32, u64),
+}
+
+/// Reads the record `payload` holds as replay applies it, where it lies:
+/// a commit's or a checkpoint's after-images go onto the end of
+/// `images`, each made from its bytes in the frame, and the rest of the
+/// record is returned. No owned [`LogRecord`] is built. A group frame
+/// (tag 4) is refused, as is any tag [`LogRecord`] does not decode and
+/// any byte past the record.
+///
+/// # Errors
+///
+/// A typed [`CodecError`], as [`LogRecord`]'s [`Decode`] gives it.
+pub(crate) fn replay_record<V: Image>(
+    payload: &[u8],
+    images: &mut Vec<(StoreKey, V)>,
+) -> Result<Replayed, CodecError> {
+    let mut r = ByteReader::new(payload);
+    let record = match r.get_u8()? {
+        TAG_COMMIT => {
+            let tx = TxId::decode(&mut r)?;
+            decode_images(&mut r, true, images)?;
+            Replayed::Commit(tx)
+        }
+        TAG_CHECKPOINT => {
+            decode_images(&mut r, false, images)?;
+            Replayed::Checkpoint(r.get_var_u64()?)
+        }
+        TAG_FENCE => Replayed::Fence(r.get_u32()?, r.get_u64()?),
+        other => {
+            return Err(CodecError::InvalidDiscriminant {
+                ty: "LogRecord",
+                value: u64::from(other),
+            })
+        }
+    };
+    match r.remaining() {
+        0 => Ok(record),
+        remaining => Err(CodecError::TrailingBytes { remaining }),
+    }
+}
+
+/// The `(claimant, epoch)` of the [`LogRecord::Fence`] `payload` holds,
+/// if it holds one: only its tag is read of any other record.
+///
+/// # Errors
+///
+/// A fence that does not decode.
+pub(crate) fn fence_of(payload: &[u8]) -> Result<Option<(u32, u64)>, CodecError> {
+    if payload.first() != Some(&TAG_FENCE) {
+        return Ok(None);
+    }
+    let mut no_images: Vec<(StoreKey, Option<Vec<u8>>)> = Vec::new();
+    Ok(match replay_record(payload, &mut no_images)? {
+        Replayed::Fence(claimant, epoch) => Some((claimant, epoch)),
+        _ => None,
+    })
 }
 
 /// What opens every log: the magic `FSRC`, then the format version, a
@@ -390,7 +487,7 @@ pub struct Wal<S> {
 
 impl<S: Storage> Wal<S> {
     /// Wraps existing storage (whose contents, if any, will be read by
-    /// [`Wal::scan`]).
+    /// [`Wal::scan`] or [`Wal::replay`]).
     pub fn new(storage: S) -> Self {
         Self {
             storage,
@@ -401,7 +498,7 @@ impl<S: Storage> Wal<S> {
     /// Appends one record durably; the first append to an empty
     /// storage writes the log header with it, in the same storage
     /// append. The storage holds a whole header or nothing, as
-    /// [`Wal::recover`] leaves it.
+    /// [`Wal::replay`] leaves it.
     ///
     /// # Errors
     ///
@@ -439,58 +536,69 @@ impl<S: Storage> Wal<S> {
     /// checksum/decode failure mid-log; [`TxError::Storage`] on I/O
     /// failure.
     pub fn scan(&self) -> Result<Vec<LogRecord>, TxError> {
-        self.scan_from(0)
-    }
-
-    /// Reads every decodable record appended at or after byte `offset`
-    /// (a frame boundary — callers pass a length they observed after
-    /// one of their own appends, `0` for the first frame). The header
-    /// is checked all the same. The cheap half of fence detection:
-    /// a shared-storage writer scans only the tail another handle
-    /// grew, not the whole log.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Wal::scan`].
-    pub fn scan_from(&self, offset: u64) -> Result<Vec<LogRecord>, TxError> {
-        Ok(self.read_from(offset)?.0)
-    }
-
-    /// Reads every record, as [`Wal::scan`] does, and cuts a torn final
-    /// frame off the storage, so the next append lands on a frame
-    /// boundary. Recovery reads the log this way: a torn frame left in
-    /// place would have its length run into the next frame appended
-    /// behind it, and the reopen after that would find the log corrupt.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Wal::scan`].
-    pub fn recover(&mut self) -> Result<Vec<LogRecord>, TxError> {
-        let (records, end) = self.read_from(0)?;
-        if end < self.storage.len() {
-            self.storage.truncate(end)?;
-        }
+        let mut records = Vec::new();
+        self.walk_from(0, |payload| {
+            records.push(flowscript_codec::from_bytes(payload)?);
+            Ok(())
+        })?;
         Ok(records)
     }
 
-    /// The records of the whole frames at or after `offset`, and the
-    /// byte offset where the last of them ends.
-    fn read_from(&self, offset: u64) -> Result<(Vec<LogRecord>, u64), TxError> {
+    /// Hands each whole frame's payload to `visit`, in log order and
+    /// where it lies, then cuts a torn final frame off the storage, so
+    /// the next append lands on a frame boundary. Recovery reads the log
+    /// this way: a torn frame left in place would have its length run
+    /// into the next frame appended behind it, and the reopen after that
+    /// would find the log corrupt. Nothing is cut unless every frame
+    /// was visited.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Wal::scan`], and whatever `visit` returns.
+    pub(crate) fn replay(
+        &mut self,
+        visit: impl FnMut(&[u8]) -> Result<(), TxError>,
+    ) -> Result<(), TxError> {
+        let end = self.walk_from(0, visit)?;
+        if end < self.storage.len() {
+            self.storage.truncate(end)?;
+        }
+        Ok(())
+    }
+
+    /// Hands `visit` the payload of each whole frame at or after byte
+    /// `offset` (a frame boundary: `0` for the first frame, or a length
+    /// a writer observed after one of its own appends), in log order
+    /// and where it lies, and returns the byte offset where the last of
+    /// them ends. The header is checked all the same; a torn header or
+    /// a torn final frame is no frame. One walk serves a scan, a replay
+    /// and the fence probe of a tail another handle grew.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Wal::replay`].
+    pub(crate) fn walk_from(
+        &self,
+        offset: u64,
+        mut visit: impl FnMut(&[u8]) -> Result<(), TxError>,
+    ) -> Result<u64, TxError> {
         let bytes = self.storage.read_all()?;
         if !has_header(&bytes)? {
-            return Ok((Vec::new(), 0));
+            return Ok(0);
         }
         let offset = LOG_HEADER.len().max(offset as usize);
         if offset >= bytes.len() {
-            return Ok((Vec::new(), bytes.len() as u64));
+            return Ok(bytes.len() as u64);
         }
-        let mut reader = FrameReader::new(&bytes[offset..]);
-        let (frames, _torn) = reader.read_all_tolerant()?;
-        let mut records = Vec::with_capacity(frames.len());
-        for payload in frames {
-            records.push(flowscript_codec::from_bytes::<LogRecord>(payload)?);
+        let mut frames = FrameReader::new(&bytes[offset..]);
+        loop {
+            match frames.read_frame() {
+                Ok(Some(payload)) => visit(payload)?,
+                Ok(None) | Err(CodecError::TruncatedFrame) => break,
+                Err(corrupt) => return Err(corrupt.into()),
+            }
         }
-        Ok((records, (offset + reader.position()) as u64))
+        Ok((offset + frames.position()) as u64)
     }
 
     /// Replaces the entire log with a checkpoint of `states` and the
@@ -578,6 +686,16 @@ mod tests {
         assert!(matches!(wal.scan(), Err(TxError::Corrupt(_))));
     }
 
+    /// Replays `wal`, collecting its records as a scan reads them.
+    fn recover(wal: &mut Wal<MemStorage>) -> Result<Vec<LogRecord>, TxError> {
+        let mut records = Vec::new();
+        wal.replay(|payload| {
+            records.push(flowscript_codec::from_bytes(payload)?);
+            Ok(())
+        })?;
+        Ok(records)
+    }
+
     fn log_of(bytes: &[u8]) -> Wal<MemStorage> {
         let mut storage = MemStorage::new();
         storage.append(bytes).unwrap();
@@ -621,7 +739,7 @@ mod tests {
         assert_eq!(log_of(&v1).scan(), unsupported);
         // Recovery refuses it too, and leaves it as it was.
         let mut wal = log_of(&v1);
-        assert_eq!(wal.recover(), unsupported);
+        assert_eq!(recover(&mut wal), unsupported);
         assert_eq!(wal.storage.read_all().unwrap(), v1);
     }
 
@@ -633,14 +751,14 @@ mod tests {
         for cut in 1..LOG_HEADER.len() {
             let mut wal = log_of(&whole[..cut]);
             assert_eq!(wal.scan(), Ok(vec![]), "cut at {cut}");
-            assert_eq!(wal.recover(), Ok(vec![]), "cut at {cut}");
+            assert_eq!(recover(&mut wal), Ok(vec![]), "cut at {cut}");
             assert!(wal.storage.is_empty(), "cut at {cut}: the torn header goes");
             wal.append(&sample_commit(1)).unwrap();
             assert_eq!(wal.storage.read_all().unwrap(), whole, "cut at {cut}");
         }
         // A whole header with no frame behind it is kept as it is.
         let mut wal = log_of(&LOG_HEADER);
-        assert_eq!(wal.recover(), Ok(vec![]));
+        assert_eq!(recover(&mut wal), Ok(vec![]));
         wal.append(&sample_commit(1)).unwrap();
         assert_eq!(wal.storage.read_all().unwrap(), whole);
     }

@@ -1,13 +1,13 @@
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
-use flowscript_codec::{ByteWriter, CodecError, Decode, Encode, IdMap};
+use flowscript_codec::{ByteWriter, Decode, Encode, IdMap};
 use flowscript_obs::{Histogram, MetricValue, ObserveLevel, Snapshot};
 
 use crate::error::TxError;
 use crate::id::{ObjectUid, TxId};
 use crate::key::{FactKey, FactKind, StoreKey};
-use crate::log::{self, LogRecord, Wal};
+use crate::log::{self, LogRecord, Replayed, Wal};
 use crate::storage::{SharedStorage, Storage};
 use crate::store::{Store, Stored};
 
@@ -226,36 +226,30 @@ impl<S: Storage> TxManager<S> {
         let mut store = Store::default();
         let mut fence: Option<(u32, u64)> = None;
         let mut next_seq = 1u64;
+        // Each record's after-images are read from its frame into this
+        // one list and moved into the store: no record is held whole.
+        let mut images: Vec<(StoreKey, Option<Stored>)> = Vec::new();
         // A torn tail is cut off here, before anything appends behind it.
-        for record in wal.recover()? {
-            match record {
-                LogRecord::GroupCommit { .. } => {
-                    // Nothing writes a group frame any more.
-                    return Err(TxError::Corrupt(CodecError::InvalidDiscriminant {
-                        ty: "LogRecord",
-                        value: 4,
-                    }));
-                }
-                LogRecord::Checkpoint {
-                    states,
-                    next_seq: carried,
-                } => {
-                    store = Store::from_states(states);
+        wal.replay(|payload| {
+            match log::replay_record(payload, &mut images)? {
+                Replayed::Checkpoint(carried) => {
+                    store = Store::restored(&mut images);
                     next_seq = next_seq.max(carried);
                 }
-                LogRecord::Commit { tx, mut writes } => {
+                Replayed::Commit(tx) => {
                     next_seq = next_seq.max(tx.seq().saturating_add(1));
-                    store.apply(&mut writes);
+                    store.apply(&mut images);
                 }
-                LogRecord::Fence { claimant, epoch } => {
-                    // A claimant reopening storage it fenced itself must
-                    // not be fenced out by its own claim.
+                // A claimant reopening storage it fenced itself must not
+                // be fenced out by its own claim.
+                Replayed::Fence(claimant, epoch) => {
                     if claimant != node {
                         fence = Some((claimant, epoch));
                     }
                 }
             }
-        }
+            Ok(())
+        })?;
         let wal_len = wal.size_bytes();
         Ok(Self {
             node,
@@ -486,13 +480,14 @@ impl<S: Storage> TxManager<S> {
         if self.fence.is_some() || self.wal.size_bytes() == self.wal_len {
             return Ok(self.fence);
         }
-        let mut tail = self.wal.scan_from(self.wal_len)?.into_iter();
-        Ok(tail.find_map(|record| match record {
-            LogRecord::Fence { claimant, epoch } if claimant != self.node => {
-                Some((claimant, epoch))
+        let mut found = None;
+        self.wal.walk_from(self.wal_len, |payload| {
+            if found.is_none() {
+                found = log::fence_of(payload)?.filter(|&(claimant, _)| claimant != self.node);
             }
-            _ => None,
-        }))
+            Ok(())
+        })?;
+        Ok(found)
     }
 
     /// The fence this manager has observed, if any: `(claimant, epoch)`.

@@ -78,10 +78,9 @@ impl std::fmt::Debug for Stored {
     }
 }
 
-/// A workspace's after-image, written to the log where it lies.
+/// A workspace's after-image, written to the log where it lies, and a
+/// replayed one, made from the frame where it lies.
 impl log::Image for Option<Stored> {
-    const DELETES: bool = true;
-
     fn bytes(&self) -> Option<&[u8]> {
         self.as_ref().map(Stored::as_slice)
     }
@@ -112,16 +111,13 @@ pub(crate) struct Store {
 }
 
 impl Store {
-    /// The store a checkpoint's `states` hold, each run at its length. A
-    /// state naming a key a second time (a hostile log: a checkpoint
-    /// lists each key once, in key order) wins over the first.
-    pub(crate) fn from_states(states: Vec<(StoreKey, Vec<u8>)>) -> Self {
+    /// The store a checkpoint's `states` hold, each run at its length,
+    /// emptying `states`. A state naming a key a second time (a hostile
+    /// log: a checkpoint lists each key once, in key order) wins over
+    /// the first.
+    pub(crate) fn restored<V: Into<Stored>>(states: &mut Vec<(StoreKey, Option<V>)>) -> Self {
         let mut store = Store::default();
-        let mut writes: Vec<_> = states
-            .into_iter()
-            .map(|(key, bytes)| (key, Some(bytes)))
-            .collect();
-        store.put(&mut writes, 1);
+        store.put(states, 1);
         store
     }
 
