@@ -11,6 +11,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use flowscript_codec::IdMap;
 use flowscript_core::{schema, Diagnostics};
 use flowscript_obs::ObsEventKind;
 use flowscript_plan::{Plan, TaskId};
@@ -399,9 +400,18 @@ pub(super) fn pin_source(
 /// fetches each repository version once more.
 #[derive(Default)]
 pub(super) struct PlanCache {
-    plans: BTreeMap<(u64, String), (Arc<str>, Arc<Plan>)>,
+    /// By source hash, one entry per root its text was compiled for:
+    /// the text and the plan, which names its root. A lookup is one
+    /// probe and a walk of a handful. The hashes are the shard's own digests of
+    /// the versions it runs, so they hash under the fixed hasher.
+    plans: IdMap<u64, Vec<(Arc<str>, Arc<Plan>)>>,
     /// Script → version → the source hash and root of its text.
     versions: BTreeMap<String, BTreeMap<u32, (u64, Arc<str>)>>,
+}
+
+/// The root `plan` was compiled for.
+fn root_of(plan: &Plan) -> &str {
+    plan.str(plan.root().name)
 }
 
 impl PlanCache {
@@ -421,9 +431,12 @@ impl PlanCache {
             return Ok(plan);
         }
         let plan = Self::compile(source, root)?;
-        let version = (hash, root.to_string());
-        self.plans
-            .insert(version, (Arc::from(source), plan.clone()));
+        let roots = self.plans.entry(hash).or_default();
+        let compiled = (Arc::from(source), plan.clone());
+        match roots.iter_mut().find(|(_, held)| root_of(held) == root) {
+            Some(held) => *held = compiled,
+            None => roots.push(compiled),
+        }
         Ok(plan)
     }
 
@@ -451,13 +464,11 @@ impl PlanCache {
         Some((*hash, text.clone(), root.clone()))
     }
 
-    /// The entry of version `(hash, root)`, found with no key built.
+    /// The entry of version `(hash, root)`: one probe, then the hash's
+    /// few roots.
     fn entry(&self, hash: u64, root: &str) -> Option<&(Arc<str>, Arc<Plan>)> {
-        let mut of_hash = self.plans.range((hash, String::new())..);
-        of_hash
-            .find(|((at, compiled), _)| *at != hash || compiled == root)
-            .filter(|((at, _), _)| *at == hash)
-            .map(|(_, entry)| entry)
+        let roots = self.plans.get(&hash)?;
+        roots.iter().find(|(_, plan)| root_of(plan) == root)
     }
 
     /// The plan of version `(hash, root)`, if this shard compiled it
@@ -472,11 +483,17 @@ impl PlanCache {
     /// Drops every version whose source hash is not in `live`: a start
     /// of a repository version dropped here fetches it again.
     fn retain(&mut self, live: &BTreeSet<u64>) {
-        self.plans.retain(|(hash, _), _| live.contains(hash));
+        self.plans.retain(|hash, _| live.contains(hash));
         for versions in self.versions.values_mut() {
             versions.retain(|_, (hash, _)| live.contains(hash));
         }
         self.versions.retain(|_, versions| !versions.is_empty());
+    }
+
+    /// How many versions have a plan here.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.plans.values().map(Vec::len).sum()
     }
 }
 
@@ -624,7 +641,7 @@ mod tests {
         assert!(shared(&coord, "d2", "d3"), "one plan per version");
         assert!(!shared(&coord, "d1", "d2"));
         assert_eq!(
-            coord.plan_cache.plans.len(),
+            coord.plan_cache.len(),
             2,
             "two versions, two compiles"
         );
@@ -635,12 +652,12 @@ mod tests {
         }
         assert!(shared(&coord, "d1", "d2") && shared(&coord, "d2", "d3"));
         assert_eq!(
-            coord.plan_cache.plans.len(),
+            coord.plan_cache.len(),
             2,
             "the first version is still cached"
         );
         coord.gc_plans().expect("collects");
-        assert_eq!(coord.plan_cache.plans.len(), 1, "it left with its source");
+        assert_eq!(coord.plan_cache.len(), 1, "it left with its source");
         assert_eq!(coord.persisted_source_hashes().len(), 1);
     }
 }
