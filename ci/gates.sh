@@ -72,7 +72,7 @@ test "$(grep -c 'pub incarnation: u32' crates/engine/src/msg.rs)" -eq 1 || fail 
 ! grep -rnE 'Timer::Dispatch|struct ParkedDispatch|fn on_dispatch_timer' crates src tests examples README.md || fail 'One state and one timer per flight (a delayed or parked attempt waits on its dispatch record; the boxed dispatch timer, the queue'\''s copy of the launch and their handler stay deleted)'
 ! grep -rnE 'fn (adopt_orphans|forget_moves)\b|moved: BTreeMap' crates/engine/src || fail 'One book of rounds (a landed round relays from the books until the flip; no relay table beside them, no sweep of the store for what a landing or thaw loads)'
 ! grep -nE 'stored_instance(s|_names)\(&self\.mgr\)' crates/engine/src/coordinator/membership.rs || fail 'A landing loads what it landed (membership names what it loads; only a restart and blob GC sweep a shard'\''s headers)'
-! grep -nE 'HashMap<(StoreKey|u64),' crates/tx/src/manager.rs crates/sim/src/sched.rs crates/sim/src/rpc.rs && ! for f in crates/tx/src/*.rs; do awk "$above_tests" "$f"; done | grep -nE 'BTreeMap<StoreKey|HashMap<u32,' && ! grep -nE 'BTreeMap<TimerId' crates/engine/src/driver.rs || fail 'Minted keys hash under the fixed hasher (the action workspace, the committed store'\''s instance index, the sim scheduler, the rpc table and a driver'\''s timers key by ids the program mints: IdMap, no SipHash; uids, which carry client names, stay in an ordered map, and no ordered map holds the whole store by StoreKey)'
+! grep -nE 'HashMap<(StoreKey|u64),' crates/tx/src/manager.rs crates/sim/src/sched.rs crates/sim/src/rpc.rs && ! for f in crates/tx/src/*.rs; do awk "$above_tests" "$f"; done | grep -nE 'BTreeMap<StoreKey|HashMap<u32,' && ! grep -nE 'BTreeMap<TimerId' crates/engine/src/driver.rs && ! grep -nE 'BTreeMap<\(NodeId, u64\)' crates/engine/src/executor.rs || fail 'Minted keys hash under the fixed hasher (the action workspace, the committed store'\''s instance index, the sim scheduler, the rpc table, a driver'\''s timers and an executor'\''s books by shard and ticket key by ids the program mints: IdMap, no SipHash; uids, which carry client names, stay in an ordered map, and no ordered map holds the whole store by StoreKey)'
 ! grep -rn 'BTreeMap<Arc<str>, InstanceRt>' crates/engine/src || fail 'A resident instance is its id (a shard keeps each runtime in the slot of its minted id; names map to ids in one ordered index beside it)'
 test "$(for f in crates/engine/src/coordinator/*.rs; do awk "$above_tests" "$f"; done | grep -cE '\bnames\.(get|get_mut|get_key_value|contains_key|range)\(')" -eq 1 || fail 'A name is resolved in one place (below their test modules, the coordinator'\''s files look a name up in the name index only in Residents::resolve: an input resolves the name it carries once, and passes the id on)'
 ! grep -rnE 'impl Decode for (StartTask|TaskReport)\b' crates/engine/src && ! awk '/^pub struct InvokeCtx/,/^}/' crates/engine/src/impl_registry.rs | grep -q 'BTreeMap<String, ObjectVal>' || fail 'A start and a report are read where they lie (an executor binds a start as a view over the delivered bytes, a shard keeps a report in the bytes it arrived in: no owned decode of StartTask or TaskReport, no map of owned objects on InvokeCtx)'

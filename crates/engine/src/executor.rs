@@ -54,9 +54,9 @@
 //! so a restart re-runs none of the work that survived it.
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::convert::Infallible;
 
+use flowscript_codec::IdMap;
 use flowscript_sim::{NodeId, SimDuration, SimTime};
 
 use crate::driver::{self, Node, TimerId};
@@ -118,11 +118,12 @@ pub(crate) struct Executor {
     /// One queue tail per declared slot: the next free moment of each.
     /// Empty (capacity 0) means unbounded — no queueing at all.
     slots: Vec<SimTime>,
-    /// The attempts playing out, by dispatching shard and ticket…
-    running: BTreeMap<(NodeId, u64), Running>,
+    /// The attempts playing out, by dispatching shard and the ticket it
+    /// minted (so the fixed hasher)…
+    running: IdMap<(NodeId, u64), Running>,
     /// …and, on a bounded executor, the slot time each reserved: kept
     /// apart, so an unbounded executor's index holds only its timers.
-    booked: BTreeMap<(NodeId, u64), Booking>,
+    booked: IdMap<(NodeId, u64), Booking>,
     next_timer: u64,
 }
 
@@ -134,8 +135,8 @@ impl Executor {
             spec,
             registry,
             slots,
-            running: BTreeMap::new(),
-            booked: BTreeMap::new(),
+            running: IdMap::default(),
+            booked: IdMap::default(),
             next_timer: 0,
         }
     }
@@ -190,12 +191,16 @@ impl Executor {
         outputs
     }
 
-    /// What still runs here for `shard`: a census answer, encoded.
+    /// What still runs here for `shard`: a census answer, encoded, its
+    /// attempts in ticket order.
     fn census(&self, shard: NodeId) -> Vec<u8> {
-        let mine = self.running.range((shard, 0)..=(shard, u64::MAX));
-        let mine: Vec<(u64, &[u8])> = mine
+        let mut mine: Vec<(u64, &[u8])> = self
+            .running
+            .iter()
+            .filter(|((from, _), _)| *from == shard)
             .map(|(&(_, ticket), running)| (ticket, &*running.address))
             .collect();
+        mine.sort_unstable_by_key(|(ticket, _)| *ticket);
         msg::running_bytes(mine.into_iter())
     }
 
@@ -792,6 +797,20 @@ mod tests {
         assert!(executor.handle(SimTime::ZERO, one_way).is_empty());
         assert!(executor.handle(SimTime::ZERO, Input::Restart).is_empty());
         assert_eq!(census_of(&mut executor, shard), Some(Vec::new()));
+    }
+
+    /// A census lists a shard's attempts in ticket order, whatever order
+    /// they started in.
+    #[test]
+    fn a_census_lists_attempts_in_ticket_order() {
+        let mut executor = serial();
+        let tickets = [40, 3, 1_000, 17, 2, 64, 9];
+        for ticket in tickets {
+            started(&mut executor, ticket);
+        }
+        let listed = census_of(&mut executor, NodeId::from_index(0)).expect("answered");
+        let listed: Vec<u64> = listed.iter().map(|(ticket, _)| *ticket).collect();
+        assert_eq!(listed, [2, 3, 9, 17, 40, 64, 1_000]);
     }
 
     /// A restart lost every attempt: the index is empty, and a cancel of
