@@ -404,10 +404,13 @@ pub(super) struct PlanCache {
     /// the text and the plan, which names its root. A lookup is one
     /// probe and a walk of a handful. The hashes are the shard's own digests of
     /// the versions it runs, so they hash under the fixed hasher.
-    plans: IdMap<u64, Vec<(Arc<str>, Arc<Plan>)>>,
+    plans: IdMap<u64, Vec<Compiled>>,
     /// Script → version → the source hash and root of its text.
     versions: BTreeMap<String, BTreeMap<u32, (u64, Arc<str>)>>,
 }
+
+/// A version's text and the plan compiled from it.
+type Compiled = (Arc<str>, Arc<Plan>);
 
 /// The root `plan` was compiled for.
 fn root_of(plan: &Plan) -> &str {
@@ -466,7 +469,7 @@ impl PlanCache {
 
     /// The entry of version `(hash, root)`: one probe, then the hash's
     /// few roots.
-    fn entry(&self, hash: u64, root: &str) -> Option<&(Arc<str>, Arc<Plan>)> {
+    fn entry(&self, hash: u64, root: &str) -> Option<&Compiled> {
         let roots = self.plans.get(&hash)?;
         roots.iter().find(|(_, plan)| root_of(plan) == root)
     }
@@ -640,11 +643,7 @@ mod tests {
         assert_eq!(coord.instance_names(), ["d1", "d2", "d3"]);
         assert!(shared(&coord, "d2", "d3"), "one plan per version");
         assert!(!shared(&coord, "d1", "d2"));
-        assert_eq!(
-            coord.plan_cache.len(),
-            2,
-            "two versions, two compiles"
-        );
+        assert_eq!(coord.plan_cache.len(), 2, "two versions, two compiles");
 
         for name in ["d2", "d3"] {
             let reconfigured = reconfigure(&mut coord, name, rebind());

@@ -71,7 +71,7 @@ use flowscript_engine::{
     TaskBehavior, WorkflowSystem,
 };
 use flowscript_sim::{SimDuration, SimTime};
-use flowscript_tx::{FactKind, LogRecord, MemStorage, StableStore, Storage, StoreKey, TxManager};
+use flowscript_tx::{FactKind, LogRecord, StableStore, Storage, StoreKey};
 
 fn render(name: &str, (status, trace, states): &Fingerprint) -> String {
     let status = match status {
@@ -851,6 +851,8 @@ bytes | {bytes} | {:.2} per diamond
 #[cfg(not(debug_assertions))]
 #[test]
 fn diamond_burst_replay_allocations_match_golden() {
+    use flowscript_tx::{MemStorage, TxManager};
+
     let sys = diamond_burst(4);
     let mut rendered = String::from(
         "\

@@ -306,7 +306,10 @@ fn decode_images<V: Image>(
 }
 
 /// An owned after-image list ([`decode_images`]).
-fn images<V: Image>(r: &mut ByteReader<'_>, delete: bool) -> Result<Vec<(StoreKey, V)>, CodecError> {
+fn images<V: Image>(
+    r: &mut ByteReader<'_>,
+    delete: bool,
+) -> Result<Vec<(StoreKey, V)>, CodecError> {
     let mut images = Vec::new();
     decode_images(r, delete, &mut images)?;
     Ok(images)

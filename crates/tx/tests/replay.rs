@@ -223,7 +223,9 @@ fn refused(payload: &[u8], error: CodecError) {
     let stable = SharedStorage::new();
     Wal::new(stable.clone()).append(&commit).unwrap();
     let mut storage = stable.clone();
-    storage.append(&frame::encode_frame(payload).unwrap()).unwrap();
+    storage
+        .append(&frame::encode_frame(payload).unwrap())
+        .unwrap();
     let torn = frame::encode_frame(&flowscript_codec::to_bytes(&commit)).unwrap();
     storage.append(&torn[..torn.len() - 1]).unwrap();
     let log = stable.read_all().unwrap();
