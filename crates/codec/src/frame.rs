@@ -253,29 +253,20 @@ impl<'a> FrameReader<'a> {
         Ok(Some(payload))
     }
 
-    /// Reads all remaining well-formed frames, stopping cleanly at a
-    /// truncated tail.
-    ///
-    /// Returns the payloads plus a flag that is `true` when the scan ended
-    /// at a torn (truncated) frame rather than clean end of input.
+    /// Reads the next whole frame's payload, or `None` at the end of the
+    /// input or at a torn (truncated) final frame, whose start
+    /// [`FrameReader::position`] then gives: where a recovering log cuts
+    /// its tail.
     ///
     /// # Errors
     ///
-    /// Propagates corruption errors other than truncation, since a bad
-    /// checksum mid-log means data loss rather than an interrupted append.
-    pub fn read_all_tolerant(&mut self) -> Result<(Vec<&'a [u8]>, bool), CodecError> {
-        let mut frames = Vec::new();
-        loop {
-            let checkpoint = self.pos;
-            match self.read_frame() {
-                Ok(Some(payload)) => frames.push(payload),
-                Ok(None) => return Ok((frames, false)),
-                Err(CodecError::TruncatedFrame) => {
-                    self.pos = checkpoint;
-                    return Ok((frames, true));
-                }
-                Err(other) => return Err(other),
-            }
+    /// Corruption other than truncation, as [`FrameReader::read_frame`]
+    /// reports it: a bad checksum mid-log means data loss rather than
+    /// an interrupted append.
+    pub fn read_whole_frame(&mut self) -> Result<Option<&'a [u8]>, CodecError> {
+        match self.read_frame() {
+            Err(CodecError::TruncatedFrame) => Ok(None),
+            read => read,
         }
     }
 }
@@ -323,9 +314,8 @@ mod tests {
         let bytes = w.into_vec();
         let torn = &bytes[..bytes.len() - 1];
         let mut r = FrameReader::new(torn);
-        let (frames, torn_tail) = r.read_all_tolerant().unwrap();
-        assert_eq!(frames, vec![b"one".as_slice()]);
-        assert!(torn_tail);
+        assert_eq!(r.read_whole_frame(), Ok(Some(b"one".as_slice())));
+        assert_eq!(r.read_whole_frame(), Ok(None));
         // Position is left at the start of the torn frame (usable as a
         // truncation offset).
         assert_eq!(r.position(), encode_frame(b"one").unwrap().len());
@@ -433,7 +423,7 @@ mod tests {
         );
         // A varint cut short is a torn frame; one past 64 bits is not.
         let mut r = FrameReader::new(&[0x80, 0x80]);
-        assert_eq!(r.read_all_tolerant(), Ok((vec![], true)));
+        assert_eq!((r.read_whole_frame(), r.position()), (Ok(None), 0));
         assert_eq!(
             FrameReader::new(&[0xFF; 11]).read_frame(),
             Err(CodecError::VarintOverflow)

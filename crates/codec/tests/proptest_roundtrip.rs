@@ -114,9 +114,11 @@ proptest! {
         }
         let bytes = w.into_vec();
         let mut r = FrameReader::new(&bytes);
-        let (frames, torn) = r.read_all_tolerant().unwrap();
-        prop_assert!(!torn);
-        let decoded: Vec<Vec<u8>> = frames.into_iter().map(<[u8]>::to_vec).collect();
+        let mut decoded = Vec::new();
+        while let Some(payload) = r.read_whole_frame().unwrap() {
+            decoded.push(payload.to_vec());
+        }
+        prop_assert_eq!(r.position(), bytes.len(), "no torn tail");
         prop_assert_eq!(decoded, payloads);
     }
 
@@ -130,12 +132,14 @@ proptest! {
         let mut r = FrameReader::new(torn);
         // Must terminate with either the payload or a clean error: a
         // strict prefix of a frame is a torn frame, never a frame.
-        let (frames, torn_tail) = r.read_all_tolerant().unwrap();
+        let first = r.read_whole_frame().unwrap();
         if cut == 0 {
-            prop_assert_eq!(frames, vec![payload.as_slice()]);
+            prop_assert_eq!(first, Some(payload.as_slice()));
+            prop_assert_eq!(r.read_whole_frame().unwrap(), None);
         } else {
-            prop_assert!(frames.is_empty());
+            prop_assert_eq!(first, None);
         }
+        let torn_tail = r.position() < torn.len();
         prop_assert_eq!(torn_tail, cut != 0 && cut < bytes.len());
     }
 
@@ -145,6 +149,6 @@ proptest! {
         let _ = from_bytes::<BTreeMap<String, u64>>(&bytes);
         let _ = from_bytes::<Option<Vec<i64>>>(&bytes);
         let mut r = FrameReader::new(&bytes);
-        let _ = r.read_all_tolerant();
+        while let Ok(Some(_)) = r.read_whole_frame() {}
     }
 }

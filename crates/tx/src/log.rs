@@ -594,12 +594,8 @@ impl<S: Storage> Wal<S> {
             return Ok(bytes.len() as u64);
         }
         let mut frames = FrameReader::new(&bytes[offset..]);
-        loop {
-            match frames.read_frame() {
-                Ok(Some(payload)) => visit(payload)?,
-                Ok(None) | Err(CodecError::TruncatedFrame) => break,
-                Err(corrupt) => return Err(corrupt.into()),
-            }
+        while let Some(payload) = frames.read_whole_frame()? {
+            visit(payload)?;
         }
         Ok((offset + frames.position()) as u64)
     }
