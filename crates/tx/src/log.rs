@@ -490,7 +490,7 @@ pub struct Wal<S> {
 
 impl<S: Storage> Wal<S> {
     /// Wraps existing storage (whose contents, if any, will be read by
-    /// [`Wal::scan`] or [`Wal::replay`]).
+    /// [`Wal::scan`], or by a manager's replay).
     pub fn new(storage: S) -> Self {
         Self {
             storage,
@@ -501,7 +501,7 @@ impl<S: Storage> Wal<S> {
     /// Appends one record durably; the first append to an empty
     /// storage writes the log header with it, in the same storage
     /// append. The storage holds a whole header or nothing, as
-    /// [`Wal::replay`] leaves it.
+    /// replay leaves it.
     ///
     /// # Errors
     ///
