@@ -402,8 +402,9 @@ pub(super) fn pin_source(
 pub(super) struct PlanCache {
     /// By source hash, one entry per root its text was compiled for:
     /// the text and the plan, which names its root. A lookup is one
-    /// probe and a walk of a handful. The hashes are the shard's own digests of
-    /// the versions it runs, so they hash under the fixed hasher.
+    /// probe and a walk of a handful. The hashes are the shard's own
+    /// digests of the versions it runs, so they hash under the fixed
+    /// hasher.
     plans: IdMap<u64, Vec<Compiled>>,
     /// Script → version → the source hash and root of its text.
     versions: BTreeMap<String, BTreeMap<u32, (u64, Arc<str>)>>,

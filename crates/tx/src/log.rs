@@ -388,7 +388,7 @@ impl Decode for LogRecord {
 
 /// What replay needs of a record beyond its after-images
 /// ([`replay_record`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Replayed {
     /// A [`LogRecord::Commit`] by this transaction.
     Commit(TxId),

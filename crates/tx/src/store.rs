@@ -60,8 +60,8 @@ impl Stored {
     }
 }
 
-/// Bytes that arrived in a `Vec` of their own (a caller's raw write, a
-/// replayed image) move to the heap as they are, or in place if short.
+/// Bytes that arrived in a `Vec` of their own (a caller's raw write)
+/// move to the heap as they are, or in place if short.
 impl From<Vec<u8>> for Stored {
     fn from(bytes: Vec<u8>) -> Self {
         if bytes.len() <= INLINE {
@@ -115,7 +115,7 @@ impl Store {
     /// emptying `states`. A state naming a key a second time (a hostile
     /// log: a checkpoint lists each key once, in key order) wins over
     /// the first.
-    pub(crate) fn restored<V: Into<Stored>>(states: &mut Vec<(StoreKey, Option<V>)>) -> Self {
+    pub(crate) fn restored(states: &mut Vec<(StoreKey, Option<Stored>)>) -> Self {
         let mut store = Store::default();
         store.put(states, 1);
         store
