@@ -758,40 +758,57 @@ fn fig8_repeat_limit_bounds_infinite_hotel_failures() {
 // §4.3: a script as a task implementation.
 // ---------------------------------------------------------------------
 
+/// A one-task script of class `Produce`: its leaf, bound under
+/// `refBracket`, produces the root's message.
+const BRACKET: &str = r#"
+class Message;
+
+taskclass Produce {
+    inputs { input main { seed of class Message } };
+    outputs { outcome produced { message of class Message } }
+}
+
+compoundtask bracket of taskclass Produce {
+    task leaf of taskclass Produce {
+        implementation { "code" is "refBracket" };
+        inputs {
+            input main {
+                inputobject seed from { seed of task bracket if input main }
+            }
+        }
+    };
+    outputs {
+        outcome produced {
+            outputobject message from { message of task leaf if output produced }
+        }
+    }
+}
+"#;
+
+/// QUICKSTART's producer is a nested world: `refProduce` names the
+/// one-task `BRACKET` script, whose leaf is a closure under another
+/// code. The outer consumer sees what the inner leaf made.
 #[test]
 fn script_bound_as_implementation_runs_nested_workflow() {
     let mut sys = WorkflowSystem::builder().executors(2).seed(51).build();
     sys.register_script("q", samples::QUICKSTART, "pipeline")
         .unwrap();
-    // `refProduce` is implemented by a nested workflow: another full
-    // pipeline whose producer/consumer are closures.
-    sys.bind_script("refProduce", samples::QUICKSTART, "pipeline");
+    sys.bind_script("refProduce", BRACKET, "bracket");
+    sys.bind_fn("refBracket", |ctx| {
+        TaskBehavior::outcome("produced").with_object(
+            "message",
+            ObjectVal::text("Message", format!("[{}]", ctx.input_text("seed"))),
+        )
+    });
     sys.bind_fn("refConsume", |ctx| {
         TaskBehavior::outcome("consumed").with_object(
             "result",
             ObjectVal::text("Message", ctx.input_text("message")),
         )
     });
-    // The nested pipeline needs its own leaf implementations; they share
-    // the registry. Rebind refProduce inside the nested run would recurse,
-    // so the nested script's produce leaf must bottom out: bind a plain
-    // closure under a different name and rebind via the script? Instead,
-    // the nested pipeline uses the same names — so we make refConsume
-    // double as the nested consumer and let the nesting guard stop
-    // run-away recursion if misused.
-    //
-    // For a clean demonstration: nested `refProduce` is the script itself,
-    // whose own `refProduce` would recurse — the recursion guard converts
-    // that into a bounded failure, so bind a terminating producer first.
-    sys.bind_fn("refProduce", |ctx| {
-        TaskBehavior::outcome("produced").with_object(
-            "message",
-            ObjectVal::text("Message", format!("<{}>", ctx.input_text("seed"))),
-        )
-    });
     sys.start("i1", "q", "main", [("seed", text("Message", "x"))])
         .unwrap();
     sys.run();
     let outcome = sys.outcome("i1").expect("completed");
-    assert_eq!(outcome.objects["result"].as_text(), "<x>");
+    assert_eq!(outcome.objects["result"].as_text(), "[x]");
 }
