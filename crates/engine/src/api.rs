@@ -19,9 +19,10 @@
 //! the other shards keep committing), partition the network, or apply a
 //! scripted [`FaultPlan`].
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::convert::Infallible;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use flowscript_obs::{ObsEvent, ObserveLevel, Snapshot};
 use flowscript_sim::{
@@ -36,7 +37,7 @@ use crate::coordinator::{
 use crate::driver::{Driver, Input, Node, Output};
 use crate::error::EngineError;
 use crate::executor::Executor;
-use crate::impl_registry::{ImplRegistry, InvokeCtx, TaskBehavior, TaskImpl};
+use crate::impl_registry::{Binding, Bindings, InvokeCtx, TaskBehavior};
 use crate::msg::{EngineMsg, Objects};
 use crate::reconfig::Reconfig;
 use crate::repository::Repository;
@@ -63,7 +64,6 @@ pub struct SystemBuilder {
     seed: u64,
     config: EngineConfig,
     link: LinkConfig,
-    registry: Option<ImplRegistry>,
     shard_storages: Option<Vec<StableStore>>,
     wal_dir: Option<std::path::PathBuf>,
     trace_enabled: bool,
@@ -83,7 +83,6 @@ impl Default for SystemBuilder {
             seed: 0,
             config: EngineConfig::default(),
             link: LinkConfig::default(),
-            registry: None,
             shard_storages: None,
             wal_dir: None,
             trace_enabled: true,
@@ -159,13 +158,6 @@ impl SystemBuilder {
     /// Default network link characteristics.
     pub fn link(mut self, link: LinkConfig) -> Self {
         self.link = link;
-        self
-    }
-
-    /// Uses an existing implementation registry (shared with other
-    /// systems, e.g. nested script execution).
-    pub fn registry(mut self, registry: ImplRegistry) -> Self {
-        self.registry = Some(registry);
         self
     }
 
@@ -259,7 +251,6 @@ impl SystemBuilder {
         }
         let executors: Vec<NodeId> = executor_specs.iter().map(|spec| spec.node).collect();
 
-        let registry = self.registry.unwrap_or_default();
         let provided = self.shard_storages.unwrap_or_default();
         let storages: Vec<StableStore> = (0..self.coordinators)
             .map(|i| match provided.get(i) {
@@ -291,7 +282,7 @@ impl SystemBuilder {
             nodes.push(Installed::Coordinator(Box::new(coord)));
         }
         nodes.extend(executor_specs.iter().map(|spec| {
-            let executor = Executor::new(spec.clone(), registry.clone());
+            let executor = Executor::new(spec.clone(), Bindings::default());
             Installed::Executor(Driver::new(executor))
         }));
 
@@ -303,7 +294,8 @@ impl SystemBuilder {
             coord_nodes,
             executors,
             executor_specs,
-            registry,
+            bindings: Bindings::default(),
+            rebound: RefCell::default(),
             shard,
             storages,
             config: self.config,
@@ -423,7 +415,11 @@ pub struct WorkflowSystem {
     /// ([`WorkflowSystem::add_coordinator`]) schedule over the same
     /// fleet.
     executor_specs: Vec<ExecutorSpec>,
-    registry: ImplRegistry,
+    /// The binding table every executor holds, as last handed over.
+    bindings: Bindings,
+    /// The table as bound since, until the next delivery hands it to
+    /// every executor: a cell, since a bind takes `&self`.
+    rebound: RefCell<Option<Bindings>>,
     shard: ShardMap,
     storages: Vec<StableStore>,
     /// Engine policy, retained for late-added coordinators.
@@ -470,6 +466,7 @@ impl WorkflowSystem {
     /// Hands `node` the event [`World::next`] named it for: the one
     /// place a node is fed what the world carries.
     fn deliver(&mut self, node: NodeId, event: NodeEvent) {
+        self.hand_over();
         let world = &mut self.world;
         let installed = &mut self.nodes[node.index()];
         let Some(probe) = self.probe else {
@@ -556,27 +553,55 @@ impl WorkflowSystem {
         })
     }
 
-    /// Binds a closure implementation.
+    /// Binds the code `name` to a closure, from the next delivery on.
+    /// The closure is `Send + Sync`, as an executor holding it is: a
+    /// count it keeps lives in an atomic or a mutex.
     pub fn bind_fn<F>(&self, name: &str, f: F)
     where
-        F: Fn(&InvokeCtx) -> TaskBehavior + 'static,
+        F: Fn(&InvokeCtx) -> TaskBehavior + Send + Sync + 'static,
     {
-        self.registry.bind_fn(name, f);
+        self.rebind(|table| table.insert(name.to_string(), Binding::Program(Arc::new(f))));
     }
 
-    /// Binds a [`TaskImpl`] implementation.
-    pub fn bind(&self, name: &str, implementation: Rc<dyn TaskImpl>) {
-        self.registry.bind(name, implementation);
-    }
-
-    /// Binds a nested workflow script as an implementation (§4.3).
+    /// Binds the code `name` to a nested workflow script (§4.3), from
+    /// the next delivery on.
     pub fn bind_script(&self, name: &str, source: &str, root: &str) {
-        self.registry.bind_script(name, source, root);
+        let (source, root) = (source.to_string(), root.to_string());
+        self.rebind(|table| table.insert(name.to_string(), Binding::Script { source, root }));
     }
 
-    /// The shared implementation registry.
-    pub fn registry(&self) -> &ImplRegistry {
-        &self.registry
+    /// Withdraws the code `name`'s binding from the next delivery on:
+    /// whether it was bound.
+    pub fn unbind(&self, name: &str) -> bool {
+        self.rebind(|table| table.remove(name).is_some())
+    }
+
+    /// Binds every code as `bindings` does, and no other, from the next
+    /// delivery on: how a nested world binds as the executor running it.
+    pub(crate) fn bind_all(&self, bindings: Bindings) {
+        *self.rebound.borrow_mut() = Some(bindings);
+    }
+
+    /// Edits the table not yet handed over — a copy of the one handed
+    /// over last, made at the first edit since.
+    fn rebind<R>(&self, edit: impl FnOnce(&mut BTreeMap<String, Binding>) -> R) -> R {
+        let mut rebound = self.rebound.borrow_mut();
+        edit(Arc::make_mut(
+            rebound.get_or_insert_with(|| self.bindings.clone()),
+        ))
+    }
+
+    /// Hands every executor the table bound since the last hand-over,
+    /// if any, as an operator's input: what a delivery binds through.
+    fn hand_over(&mut self) {
+        let Some(bindings) = self.rebound.get_mut().take() else {
+            return;
+        };
+        self.bindings = bindings;
+        for node in &self.executors {
+            let rebind = Input::Op(self.bindings.clone());
+            driver!(&mut self.nodes[node.index()], Executor).input(&mut self.world, rebind);
+        }
     }
 
     /// Direct repository access (admin/monitoring).
@@ -1460,6 +1485,54 @@ mod tests {
         assert_eq!(outcome.objects["result"].as_text(), "s-made");
         let states = sys.task_states("i1");
         assert!(matches!(states["pipeline/produce"], CbState::Done { .. }));
+    }
+
+    /// A bind, a rebind and an unbind after build are edits of the
+    /// façade's table, handed to every executor before the next
+    /// delivery: each instance binds through the table as it stood when
+    /// it started.
+    #[test]
+    fn a_rebind_reaches_every_executor_before_the_next_delivery() {
+        let mut sys = WorkflowSystem::builder().executors(3).seed(1).build();
+        sys.register_script("q", samples::QUICKSTART, "pipeline")
+            .unwrap();
+        let produce = |made: &'static str| {
+            move |_: &InvokeCtx| {
+                TaskBehavior::outcome("produced")
+                    .with_object("message", ObjectVal::text("Message", made))
+            }
+        };
+        sys.bind_fn("refProduce", produce("v1"));
+        sys.bind_fn("refConsume", |ctx| {
+            TaskBehavior::outcome("consumed").with_object(
+                "result",
+                ObjectVal::text("Message", ctx.input_text("message")),
+            )
+        });
+        let result = |sys: &mut WorkflowSystem, name: &str| {
+            sys.start(name, "q", "main", [("seed", text("Message", "s"))])
+                .unwrap();
+            sys.run();
+            assert!(sys.rebound.get_mut().is_none(), "handed over");
+            sys.outcome(name)
+                .map(|outcome| outcome.objects["result"].as_text())
+        };
+        assert_eq!(result(&mut sys, "i1").as_deref(), Some("v1"));
+        sys.bind_fn("refProduce", produce("v2"));
+        assert!(sys.rebound.borrow().is_some(), "held until a delivery");
+        assert_eq!(result(&mut sys, "i2").as_deref(), Some("v2"));
+        assert!(sys.unbind("refProduce"));
+        assert!(!sys.unbind("refProduce"), "bound no more");
+        assert_eq!(result(&mut sys, "i3"), None);
+        match sys.status("i3").unwrap() {
+            InstanceStatus::Stuck { reason } => {
+                assert!(
+                    reason.contains("no implementation bound for `refProduce`"),
+                    "{reason}"
+                );
+            }
+            other => panic!("expected stuck, got {other:?}"),
+        }
     }
 
     #[test]

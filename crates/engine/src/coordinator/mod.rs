@@ -282,9 +282,13 @@ pub struct Coordinator {
     census: Census,
 }
 
+// Every node is a value that can move to a thread: a shard, and an
+// executor with its driver (it holds its binding table by `Arc`).
 const _: fn() = || {
     fn is_send<T: Send>() {}
     is_send::<Coordinator>();
+    is_send::<crate::executor::Executor>();
+    is_send::<crate::driver::Driver<crate::executor::Executor>>();
 };
 
 impl Coordinator {
@@ -637,7 +641,10 @@ impl Node for Coordinator {
             // at the sender, exactly like a down node; buffered reports die with it,
             // the claimant's copies being the truth now. An operator's request
             // passes: the flip that retires a zombie to a relay must reach it.
-            Input::Message { .. } | Input::Fired(_) if self.is_fenced() => {}
+            // The probe notes what it finds, so a zombie walks its log's
+            // tail once, not at every input.
+            Input::Message { .. } | Input::Fired(_)
+                if matches!(self.mgr.note_fence(), Ok(Some(_))) => {}
             Input::Message { payload, token, .. } => self.on_message(payload, token),
             Input::Fired(Timer::Flight(at)) => self.on_flight_timer(&at),
             Input::Fired(Timer::Window) => self.on_batch_window(),

@@ -3,8 +3,8 @@
 //! An executor is a value ([`Executor`]), driven like every node by
 //! `crate::driver`. A start in, it checks the delivered bytes whole once
 //! and binds them as a [`StartView`] — the implementation's
-//! [`InvokeCtx`] borrows it — to the named implementation through the
-//! shared [`ImplRegistry`], and plays the resulting
+//! [`InvokeCtx`] borrows it — to the implementation its code names in
+//! the executor's own binding table, and plays the resulting
 //! [`crate::TaskBehavior`] out as timers: one per mark at its offset,
 //! then one for the completion after the work duration. Each holds its
 //! [`EngineMsg::Report`] to the dispatching shard, encoded at the bind —
@@ -16,9 +16,20 @@
 //! Its slots are volatile too: a restarted executor starts with every
 //! slot free, so new work never queues behind work that died with it.
 //!
+//! The binding table is a frozen snapshot the executor holds by `Arc`,
+//! as a deployed binary holds its code: a restart keeps it, and a
+//! rebind is an operator's input ([`Input::Op`]) carrying the new
+//! table, which the façade hands every executor before the world next
+//! delivers anything. No executor shares a cell with another node, so
+//! an executor is `Send` (asserted at build, beside the shard's).
+//!
 //! Per §4.3 an implementation name may refer to *a script*; such bindings
-//! run a complete nested workflow (own simulated world, same registry)
-//! and map its root outcome onto this task's completion.
+//! run a complete nested workflow (own simulated world, same table) and
+//! map its root outcome onto this task's completion. A nested world
+//! retries nothing: every execution error there is deterministic, so a
+//! retry would fail alike. A nested world that ends stuck carries its
+//! reason up as this task's execution error, so a binding cycle fails
+//! after [`MAX_SCRIPT_NESTING`] worlds, naming the limit.
 //!
 //! An executor is deployed as its [`ExecutorSpec`], the same one every
 //! coordinator's scheduler registers. Its **location label** is a hard
@@ -59,8 +70,9 @@ use std::convert::Infallible;
 use flowscript_codec::IdMap;
 use flowscript_sim::{NodeId, SimDuration, SimTime};
 
+use crate::coordinator::{EngineConfig, InstanceStatus};
 use crate::driver::{self, Node, TimerId};
-use crate::impl_registry::{ImplRegistry, Invocation, InvokeCtx, TaskBehavior};
+use crate::impl_registry::{builtin, Binding, Bindings, InvokeCtx, TaskBehavior};
 use crate::msg::{self, report_bytes, EngineMsg, StartView, TaskResult};
 use crate::sched::ExecutorSpec;
 
@@ -105,7 +117,7 @@ struct Booking {
 }
 
 /// What an executor is fed, and what it answers an input with.
-type Input = driver::Input<Due, Infallible, Infallible>;
+type Input = driver::Input<Due, Infallible, Bindings>;
 type Output = driver::Output<Due, Infallible, Infallible>;
 
 /// One executor node, deployed as its [`ExecutorSpec`]: inputs in,
@@ -114,7 +126,8 @@ type Output = driver::Output<Due, Infallible, Infallible>;
 /// multi-coordinator system).
 pub(crate) struct Executor {
     spec: ExecutorSpec,
-    registry: ImplRegistry,
+    /// What each code runs here, until the next rebind.
+    bindings: Bindings,
     /// One queue tail per declared slot: the next free moment of each.
     /// Empty (capacity 0) means unbounded — no queueing at all.
     slots: Vec<SimTime>,
@@ -128,12 +141,12 @@ pub(crate) struct Executor {
 }
 
 impl Executor {
-    /// The executor `spec` deploys, its slots all free.
-    pub(crate) fn new(spec: ExecutorSpec, registry: ImplRegistry) -> Self {
+    /// The executor `spec` deploys with `bindings`, its slots all free.
+    pub(crate) fn new(spec: ExecutorSpec, bindings: Bindings) -> Self {
         let slots = vec![SimTime::ZERO; spec.capacity as usize];
         Self {
             spec,
-            registry,
+            bindings,
             slots,
             running: IdMap::default(),
             booked: IdMap::default(),
@@ -256,11 +269,15 @@ impl Executor {
             }
         }
         let code = ctx.impl_value("code").unwrap_or("");
-        match self.registry.invoke(code, ctx)? {
-            Invocation::Behavior(behavior) => Ok(behavior),
-            Invocation::Script { source, root } => {
-                run_nested_script(&self.registry, &source, &root, ctx)
+        if let Some(name) = code.strip_prefix("builtin:") {
+            return builtin(name, ctx);
+        }
+        match self.bindings.get(code) {
+            Some(Binding::Program(program)) => Ok(program(ctx)),
+            Some(Binding::Script { source, root }) => {
+                run_nested_script(&self.bindings, source, root, ctx)
             }
+            None => Err(format!("no implementation bound for `{code}`")),
         }
     }
 
@@ -310,7 +327,7 @@ impl Executor {
 impl Node for Executor {
     type Timer = Due;
     type Call = Infallible;
-    type Op = Infallible;
+    type Op = Bindings;
     type Answer = Infallible;
 
     fn node(&self) -> NodeId {
@@ -338,7 +355,12 @@ impl Node for Executor {
                 _ => Vec::new(),
             },
             Input::Fired(due) => self.report(due),
-            Input::Answered(never, _) | Input::Op(never) => match never {},
+            Input::Answered(never, _) => match never {},
+            // A rebind: the table every later start binds through.
+            Input::Op(bindings) => {
+                self.bindings = bindings;
+                Vec::new()
+            }
             // The work that held the slots died with the node.
             Input::Restart => {
                 self.slots.fill(SimTime::ZERO);
@@ -352,9 +374,11 @@ impl Node for Executor {
 
 /// Runs a nested workflow for a script-bound implementation and maps its
 /// root outcome onto this task's behaviour. The nested run uses its own
-/// simulated world; its virtual elapsed time becomes this task's `work`.
+/// simulated world, binds through `bindings` and retries nothing; its
+/// virtual elapsed time becomes this task's `work`, and a stuck reason
+/// this task's execution error.
 fn run_nested_script(
-    registry: &ImplRegistry,
+    bindings: &Bindings,
     source: &str,
     root: &str,
     ctx: &InvokeCtx<'_>,
@@ -370,8 +394,12 @@ fn run_nested_script(
         let mut nested = crate::api::WorkflowSystem::builder()
             .executors(1)
             .seed(u64::from(ctx.attempt).wrapping_add(0x5eed))
-            .registry(registry.clone())
+            .config(EngineConfig {
+                max_retries: 0,
+                ..EngineConfig::default()
+            })
             .build();
+        nested.bind_all(bindings.clone());
         nested
             .register_script("nested", source, root)
             .map_err(|e| format!("nested script invalid: {e}"))?;
@@ -381,8 +409,8 @@ fn run_nested_script(
             .map_err(|e| format!("nested start failed: {e}"))?;
         nested.run();
         let elapsed = nested.now().since(flowscript_sim::SimTime::ZERO);
-        match nested.outcome("nested-run") {
-            Some(outcome) => {
+        match nested.status("nested-run") {
+            Ok(InstanceStatus::Completed(outcome)) => {
                 let mut behavior = TaskBehavior::outcome(outcome.name)
                     .with_work(elapsed.max(SimDuration::from_millis(1)));
                 for (name, value) in outcome.objects {
@@ -390,7 +418,8 @@ fn run_nested_script(
                 }
                 Ok(behavior)
             }
-            None => Err("nested workflow did not complete".to_string()),
+            Ok(InstanceStatus::Stuck { reason }) => Err(format!("nested workflow stuck: {reason}")),
+            _ => Err("nested workflow did not complete".to_string()),
         }
     })();
     NESTING.with(|n| n.set(depth));
@@ -401,8 +430,19 @@ fn run_nested_script(
 mod tests {
     use flowscript_sim::ReplyToken;
 
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
     use super::*;
     use crate::msg::{Attempt, Delivered, ResultView, StartTask};
+
+    /// A table binding code `c` to `program`.
+    fn c_runs(
+        program: impl Fn(&InvokeCtx<'_>) -> TaskBehavior + Send + Sync + 'static,
+    ) -> Bindings {
+        let program = Binding::Program(Arc::new(program));
+        Arc::new(BTreeMap::from([("c".to_string(), program)]))
+    }
 
     /// The address every start here ships.
     fn address() -> Attempt {
@@ -433,10 +473,9 @@ mod tests {
     #[test]
     fn nesting_counter_restores_after_guard() {
         NESTING.with(|n| n.set(MAX_SCRIPT_NESTING));
-        let registry = ImplRegistry::new();
         let bytes = flowscript_codec::to_bytes(&EngineMsg::Start(start(&[])));
         let ctx = InvokeCtx::of(&StartView::read(&bytes).unwrap());
-        let err = run_nested_script(&registry, "class C;", "root", &ctx).unwrap_err();
+        let err = run_nested_script(&Bindings::default(), "class C;", "root", &ctx).unwrap_err();
         assert!(err.contains("nesting"), "{err}");
         NESTING.with(|n| n.set(0));
     }
@@ -486,13 +525,11 @@ mod tests {
     fn location_guard_rejects_a_mispinned_start() {
         // The scheduler never mispins; the guard is for the day it does.
         let [coordinator, here] = [0, 1].map(NodeId::from_index);
-        let registry = ImplRegistry::new();
-        registry.bind_fn("c", |_| TaskBehavior::outcome("done"));
         let spec = ExecutorSpec {
             location: Some("warehouse".into()),
             ..ExecutorSpec::unbounded(here)
         };
-        let mut executor = Executor::new(spec, registry);
+        let mut executor = Executor::new(spec, c_runs(|_| TaskBehavior::outcome("done")));
         let pinned = |location| start(&[("location", location)]);
 
         // Pinned here: the completion is armed, owed to the dispatcher,
@@ -527,9 +564,8 @@ mod tests {
     #[test]
     fn a_start_binds_the_code_pair_of_its_clause() {
         let [coordinator, here] = [0, 1].map(NodeId::from_index);
-        let registry = ImplRegistry::new();
-        registry.bind_fn("c", |_| TaskBehavior::outcome("done"));
-        let mut executor = Executor::new(ExecutorSpec::unbounded(here), registry);
+        let done = c_runs(|_| TaskBehavior::outcome("done"));
+        let mut executor = Executor::new(ExecutorSpec::unbounded(here), done);
 
         let named = start(&[("priority", "3")]);
         assert_eq!(named.implementation["code"], "c");
@@ -556,13 +592,12 @@ mod tests {
     fn a_serial_executor_queues_starts_and_a_restart_frees_its_slot() {
         let work = SimDuration::from_millis(10);
         let [coordinator, here] = [0, 1].map(NodeId::from_index);
-        let registry = ImplRegistry::new();
-        registry.bind_fn("c", move |_| TaskBehavior::outcome("done").with_work(work));
         let spec = ExecutorSpec {
             capacity: 1,
             ..ExecutorSpec::unbounded(here)
         };
-        let mut executor = Executor::new(spec, registry);
+        let bindings = c_runs(move |_| TaskBehavior::outcome("done").with_work(work));
+        let mut executor = Executor::new(spec, bindings);
         let completion_after = |executor: &mut Executor| {
             let outputs = deliver(executor, SimTime::ZERO, coordinator, start(&[]));
             let [Output::Arm { after, .. }] = outputs[..] else {
@@ -582,8 +617,7 @@ mod tests {
     /// 5 ms.
     fn serial() -> Executor {
         let work = SimDuration::from_millis(10);
-        let registry = ImplRegistry::new();
-        registry.bind_fn("c", move |_| {
+        let bindings = c_runs(move |_| {
             TaskBehavior::outcome("done").with_work(work).with_mark(
                 SimDuration::from_millis(5),
                 "half",
@@ -594,7 +628,7 @@ mod tests {
             capacity: 1,
             ..ExecutorSpec::unbounded(NodeId::from_index(1))
         };
-        Executor::new(spec, registry)
+        Executor::new(spec, bindings)
     }
 
     /// A start of `c` under `ticket`, delivered at 0: the completion's
@@ -824,5 +858,58 @@ mod tests {
         assert!(executor.handle(SimTime::ZERO, Input::Restart).is_empty());
         assert_eq!(executor.running(), 0);
         assert!(cancel(&mut executor, 1).is_empty());
+    }
+
+    /// The one completion `outputs` arm: what `code`'s start became.
+    fn completion(outputs: Vec<Output>) -> Due {
+        let [Output::Arm { timer, .. }] = <[Output; 1]>::try_from(outputs).unwrap() else {
+            panic!("one timer, the completion's");
+        };
+        timer
+    }
+
+    /// A rebind is an input: starts after it bind through the new
+    /// table, and a restart keeps it, as a deployed binary keeps its
+    /// code.
+    #[test]
+    fn a_rebind_is_an_input_and_a_restart_keeps_it() {
+        let coordinator = NodeId::from_index(0);
+        let spec = ExecutorSpec::unbounded(NodeId::from_index(1));
+        let mut executor = Executor::new(spec, c_runs(|_| TaskBehavior::outcome("v1")));
+        let outputs = deliver(&mut executor, SimTime::ZERO, coordinator, start(&[]));
+        assert!(done_in(&fire(&mut executor, completion(outputs)), "v1"));
+
+        let rebind = Input::Op(c_runs(|_| TaskBehavior::outcome("v2")));
+        assert!(executor.handle(SimTime::ZERO, rebind).is_empty());
+        assert!(executor.handle(SimTime::ZERO, Input::Restart).is_empty());
+        let outputs = deliver(&mut executor, SimTime::ZERO, coordinator, start(&[]));
+        assert!(done_in(&fire(&mut executor, completion(outputs)), "v2"));
+
+        let unbound = Input::Op(Bindings::default());
+        assert!(executor.handle(SimTime::ZERO, unbound).is_empty());
+        let outputs = deliver(&mut executor, SimTime::ZERO, coordinator, start(&[]));
+        assert!(
+            matches!(sent(&outputs).view().result, ResultView::ExecError { reason }
+            if reason.contains("no implementation bound for `c`"))
+        );
+    }
+
+    /// An executor is a value that can move: one spawned thread takes
+    /// it, feeds it a start and the completion's timer, and hands back
+    /// the report.
+    #[test]
+    fn an_executor_runs_on_a_thread_of_its_own() {
+        let spec = ExecutorSpec::unbounded(NodeId::from_index(1));
+        let echo = c_runs(|ctx| TaskBehavior::outcome(ctx.set));
+        let mut executor = Executor::new(spec, echo);
+        let report = std::thread::spawn(move || {
+            let coordinator = NodeId::from_index(0);
+            let outputs = deliver(&mut executor, SimTime::ZERO, coordinator, start(&[]));
+            fire(&mut executor, completion(outputs))
+        })
+        .join()
+        .expect("the thread ran");
+        assert!(done_in(&report, "main"));
+        assert!(report.view().at.is(&address()));
     }
 }

@@ -1364,8 +1364,8 @@ mod tests {
 
     #[test]
     fn an_executor_object_of_another_class_reaches_its_consumer_with_it() {
-        use std::cell::Cell;
-        use std::rc::Rc;
+        use std::sync::atomic::{AtomicU32, Ordering};
+        use std::sync::Mutex;
 
         use crate::{TaskBehavior, WorkflowSystem};
 
@@ -1377,17 +1377,17 @@ mod tests {
         sys.bind_fn("refT1", |_| {
             TaskBehavior::outcome("done").with_object("out", ObjectVal::text("Blob", "b"))
         });
-        let seen = Rc::new(RefCell::new(None));
+        let seen = Arc::new(Mutex::new(None));
         let saw = seen.clone();
         sys.bind_fn("refT3", move |ctx| {
-            *saw.borrow_mut() = ctx.input("in").map(ObjectRef::to_val);
+            *saw.lock().unwrap() = ctx.input("in").map(ObjectRef::to_val);
             TaskBehavior::outcome("done").with_object("out", ObjectVal::text("Data", "3"))
         });
-        let ran = Rc::new(Cell::new(0));
+        let ran = Arc::new(AtomicU32::new(0));
         for code in ["refT2", "refT4"] {
             let ran = ran.clone();
             sys.bind_fn(code, move |_| {
-                ran.set(ran.get() + 1);
+                ran.fetch_add(1, Ordering::Relaxed);
                 TaskBehavior::outcome("done").with_object("out", ObjectVal::text("Data", "d"))
             });
         }
@@ -1395,9 +1395,9 @@ mod tests {
         sys.start("d", "diamond", "main", [("seed", seed)]).unwrap();
         sys.run();
         assert!(sys.outcome("d").is_some());
-        assert_eq!(ran.get(), 2);
+        assert_eq!(ran.load(Ordering::Relaxed), 2);
         let expected = ObjectVal::text("Blob", "b").produced_by("diamond/t1");
-        assert_eq!(seen.borrow().as_ref(), Some(&expected));
+        assert_eq!(seen.lock().unwrap().as_ref(), Some(&expected));
         let published = sys.output_fact("d", "diamond/t1", "done").unwrap();
         assert_eq!(published["out"], expected);
     }

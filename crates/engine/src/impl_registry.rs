@@ -2,20 +2,28 @@
 //!
 //! A script names its implementations abstractly (`"code" is
 //! "refDispatch"`); the binding to executable behaviour happens at run
-//! time through this registry — the paper's route to online upgrade
+//! time, by that name — the paper's route to online upgrade
 //! ("introducing online upgrade of an application without having to
-//! change the corresponding workflow script"). Implementations are:
+//! change the corresponding workflow script"). A code is bound to
 //!
-//! - [`TaskImpl`] trait objects or plain closures ([`ImplRegistry::bind_fn`]),
-//! - built-ins (`builtin:timer` reads `duration_ms` from the
-//!   implementation clause — the paper's timer-input idiom),
-//! - other *scripts*: §4.3 allows an implementation name to refer to a
-//!   script; bind with [`ImplRegistry::bind_script`] and the executor
-//!   runs a nested workflow synchronously in simulated time.
+//! - a program, a closure ([`crate::WorkflowSystem::bind_fn`]),
+//! - a built-in (`builtin:timer` reads `duration_ms` from the
+//!   implementation clause — the paper's timer-input idiom), bound by
+//!   its name alone,
+//! - another *script*: §4.3 allows an implementation name to refer to a
+//!   script ([`crate::WorkflowSystem::bind_script`]), and the executor
+//!   runs it as a nested workflow synchronously in simulated time.
+//!
+//! A binding table is a value. Each executor holds an `Arc` of a frozen
+//! one, as a deployed binary holds its code, and keeps it across a
+//! restart. The façade keeps the master table: a bind or an unbind
+//! edits the façade's copy, and the façade hands the new table to every
+//! executor as an operator's input before the world next delivers
+//! anything — so a rebind is ordered with every other input a node
+//! takes, and no node shares a cell with another.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use flowscript_sim::SimDuration;
 
@@ -193,137 +201,17 @@ impl TaskBehavior {
     }
 }
 
-/// A task implementation bound to a `code` name.
-pub trait TaskImpl {
-    /// Decides this attempt's behaviour. Called once per dispatch; the
-    /// executor then plays the behaviour out in simulated time.
-    fn invoke(&self, ctx: &InvokeCtx<'_>) -> TaskBehavior;
-}
-
-/// A bound implementation entry.
-enum Binding {
-    Program(Rc<dyn TaskImpl>),
+/// What a code name is bound to.
+#[derive(Clone)]
+pub(crate) enum Binding {
+    /// A program: asked once per attempt for the behaviour to play out.
+    Program(Arc<dyn Fn(&InvokeCtx<'_>) -> TaskBehavior + Send + Sync>),
+    /// A script, run from its root compound as a nested workflow (§4.3).
     Script { source: String, root: String },
 }
 
-/// The registry mapping implementation names to behaviour.
-///
-/// Shared (via `Rc`) between the executor nodes — the paper's model of
-/// identical service binaries deployed per node.
-#[derive(Clone, Default)]
-pub struct ImplRegistry {
-    inner: Rc<RefCell<BTreeMap<String, Binding>>>,
-}
-
-impl ImplRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Binds `name` to a [`TaskImpl`].
-    pub fn bind(&self, name: impl Into<String>, implementation: Rc<dyn TaskImpl>) {
-        self.inner
-            .borrow_mut()
-            .insert(name.into(), Binding::Program(implementation));
-    }
-
-    /// Binds `name` to a closure.
-    pub fn bind_fn<F>(&self, name: impl Into<String>, f: F)
-    where
-        F: Fn(&InvokeCtx<'_>) -> TaskBehavior + 'static,
-    {
-        struct Closure<F>(F);
-        impl<F: Fn(&InvokeCtx<'_>) -> TaskBehavior> TaskImpl for Closure<F> {
-            fn invoke(&self, ctx: &InvokeCtx<'_>) -> TaskBehavior {
-                (self.0)(ctx)
-            }
-        }
-        self.bind(name, Rc::new(Closure(f)));
-    }
-
-    /// Binds `name` to a nested workflow script (§4.3: "the name of the
-    /// implementation can refer to either the code itself (executable),
-    /// or some script").
-    pub fn bind_script(
-        &self,
-        name: impl Into<String>,
-        source: impl Into<String>,
-        root: impl Into<String>,
-    ) {
-        self.inner.borrow_mut().insert(
-            name.into(),
-            Binding::Script {
-                source: source.into(),
-                root: root.into(),
-            },
-        );
-    }
-
-    /// Removes a binding (service withdrawn), returning whether it
-    /// existed.
-    pub fn unbind(&self, name: &str) -> bool {
-        self.inner.borrow_mut().remove(name).is_some()
-    }
-
-    /// Whether `name` is bound.
-    pub fn is_bound(&self, name: &str) -> bool {
-        self.inner.borrow().contains_key(name) || name.starts_with("builtin:")
-    }
-
-    /// Resolves and invokes `name`, including built-ins.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable reason when the name is unbound or a built-in is
-    /// misconfigured.
-    pub(crate) fn invoke(&self, name: &str, ctx: &InvokeCtx<'_>) -> Result<Invocation, String> {
-        if let Some(rest) = name.strip_prefix("builtin:") {
-            return builtin(rest, ctx).map(Invocation::Behavior);
-        }
-        let inner = self.inner.borrow();
-        match inner.get(name) {
-            Some(Binding::Program(implementation)) => {
-                Ok(Invocation::Behavior(implementation.invoke(ctx)))
-            }
-            Some(Binding::Script { source, root }) => Ok(Invocation::Script {
-                source: source.clone(),
-                root: root.clone(),
-            }),
-            None => Err(format!("no implementation bound for `{name}`")),
-        }
-    }
-
-    /// Number of bindings.
-    pub fn len(&self) -> usize {
-        self.inner.borrow().len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.borrow().is_empty()
-    }
-}
-
-impl std::fmt::Debug for ImplRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ImplRegistry({} bindings)", self.len())
-    }
-}
-
-/// The result of resolving an implementation name.
-#[derive(Debug)]
-pub(crate) enum Invocation {
-    /// Run this behaviour.
-    Behavior(TaskBehavior),
-    /// Run this script as a nested workflow.
-    Script {
-        /// Script source.
-        source: String,
-        /// Root compound name.
-        root: String,
-    },
-}
+/// A frozen binding table, by code name: what every executor holds.
+pub(crate) type Bindings = Arc<BTreeMap<String, Binding>>;
 
 /// Built-in implementations.
 ///
@@ -332,7 +220,7 @@ pub(crate) enum Invocation {
 ///   of an exceptional input set with a timer.
 /// - `builtin:emit:<outcome>`: terminates immediately in `<outcome>`,
 ///   echoing its inputs as outputs (handy glue in tests/benches).
-fn builtin(name: &str, ctx: &InvokeCtx<'_>) -> Result<TaskBehavior, String> {
+pub(crate) fn builtin(name: &str, ctx: &InvokeCtx<'_>) -> Result<TaskBehavior, String> {
     if name == "timer" {
         if ctx.impl_value("duration_ms").is_none() {
             return Err("builtin:timer needs a duration_ms implementation pair".to_string());
@@ -413,92 +301,28 @@ mod tests {
     }
 
     #[test]
-    fn closure_binding_invokes() {
-        let registry = ImplRegistry::new();
-        registry.bind_fn("ref", |ctx: &InvokeCtx<'_>| {
-            TaskBehavior::outcome("done")
-                .with_object("y", ObjectVal::text("C", ctx.input_text("x")))
-        });
-        let Invocation::Behavior(behavior) = registry.invoke("ref", &ctx(&timed())).unwrap() else {
-            panic!("expected behaviour");
-        };
-        assert_eq!(behavior.completion.outcome, "done");
-        assert_eq!(behavior.completion.objects["y"].as_text(), "v");
-    }
-
-    #[test]
-    fn unbound_name_is_error() {
-        let registry = ImplRegistry::new();
-        let err = registry.invoke("ghost", &ctx(&timed())).unwrap_err();
-        assert!(err.contains("ghost"));
-        assert!(!registry.is_bound("ghost"));
-    }
-
-    #[test]
-    fn rebinding_replaces() {
-        let registry = ImplRegistry::new();
-        registry.bind_fn("ref", |_: &InvokeCtx<'_>| TaskBehavior::outcome("v1"));
-        registry.bind_fn("ref", |_: &InvokeCtx<'_>| TaskBehavior::outcome("v2"));
-        let Invocation::Behavior(behavior) = registry.invoke("ref", &ctx(&timed())).unwrap() else {
-            panic!();
-        };
-        assert_eq!(behavior.completion.outcome, "v2");
-        assert_eq!(registry.len(), 1);
-        assert!(registry.unbind("ref"));
-        assert!(registry.is_empty());
-    }
-
-    #[test]
     fn builtin_timer_reads_duration() {
-        let registry = ImplRegistry::new();
-        assert!(registry.is_bound("builtin:timer"));
-        let Invocation::Behavior(behavior) =
-            registry.invoke("builtin:timer", &ctx(&timed())).unwrap()
-        else {
-            panic!();
-        };
+        let behavior = builtin("timer", &ctx(&timed())).unwrap();
         assert_eq!(behavior.work, SimDuration::from_millis(250));
         assert_eq!(behavior.completion.outcome, "fired");
     }
 
     #[test]
     fn builtin_timer_without_duration_errors() {
-        let registry = ImplRegistry::new();
         let untimed = start(&[]);
-        assert!(registry.invoke("builtin:timer", &ctx(&untimed)).is_err());
+        assert!(builtin("timer", &ctx(&untimed)).is_err());
     }
 
     #[test]
     fn builtin_emit_echoes_inputs() {
-        let registry = ImplRegistry::new();
-        let Invocation::Behavior(behavior) =
-            registry.invoke("builtin:emit:ok", &ctx(&timed())).unwrap()
-        else {
-            panic!();
-        };
+        let behavior = builtin("emit:ok", &ctx(&timed())).unwrap();
         assert_eq!(behavior.completion.outcome, "ok");
         assert_eq!(behavior.completion.objects["x"].as_text(), "v");
     }
 
     #[test]
     fn unknown_builtin_is_error() {
-        let registry = ImplRegistry::new();
-        assert!(registry
-            .invoke("builtin:frobnicate", &ctx(&timed()))
-            .is_err());
-    }
-
-    #[test]
-    fn script_binding_resolves() {
-        let registry = ImplRegistry::new();
-        registry.bind_script("nested", "class C;", "root");
-        match registry.invoke("nested", &ctx(&timed())).unwrap() {
-            Invocation::Script { source, root } => {
-                assert_eq!(source, "class C;");
-                assert_eq!(root, "root");
-            }
-            other => panic!("expected script, got {other:?}"),
-        }
+        assert!(builtin("frobnicate", &ctx(&timed())).is_err());
     }
 
     #[test]

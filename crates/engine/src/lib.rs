@@ -13,8 +13,11 @@
 //!   retries system-level failures a bounded number of times, and
 //!   survives coordinator crashes by write-ahead-log recovery,
 //! - **task executors** on separate simulated nodes, running
-//!   implementations bound *at run time* by name ([`ImplRegistry`]),
-//!   including the built-in timer,
+//!   implementations bound *at run time* by name
+//!   ([`WorkflowSystem::bind_fn`], [`WorkflowSystem::bind_script`]),
+//!   including the built-in timer: each executor holds its own frozen
+//!   binding table, and a rebind reaches it as an operator's input
+//!   before the world next delivers anything,
 //! - **adaptive, load-aware scheduling** ([`Scheduler`]): dispatch honors
 //!   the implementation clause's typed hints — `location` as a hard
 //!   placement constraint, `priority` ordering ready tasks, declared
@@ -104,9 +107,7 @@ pub use coordinator::{
 pub use error::EngineError;
 pub use flowscript_obs::{ObsEvent, ObsEventKind, ObserveLevel, Snapshot};
 pub use flowscript_tx::StableStore;
-pub use impl_registry::{
-    Completion, ImplRegistry, InvokeCtx, MarkEmission, TaskBehavior, TaskImpl,
-};
+pub use impl_registry::{Completion, InvokeCtx, MarkEmission, TaskBehavior};
 pub use reconfig::Reconfig;
 pub use repository::{Repository, ScriptVersion};
 pub use sched::{

@@ -15,7 +15,8 @@
 mod common;
 
 use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use common::{
     assert_one_owner, build_orders, build_orders_on, det_link, handoff_frames,
@@ -28,7 +29,9 @@ use flowscript_engine::{
 use flowscript_sim::net::LinkConfig;
 use flowscript_sim::{FaultAction, FaultPlan, SimDuration, SimTime};
 use flowscript_tx::storage::FlakyStorage;
-use flowscript_tx::{LogRecord, Shared, SharedStorage, StableStore, TxError, TxManager};
+use flowscript_tx::{
+    LogRecord, MemStorage, Shared, SharedStorage, StableStore, Storage, TxError, TxManager,
+};
 
 fn det_config() -> EngineConfig {
     EngineConfig {
@@ -795,6 +798,64 @@ fn fenced_zombie_cannot_commit_after_storage_is_claimed() {
     assert!(
         matches!(mgr.write_fence(99), Err(TxError::Fenced { epoch: 2, .. })),
         "a fenced manager must refuse its first append"
+    );
+}
+
+/// In-memory storage that counts how often its whole log is read.
+struct CountedReads {
+    log: MemStorage,
+    reads: Arc<AtomicUsize>,
+}
+
+impl Storage for CountedReads {
+    fn append(&mut self, bytes: &[u8]) -> Result<(), TxError> {
+        self.log.append(bytes)
+    }
+
+    fn read_all(&self) -> Result<Vec<u8>, TxError> {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.log.read_all()
+    }
+
+    fn truncate(&mut self, len: u64) -> Result<(), TxError> {
+        self.log.truncate(len)
+    }
+
+    fn len(&self) -> u64 {
+        self.log.len()
+    }
+}
+
+/// A zombie notes the fence it finds at its door: across the many
+/// inputs it drops after the claim, it reads its log once, not once
+/// per input.
+#[test]
+fn a_zombie_reads_its_log_once_across_the_inputs_it_drops() {
+    let reads = Arc::new(AtomicUsize::new(0));
+    let log = CountedReads {
+        log: MemStorage::new(),
+        reads: reads.clone(),
+    };
+    let zombie_log = StableStore::from(Shared::from(log));
+    let mut sys = build_orders_on(3, det_config(), vec![zombie_log]);
+    start_population(&mut sys, &population());
+    sys.run_until(SimTime::from_nanos(20_000_000));
+    let zombie = sys.coord_handle(0).get().node();
+    sys.adopt_dead_shard("coordinator0").expect("failover");
+    let muzzled_at = sys.coord_on(zombie).get().log_size();
+
+    let inputs = 40;
+    let before = reads.load(Ordering::Relaxed);
+    let sender = sys.executor_nodes()[0];
+    for _ in 0..inputs {
+        sys.world_mut().send(sender, zombie, Vec::new());
+    }
+    sys.run();
+    let walked = reads.load(Ordering::Relaxed) - before;
+    assert_eq!(sys.coord_on(zombie).get().log_size(), muzzled_at);
+    assert!(
+        walked <= 1,
+        "the zombie read its log {walked} times across {inputs} inputs"
     );
 }
 

@@ -16,8 +16,8 @@
 
 mod common;
 
-use std::cell::Cell;
-use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use common::{
     bind_diamond, bind_misreports, build, det_config, det_link, diamond_burst, fan_join_source,
@@ -146,10 +146,10 @@ fn corrupt_bound_input_stops_the_recovery_redispatch() {
     // on empty inputs; it must park the instance instead.
     let mut sys = WorkflowSystem::builder().executors(2).seed(3).build();
     sys.register_script("one", ONE_TASK, "root").unwrap();
-    let starved = Rc::new(Cell::new(false));
+    let starved = Arc::new(AtomicBool::new(false));
     let saw = starved.clone();
     sys.bind_fn("refWork", move |ctx| {
-        saw.set(saw.get() || ctx.inputs().next().is_none());
+        saw.fetch_or(ctx.inputs().next().is_none(), Ordering::Relaxed);
         TaskBehavior::outcome("done").with_work(SimDuration::from_millis(200))
     });
     sys.start("i", "one", "main", [("seed", text("Data", "s"))])
@@ -165,7 +165,10 @@ fn corrupt_bound_input_stops_the_recovery_redispatch() {
     restart_with_executors(&mut sys);
     sys.run();
     assert_storage_fault_stop(&sys, "i");
-    assert!(!starved.get(), "the task ran on empty inputs");
+    assert!(
+        !starved.load(Ordering::Relaxed),
+        "the task ran on empty inputs"
+    );
 }
 
 #[test]
@@ -184,12 +187,12 @@ fn corrupt_repeat_fact_stops_the_watchdog_retry() {
         .build();
     sys.register_script("g", &generated_script(1, 0), "root")
         .unwrap();
-    let starved = Rc::new(Cell::new(false));
+    let starved = Arc::new(AtomicBool::new(false));
     let saw = starved.clone();
     sys.bind_fn("ref0", move |ctx| match ctx.attempt {
         0 => TaskBehavior::outcome("again").with_object("p", text("Data", "first")),
         attempt => {
-            saw.set(saw.get() || ctx.repeat_objects().next().is_none());
+            saw.fetch_or(ctx.repeat_objects().next().is_none(), Ordering::Relaxed);
             let hang = if attempt == 1 { 10_000 } else { 1 };
             TaskBehavior::outcome("done").with_work(SimDuration::from_millis(hang))
         }
@@ -205,7 +208,10 @@ fn corrupt_repeat_fact_stops_the_watchdog_retry() {
     sys.run();
     assert_eq!(sys.stats().retries, 1, "the watchdog retried attempt 1");
     assert_storage_fault_stop(&sys, "i");
-    assert!(!starved.get(), "the task ran without its repeat objects");
+    assert!(
+        !starved.load(Ordering::Relaxed),
+        "the task ran without its repeat objects"
+    );
 }
 
 /// Whether a frame is one commit record and nothing else.

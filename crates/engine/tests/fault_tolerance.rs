@@ -6,8 +6,8 @@
 
 mod common;
 
-use std::cell::Cell;
-use std::rc::Rc;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 use common::text;
 use flowscript_core::samples;
@@ -172,7 +172,7 @@ fn restarts_spend_no_retry() {
         sys.run_until(SimTime::from_nanos(round * 20_000_000));
         common::restart_with_executors(&mut sys);
     }
-    assert!(sys.registry().unbind("refW0"));
+    assert!(sys.unbind("refW0"));
     sys.run();
     let states = sys.task_states("f");
     assert!(
@@ -188,7 +188,7 @@ fn restarts_spend_no_retry() {
 /// A QUICKSTART pipeline on one executor: `produce` takes `produce_ms`
 /// of work and is counted each time it starts, `consume` takes
 /// `consume_ms`.
-fn counted_pipeline(produce_ms: u64, consume_ms: u64) -> (WorkflowSystem, Rc<Cell<u32>>) {
+fn counted_pipeline(produce_ms: u64, consume_ms: u64) -> (WorkflowSystem, Arc<AtomicU32>) {
     let config = EngineConfig {
         observe: ObserveLevel::Trace,
         ..EngineConfig::default()
@@ -200,10 +200,10 @@ fn counted_pipeline(produce_ms: u64, consume_ms: u64) -> (WorkflowSystem, Rc<Cel
         .build();
     sys.register_script("q", samples::QUICKSTART, "pipeline")
         .unwrap();
-    let starts = Rc::new(Cell::new(0));
+    let starts = Arc::new(AtomicU32::new(0));
     let counted = starts.clone();
     sys.bind_fn("refProduce", move |_| {
-        counted.set(counted.get() + 1);
+        counted.fetch_add(1, Ordering::Relaxed);
         let work = SimDuration::from_millis(produce_ms);
         let made = TaskBehavior::outcome("produced").with_work(work);
         made.with_object("message", text("Message", "m"))
@@ -244,7 +244,11 @@ fn an_attempt_running_across_a_restart_runs_once() {
     sys.restart_now(coordinator);
     sys.run();
     assert_eq!(sys.outcome("i").expect("completes").name, "done");
-    assert_eq!(starts.get(), 1, "one `StartTask` at the executor");
+    assert_eq!(
+        starts.load(Ordering::Relaxed),
+        1,
+        "one `StartTask` at the executor"
+    );
     assert_eq!(attempts(&sys, "i", "pipeline/produce"), [0]);
     let blocks = sys.coord_handle(0).get().task_blocks("i");
     let produce = &blocks["pipeline/produce"];
@@ -283,7 +287,7 @@ fn a_census_call_to_a_down_executor_times_out_and_the_attempt_is_re_sent() {
         "{:?}",
         sys.now()
     );
-    assert_eq!(starts.get(), 2, "shipped, then re-sent");
+    assert_eq!(starts.load(Ordering::Relaxed), 2, "shipped, then re-sent");
     assert_eq!(attempts(&sys, "i", "pipeline/produce"), [0, 0]);
     let stats = sys.stats();
     assert_eq!(
@@ -307,7 +311,7 @@ fn a_report_from_an_uncharged_copy_cancels_the_charged_one() {
     sys.restart_now(coordinator);
     sys.world_mut().heal_all();
     sys.run_until(SimTime::from_nanos(10_050_000_000));
-    assert_eq!(starts.get(), 2, "shipped, then re-sent");
+    assert_eq!(starts.load(Ordering::Relaxed), 2, "shipped, then re-sent");
     assert!(matches!(
         sys.task_states("i")["pipeline/consume"],
         CbState::Executing { .. }
@@ -346,7 +350,7 @@ fn a_census_cancels_an_orphan_an_earlier_life_left() {
     sys.run_for(SimDuration::from_millis(1));
     sys.world_mut().heal_all();
     sys.run_until(SimTime::from_nanos(10_050_000_000));
-    assert_eq!(starts.get(), 2, "shipped, then re-sent");
+    assert_eq!(starts.load(Ordering::Relaxed), 2, "shipped, then re-sent");
     assert!(matches!(
         sys.task_states("i")["pipeline/consume"],
         CbState::Executing { .. }

@@ -5,9 +5,8 @@
 
 mod common;
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use flowscript_core::samples;
 use flowscript_core::schema::compile_source;
@@ -212,14 +211,15 @@ fn repeat_objects_name_the_leaf_that_made_them() {
     let mut sys = WorkflowSystem::builder().executors(2).seed(93).build();
     sys.register_script("p", LEAF_REPEAT_SCRIPT, "root")
         .unwrap();
-    let carried = Rc::new(RefCell::new(Vec::new()));
+    let carried = Arc::new(Mutex::new(Vec::new()));
     let saw = carried.clone();
     sys.bind_fn("refPoller", move |ctx| match ctx.attempt {
         0 => TaskBehavior::outcome("poll")
             .with_object("progress", ObjectVal::text("Data", "1"))
             .with_redo_after(SimDuration::from_millis(5)),
         _ => {
-            saw.borrow_mut()
+            saw.lock()
+                .unwrap()
                 .push(ctx.repeat_object("progress").unwrap().to_val());
             TaskBehavior::outcome("ready").with_object("out", ObjectVal::text("Data", "done"))
         }
@@ -231,7 +231,7 @@ fn repeat_objects_name_the_leaf_that_made_them() {
     let published = sys.output_fact("p1", "root/poller", "poll").unwrap();
     assert_eq!(published["progress"].produced_by, "root/poller");
     let stamped = ObjectVal::text("Data", "1").produced_by("root/poller");
-    assert_eq!(*carried.borrow(), [stamped]);
+    assert_eq!(*carried.lock().unwrap(), [stamped]);
 }
 
 #[test]
@@ -371,13 +371,14 @@ fn a_repeating_root_reactivates_on_its_start_set_and_inputs_across_a_restart() {
         .config(common::det_config())
         .build();
     sys.register_script("rr", ROOT_REPEAT, "root").unwrap();
-    let seen = Rc::new(RefCell::new(Vec::new()));
+    let seen = Arc::new(Mutex::new(Vec::new()));
     let saw = seen.clone();
     sys.bind_fn("refWork", move |ctx| {
         let inputs = ctx
             .inputs()
             .map(|(name, object)| (name.to_string(), object.to_val()));
-        saw.borrow_mut()
+        saw.lock()
+            .unwrap()
             .push((ctx.incarnation, inputs.collect::<BTreeMap<_, _>>()));
         match ctx.incarnation {
             0 => TaskBehavior::outcome("again"),
@@ -408,7 +409,7 @@ fn a_repeating_root_reactivates_on_its_start_set_and_inputs_across_a_restart() {
         2,
         "and incarnation 1, after the restart"
     );
-    let seen = seen.borrow();
+    let seen = seen.lock().unwrap();
     let incarnations: Vec<u32> = seen.iter().map(|(incarnation, _)| *incarnation).collect();
     assert_eq!(incarnations, [0, 1, 1, 2], "incarnation 1 re-dispatched");
     for (incarnation, inputs) in seen.iter() {

@@ -6,8 +6,8 @@
 mod common;
 
 use common::text;
-use std::cell::Cell;
-use std::rc::Rc;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 use flowscript_core::samples;
 use flowscript_engine::{
@@ -596,10 +596,10 @@ fn bind_trip(sys: &WorkflowSystem, hotel_failures: u32) {
             )
             .with_object("cost", ObjectVal::text("Cost", "420"))
     });
-    let failures = Rc::new(Cell::new(hotel_failures));
+    let failures = Arc::new(AtomicU32::new(hotel_failures));
     sys.bind_fn("refHotelReservation", move |_| {
-        if failures.get() > 0 {
-            failures.set(failures.get() - 1);
+        if failures.load(Ordering::Relaxed) > 0 {
+            failures.fetch_sub(1, Ordering::Relaxed);
             TaskBehavior::outcome("failed")
         } else {
             TaskBehavior::outcome("hotelBooked")
@@ -811,4 +811,26 @@ fn script_bound_as_implementation_runs_nested_workflow() {
     sys.run();
     let outcome = sys.outcome("i1").expect("completed");
     assert_eq!(outcome.objects["result"].as_text(), "[x]");
+}
+
+/// A binding cycle — QUICKSTART's producer bound to QUICKSTART itself —
+/// stops at the nesting limit, and the instance says so: a nested
+/// world retries nothing, and its stuck reason is carried up, so the
+/// cycle costs one world per level and attempt, not a tree of retries.
+#[test]
+fn a_binding_cycle_stops_at_the_nesting_limit_and_names_it() {
+    let mut sys = WorkflowSystem::builder().executors(2).seed(52).build();
+    sys.register_script("q", samples::QUICKSTART, "pipeline")
+        .unwrap();
+    sys.bind_script("refProduce", samples::QUICKSTART, "pipeline");
+    sys.bind_fn("refConsume", |_| TaskBehavior::outcome("rejected"));
+    sys.start("i1", "q", "main", [("seed", text("Message", "x"))])
+        .unwrap();
+    sys.run();
+    match sys.status("i1").unwrap() {
+        InstanceStatus::Stuck { reason } => {
+            assert!(reason.contains("script nesting deeper than 8"), "{reason}");
+        }
+        other => panic!("expected stuck on the nesting limit, got {other:?}"),
+    }
 }

@@ -6,9 +6,8 @@
 
 mod common;
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use common::{add_t5, frame_writes, last_write, log_frames, text};
 use flowscript_codec::ByteReader;
@@ -718,10 +717,10 @@ fn run_shifted_producers(shifted: bool) -> (InstanceStatus, Vec<ObjectVal>) {
             .with_work(SimDuration::from_millis(5))
             .with_object("out", text("Blob", "m"))
     });
-    let handed = Rc::new(RefCell::new(Vec::new()));
+    let handed = Arc::new(Mutex::new(Vec::new()));
     let saw = handed.clone();
     sys.bind_fn("refConsumer", move |ctx| {
-        saw.borrow_mut().push(ctx.input("in").unwrap().to_val());
+        saw.lock().unwrap().push(ctx.input("in").unwrap().to_val());
         TaskBehavior::outcome("done")
             .with_work(SimDuration::from_millis(200))
             .with_object("out", text("Data", "c"))
@@ -740,7 +739,7 @@ fn run_shifted_producers(shifted: bool) -> (InstanceStatus, Vec<ObjectVal>) {
         common::restart_with_executors(&mut sys);
     }
     sys.run();
-    let handed = handed.borrow().clone();
+    let handed = handed.lock().unwrap().clone();
     (sys.status("s1").unwrap(), handed)
 }
 

@@ -81,7 +81,7 @@ fn stuck_run_performs_no_prefix_scans_and_still_explains_itself() {
     // Starve the dispatch task: retries exhaust, the instance goes
     // stuck — the one-time report must name the failed and waiting
     // tasks without a store scan.
-    sys.registry().unbind("refDispatch");
+    sys.unbind("refDispatch");
     sys.start(
         "o",
         "order",

@@ -450,23 +450,33 @@ impl<S: Storage> TxManager<S> {
         Ok(())
     }
 
-    /// Refuses the next append if another node has claimed this storage.
-    /// Cheap in the common case (a length compare); only when the log
-    /// grew behind our back — some other handle appended — do we scan
-    /// the foreign tail for a [`LogRecord::Fence`].
+    /// Refuses the next append if another node has claimed this storage
+    /// ([`TxManager::note_fence`]).
     fn check_fence(&mut self) -> Result<(), TxError> {
+        match self.note_fence()? {
+            Some((claimant, epoch)) => Err(TxError::Fenced { claimant, epoch }),
+            None => Ok(()),
+        }
+    }
+
+    /// [`TxManager::tail_fence`], noted: a fence found in the tail is the
+    /// one this manager observed from then on, and a foreign tail with
+    /// none (e.g. our own claim written through a sibling handle) is
+    /// folded into the watermark — so the tail is walked once, however
+    /// often a zombie asks. Cheap in the common case (a length compare).
+    ///
+    /// # Errors
+    ///
+    /// [`TxError::Storage`] if the tail does not read.
+    pub fn note_fence(&mut self) -> Result<Option<(u32, u64)>, TxError> {
         let len = self.wal.size_bytes();
-        if self.fence.is_none() && len == self.wal_len {
-            return Ok(());
+        if self.fence.is_none() && len != self.wal_len {
+            self.fence = self.tail_fence()?;
+            if self.fence.is_none() {
+                self.wal_len = len;
+            }
         }
-        self.fence = self.tail_fence()?;
-        if let Some((claimant, epoch)) = self.fence {
-            return Err(TxError::Fenced { claimant, epoch });
-        }
-        // Foreign tail but no fence in it (e.g. our own claim written
-        // through a sibling handle): fold it into the watermark.
-        self.wal_len = len;
-        Ok(())
+        Ok(self.fence)
     }
 
     /// The fence another node holds on this storage: the one this
@@ -491,7 +501,7 @@ impl<S: Storage> TxManager<S> {
     }
 
     /// The fence this manager has observed, if any: `(claimant, epoch)`.
-    /// Cached — does not touch storage; use [`TxManager::tail_fence`]
+    /// Cached — does not touch storage; use [`TxManager::note_fence`]
     /// to check the log tail.
     pub fn fenced(&self) -> Option<(u32, u64)> {
         self.fence

@@ -14,8 +14,8 @@
 //! cargo run --example business_trip
 //! ```
 
-use std::cell::Cell;
-use std::rc::Rc;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 use flowscript::prelude::*;
 use flowscript_engine::TaskBehavior as TB;
@@ -80,11 +80,10 @@ fn main() -> Result<(), EngineError> {
     // The hotel is full twice; the third incarnation succeeds. Each
     // failure triggers the compensation (flight cancellation) and a
     // businessReservation repeat.
-    let hotel_attempts = Rc::new(Cell::new(0u32));
+    let hotel_attempts = Arc::new(AtomicU32::new(0));
     let attempts = hotel_attempts.clone();
     sys.bind_fn("refHotelReservation", move |_| {
-        attempts.set(attempts.get() + 1);
-        if attempts.get() <= 2 {
+        if attempts.fetch_add(1, Ordering::Relaxed) < 2 {
             TB::outcome("failed").with_work(SimDuration::from_millis(70))
         } else {
             TB::outcome("hotelBooked")
@@ -118,7 +117,7 @@ fn main() -> Result<(), EngineError> {
     println!("\noutcome: {}", outcome.name);
     assert_eq!(outcome.name, "booked");
     println!("tickets: {}", outcome.objects["tickets"].as_text());
-    println!("hotel attempts: {}", hotel_attempts.get());
+    println!("hotel attempts: {}", hotel_attempts.load(Ordering::Relaxed));
     println!("compound repeats taken: {}", sys.stats().repeats);
 
     // The `toPay` mark was released before the trip finished.

@@ -125,8 +125,8 @@ proptest! {
     /// failures and any seed — the Fig. 8 loop always terminates.
     #[test]
     fn business_trip_converges(seed: u64, failures in 0u32..6) {
-        use std::cell::Cell;
-        use std::rc::Rc;
+        use std::sync::atomic::{AtomicU32, Ordering};
+        use std::sync::Arc;
         let mut sys = WorkflowSystem::builder().executors(4).seed(seed).build();
         sys.register_script("trip", samples::BUSINESS_TRIP, "tripReservation").unwrap();
         sys.bind_fn("refDataAcquisition", |_| {
@@ -144,10 +144,10 @@ proptest! {
                 .with_object("plane", ObjectVal::text("Plane", "p"))
                 .with_object("cost", ObjectVal::text("Cost", "c"))
         });
-        let remaining = Rc::new(Cell::new(failures));
+        let remaining = Arc::new(AtomicU32::new(failures));
         sys.bind_fn("refHotelReservation", move |_| {
-            if remaining.get() > 0 {
-                remaining.set(remaining.get() - 1);
+            if remaining.load(Ordering::Relaxed) > 0 {
+                remaining.fetch_sub(1, Ordering::Relaxed);
                 TaskBehavior::outcome("failed")
             } else {
                 TaskBehavior::outcome("hotelBooked")
