@@ -1342,14 +1342,14 @@ impl WorkflowSystem {
 
     /// The shards serving right now: node up, storage not claimed by
     /// another node (what a test may hold to its volatile invariants).
+    /// A fence found in a shard's log tail is noted there, so a zombie's
+    /// log is walked once however often this asks.
     #[doc(hidden)]
-    pub fn serving_shards(&self) -> Vec<usize> {
-        let serving = |shard: usize| {
-            self.world.is_up(self.coord_nodes[shard]) && !self.coord_handle(shard).get().is_fenced()
-        };
-        (0..self.coord_nodes.len())
-            .filter(|&shard| serving(shard))
-            .collect()
+    pub fn serving_shards(&mut self) -> Vec<usize> {
+        let up = |shard: &usize| self.world.is_up(self.coord_nodes[*shard]);
+        let up: Vec<usize> = (0..self.coord_nodes.len()).filter(up).collect();
+        let unfenced = |shard: &usize| !self.coord_handle_mut(*shard).get_mut().is_fenced();
+        up.into_iter().filter(unfenced).collect()
     }
 
     /// The attempts each executor that is up holds running, by node:

@@ -6,13 +6,15 @@
 //! of fig. 8) until the instance is quiescent — then checks it is not
 //! stuck. All of it *stages*: writes go into the step's action, reads
 //! back through it, and what must happen outside the store is left as
-//! the step's effects (a debug-build full scan checks the outcome).
+//! the step's effects (a full scan, [`Coordinator::misses_of`], checks
+//! the outcome after every step of a debug build).
 //! [`Coordinator::reevaluate`] is the step over resident instances that
 //! every event outside the commit window runs as: for each instance in
 //! turn the caller stages its transition and the drain stages behind
 //! it, then one commit and the effects. An event names one instance; a
-//! stored instance coming back — a restart, a landing — names all of
-//! them at once (`recovery`).
+//! stored instance coming back — a restart, a landing — names all it
+//! steps at once (`recovery`), and seeds none of them: committed state
+//! is quiescent.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -28,6 +30,10 @@ use crate::error::EngineError;
 use crate::facts::{self, Found, StoreFacts};
 use crate::keys::{in_key, out_key, status_uid};
 use crate::state::{CbState, TaskCb};
+
+/// How the stuck check's reason begins: the instance is quiescent, and
+/// nothing it holds can run.
+const NOTHING_RUNNABLE: &str = "no runnable task";
 
 /// One instance inside a step: what the step's events staged for it
 /// ahead of its drain, then the drain's own agenda.
@@ -107,8 +113,11 @@ impl Coordinator {
         };
         let stored = settled(&self.mgr, None, &rt.name, rt.id);
         assert_eq!(rt.terminal, stored, "status mirror of `{}`", rt.name);
+        if self.claims_quiescence(id) {
+            let misses = self.misses_of(id);
+            assert!(misses.is_empty(), "{}", misses.join("; "));
+        }
         if !rt.terminal {
-            self.assert_quiescent(id);
             self.assert_flights_consistent(id);
         }
     }
@@ -529,7 +538,7 @@ impl Coordinator {
             }
         }
         let reason = format!(
-            "no runnable task and the root cannot terminate ({nonterminal} of {} tasks \
+            "{NOTHING_RUNNABLE} and the root cannot terminate ({nonterminal} of {} tasks \
              non-terminal); failed: [{}]; waiting: [{}]",
             plan.tasks.len(),
             failed.join(", "),
@@ -566,16 +575,34 @@ impl Coordinator {
         Ok(())
     }
 
-    /// The full-scan oracle (debug builds) over running instance `id`'s
-    /// committed state: no startable task and no satisfied unprocessed
-    /// scope output may remain — if one does, the seeding missed it.
-    #[cfg(debug_assertions)]
-    fn assert_quiescent(&self, id: u32) {
+    /// Whether resident instance `id`'s committed state claims to be
+    /// quiescent: it runs, or the stuck check parked it — a stuck reason
+    /// that says [`NOTHING_RUNNABLE`]. A completed instance has nothing
+    /// left to start, and one a fault parked stopped mid-drain.
+    fn claims_quiescence(&self, id: u32) -> bool {
         let Some(rt) = self.instances.get(id) else {
-            return;
+            return false;
+        };
+        if !rt.terminal {
+            return true;
+        }
+        let stuck = self.mgr.read_committed_key(&status_uid(&rt.name));
+        matches!(stuck, Ok(Some(StuckRecord { reason })) if reason.starts_with(NOTHING_RUNNABLE))
+    }
+
+    /// The full-scan check over resident instance `id`'s committed
+    /// state, in every build: each startable task and each satisfied,
+    /// unprocessed scope output it finds — what a step's seeding missed,
+    /// and what a restart would no longer find, since it re-evaluates
+    /// nothing (`recovery`). A block that does not decode is not judged
+    /// here: the instance's next drain parks it on that block.
+    pub(super) fn misses_of(&self, id: u32) -> Vec<String> {
+        let Some(rt) = self.instances.get(id) else {
+            return Vec::new();
         };
         let (plan, instance_id, instance) = (&*rt.plan, rt.id, &rt.name);
         let facts = StoreFacts::new(&self.mgr, None, plan, instance_id);
+        let mut misses = Vec::new();
         for id in 1..plan.tasks.len() as TaskId {
             let task = plan.task(id);
             let Some(parent) = task.parent else {
@@ -590,12 +617,12 @@ impl Coordinator {
             if matches!(parent_cb.state, CbState::Active { .. })
                 && cb.state == CbState::Waiting
                 && cb.incarnation == parent_cb.scope_inc
+                && plan_eval::eval_task_inputs(plan, id, &facts).is_some()
             {
-                debug_assert!(
-                    plan_eval::eval_task_inputs(plan, id, &facts).is_none(),
+                misses.push(format!(
                     "worklist missed a startable task `{}` of instance `{instance}`",
                     plan.str(task.path)
-                );
+                ));
             }
         }
         for id in 0..plan.tasks.len() as TaskId {
@@ -615,13 +642,27 @@ impl Coordinator {
                     OutputKind::Mark => !cb.mark_emitted(name),
                     _ => true,
                 };
-                debug_assert!(
-                    !missed,
-                    "worklist missed a satisfied output `{name}` of scope `{}` in `{instance}`",
-                    plan.str(plan.task(id).path)
-                );
+                if missed {
+                    misses.push(format!(
+                        "worklist missed a satisfied output `{name}` of scope `{}` in `{instance}`",
+                        plan.str(plan.task(id).path)
+                    ));
+                }
             }
         }
+        misses
+    }
+
+    /// What a restart relies on, checked in any build: *every running
+    /// instance in a shard's committed state is quiescent* — the misses
+    /// ([`Coordinator::misses_of`]) of each resident instance that runs,
+    /// or that the stuck check parked (a missed seed ends there). Empty
+    /// when it holds.
+    #[doc(hidden)]
+    pub fn quiescence_misses(&self) -> Vec<String> {
+        let claimed = |id: &u32| self.claims_quiescence(*id);
+        let ids = self.instances.ids().filter(claimed);
+        ids.flat_map(|id| self.misses_of(id)).collect()
     }
 }
 

@@ -610,9 +610,10 @@ impl Coordinator {
     }
 
     /// Whether another node has claimed this shard's storage (probes
-    /// the log tail, so a zombie that has not noticed yet says yes).
-    pub(crate) fn is_fenced(&self) -> bool {
-        matches!(self.mgr.tail_fence(), Ok(Some(_)))
+    /// the log tail, so a zombie that has not noticed yet says yes, and
+    /// notes what it found: the tail is walked once).
+    pub(crate) fn is_fenced(&mut self) -> bool {
+        matches!(self.mgr.note_fence(), Ok(Some(_)))
     }
 }
 

@@ -1,11 +1,29 @@
 //! How a stored instance comes back: [`Coordinator::load_stored`] makes
-//! it resident and [`Coordinator::resume`] re-arms every running one in
-//! a single [`Coordinator::reevaluate`] — one step however many it
-//! resumes, each executing task watched by a fresh watchdog. And crash
+//! it resident and [`Coordinator::resume`] re-arms every running one,
+//! each executing task watched by a fresh watchdog, in at most one
+//! [`Coordinator::reevaluate`] however many it resumes. And crash
 //! recovery, the restart: reset everything volatile, reopen the log (one
 //! that does not open leaves the shard holding nothing), repair
 //! hand-offs from their move records, then load (a slice an unlanded
 //! round holds frozen stays unloaded) and resume.
+//!
+//! **Committed state is quiescent**, and a restart relies on it: every
+//! running instance in a shard's committed state has no task startable
+//! and no scope output satisfied and not yet taken. Each step stages its
+//! cascade to quiescence in the action it commits, a step that rolls
+//! back commits nothing, and a torn tail drops only whole frames, each a
+//! whole step. So a restart or a landing seeds no worklist, and a
+//! restart steps only the instances left with nothing outstanding, for
+//! their stuck check. [`Coordinator::quiescence_misses`] states the
+//! invariant as a full scan, in release builds too (the test harness
+//! runs it after restarts and at teardown, the step's debug oracle after
+//! every step). What is not a fixpoint is volatile, and the invariant
+//! does not cover it: a start queued for admission (not yet committed:
+//! the client retries it), an attempt delayed by a back-off and a
+//! dispatch parked behind a saturated fleet (each a committed
+//! `Executing` block, which no evaluation moves). A restart loses all
+//! three, and [`Coordinator::keep_moving`] re-arms the last two with a
+//! watchdog each.
 //!
 //! The executors did not crash with the shard: the work they run for it
 //! survived. So a restart that holds instances takes a **census**: one
@@ -275,14 +293,19 @@ impl Coordinator {
         loaded
     }
 
-    /// Re-arms every running instance of `loaded` in one step, the full
-    /// drain behind what `why` stages for each. A restart watches each
-    /// executing task of a running instance with a fresh watchdog up
-    /// front ([`Coordinator::keep_moving`]) and owes the instance to its
-    /// census; a live landing watches those of every instance it landed,
-    /// for what its old owner relays; a landing out of a dead shard
-    /// re-sends each executing block's attempt as committed, behind its
-    /// claim's commit: those attempts report to the dead node.
+    /// Re-arms every running instance of `loaded`, in at most one step.
+    /// Nothing is re-evaluated: what was loaded is committed state, and
+    /// committed state is quiescent (see the module doc). A restart
+    /// watches each executing task of a running instance with a fresh
+    /// watchdog up front ([`Coordinator::keep_moving`]) and owes the
+    /// instance to its census; only an instance left with nothing
+    /// outstanding takes the step, for its stuck check — a block that
+    /// does not decode arms nothing, and the check's read of it parks the
+    /// instance. A live landing watches the executing tasks of every
+    /// instance it landed, for what its old owner relays; a landing out
+    /// of a dead shard re-sends each executing block's attempt as
+    /// committed, behind its claim's commit: those attempts report to
+    /// the dead node. Both step every running instance they landed.
     pub(super) fn resume(&mut self, loaded: Vec<u32>, why: Back) {
         let running: Vec<u32> = loaded
             .iter()
@@ -295,7 +318,21 @@ impl Coordinator {
             Back::Landed(Some(_)) => &[],
         };
         watched.iter().for_each(|&id| self.keep_moving(id));
-        let _ = self.reevaluate(&running, |coordinator, step, drain| {
+        let idle = |id: u32| {
+            let rt = self.instances.get(id);
+            rt.is_some_and(|rt| rt.flights.outstanding().next().is_none())
+        };
+        // The instances a restart does not step get the step's oracles
+        // as they stand.
+        #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+        let (stepped, moving): (Vec<u32>, Vec<u32>) = running
+            .iter()
+            .partition(|&&id| matches!(why, Back::Landed(_)) || idle(id));
+        #[cfg(debug_assertions)]
+        for &id in &moving {
+            self.assert_settled(id);
+        }
+        let _ = self.reevaluate(&stepped, |coordinator, step, drain| {
             if let Back::Landed(Some(_)) = why {
                 // What a corrupt block was doing is unknown: re-run
                 // nothing, stop the instance with why.
@@ -307,8 +344,6 @@ impl Coordinator {
                     coordinator.stage_launch(step, drain, task, &cb, None, None)?;
                 }
             }
-            // No transition to seed from: every task is looked at.
-            drain.worklist.seed_all(drain.plan);
             Ok(())
         });
         if let Back::Restart = why {

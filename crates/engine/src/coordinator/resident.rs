@@ -74,6 +74,11 @@ impl Residents {
         self.names.keys()
     }
 
+    /// The resident ids, in their names' order.
+    pub(super) fn ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.names.values().copied()
+    }
+
     pub(super) fn len(&self) -> usize {
         self.names.len()
     }

@@ -28,8 +28,10 @@
 //! map its root outcome onto this task's completion. A nested world
 //! retries nothing: every execution error there is deterministic, so a
 //! retry would fail alike. A nested world that ends stuck carries its
-//! reason up as this task's execution error, so a binding cycle fails
-//! after [`MAX_SCRIPT_NESTING`] worlds, naming the limit.
+//! cause up as this task's execution error, once and with the depth it
+//! arose at — the innermost cause, not each level's summary wrapped in
+//! the next — so a binding cycle fails after [`MAX_SCRIPT_NESTING`]
+//! worlds, naming the limit.
 //!
 //! An executor is deployed as its [`ExecutorSpec`], the same one every
 //! coordinator's scheduler registers. Its **location label** is a hard
@@ -75,6 +77,7 @@ use crate::driver::{self, Node, TimerId};
 use crate::impl_registry::{builtin, Binding, Bindings, InvokeCtx, TaskBehavior};
 use crate::msg::{self, report_bytes, EngineMsg, StartView, TaskResult};
 use crate::sched::ExecutorSpec;
+use crate::state::CbState;
 
 thread_local! {
     /// Nested-script recursion guard (a script bound as its own
@@ -418,12 +421,33 @@ fn run_nested_script(
                 }
                 Ok(behavior)
             }
-            Ok(InstanceStatus::Stuck { reason }) => Err(format!("nested workflow stuck: {reason}")),
+            Ok(InstanceStatus::Stuck { reason }) => Err(stuck_cause(&nested, depth + 1, reason)),
             _ => Err("nested workflow did not complete".to_string()),
         }
     })();
     NESTING.with(|n| n.set(depth));
     result
+}
+
+/// How a nested world's stuck cause begins, with the depth it arose at.
+const NESTED_STUCK: &str = "nested workflow stuck at depth ";
+
+/// Why the nested world at depth `level` ended stuck, said once: a
+/// failed task's error that is a deeper world's cause is passed up as it
+/// is; otherwise the first failed task's error, or else the world's own
+/// stuck `reason`, is the cause at `level`.
+fn stuck_cause(nested: &crate::api::WorkflowSystem, level: u32, reason: String) -> String {
+    let mut first = None;
+    for state in nested.task_states("nested-run").into_values() {
+        let CbState::Failed { reason } = state else {
+            continue;
+        };
+        if let Some(at) = reason.find(NESTED_STUCK) {
+            return reason[at..].to_string();
+        }
+        first.get_or_insert(reason);
+    }
+    format!("{NESTED_STUCK}{level}: {}", first.unwrap_or(reason))
 }
 
 #[cfg(test)]

@@ -426,7 +426,7 @@ fn run_paper_population(coordinators: usize) -> BTreeMap<String, Fingerprint> {
     names.extend((0..3).map(|i| format!("trip-{i}")));
     start_population(&mut sys, &names);
     sys.run();
-    fingerprints(&sys, &names)
+    fingerprints(&mut sys, &names)
 }
 
 #[test]
@@ -439,9 +439,9 @@ fn feedback_preserves_paper_fingerprints_across_shards() {
 /// unbounded-fleet baseline no matter how hard capacities serialize
 /// the fan.
 fn run_fan_population(capacities: Option<Vec<u32>>, wave: usize) -> BTreeMap<String, Fingerprint> {
-    let (sys, names) = run_fan(capacities, wave);
+    let (mut sys, names) = run_fan(capacities, wave);
     assert_eq!(sys.stats().dropped_dispatches, 0);
-    fingerprints(&sys, &names)
+    fingerprints(&mut sys, &names)
 }
 
 #[test]

@@ -50,7 +50,7 @@ fn run_arm(coordinators: usize, batch: CommitBatch) -> BTreeMap<String, Fingerpr
         population.push(name.to_string());
     }
     sys.run();
-    fingerprints(&sys, &population)
+    fingerprints(&mut sys, &population)
 }
 
 #[test]

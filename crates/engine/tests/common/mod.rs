@@ -13,7 +13,7 @@ use flowscript_engine::{
     WorkflowSystem,
 };
 use flowscript_sim::net::LinkConfig;
-use flowscript_sim::SimDuration;
+use flowscript_sim::{NodeId, SimDuration};
 use flowscript_tx::{LogRecord, StableStore, StoreKey, Wal};
 
 pub fn text(class: &str, value: &str) -> ObjectVal {
@@ -34,7 +34,7 @@ pub fn restart_with_executors(sys: &mut WorkflowSystem) {
     for &executor in &executors {
         sys.restart_now(executor);
     }
-    sys.restart_now(coordinator);
+    restart_checked(sys, coordinator);
 }
 
 /// A fully deterministic link: equivalence runs must not depend on the
@@ -505,9 +505,12 @@ pub type Fingerprint = (
 /// shard holds a timer that neither went off nor was cancelled, nor a
 /// commit window that thinks its timer is armed, nor an instance that
 /// is not settled — nothing is left that could move it — and no
-/// executor that is up holds an attempt running. Every suite runs this
-/// through [`fingerprint`].
-pub fn assert_books_balance(sys: &WorkflowSystem) {
+/// executor that is up holds an attempt running. And every running
+/// instance a serving shard holds is quiescent ([`assert_quiescent`]).
+/// Every suite runs this through [`fingerprint`]: it is the harness's
+/// teardown.
+pub fn assert_books_balance(sys: &mut WorkflowSystem) {
+    assert_quiescent(sys, "at teardown");
     if sys.is_quiescent() {
         for (node, running) in sys.running_attempts() {
             assert_eq!(
@@ -557,7 +560,26 @@ pub fn assert_books_balance(sys: &WorkflowSystem) {
     }
 }
 
-pub fn fingerprint(sys: &WorkflowSystem, instance: &str) -> Fingerprint {
+/// The invariant a restart relies on, checked in every build: each
+/// running instance a serving shard holds is quiescent in its committed
+/// state — no task startable, no scope output satisfied and not yet
+/// taken (`Coordinator::quiescence_misses`, a full scan). `when` names
+/// the check in a failure.
+pub fn assert_quiescent(sys: &mut WorkflowSystem, when: &str) {
+    for shard in sys.serving_shards() {
+        let misses = sys.coord_handle(shard).get().quiescence_misses();
+        assert!(misses.is_empty(), "{when}: shard {shard}: {misses:?}");
+    }
+}
+
+/// Restarts `node` ([`WorkflowSystem::restart_now`]) and checks what the
+/// restart relied on: every running instance it reloaded is quiescent.
+pub fn restart_checked(sys: &mut WorkflowSystem, node: NodeId) {
+    sys.restart_now(node);
+    assert_quiescent(sys, &format!("after the restart of {node:?}"));
+}
+
+pub fn fingerprint(sys: &mut WorkflowSystem, instance: &str) -> Fingerprint {
     let status = sys.status(instance).expect("instance known");
     assert!(status.is_terminal(), "{instance} not terminal: {status:?}");
     assert_books_balance(sys);
@@ -575,7 +597,7 @@ pub fn fingerprint(sys: &WorkflowSystem, instance: &str) -> Fingerprint {
     (status, trace, sys.task_states(instance))
 }
 
-pub fn fingerprints(sys: &WorkflowSystem, names: &[String]) -> BTreeMap<String, Fingerprint> {
+pub fn fingerprints(sys: &mut WorkflowSystem, names: &[String]) -> BTreeMap<String, Fingerprint> {
     names
         .iter()
         .map(|name| (name.clone(), fingerprint(sys, name)))
@@ -586,7 +608,7 @@ pub fn fingerprints(sys: &WorkflowSystem, names: &[String]) -> BTreeMap<String, 
 /// the fleet mid-run: placement legitimately differs once membership
 /// does — attempts still count, via the task states.
 pub fn settled(
-    sys: &WorkflowSystem,
+    sys: &mut WorkflowSystem,
     instance: &str,
 ) -> (InstanceStatus, BTreeMap<String, CbState>) {
     let (status, _trace, states) = fingerprint(sys, instance);
@@ -667,7 +689,7 @@ pub fn move_record_history(storage: &StableStore) -> Vec<(String, bool)> {
 /// resident on, or one holding it frozen in an unlanded move round — and
 /// while every shard serves, each has exactly one. `when` names the
 /// check in a failure.
-pub fn assert_one_owner(sys: &WorkflowSystem, names: &[String], when: &str) {
+pub fn assert_one_owner(sys: &mut WorkflowSystem, names: &[String], when: &str) {
     let serving = sys.serving_shards();
     let everyone = serving.len() == sys.shard_count();
     let holders: Vec<(usize, Vec<String>)> = serving
@@ -849,7 +871,7 @@ pub fn run_generated(
             .expect("instance starts");
     }
     sys.run();
-    fingerprints(&sys, names)
+    fingerprints(&mut sys, names)
 }
 
 // ---------------------------------------------------------------------
@@ -920,6 +942,6 @@ pub fn run_worklist_case(
         let _ = sys.reconfigure("i1", op);
     }
     sys.run();
-    assert_books_balance(&sys);
+    assert_books_balance(&mut sys);
     sys
 }

@@ -48,7 +48,7 @@ fn build(coordinators: usize) -> WorkflowSystem {
 /// Outcome-only fingerprint for the crash arms: a kill mid-protocol
 /// legitimately costs watchdog retries (attempt bumps), but outcomes
 /// are pure functions of the invocation and must match exactly.
-fn outcome_print(sys: &WorkflowSystem, instance: &str) -> InstanceStatus {
+fn outcome_print(sys: &mut WorkflowSystem, instance: &str) -> InstanceStatus {
     settled(sys, instance).0
 }
 
@@ -67,7 +67,7 @@ fn mid_flight_with(config: EngineConfig) -> WorkflowSystem {
 
 /// No instance of the population has two owners (see
 /// `common::assert_one_owner`).
-fn one_owner(sys: &WorkflowSystem, when: &str) {
+fn one_owner(sys: &mut WorkflowSystem, when: &str) {
     assert_one_owner(sys, &population(), when);
 }
 
@@ -75,7 +75,7 @@ fn one_owner(sys: &WorkflowSystem, when: &str) {
 /// it, on exactly one shard, and no relay may have looped. `repro`
 /// names the failing case.
 fn assert_no_outcome_lost(
-    sys: &WorkflowSystem,
+    sys: &mut WorkflowSystem,
     expected: &BTreeMap<String, InstanceStatus>,
     repro: &str,
 ) {
@@ -101,14 +101,14 @@ fn every_100us(span: SimDuration) -> impl Iterator<Item = SimDuration> {
         .map(SimDuration::from_nanos)
 }
 
-fn baseline<F: Fn(&WorkflowSystem, &str) -> T, T>(print: F) -> BTreeMap<String, T> {
+fn baseline<F: Fn(&mut WorkflowSystem, &str) -> T, T>(print: F) -> BTreeMap<String, T> {
     let mut sys = build(3);
     start_population(&mut sys, &population());
     sys.run();
     population()
         .into_iter()
         .map(|name| {
-            let p = print(&sys, &name);
+            let p = print(&mut sys, &name);
             (name, p)
         })
         .collect()
@@ -131,7 +131,7 @@ fn planned_drain_preserves_every_outcome() {
 
     let storages = sys.shard_storages();
     let report = sys.remove_coordinator("coordinator1").expect("drain");
-    one_owner(&sys, "after the drain");
+    one_owner(&mut sys, "after the drain");
     assert_eq!(report.moved, drained_count, "the whole population moves");
     // All the protocol ever logged here — three frames a round, however
     // many instances it carries: the move record and the landing (the
@@ -197,7 +197,7 @@ fn planned_drain_preserves_every_outcome() {
     // never-drained run: the retired relay forwarded every late reply.
     for name in population() {
         assert_eq!(
-            settled(&sys, &name),
+            settled(&mut sys, &name),
             expected[&name],
             "{name} diverged from the no-drain run"
         );
@@ -322,7 +322,7 @@ fn drain_killed_at_any_point_converges_on_rerun() {
 
             let first = sys.remove_coordinator("coordinator1");
             if first.is_ok() {
-                one_owner(&sys, &repro);
+                one_owner(&mut sys, &repro);
             }
             // The operator brings the node back and retries the drain.
             sys.restart_now(victim);
@@ -334,11 +334,11 @@ fn drain_killed_at_any_point_converges_on_rerun() {
                 );
                 sys.remove_coordinator("coordinator1")
                     .unwrap_or_else(|e| panic!("{repro}: re-drain failed: {e}"));
-                one_owner(&sys, &repro);
+                one_owner(&mut sys, &repro);
             }
             assert_eq!(sys.shard_count(), 2, "{repro}");
             sys.run();
-            assert_no_outcome_lost(&sys, &expected, &repro);
+            assert_no_outcome_lost(&mut sys, &expected, &repro);
             assert_eq!(
                 sys.stats().handoffs,
                 10,
@@ -400,13 +400,13 @@ fn disk_refusal_sweep(flaky: usize) {
 
         let first = sys.remove_coordinator("coordinator1");
         match &first {
-            Ok(_) => one_owner(&sys, &repro),
+            Ok(_) => one_owner(&mut sys, &repro),
             // A refused landing thawed the slice where it was.
             Err(err) if err.to_string().contains("refused") => {
                 assert!(flaky != 1, "{repro}: only a destination refuses a claim");
                 let source = sys.coord_handle(1);
                 assert_eq!(source.get().frozen_instance_names(), Vec::<String>::new());
-                one_owner(&sys, &repro);
+                one_owner(&mut sys, &repro);
             }
             Err(_) => {}
         }
@@ -428,11 +428,11 @@ fn disk_refusal_sweep(flaky: usize) {
             );
             sys.remove_coordinator("coordinator1")
                 .unwrap_or_else(|e| panic!("{repro}: re-drain failed: {e}"));
-            one_owner(&sys, &repro);
+            one_owner(&mut sys, &repro);
         }
         assert_eq!(sys.shard_count(), 2, "{repro}");
         sys.run();
-        assert_no_outcome_lost(&sys, &expected, &repro);
+        assert_no_outcome_lost(&mut sys, &expected, &repro);
         assert_eq!(
             sys.stats().handoffs,
             10,
@@ -482,7 +482,7 @@ fn a_partition_keeps_a_decided_round_frozen_until_healed() {
     let report = sys
         .remove_coordinator("coordinator1")
         .expect("healed drain");
-    one_owner(&sys, "after the healed drain");
+    one_owner(&mut sys, "after the healed drain");
     assert_eq!(report.moved + frozen.len(), residents.len());
     assert_eq!(sys.stats().handoffs, residents.len() as u64);
     assert_eq!(sys.shard_count(), 2);
@@ -490,7 +490,7 @@ fn a_partition_keeps_a_decided_round_frozen_until_healed() {
     // round that landed did.
     assert_eq!(handoff_frames(&source_log).len(), 2 * (1 + report.rounds));
     sys.run();
-    assert_no_outcome_lost(&sys, &expected, "partition during a round");
+    assert_no_outcome_lost(&mut sys, &expected, "partition during a round");
 }
 
 /// Cut the source off while the first round's claim is on the wire:
@@ -527,9 +527,9 @@ fn a_checkpoint_while_a_round_is_unanswered_loses_nothing() {
         assert_eq!(sys.stats().handoffs, 4, "{repro}: the round landed");
         sys.remove_coordinator("coordinator1")
             .unwrap_or_else(|e| panic!("{repro}: re-drain failed: {e}"));
-        one_owner(&sys, &repro);
+        one_owner(&mut sys, &repro);
         sys.run();
-        assert_no_outcome_lost(&sys, &expected, &repro);
+        assert_no_outcome_lost(&mut sys, &expected, &repro);
     }
 }
 
@@ -560,12 +560,12 @@ fn drain_over_lossy_links_converges() {
         Err(_) => false,
     });
     assert!(drained, "twenty attempts must get ten instances across");
-    one_owner(&sys, "after the lossy drain");
+    one_owner(&mut sys, "after the lossy drain");
     assert_eq!(sys.shard_count(), 2);
     assert_eq!(sys.stats().handoffs, 10, "each instance moves once");
     assert!(moved <= 10, "earlier attempts keep what they moved");
     sys.run();
-    assert_no_outcome_lost(&sys, &expected, "drop_prob 0.3");
+    assert_no_outcome_lost(&mut sys, &expected, "drop_prob 0.3");
 }
 
 /// The pause is virtual time, read off the simulator's clock by the
@@ -627,19 +627,19 @@ fn an_adopted_destination_loses_no_committed_move() {
         sys.apply_faults(&FaultPlan::new().at(at, FaultAction::Crash(destination)));
         let drained = sys.remove_coordinator("coordinator1");
         if drained.is_ok() {
-            one_owner(&sys, &repro);
+            one_owner(&mut sys, &repro);
         }
         sys.adopt_dead_shard("coordinator0")
             .unwrap_or_else(|e| panic!("{repro}: failover failed: {e}"));
-        one_owner(&sys, &repro);
+        one_owner(&mut sys, &repro);
         if drained.is_err() {
             sys.remove_coordinator("coordinator1")
                 .unwrap_or_else(|e| panic!("{repro}: re-drain failed: {e}"));
-            one_owner(&sys, &repro);
+            one_owner(&mut sys, &repro);
         }
         assert_eq!(sys.shard_count(), 1, "{repro}");
         sys.run();
-        assert_no_outcome_lost(&sys, &expected, &repro);
+        assert_no_outcome_lost(&mut sys, &expected, &repro);
     }
 }
 
@@ -660,13 +660,13 @@ fn dead_shard_adoption_loses_no_outcomes() {
     // straight out of the surviving storage.
     sys.crash_now(dead);
     let report = sys.adopt_dead_shard("coordinator1").expect("failover");
-    one_owner(&sys, "after the failover");
+    one_owner(&mut sys, "after the failover");
     assert_eq!(report.adopted, dead_population);
     assert_eq!(report.epoch, 2);
     assert_eq!(sys.shard_count(), 2);
 
     sys.run();
-    assert_no_outcome_lost(&sys, &expected, "clean failover");
+    assert_no_outcome_lost(&mut sys, &expected, "clean failover");
     assert_eq!(sys.stats().adoptions, dead_population as u64);
     assert_eq!(
         sys.metrics_snapshot().counter("coord.adoptions"),
@@ -713,7 +713,7 @@ fn a_dead_shards_in_flight_work_is_redispatched_as_it_lands() {
     sys.adopt_dead_shard("coordinator1").expect("failover");
     let adopted_at = sys.now();
     sys.run();
-    assert_no_outcome_lost(&sys, &expected, "failover");
+    assert_no_outcome_lost(&mut sys, &expected, "failover");
     let after = sys.now().since(adopted_at);
     assert!(
         after < det_config().dispatch_timeout,
@@ -750,7 +750,7 @@ fn an_adopted_instance_whose_root_block_does_not_decode_stops_alone() {
         other => panic!("{victim}: expected a storage-fault stop, got {other:?}"),
     }
     for name in population().into_iter().filter(|name| *name != victim) {
-        assert_eq!(outcome_print(&sys, &name), expected[&name], "{name}");
+        assert_eq!(outcome_print(&mut sys, &name), expected[&name], "{name}");
     }
 }
 
@@ -773,7 +773,7 @@ fn fenced_zombie_cannot_commit_after_storage_is_claimed() {
     );
 
     sys.adopt_dead_shard("coordinator0").expect("failover");
-    one_owner(&sys, "after the failover");
+    one_owner(&mut sys, "after the failover");
     let muzzled_at = sys.coord_on(zombie_node).get().log_size();
 
     // The live zombie keeps receiving executor replies and firing
@@ -786,7 +786,7 @@ fn fenced_zombie_cannot_commit_after_storage_is_claimed() {
     );
     for name in population() {
         assert_eq!(
-            outcome_print(&sys, &name),
+            outcome_print(&mut sys, &name),
             expected[&name],
             "{name} lost or changed its outcome under the false positive"
         );
@@ -859,6 +859,35 @@ fn a_zombie_reads_its_log_once_across_the_inputs_it_drops() {
     );
 }
 
+/// A shard whose storage another node fenced behind its back, while it
+/// is up, is no longer serving: the first probe walks its log's tail and
+/// notes the fence there, so asking again reads nothing.
+#[test]
+fn serving_shards_reads_a_zombies_log_once() {
+    let reads = Arc::new(AtomicUsize::new(0));
+    let log = CountedReads {
+        log: MemStorage::new(),
+        reads: reads.clone(),
+    };
+    let zombie_log = StableStore::from(Shared::from(log));
+    let mut sys = build_orders_on(3, det_config(), vec![zombie_log.clone()]);
+    start_population(&mut sys, &population());
+    sys.run_until(SimTime::from_nanos(20_000_000));
+    let mut claimant = TxManager::open(99, zombie_log).expect("replay");
+    claimant.write_fence(7).expect("the claim lands");
+
+    let probes = 20;
+    let before = reads.load(Ordering::Relaxed);
+    for _ in 0..probes {
+        assert_eq!(sys.serving_shards(), [1, 2], "shard 0 is fenced");
+    }
+    let walked = reads.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        walked, 1,
+        "{probes} probes read the zombie's log {walked} times"
+    );
+}
+
 /// Crash the claimant at every instant of the adoption: the fence is
 /// written, some claims landed, some died with their sender. Restart
 /// it and run the adoption again — it skips what was claimed, claims
@@ -899,10 +928,10 @@ fn adoption_killed_mid_claim_converges_on_rerun() {
                 .unwrap_or_else(|e| panic!("{repro}: re-run failed: {e}"));
             assert_eq!(report.adopted, dead_population, "{repro}");
         }
-        one_owner(&sys, &repro);
+        one_owner(&mut sys, &repro);
         assert_eq!(sys.shard_count(), 2, "{repro}");
         sys.run();
-        assert_no_outcome_lost(&sys, &expected, &repro);
+        assert_no_outcome_lost(&mut sys, &expected, &repro);
         // Adopted once each: by a claim, never twice, and an instance
         // the crashed claimant had already landed on itself came back
         // through its ordinary recovery.
@@ -953,10 +982,10 @@ fn claimant_is_the_first_survivor_that_is_up() {
         "a crashed node cannot have written the fence"
     );
     assert!(sys.now() >= back, "shard 0's share waited for shard 0");
-    one_owner(&sys, "after the failover");
+    one_owner(&mut sys, "after the failover");
     assert_eq!(sys.shard_count(), 2);
     sys.run();
-    assert_no_outcome_lost(&sys, &expected, "two shards down");
+    assert_no_outcome_lost(&mut sys, &expected, "two shards down");
 }
 
 // ---------------------------------------------------------------------
@@ -1008,7 +1037,7 @@ fn drain_into_near_capacity_shard_queues_rather_than_overruns() {
     let report = sys.remove_coordinator("coordinator0").expect("drain");
     assert_eq!(report.moved, 2);
     let jobs: Vec<String> = src_jobs.iter().chain(&dest_jobs).cloned().collect();
-    assert_one_owner(&sys, &jobs, "after the drain");
+    assert_one_owner(&mut sys, &jobs, "after the drain");
 
     // …but the next start is: it must park in the admission queue
     // until TWO of the four drain away (4 → 3 is still at the cap),

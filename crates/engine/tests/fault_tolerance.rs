@@ -136,6 +136,8 @@ fn coordinator_crash_recovers_from_wal_and_completes() {
     .apply(sys.world_mut());
     sys.start("c1", "chain", "main", [("seed", text("Data", "s"))])
         .unwrap();
+    sys.run_until(SimTime::from_nanos(260_000_000));
+    common::assert_quiescent(&mut sys, "after the restart");
     sys.run();
     let outcome = sys
         .outcome("c1")
@@ -241,7 +243,7 @@ fn an_attempt_running_across_a_restart_runs_once() {
     sys.run_for(SimDuration::from_millis(5));
     let coordinator = sys.coordinator_node();
     sys.crash_now(coordinator);
-    sys.restart_now(coordinator);
+    common::restart_checked(&mut sys, coordinator);
     sys.run();
     assert_eq!(sys.outcome("i").expect("completes").name, "done");
     assert_eq!(
@@ -277,7 +279,7 @@ fn a_census_call_to_a_down_executor_times_out_and_the_attempt_is_re_sent() {
     let (coordinator, executor) = (sys.coordinator_node(), sys.executor_nodes()[0]);
     sys.crash_now(coordinator);
     sys.crash_now(executor);
-    sys.restart_now(coordinator);
+    common::restart_checked(&mut sys, coordinator);
     sys.run_for(SimDuration::from_millis(50));
     sys.restart_now(executor);
     sys.run();
@@ -308,7 +310,7 @@ fn a_report_from_an_uncharged_copy_cancels_the_charged_one() {
     let (coordinator, executor) = (sys.coordinator_node(), sys.executor_nodes()[0]);
     sys.crash_now(coordinator);
     sys.world_mut().partition(&[coordinator], &[executor]);
-    sys.restart_now(coordinator);
+    common::restart_checked(&mut sys, coordinator);
     sys.world_mut().heal_all();
     sys.run_until(SimTime::from_nanos(10_050_000_000));
     assert_eq!(starts.load(Ordering::Relaxed), 2, "shipped, then re-sent");
@@ -338,7 +340,7 @@ fn a_census_cancels_an_orphan_an_earlier_life_left() {
     let (coordinator, executor) = (sys.coordinator_node(), sys.executor_nodes()[0]);
     sys.crash_now(coordinator);
     sys.world_mut().partition(&[coordinator], &[executor]);
-    sys.restart_now(coordinator);
+    common::restart_checked(&mut sys, coordinator);
     sys.world_mut().heal_all();
     // The first copy's report leaves the executor: what the shard
     // sends once it is applied is lost.
@@ -358,7 +360,7 @@ fn a_census_cancels_an_orphan_an_earlier_life_left() {
     assert_eq!(running(&sys), 1, "the orphan, and no `consume`");
     assert_eq!(sys.stats().cancels, 1);
     sys.crash_now(coordinator);
-    sys.restart_now(coordinator);
+    common::restart_checked(&mut sys, coordinator);
     sys.run_for(SimDuration::from_millis(5));
     assert_eq!(running(&sys), 1, "the orphan ended, `consume` re-sent");
     let stats = sys.stats();
@@ -410,6 +412,8 @@ fn coordinator_crash_during_order_processing_preserves_exactly_one_outcome() {
     .apply(sys.world_mut());
     sys.start("o1", "order", "main", [("order", text("Order", "o"))])
         .unwrap();
+    sys.run_until(SimTime::from_nanos(145_000_000));
+    common::assert_quiescent(&mut sys, "after the restart");
     sys.run();
     let outcome = sys.outcome("o1").expect("order completes after recovery");
     assert_eq!(outcome.name, "orderCompleted");
@@ -442,6 +446,7 @@ fn whole_system_restart_resumes_from_shared_storage() {
         .config(snappy_config())
         .shard_storages(vec![storage])
         .build();
+    common::assert_quiescent(&mut sys2, "after the rebuild");
     // Re-register the script and re-bind implementations (the registry is
     // volatile, like redeploying service binaries).
     sys2.register_script("chain", &samples::chain(5), "root")
@@ -590,7 +595,7 @@ fn recovery_keeps_instance_names_that_look_like_storage_keys() {
     sys.run_until(SimTime::from_nanos(30_000_000));
     let coordinator = sys.coordinator_node();
     sys.crash_now(coordinator);
-    sys.restart_now(coordinator);
+    common::restart_checked(&mut sys, coordinator);
     sys.run();
     assert_eq!(sys.stats().recovered_instances, names.len() as u64);
     for name in names {
@@ -633,7 +638,7 @@ fn a_poisoned_root_block_stops_its_instance_alone() {
         .coord_handle_mut(0)
         .get_mut()
         .poison_record("c2", "root"));
-    sys.restart_now(coordinator);
+    common::restart_checked(&mut sys, coordinator);
     sys.run();
     assert_eq!(sys.stats().recovered_instances, 3);
     for name in ["c1", "c3"] {
@@ -669,7 +674,7 @@ fn a_poisoned_stuck_record_says_so() {
         .coord_handle_mut(0)
         .get_mut()
         .poison_record("s", "status"));
-    sys.restart_now(coordinator);
+    common::restart_checked(&mut sys, coordinator);
     sys.run();
     assert_eq!(sys.stats().recovered_instances, 2);
     assert!(sys.outcome("c1").is_some());
@@ -727,7 +732,7 @@ fn forcing_the_root_outcome_completes_the_instance() {
     // A restart finds it settled: nothing is re-armed.
     let coordinator = sys.coordinator_node();
     sys.crash_now(coordinator);
-    sys.restart_now(coordinator);
+    common::restart_checked(&mut sys, coordinator);
     sys.run();
     assert_eq!(outcome(&sys), expected);
     assert_eq!(sys.stats().dispatches, 2, "s0 and s1, once each");
@@ -825,7 +830,7 @@ fn a_restart_over_a_log_that_does_not_open_serves_nothing() {
     let why = EngineError::from(refused.clone());
 
     // `produce` reports at 50 ms, into the restarted shard.
-    sys.restart_now(coordinator);
+    common::restart_checked(&mut sys, coordinator);
     sys.run();
     assert_eq!(storage.read_all().unwrap(), log, "nothing appended");
     assert_eq!(

@@ -129,7 +129,7 @@ fn run_population(coordinators: usize, config: EngineConfig) -> WorkflowSystem {
 }
 
 /// Fingerprints of every instance, then the digest of every shard's log.
-fn render_run(sys: &WorkflowSystem) -> (String, String) {
+fn render_run(sys: &mut WorkflowSystem) -> (String, String) {
     let population = population();
     // Nothing an instance keeps per task is named by a string: what
     // these logs hold under `inst/` is `inst/<name>/meta`, and
@@ -222,10 +222,10 @@ fn render_counters(sys: &WorkflowSystem, run: &str) -> String {
 /// run's snapshot is the `.counters.txt` golden.
 fn paper_population_matches(coordinators: usize, file: &str) {
     let wal_file = format!("{file}.wal.txt");
-    let (_, wal) = render_run(&run_population(coordinators, EngineConfig::default()));
+    let (_, wal) = render_run(&mut run_population(coordinators, EngineConfig::default()));
     check(&wal_file, &wal);
-    let sys = run_population(coordinators, paper_config());
-    let (fingerprints, wal) = render_run(&sys);
+    let mut sys = run_population(coordinators, paper_config());
+    let (fingerprints, wal) = render_run(&mut sys);
     check(&format!("{file}.txt"), &fingerprints);
     check(&wal_file, &wal);
     let run = format!(
@@ -257,7 +257,7 @@ fn reference_arm_renders_the_same_paper_goldens() {
         ..paper_config()
     };
     for (coordinators, file) in [(1, "paper_1_shard.txt"), (4, "paper_4_shards.txt")] {
-        let (fingerprints, _wal) = render_run(&run_population(coordinators, config.clone()));
+        let (fingerprints, _wal) = render_run(&mut run_population(coordinators, config.clone()));
         check(file, &fingerprints);
     }
 }
@@ -338,7 +338,7 @@ fn render_crash_recovery(config: EngineConfig) -> String {
     assert!(sys.stats().recovered_instances > 0, "recovery must run");
     names
         .iter()
-        .map(|name| render(name, &fingerprint(&sys, name)))
+        .map(|name| render(name, &fingerprint(&mut sys, name)))
         .collect()
 }
 
@@ -372,7 +372,7 @@ fn render_midrun_add_task(config: EngineConfig) -> String {
     sys.reconfigure("d1", add_t5()).unwrap();
     sys.run();
     assert_eq!(sys.stats().reconfigs, 1);
-    render("d1", &fingerprint(&sys, "d1"))
+    render("d1", &fingerprint(&mut sys, "d1"))
 }
 
 #[test]
@@ -410,13 +410,13 @@ fn full_scan_matches_golden() {
             max_repeats: 6,
             ..generated_config()
         };
-        let sys = run_worklist_case(n, seed, reconfig, config);
+        let mut sys = run_worklist_case(n, seed, reconfig, config);
         let stats = sys.stats();
         rendered.push_str(&format!(
             "# n={n} seed={seed:#014x} reconfig={reconfig} dispatches={} repeats={}\n{}",
             stats.dispatches,
             stats.repeats,
-            render("i1", &fingerprint(&sys, "i1")),
+            render("i1", &fingerprint(&mut sys, "i1")),
         ));
     }
     check("reference_full_scan.txt", &rendered);

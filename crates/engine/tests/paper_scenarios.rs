@@ -830,6 +830,10 @@ fn a_binding_cycle_stops_at_the_nesting_limit_and_names_it() {
     match sys.status("i1").unwrap() {
         InstanceStatus::Stuck { reason } => {
             assert!(reason.contains("script nesting deeper than 8"), "{reason}");
+            // The innermost cause is carried once, with its depth, not
+            // each level's summary wrapped in the next.
+            assert!(reason.len() <= 256, "{} B: {reason}", reason.len());
+            assert!(reason.contains("stuck at depth 8: "), "{reason}");
         }
         other => panic!("expected stuck on the nesting limit, got {other:?}"),
     }

@@ -38,7 +38,7 @@ fn live_rebalance_preserves_every_outcome() {
         population()
             .into_iter()
             .map(|name| {
-                let print = settled(&sys, &name);
+                let print = settled(&mut sys, &name);
                 (name, print)
             })
             .collect()
@@ -55,7 +55,7 @@ fn live_rebalance_preserves_every_outcome() {
     assert!(live_before > 0, "rebalance must catch running instances");
 
     let report = sys.add_coordinator("coordinator2").expect("rebalance");
-    assert_one_owner(&sys, &population(), "after the rebalance");
+    assert_one_owner(&mut sys, &population(), "after the rebalance");
     assert!(report.moved > 0, "the new shard must take over instances");
     assert_eq!(report.moved, report.pause_ns.len());
     // A rebalance moves one instance per round, and that is all the
@@ -99,7 +99,7 @@ fn live_rebalance_preserves_every_outcome() {
     // No outcome lost, duplicated or altered by the moves.
     for name in population() {
         assert_eq!(
-            settled(&sys, &name),
+            settled(&mut sys, &name),
             baseline[&name],
             "{name} diverged from the no-rebalance run"
         );
@@ -115,7 +115,7 @@ fn added_shard_serves_new_instances() {
     start_population(&mut sys, &population());
     sys.run_until(SimTime::from_nanos(20_000_000));
     sys.add_coordinator("coordinator2").expect("rebalance");
-    assert_one_owner(&sys, &population(), "after the rebalance");
+    assert_one_owner(&mut sys, &population(), "after the rebalance");
 
     // New arrivals route by the flipped map; some must land on the new
     // shard, and everything — moved, resident and new — completes.
@@ -151,7 +151,7 @@ fn an_instance_named_under_anothers_prefix_moves_alone() {
         let mut sys = build(2);
         start_population(&mut sys, &names);
         sys.run();
-        names.iter().map(|name| settled(&sys, name)).collect()
+        names.iter().map(|name| settled(&mut sys, name)).collect()
     };
 
     let mut sys = build(2);
@@ -161,7 +161,7 @@ fn an_instance_named_under_anothers_prefix_moves_alone() {
     }
     sys.run_until(SimTime::from_nanos(20_000_000));
     let report = sys.add_coordinator("coordinator2").expect("rebalance");
-    assert_one_owner(&sys, &names, "after the rebalance");
+    assert_one_owner(&mut sys, &names, "after the rebalance");
     assert_eq!((report.moved, report.rounds), (2, 2));
     for name in &names {
         assert_eq!(sys.shard_of(name), 2, "{name} is won by the joiner");
@@ -169,7 +169,7 @@ fn an_instance_named_under_anothers_prefix_moves_alone() {
     assert_eq!(sys.coord_handle(2).get().instance_names(), names);
     sys.run();
     for (name, unmoved) in names.iter().zip(&baseline) {
-        assert_eq!(&settled(&sys, name), unmoved, "{name} diverged");
+        assert_eq!(&settled(&mut sys, name), unmoved, "{name} diverged");
     }
 }
 
@@ -184,7 +184,7 @@ fn moved_instance_is_reconfigured_on_a_shard_that_never_ran_its_script() {
     start_population(&mut sys, std::slice::from_ref(&name));
     sys.run_until(SimTime::from_nanos(20_000_000));
     let report = sys.add_coordinator("coordinator2").expect("rebalance");
-    assert_one_owner(&sys, std::slice::from_ref(&name), "after the rebalance");
+    assert_one_owner(&mut sys, std::slice::from_ref(&name), "after the rebalance");
     assert_eq!((report.moved, sys.shard_of(&name)), (1, 2));
     let joiner = sys.coord_handle(2);
     assert_eq!(
@@ -250,7 +250,7 @@ fn map_naming_a_non_coordinator_moves_nothing() {
     );
 
     let err = sys.rebalance(bad).expect_err("a bad map must be refused");
-    assert_one_owner(&sys, &population(), "after the refusal");
+    assert_one_owner(&mut sys, &population(), "after the refusal");
     assert!(err.to_string().contains("runs no coordinator"), "{err}");
     assert_eq!(sys.stats().handoffs, 0, "nothing may move on a bad map");
     assert_eq!(resident(&sys), before, "every instance stays where it was");
@@ -274,7 +274,7 @@ fn map_with_a_stale_epoch_moves_nothing() {
     start_population(&mut sys, &population());
     sys.run_until(SimTime::from_nanos(20_000_000));
     sys.add_coordinator("coordinator2").expect("rebalance");
-    assert_one_owner(&sys, &population(), "after the rebalance");
+    assert_one_owner(&mut sys, &population(), "after the rebalance");
     assert_eq!(sys.shard_map().epoch(), 2);
     let resident = |sys: &WorkflowSystem| -> Vec<Vec<String>> {
         (0..3)
@@ -336,7 +336,7 @@ fn interrupted_join_resumes_under_the_same_name() {
 
     sys.restart_now(victim);
     let report = sys.add_coordinator("coordinator2").expect("resumed join");
-    assert_one_owner(&sys, &population(), "after the resumed join");
+    assert_one_owner(&mut sys, &population(), "after the resumed join");
     assert_eq!(report.epoch, 2, "the same successor map, not a third one");
     assert_eq!(sys.shard_count(), 3, "one coordinator2, not two");
     assert_eq!(sys.shard_map().shard_count(), 3);
@@ -383,7 +383,7 @@ fn swapping_rebalance() -> (WorkflowSystem, ShardMap) {
 fn a_reordered_map_routes_to_the_owner() {
     let (mut sys, swapped) = swapping_rebalance();
     sys.rebalance(swapped).expect("clean rebalance");
-    assert_one_owner(&sys, &population(), "after the rebalance");
+    assert_one_owner(&mut sys, &population(), "after the rebalance");
     sys.run();
     for name in population() {
         let owner = sys.coord_handle(sys.shard_of(&name));
@@ -410,7 +410,7 @@ fn source_crash_before_its_record_commits_moves_nothing() {
     let err = sys.rebalance(swapped).expect_err("the source is down");
     assert!(err.to_string().contains("is down"), "{err}");
     sys.restart_now(src_node);
-    assert_one_owner(&sys, &population(), "after the restart");
+    assert_one_owner(&mut sys, &population(), "after the restart");
     sys.run();
 
     assert!(move_record_history(&source_log).is_empty());
@@ -444,7 +444,7 @@ fn source_crash_after_its_record_commits_lands_on_restart() {
     assert_eq!(sys.shard_stats(0).handoffs, 0, "no answer reached it");
     sys.restart_now(src_node);
     sys.run();
-    assert_one_owner(&sys, &population(), "after the restart");
+    assert_one_owner(&mut sys, &population(), "after the restart");
 
     // The record, written decided and then landed; no flip deleted it.
     let history = move_record_history(&source_log);
@@ -509,9 +509,9 @@ fn a_source_adopted_mid_round_leaves_one_copy() {
     let destination = sys.coord_handle(0);
     assert!(destination.get().instance_names().contains(&name), "landed");
     sys.adopt_dead_shard("coordinator1").expect("failover");
-    assert_one_owner(&sys, &names, "after the failover");
+    assert_one_owner(&mut sys, &names, "after the failover");
     sys.run();
-    assert_one_owner(&sys, &names, "at the end");
+    assert_one_owner(&mut sys, &names, "at the end");
     let status = sys.coord_handle(0).get().status(&name).unwrap();
     assert!(
         matches!(status, InstanceStatus::Completed(_)),
@@ -557,7 +557,7 @@ fn destination_crash_after_landing_converges_to_destination() {
     assert!(!sys.coord_handle(0).get().instance_names().contains(name));
 
     sys.rebalance(swapped).expect("the re-run converges");
-    assert_one_owner(&sys, &population(), "after the re-run");
+    assert_one_owner(&mut sys, &population(), "after the re-run");
     sys.run();
     for name in population() {
         let status = sys.status(&name).unwrap();

@@ -31,7 +31,7 @@ fn run_clean(coordinators: usize) -> BTreeMap<String, Fingerprint> {
     let population = population();
     start_population(&mut sys, &population);
     sys.run();
-    fingerprints(&sys, &population)
+    fingerprints(&mut sys, &population)
 }
 
 #[test]
@@ -80,7 +80,7 @@ fn fig8_repeat_loop_is_identical_across_shard_counts() {
             "booked"
         );
         assert!(sys.stats().repeats >= 1, "the repeat loop must have run");
-        fingerprint(&sys, "trip-retry-x")
+        fingerprint(&mut sys, "trip-retry-x")
     };
     let baseline = run(1);
     for k in SHARD_COUNTS.into_iter().skip(1) {
@@ -106,6 +106,8 @@ fn one_shard_crash_recovers_locally_without_disturbing_others() {
         SimDuration::from_millis(120),
     )
     .apply(sys.world_mut());
+    sys.run_until(SimTime::from_nanos(160_000_000));
+    common::assert_quiescent(&mut sys, "after the restart");
     sys.run();
 
     // Every instance still reaches its verdict; the victim's instances
@@ -136,7 +138,7 @@ fn one_shard_crash_recovers_locally_without_disturbing_others() {
     for name in population() {
         if sys.shard_of(&name) != victim_shard {
             assert_eq!(
-                fingerprint(&sys, &name),
+                fingerprint(&mut sys, &name),
                 unfaulted[&name],
                 "{name} (shard {}) disturbed by shard {victim_shard}'s crash",
                 sys.shard_of(&name)
@@ -175,7 +177,7 @@ fn partition_isolating_one_shard_heals_and_completes() {
         );
         // Unpartitioned shards never noticed.
         if sys.shard_of(&name) != victim_shard {
-            assert_eq!(fingerprint(&sys, &name), unfaulted[&name], "{name}");
+            assert_eq!(fingerprint(&mut sys, &name), unfaulted[&name], "{name}");
         }
     }
     // The isolated shard bridged the partition with watchdog retries.
@@ -284,6 +286,7 @@ fn whole_sharded_system_restarts_over_surviving_disks() {
         .config(det_config())
         .shard_storages(storages)
         .build();
+    common::assert_quiescent(&mut sys2, "after the rebuild");
     sys2.register_script(
         "order",
         samples::ORDER_PROCESSING,
@@ -433,7 +436,7 @@ fn a_shard_fetches_each_script_version_once() {
     let restarted = sys.shard_of("order-0");
     let node = sys.coordinator_nodes()[restarted];
     sys.crash_now(node);
-    sys.restart_now(node);
+    common::restart_checked(&mut sys, node);
     sys.run();
     let second = orders_and_trips(12, 36);
     start_population(&mut sys, &second);

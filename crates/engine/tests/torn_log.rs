@@ -12,7 +12,11 @@
 //! - a **flipped bit** in a frame's length, its checksum or its payload,
 //!   or in the log's first six bytes, is refused with a typed
 //!   `TxError::Corrupt` or reopens to the store of a whole-frame prefix:
-//!   never a panic, never a record that was not written.
+//!   never a panic, never a record that was not written;
+//! - a shard **restarted** over any whole-frame prefix, or over a tail
+//!   torn one byte short of a frame's end, holds every running instance
+//!   quiescent: each frame is a whole step, and every step ends
+//!   quiescent — what a restart relies on when it re-evaluates nothing.
 //!
 //! The sweep finds frame boundaries by appending the scanned records to
 //! a fresh log one at a time, so it reads any frame layout whose payload
@@ -22,7 +26,7 @@ mod common;
 
 use std::collections::BTreeMap;
 
-use common::{build, population, start_population};
+use common::{assert_quiescent, build, build_orders_on, population, start_population};
 use flowscript_engine::{EngineConfig, ObserveLevel};
 use flowscript_tx::{
     LogRecord, ObjectUid, SharedStorage, Storage, StoreKey, TxError, TxManager, Wal,
@@ -180,4 +184,21 @@ fn a_flipped_bit_is_refused_or_reads_as_a_whole_frame_prefix() {
             );
         }
     }
+}
+
+#[test]
+fn a_restart_over_any_whole_frame_prefix_finds_nothing_to_do() {
+    let log = paper_log();
+    let frames = frames_of(&log);
+    let mut running = 0;
+    for (i, &(_, end, _)) in frames.spans.iter().enumerate() {
+        for (cut, what) in [(end, "whole"), (end - 1, "torn")] {
+            let storage = storage_of(&log[..cut]).into();
+            let mut sys = build_orders_on(1, EngineConfig::default(), vec![storage]);
+            assert_quiescent(&mut sys, &format!("frame {i}, {what}: the restart"));
+            let live = |name: &String| sys.status(name).is_ok_and(|s| !s.is_terminal());
+            running += population().iter().filter(|name| live(name)).count();
+        }
+    }
+    assert!(running > 0, "no prefix held a running instance");
 }

@@ -303,9 +303,10 @@ pub fn eval_scope_outputs<F: PlanFacts>(
 ///   *empty* input sets that no reverse edge will ever point at; the
 ///   rest are reached from their producers' commits, and nested
 ///   compounds enable their own constituents when they activate in turn,
-/// - [`Worklist::seed_all`]: the full scan, kept for crash recovery,
-///   adoption, repair and reconfiguration re-entry (where the plan
-///   itself changed under the instance).
+/// - [`Worklist::seed_all`]: the full scan, kept for repair and
+///   reconfiguration re-entry (where a fact has no commit to seed from,
+///   or the plan itself changed under the instance); crash recovery and
+///   adoption seed nothing, since committed state is quiescent.
 ///
 /// Draining pops **all** start work before any output work (a
 /// constituent that can start must start before its scope considers
@@ -373,8 +374,7 @@ impl Worklist {
         }
     }
 
-    /// Seeds everything — the full scan for recovery, repair and
-    /// reconfiguration.
+    /// Seeds everything — the full scan for repair and reconfiguration.
     pub fn seed_all(&mut self, plan: &Plan) {
         for id in 0..plan.tasks.len() as TaskId {
             self.push_task(plan, id);

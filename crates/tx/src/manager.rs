@@ -459,8 +459,9 @@ impl<S: Storage> TxManager<S> {
         }
     }
 
-    /// [`TxManager::tail_fence`], noted: a fence found in the tail is the
-    /// one this manager observed from then on, and a foreign tail with
+    /// The fence another node holds on this storage, noted: the one
+    /// this manager observed, else one in the log's tail past its
+    /// watermark, which it observes from then on; a foreign tail with
     /// none (e.g. our own claim written through a sibling handle) is
     /// folded into the watermark — so the tail is walked once, however
     /// often a zombie asks. Cheap in the common case (a length compare).
@@ -470,33 +471,20 @@ impl<S: Storage> TxManager<S> {
     /// [`TxError::Storage`] if the tail does not read.
     pub fn note_fence(&mut self) -> Result<Option<(u32, u64)>, TxError> {
         let len = self.wal.size_bytes();
-        if self.fence.is_none() && len != self.wal_len {
-            self.fence = self.tail_fence()?;
-            if self.fence.is_none() {
-                self.wal_len = len;
-            }
-        }
-        Ok(self.fence)
-    }
-
-    /// The fence another node holds on this storage: the one this
-    /// manager observed, else one in the log's tail past its watermark,
-    /// found without noting it.
-    ///
-    /// # Errors
-    ///
-    /// [`TxError::Storage`] if the tail does not read.
-    pub fn tail_fence(&self) -> Result<Option<(u32, u64)>, TxError> {
-        if self.fence.is_some() || self.wal.size_bytes() == self.wal_len {
+        if self.fence.is_some() || len == self.wal_len {
             return Ok(self.fence);
         }
-        let mut found = None;
+        let (node, mut found) = (self.node, None);
         self.wal.walk_from(self.wal_len, |payload| {
             if found.is_none() {
-                found = log::fence_of(payload)?.filter(|&(claimant, _)| claimant != self.node);
+                found = log::fence_of(payload)?.filter(|&(claimant, _)| claimant != node);
             }
             Ok(())
         })?;
+        self.fence = found;
+        if found.is_none() {
+            self.wal_len = len;
+        }
         Ok(found)
     }
 
@@ -1130,7 +1118,7 @@ mod tests {
         // The fenced owner restarting sees the claim at replay.
         let mut owner = TxManager::open(0, stable.clone()).unwrap();
         assert_eq!(owner.fenced(), Some((2, 4)));
-        assert_eq!(owner.tail_fence().unwrap(), Some((2, 4)));
+        assert_eq!(owner.note_fence().unwrap(), Some((2, 4)));
         let a = owner.begin();
         owner.write_key(&a, &key("x"), &1u8).unwrap();
         assert!(matches!(owner.commit(a), Err(TxError::Fenced { .. })));
